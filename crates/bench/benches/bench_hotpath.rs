@@ -4,7 +4,6 @@
 //! persists the numbers to `BENCH_hotpath.json`.
 
 use asterix_adm::Value;
-use asterix_bench::hotpath::GlobalLockCache;
 use asterix_hyracks::ops::join::{hash_join, HashJoinCfg};
 use asterix_hyracks::{Frame, RuntimeCtx, Tuple};
 use asterix_storage::cache::{BufferCache, CacheOptions};
@@ -33,10 +32,8 @@ fn cache_hits(c: &mut Criterion) {
         Arc::clone(&fm),
         CacheOptions { capacity: 128, shards: 8, readahead_pages: 0 },
     );
-    let global = GlobalLockCache::new(Arc::clone(&fm), 128);
     for p in 0..pages {
         sharded.get(id, p).unwrap();
-        global.get(id, p, false);
     }
     let mut g = c.benchmark_group("cache_hits");
     g.sample_size(10);
@@ -44,13 +41,6 @@ fn cache_hits(c: &mut Criterion) {
         b.iter(|| {
             for p in 0..pages {
                 black_box(sharded.get(id, p).unwrap());
-            }
-        })
-    });
-    g.bench_function("global_lock_1_scanner", |b| {
-        b.iter(|| {
-            for p in 0..pages {
-                black_box(global.get(id, p, false));
             }
         })
     });
@@ -98,18 +88,6 @@ fn exchange_repartition(c: &mut Criterion) {
             for frame in build() {
                 for (i, (t, size)) in frame.into_sized().enumerate() {
                     if dests[i % 4].push_sized(t, size as usize).unwrap_or(false) {
-                        black_box(dests[i % 4].take());
-                    }
-                }
-            }
-        })
-    });
-    g.bench_function("resize_path", |b| {
-        b.iter(|| {
-            let mut dests: Vec<Frame> = (0..4).map(|_| Frame::new()).collect();
-            for frame in build() {
-                for (i, t) in frame.into_tuples().into_iter().enumerate() {
-                    if dests[i % 4].push(t).unwrap_or(false) {
                         black_box(dests[i % 4].take());
                     }
                 }

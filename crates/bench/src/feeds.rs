@@ -4,11 +4,10 @@
 //!
 //! Three sections:
 //!
-//! * **durability** — N concurrent feeds with small batches, once with the
-//!   group-commit WAL (concurrent committers share one fdatasync) and once
-//!   with per-batch sync (`wal_group_commit: false`). Both provide the same
-//!   guarantee — a committed batch is on disk — so the mutations/sec delta
-//!   is the price of not amortizing the sync.
+//! * **durability** — N concurrent feeds with small batches, every batch
+//!   commit forced to disk through the group-commit WAL (concurrent
+//!   committers share one fdatasync): mutations/sec plus how many commits
+//!   led an fsync round vs. piggybacked on another committer's.
 //! * **with_analytics** — the paper's data-in-motion story: one feed
 //!   sustaining mutations while an e01-style GROUP BY COUNT query loops
 //!   concurrently over the same dataset.
@@ -16,9 +15,7 @@
 //!   undersized queue, recording the ingested / discarded / spilled /
 //!   throttled split the congestion produced.
 //!
-//! Rates are wall-clock on whatever host runs this; the comparable artifact
-//! is the *ratio* between configurations within one run, which the JSON
-//! records side by side.
+//! Rates are wall-clock on whatever host runs this.
 
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
@@ -35,6 +32,9 @@ const DDL: &str = r#"
 /// Concurrent feeds in the durability section (each gets its own dataset
 /// so the committer workers contend only on the WAL sync).
 const FEEDS: usize = 4;
+
+/// Records per batch commit in the durability section.
+const DURABILITY_BATCH: usize = 8;
 
 fn fnum(v: f64) -> String {
     if v.is_finite() {
@@ -53,11 +53,6 @@ fn rec(id: i64) -> asterix_adm::Value {
     .expect("record")
 }
 
-fn open(group_commit: bool) -> Instance {
-    Instance::open(InstanceConfig { wal_group_commit: group_commit, ..Default::default() })
-        .expect("open instance")
-}
-
 /// Sum of a counter across all `node<N>.`-prefixed registries.
 fn node_counter(db: &Instance, name: &str) -> u64 {
     let snap = db.metrics_snapshot();
@@ -65,7 +60,6 @@ fn node_counter(db: &Instance, name: &str) -> u64 {
 }
 
 struct DurabilityPoint {
-    group_commit: bool,
     mutations: u64,
     elapsed_s: f64,
     rate: f64,
@@ -75,8 +69,8 @@ struct DurabilityPoint {
 
 /// N feeds into N datasets, one producer each, small batches: measures how
 /// fast concurrent committers can make small ingestion batches durable.
-fn durability_point(group_commit: bool, per_feed: u64) -> DurabilityPoint {
-    let db = open(group_commit);
+fn durability_point(per_feed: u64) -> DurabilityPoint {
+    let db = Instance::temp().expect("open instance");
     for f in 0..FEEDS {
         db.execute_sqlpp(&format!(
             "CREATE TYPE E{f} AS {{ id: int, grp: int, val: int }};
@@ -93,7 +87,7 @@ fn durability_point(group_commit: bool, per_feed: u64) -> DurabilityPoint {
                 let feed = Feed::start(
                     db,
                     format!("Events{f}"),
-                    FeedConfig { queue: 1024, batch: 8, ..FeedConfig::default() },
+                    FeedConfig { queue: 1024, batch: DURABILITY_BATCH, ..FeedConfig::default() },
                 );
                 for i in 0..per_feed {
                     feed.push(rec(i as i64)).expect("push");
@@ -106,7 +100,6 @@ fn durability_point(group_commit: bool, per_feed: u64) -> DurabilityPoint {
     });
     let elapsed_s = start.elapsed().as_secs_f64();
     DurabilityPoint {
-        group_commit,
         mutations: total,
         elapsed_s,
         rate: total as f64 / elapsed_s,
@@ -125,7 +118,7 @@ struct AnalyticsPoint {
 /// One feed sustaining mutations while an e01-shaped aggregation loops over
 /// the same dataset from another thread.
 fn analytics_point(total: u64) -> AnalyticsPoint {
-    let db = open(true);
+    let db = Instance::temp().expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let start = Instant::now();
@@ -179,7 +172,7 @@ struct PolicyPoint {
 /// Pushes a burst through an undersized queue under one policy and records
 /// how the congestion resolved.
 fn policy_point(policy: IngestionPolicy, name: &'static str, total: u64) -> PolicyPoint {
-    let db = open(true);
+    let db = Instance::temp().expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
     let feed = Feed::start(
         db.clone(),
@@ -217,8 +210,7 @@ pub fn run(quick: bool) -> String {
     let policy_total: u64 = if quick { 1_000 } else { 8_000 };
 
     eprintln!("feeds: durability sweep ({FEEDS} feeds x {per_feed} records)...");
-    let grouped = durability_point(true, per_feed);
-    let per_batch = durability_point(false, per_feed);
+    let durability = durability_point(per_feed);
     eprintln!("feeds: concurrent analytics ({analytics_total} records)...");
     let htap = analytics_point(analytics_total);
     eprintln!("feeds: congestion policies ({policy_total} records each)...");
@@ -230,7 +222,7 @@ pub fn run(quick: bool) -> String {
 
     let mut s = String::new();
     s.push_str("{\n");
-    s.push_str("  \"schema_version\": 1,\n");
+    s.push_str("  \"schema_version\": 2,\n");
     s.push_str("  \"generated_by\": \"repro feeds\",\n");
     s.push_str(&format!("  \"quick\": {quick},\n"));
     s.push_str(&format!(
@@ -239,28 +231,19 @@ pub fn run(quick: bool) -> String {
     ));
     s.push_str(
         "  \"methodology\": \"mutations/sec = committed feed records over wall time; \
-         durability points differ only in wal_group_commit (same guarantee, shared vs \
-         per-batch fdatasync); policy points push a burst through a 64-slot queue\",\n",
+         every batch commit is fsynced through the group-commit WAL (wal_group_commits = \
+         leader fsync rounds, wal_group_commit_waiters = commits covered by another \
+         committer's round); policy points push a burst through a 64-slot queue\",\n",
     );
-    s.push_str("  \"durability\": [\n");
-    for (i, p) in [&grouped, &per_batch].into_iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"mode\": \"{}\", \"feeds\": {FEEDS}, \"mutations\": {}, \
-             \"elapsed_s\": {}, \"mutations_per_sec\": {}, \"wal_group_commits\": {}, \
-             \"wal_group_commit_waiters\": {} }}{}\n",
-            if p.group_commit { "group_commit" } else { "per_batch_sync" },
-            p.mutations,
-            fnum(p.elapsed_s),
-            fnum(p.rate),
-            p.wal_rounds,
-            p.wal_waiters,
-            if i == 0 { "," } else { "" },
-        ));
-    }
-    s.push_str("  ],\n");
     s.push_str(&format!(
-        "  \"group_commit_speedup\": {},\n",
-        fnum(grouped.rate / per_batch.rate)
+        "  \"durability\": {{ \"feeds\": {FEEDS}, \"batch\": {DURABILITY_BATCH}, \
+         \"mutations\": {}, \"elapsed_s\": {}, \"mutations_per_sec\": {}, \
+         \"wal_group_commits\": {}, \"wal_group_commit_waiters\": {} }},\n",
+        durability.mutations,
+        fnum(durability.elapsed_s),
+        fnum(durability.rate),
+        durability.wal_rounds,
+        durability.wal_waiters,
     ));
     s.push_str(&format!(
         "  \"with_analytics\": {{ \"mutations\": {}, \"mutations_per_sec\": {}, \
@@ -404,9 +387,8 @@ mod tests {
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(!json.contains("NaN") && !json.contains("inf"));
-        assert!(json.contains("\"schema_version\": 1"));
-        assert!(json.contains("\"mode\": \"group_commit\""));
-        assert!(json.contains("\"mode\": \"per_batch_sync\""));
+        assert!(json.contains("\"schema_version\": 2"));
+        assert!(json.contains("\"durability\""));
         assert!(json.contains("\"with_analytics\""));
         for p in ["throttle", "discard", "spill"] {
             assert!(json.contains(&format!("\"policy\": \"{p}\"")), "missing policy {p}");

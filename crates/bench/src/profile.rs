@@ -2,7 +2,7 @@
 //!
 //! Runs an experiment's representative query against a freshly loaded
 //! instance and renders the profile tree the executor assembled
-//! ([`Instance::last_profile`]): per operator-partition tuple/frame/byte
+//! (`QueryHandle::profile`): per operator-partition tuple/frame/byte
 //! counts, queue-wait vs. compute time, spill activity, and per-destination
 //! exchange routing. Output is both a human text tree and a JSON document
 //! (`schema_version` 1) for tooling; CI validates the JSON shape.
@@ -48,13 +48,16 @@ pub fn run(experiment: &str, quick: bool) -> Option<ProfileRun> {
     }
     // Scan both datasets, hash-join messages to their authors, then group:
     // message volume per author — the E1-shaped analytical plan.
-    db.query(
-        "SELECT u.id AS author, COUNT(m.messageId) AS msgs \
-         FROM GleambookUsers u JOIN GleambookMessages m ON m.authorId = u.id \
-         GROUP BY u.id",
-    )
-    .ok()?;
-    let profile = db.last_profile()?;
+    let handle = db
+        .session()
+        .submit(
+            "SELECT u.id AS author, COUNT(m.messageId) AS msgs \
+             FROM GleambookUsers u JOIN GleambookMessages m ON m.authorId = u.id \
+             GROUP BY u.id",
+        )
+        .ok()?;
+    handle.wait().ok()?;
+    let profile = handle.profile()?;
     let mut fields = vec![("experiment".to_string(), Json::str(canon))];
     if let Json::Obj(rest) = profile.to_json() {
         fields.extend(rest);

@@ -16,7 +16,9 @@ use crate::catalog::{Catalog, DatasetKind};
 use crate::dataset::{extract_pk, partition_of, DatasetPartition, StorageConfig};
 use crate::error::{CoreError, Result};
 use crate::node::Cluster;
-use crate::scheduler::{QueryControl, QueryScheduler, SchedulerConfig, Session};
+use crate::scheduler::{
+    QueryControl, QueryOptions, QueryScheduler, SchedulerConfig, Session, Submission,
+};
 use crate::sources::{DatasetRuntime, DatasetSource, ExternalSource};
 use crate::txn::{TxnManager, UndoEntry};
 use asterix_adm::binary::{decode, encode};
@@ -33,7 +35,7 @@ use asterix_storage::lock_order::OrderedRwLock;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -118,14 +120,6 @@ pub struct InstanceConfig {
     /// (`faults`) rely on — background merge I/O would race the op-counted
     /// crash schedules.
     pub background_compaction: bool,
-    /// Group-commit WAL (on by default): concurrent committers on one node
-    /// share a single fdatasync — the leader flushes, followers whose bytes
-    /// it covered piggyback (`storage.wal.group_commits` /
-    /// `group_commit_waiters`). `false` restores one fsync per commit, the
-    /// durability-equivalent baseline the feeds bench compares against.
-    /// A lone committer behaves identically in both modes (append → write →
-    /// fsync), so seeded fault-injection schedules are unaffected.
-    pub wal_group_commit: bool,
 }
 
 impl Default for InstanceConfig {
@@ -148,7 +142,6 @@ impl Default for InstanceConfig {
             scheduler: SchedulerConfig::default(),
             worker_threads: 0,
             background_compaction: false,
-            wal_group_commit: true,
         }
     }
 }
@@ -175,7 +168,9 @@ impl ExecResult {
 struct Inner {
     config: InstanceConfig,
     root: PathBuf,
-    temp_guard: bool,
+    /// Remove `root` on drop: set for a temp-dir instance, cleared by
+    /// [`Instance::crash`] so the directory survives for the reopen.
+    remove_root_on_drop: AtomicBool,
     catalog: OrderedRwLock<Catalog>,
     cluster: Cluster,
     datasets: RwLock<HashMap<String, Arc<DatasetRuntime>>>,
@@ -183,11 +178,7 @@ struct Inner {
     ctx: Arc<RuntimeCtx>,
     vargen: Mutex<VarGen>,
     ddl_log: Mutex<Vec<String>>,
-    /// Profile tree of the most recently completed query job. Deprecated
-    /// facade kept for single-client callers; concurrent clients read
-    /// per-query profiles from their [`crate::scheduler::QueryHandle`]s.
-    last_profile: Mutex<Option<asterix_obs::JobProfile>>,
-    /// Admission controller for the concurrent serving path.
+    /// Admission controller every query runs behind.
     sched: Arc<QueryScheduler>,
     /// Session-id allocator for [`Instance::session`].
     next_session: AtomicU64,
@@ -235,11 +226,6 @@ impl Instance {
             },
             config.faults.clone(),
         )?;
-        if !config.wal_group_commit {
-            for node in &cluster.nodes {
-                node.wal_group.set_enabled(false);
-            }
-        }
         let ctx = RuntimeCtx::with_clock_and_faults(
             root.join("spill"),
             asterix_obs::MonotonicClock::shared(),
@@ -262,7 +248,7 @@ impl Instance {
         let inner = Arc::new(Inner {
             config,
             root,
-            temp_guard,
+            remove_root_on_drop: AtomicBool::new(temp_guard),
             catalog: OrderedRwLock::new("catalog", Catalog::new()),
             cluster,
             datasets: RwLock::new(HashMap::new()),
@@ -270,7 +256,6 @@ impl Instance {
             ctx,
             vargen: Mutex::new(VarGen::new()),
             ddl_log: Mutex::new(Vec::new()),
-            last_profile: Mutex::new(None),
             sched,
             next_session: AtomicU64::new(1),
             compaction_token,
@@ -399,14 +384,14 @@ impl Instance {
             Language::Aql => vec![asterix_sqlpp::parse_aql(text).map_err(CoreError::Sqlpp)?],
         };
         let mut out = Vec::with_capacity(stmts.len());
-        for stmt in &stmts {
+        for stmt in stmts {
             out.push(match stmt {
                 Stmt::Ddl(ddl) => {
-                    let msg = self.apply_ddl(ddl, true)?;
+                    let msg = self.apply_ddl(&ddl, true)?;
                     ExecResult::Message(msg)
                 }
-                Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(dml)?),
-                Stmt::Query(q) => ExecResult::Rows(self.run_query(q)?),
+                Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(&dml)?),
+                Stmt::Query(q) => ExecResult::Rows(self.run_query_sync(q, None)?),
             });
         }
         Ok(out)
@@ -432,7 +417,7 @@ impl Instance {
     /// [`HyracksError::DeadlineExceeded`](asterix_hyracks::HyracksError).
     pub fn query_with_deadline(&self, text: &str, deadline: Duration) -> Result<Vec<Value>> {
         let q = self.parse_single_query(text)?;
-        self.run_query_deadline(&q, Some(deadline))
+        self.run_query_sync(q, Some(deadline))
     }
 
     /// Parses `text` as SQL++ and returns its trailing query statement.
@@ -455,28 +440,6 @@ impl Instance {
     /// tests and benches).
     pub fn scheduler(&self) -> &Arc<QueryScheduler> {
         &self.inner.sched
-    }
-
-    /// The instance-wide default query deadline.
-    pub(crate) fn default_deadline(&self) -> Option<Duration> {
-        self.inner.config.query_deadline
-    }
-
-    /// Updates the deprecated instance-wide last-profile facade.
-    pub(crate) fn store_last_profile(&self, profile: asterix_obs::JobProfile) {
-        *self.inner.last_profile.lock() = Some(profile);
-    }
-
-    /// Cancels **every** query job currently executing on this instance —
-    /// the broad hammer, kept as a facade for single-client callers and
-    /// emergency shedding. Every worker of every live job observes its
-    /// token and unwinds; each affected query returns the typed
-    /// [`HyracksError::Cancelled`](asterix_hyracks::HyracksError) carrying
-    /// `reason`. Prefer [`crate::scheduler::QueryHandle::cancel`], which
-    /// cancels exactly one query. Returns true when at least one live job
-    /// was tripped.
-    pub fn cancel_job(&self, reason: &str) -> bool {
-        self.inner.ctx.cancel_all_jobs(reason)
     }
 
     /// Kills cluster node `id` (simulated machine failure — durable state
@@ -624,7 +587,7 @@ impl Instance {
                         q
                     }
                 };
-                let victims = self.run_query(&q)?;
+                let victims = self.run_query_sync(q, None)?;
                 let def = self
                     .inner
                     .catalog
@@ -669,49 +632,56 @@ impl Instance {
     /// Evaluates a standalone (no FROM scope) expression, e.g. the value of
     /// an INSERT.
     fn eval_standalone(&self, e: &asterix_sqlpp::ast::Expr) -> Result<Value> {
-        let q = Query::of_expr(e.clone());
-        let mut rows = self.run_query(&q)?;
+        let mut rows = self.run_query_sync(Query::of_expr(e.clone()), None)?;
         rows.pop()
             .ok_or_else(|| CoreError::Constraint("expression produced no value".into()))
     }
 
-    /// Runs one translated query under the instance's default deadline.
-    fn run_query(&self, q: &Query) -> Result<Vec<Value>> {
-        self.run_query_deadline(q, self.inner.config.query_deadline)
+    /// Synchronous half of the one query path: resolves the memory budget
+    /// and deadline and reserves an admission ticket. The only point a query
+    /// is refused ([`CoreError::Saturated`]); nothing has executed yet.
+    pub(crate) fn enqueue_query(&self, query: Query, opts: &QueryOptions) -> Result<Submission> {
+        let sched = &self.inner.sched;
+        let budget = opts.memory.unwrap_or(sched.config().default_query_memory).max(1);
+        let ticket = sched.enqueue(budget, opts.priority)?;
+        let deadline = opts.deadline.or(self.inner.config.query_deadline);
+        Ok(Submission { ticket, query, deadline })
     }
 
-    /// Runs one translated query under the default deadline, feeding the
-    /// deprecated instance-wide [`Instance::last_profile`] facade.
-    fn run_query_deadline(&self, q: &Query, deadline: Option<Duration>) -> Result<Vec<Value>> {
-        let (rows, profile) = self.run_query_profiled(q, deadline, None, None)?;
-        self.store_last_profile(profile);
+    /// Runs one query to completion on the calling thread (the
+    /// [`Instance::query`] family and DML-internal queries): default budget
+    /// and priority, `deadline` overriding the instance default.
+    fn run_query_sync(&self, query: Query, deadline: Option<Duration>) -> Result<Vec<Value>> {
+        let opts = QueryOptions { deadline, ..Default::default() };
+        let submission = self.enqueue_query(query, &opts)?;
+        let (rows, _profile) = self.run_query_profiled(submission, &QueryControl::new())?;
         Ok(rows)
     }
 
-    /// Runs one translated query: translate/optimize once, then execute with
-    /// the configured [`RetryPolicy`] — transient failures (node down,
-    /// injected faults, partitions dying mid-stream) re-run the job with
-    /// exponential backoff; deterministic failures surface immediately.
+    /// The one way a query runs: wait for admission, translate/optimize
+    /// once, then execute under the admitted budget with the configured
+    /// [`RetryPolicy`] — transient failures (node down, injected faults,
+    /// partitions dying mid-stream) re-run the job with exponential backoff;
+    /// deterministic failures surface immediately.
     ///
-    /// The concurrent serving path supplies `control` (per-query
-    /// cancellation shared with a [`crate::scheduler::QueryHandle`]) and
-    /// `memory_budget` (the admission reservation, which caps each
-    /// operator's working memory below the instance-wide `op_memory`).
+    /// `control` carries per-query cancellation (shared with a
+    /// [`crate::scheduler::QueryHandle`] when there is one); the admission
+    /// reservation caps each operator's working memory below the
+    /// instance-wide `op_memory` and is released when this returns.
     pub(crate) fn run_query_profiled(
         &self,
-        q: &Query,
-        deadline: Option<Duration>,
-        control: Option<&QueryControl>,
-        memory_budget: Option<usize>,
+        submission: Submission,
+        control: &QueryControl,
     ) -> Result<(Vec<Value>, asterix_obs::JobProfile)> {
+        let Submission { ticket, query, deadline } = submission;
+        let admission = self.inner.sched.admit_wait(ticket, &control.token)?;
         let view = self.catalog_view();
         let mut plan = {
             let mut vg = self.inner.vargen.lock();
-            translate_query(q, &view, &mut vg).map_err(CoreError::Sqlpp)?
+            translate_query(&query, &view, &mut vg).map_err(CoreError::Sqlpp)?
         };
         optimize(&mut plan);
-        let op_memory = memory_budget
-            .map_or(self.inner.config.op_memory, |b| self.inner.config.op_memory.min(b));
+        let op_memory = self.inner.config.op_memory.min(admission.budget());
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
             sort_memory: op_memory,
@@ -725,31 +695,24 @@ impl Instance {
         loop {
             attempt += 1;
             // A fresh token per attempt: a cancelled or timed-out attempt
-            // must not poison its successor. When a handle is attached, the
-            // attempt token is installed in its control slot *before* the
-            // handle token is re-checked, so a `cancel()` landing between
-            // attempts always trips one of the two.
-            let token = if let Some(ctrl) = control {
-                let t = CancellationToken::new();
-                *ctrl.attempt.lock() = Some(t.clone());
-                if let Err(e) = ctrl.token.check() {
-                    *ctrl.attempt.lock() = None;
-                    return Err(CoreError::Hyracks(e));
-                }
-                Some(t)
-            } else {
-                None
-            };
-            let opts = JobOptions { token, deadline, workers: None };
+            // must not poison its successor. The attempt token is installed
+            // in the control slot *before* the query token is re-checked, so
+            // a `cancel()` landing between attempts always trips one of the
+            // two.
+            let token = CancellationToken::new();
+            *control.attempt.lock() = Some(token.clone());
+            if let Err(e) = control.token.check() {
+                *control.attempt.lock() = None;
+                return Err(CoreError::Hyracks(e));
+            }
+            let opts = JobOptions { token: Some(token), deadline, workers: None };
             let outcome = jobgen::execute_profiled_with(
                 &plan,
                 &cfg,
                 Arc::clone(&self.inner.ctx),
                 opts,
             );
-            if let Some(ctrl) = control {
-                *ctrl.attempt.lock() = None;
-            }
+            *control.attempt.lock() = None;
             let err = match outcome {
                 Ok((rows, profile)) => return Ok((rows, profile)),
                 Err(e) => CoreError::from(e),
@@ -774,18 +737,6 @@ impl Instance {
                 std::thread::sleep(backoff);
             }
         }
-    }
-
-    /// Per-operator profile tree of the most recently completed query
-    /// (EXPLAIN PROFILE-style), or `None` before the first query. DML that
-    /// runs an internal query (e.g. DELETE's victim scan) updates it too.
-    ///
-    /// Deprecated facade: with concurrent clients "most recent" is a race —
-    /// whichever query finishes last wins. Concurrent callers should read
-    /// [`crate::scheduler::QueryHandle::profile`], which is always the
-    /// handle's own query.
-    pub fn last_profile(&self) -> Option<asterix_obs::JobProfile> {
-        self.inner.last_profile.lock().clone()
     }
 
     /// Cluster-wide metrics snapshot: the dataflow runtime's registry plus
@@ -888,18 +839,9 @@ impl Instance {
 
     /// Simulates a crash: drops the instance without flushing memory
     /// components (the WAL survives; reopen with the same `data_dir`).
-    pub fn crash(mut self) -> PathBuf {
-        self.inner_mut_temp_guard(false);
+    pub fn crash(self) -> PathBuf {
+        self.inner.remove_root_on_drop.store(false, Ordering::SeqCst);
         self.inner.root.clone()
-    }
-
-    fn inner_mut_temp_guard(&mut self, keep: bool) {
-        // we cannot get &mut Inner through Arc; use an atomic-free trick:
-        // temp_guard is only read in Drop, so store intent in an env-free
-        // side table — simplest is to leak the guard decision via a file.
-        if !keep {
-            let _ = std::fs::write(self.inner.root.join(".keep"), b"1");
-        }
     }
 
     // -----------------------------------------------------------------
@@ -951,7 +893,7 @@ impl Instance {
 impl Drop for Inner {
     fn drop(&mut self) {
         self.compaction_token.cancel("instance shutdown");
-        if self.temp_guard && !self.root.join(".keep").exists() {
+        if self.remove_root_on_drop.load(Ordering::SeqCst) {
             let _ = std::fs::remove_dir_all(&self.root);
         }
     }
@@ -1147,8 +1089,8 @@ impl<'a> Txn<'a> {
             let node = &inner.cluster.nodes[n];
             // append under the WAL lock, then release it before the sync:
             // GroupCommit lets concurrent committers share the fdatasync
-            // (a lone committer performs exactly the old append→write→fsync
-            // sequence, keeping seeded fault schedules stable)
+            // (a lone committer performs exactly append→write→fsync, which
+            // seeded fault schedules count on)
             let end = {
                 let mut wal = node.wal.lock(); // xlint: lock(wal)
                 for (feed, seq) in &self.feed_cursors {

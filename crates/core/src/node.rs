@@ -70,7 +70,7 @@ impl Node {
         let fm = FileManager::with_faults(&dir, stats, faults.clone())?;
         let cache = BufferCache::with_options(fm, cache_opts);
         let wal = WalWriter::open_with_faults(dir.join("node.wal"), faults)?;
-        let wal_group = Arc::new(GroupCommit::new(true));
+        let wal_group = Arc::new(GroupCommit::default());
         {
             let reg = cache.stats().registry();
             let g = Arc::clone(&wal_group);

@@ -12,13 +12,19 @@
 //!
 //! # Admission protocol
 //!
-//! 1. [`Session::submit`] synchronously reserves a [`Ticket`]: either an
-//!    *eager* admission (pool and concurrency slot free, nobody queued ahead)
-//!    or a queue entry. A full queue or an impossible budget (larger than the
-//!    whole pool) rejects right here with [`CoreError::Saturated`].
-//! 2. A worker thread redeems the ticket ([`QueryScheduler`] internal
-//!    `admit_wait`), blocking until the query is at the head of the queue
-//!    *and* both a concurrency slot and its memory budget are free. Admission
+//! Every query on an instance takes this path — [`Session::submit`] on a
+//! `serve-q` thread, and the synchronous [`Instance::query`] /
+//! [`Instance::execute`] family (DML-internal queries included) on the
+//! caller's own thread. There is no way to run a query without a ticket.
+//!
+//! 1. `Instance::enqueue_query` synchronously reserves a [`Ticket`]: either
+//!    an *eager* admission (pool and concurrency slot free, nobody queued
+//!    ahead) or a queue entry. A full queue or an impossible budget (larger
+//!    than the whole pool) rejects right here with [`CoreError::Saturated`].
+//! 2. `Instance::run_query_profiled` redeems the ticket ([`QueryScheduler`]
+//!    internal `admit_wait`), blocking until the query is at the head of the
+//!    queue *and* both a concurrency slot and its memory budget are free,
+//!    then executes under that budget. Admission
 //!    order is strict priority-then-FIFO with no bypass: a small query never
 //!    overtakes the queue head even when it would fit, which trades a little
 //!    utilization for a starvation-freedom guarantee.
@@ -57,6 +63,7 @@ use crate::instance::Instance;
 use asterix_adm::Value;
 use asterix_hyracks::CancellationToken;
 use asterix_obs::{Counter, JobProfile, MetricsRegistry};
+use asterix_sqlpp::ast::Query;
 use asterix_storage::lock_order;
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -364,10 +371,27 @@ pub(crate) struct AdmissionGuard {
     budget: usize,
 }
 
+impl AdmissionGuard {
+    /// Bytes this admission reserved; also the cap on each operator's
+    /// working memory while the query runs.
+    pub(crate) fn budget(&self) -> usize {
+        self.budget
+    }
+}
+
 impl Drop for AdmissionGuard {
     fn drop(&mut self) {
         self.sched.release(self.budget);
     }
+}
+
+/// A parsed query holding its admission [`Ticket`]: what
+/// `Instance::enqueue_query` hands to `Instance::run_query_profiled`, on
+/// whichever thread the caller wants the query to run.
+pub(crate) struct Submission {
+    pub(crate) ticket: Ticket,
+    pub(crate) query: Query,
+    pub(crate) deadline: Option<Duration>,
 }
 
 /// Cancellation plumbing shared between a [`QueryHandle`] and the worker
@@ -383,6 +407,12 @@ pub(crate) struct QueryControl {
     /// installs the attempt token *before* re-checking `token`, so a cancel
     /// that lands between attempts is never lost.
     pub(crate) attempt: Mutex<Option<CancellationToken>>,
+}
+
+impl QueryControl {
+    pub(crate) fn new() -> QueryControl {
+        QueryControl { token: CancellationToken::new(), attempt: Mutex::new(None) }
+    }
 }
 
 /// Terminal state of a finished query, written once by the worker.
@@ -402,10 +432,8 @@ struct HandleShared {
 /// A submitted query: cancel it, wait for its rows, read its profile. The
 /// handle is the *only* place this query's results and profile surface —
 /// queries submitted through different sessions can never observe each
-/// other's state (unlike the deprecated instance-wide
-/// [`Instance::last_profile`]). Dropping the handle without waiting
-/// detaches the query; it runs to completion and its resources are
-/// released normally.
+/// other's state. Dropping the handle without waiting detaches the query;
+/// it runs to completion and its resources are released normally.
 pub struct QueryHandle {
     id: u64,
     session: u64,
@@ -504,42 +532,22 @@ impl Session {
         // Parse up front: a malformed query is the submitter's error and
         // should be typed and synchronous, not deferred to `wait`.
         let query = self.instance.parse_single_query(text)?;
-        let sched = Arc::clone(self.instance.scheduler());
-        let budget = opts
-            .memory
-            .unwrap_or(sched.config().default_query_memory)
-            .max(1);
-        let deadline = opts.deadline.or(self.instance.default_deadline());
-        let ticket = sched.enqueue(budget, opts.priority)?;
-        let id = ticket.id;
+        let submission = self.instance.enqueue_query(query, &opts)?;
+        let id = submission.ticket.id;
         let shared = Arc::new(HandleShared {
             state: Mutex::new(HandleState { done: false, outcome: None, profile: None }),
             cv: Condvar::new(),
-            control: QueryControl {
-                token: CancellationToken::new(),
-                attempt: Mutex::new(None),
-            },
+            control: QueryControl::new(),
         });
         let instance = self.instance.clone();
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name(format!("serve-q{id}"))
             .spawn(move || {
-                let result = (|| {
-                    let _admission = sched.admit_wait(ticket, &worker_shared.control.token)?;
-                    instance.run_query_profiled(
-                        &query,
-                        deadline,
-                        Some(&worker_shared.control),
-                        Some(budget),
-                    )
-                })();
+                let result = instance.run_query_profiled(submission, &worker_shared.control);
                 let mut st = worker_shared.state.lock();
                 match result {
                     Ok((rows, profile)) => {
-                        // The profile also feeds the deprecated instance-wide
-                        // facade; the handle copy is this query's own.
-                        instance.store_last_profile(profile.clone());
                         st.outcome = Some(Ok(rows));
                         st.profile = Some(profile);
                     }

@@ -293,6 +293,40 @@ fn crash_recovery_replays_committed_only() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Lone-committer equivalence: N sequential commits on one node are N
+/// append → write → fsync sequences — every commit leads its own fsync
+/// round, none piggybacks. The fault injector sees 2N I/O ops (one WAL
+/// write + one fsync per commit): 50 for N = 25, the count the retired
+/// per-commit-fsync mode (group commit switched off) produced at the parent
+/// commit, so seeded crash schedules land on the same operations.
+#[test]
+fn lone_committer_issues_one_fsync_per_commit() {
+    const N: u64 = 25;
+    let injector = asterix_storage::faults::FaultInjector::new(
+        asterix_storage::faults::FaultConfig { seed: 1, ..Default::default() },
+    );
+    let db = Instance::open(InstanceConfig {
+        nodes: 1,
+        partitions: 1,
+        faults: Some(injector.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    db.execute_sqlpp("CREATE TYPE T AS { id: int, v: int }; CREATE DATASET D(T) PRIMARY KEY id;")
+        .unwrap();
+    let ops_before = injector.ops();
+    for i in 0..N {
+        let rec = asterix_adm::parse::parse_value(&format!(r#"{{"id": {i}, "v": {i}}}"#)).unwrap();
+        let mut txn = db.begin();
+        txn.write("D", &rec, true).unwrap();
+        txn.commit().unwrap();
+    }
+    assert_eq!(injector.ops() - ops_before, 50, "one WAL write + one fsync per commit");
+    let snap = db.metrics_snapshot();
+    assert_eq!(snap.counter("node0.storage.wal.group_commits"), Some(N), "N fsync rounds");
+    assert_eq!(snap.counter("node0.storage.wal.group_commit_waiters"), Some(0));
+}
+
 #[test]
 fn aql_and_sqlpp_agree_end_to_end() {
     let db = Instance::temp().unwrap();

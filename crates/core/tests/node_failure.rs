@@ -125,11 +125,3 @@ fn expired_deadline_is_fatal_and_never_retried() {
     let after = db.metrics_snapshot().counter("core.query.retries").unwrap_or(0);
     assert_eq!(before, after, "a deadline failure must not consume retries");
 }
-
-#[test]
-fn cancel_job_without_a_running_job_is_a_noop() {
-    let db = setup(RetryPolicy::default());
-    assert!(!db.cancel_job("nothing to cancel"));
-    // and the instance still serves queries afterwards
-    assert_eq!(db.query("SELECT VALUE d.v FROM D d").unwrap().len(), 200);
-}

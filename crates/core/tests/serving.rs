@@ -251,10 +251,70 @@ fn node_kill_mid_burst_recovers_only_affected_queries() {
     assert!(db.cluster().dead_nodes().is_empty());
 }
 
+/// The synchronous `Instance::query` family takes the same admission path as
+/// `Session::submit`: the query holds its reservation (one slot, the default
+/// budget) exactly while it runs, and gives it back on the success path and
+/// on the error path alike. A dead node pins the direct query in its retry
+/// loop — provably mid-run — until the test restarts the node.
+#[test]
+fn direct_queries_hold_and_return_an_admission_reservation() {
+    let db = setup(InstanceConfig {
+        // backoff doubles from 1 ms: ~2 s of retrying before giving up
+        retry: RetryPolicy {
+            max_attempts: 12,
+            backoff: Duration::from_millis(1),
+            restart_dead_nodes: false,
+        },
+        ..Default::default()
+    });
+    let budget = db.scheduler().config().default_query_memory;
+    let idle = db.scheduler().pool_snapshot();
+    assert!(db.kill_node(0));
+    let pinned = {
+        let db = db.clone();
+        std::thread::spawn(move || db.query("SELECT VALUE d.v FROM D d"))
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            let snap = db.scheduler().pool_snapshot();
+            snap.running == 1 && snap.free_memory == snap.total_memory - budget
+        }),
+        "a running direct query must hold one slot and its budget"
+    );
+    assert!(db.restart_node(0));
+    let rows = pinned.join().expect("query thread").expect("succeeds once the node is back");
+    assert_eq!(rows.len(), ROWS as usize);
+    assert_eq!(db.scheduler().pool_snapshot(), idle, "success path returns the reservation");
+    let err = db
+        .query_with_deadline("SELECT VALUE d.v FROM D d", Duration::ZERO)
+        .expect_err("an expired deadline fails the admitted query");
+    assert!(err.to_string().contains("deadline"), "{err}");
+    assert_eq!(db.scheduler().pool_snapshot(), idle, "error path returns the reservation");
+    assert_eq!(db.metrics_snapshot().counter("core.serving.admitted"), Some(2));
+}
+
+/// Backpressure on the synchronous path is the same typed refusal sessions
+/// get: a budget larger than the whole pool can never be admitted.
+#[test]
+fn direct_query_over_the_pool_is_saturated() {
+    let db = setup(InstanceConfig {
+        scheduler: SchedulerConfig {
+            total_memory: 1 << 20,
+            default_query_memory: 2 << 20,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let err = db.query("SELECT VALUE d.v FROM D d").expect_err("budget exceeds the pool");
+    assert!(matches!(err, CoreError::Saturated(_)), "got {err}");
+    assert_eq!(db.metrics_snapshot().counter("core.serving.rejected"), Some(1));
+    let snap = db.scheduler().pool_snapshot();
+    assert_eq!((snap.running, snap.queued, snap.free_memory), (0, 0, snap.total_memory));
+}
+
 /// Regression: profiles are per-handle. Two interleaved queries with
-/// different plan shapes must each see their *own* operator tree — before
-/// per-handle profiles, `last_profile` was a shared cell and whichever
-/// query finished last clobbered the other's tree.
+/// different plan shapes must each see their *own* operator tree, never
+/// the tree of whichever query finished last.
 #[test]
 fn interleaved_queries_keep_their_own_profiles() {
     fn op_names(p: &asterix_obs::OperatorProfile, out: &mut Vec<String>) {

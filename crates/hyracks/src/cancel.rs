@@ -4,7 +4,7 @@
 //! poll it at frame boundaries (and every ~1k tuples inside compute loops —
 //! never per tuple, keeping the hot path clean) and on blocking channel
 //! operations, so the first partition failure, an external
-//! `Instance::cancel_job`, or an expired deadline stops all siblings
+//! `QueryHandle::cancel`, or an expired deadline stops all siblings
 //! fail-fast instead of letting them run — or block on a full bounded
 //! channel — to completion.
 //!
@@ -154,11 +154,6 @@ impl CancellationToken {
             deadline_ns: self.inner.deadline_ns.load(Ordering::Acquire),
         }
     }
-
-    /// True when `other` is the same underlying token.
-    pub fn same_as(&self, other: &CancellationToken) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 // The operator bodies in `ops::*` run deep inside iterator adapters whose
@@ -231,7 +226,6 @@ mod tests {
     fn clones_share_state() {
         let t = CancellationToken::new();
         let u = t.clone();
-        assert!(t.same_as(&u));
         t.cancel("shared");
         assert!(u.is_cancelled());
     }

@@ -1,12 +1,10 @@
 //! Runtime context: spill-file management, working-memory budgets, and
 //! dataflow statistics (paper Figure 2's "working memory" slice).
 
-use crate::cancel::CancellationToken;
 use crate::error::Result;
 use crate::faults::DataflowFaults;
 use crate::sched::WorkerPool;
 use asterix_obs::{Clock, Counter, MetricsRegistry, MonotonicClock};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
@@ -133,12 +131,6 @@ pub struct RuntimeCtx {
     /// deterministic test harness can control time).
     pub clock: Arc<dyn Clock>,
     registry: Arc<MetricsRegistry>,
-    /// Cancellation tokens of every job currently executing on this
-    /// context, installed by `exec::run_job_with` for the call's duration.
-    /// Concurrent serving means many jobs run at once; external callers
-    /// reach them via [`RuntimeCtx::cancel_all_jobs`] (or, per query,
-    /// through the scheduler's `QueryHandle`).
-    active_jobs: Mutex<Vec<CancellationToken>>,
     /// Optional deterministic chaos injector; `None` in production.
     faults: Option<Arc<DataflowFaults>>,
     /// The shared morsel worker pool, built lazily on first job so contexts
@@ -179,7 +171,6 @@ impl RuntimeCtx {
             stats,
             clock,
             registry,
-            active_jobs: Mutex::new(Vec::new()),
             faults,
             pool: OnceLock::new(),
             worker_threads: AtomicUsize::new(0),
@@ -243,47 +234,6 @@ impl RuntimeCtx {
             WorkerPool::new(n.max(1), self.registry())
         });
         Arc::clone(pool)
-    }
-
-    /// Cancels every job currently running on this context. Returns true
-    /// when at least one live job token was tripped by this call.
-    ///
-    /// This is the broad hammer behind the deprecated single-job facade
-    /// (`Instance::cancel_job`); per-query cancellation goes through the
-    /// scheduler's `QueryHandle::cancel` instead.
-    pub fn cancel_all_jobs(&self, reason: &str) -> bool {
-        let tokens: Vec<CancellationToken> = self.active_jobs.lock().clone();
-        let mut tripped = false;
-        for token in &tokens {
-            tripped |= token.cancel(reason);
-        }
-        tripped
-    }
-
-    /// Deprecated facade from the one-job-at-a-time era: cancels *all*
-    /// running jobs, since "the current job" is no longer a well-defined
-    /// notion under concurrent serving. Prefer `QueryHandle::cancel`.
-    pub fn cancel_current_job(&self, reason: &str) -> bool {
-        self.cancel_all_jobs(reason)
-    }
-
-    /// Number of jobs currently executing on this context.
-    pub fn active_job_count(&self) -> usize {
-        self.active_jobs.lock().len()
-    }
-
-    /// Registers `token` as an active job for the duration of a
-    /// `run_job_with` call (executor only).
-    pub(crate) fn install_job_token(&self, token: &CancellationToken) {
-        self.active_jobs.lock().push(token.clone());
-    }
-
-    /// Unregisters `token`; other concurrent jobs' tokens are left alone.
-    pub(crate) fn clear_job_token(&self, token: &CancellationToken) {
-        let mut jobs = self.active_jobs.lock();
-        if let Some(pos) = jobs.iter().position(|t| t.same_as(token)) {
-            jobs.swap_remove(pos);
-        }
     }
 
     /// Opens a fresh spill-run writer.

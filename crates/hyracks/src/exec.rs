@@ -1266,10 +1266,9 @@ pub fn run_job(spec: JobSpec, ctx: Arc<RuntimeCtx>) -> Result<JobResult> {
 
 /// Executes a validated job to completion under `opts`.
 ///
-/// Lifecycle: the job token (supplied or fresh) is installed on the
-/// context so [`RuntimeCtx::cancel_current_job`] can reach it; every actor
-/// polls it once per morsel. The first failing partition cancels it, so
-/// siblings stop fail-fast. Every actor reaches a terminal state before
+/// Lifecycle: every actor polls the job token (supplied or fresh) once
+/// per morsel; whoever supplied it can cancel the job through it. The
+/// first failing partition cancels it, so siblings stop fail-fast. Every actor reaches a terminal state before
 /// this returns — on success, error, and panic paths alike.
 pub fn run_job_with(spec: JobSpec, ctx: Arc<RuntimeCtx>, opts: JobOptions) -> Result<JobResult> {
     let token = opts.token.unwrap_or_default();
@@ -1280,9 +1279,7 @@ pub fn run_job_with(spec: JobSpec, ctx: Arc<RuntimeCtx>, opts: JobOptions) -> Re
             now.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
         );
     }
-    ctx.install_job_token(&token);
     let out = run_job_inner(spec, &ctx, &token, opts.workers);
-    ctx.clear_job_token(&token);
     // Lifecycle accounting: exactly one outcome counter per job run.
     let outcome = match &out {
         Ok(_) => "hyracks.lifecycle.completed",
@@ -1924,27 +1921,6 @@ mod tests {
         );
         let delta = ctx.registry().snapshot().delta(&before);
         assert_eq!(delta.counter("hyracks.lifecycle.cancelled"), Some(1));
-    }
-
-    #[test]
-    fn cancel_current_job_reaches_the_running_token() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let ctx2 = Arc::clone(&ctx);
-        let canceller = std::thread::spawn(move || {
-            // Poll until the executor has installed the job token.
-            loop {
-                if ctx2.cancel_current_job("killed via context") {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-        let err = run_job(endless_job(), Arc::clone(&ctx)).unwrap_err();
-        canceller.join().unwrap();
-        assert!(
-            matches!(&err, HyracksError::Cancelled(r) if r.contains("killed via context")),
-            "{err}"
-        );
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl Frame {
         &self.tuples
     }
 
-    /// Consumes the frame, yielding its tuples.
-    pub fn into_tuples(self) -> Vec<Tuple> {
-        self.tuples
-    }
-
     /// Consumes the frame, yielding `(tuple, cached size)` pairs so
     /// downstream frames can re-buffer without re-sizing.
     pub fn into_sized(self) -> impl Iterator<Item = (Tuple, u32)> {

@@ -1,45 +1,20 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the slice of `crossbeam::channel` the workspace uses: MPMC
-//! `bounded`/`unbounded` channels with blocking `send`/`recv`, `try_recv`,
-//! disconnection semantics, and a blocking `Select` over multiple receivers.
+//! Provides the slice of `crossbeam::channel` the workspace uses (the
+//! pub/sub broker's subscription queues): MPMC `unbounded` channels with
+//! non-blocking `send`, blocking `recv`, `try_recv`/`try_iter`, and
+//! disconnection semantics.
 //!
-//! Implementation: one `Mutex<VecDeque>` + `Condvar` per channel for the
-//! blocking send/recv paths, plus a single process-wide generation counter +
-//! condvar that every state change bumps, which is what `Select` blocks on.
-//! This is a simple, correct design for the executor's test-scale fan-in
-//! (a few dozen channels), not a lock-free port.
+//! Implementation: one `Mutex<VecDeque>` + `Condvar` per channel — a
+//! simple, correct design, not a lock-free port.
 
 pub mod channel {
     use std::collections::VecDeque;
     use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
-    use std::time::Duration;
-
-    // Global "something happened on some channel" signal for Select.
-    struct GlobalSignal {
-        generation: Mutex<u64>,
-        cv: Condvar,
-    }
-
-    fn global() -> &'static GlobalSignal {
-        static SIGNAL: OnceLock<GlobalSignal> = OnceLock::new();
-        SIGNAL.get_or_init(|| GlobalSignal {
-            generation: Mutex::new(0),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn bump_global() {
-        let g = global();
-        let mut gen = g.generation.lock().unwrap_or_else(PoisonError::into_inner);
-        *gen = gen.wrapping_add(1);
-        g.cv.notify_all();
-    }
+    use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
     struct State<T> {
         queue: VecDeque<T>,
-        cap: Option<usize>,
         senders: usize,
         receivers: usize,
     }
@@ -83,43 +58,6 @@ pub mod channel {
         Disconnected,
     }
 
-    /// Error returned by [`Sender::send_timeout`]; both variants hand the
-    /// unsent message back to the caller.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum SendTimeoutError<T> {
-        Timeout(T),
-        Disconnected(T),
-    }
-
-    impl<T> fmt::Display for SendTimeoutError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                SendTimeoutError::Timeout(_) => write!(f, "timed out sending on a full channel"),
-                SendTimeoutError::Disconnected(_) => {
-                    write!(f, "sending on a disconnected channel")
-                }
-            }
-        }
-    }
-
-    /// Error returned by [`Receiver::recv_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        Timeout,
-        Disconnected,
-    }
-
-    impl fmt::Display for RecvTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                RecvTimeoutError::Timeout => write!(f, "timed out receiving on an empty channel"),
-                RecvTimeoutError::Disconnected => {
-                    write!(f, "receiving on an empty and disconnected channel")
-                }
-            }
-        }
-    }
-
     impl fmt::Display for TryRecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             match self {
@@ -137,21 +75,11 @@ pub mod channel {
     /// The receiving half of a channel.
     pub struct Receiver<T>(Arc<Shared<T>>);
 
-    /// Creates a channel holding at most `cap` queued messages.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        make(Some(cap))
-    }
-
     /// Creates a channel with no capacity bound.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        make(None)
-    }
-
-    fn make<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                cap,
                 senders: 1,
                 receivers: 1,
             }),
@@ -161,55 +89,15 @@ pub mod channel {
     }
 
     impl<T> Sender<T> {
-        /// Blocking send; fails only when every receiver has been dropped.
+        /// Queues `value`; fails only when every receiver has been dropped.
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
             let mut st = self.0.lock();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendError(value));
-                }
-                let full = st.cap.is_some_and(|c| st.queue.len() >= c.max(1));
-                if !full {
-                    st.queue.push_back(value);
-                    self.0.cv.notify_all();
-                    drop(st);
-                    bump_global();
-                    return Ok(());
-                }
-                st = self.0.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            if st.receivers == 0 {
+                return Err(SendError(value));
             }
-        }
-
-        /// Send that gives up after `timeout`, handing the message back.
-        /// Cancellation-aware callers loop on `Timeout`, polling their
-        /// token between attempts, so a producer never blocks forever on a
-        /// full channel whose consumer died or stalled.
-        pub fn send_timeout(&self, value: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut st = self.0.lock();
-            loop {
-                if st.receivers == 0 {
-                    return Err(SendTimeoutError::Disconnected(value));
-                }
-                let full = st.cap.is_some_and(|c| st.queue.len() >= c.max(1));
-                if !full {
-                    st.queue.push_back(value);
-                    self.0.cv.notify_all();
-                    drop(st);
-                    bump_global();
-                    return Ok(());
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(SendTimeoutError::Timeout(value));
-                }
-                let (g, _) = self
-                    .0
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = g;
-            }
+            st.queue.push_back(value);
+            self.0.cv.notify_all();
+            Ok(())
         }
     }
 
@@ -226,8 +114,6 @@ pub mod channel {
             st.senders -= 1;
             if st.senders == 0 {
                 self.0.cv.notify_all();
-                drop(st);
-                bump_global();
             }
         }
     }
@@ -239,9 +125,6 @@ pub mod channel {
             let mut st = self.0.lock();
             loop {
                 if let Some(v) = st.queue.pop_front() {
-                    self.0.cv.notify_all(); // free capacity for blocked senders
-                    drop(st);
-                    bump_global();
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -251,42 +134,10 @@ pub mod channel {
             }
         }
 
-        /// Receive that gives up after `timeout`. Queued messages are
-        /// always drained before `Disconnected` is reported, matching
-        /// `recv`/`try_recv`.
-        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut st = self.0.lock();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.0.cv.notify_all();
-                    drop(st);
-                    bump_global();
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(RecvTimeoutError::Timeout);
-                }
-                let (g, _) = self
-                    .0
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                st = g;
-            }
-        }
-
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.0.lock();
             if let Some(v) = st.queue.pop_front() {
-                self.0.cv.notify_all();
-                drop(st);
-                bump_global();
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -300,20 +151,6 @@ pub mod channel {
         /// empty or disconnected, never waiting.
         pub fn try_iter(&self) -> TryIter<'_, T> {
             TryIter { rx: self }
-        }
-
-        /// Number of queued messages (diagnostics).
-        pub fn len(&self) -> usize {
-            self.0.lock().queue.len()
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-
-        fn ready(&self) -> bool {
-            let st = self.0.lock();
-            !st.queue.is_empty() || st.senders == 0
         }
     }
 
@@ -339,129 +176,7 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            let mut st = self.0.lock();
-            st.receivers -= 1;
-            if st.receivers == 0 {
-                self.0.cv.notify_all();
-                drop(st);
-                bump_global();
-            }
-        }
-    }
-
-    // -- Select ----------------------------------------------------------
-
-    trait Probe {
-        /// True when a `recv` on this receiver would not block (a message is
-        /// queued, or the channel is disconnected).
-        fn probe_ready(&self) -> bool;
-    }
-
-    impl<T> Probe for Receiver<T> {
-        fn probe_ready(&self) -> bool {
-            self.ready()
-        }
-    }
-
-    /// Blocking readiness selection over registered receive operations.
-    pub struct Select<'a> {
-        probes: Vec<&'a dyn Probe>,
-    }
-
-    /// A ready operation returned by [`Select::select`].
-    pub struct SelectedOperation {
-        index: usize,
-    }
-
-    impl SelectedOperation {
-        /// Index of the ready operation, in registration order.
-        pub fn index(&self) -> usize {
-            self.index
-        }
-
-        /// Completes the operation on the receiver it was registered with.
-        pub fn recv<T>(self, r: &Receiver<T>) -> Result<T, RecvError> {
-            r.recv()
-        }
-    }
-
-    impl<'a> Select<'a> {
-        #[allow(clippy::new_without_default)]
-        pub fn new() -> Self {
-            Select { probes: Vec::new() }
-        }
-
-        /// Registers a receive operation; returns its index.
-        pub fn recv<T>(&mut self, r: &'a Receiver<T>) -> usize {
-            self.probes.push(r);
-            self.probes.len() - 1
-        }
-
-        /// Blocks until some registered operation is ready.
-        pub fn select(&mut self) -> SelectedOperation {
-            assert!(!self.probes.is_empty(), "select with no operations");
-            let g = global();
-            let mut gen = g.generation.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                // Probe while holding the generation lock: a state change
-                // between probe and wait would bump the generation and the
-                // timed wait below re-probes anyway.
-                for (i, p) in self.probes.iter().enumerate() {
-                    if p.probe_ready() {
-                        return SelectedOperation { index: i };
-                    }
-                }
-                let seen = *gen;
-                while *gen == seen {
-                    let (g2, timeout) = g
-                        .cv
-                        .wait_timeout(gen, Duration::from_millis(5))
-                        .unwrap_or_else(PoisonError::into_inner);
-                    gen = g2;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-            }
-        }
-
-        /// Like [`Select::select`], but gives up after `timeout` so callers
-        /// can interleave readiness waits with cancellation polls.
-        pub fn select_timeout(
-            &mut self,
-            timeout: Duration,
-        ) -> Result<SelectedOperation, SelectTimeoutError> {
-            assert!(!self.probes.is_empty(), "select with no operations");
-            let deadline = std::time::Instant::now() + timeout;
-            let g = global();
-            let mut gen = g.generation.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                for (i, p) in self.probes.iter().enumerate() {
-                    if p.probe_ready() {
-                        return Ok(SelectedOperation { index: i });
-                    }
-                }
-                let now = std::time::Instant::now();
-                if now >= deadline {
-                    return Err(SelectTimeoutError);
-                }
-                let step = (deadline - now).min(Duration::from_millis(5));
-                let (g2, _) = g
-                    .cv
-                    .wait_timeout(gen, step)
-                    .unwrap_or_else(PoisonError::into_inner);
-                gen = g2;
-            }
-        }
-    }
-
-    /// Error returned by [`Select::select_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SelectTimeoutError;
-
-    impl fmt::Display for SelectTimeoutError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "timed out waiting for a ready operation")
+            self.0.lock().receivers -= 1;
         }
     }
 }
@@ -470,28 +185,16 @@ pub mod channel {
 mod tests {
     use super::channel::*;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
-    fn bounded_send_recv_fifo() {
-        let (tx, rx) = bounded(4);
+    fn send_recv_fifo() {
+        let (tx, rx) = unbounded();
         for i in 0..4 {
             tx.send(i).unwrap();
         }
         assert_eq!(rx.recv().unwrap(), 0);
         assert_eq!(rx.try_recv().unwrap(), 1);
-        assert_eq!(rx.len(), 2);
-    }
-
-    #[test]
-    fn bounded_blocks_until_capacity_frees() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let h = thread::spawn(move || tx.send(2).unwrap());
-        thread::sleep(Duration::from_millis(20));
-        assert_eq!(rx.recv().unwrap(), 1);
-        h.join().unwrap();
-        assert_eq!(rx.recv().unwrap(), 2);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]
@@ -510,90 +213,8 @@ mod tests {
     }
 
     #[test]
-    fn select_picks_ready_channel() {
-        let (tx1, rx1) = bounded::<i32>(2);
-        let (tx2, rx2) = bounded::<i32>(2);
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(30));
-            tx2.send(7).unwrap();
-            thread::sleep(Duration::from_millis(30));
-            tx1.send(8).unwrap();
-        });
-        let mut sel = Select::new();
-        sel.recv(&rx1);
-        sel.recv(&rx2);
-        let op = sel.select();
-        assert_eq!(op.index(), 1);
-        assert_eq!(op.recv(&rx2).unwrap(), 7);
-
-        let mut sel = Select::new();
-        sel.recv(&rx1);
-        sel.recv(&rx2);
-        let op = sel.select();
-        assert_eq!(op.index(), 0);
-        assert_eq!(op.recv(&rx1).unwrap(), 8);
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn select_sees_disconnection() {
-        let (tx, rx) = bounded::<i32>(1);
-        let h = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(20));
-            drop(tx);
-        });
-        let mut sel = Select::new();
-        sel.recv(&rx);
-        let op = sel.select();
-        assert!(op.recv(&rx).is_err());
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn send_timeout_full_then_drained() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        match tx.send_timeout(2, Duration::from_millis(10)) {
-            Err(SendTimeoutError::Timeout(v)) => assert_eq!(v, 2, "message handed back"),
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert_eq!(rx.recv().unwrap(), 1);
-        tx.send_timeout(2, Duration::from_millis(10)).unwrap();
-        drop(rx);
-        assert!(matches!(
-            tx.send_timeout(3, Duration::from_millis(10)),
-            Err(SendTimeoutError::Disconnected(3))
-        ));
-    }
-
-    #[test]
-    fn recv_timeout_drains_before_disconnect() {
-        let (tx, rx) = bounded(2);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Err(RecvTimeoutError::Timeout));
-        tx.send(5).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(5));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(10)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn select_timeout_expires_and_recovers() {
-        let (tx, rx) = bounded::<i32>(1);
-        let mut sel = Select::new();
-        sel.recv(&rx);
-        assert!(sel.select_timeout(Duration::from_millis(10)).is_err());
-        tx.send(4).unwrap();
-        let op = sel.select_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(op.index(), 0);
-        assert_eq!(op.recv(&rx).unwrap(), 4);
-    }
-
-    #[test]
     fn mpmc_many_producers_consumers() {
-        let (tx, rx) = bounded::<usize>(8);
+        let (tx, rx) = unbounded::<usize>();
         let mut handles = Vec::new();
         for p in 0..4 {
             let tx = tx.clone();

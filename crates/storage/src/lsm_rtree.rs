@@ -213,16 +213,21 @@ impl LsmRTree {
             }
             Some(DiskBTree::from_built(Arc::clone(&self.cache), b.finish()?))
         };
-        let removed: Vec<RTreeComponent> = self.disk.drain(..n).collect();
+        // Publish before retiring (same order as `LsmTree::complete_merge`):
+        // the merged component replaces its inputs in one step, and only
+        // then are the input files deleted. A failed delete is cleanup, not
+        // data loss — the orphan is swept by restart recovery.
+        let merged = RTreeComponent { rtree, tombstones, size_bytes };
+        let removed: Vec<RTreeComponent> = self.disk.splice(..n, [merged]).collect();
         for comp in removed {
-            self.cache.close_file(comp.rtree.file());
-            self.cache.manager().delete(comp.rtree.file())?;
-            if let Some(t) = comp.tombstones {
-                self.cache.close_file(t.file());
-                self.cache.manager().delete(t.file())?;
+            let files = [Some(comp.rtree.file()), comp.tombstones.as_ref().map(DiskBTree::file)];
+            for file in files.into_iter().flatten() {
+                self.cache.close_file(file);
+                if self.cache.manager().delete(file).is_err() {
+                    self.cache.stats().lsm().count_retire_failure();
+                }
             }
         }
-        self.disk.insert(0, RTreeComponent { rtree, tombstones, size_bytes });
         Ok(())
     }
 
@@ -268,6 +273,7 @@ impl LsmRTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{FaultConfig, FaultInjector};
     use crate::io::FileManager;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
@@ -374,6 +380,36 @@ mod tests {
         assert_eq!(t.count().unwrap(), 50);
         let hits = t.search(&rect(0.0, 0.0, 49.0, 0.0)).unwrap();
         assert!(hits.is_empty(), "deleted half gone after merge");
+    }
+
+    #[test]
+    fn retirement_delete_failure_never_loses_merged_data() {
+        // Mirror of the `lsm.rs` regression: the input components used to be
+        // drained and deleted (`?` on each delete) *before* the merged one
+        // was inserted, so a failed delete dropped both from the tree.
+        let dir = TempDir::new();
+        let injector = FaultInjector::new(FaultConfig {
+            seed: 9,
+            delete_fail_prob: 1.0,
+            ..FaultConfig::default()
+        });
+        let fm = FileManager::with_faults(dir.path(), IoStats::new(), Some(injector)).unwrap();
+        let cache = BufferCache::new(fm, 256);
+        let mut t = LsmRTree::new(cache.clone(), config("s"));
+        for i in 0..100 {
+            t.insert(pt(i as f64, 0.0), format!("k{i}").into_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        for i in 0..50 {
+            t.delete(&pt(i as f64, 0.0), format!("k{i}").as_bytes()).unwrap();
+        }
+        t.flush().unwrap();
+        assert_eq!(t.component_count(), 2);
+        t.merge_newest(2).expect("retirement failures are non-fatal");
+        assert_eq!(t.component_count(), 1, "merged component is live");
+        assert_eq!(t.count().unwrap(), 50, "no entry lost, tombstones applied");
+        // two R-tree files plus the newer component's deleted-key B+ tree
+        assert_eq!(cache.stats().lsm().retire_failures(), 3);
     }
 
     #[test]

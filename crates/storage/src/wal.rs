@@ -17,7 +17,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Log sequence number: byte offset of the record in the log file.
@@ -416,12 +416,14 @@ pub fn committed_feed_cursors(records: &[(Lsn, WalRecord)]) -> HashMap<String, u
 /// mark past all of them. A committer that finds the mark already at or
 /// beyond its end LSN piggybacks on that earlier fsync and returns without
 /// touching the file, which is what turns N concurrent commits into one
-/// fdatasync.
+/// fdatasync. A lone committer never finds the mark ahead of itself, so it
+/// performs exactly append → write → fsync — the sequence seeded
+/// fault-injection schedules count on.
 ///
-/// With `enabled == false` every committer locks and syncs itself — the
-/// one-fsync-per-commit baseline the feeds bench compares against. Both
-/// modes provide the same durability guarantee: `sync_through(end)`
-/// returning `Ok` means every log byte below `end` is on stable storage.
+/// The durability guarantee: `sync_through(end)` returning `Ok` means every
+/// log byte below `end` is on stable storage. `default()` is a fresh
+/// protocol instance for one WAL (durable mark at 0).
+#[derive(Default)]
 pub struct GroupCommit {
     /// Log bytes durably synced (an LSN high-water mark).
     durable: AtomicU64,
@@ -430,30 +432,9 @@ pub struct GroupCommit {
     /// Committers that piggybacked on another committer's fsync (the
     /// `storage.wal.group_commit_waiters` counter).
     waiters: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl GroupCommit {
-    /// A fresh protocol instance for one WAL (durable mark at 0).
-    pub fn new(enabled: bool) -> GroupCommit {
-        GroupCommit {
-            durable: AtomicU64::new(0),
-            rounds: AtomicU64::new(0),
-            waiters: AtomicU64::new(0),
-            enabled: AtomicBool::new(enabled),
-        }
-    }
-
-    /// Toggles group commit (false = per-commit fsync baseline).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Release);
-    }
-
-    /// True when committers share fsyncs.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
     /// Durable high-water mark (bytes of log known synced).
     pub fn durable(&self) -> Lsn {
         self.durable.load(Ordering::Acquire)
@@ -470,17 +451,17 @@ impl GroupCommit {
     }
 
     /// Makes every log byte below `end` durable, sharing the fsync with
-    /// concurrent committers when enabled (see the type docs). `end` must
+    /// concurrent committers (see the type docs). `end` must
     /// come from `wal.next_lsn()` observed while holding the WAL lock after
     /// appending; `wal` must be the lock this protocol instance guards.
     pub fn sync_through(&self, wal: &OrderedMutex<WalWriter>, end: Lsn) -> Result<()> { // xlint: allow(blocking, "commit durability point; the group protocol amortizes the fdatasync across committers")
-        if self.is_enabled() && self.durable.load(Ordering::Acquire) >= end {
+        if self.durable.load(Ordering::Acquire) >= end {
             // an earlier leader's fsync already covered our bytes
             self.waiters.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
             return Ok(());
         }
         let mut w = wal.lock(); // xlint: lock(wal)
-        if self.is_enabled() && self.durable.load(Ordering::Acquire) >= end {
+        if self.durable.load(Ordering::Acquire) >= end {
             // a leader finished while we waited for the lock
             self.waiters.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
             return Ok(());
@@ -490,9 +471,7 @@ impl GroupCommit {
         w.sync()?;
         let synced = w.next_lsn(); // == persisted: the buffer is empty
         self.durable.fetch_max(synced, Ordering::AcqRel); // xlint: ordering(AcqRel max publishes the durable mark to piggybacking committers)
-        if self.is_enabled() {
-            self.rounds.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
-        }
+        self.rounds.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
         Ok(())
     }
 }
@@ -767,7 +746,7 @@ mod tests {
         let dir = TempDir::new();
         let path = dir.path().join("wal.log");
         let wal = OrderedMutex::new("wal", WalWriter::open(&path).unwrap());
-        let gc = GroupCommit::new(true);
+        let gc = GroupCommit::default();
         // two committers append before either syncs
         let (end1, end2) = {
             let mut w = wal.lock(); // xlint: lock(wal)
@@ -786,27 +765,6 @@ mod tests {
         assert_eq!(gc.rounds(), 1, "no second fsync round");
         assert_eq!(gc.waiters(), 1);
         assert_eq!(read_log(&path).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn group_commit_disabled_syncs_every_committer() {
-        let dir = TempDir::new();
-        let path = dir.path().join("wal.log");
-        let wal = OrderedMutex::new("wal", WalWriter::open(&path).unwrap());
-        let gc = GroupCommit::new(false);
-        for txn in 1..=3u64 {
-            let end = {
-                let mut w = wal.lock(); // xlint: lock(wal)
-                w.append(&WalRecord::Commit { txn_id: txn }).unwrap();
-                w.next_lsn()
-            };
-            gc.sync_through(&wal, end).unwrap();
-            assert_eq!(gc.durable(), end);
-        }
-        // baseline mode records no group activity
-        assert_eq!(gc.rounds(), 0);
-        assert_eq!(gc.waiters(), 0);
-        assert_eq!(read_log(&path).unwrap().len(), 3);
     }
 
     #[test]

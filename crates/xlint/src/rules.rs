@@ -125,6 +125,14 @@ pub struct SourceFile {
     pub text: String,
 }
 
+/// A nested package that declares its own `[workspace]` (the standalone
+/// `benchmark/` harness) is not a member of the linted workspace: its
+/// functions must not join the name-based call graph.
+fn is_foreign_workspace(dir: &Path) -> bool {
+    std::fs::read_to_string(dir.join("Cargo.toml"))
+        .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
+}
+
 /// Discovers every `.rs` file under `root` that belongs to the workspace.
 pub fn discover(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
@@ -136,7 +144,7 @@ pub fn discover(root: &Path) -> std::io::Result<Vec<SourceFile>> {
             let p = e.path();
             let name = e.file_name().to_string_lossy().into_owned();
             if e.file_type()?.is_dir() {
-                if name == "target" || name.starts_with('.') {
+                if name == "target" || name.starts_with('.') || is_foreign_workspace(&p) {
                     continue;
                 }
                 stack.push(p);
