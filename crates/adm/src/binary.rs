@@ -317,6 +317,21 @@ fn normalize_key_part(v: &Value) -> Option<Value> {
     }
 }
 
+/// True when every value that is ADM-equal to `v` has `v`'s [`encode_key`]
+/// bytes. That is what lets a search key be hashed to its partition and
+/// checked against byte-keyed bloom filters: an equal stored key cannot be
+/// somewhere the bytes do not point. Scalars qualify, numbers thanks to the
+/// normalization above; objects do not (equality ignores field order, the
+/// bytes do not), so neither do collections that may hold one, nor the
+/// integral doubles beyond the normalized range.
+pub fn key_part_is_canonical(v: &Value) -> bool {
+    match v {
+        Value::Object(_) | Value::Array(_) | Value::Multiset(_) => false,
+        Value::Double(d) => d.abs() < 9.0e18,
+        _ => true,
+    }
+}
+
 /// Decodes a composite key produced by [`encode_key`].
 pub fn decode_key(buf: &[u8]) -> Result<Vec<Value>> {
     let mut d = Decoder::new(buf);

@@ -205,7 +205,7 @@ impl<'a> Builder<'a> {
             LogicalOp::DataSourceScan { source, var, access } => {
                 let factory = match access {
                     None => source.scan()?,
-                    Some(a) => source.index_scan(&a.index, a.range.clone())?,
+                    Some(a) => source.index_scan(a)?,
                 };
                 let partitions = source.partitions();
                 let label = match access {

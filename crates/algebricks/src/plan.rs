@@ -7,7 +7,7 @@
 //! and the job generator lowers them onto Hyracks.
 
 use crate::expr::Expr;
-use crate::source::{DataSource, IndexKind, IndexRange};
+use crate::source::{AccessPath, DataSource};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -66,14 +66,6 @@ impl AggFunc {
 pub enum JoinKind {
     Inner,
     LeftOuter,
-}
-
-/// An index access path chosen by the optimizer for a data-source scan.
-#[derive(Debug, Clone)]
-pub struct AccessPath {
-    pub index: String,
-    pub kind: IndexKind,
-    pub range: IndexRange,
 }
 
 /// Group-collection output of a GROUP BY: the group variable holds, per
@@ -316,10 +308,10 @@ fn print_op(
                 Some(a) => {
                     let _ = writeln!(
                         out,
-                        "{pad}index-scan {}#{} ({:?}) -> ${}",
+                        "{pad}index-scan {}#{} [{}] -> ${}",
                         source.name(),
                         a.index,
-                        a.kind,
+                        a.range,
                         canon_var(*var, map)
                     );
                 }

@@ -10,16 +10,20 @@
 //!    conditions, later split into equi-keys by the job generator);
 //! 5. dead-assign elimination (unused computed variables vanish);
 //! 6. **index access-path introduction**: a select over a data-source scan
-//!    whose conjuncts constrain an indexed field is rewritten to an
-//!    index-scan (B+ tree range, R-tree spatial intersection, or inverted
-//!    keyword probe), keeping the original predicate as a residual filter —
-//!    the data-partition-aware access-path selection the paper credits
+//!    whose conjuncts constrain the primary key or an indexed field is
+//!    rewritten to an index-scan (primary-key point get or key range,
+//!    B+ tree range, R-tree spatial intersection, or inverted keyword
+//!    probe), keeping the original predicate as a residual filter — the
+//!    data-partition-aware access-path selection the paper credits
 //!    Algebricks with (Section III, feature 3).
 
 use crate::expr::{const_fold, Expr, Func};
 use crate::plan::{LogicalOp, Plan, VarId};
-use crate::source::{IndexKind, IndexRange};
+use crate::source::{AccessPath, IndexInfo, IndexKind, IndexRange, PRIMARY_INDEX};
+use asterix_adm::binary::key_part_is_canonical;
+use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
+use std::cmp::Ordering;
 
 /// Optimizes a plan in place, running all rules to a fixpoint.
 pub fn optimize(plan: &mut Plan) {
@@ -298,6 +302,159 @@ fn const_value(e: &Expr) -> Option<Value> {
     }
 }
 
+/// The tightest interval a set of conjuncts places on one field: per end, a
+/// constant and whether the end is inclusive.
+#[derive(Default)]
+struct Bounds {
+    lo: Option<(Value, bool)>,
+    hi: Option<(Value, bool)>,
+}
+
+impl Bounds {
+    /// `field >= v` (`> v` when not `inclusive`).
+    fn raise_lo(&mut self, v: Value, inclusive: bool) {
+        tighten(&mut self.lo, v, inclusive, Ordering::Greater);
+    }
+
+    /// `field <= v` (`< v` when not `inclusive`).
+    fn lower_hi(&mut self, v: Value, inclusive: bool) {
+        tighten(&mut self.hi, v, inclusive, Ordering::Less);
+    }
+
+    /// The one value both ends pin the field to, if they do.
+    fn point(&self) -> Option<&Value> {
+        match (&self.lo, &self.hi) {
+            (Some((lo, true)), Some((hi, true))) if total_cmp(lo, hi) == Ordering::Equal => {
+                Some(lo)
+            }
+            _ => None,
+        }
+    }
+
+    /// The bounds as a B+ tree probe (contradictory ends make an empty
+    /// one); `None` when the field is not bounded at all.
+    fn into_range(self) -> Option<IndexRange> {
+        if self.lo.is_none() && self.hi.is_none() {
+            return None;
+        }
+        let (lo, lo_inclusive) = self.lo.map_or((None, true), |(v, i)| (Some(v), i));
+        let (hi, hi_inclusive) = self.hi.map_or((None, true), |(v, i)| (Some(v), i));
+        Some(IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive })
+    }
+}
+
+/// Replaces the end in `slot` by `(v, inclusive)` when that excludes more:
+/// `v` lies `inward` of it, or at the same value but exclusively.
+fn tighten(slot: &mut Option<(Value, bool)>, v: Value, inclusive: bool, inward: Ordering) {
+    let tighter = slot.as_ref().is_none_or(|(cur, cur_inclusive)| {
+        let c = total_cmp(&v, cur);
+        c == inward || (c == Ordering::Equal && *cur_inclusive && !inclusive)
+    });
+    if tighter {
+        *slot = Some((v, inclusive));
+    }
+}
+
+/// What the comparison conjuncts (`field op constant`, either way round)
+/// say about the field at `path` of the scan variable.
+fn field_bounds(cs: &[Expr], scan_var: VarId, path: &[String]) -> Bounds {
+    let mut bounds = Bounds::default();
+    for c in cs {
+        let Expr::Call(f, args) = c else { continue };
+        let [l, r] = args.as_slice() else { continue };
+        let (f, v) = match (const_value(l), const_value(r)) {
+            (None, Some(v)) if matches_indexed_field(l, scan_var, path) => (*f, v),
+            // constant on the left: flip the comparison
+            (Some(v), None) if matches_indexed_field(r, scan_var, path) => (
+                match *f {
+                    Func::Lt => Func::Gt,
+                    Func::Le => Func::Ge,
+                    Func::Gt => Func::Lt,
+                    Func::Ge => Func::Le,
+                    other => other,
+                },
+                v,
+            ),
+            _ => continue,
+        };
+        match f {
+            Func::Eq => {
+                bounds.raise_lo(v.clone(), true);
+                bounds.lower_hi(v, true);
+            }
+            Func::Ge => bounds.raise_lo(v, true),
+            Func::Gt => bounds.raise_lo(v, false),
+            Func::Le => bounds.lower_hi(v, true),
+            Func::Lt => bounds.lower_hi(v, false),
+            _ => {}
+        }
+    }
+    bounds
+}
+
+fn primary_path(range: IndexRange) -> AccessPath {
+    AccessPath { index: PRIMARY_INDEX.into(), kind: IndexKind::Primary, range }
+}
+
+/// A point get: every primary-key field pinned to one constant whose key
+/// bytes are canonical (the get is routed and bloom-checked by those bytes).
+fn primary_point(cs: &[Expr], scan_var: VarId, pk: &[Vec<String>]) -> Option<AccessPath> {
+    if pk.is_empty() {
+        return None;
+    }
+    let key: Option<Vec<Value>> = pk
+        .iter()
+        .map(|path| {
+            let bounds = field_bounds(cs, scan_var, path);
+            bounds.point().filter(|v| key_part_is_canonical(v)).cloned()
+        })
+        .collect();
+    Some(primary_path(IndexRange::Point(key?)))
+}
+
+/// A key range on the leading primary-key field.
+fn primary_range(cs: &[Expr], scan_var: VarId, pk: &[Vec<String>]) -> Option<AccessPath> {
+    Some(primary_path(field_bounds(cs, scan_var, pk.first()?).into_range()?))
+}
+
+fn secondary_path(cs: &[Expr], scan_var: VarId, idx: &IndexInfo) -> Option<AccessPath> {
+    let range = match idx.kind {
+        // advertised through `DataSource::primary_key`, not as an index
+        IndexKind::Primary => None,
+        IndexKind::BTree => field_bounds(cs, scan_var, &idx.field).into_range(),
+        IndexKind::RTree => cs.iter().find_map(|c| {
+            let Expr::Call(Func::SpatialIntersect, args) = c else { return None };
+            let [field, query] = args.as_slice() else { return None };
+            if !matches_indexed_field(field, scan_var, &idx.field) {
+                return None;
+            }
+            match const_value(query)? {
+                Value::Rectangle(r) => Some(IndexRange::Spatial(r)),
+                Value::Point(p) => Some(IndexRange::Spatial(p.to_mbr())),
+                _ => None,
+            }
+        }),
+        IndexKind::Keyword => cs.iter().find_map(|c| {
+            let Expr::Call(Func::StringContains, args) = c else { return None };
+            let [field, pattern] = args.as_slice() else { return None };
+            if !matches_indexed_field(field, scan_var, &idx.field) {
+                return None;
+            }
+            let Value::String(s) = const_value(pattern)? else { return None };
+            // token-based index: only safe as a pre-filter when the pattern
+            // is a single full token
+            let toks = asterix_storage::inverted::tokenize(&s);
+            (toks.len() == 1 && toks[0].len() == s.to_lowercase().len())
+                .then_some(IndexRange::Keyword(s))
+        }),
+    }?;
+    Some(AccessPath { index: idx.name.clone(), kind: idx.kind, range })
+}
+
+/// Replaces a full scan under a select with the best access path the
+/// select's conjuncts allow: a primary-key point get first (one record on
+/// one partition beats anything), then the first secondary index with a
+/// usable conjunct, then a primary-key range.
 fn introduce_index_paths(op: LogicalOp) -> (LogicalOp, bool) {
     let LogicalOp::Select { input, condition } = op else {
         return (op, false);
@@ -305,131 +462,22 @@ fn introduce_index_paths(op: LogicalOp) -> (LogicalOp, bool) {
     let LogicalOp::DataSourceScan { source, var, access: None } = *input else {
         return (LogicalOp::Select { input, condition }, false);
     };
-    let indexes = source.indexes();
-    let mut chosen: Option<crate::plan::AccessPath> = None;
-    'outer: for idx in &indexes {
-        match idx.kind {
-            IndexKind::BTree => {
-                // accumulate range bounds from comparison conjuncts
-                let mut lo: Option<(Value, bool)> = None;
-                let mut hi: Option<(Value, bool)> = None;
-                for c in conjuncts(&condition) {
-                    let Expr::Call(f, args) = &c else { continue };
-                    let (field_side, const_side, f) = if args.len() == 2
-                        && matches_indexed_field(&args[0], var, &idx.field)
-                        && const_value(&args[1]).is_some()
-                    {
-                        (&args[0], &args[1], *f)
-                    } else if args.len() == 2
-                        && matches_indexed_field(&args[1], var, &idx.field)
-                        && const_value(&args[0]).is_some()
-                    {
-                        // flip the comparison
-                        let flipped = match *f {
-                            Func::Lt => Func::Gt,
-                            Func::Le => Func::Ge,
-                            Func::Gt => Func::Lt,
-                            Func::Ge => Func::Le,
-                            other => other,
-                        };
-                        (&args[1], &args[0], flipped)
-                    } else {
-                        continue;
-                    };
-                    let _ = field_side;
-                    let Some(v) = const_value(const_side) else { continue };
-                    match f {
-                        Func::Eq => {
-                            lo = Some((v.clone(), true));
-                            hi = Some((v, true));
-                        }
-                        Func::Ge => lo = Some((v, true)),
-                        Func::Gt => lo = Some((v, false)),
-                        Func::Le => hi = Some((v, true)),
-                        Func::Lt => hi = Some((v, false)),
-                        _ => continue,
-                    }
-                }
-                if lo.is_some() || hi.is_some() {
-                    chosen = Some(crate::plan::AccessPath {
-                        index: idx.name.clone(),
-                        kind: IndexKind::BTree,
-                        range: IndexRange::Range {
-                            lo: lo.as_ref().map(|(v, _)| v.clone()),
-                            lo_inclusive: lo.map(|(_, i)| i).unwrap_or(true),
-                            hi: hi.as_ref().map(|(v, _)| v.clone()),
-                            hi_inclusive: hi.map(|(_, i)| i).unwrap_or(true),
-                        },
-                    });
-                    break 'outer;
-                }
-            }
-            IndexKind::RTree => {
-                for c in conjuncts(&condition) {
-                    if let Expr::Call(Func::SpatialIntersect, args) = &c {
-                        if args.len() == 2 && matches_indexed_field(&args[0], var, &idx.field) {
-                            if let Some(rect) = const_value(&args[1]).and_then(|v| match v {
-                                Value::Rectangle(r) => Some(r),
-                                Value::Point(p) => Some(p.to_mbr()),
-                                _ => None,
-                            }) {
-                                chosen = Some(crate::plan::AccessPath {
-                                    index: idx.name.clone(),
-                                    kind: IndexKind::RTree,
-                                    range: IndexRange::Spatial(rect),
-                                });
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-            IndexKind::Keyword => {
-                for c in conjuncts(&condition) {
-                    if let Expr::Call(Func::StringContains, args) = &c {
-                        if args.len() == 2 && matches_indexed_field(&args[0], var, &idx.field) {
-                            if let Some(Value::String(s)) = const_value(&args[1]) {
-                                // token-based index: only safe as a pre-filter
-                                // when the pattern is a single full token
-                                let toks = asterix_storage::inverted::tokenize(&s);
-                                if toks.len() == 1 && toks[0].len() == s.to_lowercase().len() {
-                                    chosen = Some(crate::plan::AccessPath {
-                                        index: idx.name.clone(),
-                                        kind: IndexKind::Keyword,
-                                        range: IndexRange::Keyword(s),
-                                    });
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    match chosen {
-        Some(access) => (
-            // keep the whole predicate as a residual filter: index probes
-            // over-approximate (keyword tokens, spatial MBRs, range+other
-            // conjuncts), so the select above guarantees exactness
-            LogicalOp::Select {
-                input: Box::new(LogicalOp::DataSourceScan {
-                    source,
-                    var,
-                    access: Some(access),
-                }),
-                condition,
-            },
-            true,
-        ),
-        None => (
-            LogicalOp::Select {
-                input: Box::new(LogicalOp::DataSourceScan { source, var, access: None }),
-                condition,
-            },
-            false,
-        ),
-    }
+    let cs = conjuncts(&condition);
+    let pk = source.primary_key();
+    let access = primary_point(&cs, var, &pk)
+        .or_else(|| source.indexes().iter().find_map(|idx| secondary_path(&cs, var, idx)))
+        .or_else(|| primary_range(&cs, var, &pk));
+    let changed = access.is_some();
+    (
+        // keep the whole predicate as a residual filter: index probes
+        // over-approximate (keyword tokens, spatial MBRs, range+other
+        // conjuncts), so the select above guarantees exactness
+        LogicalOp::Select {
+            input: Box::new(LogicalOp::DataSourceScan { source, var, access }),
+            condition,
+        },
+        changed,
+    )
 }
 
 /// Removes `Assign`s whose variable is never used above them.
@@ -508,7 +556,7 @@ fn eliminate_dead_assigns(root: &mut LogicalOp) -> bool {
 mod tests {
     use super::*;
     use crate::plan::JoinKind;
-    use crate::source::{DataSource, IndexInfo, VecSource};
+    use crate::source::{DataSource, VecSource};
     use std::sync::Arc;
 
     fn scan(var: VarId) -> LogicalOp {
@@ -612,10 +660,17 @@ mod tests {
         assert!(!p.contains("unused"), "{p}");
     }
 
-    struct IndexedSource;
+    /// `users`, keyed by `pk`, with a B+ tree index on `userSince`.
+    #[derive(Default)]
+    struct IndexedSource {
+        pk: Vec<&'static str>,
+    }
     impl DataSource for IndexedSource {
         fn name(&self) -> &str {
             "users"
+        }
+        fn primary_key(&self) -> Vec<Vec<String>> {
+            self.pk.iter().map(|f| vec![f.to_string()]).collect()
         }
         fn partitions(&self) -> usize {
             1
@@ -632,8 +687,7 @@ mod tests {
         }
         fn index_scan(
             &self,
-            _index: &str,
-            _range: IndexRange,
+            _path: &AccessPath,
         ) -> crate::error::Result<Arc<dyn asterix_hyracks::job::SourceFactory>> {
             VecSource::single("users", vec![]).scan()
         }
@@ -656,7 +710,7 @@ mod tests {
         let mut plan = Plan::new(LogicalOp::DistributeResult {
             input: Box::new(LogicalOp::Select {
                 input: Box::new(LogicalOp::DataSourceScan {
-                    source: Arc::new(IndexedSource),
+                    source: Arc::new(IndexedSource::default()),
                     var: 0,
                     access: None,
                 }),
@@ -670,12 +724,160 @@ mod tests {
         assert!(p.contains("select"), "residual filter kept:\n{p}");
     }
 
+    fn cmp(f: Func, field: &str, v: Value) -> Expr {
+        Expr::bin(f, Expr::field(Expr::Var(0), field), Expr::Const(v))
+    }
+
+    /// The access-path line of the optimized `select(conds) <- scan(users)`.
+    fn chosen_path(pk: &[&'static str], conds: Vec<Expr>) -> String {
+        let mut plan = Plan::new(LogicalOp::DistributeResult {
+            input: Box::new(LogicalOp::Select {
+                input: Box::new(LogicalOp::DataSourceScan {
+                    source: Arc::new(IndexedSource { pk: pk.to_vec() }),
+                    var: 0,
+                    access: None,
+                }),
+                condition: conjoin(conds),
+            }),
+            exprs: vec![Expr::Var(0)],
+        });
+        optimize(&mut plan);
+        let p = plan.pretty();
+        assert!(p.contains("select"), "residual filter kept:\n{p}");
+        p.lines().last().unwrap_or_default().trim().to_string()
+    }
+
+    #[test]
+    fn bounds_keep_the_tightest_conjunct_whatever_the_order() {
+        use Func::{Eq, Ge, Gt, Le, Lt};
+        let since = |f, v| cmp(f, "userSince", Value::Int(v));
+        for conds in [vec![since(Ge, 3), since(Ge, 10)], vec![since(Ge, 10), since(Ge, 3)]] {
+            assert_eq!(chosen_path(&[], conds), "index-scan users#sinceIdx [ge 10] -> $0");
+        }
+        for conds in [vec![since(Eq, 5), since(Ge, 3)], vec![since(Ge, 3), since(Eq, 5)]] {
+            assert_eq!(chosen_path(&[], conds), "index-scan users#sinceIdx [ge 5, le 5] -> $0");
+        }
+        // at equal values the exclusive end is the tighter one; ints and
+        // doubles compare numerically
+        assert_eq!(
+            chosen_path(
+                &[],
+                vec![
+                    since(Gt, 3),
+                    since(Ge, 3),
+                    since(Le, 9),
+                    cmp(Lt, "userSince", Value::Double(8.5)),
+                    since(Lt, 9),
+                ]
+            ),
+            "index-scan users#sinceIdx [gt 3, lt 8.5] -> $0"
+        );
+    }
+
+    #[test]
+    fn contradictory_bounds_make_an_empty_range() {
+        use Func::{Eq, Gt, Lt};
+        let since = |f, v| cmp(f, "userSince", Value::Int(v));
+        for conds in [
+            vec![since(Gt, 10), since(Lt, 3)],
+            vec![since(Eq, 5), since(Eq, 6)],
+            vec![since(Eq, 5), since(Gt, 5)],
+        ] {
+            assert_eq!(chosen_path(&[], conds), "index-scan users#sinceIdx [empty] -> $0");
+        }
+        assert_eq!(
+            chosen_path(&["id"], vec![cmp(Eq, "id", Value::Int(1)), cmp(Eq, "id", Value::Int(2))]),
+            "index-scan users#primary [empty] -> $0"
+        );
+    }
+
+    #[test]
+    fn primary_key_equality_is_a_point_get() {
+        use Func::{Eq, Ge, Le};
+        assert_eq!(
+            chosen_path(&["id"], vec![cmp(Eq, "id", Value::Int(42))]),
+            "index-scan users#primary [eq 42] -> $0"
+        );
+        // constant on the left, and equality spelled as two bounds
+        assert_eq!(
+            chosen_path(
+                &["id"],
+                vec![Expr::bin(
+                    Eq,
+                    Expr::Const(Value::Double(42.0)),
+                    Expr::field(Expr::Var(0), "id")
+                )]
+            ),
+            "index-scan users#primary [eq 42.0] -> $0"
+        );
+        assert_eq!(
+            chosen_path(&["id"], vec![cmp(Ge, "id", Value::Int(7)), cmp(Le, "id", Value::Int(7))]),
+            "index-scan users#primary [eq 7] -> $0"
+        );
+        // every field of a composite key, in key order whatever the
+        // conjunct order
+        assert_eq!(
+            chosen_path(
+                &["org", "id"],
+                vec![cmp(Eq, "id", Value::Int(2)), cmp(Eq, "org", Value::from("acme"))]
+            ),
+            "index-scan users#primary [eq \"acme\", 2] -> $0"
+        );
+    }
+
+    #[test]
+    fn primary_equality_beats_a_secondary_range_on_another_conjunct() {
+        use Func::{Eq, Ge};
+        for conds in [
+            vec![cmp(Ge, "userSince", Value::Int(1000)), cmp(Eq, "id", Value::Int(42))],
+            vec![cmp(Eq, "id", Value::Int(42)), cmp(Ge, "userSince", Value::Int(1000))],
+        ] {
+            assert_eq!(chosen_path(&["id"], conds), "index-scan users#primary [eq 42] -> $0");
+        }
+        // ...while a mere range on the key leaves the secondary index first
+        assert_eq!(
+            chosen_path(
+                &["id"],
+                vec![cmp(Ge, "id", Value::Int(42)), cmp(Ge, "userSince", Value::Int(1000))]
+            ),
+            "index-scan users#sinceIdx [ge 1000] -> $0"
+        );
+    }
+
+    #[test]
+    fn primary_key_range_binds_the_leading_field_only() {
+        use Func::{Eq, Ge, Lt};
+        assert_eq!(
+            chosen_path(&["id"], vec![cmp(Ge, "id", Value::Int(3)), cmp(Lt, "id", Value::Int(10))]),
+            "index-scan users#primary [ge 3, lt 10] -> $0"
+        );
+        // leading field of a composite key pinned: a range over its prefix
+        assert_eq!(
+            chosen_path(&["org", "id"], vec![cmp(Eq, "org", Value::from("acme"))]),
+            "index-scan users#primary [ge \"acme\", le \"acme\"] -> $0"
+        );
+        // only a non-leading field bound: the key order is of no use
+        assert_eq!(
+            chosen_path(&["org", "id"], vec![cmp(Eq, "id", Value::Int(2))]),
+            "scan users -> $0"
+        );
+    }
+
+    #[test]
+    fn no_point_get_on_a_key_whose_bytes_are_not_canonical() {
+        // object equality ignores field order, key bytes do not: range over
+        // the key order instead of hashing the bytes
+        let obj = Value::object(vec![("a".into(), Value::Int(1))]);
+        let path = chosen_path(&["id"], vec![cmp(Func::Eq, "id", obj)]);
+        assert!(path.starts_with("index-scan users#primary [ge "), "{path}");
+    }
+
     #[test]
     fn no_index_path_for_unindexed_field() {
         let mut plan = Plan::new(LogicalOp::DistributeResult {
             input: Box::new(LogicalOp::Select {
                 input: Box::new(LogicalOp::DataSourceScan {
-                    source: Arc::new(IndexedSource),
+                    source: Arc::new(IndexedSource::default()),
                     var: 0,
                     access: None,
                 }),

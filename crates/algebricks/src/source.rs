@@ -2,18 +2,26 @@
 //!
 //! Algebricks is *data-model-agnostic* (paper Figure 5): it never touches
 //! storage directly. A [`DataSource`] supplies partitioned scans, advertises
-//! its secondary indexes, and can open index-based access paths; the
+//! its primary key and secondary indexes, and can open index-based access
+//! paths; the
 //! `asterix-core` crate implements it over LSM dataset partitions, external
 //! files, and synthetic generators.
 
 use crate::error::Result;
 use asterix_adm::{Rectangle, Value};
 use asterix_hyracks::job::SourceFactory;
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
-/// Kinds of secondary index (paper Section III item 8).
+/// Name access paths on the primary index carry (plans, operator labels).
+pub const PRIMARY_INDEX: &str = "primary";
+
+/// Kinds of index (paper Section III items 5 and 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
+    /// The dataset itself: the B+ tree keyed by the primary key.
+    Primary,
     /// B+ tree on a (possibly composite) field path.
     BTree,
     /// R-tree on a point/rectangle field.
@@ -34,7 +42,11 @@ pub struct IndexInfo {
 /// An index probe compiled from a predicate by the optimizer.
 #[derive(Debug, Clone)]
 pub enum IndexRange {
-    /// Key range on a B+ tree index.
+    /// Equality on every field of the primary key, in key order: one record
+    /// at most, on one partition.
+    Point(Vec<Value>),
+    /// Range on the (leading) key field of a B+ tree index — or, with
+    /// [`IndexKind::Primary`], of the primary key.
     Range {
         lo: Option<Value>,
         lo_inclusive: bool,
@@ -45,6 +57,51 @@ pub enum IndexRange {
     Spatial(Rectangle),
     /// Conjunctive keyword containment on an inverted index.
     Keyword(String),
+}
+
+impl IndexRange {
+    /// True when the bounds contradict each other, so no key can match.
+    pub fn is_empty(&self) -> bool {
+        let IndexRange::Range { lo: Some(lo), lo_inclusive, hi: Some(hi), hi_inclusive } = self
+        else {
+            return false;
+        };
+        match asterix_adm::compare::total_cmp(lo, hi) {
+            Ordering::Less => false,
+            Ordering::Equal => !(*lo_inclusive && *hi_inclusive),
+            Ordering::Greater => true,
+        }
+    }
+}
+
+/// Prints the probe the way plans show it: `eq 42`, `ge 3, lt 10`.
+impl fmt::Display for IndexRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            IndexRange::Point(key) => {
+                let parts: Vec<String> = key.iter().map(|v| v.to_string()).collect();
+                write!(f, "eq {}", parts.join(", "))
+            }
+            _ if self.is_empty() => f.write_str("empty"),
+            IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => {
+                let lo = lo.as_ref().map(|v| format!("{} {v}", if *lo_inclusive { "ge" } else { "gt" }));
+                let hi = hi.as_ref().map(|v| format!("{} {v}", if *hi_inclusive { "le" } else { "lt" }));
+                let bounds: Vec<String> = lo.into_iter().chain(hi).collect();
+                f.write_str(&bounds.join(", "))
+            }
+            IndexRange::Spatial(rect) => write!(f, "intersects {}", Value::Rectangle(*rect)),
+            IndexRange::Keyword(word) => write!(f, "contains {}", Value::from(word.as_str())),
+        }
+    }
+}
+
+/// An index access path chosen by the optimizer for a data-source scan.
+#[derive(Debug, Clone)]
+pub struct AccessPath {
+    /// The secondary index's name; [`PRIMARY_INDEX`] for the primary.
+    pub index: String,
+    pub kind: IndexKind,
+    pub range: IndexRange,
 }
 
 /// A named, partitioned source of records.
@@ -58,16 +115,24 @@ pub trait DataSource: Send + Sync {
     /// Full-scan factory; each produced tuple is `[record]`.
     fn scan(&self) -> Result<Arc<dyn SourceFactory>>;
 
+    /// Field paths of the primary key the records are stored (and
+    /// hash-partitioned) by, in key order; empty when the source has none.
+    fn primary_key(&self) -> Vec<Vec<String>> {
+        Vec::new()
+    }
+
     /// Secondary indexes available for access-path selection.
     fn indexes(&self) -> Vec<IndexInfo> {
         Vec::new()
     }
 
     /// Opens an index access path: yields `[record]` tuples of records
-    /// matching the probe. Implementations apply the secondary-key search,
-    /// sort the resulting primary keys, and fetch records in PK order (the
-    /// §V-B "usual trick", experiment E7).
-    fn index_scan(&self, _index: &str, _range: IndexRange) -> Result<Arc<dyn SourceFactory>> {
+    /// matching the probe (a superset is fine: the optimizer keeps the
+    /// predicate as a residual select). For a secondary index,
+    /// implementations apply the secondary-key search, sort the resulting
+    /// primary keys, and fetch records in PK order (the §V-B "usual trick",
+    /// experiment E7); a primary path reads the records where they are.
+    fn index_scan(&self, _path: &AccessPath) -> Result<Arc<dyn SourceFactory>> {
         Err(crate::error::AlgebricksError::Plan(format!(
             "data source {} has no index access paths",
             self.name()
@@ -137,10 +202,16 @@ mod tests {
     fn default_index_scan_errors() {
         let src = VecSource::single("t", vec![]);
         assert!(src
-            .index_scan(
-                "idx",
-                IndexRange::Range { lo: None, lo_inclusive: true, hi: None, hi_inclusive: true }
-            )
+            .index_scan(&AccessPath {
+                index: "idx".into(),
+                kind: IndexKind::BTree,
+                range: IndexRange::Range {
+                    lo: None,
+                    lo_inclusive: true,
+                    hi: None,
+                    hi_inclusive: true
+                },
+            })
             .is_err());
     }
 }

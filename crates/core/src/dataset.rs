@@ -14,7 +14,7 @@
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
-use asterix_adm::binary::{decode, encode, encode_key};
+use asterix_adm::binary::{decode, decode_key, encode, encode_key};
 use asterix_adm::schema_encode::{decode_with_schema, encode_with_schema};
 use asterix_adm::types::ObjectType;
 use asterix_adm::{Point, Rectangle, Value};
@@ -301,7 +301,7 @@ impl DatasetPartition {
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                let pk_vals = asterix_adm::binary::decode_key(pk).map_err(CoreError::Adm)?;
+                let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
                 let mut parts = vec![field];
                 parts.extend(pk_vals);
                 tree.upsert(encode_key(&parts), Vec::new())?;
@@ -313,7 +313,7 @@ impl DatasetPartition {
             }
             Secondary::Keyword { index, .. } => {
                 if let Some(text) = field.as_str() {
-                    let pk_vals = asterix_adm::binary::decode_key(pk).map_err(CoreError::Adm)?;
+                    let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
                     index.insert_text(text, &pk_vals)?;
                 }
             }
@@ -328,7 +328,7 @@ impl DatasetPartition {
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                let pk_vals = asterix_adm::binary::decode_key(pk).map_err(CoreError::Adm)?;
+                let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
                 let mut parts = vec![field];
                 parts.extend(pk_vals);
                 tree.delete(encode_key(&parts))?;
@@ -340,7 +340,7 @@ impl DatasetPartition {
             }
             Secondary::Keyword { index, .. } => {
                 if let Some(text) = field.as_str() {
-                    let pk_vals = asterix_adm::binary::decode_key(pk).map_err(CoreError::Adm)?;
+                    let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
                     index.delete_text(text, &pk_vals)?;
                 }
             }
@@ -357,13 +357,18 @@ impl DatasetPartition {
             .collect()
     }
 
-    /// Primary-key range scan.
-    pub fn pk_range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Result<Vec<Value>> {
-        self.primary
-            .range(lo, hi)?
-            .into_iter()
-            .map(|(_, raw)| self.decode_record(&raw))
-            .collect()
+    /// Records whose *leading* primary-key field lies within the bounds
+    /// (`None` = open end), in key order.
+    pub fn pk_range(
+        &self,
+        lo: Option<&Value>,
+        lo_inclusive: bool,
+        hi: Option<&Value>,
+        hi_inclusive: bool,
+    ) -> Result<Vec<Value>> {
+        leading_field_range(&self.primary, lo, lo_inclusive, hi, hi_inclusive, |_, raw| {
+            self.decode_record(&raw)
+        })
     }
 
     /// Candidate PKs from a secondary B+ tree index for `[lo, hi]` on the
@@ -380,36 +385,10 @@ impl DatasetPartition {
         let Secondary::BTree { tree, .. } = sec else {
             return Err(CoreError::Catalog(format!("index {index:?} is not a B+ tree")));
         };
-        let lo_key = lo.map(|v| encode_key(std::slice::from_ref(v)));
-        let lo_bound = match (&lo_key, lo_inclusive) {
-            (None, _) => Bound::Unbounded,
-            (Some(k), true) => Bound::Included(k.as_slice()),
-            (Some(k), false) => Bound::Excluded(k.as_slice()),
-        };
-        let mut out = Vec::new();
-        for (k, _) in tree.range(lo_bound, Bound::Unbounded)? {
-            let parts = asterix_adm::binary::decode_key(&k).map_err(CoreError::Adm)?;
-            let (sk, pk_parts) = parts.split_first().ok_or_else(|| {
-                CoreError::Storage(asterix_storage::StorageError::Corrupt(
-                    "empty secondary index key".into(),
-                ))
-            })?;
-            if let Some(hi_v) = hi {
-                let c = asterix_adm::compare::total_cmp(sk, hi_v);
-                if c == std::cmp::Ordering::Greater
-                    || (!hi_inclusive && c == std::cmp::Ordering::Equal)
-                {
-                    break;
-                }
-            }
-            if let (Some(lo_v), false) = (lo, lo_inclusive) {
-                if asterix_adm::compare::total_cmp(sk, lo_v) == std::cmp::Ordering::Equal {
-                    continue;
-                }
-            }
-            out.push(encode_key(pk_parts));
-        }
-        Ok(out)
+        // entries are `(secondary key, pk...)`: what follows the key is the pk
+        leading_field_range(tree, lo, lo_inclusive, hi, hi_inclusive, |pk_parts, _| {
+            Ok(encode_key(pk_parts))
+        })
     }
 
     /// Candidate PKs from an R-tree index intersecting `query`.
@@ -476,11 +455,59 @@ impl DatasetPartition {
         self.primary.stats()
     }
 
+    /// LSM statistics of a secondary B+ tree index.
+    pub fn index_stats(&self, index: &str) -> Result<asterix_storage::lsm::LsmStats> {
+        match self.find_index(index)? {
+            Secondary::BTree { tree, .. } => Ok(tree.stats()),
+            _ => Err(CoreError::Catalog(format!("index {index:?} is not a B+ tree"))),
+        }
+    }
+
     /// Encoded size of one record under this partition's layout (E10's
     /// storage metric).
     pub fn encoded_len(&self, record: &Value) -> Result<usize> {
         Ok(self.encode_record(record)?.len())
     }
+}
+
+/// Walks the entries of `tree` whose leading key part lies within the bounds,
+/// handing `each` the remaining key parts and the value. The upper bound is
+/// on a key *prefix*, which has no byte-key form (a prefix sorts before every
+/// key it starts), so the walk starts at `lo` and stops reading at the first
+/// entry past `hi`: it touches the matches, not the rest of the index.
+fn leading_field_range<T>(
+    tree: &LsmTree,
+    lo: Option<&Value>,
+    lo_inclusive: bool,
+    hi: Option<&Value>,
+    hi_inclusive: bool,
+    mut each: impl FnMut(&[Value], Vec<u8>) -> Result<T>,
+) -> Result<Vec<T>> {
+    use std::cmp::Ordering;
+    // the 1-part prefix key sorts directly before every key starting with it
+    let lo_key = lo.map(|v| encode_key(std::slice::from_ref(v)));
+    let lo_bound = lo_key.as_deref().map_or(Bound::Unbounded, Bound::Included);
+    let mut out = Vec::new();
+    for entry in tree.range_iter(lo_bound, Bound::Unbounded)? {
+        let (key, value) = entry?;
+        let parts = decode_key(&key).map_err(CoreError::Adm)?;
+        let (lead, rest) = parts.split_first().ok_or_else(|| {
+            CoreError::Storage(asterix_storage::StorageError::Corrupt("empty index key".into()))
+        })?;
+        if let Some(hi) = hi {
+            let c = asterix_adm::compare::total_cmp(lead, hi);
+            if c == Ordering::Greater || (!hi_inclusive && c == Ordering::Equal) {
+                break;
+            }
+        }
+        if let (Some(lo), false) = (lo, lo_inclusive) {
+            if asterix_adm::compare::total_cmp(lead, lo) == Ordering::Equal {
+                continue;
+            }
+        }
+        out.push(each(rest, value)?);
+    }
+    Ok(out)
 }
 
 /// The MBR of a spatial value (point or rectangle).

@@ -829,6 +829,27 @@ impl Instance {
             .collect()
     }
 
+    /// Per-partition LSM statistics of a dataset's primary index, or of the
+    /// named secondary B+ tree index: which partitions a query read, and
+    /// how many entries it visited there.
+    pub fn lsm_stats(
+        &self,
+        dataset: &str,
+        index: Option<&str>,
+    ) -> Result<Vec<asterix_storage::lsm::LsmStats>> {
+        let rt = self.dataset_runtime(dataset)?;
+        rt.partitions
+            .iter()
+            .map(|p| {
+                let part = p.read(); // xlint: lock(lsm_component)
+                match index {
+                    None => Ok(part.primary_stats()),
+                    Some(name) => part.index_stats(name),
+                }
+            })
+            .collect()
+    }
+
     /// Flushes every dataset's LSM memory components to disk.
     pub fn flush_all(&self) -> Result<()> {
         for rt in self.inner.datasets.read().values() {

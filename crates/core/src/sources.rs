@@ -3,13 +3,14 @@
 //! §V-B sorted-PK fetch (experiment E7).
 
 use crate::catalog::{DatasetDef, IndexKind};
-use crate::dataset::DatasetPartition;
+use crate::dataset::{partition_of, DatasetPartition};
 use crate::error::Result as CoreResult;
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
+use asterix_adm::binary::encode_key;
 use asterix_adm::Value;
 use asterix_algebricks::error::{AlgebricksError, Result as AlgResult};
-use asterix_algebricks::source::{DataSource, IndexInfo, IndexRange};
+use asterix_algebricks::source::{AccessPath, DataSource, IndexInfo, IndexRange};
 use asterix_algebricks::source::IndexKind as AlgIndexKind;
 use asterix_hyracks::job::{FnSource, SourceFactory};
 use asterix_storage::lock_order::OrderedRwLock;
@@ -55,6 +56,12 @@ impl DatasetSource {
     }
 }
 
+type TupleStream = Box<dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send>;
+
+fn no_tuples() -> TupleStream {
+    Box::new(std::iter::empty())
+}
+
 fn records_factory(
     partitions: Vec<Arc<OrderedRwLock<DatasetPartition>>>,
     f: impl Fn(&DatasetPartition) -> CoreResult<Vec<Value>> + Send + Sync + 'static,
@@ -72,8 +79,7 @@ fn records_factory(
         }
         let records =
             f(&guard).map_err(|e| asterix_hyracks::HyracksError::Eval(e.to_string()))?;
-        Ok(Box::new(records.into_iter().map(|r| Ok(vec![r])))
-            as Box<dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send>)
+        Ok(Box::new(records.into_iter().map(|r| Ok(vec![r]))) as TupleStream)
     }))
 }
 
@@ -107,17 +113,60 @@ impl DataSource for DatasetSource {
             .collect()
     }
 
-    fn index_scan(&self, index: &str, range: IndexRange) -> AlgResult<Arc<dyn SourceFactory>> {
+    fn primary_key(&self) -> Vec<Vec<String>> {
+        self.runtime.def.primary_key().iter().map(|f| vec![f.clone()]).collect()
+    }
+
+    fn index_scan(&self, path: &AccessPath) -> AlgResult<Arc<dyn SourceFactory>> {
+        let partitions = self.runtime.partitions.clone();
+        let range = path.range.clone();
+        if range.is_empty() {
+            return Ok(Arc::new(FnSource(|_p: usize| Ok(no_tuples()))));
+        }
+        if path.kind == AlgIndexKind::Primary {
+            return Ok(match range {
+                IndexRange::Point(key) => {
+                    // The write path placed the record by these same bytes
+                    // (`encode_key` normalizes `5.0` to `5`), so only the
+                    // owning partition can hold it; the others answer
+                    // without taking their lock or touching storage.
+                    let key = encode_key(&key);
+                    let owner = partition_of(&key, partitions.len()) as usize;
+                    let owning = records_factory(partitions, move |part| {
+                        Ok(part.get(&key)?.into_iter().collect())
+                    });
+                    Arc::new(FnSource(move |p: usize| {
+                        if p == owner {
+                            owning.open(p)
+                        } else {
+                            Ok(no_tuples())
+                        }
+                    }))
+                }
+                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => {
+                    records_factory(partitions, move |part| {
+                        part.pk_range(lo.as_ref(), lo_inclusive, hi.as_ref(), hi_inclusive)
+                    })
+                }
+                IndexRange::Spatial(_) | IndexRange::Keyword(_) => {
+                    return Err(AlgebricksError::Plan(format!(
+                        "dataset {} has no {range} probe on its primary index",
+                        self.name()
+                    )))
+                }
+            });
+        }
         // verify the index exists up front for a clean compile-time error
-        if !self.runtime.def.indexes.iter().any(|i| i.name == index) {
+        if !self.runtime.def.indexes.iter().any(|i| i.name == path.index) {
             return Err(AlgebricksError::Plan(format!(
-                "dataset {} has no index {index:?}",
-                self.name()
+                "dataset {} has no index {:?}",
+                self.name(),
+                path.index
             )));
         }
-        let index = index.to_string();
+        let index = path.index.clone();
         let sorted = self.sorted_fetch;
-        Ok(records_factory(self.runtime.partitions.clone(), move |part| {
+        Ok(records_factory(partitions, move |part| {
             let pks = match &range {
                 IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => part
                     .btree_index_pks(&index, lo.as_ref(), *lo_inclusive, hi.as_ref(), *hi_inclusive)
@@ -126,6 +175,11 @@ impl DataSource for DatasetSource {
                     })?,
                 IndexRange::Spatial(rect) => part.rtree_index_pks(&index, rect)?,
                 IndexRange::Keyword(q) => part.keyword_index_pks(&index, q)?,
+                IndexRange::Point(_) => {
+                    return Err(crate::error::CoreError::Catalog(format!(
+                        "point probe on secondary index {index:?}"
+                    )))
+                }
             };
             part.fetch_records(pks, sorted)
         }))
@@ -156,10 +210,7 @@ impl DataSource for ExternalSource {
         Ok(Arc::new(FnSource(move |_p: usize| {
             let records = crate::external::read_external(&cfg, ty.as_ref(), &registry)
                 .map_err(|e| asterix_hyracks::HyracksError::Eval(e.to_string()))?;
-            Ok(Box::new(records.into_iter().map(|r| Ok(vec![r])))
-                as Box<
-                    dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send,
-                >)
+            Ok(Box::new(records.into_iter().map(|r| Ok(vec![r]))) as TupleStream)
         })))
     }
 }
@@ -233,16 +284,14 @@ mod tests {
             rt.partitions[p].write().upsert(&rec).unwrap();
         }
         let src = DatasetSource::new(Arc::clone(&rt));
+        let by_v = |range| AccessPath { index: "byV".into(), kind: AlgIndexKind::BTree, range };
         let factory = src
-            .index_scan(
-                "byV",
-                IndexRange::Range {
-                    lo: Some(Value::Int(3)),
-                    lo_inclusive: true,
-                    hi: Some(Value::Int(4)),
-                    hi_inclusive: true,
-                },
-            )
+            .index_scan(&by_v(IndexRange::Range {
+                lo: Some(Value::Int(3)),
+                lo_inclusive: true,
+                hi: Some(Value::Int(4)),
+                hi_inclusive: true,
+            }))
             .unwrap();
         let mut hits = 0;
         for p in 0..2 {
@@ -254,7 +303,8 @@ mod tests {
             }
         }
         assert_eq!(hits, 8, "v in {{3,4}} of 0..10 over 40 records");
-        assert!(src.index_scan("nope", IndexRange::Keyword("x".into())).is_err());
+        let nope = AccessPath { index: "nope".into(), ..by_v(IndexRange::Keyword("x".into())) };
+        assert!(src.index_scan(&nope).is_err());
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -195,6 +195,139 @@ fn secondary_index_access_paths_are_used_and_correct() {
 }
 
 #[test]
+fn primary_key_access_path_is_chosen_by_both_front_ends() {
+    let db = Instance::temp().unwrap();
+    db.execute_sqlpp(gleambook_ddl()).unwrap();
+    let golden = "distribute-result [$0]
+  assign $0 := $1.message
+    select eq($1.messageId, 42)
+      index-scan GleambookMessages#primary [eq 42] -> $1
+";
+    let sqlpp = db
+        .explain(
+            "SELECT VALUE m.message FROM GleambookMessages m WHERE m.messageId = 42",
+            Language::Sqlpp,
+        )
+        .unwrap();
+    let aql = db
+        .explain(
+            "for $m in dataset GleambookMessages where $m.messageId = 42 return $m.message",
+            Language::Aql,
+        )
+        .unwrap();
+    assert_eq!(sqlpp, golden);
+    assert_eq!(aql, golden);
+    // a key range, ahead of nothing here: no secondary index has a conjunct
+    let range = db
+        .explain(
+            "SELECT VALUE m.message FROM GleambookMessages m
+             WHERE m.messageId >= 3 AND m.messageId < 10 AND m.message != 'x'",
+            Language::Sqlpp,
+        )
+        .unwrap();
+    assert!(range.contains("index-scan GleambookMessages#primary [ge 3, lt 10]"), "{range}");
+}
+
+/// `tuples_out` of every `source` operator-partition under `op`, with the
+/// operator's label.
+fn source_outputs(op: &asterix_obs::OperatorProfile, out: &mut Vec<(String, Vec<u64>)>) {
+    if op.name == "source" {
+        out.push((op.label.clone(), op.partitions.iter().map(|p| p.tuples_out).collect()));
+    }
+    for input in &op.inputs {
+        source_outputs(input, out);
+    }
+}
+
+/// Runs `sql` through a session; returns its rows and its sources' outputs.
+fn profiled(db: &Instance, sql: &str) -> (Vec<Value>, Vec<(String, Vec<u64>)>) {
+    let handle = db.session().submit(sql).unwrap();
+    let rows = handle.wait().unwrap();
+    let mut sources = Vec::new();
+    source_outputs(&handle.profile().unwrap().root, &mut sources);
+    (rows, sources)
+}
+
+#[test]
+fn primary_key_point_get_reads_one_record_on_the_owning_partition() {
+    let db = Instance::open(InstanceConfig { nodes: 3, partitions: 3, ..Default::default() })
+        .unwrap();
+    db.execute_sqlpp(gleambook_ddl()).unwrap();
+    load_messages(&db, 600, 50);
+    db.flush_all().unwrap();
+    let point_reads = |db: &Instance| -> Vec<u64> {
+        db.lsm_stats("GleambookMessages", None).unwrap().iter().map(|s| s.reads).collect()
+    };
+    let visited = |db: &Instance| -> u64 {
+        db.lsm_stats("GleambookMessages", None).unwrap().iter().map(|s| s.entries_visited).sum()
+    };
+    // 77.0 must land on the bytes (and so the partition) 77 was stored under
+    for (key, want) in [("77", 1), ("77.0", 1), ("600", 1), ("601", 0), ("77.5", 0)] {
+        let (reads_before, visited_before) = (point_reads(&db), visited(&db));
+        let (rows, sources) = profiled(
+            &db,
+            &format!("SELECT VALUE m.messageId FROM GleambookMessages m WHERE m.messageId = {key}"),
+        );
+        assert_eq!(rows.len(), want, "messageId = {key}");
+        assert_eq!(sources.len(), 1, "{sources:?}");
+        let (label, outs) = &sources[0];
+        assert_eq!(label, "iscan:GleambookMessages#primary");
+        assert_eq!(outs.iter().sum::<u64>(), want as u64, "examined for {key}: {outs:?}");
+        // exactly one partition was asked, for exactly one key: the one
+        // that produced the record when there is one
+        let asked: Vec<u64> =
+            point_reads(&db).iter().zip(&reads_before).map(|(a, b)| a - b).collect();
+        assert_eq!(asked.iter().sum::<u64>(), 1, "messageId = {key}: {asked:?}");
+        if want == 1 {
+            assert_eq!(&asked, outs, "the owner is the one that read");
+        }
+        assert_eq!(visited(&db), visited_before, "a point get scans nothing");
+    }
+}
+
+#[test]
+fn secondary_probe_visits_its_matches_not_the_index_tail() {
+    let db = Instance::open(InstanceConfig { nodes: 2, partitions: 2, ..Default::default() })
+        .unwrap();
+    db.execute_sqlpp(gleambook_ddl()).unwrap();
+    // 2 000 messages by 100 authors: one disk component per partition, then
+    // as many again in the memory components
+    load_messages(&db, 1_000, 100);
+    db.flush_all().unwrap();
+    let mut gen = asterix_core::datagen::DataGen::new(44);
+    let mut txn = db.begin();
+    for i in 1_001..=2_000 {
+        txn.write("GleambookMessages", &gen.message(i, 100), true).unwrap();
+    }
+    txn.commit().unwrap();
+    let index_visited = |db: &Instance| -> Vec<u64> {
+        db.lsm_stats("GleambookMessages", Some("gbAuthorIdx"))
+            .unwrap()
+            .iter()
+            .map(|s| s.entries_visited)
+            .collect()
+    };
+    // a low author id: nearly the whole index sorts after it
+    for predicate in ["m.authorId = 3", "m.authorId >= 3 AND m.authorId < 5"] {
+        let before = index_visited(&db);
+        let (rows, sources) = profiled(
+            &db,
+            &format!("SELECT VALUE m.messageId FROM GleambookMessages m WHERE {predicate}"),
+        );
+        let (label, outs) = &sources[0];
+        assert_eq!(label, "iscan:GleambookMessages#gbAuthorIdx");
+        assert_eq!(outs.iter().sum::<u64>(), rows.len() as u64, "no false candidates");
+        assert!(rows.len() >= 10, "{predicate}: {} rows", rows.len());
+        for ((after, before), matches) in index_visited(&db).iter().zip(&before).zip(outs) {
+            // per partition: the matches, plus one entry of lookahead in
+            // each of its two components
+            let visited = after - before;
+            assert!(visited >= *matches && visited <= matches + 2, "{predicate}: {visited} visited for {matches} matches");
+        }
+    }
+}
+
+#[test]
 fn delete_statement_and_insert_constraints() {
     let db = Instance::temp().unwrap();
     db.execute_sqlpp(

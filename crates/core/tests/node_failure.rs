@@ -85,6 +85,39 @@ fn retry_policy_recovers_a_query_after_node_kill() {
 }
 
 #[test]
+fn point_get_on_a_killed_owner_is_typed_and_retried() {
+    // Partition p lives on node p. Key by key, the pruned point get fails
+    // iff its owning node is the dead one — and then with the same typed
+    // transient error a scan gets, so the retry policy covers it alike.
+    let db = setup(RetryPolicy::default());
+    assert!(db.kill_node(0));
+    let mut on_dead_node = None;
+    for id in 0..8 {
+        match db.query(&format!("SELECT VALUE d.v FROM D d WHERE d.id = {id}")) {
+            Ok(rows) => assert_eq!(rows.len(), 1, "id {id} is served by the live node"),
+            Err(e) => {
+                assert!(e.is_transient(), "{e}");
+                assert!(e.to_string().contains("node 0 is down"), "{e}");
+                on_dead_node = Some(id);
+            }
+        }
+    }
+    let id = on_dead_node.expect("some key in 0..8 hashes to partition 0");
+    drop(db);
+
+    let db = setup(RetryPolicy {
+        max_attempts: 3,
+        backoff: Duration::from_millis(1),
+        restart_dead_nodes: true,
+    });
+    assert!(db.kill_node(0));
+    let rows = db.query(&format!("SELECT VALUE d.v FROM D d WHERE d.id = {id}")).unwrap();
+    assert_eq!(rows.len(), 1, "retry must recover the record");
+    assert!(db.metrics_snapshot().counter("core.query.retries").unwrap_or(0) >= 1);
+    assert!(db.cluster().dead_nodes().is_empty());
+}
+
+#[test]
 fn concurrent_node_kill_mid_query_still_recovers() {
     let db = setup(RetryPolicy {
         max_attempts: 5,

@@ -88,10 +88,11 @@ impl InvertedIndex {
         // All composite keys whose first part equals `token` sort directly
         // after the 1-part prefix key and before the next token.
         let mut out = Vec::new();
-        for (k, _) in self
+        for entry in self
             .tree
-            .range(Bound::Included(lo.as_slice()), Bound::Unbounded)?
+            .range_iter(Bound::Included(lo.as_slice()), Bound::Unbounded)?
         {
+            let (k, _) = entry?;
             let parts = decode_key(&k)?;
             match parts.first() {
                 Some(Value::String(s)) if *s == token => {

@@ -306,6 +306,12 @@ pub struct LsmStats {
     /// Retirement deletes that failed (non-fatal cleanup; restart recovery
     /// sweeps the orphaned files).
     pub retire_failures: u64,
+    /// Point lookups ([`LsmTree::get`]) served.
+    pub reads: u64,
+    /// Entries range reads pulled out of the memory and disk components,
+    /// shadowed versions, tombstones and per-component lookahead included:
+    /// the work a scan or bounded probe did, whatever it returned.
+    pub entries_visited: u64,
 }
 
 impl LsmStats {
@@ -330,6 +336,7 @@ struct SharedStats {
     entries_ingested: AtomicU64,
     merge_stall_ns: AtomicU64,
     reads: AtomicU64,
+    entries_visited: AtomicU64,
     retire_failures: Arc<AtomicU64>,
 }
 
@@ -343,6 +350,7 @@ impl Default for SharedStats {
             entries_ingested: AtomicU64::new(0),
             merge_stall_ns: AtomicU64::new(0),
             reads: AtomicU64::new(0),
+            entries_visited: AtomicU64::new(0),
             retire_failures: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -391,15 +399,94 @@ impl Drop for DiskComponent {
 }
 
 // ---------------------------------------------------------------------------
-// Resumable merge state
+// The k-way merge and resumable compaction state
 // ---------------------------------------------------------------------------
 
-/// In-progress k-way merge: iterator heads plus the output builder. Owned by
-/// a [`MergeJob`] and advanced one morsel at a time.
+/// The one k-way merge of the LSM tree: per-component ordered streams in
+/// (rank 0 = newest), one entry per distinct key out — the newest rank's,
+/// older versions shadowed. Tombstones pass through (`V` is opaque here), so
+/// compaction, full scans and bounded probes all sit on it. Lazy: a stream is
+/// read one entry ahead of what has been yielded and no further, so a caller
+/// that stops early has touched at most `yielded + 1` entries per stream.
+pub(crate) struct KWayMerge<I, V> {
+    /// `None` once a stream is exhausted or has failed.
+    streams: Vec<Option<I>>,
+    heads: Vec<Option<(Vec<u8>, V)>>,
+    pulled: u64,
+}
+
+impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> KWayMerge<I, V> {
+    pub(crate) fn new(streams: Vec<I>) -> Self {
+        let heads = streams.iter().map(|_| None).collect();
+        KWayMerge { streams: streams.into_iter().map(Some).collect(), heads, pulled: 0 }
+    }
+
+    /// Entries read from the component streams so far.
+    pub(crate) fn pulled(&self) -> u64 {
+        self.pulled
+    }
+
+    /// Refills `rank`'s head if it is empty and the stream has more.
+    fn pull(&mut self, rank: usize) -> Result<()> {
+        if self.heads[rank].is_some() {
+            return Ok(());
+        }
+        let Some(stream) = self.streams[rank].as_mut() else { return Ok(()) };
+        match stream.next() {
+            Some(Ok(entry)) => {
+                self.heads[rank] = Some(entry);
+                self.pulled += 1;
+            }
+            Some(Err(e)) => {
+                self.streams[rank] = None;
+                return Err(e);
+            }
+            None => self.streams[rank] = None,
+        }
+        Ok(())
+    }
+
+    fn advance(&mut self) -> Result<Option<(Vec<u8>, V)>> {
+        for rank in 0..self.heads.len() {
+            self.pull(rank)?;
+        }
+        // smallest head key; on ties the lowest rank (the newest version)
+        let mut best: Option<(usize, &[u8])> = None;
+        for (rank, head) in self.heads.iter().enumerate() {
+            let Some((key, _)) = head else { continue };
+            if best.is_none_or(|(_, bkey)| compare_keys(key, bkey) == Ordering::Less) {
+                best = Some((rank, key));
+            }
+        }
+        let Some((winner_rank, _)) = best else { return Ok(None) };
+        let winner = self.heads[winner_rank].take();
+        let Some((winner_key, _)) = &winner else { return Ok(None) };
+        for rank in winner_rank + 1..self.heads.len() {
+            while matches!(&self.heads[rank], Some((k, _)) if compare_keys(k, winner_key) == Ordering::Equal)
+            {
+                self.heads[rank] = None;
+                self.pull(rank)?;
+            }
+        }
+        Ok(winner)
+    }
+}
+
+impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> Iterator for KWayMerge<I, V> {
+    type Item = Result<(Vec<u8>, V)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.advance().transpose()
+    }
+}
+
+/// In-progress compaction: the merge over the input components' raw entries
+/// plus the output builder. Owned by a [`MergeJob`] and advanced one morsel
+/// at a time.
 pub(crate) struct MergeRun {
     /// Pre-allocated id of the output component.
     id: u64,
-    iters: Vec<std::iter::Peekable<BTreeRangeIter>>,
+    merge: KWayMerge<BTreeRangeIter, Vec<u8>>,
     builder: Option<BTreeBuilder>,
     written: u64,
 }
@@ -589,11 +676,11 @@ impl LsmShared {
         let expected: u64 = comps.iter().map(|c| c.tree.len()).sum();
         let builder =
             BTreeBuilder::new(writer, if self.config.bloom { expected as usize } else { 0 });
-        let mut iters = Vec::with_capacity(comps.len());
+        let mut streams = Vec::with_capacity(comps.len());
         for comp in comps {
-            iters.push(comp.tree.scan()?.peekable());
+            streams.push(comp.tree.scan()?);
         }
-        Ok(MergeRun { id, iters, builder: Some(builder), written: 0 })
+        Ok(MergeRun { id, merge: KWayMerge::new(streams), builder: Some(builder), written: 0 })
     }
 
     /// Advances the k-way merge by up to `budget` input keys (newest rank
@@ -605,61 +692,19 @@ impl LsmShared {
         budget: usize,
         includes_oldest: bool,
     ) -> Result<bool> {
-        let MergeRun { iters, builder, written, .. } = run;
+        let MergeRun { merge, builder, written, .. } = run;
         let builder = builder
             .as_mut()
             .ok_or_else(|| StorageError::Invalid("merge already finished".into()))?;
         for _ in 0..budget.max(1) {
-            // find the smallest key among iterator heads; prefer lowest rank
-            let mut best: Option<(usize, Vec<u8>)> = None;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                let head = match it.peek() {
-                    None => continue,
-                    Some(Err(_)) => {
-                        // surface the error
-                        return Err(match it.next() {
-                            Some(Err(e)) => e,
-                            _ => StorageError::Corrupt(
-                                "merge iterator lost its error head".into(),
-                            ),
-                        });
-                    }
-                    Some(Ok((k, _))) => k.clone(),
-                };
-                best = match best {
-                    None => Some((rank, head)),
-                    Some((brank, bkey)) => {
-                        if compare_keys(&head, &bkey) == Ordering::Less {
-                            Some((rank, head))
-                        } else {
-                            Some((brank, bkey))
-                        }
-                    }
-                };
-            }
-            let Some((winner_rank, winner_key)) = best else { return Ok(true) };
-            // consume the winner's entry and any duplicates in older comps
-            let Some(winner) = iters[winner_rank].next() else {
-                return Err(StorageError::Corrupt(
-                    "merge winner iterator emptied between peek and next".into(),
-                ));
-            };
-            let (_, raw) = winner?;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                if rank == winner_rank {
-                    continue;
-                }
-                while matches!(it.peek(), Some(Ok((k, _))) if compare_keys(k, &winner_key) == Ordering::Equal)
-                {
-                    it.next();
-                }
-            }
+            let Some(next) = merge.next() else { return Ok(true) };
+            let (key, raw) = next?;
             let entry = Entry::decode(&self.decode_disk(&raw)?)?;
             if matches!(entry, Entry::Tombstone) && includes_oldest {
                 continue; // drop dead tombstones (still costs budget)
             }
             // stored bytes move as-is: merges never recompress
-            builder.add(&winner_key, &raw)?;
+            builder.add(&key, &raw)?;
             *written += 1;
         }
         Ok(false)
@@ -807,6 +852,8 @@ impl LsmTree {
             entries_ingested: s.entries_ingested.load(AtomicOrdering::Relaxed),
             merge_stall_ns: s.merge_stall_ns.load(AtomicOrdering::Relaxed),
             retire_failures: s.retire_failures.load(AtomicOrdering::Relaxed),
+            reads: s.reads.load(AtomicOrdering::Relaxed),
+            entries_visited: s.entries_visited.load(AtomicOrdering::Relaxed),
         }
     }
 
@@ -1033,41 +1080,25 @@ impl LsmTree {
         result
     }
 
-    /// Ordered scan over `[lo, hi]`, resolving versions (newest wins) and
-    /// dropping tombstones. Returns materialized pairs.
-    pub fn range(
-        &self,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    /// Lazy ordered scan over `[lo, hi]`, resolving versions (newest wins)
+    /// and dropping tombstones. Nothing past the last entry the caller takes
+    /// is read (one entry of lookahead per component), so a probe that
+    /// cannot name its upper bound as a key — every key with a given leading
+    /// part, say — starts at `lo` and simply stops.
+    pub fn range_iter(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Result<LsmRangeIter<'_>> {
         // Snapshot the component list: the scan sees a consistent pre- or
         // post-merge view, and snapshot refs keep retired files alive.
-        let disk = self.shared.snapshot();
-        // Collect per-source ordered streams: rank 0 = memory (newest).
-        type EntryStream<'a> = Box<dyn Iterator<Item = Result<(Vec<u8>, Entry)>> + 'a>;
-        let mut streams: Vec<EntryStream<'_>> = Vec::new();
-        let mem_lo = match lo {
-            Bound::Included(k) => Bound::Included(k.to_vec()),
-            Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let mem_hi = match hi {
-            Bound::Included(k) => Bound::Included(k.to_vec()),
-            Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        let snapshot = self.shared.snapshot();
+        let owned = |b: Bound<&[u8]>| b.map(<[u8]>::to_vec);
+        // Per-source ordered streams: rank 0 = memory (newest).
+        let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 1);
         streams.push(Box::new(
             self.mem
-                .range(mem_lo, mem_hi)
+                .range(owned(lo), owned(hi))
                 .map(|(k, e)| Ok((k.0.clone(), e.clone()))),
         ));
-        for comp in &disk {
-            let hi_owned = match hi {
-                Bound::Included(k) => Bound::Included(k.to_vec()),
-                Bound::Excluded(k) => Bound::Excluded(k.to_vec()),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let it = comp.tree.range(lo, hi_owned)?;
+        for comp in &snapshot {
+            let it = comp.tree.range(lo, owned(hi))?;
             let compressed = self.shared.config.compress_values;
             streams.push(Box::new(it.map(move |r| {
                 r.and_then(|(k, raw)| {
@@ -1080,56 +1111,20 @@ impl LsmTree {
                 })
             })));
         }
-        // K-way merge with rank preference.
-        let mut iters: Vec<_> = streams.into_iter().map(|s| s.peekable()).collect();
-        let mut out = Vec::new();
-        loop {
-            let mut best: Option<(usize, Vec<u8>)> = None;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                let head = match it.peek() {
-                    None => continue,
-                    Some(Err(_)) => {
-                        return Err(match it.next() {
-                            Some(Err(e)) => e,
-                            _ => StorageError::Corrupt(
-                                "range iterator lost its error head".into(),
-                            ),
-                        })
-                    }
-                    Some(Ok((k, _))) => k.clone(),
-                };
-                best = match best.take() {
-                    None => Some((rank, head)),
-                    Some((brank, bkey)) => {
-                        if compare_keys(&head, &bkey) == Ordering::Less {
-                            Some((rank, head))
-                        } else {
-                            Some((brank, bkey))
-                        }
-                    }
-                };
-            }
-            let Some((winner_rank, winner_key)) = best else { break };
-            let Some(winner) = iters[winner_rank].next() else {
-                return Err(StorageError::Corrupt(
-                    "range winner iterator emptied between peek and next".into(),
-                ));
-            };
-            let (_, entry) = winner?;
-            for (rank, it) in iters.iter_mut().enumerate() {
-                if rank == winner_rank {
-                    continue;
-                }
-                while matches!(it.peek(), Some(Ok((k, _))) if compare_keys(k, &winner_key) == Ordering::Equal)
-                {
-                    it.next();
-                }
-            }
-            if let Entry::Put(v) = entry {
-                out.push((winner_key, v));
-            }
-        }
-        Ok(out)
+        Ok(LsmRangeIter {
+            merge: KWayMerge::new(streams),
+            visited: &self.shared.stats.entries_visited,
+            _snapshot: snapshot,
+        })
+    }
+
+    /// [`LsmTree::range_iter`], materialized.
+    pub fn range(
+        &self,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
+    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.range_iter(lo, hi)?.collect()
     }
 
     /// Full ordered scan (tombstones resolved).
@@ -1140,6 +1135,36 @@ impl LsmTree {
     /// Live entry count (scans; intended for tests and small datasets).
     pub fn count(&self) -> Result<usize> {
         Ok(self.scan()?.len())
+    }
+}
+
+type EntryStream<'a> = Box<dyn Iterator<Item = Result<(Vec<u8>, Entry)>> + 'a>;
+
+/// Live `(key, value)` pairs of one [`LsmTree::range_iter`] call, in key
+/// order. Dropping it adds what it read to [`LsmStats::entries_visited`].
+pub struct LsmRangeIter<'a> {
+    merge: KWayMerge<EntryStream<'a>, Entry>,
+    visited: &'a AtomicU64,
+    _snapshot: Vec<Arc<DiskComponent>>,
+}
+
+impl Iterator for LsmRangeIter<'_> {
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            match self.merge.next()? {
+                Ok((key, Entry::Put(value))) => return Some(Ok((key, value))),
+                Ok((_, Entry::Tombstone)) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
+impl Drop for LsmRangeIter<'_> {
+    fn drop(&mut self) {
+        self.visited.fetch_add(self.merge.pulled(), AtomicOrdering::Relaxed);
     }
 }
 
@@ -1267,6 +1292,35 @@ mod tests {
         assert_eq!(even_val.1, b"v2");
         let odd_val = items.iter().find(|(key, _)| key == &k(3)).unwrap();
         assert_eq!(odd_val.1, b"v1");
+    }
+
+    #[test]
+    fn range_iter_reads_no_further_than_its_caller() {
+        let (cache, _d) = setup();
+        let mut t = LsmTree::new(cache, manual_config("t", MergePolicy::NoMerge));
+        // keys interleaved over two disk components and the memory component
+        for residue in 0..3 {
+            for i in (residue..3_000).step_by(3) {
+                t.upsert(k(i), b"v".to_vec()).unwrap();
+            }
+            if residue < 2 {
+                t.flush().unwrap();
+            }
+        }
+        assert_eq!(t.component_count(), 2);
+        let lo = k(1_500);
+        let taken: Vec<Vec<u8>> = t
+            .range_iter(Bound::Included(&lo), Bound::Unbounded)
+            .unwrap()
+            .take(30)
+            .map(|e| e.unwrap().0)
+            .collect();
+        assert_eq!(taken, (1_500..1_530).map(k).collect::<Vec<_>>());
+        // one entry of lookahead per component, not the 1 470 left in range
+        let visited = t.stats().entries_visited;
+        assert!((30..=33).contains(&visited), "visited {visited}");
+        assert_eq!(t.scan().unwrap().len(), 3_000);
+        assert_eq!(t.stats().entries_visited, visited + 3_000);
     }
 
     #[test]
