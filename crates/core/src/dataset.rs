@@ -19,7 +19,7 @@ use asterix_adm::schema_encode::{decode_with_schema, encode_with_schema};
 use asterix_adm::types::ObjectType;
 use asterix_adm::{Point, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
 use asterix_storage::CompactionExec;
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use std::ops::Bound;
@@ -40,9 +40,6 @@ pub struct StorageConfig {
     /// on the flushing thread — the pre-background behaviour; `Some` moves
     /// them onto the runtime's morsel worker pool.
     pub compaction: Option<CompactionExec>,
-    /// Let each B+-tree index pick its own merge policy from the observed
-    /// read/write mix (re-evaluated every `lsm::AUTO_TUNE_WINDOW` flushes).
-    pub auto_tune: bool,
 }
 
 impl Default for StorageConfig {
@@ -56,7 +53,6 @@ impl Default for StorageConfig {
             rtree_point_optimize: true,
             compress: false,
             compaction: None,
-            auto_tune: false,
         }
     }
 }
@@ -75,6 +71,23 @@ impl Secondary {
             | Secondary::Keyword { def, .. } => def,
         }
     }
+
+    fn stats(&self) -> LsmStats {
+        match self {
+            Secondary::BTree { tree, .. } => tree.stats(),
+            Secondary::RTree { tree, .. } => tree.stats(),
+            Secondary::Keyword { index, .. } => index.stats(),
+        }
+    }
+}
+
+/// Every index of a partition, whatever its kind, is built through here:
+/// the one place the configured background executor is installed.
+fn with_compaction<T>(index: T, cfg: &StorageConfig, install: fn(&T, CompactionExec)) -> T {
+    if let Some(exec) = &cfg.compaction {
+        install(&index, exec.clone());
+    }
+    index
 }
 
 /// One partition of one dataset, resident on one node.
@@ -141,8 +154,11 @@ impl DatasetPartition {
             bloom: true,
             compress_values: cfg.compress,
         };
-        let primary = LsmTree::new(Arc::clone(&node.cache), mk_lsm("pri"));
-        Self::apply_compaction(&primary, cfg);
+        let primary = with_compaction(
+            LsmTree::new(Arc::clone(&node.cache), mk_lsm("pri")),
+            cfg,
+            LsmTree::set_executor,
+        );
         let mut secondaries = Vec::new();
         for idx in &def.indexes {
             secondaries.push(Self::build_secondary(idx, &def.name, partition, &node, cfg));
@@ -158,17 +174,6 @@ impl DatasetPartition {
         })
     }
 
-    /// Installs the configured background executor / autotuner on a
-    /// B+-tree LSM index. R-tree and keyword indexes still merge on the
-    /// flushing thread — they are a small fraction of merge volume and
-    /// keep their own simpler merge path.
-    fn apply_compaction(tree: &LsmTree, cfg: &StorageConfig) {
-        if let Some(exec) = &cfg.compaction {
-            tree.set_executor(exec.clone());
-        }
-        tree.set_auto_tune(cfg.auto_tune);
-    }
-
     fn build_secondary(
         idx: &IndexDef,
         dataset: &str,
@@ -177,44 +182,43 @@ impl DatasetPartition {
         cfg: &StorageConfig,
     ) -> Secondary {
         let name = format!("{dataset}_p{partition}_{}", idx.name);
+        let cache = Arc::clone(&node.cache);
+        // secondary entries carry no values to compress, and are range-probed,
+        // so blooms would not help either
+        let lsm = |name| LsmConfig {
+            name,
+            mem_budget: cfg.mem_budget,
+            merge_policy: cfg.merge_policy,
+            bloom: false,
+            compress_values: false,
+        };
         match idx.kind {
-            IndexKind::BTree => {
-                let tree = LsmTree::new(
-                    Arc::clone(&node.cache),
-                    LsmConfig {
-                        name,
-                        mem_budget: cfg.mem_budget,
-                        merge_policy: cfg.merge_policy,
-                        bloom: false, // range-probed; blooms don't help
-                        compress_values: false, // secondary entries carry no values
-                    },
-                );
-                Self::apply_compaction(&tree, cfg);
-                Secondary::BTree { def: idx.clone(), tree }
-            }
-            IndexKind::RTree => Secondary::RTree {
+            IndexKind::BTree => Secondary::BTree {
                 def: idx.clone(),
-                tree: LsmRTree::new(
-                    Arc::clone(&node.cache),
-                    LsmRTreeConfig {
-                        name,
-                        mem_budget: cfg.mem_budget,
-                        merge_policy: cfg.merge_policy,
-                        point_optimize: cfg.rtree_point_optimize,
-                    },
-                ),
+                tree: with_compaction(LsmTree::new(cache, lsm(name)), cfg, LsmTree::set_executor),
             },
+            IndexKind::RTree => {
+                let config = LsmRTreeConfig {
+                    name,
+                    mem_budget: cfg.mem_budget,
+                    merge_policy: cfg.merge_policy,
+                    point_optimize: cfg.rtree_point_optimize,
+                };
+                Secondary::RTree {
+                    def: idx.clone(),
+                    tree: with_compaction(
+                        LsmRTree::new(cache, config),
+                        cfg,
+                        LsmRTree::set_executor,
+                    ),
+                }
+            }
             IndexKind::Keyword => Secondary::Keyword {
                 def: idx.clone(),
-                index: InvertedIndex::with_config(
-                    Arc::clone(&node.cache),
-                    LsmConfig {
-                        name,
-                        mem_budget: cfg.mem_budget,
-                        merge_policy: cfg.merge_policy,
-                        bloom: false,
-                compress_values: false
-                    },
+                index: with_compaction(
+                    InvertedIndex::with_config(cache, lsm(name)),
+                    cfg,
+                    InvertedIndex::set_executor,
                 ),
             },
         }
@@ -451,16 +455,13 @@ impl DatasetPartition {
     }
 
     /// Primary-index LSM statistics.
-    pub fn primary_stats(&self) -> asterix_storage::lsm::LsmStats {
+    pub fn primary_stats(&self) -> LsmStats {
         self.primary.stats()
     }
 
-    /// LSM statistics of a secondary B+ tree index.
-    pub fn index_stats(&self, index: &str) -> Result<asterix_storage::lsm::LsmStats> {
-        match self.find_index(index)? {
-            Secondary::BTree { tree, .. } => Ok(tree.stats()),
-            _ => Err(CoreError::Catalog(format!("index {index:?} is not a B+ tree"))),
-        }
+    /// LSM statistics of a secondary index of any kind.
+    pub fn index_stats(&self, index: &str) -> Result<LsmStats> {
+        Ok(self.find_index(index)?.stats())
     }
 
     /// Encoded size of one record under this partition's layout (E10's

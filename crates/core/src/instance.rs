@@ -830,8 +830,8 @@ impl Instance {
     }
 
     /// Per-partition LSM statistics of a dataset's primary index, or of the
-    /// named secondary B+ tree index: which partitions a query read, and
-    /// how many entries it visited there.
+    /// named secondary index (any kind): which partitions a query read, how
+    /// many entries it visited there, and what flushing and merging cost.
     pub fn lsm_stats(
         &self,
         dataset: &str,

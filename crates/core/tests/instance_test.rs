@@ -328,6 +328,85 @@ fn secondary_probe_visits_its_matches_not_the_index_tail() {
 }
 
 #[test]
+fn every_index_kind_merges_in_the_background_and_answers_like_a_scan() {
+    use asterix_core::dataset::StorageConfig;
+    let db = Instance::open(InstanceConfig {
+        background_compaction: true,
+        storage: StorageConfig { mem_budget: 2 << 10, ..Default::default() },
+        ..Default::default()
+    })
+    .unwrap();
+    db.execute_sqlpp(gleambook_ddl()).unwrap();
+    // ingest, then move (new author, location and text) or delete the first
+    // half, so every index retracts entries that already sit in components
+    load_messages(&db, 1_200, 40);
+    let mut gen = asterix_core::datagen::DataGen::new(99);
+    let mut txn = db.begin();
+    for i in 1..=600 {
+        if i % 5 == 0 {
+            let pk = asterix_adm::binary::encode_key(&[Value::Int(i)]);
+            txn.delete("GleambookMessages", &pk).unwrap();
+        } else {
+            txn.write("GleambookMessages", &gen.message(i, 40), true).unwrap();
+        }
+    }
+    txn.commit().unwrap();
+
+    // asked while merges may still be running: reads are snapshot-consistent
+    let all = db.query("SELECT VALUE m FROM GleambookMessages m").unwrap();
+    assert_eq!(all.len(), 1_200 - 120);
+    type Keep<'a> = &'a dyn Fn(&Value) -> bool;
+    let ids = |rows: &[Value], keep: Keep| -> Vec<i64> {
+        let mut ids: Vec<i64> = rows
+            .iter()
+            .filter(|m| keep(m))
+            .map(|m| m.field("messageId").as_i64().unwrap())
+            .collect();
+        ids.sort_unstable();
+        ids
+    };
+    let in_box = |m: &Value| match m.field("senderLocation") {
+        Value::Point(p) => (-120.0..=-100.0).contains(&p.x) && (30.0..=45.0).contains(&p.y),
+        _ => false,
+    };
+    let cases: [(&str, &str, Keep); 3] = [
+        ("gbAuthorIdx", "m.authorId = 7", &|m| m.field("authorId").as_i64() == Some(7)),
+        (
+            "gbSenderLocIndex",
+            "spatial_intersect(m.senderLocation, create_rectangle(create_point(-120.0, 30.0), create_point(-100.0, 45.0)))",
+            &in_box,
+        ),
+        ("gbMessageIdx", "contains(m.message, 'verizon')", &|m| {
+            m.field("message").as_str().unwrap().contains("verizon")
+        }),
+    ];
+    for (index, predicate, keep) in cases {
+        let sql = format!("SELECT VALUE m FROM GleambookMessages m WHERE {predicate}");
+        let plan = db.explain(&sql, Language::Sqlpp).unwrap();
+        assert!(plan.contains(index), "{plan}");
+        let want = ids(&all, keep);
+        assert!(!want.is_empty(), "{predicate} matches nothing: vacuous");
+        assert_eq!(ids(&db.query(&sql).unwrap(), &|_| true), want, "{predicate}");
+    }
+
+    // the merges drain, and ran for every kind
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let inflight = |db: &Instance| -> i64 {
+        let snap = db.metrics_snapshot();
+        (0..2).map(|n| snap.gauge(&format!("node{n}.storage.lsm.merge_inflight")).unwrap()).sum()
+    };
+    while inflight(&db) != 0 {
+        assert!(std::time::Instant::now() < deadline, "merges still in flight after 30 s");
+        std::thread::yield_now();
+    }
+    for index in [None, Some("gbAuthorIdx"), Some("gbSenderLocIndex"), Some("gbMessageIdx")] {
+        let merges: u64 =
+            db.lsm_stats("GleambookMessages", index).unwrap().iter().map(|s| s.merges).sum();
+        assert!(merges > 0, "{index:?} never merged");
+    }
+}
+
+#[test]
 fn delete_statement_and_insert_constraints() {
     let db = Instance::temp().unwrap();
     db.execute_sqlpp(

@@ -1,38 +1,21 @@
-//! Background LSM compaction: jobs, executors, and amplification accounting.
+//! Background LSM compaction: the executor contract and amplification
+//! accounting.
 //!
-//! Merging disk components used to run *foreground*, inside
-//! [`crate::lsm::LsmTree::flush`], stalling the write path for the whole
-//! merge. This module moves the merge onto an external executor while
-//! keeping the crate dependency one-way: storage defines a narrow
-//! [`BackgroundExecutor`] trait and the runtime layer (hyracks' worker
-//! pool) implements it. With no executor installed every merge still runs
-//! inline, so single-threaded tests and benches stay deterministic.
-//!
-//! A merge is a [`MergeJob`]: a resumable k-way merge that advances one
-//! *morsel* of entries ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`]
-//! call, so cancellation latency and scheduling quanta are bounded exactly
-//! like query morsels. The owning tree tracks the job through a small state
-//! machine ([`CompactionState`]: idle → merging → retiring → idle); reads
-//! and flushes proceed against the pre-merge component list until the merged
-//! component atomically swaps in.
-//!
-//! Retirement ordering invariant (the data-loss fix this module pins): the
-//! merged component is inserted into the live list *before* the inputs'
-//! files are deleted, and a failed retirement delete is non-fatal cleanup —
-//! counted in `storage.lsm` metrics, never able to un-publish merged
-//! entries. Old component files are unlinked only when the last reader
-//! drops its snapshot reference, so in-flight scans never observe a
-//! vanishing file.
+//! The component lifecycle (`crate::harness`) schedules merges; this
+//! module is how they leave the write path while the crate dependency stays
+//! one-way: storage defines a narrow [`BackgroundExecutor`] trait and the
+//! runtime layer (hyracks' worker pool) implements it. A merge reaches an
+//! executor as a [`BackgroundJob`] that advances one *morsel* of entries
+//! ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`] call. With no
+//! executor installed every merge runs inline, so single-threaded tests and
+//! benches stay deterministic.
 //!
 //! The [`LsmMetricsHub`] aggregates the classic LSM cost triad across every
 //! tree of a node and surfaces it through the shared `obs` registry as
 //! `storage.lsm.{write_amp,read_amp,space_amp,merge_inflight,merge_stall_ns}`.
 
-use crate::error::Result;
-use crate::lsm::{DiskComponent, LsmShared, MergeRun};
 use asterix_obs::Gauge;
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Entries merged per scheduling step: the compaction morsel. Mirrors the
@@ -113,133 +96,6 @@ impl ThreadExecutor {
     /// Convenience: a ready-to-install handle.
     pub fn handle() -> CompactionExec {
         CompactionExec::new(Arc::new(ThreadExecutor))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-tree compaction state machine
-// ---------------------------------------------------------------------------
-
-/// Where a tree's (single) compaction slot currently is. Exactly one merge
-/// is in flight per tree; flushes and reads never wait on it.
-pub(crate) enum CompactionState {
-    /// No merge in flight.
-    Idle,
-    /// A merge over the components with these ids is running.
-    Merging {
-        ids: Vec<u64>,
-        cancel: Arc<AtomicBool>,
-    },
-    /// The merged component is published; input files are being retired.
-    Retiring,
-}
-
-impl CompactionState {
-    /// Short state name for diagnostics and tests.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            CompactionState::Idle => "idle",
-            CompactionState::Merging { .. } => "merging",
-            CompactionState::Retiring => "retiring",
-        }
-    }
-
-    /// Ids of the components covered by the in-flight merge, if any.
-    pub(crate) fn merging_ids(&self) -> Option<&[u64]> {
-        match self {
-            CompactionState::Merging { ids, .. } => Some(ids),
-            _ => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The merge job
-// ---------------------------------------------------------------------------
-
-/// A scheduled merge of a snapshot of components. The snapshot stays valid
-/// for the job's whole lifetime because flushes only ever *prepend* newer
-/// components and the state machine admits one merge at a time.
-pub(crate) struct MergeJob {
-    shared: Arc<LsmShared>,
-    /// Input components, newest first. Taken (emptied) on completion so the
-    /// swapped-out components can retire as soon as readers let go.
-    comps: Mutex<Vec<Arc<DiskComponent>>>,
-    includes_oldest: bool,
-    cancel: Arc<AtomicBool>,
-    /// Background jobs cascade: on completion they re-run the policy and
-    /// schedule the next merge. Foreground callers loop themselves.
-    cascade: bool,
-    run: Mutex<Option<MergeRun>>,
-}
-
-impl MergeJob {
-    pub(crate) fn new(
-        shared: Arc<LsmShared>,
-        comps: Vec<Arc<DiskComponent>>,
-        includes_oldest: bool,
-        cancel: Arc<AtomicBool>,
-        cascade: bool,
-    ) -> Self {
-        MergeJob {
-            shared,
-            comps: Mutex::new(comps),
-            includes_oldest,
-            cancel,
-            cascade,
-            run: Mutex::new(None),
-        }
-    }
-
-    /// One morsel of merging; errors are surfaced to foreground callers
-    /// (background steps record them and finish quietly).
-    pub(crate) fn advance(&self) -> Result<JobStep> {
-        match self.try_advance() {
-            Ok(step) => Ok(step),
-            Err(e) => {
-                self.shared.merge_aborted();
-                Err(e)
-            }
-        }
-    }
-
-    fn try_advance(&self) -> Result<JobStep> {
-        if self.cancel.load(Ordering::Acquire) {
-            self.run.lock().take();
-            self.shared.merge_aborted();
-            return Ok(JobStep::Done);
-        }
-        let mut run = self.run.lock(); // xlint: lock(lsm_merge_run)
-        if run.is_none() {
-            let comps = self.comps.lock().clone(); // xlint: lock(lsm_merge_inputs)
-            *run = Some(self.shared.merge_open(&comps)?);
-        }
-        let Some(active) = run.as_mut() else { return Ok(JobStep::Done) };
-        let exhausted =
-            self.shared.merge_step(active, MERGE_MORSEL_ENTRIES, self.includes_oldest)?;
-        if !exhausted {
-            return Ok(JobStep::Again);
-        }
-        let Some(finished) = run.take() else { return Ok(JobStep::Done) };
-        drop(run);
-        let written = finished.written();
-        let new_comp = self.shared.merge_finish(finished)?;
-        let comps = std::mem::take(&mut *self.comps.lock()); // xlint: lock(lsm_merge_inputs)
-        self.shared.complete_merge(comps, new_comp, written, self.cascade);
-        Ok(JobStep::Done)
-    }
-}
-
-impl BackgroundJob for MergeJob {
-    fn step(&self) -> JobStep {
-        // Background execution swallows the error after recording it in the
-        // tree's failure counters: a failed merge leaves the pre-merge
-        // component list untouched and the tree fully serviceable.
-        self.advance().unwrap_or(JobStep::Done)
-    }
-
-    fn cancel(&self) {
-        self.cancel.store(true, Ordering::Release);
     }
 }
 

@@ -7,8 +7,9 @@
 //! way AsterixDB does (secondary indexes reuse the LSM machinery).
 
 use crate::cache::BufferCache;
+use crate::compaction::CompactionExec;
 use crate::error::Result;
-use crate::lsm::{LsmConfig, LsmTree, MergePolicy};
+use crate::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
 use asterix_adm::binary::{decode_key, encode_key};
 use asterix_adm::Value;
 use std::ops::Bound;
@@ -135,6 +136,16 @@ impl InvertedIndex {
     /// Disk components of the underlying tree.
     pub fn component_count(&self) -> usize {
         self.tree.component_count()
+    }
+
+    /// Lifetime statistics of the underlying tree.
+    pub fn stats(&self) -> LsmStats {
+        self.tree.stats()
+    }
+
+    /// Runs the underlying tree's merges on `exec`, off the write path.
+    pub fn set_executor(&self, exec: CompactionExec) {
+        self.tree.set_executor(exec);
     }
 }
 

@@ -9,11 +9,13 @@
 //!   "Buffer Cache" box;
 //! * immutable, bulk-loaded on-disk **B+ trees** ([`btree`]) — the building
 //!   block of every LSM disk component;
-//! * the **LSM framework** ([`lsm`]): in-memory components, flush, component
-//!   stacks, bloom filters ([`bloom`]), and pluggable merge policies;
-//! * **LSM R-trees** ([`rtree`], [`lsm_rtree`]) with STR-packed disk
-//!   components, delete handling via a companion key B+ tree, and the paper's
-//!   point-MBR storage optimization (§V-B);
+//! * the **LSM framework**: one component lifecycle (`harness`: the
+//!   component list, pluggable merge policies, merge scheduling, publishing
+//!   and retirement) that every index kind rides, and the LSM B+ tree
+//!   ([`lsm`]) with bloom filters ([`bloom`]);
+//! * **LSM R-trees** ([`rtree`], [`lsm_rtree`]) on the same lifecycle, with
+//!   STR-packed disk components, delete handling via a companion key B+
+//!   tree, and the paper's point-MBR storage optimization (§V-B);
 //! * **LSM inverted keyword indexes** ([`inverted`]) for `TYPE KEYWORD`
 //!   secondary indexes;
 //! * spatial-key linearization alternatives ([`spatial_keys`]) — Hilbert,
@@ -40,6 +42,7 @@ pub mod compaction;
 pub mod compress;
 pub mod error;
 pub mod faults;
+pub(crate) mod harness;
 pub mod inverted;
 pub mod io;
 pub mod le;

@@ -1,5 +1,6 @@
 //! Property-based tests for the storage layer: B+ tree vs model, LSM vs
-//! model, R-tree vs brute force, bloom filter totality, hash vs model.
+//! model, R-tree and LSM R-tree vs brute force, bloom filter totality, hash
+//! vs model.
 
 use asterix_adm::binary::encode_key;
 use asterix_adm::{Point, Rectangle, Value};
@@ -8,10 +9,12 @@ use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
 use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_storage::stats::IoStats;
+use asterix_storage::ThreadExecutor;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,6 +180,72 @@ proptest! {
         got.sort();
         want.sort();
         prop_assert_eq!(got, want);
+    }
+
+    /// An LSM R-tree under random inserts, moves, deletes, flushes and
+    /// merges — merging inline or on a background thread — answers every
+    /// rectangle query like a brute-force filter over a key → position map.
+    #[test]
+    fn lsm_rtree_matches_model(
+        ops in prop::collection::vec(
+            (0u8..10, 0u8..24, (0.0f64..32.0, 0.0f64..32.0),
+             (0.0f64..32.0, 0.0f64..32.0, 0.0f64..16.0, 0.0f64..16.0)),
+            1..150,
+        ),
+        constant in any::<bool>(),
+        background in any::<bool>(),
+    ) {
+        let (cache, _d) = setup(128);
+        let merge_policy = if constant {
+            MergePolicy::Constant { max_components: 2 }
+        } else {
+            MergePolicy::NoMerge
+        };
+        let mut t = LsmRTree::new(
+            cache,
+            LsmRTreeConfig { mem_budget: 1 << 10, merge_policy, ..LsmRTreeConfig::new("p") },
+        );
+        if background {
+            t.set_executor(ThreadExecutor::handle());
+        }
+        let mut model: HashMap<Vec<u8>, Rectangle> = HashMap::new();
+        for (op, id, (x, y), (qx, qy, qw, qh)) in ops {
+            let key = format!("k{id}").into_bytes();
+            match op {
+                // insert, or move when the key already has a position
+                0..=5 => {
+                    let mbr = Point::new(x, y).to_mbr();
+                    if let Some(old) = model.insert(key.clone(), mbr) {
+                        t.delete(&old, &key).unwrap();
+                    }
+                    t.insert(mbr, key).unwrap();
+                }
+                6 | 7 => {
+                    if let Some(old) = model.remove(&key) {
+                        t.delete(&old, &key).unwrap();
+                    }
+                }
+                8 => t.flush().unwrap(),
+                _ => t.merge_newest(2 + id as usize % 3).unwrap(),
+            }
+            // checked right away: a background merge may still be running
+            let q = Rectangle::new(Point::new(qx, qy), Point::new(qx + qw, qy + qh));
+            let mut got: Vec<(Vec<u8>, Rectangle)> =
+                t.search(&q).unwrap().into_iter().map(|e| (e.key, e.mbr)).collect();
+            let mut want: Vec<(Vec<u8>, Rectangle)> = model
+                .iter()
+                .filter(|(_, mbr)| mbr.intersects(&q))
+                .map(|(k, mbr)| (k.clone(), *mbr))
+                .collect();
+            got.sort_by(|a, b| a.0.cmp(&b.0));
+            want.sort_by(|a, b| a.0.cmp(&b.0));
+            prop_assert_eq!(got, want);
+        }
+        prop_assert!(t.wait_merges_idle(std::time::Duration::from_secs(30)));
+        prop_assert_eq!(t.count().unwrap(), model.len());
+        if constant {
+            prop_assert!(t.component_count() <= 2, "{} components", t.component_count());
+        }
     }
 
     /// In-memory R-tree also equals brute force, including after removals.
