@@ -113,12 +113,25 @@ struct AnalyticsPoint {
     rate: f64,
     queries: u64,
     elapsed_s: f64,
+    /// Log segments on disk when the run ends, over all nodes.
+    wal_segments: u64,
+    /// Log bytes truncation unlinked during the run.
+    wal_truncated_bytes: u64,
 }
 
 /// One feed sustaining mutations while an e01-shaped aggregation loops over
-/// the same dataset from another thread.
+/// the same dataset from another thread. Memory components of 32 KiB, so
+/// the run flushes all along and the log is rotated and truncated under it:
+/// its segment count at the end says whether the log stays bounded.
 fn analytics_point(total: u64) -> AnalyticsPoint {
-    let db = Instance::temp().expect("open instance");
+    let db = Instance::open(asterix_core::instance::InstanceConfig {
+        storage: asterix_core::dataset::StorageConfig {
+            mem_budget: 32 << 10,
+            ..Default::default()
+        },
+        ..Default::default()
+    })
+    .expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let start = Instant::now();
@@ -156,7 +169,14 @@ fn analytics_point(total: u64) -> AnalyticsPoint {
         (ingested, analytics.join().expect("analytics thread"))
     });
     let elapsed_s = start.elapsed().as_secs_f64();
-    AnalyticsPoint { mutations: ingested, rate: ingested as f64 / elapsed_s, queries, elapsed_s }
+    AnalyticsPoint {
+        mutations: ingested,
+        rate: ingested as f64 / elapsed_s,
+        queries,
+        elapsed_s,
+        wal_segments: node_counter(&db, "storage.wal.segments"),
+        wal_truncated_bytes: node_counter(&db, "storage.wal.truncated_bytes"),
+    }
 }
 
 struct PolicyPoint {
@@ -233,7 +253,9 @@ pub fn run(quick: bool) -> String {
         "  \"methodology\": \"mutations/sec = committed feed records over wall time; \
          every batch commit is fsynced through the group-commit WAL (wal_group_commits = \
          leader fsync rounds, wal_group_commit_waiters = commits covered by another \
-         committer's round); policy points push a burst through a 64-slot queue\",\n",
+         committer's round); with_analytics runs on 32 KiB memory components, so its log \
+         is rotated and truncated all along (wal_segments = segment files left at the end, \
+         over both nodes); policy points push a burst through a 64-slot queue\",\n",
     );
     s.push_str(&format!(
         "  \"durability\": {{ \"feeds\": {FEEDS}, \"batch\": {DURABILITY_BATCH}, \
@@ -247,11 +269,14 @@ pub fn run(quick: bool) -> String {
     ));
     s.push_str(&format!(
         "  \"with_analytics\": {{ \"mutations\": {}, \"mutations_per_sec\": {}, \
-         \"concurrent_queries\": {}, \"elapsed_s\": {} }},\n",
+         \"concurrent_queries\": {}, \"elapsed_s\": {}, \"wal_segments\": {}, \
+         \"wal_truncated_bytes\": {} }},\n",
         htap.mutations,
         fnum(htap.rate),
         htap.queries,
         fnum(htap.elapsed_s),
+        htap.wal_segments,
+        htap.wal_truncated_bytes,
     ));
     s.push_str("  \"policies\": [\n");
     for (i, p) in policies.iter().enumerate() {

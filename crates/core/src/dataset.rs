@@ -10,6 +10,12 @@
 //! maintenance fetches the old record on upsert/delete and retracts its
 //! entries — the "details required to ... make them recoverable, and make
 //! them concurrent" that §V-B insists real systems must pay for.
+//!
+//! Every index flushes on its own memory budget, so after a crash the
+//! indexes of a partition are durable up to different LSNs. The primary's
+//! decides what is replayed; a secondary at or ahead of it takes the
+//! replayed operations again (they are idempotent), and one behind it is
+//! dropped and rebuilt from the primary (DESIGN.md, "Durability").
 
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
@@ -20,9 +26,11 @@ use asterix_adm::types::ObjectType;
 use asterix_adm::{Point, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
 use asterix_storage::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
-use asterix_storage::CompactionExec;
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
+use asterix_storage::wal::Lsn;
+use asterix_storage::CompactionExec;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Tuning for dataset partitions.
@@ -63,6 +71,22 @@ enum Secondary {
     Keyword { def: IndexDef, index: InvertedIndex },
 }
 
+/// Runs `$body` on the LSM structure under a secondary index, bound to
+/// `$t`: an `LsmTree` or an `LsmRTree`, which share the lifecycle calls.
+/// `$lsm` names the keyword index's accessor (`lsm` or `lsm_mut`).
+macro_rules! with_lsm {
+    ($sec:expr, $lsm:ident, $t:ident => $body:expr) => {
+        match $sec {
+            Secondary::BTree { tree: $t, .. } => $body,
+            Secondary::RTree { tree: $t, .. } => $body,
+            Secondary::Keyword { index, .. } => {
+                let $t = index.$lsm();
+                $body
+            }
+        }
+    };
+}
+
 impl Secondary {
     fn def(&self) -> &IndexDef {
         match self {
@@ -73,21 +97,27 @@ impl Secondary {
     }
 
     fn stats(&self) -> LsmStats {
-        match self {
-            Secondary::BTree { tree, .. } => tree.stats(),
-            Secondary::RTree { tree, .. } => tree.stats(),
-            Secondary::Keyword { index, .. } => index.stats(),
-        }
+        with_lsm!(self, lsm, t => t.stats())
     }
 }
 
-/// Every index of a partition, whatever its kind, is built through here:
-/// the one place the configured background executor is installed.
-fn with_compaction<T>(index: T, cfg: &StorageConfig, install: fn(&T, CompactionExec)) -> T {
-    if let Some(exec) = &cfg.compaction {
-        install(&index, exec.clone());
-    }
-    index
+/// How a partition's indexes come to be.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// By DDL: empty, whatever the directory holds under their names.
+    Created,
+    /// At restart: as their manifests describe them.
+    Recovered,
+}
+
+/// What opening a partition at restart did.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct PartitionRecovery {
+    /// Disk components attached from manifests.
+    pub components_loaded: u64,
+    /// Secondary indexes dropped and rebuilt from the primary because their
+    /// durable state was behind it.
+    pub indexes_rebuilt: u64,
 }
 
 /// One partition of one dataset, resident on one node.
@@ -101,6 +131,17 @@ pub struct DatasetPartition {
     record_type: Option<ObjectType>,
     primary: LsmTree,
     secondaries: Vec<Secondary>,
+    /// Where the node reads the LSN of the oldest log record the primary
+    /// holds only in memory (see [`Node::log_pin`]).
+    log_pin: Arc<AtomicU64>,
+    /// Seals and flushes of the primary already answered with a log
+    /// rotation and a log truncation.
+    seals_seen: u64,
+    flushes_seen: u64,
+    /// A log rotation or truncation that failed after an operation had
+    /// already been applied; the next call reports it, having applied
+    /// nothing, so no caller loses the outcome of a write to it.
+    log_error: Option<CoreError>,
 }
 
 /// Navigates a field path inside a record.
@@ -139,7 +180,9 @@ impl DatasetPartition {
     }
 
     /// Creates the partition with a declared record type for the compact
-    /// schema-based layout.
+    /// schema-based layout. Its indexes start empty, and the log so far is
+    /// declared none of their business: a dataset of this name that was
+    /// dropped earlier left records there.
     pub fn create_typed(
         def: &DatasetDef,
         record_type: Option<ObjectType>,
@@ -147,42 +190,87 @@ impl DatasetPartition {
         node: Arc<Node>,
         cfg: &StorageConfig,
     ) -> Result<DatasetPartition> {
-        let mk_lsm = |suffix: &str| LsmConfig {
-            name: format!("{}_p{partition}_{suffix}", def.name),
+        Ok(Self::construct(def, record_type, partition, node, cfg, Origin::Created)?.0)
+    }
+
+    /// Reopens the partition at restart: every index attaches the disk
+    /// components its manifest names, and a secondary whose durable state is
+    /// behind the primary's is rebuilt from the primary. What the log holds
+    /// past [`DatasetPartition::flushed_below`] is then for the caller to
+    /// replay.
+    pub fn recover_typed(
+        def: &DatasetDef,
+        record_type: Option<ObjectType>,
+        partition: u32,
+        node: Arc<Node>,
+        cfg: &StorageConfig,
+    ) -> Result<(DatasetPartition, PartitionRecovery)> {
+        Self::construct(def, record_type, partition, node, cfg, Origin::Recovered)
+    }
+
+    fn construct(
+        def: &DatasetDef,
+        record_type: Option<ObjectType>,
+        partition: u32,
+        node: Arc<Node>,
+        cfg: &StorageConfig,
+        origin: Origin,
+    ) -> Result<(DatasetPartition, PartitionRecovery)> {
+        let config = LsmConfig {
+            name: format!("{}_p{partition}_pri", def.name),
             mem_budget: cfg.mem_budget,
             merge_policy: cfg.merge_policy,
             bloom: true,
             compress_values: cfg.compress,
         };
-        let primary = with_compaction(
-            LsmTree::new(Arc::clone(&node.cache), mk_lsm("pri")),
-            cfg,
-            LsmTree::set_executor,
-        );
-        let mut secondaries = Vec::new();
-        for idx in &def.indexes {
-            secondaries.push(Self::build_secondary(idx, &def.name, partition, &node, cfg));
+        let log_pin = node.log_pin(&config.name);
+        let cache = Arc::clone(&node.cache);
+        let primary = match origin {
+            Origin::Created => {
+                let mut tree = LsmTree::new(cache, config);
+                tree.mark_flushed_below(node.wal.lock().next_lsn())?; // xlint: lock(wal)
+                tree
+            }
+            Origin::Recovered => LsmTree::reopen(cache, config)?,
+        };
+        if let Some(exec) = &cfg.compaction {
+            primary.set_executor(exec.clone());
         }
-        Ok(DatasetPartition {
+        let mut part = DatasetPartition {
             dataset: def.name.clone(),
             partition,
             node,
             primary_key: def.primary_key().to_vec(),
             record_type,
             primary,
-            secondaries,
-        })
+            secondaries: Vec::new(),
+            log_pin,
+            seals_seen: 0,
+            flushes_seen: 0,
+            log_error: None,
+        };
+        let mut recovery = PartitionRecovery {
+            components_loaded: part.primary.component_count() as u64,
+            ..Default::default()
+        };
+        for idx in &def.indexes {
+            let sec = part.build_secondary(idx, cfg, origin)?;
+            let behind = with_lsm!(&sec, lsm, t => t.flushed_below()) < part.primary.flushed_below();
+            if origin == Origin::Recovered && behind {
+                with_lsm!(&sec, lsm, t => t.destroy())?;
+                part.add_index(idx, cfg)?;
+                recovery.indexes_rebuilt += 1;
+            } else {
+                recovery.components_loaded += with_lsm!(&sec, lsm, t => t.component_count()) as u64;
+                part.secondaries.push(sec);
+            }
+        }
+        Ok((part, recovery))
     }
 
-    fn build_secondary(
-        idx: &IndexDef,
-        dataset: &str,
-        partition: u32,
-        node: &Arc<Node>,
-        cfg: &StorageConfig,
-    ) -> Secondary {
-        let name = format!("{dataset}_p{partition}_{}", idx.name);
-        let cache = Arc::clone(&node.cache);
+    fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin) -> Result<Secondary> {
+        let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
+        let cache = Arc::clone(&self.node.cache);
         // secondary entries carry no values to compress, and are range-probed,
         // so blooms would not help either
         let lsm = |name| LsmConfig {
@@ -192,11 +280,13 @@ impl DatasetPartition {
             bloom: false,
             compress_values: false,
         };
-        match idx.kind {
-            IndexKind::BTree => Secondary::BTree {
-                def: idx.clone(),
-                tree: with_compaction(LsmTree::new(cache, lsm(name)), cfg, LsmTree::set_executor),
-            },
+        let recovered = origin == Origin::Recovered;
+        let mut sec = match idx.kind {
+            IndexKind::BTree => {
+                let config = lsm(name);
+                let tree = if recovered { LsmTree::reopen(cache, config)? } else { LsmTree::new(cache, config) };
+                Secondary::BTree { def: idx.clone(), tree }
+            }
             IndexKind::RTree => {
                 let config = LsmRTreeConfig {
                     name,
@@ -204,36 +294,87 @@ impl DatasetPartition {
                     merge_policy: cfg.merge_policy,
                     point_optimize: cfg.rtree_point_optimize,
                 };
-                Secondary::RTree {
-                    def: idx.clone(),
-                    tree: with_compaction(
-                        LsmRTree::new(cache, config),
-                        cfg,
-                        LsmRTree::set_executor,
-                    ),
-                }
+                let tree = if recovered { LsmRTree::reopen(cache, config)? } else { LsmRTree::new(cache, config) };
+                Secondary::RTree { def: idx.clone(), tree }
             }
-            IndexKind::Keyword => Secondary::Keyword {
-                def: idx.clone(),
-                index: with_compaction(
-                    InvertedIndex::with_config(cache, lsm(name)),
-                    cfg,
-                    InvertedIndex::set_executor,
-                ),
-            },
+            IndexKind::Keyword => {
+                let config = lsm(name);
+                let index = if recovered {
+                    InvertedIndex::reopen(cache, config)?
+                } else {
+                    InvertedIndex::with_config(cache, config)
+                };
+                Secondary::Keyword { def: idx.clone(), index }
+            }
+        };
+        if let Some(exec) = &cfg.compaction {
+            with_lsm!(&sec, lsm, t => t.set_executor(exec.clone()));
         }
+        if !recovered {
+            // durably empty: whatever an earlier index of this name left is
+            // no longer named, and until its first flush it counts as behind
+            with_lsm!(&mut sec, lsm_mut, t => t.mark_flushed_below(0))?;
+        }
+        Ok(sec)
     }
 
     /// Adds a secondary index to an existing partition, backfilling it from
-    /// the primary index.
+    /// the primary index: `CREATE INDEX` on loaded data, and the rebuild of
+    /// an index that a restart found behind its primary.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
-        let mut sec = Self::build_secondary(idx, &self.dataset.clone(), self.partition, &self.node.clone(), cfg);
+        let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
         for (pk, raw) in self.primary.scan()? {
             let record = self.decode_record(&raw)?;
             Self::index_insert(&mut sec, &record, &pk)?;
         }
+        // Only now, whole, does it reflect the primary — everything logged
+        // for this partition so far, or at restart what the primary's
+        // components cover — and may its next flush say so.
+        let upto = if self.primary.mem_entries() > 0 {
+            self.node.wal.lock().next_lsn() // xlint: lock(wal)
+        } else {
+            self.primary.flushed_below()
+        };
+        with_lsm!(&mut sec, lsm_mut, t => t.cover_below(upto));
         self.secondaries.push(sec);
         Ok(())
+    }
+
+    /// Drops secondary index `name`: it stops being maintained and its
+    /// manifest and components are deleted.
+    pub fn remove_index(&mut self, name: &str) -> Result<()> {
+        let Some(pos) = self.secondaries.iter().position(|s| s.def().name == name) else {
+            return Ok(());
+        };
+        let sec = self.secondaries.remove(pos);
+        with_lsm!(&sec, lsm, t => t.destroy())?;
+        Ok(())
+    }
+
+    /// Drops the partition from disk: every index's manifest and components.
+    /// The log is not held back by it any more.
+    pub fn destroy(&mut self) -> Result<()> {
+        self.node.drop_log_pin(&self.primary.config().name);
+        self.primary.destroy()?;
+        for sec in std::mem::take(&mut self.secondaries) {
+            with_lsm!(&sec, lsm, t => t.destroy())?;
+        }
+        Ok(())
+    }
+
+    /// Names of this partition's indexes, primary first: the prefixes of
+    /// their manifests and component files in the node's directory.
+    pub fn index_names(&self) -> Vec<String> {
+        let secondary = |s: &Secondary| format!("{}_p{}_{}", self.dataset, self.partition, s.def().name);
+        std::iter::once(self.primary.config().name.clone())
+            .chain(self.secondaries.iter().map(secondary))
+            .collect()
+    }
+
+    /// The LSN below which every logged operation on this partition is in a
+    /// durable component of its primary index: replay starts here.
+    pub fn flushed_below(&self) -> Lsn {
+        self.primary.flushed_below()
     }
 
     /// The node hosting this partition.
@@ -269,8 +410,98 @@ impl DatasetPartition {
     }
 
     /// Inserts or replaces a record (already cast to the dataset type).
-    /// Returns the previous record, if any.
+    /// Returns the previous record, if any. Not logged: nothing ties the
+    /// write to a transaction or to a place in the log.
     pub fn upsert(&mut self, record: &Value) -> Result<Option<Value>> {
+        self.settled(None, |part| part.apply_upsert(record))
+    }
+
+    /// [`DatasetPartition::upsert`] as the effect of the log record at
+    /// `lsn`, written by the open transaction `writer` (`None` when
+    /// replaying a committed one). Until [`DatasetPartition::txn_finished`]
+    /// says `writer` is over, no index flushes what it wrote.
+    pub fn upsert_logged(
+        &mut self,
+        record: &Value,
+        lsn: Lsn,
+        writer: Option<u64>,
+    ) -> Result<Option<Value>> {
+        self.settled(Some((lsn, writer)), |part| part.apply_upsert(record))
+    }
+
+    /// Deletes by encoded primary key; returns the removed record. Not
+    /// logged (see [`DatasetPartition::upsert`]).
+    pub fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
+        self.settled(None, |part| part.apply_delete(pk))
+    }
+
+    /// [`DatasetPartition::delete`] as the effect of the log record at `lsn`
+    /// (see [`DatasetPartition::upsert_logged`]).
+    pub fn delete_logged(
+        &mut self,
+        pk: &[u8],
+        lsn: Lsn,
+        writer: Option<u64>,
+    ) -> Result<Option<Value>> {
+        self.settled(Some((lsn, writer)), |part| part.apply_delete(pk))
+    }
+
+    /// Transaction `writer` has committed or aborted: every index flushes
+    /// what was sealed waiting for it.
+    pub fn txn_finished(&mut self, writer: u64) -> Result<()> {
+        self.settled(None, |part| {
+            part.primary.release(writer)?;
+            for sec in &mut part.secondaries {
+                with_lsm!(sec, lsm_mut, t => t.release(writer))?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Whether `writer` should let other transactions finish before writing
+    /// here: some index has a sealed memory component waiting for them and
+    /// an active one already past its budget.
+    pub fn must_wait(&self, writer: u64) -> bool {
+        self.primary.must_wait(writer)
+            || self.secondaries.iter().any(|sec| with_lsm!(sec, lsm, t => t.must_wait(writer)))
+    }
+
+    /// Runs `op` — stamped, if it applies a log record, on every index — and
+    /// then does for the node's log what the primary index's lifecycle asks:
+    /// republish the oldest LSN it holds only in memory, rotate the log if it
+    /// sealed a memory component (the records that component covers end
+    /// with the old segment), truncate it if it published a flush. A failure
+    /// of that upkeep does not take `op`'s outcome away from the caller: it
+    /// is kept and reported by the next call, before anything is applied.
+    fn settled<T>(
+        &mut self,
+        stamp: Option<(Lsn, Option<u64>)>,
+        op: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        if let Some(e) = self.log_error.take() {
+            return Err(e);
+        }
+        if let Some((lsn, writer)) = stamp {
+            self.primary.stamp(lsn, writer);
+            for sec in &mut self.secondaries {
+                with_lsm!(sec, lsm_mut, t => t.stamp(lsn, writer));
+            }
+        }
+        let out = op(self);
+        self.log_pin.store(self.primary.first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
+        let stats = self.primary.stats();
+        let mut kept_up = Ok(());
+        if std::mem::replace(&mut self.seals_seen, stats.seals) != stats.seals {
+            kept_up = self.node.rotate_log();
+        }
+        if std::mem::replace(&mut self.flushes_seen, stats.flushes) != stats.flushes {
+            kept_up = kept_up.and(self.node.truncate_log());
+        }
+        self.log_error = kept_up.err();
+        out
+    }
+
+    fn apply_upsert(&mut self, record: &Value) -> Result<Option<Value>> {
         let pk = extract_pk(record, &self.primary_key)?;
         let old = self.get(&pk)?;
         if let Some(old_rec) = &old {
@@ -286,8 +517,7 @@ impl DatasetPartition {
         Ok(old)
     }
 
-    /// Deletes by encoded primary key; returns the removed record.
-    pub fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
+    fn apply_delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
         let old = self.get(pk)?;
         if let Some(old_rec) = &old {
             for sec in &mut self.secondaries {
@@ -441,17 +671,16 @@ impl DatasetPartition {
             .ok_or_else(|| CoreError::Catalog(format!("unknown index {name:?}")))
     }
 
-    /// Forces all LSM memory components of this partition to disk.
+    /// Forces the LSM memory components of this partition to disk (all but
+    /// what an open transaction wrote).
     pub fn flush(&mut self) -> Result<()> {
-        self.primary.flush()?;
-        for s in &mut self.secondaries {
-            match s {
-                Secondary::BTree { tree, .. } => tree.flush()?,
-                Secondary::RTree { tree, .. } => tree.flush()?,
-                Secondary::Keyword { index, .. } => index.flush()?,
+        self.settled(None, |part| {
+            part.primary.flush()?;
+            for sec in &mut part.secondaries {
+                with_lsm!(sec, lsm_mut, t => t.flush())?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Primary-index LSM statistics.

@@ -18,7 +18,9 @@
 //!   seqno, and every committed batch persists its end seqno through the
 //!   batch transaction (a [`WalRecord::FeedCursor`] record next to the
 //!   commit), so [`Feed::last_durable_seq`] — and, after a crash,
-//!   [`Instance::feed_durable_seq`] — name the exact restart point.
+//!   [`Instance::feed_durable_seq`] — name the exact restart point. The
+//!   frontier outlives the log segment the cursor was written to: the
+//!   checkpoint that opens every new segment carries it.
 //! * **Failure classification**: a transiently failing batch commit (node
 //!   down, injected fault) retries under the feed's [`RetryPolicy`]; an
 //!   exhausted retry budget *fail-stops* the feed (keeping the durable

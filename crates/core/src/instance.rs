@@ -7,12 +7,16 @@
 //! Algebricks algebra, optimized, compiled to Hyracks jobs, and executed
 //! against the LSM-backed dataset partitions.
 //!
-//! Durability model (see DESIGN.md): all committed mutations are WAL-logged
-//! per node and recovered by committed-log replay on reopen; DDL is replayed
-//! from a persisted DDL log. (Reopening LSM disk components directly is left
-//! as future work — the paper's own recovery story evolved the same way.)
+//! Durability model (see DESIGN.md, "Durability"): the LSM disk component is
+//! the durable unit and each node's log covers only what has not reached
+//! one. Opening an instance replays the persisted DDL into the catalog,
+//! attaches to every index the components its manifest names, and re-applies
+//! the committed operations of the log tail that lie past each partition's
+//! flushed LSN. No-steal flushing keeps uncommitted data out of components;
+//! an abort logs the before-images it restores as a committed compensation
+//! transaction, so nothing ever needs undoing at restart.
 
-use crate::catalog::{Catalog, DatasetKind};
+use crate::catalog::{Catalog, DatasetDef, DatasetKind};
 use crate::dataset::{extract_pk, partition_of, DatasetPartition, StorageConfig};
 use crate::error::{CoreError, Result};
 use crate::node::Cluster;
@@ -30,14 +34,21 @@ use asterix_algebricks::source::DataSource;
 use asterix_hyracks::{CancellationToken, DataflowFaults, JobOptions, RuntimeCtx};
 use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
 use asterix_sqlpp::translate::{translate_query, CatalogView};
-use asterix_storage::wal::{committed_operations, read_log, WalRecord};
-use asterix_storage::lock_order::OrderedRwLock;
+use asterix_storage::io::write_atomic;
+use asterix_storage::lock_order::{OrderedRwLock, OrderedWriteGuard};
+use asterix_storage::wal::{Lsn, WalRecord};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a writer lets other transactions finish so that a sealed memory
+/// component can flush before it writes on regardless: twice the lock
+/// manager's deadlock timeout, so a transaction that the waiter itself blocks
+/// has given up (and released the component) by then.
+const FLUSH_WAIT_LIMIT: Duration = Duration::from_secs(10);
 
 /// Query language selector (paper §IV-A: SQL++ deprecated AQL, both remain).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -293,21 +304,49 @@ impl Instance {
         self.inner.root.join("catalog.ddl")
     }
 
+    /// Appends `stmt_text` to the persisted DDL log, replacing the file
+    /// atomically: a crash leaves the old catalog or the new one.
     fn persist_ddl(&self, stmt_text: &str) -> Result<()> { // xlint: allow(blocking, "DDL persistence runs on the session thread under the catalog lock, not on pool workers")
         let mut log = self.inner.ddl_log.lock();
         log.push(stmt_text.to_string());
         let arr = Value::Array(log.iter().map(|s| Value::from(s.as_str())).collect());
-        std::fs::write(self.ddl_log_path(), asterix_adm::print::to_adm_string(&arr))?;
+        let text = asterix_adm::print::to_adm_string(&arr);
+        write_atomic(&self.ddl_log_path(), text.as_bytes(), self.inner.config.faults.as_ref())?;
         Ok(())
     }
 
+    /// Builds the runtime of internal dataset `def`: freshly created, or at
+    /// restart recovered from what its indexes' manifests name.
+    fn open_dataset(&self, def: DatasetDef, recovered: bool) -> Result<Arc<DatasetRuntime>> {
+        let inner = &self.inner;
+        let record_type = inner.catalog.read().types.get(&def.type_name).cloned();
+        let mut partitions = Vec::with_capacity(inner.config.partitions);
+        for p in 0..inner.config.partitions.max(1) {
+            let node = Arc::clone(inner.cluster.node_for_partition(p));
+            let (ty, p, storage) = (record_type.clone(), p as u32, &inner.config.storage);
+            let part = if recovered {
+                let (part, did) = DatasetPartition::recover_typed(&def, ty, p, node, storage)?;
+                let reg = inner.ctx.registry();
+                reg.counter("core.recovery.components_loaded").add(did.components_loaded);
+                reg.counter("core.recovery.indexes_rebuilt").add(did.indexes_rebuilt);
+                part
+            } else {
+                DatasetPartition::create_typed(&def, ty, p, node, storage)?
+            };
+            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
+        }
+        Ok(Arc::new(DatasetRuntime { def, partitions }))
+    }
+
     fn recover(&self) -> Result<()> { // xlint: allow(blocking, "recovery is single-threaded startup code; the worker pool is not running yet")
+        let inner = &self.inner;
+        let faults = inner.config.faults.as_ref();
         // 0. validate (or persist) the physical layout: partition counts
-        // must match the WAL's, or replay would scatter keys
-        let layout_path = self.inner.root.join("layout.adm");
+        // must match the components' and the log's, or keys would scatter
+        let layout_path = inner.root.join("layout.adm");
         let me = Value::object(vec![
-            ("partitions".into(), Value::Int(self.inner.config.partitions.max(1) as i64)),
-            ("nodes".into(), Value::Int(self.inner.config.nodes.max(1) as i64)),
+            ("partitions".into(), Value::Int(inner.config.partitions.max(1) as i64)),
+            ("nodes".into(), Value::Int(inner.config.nodes.max(1) as i64)),
         ]);
         if layout_path.exists() {
             let text = std::fs::read_to_string(&layout_path)?;
@@ -320,9 +359,10 @@ impl Instance {
                 )));
             }
         } else {
-            std::fs::write(&layout_path, asterix_adm::print::to_adm_string(&me))?;
+            write_atomic(&layout_path, asterix_adm::print::to_adm_string(&me).as_bytes(), faults)?;
         }
-        // 1. replay DDL
+        // 1. replay DDL into the catalog alone: what a dataset's storage
+        // holds is its manifests' to say, not the statements'
         let path = self.ddl_log_path();
         if path.exists() {
             let text = std::fs::read_to_string(&path)?;
@@ -333,43 +373,67 @@ impl Instance {
                 .iter()
                 .filter_map(|v| v.as_str().map(str::to_owned))
                 .collect();
-            *self.inner.ddl_log.lock() = stmts.clone();
             for text in &stmts {
                 for stmt in asterix_sqlpp::parse_sqlpp(text).map_err(CoreError::Sqlpp)? {
                     if let Stmt::Ddl(ddl) = stmt {
-                        self.apply_ddl(&ddl, false)?;
+                        inner.catalog.write().apply_ddl(&ddl)?;
                     }
                 }
             }
+            *inner.ddl_log.lock() = stmts;
         }
-        // 2. replay committed WAL operations, node by node, in log order
-        let mut max_txn = 0u64;
-        for node in &self.inner.cluster.nodes {
-            let records = read_log(node.wal_path())?;
-            for (_, r) in &records {
-                if let WalRecord::Update { txn_id, .. }
-                | WalRecord::Commit { txn_id }
-                | WalRecord::Abort { txn_id }
-                | WalRecord::FeedCursor { txn_id, .. } = r
-                {
-                    max_txn = max_txn.max(*txn_id);
+        // 2. attach every surviving dataset's components; a secondary index
+        // whose durable state is behind its primary's is rebuilt from it
+        let defs: Vec<DatasetDef> = inner.catalog.read().datasets().to_vec();
+        let mut claimed = BTreeSet::new();
+        for def in defs {
+            if !matches!(def.kind, DatasetKind::Internal { .. }) {
+                continue;
+            }
+            let rt = self.open_dataset(def, true)?;
+            for part in &rt.partitions {
+                let part = part.read(); // xlint: lock(lsm_component)
+                claimed.extend(part.index_names().into_iter().map(|name| (part.node().id, name)));
+            }
+            inner.datasets.write().insert(rt.def.name.clone(), rt);
+        }
+        // 3. a manifest nobody claimed is a dataset or an index whose drop
+        // reached the catalog but, before a crash, not all of its files
+        for node in &inner.cluster.nodes {
+            for name in asterix_storage::lsm::manifest_names(&node.dir)? {
+                if !claimed.contains(&(node.id, name.clone())) {
+                    asterix_storage::lsm::remove_index_files(&node.dir, &name)?;
                 }
             }
-            for (_, dataset, partition, is_delete, key, value) in
-                committed_operations(&records)
-            {
-                let datasets = self.inner.datasets.read(); // xlint: lock(datasets_map)
-                let Some(rt) = datasets.get(&dataset) else { continue };
-                let Some(part) = rt.partitions.get(partition as usize) else { continue };
-                if is_delete {
-                    part.write().delete(&key)?; // xlint: lock(lsm_component)
+        }
+        // 4. re-apply, node by node and in log order, the committed
+        // operations no component of their partition's primary index covers.
+        // They are in no memory component until replayed, so the log stays
+        // whole meanwhile.
+        let replayed = inner.ctx.registry().counter("core.recovery.records_replayed");
+        for node in &inner.cluster.nodes {
+            node.pause_checkpoints();
+            for op in node.take_recovered_ops() {
+                let datasets = inner.datasets.read(); // xlint: lock(datasets_map)
+                let Some(rt) = datasets.get(&op.dataset) else { continue };
+                let Some(part) = rt.partitions.get(op.partition as usize) else { continue };
+                let mut part = part.write(); // xlint: lock(lsm_component)
+                if op.lsn < part.flushed_below() {
+                    continue;
+                }
+                if op.is_delete {
+                    part.delete_logged(&op.key, op.lsn, None)?;
                 } else {
-                    let record = decode(&value).map_err(CoreError::Adm)?;
-                    part.write().upsert(&record)?; // xlint: lock(lsm_component)
+                    let record = decode(&op.value).map_err(CoreError::Adm)?;
+                    part.upsert_logged(&record, op.lsn, None)?;
                 }
+                replayed.inc();
             }
+            inner.txns.observe_recovered(node.wal.lock().max_txn()); // xlint: lock(wal)
         }
-        self.inner.txns.observe_recovered(max_txn);
+        for node in &inner.cluster.nodes {
+            node.resume_checkpoints()?;
+        }
         Ok(())
     }
 
@@ -387,7 +451,7 @@ impl Instance {
         for stmt in stmts {
             out.push(match stmt {
                 Stmt::Ddl(ddl) => {
-                    let msg = self.apply_ddl(&ddl, true)?;
+                    let msg = self.apply_ddl(&ddl)?;
                     ExecResult::Message(msg)
                 }
                 Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(&dml)?),
@@ -464,39 +528,28 @@ impl Instance {
         }
     }
 
-    fn apply_ddl(&self, ddl: &asterix_sqlpp::ast::DdlStmt, persist: bool) -> Result<String> {
+    fn apply_ddl(&self, ddl: &asterix_sqlpp::ast::DdlStmt) -> Result<String> {
         use asterix_sqlpp::ast::DdlStmt as D;
         let msg = self.inner.catalog.write().apply_ddl(ddl)?;
+        // A drop is persisted before its storage goes (a crash in between
+        // leaves unclaimed manifests, which the next open removes); a create
+        // only once its storage exists (a crash in between leaves them too).
+        let is_drop = matches!(ddl, D::DropDataset { .. } | D::DropIndex { .. } | D::DropType { .. });
+        if is_drop {
+            self.persist_ddl(&render_ddl(ddl))?;
+        }
+        let catalog_def = |dataset: &str| {
+            self.inner.catalog.read().dataset(dataset).cloned().ok_or_else(|| {
+                CoreError::Catalog(format!("dataset {dataset:?} missing from the catalog"))
+            })
+        };
         match ddl {
             D::CreateDataset { name, .. } => {
-                let def =
-                    self.inner.catalog.read().dataset(name).cloned().ok_or_else(|| {
-                        CoreError::Catalog(format!("dataset {name:?} missing after create"))
-                    })?;
-                let record_type = self.inner.catalog.read().types.get(&def.type_name).cloned();
-                let mut partitions = Vec::with_capacity(self.inner.config.partitions);
-                for p in 0..self.inner.config.partitions.max(1) {
-                    let node = Arc::clone(self.inner.cluster.node_for_partition(p));
-                    partitions.push(Arc::new(OrderedRwLock::new(
-                        "lsm_component",
-                        DatasetPartition::create_typed(
-                        &def,
-                        record_type.clone(),
-                        p as u32,
-                        node,
-                        &self.inner.config.storage,
-                    )?)));
-                }
-                self.inner
-                    .datasets
-                    .write()
-                    .insert(name.clone(), Arc::new(DatasetRuntime { def, partitions }));
+                let rt = self.open_dataset(catalog_def(name)?, false)?;
+                self.inner.datasets.write().insert(name.clone(), rt);
             }
             D::CreateIndex { dataset, name, .. } => {
-                let def =
-                    self.inner.catalog.read().dataset(dataset).cloned().ok_or_else(|| {
-                        CoreError::Catalog(format!("dataset {dataset:?} missing after index create"))
-                    })?;
+                let def = catalog_def(dataset)?;
                 let idx =
                     def.indexes.iter().find(|i| i.name == *name).cloned().ok_or_else(|| {
                         CoreError::Catalog(format!("index {name:?} missing after create"))
@@ -507,33 +560,30 @@ impl Instance {
                     for part in &rt.partitions {
                         part.write().add_index(&idx, &self.inner.config.storage)?; // xlint: lock(lsm_component)
                     }
-                    // refresh the def carried by the runtime
-                    let new_rt = Arc::new(DatasetRuntime {
-                        def,
-                        partitions: rt.partitions.clone(),
-                    });
-                    datasets.insert(dataset.clone(), new_rt);
+                    let partitions = rt.partitions.clone();
+                    datasets.insert(dataset.clone(), Arc::new(DatasetRuntime { def, partitions }));
                 }
             }
             D::DropDataset { name } => {
-                self.inner.datasets.write().remove(name);
+                let dropped = self.inner.datasets.write().remove(name);
+                for part in dropped.iter().flat_map(|rt| &rt.partitions) {
+                    part.write().destroy()?; // xlint: lock(lsm_component)
+                }
             }
-            D::DropIndex { dataset, .. } => {
-                // runtime keeps serving the dropped index's storage until
-                // restart; the catalog stops advertising it immediately
-                let def = self.inner.catalog.read().dataset(dataset).cloned();
-                if let (Some(def), Some(rt)) =
-                    (def, self.inner.datasets.read().get(dataset).cloned())
-                {
-                    self.inner.datasets.write().insert(
-                        dataset.clone(),
-                        Arc::new(DatasetRuntime { def, partitions: rt.partitions.clone() }),
-                    );
+            D::DropIndex { dataset, name } => {
+                let def = catalog_def(dataset)?;
+                let mut datasets = self.inner.datasets.write(); // xlint: lock(datasets_map)
+                if let Some(rt) = datasets.get(dataset) {
+                    for part in &rt.partitions {
+                        part.write().remove_index(name)?; // xlint: lock(lsm_component)
+                    }
+                    let partitions = rt.partitions.clone();
+                    datasets.insert(dataset.clone(), Arc::new(DatasetRuntime { def, partitions }));
                 }
             }
             _ => {}
         }
-        if persist {
+        if !is_drop {
             self.persist_ddl(&render_ddl(ddl))?;
         }
         Ok(msg)
@@ -875,7 +925,9 @@ impl Instance {
             instance: self,
             id: self.inner.txns.begin(),
             undo: Vec::new(),
+            touched: BTreeSet::new(),
             feed_cursors: Vec::new(),
+            gave_up_waiting: false,
             finished: false,
         }
     }
@@ -885,20 +937,15 @@ impl Instance {
         self.inner.ctx.registry()
     }
 
-    /// Last durable sequence number of `feed` (0 = no committed batch),
-    /// recovered from the committed [`WalRecord::FeedCursor`] records across
-    /// every node's log. This is the restart point [`crate::feeds::Feed::resume`]
+    /// Last durable sequence number of `feed` (0 = no committed batch): the
+    /// highest [`WalRecord::FeedCursor`] a committed transaction logged on
+    /// any node, carried across log truncation by the checkpoint that opens
+    /// each segment. This is the restart point [`crate::feeds::Feed::resume`]
     /// and [`crate::dcp::ShadowLink::resume`] ingest from: every record with
     /// a sequence number at or below it is durably committed.
     pub fn feed_durable_seq(&self, feed: &str) -> Result<u64> {
-        let mut max = 0u64;
-        for node in &self.inner.cluster.nodes {
-            let records = read_log(node.wal_path())?;
-            if let Some(seq) = asterix_storage::wal::committed_feed_cursors(&records).get(feed) {
-                max = max.max(*seq);
-            }
-        }
-        Ok(max)
+        let nodes = &self.inner.cluster.nodes;
+        Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0)) // xlint: lock(wal)
     }
 
     fn dataset_runtime(&self, name: &str) -> Result<Arc<DatasetRuntime>> {
@@ -983,9 +1030,14 @@ pub struct Txn<'a> {
     instance: &'a Instance,
     id: u64,
     undo: Vec<UndoEntry>,
+    /// `(dataset, partition)` pairs written to: their indexes hold back what
+    /// this transaction wrote until it is over.
+    touched: BTreeSet<(String, u32)>,
     /// Feed frontiers this transaction advances: committed atomically with
     /// the data as [`WalRecord::FeedCursor`] records.
     feed_cursors: Vec<(String, u64)>,
+    /// It once waited [`FLUSH_WAIT_LIMIT`] in vain and waits no more.
+    gave_up_waiting: bool,
     finished: bool,
 }
 
@@ -993,6 +1045,62 @@ impl<'a> Txn<'a> {
     /// The transaction id.
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// The partition's write lock, taken once none of its indexes asks this
+    /// transaction to wait (see [`DatasetPartition::must_wait`]): a sealed
+    /// memory component waits for other transactions to finish, and writing
+    /// on would only grow the active one past its budget. The wait is
+    /// outside the lock — those transactions need it — and bounded, once per
+    /// transaction.
+    fn lock_for_write<'p>(
+        &mut self,
+        part: &'p OrderedRwLock<DatasetPartition>,
+    ) -> OrderedWriteGuard<'p, DatasetPartition> {
+        let start = Instant::now();
+        let mut waited = false;
+        loop {
+            {
+                let guard = part.write(); // xlint: lock(lsm_component)
+                self.gave_up_waiting |= start.elapsed() >= FLUSH_WAIT_LIMIT;
+                if self.gave_up_waiting || !guard.must_wait(self.id) {
+                    if waited {
+                        let ns = start.elapsed().as_nanos() as u64;
+                        guard.node().stats().lsm().add_flush_wait_ns(ns);
+                    }
+                    return guard;
+                }
+            }
+            waited = true;
+            std::thread::yield_now();
+        }
+    }
+
+    /// Logs, for transaction `txn_id`, the put (`Some`) or delete (`None`) of
+    /// `key` on the partition `part` guards; returns the record's LSN. The
+    /// partition counts as written to from here on.
+    fn log_update(
+        &mut self,
+        part: &DatasetPartition,
+        txn_id: u64,
+        key: &[u8],
+        put: Option<&Value>,
+    ) -> Result<Lsn> {
+        let lsn = part
+            .node()
+            .wal
+            .lock() // xlint: lock(wal)
+            .append(&WalRecord::Update {
+                txn_id,
+                dataset: part.dataset.clone(),
+                partition: part.partition,
+                is_delete: put.is_none(),
+                key: key.to_vec(),
+                value: put.map(encode).unwrap_or_default(),
+            })
+            .map_err(CoreError::Storage)?;
+        self.touched.insert((part.dataset.clone(), part.partition));
+        Ok(lsn)
     }
 
     /// Writes (insert or upsert) one record.
@@ -1015,37 +1123,17 @@ impl<'a> Txn<'a> {
         let pk = extract_pk(&record, rt.def.primary_key())?;
         let p = partition_of(&pk, rt.partitions.len());
         inner.txns.locks.lock(self.id, dataset, &pk)?;
-        let part = &rt.partitions[p as usize];
-        {
-            let mut guard = part.write(); // xlint: lock(lsm_component)
-            guard.node().check_alive()?;
-            if !is_upsert && guard.get(&pk)?.is_some() {
-                return Err(CoreError::Constraint(format!(
-                    "insert: a record with this key already exists in {dataset}"
-                )));
-            }
-            // WAL first
-            {
-                let node = guard.node();
-                let mut wal = node.wal.lock(); // xlint: lock(wal)
-                wal.append(&WalRecord::Update {
-                    txn_id: self.id,
-                    dataset: dataset.to_string(),
-                    partition: p,
-                    is_delete: false,
-                    key: pk.clone(),
-                    value: encode(&record),
-                })
-                .map_err(CoreError::Storage)?;
-            }
-            let before = guard.upsert(&record)?;
-            self.undo.push(UndoEntry {
-                dataset: dataset.to_string(),
-                partition: p,
-                pk,
-                before,
-            });
+        let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
+        guard.node().check_alive()?;
+        if !is_upsert && guard.get(&pk)?.is_some() {
+            return Err(CoreError::Constraint(format!(
+                "insert: a record with this key already exists in {dataset}"
+            )));
         }
+        // WAL first
+        let lsn = self.log_update(&guard, self.id, &pk, Some(&record))?;
+        let before = guard.upsert_logged(&record, lsn, Some(self.id))?;
+        self.undo.push(UndoEntry { dataset: dataset.to_string(), partition: p, pk, before });
         Ok(())
     }
 
@@ -1055,23 +1143,10 @@ impl<'a> Txn<'a> {
         let rt = self.instance.dataset_runtime(dataset)?;
         let p = partition_of(pk, rt.partitions.len());
         inner.txns.locks.lock(self.id, dataset, pk)?;
-        let part = &rt.partitions[p as usize];
-        let mut guard = part.write(); // xlint: lock(lsm_component)
+        let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
         guard.node().check_alive()?;
-        {
-            let node = guard.node();
-            let mut wal = node.wal.lock(); // xlint: lock(wal)
-            wal.append(&WalRecord::Update {
-                txn_id: self.id,
-                dataset: dataset.to_string(),
-                partition: p,
-                is_delete: true,
-                key: pk.to_vec(),
-                value: Vec::new(),
-            })
-            .map_err(CoreError::Storage)?;
-        }
-        let before = guard.delete(pk)?;
+        let lsn = self.log_update(&guard, self.id, pk, None)?;
+        let before = guard.delete_logged(pk, lsn, Some(self.id))?;
         self.undo.push(UndoEntry {
             dataset: dataset.to_string(),
             partition: p,
@@ -1089,24 +1164,26 @@ impl<'a> Txn<'a> {
         self.feed_cursors.push((feed.into(), seq));
     }
 
-    /// Commits: forces the WAL and releases locks.
+    /// The nodes whose logs hold records of this transaction.
+    fn touched_nodes(&self) -> BTreeSet<usize> {
+        let nodes = self.instance.inner.cluster.nodes.len();
+        self.touched.iter().map(|(_, p)| *p as usize % nodes).collect()
+    }
+
+    /// Commits: forces the WAL and releases locks. What the transaction
+    /// wrote may now be flushed, and is if a memory component was sealed
+    /// waiting for it.
     pub fn commit(mut self) -> Result<()> {
         let inner = &self.instance.inner;
         // write a commit record to every node's log that saw this txn, then
         // sync them (simplest correct policy: log+sync on all nodes touched)
-        let mut touched: Vec<usize> = self
-            .undo
-            .iter()
-            .map(|u| u.partition as usize % inner.cluster.nodes.len())
-            .collect();
+        let mut touched = self.touched_nodes();
         if touched.is_empty() && !self.feed_cursors.is_empty() {
             // a batch whose every record was rejected still advances the
             // feed frontier; anchor its cursor on node 0
-            touched.push(0);
+            touched.insert(0);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for n in touched {
+        for &n in &touched {
             let node = &inner.cluster.nodes[n];
             // append under the WAL lock, then release it before the sync:
             // GroupCommit lets concurrent committers share the fdatasync
@@ -1130,37 +1207,85 @@ impl<'a> Txn<'a> {
                 .sync_through(&node.wal, end)
                 .map_err(CoreError::Storage)?;
         }
-        inner.txns.locks.release_all(self.id);
-        self.finished = true;
-        Ok(())
+        self.finish(&touched, true, true)
     }
 
     /// Aborts: rolls back with before-images, logs the abort, releases locks.
     pub fn abort(mut self) -> Result<()> {
-        self.rollback()?;
-        self.finished = true;
-        Ok(())
+        self.rollback()
     }
 
+    /// The transaction is over: the logs stop holding segments back for it
+    /// (a `committed` one's feed cursors become frontiers), its record locks
+    /// go, and — unless its abort could not be made durable, `release` false
+    /// — every partition it wrote to may flush what it wrote.
+    fn finish(&mut self, logged_on: &BTreeSet<usize>, committed: bool, release: bool) -> Result<()> {
+        let inner = &self.instance.inner;
+        for &n in logged_on {
+            inner.cluster.nodes[n].wal.lock().finish_txn(self.id, committed); // xlint: lock(wal)
+        }
+        inner.txns.locks.release_all(self.id);
+        self.finished = true;
+        let mut first_err = None;
+        let touched = if release { std::mem::take(&mut self.touched) } else { BTreeSet::new() };
+        for (dataset, p) in touched {
+            // a dataset dropped meanwhile has nothing left to flush
+            let Ok(rt) = self.instance.dataset_runtime(&dataset) else { continue };
+            let flushed = rt.partitions[p as usize].write().txn_finished(self.id); // xlint: lock(lsm_component)
+            if let Err(e) = flushed {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(()), Err)
+    }
+
+    /// Restores every before-image, newest first, as an operation of a
+    /// *compensation transaction* that is logged, applied and committed like
+    /// any other: whatever memory component the undone write sits in —
+    /// sealed, perhaps, and flushed the moment this transaction is over — a
+    /// restart that finds it in a disk component also finds, later in the
+    /// log, the committed write that overrides it. The compensation is
+    /// synced before the transaction counts as over, that is, before
+    /// anything it wrote can be flushed.
     fn rollback(&mut self) -> Result<()> {
         let inner = &self.instance.inner;
+        let logged_on = self.touched_nodes();
         // Best-effort: a failure undoing one entry (e.g. an injected crash)
         // must not stop the remaining undos, and the locks must be released
         // regardless — otherwise later transactions block until timeout.
         let mut first_err: Option<CoreError> = None;
-        // undo in reverse order
+        let undone = !self.undo.is_empty();
+        let compensation = if undone { inner.txns.begin() } else { 0 };
         while let Some(u) = self.undo.pop() {
             let res = (|| -> Result<()> {
                 let rt = self.instance.dataset_runtime(&u.dataset)?;
-                let part = &rt.partitions[u.partition as usize];
-                let mut guard = part.write(); // xlint: lock(lsm_component)
+                let mut guard = rt.partitions[u.partition as usize].write(); // xlint: lock(lsm_component)
+                let lsn = self.log_update(&guard, compensation, &u.pk, u.before.as_ref())?;
                 match &u.before {
-                    Some(rec) => {
-                        guard.upsert(rec)?;
+                    Some(rec) => guard.upsert_logged(rec, lsn, Some(self.id))?,
+                    None => guard.delete_logged(&u.pk, lsn, Some(self.id))?,
+                };
+                Ok(())
+            })();
+            if let Err(e) = res {
+                first_err.get_or_insert(e);
+            }
+        }
+        for &n in &logged_on {
+            let node = &inner.cluster.nodes[n];
+            let res = (|| -> Result<()> {
+                let end = {
+                    let mut wal = node.wal.lock(); // xlint: lock(wal)
+                    if undone {
+                        wal.append(&WalRecord::Commit { txn_id: compensation })
+                            .map_err(CoreError::Storage)?;
                     }
-                    None => {
-                        guard.delete(&u.pk)?;
-                    }
+                    wal.append(&WalRecord::Abort { txn_id: self.id }).map_err(CoreError::Storage)?;
+                    wal.finish_txn(compensation, true);
+                    wal.next_lsn()
+                };
+                if undone {
+                    node.wal_group.sync_through(&node.wal, end).map_err(CoreError::Storage)?;
                 }
                 Ok(())
             })();
@@ -1168,17 +1293,9 @@ impl<'a> Txn<'a> {
                 first_err.get_or_insert(e);
             }
         }
-        for node in &inner.cluster.nodes {
-            let mut wal = node.wal.lock(); // xlint: lock(wal)
-            if let Err(e) = wal.append(&WalRecord::Abort { txn_id: self.id }) {
-                first_err.get_or_insert(CoreError::Storage(e));
-            }
-        }
-        inner.txns.locks.release_all(self.id);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        // an abort that is not durable must not let what it undid be flushed
+        let finished = self.finish(&logged_on, false, first_err.is_none());
+        first_err.map_or(finished, Err)
     }
 }
 

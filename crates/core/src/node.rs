@@ -5,24 +5,35 @@
 //! network is substituted by in-process handles; everything else — per-node
 //! storage partitions, per-node caches, per-node logs — matches the paper's
 //! architecture (see DESIGN.md, substitutions table).
+//!
+//! What a node's directory holds across a restart is its LSM disk components
+//! — exactly those some index manifest names — and the tail of its log: the
+//! segments not yet wholly below every primary index's flushed LSN. A primary
+//! index sealing a memory component rotates the log; one publishing a flush
+//! unlinks the segments that flush left behind (DESIGN.md, "Durability").
 
 use crate::error::{CoreError, Result};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::faults::FaultInjector;
 use asterix_storage::io::FileManager;
-use asterix_storage::stats::IoStats;
-use asterix_storage::wal::{GroupCommit, WalWriter};
 use asterix_storage::lock_order::OrderedMutex;
+use asterix_storage::stats::IoStats;
+use asterix_storage::wal::{GroupCommit, Lsn, ReplayOp, SegmentedWal};
+use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// File-name prefix of a node's log segments (`node-<base-lsn>.wal`).
+const WAL_PREFIX: &str = "node";
 
 /// One storage node.
 pub struct Node {
     pub id: usize,
     pub dir: PathBuf,
     pub cache: Arc<BufferCache>,
-    pub wal: OrderedMutex<WalWriter>,
+    pub wal: OrderedMutex<SegmentedWal>,
     /// Group-commit protocol for this node's WAL: committers append under
     /// [`Node::wal`], then call [`GroupCommit::sync_through`] so concurrent
     /// commits share one fdatasync (see `asterix_storage::wal::GroupCommit`).
@@ -31,6 +42,18 @@ pub struct Node {
     /// WAL) but refuses all data access until [`Node::restart`] — the
     /// in-process stand-in for a machine dropping out of the cluster.
     alive: AtomicBool,
+    /// Per primary index on this node, the LSN of the oldest log record it
+    /// holds only in memory (`Lsn::MAX`: none). Each is written under its
+    /// partition's lock and read under the WAL lock.
+    log_pins: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    /// Operations of committed transactions found in the log at open, until
+    /// recovery takes them.
+    recovered_ops: Mutex<Vec<ReplayOp>>,
+    /// Set while recovery replays the log: the tail being replayed is not in
+    /// any memory component yet, so nothing may be truncated.
+    checkpoints_paused: AtomicBool,
+    /// A rotation was asked for while paused.
+    rotation_owed: AtomicBool,
 }
 
 impl Node {
@@ -60,16 +83,13 @@ impl Node {
     ) -> Result<Arc<Node>> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
-        // Discard non-durable LSM component files before anything reads
-        // them: recovery rebuilds all components by replaying the committed
-        // WAL into fresh trees, so any component left on disk is either an
-        // orphan of a previous incarnation or a partial flush cut short by
-        // a crash. Only the WAL itself carries durable state.
-        discard_orphan_components(&dir)?;
+        // A component file is durable state only if a manifest names it; the
+        // rest is what a crash stranded mid-flush, mid-merge or mid-publish.
+        asterix_storage::lsm::sweep_unreferenced(&dir)?;
         let stats = IoStats::new();
         let fm = FileManager::with_faults(&dir, stats, faults.clone())?;
         let cache = BufferCache::with_options(fm, cache_opts);
-        let wal = WalWriter::open_with_faults(dir.join("node.wal"), faults)?;
+        let (wal, recovered_ops) = SegmentedWal::recover(&dir, WAL_PREFIX, faults)?;
         let wal_group = Arc::new(GroupCommit::default());
         {
             let reg = cache.stats().registry();
@@ -77,6 +97,10 @@ impl Node {
             reg.observed_counter("storage.wal.group_commits", move || g.rounds());
             let g = Arc::clone(&wal_group);
             reg.observed_counter("storage.wal.group_commit_waiters", move || g.waiters());
+            let c = Arc::clone(wal.counters());
+            reg.observed_counter("storage.wal.segments", move || c.segments());
+            let c = Arc::clone(wal.counters());
+            reg.observed_counter("storage.wal.truncated_bytes", move || c.truncated_bytes());
         }
         Ok(Arc::new(Node {
             id,
@@ -85,6 +109,10 @@ impl Node {
             wal: OrderedMutex::new("wal", wal),
             wal_group,
             alive: AtomicBool::new(true),
+            log_pins: Mutex::new(BTreeMap::new()),
+            recovered_ops: Mutex::new(recovered_ops),
+            checkpoints_paused: AtomicBool::new(false),
+            rotation_owed: AtomicBool::new(false),
         }))
     }
 
@@ -95,8 +123,8 @@ impl Node {
         self.alive.swap(false, Ordering::SeqCst)
     }
 
-    /// Brings a killed node back. Durable state was never lost (the WAL is
-    /// on disk); returns true when the node was actually down.
+    /// Brings a killed node back. Durable state was never lost (components
+    /// and log are on disk); returns true when the node was actually down.
     pub fn restart(&self) -> bool {
         !self.alive.swap(true, Ordering::SeqCst)
     }
@@ -121,25 +149,64 @@ impl Node {
         self.cache.stats()
     }
 
-    /// Path of this node's WAL file.
-    pub fn wal_path(&self) -> PathBuf {
-        self.dir.join("node.wal")
+    /// The committed operations the log held when the node was opened (once:
+    /// recovery replays them).
+    pub fn take_recovered_ops(&self) -> Vec<ReplayOp> {
+        std::mem::take(&mut *self.recovered_ops.lock())
     }
-}
 
-/// Removes everything in a node directory except the WAL (see the comment
-/// in [`Node::open_with_faults`]).
-fn discard_orphan_components(dir: &Path) -> std::io::Result<()> { // xlint: allow(blocking, "orphan cleanup is part of single-threaded node recovery")
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_file() {
-            continue;
-        }
-        if entry.file_name() != "node.wal" {
-            std::fs::remove_file(entry.path())?;
-        }
+    /// The cell in which primary index `index` publishes the LSN of the
+    /// oldest log record it holds only in memory; the log keeps everything
+    /// from there on.
+    pub fn log_pin(&self, index: &str) -> Arc<AtomicU64> {
+        let mut pins = self.log_pins.lock();
+        Arc::clone(pins.entry(index.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(Lsn::MAX))))
     }
-    Ok(())
+
+    /// Primary index `index` is gone and holds nothing back any more.
+    pub fn drop_log_pin(&self, index: &str) {
+        self.log_pins.lock().remove(index);
+    }
+
+    /// A primary index sealed a memory component: starts a new log segment,
+    /// so that the records the sealed component covers end with the old one.
+    pub fn rotate_log(&self) -> Result<()> {
+        if self.checkpoints_paused.load(Ordering::Acquire) {
+            self.rotation_owed.store(true, Ordering::Release);
+            return Ok(());
+        }
+        Ok(self.wal.lock().rotate()?) // xlint: lock(wal)
+    }
+
+    /// A primary index published a flush: unlinks the log segments that lie
+    /// wholly below what every primary index still holds only in memory.
+    pub fn truncate_log(&self) -> Result<()> {
+        if self.checkpoints_paused.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let mut wal = self.wal.lock(); // xlint: lock(wal)
+        // read under the WAL lock: a writer's records are either behind its
+        // index's pin or, until its transaction finishes, in the log's own
+        // in-flight table
+        let pin = self.log_pins.lock().values().map(|p| p.load(Ordering::Acquire)).min(); // xlint: lock(log_pins)
+        Ok(wal.truncate_below(pin.unwrap_or(Lsn::MAX))?)
+    }
+
+    /// Recovery is about to replay the log tail: until
+    /// [`Node::resume_checkpoints`], no rotation and no truncation.
+    pub fn pause_checkpoints(&self) {
+        self.checkpoints_paused.store(true, Ordering::Release);
+    }
+
+    /// Replay is done: catches up on a rotation a replay-time flush asked for.
+    pub fn resume_checkpoints(&self) -> Result<()> {
+        self.checkpoints_paused.store(false, Ordering::Release);
+        if self.rotation_owed.swap(false, Ordering::AcqRel) {
+            self.rotate_log()?;
+            self.truncate_log()?;
+        }
+        Ok(())
+    }
 }
 
 /// The cluster controller's view of the nodes.
@@ -235,6 +302,14 @@ mod tests {
         p
     }
 
+    /// Log segment files under `dir`.
+    fn wal_files(dir: &Path) -> usize {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".wal"))
+            .count()
+    }
+
     #[test]
     fn cluster_opens_nodes_with_separate_devices() {
         let root = tmp();
@@ -244,22 +319,34 @@ mod tests {
         assert_eq!(c.node_for_partition(4).id, 1);
         for n in &c.nodes {
             assert!(n.dir.exists());
-            assert!(n.wal_path().exists());
+            assert_eq!(wal_files(&n.dir), 1);
         }
         let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn reopen_discards_orphan_components_but_keeps_wal() {
+    fn reopen_keeps_what_a_manifest_names_and_deletes_the_rest() {
+        use asterix_storage::lsm::{LsmConfig, LsmTree};
         let root = tmp();
         let dir = root.join("node0");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("ds_c0.btree"), b"stale component").unwrap();
-        std::fs::write(dir.join("ds_c1.rtree"), b"stale component").unwrap();
-        let n = Node::open(0, &dir, 4).unwrap();
-        assert!(!dir.join("ds_c0.btree").exists(), "orphan component kept");
-        assert!(!dir.join("ds_c1.rtree").exists(), "orphan component kept");
-        assert!(n.wal_path().exists(), "WAL must survive reopen");
+        {
+            let n = Node::open(0, &dir, 16).unwrap();
+            let mut t = LsmTree::new(Arc::clone(&n.cache), LsmConfig::new("ds_p0_pri"));
+            t.upsert(b"k".to_vec(), b"v".to_vec()).unwrap();
+            t.flush().unwrap();
+        }
+        std::fs::write(dir.join("ds_p0_pri_c9.btree"), b"a merge output nobody published").unwrap();
+        std::fs::write(dir.join("other_c1.rtree"), b"stale component").unwrap();
+        std::fs::write(dir.join("ds_p0_pri.manifest.tmp"), b"half a manifest").unwrap();
+        let n = Node::open(0, &dir, 16).unwrap();
+        assert!(dir.join("ds_p0_pri_c1.btree").exists(), "the manifest names it");
+        assert!(dir.join("ds_p0_pri.manifest").exists());
+        for orphan in ["ds_p0_pri_c9.btree", "other_c1.rtree", "ds_p0_pri.manifest.tmp"] {
+            assert!(!dir.join(orphan).exists(), "{orphan} kept");
+        }
+        let t = LsmTree::reopen(Arc::clone(&n.cache), LsmConfig::new("ds_p0_pri")).unwrap();
+        assert_eq!(t.get(b"k").unwrap().as_deref(), Some(b"v".as_slice()));
+        assert!(wal_files(&dir) >= 1, "the log must survive reopen");
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -284,7 +371,7 @@ mod tests {
         // and reopening the same node directory still succeeds
         drop(n);
         let n = Node::open(0, root.join("node0"), 4).unwrap();
-        assert!(n.wal_path().exists());
+        assert_eq!(wal_files(&n.dir), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

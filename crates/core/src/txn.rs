@@ -3,9 +3,12 @@
 //!
 //! Like AsterixDB's, the model is record-level atomicity, not multi-statement
 //! ACID: each transaction's operations are WAL-logged before being applied;
-//! commit forces the log; abort rolls back with before-images; a primary-key
-//! lock manager serializes writers of the same record. Recovery replays
-//! committed operations from the log (experiment E12).
+//! commit forces the log; abort restores before-images, logged as a committed
+//! compensation transaction; a primary-key lock manager serializes writers of
+//! the same record. No index flushes what an open transaction wrote
+//! (no-steal), so recovery never undoes: it loads the durable LSM components
+//! and replays the committed operations of the log tail past them
+//! (experiment E12; DESIGN.md "Durability").
 
 use crate::error::{CoreError, Result};
 use asterix_storage::lock_order;

@@ -14,9 +14,13 @@
 //! data-loss fix: retirement used to drain the input components *before*
 //! inserting the merged one, so a crash (or failed delete) in that window
 //! dropped the merged data entirely; the fixed ordering publishes first
-//! and treats retirement-delete failures as non-fatal. Recovery rebuilds
-//! components from the WAL (`Node::open` discards orphan component files),
-//! so a mid-merge crash must never change the recovered row set.
+//! and treats retirement-delete failures as non-fatal. Components are
+//! durable: recovery attaches exactly those the index's manifest names —
+//! the merged output *or* its inputs, never both, whichever side of the
+//! manifest's rename the crash fell — and replays only the log tail past
+//! them, so a mid-merge crash must never change the recovered row set.
+//! Besides the random sweep, every manifest publish, retirement unlink, log
+//! rotation and segment unlink the workload performs is crashed by name.
 
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
@@ -117,6 +121,17 @@ fn run_workload(
         crash_after_ios: Some(crash_after),
         ..FaultConfig::default()
     });
+    run_workload_under(dir, &injector, pol, ntxns, background)
+}
+
+/// [`run_workload`] under a given injector.
+fn run_workload_under(
+    dir: &Path,
+    injector: &Arc<FaultInjector>,
+    pol: MergePolicy,
+    ntxns: usize,
+    background: bool,
+) -> (BTreeMap<i64, String>, Option<BTreeMap<i64, String>>) {
     let mut committed = BTreeMap::new();
     let db = match Instance::open(config(dir, pol, Some(injector.clone()), background)) {
         Ok(db) => db,
@@ -177,6 +192,10 @@ fn cases() -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(24)
 }
 
+/// I/O operations a fault-free run of the workload performs, at most (open
+/// and DDL take the first 20; the policies differ in how much they merge).
+const CRASH_POINTS: u64 = 200;
+
 /// The workload really does merge: fault-free, every policy must report
 /// merges on the primary index, otherwise the crash sweep below is
 /// vacuously passing without ever interrupting a merge.
@@ -185,7 +204,8 @@ fn workload_exercises_merges_under_every_policy() {
     for idx in 0..4usize {
         let dir = TempDir::new("vacuum");
         let pol = policy(idx);
-        let db = Instance::open(config(dir.path(), pol, None, false)).unwrap();
+        let injector = FaultInjector::new(FaultConfig::default());
+        let db = Instance::open(config(dir.path(), pol, Some(injector.clone()), false)).unwrap();
         db.execute_sqlpp(DDL).unwrap();
         for t in 0..12i64 {
             let mut txn = db.begin();
@@ -195,6 +215,9 @@ fn workload_exercises_merges_under_every_policy() {
             }
             txn.commit().unwrap();
         }
+        // and the random sweep draws its crash points from the whole run
+        let ops = injector.ops();
+        assert!((CRASH_POINTS / 2..=CRASH_POINTS).contains(&ops), "policy {idx}: {ops} I/O operations");
         let hub = Arc::clone(db.cluster().nodes[0].stats().lsm());
         assert!(
             hub.write_amp_milli() > 1000,
@@ -213,7 +236,7 @@ proptest! {
     #[test]
     fn crash_mid_merge_never_loses_nor_doubles_components(
         seed in 0u64..10_000,
-        crash_after in 0u64..400,
+        crash_after in 0u64..CRASH_POINTS,
         pol_idx in 0usize..4,
     ) {
         let pol = policy(pol_idx);
@@ -240,6 +263,49 @@ proptest! {
     }
 }
 
+/// No loss, no doubling at the crash points where durability lives, each
+/// at every occurrence the workload reaches, under every merge policy:
+/// inside the manifest write, written but not renamed, between the rename
+/// and the directory fsync, between a merge's publish and the unlink of its
+/// inputs (merged output *and* inputs on disk), inside a log rotation, and
+/// at a segment unlink.
+#[test]
+fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
+    let points = [
+        ".manifest.tmp:write",
+        ".manifest:rename",
+        ".manifest:dirsync",
+        ".btree:unlink",
+        ".wal.tmp:write",
+        ".wal:dirsync",
+        ".wal:unlink",
+    ];
+    for (pol_idx, point) in (0..4).flat_map(|p| points.iter().map(move |pt| (p, *pt))) {
+        let pol = policy(pol_idx);
+        let mut fired = 0;
+        for nth in 0..48 {
+            let dir = TempDir::new("named");
+            let injector = FaultInjector::crash_at(21, point, nth);
+            let (committed, crashing) = run_workload_under(dir.path(), &injector, pol, 12, false);
+            if !injector.crashed() {
+                break; // no occurrence this late
+            }
+            fired += 1;
+            if committed.is_empty() && crashing.is_none() {
+                continue; // the crash preceded the DDL (its own first manifest)
+            }
+            let (nrows, got) = reopened_state(dir.path(), pol);
+            assert_eq!(nrows, got.len(), "policy {pol_idx} {point} #{nth}: a key recovered doubled");
+            assert!(
+                got == committed || crashing.as_ref().is_some_and(|m| &got == m),
+                "policy {pol_idx} {point} #{nth}: recovered state matches neither candidate\n \
+                 got: {got:?}\n committed: {committed:?}\n crashing: {crashing:?}"
+            );
+        }
+        assert!(fired > 1, "policy {pol_idx}: the workload never reaches {point}");
+    }
+}
+
 /// The same invariants with merges running as background morsel tasks on
 /// the worker pool: the crash op-counter now fires on whichever thread
 /// (writer or merge worker) hits it, so the interleaving is arbitrary —
@@ -247,7 +313,7 @@ proptest! {
 #[test]
 fn background_merge_crash_recovers_committed_state() {
     for (seed, crash_after) in
-        [(3u64, 60u64), (7, 120), (11, 200), (13, 280), (17, 350), (19, 80)]
+        [(3u64, 40u64), (7, 70), (11, 100), (13, 125), (17, 150), (19, 55)]
     {
         let pol = MergePolicy::Prefix { max_mergable_bytes: 32 << 20, max_tolerance_components: 2 };
         let dir = TempDir::new("bgcrash");

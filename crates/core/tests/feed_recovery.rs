@@ -22,11 +22,19 @@
 //! kill lands in different spots of the push/commit interleaving; the
 //! kill-point picks where in the stream the node dies. CI's chaos nightly
 //! runs this battery at `PROPTEST_CASES=256`.
+//!
+//! A feed's frontier must also outlive the log it was written to: the
+//! checkpoint that opens every log segment carries it, and the segments
+//! behind are unlinked as the dataset flushes. A second battery crashes a
+//! feed, by name, inside manifest publishes, log rotations and segment
+//! unlinks, under a memory budget of a few records.
 
 use asterix_adm::parse::parse_value;
 use asterix_adm::Value;
+use asterix_core::dataset::StorageConfig;
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::{Instance, InstanceConfig, RetryPolicy};
+use asterix_storage::faults::FaultInjector;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -257,5 +265,121 @@ fn pinned_kill_points_recover_under_every_policy() {
         if let Err(why) = check_recovery_contract(seed, kill_at, pol_idx) {
             panic!("seed={seed} kill_at={kill_at} policy={pol_idx}: {why}");
         }
+    }
+}
+
+/// One node whose indexes flush every few records, so that a 48-record feed
+/// publishes manifests, rotates the log and unlinks segments all along.
+fn open_flushing(dir: &Path, faults: Option<std::sync::Arc<FaultInjector>>) -> Option<Instance> {
+    Instance::open(InstanceConfig {
+        data_dir: Some(dir.to_path_buf()),
+        nodes: 1,
+        partitions: 2,
+        storage: StorageConfig { mem_budget: 256, ..StorageConfig::default() },
+        faults,
+        ..InstanceConfig::default()
+    })
+    .ok()
+}
+
+/// Crashes a lossless feed at the `nth` occurrence of the named I/O step,
+/// reopens, resumes. `Ok(false)` when the run has no such occurrence.
+fn check_frontier_across_crash_point(point: &str, nth: u64) -> Result<bool, String> {
+    let dir = TempDir::new("points");
+    let injector = FaultInjector::crash_at(17, point, nth);
+    let cursor = Feed::cursor("Stream");
+    let config = || FeedConfig {
+        queue: 8,
+        batch: 4,
+        policy: IngestionPolicy::Throttle,
+        retry: RetryPolicy::default(),
+    };
+    let (acknowledged, seen_online) = match open_flushing(dir.path(), Some(injector.clone())) {
+        Some(db) if db.execute_sqlpp(DDL).is_ok() => {
+            let feed = Feed::start(db.clone(), "Stream", config());
+            for id in 0..TOTAL {
+                if feed.push(rec(id as i64)).is_err() {
+                    break; // the feed fail-stopped on the injected crash
+                }
+            }
+            let (ingested, _) = feed.stop();
+            let online = db.feed_durable_seq(&cursor).map_err(|e| format!("online read: {e}"))?;
+            db.crash();
+            (ingested, online)
+        }
+        // the crash landed in open or in the DDL: nothing was ingested
+        _ => (0, 0),
+    };
+    if !injector.crashed() {
+        return Ok(false);
+    }
+
+    let db = open_flushing(dir.path(), None).ok_or("recovery failed")?;
+    if db.count("Stream").is_err() {
+        if acknowledged > 0 {
+            return Err("the dataset was lost after records were acknowledged".into());
+        }
+        // the crash landed in the DDL: finish whichever statement it cut off
+        for stmt in DDL.split_inclusive(';') {
+            let _ = db.execute_sqlpp(stmt);
+        }
+    }
+    let durable = db.feed_durable_seq(&cursor).map_err(|e| format!("durable read: {e}"))?;
+    // the batch the crash interrupted may have committed unacknowledged
+    if durable < acknowledged || durable < seen_online {
+        return Err(format!(
+            "frontier regressed: {durable} after the crash, {acknowledged} acknowledged, \
+             {seen_online} seen before it"
+        ));
+    }
+    let recovered = db.count("Stream").map_err(|e| format!("count: {e}"))? as u64;
+    if recovered != durable {
+        return Err(format!("frontier {durable} but {recovered} records recovered"));
+    }
+    let feed = Feed::resume_with(db.clone(), "Stream", durable, config());
+    for id in durable..TOTAL {
+        feed.push(rec(id as i64)).map_err(|e| format!("replay push: {e}"))?;
+    }
+    feed.stop();
+    let rows = db.query("SELECT VALUE s.id FROM Stream s").map_err(|e| format!("query: {e}"))?;
+    let ids: BTreeSet<i64> = rows.iter().filter_map(Value::as_i64).collect();
+    if rows.len() as u64 != TOTAL || ids != (0..TOTAL as i64).collect() {
+        return Err(format!("{} rows, {} distinct, want {TOTAL}", rows.len(), ids.len()));
+    }
+    let frontier = db.feed_durable_seq(&cursor).map_err(|e| format!("final read: {e}"))?;
+    if frontier != TOTAL {
+        return Err(format!("replay ended at frontier {frontier}, want {TOTAL}"));
+    }
+    // and the frontier is carried by checkpoints, not by an ever-growing log
+    let segments = db.metrics_snapshot().counter("node0.storage.wal.segments").unwrap_or(0);
+    if segments > 4 {
+        return Err(format!("{segments} log segments after {TOTAL} records"));
+    }
+    Ok(true)
+}
+
+/// The frontier and exactly-once hold across a crash at every manifest
+/// publish, log rotation and segment unlink a feed's ingestion performs.
+#[test]
+fn frontier_survives_crashes_where_components_and_checkpoints_are_published() {
+    let points = [
+        ".manifest.tmp:write",
+        ".manifest:rename",
+        ".manifest:dirsync",
+        ".wal.tmp:write",
+        ".wal:rename",
+        ".wal:dirsync",
+        ".wal:unlink",
+    ];
+    for point in points {
+        let mut fired = 0;
+        for nth in 0..40 {
+            match check_frontier_across_crash_point(point, nth) {
+                Ok(true) => fired += 1,
+                Ok(false) => break,
+                Err(why) => panic!("{point} #{nth}: {why}"),
+            }
+        }
+        assert!(fired >= 3, "{point}: ingestion reaches it only {fired} times");
     }
 }

@@ -338,19 +338,25 @@ fn every_index_kind_merges_in_the_background_and_answers_like_a_scan() {
     .unwrap();
     db.execute_sqlpp(gleambook_ddl()).unwrap();
     // ingest, then move (new author, location and text) or delete the first
-    // half, so every index retracts entries that already sit in components
-    load_messages(&db, 1_200, 40);
+    // half, so every index retracts entries that already sit in components;
+    // in small transactions, because a memory component is flushed only once
+    // the transactions that wrote into it are over
+    let mut load = asterix_core::datagen::DataGen::new(43);
     let mut gen = asterix_core::datagen::DataGen::new(99);
-    let mut txn = db.begin();
-    for i in 1..=600 {
-        if i % 5 == 0 {
-            let pk = asterix_adm::binary::encode_key(&[Value::Int(i)]);
-            txn.delete("GleambookMessages", &pk).unwrap();
-        } else {
-            txn.write("GleambookMessages", &gen.message(i, 40), true).unwrap();
+    for batch in 0..45 {
+        let mut txn = db.begin();
+        for i in batch * 40 + 1..=(batch + 1) * 40 {
+            if i <= 1_200 {
+                txn.write("GleambookMessages", &load.message(i, 40), true).unwrap();
+            } else if i % 5 == 0 {
+                let pk = asterix_adm::binary::encode_key(&[Value::Int(i - 1_200)]);
+                txn.delete("GleambookMessages", &pk).unwrap();
+            } else {
+                txn.write("GleambookMessages", &gen.message(i - 1_200, 40), true).unwrap();
+            }
         }
+        txn.commit().unwrap();
     }
-    txn.commit().unwrap();
 
     // asked while merges may still be running: reads are snapshot-consistent
     let all = db.query("SELECT VALUE m FROM GleambookMessages m").unwrap();
@@ -404,6 +410,57 @@ fn every_index_kind_merges_in_the_background_and_answers_like_a_scan() {
             db.lsm_stats("GleambookMessages", index).unwrap().iter().map(|s| s.merges).sum();
         assert!(merges > 0, "{index:?} never merged");
     }
+}
+
+/// No-steal under concurrency: a sealed memory component waits for the
+/// transaction that wrote into it, and another writer that would meanwhile
+/// overgrow the active component waits for that transaction rather than
+/// for its own timeout — whichever of them gets there first, nothing
+/// deadlocks, nothing is lost, and the wait is counted.
+#[test]
+fn writer_and_sealed_component_both_wait_for_the_open_transaction() {
+    use asterix_core::dataset::StorageConfig;
+    let db = Instance::open(InstanceConfig {
+        nodes: 1,
+        partitions: 1,
+        storage: StorageConfig { mem_budget: 1 << 10, ..Default::default() },
+        ..Default::default()
+    })
+    .unwrap();
+    db.execute_sqlpp("CREATE TYPE T AS { id: int, v: string }; CREATE DATASET D(T) PRIMARY KEY id;")
+        .unwrap();
+    let rec = |id: i64| {
+        asterix_adm::parse::parse_value(&format!(r#"{{"id": {id}, "v": "{}"}}"#, "x".repeat(100))).unwrap()
+    };
+    let seals = || db.lsm_stats("D", None).unwrap()[0].seals;
+    let mut holder = db.begin();
+    let mut held = 0;
+    while seals() == 0 {
+        holder.write("D", &rec(held), true).unwrap();
+        held += 1;
+    }
+    let (under_way, started) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut txn = db.begin();
+            for i in 0..40 {
+                txn.write("D", &rec(1_000 + i), true).unwrap();
+                if i == 2 {
+                    under_way.send(()).unwrap();
+                }
+            }
+            txn.commit()
+        });
+        started.recv().unwrap();
+        assert_eq!(db.lsm_stats("D", None).unwrap()[0].flushes, 0, "flushed under an open writer");
+        holder.commit().unwrap();
+        writer.join().unwrap().unwrap();
+    });
+    assert_eq!(db.count("D").unwrap() as i64, held + 40);
+    let stats = &db.lsm_stats("D", None).unwrap()[0];
+    assert!(stats.flushes >= 2 && stats.flushes == stats.seals, "{stats:?}");
+    let waited = db.metrics_snapshot().counter("node0.storage.lsm.flush_wait_ns").unwrap();
+    assert!(waited > 0);
 }
 
 #[test]

@@ -17,7 +17,15 @@
 //!
 //! The harness keeps `short_write_prob` and `fsync_fail_prob` at zero and
 //! uses a single node so exactly one transaction can be ambiguous; the
-//! crash-point schedule itself is still seed-deterministic.
+//! crash-point schedule itself is still seed-deterministic. Its memory
+//! budget is a few records, so the schedule walks through component
+//! flushes, manifest publishes, log rotations and segment unlinks as well
+//! as commits.
+//!
+//! Below the property sit the named regressions of the durability design
+//! (DESIGN.md, "Durability"): no-steal across a seal, abort after a seal,
+//! secondaries behind their primary, `CREATE INDEX` on loaded data,
+//! `DROP`/`CREATE` of one name, and a crash inside the DDL persist.
 
 use asterix_adm::Value;
 use asterix_core::dataset::{extract_pk, StorageConfig};
@@ -58,6 +66,9 @@ impl Drop for TempDir {
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
+
+/// Memory-component budget of the randomized workload: about four records.
+const WORKLOAD_BUDGET: usize = 256;
 
 const DDL: &str = r#"
     CREATE TYPE KVType AS { k: int, v: int };
@@ -115,9 +126,10 @@ fn run_workload(
         with_crashing_commit: None,
         ddl_done: false,
     };
-    // keep the memory budget small so LSM flushes happen during the
-    // workload and page-write crash points get exercised too
-    let db = match Instance::open(config(dir, 1, 4 << 10, Some(injector.clone()))) {
+    // a memory budget of a few records, so that flushes — page writes,
+    // manifest publishes, log rotation and truncation — happen all through
+    // the workload
+    let db = match Instance::open(config(dir, 1, WORKLOAD_BUDGET, Some(injector.clone()))) {
         Ok(db) => db,
         Err(_) => return (out, injector),
     };
@@ -170,8 +182,8 @@ fn run_workload(
             break;
         }
     }
-    // drop without flushing memory components: the WAL is the only
-    // durable source recovery may rely on
+    // drop without flushing memory components: what recovery may rely on
+    // is the published components and the log tail
     drop(db);
     (out, injector)
 }
@@ -179,7 +191,7 @@ fn run_workload(
 /// Reopens the data dir fault-free and reads back the full kv state.
 /// `None` means the dataset does not exist (the crash preceded its DDL).
 fn reopened_state(dir: &Path) -> Option<BTreeMap<i64, i64>> {
-    let db = Instance::open(config(dir, 1, 4 << 10, None)).expect("recovery must succeed");
+    let db = Instance::open(config(dir, 1, WORKLOAD_BUDGET, None)).expect("recovery must succeed");
     let rows = db.query("SELECT VALUE d FROM kv d").ok()?;
     let mut m = BTreeMap::new();
     for r in rows {
@@ -190,8 +202,33 @@ fn reopened_state(dir: &Path) -> Option<BTreeMap<i64, i64>> {
     Some(m)
 }
 
+/// Honour the CI nightly's `PROPTEST_CASES` (the in-attribute config
+/// overrides proptest's own env lookup).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
+}
+
+/// I/O operations of a long fault-free run of the workload (open and DDL
+/// take the first 24): crash points are drawn from the whole stretch.
+const CRASH_POINTS: u64 = 240;
+
+/// The workload is sized so that [`CRASH_POINTS`] means something: a
+/// fault-free run walks through that many operations, flushing and
+/// truncating on the way.
+#[test]
+fn workload_reaches_the_crash_points_it_draws_from() {
+    let dir = TempDir::new("reach");
+    let (out, injector) = run_workload(dir.path(), 5, u64::MAX, 23);
+    assert!(out.ddl_done && !injector.crashed());
+    assert!(injector.ops() >= CRASH_POINTS * 3 / 4, "only {} ops", injector.ops());
+    let db = Instance::open(config(dir.path(), 1, WORKLOAD_BUDGET, None)).unwrap();
+    let snap = db.metrics_snapshot();
+    assert!(snap.counter("core.recovery.components_loaded").unwrap() > 0, "components survive");
+    assert!(snap.counter("node0.storage.wal.segments").unwrap() <= 3, "the log was truncated");
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The two recovery invariants over random (workload, crash point, seed)
     /// triples: confirmed commits survive, unconfirmed transactions vanish,
@@ -199,8 +236,8 @@ proptest! {
     #[test]
     fn committed_ops_survive_and_uncommitted_ops_are_undone(
         seed in 0u64..10_000,
-        crash_after in 0u64..24,
-        ntxns in 4usize..12,
+        crash_after in 0u64..CRASH_POINTS,
+        ntxns in 8usize..24,
     ) {
         let dir = TempDir::new("inv");
         let (out, injector) = run_workload(dir.path(), seed, crash_after, ntxns);
@@ -234,11 +271,12 @@ proptest! {
 /// instance stack.
 #[test]
 fn same_seed_reproduces_instance_failure_schedule() {
-    for crash_after in [2u64, 5, 9] {
+    // after open and DDL (24 operations): in a commit, a flush and a rotation
+    for crash_after in [24u64, 41, 58] {
         let run = |tag: &str| -> (Vec<FaultEvent>, Vec<u8>, BTreeMap<i64, i64>) {
             let dir = TempDir::new(tag);
             let (out, injector) = run_workload(dir.path(), 77, crash_after, 8);
-            let wal = std::fs::read(dir.path().join("node0/node.wal")).unwrap_or_default();
+            let wal = log_bytes(&dir.path().join("node0"));
             (injector.events(), wal, out.committed)
         };
         let (e1, w1, c1) = run("sched1");
@@ -248,6 +286,16 @@ fn same_seed_reproduces_instance_failure_schedule() {
         assert_eq!(w1, w2, "WAL must be byte-identical across same-seed runs");
         assert_eq!(c1, c2, "commit outcomes must replay");
     }
+}
+
+/// The node's log, segment after segment.
+fn log_bytes(node_dir: &Path) -> Vec<u8> {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(node_dir)
+        .map(|entries| entries.map(|e| e.unwrap().path()).collect())
+        .unwrap_or_default();
+    segments.retain(|p| p.extension().is_some_and(|e| e == "wal"));
+    segments.sort();
+    segments.iter().flat_map(|p| std::fs::read(p).unwrap()).collect()
 }
 
 /// Deterministic directed test: a crash landing in a transaction *body*
@@ -305,4 +353,294 @@ fn crash_in_txn_body_rolls_back_exactly_across_nodes() {
         .collect();
     let want: BTreeMap<i64, i64> = (0..8i64).map(|k| (k, k * 10)).collect();
     assert_eq!(got, want, "events: {:?}", injector.events());
+}
+
+// ---------------------------------------------------------------------------
+// Named regressions of the durability design
+// ---------------------------------------------------------------------------
+
+const MSG_DDL: &str = r#"
+    CREATE TYPE MsgType AS { id: int, author: int, loc: point, text: string, pad: string };
+    CREATE DATASET Msgs(MsgType) PRIMARY KEY id;
+"#;
+
+const MSG_INDEXES: &str = r#"
+    CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE;
+    CREATE INDEX byLoc ON Msgs(loc) TYPE RTREE;
+    CREATE INDEX byText ON Msgs(text) TYPE KEYWORD;
+"#;
+
+/// A message whose indexed fields all derive from `version`: rewriting it
+/// with another version moves it in every index.
+fn msg(id: i64, version: i64, words: usize) -> Value {
+    let text: Vec<String> =
+        (0..words).map(|w| format!("w{}x{w}", (id + version) % 5)).collect();
+    Value::object(vec![
+        ("id".into(), Value::Int(id)),
+        ("author".into(), Value::Int((id + version) % 4)),
+        ("loc".into(), asterix_core::dataset::pt(((id + version) % 6) as f64, (id % 3) as f64)),
+        ("text".into(), Value::from(text.join(" "))),
+        ("pad".into(), Value::from("p".repeat(200))),
+    ])
+}
+
+fn one_partition(dir: &Path, mem_budget: usize) -> InstanceConfig {
+    InstanceConfig { partitions: 1, ..config(dir, 1, mem_budget, None) }
+}
+
+fn commit_msgs(db: &Instance, msgs: impl IntoIterator<Item = Value>) {
+    let mut txn = db.begin();
+    for m in msgs {
+        txn.write("Msgs", &m, true).unwrap();
+    }
+    txn.commit().unwrap();
+}
+
+fn ids(rows: &[Value]) -> Vec<i64> {
+    let mut ids: Vec<i64> = rows.iter().map(|m| m.field("id").as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// Every index answers like the same predicate over a full scan — no
+/// missing entry, no stale one — and the scan holds exactly `want`.
+fn assert_indexes_agree_with_scan(db: &Instance, want: &BTreeMap<i64, Value>, indexes: &[&str]) {
+    let all = db.query("SELECT VALUE m FROM Msgs m").unwrap();
+    assert_eq!(all.len(), want.len(), "a record is missing or doubled");
+    for m in &all {
+        assert_eq!(Some(m), want.get(&m.field("id").as_i64().unwrap()), "not the latest version");
+    }
+    // probe each index for what the first record holds, so no probe is vacuous
+    let Some(first) = all.first() else { return };
+    let author = first.field("author").as_i64().unwrap();
+    let Value::Point(at) = first.field("loc") else { panic!("loc is a point") };
+    let (lo, hi) = (at.x - 0.5, at.x + 0.5);
+    let word = first.field("text").as_str().unwrap().split(' ').next().unwrap().to_string();
+    type Keep<'a> = &'a dyn Fn(&Value) -> bool;
+    let cases: [(&str, String, Keep); 3] = [
+        ("byAuthor", format!("m.author = {author}"), &|m| m.field("author").as_i64() == Some(author)),
+        (
+            "byLoc",
+            format!(
+                "spatial_intersect(m.loc, create_rectangle(create_point({lo:?}, -1.0), create_point({hi:?}, 9.0)))"
+            ),
+            &|m| matches!(m.field("loc"), Value::Point(p) if (lo..=hi).contains(&p.x)),
+        ),
+        ("byText", format!("contains(m.text, '{word}')"), &|m| {
+            m.field("text").as_str().unwrap().split(' ').any(|w| w == word)
+        }),
+    ];
+    for (index, predicate, keep) in cases.iter().filter(|c| indexes.contains(&c.0)) {
+        let sql = format!("SELECT VALUE m FROM Msgs m WHERE {predicate}");
+        let plan = db.explain(&sql, asterix_core::instance::Language::Sqlpp).unwrap();
+        assert!(plan.contains(index), "{plan}");
+        let expected: Vec<Value> = all.iter().filter(|m| keep(m)).cloned().collect();
+        assert_eq!(ids(&db.query(&sql).unwrap()), ids(&expected), "{index}: {predicate}");
+    }
+}
+
+fn recovery_counter(db: &Instance, name: &str) -> u64 {
+    db.metrics_snapshot().counter(&format!("core.recovery.{name}")).unwrap_or(0)
+}
+
+/// (a) A transaction open across a budget-triggered seal pins the sealed
+/// component: nothing it wrote reaches a disk component, whatever else
+/// commits and however hard a flush is asked for; after the crash none of
+/// its writes is visible and every committed one is.
+#[test]
+fn open_transaction_across_a_seal_leaves_nothing_of_itself_on_disk() {
+    let dir = TempDir::new("nosteal");
+    let db = Instance::open(one_partition(dir.path(), 1 << 10)).unwrap();
+    db.execute_sqlpp(MSG_DDL).unwrap();
+    let mut open_txn = db.begin();
+    open_txn.write("Msgs", &msg(900, 0, 1), true).unwrap();
+    // committed writes until the budget trips, and one more into the next
+    // memory component (not past its budget too: a writer would sooner wait
+    // for the open transaction than overgrow it)
+    let mut want = BTreeMap::new();
+    let commit_next = |want: &mut BTreeMap<i64, Value>| {
+        let id = want.len() as i64;
+        commit_msgs(&db, [msg(id, 0, 1)]);
+        want.insert(id, msg(id, 0, 1));
+    };
+    while db.lsm_stats("Msgs", None).unwrap()[0].seals == 0 {
+        commit_next(&mut want);
+    }
+    commit_next(&mut want);
+    db.flush_all().unwrap();
+    let stats = &db.lsm_stats("Msgs", None).unwrap()[0];
+    assert_eq!((stats.seals, stats.flushes), (1, 0), "sealed, and held for the open transaction");
+    std::mem::forget(open_txn); // the crash takes it, uncommitted
+    db.crash();
+
+    let db = Instance::open(one_partition(dir.path(), 1 << 10)).unwrap();
+    assert_indexes_agree_with_scan(&db, &want, &[]);
+    // once it is over, the same writes flush: the log tail shrinks to them
+    commit_msgs(&db, [msg(12, 0, 1)]);
+    assert!(db.lsm_stats("Msgs", None).unwrap()[0].flushes >= 1);
+}
+
+/// (b) An abort after a seal: the sealed component, loser's writes and all,
+/// is flushed the moment the abort is over — and the compensation the abort
+/// logged and synced first restores the before-images at restart.
+#[test]
+fn abort_after_a_seal_restores_before_images_across_a_crash() {
+    let dir = TempDir::new("abortseal");
+    let db = Instance::open(one_partition(dir.path(), 1 << 10)).unwrap();
+    db.execute_sqlpp(MSG_DDL).unwrap();
+    db.execute_sqlpp(MSG_INDEXES).unwrap();
+    let want: BTreeMap<i64, Value> = (0..3).map(|id| (id, msg(id, 0, 1))).collect();
+    commit_msgs(&db, want.values().cloned());
+    let mut loser = db.begin();
+    for id in 0..12 {
+        // overwrites the three committed records, then inserts new ones
+        loser.write("Msgs", &msg(id, 1, 1), true).unwrap();
+    }
+    assert!(db.lsm_stats("Msgs", None).unwrap()[0].seals >= 1, "the loser must span a seal");
+    loser.abort().unwrap();
+    assert!(
+        db.lsm_stats("Msgs", None).unwrap()[0].flushes >= 1,
+        "the sealed component flushes once its writer is over"
+    );
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    db.crash();
+
+    let db = Instance::open(one_partition(dir.path(), 1 << 10)).unwrap();
+    assert!(recovery_counter(&db, "components_loaded") >= 1, "the loser's writes are on disk");
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+}
+
+/// Loads messages, overwrites half of them so that every indexed field
+/// changes, crashes, reopens; returns how many secondary indexes the restart
+/// rebuilt. `words` per text sets how fast the keyword index fills.
+fn overwrite_crash_reopen(words: usize) -> u64 {
+    let dir = TempDir::new("lagging");
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    db.execute_sqlpp(MSG_DDL).unwrap();
+    db.execute_sqlpp(MSG_INDEXES).unwrap();
+    let mut want = BTreeMap::new();
+    for id in 0..16 {
+        commit_msgs(&db, [msg(id, 0, words)]);
+        want.insert(id, msg(id, 0, words));
+    }
+    assert!(db.lsm_stats("Msgs", None).unwrap()[0].flushes >= 1, "the primary must have flushed");
+    for id in (0..16).step_by(2) {
+        commit_msgs(&db, [msg(id, 1, words)]);
+        want.insert(id, msg(id, 1, words));
+    }
+    db.crash();
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    assert!(recovery_counter(&db, "records_replayed") < 24, "replay starts past the flushed LSN");
+    recovery_counter(&db, "indexes_rebuilt")
+}
+
+/// (c) The primary flushed ahead of a B+-tree, an R-tree and a keyword
+/// secondary: replaying an overwrite into them would look up the *new*
+/// record in the primary and leave the old entries behind. They are rebuilt
+/// from the primary instead. With texts of many words the keyword index
+/// fills faster than the primary and is *ahead* of it: it stays, and takes
+/// the replayed operations a second time.
+#[test]
+fn secondaries_behind_their_primary_are_rebuilt_and_those_ahead_replay_idempotently() {
+    assert_eq!(overwrite_crash_reopen(1), 3, "all three secondaries were behind");
+    assert_eq!(overwrite_crash_reopen(40), 2, "the keyword index was ahead and must stay");
+}
+
+/// (d) `CREATE INDEX` on loaded data is not logged, and the index it
+/// backfills is in memory: a crash before its first flush leaves a catalog
+/// entry without storage. The restart finds it behind and rebuilds it.
+#[test]
+fn create_index_on_loaded_data_survives_a_crash_before_its_first_flush() {
+    let dir = TempDir::new("createindex");
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    db.execute_sqlpp(MSG_DDL).unwrap();
+    let want: BTreeMap<i64, Value> = (0..20).map(|id| (id, msg(id, 0, 1))).collect();
+    commit_msgs(&db, want.values().cloned());
+    db.flush_all().unwrap();
+    db.execute_sqlpp(MSG_INDEXES).unwrap();
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    db.crash();
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    assert_eq!(recovery_counter(&db, "indexes_rebuilt"), 3);
+    assert_eq!(recovery_counter(&db, "records_replayed"), 0, "the load was flushed");
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+}
+
+/// Files of dataset or index `prefix` left in node 0's directory.
+fn files_of(dir: &Path, prefix: &str) -> Vec<String> {
+    std::fs::read_dir(dir.join("node0"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with(prefix))
+        .collect()
+}
+
+/// Replay applies operations by dataset *name*. A dropped dataset's
+/// committed records must not come back in a later dataset of that name,
+/// and its manifests and components must go with it; a dropped index stops
+/// being stored and maintained, not just advertised.
+#[test]
+fn dropped_dataset_and_index_stay_dropped_across_recreate_and_crash() {
+    let dir = TempDir::new("dropcreate");
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    db.execute_sqlpp(MSG_DDL).unwrap();
+    db.execute_sqlpp(MSG_INDEXES).unwrap();
+    commit_msgs(&db, (0..20).map(|id| msg(id, 0, 1)));
+    db.flush_all().unwrap();
+    commit_msgs(&db, (20..24).map(|id| msg(id, 0, 1))); // in the log only
+    assert!(!files_of(dir.path(), "Msgs_p0_byLoc").is_empty());
+
+    db.execute_sqlpp("DROP INDEX Msgs.byLoc").unwrap();
+    assert_eq!(files_of(dir.path(), "Msgs_p0_byLoc"), Vec::<String>::new());
+    db.execute_sqlpp("DROP DATASET Msgs").unwrap();
+    assert_eq!(files_of(dir.path(), "Msgs_p0"), Vec::<String>::new());
+
+    db.execute_sqlpp("CREATE DATASET Msgs(MsgType) PRIMARY KEY id").unwrap();
+    db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE").unwrap();
+    let want: BTreeMap<i64, Value> = [(7, msg(7, 3, 1))].into();
+    commit_msgs(&db, want.values().cloned());
+    db.crash();
+
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    assert_eq!(db.count("Msgs").unwrap(), 1, "the dropped incarnation's records came back");
+    assert_indexes_agree_with_scan(&db, &want, &[]);
+    let by_author = db.query("SELECT VALUE m FROM Msgs m WHERE m.author = 2").unwrap();
+    assert_eq!(ids(&by_author), vec![7]);
+}
+
+/// `catalog.ddl` is replaced atomically: a crash at any step of persisting
+/// a statement leaves the catalog from before it or the one with it — never
+/// a torn file that takes every dataset definition (and with them the
+/// durable components) away.
+#[test]
+fn crash_inside_ddl_persist_keeps_every_earlier_definition() {
+    for step in ["catalog.ddl.tmp:write", "catalog.ddl.tmp", "catalog.ddl:rename", "catalog.ddl:dirsync"] {
+        let dir = TempDir::new("tornddl");
+        let want: BTreeMap<i64, Value> = (0..10).map(|id| (id, msg(id, 0, 1))).collect();
+        {
+            let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+            db.execute_sqlpp(MSG_DDL).unwrap();
+            commit_msgs(&db, want.values().cloned());
+            db.flush_all().unwrap();
+            db.crash();
+        }
+        // the fsync target also matches the write before it
+        let nth = u64::from(step == "catalog.ddl.tmp");
+        let injector = FaultInjector::crash_at(3, step, nth);
+        let faulty = InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) };
+        let db = Instance::open(faulty).unwrap();
+        assert!(db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE").is_err(), "{step}");
+        assert!(injector.crashed());
+        db.crash();
+
+        let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+        assert_indexes_agree_with_scan(&db, &want, &[]);
+        let plan = db
+            .explain("SELECT VALUE m FROM Msgs m WHERE m.author = 2", asterix_core::instance::Language::Sqlpp)
+            .unwrap();
+        // the rename is what persists the statement
+        assert_eq!(plan.contains("byAuthor"), step.ends_with(":dirsync"), "{step}: {plan}");
+        assert_eq!(ids(&db.query("SELECT VALUE m FROM Msgs m WHERE m.author = 2").unwrap()), vec![2, 6]);
+    }
 }

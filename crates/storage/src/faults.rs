@@ -39,6 +39,11 @@ pub struct FaultConfig {
     /// Crash once the global I/O-operation counter reaches this value
     /// (0 = crash on the very first operation). `None` = never crash.
     pub crash_after_ios: Option<u64>,
+    /// Crash at the `n`-th (0-based) I/O operation whose target contains the
+    /// given text — `(".manifest:dirsync", 2)` is the third manifest publish,
+    /// between its rename and its directory fsync — wherever in the schedule
+    /// that falls. Names a crash point where `crash_after_ios` counts to it.
+    pub crash_at_target: Option<(String, u64)>,
     /// When the crash lands on a write, allow a random prefix of it to be
     /// persisted (torn write) instead of dropping it entirely.
     pub torn_writes: bool,
@@ -64,6 +69,7 @@ impl Default for FaultConfig {
         FaultConfig {
             seed: 0,
             crash_after_ios: None,
+            crash_at_target: None,
             torn_writes: true,
             short_write_prob: 0.0,
             fsync_fail_prob: 0.0,
@@ -114,6 +120,8 @@ pub struct FaultInjector {
     config: FaultConfig,
     rng: Mutex<SmallRng>,
     ops: AtomicU64,
+    /// Operations so far whose target matched `crash_at_target`.
+    target_hits: AtomicU64,
     crashed: AtomicBool,
     events: Mutex<Vec<FaultEvent>>,
 }
@@ -136,8 +144,19 @@ impl FaultInjector {
             config,
             rng: Mutex::new(rng),
             ops: AtomicU64::new(0),
+            target_hits: AtomicU64::new(0),
             crashed: AtomicBool::new(false),
             events: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Convenience: an injector that crashes at the `nth` I/O operation whose
+    /// target contains `target` (see [`FaultConfig::crash_at_target`]).
+    pub fn crash_at(seed: u64, target: &str, nth: u64) -> Arc<Self> {
+        FaultInjector::new(FaultConfig {
+            seed,
+            crash_at_target: Some((target.to_string(), nth)),
+            ..FaultConfig::default()
         })
     }
 
@@ -196,11 +215,12 @@ impl FaultInjector {
         Ok(self.ops.fetch_add(1, Ordering::SeqCst))
     }
 
-    fn is_crash_point(&self, op: u64) -> bool {
-        match self.config.crash_after_ios {
-            Some(n) => op >= n && !self.crashed(),
-            None => false,
-        }
+    fn is_crash_point(&self, op: u64, target: &str) -> bool {
+        let counted = self.config.crash_after_ios.is_some_and(|n| op >= n);
+        let named = self.config.crash_at_target.as_ref().is_some_and(|(text, nth)| {
+            target.contains(text.as_str()) && self.target_hits.fetch_add(1, Ordering::SeqCst) == *nth
+        });
+        (counted || named) && !self.crashed()
     }
 
     /// Failpoint for a write of `requested` bytes. The caller must obey the
@@ -208,7 +228,7 @@ impl FaultInjector {
     /// then fails its own call with [`FaultInjector::write_failed`].
     pub fn on_write(&self, target: &str, requested: usize) -> Result<WritePlan> {
         let op = self.next_op(target)?;
-        if self.is_crash_point(op) {
+        if self.is_crash_point(op, target) {
             self.crashed.store(true, Ordering::SeqCst);
             let kept = if self.config.torn_writes && requested > 0 {
                 self.rng.lock().gen_range(0..=requested)
@@ -252,7 +272,7 @@ impl FaultInjector {
         if let Some(d) = self.config.read_delay {
             std::thread::sleep(d);
         }
-        if self.is_crash_point(op) {
+        if self.is_crash_point(op, target) {
             self.crashed.store(true, Ordering::SeqCst);
             self.record(FaultEvent::Crash { op, target: target.to_string() });
             return Err(self.injected(target, "injected crash during read"));
@@ -270,18 +290,30 @@ impl FaultInjector {
         Ok(())
     }
 
+    /// A failpoint that can only crash: counts one I/O operation and fires
+    /// the crash point if it is due.
+    fn crash_only(&self, target: &str, what: &str) -> Result<()> {
+        let op = self.next_op(target)?;
+        if self.is_crash_point(op, target) {
+            self.crashed.store(true, Ordering::SeqCst);
+            self.record(FaultEvent::Crash { op, target: target.to_string() });
+            return Err(self.injected(target, what));
+        }
+        Ok(())
+    }
+
     /// Failpoint for truncating a torn WAL tail at reopen. Counts as one
     /// I/O operation, so a scheduled crash can land between discovering the
     /// torn tail and removing it — the window where a real crash would leave
     /// the tail in place for the *next* recovery to deal with.
     pub fn on_truncate(&self, target: &str) -> Result<()> {
-        let op = self.next_op(target)?;
-        if self.is_crash_point(op) {
-            self.crashed.store(true, Ordering::SeqCst);
-            self.record(FaultEvent::Crash { op, target: target.to_string() });
-            return Err(self.injected(target, "injected crash during truncate"));
-        }
-        Ok(())
+        self.crash_only(target, "injected crash during truncate")
+    }
+
+    /// Failpoint for the rename that publishes an atomically written file:
+    /// a crash here leaves the fully synced temporary beside the old file.
+    pub fn on_rename(&self, target: &str) -> Result<()> {
+        self.crash_only(target, "injected crash during rename")
     }
 
     /// Failpoint for a file delete (LSM component retirement). The crash
@@ -290,7 +322,7 @@ impl FaultInjector {
     /// must treat that as deferred cleanup, not an error.
     pub fn on_delete(&self, target: &str) -> Result<()> {
         let op = self.next_op(target)?;
-        if self.is_crash_point(op) {
+        if self.is_crash_point(op, target) {
             self.crashed.store(true, Ordering::SeqCst);
             self.record(FaultEvent::Crash { op, target: target.to_string() });
             return Err(self.injected(target, "injected crash during delete"));
@@ -308,7 +340,7 @@ impl FaultInjector {
     /// fsync failure land here; either way the injector is crashed after.
     pub fn on_sync(&self, target: &str) -> Result<()> {
         let op = self.next_op(target)?;
-        if self.is_crash_point(op) {
+        if self.is_crash_point(op, target) {
             self.crashed.store(true, Ordering::SeqCst);
             self.record(FaultEvent::Crash { op, target: target.to_string() });
             return Err(self.injected(target, "injected crash during fsync"));
@@ -333,6 +365,7 @@ mod tests {
             let f = FaultInjector::new(FaultConfig {
                 seed,
                 crash_after_ios: Some(6),
+                crash_at_target: None,
                 torn_writes: true,
                 short_write_prob: 0.3,
                 fsync_fail_prob: 0.0,
@@ -376,6 +409,16 @@ mod tests {
         assert!(f.check_alive("f").is_err());
         let events = f.events();
         assert!(events.iter().any(|e| matches!(e, FaultEvent::Crash { op: 2, .. })));
+    }
+
+    #[test]
+    fn named_crash_point_fires_on_the_nth_matching_target() {
+        let f = FaultInjector::crash_at(2, ".manifest", 1);
+        assert!(f.on_sync("a.manifest.tmp").is_ok(), "hit 0");
+        assert!(f.on_sync("b.btree").is_ok(), "no match");
+        assert!(f.on_rename("a.manifest:rename").is_err(), "hit 1 is the crash point");
+        assert!(f.crashed());
+        assert!(f.events().iter().any(|e| matches!(e, FaultEvent::Crash { op: 2, .. })));
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! framework "LSM-ifies" B+ trees, R-trees and inverted indexes alike).
 //!
 //! A [`Harness`] owns everything about an LSM index that does not depend on
-//! what is *inside* a component: the live component list, component ids, the
-//! merge policy, the compaction slot (`idle → merging → retiring → idle`),
-//! publishing a flushed or merged component, retiring merged-away inputs,
-//! cascading, cancellation, quiescing, and the per-tree and node-wide
-//! counters. An index kind plugs in through [`ComponentKind`]: what a disk
-//! component holds, which files it owns, and a resumable merge over a
-//! snapshot of components. [`crate::lsm::LsmTree`] (and through it
+//! what is *inside* a component: the live component list and the manifest
+//! that makes it durable, component ids, the merge policy, the compaction
+//! slot (`idle → merging → retiring → idle`), publishing a flushed or merged
+//! component, retiring merged-away inputs, cascading, cancellation,
+//! quiescing, and the per-tree and node-wide counters. [`MemSlots`] is the
+//! memory side of the same lifecycle: when a memory component is sealed and
+//! when a sealed one may be flushed. An index kind plugs in through
+//! [`ComponentKind`]: what a disk component holds, which files it owns, how
+//! to reopen it from them, and a resumable merge over a snapshot of
+//! components. [`crate::lsm::LsmTree`] (and through it
 //! [`crate::inverted::InvertedIndex`]) and [`crate::lsm_rtree::LsmRTree`] are
 //! the kinds; the harness is generic over them and statically dispatched, so
 //! a read costs a list snapshot and nothing else.
@@ -18,17 +21,33 @@
 //! [`crate::compaction::BackgroundExecutor`] one morsel per step. Reads and
 //! flushes proceed against the pre-merge list until the merged one swaps in.
 //!
+//! **Durability.** The disk component is the durable unit. `<name>.manifest`
+//! lists the live components newest first — id, size, files, the LSN range
+//! each covers — and the LSN below which every logged operation of this
+//! index is in one of them. It is replaced atomically
+//! ([`crate::io::write_atomic`]) when a flush or a merge publishes, *before*
+//! the in-memory list changes, so what a restart loads is always a list
+//! that was live. Files no manifest names are garbage ([`sweep_unreferenced`]).
+//!
+//! **No-steal.** A memory component is never flushed while a transaction
+//! that wrote into it is open: past its budget it is *sealed* (later writes
+//! go to a fresh one, reads see both) and flushed when its last writer has
+//! committed or aborted. A durable component therefore holds only what
+//! finished transactions wrote.
+//!
 //! **Retirement invariant.** The merged component is inserted into the live
 //! list *before* any input file may be deleted, and input files are unlinked
 //! lazily — when the last holder of the component (the list, a read
 //! snapshot, the merge job) drops its reference. A reader therefore never
-//! sees a vanishing file, and a failed delete is counted cleanup (restart
-//! recovery sweeps the orphan), never data loss.
+//! sees a vanishing file, and a failed delete is counted cleanup (the next
+//! open sweeps the orphan), never data loss.
 //!
-//! **Lock order.** `state` may be taken before `disk`; `policy`, `exec` and
-//! `space_mark` are leaves. No I/O and no component drop happens while
-//! `state` or `disk` is held. A merge job takes its `run` lock before its
-//! `comps` lock and neither while calling back into the harness.
+//! **Lock order.** `manifest` before `state` before `disk`; `policy`, `exec`
+//! and `space_mark` are leaves. The only I/O under a lock is the manifest
+//! write under `manifest`, which exists to serialize exactly that; no
+//! component drop happens while `state` or `disk` is held. A merge job takes
+//! its `run` lock before its `comps` lock and neither while calling back
+//! into the harness.
 
 use crate::cache::BufferCache;
 use crate::compaction::{
@@ -36,7 +55,11 @@ use crate::compaction::{
 };
 use crate::error::{Result, StorageError};
 use crate::io::FileId;
+use crate::le;
+use crate::wal::{fnv1a, Lsn};
 use parking_lot::{Condvar, Mutex};
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,6 +167,9 @@ impl MergePolicy {
 /// Lifetime counters for an LSM index.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LsmStats {
+    /// Memory components sealed: every flush starts as one, and a seal whose
+    /// writers are still open is a flush yet to come.
+    pub seals: u64,
     pub flushes: u64,
     pub merges: u64,
     /// Merges that were cancelled or failed; the pre-merge component list
@@ -182,6 +208,7 @@ impl LsmStats {
 /// in-flight background merge jobs.
 #[derive(Debug, Default)]
 struct SharedStats {
+    seals: AtomicU64,
     flushes: AtomicU64,
     merges: AtomicU64,
     merges_aborted: AtomicU64,
@@ -214,8 +241,16 @@ pub(crate) trait ComponentKind: Send + Sync + Sized + 'static {
     /// The cache whose file manager holds this index's component files.
     fn cache(&self) -> &Arc<BufferCache>;
 
+    /// The index's name: the prefix of its component files and of its
+    /// manifest, unique within the cache's directory.
+    fn name(&self) -> &str;
+
     /// Every file `disk` owns; all are unlinked when the component retires.
     fn files(disk: &Self::Disk) -> Vec<FileId>;
+
+    /// Reopens a component from the files [`files`](ComponentKind::files)
+    /// listed for it, in that order.
+    fn reopen(&self, files: &[FileId]) -> Result<Self::Disk>;
 
     /// Starts merging `inputs` (newest first) into a component with id `id`.
     /// `includes_oldest` says nothing older than the inputs exists, so
@@ -250,6 +285,9 @@ pub(crate) struct Built<D> {
 pub(crate) struct Component<K: ComponentKind> {
     pub(crate) id: u64,
     pub(crate) size_bytes: u64,
+    /// The log records whose effects it holds: first LSN, and the LSN below
+    /// which all of them lie (`(0, 0)` for an index nobody logs for).
+    lsns: (Lsn, Lsn),
     pub(crate) disk: K::Disk,
     cache: Arc<BufferCache>,
     retire: AtomicBool,
@@ -266,14 +304,158 @@ impl<K: ComponentKind> Drop for Component<K> {
             self.cache.close_file(file);
             if self.cache.manager().delete(file).is_err() {
                 // Non-fatal cleanup failure: the merged data is already
-                // published; the orphaned file is reclaimed by restart
-                // recovery's component sweep.
+                // published; no manifest names the orphaned file, so the
+                // next open sweeps it.
                 self.retire_failures.fetch_add(1, Ordering::Relaxed);
                 self.hub.count_retire_failure();
             }
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The manifest
+// ---------------------------------------------------------------------------
+
+const MANIFEST_MAGIC: u32 = 0x464d_5841; // "AXMF"
+const MANIFEST_SUFFIX: &str = ".manifest";
+
+fn manifest_path(dir: &Path, index: &str) -> std::path::PathBuf {
+    dir.join(format!("{index}{MANIFEST_SUFFIX}"))
+}
+
+/// One live component as the manifest records it.
+struct ManifestEntry {
+    id: u64,
+    size_bytes: u64,
+    lsns: (Lsn, Lsn),
+    files: Vec<String>,
+}
+
+/// The durable component list of one index, newest first, and the LSN below
+/// which every logged operation of the index is in one of the components.
+///
+/// Layout (little-endian): magic, `flushed_below`, component count, then per
+/// component `id, size_bytes, first_lsn, below_lsn, file count, (len, name)*`,
+/// closed by an FNV-1a checksum of all of it.
+#[derive(Default)]
+struct Manifest {
+    flushed_below: Lsn,
+    components: Vec<ManifestEntry>,
+}
+
+impl Manifest {
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64 + 64 * self.components.len());
+        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+        out.extend_from_slice(&self.flushed_below.to_le_bytes());
+        out.extend_from_slice(&(self.components.len() as u32).to_le_bytes());
+        for c in &self.components {
+            for v in [c.id, c.size_bytes, c.lsns.0, c.lsns.1] {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            out.extend_from_slice(&(c.files.len() as u32).to_le_bytes());
+            for f in &c.files {
+                out.extend_from_slice(&(f.len() as u32).to_le_bytes());
+                out.extend_from_slice(f.as_bytes());
+            }
+        }
+        let crc = fnv1a(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
+        out
+    }
+
+    fn decode(buf: &[u8]) -> Result<Manifest> {
+        let corrupt = || StorageError::Corrupt("bad manifest".into());
+        let body = buf.len().checked_sub(4).ok_or_else(corrupt)?;
+        if le::try_u32_at(buf, 0)? != MANIFEST_MAGIC || le::try_u32_at(buf, body)? != fnv1a(&buf[..body]) {
+            return Err(corrupt());
+        }
+        let mut r = 4usize;
+        let u64_at = |r: &mut usize| -> Result<u64> {
+            let v = le::try_u64_at(buf, *r)?;
+            *r += 8;
+            Ok(v)
+        };
+        let flushed_below = u64_at(&mut r)?;
+        let count = le::try_u32_at(buf, r)?;
+        r += 4;
+        // grown by what the buffer actually holds, never by a stored count
+        let mut components = Vec::new();
+        for _ in 0..count {
+            let id = u64_at(&mut r)?;
+            let size_bytes = u64_at(&mut r)?;
+            let lsns = (u64_at(&mut r)?, u64_at(&mut r)?);
+            let n_files = le::try_u32_at(buf, r)?;
+            r += 4;
+            let mut files = Vec::new();
+            for _ in 0..n_files {
+                let len = le::try_u32_at(buf, r)? as usize;
+                r += 4;
+                let name = std::str::from_utf8(le::try_bytes_at(buf, r, len)?).map_err(|_| corrupt())?;
+                r += len;
+                files.push(name.to_owned());
+            }
+            components.push(ManifestEntry { id, size_bytes, lsns, files });
+        }
+        Ok(Manifest { flushed_below, components })
+    }
+
+    /// The manifest of index `name` under `dir`; `None` when it has none.
+    fn from_disk(dir: &Path, name: &str) -> Result<Option<Manifest>> {
+        match std::fs::read(manifest_path(dir, name)) {
+            Ok(bytes) => Manifest::decode(&bytes).map(Some),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
+/// Names of the indexes that have a manifest under `dir`.
+pub fn manifest_names(dir: &Path) -> Result<Vec<String>> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let file = entry?.file_name();
+        names.extend(file.to_str().and_then(|f| f.strip_suffix(MANIFEST_SUFFIX)).map(str::to_owned));
+    }
+    names.sort_unstable();
+    Ok(names)
+}
+
+/// Deletes what a crash can strand under `dir`: component files that no
+/// manifest names (a flush or merge cut short, merge inputs not yet
+/// retired) and temporaries of an atomic write that never renamed.
+pub fn sweep_unreferenced(dir: &Path) -> Result<()> {
+    let mut live = BTreeSet::new();
+    for name in manifest_names(dir)? {
+        let manifest = Manifest::from_disk(dir, &name)?.unwrap_or_default();
+        live.extend(manifest.components.into_iter().flat_map(|c| c.files));
+    }
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let garbage = COMPONENT_SUFFIXES.iter().any(|s| name.ends_with(s)) && !live.contains(name);
+        if (garbage || name.ends_with(".tmp")) && entry.file_type()?.is_file() {
+            crate::io::remove_file(&entry.path(), None)?;
+        }
+    }
+    Ok(())
+}
+
+/// Removes the manifest of index `name` under `dir` and the files it names:
+/// what is left of an index whose drop a crash interrupted.
+pub fn remove_index_files(dir: &Path, name: &str) -> Result<()> {
+    let manifest = Manifest::from_disk(dir, name)?.unwrap_or_default();
+    crate::io::remove_file(&manifest_path(dir, name), None)?;
+    for file in manifest.components.iter().flat_map(|c| &c.files) {
+        crate::io::remove_file(&dir.join(file), None)?;
+    }
+    Ok(())
+}
+
+/// File suffixes of LSM component files, across every index kind.
+const COMPONENT_SUFFIXES: [&str; 3] = [".btree", ".rtree", ".delkeys"];
 
 // ---------------------------------------------------------------------------
 // The compaction slot
@@ -300,6 +482,12 @@ pub(crate) struct Harness<K: ComponentKind> {
     kind: K,
     /// The active policy; starts as the configured one.
     policy: Mutex<MergePolicy>,
+    /// The LSN below which the manifest says everything is flushed. Held
+    /// across every manifest write, which makes it the publish lock: a flush
+    /// and a background merge never race to replace the manifest.
+    manifest: Mutex<Lsn>,
+    /// Set by [`Harness::destroy`]: nothing may publish any more.
+    destroyed: AtomicBool,
     /// Disk components, newest first.
     disk: Mutex<Vec<Arc<Component<K>>>>,
     state: Mutex<CompactionState>,
@@ -315,13 +503,16 @@ pub(crate) struct Harness<K: ComponentKind> {
 }
 
 impl<K: ComponentKind> Harness<K> {
-    /// An empty index of `kind`. Amplification counters feed the node-wide
-    /// hub reachable through the cache's [`crate::IoStats`].
+    /// An empty index of `kind`, whatever its directory holds. Amplification
+    /// counters feed the node-wide hub reachable through the cache's
+    /// [`crate::IoStats`].
     pub(crate) fn new(kind: K, policy: MergePolicy) -> Arc<Self> {
         let hub = Arc::clone(kind.cache().stats().lsm());
         Arc::new(Harness {
             kind,
             policy: Mutex::new(policy),
+            manifest: Mutex::new(0),
+            destroyed: AtomicBool::new(false),
             disk: Mutex::new(Vec::new()),
             state: Mutex::new(CompactionState::Idle),
             state_changed: Condvar::new(),
@@ -334,6 +525,32 @@ impl<K: ComponentKind> Harness<K> {
         })
     }
 
+    /// The index of `kind` as its manifest describes it: every listed
+    /// component reopened from its files, component ids resumed past the
+    /// highest listed. Empty when there is no manifest.
+    pub(crate) fn reopen(kind: K, policy: MergePolicy) -> Result<Arc<Self>> {
+        let manager = Arc::clone(kind.cache().manager());
+        let manifest = Manifest::from_disk(manager.dir(), kind.name())?.unwrap_or_default();
+        let harness = Harness::new(kind, policy);
+        let mut disk = Vec::with_capacity(manifest.components.len());
+        let mut max_id = 0;
+        for entry in manifest.components {
+            let files = entry.files.iter().map(|f| manager.open(f)).collect::<Result<Vec<_>>>()?;
+            let built = Built {
+                disk: harness.kind.reopen(&files)?,
+                size_bytes: entry.size_bytes,
+                written: 0,
+            };
+            max_id = max_id.max(entry.id);
+            disk.push(harness.component(entry.id, built, entry.lsns));
+        }
+        harness.next_component_id.store(max_id + 1, Ordering::Relaxed);
+        *harness.manifest.lock() = manifest.flushed_below;
+        harness.refresh_space(&disk);
+        *harness.disk.lock() = disk;
+        Ok(harness)
+    }
+
     pub(crate) fn kind(&self) -> &K {
         &self.kind
     }
@@ -342,6 +559,7 @@ impl<K: ComponentKind> Harness<K> {
     pub(crate) fn stats(&self) -> LsmStats {
         let s = &self.stats;
         LsmStats {
+            seals: s.seals.load(Ordering::Relaxed),
             flushes: s.flushes.load(Ordering::Relaxed),
             merges: s.merges.load(Ordering::Relaxed),
             merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
@@ -415,10 +633,11 @@ impl<K: ComponentKind> Harness<K> {
         self.next_component_id.fetch_add(1, Ordering::Relaxed) // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
     }
 
-    fn component(&self, id: u64, built: Built<K::Disk>) -> Arc<Component<K>> {
+    fn component(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Arc<Component<K>> {
         Arc::new(Component {
             id,
             size_bytes: built.size_bytes,
+            lsns,
             disk: built.disk,
             cache: Arc::clone(self.kind.cache()),
             retire: AtomicBool::new(false),
@@ -447,21 +666,97 @@ impl<K: ComponentKind> Harness<K> {
         result
     }
 
-    /// Publishes a flushed memory component as the newest disk component,
-    /// then *schedules* merging: with an executor installed the write path
-    /// pays only the scheduling cost; without one the merge runs inline.
-    pub(crate) fn publish_flush(self: &Arc<Self>, id: u64, built: Built<K::Disk>) -> Result<()> {
-        let written = built.written;
-        let comp = self.component(id, built);
-        {
-            let mut disk = self.disk.lock();
-            disk.insert(0, comp);
-            self.refresh_space(&disk);
+    /// The LSN below which every logged operation of this index is in a
+    /// durable component.
+    pub(crate) fn flushed_below(&self) -> Lsn {
+        *self.manifest.lock()
+    }
+
+    /// Replaces the manifest with `flushed_below` and `list`. The caller
+    /// holds the `manifest` lock.
+    fn write_manifest(&self, flushed_below: Lsn, list: &[Arc<Component<K>>]) -> Result<()> {
+        if self.destroyed.load(Ordering::Acquire) {
+            return Err(StorageError::Invalid(format!("index {} was dropped", self.kind.name())));
         }
+        let manager = self.kind.cache().manager();
+        let mut components = Vec::with_capacity(list.len());
+        for c in list {
+            let files = K::files(&c.disk).into_iter().map(|f| manager.name_of(f)).collect::<Result<_>>()?;
+            components.push(ManifestEntry { id: c.id, size_bytes: c.size_bytes, lsns: c.lsns, files });
+        }
+        let path = manifest_path(manager.dir(), self.kind.name());
+        crate::io::write_atomic(&path, &Manifest { flushed_below, components }.encode(), manager.faults())
+    }
+
+    /// Publishes `comp` in place of the `replaced` components (none for a
+    /// flush): the manifest first, then the live list. On failure nothing
+    /// changed but `comp`'s files, which are deleted.
+    fn publish(&self, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
+        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        let mut list = self.snapshot();
+        // Flushes only ever prepend, so merge inputs still sit contiguously
+        // wherever the newest of them now is.
+        let pos = list.iter().position(|c| replaced.contains(&c.id)).unwrap_or(0);
+        list.retain(|c| !replaced.contains(&c.id));
+        list.insert(pos.min(list.len()), Arc::clone(&comp));
+        let below = (*flushed_below).max(comp.lsns.1);
+        if let Err(e) = self.write_manifest(below, &list) {
+            comp.retire.store(true, Ordering::Release);
+            return Err(e);
+        }
+        *flushed_below = below;
+        let mut disk = self.disk.lock(); // xlint: lock(lsm_disk)
+        self.refresh_space(&list);
+        *disk = list;
+        Ok(())
+    }
+
+    /// Publishes a flushed memory component, holding the effects of log
+    /// records `lsns`, as the newest disk component.
+    pub(crate) fn publish_flush(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Result<()> {
+        let written = built.written;
+        self.publish(self.component(id, built, lsns), &[])?;
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
-        self.hub.count_written(written);
+        self.hub.count_flush(written);
+        Ok(())
+    }
+
+    /// *Schedules* merging after a flush: with an executor installed the
+    /// write path pays only the scheduling cost; without one the merge runs
+    /// inline.
+    pub(crate) fn after_flush(self: &Arc<Self>) -> Result<()> {
         self.stalled(|| self.schedule_merge())
+    }
+
+    /// Records that every logged operation of this index below `lsn` is
+    /// flushed, though no new component says so: the index was just created
+    /// (the log so far is not about it), or what it buffered since its last
+    /// flush left no entry.
+    pub(crate) fn mark_flushed_below(&self, lsn: Lsn) -> Result<()> {
+        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        let below = (*flushed_below).max(lsn);
+        self.write_manifest(below, &self.snapshot())?;
+        *flushed_below = below;
+        Ok(())
+    }
+
+    /// Drops the index from disk: an empty manifest first (so that no crash
+    /// leaves one naming deleted files), then every component, then the
+    /// manifest itself. Nothing can be published afterwards.
+    pub(crate) fn destroy(&self) -> Result<()> {
+        self.cancel_merge();
+        let manager = self.kind.cache().manager();
+        let _publishing = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        self.write_manifest(0, &[])?;
+        self.destroyed.store(true, Ordering::Release);
+        let dropped = std::mem::take(&mut *self.disk.lock()); // xlint: lock(lsm_disk)
+        self.refresh_space(&[]);
+        for comp in &dropped {
+            comp.retire.store(true, Ordering::Release);
+        }
+        drop(dropped);
+        crate::io::remove_file(&manifest_path(manager.dir(), self.kind.name()), manager.faults())
     }
 
     /// Merges the `n` newest disk components into one, inline on this
@@ -540,31 +835,23 @@ impl<K: ComponentKind> Harness<K> {
         }
     }
 
-    /// Atomically swaps the merged component in for its inputs, then retires
-    /// the inputs (publish-before-retire, see the module docs).
+    /// Atomically swaps the merged component in for its inputs — manifest,
+    /// then live list — and only then retires the inputs (see the module
+    /// docs). A failed manifest write leaves the pre-merge list live.
     fn complete_merge(
         self: &Arc<Self>,
         inputs: Vec<Arc<Component<K>>>,
         id: u64,
         built: Built<K::Disk>,
         cascade: bool,
-    ) {
+    ) -> Result<()> {
         let written = built.written;
-        let new_comp = self.component(id, built);
+        let lsns = (
+            inputs.iter().map(|c| c.lsns.0).min().unwrap_or(0),
+            inputs.iter().map(|c| c.lsns.1).max().unwrap_or(0),
+        );
         let ids: Vec<u64> = inputs.iter().map(|c| c.id).collect();
-        {
-            let mut disk = self.disk.lock();
-            // Flushes only ever prepend, so the inputs still sit contiguously
-            // wherever the newest of them now is.
-            let pos = disk
-                .iter()
-                .position(|c| ids.contains(&c.id))
-                .unwrap_or(disk.len());
-            disk.retain(|c| !ids.contains(&c.id));
-            let pos = pos.min(disk.len());
-            disk.insert(pos, new_comp);
-            self.refresh_space(&disk);
-        }
+        self.publish(self.component(id, built, lsns), &ids)?;
         *self.state.lock() = CompactionState::Retiring;
         for comp in &inputs {
             comp.retire.store(true, Ordering::Release);
@@ -574,18 +861,19 @@ impl<K: ComponentKind> Harness<K> {
         drop(inputs);
         self.stats.merges.fetch_add(1, Ordering::Relaxed);
         self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
-        self.hub.count_written(written);
+        self.hub.count_merge(written);
         self.to_idle();
         if cascade {
             // Background mode: re-run the policy over the post-merge list.
             // Errors surface through merges_aborted, not the write path.
             let _ = self.schedule_merge();
         }
+        Ok(())
     }
 
     /// Records an aborted/cancelled/failed merge and returns to idle. The
-    /// partial output file (if any) is an orphan; restart recovery's
-    /// component sweep removes it.
+    /// partial output file (if any) is an orphan no manifest names; the next
+    /// open sweeps it.
     fn merge_aborted(&self) {
         self.stats.merges_aborted.fetch_add(1, Ordering::Relaxed);
         self.to_idle();
@@ -650,6 +938,153 @@ impl<K: ComponentKind> Harness<K> {
 }
 
 // ---------------------------------------------------------------------------
+// The memory side: sealing and no-steal flushing
+// ---------------------------------------------------------------------------
+
+/// What the lifecycle needs to know of a kind's memory component.
+pub(crate) trait MemBuf: Default {
+    /// Approximate buffered bytes, to hold against the budget.
+    fn bytes(&self) -> usize;
+    fn is_empty(&self) -> bool;
+}
+
+/// One memory component with what was logged for it.
+#[derive(Default)]
+struct Slot<M> {
+    mem: M,
+    /// LSN of the first log record whose effect is in `mem`.
+    first_lsn: Option<Lsn>,
+    /// Open transactions that wrote into `mem`.
+    writers: BTreeSet<u64>,
+}
+
+/// A memory component that takes no more writes and waits to be flushed.
+struct Sealed<M> {
+    slot: Slot<M>,
+    /// Every logged operation of the index below this LSN is in `slot` or
+    /// in a disk component.
+    below: Lsn,
+    at: Instant,
+}
+
+/// The memory components of one index: the active one and at most one
+/// sealed one, older than it. Writes go to the active component; reads
+/// consult both, active first.
+///
+/// The owner *stamps* the slots with the LSN and the transaction of the log
+/// record it is about to apply (an index nobody logs for is never stamped
+/// and flushes the moment it seals), *releases* a transaction when it has
+/// committed or aborted, and calls [`settle`](MemSlots::settle) after
+/// either, which seals and flushes whatever has become due.
+#[derive(Default)]
+pub(crate) struct MemSlots<M> {
+    active: Slot<M>,
+    sealed: Option<Sealed<M>>,
+    /// Every logged operation of the index below this LSN has been applied.
+    covered_below: Lsn,
+}
+
+impl<M: MemBuf> MemSlots<M> {
+    pub(crate) fn active(&self) -> &M {
+        &self.active.mem
+    }
+
+    pub(crate) fn active_mut(&mut self) -> &mut M {
+        &mut self.active.mem
+    }
+
+    /// The sealed component, if one is waiting for its writers.
+    pub(crate) fn sealed(&self) -> Option<&M> {
+        self.sealed.as_ref().map(|s| &s.slot.mem)
+    }
+
+    /// The writes that follow apply the log record at `lsn`, logged by the
+    /// open transaction `writer` (`None` at recovery: it has committed).
+    pub(crate) fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+        self.active.first_lsn.get_or_insert(lsn);
+        self.active.writers.extend(writer);
+        self.cover_below(lsn + 1);
+    }
+
+    /// Everything logged for the index below `lsn` is already reflected in
+    /// it (it was rebuilt from an index that is that far).
+    pub(crate) fn cover_below(&mut self, lsn: Lsn) {
+        self.covered_below = self.covered_below.max(lsn);
+    }
+
+    /// Transaction `writer` has committed or aborted.
+    pub(crate) fn release(&mut self, writer: u64) {
+        self.active.writers.remove(&writer);
+        if let Some(sealed) = &mut self.sealed {
+            sealed.slot.writers.remove(&writer);
+        }
+    }
+
+    /// LSN of the oldest log record whose effect is only in memory.
+    pub(crate) fn first_unflushed(&self) -> Option<Lsn> {
+        let sealed = self.sealed.as_ref().and_then(|s| s.slot.first_lsn);
+        sealed.or(self.active.first_lsn)
+    }
+
+    /// Whether a write by `writer` would grow the active component past
+    /// `budget` while a sealed one still waits for *other* transactions:
+    /// waiting for them lets the sealed component flush and the active one
+    /// seal, where writing on only grows memory.
+    pub(crate) fn must_wait(&self, writer: u64, budget: usize) -> bool {
+        self.active.mem.bytes() > budget
+            && self.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
+    }
+
+    /// Flushes the sealed component if its writers are done, seals the
+    /// active one if it is past `budget` (or, with `force`, holds anything no
+    /// open transaction wrote), and repeats until nothing is due. `build`
+    /// bulk-loads one memory component into the files of component `id`.
+    pub(crate) fn settle<K: ComponentKind>(
+        &mut self,
+        harness: &Arc<Harness<K>>,
+        budget: usize,
+        force: bool,
+        build: impl Fn(u64, &M) -> Result<Built<K::Disk>>,
+    ) -> Result<()> {
+        loop {
+            if let Some(sealed) = &self.sealed {
+                if !sealed.slot.writers.is_empty() {
+                    return Ok(()); // no-steal: not while a writer is open
+                }
+                let id = harness.alloc_id();
+                let built = build(id, &sealed.slot.mem)?;
+                let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
+                harness.publish_flush(id, built, (first, sealed.below))?;
+                harness.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
+                self.sealed = None;
+                harness.after_flush()?;
+                continue;
+            }
+            let due = if force {
+                self.active.writers.is_empty()
+            } else {
+                self.active.mem.bytes() > budget
+            };
+            if !due {
+                return Ok(());
+            }
+            if self.active.mem.is_empty() {
+                if self.covered_below > harness.flushed_below() {
+                    harness.mark_flushed_below(self.covered_below)?;
+                }
+                return Ok(());
+            }
+            harness.stats.seals.fetch_add(1, Ordering::Relaxed);
+            self.sealed = Some(Sealed {
+                slot: std::mem::take(&mut self.active),
+                below: self.covered_below,
+                at: Instant::now(),
+            });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The merge job
 // ---------------------------------------------------------------------------
 
@@ -706,7 +1141,7 @@ impl<K: ComponentKind> MergeJob<K> {
         drop(run);
         let built = kind.finish(finished)?;
         let comps = std::mem::take(&mut *self.comps.lock()); // xlint: lock(lsm_merge_inputs)
-        self.shared.complete_merge(comps, id, built, self.cascade);
+        self.shared.complete_merge(comps, id, built, self.cascade)?;
         Ok(JobStep::Done)
     }
 }
@@ -745,10 +1180,20 @@ mod tests {
         type Kind: ComponentKind;
         /// An index that never flushes on its own.
         fn new(cache: Arc<BufferCache>, policy: MergePolicy) -> Self;
+        /// The same index as its manifest describes it.
+        fn reopen(cache: Arc<BufferCache>) -> Self;
+        /// One that seals after a handful of entries.
+        fn tiny(cache: Arc<BufferCache>) -> Self;
+        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>);
+        fn release(&mut self, writer: u64);
+        fn must_wait(&self, writer: u64) -> bool;
         fn harness(&self) -> &Arc<Harness<Self::Kind>>;
         fn put(&mut self, i: u64);
         fn delete(&mut self, i: u64);
-        fn flush(&mut self);
+        fn try_flush(&mut self) -> Result<()>;
+        fn flush(&mut self) {
+            self.try_flush().unwrap();
+        }
         fn live(&self) -> usize;
     }
 
@@ -757,6 +1202,26 @@ mod tests {
         fn new(cache: Arc<BufferCache>, policy: MergePolicy) -> Self {
             let config = LsmConfig { mem_budget: 1 << 30, merge_policy: policy, ..LsmConfig::new("t") };
             LsmTree::new(cache, config)
+        }
+        fn reopen(cache: Arc<BufferCache>) -> Self {
+            LsmTree::reopen(cache, LsmConfig { mem_budget: 1 << 30, ..LsmConfig::new("t") }).unwrap()
+        }
+        fn tiny(cache: Arc<BufferCache>) -> Self {
+            let config = LsmConfig {
+                mem_budget: 512,
+                merge_policy: MergePolicy::NoMerge,
+                ..LsmConfig::new("t")
+            };
+            LsmTree::new(cache, config)
+        }
+        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+            LsmTree::stamp(self, lsn, writer);
+        }
+        fn release(&mut self, writer: u64) {
+            LsmTree::release(self, writer).unwrap();
+        }
+        fn must_wait(&self, writer: u64) -> bool {
+            LsmTree::must_wait(self, writer)
         }
         fn harness(&self) -> &Arc<Harness<Self::Kind>> {
             &self.shared
@@ -767,8 +1232,8 @@ mod tests {
         fn delete(&mut self, i: u64) {
             LsmTree::delete(self, encode_key(&[Value::Int(i as i64)])).unwrap();
         }
-        fn flush(&mut self) {
-            LsmTree::flush(self).unwrap();
+        fn try_flush(&mut self) -> Result<()> {
+            LsmTree::flush(self)
         }
         fn live(&self) -> usize {
             self.count().unwrap()
@@ -786,6 +1251,27 @@ mod tests {
                 LsmRTreeConfig { mem_budget: 1 << 30, merge_policy: policy, ..LsmRTreeConfig::new("s") };
             LsmRTree::new(cache, config)
         }
+        fn reopen(cache: Arc<BufferCache>) -> Self {
+            LsmRTree::reopen(cache, LsmRTreeConfig { mem_budget: 1 << 30, ..LsmRTreeConfig::new("s") })
+                .unwrap()
+        }
+        fn tiny(cache: Arc<BufferCache>) -> Self {
+            let config = LsmRTreeConfig {
+                mem_budget: 512,
+                merge_policy: MergePolicy::NoMerge,
+                ..LsmRTreeConfig::new("s")
+            };
+            LsmRTree::new(cache, config)
+        }
+        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+            LsmRTree::stamp(self, lsn, writer);
+        }
+        fn release(&mut self, writer: u64) {
+            LsmRTree::release(self, writer).unwrap();
+        }
+        fn must_wait(&self, writer: u64) -> bool {
+            LsmRTree::must_wait(self, writer)
+        }
         fn harness(&self) -> &Arc<Harness<Self::Kind>> {
             &self.shared
         }
@@ -795,8 +1281,8 @@ mod tests {
         fn delete(&mut self, i: u64) {
             LsmRTree::delete(self, &point(i), format!("k{i}").as_bytes()).unwrap();
         }
-        fn flush(&mut self) {
-            LsmRTree::flush(self).unwrap();
+        fn try_flush(&mut self) -> Result<()> {
+            LsmRTree::flush(self)
         }
         fn live(&self) -> usize {
             self.count().unwrap()
@@ -929,6 +1415,130 @@ mod tests {
         assert_eq!(t.live(), 190);
     }
 
+    /// A second cache over the same directory: what a restart sees.
+    fn restarted(dir: &TempDir) -> Arc<BufferCache> {
+        sweep_unreferenced(dir.path()).unwrap();
+        BufferCache::new(FileManager::new(dir.path(), IoStats::new()).unwrap(), 256)
+    }
+
+    /// Component files under `dir`.
+    fn component_files(dir: &TempDir) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| COMPONENT_SUFFIXES.iter().any(|s| n.ends_with(s)))
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Flushed and merged components are there after a restart, under ids
+    /// that go on where they stopped; what was only in memory is not.
+    fn reopen_attaches_what_the_manifest_names<S: Subject>() {
+        let (cache, dir) = setup(None);
+        let mut t = S::new(cache, MergePolicy::NoMerge);
+        component(&mut t, 0..300);
+        for i in 0..50 {
+            t.delete(i);
+        }
+        component(&mut t, 300..600);
+        t.harness().merge_newest(2).unwrap();
+        component(&mut t, 600..700);
+        t.put(9_999); // never flushed
+        let (ids, files) = (
+            t.harness().snapshot().iter().map(|c| c.id).collect::<Vec<_>>(),
+            component_files(&dir),
+        );
+        drop(t);
+        let t = S::reopen(restarted(&dir));
+        assert_eq!(t.harness().snapshot().iter().map(|c| c.id).collect::<Vec<_>>(), ids);
+        assert_eq!(component_files(&dir), files, "nothing the manifest names was swept");
+        assert_eq!(t.live(), 650);
+        assert!(t.harness().alloc_id() > ids[0], "ids resume past the manifest's highest");
+    }
+
+    /// A crash at any step of publishing the manifest — for a flush or for a
+    /// merge — leaves a directory that reopens to the list from before the
+    /// publish or to the one after it, with no file unaccounted for.
+    fn crash_inside_a_publish_reopens_to_a_list_that_was_live<S: Subject>() {
+        let steps = [".manifest.tmp:write", ".manifest.tmp", ".manifest:rename", ".manifest:dirsync"];
+        // publishes 0 and 1 are flushes, 2 is the merge of their components
+        for (step, publish) in steps.iter().flat_map(|s| (0..3u64).map(move |p| (s, p))) {
+            // the fsync's target, `.manifest.tmp`, also matches the write before it
+            let nth = if *step == ".manifest.tmp" { 2 * publish + 1 } else { publish };
+            let (cache, dir) = setup(Some(FaultConfig {
+                seed: 5,
+                crash_at_target: Some((step.to_string(), nth)),
+                ..FaultConfig::default()
+            }));
+            let mut t = S::new(cache, MergePolicy::NoMerge);
+            let run = |t: &mut S| -> Result<()> {
+                for i in 0..200 {
+                    t.put(i);
+                }
+                t.try_flush()?;
+                for i in 0..40 {
+                    t.delete(i);
+                }
+                for i in 200..400 {
+                    t.put(i);
+                }
+                t.try_flush()?;
+                t.harness().merge_newest(2)
+            };
+            assert!(run(&mut t).is_err(), "{step} #{publish}: the crash point must fire");
+            drop(t);
+            let t = S::reopen(restarted(&dir));
+            // the rename is what publishes: before it the old list, from it on the new
+            let published = publish + u64::from(step.contains(":dirsync"));
+            let want = match published {
+                0 => 0,
+                1 => 200,
+                _ => 360,
+            };
+            assert_eq!(t.live(), want, "{step} #{publish}");
+            let named: usize = t.harness().snapshot().iter().map(|c| S::Kind::files(&c.disk).len()).sum();
+            assert_eq!(component_files(&dir).len(), named, "{step} #{publish}: an orphan survived the sweep");
+        }
+    }
+
+    /// No-steal: what an open transaction wrote is sealed past the budget
+    /// but not flushed, stays readable, and is flushed when it is over; a
+    /// transaction that does not hold the sealed component up is told to
+    /// wait rather than grow the active one.
+    fn sealed_component_waits_for_its_writers<S: Subject>() {
+        let (cache, _d) = setup(None);
+        let mut t = S::tiny(cache);
+        let mut lsn = 100;
+        let mut write = |t: &mut S, i: u64, writer: u64| {
+            t.stamp(lsn, Some(writer));
+            t.put(i);
+            lsn += 10;
+        };
+        for i in 0..40 {
+            write(&mut t, i, 7);
+        }
+        let stats = t.harness().stats();
+        assert_eq!((stats.seals, stats.flushes), (1, 0), "sealed at the budget, held for txn 7");
+        assert_eq!(t.live(), 40, "reads see the sealed and the active component");
+        assert!(!t.must_wait(7), "txn 7 cannot wait for itself");
+        assert!(t.must_wait(8), "txn 8 can: the active component is past its budget too");
+        assert_eq!(t.harness().flushed_below(), 0);
+        t.release(7);
+        let stats = t.harness().stats();
+        assert_eq!(stats.seals, stats.flushes, "released: everything sealed is flushed");
+        assert!(stats.flushes >= 2, "the overgrown active component followed");
+        assert_eq!(t.harness().flushed_below(), 100 + 39 * 10 + 1, "just past the last record applied");
+        assert_eq!(t.live(), 40);
+        // a transaction's writes that fit in the active component wait there
+        write(&mut t, 40, 9);
+        t.flush();
+        assert_eq!(t.harness().stats().flushes, stats.flushes, "an explicit flush is no-steal too");
+        t.release(9);
+        t.flush();
+        assert_eq!(t.harness().stats().flushes, stats.flushes + 1);
+    }
+
     macro_rules! lifecycle_contract {
         ($kind:ident, $subject:ty) => {
             mod $kind {
@@ -952,6 +1562,21 @@ mod tests {
                 #[test]
                 fn snapshot_keeps_merged_away_files_until_dropped() {
                     super::snapshot_keeps_merged_away_files_until_dropped::<$subject>();
+                }
+
+                #[test]
+                fn reopen_attaches_what_the_manifest_names() {
+                    super::reopen_attaches_what_the_manifest_names::<$subject>();
+                }
+
+                #[test]
+                fn crash_inside_a_publish_reopens_to_a_list_that_was_live() {
+                    super::crash_inside_a_publish_reopens_to_a_list_that_was_live::<$subject>();
+                }
+
+                #[test]
+                fn sealed_component_waits_for_its_writers() {
+                    super::sealed_component_waits_for_its_writers::<$subject>();
                 }
             }
         };

@@ -7,9 +7,8 @@
 //! way AsterixDB does (secondary indexes reuse the LSM machinery).
 
 use crate::cache::BufferCache;
-use crate::compaction::CompactionExec;
 use crate::error::Result;
-use crate::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
+use crate::lsm::{LsmConfig, LsmTree, MergePolicy};
 use asterix_adm::binary::{decode_key, encode_key};
 use asterix_adm::Value;
 use std::ops::Bound;
@@ -51,6 +50,11 @@ impl InvertedIndex {
     /// Creates with a custom LSM configuration.
     pub fn with_config(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
         InvertedIndex { tree: LsmTree::new(cache, config) }
+    }
+
+    /// Opens the index its tree's manifest describes (see [`LsmTree::reopen`]).
+    pub fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Self> {
+        Ok(InvertedIndex { tree: LsmTree::reopen(cache, config)? })
     }
 
     fn entry_key(token: &str, pk: &[Value]) -> Vec<u8> {
@@ -128,24 +132,15 @@ impl InvertedIndex {
         Ok(result.unwrap_or_default())
     }
 
-    /// Forces a flush of the underlying LSM tree.
-    pub fn flush(&mut self) -> Result<()> {
-        self.tree.flush()
+    /// The underlying LSM tree: its lifecycle (flushing, logging stamps,
+    /// statistics, merge execution) is the tree's own.
+    pub fn lsm(&self) -> &LsmTree {
+        &self.tree
     }
 
-    /// Disk components of the underlying tree.
-    pub fn component_count(&self) -> usize {
-        self.tree.component_count()
-    }
-
-    /// Lifetime statistics of the underlying tree.
-    pub fn stats(&self) -> LsmStats {
-        self.tree.stats()
-    }
-
-    /// Runs the underlying tree's merges on `exec`, off the write path.
-    pub fn set_executor(&self, exec: CompactionExec) {
-        self.tree.set_executor(exec);
+    /// See [`InvertedIndex::lsm`].
+    pub fn lsm_mut(&mut self) -> &mut LsmTree {
+        &mut self.tree
     }
 }
 
@@ -203,11 +198,11 @@ mod tests {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
         idx.insert_text("alpha beta", &[Value::Int(1)]).unwrap();
-        idx.flush().unwrap();
+        idx.lsm_mut().flush().unwrap();
         idx.insert_text("beta gamma", &[Value::Int(2)]).unwrap();
         let hits = idx.search_token("beta").unwrap();
         assert_eq!(hits.len(), 2);
-        assert!(idx.component_count() >= 1);
+        assert!(idx.lsm().component_count() >= 1);
     }
 
     #[test]
@@ -216,7 +211,7 @@ mod tests {
         let mut idx = InvertedIndex::new(cache, "kw");
         idx.insert_text("hello world", &[Value::Int(1)]).unwrap();
         idx.insert_text("hello there", &[Value::Int(2)]).unwrap();
-        idx.flush().unwrap();
+        idx.lsm_mut().flush().unwrap();
         idx.delete_text("hello world", &[Value::Int(1)]).unwrap();
         let hits = idx.search_token("hello").unwrap();
         assert_eq!(hits, vec![vec![Value::Int(2)]]);

@@ -256,19 +256,16 @@ impl FileManager {
     /// failpoint is consulted *before* the handle is dropped, so an injected
     /// delete failure leaves both the open handle and the file intact —
     /// callers may retry or defer the cleanup.
-    pub fn delete(&self, id: FileId) -> Result<()> { // xlint: allow(blocking, "component delete during recovery/merge retirement; bounded by one unlink")
-        if let Some(f) = &self.faults {
-            let target = crate::faults::target_name(&self.handle(id)?.read().path);
-            f.on_delete(&target)?;
-        }
-        let handle = self
-            .files
-            .write()
-            .remove(&id)
-            .ok_or_else(|| StorageError::NotFound(format!("file id {id:?}")))?;
-        let guard = handle.read();
-        std::fs::remove_file(&guard.path)?;
+    pub fn delete(&self, id: FileId) -> Result<()> {
+        let path = self.handle(id)?.read().path.clone();
+        remove_file(&path, self.faults.as_ref())?;
+        self.files.write().remove(&id);
         Ok(())
+    }
+
+    /// Name (within the device directory) of an open file.
+    pub fn name_of(&self, id: FileId) -> Result<String> {
+        Ok(crate::faults::target_name(&self.handle(id)?.read().path))
     }
 
     /// Sequential bulk writer for building an immutable component file.
@@ -304,6 +301,59 @@ impl FileManager {
                 (name.to_string_lossy().into_owned(), *id)
             })
             .collect()
+    }
+}
+
+/// Replaces the file at `path` with `bytes`, atomically and durably: the
+/// bytes go to `<path>.tmp`, which is fsynced, renamed over `path`, and the
+/// directory fsynced. A crash at any step leaves either the old file or the
+/// new one, never a mix; a leftover `.tmp` is garbage. Every step is a
+/// failpoint, so crash schedules can land inside it.
+pub fn write_atomic(path: &Path, bytes: &[u8], faults: Option<&Arc<FaultInjector>>) -> Result<()> { // xlint: allow(blocking, "atomic publish of a manifest, log segment or catalog file: one small write, two fsyncs and a rename at a flush, merge or DDL boundary")
+    let name = crate::faults::target_name(path);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    if let Some(f) = faults {
+        let target = format!("{name}.tmp:write");
+        match f.on_write(&target, bytes.len())? {
+            WritePlan::Full => {}
+            WritePlan::Torn { kept } | WritePlan::Short { kept } => {
+                File::create(&tmp)?.write_all(&bytes[..kept])?;
+                return Err(f.write_failed(&target));
+            }
+        }
+    }
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    if let Some(f) = faults {
+        f.on_sync(&format!("{name}.tmp"))?;
+    }
+    file.sync_all()?;
+    if let Some(f) = faults {
+        f.on_rename(&format!("{name}:rename"))?;
+    }
+    std::fs::rename(&tmp, path)?;
+    // the rename is durable once its directory is
+    if let Some(f) = faults {
+        f.on_sync(&format!("{name}:dirsync"))?;
+    }
+    if let Some(dir) = path.parent() {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+/// Unlinks `path` (a missing file is not an error). Not made durable: every
+/// caller removes garbage that the next open would remove again.
+pub fn remove_file(path: &Path, faults: Option<&Arc<FaultInjector>>) -> Result<()> { // xlint: allow(blocking, "component delete during recovery/merge retirement; bounded by one unlink")
+    if let Some(f) = faults {
+        f.on_delete(&format!("{}:unlink", crate::faults::target_name(path)))?;
+    }
+    match std::fs::remove_file(path) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(e.into()),
     }
 }
 

@@ -3,25 +3,27 @@
 //! secondary indexes are built from it.
 //!
 //! Writes go to an in-memory component ([`MemComponent`]); when it exceeds its
-//! ingestion-buffer budget it is *flushed* — bulk-loaded into an immutable
-//! on-disk B+ tree component. Deletes insert tombstones ("anti-matter").
-//! Reads consult the memory component and then disk components newest-first,
-//! with per-component bloom filters short-circuiting point lookups. A
-//! pluggable [`MergePolicy`] decides when to merge disk components
-//! (experiment E8 compares the policies).
+//! ingestion-buffer budget it is sealed and *flushed* — bulk-loaded into an
+//! immutable on-disk B+ tree component — as soon as no open transaction has
+//! written into it. Deletes insert tombstones ("anti-matter"). Reads consult
+//! the memory components and then disk components newest-first, with
+//! per-component bloom filters short-circuiting point lookups. A pluggable
+//! [`MergePolicy`] decides when to merge disk components (experiment E8
+//! compares the policies).
 //!
 //! Only what is B+-tree-specific lives here: the memory component, the entry
 //! encoding, the k-way merge, blooms and value compression. The component
-//! list, ids, merge scheduling, publishing and retirement are the shared
-//! lifecycle in `crate::harness`, which this tree rides as one
-//! `ComponentKind`.
+//! list and its manifest, ids, sealing, merge scheduling, publishing and
+//! retirement are the shared lifecycle in `crate::harness`, which this tree
+//! rides as one `ComponentKind`.
 
 use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
 use crate::cache::BufferCache;
 use crate::compaction::CompactionExec;
 use crate::error::{Result, StorageError};
-use crate::harness::{Built, Component, ComponentKind, Harness};
+use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf, MemSlots};
 use crate::io::FileId;
+use crate::wal::Lsn;
 use asterix_adm::binary::compare_keys;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -29,7 +31,9 @@ use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
 
-pub use crate::harness::{LsmStats, MergePolicy};
+pub use crate::harness::{
+    manifest_names, remove_index_files, sweep_unreferenced, LsmStats, MergePolicy,
+};
 
 // ---------------------------------------------------------------------------
 // Key wrapper ordering encoded keys by the ADM total order
@@ -149,6 +153,16 @@ impl MemComponent {
         hi: Bound<Vec<u8>>,
     ) -> impl Iterator<Item = (&KeyBytes, &Entry)> {
         self.map.range((lo.map(KeyBytes), hi.map(KeyBytes)))
+    }
+}
+
+impl MemBuf for MemComponent {
+    fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 
@@ -318,6 +332,15 @@ impl BTreeKind {
         Ok(BTreeBuilder::new(writer, if self.config.bloom { expected_keys } else { 0 }))
     }
 
+    /// Bulk-loads a memory component into the file of component `id`.
+    fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
+        let mut builder = self.builder(id, mem.len())?;
+        for (k, e) in mem.iter() {
+            builder.add(&k.0, &self.encode_disk(&e.encode()))?;
+        }
+        self.seal(builder, mem.len() as u64)
+    }
+
     /// Seals a bulk-loaded component file.
     fn seal(&self, builder: BTreeBuilder, written: u64) -> Result<Built<DiskBTree>> {
         let built = builder.finish()?;
@@ -335,8 +358,23 @@ impl ComponentKind for BTreeKind {
         &self.cache
     }
 
+    fn name(&self) -> &str {
+        &self.config.name
+    }
+
     fn files(disk: &DiskBTree) -> Vec<FileId> {
         vec![disk.file()]
+    }
+
+    fn reopen(&self, files: &[FileId]) -> Result<DiskBTree> {
+        match files {
+            [file] => DiskBTree::open(Arc::clone(&self.cache), *file),
+            _ => Err(StorageError::Corrupt(format!(
+                "B+-tree component of {} lists {} files",
+                self.config.name,
+                files.len()
+            ))),
+        }
     }
 
     /// Allocates the output file and the per-input scan iterators.
@@ -384,15 +422,24 @@ impl ComponentKind for BTreeKind {
 /// An LSM B+ tree index over encoded composite keys.
 pub struct LsmTree {
     pub(crate) shared: Arc<Harness<BTreeKind>>,
-    mem: MemComponent,
+    mem: MemSlots<MemComponent>,
 }
 
 impl LsmTree {
-    /// Creates an empty LSM tree. Amplification counters feed the node-wide
-    /// hub reachable through the cache's [`crate::IoStats`].
+    /// Creates an empty LSM tree, whatever its directory holds. Amplification
+    /// counters feed the node-wide hub reachable through the cache's
+    /// [`crate::IoStats`].
     pub fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
         let policy = config.merge_policy;
-        LsmTree { shared: Harness::new(BTreeKind { cache, config }, policy), mem: MemComponent::new() }
+        LsmTree { shared: Harness::new(BTreeKind { cache, config }, policy), mem: MemSlots::default() }
+    }
+
+    /// Opens the tree its manifest describes (an empty one when it has no
+    /// manifest): the disk components a previous incarnation published.
+    pub fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Self> {
+        let policy = config.merge_policy;
+        let shared = Harness::reopen(BTreeKind { cache, config }, policy)?;
+        Ok(LsmTree { shared, mem: MemSlots::default() })
     }
 
     /// The configuration.
@@ -444,42 +491,88 @@ impl LsmTree {
 
     /// Entries currently buffered in memory.
     pub fn mem_entries(&self) -> usize {
-        self.mem.len()
+        self.mem.active().len() + self.mem.sealed().map_or(0, MemComponent::len)
     }
 
-    /// Inserts or replaces `key`. Flushes automatically past the budget.
+    /// The writes that follow apply the log record at `lsn`, logged by the
+    /// open transaction `writer` (`None` when replaying a committed one).
+    /// What `writer` wrote is not flushed before [`LsmTree::release`].
+    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+        self.mem.stamp(lsn, writer);
+    }
+
+    /// Declares every logged operation below `lsn` reflected in this tree
+    /// (it was just built from an index that is that far).
+    pub fn cover_below(&mut self, lsn: Lsn) {
+        self.mem.cover_below(lsn);
+    }
+
+    /// Transaction `writer` has committed or aborted: flushes what was
+    /// waiting for it.
+    pub fn release(&mut self, writer: u64) -> Result<()> {
+        self.mem.release(writer);
+        self.settle(false)
+    }
+
+    /// Whether `writer` should let other transactions finish before writing
+    /// on (see `MemSlots::must_wait`).
+    pub fn must_wait(&self, writer: u64) -> bool {
+        self.mem.must_wait(writer, self.shared.kind().config.mem_budget)
+    }
+
+    /// The LSN below which every logged operation of this tree is in a
+    /// durable disk component.
+    pub fn flushed_below(&self) -> Lsn {
+        self.shared.flushed_below()
+    }
+
+    /// Durably records that the log below `lsn` holds nothing this tree
+    /// lacks (it was just created).
+    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
+        self.mem.cover_below(lsn);
+        self.shared.mark_flushed_below(lsn)
+    }
+
+    /// LSN of the oldest log record whose effect is only in memory.
+    pub fn first_unflushed(&self) -> Option<Lsn> {
+        self.mem.first_unflushed()
+    }
+
+    /// Deletes the tree from disk, manifest and components. The handle stays
+    /// readable, as an empty tree, but can publish nothing more.
+    pub fn destroy(&self) -> Result<()> {
+        self.shared.destroy()
+    }
+
+    /// Inserts or replaces `key`. Past the budget the memory component is
+    /// sealed, and flushed unless an open transaction wrote into it.
     pub fn upsert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
         self.shared.count_ingested();
-        self.mem.put(key, value);
-        self.maybe_flush()
+        self.mem.active_mut().put(key, value);
+        self.settle(false)
     }
 
     /// Deletes `key` (tombstone insert).
     pub fn delete(&mut self, key: Vec<u8>) -> Result<()> {
         self.shared.count_ingested();
-        self.mem.delete(key);
-        self.maybe_flush()
+        self.mem.active_mut().delete(key);
+        self.settle(false)
     }
 
-    fn maybe_flush(&mut self) -> Result<()> {
-        if self.mem.bytes() > self.shared.kind().config.mem_budget {
-            self.flush()?;
-        }
-        Ok(())
+    fn settle(&mut self, force: bool) -> Result<()> {
+        let kind = self.shared.kind();
+        self.mem.settle(&self.shared, kind.config.mem_budget, force, |id, mem| kind.flush(id, mem))
     }
 
-    /// Point lookup: memory component, then disk components newest-first.
+    /// Point lookup: memory components, then disk components newest-first.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.mem.get(key) {
-            Some(Entry::Put(v)) => {
-                self.shared.count_point_read(0);
-                return Ok(Some(v.clone()));
-            }
-            Some(Entry::Tombstone) => {
-                self.shared.count_point_read(0);
-                return Ok(None);
-            }
-            None => {}
+        let mut buffered = std::iter::once(self.mem.active()).chain(self.mem.sealed());
+        if let Some(entry) = buffered.find_map(|m| m.get(key)) {
+            self.shared.count_point_read(0);
+            return Ok(match entry {
+                Entry::Put(v) => Some(v.clone()),
+                Entry::Tombstone => None,
+            });
         }
         let disk = self.shared.snapshot();
         let mut probes = 0u64;
@@ -504,23 +597,11 @@ impl LsmTree {
         }
     }
 
-    /// Forces the memory component to disk as a new component and hands it
-    /// to the lifecycle, which publishes it and schedules merging.
+    /// Forces what is buffered to disk as new components and hands them to
+    /// the lifecycle, which publishes them and schedules merging. What an
+    /// open transaction wrote stays in memory until it is released.
     pub fn flush(&mut self) -> Result<()> {
-        if self.mem.is_empty() {
-            return Ok(());
-        }
-        let kind = self.shared.kind();
-        let id = self.shared.alloc_id();
-        let mut builder = kind.builder(id, self.mem.len())?;
-        let mut written = 0u64;
-        for (k, e) in self.mem.iter() {
-            builder.add(&k.0, &kind.encode_disk(&e.encode()))?;
-            written += 1;
-        }
-        let built = kind.seal(builder, written)?;
-        self.mem = MemComponent::new();
-        self.shared.publish_flush(id, built)
+        self.settle(true)
     }
 
     /// Merges the `n` newest disk components into one, inline on this
@@ -540,13 +621,14 @@ impl LsmTree {
         let snapshot = self.shared.snapshot();
         let kind = self.shared.kind();
         let owned = |b: Bound<&[u8]>| b.map(<[u8]>::to_vec);
-        // Per-source ordered streams: rank 0 = memory (newest).
-        let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 1);
-        streams.push(Box::new(
-            self.mem
-                .range(owned(lo), owned(hi))
-                .map(|(k, e)| Ok((k.0.clone(), e.clone()))),
-        ));
+        // Per-source ordered streams: rank 0 = the active memory component
+        // (newest), then the sealed one, then disk.
+        let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 2);
+        for mem in std::iter::once(self.mem.active()).chain(self.mem.sealed()) {
+            streams.push(Box::new(
+                mem.range(owned(lo), owned(hi)).map(|(k, e)| Ok((k.0.clone(), e.clone()))),
+            ));
+        }
         for comp in &snapshot {
             let it = comp.disk.range(lo, owned(hi))?;
             streams.push(Box::new(it.map(move |r| {

@@ -12,16 +12,20 @@
 //!
 //! Only what is R-tree-specific lives here: the memory component, the
 //! two-file disk component, STR packing and the visibility walk that merges
-//! components. The component list, ids, merge scheduling, publishing and
-//! retirement are the shared lifecycle in `crate::harness`.
+//! components. The component list and its manifest, ids, sealing, merge
+//! scheduling, publishing and retirement are the shared lifecycle in
+//! `crate::harness`.
 
 use crate::btree::{BTreeBuilder, DiskBTree};
 use crate::cache::BufferCache;
 use crate::compaction::CompactionExec;
-use crate::error::Result;
-use crate::harness::{Built, Component, ComponentKind, Harness, LsmStats, MergePolicy};
+use crate::error::{Result, StorageError};
+use crate::harness::{
+    Built, Component, ComponentKind, Harness, LsmStats, MemBuf, MemSlots, MergePolicy,
+};
 use crate::io::FileId;
 use crate::lsm::KeyBytes;
+use crate::wal::Lsn;
 use crate::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_adm::{Point, Rectangle};
 use std::collections::{BTreeSet, HashSet};
@@ -94,6 +98,16 @@ impl Visibility {
         }
     }
 
+    /// Takes in a memory component's entries intersecting `query`, then its
+    /// deleted keys. Returns the candidates examined.
+    fn visit_mem(&mut self, mem: &RTreeMem, query: &Rectangle) -> u64 {
+        let found = mem.rtree.search(query);
+        let examined = found.len() as u64;
+        self.admit(found);
+        self.deleted.extend(mem.tombstones.iter().map(|k| k.0.clone()));
+        examined
+    }
+
     /// Takes in `comp`'s entries intersecting `query`, then its deleted
     /// keys, which mask everything older. Returns the candidates examined.
     fn visit(&mut self, comp: &RTreeDisk, query: &Rectangle) -> Result<u64> {
@@ -106,6 +120,26 @@ impl Visibility {
             }
         }
         Ok(examined)
+    }
+}
+
+/// The memory component: entries plus the keys deleted while it was active
+/// (they mask older components, never this one).
+#[derive(Default)]
+pub(crate) struct RTreeMem {
+    rtree: MemRTree,
+    tombstones: BTreeSet<KeyBytes>,
+    /// Approximate bytes buffered in `tombstones`.
+    tombstone_bytes: usize,
+}
+
+impl MemBuf for RTreeMem {
+    fn bytes(&self) -> usize {
+        self.rtree.approx_bytes() + self.tombstone_bytes
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rtree.is_empty() && self.tombstones.is_empty()
     }
 }
 
@@ -162,10 +196,29 @@ impl ComponentKind for RTreeKind {
         &self.cache
     }
 
+    fn name(&self) -> &str {
+        &self.config.name
+    }
+
     fn files(disk: &RTreeDisk) -> Vec<FileId> {
         std::iter::once(disk.rtree.file())
             .chain(disk.tombstones.as_ref().map(DiskBTree::file))
             .collect()
+    }
+
+    fn reopen(&self, files: &[FileId]) -> Result<RTreeDisk> {
+        let open_keys = |file: &FileId| DiskBTree::open(Arc::clone(&self.cache), *file);
+        match files {
+            [rtree, tombstones @ ..] if tombstones.len() <= 1 => Ok(RTreeDisk {
+                rtree: DiskRTree::open(Arc::clone(&self.cache), *rtree)?,
+                tombstones: tombstones.first().map(open_keys).transpose()?,
+            }),
+            _ => Err(StorageError::Corrupt(format!(
+                "R-tree component of {} lists {} files",
+                self.config.name,
+                files.len()
+            ))),
+        }
     }
 
     fn open(
@@ -204,22 +257,22 @@ impl ComponentKind for RTreeKind {
 /// An LSM-ified R-tree over `(MBR, encoded primary key)` entries.
 pub struct LsmRTree {
     pub(crate) shared: Arc<Harness<RTreeKind>>,
-    mem: MemRTree,
-    mem_tombstones: BTreeSet<KeyBytes>,
-    /// Approximate bytes buffered in `mem_tombstones`.
-    tombstone_bytes: usize,
+    mem: MemSlots<RTreeMem>,
 }
 
 impl LsmRTree {
-    /// Creates an empty LSM R-tree.
+    /// Creates an empty LSM R-tree, whatever its directory holds.
     pub fn new(cache: Arc<BufferCache>, config: LsmRTreeConfig) -> Self {
         let policy = config.merge_policy;
-        LsmRTree {
-            shared: Harness::new(RTreeKind { cache, config }, policy),
-            mem: MemRTree::new(),
-            mem_tombstones: BTreeSet::new(),
-            tombstone_bytes: 0,
-        }
+        LsmRTree { shared: Harness::new(RTreeKind { cache, config }, policy), mem: MemSlots::default() }
+    }
+
+    /// Opens the R-tree its manifest describes (see
+    /// [`crate::lsm::LsmTree::reopen`]).
+    pub fn reopen(cache: Arc<BufferCache>, config: LsmRTreeConfig) -> Result<Self> {
+        let policy = config.merge_policy;
+        let shared = Harness::reopen(RTreeKind { cache, config }, policy)?;
+        Ok(LsmRTree { shared, mem: MemSlots::default() })
     }
 
     /// Lifetime statistics.
@@ -249,45 +302,77 @@ impl LsmRTree {
         self.shared.snapshot().iter().map(|c| c.disk.rtree.data_pages()).sum()
     }
 
-    /// Inserts an entry; flushes past the memory budget. A pending tombstone
-    /// for the key stays: it masks the key's versions in older components,
-    /// never this one.
-    pub fn insert(&mut self, mbr: Rectangle, key: Vec<u8>) -> Result<()> {
-        self.shared.count_ingested();
-        self.mem.insert(mbr, key);
-        self.maybe_flush()
+    /// See [`crate::lsm::LsmTree::stamp`].
+    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+        self.mem.stamp(lsn, writer);
     }
 
-    /// Deletes an entry. If it still lives in the memory component it is
-    /// removed directly; otherwise its key is recorded as a tombstone for
+    /// See [`crate::lsm::LsmTree::cover_below`].
+    pub fn cover_below(&mut self, lsn: Lsn) {
+        self.mem.cover_below(lsn);
+    }
+
+    /// See [`crate::lsm::LsmTree::release`].
+    pub fn release(&mut self, writer: u64) -> Result<()> {
+        self.mem.release(writer);
+        self.settle(false)
+    }
+
+    /// See [`crate::lsm::LsmTree::must_wait`].
+    pub fn must_wait(&self, writer: u64) -> bool {
+        self.mem.must_wait(writer, self.shared.kind().config.mem_budget)
+    }
+
+    /// See [`crate::lsm::LsmTree::flushed_below`].
+    pub fn flushed_below(&self) -> Lsn {
+        self.shared.flushed_below()
+    }
+
+    /// See [`crate::lsm::LsmTree::mark_flushed_below`].
+    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
+        self.mem.cover_below(lsn);
+        self.shared.mark_flushed_below(lsn)
+    }
+
+    /// Deletes the index from disk (see [`crate::lsm::LsmTree::destroy`]).
+    pub fn destroy(&self) -> Result<()> {
+        self.shared.destroy()
+    }
+
+    /// Inserts an entry; past the memory budget the memory component is
+    /// sealed and, unless an open transaction wrote into it, flushed. A
+    /// pending tombstone for the key stays: it masks the key's versions in
+    /// older components, never this one.
+    pub fn insert(&mut self, mbr: Rectangle, key: Vec<u8>) -> Result<()> {
+        self.shared.count_ingested();
+        self.mem.active_mut().rtree.insert(mbr, key);
+        self.settle(false)
+    }
+
+    /// Deletes an entry. If it still lives in the active memory component it
+    /// is removed directly; otherwise its key is recorded as a tombstone for
     /// the companion B+ tree.
     pub fn delete(&mut self, mbr: &Rectangle, key: &[u8]) -> Result<()> {
         self.shared.count_ingested();
-        if !self.mem.remove(mbr, key) && self.mem_tombstones.insert(KeyBytes(key.to_vec())) {
-            self.tombstone_bytes += key.len() + 32;
+        let mem = self.mem.active_mut();
+        if !mem.rtree.remove(mbr, key) && mem.tombstones.insert(KeyBytes(key.to_vec())) {
+            mem.tombstone_bytes += key.len() + 32;
         }
-        self.maybe_flush()
+        self.settle(false)
     }
 
-    fn maybe_flush(&mut self) -> Result<()> {
-        if self.mem.approx_bytes() + self.tombstone_bytes > self.shared.kind().config.mem_budget {
-            self.flush()?;
-        }
-        Ok(())
+    fn settle(&mut self, force: bool) -> Result<()> {
+        let kind = self.shared.kind();
+        self.mem.settle(&self.shared, kind.config.mem_budget, force, |id, mem| {
+            kind.build(id, mem.rtree.entries(), &mem.tombstones)
+        })
     }
 
-    /// Forces the memory component (entries + tombstones) to disk and hands
-    /// it to the lifecycle, which publishes it and schedules merging.
+    /// Forces what is buffered (entries + tombstones) to disk and hands it
+    /// to the lifecycle, which publishes it and schedules merging. What an
+    /// open transaction wrote stays in memory until it is released.
     pub fn flush(&mut self) -> Result<()> {
-        if self.mem.is_empty() && self.mem_tombstones.is_empty() {
-            return Ok(());
-        }
-        let id = self.shared.alloc_id();
-        let built = self.shared.kind().build(id, self.mem.entries(), &self.mem_tombstones)?;
-        self.mem = MemRTree::new();
-        self.mem_tombstones = BTreeSet::new();
-        self.tombstone_bytes = 0;
-        self.shared.publish_flush(id, built)
+        self.settle(true)
     }
 
     /// Merges the `n` newest components into one, inline on this thread.
@@ -299,9 +384,10 @@ impl LsmRTree {
     /// components (newest wins; tombstones mask older components).
     pub fn search(&self, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
         let mut walk = Visibility::default();
-        walk.admit(self.mem.search(query));
-        walk.deleted.extend(self.mem_tombstones.iter().map(|k| k.0.clone()));
-        let mut examined = walk.live.len() as u64;
+        let mut examined = 0;
+        for mem in std::iter::once(self.mem.active()).chain(self.mem.sealed()) {
+            examined += walk.visit_mem(mem, query);
+        }
         // The snapshot keeps a concurrently merged-away component readable.
         for comp in self.shared.snapshot() {
             examined += walk.visit(&comp.disk, query)?;

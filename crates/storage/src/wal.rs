@@ -1,18 +1,22 @@
 //! Write-ahead log for record-level transactions (paper Section III item 9:
 //! "basic NoSQL-like transactional capabilities").
 //!
-//! The log is an append-only file of checksummed records. Each data
+//! The log is an append-only sequence of checksummed records. Each data
 //! operation (put/delete of one record in one dataset partition) is logged
 //! before being applied to the LSM memory component; `Commit` records make a
-//! transaction durable. Recovery replays the log, re-applying operations of
-//! committed transactions only — uncommitted tails and torn writes are
-//! discarded at the first checksum mismatch.
+//! transaction durable. An LSN is a byte offset into the whole log, which a
+//! node keeps as a [`SegmentedWal`]: files named `<prefix>-<base-lsn>.wal`,
+//! rotated when a primary index seals a memory component and unlinked, whole
+//! segments at a time, once every index has flushed past them. Recovery
+//! reads the retained segments and re-applies the operations of committed
+//! transactions that no disk component covers — uncommitted tails and torn
+//! writes are discarded at the first checksum mismatch.
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le;
 use crate::lock_order::OrderedMutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::os::unix::fs::FileExt;
@@ -20,7 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Log sequence number: byte offset of the record in the log file.
+/// Log sequence number: byte offset of the record in the log.
 pub type Lsn = u64;
 
 /// One log record.
@@ -40,9 +44,11 @@ pub enum WalRecord {
     Commit { txn_id: u64 },
     /// Transaction abort — its updates must be ignored at recovery.
     Abort { txn_id: u64 },
-    /// All operations before this point are flushed into components; replay
-    /// can start here.
-    Checkpoint,
+    /// First record of every rotated log segment: what replay must not lose
+    /// when the segments before it are unlinked — the highest transaction id
+    /// handed out and the committed frontier of every feed. It says nothing
+    /// about where replay starts; each index's manifest does.
+    Checkpoint { max_txn: u64, feed_cursors: Vec<(String, u64)> },
     /// Durable ingestion frontier of a feed: committing the surrounding
     /// transaction makes `seq` the feed's last durable sequence number.
     /// Logged immediately before the `Commit` of the batch that carried it,
@@ -53,12 +59,15 @@ pub enum WalRecord {
 impl WalRecord {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32);
+        let put_str = |out: &mut Vec<u8>, s: &str| {
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        };
         match self {
             WalRecord::Update { txn_id, dataset, partition, is_delete, key, value } => {
                 out.push(1);
                 out.extend_from_slice(&txn_id.to_le_bytes());
-                out.extend_from_slice(&(dataset.len() as u32).to_le_bytes());
-                out.extend_from_slice(dataset.as_bytes());
+                put_str(&mut out, dataset);
                 out.extend_from_slice(&partition.to_le_bytes());
                 out.push(*is_delete as u8);
                 out.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -74,12 +83,19 @@ impl WalRecord {
                 out.push(3);
                 out.extend_from_slice(&txn_id.to_le_bytes());
             }
-            WalRecord::Checkpoint => out.push(4),
+            WalRecord::Checkpoint { max_txn, feed_cursors } => {
+                out.push(4);
+                out.extend_from_slice(&max_txn.to_le_bytes());
+                out.extend_from_slice(&(feed_cursors.len() as u32).to_le_bytes());
+                for (feed, seq) in feed_cursors {
+                    put_str(&mut out, feed);
+                    out.extend_from_slice(&seq.to_le_bytes());
+                }
+            }
             WalRecord::FeedCursor { txn_id, feed, seq } => {
                 out.push(5);
                 out.extend_from_slice(&txn_id.to_le_bytes());
-                out.extend_from_slice(&(feed.len() as u32).to_le_bytes());
-                out.extend_from_slice(feed.as_bytes());
+                put_str(&mut out, feed);
                 out.extend_from_slice(&seq.to_le_bytes());
             }
         }
@@ -107,14 +123,15 @@ impl WalRecord {
             *r += 8;
             Ok(v)
         };
+        let take_str = |r: &mut usize| -> Result<String> {
+            let len = take_u32(r)? as usize;
+            Ok(std::str::from_utf8(take(len, r)?).map_err(|_| corrupt())?.to_owned())
+        };
         let tag = take(1, &mut r)?[0];
         match tag {
             1 => {
                 let txn_id = take_u64(&mut r)?;
-                let dlen = take_u32(&mut r)? as usize;
-                let dataset = std::str::from_utf8(take(dlen, &mut r)?)
-                    .map_err(|_| corrupt())?
-                    .to_owned();
+                let dataset = take_str(&mut r)?;
                 let partition = take_u32(&mut r)?;
                 let is_delete = take(1, &mut r)?[0] != 0;
                 let klen = take_u32(&mut r)? as usize;
@@ -125,22 +142,40 @@ impl WalRecord {
             }
             2 => Ok(WalRecord::Commit { txn_id: take_u64(&mut r)? }),
             3 => Ok(WalRecord::Abort { txn_id: take_u64(&mut r)? }),
-            4 => Ok(WalRecord::Checkpoint),
+            4 => {
+                let max_txn = take_u64(&mut r)?;
+                let n = take_u32(&mut r)?;
+                // grown by what the buffer actually holds, never by `n`
+                let mut feed_cursors = Vec::new();
+                for _ in 0..n {
+                    let feed = take_str(&mut r)?;
+                    feed_cursors.push((feed, take_u64(&mut r)?));
+                }
+                Ok(WalRecord::Checkpoint { max_txn, feed_cursors })
+            }
             5 => {
                 let txn_id = take_u64(&mut r)?;
-                let flen = take_u32(&mut r)? as usize;
-                let feed = std::str::from_utf8(take(flen, &mut r)?)
-                    .map_err(|_| corrupt())?
-                    .to_owned();
+                let feed = take_str(&mut r)?;
                 let seq = take_u64(&mut r)?;
                 Ok(WalRecord::FeedCursor { txn_id, feed, seq })
             }
             _ => Err(corrupt()),
         }
     }
+
+    /// The record as it sits in the log: length, checksum, payload.
+    fn frame(&self) -> Vec<u8> {
+        let payload = self.encode();
+        let mut out = Vec::with_capacity(payload.len() + 8);
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        out
+    }
 }
 
-fn fnv1a(data: &[u8]) -> u32 {
+/// The checksum of log frames and manifests.
+pub(crate) fn fnv1a(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for b in data {
         h ^= *b as u32;
@@ -149,7 +184,7 @@ fn fnv1a(data: &[u8]) -> u32 {
     h
 }
 
-/// Appender over a log file.
+/// Appender over one log file.
 ///
 /// Records are staged in an internal buffer and persisted by [`WalWriter::sync`]
 /// with one positioned write followed by an fsync — both of which are
@@ -158,9 +193,11 @@ fn fnv1a(data: &[u8]) -> u32 {
 pub struct WalWriter {
     file: File,
     path: PathBuf,
+    /// LSN of the file's first byte (0 for a standalone log).
+    base: Lsn,
     /// Records appended but not yet flushed.
     buf: Vec<u8>,
-    /// Bytes of valid log on disk; the flush offset.
+    /// Bytes of valid log in the file; the flush offset.
     persisted: u64,
     faults: Option<Arc<FaultInjector>>,
 }
@@ -172,28 +209,40 @@ impl WalWriter {
     }
 
     /// Opens the log with an optional fault injector on its write paths.
+    pub fn open_with_faults(
+        path: impl AsRef<Path>,
+        faults: Option<Arc<FaultInjector>>,
+    ) -> Result<Self> {
+        Ok(WalWriter::open_at(path.as_ref(), 0, faults)?.0)
+    }
+
+    /// Opens the file whose first byte is LSN `base`, returning the intact
+    /// records it holds.
     ///
     /// A torn or corrupt tail left by a crash is truncated here: appending
     /// after garbage would strand every later record behind the scan stop,
     /// silently losing committed transactions on the *next* recovery.
-    pub fn open_with_faults( // xlint: allow(blocking, "WAL open/replay happens at storage-env open, before jobs are served")
-        path: impl AsRef<Path>,
+    fn open_at( // xlint: allow(blocking, "WAL open/replay happens at storage-env open, before jobs are served")
+        path: &Path,
+        base: Lsn,
         faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
+    ) -> Result<(Self, Vec<(Lsn, WalRecord)>)> {
+        let path = path.to_path_buf();
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         // truncate(false): an existing log must survive reopen — recovery
         // truncates only the invalid tail below, via set_len
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let file_len = file.metadata()?.len();
-        let persisted = valid_prefix_len(&path)?;
+        let mut image = Vec::new();
+        file.read_to_end(&mut image)?;
+        let file_len = image.len() as u64;
+        let (records, persisted) = scan_log(&image, base);
         if persisted < file_len {
             if let Some(f) = &faults {
                 f.on_truncate(&format!(
@@ -210,7 +259,7 @@ impl WalWriter {
             file.set_len(persisted).map_err(wrap)?;
             file.sync_data().map_err(wrap)?;
         }
-        Ok(WalWriter { file, path, buf: Vec::new(), persisted, faults })
+        Ok((WalWriter { file, path, base, buf: Vec::new(), persisted, faults }, records))
     }
 
     /// The log file path.
@@ -224,11 +273,7 @@ impl WalWriter {
             f.check_alive("wal append")?;
         }
         let lsn = self.next_lsn();
-        let payload = record.encode();
-        let crc = fnv1a(&payload);
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(&payload);
+        self.buf.extend_from_slice(&record.frame());
         Ok(lsn)
     }
 
@@ -267,13 +312,14 @@ impl WalWriter {
 
     /// LSN the next record will receive.
     pub fn next_lsn(&self) -> Lsn {
-        self.persisted + self.buf.len() as u64
+        self.base + self.persisted + self.buf.len() as u64
     }
 }
 
-/// Scans a log image, returning intact records and the byte length of the
-/// valid prefix (everything after it is a torn/corrupt crash tail).
-fn scan_log(buf: &[u8]) -> (Vec<(Lsn, WalRecord)>, u64) {
+/// Scans the image of a log file whose first byte is LSN `base`, returning
+/// the intact records and the byte length of the valid prefix (everything
+/// after it is a torn/corrupt crash tail).
+fn scan_log(buf: &[u8], base: Lsn) -> (Vec<(Lsn, WalRecord)>, u64) {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= buf.len() {
@@ -287,7 +333,7 @@ fn scan_log(buf: &[u8]) -> (Vec<(Lsn, WalRecord)>, u64) {
             break; // corrupt tail
         }
         match WalRecord::decode(payload) {
-            Ok(rec) => out.push((pos as Lsn, rec)),
+            Ok(rec) => out.push((base + pos as Lsn, rec)),
             Err(_) => break,
         }
         pos += 8 + len;
@@ -309,101 +355,327 @@ fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking
 /// Reads all intact records from a log file; stops silently at the first
 /// torn/corrupt record (the crash tail).
 pub fn read_log(path: impl AsRef<Path>) -> Result<Vec<(Lsn, WalRecord)>> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?).0)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0).0)
 }
 
 /// Byte length of the valid record prefix of a log file (0 if missing).
 pub fn valid_prefix_len(path: impl AsRef<Path>) -> Result<u64> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?).1)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0).1)
 }
 
-/// Truncates the log (after a checkpoint has made all components durable).
-pub fn truncate_log(path: impl AsRef<Path>) -> Result<()> {
-    match OpenOptions::new().write(true).truncate(true).open(path.as_ref()) {
-        Ok(_) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
+/// One replayable operation of a committed transaction.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReplayOp {
+    pub lsn: Lsn,
+    pub txn_id: u64,
+    pub dataset: String,
+    pub partition: u32,
+    pub is_delete: bool,
+    pub key: Vec<u8>,
+    pub value: Vec<u8>,
+}
+
+/// What a run of log records says once commits are resolved.
+#[derive(Debug, Default)]
+pub struct LogTail {
+    /// Operations of committed transactions, in log order. Which of them
+    /// still need applying is for each index's manifest to say.
+    pub ops: Vec<ReplayOp>,
+    /// Highest committed cursor per feed, checkpointed frontiers included.
+    pub feed_cursors: BTreeMap<String, u64>,
+    /// Highest transaction id seen, checkpointed high-water mark included.
+    pub max_txn: u64,
+}
+
+/// Moves `feed`'s frontier up to `seq`.
+fn advance(frontiers: &mut BTreeMap<String, u64>, feed: String, seq: u64) {
+    let slot = frontiers.entry(feed).or_insert(0);
+    *slot = (*slot).max(seq);
+}
+
+/// Resolves a run of log records: a transaction counts if its `Commit` is in
+/// the run and no `Abort` is.
+pub fn analyze(records: Vec<(Lsn, WalRecord)>) -> LogTail {
+    let mut committed = HashSet::new();
+    let mut aborted = HashSet::new();
+    for (_, r) in &records {
+        match r {
+            WalRecord::Commit { txn_id } => committed.insert(*txn_id),
+            WalRecord::Abort { txn_id } => aborted.insert(*txn_id),
+            _ => false,
+        };
     }
-}
-
-/// One replayable operation: `(txn_id, dataset, partition, is_delete, key, value)`.
-pub type ReplayOp = (u64, String, u32, bool, Vec<u8>, Vec<u8>);
-
-/// Replays a log: returns the operations of *committed* transactions, in log
-/// order, starting after the last checkpoint.
-pub fn committed_operations(
-    records: &[(Lsn, WalRecord)],
-) -> Vec<ReplayOp> {
-    // find last checkpoint
-    let start = records
-        .iter()
-        .rposition(|(_, r)| matches!(r, WalRecord::Checkpoint))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let tail = &records[start..];
-    let committed: std::collections::HashSet<u64> = tail
-        .iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Commit { txn_id } => Some(*txn_id),
-            _ => None,
-        })
-        .collect();
-    let aborted: std::collections::HashSet<u64> = tail
-        .iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Abort { txn_id } => Some(*txn_id),
-            _ => None,
-        })
-        .collect();
-    tail.iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Update { txn_id, dataset, partition, is_delete, key, value }
-                if committed.contains(txn_id) && !aborted.contains(txn_id) =>
-            {
-                Some((
-                    *txn_id,
-                    dataset.clone(),
-                    *partition,
-                    *is_delete,
-                    key.clone(),
-                    value.clone(),
-                ))
+    let counts = |txn: &u64| committed.contains(txn) && !aborted.contains(txn);
+    let mut tail = LogTail::default();
+    for (lsn, r) in records {
+        match r {
+            WalRecord::Update { txn_id, dataset, partition, is_delete, key, value } => {
+                tail.max_txn = tail.max_txn.max(txn_id);
+                if counts(&txn_id) {
+                    tail.ops.push(ReplayOp { lsn, txn_id, dataset, partition, is_delete, key, value });
+                }
             }
-            _ => None,
-        })
-        .collect()
-}
-
-/// Highest *committed* feed cursor per feed name, over the whole log.
-///
-/// Unlike data replay this deliberately ignores checkpoints: a cursor is
-/// restart metadata, not a re-appliable operation, and a feed resumed long
-/// after a checkpoint still needs its frontier.
-pub fn committed_feed_cursors(records: &[(Lsn, WalRecord)]) -> HashMap<String, u64> {
-    let committed: std::collections::HashSet<u64> = records
-        .iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Commit { txn_id } => Some(*txn_id),
-            _ => None,
-        })
-        .collect();
-    let aborted: std::collections::HashSet<u64> = records
-        .iter()
-        .filter_map(|(_, r)| match r {
-            WalRecord::Abort { txn_id } => Some(*txn_id),
-            _ => None,
-        })
-        .collect();
-    let mut out: HashMap<String, u64> = HashMap::new();
-    for (_, r) in records {
-        if let WalRecord::FeedCursor { txn_id, feed, seq } = r {
-            if committed.contains(txn_id) && !aborted.contains(txn_id) {
-                let slot = out.entry(feed.clone()).or_insert(0);
-                *slot = (*slot).max(*seq);
+            WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
+                tail.max_txn = tail.max_txn.max(txn_id);
+            }
+            WalRecord::Checkpoint { max_txn, feed_cursors } => {
+                tail.max_txn = tail.max_txn.max(max_txn);
+                for (feed, seq) in feed_cursors {
+                    advance(&mut tail.feed_cursors, feed, seq);
+                }
+            }
+            WalRecord::FeedCursor { txn_id, feed, seq } => {
+                tail.max_txn = tail.max_txn.max(txn_id);
+                if counts(&txn_id) {
+                    advance(&mut tail.feed_cursors, feed, seq);
+                }
             }
         }
     }
-    out
+    tail
+}
+
+// ---------------------------------------------------------------------------
+// The segmented log of one node
+// ---------------------------------------------------------------------------
+
+/// Live size of a [`SegmentedWal`], readable without its lock (the
+/// `storage.wal.segments` / `storage.wal.truncated_bytes` metrics).
+#[derive(Debug, Default)]
+pub struct WalCounters {
+    segments: AtomicU64,
+    truncated_bytes: AtomicU64,
+}
+
+impl WalCounters {
+    /// Segment files currently on disk.
+    pub fn segments(&self) -> u64 {
+        self.segments.load(Ordering::Relaxed)
+    }
+
+    /// Log bytes unlinked by truncation since open.
+    pub fn truncated_bytes(&self) -> u64 {
+        self.truncated_bytes.load(Ordering::Relaxed)
+    }
+}
+
+/// A node's log: segment files `<prefix>-<base-lsn>.wal` under one
+/// directory, appended to at the newest.
+///
+/// Beside the bytes it tracks what rotation and truncation need: the first
+/// LSN of every transaction still in flight (its records must stay on
+/// disk), and what the next [`WalRecord::Checkpoint`] must carry — the
+/// highest transaction id logged and each feed's committed frontier.
+pub struct SegmentedWal {
+    dir: PathBuf,
+    prefix: String,
+    faults: Option<Arc<FaultInjector>>,
+    /// Closed segments, oldest first, as `(base, path)`; each ends where the
+    /// next one — or `active` — begins.
+    closed: VecDeque<(Lsn, PathBuf)>,
+    active: WalWriter,
+    inflight: BTreeMap<u64, Lsn>,
+    /// `(txn, feed, seq)` logged by transactions not yet finished.
+    pending_cursors: Vec<(u64, String, u64)>,
+    frontiers: BTreeMap<String, u64>,
+    max_txn: u64,
+    /// A rotation published a segment file this log could neither adopt nor
+    /// unlink. Appending on, to the old segment, would overlap the LSNs the
+    /// stray file claims, and a reopen would take the stray for the newest
+    /// segment; so nothing more is appended (reopening is safe: the old
+    /// segment still ends where the stray begins).
+    stray_segment: bool,
+    counters: Arc<WalCounters>,
+}
+
+fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
+    dir.join(format!("{prefix}-{base:020}.wal"))
+}
+
+impl SegmentedWal {
+    /// Opens the log under `dir` (creating its first segment if there is
+    /// none) for appending, and returns it with what a restart must redo:
+    /// the operations of the committed transactions found in the retained
+    /// segments.
+    pub fn recover(
+        dir: &Path,
+        prefix: &str,
+        faults: Option<Arc<FaultInjector>>,
+    ) -> Result<(Self, Vec<ReplayOp>)> {
+        std::fs::create_dir_all(dir)?;
+        let mut bases = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name();
+            let base = name
+                .to_str()
+                .and_then(|n| n.strip_prefix(prefix)?.strip_prefix('-')?.strip_suffix(".wal"))
+                .and_then(|digits| digits.parse::<Lsn>().ok());
+            bases.extend(base);
+        }
+        bases.sort_unstable();
+        let newest = match bases.pop() {
+            Some(base) => base,
+            None => {
+                // the very first segment: published like every later one, so
+                // that the commits synced into it survive with its directory entry
+                crate::io::write_atomic(&segment_path(dir, prefix, 0), &[], faults.as_ref())?;
+                0
+            }
+        };
+        let (active, mut records) =
+            WalWriter::open_at(&segment_path(dir, prefix, newest), newest, faults.clone())?;
+        // Walk back from the newest segment while each older one ends exactly
+        // where its successor begins. Truncation unlinks oldest first, so
+        // anything beyond a gap had already been let go: finish unlinking it.
+        let mut closed = VecDeque::new();
+        let mut next_base = newest;
+        while let Some(base) = bases.pop() {
+            let path = segment_path(dir, prefix, base);
+            let (older, len) = scan_log(&read_file_or_empty(&path)?, base);
+            if base + len != next_base {
+                bases.push(base);
+                break;
+            }
+            records.splice(0..0, older);
+            closed.push_front((base, path));
+            next_base = base;
+        }
+        for base in bases {
+            crate::io::remove_file(&segment_path(dir, prefix, base), faults.as_ref())?;
+        }
+        let counters = Arc::new(WalCounters::default());
+        counters.segments.store(closed.len() as u64 + 1, Ordering::Relaxed);
+        let tail = analyze(records);
+        let wal = SegmentedWal {
+            dir: dir.to_path_buf(),
+            prefix: prefix.to_string(),
+            faults,
+            closed,
+            active,
+            inflight: BTreeMap::new(),
+            pending_cursors: Vec::new(),
+            frontiers: tail.feed_cursors,
+            max_txn: tail.max_txn,
+            stray_segment: false,
+            counters,
+        };
+        Ok((wal, tail.ops))
+    }
+
+    /// Appends a record (buffered); returns its LSN.
+    pub fn append(&mut self, record: &WalRecord) -> Result<Lsn> {
+        if self.stray_segment {
+            return Err(StorageError::Invalid(format!(
+                "log under {} has a segment it could not adopt; reopen it",
+                self.dir.display()
+            )));
+        }
+        let lsn = self.active.append(record)?;
+        match record {
+            WalRecord::Update { txn_id, .. } => {
+                self.inflight.entry(*txn_id).or_insert(lsn);
+                self.max_txn = self.max_txn.max(*txn_id);
+            }
+            WalRecord::FeedCursor { txn_id, feed, seq } => {
+                self.inflight.entry(*txn_id).or_insert(lsn);
+                self.max_txn = self.max_txn.max(*txn_id);
+                self.pending_cursors.push((*txn_id, feed.clone(), *seq));
+            }
+            WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
+                self.max_txn = self.max_txn.max(*txn_id);
+            }
+            WalRecord::Checkpoint { .. } => {}
+        }
+        Ok(lsn)
+    }
+
+    /// Flushes buffered records and forces them to stable storage.
+    pub fn sync(&mut self) -> Result<()> {
+        self.active.sync()
+    }
+
+    /// LSN the next record will receive.
+    pub fn next_lsn(&self) -> Lsn {
+        self.active.next_lsn()
+    }
+
+    /// Transaction `txn` is over on this log: its records no longer hold
+    /// segments back, and if it `committed` (durably), the feed cursors it
+    /// logged become frontiers.
+    pub fn finish_txn(&mut self, txn: u64, committed: bool) {
+        self.inflight.remove(&txn);
+        let frontiers = &mut self.frontiers;
+        self.pending_cursors.retain(|(t, feed, seq)| {
+            if *t != txn {
+                return true;
+            }
+            if committed {
+                advance(frontiers, feed.clone(), *seq);
+            }
+            false
+        });
+    }
+
+    /// Last committed sequence number of `feed` (0 = none).
+    pub fn frontier(&self, feed: &str) -> u64 {
+        self.frontiers.get(feed).copied().unwrap_or(0)
+    }
+
+    /// Highest transaction id this log has seen.
+    pub fn max_txn(&self) -> u64 {
+        self.max_txn
+    }
+
+    /// Counters readable without this log's lock.
+    pub fn counters(&self) -> &Arc<WalCounters> {
+        &self.counters
+    }
+
+    /// Closes the active segment and starts the next with a checkpoint.
+    ///
+    /// The old segment is synced first, so a commit landing in the new one
+    /// never outlives updates it depends on; the new file is published
+    /// whole ([`crate::io::write_atomic`]), so a segment other than the first
+    /// always begins with an intact checkpoint.
+    pub fn rotate(&mut self) -> Result<()> {
+        self.active.sync()?;
+        let base = self.active.next_lsn();
+        let path = segment_path(&self.dir, &self.prefix, base);
+        let checkpoint = WalRecord::Checkpoint {
+            max_txn: self.max_txn,
+            feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
+        };
+        crate::io::write_atomic(&path, &checkpoint.frame(), self.faults.as_ref())?;
+        let next = match WalWriter::open_at(&path, base, self.faults.clone()) {
+            Ok((next, _)) => next,
+            Err(e) => {
+                self.stray_segment = crate::io::remove_file(&path, self.faults.as_ref()).is_err();
+                return Err(e);
+            }
+        };
+        let old = std::mem::replace(&mut self.active, next);
+        self.closed.push_back((old.base, old.path));
+        self.counters.segments.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Unlinks, oldest first, every closed segment that lies wholly below
+    /// both `pin` (the first LSN some index has not flushed) and the first
+    /// LSN of the oldest transaction in flight.
+    pub fn truncate_below(&mut self, pin: Lsn) -> Result<()> {
+        let keep_from = self.inflight.values().copied().fold(pin, Lsn::min);
+        while let Some((base, path)) = self.closed.front() {
+            let end = self.closed.get(1).map_or(self.active.base, |next| next.0);
+            if end > keep_from {
+                break;
+            }
+            crate::io::remove_file(path, self.faults.as_ref())?;
+            self.counters.truncated_bytes.fetch_add(end - base, Ordering::Relaxed);
+            self.counters.segments.fetch_sub(1, Ordering::Relaxed);
+            self.closed.pop_front();
+        }
+        Ok(())
+    }
 }
 
 /// Group commit: concurrent committers of one node's WAL share fsyncs.
@@ -454,7 +726,7 @@ impl GroupCommit {
     /// concurrent committers (see the type docs). `end` must
     /// come from `wal.next_lsn()` observed while holding the WAL lock after
     /// appending; `wal` must be the lock this protocol instance guards.
-    pub fn sync_through(&self, wal: &OrderedMutex<WalWriter>, end: Lsn) -> Result<()> { // xlint: allow(blocking, "commit durability point; the group protocol amortizes the fdatasync across committers")
+    pub fn sync_through(&self, wal: &OrderedMutex<SegmentedWal>, end: Lsn) -> Result<()> {
         if self.durable.load(Ordering::Acquire) >= end {
             // an earlier leader's fsync already covered our bytes
             self.waiters.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
@@ -469,7 +741,7 @@ impl GroupCommit {
         // leader: one write + fdatasync covers everything buffered so far,
         // ours and any committer's that appended after our `end`
         w.sync()?;
-        let synced = w.next_lsn(); // == persisted: the buffer is empty
+        let synced = w.next_lsn(); // everything appended so far is on disk
         self.durable.fetch_max(synced, Ordering::AcqRel); // xlint: ordering(AcqRel max publishes the durable mark to piggybacking committers)
         self.rounds.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
         Ok(())
@@ -575,8 +847,7 @@ mod tests {
         }
         let recs = read_log(&path).unwrap();
         assert_eq!(recs.len(), 4, "records after the crash point must be readable");
-        let ops = committed_operations(&recs);
-        assert_eq!(ops.len(), 2);
+        assert_eq!(analyze(recs).ops.len(), 2);
     }
 
     #[test]
@@ -675,30 +946,47 @@ mod tests {
             (4, WalRecord::Abort { txn_id: 3 }),
             // txn 2 never commits
         ];
-        let ops = committed_operations(&recs);
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].4, b"a");
+        let tail = analyze(recs);
+        assert_eq!(tail.ops.len(), 1);
+        assert_eq!((tail.ops[0].lsn, tail.ops[0].key.as_slice()), (0, b"a".as_slice()));
+        assert_eq!(tail.max_txn, 3);
     }
 
     #[test]
-    fn checkpoint_bounds_replay() {
+    fn checkpoint_carries_state_and_hides_nothing() {
+        // where replay starts is each index's manifest's to say, so the
+        // operations before a checkpoint stay in the plan
         let recs = vec![
             (0u64, upd(1, b"old", b"x")),
             (1, WalRecord::Commit { txn_id: 1 }),
-            (2, WalRecord::Checkpoint),
+            (2, WalRecord::Checkpoint { max_txn: 40, feed_cursors: vec![("f".into(), 9)] }),
             (3, upd(2, b"new", b"y")),
             (4, WalRecord::Commit { txn_id: 2 }),
         ];
-        let ops = committed_operations(&recs);
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].4, b"new");
+        let tail = analyze(recs);
+        assert_eq!(tail.ops.iter().map(|op| op.key.as_slice()).collect::<Vec<_>>(), [b"old", b"new"]);
+        assert_eq!(tail.max_txn, 40);
+        assert_eq!(tail.feed_cursors.get("f"), Some(&9));
     }
 
     #[test]
     fn missing_log_reads_empty() {
         let dir = TempDir::new();
         assert!(read_log(dir.path().join("nope.log")).unwrap().is_empty());
-        truncate_log(dir.path().join("nope.log")).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_roundtrip() {
+        let dir = TempDir::new();
+        let path = dir.path().join("wal.log");
+        let ckpt = WalRecord::Checkpoint {
+            max_txn: 77,
+            feed_cursors: vec![("feed.A".into(), 5), ("feed.B".into(), 0)],
+        };
+        let mut w = WalWriter::open(&path).unwrap();
+        w.append(&ckpt).unwrap();
+        w.sync().unwrap();
+        assert_eq!(read_log(&path).unwrap(), vec![(0, ckpt)]);
     }
 
     #[test]
@@ -719,7 +1007,7 @@ mod tests {
     }
 
     #[test]
-    fn committed_feed_cursors_takes_max_of_committed_only() {
+    fn feed_cursors_take_the_max_of_committed_only() {
         let cur = |txn: u64, feed: &str, seq: u64| WalRecord::FeedCursor {
             txn_id: txn,
             feed: feed.into(),
@@ -733,10 +1021,8 @@ mod tests {
             (4, cur(3, "a", 30)), // never commits
             (5, cur(4, "b", 5)),
             (6, WalRecord::Abort { txn_id: 4 }),
-            // a checkpoint must NOT hide earlier cursors
-            (7, WalRecord::Checkpoint),
         ];
-        let m = committed_feed_cursors(&recs);
+        let m = analyze(recs).feed_cursors;
         assert_eq!(m.get("a"), Some(&20));
         assert_eq!(m.get("b"), None);
     }
@@ -744,8 +1030,8 @@ mod tests {
     #[test]
     fn group_commit_leader_fsync_covers_later_appends() {
         let dir = TempDir::new();
-        let path = dir.path().join("wal.log");
-        let wal = OrderedMutex::new("wal", WalWriter::open(&path).unwrap());
+        let wal = OrderedMutex::new("wal", SegmentedWal::recover(dir.path(), "wal", None).unwrap().0);
+        let path = segment_path(dir.path(), "wal", 0);
         let gc = GroupCommit::default();
         // two committers append before either syncs
         let (end1, end2) = {
@@ -783,10 +1069,141 @@ mod tests {
         .unwrap();
         w.append(&WalRecord::Commit { txn_id: 9 }).unwrap();
         w.sync().unwrap();
-        let ops = committed_operations(&read_log(&path).unwrap());
+        let ops = analyze(read_log(&path).unwrap()).ops;
         assert_eq!(ops.len(), 1);
-        let (txn, ds, part, is_del, key, _) = &ops[0];
-        assert_eq!((*txn, ds.as_str(), *part, *is_del, key.as_slice()),
-                   (9u64, "users", 3u32, true, b"pk".as_slice()));
+        let op = &ops[0];
+        assert_eq!(
+            (op.txn_id, op.dataset.as_str(), op.partition, op.is_delete, op.key.as_slice()),
+            (9u64, "users", 3u32, true, b"pk".as_slice())
+        );
+    }
+
+    // -- segments ----------------------------------------------------------
+
+    fn segment_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// One committed single-update transaction.
+    fn commit_one(wal: &mut SegmentedWal, txn: u64) -> Lsn {
+        let lsn = wal.append(&upd(txn, format!("k{txn}").as_bytes(), b"v")).unwrap();
+        wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
+        wal.sync().unwrap();
+        wal.finish_txn(txn, true);
+        lsn
+    }
+
+    #[test]
+    fn lsns_stay_global_across_rotation_and_reopen() {
+        let dir = TempDir::new();
+        let (mut wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        assert!(ops.is_empty());
+        let l1 = commit_one(&mut wal, 1);
+        wal.rotate().unwrap();
+        let base = wal.active.base;
+        assert!(base > l1, "the new segment starts where the old one ended");
+        let l2 = commit_one(&mut wal, 2);
+        assert!(l2 > base, "after the checkpoint that opens the segment");
+        assert_eq!(wal.counters().segments(), 2);
+        drop(wal);
+        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        assert_eq!(ops.iter().map(|op| (op.lsn, op.txn_id)).collect::<Vec<_>>(), [(l1, 1), (l2, 2)]);
+        assert_eq!(wal.max_txn(), 2);
+        assert_eq!(wal.counters().segments(), 2);
+    }
+
+    #[test]
+    fn truncation_unlinks_whole_segments_below_the_pin_and_the_oldest_open_txn() {
+        let dir = TempDir::new();
+        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        commit_one(&mut wal, 1);
+        wal.rotate().unwrap();
+        // txn 2 stays open across the next rotation
+        let open_at = wal.append(&upd(2, b"k2", b"v")).unwrap();
+        wal.rotate().unwrap();
+        let l3 = commit_one(&mut wal, 3);
+        assert_eq!(wal.counters().segments(), 3);
+        // everything is flushed, but txn 2 holds its segment (and so the
+        // later ones); the first segment goes
+        wal.truncate_below(wal.next_lsn()).unwrap();
+        assert_eq!(wal.counters().segments(), 2);
+        assert!(wal.counters().truncated_bytes() > 0);
+        assert!(wal.closed.front().is_some_and(|(base, _)| *base <= open_at));
+        // a pin inside the active segment lets every closed one go
+        wal.finish_txn(2, false);
+        wal.truncate_below(l3).unwrap();
+        assert_eq!(wal.counters().segments(), 1);
+        assert_eq!(segment_files(dir.path()).len(), 1);
+        // and a pin inside a closed segment keeps it
+        wal.rotate().unwrap();
+        wal.truncate_below(l3).unwrap();
+        assert_eq!(wal.counters().segments(), 2);
+    }
+
+    #[test]
+    fn checkpoint_carries_frontiers_and_txn_ids_past_truncation() {
+        let dir = TempDir::new();
+        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        wal.append(&WalRecord::FeedCursor { txn_id: 41, feed: "f".into(), seq: 7 }).unwrap();
+        wal.append(&WalRecord::Commit { txn_id: 41 }).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(wal.frontier("f"), 0, "not a frontier until the commit is known durable");
+        wal.finish_txn(41, true);
+        assert_eq!(wal.frontier("f"), 7);
+        wal.rotate().unwrap();
+        wal.truncate_below(wal.next_lsn()).unwrap();
+        assert_eq!(wal.counters().segments(), 1, "the cursor's segment is gone");
+        drop(wal);
+        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        assert!(ops.is_empty());
+        assert_eq!(wal.frontier("f"), 7);
+        assert_eq!(wal.max_txn(), 41);
+    }
+
+    #[test]
+    fn segments_older_than_a_gap_were_already_let_go() {
+        let dir = TempDir::new();
+        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        commit_one(&mut wal, 1);
+        wal.rotate().unwrap();
+        commit_one(&mut wal, 2);
+        wal.rotate().unwrap();
+        let l3 = commit_one(&mut wal, 3);
+        let middle = wal.closed[1].1.clone();
+        drop(wal);
+        // an unlink that reached the disk ahead of an older one
+        std::fs::remove_file(middle).unwrap();
+        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l3]);
+        assert_eq!(wal.counters().segments(), 1);
+        assert_eq!(segment_files(dir.path()).len(), 1, "the stranded segment is unlinked");
+    }
+
+    #[test]
+    fn a_crash_inside_rotation_leaves_a_log_that_reopens_whole() {
+        // ops of one rotation: fsync of the old segment, then the four steps
+        // of the atomic publish (write, fsync, rename, directory fsync)
+        for crash_at in 0..5u64 {
+            let dir = TempDir::new();
+            let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            let l1 = commit_one(&mut wal, 1);
+            drop(wal);
+            let inj = FaultInjector::crash_after(3, crash_at);
+            let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", Some(inj.clone())).unwrap();
+            assert!(wal.rotate().is_err(), "crash_at={crash_at}");
+            assert!(inj.crashed());
+            drop(wal);
+            let (mut wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1], "crash_at={crash_at}");
+            let l2 = commit_one(&mut wal, 2);
+            drop(wal);
+            let (_, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1, l2]);
+        }
     }
 }

@@ -1,16 +1,23 @@
 //! Storage-level crash-recovery tests: deterministic fault injection into
-//! the WAL and page-file paths, plus the WAL truncation property (any
-//! byte-level prefix of a synced log recovers exactly the records that fit).
+//! the WAL and page-file paths, the WAL truncation property (any byte-level
+//! prefix of a synced log recovers exactly the records that fit), and named
+//! crash points where durability lives — inside a manifest publish, between
+//! a merge's publish and the retirement of its inputs, inside log rotation
+//! and segment unlink — under a log and an LSM tree run together.
 
 use asterix_storage::faults::{FaultConfig, FaultEvent, FaultInjector};
 use asterix_storage::io::{FileManager, PAGE_SIZE};
 use asterix_storage::stats::IoStats;
+use asterix_storage::cache::BufferCache;
+use asterix_storage::lsm::{sweep_unreferenced, LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::wal::{
-    committed_operations, read_log, valid_prefix_len, WalRecord, WalWriter,
+    analyze, read_log, valid_prefix_len, Lsn, SegmentedWal, WalRecord, WalWriter,
 };
 use asterix_storage::StorageError;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Self-cleaning scratch directory (integration tests cannot use the
 /// crate-private test helper).
@@ -88,8 +95,8 @@ fn wal_crash_recovers_all_confirmed_commits() {
         let dir = TempDir::new("walcrash");
         let (committed, events, _) = wal_workload(&dir, 42, crash_after);
         let recs = read_log(dir.path().join("wal.log")).unwrap();
-        let replayed: std::collections::BTreeSet<u64> =
-            committed_operations(&recs).iter().map(|op| op.0).collect();
+        let ops = analyze(recs.clone()).ops;
+        let replayed: std::collections::BTreeSet<u64> = ops.iter().map(|op| op.txn_id).collect();
         for txn in &committed {
             assert!(
                 replayed.contains(txn),
@@ -100,12 +107,12 @@ fn wal_crash_recovers_all_confirmed_commits() {
         // every replayed op belongs to a txn with a durable commit record —
         // the crashing commit may or may not have reached the disk, but
         // never partially (its records precede it in one flush)
-        for op in committed_operations(&recs) {
+        for op in &ops {
             let n_ops = recs
                 .iter()
-                .filter(|(_, r)| matches!(r, WalRecord::Update { txn_id, .. } if *txn_id == op.0))
+                .filter(|(_, r)| matches!(r, WalRecord::Update { txn_id, .. } if *txn_id == op.txn_id))
                 .count();
-            assert_eq!(n_ops, 3, "replayed txn {} must have all its updates", op.0);
+            assert_eq!(n_ops, 3, "replayed txn {} must have all its updates", op.txn_id);
         }
     }
 }
@@ -127,8 +134,8 @@ fn wal_reopen_after_torn_crash_continues_cleanly() {
     w.append(&upd(99, b"post", b"crash")).unwrap();
     w.append(&WalRecord::Commit { txn_id: 99 }).unwrap();
     w.sync().unwrap();
-    let ops = committed_operations(&read_log(&path).unwrap());
-    assert!(ops.iter().any(|op| op.0 == 99), "post-crash commit must be replayable");
+    let ops = analyze(read_log(&path).unwrap()).ops;
+    assert!(ops.iter().any(|op| op.txn_id == 99), "post-crash commit must be replayable");
 }
 
 #[test]
@@ -253,15 +260,222 @@ fn short_writes_are_transient_and_retryable() {
         assert!(ok, "sync should eventually succeed under transient faults");
         confirmed.push(txn);
     }
-    let replayed: Vec<u64> = committed_operations(&read_log(&path).unwrap())
-        .iter()
-        .map(|op| op.0)
-        .collect();
+    let replayed: Vec<u64> =
+        analyze(read_log(&path).unwrap()).ops.iter().map(|op| op.txn_id).collect();
     assert_eq!(replayed, confirmed, "retried syncs must not duplicate or lose records");
     assert!(
         faults.events().iter().any(|e| matches!(e, FaultEvent::ShortWrite { .. })),
         "workload should have hit at least one short write"
     );
+}
+
+// ---------------------------------------------------------------------------
+// A log and a tree together: the durability protocol at its crash points
+// ---------------------------------------------------------------------------
+
+/// One LSM tree under one segmented log, driven the way a dataset partition
+/// drives its primary index: log, stamp, apply; sync the commit; release;
+/// rotate the log when the tree seals, truncate it when the tree flushes.
+struct Engine {
+    tree: LsmTree,
+    wal: SegmentedWal,
+    seals: u64,
+    flushes: u64,
+}
+
+type Kv = BTreeMap<i64, String>;
+
+fn int_key(k: i64) -> Vec<u8> {
+    asterix_adm::binary::encode_key(&[asterix_adm::Value::Int(k)])
+}
+
+impl Engine {
+    /// Opens (recovers) the engine under `dir`: sweep, attach the manifest's
+    /// components, re-apply the committed log tail no component covers.
+    fn open(dir: &Path, faults: Option<Arc<FaultInjector>>) -> asterix_storage::Result<Engine> {
+        sweep_unreferenced(dir)?;
+        let fm = FileManager::with_faults(dir, IoStats::new(), faults.clone())?;
+        let config = LsmConfig {
+            mem_budget: 400,
+            merge_policy: MergePolicy::Constant { max_components: 2 },
+            ..LsmConfig::new("kv")
+        };
+        let mut tree = LsmTree::reopen(BufferCache::new(fm, 64), config)?;
+        let (wal, ops) = SegmentedWal::recover(dir, "node", faults)?;
+        for op in ops {
+            if op.lsn < tree.flushed_below() {
+                continue;
+            }
+            tree.stamp(op.lsn, None);
+            if op.is_delete {
+                tree.delete(op.key)?;
+            } else {
+                tree.upsert(op.key, op.value)?;
+            }
+        }
+        let stats = tree.stats();
+        Ok(Engine { tree, wal, seals: stats.seals, flushes: stats.flushes })
+    }
+
+    fn keep_log_up(&mut self) -> asterix_storage::Result<()> {
+        let stats = self.tree.stats();
+        if std::mem::replace(&mut self.seals, stats.seals) != stats.seals {
+            self.wal.rotate()?;
+        }
+        if std::mem::replace(&mut self.flushes, stats.flushes) != stats.flushes {
+            self.wal.truncate_below(self.tree.first_unflushed().unwrap_or(Lsn::MAX))?;
+        }
+        Ok(())
+    }
+
+    /// Logs and applies `writes` (`None` deletes) as transaction `txn`,
+    /// without committing.
+    fn write(&mut self, txn: u64, writes: &[(i64, Option<String>)]) -> asterix_storage::Result<()> {
+        for (k, v) in writes {
+            let lsn = self.wal.append(&WalRecord::Update {
+                txn_id: txn,
+                dataset: "kv".into(),
+                partition: 0,
+                is_delete: v.is_none(),
+                key: int_key(*k),
+                value: v.clone().unwrap_or_default().into_bytes(),
+            })?;
+            self.tree.stamp(lsn, Some(txn));
+            match v {
+                Some(v) => self.tree.upsert(int_key(*k), v.clone().into_bytes())?,
+                None => self.tree.delete(int_key(*k))?,
+            }
+            self.keep_log_up()?;
+        }
+        Ok(())
+    }
+
+    /// Makes `txn` durable. `Err` leaves it indeterminate.
+    fn commit(&mut self, txn: u64) -> asterix_storage::Result<()> {
+        self.wal.append(&WalRecord::Commit { txn_id: txn })?;
+        self.wal.sync()
+    }
+
+    /// `txn` is durable: what it wrote may be flushed.
+    fn finish(&mut self, txn: u64) -> asterix_storage::Result<()> {
+        self.wal.finish_txn(txn, true);
+        self.tree.release(txn)?;
+        self.keep_log_up()
+    }
+
+    fn state(&self) -> Kv {
+        self.tree
+            .scan()
+            .unwrap()
+            .into_iter()
+            .map(|(k, v)| {
+                let key = asterix_adm::binary::decode_key(&k).unwrap().pop().unwrap();
+                (key.as_i64().unwrap(), String::from_utf8(v).unwrap())
+            })
+            .collect()
+    }
+}
+
+/// Transactions `from..to` of the fixed workload: three writes each over 24
+/// keys, every fifth write a delete, values naming their transaction.
+/// Returns the state confirmed commits promise and, if a commit's sync
+/// failed, the state with that one transaction too.
+fn run_txns(e: &mut Engine, from: u64, to: u64, mut confirmed: Kv) -> (Kv, Option<Kv>) {
+    for txn in from..to {
+        let writes: Vec<(i64, Option<String>)> = (0..3)
+            .map(|i| {
+                let n = txn * 3 + i;
+                let k = (n * 7 % 24) as i64;
+                (k, (n % 5 != 0).then(|| format!("t{txn}-{}", "x".repeat(24))))
+            })
+            .collect();
+        if e.write(txn, &writes).is_err() {
+            return (confirmed, None);
+        }
+        let mut with = confirmed.clone();
+        for (k, v) in &writes {
+            match v {
+                Some(v) => with.insert(*k, v.clone()),
+                None => with.remove(k),
+            };
+        }
+        if e.commit(txn).is_err() {
+            return (confirmed, Some(with));
+        }
+        confirmed = with;
+        if e.finish(txn).is_err() {
+            return (confirmed, None);
+        }
+    }
+    (confirmed, None)
+}
+
+/// Every named crash point, at every occurrence the workload reaches:
+/// committed ⇒ present exactly once at its latest version, uncommitted ⇒
+/// absent, and the recovered engine is a sound base to go on from.
+#[test]
+fn durability_crash_points_recover_committed_state_exactly() {
+    let points = [
+        ".manifest.tmp:write", // inside the manifest write
+        ".manifest:rename",    // written and synced, not yet published
+        ".manifest:dirsync",   // between rename and directory fsync
+        ".btree:unlink",       // merged output published, inputs not retired
+        ".wal.tmp:write",      // inside segment rotation
+        ".wal:rename",
+        ".wal:dirsync",
+        ".wal:unlink", // inside log truncation
+    ];
+    for point in points {
+        let mut fired = 0;
+        for nth in 0..64 {
+            let dir = TempDir::new("points");
+            let inj = FaultInjector::crash_at(11, point, nth);
+            // (the first log segment is itself published atomically: the
+            // crash may land in the open)
+            let (confirmed, indeterminate) = match Engine::open(dir.path(), Some(inj.clone())) {
+                Ok(mut e) => run_txns(&mut e, 1, 40, Kv::new()),
+                Err(_) => (Kv::new(), None),
+            };
+            if !inj.crashed() {
+                break; // the workload has no occurrence this late
+            }
+            fired += 1;
+            let mut e = Engine::open(dir.path(), None).unwrap();
+            let got = e.state();
+            assert!(
+                got == confirmed || indeterminate.as_ref() == Some(&got),
+                "{point} #{nth}: recovered {got:?}\n confirmed {confirmed:?}\n or with {indeterminate:?}\n events {:?}",
+                inj.events()
+            );
+            // go on from the recovered state, and restart once more
+            let (confirmed, _) = run_txns(&mut e, 100, 110, got);
+            drop(e);
+            assert_eq!(Engine::open(dir.path(), None).unwrap().state(), confirmed, "{point} #{nth}");
+        }
+        assert!(fired >= 2, "{point}: the workload must reach it (fired {fired} times)");
+    }
+}
+
+/// What the protocol buys: after every transaction the log holds at most
+/// the records of what is still only in memory, however long the history.
+#[test]
+fn log_tail_stays_bounded_by_what_is_unflushed() {
+    let dir = TempDir::new("bounded");
+    let mut e = Engine::open(dir.path(), None).unwrap();
+    let (confirmed, _) = run_txns(&mut e, 1, 200, Kv::new());
+    let counters = Arc::clone(e.wal.counters());
+    assert!(e.tree.stats().flushes > 10, "the workload must flush often");
+    assert!(counters.segments() <= 2, "{} segments", counters.segments());
+    assert!(counters.truncated_bytes() > 0);
+    drop(e);
+    let log_bytes: u64 = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|f| f.unwrap())
+        .filter(|f| f.file_name().to_string_lossy().ends_with(".wal"))
+        .map(|f| f.metadata().unwrap().len())
+        .sum();
+    assert!(log_bytes < 4_000, "200 transactions of history left {log_bytes} log bytes");
+    assert_eq!(Engine::open(dir.path(), None).unwrap().state(), confirmed);
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +500,8 @@ fn arb_record() -> BoxedStrategy<WalRecord> {
             }),
         (1u64..20).prop_map(|txn| WalRecord::Commit { txn_id: txn }),
         (1u64..20).prop_map(|txn| WalRecord::Abort { txn_id: txn }),
-        Just(WalRecord::Checkpoint),
+        (1u64..20, prop::collection::vec(("[a-z.]{1,8}", 0u64..100), 0..3))
+            .prop_map(|(max_txn, feed_cursors)| WalRecord::Checkpoint { max_txn, feed_cursors }),
     ]
 }
 

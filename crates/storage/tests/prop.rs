@@ -311,3 +311,150 @@ proptest! {
         }
     }
 }
+
+/// Honour the CI nightly's `PROPTEST_CASES` (the in-attribute config
+/// overrides proptest's own env lookup).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(24)
+}
+
+/// One step of the reopen model check: upsert, delete, flush, merge the
+/// newest components, or restart.
+#[derive(Debug, Clone)]
+enum LifeOp {
+    Put(i64),
+    Delete(i64),
+    Flush,
+    Merge(usize),
+    Reopen,
+}
+
+fn life_ops() -> impl Strategy<Value = Vec<LifeOp>> {
+    let op = prop_oneof![
+        6 => (0i64..60).prop_map(LifeOp::Put),
+        2 => (0i64..60).prop_map(LifeOp::Delete),
+        1 => Just(LifeOp::Flush),
+        1 => (2usize..5).prop_map(LifeOp::Merge),
+        1 => Just(LifeOp::Reopen),
+    ];
+    prop::collection::vec(op, 1..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Two B+-tree LSM indexes take the same operations; one of them is,
+    /// every so often, flushed, dropped and reopened from its manifest. It
+    /// must go on answering exactly like the one that never went away —
+    /// through later flushes and merges of the reopened components too.
+    #[test]
+    fn reopen_matches_never_crashed_btree(ops in life_ops()) {
+        let config = |name: &str| LsmConfig {
+            mem_budget: 1 << 10,
+            merge_policy: MergePolicy::Constant { max_components: 3 },
+            compress_values: true,
+            ..LsmConfig::new(name)
+        };
+        let (kept_cache, _d1) = setup(64);
+        let (cache, _d2) = setup(64);
+        let mut kept = LsmTree::new(kept_cache, config("kept"));
+        let mut t = LsmTree::new(Arc::clone(&cache), config("t"));
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                LifeOp::Put(i) => {
+                    let v = format!("v{i}@{step}").into_bytes();
+                    kept.upsert(k(i), v.clone()).unwrap();
+                    t.upsert(k(i), v).unwrap();
+                }
+                LifeOp::Delete(i) => {
+                    kept.delete(k(i)).unwrap();
+                    t.delete(k(i)).unwrap();
+                }
+                LifeOp::Flush => {
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
+                }
+                LifeOp::Merge(n) => {
+                    kept.merge_newest(n).unwrap();
+                    t.merge_newest(n).unwrap();
+                }
+                LifeOp::Reopen => {
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
+                    let components = t.component_count();
+                    drop(t);
+                    t = LsmTree::reopen(Arc::clone(&cache), config("t")).unwrap();
+                    prop_assert_eq!(t.component_count(), components);
+                }
+            }
+            prop_assert_eq!(t.scan().unwrap(), kept.scan().unwrap(), "after step {}", step);
+        }
+        for probe in 0i64..60 {
+            prop_assert_eq!(t.get(&k(probe)).unwrap(), kept.get(&k(probe)).unwrap());
+        }
+    }
+
+    /// The same for the R-tree kind, whose components are two files and
+    /// whose deletes live in the companion key tree.
+    #[test]
+    fn reopen_matches_never_crashed_rtree(ops in life_ops()) {
+        let config = |name: &str| LsmRTreeConfig {
+            mem_budget: 1 << 10,
+            merge_policy: MergePolicy::Constant { max_components: 3 },
+            ..LsmRTreeConfig::new(name)
+        };
+        let (kept_cache, _d1) = setup(64);
+        let (cache, _d2) = setup(64);
+        let mut kept = LsmRTree::new(kept_cache, config("kept"));
+        let mut t = LsmRTree::new(Arc::clone(&cache), config("t"));
+        // where each key currently is, to delete it from
+        let mut at: HashMap<i64, Rectangle> = HashMap::new();
+        let everything = Rectangle::new(Point::new(-1.0, -1.0), Point::new(1e6, 1e6));
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                LifeOp::Put(i) => {
+                    let key = format!("k{i}").into_bytes();
+                    let mbr = Point::new(i as f64, step as f64).to_mbr();
+                    if let Some(old) = at.insert(i, mbr) {
+                        kept.delete(&old, &key).unwrap();
+                        t.delete(&old, &key).unwrap();
+                    }
+                    kept.insert(mbr, key.clone()).unwrap();
+                    t.insert(mbr, key).unwrap();
+                }
+                LifeOp::Delete(i) => {
+                    if let Some(old) = at.remove(&i) {
+                        let key = format!("k{i}").into_bytes();
+                        kept.delete(&old, &key).unwrap();
+                        t.delete(&old, &key).unwrap();
+                    }
+                }
+                LifeOp::Flush => {
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
+                }
+                LifeOp::Merge(n) => {
+                    kept.merge_newest(n).unwrap();
+                    t.merge_newest(n).unwrap();
+                }
+                LifeOp::Reopen => {
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
+                    let components = t.component_count();
+                    drop(t);
+                    t = LsmRTree::reopen(Arc::clone(&cache), config("t")).unwrap();
+                    prop_assert_eq!(t.component_count(), components);
+                }
+            }
+            let sorted = |t: &LsmRTree| {
+                let mut hits: Vec<(Vec<u8>, Rectangle)> =
+                    t.search(&everything).unwrap().into_iter().map(|e| (e.key, e.mbr)).collect();
+                hits.sort_by(|a, b| a.0.cmp(&b.0));
+                hits
+            };
+            let got = sorted(&t);
+            prop_assert_eq!(got.len(), at.len(), "after step {}", step);
+            prop_assert_eq!(got, sorted(&kept), "after step {}", step);
+        }
+    }
+}

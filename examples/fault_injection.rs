@@ -22,6 +22,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("asterix-fault-demo-{seed}-{crash_after}"));
     let _ = std::fs::remove_dir_all(&dir);
 
+    // set-up is fault-free, so that the crash point counts the I/O of the
+    // transactions below (creating the catalog and the dataset's manifests
+    // is a couple of dozen operations of its own)
+    Instance::open(InstanceConfig { data_dir: Some(dir.clone()), nodes: 1, ..Default::default() })?
+        .execute_sqlpp(
+            "CREATE TYPE KVType AS { k: int, v: string };
+             CREATE DATASET kv(KVType) PRIMARY KEY k;",
+        )?;
     let injector = FaultInjector::crash_after(seed, crash_after);
     let db = Instance::open(InstanceConfig {
         data_dir: Some(dir.clone()),
@@ -29,10 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         faults: Some(injector.clone()),
         ..Default::default()
     })?;
-    db.execute_sqlpp(
-        "CREATE TYPE KVType AS { k: int, v: string };
-         CREATE DATASET kv(KVType) PRIMARY KEY k;",
-    )?;
 
     println!("injecting: crash after I/O op {crash_after} (seed {seed})");
     for t in 1..=6i64 {
@@ -61,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for ev in injector.events() {
         println!("  {ev:?}");
     }
-    drop(db); // crash: memory components are lost, the WAL survives
+    drop(db); // crash: memory components are lost, the log tail survives
 
     let db = Instance::open(InstanceConfig {
         data_dir: Some(dir.clone()),
