@@ -2,9 +2,9 @@
 use asterix_adm::Value;
 use asterix_hyracks::ctx::RuntimeCtx;
 use asterix_hyracks::job::SortKey;
-use asterix_hyracks::ops::sort::external_sort;
+use asterix_hyracks::ops::drive;
+use asterix_hyracks::OpKind;
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e5_memory");
@@ -13,14 +13,9 @@ fn bench(c: &mut Criterion) {
         g.bench_function(format!("sort_20k_{label}"), |b| {
             b.iter(|| {
                 let ctx = RuntimeCtx::temp().unwrap();
-                external_sort(
-                    (0..20_000i64).map(|i| Ok(vec![Value::Int((i * 7919) % 20_000)])),
-                    vec![SortKey::asc(0)],
-                    budget,
-                    Arc::clone(&ctx),
-                )
-                .unwrap()
-                .count()
+                let input = (0..20_000i64).map(|i| Ok(vec![Value::Int((i * 7919) % 20_000)]));
+                let kind = OpKind::Sort { keys: vec![SortKey::asc(0)], memory: budget };
+                drive(&kind, vec![Box::new(input)], &ctx).unwrap().tuples.len()
             })
         });
     }

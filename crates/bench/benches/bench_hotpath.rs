@@ -4,7 +4,7 @@
 //! persists the numbers to `BENCH_hotpath.json`.
 
 use asterix_adm::Value;
-use asterix_hyracks::ops::join::{hash_join, HashJoinCfg};
+use asterix_hyracks::ops::drive;
 use asterix_hyracks::{Frame, RuntimeCtx, Tuple};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::io::{FileManager, PAGE_SIZE};
@@ -100,7 +100,7 @@ fn exchange_repartition(c: &mut Criterion) {
 fn join_build_probe(c: &mut Criterion) {
     let build_rows = 5_000usize;
     let probe_rows = build_rows * 5;
-    let cfg = HashJoinCfg {
+    let join = asterix_hyracks::OpKind::HashJoin {
         left_keys: vec![0],
         right_keys: vec![0],
         kind: asterix_hyracks::job::JoinKind::Inner,
@@ -116,13 +116,8 @@ fn join_build_probe(c: &mut Criterion) {
                 .map(|i| Ok(vec![Value::Int(i as i64), Value::from(format!("b{i}"))]));
             let probe = (0..probe_rows)
                 .map(|i| Ok(vec![Value::Int((i % build_rows) as i64), Value::from(format!("p{i}"))]));
-            let mut n = 0usize;
-            hash_join(probe, build, &cfg, &ctx, &mut |t| {
-                n += t.len();
-                Ok(true)
-            })
-            .unwrap();
-            black_box(n);
+            let out = drive(&join, vec![Box::new(probe), Box::new(build)], &ctx).unwrap();
+            black_box(out.tuples.len());
         })
     });
     g.finish();

@@ -22,7 +22,7 @@
 use crate::time_it;
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig};
-use asterix_hyracks::ops::join::{hash_join, HashJoinCfg};
+use asterix_hyracks::ops::drive;
 use asterix_hyracks::{Frame, RuntimeCtx, Tuple};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::io::{FileId, FileManager, PAGE_SIZE};
@@ -217,7 +217,7 @@ fn join_microbench(quick: bool) -> JoinSection {
     let probe: Vec<_> = (0..probe_rows)
         .map(|i| Ok(vec![Value::Int((i % build_rows) as i64), Value::from(format!("p{i}"))]))
         .collect();
-    let cfg = HashJoinCfg {
+    let join = asterix_hyracks::OpKind::HashJoin {
         left_keys: vec![0],
         right_keys: vec![0],
         kind: asterix_hyracks::job::JoinKind::Inner,
@@ -225,15 +225,11 @@ fn join_microbench(quick: bool) -> JoinSection {
         memory: 256 << 20,
     };
     let ctx = RuntimeCtx::temp().unwrap();
-    let mut out = 0usize;
-    let (_, t) = time_it(|| {
-        hash_join(probe.into_iter(), build.into_iter(), &cfg, &ctx, &mut |t| {
-            out += t.len();
-            Ok(true)
-        })
-        .unwrap();
+    let (out, t) = time_it(|| {
+        drive(&join, vec![Box::new(probe.into_iter()), Box::new(build.into_iter())], &ctx)
+            .expect("in-memory join")
     });
-    assert!(out > 0);
+    assert_eq!(out.tuples.len(), probe_rows);
     JoinSection {
         build_rows,
         probe_rows,

@@ -41,13 +41,6 @@ pub struct StorageConfig {
     pub merge_policy: MergePolicy,
     /// Apply the §V-B point-MBR optimization in R-tree indexes.
     pub rtree_point_optimize: bool,
-    /// Compress record values in primary-index disk components (§VII's
-    /// storage compression).
-    pub compress: bool,
-    /// Background compaction executor. `None` (the default) keeps merges
-    /// on the flushing thread — the pre-background behaviour; `Some` moves
-    /// them onto the runtime's morsel worker pool.
-    pub compaction: Option<CompactionExec>,
 }
 
 impl Default for StorageConfig {
@@ -59,8 +52,6 @@ impl Default for StorageConfig {
                 max_tolerance_components: 4,
             },
             rtree_point_optimize: true,
-            compress: false,
-            compaction: None,
         }
     }
 }
@@ -142,6 +133,9 @@ pub struct DatasetPartition {
     /// already been applied; the next call reports it, having applied
     /// nothing, so no caller loses the outcome of a write to it.
     log_error: Option<CoreError>,
+    /// Where the indexes' merges run: `None` keeps them on the flushing
+    /// thread, `Some` moves them onto the runtime's morsel worker pool.
+    compaction: Option<CompactionExec>,
 }
 
 /// Navigates a field path inside a record.
@@ -176,7 +170,7 @@ impl DatasetPartition {
         node: Arc<Node>,
         cfg: &StorageConfig,
     ) -> Result<DatasetPartition> {
-        Self::create_typed(def, None, partition, node, cfg)
+        Self::create_typed(def, None, partition, node, cfg, None)
     }
 
     /// Creates the partition with a declared record type for the compact
@@ -189,8 +183,9 @@ impl DatasetPartition {
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
+        compaction: Option<CompactionExec>,
     ) -> Result<DatasetPartition> {
-        Ok(Self::construct(def, record_type, partition, node, cfg, Origin::Created)?.0)
+        Ok(Self::construct(def, record_type, partition, node, cfg, compaction, Origin::Created)?.0)
     }
 
     /// Reopens the partition at restart: every index attaches the disk
@@ -204,8 +199,9 @@ impl DatasetPartition {
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
+        compaction: Option<CompactionExec>,
     ) -> Result<(DatasetPartition, PartitionRecovery)> {
-        Self::construct(def, record_type, partition, node, cfg, Origin::Recovered)
+        Self::construct(def, record_type, partition, node, cfg, compaction, Origin::Recovered)
     }
 
     fn construct(
@@ -214,6 +210,7 @@ impl DatasetPartition {
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
+        compaction: Option<CompactionExec>,
         origin: Origin,
     ) -> Result<(DatasetPartition, PartitionRecovery)> {
         let config = LsmConfig {
@@ -221,7 +218,7 @@ impl DatasetPartition {
             mem_budget: cfg.mem_budget,
             merge_policy: cfg.merge_policy,
             bloom: true,
-            compress_values: cfg.compress,
+            compress_values: false,
         };
         let log_pin = node.log_pin(&config.name);
         let cache = Arc::clone(&node.cache);
@@ -233,7 +230,7 @@ impl DatasetPartition {
             }
             Origin::Recovered => LsmTree::reopen(cache, config)?,
         };
-        if let Some(exec) = &cfg.compaction {
+        if let Some(exec) = &compaction {
             primary.set_executor(exec.clone());
         }
         let mut part = DatasetPartition {
@@ -248,6 +245,7 @@ impl DatasetPartition {
             seals_seen: 0,
             flushes_seen: 0,
             log_error: None,
+            compaction,
         };
         let mut recovery = PartitionRecovery {
             components_loaded: part.primary.component_count() as u64,
@@ -307,7 +305,7 @@ impl DatasetPartition {
                 Secondary::Keyword { def: idx.clone(), index }
             }
         };
-        if let Some(exec) = &cfg.compaction {
+        if let Some(exec) = &self.compaction {
             with_lsm!(&sec, lsm, t => t.set_executor(exec.clone()));
         }
         if !recovered {

@@ -93,10 +93,6 @@ pub struct InstanceConfig {
     pub partitions: usize,
     /// Buffer-cache frames per node (Figure 2's buffer cache).
     pub cache_pages_per_node: usize,
-    /// Buffer-cache lock stripes per node; 0 = auto (`min(8, capacity)`).
-    pub cache_shards: usize,
-    /// Pages per sequential readahead batch on LSM scans (0/1 disables).
-    pub cache_readahead_pages: usize,
     /// LSM tuning.
     pub storage: StorageConfig,
     /// Working-memory budget per memory-intensive operator instance.
@@ -110,9 +106,6 @@ pub struct InstanceConfig {
     pub faults: Option<Arc<asterix_storage::faults::FaultInjector>>,
     /// Retry policy for transiently failing queries.
     pub retry: RetryPolicy,
-    /// Default wall-clock deadline applied to every query job (`None` =
-    /// unbounded; [`Instance::query_with_deadline`] overrides per query).
-    pub query_deadline: Option<Duration>,
     /// Deterministic dataflow chaos injector: every query job on this
     /// instance runs under its seeded fault schedules (`None` in
     /// production).
@@ -140,15 +133,12 @@ impl Default for InstanceConfig {
             nodes: 2,
             partitions: 2,
             cache_pages_per_node: 1024,
-            cache_shards: 0,
-            cache_readahead_pages: asterix_storage::cache::DEFAULT_READAHEAD,
             storage: StorageConfig::default(),
             op_memory: 32 << 20,
             sorted_index_fetch: true,
             local_aggregation: true,
             faults: None,
             retry: RetryPolicy::default(),
-            query_deadline: None,
             dataflow_faults: None,
             scheduler: SchedulerConfig::default(),
             worker_threads: 0,
@@ -195,6 +185,8 @@ struct Inner {
     next_session: AtomicU64,
     /// Tripped at teardown so background merges abort at the next morsel.
     compaction_token: CancellationToken,
+    /// Where the datasets' merges run when `background_compaction` is set.
+    compaction: Option<asterix_storage::CompactionExec>,
 }
 
 /// An AsterixDB instance. Cloning yields another handle on the same
@@ -230,11 +222,7 @@ impl Instance {
         let cluster = Cluster::open_with_opts(
             &root,
             config.nodes,
-            asterix_storage::cache::CacheOptions {
-                capacity: config.cache_pages_per_node,
-                shards: config.cache_shards,
-                readahead_pages: config.cache_readahead_pages,
-            },
+            asterix_storage::cache::CacheOptions::with_capacity(config.cache_pages_per_node),
             config.faults.clone(),
         )?;
         let ctx = RuntimeCtx::with_clock_and_faults(
@@ -248,13 +236,9 @@ impl Instance {
         // instance-lifetime token lets shutdown abort in-flight merges at
         // the next merge morsel instead of waiting them out.
         let compaction_token = CancellationToken::new();
-        let mut config = config;
-        if config.background_compaction && config.storage.compaction.is_none() {
-            config.storage.compaction = Some(asterix_hyracks::storage_compaction_executor(
-                &ctx,
-                compaction_token.clone(),
-            ));
-        }
+        let compaction = config.background_compaction.then(|| {
+            asterix_hyracks::storage_compaction_executor(&ctx, compaction_token.clone())
+        });
         let sched = QueryScheduler::new(config.scheduler.clone(), ctx.registry());
         let inner = Arc::new(Inner {
             config,
@@ -270,6 +254,7 @@ impl Instance {
             sched,
             next_session: AtomicU64::new(1),
             compaction_token,
+            compaction,
         });
         let instance = Instance { inner };
         instance.recover()?;
@@ -324,14 +309,16 @@ impl Instance {
         for p in 0..inner.config.partitions.max(1) {
             let node = Arc::clone(inner.cluster.node_for_partition(p));
             let (ty, p, storage) = (record_type.clone(), p as u32, &inner.config.storage);
+            let compaction = inner.compaction.clone();
             let part = if recovered {
-                let (part, did) = DatasetPartition::recover_typed(&def, ty, p, node, storage)?;
+                let (part, did) =
+                    DatasetPartition::recover_typed(&def, ty, p, node, storage, compaction)?;
                 let reg = inner.ctx.registry();
                 reg.counter("core.recovery.components_loaded").add(did.components_loaded);
                 reg.counter("core.recovery.indexes_rebuilt").add(did.indexes_rebuilt);
                 part
             } else {
-                DatasetPartition::create_typed(&def, ty, p, node, storage)?
+                DatasetPartition::create_typed(&def, ty, p, node, storage, compaction)?
             };
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
         }
@@ -694,13 +681,12 @@ impl Instance {
         let sched = &self.inner.sched;
         let budget = opts.memory.unwrap_or(sched.config().default_query_memory).max(1);
         let ticket = sched.enqueue(budget, opts.priority)?;
-        let deadline = opts.deadline.or(self.inner.config.query_deadline);
-        Ok(Submission { ticket, query, deadline })
+        Ok(Submission { ticket, query, deadline: opts.deadline })
     }
 
     /// Runs one query to completion on the calling thread (the
     /// [`Instance::query`] family and DML-internal queries): default budget
-    /// and priority, `deadline` overriding the instance default.
+    /// and priority, under `deadline` when one is given.
     fn run_query_sync(&self, query: Query, deadline: Option<Duration>) -> Result<Vec<Value>> {
         let opts = QueryOptions { deadline, ..Default::default() };
         let submission = self.enqueue_query(query, &opts)?;

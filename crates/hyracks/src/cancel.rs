@@ -1,12 +1,10 @@
 //! Cooperative job cancellation and deadlines.
 //!
-//! A [`CancellationToken`] is shared by every worker of one job. Workers
-//! poll it at frame boundaries (and every ~1k tuples inside compute loops —
-//! never per tuple, keeping the hot path clean) and on blocking channel
-//! operations, so the first partition failure, an external
-//! `QueryHandle::cancel`, or an expired deadline stops all siblings
-//! fail-fast instead of letting them run — or block on a full bounded
-//! channel — to completion.
+//! A [`CancellationToken`] is shared by every actor of one job. The
+//! executor polls it once at the top of every morsel-bounded step — no
+//! operator polls it on a stride of its own — so the first partition
+//! failure, an external `QueryHandle::cancel`, or an expired deadline stops
+//! all siblings within one morsel instead of letting them run to completion.
 //!
 //! Cancellation is first-cause-wins: whichever of {explicit cancel, deadline
 //! expiry} trips the token first determines the typed error every worker
@@ -17,7 +15,6 @@
 use crate::error::{HyracksError, Result};
 use asterix_obs::Clock;
 use parking_lot::Mutex;
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -122,8 +119,8 @@ impl CancellationToken {
     }
 
     /// Ok while the job should keep running; the typed cancellation error
-    /// otherwise. This is the single polling point workers call at frame
-    /// boundaries and inside strided compute loops.
+    /// otherwise. This is the single polling point: the executor calls it
+    /// once per step.
     pub fn check(&self) -> Result<()> {
         match self.inner.state.load(Ordering::Acquire) {
             CANCELLED => Err(HyracksError::Cancelled(self.inner.reason.lock().clone())),
@@ -154,31 +151,6 @@ impl CancellationToken {
             deadline_ns: self.inner.deadline_ns.load(Ordering::Acquire),
         }
     }
-}
-
-// The operator bodies in `ops::*` run deep inside iterator adapters whose
-// signatures predate cancellation; rather than widening every one of them,
-// the executor installs the job token in a thread-local at worker start and
-// the strided loops fetch it from here. Outside a worker thread the default
-// token is returned — live forever — so direct calls to `ops::*` (unit
-// tests, utilities) see no-op checks.
-thread_local! {
-    static CURRENT: RefCell<CancellationToken> = RefCell::new(CancellationToken::new());
-}
-
-/// Installs `token` as the current worker's token (executor only).
-pub(crate) fn set_current(token: CancellationToken) {
-    CURRENT.with(|c| *c.borrow_mut() = token);
-}
-
-/// Resets the current thread's token to a fresh live one (worker teardown).
-pub(crate) fn clear_current() {
-    CURRENT.with(|c| *c.borrow_mut() = CancellationToken::new());
-}
-
-/// The calling thread's job token (a live dummy outside worker threads).
-pub fn current() -> CancellationToken {
-    CURRENT.with(|c| c.borrow().clone())
 }
 
 #[cfg(test)]
@@ -228,10 +200,5 @@ mod tests {
         let u = t.clone();
         t.cancel("shared");
         assert!(u.is_cancelled());
-    }
-
-    #[test]
-    fn thread_local_default_is_live() {
-        assert!(current().check().is_ok());
     }
 }

@@ -4,8 +4,7 @@
 use crate::error::Result;
 use crate::faults::DataflowFaults;
 use crate::sched::WorkerPool;
-use asterix_obs::{Clock, Counter, MetricsRegistry, MonotonicClock};
-use std::cell::Cell;
+use asterix_obs::{Clock, Counter, MetricsRegistry, MonotonicClock, OpMetrics};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,32 +92,6 @@ impl std::ops::Sub for DataflowSnapshot {
             tuples_exchanged: self.tuples_exchanged.saturating_sub(rhs.tuples_exchanged),
         }
     }
-}
-
-// Per-worker spill accounting. Each operator-partition runs on its own
-// thread, so a thread-local cell attributes spill activity to the worker
-// that caused it without widening every ops::* signature. The executor
-// drains the cells via [`take_worker_spill`] when a worker finishes.
-thread_local! {
-    static WORKER_SPILL_RUNS: Cell<u64> = const { Cell::new(0) };
-    static WORKER_SPILLED_BYTES: Cell<u64> = const { Cell::new(0) };
-    static WORKER_GRACE_FANOUT: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Records grace/hybrid recursion fanout (partitions created when an
-/// operator fell back to spilling) for the current worker thread.
-pub(crate) fn note_grace_fanout(partitions: u64) {
-    WORKER_GRACE_FANOUT.with(|c| c.set(c.get() + partitions));
-}
-
-/// Drains the current thread's spill accounting:
-/// `(spill_runs, spilled_bytes, grace_fanout)`.
-pub(crate) fn take_worker_spill() -> (u64, u64, u64) {
-    (
-        WORKER_SPILL_RUNS.with(|c| c.replace(0)),
-        WORKER_SPILLED_BYTES.with(|c| c.replace(0)),
-        WORKER_GRACE_FANOUT.with(|c| c.replace(0)),
-    )
 }
 
 /// Shared runtime context for a node's dataflow workers.
@@ -236,23 +209,20 @@ impl RuntimeCtx {
         Arc::clone(pool)
     }
 
-    /// Opens a fresh spill-run writer.
-    pub fn new_run(&self) -> Result<RunWriter> { // xlint: allow(blocking, "spill-run creation is morsel-bounded sort I/O; counted in hyracks.dataflow.spill_runs")
+    /// Opens a fresh spill-run writer, counted against the operator `m`
+    /// belongs to.
+    pub fn new_run(&self, m: &mut OpMetrics) -> Result<RunWriter> { // xlint: allow(blocking, "spill-run creation is morsel-bounded sort I/O; counted in hyracks.dataflow.spill_runs")
         let id = self.next_spill.fetch_add(1, Ordering::Relaxed); // xlint: ordering(spill-run id needs uniqueness only; the file itself is thread-local)
         let path = self.spill_dir.join(format!("run-{id}.spill"));
         let file = std::fs::File::create(&path)?;
         self.stats.spill_runs.inc();
-        WORKER_SPILL_RUNS.with(|c| c.set(c.get() + 1));
+        m.spill_runs += 1;
         Ok(RunWriter {
             writer: BufWriter::with_capacity(1 << 16, file),
             path,
             bytes: 0,
+            spilled_bytes: self.stats.spilled_bytes.clone(),
         })
-    }
-
-    fn count_spilled(&self, bytes: u64) {
-        self.stats.spilled_bytes.add(bytes);
-        WORKER_SPILLED_BYTES.with(|c| c.set(c.get() + bytes));
     }
 }
 
@@ -267,11 +237,15 @@ pub struct RunWriter {
     writer: BufWriter<std::fs::File>,
     path: PathBuf,
     bytes: u64,
+    /// `hyracks.dataflow.spilled_bytes`: bytes count as spilled when they
+    /// are written, not when the run is finished, so the counter shows how
+    /// much of an operator's input has left memory while it is still fed.
+    spilled_bytes: Counter,
 }
 
 impl RunWriter {
     /// Appends one tuple.
-    pub fn write(&mut self, tuple: &Tuple) -> Result<()> { // xlint: allow(blocking, "spill writes are the sort operator's work; frame-bounded, counted in dataflow counters")
+    pub fn write(&mut self, tuple: &Tuple, m: &mut OpMetrics) -> Result<()> { // xlint: allow(blocking, "spill writes are the sort operator's work; frame-bounded, counted in dataflow counters")
         let mut buf = Vec::with_capacity(64);
         let arity = u32_len("spill-run tuple arity", tuple.len())?;
         buf.extend_from_slice(&arity.to_le_bytes());
@@ -281,14 +255,16 @@ impl RunWriter {
         let frame_len = u32_len("spill-run frame", buf.len())?;
         self.writer.write_all(&frame_len.to_le_bytes())?;
         self.writer.write_all(&buf)?;
-        self.bytes += 4 + buf.len() as u64;
+        let written = 4 + buf.len() as u64;
+        self.bytes += written;
+        self.spilled_bytes.add(written);
+        m.spilled_bytes += written;
         Ok(())
     }
 
     /// Finishes the run and returns a handle for reading it back.
-    pub fn finish(mut self, ctx: &RuntimeCtx) -> Result<RunHandle> {
+    pub fn finish(mut self) -> Result<RunHandle> {
         self.writer.flush()?;
-        ctx.count_spilled(self.bytes);
         Ok(RunHandle { path: self.path.clone(), bytes: self.bytes })
     }
 }
@@ -360,12 +336,12 @@ impl Iterator for RunReader {
 }
 
 /// Convenience: spill an in-memory batch as one run.
-pub fn spill_batch(ctx: &RuntimeCtx, tuples: &[Tuple]) -> Result<RunHandle> {
-    let mut w = ctx.new_run()?;
+pub fn spill_batch(ctx: &RuntimeCtx, m: &mut OpMetrics, tuples: &[Tuple]) -> Result<RunHandle> {
+    let mut w = ctx.new_run(m)?;
     for t in tuples {
-        w.write(t)?;
+        w.write(t, m)?;
     }
-    w.finish(ctx)
+    w.finish()
 }
 
 /// Convenience placeholder value used in tests.
@@ -383,7 +359,8 @@ mod tests {
         let tuples: Vec<Tuple> = (0..100)
             .map(|i| vec![Value::Int(i), Value::from(format!("s{i}"))])
             .collect();
-        let run = spill_batch(&ctx, &tuples).unwrap();
+        let mut m = OpMetrics::default();
+        let run = spill_batch(&ctx, &mut m, &tuples).unwrap();
         assert!(run.bytes() > 0);
         let back: Vec<Tuple> = run.read().unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(back, tuples);
@@ -391,6 +368,8 @@ mod tests {
         assert_eq!(run.read().unwrap().count(), 100);
         assert_eq!(ctx.stats.snapshot().spill_runs, 1);
         assert!(ctx.stats.snapshot().spilled_bytes > 0);
+        // the operator's own metrics carry the same counts
+        assert_eq!((m.spill_runs, m.spilled_bytes), (1, run.bytes()));
     }
 
     #[test]
@@ -398,7 +377,7 @@ mod tests {
         let ctx = RuntimeCtx::temp().unwrap();
         let path;
         {
-            let run = spill_batch(&ctx, &[vec![Value::Int(1)]]).unwrap();
+            let run = spill_batch(&ctx, &mut OpMetrics::default(), &[vec![Value::Int(1)]]).unwrap();
             path = run.path.clone();
             assert!(path.exists());
         }
@@ -408,7 +387,7 @@ mod tests {
     #[test]
     fn empty_run() {
         let ctx = RuntimeCtx::temp().unwrap();
-        let run = spill_batch(&ctx, &[]).unwrap();
+        let run = spill_batch(&ctx, &mut OpMetrics::default(), &[]).unwrap();
         assert_eq!(run.read().unwrap().count(), 0);
     }
 
@@ -427,22 +406,9 @@ mod tests {
     fn dataflow_stats_are_visible_through_the_registry() {
         let ctx = RuntimeCtx::temp().unwrap();
         let before = ctx.registry().snapshot();
-        let _run = spill_batch(&ctx, &[vec![Value::Int(1)]]).unwrap();
+        let _run = spill_batch(&ctx, &mut OpMetrics::default(), &[vec![Value::Int(1)]]).unwrap();
         let delta = ctx.registry().snapshot().delta(&before);
         assert_eq!(delta.counter("hyracks.dataflow.spill_runs"), Some(1));
         assert!(delta.counter("hyracks.dataflow.spilled_bytes").unwrap() > 0);
-    }
-
-    #[test]
-    fn worker_spill_cells_attribute_to_the_current_thread() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let _ = take_worker_spill(); // clear residue from other tests
-        let _run = spill_batch(&ctx, &[vec![Value::Int(1)]]).unwrap();
-        note_grace_fanout(8);
-        let (runs, bytes, fanout) = take_worker_spill();
-        assert_eq!(runs, 1);
-        assert!(bytes > 0);
-        assert_eq!(fanout, 8);
-        assert_eq!(take_worker_spill(), (0, 0, 0), "drained");
     }
 }

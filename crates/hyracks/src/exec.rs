@@ -12,25 +12,26 @@
 //! propagates upstream naturally: a finished consumer marks its edges gone
 //! and producers stop gracefully on the next push.
 //!
-//! Pipeline breakers (sort, join build, group-by, …) are *barrier tasks*:
-//! they accumulate input across steps, run their algorithm once the
-//! barrier input ends, then re-enqueue themselves to drain the
-//! merge/probe/emit phase one morsel at a time.
+//! How an operator is driven is not known here: every actor holds an
+//! [`ops::Running`] state machine built from its `OpKind`, and a step is one
+//! call of its `pump` over this actor's ports and router, bounded to one
+//! morsel. Blocking operators (sort, join build, group-by, …) consume as
+//! they are fed and spill at their own budget, so nothing in this module
+//! grows with the size of an operator's input.
 //!
 //! Cancellation is polled once per morsel at the top of every step — no
 //! strided in-loop checks and no 50ms channel-timeout re-poll loops — so
 //! cancel latency is bounded by one morsel.
 
-use crate::cancel::{self, CancellationToken};
+use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use crate::error::{HyracksError, Result};
 use crate::faults::{FrameAction, WorkerFaultState};
 use crate::frame::{Frame, Tuple};
-use crate::job::{cmp_tuples, ConnStrategy, JobSpec, OpKind, SortKey};
-use crate::ops;
+use crate::job::{cmp_tuples, ConnStrategy, JobSpec, SortKey};
+use crate::ops::{self, Flow, OpCtx, Polled};
 use crate::sched::{self, WorkerPool, MORSEL_TUPLES};
 use asterix_adm::compare::hash64_iter;
-use asterix_adm::Value;
 use asterix_obs::{Counter, JobProfile, OpMetrics, OperatorProfile};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -49,10 +50,17 @@ const CHANNEL_CAP: usize = 8;
 const COMPLETION_POLL: Duration = Duration::from_millis(2);
 
 /// Wakes actors when their neighborhood changes. Implemented by the live
-/// job (resolving actor indices against the worker pool) and by a no-op
-/// dummy in port unit tests.
-trait Notifier {
+/// job (resolving actor indices against the worker pool) and by [`NoWake`]
+/// where there are no edges.
+pub(crate) trait Notifier {
     fn notify_task(&self, idx: usize);
+}
+
+/// The notifier of an operator driven outside a job.
+pub(crate) struct NoWake;
+
+impl Notifier for NoWake {
+    fn notify_task(&self, _idx: usize) {}
 }
 
 /// Shared state of one dataflow edge between a producer actor and a
@@ -83,18 +91,6 @@ struct Edge {
     src_task: usize,
     /// Task index of the consumer actor (notified on push/close).
     dst_task: usize,
-}
-
-/// One `poll` outcome of an input port.
-#[derive(Debug)]
-enum PortPoll {
-    /// A tuple with its cached byte size.
-    Tuple(Tuple, u32),
-    /// No tuple buffered right now, but producers are still live — the
-    /// actor should go idle and wait for a push notification.
-    Pending,
-    /// Every producer finished cleanly; the port is exhausted.
-    End,
 }
 
 /// A producer vanished before flagging end-of-stream. If the job token
@@ -137,13 +133,13 @@ impl AnyPort {
         job: &dyn Notifier,
         token: &CancellationToken,
         m: &mut OpMetrics,
-    ) -> Result<PortPoll> {
+    ) -> Result<Polled> {
         loop {
             if let Some((t, s)) = self.buffer.pop_front() {
-                return Ok(PortPoll::Tuple(t, s));
+                return Ok(Polled::Tuple(t, s));
             }
             if self.live.is_empty() {
-                return Ok(PortPoll::End);
+                return Ok(Polled::End);
             }
             let n = self.live.len();
             let mut got: Option<Frame> = None;
@@ -192,9 +188,9 @@ impl AnyPort {
                 return Err(dirty_disconnect(token, idx));
             }
             if self.live.is_empty() {
-                return Ok(PortPoll::End);
+                return Ok(Polled::End);
             }
-            return Ok(PortPoll::Pending);
+            return Ok(Polled::Pending);
         }
     }
 }
@@ -228,7 +224,7 @@ impl MergePort {
         job: &dyn Notifier,
         token: &CancellationToken,
         m: &mut OpMetrics,
-    ) -> Result<PortPoll> {
+    ) -> Result<Polled> {
         for li in 0..self.legs.len() {
             while self.legs[li].buffer.is_empty() && !self.legs[li].done {
                 let mut frame: Option<Frame> = None;
@@ -264,7 +260,7 @@ impl MergePort {
                     return Err(dirty_disconnect(token, li));
                 }
                 if pending {
-                    return Ok(PortPoll::Pending);
+                    return Ok(Polled::Pending);
                 }
                 if let Some(f) = frame {
                     note_in_frame(m, &f);
@@ -292,10 +288,10 @@ impl MergePort {
         }
         match best {
             Some(i) => match self.legs[i].buffer.pop_front() {
-                Some((t, s)) => Ok(PortPoll::Tuple(t, s)),
-                None => Ok(PortPoll::End),
+                Some((t, s)) => Ok(Polled::Tuple(t, s)),
+                None => Ok(Polled::End),
             },
-            None => Ok(PortPoll::End),
+            None => Ok(Polled::End),
         }
     }
 }
@@ -306,19 +302,16 @@ enum InPort {
     Merge(MergePort),
 }
 
-impl InPort {
-    fn poll(
-        &mut self,
-        job: &dyn Notifier,
-        token: &CancellationToken,
-        m: &mut OpMetrics,
-    ) -> Result<PortPoll> {
+impl ops::Input for InPort {
+    fn poll(&mut self, cx: &mut OpCtx<'_>) -> Result<Polled> {
         match self {
-            InPort::Any(p) => p.poll(job, token, m),
-            InPort::Merge(p) => p.poll(job, token, m),
+            InPort::Any(p) => p.poll(cx.wake, cx.token, cx.metrics),
+            InPort::Merge(p) => p.poll(cx.wake, cx.token, cx.metrics),
         }
     }
+}
 
+impl InPort {
     fn for_edges(&self, f: &mut dyn FnMut(&Arc<Edge>)) {
         match self {
             InPort::Any(p) => {
@@ -339,10 +332,15 @@ impl InPort {
 /// strategy, buffering into frames and flushing full frames in place.
 /// Partial frames persist across steps, so frame boundaries match the
 /// thread-per-partition executor's exactly (deterministic profile counts).
-struct Router {
+/// An operator nobody consumes (the result sink; an operator driven outside
+/// a job) has a router without edges, which collects what it is given.
+pub(crate) struct Router {
     strategy: ConnStrategy,
     edges: Vec<Arc<Edge>>,
     buffers: Vec<Frame>,
+    collected: Vec<Tuple>,
+    /// A push found every consumer gone: nothing more is worth shipping.
+    all_gone: bool,
     my_partition: usize,
     moved: Counter,
     exchanged: Counter,
@@ -366,12 +364,29 @@ impl Router {
             strategy,
             edges,
             buffers,
+            collected: Vec::new(),
+            all_gone: false,
             my_partition,
             moved: ctx.stats.tuples_moved.clone(),
             exchanged: ctx.stats.tuples_exchanged.clone(),
             faults,
             severed: false,
         }
+    }
+
+    /// A router without edges: every tuple pushed is kept for
+    /// [`Router::take_collected`].
+    pub(crate) fn collector(ctx: &RuntimeCtx) -> Self {
+        Router::new(ConnStrategy::OneToOne, Vec::new(), 0, ctx, None)
+    }
+
+    pub(crate) fn take_collected(&mut self) -> Vec<Tuple> {
+        std::mem::take(&mut self.collected)
+    }
+
+    /// True once a push has found every consumer gone.
+    pub(crate) fn all_gone(&self) -> bool {
+        self.all_gone
     }
 
     /// Start-of-actor fault hook (fail-first-attempt schedules).
@@ -394,33 +409,33 @@ impl Router {
 
     /// Pushes one tuple; returns `false` when every consumer is gone (the
     /// actor should stop producing).
-    fn push(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple) -> Result<bool> {
-        let size = Frame::tuple_size(&t);
-        self.push_sized(job, m, t, size)
-    }
-
-    /// Pushes a tuple whose byte size the caller computed fresh; validates
-    /// the `u32` size cache once, then takes the cached fast path.
-    fn push_sized(
-        &mut self,
-        job: &dyn Notifier,
-        m: &mut OpMetrics,
-        t: Tuple,
-        size: usize,
-    ) -> Result<bool> {
-        let size = crate::frame::u32_len("tuple size", size)?;
+    #[inline]
+    pub(crate) fn push(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple) -> Result<bool> {
+        let size = crate::frame::u32_len("tuple size", Frame::tuple_size(&t))?;
         self.push_cached(job, m, t, size)
     }
 
     /// Pushes a tuple whose byte size is carried from an upstream frame's
     /// size cache — the exchange hot path: no re-walk, no re-validation.
-    fn push_cached(
+    #[inline]
+    pub(crate) fn push_cached(
         &mut self,
         job: &dyn Notifier,
         m: &mut OpMetrics,
         t: Tuple,
         size: u32,
     ) -> Result<bool> {
+        if self.edges.is_empty() {
+            m.tuples_out += 1;
+            self.collected.push(t);
+            return Ok(true);
+        }
+        let alive = self.route(job, m, t, size)?;
+        self.all_gone = !alive;
+        Ok(alive)
+    }
+
+    fn route(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple, size: u32) -> Result<bool> {
         self.moved.inc();
         if !matches!(self.strategy, ConnStrategy::OneToOne) {
             self.exchanged.inc();
@@ -506,8 +521,12 @@ impl Router {
         Ok(true)
     }
 
-    /// Flushes every partial frame (end of a producing phase).
+    /// Flushes every partial frame (the operator finished). A router whose
+    /// consumers are all gone has nobody to flush to.
     fn flush_all(&mut self, job: &dyn Notifier, m: &mut OpMetrics) -> Result<()> {
+        if self.all_gone {
+            return Ok(());
+        }
         for d in 0..self.edges.len() {
             let _ = self.flush(job, m, d)?;
         }
@@ -547,60 +566,6 @@ fn error_rank(e: &HyracksError) -> u8 {
     }
 }
 
-/// Execution phase of one actor. Streaming ops stay in `Run`; pipeline
-/// breakers move `Accum → (algorithm) → Emit`, hash joins `Accum → Probe`.
-enum Phase {
-    /// Source: factory not yet opened.
-    OpenSource,
-    /// Source: draining its iterator.
-    SourceRun(Box<dyn Iterator<Item = Result<Tuple>> + Send>),
-    /// Streaming unary ops (filter/assign/project/unnest).
-    Run,
-    /// Limit: offset/quota progress.
-    Limit { skipped: usize, emitted: usize },
-    /// UnionAll: which input port is being drained.
-    Union { port: usize },
-    /// Barrier input accumulation (sort/topk/aggregate/group/distinct on
-    /// port 0; join build side on port 1). Byte sizes are carried so join
-    /// build-memory decisions match the old incremental accounting.
-    Accum { staged: Vec<(Tuple, u32)>, staged_bytes: u64 },
-    /// Hash join whose build side fit in memory: streaming per-morsel
-    /// probe, the probe side is never staged.
-    Probe { table: std::collections::HashMap<u64, Vec<Tuple>>, cfg: ops::join::HashJoinCfg },
-    /// Hash join build side exceeded memory: stage the probe side too,
-    /// then run the grace/hybrid path in one barrier transition.
-    GraceAccum {
-        build: Vec<(Tuple, u32)>,
-        probe: Vec<(Tuple, u32)>,
-        cfg: ops::join::HashJoinCfg,
-    },
-    /// Nested-loop join: build side staged, streaming the probe.
-    NljProbe { build: Vec<Tuple> },
-    /// Barrier output: draining the algorithm's result one morsel at a
-    /// time (the re-enqueued merge/emit phase).
-    Emit(Box<dyn Iterator<Item = Result<Tuple>> + Send>),
-    /// Result sink: accumulating delivered tuples.
-    Sink { delivered: Vec<Tuple> },
-}
-
-fn initial_phase(kind: &OpKind) -> Phase {
-    match kind {
-        OpKind::ResultSink => Phase::Sink { delivered: Vec::new() },
-        OpKind::Source(_) => Phase::OpenSource,
-        OpKind::Limit { .. } => Phase::Limit { skipped: 0, emitted: 0 },
-        OpKind::UnionAll => Phase::Union { port: 0 },
-        OpKind::Sort { .. }
-        | OpKind::TopK { .. }
-        | OpKind::Aggregate { .. }
-        | OpKind::GroupBy { .. }
-        | OpKind::GroupCollect { .. }
-        | OpKind::Distinct { .. }
-        | OpKind::HashJoin { .. }
-        | OpKind::NestedLoopJoin { .. } => Phase::Accum { staged: Vec::new(), staged_bytes: 0 },
-        _ => Phase::Run,
-    }
-}
-
 /// Mutable state of one operator-partition actor.
 struct ActorBody {
     op_id: usize,
@@ -612,9 +577,9 @@ struct ActorBody {
     /// `metrics.queue_wait_ns` on the next step).
     wait_since: Option<u64>,
     metrics: OpMetrics,
-    phase: Phase,
+    run: ops::Running,
     in_ports: Vec<InPort>,
-    router: Option<Router>,
+    router: Router,
 }
 
 /// One operator-partition as a schedulable task.
@@ -626,7 +591,6 @@ struct ActorTask {
 
 /// Shared state of one running job.
 struct JobInner {
-    spec: Arc<JobSpec>,
     ctx: Arc<RuntimeCtx>,
     token: CancellationToken,
     pool: Arc<WorkerPool>,
@@ -687,36 +651,36 @@ impl sched::Task for ActorTask {
         let step_start = clock.now_ns();
         let first = !body.started;
         body.started = true;
-        cancel::set_current(job.token.clone());
         let body_ref = &mut *body;
         let flow = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let ActorBody { run, in_ports, router, metrics, .. } = body_ref;
             if first {
                 // Fail-first-attempt faults fire for every routed actor,
                 // before the token check — the chaos schedule outranks the
                 // sibling cancellations it triggers.
-                if let Some(r) = body_ref.router.as_mut() {
-                    r.fault_start()?;
-                }
+                router.fault_start()?;
             }
             // The per-morsel cancellation poll: exactly one check per step.
             job.token.check()?;
-            step_once(&job, body_ref)
+            if !router.has_room() {
+                return Ok(Flow::Idle);
+            }
+            let mut cx =
+                OpCtx { metrics, token: &job.token, ctx: &job.ctx, out: router, wake: &*job };
+            let flow = run.pump(in_ports, &mut cx, MORSEL_TUPLES)?;
+            if flow == Flow::Finished {
+                router.flush_all(&*job, metrics)?;
+            }
+            Ok(flow)
         }));
-        cancel::clear_current();
-        // Attribute spill activity done during this step (sort runs, grace
-        // partitions) to this actor, wherever the pool thread ran it.
-        let (runs, bytes, fanout) = crate::ctx::take_worker_spill();
-        body.metrics.spill_runs += runs;
-        body.metrics.spilled_bytes += bytes;
-        body.metrics.grace_fanout += fanout;
         body.metrics.compute_ns += clock.now_ns().saturating_sub(step_start);
         match flow {
-            Ok(Ok(StepFlow::Again)) => sched::Step::Again,
-            Ok(Ok(StepFlow::Idle)) => {
+            Ok(Ok(Flow::Again)) => sched::Step::Again,
+            Ok(Ok(Flow::Idle)) => {
                 body.wait_since = Some(clock.now_ns());
                 sched::Step::Idle
             }
-            Ok(Ok(StepFlow::Finished)) => {
+            Ok(Ok(Flow::Finished)) => {
                 finish_actor(&job, &mut body, Ok(()));
                 sched::Step::Finished
             }
@@ -742,39 +706,29 @@ impl sched::Task for ActorTask {
     }
 }
 
-/// What one cooperative step decided.
-enum StepFlow {
-    /// More work immediately available; re-enqueue.
-    Again,
-    /// Blocked on input or output room; wait for a neighbor notification.
-    Idle,
-    /// This actor is done (cleanly or by early termination).
-    Finished,
-}
-
-/// Tears one actor down: closes its out edges (clean or dirty), releases
-/// its in edges, records its error, and completes the job when it was the
-/// last actor standing.
+/// Tears one actor down: closes its out edges (clean or dirty) or hands
+/// what it collected to the job, releases its in edges, records its error,
+/// and completes the job when it was the last actor standing.
 fn finish_actor(job: &JobInner, body: &mut ActorBody, result: Result<()>) {
     body.finished = true;
-    let severed = body.router.as_ref().map(|r| r.severed).unwrap_or(false);
-    let clean = result.is_ok() && !severed;
-    if let Some(r) = body.router.as_ref() {
-        for e in &r.edges {
-            let dst = {
-                let mut st = e.state.lock();
-                if st.closed {
-                    None
-                } else {
-                    st.closed = true;
-                    st.eos = clean;
-                    Some(e.dst_task)
-                }
-            };
-            if let Some(d) = dst {
-                job.notify_task(d);
+    let clean = result.is_ok() && !body.router.severed;
+    for e in &body.router.edges {
+        let dst = {
+            let mut st = e.state.lock();
+            if st.closed {
+                None
+            } else {
+                st.closed = true;
+                st.eos = clean;
+                Some(e.dst_task)
             }
+        };
+        if let Some(d) = dst {
+            job.notify_task(d);
         }
+    }
+    if clean {
+        job.results.lock().extend(body.router.take_collected());
     }
     for port in &body.in_ports {
         port.for_edges(&mut |e| {
@@ -816,446 +770,6 @@ fn finish_actor(job: &JobInner, body: &mut ActorBody, result: Result<()>) {
         let mut done = job.done.lock();
         *done = true;
         job.done_cv.notify_all();
-    }
-}
-
-/// Runs one morsel-bounded step of an actor's current phase.
-fn step_once(job: &JobInner, body: &mut ActorBody) -> Result<StepFlow> { // xlint: actor_entry
-    let kind = &job.spec.ops[body.op_id].kind;
-    let partition = body.partition;
-    let token = &job.token;
-    let ActorBody { in_ports, router, metrics, phase, .. } = body;
-    let invalid = |m: &str| HyracksError::InvalidJob(m.to_string());
-    match phase {
-        Phase::OpenSource => {
-            let OpKind::Source(factory) = kind else {
-                return Err(invalid("source phase on a non-source operator"));
-            };
-            let iter = factory.open(partition)?;
-            *phase = Phase::SourceRun(iter);
-            Ok(StepFlow::Again)
-        }
-        Phase::SourceRun(iter) => {
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("source has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            for _ in 0..MORSEL_TUPLES {
-                match iter.next() {
-                    None => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    Some(Err(e)) => return Err(e),
-                    Some(Ok(t)) => {
-                        if !out.push(job, metrics, t)? {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Run => {
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("non-sink operator has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("streaming operator has no input port"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, size) => {
-                        let cont = match kind {
-                            OpKind::Filter(pred) => {
-                                if pred(&t)? {
-                                    out.push_cached(job, metrics, t, size)?
-                                } else {
-                                    true
-                                }
-                            }
-                            OpKind::Assign(exprs) => {
-                                let mut t = t;
-                                for e in exprs {
-                                    let v = e(&t)?;
-                                    t.push(v);
-                                }
-                                out.push(job, metrics, t)?
-                            }
-                            OpKind::Project(cols) => {
-                                let projected: Tuple =
-                                    cols.iter().map(|c| t[*c].clone()).collect();
-                                out.push(job, metrics, projected)?
-                            }
-                            OpKind::Unnest { expr, outer } => {
-                                let coll = expr(&t)?;
-                                let mut cont = true;
-                                match coll.as_collection() {
-                                    Some(items) if !items.is_empty() => {
-                                        for item in items {
-                                            let mut row = t.clone();
-                                            row.push(item.clone());
-                                            if !out.push(job, metrics, row)? {
-                                                cont = false;
-                                                break;
-                                            }
-                                        }
-                                    }
-                                    _ => {
-                                        if *outer {
-                                            let mut row = t.clone();
-                                            row.push(Value::Missing);
-                                            cont = out.push(job, metrics, row)?;
-                                        }
-                                    }
-                                }
-                                cont
-                            }
-                            _ => return Err(invalid("unexpected streaming operator")),
-                        };
-                        if !cont {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Limit { skipped, emitted } => {
-            let OpKind::Limit { offset, count } = kind else {
-                return Err(invalid("limit phase on a non-limit operator"));
-            };
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("limit has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("limit has no input port"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, size) => {
-                        if *skipped < *offset {
-                            *skipped += 1;
-                            continue;
-                        }
-                        if let Some(c) = count {
-                            if *emitted >= *c {
-                                // Quota met: stop consuming. Finishing
-                                // releases the in edges, so producers
-                                // stop shortly after.
-                                out.flush_all(job, metrics)?;
-                                return Ok(StepFlow::Finished);
-                            }
-                        }
-                        *emitted += 1;
-                        if !out.push_cached(job, metrics, t, size)? {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Union { port } => {
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("union has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            for _ in 0..MORSEL_TUPLES {
-                let p = *port;
-                let Some(in_port) = in_ports.get_mut(p) else {
-                    return Err(invalid("union input port missing"));
-                };
-                match in_port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        if p == 0 {
-                            *port = 1;
-                            continue;
-                        }
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, size) => {
-                        if !out.push_cached(job, metrics, t, size)? {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Sink { delivered } => {
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("sink has no input port"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        metrics.tuples_out = delivered.len() as u64;
-                        job.results.lock().extend(std::mem::take(delivered));
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, _) => delivered.push(t),
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Accum { staged, staged_bytes } => {
-            let port_idx = match kind {
-                OpKind::HashJoin { .. } | OpKind::NestedLoopJoin { .. } => 1,
-                _ => 0,
-            };
-            let Some(port) = in_ports.get_mut(port_idx) else {
-                return Err(invalid("barrier operator input port missing"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::Tuple(t, s) => {
-                        *staged_bytes += s as u64;
-                        staged.push((t, s));
-                    }
-                    PortPoll::End => {
-                        let staged = std::mem::take(staged);
-                        let staged_bytes = *staged_bytes;
-                        *phase = barrier_transition(kind, staged, staged_bytes, job)?;
-                        // Barrier crossed: re-enqueue for the next phase
-                        // rather than running the whole drain inline.
-                        return Ok(StepFlow::Again);
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Probe { table, cfg } => {
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("join has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("join probe port missing"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, _) => {
-                        let mut stop = false;
-                        ops::join::probe_one(t, table, cfg, &mut |o| {
-                            let cont = out.push(job, metrics, o)?;
-                            if !cont {
-                                stop = true;
-                            }
-                            Ok(cont)
-                        })?;
-                        if stop {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::GraceAccum { build, probe, cfg } => {
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("join probe port missing"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::Tuple(t, s) => probe.push((t, s)),
-                    PortPoll::End => {
-                        let build = std::mem::take(build);
-                        let probe = std::mem::take(probe);
-                        let cfg = cfg.clone();
-                        let mut collected: Vec<Tuple> = Vec::new();
-                        ops::join::hash_join(
-                            probe.into_iter().map(|(t, _)| Ok(t)),
-                            build.into_iter().map(|(t, _)| Ok(t)),
-                            &cfg,
-                            &job.ctx,
-                            &mut |t| {
-                                collected.push(t);
-                                Ok(true)
-                            },
-                        )?;
-                        *phase = Phase::Emit(Box::new(collected.into_iter().map(Ok)));
-                        return Ok(StepFlow::Again);
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::NljProbe { build } => {
-            let OpKind::NestedLoopJoin { pred, kind: jk, right_arity } = kind else {
-                return Err(invalid("nlj phase on a non-nlj operator"));
-            };
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("join has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            let Some(port) = in_ports.get_mut(0) else {
-                return Err(invalid("join probe port missing"));
-            };
-            for _ in 0..MORSEL_TUPLES {
-                match port.poll(job, token, metrics)? {
-                    PortPoll::Pending => return Ok(StepFlow::Idle),
-                    PortPoll::End => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    PortPoll::Tuple(t, _) => {
-                        let mut stop = false;
-                        ops::join::nlj_probe_one(t, build, pred, *jk, *right_arity, &mut |o| {
-                            let cont = out.push(job, metrics, o)?;
-                            if !cont {
-                                stop = true;
-                            }
-                            Ok(cont)
-                        })?;
-                        if stop {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-        Phase::Emit(iter) => {
-            let Some(out) = router.as_mut() else {
-                return Err(invalid("barrier operator has no outgoing connector"));
-            };
-            if !out.has_room() {
-                return Ok(StepFlow::Idle);
-            }
-            for _ in 0..MORSEL_TUPLES {
-                match iter.next() {
-                    None => {
-                        out.flush_all(job, metrics)?;
-                        return Ok(StepFlow::Finished);
-                    }
-                    Some(Err(e)) => return Err(e),
-                    Some(Ok(t)) => {
-                        if !out.push(job, metrics, t)? {
-                            return Ok(StepFlow::Finished);
-                        }
-                    }
-                }
-            }
-            Ok(StepFlow::Again)
-        }
-    }
-}
-
-/// Runs a barrier operator's algorithm over its staged input and returns
-/// the phase that drains the output. The staged input is held in memory;
-/// the consuming algorithms (external sort, grace join, spilling group-by)
-/// still spill their own working state under the operator memory budget.
-fn barrier_transition(
-    kind: &OpKind,
-    staged: Vec<(Tuple, u32)>,
-    staged_bytes: u64,
-    job: &JobInner,
-) -> Result<Phase> {
-    let ctx = &job.ctx;
-    match kind {
-        OpKind::Sort { keys, memory } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let sorted =
-                ops::sort::external_sort(input, keys.clone(), *memory, Arc::clone(ctx))?;
-            Ok(Phase::Emit(sorted))
-        }
-        OpKind::TopK { keys, k } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let top = ops::sort::top_k(input, keys, *k)?;
-            Ok(Phase::Emit(Box::new(top.into_iter().map(Ok))))
-        }
-        OpKind::Aggregate { aggs } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let t = ops::scalar_aggregate(input, aggs)?;
-            Ok(Phase::Emit(Box::new(std::iter::once(Ok(t)))))
-        }
-        OpKind::GroupBy { key_cols, aggs, memory } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let mut out: Vec<Tuple> = Vec::new();
-            ops::groupby::hash_group_by(input, key_cols, aggs, *memory, ctx, &mut |t| {
-                out.push(t);
-                Ok(true)
-            })?;
-            Ok(Phase::Emit(Box::new(out.into_iter().map(Ok))))
-        }
-        OpKind::GroupCollect { key_cols, payload_cols, memory } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let mut out: Vec<Tuple> = Vec::new();
-            ops::groupby::group_collect(input, key_cols, payload_cols, *memory, ctx, &mut |t| {
-                out.push(t);
-                Ok(true)
-            })?;
-            Ok(Phase::Emit(Box::new(out.into_iter().map(Ok))))
-        }
-        OpKind::Distinct { cols, memory } => {
-            let input = staged.into_iter().map(|(t, _)| Ok(t));
-            let mut out: Vec<Tuple> = Vec::new();
-            ops::groupby::distinct(input, cols.as_deref(), *memory, ctx, &mut |t| {
-                out.push(t);
-                Ok(true)
-            })?;
-            Ok(Phase::Emit(Box::new(out.into_iter().map(Ok))))
-        }
-        OpKind::HashJoin { left_keys, right_keys, kind, right_arity, memory } => {
-            let cfg = ops::join::HashJoinCfg {
-                left_keys: left_keys.clone(),
-                right_keys: right_keys.clone(),
-                kind: *kind,
-                right_arity: *right_arity,
-                memory: *memory,
-            };
-            if staged_bytes <= *memory as u64 {
-                // Build fits: in-memory table, streaming per-morsel probe.
-                let table = ops::join::build_table(staged.into_iter().map(|(t, _)| t), &cfg);
-                Ok(Phase::Probe { table, cfg })
-            } else {
-                // Same boundary as the old incremental build: over-budget
-                // build sides take the grace path once the probe side is
-                // staged too.
-                Ok(Phase::GraceAccum { build: staged, probe: Vec::new(), cfg })
-            }
-        }
-        OpKind::NestedLoopJoin { .. } => {
-            Ok(Phase::NljProbe { build: staged.into_iter().map(|(t, _)| t).collect() })
-        }
-        _ => Err(HyracksError::InvalidJob(
-            "barrier transition on a streaming operator".into(),
-        )),
     }
 }
 
@@ -1308,7 +822,6 @@ fn run_job_inner(
     if let Some(f) = ctx.dataflow_faults() {
         f.begin_attempt();
     }
-    let spec = Arc::new(spec);
     let pool = match workers {
         Some(n) => WorkerPool::new(n.max(1), ctx.registry()),
         None => ctx.worker_pool(),
@@ -1341,7 +854,6 @@ fn run_job_inner(
         conn_edges.push(rows);
     }
     let inner = Arc::new(JobInner {
-        spec: Arc::clone(&spec),
         ctx: Arc::clone(ctx),
         token: token.clone(),
         pool: Arc::clone(&pool),
@@ -1381,15 +893,20 @@ fn run_job_inner(
                     _ => InPort::Any(AnyPort::new(col)),
                 });
             }
-            let router = out_conn.map(|(ci, conn)| {
-                let row = conn_edges[ci][p].clone();
-                let faults = ctx
-                    .dataflow_faults()
-                    .map(|f| WorkerFaultState::new(Arc::clone(f), label.clone(), p));
-                Router::new(conn.strategy.clone(), row, p, ctx, faults)
-            });
-            let ndst = router.as_ref().map(|r| r.edges.len()).unwrap_or(0);
-            let metrics = OpMetrics { frames_routed: vec![0; ndst], ..OpMetrics::default() };
+            let router = match out_conn {
+                Some((ci, conn)) => {
+                    let row = conn_edges[ci][p].clone();
+                    let faults = ctx
+                        .dataflow_faults()
+                        .map(|f| WorkerFaultState::new(Arc::clone(f), label.clone(), p));
+                    Router::new(conn.strategy.clone(), row, p, ctx, faults)
+                }
+                // Only the result sink has no consumer: its output is the
+                // job's result.
+                None => Router::collector(ctx),
+            };
+            let metrics =
+                OpMetrics { frames_routed: vec![0; router.edges.len()], ..OpMetrics::default() };
             let body = ActorBody {
                 op_id,
                 partition: p,
@@ -1398,7 +915,7 @@ fn run_job_inner(
                 finished: false,
                 wait_since: None,
                 metrics,
-                phase: initial_phase(&op.kind),
+                run: ops::Running::new(op.kind.operator(p)),
                 in_ports,
                 router,
             };
@@ -1522,7 +1039,8 @@ pub fn run_job_sorted(spec: JobSpec, ctx: Arc<RuntimeCtx>, keys: &[SortKey]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AggSpec, FnSource, JoinKind, SortKey};
+    use crate::job::{AggSpec, FnSource, JoinKind, OpKind, SortKey};
+    use asterix_adm::Value;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
 
@@ -1670,7 +1188,9 @@ mod tests {
     fn limit_stops_early() {
         let mut j = JobSpec::new();
         // huge source; limit must cut it off without consuming everything
-        let s = j.add(int_source(1_000_000), 1, "scan");
+        let produced = Arc::new(AtomicU64::new(0));
+        let source = counting_source(1_000_000, None, &CancellationToken::new(), &produced);
+        let s = j.add(source, 1, "scan");
         let l = j.add(OpKind::Limit { offset: 5, count: Some(10) }, 1, "limit");
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(s, l, 0, ConnStrategy::OneToOne);
@@ -1681,6 +1201,46 @@ mod tests {
         assert_eq!(out[0][0], Value::Int(5), "offset skipped");
         let moved = ctx.stats.snapshot().tuples_moved;
         assert!(moved < 100_000, "early termination pruned the scan ({moved} moved)");
+        // What the source ran ahead by is bounded by the edge, not by its
+        // size: the frames the edge holds plus the morsel it was in.
+        let produced = produced.load(AtomicOrdering::SeqCst);
+        assert!(produced < 100_000, "the source stopped early ({produced} produced)");
+    }
+
+    #[test]
+    fn a_join_stops_when_its_consumer_is_gone() {
+        // 200 x 200 matches on one key = 40k output tuples; LIMIT 3 must not
+        // make the join produce them all.
+        let same_key = || {
+            OpKind::Source(Arc::new(FnSource(|_p: usize| {
+                Ok(Box::new((0..200i64).map(|i| Ok(vec![Value::Int(1), Value::Int(i)])))
+                    as Box<dyn Iterator<Item = Result<Tuple>> + Send>)
+            })))
+        };
+        let mut j = JobSpec::new();
+        let left = j.add(same_key(), 1, "left");
+        let right = j.add(same_key(), 1, "right");
+        let join = j.add(
+            OpKind::HashJoin {
+                left_keys: vec![0],
+                right_keys: vec![0],
+                kind: JoinKind::Inner,
+                right_arity: 2,
+                memory: 1 << 20,
+            },
+            1,
+            "join",
+        );
+        let l = j.add(OpKind::Limit { offset: 0, count: Some(3) }, 1, "limit");
+        let r = j.add(OpKind::ResultSink, 1, "sink");
+        j.connect(left, join, 0, ConnStrategy::OneToOne);
+        j.connect(right, join, 1, ConnStrategy::OneToOne);
+        j.connect(join, l, 0, ConnStrategy::OneToOne);
+        j.connect(l, r, 0, ConnStrategy::Gather);
+        let result = run_job(j, RuntimeCtx::temp().unwrap()).unwrap();
+        assert_eq!(result.tuples.len(), 3);
+        let joined = result.profile.root.find("join").unwrap().totals().tuples_out;
+        assert!(joined < 40_000, "the join stopped early ({joined} tuples out)");
     }
 
     #[test]
@@ -1839,40 +1399,117 @@ mod tests {
         assert!(morsels >= 12, "barrier phases are morsel-stepped ({morsels} morsels)");
     }
 
+    /// A source of tuples `[i, "k<i>…"]` that counts what it hands out, ends
+    /// after `n`, and cancels `token` on tuple number `cancel_at`.
+    fn counting_source(
+        n: u64,
+        cancel_at: Option<u64>,
+        token: &CancellationToken,
+        produced: &Arc<AtomicU64>,
+    ) -> OpKind {
+        let (token, produced) = (token.clone(), Arc::clone(produced));
+        OpKind::Source(Arc::new(FnSource(move |_p: usize| {
+            let (token, produced) = (token.clone(), Arc::clone(&produced));
+            Ok(Box::new((0..n as i64).map(move |i| {
+                let seen = produced.fetch_add(1, AtomicOrdering::SeqCst);
+                if Some(seen) == cancel_at {
+                    token.cancel("mid-stream cancel");
+                }
+                Ok(vec![Value::Int(i), Value::from(format!("k{i:0200}"))])
+            })) as Box<dyn Iterator<Item = Result<Tuple>> + Send>)
+        })))
+    }
+
+    fn run_with(j: JobSpec, ctx: &Arc<RuntimeCtx>, token: &CancellationToken) -> Result<JobResult> {
+        let opts = JobOptions { token: Some(token.clone()), deadline: None, workers: None };
+        run_job_with(j, Arc::clone(ctx), opts)
+    }
+
     #[test]
     fn cancel_is_observed_within_one_morsel() {
-        // The source itself cancels the job mid-stream; the executor may
-        // finish the current morsel but must not start another.
-        let ctx = RuntimeCtx::temp().unwrap();
-        let produced = Arc::new(AtomicU64::new(0));
-        let p2 = Arc::clone(&produced);
-        let mut j = JobSpec::new();
-        let s = j.add(
-            OpKind::Source(Arc::new(FnSource(move |_p: usize| {
-                let produced = Arc::clone(&p2);
-                Ok(Box::new((0..i64::MAX).map(move |i| {
-                    let n = produced.fetch_add(1, AtomicOrdering::SeqCst);
-                    if n == 5000 {
-                        crate::cancel::current().cancel("mid-stream cancel");
+        // The source itself cancels the job mid-stream, feeding the sink, a
+        // sort and a group-by that are mid-input with tiny budgets; the
+        // executor may finish the current morsel but must not start another.
+        let blocking: [Option<OpKind>; 3] = [
+            None,
+            Some(OpKind::Sort { keys: vec![SortKey::asc(1)], memory: 16 << 10 }),
+            Some(OpKind::GroupBy {
+                key_cols: vec![1],
+                aggs: vec![AggSpec::CountStar],
+                memory: 16 << 10,
+            }),
+        ];
+        for op in blocking {
+            let token = CancellationToken::new();
+            let produced = Arc::new(AtomicU64::new(0));
+            let mut j = JobSpec::new();
+            let mut last = j.add(counting_source(u64::MAX >> 1, Some(5000), &token, &produced), 1, "scan");
+            if let Some(op) = op {
+                let next = j.add(op, 1, "blocking");
+                j.connect(last, next, 0, ConnStrategy::OneToOne);
+                last = next;
+            }
+            let r = j.add(OpKind::ResultSink, 1, "sink");
+            j.connect(last, r, 0, ConnStrategy::Gather);
+            let err = run_with(j, &RuntimeCtx::temp().unwrap(), &token).unwrap_err();
+            assert!(
+                matches!(&err, HyracksError::Cancelled(m) if m.contains("mid-stream cancel")),
+                "{err}"
+            );
+            let n = produced.load(AtomicOrdering::SeqCst);
+            assert!(
+                n <= 5000 + MORSEL_TUPLES as u64,
+                "cancel observed within one morsel, not one frame stream ({n} produced)"
+            );
+        }
+    }
+
+    #[test]
+    fn a_spilled_group_by_cancelled_mid_output_leaves_its_partitions_unread() {
+        // 40k distinct keys against a budget of a few hundred groups: three
+        // levels of grace partitions. The consumer cancels the job on the
+        // first tuple it sees, which the group-by ships while it is still
+        // emitting its resident groups; it must stop there, not work through
+        // the partitions first.
+        let spilled_group_by = |cancel_on_output: Option<&CancellationToken>| {
+            let token = CancellationToken::new();
+            let mut j = JobSpec::new();
+            let s = j.add(counting_source(40_000, None, &token, &Arc::default()), 1, "scan");
+            let g = j.add(
+                OpKind::GroupBy {
+                    key_cols: vec![1],
+                    aggs: vec![AggSpec::CountStar],
+                    memory: 128 << 10,
+                },
+                1,
+                "group",
+            );
+            let cancel = cancel_on_output.cloned();
+            let f = j.add(
+                OpKind::Filter(Arc::new(move |_t: &Tuple| {
+                    if let Some(token) = &cancel {
+                        token.cancel("consumer cancelled");
                     }
-                    Ok(vec![Value::Int(i)])
-                })) as Box<dyn Iterator<Item = Result<Tuple>> + Send>)
-            }))),
-            1,
-            "scan",
-        );
-        let r = j.add(OpKind::ResultSink, 1, "sink");
-        j.connect(s, r, 0, ConnStrategy::Gather);
-        let err = run_job(j, ctx).unwrap_err();
-        assert!(
-            matches!(&err, HyracksError::Cancelled(m) if m.contains("mid-stream cancel")),
-            "{err}"
-        );
-        let n = produced.load(AtomicOrdering::SeqCst);
-        assert!(
-            n <= 5000 + MORSEL_TUPLES as u64,
-            "cancel observed within one morsel, not one frame stream ({n} produced)"
-        );
+                    Ok(true)
+                })),
+                1,
+                "consumer",
+            );
+            let r = j.add(OpKind::ResultSink, 1, "sink");
+            j.connect(s, g, 0, ConnStrategy::OneToOne);
+            j.connect(g, f, 0, ConnStrategy::OneToOne);
+            j.connect(f, r, 0, ConnStrategy::Gather);
+            let ctx = RuntimeCtx::temp().unwrap();
+            let result = run_with(j, &ctx, cancel_on_output.unwrap_or(&token));
+            (result, ctx.stats.snapshot().spill_runs)
+        };
+        let (result, all_runs) = spilled_group_by(None);
+        assert_eq!(result.unwrap().tuples.len(), 40_000);
+        assert!(all_runs > 100, "three levels of partitions ({all_runs} runs)");
+        let token = CancellationToken::new();
+        let (result, runs) = spilled_group_by(Some(&token));
+        assert!(matches!(result, Err(HyracksError::Cancelled(_))));
+        assert!(runs < all_runs / 4, "{runs} of {all_runs} runs written before the cancel was seen");
     }
 
     // -- lifecycle: cancellation, deadlines, EOS protocol, fault injection --
@@ -2000,11 +1637,6 @@ mod tests {
     }
 
     /// Port-level tests drive an [`AnyPort`] by hand over a raw edge.
-    struct NoNotify;
-    impl Notifier for NoNotify {
-        fn notify_task(&self, _idx: usize) {}
-    }
-
     fn test_edge() -> Arc<Edge> {
         Arc::new(Edge { state: Mutex::new(EdgeState::default()), src_task: 0, dst_task: 1 })
     }
@@ -2025,11 +1657,11 @@ mod tests {
             st.frames.push_back(f);
             st.closed = true; // died mid-stream: closed without eos
         }
-        match port.poll(&NoNotify, &token, &mut m).unwrap() {
-            PortPoll::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
+        match port.poll(&NoWake, &token, &mut m).unwrap() {
+            Polled::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
             _ => panic!("buffered data drains before the dirty close is reported"),
         }
-        let err = port.poll(&NoNotify, &token, &mut m).unwrap_err();
+        let err = port.poll(&NoWake, &token, &mut m).unwrap_err();
         assert!(matches!(err, HyracksError::UpstreamFailure(_)), "{err}");
     }
 
@@ -2047,12 +1679,12 @@ mod tests {
             st.closed = true;
             st.eos = true; // clean finish
         }
-        match port.poll(&NoNotify, &token, &mut m).unwrap() {
-            PortPoll::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
+        match port.poll(&NoWake, &token, &mut m).unwrap() {
+            Polled::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
             _ => panic!("data before the clean close"),
         }
         assert!(
-            matches!(port.poll(&NoNotify, &token, &mut m).unwrap(), PortPoll::End),
+            matches!(port.poll(&NoWake, &token, &mut m).unwrap(), Polled::End),
             "eos flag after the data = clean end"
         );
         assert_eq!(m.frames_in, 1, "end-of-stream is a flag, not a counted data frame");

@@ -9,6 +9,7 @@
 
 use crate::error::{HyracksError, Result};
 use crate::frame::Tuple;
+use crate::ops::{groupby, join, sort, stream, Operator};
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
 use std::cmp::Ordering;
@@ -181,6 +182,48 @@ impl OpKind {
             OpKind::NestedLoopJoin { .. } => "nljoin",
             OpKind::UnionAll => "union",
             OpKind::ResultSink => "resultsink",
+        }
+    }
+
+    /// The state machine that runs one partition of this operator.
+    pub(crate) fn operator(&self, partition: usize) -> Box<dyn Operator> {
+        match self {
+            OpKind::Source(factory) => Box::new(stream::Source::new(Arc::clone(factory), partition)),
+            OpKind::Filter(pred) => Box::new(stream::Filter(Arc::clone(pred))),
+            OpKind::Assign(exprs) => Box::new(stream::Assign(exprs.clone())),
+            OpKind::Project(cols) => Box::new(stream::Project(cols.clone())),
+            OpKind::Unnest { expr, outer } => {
+                Box::new(stream::Unnest { expr: Arc::clone(expr), outer: *outer })
+            }
+            OpKind::Limit { offset, count } => Box::new(stream::Limit::new(*offset, *count)),
+            OpKind::Sort { keys, memory } => Box::new(sort::Sort::new(keys.clone(), *memory)),
+            OpKind::TopK { keys, k } => Box::new(sort::TopK::new(keys.clone(), *k)),
+            OpKind::Aggregate { aggs } => Box::new(groupby::Aggregate::new(aggs)),
+            OpKind::GroupBy { key_cols, aggs, memory } => Box::new(groupby::Hybrid::new(
+                groupby::Groups::new(key_cols.clone(), aggs.clone()),
+                *memory,
+            )),
+            OpKind::GroupCollect { key_cols, payload_cols, memory } => Box::new(
+                groupby::GroupCollect::new(key_cols.clone(), payload_cols.clone(), *memory),
+            ),
+            OpKind::Distinct { cols, memory } => {
+                Box::new(groupby::Hybrid::new(groupby::Seen::new(cols.clone()), *memory))
+            }
+            OpKind::HashJoin { left_keys, right_keys, kind, right_arity, memory } => {
+                Box::new(join::HashJoin::new(join::HashJoinCfg {
+                    left_keys: left_keys.clone(),
+                    right_keys: right_keys.clone(),
+                    kind: *kind,
+                    right_arity: *right_arity,
+                    memory: *memory,
+                }))
+            }
+            OpKind::NestedLoopJoin { pred, kind, right_arity } => {
+                Box::new(join::NestedLoopJoin::new(Arc::clone(pred), *kind, *right_arity))
+            }
+            OpKind::UnionAll | OpKind::ResultSink => {
+                Box::new(stream::Concat { ports: self.arity() })
+            }
         }
     }
 }

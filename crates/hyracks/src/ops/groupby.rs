@@ -1,28 +1,28 @@
-//! Hash-based grouped aggregation with hybrid spilling, plus the sort-based
-//! group-collect operator behind SQL++'s nested GROUP BY output.
+//! Hash-based grouped aggregation and duplicate elimination with hybrid
+//! spilling, scalar aggregation, and the sort-based group-collect operator
+//! behind SQL++'s nested GROUP BY output.
 //!
-//! The hybrid scheme mirrors the join: groups resident when the budget was
-//! exceeded keep aggregating in place; tuples of *new* keys spill to hash
-//! partitions that are aggregated recursively — grouped aggregation over
-//! inputs larger than memory degrades gracefully (paper ref \[10\], E5).
+//! The hybrid scheme mirrors the join: keys resident when the budget was
+//! reached keep folding in place; tuples of *new* keys are written to hash
+//! partitions as they arrive, and each partition is then run through the
+//! same operator one level down — grouped aggregation over inputs larger
+//! than memory degrades gracefully (paper ref \[10\], E5).
 
-use crate::ctx::{RunHandle, RuntimeCtx};
+use crate::ctx::{RunHandle, RunWriter, RuntimeCtx};
 use crate::error::Result;
 use crate::frame::{Frame, Tuple};
 use crate::job::{cmp_tuples, AggSpec, SortKey};
-use crate::ops::sort::external_sort;
-use crate::ops::AggState;
+use crate::ops::sort::{Advance, Sort};
+use crate::ops::{AggState, Nested, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
 use asterix_adm::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
 const GRACE_PARTITIONS: usize = 8;
 const MAX_DEPTH: usize = 3;
 
 /// Hash of the key columns of `t`, by reference — identical to hashing the
-/// materialized key, so spill partition assignment matches the old
-/// key-materializing code path.
+/// materialized key.
 fn hash_key(t: &Tuple, cols: &[usize]) -> u64 {
     hash64_iter(cols.iter().map(|c| &t[*c]), cols.len())
 }
@@ -32,124 +32,253 @@ fn key_matches(key: &[Value], t: &Tuple, cols: &[usize]) -> bool {
     key.len() == cols.len() && key.iter().zip(cols).all(|(k, c)| adm_eq(k, &t[*c]))
 }
 
+/// The resident half of a hybrid hash operator — what differs between
+/// grouped aggregation and duplicate elimination.
+pub(crate) trait Resident: Send + Sized + 'static {
+    fn hash(&self, t: &Tuple) -> u64;
+    /// Folds `t` into its resident key, or admits its key when `admit`;
+    /// hands the tuple back when its key is neither resident nor admitted.
+    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple>;
+    /// Bytes the admitted keys are accounted at.
+    fn bytes(&self) -> usize;
+    /// An empty table of the same shape, for the next level down.
+    fn fresh(&self) -> Self;
+    /// The output rows of the resident keys.
+    fn into_rows(self) -> Box<dyn Iterator<Item = Tuple> + Send>;
+    /// Counts an operator level's first spill.
+    fn note_spill(_ctx: &RuntimeCtx) {}
+}
+
+/// One level of a hybrid hash operator: a resident table and the partitions
+/// non-resident keys are written to while it is fed; at end-of-input the
+/// resident rows, then each partition run through a fresh level.
+pub(crate) struct Hybrid<R: Resident> {
+    /// The resident table while fed; an empty one of its shape afterwards.
+    table: R,
+    memory: usize,
+    depth: usize,
+    seed: u64,
+    spills: Option<Vec<RunWriter>>,
+    rows: Box<dyn Iterator<Item = Tuple> + Send>,
+    parts: VecDeque<RunHandle>,
+    child: Option<Nested>,
+}
+
+impl<R: Resident> Hybrid<R> {
+    pub fn new(table: R, memory: usize) -> Self {
+        Hybrid::level(table, memory, 0, 0x2545_f491_4f6c_dd1d)
+    }
+
+    fn level(table: R, memory: usize, depth: usize, seed: u64) -> Self {
+        Hybrid {
+            table,
+            memory,
+            depth,
+            seed,
+            spills: None,
+            rows: Box::new(std::iter::empty()),
+            parts: VecDeque::new(),
+            child: None,
+        }
+    }
+}
+
+impl<R: Resident> Operator for Hybrid<R> {
+    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let h = self.table.hash(&t);
+        let admit = self.table.bytes() < self.memory || self.depth >= MAX_DEPTH;
+        if let Some(t) = self.table.fold(h, t, admit) {
+            let writers = match &mut self.spills {
+                Some(w) => w,
+                None => {
+                    R::note_spill(cx.ctx);
+                    cx.metrics.grace_fanout += GRACE_PARTITIONS as u64;
+                    let fresh = (0..GRACE_PARTITIONS)
+                        .map(|_| cx.ctx.new_run(cx.metrics))
+                        .collect::<Result<_>>()?;
+                    self.spills.insert(fresh)
+                }
+            };
+            let part = (h.rotate_left(29) ^ self.seed) as usize % GRACE_PARTITIONS;
+            writers[part].write(&t, cx.metrics)?;
+        }
+        Ok(true)
+    }
+
+    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        let empty = self.table.fresh();
+        self.rows = std::mem::replace(&mut self.table, empty).into_rows();
+        for w in self.spills.take().into_iter().flatten() {
+            self.parts.push_back(w.finish()?);
+        }
+        Ok(None)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if let Some(t) = self.rows.next() {
+            return cx.emit(t);
+        }
+        if let Some(more) = Nested::advance(&mut self.child, cx)? {
+            return Ok(more);
+        }
+        let Some(part) = self.parts.pop_front() else {
+            return Ok(false);
+        };
+        // Each level salts the partition function afresh, or a partition
+        // would land whole in one partition of the next level.
+        let level =
+            Hybrid::level(self.table.fresh(), self.memory, self.depth + 1, self.seed.rotate_left(31));
+        self.child = Some(Nested::new(Box::new(level), vec![part])?);
+        Ok(true)
+    }
+}
+
 /// One hash bucket: groups whose keys collide on the 64-bit hash, each with
 /// its materialized key and per-aggregate running state.
 type GroupBucket = Vec<(Vec<Value>, Vec<AggState>)>;
 
-/// Hash group-by: emits one tuple per group — key columns then one column
-/// per aggregate.
-pub fn hash_group_by(
-    input: impl Iterator<Item = Result<Tuple>>,
-    key_cols: &[usize],
-    aggs: &[AggSpec],
-    memory: usize,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<()> {
-    group_level(input, key_cols, aggs, memory, ctx, emit, 0, 0x2545_f491_4f6c_dd1d)?;
-    Ok(())
+/// Hash group-by: one row per group — key columns then one column per
+/// aggregate. Two-level hash-first table: buckets keyed by the 64-bit key
+/// hash, the materialized key built once per *group* (on first insert)
+/// rather than once per input tuple.
+pub(crate) struct Groups {
+    key_cols: Vec<usize>,
+    aggs: Vec<AggSpec>,
+    table: HashMap<u64, GroupBucket>,
+    bytes: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn group_level(
-    input: impl Iterator<Item = Result<Tuple>>,
-    key_cols: &[usize],
-    aggs: &[AggSpec],
-    memory: usize,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-    depth: usize,
-    seed: u64,
-) -> Result<bool> {
-    // Two-level hash-first table: buckets keyed by the 64-bit key hash, the
-    // materialized key built once per *group* (on first insert) rather than
-    // once per input tuple.
-    let mut table: HashMap<u64, GroupBucket> = HashMap::new();
-    let mut bytes = 0usize;
-    let mut spills: Option<Vec<crate::ctx::RunWriter>> = None;
-    let part_of = |h: u64| ((h.rotate_left(29)) ^ seed) as usize % GRACE_PARTITIONS;
-    // Aggregation is a pipeline breaker; poll the job token on a stride so
-    // a cancelled job stops consuming instead of aggregating to the end.
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    for item in input {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = item?;
-        let h = hash_key(&t, key_cols);
-        if let Some(bucket) = table.get_mut(&h) {
+impl Groups {
+    pub fn new(key_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
+        Groups { key_cols, aggs, table: HashMap::new(), bytes: 0 }
+    }
+}
+
+impl Resident for Groups {
+    fn hash(&self, t: &Tuple) -> u64 {
+        hash_key(t, &self.key_cols)
+    }
+
+    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple> {
+        if let Some(bucket) = self.table.get_mut(&h) {
             if let Some((_, states)) =
-                bucket.iter_mut().find(|(k, _)| key_matches(k, &t, key_cols))
+                bucket.iter_mut().find(|(k, _)| key_matches(k, &t, &self.key_cols))
             {
                 for s in states {
                     s.update(&t);
                 }
-                continue;
+                return None;
             }
         }
-        let can_admit = bytes < memory || depth >= MAX_DEPTH;
-        if can_admit {
-            let k: Vec<Value> = key_cols.iter().map(|c| t[*c].clone()).collect();
-            bytes += 64 + k.iter().map(Value::heap_size).sum::<usize>() + 64 * aggs.len();
-            let mut states: Vec<AggState> = aggs.iter().map(|a| AggState::new(*a)).collect();
-            for s in &mut states {
-                s.update(&t);
-            }
-            table.entry(h).or_default().push((k, states));
-        } else {
-            // spill tuples of non-resident groups
-            if spills.is_none() {
-                ctx.stats.groups_spilled.inc();
-                crate::ctx::note_grace_fanout(GRACE_PARTITIONS as u64);
-                spills = Some(
-                    (0..GRACE_PARTITIONS)
-                        .map(|_| ctx.new_run())
-                        .collect::<Result<_>>()?,
-                );
-            }
-            let Some(writers) = spills.as_mut() else {
-                return Err(crate::error::HyracksError::Eval(
-                    "spill partitions missing after init".into(),
-                ));
-            };
-            writers[part_of(h)].write(&t)?;
+        if !admit {
+            return Some(t);
+        }
+        let k: Vec<Value> = self.key_cols.iter().map(|c| t[*c].clone()).collect();
+        self.bytes += 64 + k.iter().map(Value::heap_size).sum::<usize>() + 64 * self.aggs.len();
+        let mut states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(*a)).collect();
+        for s in &mut states {
+            s.update(&t);
+        }
+        self.table.entry(h).or_default().push((k, states));
+        None
+    }
+
+    fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    fn fresh(&self) -> Self {
+        Groups::new(self.key_cols.clone(), self.aggs.clone())
+    }
+
+    fn into_rows(self) -> Box<dyn Iterator<Item = Tuple> + Send> {
+        Box::new(self.table.into_values().flatten().map(|(mut row, states)| {
+            row.extend(states.iter().map(AggState::finish));
+            row
+        }))
+    }
+
+    fn note_spill(ctx: &RuntimeCtx) {
+        ctx.stats.groups_spilled.inc();
+    }
+}
+
+/// Duplicate elimination on `cols` (or whole tuples). Representatives are
+/// stored directly; duplicates are detected by hashing and comparing the
+/// key columns in place — no per-tuple key materialization.
+pub(crate) struct Seen {
+    cols: Option<Vec<usize>>,
+    table: HashMap<u64, Vec<Tuple>>,
+    bytes: usize,
+}
+
+impl Seen {
+    pub fn new(cols: Option<Vec<usize>>) -> Self {
+        Seen { cols, table: HashMap::new(), bytes: 0 }
+    }
+
+    fn is_dup(&self, s: &Tuple, t: &Tuple) -> bool {
+        match &self.cols {
+            Some(cs) => cs.iter().all(|c| adm_eq(&s[*c], &t[*c])),
+            None => s.len() == t.len() && s.iter().zip(t.iter()).all(|(a, b)| adm_eq(a, b)),
         }
     }
-    // emit resident groups
-    for bucket in table.into_values() {
-        for (k, states) in bucket {
-            let mut out = k;
-            out.extend(states.iter().map(AggState::finish));
-            if !emit(out)? {
-                return Ok(false);
-            }
+}
+
+impl Resident for Seen {
+    fn hash(&self, t: &Tuple) -> u64 {
+        match &self.cols {
+            Some(cs) => hash_key(t, cs),
+            None => hash64_iter(t.iter(), t.len()),
         }
     }
-    // recurse into spilled partitions
-    if let Some(writers) = spills {
-        let handles: Vec<RunHandle> = writers
-            .into_iter()
-            .map(|w| w.finish(ctx))
-            .collect::<Result<_>>()?;
-        for h in &handles {
-            let cont = group_level(
-                h.read()?,
-                key_cols,
-                aggs,
-                memory,
-                ctx,
-                emit,
-                depth + 1,
-                seed.rotate_left(31),
-            )?;
-            if !cont {
-                return Ok(false);
-            }
+
+    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple> {
+        if self.table.get(&h).is_some_and(|b| b.iter().any(|s| self.is_dup(s, &t))) {
+            return None;
         }
+        if !admit {
+            return Some(t);
+        }
+        self.bytes += Frame::tuple_size(&t) + 32;
+        self.table.entry(h).or_default().push(t);
+        None
     }
-    Ok(true)
+
+    fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    fn fresh(&self) -> Self {
+        Seen::new(self.cols.clone())
+    }
+
+    fn into_rows(self) -> Box<dyn Iterator<Item = Tuple> + Send> {
+        Box::new(self.table.into_values().flatten())
+    }
+}
+
+/// Scalar aggregation over the whole input: one output tuple.
+pub(crate) struct Aggregate(Vec<AggState>);
+
+impl Aggregate {
+    pub fn new(aggs: &[AggSpec]) -> Self {
+        Aggregate(aggs.iter().map(|a| AggState::new(*a)).collect())
+    }
+}
+
+impl Operator for Aggregate {
+    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        for s in &mut self.0 {
+            s.update(&t);
+        }
+        Ok(true)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit(self.0.iter().map(AggState::finish).collect())?;
+        Ok(false)
+    }
 }
 
 /// Sort-based group-collect: groups by `key_cols` and emits, per group, the
@@ -157,160 +286,80 @@ fn group_level(
 /// projected to `payload_cols` (each as an array). This is the operator
 /// behind SQL++ `GROUP BY` when the query references the group itself —
 /// JSON's nested data model makes the group a first-class value (paper §IV-A
-/// on SQL++'s "generalized support for grouping and aggregation").
-pub fn group_collect(
-    input: impl Iterator<Item = Result<Tuple>>,
-    key_cols: &[usize],
-    payload_cols: &[usize],
-    memory: usize,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<()> {
-    let sort_keys: Vec<SortKey> = key_cols.iter().map(|c| SortKey::asc(*c)).collect();
-    let sorted = external_sort(input, sort_keys.clone(), memory, Arc::clone(ctx))?;
-    let mut current_key: Option<Tuple> = None;
-    let mut group: Vec<Value> = Vec::new();
-    let flush = |key: &Tuple,
-                 group: &mut Vec<Value>,
-                 emit: &mut dyn FnMut(Tuple) -> Result<bool>|
-     -> Result<bool> {
-        let mut out: Tuple = key.clone();
-        out.push(Value::Array(std::mem::take(group)));
-        emit(out)
-    };
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    for item in sorted {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = item?;
-        let key: Tuple = key_cols.iter().map(|c| t[*c].clone()).collect();
+/// on SQL++'s "generalized support for grouping and aggregation"). Feeds a
+/// [`Sort`] on the key columns and groups its output as it is pulled.
+pub(crate) struct GroupCollect {
+    sort: Sort,
+    key_cols: Vec<usize>,
+    payload_cols: Vec<usize>,
+    /// Compares two materialized keys column by column.
+    key_order: Vec<SortKey>,
+    key: Option<Tuple>,
+    group: Vec<Value>,
+}
+
+impl GroupCollect {
+    pub fn new(key_cols: Vec<usize>, payload_cols: Vec<usize>, memory: usize) -> Self {
+        let sort = Sort::new(key_cols.iter().map(|c| SortKey::asc(*c)).collect(), memory);
+        let key_order = (0..key_cols.len()).map(SortKey::asc).collect();
+        GroupCollect { sort, key_cols, payload_cols, key_order, key: None, group: Vec::new() }
+    }
+
+    /// Closes the current group under `key`.
+    fn close(&mut self, mut key: Tuple) -> Tuple {
+        key.push(Value::Array(std::mem::take(&mut self.group)));
+        key
+    }
+}
+
+impl Operator for GroupCollect {
+    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        self.sort.feed(t, size, cx)?;
+        Ok(true)
+    }
+
+    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        self.sort.end(cx)?;
+        Ok(None)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let t = match self.sort.advance(cx)? {
+            Advance::Worked => return Ok(true),
+            Advance::Tuple(t) => t,
+            Advance::Done => {
+                if let Some(key) = self.key.take() {
+                    let last = self.close(key);
+                    cx.emit(last)?;
+                }
+                return Ok(false);
+            }
+        };
+        let key: Tuple = self.key_cols.iter().map(|c| t[*c].clone()).collect();
         // A single payload column collects bare values; multiple columns
         // collect per-tuple arrays.
-        let payload = if payload_cols.len() == 1 {
-            t[payload_cols[0]].clone()
+        let payload = if let [col] = self.payload_cols[..] {
+            t[col].clone()
         } else {
-            Value::Array(payload_cols.iter().map(|c| t[*c].clone()).collect::<Vec<_>>())
+            Value::Array(self.payload_cols.iter().map(|c| t[*c].clone()).collect::<Vec<_>>())
         };
-        match &current_key {
-            Some(k) if cmp_tuples(k, &key, &all_asc(key.len())) == std::cmp::Ordering::Equal => {
-                group.push(payload);
-            }
-            Some(k) => {
-                if !flush(k, &mut group, emit)? {
-                    return Ok(());
-                }
-                current_key = Some(key);
-                group.push(payload);
-            }
-            None => {
-                current_key = Some(key);
-                group.push(payload);
-            }
+        let same = self.key.as_ref().is_some_and(|k| {
+            cmp_tuples(k, &key, &self.key_order) == std::cmp::Ordering::Equal
+        });
+        let closed = if same { None } else { self.key.replace(key).map(|k| self.close(k)) };
+        self.group.push(payload);
+        match closed {
+            Some(row) => cx.emit(row),
+            None => Ok(true),
         }
     }
-    if let Some(k) = current_key {
-        flush(&k, &mut group, emit)?;
-    }
-    Ok(())
-}
-
-fn all_asc(n: usize) -> Vec<SortKey> {
-    (0..n).map(SortKey::asc).collect()
-}
-
-/// Duplicate elimination on `cols` (or whole tuples), hybrid-hash based.
-pub fn distinct(
-    input: impl Iterator<Item = Result<Tuple>>,
-    cols: Option<&[usize]>,
-    memory: usize,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<()> {
-    distinct_level(input, cols, memory, ctx, emit, 0, 0x9e37_79b9)?;
-    Ok(())
-}
-
-fn distinct_level(
-    input: impl Iterator<Item = Result<Tuple>>,
-    cols: Option<&[usize]>,
-    memory: usize,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-    depth: usize,
-    seed: u64,
-) -> Result<bool> {
-    // Representatives stored directly; duplicates detected by hashing and
-    // comparing the key columns in place — no per-tuple key materialization.
-    let mut seen: HashMap<u64, Vec<Tuple>> = HashMap::new();
-    let mut bytes = 0usize;
-    let mut spills: Option<Vec<crate::ctx::RunWriter>> = None;
-    let is_dup = |s: &Tuple, t: &Tuple| match cols {
-        Some(cs) => cs.iter().all(|c| adm_eq(&s[*c], &t[*c])),
-        None => s.len() == t.len() && s.iter().zip(t.iter()).all(|(a, b)| adm_eq(a, b)),
-    };
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    for item in input {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = item?;
-        let h = match cols {
-            Some(cs) => hash_key(&t, cs),
-            None => hash64_iter(t.iter(), t.len()),
-        };
-        if seen.get(&h).is_some_and(|b| b.iter().any(|s| is_dup(s, &t))) {
-            continue;
-        }
-        if bytes < memory || depth >= MAX_DEPTH {
-            bytes += Frame::tuple_size(&t) + 32;
-            seen.entry(h).or_default().push(t);
-        } else {
-            if spills.is_none() {
-                crate::ctx::note_grace_fanout(GRACE_PARTITIONS as u64);
-                spills = Some(
-                    (0..GRACE_PARTITIONS)
-                        .map(|_| ctx.new_run())
-                        .collect::<Result<_>>()?,
-                );
-            }
-            let Some(writers) = spills.as_mut() else {
-                return Err(crate::error::HyracksError::Eval(
-                    "spill partitions missing after init".into(),
-                ));
-            };
-            let p = (h ^ seed) as usize % GRACE_PARTITIONS;
-            writers[p].write(&t)?;
-        }
-    }
-    for bucket in seen.into_values() {
-        for t in bucket {
-            if !emit(t)? {
-                return Ok(false);
-            }
-        }
-    }
-    if let Some(writers) = spills {
-        let handles: Vec<RunHandle> = writers
-            .into_iter()
-            .map(|w| w.finish(ctx))
-            .collect::<Result<_>>()?;
-        for h in &handles {
-            if !distinct_level(h.read()?, cols, memory, ctx, emit, depth + 1, seed.rotate_left(13))? {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::OpKind;
+    use crate::ops::drive;
 
     fn rows(n: i64, groups: i64) -> Vec<Result<Tuple>> {
         (0..n)
@@ -318,31 +367,22 @@ mod tests {
             .collect()
     }
 
-    fn run_group(
-        input: Vec<Result<Tuple>>,
-        keys: &[usize],
-        aggs: &[AggSpec],
-        memory: usize,
-    ) -> (Vec<Tuple>, crate::ctx::DataflowSnapshot) {
+    /// Drives `kind` over `input`; output sorted on column 0.
+    fn run(kind: OpKind, input: Vec<Result<Tuple>>) -> (Vec<Tuple>, crate::ctx::DataflowSnapshot) {
         let ctx = RuntimeCtx::temp().unwrap();
-        let mut out = Vec::new();
-        hash_group_by(input.into_iter(), keys, aggs, memory, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
+        let mut out = drive(&kind, vec![Box::new(input.into_iter())], &ctx).unwrap().tuples;
         out.sort_by(|a, b| cmp_tuples(a, b, &[SortKey::asc(0)]));
         (out, ctx.stats.snapshot())
     }
 
+    fn group_by(aggs: &[AggSpec], memory: usize) -> OpKind {
+        OpKind::GroupBy { key_cols: vec![0], aggs: aggs.to_vec(), memory }
+    }
+
     #[test]
     fn basic_grouping() {
-        let (out, snap) = run_group(
-            rows(100, 4),
-            &[0],
-            &[AggSpec::CountStar, AggSpec::Sum(1), AggSpec::Min(1), AggSpec::Max(1)],
-            64 << 20,
-        );
+        let aggs = [AggSpec::CountStar, AggSpec::Sum(1), AggSpec::Min(1), AggSpec::Max(1)];
+        let (out, snap) = run(group_by(&aggs, 64 << 20), rows(100, 4));
         assert_eq!(out.len(), 4);
         assert_eq!(snap.groups_spilled, 0);
         // group 0: values 0,4,...,96 → count 25, sum 1200, min 0, max 96
@@ -355,10 +395,9 @@ mod tests {
 
     #[test]
     fn spilling_grouping_matches_in_memory() {
-        let (big, _) =
-            run_group(rows(20_000, 3_000), &[0], &[AggSpec::CountStar, AggSpec::Sum(1)], 64 << 20);
-        let (small, snap) =
-            run_group(rows(20_000, 3_000), &[0], &[AggSpec::CountStar, AggSpec::Sum(1)], 16 << 10);
+        let aggs = [AggSpec::CountStar, AggSpec::Sum(1)];
+        let (big, _) = run(group_by(&aggs, 64 << 20), rows(20_000, 3_000));
+        let (small, snap) = run(group_by(&aggs, 16 << 10), rows(20_000, 3_000));
         assert!(snap.groups_spilled > 0, "spill mode engaged");
         assert_eq!(big, small, "spilled result identical");
         assert_eq!(big.len(), 3_000);
@@ -366,15 +405,9 @@ mod tests {
 
     #[test]
     fn group_collect_nests_payloads() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let input = rows(10, 2);
-        let mut out = Vec::new();
-        group_collect(input.into_iter(), &[0], &[1, 2], 1 << 20, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
-        out.sort_by(|a, b| cmp_tuples(a, b, &[SortKey::asc(0)]));
+        let kind =
+            OpKind::GroupCollect { key_cols: vec![0], payload_cols: vec![1, 2], memory: 1 << 20 };
+        let (out, _) = run(kind, rows(10, 2));
         assert_eq!(out.len(), 2);
         let group0 = out[0][1].as_collection().unwrap();
         assert_eq!(group0.len(), 5, "5 tuples in group 0");
@@ -383,19 +416,13 @@ mod tests {
 
     #[test]
     fn group_collect_empty_input() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let mut out = Vec::new();
-        group_collect(std::iter::empty(), &[0], &[1], 1 << 20, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
-        assert!(out.is_empty());
+        let kind =
+            OpKind::GroupCollect { key_cols: vec![0], payload_cols: vec![1], memory: 1 << 20 };
+        assert!(run(kind, Vec::new()).0.is_empty());
     }
 
     #[test]
     fn distinct_whole_tuple_and_columns() {
-        let ctx = RuntimeCtx::temp().unwrap();
         let input = || -> Vec<Result<Tuple>> {
             vec![
                 Ok(vec![Value::Int(1), Value::from("a")]),
@@ -404,35 +431,20 @@ mod tests {
                 Ok(vec![Value::Int(2), Value::from("a")]),
             ]
         };
-        let mut out = Vec::new();
-        distinct(input().into_iter(), None, 1 << 20, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
+        let (out, _) = run(OpKind::Distinct { cols: None, memory: 1 << 20 }, input());
         assert_eq!(out.len(), 3);
-        let mut out2 = Vec::new();
-        distinct(input().into_iter(), Some(&[0]), 1 << 20, &ctx, &mut |t| {
-            out2.push(t);
-            Ok(true)
-        })
-        .unwrap();
-        assert_eq!(out2.len(), 2, "distinct on column 0 only");
+        let (out, _) = run(OpKind::Distinct { cols: Some(vec![0]), memory: 1 << 20 }, input());
+        assert_eq!(out.len(), 2, "distinct on column 0 only");
     }
 
     #[test]
     fn distinct_spills_and_stays_correct() {
-        let ctx = RuntimeCtx::temp().unwrap();
         let input: Vec<Result<Tuple>> = (0..10_000)
             .map(|i| Ok(vec![Value::Int(i % 1_000), Value::from(format!("pad{}", i % 1_000))]))
             .collect();
-        let mut out = Vec::new();
-        distinct(input.into_iter(), None, 8 << 10, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
+        let (out, snap) = run(OpKind::Distinct { cols: None, memory: 8 << 10 }, input);
         assert_eq!(out.len(), 1_000);
+        assert!(snap.spill_runs > 0, "spill mode engaged");
     }
 
     #[test]
@@ -442,7 +454,7 @@ mod tests {
             Ok(vec![Value::Null, Value::Int(2), Value::from("y")]),
             Ok(vec![Value::Int(1), Value::Int(3), Value::from("z")]),
         ];
-        let (out, _) = run_group(input, &[0], &[AggSpec::CountStar], 1 << 20);
+        let (out, _) = run(group_by(&[AggSpec::CountStar], 1 << 20), input);
         assert_eq!(out.len(), 2, "NULL forms its own group (SQL GROUP BY)");
         assert_eq!(out[0][1], Value::Int(2));
     }

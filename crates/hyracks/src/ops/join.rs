@@ -2,18 +2,19 @@
 //!
 //! Builds a hash table on input port 1 (the build side). If the build side
 //! exceeds the working-memory budget, both sides are hash-partitioned to
-//! spill files and each partition pair is joined independently — the classic
-//! hybrid/grace scheme, so joins whose inputs exceed memory degrade
-//! gracefully instead of failing (paper ref \[10\], experiment E5).
+//! spill files as they arrive and each partition pair is joined
+//! independently — the classic hybrid/grace scheme, so joins whose inputs
+//! exceed memory degrade gracefully instead of failing (paper ref \[10\],
+//! experiment E5).
 
-use crate::ctx::{RunHandle, RuntimeCtx};
+use crate::ctx::{RunHandle, RunWriter};
 use crate::error::Result;
-use crate::frame::{Frame, Tuple};
-use crate::job::JoinKind;
+use crate::frame::Tuple;
+use crate::job::{JoinKind, Pred2Fn};
+use crate::ops::{Nested, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
 use asterix_adm::Value;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
 /// Number of grace partitions per spill level.
 const GRACE_PARTITIONS: usize = 8;
@@ -23,7 +24,7 @@ const MAX_DEPTH: usize = 3;
 
 /// Configuration of one hash join.
 #[derive(Clone)]
-pub struct HashJoinCfg {
+pub(crate) struct HashJoinCfg {
     pub left_keys: Vec<usize>,
     pub right_keys: Vec<usize>,
     pub kind: JoinKind,
@@ -49,153 +50,153 @@ fn key_has_unknown(t: &Tuple, cols: &[usize]) -> bool {
     cols.iter().any(|c| t[*c].is_unknown())
 }
 
-/// Runs the join, calling `emit` for each output tuple (left columns then
-/// right columns). `emit` returning `false` stops the join early.
-pub fn hash_join(
-    probe: impl Iterator<Item = Result<Tuple>>,
-    build: impl Iterator<Item = Result<Tuple>>,
-    cfg: &HashJoinCfg,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<()> {
-    join_level(probe, build, cfg, ctx, emit, 0, 0x517c_c1b7_2722_0a95)?;
-    Ok(())
-}
-
-/// One level of the hybrid scheme. Returns false when `emit` stopped early.
-fn join_level(
-    probe: impl Iterator<Item = Result<Tuple>>,
-    build: impl Iterator<Item = Result<Tuple>>,
-    cfg: &HashJoinCfg,
-    ctx: &Arc<RuntimeCtx>,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
+/// Hybrid hash join. Build tuples (port 1) go into the hash table until
+/// their bytes pass `memory`; from then on the table's contents, the rest of
+/// the build side and the whole probe side (port 0) are written straight to
+/// hash partitions, and each partition pair is run through the same
+/// operator one level down. While the build side fits, probing streams.
+pub(crate) struct HashJoin {
+    cfg: HashJoinCfg,
     depth: usize,
     seed: u64,
-) -> Result<bool> {
-    // Try to build in memory within the budget. Buckets store build tuples
-    // directly: key columns are hashed and compared in place, so no per-row
-    // key vector is ever materialized.
-    // The build phase is a pipeline breaker; poll the job token on a stride
-    // so a cancelled job stops building instead of running to completion.
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::new();
-    let mut build_bytes = 0usize;
-    let mut build = build.peekable();
-    let mut overflow = false;
-    let mut overflowed_rows: Vec<Tuple> = Vec::new();
-    while let Some(item) = build.next() {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = item?;
-        build_bytes += Frame::tuple_size(&t);
-        if !key_has_unknown(&t, &cfg.right_keys) {
-            table.entry(hash_key(&t, &cfg.right_keys)).or_default().push(t);
-        }
-        if build_bytes > cfg.memory && depth < MAX_DEPTH {
-            overflow = true;
-            // drain the rest of the build side raw; everything respills
-            for rest in build.by_ref() {
-                overflowed_rows.push(rest?);
-            }
-            break;
-        }
-    }
-    if !overflow {
-        // stream the probe side against the in-memory table
-        return probe_table(probe, &table, cfg, emit);
-    }
-    ctx.stats.joins_spilled.inc();
-    crate::ctx::note_grace_fanout(GRACE_PARTITIONS as u64);
-    // Grace mode: partition both sides by a salted hash of the join key.
-    let salt = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(depth as u64);
-    let part_of = |h: u64| (h.rotate_left(17) ^ salt) as usize % GRACE_PARTITIONS;
-    let mut build_parts: Vec<crate::ctx::RunWriter> = (0..GRACE_PARTITIONS)
-        .map(|_| ctx.new_run())
-        .collect::<Result<_>>()?;
-    // respill what we had in the table + the overflow tail
-    for (h, bucket) in table {
-        for t in bucket {
-            build_parts[part_of(h)].write(&t)?;
-        }
-    }
-    for t in overflowed_rows {
-        if !key_has_unknown(&t, &cfg.right_keys) {
-            build_parts[part_of(hash_key(&t, &cfg.right_keys))].write(&t)?;
-        }
-    }
-    let build_handles: Vec<RunHandle> = build_parts
-        .into_iter()
-        .map(|w| w.finish(ctx))
-        .collect::<Result<_>>()?;
-    let mut probe_parts: Vec<crate::ctx::RunWriter> = (0..GRACE_PARTITIONS)
-        .map(|_| ctx.new_run())
-        .collect::<Result<_>>()?;
-    for t in probe {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = t?;
-        if key_has_unknown(&t, &cfg.left_keys) {
-            // unknown keys match nothing; for outer joins they still surface
-            if cfg.kind == JoinKind::LeftOuter {
-                let mut out = t;
-                out.extend(std::iter::repeat_n(Value::Missing, cfg.right_arity));
-                if !emit(out)? {
-                    return Ok(false);
-                }
-            }
-            continue;
-        }
-        probe_parts[part_of(hash_key(&t, &cfg.left_keys))].write(&t)?;
-    }
-    let probe_handles: Vec<RunHandle> = probe_parts
-        .into_iter()
-        .map(|w| w.finish(ctx))
-        .collect::<Result<_>>()?;
-    // join each partition pair recursively
-    for (b, p) in build_handles.iter().zip(probe_handles.iter()) {
-        let cont = join_level(
-            p.read()?,
-            b.read()?,
-            cfg,
-            ctx,
-            emit,
-            depth + 1,
-            salt.rotate_left(23),
-        )?;
-        if !cont {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    /// Buckets store build tuples directly: key columns are hashed and
+    /// compared in place, no per-row key vector is materialized.
+    table: HashMap<u64, Vec<Tuple>>,
+    build_bytes: usize,
+    grace: Option<Grace>,
+    child: Option<Nested>,
 }
 
-/// Builds the in-memory probe table over build-side rows: buckets keyed by
-/// the hash of the join key, rows with unknown keys skipped (they match
-/// nothing). Shared by the in-memory path here and the executor's
-/// streaming probe phase.
-pub(crate) fn build_table(
-    rows: impl Iterator<Item = Tuple>,
-    cfg: &HashJoinCfg,
-) -> HashMap<u64, Vec<Tuple>> {
-    let mut table: HashMap<u64, Vec<Tuple>> = HashMap::new();
-    for t in rows {
-        if !key_has_unknown(&t, &cfg.right_keys) {
-            table.entry(hash_key(&t, &cfg.right_keys)).or_default().push(t);
-        }
+/// The partitioned state of a join level whose build side did not fit.
+struct Grace {
+    salt: u64,
+    build: Vec<RunWriter>,
+    probe: Vec<RunWriter>,
+    /// `(probe, build)` runs per partition, once both sides ended.
+    pairs: VecDeque<(RunHandle, RunHandle)>,
+}
+
+impl Grace {
+    fn part_of(&self, h: u64) -> usize {
+        (h.rotate_left(17) ^ self.salt) as usize % GRACE_PARTITIONS
     }
-    table
+}
+
+impl HashJoin {
+    pub fn new(cfg: HashJoinCfg) -> Self {
+        HashJoin::level(cfg, 0, 0x517c_c1b7_2722_0a95)
+    }
+
+    fn level(cfg: HashJoinCfg, depth: usize, seed: u64) -> Self {
+        HashJoin { cfg, depth, seed, table: HashMap::new(), build_bytes: 0, grace: None, child: None }
+    }
+
+    /// The build side outgrew the budget: open the partitions and move the
+    /// table into them.
+    fn overflow(&mut self, cx: &mut OpCtx<'_>) -> Result<()> {
+        cx.ctx.stats.joins_spilled.inc();
+        cx.metrics.grace_fanout += GRACE_PARTITIONS as u64;
+        let mut open = || -> Result<Vec<RunWriter>> {
+            (0..GRACE_PARTITIONS).map(|_| cx.ctx.new_run(cx.metrics)).collect()
+        };
+        let salt = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.depth as u64);
+        let mut grace =
+            Grace { salt, build: open()?, probe: open()?, pairs: VecDeque::new() };
+        for (h, bucket) in self.table.drain() {
+            let p = grace.part_of(h);
+            for t in bucket {
+                grace.build[p].write(&t, cx.metrics)?;
+            }
+        }
+        self.grace = Some(grace);
+        Ok(())
+    }
+
+    fn on_build(&mut self, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<()> {
+        self.build_bytes += size as usize;
+        // Unknown keys match nothing: such build tuples are dropped.
+        if !key_has_unknown(&t, &self.cfg.right_keys) {
+            let h = hash_key(&t, &self.cfg.right_keys);
+            match &mut self.grace {
+                Some(g) => {
+                    let p = g.part_of(h);
+                    g.build[p].write(&t, cx.metrics)?;
+                }
+                None => self.table.entry(h).or_default().push(t),
+            }
+        }
+        if self.grace.is_none() && self.build_bytes > self.cfg.memory && self.depth < MAX_DEPTH {
+            self.overflow(cx)?;
+        }
+        Ok(())
+    }
+
+    fn on_probe(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
+        let Some(g) = &mut self.grace else {
+            return probe_one(t, &self.table, &self.cfg, &mut |o| cx.emit(o));
+        };
+        if key_has_unknown(&t, &self.cfg.left_keys) {
+            // unknown keys match nothing; for outer joins they still surface
+            if self.cfg.kind == JoinKind::LeftOuter {
+                let mut out = t;
+                out.extend(std::iter::repeat_n(Value::Missing, self.cfg.right_arity));
+                return cx.emit(out);
+            }
+            return Ok(true);
+        }
+        let p = g.part_of(hash_key(&t, &self.cfg.left_keys));
+        g.probe[p].write(&t, cx.metrics)?;
+        Ok(true)
+    }
+}
+
+impl Operator for HashJoin {
+    fn first_port(&self) -> Option<usize> {
+        Some(1)
+    }
+
+    fn on_tuple(&mut self, port: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if port == 1 {
+            self.on_build(t, size, cx)?;
+            return Ok(true);
+        }
+        self.on_probe(t, cx)
+    }
+
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        if port == 1 {
+            return Ok(Some(0));
+        }
+        if let Some(g) = &mut self.grace {
+            let finish = |w: &mut Vec<RunWriter>| -> Result<Vec<RunHandle>> {
+                w.drain(..).map(RunWriter::finish).collect()
+            };
+            let (probe, build) = (finish(&mut g.probe)?, finish(&mut g.build)?);
+            g.pairs = probe.into_iter().zip(build).collect();
+        }
+        Ok(None)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if let Some(more) = Nested::advance(&mut self.child, cx)? {
+            return Ok(more);
+        }
+        let Some(g) = &mut self.grace else {
+            return Ok(false);
+        };
+        let Some((probe, build)) = g.pairs.pop_front() else {
+            return Ok(false);
+        };
+        let level = HashJoin::level(self.cfg.clone(), self.depth + 1, g.salt.rotate_left(23));
+        self.child = Some(Nested::new(Box::new(level), vec![probe, build])?);
+        Ok(true)
+    }
 }
 
 /// Probes one tuple against the in-memory table, emitting every match
 /// (left columns then right). Returns `Ok(false)` when `emit` stopped
-/// early. The executor calls this per probe tuple so hash-join probing
-/// stays a streaming, morsel-bounded phase.
-pub(crate) fn probe_one(
+/// early.
+fn probe_one(
     t: Tuple,
     table: &HashMap<u64, Vec<Tuple>>,
     cfg: &HashJoinCfg,
@@ -237,32 +238,12 @@ pub(crate) fn probe_one(
     Ok(true)
 }
 
-fn probe_table(
-    probe: impl Iterator<Item = Result<Tuple>>,
-    table: &HashMap<u64, Vec<Tuple>>,
-    cfg: &HashJoinCfg,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<bool> {
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    for t in probe {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        if !probe_one(t?, table, cfg, emit)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// Probes one tuple against the buffered nested-loop build side. Returns
 /// `Ok(false)` when `emit` stopped early.
-pub(crate) fn nlj_probe_one(
+fn nlj_probe_one(
     t: Tuple,
     build: &[Tuple],
-    pred: &crate::job::Pred2Fn,
+    pred: &Pred2Fn,
     kind: JoinKind,
     right_arity: usize,
     emit: &mut dyn FnMut(Tuple) -> Result<bool>,
@@ -287,32 +268,44 @@ pub(crate) fn nlj_probe_one(
 }
 
 /// Nested-loop join: buffers the build side (port 1), streams the probe.
-pub fn nested_loop_join(
-    probe: impl Iterator<Item = Result<Tuple>>,
-    build: impl Iterator<Item = Result<Tuple>>,
-    pred: &crate::job::Pred2Fn,
+pub(crate) struct NestedLoopJoin {
+    pred: Pred2Fn,
     kind: JoinKind,
     right_arity: usize,
-    emit: &mut dyn FnMut(Tuple) -> Result<bool>,
-) -> Result<()> {
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    let build: Vec<Tuple> = build.collect::<Result<_>>()?;
-    for t in probe {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        if !nlj_probe_one(t?, &build, pred, kind, right_arity, emit)? {
-            return Ok(());
-        }
+    build: Vec<Tuple>,
+}
+
+impl NestedLoopJoin {
+    pub fn new(pred: Pred2Fn, kind: JoinKind, right_arity: usize) -> Self {
+        NestedLoopJoin { pred, kind, right_arity, build: Vec::new() }
     }
-    Ok(())
+}
+
+impl Operator for NestedLoopJoin {
+    fn first_port(&self) -> Option<usize> {
+        Some(1)
+    }
+
+    fn on_tuple(&mut self, port: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if port == 1 {
+            self.build.push(t);
+            return Ok(true);
+        }
+        nlj_probe_one(t, &self.build, &self.pred, self.kind, self.right_arity, &mut |o| cx.emit(o))
+    }
+
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        Ok((port == 1).then_some(0))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::RuntimeCtx;
+    use crate::job::OpKind;
+    use crate::ops::drive;
+    use std::sync::Arc;
 
     fn rows(pairs: &[(i64, &str)]) -> Vec<Result<Tuple>> {
         pairs
@@ -321,37 +314,27 @@ mod tests {
             .collect()
     }
 
-    fn cfg(kind: JoinKind, memory: usize) -> HashJoinCfg {
-        HashJoinCfg {
-            left_keys: vec![0],
-            right_keys: vec![0],
-            kind,
-            right_arity: 2,
-            memory,
-        }
+    fn hash_join(kind: JoinKind, memory: usize) -> OpKind {
+        OpKind::HashJoin { left_keys: vec![0], right_keys: vec![0], kind, right_arity: 2, memory }
     }
 
-    fn collect_join(
+    fn join(
+        kind: &OpKind,
         probe: Vec<Result<Tuple>>,
         build: Vec<Result<Tuple>>,
-        cfg: &HashJoinCfg,
-    ) -> Vec<Tuple> {
+    ) -> (Vec<Tuple>, crate::ctx::DataflowSnapshot) {
         let ctx = RuntimeCtx::temp().unwrap();
-        let mut out = Vec::new();
-        hash_join(probe.into_iter(), build.into_iter(), cfg, &ctx, &mut |t| {
-            out.push(t);
-            Ok(true)
-        })
-        .unwrap();
-        out
+        let inputs: Vec<Box<dyn Iterator<Item = Result<Tuple>>>> =
+            vec![Box::new(probe.into_iter()), Box::new(build.into_iter())];
+        let out = drive(kind, inputs, &ctx).unwrap().tuples;
+        (out, ctx.stats.snapshot())
     }
 
     #[test]
     fn inner_join_in_memory() {
         let probe = rows(&[(1, "a"), (2, "b"), (3, "c")]);
         let build = rows(&[(2, "x"), (3, "y"), (3, "z"), (4, "w")]);
-        let mut out = collect_join(probe, build, &cfg(JoinKind::Inner, 1 << 20));
-        out.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        let (out, _) = join(&hash_join(JoinKind::Inner, 1 << 20), probe, build);
         assert_eq!(out.len(), 3, "2 matches 1, 3 matches 2");
         assert!(out.iter().all(|t| t.len() == 4));
     }
@@ -360,7 +343,7 @@ mod tests {
     fn left_outer_pads_missing() {
         let probe = rows(&[(1, "a"), (2, "b")]);
         let build = rows(&[(2, "x")]);
-        let out = collect_join(probe, build, &cfg(JoinKind::LeftOuter, 1 << 20));
+        let (out, _) = join(&hash_join(JoinKind::LeftOuter, 1 << 20), probe, build);
         assert_eq!(out.len(), 2);
         let unmatched = out.iter().find(|t| t[0] == Value::Int(1)).unwrap();
         assert_eq!(unmatched[2], Value::Missing);
@@ -371,11 +354,14 @@ mod tests {
     fn null_keys_never_match() {
         let probe = || vec![Ok(vec![Value::Null, Value::from("p")])];
         let build = || vec![Ok(vec![Value::Null, Value::from("b")])];
-        let out = collect_join(probe(), build(), &cfg(JoinKind::Inner, 1 << 20));
-        assert!(out.is_empty(), "NULL != NULL in joins");
-        let out = collect_join(probe(), build(), &cfg(JoinKind::LeftOuter, 1 << 20));
-        assert_eq!(out.len(), 1, "outer join still surfaces the left row");
-        assert_eq!(out[0][2], Value::Missing);
+        // at a budget that keeps the build side in memory, and at one that does not
+        for memory in [1 << 20, 1] {
+            let (out, _) = join(&hash_join(JoinKind::Inner, memory), probe(), build());
+            assert!(out.is_empty(), "NULL != NULL in joins");
+            let (out, _) = join(&hash_join(JoinKind::LeftOuter, memory), probe(), build());
+            assert_eq!(out.len(), 1, "outer join still surfaces the left row");
+            assert_eq!(out[0][2], Value::Missing);
+        }
     }
 
     #[test]
@@ -387,21 +373,10 @@ mod tests {
         let build = || -> Vec<Result<Tuple>> {
             (0..500).map(|i| Ok(vec![Value::Int(i), Value::from(format!("b{i}"))])).collect()
         };
-        let big = collect_join(probe(), build(), &cfg(JoinKind::Inner, 64 << 20));
-        let ctx = RuntimeCtx::temp().unwrap();
-        let mut small = Vec::new();
-        hash_join(
-            probe().into_iter(),
-            build().into_iter(),
-            &cfg(JoinKind::Inner, 4 << 10), // tiny budget forces grace mode
-            &ctx,
-            &mut |t| {
-                small.push(t);
-                Ok(true)
-            },
-        )
-        .unwrap();
-        assert!(ctx.stats.snapshot().joins_spilled > 0, "grace mode engaged");
+        let (big, _) = join(&hash_join(JoinKind::Inner, 64 << 20), probe(), build());
+        // tiny budget forces grace mode
+        let (small, snap) = join(&hash_join(JoinKind::Inner, 4 << 10), probe(), build());
+        assert!(snap.joins_spilled > 0, "grace mode engaged");
         assert_eq!(big.len(), small.len());
         let canon = |mut v: Vec<Tuple>| {
             v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
@@ -414,51 +389,19 @@ mod tests {
     fn cross_type_numeric_join_keys() {
         let probe = vec![Ok(vec![Value::Double(2.0), Value::from("p")])];
         let build = vec![Ok(vec![Value::Int(2), Value::from("b")])];
-        let out = collect_join(probe, build, &cfg(JoinKind::Inner, 1 << 20));
+        let (out, _) = join(&hash_join(JoinKind::Inner, 1 << 20), probe, build);
         assert_eq!(out.len(), 1, "Int(2) joins Double(2.0)");
-    }
-
-    #[test]
-    fn early_stop_via_emit() {
-        let probe = rows(&[(1, "a"), (1, "b"), (1, "c")]);
-        let build = rows(&[(1, "x")]);
-        let ctx = RuntimeCtx::temp().unwrap();
-        let mut n = 0;
-        hash_join(
-            probe.into_iter(),
-            build.into_iter(),
-            &cfg(JoinKind::Inner, 1 << 20),
-            &ctx,
-            &mut |_t| {
-                n += 1;
-                Ok(n < 2)
-            },
-        )
-        .unwrap();
-        assert_eq!(n, 2, "stopped after limit");
     }
 
     #[test]
     fn nested_loop_theta_join() {
         let probe = rows(&[(1, "a"), (5, "b")]);
         let build = rows(&[(3, "x"), (7, "y")]);
-        let pred: crate::job::Pred2Fn = Arc::new(|l, r| {
+        let pred: Pred2Fn = Arc::new(|l, r| {
             Ok(matches!((&l[0], &r[0]), (Value::Int(a), Value::Int(b)) if a < b))
         });
-        let mut out = Vec::new();
-        nested_loop_join(
-            probe.into_iter(),
-            build.into_iter(),
-            &pred,
-            JoinKind::Inner,
-            2,
-            &mut |t| {
-                out.push(t);
-                Ok(true)
-            },
-        )
-        .unwrap();
+        let kind = OpKind::NestedLoopJoin { pred, kind: JoinKind::Inner, right_arity: 2 };
         // 1 < 3, 1 < 7, 5 < 7
-        assert_eq!(out.len(), 3);
+        assert_eq!(join(&kind, probe, build).0.len(), 3);
     }
 }

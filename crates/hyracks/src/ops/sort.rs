@@ -8,92 +8,149 @@
 //! merge passes when run count exceeds [`MERGE_FAN_IN`]). When everything
 //! fits, no run is spilled and the sort is purely in-memory.
 
-use crate::ctx::{RunHandle, RuntimeCtx};
+use crate::ctx::{spill_batch, RunHandle, RunWriter};
 use crate::error::Result;
-use crate::frame::{Frame, Tuple};
+use crate::frame::Tuple;
 use crate::job::{cmp_tuples, SortKey};
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use crate::ops::{OpCtx, Operator};
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Maximum runs merged in one pass.
 pub const MERGE_FAN_IN: usize = 16;
 
-/// Fully sorts `input` under `keys` within `memory` bytes, returning a
-/// streaming iterator over the sorted tuples.
-pub fn external_sort(
-    input: impl Iterator<Item = Result<Tuple>>,
-    keys: Vec<SortKey>,
-    memory: usize,
-    ctx: Arc<RuntimeCtx>,
-) -> Result<Box<dyn Iterator<Item = Result<Tuple>> + Send>> {
-    // Sorting is a pipeline breaker: a cancelled job would otherwise keep
-    // buffering/spilling to the end of its input, so poll the job token on a
-    // stride (never per tuple — the check is off the hot path).
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    let mut buffer: Vec<Tuple> = Vec::new();
-    let mut bytes = 0usize;
-    let mut runs: Vec<RunHandle> = Vec::new();
-    for t in input {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = t?;
-        bytes += Frame::tuple_size(&t);
-        buffer.push(t);
-        if bytes >= memory {
-            buffer.sort_by(|a, b| cmp_tuples(a, b, &keys));
-            runs.push(crate::ctx::spill_batch(&ctx, &buffer)?);
-            buffer.clear();
-            bytes = 0;
-        }
-    }
-    buffer.sort_by(|a, b| cmp_tuples(a, b, &keys));
-    if runs.is_empty() {
-        // in-memory case
-        return Ok(Box::new(buffer.into_iter().map(Ok)));
-    }
-    if !buffer.is_empty() {
-        runs.push(crate::ctx::spill_batch(&ctx, &buffer)?);
-        buffer = Vec::new();
-    }
-    drop(buffer);
-    // multi-pass merge down to <= MERGE_FAN_IN runs
-    while runs.len() > MERGE_FAN_IN {
-        ctx.stats.merge_passes.inc();
-        let mut next: Vec<RunHandle> = Vec::new();
-        for chunk in runs.chunks(MERGE_FAN_IN) {
-            let merged = merge_runs(chunk, &keys)?;
-            let mut w = ctx.new_run()?;
-            for t in merged {
-                n += 1;
-                if n & 1023 == 0 {
-                    token.check()?;
-                }
-                w.write(&t?)?;
-            }
-            next.push(w.finish(&ctx)?);
-        }
-        runs = next;
-    }
-    ctx.stats.merge_passes.inc();
-    // final merge is streaming; keep the run handles alive inside the iterator
-    let keys2 = keys.clone();
-    let iter = OwnedMerge::new(runs, keys2)?;
-    Ok(Box::new(iter))
+/// What pulling a blocking operator's output one unit at a time yields.
+pub(crate) enum Advance {
+    Tuple(Tuple),
+    /// A bounded slice of work was done (a tuple moved between runs); no
+    /// output yet.
+    Worked,
+    Done,
 }
 
-fn merge_runs<'a>(
-    runs: &'a [RunHandle],
-    keys: &'a [SortKey],
-) -> Result<impl Iterator<Item = Result<Tuple>> + 'a> {
-    let mut streams = Vec::with_capacity(runs.len());
-    for r in runs {
-        streams.push(r.read()?);
+/// External sort: appends to the current run while it is fed and spills the
+/// run, sorted, each time it reaches `memory` bytes. At end-of-input the
+/// runs are merged down to one stream, [`MERGE_FAN_IN`] at a time, one tuple
+/// per unit of drain.
+pub(crate) struct Sort {
+    keys: Vec<SortKey>,
+    memory: usize,
+    buffer: Vec<Tuple>,
+    bytes: usize,
+    runs: Vec<RunHandle>,
+    out: SortOut,
+}
+
+enum SortOut {
+    /// Everything fit: the sorted buffer (empty until end-of-input).
+    Memory(std::vec::IntoIter<Tuple>),
+    /// An intermediate pass over more than [`MERGE_FAN_IN`] runs: `todo` are
+    /// the runs of this pass not merged yet, `cur` the group being merged
+    /// into a new run, `next` the runs this pass has produced.
+    Pass { todo: VecDeque<RunHandle>, cur: Option<(OwnedMerge, RunWriter)>, next: Vec<RunHandle> },
+    /// The final, streaming merge.
+    Final(OwnedMerge),
+}
+
+impl Sort {
+    pub fn new(keys: Vec<SortKey>, memory: usize) -> Self {
+        let out = SortOut::Memory(Vec::new().into_iter());
+        Sort { keys, memory, buffer: Vec::new(), bytes: 0, runs: Vec::new(), out }
     }
-    Ok(KWayMerge::new(streams, keys.to_vec()))
+
+    pub fn feed(&mut self, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<()> {
+        self.bytes += size as usize;
+        self.buffer.push(t);
+        if self.bytes >= self.memory {
+            self.buffer.sort_by(|a, b| cmp_tuples(a, b, &self.keys));
+            self.runs.push(spill_batch(cx.ctx, cx.metrics, &self.buffer)?);
+            self.buffer.clear();
+            self.bytes = 0;
+        }
+        Ok(())
+    }
+
+    pub fn end(&mut self, cx: &mut OpCtx<'_>) -> Result<()> {
+        self.buffer.sort_by(|a, b| cmp_tuples(a, b, &self.keys));
+        let buffer = std::mem::take(&mut self.buffer);
+        if self.runs.is_empty() {
+            self.out = SortOut::Memory(buffer.into_iter());
+            return Ok(());
+        }
+        if !buffer.is_empty() {
+            self.runs.push(spill_batch(cx.ctx, cx.metrics, &buffer)?);
+        }
+        drop(buffer);
+        self.start_pass(cx)
+    }
+
+    /// Starts the next merge over `self.runs`: the final one when they fit
+    /// the fan-in, an intermediate pass otherwise.
+    fn start_pass(&mut self, cx: &mut OpCtx<'_>) -> Result<()> {
+        cx.ctx.stats.merge_passes.inc();
+        let runs = std::mem::take(&mut self.runs);
+        self.out = if runs.len() > MERGE_FAN_IN {
+            SortOut::Pass { todo: runs.into(), cur: None, next: Vec::new() }
+        } else {
+            SortOut::Final(OwnedMerge::new(runs, self.keys.clone())?)
+        };
+        Ok(())
+    }
+
+    /// The next sorted tuple, or one unit of merge work towards it.
+    pub fn advance(&mut self, cx: &mut OpCtx<'_>) -> Result<Advance> {
+        match &mut self.out {
+            SortOut::Memory(it) => Ok(it.next().map_or(Advance::Done, Advance::Tuple)),
+            SortOut::Final(merge) => match merge.next() {
+                None => Ok(Advance::Done),
+                Some(t) => Ok(Advance::Tuple(t?)),
+            },
+            SortOut::Pass { todo, cur, next } => {
+                match cur {
+                    Some((merge, writer)) => match merge.next() {
+                        Some(t) => writer.write(&t?, cx.metrics)?,
+                        None => {
+                            if let Some((_, writer)) = cur.take() {
+                                next.push(writer.finish()?);
+                            }
+                        }
+                    },
+                    None if todo.is_empty() => {
+                        self.runs = std::mem::take(next);
+                        self.start_pass(cx)?;
+                    }
+                    None => {
+                        let group: Vec<RunHandle> =
+                            todo.drain(..MERGE_FAN_IN.min(todo.len())).collect();
+                        let merge = OwnedMerge::new(group, self.keys.clone())?;
+                        *cur = Some((merge, cx.ctx.new_run(cx.metrics)?));
+                    }
+                }
+                Ok(Advance::Worked)
+            }
+        }
+    }
+}
+
+impl Operator for Sort {
+    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        self.feed(t, size, cx)?;
+        Ok(true)
+    }
+
+    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        self.end(cx)?;
+        Ok(None)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        match self.advance(cx)? {
+            Advance::Tuple(t) => cx.emit(t),
+            Advance::Worked => Ok(true),
+            Advance::Done => Ok(false),
+        }
+    }
 }
 
 /// Heap entry: reversed ordering so BinaryHeap pops the smallest.
@@ -212,49 +269,62 @@ impl Iterator for OwnedMerge {
     }
 }
 
-/// Heap-based top-k: retains the k smallest tuples under `keys`.
-pub fn top_k(
-    input: impl Iterator<Item = Result<Tuple>>,
-    keys: &[SortKey],
+/// Top-k: a max-heap of the k smallest tuples seen so far under `keys`, the
+/// earlier arrival winning a tie. Never holds more than k tuples.
+pub(crate) struct TopK {
+    keys: Arc<Vec<SortKey>>,
     k: usize,
-) -> Result<Vec<Tuple>> {
-    if k == 0 {
-        // still must drain input for side-effect-free semantics
-        for t in input {
-            t?;
-        }
-        return Ok(Vec::new());
-    }
-    // Max-heap of the current k smallest (root = largest of the kept set).
-    let token = crate::cancel::current();
-    let mut n = 0u64;
-    let mut kept: Vec<Tuple> = Vec::with_capacity(k + 1);
-    for t in input {
-        n += 1;
-        if n & 1023 == 0 {
-            token.check()?;
-        }
-        let t = t?;
-        kept.push(t);
-        if kept.len() > k {
-            // remove the largest
-            // kept is non-empty here (len > k >= 0), so max_by finds one
-            let worst_idx = kept
-                .iter()
-                .enumerate()
-                .max_by(|(_, a), (_, b)| cmp_tuples(a, b, keys))
-                .map(|(i, _)| i)
-                .unwrap_or_default();
-            kept.swap_remove(worst_idx);
+    /// Root = the largest kept tuple, the latest arrival among equals.
+    kept: BinaryHeap<Reverse<HeapItem>>,
+    seen: usize,
+    out: std::vec::IntoIter<Reverse<HeapItem>>,
+}
+
+impl TopK {
+    pub fn new(keys: Vec<SortKey>, k: usize) -> Self {
+        TopK {
+            keys: Arc::new(keys),
+            k,
+            kept: BinaryHeap::new(),
+            seen: 0,
+            out: Vec::new().into_iter(),
         }
     }
-    kept.sort_by(|a, b| cmp_tuples(a, b, keys));
-    Ok(kept)
+}
+
+impl Operator for TopK {
+    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let item = Reverse(HeapItem { tuple: t, stream: self.seen, keys: Arc::clone(&self.keys) });
+        self.seen += 1;
+        if self.kept.len() < self.k {
+            self.kept.push(item);
+        } else if let Some(mut worst) = self.kept.peek_mut() {
+            if cmp_tuples(&item.0.tuple, &worst.0.tuple, &self.keys) == Ordering::Less {
+                *worst = item;
+            }
+        }
+        Ok(true)
+    }
+
+    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        self.out = std::mem::take(&mut self.kept).into_sorted_vec().into_iter();
+        Ok(None)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        match self.out.next() {
+            Some(item) => cx.emit(item.0.tuple),
+            None => Ok(false),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::RuntimeCtx;
+    use crate::job::OpKind;
+    use crate::ops::{drive, Driven};
     use asterix_adm::Value;
 
     fn tuples(n: i64, stride: i64) -> Vec<Result<Tuple>> {
@@ -263,105 +333,93 @@ mod tests {
             .collect()
     }
 
+    fn sort(input: Vec<Result<Tuple>>, keys: &[SortKey], memory: usize) -> (Driven, Arc<RuntimeCtx>) {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let kind = OpKind::Sort { keys: keys.to_vec(), memory };
+        let out = drive(&kind, vec![Box::new(input.into_iter())], &ctx).unwrap();
+        for w in out.tuples.windows(2) {
+            assert!(cmp_tuples(&w[0], &w[1], keys) != Ordering::Greater);
+        }
+        (out, ctx)
+    }
+
     #[test]
     fn in_memory_sort() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let out: Vec<Tuple> = external_sort(
-            tuples(1000, 37).into_iter(),
-            vec![SortKey::asc(0)],
-            64 << 20,
-            Arc::clone(&ctx),
-        )
-        .unwrap()
-        .map(|r| r.unwrap())
-        .collect();
-        assert_eq!(out.len(), 1000);
-        for w in out.windows(2) {
-            assert!(cmp_tuples(&w[0], &w[1], &[SortKey::asc(0)]) != Ordering::Greater);
-        }
+        let (out, ctx) = sort(tuples(1000, 37), &[SortKey::asc(0)], 64 << 20);
+        assert_eq!(out.tuples.len(), 1000);
         assert_eq!(ctx.stats.snapshot().spill_runs, 0, "fit in memory");
     }
 
     #[test]
     fn spilling_sort_produces_same_order() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let keys = vec![SortKey::asc(0)];
-        let out: Vec<Tuple> = external_sort(
-            tuples(5_000, 2371).into_iter(),
-            keys.clone(),
-            8 << 10, // tiny budget: force many runs
-            Arc::clone(&ctx),
-        )
-        .unwrap()
-        .map(|r| r.unwrap())
-        .collect();
-        assert_eq!(out.len(), 5_000);
-        for w in out.windows(2) {
-            assert!(cmp_tuples(&w[0], &w[1], &keys) != Ordering::Greater);
-        }
+        // tiny budget: force many runs
+        let (out, ctx) = sort(tuples(5_000, 2371), &[SortKey::asc(0)], 8 << 10);
+        assert_eq!(out.tuples.len(), 5_000);
         let snap = ctx.stats.snapshot();
         assert!(snap.spill_runs > 1, "runs spilled: {}", snap.spill_runs);
         assert!(snap.spilled_bytes > 0);
+        assert_eq!(
+            (out.metrics.spill_runs, out.metrics.spilled_bytes),
+            (snap.spill_runs, snap.spilled_bytes),
+            "the operator's metrics carry what the context counted"
+        );
     }
 
     #[test]
     fn multi_pass_merge() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        let keys = vec![SortKey::asc(0)];
         // budget so small that > MERGE_FAN_IN runs are created
-        let out: Vec<Tuple> = external_sort(
-            tuples(20_000, 9973).into_iter(),
-            keys.clone(),
-            2 << 10,
-            Arc::clone(&ctx),
-        )
-        .unwrap()
-        .map(|r| r.unwrap())
-        .collect();
-        assert_eq!(out.len(), 20_000);
-        for w in out.windows(2) {
-            assert!(cmp_tuples(&w[0], &w[1], &keys) != Ordering::Greater);
-        }
+        let (out, ctx) = sort(tuples(20_000, 9973), &[SortKey::asc(0)], 2 << 10);
+        assert_eq!(out.tuples.len(), 20_000);
         assert!(ctx.stats.snapshot().merge_passes >= 2, "needed multiple passes");
     }
 
     #[test]
     fn descending_sort() {
+        let (out, _) = sort(tuples(100, 13), &[SortKey::desc(0)], 1 << 20);
+        assert_eq!(out.tuples[0][0], Value::Int(99), "descending order");
+    }
+
+    fn top_k(input: Vec<Result<Tuple>>, k: usize) -> Vec<Tuple> {
         let ctx = RuntimeCtx::temp().unwrap();
-        let out: Vec<Tuple> = external_sort(
-            tuples(100, 13).into_iter(),
-            vec![SortKey::desc(0)],
-            1 << 20,
-            ctx,
-        )
-        .unwrap()
-        .map(|r| r.unwrap())
-        .collect();
-        for w in out.windows(2) {
-            assert!(
-                cmp_tuples(&w[0], &w[1], &[SortKey::desc(0)]) != Ordering::Greater,
-                "descending order"
-            );
-        }
+        let kind = OpKind::TopK { keys: vec![SortKey::asc(0)], k };
+        drive(&kind, vec![Box::new(input.into_iter())], &ctx).unwrap().tuples
     }
 
     #[test]
     fn top_k_smallest() {
-        let rows = tuples(1000, 271);
-        let out = top_k(rows.into_iter(), &[SortKey::asc(0)], 5).unwrap();
-        assert_eq!(out.len(), 5);
-        let firsts: Vec<i64> = out
-            .iter()
-            .map(|t| match &t[0] {
-                Value::Int(i) => *i,
-                _ => unreachable!(),
-            })
-            .collect();
+        let out = top_k(tuples(1000, 271), 5);
+        let firsts: Vec<i64> = out.iter().map(|t| t[0].as_i64().unwrap()).collect();
         assert_eq!(firsts, vec![0, 1, 2, 3, 4]);
-        assert!(top_k(tuples(10, 1).into_iter(), &[SortKey::asc(0)], 0).unwrap().is_empty());
+        assert!(top_k(tuples(10, 1), 0).is_empty());
         // k larger than input
-        let all = top_k(tuples(10, 1).into_iter(), &[SortKey::asc(0)], 50).unwrap();
-        assert_eq!(all.len(), 10);
+        assert_eq!(top_k(tuples(10, 1), 50).len(), 10);
+    }
+
+    #[test]
+    fn top_k_never_holds_more_than_k_tuples_and_keeps_the_first_of_equals() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let mut op = TopK::new(vec![SortKey::asc(0)], 3);
+        let mut out = crate::exec::Router::collector(&ctx);
+        let mut cx = crate::ops::OpCtx {
+            metrics: &mut Default::default(),
+            token: &Default::default(),
+            ctx: &ctx,
+            out: &mut out,
+            wake: &crate::exec::NoWake,
+        };
+        for i in 0..10_000i64 {
+            // key cycles 0..7, so ties at the boundary are the common case
+            op.on_tuple(0, vec![Value::Int(i % 7), Value::Int(i)], 0, &mut cx).unwrap();
+            assert!(op.kept.len() <= 3, "{} tuples held after {i} pushes", op.kept.len());
+        }
+        op.on_end(0, &mut cx).unwrap();
+        while op.on_drain(&mut cx).unwrap() {}
+        let got: Vec<(i64, i64)> = out
+            .take_collected()
+            .iter()
+            .map(|t| (t[0].as_i64().unwrap(), t[1].as_i64().unwrap()))
+            .collect();
+        assert_eq!(got, vec![(0, 0), (0, 7), (0, 14)], "earliest arrivals of the smallest key");
     }
 
     #[test]

@@ -1,0 +1,207 @@
+//! The streaming operators: a source, the tuple-at-a-time transforms, limit,
+//! and pass-through (union, result sink). None holds more than the tuple in
+//! hand.
+
+use crate::error::Result;
+use crate::frame::Tuple;
+use crate::job::{EvalFn, PredFn, SourceFactory};
+use crate::ops::{OpCtx, Operator};
+use asterix_adm::Value;
+use std::sync::Arc;
+
+/// A data source: takes no input, drains the factory's iterator for its
+/// partition.
+pub(crate) struct Source {
+    factory: Arc<dyn SourceFactory>,
+    partition: usize,
+    iter: Option<Box<dyn Iterator<Item = Result<Tuple>> + Send>>,
+}
+
+impl Source {
+    pub fn new(factory: Arc<dyn SourceFactory>, partition: usize) -> Self {
+        Source { factory, partition, iter: None }
+    }
+}
+
+impl Operator for Source {
+    fn first_port(&self) -> Option<usize> {
+        None
+    }
+
+    fn on_tuple(&mut self, _: usize, _: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        Ok(true)
+    }
+
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let iter = match &mut self.iter {
+            Some(iter) => iter,
+            None => self.iter.insert(self.factory.open(self.partition)?),
+        };
+        match iter.next() {
+            None => Ok(false),
+            Some(t) => cx.emit(t?),
+        }
+    }
+}
+
+pub(crate) struct Filter(pub PredFn);
+
+impl Operator for Filter {
+    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if (self.0)(&t)? {
+            cx.emit_sized(t, size)
+        } else {
+            Ok(true)
+        }
+    }
+}
+
+pub(crate) struct Assign(pub Vec<EvalFn>);
+
+impl Operator for Assign {
+    fn on_tuple(&mut self, _: usize, mut t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        for e in &self.0 {
+            let v = e(&t)?;
+            t.push(v);
+        }
+        cx.emit(t)
+    }
+}
+
+pub(crate) struct Project(pub Vec<usize>);
+
+impl Operator for Project {
+    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit(self.0.iter().map(|c| t[*c].clone()).collect())
+    }
+}
+
+pub(crate) struct Unnest {
+    pub expr: EvalFn,
+    pub outer: bool,
+}
+
+impl Operator for Unnest {
+    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let coll = (self.expr)(&t)?;
+        match coll.as_collection() {
+            Some(items) if !items.is_empty() => {
+                for item in items {
+                    let mut row = t.clone();
+                    row.push(item.clone());
+                    if !cx.emit(row)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            _ if self.outer => {
+                let mut row = t;
+                row.push(Value::Missing);
+                cx.emit(row)
+            }
+            _ => Ok(true),
+        }
+    }
+}
+
+/// Skips `offset` tuples, passes `count`, and finishes on the last one it
+/// may emit: its producers are released without waiting for a tuple past
+/// the quota.
+pub(crate) struct Limit {
+    offset: usize,
+    /// Tuples still to emit; `None` = unlimited.
+    left: Option<usize>,
+}
+
+impl Limit {
+    pub fn new(offset: usize, count: Option<usize>) -> Self {
+        Limit { offset, left: count }
+    }
+}
+
+impl Operator for Limit {
+    fn first_port(&self) -> Option<usize> {
+        (self.left != Some(0)).then_some(0)
+    }
+
+    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if self.offset > 0 {
+            self.offset -= 1;
+            return Ok(true);
+        }
+        let alive = cx.emit_sized(t, size)?;
+        if let Some(left) = &mut self.left {
+            *left -= 1;
+            return Ok(alive && *left > 0);
+        }
+        Ok(alive)
+    }
+}
+
+/// Passes its input ports through unchanged, one after the other: the
+/// union of two inputs, and the result sink (one input, whose output is
+/// the job's result).
+pub(crate) struct Concat {
+    pub ports: usize,
+}
+
+impl Operator for Concat {
+    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit_sized(t, size)
+    }
+
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+        Ok((port + 1 < self.ports).then_some(port + 1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::ctx::RuntimeCtx;
+    use crate::error::Result;
+    use crate::frame::Tuple;
+    use crate::job::OpKind;
+    use crate::ops::drive;
+    use asterix_adm::Value;
+    use std::cell::Cell;
+
+    /// Endless input that counts how many tuples were pulled from it.
+    fn counted(pulled: &Cell<u64>) -> Box<dyn Iterator<Item = Result<Tuple>> + '_> {
+        Box::new((0..).map(move |i| {
+            pulled.set(pulled.get() + 1);
+            Ok(vec![Value::Int(i)])
+        }))
+    }
+
+    #[test]
+    fn limit_finishes_on_the_last_tuple_it_may_emit() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let pulled = Cell::new(0);
+        let kind = OpKind::Limit { offset: 5, count: Some(10) };
+        let out = drive(&kind, vec![counted(&pulled)], &ctx).unwrap().tuples;
+        assert_eq!(out.len(), 10);
+        assert_eq!(out[0], vec![Value::Int(5)], "offset skipped");
+        assert_eq!(pulled.get(), 15, "no tuple past the quota is asked for");
+    }
+
+    #[test]
+    fn limit_zero_asks_for_nothing() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let pulled = Cell::new(0);
+        let kind = OpKind::Limit { offset: 3, count: Some(0) };
+        let out = drive(&kind, vec![counted(&pulled)], &ctx).unwrap().tuples;
+        assert!(out.is_empty());
+        assert_eq!(pulled.get(), 0);
+    }
+
+    #[test]
+    fn union_reads_port_0_to_its_end_first() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let a = (0..3).map(|i| Ok(vec![Value::Int(i)]));
+        let b = (10..12).map(|i| Ok(vec![Value::Int(i)]));
+        let out = drive(&OpKind::UnionAll, vec![Box::new(a), Box::new(b)], &ctx).unwrap().tuples;
+        let got: Vec<i64> = out.iter().map(|t| t[0].as_i64().unwrap()).collect();
+        assert_eq!(got, vec![0, 1, 2, 10, 11]);
+    }
+}

@@ -150,17 +150,24 @@ fn l5_fixture_suppressed_paths_pass() {
 
 #[test]
 fn l5_actor_host_must_declare_entries() {
-    // a stand-in for hyracks/src/exec.rs with no actor_entry seeds
-    let f = SourceFile {
-        path: PathBuf::from("crates/hyracks/src/exec.rs"),
+    // an operator-contract implementation with no actor_entry seeds, wherever it lives
+    let host = |text: &str| SourceFile {
+        path: PathBuf::from("crates/hyracks/src/ops/new_op.rs"),
         crate_name: "hyracks".to_string(),
         file_is_test: false,
         is_crate_root: false,
         is_shim: false,
-        text: "pub fn quiet() {}\n".to_string(),
+        text: text.to_string(),
     };
-    let rep = check(&[f]);
+    let quiet = "struct Nop;\nimpl Operator for Nop {\n    fn on_tuple(&mut self) {}\n}\n";
+    let rep = check(&[host(quiet)]);
     assert_eq!(rule_count(&rep, Rule::BlockingInActor), 1, "{:#?}", rep.violations);
+    let declared = "struct Nop;\nimpl Operator for Nop {\n    fn on_tuple(&mut self) {} // xlint: actor_entry\n}\n";
+    let rep = check(&[host(declared)]);
+    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
+    // a file that implements neither contract is not a host
+    let rep = check(&[host("pub fn quiet() {}\n")]);
+    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
 }
 
 #[test]

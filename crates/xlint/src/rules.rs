@@ -708,6 +708,11 @@ fn check_l4(
 /// itself and the bench driver (a dedicated OS thread per run).
 pub const L5_EXEMPT_CRATES: [&str; 2] = ["xlint", "bench"];
 
+/// The traits whose implementations run on a pool worker: `sched::Task`
+/// (`step`) and the operator contract `ops::Operator` (`on_tuple`, `on_end`,
+/// `on_drain`), matched on the `impl … for` line.
+pub const ACTOR_CONTRACTS: [&str; 2] = ["Task for ", "Operator for "];
+
 fn check_l5(files: &[SourceFile], masked: &[MaskedFile], rep: &mut Report) {
     let mut defs = Vec::new();
     for (fi, (f, m)) in files.iter().zip(masked).enumerate() {
@@ -716,19 +721,28 @@ fn check_l5(files: &[SourceFile], masked: &[MaskedFile], rep: &mut Report) {
         }
         defs.extend(callgraph::extract_fns(fi, m));
     }
-    // The actor host must declare its cooperative entry points, otherwise
-    // the reachability walk silently checks nothing.
-    for (fi, f) in files.iter().enumerate() {
-        let p = f.path.to_string_lossy().replace('\\', "/");
-        if p.ends_with("hyracks/src/exec.rs") && !defs.iter().any(|d| d.file == fi && d.entry) {
-            rep.violations.push(Violation {
-                rule: Rule::BlockingInActor,
-                path: f.path.clone(),
-                line: 1,
-                message: "actor host declares no `// xlint: actor_entry` functions — \
-                          the L5 reachability walk has no seeds"
-                    .to_string(),
-            });
+    // A file that implements the scheduler's `Task` or the operator contract
+    // hosts actor code: it must declare its cooperative entry points,
+    // otherwise the reachability walk silently checks nothing there.
+    for (fi, (f, m)) in files.iter().zip(masked).enumerate() {
+        if f.is_shim || f.file_is_test || L5_EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
+            continue;
+        }
+        let host = m.lines.iter().position(|l| {
+            let t = l.code.trim_start();
+            !l.in_test && t.starts_with("impl") && ACTOR_CONTRACTS.iter().any(|c| t.contains(c))
+        });
+        if let Some(line) = host {
+            if !defs.iter().any(|d| d.file == fi && d.entry) {
+                rep.violations.push(Violation {
+                    rule: Rule::BlockingInActor,
+                    path: f.path.clone(),
+                    line: line + 1,
+                    message: "actor host declares no `// xlint: actor_entry` functions — \
+                              the L5 reachability walk has no seeds here"
+                        .to_string(),
+                });
+            }
         }
     }
     let (reached, opaque) = callgraph::walk(&defs);
