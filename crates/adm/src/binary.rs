@@ -295,6 +295,22 @@ pub fn encode_key(parts: &[Value]) -> Vec<u8> {
     out
 }
 
+/// The key whose first part is `lead` and whose further parts are those of
+/// the encoded key `rest`, unchanged: `encode_key` of the lot, without
+/// decoding `rest` to get there (a secondary-index entry is its key's value
+/// followed by the primary key).
+pub fn prepend_key_part(lead: &Value, rest: &[u8]) -> Result<Vec<u8>> {
+    let n = Decoder::new(rest).len()?;
+    let mut out = Vec::with_capacity(rest.len() + 16);
+    put_len(&mut out, n + 1);
+    match normalize_key_part(lead) {
+        Some(n) => encode_into(&n, &mut out),
+        None => encode_into(lead, &mut out),
+    }
+    out.extend_from_slice(&rest[4..]);
+    Ok(out)
+}
+
 /// Returns the normalized form of a key part if it differs from the input.
 fn normalize_key_part(v: &Value) -> Option<Value> {
     match v {
@@ -468,6 +484,17 @@ mod tests {
         let parts = vec![Value::Int(42), Value::from("user"), Value::DateTime(1000)];
         let k = encode_key(&parts);
         assert_eq!(decode_key(&k).unwrap(), parts);
+    }
+
+    #[test]
+    fn prepending_a_part_equals_encoding_the_lot() {
+        let rest = vec![Value::Int(42), Value::from("user")];
+        for lead in [Value::Int(7), Value::Double(7.0), Value::Double(7.5), Value::from("a")] {
+            let mut all = vec![lead.clone()];
+            all.extend(rest.iter().cloned());
+            assert_eq!(prepend_key_part(&lead, &encode_key(&rest)).unwrap(), encode_key(&all));
+        }
+        assert!(prepend_key_part(&Value::Int(1), &[0, 0]).is_err(), "no part count to add to");
     }
 
     #[test]

@@ -52,6 +52,10 @@ pub enum DatasetKind {
 /// One dataset definition.
 #[derive(Debug, Clone)]
 pub struct DatasetDef {
+    /// The ordinal of the `CREATE [EXTERNAL] DATASET` that made it among all
+    /// such statements of the catalog's history: a later dataset of the same
+    /// name has another. Log records and record locks name a dataset by it.
+    pub id: u32,
     pub name: String,
     pub type_name: String,
     pub kind: DatasetKind,
@@ -73,6 +77,9 @@ impl DatasetDef {
 pub struct Catalog {
     pub types: TypeRegistry,
     datasets: Vec<DatasetDef>,
+    /// Datasets ever created, dropped ones included: the next
+    /// [`DatasetDef::id`]. Replaying the persisted DDL recounts it.
+    datasets_created: u32,
 }
 
 impl Catalog {
@@ -83,7 +90,7 @@ impl Catalog {
 
     /// A catalog preloaded with the paper's Figure 3 Gleambook types.
     pub fn with_gleambook_types() -> Self {
-        Catalog { types: asterix_adm::types::gleambook_types(), datasets: Vec::new() }
+        Catalog { types: asterix_adm::types::gleambook_types(), ..Catalog::default() }
     }
 
     /// Looks up a dataset.
@@ -140,12 +147,8 @@ impl Catalog {
                         )));
                     }
                 }
-                self.datasets.push(DatasetDef {
-                    name: name.clone(),
-                    type_name: type_name.clone(),
-                    kind: DatasetKind::Internal { primary_key: primary_key.clone() },
-                    indexes: Vec::new(),
-                });
+                let kind = DatasetKind::Internal { primary_key: primary_key.clone() };
+                self.push_dataset(name, type_name, kind);
                 Ok(format!("dataset {name} created"))
             }
             DdlStmt::CreateExternalDataset { name, type_name, adapter, properties } => {
@@ -158,15 +161,11 @@ impl Catalog {
                         "external adapter {adapter:?} (only localfs is implemented)"
                     )));
                 }
-                self.datasets.push(DatasetDef {
-                    name: name.clone(),
-                    type_name: type_name.clone(),
-                    kind: DatasetKind::External {
-                        adapter: adapter.clone(),
-                        properties: properties.clone(),
-                    },
-                    indexes: Vec::new(),
-                });
+                let kind = DatasetKind::External {
+                    adapter: adapter.clone(),
+                    properties: properties.clone(),
+                };
+                self.push_dataset(name, type_name, kind);
                 Ok(format!("external dataset {name} created"))
             }
             DdlStmt::CreateIndex { name, dataset, field, kind } => {
@@ -220,6 +219,27 @@ impl Catalog {
                 }
                 Ok(format!("index {name} dropped"))
             }
+        }
+    }
+
+    fn push_dataset(&mut self, name: &str, type_name: &str, kind: DatasetKind) {
+        self.datasets.push(DatasetDef {
+            id: self.datasets_created,
+            name: name.to_owned(),
+            type_name: type_name.to_owned(),
+            kind,
+            indexes: Vec::new(),
+        });
+        self.datasets_created += 1;
+    }
+
+    /// Takes back the `CREATE DATASET` of `name`, the newest dataset, whose
+    /// storage could not be created: the statement is not persisted, so its
+    /// id must go to the next one that is, as a replay of the DDL will have it.
+    pub fn undo_create_dataset(&mut self, name: &str) {
+        if self.datasets.last().is_some_and(|d| d.name == name) {
+            self.datasets.pop();
+            self.datasets_created -= 1;
         }
     }
 
@@ -295,6 +315,21 @@ mod tests {
         assert!(apply(&mut c, "DROP TYPE T;").is_err(), "in use");
         apply(&mut c, "DROP DATASET D;").unwrap();
         apply(&mut c, "DROP TYPE T;").unwrap();
+    }
+
+    #[test]
+    fn a_dataset_id_is_never_reused() {
+        let mut c = Catalog::new();
+        apply(&mut c, "CREATE TYPE T AS { id: int }; CREATE DATASET A(T) PRIMARY KEY id;").unwrap();
+        apply(&mut c, "CREATE DATASET B(T) PRIMARY KEY id; DROP DATASET A;").unwrap();
+        apply(&mut c, "CREATE DATASET A(T) PRIMARY KEY id;").unwrap();
+        assert_eq!((c.dataset("B").unwrap().id, c.dataset("A").unwrap().id), (1, 2));
+        // a create whose storage failed is taken back, id and all
+        apply(&mut c, "CREATE DATASET C(T) PRIMARY KEY id;").unwrap();
+        c.undo_create_dataset("C");
+        assert!(c.dataset("C").is_none());
+        apply(&mut c, "CREATE DATASET D(T) PRIMARY KEY id;").unwrap();
+        assert_eq!(c.dataset("D").unwrap().id, 3);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
-use asterix_adm::binary::{decode, decode_key, encode, encode_key};
+use asterix_adm::binary::{decode, decode_key, encode, encode_key, prepend_key_part};
 use asterix_adm::schema_encode::{decode_with_schema, encode_with_schema};
-use asterix_adm::types::ObjectType;
+use asterix_adm::types::{ObjectType, TypeRegistry};
+use asterix_adm::validate::cast_object;
 use asterix_adm::{Point, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
 use asterix_storage::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
@@ -52,6 +53,50 @@ impl Default for StorageConfig {
                 max_tolerance_components: 4,
             },
             rtree_point_optimize: true,
+        }
+    }
+}
+
+/// What a dataset's records are checked against and stored as: its declared
+/// record type with a snapshot of the types that type's fields name. Built
+/// once when the dataset is opened and shared by its runtime and partitions —
+/// a type cannot change or go while a dataset uses it (`DROP TYPE` refuses).
+#[derive(Debug, Default)]
+pub struct RecordSchema {
+    /// Declared record type: enables the schema-compressed record layout
+    /// (declared fields stored positionally without names — experiment E10).
+    record_type: Option<ObjectType>,
+    registry: TypeRegistry,
+}
+
+impl RecordSchema {
+    pub fn new(record_type: Option<ObjectType>, registry: TypeRegistry) -> Arc<RecordSchema> {
+        Arc::new(RecordSchema { record_type, registry })
+    }
+
+    /// Validates `record` against the declared type and casts it into the
+    /// declared shape (see [`cast_object`]).
+    pub fn cast(&self, record: &Value) -> Result<Value> {
+        match &self.record_type {
+            Some(ty) => cast_object(record, ty, &self.registry).map_err(CoreError::Adm),
+            None => Ok(record.clone()),
+        }
+    }
+
+    /// The storage encoding of a record already cast: what the primary index
+    /// holds for it, and what the log carries.
+    pub fn encode(&self, record: &Value) -> Result<Vec<u8>> {
+        match &self.record_type {
+            Some(ty) => encode_with_schema(record, ty).map_err(CoreError::Adm),
+            None => Ok(encode(record)),
+        }
+    }
+
+    /// Reverses [`RecordSchema::encode`].
+    pub fn decode(&self, raw: &[u8]) -> Result<Value> {
+        match &self.record_type {
+            Some(ty) => decode_with_schema(raw, ty).map_err(CoreError::Adm),
+            None => decode(raw).map_err(CoreError::Adm),
         }
     }
 }
@@ -114,12 +159,12 @@ pub struct PartitionRecovery {
 /// One partition of one dataset, resident on one node.
 pub struct DatasetPartition {
     pub dataset: String,
+    /// The dataset's id ([`DatasetDef::id`]): how log records name it.
+    pub dataset_id: u32,
     pub partition: u32,
     node: Arc<Node>,
     primary_key: Vec<String>,
-    /// Declared record type: enables the schema-compressed record layout
-    /// (declared fields stored positionally without names — experiment E10).
-    record_type: Option<ObjectType>,
+    schema: Arc<RecordSchema>,
     primary: LsmTree,
     secondaries: Vec<Secondary>,
     /// Where the node reads the LSN of the oldest log record the primary
@@ -170,22 +215,21 @@ impl DatasetPartition {
         node: Arc<Node>,
         cfg: &StorageConfig,
     ) -> Result<DatasetPartition> {
-        Self::create_typed(def, None, partition, node, cfg, None)
+        Self::create_typed(def, Arc::default(), partition, node, cfg, None)
     }
 
     /// Creates the partition with a declared record type for the compact
     /// schema-based layout. Its indexes start empty, and the log so far is
-    /// declared none of their business: a dataset of this name that was
-    /// dropped earlier left records there.
+    /// declared none of their business.
     pub fn create_typed(
         def: &DatasetDef,
-        record_type: Option<ObjectType>,
+        schema: Arc<RecordSchema>,
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
         compaction: Option<CompactionExec>,
     ) -> Result<DatasetPartition> {
-        Ok(Self::construct(def, record_type, partition, node, cfg, compaction, Origin::Created)?.0)
+        Ok(Self::construct(def, schema, partition, node, cfg, compaction, Origin::Created)?.0)
     }
 
     /// Reopens the partition at restart: every index attaches the disk
@@ -195,18 +239,18 @@ impl DatasetPartition {
     /// replay.
     pub fn recover_typed(
         def: &DatasetDef,
-        record_type: Option<ObjectType>,
+        schema: Arc<RecordSchema>,
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
         compaction: Option<CompactionExec>,
     ) -> Result<(DatasetPartition, PartitionRecovery)> {
-        Self::construct(def, record_type, partition, node, cfg, compaction, Origin::Recovered)
+        Self::construct(def, schema, partition, node, cfg, compaction, Origin::Recovered)
     }
 
     fn construct(
         def: &DatasetDef,
-        record_type: Option<ObjectType>,
+        schema: Arc<RecordSchema>,
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
@@ -235,10 +279,11 @@ impl DatasetPartition {
         }
         let mut part = DatasetPartition {
             dataset: def.name.clone(),
+            dataset_id: def.id,
             partition,
             node,
             primary_key: def.primary_key().to_vec(),
-            record_type,
+            schema,
             primary,
             secondaries: Vec::new(),
             log_pin,
@@ -322,7 +367,7 @@ impl DatasetPartition {
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
         let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
         for (pk, raw) in self.primary.scan()? {
-            let record = self.decode_record(&raw)?;
+            let record = self.schema.decode(&raw)?;
             Self::index_insert(&mut sec, &record, &pk)?;
         }
         // Only now, whole, does it reflect the primary — everything logged
@@ -385,63 +430,69 @@ impl DatasetPartition {
         Ok(self.primary.count()?)
     }
 
-    fn encode_record(&self, record: &Value) -> Result<Vec<u8>> {
-        match &self.record_type {
-            Some(ty) => encode_with_schema(record, ty).map_err(CoreError::Adm),
-            None => Ok(encode(record)),
-        }
-    }
-
-    fn decode_record(&self, raw: &[u8]) -> Result<Value> {
-        match &self.record_type {
-            Some(ty) => decode_with_schema(raw, ty).map_err(CoreError::Adm),
-            None => decode(raw).map_err(CoreError::Adm),
-        }
+    /// What the primary index stores for `pk` now: the before-image of a
+    /// write about to be logged, in the dataset's storage encoding.
+    pub fn stored(&self, pk: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(self.primary.get(pk)?)
     }
 
     /// Point lookup by encoded primary key.
     pub fn get(&self, pk: &[u8]) -> Result<Option<Value>> {
-        match self.primary.get(pk)? {
-            None => Ok(None),
-            Some(raw) => Ok(Some(self.decode_record(&raw)?)),
-        }
+        self.stored(pk)?.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
     /// Inserts or replaces a record (already cast to the dataset type).
     /// Returns the previous record, if any. Not logged: nothing ties the
     /// write to a transaction or to a place in the log.
     pub fn upsert(&mut self, record: &Value) -> Result<Option<Value>> {
-        self.settled(None, |part| part.apply_upsert(record))
+        let pk = extract_pk(record, &self.primary_key)?;
+        let raw = self.schema.encode(record)?;
+        let before = self.stored(&pk)?;
+        self.settled(None, |part| part.apply_put(&pk, raw, Some(record), before.as_deref()))?;
+        before.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
-    /// [`DatasetPartition::upsert`] as the effect of the log record at
-    /// `lsn`, written by the open transaction `writer` (`None` when
-    /// replaying a committed one). Until [`DatasetPartition::txn_finished`]
-    /// says `writer` is over, no index flushes what it wrote.
-    pub fn upsert_logged(
+    /// Makes `raw` — the storage encoding of a record, as a transaction
+    /// encoded it or as the log kept it — what the primary stores for `pk`,
+    /// as the effect of the log record at `lsn`, written by the open
+    /// transaction `writer` (`None` when replaying a committed one). Until
+    /// [`DatasetPartition::txn_finished`] says `writer` is over, no index
+    /// flushes what it wrote.
+    ///
+    /// `before` is what [`DatasetPartition::stored`] answered for `pk` under
+    /// the lock this call holds: the one read a write makes of the old
+    /// version. Both versions are decoded for secondary-index upkeep alone;
+    /// `record` spares the new one's when the caller has it.
+    pub fn put_logged(
         &mut self,
-        record: &Value,
+        pk: &[u8],
+        raw: Vec<u8>,
+        record: Option<&Value>,
+        before: Option<&[u8]>,
         lsn: Lsn,
         writer: Option<u64>,
-    ) -> Result<Option<Value>> {
-        self.settled(Some((lsn, writer)), |part| part.apply_upsert(record))
+    ) -> Result<()> {
+        self.settled(Some((lsn, writer)), |part| part.apply_put(pk, raw, record, before))
     }
 
     /// Deletes by encoded primary key; returns the removed record. Not
     /// logged (see [`DatasetPartition::upsert`]).
     pub fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
-        self.settled(None, |part| part.apply_delete(pk))
+        let before = self.stored(pk)?;
+        self.settled(None, |part| part.apply_delete(pk, before.as_deref()))?;
+        before.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
-    /// [`DatasetPartition::delete`] as the effect of the log record at `lsn`
-    /// (see [`DatasetPartition::upsert_logged`]).
+    /// The delete of `pk` as the effect of the log record at `lsn` (see
+    /// [`DatasetPartition::put_logged`], also for `before`).
     pub fn delete_logged(
         &mut self,
         pk: &[u8],
+        before: Option<&[u8]>,
         lsn: Lsn,
         writer: Option<u64>,
-    ) -> Result<Option<Value>> {
-        self.settled(Some((lsn, writer)), |part| part.apply_delete(pk))
+    ) -> Result<()> {
+        self.settled(Some((lsn, writer)), |part| part.apply_delete(pk, before))
     }
 
     /// Transaction `writer` has committed or aborted: every index flushes
@@ -499,47 +550,60 @@ impl DatasetPartition {
         out
     }
 
-    fn apply_upsert(&mut self, record: &Value) -> Result<Option<Value>> {
-        let pk = extract_pk(record, &self.primary_key)?;
-        let old = self.get(&pk)?;
-        if let Some(old_rec) = &old {
-            for sec in &mut self.secondaries {
-                Self::index_delete(sec, old_rec, &pk)?;
-            }
+    /// Retracts from every secondary index the entries of the record stored
+    /// as `before`.
+    fn retract(&mut self, pk: &[u8], before: Option<&[u8]>) -> Result<()> {
+        if self.secondaries.is_empty() {
+            return Ok(());
         }
-        let raw = self.encode_record(record)?;
-        self.primary.upsert(pk.clone(), raw)?;
+        let Some(before) = before else { return Ok(()) };
+        let old = self.schema.decode(before)?;
         for sec in &mut self.secondaries {
-            Self::index_insert(sec, record, &pk)?;
+            Self::index_delete(sec, &old, pk)?;
         }
-        Ok(old)
+        Ok(())
     }
 
-    fn apply_delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
-        let old = self.get(pk)?;
-        if let Some(old_rec) = &old {
+    fn apply_put(
+        &mut self,
+        pk: &[u8],
+        raw: Vec<u8>,
+        record: Option<&Value>,
+        before: Option<&[u8]>,
+    ) -> Result<()> {
+        self.retract(pk, before)?;
+        let decoded = match record {
+            None if !self.secondaries.is_empty() => Some(self.schema.decode(&raw)?),
+            _ => None,
+        };
+        self.primary.upsert(pk.to_vec(), raw)?;
+        if let Some(record) = record.or(decoded.as_ref()) {
             for sec in &mut self.secondaries {
-                Self::index_delete(sec, old_rec, pk)?;
+                Self::index_insert(sec, record, pk)?;
             }
+        }
+        Ok(())
+    }
+
+    fn apply_delete(&mut self, pk: &[u8], before: Option<&[u8]>) -> Result<()> {
+        if before.is_some() {
+            self.retract(pk, before)?;
             self.primary.delete(pk.to_vec())?;
         }
-        Ok(old)
+        Ok(())
     }
 
     fn index_insert(sec: &mut Secondary, record: &Value, pk: &[u8]) -> Result<()> {
-        let field = field_path(record, &sec.def().field).clone();
+        let field = field_path(record, &sec.def().field);
         if field.is_unknown() {
             return Ok(()); // absent secondary keys are simply not indexed
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
-                let mut parts = vec![field];
-                parts.extend(pk_vals);
-                tree.upsert(encode_key(&parts), Vec::new())?;
+                tree.upsert(prepend_key_part(field, pk).map_err(CoreError::Adm)?, Vec::new())?;
             }
             Secondary::RTree { tree, .. } => {
-                if let Some(mbr) = spatial_mbr(&field) {
+                if let Some(mbr) = spatial_mbr(field) {
                     tree.insert(mbr, pk.to_vec())?;
                 }
             }
@@ -554,19 +618,16 @@ impl DatasetPartition {
     }
 
     fn index_delete(sec: &mut Secondary, record: &Value, pk: &[u8]) -> Result<()> {
-        let field = field_path(record, &sec.def().field).clone();
+        let field = field_path(record, &sec.def().field);
         if field.is_unknown() {
             return Ok(());
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
-                let mut parts = vec![field];
-                parts.extend(pk_vals);
-                tree.delete(encode_key(&parts))?;
+                tree.delete(prepend_key_part(field, pk).map_err(CoreError::Adm)?)?;
             }
             Secondary::RTree { tree, .. } => {
-                if let Some(mbr) = spatial_mbr(&field) {
+                if let Some(mbr) = spatial_mbr(field) {
                     tree.delete(&mbr, pk)?;
                 }
             }
@@ -585,7 +646,7 @@ impl DatasetPartition {
         self.primary
             .scan()?
             .into_iter()
-            .map(|(_, raw)| self.decode_record(&raw))
+            .map(|(_, raw)| self.schema.decode(&raw))
             .collect()
     }
 
@@ -599,7 +660,7 @@ impl DatasetPartition {
         hi_inclusive: bool,
     ) -> Result<Vec<Value>> {
         leading_field_range(&self.primary, lo, lo_inclusive, hi, hi_inclusive, |_, raw| {
-            self.decode_record(&raw)
+            self.schema.decode(&raw)
         })
     }
 
@@ -690,12 +751,6 @@ impl DatasetPartition {
     pub fn index_stats(&self, index: &str) -> Result<LsmStats> {
         Ok(self.find_index(index)?.stats())
     }
-
-    /// Encoded size of one record under this partition's layout (E10's
-    /// storage metric).
-    pub fn encoded_len(&self, record: &Value) -> Result<usize> {
-        Ok(self.encode_record(record)?.len())
-    }
 }
 
 /// Walks the entries of `tree` whose leading key part lies within the bounds,
@@ -781,6 +836,7 @@ mod tests {
 
     fn def_with_indexes() -> DatasetDef {
         DatasetDef {
+            id: 0,
             name: "Msgs".into(),
             type_name: "any".into(),
             kind: DatasetKind::Internal { primary_key: vec!["id".into()] },

@@ -17,7 +17,7 @@
 //! transaction, so nothing ever needs undoing at restart.
 
 use crate::catalog::{Catalog, DatasetDef, DatasetKind};
-use crate::dataset::{extract_pk, partition_of, DatasetPartition, StorageConfig};
+use crate::dataset::{extract_pk, partition_of, DatasetPartition, RecordSchema, StorageConfig};
 use crate::error::{CoreError, Result};
 use crate::node::Cluster;
 use crate::scheduler::{
@@ -25,7 +25,6 @@ use crate::scheduler::{
 };
 use crate::sources::{DatasetRuntime, DatasetSource, ExternalSource};
 use crate::txn::{TxnManager, UndoEntry};
-use asterix_adm::binary::{decode, encode};
 use asterix_adm::Value;
 use asterix_algebricks::jobgen::{self, JobGenConfig};
 use asterix_algebricks::plan::VarGen;
@@ -36,7 +35,7 @@ use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
 use asterix_storage::lock_order::{OrderedRwLock, OrderedWriteGuard};
-use asterix_storage::wal::{Lsn, WalRecord};
+use asterix_storage::wal::WalRecord;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -304,11 +303,14 @@ impl Instance {
     /// restart recovered from what its indexes' manifests name.
     fn open_dataset(&self, def: DatasetDef, recovered: bool) -> Result<Arc<DatasetRuntime>> {
         let inner = &self.inner;
-        let record_type = inner.catalog.read().types.get(&def.type_name).cloned();
+        let schema = {
+            let cat = inner.catalog.read(); // xlint: lock(catalog)
+            RecordSchema::new(cat.types.get(&def.type_name).cloned(), cat.types.clone())
+        };
         let mut partitions = Vec::with_capacity(inner.config.partitions);
         for p in 0..inner.config.partitions.max(1) {
             let node = Arc::clone(inner.cluster.node_for_partition(p));
-            let (ty, p, storage) = (record_type.clone(), p as u32, &inner.config.storage);
+            let (ty, p, storage) = (Arc::clone(&schema), p as u32, &inner.config.storage);
             let compaction = inner.compaction.clone();
             let part = if recovered {
                 let (part, did) =
@@ -322,7 +324,7 @@ impl Instance {
             };
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
         }
-        Ok(Arc::new(DatasetRuntime { def, partitions }))
+        Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
     }
 
     fn recover(&self) -> Result<()> { // xlint: allow(blocking, "recovery is single-threaded startup code; the worker pool is not running yet")
@@ -396,23 +398,27 @@ impl Instance {
         // 4. re-apply, node by node and in log order, the committed
         // operations no component of their partition's primary index covers.
         // They are in no memory component until replayed, so the log stays
-        // whole meanwhile.
+        // whole meanwhile. An operation names its dataset by id, which no
+        // later dataset shares, and a put carries the bytes that dataset
+        // stores — its type was replayed in step 1 — so they go into the
+        // primary index as they are.
+        let by_id: HashMap<u32, Arc<DatasetRuntime>> =
+            inner.datasets.read().values().map(|rt| (rt.def.id, Arc::clone(rt))).collect();
         let replayed = inner.ctx.registry().counter("core.recovery.records_replayed");
         for node in &inner.cluster.nodes {
             node.pause_checkpoints();
             for op in node.take_recovered_ops() {
-                let datasets = inner.datasets.read(); // xlint: lock(datasets_map)
-                let Some(rt) = datasets.get(&op.dataset) else { continue };
+                let Some(rt) = by_id.get(&op.dataset) else { continue };
                 let Some(part) = rt.partitions.get(op.partition as usize) else { continue };
                 let mut part = part.write(); // xlint: lock(lsm_component)
                 if op.lsn < part.flushed_below() {
                     continue;
                 }
+                let before = part.stored(&op.key)?;
                 if op.is_delete {
-                    part.delete_logged(&op.key, op.lsn, None)?;
+                    part.delete_logged(&op.key, before.as_deref(), op.lsn, None)?;
                 } else {
-                    let record = decode(&op.value).map_err(CoreError::Adm)?;
-                    part.upsert_logged(&record, op.lsn, None)?;
+                    part.put_logged(&op.key, op.value, None, before.as_deref(), op.lsn, None)?;
                 }
                 replayed.inc();
             }
@@ -532,7 +538,10 @@ impl Instance {
         };
         match ddl {
             D::CreateDataset { name, .. } => {
-                let rt = self.open_dataset(catalog_def(name)?, false)?;
+                let rt = self.open_dataset(catalog_def(name)?, false).inspect_err(|_| {
+                    // not persisted, so not to be counted: see `DatasetDef::id`
+                    self.inner.catalog.write().undo_create_dataset(name);
+                })?;
                 self.inner.datasets.write().insert(name.clone(), rt);
             }
             D::CreateIndex { dataset, name, .. } => {
@@ -547,8 +556,9 @@ impl Instance {
                     for part in &rt.partitions {
                         part.write().add_index(&idx, &self.inner.config.storage)?; // xlint: lock(lsm_component)
                     }
-                    let partitions = rt.partitions.clone();
-                    datasets.insert(dataset.clone(), Arc::new(DatasetRuntime { def, partitions }));
+                    let (schema, partitions) = (Arc::clone(&rt.schema), rt.partitions.clone());
+                    datasets
+                        .insert(dataset.clone(), Arc::new(DatasetRuntime { def, schema, partitions }));
                 }
             }
             D::DropDataset { name } => {
@@ -564,8 +574,9 @@ impl Instance {
                     for part in &rt.partitions {
                         part.write().remove_index(name)?; // xlint: lock(lsm_component)
                     }
-                    let partitions = rt.partitions.clone();
-                    datasets.insert(dataset.clone(), Arc::new(DatasetRuntime { def, partitions }));
+                    let (schema, partitions) = (Arc::clone(&rt.schema), rt.partitions.clone());
+                    datasets
+                        .insert(dataset.clone(), Arc::new(DatasetRuntime { def, schema, partitions }));
                 }
             }
             _ => {}
@@ -845,15 +856,8 @@ impl Instance {
     /// Physical encoded size of a record under a dataset's layout (after
     /// casting to the dataset type) — E10's storage metric.
     pub fn record_encoded_len(&self, dataset: &str, record: &Value) -> Result<usize> {
-        let rt = self.dataset_runtime(dataset)?;
-        let cat = self.inner.catalog.read(); // xlint: lock(catalog)
-        let record = match cat.types.get(&rt.def.type_name) {
-            Some(t) => asterix_adm::validate::cast_object(record, t, &cat.types)
-                .map_err(CoreError::Adm)?,
-            None => record.clone(),
-        };
-        let len = rt.partitions[0].read().encoded_len(&record)?; // xlint: lock(lsm_component)
-        Ok(len)
+        let schema = &self.dataset_runtime(dataset)?.schema;
+        Ok(schema.encode(&schema.cast(record)?)?.len())
     }
 
     /// Per-partition live record counts (E4's balance metric).
@@ -932,6 +936,11 @@ impl Instance {
     pub fn feed_durable_seq(&self, feed: &str) -> Result<u64> {
         let nodes = &self.inner.cluster.nodes;
         Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0)) // xlint: lock(wal)
+    }
+
+    /// The dataset that has `id`, unless it was dropped.
+    fn dataset_by_id(&self, id: u32) -> Option<Arc<DatasetRuntime>> {
+        self.inner.datasets.read().values().find(|rt| rt.def.id == id).cloned()
     }
 
     fn dataset_runtime(&self, name: &str) -> Result<Arc<DatasetRuntime>> {
@@ -1016,9 +1025,9 @@ pub struct Txn<'a> {
     instance: &'a Instance,
     id: u64,
     undo: Vec<UndoEntry>,
-    /// `(dataset, partition)` pairs written to: their indexes hold back what
-    /// this transaction wrote until it is over.
-    touched: BTreeSet<(String, u32)>,
+    /// `(dataset id, partition)` pairs written to: their indexes hold back
+    /// what this transaction wrote until it is over.
+    touched: BTreeSet<(u32, u32)>,
     /// Feed frontiers this transaction advances: committed atomically with
     /// the data as [`WalRecord::FeedCursor`] records.
     feed_cursors: Vec<(String, u64)>,
@@ -1062,83 +1071,70 @@ impl<'a> Txn<'a> {
         }
     }
 
-    /// Logs, for transaction `txn_id`, the put (`Some`) or delete (`None`) of
-    /// `key` on the partition `part` guards; returns the record's LSN. The
-    /// partition counts as written to from here on.
-    fn log_update(
+    /// Logs, for transaction `txn_id`, the put (`Some`: the storage encoding
+    /// of the record) or delete (`None`) of `key` on the partition `part`
+    /// guards, and applies it there over the before-image `before`, which
+    /// goes on the undo list. The partition counts as written to from here on.
+    fn log_and_apply(
         &mut self,
-        part: &DatasetPartition,
+        part: &mut DatasetPartition,
         txn_id: u64,
-        key: &[u8],
-        put: Option<&Value>,
-    ) -> Result<Lsn> {
+        key: Vec<u8>,
+        put: Option<(Vec<u8>, Option<&Value>)>,
+        before: Option<Vec<u8>>,
+    ) -> Result<UndoEntry> {
+        let (dataset, partition) = (part.dataset_id, part.partition);
+        let raw = put.as_ref().map(|(raw, _)| raw.as_slice());
+        // WAL first
         let lsn = part
             .node()
             .wal
             .lock() // xlint: lock(wal)
-            .append(&WalRecord::Update {
-                txn_id,
-                dataset: part.dataset.clone(),
-                partition: part.partition,
-                is_delete: put.is_none(),
-                key: key.to_vec(),
-                value: put.map(encode).unwrap_or_default(),
-            })
+            .append_write(txn_id, dataset, partition, &key, raw)
             .map_err(CoreError::Storage)?;
-        self.touched.insert((part.dataset.clone(), part.partition));
-        Ok(lsn)
+        self.touched.insert((dataset, partition));
+        match put {
+            Some((raw, record)) => {
+                part.put_logged(&key, raw, record, before.as_deref(), lsn, Some(self.id))?
+            }
+            None => part.delete_logged(&key, before.as_deref(), lsn, Some(self.id))?,
+        }
+        Ok(UndoEntry { dataset, partition, pk: key, before })
     }
 
-    /// Writes (insert or upsert) one record.
+    /// Writes (insert or upsert) one record: everything it needs is on the
+    /// dataset's runtime, the record is cast once and encoded once, and those
+    /// bytes are what the log carries and the primary index stores.
     pub fn write(&mut self, dataset: &str, record: &Value, is_upsert: bool) -> Result<()> {
-        let inner = &self.instance.inner;
         let rt = self.instance.dataset_runtime(dataset)?;
-        let (ty, registry) = {
-            let cat = inner.catalog.read(); // xlint: lock(catalog)
-            match cat.types.get(&rt.def.type_name) {
-                Some(t) => (Some(t.clone()), cat.types.clone()),
-                None => (None, cat.types.clone()),
-            }
-        };
-        let record = match &ty {
-            Some(t) => {
-                asterix_adm::validate::cast_object(record, t, &registry).map_err(CoreError::Adm)?
-            }
-            None => record.clone(),
-        };
+        let record = rt.schema.cast(record)?;
         let pk = extract_pk(&record, rt.def.primary_key())?;
+        let raw = rt.schema.encode(&record)?;
         let p = partition_of(&pk, rt.partitions.len());
-        inner.txns.locks.lock(self.id, dataset, &pk)?;
+        self.instance.inner.txns.locks.lock(self.id, rt.def.id, &pk)?;
         let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
         guard.node().check_alive()?;
-        if !is_upsert && guard.get(&pk)?.is_some() {
+        let before = guard.stored(&pk)?;
+        if !is_upsert && before.is_some() {
             return Err(CoreError::Constraint(format!(
                 "insert: a record with this key already exists in {dataset}"
             )));
         }
-        // WAL first
-        let lsn = self.log_update(&guard, self.id, &pk, Some(&record))?;
-        let before = guard.upsert_logged(&record, lsn, Some(self.id))?;
-        self.undo.push(UndoEntry { dataset: dataset.to_string(), partition: p, pk, before });
+        let undo = self.log_and_apply(&mut guard, self.id, pk, Some((raw, Some(&record))), before)?;
+        self.undo.push(undo);
         Ok(())
     }
 
     /// Deletes one record by encoded primary key.
     pub fn delete(&mut self, dataset: &str, pk: &[u8]) -> Result<()> {
-        let inner = &self.instance.inner;
         let rt = self.instance.dataset_runtime(dataset)?;
         let p = partition_of(pk, rt.partitions.len());
-        inner.txns.locks.lock(self.id, dataset, pk)?;
+        self.instance.inner.txns.locks.lock(self.id, rt.def.id, pk)?;
         let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
         guard.node().check_alive()?;
-        let lsn = self.log_update(&guard, self.id, pk, None)?;
-        let before = guard.delete_logged(pk, lsn, Some(self.id))?;
-        self.undo.push(UndoEntry {
-            dataset: dataset.to_string(),
-            partition: p,
-            pk: pk.to_vec(),
-            before,
-        });
+        let before = guard.stored(pk)?;
+        let undo = self.log_and_apply(&mut guard, self.id, pk.to_vec(), None, before)?;
+        self.undo.push(undo);
         Ok(())
     }
 
@@ -1216,7 +1212,7 @@ impl<'a> Txn<'a> {
         let touched = if release { std::mem::take(&mut self.touched) } else { BTreeSet::new() };
         for (dataset, p) in touched {
             // a dataset dropped meanwhile has nothing left to flush
-            let Ok(rt) = self.instance.dataset_runtime(&dataset) else { continue };
+            let Some(rt) = self.instance.dataset_by_id(dataset) else { continue };
             let flushed = rt.partitions[p as usize].write().txn_finished(self.id); // xlint: lock(lsm_component)
             if let Err(e) = flushed {
                 first_err.get_or_insert(e);
@@ -1244,13 +1240,14 @@ impl<'a> Txn<'a> {
         let compensation = if undone { inner.txns.begin() } else { 0 };
         while let Some(u) = self.undo.pop() {
             let res = (|| -> Result<()> {
-                let rt = self.instance.dataset_runtime(&u.dataset)?;
+                // a dataset dropped meanwhile has nothing left to restore
+                let Some(rt) = self.instance.dataset_by_id(u.dataset) else { return Ok(()) };
                 let mut guard = rt.partitions[u.partition as usize].write(); // xlint: lock(lsm_component)
-                let lsn = self.log_update(&guard, compensation, &u.pk, u.before.as_ref())?;
-                match &u.before {
-                    Some(rec) => guard.upsert_logged(rec, lsn, Some(self.id))?,
-                    None => guard.delete_logged(&u.pk, lsn, Some(self.id))?,
-                };
+                // the before-image goes back as it was stored, over what
+                // this transaction put in its place
+                let current = guard.stored(&u.pk)?;
+                let put = u.before.map(|raw| (raw, None));
+                self.log_and_apply(&mut guard, compensation, u.pk, put, current)?;
                 Ok(())
             })();
             if let Err(e) = res {

@@ -3,7 +3,7 @@
 //! §V-B sorted-PK fetch (experiment E7).
 
 use crate::catalog::{DatasetDef, IndexKind};
-use crate::dataset::{partition_of, DatasetPartition};
+use crate::dataset::{partition_of, DatasetPartition, RecordSchema};
 use crate::error::Result as CoreResult;
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
@@ -16,9 +16,12 @@ use asterix_hyracks::job::{FnSource, SourceFactory};
 use asterix_storage::lock_order::OrderedRwLock;
 use std::sync::Arc;
 
-/// The runtime handle on one dataset: its definition plus its partitions.
+/// The runtime handle on one dataset: its definition plus its partitions —
+/// everything a write needs to find, in one place.
 pub struct DatasetRuntime {
     pub def: DatasetDef,
+    /// How records are validated, cast and encoded on their way in.
+    pub schema: Arc<RecordSchema>,
     pub partitions: Vec<Arc<OrderedRwLock<DatasetPartition>>>,
 }
 
@@ -234,6 +237,7 @@ mod tests {
         ));
         std::fs::create_dir_all(&root).unwrap();
         let def = DatasetDef {
+            id: 0,
             name: "T".into(),
             type_name: "any".into(),
             kind: DatasetKind::Internal { primary_key: vec!["id".into()] },
@@ -251,7 +255,7 @@ mod tests {
                 DatasetPartition::create(&def, p as u32, node, &StorageConfig::default()).unwrap(),
             )));
         }
-        (Arc::new(DatasetRuntime { def, partitions }), root)
+        (Arc::new(DatasetRuntime { def, schema: Arc::default(), partitions }), root)
     }
 
     #[test]

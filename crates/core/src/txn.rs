@@ -18,13 +18,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Lock table guarded by the manager's mutex: record owners plus the set of
-/// transactions cancelled mid-flight (their next lock attempt must fail
-/// typed instead of blocking).
+/// A record lock's name: dataset id and encoded primary key.
+type LockKey = (u32, Arc<[u8]>);
+
+/// Lock table guarded by the manager's mutex: record owners, each
+/// transaction's own locks (so that letting them go visits nobody else's),
+/// and the set of transactions cancelled mid-flight (their next lock attempt
+/// must fail typed instead of blocking).
 #[derive(Default)]
 struct LockTable {
-    owners: HashMap<(String, Vec<u8>), u64>,
+    /// Per dataset id, the owner of each locked primary key.
+    owners: HashMap<u32, HashMap<Arc<[u8]>, u64>>,
+    /// Per transaction, the locks it owns.
+    held: HashMap<u64, Vec<LockKey>>,
     cancelled: HashSet<u64>,
+    /// Owner entries looked at by releases and cancellations so far.
+    release_visits: u64,
+}
+
+impl LockTable {
+    /// Lets go of every lock `txn` owns, visiting those and no others.
+    /// Returns whether it owned any.
+    fn release(&mut self, txn: u64) -> bool {
+        let Some(keys) = self.held.remove(&txn) else { return false };
+        self.release_visits += keys.len() as u64;
+        for (dataset, pk) in &keys {
+            let Some(of_dataset) = self.owners.get_mut(dataset) else { continue };
+            of_dataset.remove(pk);
+            if of_dataset.is_empty() {
+                // ids are never reused: a dropped dataset's map would stay
+                self.owners.remove(dataset);
+            }
+        }
+        true
+    }
 }
 
 /// A primary-key write-lock manager with blocking acquisition, deadlock
@@ -47,12 +74,12 @@ impl LockManager {
         LockManager { locks: Mutex::new(LockTable::default()), cv: Condvar::new(), timeout }
     }
 
-    /// Acquires the write lock on `(dataset, pk)` for `txn`. Re-entrant for
-    /// the same transaction. Times out (as a deadlock break) with an error.
-    /// A transaction cancelled while waiting (or before arriving) gets the
-    /// typed cancellation error promptly — never its own timeout.
-    pub fn lock(&self, txn: u64, dataset: &str, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
-        let key = (dataset.to_string(), pk.to_vec());
+    /// Acquires the write lock on `pk` in the dataset with id `dataset` for
+    /// `txn`. Re-entrant for the same transaction. Times out (as a deadlock
+    /// break) with an error. A transaction cancelled while waiting (or before
+    /// arriving) gets the typed cancellation error promptly — never its own
+    /// timeout.
+    pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
         // Manual order token: the guard round-trips through the condvar, so
         // the OrderedMutex wrapper does not fit here.
         let _order = lock_order::acquire("lock_manager");
@@ -61,16 +88,18 @@ impl LockManager {
             if table.cancelled.contains(&txn) {
                 return Err(CoreError::Txn(format!("transaction {txn} was cancelled")));
             }
-            match table.owners.get(&key) {
+            match table.owners.get(&dataset).and_then(|of_dataset| of_dataset.get(pk)) {
                 None => {
-                    table.owners.insert(key, txn);
+                    let pk: Arc<[u8]> = pk.into();
+                    table.owners.entry(dataset).or_default().insert(Arc::clone(&pk), txn);
+                    table.held.entry(txn).or_default().push((dataset, pk));
                     return Ok(());
                 }
                 Some(owner) if *owner == txn => return Ok(()),
                 Some(_) => {
                     if self.cv.wait_for(&mut table, self.timeout).timed_out() {
                         return Err(CoreError::Txn(format!(
-                            "lock timeout on {dataset}:{pk:02x?} (possible deadlock)"
+                            "lock timeout on dataset #{dataset}:{pk:02x?} (possible deadlock)"
                         )));
                     }
                 }
@@ -87,11 +116,7 @@ impl LockManager {
     pub fn cancel_txn(&self, txn: u64) -> bool {
         let _order = lock_order::acquire("lock_manager");
         let mut table = self.locks.lock(); // xlint: lock(lock_manager)
-        let held_any = {
-            let before = table.owners.len();
-            table.owners.retain(|_, owner| *owner != txn);
-            table.owners.len() != before
-        };
+        let held_any = table.release(txn);
         let fresh = table.cancelled.insert(txn);
         self.cv.notify_all();
         held_any || fresh
@@ -101,7 +126,7 @@ impl LockManager {
     pub fn release_all(&self, txn: u64) {
         let _order = lock_order::acquire("lock_manager");
         let mut table = self.locks.lock(); // xlint: lock(lock_manager)
-        table.owners.retain(|_, owner| *owner != txn);
+        table.release(txn);
         table.cancelled.remove(&txn);
         self.cv.notify_all();
     }
@@ -109,17 +134,27 @@ impl LockManager {
     /// Number of currently held locks (diagnostics).
     pub fn held(&self) -> usize {
         let _order = lock_order::acquire("lock_manager");
-        self.locks.lock().owners.len() // xlint: lock(lock_manager)
+        self.locks.lock().held.values().map(Vec::len).sum() // xlint: lock(lock_manager)
+    }
+
+    /// Lock-table entries every release and cancellation so far has looked
+    /// at, in total (diagnostics): each pays for the locks of its own
+    /// transaction, whatever the others hold.
+    pub fn release_visits(&self) -> u64 {
+        let _order = lock_order::acquire("lock_manager");
+        self.locks.lock().release_visits // xlint: lock(lock_manager)
     }
 }
 
 /// One undo entry: the record's before-image.
 pub struct UndoEntry {
-    pub dataset: String,
+    /// Id of the dataset written to ([`crate::catalog::DatasetDef::id`]).
+    pub dataset: u32,
     pub partition: u32,
     pub pk: Vec<u8>,
-    /// `None` = the record did not exist before (undo = delete).
-    pub before: Option<asterix_adm::Value>,
+    /// What the primary index stored for `pk` before, in the dataset's
+    /// storage encoding; `None` = the record did not exist (undo = delete).
+    pub before: Option<Vec<u8>>,
 }
 
 /// Transaction identifiers and bookkeeping.
@@ -165,11 +200,11 @@ mod tests {
     #[test]
     fn lock_blocks_conflicting_writer() {
         let lm = Arc::new(LockManager::new(Duration::from_secs(2)));
-        lm.lock(1, "ds", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
         let lm2 = Arc::clone(&lm);
         let handle = thread::spawn(move || {
             // blocks until txn 1 releases
-            lm2.lock(2, "ds", b"k").unwrap();
+            lm2.lock(2, 1, b"k").unwrap();
             lm2.release_all(2);
         });
         thread::sleep(Duration::from_millis(50));
@@ -182,33 +217,50 @@ mod tests {
     #[test]
     fn lock_is_reentrant_and_scoped() {
         let lm = LockManager::default();
-        lm.lock(1, "ds", b"k").unwrap();
-        lm.lock(1, "ds", b"k").unwrap();
-        lm.lock(1, "ds", b"other").unwrap();
-        lm.lock(1, "ds2", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
+        lm.lock(1, 1, b"other").unwrap();
+        lm.lock(1, 2, b"k").unwrap();
         assert_eq!(lm.held(), 3);
         lm.release_all(1);
         assert_eq!(lm.held(), 0);
     }
 
     #[test]
+    fn releasing_visits_only_the_releasers_own_locks() {
+        let lm = LockManager::default();
+        for i in 0..2_500u32 {
+            lm.lock(1, 1, &i.to_le_bytes()).unwrap();
+            lm.lock(2, 1, &(i + 10_000).to_le_bytes()).unwrap();
+        }
+        assert_eq!(lm.held(), 5_000);
+        lm.release_all(2);
+        assert_eq!(lm.release_visits(), 2_500, "a commit paid for another transaction's locks");
+        assert_eq!(lm.held(), 2_500, "and let go of exactly its own");
+        lm.lock(3, 1, &10_000u32.to_le_bytes()).unwrap();
+        assert!(lm.cancel_txn(1));
+        assert_eq!(lm.release_visits(), 5_000);
+        assert_eq!(lm.held(), 1);
+    }
+
+    #[test]
     fn lock_timeout_breaks_deadlock() {
         let lm = LockManager::new(Duration::from_millis(50));
-        lm.lock(1, "ds", b"k").unwrap();
-        let err = lm.lock(2, "ds", b"k").unwrap_err();
+        lm.lock(1, 1, b"k").unwrap();
+        let err = lm.lock(2, 1, b"k").unwrap_err();
         assert!(err.to_string().contains("timeout"), "{err}");
     }
 
     #[test]
     fn lock_timeout_then_retry_succeeds_after_release() {
         let lm = LockManager::new(Duration::from_millis(50));
-        lm.lock(1, "ds", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
         // a timed-out acquisition must not corrupt the lock table...
-        assert!(lm.lock(2, "ds", b"k").is_err());
+        assert!(lm.lock(2, 1, b"k").is_err());
         assert_eq!(lm.held(), 1);
         // ...and the same txn can acquire normally once the owner releases
         lm.release_all(1);
-        lm.lock(2, "ds", b"k").unwrap();
+        lm.lock(2, 1, b"k").unwrap();
         assert_eq!(lm.held(), 1);
         lm.release_all(2);
         assert_eq!(lm.held(), 0);
@@ -217,12 +269,12 @@ mod tests {
     #[test]
     fn release_all_wakes_every_blocked_waiter() {
         let lm = Arc::new(LockManager::new(Duration::from_secs(5)));
-        lm.lock(1, "ds", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
         let mut handles = Vec::new();
         for txn in 2..=5u64 {
             let lm = Arc::clone(&lm);
             handles.push(thread::spawn(move || {
-                lm.lock(txn, "ds", b"k").unwrap();
+                lm.lock(txn, 1, b"k").unwrap();
                 lm.release_all(txn);
             }));
         }
@@ -246,7 +298,7 @@ mod tests {
             let lm = Arc::clone(&lm);
             let seen = Arc::clone(&seen);
             handles.push(thread::spawn(move || {
-                lm.lock(txn, "ds", b"hot").unwrap();
+                lm.lock(txn, 1, b"hot").unwrap();
                 {
                     let mut s = seen.lock();
                     let next = s.len() as u64;
@@ -268,7 +320,7 @@ mod tests {
         let lm = Arc::new(LockManager::new(Duration::from_millis(200)));
         let lm2 = Arc::clone(&lm);
         let _ = thread::spawn(move || {
-            lm2.lock(1, "ds", b"k").unwrap();
+            lm2.lock(1, 1, b"k").unwrap();
             panic!("txn thread dies while owning the record lock");
         })
         .join();
@@ -277,7 +329,7 @@ mod tests {
         // transaction's locks unwedges the key for later writers
         assert_eq!(lm.held(), 1);
         lm.release_all(1);
-        lm.lock(2, "ds", b"k").unwrap();
+        lm.lock(2, 1, b"k").unwrap();
         lm.release_all(2);
         assert_eq!(lm.held(), 0);
     }
@@ -302,10 +354,10 @@ mod tests {
         // the waiter's timeout is far longer than the test budget: if
         // cancel_txn failed to release + notify, this would hang visibly
         let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
-        lm.lock(1, "ds", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
         let lm2 = Arc::clone(&lm);
         let waiter = thread::spawn(move || {
-            lm2.lock(2, "ds", b"k").unwrap();
+            lm2.lock(2, 1, b"k").unwrap();
             lm2.release_all(2);
         });
         thread::sleep(Duration::from_millis(50));
@@ -313,19 +365,19 @@ mod tests {
         waiter.join().unwrap();
         assert_eq!(lm.held(), 0);
         // the cancelled transaction cannot take new locks until released
-        let err = lm.lock(1, "ds", b"k2").unwrap_err();
+        let err = lm.lock(1, 1, b"k2").unwrap_err();
         assert!(err.to_string().contains("cancelled"), "{err}");
         lm.release_all(1); // rollback path clears the marker
-        lm.lock(1, "ds", b"k2").unwrap();
+        lm.lock(1, 1, b"k2").unwrap();
         lm.release_all(1);
     }
 
     #[test]
     fn cancelled_waiter_gets_typed_error_not_a_hang() {
         let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
-        lm.lock(1, "ds", b"k").unwrap();
+        lm.lock(1, 1, b"k").unwrap();
         let lm2 = Arc::clone(&lm);
-        let waiter = thread::spawn(move || lm2.lock(2, "ds", b"k"));
+        let waiter = thread::spawn(move || lm2.lock(2, 1, b"k"));
         thread::sleep(Duration::from_millis(50));
         let start = std::time::Instant::now();
         assert!(lm.cancel_txn(2), "txn 2 was not yet marked");

@@ -61,6 +61,48 @@ impl Ord for KeyBytes {
     }
 }
 
+/// The borrowed form of [`KeyBytes`], for looking one up in an ordered map
+/// by a key the caller only has a slice of: `&key as &dyn KeyView`.
+pub(crate) trait KeyView {
+    fn key_bytes(&self) -> &[u8];
+}
+
+impl KeyView for KeyBytes {
+    fn key_bytes(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl KeyView for &[u8] {
+    fn key_bytes(&self) -> &[u8] {
+        self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for KeyBytes {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+// the same order as `KeyBytes`', which `Borrow` requires
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for dyn KeyView + '_ {}
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        compare_keys(self.key_bytes(), other.key_bytes())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Entries & memory component
 // ---------------------------------------------------------------------------
@@ -138,7 +180,7 @@ impl MemComponent {
 
     /// Latest entry for `key`, if buffered here.
     pub fn get(&self, key: &[u8]) -> Option<&Entry> {
-        self.map.get(&KeyBytes(key.to_vec()))
+        self.map.get(&key as &dyn KeyView)
     }
 
     /// Ordered iteration over all buffered entries.
@@ -149,10 +191,13 @@ impl MemComponent {
     /// Ordered iteration over a key range.
     pub fn range(
         &self,
-        lo: Bound<Vec<u8>>,
-        hi: Bound<Vec<u8>>,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
     ) -> impl Iterator<Item = (&KeyBytes, &Entry)> {
-        self.map.range((lo.map(KeyBytes), hi.map(KeyBytes)))
+        fn view<'a>(bound: &'a Bound<&'a [u8]>) -> Bound<&'a (dyn KeyView + 'a)> {
+            bound.as_ref().map(|key| key as &dyn KeyView)
+        }
+        self.map.range::<dyn KeyView, _>((view(&lo), view(&hi)))
     }
 }
 
@@ -626,7 +671,7 @@ impl LsmTree {
         let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 2);
         for mem in std::iter::once(self.mem.active()).chain(self.mem.sealed()) {
             streams.push(Box::new(
-                mem.range(owned(lo), owned(hi)).map(|(k, e)| Ok((k.0.clone(), e.clone()))),
+                mem.range(lo, hi).map(|(k, e)| Ok((k.0.clone(), e.clone()))),
             ));
         }
         for comp in &snapshot {

@@ -30,12 +30,28 @@ pub type Lsn = u64;
 /// One log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A data operation by a transaction.
+    /// A data operation by a transaction: the put or delete of one record in
+    /// one dataset partition. `dataset` is the id the catalog gave that
+    /// incarnation of the dataset; a put's `value` is the dataset's storage
+    /// encoding of the record — the bytes its primary index holds — so replay
+    /// moves it into the index as it is.
+    Write {
+        txn_id: u64,
+        dataset: u32,
+        partition: u32,
+        /// `true` = delete (value empty), `false` = put.
+        is_delete: bool,
+        key: Vec<u8>,
+        value: Vec<u8>,
+    },
+    /// The retired layout of a data operation, naming its dataset by name.
+    /// The repository benchmark's log-append probe still builds and appends
+    /// it; nothing reads it back — a frame of it refuses the log it is in
+    /// (see [`scan_log`]).
     Update {
         txn_id: u64,
         dataset: String,
         partition: u32,
-        /// `true` = delete (value empty), `false` = put.
         is_delete: bool,
         key: Vec<u8>,
         value: Vec<u8>,
@@ -56,24 +72,62 @@ pub enum WalRecord {
     FeedCursor { txn_id: u64, feed: String, seq: u64 },
 }
 
+/// Tag byte of [`WalRecord::Write`]. Not 1, which [`WalRecord::Update`] had:
+/// a segment written before `Write` existed is refused, not misread.
+const TAG_WRITE: u8 = 6;
+const TAG_UPDATE: u8 = 1;
+
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(bytes);
+}
+
+/// The payload of a [`WalRecord::Write`]: tag, transaction, dataset id,
+/// partition, delete flag, key, value (`None` = delete).
+fn encode_write(
+    out: &mut Vec<u8>,
+    txn_id: u64,
+    dataset: u32,
+    partition: u32,
+    key: &[u8],
+    put: Option<&[u8]>,
+) {
+    out.push(TAG_WRITE);
+    out.extend_from_slice(&txn_id.to_le_bytes());
+    out.extend_from_slice(&dataset.to_le_bytes());
+    out.extend_from_slice(&partition.to_le_bytes());
+    out.push(put.is_none() as u8);
+    put_bytes(out, key);
+    put_bytes(out, put.unwrap_or_default());
+}
+
+/// Appends to `out` one record as it sits in the log — length, checksum,
+/// payload — with `payload` writing the payload in place.
+fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let len = (out.len() - start - 8) as u32;
+    let crc = fnv1a(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
 impl WalRecord {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        let put_str = |out: &mut Vec<u8>, s: &str| {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        };
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
+            WalRecord::Write { txn_id, dataset, partition, is_delete, key, value } => {
+                let put = (!is_delete).then_some(value.as_slice());
+                encode_write(out, *txn_id, *dataset, *partition, key, put);
+            }
             WalRecord::Update { txn_id, dataset, partition, is_delete, key, value } => {
-                out.push(1);
+                out.push(TAG_UPDATE);
                 out.extend_from_slice(&txn_id.to_le_bytes());
-                put_str(&mut out, dataset);
+                put_bytes(out, dataset.as_bytes());
                 out.extend_from_slice(&partition.to_le_bytes());
                 out.push(*is_delete as u8);
-                out.extend_from_slice(&(key.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(value);
+                put_bytes(out, key);
+                put_bytes(out, value);
             }
             WalRecord::Commit { txn_id } => {
                 out.push(2);
@@ -88,18 +142,17 @@ impl WalRecord {
                 out.extend_from_slice(&max_txn.to_le_bytes());
                 out.extend_from_slice(&(feed_cursors.len() as u32).to_le_bytes());
                 for (feed, seq) in feed_cursors {
-                    put_str(&mut out, feed);
+                    put_bytes(out, feed.as_bytes());
                     out.extend_from_slice(&seq.to_le_bytes());
                 }
             }
             WalRecord::FeedCursor { txn_id, feed, seq } => {
                 out.push(5);
                 out.extend_from_slice(&txn_id.to_le_bytes());
-                put_str(&mut out, feed);
+                put_bytes(out, feed.as_bytes());
                 out.extend_from_slice(&seq.to_le_bytes());
             }
         }
-        out
     }
 
     fn decode(buf: &[u8]) -> Result<WalRecord> {
@@ -129,16 +182,16 @@ impl WalRecord {
         };
         let tag = take(1, &mut r)?[0];
         match tag {
-            1 => {
+            TAG_WRITE => {
                 let txn_id = take_u64(&mut r)?;
-                let dataset = take_str(&mut r)?;
+                let dataset = take_u32(&mut r)?;
                 let partition = take_u32(&mut r)?;
                 let is_delete = take(1, &mut r)?[0] != 0;
                 let klen = take_u32(&mut r)? as usize;
                 let key = take(klen, &mut r)?.to_vec();
                 let vlen = take_u32(&mut r)? as usize;
                 let value = take(vlen, &mut r)?.to_vec();
-                Ok(WalRecord::Update { txn_id, dataset, partition, is_delete, key, value })
+                Ok(WalRecord::Write { txn_id, dataset, partition, is_delete, key, value })
             }
             2 => Ok(WalRecord::Commit { txn_id: take_u64(&mut r)? }),
             3 => Ok(WalRecord::Abort { txn_id: take_u64(&mut r)? }),
@@ -161,16 +214,6 @@ impl WalRecord {
             }
             _ => Err(corrupt()),
         }
-    }
-
-    /// The record as it sits in the log: length, checksum, payload.
-    fn frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
     }
 }
 
@@ -242,7 +285,7 @@ impl WalWriter {
         let mut image = Vec::new();
         file.read_to_end(&mut image)?;
         let file_len = image.len() as u64;
-        let (records, persisted) = scan_log(&image, base);
+        let (records, persisted) = scan_log(&image, base)?;
         if persisted < file_len {
             if let Some(f) = &faults {
                 f.on_truncate(&format!(
@@ -269,11 +312,29 @@ impl WalWriter {
 
     /// Appends a record (buffered); returns its LSN.
     pub fn append(&mut self, record: &WalRecord) -> Result<Lsn> {
+        self.append_with(|buf| record.encode_into(buf))
+    }
+
+    /// Appends a [`WalRecord::Write`] — the put (`Some`) or delete (`None`)
+    /// of `key` — serialised from the borrowed parts straight into the log
+    /// buffer; returns its LSN.
+    pub fn append_write(
+        &mut self,
+        txn_id: u64,
+        dataset: u32,
+        partition: u32,
+        key: &[u8],
+        put: Option<&[u8]>,
+    ) -> Result<Lsn> {
+        self.append_with(|buf| encode_write(buf, txn_id, dataset, partition, key, put))
+    }
+
+    fn append_with(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
         if let Some(f) = &self.faults {
             f.check_alive("wal append")?;
         }
         let lsn = self.next_lsn();
-        self.buf.extend_from_slice(&record.frame());
+        frame_into(&mut self.buf, payload);
         Ok(lsn)
     }
 
@@ -318,8 +379,11 @@ impl WalWriter {
 
 /// Scans the image of a log file whose first byte is LSN `base`, returning
 /// the intact records and the byte length of the valid prefix (everything
-/// after it is a torn/corrupt crash tail).
-fn scan_log(buf: &[u8], base: Lsn) -> (Vec<(Lsn, WalRecord)>, u64) {
+/// after it is a torn/corrupt crash tail). A frame that passes its checksum
+/// and still does not decode was not torn by a crash: it was written whole
+/// in a layout this version does not read ([`WalRecord::Update`]'s, say),
+/// and the log is refused rather than cut short there.
+fn scan_log(buf: &[u8], base: Lsn) -> Result<(Vec<(Lsn, WalRecord)>, u64)> {
     let mut out = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= buf.len() {
@@ -332,13 +396,18 @@ fn scan_log(buf: &[u8], base: Lsn) -> (Vec<(Lsn, WalRecord)>, u64) {
         if fnv1a(payload) != crc {
             break; // corrupt tail
         }
-        match WalRecord::decode(payload) {
-            Ok(rec) => out.push((base + pos as Lsn, rec)),
-            Err(_) => break,
-        }
+        let rec = WalRecord::decode(payload).map_err(|_| {
+            StorageError::Corrupt(format!(
+                "log record at LSN {} passes its checksum but has no layout this version reads \
+                 (tag {:?}): the log was written by another version",
+                base + pos as Lsn,
+                payload.first()
+            ))
+        })?;
+        out.push((base + pos as Lsn, rec));
         pos += 8 + len;
     }
-    (out, pos as u64)
+    Ok((out, pos as u64))
 }
 
 fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking, "WAL replay read at recovery time; single-threaded startup")
@@ -355,12 +424,12 @@ fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking
 /// Reads all intact records from a log file; stops silently at the first
 /// torn/corrupt record (the crash tail).
 pub fn read_log(path: impl AsRef<Path>) -> Result<Vec<(Lsn, WalRecord)>> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0).0)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.0)
 }
 
 /// Byte length of the valid record prefix of a log file (0 if missing).
 pub fn valid_prefix_len(path: impl AsRef<Path>) -> Result<u64> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0).1)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.1)
 }
 
 /// One replayable operation of a committed transaction.
@@ -368,7 +437,7 @@ pub fn valid_prefix_len(path: impl AsRef<Path>) -> Result<u64> {
 pub struct ReplayOp {
     pub lsn: Lsn,
     pub txn_id: u64,
-    pub dataset: String,
+    pub dataset: u32,
     pub partition: u32,
     pub is_delete: bool,
     pub key: Vec<u8>,
@@ -409,12 +478,14 @@ pub fn analyze(records: Vec<(Lsn, WalRecord)>) -> LogTail {
     let mut tail = LogTail::default();
     for (lsn, r) in records {
         match r {
-            WalRecord::Update { txn_id, dataset, partition, is_delete, key, value } => {
+            WalRecord::Write { txn_id, dataset, partition, is_delete, key, value } => {
                 tail.max_txn = tail.max_txn.max(txn_id);
                 if counts(&txn_id) {
                     tail.ops.push(ReplayOp { lsn, txn_id, dataset, partition, is_delete, key, value });
                 }
             }
+            // never read back (`scan_log` refuses it), so never analyzed
+            WalRecord::Update { txn_id, .. } => tail.max_txn = tail.max_txn.max(txn_id),
             WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
                 tail.max_txn = tail.max_txn.max(txn_id);
             }
@@ -531,7 +602,7 @@ impl SegmentedWal {
         let mut next_base = newest;
         while let Some(base) = bases.pop() {
             let path = segment_path(dir, prefix, base);
-            let (older, len) = scan_log(&read_file_or_empty(&path)?, base);
+            let (older, len) = scan_log(&read_file_or_empty(&path)?, base)?;
             if base + len != next_base {
                 bases.push(base);
                 break;
@@ -564,21 +635,14 @@ impl SegmentedWal {
 
     /// Appends a record (buffered); returns its LSN.
     pub fn append(&mut self, record: &WalRecord) -> Result<Lsn> {
-        if self.stray_segment {
-            return Err(StorageError::Invalid(format!(
-                "log under {} has a segment it could not adopt; reopen it",
-                self.dir.display()
-            )));
-        }
+        self.check_appendable()?;
         let lsn = self.active.append(record)?;
         match record {
-            WalRecord::Update { txn_id, .. } => {
-                self.inflight.entry(*txn_id).or_insert(lsn);
-                self.max_txn = self.max_txn.max(*txn_id);
+            WalRecord::Write { txn_id, .. } | WalRecord::Update { txn_id, .. } => {
+                self.opened(*txn_id, lsn);
             }
             WalRecord::FeedCursor { txn_id, feed, seq } => {
-                self.inflight.entry(*txn_id).or_insert(lsn);
-                self.max_txn = self.max_txn.max(*txn_id);
+                self.opened(*txn_id, lsn);
                 self.pending_cursors.push((*txn_id, feed.clone(), *seq));
             }
             WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
@@ -587,6 +651,40 @@ impl SegmentedWal {
             WalRecord::Checkpoint { .. } => {}
         }
         Ok(lsn)
+    }
+
+    /// [`SegmentedWal::append`] of a [`WalRecord::Write`] given by its
+    /// borrowed parts (see [`WalWriter::append_write`]): the write path's
+    /// one append per record, which builds no owned record.
+    pub fn append_write(
+        &mut self,
+        txn_id: u64,
+        dataset: u32,
+        partition: u32,
+        key: &[u8],
+        put: Option<&[u8]>,
+    ) -> Result<Lsn> {
+        self.check_appendable()?;
+        let lsn = self.active.append_write(txn_id, dataset, partition, key, put)?;
+        self.opened(txn_id, lsn);
+        Ok(lsn)
+    }
+
+    fn check_appendable(&self) -> Result<()> {
+        if self.stray_segment {
+            return Err(StorageError::Invalid(format!(
+                "log under {} has a segment it could not adopt; reopen it",
+                self.dir.display()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Transaction `txn` logged a record of its own at `lsn`: until it is
+    /// finished, the log keeps everything from its first one on.
+    fn opened(&mut self, txn: u64, lsn: Lsn) {
+        self.inflight.entry(txn).or_insert(lsn);
+        self.max_txn = self.max_txn.max(txn);
     }
 
     /// Flushes buffered records and forces them to stable storage.
@@ -645,7 +743,9 @@ impl SegmentedWal {
             max_txn: self.max_txn,
             feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
         };
-        crate::io::write_atomic(&path, &checkpoint.frame(), self.faults.as_ref())?;
+        let mut first = Vec::new();
+        frame_into(&mut first, |buf| checkpoint.encode_into(buf));
+        crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
         let next = match WalWriter::open_at(&path, base, self.faults.clone()) {
             Ok((next, _)) => next,
             Err(e) => {
@@ -754,9 +854,9 @@ mod tests {
     use crate::testutil::TempDir;
 
     fn upd(txn: u64, key: &[u8], val: &[u8]) -> WalRecord {
-        WalRecord::Update {
+        WalRecord::Write {
             txn_id: txn,
-            dataset: "ds".into(),
+            dataset: 7,
             partition: 0,
             is_delete: false,
             key: key.to_vec(),
@@ -777,6 +877,54 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].0, l0);
         assert!(matches!(recs[1].1, WalRecord::Commit { txn_id: 1 }));
+    }
+
+    #[test]
+    fn borrowed_and_owned_writes_frame_identically() {
+        let dir = TempDir::new();
+        let mut owned = WalWriter::open(dir.path().join("owned.log")).unwrap();
+        let mut borrowed = WalWriter::open(dir.path().join("borrowed.log")).unwrap();
+        owned.append(&upd(3, b"key", b"value")).unwrap();
+        borrowed.append_write(3, 7, 0, b"key", Some(b"value")).unwrap();
+        let delete = WalRecord::Write {
+            txn_id: 3,
+            dataset: 7,
+            partition: 1,
+            is_delete: true,
+            key: b"key".to_vec(),
+            value: vec![],
+        };
+        owned.append(&delete).unwrap();
+        borrowed.append_write(3, 7, 1, b"key", None).unwrap();
+        assert_eq!(owned.buf, borrowed.buf);
+        borrowed.sync().unwrap();
+        let recs = read_log(dir.path().join("borrowed.log")).unwrap();
+        assert_eq!(recs.into_iter().map(|r| r.1).collect::<Vec<_>>(), [upd(3, b"key", b"value"), delete]);
+    }
+
+    #[test]
+    fn a_frame_of_the_retired_update_layout_refuses_the_log() {
+        let dir = TempDir::new();
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path).unwrap();
+        w.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
+        w.append(&WalRecord::Update {
+            txn_id: 2,
+            dataset: "ds".into(),
+            partition: 0,
+            is_delete: false,
+            key: b"k".to_vec(),
+            value: b"v".to_vec(),
+        })
+        .unwrap();
+        w.append(&WalRecord::Commit { txn_id: 2 }).unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let len = std::fs::metadata(&path).unwrap().len();
+        // whole and checksummed, so not a crash tail to cut off: an error
+        assert!(matches!(read_log(&path), Err(StorageError::Corrupt(_))));
+        assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "nothing was truncated");
     }
 
     #[test]
@@ -1058,23 +1206,15 @@ mod tests {
         let dir = TempDir::new();
         let path = dir.path().join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
-        w.append(&WalRecord::Update {
-            txn_id: 9,
-            dataset: "users".into(),
-            partition: 3,
-            is_delete: true,
-            key: b"pk".to_vec(),
-            value: vec![],
-        })
-        .unwrap();
+        w.append_write(9, 4, 3, b"pk", None).unwrap();
         w.append(&WalRecord::Commit { txn_id: 9 }).unwrap();
         w.sync().unwrap();
         let ops = analyze(read_log(&path).unwrap()).ops;
         assert_eq!(ops.len(), 1);
         let op = &ops[0];
         assert_eq!(
-            (op.txn_id, op.dataset.as_str(), op.partition, op.is_delete, op.key.as_slice()),
-            (9u64, "users", 3u32, true, b"pk".as_slice())
+            (op.txn_id, op.dataset, op.partition, op.is_delete, op.key.as_slice()),
+            (9u64, 4u32, 3u32, true, b"pk".as_slice())
         );
     }
 

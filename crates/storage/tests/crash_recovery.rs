@@ -49,9 +49,9 @@ impl Drop for TempDir {
 }
 
 fn upd(txn: u64, key: &[u8], value: &[u8]) -> WalRecord {
-    WalRecord::Update {
+    WalRecord::Write {
         txn_id: txn,
-        dataset: "ds".into(),
+        dataset: 7,
         partition: 0,
         is_delete: false,
         key: key.to_vec(),
@@ -110,7 +110,7 @@ fn wal_crash_recovers_all_confirmed_commits() {
         for op in &ops {
             let n_ops = recs
                 .iter()
-                .filter(|(_, r)| matches!(r, WalRecord::Update { txn_id, .. } if *txn_id == op.txn_id))
+                .filter(|(_, r)| matches!(r, WalRecord::Write { txn_id, .. } if *txn_id == op.txn_id))
                 .count();
             assert_eq!(n_ops, 3, "replayed txn {} must have all its updates", op.txn_id);
         }
@@ -332,14 +332,8 @@ impl Engine {
     /// without committing.
     fn write(&mut self, txn: u64, writes: &[(i64, Option<String>)]) -> asterix_storage::Result<()> {
         for (k, v) in writes {
-            let lsn = self.wal.append(&WalRecord::Update {
-                txn_id: txn,
-                dataset: "kv".into(),
-                partition: 0,
-                is_delete: v.is_none(),
-                key: int_key(*k),
-                value: v.clone().unwrap_or_default().into_bytes(),
-            })?;
+            let value = v.as_ref().map(|v| v.as_bytes());
+            let lsn = self.wal.append_write(txn, 7, 0, &int_key(*k), value)?;
             self.tree.stamp(lsn, Some(txn));
             match v {
                 Some(v) => self.tree.upsert(int_key(*k), v.clone().into_bytes())?,
@@ -490,9 +484,9 @@ fn arb_record() -> BoxedStrategy<WalRecord> {
             prop::collection::vec(0u8..255, 0..48),
             any::<bool>(),
         )
-            .prop_map(|(txn, key, value, is_delete)| WalRecord::Update {
+            .prop_map(|(txn, key, value, is_delete)| WalRecord::Write {
                 txn_id: txn,
-                dataset: "ds".into(),
+                dataset: (txn % 3) as u32,
                 partition: (txn % 4) as u32,
                 is_delete,
                 key,
