@@ -198,9 +198,18 @@ impl Catalog {
                 Ok(format!("dataset {name} dropped"))
             }
             DdlStmt::DropType { name } => {
+                // A type goes after everything that names it, so what a
+                // dataset's record type reaches is there while the dataset is.
                 if self.datasets.iter().any(|d| d.type_name == *name) {
                     return Err(CoreError::Catalog(format!(
                         "type {name:?} is in use by a dataset"
+                    )));
+                }
+                let names_it = |ty: &&ObjectType| ty.fields.iter().any(|f| mentions(&f.ty, name));
+                if let Some(user) = self.types.iter().find(names_it) {
+                    return Err(CoreError::Catalog(format!(
+                        "type {name:?} is in use by type {:?}",
+                        user.name
                     )));
                 }
                 self.types.drop_type(name).map_err(CoreError::Adm)?;
@@ -248,6 +257,14 @@ impl Catalog {
             return Err(CoreError::Catalog(format!("dataset {name:?} already exists")));
         }
         Ok(())
+    }
+}
+
+/// Whether type expression `t` names the type `name`.
+fn mentions(t: &TypeExpr, name: &str) -> bool {
+    match t {
+        TypeExpr::Named(n) => n == name,
+        TypeExpr::Array(inner) | TypeExpr::Multiset(inner) => mentions(inner, name),
     }
 }
 
@@ -315,6 +332,17 @@ mod tests {
         assert!(apply(&mut c, "DROP TYPE T;").is_err(), "in use");
         apply(&mut c, "DROP DATASET D;").unwrap();
         apply(&mut c, "DROP TYPE T;").unwrap();
+    }
+
+    #[test]
+    fn a_type_is_dropped_after_the_types_that_name_it() {
+        let mut c = Catalog::new();
+        apply(&mut c, "CREATE TYPE Leaf AS { a: int }; CREATE TYPE Mid AS { leaves: {{ [Leaf] }} };").unwrap();
+        apply(&mut c, "CREATE TYPE Top AS { id: int, mid: Mid? }; CREATE DATASET D(Top) PRIMARY KEY id;").unwrap();
+        for ty in ["Leaf", "Mid", "Top"] {
+            assert!(apply(&mut c, &format!("DROP TYPE {ty};")).is_err(), "{ty} is reachable from D");
+        }
+        apply(&mut c, "DROP DATASET D; DROP TYPE Top; DROP TYPE Mid; DROP TYPE Leaf;").unwrap();
     }
 
     #[test]

@@ -60,7 +60,8 @@ impl Default for StorageConfig {
 /// What a dataset's records are checked against and stored as: its declared
 /// record type with a snapshot of the types that type's fields name. Built
 /// once when the dataset is opened and shared by its runtime and partitions —
-/// a type cannot change or go while a dataset uses it (`DROP TYPE` refuses).
+/// none of those types can change or go while the dataset is there (`DROP
+/// TYPE` refuses a type that a dataset or another type names).
 #[derive(Debug, Default)]
 pub struct RecordSchema {
     /// Declared record type: enables the schema-compressed record layout

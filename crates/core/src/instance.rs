@@ -37,7 +37,7 @@ use asterix_storage::io::write_atomic;
 use asterix_storage::lock_order::{OrderedRwLock, OrderedWriteGuard};
 use asterix_storage::wal::WalRecord;
 use parking_lot::{Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,6 +177,9 @@ struct Inner {
     txns: TxnManager,
     ctx: Arc<RuntimeCtx>,
     vargen: Mutex<VarGen>,
+    /// The statements `catalog.ddl` holds. Its lock is held across a whole
+    /// DDL statement — catalog, storage, persist — so they are persisted in
+    /// the order they took effect, which is what numbers the datasets.
     ddl_log: Mutex<Vec<String>>,
     /// Admission controller every query runs behind.
     sched: Arc<QueryScheduler>,
@@ -288,10 +291,9 @@ impl Instance {
         self.inner.root.join("catalog.ddl")
     }
 
-    /// Appends `stmt_text` to the persisted DDL log, replacing the file
-    /// atomically: a crash leaves the old catalog or the new one.
-    fn persist_ddl(&self, stmt_text: &str) -> Result<()> { // xlint: allow(blocking, "DDL persistence runs on the session thread under the catalog lock, not on pool workers")
-        let mut log = self.inner.ddl_log.lock();
+    /// Appends `stmt_text` to `log`, the persisted DDL log, replacing the
+    /// file atomically: a crash leaves the old catalog or the new one.
+    fn persist_ddl(&self, log: &mut Vec<String>, stmt_text: &str) -> Result<()> { // xlint: allow(blocking, "DDL persistence runs on the session thread under the DDL lock, not on pool workers")
         log.push(stmt_text.to_string());
         let arr = Value::Array(log.iter().map(|s| Value::from(s.as_str())).collect());
         let text = asterix_adm::print::to_adm_string(&arr);
@@ -523,16 +525,20 @@ impl Instance {
 
     fn apply_ddl(&self, ddl: &asterix_sqlpp::ast::DdlStmt) -> Result<String> {
         use asterix_sqlpp::ast::DdlStmt as D;
-        let msg = self.inner.catalog.write().apply_ddl(ddl)?;
+        // one statement at a time, from the catalog to `catalog.ddl`: a
+        // dataset's id is its `CREATE`'s place in both (see `DatasetDef::id`)
+        let mut log = self.inner.ddl_log.lock(); // xlint: lock(ddl)
+        let msg = self.inner.catalog.write().apply_ddl(ddl)?; // xlint: lock(catalog)
         // A drop is persisted before its storage goes (a crash in between
         // leaves unclaimed manifests, which the next open removes); a create
         // only once its storage exists (a crash in between leaves them too).
         let is_drop = matches!(ddl, D::DropDataset { .. } | D::DropIndex { .. } | D::DropType { .. });
         if is_drop {
-            self.persist_ddl(&render_ddl(ddl))?;
+            self.persist_ddl(&mut log, &render_ddl(ddl))?;
         }
         let catalog_def = |dataset: &str| {
-            self.inner.catalog.read().dataset(dataset).cloned().ok_or_else(|| {
+            let def = self.inner.catalog.read().dataset(dataset).cloned(); // xlint: lock(catalog)
+            def.ok_or_else(|| {
                 CoreError::Catalog(format!("dataset {dataset:?} missing from the catalog"))
             })
         };
@@ -540,9 +546,9 @@ impl Instance {
             D::CreateDataset { name, .. } => {
                 let rt = self.open_dataset(catalog_def(name)?, false).inspect_err(|_| {
                     // not persisted, so not to be counted: see `DatasetDef::id`
-                    self.inner.catalog.write().undo_create_dataset(name);
+                    self.inner.catalog.write().undo_create_dataset(name); // xlint: lock(catalog)
                 })?;
-                self.inner.datasets.write().insert(name.clone(), rt);
+                self.inner.datasets.write().insert(name.clone(), rt); // xlint: lock(datasets_map)
             }
             D::CreateIndex { dataset, name, .. } => {
                 let def = catalog_def(dataset)?;
@@ -562,7 +568,7 @@ impl Instance {
                 }
             }
             D::DropDataset { name } => {
-                let dropped = self.inner.datasets.write().remove(name);
+                let dropped = self.inner.datasets.write().remove(name); // xlint: lock(datasets_map)
                 for part in dropped.iter().flat_map(|rt| &rt.partitions) {
                     part.write().destroy()?; // xlint: lock(lsm_component)
                 }
@@ -582,7 +588,7 @@ impl Instance {
             _ => {}
         }
         if !is_drop {
-            self.persist_ddl(&render_ddl(ddl))?;
+            self.persist_ddl(&mut log, &render_ddl(ddl))?;
         }
         Ok(msg)
     }
@@ -915,7 +921,7 @@ impl Instance {
             instance: self,
             id: self.inner.txns.begin(),
             undo: Vec::new(),
-            touched: BTreeSet::new(),
+            touched: BTreeMap::new(),
             feed_cursors: Vec::new(),
             gave_up_waiting: false,
             finished: false,
@@ -938,9 +944,10 @@ impl Instance {
         Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0)) // xlint: lock(wal)
     }
 
-    /// The dataset that has `id`, unless it was dropped.
-    fn dataset_by_id(&self, id: u32) -> Option<Arc<DatasetRuntime>> {
-        self.inner.datasets.read().values().find(|rt| rt.def.id == id).cloned()
+    /// Whether `rt`'s dataset is still there, not dropped since — whatever
+    /// has its name now.
+    fn is_live(&self, rt: &DatasetRuntime) -> bool {
+        self.inner.datasets.read().get(&rt.def.name).is_some_and(|now| now.def.id == rt.def.id)
     }
 
     fn dataset_runtime(&self, name: &str) -> Result<Arc<DatasetRuntime>> {
@@ -1025,9 +1032,10 @@ pub struct Txn<'a> {
     instance: &'a Instance,
     id: u64,
     undo: Vec<UndoEntry>,
-    /// `(dataset id, partition)` pairs written to: their indexes hold back
-    /// what this transaction wrote until it is over.
-    touched: BTreeSet<(u32, u32)>,
+    /// The partitions written to, by `(dataset id, partition)`, each with
+    /// its dataset as the write found it: their indexes hold back what this
+    /// transaction wrote until it is over.
+    touched: BTreeMap<(u32, u32), Arc<DatasetRuntime>>,
     /// Feed frontiers this transaction advances: committed atomically with
     /// the data as [`WalRecord::FeedCursor`] records.
     feed_cursors: Vec<(String, u64)>,
@@ -1072,11 +1080,12 @@ impl<'a> Txn<'a> {
     }
 
     /// Logs, for transaction `txn_id`, the put (`Some`: the storage encoding
-    /// of the record) or delete (`None`) of `key` on the partition `part`
-    /// guards, and applies it there over the before-image `before`, which
-    /// goes on the undo list. The partition counts as written to from here on.
+    /// of the record) or delete (`None`) of `key` on `part`, a partition of
+    /// `rt`, and applies it there over the before-image `before`, which goes
+    /// on the undo list. The partition counts as written to from here on.
     fn log_and_apply(
         &mut self,
+        rt: &Arc<DatasetRuntime>,
         part: &mut DatasetPartition,
         txn_id: u64,
         key: Vec<u8>,
@@ -1092,7 +1101,7 @@ impl<'a> Txn<'a> {
             .lock() // xlint: lock(wal)
             .append_write(txn_id, dataset, partition, &key, raw)
             .map_err(CoreError::Storage)?;
-        self.touched.insert((dataset, partition));
+        self.touched.entry((dataset, partition)).or_insert_with(|| Arc::clone(rt));
         match put {
             Some((raw, record)) => {
                 part.put_logged(&key, raw, record, before.as_deref(), lsn, Some(self.id))?
@@ -1120,7 +1129,8 @@ impl<'a> Txn<'a> {
                 "insert: a record with this key already exists in {dataset}"
             )));
         }
-        let undo = self.log_and_apply(&mut guard, self.id, pk, Some((raw, Some(&record))), before)?;
+        let put = Some((raw, Some(&record)));
+        let undo = self.log_and_apply(&rt, &mut guard, self.id, pk, put, before)?;
         self.undo.push(undo);
         Ok(())
     }
@@ -1133,7 +1143,7 @@ impl<'a> Txn<'a> {
         let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
         guard.node().check_alive()?;
         let before = guard.stored(pk)?;
-        let undo = self.log_and_apply(&mut guard, self.id, pk.to_vec(), None, before)?;
+        let undo = self.log_and_apply(&rt, &mut guard, self.id, pk.to_vec(), None, before)?;
         self.undo.push(undo);
         Ok(())
     }
@@ -1149,7 +1159,7 @@ impl<'a> Txn<'a> {
     /// The nodes whose logs hold records of this transaction.
     fn touched_nodes(&self) -> BTreeSet<usize> {
         let nodes = self.instance.inner.cluster.nodes.len();
-        self.touched.iter().map(|(_, p)| *p as usize % nodes).collect()
+        self.touched.keys().map(|(_, p)| *p as usize % nodes).collect()
     }
 
     /// Commits: forces the WAL and releases locks. What the transaction
@@ -1209,10 +1219,12 @@ impl<'a> Txn<'a> {
         inner.txns.locks.release_all(self.id);
         self.finished = true;
         let mut first_err = None;
-        let touched = if release { std::mem::take(&mut self.touched) } else { BTreeSet::new() };
-        for (dataset, p) in touched {
+        let touched = if release { std::mem::take(&mut self.touched) } else { BTreeMap::new() };
+        for ((_, p), rt) in touched {
             // a dataset dropped meanwhile has nothing left to flush
-            let Some(rt) = self.instance.dataset_by_id(dataset) else { continue };
+            if !self.instance.is_live(&rt) {
+                continue;
+            }
             let flushed = rt.partitions[p as usize].write().txn_finished(self.id); // xlint: lock(lsm_component)
             if let Err(e) = flushed {
                 first_err.get_or_insert(e);
@@ -1241,13 +1253,16 @@ impl<'a> Txn<'a> {
         while let Some(u) = self.undo.pop() {
             let res = (|| -> Result<()> {
                 // a dataset dropped meanwhile has nothing left to restore
-                let Some(rt) = self.instance.dataset_by_id(u.dataset) else { return Ok(()) };
+                let written = self.touched.get(&(u.dataset, u.partition));
+                let Some(rt) = written.filter(|rt| self.instance.is_live(rt)).cloned() else {
+                    return Ok(());
+                };
                 let mut guard = rt.partitions[u.partition as usize].write(); // xlint: lock(lsm_component)
                 // the before-image goes back as it was stored, over what
                 // this transaction put in its place
                 let current = guard.stored(&u.pk)?;
                 let put = u.before.map(|raw| (raw, None));
-                self.log_and_apply(&mut guard, compensation, u.pk, put, current)?;
+                self.log_and_apply(&rt, &mut guard, compensation, u.pk, put, current)?;
                 Ok(())
             })();
             if let Err(e) = res {

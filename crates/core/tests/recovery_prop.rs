@@ -669,6 +669,69 @@ fn a_dropped_datasets_log_records_never_reach_a_successor_of_another_type() {
     assert_eq!(recovery_counter(&db, "records_replayed"), 1);
 }
 
+/// A dataset's id is its place among the persisted `CREATE DATASET`s, so
+/// two sessions creating datasets at once must persist them in the order
+/// the catalog took them in: otherwise a restart swaps their ids, and the
+/// committed records of one replay into the other.
+#[test]
+fn concurrent_creates_keep_their_ids_across_a_crash() {
+    for round in 0..100 {
+        let dir = TempDir::new("racecreate");
+        let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+        db.execute_sqlpp("CREATE TYPE MsgType AS { id: int, author: int, loc: point, text: string, pad: string }")
+            .unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for name in ["Msgs", "Other"] {
+                let (db, start) = (&db, &start);
+                s.spawn(move || {
+                    start.wait();
+                    db.execute_sqlpp(&format!("CREATE DATASET {name}(MsgType) PRIMARY KEY id")).unwrap();
+                });
+            }
+        });
+        commit_msgs(&db, (0..5).map(|id| msg(id, 0, 1))); // in the log only
+        db.crash();
+
+        let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+        let counts = (db.count("Msgs").unwrap(), db.count("Other").unwrap());
+        assert_eq!(counts, (5, 0), "round {round}: the log replayed into the wrong dataset");
+    }
+}
+
+/// A dataset validates and encodes against the types its record type
+/// names, as they were when it was opened, so none of them may go while it
+/// is there: a type is dropped after everything that names it.
+#[test]
+fn a_type_a_datasets_records_nest_cannot_be_dropped_under_it() {
+    let dir = TempDir::new("nesteddrop");
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    db.execute_sqlpp(
+        "CREATE TYPE Part AS CLOSED { a: int };
+         CREATE TYPE Whole AS { id: int, parts: [Part] };
+         CREATE DATASET D(Whole) PRIMARY KEY id;",
+    )
+    .unwrap();
+    assert!(db.execute_sqlpp("DROP TYPE Part").is_err(), "Whole names it");
+    assert!(db.execute_sqlpp("DROP TYPE Whole").is_err(), "D stores it");
+    let record = |id: i64| {
+        let inner = Value::object(vec![("a".into(), Value::Int(id))]);
+        with_fields(vec![("id", Value::Int(id)), ("parts", Value::Array(vec![inner]))])
+    };
+    let write = |db: &Instance, id: i64| {
+        let mut txn = db.begin();
+        txn.write("D", &record(id), true).unwrap();
+        txn.commit().unwrap();
+    };
+    write(&db, 1);
+    db.crash();
+    // the refused statements were not persisted either
+    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+    write(&db, 2);
+    assert_eq!(db.query("SELECT VALUE d FROM D d ORDER BY d.id").unwrap(), vec![record(1), record(2)]);
+    db.execute_sqlpp("DROP DATASET D; DROP TYPE Whole; DROP TYPE Part;").unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // The log and the components agree byte for byte
 // ---------------------------------------------------------------------------
