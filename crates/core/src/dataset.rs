@@ -26,7 +26,7 @@ use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{Point, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{LsmConfig, LsmStats, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmStats, LsmTree, MergePolicy};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
@@ -40,8 +40,6 @@ pub struct StorageConfig {
     /// Memory-component budget per LSM index per partition.
     pub mem_budget: usize,
     pub merge_policy: MergePolicy,
-    /// Apply the §V-B point-MBR optimization in R-tree indexes.
-    pub rtree_point_optimize: bool,
 }
 
 impl Default for StorageConfig {
@@ -52,7 +50,6 @@ impl Default for StorageConfig {
                 max_mergable_bytes: 32 << 20,
                 max_tolerance_components: 4,
             },
-            rtree_point_optimize: true,
         }
     }
 }
@@ -108,22 +105,6 @@ enum Secondary {
     Keyword { def: IndexDef, index: InvertedIndex },
 }
 
-/// Runs `$body` on the LSM structure under a secondary index, bound to
-/// `$t`: an `LsmTree` or an `LsmRTree`, which share the lifecycle calls.
-/// `$lsm` names the keyword index's accessor (`lsm` or `lsm_mut`).
-macro_rules! with_lsm {
-    ($sec:expr, $lsm:ident, $t:ident => $body:expr) => {
-        match $sec {
-            Secondary::BTree { tree: $t, .. } => $body,
-            Secondary::RTree { tree: $t, .. } => $body,
-            Secondary::Keyword { index, .. } => {
-                let $t = index.$lsm();
-                $body
-            }
-        }
-    };
-}
-
 impl Secondary {
     fn def(&self) -> &IndexDef {
         match self {
@@ -133,17 +114,33 @@ impl Secondary {
         }
     }
 
-    fn stats(&self) -> LsmStats {
-        with_lsm!(self, lsm, t => t.stats())
+    /// The index's lifecycle, whatever its kind.
+    fn lsm(&self) -> &dyn LsmIndex {
+        match self {
+            Secondary::BTree { tree, .. } => tree,
+            Secondary::RTree { tree, .. } => tree,
+            Secondary::Keyword { index, .. } => index.lsm(),
+        }
+    }
+
+    /// See [`Secondary::lsm`].
+    fn lsm_mut(&mut self) -> &mut dyn LsmIndex {
+        match self {
+            Secondary::BTree { tree, .. } => tree,
+            Secondary::RTree { tree, .. } => tree,
+            Secondary::Keyword { index, .. } => index.lsm_mut(),
+        }
     }
 }
 
 /// How a partition's indexes come to be.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// By DDL: empty, whatever the directory holds under their names.
+pub enum Origin {
+    /// By DDL: empty, whatever the directory holds under their names, and
+    /// the log so far declared none of their business.
     Created,
-    /// At restart: as their manifests describe them.
+    /// At restart: as their manifests describe them. What the log holds past
+    /// [`DatasetPartition::flushed_below`] is then for the caller to replay.
     Recovered,
 }
 
@@ -208,48 +205,30 @@ pub fn extract_pk(record: &Value, pk_fields: &[String]) -> Result<Vec<u8>> {
     Ok(encode_key(&parts))
 }
 
+/// The configuration of a partition's B+-tree-shaped index `name`.
+fn lsm_config(cfg: &StorageConfig, name: String, bloom: bool) -> LsmConfig {
+    LsmConfig {
+        name,
+        mem_budget: cfg.mem_budget,
+        merge_policy: cfg.merge_policy,
+        bloom,
+        compress_values: false,
+    }
+}
+
+fn open_tree(node: &Node, config: LsmConfig, origin: Origin) -> Result<LsmTree> {
+    let cache = Arc::clone(&node.cache);
+    Ok(match origin {
+        Origin::Created => LsmTree::new(cache, config),
+        Origin::Recovered => LsmTree::reopen(cache, config)?,
+    })
+}
+
 impl DatasetPartition {
-    /// Creates the partition's indexes on `node`.
-    pub fn create(
-        def: &DatasetDef,
-        partition: u32,
-        node: Arc<Node>,
-        cfg: &StorageConfig,
-    ) -> Result<DatasetPartition> {
-        Self::create_typed(def, Arc::default(), partition, node, cfg, None)
-    }
-
-    /// Creates the partition with a declared record type for the compact
-    /// schema-based layout. Its indexes start empty, and the log so far is
-    /// declared none of their business.
-    pub fn create_typed(
-        def: &DatasetDef,
-        schema: Arc<RecordSchema>,
-        partition: u32,
-        node: Arc<Node>,
-        cfg: &StorageConfig,
-        compaction: Option<CompactionExec>,
-    ) -> Result<DatasetPartition> {
-        Ok(Self::construct(def, schema, partition, node, cfg, compaction, Origin::Created)?.0)
-    }
-
-    /// Reopens the partition at restart: every index attaches the disk
-    /// components its manifest names, and a secondary whose durable state is
-    /// behind the primary's is rebuilt from the primary. What the log holds
-    /// past [`DatasetPartition::flushed_below`] is then for the caller to
-    /// replay.
-    pub fn recover_typed(
-        def: &DatasetDef,
-        schema: Arc<RecordSchema>,
-        partition: u32,
-        node: Arc<Node>,
-        cfg: &StorageConfig,
-        compaction: Option<CompactionExec>,
-    ) -> Result<(DatasetPartition, PartitionRecovery)> {
-        Self::construct(def, schema, partition, node, cfg, compaction, Origin::Recovered)
-    }
-
-    fn construct(
+    /// Opens partition `partition` of `def` on `node`, its records stored as
+    /// `schema` says. At restart a secondary index whose durable state is
+    /// behind the primary's is rebuilt from the primary.
+    pub fn new(
         def: &DatasetDef,
         schema: Arc<RecordSchema>,
         partition: u32,
@@ -258,107 +237,94 @@ impl DatasetPartition {
         compaction: Option<CompactionExec>,
         origin: Origin,
     ) -> Result<(DatasetPartition, PartitionRecovery)> {
-        let config = LsmConfig {
-            name: format!("{}_p{partition}_pri", def.name),
-            mem_budget: cfg.mem_budget,
-            merge_policy: cfg.merge_policy,
-            bloom: true,
-            compress_values: false,
-        };
-        let log_pin = node.log_pin(&config.name);
-        let cache = Arc::clone(&node.cache);
-        let primary = match origin {
-            Origin::Created => {
-                let mut tree = LsmTree::new(cache, config);
-                tree.mark_flushed_below(node.wal.lock().next_lsn())?; // xlint: lock(wal)
-                tree
-            }
-            Origin::Recovered => LsmTree::reopen(cache, config)?,
-        };
-        if let Some(exec) = &compaction {
-            primary.set_executor(exec.clone());
-        }
+        let name = format!("{}_p{partition}_pri", def.name);
+        let log_pin = node.log_pin(&name);
         let mut part = DatasetPartition {
             dataset: def.name.clone(),
             dataset_id: def.id,
             partition,
-            node,
             primary_key: def.primary_key().to_vec(),
             schema,
-            primary,
+            primary: open_tree(&node, lsm_config(cfg, name, true), origin)?,
             secondaries: Vec::new(),
+            node,
             log_pin,
             seals_seen: 0,
             flushes_seen: 0,
             log_error: None,
             compaction,
         };
+        let born = (origin == Origin::Created).then(|| part.node.wal.lock().next_lsn()); // xlint: lock(wal)
+        Self::adopt(&mut part.primary, &part.compaction, born)?;
         let mut recovery = PartitionRecovery {
             components_loaded: part.primary.component_count() as u64,
             ..Default::default()
         };
         for idx in &def.indexes {
             let sec = part.build_secondary(idx, cfg, origin)?;
-            let behind = with_lsm!(&sec, lsm, t => t.flushed_below()) < part.primary.flushed_below();
-            if origin == Origin::Recovered && behind {
-                with_lsm!(&sec, lsm, t => t.destroy())?;
+            if origin == Origin::Recovered && sec.lsm().flushed_below() < part.primary.flushed_below() {
+                sec.lsm().destroy()?;
                 part.add_index(idx, cfg)?;
                 recovery.indexes_rebuilt += 1;
             } else {
-                recovery.components_loaded += with_lsm!(&sec, lsm, t => t.component_count()) as u64;
+                recovery.components_loaded += sec.lsm().component_count() as u64;
                 part.secondaries.push(sec);
             }
         }
         Ok((part, recovery))
     }
 
+    /// What every index gets on being opened: its merges run where the
+    /// partition's do, and one just created is made durably empty —
+    /// whatever an earlier index of its name left is no longer named — with
+    /// the log below `born` declared none of its business.
+    fn adopt(idx: &mut dyn LsmIndex, compaction: &Option<CompactionExec>, born: Option<Lsn>) -> Result<()> {
+        if let Some(exec) = compaction {
+            idx.set_executor(exec.clone());
+        }
+        if let Some(lsn) = born {
+            idx.mark_flushed_below(lsn)?;
+        }
+        Ok(())
+    }
+
+    /// Every index of the partition, the primary first, as its lifecycle.
+    fn indexes(&self) -> impl Iterator<Item = &dyn LsmIndex> + '_ {
+        let primary: &dyn LsmIndex = &self.primary;
+        std::iter::once(primary).chain(self.secondaries.iter().map(Secondary::lsm))
+    }
+
+    /// See [`DatasetPartition::indexes`].
+    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn LsmIndex> + '_ {
+        let primary: &mut dyn LsmIndex = &mut self.primary;
+        std::iter::once(primary).chain(self.secondaries.iter_mut().map(Secondary::lsm_mut))
+    }
+
     fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
-        let cache = Arc::clone(&self.node.cache);
         // secondary entries carry no values to compress, and are range-probed,
         // so blooms would not help either
-        let lsm = |name| LsmConfig {
-            name,
-            mem_budget: cfg.mem_budget,
-            merge_policy: cfg.merge_policy,
-            bloom: false,
-            compress_values: false,
-        };
-        let recovered = origin == Origin::Recovered;
+        let tree = |name| open_tree(&self.node, lsm_config(cfg, name, false), origin);
+        let def = idx.clone();
         let mut sec = match idx.kind {
-            IndexKind::BTree => {
-                let config = lsm(name);
-                let tree = if recovered { LsmTree::reopen(cache, config)? } else { LsmTree::new(cache, config) };
-                Secondary::BTree { def: idx.clone(), tree }
-            }
+            IndexKind::BTree => Secondary::BTree { def, tree: tree(name)? },
+            IndexKind::Keyword => Secondary::Keyword { def, index: InvertedIndex::over(tree(name)?) },
             IndexKind::RTree => {
+                let cache = Arc::clone(&self.node.cache);
                 let config = LsmRTreeConfig {
-                    name,
                     mem_budget: cfg.mem_budget,
                     merge_policy: cfg.merge_policy,
-                    point_optimize: cfg.rtree_point_optimize,
+                    ..LsmRTreeConfig::new(name)
                 };
-                let tree = if recovered { LsmRTree::reopen(cache, config)? } else { LsmRTree::new(cache, config) };
-                Secondary::RTree { def: idx.clone(), tree }
-            }
-            IndexKind::Keyword => {
-                let config = lsm(name);
-                let index = if recovered {
-                    InvertedIndex::reopen(cache, config)?
-                } else {
-                    InvertedIndex::with_config(cache, config)
+                let tree = match origin {
+                    Origin::Created => LsmRTree::new(cache, config),
+                    Origin::Recovered => LsmRTree::reopen(cache, config)?,
                 };
-                Secondary::Keyword { def: idx.clone(), index }
+                Secondary::RTree { def, tree }
             }
         };
-        if let Some(exec) = &self.compaction {
-            with_lsm!(&sec, lsm, t => t.set_executor(exec.clone()));
-        }
-        if !recovered {
-            // durably empty: whatever an earlier index of this name left is
-            // no longer named, and until its first flush it counts as behind
-            with_lsm!(&mut sec, lsm_mut, t => t.mark_flushed_below(0))?;
-        }
+        // until its first flush a created index counts as behind its primary
+        Self::adopt(sec.lsm_mut(), &self.compaction, (origin == Origin::Created).then_some(0))?;
         Ok(sec)
     }
 
@@ -379,7 +345,7 @@ impl DatasetPartition {
         } else {
             self.primary.flushed_below()
         };
-        with_lsm!(&mut sec, lsm_mut, t => t.cover_below(upto));
+        sec.lsm_mut().cover_below(upto);
         self.secondaries.push(sec);
         Ok(())
     }
@@ -390,29 +356,24 @@ impl DatasetPartition {
         let Some(pos) = self.secondaries.iter().position(|s| s.def().name == name) else {
             return Ok(());
         };
-        let sec = self.secondaries.remove(pos);
-        with_lsm!(&sec, lsm, t => t.destroy())?;
-        Ok(())
+        Ok(self.secondaries.remove(pos).lsm().destroy()?)
     }
 
     /// Drops the partition from disk: every index's manifest and components.
     /// The log is not held back by it any more.
     pub fn destroy(&mut self) -> Result<()> {
-        self.node.drop_log_pin(&self.primary.config().name);
-        self.primary.destroy()?;
-        for sec in std::mem::take(&mut self.secondaries) {
-            with_lsm!(&sec, lsm, t => t.destroy())?;
+        self.node.drop_log_pin(self.primary.name());
+        for idx in self.indexes() {
+            idx.destroy()?;
         }
+        self.secondaries.clear();
         Ok(())
     }
 
     /// Names of this partition's indexes, primary first: the prefixes of
     /// their manifests and component files in the node's directory.
     pub fn index_names(&self) -> Vec<String> {
-        let secondary = |s: &Secondary| format!("{}_p{}_{}", self.dataset, self.partition, s.def().name);
-        std::iter::once(self.primary.config().name.clone())
-            .chain(self.secondaries.iter().map(secondary))
-            .collect()
+        self.indexes().map(|idx| idx.name().to_owned()).collect()
     }
 
     /// The LSN below which every logged operation on this partition is in a
@@ -500,9 +461,8 @@ impl DatasetPartition {
     /// what was sealed waiting for it.
     pub fn txn_finished(&mut self, writer: u64) -> Result<()> {
         self.settled(None, |part| {
-            part.primary.release(writer)?;
-            for sec in &mut part.secondaries {
-                with_lsm!(sec, lsm_mut, t => t.release(writer))?;
+            for idx in part.indexes_mut() {
+                idx.release(writer)?;
             }
             Ok(())
         })
@@ -512,8 +472,7 @@ impl DatasetPartition {
     /// here: some index has a sealed memory component waiting for them and
     /// an active one already past its budget.
     pub fn must_wait(&self, writer: u64) -> bool {
-        self.primary.must_wait(writer)
-            || self.secondaries.iter().any(|sec| with_lsm!(sec, lsm, t => t.must_wait(writer)))
+        self.indexes().any(|idx| idx.must_wait(writer))
     }
 
     /// Runs `op` — stamped, if it applies a log record, on every index — and
@@ -532,9 +491,8 @@ impl DatasetPartition {
             return Err(e);
         }
         if let Some((lsn, writer)) = stamp {
-            self.primary.stamp(lsn, writer);
-            for sec in &mut self.secondaries {
-                with_lsm!(sec, lsm_mut, t => t.stamp(lsn, writer));
+            for idx in self.indexes_mut() {
+                idx.stamp(lsn, writer);
             }
         }
         let out = op(self);
@@ -735,22 +693,20 @@ impl DatasetPartition {
     /// what an open transaction wrote).
     pub fn flush(&mut self) -> Result<()> {
         self.settled(None, |part| {
-            part.primary.flush()?;
-            for sec in &mut part.secondaries {
-                with_lsm!(sec, lsm_mut, t => t.flush())?;
+            for idx in part.indexes_mut() {
+                idx.flush()?;
             }
             Ok(())
         })
     }
 
-    /// Primary-index LSM statistics.
-    pub fn primary_stats(&self) -> LsmStats {
-        self.primary.stats()
-    }
-
-    /// LSM statistics of a secondary index of any kind.
-    pub fn index_stats(&self, index: &str) -> Result<LsmStats> {
-        Ok(self.find_index(index)?.stats())
+    /// LSM statistics of the primary index, or of secondary index `index`
+    /// (any kind).
+    pub fn lsm_stats(&self, index: Option<&str>) -> Result<LsmStats> {
+        Ok(match index {
+            None => self.primary.stats(),
+            Some(name) => self.find_index(name)?.lsm().stats(),
+        })
     }
 }
 
@@ -858,12 +814,14 @@ mod tests {
         v
     }
 
+    fn create(def: &DatasetDef, node: Arc<Node>) -> DatasetPartition {
+        let cfg = StorageConfig::default();
+        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, None, Origin::Created).unwrap().0
+    }
+
     fn setup() -> (DatasetPartition, std::path::PathBuf) {
         let (node, p) = tmp_node();
-        let part =
-            DatasetPartition::create(&def_with_indexes(), 0, node, &StorageConfig::default())
-                .unwrap();
-        (part, p)
+        (create(&def_with_indexes(), node), p)
     }
 
     #[test]
@@ -992,8 +950,7 @@ mod tests {
         let (node, p) = tmp_node();
         let mut def = def_with_indexes();
         def.indexes.clear();
-        let mut part =
-            DatasetPartition::create(&def, 0, node, &StorageConfig::default()).unwrap();
+        let mut part = create(&def, node);
         for i in 0..20 {
             part.upsert(&record(i, i % 4, 0.0, "x")).unwrap();
         }

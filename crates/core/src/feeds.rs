@@ -529,53 +529,34 @@ fn commit_batch( // xlint: allow(blocking, "retry backoff sleeps on the dedicate
         return BatchOutcome::Continue;
     };
     let end_seq = last.0;
-    let max_attempts = retry.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let err = match try_apply(instance, dataset, batch, end_seq) {
-            Ok((ok, failed)) => {
-                shared.durable_seq.store(end_seq, Ordering::Release);
-                shared.metrics.ingested.add(ok);
-                shared.metrics.feed_ingested.fetch_add(ok, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
-                shared.metrics.rejected.add(failed);
-                shared.metrics.feed_rejected.fetch_add(failed, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
-                shared.metrics.lag.add(-(batch.len() as i64));
-                return BatchOutcome::Continue;
-            }
-            Err(e) => e,
-        };
-        if !err.is_transient() {
-            // permanent commit failure: the whole batch (every record in
-            // it) is counted rejected — see `Feed::rejected`
-            shared.metrics.rejected.add(batch.len() as u64);
-            shared
-                .metrics
-                .feed_rejected
-                .fetch_add(batch.len() as u64, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
-            shared.metrics.lag.add(-(batch.len() as i64));
-            return BatchOutcome::Continue;
+    let applied = instance.with_retries(
+        retry,
+        || shared.metrics.retries.inc(),
+        || try_apply(instance, dataset, batch, end_seq),
+    );
+    let rejected = match applied {
+        Ok((ok, failed)) => {
+            shared.durable_seq.store(end_seq, Ordering::Release);
+            shared.metrics.ingested.add(ok);
+            shared.metrics.feed_ingested.fetch_add(ok, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+            failed
         }
-        if attempt >= max_attempts {
+        Err(err) if err.is_transient() => {
             // keep the frontier honest: nothing past `last_durable_seq`
             // was acknowledged, so resume-from-durable replays this batch
             return BatchOutcome::FailStop(format!(
-                "batch ending at seq {end_seq} failed {attempt} attempt(s): {err}"
+                "batch ending at seq {end_seq} failed {} attempt(s): {err}",
+                retry.max_attempts.max(1)
             ));
         }
-        shared.metrics.retries.inc();
-        if retry.restart_dead_nodes {
-            for id in instance.cluster().dead_nodes() {
-                if instance.restart_node(id) {
-                    instance.registry().counter("core.cluster.node_restarts").inc();
-                }
-            }
-        }
-        let backoff = retry.backoff.saturating_mul(1 << (attempt - 1).min(16));
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-    }
+        // permanent commit failure: the whole batch (every record in it) is
+        // counted rejected — see `Feed::rejected`
+        Err(_) => batch.len() as u64,
+    };
+    shared.metrics.rejected.add(rejected);
+    shared.metrics.feed_rejected.fetch_add(rejected, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+    shared.metrics.lag.add(-(batch.len() as i64));
+    BatchOutcome::Continue
 }
 
 /// One attempt: all of `batch` plus its cursor in a single transaction.

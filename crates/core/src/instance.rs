@@ -17,7 +17,9 @@
 //! transaction, so nothing ever needs undoing at restart.
 
 use crate::catalog::{Catalog, DatasetDef, DatasetKind};
-use crate::dataset::{extract_pk, partition_of, DatasetPartition, RecordSchema, StorageConfig};
+use crate::dataset::{
+    extract_pk, partition_of, DatasetPartition, Origin, RecordSchema, StorageConfig,
+};
 use crate::error::{CoreError, Result};
 use crate::node::Cluster;
 use crate::scheduler::{
@@ -30,7 +32,7 @@ use asterix_algebricks::jobgen::{self, JobGenConfig};
 use asterix_algebricks::plan::VarGen;
 use asterix_algebricks::rules::optimize;
 use asterix_algebricks::source::DataSource;
-use asterix_hyracks::{CancellationToken, DataflowFaults, JobOptions, RuntimeCtx};
+use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
 use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
@@ -105,10 +107,6 @@ pub struct InstanceConfig {
     pub faults: Option<Arc<asterix_storage::faults::FaultInjector>>,
     /// Retry policy for transiently failing queries.
     pub retry: RetryPolicy,
-    /// Deterministic dataflow chaos injector: every query job on this
-    /// instance runs under its seeded fault schedules (`None` in
-    /// production).
-    pub dataflow_faults: Option<Arc<DataflowFaults>>,
     /// Admission control for concurrently served queries (global memory
     /// pool, concurrency gate, bounded priority queue) — see
     /// [`crate::scheduler`].
@@ -138,7 +136,6 @@ impl Default for InstanceConfig {
             local_aggregation: true,
             faults: None,
             retry: RetryPolicy::default(),
-            dataflow_faults: None,
             scheduler: SchedulerConfig::default(),
             worker_threads: 0,
             background_compaction: false,
@@ -230,7 +227,7 @@ impl Instance {
         let ctx = RuntimeCtx::with_clock_and_faults(
             root.join("spill"),
             asterix_obs::MonotonicClock::shared(),
-            config.dataflow_faults.clone(),
+            None,
         )
         .map_err(CoreError::Hyracks)?;
         ctx.set_worker_threads(config.worker_threads);
@@ -303,7 +300,7 @@ impl Instance {
 
     /// Builds the runtime of internal dataset `def`: freshly created, or at
     /// restart recovered from what its indexes' manifests name.
-    fn open_dataset(&self, def: DatasetDef, recovered: bool) -> Result<Arc<DatasetRuntime>> {
+    fn open_dataset(&self, def: DatasetDef, origin: Origin) -> Result<Arc<DatasetRuntime>> {
         let inner = &self.inner;
         let schema = {
             let cat = inner.catalog.read(); // xlint: lock(catalog)
@@ -314,16 +311,10 @@ impl Instance {
             let node = Arc::clone(inner.cluster.node_for_partition(p));
             let (ty, p, storage) = (Arc::clone(&schema), p as u32, &inner.config.storage);
             let compaction = inner.compaction.clone();
-            let part = if recovered {
-                let (part, did) =
-                    DatasetPartition::recover_typed(&def, ty, p, node, storage, compaction)?;
-                let reg = inner.ctx.registry();
-                reg.counter("core.recovery.components_loaded").add(did.components_loaded);
-                reg.counter("core.recovery.indexes_rebuilt").add(did.indexes_rebuilt);
-                part
-            } else {
-                DatasetPartition::create_typed(&def, ty, p, node, storage, compaction)?
-            };
+            let (part, did) = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
+            let reg = inner.ctx.registry();
+            reg.counter("core.recovery.components_loaded").add(did.components_loaded);
+            reg.counter("core.recovery.indexes_rebuilt").add(did.indexes_rebuilt);
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
         }
         Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
@@ -381,7 +372,7 @@ impl Instance {
             if !matches!(def.kind, DatasetKind::Internal { .. }) {
                 continue;
             }
-            let rt = self.open_dataset(def, true)?;
+            let rt = self.open_dataset(def, Origin::Recovered)?;
             for part in &rt.partitions {
                 let part = part.read(); // xlint: lock(lsm_component)
                 claimed.extend(part.index_names().into_iter().map(|name| (part.node().id, name)));
@@ -544,7 +535,7 @@ impl Instance {
         };
         match ddl {
             D::CreateDataset { name, .. } => {
-                let rt = self.open_dataset(catalog_def(name)?, false).inspect_err(|_| {
+                let rt = self.open_dataset(catalog_def(name)?, Origin::Created).inspect_err(|_| {
                     // not persisted, so not to be counted: see `DatasetDef::id`
                     self.inner.catalog.write().undo_create_dataset(name); // xlint: lock(catalog)
                 })?;
@@ -614,33 +605,16 @@ impl Instance {
             }
             DmlStmt::Delete { dataset, var, condition } => {
                 let alias = var.clone().unwrap_or_else(|| dataset.clone());
-                let q = match condition {
-                    Some(c) => {
-                        let mut q = Query::default();
-                        q.from.push(asterix_sqlpp::ast::FromTerm {
-                            expr: asterix_sqlpp::ast::Expr::Ident(dataset.clone()),
-                            alias: alias.clone(),
-                            joins: vec![],
-                        });
-                        q.where_clause = Some(c.clone());
-                        q.select = Some(asterix_sqlpp::ast::SelectClause::Element(
-                            asterix_sqlpp::ast::Expr::Ident(alias.clone()),
-                        ));
-                        q
-                    }
-                    None => {
-                        let mut q = Query::default();
-                        q.from.push(asterix_sqlpp::ast::FromTerm {
-                            expr: asterix_sqlpp::ast::Expr::Ident(dataset.clone()),
-                            alias: alias.clone(),
-                            joins: vec![],
-                        });
-                        q.select = Some(asterix_sqlpp::ast::SelectClause::Element(
-                            asterix_sqlpp::ast::Expr::Ident(alias),
-                        ));
-                        q
-                    }
-                };
+                let mut q = Query::default();
+                q.from.push(asterix_sqlpp::ast::FromTerm {
+                    expr: asterix_sqlpp::ast::Expr::Ident(dataset.clone()),
+                    alias: alias.clone(),
+                    joins: vec![],
+                });
+                q.where_clause = condition.clone();
+                q.select = Some(asterix_sqlpp::ast::SelectClause::Element(
+                    asterix_sqlpp::ast::Expr::Ident(alias),
+                ));
                 let victims = self.run_query_sync(q, None)?;
                 let def = self
                     .inner
@@ -742,11 +716,8 @@ impl Instance {
             group_memory: op_memory,
             local_aggregation: self.inner.config.local_aggregation,
         };
-        let retry = &self.inner.config.retry;
-        let max_attempts = retry.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
+        let count_retry = || self.registry().counter("core.query.retries").inc();
+        self.with_retries(&self.inner.config.retry, count_retry, || {
             // A fresh token per attempt: a cancelled or timed-out attempt
             // must not poison its successor. The attempt token is installed
             // in the control slot *before* the query token is re-checked, so
@@ -766,26 +737,40 @@ impl Instance {
                 opts,
             );
             *control.attempt.lock() = None;
-            let err = match outcome {
-                Ok((rows, profile)) => return Ok((rows, profile)),
-                Err(e) => CoreError::from(e),
-            };
-            if attempt >= max_attempts || !err.is_transient() {
-                return Err(err);
+            Ok(outcome?)
+        })
+    }
+
+    /// The [`RetryPolicy`] protocol, for queries and feed batches alike:
+    /// runs `attempt` until it succeeds, fails for good (an error that is
+    /// not [transient](CoreError::is_transient)) or has run
+    /// `policy.max_attempts` times, and answers with the last outcome — a
+    /// transient error, then, means the attempts ran out. Before each retry
+    /// the caller counts it (`count_retry`), dead nodes are restarted if the
+    /// policy says so, and the backoff, doubling from one retry to the next,
+    /// is slept.
+    pub(crate) fn with_retries<T>(
+        &self,
+        policy: &RetryPolicy,
+        count_retry: impl Fn(),
+        mut attempt: impl FnMut() -> Result<T>,
+    ) -> Result<T> {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match attempt() {
+                Err(e) if attempts < policy.max_attempts && e.is_transient() => {}
+                outcome => return outcome,
             }
-            self.inner.ctx.registry().counter("core.query.retries").inc();
-            if retry.restart_dead_nodes {
+            count_retry();
+            if policy.restart_dead_nodes {
                 for id in self.inner.cluster.dead_nodes() {
                     if self.inner.cluster.restart_node(id) {
-                        self.inner
-                            .ctx
-                            .registry()
-                            .counter("core.cluster.node_restarts")
-                            .inc();
+                        self.registry().counter("core.cluster.node_restarts").inc();
                     }
                 }
             }
-            let backoff = retry.backoff.saturating_mul(1 << (attempt - 1).min(16));
+            let backoff = policy.backoff.saturating_mul(1 << (attempts - 1).min(16));
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -849,14 +834,7 @@ impl Instance {
 
     /// Direct record count of a dataset (diagnostics).
     pub fn count(&self, dataset: &str) -> Result<usize> {
-        let rt = self
-            .inner
-            .datasets
-            .read()
-            .get(dataset)
-            .cloned()
-            .ok_or_else(|| CoreError::Catalog(format!("unknown dataset {dataset:?}")))?;
-        rt.count()
+        self.dataset_runtime(dataset)?.count()
     }
 
     /// Physical encoded size of a record under a dataset's layout (after
@@ -887,11 +865,7 @@ impl Instance {
         rt.partitions
             .iter()
             .map(|p| {
-                let part = p.read(); // xlint: lock(lsm_component)
-                match index {
-                    None => Ok(part.primary_stats()),
-                    Some(name) => part.index_stats(name),
-                }
+                p.read().lsm_stats(index) // xlint: lock(lsm_component)
             })
             .collect()
     }

@@ -57,24 +57,14 @@ pub struct Node {
 }
 
 impl Node {
-    /// Opens (or creates) a node rooted at `dir` with a buffer cache of
-    /// `cache_pages` frames.
+    /// Opens (or creates) a fault-free node rooted at `dir` with a buffer
+    /// cache of `cache_pages` frames (tests).
     pub fn open(id: usize, dir: impl AsRef<Path>, cache_pages: usize) -> Result<Arc<Node>> {
-        Node::open_with_faults(id, dir, cache_pages, None)
+        Node::open_with_opts(id, dir, CacheOptions::with_capacity(cache_pages), None)
     }
 
-    /// Opens a node whose I/O paths (page files and WAL) consult a
-    /// [`FaultInjector`].
-    pub fn open_with_faults(
-        id: usize,
-        dir: impl AsRef<Path>,
-        cache_pages: usize,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Arc<Node>> {
-        Node::open_with_opts(id, dir, CacheOptions::with_capacity(cache_pages), faults)
-    }
-
-    /// Opens a node with explicit buffer-cache shard/readahead options.
+    /// Opens (or creates) a node rooted at `dir` with explicit buffer-cache
+    /// options, whose I/O paths (page files and WAL) consult `faults`.
     pub fn open_with_opts( // xlint: allow(blocking, "node bring-up runs on the control plane before the worker pool serves jobs")
         id: usize,
         dir: impl AsRef<Path>,
@@ -215,23 +205,15 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Opens a cluster of `n` nodes under `root` (one subdirectory each).
+    /// Opens a fault-free cluster of `n` nodes under `root` (tests).
     pub fn open(root: impl AsRef<Path>, n: usize, cache_pages_per_node: usize) -> Result<Cluster> {
-        Cluster::open_with_faults(root, n, cache_pages_per_node, None)
+        Cluster::open_with_opts(root, n, CacheOptions::with_capacity(cache_pages_per_node), None)
     }
 
-    /// Opens a cluster whose nodes share one [`FaultInjector`] (a single
-    /// global I/O counter gives crash points a total order across nodes).
-    pub fn open_with_faults(
-        root: impl AsRef<Path>,
-        n: usize,
-        cache_pages_per_node: usize,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Cluster> {
-        Cluster::open_with_opts(root, n, CacheOptions::with_capacity(cache_pages_per_node), faults)
-    }
-
-    /// Opens a cluster with explicit per-node buffer-cache options.
+    /// Opens a cluster of `n` nodes under `root` (one subdirectory each)
+    /// with explicit per-node buffer-cache options. The nodes share the one
+    /// [`FaultInjector`]: a single global I/O counter gives crash points a
+    /// total order across nodes.
     pub fn open_with_opts(
         root: impl AsRef<Path>,
         n: usize,

@@ -222,7 +222,7 @@ impl DataSource for ExternalSource {
 mod tests {
     use super::*;
     use crate::catalog::{DatasetKind, IndexDef};
-    use crate::dataset::StorageConfig;
+    use crate::dataset::{Origin, StorageConfig};
     use crate::node::Node;
     use asterix_adm::parse::parse_value;
 
@@ -250,10 +250,9 @@ mod tests {
         let mut partitions = Vec::new();
         for p in 0..n_parts {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
-            partitions.push(Arc::new(OrderedRwLock::new(
-                "lsm_component",
-                DatasetPartition::create(&def, p as u32, node, &StorageConfig::default()).unwrap(),
-            )));
+            let cfg = StorageConfig::default();
+            let part = DatasetPartition::new(&def, Arc::default(), p as u32, node, &cfg, None, Origin::Created);
+            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap().0)));
         }
         (Arc::new(DatasetRuntime { def, schema: Arc::default(), partitions }), root)
     }

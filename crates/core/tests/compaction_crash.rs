@@ -96,7 +96,7 @@ fn config(
         // A tiny memory budget makes nearly every txn flush, and the
         // merge-happy policies above make most flushes merge: the bulk of
         // the I/O schedule the crash counter walks over is merge I/O.
-        storage: StorageConfig { mem_budget: 2 << 10, merge_policy, ..StorageConfig::default() },
+        storage: StorageConfig { mem_budget: 2 << 10, merge_policy },
         faults,
         background_compaction: background,
         ..InstanceConfig::default()

@@ -1,20 +1,27 @@
-//! The LSM component lifecycle, written once (paper §III item 5, §V-B: one
-//! framework "LSM-ifies" B+ trees, R-trees and inverted indexes alike).
+//! The LSM index, written once (paper §III item 5, §V-B: one framework
+//! "LSM-ifies" B+ trees, R-trees and inverted indexes alike).
 //!
-//! A [`Harness`] owns everything about an LSM index that does not depend on
-//! what is *inside* a component: the live component list and the manifest
-//! that makes it durable, component ids, the merge policy, the compaction
-//! slot (`idle → merging → retiring → idle`), publishing a flushed or merged
-//! component, retiring merged-away inputs, cascading, cancellation,
-//! quiescing, and the per-tree and node-wide counters. [`MemSlots`] is the
-//! memory side of the same lifecycle: when a memory component is sealed and
-//! when a sealed one may be flushed. An index kind plugs in through
-//! [`ComponentKind`]: what a disk component holds, which files it owns, how
-//! to reopen it from them, and a resumable merge over a snapshot of
-//! components. [`crate::lsm::LsmTree`] (and through it
-//! [`crate::inverted::InvertedIndex`]) and [`crate::lsm_rtree::LsmRTree`] are
-//! the kinds; the harness is generic over them and statically dispatched, so
-//! a read costs a list snapshot and nothing else.
+//! [`Lsm<K>`] is the handle of an LSM index of kind `K` and the one place its
+//! lifecycle surface is written down. It is made of two halves. The memory
+//! side ([`MemSlots`]) is the active memory component and at most one sealed
+//! one, with what was logged for each: when a memory component is sealed and
+//! when a sealed one may be flushed. The disk side ([`Harness`], shared with
+//! the index's merge jobs) is everything that does not depend on what is
+//! *inside* a component: the live component list and the manifest that makes
+//! it durable, component ids, the merge policy, the compaction slot (`idle →
+//! merging → retiring → idle`), publishing a flushed or merged component,
+//! retiring merged-away inputs, cascading, cancellation, quiescing, and the
+//! per-tree and node-wide counters.
+//!
+//! An index kind plugs in through [`ComponentKind`]: its memory component
+//! and how to bulk-load one into a disk component, what a disk component
+//! holds, which files it owns, how to reopen it from them, and a resumable
+//! merge over a snapshot of components. Beside that it writes only its typed
+//! reads and writes, as inherent methods of `Lsm<ItsKind>`:
+//! [`crate::lsm::LsmTree`] (and over it [`crate::inverted::InvertedIndex`])
+//! and [`crate::lsm_rtree::LsmRTree`] are the kinds. Everything is statically
+//! dispatched, so a read costs a list snapshot and nothing else;
+//! [`LsmIndex`] is the same surface for an owner of indexes of several kinds.
 //!
 //! A flush publishes its component and *schedules* a merge — driven inline
 //! when no executor is installed, or handed to a
@@ -224,19 +231,27 @@ struct SharedStats {
 // What an index kind provides
 // ---------------------------------------------------------------------------
 
-/// An index kind that rides the harness: what one immutable disk component
-/// holds and how a snapshot of components merges into one.
+/// An index kind that rides the harness: its memory component and how one is
+/// bulk-loaded into a disk component, what an immutable disk component holds
+/// and how a snapshot of components merges into one.
 ///
 /// A merge is resumable — [`open`](ComponentKind::open) once, then
 /// [`step`](ComponentKind::step) until it reports exhaustion, then
 /// [`finish`](ComponentKind::finish) — and touches no harness state: the
 /// harness decides when each call happens, on which thread, and what becomes
-/// of the result.
-pub(crate) trait ComponentKind: Send + Sync + Sized + 'static {
+/// of the result. Public only because [`Lsm`] names it: the module is not.
+pub trait ComponentKind: Send + Sync + Sized + 'static {
+    /// How an index of this kind is configured.
+    type Config;
+    /// The memory component.
+    type Mem: MemBuf;
     /// The on-disk payload of one component.
     type Disk: Send + Sync;
     /// An in-progress merge: input cursors plus the output being built.
     type Run: Send;
+
+    /// The kind of an index configured by `config`, its files under `cache`.
+    fn new(cache: Arc<BufferCache>, config: Self::Config) -> Self;
 
     /// The cache whose file manager holds this index's component files.
     fn cache(&self) -> &Arc<BufferCache>;
@@ -244,6 +259,15 @@ pub(crate) trait ComponentKind: Send + Sync + Sized + 'static {
     /// The index's name: the prefix of its component files and of its
     /// manifest, unique within the cache's directory.
     fn name(&self) -> &str;
+
+    /// Bytes a memory component may hold before it is sealed.
+    fn mem_budget(&self) -> usize;
+
+    /// The merge policy the index starts with.
+    fn merge_policy(&self) -> MergePolicy;
+
+    /// Bulk-loads memory component `mem` into the files of component `id`.
+    fn flush(&self, id: u64, mem: &Self::Mem) -> Result<Built<Self::Disk>>;
 
     /// Every file `disk` owns; all are unlinked when the component retires.
     fn files(disk: &Self::Disk) -> Vec<FileId>;
@@ -271,7 +295,7 @@ pub(crate) trait ComponentKind: Send + Sync + Sized + 'static {
 }
 
 /// A sealed component payload — from a flush or a merge — ready to publish.
-pub(crate) struct Built<D> {
+pub struct Built<D> {
     pub(crate) disk: D,
     /// The size the merge policy sees.
     pub(crate) size_bytes: u64,
@@ -282,7 +306,7 @@ pub(crate) struct Built<D> {
 /// One immutable on-disk component. Shared (`Arc`) between the live list and
 /// any read snapshots or in-flight merges; once marked retired, its files
 /// are closed and deleted when the **last** holder drops its reference.
-pub(crate) struct Component<K: ComponentKind> {
+pub struct Component<K: ComponentKind> {
     pub(crate) id: u64,
     pub(crate) size_bytes: u64,
     /// The log records whose effects it holds: first LSN, and the LSN below
@@ -476,7 +500,7 @@ enum CompactionState {
 // The harness
 // ---------------------------------------------------------------------------
 
-/// The lifecycle state of one LSM index, shared between its handle and its
+/// The disk side of one LSM index, shared between its handle and its
 /// background merge jobs. See the module docs for the invariants.
 pub(crate) struct Harness<K: ComponentKind> {
     kind: K,
@@ -506,11 +530,11 @@ impl<K: ComponentKind> Harness<K> {
     /// An empty index of `kind`, whatever its directory holds. Amplification
     /// counters feed the node-wide hub reachable through the cache's
     /// [`crate::IoStats`].
-    pub(crate) fn new(kind: K, policy: MergePolicy) -> Arc<Self> {
+    fn new(kind: K) -> Arc<Self> {
         let hub = Arc::clone(kind.cache().stats().lsm());
         Arc::new(Harness {
+            policy: Mutex::new(kind.merge_policy()),
             kind,
-            policy: Mutex::new(policy),
             manifest: Mutex::new(0),
             destroyed: AtomicBool::new(false),
             disk: Mutex::new(Vec::new()),
@@ -528,10 +552,10 @@ impl<K: ComponentKind> Harness<K> {
     /// The index of `kind` as its manifest describes it: every listed
     /// component reopened from its files, component ids resumed past the
     /// highest listed. Empty when there is no manifest.
-    pub(crate) fn reopen(kind: K, policy: MergePolicy) -> Result<Arc<Self>> {
+    fn reopen(kind: K) -> Result<Arc<Self>> {
         let manager = Arc::clone(kind.cache().manager());
         let manifest = Manifest::from_disk(manager.dir(), kind.name())?.unwrap_or_default();
-        let harness = Harness::new(kind, policy);
+        let harness = Harness::new(kind);
         let mut disk = Vec::with_capacity(manifest.components.len());
         let mut max_id = 0;
         for entry in manifest.components {
@@ -551,27 +575,6 @@ impl<K: ComponentKind> Harness<K> {
         Ok(harness)
     }
 
-    pub(crate) fn kind(&self) -> &K {
-        &self.kind
-    }
-
-    /// Lifetime statistics.
-    pub(crate) fn stats(&self) -> LsmStats {
-        let s = &self.stats;
-        LsmStats {
-            seals: s.seals.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
-            merges: s.merges.load(Ordering::Relaxed),
-            merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
-            entries_written: s.entries_written.load(Ordering::Relaxed),
-            entries_ingested: s.entries_ingested.load(Ordering::Relaxed),
-            merge_stall_ns: s.merge_stall_ns.load(Ordering::Relaxed),
-            retire_failures: s.retire_failures.load(Ordering::Relaxed),
-            reads: s.reads.load(Ordering::Relaxed),
-            entries_visited: s.entries_visited.load(Ordering::Relaxed),
-        }
-    }
-
     /// One application write (insert, upsert or delete) entered the index.
     pub(crate) fn count_ingested(&self) {
         self.stats.entries_ingested.fetch_add(1, Ordering::Relaxed);
@@ -589,38 +592,6 @@ impl<K: ComponentKind> Harness<K> {
         self.stats.entries_visited.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// From now on scheduled merges run on `exec`, off the write path.
-    pub(crate) fn set_executor(&self, exec: CompactionExec) {
-        *self.exec.lock() = Some(exec);
-    }
-
-    /// Replaces the active merge policy from the next scheduling point on.
-    pub(crate) fn set_merge_policy(&self, policy: MergePolicy) {
-        *self.policy.lock() = policy;
-    }
-
-    /// Name of the compaction slot's current state.
-    pub(crate) fn compaction_state(&self) -> &'static str {
-        match *self.state.lock() {
-            CompactionState::Idle => "idle",
-            CompactionState::Merging { .. } => "merging",
-            CompactionState::Retiring => "retiring",
-        }
-    }
-
-    /// Component ids covered by the in-flight merge (empty when none runs).
-    pub(crate) fn merging_range(&self) -> Vec<u64> {
-        match &*self.state.lock() {
-            CompactionState::Merging { ids, .. } => ids.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Number of disk components.
-    pub(crate) fn component_count(&self) -> usize {
-        self.disk.lock().len()
-    }
-
     /// Snapshot of the live component list (cheap `Arc` clones). A reader
     /// holding it sees a consistent pre- or post-merge view, and its
     /// references keep retired files alive.
@@ -629,7 +600,7 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// Allocates the id of the next component (flush or merge output).
-    pub(crate) fn alloc_id(&self) -> u64 {
+    fn alloc_id(&self) -> u64 {
         self.next_component_id.fetch_add(1, Ordering::Relaxed) // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
     }
 
@@ -664,12 +635,6 @@ impl<K: ComponentKind> Harness<K> {
         self.stats.merge_stall_ns.fetch_add(stall, Ordering::Relaxed);
         self.hub.add_stall_ns(stall);
         result
-    }
-
-    /// The LSN below which every logged operation of this index is in a
-    /// durable component.
-    pub(crate) fn flushed_below(&self) -> Lsn {
-        *self.manifest.lock()
     }
 
     /// Replaces the manifest with `flushed_below` and `list`. The caller
@@ -713,62 +678,13 @@ impl<K: ComponentKind> Harness<K> {
 
     /// Publishes a flushed memory component, holding the effects of log
     /// records `lsns`, as the newest disk component.
-    pub(crate) fn publish_flush(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Result<()> {
+    fn publish_flush(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Result<()> {
         let written = built.written;
         self.publish(self.component(id, built, lsns), &[])?;
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
         self.hub.count_flush(written);
         Ok(())
-    }
-
-    /// *Schedules* merging after a flush: with an executor installed the
-    /// write path pays only the scheduling cost; without one the merge runs
-    /// inline.
-    pub(crate) fn after_flush(self: &Arc<Self>) -> Result<()> {
-        self.stalled(|| self.schedule_merge())
-    }
-
-    /// Records that every logged operation of this index below `lsn` is
-    /// flushed, though no new component says so: the index was just created
-    /// (the log so far is not about it), or what it buffered since its last
-    /// flush left no entry.
-    pub(crate) fn mark_flushed_below(&self, lsn: Lsn) -> Result<()> {
-        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
-        let below = (*flushed_below).max(lsn);
-        self.write_manifest(below, &self.snapshot())?;
-        *flushed_below = below;
-        Ok(())
-    }
-
-    /// Drops the index from disk: an empty manifest first (so that no crash
-    /// leaves one naming deleted files), then every component, then the
-    /// manifest itself. Nothing can be published afterwards.
-    pub(crate) fn destroy(&self) -> Result<()> {
-        self.cancel_merge();
-        let manager = self.kind.cache().manager();
-        let _publishing = self.manifest.lock(); // xlint: lock(lsm_manifest)
-        self.write_manifest(0, &[])?;
-        self.destroyed.store(true, Ordering::Release);
-        let dropped = std::mem::take(&mut *self.disk.lock()); // xlint: lock(lsm_disk)
-        self.refresh_space(&[]);
-        for comp in &dropped {
-            comp.retire.store(true, Ordering::Release);
-        }
-        drop(dropped);
-        crate::io::remove_file(&manifest_path(manager.dir(), self.kind.name()), manager.faults())
-    }
-
-    /// Merges the `n` newest disk components into one, inline on this
-    /// thread (waits for any background merge to drain first).
-    pub(crate) fn merge_newest(self: &Arc<Self>, n: usize) -> Result<()> {
-        if !self.wait_idle_until(Instant::now() + Duration::from_secs(60)) {
-            return Err(StorageError::Invalid(
-                "merge_newest timed out waiting for the in-flight merge".into(),
-            ));
-        }
-        let Some(job) = self.claim(|_| Some(n), false) else { return Ok(()) };
-        self.stalled(|| job.run_inline())
     }
 
     /// The active policy's pick over the current list.
@@ -891,7 +807,7 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// Asks the in-flight merge, if any, to stop at its next morsel.
-    pub(crate) fn cancel_merge(&self) {
+    fn cancel_merge(&self) {
         if let CompactionState::Merging { cancel, .. } = &*self.state.lock() {
             cancel.store(true, Ordering::Release);
         }
@@ -914,35 +830,14 @@ impl<K: ComponentKind> Harness<K> {
         true
     }
 
-    /// Blocks until no merge is in flight **and** the policy has no more
-    /// work, scheduling as needed (quiesce for benches/tests). Returns
-    /// `false` on timeout or if a merge aborts while waiting.
-    pub(crate) fn wait_merges_idle(self: &Arc<Self>, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let aborted0 = self.stats.merges_aborted.load(Ordering::Relaxed);
-        loop {
-            if !self.wait_idle_until(deadline) {
-                return false;
-            }
-            if self.stats.merges_aborted.load(Ordering::Relaxed) > aborted0 {
-                return false;
-            }
-            if self.policy_pick(&self.disk.lock()).is_none() {
-                return true;
-            }
-            if self.schedule_merge().is_err() {
-                return false;
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// The memory side: sealing and no-steal flushing
+// The memory side
 // ---------------------------------------------------------------------------
 
 /// What the lifecycle needs to know of a kind's memory component.
-pub(crate) trait MemBuf: Default {
+pub trait MemBuf: Default {
     /// Approximate buffered bytes, to hold against the budget.
     fn bytes(&self) -> usize;
     fn is_empty(&self) -> bool;
@@ -969,13 +864,8 @@ struct Sealed<M> {
 
 /// The memory components of one index: the active one and at most one
 /// sealed one, older than it. Writes go to the active component; reads
-/// consult both, active first.
-///
-/// The owner *stamps* the slots with the LSN and the transaction of the log
-/// record it is about to apply (an index nobody logs for is never stamped
-/// and flushes the moment it seals), *releases* a transaction when it has
-/// committed or aborted, and calls [`settle`](MemSlots::settle) after
-/// either, which seals and flushes whatever has become due.
+/// consult both, active first. [`Lsm`] decides when one is sealed and when
+/// a sealed one is flushed.
 #[derive(Default)]
 pub(crate) struct MemSlots<M> {
     active: Slot<M>,
@@ -984,103 +874,346 @@ pub(crate) struct MemSlots<M> {
     covered_below: Lsn,
 }
 
-impl<M: MemBuf> MemSlots<M> {
-    pub(crate) fn active(&self) -> &M {
-        &self.active.mem
-    }
-
+impl<M> MemSlots<M> {
+    /// The component writes go to.
     pub(crate) fn active_mut(&mut self) -> &mut M {
         &mut self.active.mem
     }
 
-    /// The sealed component, if one is waiting for its writers.
-    pub(crate) fn sealed(&self) -> Option<&M> {
-        self.sealed.as_ref().map(|s| &s.slot.mem)
+    /// What reads consult: the active component, then the sealed one if one
+    /// is waiting for its writers.
+    pub(crate) fn newest_first(&self) -> impl Iterator<Item = &M> {
+        std::iter::once(&self.active.mem).chain(self.sealed.as_ref().map(|s| &s.slot.mem))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The index handle
+// ---------------------------------------------------------------------------
+
+/// An LSM index of kind `K`: memory components, disk components and their
+/// counters behind one handle. The lifecycle below is every kind's; what a
+/// kind reads and writes is on `impl Lsm<ThatKind>`, beside the kind.
+///
+/// The owner *stamps* the index with the LSN and the transaction of the log
+/// record it is about to apply (an index nobody logs for is never stamped
+/// and flushes the moment it seals) and *releases* a transaction when it has
+/// committed or aborted; every write and every release seals and flushes
+/// whatever has become due.
+pub struct Lsm<K: ComponentKind> {
+    pub(crate) shared: Arc<Harness<K>>,
+    pub(crate) mem: MemSlots<K::Mem>,
+}
+
+impl<K: ComponentKind> Lsm<K> {
+    /// Creates an empty index, whatever its directory holds. Amplification
+    /// counters feed the node-wide hub reachable through the cache's
+    /// [`crate::IoStats`].
+    pub fn new(cache: Arc<BufferCache>, config: K::Config) -> Self {
+        Lsm { shared: Harness::new(K::new(cache, config)), mem: MemSlots::default() }
+    }
+
+    /// Opens the index its manifest describes (an empty one when it has no
+    /// manifest): the disk components a previous incarnation published.
+    pub fn reopen(cache: Arc<BufferCache>, config: K::Config) -> Result<Self> {
+        Ok(Lsm { shared: Harness::reopen(K::new(cache, config))?, mem: MemSlots::default() })
+    }
+
+    pub(crate) fn kind(&self) -> &K {
+        &self.shared.kind
+    }
+
+    /// The index's name: the prefix of its manifest and component files.
+    pub fn name(&self) -> &str {
+        self.shared.kind.name()
+    }
+
+    /// Lifetime statistics.
+    pub fn stats(&self) -> LsmStats {
+        let s = &self.shared.stats;
+        LsmStats {
+            seals: s.seals.load(Ordering::Relaxed),
+            flushes: s.flushes.load(Ordering::Relaxed),
+            merges: s.merges.load(Ordering::Relaxed),
+            merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
+            entries_written: s.entries_written.load(Ordering::Relaxed),
+            entries_ingested: s.entries_ingested.load(Ordering::Relaxed),
+            merge_stall_ns: s.merge_stall_ns.load(Ordering::Relaxed),
+            retire_failures: s.retire_failures.load(Ordering::Relaxed),
+            reads: s.reads.load(Ordering::Relaxed),
+            entries_visited: s.entries_visited.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Installs a background executor: from now on scheduled merges run off
+    /// the write path, one morsel per step.
+    pub fn set_executor(&self, exec: CompactionExec) {
+        *self.shared.exec.lock() = Some(exec);
+    }
+
+    /// Replaces the active merge policy. Takes effect at the next scheduling
+    /// point; a long backlog converges because scheduling loops until the
+    /// policy is satisfied.
+    pub fn set_merge_policy(&self, policy: MergePolicy) {
+        *self.shared.policy.lock() = policy;
+    }
+
+    /// Name of the compaction slot's current state
+    /// (`idle`/`merging`/`retiring`), for diagnostics and tests.
+    pub fn compaction_state(&self) -> &'static str {
+        match *self.shared.state.lock() {
+            CompactionState::Idle => "idle",
+            CompactionState::Merging { .. } => "merging",
+            CompactionState::Retiring => "retiring",
+        }
+    }
+
+    /// Component ids covered by the in-flight merge (empty when none runs).
+    pub fn merging_range(&self) -> Vec<u64> {
+        match &*self.shared.state.lock() {
+            CompactionState::Merging { ids, .. } => ids.clone(),
+            _ => Vec::new(),
+        }
+    }
+
+    /// Number of disk components.
+    pub fn component_count(&self) -> usize {
+        self.shared.disk.lock().len()
     }
 
     /// The writes that follow apply the log record at `lsn`, logged by the
-    /// open transaction `writer` (`None` at recovery: it has committed).
-    pub(crate) fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        self.active.first_lsn.get_or_insert(lsn);
-        self.active.writers.extend(writer);
+    /// open transaction `writer` (`None` when replaying a committed one).
+    /// What `writer` wrote is not flushed before [`Lsm::release`].
+    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+        self.mem.active.first_lsn.get_or_insert(lsn);
+        self.mem.active.writers.extend(writer);
         self.cover_below(lsn + 1);
     }
 
     /// Everything logged for the index below `lsn` is already reflected in
-    /// it (it was rebuilt from an index that is that far).
-    pub(crate) fn cover_below(&mut self, lsn: Lsn) {
-        self.covered_below = self.covered_below.max(lsn);
+    /// it (it was just built from an index that is that far).
+    pub fn cover_below(&mut self, lsn: Lsn) {
+        self.mem.covered_below = self.mem.covered_below.max(lsn);
     }
 
-    /// Transaction `writer` has committed or aborted.
-    pub(crate) fn release(&mut self, writer: u64) {
-        self.active.writers.remove(&writer);
-        if let Some(sealed) = &mut self.sealed {
+    /// Transaction `writer` has committed or aborted: flushes what was
+    /// waiting for it.
+    pub fn release(&mut self, writer: u64) -> Result<()> {
+        self.mem.active.writers.remove(&writer);
+        if let Some(sealed) = &mut self.mem.sealed {
             sealed.slot.writers.remove(&writer);
         }
+        self.settle(false)
+    }
+
+    /// Whether a write by `writer` would grow the active memory component
+    /// past its budget while a sealed one still waits for *other*
+    /// transactions: waiting for them lets the sealed component flush and
+    /// the active one seal, where writing on only grows memory.
+    pub fn must_wait(&self, writer: u64) -> bool {
+        self.mem.active.mem.bytes() > self.shared.kind.mem_budget()
+            && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
+    }
+
+    /// The LSN below which every logged operation of this index is in a
+    /// durable disk component.
+    pub fn flushed_below(&self) -> Lsn {
+        *self.shared.manifest.lock()
+    }
+
+    /// Durably records that every logged operation of this index below
+    /// `lsn` is flushed, though no new component says so: the index was just
+    /// created (the log so far is not about it), or what it buffered since
+    /// its last flush left no entry.
+    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
+        self.cover_below(lsn);
+        let shared = &self.shared;
+        let mut flushed_below = shared.manifest.lock(); // xlint: lock(lsm_manifest)
+        let below = (*flushed_below).max(lsn);
+        shared.write_manifest(below, &shared.snapshot())?;
+        *flushed_below = below;
+        Ok(())
     }
 
     /// LSN of the oldest log record whose effect is only in memory.
-    pub(crate) fn first_unflushed(&self) -> Option<Lsn> {
-        let sealed = self.sealed.as_ref().and_then(|s| s.slot.first_lsn);
-        sealed.or(self.active.first_lsn)
+    pub fn first_unflushed(&self) -> Option<Lsn> {
+        let sealed = self.mem.sealed.as_ref().and_then(|s| s.slot.first_lsn);
+        sealed.or(self.mem.active.first_lsn)
     }
 
-    /// Whether a write by `writer` would grow the active component past
-    /// `budget` while a sealed one still waits for *other* transactions:
-    /// waiting for them lets the sealed component flush and the active one
-    /// seal, where writing on only grows memory.
-    pub(crate) fn must_wait(&self, writer: u64, budget: usize) -> bool {
-        self.active.mem.bytes() > budget
-            && self.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
+    /// Drops the index from disk: an empty manifest first (so that no crash
+    /// leaves one naming deleted files), then every component, then the
+    /// manifest itself. The handle stays readable, as an empty index, but
+    /// can publish nothing more.
+    pub fn destroy(&self) -> Result<()> {
+        let shared = &self.shared;
+        shared.cancel_merge();
+        let manager = shared.kind.cache().manager();
+        let _publishing = shared.manifest.lock(); // xlint: lock(lsm_manifest)
+        shared.write_manifest(0, &[])?;
+        shared.destroyed.store(true, Ordering::Release);
+        let dropped = std::mem::take(&mut *shared.disk.lock()); // xlint: lock(lsm_disk)
+        shared.refresh_space(&[]);
+        for comp in &dropped {
+            comp.retire.store(true, Ordering::Release);
+        }
+        drop(dropped);
+        crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
     }
 
-    /// Flushes the sealed component if its writers are done, seals the
-    /// active one if it is past `budget` (or, with `force`, holds anything no
-    /// open transaction wrote), and repeats until nothing is due. `build`
-    /// bulk-loads one memory component into the files of component `id`.
-    pub(crate) fn settle<K: ComponentKind>(
-        &mut self,
-        harness: &Arc<Harness<K>>,
-        budget: usize,
-        force: bool,
-        build: impl Fn(u64, &M) -> Result<Built<K::Disk>>,
-    ) -> Result<()> {
+    /// Forces what is buffered to disk as new components, which are
+    /// published and handed to merge scheduling. What an open transaction
+    /// wrote stays in memory until it is released.
+    pub fn flush(&mut self) -> Result<()> {
+        self.settle(true)
+    }
+
+    /// Flushes the sealed memory component if its writers are done, seals
+    /// the active one if it is past the kind's budget (or, with `force`,
+    /// holds anything no open transaction wrote), and repeats until nothing
+    /// is due. A kind calls it after every write.
+    pub(crate) fn settle(&mut self, force: bool) -> Result<()> {
+        let (shared, mem) = (&self.shared, &mut self.mem);
         loop {
-            if let Some(sealed) = &self.sealed {
+            if let Some(sealed) = &mem.sealed {
                 if !sealed.slot.writers.is_empty() {
                     return Ok(()); // no-steal: not while a writer is open
                 }
-                let id = harness.alloc_id();
-                let built = build(id, &sealed.slot.mem)?;
+                let id = shared.alloc_id();
+                let built = shared.kind.flush(id, &sealed.slot.mem)?;
                 let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
-                harness.publish_flush(id, built, (first, sealed.below))?;
-                harness.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
-                self.sealed = None;
-                harness.after_flush()?;
+                shared.publish_flush(id, built, (first, sealed.below))?;
+                shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
+                mem.sealed = None;
+                // with an executor installed the write path pays only the
+                // scheduling cost; without one the merge runs inline
+                shared.stalled(|| shared.schedule_merge())?;
                 continue;
             }
             let due = if force {
-                self.active.writers.is_empty()
+                mem.active.writers.is_empty()
             } else {
-                self.active.mem.bytes() > budget
+                mem.active.mem.bytes() > shared.kind.mem_budget()
             };
             if !due {
                 return Ok(());
             }
-            if self.active.mem.is_empty() {
-                if self.covered_below > harness.flushed_below() {
-                    harness.mark_flushed_below(self.covered_below)?;
+            if mem.active.mem.is_empty() {
+                let covered = mem.covered_below;
+                if covered > self.flushed_below() {
+                    self.mark_flushed_below(covered)?;
                 }
                 return Ok(());
             }
-            harness.stats.seals.fetch_add(1, Ordering::Relaxed);
-            self.sealed = Some(Sealed {
-                slot: std::mem::take(&mut self.active),
-                below: self.covered_below,
+            shared.stats.seals.fetch_add(1, Ordering::Relaxed);
+            mem.sealed = Some(Sealed {
+                slot: std::mem::take(&mut mem.active),
+                below: mem.covered_below,
                 at: Instant::now(),
             });
         }
+    }
+
+    /// Merges the `n` newest disk components into one, inline on this
+    /// thread (waits for any background merge to drain first).
+    pub fn merge_newest(&mut self, n: usize) -> Result<()> {
+        let shared = &self.shared;
+        if !shared.wait_idle_until(Instant::now() + Duration::from_secs(60)) {
+            return Err(StorageError::Invalid(
+                "merge_newest timed out waiting for the in-flight merge".into(),
+            ));
+        }
+        let Some(job) = shared.claim(|_| Some(n), false) else { return Ok(()) };
+        shared.stalled(|| job.run_inline())
+    }
+
+    /// Blocks until no merge is in flight **and** the policy has no more
+    /// work, scheduling as needed (quiesce for benches/tests). Returns
+    /// `false` on timeout or if a merge aborts while waiting.
+    pub fn wait_merges_idle(&self, timeout: Duration) -> bool {
+        let shared = &self.shared;
+        let deadline = Instant::now() + timeout;
+        let aborted0 = shared.stats.merges_aborted.load(Ordering::Relaxed);
+        loop {
+            if !shared.wait_idle_until(deadline) {
+                return false;
+            }
+            if shared.stats.merges_aborted.load(Ordering::Relaxed) > aborted0 {
+                return false;
+            }
+            if shared.policy_pick(&shared.disk.lock()).is_none() {
+                return true;
+            }
+            if shared.schedule_merge().is_err() {
+                return false;
+            }
+        }
+    }
+}
+
+impl<K: ComponentKind> Drop for Lsm<K> {
+    fn drop(&mut self) {
+        // Ask any in-flight background merge to stop at its next morsel; the
+        // job holds its own reference to the shared state, so this is a
+        // courtesy, not a correctness requirement.
+        self.shared.cancel_merge();
+    }
+}
+
+/// The lifecycle of an [`Lsm`] index of whatever kind, for an owner that
+/// keeps indexes of several kinds side by side (a dataset partition): each
+/// method is the same-named one of [`Lsm`].
+pub trait LsmIndex {
+    fn name(&self) -> &str;
+    fn stats(&self) -> LsmStats;
+    fn set_executor(&self, exec: CompactionExec);
+    fn component_count(&self) -> usize;
+    fn stamp(&mut self, lsn: Lsn, writer: Option<u64>);
+    fn cover_below(&mut self, lsn: Lsn);
+    fn release(&mut self, writer: u64) -> Result<()>;
+    fn must_wait(&self, writer: u64) -> bool;
+    fn flushed_below(&self) -> Lsn;
+    fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()>;
+    fn destroy(&self) -> Result<()>;
+    fn flush(&mut self) -> Result<()>;
+}
+
+impl<K: ComponentKind> LsmIndex for Lsm<K> {
+    fn name(&self) -> &str {
+        Lsm::name(self)
+    }
+    fn stats(&self) -> LsmStats {
+        Lsm::stats(self)
+    }
+    fn set_executor(&self, exec: CompactionExec) {
+        Lsm::set_executor(self, exec)
+    }
+    fn component_count(&self) -> usize {
+        Lsm::component_count(self)
+    }
+    fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+        Lsm::stamp(self, lsn, writer)
+    }
+    fn cover_below(&mut self, lsn: Lsn) {
+        Lsm::cover_below(self, lsn)
+    }
+    fn release(&mut self, writer: u64) -> Result<()> {
+        Lsm::release(self, writer)
+    }
+    fn must_wait(&self, writer: u64) -> bool {
+        Lsm::must_wait(self, writer)
+    }
+    fn flushed_below(&self) -> Lsn {
+        Lsm::flushed_below(self)
+    }
+    fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
+        Lsm::mark_flushed_below(self, lsn)
+    }
+    fn destroy(&self) -> Result<()> {
+        Lsm::destroy(self)
+    }
+    fn flush(&mut self) -> Result<()> {
+        Lsm::flush(self)
     }
 }
 
@@ -1167,76 +1300,36 @@ mod tests {
     use crate::compaction::BackgroundExecutor;
     use crate::faults::{FaultConfig, FaultInjector};
     use crate::io::FileManager;
-    use crate::lsm::{LsmConfig, LsmTree};
-    use crate::lsm_rtree::{LsmRTree, LsmRTreeConfig};
+    use crate::lsm::{BTreeKind, LsmConfig, LsmTree};
+    use crate::lsm_rtree::{LsmRTree, LsmRTreeConfig, RTreeKind};
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
     use asterix_adm::binary::encode_key;
     use asterix_adm::{Point, Rectangle, Value};
+    use rand::prelude::*;
 
-    /// What the contract needs from an index riding the harness: entries
-    /// numbered by `i`, shaped into components by hand.
-    trait Subject {
-        type Kind: ComponentKind;
-        /// An index that never flushes on its own.
-        fn new(cache: Arc<BufferCache>, policy: MergePolicy) -> Self;
-        /// The same index as its manifest describes it.
-        fn reopen(cache: Arc<BufferCache>) -> Self;
-        /// One that seals after a handful of entries.
-        fn tiny(cache: Arc<BufferCache>) -> Self;
-        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>);
-        fn release(&mut self, writer: u64);
-        fn must_wait(&self, writer: u64) -> bool;
-        fn harness(&self) -> &Arc<Harness<Self::Kind>>;
-        fn put(&mut self, i: u64);
-        fn delete(&mut self, i: u64);
-        fn try_flush(&mut self) -> Result<()>;
-        fn flush(&mut self) {
-            self.try_flush().unwrap();
-        }
-        fn live(&self) -> usize;
+    /// What the contract cannot say of every kind at once: how an index of
+    /// the kind is configured, and how to make entry `i`, delete it and
+    /// count what is live.
+    trait Entries: ComponentKind {
+        fn config(mem_budget: usize, policy: MergePolicy) -> Self::Config;
+        fn put(t: &mut Lsm<Self>, i: u64);
+        fn delete(t: &mut Lsm<Self>, i: u64);
+        fn live(t: &Lsm<Self>) -> usize;
     }
 
-    impl Subject for LsmTree {
-        type Kind = crate::lsm::BTreeKind;
-        fn new(cache: Arc<BufferCache>, policy: MergePolicy) -> Self {
-            let config = LsmConfig { mem_budget: 1 << 30, merge_policy: policy, ..LsmConfig::new("t") };
-            LsmTree::new(cache, config)
+    impl Entries for BTreeKind {
+        fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
+            LsmConfig { mem_budget, merge_policy, ..LsmConfig::new("t") }
         }
-        fn reopen(cache: Arc<BufferCache>) -> Self {
-            LsmTree::reopen(cache, LsmConfig { mem_budget: 1 << 30, ..LsmConfig::new("t") }).unwrap()
+        fn put(t: &mut LsmTree, i: u64) {
+            t.upsert(encode_key(&[Value::Int(i as i64)]), vec![b'x'; 64]).unwrap();
         }
-        fn tiny(cache: Arc<BufferCache>) -> Self {
-            let config = LsmConfig {
-                mem_budget: 512,
-                merge_policy: MergePolicy::NoMerge,
-                ..LsmConfig::new("t")
-            };
-            LsmTree::new(cache, config)
+        fn delete(t: &mut LsmTree, i: u64) {
+            t.delete(encode_key(&[Value::Int(i as i64)])).unwrap();
         }
-        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-            LsmTree::stamp(self, lsn, writer);
-        }
-        fn release(&mut self, writer: u64) {
-            LsmTree::release(self, writer).unwrap();
-        }
-        fn must_wait(&self, writer: u64) -> bool {
-            LsmTree::must_wait(self, writer)
-        }
-        fn harness(&self) -> &Arc<Harness<Self::Kind>> {
-            &self.shared
-        }
-        fn put(&mut self, i: u64) {
-            self.upsert(encode_key(&[Value::Int(i as i64)]), vec![b'x'; 64]).unwrap();
-        }
-        fn delete(&mut self, i: u64) {
-            LsmTree::delete(self, encode_key(&[Value::Int(i as i64)])).unwrap();
-        }
-        fn try_flush(&mut self) -> Result<()> {
-            LsmTree::flush(self)
-        }
-        fn live(&self) -> usize {
-            self.count().unwrap()
+        fn live(t: &LsmTree) -> usize {
+            t.count().unwrap()
         }
     }
 
@@ -1244,49 +1337,29 @@ mod tests {
         Point::new(i as f64, 0.0).to_mbr()
     }
 
-    impl Subject for LsmRTree {
-        type Kind = crate::lsm_rtree::RTreeKind;
-        fn new(cache: Arc<BufferCache>, policy: MergePolicy) -> Self {
-            let config =
-                LsmRTreeConfig { mem_budget: 1 << 30, merge_policy: policy, ..LsmRTreeConfig::new("s") };
-            LsmRTree::new(cache, config)
+    impl Entries for RTreeKind {
+        fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmRTreeConfig {
+            LsmRTreeConfig { mem_budget, merge_policy, ..LsmRTreeConfig::new("s") }
         }
-        fn reopen(cache: Arc<BufferCache>) -> Self {
-            LsmRTree::reopen(cache, LsmRTreeConfig { mem_budget: 1 << 30, ..LsmRTreeConfig::new("s") })
-                .unwrap()
+        fn put(t: &mut LsmRTree, i: u64) {
+            t.insert(point(i), format!("k{i}").into_bytes()).unwrap();
         }
-        fn tiny(cache: Arc<BufferCache>) -> Self {
-            let config = LsmRTreeConfig {
-                mem_budget: 512,
-                merge_policy: MergePolicy::NoMerge,
-                ..LsmRTreeConfig::new("s")
-            };
-            LsmRTree::new(cache, config)
+        fn delete(t: &mut LsmRTree, i: u64) {
+            t.delete(&point(i), format!("k{i}").as_bytes()).unwrap();
         }
-        fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-            LsmRTree::stamp(self, lsn, writer);
+        fn live(t: &LsmRTree) -> usize {
+            t.count().unwrap()
         }
-        fn release(&mut self, writer: u64) {
-            LsmRTree::release(self, writer).unwrap();
-        }
-        fn must_wait(&self, writer: u64) -> bool {
-            LsmRTree::must_wait(self, writer)
-        }
-        fn harness(&self) -> &Arc<Harness<Self::Kind>> {
-            &self.shared
-        }
-        fn put(&mut self, i: u64) {
-            self.insert(point(i), format!("k{i}").into_bytes()).unwrap();
-        }
-        fn delete(&mut self, i: u64) {
-            LsmRTree::delete(self, &point(i), format!("k{i}").as_bytes()).unwrap();
-        }
-        fn try_flush(&mut self) -> Result<()> {
-            LsmRTree::flush(self)
-        }
-        fn live(&self) -> usize {
-            self.count().unwrap()
-        }
+    }
+
+    /// An index that never flushes on its own.
+    fn manual<K: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<K> {
+        Lsm::new(cache, K::config(1 << 30, policy))
+    }
+
+    /// The same index as its manifest describes it.
+    fn reopened<K: Entries>(cache: Arc<BufferCache>) -> Lsm<K> {
+        Lsm::reopen(cache, K::config(1 << 30, MergePolicy::NoMerge)).unwrap()
     }
 
     fn setup(faults: Option<FaultConfig>) -> (Arc<BufferCache>, TempDir) {
@@ -1297,17 +1370,17 @@ mod tests {
     }
 
     /// One component holding entries `range`.
-    fn component<S: Subject>(t: &mut S, range: std::ops::Range<u64>) {
+    fn component<K: Entries>(t: &mut Lsm<K>, range: std::ops::Range<u64>) {
         for i in range {
-            t.put(i);
+            K::put(t, i);
         }
-        t.flush();
+        t.flush().unwrap();
     }
 
     /// Names of the files the live components own.
-    fn live_files<S: Subject>(t: &S, cache: &BufferCache) -> Vec<String> {
+    fn live_files<K: ComponentKind>(t: &Lsm<K>, cache: &BufferCache) -> Vec<String> {
         let ids: Vec<FileId> =
-            t.harness().snapshot().iter().flat_map(|c| S::Kind::files(&c.disk)).collect();
+            t.shared.snapshot().iter().flat_map(|c| K::files(&c.disk)).collect();
         let open = cache.manager().open_files();
         open.into_iter().filter(|(_, id)| ids.contains(id)).map(|(name, _)| name).collect()
     }
@@ -1315,21 +1388,21 @@ mod tests {
     /// Publish-before-retire: old components used to be deleted *before* the
     /// merged one was inserted, so a failed delete un-published the merged
     /// entries. Now every retirement delete may fail and nothing is lost.
-    fn retirement_delete_failure_never_loses_merged_data<S: Subject>() {
+    fn retirement_delete_failure_never_loses_merged_data<K: Entries>() {
         let (cache, _d) =
             setup(Some(FaultConfig { seed: 9, delete_fail_prob: 1.0, ..FaultConfig::default() }));
-        let mut t = S::new(cache.clone(), MergePolicy::NoMerge);
+        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
         component(&mut t, 0..500);
         for i in 0..100 {
-            t.delete(i);
+            K::delete(&mut t, i);
         }
         component(&mut t, 500..1_000);
-        assert_eq!(t.harness().component_count(), 2);
+        assert_eq!(t.component_count(), 2);
         let files = live_files(&t, &cache).len() as u64;
-        t.harness().merge_newest(2).expect("retirement failures are non-fatal");
-        assert_eq!(t.harness().component_count(), 1, "merged component is live");
-        assert_eq!(t.live(), 900, "no entry lost, deletes applied");
-        assert_eq!(t.harness().stats().retire_failures, files, "one failure per input file");
+        t.merge_newest(2).expect("retirement failures are non-fatal");
+        assert_eq!(t.component_count(), 1, "merged component is live");
+        assert_eq!(K::live(&t), 900, "no entry lost, deletes applied");
+        assert_eq!(t.stats().retire_failures, files, "one failure per input file");
         assert_eq!(cache.stats().lsm().retire_failures(), files);
     }
 
@@ -1343,76 +1416,76 @@ mod tests {
         }
     }
 
-    fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<S: Subject>() {
+    fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<K: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = S::new(cache.clone(), MergePolicy::NoMerge);
+        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
         component(&mut t, 0..600);
         component(&mut t, 600..1_200);
         let parked = Arc::new(ParkedExecutor::default());
-        t.harness().set_executor(CompactionExec::new(parked.clone()));
-        t.harness().set_merge_policy(MergePolicy::Constant { max_components: 1 });
+        t.set_executor(CompactionExec::new(parked.clone()));
+        t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
         // this flush schedules (but does not run) the merge
         component(&mut t, 1_200..1_201);
-        assert_eq!(t.harness().compaction_state(), "merging");
-        assert_eq!(t.harness().merging_range().len(), 3, "all three components in range");
+        assert_eq!(t.compaction_state(), "merging");
+        assert_eq!(t.merging_range().len(), 3, "all three components in range");
         assert_eq!(cache.stats().lsm().merge_inflight(), 1);
         let job = parked.0.lock().pop().expect("merge scheduled");
         // reads and flushes still serve against the pre-merge list
-        assert_eq!(t.live(), 1_201);
-        let before = t.harness().component_count();
+        assert_eq!(K::live(&t), 1_201);
+        let before = t.component_count();
         component(&mut t, 1_201..1_202);
-        assert_eq!(t.harness().component_count(), before + 1, "flush during merge");
+        assert_eq!(t.component_count(), before + 1, "flush during merge");
         // partial progress, then cancellation
         assert_eq!(job.step(), JobStep::Again, "one morsel merged");
         job.cancel();
         assert_eq!(job.step(), JobStep::Done, "cancel honored at morsel edge");
-        assert_eq!(t.harness().compaction_state(), "idle");
+        assert_eq!(t.compaction_state(), "idle");
         assert_eq!(cache.stats().lsm().merge_inflight(), 0);
-        assert_eq!(t.harness().stats().merges, 0);
-        assert_eq!(t.harness().stats().merges_aborted, 1);
-        assert_eq!(t.harness().component_count(), before + 1, "list untouched by abort");
-        assert_eq!(t.live(), 1_202);
+        assert_eq!(t.stats().merges, 0);
+        assert_eq!(t.stats().merges_aborted, 1);
+        assert_eq!(t.component_count(), before + 1, "list untouched by abort");
+        assert_eq!(K::live(&t), 1_202);
     }
 
     /// One flush used to run the policy exactly once, so a backlog built
     /// under one policy never converged after a switch. Build geometric
     /// components under NoMerge, switch to Tiered, and one more flush must
     /// cascade all the way down.
-    fn merge_cascade_converges_after_policy_switch<S: Subject>() {
+    fn merge_cascade_converges_after_policy_switch<K: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = S::new(cache, MergePolicy::NoMerge);
+        let mut t = manual::<K>(cache, MergePolicy::NoMerge);
         component(&mut t, 0..4_000);
         component(&mut t, 4_000..6_000);
         component(&mut t, 6_000..7_000);
-        assert_eq!(t.harness().component_count(), 3);
-        assert_eq!(t.harness().stats().merges, 0);
-        t.harness().set_merge_policy(MergePolicy::Tiered { size_ratio: 2 });
+        assert_eq!(t.component_count(), 3);
+        assert_eq!(t.stats().merges, 0);
+        t.set_merge_policy(MergePolicy::Tiered { size_ratio: 2 });
         component(&mut t, 7_000..8_000);
-        assert_eq!(t.harness().component_count(), 1, "cascade converged in one flush");
-        assert!(t.harness().stats().merges >= 2, "required more than one policy pick");
-        assert_eq!(t.live(), 8_000);
+        assert_eq!(t.component_count(), 1, "cascade converged in one flush");
+        assert!(t.stats().merges >= 2, "required more than one policy pick");
+        assert_eq!(K::live(&t), 8_000);
     }
 
     /// A reader's snapshot keeps merged-away files on disk until it drops.
-    fn snapshot_keeps_merged_away_files_until_dropped<S: Subject>() {
+    fn snapshot_keeps_merged_away_files_until_dropped<K: Entries>() {
         let (cache, dir) = setup(None);
-        let mut t = S::new(cache.clone(), MergePolicy::NoMerge);
+        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
         component(&mut t, 0..100);
         for i in 0..10 {
-            t.delete(i);
+            K::delete(&mut t, i);
         }
         component(&mut t, 100..200);
         let inputs = live_files(&t, &cache);
         assert!(inputs.len() >= 2);
         let on_disk = |name: &String| dir.path().join(name).exists();
-        let snapshot = t.harness().snapshot();
-        t.harness().merge_newest(2).unwrap();
-        assert_eq!(t.harness().component_count(), 1);
+        let snapshot = t.shared.snapshot();
+        t.merge_newest(2).unwrap();
+        assert_eq!(t.component_count(), 1);
         assert!(inputs.iter().all(on_disk), "inputs outlive the merge while a reader holds them");
         drop(snapshot);
         assert!(!inputs.iter().any(on_disk), "last reader gone: inputs unlinked");
-        assert_eq!(t.harness().stats().retire_failures, 0);
-        assert_eq!(t.live(), 190);
+        assert_eq!(t.stats().retire_failures, 0);
+        assert_eq!(K::live(&t), 190);
     }
 
     /// A second cache over the same directory: what a restart sees.
@@ -1434,33 +1507,33 @@ mod tests {
 
     /// Flushed and merged components are there after a restart, under ids
     /// that go on where they stopped; what was only in memory is not.
-    fn reopen_attaches_what_the_manifest_names<S: Subject>() {
+    fn reopen_attaches_what_the_manifest_names<K: Entries>() {
         let (cache, dir) = setup(None);
-        let mut t = S::new(cache, MergePolicy::NoMerge);
+        let mut t = manual::<K>(cache, MergePolicy::NoMerge);
         component(&mut t, 0..300);
         for i in 0..50 {
-            t.delete(i);
+            K::delete(&mut t, i);
         }
         component(&mut t, 300..600);
-        t.harness().merge_newest(2).unwrap();
+        t.merge_newest(2).unwrap();
         component(&mut t, 600..700);
-        t.put(9_999); // never flushed
+        K::put(&mut t, 9_999); // never flushed
         let (ids, files) = (
-            t.harness().snapshot().iter().map(|c| c.id).collect::<Vec<_>>(),
+            t.shared.snapshot().iter().map(|c| c.id).collect::<Vec<_>>(),
             component_files(&dir),
         );
         drop(t);
-        let t = S::reopen(restarted(&dir));
-        assert_eq!(t.harness().snapshot().iter().map(|c| c.id).collect::<Vec<_>>(), ids);
+        let t = reopened::<K>(restarted(&dir));
+        assert_eq!(t.shared.snapshot().iter().map(|c| c.id).collect::<Vec<_>>(), ids);
         assert_eq!(component_files(&dir), files, "nothing the manifest names was swept");
-        assert_eq!(t.live(), 650);
-        assert!(t.harness().alloc_id() > ids[0], "ids resume past the manifest's highest");
+        assert_eq!(K::live(&t), 650);
+        assert!(t.shared.alloc_id() > ids[0], "ids resume past the manifest's highest");
     }
 
     /// A crash at any step of publishing the manifest — for a flush or for a
     /// merge — leaves a directory that reopens to the list from before the
     /// publish or to the one after it, with no file unaccounted for.
-    fn crash_inside_a_publish_reopens_to_a_list_that_was_live<S: Subject>() {
+    fn crash_inside_a_publish_reopens_to_a_list_that_was_live<K: Entries>() {
         let steps = [".manifest.tmp:write", ".manifest.tmp", ".manifest:rename", ".manifest:dirsync"];
         // publishes 0 and 1 are flushes, 2 is the merge of their components
         for (step, publish) in steps.iter().flat_map(|s| (0..3u64).map(move |p| (s, p))) {
@@ -1471,24 +1544,24 @@ mod tests {
                 crash_at_target: Some((step.to_string(), nth)),
                 ..FaultConfig::default()
             }));
-            let mut t = S::new(cache, MergePolicy::NoMerge);
-            let run = |t: &mut S| -> Result<()> {
+            let mut t = manual::<K>(cache, MergePolicy::NoMerge);
+            let run = |t: &mut Lsm<K>| -> Result<()> {
                 for i in 0..200 {
-                    t.put(i);
+                    K::put(t, i);
                 }
-                t.try_flush()?;
+                t.flush()?;
                 for i in 0..40 {
-                    t.delete(i);
+                    K::delete(t, i);
                 }
                 for i in 200..400 {
-                    t.put(i);
+                    K::put(t, i);
                 }
-                t.try_flush()?;
-                t.harness().merge_newest(2)
+                t.flush()?;
+                t.merge_newest(2)
             };
             assert!(run(&mut t).is_err(), "{step} #{publish}: the crash point must fire");
             drop(t);
-            let t = S::reopen(restarted(&dir));
+            let t = reopened::<K>(restarted(&dir));
             // the rename is what publishes: before it the old list, from it on the new
             let published = publish + u64::from(step.contains(":dirsync"));
             let want = match published {
@@ -1496,8 +1569,8 @@ mod tests {
                 1 => 200,
                 _ => 360,
             };
-            assert_eq!(t.live(), want, "{step} #{publish}");
-            let named: usize = t.harness().snapshot().iter().map(|c| S::Kind::files(&c.disk).len()).sum();
+            assert_eq!(K::live(&t), want, "{step} #{publish}");
+            let named: usize = t.shared.snapshot().iter().map(|c| K::files(&c.disk).len()).sum();
             assert_eq!(component_files(&dir).len(), named, "{step} #{publish}: an orphan survived the sweep");
         }
     }
@@ -1506,82 +1579,120 @@ mod tests {
     /// but not flushed, stays readable, and is flushed when it is over; a
     /// transaction that does not hold the sealed component up is told to
     /// wait rather than grow the active one.
-    fn sealed_component_waits_for_its_writers<S: Subject>() {
+    fn sealed_component_waits_for_its_writers<K: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = S::tiny(cache);
+        let mut t = Lsm::<K>::new(cache, K::config(512, MergePolicy::NoMerge));
         let mut lsn = 100;
-        let mut write = |t: &mut S, i: u64, writer: u64| {
+        let mut write = |t: &mut Lsm<K>, i: u64, writer: u64| {
             t.stamp(lsn, Some(writer));
-            t.put(i);
+            K::put(t, i);
             lsn += 10;
         };
         for i in 0..40 {
             write(&mut t, i, 7);
         }
-        let stats = t.harness().stats();
+        let stats = t.stats();
         assert_eq!((stats.seals, stats.flushes), (1, 0), "sealed at the budget, held for txn 7");
-        assert_eq!(t.live(), 40, "reads see the sealed and the active component");
+        assert_eq!(K::live(&t), 40, "reads see the sealed and the active component");
         assert!(!t.must_wait(7), "txn 7 cannot wait for itself");
         assert!(t.must_wait(8), "txn 8 can: the active component is past its budget too");
-        assert_eq!(t.harness().flushed_below(), 0);
-        t.release(7);
-        let stats = t.harness().stats();
+        assert_eq!(t.flushed_below(), 0);
+        t.release(7).unwrap();
+        let stats = t.stats();
         assert_eq!(stats.seals, stats.flushes, "released: everything sealed is flushed");
         assert!(stats.flushes >= 2, "the overgrown active component followed");
-        assert_eq!(t.harness().flushed_below(), 100 + 39 * 10 + 1, "just past the last record applied");
-        assert_eq!(t.live(), 40);
+        assert_eq!(t.flushed_below(), 100 + 39 * 10 + 1, "just past the last record applied");
+        assert_eq!(K::live(&t), 40);
         // a transaction's writes that fit in the active component wait there
         write(&mut t, 40, 9);
-        t.flush();
-        assert_eq!(t.harness().stats().flushes, stats.flushes, "an explicit flush is no-steal too");
-        t.release(9);
-        t.flush();
-        assert_eq!(t.harness().stats().flushes, stats.flushes + 1);
+        t.flush().unwrap();
+        assert_eq!(t.stats().flushes, stats.flushes, "an explicit flush is no-steal too");
+        t.release(9).unwrap();
+        t.flush().unwrap();
+        assert_eq!(t.stats().flushes, stats.flushes + 1);
+    }
+
+    /// One seeded schedule of stamped writes, releases and flushes over three
+    /// transactions, with a budget every write exceeds: what the lifecycle
+    /// shows after each step.
+    fn no_steal_trace<K: Entries>() -> Vec<(u64, u64, Lsn, Option<Lsn>)> {
+        let (cache, _d) = setup(None);
+        let mut t = Lsm::<K>::new(cache, K::config(0, MergePolicy::NoMerge));
+        let mut rng = SmallRng::seed_from_u64(19);
+        let mut lsn = 1;
+        let mut trace = Vec::new();
+        for i in 0..300 {
+            let writer = rng.gen_range(1..=3u64);
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    t.stamp(lsn, Some(writer));
+                    K::put(&mut t, i);
+                    lsn += rng.gen_range(1..4u64);
+                }
+                6..=8 => t.release(writer).unwrap(),
+                _ => t.flush().unwrap(),
+            }
+            let stats = t.stats();
+            trace.push((stats.seals, stats.flushes, t.flushed_below(), t.first_unflushed()));
+        }
+        trace
+    }
+
+    /// No-steal is decided by the handle, not by the kind: the same schedule
+    /// seals, flushes and advances the flushed LSN at the same steps.
+    #[test]
+    fn both_kinds_seal_and_flush_at_the_same_steps_of_one_schedule() {
+        let trace = no_steal_trace::<BTreeKind>();
+        assert_eq!(trace, no_steal_trace::<RTreeKind>());
+        let waited = trace.iter().filter(|(seals, flushes, ..)| seals > flushes).count();
+        let (seals, flushes, flushed_below, _) = trace[trace.len() - 1];
+        assert!(waited > 50 && flushes > 20, "{waited} steps with a sealed component held, {flushes} flushes");
+        assert!(seals >= flushes && flushed_below > 1);
     }
 
     macro_rules! lifecycle_contract {
-        ($kind:ident, $subject:ty) => {
+        ($kind:ident, $k:ty) => {
             mod $kind {
                 use super::*;
 
                 #[test]
                 fn retirement_delete_failure_never_loses_merged_data() {
-                    super::retirement_delete_failure_never_loses_merged_data::<$subject>();
+                    super::retirement_delete_failure_never_loses_merged_data::<$k>();
                 }
 
                 #[test]
                 fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly() {
-                    super::reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly::<$subject>();
+                    super::reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly::<$k>();
                 }
 
                 #[test]
                 fn merge_cascade_converges_after_policy_switch() {
-                    super::merge_cascade_converges_after_policy_switch::<$subject>();
+                    super::merge_cascade_converges_after_policy_switch::<$k>();
                 }
 
                 #[test]
                 fn snapshot_keeps_merged_away_files_until_dropped() {
-                    super::snapshot_keeps_merged_away_files_until_dropped::<$subject>();
+                    super::snapshot_keeps_merged_away_files_until_dropped::<$k>();
                 }
 
                 #[test]
                 fn reopen_attaches_what_the_manifest_names() {
-                    super::reopen_attaches_what_the_manifest_names::<$subject>();
+                    super::reopen_attaches_what_the_manifest_names::<$k>();
                 }
 
                 #[test]
                 fn crash_inside_a_publish_reopens_to_a_list_that_was_live() {
-                    super::crash_inside_a_publish_reopens_to_a_list_that_was_live::<$subject>();
+                    super::crash_inside_a_publish_reopens_to_a_list_that_was_live::<$k>();
                 }
 
                 #[test]
                 fn sealed_component_waits_for_its_writers() {
-                    super::sealed_component_waits_for_its_writers::<$subject>();
+                    super::sealed_component_waits_for_its_writers::<$k>();
                 }
             }
         };
     }
 
-    lifecycle_contract!(btree, LsmTree);
-    lifecycle_contract!(rtree, LsmRTree);
+    lifecycle_contract!(btree, BTreeKind);
+    lifecycle_contract!(rtree, RTreeKind);
 }

@@ -8,7 +8,7 @@
 
 use crate::cache::BufferCache;
 use crate::error::Result;
-use crate::lsm::{LsmConfig, LsmTree, MergePolicy};
+use crate::lsm::{LsmConfig, LsmTree};
 use asterix_adm::binary::{decode_key, encode_key};
 use asterix_adm::Value;
 use std::ops::Bound;
@@ -37,24 +37,15 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Creates an inverted index with its own LSM tree.
+    /// An inverted index kept in `tree`, which the caller created or
+    /// reopened: its lifecycle is the tree's own.
+    pub fn over(tree: LsmTree) -> Self {
+        InvertedIndex { tree }
+    }
+
+    /// Creates an inverted index with its own, default-configured LSM tree.
     pub fn new(cache: Arc<BufferCache>, name: impl Into<String>) -> Self {
-        let mut config = LsmConfig::new(name);
-        config.merge_policy = MergePolicy::Prefix {
-            max_mergable_bytes: 16 << 20,
-            max_tolerance_components: 4,
-        };
-        InvertedIndex { tree: LsmTree::new(cache, config) }
-    }
-
-    /// Creates with a custom LSM configuration.
-    pub fn with_config(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
-        InvertedIndex { tree: LsmTree::new(cache, config) }
-    }
-
-    /// Opens the index its tree's manifest describes (see [`LsmTree::reopen`]).
-    pub fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Self> {
-        Ok(InvertedIndex { tree: LsmTree::reopen(cache, config)? })
+        InvertedIndex::over(LsmTree::new(cache, LsmConfig::new(name)))
     }
 
     fn entry_key(token: &str, pk: &[Value]) -> Vec<u8> {

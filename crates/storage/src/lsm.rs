@@ -19,20 +19,17 @@
 
 use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
 use crate::cache::BufferCache;
-use crate::compaction::CompactionExec;
 use crate::error::{Result, StorageError};
-use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf, MemSlots};
+use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
-use crate::wal::Lsn;
 use asterix_adm::binary::compare_keys;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
-use std::time::Duration;
 
 pub use crate::harness::{
-    manifest_names, remove_index_files, sweep_unreferenced, LsmStats, MergePolicy,
+    manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy,
 };
 
 // ---------------------------------------------------------------------------
@@ -330,7 +327,7 @@ impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> Iterator for KWayMerge<I, V> {
 
 /// In-progress compaction: the merge over the input components' raw entries
 /// plus the output builder.
-pub(crate) struct MergeRun {
+pub struct MergeRun {
     merge: KWayMerge<BTreeRangeIter, Vec<u8>>,
     builder: BTreeBuilder,
     /// Nothing older than the inputs exists: dead tombstones are dropped.
@@ -345,7 +342,7 @@ pub(crate) struct MergeRun {
 /// What the lifecycle harness needs to know about B+-tree components: one
 /// `<name>_c<id>.btree` file each, merged by a k-way merge in which the
 /// newest version of a key wins.
-pub(crate) struct BTreeKind {
+pub struct BTreeKind {
     cache: Arc<BufferCache>,
     config: LsmConfig,
 }
@@ -377,15 +374,6 @@ impl BTreeKind {
         Ok(BTreeBuilder::new(writer, if self.config.bloom { expected_keys } else { 0 }))
     }
 
-    /// Bulk-loads a memory component into the file of component `id`.
-    fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
-        let mut builder = self.builder(id, mem.len())?;
-        for (k, e) in mem.iter() {
-            builder.add(&k.0, &self.encode_disk(&e.encode()))?;
-        }
-        self.seal(builder, mem.len() as u64)
-    }
-
     /// Seals a bulk-loaded component file.
     fn seal(&self, builder: BTreeBuilder, written: u64) -> Result<Built<DiskBTree>> {
         let built = builder.finish()?;
@@ -396,8 +384,14 @@ impl BTreeKind {
 }
 
 impl ComponentKind for BTreeKind {
+    type Config = LsmConfig;
+    type Mem = MemComponent;
     type Disk = DiskBTree;
     type Run = MergeRun;
+
+    fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
+        BTreeKind { cache, config }
+    }
 
     fn cache(&self) -> &Arc<BufferCache> {
         &self.cache
@@ -405,6 +399,22 @@ impl ComponentKind for BTreeKind {
 
     fn name(&self) -> &str {
         &self.config.name
+    }
+
+    fn mem_budget(&self) -> usize {
+        self.config.mem_budget
+    }
+
+    fn merge_policy(&self) -> MergePolicy {
+        self.config.merge_policy
+    }
+
+    fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
+        let mut builder = self.builder(id, mem.len())?;
+        for (k, e) in mem.iter() {
+            builder.add(&k.0, &self.encode_disk(&e.encode()))?;
+        }
+        self.seal(builder, mem.len() as u64)
     }
 
     fn files(disk: &DiskBTree) -> Vec<FileId> {
@@ -464,129 +474,19 @@ impl ComponentKind for BTreeKind {
 // The LSM tree
 // ---------------------------------------------------------------------------
 
-/// An LSM B+ tree index over encoded composite keys.
-pub struct LsmTree {
-    pub(crate) shared: Arc<Harness<BTreeKind>>,
-    mem: MemSlots<MemComponent>,
-}
+/// An LSM B+ tree index over encoded composite keys: the [`Lsm`] lifecycle
+/// plus the reads and writes below.
+pub type LsmTree = Lsm<BTreeKind>;
 
-impl LsmTree {
-    /// Creates an empty LSM tree, whatever its directory holds. Amplification
-    /// counters feed the node-wide hub reachable through the cache's
-    /// [`crate::IoStats`].
-    pub fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
-        let policy = config.merge_policy;
-        LsmTree { shared: Harness::new(BTreeKind { cache, config }, policy), mem: MemSlots::default() }
-    }
-
-    /// Opens the tree its manifest describes (an empty one when it has no
-    /// manifest): the disk components a previous incarnation published.
-    pub fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Self> {
-        let policy = config.merge_policy;
-        let shared = Harness::reopen(BTreeKind { cache, config }, policy)?;
-        Ok(LsmTree { shared, mem: MemSlots::default() })
-    }
-
+impl Lsm<BTreeKind> {
     /// The configuration.
     pub fn config(&self) -> &LsmConfig {
-        &self.shared.kind().config
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> LsmStats {
-        self.shared.stats()
-    }
-
-    /// Installs a background executor: from now on scheduled merges run off
-    /// the write path, one morsel per step.
-    pub fn set_executor(&self, exec: CompactionExec) {
-        self.shared.set_executor(exec);
-    }
-
-    /// Replaces the active merge policy. Takes effect at the next scheduling
-    /// point; a long backlog converges because scheduling loops until the
-    /// policy is satisfied.
-    pub fn set_merge_policy(&self, policy: MergePolicy) {
-        self.shared.set_merge_policy(policy);
-    }
-
-    /// Name of the compaction state machine's current state
-    /// (`idle`/`merging`/`retiring`), for diagnostics and tests.
-    pub fn compaction_state(&self) -> &'static str {
-        self.shared.compaction_state()
-    }
-
-    /// Component ids covered by the in-flight merge (empty when no merge is
-    /// running): the `merging{range}` half of the state machine.
-    pub fn merging_range(&self) -> Vec<u64> {
-        self.shared.merging_range()
-    }
-
-    /// Blocks until no merge is in flight **and** the policy has no more
-    /// work, scheduling as needed (quiesce for benches/tests). Returns
-    /// `false` on timeout or if a merge aborts while waiting.
-    pub fn wait_merges_idle(&self, timeout: Duration) -> bool {
-        self.shared.wait_merges_idle(timeout)
-    }
-
-    /// Number of disk components.
-    pub fn component_count(&self) -> usize {
-        self.shared.component_count()
+        &self.kind().config
     }
 
     /// Entries currently buffered in memory.
     pub fn mem_entries(&self) -> usize {
-        self.mem.active().len() + self.mem.sealed().map_or(0, MemComponent::len)
-    }
-
-    /// The writes that follow apply the log record at `lsn`, logged by the
-    /// open transaction `writer` (`None` when replaying a committed one).
-    /// What `writer` wrote is not flushed before [`LsmTree::release`].
-    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        self.mem.stamp(lsn, writer);
-    }
-
-    /// Declares every logged operation below `lsn` reflected in this tree
-    /// (it was just built from an index that is that far).
-    pub fn cover_below(&mut self, lsn: Lsn) {
-        self.mem.cover_below(lsn);
-    }
-
-    /// Transaction `writer` has committed or aborted: flushes what was
-    /// waiting for it.
-    pub fn release(&mut self, writer: u64) -> Result<()> {
-        self.mem.release(writer);
-        self.settle(false)
-    }
-
-    /// Whether `writer` should let other transactions finish before writing
-    /// on (see `MemSlots::must_wait`).
-    pub fn must_wait(&self, writer: u64) -> bool {
-        self.mem.must_wait(writer, self.shared.kind().config.mem_budget)
-    }
-
-    /// The LSN below which every logged operation of this tree is in a
-    /// durable disk component.
-    pub fn flushed_below(&self) -> Lsn {
-        self.shared.flushed_below()
-    }
-
-    /// Durably records that the log below `lsn` holds nothing this tree
-    /// lacks (it was just created).
-    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
-        self.mem.cover_below(lsn);
-        self.shared.mark_flushed_below(lsn)
-    }
-
-    /// LSN of the oldest log record whose effect is only in memory.
-    pub fn first_unflushed(&self) -> Option<Lsn> {
-        self.mem.first_unflushed()
-    }
-
-    /// Deletes the tree from disk, manifest and components. The handle stays
-    /// readable, as an empty tree, but can publish nothing more.
-    pub fn destroy(&self) -> Result<()> {
-        self.shared.destroy()
+        self.mem.newest_first().map(MemComponent::len).sum()
     }
 
     /// Inserts or replaces `key`. Past the budget the memory component is
@@ -604,15 +504,9 @@ impl LsmTree {
         self.settle(false)
     }
 
-    fn settle(&mut self, force: bool) -> Result<()> {
-        let kind = self.shared.kind();
-        self.mem.settle(&self.shared, kind.config.mem_budget, force, |id, mem| kind.flush(id, mem))
-    }
-
     /// Point lookup: memory components, then disk components newest-first.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut buffered = std::iter::once(self.mem.active()).chain(self.mem.sealed());
-        if let Some(entry) = buffered.find_map(|m| m.get(key)) {
+        if let Some(entry) = self.mem.newest_first().find_map(|m| m.get(key)) {
             self.shared.count_point_read(0);
             return Ok(match entry {
                 Entry::Put(v) => Some(v.clone()),
@@ -635,24 +529,11 @@ impl LsmTree {
         self.shared.count_point_read(probes);
         match found {
             None => Ok(None),
-            Some(raw) => match Entry::decode(&self.shared.kind().decode_disk(raw)?)? {
+            Some(raw) => match Entry::decode(&self.kind().decode_disk(raw)?)? {
                 Entry::Put(v) => Ok(Some(v)),
                 Entry::Tombstone => Ok(None),
             },
         }
-    }
-
-    /// Forces what is buffered to disk as new components and hands them to
-    /// the lifecycle, which publishes them and schedules merging. What an
-    /// open transaction wrote stays in memory until it is released.
-    pub fn flush(&mut self) -> Result<()> {
-        self.settle(true)
-    }
-
-    /// Merges the `n` newest disk components into one, inline on this
-    /// thread (waits for any background merge to drain first).
-    pub fn merge_newest(&mut self, n: usize) -> Result<()> {
-        self.shared.merge_newest(n)
     }
 
     /// Lazy ordered scan over `[lo, hi]`, resolving versions (newest wins)
@@ -664,12 +545,12 @@ impl LsmTree {
         // Snapshot the component list: the scan sees a consistent pre- or
         // post-merge view, and snapshot refs keep retired files alive.
         let snapshot = self.shared.snapshot();
-        let kind = self.shared.kind();
+        let kind = self.kind();
         let owned = |b: Bound<&[u8]>| b.map(<[u8]>::to_vec);
         // Per-source ordered streams: rank 0 = the active memory component
         // (newest), then the sealed one, then disk.
         let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 2);
-        for mem in std::iter::once(self.mem.active()).chain(self.mem.sealed()) {
+        for mem in self.mem.newest_first() {
             streams.push(Box::new(
                 mem.range(lo, hi).map(|(k, e)| Ok((k.0.clone(), e.clone()))),
             ));
@@ -683,7 +564,7 @@ impl LsmTree {
         Ok(LsmRangeIter { merge: KWayMerge::new(streams), shared: &self.shared, _snapshot: snapshot })
     }
 
-    /// [`LsmTree::range_iter`], materialized.
+    /// [`Lsm::range_iter`], materialized.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
@@ -733,15 +614,6 @@ impl Drop for LsmRangeIter<'_> {
     }
 }
 
-impl Drop for LsmTree {
-    fn drop(&mut self) {
-        // Ask any in-flight background merge to stop at its next morsel; the
-        // job holds its own reference to the shared state, so this is a
-        // courtesy, not a correctness requirement.
-        self.shared.cancel_merge();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,6 +623,7 @@ mod tests {
     use crate::testutil::TempDir;
     use asterix_adm::binary::encode_key;
     use asterix_adm::Value;
+    use std::time::Duration;
 
     fn setup() -> (Arc<BufferCache>, TempDir) {
         let dir = TempDir::new();

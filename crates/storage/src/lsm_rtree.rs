@@ -18,19 +18,14 @@
 
 use crate::btree::{BTreeBuilder, DiskBTree};
 use crate::cache::BufferCache;
-use crate::compaction::CompactionExec;
 use crate::error::{Result, StorageError};
-use crate::harness::{
-    Built, Component, ComponentKind, Harness, LsmStats, MemBuf, MemSlots, MergePolicy,
-};
+use crate::harness::{Built, Component, ComponentKind, Lsm, MemBuf, MergePolicy};
 use crate::io::FileId;
 use crate::lsm::KeyBytes;
-use crate::wal::Lsn;
 use crate::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_adm::{Point, Rectangle};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of an LSM R-tree.
 #[derive(Debug, Clone)]
@@ -72,7 +67,7 @@ fn everything() -> Rectangle {
 
 /// One disk component: `<name>_c<id>.rtree` plus, when any key was deleted
 /// while it was the memory component, `<name>_c<id>.delkeys`.
-pub(crate) struct RTreeDisk {
+pub struct RTreeDisk {
     rtree: DiskRTree,
     /// Keys deleted *logically before* this component was flushed; masks
     /// matching entries in all older components.
@@ -126,7 +121,7 @@ impl Visibility {
 /// The memory component: entries plus the keys deleted while it was active
 /// (they mask older components, never this one).
 #[derive(Default)]
-pub(crate) struct RTreeMem {
+pub struct RTreeMem {
     rtree: MemRTree,
     tombstones: BTreeSet<KeyBytes>,
     /// Approximate bytes buffered in `tombstones`.
@@ -144,7 +139,7 @@ impl MemBuf for RTreeMem {
 }
 
 /// An in-progress merge: the visibility walk, one input component per step.
-pub(crate) struct RTreeMergeRun {
+pub struct RTreeMergeRun {
     id: u64,
     /// Input components not yet walked; the newest is last.
     pending: Vec<Arc<Component<RTreeKind>>>,
@@ -154,7 +149,7 @@ pub(crate) struct RTreeMergeRun {
 
 /// What the lifecycle harness needs to know about R-tree components: how
 /// they are built, which files they own, and how a run of them merges.
-pub(crate) struct RTreeKind {
+pub struct RTreeKind {
     cache: Arc<BufferCache>,
     config: LsmRTreeConfig,
 }
@@ -189,8 +184,14 @@ impl RTreeKind {
 }
 
 impl ComponentKind for RTreeKind {
+    type Config = LsmRTreeConfig;
+    type Mem = RTreeMem;
     type Disk = RTreeDisk;
     type Run = RTreeMergeRun;
+
+    fn new(cache: Arc<BufferCache>, config: LsmRTreeConfig) -> Self {
+        RTreeKind { cache, config }
+    }
 
     fn cache(&self) -> &Arc<BufferCache> {
         &self.cache
@@ -198,6 +199,18 @@ impl ComponentKind for RTreeKind {
 
     fn name(&self) -> &str {
         &self.config.name
+    }
+
+    fn mem_budget(&self) -> usize {
+        self.config.mem_budget
+    }
+
+    fn merge_policy(&self) -> MergePolicy {
+        self.config.merge_policy
+    }
+
+    fn flush(&self, id: u64, mem: &RTreeMem) -> Result<Built<RTreeDisk>> {
+        self.build(id, mem.rtree.entries(), &mem.tombstones)
     }
 
     fn files(disk: &RTreeDisk) -> Vec<FileId> {
@@ -254,89 +267,14 @@ impl ComponentKind for RTreeKind {
 // The LSM R-tree
 // ---------------------------------------------------------------------------
 
-/// An LSM-ified R-tree over `(MBR, encoded primary key)` entries.
-pub struct LsmRTree {
-    pub(crate) shared: Arc<Harness<RTreeKind>>,
-    mem: MemSlots<RTreeMem>,
-}
+/// An LSM-ified R-tree over `(MBR, encoded primary key)` entries: the
+/// [`Lsm`] lifecycle plus the reads and writes below.
+pub type LsmRTree = Lsm<RTreeKind>;
 
-impl LsmRTree {
-    /// Creates an empty LSM R-tree, whatever its directory holds.
-    pub fn new(cache: Arc<BufferCache>, config: LsmRTreeConfig) -> Self {
-        let policy = config.merge_policy;
-        LsmRTree { shared: Harness::new(RTreeKind { cache, config }, policy), mem: MemSlots::default() }
-    }
-
-    /// Opens the R-tree its manifest describes (see
-    /// [`crate::lsm::LsmTree::reopen`]).
-    pub fn reopen(cache: Arc<BufferCache>, config: LsmRTreeConfig) -> Result<Self> {
-        let policy = config.merge_policy;
-        let shared = Harness::reopen(RTreeKind { cache, config }, policy)?;
-        Ok(LsmRTree { shared, mem: MemSlots::default() })
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> LsmStats {
-        self.shared.stats()
-    }
-
-    /// Installs a background executor: from now on scheduled merges run off
-    /// the write path, one input component per step.
-    pub fn set_executor(&self, exec: CompactionExec) {
-        self.shared.set_executor(exec);
-    }
-
-    /// Blocks until no merge is in flight and the policy has no more work
-    /// (see [`crate::lsm::LsmTree::wait_merges_idle`]).
-    pub fn wait_merges_idle(&self, timeout: Duration) -> bool {
-        self.shared.wait_merges_idle(timeout)
-    }
-
-    /// Number of disk components.
-    pub fn component_count(&self) -> usize {
-        self.shared.component_count()
-    }
-
+impl Lsm<RTreeKind> {
     /// Total tree pages across disk components (E11's size metric).
     pub fn disk_pages(&self) -> u64 {
         self.shared.snapshot().iter().map(|c| c.disk.rtree.data_pages()).sum()
-    }
-
-    /// See [`crate::lsm::LsmTree::stamp`].
-    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        self.mem.stamp(lsn, writer);
-    }
-
-    /// See [`crate::lsm::LsmTree::cover_below`].
-    pub fn cover_below(&mut self, lsn: Lsn) {
-        self.mem.cover_below(lsn);
-    }
-
-    /// See [`crate::lsm::LsmTree::release`].
-    pub fn release(&mut self, writer: u64) -> Result<()> {
-        self.mem.release(writer);
-        self.settle(false)
-    }
-
-    /// See [`crate::lsm::LsmTree::must_wait`].
-    pub fn must_wait(&self, writer: u64) -> bool {
-        self.mem.must_wait(writer, self.shared.kind().config.mem_budget)
-    }
-
-    /// See [`crate::lsm::LsmTree::flushed_below`].
-    pub fn flushed_below(&self) -> Lsn {
-        self.shared.flushed_below()
-    }
-
-    /// See [`crate::lsm::LsmTree::mark_flushed_below`].
-    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
-        self.mem.cover_below(lsn);
-        self.shared.mark_flushed_below(lsn)
-    }
-
-    /// Deletes the index from disk (see [`crate::lsm::LsmTree::destroy`]).
-    pub fn destroy(&self) -> Result<()> {
-        self.shared.destroy()
     }
 
     /// Inserts an entry; past the memory budget the memory component is
@@ -361,31 +299,12 @@ impl LsmRTree {
         self.settle(false)
     }
 
-    fn settle(&mut self, force: bool) -> Result<()> {
-        let kind = self.shared.kind();
-        self.mem.settle(&self.shared, kind.config.mem_budget, force, |id, mem| {
-            kind.build(id, mem.rtree.entries(), &mem.tombstones)
-        })
-    }
-
-    /// Forces what is buffered (entries + tombstones) to disk and hands it
-    /// to the lifecycle, which publishes it and schedules merging. What an
-    /// open transaction wrote stays in memory until it is released.
-    pub fn flush(&mut self) -> Result<()> {
-        self.settle(true)
-    }
-
-    /// Merges the `n` newest components into one, inline on this thread.
-    pub fn merge_newest(&mut self, n: usize) -> Result<()> {
-        self.shared.merge_newest(n)
-    }
-
     /// All live entries intersecting `query`, resolving deletes across
     /// components (newest wins; tombstones mask older components).
     pub fn search(&self, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
         let mut walk = Visibility::default();
         let mut examined = 0;
-        for mem in std::iter::once(self.mem.active()).chain(self.mem.sealed()) {
+        for mem in self.mem.newest_first() {
             examined += walk.visit_mem(mem, query);
         }
         // The snapshot keeps a concurrently merged-away component readable.
@@ -399,13 +318,6 @@ impl LsmRTree {
     /// Count of live entries (full-space search; for tests).
     pub fn count(&self) -> Result<usize> {
         Ok(self.search(&everything())?.len())
-    }
-}
-
-impl Drop for LsmRTree {
-    fn drop(&mut self) {
-        // a courtesy to a background merge, as in `LsmTree`
-        self.shared.cancel_merge();
     }
 }
 
