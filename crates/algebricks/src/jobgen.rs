@@ -89,30 +89,13 @@ pub fn compile(plan: &Plan, cfg: &JobGenConfig) -> Result<JobSpec> {
     Ok(b.spec)
 }
 
-/// Compiles and runs a plan, returning the result values (one per row; a row
-/// with several result expressions yields an array value).
+/// Compiles and runs a plan under the job lifecycle options `opts` (shared
+/// cancellation token, deadline), returning the result values (one per row;
+/// a row with several result expressions yields an array value) and the
+/// per-operator profile tree the executor assembled for this job. Each call
+/// compiles the plan afresh so a retrying caller gets an independent job
+/// per attempt.
 pub fn execute(
-    plan: &Plan,
-    cfg: &JobGenConfig,
-    ctx: Arc<asterix_hyracks::RuntimeCtx>,
-) -> Result<Vec<Value>> {
-    Ok(execute_profiled(plan, cfg, ctx)?.0)
-}
-
-/// Like [`execute`], but also returns the per-operator profile tree the
-/// executor assembled for this job.
-pub fn execute_profiled(
-    plan: &Plan,
-    cfg: &JobGenConfig,
-    ctx: Arc<asterix_hyracks::RuntimeCtx>,
-) -> Result<(Vec<Value>, asterix_obs::JobProfile)> {
-    execute_profiled_with(plan, cfg, ctx, asterix_hyracks::JobOptions::default())
-}
-
-/// Like [`execute_profiled`], with explicit job lifecycle options (shared
-/// cancellation token, deadline). Each call compiles the plan afresh so a
-/// retrying caller gets an independent job per attempt.
-pub fn execute_profiled_with(
     plan: &Plan,
     cfg: &JobGenConfig,
     ctx: Arc<asterix_hyracks::RuntimeCtx>,
@@ -165,8 +148,6 @@ impl<'a> Builder<'a> {
     /// hidden vars for the appended columns.
     fn append_exprs(&mut self, built: Built, exprs: &[Expr], label: &str) -> Result<(Built, Vec<usize>)> {
         if exprs.is_empty() {
-            let n = built.schema.len();
-            let _ = n;
             return Ok((built, vec![]));
         }
         let evals: Vec<EvalFn> = exprs
@@ -850,8 +831,8 @@ mod tests {
     fn run(plan: Plan) -> Vec<Value> {
         let mut plan = plan;
         optimize(&mut plan);
-        execute(&plan, &JobGenConfig { dop: 2, ..Default::default() }, RuntimeCtx::temp().unwrap())
-            .unwrap()
+        let cfg = JobGenConfig { dop: 2, ..Default::default() };
+        execute(&plan, &cfg, RuntimeCtx::temp().unwrap(), Default::default()).unwrap().0
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub fn run(quick: bool) -> ExpReport {
     let value = vec![b'v'; 64];
 
     // --- B+ tree: sorted bulk load (the "well-known efficient load") ---
-    fm.stats().reset();
     let (btree, t_build_bt) = time_it(|| {
         let w = fm.bulk_writer("e3.btree").unwrap();
         let mut b = BTreeBuilder::new(w, n as usize);
@@ -47,7 +46,6 @@ pub fn run(quick: bool) -> ExpReport {
     let bt_writes = fm.stats().physical_writes();
 
     // --- linear hashing: incremental build (no bulk load exists) ---
-    fm.stats().reset();
     let (hash, t_build_h) = time_it(|| {
         let mut h = LinearHash::create(Arc::clone(&cache), "e3.lh", 64, 40).unwrap();
         let mut gen = DataGen::new(3003);
@@ -62,21 +60,21 @@ pub fn run(quick: bool) -> ExpReport {
         h.flush().unwrap();
         h
     });
-    let h_writes = fm.stats().physical_writes();
+    let h_writes = fm.stats().physical_writes() - bt_writes;
 
     // --- point lookups under the modest cache ---
     let mut gen = DataGen::new(3004);
     let probes: Vec<i64> = (0..lookups).map(|_| gen.int(0, n)).collect();
-    fm.stats().reset();
+    let reads_before = fm.stats().physical_reads();
     for p in &probes {
         assert!(btree.get(&key(*p)).unwrap().is_some());
     }
-    let bt_reads = fm.stats().physical_reads() as f64 / lookups as f64;
-    fm.stats().reset();
+    let reads_between = fm.stats().physical_reads();
     for p in &probes {
         assert!(hash.get(&key(*p)).unwrap().is_some());
     }
-    let h_reads = fm.stats().physical_reads() as f64 / lookups as f64;
+    let bt_reads = (reads_between - reads_before) as f64 / lookups as f64;
+    let h_reads = (fm.stats().physical_reads() - reads_between) as f64 / lookups as f64;
 
     // --- range scan: only the B+ tree can ---
     let lo = key(n / 2);

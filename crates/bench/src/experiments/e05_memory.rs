@@ -48,7 +48,7 @@ fn measure<'a>(
     inputs.insert(
         0,
         Box::new(last.chain(std::iter::from_fn(move || {
-            seen.set(ctx.stats.snapshot().spilled_bytes);
+            seen.set(ctx.stats.spilled_bytes.get());
             None
         }))),
     );
@@ -89,15 +89,14 @@ pub fn run(quick: bool) -> ExpReport {
             None => reference = Some(out.clone()),
             Some(r) => assert_eq!(r, &out, "identical output at every budget"),
         }
-        let snap = ctx.stats.snapshot();
         report.row(&[
             "external sort".into(),
             label.clone(),
             ms(t),
-            snap.spill_runs.to_string(),
-            snap.merge_passes.to_string(),
+            ctx.stats.spill_runs.get().to_string(),
+            ctx.stats.merge_passes.get().to_string(),
             before_end.to_string(),
-            snap.spilled_bytes.to_string(),
+            ctx.stats.spilled_bytes.get().to_string(),
             format!("{} rows", out.len()),
         ]);
     }
@@ -121,15 +120,14 @@ pub fn run(quick: bool) -> ExpReport {
             None => ref_join = Some(count),
             Some(r) => assert_eq!(*r, count, "identical join output at every budget"),
         }
-        let snap = ctx.stats.snapshot();
         report.row(&[
             "hybrid hash join".into(),
             label.clone(),
             ms(t),
-            snap.spill_runs.to_string(),
-            snap.joins_spilled.to_string(),
+            ctx.stats.spill_runs.get().to_string(),
+            ctx.stats.joins_spilled.get().to_string(),
             before_end.to_string(),
-            snap.spilled_bytes.to_string(),
+            ctx.stats.spilled_bytes.get().to_string(),
             format!("{count} rows"),
         ]);
     }
@@ -148,15 +146,14 @@ pub fn run(quick: bool) -> ExpReport {
             None => ref_groups = Some(groups),
             Some(r) => assert_eq!(*r, groups),
         }
-        let snap = ctx.stats.snapshot();
         report.row(&[
             "hash group-by".into(),
             label.clone(),
             ms(t),
-            snap.spill_runs.to_string(),
-            snap.groups_spilled.to_string(),
+            ctx.stats.spill_runs.get().to_string(),
+            ctx.stats.groups_spilled.get().to_string(),
             before_end.to_string(),
-            snap.spilled_bytes.to_string(),
+            ctx.stats.spilled_bytes.get().to_string(),
             format!("{groups} groups"),
         ]);
     }

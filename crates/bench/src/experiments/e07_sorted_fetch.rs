@@ -63,13 +63,13 @@ pub fn run(quick: bool) -> ExpReport {
             for i in 0..300 {
                 let _ = primary.get(&key(n - 1 - i)).unwrap();
             }
-            fm.stats().reset();
+            let before = fm.stats().physical_reads();
             let (_, t) = time_it(|| {
                 for pk in &pks {
                     assert!(primary.get(pk).unwrap().is_some());
                 }
             });
-            let reads = fm.stats().physical_reads();
+            let reads = fm.stats().physical_reads() - before;
             report.row(&[
                 k.to_string(),
                 if sorted { "sorted PKs" } else { "index order (random)" }.into(),

@@ -69,7 +69,7 @@ pub fn run(quick: bool) -> ExpReport {
         });
         let stats = tree.stats();
         // point lookups, cold cache
-        fm.stats().reset();
+        let before = fm.stats().physical_reads();
         let mut found = 0usize;
         let (_, _t_lookup) = time_it(|| {
             for _ in 0..lookups {
@@ -78,7 +78,7 @@ pub fn run(quick: bool) -> ExpReport {
                 }
             }
         });
-        let reads_per_op = fm.stats().physical_reads() as f64 / lookups as f64;
+        let reads_per_op = (fm.stats().physical_reads() - before) as f64 / lookups as f64;
         let (live, t_scan) = time_it(|| tree.scan().unwrap().len());
         report.row(&[
             name.into(),

@@ -70,13 +70,14 @@ fn ablate_local_aggregation(report: &mut ExpReport, quick: bool) {
             .unwrap();
         }
         txn.commit().unwrap();
-        let before = db.dataflow_stats().tuples_exchanged;
+        let before = db.metrics_snapshot();
         let (rows, t) = time_it(|| {
             db.query("SELECT d.grp AS g, COUNT(*) AS n, SUM(d.val) AS s FROM D d GROUP BY d.grp")
                 .unwrap()
         });
         assert_eq!(rows.len(), 8);
-        let moved = db.dataflow_stats().tuples_exchanged - before;
+        let delta = db.metrics_snapshot().delta(&before);
+        let moved = delta.counter("hyracks.dataflow.tuples_exchanged").unwrap_or(0);
         report.row(&[
             "local aggregation".into(),
             if local { "on (default)" } else { "off" }.into(),
@@ -113,7 +114,7 @@ fn ablate_bloom_filters(report: &mut ExpReport, quick: bool) {
         tree.flush().unwrap();
         let components = tree.component_count();
         let mut gen = DataGen::new(13);
-        fm.stats().reset();
+        let before = fm.stats().physical_reads();
         let (_, t) = time_it(|| {
             for _ in 0..probes {
                 // mix of hits and guaranteed misses inside the key range
@@ -121,7 +122,7 @@ fn ablate_bloom_filters(report: &mut ExpReport, quick: bool) {
                 let _ = tree.get(&encode_key(&[Value::Int(k)])).unwrap();
             }
         });
-        let reads = fm.stats().physical_reads() as f64 / probes as f64;
+        let reads = (fm.stats().physical_reads() - before) as f64 / probes as f64;
         report.row(&[
             "bloom filters".into(),
             if bloom { "on (default)" } else { "off" }.into(),
@@ -165,14 +166,14 @@ fn ablate_sorted_fetch(report: &mut ExpReport, quick: bool) {
         }
         txn.commit().unwrap();
         db.flush_all().unwrap();
-        db.cluster().reset_stats();
+        let before = db.cluster().total_physical_reads();
         // a multi-group range: the index yields (grp, pk) runs, so without
         // sorting the fetch sweeps the primary index once per group run
         let (rows, t) = time_it(|| {
             db.query("SELECT VALUE d.id FROM D d WHERE d.grp >= 2 AND d.grp <= 9")
                 .unwrap()
         });
-        let reads = db.cluster().total_physical_reads();
+        let reads = db.cluster().total_physical_reads() - before;
         report.row(&[
             "sorted index fetch".into(),
             if sorted { "on (default)" } else { "off" }.into(),

@@ -20,6 +20,7 @@
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
 use asterix_core::{Instance, InstanceConfig};
+use asterix_obs::MetricsSnapshot;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,10 +54,15 @@ fn rec(id: i64) -> asterix_adm::Value {
     .expect("record")
 }
 
-/// Sum of a counter across all `node<N>.`-prefixed registries.
-fn node_counter(db: &Instance, name: &str) -> u64 {
+/// Sum of one metric across all `node<N>.`-prefixed registries, read by
+/// `get` ([`MetricsSnapshot::counter`] or [`MetricsSnapshot::gauge`]).
+fn node_sum<T: std::iter::Sum>(
+    db: &Instance,
+    name: &str,
+    get: fn(&MetricsSnapshot, &str) -> Option<T>,
+) -> T {
     let snap = db.metrics_snapshot();
-    (0..16).filter_map(|i| snap.counter(&format!("node{i}.{name}"))).sum()
+    (0..16).filter_map(|i| get(&snap, &format!("node{i}.{name}"))).sum()
 }
 
 struct DurabilityPoint {
@@ -103,8 +109,8 @@ fn durability_point(per_feed: u64) -> DurabilityPoint {
         mutations: total,
         elapsed_s,
         rate: total as f64 / elapsed_s,
-        wal_rounds: node_counter(&db, "storage.wal.group_commits"),
-        wal_waiters: node_counter(&db, "storage.wal.group_commit_waiters"),
+        wal_rounds: node_sum(&db, "storage.wal.group_commits", MetricsSnapshot::counter),
+        wal_waiters: node_sum(&db, "storage.wal.group_commit_waiters", MetricsSnapshot::counter),
     }
 }
 
@@ -114,7 +120,7 @@ struct AnalyticsPoint {
     queries: u64,
     elapsed_s: f64,
     /// Log segments on disk when the run ends, over all nodes.
-    wal_segments: u64,
+    wal_segments: i64,
     /// Log bytes truncation unlinked during the run.
     wal_truncated_bytes: u64,
 }
@@ -174,8 +180,8 @@ fn analytics_point(total: u64) -> AnalyticsPoint {
         rate: ingested as f64 / elapsed_s,
         queries,
         elapsed_s,
-        wal_segments: node_counter(&db, "storage.wal.segments"),
-        wal_truncated_bytes: node_counter(&db, "storage.wal.truncated_bytes"),
+        wal_segments: node_sum(&db, "storage.wal.segments", MetricsSnapshot::gauge),
+        wal_truncated_bytes: node_sum(&db, "storage.wal.truncated_bytes", MetricsSnapshot::counter),
     }
 }
 

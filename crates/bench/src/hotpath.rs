@@ -411,14 +411,14 @@ fn macro_e07(quick: bool) -> MacroRun {
     primary.flush().unwrap();
     let c = primary.component_count();
     primary.merge_newest(c).unwrap();
-    fm.stats().reset();
+    let before = fm.stats().readaheads();
     // Sorted full fetch — the readahead path: leaf-sequential access.
     let (_, t) = time_it(|| {
         for i in 0..n {
             assert!(primary.get(&key(i)).unwrap().is_some());
         }
     });
-    let readaheads = fm.stats().readaheads();
+    let readaheads = fm.stats().readaheads() - before;
     let _ = std::fs::remove_dir_all(root);
     MacroRun {
         workload: "e07_sorted_fetch",
@@ -500,11 +500,11 @@ fn compaction_ingest(
         "compaction bench: background merges failed to quiesce"
     );
     let stats = tree.stats();
-    let hub = fm.stats().lsm();
+    let node = fm.stats().registry().snapshot();
     let run = CompactionRun {
         ingest_wall_ms: t.as_secs_f64() * 1e3,
         merge_stall_ns,
-        write_amp: hub.write_amp_milli() as f64 / 1e3,
+        write_amp: node.counter("storage.lsm.write_amp").unwrap_or(0) as f64 / 1e3,
         merges: stats.merges,
         components_at_quiesce: tree.component_count(),
     };

@@ -29,7 +29,7 @@ use crate::sources::{DatasetRuntime, DatasetSource, ExternalSource};
 use crate::txn::{TxnManager, UndoEntry};
 use asterix_adm::Value;
 use asterix_algebricks::jobgen::{self, JobGenConfig};
-use asterix_algebricks::plan::VarGen;
+use asterix_algebricks::plan::{Plan, VarGen};
 use asterix_algebricks::rules::optimize;
 use asterix_algebricks::source::DataSource;
 use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
@@ -173,7 +173,6 @@ struct Inner {
     datasets: RwLock<HashMap<String, Arc<DatasetRuntime>>>,
     txns: TxnManager,
     ctx: Arc<RuntimeCtx>,
-    vargen: Mutex<VarGen>,
     /// The statements `catalog.ddl` holds. Its lock is held across a whole
     /// DDL statement — catalog, storage, persist — so they are persisted in
     /// the order they took effect, which is what numbers the datasets.
@@ -248,7 +247,6 @@ impl Instance {
             datasets: RwLock::new(HashMap::new()),
             txns: TxnManager::default(),
             ctx,
-            vargen: Mutex::new(VarGen::new()),
             ddl_log: Mutex::new(Vec::new()),
             sched,
             next_session: AtomicU64::new(1),
@@ -273,11 +271,6 @@ impl Instance {
     /// The cluster (I/O statistics etc.).
     pub fn cluster(&self) -> &Cluster {
         &self.inner.cluster
-    }
-
-    /// Dataflow statistics (spills, merge passes, ...).
-    pub fn dataflow_stats(&self) -> asterix_hyracks::ctx::DataflowSnapshot {
-        self.inner.ctx.stats.snapshot()
     }
 
     // -----------------------------------------------------------------
@@ -323,8 +316,10 @@ impl Instance {
     fn recover(&self) -> Result<()> { // xlint: allow(blocking, "recovery is single-threaded startup code; the worker pool is not running yet")
         let inner = &self.inner;
         let faults = inner.config.faults.as_ref();
-        // 0. validate (or persist) the physical layout: partition counts
-        // must match the components' and the log's, or keys would scatter
+        // 0. validate (or persist) the physical layout: a key's partition is
+        // its hash modulo the partition count and a partition's node is its
+        // number modulo the node count, so with either one changed the
+        // components and the log would be looked for where they are not
         let layout_path = inner.root.join("layout.adm");
         let me = Value::object(vec![
             ("partitions".into(), Value::Int(inner.config.partitions.max(1) as i64)),
@@ -333,11 +328,14 @@ impl Instance {
         if layout_path.exists() {
             let text = std::fs::read_to_string(&layout_path)?;
             let stored = asterix_adm::parse::parse_value(&text).map_err(CoreError::Adm)?;
-            if stored.field("partitions") != me.field("partitions") {
+            if ["partitions", "nodes"].iter().any(|f| stored.field(f) != me.field(f)) {
                 return Err(CoreError::Catalog(format!(
-                    "data directory was created with {} partitions/dataset; reopen with the                      same partition count (got {})",
+                    "data directory was created with {} partitions/dataset on {} nodes; reopen \
+                     with the same counts (got {} on {})",
                     stored.field("partitions"),
+                    stored.field("nodes"),
                     me.field("partitions"),
+                    me.field("nodes"),
                 )));
             }
         } else {
@@ -454,8 +452,13 @@ impl Instance {
 
     /// Convenience: runs one SQL++ query, returning its rows.
     pub fn query(&self, text: &str) -> Result<Vec<Value>> {
-        let mut results = self.execute(text, Language::Sqlpp)?;
-        match results.pop() {
+        self.last_rows(text, Language::Sqlpp)
+    }
+
+    /// Executes `text`; its last statement must be a query, whose rows are
+    /// the answer.
+    fn last_rows(&self, text: &str, language: Language) -> Result<Vec<Value>> {
+        match self.execute(text, language)?.pop() {
             Some(ExecResult::Rows(rows)) => Ok(rows),
             _ => Err(CoreError::Unsupported("statement was not a query".into())),
         }
@@ -507,11 +510,7 @@ impl Instance {
 
     /// Convenience: runs one AQL query, returning its rows.
     pub fn query_aql(&self, text: &str) -> Result<Vec<Value>> {
-        let mut results = self.execute(text, Language::Aql)?;
-        match results.pop() {
-            Some(ExecResult::Rows(rows)) => Ok(rows),
-            _ => Err(CoreError::Unsupported("statement was not a query".into())),
-        }
+        self.last_rows(text, Language::Aql)
     }
 
     fn apply_ddl(&self, ddl: &asterix_sqlpp::ast::DdlStmt) -> Result<String> {
@@ -702,12 +701,7 @@ impl Instance {
     ) -> Result<(Vec<Value>, asterix_obs::JobProfile)> {
         let Submission { ticket, query, deadline } = submission;
         let admission = self.inner.sched.admit_wait(ticket, &control.token)?;
-        let view = self.catalog_view();
-        let mut plan = {
-            let mut vg = self.inner.vargen.lock();
-            translate_query(&query, &view, &mut vg).map_err(CoreError::Sqlpp)?
-        };
-        optimize(&mut plan);
+        let plan = self.compile(&query)?;
         let op_memory = self.inner.config.op_memory.min(admission.budget());
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
@@ -730,12 +724,7 @@ impl Instance {
                 return Err(CoreError::Hyracks(e));
             }
             let opts = JobOptions { token: Some(token), deadline, workers: None };
-            let outcome = jobgen::execute_profiled_with(
-                &plan,
-                &cfg,
-                Arc::clone(&self.inner.ctx),
-                opts,
-            );
+            let outcome = jobgen::execute(&plan, &cfg, Arc::clone(&self.inner.ctx), opts);
             *control.attempt.lock() = None;
             Ok(outcome?)
         })
@@ -801,13 +790,18 @@ impl Instance {
         let Stmt::Query(q) = stmt else {
             return Err(CoreError::Unsupported("EXPLAIN requires a query".into()));
         };
+        Ok(self.compile(&q)?.pretty())
+    }
+
+    /// The one compile path: translates `query` against the catalog as it
+    /// stands and optimizes the plan. Variable ids are numbered per query;
+    /// they only have to be unique within a plan.
+    fn compile(&self, query: &Query) -> Result<Plan> {
         let view = self.catalog_view();
-        let mut plan = {
-            let mut vg = self.inner.vargen.lock();
-            translate_query(&q, &view, &mut vg).map_err(CoreError::Sqlpp)?
-        };
+        let mut plan =
+            translate_query(query, &view, &mut VarGen::new()).map_err(CoreError::Sqlpp)?;
         optimize(&mut plan);
-        Ok(plan.pretty())
+        Ok(plan)
     }
 
     fn catalog_view(&self) -> InstanceCatalogView {

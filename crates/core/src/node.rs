@@ -79,19 +79,10 @@ impl Node {
         let stats = IoStats::new();
         let fm = FileManager::with_faults(&dir, stats, faults.clone())?;
         let cache = BufferCache::with_options(fm, cache_opts);
-        let (wal, recovered_ops) = SegmentedWal::recover(&dir, WAL_PREFIX, faults)?;
-        let wal_group = Arc::new(GroupCommit::default());
-        {
-            let reg = cache.stats().registry();
-            let g = Arc::clone(&wal_group);
-            reg.observed_counter("storage.wal.group_commits", move || g.rounds());
-            let g = Arc::clone(&wal_group);
-            reg.observed_counter("storage.wal.group_commit_waiters", move || g.waiters());
-            let c = Arc::clone(wal.counters());
-            reg.observed_counter("storage.wal.segments", move || c.segments());
-            let c = Arc::clone(wal.counters());
-            reg.observed_counter("storage.wal.truncated_bytes", move || c.truncated_bytes());
-        }
+        // the log counts into the registry the node's pages and indexes do
+        let registry = cache.stats().registry();
+        let (wal, recovered_ops) = SegmentedWal::recover(&dir, WAL_PREFIX, faults, registry)?;
+        let wal_group = Arc::new(GroupCommit::new(registry));
         Ok(Arc::new(Node {
             id,
             dir,
@@ -241,13 +232,6 @@ impl Cluster {
     /// Aggregate physical writes across nodes.
     pub fn total_physical_writes(&self) -> u64 {
         self.nodes.iter().map(|n| n.stats().physical_writes()).sum()
-    }
-
-    /// Resets all node I/O counters.
-    pub fn reset_stats(&self) {
-        for n in &self.nodes {
-            n.stats().reset();
-        }
     }
 
     /// Kills node `id` (no-op on unknown ids). Returns true when a live

@@ -351,7 +351,7 @@ fn check_frontier_across_crash_point(point: &str, nth: u64) -> Result<bool, Stri
         return Err(format!("replay ended at frontier {frontier}, want {TOTAL}"));
     }
     // and the frontier is carried by checkpoints, not by an ever-growing log
-    let segments = db.metrics_snapshot().counter("node0.storage.wal.segments").unwrap_or(0);
+    let segments = db.metrics_snapshot().gauge("node0.storage.wal.segments").unwrap_or(0);
     if segments > 4 {
         return Err(format!("{segments} log segments after {TOTAL} records"));
     }

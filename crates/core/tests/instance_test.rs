@@ -744,34 +744,37 @@ fn reopen_with_different_partition_count_is_rejected() {
             .unwrap()
             .as_nanos()
     ));
-    {
-        let db = Instance::open(InstanceConfig {
+    let open = |partitions, nodes| {
+        Instance::open(InstanceConfig {
             data_dir: Some(dir.clone()),
-            partitions: 4,
-            nodes: 2,
+            partitions,
+            nodes,
             ..Default::default()
         })
-        .unwrap();
+    };
+    {
+        let db = open(4, 2).unwrap();
         db.execute_sqlpp("CREATE TYPE T AS { id: int }; CREATE DATASET D(T) PRIMARY KEY id;")
             .unwrap();
+        let mut txn = db.begin();
+        for id in 0..40 {
+            txn.write("D", &Value::object(vec![("id".into(), Value::Int(id))]), true).unwrap();
+        }
+        txn.commit().unwrap();
+        db.flush_all().unwrap();
     }
-    // same partition count: fine
-    Instance::open(InstanceConfig {
-        data_dir: Some(dir.clone()),
-        partitions: 4,
-        nodes: 2,
-        ..Default::default()
-    })
-    .unwrap();
-    // different partition count: rejected with a clear error
-    let err = Instance::open(InstanceConfig {
-        data_dir: Some(dir.clone()),
-        partitions: 8,
-        nodes: 2,
-        ..Default::default()
-    })
-    .map(|_| ())
-    .unwrap_err();
-    assert!(err.to_string().contains("partition"), "{err}");
+    // same layout: fine
+    assert_eq!(open(4, 2).unwrap().count("D").unwrap(), 40);
+    // a different partition count scatters keys; a different node count looks
+    // for a partition's components on a node that never had them (fewer
+    // nodes), or takes them for a dropped index's and deletes them (more):
+    // each is rejected with a clear error
+    for (partitions, nodes, what) in [(8, 2, "partition"), (4, 1, "node"), (4, 4, "node")] {
+        let err = open(partitions, nodes).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains(what), "{partitions}/{nodes}: {err}");
+        assert!(!err.to_string().contains("  "), "{err}");
+    }
+    // and none of the refused opens touched what the directory holds
+    assert_eq!(open(4, 2).unwrap().count("D").unwrap(), 40);
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -17,12 +17,10 @@ use asterix_adm::Value;
 /// Default per-operator working-memory budget (bytes).
 pub const DEFAULT_OP_MEMORY: usize = 32 << 20;
 
-/// Counters describing how hard a job leaned on disk (experiment E5).
-///
-/// A thin facade over [`MetricsRegistry`] counters (named under
-/// `hyracks.dataflow.*`), kept so existing call sites — and the
-/// [`DataflowStats::snapshot`] API — survive the registry migration.
-#[derive(Debug, Default)]
+/// Counters describing how hard a job leaned on disk (experiment E5): the
+/// handles of the context's `hyracks.dataflow.*` metrics, bumped where the
+/// work is done and read with `.get()` or through a registry snapshot.
+#[derive(Debug)]
 pub struct DataflowStats {
     pub spill_runs: Counter,
     pub spilled_bytes: Counter,
@@ -36,8 +34,7 @@ pub struct DataflowStats {
 }
 
 impl DataflowStats {
-    /// Facade over counters registered in `registry` under
-    /// `hyracks.dataflow.*`.
+    /// The counters `registry` holds under `hyracks.dataflow.*`.
     pub fn with_registry(registry: &MetricsRegistry) -> DataflowStats {
         DataflowStats {
             spill_runs: registry.counter("hyracks.dataflow.spill_runs"),
@@ -45,51 +42,8 @@ impl DataflowStats {
             merge_passes: registry.counter("hyracks.dataflow.merge_passes"),
             joins_spilled: registry.counter("hyracks.dataflow.joins_spilled"),
             groups_spilled: registry.counter("hyracks.dataflow.groups_spilled"),
-            tuples_moved: registry.counter("hyracks.dataflow.tuples_moved"), // xlint: allow(metric, "incremented through cloned Router handles (Router.moved)")
-            tuples_exchanged: registry.counter("hyracks.dataflow.tuples_exchanged"), // xlint: allow(metric, "incremented through cloned Router handles (Router.exchanged)")
-        }
-    }
-
-    /// Readable snapshot.
-    pub fn snapshot(&self) -> DataflowSnapshot {
-        DataflowSnapshot {
-            spill_runs: self.spill_runs.get(),
-            spilled_bytes: self.spilled_bytes.get(),
-            merge_passes: self.merge_passes.get(),
-            joins_spilled: self.joins_spilled.get(),
-            groups_spilled: self.groups_spilled.get(),
-            tuples_moved: self.tuples_moved.get(),
-            tuples_exchanged: self.tuples_exchanged.get(),
-        }
-    }
-}
-
-/// Plain-struct snapshot of [`DataflowStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataflowSnapshot {
-    pub spill_runs: u64,
-    pub spilled_bytes: u64,
-    pub merge_passes: u64,
-    pub joins_spilled: u64,
-    pub groups_spilled: u64,
-    pub tuples_moved: u64,
-    pub tuples_exchanged: u64,
-}
-
-impl std::ops::Sub for DataflowSnapshot {
-    type Output = DataflowSnapshot;
-
-    /// Per-phase delta. Saturating: a counter reset between snapshots
-    /// yields 0, never a wrapped ~2^64 delta.
-    fn sub(self, rhs: DataflowSnapshot) -> DataflowSnapshot {
-        DataflowSnapshot {
-            spill_runs: self.spill_runs.saturating_sub(rhs.spill_runs),
-            spilled_bytes: self.spilled_bytes.saturating_sub(rhs.spilled_bytes),
-            merge_passes: self.merge_passes.saturating_sub(rhs.merge_passes),
-            joins_spilled: self.joins_spilled.saturating_sub(rhs.joins_spilled),
-            groups_spilled: self.groups_spilled.saturating_sub(rhs.groups_spilled),
-            tuples_moved: self.tuples_moved.saturating_sub(rhs.tuples_moved),
-            tuples_exchanged: self.tuples_exchanged.saturating_sub(rhs.tuples_exchanged),
+            tuples_moved: registry.counter("hyracks.dataflow.tuples_moved"),
+            tuples_exchanged: registry.counter("hyracks.dataflow.tuples_exchanged"),
         }
     }
 }
@@ -117,18 +71,9 @@ pub struct RuntimeCtx {
 }
 
 impl RuntimeCtx {
-    /// Creates a context spilling under `spill_dir` (created if missing).
-    pub fn new(spill_dir: impl Into<PathBuf>) -> Result<Arc<Self>> {
-        RuntimeCtx::with_clock(spill_dir, MonotonicClock::shared())
-    }
-
-    /// Creates a context with an explicit clock (deterministic tests).
-    pub fn with_clock(spill_dir: impl Into<PathBuf>, clock: Arc<dyn Clock>) -> Result<Arc<Self>> {
-        RuntimeCtx::with_clock_and_faults(spill_dir, clock, None)
-    }
-
-    /// Full-control constructor: explicit clock plus an optional chaos
-    /// injector whose schedules every job on this context runs under.
+    /// Creates a context spilling under `spill_dir` (created if missing),
+    /// timing with `clock`, plus an optional chaos injector whose schedules
+    /// every job on this context runs under.
     pub fn with_clock_and_faults( // xlint: allow(blocking, "spill-dir creation happens once at context construction on the driver thread")
         spill_dir: impl Into<PathBuf>,
         clock: Arc<dyn Clock>,
@@ -157,7 +102,7 @@ impl RuntimeCtx {
 
     /// Temp-dir context with an explicit clock (deterministic tests).
     pub fn temp_with_clock(clock: Arc<dyn Clock>) -> Result<Arc<Self>> {
-        RuntimeCtx::with_clock(Self::fresh_temp_dir(), clock)
+        RuntimeCtx::with_clock_and_faults(Self::fresh_temp_dir(), clock, None)
     }
 
     /// Temp-dir context running every job under a chaos injector.
@@ -366,8 +311,8 @@ mod tests {
         assert_eq!(back, tuples);
         // rereadable
         assert_eq!(run.read().unwrap().count(), 100);
-        assert_eq!(ctx.stats.snapshot().spill_runs, 1);
-        assert!(ctx.stats.snapshot().spilled_bytes > 0);
+        assert_eq!(ctx.stats.spill_runs.get(), 1);
+        assert!(ctx.stats.spilled_bytes.get() > 0);
         // the operator's own metrics carry the same counts
         assert_eq!((m.spill_runs, m.spilled_bytes), (1, run.bytes()));
     }
@@ -389,17 +334,6 @@ mod tests {
         let ctx = RuntimeCtx::temp().unwrap();
         let run = spill_batch(&ctx, &mut OpMetrics::default(), &[]).unwrap();
         assert_eq!(run.read().unwrap().count(), 0);
-    }
-
-    #[test]
-    fn dataflow_snapshot_delta_saturates() {
-        let newer = DataflowSnapshot { spill_runs: 5, spilled_bytes: 100, ..Default::default() };
-        let older = DataflowSnapshot { spill_runs: 2, spilled_bytes: 300, ..Default::default() };
-        let d = newer - older;
-        assert_eq!(d.spill_runs, 3);
-        // A reset (or mid-phase re-open) between snapshots must clamp to 0,
-        // not wrap around to ~2^64.
-        assert_eq!(d.spilled_bytes, 0);
     }
 
     #[test]

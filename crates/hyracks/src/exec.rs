@@ -71,9 +71,9 @@ impl Notifier for NoWake {
 struct EdgeState {
     frames: VecDeque<Frame>,
     /// Producer finished *cleanly*: every frame it ever shipped is in
-    /// `frames` (or already consumed). Replaces PR-5's in-band
-    /// `Frame::eos()` marker — end-of-stream is an edge flag now, so it
-    /// can never be confused with data and never occupies queue room.
+    /// `frames` (or already consumed). End-of-stream is a flag on the edge,
+    /// not an in-band marker frame, so it can never be confused with data
+    /// and never occupies queue room.
     eos: bool,
     /// Producer is done writing (cleanly or not). `closed && !eos` is the
     /// dirty-death signal: the producer died mid-stream and the frames
@@ -342,8 +342,8 @@ pub(crate) struct Router {
     /// A push found every consumer gone: nothing more is worth shipping.
     all_gone: bool,
     my_partition: usize,
-    moved: Counter,
-    exchanged: Counter,
+    tuples_moved: Counter,
+    tuples_exchanged: Counter,
     /// Injected fault plan for this actor, if a chaos schedule is active.
     faults: Option<WorkerFaultState>,
     /// A sever fault fired: swallow all further output *and* the clean
@@ -367,8 +367,8 @@ impl Router {
             collected: Vec::new(),
             all_gone: false,
             my_partition,
-            moved: ctx.stats.tuples_moved.clone(),
-            exchanged: ctx.stats.tuples_exchanged.clone(),
+            tuples_moved: ctx.stats.tuples_moved.clone(),
+            tuples_exchanged: ctx.stats.tuples_exchanged.clone(),
             faults,
             severed: false,
         }
@@ -436,9 +436,9 @@ impl Router {
     }
 
     fn route(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple, size: u32) -> Result<bool> {
-        self.moved.inc();
+        self.tuples_moved.inc();
         if !matches!(self.strategy, ConnStrategy::OneToOne) {
-            self.exchanged.inc();
+            self.tuples_exchanged.inc();
         }
         m.tuples_out += 1;
         m.bytes_out += size as u64;
@@ -1199,7 +1199,7 @@ mod tests {
         let out = run_job(j, Arc::clone(&ctx)).unwrap().tuples;
         assert_eq!(out.len(), 10);
         assert_eq!(out[0][0], Value::Int(5), "offset skipped");
-        let moved = ctx.stats.snapshot().tuples_moved;
+        let moved = ctx.stats.tuples_moved.get();
         assert!(moved < 100_000, "early termination pruned the scan ({moved} moved)");
         // What the source ran ahead by is bounded by the edge, not by its
         // size: the frames the edge holds plus the morsel it was in.
@@ -1501,7 +1501,7 @@ mod tests {
             j.connect(f, r, 0, ConnStrategy::Gather);
             let ctx = RuntimeCtx::temp().unwrap();
             let result = run_with(j, &ctx, cancel_on_output.unwrap_or(&token));
-            (result, ctx.stats.snapshot().spill_runs)
+            (result, ctx.stats.spill_runs.get())
         };
         let (result, all_runs) = spilled_group_by(None);
         assert_eq!(result.unwrap().tuples.len(), 40_000);

@@ -56,16 +56,6 @@ impl Frame {
         Frame { tuples: Vec::with_capacity(n), sizes: Vec::with_capacity(n), bytes: 0 }
     }
 
-    /// The explicit end-of-stream marker of the PR-5 channel protocol.
-    /// The morsel executor now records end-of-stream as a flag on the edge
-    /// itself (an in-band marker would occupy queue room and could be
-    /// confused with data), but the constructor is kept for tests and
-    /// out-of-tree callers of the frame API; an empty frame still reads
-    /// unambiguously as "no data".
-    pub fn eos() -> Frame {
-        Frame::default()
-    }
-
     /// Approximate size of a tuple, used for frame and working-memory
     /// accounting.
     pub fn tuple_size(t: &Tuple) -> usize {

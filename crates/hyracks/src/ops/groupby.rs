@@ -360,6 +360,7 @@ mod tests {
     use super::*;
     use crate::job::OpKind;
     use crate::ops::drive;
+    use std::sync::Arc;
 
     fn rows(n: i64, groups: i64) -> Vec<Result<Tuple>> {
         (0..n)
@@ -368,11 +369,11 @@ mod tests {
     }
 
     /// Drives `kind` over `input`; output sorted on column 0.
-    fn run(kind: OpKind, input: Vec<Result<Tuple>>) -> (Vec<Tuple>, crate::ctx::DataflowSnapshot) {
+    fn run(kind: OpKind, input: Vec<Result<Tuple>>) -> (Vec<Tuple>, Arc<RuntimeCtx>) {
         let ctx = RuntimeCtx::temp().unwrap();
         let mut out = drive(&kind, vec![Box::new(input.into_iter())], &ctx).unwrap().tuples;
         out.sort_by(|a, b| cmp_tuples(a, b, &[SortKey::asc(0)]));
-        (out, ctx.stats.snapshot())
+        (out, ctx)
     }
 
     fn group_by(aggs: &[AggSpec], memory: usize) -> OpKind {
@@ -382,9 +383,9 @@ mod tests {
     #[test]
     fn basic_grouping() {
         let aggs = [AggSpec::CountStar, AggSpec::Sum(1), AggSpec::Min(1), AggSpec::Max(1)];
-        let (out, snap) = run(group_by(&aggs, 64 << 20), rows(100, 4));
+        let (out, ctx) = run(group_by(&aggs, 64 << 20), rows(100, 4));
         assert_eq!(out.len(), 4);
-        assert_eq!(snap.groups_spilled, 0);
+        assert_eq!(ctx.stats.groups_spilled.get(), 0);
         // group 0: values 0,4,...,96 → count 25, sum 1200, min 0, max 96
         assert_eq!(out[0][0], Value::Int(0));
         assert_eq!(out[0][1], Value::Int(25));
@@ -397,8 +398,8 @@ mod tests {
     fn spilling_grouping_matches_in_memory() {
         let aggs = [AggSpec::CountStar, AggSpec::Sum(1)];
         let (big, _) = run(group_by(&aggs, 64 << 20), rows(20_000, 3_000));
-        let (small, snap) = run(group_by(&aggs, 16 << 10), rows(20_000, 3_000));
-        assert!(snap.groups_spilled > 0, "spill mode engaged");
+        let (small, ctx) = run(group_by(&aggs, 16 << 10), rows(20_000, 3_000));
+        assert!(ctx.stats.groups_spilled.get() > 0, "spill mode engaged");
         assert_eq!(big, small, "spilled result identical");
         assert_eq!(big.len(), 3_000);
     }
@@ -442,9 +443,9 @@ mod tests {
         let input: Vec<Result<Tuple>> = (0..10_000)
             .map(|i| Ok(vec![Value::Int(i % 1_000), Value::from(format!("pad{}", i % 1_000))]))
             .collect();
-        let (out, snap) = run(OpKind::Distinct { cols: None, memory: 8 << 10 }, input);
+        let (out, ctx) = run(OpKind::Distinct { cols: None, memory: 8 << 10 }, input);
         assert_eq!(out.len(), 1_000);
-        assert!(snap.spill_runs > 0, "spill mode engaged");
+        assert!(ctx.stats.spill_runs.get() > 0, "spill mode engaged");
     }
 
     #[test]

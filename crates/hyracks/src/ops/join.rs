@@ -322,12 +322,12 @@ mod tests {
         kind: &OpKind,
         probe: Vec<Result<Tuple>>,
         build: Vec<Result<Tuple>>,
-    ) -> (Vec<Tuple>, crate::ctx::DataflowSnapshot) {
+    ) -> (Vec<Tuple>, Arc<RuntimeCtx>) {
         let ctx = RuntimeCtx::temp().unwrap();
         let inputs: Vec<Box<dyn Iterator<Item = Result<Tuple>>>> =
             vec![Box::new(probe.into_iter()), Box::new(build.into_iter())];
         let out = drive(kind, inputs, &ctx).unwrap().tuples;
-        (out, ctx.stats.snapshot())
+        (out, ctx)
     }
 
     #[test]
@@ -375,8 +375,8 @@ mod tests {
         };
         let (big, _) = join(&hash_join(JoinKind::Inner, 64 << 20), probe(), build());
         // tiny budget forces grace mode
-        let (small, snap) = join(&hash_join(JoinKind::Inner, 4 << 10), probe(), build());
-        assert!(snap.joins_spilled > 0, "grace mode engaged");
+        let (small, ctx) = join(&hash_join(JoinKind::Inner, 4 << 10), probe(), build());
+        assert!(ctx.stats.joins_spilled.get() > 0, "grace mode engaged");
         assert_eq!(big.len(), small.len());
         let canon = |mut v: Vec<Tuple>| {
             v.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));

@@ -347,7 +347,7 @@ mod tests {
     fn in_memory_sort() {
         let (out, ctx) = sort(tuples(1000, 37), &[SortKey::asc(0)], 64 << 20);
         assert_eq!(out.tuples.len(), 1000);
-        assert_eq!(ctx.stats.snapshot().spill_runs, 0, "fit in memory");
+        assert_eq!(ctx.stats.spill_runs.get(), 0, "fit in memory");
     }
 
     #[test]
@@ -355,12 +355,12 @@ mod tests {
         // tiny budget: force many runs
         let (out, ctx) = sort(tuples(5_000, 2371), &[SortKey::asc(0)], 8 << 10);
         assert_eq!(out.tuples.len(), 5_000);
-        let snap = ctx.stats.snapshot();
-        assert!(snap.spill_runs > 1, "runs spilled: {}", snap.spill_runs);
-        assert!(snap.spilled_bytes > 0);
+        let (runs, bytes) = (ctx.stats.spill_runs.get(), ctx.stats.spilled_bytes.get());
+        assert!(runs > 1, "runs spilled: {runs}");
+        assert!(bytes > 0);
         assert_eq!(
             (out.metrics.spill_runs, out.metrics.spilled_bytes),
-            (snap.spill_runs, snap.spilled_bytes),
+            (runs, bytes),
             "the operator's metrics carry what the context counted"
         );
     }
@@ -370,7 +370,7 @@ mod tests {
         // budget so small that > MERGE_FAN_IN runs are created
         let (out, ctx) = sort(tuples(20_000, 9973), &[SortKey::asc(0)], 2 << 10);
         assert_eq!(out.tuples.len(), 20_000);
-        assert!(ctx.stats.snapshot().merge_passes >= 2, "needed multiple passes");
+        assert!(ctx.stats.merge_passes.get() >= 2, "needed multiple passes");
     }
 
     #[test]

@@ -41,7 +41,7 @@ fn watched<'a>(
     spilled_at_end: &'a Cell<u64>,
 ) -> Box<dyn Iterator<Item = Result<Tuple>> + 'a> {
     Box::new(tuples.into_iter().map(Ok).chain(std::iter::from_fn(move || {
-        spilled_at_end.set(ctx.stats.snapshot().spilled_bytes);
+        spilled_at_end.set(ctx.stats.spilled_bytes.get());
         None
     })))
 }

@@ -3,10 +3,9 @@
 //! Three pieces, all dependency-free:
 //!
 //! * [`registry`] — a [`MetricsRegistry`] of named counters, gauges, and
-//!   fixed-bucket histograms with a snapshot/delta API. The ad-hoc stats
-//!   structs elsewhere in the workspace (`IoStats`, `DataflowStats`, …) are
-//!   thin facades over handles from a registry, so every subsystem's
-//!   counters can be read — and diffed across a phase — through one door.
+//!   fixed-bucket histograms. Whatever bumps a metric holds its handle,
+//!   taken from the registry where that code is built; every reader takes a
+//!   [`MetricsSnapshot`], and a phase is the `delta` of two of them.
 //! * [`clock`] — time as an injected dependency. Production code uses
 //!   [`MonotonicClock`]; tests and the fault harness use [`ManualClock`]
 //!   for deterministic timings.

@@ -4,18 +4,15 @@
 //! ([`Counter`], [`Gauge`], [`Histogram`]) keyed by a dotted name
 //! (`"storage.io.physical_reads"`). Handles update relaxed atomics — the
 //! registry lock is touched only at registration and snapshot time, never
-//! on the hot path. [`MetricsSnapshot::delta`] diffs two snapshots with
-//! saturating arithmetic so a reset between snapshots can never wrap a
-//! phase delta around to ~2^64.
+//! on the hot path. Counters only grow and nothing resets them: a phase is
+//! measured as [`MetricsSnapshot::delta`] of the snapshots around it.
 
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Monotonically increasing event count. `reset` is for facade
-/// compatibility (phase boundaries in tests); deltas across a reset
-/// saturate to zero rather than wrapping.
+/// Monotonically increasing event count.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -37,10 +34,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -304,8 +297,9 @@ impl MetricsSnapshot {
     }
 
     /// Per-phase delta `self - earlier`. Counter and histogram math
-    /// saturates at zero (a reset between snapshots yields 0, not a wrap);
-    /// gauges report their later value's change, which may be negative.
+    /// saturates at zero (snapshots handed over in the wrong order yield 0,
+    /// not a wrap); gauges report their later value's change, which may be
+    /// negative.
     /// Metrics absent from `earlier` pass through unchanged.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
         let values = self
@@ -385,22 +379,6 @@ mod tests {
         // A second handle for the same name shares the value.
         reg.counter("a.hits").inc();
         assert_eq!(reg.snapshot().counter("a.hits"), Some(5));
-    }
-
-    #[test]
-    fn delta_saturates_across_reset() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("x");
-        c.add(100);
-        let before = reg.snapshot();
-        c.reset();
-        c.add(5);
-        let after = reg.snapshot();
-        // 5 - 100 must clamp to 0, not wrap to 2^64 - 95.
-        assert_eq!(after.delta(&before).counter("x"), Some(0));
-        let forward = reg.snapshot();
-        c.add(2);
-        assert_eq!(reg.snapshot().delta(&forward).counter("x"), Some(2));
     }
 
     #[test]

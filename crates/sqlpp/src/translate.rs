@@ -983,7 +983,8 @@ mod tests {
         let mut vg = VarGen::new();
         let mut plan = translate_query(&q, &cat, &mut vg).unwrap();
         optimize(&mut plan);
-        execute(&plan, &JobGenConfig::default(), RuntimeCtx::temp().unwrap()).unwrap()
+        let ctx = RuntimeCtx::temp().unwrap();
+        execute(&plan, &JobGenConfig::default(), ctx, Default::default()).unwrap().0
     }
 
     fn sorted(mut v: Vec<Value>) -> Vec<Value> {
@@ -1159,7 +1160,8 @@ mod tests {
         let mut vg = VarGen::new();
         let mut plan = translate_query(&q, &cat, &mut vg).unwrap();
         optimize(&mut plan);
-        let aql = execute(&plan, &JobGenConfig::default(), RuntimeCtx::temp().unwrap()).unwrap();
+        let ctx = RuntimeCtx::temp().unwrap();
+        let (aql, _) = execute(&plan, &JobGenConfig::default(), ctx, Default::default()).unwrap();
         assert_eq!(sorted(sql), sorted(aql));
     }
 

@@ -75,11 +75,6 @@ use std::time::{Duration, Instant};
 // Merge policies
 // ---------------------------------------------------------------------------
 
-/// Internal fanout of the [`MergePolicy::Leveled`] policy: a component may
-/// absorb the run of older components whose cumulative size stays within
-/// this multiple of the run so far (geometric levels, ratio ~10).
-const LEVELED_FANOUT: u64 = 10;
-
 /// When to merge disk components (paper §III item 5; experiment E8).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MergePolicy {
@@ -95,14 +90,6 @@ pub enum MergePolicy {
         max_mergable_bytes: u64,
         max_tolerance_components: usize,
     },
-    /// Read-optimized: merge greedily so component sizes form geometric
-    /// levels (fanout 10). Few, large components keep read amplification
-    /// near 1 at the cost of rewriting data on most flushes.
-    Leveled,
-    /// Write-optimized: accumulate `size_ratio` similar-sized components
-    /// before merging them into the next tier (RocksDB "universal" shape).
-    /// Bigger ratios mean cheaper writes and more components to read.
-    Tiered { size_ratio: u64 },
 }
 
 impl MergePolicy {
@@ -130,38 +117,6 @@ impl MergePolicy {
                     }
                 }
                 (run >= 2 && run > max_tolerance_components).then_some(run)
-            }
-            MergePolicy::Leveled => {
-                let mut total = sizes[0];
-                let mut run = 1usize;
-                for &s in &sizes[1..] {
-                    if s <= total.saturating_mul(LEVELED_FANOUT) {
-                        run += 1;
-                        total = total.saturating_add(s);
-                    } else {
-                        break;
-                    }
-                }
-                (run >= 2).then_some(run)
-            }
-            MergePolicy::Tiered { size_ratio } => {
-                let t = size_ratio.max(2);
-                let mut lo = sizes[0].max(1);
-                let mut hi = lo;
-                let mut run = 1usize;
-                for &s in &sizes[1..] {
-                    let s = s.max(1);
-                    let nlo = lo.min(s);
-                    let nhi = hi.max(s);
-                    if nhi < nlo.saturating_mul(t) {
-                        run += 1;
-                        lo = nlo;
-                        hi = nhi;
-                    } else {
-                        break;
-                    }
-                }
-                (run as u64 >= t && run >= 2).then_some(run)
             }
         }
     }
@@ -1403,7 +1358,8 @@ mod tests {
         assert_eq!(t.component_count(), 1, "merged component is live");
         assert_eq!(K::live(&t), 900, "no entry lost, deletes applied");
         assert_eq!(t.stats().retire_failures, files, "one failure per input file");
-        assert_eq!(cache.stats().lsm().retire_failures(), files);
+        let node = cache.stats().registry().snapshot();
+        assert_eq!(node.counter("storage.lsm.retire_failures"), Some(files));
     }
 
     /// Executor that parks jobs for the test to drive by hand.
@@ -1428,7 +1384,8 @@ mod tests {
         component(&mut t, 1_200..1_201);
         assert_eq!(t.compaction_state(), "merging");
         assert_eq!(t.merging_range().len(), 3, "all three components in range");
-        assert_eq!(cache.stats().lsm().merge_inflight(), 1);
+        let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
+        assert_eq!(inflight(), Some(1));
         let job = parked.0.lock().pop().expect("merge scheduled");
         // reads and flushes still serve against the pre-merge list
         assert_eq!(K::live(&t), 1_201);
@@ -1440,17 +1397,16 @@ mod tests {
         job.cancel();
         assert_eq!(job.step(), JobStep::Done, "cancel honored at morsel edge");
         assert_eq!(t.compaction_state(), "idle");
-        assert_eq!(cache.stats().lsm().merge_inflight(), 0);
+        assert_eq!(inflight(), Some(0));
         assert_eq!(t.stats().merges, 0);
         assert_eq!(t.stats().merges_aborted, 1);
         assert_eq!(t.component_count(), before + 1, "list untouched by abort");
         assert_eq!(K::live(&t), 1_202);
     }
 
-    /// One flush used to run the policy exactly once, so a backlog built
-    /// under one policy never converged after a switch. Build geometric
-    /// components under NoMerge, switch to Tiered, and one more flush must
-    /// cascade all the way down.
+    /// A backlog built under one policy is the next one's to merge: build
+    /// components under NoMerge, switch to Constant, and one more flush must
+    /// leave a single component.
     fn merge_cascade_converges_after_policy_switch<K: Entries>() {
         let (cache, _d) = setup(None);
         let mut t = manual::<K>(cache, MergePolicy::NoMerge);
@@ -1459,10 +1415,10 @@ mod tests {
         component(&mut t, 6_000..7_000);
         assert_eq!(t.component_count(), 3);
         assert_eq!(t.stats().merges, 0);
-        t.set_merge_policy(MergePolicy::Tiered { size_ratio: 2 });
+        t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
         component(&mut t, 7_000..8_000);
-        assert_eq!(t.component_count(), 1, "cascade converged in one flush");
-        assert!(t.stats().merges >= 2, "required more than one policy pick");
+        assert_eq!(t.component_count(), 1, "converged in one flush");
+        assert_eq!(t.stats().merges, 1);
         assert_eq!(K::live(&t), 8_000);
     }
 

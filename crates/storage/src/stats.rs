@@ -5,14 +5,14 @@
 //! under a modest memory allocation*. These counters make that measurable:
 //! every physical page read/write and every buffer-cache hit is counted.
 //!
-//! [`IoStats`] now also surfaces through the shared observability registry
-//! ([`asterix_obs::MetricsRegistry`]): the counters stay plain inline
-//! atomics (the buffer-cache hit path is tight enough that even one extra
-//! pointer chase per hit shows up on `repro hotpath`), and each field is
-//! registered as an *observed* `storage.io.*` counter that the registry
-//! reads only at snapshot time. Node-level metric snapshots see storage
-//! I/O without any storage-specific glue, while every existing
-//! `count_*`/`snapshot`/`reset` call site compiles unchanged.
+//! Every reader takes them from the shared observability registry
+//! ([`asterix_obs::MetricsRegistry`]): a `MetricsSnapshot`, and for a phase
+//! the `delta` of the snapshots around it. [`IoStats`] is the one place
+//! where the counter is not a registry handle: its nine per-page counters
+//! stay plain inline atomics, each registered as an *observed* counter that
+//! the registry reads through the typed getter at snapshot time — the
+//! buffer-cache hit path is tight enough that one extra pointer chase per
+//! page shows up on `repro hotpath` (−12 % when it was tried).
 
 use crate::compaction::LsmMetricsHub;
 use asterix_obs::MetricsRegistry;
@@ -21,9 +21,8 @@ use std::sync::{Arc, Weak};
 
 /// Shared, thread-safe I/O counters. Cheap to clone (an `Arc` handle).
 ///
-/// Each field is mirrored into the registry returned by
-/// [`IoStats::registry`] as an observed counter; reading through either
-/// view sees the same atomics.
+/// Each field is exported by the registry returned by
+/// [`IoStats::registry`] as an observed counter.
 #[derive(Debug)]
 pub struct IoStats {
     registry: Arc<MetricsRegistry>,
@@ -55,7 +54,7 @@ impl IoStats {
     pub fn with_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
         let stats = Arc::new(IoStats {
             registry: Arc::clone(registry),
-            lsm: Arc::new(LsmMetricsHub::default()),
+            lsm: Arc::new(LsmMetricsHub::new(registry)),
             physical_reads: AtomicU64::new(0),
             physical_writes: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -82,7 +81,6 @@ impl IoStats {
         observe("cache.coalesced_waits", IoStats::coalesced_waits);
         observe("storage.io.bytes_written", IoStats::bytes_written);
         observe("storage.io.bytes_read", IoStats::bytes_read);
-        stats.lsm.register(registry);
         stats
     }
 
@@ -174,50 +172,6 @@ impl IoStats {
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)
     }
-
-    /// Resets all I/O counters to zero (between experiment phases). The LSM
-    /// hub is deliberately untouched: its space counters are deltas against
-    /// per-tree marks, and zeroing one side would desynchronize them.
-    pub fn reset(&self) {
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.readaheads.store(0, Ordering::Relaxed);
-        self.coalesced_waits.store(0, Ordering::Relaxed);
-        self.bytes_written.store(0, Ordering::Relaxed);
-        self.bytes_read.store(0, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the counters as a plain struct.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            physical_reads: self.physical_reads(),
-            physical_writes: self.physical_writes(),
-            cache_hits: self.cache_hits(),
-            cache_misses: self.cache_misses(),
-            evictions: self.evictions(),
-            readaheads: self.readaheads(),
-            coalesced_waits: self.coalesced_waits(),
-            bytes_written: self.bytes_written(),
-            bytes_read: self.bytes_read(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`IoStats`], subtractable for per-phase deltas.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoSnapshot {
-    pub physical_reads: u64,
-    pub physical_writes: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub evictions: u64,
-    pub readaheads: u64,
-    pub coalesced_waits: u64,
-    pub bytes_written: u64,
-    pub bytes_read: u64,
 }
 
 /// A point-in-time copy of one buffer-cache shard's counters (returned by
@@ -234,111 +188,9 @@ pub struct CacheShardSnapshot {
     pub coalesced_waits: u64,
 }
 
-/// Checks snapshot monotonicity in debug builds: subtracting a *later*
-/// snapshot from an earlier one is always a caller bug (e.g. a `reset()`
-/// slipped between the two), and the saturated zero would silently hide it.
-macro_rules! delta_field {
-    ($what:literal, $newer:expr, $older:expr) => {{
-        debug_assert!(
-            $newer >= $older,
-            concat!(
-                "non-monotonic snapshot delta for ",
-                $what,
-                ": newer={} < older={} (reset between snapshots?)"
-            ),
-            $newer,
-            $older,
-        );
-        $newer.saturating_sub($older)
-    }};
-}
-
-impl std::ops::Sub for IoSnapshot {
-    type Output = IoSnapshot;
-
-    /// Per-phase delta. Saturates at zero instead of wrapping when the
-    /// subtrahend is newer (counters only ever grow between snapshots, so a
-    /// wrapped delta of ~2^64 was pure garbage); debug builds assert
-    /// monotonicity instead of hiding the misuse.
-    fn sub(self, rhs: IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            physical_reads: delta_field!("physical_reads", self.physical_reads, rhs.physical_reads),
-            physical_writes: delta_field!(
-                "physical_writes",
-                self.physical_writes,
-                rhs.physical_writes
-            ),
-            cache_hits: delta_field!("cache_hits", self.cache_hits, rhs.cache_hits),
-            cache_misses: delta_field!("cache_misses", self.cache_misses, rhs.cache_misses),
-            evictions: delta_field!("evictions", self.evictions, rhs.evictions),
-            readaheads: delta_field!("readaheads", self.readaheads, rhs.readaheads),
-            coalesced_waits: delta_field!(
-                "coalesced_waits",
-                self.coalesced_waits,
-                rhs.coalesced_waits
-            ),
-            bytes_written: delta_field!("bytes_written", self.bytes_written, rhs.bytes_written),
-            bytes_read: delta_field!("bytes_read", self.bytes_read, rhs.bytes_read),
-        }
-    }
-}
-
-impl std::ops::Sub for CacheShardSnapshot {
-    type Output = CacheShardSnapshot;
-
-    /// Delta of the monotonic counters; `capacity`/`resident` are levels, not
-    /// counters, so the newer (left-hand) values are carried through as-is.
-    fn sub(self, rhs: CacheShardSnapshot) -> CacheShardSnapshot {
-        CacheShardSnapshot {
-            capacity: self.capacity,
-            resident: self.resident,
-            hits: delta_field!("shard hits", self.hits, rhs.hits),
-            misses: delta_field!("shard misses", self.misses, rhs.misses),
-            evictions: delta_field!("shard evictions", self.evictions, rhs.evictions),
-            readaheads: delta_field!("shard readaheads", self.readaheads, rhs.readaheads),
-            coalesced_waits: delta_field!(
-                "shard coalesced_waits",
-                self.coalesced_waits,
-                rhs.coalesced_waits
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_reset() {
-        let s = IoStats::new();
-        s.count_physical_read(8192);
-        s.count_physical_read(8192);
-        s.count_physical_write(8192);
-        s.count_cache_hit();
-        s.count_cache_miss();
-        s.count_eviction();
-        assert_eq!(s.physical_reads(), 2);
-        assert_eq!(s.physical_writes(), 1);
-        assert_eq!(s.bytes_read(), 16384);
-        assert_eq!(s.cache_hits(), 1);
-        let snap = s.snapshot();
-        assert_eq!(snap.evictions, 1);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn snapshot_delta() {
-        let s = IoStats::new();
-        s.count_physical_read(100);
-        let before = s.snapshot();
-        s.count_physical_read(100);
-        s.count_physical_read(100);
-        let delta = s.snapshot() - before;
-        assert_eq!(delta.physical_reads, 2);
-        assert_eq!(delta.bytes_read, 200);
-    }
 
     #[test]
     fn counters_surface_through_the_registry() {
@@ -362,37 +214,5 @@ mod tests {
         s.count_physical_write(512);
         assert_eq!(reg.snapshot().counter("storage.io.physical_writes"), Some(1));
         assert_eq!(reg.snapshot().counter("storage.io.bytes_written"), Some(512));
-    }
-
-    // In release builds the delta saturates at zero instead of wrapping to
-    // ~2^64; in debug builds the same misuse trips the monotonicity assert.
-    #[cfg(not(debug_assertions))]
-    #[test]
-    fn reversed_delta_saturates_in_release() {
-        let newer = IoSnapshot { physical_reads: 5, ..IoSnapshot::default() };
-        let older = IoSnapshot { physical_reads: 9, ..IoSnapshot::default() };
-        let delta = newer - older;
-        assert_eq!(delta.physical_reads, 0);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn reversed_delta_asserts_in_debug() {
-        let newer = IoSnapshot { physical_reads: 5, ..IoSnapshot::default() };
-        let older = IoSnapshot { physical_reads: 9, ..IoSnapshot::default() };
-        let panicked = std::panic::catch_unwind(|| newer - older).is_err();
-        assert!(panicked, "debug delta of reversed snapshots must assert");
-    }
-
-    #[test]
-    fn shard_snapshot_delta_keeps_levels() {
-        let older = CacheShardSnapshot { capacity: 64, resident: 10, hits: 5, ..Default::default() };
-        let newer =
-            CacheShardSnapshot { capacity: 64, resident: 32, hits: 25, misses: 4, ..Default::default() };
-        let delta = newer - older;
-        assert_eq!(delta.hits, 20);
-        assert_eq!(delta.misses, 4);
-        assert_eq!(delta.capacity, 64);
-        assert_eq!(delta.resident, 32);
     }
 }

@@ -16,6 +16,7 @@ use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le;
 use crate::lock_order::OrderedMutex;
+use asterix_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -510,26 +511,6 @@ pub fn analyze(records: Vec<(Lsn, WalRecord)>) -> LogTail {
 // The segmented log of one node
 // ---------------------------------------------------------------------------
 
-/// Live size of a [`SegmentedWal`], readable without its lock (the
-/// `storage.wal.segments` / `storage.wal.truncated_bytes` metrics).
-#[derive(Debug, Default)]
-pub struct WalCounters {
-    segments: AtomicU64,
-    truncated_bytes: AtomicU64,
-}
-
-impl WalCounters {
-    /// Segment files currently on disk.
-    pub fn segments(&self) -> u64 {
-        self.segments.load(Ordering::Relaxed)
-    }
-
-    /// Log bytes unlinked by truncation since open.
-    pub fn truncated_bytes(&self) -> u64 {
-        self.truncated_bytes.load(Ordering::Relaxed)
-    }
-}
-
 /// A node's log: segment files `<prefix>-<base-lsn>.wal` under one
 /// directory, appended to at the newest.
 ///
@@ -556,7 +537,10 @@ pub struct SegmentedWal {
     /// segment; so nothing more is appended (reopening is safe: the old
     /// segment still ends where the stray begins).
     stray_segment: bool,
-    counters: Arc<WalCounters>,
+    /// `storage.wal.segments`: segment files currently on disk.
+    segments: Gauge,
+    /// `storage.wal.truncated_bytes`: log bytes unlinked since open.
+    truncated_bytes: Counter,
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
@@ -567,11 +551,13 @@ impl SegmentedWal {
     /// Opens the log under `dir` (creating its first segment if there is
     /// none) for appending, and returns it with what a restart must redo:
     /// the operations of the committed transactions found in the retained
-    /// segments.
+    /// segments. Its size is exported through `registry` as
+    /// `storage.wal.{segments, truncated_bytes}`.
     pub fn recover(
         dir: &Path,
         prefix: &str,
         faults: Option<Arc<FaultInjector>>,
+        registry: &MetricsRegistry,
     ) -> Result<(Self, Vec<ReplayOp>)> {
         std::fs::create_dir_all(dir)?;
         let mut bases = Vec::new();
@@ -614,8 +600,8 @@ impl SegmentedWal {
         for base in bases {
             crate::io::remove_file(&segment_path(dir, prefix, base), faults.as_ref())?;
         }
-        let counters = Arc::new(WalCounters::default());
-        counters.segments.store(closed.len() as u64 + 1, Ordering::Relaxed);
+        let segments = registry.gauge("storage.wal.segments");
+        segments.set(closed.len() as i64 + 1);
         let tail = analyze(records);
         let wal = SegmentedWal {
             dir: dir.to_path_buf(),
@@ -628,7 +614,8 @@ impl SegmentedWal {
             frontiers: tail.feed_cursors,
             max_txn: tail.max_txn,
             stray_segment: false,
-            counters,
+            segments,
+            truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
         };
         Ok((wal, tail.ops))
     }
@@ -724,11 +711,6 @@ impl SegmentedWal {
         self.max_txn
     }
 
-    /// Counters readable without this log's lock.
-    pub fn counters(&self) -> &Arc<WalCounters> {
-        &self.counters
-    }
-
     /// Closes the active segment and starts the next with a checkpoint.
     ///
     /// The old segment is synced first, so a commit landing in the new one
@@ -755,7 +737,7 @@ impl SegmentedWal {
         };
         let old = std::mem::replace(&mut self.active, next);
         self.closed.push_back((old.base, old.path));
-        self.counters.segments.fetch_add(1, Ordering::Relaxed);
+        self.segments.add(1);
         Ok(())
     }
 
@@ -770,8 +752,8 @@ impl SegmentedWal {
                 break;
             }
             crate::io::remove_file(path, self.faults.as_ref())?;
-            self.counters.truncated_bytes.fetch_add(end - base, Ordering::Relaxed);
-            self.counters.segments.fetch_sub(1, Ordering::Relaxed);
+            self.truncated_bytes.add(end - base);
+            self.segments.add(-1);
             self.closed.pop_front();
         }
         Ok(())
@@ -793,33 +775,31 @@ impl SegmentedWal {
 /// fault-injection schedules count on.
 ///
 /// The durability guarantee: `sync_through(end)` returning `Ok` means every
-/// log byte below `end` is on stable storage. `default()` is a fresh
-/// protocol instance for one WAL (durable mark at 0).
-#[derive(Default)]
+/// log byte below `end` is on stable storage.
 pub struct GroupCommit {
     /// Log bytes durably synced (an LSN high-water mark).
     durable: AtomicU64,
-    /// Leader fsync rounds (the `storage.wal.group_commits` counter).
-    rounds: AtomicU64,
-    /// Committers that piggybacked on another committer's fsync (the
-    /// `storage.wal.group_commit_waiters` counter).
-    waiters: AtomicU64,
+    /// `storage.wal.group_commits`: leader fsync rounds.
+    rounds: Counter,
+    /// `storage.wal.group_commit_waiters`: committers that piggybacked on
+    /// another committer's fsync.
+    waiters: Counter,
 }
 
 impl GroupCommit {
+    /// A fresh protocol instance for one WAL (durable mark at 0), counting
+    /// into `registry`.
+    pub fn new(registry: &MetricsRegistry) -> GroupCommit {
+        GroupCommit {
+            durable: AtomicU64::new(0),
+            rounds: registry.counter("storage.wal.group_commits"),
+            waiters: registry.counter("storage.wal.group_commit_waiters"),
+        }
+    }
+
     /// Durable high-water mark (bytes of log known synced).
     pub fn durable(&self) -> Lsn {
         self.durable.load(Ordering::Acquire)
-    }
-
-    /// Leader fsync rounds performed so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
-    }
-
-    /// Commits made durable by another committer's fsync.
-    pub fn waiters(&self) -> u64 {
-        self.waiters.load(Ordering::Relaxed)
     }
 
     /// Makes every log byte below `end` durable, sharing the fsync with
@@ -829,13 +809,13 @@ impl GroupCommit {
     pub fn sync_through(&self, wal: &OrderedMutex<SegmentedWal>, end: Lsn) -> Result<()> {
         if self.durable.load(Ordering::Acquire) >= end {
             // an earlier leader's fsync already covered our bytes
-            self.waiters.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
+            self.waiters.inc();
             return Ok(());
         }
         let mut w = wal.lock(); // xlint: lock(wal)
         if self.durable.load(Ordering::Acquire) >= end {
             // a leader finished while we waited for the lock
-            self.waiters.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
+            self.waiters.inc();
             return Ok(());
         }
         // leader: one write + fdatasync covers everything buffered so far,
@@ -843,7 +823,7 @@ impl GroupCommit {
         w.sync()?;
         let synced = w.next_lsn(); // everything appended so far is on disk
         self.durable.fetch_max(synced, Ordering::AcqRel); // xlint: ordering(AcqRel max publishes the durable mark to piggybacking committers)
-        self.rounds.fetch_add(1, Ordering::Relaxed); // xlint: ordering(metric increment; no synchronization carried)
+        self.rounds.inc();
         Ok(())
     }
 }
@@ -1178,9 +1158,9 @@ mod tests {
     #[test]
     fn group_commit_leader_fsync_covers_later_appends() {
         let dir = TempDir::new();
-        let wal = OrderedMutex::new("wal", SegmentedWal::recover(dir.path(), "wal", None).unwrap().0);
-        let path = segment_path(dir.path(), "wal", 0);
-        let gc = GroupCommit::default();
+        let wal = OrderedMutex::new("wal", recover(&dir, None).0);
+        let path = segment_path(dir.path(), "node", 0);
+        let gc = GroupCommit::new(&MetricsRegistry::new());
         // two committers append before either syncs
         let (end1, end2) = {
             let mut w = wal.lock(); // xlint: lock(wal)
@@ -1192,12 +1172,12 @@ mod tests {
         // first sync is the leader: its one fsync makes both commits durable
         gc.sync_through(&wal, end1).unwrap();
         assert_eq!(gc.durable(), end2);
-        assert_eq!(gc.rounds(), 1);
-        assert_eq!(gc.waiters(), 0);
+        assert_eq!(gc.rounds.get(), 1);
+        assert_eq!(gc.waiters.get(), 0);
         // second committer piggybacks without touching the file
         gc.sync_through(&wal, end2).unwrap();
-        assert_eq!(gc.rounds(), 1, "no second fsync round");
-        assert_eq!(gc.waiters(), 1);
+        assert_eq!(gc.rounds.get(), 1, "no second fsync round");
+        assert_eq!(gc.waiters.get(), 1);
         assert_eq!(read_log(&path).unwrap().len(), 2);
     }
 
@@ -1229,6 +1209,11 @@ mod tests {
         names
     }
 
+    /// The log under `dir`, counting into a registry of its own.
+    fn recover(dir: &TempDir, faults: Option<Arc<FaultInjector>>) -> (SegmentedWal, Vec<ReplayOp>) {
+        SegmentedWal::recover(dir.path(), "node", faults, &MetricsRegistry::new()).unwrap()
+    }
+
     /// One committed single-update transaction.
     fn commit_one(wal: &mut SegmentedWal, txn: u64) -> Lsn {
         let lsn = wal.append(&upd(txn, format!("k{txn}").as_bytes(), b"v")).unwrap();
@@ -1241,7 +1226,7 @@ mod tests {
     #[test]
     fn lsns_stay_global_across_rotation_and_reopen() {
         let dir = TempDir::new();
-        let (mut wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (mut wal, ops) = recover(&dir, None);
         assert!(ops.is_empty());
         let l1 = commit_one(&mut wal, 1);
         wal.rotate().unwrap();
@@ -1249,46 +1234,46 @@ mod tests {
         assert!(base > l1, "the new segment starts where the old one ended");
         let l2 = commit_one(&mut wal, 2);
         assert!(l2 > base, "after the checkpoint that opens the segment");
-        assert_eq!(wal.counters().segments(), 2);
+        assert_eq!(wal.segments.get(), 2);
         drop(wal);
-        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (wal, ops) = recover(&dir, None);
         assert_eq!(ops.iter().map(|op| (op.lsn, op.txn_id)).collect::<Vec<_>>(), [(l1, 1), (l2, 2)]);
         assert_eq!(wal.max_txn(), 2);
-        assert_eq!(wal.counters().segments(), 2);
+        assert_eq!(wal.segments.get(), 2);
     }
 
     #[test]
     fn truncation_unlinks_whole_segments_below_the_pin_and_the_oldest_open_txn() {
         let dir = TempDir::new();
-        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (mut wal, _) = recover(&dir, None);
         commit_one(&mut wal, 1);
         wal.rotate().unwrap();
         // txn 2 stays open across the next rotation
         let open_at = wal.append(&upd(2, b"k2", b"v")).unwrap();
         wal.rotate().unwrap();
         let l3 = commit_one(&mut wal, 3);
-        assert_eq!(wal.counters().segments(), 3);
+        assert_eq!(wal.segments.get(), 3);
         // everything is flushed, but txn 2 holds its segment (and so the
         // later ones); the first segment goes
         wal.truncate_below(wal.next_lsn()).unwrap();
-        assert_eq!(wal.counters().segments(), 2);
-        assert!(wal.counters().truncated_bytes() > 0);
+        assert_eq!(wal.segments.get(), 2);
+        assert!(wal.truncated_bytes.get() > 0);
         assert!(wal.closed.front().is_some_and(|(base, _)| *base <= open_at));
         // a pin inside the active segment lets every closed one go
         wal.finish_txn(2, false);
         wal.truncate_below(l3).unwrap();
-        assert_eq!(wal.counters().segments(), 1);
+        assert_eq!(wal.segments.get(), 1);
         assert_eq!(segment_files(dir.path()).len(), 1);
         // and a pin inside a closed segment keeps it
         wal.rotate().unwrap();
         wal.truncate_below(l3).unwrap();
-        assert_eq!(wal.counters().segments(), 2);
+        assert_eq!(wal.segments.get(), 2);
     }
 
     #[test]
     fn checkpoint_carries_frontiers_and_txn_ids_past_truncation() {
         let dir = TempDir::new();
-        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (mut wal, _) = recover(&dir, None);
         wal.append(&WalRecord::FeedCursor { txn_id: 41, feed: "f".into(), seq: 7 }).unwrap();
         wal.append(&WalRecord::Commit { txn_id: 41 }).unwrap();
         wal.sync().unwrap();
@@ -1297,9 +1282,9 @@ mod tests {
         assert_eq!(wal.frontier("f"), 7);
         wal.rotate().unwrap();
         wal.truncate_below(wal.next_lsn()).unwrap();
-        assert_eq!(wal.counters().segments(), 1, "the cursor's segment is gone");
+        assert_eq!(wal.segments.get(), 1, "the cursor's segment is gone");
         drop(wal);
-        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (wal, ops) = recover(&dir, None);
         assert!(ops.is_empty());
         assert_eq!(wal.frontier("f"), 7);
         assert_eq!(wal.max_txn(), 41);
@@ -1308,7 +1293,7 @@ mod tests {
     #[test]
     fn segments_older_than_a_gap_were_already_let_go() {
         let dir = TempDir::new();
-        let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (mut wal, _) = recover(&dir, None);
         commit_one(&mut wal, 1);
         wal.rotate().unwrap();
         commit_one(&mut wal, 2);
@@ -1318,9 +1303,9 @@ mod tests {
         drop(wal);
         // an unlink that reached the disk ahead of an older one
         std::fs::remove_file(middle).unwrap();
-        let (wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+        let (wal, ops) = recover(&dir, None);
         assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l3]);
-        assert_eq!(wal.counters().segments(), 1);
+        assert_eq!(wal.segments.get(), 1);
         assert_eq!(segment_files(dir.path()).len(), 1, "the stranded segment is unlinked");
     }
 
@@ -1330,19 +1315,19 @@ mod tests {
         // of the atomic publish (write, fsync, rename, directory fsync)
         for crash_at in 0..5u64 {
             let dir = TempDir::new();
-            let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            let (mut wal, _) = recover(&dir, None);
             let l1 = commit_one(&mut wal, 1);
             drop(wal);
             let inj = FaultInjector::crash_after(3, crash_at);
-            let (mut wal, _) = SegmentedWal::recover(dir.path(), "node", Some(inj.clone())).unwrap();
+            let (mut wal, _) = recover(&dir, Some(inj.clone()));
             assert!(wal.rotate().is_err(), "crash_at={crash_at}");
             assert!(inj.crashed());
             drop(wal);
-            let (mut wal, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            let (mut wal, ops) = recover(&dir, None);
             assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1], "crash_at={crash_at}");
             let l2 = commit_one(&mut wal, 2);
             drop(wal);
-            let (_, ops) = SegmentedWal::recover(dir.path(), "node", None).unwrap();
+            let (_, ops) = recover(&dir, None);
             assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1, l2]);
         }
     }

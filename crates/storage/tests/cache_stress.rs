@@ -199,24 +199,24 @@ fn dirty_page_written_back_exactly_once() {
     let mut page = vec![0u8; PAGE_SIZE];
     page[0] = 7;
     cache.put(mid, 0, page).unwrap();
-    let before = fm.stats().snapshot();
+    let before = fm.stats().physical_writes();
     cache.flush_file(mid).unwrap();
     cache.flush_file(mid).unwrap();
-    let delta = fm.stats().snapshot() - before;
-    assert_eq!(delta.physical_writes, 1, "flush wrote the dirty page exactly once");
+    let writes = fm.stats().physical_writes() - before;
+    assert_eq!(writes, 1, "flush wrote the dirty page exactly once");
 
     // Case 2: eviction writes a dirty page once; flushing afterwards must
     // not write it again (the frame left the cache clean-by-eviction).
     let mut page = vec![0u8; PAGE_SIZE];
     page[0] = 9;
     cache.put(mid, 0, page).unwrap();
-    let before = fm.stats().snapshot();
+    let before = fm.stats().physical_writes();
     for p in 0..4 {
         cache.get(filler, p).unwrap(); // floods the single shard
     }
     cache.flush_file(mid).unwrap();
-    let delta = fm.stats().snapshot() - before;
-    assert_eq!(delta.physical_writes, 1, "eviction wrote it once, flush added nothing");
+    let writes = fm.stats().physical_writes() - before;
+    assert_eq!(writes, 1, "eviction wrote it once, flush added nothing");
     assert_eq!(fm.read_page(mid, 0).unwrap()[0], 9);
 }
 
@@ -288,7 +288,7 @@ fn miss_storm_coalesces_onto_one_physical_read() {
         CacheOptions { capacity: 32, shards: 4, readahead_pages: 0 },
     );
     let id = make_file(&fm, "storm.pf", 1);
-    fm.stats().reset();
+    let before = fm.stats().registry().snapshot();
     let barrier = Arc::new(Barrier::new(8));
     let mut handles = Vec::new();
     for _ in 0..8 {
@@ -303,15 +303,17 @@ fn miss_storm_coalesces_onto_one_physical_read() {
     for h in handles {
         h.join().unwrap();
     }
-    assert_eq!(fm.stats().physical_reads(), 1, "the storm issued exactly one physical read");
-    assert_eq!(fm.stats().cache_misses(), 1, "only the leader owns the miss");
-    assert_eq!(fm.stats().cache_hits(), 7, "waiters resolve as logical hits");
+    let storm = fm.stats().registry().snapshot().delta(&before);
+    let io = |name: &str| storm.counter(&format!("storage.io.{name}")).unwrap();
+    assert_eq!(io("physical_reads"), 1, "the storm issued exactly one physical read");
+    assert_eq!(io("cache_misses"), 1, "only the leader owns the miss");
+    assert_eq!(io("cache_hits"), 7, "waiters resolve as logical hits");
     assert_eq!(
-        fm.stats().cache_hits() + fm.stats().cache_misses(),
+        io("cache_hits") + io("cache_misses"),
         8,
         "all 8 accesses accounted as logical hits/waits"
     );
-    assert_eq!(fm.stats().coalesced_waits(), 7, "seven requesters parked on the leader");
+    assert_eq!(storm.counter("cache.coalesced_waits"), Some(7), "seven requesters parked on the leader");
     let snaps = cache.shard_snapshots();
     let coalesced: u64 = snaps.iter().map(|s| s.coalesced_waits).sum();
     assert_eq!(coalesced, 7, "per-shard coalesced-wait counters match global");

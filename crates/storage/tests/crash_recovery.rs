@@ -279,6 +279,8 @@ fn short_writes_are_transient_and_retryable() {
 struct Engine {
     tree: LsmTree,
     wal: SegmentedWal,
+    /// The node's counters: the tree's and the log's.
+    io: Arc<IoStats>,
     seals: u64,
     flushes: u64,
 }
@@ -294,14 +296,15 @@ impl Engine {
     /// components, re-apply the committed log tail no component covers.
     fn open(dir: &Path, faults: Option<Arc<FaultInjector>>) -> asterix_storage::Result<Engine> {
         sweep_unreferenced(dir)?;
-        let fm = FileManager::with_faults(dir, IoStats::new(), faults.clone())?;
+        let io = IoStats::new();
+        let fm = FileManager::with_faults(dir, Arc::clone(&io), faults.clone())?;
         let config = LsmConfig {
             mem_budget: 400,
             merge_policy: MergePolicy::Constant { max_components: 2 },
             ..LsmConfig::new("kv")
         };
         let mut tree = LsmTree::reopen(BufferCache::new(fm, 64), config)?;
-        let (wal, ops) = SegmentedWal::recover(dir, "node", faults)?;
+        let (wal, ops) = SegmentedWal::recover(dir, "node", faults, io.registry())?;
         for op in ops {
             if op.lsn < tree.flushed_below() {
                 continue;
@@ -314,7 +317,7 @@ impl Engine {
             }
         }
         let stats = tree.stats();
-        Ok(Engine { tree, wal, seals: stats.seals, flushes: stats.flushes })
+        Ok(Engine { tree, wal, io, seals: stats.seals, flushes: stats.flushes })
     }
 
     fn keep_log_up(&mut self) -> asterix_storage::Result<()> {
@@ -457,10 +460,11 @@ fn log_tail_stays_bounded_by_what_is_unflushed() {
     let dir = TempDir::new("bounded");
     let mut e = Engine::open(dir.path(), None).unwrap();
     let (confirmed, _) = run_txns(&mut e, 1, 200, Kv::new());
-    let counters = Arc::clone(e.wal.counters());
+    let node = e.io.registry().snapshot();
     assert!(e.tree.stats().flushes > 10, "the workload must flush often");
-    assert!(counters.segments() <= 2, "{} segments", counters.segments());
-    assert!(counters.truncated_bytes() > 0);
+    let segments = node.gauge("storage.wal.segments").unwrap();
+    assert!(segments <= 2, "{segments} segments");
+    assert!(node.counter("storage.wal.truncated_bytes").unwrap() > 0);
     drop(e);
     let log_bytes: u64 = std::fs::read_dir(dir.path())
         .unwrap()

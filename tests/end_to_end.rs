@@ -112,12 +112,10 @@ fn storage_and_dataflow_compose_under_pressure() {
         )
         .unwrap();
     assert_eq!(rows.len(), 10);
-    // every k in 0..300 appears 10x in L and (ids divisible by 3) in R
-    let spills = db.dataflow_stats();
-    // join/sort must have survived even if nothing spilled at this size;
+    // every k in 0..300 appears 10x in L and (ids divisible by 3) in R;
+    // join/sort must have survived even if nothing spilled at this size:
     // correctness is the contract
     assert!(rows[0].field("n").as_i64().unwrap() >= rows[9].field("n").as_i64().unwrap());
-    let _ = spills;
 }
 
 #[test]
