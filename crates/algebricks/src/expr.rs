@@ -6,10 +6,11 @@
 //! rather than an error (ADM navigation semantics).
 
 use crate::error::{AlgebricksError, Result};
-use crate::plan::VarId;
+use crate::plan::{AggFunc, VarId};
 use asterix_adm::compare::{adm_eq, total_cmp};
 use asterix_adm::temporal;
 use asterix_adm::{Object, Point, Rectangle, Value};
+use asterix_hyracks::ops::AggState;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -53,11 +54,9 @@ pub enum Func {
     Substr,
     ToString,
     // collections
-    CollCount,
-    CollSum,
-    CollAvg,
-    CollMin,
-    CollMax,
+    /// `COLL_*`: an aggregate function over the items of one collection
+    /// (`COUNT(*)` over it is its length).
+    Coll(AggFunc),
     ArrayContains,
     // temporal
     DatetimeFromString,
@@ -113,11 +112,12 @@ impl Func {
             Func::StringLength => "string-length",
             Func::Substr => "substr",
             Func::ToString => "to-string",
-            Func::CollCount => "coll_count",
-            Func::CollSum => "coll_sum",
-            Func::CollAvg => "coll_avg",
-            Func::CollMin => "coll_min",
-            Func::CollMax => "coll_max",
+            Func::Coll(AggFunc::CountStar) => "coll_count_star",
+            Func::Coll(AggFunc::Count) => "coll_count",
+            Func::Coll(AggFunc::Sum) => "coll_sum",
+            Func::Coll(AggFunc::Avg) => "coll_avg",
+            Func::Coll(AggFunc::Min) => "coll_min",
+            Func::Coll(AggFunc::Max) => "coll_max",
             Func::ArrayContains => "array-contains",
             Func::DatetimeFromString => "datetime",
             Func::DateFromString => "date",
@@ -148,11 +148,6 @@ impl Func {
             "string_length" | "length" => StringLength,
             "substr" | "substring" => Substr,
             "to_string" | "tostring" => ToString,
-            "coll_count" => CollCount,
-            "coll_sum" => CollSum,
-            "coll_avg" => CollAvg,
-            "coll_min" => CollMin,
-            "coll_max" => CollMax,
             "array_contains" => ArrayContains,
             "datetime" => DatetimeFromString,
             "date" => DateFromString,
@@ -168,7 +163,7 @@ impl Func {
             "if_missing" | "ifmissing" => IfMissing,
             "if_null" | "ifnull" => IfNull,
             "if_missing_or_null" | "coalesce" => IfMissingOrNull,
-            _ => return None,
+            _ => return name.strip_prefix("coll_").and_then(AggFunc::by_name).map(Coll),
         })
     }
 }
@@ -685,16 +680,9 @@ fn apply_strict(f: Func, vals: &[Value]) -> Result<Value> {
                 other => Value::String(format!("{other}")),
             }
         }
-        CollCount => {
+        Coll(agg) => {
             arity(1)?;
-            match vals[0].as_collection() {
-                Some(items) => Value::Int(items.len() as i64),
-                None => Value::Null,
-            }
-        }
-        CollSum | CollAvg | CollMin | CollMax => {
-            arity(1)?;
-            coll_aggregate(f, &vals[0])?
+            vals[0].as_collection().map_or(Value::Null, |items| AggState::of(agg, items))
         }
         ArrayContains => {
             arity(2)?;
@@ -876,59 +864,6 @@ fn bin_to_object(b: &temporal::Bin) -> Value {
     ])
 }
 
-fn coll_aggregate(f: Func, v: &Value) -> Result<Value> {
-    let items = match v.as_collection() {
-        Some(i) => i,
-        None => return Ok(Value::Null),
-    };
-    let known: Vec<&Value> = items.iter().filter(|i| !i.is_unknown()).collect();
-    if known.is_empty() {
-        return Ok(Value::Null);
-    }
-    Ok(match f {
-        Func::CollSum | Func::CollAvg => {
-            let mut sum = 0.0;
-            let mut ints = true;
-            let mut isum: i64 = 0;
-            for i in &known {
-                match i {
-                    Value::Int(n) => {
-                        isum = isum.wrapping_add(*n);
-                        sum += *n as f64;
-                    }
-                    Value::Double(d) => {
-                        ints = false;
-                        sum += d;
-                    }
-                    _ => return Ok(Value::Null),
-                }
-            }
-            if f == Func::CollAvg {
-                Value::Double(sum / known.len() as f64)
-            } else if ints {
-                Value::Int(isum)
-            } else {
-                Value::Double(sum)
-            }
-        }
-        Func::CollMin => known
-            .iter()
-            .min_by(|a, b| total_cmp(a, b))
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
-        Func::CollMax => known
-            .iter()
-            .max_by(|a, b| total_cmp(a, b))
-            .map(|v| (*v).clone())
-            .unwrap_or(Value::Null),
-        _ => {
-            return Err(AlgebricksError::Plan(
-                "non-collection function in collection aggregate".into(),
-            ))
-        }
-    })
-}
-
 /// SQL LIKE matching: `%` = any run, `_` = any single character.
 pub fn like_match(s: &str, pattern: &str) -> bool {
     fn rec(s: &[char], p: &[char]) -> bool {
@@ -1065,10 +1000,10 @@ mod tests {
     #[test]
     fn collection_functions() {
         let coll = Expr::Const(Value::Multiset(vec![Value::Int(2), Value::Int(3), Value::Int(6)]));
-        assert_eq!(ev(&Expr::Call(Func::CollCount, vec![coll.clone()]), &[], &[]), Value::Int(3));
-        assert_eq!(ev(&Expr::Call(Func::CollSum, vec![coll.clone()]), &[], &[]), Value::Int(11));
+        assert_eq!(ev(&Expr::Call(Func::Coll(AggFunc::Count), vec![coll.clone()]), &[], &[]), Value::Int(3));
+        assert_eq!(ev(&Expr::Call(Func::Coll(AggFunc::Sum), vec![coll.clone()]), &[], &[]), Value::Int(11));
         assert_eq!(
-            ev(&Expr::Call(Func::CollAvg, vec![coll.clone()]), &[], &[]),
+            ev(&Expr::Call(Func::Coll(AggFunc::Avg), vec![coll.clone()]), &[], &[]),
             Value::Double(11.0 / 3.0)
         );
         assert_eq!(

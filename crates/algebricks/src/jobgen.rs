@@ -14,7 +14,7 @@ use crate::expr::{bind, eval, Expr, Func};
 use crate::plan::{AggFunc, JoinKind, LogicalOp, Plan, VarId};
 use asterix_adm::Value;
 use asterix_hyracks::job::{
-    AggSpec, ConnStrategy, EvalFn, JobSpec, JoinKind as HJoinKind, OpId, OpKind, Pred2Fn, PredFn,
+    AggPhase, AggSpec, ConnStrategy, EvalFn, JobSpec, JoinKind as HJoinKind, OpId, OpKind, Pred2Fn, PredFn,
     SortKey, SourceFactory,
 };
 use std::sync::Arc;
@@ -252,10 +252,20 @@ impl<'a> Builder<'a> {
             LogicalOp::Join { left, right, condition, kind } => {
                 self.compile_join(left, right, condition, *kind)
             }
-            LogicalOp::GroupBy { input, keys, aggs, collect } => {
-                self.compile_group_by(input, keys, aggs, collect.as_ref())
+            LogicalOp::GroupBy { input, keys, aggs, collect: None } => {
+                self.compile_aggregate(input, keys, aggs)
             }
-            LogicalOp::Aggregate { input, aggs } => self.compile_scalar_agg(input, aggs),
+            LogicalOp::GroupBy { input, keys, aggs, collect: Some(c) } => {
+                if !aggs.is_empty() {
+                    return Err(AlgebricksError::Plan(
+                        "group-by cannot mix direct aggregates with a group collection; \
+                         express aggregates over the group variable instead"
+                            .into(),
+                    ));
+                }
+                self.compile_group_collect(input, keys, c)
+            }
+            LogicalOp::Aggregate { input, aggs } => self.compile_aggregate(input, &[], aggs),
             LogicalOp::Order { input, keys } => {
                 let built = self.compile_op(input)?;
                 let exprs: Vec<Expr> = keys.iter().map(|(e, _)| e.clone()).collect();
@@ -481,316 +491,100 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn compile_group_by(
+    /// `GROUP BY` whose output is the group itself (`GROUP AS`, AQL
+    /// `with $v`): each group's payloads nested under one variable.
+    fn compile_group_collect(
         &mut self,
         input: &LogicalOp,
         keys: &[(VarId, Expr)],
-        aggs: &[(VarId, AggFunc, Expr)],
-        collect: Option<&crate::plan::GroupCollect>,
+        c: &crate::plan::GroupCollect,
     ) -> Result<Built> {
         let built = self.compile_op(input)?;
         let key_exprs: Vec<Expr> = keys.iter().map(|(_, e)| e.clone()).collect();
         let (built, key_cols) = self.append_exprs(built, &key_exprs, "group-keys")?;
-        if let Some(c) = collect {
-            if !aggs.is_empty() {
-                return Err(AlgebricksError::Plan(
-                    "group-by cannot mix direct aggregates with a group collection; \
-                     express aggregates over the group variable instead"
-                        .into(),
-                ));
+        // payload per input tuple: wrapped object (SQL++ GROUP AS) or
+        // the bare value when a single unwrapped binding is collected
+        // (AQL `with $v`)
+        let payload = if !c.wrap && c.fields.len() == 1 {
+            c.fields[0].1.clone()
+        } else {
+            let mut obj_args: Vec<Expr> = Vec::with_capacity(c.fields.len() * 2);
+            for (name, e) in &c.fields {
+                obj_args.push(Expr::Const(Value::String(name.clone())));
+                obj_args.push(e.clone());
             }
-            // payload per input tuple: wrapped object (SQL++ GROUP AS) or
-            // the bare value when a single unwrapped binding is collected
-            // (AQL `with $v`)
-            let payload = if !c.wrap && c.fields.len() == 1 {
-                c.fields[0].1.clone()
-            } else {
-                let mut obj_args: Vec<Expr> = Vec::with_capacity(c.fields.len() * 2);
-                for (name, e) in &c.fields {
-                    obj_args.push(Expr::Const(Value::String(name.clone())));
-                    obj_args.push(e.clone());
-                }
-                Expr::Call(Func::ObjectConstructor, obj_args)
-            };
-            let (built, pcols) = self.append_exprs(built, &[payload], "group-payload")?;
-            let dop = self.cfg.dop.max(1);
-            let id = self.spec.add(
-                OpKind::GroupCollect {
-                    key_cols: key_cols.clone(),
-                    payload_cols: pcols,
-                    memory: self.cfg.group_memory,
-                },
-                dop,
-                "group-collect",
-            );
-            self.spec.connect(built.op, id, 0, ConnStrategy::Hash(key_cols));
-            let mut schema: Vec<VarId> = keys.iter().map(|(v, _)| *v).collect();
-            schema.push(c.var);
-            return Ok(Built { op: id, partitions: dop, schema, local_order: None });
-        }
-        // local/global aggregation: decompose each aggregate
-        let agg_exprs: Vec<Expr> = aggs.iter().map(|(_, _, e)| e.clone()).collect();
-        let (built, agg_cols) = self.append_exprs(built, &agg_exprs, "group-args")?;
-        if !self.cfg.local_aggregation {
-            // ablation path: one global group-by fed raw tuples via the
-            // hash exchange — no pre-aggregation before the shuffle
-            let dop = self.cfg.dop.max(1);
-            let direct: Vec<AggSpec> = aggs
-                .iter()
-                .zip(agg_cols.iter())
-                .map(|((_, f, _), col)| match f {
-                    AggFunc::CountStar => AggSpec::CountStar,
-                    AggFunc::Count => AggSpec::Count(*col),
-                    AggFunc::Sum => AggSpec::Sum(*col),
-                    AggFunc::Min => AggSpec::Min(*col),
-                    AggFunc::Max => AggSpec::Max(*col),
-                    AggFunc::Avg => AggSpec::Avg(*col),
-                })
-                .collect();
-            let id = self.spec.add(
-                OpKind::GroupBy {
-                    key_cols: key_cols.clone(),
-                    aggs: direct,
-                    memory: self.cfg.group_memory,
-                },
-                dop,
-                "group-direct",
-            );
-            self.spec.connect(built.op, id, 0, ConnStrategy::Hash(key_cols));
-            let mut schema: Vec<VarId> = keys.iter().map(|(v, _)| *v).collect();
-            schema.extend(aggs.iter().map(|(v, _, _)| *v));
-            return Ok(Built { op: id, partitions: dop, schema, local_order: None });
-        }
-        // local stage
-        let mut local_specs: Vec<AggSpec> = Vec::new();
-        // per logical agg: the local output columns (after the keys)
-        let mut local_slots: Vec<Vec<usize>> = Vec::new();
-        for ((_, f, _), col) in aggs.iter().zip(agg_cols.iter()) {
-            let base = key_cols.len() + local_specs.len();
-            match f {
-                AggFunc::CountStar => {
-                    local_specs.push(AggSpec::CountStar);
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Count => {
-                    local_specs.push(AggSpec::Count(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Sum => {
-                    local_specs.push(AggSpec::Sum(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Min => {
-                    local_specs.push(AggSpec::Min(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Max => {
-                    local_specs.push(AggSpec::Max(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Avg => {
-                    local_specs.push(AggSpec::Sum(*col));
-                    local_specs.push(AggSpec::Count(*col));
-                    local_slots.push(vec![base, base + 1]);
-                }
-            }
-        }
-        let local = self.spec.add(
-            OpKind::GroupBy {
-                key_cols: key_cols.clone(),
-                aggs: local_specs.clone(),
-                memory: self.cfg.group_memory,
-            },
-            built.partitions,
-            "group-local",
-        );
-        self.spec.connect(built.op, local, 0, ConnStrategy::OneToOne);
-        // global stage: keys are now columns 0..k, partials follow
-        let k = key_cols.len();
-        let global_keys: Vec<usize> = (0..k).collect();
-        let mut global_specs: Vec<AggSpec> = Vec::new();
-        for ((_, f, _), slots) in aggs.iter().zip(local_slots.iter()) {
-            match f {
-                AggFunc::CountStar | AggFunc::Count | AggFunc::Sum => {
-                    global_specs.push(AggSpec::Sum(slots[0]));
-                }
-                AggFunc::Min => global_specs.push(AggSpec::Min(slots[0])),
-                AggFunc::Max => global_specs.push(AggSpec::Max(slots[0])),
-                AggFunc::Avg => {
-                    global_specs.push(AggSpec::Sum(slots[0]));
-                    global_specs.push(AggSpec::Sum(slots[1]));
-                }
-            }
-        }
+            Expr::Call(Func::ObjectConstructor, obj_args)
+        };
+        let (built, pcols) = self.append_exprs(built, &[payload], "group-payload")?;
         let dop = self.cfg.dop.max(1);
-        let global = self.spec.add(
-            OpKind::GroupBy {
-                key_cols: global_keys.clone(),
-                aggs: global_specs.clone(),
+        let id = self.spec.add(
+            OpKind::GroupCollect {
+                key_cols: key_cols.clone(),
+                payload_cols: pcols,
                 memory: self.cfg.group_memory,
             },
             dop,
-            "group-global",
+            "group-collect",
         );
-        self.spec
-            .connect(local, global, 0, ConnStrategy::Hash(global_keys));
-        // post-assign: rebuild AVG and COUNT-of-empty semantics, project to
-        // [keys..., final aggs...]
-        let mut finals: Vec<EvalFn> = Vec::new();
-        let mut pos = k;
-        for (_, f, _) in aggs {
-            match f {
-                AggFunc::Avg => {
-                    let sum_col = pos;
-                    let cnt_col = pos + 1;
-                    pos += 2;
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| {
-                        match (t[sum_col].as_f64(), t[cnt_col].as_f64()) {
-                            (Some(s), Some(c)) if c > 0.0 => Ok(Value::Double(s / c)),
-                            _ => Ok(Value::Null),
-                        }
-                    }));
-                }
-                AggFunc::CountStar | AggFunc::Count => {
-                    let col = pos;
-                    pos += 1;
-                    // SUM of partial counts is Null only if no partials: count 0
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| {
-                        Ok(match &t[col] {
-                            Value::Null | Value::Missing => Value::Int(0),
-                            other => other.clone(),
-                        })
-                    }));
-                }
-                _ => {
-                    let col = pos;
-                    pos += 1;
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| Ok(t[col].clone())));
-                }
-            }
-        }
-        let n_aggs = finals.len();
-        let assign = self.spec.add(OpKind::Assign(finals), dop, "group-finals");
-        self.spec.connect(global, assign, 0, ConnStrategy::OneToOne);
-        let width = k + global_specs.len();
-        let mut proj_cols: Vec<usize> = (0..k).collect();
-        proj_cols.extend(width..width + n_aggs);
-        let proj = self.spec.add(OpKind::Project(proj_cols), dop, "group-project");
-        self.spec.connect(assign, proj, 0, ConnStrategy::OneToOne);
+        self.spec.connect(built.op, id, 0, ConnStrategy::Hash(key_cols));
         let mut schema: Vec<VarId> = keys.iter().map(|(v, _)| *v).collect();
-        schema.extend(aggs.iter().map(|(v, _, _)| *v));
-        Ok(Built { op: proj, partitions: dop, schema, local_order: None })
+        schema.push(c.var);
+        Ok(Built { op: id, partitions: dop, schema, local_order: None })
     }
 
-    fn compile_scalar_agg(
+    /// Aggregation, grouped (`keys`) or scalar (none): one Assign computes
+    /// keys and arguments, then a stage on each side of the one exchange —
+    /// `Partial` per input partition, `Final` after it — or, without
+    /// `local_aggregation`, a single `Complete` stage after it. What a
+    /// function's partial looks like is the accumulator's business
+    /// (`asterix_hyracks::ops::AggState`); only its width is counted here.
+    fn compile_aggregate(
         &mut self,
         input: &LogicalOp,
+        keys: &[(VarId, Expr)],
         aggs: &[(VarId, AggFunc, Expr)],
     ) -> Result<Built> {
         let built = self.compile_op(input)?;
-        let agg_exprs: Vec<Expr> = aggs.iter().map(|(_, _, e)| e.clone()).collect();
-        let (built, agg_cols) = self.append_exprs(built, &agg_exprs, "agg-args")?;
-        let mut local_specs: Vec<AggSpec> = Vec::new();
-        let mut local_slots: Vec<Vec<usize>> = Vec::new();
-        for ((_, f, _), col) in aggs.iter().zip(agg_cols.iter()) {
-            let base = local_specs.len();
-            match f {
-                AggFunc::CountStar => {
-                    local_specs.push(AggSpec::CountStar);
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Count => {
-                    local_specs.push(AggSpec::Count(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Sum => {
-                    local_specs.push(AggSpec::Sum(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Min => {
-                    local_specs.push(AggSpec::Min(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Max => {
-                    local_specs.push(AggSpec::Max(*col));
-                    local_slots.push(vec![base]);
-                }
-                AggFunc::Avg => {
-                    local_specs.push(AggSpec::Sum(*col));
-                    local_specs.push(AggSpec::Count(*col));
-                    local_slots.push(vec![base, base + 1]);
-                }
+        let prefix = if keys.is_empty() { "agg" } else { "group" };
+        let exprs: Vec<Expr> =
+            keys.iter().map(|(_, e)| e).chain(aggs.iter().map(|(_, _, e)| e)).cloned().collect();
+        let (built, cols) = self.append_exprs(built, &exprs, &format!("{prefix}-input"))?;
+        let (key_cols, arg_cols) = cols.split_at(keys.len());
+        let mut specs: Vec<AggSpec> = aggs
+            .iter()
+            .zip(arg_cols)
+            .map(|((_, func, _), col)| AggSpec::complete(*func, *col))
+            .collect();
+        // one stage: a group-by, or with no keys the operator that answers
+        // one row for an empty input too
+        let memory = self.cfg.group_memory;
+        let stage = |key_cols: &[usize], aggs: Vec<AggSpec>| match key_cols {
+            [] => OpKind::Aggregate { aggs },
+            _ => OpKind::GroupBy { key_cols: key_cols.to_vec(), aggs, memory },
+        };
+        let (mut feed, mut key_cols) = (built.op, key_cols.to_vec());
+        if self.cfg.local_aggregation {
+            let partial = specs.iter().map(|s| AggSpec { phase: AggPhase::Partial, ..*s }).collect();
+            let local =
+                self.spec.add(stage(&key_cols, partial), built.partitions, format!("{prefix}-local"));
+            self.spec.connect(feed, local, 0, ConnStrategy::OneToOne);
+            // it emits the keys, then each function's partial columns
+            feed = local;
+            key_cols = (0..keys.len()).collect();
+            let mut col = keys.len();
+            for s in &mut specs {
+                *s = AggSpec { col, phase: AggPhase::Final, ..*s };
+                col += s.func.partial_cols();
             }
         }
-        let local = self.spec.add(
-            OpKind::Aggregate { aggs: local_specs.clone() },
-            built.partitions,
-            "agg-local",
-        );
-        self.spec.connect(built.op, local, 0, ConnStrategy::OneToOne);
-        let mut global_specs: Vec<AggSpec> = Vec::new();
-        for ((_, f, _), slots) in aggs.iter().zip(local_slots.iter()) {
-            match f {
-                AggFunc::CountStar | AggFunc::Count | AggFunc::Sum => {
-                    global_specs.push(AggSpec::Sum(slots[0]))
-                }
-                AggFunc::Min => global_specs.push(AggSpec::Min(slots[0])),
-                AggFunc::Max => global_specs.push(AggSpec::Max(slots[0])),
-                AggFunc::Avg => {
-                    global_specs.push(AggSpec::Sum(slots[0]));
-                    global_specs.push(AggSpec::Sum(slots[1]));
-                }
-            }
-        }
-        let n_globals = global_specs.len();
-        let global = self.spec.add(OpKind::Aggregate { aggs: global_specs }, 1, "agg-global");
-        self.spec.connect(local, global, 0, ConnStrategy::Gather);
-        let mut finals: Vec<EvalFn> = Vec::new();
-        let mut pos = 0usize;
-        for (_, f, _) in aggs {
-            match f {
-                AggFunc::Avg => {
-                    let (s, c) = (pos, pos + 1);
-                    pos += 2;
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| {
-                        match (t[s].as_f64(), t[c].as_f64()) {
-                            (Some(sv), Some(cv)) if cv > 0.0 => Ok(Value::Double(sv / cv)),
-                            _ => Ok(Value::Null),
-                        }
-                    }));
-                }
-                AggFunc::CountStar | AggFunc::Count => {
-                    let col = pos;
-                    pos += 1;
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| {
-                        Ok(match &t[col] {
-                            Value::Null | Value::Missing => Value::Int(0),
-                            other => other.clone(),
-                        })
-                    }));
-                }
-                _ => {
-                    let col = pos;
-                    pos += 1;
-                    finals.push(Arc::new(move |t: &asterix_hyracks::Tuple| Ok(t[col].clone())));
-                }
-            }
-        }
-        let n = finals.len();
-        let assign = self.spec.add(OpKind::Assign(finals), 1, "agg-finals");
-        self.spec.connect(global, assign, 0, ConnStrategy::OneToOne);
-        let proj = self.spec.add(
-            OpKind::Project((n_globals..n_globals + n).collect()),
-            1,
-            "agg-project",
-        );
-        self.spec.connect(assign, proj, 0, ConnStrategy::OneToOne);
-        Ok(Built {
-            op: proj,
-            partitions: 1,
-            schema: aggs.iter().map(|(v, _, _)| *v).collect(),
-            local_order: None,
-        })
+        let (partitions, exchange) = match keys {
+            [] => (1, ConnStrategy::Gather),
+            _ => (self.cfg.dop.max(1), ConnStrategy::Hash(key_cols.clone())),
+        };
+        let global = self.spec.add(stage(&key_cols, specs), partitions, format!("{prefix}-global"));
+        self.spec.connect(feed, global, 0, exchange);
+        let schema = keys.iter().map(|(v, _)| *v).chain(aggs.iter().map(|(v, _, _)| *v)).collect();
+        Ok(Built { op: global, partitions, schema, local_order: None })
     }
 }
 
@@ -903,7 +697,7 @@ mod tests {
                     wrap: true,
                 }),
             }),
-            exprs: vec![Expr::Var(10), Expr::Call(Func::CollCount, vec![Expr::Var(11)])],
+            exprs: vec![Expr::Var(10), Expr::Call(Func::Coll(AggFunc::Count), vec![Expr::Var(11)])],
         });
         let mut rows = run(plan);
         rows.sort_by(asterix_adm::compare::total_cmp);

@@ -34,32 +34,9 @@ impl VarGen {
     }
 }
 
-/// Aggregate functions of the logical algebra.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// `COUNT(*)` — row count.
-    CountStar,
-    /// `COUNT(e)` — non-unknown count.
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-impl AggFunc {
-    /// Stable name for plan printing.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AggFunc::CountStar => "count_star",
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-            AggFunc::Avg => "avg",
-        }
-    }
-}
+/// Aggregate functions of the logical algebra: the runtime's own, so what a
+/// plan names is what the accumulator runs.
+pub use asterix_hyracks::job::AggFunc;
 
 /// Join kinds at the logical level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

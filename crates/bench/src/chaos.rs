@@ -15,7 +15,7 @@
 use asterix_adm::Value;
 use asterix_core::{Instance, InstanceConfig, RetryPolicy};
 use asterix_hyracks::exec::{run_job_with, JobOptions};
-use asterix_hyracks::job::{AggSpec, FnSource, SortKey};
+use asterix_hyracks::job::{AggFunc, AggSpec, FnSource, SortKey};
 use asterix_hyracks::{
     ConnStrategy, DataflowFaults, FaultConfig, HyracksError, JobSpec, OpKind, RuntimeCtx, Tuple,
 };
@@ -68,7 +68,7 @@ fn group_job() -> JobSpec {
     let mut j = JobSpec::new();
     let s = j.add(int_source(), DOP, "scan");
     let g = j.add(
-        OpKind::GroupBy { key_cols: vec![1], aggs: vec![AggSpec::CountStar], memory: 1 << 16 },
+        OpKind::GroupBy { key_cols: vec![1], aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)], memory: 1 << 16 },
         DOP,
         "group",
     );

@@ -15,7 +15,7 @@
 use crate::{ms, time_it, ExpReport};
 use asterix_adm::Value;
 use asterix_hyracks::ctx::RuntimeCtx;
-use asterix_hyracks::job::{AggSpec, JoinKind, SortKey};
+use asterix_hyracks::job::{AggFunc, AggSpec, JoinKind, SortKey};
 use asterix_hyracks::ops::{drive, Driven};
 use asterix_hyracks::{OpKind, Tuple};
 use std::cell::Cell;
@@ -137,7 +137,7 @@ pub fn run(quick: bool) -> ExpReport {
         let ctx = RuntimeCtx::temp().unwrap();
         let kind = OpKind::GroupBy {
             key_cols: vec![1],
-            aggs: vec![AggSpec::CountStar, AggSpec::Sum(0)],
+            aggs: vec![AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 0)],
             memory: *budget,
         };
         let (out, t, before_end) = measure(&kind, vec![Box::new(rows(n, 2371))], &ctx);

@@ -42,7 +42,7 @@ pub fn run(quick: bool) -> ExpReport {
 
 fn ablate_local_aggregation(report: &mut ExpReport, quick: bool) {
     let n: i64 = if quick { 5_000 } else { 40_000 };
-    for local in [true, false] {
+    let load = |local: bool| {
         let db = Instance::open(InstanceConfig {
             nodes: 4,
             partitions: 4,
@@ -70,20 +70,38 @@ fn ablate_local_aggregation(report: &mut ExpReport, quick: bool) {
             .unwrap();
         }
         txn.commit().unwrap();
-        let before = db.metrics_snapshot();
-        let (rows, t) = time_it(|| {
-            db.query("SELECT d.grp AS g, COUNT(*) AS n, SUM(d.val) AS s FROM D d GROUP BY d.grp")
-                .unwrap()
+        db
+    };
+    let (split, direct) = (load(true), load(false));
+    // a grouped and a scalar aggregate: one jobgen function compiles both,
+    // so the knob must govern both
+    for (ablation, sql, groups) in [
+        (
+            "local aggregation",
+            "SELECT d.grp AS g, COUNT(*) AS n, SUM(d.val) AS s FROM D d GROUP BY d.grp",
+            8,
+        ),
+        ("local aggregation (scalar)", "SELECT COUNT(*) AS n, SUM(d.val) AS s FROM D d", 1),
+    ] {
+        let exchanged = [(&split, "on (default)"), (&direct, "off")].map(|(db, setting)| {
+            let before = db.metrics_snapshot();
+            let (rows, t) = time_it(|| db.query(sql).unwrap());
+            assert_eq!(rows.len(), groups);
+            let delta = db.metrics_snapshot().delta(&before);
+            let moved = delta.counter("hyracks.dataflow.tuples_exchanged").unwrap_or(0);
+            report.row(&[
+                ablation.into(),
+                setting.into(),
+                format!("{moved} tuples exchanged"),
+                ms(t),
+            ]);
+            moved
         });
-        assert_eq!(rows.len(), 8);
-        let delta = db.metrics_snapshot().delta(&before);
-        let moved = delta.counter("hyracks.dataflow.tuples_exchanged").unwrap_or(0);
-        report.row(&[
-            "local aggregation".into(),
-            if local { "on (default)" } else { "off" }.into(),
-            format!("{moved} tuples exchanged"),
-            ms(t),
-        ]);
+        // asserted on counts, never on a time
+        assert!(
+            exchanged[0] < exchanged[1],
+            "{ablation}: the split must exchange fewer tuples than the direct plan: {exchanged:?}"
+        );
     }
 }
 
@@ -238,11 +256,12 @@ mod tests {
     #[test]
     fn e13_runs_quick() {
         let r = super::run(true);
-        assert_eq!(r.rows.len(), 8);
-        // local aggregation must move far fewer tuples
-        let on: String = r.rows[0][2].clone();
-        let off: String = r.rows[1][2].clone();
+        assert_eq!(r.rows.len(), 10);
+        // local aggregation must move far fewer tuples, grouped and scalar
         let parse = |s: &str| s.split(' ').next().unwrap().parse::<u64>().unwrap();
-        assert!(parse(&on) < parse(&off) / 2, "on={on} off={off}");
+        for pair in r.rows[..4].chunks(2) {
+            let (on, off) = (&pair[0][2], &pair[1][2]);
+            assert!(parse(on) < parse(off) / 2, "{}: on={on} off={off}", pair[0][0]);
+        }
     }
 }

@@ -333,7 +333,8 @@ impl DatasetPartition {
     /// an index that a restart found behind its primary.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
         let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
-        for (pk, raw) in self.primary.scan()? {
+        for entry in self.primary.range_iter(Bound::Unbounded, Bound::Unbounded)? {
+            let (pk, raw) = entry?;
             let record = self.schema.decode(&raw)?;
             Self::index_insert(&mut sec, &record, &pk)?;
         }
@@ -600,12 +601,12 @@ impl DatasetPartition {
         Ok(())
     }
 
-    /// Full scan of live records in primary-key order.
+    /// Full scan of live records in primary-key order, each decoded as the
+    /// index yields it.
     pub fn scan(&self) -> Result<Vec<Value>> {
         self.primary
-            .scan()?
-            .into_iter()
-            .map(|(_, raw)| self.schema.decode(&raw))
+            .range_iter(Bound::Unbounded, Bound::Unbounded)?
+            .map(|entry| self.schema.decode(&entry?.1))
             .collect()
     }
 

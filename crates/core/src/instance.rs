@@ -797,33 +797,10 @@ impl Instance {
     /// stands and optimizes the plan. Variable ids are numbered per query;
     /// they only have to be unique within a plan.
     fn compile(&self, query: &Query) -> Result<Plan> {
-        let view = self.catalog_view();
-        let mut plan =
-            translate_query(query, &view, &mut VarGen::new()).map_err(CoreError::Sqlpp)?;
+        let mut plan = translate_query(query, &InstanceCatalogView(self), &mut VarGen::new())
+            .map_err(CoreError::Sqlpp)?;
         optimize(&mut plan);
         Ok(plan)
-    }
-
-    fn catalog_view(&self) -> InstanceCatalogView {
-        InstanceCatalogView {
-            datasets: self.inner.datasets.read().clone(),
-            catalog_types: self.inner.catalog.read().types.clone(),
-            external: self
-                .inner
-                .catalog
-                .read()
-                .datasets()
-                .iter()
-                .filter_map(|d| match &d.kind {
-                    DatasetKind::External { properties, .. } => Some((
-                        d.name.clone(),
-                        (properties.clone(), d.type_name.clone()),
-                    )),
-                    _ => None,
-                })
-                .collect(),
-            sorted_fetch: self.inner.config.sorted_index_fetch,
-        }
     }
 
     /// Direct record count of a dataset (diagnostics).
@@ -1273,31 +1250,30 @@ impl<'a> Drop for Txn<'a> {
     }
 }
 
-/// Catalog view handed to the query translator.
-pub struct InstanceCatalogView {
-    datasets: HashMap<String, Arc<DatasetRuntime>>,
-    catalog_types: asterix_adm::types::TypeRegistry,
-    external: HashMap<String, (Vec<(String, String)>, String)>,
-    sorted_fetch: bool,
-}
+/// Catalog view handed to the query translator: each name a query uses is
+/// looked up under the instance's read locks, as the catalog stands then.
+struct InstanceCatalogView<'a>(&'a Instance);
 
-impl CatalogView for InstanceCatalogView {
+impl CatalogView for InstanceCatalogView<'_> {
     fn dataset(&self, name: &str) -> Option<Arc<dyn DataSource>> {
-        if let Some(rt) = self.datasets.get(name) {
+        let inner = &self.0.inner;
+        if let Some(rt) = inner.datasets.read().get(name) {
             return Some(Arc::new(DatasetSource {
                 runtime: Arc::clone(rt),
-                sorted_fetch: self.sorted_fetch,
+                sorted_fetch: inner.config.sorted_index_fetch,
             }));
         }
-        if let Some((props, type_name)) = self.external.get(name) {
-            let config = crate::external::ExternalConfig::from_properties(props).ok()?;
-            return Some(Arc::new(ExternalSource {
-                name: name.to_string(),
-                config,
-                record_type: self.catalog_types.get(type_name).cloned(),
-                registry: self.catalog_types.clone(),
-            }));
-        }
-        None
+        let catalog = inner.catalog.read(); // xlint: lock(catalog)
+        let def = catalog.dataset(name)?;
+        let DatasetKind::External { properties, .. } = &def.kind else {
+            return None;
+        };
+        // an external source owns the registry its records are parsed against
+        Some(Arc::new(ExternalSource {
+            name: name.to_string(),
+            config: crate::external::ExternalConfig::from_properties(properties).ok()?,
+            record_type: catalog.types.get(&def.type_name).cloned(),
+            registry: catalog.types.clone(),
+        }))
     }
 }

@@ -1,0 +1,154 @@
+//! One aggregate, every route: the grouped sugar, the scalar sugar, either
+//! of them with `local_aggregation` off, and the `COLL_*` functions that
+//! `GROUP AS` / AQL `with $v` aggregate through, all run the one accumulator
+//! of `asterix_hyracks::ops::AggState`, so they give one answer — and the
+//! plans they compile to have no operator that only repairs a partial.
+
+use asterix_adm::Value;
+use asterix_core::instance::{Instance, InstanceConfig};
+
+/// `D`: group 1 holds `1` and `"a"`, group 2 holds `i64::MAX` and `1`,
+/// group 3 holds `1`, `null` and a record without `v`.
+fn db(local_aggregation: bool) -> Instance {
+    let db = Instance::open(InstanceConfig {
+        nodes: 2,
+        partitions: 3,
+        local_aggregation,
+        ..Default::default()
+    })
+    .unwrap();
+    db.execute_sqlpp(
+        r#"CREATE TYPE T AS { id: int, g: int };
+           CREATE DATASET D(T) PRIMARY KEY id;
+           UPSERT INTO D ([
+               {"id": 1, "g": 1, "v": 1}, {"id": 2, "g": 1, "v": "a"},
+               {"id": 3, "g": 2, "v": 9223372036854775807}, {"id": 4, "g": 2, "v": 1},
+               {"id": 5, "g": 3, "v": 1}, {"id": 6, "g": 3, "v": null}, {"id": 7, "g": 3}
+           ]);"#,
+    )
+    .unwrap();
+    db
+}
+
+/// `[sum, avg, count]` of group `g` on every route, each with the route's name.
+fn routes(g: i64) -> Vec<(String, Value)> {
+    let mut out = Vec::new();
+    for local in [true, false] {
+        let db = db(local);
+        let grouped = db
+            .query(&format!(
+                "SELECT VALUE [s, a, n] FROM (SELECT d.g AS g, SUM(d.v) AS s, AVG(d.v) AS a, \
+                 COUNT(d.v) AS n FROM D d GROUP BY d.g) AS r WHERE r.g = {g}"
+            ))
+            .unwrap();
+        out.push((format!("grouped, local_aggregation={local}"), grouped[0].clone()));
+        let scalar = db
+            .query(&format!(
+                "SELECT VALUE [SUM(d.v), AVG(d.v), COUNT(d.v)] FROM D d WHERE d.g = {g}"
+            ))
+            .unwrap();
+        out.push((format!("scalar, local_aggregation={local}"), scalar[0].clone()));
+    }
+    let db = db(true);
+    let aql = db
+        .query_aql(&format!(
+            "for $d in dataset D let $v := $d.v where $d.g = {g} group by $g := $d.g with $v \
+             return [coll_sum($v), coll_avg($v), coll_count($v)]"
+        ))
+        .unwrap();
+    out.push(("AQL with $v".into(), aql[0].clone()));
+    out
+}
+
+fn assert_every_route(g: i64, want: [Value; 3]) {
+    let want = Value::Array(want.to_vec());
+    for (route, got) in routes(g) {
+        assert_eq!(got, want, "[sum, avg, count] of group {g} — {route}");
+    }
+}
+
+#[test]
+fn an_overflowing_sum_carries_on_as_a_double_on_every_route() {
+    assert_every_route(
+        2,
+        [
+            Value::Double(2f64.powi(63)),
+            Value::Double(2f64.powi(62)),
+            Value::Int(2),
+        ],
+    );
+}
+
+#[test]
+fn a_non_numeric_input_makes_sum_and_avg_null_on_every_route() {
+    assert_every_route(1, [Value::Null, Value::Null, Value::Int(2)]);
+}
+
+#[test]
+fn unknowns_are_skipped_on_every_route() {
+    assert_every_route(3, [Value::Int(1), Value::Double(1.0), Value::Int(1)]);
+}
+
+#[test]
+fn coll_count_counts_what_count_counts_and_exists_still_means_has_any_item() {
+    let db = db(true);
+    let one = |sql: &str| db.query(sql).unwrap().remove(0);
+    assert_eq!(one("SELECT VALUE coll_count([1, null, 'a'])"), Value::Int(2));
+    assert_eq!(
+        one("SELECT VALUE coll_sum([9223372036854775807, 1])"),
+        Value::Double(2f64.powi(63))
+    );
+    assert_eq!(one("SELECT VALUE coll_avg([1, 'a'])"), Value::Null);
+    assert_eq!(one("SELECT VALUE EXISTS [null]"), Value::Bool(true));
+    assert_eq!(one("SELECT VALUE EXISTS []"), Value::Bool(false));
+}
+
+/// The operator labels of a job, sink last.
+fn labels(db: &Instance, sql: &str) -> Vec<String> {
+    fn walk(op: &asterix_obs::OperatorProfile, out: &mut Vec<String>) {
+        for input in &op.inputs {
+            walk(input, out);
+        }
+        out.push(op.label.clone());
+    }
+    let handle = db.session().submit(sql).unwrap();
+    handle.wait().unwrap();
+    let mut out = Vec::new();
+    walk(&handle.profile().unwrap().root, &mut out);
+    out
+}
+
+#[test]
+fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
+    const GROUPED: &str = "SELECT d.g, COUNT(*), SUM(d.v) FROM D d GROUP BY d.g";
+    const SCALAR: &str = "SELECT VALUE COUNT(*) FROM D d";
+    let split = db(true);
+    assert_eq!(
+        labels(&split, GROUPED),
+        [
+            "scan:D", "group-input", "group-local", "group-global", "assign", "result-exprs",
+            "result-project", "sink"
+        ]
+    );
+    assert_eq!(
+        labels(&split, SCALAR),
+        [
+            "scan:D", "agg-input", "agg-local", "agg-global", "assign", "result-exprs",
+            "result-project", "sink"
+        ]
+    );
+    // E13's knob governs both: without the split the one stage after the
+    // exchange aggregates raw tuples
+    let direct = db(false);
+    assert_eq!(
+        labels(&direct, GROUPED),
+        [
+            "scan:D", "group-input", "group-global", "assign", "result-exprs", "result-project",
+            "sink"
+        ]
+    );
+    assert_eq!(
+        labels(&direct, SCALAR),
+        ["scan:D", "agg-input", "agg-global", "assign", "result-exprs", "result-project", "sink"]
+    );
+}

@@ -1039,7 +1039,7 @@ pub fn run_job_sorted(spec: JobSpec, ctx: Arc<RuntimeCtx>, keys: &[SortKey]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{AggSpec, FnSource, JoinKind, OpKind, SortKey};
+    use crate::job::{AggFunc, AggSpec, FnSource, JoinKind, OpKind, SortKey};
     use asterix_adm::Value;
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
@@ -1096,7 +1096,7 @@ mod tests {
         let g = j.add(
             OpKind::GroupBy {
                 key_cols: vec![1],
-                aggs: vec![AggSpec::CountStar],
+                aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)],
                 memory: 1 << 20,
             },
             4,
@@ -1325,7 +1325,7 @@ mod tests {
         let mut j = JobSpec::new();
         let s = j.add(int_source(100), 4, "scan");
         let a = j.add(
-            OpKind::Aggregate { aggs: vec![AggSpec::CountStar, AggSpec::Sum(0)] },
+            OpKind::Aggregate { aggs: vec![AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 0)] },
             1,
             "agg",
         );
@@ -1435,7 +1435,7 @@ mod tests {
             Some(OpKind::Sort { keys: vec![SortKey::asc(1)], memory: 16 << 10 }),
             Some(OpKind::GroupBy {
                 key_cols: vec![1],
-                aggs: vec![AggSpec::CountStar],
+                aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)],
                 memory: 16 << 10,
             }),
         ];
@@ -1478,7 +1478,7 @@ mod tests {
             let g = j.add(
                 OpKind::GroupBy {
                     key_cols: vec![1],
-                    aggs: vec![AggSpec::CountStar],
+                    aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)],
                     memory: 128 << 10,
                 },
                 1,

@@ -78,21 +78,75 @@ pub fn cmp_tuples(a: &Tuple, b: &Tuple, keys: &[SortKey]) -> Ordering {
     Ordering::Equal
 }
 
-/// Aggregate function specifications for group-by / scalar aggregation.
+/// The aggregate functions, for every layer: the logical algebra names
+/// them, the translators look them up, the accumulator
+/// ([`crate::ops::AggState`]) says what they mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggSpec {
+pub enum AggFunc {
     /// `COUNT(*)` — counts tuples.
     CountStar,
-    /// `COUNT(col)` — counts non-null/non-missing values.
-    Count(usize),
-    /// `SUM(col)`.
-    Sum(usize),
-    /// `MIN(col)`.
-    Min(usize),
-    /// `MAX(col)`.
-    Max(usize),
-    /// `AVG(col)`.
-    Avg(usize),
+    /// `COUNT(e)` — counts known (non-null, non-missing) values.
+    Count,
+    Sum,
+    Min,
+    Max,
+    Avg,
+}
+
+impl AggFunc {
+    /// Stable name for plan printing.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AggFunc::CountStar => "count_star",
+            AggFunc::Count => "count",
+            AggFunc::Sum => "sum",
+            AggFunc::Min => "min",
+            AggFunc::Max => "max",
+            AggFunc::Avg => "avg",
+        }
+    }
+
+    /// The function a query names (`COUNT(*)` is `count` applied to `*`,
+    /// which only a translator can see).
+    pub fn by_name(name: &str) -> Option<AggFunc> {
+        use AggFunc::*;
+        [Count, Sum, Min, Max, Avg].into_iter().find(|f| f.name() == name)
+    }
+
+    /// How many columns the partial state of this function travels in
+    /// between a [`AggPhase::Partial`] and a [`AggPhase::Final`] stage:
+    /// `AVG` is a sum and a count, every other function one value.
+    pub fn partial_cols(&self) -> usize {
+        if *self == AggFunc::Avg { 2 } else { 1 }
+    }
+}
+
+/// Which half of the local/global protocol an accumulator runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggPhase {
+    /// Raw values in, the final value out.
+    Complete,
+    /// Raw values in, the function's partial columns out.
+    Partial,
+    /// Partial columns in, the final value out.
+    Final,
+}
+
+/// One aggregate of a group-by / scalar aggregation stage. `col` is the
+/// input column — the first of the function's partial columns when the
+/// phase is [`AggPhase::Final`]; `COUNT(*)` reads none of a raw tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AggSpec {
+    pub func: AggFunc,
+    pub col: usize,
+    pub phase: AggPhase,
+}
+
+impl AggSpec {
+    /// `func` over raw column `col`, start to finish.
+    pub fn complete(func: AggFunc, col: usize) -> Self {
+        AggSpec { func, col, phase: AggPhase::Complete }
+    }
 }
 
 /// Join type.
@@ -126,8 +180,8 @@ pub enum OpKind {
     TopK { keys: Vec<SortKey>, k: usize },
     /// Scalar aggregation over the whole input (single output tuple).
     Aggregate { aggs: Vec<AggSpec> },
-    /// Hash group-by with partition spilling. Output: key cols then one col
-    /// per aggregate.
+    /// Hash group-by with partition spilling. Output: key cols then the
+    /// columns of each aggregate (one, or its partial columns).
     GroupBy { key_cols: Vec<usize>, aggs: Vec<AggSpec>, memory: usize },
     /// Groups by `key_cols` and appends, after the keys, one column holding
     /// the *array of grouped tuples* projected to `payload_cols` — SQL++'s

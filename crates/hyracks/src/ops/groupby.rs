@@ -137,8 +137,8 @@ impl<R: Resident> Operator for Hybrid<R> {
 /// its materialized key and per-aggregate running state.
 type GroupBucket = Vec<(Vec<Value>, Vec<AggState>)>;
 
-/// Hash group-by: one row per group — key columns then one column per
-/// aggregate. Two-level hash-first table: buckets keyed by the 64-bit key
+/// Hash group-by: one row per group — key columns then what each aggregate
+/// emits (its final value, or its partial columns). Two-level hash-first table: buckets keyed by the 64-bit key
 /// hash, the materialized key built once per *group* (on first insert)
 /// rather than once per input tuple.
 pub(crate) struct Groups {
@@ -193,7 +193,7 @@ impl Resident for Groups {
 
     fn into_rows(self) -> Box<dyn Iterator<Item = Tuple> + Send> {
         Box::new(self.table.into_values().flatten().map(|(mut row, states)| {
-            row.extend(states.iter().map(AggState::finish));
+            states.iter().for_each(|s| s.finish(&mut row));
             row
         }))
     }
@@ -258,7 +258,8 @@ impl Resident for Seen {
     }
 }
 
-/// Scalar aggregation over the whole input: one output tuple.
+/// Scalar aggregation over the whole input: one output tuple, also when
+/// the input is empty — the zero-key form of [`Groups`].
 pub(crate) struct Aggregate(Vec<AggState>);
 
 impl Aggregate {
@@ -276,7 +277,9 @@ impl Operator for Aggregate {
     }
 
     fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        cx.emit(self.0.iter().map(AggState::finish).collect())?;
+        let mut row = Vec::with_capacity(self.0.len());
+        self.0.iter().for_each(|s| s.finish(&mut row));
+        cx.emit(row)?;
         Ok(false)
     }
 }
@@ -358,7 +361,7 @@ impl Operator for GroupCollect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::OpKind;
+    use crate::job::{AggFunc, OpKind};
     use crate::ops::drive;
     use std::sync::Arc;
 
@@ -382,7 +385,7 @@ mod tests {
 
     #[test]
     fn basic_grouping() {
-        let aggs = [AggSpec::CountStar, AggSpec::Sum(1), AggSpec::Min(1), AggSpec::Max(1)];
+        let aggs = [AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 1), AggSpec::complete(AggFunc::Min, 1), AggSpec::complete(AggFunc::Max, 1)];
         let (out, ctx) = run(group_by(&aggs, 64 << 20), rows(100, 4));
         assert_eq!(out.len(), 4);
         assert_eq!(ctx.stats.groups_spilled.get(), 0);
@@ -396,7 +399,7 @@ mod tests {
 
     #[test]
     fn spilling_grouping_matches_in_memory() {
-        let aggs = [AggSpec::CountStar, AggSpec::Sum(1)];
+        let aggs = [AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 1)];
         let (big, _) = run(group_by(&aggs, 64 << 20), rows(20_000, 3_000));
         let (small, ctx) = run(group_by(&aggs, 16 << 10), rows(20_000, 3_000));
         assert!(ctx.stats.groups_spilled.get() > 0, "spill mode engaged");
@@ -455,7 +458,7 @@ mod tests {
             Ok(vec![Value::Null, Value::Int(2), Value::from("y")]),
             Ok(vec![Value::Int(1), Value::Int(3), Value::from("z")]),
         ];
-        let (out, _) = run(group_by(&[AggSpec::CountStar], 1 << 20), input);
+        let (out, _) = run(group_by(&[AggSpec::complete(AggFunc::CountStar, 0)], 1 << 20), input);
         assert_eq!(out.len(), 2, "NULL forms its own group (SQL GROUP BY)");
         assert_eq!(out[0][1], Value::Int(2));
     }

@@ -9,8 +9,8 @@
 //! recursion of the spilling operators call it with iterators; everything an
 //! operator may touch while it runs arrives in the [`OpCtx`] of the step.
 //!
-//! This module also holds the aggregate-function machinery shared by scalar
-//! aggregation and group-by.
+//! This module also holds the aggregate accumulator ([`AggState`]) shared by
+//! scalar aggregation, group-by and the `COLL_*` collection functions.
 
 pub mod groupby;
 pub mod join;
@@ -22,7 +22,7 @@ use crate::ctx::{RunHandle, RunReader, RuntimeCtx};
 use crate::error::{HyracksError, Result};
 use crate::exec::{NoWake, Notifier, Router};
 use crate::frame::{u32_len, Frame, Tuple};
-use crate::job::{AggSpec, OpKind};
+use crate::job::{AggFunc, AggPhase, AggSpec, OpKind};
 use crate::sched::MORSEL_TUPLES;
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
@@ -233,18 +233,35 @@ pub fn drive<'a>(
     Ok(Driven { tuples: out.take_collected(), metrics })
 }
 
-/// Running state of one aggregate function (SQL null semantics: NULL and
-/// MISSING inputs are skipped; aggregates over no values yield NULL, except
-/// COUNT which yields 0).
+/// What a [`AggPhase::Partial`] `SUM` emits once it has met a known value
+/// that is not a number: itself a known non-number, so it makes the final
+/// `SUM`/`AVG` NULL the way the offending value would have.
+const NON_NUMERIC: Value = Value::Bool(false);
+
+/// Running state of one aggregate function: the one place that says what
+/// the six functions mean and how each splits into a partial and a final
+/// half. On every route — grouped or scalar, whole or split, a `COLL_*`
+/// call over a collection — unknowns (NULL, MISSING) are skipped by every
+/// function but `COUNT(*)`; a known non-numeric input makes `SUM` and `AVG`
+/// NULL; integers are summed exactly, whatever order they arrive in, and a
+/// total outside `i64` is reported as a `Double`; over no values a count is
+/// 0 and every other aggregate NULL.
+///
+/// Partial columns: a count travels as an `Int`; `MIN`/`MAX` as the best
+/// value so far (NULL: none); `SUM` as the sum so far (NULL: none,
+/// [`NON_NUMERIC`]: not a number); `AVG` as that sum, then its count.
 #[derive(Debug, Clone)]
 pub struct AggState {
     spec: AggSpec,
+    /// Known values folded (`COUNT(*)`: tuples).
     count: u64,
-    sum_int: i64,
-    sum_double: f64,
-    ints_only: bool,
-    min: Option<Value>,
-    max: Option<Value>,
+    /// `SUM`/`AVG`: the integers, exactly — 2^64 values of 2^63 fit.
+    ints: i128,
+    doubles: f64,
+    any_double: bool,
+    non_numeric: bool,
+    /// `MIN`/`MAX`: the best value so far.
+    best: Option<Value>,
 }
 
 impl AggState {
@@ -253,91 +270,117 @@ impl AggState {
         AggState {
             spec,
             count: 0,
-            sum_int: 0,
-            sum_double: 0.0,
-            ints_only: true,
-            min: None,
-            max: None,
+            ints: 0,
+            doubles: 0.0,
+            any_double: false,
+            non_numeric: false,
+            best: None,
         }
     }
 
-    /// Folds one tuple into the accumulator.
+    /// `func` over `items`, start to finish (the `COLL_*` functions).
+    pub fn of<'a>(func: AggFunc, items: impl IntoIterator<Item = &'a Value>) -> Value {
+        let mut state = AggState::new(AggSpec::complete(func, 0));
+        items.into_iter().for_each(|v| state.add(v));
+        state.value()
+    }
+
+    /// Folds one input tuple: a raw one, or under [`AggPhase::Final`] a row
+    /// of partial columns.
     pub fn update(&mut self, tuple: &Tuple) {
-        let col = match self.spec {
-            AggSpec::CountStar => {
-                self.count += 1;
-                return;
+        let AggSpec { func, col, phase } = self.spec;
+        let partial_count = |v: &Value| v.as_i64().and_then(|n| u64::try_from(n).ok()).unwrap_or(0);
+        match (phase, func) {
+            (AggPhase::Final, AggFunc::CountStar | AggFunc::Count) => {
+                self.count += partial_count(&tuple[col]);
             }
-            AggSpec::Count(c)
-            | AggSpec::Sum(c)
-            | AggSpec::Min(c)
-            | AggSpec::Max(c)
-            | AggSpec::Avg(c) => c,
-        };
-        let v = &tuple[col];
-        if v.is_unknown() {
+            (AggPhase::Final, AggFunc::Avg) => {
+                self.sum(&tuple[col]);
+                self.count += partial_count(&tuple[col + 1]);
+            }
+            // reads no column of a raw tuple
+            (_, AggFunc::CountStar) => self.count += 1,
+            // the partial of SUM, MIN or MAX folds like one more raw value
+            _ => self.add(&tuple[col]),
+        }
+    }
+
+    /// Folds one raw value.
+    fn add(&mut self, v: &Value) {
+        let func = self.spec.func;
+        if v.is_unknown() && func != AggFunc::CountStar {
             return;
         }
         self.count += 1;
-        match self.spec {
-            AggSpec::Sum(_) | AggSpec::Avg(_) => match v {
-                Value::Int(i) => {
-                    self.sum_int = self.sum_int.wrapping_add(*i);
-                    self.sum_double += *i as f64;
+        match func {
+            AggFunc::CountStar | AggFunc::Count => {}
+            AggFunc::Sum | AggFunc::Avg => self.sum(v),
+            AggFunc::Min | AggFunc::Max => {
+                let better = if func == AggFunc::Min { Ordering::Less } else { Ordering::Greater };
+                if self.best.as_ref().is_none_or(|b| total_cmp(v, b) == better) {
+                    self.best = Some(v.clone());
                 }
-                Value::Double(d) => {
-                    self.ints_only = false;
-                    self.sum_double += d;
-                }
-                _ => { /* non-numeric values are skipped, like NULLs */ }
-            },
-            AggSpec::Min(_)
-                if self.min.as_ref().is_none_or(|m| total_cmp(v, m) == Ordering::Less) => {
-                    self.min = Some(v.clone());
-                }
-            AggSpec::Max(_)
-                if self.max.as_ref().is_none_or(|m| total_cmp(v, m) == Ordering::Greater) => {
-                    self.max = Some(v.clone());
-                }
-            _ => {}
+            }
         }
     }
 
-    /// Produces the final aggregate value.
-    pub fn finish(&self) -> Value {
-        match self.spec {
-            AggSpec::CountStar | AggSpec::Count(_) => Value::Int(self.count as i64),
-            AggSpec::Sum(_) => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.ints_only {
-                    Value::Int(self.sum_int)
-                } else {
-                    Value::Double(self.sum_double)
-                }
+    fn sum(&mut self, v: &Value) {
+        match v {
+            Value::Int(i) => self.ints += i128::from(*i),
+            Value::Double(d) => {
+                self.any_double = true;
+                self.doubles += d;
             }
-            AggSpec::Avg(_) => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Double(self.sum_double / self.count as f64)
-                }
-            }
-            AggSpec::Min(_) => self.min.clone().unwrap_or(Value::Null),
-            AggSpec::Max(_) => self.max.clone().unwrap_or(Value::Null),
+            // the partial sum of no values
+            Value::Null | Value::Missing => {}
+            _ => self.non_numeric = true,
         }
     }
 
-    /// Approximate heap footprint for memory budgeting.
-    pub fn approx_bytes(&self) -> usize {
-        64 + self.min.as_ref().map_or(0, Value::heap_size)
-            + self.max.as_ref().map_or(0, Value::heap_size)
+    /// The sum so far; `partial` says who reads it (see [`NON_NUMERIC`]).
+    fn total(&self, partial: bool) -> Value {
+        if self.count == 0 || (self.non_numeric && !partial) {
+            Value::Null
+        } else if self.non_numeric {
+            NON_NUMERIC
+        } else if self.any_double {
+            Value::Double(self.ints as f64 + self.doubles)
+        } else {
+            i64::try_from(self.ints).map_or(Value::Double(self.ints as f64), Value::Int)
+        }
+    }
+
+    /// Appends this aggregate's output to `row`: its final value, or under
+    /// [`AggPhase::Partial`] its partial columns.
+    pub fn finish(&self, row: &mut Vec<Value>) {
+        match (self.spec.phase, self.spec.func) {
+            (AggPhase::Partial, AggFunc::Sum) => row.push(self.total(true)),
+            (AggPhase::Partial, AggFunc::Avg) => {
+                row.extend([self.total(true), Value::Int(self.count as i64)]);
+            }
+            // the partial of a count, MIN or MAX is its value so far
+            _ => row.push(self.value()),
+        }
+    }
+
+    /// The final value.
+    fn value(&self) -> Value {
+        match self.spec.func {
+            AggFunc::CountStar | AggFunc::Count => Value::Int(self.count as i64),
+            AggFunc::Min | AggFunc::Max => self.best.clone().unwrap_or(Value::Null),
+            AggFunc::Sum => self.total(false),
+            AggFunc::Avg => self
+                .total(false)
+                .as_f64()
+                .map_or(Value::Null, |sum| Value::Double(sum / self.count as f64)),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rows() -> Vec<Result<Tuple>> {
         vec![
@@ -359,7 +402,7 @@ mod tests {
     #[test]
     fn count_star_vs_count_col() {
         let out =
-            scalar_aggregate(rows(), &[AggSpec::CountStar, AggSpec::Count(0), AggSpec::Count(1)]);
+            scalar_aggregate(rows(), &[AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Count, 0), AggSpec::complete(AggFunc::Count, 1)]);
         assert_eq!(out, vec![Value::Int(4), Value::Int(3), Value::Int(3)]);
     }
 
@@ -368,11 +411,11 @@ mod tests {
         let out = scalar_aggregate(
             rows(),
             &[
-                AggSpec::Sum(0),
-                AggSpec::Avg(0),
-                AggSpec::Min(0),
-                AggSpec::Max(0),
-                AggSpec::Sum(1),
+                AggSpec::complete(AggFunc::Sum, 0),
+                AggSpec::complete(AggFunc::Avg, 0),
+                AggSpec::complete(AggFunc::Min, 0),
+                AggSpec::complete(AggFunc::Max, 0),
+                AggSpec::complete(AggFunc::Sum, 1),
             ],
         );
         assert_eq!(out[0], Value::Int(6));
@@ -386,7 +429,7 @@ mod tests {
     fn empty_input_yields_null_and_zero() {
         let out = scalar_aggregate(
             Vec::new(),
-            &[AggSpec::CountStar, AggSpec::Sum(0), AggSpec::Min(0), AggSpec::Avg(0)],
+            &[AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 0), AggSpec::complete(AggFunc::Min, 0), AggSpec::complete(AggFunc::Avg, 0)],
         );
         assert_eq!(out, vec![Value::Int(0), Value::Null, Value::Null, Value::Null]);
     }
@@ -394,8 +437,78 @@ mod tests {
     #[test]
     fn int_overflow_to_double_path() {
         let rows = vec![Ok(vec![Value::Int(5)]), Ok(vec![Value::Double(0.5)])];
-        let out = scalar_aggregate(rows, &[AggSpec::Sum(0)]);
+        let out = scalar_aggregate(rows, &[AggSpec::complete(AggFunc::Sum, 0)]);
         assert_eq!(out[0], Value::Double(5.5), "mixed numerics sum as double");
+    }
+
+    #[test]
+    fn a_sum_outside_i64_is_a_double_and_a_non_number_makes_it_null() {
+        let col = |vals: &[Value]| vals.iter().map(|v| Ok(vec![v.clone()])).collect::<Vec<_>>();
+        let sum_avg = [AggSpec::complete(AggFunc::Sum, 0), AggSpec::complete(AggFunc::Avg, 0)];
+        let out = scalar_aggregate(col(&[Value::Int(i64::MAX), Value::Int(1)]), &sum_avg);
+        assert_eq!(out, vec![Value::Double(2f64.powi(63)), Value::Double(2f64.powi(62))]);
+        // exactly, in whatever order: the running sum may leave i64 and return
+        let out = scalar_aggregate(col(&[Value::Int(i64::MAX), Value::Int(1), Value::Int(-2)]), &sum_avg);
+        assert_eq!(out[0], Value::Int(i64::MAX - 1));
+        let out = scalar_aggregate(col(&[Value::Int(1), Value::from("a"), Value::Null]), &sum_avg);
+        assert_eq!(out, vec![Value::Null, Value::Null], "not diluted, not skipped");
+    }
+
+    /// What an aggregate may meet: small integers, half-integers (their sums
+    /// are exact and none equals an integer), the unknowns, a string, and an
+    /// integer two of which leave `i64` whatever else is summed with them.
+    fn arb_value() -> impl Strategy<Value = Value> {
+        (0u8..16, -1_000i64..1_000).prop_map(|(kind, k)| match kind {
+            0 => Value::Null,
+            1 => Value::Missing,
+            2 => Value::from("a"),
+            3 => Value::Int((1 << 62) + (1 << 40)),
+            4..=8 => Value::Double(k as f64 + 0.5),
+            _ => Value::Int(k),
+        })
+    }
+
+    /// Equal, a `Double` to within the rounding of a sum taken in another order.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Double(x), Value::Double(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()),
+            _ => a == b,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The whole contract of the phases: however an input is split,
+        /// `Partial` over each part then `Final` over the partial rows is
+        /// `Complete` over the input.
+        #[test]
+        fn partial_then_final_is_complete(
+            values in prop::collection::vec(arb_value(), 0..40),
+            cuts in prop::collection::vec(0usize..41, 0..4),
+        ) {
+            use AggFunc::*;
+            let funcs = [CountStar, Count, Sum, Min, Max, Avg];
+            let run = |phase, col: &dyn Fn(usize) -> usize, input: &[Tuple]| -> Tuple {
+                let aggs = funcs.iter().enumerate().map(|(i, f)| AggSpec { func: *f, col: col(i), phase });
+                scalar_aggregate(input.iter().cloned().map(Ok).collect(), &aggs.collect::<Vec<_>>())
+            };
+            let input: Vec<Tuple> = values.iter().map(|v| vec![v.clone()]).collect();
+            let complete = run(AggPhase::Complete, &|_| 0, &input);
+
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (input.len() + 1)).collect();
+            cuts.extend([0, input.len()]);
+            cuts.sort_unstable();
+            let partials: Vec<Tuple> =
+                cuts.windows(2).map(|w| run(AggPhase::Partial, &|_| 0, &input[w[0]..w[1]])).collect();
+            // a function's partial columns follow those of the functions before it
+            let first_col = |i: usize| funcs[..i].iter().map(AggFunc::partial_cols).sum();
+            let split = run(AggPhase::Final, &first_col, &partials);
+
+            for ((func, whole), split) in funcs.iter().zip(&complete).zip(&split) {
+                prop_assert!(same(whole, split), "{func:?} of {values:?} cut at {cuts:?}: {whole:?} whole, {split:?} split");
+            }
+        }
     }
 
     #[test]

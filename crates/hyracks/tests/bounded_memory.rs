@@ -7,7 +7,7 @@
 
 use asterix_adm::Value;
 use asterix_hyracks::ctx::{spill_batch, RuntimeCtx};
-use asterix_hyracks::job::{AggSpec, JoinKind, SortKey};
+use asterix_hyracks::job::{AggFunc, AggSpec, JoinKind, SortKey};
 use asterix_hyracks::ops::drive;
 use asterix_hyracks::{OpKind, Result, Tuple};
 use std::cell::Cell;
@@ -69,7 +69,7 @@ fn sort_spills_as_it_is_fed() {
 
 #[test]
 fn group_by_spills_as_it_is_fed() {
-    let kind = OpKind::GroupBy { key_cols: vec![0], aggs: vec![AggSpec::CountStar], memory: MEMORY };
+    let kind = OpKind::GroupBy { key_cols: vec![0], aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)], memory: MEMORY };
     assert_spilled_as_fed(kind, ROWS as usize);
 }
 

@@ -10,7 +10,7 @@
 
 use asterix_hyracks::exec::{run_job_with, JobOptions};
 use asterix_hyracks::faults::FaultEvent;
-use asterix_hyracks::job::{AggSpec, FnSource, SortKey};
+use asterix_hyracks::job::{AggFunc, AggSpec, FnSource, SortKey};
 use asterix_hyracks::{
     ConnStrategy, DataflowFaults, FaultConfig, HyracksError, JobSpec, OpKind, RuntimeCtx, Tuple,
 };
@@ -63,7 +63,7 @@ fn build(shape: Shape) -> JobSpec {
             let g = j.add(
                 OpKind::GroupBy {
                     key_cols: vec![1],
-                    aggs: vec![AggSpec::CountStar],
+                    aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)],
                     memory: 1 << 16,
                 },
                 DOP,

@@ -7,7 +7,7 @@
 
 use asterix_adm::Value;
 use asterix_hyracks::exec::run_job;
-use asterix_hyracks::job::{AggSpec, FnSource, JoinKind, OpKind};
+use asterix_hyracks::job::{AggFunc, AggSpec, FnSource, JoinKind, OpKind};
 use asterix_hyracks::{ConnStrategy, JobSpec, RuntimeCtx, Tuple};
 use asterix_obs::{ManualClock, OperatorProfile};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ fn profile_counts_are_exact_under_a_frozen_clock() {
         "join",
     );
     let group = j.add(
-        OpKind::GroupBy { key_cols: vec![0], aggs: vec![AggSpec::CountStar], memory: 1 << 20 },
+        OpKind::GroupBy { key_cols: vec![0], aggs: vec![AggSpec::complete(AggFunc::CountStar, 0)], memory: 1 << 20 },
         2,
         "group",
     );

@@ -8,7 +8,7 @@
 use asterix_adm::compare::{adm_eq, total_cmp};
 use asterix_adm::Value;
 use asterix_hyracks::ctx::RuntimeCtx;
-use asterix_hyracks::job::{AggSpec, JoinKind, SortKey};
+use asterix_hyracks::job::{AggFunc, AggSpec, JoinKind, SortKey};
 use asterix_hyracks::ops::drive;
 use asterix_hyracks::{OpKind, Tuple};
 use proptest::prelude::*;
@@ -114,7 +114,7 @@ proptest! {
         let [mut small, mut big] = at_both_budgets(
             |memory| OpKind::GroupBy {
                 key_cols: vec![0],
-                aggs: vec![AggSpec::CountStar, AggSpec::Sum(1)],
+                aggs: vec![AggSpec::complete(AggFunc::CountStar, 0), AggSpec::complete(AggFunc::Sum, 1)],
                 memory,
             },
             || vec![tuples(&rows)],

@@ -528,11 +528,17 @@ impl<'a> Translator<'a> {
                             .into(),
                     ));
                 }
-                let fields: Vec<(String, Expr)> = scope
-                    .row_bindings()
-                    .iter()
-                    .map(|b| (b.name.clone(), b.expr.clone()))
-                    .collect();
+                // AQL's `with $v` names a variable in scope, `let`-bound ones
+                // too, and collects its values; SQL++'s GROUP AS names the
+                // group, which collects every FROM binding
+                let fields: Vec<(String, Expr)> = match scope.lookup(gname) {
+                    Some(e) => vec![(gname.clone(), e.clone())],
+                    None => scope
+                        .row_bindings()
+                        .iter()
+                        .map(|b| (b.name.clone(), b.expr.clone()))
+                        .collect(),
+                };
                 if fields.is_empty() {
                     return Err(SqlppError::Semantic(
                         "GROUP AS requires at least one FROM binding".into(),
@@ -695,10 +701,11 @@ impl<'a> Translator<'a> {
                             .into(),
                     ));
                 }
+                // "has any item", an unknown one too: the collection's length
                 let coll = self.expr(e, scope)?;
                 Expr::bin(
                     Func::Gt,
-                    Expr::Call(Func::CollCount, vec![coll]),
+                    Expr::Call(Func::Coll(AggFunc::CountStar), vec![coll]),
                     Expr::Const(Value::Int(0)),
                 )
             }
@@ -722,14 +729,7 @@ impl<'a> Translator<'a> {
         // aggregate names in expression position are the COLL_* collection
         // functions (SQL++ distinguishes sugar COUNT(...) under GROUP BY —
         // extracted earlier — from collection functions)
-        let mapped = match name {
-            "count" => Some(Func::CollCount),
-            "sum" => Some(Func::CollSum),
-            "avg" => Some(Func::CollAvg),
-            "min" => Some(Func::CollMin),
-            "max" => Some(Func::CollMax),
-            _ => Func::by_name(name),
-        };
+        let mapped = AggFunc::by_name(name).map(Func::Coll).or_else(|| Func::by_name(name));
         let f = mapped.ok_or_else(|| {
             SqlppError::Semantic(format!("unknown function {name:?}"))
         })?;
@@ -835,25 +835,13 @@ fn derived_name(e: &Ast) -> Option<String> {
     }
 }
 
-/// Aggregate-function sugar recognized under GROUP BY / bare SELECT.
-fn agg_func_of(name: &str) -> Option<AggFunc> {
-    Some(match name {
-        "count" => AggFunc::Count,
-        "sum" => AggFunc::Sum,
-        "min" => AggFunc::Min,
-        "max" => AggFunc::Max,
-        "avg" => AggFunc::Avg,
-        _ => return None,
-    })
-}
-
 /// Replaces aggregate calls in `ast` with placeholder identifiers, recording
 /// `(placeholder, function, argument)`.
 fn extract_aggs(ast: &mut Ast, out: &mut Vec<(String, AggFunc, Option<Ast>)>) {
     // do not descend into subqueries (their aggregates are their own)
     match ast {
         Ast::Call(name, args) => {
-            if let Some(f) = agg_func_of(name) {
+            if let Some(f) = AggFunc::by_name(name) {
                 let placeholder = format!("$agg{}", out.len());
                 let entry = if args.len() == 1 {
                     if matches!(&args[0], Ast::Literal(Value::String(s)) if s == "*") {

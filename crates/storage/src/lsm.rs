@@ -578,9 +578,9 @@ impl Lsm<BTreeKind> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Live entry count (scans; intended for tests and small datasets).
+    /// Live entry count: walks the index once, holding one entry at a time.
     pub fn count(&self) -> Result<usize> {
-        Ok(self.scan()?.len())
+        self.range_iter(Bound::Unbounded, Bound::Unbounded)?.map(|e| e.map(|_| 1)).sum()
     }
 }
 
