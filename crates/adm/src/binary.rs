@@ -153,8 +153,9 @@ impl<'a> Decoder<'a> {
         self.pos >= self.buf.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+    /// The next `n` raw bytes (they outlive the decoder: a slice of its input).
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.buf.len() - self.pos {
             return Err(AdmError::Serde(format!(
                 "truncated input: need {n} bytes at offset {}",
                 self.pos
@@ -169,7 +170,7 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn len(&mut self) -> Result<usize> {
+    pub(crate) fn len(&mut self) -> Result<usize> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes(b.try_into().unwrap()) as usize)
     }
@@ -186,10 +187,60 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Skips `n` raw bytes (schema-encoded record headers).
-    pub fn skip_raw(&mut self, n: usize) -> Result<()> {
+    /// Steps over one value without building it: what a reader that wants
+    /// some of a record's fields does with the others.
+    pub fn skip_value(&mut self) -> Result<()> {
+        let n = match self.u8()? {
+            T_MISSING | T_NULL => 0,
+            T_BOOL => 1,
+            T_DATE | T_TIME => 4,
+            T_INT | T_DOUBLE | T_DATETIME => 8,
+            T_DURATION => 12,
+            T_POINT | T_UUID => 16,
+            T_RECTANGLE => 32,
+            T_STRING | T_BINARY => self.len()?,
+            T_ARRAY | T_MULTISET => {
+                for _ in 0..self.len()? {
+                    self.skip_value()?;
+                }
+                0
+            }
+            T_OBJECT => {
+                for _ in 0..self.len()? {
+                    let klen = self.len()?;
+                    self.take(klen)?;
+                    self.skip_value()?;
+                }
+                0
+            }
+            other => return Err(AdmError::Serde(format!("unknown tag byte {other}"))),
+        };
         self.take(n)?;
         Ok(())
+    }
+
+    /// The fields of an object, from after its tag: those named in `fields`,
+    /// all of them when `fields` is empty. Stops reading once every name in
+    /// `fields` is found.
+    fn object(&mut self, fields: &[String]) -> Result<Object> {
+        let n = self.len()?;
+        let mut o = Object::with_capacity(if fields.is_empty() { n.min(1 << 16) } else { fields.len() });
+        for _ in 0..n {
+            let klen = self.len()?;
+            let kbytes = self.take(klen)?;
+            if !fields.is_empty() && !fields.iter().any(|f| f.as_bytes() == kbytes) {
+                self.skip_value()?;
+                continue;
+            }
+            let key = std::str::from_utf8(kbytes)
+                .map_err(|_| AdmError::Serde("invalid UTF-8 in field name".into()))?
+                .to_owned();
+            o.set(key, self.value()?);
+            if o.len() == fields.len() {
+                break;
+            }
+        }
+        Ok(o)
     }
 
     /// Decodes one value.
@@ -241,19 +292,7 @@ impl<'a> Decoder<'a> {
                     Value::Multiset(items)
                 }
             }
-            T_OBJECT => {
-                let n = self.len()?;
-                let mut o = Object::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let klen = self.len()?;
-                    let kbytes = self.take(klen)?;
-                    let key = std::str::from_utf8(kbytes)
-                        .map_err(|_| AdmError::Serde("invalid UTF-8 in field name".into()))?
-                        .to_owned();
-                    o.set(key, self.value()?);
-                }
-                Value::Object(o)
-            }
+            T_OBJECT => Value::Object(self.object(&[])?),
             other => return Err(AdmError::Serde(format!("unknown tag byte {other}"))),
         })
     }
@@ -270,6 +309,18 @@ pub fn decode(buf: &[u8]) -> Result<Value> {
         )));
     }
     Ok(v)
+}
+
+/// [`decode`] for a reader that wants only the top-level fields named in
+/// `fields` of the object in `buf` (every field when `fields` is empty; a
+/// value that is no object is decoded whole): the other fields are stepped
+/// over, and what follows the last wanted one is not read at all.
+pub fn decode_fields(buf: &[u8], fields: &[String]) -> Result<Value> {
+    if fields.is_empty() || buf.first() != Some(&T_OBJECT) {
+        return decode(buf);
+    }
+    let mut d = Decoder { buf, pos: 1 };
+    Ok(Value::Object(d.object(fields)?))
 }
 
 /// Encodes a composite index key (one or more values) to bytes.
@@ -308,6 +359,18 @@ pub fn prepend_key_part(lead: &Value, rest: &[u8]) -> Result<Vec<u8>> {
         None => encode_into(lead, &mut out),
     }
     out.extend_from_slice(&rest[4..]);
+    Ok(out)
+}
+
+/// The key made of every part of the encoded key `key` but the first — what
+/// [`prepend_key_part`] was given as `rest` — without decoding any of them.
+pub fn strip_key_part(key: &[u8]) -> Result<Vec<u8>> {
+    let mut d = Decoder::new(key);
+    let n = d.len()?.checked_sub(1).ok_or_else(|| AdmError::Serde("no key part to strip".into()))?;
+    d.skip_value()?;
+    let mut out = Vec::with_capacity(key.len());
+    put_len(&mut out, n);
+    out.extend_from_slice(&key[d.position()..]);
     Ok(out)
 }
 
@@ -495,6 +558,16 @@ mod tests {
             assert_eq!(prepend_key_part(&lead, &encode_key(&rest)).unwrap(), encode_key(&all));
         }
         assert!(prepend_key_part(&Value::Int(1), &[0, 0]).is_err(), "no part count to add to");
+    }
+
+    #[test]
+    fn stripping_a_part_undoes_prepending_it() {
+        let rest = encode_key(&[Value::Int(42), Value::from("user")]);
+        for lead in [Value::Int(7), Value::from("a"), Value::Array(vec![Value::Null, Value::from("x")])] {
+            assert_eq!(strip_key_part(&prepend_key_part(&lead, &rest).unwrap()).unwrap(), rest);
+        }
+        assert!(strip_key_part(&encode_key(&[])).is_err(), "no part to strip");
+        assert!(strip_key_part(&rest[..6]).is_err(), "cut inside the first part");
     }
 
     #[test]

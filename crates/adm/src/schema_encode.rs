@@ -57,9 +57,17 @@ pub fn encode_with_schema(value: &Value, ty: &ObjectType) -> Result<Vec<u8>> {
 
 /// Decodes a record produced by [`encode_with_schema`] with the same type.
 pub fn decode_with_schema(buf: &[u8], ty: &ObjectType) -> Result<Value> {
+    decode_fields_with_schema(buf, ty, &[])
+}
+
+/// [`decode_with_schema`] for a reader that wants only the top-level fields
+/// named in `fields` (every field when `fields` is empty). A declared field
+/// is found by its position — the others are stepped over, and reading stops
+/// at the last one wanted; the open part is searched only for a name the type
+/// does not declare.
+pub fn decode_fields_with_schema(buf: &[u8], ty: &ObjectType, fields: &[String]) -> Result<Value> {
     let mut d = Decoder::new(buf);
-    let header = take(&mut d, buf, 2)?;
-    let n = u16::from_le_bytes(header.try_into().unwrap()) as usize;
+    let n = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
     if n != ty.fields.len() {
         return Err(AdmError::Serde(format!(
             "schema mismatch: record has {n} declared fields, type {} has {}",
@@ -67,39 +75,53 @@ pub fn decode_with_schema(buf: &[u8], ty: &ObjectType) -> Result<Value> {
             ty.fields.len()
         )));
     }
-    let bitmap = take(&mut d, buf, n.div_ceil(8))?.to_vec();
-    let mut obj = Object::with_capacity(n);
+    let bitmap = d.take(n.div_ceil(8))?;
+    if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
+        return Err(AdmError::Serde(format!("presence bits past the {n} declared fields")));
+    }
+    let all = fields.is_empty();
+    let mut obj = Object::with_capacity(if all { n } else { fields.len() });
+    // names in `fields` not yet accounted for: found, or declared and absent
+    let mut unresolved = fields.len();
     for (i, f) in ty.fields.iter().enumerate() {
-        if bitmap[i / 8] & (1 << (i % 8)) != 0 {
+        let present = bitmap[i / 8] & (1 << (i % 8)) != 0;
+        let wanted = all || fields.contains(&f.name);
+        if present && wanted {
             obj.set(f.name.clone(), d.value()?);
+        } else if present {
+            d.skip_value()?;
+        }
+        if wanted && !all {
+            unresolved -= 1;
+            if unresolved == 0 {
+                return Ok(Value::Object(obj));
+            }
         }
     }
-    let n_open_bytes = take(&mut d, buf, 4)?;
-    let n_open = u32::from_le_bytes(n_open_bytes.try_into().unwrap()) as usize;
+    let n_open = d.len()?;
     for _ in 0..n_open {
-        let klen_b = take(&mut d, buf, 2)?;
-        let klen = u16::from_le_bytes(klen_b.try_into().unwrap()) as usize;
-        let kbytes = take(&mut d, buf, klen)?;
+        let klen = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
+        let kbytes = d.take(klen)?;
+        // a name the open part carries is one the type does not declare
+        if !all && !fields.iter().any(|f| f.as_bytes() == kbytes) {
+            d.skip_value()?;
+            continue;
+        }
         let key = std::str::from_utf8(kbytes)
             .map_err(|_| AdmError::Serde("invalid UTF-8 in open field name".into()))?
             .to_owned();
         obj.set(key, d.value()?);
+        if !all {
+            unresolved -= 1;
+            if unresolved == 0 {
+                return Ok(Value::Object(obj));
+            }
+        }
     }
     if !d.is_done() {
         return Err(AdmError::Serde("trailing bytes after schema-encoded record".into()));
     }
     Ok(Value::Object(obj))
-}
-
-fn take<'a>(d: &mut Decoder<'a>, buf: &'a [u8], n: usize) -> Result<&'a [u8]> {
-    let pos = d.position();
-    if pos + n > buf.len() {
-        return Err(AdmError::Serde("truncated schema-encoded record".into()));
-    }
-    // advance the decoder by decoding raw bytes via a side path
-    let slice = &buf[pos..pos + n];
-    d.skip_raw(n)?;
-    Ok(slice)
 }
 
 #[cfg(test)]

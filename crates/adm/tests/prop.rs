@@ -1,11 +1,14 @@
 //! Property-based tests for the ADM data model: serialization round-trips,
 //! comparator laws, and key-encoding order consistency.
 
-use asterix_adm::binary::{compare_keys, decode, encode, encode_key};
+use asterix_adm::binary::{compare_keys, decode, decode_fields, encode, encode_key};
 use asterix_adm::compare::{adm_eq, hash64, total_cmp, OrdValue};
 use asterix_adm::parse::parse_value;
 use asterix_adm::print::to_adm_string;
+use asterix_adm::schema_encode::{decode_fields_with_schema, decode_with_schema, encode_with_schema};
 use asterix_adm::temporal::Duration;
+use asterix_adm::types::{Field, ObjectType, TypeExpr};
+use asterix_adm::AdmError;
 use asterix_adm::{Object, Point, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -40,8 +43,91 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
+/// `record` with only the fields named in `names` (all when there are none).
+fn keep(record: &Value, names: &[String]) -> Value {
+    let fields = record.as_object().unwrap().iter();
+    Value::Object(Object::from_pairs(
+        fields.filter(|(k, _)| names.is_empty() || names.iter().any(|n| n == k)).map(|(k, v)| (k, v.clone())),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A reader that names the fields it wants gets what a full decode holds
+    /// under those names, from either encoding — and neither decoder panics
+    /// on a cut or doctored record.
+    #[test]
+    fn projected_decode_is_full_decode_filtered(
+        declared in prop::collection::vec((any::<bool>(), any::<bool>(), arb_value()), 0..12),
+        open in prop::collection::vec(arb_value(), 0..4),
+        picks in prop::collection::vec(0usize..64, 0..5),
+    ) {
+        // declared fields d0.. (an optional one may be absent), then open
+        // fields o0..: the shape `cast_object` leaves a record in
+        let ty = ObjectType::open(
+            "T",
+            declared
+                .iter()
+                .enumerate()
+                .map(|(i, (optional, ..))| Field { name: format!("d{i}"), ty: TypeExpr::any(), optional: *optional })
+                .collect(),
+        );
+        let mut record = Object::new();
+        for (i, (optional, present, v)) in declared.iter().enumerate() {
+            if !optional || *present {
+                record.set(format!("d{i}"), v.clone());
+            }
+        }
+        for (i, v) in open.iter().enumerate() {
+            record.set(format!("o{i}"), v.clone());
+        }
+        let record = Value::Object(record);
+        // names to ask for: declared ones (present or absent), open ones,
+        // and one no record has
+        let mut pool: Vec<String> = ty.fields.iter().map(|f| f.name.clone()).collect();
+        pool.extend((0..open.len()).map(|i| format!("o{i}")));
+        pool.push("nope".into());
+        let mut names: Vec<String> = picks.iter().map(|p| pool[p % pool.len()].clone()).collect();
+        names.sort();
+        names.dedup();
+
+        let bytes = encode_with_schema(&record, &ty).unwrap();
+        let full = decode_with_schema(&bytes, &ty).unwrap();
+        let projected = decode_fields_with_schema(&bytes, &ty, &names).unwrap();
+        prop_assert_eq!(&projected, &keep(&full, &names), "schema encoding, {:?}", names);
+        let plain = encode(&record);
+        let plain_full = decode(&plain).unwrap();
+        let plain_projected = decode_fields(&plain, &names).unwrap();
+        prop_assert_eq!(&plain_projected, &keep(&plain_full, &names), "self-describing, {:?}", names);
+
+        // a cut record is an error to the full decoder; the projected one
+        // may not have needed the missing bytes, and then answers the same
+        for cut in 0..bytes.len() {
+            prop_assert!(matches!(decode_with_schema(&bytes[..cut], &ty), Err(AdmError::Serde(_))), "cut at {}", cut);
+            match decode_fields_with_schema(&bytes[..cut], &ty, &names) {
+                Ok(v) => prop_assert_eq!(&v, &projected, "cut at {}", cut),
+                Err(e) => prop_assert!(matches!(e, AdmError::Serde(_)), "cut at {}: {}", cut, e),
+            }
+        }
+        for cut in 0..plain.len() {
+            prop_assert!(matches!(decode(&plain[..cut]), Err(AdmError::Serde(_))), "cut at {}", cut);
+            match decode_fields(&plain[..cut], &names) {
+                Ok(v) => prop_assert_eq!(&v, &plain_projected, "cut at {}", cut),
+                Err(e) => prop_assert!(matches!(e, AdmError::Serde(_)), "cut at {}: {}", cut, e),
+            }
+        }
+        // a field count or a presence bitmap that disagrees with the type
+        let n = ty.fields.len();
+        let mut miscounted = bytes.clone();
+        miscounted[0] = miscounted[0].wrapping_add(1);
+        prop_assert!(matches!(decode_fields_with_schema(&miscounted, &ty, &names), Err(AdmError::Serde(_))));
+        if !n.is_multiple_of(8) {
+            let mut stray = bytes.clone();
+            stray[2 + n / 8] |= 1 << (n % 8);
+            prop_assert!(matches!(decode_fields_with_schema(&stray, &ty, &names), Err(AdmError::Serde(_))));
+        }
+    }
 
     #[test]
     fn binary_roundtrip(v in arb_value()) {

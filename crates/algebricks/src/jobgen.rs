@@ -183,15 +183,16 @@ impl<'a> Builder<'a> {
                 let id = self.spec.add(OpKind::Source(src), 1, "empty");
                 Ok(Built { op: id, partitions: 1, schema: vec![], local_order: None })
             }
-            LogicalOp::DataSourceScan { source, var, access } => {
+            LogicalOp::DataSourceScan { source, var, access, fields } => {
                 let factory = match access {
-                    None => source.scan()?,
-                    Some(a) => source.index_scan(a)?,
+                    None => source.scan(fields)?,
+                    Some(a) => source.index_scan(a, fields)?,
                 };
                 let partitions = source.partitions();
+                let fields = crate::plan::field_set(fields);
                 let label = match access {
-                    None => format!("scan:{}", source.name()),
-                    Some(a) => format!("iscan:{}#{}", source.name(), a.index),
+                    None => format!("scan:{}{fields}", source.name()),
+                    Some(a) => format!("iscan:{}#{}{fields}", source.name(), a.index),
                 };
                 let id = self.spec.add(OpKind::Source(factory), partitions, label);
                 Ok(Built { op: id, partitions, schema: vec![*var], local_order: None })
@@ -637,6 +638,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 condition: Expr::bin(
                     Func::Gt,
@@ -659,6 +661,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 keys: vec![(10, Expr::field(Expr::Var(0), "city"))],
                 aggs: vec![
@@ -688,6 +691,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 keys: vec![(10, Expr::field(Expr::Var(0), "city"))],
                 aggs: vec![],
@@ -724,8 +728,9 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
-                right: Box::new(LogicalOp::DataSourceScan { source: msgs, var: 1, access: None }),
+                right: Box::new(LogicalOp::DataSourceScan { source: msgs, var: 1, access: None, fields: vec![] }),
                 condition: Expr::bin(
                     Func::Eq,
                     Expr::field(Expr::Var(0), "id"),
@@ -749,6 +754,7 @@ mod tests {
                         source: users_source(),
                         var: 0,
                         access: None,
+                        fields: vec![],
                     }),
                     keys: vec![(Expr::field(Expr::Var(0), "age"), true)],
                 }),
@@ -769,6 +775,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 var: 1,
                 expr: Expr::field(Expr::Var(0), "friends"),
@@ -788,6 +795,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 aggs: vec![
                     (10, AggFunc::CountStar, Expr::Const(Value::Int(0))),
@@ -816,8 +824,9 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
-                right: Box::new(LogicalOp::DataSourceScan { source: small, var: 1, access: None }),
+                right: Box::new(LogicalOp::DataSourceScan { source: small, var: 1, access: None, fields: vec![] }),
                 condition: Expr::bin(
                     Func::And,
                     Expr::bin(
@@ -848,6 +857,7 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 exprs: vec![Expr::field(Expr::Var(0), "city")],
             }),
@@ -869,8 +879,9 @@ mod tests {
                     source: users_source(),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
-                right: Box::new(LogicalOp::DataSourceScan { source: msgs, var: 1, access: None }),
+                right: Box::new(LogicalOp::DataSourceScan { source: msgs, var: 1, access: None, fields: vec![] }),
                 condition: Expr::bin(
                     Func::Eq,
                     Expr::field(Expr::Var(0), "id"),

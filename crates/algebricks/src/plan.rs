@@ -62,10 +62,14 @@ pub struct GroupCollect {
 pub enum LogicalOp {
     /// Scans a data source, binding each record to `var`. When `access` is
     /// set, the optimizer has replaced the full scan with an index probe.
+    /// `fields`, sorted, are the top-level fields through which the plan
+    /// reads `var` when field access is all it does with it (the optimizer
+    /// works that out); empty means the whole record.
     DataSourceScan {
         source: Arc<dyn DataSource>,
         var: VarId,
         access: Option<AccessPath>,
+        fields: Vec<String>,
     },
     /// Produces exactly one empty tuple (queries without FROM).
     Empty,
@@ -243,6 +247,16 @@ impl Plan {
     }
 }
 
+/// How plans and operator labels show the fields a scan yields: ` {a, b}`,
+/// nothing for the whole record.
+pub fn field_set(fields: &[String]) -> String {
+    if fields.is_empty() {
+        String::new()
+    } else {
+        format!(" {{{}}}", fields.join(", "))
+    }
+}
+
 fn canon_var(v: VarId, map: &mut std::collections::HashMap<VarId, usize>) -> usize {
     let n = map.len();
     *map.entry(v).or_insert(n)
@@ -277,19 +291,19 @@ fn print_op(
 ) {
     let pad = "  ".repeat(depth);
     match op {
-        LogicalOp::DataSourceScan { source, var, access } => {
+        LogicalOp::DataSourceScan { source, var, access, fields } => {
+            let (fields, var) = (field_set(fields), canon_var(*var, map));
             match access {
                 None => {
-                    let _ = writeln!(out, "{pad}scan {} -> ${}", source.name(), canon_var(*var, map));
+                    let _ = writeln!(out, "{pad}scan {}{fields} -> ${var}", source.name());
                 }
                 Some(a) => {
                     let _ = writeln!(
                         out,
-                        "{pad}index-scan {}#{} [{}] -> ${}",
+                        "{pad}index-scan {}#{} [{}]{fields} -> ${var}",
                         source.name(),
                         a.index,
                         a.range,
-                        canon_var(*var, map)
                     );
                 }
             }
@@ -412,6 +426,7 @@ mod tests {
             source: VecSource::single("ds", vec![]),
             var,
             access: None,
+            fields: vec![],
         }
     }
 

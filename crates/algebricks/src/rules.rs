@@ -16,6 +16,10 @@
 //!    probe), keeping the original predicate as a residual filter — the
 //!    data-partition-aware access-path selection the paper credits
 //!    Algebricks with (Section III, feature 3).
+//!
+//! and, once those have settled, **field-access pushdown**: each data-source
+//! scan is told the top-level fields through which the plan reads its
+//! variable, so the source can leave the others undecoded.
 
 use crate::expr::{const_fold, Expr, Func};
 use crate::plan::{LogicalOp, Plan, VarId};
@@ -24,6 +28,7 @@ use asterix_adm::binary::key_part_is_canonical;
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
 use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
 
 /// Optimizes a plan in place, running all rules to a fixpoint.
 pub fn optimize(plan: &mut Plan) {
@@ -41,6 +46,7 @@ pub fn optimize(plan: &mut Plan) {
             break;
         }
     }
+    push_field_access(&mut plan.root);
 }
 
 /// Applies `rule` bottom-up everywhere; returns whether anything changed.
@@ -459,7 +465,7 @@ fn introduce_index_paths(op: LogicalOp) -> (LogicalOp, bool) {
     let LogicalOp::Select { input, condition } = op else {
         return (op, false);
     };
-    let LogicalOp::DataSourceScan { source, var, access: None } = *input else {
+    let LogicalOp::DataSourceScan { source, var, access: None, fields } = *input else {
         return (LogicalOp::Select { input, condition }, false);
     };
     let cs = conjuncts(&condition);
@@ -473,11 +479,81 @@ fn introduce_index_paths(op: LogicalOp) -> (LogicalOp, bool) {
         // over-approximate (keyword tokens, spatial MBRs, range+other
         // conjuncts), so the select above guarantees exactness
         LogicalOp::Select {
-            input: Box::new(LogicalOp::DataSourceScan { source, var, access }),
+            input: Box::new(LogicalOp::DataSourceScan { source, var, access, fields }),
             condition,
         },
         changed,
     )
+}
+
+/// Per variable, the top-level fields it is read through; `None` once
+/// something reads it whole.
+type FieldReads = HashMap<VarId, Option<BTreeSet<String>>>;
+
+/// Sets every scan's `fields` to what the plan reads of its variable: the
+/// names `f` of its `$v.f` accesses when those are its only uses, nothing
+/// (the whole record) when anything else names `$v` — a bare `$v` in an
+/// expression (a result, a group collection's payload), a `Project` or a
+/// `UnionAll` carrying it on.
+fn push_field_access(root: &mut LogicalOp) {
+    fn note_expr(e: &Expr, reads: &mut FieldReads) {
+        match e {
+            Expr::Var(v) => {
+                reads.insert(*v, None);
+            }
+            Expr::Const(_) => {}
+            Expr::Field(base, name) => match **base {
+                Expr::Var(v) => {
+                    if let Some(fields) = reads.entry(v).or_insert_with(|| Some(BTreeSet::new())) {
+                        fields.insert(name.clone());
+                    }
+                }
+                _ => note_expr(base, reads),
+            },
+            Expr::Index(base, index) => {
+                note_expr(base, reads);
+                note_expr(index, reads);
+            }
+            Expr::Call(_, args) => args.iter().for_each(|a| note_expr(a, reads)),
+            Expr::Case(arms, els) => {
+                for (cond, then) in arms {
+                    note_expr(cond, reads);
+                    note_expr(then, reads);
+                }
+                note_expr(els, reads);
+            }
+        }
+    }
+    fn note_op(op: &LogicalOp, reads: &mut FieldReads) {
+        op.exprs().into_iter().for_each(|e| note_expr(e, reads));
+        let mut whole = |vars: &[VarId]| {
+            for v in vars {
+                reads.insert(*v, None);
+            }
+        };
+        match op {
+            LogicalOp::Project { vars, .. } => whole(vars),
+            LogicalOp::UnionAll { left_vars, right_vars, .. } => {
+                whole(left_vars);
+                whole(right_vars);
+            }
+            _ => {}
+        }
+        op.children().into_iter().for_each(|c| note_op(c, reads));
+    }
+    // a variable is bound by one scan, which takes its names with it
+    fn tell_scans(op: &mut LogicalOp, reads: &mut FieldReads) {
+        if let LogicalOp::DataSourceScan { var, fields, .. } = op {
+            *fields = match reads.remove(var) {
+                Some(Some(names)) => names.into_iter().collect(),
+                _ => Vec::new(),
+            };
+        }
+        op.children_mut().into_iter().for_each(|c| tell_scans(c, reads));
+    }
+    let mut reads = FieldReads::new();
+    note_op(root, &mut reads);
+    tell_scans(root, &mut reads);
 }
 
 /// Removes `Assign`s whose variable is never used above them.
@@ -564,6 +640,7 @@ mod tests {
             source: VecSource::single("ds", vec![]),
             var,
             access: None,
+            fields: vec![],
         }
     }
 
@@ -675,8 +752,8 @@ mod tests {
         fn partitions(&self) -> usize {
             1
         }
-        fn scan(&self) -> crate::error::Result<Arc<dyn asterix_hyracks::job::SourceFactory>> {
-            VecSource::single("users", vec![]).scan()
+        fn scan(&self, fields: &[String]) -> crate::error::Result<Arc<dyn asterix_hyracks::job::SourceFactory>> {
+            VecSource::single("users", vec![]).scan(fields)
         }
         fn indexes(&self) -> Vec<IndexInfo> {
             vec![IndexInfo {
@@ -688,8 +765,9 @@ mod tests {
         fn index_scan(
             &self,
             _path: &AccessPath,
+            fields: &[String],
         ) -> crate::error::Result<Arc<dyn asterix_hyracks::job::SourceFactory>> {
-            VecSource::single("users", vec![]).scan()
+            VecSource::single("users", vec![]).scan(fields)
         }
     }
 
@@ -713,6 +791,7 @@ mod tests {
                     source: Arc::new(IndexedSource::default()),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 condition: cond,
             }),
@@ -736,6 +815,7 @@ mod tests {
                     source: Arc::new(IndexedSource { pk: pk.to_vec() }),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 condition: conjoin(conds),
             }),
@@ -872,6 +952,100 @@ mod tests {
         assert!(path.starts_with("index-scan users#primary [ge "), "{path}");
     }
 
+    /// The scan lines of the optimized plan under `root`, top to bottom.
+    fn scans(root: LogicalOp) -> Vec<String> {
+        let mut plan = Plan::new(root);
+        optimize(&mut plan);
+        let is_scan = |l: &&str| l.starts_with("scan ") || l.starts_with("index-scan ");
+        plan.pretty().lines().map(str::trim).filter(is_scan).map(String::from).collect()
+    }
+
+    fn result(input: LogicalOp, exprs: Vec<Expr>) -> LogicalOp {
+        LogicalOp::DistributeResult { input: Box::new(input), exprs }
+    }
+
+    fn eq_fields(l: VarId, r: VarId, field: &str) -> Expr {
+        Expr::bin(Func::Eq, Expr::field(Expr::Var(l), field), Expr::field(Expr::Var(r), field))
+    }
+
+    #[test]
+    fn a_scan_is_told_the_fields_its_variable_is_read_through() {
+        // a filter, a nested path and an indexed item: their top-level names
+        let filtered = LogicalOp::Select { input: Box::new(scan(0)), condition: gt_field(0, "a", 1) };
+        let exprs = vec![
+            Expr::field(Expr::field(Expr::Var(0), "b"), "c"),
+            Expr::Index(Box::new(Expr::field(Expr::Var(0), "xs")), Box::new(Expr::Const(Value::Int(0)))),
+        ];
+        assert_eq!(scans(result(filtered, exprs)), ["scan ds {a, b, xs} -> $0"]);
+        // an index probe's residual select counts like any other read
+        let probe = LogicalOp::Select {
+            input: Box::new(LogicalOp::DataSourceScan {
+                source: Arc::new(IndexedSource::default()),
+                var: 0,
+                access: None,
+                fields: vec![],
+            }),
+            condition: gt_field(0, "userSince", 10),
+        };
+        assert_eq!(
+            scans(result(probe, vec![Expr::field(Expr::Var(0), "name")])),
+            ["index-scan users#sinceIdx [gt 10] {name, userSince} -> $0"]
+        );
+        // each side of a join by its own reads: `$1` goes up whole
+        let join = LogicalOp::Join {
+            left: Box::new(scan(0)),
+            right: Box::new(scan(1)),
+            condition: eq_fields(0, 1, "k"),
+            kind: JoinKind::Inner,
+        };
+        assert_eq!(
+            scans(result(join, vec![Expr::field(Expr::Var(0), "name"), Expr::Var(1)])),
+            ["scan ds {k, name} -> $0", "scan ds -> $1"]
+        );
+    }
+
+    #[test]
+    fn any_other_use_of_the_variable_asks_for_the_whole_record() {
+        use crate::plan::{AggFunc, GroupCollect};
+        // named bare
+        assert_eq!(scans(result(scan(0), vec![Expr::Var(0)])), ["scan ds -> $0"]);
+        // bare beside a field access, in one expression
+        let both = Expr::bin(Func::Eq, Expr::field(Expr::Var(0), "a"), Expr::Var(0));
+        assert_eq!(scans(result(scan(0), vec![both])), ["scan ds -> $0"]);
+        // carried on by a project
+        let project = LogicalOp::Project { input: Box::new(scan(0)), vars: vec![0] };
+        assert_eq!(scans(result(project, vec![Expr::field(Expr::Var(0), "a")])), ["scan ds -> $0"]);
+        // renamed by a union
+        let union = LogicalOp::UnionAll {
+            left: Box::new(scan(0)),
+            right: Box::new(scan(1)),
+            out: vec![2],
+            left_vars: vec![0],
+            right_vars: vec![1],
+        };
+        assert_eq!(
+            scans(result(union, vec![Expr::field(Expr::Var(2), "a")])),
+            ["scan ds -> $1", "scan ds -> $2"]
+        );
+        // the payload of a group collection; a payload that is a field of it
+        // is one more field read
+        let group = |payload: Expr| LogicalOp::GroupBy {
+            input: Box::new(scan(0)),
+            keys: vec![(10, Expr::field(Expr::Var(0), "k"))],
+            aggs: vec![],
+            collect: Some(GroupCollect { var: 12, fields: vec![("r".into(), payload)], wrap: true }),
+        };
+        let out = || vec![Expr::Var(10), Expr::Var(12)];
+        assert_eq!(scans(result(group(Expr::Var(0)), out())), ["scan ds -> $2"]);
+        assert_eq!(scans(result(group(Expr::field(Expr::Var(0), "x")), out())), ["scan ds {k, x} -> $2"]);
+        // not named at all (`COUNT(*)`): the empty set is the whole record
+        let count = LogicalOp::Aggregate {
+            input: Box::new(scan(0)),
+            aggs: vec![(1, AggFunc::CountStar, Expr::Const(Value::Int(1)))],
+        };
+        assert_eq!(scans(result(count, vec![Expr::Var(1)])), ["scan ds -> $1"]);
+    }
+
     #[test]
     fn no_index_path_for_unindexed_field() {
         let mut plan = Plan::new(LogicalOp::DistributeResult {
@@ -880,6 +1054,7 @@ mod tests {
                     source: Arc::new(IndexedSource::default()),
                     var: 0,
                     access: None,
+                    fields: vec![],
                 }),
                 condition: gt_field(0, "name", 5),
             }),

@@ -112,8 +112,11 @@ pub trait DataSource: Send + Sync {
     /// Number of storage partitions (the scan's natural parallelism).
     fn partitions(&self) -> usize;
 
-    /// Full-scan factory; each produced tuple is `[record]`.
-    fn scan(&self) -> Result<Arc<dyn SourceFactory>>;
+    /// Full-scan factory; each produced tuple is `[record]`. The plan reads
+    /// the records only through the top-level fields named in `fields`
+    /// (empty: it wants them whole), so a record may come without the
+    /// others; a source that yields more than was asked for is correct too.
+    fn scan(&self, fields: &[String]) -> Result<Arc<dyn SourceFactory>>;
 
     /// Field paths of the primary key the records are stored (and
     /// hash-partitioned) by, in key order; empty when the source has none.
@@ -132,7 +135,8 @@ pub trait DataSource: Send + Sync {
     /// implementations apply the secondary-key search, sort the resulting
     /// primary keys, and fetch records in PK order (the §V-B "usual trick",
     /// experiment E7); a primary path reads the records where they are.
-    fn index_scan(&self, _path: &AccessPath) -> Result<Arc<dyn SourceFactory>> {
+    /// `fields` as for [`DataSource::scan`].
+    fn index_scan(&self, _path: &AccessPath, _fields: &[String]) -> Result<Arc<dyn SourceFactory>> {
         Err(crate::error::AlgebricksError::Plan(format!(
             "data source {} has no index access paths",
             self.name()
@@ -167,7 +171,7 @@ impl DataSource for VecSource {
         self.partitions.len().max(1)
     }
 
-    fn scan(&self) -> Result<Arc<dyn SourceFactory>> {
+    fn scan(&self, _fields: &[String]) -> Result<Arc<dyn SourceFactory>> {
         let parts = self.partitions.clone();
         Ok(Arc::new(asterix_hyracks::job::FnSource(move |p: usize| {
             let records = parts.get(p).cloned().unwrap_or_default();
@@ -190,7 +194,7 @@ mod tests {
             vec![vec![Value::Int(1), Value::Int(2)], vec![Value::Int(3)]],
         );
         assert_eq!(src.partitions(), 2);
-        let factory = src.scan().unwrap();
+        let factory = src.scan(&[]).unwrap();
         let p0: Vec<_> = factory.open(0).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(p0.len(), 2);
         assert_eq!(p0[0], vec![Value::Int(1)]);
@@ -202,16 +206,19 @@ mod tests {
     fn default_index_scan_errors() {
         let src = VecSource::single("t", vec![]);
         assert!(src
-            .index_scan(&AccessPath {
-                index: "idx".into(),
-                kind: IndexKind::BTree,
-                range: IndexRange::Range {
-                    lo: None,
-                    lo_inclusive: true,
-                    hi: None,
-                    hi_inclusive: true
+            .index_scan(
+                &AccessPath {
+                    index: "idx".into(),
+                    kind: IndexKind::BTree,
+                    range: IndexRange::Range {
+                        lo: None,
+                        lo_inclusive: true,
+                        hi: None,
+                        hi_inclusive: true,
+                    },
                 },
-            })
+                &[],
+            )
             .is_err());
     }
 }

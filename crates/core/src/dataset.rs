@@ -20,8 +20,10 @@
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
-use asterix_adm::binary::{decode, decode_key, encode, encode_key, prepend_key_part};
-use asterix_adm::schema_encode::{decode_with_schema, encode_with_schema};
+use asterix_adm::binary::{
+    decode_fields, decode_key, encode, encode_key, prepend_key_part, strip_key_part,
+};
+use asterix_adm::schema_encode::{decode_fields_with_schema, encode_with_schema};
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{Point, Rectangle, Value};
@@ -30,7 +32,7 @@ use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmStats, LsmTree, MergePolicy};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
-use std::ops::Bound;
+use std::ops::{Bound, ControlFlow};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,9 +94,16 @@ impl RecordSchema {
 
     /// Reverses [`RecordSchema::encode`].
     pub fn decode(&self, raw: &[u8]) -> Result<Value> {
+        self.decode_fields(raw, &[])
+    }
+
+    /// [`RecordSchema::decode`] for a reader that wants only the top-level
+    /// fields named in `fields` (all of them when `fields` is empty): the
+    /// record comes back holding just those, the others never built.
+    pub fn decode_fields(&self, raw: &[u8], fields: &[String]) -> Result<Value> {
         match &self.record_type {
-            Some(ty) => decode_with_schema(raw, ty).map_err(CoreError::Adm),
-            None => decode(raw).map_err(CoreError::Adm),
+            Some(ty) => decode_fields_with_schema(raw, ty, fields).map_err(CoreError::Adm),
+            None => decode_fields(raw, fields).map_err(CoreError::Adm),
         }
     }
 }
@@ -112,6 +121,21 @@ impl Secondary {
             | Secondary::RTree { def, .. }
             | Secondary::Keyword { def, .. } => def,
         }
+    }
+
+    /// The top-level fields index upkeep reads of a record: where the field
+    /// paths of `defs` start. Empty — the whole record — if a path is.
+    fn leading_fields<'a>(defs: impl Iterator<Item = &'a IndexDef>) -> Vec<String> {
+        let mut fields = Vec::new();
+        for def in defs {
+            match def.field.first() {
+                Some(f) => fields.push(f.clone()),
+                None => return Vec::new(),
+            }
+        }
+        fields.sort();
+        fields.dedup();
+        fields
     }
 
     /// The index's lifecycle, whatever its kind.
@@ -165,6 +189,9 @@ pub struct DatasetPartition {
     schema: Arc<RecordSchema>,
     primary: LsmTree,
     secondaries: Vec<Secondary>,
+    /// [`Secondary::leading_fields`] of `secondaries`: all that index upkeep
+    /// decodes of a stored record.
+    indexed_fields: Vec<String>,
     /// Where the node reads the LSN of the oldest log record the primary
     /// holds only in memory (see [`Node::log_pin`]).
     log_pin: Arc<AtomicU64>,
@@ -247,6 +274,7 @@ impl DatasetPartition {
             schema,
             primary: open_tree(&node, lsm_config(cfg, name, true), origin)?,
             secondaries: Vec::new(),
+            indexed_fields: Vec::new(),
             node,
             log_pin,
             seals_seen: 0,
@@ -269,6 +297,7 @@ impl DatasetPartition {
             } else {
                 recovery.components_loaded += sec.lsm().component_count() as u64;
                 part.secondaries.push(sec);
+                part.secondaries_changed();
             }
         }
         Ok((part, recovery))
@@ -298,6 +327,11 @@ impl DatasetPartition {
     fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn LsmIndex> + '_ {
         let primary: &mut dyn LsmIndex = &mut self.primary;
         std::iter::once(primary).chain(self.secondaries.iter_mut().map(Secondary::lsm_mut))
+    }
+
+    /// Brings `indexed_fields` up to date with `secondaries`.
+    fn secondaries_changed(&mut self) {
+        self.indexed_fields = Secondary::leading_fields(self.secondaries.iter().map(Secondary::def));
     }
 
     fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin) -> Result<Secondary> {
@@ -333,9 +367,10 @@ impl DatasetPartition {
     /// an index that a restart found behind its primary.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
         let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
+        let fields = Secondary::leading_fields(std::iter::once(idx));
         for entry in self.primary.range_iter(Bound::Unbounded, Bound::Unbounded)? {
             let (pk, raw) = entry?;
-            let record = self.schema.decode(&raw)?;
+            let record = self.schema.decode_fields(&raw, &fields)?;
             Self::index_insert(&mut sec, &record, &pk)?;
         }
         // Only now, whole, does it reflect the primary — everything logged
@@ -348,6 +383,7 @@ impl DatasetPartition {
         };
         sec.lsm_mut().cover_below(upto);
         self.secondaries.push(sec);
+        self.secondaries_changed();
         Ok(())
     }
 
@@ -357,7 +393,9 @@ impl DatasetPartition {
         let Some(pos) = self.secondaries.iter().position(|s| s.def().name == name) else {
             return Ok(());
         };
-        Ok(self.secondaries.remove(pos).lsm().destroy()?)
+        let sec = self.secondaries.remove(pos);
+        self.secondaries_changed();
+        Ok(sec.lsm().destroy()?)
     }
 
     /// Drops the partition from disk: every index's manifest and components.
@@ -397,11 +435,6 @@ impl DatasetPartition {
     /// write about to be logged, in the dataset's storage encoding.
     pub fn stored(&self, pk: &[u8]) -> Result<Option<Vec<u8>>> {
         Ok(self.primary.get(pk)?)
-    }
-
-    /// Point lookup by encoded primary key.
-    pub fn get(&self, pk: &[u8]) -> Result<Option<Value>> {
-        self.stored(pk)?.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
     /// Inserts or replaces a record (already cast to the dataset type).
@@ -511,13 +544,13 @@ impl DatasetPartition {
     }
 
     /// Retracts from every secondary index the entries of the record stored
-    /// as `before`.
+    /// as `before`, decoding of it the indexed fields only.
     fn retract(&mut self, pk: &[u8], before: Option<&[u8]>) -> Result<()> {
         if self.secondaries.is_empty() {
             return Ok(());
         }
         let Some(before) = before else { return Ok(()) };
-        let old = self.schema.decode(before)?;
+        let old = self.schema.decode_fields(before, &self.indexed_fields)?;
         for sec in &mut self.secondaries {
             Self::index_delete(sec, &old, pk)?;
         }
@@ -533,7 +566,9 @@ impl DatasetPartition {
     ) -> Result<()> {
         self.retract(pk, before)?;
         let decoded = match record {
-            None if !self.secondaries.is_empty() => Some(self.schema.decode(&raw)?),
+            None if !self.secondaries.is_empty() => {
+                Some(self.schema.decode_fields(&raw, &self.indexed_fields)?)
+            }
             _ => None,
         };
         self.primary.upsert(pk.to_vec(), raw)?;
@@ -601,47 +636,59 @@ impl DatasetPartition {
         Ok(())
     }
 
-    /// Full scan of live records in primary-key order, each decoded as the
-    /// index yields it.
-    pub fn scan(&self) -> Result<Vec<Value>> {
-        self.primary
-            .range_iter(Bound::Unbounded, Bound::Unbounded)?
-            .map(|entry| self.schema.decode(&entry?.1))
-            .collect()
+    /// Appends to `out` the next `limit` records, in primary-key order, whose
+    /// leading key field lies in `range` — those past the key `after`, from
+    /// the start of the range without one — each decoded to `fields` (see
+    /// [`RecordSchema::decode_fields`]). Returns the key to pass as `after`
+    /// to read on, `None` once the range has no more: a reader takes a
+    /// bounded batch per call and holds the partition only for that long.
+    pub fn read_range(
+        &self,
+        range: &KeyRange,
+        after: Option<&[u8]>,
+        fields: &[String],
+        limit: usize,
+        out: &mut Vec<Value>,
+    ) -> Result<Option<Vec<u8>>> {
+        let mut last = None;
+        let full = out.len() + limit;
+        leading_field_range(&self.primary, range, after, |key, raw| {
+            out.push(self.schema.decode_fields(&raw, fields)?);
+            Ok(if out.len() < full {
+                ControlFlow::Continue(())
+            } else {
+                last = Some(key);
+                ControlFlow::Break(())
+            })
+        })?;
+        Ok(last)
     }
 
-    /// Records whose *leading* primary-key field lies within the bounds
-    /// (`None` = open end), in key order.
-    pub fn pk_range(
-        &self,
-        lo: Option<&Value>,
-        lo_inclusive: bool,
-        hi: Option<&Value>,
-        hi_inclusive: bool,
-    ) -> Result<Vec<Value>> {
-        leading_field_range(&self.primary, lo, lo_inclusive, hi, hi_inclusive, |_, raw| {
-            self.schema.decode(&raw)
-        })
+    /// Appends to `out` the records stored under `pks`, in that order, each
+    /// decoded to `fields`; a key with no record adds none.
+    pub fn read_keys(&self, pks: &[Vec<u8>], fields: &[String], out: &mut Vec<Value>) -> Result<()> {
+        for pk in pks {
+            if let Some(raw) = self.stored(pk)? {
+                out.push(self.schema.decode_fields(&raw, fields)?);
+            }
+        }
+        Ok(())
     }
 
-    /// Candidate PKs from a secondary B+ tree index for `[lo, hi]` on the
-    /// indexed field (bounds optional/inclusive flags honored).
-    pub fn btree_index_pks(
-        &self,
-        index: &str,
-        lo: Option<&Value>,
-        lo_inclusive: bool,
-        hi: Option<&Value>,
-        hi_inclusive: bool,
-    ) -> Result<Vec<Vec<u8>>> {
+    /// Candidate PKs from a secondary B+ tree index for `range` on the
+    /// indexed field.
+    pub fn btree_index_pks(&self, index: &str, range: &KeyRange) -> Result<Vec<Vec<u8>>> {
         let sec = self.find_index(index)?;
         let Secondary::BTree { tree, .. } = sec else {
             return Err(CoreError::Catalog(format!("index {index:?} is not a B+ tree")));
         };
         // entries are `(secondary key, pk...)`: what follows the key is the pk
-        leading_field_range(tree, lo, lo_inclusive, hi, hi_inclusive, |pk_parts, _| {
-            Ok(encode_key(pk_parts))
-        })
+        let mut pks = Vec::new();
+        leading_field_range(tree, range, None, |key, _| {
+            pks.push(strip_key_part(&key).map_err(CoreError::Adm)?);
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(pks)
     }
 
     /// Candidate PKs from an R-tree index intersecting `query`.
@@ -664,23 +711,6 @@ impl DatasetPartition {
             .into_iter()
             .map(|pk_vals| encode_key(&pk_vals))
             .collect())
-    }
-
-    /// Fetches records for candidate PKs. When `sort_pks` is set the PKs are
-    /// sorted first — "sorting object references ... before fetching data
-    /// objects" (§V-B, ref \[26\]; experiment E7 measures the difference).
-    pub fn fetch_records(&self, mut pks: Vec<Vec<u8>>, sort_pks: bool) -> Result<Vec<Value>> {
-        if sort_pks {
-            pks.sort_by(|a, b| asterix_adm::binary::compare_keys(a, b));
-            pks.dedup_by(|a, b| asterix_adm::binary::compare_keys(a, b).is_eq());
-        }
-        let mut out = Vec::with_capacity(pks.len());
-        for pk in pks {
-            if let Some(rec) = self.get(&pk)? {
-                out.push(rec);
-            }
-        }
-        Ok(out)
     }
 
     fn find_index(&self, name: &str) -> Result<&Secondary> {
@@ -711,44 +741,67 @@ impl DatasetPartition {
     }
 }
 
-/// Walks the entries of `tree` whose leading key part lies within the bounds,
-/// handing `each` the remaining key parts and the value. The upper bound is
-/// on a key *prefix*, which has no byte-key form (a prefix sorts before every
-/// key it starts), so the walk starts at `lo` and stops reading at the first
-/// entry past `hi`: it touches the matches, not the rest of the index.
-fn leading_field_range<T>(
+/// Bounds on the leading part of an index's keys (`None`: an open end).
+#[derive(Debug, Clone, Default)]
+pub struct KeyRange {
+    pub lo: Option<Value>,
+    pub lo_inclusive: bool,
+    pub hi: Option<Value>,
+    pub hi_inclusive: bool,
+}
+
+/// Walks the entries of `tree` whose leading key part lies within `range` —
+/// those past the key `after`, if one is given — handing `each` the key and
+/// the value until it breaks. The upper bound is on a key *prefix*, which has
+/// no byte-key form (a prefix sorts before every key it starts), so the walk
+/// starts at `lo` and stops reading at the first entry past `hi`: it touches
+/// the matches, not the rest of the index.
+fn leading_field_range(
     tree: &LsmTree,
-    lo: Option<&Value>,
-    lo_inclusive: bool,
-    hi: Option<&Value>,
-    hi_inclusive: bool,
-    mut each: impl FnMut(&[Value], Vec<u8>) -> Result<T>,
-) -> Result<Vec<T>> {
+    range: &KeyRange,
+    after: Option<&[u8]>,
+    mut each: impl FnMut(Vec<u8>, Vec<u8>) -> Result<ControlFlow<()>>,
+) -> Result<()> {
     use std::cmp::Ordering;
     // the 1-part prefix key sorts directly before every key starting with it
-    let lo_key = lo.map(|v| encode_key(std::slice::from_ref(v)));
-    let lo_bound = lo_key.as_deref().map_or(Bound::Unbounded, Bound::Included);
-    let mut out = Vec::new();
-    for entry in tree.range_iter(lo_bound, Bound::Unbounded)? {
+    let lo_key = range.lo.as_ref().map(|v| encode_key(std::slice::from_ref(v)));
+    let start = match (after, &lo_key) {
+        (Some(key), _) => Bound::Excluded(key),
+        (None, Some(key)) => Bound::Included(key.as_slice()),
+        (None, None) => Bound::Unbounded,
+    };
+    // an inclusive `lo` is the start key's business alone
+    let skip_lo = range.lo.as_ref().filter(|_| !range.lo_inclusive);
+    for entry in tree.range_iter(start, Bound::Unbounded)? {
         let (key, value) = entry?;
-        let parts = decode_key(&key).map_err(CoreError::Adm)?;
-        let (lead, rest) = parts.split_first().ok_or_else(|| {
-            CoreError::Storage(asterix_storage::StorageError::Corrupt("empty index key".into()))
-        })?;
-        if let Some(hi) = hi {
-            let c = asterix_adm::compare::total_cmp(lead, hi);
-            if c == Ordering::Greater || (!hi_inclusive && c == Ordering::Equal) {
-                break;
+        if range.hi.is_some() || skip_lo.is_some() {
+            let parts = decode_key(&key).map_err(CoreError::Adm)?;
+            let lead = parts.first().ok_or_else(|| {
+                CoreError::Storage(asterix_storage::StorageError::Corrupt("empty index key".into()))
+            })?;
+            if let Some(hi) = &range.hi {
+                let c = asterix_adm::compare::total_cmp(lead, hi);
+                if c == Ordering::Greater || (!range.hi_inclusive && c == Ordering::Equal) {
+                    break;
+                }
             }
-        }
-        if let (Some(lo), false) = (lo, lo_inclusive) {
-            if asterix_adm::compare::total_cmp(lead, lo) == Ordering::Equal {
+            if skip_lo.is_some_and(|lo| asterix_adm::compare::total_cmp(lead, lo) == Ordering::Equal) {
                 continue;
             }
         }
-        out.push(each(rest, value)?);
+        if each(key, value)?.is_break() {
+            break;
+        }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Sorts candidate primary keys and drops the repeats — "sorting object
+/// references ... before fetching data objects" (§V-B, ref \[26\];
+/// experiment E7 measures the difference).
+pub fn sort_pks(pks: &mut Vec<Vec<u8>>) {
+    pks.sort_by(|a, b| asterix_adm::binary::compare_keys(a, b));
+    pks.dedup_by(|a, b| asterix_adm::binary::compare_keys(a, b).is_eq());
 }
 
 /// The MBR of a spatial value (point or rectangle).
@@ -820,6 +873,11 @@ mod tests {
         DatasetPartition::new(def, Arc::default(), 0, node, &cfg, None, Origin::Created).unwrap().0
     }
 
+    /// The index range holding exactly author `v`.
+    fn author(v: i64) -> KeyRange {
+        KeyRange { lo: Some(Value::Int(v)), lo_inclusive: true, hi: Some(Value::Int(v)), hi_inclusive: true }
+    }
+
     fn setup() -> (DatasetPartition, std::path::PathBuf) {
         let (node, p) = tmp_node();
         (create(&def_with_indexes(), node), p)
@@ -833,11 +891,15 @@ mod tests {
         }
         assert_eq!(part.count().unwrap(), 100);
         let pk = encode_key(&[Value::Int(42)]);
-        let got = part.get(&pk).unwrap().unwrap();
-        assert_eq!(got.field("author"), &Value::Int(2));
+        let get = |part: &DatasetPartition| {
+            let mut got = Vec::new();
+            part.read_keys(std::slice::from_ref(&pk), &[], &mut got).unwrap();
+            got.pop()
+        };
+        assert_eq!(get(&part).unwrap().field("author"), &Value::Int(2));
         let removed = part.delete(&pk).unwrap().unwrap();
         assert_eq!(removed.field("id"), &Value::Int(42));
-        assert!(part.get(&pk).unwrap().is_none());
+        assert!(get(&part).is_none());
         assert_eq!(part.count().unwrap(), 99);
         let _ = std::fs::remove_dir_all(p);
     }
@@ -848,19 +910,13 @@ mod tests {
         for i in 0..50 {
             part.upsert(&record(i, i % 5, 0.0, "x")).unwrap();
         }
-        let pks = part
-            .btree_index_pks("byAuthor", Some(&Value::Int(2)), true, Some(&Value::Int(2)), true)
-            .unwrap();
+        let pks = part.btree_index_pks("byAuthor", &author(2)).unwrap();
         assert_eq!(pks.len(), 10);
         // move record 2 to author 99
         part.upsert(&record(2, 99, 0.0, "x")).unwrap();
-        let pks = part
-            .btree_index_pks("byAuthor", Some(&Value::Int(2)), true, Some(&Value::Int(2)), true)
-            .unwrap();
+        let pks = part.btree_index_pks("byAuthor", &author(2)).unwrap();
         assert_eq!(pks.len(), 9, "old entry retracted");
-        let pks = part
-            .btree_index_pks("byAuthor", Some(&Value::Int(99)), true, Some(&Value::Int(99)), true)
-            .unwrap();
+        let pks = part.btree_index_pks("byAuthor", &author(99)).unwrap();
         assert_eq!(pks.len(), 1);
         let _ = std::fs::remove_dir_all(p);
     }
@@ -872,15 +928,9 @@ mod tests {
             part.upsert(&record(i, i, 0.0, "x")).unwrap();
         }
         let n = |lo: Option<i64>, li: bool, hi: Option<i64>, hi_i: bool| {
-            part.btree_index_pks(
-                "byAuthor",
-                lo.map(Value::Int).as_ref(),
-                li,
-                hi.map(Value::Int).as_ref(),
-                hi_i,
-            )
-            .unwrap()
-            .len()
+            let range =
+                KeyRange { lo: lo.map(Value::Int), lo_inclusive: li, hi: hi.map(Value::Int), hi_inclusive: hi_i };
+            part.btree_index_pks("byAuthor", &range).unwrap().len()
         };
         assert_eq!(n(Some(5), true, Some(10), true), 6);
         assert_eq!(n(Some(5), false, Some(10), false), 4);
@@ -913,23 +963,48 @@ mod tests {
         part.upsert(&record(3, 0, 0.0, "little tiny data")).unwrap();
         let pks = part.keyword_index_pks("byText", "big data").unwrap();
         assert_eq!(pks.len(), 2);
-        let recs = part.fetch_records(pks, true).unwrap();
+        let mut recs = Vec::new();
+        part.read_keys(&pks, &[], &mut recs).unwrap();
         assert!(recs.iter().all(|r| r.field("text").as_str().unwrap().contains("big")));
         let _ = std::fs::remove_dir_all(p);
     }
 
     #[test]
-    fn fetch_records_sorted_dedups() {
+    fn sorted_keys_fetch_in_key_order_without_repeats() {
         let (mut part, p) = setup();
         for i in 0..10 {
             part.upsert(&record(i, 0, 0.0, "x")).unwrap();
         }
         let pk = |i: i64| encode_key(&[Value::Int(i)]);
-        let recs = part
-            .fetch_records(vec![pk(5), pk(3), pk(5), pk(1)], true)
-            .unwrap();
-        assert_eq!(recs.len(), 3, "duplicates dropped");
-        assert_eq!(recs[0].field("id"), &Value::Int(1), "pk order");
+        let mut pks = vec![pk(5), pk(3), pk(5), pk(1), pk(77)];
+        sort_pks(&mut pks);
+        let mut recs = Vec::new();
+        part.read_keys(&pks, &["id".into()], &mut recs).unwrap();
+        let ids: Vec<Value> = recs.iter().map(|r| r.field("id").clone()).collect();
+        assert_eq!(ids, [Value::Int(1), Value::Int(3), Value::Int(5)], "key order, no repeat, no record for 77");
+        assert_eq!(recs[0].as_object().unwrap().len(), 1, "decoded to the field asked for");
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    #[test]
+    fn range_reads_resume_after_the_key_they_stopped_at() {
+        let (mut part, p) = setup();
+        for i in 0..10 {
+            part.upsert(&record(i, 0, 0.0, "x")).unwrap();
+        }
+        let range =
+            KeyRange { lo: Some(Value::Int(2)), lo_inclusive: false, hi: Some(Value::Int(8)), hi_inclusive: true };
+        let (mut recs, mut after, mut calls) = (Vec::new(), None, 0);
+        loop {
+            after = part.read_range(&range, after.as_deref(), &[], 4, &mut recs).unwrap();
+            calls += 1;
+            if after.is_none() {
+                break;
+            }
+        }
+        let ids: Vec<i64> = recs.iter().map(|r| r.field("id").as_i64().unwrap()).collect();
+        assert_eq!(ids, [3, 4, 5, 6, 7, 8], "(2, 8] in key order, nothing twice");
+        assert_eq!(calls, 2, "four, then the two left and the end of the range");
         let _ = std::fs::remove_dir_all(p);
     }
 
@@ -939,9 +1014,7 @@ mod tests {
         let v = parse_value(r#"{"id": 1, "text": "no author or loc"}"#).unwrap();
         part.upsert(&v).unwrap();
         assert_eq!(part.count().unwrap(), 1);
-        let pks = part
-            .btree_index_pks("byAuthor", None, true, None, true)
-            .unwrap();
+        let pks = part.btree_index_pks("byAuthor", &KeyRange::default()).unwrap();
         assert!(pks.is_empty());
         let _ = std::fs::remove_dir_all(p);
     }
@@ -960,9 +1033,7 @@ mod tests {
             &StorageConfig::default(),
         )
         .unwrap();
-        let pks = part
-            .btree_index_pks("byAuthor", Some(&Value::Int(1)), true, Some(&Value::Int(1)), true)
-            .unwrap();
+        let pks = part.btree_index_pks("byAuthor", &author(1)).unwrap();
         assert_eq!(pks.len(), 5);
         let _ = std::fs::remove_dir_all(p);
     }

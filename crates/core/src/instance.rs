@@ -895,7 +895,9 @@ impl Instance {
         self.inner.datasets.read().get(&rt.def.name).is_some_and(|now| now.def.id == rt.def.id)
     }
 
-    fn dataset_runtime(&self, name: &str) -> Result<Arc<DatasetRuntime>> {
+    /// The runtime handle on dataset `name`: its partitions, for a caller
+    /// that reads them through a [`DatasetSource`] of its own.
+    pub fn dataset_runtime(&self, name: &str) -> Result<Arc<DatasetRuntime>> {
         self.inner
             .datasets
             .read()

@@ -3,8 +3,8 @@
 //! §V-B sorted-PK fetch (experiment E7).
 
 use crate::catalog::{DatasetDef, IndexKind};
-use crate::dataset::{partition_of, DatasetPartition, RecordSchema};
-use crate::error::Result as CoreResult;
+use crate::dataset::{partition_of, sort_pks, DatasetPartition, KeyRange, RecordSchema};
+use crate::error::{CoreError, Result as CoreResult};
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::binary::encode_key;
@@ -65,24 +65,129 @@ fn no_tuples() -> TupleStream {
     Box::new(std::iter::empty())
 }
 
+/// Records a source reads per acquisition of a partition's read lock.
+pub const SCAN_BATCH: usize = 1024;
+
+/// What a cursor has left to read of its partition.
+#[derive(Clone)]
+enum Reading {
+    /// The primary index in key order: the records whose leading key field
+    /// lies in `range`, past the key `after`.
+    Range { range: KeyRange, after: Option<Vec<u8>> },
+    /// A probe of secondary index `index`, not made yet: it yields the keys
+    /// to fetch, in key order when `sorted`.
+    Probe { index: String, range: IndexRange, sorted: bool },
+    /// The records stored under `pks[next..]`.
+    Keys { pks: Vec<Vec<u8>>, next: usize },
+    Done,
+}
+
+/// One partition's stream of `[record]` tuples, read a batch at a time: the
+/// partition's read lock is taken to refill the batch and released before a
+/// tuple of it is handed out, so a cursor that is parked — or dropped half
+/// way — holds nothing a writer waits for, and never more than a batch of
+/// records. What it yields is consistent batch by batch, not across them.
+struct Cursor {
+    partition: Arc<OrderedRwLock<DatasetPartition>>,
+    /// The top-level fields records are decoded to (empty: whole).
+    fields: Arc<[String]>,
+    reading: Reading,
+    batch: std::vec::IntoIter<Value>,
+}
+
+impl Cursor {
+    /// Reads the next batch and moves `reading` past it.
+    fn refill(&mut self) -> CoreResult<()> {
+        let part = self.partition.read(); // xlint: lock(lsm_component)
+        // Checked batch by batch: a node killed under a running scan ends it
+        // with the *typed* transient error the instance retry policy re-runs
+        // the query for, not with a short answer.
+        part.node().check_alive()?;
+        let mut batch = Vec::new();
+        if let Reading::Probe { index, range, sorted } = &self.reading {
+            let mut pks = match range {
+                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => part.btree_index_pks(
+                    index,
+                    &KeyRange {
+                        lo: lo.clone(),
+                        lo_inclusive: *lo_inclusive,
+                        hi: hi.clone(),
+                        hi_inclusive: *hi_inclusive,
+                    },
+                )?,
+                IndexRange::Spatial(rect) => part.rtree_index_pks(index, rect)?,
+                IndexRange::Keyword(q) => part.keyword_index_pks(index, q)?,
+                IndexRange::Point(_) => {
+                    return Err(CoreError::Catalog(format!("point probe on secondary index {index:?}")))
+                }
+            };
+            if *sorted {
+                sort_pks(&mut pks);
+            }
+            self.reading = Reading::Keys { pks, next: 0 };
+        }
+        match &mut self.reading {
+            Reading::Range { range, after } => {
+                *after = part.read_range(range, after.as_deref(), &self.fields, SCAN_BATCH, &mut batch)?;
+                if after.is_none() {
+                    self.reading = Reading::Done;
+                }
+            }
+            Reading::Keys { pks, next } => {
+                let upto = pks.len().min(*next + SCAN_BATCH);
+                part.read_keys(&pks[*next..upto], &self.fields, &mut batch)?;
+                *next = upto;
+                if upto == pks.len() {
+                    self.reading = Reading::Done;
+                }
+            }
+            Reading::Probe { .. } | Reading::Done => {}
+        }
+        self.batch = batch.into_iter();
+        Ok(())
+    }
+}
+
+impl Iterator for Cursor {
+    type Item = asterix_hyracks::Result<asterix_hyracks::Tuple>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(record) = self.batch.next() {
+                return Some(Ok(vec![record]));
+            }
+            if matches!(self.reading, Reading::Done) {
+                return None;
+            }
+            if let Err(e) = self.refill() {
+                self.reading = Reading::Done;
+                return Some(Err(match e {
+                    CoreError::NodeDown(id) => asterix_hyracks::HyracksError::NodeDown(id),
+                    e => asterix_hyracks::HyracksError::Eval(e.to_string()),
+                }));
+            }
+        }
+    }
+}
+
+/// The one shape every access path of a dataset has: per partition, a
+/// [`Cursor`] over `reading` yielding records decoded to `fields`.
 fn records_factory(
     partitions: Vec<Arc<OrderedRwLock<DatasetPartition>>>,
-    f: impl Fn(&DatasetPartition) -> CoreResult<Vec<Value>> + Send + Sync + 'static,
+    fields: &[String],
+    reading: Reading,
 ) -> Arc<dyn SourceFactory> {
+    let fields: Arc<[String]> = fields.into();
     Arc::new(FnSource(move |p: usize| {
-        let part = partitions
+        let partition = partitions
             .get(p)
             .ok_or_else(|| asterix_hyracks::HyracksError::Eval(format!("no partition {p}")))?;
-        let guard = part.read(); // xlint: lock(lsm_component)
-        // A scan against a killed node fails with the *typed* transient
-        // error (not a stringified Eval), so the instance retry policy can
-        // classify it and re-run the query once the node is back.
-        if !guard.node().is_alive() {
-            return Err(asterix_hyracks::HyracksError::NodeDown(guard.node().id));
-        }
-        let records =
-            f(&guard).map_err(|e| asterix_hyracks::HyracksError::Eval(e.to_string()))?;
-        Ok(Box::new(records.into_iter().map(|r| Ok(vec![r]))) as TupleStream)
+        Ok(Box::new(Cursor {
+            partition: Arc::clone(partition),
+            fields: Arc::clone(&fields),
+            reading: reading.clone(),
+            batch: Vec::new().into_iter(),
+        }) as TupleStream)
     }))
 }
 
@@ -95,8 +200,9 @@ impl DataSource for DatasetSource {
         self.runtime.partitions.len()
     }
 
-    fn scan(&self) -> AlgResult<Arc<dyn SourceFactory>> {
-        Ok(records_factory(self.runtime.partitions.clone(), |part| part.scan()))
+    fn scan(&self, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
+        let all = Reading::Range { range: KeyRange::default(), after: None };
+        Ok(records_factory(self.runtime.partitions.clone(), fields, all))
     }
 
     fn indexes(&self) -> Vec<IndexInfo> {
@@ -120,7 +226,7 @@ impl DataSource for DatasetSource {
         self.runtime.def.primary_key().iter().map(|f| vec![f.clone()]).collect()
     }
 
-    fn index_scan(&self, path: &AccessPath) -> AlgResult<Arc<dyn SourceFactory>> {
+    fn index_scan(&self, path: &AccessPath, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
         let partitions = self.runtime.partitions.clone();
         let range = path.range.clone();
         if range.is_empty() {
@@ -135,9 +241,8 @@ impl DataSource for DatasetSource {
                     // without taking their lock or touching storage.
                     let key = encode_key(&key);
                     let owner = partition_of(&key, partitions.len()) as usize;
-                    let owning = records_factory(partitions, move |part| {
-                        Ok(part.get(&key)?.into_iter().collect())
-                    });
+                    let owning =
+                        records_factory(partitions, fields, Reading::Keys { pks: vec![key], next: 0 });
                     Arc::new(FnSource(move |p: usize| {
                         if p == owner {
                             owning.open(p)
@@ -146,11 +251,14 @@ impl DataSource for DatasetSource {
                         }
                     }))
                 }
-                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => {
-                    records_factory(partitions, move |part| {
-                        part.pk_range(lo.as_ref(), lo_inclusive, hi.as_ref(), hi_inclusive)
-                    })
-                }
+                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => records_factory(
+                    partitions,
+                    fields,
+                    Reading::Range {
+                        range: KeyRange { lo, lo_inclusive, hi, hi_inclusive },
+                        after: None,
+                    },
+                ),
                 IndexRange::Spatial(_) | IndexRange::Keyword(_) => {
                     return Err(AlgebricksError::Plan(format!(
                         "dataset {} has no {range} probe on its primary index",
@@ -167,25 +275,8 @@ impl DataSource for DatasetSource {
                 path.index
             )));
         }
-        let index = path.index.clone();
-        let sorted = self.sorted_fetch;
-        Ok(records_factory(partitions, move |part| {
-            let pks = match &range {
-                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => part
-                    .btree_index_pks(&index, lo.as_ref(), *lo_inclusive, hi.as_ref(), *hi_inclusive)
-                    .map_err(|e| {
-                        crate::error::CoreError::Catalog(format!("index probe: {e}"))
-                    })?,
-                IndexRange::Spatial(rect) => part.rtree_index_pks(&index, rect)?,
-                IndexRange::Keyword(q) => part.keyword_index_pks(&index, q)?,
-                IndexRange::Point(_) => {
-                    return Err(crate::error::CoreError::Catalog(format!(
-                        "point probe on secondary index {index:?}"
-                    )))
-                }
-            };
-            part.fetch_records(pks, sorted)
-        }))
+        let probe = Reading::Probe { index: path.index.clone(), range, sorted: self.sorted_fetch };
+        Ok(records_factory(partitions, fields, probe))
     }
 }
 
@@ -206,7 +297,7 @@ impl DataSource for ExternalSource {
         1
     }
 
-    fn scan(&self) -> AlgResult<Arc<dyn SourceFactory>> {
+    fn scan(&self, _fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
         let cfg = self.config.clone();
         let ty = self.record_type.clone();
         let registry = self.registry.clone();
@@ -267,7 +358,7 @@ mod tests {
             rt.partitions[p].write().upsert(&rec).unwrap();
         }
         let src = DatasetSource::new(Arc::clone(&rt));
-        let factory = src.scan().unwrap();
+        let factory = src.scan(&[]).unwrap();
         let mut total = 0;
         for p in 0..3 {
             total += factory.open(p).unwrap().count();
@@ -289,12 +380,15 @@ mod tests {
         let src = DatasetSource::new(Arc::clone(&rt));
         let by_v = |range| AccessPath { index: "byV".into(), kind: AlgIndexKind::BTree, range };
         let factory = src
-            .index_scan(&by_v(IndexRange::Range {
-                lo: Some(Value::Int(3)),
-                lo_inclusive: true,
-                hi: Some(Value::Int(4)),
-                hi_inclusive: true,
-            }))
+            .index_scan(
+                &by_v(IndexRange::Range {
+                    lo: Some(Value::Int(3)),
+                    lo_inclusive: true,
+                    hi: Some(Value::Int(4)),
+                    hi_inclusive: true,
+                }),
+                &[],
+            )
             .unwrap();
         let mut hits = 0;
         for p in 0..2 {
@@ -307,7 +401,7 @@ mod tests {
         }
         assert_eq!(hits, 8, "v in {{3,4}} of 0..10 over 40 records");
         let nope = AccessPath { index: "nope".into(), ..by_v(IndexRange::Keyword("x".into())) };
-        assert!(src.index_scan(&nope).is_err());
+        assert!(src.index_scan(&nope, &[]).is_err());
         let _ = std::fs::remove_dir_all(root);
     }
 }

@@ -126,8 +126,8 @@ fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
     assert_eq!(
         labels(&split, GROUPED),
         [
-            "scan:D", "group-input", "group-local", "group-global", "assign", "result-exprs",
-            "result-project", "sink"
+            "scan:D {g, v}", "group-input", "group-local", "group-global", "assign",
+            "result-exprs", "result-project", "sink"
         ]
     );
     assert_eq!(
@@ -143,8 +143,8 @@ fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
     assert_eq!(
         labels(&direct, GROUPED),
         [
-            "scan:D", "group-input", "group-global", "assign", "result-exprs", "result-project",
-            "sink"
+            "scan:D {g, v}", "group-input", "group-global", "assign", "result-exprs",
+            "result-project", "sink"
         ]
     );
     assert_eq!(

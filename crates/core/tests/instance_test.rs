@@ -201,7 +201,7 @@ fn primary_key_access_path_is_chosen_by_both_front_ends() {
     let golden = "distribute-result [$0]
   assign $0 := $1.message
     select eq($1.messageId, 42)
-      index-scan GleambookMessages#primary [eq 42] -> $1
+      index-scan GleambookMessages#primary [eq 42] {message, messageId} -> $1
 ";
     let sqlpp = db
         .explain(
@@ -249,6 +249,23 @@ fn profiled(db: &Instance, sql: &str) -> (Vec<Value>, Vec<(String, Vec<u64>)>) {
 }
 
 #[test]
+fn a_scan_says_which_fields_it_decodes() {
+    let db = Instance::temp().unwrap();
+    db.execute_sqlpp(gleambook_ddl()).unwrap();
+    load_messages(&db, 50, 5);
+    // read through one field: the plan and the operator say so
+    let sql = "SELECT m.authorId AS a, COUNT(*) AS c FROM GleambookMessages m GROUP BY m.authorId";
+    let plan = db.explain(sql, Language::Sqlpp).unwrap();
+    assert_eq!(plan.lines().last().unwrap().trim(), "scan GleambookMessages {authorId} -> $3", "{plan}");
+    let (rows, sources) = profiled(&db, sql);
+    assert_eq!(rows.len(), 5);
+    assert_eq!(sources[0].0, "scan:GleambookMessages {authorId}");
+    // read whole: nothing to say
+    let (_, sources) = profiled(&db, "SELECT VALUE m FROM GleambookMessages m");
+    assert_eq!(sources[0].0, "scan:GleambookMessages");
+}
+
+#[test]
 fn primary_key_point_get_reads_one_record_on_the_owning_partition() {
     let db = Instance::open(InstanceConfig { nodes: 3, partitions: 3, ..Default::default() })
         .unwrap();
@@ -271,7 +288,7 @@ fn primary_key_point_get_reads_one_record_on_the_owning_partition() {
         assert_eq!(rows.len(), want, "messageId = {key}");
         assert_eq!(sources.len(), 1, "{sources:?}");
         let (label, outs) = &sources[0];
-        assert_eq!(label, "iscan:GleambookMessages#primary");
+        assert_eq!(label, "iscan:GleambookMessages#primary {messageId}");
         assert_eq!(outs.iter().sum::<u64>(), want as u64, "examined for {key}: {outs:?}");
         // exactly one partition was asked, for exactly one key: the one
         // that produced the record when there is one
@@ -315,7 +332,7 @@ fn secondary_probe_visits_its_matches_not_the_index_tail() {
             &format!("SELECT VALUE m.messageId FROM GleambookMessages m WHERE {predicate}"),
         );
         let (label, outs) = &sources[0];
-        assert_eq!(label, "iscan:GleambookMessages#gbAuthorIdx");
+        assert_eq!(label, "iscan:GleambookMessages#gbAuthorIdx {authorId, messageId}");
         assert_eq!(outs.iter().sum::<u64>(), rows.len() as u64, "no false candidates");
         assert!(rows.len() >= 10, "{predicate}: {} rows", rows.len());
         for ((after, before), matches) in index_visited(&db).iter().zip(&before).zip(outs) {

@@ -2,13 +2,21 @@
 //! success under the instance retry policy, or surfaces a typed transient
 //! error without one — never a hang, never a silently truncated result.
 
-use asterix_core::{Instance, InstanceConfig, RetryPolicy};
+use asterix_algebricks::source::DataSource;
+use asterix_core::sources::{DatasetSource, SCAN_BATCH};
+use asterix_core::{CoreError, Instance, InstanceConfig, RetryPolicy};
+use asterix_hyracks::HyracksError;
 use std::time::Duration;
 
 fn setup(retry: RetryPolicy) -> Instance {
+    setup_sized(retry, 2, 200)
+}
+
+/// `records` records of `D(id, v)` over `nodes` nodes, a partition each.
+fn setup_sized(retry: RetryPolicy, nodes: usize, records: usize) -> Instance {
     let db = Instance::open(InstanceConfig {
-        nodes: 2,
-        partitions: 2,
+        nodes,
+        partitions: nodes,
         retry,
         ..Default::default()
     })
@@ -19,7 +27,7 @@ fn setup(retry: RetryPolicy) -> Instance {
     )
     .unwrap();
     let mut txn = db.begin();
-    for i in 0..200 {
+    for i in 0..records {
         let rec = asterix_adm::parse::parse_value(&format!(r#"{{"id": {i}, "v": {}}}"#, i % 7))
             .unwrap();
         txn.write("D", &rec, true).unwrap();
@@ -118,6 +126,29 @@ fn point_get_on_a_killed_owner_is_typed_and_retried() {
 }
 
 #[test]
+fn a_node_killed_between_two_batches_ends_the_scan_with_the_typed_error() {
+    // a source checks its node each time it goes back to the partition, not
+    // only when it is opened: a scan that loses its node half way must not
+    // pass for a short dataset
+    let db = setup_sized(RetryPolicy::default(), 1, 3 * SCAN_BATCH);
+    let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
+    let mut scan = source.scan(&[]).unwrap().open(0).unwrap();
+    for _ in 0..SCAN_BATCH {
+        scan.next().expect("a first batch").unwrap();
+    }
+    assert!(db.kill_node(0));
+    match scan.next() {
+        Some(Err(e @ HyracksError::NodeDown(0))) => {
+            assert!(CoreError::Hyracks(e).is_transient(), "what the retry policy re-runs a query for");
+        }
+        Some(Err(e)) => panic!("not the typed error: {e}"),
+        Some(Ok(_)) => panic!("read a dead node's partition"),
+        None => panic!("a silently short answer"),
+    }
+    assert!(scan.next().is_none(), "the scan is over");
+}
+
+#[test]
 fn concurrent_node_kill_mid_query_still_recovers() {
     let db = setup(RetryPolicy {
         max_attempts: 5,
@@ -132,8 +163,8 @@ fn concurrent_node_kill_mid_query_still_recovers() {
             db.kill_node(1)
         })
     };
-    // whatever the interleaving — kill before open (typed NodeDown, retried
-    // with restart) or kill after the scan materialized (clean finish) — the
+    // whatever the interleaving — kill before a partition is read (typed
+    // NodeDown, retried with restart) or after it was (clean finish) — the
     // query must come back complete
     for _ in 0..5 {
         let rows = db.query("SELECT VALUE d.v FROM D d").unwrap();

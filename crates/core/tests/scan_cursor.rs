@@ -1,0 +1,128 @@
+//! The two promises of a dataset source's cursor, as counts: it reads a batch
+//! at a time, not a partition, and it holds its partition's lock only while
+//! it refills — so a scan parked half way blocks no writer, and a resume by
+//! key yields every record once whatever was flushed or merged in between.
+
+use asterix_adm::parse::parse_value;
+use asterix_algebricks::source::DataSource;
+use asterix_core::dataset::StorageConfig;
+use asterix_core::sources::{DatasetSource, SCAN_BATCH};
+use asterix_core::{Instance, InstanceConfig};
+use asterix_storage::lsm::{LsmStats, MergePolicy};
+use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::time::Duration;
+
+/// One partition on one node holding `D(id, v)` with ids `0..n`, written in
+/// transactions of 250 records.
+fn loaded(n: i64, storage: StorageConfig) -> Instance {
+    let db = Instance::open(InstanceConfig { nodes: 1, partitions: 1, storage, ..Default::default() })
+        .unwrap();
+    db.execute_sqlpp("CREATE TYPE T AS { id: int, v: int }; CREATE DATASET D(T) PRIMARY KEY id;")
+        .unwrap();
+    upsert(&db, 0..n, 0);
+    db
+}
+
+fn upsert(db: &Instance, ids: impl IntoIterator<Item = i64>, v: i64) {
+    let ids: Vec<i64> = ids.into_iter().collect();
+    for chunk in ids.chunks(250) {
+        let mut txn = db.begin();
+        for id in chunk {
+            let rec = parse_value(&format!(r#"{{"id": {id}, "v": {v}}}"#)).unwrap();
+            txn.write("D", &rec, true).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+}
+
+fn primary_stats(db: &Instance) -> LsmStats {
+    db.lsm_stats("D", None).unwrap().remove(0)
+}
+
+fn open_scan(db: &Instance) -> Box<dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send> {
+    let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
+    source.scan(&[]).unwrap().open(0).unwrap()
+}
+
+#[test]
+fn the_first_tuple_costs_one_batch_not_the_partition() {
+    let db = loaded(10_000, StorageConfig::default());
+    db.flush_all().unwrap();
+    let before = primary_stats(&db);
+    assert_eq!((before.flushes, before.merges), (1, 0), "one disk component");
+    let mut scan = open_scan(&db);
+    assert_eq!(primary_stats(&db).entries_visited, before.entries_visited, "opening reads nothing");
+    scan.next().unwrap().unwrap();
+    // the cursor's range iterator is gone by now, its count with it: the
+    // batch, and at most the entry its one component had read ahead
+    let visited = (primary_stats(&db).entries_visited - before.entries_visited) as usize;
+    assert!((SCAN_BATCH..=SCAN_BATCH + 1).contains(&visited), "{visited} visited of 10 000");
+    assert_eq!(scan.count(), 9_999, "and the rest follows");
+}
+
+#[test]
+fn a_parked_scan_blocks_no_writer() {
+    let db = loaded(3 * SCAN_BATCH as i64, StorageConfig::default());
+    let mut scan = open_scan(&db);
+    for _ in 0..SCAN_BATCH / 2 {
+        scan.next().unwrap().unwrap();
+    }
+    // the scan is held, half a batch in; a writer on the same partition
+    // must not have to wait for it
+    let (done, written) = mpsc::channel();
+    let writer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            upsert(&db, [-1, 5 * SCAN_BATCH as i64], 1);
+            db.flush_all().unwrap();
+            done.send(()).unwrap();
+        })
+    };
+    written
+        .recv_timeout(Duration::from_secs(60))
+        .expect("an upsert and a flush go through while the scan is parked");
+    writer.join().unwrap();
+    assert_eq!(scan.count(), 3 * SCAN_BATCH - SCAN_BATCH / 2 + 1, "the rest, and the key written past it");
+}
+
+#[test]
+fn a_resume_by_key_survives_a_flush_and_a_merge_between_batches() {
+    // 2 KiB memory components merged whenever there are three: every few
+    // transactions flush, every few flushes merge
+    let storage = StorageConfig {
+        mem_budget: 2 << 10,
+        merge_policy: MergePolicy::Constant { max_components: 2 },
+    };
+    let n = 3 * SCAN_BATCH as i64;
+    let db = loaded(n, storage);
+    let mut scan = open_scan(&db);
+    let id = |t: asterix_hyracks::Result<asterix_hyracks::Tuple>| t.unwrap()[0].field("id").as_i64().unwrap();
+    let mut seen: Vec<i64> = scan.by_ref().take(SCAN_BATCH).map(id).collect();
+    assert_eq!(seen, (0..SCAN_BATCH as i64).collect::<Vec<_>>());
+
+    // between two batches: new versions on both sides of the cursor, new
+    // keys before and after it, deletes ahead of it
+    let before = primary_stats(&db);
+    upsert(&db, (0..n).step_by(3), 1);
+    upsert(&db, [-5, -4, n + 1, n + 2], 1);
+    let deleted: BTreeSet<i64> = (SCAN_BATCH as i64 + 7..n).step_by(11).collect();
+    let mut txn = db.begin();
+    for id in &deleted {
+        txn.delete("D", &asterix_adm::binary::encode_key(&[asterix_adm::Value::Int(*id)])).unwrap();
+    }
+    txn.commit().unwrap();
+    db.flush_all().unwrap();
+    let after = primary_stats(&db);
+    assert!(after.flushes > before.flushes && after.merges > before.merges, "{before:?} -> {after:?}");
+
+    seen.extend(scan.map(id));
+    assert!(seen.windows(2).all(|w| w[0] < w[1]), "key order, no key twice");
+    let seen: BTreeSet<i64> = seen.into_iter().collect();
+    for id in (0..n).filter(|id| !deleted.contains(id)) {
+        assert!(seen.contains(&id), "{id} was there throughout");
+    }
+    assert!(!seen.contains(&-5), "a key written behind the cursor is not its business");
+    assert!(seen.contains(&(n + 1)), "one written ahead of it is read where it now stands");
+    assert!(deleted.iter().all(|id| !seen.contains(id)), "nor is one deleted before the cursor got there");
+}

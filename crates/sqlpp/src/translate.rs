@@ -358,7 +358,7 @@ impl<'a> Translator<'a> {
             if scope.lookup(name).is_none() {
                 if let Some(ds) = self.catalog.dataset(name) {
                     let v = self.vargen.fresh();
-                    let scan = LogicalOp::DataSourceScan { source: ds, var: v, access: None };
+                    let scan = LogicalOp::DataSourceScan { source: ds, var: v, access: None, fields: vec![] };
                     scope.push(alias.to_string(), Expr::Var(v), true);
                     let combined = if first {
                         scan
@@ -443,7 +443,7 @@ impl<'a> Translator<'a> {
                             if let Some(ds) = self.catalog.dataset(ds_name) {
                                 let v = self.vargen.fresh();
                                 let right =
-                                    LogicalOp::DataSourceScan { source: ds, var: v, access: None };
+                                    LogicalOp::DataSourceScan { source: ds, var: v, access: None, fields: vec![] };
                                 let mut inner_scope = scope.clone();
                                 inner_scope.push(var.clone(), Expr::Var(v), true);
                                 let cond = self.expr(&satisfies, &inner_scope)?;
