@@ -24,12 +24,9 @@ use std::sync::Arc;
 pub struct JobGenConfig {
     /// Degree of parallelism for compute operators (joins, group-bys).
     pub dop: usize,
-    /// Working-memory budget per sort instance (bytes).
-    pub sort_memory: usize,
-    /// Working-memory budget per join instance.
-    pub join_memory: usize,
-    /// Working-memory budget per group-by instance.
-    pub group_memory: usize,
+    /// Working-memory budget per sort, join, group-by or distinct instance
+    /// (bytes).
+    pub op_memory: usize,
     /// Split aggregations into local (pre-shuffle) and global stages. The
     /// default; disabling it ships raw tuples through the exchange (the
     /// ablation experiment E13 measures the difference).
@@ -40,9 +37,7 @@ impl Default for JobGenConfig {
     fn default() -> Self {
         JobGenConfig {
             dop: 1,
-            sort_memory: 32 << 20,
-            join_memory: 32 << 20,
-            group_memory: 32 << 20,
+            op_memory: 32 << 20,
             local_aggregation: true,
         }
     }
@@ -277,7 +272,7 @@ impl<'a> Builder<'a> {
                     .map(|(c, (_, desc))| SortKey { col: *c, desc: *desc })
                     .collect();
                 let id = self.spec.add(
-                    OpKind::Sort { keys: sort_keys.clone(), memory: self.cfg.sort_memory },
+                    OpKind::Sort { keys: sort_keys.clone(), memory: self.cfg.op_memory },
                     built.partitions,
                     "sort",
                 );
@@ -340,7 +335,7 @@ impl<'a> Builder<'a> {
                 let (built, cols) = self.append_exprs(built, exprs, "distinct-keys")?;
                 let dop = self.cfg.dop.max(1);
                 let id = self.spec.add(
-                    OpKind::Distinct { cols: Some(cols.clone()), memory: self.cfg.group_memory },
+                    OpKind::Distinct { cols: Some(cols.clone()), memory: self.cfg.op_memory },
                     dop,
                     "distinct",
                 );
@@ -443,7 +438,7 @@ impl<'a> Builder<'a> {
                         JoinKind::LeftOuter => HJoinKind::LeftOuter,
                     },
                     right_arity,
-                    memory: self.cfg.join_memory,
+                    memory: self.cfg.op_memory,
                 },
                 dop,
                 "hash-join",
@@ -522,7 +517,7 @@ impl<'a> Builder<'a> {
             OpKind::GroupCollect {
                 key_cols: key_cols.clone(),
                 payload_cols: pcols,
-                memory: self.cfg.group_memory,
+                memory: self.cfg.op_memory,
             },
             dop,
             "group-collect",
@@ -558,7 +553,7 @@ impl<'a> Builder<'a> {
             .collect();
         // one stage: a group-by, or with no keys the operator that answers
         // one row for an empty input too
-        let memory = self.cfg.group_memory;
+        let memory = self.cfg.op_memory;
         let stage = |key_cols: &[usize], aggs: Vec<AggSpec>| match key_cols {
             [] => OpKind::Aggregate { aggs },
             _ => OpKind::GroupBy { key_cols: key_cols.to_vec(), aggs, memory },

@@ -448,16 +448,16 @@ struct CompactionSection {
 }
 
 /// One ingest run: upsert `n` records through a merge-happy LSM tree,
-/// timing the write path. `exec` = `None` merges on the flushing thread
-/// (every flush that triggers a merge stalls for the whole rewrite);
-/// `Some` schedules merges onto the morsel worker pool, so the write path
-/// pays only the scheduling cost — the difference shows up directly in
-/// `merge_stall_ns`, which times exactly the post-publish compaction work
-/// done inside `flush()`.
+/// timing the write path. The executor a bare tree starts with runs the
+/// merge on the flushing thread (every flush that triggers a merge stalls
+/// for the whole rewrite); the pool's schedules merges onto the morsel
+/// workers, so the write path pays only the scheduling cost — the
+/// difference shows up directly in `merge_stall_ns`, which times exactly
+/// the post-publish compaction work done inside `flush()`.
 fn compaction_ingest(
     tag: &str,
     n: i64,
-    exec: Option<asterix_storage::CompactionExec>,
+    exec: asterix_storage::CompactionExec,
 ) -> CompactionRun {
     use asterix_adm::binary::encode_key;
     use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
@@ -482,9 +482,7 @@ fn compaction_ingest(
             compress_values: false,
         },
     );
-    if let Some(e) = exec {
-        tree.set_executor(e);
-    }
+    tree.set_executor(exec);
     let key = |i: i64| encode_key(&[Value::Int(i)]);
     let (_, t) = time_it(|| {
         for i in 0..n {
@@ -515,15 +513,16 @@ fn compaction_ingest(
 
 fn compaction_microbench(quick: bool) -> CompactionSection {
     let n: i64 = if quick { 40_000 } else { 160_000 };
-    let foreground = compaction_ingest("hotpath-compact-fg", n, None);
+    let foreground =
+        compaction_ingest("hotpath-compact-fg", n, asterix_storage::compaction::on_caller());
     // Background merges ride the shared morsel pool, exactly as an
-    // instance with `background_compaction: true` schedules them.
+    // instance schedules them.
     let ctx = RuntimeCtx::temp().expect("temp ctx for compaction bench");
     let token = asterix_hyracks::CancellationToken::new();
     let background = compaction_ingest(
         "hotpath-compact-bg",
         n,
-        Some(asterix_hyracks::storage_compaction_executor(&ctx, token)),
+        asterix_hyracks::storage_compaction_executor(&ctx, token),
     );
     CompactionSection { records: n as usize, foreground, background }
 }

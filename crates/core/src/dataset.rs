@@ -203,9 +203,8 @@ pub struct DatasetPartition {
     /// already been applied; the next call reports it, having applied
     /// nothing, so no caller loses the outcome of a write to it.
     log_error: Option<CoreError>,
-    /// Where the indexes' merges run: `None` keeps them on the flushing
-    /// thread, `Some` moves them onto the runtime's morsel worker pool.
-    compaction: Option<CompactionExec>,
+    /// Where the indexes' merges run: the runtime's morsel worker pool.
+    compaction: CompactionExec,
 }
 
 /// Navigates a field path inside a record.
@@ -261,7 +260,7 @@ impl DatasetPartition {
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
-        compaction: Option<CompactionExec>,
+        compaction: CompactionExec,
         origin: Origin,
     ) -> Result<(DatasetPartition, PartitionRecovery)> {
         let name = format!("{}_p{partition}_pri", def.name);
@@ -307,10 +306,8 @@ impl DatasetPartition {
     /// partition's do, and one just created is made durably empty —
     /// whatever an earlier index of its name left is no longer named — with
     /// the log below `born` declared none of its business.
-    fn adopt(idx: &mut dyn LsmIndex, compaction: &Option<CompactionExec>, born: Option<Lsn>) -> Result<()> {
-        if let Some(exec) = compaction {
-            idx.set_executor(exec.clone());
-        }
+    fn adopt(idx: &mut dyn LsmIndex, compaction: &CompactionExec, born: Option<Lsn>) -> Result<()> {
+        idx.set_executor(compaction.clone());
         if let Some(lsn) = born {
             idx.mark_flushed_below(lsn)?;
         }
@@ -604,8 +601,7 @@ impl DatasetPartition {
             }
             Secondary::Keyword { index, .. } => {
                 if let Some(text) = field.as_str() {
-                    let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
-                    index.insert_text(text, &pk_vals)?;
+                    index.insert_text(text, pk)?;
                 }
             }
         }
@@ -628,8 +624,7 @@ impl DatasetPartition {
             }
             Secondary::Keyword { index, .. } => {
                 if let Some(text) = field.as_str() {
-                    let pk_vals = decode_key(pk).map_err(CoreError::Adm)?;
-                    index.delete_text(text, &pk_vals)?;
+                    index.delete_text(text, pk)?;
                 }
             }
         }
@@ -706,11 +701,7 @@ impl DatasetPartition {
         let Secondary::Keyword { index: inv, .. } = sec else {
             return Err(CoreError::Catalog(format!("index {index:?} is not a keyword index")));
         };
-        Ok(inv
-            .search_all(query)?
-            .into_iter()
-            .map(|pk_vals| encode_key(&pk_vals))
-            .collect())
+        Ok(inv.search_all(query)?)
     }
 
     fn find_index(&self, name: &str) -> Result<&Secondary> {
@@ -870,7 +861,7 @@ mod tests {
 
     fn create(def: &DatasetDef, node: Arc<Node>) -> DatasetPartition {
         let cfg = StorageConfig::default();
-        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, None, Origin::Created).unwrap().0
+        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap().0
     }
 
     /// The index range holding exactly author `v`.

@@ -115,12 +115,6 @@ pub struct InstanceConfig {
     /// 0 = auto (`available_parallelism()`). This is the *only* thread
     /// count: operator `partitions` are schedulable units, not threads.
     pub worker_threads: usize,
-    /// Run LSM merges as morsel tasks on the shared worker pool instead of
-    /// on the flushing thread. Off by default: foreground merges keep
-    /// component counts deterministic, which seeded fault-injection tests
-    /// (`faults`) rely on — background merge I/O would race the op-counted
-    /// crash schedules.
-    pub background_compaction: bool,
 }
 
 impl Default for InstanceConfig {
@@ -138,7 +132,6 @@ impl Default for InstanceConfig {
             retry: RetryPolicy::default(),
             scheduler: SchedulerConfig::default(),
             worker_threads: 0,
-            background_compaction: false,
         }
     }
 }
@@ -183,8 +176,8 @@ struct Inner {
     next_session: AtomicU64,
     /// Tripped at teardown so background merges abort at the next morsel.
     compaction_token: CancellationToken,
-    /// Where the datasets' merges run when `background_compaction` is set.
-    compaction: Option<asterix_storage::CompactionExec>,
+    /// Where the datasets' merges run: morsel tasks on the worker pool.
+    compaction: asterix_storage::CompactionExec,
 }
 
 /// An AsterixDB instance. Cloning yields another handle on the same
@@ -230,13 +223,12 @@ impl Instance {
         )
         .map_err(CoreError::Hyracks)?;
         ctx.set_worker_threads(config.worker_threads);
-        // Background compaction shares the morsel pool with query work; the
+        // Merges share the morsel pool with query work; the
         // instance-lifetime token lets shutdown abort in-flight merges at
         // the next merge morsel instead of waiting them out.
         let compaction_token = CancellationToken::new();
-        let compaction = config.background_compaction.then(|| {
-            asterix_hyracks::storage_compaction_executor(&ctx, compaction_token.clone())
-        });
+        let compaction =
+            asterix_hyracks::storage_compaction_executor(&ctx, compaction_token.clone());
         let sched = QueryScheduler::new(config.scheduler.clone(), ctx.registry());
         let inner = Arc::new(Inner {
             config,
@@ -702,12 +694,9 @@ impl Instance {
         let Submission { ticket, query, deadline } = submission;
         let admission = self.inner.sched.admit_wait(ticket, &control.token)?;
         let plan = self.compile(&query)?;
-        let op_memory = self.inner.config.op_memory.min(admission.budget());
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
-            sort_memory: op_memory,
-            join_memory: op_memory,
-            group_memory: op_memory,
+            op_memory: self.inner.config.op_memory.min(admission.budget()),
             local_aggregation: self.inner.config.local_aggregation,
         };
         let count_retry = || self.registry().counter("core.query.retries").inc();

@@ -342,7 +342,7 @@ mod tests {
         for p in 0..n_parts {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
-            let part = DatasetPartition::new(&def, Arc::default(), p as u32, node, &cfg, None, Origin::Created);
+            let part = DatasetPartition::new(&def, Arc::default(), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap().0)));
         }
         (Arc::new(DatasetRuntime { def, schema: Arc::default(), partitions }), root)

@@ -19,6 +19,9 @@
 //! the merged output *or* its inputs, never both, whichever side of the
 //! manifest's rename the crash fell — and replays only the log tail past
 //! them, so a mid-merge crash must never change the recovered row set.
+//! Merges run as morsel tasks on the worker pool, so the crash fires on
+//! whichever thread (writer or merge worker) reaches it and the interleaving
+//! is arbitrary: the recovered row set must be right for every one of them.
 //! Besides the random sweep, every manifest publish, retirement unlink, log
 //! rotation and segment unlink the workload performs is crashed by name.
 
@@ -89,7 +92,6 @@ fn config(
     dir: &Path,
     merge_policy: MergePolicy,
     faults: Option<Arc<FaultInjector>>,
-    background: bool,
 ) -> InstanceConfig {
     InstanceConfig {
         data_dir: Some(dir.to_path_buf()),
@@ -101,7 +103,6 @@ fn config(
         // the I/O schedule the crash counter walks over is merge I/O.
         storage: StorageConfig { mem_budget: 2 << 10, merge_policy },
         faults,
-        background_compaction: background,
         ..InstanceConfig::default()
     }
 }
@@ -117,14 +118,13 @@ fn run_workload(
     crash_after: u64,
     pol: MergePolicy,
     ntxns: usize,
-    background: bool,
 ) -> (BTreeMap<i64, String>, Option<BTreeMap<i64, String>>) {
     let injector = FaultInjector::new(FaultConfig {
         seed,
         crash_after_ios: Some(crash_after),
         ..FaultConfig::default()
     });
-    run_workload_under(dir, &injector, pol, ntxns, background)
+    run_workload_under(dir, &injector, pol, ntxns)
 }
 
 /// [`run_workload`] under a given injector.
@@ -133,10 +133,9 @@ fn run_workload_under(
     injector: &Arc<FaultInjector>,
     pol: MergePolicy,
     ntxns: usize,
-    background: bool,
 ) -> (BTreeMap<i64, String>, Option<BTreeMap<i64, String>>) {
     let mut committed = BTreeMap::new();
-    let db = match Instance::open(config(dir, pol, Some(injector.clone()), background)) {
+    let db = match Instance::open(config(dir, pol, Some(injector.clone()))) {
         Ok(db) => db,
         Err(_) => return (committed, None),
     };
@@ -178,7 +177,7 @@ fn run_workload_under(
 /// Reopens fault-free and returns (rows, distinct-key map). A row count
 /// above the map size means a primary key came back doubled.
 fn reopened_state(dir: &Path, pol: MergePolicy) -> (usize, BTreeMap<i64, String>) {
-    let db = Instance::open(config(dir, pol, None, false)).expect("recovery must succeed");
+    let db = Instance::open(config(dir, pol, None)).expect("recovery must succeed");
     let rows = db.query("SELECT VALUE d FROM kv d").expect("recovered dataset must be queryable");
     let mut m = BTreeMap::new();
     for r in &rows {
@@ -208,7 +207,7 @@ fn workload_exercises_merges_under_every_policy() {
         let dir = TempDir::new("vacuum");
         let pol = policy(idx);
         let injector = FaultInjector::new(FaultConfig::default());
-        let db = Instance::open(config(dir.path(), pol, Some(injector.clone()), false)).unwrap();
+        let db = Instance::open(config(dir.path(), pol, Some(injector.clone()))).unwrap();
         db.execute_sqlpp(DDL).unwrap();
         for t in 0..12i64 {
             let mut txn = db.begin();
@@ -217,6 +216,12 @@ fn workload_exercises_merges_under_every_policy() {
                 txn.write("kv", &kv_record((t * 5 + i) % 64, &v), true).unwrap();
             }
             txn.commit().unwrap();
+        }
+        // the merges run on the worker pool: let them drain
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
+            assert!(std::time::Instant::now() < deadline, "policy {idx}: merges still in flight");
+            std::thread::yield_now();
         }
         // and the random sweep draws its crash points from the whole run
         let ops = injector.ops();
@@ -244,7 +249,7 @@ proptest! {
         let pol = policy(pol_idx);
         let dir = TempDir::new("midmerge");
         let (committed, crashing) =
-            run_workload(dir.path(), seed, crash_after, pol, 12, false);
+            run_workload(dir.path(), seed, crash_after, pol, 12);
         // An empty outcome means the crash preceded the DDL; nothing to check.
         if !(committed.is_empty() && crashing.is_none()) {
             let (nrows, got) = reopened_state(dir.path(), pol);
@@ -288,7 +293,7 @@ fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
         for nth in 0..48 {
             let dir = TempDir::new("named");
             let injector = FaultInjector::crash_at(21, point, nth);
-            let (committed, crashing) = run_workload_under(dir.path(), &injector, pol, 12, false);
+            let (committed, crashing) = run_workload_under(dir.path(), &injector, pol, 12);
             if !injector.crashed() {
                 break; // no occurrence this late
             }
@@ -305,31 +310,5 @@ fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
             );
         }
         assert!(fired > 1, "policy {pol_idx}: the workload never reaches {point}");
-    }
-}
-
-/// The same invariants with merges running as background morsel tasks on
-/// the worker pool: the crash op-counter now fires on whichever thread
-/// (writer or merge worker) hits it, so the interleaving is arbitrary —
-/// the recovered row set must be correct for every one of them.
-#[test]
-fn background_merge_crash_recovers_committed_state() {
-    for (seed, crash_after) in
-        [(3u64, 40u64), (7, 70), (11, 100), (13, 125), (17, 150), (19, 55)]
-    {
-        let pol = MergePolicy::Prefix { max_mergable_bytes: 32 << 20, max_tolerance_components: 2 };
-        let dir = TempDir::new("bgcrash");
-        let (committed, crashing) =
-            run_workload(dir.path(), seed, crash_after, pol, 12, true);
-        if committed.is_empty() && crashing.is_none() {
-            continue;
-        }
-        let (nrows, got) = reopened_state(dir.path(), pol);
-        assert_eq!(nrows, got.len(), "seed={seed}: a primary key recovered doubled");
-        assert!(
-            got == committed || crashing.as_ref().is_some_and(|m| &got == m),
-            "seed={seed} crash_after={crash_after}: recovered state matches neither \
-             candidate\n got: {got:?}\n committed: {committed:?}\n crashing: {crashing:?}"
-        );
     }
 }

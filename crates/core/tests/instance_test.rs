@@ -348,7 +348,6 @@ fn secondary_probe_visits_its_matches_not_the_index_tail() {
 fn every_index_kind_merges_in_the_background_and_answers_like_a_scan() {
     use asterix_core::dataset::StorageConfig;
     let db = Instance::open(InstanceConfig {
-        background_compaction: true,
         storage: StorageConfig { mem_budget: 2 << 10, ..Default::default() },
         ..Default::default()
     })

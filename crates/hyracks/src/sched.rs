@@ -441,7 +441,7 @@ pub fn storage_compaction_executor(
     ctx: &Arc<RuntimeCtx>,
     token: CancellationToken,
 ) -> CompactionExec {
-    CompactionExec::new(Arc::new(PoolExecutor { ctx: Arc::downgrade(ctx), token }))
+    Arc::new(PoolExecutor { ctx: Arc::downgrade(ctx), token })
 }
 
 fn park(shared: &PoolShared) {

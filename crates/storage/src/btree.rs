@@ -20,7 +20,7 @@
 use crate::bloom::BloomFilter;
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
-use crate::io::{FileId, PageFileWriter, PAGE_SIZE};
+use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le;
 use asterix_adm::binary::compare_keys;
 use std::cmp::Ordering;
@@ -339,7 +339,7 @@ pub struct BuiltTree {
 // ---------------------------------------------------------------------------
 
 /// A read-only handle on a B+ tree component; all page reads go through the
-/// buffer cache.
+/// buffer cache but a merge's ([`DiskBTree::scan_uncached`]).
 pub struct DiskBTree {
     cache: Arc<BufferCache>,
     file: FileId,
@@ -514,7 +514,7 @@ impl DiskBTree {
             }
         };
         Ok(BTreeRangeIter {
-            tree: Some(TreeRef { cache: Arc::clone(&self.cache), file: self.file }),
+            tree: Some(TreeRef { cache: Arc::clone(&self.cache), file: self.file, direct: None }),
             page: Some(page),
             page_no,
             idx,
@@ -526,11 +526,25 @@ impl DiskBTree {
     pub fn scan(&self) -> Result<BTreeRangeIter> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
+
+    /// Full scan in key order outside the buffer cache (see [`PageStream`]):
+    /// the leaves are the file's first pages, in key order.
+    pub fn scan_uncached(&self) -> Result<BTreeRangeIter> {
+        if self.entry_count == 0 {
+            return Ok(BTreeRangeIter::empty());
+        }
+        let mut direct = PageStream::new(Arc::clone(self.cache.manager()), self.file);
+        let page = Arc::new(direct.page(0)?.to_vec());
+        let tree = TreeRef { cache: Arc::clone(&self.cache), file: self.file, direct: Some(direct) };
+        Ok(BTreeRangeIter { tree: Some(tree), page: Some(page), page_no: 0, idx: 0, hi: Bound::Unbounded })
+    }
 }
 
 struct TreeRef {
     cache: Arc<BufferCache>,
     file: FileId,
+    /// Where the next leaf comes from instead of the cache, if set.
+    direct: Option<PageStream>,
 }
 
 /// Iterator over a key range; yields `Result<(key, value)>`.
@@ -553,7 +567,7 @@ impl Iterator for BTreeRangeIter {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            let tree = self.tree.as_ref()?;
+            let tree = self.tree.as_mut()?;
             let page = self.page.as_ref()?;
             let view = PageView::new(page);
             if self.idx >= view.len() {
@@ -565,7 +579,11 @@ impl Iterator for BTreeRangeIter {
                     Some(next) => {
                         // Leaves are packed sequentially at the front of the
                         // file, so next-leaf fetches are the readahead path.
-                        match tree.cache.get_sequential(tree.file, next) {
+                        let fetched = match &mut tree.direct {
+                            Some(pages) => pages.page(next).map(|p| Arc::new(p.to_vec())),
+                            None => tree.cache.get_sequential(tree.file, next),
+                        };
+                        match fetched {
                             Ok(p) => {
                                 // Leaves are packed first in the file, so the
                                 // last leaf's next-pointer lands on a non-leaf

@@ -20,7 +20,11 @@
 //! Most cached files (LSM components) are immutable, so eviction is free.
 //! Mutable structures (linear hashing) write through [`BufferCache::put`],
 //! which marks frames dirty; dirty frames are written back on eviction or
-//! [`BufferCache::flush_file`] — the classic steal/no-force discipline.
+//! [`BufferCache::flush_file`] — the classic steal/no-force discipline. A
+//! write-back happens under the shard lock that took the frame's bytes, so
+//! every later miss, `put` or flush of that page comes after it: a stale
+//! write-back can never overtake a newer one, and a miss never reads the
+//! file from before it. Only files with dirty pages pay for that.
 //!
 //! # Request coalescing
 //!
@@ -458,82 +462,62 @@ impl BufferCache {
     /// its data may carry writes newer than the caller's disk read.
     fn install(&self, key: (FileId, u64), data: Arc<Vec<u8>>, dirty: bool) -> Result<bool> {
         let shard = self.shard_for(&key);
-        let inserted;
-        // Collect evicted dirty pages and write them back outside the lock.
-        type Writeback = ((FileId, u64), Arc<Vec<u8>>);
-        let mut writebacks: Vec<Writeback> = Vec::new();
-        {
-            let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
-            if let Some(frame) = inner.frames.get_mut(&key) {
-                if dirty {
-                    frame.data = data;
-                    frame.dirty = true;
-                }
-                frame.referenced.store(true, Ordering::Relaxed);
-                inserted = false;
-            } else {
-                inserted = true;
-                while inner.frames.len() >= shard.capacity && !inner.ring.is_empty() {
-                    // CLOCK sweep: clear reference bits until a victim appears.
-                    let idx = inner.hand % inner.ring.len();
-                    let victim_key = inner.ring[idx];
-                    let referenced = match inner.frames.get(&victim_key) {
-                        Some(frame) => frame.referenced.swap(false, Ordering::Relaxed), // xlint: ordering(second-chance reference bit is a heuristic; eviction is guarded by the shard lock held here)
-                        None => {
-                            // Ring slot with no backing frame: self-heal by
-                            // dropping the stale slot and continuing the sweep.
-                            inner.ring.swap_remove(idx);
-                            if idx >= inner.ring.len() {
-                                inner.hand = 0;
-                            }
-                            continue;
-                        }
-                    };
-                    if !referenced {
-                        if let Some(frame) = inner.frames.remove(&victim_key) {
-                            shard.evictions.fetch_add(1, Ordering::Relaxed);
-                            self.stats.count_eviction();
-                            if frame.dirty {
-                                writebacks.push((victim_key, frame.data));
-                            }
-                        }
-                        inner.ring.swap_remove(idx);
-                        if idx >= inner.ring.len() {
-                            inner.hand = 0;
-                        }
-                    } else {
-                        inner.hand = (idx + 1) % inner.ring.len().max(1);
+        let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
+        if let Some(frame) = inner.frames.get_mut(&key) {
+            if dirty {
+                frame.data = data;
+                frame.dirty = true;
+            }
+            frame.referenced.store(true, Ordering::Relaxed);
+            return Ok(false);
+        }
+        while inner.frames.len() >= shard.capacity && !inner.ring.is_empty() {
+            // CLOCK sweep: clear reference bits until a victim appears.
+            let idx = inner.hand % inner.ring.len();
+            let victim_key = inner.ring[idx];
+            let referenced = match inner.frames.get(&victim_key) {
+                Some(frame) => frame.referenced.swap(false, Ordering::Relaxed), // xlint: ordering(second-chance reference bit is a heuristic; eviction is guarded by the shard lock held here)
+                None => {
+                    // Ring slot with no backing frame: self-heal by
+                    // dropping the stale slot and continuing the sweep.
+                    inner.ring.swap_remove(idx);
+                    if idx >= inner.ring.len() {
+                        inner.hand = 0;
                     }
+                    continue;
                 }
-                inner
-                    .frames
-                    .insert(key, Frame { data, dirty, referenced: AtomicBool::new(true) });
-                inner.ring.push(key);
+            };
+            if !referenced {
+                if let Some(frame) = inner.frames.get(&victim_key).filter(|f| f.dirty) {
+                    // before the lock is released (see the module docs); a
+                    // failed write-back keeps the frame
+                    self.manager.write_page(victim_key.0, victim_key.1, &frame.data)?;
+                }
+                inner.frames.remove(&victim_key);
+                shard.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.count_eviction();
+                inner.ring.swap_remove(idx);
+                if idx >= inner.ring.len() {
+                    inner.hand = 0;
+                }
+            } else {
+                inner.hand = (idx + 1) % inner.ring.len().max(1);
             }
         }
-        for ((fid, page), data) in writebacks {
-            self.manager.write_page(fid, page, &data)?;
-        }
-        Ok(inserted)
+        inner.frames.insert(key, Frame { data, dirty, referenced: AtomicBool::new(true) });
+        inner.ring.push(key);
+        Ok(true)
     }
 
     /// Writes back all dirty frames of `file` (without evicting them).
     pub fn flush_file(&self, file: FileId) -> Result<()> {
         for shard in &self.shards {
-            let dirty: Vec<(u64, Arc<Vec<u8>>)> = {
-                let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
-                inner
-                    .frames
-                    .iter_mut()
-                    .filter(|((fid, _), f)| *fid == file && f.dirty)
-                    .map(|((_, page), f)| {
-                        f.dirty = false;
-                        (*page, Arc::clone(&f.data))
-                    })
-                    .collect()
-            };
-            for (page, data) in dirty {
-                self.manager.write_page(file, page, &data)?;
+            let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
+            for ((fid, page), frame) in inner.frames.iter_mut() {
+                if *fid == file && frame.dirty {
+                    self.manager.write_page(file, *page, &frame.data)?;
+                    frame.dirty = false;
+                }
             }
         }
         self.manager.sync(file)?;

@@ -6,9 +6,10 @@
 //! one-way: storage defines a narrow [`BackgroundExecutor`] trait and the
 //! runtime layer (hyracks' worker pool) implements it. A merge reaches an
 //! executor as a [`BackgroundJob`] that advances one *morsel* of entries
-//! ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`] call. With no
-//! executor installed every merge runs inline, so single-threaded tests and
-//! benches stay deterministic.
+//! ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`] call. An index
+//! nobody gave an executor starts with one that steps the job to completion
+//! on the thread that offloads it, so storage-level tests and benches stay
+//! single-threaded.
 //!
 //! The [`LsmMetricsHub`] aggregates the classic LSM cost triad across every
 //! tree of a node and surfaces it through the shared `obs` registry as
@@ -57,47 +58,20 @@ pub trait BackgroundExecutor: Send + Sync {
     fn offload(&self, job: Arc<dyn BackgroundJob>);
 }
 
-/// Cloneable, `Debug`-able handle around a [`BackgroundExecutor`] so plain
-/// config structs can carry one.
-#[derive(Clone)]
-pub struct CompactionExec(Arc<dyn BackgroundExecutor>);
+/// A shared handle on a [`BackgroundExecutor`]: what an index is given to
+/// run its merges on.
+pub type CompactionExec = Arc<dyn BackgroundExecutor>;
 
-impl CompactionExec {
-    /// Wraps an executor implementation.
-    pub fn new(exec: Arc<dyn BackgroundExecutor>) -> Self {
-        CompactionExec(exec)
+/// The executor an index starts with: the whole job, there and then, on the
+/// thread that offloads it.
+pub fn on_caller() -> CompactionExec {
+    struct OnCaller;
+    impl BackgroundExecutor for OnCaller {
+        fn offload(&self, job: Arc<dyn BackgroundJob>) {
+            while job.step() == JobStep::Again {}
+        }
     }
-
-    /// Hands a job to the wrapped executor.
-    pub fn offload(&self, job: Arc<dyn BackgroundJob>) {
-        self.0.offload(job);
-    }
-}
-
-impl std::fmt::Debug for CompactionExec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CompactionExec(..)")
-    }
-}
-
-/// A minimal executor that services each job on its own detached thread.
-/// Storage-level tests (and anything without a worker pool) get true
-/// background merges from it; production wiring uses the pool-backed
-/// executor in the runtime crate instead.
-#[derive(Debug, Default)]
-pub struct ThreadExecutor;
-
-impl BackgroundExecutor for ThreadExecutor {
-    fn offload(&self, job: Arc<dyn BackgroundJob>) {
-        std::thread::spawn(move || while job.step() == JobStep::Again {});
-    }
-}
-
-impl ThreadExecutor {
-    /// Convenience: a ready-to-install handle.
-    pub fn handle() -> CompactionExec {
-        CompactionExec::new(Arc::new(ThreadExecutor))
-    }
+    Arc::new(OnCaller)
 }
 
 // ---------------------------------------------------------------------------

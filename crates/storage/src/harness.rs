@@ -23,10 +23,14 @@
 //! dispatched, so a read costs a list snapshot and nothing else;
 //! [`LsmIndex`] is the same surface for an owner of indexes of several kinds.
 //!
-//! A flush publishes its component and *schedules* a merge — driven inline
-//! when no executor is installed, or handed to a
-//! [`crate::compaction::BackgroundExecutor`] one morsel per step. Reads and
-//! flushes proceed against the pre-merge list until the merged one swaps in.
+//! A flush publishes its component and *schedules* a merge: claims the slot
+//! and hands the job to the index's [`crate::compaction::BackgroundExecutor`],
+//! which advances it one morsel per step — off the write path when the owner
+//! installed one (the runtime's worker pool), to completion on the flushing
+//! thread with the one a bare index starts with. Reads and flushes proceed
+//! against the pre-merge list until the merged one swaps in. A merge reads
+//! its inputs outside the buffer cache ([`crate::io::PageStream`]) and leaves
+//! the cache as it found it.
 //!
 //! **Durability.** The disk component is the durable unit. `<name>.manifest`
 //! lists the live components newest first — id, size, files, the LSN range
@@ -141,8 +145,9 @@ pub struct LsmStats {
     pub entries_written: u64,
     /// Entries ingested by the application (write-amp denominator).
     pub entries_ingested: u64,
-    /// Write-path time spent inside flush-triggered merge scheduling (for
-    /// foreground merges, the whole merge), in nanoseconds.
+    /// Write-path time spent inside flush-triggered merge scheduling (the
+    /// whole merge, when the index's executor runs it on the caller), in
+    /// nanoseconds.
     pub merge_stall_ns: u64,
     /// Retirement deletes that failed (non-fatal cleanup; restart recovery
     /// sweeps the orphaned files).
@@ -473,9 +478,7 @@ pub(crate) struct Harness<K: ComponentKind> {
     state_changed: Condvar,
     next_component_id: AtomicU64,
     stats: SharedStats,
-    exec: Mutex<Option<CompactionExec>>,
-    /// Whether this tree currently contributes to the hub's in-flight gauge.
-    inflight: AtomicBool,
+    exec: Mutex<CompactionExec>,
     /// (total bytes, live bytes) last reported to the hub's space counters.
     space_mark: Mutex<(u64, u64)>,
     hub: Arc<LsmMetricsHub>,
@@ -497,8 +500,7 @@ impl<K: ComponentKind> Harness<K> {
             state_changed: Condvar::new(),
             next_component_id: AtomicU64::new(1),
             stats: SharedStats::default(),
-            exec: Mutex::new(None),
-            inflight: AtomicBool::new(false),
+            exec: Mutex::new(crate::compaction::on_caller()),
             space_mark: Mutex::new((0, 0)),
             hub,
         })
@@ -583,13 +585,12 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// Runs `work` on the write path and charges its wall time as merge stall.
-    fn stalled(&self, work: impl FnOnce() -> Result<()>) -> Result<()> {
+    fn stalled(&self, work: impl FnOnce()) {
         let start = Instant::now();
-        let result = work();
+        work();
         let stall = start.elapsed().as_nanos() as u64;
         self.stats.merge_stall_ns.fetch_add(stall, Ordering::Relaxed);
         self.hub.add_stall_ns(stall);
-        result
     }
 
     /// Replaces the manifest with `flushed_below` and `list`. The caller
@@ -654,7 +655,6 @@ impl<K: ComponentKind> Harness<K> {
     fn claim(
         self: &Arc<Self>,
         pick: impl FnOnce(&[Arc<Component<K>>]) -> Option<usize>,
-        cascade: bool,
     ) -> Option<MergeJob<K>> {
         let mut st = self.state.lock(); // xlint: lock(lsm_state)
         if !matches!(*st, CompactionState::Idle) {
@@ -673,37 +673,28 @@ impl<K: ComponentKind> Harness<K> {
             ids: comps.iter().map(|c| c.id).collect(),
             cancel: Arc::clone(&cancel),
         };
-        if !self.inflight.swap(true, Ordering::AcqRel) {
-            self.hub.merge_started();
-        }
+        self.hub.merge_started();
         Some(MergeJob {
             shared: Arc::clone(self),
             comps: Mutex::new(comps),
             includes_oldest,
             cancel,
-            cascade,
             run: Mutex::new(None),
         })
     }
 
-    /// Runs the policy and, when it fires, either submits the job to the
-    /// installed executor or drives it inline. Inline mode loops until the
-    /// policy is satisfied (the cascade); background jobs cascade by
-    /// re-invoking this on completion.
-    fn schedule_merge(self: &Arc<Self>) -> Result<()> {
-        loop {
-            let exec = self.exec.lock().clone();
-            let Some(job) = self.claim(|disk| self.policy_pick(disk), exec.is_some()) else {
-                return Ok(());
-            };
-            match exec {
-                Some(e) => {
-                    e.offload(Arc::new(job));
-                    return Ok(());
-                }
-                None => job.run_inline()?,
-            }
+    /// Runs the policy and, when it fires, hands the merge to the executor.
+    /// A finished merge calls back here, which is the cascade: a backlog
+    /// converges however many merges the policy asks for.
+    fn schedule_merge(self: &Arc<Self>) {
+        if let Some(job) = self.claim(|disk| self.policy_pick(disk)) {
+            self.offload(job);
         }
+    }
+
+    fn offload(&self, job: MergeJob<K>) {
+        let exec = self.exec.lock().clone();
+        exec.offload(Arc::new(job));
     }
 
     /// Atomically swaps the merged component in for its inputs — manifest,
@@ -714,7 +705,6 @@ impl<K: ComponentKind> Harness<K> {
         inputs: Vec<Arc<Component<K>>>,
         id: u64,
         built: Built<K::Disk>,
-        cascade: bool,
     ) -> Result<()> {
         let written = built.written;
         let lsns = (
@@ -734,11 +724,7 @@ impl<K: ComponentKind> Harness<K> {
         self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
         self.hub.count_merge(written);
         self.to_idle();
-        if cascade {
-            // Background mode: re-run the policy over the post-merge list.
-            // Errors surface through merges_aborted, not the write path.
-            let _ = self.schedule_merge();
-        }
+        self.schedule_merge();
         Ok(())
     }
 
@@ -750,15 +736,14 @@ impl<K: ComponentKind> Harness<K> {
         self.to_idle();
     }
 
+    /// The way back to `idle`, whichever of `merging` and `retiring` the
+    /// slot is in.
     fn to_idle(&self) {
-        {
-            let mut st = self.state.lock();
-            *st = CompactionState::Idle;
-            self.state_changed.notify_all();
-        }
-        if self.inflight.swap(false, Ordering::AcqRel) {
+        let mut st = self.state.lock();
+        if !matches!(std::mem::replace(&mut *st, CompactionState::Idle), CompactionState::Idle) {
             self.hub.merge_finished();
         }
+        self.state_changed.notify_all();
     }
 
     /// Asks the in-flight merge, if any, to stop at its next morsel.
@@ -769,8 +754,8 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// Blocks until the slot is idle or `deadline` passes. A quiesce wait for
-    /// foreground callers (`merge_newest`, `wait_merges_idle`): nothing a
-    /// pool worker runs may reach it.
+    /// an index's owner (`merge_newest`, `wait_merges_idle`): nothing a pool
+    /// worker runs may reach it.
     fn wait_idle_until(&self, deadline: Instant) -> bool {
         let mut st = self.state.lock();
         while !matches!(*st, CompactionState::Idle) {
@@ -900,10 +885,10 @@ impl<K: ComponentKind> Lsm<K> {
         }
     }
 
-    /// Installs a background executor: from now on scheduled merges run off
-    /// the write path, one morsel per step.
+    /// Where merges scheduled from now on run, one morsel per step: off the
+    /// write path, if that is what `exec` does with a job.
     pub fn set_executor(&self, exec: CompactionExec) {
-        *self.shared.exec.lock() = Some(exec);
+        *self.shared.exec.lock() = exec;
     }
 
     /// Replaces the active merge policy. Takes effect at the next scheduling
@@ -1040,9 +1025,9 @@ impl<K: ComponentKind> Lsm<K> {
                 shared.publish_flush(id, built, (first, sealed.below))?;
                 shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
                 mem.sealed = None;
-                // with an executor installed the write path pays only the
-                // scheduling cost; without one the merge runs inline
-                shared.stalled(|| shared.schedule_merge())?;
+                // what the write path pays is up to the executor: the claim
+                // and a hand-off, or the merge
+                shared.stalled(|| shared.schedule_merge());
                 continue;
             }
             let due = if force {
@@ -1069,17 +1054,23 @@ impl<K: ComponentKind> Lsm<K> {
         }
     }
 
-    /// Merges the `n` newest disk components into one, inline on this
-    /// thread (waits for any background merge to drain first).
+    /// Merges the `n` newest disk components into one and waits for it: for
+    /// any merge in flight to drain first, then for this one, wherever the
+    /// executor runs it. An aborted merge is an error.
     pub fn merge_newest(&mut self, n: usize) -> Result<()> {
         let shared = &self.shared;
-        if !shared.wait_idle_until(Instant::now() + Duration::from_secs(60)) {
-            return Err(StorageError::Invalid(
-                "merge_newest timed out waiting for the in-flight merge".into(),
-            ));
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let aborted = || shared.stats.merges_aborted.load(Ordering::Relaxed);
+        if shared.wait_idle_until(deadline) {
+            let before = aborted();
+            let Some(job) = shared.claim(|_| Some(n)) else { return Ok(()) };
+            shared.stalled(|| shared.offload(job));
+            if shared.wait_idle_until(deadline) && aborted() == before {
+                return Ok(());
+            }
         }
-        let Some(job) = shared.claim(|_| Some(n), false) else { return Ok(()) };
-        shared.stalled(|| job.run_inline())
+        let name = shared.kind.name();
+        Err(StorageError::Invalid(format!("merge_newest of {name}: a merge aborted or ran past 60 s")))
     }
 
     /// Blocks until no merge is in flight **and** the policy has no more
@@ -1099,9 +1090,7 @@ impl<K: ComponentKind> Lsm<K> {
             if shared.policy_pick(&shared.disk.lock()).is_none() {
                 return true;
             }
-            if shared.schedule_merge().is_err() {
-                return false;
-            }
+            shared.schedule_merge();
         }
     }
 }
@@ -1188,27 +1177,13 @@ struct MergeJob<K: ComponentKind> {
     comps: Mutex<Vec<Arc<Component<K>>>>,
     includes_oldest: bool,
     cancel: Arc<AtomicBool>,
-    /// Background jobs cascade: on completion they re-run the policy and
-    /// schedule the next merge. Foreground callers loop themselves.
-    cascade: bool,
     /// The output component's id and the kind's merge state, once opened.
     run: Mutex<Option<(u64, K::Run)>>,
 }
 
 impl<K: ComponentKind> MergeJob<K> {
-    /// Drives the whole merge on this thread.
-    fn run_inline(&self) -> Result<()> {
-        while self.advance()? == JobStep::Again {}
-        Ok(())
-    }
-
-    /// One morsel of merging; errors are surfaced to foreground callers
-    /// (background steps record them and finish quietly).
+    /// One morsel of merging, or the publish once the inputs are exhausted.
     fn advance(&self) -> Result<JobStep> {
-        self.try_advance().inspect_err(|_| self.shared.merge_aborted())
-    }
-
-    fn try_advance(&self) -> Result<JobStep> {
         let kind = &self.shared.kind;
         if self.cancel.load(Ordering::Acquire) {
             self.run.lock().take();
@@ -1229,17 +1204,19 @@ impl<K: ComponentKind> MergeJob<K> {
         drop(run);
         let built = kind.finish(finished)?;
         let comps = std::mem::take(&mut *self.comps.lock()); // xlint: lock(lsm_merge_inputs)
-        self.shared.complete_merge(comps, id, built, self.cascade)?;
+        self.shared.complete_merge(comps, id, built)?;
         Ok(JobStep::Done)
     }
 }
 
 impl<K: ComponentKind> BackgroundJob for MergeJob<K> {
+    /// A failed step is recorded in the tree's counters and ends the job: the
+    /// pre-merge component list stays live and the tree fully serviceable.
     fn step(&self) -> JobStep {
-        // Background execution swallows the error after recording it in the
-        // tree's failure counters: a failed merge leaves the pre-merge
-        // component list untouched and the tree fully serviceable.
-        self.advance().unwrap_or(JobStep::Done)
+        self.advance().unwrap_or_else(|_| {
+            self.shared.merge_aborted();
+            JobStep::Done
+        })
     }
 
     fn cancel(&self) {
@@ -1378,7 +1355,7 @@ mod tests {
         component(&mut t, 0..600);
         component(&mut t, 600..1_200);
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(CompactionExec::new(parked.clone()));
+        t.set_executor(parked.clone());
         t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
         // this flush schedules (but does not run) the merge
         component(&mut t, 1_200..1_201);
@@ -1442,6 +1419,36 @@ mod tests {
         assert!(!inputs.iter().any(on_disk), "last reader gone: inputs unlinked");
         assert_eq!(t.stats().retire_failures, 0);
         assert_eq!(K::live(&t), 190);
+    }
+
+    /// A merge reads its inputs outside the buffer cache: merging components
+    /// several times the cache's size moves none of its counters, and the
+    /// one page that was resident — another file's — still is.
+    fn merge_leaves_the_buffer_cache_as_it_found_it<K: Entries>() {
+        let dir = TempDir::new();
+        let fm = FileManager::new(dir.path(), IoStats::new()).unwrap();
+        let cache = BufferCache::new(Arc::clone(&fm), 4);
+        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
+        component(&mut t, 0..4_000);
+        for i in 0..100 {
+            K::delete(&mut t, i);
+        }
+        component(&mut t, 4_000..8_000);
+        let hot = fm.create("hot.pf").unwrap();
+        fm.append_page(hot, &vec![7u8; crate::io::PAGE_SIZE]).unwrap();
+        cache.get(hot, 0).unwrap();
+        let stats = cache.stats();
+        let counters =
+            || (stats.cache_hits(), stats.cache_misses(), stats.evictions(), stats.readaheads());
+        let (before, reads) = (counters(), stats.physical_reads());
+        t.merge_newest(2).unwrap();
+        assert_eq!(t.stats().merges, 1);
+        let read = stats.physical_reads() - reads;
+        assert!(read > 4 * cache.capacity() as u64, "the merge read {read} pages");
+        assert_eq!(counters(), before, "(hits, misses, evictions, readaheads) moved");
+        cache.get(hot, 0).unwrap();
+        assert_eq!(stats.cache_misses(), before.1, "the hot page was evicted");
+        assert_eq!(K::live(&t), 7_900);
     }
 
     /// A second cache over the same directory: what a restart sees.
@@ -1624,6 +1631,11 @@ mod tests {
                 #[test]
                 fn merge_cascade_converges_after_policy_switch() {
                     super::merge_cascade_converges_after_policy_switch::<$k>();
+                }
+
+                #[test]
+                fn merge_leaves_the_buffer_cache_as_it_found_it() {
+                    super::merge_leaves_the_buffer_cache_as_it_found_it::<$k>();
                 }
 
                 #[test]

@@ -4,12 +4,15 @@
 //! Indexes the tokens of a string (or the elements of a string collection)
 //! to the record's primary key. Physically it is an [`LsmTree`] over the
 //! composite key `(token, pk)` — LSM-ifying the inverted index exactly the
-//! way AsterixDB does (secondary indexes reuse the LSM machinery).
+//! way AsterixDB does (secondary indexes reuse the LSM machinery). Primary
+//! keys go in and come out as encoded key bytes
+//! (`asterix_adm::binary::encode_key`): a posting is the token prepended to
+//! them, and nothing decodes them on the way.
 
 use crate::cache::BufferCache;
 use crate::error::Result;
 use crate::lsm::{LsmConfig, LsmTree};
-use asterix_adm::binary::{decode_key, encode_key};
+use asterix_adm::binary::{encode_key, prepend_key_part, strip_key_part};
 use asterix_adm::Value;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -48,65 +51,55 @@ impl InvertedIndex {
         InvertedIndex::over(LsmTree::new(cache, LsmConfig::new(name)))
     }
 
-    fn entry_key(token: &str, pk: &[Value]) -> Vec<u8> {
-        let mut parts = Vec::with_capacity(1 + pk.len());
-        parts.push(Value::from(token));
-        parts.extend(pk.iter().cloned());
-        encode_key(&parts)
-    }
-
-    /// Indexes `text` under primary key `pk`.
-    pub fn insert_text(&mut self, text: &str, pk: &[Value]) -> Result<()> {
+    /// The distinct tokens of `text`, each as the posting key it has with
+    /// the encoded primary key `pk`.
+    fn postings(text: &str, pk: &[u8]) -> Result<Vec<Vec<u8>>> {
         let mut tokens = tokenize(text);
         tokens.sort_unstable();
         tokens.dedup();
-        for tok in tokens {
-            self.tree.upsert(Self::entry_key(&tok, pk), Vec::new())?;
+        tokens.into_iter().map(|tok| Ok(prepend_key_part(&Value::String(tok), pk)?)).collect()
+    }
+
+    /// Indexes `text` under the encoded primary key `pk`.
+    pub fn insert_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
+        for key in Self::postings(text, pk)? {
+            self.tree.upsert(key, Vec::new())?;
         }
         Ok(())
     }
 
     /// Removes the postings of `text` for `pk` (on delete/update).
-    pub fn delete_text(&mut self, text: &str, pk: &[Value]) -> Result<()> {
-        let mut tokens = tokenize(text);
-        tokens.sort_unstable();
-        tokens.dedup();
-        for tok in tokens {
-            self.tree.delete(Self::entry_key(&tok, pk))?;
+    pub fn delete_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
+        for key in Self::postings(text, pk)? {
+            self.tree.delete(key)?;
         }
         Ok(())
     }
 
-    /// Primary keys of records containing `token` (case-insensitive).
-    pub fn search_token(&self, token: &str) -> Result<Vec<Vec<Value>>> {
-        let token = token.to_lowercase();
-        let lo = encode_key(&[Value::from(token.as_str())]);
+    /// Encoded primary keys of records containing `token` (case-insensitive).
+    pub fn search_token(&self, token: &str) -> Result<Vec<Vec<u8>>> {
+        let lo = encode_key(&[Value::String(token.to_lowercase())]);
         // All composite keys whose first part equals `token` sort directly
-        // after the 1-part prefix key and before the next token.
+        // after the 1-part prefix key and before the next token, and begin,
+        // past the part count, with the token's (length-prefixed) bytes.
         let mut out = Vec::new();
-        for entry in self
-            .tree
-            .range_iter(Bound::Included(lo.as_slice()), Bound::Unbounded)?
-        {
+        for entry in self.tree.range_iter(Bound::Included(lo.as_slice()), Bound::Unbounded)? {
             let (k, _) = entry?;
-            let parts = decode_key(&k)?;
-            match parts.first() {
-                Some(Value::String(s)) if *s == token => {
-                    out.push(parts[1..].to_vec());
-                }
-                _ => break,
+            if k.get(4..).is_none_or(|parts| !parts.starts_with(&lo[4..])) {
+                break;
             }
+            out.push(strip_key_part(&k)?);
         }
         Ok(out)
     }
 
-    /// Primary keys of records containing *all* the query's tokens
+    /// Encoded primary keys of records containing *all* the query's tokens
     /// (conjunctive keyword search).
-    pub fn search_all(&self, query: &str) -> Result<Vec<Vec<Value>>> {
+    pub fn search_all(&self, query: &str) -> Result<Vec<Vec<u8>>> {
         let mut tokens = tokenize(query);
         tokens.sort_unstable();
         tokens.dedup();
-        let mut result: Option<Vec<Vec<Value>>> = None;
+        let mut result: Option<Vec<Vec<u8>>> = None;
         for tok in tokens {
             let pks = self.search_token(&tok)?;
             result = Some(match result {
@@ -148,6 +141,10 @@ mod tests {
         (BufferCache::new(fm, 64), dir)
     }
 
+    fn pk(i: i64) -> Vec<u8> {
+        encode_key(&[Value::Int(i)])
+    }
+
     #[test]
     fn tokenizer() {
         assert_eq!(tokenize("Hello, World!"), vec!["hello", "world"]);
@@ -160,11 +157,11 @@ mod tests {
     fn index_and_search() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("the quick brown fox", &[Value::Int(1)]).unwrap();
-        idx.insert_text("the lazy dog", &[Value::Int(2)]).unwrap();
-        idx.insert_text("quick quick dog", &[Value::Int(3)]).unwrap();
+        idx.insert_text("the quick brown fox", &pk(1)).unwrap();
+        idx.insert_text("the lazy dog", &pk(2)).unwrap();
+        idx.insert_text("quick quick dog", &pk(3)).unwrap();
         let hits = idx.search_token("quick").unwrap();
-        assert_eq!(hits, vec![vec![Value::Int(1)], vec![Value::Int(3)]]);
+        assert_eq!(hits, vec![pk(1), pk(3)]);
         let hits = idx.search_token("THE").unwrap();
         assert_eq!(hits.len(), 2, "case-insensitive");
         assert!(idx.search_token("cat").unwrap().is_empty());
@@ -174,13 +171,13 @@ mod tests {
     fn conjunctive_search() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("big data management system", &[Value::Int(1)]).unwrap();
-        idx.insert_text("big active data", &[Value::Int(2)]).unwrap();
-        idx.insert_text("little data", &[Value::Int(3)]).unwrap();
+        idx.insert_text("big data management system", &pk(1)).unwrap();
+        idx.insert_text("big active data", &pk(2)).unwrap();
+        idx.insert_text("little data", &pk(3)).unwrap();
         let hits = idx.search_all("big data").unwrap();
-        assert_eq!(hits, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(hits, vec![pk(1), pk(2)]);
         let hits = idx.search_all("big data management").unwrap();
-        assert_eq!(hits, vec![vec![Value::Int(1)]]);
+        assert_eq!(hits, vec![pk(1)]);
         assert!(idx.search_all("big cats").unwrap().is_empty());
     }
 
@@ -188,9 +185,9 @@ mod tests {
     fn search_spans_flushes() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("alpha beta", &[Value::Int(1)]).unwrap();
+        idx.insert_text("alpha beta", &pk(1)).unwrap();
         idx.lsm_mut().flush().unwrap();
-        idx.insert_text("beta gamma", &[Value::Int(2)]).unwrap();
+        idx.insert_text("beta gamma", &pk(2)).unwrap();
         let hits = idx.search_token("beta").unwrap();
         assert_eq!(hits.len(), 2);
         assert!(idx.lsm().component_count() >= 1);
@@ -200,12 +197,12 @@ mod tests {
     fn delete_removes_postings() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("hello world", &[Value::Int(1)]).unwrap();
-        idx.insert_text("hello there", &[Value::Int(2)]).unwrap();
+        idx.insert_text("hello world", &pk(1)).unwrap();
+        idx.insert_text("hello there", &pk(2)).unwrap();
         idx.lsm_mut().flush().unwrap();
-        idx.delete_text("hello world", &[Value::Int(1)]).unwrap();
+        idx.delete_text("hello world", &pk(1)).unwrap();
         let hits = idx.search_token("hello").unwrap();
-        assert_eq!(hits, vec![vec![Value::Int(2)]]);
+        assert_eq!(hits, vec![pk(2)]);
         assert!(idx.search_token("world").unwrap().is_empty());
     }
 
@@ -213,7 +210,7 @@ mod tests {
     fn duplicate_tokens_in_one_text() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("spam spam spam", &[Value::Int(7)]).unwrap();
+        idx.insert_text("spam spam spam", &pk(7)).unwrap();
         let hits = idx.search_token("spam").unwrap();
         assert_eq!(hits.len(), 1, "deduplicated postings");
     }
@@ -222,10 +219,11 @@ mod tests {
     fn string_primary_keys() {
         let (cache, _d) = setup();
         let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("msg one", &[Value::from("userA"), Value::Int(1)]).unwrap();
-        idx.insert_text("msg two", &[Value::from("userB"), Value::Int(2)]).unwrap();
+        let pk_a = encode_key(&[Value::from("userA"), Value::Int(1)]);
+        idx.insert_text("msg one", &pk_a).unwrap();
+        idx.insert_text("msg two", &encode_key(&[Value::from("userB"), Value::Int(2)])).unwrap();
         let hits = idx.search_token("msg").unwrap();
         assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0], vec![Value::from("userA"), Value::Int(1)]);
+        assert_eq!(hits[0], pk_a);
     }
 }

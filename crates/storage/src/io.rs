@@ -142,57 +142,42 @@ impl FileManager {
     }
 
     /// Reads one physical page.
-    pub fn read_page(&self, id: FileId, page_no: u64) -> Result<Vec<u8>> { // xlint: allow(blocking, "one-page read; morsel budgets account it via storage.io.physical_reads")
-        let handle = self.handle(id)?;
-        let guard = handle.read();
-        if page_no >= guard.pages {
-            return Err(StorageError::Corrupt(format!(
-                "read of page {page_no} past end ({} pages) in {}",
-                guard.pages,
-                guard.path.display()
-            )));
-        }
+    pub fn read_page(&self, id: FileId, page_no: u64) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; PAGE_SIZE];
-        guard.file.read_exact_at(&mut buf, page_no * PAGE_SIZE as u64)?;
-        if let Some(f) = &self.faults {
-            // crash point / silent bit corruption; on crash the data read is
-            // discarded, as if the process died before consuming it
-            f.on_read(&format!("{}:{page_no}", crate::faults::target_name(&guard.path)), &mut buf)?;
-        }
-        self.stats.count_physical_read(PAGE_SIZE as u64);
+        self.read_pages_into(id, page_no, &mut buf)?;
         Ok(buf)
     }
 
     /// Reads `n` contiguous physical pages starting at `start` in one
     /// operation (sequential readahead). Fault checks and stats apply per
     /// page, in page order, exactly as `n` single-page reads would.
-    pub fn read_pages(&self, id: FileId, start: u64, n: usize) -> Result<Vec<Vec<u8>>> { // xlint: allow(blocking, "batched sequential read, bounded by the readahead window")
+    pub fn read_pages(&self, id: FileId, start: u64, n: usize) -> Result<Vec<Vec<u8>>> {
+        let mut buf = vec![0u8; n.max(1) * PAGE_SIZE];
+        self.read_pages_into(id, start, &mut buf)?;
+        Ok(buf.chunks_exact(PAGE_SIZE).map(<[u8]>::to_vec).collect())
+    }
+
+    /// Reads the pages from `start` on into `buf`, as many whole pages as it
+    /// holds, in one operation: every physical read is this one.
+    pub fn read_pages_into(&self, id: FileId, start: u64, buf: &mut [u8]) -> Result<()> { // xlint: allow(blocking, "page reads, one to a readahead window at a time; morsel budgets account them via storage.io.physical_reads")
         let handle = self.handle(id)?;
         let guard = handle.read();
-        let n = n.max(1);
-        if start + n as u64 > guard.pages {
+        let end = start + (buf.len() / PAGE_SIZE) as u64;
+        if end > guard.pages {
             return Err(StorageError::Corrupt(format!(
-                "batched read of pages {start}..{} past end ({} pages) in {}",
-                start + n as u64,
+                "read of pages {start}..{end} past end ({} pages) in {}",
                 guard.pages,
                 guard.path.display()
             )));
         }
-        let mut buf = vec![0u8; n * PAGE_SIZE];
-        guard.file.read_exact_at(&mut buf, start * PAGE_SIZE as u64)?;
-        let mut out = Vec::with_capacity(n);
-        for (i, chunk) in buf.chunks_exact(PAGE_SIZE).enumerate() {
-            let mut page = chunk.to_vec();
+        guard.file.read_exact_at(buf, start * PAGE_SIZE as u64)?;
+        for (page_no, page) in (start..).zip(buf.chunks_exact_mut(PAGE_SIZE)) {
             if let Some(f) = &self.faults {
-                f.on_read(
-                    &format!("{}:{}", crate::faults::target_name(&guard.path), start + i as u64),
-                    &mut page,
-                )?;
+                f.on_read(&format!("{}:{page_no}", crate::faults::target_name(&guard.path)), page)?;
             }
             self.stats.count_physical_read(PAGE_SIZE as u64);
-            out.push(page);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Writes one physical page in place, extending the file if `page_no`
@@ -419,6 +404,47 @@ impl PageFileWriter {
         }
         file.sync_data()?;
         Ok(self.manager.register(file, self.path.clone(), self.pages, false))
+    }
+}
+
+/// Reads one file's pages front to back straight from the [`FileManager`],
+/// [`PageStream::WINDOW`] pages per physical read into a buffer of its own,
+/// and installs nothing in the buffer cache. It is how a merge reads its
+/// inputs: a component file is immutable and was bulk-written, so the cache
+/// holds nothing newer than the file, and one pass over data about to be
+/// retired must not evict the pages queries are hot on.
+pub struct PageStream {
+    manager: Arc<FileManager>,
+    file: FileId,
+    /// Pages `first..` of the file, as many whole pages as it holds.
+    window: Vec<u8>,
+    first: u64,
+}
+
+impl PageStream {
+    /// Pages per physical read: the buffer cache's default readahead.
+    const WINDOW: u64 = crate::cache::DEFAULT_READAHEAD as u64;
+
+    pub fn new(manager: Arc<FileManager>, file: FileId) -> Self {
+        PageStream { manager, file, window: Vec::new(), first: 0 }
+    }
+
+    /// Page `page_no`. Asking for pages in ascending order costs one
+    /// physical read per window; a page past the end of the file is an error.
+    pub fn page(&mut self, page_no: u64) -> Result<&[u8]> {
+        let held = (self.window.len() / PAGE_SIZE) as u64;
+        if page_no < self.first || page_no >= self.first + held {
+            let left = self.manager.page_count(self.file)?.saturating_sub(page_no);
+            // past the end: ask for the one page, and let the read say so
+            self.window.resize(left.clamp(1, Self::WINDOW) as usize * PAGE_SIZE, 0);
+            self.first = page_no;
+            if let Err(e) = self.manager.read_pages_into(self.file, page_no, &mut self.window) {
+                self.window.clear();
+                return Err(e);
+            }
+        }
+        let at = (page_no - self.first) as usize * PAGE_SIZE;
+        Ok(&self.window[at..at + PAGE_SIZE])
     }
 }
 

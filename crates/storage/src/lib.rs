@@ -58,7 +58,7 @@ pub(crate) mod testutil;
 pub mod wal;
 
 pub use cache::BufferCache;
-pub use compaction::{BackgroundExecutor, BackgroundJob, CompactionExec, JobStep, ThreadExecutor};
+pub use compaction::{BackgroundExecutor, BackgroundJob, CompactionExec, JobStep};
 pub use error::{Result, StorageError};
 pub use faults::{FaultConfig, FaultEvent, FaultInjector};
 pub use io::{FileId, FileManager, PAGE_SIZE};

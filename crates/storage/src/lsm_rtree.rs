@@ -16,7 +16,7 @@
 //! scheduling, publishing and retirement are the shared lifecycle in
 //! `crate::harness`.
 
-use crate::btree::{BTreeBuilder, DiskBTree};
+use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Lsm, MemBuf, MergePolicy};
@@ -103,16 +103,18 @@ impl Visibility {
         examined
     }
 
-    /// Takes in `comp`'s entries intersecting `query`, then its deleted
-    /// keys, which mask everything older. Returns the candidates examined.
-    fn visit(&mut self, comp: &RTreeDisk, query: &Rectangle) -> Result<u64> {
-        let found = comp.rtree.search(query)?;
+    /// Takes in the entries `found` in a disk component, then the keys its
+    /// companion tree lists as `deleted`, which mask everything older.
+    /// Returns the candidates examined.
+    fn visit(
+        &mut self,
+        found: Vec<SpatialEntry>,
+        deleted: Option<BTreeRangeIter>,
+    ) -> Result<u64> {
         let examined = found.len() as u64;
         self.admit(found);
-        if let Some(t) = &comp.tombstones {
-            for item in t.scan()? {
-                self.deleted.insert(item?.0);
-            }
+        for item in deleted.into_iter().flatten() {
+            self.deleted.insert(item?.0);
         }
         Ok(examined)
     }
@@ -138,7 +140,8 @@ impl MemBuf for RTreeMem {
     }
 }
 
-/// An in-progress merge: the visibility walk, one input component per step.
+/// An in-progress merge: the visibility walk, one input component per step,
+/// each read outside the buffer cache.
 pub struct RTreeMergeRun {
     id: u64,
     /// Input components not yet walked; the newest is last.
@@ -248,7 +251,10 @@ impl ComponentKind for RTreeKind {
     /// component is the unit an R-tree search can be resumed at.
     fn step(&self, run: &mut RTreeMergeRun, _budget: usize) -> Result<bool> {
         if let Some(comp) = run.pending.pop() {
-            run.walk.visit(&comp.disk, &everything())?;
+            let disk = &comp.disk;
+            let found = disk.rtree.search_uncached(&everything())?;
+            let deleted = disk.tombstones.as_ref().map(DiskBTree::scan_uncached).transpose()?;
+            run.walk.visit(found, deleted)?;
         }
         Ok(run.pending.is_empty())
     }
@@ -309,7 +315,8 @@ impl Lsm<RTreeKind> {
         }
         // The snapshot keeps a concurrently merged-away component readable.
         for comp in self.shared.snapshot() {
-            examined += walk.visit(&comp.disk, query)?;
+            let deleted = comp.disk.tombstones.as_ref().map(DiskBTree::scan).transpose()?;
+            examined += walk.visit(comp.disk.rtree.search(query)?, deleted)?;
         }
         self.shared.count_visited(examined);
         Ok(walk.live)

@@ -16,7 +16,7 @@
 
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
-use crate::io::{FileId, PageFileWriter, PAGE_SIZE};
+use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use asterix_adm::{Point, Rectangle};
 use std::sync::Arc;
 
@@ -558,6 +558,24 @@ impl DiskRTree {
         Ok(out)
     }
 
+    /// [`DiskRTree::search`] for a query most of the tree intersects (a
+    /// merge's), outside the buffer cache (see [`PageStream`]): the leaves
+    /// are the file's first pages, in the order a search visits them.
+    pub fn search_uncached(&self, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
+        let mut out = Vec::new();
+        let mut pages = PageStream::new(Arc::clone(self.cache.manager()), self.file);
+        let (mut seen, mut page_no) = (0, 0);
+        while seen < self.entry_count {
+            let page = pages.page(page_no)?;
+            if page[0] != 1 {
+                return Err(StorageError::Corrupt("rtree leaves hold fewer entries than the trailer counts".into()));
+            }
+            seen += leaf_entries(page, query, &mut out)?;
+            page_no += 1;
+        }
+        Ok(out)
+    }
+
     fn search_page(
         &self,
         page_no: u64,
@@ -565,44 +583,52 @@ impl DiskRTree {
         out: &mut Vec<SpatialEntry>,
     ) -> Result<()> {
         let page = self.cache.get(self.file, page_no)?;
-        let is_leaf = page[0] == 1;
+        if page[0] == 1 {
+            leaf_entries(&page, query, out)?;
+            return Ok(());
+        }
         let n = crate::le::u16_at(&page, 1) as usize;
         let mut r = 3usize;
-        if is_leaf {
-            for _ in 0..n {
-                let as_point = crate::le::try_bytes_at(&page, r, 1)?[0] == 1;
-                r += 1;
-                let mbr = if as_point {
-                    let x = crate::le::try_f64_at(&page, r)?;
-                    let y = crate::le::try_f64_at(&page, r + 8)?;
-                    r += 16;
-                    Point::new(x, y).to_mbr()
-                } else {
-                    let rect = read_rect(crate::le::try_bytes_at(&page, r, 32)?);
-                    r += 32;
-                    rect
-                };
-                let klen = crate::le::try_u16_at(&page, r)? as usize;
-                r += 2;
-                let key = crate::le::try_bytes_at(&page, r, klen)?.to_vec();
-                r += klen;
-                if mbr.intersects(query) {
-                    out.push(SpatialEntry { mbr, key });
-                }
-            }
-        } else {
-            for _ in 0..n {
-                let mbr = read_rect(crate::le::try_bytes_at(&page, r, 32)?);
-                r += 32;
-                let child = crate::le::try_u64_at(&page, r)?;
-                r += 8;
-                if mbr.intersects(query) {
-                    self.search_page(child, query, out)?;
-                }
+        for _ in 0..n {
+            let mbr = read_rect(crate::le::try_bytes_at(&page, r, 32)?);
+            r += 32;
+            let child = crate::le::try_u64_at(&page, r)?;
+            r += 8;
+            if mbr.intersects(query) {
+                self.search_page(child, query, out)?;
             }
         }
         Ok(())
     }
+}
+
+/// Appends to `out` the entries of leaf `page` that intersect `query`;
+/// returns how many entries the leaf holds.
+fn leaf_entries(page: &[u8], query: &Rectangle, out: &mut Vec<SpatialEntry>) -> Result<u64> {
+    let n = crate::le::u16_at(page, 1);
+    let mut r = 3usize;
+    for _ in 0..n {
+        let as_point = crate::le::try_bytes_at(page, r, 1)?[0] == 1;
+        r += 1;
+        let mbr = if as_point {
+            let x = crate::le::try_f64_at(page, r)?;
+            let y = crate::le::try_f64_at(page, r + 8)?;
+            r += 16;
+            Point::new(x, y).to_mbr()
+        } else {
+            let rect = read_rect(crate::le::try_bytes_at(page, r, 32)?);
+            r += 32;
+            rect
+        };
+        let klen = crate::le::try_u16_at(page, r)? as usize;
+        r += 2;
+        let key = crate::le::try_bytes_at(page, r, klen)?;
+        r += klen;
+        if mbr.intersects(query) {
+            out.push(SpatialEntry { mbr, key: key.to_vec() });
+        }
+    }
+    Ok(u64::from(n))
 }
 
 #[cfg(test)]

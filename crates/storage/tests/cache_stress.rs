@@ -220,6 +220,55 @@ fn dirty_page_written_back_exactly_once() {
     assert_eq!(fm.read_page(mid, 0).unwrap()[0], 9);
 }
 
+/// Regression for a lost update `concurrent_get_put_flush_evict` hit about
+/// once in ten loaded runs: an evicted dirty frame left the shard under its
+/// lock but was written back after the lock was released, so a later `put` +
+/// `flush_file` of the page could reach the file first and be overwritten by
+/// the stale write-back. The injected 150 ms write latency holds the
+/// write-back open and the injector's operation count says when it has
+/// begun, so the interleaving is forced, not hoped for: a `put` that arrives
+/// meanwhile must come out after the write-back of the version it replaces.
+#[test]
+fn a_put_never_overtakes_the_write_back_of_the_version_it_replaces() {
+    let dir = TempDir::new();
+    let faults = FaultInjector::new(FaultConfig {
+        write_delay: Some(Duration::from_millis(150)),
+        ..FaultConfig::default()
+    });
+    let fm = FileManager::with_faults(&dir.0, IoStats::new(), Some(Arc::clone(&faults))).unwrap();
+    // one frame: reading the filler page evicts whatever is resident
+    let cache = BufferCache::with_options(
+        Arc::clone(&fm),
+        CacheOptions { capacity: 1, shards: 1, readahead_pages: 0 },
+    );
+    let mid = make_file(&fm, "mut.pf", 1);
+    let filler = make_file(&fm, "filler.pf", 1);
+    let version = |v: u8| {
+        let mut page = vec![0u8; PAGE_SIZE];
+        page[8] = v;
+        page
+    };
+    // what the file holds, not read through the manager (whose per-file
+    // lock would wait the write-back out)
+    let on_disk = || std::fs::read(dir.0.join("mut.pf")).unwrap()[8];
+
+    cache.put(mid, 0, version(1)).unwrap();
+    let ops = faults.ops();
+    let evictor = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || cache.get(filler, 0).map(|_| ()))
+    };
+    // the filler page's read, then the write-back: open from its count on
+    while faults.ops() < ops + 2 {
+        std::thread::yield_now();
+    }
+    cache.put(mid, 0, version(2)).unwrap();
+    assert_eq!(on_disk(), 1, "version 2 is in the cache before version 1 reached the file");
+    cache.flush_file(mid).unwrap();
+    evictor.join().unwrap().unwrap();
+    assert_eq!(on_disk(), 2, "a stale write-back overwrote a newer flush");
+}
+
 #[test]
 fn racing_cold_misses_count_once() {
     // Two threads fault the same cold pages simultaneously (barrier-aligned

@@ -12,7 +12,7 @@ use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_storage::stats::IoStats;
-use asterix_storage::ThreadExecutor;
+use asterix_storage::{BackgroundExecutor, BackgroundJob, JobStep};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -44,6 +44,16 @@ fn setup(cache_pages: usize) -> (Arc<BufferCache>, TempDir) {
     let dir = TempDir::new();
     let fm = FileManager::new(&dir.0, IoStats::new()).unwrap();
     (BufferCache::new(fm, cache_pages), dir)
+}
+
+/// Runs each job on a thread of its own: merges concurrent with the test's
+/// reads and writes.
+struct OnThread;
+
+impl BackgroundExecutor for OnThread {
+    fn offload(&self, job: Arc<dyn BackgroundJob>) {
+        std::thread::spawn(move || while job.step() == JobStep::Again {});
+    }
 }
 
 fn k(i: i64) -> Vec<u8> {
@@ -206,7 +216,7 @@ proptest! {
             LsmRTreeConfig { mem_budget: 1 << 10, merge_policy, ..LsmRTreeConfig::new("p") },
         );
         if background {
-            t.set_executor(ThreadExecutor::handle());
+            t.set_executor(Arc::new(OnThread));
         }
         let mut model: HashMap<Vec<u8>, Rectangle> = HashMap::new();
         for (op, id, (x, y), (qx, qy, qw, qh)) in ops {
