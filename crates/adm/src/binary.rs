@@ -5,15 +5,15 @@
 //! Layout: one tag byte followed by a fixed or length-prefixed payload.
 //! Collections are count-prefixed; object fields carry their names inline
 //! (this is exactly what makes *undeclared open fields* cost extra space —
-//! experiment E10). Composite index keys are encoded with [`encode_key`] /
-//! [`compare_keys`], which order byte streams identically to element-wise
-//! [`crate::compare::total_cmp`].
+//! experiment E10). Composite index keys have an encoding of their own,
+//! [`encode_key`], whose bytes order under `memcmp` exactly as element-wise
+//! [`crate::compare::total_cmp`] orders the values.
 
+use crate::compare::duration_rank;
 use crate::error::{AdmError, Result};
 use crate::spatial::{Point, Rectangle};
 use crate::temporal::Duration;
 use crate::value::{Object, Value};
-use std::cmp::Ordering;
 
 // Tag bytes. Distinct per concrete type (Int vs Double), unlike TypeTag.
 const T_MISSING: u8 = 0;
@@ -323,143 +323,331 @@ pub fn decode_fields(buf: &[u8], fields: &[String]) -> Result<Value> {
     Ok(Value::Object(d.object(fields)?))
 }
 
-/// Encodes a composite index key (one or more values) to bytes.
+// ---------------------------------------------------------------------------
+// Index keys: an order-preserving encoding
+// ---------------------------------------------------------------------------
+
+// Key tag bytes, in ADM type order ([`crate::value::TypeTag`]). 0x00 closes a
+// collection and an escaped string and 0xFF leads a number's fraction, so
+// neither is a tag: a part that ends sorts before one that goes on.
+const K_MISSING: u8 = 0x01;
+const K_NULL: u8 = 0x02;
+const K_BOOL: u8 = 0x03;
+/// A double below `i64::MIN`, `-inf` included.
+const K_NUM_BELOW: u8 = 0x04;
+const K_NUM: u8 = 0x05;
+/// A double above `i64::MAX`, `+inf` and NaN included.
+const K_NUM_ABOVE: u8 = 0x06;
+const K_STRING: u8 = 0x07;
+const K_DATE: u8 = 0x08;
+const K_TIME: u8 = 0x09;
+const K_DATETIME: u8 = 0x0A;
+const K_DURATION: u8 = 0x0B;
+const K_POINT: u8 = 0x0C;
+const K_RECTANGLE: u8 = 0x0D;
+const K_UUID: u8 = 0x0E;
+const K_BINARY: u8 = 0x0F;
+const K_ARRAY: u8 = 0x10;
+const K_MULTISET: u8 = 0x11;
+const K_OBJECT: u8 = 0x12;
+
+const K_END: u8 = 0x00;
+/// Leads each `name value` pair of an object (an empty name would otherwise
+/// read as the object's end).
+const K_FIELD: u8 = 0x01;
+/// Follows the integer part of a non-integral number, and an escaped 0x00.
+/// Greater than every tag: `(2, pk) < 2.5 < (3, pk)`.
+const K_MORE: u8 = 0xFF;
+
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+
+fn ordered_i32(v: i32) -> [u8; 4] {
+    (v as u32 ^ (1 << 31)).to_be_bytes()
+}
+
+fn ordered_i64(v: i64) -> [u8; 8] {
+    (v as u64 ^ (1 << 63)).to_be_bytes()
+}
+
+/// Eight bytes that order like `f64::total_cmp`.
+fn ordered_f64(v: f64) -> [u8; 8] {
+    let bits = v.to_bits();
+    (if bits >> 63 == 1 { !bits } else { bits | (1 << 63) }).to_be_bytes()
+}
+
+/// `bytes` with each 0x00 followed by 0xFF, closed by a lone 0x00: ordered
+/// like `bytes`, a proper prefix first.
+fn put_escaped(out: &mut Vec<u8>, bytes: &[u8]) {
+    for chunk in bytes.split_inclusive(|b| *b == 0) {
+        out.extend_from_slice(chunk);
+        if chunk.last() == Some(&0) {
+            out.push(K_MORE);
+        }
+    }
+    out.push(K_END);
+}
+
+/// A number: the tag, `floor(v)` as an i64 and — for a value that is not
+/// whole — [`K_MORE`] and the double itself. Whole doubles are written as
+/// the integer they equal, so ADM-equal numbers share their bytes.
+fn put_key_double(out: &mut Vec<u8>, d: f64) {
+    if (-TWO_POW_63..TWO_POW_63).contains(&d) {
+        let floor = d.floor();
+        out.push(K_NUM);
+        out.extend_from_slice(&ordered_i64(floor as i64));
+        if floor != d {
+            out.push(K_MORE);
+            out.extend_from_slice(&ordered_f64(d));
+        }
+    } else {
+        // every NaN is the one NaN, above +inf
+        let d = if d.is_nan() { f64::NAN } else { d };
+        out.push(if d < 0.0 { K_NUM_BELOW } else { K_NUM_ABOVE });
+        out.extend_from_slice(&ordered_f64(d));
+    }
+}
+
+fn put_key_part(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Missing => out.push(K_MISSING),
+        Value::Null => out.push(K_NULL),
+        Value::Bool(b) => out.extend_from_slice(&[K_BOOL, *b as u8]),
+        Value::Int(i) => {
+            out.push(K_NUM);
+            out.extend_from_slice(&ordered_i64(*i));
+        }
+        Value::Double(d) => put_key_double(out, *d),
+        Value::String(s) => {
+            out.push(K_STRING);
+            put_escaped(out, s.as_bytes());
+        }
+        Value::Date(d) => {
+            out.push(K_DATE);
+            out.extend_from_slice(&ordered_i32(*d));
+        }
+        Value::Time(t) => {
+            out.push(K_TIME);
+            out.extend_from_slice(&ordered_i32(*t));
+        }
+        Value::DateTime(t) => {
+            out.push(K_DATETIME);
+            out.extend_from_slice(&ordered_i64(*t));
+        }
+        Value::Duration(d) => {
+            // `millis` is what the rank leaves once the months are known
+            out.push(K_DURATION);
+            out.extend_from_slice(&ordered_i64(duration_rank(d)));
+            out.extend_from_slice(&ordered_i32(d.months));
+        }
+        Value::Point(p) => {
+            out.push(K_POINT);
+            for c in [p.x, p.y] {
+                out.extend_from_slice(&ordered_f64(c));
+            }
+        }
+        Value::Rectangle(r) => {
+            out.push(K_RECTANGLE);
+            for c in [r.min.x, r.min.y, r.max.x, r.max.y] {
+                out.extend_from_slice(&ordered_f64(c));
+            }
+        }
+        Value::Uuid(u) => {
+            out.push(K_UUID);
+            out.extend_from_slice(u);
+        }
+        Value::Binary(b) => {
+            out.push(K_BINARY);
+            put_escaped(out, b);
+        }
+        Value::Array(items) | Value::Multiset(items) => {
+            out.push(if matches!(v, Value::Array(_)) { K_ARRAY } else { K_MULTISET });
+            for i in items {
+                put_key_part(i, out);
+            }
+            out.push(K_END);
+        }
+        Value::Object(o) => {
+            // by name, as the total order compares objects
+            let mut fields: Vec<_> = o.iter().collect();
+            fields.sort_unstable_by_key(|(name, _)| *name);
+            out.push(K_OBJECT);
+            for (name, val) in fields {
+                out.push(K_FIELD);
+                put_escaped(out, name.as_bytes());
+                put_key_part(val, out);
+            }
+            out.push(K_END);
+        }
+    }
+}
+
+/// Encodes a composite index key (one or more values) to bytes that order,
+/// as plain byte strings, the way element-wise [`crate::compare::total_cmp`]
+/// orders the values: a key comparison is a `memcmp` (`a.cmp(b)` on the
+/// slices) and nothing is decoded to make one.
 ///
-/// The encoding is *not* memcmp-ordered; ordering is provided by
-/// [`compare_keys`], which decodes lazily and applies the ADM total order
-/// element-wise. Keys are small, so decode-compare is cheap and — unlike a
-/// memcomparable double encoding — exact for 64-bit integers.
-///
-/// Numeric parts are *normalized* (integral doubles encode as ints) so that
-/// ADM-equal keys — `Int(2)` and `Double(2.0)` — produce byte-identical
-/// encodings; bloom filters and hash tables over raw key bytes then agree
-/// with ADM equality.
+/// A key is the concatenation of its parts, each self-delimiting, so a
+/// partial key is a byte prefix of the keys it starts and sorts directly
+/// before them. ADM-equal parts — `Int(2)` and `Double(2.0)`, two objects
+/// with their fields in a different order — have the same bytes, so bloom
+/// filters and hash routing over key bytes agree with ADM equality. The
+/// byte layout per type is DESIGN.md "Key encoding".
 pub fn encode_key(parts: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16);
-    put_len(&mut out, parts.len());
     for p in parts {
-        match normalize_key_part(p) {
-            Some(n) => encode_into(&n, &mut out),
-            None => encode_into(p, &mut out),
-        }
+        put_key_part(p, &mut out);
     }
     out
 }
 
 /// The key whose first part is `lead` and whose further parts are those of
-/// the encoded key `rest`, unchanged: `encode_key` of the lot, without
-/// decoding `rest` to get there (a secondary-index entry is its key's value
-/// followed by the primary key).
-pub fn prepend_key_part(lead: &Value, rest: &[u8]) -> Result<Vec<u8>> {
-    let n = Decoder::new(rest).len()?;
+/// the encoded key `rest`: `encode_key` of the lot (a secondary-index entry
+/// is its key's value followed by the primary key).
+pub fn prepend_key_part(lead: &Value, rest: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(rest.len() + 16);
-    put_len(&mut out, n + 1);
-    match normalize_key_part(lead) {
-        Some(n) => encode_into(&n, &mut out),
-        None => encode_into(lead, &mut out),
-    }
-    out.extend_from_slice(&rest[4..]);
-    Ok(out)
+    put_key_part(lead, &mut out);
+    out.extend_from_slice(rest);
+    out
 }
 
-/// The key made of every part of the encoded key `key` but the first — what
-/// [`prepend_key_part`] was given as `rest` — without decoding any of them.
-pub fn strip_key_part(key: &[u8]) -> Result<Vec<u8>> {
+/// Every part of the encoded key `key` but the first — what
+/// [`prepend_key_part`] was given as `rest`.
+pub fn strip_key_part(key: &[u8]) -> Result<&[u8]> {
     let mut d = Decoder::new(key);
-    let n = d.len()?.checked_sub(1).ok_or_else(|| AdmError::Serde("no key part to strip".into()))?;
-    d.skip_value()?;
-    let mut out = Vec::with_capacity(key.len());
-    put_len(&mut out, n);
-    out.extend_from_slice(&key[d.position()..]);
-    Ok(out)
+    d.key_part()?;
+    Ok(&key[d.pos..])
 }
 
-/// Returns the normalized form of a key part if it differs from the input.
-fn normalize_key_part(v: &Value) -> Option<Value> {
-    match v {
-        Value::Double(d) if d.fract() == 0.0 && d.abs() < 9.0e18 && !d.is_nan() => {
-            Some(Value::Int(*d as i64))
-        }
-        Value::Array(items) => {
-            if items.iter().any(|i| normalize_key_part(i).is_some()) {
-                Some(Value::Array(
-                    items
-                        .iter()
-                        .map(|i| normalize_key_part(i).unwrap_or_else(|| i.clone()))
-                        .collect(),
-                ))
-            } else {
-                None
-            }
-        }
-        _ => None,
-    }
+/// The exclusive upper bound of the keys whose leading parts are the parts
+/// of `prefix`: no part begins with 0xFF, and the one thing that follows a
+/// part with it — the fraction of `2.5` after the bytes of `2` — goes on
+/// for eight bytes more, so it lies above the bound with the rest of what is
+/// greater.
+pub fn key_prefix_end(mut prefix: Vec<u8>) -> Vec<u8> {
+    prefix.push(K_MORE);
+    prefix
 }
 
-/// True when every value that is ADM-equal to `v` has `v`'s [`encode_key`]
-/// bytes. That is what lets a search key be hashed to its partition and
-/// checked against byte-keyed bloom filters: an equal stored key cannot be
-/// somewhere the bytes do not point. Scalars qualify, numbers thanks to the
-/// normalization above; objects do not (equality ignores field order, the
-/// bytes do not), so neither do collections that may hold one, nor the
-/// integral doubles beyond the normalized range.
-pub fn key_part_is_canonical(v: &Value) -> bool {
-    match v {
-        Value::Object(_) | Value::Array(_) | Value::Multiset(_) => false,
-        Value::Double(d) => d.abs() < 9.0e18,
-        _ => true,
-    }
-}
-
-/// Decodes a composite key produced by [`encode_key`].
+/// Decodes a composite key produced by [`encode_key`]. Whole doubles come
+/// back as the integers they were written as, an object with its fields in
+/// name order.
 pub fn decode_key(buf: &[u8]) -> Result<Vec<Value>> {
     let mut d = Decoder::new(buf);
-    let n = d.len()?;
-    let mut out = Vec::with_capacity(n.min(16));
-    for _ in 0..n {
-        out.push(d.value()?);
-    }
-    if !d.is_done() {
-        return Err(AdmError::Serde("trailing bytes after key".into()));
+    let mut out = Vec::new();
+    while !d.is_done() {
+        out.push(d.key_part()?);
     }
     Ok(out)
 }
 
-/// Compares two encoded composite keys under the element-wise ADM total
-/// order; shorter keys that are a prefix of longer ones compare less (so a
-/// partial search key matches the left edge of its range).
-pub fn compare_keys(a: &[u8], b: &[u8]) -> Ordering {
-    let mut da = Decoder::new(a);
-    let mut db = Decoder::new(b);
-    let na = match da.len() {
-        Ok(n) => n,
-        Err(_) => return a.cmp(b),
-    };
-    let nb = match db.len() {
-        Ok(n) => n,
-        Err(_) => return a.cmp(b),
-    };
-    for _ in 0..na.min(nb) {
-        let va = match da.value() {
-            Ok(v) => v,
-            Err(_) => return a.cmp(b),
-        };
-        let vb = match db.value() {
-            Ok(v) => v,
-            Err(_) => return a.cmp(b),
-        };
-        let c = crate::compare::total_cmp(&va, &vb);
-        if c != Ordering::Equal {
-            return c;
+impl<'a> Decoder<'a> {
+    fn ordered_i32(&mut self) -> Result<i32> {
+        Ok((u32::from_be_bytes(self.take(4)?.try_into().unwrap()) ^ (1 << 31)) as i32)
+    }
+
+    fn ordered_i64(&mut self) -> Result<i64> {
+        Ok((u64::from_be_bytes(self.take(8)?.try_into().unwrap()) ^ (1 << 63)) as i64)
+    }
+
+    fn ordered_f64(&mut self) -> Result<f64> {
+        let bits = u64::from_be_bytes(self.take(8)?.try_into().unwrap());
+        Ok(f64::from_bits(if bits >> 63 == 1 { bits ^ (1 << 63) } else { !bits }))
+    }
+
+    /// True, and steps over it, when the next byte is `byte`.
+    fn eat(&mut self, byte: u8) -> bool {
+        let found = self.buf.get(self.pos) == Some(&byte);
+        self.pos += found as usize;
+        found
+    }
+
+    /// The reverse of [`put_escaped`].
+    fn escaped(&mut self) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        loop {
+            let rest = &self.buf[self.pos..];
+            let n = rest
+                .iter()
+                .position(|b| *b == 0)
+                .ok_or_else(|| AdmError::Serde("unterminated string in key".into()))?;
+            let escape = rest.get(n + 1) == Some(&K_MORE);
+            out.extend_from_slice(&rest[..n + escape as usize]);
+            self.pos += n + 1 + escape as usize;
+            if !escape {
+                return Ok(out);
+            }
         }
     }
-    na.cmp(&nb)
+
+    fn key_string(&mut self) -> Result<String> {
+        String::from_utf8(self.escaped()?).map_err(|_| AdmError::Serde("invalid UTF-8 in key".into()))
+    }
+
+    /// Decodes one key part.
+    fn key_part(&mut self) -> Result<Value> {
+        let tag = self.u8()?;
+        Ok(match tag {
+            K_MISSING => Value::Missing,
+            K_NULL => Value::Null,
+            K_BOOL => Value::Bool(self.u8()? != 0),
+            K_NUM => {
+                let floor = self.ordered_i64()?;
+                if self.eat(K_MORE) {
+                    Value::Double(self.ordered_f64()?)
+                } else {
+                    Value::Int(floor)
+                }
+            }
+            K_NUM_BELOW | K_NUM_ABOVE => Value::Double(self.ordered_f64()?),
+            K_STRING => Value::String(self.key_string()?),
+            K_DATE => Value::Date(self.ordered_i32()?),
+            K_TIME => Value::Time(self.ordered_i32()?),
+            K_DATETIME => Value::DateTime(self.ordered_i64()?),
+            K_DURATION => {
+                let rank = self.ordered_i64()?;
+                let months = self.ordered_i32()?;
+                let millis = rank.wrapping_sub(duration_rank(&Duration { months, millis: 0 }));
+                Value::Duration(Duration { months, millis })
+            }
+            K_POINT => Value::Point(Point::new(self.ordered_f64()?, self.ordered_f64()?)),
+            K_RECTANGLE => Value::Rectangle(Rectangle {
+                min: Point::new(self.ordered_f64()?, self.ordered_f64()?),
+                max: Point::new(self.ordered_f64()?, self.ordered_f64()?),
+            }),
+            K_UUID => Value::Uuid(self.take(16)?.try_into().unwrap()),
+            K_BINARY => Value::Binary(self.escaped()?),
+            K_ARRAY | K_MULTISET => {
+                let mut items = Vec::new();
+                while !self.eat(K_END) {
+                    items.push(self.key_part()?);
+                }
+                if tag == K_ARRAY {
+                    Value::Array(items)
+                } else {
+                    Value::Multiset(items)
+                }
+            }
+            K_OBJECT => {
+                let mut o = Object::new();
+                while !self.eat(K_END) {
+                    if !self.eat(K_FIELD) {
+                        return Err(AdmError::Serde("bad object field in key".into()));
+                    }
+                    let name = self.key_string()?;
+                    o.set(name, self.key_part()?);
+                }
+                Value::Object(o)
+            }
+            other => return Err(AdmError::Serde(format!("unknown key tag byte {other}"))),
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compare::total_cmp;
+    use std::cmp::Ordering;
 
     fn roundtrip(v: &Value) {
         let bytes = encode(v);
@@ -512,21 +700,23 @@ mod tests {
     }
 
     #[test]
-    fn key_compare_matches_value_compare() {
+    fn key_bytes_order_like_the_values() {
         let cases = vec![
             vec![Value::Int(1)],
             vec![Value::Int(2)],
             vec![Value::Double(1.5)],
+            vec![Value::Int(-1)],
+            vec![Value::Double(-0.5)],
             vec![Value::from("a")],
             vec![Value::from("ab")],
+            vec![Value::from("a\0")],
             vec![Value::Int(1), Value::from("x")],
             vec![Value::Int(1), Value::from("y")],
+            vec![Value::Double(1.5), Value::from("x")],
             vec![Value::Int(1)], // prefix of the two above
         ];
         for a in &cases {
             for b in &cases {
-                let ka = encode_key(a);
-                let kb = encode_key(b);
                 let mut expected = Ordering::Equal;
                 for (x, y) in a.iter().zip(b.iter()) {
                     expected = total_cmp(x, y);
@@ -537,16 +727,40 @@ mod tests {
                 if expected == Ordering::Equal {
                     expected = a.len().cmp(&b.len());
                 }
-                assert_eq!(compare_keys(&ka, &kb), expected, "{a:?} vs {b:?}");
+                assert_eq!(encode_key(a).cmp(&encode_key(b)), expected, "{a:?} vs {b:?}");
             }
         }
     }
 
     #[test]
+    fn an_int_key_is_nine_bytes_and_equal_numbers_share_them() {
+        assert_eq!(encode_key(&[Value::Int(7)]).len(), 9);
+        assert_eq!(encode_key(&[Value::Double(7.0)]), encode_key(&[Value::Int(7)]));
+        assert_eq!(encode_key(&[Value::Double(-0.0)]), encode_key(&[Value::Int(0)]));
+        let (a, b) = (("a".to_string(), Value::Int(1)), ("b".to_string(), Value::Int(2)));
+        let (ab, ba) = (Value::object(vec![a.clone(), b.clone()]), Value::object(vec![b, a]));
+        assert_ne!(ab, ba);
+        assert_eq!(encode_key(&[ab]), encode_key(&[ba]), "object equality ignores field order");
+    }
+
+    #[test]
     fn key_roundtrip() {
-        let parts = vec![Value::Int(42), Value::from("user"), Value::DateTime(1000)];
+        let parts = vec![
+            Value::Int(42),
+            Value::Double(-2.5),
+            Value::Double(1e300),
+            Value::Double(f64::NEG_INFINITY),
+            Value::from("us\0er"),
+            Value::DateTime(1000),
+            Value::Duration(Duration { months: -3, millis: 12345 }),
+            Value::Binary(vec![0, 255, 0]),
+            Value::Array(vec![Value::Null, Value::Multiset(vec![Value::from("x")])]),
+            Value::object(vec![("k".into(), Value::Point(Point::new(1.5, -2.5)))]),
+        ];
         let k = encode_key(&parts);
         assert_eq!(decode_key(&k).unwrap(), parts);
+        assert!(decode_key(&k[..k.len() - 1]).is_err(), "cut inside the last part");
+        assert!(decode_key(&[0x40]).is_err(), "no such tag");
     }
 
     #[test]
@@ -555,19 +769,38 @@ mod tests {
         for lead in [Value::Int(7), Value::Double(7.0), Value::Double(7.5), Value::from("a")] {
             let mut all = vec![lead.clone()];
             all.extend(rest.iter().cloned());
-            assert_eq!(prepend_key_part(&lead, &encode_key(&rest)).unwrap(), encode_key(&all));
+            assert_eq!(prepend_key_part(&lead, &encode_key(&rest)), encode_key(&all));
         }
-        assert!(prepend_key_part(&Value::Int(1), &[0, 0]).is_err(), "no part count to add to");
     }
 
     #[test]
     fn stripping_a_part_undoes_prepending_it() {
         let rest = encode_key(&[Value::Int(42), Value::from("user")]);
-        for lead in [Value::Int(7), Value::from("a"), Value::Array(vec![Value::Null, Value::from("x")])] {
-            assert_eq!(strip_key_part(&prepend_key_part(&lead, &rest).unwrap()).unwrap(), rest);
+        for lead in [
+            Value::Int(7),
+            Value::Double(7.5),
+            Value::from("a\0b"),
+            Value::Array(vec![Value::Null, Value::from("x")]),
+            Value::object(vec![("".into(), Value::Int(1))]),
+        ] {
+            assert_eq!(strip_key_part(&prepend_key_part(&lead, &rest)).unwrap(), rest);
         }
-        assert!(strip_key_part(&encode_key(&[])).is_err(), "no part to strip");
+        assert!(strip_key_part(&[]).is_err(), "no part to strip");
         assert!(strip_key_part(&rest[..6]).is_err(), "cut inside the first part");
+    }
+
+    #[test]
+    fn a_prefix_and_its_end_bracket_the_keys_it_starts() {
+        let two = encode_key(&[Value::Int(2)]);
+        let end = key_prefix_end(two.clone());
+        for inside in [vec![Value::Int(2)], vec![Value::Int(2), Value::Int(i64::MAX)], vec![Value::Double(2.0), Value::object(vec![])]] {
+            let k = encode_key(&inside);
+            assert!(two <= k && k < end, "{inside:?}");
+        }
+        for above in [vec![Value::Double(2.5)], vec![Value::Double(2.000001), Value::Int(0)], vec![Value::Int(3)]] {
+            assert!(encode_key(&above) >= end, "{above:?}");
+        }
+        assert!(encode_key(&[Value::Double(1.5), Value::Int(0)]) < two);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!
 //! `MISSING < NULL < everything`, matching AsterixDB's index order.
 
+use crate::temporal::Duration;
 use crate::value::{TypeTag, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -31,10 +32,7 @@ pub fn total_cmp(a: &Value, b: &Value) -> Ordering {
         (Value::Time(x), Value::Time(y)) => x.cmp(y),
         (Value::DateTime(x), Value::DateTime(y)) => x.cmp(y),
         (Value::Duration(x), Value::Duration(y)) => {
-            // Order by approximate total millis (month ≈ 30 days), then fields.
-            let ax = x.months as i64 * 30 * crate::temporal::MILLIS_PER_DAY + x.millis;
-            let bx = y.months as i64 * 30 * crate::temporal::MILLIS_PER_DAY + y.millis;
-            ax.cmp(&bx).then(x.months.cmp(&y.months)).then(x.millis.cmp(&y.millis))
+            duration_rank(x).cmp(&duration_rank(y)).then(x.months.cmp(&y.months)).then(x.millis.cmp(&y.millis))
         }
         (Value::Point(x), Value::Point(y)) => x
             .x
@@ -77,6 +75,12 @@ pub fn total_cmp(a: &Value, b: &Value) -> Ordering {
     }
 }
 
+/// What durations order by first: approximate total millis (month ≈ 30
+/// days). Ties go to the months, then the millis.
+pub(crate) fn duration_rank(d: &Duration) -> i64 {
+    (d.months as i64 * 30 * crate::temporal::MILLIS_PER_DAY).wrapping_add(d.millis)
+}
+
 fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => x.cmp(y),
@@ -89,14 +93,14 @@ fn numeric_cmp(a: &Value, b: &Value) -> Ordering {
 
 /// Exact Int-vs-Double comparison (no precision loss for |i| > 2^53).
 fn int_double_cmp(i: i64, d: f64) -> Ordering {
-    if d.is_nan() {
+    // 2^63, the first double above every i64: `as i64` would saturate it
+    // (and +inf) onto `i64::MAX`
+    const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
+    if d.is_nan() || d >= TWO_POW_63 {
         // NaN sorts above all numbers under total order.
         return Ordering::Less;
     }
-    if d == f64::INFINITY {
-        return Ordering::Less;
-    }
-    if d == f64::NEG_INFINITY {
+    if d < -TWO_POW_63 {
         return Ordering::Greater;
     }
     // Compare integer parts first; fall back to fractional tiebreak.
@@ -321,6 +325,8 @@ mod tests {
             total_cmp(&Value::Int(big), &Value::Double((1i64 << 53) as f64)),
             Ordering::Greater
         );
+        // 2^63 rounds from i64::MAX but is above it
+        assert_eq!(total_cmp(&Value::Int(i64::MAX), &Value::Double(9_223_372_036_854_775_808.0)), Ordering::Less);
         // NaN sorts above all numbers, infinities at the ends.
         assert_eq!(total_cmp(&Value::Int(i64::MAX), &Value::Double(f64::NAN)), Ordering::Less);
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Property-based tests for the ADM data model: serialization round-trips,
 //! comparator laws, and key-encoding order consistency.
 
-use asterix_adm::binary::{compare_keys, decode, decode_fields, encode, encode_key};
+use asterix_adm::binary::{decode, decode_fields, decode_key, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::compare::{adm_eq, hash64, total_cmp, OrdValue};
 use asterix_adm::parse::parse_value;
 use asterix_adm::print::to_adm_string;
@@ -41,6 +41,126 @@ fn arb_value() -> impl Strategy<Value = Value> {
                 .prop_map(|pairs| Value::Object(Object::from_pairs(pairs))),
         ]
     })
+}
+
+/// Element-wise `total_cmp`, a key that is a prefix of the other first.
+fn parts_cmp(a: &[Value], b: &[Value]) -> Ordering {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| total_cmp(x, y))
+        .find(|c| c.is_ne())
+        .unwrap_or_else(|| a.len().cmp(&b.len()))
+}
+
+/// The values `arb_value` leaves out: the edges of every numeric form and
+/// the bytes the key encoding gives a meaning to.
+fn edge_parts() -> Vec<Value> {
+    let two53 = 1i64 << 53;
+    let mut out = vec![
+        Value::Missing,
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Double(f64::NAN),
+        Value::Double(f64::INFINITY),
+        Value::Double(f64::NEG_INFINITY),
+        Value::Double(f64::MAX),
+        Value::Double(f64::MIN),
+        Value::Double(0.0),
+        Value::Double(-0.0),
+        Value::Double(f64::MIN_POSITIVE),
+        Value::Double(-f64::MIN_POSITIVE),
+        Value::Double(5e-324),
+        Value::Double(-5e-324),
+        Value::Double(9.3e18),
+        Value::Double(-9.3e18),
+        // 2^63 is a double and no i64; -2^63 is both
+        Value::Double(9_223_372_036_854_775_808.0),
+        Value::Double(-9_223_372_036_854_775_808.0),
+        Value::Double(9.1e18),
+        Value::Int(9_100_000_000_000_000_000),
+        Value::Int(i64::MIN),
+        Value::Int(i64::MIN + 1),
+        Value::Int(i64::MAX),
+        Value::Int(i64::MAX - 1),
+        Value::from(""),
+        Value::from("\0"),
+        Value::from("a"),
+        Value::from("a\0"),
+        Value::from("a\0b"),
+        Value::from("a\u{1}"),
+        Value::from("ab"),
+        Value::Binary(vec![]),
+        Value::Binary(vec![0]),
+        Value::Binary(vec![0, 0xFF]),
+        Value::Binary(vec![0, 0]),
+        Value::Binary(vec![0xFF]),
+        Value::Binary(vec![0xFF, 0]),
+        Value::Date(i32::MIN),
+        Value::Date(i32::MAX),
+        Value::Time(0),
+        Value::DateTime(i64::MIN),
+        Value::DateTime(i64::MAX),
+        Value::Duration(Duration { months: 1, millis: 0 }),
+        Value::Duration(Duration { months: 0, millis: 30 * 86_400_000 }),
+        Value::Duration(Duration { months: -1, millis: 1 }),
+        Value::Point(Point::new(-0.0, f64::INFINITY)),
+        Value::Point(Point::new(0.0, f64::NEG_INFINITY)),
+        Value::Uuid([0; 16]),
+        Value::Uuid([0xFF; 16]),
+        Value::Array(vec![]),
+        Value::Array(vec![Value::Int(2)]),
+        Value::Array(vec![Value::Double(2.5)]),
+        Value::Array(vec![Value::Int(2), Value::Missing]),
+        Value::Array(vec![Value::from("")]),
+        Value::Array(vec![Value::Array(vec![])]),
+        Value::Multiset(vec![]),
+        Value::Multiset(vec![Value::Double(2.0)]),
+        Value::object(vec![]),
+        Value::object(vec![("".into(), Value::Int(1))]),
+        Value::object(vec![("a".into(), Value::Int(1)), ("b".into(), Value::Double(1.5))]),
+        Value::object(vec![("b".into(), Value::Double(1.5)), ("a".into(), Value::Int(1))]),
+        Value::object(vec![("a\0".into(), Value::Int(1))]),
+    ];
+    for n in [two53 - 1, two53, two53 + 1, -two53 - 1, -two53, -two53 + 1] {
+        out.push(Value::Int(n));
+        out.push(Value::Double(n as f64));
+    }
+    for n in [-3i64, -1, 0, 1, 2, 1 << 40] {
+        out.push(Value::Int(n));
+        out.push(Value::Double(n as f64 + 0.5));
+        out.push(Value::Double(n as f64 - 0.5));
+    }
+    out
+}
+
+/// Every pair of edge values, alone and as the head or the tail of a
+/// composite: the bytes order as `total_cmp` orders the parts a key holds —
+/// the normalised ones, a whole double being the integer it equals (`-0.0`
+/// and `0.0`, which `total_cmp` tells apart as doubles, are both `0`) — and
+/// come back.
+#[test]
+fn key_bytes_order_like_total_cmp_at_the_edges() {
+    let parts: Vec<Value> = edge_parts()
+        .into_iter()
+        .map(|v| {
+            let mut back = decode_key(&encode_key(std::slice::from_ref(&v))).unwrap();
+            assert_eq!(back.len(), 1, "{v:?}");
+            assert!(adm_eq(&back[0], &v), "{v:?} -> {back:?}");
+            back.remove(0)
+        })
+        .collect();
+    for a in &parts {
+        for b in &parts {
+            let lone = (vec![a.clone()], vec![b.clone()]);
+            let headed = (vec![a.clone(), Value::Int(7)], vec![b.clone()]);
+            let both = (vec![a.clone(), Value::Int(7)], vec![b.clone(), Value::Int(-7)]);
+            let tailed = (vec![Value::from("k"), a.clone()], vec![Value::from("k"), b.clone()]);
+            for (x, y) in [lone, headed, both, tailed] {
+                assert_eq!(encode_key(&x).cmp(&encode_key(&y)), parts_cmp(&x, &y), "{x:?} vs {y:?}");
+            }
+        }
+    }
 }
 
 /// `record` with only the fields named in `names` (all when there are none).
@@ -166,21 +286,47 @@ proptest! {
         }
     }
 
+    /// A key comparison is a `memcmp`: the bytes of two keys order as
+    /// `total_cmp` orders the values they were made of.
     #[test]
     fn encoded_key_order_matches_value_order(a in arb_value(), b in arb_value()) {
         let ka = encode_key(std::slice::from_ref(&a));
         let kb = encode_key(std::slice::from_ref(&b));
-        prop_assert_eq!(compare_keys(&ka, &kb), total_cmp(&a, &b));
+        prop_assert_eq!(ka.cmp(&kb), total_cmp(&a, &b));
     }
 
     #[test]
     fn composite_key_order_is_lexicographic(
-        a1 in arb_value(), a2 in arb_value(), b1 in arb_value(), b2 in arb_value()
+        a in prop::collection::vec(arb_value(), 0..3), b in prop::collection::vec(arb_value(), 0..3),
+        shared in prop::collection::vec(arb_value(), 0..2),
     ) {
-        let ka = encode_key(&[a1.clone(), a2.clone()]);
-        let kb = encode_key(&[b1.clone(), b2.clone()]);
-        let expected = total_cmp(&a1, &b1).then_with(|| total_cmp(&a2, &b2));
-        prop_assert_eq!(compare_keys(&ka, &kb), expected);
+        // a common head, so that one key is often a prefix of the other
+        let a: Vec<Value> = shared.iter().cloned().chain(a).collect();
+        let b: Vec<Value> = shared.into_iter().chain(b).collect();
+        prop_assert_eq!(encode_key(&a).cmp(&encode_key(&b)), parts_cmp(&a, &b));
+    }
+
+    /// Decoding a key gives back parts that are ADM-equal to what went in
+    /// and that encode to the same bytes; a part comes off the front of a
+    /// key, and goes onto it, without the rest being looked at; and the keys
+    /// a prefix starts are those between it and its end.
+    #[test]
+    fn keys_round_trip_and_take_parts_at_the_front(
+        lead in arb_value(), rest in prop::collection::vec(arb_value(), 0..3), other in arb_value()
+    ) {
+        let tail = encode_key(&rest);
+        let all: Vec<Value> = std::iter::once(lead.clone()).chain(rest).collect();
+        let key = encode_key(&all);
+        let back = decode_key(&key).unwrap();
+        prop_assert_eq!(back.len(), all.len());
+        prop_assert!(back.iter().zip(&all).all(|(x, y)| adm_eq(x, y)), "{:?} -> {:?}", all, back);
+        prop_assert_eq!(&encode_key(&back), &key);
+        prop_assert_eq!(&prepend_key_part(&lead, &tail), &key);
+        prop_assert_eq!(strip_key_part(&key).unwrap(), tail.as_slice());
+        // `other` starts `key` exactly when it equals its leading part
+        let prefix = encode_key(std::slice::from_ref(&other));
+        let within = prefix <= key && key < key_prefix_end(prefix);
+        prop_assert_eq!(within, adm_eq(&other, &lead));
     }
 
     #[test]

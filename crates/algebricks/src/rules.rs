@@ -24,7 +24,6 @@
 use crate::expr::{const_fold, Expr, Func};
 use crate::plan::{LogicalOp, Plan, VarId};
 use crate::source::{AccessPath, IndexInfo, IndexKind, IndexRange, PRIMARY_INDEX};
-use asterix_adm::binary::key_part_is_canonical;
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
 use std::cmp::Ordering;
@@ -402,8 +401,8 @@ fn primary_path(range: IndexRange) -> AccessPath {
     AccessPath { index: PRIMARY_INDEX.into(), kind: IndexKind::Primary, range }
 }
 
-/// A point get: every primary-key field pinned to one constant whose key
-/// bytes are canonical (the get is routed and bloom-checked by those bytes).
+/// A point get: every primary-key field pinned to one constant (the get is
+/// routed and bloom-checked by the key's bytes, which ADM-equal keys share).
 fn primary_point(cs: &[Expr], scan_var: VarId, pk: &[Vec<String>]) -> Option<AccessPath> {
     if pk.is_empty() {
         return None;
@@ -412,7 +411,7 @@ fn primary_point(cs: &[Expr], scan_var: VarId, pk: &[Vec<String>]) -> Option<Acc
         .iter()
         .map(|path| {
             let bounds = field_bounds(cs, scan_var, path);
-            bounds.point().filter(|v| key_part_is_canonical(v)).cloned()
+            bounds.point().cloned()
         })
         .collect();
     Some(primary_path(IndexRange::Point(key?)))
@@ -941,15 +940,6 @@ mod tests {
             chosen_path(&["org", "id"], vec![cmp(Eq, "id", Value::Int(2))]),
             "scan users -> $0"
         );
-    }
-
-    #[test]
-    fn no_point_get_on_a_key_whose_bytes_are_not_canonical() {
-        // object equality ignores field order, key bytes do not: range over
-        // the key order instead of hashing the bytes
-        let obj = Value::object(vec![("a".into(), Value::Int(1))]);
-        let path = chosen_path(&["id"], vec![cmp(Func::Eq, "id", obj)]);
-        assert!(path.starts_with("index-scan users#primary [ge "), "{path}");
     }
 
     /// The scan lines of the optimized plan under `root`, top to bottom.

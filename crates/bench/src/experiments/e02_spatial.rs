@@ -162,7 +162,7 @@ fn grid_probe(tree: &LsmTree, scheme: &GridScheme, q: &Rectangle) -> (Vec<Vec<u8
 }
 
 fn fetch(primary: &LsmTree, mut pks: Vec<Vec<u8>>) -> usize {
-    pks.sort_by(|a, b| asterix_adm::binary::compare_keys(a, b));
+    pks.sort_unstable();
     let mut n = 0;
     for pk in pks {
         if primary.get(&pk).unwrap().is_some() {

@@ -56,7 +56,7 @@ pub fn run(quick: bool) -> ExpReport {
         for sorted in [false, true] {
             let mut pks = candidates.clone();
             if sorted {
-                pks.sort_by(|a, b| asterix_adm::binary::compare_keys(a, b));
+                pks.sort_unstable();
             }
             // cold-ish start per run: drop cache contents by touching a
             // disjoint key range (cache is small, so this evicts)

@@ -21,7 +21,7 @@ use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
 use asterix_adm::binary::{
-    decode_fields, decode_key, encode, encode_key, prepend_key_part, strip_key_part,
+    decode_fields, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part,
 };
 use asterix_adm::schema_encode::{decode_fields_with_schema, encode_with_schema};
 use asterix_adm::types::{ObjectType, TypeRegistry};
@@ -592,7 +592,7 @@ impl DatasetPartition {
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                tree.upsert(prepend_key_part(field, pk).map_err(CoreError::Adm)?, Vec::new())?;
+                tree.upsert(prepend_key_part(field, pk), Vec::new())?;
             }
             Secondary::RTree { tree, .. } => {
                 if let Some(mbr) = spatial_mbr(field) {
@@ -615,7 +615,7 @@ impl DatasetPartition {
         }
         match sec {
             Secondary::BTree { tree, .. } => {
-                tree.delete(prepend_key_part(field, pk).map_err(CoreError::Adm)?)?;
+                tree.delete(prepend_key_part(field, pk))?;
             }
             Secondary::RTree { tree, .. } => {
                 if let Some(mbr) = spatial_mbr(field) {
@@ -680,7 +680,7 @@ impl DatasetPartition {
         // entries are `(secondary key, pk...)`: what follows the key is the pk
         let mut pks = Vec::new();
         leading_field_range(tree, range, None, |key, _| {
-            pks.push(strip_key_part(&key).map_err(CoreError::Adm)?);
+            pks.push(strip_key_part(&key).map_err(CoreError::Adm)?.to_vec());
             Ok(ControlFlow::Continue(()))
         })?;
         Ok(pks)
@@ -743,43 +743,29 @@ pub struct KeyRange {
 
 /// Walks the entries of `tree` whose leading key part lies within `range` —
 /// those past the key `after`, if one is given — handing `each` the key and
-/// the value until it breaks. The upper bound is on a key *prefix*, which has
-/// no byte-key form (a prefix sorts before every key it starts), so the walk
-/// starts at `lo` and stops reading at the first entry past `hi`: it touches
-/// the matches, not the rest of the index.
+/// the value until it breaks. Both ends of the range are byte bounds — the
+/// keys with leading part `v` are those from `v`'s one-part key up to
+/// [`key_prefix_end`] of it — so the walk is a `range_iter` that touches the
+/// matches and decodes no key.
 fn leading_field_range(
     tree: &LsmTree,
     range: &KeyRange,
     after: Option<&[u8]>,
     mut each: impl FnMut(Vec<u8>, Vec<u8>) -> Result<ControlFlow<()>>,
 ) -> Result<()> {
-    use std::cmp::Ordering;
-    // the 1-part prefix key sorts directly before every key starting with it
-    let lo_key = range.lo.as_ref().map(|v| encode_key(std::slice::from_ref(v)));
-    let start = match (after, &lo_key) {
+    // where the keys `v` leads begin, and where they end
+    let first = |v: &Value| encode_key(std::slice::from_ref(v));
+    let past = |v: &Value| key_prefix_end(first(v));
+    let lo = range.lo.as_ref().map(|v| if range.lo_inclusive { first(v) } else { past(v) });
+    let hi = range.hi.as_ref().map(|v| if range.hi_inclusive { past(v) } else { first(v) });
+    let start = match (after, &lo) {
         (Some(key), _) => Bound::Excluded(key),
         (None, Some(key)) => Bound::Included(key.as_slice()),
         (None, None) => Bound::Unbounded,
     };
-    // an inclusive `lo` is the start key's business alone
-    let skip_lo = range.lo.as_ref().filter(|_| !range.lo_inclusive);
-    for entry in tree.range_iter(start, Bound::Unbounded)? {
+    let end = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+    for entry in tree.range_iter(start, end)? {
         let (key, value) = entry?;
-        if range.hi.is_some() || skip_lo.is_some() {
-            let parts = decode_key(&key).map_err(CoreError::Adm)?;
-            let lead = parts.first().ok_or_else(|| {
-                CoreError::Storage(asterix_storage::StorageError::Corrupt("empty index key".into()))
-            })?;
-            if let Some(hi) = &range.hi {
-                let c = asterix_adm::compare::total_cmp(lead, hi);
-                if c == Ordering::Greater || (!range.hi_inclusive && c == Ordering::Equal) {
-                    break;
-                }
-            }
-            if skip_lo.is_some_and(|lo| asterix_adm::compare::total_cmp(lead, lo) == Ordering::Equal) {
-                continue;
-            }
-        }
         if each(key, value)?.is_break() {
             break;
         }
@@ -791,8 +777,8 @@ fn leading_field_range(
 /// references ... before fetching data objects" (§V-B, ref \[26\];
 /// experiment E7 measures the difference).
 pub fn sort_pks(pks: &mut Vec<Vec<u8>>) {
-    pks.sort_by(|a, b| asterix_adm::binary::compare_keys(a, b));
-    pks.dedup_by(|a, b| asterix_adm::binary::compare_keys(a, b).is_eq());
+    pks.sort_unstable();
+    pks.dedup();
 }
 
 /// The MBR of a spatial value (point or rectangle).
@@ -872,6 +858,76 @@ mod tests {
     fn setup() -> (DatasetPartition, std::path::PathBuf) {
         let (node, p) = tmp_node();
         (create(&def_with_indexes(), node), p)
+    }
+
+    /// The leading parts, in key order, of what a walk of `range` hands out.
+    fn leads(tree: &LsmTree, range: &KeyRange, after: Option<&[u8]>) -> Vec<(Value, i64)> {
+        let mut out = Vec::new();
+        leading_field_range(tree, range, after, |key, _| {
+            let mut parts = asterix_adm::binary::decode_key(&key).unwrap();
+            let pk = parts.pop().unwrap().as_i64().unwrap();
+            out.push((parts.pop().unwrap(), pk));
+            Ok(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn a_range_on_the_leading_part_is_a_byte_range() {
+        let (node, p) = tmp_node();
+        let mut tree = LsmTree::new(Arc::clone(&node.cache), LsmConfig::new("lead"));
+        // `(lead, pk)` entries for leads 2, 2.5 and 3 — three of each, one
+        // behind a flush — and a neighbour on either side
+        let all = [Value::Double(1.5), Value::Int(2), Value::Double(2.5), Value::Int(3), Value::Double(3.5)];
+        for pk in [1i64, 2, 3] {
+            for lead in &all {
+                tree.upsert(encode_key(&[lead.clone(), Value::Int(pk)]), Vec::new()).unwrap();
+            }
+            if pk == 1 {
+                tree.flush().unwrap();
+            }
+        }
+        let expect = |range: &KeyRange, leads_in: &[Value]| {
+            let want: Vec<(Value, i64)> =
+                leads_in.iter().flat_map(|l| [1, 2, 3].map(|pk| (l.clone(), pk))).collect();
+            assert_eq!(leads(&tree, range, None), want, "{range:?}");
+        };
+        let range = |lo: Option<(Value, bool)>, hi: Option<(Value, bool)>| KeyRange {
+            lo_inclusive: lo.as_ref().is_some_and(|b| b.1),
+            hi_inclusive: hi.as_ref().is_some_and(|b| b.1),
+            lo: lo.map(|b| b.0),
+            hi: hi.map(|b| b.0),
+        };
+        // an `Int` and a `Double` bound mean the same: 2 is 2.0
+        for two in [Value::Int(2), Value::Double(2.0)] {
+            for three in [Value::Int(3), Value::Double(3.0)] {
+                let (lo, hi) = (|incl| Some((two.clone(), incl)), |incl| Some((three.clone(), incl)));
+                expect(&range(lo(true), hi(true)), &all[1..4]);
+                expect(&range(lo(true), hi(false)), &all[1..3]);
+                expect(&range(lo(false), hi(true)), &all[2..4]);
+                expect(&range(lo(false), hi(false)), &all[2..3]);
+                expect(&range(lo(false), None), &all[2..]);
+                expect(&range(None, hi(false)), &all[..3]);
+            }
+        }
+        // a bound between two whole numbers, and one that is a stored lead
+        let half = |incl| Some((Value::Double(2.5), incl));
+        expect(&range(half(true), half(true)), &all[2..3]);
+        expect(&range(half(false), None), &all[3..]);
+        expect(&range(None, half(false)), &all[..2]);
+        expect(&range(Some((Value::Double(2.25), true)), Some((Value::Double(2.75), false))), &all[2..3]);
+        expect(&range(half(false), half(false)), &[]);
+        expect(&range(Some((Value::Int(3), true)), Some((Value::Int(2), true))), &[]);
+        // resuming inside a run of equal leading parts reads on from there
+        let twos = range(Some((Value::Int(2), true)), Some((Value::Int(2), true)));
+        let after = encode_key(&[Value::Int(2), Value::Int(2)]);
+        assert_eq!(leads(&tree, &twos, Some(&after)), [(Value::Int(2), 3)]);
+        let open_end = range(Some((Value::Int(2), false)), Some((Value::Int(3), false)));
+        let after = encode_key(&[Value::Double(2.5), Value::Int(1)]);
+        assert_eq!(leads(&tree, &open_end, Some(&after)), [(Value::Double(2.5), 2), (Value::Double(2.5), 3)]);
+        drop(tree);
+        let _ = std::fs::remove_dir_all(p);
     }
 
     #[test]

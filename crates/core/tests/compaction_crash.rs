@@ -150,7 +150,7 @@ fn run_workload_under(
             // Overlapping key space: later merges rewrite earlier keys, so
             // a retirement bug surfaces as losing the *surviving* version.
             let k = (t * 5 + i) % 64;
-            let v = format!("v{t}-{i}-{}", "x".repeat(40));
+            let v = format!("v{t}-{i}-{}", "x".repeat(44));
             if txn.write("kv", &kv_record(k, &v), true).is_ok() {
                 tentative.insert(k, v);
             } else {
@@ -212,7 +212,7 @@ fn workload_exercises_merges_under_every_policy() {
         for t in 0..12i64 {
             let mut txn = db.begin();
             for i in 0..8i64 {
-                let v = format!("v{t}-{i}-{}", "x".repeat(40));
+                let v = format!("v{t}-{i}-{}", "x".repeat(44));
                 txn.write("kv", &kv_record((t * 5 + i) % 64, &v), true).unwrap();
             }
             txn.commit().unwrap();

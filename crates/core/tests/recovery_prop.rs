@@ -905,9 +905,9 @@ fn log_len(dir: &Path) -> u64 {
 
 /// (c) What a put costs the log beside the record's storage encoding:
 /// frame length and checksum (8), tag (1), transaction (8), dataset id (4),
-/// partition (4), delete flag (1), key length (4), the one-int key (4 + 9),
+/// partition (4), delete flag (1), key length (4), the one-int key (9),
 /// value length (4). No field name and no dataset name is in there.
-const WRITE_HEADER_BYTES: u64 = 8 + 1 + 8 + 4 + 4 + 1 + 4 + 13 + 4;
+const WRITE_HEADER_BYTES: u64 = 8 + 1 + 8 + 4 + 4 + 1 + 4 + 9 + 4;
 /// Frame, tag, transaction.
 const COMMIT_BYTES: u64 = 8 + 1 + 8;
 

@@ -14,25 +14,58 @@
 //!
 //! The trailer (last page) records the root page, entry count, bloom-filter
 //! location, and min/max keys; readers open the file by reading the trailer.
-//! Keys are composite ADM keys encoded by `asterix_adm::binary::encode_key`
-//! and ordered by `compare_keys`.
+//! Keys are composite ADM keys encoded by `asterix_adm::binary::encode_key`,
+//! whose bytes order as the values do: a key comparison is a slice
+//! comparison, and the page format below relies on it.
+//!
+//! ## Page layout (leaf and internal pages alike)
+//!
+//! ```text
+//! [is_leaf u8][n u16][next_leaf u64][prefix_len u16][prefix][offset u16 * n][entry * n]
+//! entry = [suffix_len u16][suffix][value_len u16][value]
+//! ```
+//!
+//! The longest common prefix of a page's keys is stored once; an entry holds
+//! what follows it. A search compares its target with the prefix once, then
+//! with suffixes. An internal page's value is a child page number and its
+//! key a *separator*: the shortest byte string above every key of the child
+//! to the left and not above any key of this one (see [`separator`]).
 
 use crate::bloom::BloomFilter;
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le;
-use asterix_adm::binary::compare_keys;
 use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x4254_5245; // "BTRE"
-const PAGE_HEADER: usize = 11; // is_leaf u8 + n u16 + next_leaf u64
+/// "BTR2". "BTRE" was the format whose keys needed decoding to be compared
+/// and whose pages held them whole; a file of it is refused at open.
+const MAGIC: u32 = 0x4254_5232;
+const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
+const ENTRY_OVERHEAD: usize = 2 /* offset */ + 4 /* lens */;
 const NO_NEXT: u64 = u64::MAX;
 
 /// Maximum key+value size storable in one page.
-pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - 2 /* offset */ - 4 /* lens */;
+pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - ENTRY_OVERHEAD;
+
+/// Maximum key size: any two separators, with their child pointers, fit one
+/// internal page — so every level is smaller than the one below it — and the
+/// smallest and the largest key fit the trailer.
+pub const MAX_KEY: usize = PAGE_SIZE / 2 - 32;
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// The shortest byte string `s` with `prev < s <= next`, for `prev < next`:
+/// `next` up to and including the first byte that tells it from `prev`. It
+/// routes a search between two sibling pages as well as `next` itself would.
+fn separator(prev: &[u8], next: &[u8]) -> Vec<u8> {
+    next[..(common_prefix(prev, next) + 1).min(next.len())].to_vec()
+}
 
 // ---------------------------------------------------------------------------
 // Page construction & parsing
@@ -40,112 +73,146 @@ pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - 2 /* offset */ - 4 /* len
 
 struct PageBuilder {
     is_leaf: bool,
-    offsets: Vec<u16>,
-    payload: Vec<u8>,
+    /// `(key start, key length, value length)` of each entry in `bytes`.
+    entries: Vec<(usize, usize, usize)>,
+    /// Whole keys, each followed by its value.
+    bytes: Vec<u8>,
+    /// Length of the prefix the keys so far share (keys arrive sorted, so it
+    /// is what the first and the latest share).
+    prefix_len: usize,
 }
 
 impl PageBuilder {
     fn new(is_leaf: bool) -> Self {
-        PageBuilder { is_leaf, offsets: Vec::new(), payload: Vec::new() }
+        PageBuilder { is_leaf, entries: Vec::new(), bytes: Vec::new(), prefix_len: 0 }
     }
 
-    fn used(&self) -> usize {
-        PAGE_HEADER + self.offsets.len() * 2 + self.payload.len()
+    /// The shared prefix once `key` joins the page.
+    fn prefix_with(&self, key: &[u8]) -> usize {
+        match self.entries.first() {
+            None => key.len(),
+            Some(_) => common_prefix(&self.bytes[..self.prefix_len], key),
+        }
     }
 
+    /// Whether the page still fits its size with `key` added: a shorter
+    /// shared prefix lengthens the suffix of every entry already in it.
     fn fits(&self, key: &[u8], val_len: usize) -> bool {
-        self.used() + 2 + 4 + key.len() + val_len <= PAGE_SIZE
+        let (n, prefix) = (self.entries.len() + 1, self.prefix_with(key));
+        let whole = self.bytes.len() + key.len() + val_len;
+        PAGE_HEADER + prefix + n * ENTRY_OVERHEAD + whole - n * prefix <= PAGE_SIZE
     }
 
     fn push(&mut self, key: &[u8], val: &[u8]) {
-        let off = (PAGE_HEADER + self.payload.len()) as u16; // payload-relative fixup at emit
-        self.offsets.push(off);
-        self.payload.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        self.payload.extend_from_slice(key);
-        self.payload.extend_from_slice(&(val.len() as u16).to_le_bytes());
-        self.payload.extend_from_slice(val);
+        self.prefix_len = self.prefix_with(key);
+        self.entries.push((self.bytes.len(), key.len(), val.len()));
+        self.bytes.extend_from_slice(key);
+        self.bytes.extend_from_slice(val);
     }
 
     fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.entries.is_empty()
     }
 
     /// Emits the page bytes; `next_leaf` is the forward sibling pointer.
     fn emit(&self, next_leaf: u64) -> Vec<u8> {
-        let n = self.offsets.len();
+        let (n, prefix) = (self.entries.len(), self.prefix_len);
         let mut page = vec![0u8; PAGE_SIZE];
         page[0] = self.is_leaf as u8;
         page[1..3].copy_from_slice(&(n as u16).to_le_bytes());
         page[3..11].copy_from_slice(&next_leaf.to_le_bytes());
-        let table = PAGE_HEADER;
-        let data_start = table + 2 * n;
-        for (i, off) in self.offsets.iter().enumerate() {
+        page[11..13].copy_from_slice(&(prefix as u16).to_le_bytes());
+        page[PAGE_HEADER..PAGE_HEADER + prefix].copy_from_slice(&self.bytes[..prefix]);
+        let table = PAGE_HEADER + prefix;
+        let mut at = table + 2 * n;
+        for (i, &(start, klen, vlen)) in self.entries.iter().enumerate() {
             // stored offsets are absolute within the page
-            let abs = (data_start + (*off as usize - PAGE_HEADER)) as u16;
-            page[table + 2 * i..table + 2 * i + 2].copy_from_slice(&abs.to_le_bytes());
+            page[table + 2 * i..table + 2 * i + 2].copy_from_slice(&(at as u16).to_le_bytes());
+            let (suffix, val) = (&self.bytes[start + prefix..start + klen], &self.bytes[start + klen..start + klen + vlen]);
+            for part in [suffix, val] {
+                page[at..at + 2].copy_from_slice(&(part.len() as u16).to_le_bytes());
+                page[at + 2..at + 2 + part.len()].copy_from_slice(part);
+                at += 2 + part.len();
+            }
         }
-        page[data_start..data_start + self.payload.len()].copy_from_slice(&self.payload);
         page
     }
 }
 
-/// Zero-copy view over a tree page.
-pub(crate) struct PageView<'a> {
+/// Zero-copy view over a tree page. What it reads comes off disk, so a
+/// corrupt page surfaces as `StorageError::Corrupt`, not a panic.
+struct PageView<'a> {
     page: &'a [u8],
 }
 
 impl<'a> PageView<'a> {
-    pub(crate) fn new(page: &'a [u8]) -> Self {
+    fn new(page: &'a [u8]) -> Self {
         PageView { page }
     }
 
-    pub(crate) fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.page[0] == 1
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         le::u16_at(self.page, 1) as usize
     }
 
-    pub(crate) fn next_leaf(&self) -> Option<u64> {
+    fn next_leaf(&self) -> Option<u64> {
         let v = le::u64_at(self.page, 3);
         (v != NO_NEXT).then_some(v)
     }
 
-    /// Entry `i`. The offset table and the lengths inside it come off disk,
-    /// so a corrupt page surfaces as `StorageError::Corrupt`, not a panic.
-    pub(crate) fn entry(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
-        let off = le::try_u16_at(self.page, PAGE_HEADER + 2 * i)? as usize;
-        let klen = le::try_u16_at(self.page, off)? as usize;
-        let key = le::try_bytes_at(self.page, off + 2, klen)?;
-        let voff = off + 2 + klen;
-        let vlen = le::try_u16_at(self.page, voff)? as usize;
-        Ok((key, le::try_bytes_at(self.page, voff + 2, vlen)?))
+    /// What every key of the page starts with.
+    fn prefix(&self) -> Result<&'a [u8]> {
+        le::try_bytes_at(self.page, PAGE_HEADER, le::u16_at(self.page, 11) as usize)
     }
 
-    /// Index of the first entry with key >= target (lower bound).
-    pub(crate) fn lower_bound(&self, target: &[u8]) -> Result<usize> {
+    /// Entry `i`: its key past the page's prefix, and its value.
+    fn entry(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
+        let table = PAGE_HEADER + le::u16_at(self.page, 11) as usize;
+        let off = le::try_u16_at(self.page, table + 2 * i)? as usize;
+        let klen = le::try_u16_at(self.page, off)? as usize;
+        let suffix = le::try_bytes_at(self.page, off + 2, klen)?;
+        let voff = off + 2 + klen;
+        let vlen = le::try_u16_at(self.page, voff)? as usize;
+        Ok((suffix, le::try_bytes_at(self.page, voff + 2, vlen)?))
+    }
+
+    /// Index of the first entry with key >= target (lower bound), and
+    /// whether that entry's key is the target.
+    fn search(&self, target: &[u8]) -> Result<(usize, bool)> {
+        let prefix = self.prefix()?;
+        // the prefix decides alone unless the target starts with it
+        match target[..target.len().min(prefix.len())].cmp(prefix) {
+            Ordering::Less => return Ok((0, false)),
+            Ordering::Greater => return Ok((self.len(), false)),
+            Ordering::Equal => {}
+        }
+        let rest = &target[prefix.len()..];
         let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if compare_keys(self.entry(mid)?.0, target) == Ordering::Less {
+            if self.entry(mid)?.0 < rest {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        Ok(lo)
+        Ok((lo, lo < self.len() && self.entry(lo)?.0 == rest))
     }
 
-    /// Index of the child to descend into for `target` (internal pages):
-    /// the rightmost entry with key <= target, clamped to 0.
-    fn child_index(&self, target: &[u8]) -> Result<usize> {
-        let lb = self.lower_bound(target)?;
-        if lb < self.len() && compare_keys(self.entry(lb)?.0, target) == Ordering::Equal {
-            Ok(lb)
-        } else {
-            Ok(lb.saturating_sub(1))
-        }
+    /// The child to descend into for `target` (internal pages): that of the
+    /// rightmost entry with key <= target, clamped to the first.
+    fn child_for(&self, target: &[u8]) -> Result<u64> {
+        let (lb, exact) = self.search(target)?;
+        self.child(if exact { lb } else { lb.saturating_sub(1) })
+    }
+
+    /// The page number entry `i` of an internal page points to.
+    fn child(&self, i: usize) -> Result<u64> {
+        let bytes = self.entry(i)?.1.try_into();
+        Ok(u64::from_le_bytes(bytes.map_err(|_| StorageError::Corrupt("internal entry is not a child pointer".into()))?))
     }
 }
 
@@ -157,10 +224,11 @@ impl<'a> PageView<'a> {
 pub struct BTreeBuilder {
     writer: PageFileWriter,
     leaf: PageBuilder,
-    /// First key of each completed page at the level below, with its page no.
+    /// Separator of each completed page at the level below, with its page no.
     pending_level: Vec<(Vec<u8>, u64)>,
-    last_key: Option<Vec<u8>>,
-    first_key: Option<Vec<u8>>,
+    /// The key added last (empty before the first): one buffer, reused.
+    last_key: Vec<u8>,
+    first_key: Vec<u8>,
     entry_count: u64,
     bloom: Option<BloomFilter>,
     leaves_written: u64,
@@ -174,8 +242,8 @@ impl BTreeBuilder {
             writer,
             leaf: PageBuilder::new(true),
             pending_level: Vec::new(),
-            last_key: None,
-            first_key: None,
+            last_key: Vec::new(),
+            first_key: Vec::new(),
             entry_count: 0,
             bloom: (expected_keys > 0).then(|| BloomFilter::new(expected_keys, 10)),
             leaves_written: 0,
@@ -184,39 +252,36 @@ impl BTreeBuilder {
 
     /// Appends the next pair; keys must arrive in strictly increasing order.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if key.len() > MAX_KEY {
+            return Err(StorageError::RecordTooLarge { size: key.len(), max: MAX_KEY });
+        }
         if key.len() + value.len() > MAX_ENTRY {
             return Err(StorageError::RecordTooLarge {
                 size: key.len() + value.len(),
                 max: MAX_ENTRY,
             });
         }
-        if let Some(last) = &self.last_key {
-            if compare_keys(last, key) != Ordering::Less {
-                return Err(StorageError::Invalid(
-                    "bulk-load keys must be strictly increasing".into(),
-                ));
-            }
-        }
-        if self.first_key.is_none() {
-            self.first_key = Some(key.to_vec());
+        if self.entry_count == 0 {
+            self.first_key = key.to_vec();
+        } else if self.last_key.as_slice() >= key {
+            return Err(StorageError::Invalid(
+                "bulk-load keys must be strictly increasing".into(),
+            ));
         }
         if !self.leaf.fits(key, value.len()) {
             self.finish_leaf()?;
         }
         if self.leaf.is_empty() {
-            self.pending_level.push((key.to_vec(), self.leaf_page_no()));
+            self.pending_level.push((separator(&self.last_key, key), self.leaves_written));
         }
         self.leaf.push(key, value);
         if let Some(b) = &mut self.bloom {
             b.insert(key);
         }
-        self.last_key = Some(key.to_vec());
+        self.last_key.clear();
+        self.last_key.extend_from_slice(key);
         self.entry_count += 1;
         Ok(())
-    }
-
-    fn leaf_page_no(&self) -> u64 {
-        self.leaves_written
     }
 
     /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order, so
@@ -238,49 +303,30 @@ impl BTreeBuilder {
     pub fn finish(mut self) -> Result<BuiltTree> {
         self.finish_leaf()?;
         let n_leaves = self.leaves_written;
-        // Build internal levels bottom-up.
+        // Build internal levels bottom-up; a page's separator is that of its
+        // first child.
         let mut level = std::mem::take(&mut self.pending_level);
-        let mut root_page: u64 = 0; // single-leaf or empty tree roots at page 0
         let mut next_page_no = n_leaves;
         while level.len() > 1 {
             let mut upper: Vec<(Vec<u8>, u64)> = Vec::new();
             let mut pb = PageBuilder::new(false);
-            let mut first_of_page: Option<Vec<u8>> = None;
-            for (key, child) in level {
-                let child_bytes = child.to_le_bytes();
-                if !pb.fits(&key, child_bytes.len()) {
-                    let emitted = pb.emit(NO_NEXT);
-                    self.writer.append(&emitted)?;
-                    let first = first_of_page.take().ok_or_else(|| {
-                        StorageError::Invalid(
-                            "internal page emitted without a first key".into(),
-                        )
-                    })?;
-                    upper.push((first, next_page_no));
+            for (sep, child) in level {
+                if !pb.fits(&sep, 8) {
+                    self.writer.append(&pb.emit(NO_NEXT))?;
                     next_page_no += 1;
                     pb = PageBuilder::new(false);
                 }
-                if pb.is_empty() {
-                    first_of_page = Some(key.clone());
+                pb.push(&sep, &child.to_le_bytes());
+                if pb.entries.len() == 1 {
+                    upper.push((sep, next_page_no));
                 }
-                pb.push(&key, &child_bytes);
             }
-            if !pb.is_empty() {
-                let emitted = pb.emit(NO_NEXT);
-                self.writer.append(&emitted)?;
-                let first = first_of_page.take().ok_or_else(|| {
-                    StorageError::Invalid(
-                        "internal page emitted without a first key".into(),
-                    )
-                })?;
-                upper.push((first, next_page_no));
-                next_page_no += 1;
-            }
+            self.writer.append(&pb.emit(NO_NEXT))?;
+            next_page_no += 1;
             level = upper;
         }
-        if let Some((_, page)) = level.first() {
-            root_page = *page;
-        }
+        // a single-leaf or empty tree roots at page 0
+        let root_page = level.first().map_or(0, |(_, page)| *page);
         // Bloom pages.
         let bloom_bytes = self.bloom.as_ref().map(|b| b.to_bytes()).unwrap_or_default();
         let bloom_start = next_page_no;
@@ -292,8 +338,7 @@ impl BTreeBuilder {
             bloom_pages += 1;
         }
         // Trailer.
-        let min_key = self.first_key.clone().unwrap_or_default();
-        let max_key = self.last_key.clone().unwrap_or_default();
+        let (min_key, max_key) = (self.first_key, self.last_key);
         let mut trailer = vec![0u8; PAGE_SIZE];
         let mut w = 0usize;
         let put = |bytes: &[u8], trailer: &mut Vec<u8>, w: &mut usize| {
@@ -373,7 +418,10 @@ impl DiskBTree {
         let trailer = cache.manager().read_page(file, n_pages - 1)?;
         let magic = le::try_u32_at(&trailer, 0)?;
         if magic != MAGIC {
-            return Err(StorageError::Corrupt("bad btree magic".into()));
+            return Err(StorageError::Corrupt(format!(
+                "bad btree magic {magic:#010x} (this version reads {MAGIC:#010x}): not a B+ tree \
+                 file, or one written before keys were memcomparable, which is not read"
+            )));
         }
         let root_page = le::try_u64_at(&trailer, 4)?;
         let entry_count = le::try_u64_at(&trailer, 12)?;
@@ -434,7 +482,8 @@ impl DiskBTree {
         self.bloom.as_ref().is_none_or(|b| b.may_contain(key))
     }
 
-    fn leaf_for(&self, key: &[u8]) -> Result<(Arc<Vec<u8>>, u64)> {
+    /// The leaf `key` belongs to — the leftmost leaf without a key.
+    fn leaf_for(&self, key: Option<&[u8]>) -> Result<(Arc<Vec<u8>>, u64)> {
         let mut page_no = self.root_page;
         loop {
             let page = self.cache.get(self.file, page_no)?;
@@ -442,11 +491,10 @@ impl DiskBTree {
             if view.is_leaf() {
                 return Ok((page, page_no));
             }
-            let idx = view.child_index(key)?;
-            let (_, child) = view.entry(idx)?;
-            page_no = u64::from_le_bytes(child.try_into().map_err(|_| {
-                StorageError::Corrupt("internal entry is not a child pointer".into())
-            })?);
+            page_no = match key {
+                Some(key) => view.child_for(key)?,
+                None => view.child(0)?,
+            };
         }
     }
 
@@ -455,21 +503,15 @@ impl DiskBTree {
         if self.entry_count == 0 || !self.may_contain(key) {
             return Ok(None);
         }
-        if compare_keys(key, &self.min_key) == Ordering::Less
-            || compare_keys(key, &self.max_key) == Ordering::Greater
-        {
+        if key < self.min_key.as_slice() || key > self.max_key.as_slice() {
             return Ok(None);
         }
-        let (page, _) = self.leaf_for(key)?;
+        let (page, _) = self.leaf_for(Some(key))?;
         let view = PageView::new(&page);
-        let idx = view.lower_bound(key)?;
-        if idx < view.len() {
-            let (k, v) = view.entry(idx)?;
-            if compare_keys(k, key) == Ordering::Equal {
-                return Ok(Some(v.to_vec()));
-            }
+        match view.search(key)? {
+            (idx, true) => Ok(Some(view.entry(idx)?.1.to_vec())),
+            _ => Ok(None),
         }
-        Ok(None)
     }
 
     /// Range scan over `[lo, hi]` with the given bounds (`Bound::Unbounded`
@@ -484,33 +526,14 @@ impl DiskBTree {
         }
         let (page, page_no, idx) = match lo {
             Bound::Unbounded => {
-                // descend to the leftmost leaf
-                let mut page_no = self.root_page;
-                loop {
-                    let page = self.cache.get(self.file, page_no)?;
-                    let view = PageView::new(&page);
-                    if view.is_leaf() {
-                        break (page, page_no, 0usize);
-                    }
-                    let (_, child) = view.entry(0)?;
-                    page_no = u64::from_le_bytes(child.try_into().map_err(|_| {
-                        StorageError::Corrupt(
-                            "internal entry is not a child pointer".into(),
-                        )
-                    })?);
-                }
+                let (page, page_no) = self.leaf_for(None)?;
+                (page, page_no, 0usize)
             }
             Bound::Included(k) | Bound::Excluded(k) => {
-                let (page, page_no) = self.leaf_for(k)?;
-                let view = PageView::new(&page);
-                let mut idx = view.lower_bound(k)?;
-                if matches!(lo, Bound::Excluded(_))
-                    && idx < view.len()
-                    && compare_keys(view.entry(idx)?.0, k) == Ordering::Equal
-                {
-                    idx += 1;
-                }
-                (page, page_no, idx)
+                let (page, page_no) = self.leaf_for(Some(k))?;
+                let (idx, exact) = PageView::new(&page).search(k)?;
+                let skip = exact && matches!(lo, Bound::Excluded(_));
+                (page, page_no, idx + skip as usize)
             }
         };
         Ok(BTreeRangeIter {
@@ -605,8 +628,8 @@ impl Iterator for BTreeRangeIter {
                     }
                 }
             }
-            let (k, v) = match view.entry(self.idx) {
-                Ok(e) => e,
+            let (key, v) = match view.prefix().and_then(|p| Ok((p, view.entry(self.idx)?))) {
+                Ok((prefix, (suffix, v))) => ([prefix, suffix].concat(), v),
                 Err(e) => {
                     self.page = None;
                     return Some(Err(e));
@@ -615,14 +638,14 @@ impl Iterator for BTreeRangeIter {
             // upper bound check
             let in_range = match &self.hi {
                 Bound::Unbounded => true,
-                Bound::Included(h) => compare_keys(k, h) != Ordering::Greater,
-                Bound::Excluded(h) => compare_keys(k, h) == Ordering::Less,
+                Bound::Included(h) => key <= *h,
+                Bound::Excluded(h) => key < *h,
             };
             if !in_range {
                 self.page = None;
                 return None;
             }
-            let item = (k.to_vec(), v.to_vec());
+            let item = (key, v.to_vec());
             self.idx += 1;
             return Some(Ok(item));
         }

@@ -301,7 +301,9 @@ impl<K: ComponentKind> Drop for Component<K> {
 // The manifest
 // ---------------------------------------------------------------------------
 
-const MANIFEST_MAGIC: u32 = 0x464d_5841; // "AXMF"
+/// "AXM2". "AXMF" manifests name components whose keys are not
+/// memcomparable; one of them is refused, with the data directory it is in.
+const MANIFEST_MAGIC: u32 = 0x324d_5841;
 const MANIFEST_SUFFIX: &str = ".manifest";
 
 fn manifest_path(dir: &Path, index: &str) -> std::path::PathBuf {
@@ -352,7 +354,14 @@ impl Manifest {
     fn decode(buf: &[u8]) -> Result<Manifest> {
         let corrupt = || StorageError::Corrupt("bad manifest".into());
         let body = buf.len().checked_sub(4).ok_or_else(corrupt)?;
-        if le::try_u32_at(buf, 0)? != MANIFEST_MAGIC || le::try_u32_at(buf, body)? != fnv1a(&buf[..body]) {
+        let magic = le::try_u32_at(buf, 0)?;
+        if magic != MANIFEST_MAGIC {
+            return Err(StorageError::Corrupt(format!(
+                "bad manifest magic {magic:#010x} (this version reads {MANIFEST_MAGIC:#010x}): not a \
+                 manifest, or one written before keys were memcomparable, which is not read"
+            )));
+        }
+        if le::try_u32_at(buf, body)? != fnv1a(&buf[..body]) {
             return Err(corrupt());
         }
         let mut r = 4usize;

@@ -12,7 +12,7 @@
 use crate::cache::BufferCache;
 use crate::error::Result;
 use crate::lsm::{LsmConfig, LsmTree};
-use asterix_adm::binary::{encode_key, prepend_key_part, strip_key_part};
+use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part};
 use asterix_adm::Value;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -53,16 +53,16 @@ impl InvertedIndex {
 
     /// The distinct tokens of `text`, each as the posting key it has with
     /// the encoded primary key `pk`.
-    fn postings(text: &str, pk: &[u8]) -> Result<Vec<Vec<u8>>> {
+    fn postings(text: &str, pk: &[u8]) -> Vec<Vec<u8>> {
         let mut tokens = tokenize(text);
         tokens.sort_unstable();
         tokens.dedup();
-        tokens.into_iter().map(|tok| Ok(prepend_key_part(&Value::String(tok), pk)?)).collect()
+        tokens.into_iter().map(|tok| prepend_key_part(&Value::String(tok), pk)).collect()
     }
 
     /// Indexes `text` under the encoded primary key `pk`.
     pub fn insert_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
-        for key in Self::postings(text, pk)? {
+        for key in Self::postings(text, pk) {
             self.tree.upsert(key, Vec::new())?;
         }
         Ok(())
@@ -70,7 +70,7 @@ impl InvertedIndex {
 
     /// Removes the postings of `text` for `pk` (on delete/update).
     pub fn delete_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
-        for key in Self::postings(text, pk)? {
+        for key in Self::postings(text, pk) {
             self.tree.delete(key)?;
         }
         Ok(())
@@ -78,19 +78,14 @@ impl InvertedIndex {
 
     /// Encoded primary keys of records containing `token` (case-insensitive).
     pub fn search_token(&self, token: &str) -> Result<Vec<Vec<u8>>> {
+        // the postings of a token are the keys its one-part key starts, and
+        // the primary key is what follows it
         let lo = encode_key(&[Value::String(token.to_lowercase())]);
-        // All composite keys whose first part equals `token` sort directly
-        // after the 1-part prefix key and before the next token, and begin,
-        // past the part count, with the token's (length-prefixed) bytes.
-        let mut out = Vec::new();
-        for entry in self.tree.range_iter(Bound::Included(lo.as_slice()), Bound::Unbounded)? {
-            let (k, _) = entry?;
-            if k.get(4..).is_none_or(|parts| !parts.starts_with(&lo[4..])) {
-                break;
-            }
-            out.push(strip_key_part(&k)?);
-        }
-        Ok(out)
+        let hi = key_prefix_end(lo.clone());
+        self.tree
+            .range_iter(Bound::Included(lo.as_slice()), Bound::Excluded(hi.as_slice()))?
+            .map(|entry| Ok(entry?.0.split_off(lo.len())))
+            .collect()
     }
 
     /// Encoded primary keys of records containing *all* the query's tokens

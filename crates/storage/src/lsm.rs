@@ -22,9 +22,7 @@ use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
-use asterix_adm::binary::compare_keys;
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -32,74 +30,6 @@ use std::sync::Arc;
 pub use crate::harness::{
     manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy,
 };
-
-// ---------------------------------------------------------------------------
-// Key wrapper ordering encoded keys by the ADM total order
-// ---------------------------------------------------------------------------
-
-/// Encoded composite key ordered by `asterix_adm::binary::compare_keys`
-/// (the ADM total order), so `Int(2)` and `Double(2.0)` collide as intended.
-#[derive(Debug, Clone)]
-pub struct KeyBytes(pub Vec<u8>);
-
-impl PartialEq for KeyBytes {
-    fn eq(&self, other: &Self) -> bool {
-        compare_keys(&self.0, &other.0) == Ordering::Equal
-    }
-}
-impl Eq for KeyBytes {}
-impl PartialOrd for KeyBytes {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for KeyBytes {
-    fn cmp(&self, other: &Self) -> Ordering {
-        compare_keys(&self.0, &other.0)
-    }
-}
-
-/// The borrowed form of [`KeyBytes`], for looking one up in an ordered map
-/// by a key the caller only has a slice of: `&key as &dyn KeyView`.
-pub(crate) trait KeyView {
-    fn key_bytes(&self) -> &[u8];
-}
-
-impl KeyView for KeyBytes {
-    fn key_bytes(&self) -> &[u8] {
-        &self.0
-    }
-}
-
-impl KeyView for &[u8] {
-    fn key_bytes(&self) -> &[u8] {
-        self
-    }
-}
-
-impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for KeyBytes {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
-
-// the same order as `KeyBytes`', which `Borrow` requires
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for dyn KeyView + '_ {}
-impl PartialOrd for dyn KeyView + '_ {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for dyn KeyView + '_ {
-    fn cmp(&self, other: &Self) -> Ordering {
-        compare_keys(self.key_bytes(), other.key_bytes())
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Entries & memory component
@@ -144,7 +74,7 @@ impl Entry {
 /// budget (Figure 2's "LSM memory components" slice of node memory).
 #[derive(Debug, Default)]
 pub struct MemComponent {
-    map: BTreeMap<KeyBytes, Entry>,
+    map: BTreeMap<Vec<u8>, Entry>,
     bytes: usize,
 }
 
@@ -172,35 +102,38 @@ impl MemComponent {
     /// Inserts/overwrites a key.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
         self.bytes += key.len() + value.len() + 32;
-        self.map.insert(KeyBytes(key), Entry::Put(value));
+        self.map.insert(key, Entry::Put(value));
     }
 
     /// Inserts a tombstone.
     pub fn delete(&mut self, key: Vec<u8>) {
         self.bytes += key.len() + 32;
-        self.map.insert(KeyBytes(key), Entry::Tombstone);
+        self.map.insert(key, Entry::Tombstone);
     }
 
     /// Latest entry for `key`, if buffered here.
     pub fn get(&self, key: &[u8]) -> Option<&Entry> {
-        self.map.get(&key as &dyn KeyView)
+        self.map.get(key)
     }
 
     /// Ordered iteration over all buffered entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&KeyBytes, &Entry)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&Vec<u8>, &Entry)> {
         self.map.iter()
     }
 
-    /// Ordered iteration over a key range.
+    /// Ordered iteration over a key range; nothing when `lo` lies past `hi`.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
-    ) -> impl Iterator<Item = (&KeyBytes, &Entry)> {
-        fn view<'a>(bound: &'a Bound<&'a [u8]>) -> Bound<&'a (dyn KeyView + 'a)> {
-            bound.as_ref().map(|key| key as &dyn KeyView)
-        }
-        self.map.range::<dyn KeyView, _>((view(&lo), view(&hi)))
+    ) -> impl Iterator<Item = (&Vec<u8>, &Entry)> {
+        // `BTreeMap::range` panics on such bounds
+        let empty = match (lo, hi) {
+            (Bound::Included(l), Bound::Included(h)) => l > h,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => l >= h,
+            _ => false,
+        };
+        (!empty).then(|| self.map.range::<[u8], _>((lo, hi))).into_iter().flatten()
     }
 }
 
@@ -305,7 +238,7 @@ impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> KWayMerge<I, V> {
         let mut best: Option<(usize, &[u8])> = None;
         for (rank, head) in self.heads.iter().enumerate() {
             let Some((key, _)) = head else { continue };
-            if best.is_none_or(|(_, bkey)| compare_keys(key, bkey) == Ordering::Less) {
+            if best.is_none_or(|(_, bkey)| key.as_slice() < bkey) {
                 best = Some((rank, key));
             }
         }
@@ -313,8 +246,7 @@ impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> KWayMerge<I, V> {
         let winner = self.heads[winner_rank].take();
         let Some((winner_key, _)) = &winner else { return Ok(None) };
         for rank in winner_rank + 1..self.heads.len() {
-            while matches!(&self.heads[rank], Some((k, _)) if compare_keys(k, winner_key) == Ordering::Equal)
-            {
+            while matches!(&self.heads[rank], Some((k, _)) if k == winner_key) {
                 self.heads[rank] = None;
                 self.pull(rank)?;
             }
@@ -419,7 +351,7 @@ impl ComponentKind for BTreeKind {
     fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
         let mut builder = self.builder(id, mem.len())?;
         for (k, e) in mem.iter() {
-            builder.add(&k.0, &self.encode_disk(&e.encode()))?;
+            builder.add(k, &self.encode_disk(&e.encode()))?;
         }
         self.seal(builder, mem.len() as u64)
     }
@@ -556,7 +488,7 @@ impl Lsm<BTreeKind> {
         let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 2);
         for mem in self.mem.newest_first() {
             streams.push(Box::new(
-                mem.range(lo, hi).map(|(k, e)| Ok((k.0.clone(), e.clone()))),
+                mem.range(lo, hi).map(|(k, e)| Ok((k.clone(), e.clone()))),
             ));
         }
         for comp in &snapshot {

@@ -21,7 +21,6 @@ use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Lsm, MemBuf, MergePolicy};
 use crate::io::FileId;
-use crate::lsm::KeyBytes;
 use crate::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_adm::{Point, Rectangle};
 use std::collections::{BTreeSet, HashSet};
@@ -99,7 +98,7 @@ impl Visibility {
         let found = mem.rtree.search(query);
         let examined = found.len() as u64;
         self.admit(found);
-        self.deleted.extend(mem.tombstones.iter().map(|k| k.0.clone()));
+        self.deleted.extend(mem.tombstones.iter().cloned());
         examined
     }
 
@@ -125,7 +124,7 @@ impl Visibility {
 #[derive(Default)]
 pub struct RTreeMem {
     rtree: MemRTree,
-    tombstones: BTreeSet<KeyBytes>,
+    tombstones: BTreeSet<Vec<u8>>,
     /// Approximate bytes buffered in `tombstones`.
     tombstone_bytes: usize,
 }
@@ -164,7 +163,7 @@ impl RTreeKind {
         &self,
         id: u64,
         entries: Vec<SpatialEntry>,
-        tombstones: &BTreeSet<KeyBytes>,
+        tombstones: &BTreeSet<Vec<u8>>,
     ) -> Result<Built<RTreeDisk>> {
         let written = (entries.len() + tombstones.len()) as u64;
         let manager = self.cache.manager();
@@ -178,7 +177,7 @@ impl RTreeKind {
             let writer = manager.bulk_writer(&format!("{}_c{}.delkeys", self.config.name, id))?;
             let mut b = BTreeBuilder::new(writer, tombstones.len());
             for k in tombstones {
-                b.add(&k.0, &[])?;
+                b.add(k, &[])?;
             }
             Some(DiskBTree::from_built(Arc::clone(&self.cache), b.finish()?))
         };
@@ -263,7 +262,7 @@ impl ComponentKind for RTreeKind {
         let mut tombstones = BTreeSet::new();
         if !run.includes_oldest {
             // something older is left for the deleted keys to mask
-            tombstones.extend(run.walk.deleted.into_iter().map(KeyBytes));
+            tombstones.extend(run.walk.deleted);
         }
         self.build(run.id, run.walk.live, &tombstones)
     }
@@ -299,7 +298,7 @@ impl Lsm<RTreeKind> {
     pub fn delete(&mut self, mbr: &Rectangle, key: &[u8]) -> Result<()> {
         self.shared.count_ingested();
         let mem = self.mem.active_mut();
-        if !mem.rtree.remove(mbr, key) && mem.tombstones.insert(KeyBytes(key.to_vec())) {
+        if !mem.rtree.remove(mbr, key) && mem.tombstones.insert(key.to_vec()) {
             mem.tombstone_bytes += key.len() + 32;
         }
         self.settle(false)

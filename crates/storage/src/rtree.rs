@@ -20,7 +20,9 @@ use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use asterix_adm::{Point, Rectangle};
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x5254_5245; // "RTRE"
+/// "RTR2". "RTRE" entries carried primary keys in the encoding that was not
+/// memcomparable; a file of it is refused at open.
+const MAGIC: u32 = 0x5254_5232;
 const INTERNAL_CAP: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -521,7 +523,10 @@ impl DiskRTree {
         let trailer = cache.manager().read_page(file, n_pages - 1)?;
         let magic = crate::le::try_u32_at(&trailer, 0)?;
         if magic != MAGIC {
-            return Err(StorageError::Corrupt("bad rtree magic".into()));
+            return Err(StorageError::Corrupt(format!(
+                "bad rtree magic {magic:#010x} (this version reads {MAGIC:#010x}): not an R-tree \
+                 file, or one written before keys were memcomparable, which is not read"
+            )));
         }
         let root_page = crate::le::try_u64_at(&trailer, 4)?;
         let entry_count = crate::le::try_u64_at(&trailer, 12)?;

@@ -73,9 +73,10 @@ pub enum WalRecord {
     FeedCursor { txn_id: u64, feed: String, seq: u64 },
 }
 
-/// Tag byte of [`WalRecord::Write`]. Not 1, which [`WalRecord::Update`] had:
-/// a segment written before `Write` existed is refused, not misread.
-const TAG_WRITE: u8 = 6;
+/// Tag byte of [`WalRecord::Write`]. Not 1, which [`WalRecord::Update`] had,
+/// nor 6, under which its key was in the encoding that was not
+/// memcomparable: a segment written with either is refused, not misread.
+const TAG_WRITE: u8 = 7;
 const TAG_UPDATE: u8 = 1;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -905,6 +906,27 @@ mod tests {
         assert!(matches!(read_log(&path), Err(StorageError::Corrupt(_))));
         assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "nothing was truncated");
+    }
+
+    #[test]
+    fn a_write_frame_under_the_retired_tag_refuses_the_log() {
+        // tag 6: today's layout around a key that is not memcomparable
+        let mut log = Vec::new();
+        frame_into(&mut log, |out| {
+            let tag_at = out.len();
+            encode_write(out, 1, 7, 0, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0", Some(b"v"));
+            out[tag_at] = 6;
+        });
+        frame_into(&mut log, |out| WalRecord::Commit { txn_id: 1 }.encode_into(out));
+        let dir = TempDir::new();
+        let path = dir.path().join("wal.log");
+        std::fs::write(&path, &log).unwrap();
+        match read_log(&path) {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("tag Some(6)") && why.contains("another version"), "{why}"),
+            other => panic!("expected the log to be refused, got {other:?}"),
+        }
+        assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), log, "nothing was truncated");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use asterix_adm::binary::encode_key;
 use asterix_adm::{Point, Rectangle, Value};
-use asterix_storage::btree::{BTreeBuilder, DiskBTree};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
@@ -15,7 +15,7 @@ use asterix_storage::stats::IoStats;
 use asterix_storage::{BackgroundExecutor, BackgroundJob, JobStep};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -326,6 +326,131 @@ proptest! {
 /// overrides proptest's own env lookup).
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(24)
+}
+
+fn as_slice(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
+    b.as_ref().map(Vec::as_slice)
+}
+
+/// Key sets that strain a shared-prefix page: a few byte values, the least
+/// and the greatest among them, so that keys are often prefixes of one
+/// another; every key behind `shared` bytes they have in common; and values
+/// that are empty, short, or as long as a page takes (`fill`), which makes
+/// one-entry leaves and, past a few hundred of them, a second internal level.
+fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Vec<u8>, usize, u8)> {
+    const BYTES: [u8; 5] = [0x00, 0x01, b'a', 0xFE, 0xFF];
+    let byte = || (0usize..BYTES.len()).prop_map(|i| BYTES[i]);
+    let shared = prop_oneof![Just(0usize), Just(1), Just(9), Just(300), Just(3_000)];
+    let suffixes = prop_oneof![
+        4 => prop::collection::btree_set(prop::collection::vec(byte(), 0..10), 1..300),
+        2 => prop::collection::btree_set(prop::collection::vec(byte(), 0..10), 500..800),
+    ];
+    (suffixes, prop::collection::vec(byte(), 0..14), shared, 0u8..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A B+ tree bulk-loaded from sorted byte keys — whatever prefix its
+    /// pages share and however short its separators get — answers point gets
+    /// and range scans like a `BTreeMap` of the same pairs, and says the
+    /// same after it is reopened from its trailer.
+    #[test]
+    fn btree_pages_answer_like_an_ordered_map(
+        (suffixes, stray, shared, fill) in page_keys(),
+        bounds in prop::collection::vec((0usize..1_000, 0usize..1_000, 0u8..3, 0u8..3), 1..12),
+    ) {
+        let key = |suffix: &[u8]| [vec![b'p'; shared].as_slice(), suffix].concat();
+        let model: BTreeMap<Vec<u8>, Vec<u8>> = suffixes
+            .iter()
+            .enumerate()
+            .map(|(i, suffix)| {
+                let key = key(suffix);
+                let len = match (fill, i % 7) {
+                    (0, _) => 0,
+                    (1, _) => 6,
+                    (2, _) | (3, 0) => MAX_ENTRY - key.len(),
+                    _ => 40,
+                };
+                (key, vec![i as u8; len])
+            })
+            .collect();
+        let (cache, _d) = setup(64);
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("p.btree").unwrap(), model.len());
+        for (k, v) in &model {
+            b.add(k, v).unwrap();
+        }
+        let built = b.finish().unwrap();
+        let reopened = DiskBTree::open(Arc::clone(&cache), built.file).unwrap();
+        let t = DiskBTree::from_built(Arc::clone(&cache), built);
+        prop_assert_eq!((reopened.len(), reopened.min_key(), reopened.max_key()), (t.len(), t.min_key(), t.max_key()));
+        // every key, its neighbours in byte order, and keys that are not there
+        let mut probes: Vec<Vec<u8>> = vec![Vec::new(), key(&stray), stray, vec![b'p'; shared], vec![b'q']];
+        for k in model.keys() {
+            probes.push(k.clone());
+            probes.push([k.as_slice(), &[0]].concat());
+            probes.push(k[..k.len().saturating_sub(1)].to_vec());
+        }
+        for p in &probes {
+            prop_assert_eq!(&reopened.get(p).unwrap(), &model.get(p).cloned(), "get {:?}", p);
+        }
+        for (lo, hi, lo_kind, hi_kind) in bounds {
+            let (lo, hi) = (&probes[lo % probes.len()], &probes[hi % probes.len()]);
+            let bound = |kind: u8, k: &Vec<u8>| match kind {
+                0 => Bound::Unbounded,
+                1 => Bound::Included(k.clone()),
+                _ => Bound::Excluded(k.clone()),
+            };
+            let (lo, hi) = (bound(lo_kind, lo), bound(hi_kind, hi));
+            let got: Vec<(Vec<u8>, Vec<u8>)> =
+                t.range(as_slice(&lo), hi.clone()).unwrap().map(|r| r.unwrap()).collect();
+            // `BTreeMap::range` panics on bounds that cross
+            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                .iter()
+                .filter(|(k, _)| (as_slice(&lo), as_slice(&hi)).contains(&k.as_slice()))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(got, want, "range {:?}..{:?}", lo, hi);
+        }
+    }
+}
+
+/// A component file of the format before keys were memcomparable ("BTRE" in
+/// its trailer) is refused by name, not searched with the wrong comparator.
+#[test]
+fn btree_file_of_the_retired_format_is_refused() {
+    let (cache, _d) = setup(8);
+    let mut w = cache.manager().bulk_writer("old.btree").unwrap();
+    // one leaf as that format laid it out: a 13-byte key, whole, in its entry
+    let old_key = [1u8, 0, 0, 0, 3, 42, 0, 0, 0, 0, 0, 0, 0];
+    let mut leaf = vec![0u8; asterix_storage::PAGE_SIZE];
+    leaf[0] = 1;
+    leaf[1..3].copy_from_slice(&1u16.to_le_bytes());
+    leaf[3..11].copy_from_slice(&1u64.to_le_bytes());
+    leaf[11..13].copy_from_slice(&13u16.to_le_bytes());
+    leaf[13..15].copy_from_slice(&13u16.to_le_bytes());
+    leaf[15..28].copy_from_slice(&old_key);
+    leaf[28..30].copy_from_slice(&1u16.to_le_bytes());
+    leaf[30] = b'v';
+    w.append(&leaf).unwrap();
+    let mut trailer = vec![0u8; asterix_storage::PAGE_SIZE];
+    trailer[0..4].copy_from_slice(&0x4254_5245u32.to_le_bytes());
+    trailer[12..20].copy_from_slice(&1u64.to_le_bytes()); // one entry, rooted at page 0
+    trailer[20..28].copy_from_slice(&1u64.to_le_bytes());
+    trailer[28..36].copy_from_slice(&1u64.to_le_bytes());
+    for at in [44, 61] {
+        trailer[at..at + 4].copy_from_slice(&13u32.to_le_bytes());
+        trailer[at + 4..at + 17].copy_from_slice(&old_key);
+    }
+    w.append(&trailer).unwrap();
+    let file = w.finish().unwrap();
+    match DiskBTree::open(cache, file) {
+        Err(asterix_storage::StorageError::Corrupt(why)) => {
+            assert!(why.contains("0x42545245") && why.contains("memcomparable"), "{why}")
+        }
+        Err(other) => panic!("refused for the wrong reason: {other:?}"),
+        Ok(_) => panic!("a file of the retired format was opened"),
+    }
 }
 
 /// One step of the reopen model check: upsert, delete, flush, merge the

@@ -11,7 +11,7 @@
 //! reproducing the study's punchline: end-to-end, the differences wash out,
 //! so "the 'right' LSM-based spatial index to provide was simply the R-tree".
 
-use asterix_rs::adm::binary::{compare_keys, decode, decode_key, encode, encode_key};
+use asterix_rs::adm::binary::{decode, decode_key, encode, encode_key};
 use asterix_rs::adm::{Point, Rectangle, Value};
 use asterix_rs::core::datagen::DataGen;
 use asterix_rs::storage::cache::BufferCache;
@@ -143,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (mut pks, candidates) = probe();
         let t_index = t0.elapsed();
         // end-to-end: sorted-PK fetch of the actual records (§V-B's "usual trick")
-        pks.sort_by(|a, b| compare_keys(a, b));
+        pks.sort_unstable();
         let mut fetched = 0usize;
         for pk in &pks {
             if primary.get(pk)?.is_some() {
