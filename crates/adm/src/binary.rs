@@ -16,23 +16,23 @@ use crate::temporal::Duration;
 use crate::value::{Object, Value};
 
 // Tag bytes. Distinct per concrete type (Int vs Double), unlike TypeTag.
-const T_MISSING: u8 = 0;
-const T_NULL: u8 = 1;
-const T_BOOL: u8 = 2;
-const T_INT: u8 = 3;
-const T_DOUBLE: u8 = 4;
-const T_STRING: u8 = 5;
-const T_DATE: u8 = 6;
-const T_TIME: u8 = 7;
-const T_DATETIME: u8 = 8;
-const T_DURATION: u8 = 9;
-const T_POINT: u8 = 10;
-const T_RECTANGLE: u8 = 11;
-const T_UUID: u8 = 12;
-const T_BINARY: u8 = 13;
-const T_ARRAY: u8 = 14;
-const T_MULTISET: u8 = 15;
-const T_OBJECT: u8 = 16;
+pub(crate) const T_MISSING: u8 = 0;
+pub(crate) const T_NULL: u8 = 1;
+pub(crate) const T_BOOL: u8 = 2;
+pub(crate) const T_INT: u8 = 3;
+pub(crate) const T_DOUBLE: u8 = 4;
+pub(crate) const T_STRING: u8 = 5;
+pub(crate) const T_DATE: u8 = 6;
+pub(crate) const T_TIME: u8 = 7;
+pub(crate) const T_DATETIME: u8 = 8;
+pub(crate) const T_DURATION: u8 = 9;
+pub(crate) const T_POINT: u8 = 10;
+pub(crate) const T_RECTANGLE: u8 = 11;
+pub(crate) const T_UUID: u8 = 12;
+pub(crate) const T_BINARY: u8 = 13;
+pub(crate) const T_ARRAY: u8 = 14;
+pub(crate) const T_MULTISET: u8 = 15;
+pub(crate) const T_OBJECT: u8 = 16;
 
 /// Serializes a value, appending to `out`.
 pub fn encode_into(v: &Value, out: &mut Vec<u8>) {

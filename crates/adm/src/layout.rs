@@ -1,0 +1,377 @@
+//! A record as cells: what a columnar disk component stores of it.
+//!
+//! [`crate::schema_encode`] writes a record as one row. A [`RecordLayout`]
+//! takes such a row apart into *cells* — one per declared top-level field of
+//! the dataset's type, in declaration order, and a last one, the *rest*,
+//! for what the type does not declare — and puts it together again, byte for
+//! byte. A cell is what [`crate::binary::encode_into`] wrote for the field's
+//! value, tag byte included, and is empty for a field the record does not
+//! have; the rest is the row's open part (count and `name value` pairs), and
+//! is empty when the record has no undeclared field. A dataset with no
+//! declared type has a layout of zero columns: the rest is the whole
+//! self-describing encoding of the record.
+//!
+//! The storage layer keeps each column's cells together (a *chunk* per leaf
+//! group, see `asterix_storage::leaf_group`) and packs them by the column's
+//! [`ColumnKind`], which says what it may assume of a present cell; a reader
+//! names the cells it wants once ([`RecordLayout::resolve`]) and builds its
+//! record from those alone ([`RecordLayout::project`]) — or, from a row that
+//! was never taken apart (the memory component's), with
+//! [`RecordLayout::decode_row`]. The two agree.
+
+use crate::binary::{self, Decoder};
+use crate::error::{AdmError, Result};
+use crate::schema_encode::{decode_open_part, decode_ordinals_with_schema, OpenFields};
+use crate::types::{ObjectType, TypeExpr};
+use crate::value::{Object, Value};
+
+/// What every present cell of a column looks like, by the declared type.
+/// A value of another form (the `null` an optional field may hold) makes the
+/// storage layer keep that group's cells as they are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ColumnKind {
+    /// The tag and a little-endian two's-complement integer of `width` bytes
+    /// (`int`, `datetime`: 8; `date`, `time`: 4).
+    Int { tag: u8, width: u8 },
+    /// The tag and `width` bytes that are stored as they are (`double`,
+    /// `point`, `boolean`, ...).
+    Fixed { tag: u8, width: u8 },
+    /// The tag, a `u32` length and that many bytes (`string`, `binary`).
+    Bytes { tag: u8 },
+    /// Whatever `encode_into` wrote: a nested or `any`-typed field, the rest.
+    Tagged,
+}
+
+impl ColumnKind {
+    fn of(ty: &TypeExpr) -> ColumnKind {
+        use binary::*;
+        let TypeExpr::Named(name) = ty else { return ColumnKind::Tagged };
+        match name.as_str() {
+            "int" | "int8" | "int16" | "int32" | "int64" => ColumnKind::Int { tag: T_INT, width: 8 },
+            "datetime" => ColumnKind::Int { tag: T_DATETIME, width: 8 },
+            "date" => ColumnKind::Int { tag: T_DATE, width: 4 },
+            "time" => ColumnKind::Int { tag: T_TIME, width: 4 },
+            "boolean" => ColumnKind::Fixed { tag: T_BOOL, width: 1 },
+            "double" | "float" => ColumnKind::Fixed { tag: T_DOUBLE, width: 8 },
+            "duration" => ColumnKind::Fixed { tag: T_DURATION, width: 12 },
+            "point" => ColumnKind::Fixed { tag: T_POINT, width: 16 },
+            "uuid" => ColumnKind::Fixed { tag: T_UUID, width: 16 },
+            "rectangle" => ColumnKind::Fixed { tag: T_RECTANGLE, width: 32 },
+            "string" => ColumnKind::Bytes { tag: T_STRING },
+            "binary" => ColumnKind::Bytes { tag: T_BINARY },
+            _ => ColumnKind::Tagged,
+        }
+    }
+
+    /// Bytes a present cell takes at least: what orders the chunks of a
+    /// group, narrowest first.
+    pub fn width(&self) -> usize {
+        match self {
+            ColumnKind::Int { width, .. } | ColumnKind::Fixed { width, .. } => *width as usize,
+            ColumnKind::Bytes { .. } => 64,
+            ColumnKind::Tagged => 128,
+        }
+    }
+}
+
+/// One declared top-level field as a column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Column {
+    pub name: String,
+    /// The declared type, as written (`int`, `[EmploymentType]`).
+    pub ty: String,
+    pub kind: ColumnKind,
+}
+
+/// A record's cells in one buffer: cell `i` is `get(i)`, empty for a field
+/// the record does not have.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Cells {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Cells {
+    /// Room for `cells` cells of `bytes` bytes in all, so that filling it
+    /// does not grow it a doubling at a time.
+    pub fn with_capacity(cells: usize, bytes: usize) -> Cells {
+        Cells { bytes: Vec::with_capacity(bytes), ends: Vec::with_capacity(cells) }
+    }
+
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    pub fn push(&mut self, cell: &[u8]) {
+        self.bytes.extend_from_slice(cell);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Appends the cell `write` appends to the buffer it is given.
+    pub fn push_with<E>(&mut self, write: impl FnOnce(&mut Vec<u8>) -> std::result::Result<(), E>) -> std::result::Result<(), E> {
+        let start = self.bytes.len();
+        let done = write(&mut self.bytes);
+        if done.is_err() {
+            self.bytes.truncate(start);
+        }
+        self.ends.push(self.bytes.len());
+        done
+    }
+}
+
+/// The cells a reader wants, resolved from the field names once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Projection {
+    /// Cell indices, ascending: column ordinals, then the column count for
+    /// the rest.
+    cells: Vec<usize>,
+    /// The names wanted of the rest (all of it when `whole`).
+    open: Vec<String>,
+    /// The record whole: every cell, every field of the rest.
+    whole: bool,
+}
+
+impl Projection {
+    /// The cells to hand to [`RecordLayout::project`], in this order.
+    pub fn cells(&self) -> &[usize] {
+        &self.cells
+    }
+
+    fn open(&self) -> OpenFields<'_> {
+        match (self.whole, self.open.is_empty()) {
+            (true, _) => OpenFields::All,
+            (false, true) => OpenFields::None,
+            (false, false) => OpenFields::Named(&self.open),
+        }
+    }
+}
+
+/// How the records of one dataset are taken apart into cells: its declared
+/// type's top-level fields as columns. Built once per dataset; a disk
+/// component records it in its trailer. The default is that of a dataset with
+/// no declared type.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct RecordLayout {
+    /// The declared type; `None` for a dataset that declares none.
+    ty: Option<ObjectType>,
+    columns: Vec<Column>,
+}
+
+impl RecordLayout {
+    /// The layout of records stored under `ty` ([`crate::schema_encode`]),
+    /// or of self-describing ones ([`crate::binary::encode`]) without one.
+    pub fn new(ty: Option<&ObjectType>) -> RecordLayout {
+        let columns = ty.map_or_else(Vec::new, |ty| {
+            ty.fields
+                .iter()
+                .map(|f| Column { name: f.name.clone(), ty: f.ty.to_string(), kind: ColumnKind::of(&f.ty) })
+                .collect()
+        });
+        RecordLayout { ty: ty.cloned(), columns }
+    }
+
+    /// The columns, in declaration order: cell `i` is column `i`'s, cell
+    /// `columns().len()` the rest.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Whether the records have a declared type (one with no fields, even):
+    /// what their rows look like depends on it.
+    pub fn is_typed(&self) -> bool {
+        self.ty.is_some()
+    }
+
+    /// Cells per record: one per column and the rest.
+    pub fn cell_count(&self) -> usize {
+        self.columns.len() + 1
+    }
+
+    /// Takes `row` apart: `cells` comes back holding [`Self::cell_count`]
+    /// cells.
+    pub fn shred(&self, row: &[u8], cells: &mut Cells) -> Result<()> {
+        cells.clear();
+        if self.ty.is_none() {
+            cells.push(row);
+            return Ok(());
+        }
+        let n = self.columns.len();
+        let mut d = Decoder::new(row);
+        if u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize != n {
+            return Err(AdmError::Serde(format!("schema mismatch: the row was not encoded with {n} declared fields")));
+        }
+        let bitmap = d.take(n.div_ceil(8))?;
+        if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
+            return Err(AdmError::Serde(format!("presence bits past the {n} declared fields")));
+        }
+        for i in 0..n {
+            let start = d.position();
+            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
+                d.skip_value()?;
+            }
+            cells.push(&row[start..d.position()]);
+        }
+        let rest = &row[d.position()..];
+        if rest.len() < 4 {
+            return Err(AdmError::Serde("truncated input: a row ends before its open part".into()));
+        }
+        cells.push(if rest == [0u8; 4] { &[] } else { rest });
+        Ok(())
+    }
+
+    /// Puts the row [`Self::shred`] took apart together again, appending it
+    /// to `row`.
+    pub fn assemble(&self, cells: &Cells, row: &mut Vec<u8>) {
+        let n = self.columns.len();
+        debug_assert_eq!(cells.len(), n + 1);
+        if self.ty.is_none() {
+            row.extend_from_slice(cells.get(0));
+            return;
+        }
+        row.extend_from_slice(&(n as u16).to_le_bytes());
+        let bitmap = row.len();
+        row.resize(bitmap + n.div_ceil(8), 0);
+        for i in (0..n).filter(|&i| !cells.get(i).is_empty()) {
+            row[bitmap + i / 8] |= 1 << (i % 8);
+        }
+        for i in 0..n {
+            row.extend_from_slice(cells.get(i));
+        }
+        match cells.get(n) {
+            [] => row.extend_from_slice(&[0; 4]),
+            rest => row.extend_from_slice(rest),
+        }
+    }
+
+    /// The cells a reader of the top-level fields `fields` wants (the record
+    /// whole when `fields` is empty): a declared field is its column, and
+    /// any other name asks for the rest.
+    pub fn resolve(&self, fields: &[String]) -> Projection {
+        let n = self.columns.len();
+        if fields.is_empty() {
+            return Projection { cells: (0..=n).collect(), open: Vec::new(), whole: true };
+        }
+        let mut cells: Vec<usize> = (0..n).filter(|&i| fields.contains(&self.columns[i].name)).collect();
+        let open: Vec<String> =
+            fields.iter().filter(|f| !self.columns.iter().any(|c| c.name == **f)).cloned().collect();
+        if !open.is_empty() {
+            cells.push(n);
+        }
+        Projection { cells, open, whole: false }
+    }
+
+    /// The record holding what `wanted` names, from the cells
+    /// `wanted.cells()` of a row — those and no others, in that order.
+    pub fn project(&self, wanted: &Projection, cells: &Cells) -> Result<Value> {
+        if cells.len() != wanted.cells.len() {
+            return Err(AdmError::Serde(format!(
+                "{} cells for a projection of {}",
+                cells.len(),
+                wanted.cells.len()
+            )));
+        }
+        let mut obj = Object::with_capacity(cells.len());
+        for (k, &cell) in wanted.cells.iter().enumerate() {
+            let bytes = cells.get(k);
+            match self.columns.get(cell) {
+                Some(_) if bytes.is_empty() => {}
+                Some(column) => obj.set(column.name.clone(), binary::decode(bytes)?),
+                None if self.ty.is_none() => return self.decode_row(wanted, bytes),
+                None if bytes.is_empty() => {}
+                None => decode_open_part(&mut Decoder::new(bytes), wanted.open(), &mut obj)?,
+            }
+        }
+        Ok(Value::Object(obj))
+    }
+
+    /// [`Self::project`] from a row that was not taken apart: what
+    /// `project(wanted, cells of shred(row))` answers, reading no further
+    /// into the row than the last field wanted.
+    pub fn decode_row(&self, wanted: &Projection, row: &[u8]) -> Result<Value> {
+        match &self.ty {
+            Some(ty) => {
+                let n = self.columns.len();
+                let declared = wanted.cells.len() - usize::from(wanted.cells.last() == Some(&n));
+                decode_ordinals_with_schema(row, ty, &wanted.cells[..declared], wanted.open())
+            }
+            None if wanted.whole => binary::decode(row),
+            None => binary::decode_fields(row, &wanted.open),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse::parse_value;
+    use crate::schema_encode::encode_with_schema;
+    use crate::types::gleambook_types;
+    use crate::validate::cast_object;
+
+    fn message(text: &str) -> (RecordLayout, Vec<u8>) {
+        let reg = gleambook_types();
+        let ty = reg.get("GleambookMessageType").unwrap();
+        let v = cast_object(&parse_value(text).unwrap(), ty, &reg).unwrap();
+        (RecordLayout::new(Some(ty)), encode_with_schema(&v, ty).unwrap())
+    }
+
+    #[test]
+    fn a_row_comes_apart_and_back_together() {
+        let (layout, row) = message(
+            r#"{"messageId": 7, "authorId": 3, "senderLocation": point("1.5,2.5"), "message": "hi", "mood": "fine"}"#,
+        );
+        let mut cells = Cells::default();
+        layout.shred(&row, &mut cells).unwrap();
+        assert_eq!(cells.len(), 6);
+        assert_eq!(cells.get(0), binary::encode(&Value::Int(7)));
+        assert!(cells.get(2).is_empty(), "inResponseTo is absent");
+        assert!(!cells.get(5).is_empty(), "mood is in the rest");
+        let mut back = Vec::new();
+        layout.assemble(&cells, &mut back);
+        assert_eq!(back, row);
+        assert!(layout.shred(&row[..12], &mut cells).is_err(), "cut inside a declared field");
+    }
+
+    #[test]
+    fn a_projection_reads_its_cells_and_no_others() {
+        let (layout, row) = message(r#"{"messageId": 7, "authorId": 3, "message": "hi", "mood": "fine"}"#);
+        let wanted = layout.resolve(&["authorId".into(), "mood".into(), "inResponseTo".into()]);
+        assert_eq!(wanted.cells(), [1, 2, 5]);
+        let mut all = Cells::default();
+        layout.shred(&row, &mut all).unwrap();
+        let mut picked = Cells::default();
+        for &c in wanted.cells() {
+            picked.push(all.get(c));
+        }
+        let got = layout.project(&wanted, &picked).unwrap();
+        assert_eq!(got, parse_value(r#"{"authorId": 3, "mood": "fine"}"#).unwrap());
+        assert_eq!(layout.decode_row(&wanted, &row).unwrap(), got);
+        assert_eq!(layout.resolve(&["authorId".into()]).cells(), [1], "no rest for declared names");
+    }
+
+    #[test]
+    fn without_a_type_the_record_is_the_rest() {
+        let layout = RecordLayout::new(None);
+        let row = binary::encode(&parse_value(r#"{"id": 1, "v": [1, 2]}"#).unwrap());
+        let mut cells = Cells::default();
+        layout.shred(&row, &mut cells).unwrap();
+        assert_eq!((cells.len(), cells.get(0)), (1, row.as_slice()));
+        let wanted = layout.resolve(&["v".into()]);
+        assert_eq!(wanted.cells(), [0]);
+        assert_eq!(layout.project(&wanted, &cells).unwrap(), parse_value(r#"{"v": [1, 2]}"#).unwrap());
+    }
+}

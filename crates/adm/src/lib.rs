@@ -25,6 +25,7 @@
 pub mod binary;
 pub mod compare;
 pub mod error;
+pub mod layout;
 pub mod parse;
 pub mod print;
 pub mod schema_encode;
@@ -35,6 +36,7 @@ pub mod validate;
 pub mod value;
 
 pub use error::{AdmError, Result};
+pub use layout::{Cells, Projection, RecordLayout};
 pub use spatial::{Point, Rectangle};
 pub use temporal::Duration;
 pub use value::{Object, Value};

@@ -10,6 +10,14 @@
 //! Layout: `[n_declared:u16][presence bitmap][declared values...]`
 //! `[n_open:u32][open name+value pairs...]`. Absent optional fields are
 //! encoded as a cleared presence bit (zero bytes of payload).
+//!
+//! This *row* is what a write encodes, once: what the log carries, what a
+//! memory component holds and what a before-image is. A primary index's disk
+//! components do not store it as such — [`crate::layout`] takes it apart
+//! into one cell per declared field and the open part, which are stored
+//! column by column, and puts it together again byte for byte — so the
+//! count, the bitmap and the tags above are paid per record in memory and in
+//! the log, and per group of records on disk.
 
 use crate::binary::{encode_into, Decoder};
 use crate::error::{AdmError, Result};
@@ -60,12 +68,45 @@ pub fn decode_with_schema(buf: &[u8], ty: &ObjectType) -> Result<Value> {
     decode_fields_with_schema(buf, ty, &[])
 }
 
+/// What a reader wants of a record's open part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpenFields<'a> {
+    /// Nothing: the open part is not read.
+    None,
+    /// The fields with these names.
+    Named(&'a [String]),
+    /// Every field.
+    All,
+}
+
 /// [`decode_with_schema`] for a reader that wants only the top-level fields
-/// named in `fields` (every field when `fields` is empty). A declared field
-/// is found by its position — the others are stepped over, and reading stops
-/// at the last one wanted; the open part is searched only for a name the type
-/// does not declare.
+/// named in `fields` (every field when `fields` is empty): the names are
+/// resolved against `ty` here, once per call. A reader that decodes many
+/// records resolves once ([`crate::layout::RecordLayout::resolve`]) and hands
+/// the ordinals to [`crate::layout::RecordLayout::decode_row`].
 pub fn decode_fields_with_schema(buf: &[u8], ty: &ObjectType, fields: &[String]) -> Result<Value> {
+    if fields.is_empty() {
+        let all: Vec<usize> = (0..ty.fields.len()).collect();
+        return decode_ordinals_with_schema(buf, ty, &all, OpenFields::All);
+    }
+    let declared: Vec<usize> =
+        (0..ty.fields.len()).filter(|&i| fields.contains(&ty.fields[i].name)).collect();
+    let open: Vec<String> = fields.iter().filter(|f| ty.field(f).is_none()).cloned().collect();
+    let open = if open.is_empty() { OpenFields::None } else { OpenFields::Named(&open) };
+    decode_ordinals_with_schema(buf, ty, &declared, open)
+}
+
+/// Decodes of a record the declared fields at the positions `wanted`
+/// (ascending) and `open` of its open part. A declared field is found by its
+/// position — the others are stepped over, and reading stops at the last one
+/// wanted; the open part is searched only for names the type does not
+/// declare, and only until each is found.
+pub(crate) fn decode_ordinals_with_schema(
+    buf: &[u8],
+    ty: &ObjectType,
+    wanted: &[usize],
+    open: OpenFields<'_>,
+) -> Result<Value> {
     let mut d = Decoder::new(buf);
     let n = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
     if n != ty.fields.len() {
@@ -79,31 +120,42 @@ pub fn decode_fields_with_schema(buf: &[u8], ty: &ObjectType, fields: &[String])
     if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
         return Err(AdmError::Serde(format!("presence bits past the {n} declared fields")));
     }
-    let all = fields.is_empty();
-    let mut obj = Object::with_capacity(if all { n } else { fields.len() });
-    // names in `fields` not yet accounted for: found, or declared and absent
-    let mut unresolved = fields.len();
+    let mut obj = Object::with_capacity(wanted.len());
+    let mut wanted = wanted.iter().copied().peekable();
     for (i, f) in ty.fields.iter().enumerate() {
+        if wanted.peek().is_none() && open == OpenFields::None {
+            return Ok(Value::Object(obj));
+        }
         let present = bitmap[i / 8] & (1 << (i % 8)) != 0;
-        let wanted = all || fields.contains(&f.name);
-        if present && wanted {
-            obj.set(f.name.clone(), d.value()?);
+        if wanted.next_if_eq(&i).is_some() {
+            if present {
+                obj.set(f.name.clone(), d.value()?);
+            }
         } else if present {
             d.skip_value()?;
         }
-        if wanted && !all {
-            unresolved -= 1;
-            if unresolved == 0 {
-                return Ok(Value::Object(obj));
-            }
-        }
     }
+    if open == OpenFields::None {
+        return Ok(Value::Object(obj));
+    }
+    decode_open_part(&mut d, open, &mut obj)?;
+    Ok(Value::Object(obj))
+}
+
+/// Reads into `obj` the fields `open` names of the open part `d` stands at
+/// the count of. Reading stops once every name has been found.
+pub(crate) fn decode_open_part(d: &mut Decoder<'_>, open: OpenFields<'_>, obj: &mut Object) -> Result<()> {
+    let mut unresolved = match open {
+        OpenFields::None => return Ok(()),
+        OpenFields::Named(names) => names.len(),
+        OpenFields::All => usize::MAX,
+    };
     let n_open = d.len()?;
     for _ in 0..n_open {
         let klen = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
         let kbytes = d.take(klen)?;
         // a name the open part carries is one the type does not declare
-        if !all && !fields.iter().any(|f| f.as_bytes() == kbytes) {
+        if matches!(open, OpenFields::Named(names) if !names.iter().any(|f| f.as_bytes() == kbytes)) {
             d.skip_value()?;
             continue;
         }
@@ -111,17 +163,15 @@ pub fn decode_fields_with_schema(buf: &[u8], ty: &ObjectType, fields: &[String])
             .map_err(|_| AdmError::Serde("invalid UTF-8 in open field name".into()))?
             .to_owned();
         obj.set(key, d.value()?);
-        if !all {
-            unresolved -= 1;
-            if unresolved == 0 {
-                return Ok(Value::Object(obj));
-            }
+        unresolved -= 1;
+        if unresolved == 0 {
+            return Ok(());
         }
     }
     if !d.is_done() {
         return Err(AdmError::Serde("trailing bytes after schema-encoded record".into()));
     }
-    Ok(Value::Object(obj))
+    Ok(())
 }
 
 #[cfg(test)]

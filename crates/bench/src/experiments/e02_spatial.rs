@@ -52,6 +52,7 @@ fn build(n: usize) -> Setup {
         merge_policy: MergePolicy::Constant { max_components: 4 },
         bloom: true,
         compress_values: false,
+        layout: None,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
     let mut rtree = LsmRTree::new(

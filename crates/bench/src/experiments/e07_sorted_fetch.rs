@@ -36,6 +36,7 @@ pub fn run(quick: bool) -> ExpReport {
             merge_policy: MergePolicy::Constant { max_components: 2 },
             bloom: true,
             compress_values: false,
+            layout: None,
         },
     );
     let key = |i: i64| encode_key(&[Value::Int(i)]);

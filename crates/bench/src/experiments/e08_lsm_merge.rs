@@ -51,7 +51,8 @@ pub fn run(quick: bool) -> ExpReport {
                 mem_budget: 128 << 10, // small: many flushes
                 merge_policy: policy,
                 bloom: true,
-                compress_values: false
+                compress_values: false,
+                layout: None,
             },
         );
         let mut gen = DataGen::new(8008);

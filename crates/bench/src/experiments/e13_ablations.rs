@@ -119,7 +119,8 @@ fn ablate_bloom_filters(report: &mut ExpReport, quick: bool) {
                 mem_budget: 256 << 10,
                 merge_policy: MergePolicy::NoMerge, // many components: blooms shine
                 bloom,
-            compress_values: false
+            compress_values: false,
+            layout: None,
             },
         );
         // random insertion order: every component spans the whole key range,
@@ -215,6 +216,7 @@ fn ablate_compression(report: &mut ExpReport, quick: bool) {
                 merge_policy: MergePolicy::Constant { max_components: 4 },
                 bloom: true,
                 compress_values: compress,
+                layout: None,
             },
         );
         // realistic nested record: an array of similar sub-objects (think

@@ -402,6 +402,7 @@ fn macro_e07(quick: bool) -> MacroRun {
             merge_policy: MergePolicy::Constant { max_components: 2 },
             bloom: true,
             compress_values: false,
+            layout: None,
         },
     );
     let key = |i: i64| encode_key(&[Value::Int(i)]);
@@ -480,6 +481,7 @@ fn compaction_ingest(
             },
             bloom: true,
             compress_values: false,
+            layout: None,
         },
     );
     tree.set_executor(exec);

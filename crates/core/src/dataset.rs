@@ -20,15 +20,13 @@
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
-use asterix_adm::binary::{
-    decode_fields, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part,
-};
-use asterix_adm::schema_encode::{decode_fields_with_schema, encode_with_schema};
+use asterix_adm::binary::{encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
+use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
-use asterix_adm::{Point, Rectangle, Value};
+use asterix_adm::{Point, Projection, RecordLayout, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmStats, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmStats, LsmTree, MergePolicy, Projected};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
@@ -67,11 +65,16 @@ pub struct RecordSchema {
     /// (declared fields stored positionally without names — experiment E10).
     record_type: Option<ObjectType>,
     registry: TypeRegistry,
+    /// How a stored record comes apart into cells: what the primary index's
+    /// disk components keep column by column, and what a reader of some of a
+    /// record's fields names them by.
+    layout: Arc<RecordLayout>,
 }
 
 impl RecordSchema {
     pub fn new(record_type: Option<ObjectType>, registry: TypeRegistry) -> Arc<RecordSchema> {
-        Arc::new(RecordSchema { record_type, registry })
+        let layout = Arc::new(RecordLayout::new(record_type.as_ref()));
+        Arc::new(RecordSchema { record_type, registry, layout })
     }
 
     /// Validates `record` against the declared type and casts it into the
@@ -94,17 +97,24 @@ impl RecordSchema {
 
     /// Reverses [`RecordSchema::encode`].
     pub fn decode(&self, raw: &[u8]) -> Result<Value> {
-        self.decode_fields(raw, &[])
+        self.layout.decode_row(&self.resolve(&[]), raw).map_err(CoreError::Adm)
     }
 
-    /// [`RecordSchema::decode`] for a reader that wants only the top-level
-    /// fields named in `fields` (all of them when `fields` is empty): the
-    /// record comes back holding just those, the others never built.
-    pub fn decode_fields(&self, raw: &[u8], fields: &[String]) -> Result<Value> {
-        match &self.record_type {
-            Some(ty) => decode_fields_with_schema(raw, ty, fields).map_err(CoreError::Adm),
-            None => decode_fields(raw, fields).map_err(CoreError::Adm),
+    /// What a reader of the top-level fields `fields` (all of them when
+    /// `fields` is empty) reads of a stored record. Resolved once per reader,
+    /// not per record.
+    pub fn resolve(&self, fields: &[String]) -> Projection {
+        self.layout.resolve(fields)
+    }
+
+    /// The record holding what `wanted` names of a stored one, the other
+    /// fields never built: from its row, or from the cells `wanted` lists.
+    fn project(&self, wanted: &Projection, stored: Projected<'_>) -> Result<Value> {
+        match stored {
+            Projected::Row(row) => self.layout.decode_row(wanted, row),
+            Projected::Cells(cells) => self.layout.project(wanted, cells),
         }
+        .map_err(CoreError::Adm)
     }
 }
 
@@ -123,19 +133,11 @@ impl Secondary {
         }
     }
 
-    /// The top-level fields index upkeep reads of a record: where the field
-    /// paths of `defs` start. Empty — the whole record — if a path is.
-    fn leading_fields<'a>(defs: impl Iterator<Item = &'a IndexDef>) -> Vec<String> {
-        let mut fields = Vec::new();
-        for def in defs {
-            match def.field.first() {
-                Some(f) => fields.push(f.clone()),
-                None => return Vec::new(),
-            }
-        }
-        fields.sort();
-        fields.dedup();
-        fields
+    /// What index upkeep reads of a record: the top-level fields where the
+    /// field paths of `defs` start. The whole record if a path is empty.
+    fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexDef>) -> Projection {
+        let fields: Option<Vec<String>> = defs.map(|def| def.field.first().cloned()).collect();
+        schema.resolve(&fields.unwrap_or_default())
     }
 
     /// The index's lifecycle, whatever its kind.
@@ -191,7 +193,7 @@ pub struct DatasetPartition {
     secondaries: Vec<Secondary>,
     /// [`Secondary::leading_fields`] of `secondaries`: all that index upkeep
     /// decodes of a stored record.
-    indexed_fields: Vec<String>,
+    indexed: Projection,
     /// Where the node reads the LSN of the oldest log record the primary
     /// holds only in memory (see [`Node::log_pin`]).
     log_pin: Arc<AtomicU64>,
@@ -231,14 +233,17 @@ pub fn extract_pk(record: &Value, pk_fields: &[String]) -> Result<Vec<u8>> {
     Ok(encode_key(&parts))
 }
 
-/// The configuration of a partition's B+-tree-shaped index `name`.
-fn lsm_config(cfg: &StorageConfig, name: String, bloom: bool) -> LsmConfig {
+/// The configuration of a partition's B+-tree-shaped index `name`: the
+/// primary index, whose values are records stored by `layout`, or a secondary
+/// one, whose entries are keys alone.
+fn lsm_config(cfg: &StorageConfig, name: String, layout: Option<&Arc<RecordLayout>>) -> LsmConfig {
     LsmConfig {
-        name,
         mem_budget: cfg.mem_budget,
         merge_policy: cfg.merge_policy,
-        bloom,
-        compress_values: false,
+        // secondary entries are range-probed, so blooms would not help
+        bloom: layout.is_some(),
+        layout: layout.cloned(),
+        ..LsmConfig::new(name)
     }
 }
 
@@ -270,10 +275,10 @@ impl DatasetPartition {
             dataset_id: def.id,
             partition,
             primary_key: def.primary_key().to_vec(),
+            primary: open_tree(&node, lsm_config(cfg, name, Some(&schema.layout)), origin)?,
+            indexed: Secondary::leading_fields(&schema, std::iter::empty()),
             schema,
-            primary: open_tree(&node, lsm_config(cfg, name, true), origin)?,
             secondaries: Vec::new(),
-            indexed_fields: Vec::new(),
             node,
             log_pin,
             seals_seen: 0,
@@ -326,16 +331,14 @@ impl DatasetPartition {
         std::iter::once(primary).chain(self.secondaries.iter_mut().map(Secondary::lsm_mut))
     }
 
-    /// Brings `indexed_fields` up to date with `secondaries`.
+    /// Brings `indexed` up to date with `secondaries`.
     fn secondaries_changed(&mut self) {
-        self.indexed_fields = Secondary::leading_fields(self.secondaries.iter().map(Secondary::def));
+        self.indexed = Secondary::leading_fields(&self.schema, self.secondaries.iter().map(Secondary::def));
     }
 
     fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
-        // secondary entries carry no values to compress, and are range-probed,
-        // so blooms would not help either
-        let tree = |name| open_tree(&self.node, lsm_config(cfg, name, false), origin);
+        let tree = |name| open_tree(&self.node, lsm_config(cfg, name, None), origin);
         let def = idx.clone();
         let mut sec = match idx.kind {
             IndexKind::BTree => Secondary::BTree { def, tree: tree(name)? },
@@ -361,15 +364,17 @@ impl DatasetPartition {
 
     /// Adds a secondary index to an existing partition, backfilling it from
     /// the primary index: `CREATE INDEX` on loaded data, and the rebuild of
-    /// an index that a restart found behind its primary.
+    /// an index that a restart found behind its primary. Of the primary's
+    /// disk components it reads the keys and the indexed field.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
         let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
-        let fields = Secondary::leading_fields(std::iter::once(idx));
-        for entry in self.primary.range_iter(Bound::Unbounded, Bound::Unbounded)? {
-            let (pk, raw) = entry?;
-            let record = self.schema.decode_fields(&raw, &fields)?;
-            Self::index_insert(&mut sec, &record, &pk)?;
+        let wanted = Secondary::leading_fields(&self.schema, std::iter::once(idx));
+        let mut records = self.primary.reader(Bound::Unbounded, Bound::Unbounded, Some(wanted.cells()))?;
+        while let Some((pk, stored)) = records.next_entry()? {
+            let record = self.schema.project(&wanted, stored)?;
+            Self::index_insert(&mut sec, &record, pk)?;
         }
+        drop(records);
         // Only now, whole, does it reflect the primary — everything logged
         // for this partition so far, or at restart what the primary's
         // components cover — and may its next flush say so.
@@ -547,7 +552,7 @@ impl DatasetPartition {
             return Ok(());
         }
         let Some(before) = before else { return Ok(()) };
-        let old = self.schema.decode_fields(before, &self.indexed_fields)?;
+        let old = self.schema.project(&self.indexed, Projected::Row(before))?;
         for sec in &mut self.secondaries {
             Self::index_delete(sec, &old, pk)?;
         }
@@ -564,7 +569,7 @@ impl DatasetPartition {
         self.retract(pk, before)?;
         let decoded = match record {
             None if !self.secondaries.is_empty() => {
-                Some(self.schema.decode_fields(&raw, &self.indexed_fields)?)
+                Some(self.schema.project(&self.indexed, Projected::Row(&raw))?)
             }
             _ => None,
         };
@@ -633,26 +638,27 @@ impl DatasetPartition {
 
     /// Appends to `out` the next `limit` records, in primary-key order, whose
     /// leading key field lies in `range` — those past the key `after`, from
-    /// the start of the range without one — each decoded to `fields` (see
-    /// [`RecordSchema::decode_fields`]). Returns the key to pass as `after`
+    /// the start of the range without one — each holding what `wanted` names
+    /// (see [`RecordSchema::resolve`]): of a disk component, the chunks of
+    /// those fields are all that is read. Returns the key to pass as `after`
     /// to read on, `None` once the range has no more: a reader takes a
     /// bounded batch per call and holds the partition only for that long.
     pub fn read_range(
         &self,
         range: &KeyRange,
         after: Option<&[u8]>,
-        fields: &[String],
+        wanted: &Projection,
         limit: usize,
         out: &mut Vec<Value>,
     ) -> Result<Option<Vec<u8>>> {
         let mut last = None;
         let full = out.len() + limit;
-        leading_field_range(&self.primary, range, after, |key, raw| {
-            out.push(self.schema.decode_fields(&raw, fields)?);
+        leading_field_range(&self.primary, range, after, Some(wanted.cells()), |key, stored| {
+            out.push(self.schema.project(wanted, stored)?);
             Ok(if out.len() < full {
                 ControlFlow::Continue(())
             } else {
-                last = Some(key);
+                last = Some(key.to_vec());
                 ControlFlow::Break(())
             })
         })?;
@@ -660,12 +666,11 @@ impl DatasetPartition {
     }
 
     /// Appends to `out` the records stored under `pks`, in that order, each
-    /// decoded to `fields`; a key with no record adds none.
-    pub fn read_keys(&self, pks: &[Vec<u8>], fields: &[String], out: &mut Vec<Value>) -> Result<()> {
+    /// holding what `wanted` names; a key with no record adds none.
+    pub fn read_keys(&self, pks: &[Vec<u8>], wanted: &Projection, out: &mut Vec<Value>) -> Result<()> {
         for pk in pks {
-            if let Some(raw) = self.stored(pk)? {
-                out.push(self.schema.decode_fields(&raw, fields)?);
-            }
+            let read = self.primary.get_with(pk, wanted.cells(), |stored| self.schema.project(wanted, stored))?;
+            out.extend(read.transpose()?);
         }
         Ok(())
     }
@@ -679,8 +684,8 @@ impl DatasetPartition {
         };
         // entries are `(secondary key, pk...)`: what follows the key is the pk
         let mut pks = Vec::new();
-        leading_field_range(tree, range, None, |key, _| {
-            pks.push(strip_key_part(&key).map_err(CoreError::Adm)?.to_vec());
+        leading_field_range(tree, range, None, None, |key, _| {
+            pks.push(strip_key_part(key).map_err(CoreError::Adm)?.to_vec());
             Ok(ControlFlow::Continue(()))
         })?;
         Ok(pks)
@@ -743,15 +748,16 @@ pub struct KeyRange {
 
 /// Walks the entries of `tree` whose leading key part lies within `range` —
 /// those past the key `after`, if one is given — handing `each` the key and
-/// the value until it breaks. Both ends of the range are byte bounds — the
-/// keys with leading part `v` are those from `v`'s one-part key up to
-/// [`key_prefix_end`] of it — so the walk is a `range_iter` that touches the
-/// matches and decodes no key.
+/// the value, or the cells `wanted` of it (see [`LsmTree::reader`]), until
+/// it breaks. Both ends of the range are byte bounds — the keys with leading
+/// part `v` are those from `v`'s one-part key up to [`key_prefix_end`] of it —
+/// so the walk touches the matches, decodes no key and copies no entry.
 fn leading_field_range(
     tree: &LsmTree,
     range: &KeyRange,
     after: Option<&[u8]>,
-    mut each: impl FnMut(Vec<u8>, Vec<u8>) -> Result<ControlFlow<()>>,
+    wanted: Option<&[usize]>,
+    mut each: impl FnMut(&[u8], Projected<'_>) -> Result<ControlFlow<()>>,
 ) -> Result<()> {
     // where the keys `v` leads begin, and where they end
     let first = |v: &Value| encode_key(std::slice::from_ref(v));
@@ -764,9 +770,9 @@ fn leading_field_range(
         (None, None) => Bound::Unbounded,
     };
     let end = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-    for entry in tree.range_iter(start, end)? {
-        let (key, value) = entry?;
-        if each(key, value)?.is_break() {
+    let mut entries = tree.reader(start, end, wanted)?;
+    while let Some((key, stored)) = entries.next_entry()? {
+        if each(key, stored)?.is_break() {
             break;
         }
     }
@@ -863,8 +869,8 @@ mod tests {
     /// The leading parts, in key order, of what a walk of `range` hands out.
     fn leads(tree: &LsmTree, range: &KeyRange, after: Option<&[u8]>) -> Vec<(Value, i64)> {
         let mut out = Vec::new();
-        leading_field_range(tree, range, after, |key, _| {
-            let mut parts = asterix_adm::binary::decode_key(&key).unwrap();
+        leading_field_range(tree, range, after, None, |key, _| {
+            let mut parts = asterix_adm::binary::decode_key(key).unwrap();
             let pk = parts.pop().unwrap().as_i64().unwrap();
             out.push((parts.pop().unwrap(), pk));
             Ok(ControlFlow::Continue(()))
@@ -940,7 +946,7 @@ mod tests {
         let pk = encode_key(&[Value::Int(42)]);
         let get = |part: &DatasetPartition| {
             let mut got = Vec::new();
-            part.read_keys(std::slice::from_ref(&pk), &[], &mut got).unwrap();
+            part.read_keys(std::slice::from_ref(&pk), &part.schema.resolve(&[]), &mut got).unwrap();
             got.pop()
         };
         assert_eq!(get(&part).unwrap().field("author"), &Value::Int(2));
@@ -1011,7 +1017,7 @@ mod tests {
         let pks = part.keyword_index_pks("byText", "big data").unwrap();
         assert_eq!(pks.len(), 2);
         let mut recs = Vec::new();
-        part.read_keys(&pks, &[], &mut recs).unwrap();
+        part.read_keys(&pks, &part.schema.resolve(&[]), &mut recs).unwrap();
         assert!(recs.iter().all(|r| r.field("text").as_str().unwrap().contains("big")));
         let _ = std::fs::remove_dir_all(p);
     }
@@ -1026,7 +1032,7 @@ mod tests {
         let mut pks = vec![pk(5), pk(3), pk(5), pk(1), pk(77)];
         sort_pks(&mut pks);
         let mut recs = Vec::new();
-        part.read_keys(&pks, &["id".into()], &mut recs).unwrap();
+        part.read_keys(&pks, &part.schema.resolve(&["id".into()]), &mut recs).unwrap();
         let ids: Vec<Value> = recs.iter().map(|r| r.field("id").clone()).collect();
         assert_eq!(ids, [Value::Int(1), Value::Int(3), Value::Int(5)], "key order, no repeat, no record for 77");
         assert_eq!(recs[0].as_object().unwrap().len(), 1, "decoded to the field asked for");
@@ -1043,7 +1049,7 @@ mod tests {
             KeyRange { lo: Some(Value::Int(2)), lo_inclusive: false, hi: Some(Value::Int(8)), hi_inclusive: true };
         let (mut recs, mut after, mut calls) = (Vec::new(), None, 0);
         loop {
-            after = part.read_range(&range, after.as_deref(), &[], 4, &mut recs).unwrap();
+            after = part.read_range(&range, after.as_deref(), &part.schema.resolve(&[]), 4, &mut recs).unwrap();
             calls += 1;
             if after.is_none() {
                 break;

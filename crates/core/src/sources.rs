@@ -8,7 +8,7 @@ use crate::error::{CoreError, Result as CoreResult};
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::binary::encode_key;
-use asterix_adm::Value;
+use asterix_adm::{Projection, Value};
 use asterix_algebricks::error::{AlgebricksError, Result as AlgResult};
 use asterix_algebricks::source::{AccessPath, DataSource, IndexInfo, IndexRange};
 use asterix_algebricks::source::IndexKind as AlgIndexKind;
@@ -89,8 +89,9 @@ enum Reading {
 /// records. What it yields is consistent batch by batch, not across them.
 struct Cursor {
     partition: Arc<OrderedRwLock<DatasetPartition>>,
-    /// The top-level fields records are decoded to (empty: whole).
-    fields: Arc<[String]>,
+    /// What is read of each record: the top-level fields the query names
+    /// (all of them if none), resolved against the dataset's layout once.
+    wanted: Arc<Projection>,
     reading: Reading,
     batch: std::vec::IntoIter<Value>,
 }
@@ -128,14 +129,14 @@ impl Cursor {
         }
         match &mut self.reading {
             Reading::Range { range, after } => {
-                *after = part.read_range(range, after.as_deref(), &self.fields, SCAN_BATCH, &mut batch)?;
+                *after = part.read_range(range, after.as_deref(), &self.wanted, SCAN_BATCH, &mut batch)?;
                 if after.is_none() {
                     self.reading = Reading::Done;
                 }
             }
             Reading::Keys { pks, next } => {
                 let upto = pks.len().min(*next + SCAN_BATCH);
-                part.read_keys(&pks[*next..upto], &self.fields, &mut batch)?;
+                part.read_keys(&pks[*next..upto], &self.wanted, &mut batch)?;
                 *next = upto;
                 if upto == pks.len() {
                     self.reading = Reading::Done;
@@ -171,20 +172,21 @@ impl Iterator for Cursor {
 }
 
 /// The one shape every access path of a dataset has: per partition, a
-/// [`Cursor`] over `reading` yielding records decoded to `fields`.
+/// [`Cursor`] over `reading` yielding records that hold `fields`.
 fn records_factory(
-    partitions: Vec<Arc<OrderedRwLock<DatasetPartition>>>,
+    runtime: &DatasetRuntime,
     fields: &[String],
     reading: Reading,
 ) -> Arc<dyn SourceFactory> {
-    let fields: Arc<[String]> = fields.into();
+    let partitions = runtime.partitions.clone();
+    let wanted = Arc::new(runtime.schema.resolve(fields));
     Arc::new(FnSource(move |p: usize| {
         let partition = partitions
             .get(p)
             .ok_or_else(|| asterix_hyracks::HyracksError::Eval(format!("no partition {p}")))?;
         Ok(Box::new(Cursor {
             partition: Arc::clone(partition),
-            fields: Arc::clone(&fields),
+            wanted: Arc::clone(&wanted),
             reading: reading.clone(),
             batch: Vec::new().into_iter(),
         }) as TupleStream)
@@ -202,7 +204,7 @@ impl DataSource for DatasetSource {
 
     fn scan(&self, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
         let all = Reading::Range { range: KeyRange::default(), after: None };
-        Ok(records_factory(self.runtime.partitions.clone(), fields, all))
+        Ok(records_factory(&self.runtime, fields, all))
     }
 
     fn indexes(&self) -> Vec<IndexInfo> {
@@ -227,7 +229,6 @@ impl DataSource for DatasetSource {
     }
 
     fn index_scan(&self, path: &AccessPath, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
-        let partitions = self.runtime.partitions.clone();
         let range = path.range.clone();
         if range.is_empty() {
             return Ok(Arc::new(FnSource(|_p: usize| Ok(no_tuples()))));
@@ -240,9 +241,9 @@ impl DataSource for DatasetSource {
                     // owning partition can hold it; the others answer
                     // without taking their lock or touching storage.
                     let key = encode_key(&key);
-                    let owner = partition_of(&key, partitions.len()) as usize;
+                    let owner = partition_of(&key, self.runtime.partitions.len()) as usize;
                     let owning =
-                        records_factory(partitions, fields, Reading::Keys { pks: vec![key], next: 0 });
+                        records_factory(&self.runtime, fields, Reading::Keys { pks: vec![key], next: 0 });
                     Arc::new(FnSource(move |p: usize| {
                         if p == owner {
                             owning.open(p)
@@ -252,7 +253,7 @@ impl DataSource for DatasetSource {
                     }))
                 }
                 IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => records_factory(
-                    partitions,
+                    &self.runtime,
                     fields,
                     Reading::Range {
                         range: KeyRange { lo, lo_inclusive, hi, hi_inclusive },
@@ -276,7 +277,7 @@ impl DataSource for DatasetSource {
             )));
         }
         let probe = Reading::Probe { index: path.index.clone(), range, sorted: self.sorted_fetch };
-        Ok(records_factory(partitions, fields, probe))
+        Ok(records_factory(&self.runtime, fields, probe))
     }
 }
 

@@ -3,7 +3,9 @@
 //! field, interleaved with upserts, deletes, flushes and the merges they
 //! trigger. Whatever path the optimizer picks — point get with partition
 //! pruning, key range, bounded secondary probe — the answer must bag-equal a
-//! naive filter over a full dump taken at the same moment.
+//! naive filter over a full dump taken at the same moment; and, for every
+//! other query, once more after a flush and the merge it sets off have moved
+//! what was rows in a memory component into column chunks.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
@@ -82,8 +84,9 @@ enum Op {
     Delete { key: i64 },
     Flush,
     /// A conjunction over the single-key dataset's fields, and one over the
-    /// composite-key dataset's.
-    Query { single: Vec<Atom>, composite: Vec<Atom> },
+    /// composite-key dataset's; asked again once everything is on disk, if
+    /// `and_flushed`.
+    Query { single: Vec<Atom>, composite: Vec<Atom>, and_flushed: bool },
 }
 
 fn arb_cmp() -> impl Strategy<Value = CmpOp> {
@@ -118,8 +121,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
     let query = (
         arb_conjunction([("id", KEYS), ("a", AUTHORS), ("v", 3)]),
         arb_conjunction([("org", KEYS / 10), ("id", 10), ("a", AUTHORS)]),
+        any::<bool>(),
     )
-        .prop_map(|(single, composite)| Op::Query { single, composite });
+        .prop_map(|(single, composite, and_flushed)| Op::Query { single, composite, and_flushed });
     prop_oneof![
         (0..KEYS, 0..AUTHORS).prop_map(|(key, a)| Op::Upsert { key, a }),
         (0..KEYS, 0..AUTHORS).prop_map(|(key, a)| Op::Upsert { key, a }),
@@ -180,6 +184,18 @@ fn check(db: &Instance, dataset: &str, model: &BTreeMap<i64, Value>, pred: &[Ato
     }
 }
 
+/// Everything buffered goes to disk, and the merges that sets off finish.
+fn flush_and_merge(db: &Instance, nodes: usize) {
+    db.flush_all().unwrap();
+    let merging = || {
+        let snap = db.metrics_snapshot();
+        (0..nodes).any(|n| snap.gauge(&format!("node{n}.storage.lsm.merge_inflight")) != Some(0))
+    };
+    while merging() {
+        std::thread::yield_now();
+    }
+}
+
 fn run(partitions: usize, ops: &[Op]) {
     let db = open(partitions);
     let mut single: BTreeMap<i64, Value> = BTreeMap::new();
@@ -218,9 +234,14 @@ fn run(partitions: usize, ops: &[Op]) {
                 composite.remove(key);
             }
             Op::Flush => db.flush_all().unwrap(),
-            Op::Query { single: s, composite: c } => {
+            Op::Query { single: s, composite: c, and_flushed } => {
                 check(&db, "S", &single, s, &["id", "a"]);
                 check(&db, "C", &composite, c, &["org", "a"]);
+                if *and_flushed {
+                    flush_and_merge(&db, partitions);
+                    check(&db, "S", &single, s, &["id", "a"]);
+                    check(&db, "C", &composite, c, &["org", "a"]);
+                }
             }
         }
     }
@@ -258,12 +279,14 @@ fn pinned_point_gets_across_deletes_overwrites_and_flushes() {
                             eq("org", 2 * (key / 10), as_double),
                             eq("id", 2 * (key % 10), as_double),
                         ],
+                        and_flushed: false,
                     });
                 }
             }
             ops.push(Op::Query {
                 single: vec![eq("id", 15, false)], // 7.5: between two keys
                 composite: vec![eq("org", 1, false)],
+                and_flushed: false,
             });
         };
         probes(&mut ops);

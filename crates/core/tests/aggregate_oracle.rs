@@ -2,12 +2,16 @@
 //! random bags of integers, doubles, NULLs, absent fields and strings in
 //! random groups, aggregated by each of the six functions on every route —
 //! grouped sugar, scalar sugar, both again without the local/global split,
-//! one partition against four, and AQL's `with $v` through the `COLL_*`
-//! functions — must all give the answer of a fold over the bag written here.
+//! one partition against four, records still rows in the memory component
+//! against flushed and merged into column chunks, and AQL's `with $v` through
+//! the `COLL_*` functions — must all give the answer of a fold over the bag
+//! written here.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
+use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
+use asterix_storage::lsm::MergePolicy;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -64,25 +68,48 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
-fn load(rows: &[(i64, Value)], partitions: usize, local_aggregation: bool) -> Instance {
+/// The rows in `D`: in its memory components, or — `on_disk` — flushed in two
+/// halves that are then merged, so that what a query reads are column chunks
+/// (`v`, which the type does not declare, out of the rest).
+fn load(rows: &[(i64, Value)], partitions: usize, local_aggregation: bool, on_disk: bool) -> Instance {
     let db = Instance::open(InstanceConfig {
         nodes: partitions.min(2),
         partitions,
         local_aggregation,
+        storage: StorageConfig { merge_policy: MergePolicy::Constant { max_components: 1 }, ..Default::default() },
         ..Default::default()
     })
     .unwrap();
     db.execute_sqlpp("CREATE TYPE T AS { id: int, g: int }; CREATE DATASET D(T) PRIMARY KEY id;")
         .unwrap();
-    let mut txn = db.begin();
-    for (id, (g, v)) in rows.iter().enumerate() {
-        let mut fields = vec![("id".into(), Value::Int(id as i64)), ("g".into(), Value::Int(*g))];
-        if *v != Value::Missing {
-            fields.push(("v".into(), v.clone()));
+    let records: Vec<Value> = rows
+        .iter()
+        .enumerate()
+        .map(|(id, (g, v))| {
+            let mut fields = vec![("id".into(), Value::Int(id as i64)), ("g".into(), Value::Int(*g))];
+            if *v != Value::Missing {
+                fields.push(("v".into(), v.clone()));
+            }
+            Value::object(fields)
+        })
+        .collect();
+    for half in records.chunks(records.len().div_ceil(2).max(1)) {
+        let mut txn = db.begin();
+        for record in half {
+            txn.write("D", record, true).unwrap();
         }
-        txn.write("D", &Value::object(fields), true).unwrap();
+        txn.commit().unwrap();
+        if on_disk {
+            db.flush_all().unwrap();
+        }
     }
-    txn.commit().unwrap();
+    let merging = |db: &Instance| {
+        let snap = db.metrics_snapshot();
+        (0..partitions.min(2)).any(|n| snap.gauge(&format!("node{n}.storage.lsm.merge_inflight")) != Some(0))
+    };
+    while merging(&db) {
+        std::thread::yield_now();
+    }
     db
 }
 
@@ -111,9 +138,9 @@ proptest! {
             bags.get_mut(g).unwrap().push(v.clone());
         }
         const SUGAR: &str = "COUNT(*), COUNT(d.v), SUM(d.v), MIN(d.v), MAX(d.v), AVG(d.v)";
-        for (partitions, local) in [(4, true), (4, false), (1, true)] {
-            let db = load(&rows, partitions, local);
-            let route = |kind: &str| format!("{kind}, {partitions} partitions, local={local}");
+        for (partitions, local, on_disk) in [(4, true, false), (4, false, true), (1, true, true), (1, false, false)] {
+            let db = load(&rows, partitions, local, on_disk);
+            let route = |kind: &str| format!("{kind}, {partitions} partitions, local={local}, on_disk={on_disk}");
             let grouped = db
                 .query(&format!("SELECT VALUE [d.g, {SUGAR}] FROM D d GROUP BY d.g"))
                 .unwrap();

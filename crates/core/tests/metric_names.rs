@@ -46,6 +46,7 @@ const PER_NODE: &str = "
     c storage.io.physical_reads
     c storage.io.physical_writes
     c storage.io.readaheads
+    c storage.lsm.chunks_read
     c storage.lsm.flush_wait_ns
     c storage.lsm.flushes
     g storage.lsm.merge_inflight
@@ -53,6 +54,7 @@ const PER_NODE: &str = "
     c storage.lsm.merges
     c storage.lsm.read_amp
     c storage.lsm.retire_failures
+    c storage.lsm.rows_assembled
     c storage.lsm.space_amp
     c storage.lsm.write_amp
     c storage.wal.group_commit_waiters

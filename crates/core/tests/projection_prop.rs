@@ -4,7 +4,9 @@
 //! components, in fresh and in merged disk components, and read back after a
 //! crash — queries that read a few fields (`SELECT m.f …`, `WHERE`, `GROUP
 //! BY`, `ORDER BY`, joins) must answer what the test computes from `SELECT
-//! VALUE m`, which reads records whole.
+//! VALUE m`, which reads records whole; and the same again right after a
+//! flush and its merge, when the rows a memory component held are cells in
+//! column chunks.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::parse::parse_value;
@@ -44,15 +46,17 @@ enum Op {
     /// Crash and reopen: what was in memory components comes back from the
     /// log, undecoded.
     Restart,
-    /// Queries naming `fields` (indexes into [`FIELDS`]), filtering at `bound`.
-    Check { fields: Vec<usize>, bound: i64 },
+    /// Queries naming `fields` (indexes into [`FIELDS`]), filtering at `bound`;
+    /// asked again, if `and_flushed`, once a flush and the merge it sets off
+    /// have moved the rows of the memory components into column chunks.
+    Check { fields: Vec<usize>, bound: i64, and_flushed: bool },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     let upsert = (0..KEYS, 0..AUTHORS, 0..4i64, any::<bool>(), any::<u8>())
         .prop_map(|(key, a, g, has_s, s)| Op::Upsert { key, a, g, s: has_s.then_some(s) });
-    let check = (proptest::collection::vec(0..FIELDS.len(), 1..=3), 0..AUTHORS)
-        .prop_map(|(fields, bound)| Op::Check { fields, bound });
+    let check = (proptest::collection::vec(0..FIELDS.len(), 1..=3), 0..AUTHORS, any::<bool>())
+        .prop_map(|(fields, bound, and_flushed)| Op::Check { fields, bound, and_flushed });
     prop_oneof![
         upsert.clone(),
         upsert.clone(),
@@ -224,9 +228,21 @@ fn run(partitions: usize, ops: &[Op]) {
                 db.crash();
                 db = open(Some(&dir), partitions);
             }
-            Op::Check { fields, bound } => {
+            Op::Check { fields, bound, and_flushed } => {
                 check(&db, "C", &closed, fields, *bound);
                 check(&db, "O", &opened, fields, *bound);
+                if *and_flushed {
+                    db.flush_all().unwrap();
+                    let merging = |db: &Instance| {
+                        let snap = db.metrics_snapshot();
+                        (0..partitions).any(|n| snap.gauge(&format!("node{n}.storage.lsm.merge_inflight")) != Some(0))
+                    };
+                    while merging(&db) {
+                        std::thread::yield_now();
+                    }
+                    check(&db, "C", &closed, fields, *bound);
+                    check(&db, "O", &opened, fields, *bound);
+                }
             }
         }
     }
@@ -252,7 +268,7 @@ proptest! {
 /// memory component over them, and all of it read back after a crash.
 #[test]
 fn pinned_states_memtable_flushed_merged_restarted() {
-    let all = Op::Check { fields: vec![0, 3, 4], bound: 3 };
+    let all = Op::Check { fields: vec![0, 3, 4], bound: 3, and_flushed: false };
     let mut ops = vec![];
     let upserts = |ops: &mut Vec<Op>, round: i64| {
         for key in (round..KEYS).step_by(2) {

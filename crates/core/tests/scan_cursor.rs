@@ -126,3 +126,49 @@ fn a_resume_by_key_survives_a_flush_and_a_merge_between_batches() {
     assert!(seen.contains(&(n + 1)), "one written ahead of it is read where it now stands");
     assert!(deleted.iter().all(|id| !seen.contains(id)), "nor is one deleted before the cursor got there");
 }
+
+/// A scan told one field yields the same records from the rows of a memory
+/// component as from the column chunks they are flushed and merged into —
+/// and of those it opens the key chunk and that field's, putting no row
+/// together.
+#[test]
+fn a_scan_of_one_field_reads_rows_and_chunks_alike() {
+    let n = 3 * SCAN_BATCH as i64;
+    let db = loaded(n, StorageConfig { merge_policy: MergePolicy::Constant { max_components: 1 }, ..Default::default() });
+    let scan_v = |db: &Instance| -> Vec<asterix_adm::Value> {
+        let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
+        source.scan(&["v".into()]).unwrap().open(0).unwrap().map(|t| t.unwrap().remove(0)).collect()
+    };
+    let counter = |db: &Instance, name: &str| db.metrics_snapshot().counter(&format!("node0.storage.lsm.{name}")).unwrap();
+    upsert(&db, (0..n).step_by(5), 7);
+    let from_rows = scan_v(&db);
+    assert_eq!(from_rows.len(), n as usize);
+    assert_eq!(from_rows[5], parse_value(r#"{"v": 7}"#).unwrap());
+    assert_eq!(counter(&db, "chunks_read"), 0, "nothing is on disk yet");
+
+    db.flush_all().unwrap();
+    upsert(&db, (0..n).step_by(7), 9);
+    db.flush_all().unwrap();
+    while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
+        std::thread::yield_now();
+    }
+    assert_eq!(primary_stats(&db).merges, 1);
+    let (chunks, rows) = (counter(&db, "chunks_read"), counter(&db, "rows_assembled"));
+    let from_chunks = scan_v(&db);
+    let want: Vec<_> = (0..n)
+        .map(|id| parse_value(&format!(r#"{{"v": {}}}"#, if id % 7 == 0 { 9 } else if id % 5 == 0 { 7 } else { 0 })).unwrap())
+        .collect();
+    assert_eq!(from_chunks, want);
+    assert_eq!(counter(&db, "rows_assembled"), rows, "a projected scan put rows together");
+    // three groups, no delete marker and no record without a `v`, so of each
+    // the keys and `v`'s values are all there is to open — once per batch
+    // that reads of the group, and the keys once more to resume after its last
+    let opened = counter(&db, "chunks_read") - chunks;
+    assert!((3 * 2..=6 * 2).contains(&opened), "{opened} chunks opened");
+    // nor does a scan of whole records, which builds them from every cell;
+    // the one row put together is the before-image a write logs
+    assert_eq!(open_scan(&db).count(), n as usize);
+    assert_eq!(counter(&db, "rows_assembled"), rows);
+    upsert(&db, [3], 1);
+    assert_eq!(counter(&db, "rows_assembled"), rows + 1);
+}

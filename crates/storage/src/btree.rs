@@ -9,14 +9,41 @@
 //! ## File layout (append-only, trailer-addressed)
 //!
 //! ```text
-//! [leaf pages...][internal level 1...][...][root page][bloom pages...][trailer page]
+//! [leaf area][internal level 1...][...][root page][bloom and columns pages...][trailer page]
 //! ```
 //!
-//! The trailer (last page) records the root page, entry count, bloom-filter
-//! location, and min/max keys; readers open the file by reading the trailer.
+//! The trailer (last page) records the root, the height, the entry count,
+//! where the leaf area ends, where the bloom filter and the column directory
+//! are, and the min/max keys; readers open the file by reading the trailer.
 //! Keys are composite ADM keys encoded by `asterix_adm::binary::encode_key`,
 //! whose bytes order as the values do: a key comparison is a slice
-//! comparison, and the page format below relies on it.
+//! comparison, and the formats below rely on it.
+//!
+//! ## Two leaf shapes
+//!
+//! A tree's leaf area has one of two shapes, chosen when it is built and
+//! recorded in its trailer; the internal levels, the bloom filter and the
+//! trailer are the same for both.
+//!
+//! * **Row leaves** ([`BTreeBuilder::new`]): leaf *pages* in the page layout
+//!   below, a value an opaque byte string. Secondary indexes (key-only
+//!   entries), the R-tree's deleted-key tree and standalone trees.
+//! * **Leaf groups** ([`BTreeBuilder::with_layout`]): a dataset's primary
+//!   index, whose values are records. The leaf area is a run of *groups* of
+//!   up to [`GROUP_RECORDS`](crate::leaf_group::GROUP_RECORDS) entries, each
+//!   storing its entries column by column ([`crate::leaf_group`]); the
+//!   lowest internal level points at a group's first byte instead of a page.
+//!   A value of such a tree is an LSM entry — [`PUT`] and a row the tree's
+//!   [`RecordLayout`] can take apart, or [`TOMBSTONE`] — which [`add`] takes
+//!   apart into cells and [`get`] and a cursor's `value` put together again,
+//!   byte for byte. A reader that wants some of a record's fields asks a
+//!   cursor for those cells ([`BTreeRangeIter::cells`]) and touches the pages
+//!   of their chunks only. The trailer carries the *column directory* — each
+//!   column's name, declared type and kind — and a tree is opened only under
+//!   the layout it was written with.
+//!
+//! [`add`]: BTreeBuilder::add
+//! [`get`]: DiskBTree::get
 //!
 //! ## Page layout (leaf and internal pages alike)
 //!
@@ -27,25 +54,35 @@
 //!
 //! The longest common prefix of a page's keys is stored once; an entry holds
 //! what follows it. A search compares its target with the prefix once, then
-//! with suffixes. An internal page's value is a child page number and its
-//! key a *separator*: the shortest byte string above every key of the child
-//! to the left and not above any key of this one (see [`separator`]).
+//! with suffixes. An internal page's value is a child pointer and its key a
+//! *separator*: the shortest byte string above every key of the child to the
+//! left and not above any key of this one (see [`separator`]).
 
 use crate::bloom::BloomFilter;
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le;
+use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
+use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
+use asterix_obs::Counter;
 use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// "BTR2". "BTRE" was the format whose keys needed decoding to be compared
-/// and whose pages held them whole; a file of it is refused at open.
-const MAGIC: u32 = 0x4254_5232;
+/// "BTR3". "BTR2" trees had row leaves only and a trailer without a height
+/// or a column directory; "BTRE" keys needed decoding to be compared. A file
+/// of either is refused at open.
+const MAGIC: u32 = 0x4254_5233;
+const BTR2: u32 = 0x4254_5232;
 const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
 const ENTRY_OVERHEAD: usize = 2 /* offset */ + 4 /* lens */;
 const NO_NEXT: u64 = u64::MAX;
+
+/// First byte of a leaf-group tree's value: a record follows.
+pub const PUT: u8 = 0;
+/// The whole of a leaf-group tree's value for a delete marker.
+pub const TOMBSTONE: u8 = 1;
 
 /// Maximum key+value size storable in one page.
 pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - ENTRY_OVERHEAD;
@@ -56,7 +93,7 @@ pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - ENTRY_OVERHEAD;
 pub const MAX_KEY: usize = PAGE_SIZE / 2 - 32;
 
 /// Length of the longest common prefix of `a` and `b`.
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
@@ -65,6 +102,27 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 /// routes a search between two sibling pages as well as `next` itself would.
 fn separator(prev: &[u8], next: &[u8]) -> Vec<u8> {
     next[..(common_prefix(prev, next) + 1).min(next.len())].to_vec()
+}
+
+/// The column directory of a tree built under `layout`, as its trailer
+/// region holds it: whether the records have a declared type, then each
+/// column's name, declared type and kind.
+fn column_directory(layout: &RecordLayout) -> Vec<u8> {
+    let mut out = vec![layout.is_typed() as u8];
+    out.extend_from_slice(&(layout.columns().len() as u16).to_le_bytes());
+    for column in layout.columns() {
+        for text in [&column.name, &column.ty] {
+            out.extend_from_slice(&(text.len() as u16).to_le_bytes());
+            out.extend_from_slice(text.as_bytes());
+        }
+        out.extend_from_slice(&match column.kind {
+            ColumnKind::Int { tag, width } => [0, tag, width],
+            ColumnKind::Fixed { tag, width } => [1, tag, width],
+            ColumnKind::Bytes { tag } => [2, tag, 0],
+            ColumnKind::Tagged => [3, 0, 0],
+        });
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +267,7 @@ impl<'a> PageView<'a> {
         self.child(if exact { lb } else { lb.saturating_sub(1) })
     }
 
-    /// The page number entry `i` of an internal page points to.
+    /// What entry `i` of an internal page points to.
     fn child(&self, i: usize) -> Result<u64> {
         let bytes = self.entry(i)?.1.try_into();
         Ok(u64::from_le_bytes(bytes.map_err(|_| StorageError::Corrupt("internal entry is not a child pointer".into()))?))
@@ -220,93 +278,201 @@ impl<'a> PageView<'a> {
 // Builder
 // ---------------------------------------------------------------------------
 
+/// The leaf area under construction, in one of the two shapes.
+enum Leaves {
+    Pages {
+        leaf: PageBuilder,
+        written: u64,
+    },
+    Groups {
+        group: GroupBuilder,
+        /// Encoded groups not yet cut into pages.
+        buf: Vec<u8>,
+        /// Bytes of the leaf area encoded so far: where the next group starts.
+        written: u64,
+    },
+}
+
 /// Streams sorted `(key, value)` pairs into a new B+ tree component file.
 pub struct BTreeBuilder {
     writer: PageFileWriter,
-    leaf: PageBuilder,
-    /// Separator of each completed page at the level below, with its page no.
+    leaves: Leaves,
+    /// Separator of each completed page (or group) at the level below, with
+    /// what points to it.
     pending_level: Vec<(Vec<u8>, u64)>,
     /// The key added last (empty before the first): one buffer, reused.
     last_key: Vec<u8>,
     first_key: Vec<u8>,
     entry_count: u64,
     bloom: Option<BloomFilter>,
-    leaves_written: u64,
 }
 
 impl BTreeBuilder {
-    /// Starts building into `writer`. When `expected_keys > 0` a bloom filter
-    /// sized for that many keys is attached to the component.
+    /// Starts building a tree of row leaves into `writer`. When
+    /// `expected_keys > 0` a bloom filter sized for that many keys is
+    /// attached to the component.
     pub fn new(writer: PageFileWriter, expected_keys: usize) -> Self {
+        Self::over(writer, expected_keys, Leaves::Pages { leaf: PageBuilder::new(true), written: 0 })
+    }
+
+    /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are LSM
+    /// entries whose rows `layout` takes apart.
+    pub fn with_layout(writer: PageFileWriter, expected_keys: usize, layout: Arc<RecordLayout>) -> Self {
+        let group = GroupBuilder::new(Arc::new(GroupShape::new(layout)));
+        Self::over(writer, expected_keys, Leaves::Groups { group, buf: Vec::new(), written: 0 })
+    }
+
+    fn over(writer: PageFileWriter, expected_keys: usize, leaves: Leaves) -> Self {
         BTreeBuilder {
             writer,
-            leaf: PageBuilder::new(true),
+            leaves,
             pending_level: Vec::new(),
             last_key: Vec::new(),
             first_key: Vec::new(),
             entry_count: 0,
             bloom: (expected_keys > 0).then(|| BloomFilter::new(expected_keys, 10)),
-            leaves_written: 0,
         }
     }
 
     /// Appends the next pair; keys must arrive in strictly increasing order.
+    /// A tree of leaf groups takes the row of a [`PUT`] apart here.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.len() > MAX_KEY {
-            return Err(StorageError::RecordTooLarge { size: key.len(), max: MAX_KEY });
-        }
         if key.len() + value.len() > MAX_ENTRY {
             return Err(StorageError::RecordTooLarge {
                 size: key.len() + value.len(),
                 max: MAX_ENTRY,
             });
         }
-        if self.entry_count == 0 {
-            self.first_key = key.to_vec();
-        } else if self.last_key.as_slice() >= key {
+        if matches!(self.leaves, Leaves::Groups { .. }) {
+            return match value {
+                [PUT, row @ ..] => self.add_to_group(key, |group| group.push_row(key, row)),
+                [TOMBSTONE] => self.add_cells(key, None),
+                _ => Err(StorageError::Invalid(
+                    "a leaf-group value is a put marker and a row, or a delete marker".into(),
+                )),
+            };
+        }
+        self.admit(key)?;
+        if let Leaves::Pages { leaf, written } = &mut self.leaves {
+            if !leaf.fits(key, value.len()) {
+                Self::finish_leaf(&mut self.writer, leaf, written)?;
+            }
+            if leaf.is_empty() {
+                self.pending_level.push((separator(&self.last_key, key), *written));
+            }
+            leaf.push(key, value);
+        }
+        self.admitted(key);
+        Ok(())
+    }
+
+    /// [`BTreeBuilder::add`] for an entry already taken apart (a merge hands
+    /// on the cells it read): its cells, or none for a delete marker.
+    pub fn add_cells(&mut self, key: &[u8], cells: Option<&Cells>) -> Result<()> {
+        self.add_to_group(key, |group| {
+            group.push(key, cells);
+            Ok(())
+        })
+    }
+
+    /// Makes room in the group under construction — writing it out if it is
+    /// full — for the entry under `key` that `push` adds to it.
+    fn add_to_group(&mut self, key: &[u8], push: impl FnOnce(&mut GroupBuilder) -> Result<()>) -> Result<()> {
+        self.admit(key)?;
+        let Leaves::Groups { group, buf, written } = &mut self.leaves else {
+            return Err(StorageError::Invalid("cells added to a tree of row leaves".into()));
+        };
+        if group.is_full() {
+            Self::finish_group(&mut self.writer, group, buf, written)?;
+        }
+        let first = group.len() == 0;
+        push(group)?;
+        if first {
+            self.pending_level.push((separator(&self.last_key, key), *written));
+        }
+        self.admitted(key);
+        Ok(())
+    }
+
+    /// Whether `key` may come next.
+    fn admit(&self, key: &[u8]) -> Result<()> {
+        if key.len() > MAX_KEY {
+            return Err(StorageError::RecordTooLarge { size: key.len(), max: MAX_KEY });
+        }
+        if self.entry_count > 0 && self.last_key.as_slice() >= key {
             return Err(StorageError::Invalid(
                 "bulk-load keys must be strictly increasing".into(),
             ));
         }
-        if !self.leaf.fits(key, value.len()) {
-            self.finish_leaf()?;
+        Ok(())
+    }
+
+    /// `key` is in its leaf.
+    fn admitted(&mut self, key: &[u8]) {
+        if self.entry_count == 0 {
+            self.first_key = key.to_vec();
         }
-        if self.leaf.is_empty() {
-            self.pending_level.push((separator(&self.last_key, key), self.leaves_written));
-        }
-        self.leaf.push(key, value);
         if let Some(b) = &mut self.bloom {
             b.insert(key);
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.entry_count += 1;
-        Ok(())
     }
 
     /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order, so
     /// the next-pointer is simply the following page number; scans detect the
     /// end of the leaf level by landing on a non-leaf page (internal pages,
     /// bloom pages, and the trailer all start with a byte != 1).
-    fn finish_leaf(&mut self) -> Result<()> {
-        if self.leaf.is_empty() {
+    fn finish_leaf(writer: &mut PageFileWriter, leaf: &mut PageBuilder, written: &mut u64) -> Result<()> {
+        if leaf.is_empty() {
             return Ok(());
         }
-        let page = std::mem::replace(&mut self.leaf, PageBuilder::new(true));
-        self.leaves_written += 1;
-        self.writer.append(&page.emit(self.leaves_written))?;
+        let page = std::mem::replace(leaf, PageBuilder::new(true));
+        *written += 1;
+        writer.append(&page.emit(*written))?;
         Ok(())
     }
 
-    /// Finalizes the tree: writes leaves, internal levels, bloom, trailer.
-    /// Returns the opened component description.
+    /// Encodes the current group behind the ones before it and writes the
+    /// whole pages that completes.
+    fn finish_group(writer: &mut PageFileWriter, group: &mut GroupBuilder, buf: &mut Vec<u8>, written: &mut u64) -> Result<()> {
+        if group.len() == 0 {
+            return Ok(());
+        }
+        let before = buf.len();
+        group.encode(buf);
+        *written += (buf.len() - before) as u64;
+        let whole = buf.len() / PAGE_SIZE * PAGE_SIZE;
+        for page in buf[..whole].chunks_exact(PAGE_SIZE) {
+            writer.append(page)?;
+        }
+        buf.drain(..whole);
+        Ok(())
+    }
+
+    /// Finalizes the tree: writes leaves, internal levels, bloom and column
+    /// directory, trailer. Returns the opened component description.
     pub fn finish(mut self) -> Result<BuiltTree> {
-        self.finish_leaf()?;
-        let n_leaves = self.leaves_written;
+        let (leaf_end, shape) = match &mut self.leaves {
+            Leaves::Pages { leaf, written } => {
+                Self::finish_leaf(&mut self.writer, leaf, written)?;
+                (*written * PAGE_SIZE as u64, None)
+            }
+            Leaves::Groups { group, buf, written } => {
+                Self::finish_group(&mut self.writer, group, buf, written)?;
+                if !buf.is_empty() {
+                    buf.resize(PAGE_SIZE, 0);
+                    self.writer.append(buf.as_slice())?;
+                }
+                (*written, Some(Arc::clone(group.shape())))
+            }
+        };
         // Build internal levels bottom-up; a page's separator is that of its
         // first child.
         let mut level = std::mem::take(&mut self.pending_level);
-        let mut next_page_no = n_leaves;
+        let mut next_page_no = self.writer.page_count();
+        let mut height = 0u32;
         while level.len() > 1 {
             let mut upper: Vec<(Vec<u8>, u64)> = Vec::new();
             let mut pb = PageBuilder::new(false);
@@ -323,48 +489,51 @@ impl BTreeBuilder {
             }
             self.writer.append(&pb.emit(NO_NEXT))?;
             next_page_no += 1;
+            height += 1;
             level = upper;
         }
-        // a single-leaf or empty tree roots at page 0
-        let root_page = level.first().map_or(0, |(_, page)| *page);
-        // Bloom pages.
+        // a single-leaf or empty tree roots at its leaf area's start
+        let root = level.first().map_or(0, |(_, child)| *child);
+        // The bloom filter, then the column directory.
         let bloom_bytes = self.bloom.as_ref().map(|b| b.to_bytes()).unwrap_or_default();
-        let bloom_start = next_page_no;
-        let mut bloom_pages = 0u32;
-        for chunk in bloom_bytes.chunks(PAGE_SIZE) {
+        let columns = shape.as_ref().map(|s| column_directory(&s.layout)).unwrap_or_default();
+        let meta_start = next_page_no;
+        let mut meta_pages = 0u32;
+        for chunk in [bloom_bytes.as_slice(), columns.as_slice()].concat().chunks(PAGE_SIZE) {
             let mut page = vec![0u8; PAGE_SIZE];
             page[..chunk.len()].copy_from_slice(chunk);
             self.writer.append(&page)?;
-            bloom_pages += 1;
+            meta_pages += 1;
         }
         // Trailer.
         let (min_key, max_key) = (self.first_key, self.last_key);
-        let mut trailer = vec![0u8; PAGE_SIZE];
-        let mut w = 0usize;
-        let put = |bytes: &[u8], trailer: &mut Vec<u8>, w: &mut usize| {
-            trailer[*w..*w + bytes.len()].copy_from_slice(bytes);
-            *w += bytes.len();
-        };
-        put(&MAGIC.to_le_bytes(), &mut trailer, &mut w);
-        put(&root_page.to_le_bytes(), &mut trailer, &mut w);
-        put(&self.entry_count.to_le_bytes(), &mut trailer, &mut w);
-        put(&n_leaves.to_le_bytes(), &mut trailer, &mut w);
-        put(&bloom_start.to_le_bytes(), &mut trailer, &mut w);
-        put(&bloom_pages.to_le_bytes(), &mut trailer, &mut w);
-        put(&(bloom_bytes.len() as u32).to_le_bytes(), &mut trailer, &mut w);
-        put(&(min_key.len() as u32).to_le_bytes(), &mut trailer, &mut w);
-        put(&min_key, &mut trailer, &mut w);
-        put(&(max_key.len() as u32).to_le_bytes(), &mut trailer, &mut w);
-        put(&max_key, &mut trailer, &mut w);
+        let mut trailer = Vec::with_capacity(PAGE_SIZE);
+        trailer.extend_from_slice(&MAGIC.to_le_bytes());
+        trailer.extend_from_slice(&root.to_le_bytes());
+        trailer.extend_from_slice(&self.entry_count.to_le_bytes());
+        trailer.extend_from_slice(&leaf_end.to_le_bytes());
+        trailer.extend_from_slice(&height.to_le_bytes());
+        trailer.extend_from_slice(&meta_start.to_le_bytes());
+        trailer.extend_from_slice(&meta_pages.to_le_bytes());
+        trailer.extend_from_slice(&(bloom_bytes.len() as u32).to_le_bytes());
+        trailer.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+        for key in [&min_key, &max_key] {
+            trailer.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            trailer.extend_from_slice(key);
+        }
+        trailer.resize(PAGE_SIZE, 0);
         self.writer.append(&trailer)?;
         let file = self.writer.finish()?;
         Ok(BuiltTree {
             file,
-            root_page,
+            root,
+            height,
+            leaf_end,
             entry_count: self.entry_count,
             bloom: self.bloom,
             min_key,
             max_key,
+            shape,
         })
     }
 }
@@ -372,11 +541,14 @@ impl BTreeBuilder {
 /// Result of a bulk load: everything needed to construct a [`DiskBTree`].
 pub struct BuiltTree {
     pub file: FileId,
-    pub root_page: u64,
+    root: u64,
+    height: u32,
+    leaf_end: u64,
     pub entry_count: u64,
     pub bloom: Option<BloomFilter>,
     pub min_key: Vec<u8>,
     pub max_key: Vec<u8>,
+    shape: Option<Arc<GroupShape>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -388,11 +560,18 @@ pub struct BuiltTree {
 pub struct DiskBTree {
     cache: Arc<BufferCache>,
     file: FileId,
-    root_page: u64,
+    /// The root page — with no internal level, where the leaf area starts.
+    root: u64,
+    /// Internal levels above the leaf area.
+    height: u32,
+    /// Where the leaf area ends, in bytes from the start of the file.
+    leaf_end: u64,
     entry_count: u64,
     bloom: Option<BloomFilter>,
     min_key: Vec<u8>,
     max_key: Vec<u8>,
+    /// Set for a tree of leaf groups.
+    shape: Option<Arc<GroupShape>>,
 }
 
 impl DiskBTree {
@@ -401,55 +580,75 @@ impl DiskBTree {
         DiskBTree {
             cache,
             file: built.file,
-            root_page: built.root_page,
+            root: built.root,
+            height: built.height,
+            leaf_end: built.leaf_end,
             entry_count: built.entry_count,
             bloom: built.bloom,
             min_key: built.min_key,
             max_key: built.max_key,
+            shape: built.shape,
         }
     }
 
-    /// Opens an existing component file by reading its trailer page.
-    pub fn open(cache: Arc<BufferCache>, file: FileId) -> Result<Self> {
+    /// Opens an existing component file by reading its trailer page: a tree
+    /// of leaf groups under the `layout` it was written with, one of row
+    /// leaves under none.
+    pub fn open(cache: Arc<BufferCache>, file: FileId, layout: Option<&Arc<RecordLayout>>) -> Result<Self> {
         let n_pages = cache.manager().page_count(file)?;
         if n_pages == 0 {
             return Err(StorageError::Corrupt("empty btree file".into()));
         }
         let trailer = cache.manager().read_page(file, n_pages - 1)?;
         let magic = le::try_u32_at(&trailer, 0)?;
+        if magic == BTR2 {
+            return Err(StorageError::Corrupt(
+                "a BTR2 B+ tree file: written before primary components stored columns, which is not read".into(),
+            ));
+        }
         if magic != MAGIC {
             return Err(StorageError::Corrupt(format!(
                 "bad btree magic {magic:#010x} (this version reads {MAGIC:#010x}): not a B+ tree \
                  file, or one written before keys were memcomparable, which is not read"
             )));
         }
-        let root_page = le::try_u64_at(&trailer, 4)?;
+        let root = le::try_u64_at(&trailer, 4)?;
         let entry_count = le::try_u64_at(&trailer, 12)?;
-        let _n_leaves = le::try_u64_at(&trailer, 20)?;
-        let bloom_start = le::try_u64_at(&trailer, 28)?;
-        let bloom_pages = le::try_u32_at(&trailer, 36)?;
-        let bloom_len = le::try_u32_at(&trailer, 40)? as usize;
-        let min_len = le::try_u32_at(&trailer, 44)? as usize;
-        let min_key = le::try_bytes_at(&trailer, 48, min_len)?.to_vec();
-        let mut r = 48 + min_len;
-        let max_len = le::try_u32_at(&trailer, r)? as usize;
-        r += 4;
-        let max_key = le::try_bytes_at(&trailer, r, max_len)?.to_vec();
-        let bloom = if bloom_pages > 0 {
-            let mut bytes = Vec::with_capacity(bloom_len);
-            for p in 0..bloom_pages as u64 {
-                let page = cache.manager().read_page(file, bloom_start + p)?;
-                bytes.extend_from_slice(&page);
-            }
-            bytes.truncate(bloom_len);
-            Some(
-                BloomFilter::from_bytes(&bytes)
+        let leaf_end = le::try_u64_at(&trailer, 20)?;
+        let height = le::try_u32_at(&trailer, 28)?;
+        let meta_start = le::try_u64_at(&trailer, 32)?;
+        let meta_pages = le::try_u32_at(&trailer, 40)? as u64;
+        let bloom_len = le::try_u32_at(&trailer, 44)? as usize;
+        let columns_len = le::try_u32_at(&trailer, 48)? as usize;
+        let min_len = le::try_u32_at(&trailer, 52)? as usize;
+        let min_key = le::try_bytes_at(&trailer, 56, min_len)?.to_vec();
+        let max_len = le::try_u32_at(&trailer, 56 + min_len)? as usize;
+        let max_key = le::try_bytes_at(&trailer, 60 + min_len, max_len)?.to_vec();
+        if leaf_end > meta_start.saturating_mul(PAGE_SIZE as u64) || meta_start.checked_add(meta_pages) != Some(n_pages - 1) {
+            return Err(StorageError::Corrupt("btree trailer: regions out of order".into()));
+        }
+        let mut meta = Vec::with_capacity(meta_pages as usize * PAGE_SIZE);
+        for p in 0..meta_pages {
+            meta.extend_from_slice(&cache.manager().read_page(file, meta_start + p)?);
+        }
+        let bloom = match bloom_len {
+            0 => None,
+            _ => Some(
+                BloomFilter::from_bytes(le::try_bytes_at(&meta, 0, bloom_len)?)
                     .ok_or_else(|| StorageError::Corrupt("bad bloom filter".into()))?,
-            )
-        } else {
-            None
+            ),
         };
-        Ok(DiskBTree { cache, file, root_page, entry_count, bloom, min_key, max_key })
+        let columns = le::try_bytes_at(&meta, bloom_len, columns_len)?;
+        let shape = match layout {
+            None if columns.is_empty() => None,
+            Some(layout) if columns == column_directory(layout) => Some(Arc::new(GroupShape::new(Arc::clone(layout)))),
+            _ => {
+                return Err(StorageError::Corrupt(
+                    "the tree's column directory is not that of the layout it is opened under".into(),
+                ))
+            }
+        };
+        Ok(DiskBTree { cache, file, root, height, leaf_end, entry_count, bloom, min_key, max_key, shape })
     }
 
     /// The component's file id.
@@ -482,31 +681,42 @@ impl DiskBTree {
         self.bloom.as_ref().is_none_or(|b| b.may_contain(key))
     }
 
-    /// The leaf `key` belongs to — the leftmost leaf without a key.
-    fn leaf_for(&self, key: Option<&[u8]>) -> Result<(Arc<Vec<u8>>, u64)> {
-        let mut page_no = self.root_page;
-        loop {
-            let page = self.cache.get(self.file, page_no)?;
+    /// Whether `key` lies outside what the tree can hold: past its smallest
+    /// or largest key, or refused by its bloom filter.
+    fn rules_out(&self, key: &[u8]) -> bool {
+        self.entry_count == 0
+            || !self.may_contain(key)
+            || key < self.min_key.as_slice()
+            || key > self.max_key.as_slice()
+    }
+
+    /// Where in the leaf area `key` belongs — the leaf page, or the first
+    /// byte of the leaf group; the leftmost without a key.
+    fn descend(&self, key: Option<&[u8]>) -> Result<u64> {
+        let mut at = self.root;
+        for _ in 0..self.height {
+            let page = self.cache.get(self.file, at)?;
             let view = PageView::new(&page);
             if view.is_leaf() {
-                return Ok((page, page_no));
+                return Err(StorageError::Corrupt("a leaf page among the internal levels".into()));
             }
-            page_no = match key {
+            at = match key {
                 Some(key) => view.child_for(key)?,
                 None => view.child(0)?,
             };
         }
+        Ok(at)
     }
 
     /// Point lookup. Consults the bloom filter first.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if self.entry_count == 0 || !self.may_contain(key) {
+        if self.shape.is_some() {
+            return self.probe(key)?.map(|mut at| at.value().map(<[u8]>::to_vec)).transpose();
+        }
+        if self.rules_out(key) {
             return Ok(None);
         }
-        if key < self.min_key.as_slice() || key > self.max_key.as_slice() {
-            return Ok(None);
-        }
-        let (page, _) = self.leaf_for(Some(key))?;
+        let page = self.cache.get(self.file, self.descend(Some(key))?)?;
         let view = PageView::new(&page);
         match view.search(key)? {
             (idx, true) => Ok(Some(view.entry(idx)?.1.to_vec())),
@@ -514,8 +724,19 @@ impl DiskBTree {
         }
     }
 
+    /// A cursor standing at `key`, if the tree has it. Consults the bloom
+    /// filter first.
+    pub fn probe(&self, key: &[u8]) -> Result<Option<BTreeRangeIter>> {
+        if self.rules_out(key) {
+            return Ok(None);
+        }
+        let at = self.range(Bound::Included(key), Bound::Unbounded)?;
+        Ok((at.key() == Some(key)).then_some(at))
+    }
+
     /// Range scan over `[lo, hi]` with the given bounds (`Bound::Unbounded`
-    /// for open ends). Yields `(key, value)` pairs in key order.
+    /// for open ends): a cursor at the first entry in range, and an iterator
+    /// of `(key, value)` pairs in key order.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
@@ -524,25 +745,13 @@ impl DiskBTree {
         if self.entry_count == 0 {
             return Ok(BTreeRangeIter::empty());
         }
-        let (page, page_no, idx) = match lo {
-            Bound::Unbounded => {
-                let (page, page_no) = self.leaf_for(None)?;
-                (page, page_no, 0usize)
-            }
-            Bound::Included(k) | Bound::Excluded(k) => {
-                let (page, page_no) = self.leaf_for(Some(k))?;
-                let (idx, exact) = PageView::new(&page).search(k)?;
-                let skip = exact && matches!(lo, Bound::Excluded(_));
-                (page, page_no, idx + skip as usize)
-            }
+        let tree = TreeRef { cache: Arc::clone(&self.cache), file: self.file, direct: None };
+        let start = match lo {
+            Bound::Unbounded => None,
+            Bound::Included(k) | Bound::Excluded(k) => Some((k, matches!(lo, Bound::Excluded(_)))),
         };
-        Ok(BTreeRangeIter {
-            tree: Some(TreeRef { cache: Arc::clone(&self.cache), file: self.file, direct: None }),
-            page: Some(page),
-            page_no,
-            idx,
-            hi,
-        })
+        let at = self.descend(start.map(|(k, _)| k))?;
+        self.cursor(tree, at, start, hi)
     }
 
     /// Full scan in key order.
@@ -551,37 +760,418 @@ impl DiskBTree {
     }
 
     /// Full scan in key order outside the buffer cache (see [`PageStream`]):
-    /// the leaves are the file's first pages, in key order.
+    /// the leaf area is the file's first pages, in key order.
     pub fn scan_uncached(&self) -> Result<BTreeRangeIter> {
         if self.entry_count == 0 {
             return Ok(BTreeRangeIter::empty());
         }
-        let mut direct = PageStream::new(Arc::clone(self.cache.manager()), self.file);
-        let page = Arc::new(direct.page(0)?.to_vec());
+        let direct = PageStream::new(Arc::clone(self.cache.manager()), self.file);
         let tree = TreeRef { cache: Arc::clone(&self.cache), file: self.file, direct: Some(direct) };
-        Ok(BTreeRangeIter { tree: Some(tree), page: Some(page), page_no: 0, idx: 0, hi: Bound::Unbounded })
+        self.cursor(tree, 0, None, Bound::Unbounded)
+    }
+
+    /// A cursor over `tree`'s leaf area from `at` (see [`DiskBTree::descend`]):
+    /// at the first entry from `start` on — past it, if the flag says so —
+    /// that is within `hi`.
+    fn cursor(&self, tree: TreeRef, at: u64, start: Option<(&[u8], bool)>, hi: Bound<Vec<u8>>) -> Result<BTreeRangeIter> {
+        let leaf = match &self.shape {
+            None => Leaf::Page(PageCursor::open(tree, at, start)?),
+            Some(shape) => Leaf::Group(GroupCursor::open(tree, Arc::clone(shape), self.leaf_end, at, start)?),
+        };
+        let mut iter = BTreeRangeIter { leaf: Some(leaf), hi, key: Vec::with_capacity(32) };
+        iter.settle()?;
+        Ok(iter)
     }
 }
 
 struct TreeRef {
     cache: Arc<BufferCache>,
     file: FileId,
-    /// Where the next leaf comes from instead of the cache, if set.
+    /// Where pages come from instead of the cache, if set.
     direct: Option<PageStream>,
 }
 
-/// Iterator over a key range; yields `Result<(key, value)>`.
-pub struct BTreeRangeIter {
-    tree: Option<TreeRef>,
-    page: Option<Arc<Vec<u8>>>,
-    page_no: u64,
+/// A place in a tree of row leaves.
+struct PageCursor {
+    tree: TreeRef,
+    page: Arc<Vec<u8>>,
     idx: usize,
+}
+
+impl PageCursor {
+    fn open(mut tree: TreeRef, page_no: u64, start: Option<(&[u8], bool)>) -> Result<PageCursor> {
+        let page = tree.leaf(page_no, false)?;
+        let idx = match start {
+            None => 0,
+            Some((key, after)) => {
+                let (idx, exact) = PageView::new(&page).search(key)?;
+                idx + usize::from(exact && after)
+            }
+        };
+        Ok(PageCursor { tree, page, idx })
+    }
+}
+
+impl TreeRef {
+    /// Leaf page `page_no`; `sequential` when it follows the one read last.
+    fn leaf(&mut self, page_no: u64, sequential: bool) -> Result<Arc<Vec<u8>>> {
+        match &mut self.direct {
+            Some(pages) => pages.page(page_no).map(|p| Arc::new(p.to_vec())),
+            // Leaves are packed sequentially at the front of the file, so
+            // next-leaf fetches are the readahead path.
+            None if sequential => self.cache.get_sequential(self.file, page_no),
+            None => self.cache.get(self.file, page_no),
+        }
+    }
+}
+
+/// A page a group reader holds on to, by its number.
+type Pin = Option<(u64, Arc<Vec<u8>>)>;
+
+/// The bytes of the leaf group a cursor stands in. Through the buffer cache
+/// a read pins the page it needs and keeps it, with the one before it, for
+/// the next reads of the same chunk — cells are read in order, so a page is
+/// fetched once per chunk, also where a value lies across two, and a chunk
+/// nobody reads is never touched; a merge, which reads every chunk, takes
+/// the group whole from its [`PageStream`].
+struct GroupBytes {
+    tree: TreeRef,
+    /// The group's first byte in the file.
+    start: u64,
+    /// Per chunk, the two pages read last, the latest first.
+    pins: Vec<[Pin; 2]>,
+    /// The page fetched last, for any chunk.
+    latest: Pin,
+    /// The whole group, when read outside the cache.
+    whole: Vec<u8>,
+    /// A span that crosses pages, put together.
+    scratch: Vec<u8>,
+    /// Chunks of the current group opened so far and not yet counted.
+    opened: u64,
+    chunks_read: Counter,
+}
+
+impl GroupBytes {
+    /// Appends to `out` bytes `from..from + len` of the file, a page at a
+    /// time from the stream.
+    fn read_direct(stream: &mut PageStream, from: u64, len: usize, out: &mut Vec<u8>) -> Result<()> {
+        let (mut at, end) = (from, from + len as u64);
+        while at < end {
+            let (page_no, off) = (at / PAGE_SIZE as u64, (at % PAGE_SIZE as u64) as usize);
+            let take = (PAGE_SIZE - off).min((end - at) as usize);
+            out.extend_from_slice(&stream.page(page_no)?[off..off + take]);
+            at += take as u64;
+        }
+        Ok(())
+    }
+
+    /// Page `page_no`, which holds bytes of chunk `chunk`; the chunk's last
+    /// byte is on the page before `end`.
+    fn pin(&mut self, chunk: usize, page_no: u64, end: u64) -> Result<&[u8]> {
+        let holds = |pin: &Pin| pin.as_ref().is_some_and(|(held, _)| *held == page_no);
+        if holds(&self.pins[chunk][1]) {
+            self.pins[chunk].swap(0, 1);
+        } else if !holds(&self.pins[chunk][0]) {
+            let held = self.pins[chunk][0].as_ref().map(|(held, _)| *held);
+            self.opened += u64::from(held.is_none());
+            // small chunks share pages, and are read one after the other:
+            // the page fetched last, for whichever chunk, may be this one
+            if !holds(&self.latest) {
+                let (cache, file) = (&self.tree.cache, self.tree.file);
+                let page = match held {
+                    // the chunk's next page: those after it, up to the
+                    // chunk's last, are read along
+                    Some(held) if held + 1 == page_no => cache.get_within(file, page_no, end)?,
+                    _ => cache.get(file, page_no)?,
+                };
+                self.latest = Some((page_no, page));
+            }
+            let pins = &mut self.pins[chunk];
+            pins[1] = pins[0].take();
+            pins[0] = self.latest.clone();
+        }
+        match &self.pins[chunk][0] {
+            Some((_, page)) => Ok(page),
+            None => Err(StorageError::Invalid("no page pinned".into())),
+        }
+    }
+
+    /// Adds the chunks opened since the last call to the node's count.
+    fn count_opened(&mut self) {
+        self.chunks_read.add(std::mem::take(&mut self.opened));
+    }
+}
+
+impl Drop for GroupBytes {
+    fn drop(&mut self) {
+        self.count_opened();
+    }
+}
+
+impl ChunkBytes for GroupBytes {
+    fn span(&mut self, chunk: usize, at: u64, len: usize, end: u64) -> Result<&[u8]> {
+        if self.tree.direct.is_some() {
+            return le::try_bytes_at(&self.whole, at as usize, len);
+        }
+        let from = self.start + at;
+        let end = (self.start + end).div_ceil(PAGE_SIZE as u64);
+        let (page_no, off) = (from / PAGE_SIZE as u64, (from % PAGE_SIZE as u64) as usize);
+        if off + len <= PAGE_SIZE {
+            return le::try_bytes_at(self.pin(chunk, page_no, end)?, off, len);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        let mut page_no = page_no;
+        let mut off = off;
+        while scratch.len() < len {
+            let take = (PAGE_SIZE - off).min(len - scratch.len());
+            scratch.extend_from_slice(le::try_bytes_at(self.pin(chunk, page_no, end)?, off, take)?);
+            (page_no, off) = (page_no + 1, 0);
+        }
+        self.scratch = scratch;
+        Ok(&self.scratch)
+    }
+}
+
+/// A place in a tree of leaf groups.
+struct GroupCursor {
+    shape: Arc<GroupShape>,
+    bytes: GroupBytes,
+    dir: GroupDir,
+    idx: usize,
+    /// The prefix the group's keys share.
+    prefix: Vec<u8>,
+    leaf_end: u64,
+    /// The cells of the value being put together.
+    cells: Cells,
+    value: Vec<u8>,
+    rows_assembled: Counter,
+}
+
+impl GroupCursor {
+    /// A cursor in the group that starts at byte `at`, at the first entry
+    /// from `start` on (past it, if the flag says so).
+    fn open(tree: TreeRef, shape: Arc<GroupShape>, leaf_end: u64, at: u64, start: Option<(&[u8], bool)>) -> Result<Box<GroupCursor>> {
+        let hub = Arc::clone(tree.cache.stats().lsm());
+        let bytes = GroupBytes {
+            tree,
+            start: 0,
+            pins: vec![[None, None]; shape.chunk_count()],
+            latest: None,
+            whole: Vec::new(),
+            scratch: Vec::new(),
+            opened: 0,
+            chunks_read: hub.chunks_read.clone(),
+        };
+        let mut cursor = Box::new(GroupCursor {
+            shape,
+            bytes,
+            dir: GroupDir { n: 0, chunks: Vec::new(), len: 0 },
+            idx: 0,
+            prefix: Vec::new(),
+            leaf_end,
+            cells: Cells::default(),
+            value: Vec::new(),
+            rows_assembled: hub.rows_assembled.clone(),
+        });
+        cursor.enter(at)?;
+        if let Some((key, after)) = start {
+            let (idx, exact) = cursor.view().search(key)?;
+            cursor.idx = idx + usize::from(exact && after);
+        }
+        Ok(cursor)
+    }
+
+    fn view(&mut self) -> GroupView<'_, GroupBytes> {
+        GroupView { shape: &self.shape, dir: &self.dir, src: &mut self.bytes }
+    }
+
+    /// Moves to the group that starts at byte `start` of the file.
+    fn enter(&mut self, start: u64) -> Result<()> {
+        let dir_len = self.shape.dir_len();
+        if start.checked_add(dir_len as u64).is_none_or(|end| end > self.leaf_end) {
+            return Err(StorageError::Corrupt(format!("leaf group at byte {start} of a leaf area of {}", self.leaf_end)));
+        }
+        let bytes = &mut self.bytes;
+        bytes.start = start;
+        bytes.count_opened();
+        bytes.pins.iter_mut().for_each(|pins| *pins = [None, None]);
+        bytes.latest = None;
+        if let Some(stream) = &mut bytes.tree.direct {
+            bytes.whole.clear();
+            GroupBytes::read_direct(stream, start, dir_len, &mut bytes.whole)?;
+        }
+        self.dir = GroupDir::parse(bytes.span(0, 0, dir_len, dir_len as u64)?, &self.shape)?;
+        if self.dir.len > self.leaf_end - start {
+            return Err(StorageError::Corrupt("a leaf group runs past the leaf area".into()));
+        }
+        if let Some(stream) = &mut bytes.tree.direct {
+            let rest = self.dir.len as usize - dir_len;
+            GroupBytes::read_direct(stream, start + dir_len as u64, rest, &mut bytes.whole)?;
+        }
+        self.idx = 0;
+        let mut prefix = std::mem::take(&mut self.prefix);
+        prefix.clear();
+        prefix.extend_from_slice(self.view().key_prefix()?);
+        self.prefix = prefix;
+        Ok(())
+    }
+}
+
+enum Leaf {
+    Page(PageCursor),
+    Group(Box<GroupCursor>),
+}
+
+/// A cursor over a key range: it stands at an entry ([`key`], [`value`]) and
+/// moves to the next ([`advance`]) until the range has no more. As an
+/// iterator it yields `Result<(key, value)>`, each copied out.
+///
+/// [`key`]: BTreeRangeIter::key
+/// [`value`]: BTreeRangeIter::value
+/// [`advance`]: BTreeRangeIter::advance
+pub struct BTreeRangeIter {
+    /// `None` once the range is exhausted.
+    leaf: Option<Leaf>,
     hi: Bound<Vec<u8>>,
+    /// The key of the entry the cursor stands at.
+    key: Vec<u8>,
 }
 
 impl BTreeRangeIter {
     fn empty() -> Self {
-        BTreeRangeIter { tree: None, page: None, page_no: 0, idx: 0, hi: Bound::Unbounded }
+        BTreeRangeIter { leaf: None, hi: Bound::Unbounded, key: Vec::new() }
+    }
+
+    /// The key of the entry the cursor stands at; `None` past the last.
+    pub fn key(&self) -> Option<&[u8]> {
+        self.leaf.as_ref().map(|_| self.key.as_slice())
+    }
+
+    /// Moves to the next entry of the range.
+    pub fn advance(&mut self) -> Result<()> {
+        match &mut self.leaf {
+            Some(Leaf::Page(at)) => at.idx += 1,
+            Some(Leaf::Group(at)) => at.idx += 1,
+            None => {}
+        }
+        self.settle()
+    }
+
+    /// Steps over the end of a leaf to the next one, reads the key of the
+    /// entry arrived at and checks it against the upper bound. A failure
+    /// ends the range.
+    fn settle(&mut self) -> Result<()> {
+        let arrived = self.arrive();
+        if !matches!(arrived, Ok(true)) {
+            self.leaf = None;
+        }
+        arrived.map(drop)
+    }
+
+    /// See [`BTreeRangeIter::settle`]; whether there is an entry in range.
+    fn arrive(&mut self) -> Result<bool> {
+        match &mut self.leaf {
+            None => return Ok(false),
+            Some(Leaf::Page(at)) => {
+                while at.idx >= PageView::new(&at.page).len() {
+                    // Leaves are packed first in the file, so the last leaf's
+                    // next-pointer lands on a non-leaf page — that is the end
+                    // of the scan.
+                    let Some(next) = PageView::new(&at.page).next_leaf() else { return Ok(false) };
+                    let page = at.tree.leaf(next, true)?;
+                    if !PageView::new(&page).is_leaf() {
+                        return Ok(false);
+                    }
+                    (at.page, at.idx) = (page, 0);
+                }
+                let view = PageView::new(&at.page);
+                self.key.clear();
+                self.key.extend_from_slice(view.prefix()?);
+                self.key.extend_from_slice(view.entry(at.idx)?.0);
+            }
+            Some(Leaf::Group(at)) => {
+                while at.idx >= at.dir.n {
+                    let next = at.bytes.start + at.dir.len;
+                    if next >= at.leaf_end {
+                        return Ok(false);
+                    }
+                    at.enter(next)?;
+                }
+                self.key.clear();
+                self.key.extend_from_slice(&at.prefix);
+                let (prefix_len, idx) = (at.prefix.len(), at.idx);
+                self.key.extend_from_slice(at.view().key_suffix(prefix_len, idx)?);
+            }
+        }
+        Ok(match &self.hi {
+            Bound::Unbounded => true,
+            Bound::Included(h) => self.key <= *h,
+            Bound::Excluded(h) => self.key < *h,
+        })
+    }
+
+    /// The entry the cursor stands at, key and value: the value in place for
+    /// a row leaf, put together from its cells for a leaf group.
+    pub fn entry(&mut self) -> Result<(&[u8], &[u8])> {
+        let key = self.key.as_slice();
+        match &mut self.leaf {
+            None => Err(StorageError::Invalid("a cursor past its range has no value".into())),
+            Some(Leaf::Page(at)) => Ok((key, PageView::new(&at.page).entry(at.idx)?.1)),
+            Some(Leaf::Group(at)) => {
+                let at = &mut **at;
+                let mut view = GroupView { shape: &at.shape, dir: &at.dir, src: &mut at.bytes };
+                at.value.clear();
+                if view.is_tombstone(at.idx)? {
+                    at.value.push(TOMBSTONE);
+                    return Ok((key, &at.value));
+                }
+                let cells = at.shape.layout.cell_count();
+                if at.value.capacity() == 0 {
+                    // a typical record, whole: not grown a doubling at a time
+                    (at.cells, at.value) = (Cells::with_capacity(cells, 256), Vec::with_capacity(256));
+                }
+                at.cells.clear();
+                for cell in 0..cells {
+                    view.cell(cell, at.idx, &mut at.cells)?;
+                }
+                at.value.push(PUT);
+                at.shape.layout.assemble(&at.cells, &mut at.value);
+                at.rows_assembled.inc();
+                Ok((key, &at.value))
+            }
+        }
+    }
+
+    /// The value of [`BTreeRangeIter::entry`].
+    pub fn value(&mut self) -> Result<&[u8]> {
+        Ok(self.entry()?.1)
+    }
+
+    fn group(&mut self) -> Result<&mut GroupCursor> {
+        match &mut self.leaf {
+            Some(Leaf::Group(at)) => Ok(&mut **at),
+            _ => Err(StorageError::Invalid("not a cursor at an entry of a leaf group".into())),
+        }
+    }
+
+    /// Whether the entry the cursor stands at is a delete marker (leaf
+    /// groups only: a row leaf's value is its owner's to read).
+    pub fn is_tombstone(&mut self) -> Result<bool> {
+        let at = self.group()?;
+        let idx = at.idx;
+        at.view().is_tombstone(idx)
+    }
+
+    /// Appends to `out` the cells `wanted` (indices into the layout's cells,
+    /// as [`asterix_adm::Projection::cells`] lists them) of the entry the
+    /// cursor stands at (leaf groups only). Chunks of other cells are not
+    /// read.
+    pub fn cells(&mut self, wanted: &[usize], out: &mut Cells) -> Result<()> {
+        let at = self.group()?;
+        let idx = at.idx;
+        let mut view = at.view();
+        wanted.iter().try_for_each(|&cell| view.cell(cell, idx, out))
     }
 }
 
@@ -589,66 +1179,12 @@ impl Iterator for BTreeRangeIter {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let tree = self.tree.as_mut()?;
-            let page = self.page.as_ref()?;
-            let view = PageView::new(page);
-            if self.idx >= view.len() {
-                match view.next_leaf() {
-                    None => {
-                        self.page = None;
-                        return None;
-                    }
-                    Some(next) => {
-                        // Leaves are packed sequentially at the front of the
-                        // file, so next-leaf fetches are the readahead path.
-                        let fetched = match &mut tree.direct {
-                            Some(pages) => pages.page(next).map(|p| Arc::new(p.to_vec())),
-                            None => tree.cache.get_sequential(tree.file, next),
-                        };
-                        match fetched {
-                            Ok(p) => {
-                                // Leaves are packed first in the file, so the
-                                // last leaf's next-pointer lands on a non-leaf
-                                // page — that is the end of the scan.
-                                if !PageView::new(&p).is_leaf() {
-                                    self.page = None;
-                                    return None;
-                                }
-                                self.page = Some(p);
-                                self.page_no = next;
-                                self.idx = 0;
-                                continue;
-                            }
-                            Err(e) => {
-                                self.page = None;
-                                return Some(Err(e));
-                            }
-                        }
-                    }
-                }
-            }
-            let (key, v) = match view.prefix().and_then(|p| Ok((p, view.entry(self.idx)?))) {
-                Ok((prefix, (suffix, v))) => ([prefix, suffix].concat(), v),
-                Err(e) => {
-                    self.page = None;
-                    return Some(Err(e));
-                }
-            };
-            // upper bound check
-            let in_range = match &self.hi {
-                Bound::Unbounded => true,
-                Bound::Included(h) => key <= *h,
-                Bound::Excluded(h) => key < *h,
-            };
-            if !in_range {
-                self.page = None;
-                return None;
-            }
-            let item = (key, v.to_vec());
-            self.idx += 1;
-            return Some(Ok(item));
+        let key = self.key()?.to_vec();
+        let item = self.value().map(|value| (key, value.to_vec())).and_then(|item| self.advance().map(|()| item));
+        if item.is_err() {
+            self.leaf = None;
         }
+        Some(item)
     }
 }
 
@@ -761,7 +1297,7 @@ mod tests {
         let fm2 = FileManager::new(dir.path(), IoStats::new()).unwrap();
         let cache2 = BufferCache::new(fm2, 64);
         let fid = cache2.manager().open("r.btree").unwrap();
-        let t = DiskBTree::open(Arc::clone(&cache2), fid).unwrap();
+        let t = DiskBTree::open(Arc::clone(&cache2), fid, None).unwrap();
         assert_eq!(t.len(), 2_000);
         assert_eq!(t.get(&key(1234)).unwrap().unwrap(), b"value-1234");
         assert!(t.get(&key(5555)).unwrap().is_none());
@@ -826,5 +1362,193 @@ mod tests {
         let hi = encode_key(&[Value::from("user059"), Value::Int(i64::MAX)]);
         let n = t.range(Bound::Included(&lo), Bound::Included(hi)).unwrap().count();
         assert_eq!(n, 10);
+    }
+
+    // -- leaf groups --------------------------------------------------------
+
+    use asterix_adm::schema_encode::encode_with_schema;
+    use asterix_adm::types::gleambook_types;
+
+    fn message_layout() -> Arc<RecordLayout> {
+        Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType")))
+    }
+
+    /// The row of message `i`, and `[PUT] ++ row`.
+    fn message(i: i64) -> (Vec<u8>, Vec<u8>) {
+        let reg = gleambook_types();
+        let mut fields = vec![
+            ("messageId".to_string(), Value::Int(i)),
+            ("authorId".into(), Value::Int(i % 97)),
+            ("message".into(), Value::from(format!("message number {i:>60}"))),
+        ];
+        if i % 3 == 0 {
+            fields.insert(2, ("inResponseTo".into(), Value::Int(i / 3)));
+        }
+        if i % 10 == 0 {
+            fields.push(("mood".into(), Value::from("open")));
+        }
+        let row = encode_with_schema(&Value::object(fields), reg.get("GleambookMessageType").unwrap()).unwrap();
+        let value = [&[PUT][..], &row].concat();
+        (row, value)
+    }
+
+    /// Messages `0..n` as a tree of leaf groups, every seventh a delete marker.
+    fn build_groups(cache: &Arc<BufferCache>, name: &str, n: i64) -> DiskBTree {
+        let w = cache.manager().bulk_writer(name).unwrap();
+        let mut b = BTreeBuilder::with_layout(w, n as usize, message_layout());
+        for i in 0..n {
+            if i % 7 == 6 {
+                b.add(&key(i), &[TOMBSTONE]).unwrap();
+            } else {
+                b.add(&key(i), &message(i).1).unwrap();
+            }
+        }
+        DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap())
+    }
+
+    #[test]
+    fn leaf_groups_answer_like_row_leaves() {
+        let (cache, _d) = setup(256);
+        let n = 2 * crate::leaf_group::GROUP_RECORDS as i64 + 300;
+        let t = build_groups(&cache, "g.btree", n);
+        assert_eq!(t.len(), n as u64);
+        for i in [0, 1, 6, 1_023, 1_024, 1_025, 2_047, 2_048, n - 1] {
+            let want = if i % 7 == 6 { vec![TOMBSTONE] } else { message(i).1 };
+            assert_eq!(t.get(&key(i)).unwrap().unwrap(), want, "get {i}");
+        }
+        assert!(t.get(&key(n)).unwrap().is_none());
+        assert!(t.get(&key(-1)).unwrap().is_none());
+        let mut seen = 0;
+        for (i, item) in t.scan().unwrap().enumerate() {
+            let (k, v) = item.unwrap();
+            assert_eq!(k, key(i as i64));
+            assert_eq!(v.len() == 1, i % 7 == 6);
+            seen += 1;
+        }
+        assert_eq!(seen, n);
+        // a range that starts in one group and ends in the next
+        let (lo, hi) = (key(1_000), key(1_050));
+        let got: Vec<_> = t.range(Bound::Excluded(&lo), Bound::Included(hi)).unwrap().map(|r| r.unwrap().0).collect();
+        assert_eq!(got, (1_001..=1_050).map(key).collect::<Vec<_>>());
+        // outside the cache: the same entries
+        let direct: Vec<_> = t.scan_uncached().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(direct, t.scan().unwrap().map(|r| r.unwrap()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn named_cells_come_out_of_their_chunks_alone() {
+        let (cache, _d) = setup(256);
+        let t = build_groups(&cache, "c.btree", 3_000);
+        let layout = message_layout();
+        let wanted = layout.resolve(&["authorId".into()]);
+        let counter = |name: &str| cache.stats().registry().snapshot().counter(name).unwrap();
+        let (chunks, rows, reads) =
+            (counter("storage.lsm.chunks_read"), counter("storage.lsm.rows_assembled"), cache.stats().physical_reads());
+        let mut at = t.scan().unwrap();
+        let (mut cells, mut live) = (Cells::default(), 0);
+        while let Some(k) = at.key().map(<[u8]>::to_vec) {
+            if !at.is_tombstone().unwrap() {
+                cells.clear();
+                at.cells(wanted.cells(), &mut cells).unwrap();
+                let got = layout.project(&wanted, &cells).unwrap();
+                let id = asterix_adm::binary::decode_key(&k).unwrap()[0].as_i64().unwrap();
+                assert_eq!(got.field("authorId"), &Value::Int(id % 97));
+                live += 1;
+            }
+            at.advance().unwrap();
+        }
+        assert_eq!(live, 3_000 - 3_000 / 7);
+        drop(at);
+        assert_eq!(counter("storage.lsm.rows_assembled"), rows, "no row was put together");
+        // per group: keys, tombstones, authorId's presence and data
+        assert_eq!(counter("storage.lsm.chunks_read") - chunks, 3 * 4);
+        let file_pages = cache.manager().page_count(t.file()).unwrap();
+        let read = cache.stats().physical_reads() - reads;
+        assert!(read * 3 < file_pages, "{read} of {file_pages} pages read for one int column");
+    }
+
+    #[test]
+    fn a_tree_opens_under_the_layout_it_was_written_with() {
+        let (cache, _d) = setup(64);
+        let file = build_groups(&cache, "o.btree", 50).file();
+        let rows = build(&cache, "r.btree", 50, true).file();
+        let reopened = DiskBTree::open(Arc::clone(&cache), file, Some(&message_layout())).unwrap();
+        assert_eq!(reopened.get(&key(3)).unwrap().unwrap(), message(3).1);
+        let other = Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType")));
+        for (file, layout) in [(file, None), (file, Some(&other)), (rows, Some(&other))] {
+            assert!(matches!(DiskBTree::open(Arc::clone(&cache), file, layout), Err(StorageError::Corrupt(_))));
+        }
+    }
+
+    #[test]
+    fn a_leaf_group_value_is_a_marker_and_a_row() {
+        let (cache, _d) = setup(8);
+        let w = cache.manager().bulk_writer("v.btree").unwrap();
+        let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
+        assert!(matches!(b.add(&key(1), b""), Err(StorageError::Invalid(_))));
+        assert!(matches!(b.add(&key(1), &[7, 1, 2]), Err(StorageError::Invalid(_))));
+        assert!(matches!(b.add(&key(1), &[PUT, 1]), Err(StorageError::Adm(_))), "not a row of the layout");
+        b.add(&key(1), &message(1).1).unwrap();
+        assert!(b.add(&key(1), &[TOMBSTONE]).is_err(), "duplicate key");
+        let w = cache.manager().bulk_writer("w.btree").unwrap();
+        assert!(matches!(BTreeBuilder::new(w, 0).add_cells(&key(1), None), Err(StorageError::Invalid(_))));
+    }
+
+    /// Groups follow one another with no padding, so a directory, a bitmap
+    /// or a value may lie across two pages: whatever the offset — the
+    /// second group's directory is steered across a page boundary last — the
+    /// same answers.
+    #[test]
+    fn a_group_starts_anywhere_in_a_page() {
+        let (cache, _d) = setup(256);
+        let reg = gleambook_types();
+        let ty = reg.get("GleambookMessageType").unwrap();
+        let n = crate::leaf_group::GROUP_RECORDS as i64 + 40;
+        // `filler` more bytes in the first group, a quarter in each of four records
+        let row = |pad: usize, filler: usize, i: i64| {
+            let mut fields = vec![
+                ("messageId".to_string(), Value::Int(i)),
+                ("authorId".into(), Value::Int(i % 50)),
+                ("message".into(), Value::from("m".repeat(pad % 7 + (i as usize % 3)))),
+            ];
+            if i % 4 == 1 {
+                fields.insert(2, ("inResponseTo".into(), Value::Int(i - 1)));
+            }
+            if i < 4 {
+                fields.push(("pad".into(), Value::from("p".repeat(pad + (filler + i as usize) / 4))));
+            }
+            [&[PUT][..], &encode_with_schema(&Value::object(fields), ty).unwrap()].concat()
+        };
+        // builds the tree, checks it, and says where in its page the second group starts
+        let check = |pad: usize, filler: usize| {
+            let w = cache.manager().bulk_writer(&format!("s{pad}-{filler}.btree")).unwrap();
+            let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
+            for i in 0..n {
+                if i % 13 == 5 {
+                    b.add(&key(i), &[TOMBSTONE]).unwrap();
+                } else {
+                    b.add(&key(i), &row(pad, filler, i)).unwrap();
+                }
+            }
+            let start = match &b.leaves {
+                Leaves::Groups { buf, .. } => buf.len(),
+                Leaves::Pages { .. } => unreachable!(),
+            };
+            let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
+            for (i, item) in t.scan().unwrap().enumerate() {
+                let (k, v) = item.unwrap();
+                let want = if i % 13 == 5 { vec![TOMBSTONE] } else { row(pad, filler, i as i64) };
+                assert_eq!((k, v), (key(i as i64), want), "pad {pad} entry {i}");
+            }
+            for i in [0, 1_023, 1_024, n - 1] {
+                assert!(t.get(&key(i)).unwrap().is_some(), "pad {pad} get {i}");
+            }
+            start
+        };
+        let starts: std::collections::BTreeSet<usize> = (0..48).map(|pad| check(pad, 0) * 64 / PAGE_SIZE).collect();
+        assert!(starts.len() > 16, "the second group started in {} of 64 parts of a page", starts.len());
+        let across = PAGE_SIZE - 100;
+        let start = check(0, (across + PAGE_SIZE - check(0, 0)) % PAGE_SIZE);
+        assert_eq!(start, across, "the second group's directory lies across two pages");
     }
 }

@@ -381,7 +381,13 @@ impl BufferCache {
     /// frame budget) in one physical operation and installs them all, so
     /// the scan's subsequent page fetches hit.
     pub fn get_sequential(&self, file: FileId, page_no: u64) -> Result<Arc<Vec<u8>>> {
-        if self.capacity == 0 || self.readahead_pages <= 1 {
+        self.get_within(file, page_no, u64::MAX)
+    }
+
+    /// [`BufferCache::get_sequential`] for a scan that will read no page at
+    /// or past `end`: the batch stops there too.
+    pub fn get_within(&self, file: FileId, page_no: u64, end: u64) -> Result<Arc<Vec<u8>>> {
+        if self.capacity == 0 || self.readahead_pages <= 1 || end <= page_no + 1 {
             return self.get(file, page_no);
         }
         let key = (file, page_no);
@@ -402,21 +408,23 @@ impl BufferCache {
             }
             InflightRole::Waiter(entry) => self.wait_coalesced(key, shard, &entry),
             InflightRole::Leader(entry) => {
-                let loaded = self.read_batch_and_install(file, page_no);
+                let loaded = self.read_batch_and_install(file, page_no, end);
                 self.finish_lead(key, shard, &entry, loaded)
             }
         }
     }
 
     /// Readahead leader body: one batched physical read, installing the
-    /// demanded page plus up to `readahead_pages - 1` sequential neighbors.
-    /// Returns the demanded page and whether this call inserted it.
+    /// demanded page plus up to `readahead_pages - 1` sequential neighbors
+    /// before page `end`. Returns the demanded page and whether this call
+    /// inserted it.
     fn read_batch_and_install(
         &self,
         file: FileId,
         page_no: u64,
+        end: u64,
     ) -> Result<(Arc<Vec<u8>>, bool)> {
-        let pages = self.manager.page_count(file)?;
+        let pages = self.manager.page_count(file)?.min(end);
         let n = self
             .readahead_pages
             .min(pages.saturating_sub(page_no) as usize)

@@ -100,6 +100,11 @@ pub struct LsmMetricsHub {
     flush_wait_ns: Counter,
     retire_failures: Counter,
     merge_inflight: Gauge,
+    /// Chunks of leaf groups opened by reads through the buffer cache: one
+    /// per chunk per group a reader took bytes from.
+    pub(crate) chunks_read: Counter,
+    /// Whole rows put together from the cells of a leaf group.
+    pub(crate) rows_assembled: Counter,
 }
 
 fn ratio_milli(num: u64, den: u64) -> u64 {
@@ -123,6 +128,8 @@ impl LsmMetricsHub {
             flush_wait_ns: registry.counter("storage.lsm.flush_wait_ns"),
             retire_failures: registry.counter("storage.lsm.retire_failures"),
             merge_inflight: registry.gauge("storage.lsm.merge_inflight"),
+            chunks_read: registry.counter("storage.lsm.chunks_read"),
+            rows_assembled: registry.counter("storage.lsm.rows_assembled"),
         };
         // Write amplification: disk entries written per ingested entry.
         let (num, den) = (hub.entries_written.clone(), hub.entries_ingested.clone());

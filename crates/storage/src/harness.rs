@@ -1246,31 +1246,70 @@ mod tests {
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
     use asterix_adm::binary::encode_key;
-    use asterix_adm::{Point, Rectangle, Value};
+    use asterix_adm::schema_encode::encode_with_schema;
+    use asterix_adm::types::gleambook_types;
+    use asterix_adm::{Point, RecordLayout, Rectangle, Value};
     use rand::prelude::*;
 
-    /// What the contract cannot say of every kind at once: how an index of
-    /// the kind is configured, and how to make entry `i`, delete it and
-    /// count what is live.
-    trait Entries: ComponentKind {
-        fn config(mem_budget: usize, policy: MergePolicy) -> Self::Config;
-        fn put(t: &mut Lsm<Self>, i: u64);
-        fn delete(t: &mut Lsm<Self>, i: u64);
-        fn live(t: &Lsm<Self>) -> usize;
+    /// What the contract cannot say of every kind at once: which kind it is,
+    /// how an index of it is configured, and how to make entry `i`, delete
+    /// it and count what is live.
+    trait Entries {
+        type Kind: ComponentKind;
+        fn config(mem_budget: usize, policy: MergePolicy) -> <Self::Kind as ComponentKind>::Config;
+        fn put(t: &mut Lsm<Self::Kind>, i: u64);
+        fn delete(t: &mut Lsm<Self::Kind>, i: u64);
+        fn live(t: &Lsm<Self::Kind>) -> usize;
     }
 
-    impl Entries for BTreeKind {
+    fn key(i: u64) -> Vec<u8> {
+        encode_key(&[Value::Int(i as i64)])
+    }
+
+    /// A B+ tree of opaque values: row leaves.
+    struct Rows;
+
+    impl Entries for Rows {
+        type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
             LsmConfig { mem_budget, merge_policy, ..LsmConfig::new("t") }
         }
         fn put(t: &mut LsmTree, i: u64) {
-            t.upsert(encode_key(&[Value::Int(i as i64)]), vec![b'x'; 64]).unwrap();
+            t.upsert(key(i), vec![b'x'; 64]).unwrap();
         }
         fn delete(t: &mut LsmTree, i: u64) {
-            t.delete(encode_key(&[Value::Int(i as i64)])).unwrap();
+            t.delete(key(i)).unwrap();
         }
         fn live(t: &LsmTree) -> usize {
             t.count().unwrap()
+        }
+    }
+
+    /// A B+ tree of records: leaf groups.
+    struct Columns;
+
+    impl Entries for Columns {
+        type Kind = BTreeKind;
+        fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
+            let ty = gleambook_types().get("GleambookMessageType").cloned();
+            let layout = Some(Arc::new(RecordLayout::new(ty.as_ref())));
+            LsmConfig { mem_budget, merge_policy, layout, ..LsmConfig::new("c") }
+        }
+        fn put(t: &mut LsmTree, i: u64) {
+            let message = Value::object(vec![
+                ("messageId".into(), Value::Int(i as i64)),
+                ("authorId".into(), Value::Int(i as i64 % 7)),
+                ("message".into(), Value::from("a message of some forty bytes, as they go")),
+            ]);
+            let types = gleambook_types();
+            let row = encode_with_schema(&message, types.get("GleambookMessageType").unwrap()).unwrap();
+            t.upsert(key(i), row).unwrap();
+        }
+        fn delete(t: &mut LsmTree, i: u64) {
+            t.delete(key(i)).unwrap();
+        }
+        fn live(t: &LsmTree) -> usize {
+            t.scan().unwrap().len()
         }
     }
 
@@ -1278,7 +1317,10 @@ mod tests {
         Point::new(i as f64, 0.0).to_mbr()
     }
 
-    impl Entries for RTreeKind {
+    struct Spatial;
+
+    impl Entries for Spatial {
+        type Kind = RTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmRTreeConfig {
             LsmRTreeConfig { mem_budget, merge_policy, ..LsmRTreeConfig::new("s") }
         }
@@ -1294,13 +1336,13 @@ mod tests {
     }
 
     /// An index that never flushes on its own.
-    fn manual<K: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<K> {
-        Lsm::new(cache, K::config(1 << 30, policy))
+    fn manual<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<E::Kind> {
+        Lsm::new(cache, E::config(1 << 30, policy))
     }
 
     /// The same index as its manifest describes it.
-    fn reopened<K: Entries>(cache: Arc<BufferCache>) -> Lsm<K> {
-        Lsm::reopen(cache, K::config(1 << 30, MergePolicy::NoMerge)).unwrap()
+    fn reopened<E: Entries>(cache: Arc<BufferCache>) -> Lsm<E::Kind> {
+        Lsm::reopen(cache, E::config(1 << 30, MergePolicy::NoMerge)).unwrap()
     }
 
     fn setup(faults: Option<FaultConfig>) -> (Arc<BufferCache>, TempDir) {
@@ -1311,9 +1353,9 @@ mod tests {
     }
 
     /// One component holding entries `range`.
-    fn component<K: Entries>(t: &mut Lsm<K>, range: std::ops::Range<u64>) {
+    fn component<E: Entries>(t: &mut Lsm<E::Kind>, range: std::ops::Range<u64>) {
         for i in range {
-            K::put(t, i);
+            E::put(t, i);
         }
         t.flush().unwrap();
     }
@@ -1329,20 +1371,20 @@ mod tests {
     /// Publish-before-retire: old components used to be deleted *before* the
     /// merged one was inserted, so a failed delete un-published the merged
     /// entries. Now every retirement delete may fail and nothing is lost.
-    fn retirement_delete_failure_never_loses_merged_data<K: Entries>() {
+    fn retirement_delete_failure_never_loses_merged_data<E: Entries>() {
         let (cache, _d) =
             setup(Some(FaultConfig { seed: 9, delete_fail_prob: 1.0, ..FaultConfig::default() }));
-        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
-        component(&mut t, 0..500);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..500);
         for i in 0..100 {
-            K::delete(&mut t, i);
+            E::delete(&mut t, i);
         }
-        component(&mut t, 500..1_000);
+        component::<E>(&mut t, 500..1_000);
         assert_eq!(t.component_count(), 2);
         let files = live_files(&t, &cache).len() as u64;
         t.merge_newest(2).expect("retirement failures are non-fatal");
         assert_eq!(t.component_count(), 1, "merged component is live");
-        assert_eq!(K::live(&t), 900, "no entry lost, deletes applied");
+        assert_eq!(E::live(&t), 900, "no entry lost, deletes applied");
         assert_eq!(t.stats().retire_failures, files, "one failure per input file");
         let node = cache.stats().registry().snapshot();
         assert_eq!(node.counter("storage.lsm.retire_failures"), Some(files));
@@ -1358,25 +1400,25 @@ mod tests {
         }
     }
 
-    fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<K: Entries>() {
+    fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
-        component(&mut t, 0..600);
-        component(&mut t, 600..1_200);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..600);
+        component::<E>(&mut t, 600..1_200);
         let parked = Arc::new(ParkedExecutor::default());
         t.set_executor(parked.clone());
         t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
         // this flush schedules (but does not run) the merge
-        component(&mut t, 1_200..1_201);
+        component::<E>(&mut t, 1_200..1_201);
         assert_eq!(t.compaction_state(), "merging");
         assert_eq!(t.merging_range().len(), 3, "all three components in range");
         let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
         assert_eq!(inflight(), Some(1));
         let job = parked.0.lock().pop().expect("merge scheduled");
         // reads and flushes still serve against the pre-merge list
-        assert_eq!(K::live(&t), 1_201);
+        assert_eq!(E::live(&t), 1_201);
         let before = t.component_count();
-        component(&mut t, 1_201..1_202);
+        component::<E>(&mut t, 1_201..1_202);
         assert_eq!(t.component_count(), before + 1, "flush during merge");
         // partial progress, then cancellation
         assert_eq!(job.step(), JobStep::Again, "one morsel merged");
@@ -1387,36 +1429,36 @@ mod tests {
         assert_eq!(t.stats().merges, 0);
         assert_eq!(t.stats().merges_aborted, 1);
         assert_eq!(t.component_count(), before + 1, "list untouched by abort");
-        assert_eq!(K::live(&t), 1_202);
+        assert_eq!(E::live(&t), 1_202);
     }
 
     /// A backlog built under one policy is the next one's to merge: build
     /// components under NoMerge, switch to Constant, and one more flush must
     /// leave a single component.
-    fn merge_cascade_converges_after_policy_switch<K: Entries>() {
+    fn merge_cascade_converges_after_policy_switch<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = manual::<K>(cache, MergePolicy::NoMerge);
-        component(&mut t, 0..4_000);
-        component(&mut t, 4_000..6_000);
-        component(&mut t, 6_000..7_000);
+        let mut t = manual::<E>(cache, MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..4_000);
+        component::<E>(&mut t, 4_000..6_000);
+        component::<E>(&mut t, 6_000..7_000);
         assert_eq!(t.component_count(), 3);
         assert_eq!(t.stats().merges, 0);
         t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
-        component(&mut t, 7_000..8_000);
+        component::<E>(&mut t, 7_000..8_000);
         assert_eq!(t.component_count(), 1, "converged in one flush");
         assert_eq!(t.stats().merges, 1);
-        assert_eq!(K::live(&t), 8_000);
+        assert_eq!(E::live(&t), 8_000);
     }
 
     /// A reader's snapshot keeps merged-away files on disk until it drops.
-    fn snapshot_keeps_merged_away_files_until_dropped<K: Entries>() {
+    fn snapshot_keeps_merged_away_files_until_dropped<E: Entries>() {
         let (cache, dir) = setup(None);
-        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
-        component(&mut t, 0..100);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..100);
         for i in 0..10 {
-            K::delete(&mut t, i);
+            E::delete(&mut t, i);
         }
-        component(&mut t, 100..200);
+        component::<E>(&mut t, 100..200);
         let inputs = live_files(&t, &cache);
         assert!(inputs.len() >= 2);
         let on_disk = |name: &String| dir.path().join(name).exists();
@@ -1427,22 +1469,22 @@ mod tests {
         drop(snapshot);
         assert!(!inputs.iter().any(on_disk), "last reader gone: inputs unlinked");
         assert_eq!(t.stats().retire_failures, 0);
-        assert_eq!(K::live(&t), 190);
+        assert_eq!(E::live(&t), 190);
     }
 
     /// A merge reads its inputs outside the buffer cache: merging components
     /// several times the cache's size moves none of its counters, and the
     /// one page that was resident — another file's — still is.
-    fn merge_leaves_the_buffer_cache_as_it_found_it<K: Entries>() {
+    fn merge_leaves_the_buffer_cache_as_it_found_it<E: Entries>() {
         let dir = TempDir::new();
         let fm = FileManager::new(dir.path(), IoStats::new()).unwrap();
         let cache = BufferCache::new(Arc::clone(&fm), 4);
-        let mut t = manual::<K>(cache.clone(), MergePolicy::NoMerge);
-        component(&mut t, 0..4_000);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..4_000);
         for i in 0..100 {
-            K::delete(&mut t, i);
+            E::delete(&mut t, i);
         }
-        component(&mut t, 4_000..8_000);
+        component::<E>(&mut t, 4_000..8_000);
         let hot = fm.create("hot.pf").unwrap();
         fm.append_page(hot, &vec![7u8; crate::io::PAGE_SIZE]).unwrap();
         cache.get(hot, 0).unwrap();
@@ -1457,7 +1499,7 @@ mod tests {
         assert_eq!(counters(), before, "(hits, misses, evictions, readaheads) moved");
         cache.get(hot, 0).unwrap();
         assert_eq!(stats.cache_misses(), before.1, "the hot page was evicted");
-        assert_eq!(K::live(&t), 7_900);
+        assert_eq!(E::live(&t), 7_900);
     }
 
     /// A second cache over the same directory: what a restart sees.
@@ -1479,33 +1521,33 @@ mod tests {
 
     /// Flushed and merged components are there after a restart, under ids
     /// that go on where they stopped; what was only in memory is not.
-    fn reopen_attaches_what_the_manifest_names<K: Entries>() {
+    fn reopen_attaches_what_the_manifest_names<E: Entries>() {
         let (cache, dir) = setup(None);
-        let mut t = manual::<K>(cache, MergePolicy::NoMerge);
-        component(&mut t, 0..300);
+        let mut t = manual::<E>(cache, MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..300);
         for i in 0..50 {
-            K::delete(&mut t, i);
+            E::delete(&mut t, i);
         }
-        component(&mut t, 300..600);
+        component::<E>(&mut t, 300..600);
         t.merge_newest(2).unwrap();
-        component(&mut t, 600..700);
-        K::put(&mut t, 9_999); // never flushed
+        component::<E>(&mut t, 600..700);
+        E::put(&mut t, 9_999); // never flushed
         let (ids, files) = (
             t.shared.snapshot().iter().map(|c| c.id).collect::<Vec<_>>(),
             component_files(&dir),
         );
         drop(t);
-        let t = reopened::<K>(restarted(&dir));
+        let t = reopened::<E>(restarted(&dir));
         assert_eq!(t.shared.snapshot().iter().map(|c| c.id).collect::<Vec<_>>(), ids);
         assert_eq!(component_files(&dir), files, "nothing the manifest names was swept");
-        assert_eq!(K::live(&t), 650);
+        assert_eq!(E::live(&t), 650);
         assert!(t.shared.alloc_id() > ids[0], "ids resume past the manifest's highest");
     }
 
     /// A crash at any step of publishing the manifest — for a flush or for a
     /// merge — leaves a directory that reopens to the list from before the
     /// publish or to the one after it, with no file unaccounted for.
-    fn crash_inside_a_publish_reopens_to_a_list_that_was_live<K: Entries>() {
+    fn crash_inside_a_publish_reopens_to_a_list_that_was_live<E: Entries>() {
         let steps = [".manifest.tmp:write", ".manifest.tmp", ".manifest:rename", ".manifest:dirsync"];
         // publishes 0 and 1 are flushes, 2 is the merge of their components
         for (step, publish) in steps.iter().flat_map(|s| (0..3u64).map(move |p| (s, p))) {
@@ -1516,24 +1558,24 @@ mod tests {
                 crash_at_target: Some((step.to_string(), nth)),
                 ..FaultConfig::default()
             }));
-            let mut t = manual::<K>(cache, MergePolicy::NoMerge);
-            let run = |t: &mut Lsm<K>| -> Result<()> {
+            let mut t = manual::<E>(cache, MergePolicy::NoMerge);
+            let run = |t: &mut Lsm<E::Kind>| -> Result<()> {
                 for i in 0..200 {
-                    K::put(t, i);
+                    E::put(t, i);
                 }
                 t.flush()?;
                 for i in 0..40 {
-                    K::delete(t, i);
+                    E::delete(t, i);
                 }
                 for i in 200..400 {
-                    K::put(t, i);
+                    E::put(t, i);
                 }
                 t.flush()?;
                 t.merge_newest(2)
             };
             assert!(run(&mut t).is_err(), "{step} #{publish}: the crash point must fire");
             drop(t);
-            let t = reopened::<K>(restarted(&dir));
+            let t = reopened::<E>(restarted(&dir));
             // the rename is what publishes: before it the old list, from it on the new
             let published = publish + u64::from(step.contains(":dirsync"));
             let want = match published {
@@ -1541,8 +1583,8 @@ mod tests {
                 1 => 200,
                 _ => 360,
             };
-            assert_eq!(K::live(&t), want, "{step} #{publish}");
-            let named: usize = t.shared.snapshot().iter().map(|c| K::files(&c.disk).len()).sum();
+            assert_eq!(E::live(&t), want, "{step} #{publish}");
+            let named: usize = t.shared.snapshot().iter().map(|c| <E::Kind>::files(&c.disk).len()).sum();
             assert_eq!(component_files(&dir).len(), named, "{step} #{publish}: an orphan survived the sweep");
         }
     }
@@ -1551,13 +1593,13 @@ mod tests {
     /// but not flushed, stays readable, and is flushed when it is over; a
     /// transaction that does not hold the sealed component up is told to
     /// wait rather than grow the active one.
-    fn sealed_component_waits_for_its_writers<K: Entries>() {
+    fn sealed_component_waits_for_its_writers<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = Lsm::<K>::new(cache, K::config(512, MergePolicy::NoMerge));
+        let mut t = Lsm::<E::Kind>::new(cache, E::config(512, MergePolicy::NoMerge));
         let mut lsn = 100;
-        let mut write = |t: &mut Lsm<K>, i: u64, writer: u64| {
+        let mut write = |t: &mut Lsm<E::Kind>, i: u64, writer: u64| {
             t.stamp(lsn, Some(writer));
-            K::put(t, i);
+            E::put(t, i);
             lsn += 10;
         };
         for i in 0..40 {
@@ -1565,7 +1607,7 @@ mod tests {
         }
         let stats = t.stats();
         assert_eq!((stats.seals, stats.flushes), (1, 0), "sealed at the budget, held for txn 7");
-        assert_eq!(K::live(&t), 40, "reads see the sealed and the active component");
+        assert_eq!(E::live(&t), 40, "reads see the sealed and the active component");
         assert!(!t.must_wait(7), "txn 7 cannot wait for itself");
         assert!(t.must_wait(8), "txn 8 can: the active component is past its budget too");
         assert_eq!(t.flushed_below(), 0);
@@ -1574,7 +1616,7 @@ mod tests {
         assert_eq!(stats.seals, stats.flushes, "released: everything sealed is flushed");
         assert!(stats.flushes >= 2, "the overgrown active component followed");
         assert_eq!(t.flushed_below(), 100 + 39 * 10 + 1, "just past the last record applied");
-        assert_eq!(K::live(&t), 40);
+        assert_eq!(E::live(&t), 40);
         // a transaction's writes that fit in the active component wait there
         write(&mut t, 40, 9);
         t.flush().unwrap();
@@ -1587,9 +1629,9 @@ mod tests {
     /// One seeded schedule of stamped writes, releases and flushes over three
     /// transactions, with a budget every write exceeds: what the lifecycle
     /// shows after each step.
-    fn no_steal_trace<K: Entries>() -> Vec<(u64, u64, Lsn, Option<Lsn>)> {
+    fn no_steal_trace<E: Entries>() -> Vec<(u64, u64, Lsn, Option<Lsn>)> {
         let (cache, _d) = setup(None);
-        let mut t = Lsm::<K>::new(cache, K::config(0, MergePolicy::NoMerge));
+        let mut t = Lsm::<E::Kind>::new(cache, E::config(0, MergePolicy::NoMerge));
         let mut rng = SmallRng::seed_from_u64(19);
         let mut lsn = 1;
         let mut trace = Vec::new();
@@ -1598,7 +1640,7 @@ mod tests {
             match rng.gen_range(0..10) {
                 0..=5 => {
                     t.stamp(lsn, Some(writer));
-                    K::put(&mut t, i);
+                    E::put(&mut t, i);
                     lsn += rng.gen_range(1..4u64);
                 }
                 6..=8 => t.release(writer).unwrap(),
@@ -1614,8 +1656,8 @@ mod tests {
     /// seals, flushes and advances the flushed LSN at the same steps.
     #[test]
     fn both_kinds_seal_and_flush_at_the_same_steps_of_one_schedule() {
-        let trace = no_steal_trace::<BTreeKind>();
-        assert_eq!(trace, no_steal_trace::<RTreeKind>());
+        let trace = no_steal_trace::<Rows>();
+        assert_eq!(trace, no_steal_trace::<Spatial>());
         let waited = trace.iter().filter(|(seals, flushes, ..)| seals > flushes).count();
         let (seals, flushes, flushed_below, _) = trace[trace.len() - 1];
         assert!(waited > 50 && flushes > 20, "{waited} steps with a sealed component held, {flushes} flushes");
@@ -1670,6 +1712,7 @@ mod tests {
         };
     }
 
-    lifecycle_contract!(btree, BTreeKind);
-    lifecycle_contract!(rtree, RTreeKind);
+    lifecycle_contract!(btree, Rows);
+    lifecycle_contract!(columns, Columns);
+    lifecycle_contract!(rtree, Spatial);
 }

@@ -1,0 +1,725 @@
+//! Leaf groups: the columnar leaf shape of a B+ tree component.
+//!
+//! A component of an index that has a [`RecordLayout`] — a dataset's primary
+//! index — stores its entries not a page at a time but a *group* at a time:
+//! up to [`GROUP_RECORDS`] consecutive entries whose cells
+//! (`asterix_adm::layout`) are kept column by column. A group is a run of
+//! bytes in the file's leaf area (groups follow one another with no padding;
+//! the internal level above points at a group's first byte):
+//!
+//! ```text
+//! [directory][keys][tombstones][presence * cells][data * cells]
+//! directory = [checksum u64][n u32][0 u32] then per chunk [len u32][encoding u8][0 u8][width u16][base i64]
+//! ```
+//!
+//! Every group of a tree has the same chunks in the same order, so the
+//! directory's size is known before it is read, and a chunk is found by
+//! summing the lengths before it. The chunks:
+//!
+//! * **keys** — `[prefix_len u16][prefix]`, then each key's bytes past the
+//!   shared prefix: side by side when they are all of one length
+//!   (`Encoding::Fixed`, that length as `width`), else behind an offset
+//!   array (`Encoding::Var`).
+//! * **tombstones** — a bitmap of the delete markers; no bytes when the
+//!   group has none.
+//! * **presence**, one per cell (the layout's columns, then the rest) — a
+//!   bitmap of the entries that have the cell; no bytes when all do. A data
+//!   chunk holds the cells of those entries only, so entry `i`'s is found by
+//!   its rank among them.
+//! * **data**, one per cell, in ascending [`ColumnKind::width`] — what a
+//!   query reads most often of a record are its narrow fields, and this keeps
+//!   them next to the keys. By the column's kind: an integer as its offset
+//!   from the group's smallest, in the 0, 1, 2, 4 or 8 bytes the largest
+//!   offset needs (`Encoding::For`, `base` the smallest); a fixed-width
+//!   value as its bytes past the tag (`Encoding::Fixed`); a string or
+//!   binary as its bytes behind an offset array (`Encoding::Var`, 2- or
+//!   4-byte offsets by the chunk's size); anything else — a nested or
+//!   `any`-typed field, the rest, and any column in a group where some value
+//!   is not of the declared form (an optional field's `null`) — as whole
+//!   cells behind an offset array (`Encoding::Tagged`).
+//!
+//! Whatever the encoding, cell `i` of a chunk is addressable without reading
+//! the cells before it, and reading it gives back the bytes that went in.
+//! Everything here is read off disk: a directory that fails its checksum and
+//! any offset that leaves its chunk are [`StorageError::Corrupt`].
+
+use crate::error::{Result, StorageError};
+use crate::le;
+use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
+use std::sync::Arc;
+
+/// Entries per leaf group. Sized for the merge, which holds one group of
+/// each of its inputs (up to eight) and one of its output in memory: about
+/// 100 KiB apiece for 100-byte records.
+pub const GROUP_RECORDS: usize = 1024;
+
+/// A group is also closed once it holds this many bytes of keys and cells,
+/// however few entries that is: what bounds a merge's memory for long
+/// records.
+const GROUP_BYTES: usize = 256 << 10;
+
+const DIR_HEADER: usize = 16;
+const DIR_ENTRY: usize = 16;
+
+const KEYS: usize = 0;
+const TOMBSTONES: usize = 1;
+const FIRST_PRESENCE: usize = 2;
+
+/// The checksum of a directory: of its bytes past the checksum itself, eight
+/// at a time (their number is a multiple of eight). Each step is one-to-one
+/// in the state and in the word, so no change to a single word goes unseen.
+fn checksum(bytes: &[u8]) -> u64 {
+    bytes.chunks_exact(8).fold(0xcbf2_9ce4_8422_2325, |sum: u64, word| {
+        (sum.rotate_left(5) ^ le::u64_at(word, 0)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// How a chunk's bytes are to be read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum Encoding {
+    /// No bytes: no tombstone, every cell present, or no cell at all.
+    Empty = 0,
+    /// One bit per entry.
+    Bits = 1,
+    /// `width`-byte unsigned offsets from `base`.
+    For = 2,
+    /// `width` bytes per value.
+    Fixed = 3,
+    /// `width`-byte offsets, then the values' bytes past tag and length.
+    Var = 4,
+    /// `width`-byte offsets, then whole cells.
+    Tagged = 5,
+}
+
+impl Encoding {
+    fn from_byte(b: u8) -> Option<Encoding> {
+        use Encoding::*;
+        [Empty, Bits, For, Fixed, Var, Tagged].into_iter().find(|e| *e as u8 == b)
+    }
+}
+
+/// One chunk as the directory describes it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkMeta {
+    /// Where the chunk starts, from the group's first byte.
+    pub at: u64,
+    pub len: usize,
+    pub encoding: Encoding,
+    pub width: usize,
+    pub base: i64,
+}
+
+/// What every group of a tree shares: the layout and, from it, which chunk
+/// holds which cell.
+#[derive(Debug)]
+pub(crate) struct GroupShape {
+    pub layout: Arc<RecordLayout>,
+    /// The data chunk of each cell.
+    data_chunk: Vec<usize>,
+}
+
+impl GroupShape {
+    pub fn new(layout: Arc<RecordLayout>) -> GroupShape {
+        let cells = layout.cell_count();
+        let width = |cell: usize| layout.columns().get(cell).map_or(usize::MAX, |c| c.kind.width());
+        let mut order: Vec<usize> = (0..cells).collect();
+        order.sort_by_key(|&cell| (width(cell), cell));
+        let mut data_chunk = vec![0; cells];
+        for (k, &cell) in order.iter().enumerate() {
+            data_chunk[cell] = FIRST_PRESENCE + cells + k;
+        }
+        GroupShape { layout, data_chunk }
+    }
+
+    fn cells(&self) -> usize {
+        self.data_chunk.len()
+    }
+
+    pub fn chunk_count(&self) -> usize {
+        FIRST_PRESENCE + 2 * self.cells()
+    }
+
+    /// Bytes of a group's directory.
+    pub fn dir_len(&self) -> usize {
+        DIR_HEADER + DIR_ENTRY * self.chunk_count()
+    }
+
+    fn kind(&self, cell: usize) -> ColumnKind {
+        self.layout.columns().get(cell).map_or(ColumnKind::Tagged, |c| c.kind)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writing
+// ---------------------------------------------------------------------------
+
+/// How a chunk was written: its encoding, width and base.
+type Written = (Encoding, usize, i64);
+
+/// The cells one column's entries have, end to end.
+#[derive(Default)]
+struct CellColumn {
+    bytes: Vec<u8>,
+    /// Where each *present* cell ends in `bytes`.
+    ends: Vec<usize>,
+    /// Per entry, whether it has the cell.
+    present: Vec<bool>,
+}
+
+impl CellColumn {
+    fn cells(&self) -> impl Iterator<Item = &[u8]> + Clone {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(start, end)| &self.bytes[start..*end])
+    }
+}
+
+/// Collects the entries of one group and writes them out.
+pub(crate) struct GroupBuilder {
+    shape: Arc<GroupShape>,
+    /// Whole keys, end to end.
+    keys: Vec<u8>,
+    key_ends: Vec<usize>,
+    tombstones: Vec<bool>,
+    columns: Vec<CellColumn>,
+    bytes: usize,
+    /// The cells of the row being added.
+    shredded: Cells,
+}
+
+impl GroupBuilder {
+    pub fn new(shape: Arc<GroupShape>) -> GroupBuilder {
+        let columns = (0..shape.cells()).map(|_| CellColumn::default()).collect();
+        GroupBuilder {
+            shape,
+            keys: Vec::new(),
+            key_ends: Vec::new(),
+            tombstones: Vec::new(),
+            columns,
+            bytes: 0,
+            shredded: Cells::default(),
+        }
+    }
+
+    pub fn shape(&self) -> &Arc<GroupShape> {
+        &self.shape
+    }
+
+    pub fn len(&self) -> usize {
+        self.key_ends.len()
+    }
+
+    pub fn is_full(&self) -> bool {
+        self.len() >= GROUP_RECORDS || self.bytes >= GROUP_BYTES
+    }
+
+    /// Adds an entry whose cells are those `row` comes apart into.
+    pub fn push_row(&mut self, key: &[u8], row: &[u8]) -> Result<()> {
+        let mut cells = std::mem::take(&mut self.shredded);
+        let shredded = self.shape.layout.shred(row, &mut cells);
+        if shredded.is_ok() {
+            self.push(key, Some(&cells));
+        }
+        self.shredded = cells;
+        shredded.map_err(StorageError::Adm)
+    }
+
+    /// Adds an entry: its cells, or a delete marker without any.
+    pub fn push(&mut self, key: &[u8], cells: Option<&Cells>) {
+        self.keys.extend_from_slice(key);
+        self.key_ends.push(self.keys.len());
+        self.tombstones.push(cells.is_none());
+        self.bytes += key.len();
+        for (i, column) in self.columns.iter_mut().enumerate() {
+            let cell = cells.map_or(&[][..], |c| c.get(i));
+            column.present.push(!cell.is_empty());
+            if !cell.is_empty() {
+                column.bytes.extend_from_slice(cell);
+                column.ends.push(column.bytes.len());
+                self.bytes += cell.len();
+            }
+        }
+    }
+
+    /// Appends the group to `out` and empties the builder.
+    pub fn encode(&mut self, out: &mut Vec<u8>) {
+        let shape = Arc::clone(&self.shape);
+        let n = self.len();
+        let dir_at = out.len();
+        out.resize(dir_at + shape.dir_len(), 0);
+        // each chunk's length, and how it was written
+        let mut metas: Vec<(usize, Written)> = Vec::with_capacity(shape.chunk_count());
+        let mut at = out.len();
+        let mut note = |out: &Vec<u8>, written: Written| {
+            metas.push((out.len() - at, written));
+            at = out.len();
+        };
+        let written = self.write_keys(out);
+        note(out, written);
+        let written = write_bits(out, &self.tombstones, false);
+        note(out, written);
+        for column in &self.columns {
+            let written = write_bits(out, &column.present, true);
+            note(out, written);
+        }
+        let mut by_chunk: Vec<usize> = (0..shape.cells()).collect();
+        by_chunk.sort_by_key(|&cell| shape.data_chunk[cell]);
+        for cell in by_chunk {
+            let written = write_data(out, shape.kind(cell), &self.columns[cell]);
+            note(out, written);
+        }
+        let dir = &mut out[dir_at..dir_at + shape.dir_len()];
+        dir[8..12].copy_from_slice(&(n as u32).to_le_bytes());
+        for (i, (len, (encoding, width, base))) in metas.into_iter().enumerate() {
+            let e = &mut dir[DIR_HEADER + i * DIR_ENTRY..][..DIR_ENTRY];
+            e[..4].copy_from_slice(&(len as u32).to_le_bytes());
+            e[4] = encoding as u8;
+            e[6..8].copy_from_slice(&(width as u16).to_le_bytes());
+            e[8..].copy_from_slice(&base.to_le_bytes());
+        }
+        let sum = checksum(&dir[8..]);
+        dir[..8].copy_from_slice(&sum.to_le_bytes());
+        self.keys.clear();
+        self.key_ends.clear();
+        self.tombstones.clear();
+        self.bytes = 0;
+        for column in &mut self.columns {
+            column.bytes.clear();
+            column.ends.clear();
+            column.present.clear();
+        }
+    }
+
+    fn write_keys(&self, out: &mut Vec<u8>) -> Written {
+        let keys = || {
+            let starts = std::iter::once(0).chain(self.key_ends.iter().copied());
+            starts.zip(&self.key_ends).map(|(start, end)| &self.keys[start..*end])
+        };
+        // keys arrive sorted: what the first and the last share, all do
+        let (first, last) = (keys().next().unwrap_or(&[]), keys().last().unwrap_or(&[]));
+        let prefix = crate::btree::common_prefix(first, last);
+        out.extend_from_slice(&(prefix as u16).to_le_bytes());
+        out.extend_from_slice(&first[..prefix]);
+        let suffixes = keys().map(|k| &k[prefix..]);
+        let len = first.len() - prefix;
+        if suffixes.clone().all(|s| s.len() == len) && len <= u16::MAX as usize {
+            suffixes.for_each(|s| out.extend_from_slice(s));
+            (Encoding::Fixed, len, 0)
+        } else {
+            (Encoding::Var, write_var(out, suffixes), 0)
+        }
+    }
+}
+
+/// A bitmap of `bits`, or nothing when every one of them is `quiet`.
+fn write_bits(out: &mut Vec<u8>, bits: &[bool], quiet: bool) -> Written {
+    if bits.iter().all(|b| *b == quiet) {
+        return (Encoding::Empty, 0, 0);
+    }
+    let start = out.len();
+    out.resize(start + bits.len().div_ceil(8), 0);
+    for i in (0..bits.len()).filter(|&i| bits[i]) {
+        out[start + i / 8] |= 1 << (i % 8);
+    }
+    (Encoding::Bits, 0, 0)
+}
+
+/// An offset array and `items` behind it; returns the offsets' width.
+/// Offset `k` is where item `k` starts, counted from the array's first byte.
+fn write_var<'a>(out: &mut Vec<u8>, items: impl Iterator<Item = &'a [u8]> + Clone) -> usize {
+    let (count, bytes) = items.clone().fold((0, 0), |(n, len), item| (n + 1, len + item.len()));
+    let width = if (count + 1) * 2 + bytes <= u16::MAX as usize { 2 } else { 4 };
+    let mut at = (count + 1) * width;
+    for len in items.clone().map(<[u8]>::len).chain([0]) {
+        out.extend_from_slice(&(at as u32).to_le_bytes()[..width]);
+        at += len;
+    }
+    items.for_each(|item| out.extend_from_slice(item));
+    width
+}
+
+/// The little-endian two's-complement integer `bytes` holds.
+fn int_of(bytes: &[u8]) -> i64 {
+    let mut v = [if bytes.last().is_some_and(|b| b & 0x80 != 0) { 0xFF } else { 0 }; 8];
+    v[..bytes.len()].copy_from_slice(bytes);
+    i64::from_le_bytes(v)
+}
+
+fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn) -> Written {
+    let cells = column.cells();
+    if column.ends.is_empty() {
+        return (Encoding::Empty, 0, 0);
+    }
+    let tagged = |tag: u8, len: usize| cells.clone().all(|c| c[0] == tag && c.len() == 1 + len);
+    match kind {
+        ColumnKind::Int { tag, width } if tagged(tag, width as usize) => {
+            let values = cells.map(|c| int_of(&c[1..]));
+            let (min, max) = values.clone().fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
+            let span = (max as u64).wrapping_sub(min as u64);
+            let width = [0usize, 1, 2, 4].into_iter().find(|w| span >> (8 * w) == 0).unwrap_or(8);
+            for v in values {
+                out.extend_from_slice(&(v as u64).wrapping_sub(min as u64).to_le_bytes()[..width]);
+            }
+            (Encoding::For, width, min)
+        }
+        ColumnKind::Fixed { tag, width } if tagged(tag, width as usize) => {
+            cells.for_each(|c| out.extend_from_slice(&c[1..]));
+            (Encoding::Fixed, width as usize, 0)
+        }
+        ColumnKind::Bytes { tag }
+            if cells.clone().all(|c| c[0] == tag && c.len() >= 5 && le::u32_at(c, 1) as usize == c.len() - 5) =>
+        {
+            (Encoding::Var, write_var(out, cells.map(|c| &c[5..])), 0)
+        }
+        _ => (Encoding::Tagged, write_var(out, cells), 0),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reading
+// ---------------------------------------------------------------------------
+
+/// A group's directory.
+#[derive(Debug)]
+pub(crate) struct GroupDir {
+    /// Entries in the group.
+    pub n: usize,
+    pub chunks: Vec<ChunkMeta>,
+    /// Bytes of the whole group: the next one starts that far on.
+    pub len: u64,
+}
+
+impl GroupDir {
+    /// Parses the `shape.dir_len()` bytes a group starts with.
+    pub fn parse(bytes: &[u8], shape: &GroupShape) -> Result<GroupDir> {
+        let corrupt = |what: &str| StorageError::Corrupt(format!("leaf group directory: {what}"));
+        if bytes.len() != shape.dir_len() {
+            return Err(corrupt("truncated"));
+        }
+        if le::try_u64_at(bytes, 0)? != checksum(&bytes[8..]) {
+            return Err(corrupt("checksum mismatch"));
+        }
+        let n = le::try_u32_at(bytes, 8)? as usize;
+        if n == 0 || n > GROUP_RECORDS {
+            return Err(corrupt("entry count out of range"));
+        }
+        let mut at = bytes.len() as u64;
+        let mut chunks = Vec::with_capacity(shape.chunk_count());
+        for e in bytes[DIR_HEADER..].chunks_exact(DIR_ENTRY) {
+            let len = le::try_u32_at(e, 0)? as usize;
+            let encoding = Encoding::from_byte(e[4]).ok_or_else(|| corrupt("unknown chunk encoding"))?;
+            let (width, base) = (le::try_u16_at(e, 6)? as usize, le::try_u64_at(e, 8)? as i64);
+            let sound = match encoding {
+                Encoding::Empty => len == 0,
+                Encoding::Bits => len == n.div_ceil(8),
+                Encoding::For => matches!(width, 0 | 1 | 2 | 4 | 8),
+                Encoding::Fixed => true,
+                Encoding::Var | Encoding::Tagged => matches!(width, 2 | 4),
+            };
+            if !sound {
+                return Err(corrupt("a chunk's length or width contradicts its encoding"));
+            }
+            chunks.push(ChunkMeta { at, len, encoding, width, base });
+            at += len as u64;
+        }
+        Ok(GroupDir { n, chunks, len: at })
+    }
+}
+
+/// Where a group's bytes come from.
+pub(crate) trait ChunkBytes {
+    /// The `len` bytes `at` bytes into the group. They belong to chunk
+    /// `chunk`, which ends `end` bytes into the group: reads of one chunk
+    /// tend to follow one another, and none goes past its end.
+    fn span(&mut self, chunk: usize, at: u64, len: usize, end: u64) -> Result<&[u8]>;
+}
+
+/// A group held in memory whole.
+impl ChunkBytes for &[u8] {
+    fn span(&mut self, _chunk: usize, at: u64, len: usize, _end: u64) -> Result<&[u8]> {
+        le::try_bytes_at(self, at as usize, len)
+    }
+}
+
+/// The little-endian unsigned integer `bytes` holds.
+fn uint_of(bytes: &[u8]) -> u64 {
+    let mut v = [0u8; 8];
+    v[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(v)
+}
+
+/// Index of the first of `n` ascending keys that is not below a target, and
+/// whether it is the target; `cmp(i)` orders key `i` against it.
+fn lower_bound(n: usize, mut cmp: impl FnMut(usize) -> Result<std::cmp::Ordering>) -> Result<(usize, bool)> {
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if cmp(mid)?.is_lt() {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok((lo, lo < n && cmp(lo)?.is_eq()))
+}
+
+/// Reads one group through its directory.
+pub(crate) struct GroupView<'a, S> {
+    pub shape: &'a GroupShape,
+    pub dir: &'a GroupDir,
+    pub src: &'a mut S,
+}
+
+impl<S: ChunkBytes> GroupView<'_, S> {
+    /// `len` bytes at `off` of chunk `chunk`.
+    fn bytes(&mut self, chunk: usize, off: usize, len: usize) -> Result<&[u8]> {
+        let meta = &self.dir.chunks[chunk];
+        if off.checked_add(len).is_none_or(|end| end > meta.len) {
+            return Err(StorageError::Corrupt(format!(
+                "leaf group: bytes {off}..+{len} of a chunk of {}",
+                meta.len
+            )));
+        }
+        self.src.span(chunk, meta.at + off as u64, len, meta.at + meta.len as u64)
+    }
+
+    /// Item `k` behind the offset array at `off` of chunk `chunk`.
+    fn var_item(&mut self, chunk: usize, off: usize, k: usize) -> Result<&[u8]> {
+        let width = self.dir.chunks[chunk].width;
+        let ends = self.bytes(chunk, off + k * width, 2 * width)?;
+        let (start, end) = (uint_of(&ends[..width]) as usize, uint_of(&ends[width..]) as usize);
+        let len = end.checked_sub(start).ok_or_else(|| StorageError::Corrupt("leaf group: offsets not ascending".into()))?;
+        self.bytes(chunk, off + start, len)
+    }
+
+    fn bit(&mut self, chunk: usize, i: usize) -> Result<bool> {
+        Ok(self.bytes(chunk, i / 8, 1)?[0] & (1 << (i % 8)) != 0)
+    }
+
+    /// What every key of the group starts with.
+    pub fn key_prefix(&mut self) -> Result<&[u8]> {
+        let len = le::try_u16_at(self.bytes(KEYS, 0, 2)?, 0)? as usize;
+        self.bytes(KEYS, 2, len)
+    }
+
+    /// Key `i` past the group's prefix, which is `prefix_len` bytes.
+    pub fn key_suffix(&mut self, prefix_len: usize, i: usize) -> Result<&[u8]> {
+        let meta = self.dir.chunks[KEYS];
+        match meta.encoding {
+            Encoding::Fixed => self.bytes(KEYS, 2 + prefix_len + i * meta.width, meta.width),
+            Encoding::Var => self.var_item(KEYS, 2 + prefix_len, i),
+            _ => Err(StorageError::Corrupt("leaf group: key chunk is not a key chunk".into())),
+        }
+    }
+
+    /// Index of the first key >= `target`, and whether it is `target`.
+    pub fn search(&mut self, target: &[u8]) -> Result<(usize, bool)> {
+        let n = self.dir.n;
+        let prefix = self.key_prefix()?;
+        let prefix_len = prefix.len();
+        match target[..target.len().min(prefix_len)].cmp(prefix) {
+            std::cmp::Ordering::Less => return Ok((0, false)),
+            std::cmp::Ordering::Greater => return Ok((n, false)),
+            std::cmp::Ordering::Equal => {}
+        }
+        let rest = &target[prefix_len..];
+        let meta = self.dir.chunks[KEYS];
+        if meta.encoding == Encoding::Fixed {
+            // suffixes of one length lie side by side: one read, searched in place
+            let (suffixes, width) = (self.bytes(KEYS, 2 + prefix_len, n * meta.width)?, meta.width);
+            return lower_bound(n, |i| Ok(suffixes[i * width..(i + 1) * width].cmp(rest)));
+        }
+        lower_bound(n, |i| Ok(self.key_suffix(prefix_len, i)?.cmp(rest)))
+    }
+
+    /// Whether entry `i` is a delete marker.
+    pub fn is_tombstone(&mut self, i: usize) -> Result<bool> {
+        match self.dir.chunks[TOMBSTONES].encoding {
+            Encoding::Empty => Ok(false),
+            _ => self.bit(TOMBSTONES, i),
+        }
+    }
+
+    /// Entry `i`'s place among the entries that have cell `cell`; `None` if
+    /// it has none.
+    fn rank(&mut self, cell: usize, i: usize) -> Result<Option<usize>> {
+        let chunk = FIRST_PRESENCE + cell;
+        if self.dir.chunks[chunk].encoding == Encoding::Empty {
+            return Ok(Some(i));
+        }
+        let bits = self.bytes(chunk, 0, i / 8 + 1)?;
+        if bits[i / 8] & (1 << (i % 8)) == 0 {
+            return Ok(None);
+        }
+        let before: u32 = bits[..i / 8].iter().map(|b| b.count_ones()).sum();
+        Ok(Some((before + (bits[i / 8] & ((1 << (i % 8)) - 1)).count_ones()) as usize))
+    }
+
+    /// Appends entry `i`'s cell `cell` to `out`, as it was pushed.
+    pub fn cell(&mut self, cell: usize, i: usize, out: &mut Cells) -> Result<()> {
+        let Some(&chunk) = self.shape.data_chunk.get(cell) else {
+            return Err(StorageError::Invalid(format!("cell {cell} of a layout of {}", self.shape.cells())));
+        };
+        let meta = self.dir.chunks[chunk];
+        let Some(rank) = self.rank(cell, i)? else {
+            out.push(&[]);
+            return Ok(());
+        };
+        let mismatch = || StorageError::Corrupt("leaf group: a chunk's encoding contradicts its column".into());
+        match (meta.encoding, self.shape.kind(cell)) {
+            (Encoding::For, ColumnKind::Int { tag, width }) => {
+                let delta = uint_of(self.bytes(chunk, rank * meta.width, meta.width)?);
+                let value = (meta.base as u64).wrapping_add(delta).to_le_bytes();
+                out.push_with(|cell| {
+                    cell.push(tag);
+                    cell.extend_from_slice(&value[..width as usize]);
+                    Ok(())
+                })
+            }
+            (Encoding::Fixed, ColumnKind::Fixed { tag, width }) if meta.width == width as usize => {
+                let payload = self.bytes(chunk, rank * meta.width, meta.width)?;
+                out.push_with(|cell| {
+                    cell.push(tag);
+                    cell.extend_from_slice(payload);
+                    Ok(())
+                })
+            }
+            (Encoding::Var, ColumnKind::Bytes { tag }) => {
+                let payload = self.var_item(chunk, 0, rank)?;
+                out.push_with(|cell| {
+                    cell.push(tag);
+                    cell.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                    cell.extend_from_slice(payload);
+                    Ok(())
+                })
+            }
+            (Encoding::Tagged, _) => {
+                let whole = self.var_item(chunk, 0, rank)?;
+                if whole.is_empty() {
+                    return Err(StorageError::Corrupt("leaf group: a present cell is empty".into()));
+                }
+                out.push(whole);
+                Ok(())
+            }
+            _ => Err(mismatch()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asterix_adm::binary::{encode, encode_key};
+    use asterix_adm::types::gleambook_types;
+    use asterix_adm::{Point, Value};
+
+    fn shape() -> Arc<GroupShape> {
+        let ty = gleambook_types().get("GleambookMessageType").unwrap().clone();
+        Arc::new(GroupShape::new(Arc::new(RecordLayout::new(Some(&ty)))))
+    }
+
+    /// The cells of message `i`: the optional fields come and go, every
+    /// seventh `inResponseTo` is a `null`, every fifth record has a rest.
+    fn cells_of(i: i64) -> Cells {
+        let mut cells = Cells::default();
+        cells.push(&encode(&Value::Int(1_000 + i)));
+        cells.push(&encode(&Value::Int(i % 37)));
+        match i {
+            _ if i % 7 == 0 => cells.push(&encode(&Value::Null)),
+            _ if i % 3 == 0 => cells.push(&encode(&Value::Int(i64::MAX - i))),
+            _ => cells.push(&[]),
+        }
+        if i % 2 == 0 {
+            cells.push(&encode(&Value::Point(Point::new(i as f64, -0.5))));
+        } else {
+            cells.push(&[]);
+        }
+        cells.push(&encode(&Value::from("m".repeat(i as usize % 9))));
+        if i % 5 == 0 {
+            cells.push(&[1, 0, 0, 0, 1, 0, b'x', 1]);
+        } else {
+            cells.push(&[]);
+        }
+        cells
+    }
+
+    fn group(n: i64, tombstone_every: i64) -> (Arc<GroupShape>, Vec<u8>) {
+        let shape = shape();
+        let mut b = GroupBuilder::new(Arc::clone(&shape));
+        for i in 0..n {
+            let dead = tombstone_every > 0 && i % tombstone_every == 1;
+            b.push(&encode_key(&[Value::Int(i)]), (!dead).then(|| cells_of(i)).as_ref());
+        }
+        let mut out = Vec::new();
+        b.encode(&mut out);
+        assert_eq!(b.len(), 0);
+        (shape, out)
+    }
+
+    #[test]
+    fn every_cell_reads_back_as_it_went_in() {
+        for (n, tombstone_every) in [(1, 0), (9, 0), (300, 0), (300, 4)] {
+            let (shape, bytes) = group(n, tombstone_every);
+            let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
+            assert_eq!((dir.n, dir.len), (n as usize, bytes.len() as u64));
+            let mut src = bytes.as_slice();
+            let mut view = GroupView { shape: &shape, dir: &dir, src: &mut src };
+            let prefix = view.key_prefix().unwrap().to_vec();
+            for i in 0..n {
+                let key = encode_key(&[Value::Int(i)]);
+                assert_eq!(view.search(&key).unwrap(), (i as usize, true));
+                assert_eq!([&prefix, view.key_suffix(prefix.len(), i as usize).unwrap()].concat(), key);
+                let dead = tombstone_every > 0 && i % tombstone_every == 1;
+                assert_eq!(view.is_tombstone(i as usize).unwrap(), dead);
+                let mut got = Cells::default();
+                for cell in 0..6 {
+                    view.cell(cell, i as usize, &mut got).unwrap();
+                }
+                let want = if dead { Cells::default() } else { cells_of(i) };
+                for cell in 0..6 {
+                    assert_eq!(got.get(cell), if dead { &[][..] } else { want.get(cell) }, "entry {i} cell {cell}");
+                }
+            }
+            assert_eq!(view.search(&encode_key(&[Value::Int(n)])).unwrap(), (n as usize, false));
+            assert_eq!(view.search(&encode_key(&[Value::Int(-1)])).unwrap(), (0, false));
+        }
+    }
+
+    #[test]
+    fn integers_take_the_bytes_their_spread_needs() {
+        let (shape, bytes) = group(300, 0);
+        let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
+        let of = |cell: usize| dir.chunks[shape.data_chunk[cell]];
+        assert_eq!((of(0).encoding, of(0).width, of(0).base, of(0).len), (Encoding::For, 2, 1_000, 600));
+        assert_eq!((of(1).encoding, of(1).width, of(1).len), (Encoding::For, 1, 300));
+        assert_eq!(of(2).encoding, Encoding::Tagged, "a null among the ints");
+        assert_eq!((of(3).encoding, of(3).len), (Encoding::Fixed, 150 * 16));
+        assert_eq!((of(4).encoding, of(4).width), (Encoding::Var, 2));
+        assert_eq!(dir.chunks[KEYS].encoding, Encoding::Fixed);
+        assert_eq!(dir.chunks[TOMBSTONES].len, 0);
+        assert_eq!(dir.chunks[FIRST_PRESENCE].len, 0, "every record has a messageId");
+        assert_eq!(dir.chunks[FIRST_PRESENCE + 3].len, 300usize.div_ceil(8));
+        // narrow chunks first: the ints, the point, the string, the rest
+        let order: Vec<usize> = (0..6).map(|cell| shape.data_chunk[cell]).collect();
+        assert!(order[0] < order[3] && order[1] < order[3] && order[2] < order[3]);
+        assert!(order[3] < order[4] && order[4] < order[5]);
+    }
+
+    #[test]
+    fn a_damaged_directory_is_corrupt_not_a_panic() {
+        let (shape, bytes) = group(40, 3);
+        let dir_len = shape.dir_len();
+        assert!(matches!(GroupDir::parse(&bytes[..dir_len - 1], &shape), Err(StorageError::Corrupt(_))));
+        for bit in 0..dir_len * 8 {
+            let mut bad = bytes[..dir_len].to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(matches!(GroupDir::parse(&bad, &shape), Err(StorageError::Corrupt(_))), "bit {bit}");
+        }
+        // a chunk cut short under a sound directory
+        let dir = GroupDir::parse(&bytes[..dir_len], &shape).unwrap();
+        let mut src = &bytes[..bytes.len() - 20];
+        let mut view = GroupView { shape: &shape, dir: &dir, src: &mut src };
+        let mut out = Cells::default();
+        assert!(matches!(view.cell(5, 35, &mut out), Err(StorageError::Corrupt(_))), "the last rest cell");
+    }
+}

@@ -8,7 +8,9 @@
 //!   node-level **buffer cache** with clock eviction ([`cache`]) — Figure 2's
 //!   "Buffer Cache" box;
 //! * immutable, bulk-loaded on-disk **B+ trees** ([`btree`]) — the building
-//!   block of every LSM disk component;
+//!   block of every LSM disk component — whose leaves are pages of opaque
+//!   values or, for a dataset's primary index, columnar **leaf groups**
+//!   ([`leaf_group`]);
 //! * the **LSM framework**: one component lifecycle (`harness`: the
 //!   component list, pluggable merge policies, merge scheduling, publishing
 //!   and retirement) that every index kind rides, and the LSM B+ tree
@@ -46,6 +48,7 @@ pub(crate) mod harness;
 pub mod inverted;
 pub mod io;
 pub mod le;
+pub mod leaf_group;
 pub mod linear_hash;
 pub mod lock_order;
 pub mod lsm;

@@ -11,19 +11,28 @@
 //! [`MergePolicy`] decides when to merge disk components (experiment E8
 //! compares the policies).
 //!
+//! A tree whose values are records ([`LsmConfig::layout`]: a dataset's
+//! primary index) writes its disk components as leaf groups
+//! ([`crate::leaf_group`]): the memory component keeps whole rows, the flush
+//! takes them apart, and a read that names the cells it wants
+//! ([`LsmTree::reader`], [`LsmTree::get_with`]) is handed exactly those of an
+//! entry that a disk component holds — and the row of one still in memory,
+//! to read the same fields from.
+//!
 //! Only what is B+-tree-specific lives here: the memory component, the entry
 //! encoding, the k-way merge, blooms and value compression. The component
 //! list and its manifest, ids, sealing, merge scheduling, publishing and
 //! retirement are the shared lifecycle in `crate::harness`, which this tree
 //! rides as one `ComponentKind`.
 
-use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
+use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree, PUT, TOMBSTONE};
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
+use asterix_adm::layout::{Cells, RecordLayout};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -43,28 +52,23 @@ pub enum Entry {
 }
 
 impl Entry {
-    /// On-disk encoding: marker byte + payload.
-    fn encode(&self) -> Vec<u8> {
+    /// On-disk encoding, appended to `out`: marker byte + payload.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Entry::Put(v) => {
-                let mut out = Vec::with_capacity(v.len() + 1);
-                out.push(0);
+                out.push(PUT);
                 out.extend_from_slice(v);
-                out
             }
-            Entry::Tombstone => vec![1],
+            Entry::Tombstone => out.push(TOMBSTONE),
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<Entry> {
-        Ok(if Entry::is_tombstone(buf)? { Entry::Tombstone } else { Entry::Put(buf[1..].to_vec()) })
-    }
-
-    /// Whether `buf` encodes a delete marker: the marker byte, in place.
-    fn is_tombstone(buf: &[u8]) -> Result<bool> {
-        match buf.first() {
-            Some(0) => Ok(false),
-            Some(1) => Ok(true),
+    /// What `buf` encodes, in place: the value of a put, `None` for a delete
+    /// marker.
+    fn payload(buf: &[u8]) -> Result<Option<&[u8]>> {
+        match buf {
+            [PUT, value @ ..] => Ok(Some(value)),
+            [TOMBSTONE, ..] => Ok(None),
             _ => Err(StorageError::Corrupt("bad LSM entry marker".into())),
         }
     }
@@ -122,18 +126,15 @@ impl MemComponent {
     }
 
     /// Ordered iteration over a key range; nothing when `lo` lies past `hi`.
-    pub fn range(
-        &self,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-    ) -> impl Iterator<Item = (&Vec<u8>, &Entry)> {
+    pub fn range(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> btree_map::Range<'_, Vec<u8>, Entry> {
         // `BTreeMap::range` panics on such bounds
         let empty = match (lo, hi) {
             (Bound::Included(l), Bound::Included(h)) => l > h,
             (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => l >= h,
             _ => false,
         };
-        (!empty).then(|| self.map.range::<[u8], _>((lo, hi))).into_iter().flatten()
+        let nothing: (Bound<&[u8]>, Bound<&[u8]>) = (Bound::Included(&[]), Bound::Excluded(&[]));
+        self.map.range::<[u8], _>(if empty { nothing } else { (lo, hi) })
     }
 }
 
@@ -164,6 +165,10 @@ pub struct LsmConfig {
     pub bloom: bool,
     /// Compress values in disk components (paper §VII's storage compression).
     pub compress_values: bool,
+    /// The values are records, rows this layout takes apart: disk components
+    /// store them column by column ([`crate::leaf_group`]). Not together
+    /// with `compress_values`, which is for opaque values.
+    pub layout: Option<Arc<RecordLayout>>,
 }
 
 impl LsmConfig {
@@ -178,6 +183,7 @@ impl LsmConfig {
             },
             bloom: true,
             compress_values: false,
+            layout: None,
         }
     }
 }
@@ -186,91 +192,95 @@ impl LsmConfig {
 // The k-way merge and the merge run
 // ---------------------------------------------------------------------------
 
-/// The one k-way merge of the LSM tree: per-component ordered streams in
+/// One component's ordered entries as the merge sees them: the key it
+/// stands at, borrowed, and a step to the next.
+pub(crate) trait MergeCursor {
+    /// The key of the entry the cursor stands at; `None` past the last.
+    fn key(&self) -> Option<&[u8]>;
+    fn advance(&mut self) -> Result<()>;
+}
+
+impl MergeCursor for BTreeRangeIter {
+    fn key(&self) -> Option<&[u8]> {
+        BTreeRangeIter::key(self)
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        BTreeRangeIter::advance(self)
+    }
+}
+
+/// The one k-way merge of the LSM tree: per-component ordered cursors in
 /// (rank 0 = newest), one entry per distinct key out — the newest rank's,
-/// older versions shadowed. Tombstones pass through (`V` is opaque here), so
-/// compaction, full scans and bounded probes all sit on it. Lazy: a stream is
-/// read one entry ahead of what has been yielded and no further, so a caller
-/// that stops early has touched at most `yielded + 1` entries per stream.
-pub(crate) struct KWayMerge<I, V> {
-    /// `None` once a stream is exhausted or has failed.
-    streams: Vec<Option<I>>,
-    heads: Vec<Option<(Vec<u8>, V)>>,
+/// older versions shadowed. It compares keys where they lie and copies
+/// nothing: [`KWayMerge::next_rank`] names the cursor standing at the next
+/// entry and the caller reads of it what it needs. Tombstones pass through
+/// (what an entry holds is the caller's to read), so compaction, full scans
+/// and bounded probes all sit on it. Lazy: a cursor stands one entry ahead
+/// of what has been handed out and no further, so a caller that stops early
+/// has touched at most `yielded + 1` entries per component.
+pub(crate) struct KWayMerge<C> {
+    cursors: Vec<C>,
+    /// The rank handed out last; it, and the cursors behind it that stand at
+    /// the same key, step on when the next is asked for.
+    taken: Option<usize>,
     pulled: u64,
 }
 
-impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> KWayMerge<I, V> {
-    pub(crate) fn new(streams: Vec<I>) -> Self {
-        let heads = streams.iter().map(|_| None).collect();
-        KWayMerge { streams: streams.into_iter().map(Some).collect(), heads, pulled: 0 }
+impl<C: MergeCursor> KWayMerge<C> {
+    pub(crate) fn new(cursors: Vec<C>) -> Self {
+        let pulled = cursors.iter().filter(|c| c.key().is_some()).count() as u64;
+        KWayMerge { cursors, taken: None, pulled }
     }
 
-    /// Entries read from the component streams so far.
+    /// Entries the cursors have stood at so far.
     pub(crate) fn pulled(&self) -> u64 {
         self.pulled
     }
 
-    /// Refills `rank`'s head if it is empty and the stream has more.
-    fn pull(&mut self, rank: usize) -> Result<()> {
-        if self.heads[rank].is_some() {
-            return Ok(());
-        }
-        let Some(stream) = self.streams[rank].as_mut() else { return Ok(()) };
-        match stream.next() {
-            Some(Ok(entry)) => {
-                self.heads[rank] = Some(entry);
-                self.pulled += 1;
-            }
-            Some(Err(e)) => {
-                self.streams[rank] = None;
-                return Err(e);
-            }
-            None => self.streams[rank] = None,
-        }
-        Ok(())
+    /// The cursor of rank `rank`.
+    pub(crate) fn cursor(&mut self, rank: usize) -> &mut C {
+        &mut self.cursors[rank]
     }
 
-    fn advance(&mut self) -> Result<Option<(Vec<u8>, V)>> {
-        for rank in 0..self.heads.len() {
-            self.pull(rank)?;
+    /// Moves to the next distinct key: the rank of the cursor standing at
+    /// its newest version, `None` when every cursor is past its last entry.
+    pub(crate) fn next_rank(&mut self) -> Result<Option<usize>> {
+        if let Some(winner) = self.taken.take() {
+            let (upto, behind) = self.cursors.split_at_mut(winner + 1);
+            let winner = &mut upto[winner];
+            if let Some(key) = winner.key() {
+                for older in behind.iter_mut().filter(|c| c.key() == Some(key)) {
+                    older.advance()?;
+                    self.pulled += older.key().is_some() as u64;
+                }
+            }
+            winner.advance()?;
+            self.pulled += winner.key().is_some() as u64;
         }
-        // smallest head key; on ties the lowest rank (the newest version)
+        // smallest key; on ties the lowest rank (the newest version)
         let mut best: Option<(usize, &[u8])> = None;
-        for (rank, head) in self.heads.iter().enumerate() {
-            let Some((key, _)) = head else { continue };
-            if best.is_none_or(|(_, bkey)| key.as_slice() < bkey) {
+        for (rank, cursor) in self.cursors.iter().enumerate() {
+            let Some(key) = cursor.key() else { continue };
+            if best.is_none_or(|(_, smallest)| key < smallest) {
                 best = Some((rank, key));
             }
         }
-        let Some((winner_rank, _)) = best else { return Ok(None) };
-        let winner = self.heads[winner_rank].take();
-        let Some((winner_key, _)) = &winner else { return Ok(None) };
-        for rank in winner_rank + 1..self.heads.len() {
-            while matches!(&self.heads[rank], Some((k, _)) if k == winner_key) {
-                self.heads[rank] = None;
-                self.pull(rank)?;
-            }
-        }
-        Ok(winner)
+        self.taken = best.map(|(rank, _)| rank);
+        Ok(self.taken)
     }
 }
 
-impl<V, I: Iterator<Item = Result<(Vec<u8>, V)>>> Iterator for KWayMerge<I, V> {
-    type Item = Result<(Vec<u8>, V)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.advance().transpose()
-    }
-}
-
-/// In-progress compaction: the merge over the input components' raw entries,
+/// In-progress compaction: the merge over the input components' entries,
 /// each read outside the buffer cache, plus the output builder.
 pub struct MergeRun {
-    merge: KWayMerge<BTreeRangeIter, Vec<u8>>,
+    merge: KWayMerge<BTreeRangeIter>,
     builder: BTreeBuilder,
     /// Nothing older than the inputs exists: dead tombstones are dropped.
     includes_oldest: bool,
     written: u64,
+    /// The cells of the entry being handed on (leaf groups).
+    cells: Cells,
 }
 
 // ---------------------------------------------------------------------------
@@ -287,11 +297,11 @@ pub struct BTreeKind {
 
 impl BTreeKind {
     /// Applies the optional value compression at the disk boundary.
-    fn encode_disk(&self, raw: &[u8]) -> Vec<u8> {
+    fn encode_disk<'a>(&self, raw: &'a [u8]) -> Cow<'a, [u8]> {
         if self.config.compress_values {
-            crate::compress::compress(raw)
+            Cow::Owned(crate::compress::compress(raw))
         } else {
-            raw.to_vec()
+            Cow::Borrowed(raw)
         }
     }
 
@@ -305,12 +315,24 @@ impl BTreeKind {
         }
     }
 
+    /// Whether the entry `at` stands at is a delete marker.
+    fn is_tombstone(&self, at: &mut BTreeRangeIter) -> Result<bool> {
+        if self.config.layout.is_some() {
+            return at.is_tombstone();
+        }
+        Ok(Entry::payload(&self.decode_disk(at.entry()?.1)?)?.is_none())
+    }
+
     /// Opens the file of component `id` for bulk loading about
     /// `expected_keys` entries (which sizes the bloom filter, if any).
     fn builder(&self, id: u64, expected_keys: usize) -> Result<BTreeBuilder> {
         let name = format!("{}_c{}.btree", self.config.name, id);
         let writer = self.cache.manager().bulk_writer(&name)?;
-        Ok(BTreeBuilder::new(writer, if self.config.bloom { expected_keys } else { 0 }))
+        let expected_keys = if self.config.bloom { expected_keys } else { 0 };
+        Ok(match &self.config.layout {
+            None => BTreeBuilder::new(writer, expected_keys),
+            Some(layout) => BTreeBuilder::with_layout(writer, expected_keys, Arc::clone(layout)),
+        })
     }
 
     /// Seals a bulk-loaded component file.
@@ -328,7 +350,14 @@ impl ComponentKind for BTreeKind {
     type Disk = DiskBTree;
     type Run = MergeRun;
 
+    /// # Panics
+    /// When `config` asks for both a record layout and value compression.
     fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
+        assert!(
+            !(config.compress_values && config.layout.is_some()),
+            "LSM index {}: compress_values is for opaque values, not for records stored by a layout",
+            config.name
+        );
         BTreeKind { cache, config }
     }
 
@@ -350,8 +379,11 @@ impl ComponentKind for BTreeKind {
 
     fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
         let mut builder = self.builder(id, mem.len())?;
+        let mut raw = Vec::new();
         for (k, e) in mem.iter() {
-            builder.add(k, &self.encode_disk(&e.encode()))?;
+            raw.clear();
+            e.encode_into(&mut raw);
+            builder.add(k, &self.encode_disk(&raw))?;
         }
         self.seal(builder, mem.len() as u64)
     }
@@ -362,7 +394,7 @@ impl ComponentKind for BTreeKind {
 
     fn reopen(&self, files: &[FileId]) -> Result<DiskBTree> {
         match files {
-            [file] => DiskBTree::open(Arc::clone(&self.cache), *file),
+            [file] => DiskBTree::open(Arc::clone(&self.cache), *file, self.config.layout.as_ref()),
             _ => Err(StorageError::Corrupt(format!(
                 "B+-tree component of {} lists {} files",
                 self.config.name,
@@ -371,7 +403,7 @@ impl ComponentKind for BTreeKind {
         }
     }
 
-    /// Allocates the output file and the per-input scan iterators.
+    /// Allocates the output file and the per-input scan cursors.
     fn open(
         &self,
         id: u64,
@@ -380,22 +412,35 @@ impl ComponentKind for BTreeKind {
     ) -> Result<MergeRun> {
         let expected: u64 = inputs.iter().map(|c| c.disk.len()).sum();
         let builder = self.builder(id, expected as usize)?;
-        let streams = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
-        Ok(MergeRun { merge: KWayMerge::new(streams), builder, includes_oldest, written: 0 })
+        let cursors = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
+        Ok(MergeRun { merge: KWayMerge::new(cursors), builder, includes_oldest, written: 0, cells: Cells::default() })
     }
 
     /// Advances the k-way merge by up to `budget` input keys (newest rank
     /// wins on duplicates; a dropped tombstone still costs budget).
     fn step(&self, run: &mut MergeRun, budget: usize) -> Result<bool> {
+        let MergeRun { merge, builder, cells, .. } = run;
+        let every_cell: Vec<usize> = self.config.layout.iter().flat_map(|l| 0..l.cell_count()).collect();
         for _ in 0..budget.max(1) {
-            let Some(next) = run.merge.next() else { return Ok(true) };
-            let (key, raw) = next?;
+            let Some(rank) = merge.next_rank()? else { return Ok(true) };
+            let winner = merge.cursor(rank);
             // a delete marker is dead only when nothing older is left to mask
-            if run.includes_oldest && Entry::is_tombstone(&self.decode_disk(&raw)?)? {
+            let dead = self.is_tombstone(winner)?;
+            if dead && run.includes_oldest {
                 continue;
             }
-            // stored bytes move as-is: merges never recompress
-            run.builder.add(&key, &raw)?;
+            if self.config.layout.is_none() {
+                // stored bytes move as-is: merges never recompress
+                let (key, raw) = winner.entry()?;
+                builder.add(key, raw)?;
+            } else if dead {
+                builder.add_cells(winner.key().unwrap_or_default(), None)?;
+            } else {
+                // the cells go from group to group: no row is put together
+                cells.clear();
+                winner.cells(&every_cell, cells)?;
+                builder.add_cells(winner.key().unwrap_or_default(), Some(cells))?;
+            }
             run.written += 1;
         }
         Ok(false)
@@ -413,6 +458,16 @@ impl ComponentKind for BTreeKind {
 /// An LSM B+ tree index over encoded composite keys: the [`Lsm`] lifecycle
 /// plus the reads and writes below.
 pub type LsmTree = Lsm<BTreeKind>;
+
+/// What a read that named cells is handed of one entry.
+#[derive(Debug, Clone, Copy)]
+pub enum Projected<'a> {
+    /// The whole value: the entry is in a memory component, or the tree has
+    /// no layout (or the read named no cells).
+    Row(&'a [u8]),
+    /// The cells named, in the order named, out of a leaf group.
+    Cells(&'a Cells),
+}
 
 impl Lsm<BTreeKind> {
     /// The configuration.
@@ -441,6 +496,7 @@ impl Lsm<BTreeKind> {
     }
 
     /// Point lookup: memory components, then disk components newest-first.
+    /// A leaf group's row is put together from one cell of each chunk.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         if let Some(entry) = self.mem.newest_first().find_map(|m| m.get(key)) {
             self.shared.count_point_read(0);
@@ -465,39 +521,89 @@ impl Lsm<BTreeKind> {
         self.shared.count_point_read(probes);
         match found {
             None => Ok(None),
-            Some(raw) => match Entry::decode(&self.kind().decode_disk(&raw)?)? {
-                Entry::Put(v) => Ok(Some(v)),
-                Entry::Tombstone => Ok(None),
-            },
+            Some(raw) => Ok(Entry::payload(&self.kind().decode_disk(&raw)?)?.map(<[u8]>::to_vec)),
         }
     }
 
-    /// Lazy ordered scan over `[lo, hi]`, resolving versions (newest wins)
-    /// and dropping tombstones. Nothing past the last entry the caller takes
-    /// is read (one entry of lookahead per component), so a probe that
-    /// cannot name its upper bound as a key — every key with a given leading
-    /// part, say — starts at `lo` and simply stops.
-    pub fn range_iter(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Result<LsmRangeIter<'_>> {
+    /// [`LsmTree::get`] for a reader that wants the cells `wanted` of the
+    /// record under `key` (indices into the layout's cells): `read` is
+    /// handed those out of a leaf group, whose other chunks are not touched,
+    /// or the row the memory component holds.
+    pub fn get_with<T>(
+        &self,
+        key: &[u8],
+        wanted: &[usize],
+        read: impl FnOnce(Projected<'_>) -> T,
+    ) -> Result<Option<T>> {
+        if self.config().layout.is_none() {
+            return Ok(self.get(key)?.map(|row| read(Projected::Row(&row))));
+        }
+        if let Some(entry) = self.mem.newest_first().find_map(|m| m.get(key)) {
+            self.shared.count_point_read(0);
+            return Ok(match entry {
+                Entry::Put(v) => Some(read(Projected::Row(v))),
+                Entry::Tombstone => None,
+            });
+        }
+        let disk = self.shared.snapshot();
+        let mut probes = 0u64;
+        let mut found = None;
+        for comp in &disk {
+            if !comp.disk.may_contain(key) {
+                continue;
+            }
+            probes += 1;
+            found = comp.disk.probe(key)?;
+            if found.is_some() {
+                break;
+            }
+        }
+        self.shared.count_point_read(probes);
+        let Some(mut at) = found else { return Ok(None) };
+        if at.is_tombstone()? {
+            return Ok(None);
+        }
+        let mut cells = Cells::with_capacity(wanted.len(), 32 * wanted.len());
+        at.cells(wanted, &mut cells)?;
+        Ok(Some(read(Projected::Cells(&cells))))
+    }
+
+    /// Lazy ordered read of `[lo, hi]`, resolving versions (newest wins)
+    /// and dropping tombstones. With `wanted`, a tree that has a layout hands
+    /// out those cells of each entry (see [`Projected`]) and reads no chunk
+    /// of the others; without, whole values. Nothing past the last entry the
+    /// caller takes is read (one entry of lookahead per component), so a
+    /// probe that cannot name its upper bound as a key — every key with a
+    /// given leading part, say — starts at `lo` and simply stops.
+    pub fn reader(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>, wanted: Option<&[usize]>) -> Result<LsmReader<'_>> {
         // Snapshot the component list: the scan sees a consistent pre- or
         // post-merge view, and snapshot refs keep retired files alive.
         let snapshot = self.shared.snapshot();
-        let kind = self.kind();
-        let owned = |b: Bound<&[u8]>| b.map(<[u8]>::to_vec);
-        // Per-source ordered streams: rank 0 = the active memory component
+        // Per-source ordered cursors: rank 0 = the active memory component
         // (newest), then the sealed one, then disk.
-        let mut streams: Vec<EntryStream<'_>> = Vec::with_capacity(snapshot.len() + 2);
+        let mut sources: Vec<Source<'_>> = Vec::with_capacity(snapshot.len() + 2);
         for mem in self.mem.newest_first() {
-            streams.push(Box::new(
-                mem.range(lo, hi).map(|(k, e)| Ok((k.clone(), e.clone()))),
-            ));
+            let mut rest = mem.range(lo, hi);
+            sources.push(Source::Mem { head: rest.next(), rest });
         }
         for comp in &snapshot {
-            let it = comp.disk.range(lo, owned(hi))?;
-            streams.push(Box::new(it.map(move |r| {
-                r.and_then(|(k, raw)| Ok((k, Entry::decode(&kind.decode_disk(&raw)?)?)))
-            })));
+            sources.push(Source::Disk(comp.disk.range(lo, hi.map(<[u8]>::to_vec))?));
         }
-        Ok(LsmRangeIter { merge: KWayMerge::new(streams), shared: &self.shared, _snapshot: snapshot })
+        Ok(LsmReader {
+            merge: KWayMerge::new(sources),
+            kind: self.kind(),
+            shared: &self.shared,
+            _snapshot: snapshot,
+            wanted: wanted.filter(|_| self.config().layout.is_some()).map(<[usize]>::to_vec),
+            cells: Cells::default(),
+            inflated: Vec::new(),
+        })
+    }
+
+    /// [`LsmTree::reader`] of whole values as an iterator: each pair copied
+    /// out, once.
+    pub fn range_iter(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>) -> Result<LsmRangeIter<'_>> {
+        Ok(LsmRangeIter(self.reader(lo, hi, None)?))
     }
 
     /// [`Lsm::range_iter`], materialized.
@@ -514,39 +620,120 @@ impl Lsm<BTreeKind> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
-    /// Live entry count: walks the index once, holding one entry at a time.
+    /// Live entry count: walks the keys once, reading no value.
     pub fn count(&self) -> Result<usize> {
-        self.range_iter(Bound::Unbounded, Bound::Unbounded)?.map(|e| e.map(|_| 1)).sum()
+        let mut live = self.reader(Bound::Unbounded, Bound::Unbounded, Some(&[]))?;
+        let mut n = 0;
+        while live.next_entry()?.is_some() {
+            n += 1;
+        }
+        Ok(n)
     }
 }
 
-type EntryStream<'a> = Box<dyn Iterator<Item = Result<(Vec<u8>, Entry)>> + 'a>;
+/// One component's entries in a read: a memory component's in place, a
+/// disk component's under a cursor.
+enum Source<'a> {
+    Mem { head: Option<(&'a Vec<u8>, &'a Entry)>, rest: btree_map::Range<'a, Vec<u8>, Entry> },
+    Disk(BTreeRangeIter),
+}
 
-/// Live `(key, value)` pairs of one [`LsmTree::range_iter`] call, in key
-/// order. Dropping it adds what it read to [`LsmStats::entries_visited`].
-pub struct LsmRangeIter<'a> {
-    merge: KWayMerge<EntryStream<'a>, Entry>,
+impl MergeCursor for Source<'_> {
+    fn key(&self) -> Option<&[u8]> {
+        match self {
+            Source::Mem { head, .. } => head.map(|(key, _)| key.as_slice()),
+            Source::Disk(at) => at.key(),
+        }
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        match self {
+            Source::Mem { head, rest } => *head = rest.next(),
+            Source::Disk(at) => at.advance()?,
+        }
+        Ok(())
+    }
+}
+
+/// Live entries of one [`LsmTree::reader`] call, in key order, each lent
+/// until the next is asked for. Dropping it adds what it read to
+/// [`LsmStats::entries_visited`].
+pub struct LsmReader<'a> {
+    merge: KWayMerge<Source<'a>>,
+    kind: &'a BTreeKind,
     shared: &'a Harness<BTreeKind>,
     _snapshot: Vec<Arc<Component<BTreeKind>>>,
+    /// The cells to hand out of a leaf group's entry; `None`: its value.
+    wanted: Option<Vec<usize>>,
+    cells: Cells,
+    /// The value of the entry lent last, decompressed.
+    inflated: Vec<u8>,
 }
+
+impl LsmReader<'_> {
+    /// The next live entry: its key and what the read asked of it.
+    pub fn next_entry(&mut self) -> Result<Option<(&[u8], Projected<'_>)>> {
+        let LsmReader { merge, kind, wanted, cells, inflated, .. } = self;
+        let rank = loop {
+            let Some(rank) = merge.next_rank()? else { return Ok(None) };
+            let dead = match merge.cursor(rank) {
+                Source::Mem { head, .. } => matches!(head, Some((_, Entry::Tombstone))),
+                Source::Disk(at) => kind.is_tombstone(at)?,
+            };
+            if !dead {
+                break rank;
+            }
+        };
+        let gone = || StorageError::Invalid("the merge named a cursor past its last entry".into());
+        match merge.cursor(rank) {
+            Source::Mem { head, .. } => match head {
+                Some((key, Entry::Put(value))) => Ok(Some((key.as_slice(), Projected::Row(value)))),
+                _ => Err(gone()),
+            },
+            Source::Disk(at) => match wanted {
+                Some(wanted) => {
+                    cells.clear();
+                    at.cells(wanted, cells)?;
+                    Ok(Some((at.key().ok_or_else(gone)?, Projected::Cells(cells))))
+                }
+                None => {
+                    let (key, raw) = at.entry()?;
+                    let value = match kind.decode_disk(raw)? {
+                        Cow::Borrowed(raw) => raw,
+                        Cow::Owned(raw) => {
+                            *inflated = raw;
+                            inflated.as_slice()
+                        }
+                    };
+                    Ok(Some((key, Projected::Row(Entry::payload(value)?.ok_or_else(gone)?))))
+                }
+            },
+        }
+    }
+}
+
+impl Drop for LsmReader<'_> {
+    fn drop(&mut self) {
+        self.shared.count_visited(self.merge.pulled());
+    }
+}
+
+/// Live `(key, value)` pairs of one [`LsmTree::range_iter`] call, in key
+/// order.
+pub struct LsmRangeIter<'a>(LsmReader<'a>);
 
 impl Iterator for LsmRangeIter<'_> {
     type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            match self.merge.next()? {
-                Ok((key, Entry::Put(value))) => return Some(Ok((key, value))),
-                Ok((_, Entry::Tombstone)) => {}
-                Err(e) => return Some(Err(e)),
+        match self.0.next_entry() {
+            Ok(Some((key, Projected::Row(value)))) => Some(Ok((key.to_vec(), value.to_vec()))),
+            Ok(Some((_, Projected::Cells(_)))) => {
+                Some(Err(StorageError::Invalid("a read of whole values was handed cells".into())))
             }
+            Ok(None) => None,
+            Err(e) => Some(Err(e)),
         }
-    }
-}
-
-impl Drop for LsmRangeIter<'_> {
-    fn drop(&mut self) {
-        self.shared.count_visited(self.merge.pulled());
     }
 }
 
@@ -573,11 +760,9 @@ mod tests {
 
     fn small_config(name: &str, policy: MergePolicy) -> LsmConfig {
         LsmConfig {
-            name: name.into(),
             mem_budget: 4 << 10, // tiny: force frequent flushes
             merge_policy: policy,
-            bloom: true,
-            compress_values: false,
+            ..LsmConfig::new(name)
         }
     }
 
@@ -793,6 +978,14 @@ mod tests {
         assert_eq!(all[0].1, b"int2");
         assert_eq!(all[1].1, b"d2.5");
         assert_eq!(all[2].1, b"s");
+    }
+
+    #[test]
+    #[should_panic(expected = "compress_values is for opaque values")]
+    fn a_layout_and_value_compression_do_not_go_together() {
+        let (cache, _d) = setup();
+        let layout = Some(Arc::new(RecordLayout::default()));
+        LsmTree::new(cache, LsmConfig { compress_values: true, layout, ..LsmConfig::new("t") });
     }
 
     // -- background compaction ---------------------------------------------

@@ -222,7 +222,7 @@ impl ComponentKind for RTreeKind {
     }
 
     fn reopen(&self, files: &[FileId]) -> Result<RTreeDisk> {
-        let open_keys = |file: &FileId| DiskBTree::open(Arc::clone(&self.cache), *file);
+        let open_keys = |file: &FileId| DiskBTree::open(Arc::clone(&self.cache), *file, None);
         match files {
             [rtree, tombstones @ ..] if tombstones.len() <= 1 => Ok(RTreeDisk {
                 rtree: DiskRTree::open(Arc::clone(&self.cache), *rtree)?,

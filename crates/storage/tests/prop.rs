@@ -2,13 +2,16 @@
 //! model, R-tree and LSM R-tree vs brute force, bloom filter totality, hash
 //! vs model.
 
-use asterix_adm::binary::encode_key;
-use asterix_adm::{Point, Rectangle, Value};
-use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
+use asterix_adm::binary::{encode, encode_key};
+use asterix_adm::schema_encode::encode_with_schema;
+use asterix_adm::types::{Field, ObjectType, TypeExpr};
+use asterix_adm::{Point, RecordLayout, Rectangle, Value};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY, PUT, TOMBSTONE};
+use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
-use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy, Projected};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_storage::stats::IoStats;
@@ -136,6 +139,7 @@ proptest! {
                 merge_policy: MergePolicy::Constant { max_components: 3 },
                 bloom: true,
                 compress_values: true, // exercise the compression path too
+                layout: None,
             },
         );
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
@@ -381,7 +385,7 @@ proptest! {
             b.add(k, v).unwrap();
         }
         let built = b.finish().unwrap();
-        let reopened = DiskBTree::open(Arc::clone(&cache), built.file).unwrap();
+        let reopened = DiskBTree::open(Arc::clone(&cache), built.file, None).unwrap();
         let t = DiskBTree::from_built(Arc::clone(&cache), built);
         prop_assert_eq!((reopened.len(), reopened.min_key(), reopened.max_key()), (t.len(), t.min_key(), t.max_key()));
         // every key, its neighbours in byte order, and keys that are not there
@@ -415,41 +419,43 @@ proptest! {
     }
 }
 
-/// A component file of the format before keys were memcomparable ("BTRE" in
-/// its trailer) is refused by name, not searched with the wrong comparator.
+/// A component file of a retired format is refused by name, not searched
+/// with the wrong comparator or read as the wrong leaf shape: "BTRE", from
+/// before keys were memcomparable, and "BTR2", whose trailer had no height
+/// and no column directory.
 #[test]
-fn btree_file_of_the_retired_format_is_refused() {
-    let (cache, _d) = setup(8);
-    let mut w = cache.manager().bulk_writer("old.btree").unwrap();
-    // one leaf as that format laid it out: a 13-byte key, whole, in its entry
-    let old_key = [1u8, 0, 0, 0, 3, 42, 0, 0, 0, 0, 0, 0, 0];
-    let mut leaf = vec![0u8; asterix_storage::PAGE_SIZE];
-    leaf[0] = 1;
-    leaf[1..3].copy_from_slice(&1u16.to_le_bytes());
-    leaf[3..11].copy_from_slice(&1u64.to_le_bytes());
-    leaf[11..13].copy_from_slice(&13u16.to_le_bytes());
-    leaf[13..15].copy_from_slice(&13u16.to_le_bytes());
-    leaf[15..28].copy_from_slice(&old_key);
-    leaf[28..30].copy_from_slice(&1u16.to_le_bytes());
-    leaf[30] = b'v';
-    w.append(&leaf).unwrap();
-    let mut trailer = vec![0u8; asterix_storage::PAGE_SIZE];
-    trailer[0..4].copy_from_slice(&0x4254_5245u32.to_le_bytes());
-    trailer[12..20].copy_from_slice(&1u64.to_le_bytes()); // one entry, rooted at page 0
-    trailer[20..28].copy_from_slice(&1u64.to_le_bytes());
-    trailer[28..36].copy_from_slice(&1u64.to_le_bytes());
-    for at in [44, 61] {
-        trailer[at..at + 4].copy_from_slice(&13u32.to_le_bytes());
-        trailer[at + 4..at + 17].copy_from_slice(&old_key);
-    }
-    w.append(&trailer).unwrap();
-    let file = w.finish().unwrap();
-    match DiskBTree::open(cache, file) {
-        Err(asterix_storage::StorageError::Corrupt(why)) => {
-            assert!(why.contains("0x42545245") && why.contains("memcomparable"), "{why}")
+fn btree_files_of_the_retired_formats_are_refused() {
+    for (magic, said) in [(0x4254_5245u32, "memcomparable"), (0x4254_5232, "BTR2")] {
+        let (cache, _d) = setup(8);
+        let mut w = cache.manager().bulk_writer("old.btree").unwrap();
+        // one leaf as those formats laid it out, its one key whole in its entry
+        let old_key = [1u8, 0, 0, 0, 3, 42, 0, 0, 0, 0, 0, 0, 0];
+        let mut leaf = vec![0u8; asterix_storage::PAGE_SIZE];
+        leaf[0] = 1;
+        leaf[1..3].copy_from_slice(&1u16.to_le_bytes());
+        leaf[3..11].copy_from_slice(&1u64.to_le_bytes());
+        leaf[11..13].copy_from_slice(&13u16.to_le_bytes());
+        leaf[13..15].copy_from_slice(&13u16.to_le_bytes());
+        leaf[15..28].copy_from_slice(&old_key);
+        leaf[28..30].copy_from_slice(&1u16.to_le_bytes());
+        leaf[30] = b'v';
+        w.append(&leaf).unwrap();
+        let mut trailer = vec![0u8; asterix_storage::PAGE_SIZE];
+        trailer[0..4].copy_from_slice(&magic.to_le_bytes());
+        trailer[12..20].copy_from_slice(&1u64.to_le_bytes()); // one entry, rooted at page 0
+        trailer[20..28].copy_from_slice(&1u64.to_le_bytes());
+        trailer[28..36].copy_from_slice(&1u64.to_le_bytes());
+        for at in [44, 61] {
+            trailer[at..at + 4].copy_from_slice(&13u32.to_le_bytes());
+            trailer[at + 4..at + 17].copy_from_slice(&old_key);
         }
-        Err(other) => panic!("refused for the wrong reason: {other:?}"),
-        Ok(_) => panic!("a file of the retired format was opened"),
+        w.append(&trailer).unwrap();
+        let file = w.finish().unwrap();
+        match DiskBTree::open(cache, file, None) {
+            Err(asterix_storage::StorageError::Corrupt(why)) => assert!(why.contains(said), "{why}"),
+            Err(other) => panic!("refused for the wrong reason: {other:?}"),
+            Ok(_) => panic!("a file of a retired format was opened"),
+        }
     }
 }
 
@@ -590,6 +596,272 @@ proptest! {
             let got = sorted(&t);
             prop_assert_eq!(got.len(), at.len(), "after step {}", step);
             prop_assert_eq!(got, sorted(&kept), "after step {}", step);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Leaf groups: a tree whose values are records
+// ---------------------------------------------------------------------------
+
+/// A record type with a column of every kind: integers wide and narrow, an
+/// optional one, a fixed-width value, a string, a nested field — and open.
+fn record_type() -> ObjectType {
+    let named = TypeExpr::named;
+    ObjectType::open(
+        "R",
+        vec![
+            Field::required("id", named("int")),
+            Field::required("a", named("int")),
+            Field::optional("t", named("datetime")),
+            Field::optional("p", named("point")),
+            Field::required("s", named("string")),
+            Field::optional("n", TypeExpr::Array(Box::new(named("int")))),
+        ],
+    )
+}
+
+/// The record under key `i` at version `v`: which optional fields it has,
+/// whether `t` is a `null`, how wide `a` is and whether it has an open part
+/// all turn on `v`.
+fn record(i: i64, v: u64) -> Value {
+    let wide = [0, 1, -1, i64::MIN, i64::MAX, 1 << 40];
+    let mut fields = vec![
+        ("id".to_string(), Value::Int(i)),
+        ("a".into(), Value::Int(if v.is_multiple_of(11) { wide[(v / 11) as usize % wide.len()] } else { (v % 300) as i64 })),
+    ];
+    match v % 5 {
+        0 => fields.push(("t".into(), Value::DateTime(1_500_000_000_000 + v as i64))),
+        1 if v % 7 == 1 => fields.push(("t".into(), Value::Null)),
+        _ => {}
+    }
+    if !v.is_multiple_of(3) {
+        fields.push(("p".into(), Value::Point(Point::new(i as f64, v as f64 / 8.0))));
+    }
+    fields.push(("s".into(), Value::from("x".repeat(v as usize % 40))));
+    if v.is_multiple_of(4) {
+        fields.push(("n".into(), Value::Array((0..v % 3).map(|e| Value::Int(e as i64)).collect())));
+    }
+    if v.is_multiple_of(6) {
+        fields.push(("open".into(), Value::object(vec![("v".into(), Value::Int(v as i64))])));
+    }
+    Value::object(fields)
+}
+
+/// The stored row of [`record`], under the declared type or under none.
+fn row(typed: bool, i: i64, v: u64) -> Vec<u8> {
+    if typed {
+        encode_with_schema(&record(i, v), &record_type()).unwrap()
+    } else {
+        encode(&record(i, v))
+    }
+}
+
+fn layout(typed: bool) -> Arc<RecordLayout> {
+    Arc::new(RecordLayout::new(typed.then(record_type).as_ref()))
+}
+
+#[derive(Debug, Clone)]
+enum RecordOp {
+    Put(i64, u64),
+    /// Keys `from..from + len`, in one go: components of several groups.
+    PutRun(i64, i64, u64),
+    Delete(i64),
+    DeleteRun(i64, i64),
+    Flush,
+    Merge(usize),
+    Reopen,
+}
+
+fn record_ops() -> impl Strategy<Value = Vec<RecordOp>> {
+    const KEYS: i64 = 2 * GROUP_RECORDS as i64 + 500;
+    let op = prop_oneof![
+        8 => (0..KEYS, any::<u64>()).prop_map(|(i, v)| RecordOp::Put(i, v)),
+        2 => (0..KEYS, 1..1_300i64, any::<u64>()).prop_map(|(i, n, v)| RecordOp::PutRun(i, n, v)),
+        3 => (0..KEYS).prop_map(RecordOp::Delete),
+        1 => (0..KEYS, 1..400i64).prop_map(|(i, n)| RecordOp::DeleteRun(i, n)),
+        2 => Just(RecordOp::Flush),
+        2 => (2usize..5).prop_map(RecordOp::Merge),
+        1 => Just(RecordOp::Reopen),
+    ];
+    prop::collection::vec(op, 1..40)
+}
+
+/// What `t` answers, against `model`: whole rows, the cells a reader names,
+/// point gets of both kinds, the count — and a read resumed after every key,
+/// which is where a group ends as often as anywhere.
+fn check_records(t: &LsmTree, layout: &RecordLayout, model: &BTreeMap<i64, Vec<u8>>, fields: &[String]) {
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model.iter().map(|(i, row)| (k(*i), row.clone())).collect();
+    assert_eq!(t.scan().unwrap(), want);
+    assert_eq!(t.count().unwrap(), model.len());
+    let wanted = layout.resolve(fields);
+    let project = |stored: Projected<'_>| match stored {
+        Projected::Row(row) => layout.decode_row(&wanted, row).unwrap(),
+        Projected::Cells(cells) => layout.project(&wanted, cells).unwrap(),
+    };
+    let mut live = t.reader(Bound::Unbounded, Bound::Unbounded, Some(wanted.cells())).unwrap();
+    for (i, row) in model {
+        let (key, stored) = live.next_entry().unwrap().expect("an entry for every key of the model");
+        assert_eq!(key, k(*i));
+        assert_eq!(project(stored), layout.decode_row(&wanted, row).unwrap(), "key {i} fields {fields:?}");
+    }
+    assert!(live.next_entry().unwrap().is_none());
+    drop(live);
+    let keys: Vec<i64> = model.keys().copied().collect();
+    for (at, i) in keys.iter().enumerate() {
+        let mut rest = t.reader(Bound::Excluded(&k(*i)), Bound::Unbounded, Some(&[])).unwrap();
+        let next = rest.next_entry().unwrap().map(|(key, _)| key.to_vec());
+        assert_eq!(next, keys.get(at + 1).map(|n| k(*n)), "resumed after {i}");
+    }
+    for probe in (-1..2 * GROUP_RECORDS as i64 + 501).step_by(7) {
+        assert_eq!(t.get(&k(probe)).unwrap(), model.get(&probe).cloned(), "get {probe}");
+        let got = t.get_with(&k(probe), wanted.cells(), project).unwrap();
+        assert_eq!(got, model.get(&probe).map(|row| layout.decode_row(&wanted, row).unwrap()), "get_with {probe}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// An LSM tree with a layout — rows in its memory components, leaf
+    /// groups on disk — answers gets, scans and reads of named cells like a
+    /// map of the rows, through flushes, merges of some or all components
+    /// (delete markers go only when nothing older is left) and reopening;
+    /// with a declared type and without.
+    #[test]
+    fn layout_tree_answers_like_a_map_of_rows(
+        ops in record_ops(),
+        typed in any::<bool>(),
+        picks in prop::collection::vec(0usize..9, 0..4),
+    ) {
+        let pool = ["id", "a", "t", "p", "s", "n", "open", "v", "nope"];
+        let fields: Vec<String> = picks.iter().map(|p| pool[*p].to_string()).collect();
+        let layout = layout(typed);
+        let config = || LsmConfig {
+            mem_budget: 48 << 10,
+            merge_policy: MergePolicy::NoMerge,
+            layout: Some(Arc::clone(&layout)),
+            ..LsmConfig::new("r")
+        };
+        let (cache, _d) = setup(64);
+        let mut t = LsmTree::new(Arc::clone(&cache), config());
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        let put = |t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, v: u64| {
+            let row = row(typed, i, v);
+            t.upsert(k(i), row.clone()).unwrap();
+            model.insert(i, row);
+        };
+        for op in ops {
+            match op {
+                RecordOp::Put(i, v) => put(&mut t, &mut model, i, v),
+                RecordOp::PutRun(from, len, v) => {
+                    (from..from + len).for_each(|i| put(&mut t, &mut model, i, v.wrapping_add(i as u64)))
+                }
+                RecordOp::Delete(i) => {
+                    t.delete(k(i)).unwrap();
+                    model.remove(&i);
+                }
+                RecordOp::DeleteRun(from, len) => {
+                    for i in from..from + len {
+                        t.delete(k(i)).unwrap();
+                        model.remove(&i);
+                    }
+                }
+                RecordOp::Flush => t.flush().unwrap(),
+                RecordOp::Merge(n) => t.merge_newest(n).unwrap(),
+                RecordOp::Reopen => {
+                    t.flush().unwrap();
+                    drop(t);
+                    t = LsmTree::reopen(Arc::clone(&cache), config()).unwrap();
+                }
+            }
+        }
+        check_records(&t, &layout, &model, &fields);
+        t.flush().unwrap();
+        let all = t.component_count();
+        t.merge_newest(all).unwrap();
+        check_records(&t, &layout, &model, &fields);
+    }
+}
+
+/// Groups of exactly one record — a component of one, and the record a full
+/// group leaves over — and a tree of delete markers alone.
+#[test]
+fn one_record_groups_and_markers_alone() {
+    let layout = layout(true);
+    let config = LsmConfig { mem_budget: 1 << 30, merge_policy: MergePolicy::NoMerge, layout: Some(Arc::clone(&layout)), ..LsmConfig::new("one") };
+    let (cache, _d) = setup(64);
+    let mut t = LsmTree::new(cache, config);
+    let mut model = BTreeMap::new();
+    for i in 0..=GROUP_RECORDS as i64 {
+        t.upsert(k(i), row(true, i, i as u64)).unwrap();
+        model.insert(i, row(true, i, i as u64));
+    }
+    t.flush().unwrap();
+    t.upsert(k(-5), row(true, -5, 5)).unwrap();
+    model.insert(-5, row(true, -5, 5));
+    t.flush().unwrap();
+    for i in [0, 7, GROUP_RECORDS as i64] {
+        t.delete(k(i)).unwrap();
+        model.remove(&i);
+    }
+    t.flush().unwrap();
+    assert_eq!(t.component_count(), 3);
+    check_records(&t, &layout, &model, &["a".into(), "open".into()]);
+    // the two newest: the markers stay, for the oldest component to be masked by
+    t.merge_newest(2).unwrap();
+    check_records(&t, &layout, &model, &["s".into()]);
+    t.merge_newest(2).unwrap();
+    check_records(&t, &layout, &model, &[]);
+    // flushed 1 025 + 1 + 3; the first merge kept the markers (4 entries), the
+    // last one dropped them and the three records they mask
+    let n = GROUP_RECORDS as u64 + 1;
+    assert_eq!(t.stats().entries_written, (n + 1 + 3) + 4 + (n + 1 - 3));
+}
+
+/// A leaf-group component whose leaf area is damaged: a flipped bit in a
+/// group's directory is `Corrupt` to whatever reads the group, and one
+/// anywhere else in the leaf area is an error or a wrong answer — never a
+/// panic.
+#[test]
+fn a_damaged_leaf_group_is_an_error_not_a_panic() {
+    let layout = layout(true);
+    let (cache, dir) = setup(64);
+    let n = GROUP_RECORDS as i64 + 200;
+    let mut b = BTreeBuilder::with_layout(cache.manager().bulk_writer("g.btree").unwrap(), n as usize, Arc::clone(&layout));
+    for i in 0..n {
+        if i % 9 == 4 {
+            b.add(&k(i), &[TOMBSTONE]).unwrap();
+        } else {
+            b.add(&k(i), &[&[PUT][..], &row(true, i, i as u64 * 7)].concat()).unwrap();
+        }
+    }
+    let built = b.finish().unwrap();
+    let sound = std::fs::read(dir.0.join("g.btree")).unwrap();
+    drop(DiskBTree::from_built(Arc::clone(&cache), built));
+    let dir_len = 16 + 16 * (2 + 2 * layout.cell_count());
+    let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |below: usize| {
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        (seed % below as u64) as usize
+    };
+    let leaf_pages = sound.len() / asterix_storage::PAGE_SIZE - 3;
+    for round in 0..300 {
+        let in_directory = round % 3 == 0;
+        let bit = if in_directory { next(dir_len * 8) } else { next(leaf_pages * asterix_storage::PAGE_SIZE * 8) };
+        let mut bad = sound.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let name = format!("bad{round}.btree");
+        std::fs::write(dir.0.join(&name), &bad).unwrap();
+        let file = cache.manager().open(&name).unwrap();
+        let t = DiskBTree::open(Arc::clone(&cache), file, Some(&layout)).unwrap();
+        let scanned: Result<Vec<_>, _> = t.scan().unwrap_or_else(|_| t.range(Bound::Excluded(&k(n)), Bound::Unbounded).unwrap()).collect();
+        let got = t.get(&k(3));
+        if in_directory {
+            assert!(matches!(t.scan().map(|s| s.count()), Err(asterix_storage::StorageError::Corrupt(_))), "bit {bit}: {scanned:?}");
+            assert!(matches!(got, Err(asterix_storage::StorageError::Corrupt(_))), "bit {bit}");
         }
     }
 }

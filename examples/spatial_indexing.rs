@@ -40,6 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         merge_policy: MergePolicy::Constant { max_components: 4 },
         bloom: true,
         compress_values: false,
+        layout: None,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
     let mut rtree = LsmRTree::new(Arc::clone(&cache), LsmRTreeConfig::new("rtree"));
