@@ -6,122 +6,69 @@
 //! repro --quick      # small sizes (seconds instead of minutes)
 //! repro e2 e7        # selected experiments
 //! repro --markdown   # emit Markdown tables (for EXPERIMENTS.md)
-//! repro hotpath      # hot-path bench suite -> BENCH_hotpath.json
-//! repro hotpath --out FILE   # write the JSON somewhere else
-//! repro profile e01  # per-operator query profile (text tree to stdout)
-//! repro profile e01 --out profile.json   # also write the JSON document
+//! repro hotpath      # hot paths below an instance -> BENCH_hotpath.json
+//! repro serving      # multi-client serving sweep -> BENCH_serving.json
+//! repro feeds        # sustained-ingestion suite -> BENCH_feeds.json
+//! repro hotpath --quick --out FILE   # any of the three: small, written elsewhere
+//! repro profile e01  # per-operator query profile: text tree, then the report
+//! repro profile e01 --out profile.json   # the report into a file as well
 //! repro chaos        # replayable fault-injection suite (default seed 42)
 //! repro chaos --seed 7   # same suite under a pinned seed
-//! repro serving      # concurrent-serving SLO sweep -> BENCH_serving.json
-//! repro serving --out FILE   # write the JSON somewhere else
-//! repro feeds        # sustained-ingestion suite -> BENCH_feeds.json
 //! repro feeds --check              # kill/crash/resume recovery battery
 //! repro feeds --check --inject-loss   # tripwire: must exit nonzero
 //! ```
 
 use asterix_bench::{chaos, experiments, feeds, hotpath, profile, serving};
 
+/// The value that follows `flag` on the command line.
+fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
+    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))
+}
+
+/// Prints a report, and writes it where `--out` says or else to `default`.
+fn emit(args: &[String], default: Option<&str>, report: &asterix_obs::Json) {
+    let json = report.render_pretty();
+    print!("{json}");
+    if let Some(out) = flag_value(args, "--out").map(String::as_str).or(default) {
+        std::fs::write(out, &json).unwrap_or_else(|e| {
+            eprintln!("cannot write {out}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("report written to {out}");
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
     let markdown = args.iter().any(|a| a == "--markdown" || a == "-m");
-    if args.first().map(String::as_str) == Some("chaos") {
-        let seed = args
-            .iter()
-            .position(|a| a == "--seed")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42u64);
-        let (report, ok) = chaos::run(seed);
-        print!("{report}");
-        if !ok {
-            std::process::exit(1);
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("profile") {
-        let exp = args
-            .iter()
-            .skip(1)
-            .find(|a| !a.starts_with('-'))
-            .cloned()
-            .unwrap_or_else(|| "e01".into());
-        let Some(run) = profile::run(&exp, quick) else {
-            eprintln!("unknown profile target {exp:?} (supported: e01)");
-            std::process::exit(2);
-        };
-        println!("{}", run.text);
-        if let Some(out) =
-            args.iter().position(|a| a == "--out").and_then(|i| args.get(i + 1))
-        {
-            std::fs::write(out, &run.json).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("profile JSON written to {out}");
-        } else {
-            println!("{}", run.json);
-        }
-        return;
-    }
-    if args.iter().any(|a| a == "feeds") {
-        if args.iter().any(|a| a == "--check") {
-            let inject_loss = args.iter().any(|a| a == "--inject-loss");
-            let (report, ok) = feeds::check(inject_loss);
-            print!("{report}");
-            if !ok {
-                std::process::exit(1);
-            }
-            return;
-        }
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_feeds.json".into());
-        let json = feeds::run(quick);
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        print!("{json}");
-        eprintln!("feed ingestion baseline written to {out}");
-        return;
-    }
-    if args.iter().any(|a| a == "serving") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_serving.json".into());
-        let json = serving::run(quick);
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        print!("{json}");
-        eprintln!("serving SLO baseline written to {out}");
-        return;
-    }
-    if args.iter().any(|a| a == "hotpath") {
-        let out = args
-            .iter()
-            .position(|a| a == "--out")
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_hotpath.json".into());
-        let json = hotpath::run(quick);
-        std::fs::write(&out, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {out}: {e}");
-            std::process::exit(1);
-        });
-        print!("{json}");
-        eprintln!("hot-path baseline written to {out}");
-        return;
-    }
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+    match ids.first().map(|s| s.as_str()) {
+        Some("chaos") => {
+            let seed = flag_value(&args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(42u64);
+            let (report, ok) = chaos::run(seed);
+            print!("{report}");
+            std::process::exit(i32::from(!ok));
+        }
+        Some("profile") => {
+            let exp = ids.get(1).map_or("e01", |s| s.as_str());
+            let Some(run) = profile::run(exp, quick) else {
+                eprintln!("unknown profile target {exp:?} (supported: e01)");
+                std::process::exit(2);
+            };
+            println!("{}", run.text);
+            return emit(&args, None, &run.json);
+        }
+        Some("feeds") if args.iter().any(|a| a == "--check") => {
+            let (report, ok) = feeds::check(args.iter().any(|a| a == "--inject-loss"));
+            print!("{report}");
+            std::process::exit(i32::from(!ok));
+        }
+        Some("feeds") => return emit(&args, Some("BENCH_feeds.json"), &feeds::run(quick)),
+        Some("serving") => return emit(&args, Some("BENCH_serving.json"), &serving::run(quick)),
+        Some("hotpath") => return emit(&args, Some("BENCH_hotpath.json"), &hotpath::run(quick)),
+        _ => {}
+    }
 
     let reports = if ids.is_empty() {
         eprintln!(

@@ -17,10 +17,11 @@
 //!
 //! Rates are wall-clock on whatever host runs this.
 
+use crate::{num, report_doc};
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
 use asterix_core::{Instance, InstanceConfig};
-use asterix_obs::MetricsSnapshot;
+use asterix_obs::{Json, MetricsSnapshot};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,14 +38,6 @@ const FEEDS: usize = 4;
 /// Records per batch commit in the durability section.
 const DURABILITY_BATCH: usize = 8;
 
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
-
 fn rec(id: i64) -> asterix_adm::Value {
     asterix_adm::parse::parse_value(&format!(
         r#"{{"id": {id}, "grp": {}, "val": {}}}"#,
@@ -54,29 +47,21 @@ fn rec(id: i64) -> asterix_adm::Value {
     .expect("record")
 }
 
-/// Sum of one metric across all `node<N>.`-prefixed registries, read by
-/// `get` ([`MetricsSnapshot::counter`] or [`MetricsSnapshot::gauge`]).
+/// Sum of one metric of `snap` across all `node<N>.`-prefixed registries,
+/// read by `get` ([`MetricsSnapshot::counter`] or [`MetricsSnapshot::gauge`]).
 fn node_sum<T: std::iter::Sum>(
-    db: &Instance,
+    snap: &MetricsSnapshot,
     name: &str,
     get: fn(&MetricsSnapshot, &str) -> Option<T>,
 ) -> T {
-    let snap = db.metrics_snapshot();
-    (0..16).filter_map(|i| get(&snap, &format!("node{i}.{name}"))).sum()
-}
-
-struct DurabilityPoint {
-    mutations: u64,
-    elapsed_s: f64,
-    rate: f64,
-    wal_rounds: u64,
-    wal_waiters: u64,
+    (0..16).filter_map(|i| get(snap, &format!("node{i}.{name}"))).sum()
 }
 
 /// N feeds into N datasets, one producer each, small batches: measures how
 /// fast concurrent committers can make small ingestion batches durable.
-fn durability_point(per_feed: u64) -> DurabilityPoint {
+fn durability_point(per_feed: u64) -> Json {
     let db = Instance::temp().expect("open instance");
+    let opened = db.metrics_snapshot();
     for f in 0..FEEDS {
         db.execute_sqlpp(&format!(
             "CREATE TYPE E{f} AS {{ id: int, grp: int, val: int }};
@@ -105,31 +90,24 @@ fn durability_point(per_feed: u64) -> DurabilityPoint {
         handles.into_iter().map(|h| h.join().expect("producer")).sum()
     });
     let elapsed_s = start.elapsed().as_secs_f64();
-    DurabilityPoint {
-        mutations: total,
-        elapsed_s,
-        rate: total as f64 / elapsed_s,
-        wal_rounds: node_sum(&db, "storage.wal.group_commits", MetricsSnapshot::counter),
-        wal_waiters: node_sum(&db, "storage.wal.group_commit_waiters", MetricsSnapshot::counter),
-    }
-}
-
-struct AnalyticsPoint {
-    mutations: u64,
-    rate: f64,
-    queries: u64,
-    elapsed_s: f64,
-    /// Log segments on disk when the run ends, over all nodes.
-    wal_segments: i64,
-    /// Log bytes truncation unlinked during the run.
-    wal_truncated_bytes: u64,
+    let ran = db.metrics_snapshot().delta(&opened);
+    let wal = |name: &str| Json::U64(node_sum(&ran, &format!("storage.wal.{name}"), MetricsSnapshot::counter));
+    Json::obj([
+        ("feeds", Json::U64(FEEDS as u64)),
+        ("batch", Json::U64(DURABILITY_BATCH as u64)),
+        ("mutations", Json::U64(total)),
+        ("elapsed_s", num(elapsed_s)),
+        ("mutations_per_sec", num(total as f64 / elapsed_s)),
+        ("wal_group_commits", wal("group_commits")),
+        ("wal_group_commit_waiters", wal("group_commit_waiters")),
+    ])
 }
 
 /// One feed sustaining mutations while an e01-shaped aggregation loops over
 /// the same dataset from another thread. Memory components of 32 KiB, so
 /// the run flushes all along and the log is rotated and truncated under it:
 /// its segment count at the end says whether the log stays bounded.
-fn analytics_point(total: u64) -> AnalyticsPoint {
+fn analytics_point(total: u64) -> Json {
     let db = Instance::open(asterix_core::instance::InstanceConfig {
         storage: asterix_core::dataset::StorageConfig {
             mem_budget: 32 << 10,
@@ -139,6 +117,7 @@ fn analytics_point(total: u64) -> AnalyticsPoint {
     })
     .expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
+    let opened = db.metrics_snapshot();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let start = Instant::now();
     let (ingested, queries) = std::thread::scope(|scope| {
@@ -175,31 +154,25 @@ fn analytics_point(total: u64) -> AnalyticsPoint {
         (ingested, analytics.join().expect("analytics thread"))
     });
     let elapsed_s = start.elapsed().as_secs_f64();
-    AnalyticsPoint {
-        mutations: ingested,
-        rate: ingested as f64 / elapsed_s,
-        queries,
-        elapsed_s,
-        wal_segments: node_sum(&db, "storage.wal.segments", MetricsSnapshot::gauge),
-        wal_truncated_bytes: node_sum(&db, "storage.wal.truncated_bytes", MetricsSnapshot::counter),
-    }
-}
-
-struct PolicyPoint {
-    policy: &'static str,
-    pushed: u64,
-    ingested: u64,
-    discarded: u64,
-    spilled: u64,
-    throttle_ms: f64,
-    rate: f64,
+    let ended = db.metrics_snapshot();
+    let truncated = node_sum(&ended.delta(&opened), "storage.wal.truncated_bytes", MetricsSnapshot::counter);
+    Json::obj([
+        ("mutations", Json::U64(ingested)),
+        ("mutations_per_sec", num(ingested as f64 / elapsed_s)),
+        ("concurrent_queries", Json::U64(queries)),
+        ("elapsed_s", num(elapsed_s)),
+        // segment files on disk now, over all nodes: a level, not a count of events
+        ("wal_segments", Json::I64(node_sum(&ended, "storage.wal.segments", MetricsSnapshot::gauge))),
+        ("wal_truncated_bytes", Json::U64(truncated)),
+    ])
 }
 
 /// Pushes a burst through an undersized queue under one policy and records
 /// how the congestion resolved.
-fn policy_point(policy: IngestionPolicy, name: &'static str, total: u64) -> PolicyPoint {
+fn policy_point(policy: IngestionPolicy, name: &str, total: u64) -> Json {
     let db = Instance::temp().expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
+    let opened = db.metrics_snapshot();
     let feed = Feed::start(
         db.clone(),
         "Events",
@@ -217,20 +190,20 @@ fn policy_point(policy: IngestionPolicy, name: &'static str, total: u64) -> Poli
     let (discarded, spilled) = (feed.discarded(), feed.spilled());
     let (ingested, _) = feed.stop();
     let elapsed_s = start.elapsed().as_secs_f64();
-    let throttle_ns = db.metrics_snapshot().counter("core.feed.throttle_ns").unwrap_or(0);
-    PolicyPoint {
-        policy: name,
-        pushed: total,
-        ingested,
-        discarded,
-        spilled,
-        throttle_ms: throttle_ns as f64 / 1e6,
-        rate: ingested as f64 / elapsed_s,
-    }
+    let throttle_ns = db.metrics_snapshot().delta(&opened).counter("core.feed.throttle_ns").unwrap_or(0);
+    Json::obj([
+        ("policy", Json::str(name)),
+        ("pushed", Json::U64(total)),
+        ("ingested", Json::U64(ingested)),
+        ("discarded", Json::U64(discarded)),
+        ("spilled", Json::U64(spilled)),
+        ("throttle_ms", num(throttle_ns as f64 / 1e6)),
+        ("mutations_per_sec", num(ingested as f64 / elapsed_s)),
+    ])
 }
 
-/// Runs the suite and renders `BENCH_feeds.json`'s contents.
-pub fn run(quick: bool) -> String {
+/// Runs the suite: `BENCH_feeds.json`'s contents.
+pub fn run(quick: bool) -> Json {
     let per_feed: u64 = if quick { 400 } else { 2_500 };
     let analytics_total: u64 = if quick { 3_000 } else { 20_000 };
     let policy_total: u64 = if quick { 1_000 } else { 8_000 };
@@ -240,68 +213,31 @@ pub fn run(quick: bool) -> String {
     eprintln!("feeds: concurrent analytics ({analytics_total} records)...");
     let htap = analytics_point(analytics_total);
     eprintln!("feeds: congestion policies ({policy_total} records each)...");
-    let policies = [
+    let policies = vec![
         policy_point(IngestionPolicy::Throttle, "throttle", policy_total),
         policy_point(IngestionPolicy::Discard, "discard", policy_total),
         policy_point(IngestionPolicy::Spill, "spill", policy_total),
     ];
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema_version\": 2,\n");
-    s.push_str("  \"generated_by\": \"repro feeds\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"host\": {{ \"cpus\": {} }},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    ));
-    s.push_str(
-        "  \"methodology\": \"mutations/sec = committed feed records over wall time; \
-         every batch commit is fsynced through the group-commit WAL (wal_group_commits = \
-         leader fsync rounds, wal_group_commit_waiters = commits covered by another \
-         committer's round); with_analytics runs on 32 KiB memory components, so its log \
-         is rotated and truncated all along (wal_segments = segment files left at the end, \
-         over both nodes); policy points push a burst through a 64-slot queue\",\n",
-    );
-    s.push_str(&format!(
-        "  \"durability\": {{ \"feeds\": {FEEDS}, \"batch\": {DURABILITY_BATCH}, \
-         \"mutations\": {}, \"elapsed_s\": {}, \"mutations_per_sec\": {}, \
-         \"wal_group_commits\": {}, \"wal_group_commit_waiters\": {} }},\n",
-        durability.mutations,
-        fnum(durability.elapsed_s),
-        fnum(durability.rate),
-        durability.wal_rounds,
-        durability.wal_waiters,
-    ));
-    s.push_str(&format!(
-        "  \"with_analytics\": {{ \"mutations\": {}, \"mutations_per_sec\": {}, \
-         \"concurrent_queries\": {}, \"elapsed_s\": {}, \"wal_segments\": {}, \
-         \"wal_truncated_bytes\": {} }},\n",
-        htap.mutations,
-        fnum(htap.rate),
-        htap.queries,
-        fnum(htap.elapsed_s),
-        htap.wal_segments,
-        htap.wal_truncated_bytes,
-    ));
-    s.push_str("  \"policies\": [\n");
-    for (i, p) in policies.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"policy\": \"{}\", \"pushed\": {}, \"ingested\": {}, \
-             \"discarded\": {}, \"spilled\": {}, \"throttle_ms\": {}, \
-             \"mutations_per_sec\": {} }}{}\n",
-            p.policy,
-            p.pushed,
-            p.ingested,
-            p.discarded,
-            p.spilled,
-            fnum(p.throttle_ms),
-            fnum(p.rate),
-            if i + 1 < policies.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    report_doc(
+        "repro feeds",
+        quick,
+        [
+            (
+                "methodology",
+                Json::str(
+                    "mutations/sec = committed feed records over wall time; every batch commit \
+                     is fsynced through the group-commit WAL (wal_group_commits = leader fsync \
+                     rounds, wal_group_commit_waiters = commits covered by another committer's \
+                     round); with_analytics runs on 32 KiB memory components, so its log is \
+                     rotated and truncated all along (wal_segments = segment files left at the \
+                     end, over both nodes); policy points push a burst through a 64-slot queue",
+                ),
+            ),
+            ("durability", durability),
+            ("with_analytics", htap),
+            ("policies", Json::Arr(policies)),
+        ],
+    )
 }
 
 /// The recovery-check battery behind `repro feeds --check`: kill a node
@@ -414,13 +350,11 @@ pub fn check(inject_loss: bool) -> (String, bool) {
 mod tests {
     #[test]
     fn feeds_quick_meets_acceptance_shape() {
-        let json = super::run(true);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("NaN") && !json.contains("inf"));
-        assert!(json.contains("\"schema_version\": 2"));
-        assert!(json.contains("\"durability\""));
-        assert!(json.contains("\"with_analytics\""));
+        let json = super::run(true).render_pretty();
+        assert!(!json.contains("NaN") && !json.contains("inf") && !json.contains("null"));
+        assert!(json.contains("\"generated_by\": \"repro feeds\""));
+        assert!(json.contains("\"durability\": {"));
+        assert!(json.contains("\"with_analytics\": {"));
         for p in ["throttle", "discard", "spill"] {
             assert!(json.contains(&format!("\"policy\": \"{p}\"")), "missing policy {p}");
         }

@@ -1,17 +1,17 @@
 //! Hot-path benchmark suite — the persistent baseline behind
-//! `BENCH_hotpath.json`.
-//!
-//! Micro sections, each timing the live production path:
+//! `BENCH_hotpath.json`: what the repository benchmark (`benchmark/`)
+//! cannot measure, because it runs below an instance or sweeps a knob an
+//! instance fixes.
 //!
 //! 1. **Buffer cache**: cache-hit throughput of the lock-striped cache
 //!    under 1–8 concurrent scanners.
 //! 2. **Exchange**: tuple repartitioning through the sized frame path
 //!    (cached tuple sizes).
 //! 3. **Join**: hybrid hash-join build+probe throughput.
-//!
-//! Plus `repro`-driven macro runs of the E1/E4/E7 workload shapes reporting
-//! tuples/sec, the morsel-scheduler scale-out report, and the
-//! foreground-vs-background compaction comparison.
+//! 4. **Morsel scheduler**: one aggregation at 1, 2 and 4 partitions on the
+//!    shared worker pool, with the scheduler's own counters.
+//! 5. **Compaction**: the same ingest with merges on the flushing thread
+//!    and on the worker pool.
 //!
 //! Every cache figure is *measured* aggregate wall-clock throughput on this
 //! host. On a single-core testbed S scanner threads time-share the CPU, so
@@ -19,11 +19,12 @@
 //! scanners are added: hits take a shared read lock and an atomic
 //! reference-bit store, never an exclusive section.
 
-use crate::time_it;
+use crate::{num, report_doc, time_it};
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_hyracks::ops::drive;
 use asterix_hyracks::{Frame, RuntimeCtx, Tuple};
+use asterix_obs::Json;
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::io::{FileId, FileManager, PAGE_SIZE};
 use asterix_storage::stats::IoStats;
@@ -34,36 +35,8 @@ use std::time::Instant;
 const SCANNERS: [usize; 4] = [1, 2, 4, 8];
 
 // ---------------------------------------------------------------------------
-// JSON emission (hand-rolled; no serde in the offline workspace).
-// ---------------------------------------------------------------------------
-
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.2}")
-    } else {
-        "null".into()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Section 1: cache-hit microbench
 // ---------------------------------------------------------------------------
-
-struct CacheRow {
-    scanners: usize,
-    measured_pps: f64,
-}
-
-struct CacheSection {
-    pages: u64,
-    rounds: u64,
-    capacity: usize,
-    shards: usize,
-    /// Cache misses during the timed passes; the bench is only a *hit*
-    /// bench while this stays 0.
-    timed_misses: u64,
-    rows: Vec<CacheRow>,
-}
 
 fn bench_dir(tag: &str) -> std::path::PathBuf {
     crate::experiments::exp_dir(tag)
@@ -79,7 +52,7 @@ fn make_pages(fm: &Arc<FileManager>, name: &str, pages: u64) -> FileId {
     id
 }
 
-fn cache_microbench(quick: bool) -> CacheSection {
+fn cache_microbench(quick: bool) -> Json {
     let pages: u64 = 64;
     let rounds: u64 = if quick { 40 } else { 400 };
     let capacity = 128usize;
@@ -96,10 +69,10 @@ fn cache_microbench(quick: bool) -> CacheSection {
     for p in 0..pages {
         sharded.get(file, p).unwrap();
     }
-    let misses_before = fm.stats().cache_misses();
+    let warmed = fm.stats().registry().snapshot();
 
     let ops = pages * rounds;
-    let mut rows = Vec::new();
+    let mut results = Vec::new();
     for s in SCANNERS {
         // S OS threads time-sharing this host's core(s).
         let start = Instant::now();
@@ -114,25 +87,34 @@ fn cache_microbench(quick: bool) -> CacheSection {
                 });
             }
         });
-        rows.push(CacheRow {
-            scanners: s,
-            measured_pps: (ops * s as u64) as f64 / start.elapsed().as_secs_f64(),
-        });
+        let pps = (ops * s as u64) as f64 / start.elapsed().as_secs_f64();
+        results.push(Json::obj([("scanners", Json::U64(s as u64)), ("pages_per_sec", num(pps))]));
     }
-    let timed_misses = fm.stats().cache_misses() - misses_before;
+    let timed = fm.stats().registry().snapshot().delta(&warmed);
     let _ = std::fs::remove_dir_all(root);
-    CacheSection { pages, rounds, capacity, shards, timed_misses, rows }
+    Json::obj([
+        (
+            "methodology",
+            Json::str(
+                "aggregate wall-clock pages/sec of S scanner threads hitting a warmed \
+                 lock-striped cache on this host (threads time-share the CPU; see DESIGN.md, \
+                 Hot-path performance); timed_misses counts cache misses inside the timed \
+                 passes and must be 0",
+            ),
+        ),
+        ("pages", Json::U64(pages)),
+        ("rounds", Json::U64(rounds)),
+        ("capacity", Json::U64(capacity as u64)),
+        ("shards", Json::U64(shards as u64)),
+        // the bench is only a *hit* bench while this stays 0
+        ("timed_misses", Json::U64(timed.counter("storage.io.cache_misses").unwrap_or(0))),
+        ("results", Json::Arr(results)),
+    ])
 }
 
 // ---------------------------------------------------------------------------
 // Section 2: exchange repartition microbench
 // ---------------------------------------------------------------------------
-
-struct ExchangeSection {
-    tuples: usize,
-    destinations: usize,
-    sized_path_tps: f64,
-}
 
 fn exchange_tuples(n: usize) -> Vec<Frame> {
     let mut frames = Vec::new();
@@ -162,7 +144,7 @@ fn exchange_tuples(n: usize) -> Vec<Frame> {
     frames
 }
 
-fn exchange_microbench(quick: bool) -> ExchangeSection {
+fn exchange_microbench(quick: bool) -> Json {
     let n = if quick { 40_000 } else { 400_000 };
     let destinations = 4usize;
     // Router path: the `u32` size cached (and range-checked) at first
@@ -190,25 +172,18 @@ fn exchange_microbench(quick: bool) -> ExchangeSection {
         })
         .min()
         .unwrap();
-    ExchangeSection {
-        tuples: n,
-        destinations,
-        sized_path_tps: n as f64 / t_sized.as_secs_f64(),
-    }
+    Json::obj([
+        ("tuples", Json::U64(n as u64)),
+        ("destinations", Json::U64(destinations as u64)),
+        ("tuples_per_sec", num(n as f64 / t_sized.as_secs_f64())),
+    ])
 }
 
 // ---------------------------------------------------------------------------
 // Section 3: hash-join build/probe microbench
 // ---------------------------------------------------------------------------
 
-struct JoinSection {
-    build_rows: usize,
-    probe_rows: usize,
-    elapsed_ms: f64,
-    tuples_per_sec: f64,
-}
-
-fn join_microbench(quick: bool) -> JoinSection {
+fn join_microbench(quick: bool) -> Json {
     let build_rows = if quick { 10_000 } else { 50_000 };
     let probe_rows = build_rows * 5;
     let build: Vec<_> = (0..build_rows)
@@ -230,91 +205,41 @@ fn join_microbench(quick: bool) -> JoinSection {
             .expect("in-memory join")
     });
     assert_eq!(out.tuples.len(), probe_rows);
-    JoinSection {
-        build_rows,
-        probe_rows,
-        elapsed_ms: t.as_secs_f64() * 1e3,
-        tuples_per_sec: (build_rows + probe_rows) as f64 / t.as_secs_f64(),
-    }
+    Json::obj([
+        ("build_rows", Json::U64(build_rows as u64)),
+        ("probe_rows", Json::U64(probe_rows as u64)),
+        ("elapsed_ms", num(t.as_secs_f64() * 1e3)),
+        ("tuples_per_sec", num((build_rows + probe_rows) as f64 / t.as_secs_f64())),
+    ])
 }
 
 // ---------------------------------------------------------------------------
-// Section 4: macro runs (E1/E4/E7 workload shapes)
+// Section 4: the morsel scheduler's dop sweep
 // ---------------------------------------------------------------------------
 
-struct MacroRun {
-    workload: &'static str,
-    records: usize,
-    elapsed_ms: f64,
-    tuples_per_sec: f64,
-    extra: String,
-}
+/// Records the sweep aggregates, whatever `quick` says: the wall(4p)/wall(1p)
+/// ratio only means something at a scale where per-partition work dominates
+/// — below ~20k rows the fixed cost of 4x scan/group-by actors outweighs the
+/// superlinear single-partition scan cost that the dop split wins back, and
+/// the ratio degenerates to measuring actor setup.
+const E04_RECORDS: usize = 24_000;
 
 struct E4Point {
     partitions: usize,
     wall_ms: f64,
-    measured_tps: f64,
-    modeled_speedup: f64,
-    modeled_tps: f64,
-    /// Scheduler counter deltas over the query: how the morsel pool actually
-    /// ran this degree of parallelism.
-    morsels: u64,
-    steals: u64,
-    local_hits: u64,
-    park_ns: u64,
+    /// Scheduler counter deltas over the timed runs: how the morsel pool
+    /// actually ran this degree of parallelism.
+    sched: asterix_obs::MetricsSnapshot,
 }
 
-fn macro_e01(quick: bool) -> MacroRun {
-    let messages = if quick { 1_000 } else { 6_000 };
-    let db = Instance::temp().unwrap();
-    db.execute_sqlpp(
-        "CREATE TYPE M AS { messageId: int, authorId: int, message: string };
-         CREATE DATASET Messages(M) PRIMARY KEY messageId;",
-    )
-    .unwrap();
-    let mut txn = db.begin();
-    for i in 0..messages {
-        txn.write(
-            "Messages",
-            &asterix_adm::parse::parse_value(&format!(
-                r#"{{"messageId":{i},"authorId":{},"message":"msg body {i}"}}"#,
-                i % 97
-            ))
-            .unwrap(),
-            true,
-        )
-        .unwrap();
-    }
-    txn.commit().unwrap();
-    let (rows, t) = time_it(|| {
-        db.query("SELECT m.authorId AS a, COUNT(*) AS c FROM Messages m GROUP BY m.authorId")
-            .unwrap()
-    });
-    assert_eq!(rows.len(), 97);
-    MacroRun {
-        workload: "e01_gleambook_agg",
-        records: messages,
-        elapsed_ms: t.as_secs_f64() * 1e3,
-        tuples_per_sec: messages as f64 / t.as_secs_f64(),
-        extra: format!("\"groups\": {}", rows.len()),
-    }
-}
-
-fn macro_e04(quick: bool) -> (usize, Vec<E4Point>) {
-    // e04 runs full-size even in quick mode: the wall(4p)/wall(1p) gate
-    // only means something at a scale where per-partition work dominates —
-    // below ~20k rows the fixed cost of 4x scan/group-by actors outweighs
-    // the superlinear single-partition scan cost that the dop split wins
-    // back, and the ratio degenerates to measuring actor setup.
-    let n: usize = 24_000;
-    let _ = quick;
+fn morsel_e04() -> Vec<E4Point> {
     const ROUNDS: usize = 3;
     // One dop at a time — load, measure, drop — so every dop runs under
     // identical conditions (fresh instance, nothing else alive, query
     // straight after commit). The walls feed a wall(4p)/wall(1p)
     // acceptance ratio, so each dop takes the min over ROUNDS timed runs
     // to discard host-load spikes.
-    let mut dbs = Vec::new();
+    let mut points = Vec::new();
     for p in [1usize, 2, 4] {
         let db = Instance::open(InstanceConfig { nodes: p, partitions: p, ..Default::default() })
             .unwrap();
@@ -324,7 +249,7 @@ fn macro_e04(quick: bool) -> (usize, Vec<E4Point>) {
         )
         .unwrap();
         let mut txn = db.begin();
-        for i in 0..n {
+        for i in 0..E04_RECORDS {
             txn.write(
                 "D",
                 &asterix_adm::parse::parse_value(&format!(
@@ -338,8 +263,6 @@ fn macro_e04(quick: bool) -> (usize, Vec<E4Point>) {
             .unwrap();
         }
         txn.commit().unwrap();
-        let counts = db.partition_counts("D").unwrap();
-        let max = *counts.iter().max().unwrap() as f64;
         let before = db.metrics_snapshot();
         let mut wall = f64::MAX;
         for _ in 0..ROUNDS {
@@ -352,114 +275,69 @@ fn macro_e04(quick: bool) -> (usize, Vec<E4Point>) {
             assert_eq!(rows.len(), 64);
             wall = wall.min(t.as_secs_f64());
         }
-        // Scheduler counters span all ROUNDS timed runs of this dop.
         let sched = db.metrics_snapshot().delta(&before);
-        dbs.push((p, max, wall, sched));
+        points.push(E4Point { partitions: p, wall_ms: wall * 1e3, sched });
     }
-    let mut points = Vec::new();
-    let mut baseline_max = 0f64;
-    let mut baseline_tps = 0f64;
-    for (p, max, wall, sched) in &dbs {
-        let measured_tps = n as f64 / wall;
-        if *p == 1 {
-            baseline_max = *max;
-            baseline_tps = measured_tps;
-        }
-        // E4's modeled-speedup convention: per-partition work shrinks as
-        // 1/P; modeled throughput scales the P=1 measured throughput by it
-        // (wall-clock on this 1-core host time-shares the CPU).
-        let modeled_speedup = baseline_max / max;
-        points.push(E4Point {
-            partitions: *p,
-            wall_ms: wall * 1e3,
-            measured_tps,
-            modeled_speedup,
-            modeled_tps: baseline_tps * modeled_speedup,
-            morsels: sched.counter("hyracks.sched.morsels").unwrap_or(0),
-            steals: sched.counter("hyracks.sched.steals").unwrap_or(0),
-            local_hits: sched.counter("hyracks.sched.local_hits").unwrap_or(0),
-            park_ns: sched.counter("hyracks.sched.park_ns").unwrap_or(0),
-        });
-    }
-    (n, points)
+    points
 }
 
-fn macro_e07(quick: bool) -> MacroRun {
-    use asterix_adm::binary::encode_key;
-    use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
-    let n: i64 = if quick { 30_000 } else { 120_000 };
-    let root = bench_dir("hotpath-e07");
-    let fm = FileManager::new(&root, IoStats::new()).unwrap();
-    let cache = BufferCache::with_options(
-        Arc::clone(&fm),
-        CacheOptions { capacity: 256, shards: 0, readahead_pages: 8 },
-    );
-    let mut primary = LsmTree::new(
-        Arc::clone(&cache),
-        LsmConfig {
-            name: "primary".into(),
-            mem_budget: 2 << 20,
-            merge_policy: MergePolicy::Constant { max_components: 2 },
-            bloom: true,
-            compress_values: false,
-            layout: None,
-        },
-    );
-    let key = |i: i64| encode_key(&[Value::Int(i)]);
-    for i in 0..n {
-        primary.upsert(key(i), format!("record-{i}-{}", "x".repeat(150)).into_bytes()).unwrap();
-    }
-    primary.flush().unwrap();
-    let c = primary.component_count();
-    primary.merge_newest(c).unwrap();
-    let before = fm.stats().readaheads();
-    // Sorted full fetch — the readahead path: leaf-sequential access.
-    let (_, t) = time_it(|| {
-        for i in 0..n {
-            assert!(primary.get(&key(i)).unwrap().is_some());
-        }
+/// Measured end-to-end walls on the shared worker pool plus the scheduler's
+/// own counters: partitions are schedulable units, not threads, so raising
+/// the dop past the core count must not raise wall time.
+fn morsel_scheduler() -> Json {
+    let points = morsel_e04();
+    let (workers, idle_depths) = {
+        let ctx = RuntimeCtx::temp().expect("temp ctx for pool probe");
+        let pool = ctx.worker_pool();
+        (pool.workers(), pool.queue_depths())
+    };
+    let ratio = points[2].wall_ms / points[0].wall_ms.max(1e-9);
+    let measured = points.iter().map(|p| {
+        let count = |name: &str| p.sched.counter(&format!("hyracks.sched.{name}")).unwrap_or(0);
+        let (steals, local_hits) = (count("steals"), count("local_hits"));
+        Json::obj([
+            ("partitions", Json::U64(p.partitions as u64)),
+            ("wall_ms", num(p.wall_ms)),
+            ("tuples_per_sec", num(E04_RECORDS as f64 / (p.wall_ms / 1e3))),
+            ("morsels", Json::U64(count("morsels"))),
+            ("steals", Json::U64(steals)),
+            ("local_hits", Json::U64(local_hits)),
+            ("steal_rate", num(steals as f64 / ((steals + local_hits) as f64).max(1.0))),
+            ("park_ms", num(count("park_ns") as f64 / 1e6)),
+        ])
     });
-    let readaheads = fm.stats().readaheads() - before;
-    let _ = std::fs::remove_dir_all(root);
-    MacroRun {
-        workload: "e07_sorted_fetch",
-        records: n as usize,
-        elapsed_ms: t.as_secs_f64() * 1e3,
-        tuples_per_sec: n as f64 / t.as_secs_f64(),
-        extra: format!("\"readahead_pages\": {readaheads}"),
-    }
+    Json::obj([
+        (
+            "methodology",
+            Json::str(
+                "e04 walls measured end-to-end (min over 3 runs) per dop on one shared worker \
+                 pool; steal_rate = steals / (steals + local_hits) from hyracks.sched.* counter \
+                 deltas over the runs; queue depths sampled on an idle pool (one slot per \
+                 worker deque plus the shared injector)",
+            ),
+        ),
+        ("workers", Json::U64(workers as u64)),
+        ("morsel_tuples", Json::U64(asterix_hyracks::MORSEL_TUPLES as u64)),
+        ("records", Json::U64(E04_RECORDS as u64)),
+        ("e04_measured", Json::Arr(measured.collect())),
+        ("queue_depths_at_idle", Json::Arr(idle_depths.iter().map(|&d| Json::U64(d as u64)).collect())),
+        ("wall_4p_over_1p", num(ratio)),
+    ])
 }
 
 // ---------------------------------------------------------------------------
-// Background compaction: ingest stall, foreground vs background merges
+// Section 5: compaction — ingest stall, merges on the caller vs on the pool
 // ---------------------------------------------------------------------------
-
-struct CompactionRun {
-    ingest_wall_ms: f64,
-    merge_stall_ns: u64,
-    write_amp: f64,
-    merges: u64,
-    components_at_quiesce: usize,
-}
-
-struct CompactionSection {
-    records: usize,
-    foreground: CompactionRun,
-    background: CompactionRun,
-}
 
 /// One ingest run: upsert `n` records through a merge-happy LSM tree,
 /// timing the write path. The executor a bare tree starts with runs the
 /// merge on the flushing thread (every flush that triggers a merge stalls
 /// for the whole rewrite); the pool's schedules merges onto the morsel
 /// workers, so the write path pays only the scheduling cost — the
-/// difference shows up directly in `merge_stall_ns`, which times exactly
-/// the post-publish compaction work done inside `flush()`.
-fn compaction_ingest(
-    tag: &str,
-    n: i64,
-    exec: asterix_storage::CompactionExec,
-) -> CompactionRun {
+/// difference shows up directly in the merge stall, which times exactly
+/// the post-publish compaction work done inside `flush()`. Returns the
+/// report and the stall in nanoseconds.
+fn compaction_ingest(tag: &str, n: i64, exec: asterix_storage::CompactionExec) -> (Json, u64) {
     use asterix_adm::binary::encode_key;
     use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
     let root = bench_dir(tag);
@@ -468,20 +346,18 @@ fn compaction_ingest(
         Arc::clone(&fm),
         CacheOptions { capacity: 256, shards: 0, readahead_pages: 0 },
     );
+    let before = fm.stats().registry().snapshot();
     let mut tree = LsmTree::new(
         Arc::clone(&cache),
         LsmConfig {
-            name: "ingest".into(),
             mem_budget: 1 << 20,
             // Low tolerance: merges fire every couple of flushes, the
-            // regime where foreground merging hurts ingest the most.
+            // regime where merging on the caller hurts ingest the most.
             merge_policy: MergePolicy::Prefix {
                 max_mergable_bytes: 256 << 20,
                 max_tolerance_components: 2,
             },
-            bloom: true,
-            compress_values: false,
-            layout: None,
+            ..LsmConfig::new("ingest")
         },
     );
     tree.set_executor(exec);
@@ -494,298 +370,139 @@ fn compaction_ingest(
     });
     // Stall accrues only inside flush(), so it is final once ingest ends;
     // quiesce before reading amplification so in-flight merges finish.
-    let merge_stall_ns = tree.stats().merge_stall_ns;
+    let moved = |name: &str| {
+        fm.stats().registry().snapshot().delta(&before).counter(&format!("storage.lsm.{name}")).unwrap_or(0)
+    };
+    let stall_ns = moved("merge_stall_ns");
     assert!(
         tree.wait_merges_idle(std::time::Duration::from_secs(60)),
         "compaction bench: background merges failed to quiesce"
     );
-    let stats = tree.stats();
-    let node = fm.stats().registry().snapshot();
-    let run = CompactionRun {
-        ingest_wall_ms: t.as_secs_f64() * 1e3,
-        merge_stall_ns,
-        write_amp: node.counter("storage.lsm.write_amp").unwrap_or(0) as f64 / 1e3,
-        merges: stats.merges,
-        components_at_quiesce: tree.component_count(),
-    };
+    let run = Json::obj([
+        ("ingest_wall_ms", num(t.as_secs_f64() * 1e3)),
+        ("merge_stall_ms", num(stall_ns as f64 / 1e6)),
+        ("write_amp", num(moved("write_amp") as f64 / 1e3)),
+        ("merges", Json::U64(moved("merges"))),
+        ("components_at_quiesce", Json::U64(tree.component_count() as u64)),
+    ]);
     drop(tree);
     let _ = std::fs::remove_dir_all(root);
-    run
+    (run, stall_ns)
 }
 
-fn compaction_microbench(quick: bool) -> CompactionSection {
+fn compaction_microbench(quick: bool) -> Json {
     let n: i64 = if quick { 40_000 } else { 160_000 };
-    let foreground =
+    let (foreground, fg_ns) =
         compaction_ingest("hotpath-compact-fg", n, asterix_storage::compaction::on_caller());
     // Background merges ride the shared morsel pool, exactly as an
     // instance schedules them.
     let ctx = RuntimeCtx::temp().expect("temp ctx for compaction bench");
     let token = asterix_hyracks::CancellationToken::new();
-    let background = compaction_ingest(
+    let (background, bg_ns) = compaction_ingest(
         "hotpath-compact-bg",
         n,
         asterix_hyracks::storage_compaction_executor(&ctx, token),
     );
-    CompactionSection { records: n as usize, foreground, background }
+    Json::obj([
+        (
+            "methodology",
+            Json::str(
+                "same ingest run twice: foreground = a bare tree's executor, the merge on the \
+                 flushing thread; background = merges as morsel tasks on the shared worker \
+                 pool, as an instance runs them; merge_stall_ms times exactly the \
+                 flush-triggered compaction work on the write path (for foreground runs, the \
+                 whole merge), write_amp and merges from the node's storage.lsm.* counters \
+                 after quiescing",
+            ),
+        ),
+        ("records", Json::U64(n as u64)),
+        ("foreground", foreground),
+        ("background", background),
+        ("stall_reduction", num(fg_ns.max(1) as f64 / bg_ns.max(1) as f64)),
+    ])
 }
 
 // ---------------------------------------------------------------------------
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Runs the whole suite and renders `BENCH_hotpath.json`'s contents.
-pub fn run(quick: bool) -> String {
+/// Runs the whole suite: `BENCH_hotpath.json`'s contents.
+pub fn run(quick: bool) -> Json {
     eprintln!("hotpath: cache-hit microbench...");
     let cache = cache_microbench(quick);
     eprintln!("hotpath: exchange repartition microbench...");
     let exchange = exchange_microbench(quick);
     eprintln!("hotpath: join microbench...");
     let join = join_microbench(quick);
-    eprintln!("hotpath: macro e01...");
-    let e01 = macro_e01(quick);
-    eprintln!("hotpath: macro e04...");
-    let (e04_n, e04) = macro_e04(quick);
-    eprintln!("hotpath: macro e07...");
-    let e07 = macro_e07(quick);
-    eprintln!("hotpath: compaction (foreground vs background merges)...");
+    eprintln!("hotpath: morsel scheduler (e04 at 1, 2 and 4 partitions)...");
+    let morsels = morsel_scheduler();
+    eprintln!("hotpath: compaction (merges on the caller vs on the pool)...");
     let compaction = compaction_microbench(quick);
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema_version\": 2,\n");
-    s.push_str("  \"generated_by\": \"repro hotpath\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"host\": {{ \"cpus\": {} }},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    ));
-
-    s.push_str("  \"cache_hit_microbench\": {\n");
-    s.push_str(
-        "    \"methodology\": \"measured = aggregate wall-clock pages/sec of S scanner \
-         threads hitting a warmed lock-striped cache on this host (threads time-share \
-         the CPU; see DESIGN.md, Hot-path performance); timed_misses counts cache \
-         misses inside the timed passes and must be 0\",\n",
-    );
-    s.push_str(&format!("    \"pages\": {},\n", cache.pages));
-    s.push_str(&format!("    \"rounds\": {},\n", cache.rounds));
-    s.push_str(&format!("    \"capacity\": {},\n", cache.capacity));
-    s.push_str(&format!("    \"shards\": {},\n", cache.shards));
-    s.push_str(&format!("    \"timed_misses\": {},\n", cache.timed_misses));
-    s.push_str("    \"results\": [\n");
-    for (i, r) in cache.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"scanners\": {}, \"sharded\": {{ \"measured_pages_per_sec\": {} }} }}{}\n",
-            r.scanners,
-            fnum(r.measured_pps),
-            if i + 1 < cache.rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ]\n  },\n");
-
-    s.push_str(&format!(
-        "  \"exchange_microbench\": {{ \"repartition\": {{ \"tuples\": {}, \
-         \"destinations\": {}, \"sized_path_tuples_per_sec\": {} }} }},\n",
-        exchange.tuples,
-        exchange.destinations,
-        fnum(exchange.sized_path_tps),
-    ));
-
-    s.push_str(&format!(
-        "  \"join_microbench\": {{ \"build_rows\": {}, \"probe_rows\": {}, \
-         \"elapsed_ms\": {}, \"tuples_per_sec\": {} }},\n",
-        join.build_rows,
-        join.probe_rows,
-        fnum(join.elapsed_ms),
-        fnum(join.tuples_per_sec),
-    ));
-
-    // Morsel scheduler report. Unlike the Amdahl-modeled e04 numbers below
-    // (kept for continuity with earlier snapshots), these are *measured*
-    // end-to-end walls on the shared worker pool plus the scheduler's own
-    // counters: partitions are schedulable units, not threads, so raising
-    // the dop past the core count must not raise wall time.
-    let (pool_workers, idle_depths) = {
-        let ctx = RuntimeCtx::temp().expect("temp ctx for pool probe");
-        let pool = ctx.worker_pool();
-        (pool.workers(), pool.queue_depths())
-    };
-    s.push_str("  \"morsel_scheduler\": {\n");
-    s.push_str(
-        "    \"methodology\": \"e04 walls measured end-to-end (min over 3 runs) per dop on \
-         one shared worker pool; steal_rate = steals / (steals + local_hits) from \
-         hyracks.sched.* counter deltas over each run; queue depths sampled on an \
-         idle pool (one slot per worker deque plus the shared injector)\",\n",
-    );
-    s.push_str(&format!("    \"workers\": {pool_workers},\n"));
-    s.push_str(&format!("    \"morsel_tuples\": {},\n", asterix_hyracks::MORSEL_TUPLES));
-    s.push_str("    \"e04_measured\": [\n");
-    for (i, p) in e04.iter().enumerate() {
-        let polls = p.steals + p.local_hits;
-        let steal_rate = if polls == 0 { 0.0 } else { p.steals as f64 / polls as f64 };
-        s.push_str(&format!(
-            "      {{ \"partitions\": {}, \"wall_ms\": {}, \"morsels\": {}, \
-             \"steals\": {}, \"local_hits\": {}, \"steal_rate\": {}, \"park_ms\": {} }}{}\n",
-            p.partitions,
-            fnum(p.wall_ms),
-            p.morsels,
-            p.steals,
-            p.local_hits,
-            fnum(steal_rate),
-            fnum(p.park_ns as f64 / 1e6),
-            if i + 1 < e04.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ],\n");
-    s.push_str(&format!("    \"queue_depths_at_idle\": {idle_depths:?},\n"));
-    let w1 = e04.first().map(|p| p.wall_ms).unwrap_or(1.0);
-    let wn = e04.last().map(|p| p.wall_ms).unwrap_or(1.0);
-    s.push_str(&format!("    \"wall_4p_over_1p\": {}\n  }},\n", fnum(wn / w1.max(1e-9))));
-
-    // Background-compaction report (E8 methodology change: merge cost was
-    // previously folded into ingest wall; it is now reported as an explicit
-    // write-path stall so foreground and background runs are comparable).
-    s.push_str("  \"compaction\": {\n");
-    s.push_str(
-        "    \"methodology\": \"same ingest run twice: foreground merges on the flushing \
-         thread vs background merges as morsel tasks on the shared worker pool; \
-         merge_stall_ns times exactly the flush-triggered compaction work on the write \
-         path (for foreground runs, the whole merge), write_amp from the node \
-         storage.lsm hub after quiescing\",\n",
-    );
-    s.push_str(&format!("    \"records\": {},\n", compaction.records));
-    for (name, r, comma) in [
-        ("foreground", &compaction.foreground, ","),
-        ("background", &compaction.background, ","),
-    ] {
-        s.push_str(&format!(
-            "    \"{}\": {{ \"ingest_wall_ms\": {}, \"merge_stall_ns\": {}, \
-             \"merge_stall_ms\": {}, \"write_amp\": {}, \"merges\": {}, \
-             \"components_at_quiesce\": {} }}{}\n",
-            name,
-            fnum(r.ingest_wall_ms),
-            r.merge_stall_ns,
-            fnum(r.merge_stall_ns as f64 / 1e6),
-            fnum(r.write_amp),
-            r.merges,
-            r.components_at_quiesce,
-            comma,
-        ));
-    }
-    let fg = compaction.foreground.merge_stall_ns.max(1) as f64;
-    let bg = compaction.background.merge_stall_ns.max(1) as f64;
-    s.push_str(&format!("    \"stall_reduction\": {}\n  }},\n", fnum(fg / bg)));
-
-    s.push_str("  \"macro\": [\n");
-    for m in [&e01, &e07] {
-        s.push_str(&format!(
-            "    {{ \"workload\": \"{}\", \"records\": {}, \"elapsed_ms\": {}, \
-             \"tuples_per_sec\": {}, \"speedup_vs_1_thread\": 1.0, {} }},\n",
-            m.workload,
-            m.records,
-            fnum(m.elapsed_ms),
-            fnum(m.tuples_per_sec),
-            m.extra,
-        ));
-    }
-    s.push_str(&format!(
-        "    {{ \"workload\": \"e04_scaleout\", \"records\": {e04_n}, \"partitions\": [\n"
-    ));
-    for (i, p) in e04.iter().enumerate() {
-        s.push_str(&format!(
-            "      {{ \"partitions\": {}, \"wall_ms\": {}, \"measured_tuples_per_sec\": {}, \
-             \"modeled_speedup\": {}, \"tuples_per_sec\": {} }}{}\n",
-            p.partitions,
-            fnum(p.wall_ms),
-            fnum(p.measured_tps),
-            fnum(p.modeled_speedup),
-            fnum(p.modeled_tps),
-            if i + 1 < e04.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    ] }\n  ]\n}\n");
-    s
+    report_doc(
+        "repro hotpath",
+        quick,
+        [
+            ("cache_hit_microbench", cache),
+            ("exchange_microbench", exchange),
+            ("join_microbench", join),
+            ("morsel_scheduler", morsels),
+            ("compaction", compaction),
+        ],
+    )
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::number;
+
     #[test]
     fn hotpath_quick_meets_acceptance_shape() {
-        let json = super::run(true);
-        // Well-formedness smoke: balanced braces/brackets, no NaN leakage.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("NaN") && !json.contains("inf"));
+        let doc = super::run(true);
+        let json = doc.render_pretty();
+        assert!(!json.contains("NaN") && !json.contains("inf") && !json.contains("null"));
+        assert!(json.contains("\"generated_by\": \"repro hotpath\""));
         // Sharded cache: the timed passes were pure hits, and the aggregate
         // throughput does not collapse as scanners pile on (a hit never
         // takes an exclusive lock).
-        assert!(json.contains("\"timed_misses\": 0,"), "cache bench left the hit path");
-        let pps: Vec<f64> = json
-            .lines()
-            .filter(|l| l.contains("\"scanners\": "))
-            .map(|l| {
-                l.split("\"measured_pages_per_sec\": ")
-                    .nth(1)
-                    .and_then(|s| s.split(|c: char| !c.is_ascii_digit() && c != '.').next())
-                    .and_then(|s| s.parse().ok())
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(pps.len(), super::SCANNERS.len());
+        assert_eq!(number(&doc, &["cache_hit_microbench", "timed_misses"]), 0.0, "left the hit path");
+        assert_eq!(json.matches("\"scanners\": ").count(), super::SCANNERS.len());
+        let pps = |i: &str| number(&doc, &["cache_hit_microbench", "results", i, "pages_per_sec"]);
         assert!(
-            pps[3] >= 0.25 * pps[0],
+            pps("3") >= 0.25 * pps("0"),
             "8-scanner aggregate {} collapsed below a quarter of 1-scanner {}",
-            pps[3],
-            pps[0]
+            pps("3"),
+            pps("0")
         );
-        // Morsel-scheduler section: measured scale-out, not Amdahl-modeled.
-        assert!(json.contains("\"morsel_scheduler\""), "morsel_scheduler section present");
-        assert!(json.contains("\"steal_rate\""), "steal-rate report present");
+        assert!(number(&doc, &["exchange_microbench", "tuples_per_sec"]) > 0.0);
+        assert!(number(&doc, &["join_microbench", "tuples_per_sec"]) > 0.0);
+        // Morsel-scheduler section: one measured point per dop.
+        assert!(number(&doc, &["morsel_scheduler", "workers"]) >= 1.0, "pool has at least one worker");
+        assert_eq!(json.matches("\"steal_rate\": ").count(), 3);
         assert!(json.contains("\"queue_depths_at_idle\""), "queue-depth report present");
-        let workers: usize = json
-            .split("\"workers\": ")
-            .nth(1)
-            .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|s| s.parse().ok())
-            .unwrap();
-        assert!(workers >= 1, "pool has at least one worker");
-        assert!(json.contains("\"wall_4p_over_1p\""), "measured scale-out ratio present");
+        assert!(number(&doc, &["morsel_scheduler", "wall_4p_over_1p"]) > 0.0);
         // Compaction section: both runs present, amplification sane.
-        assert!(json.contains("\"compaction\""), "compaction section present");
-        assert!(json.contains("\"merge_stall_ns\""), "merge stall reported");
-        assert!(json.contains("\"stall_reduction\""), "stall reduction ratio present");
+        assert!(number(&doc, &["compaction", "stall_reduction"]) > 0.0);
         for run in ["foreground", "background"] {
-            let line = json
-                .lines()
-                .find(|l| l.contains(&format!("\"{run}\"")) && l.contains("\"write_amp\""))
-                .unwrap_or_else(|| panic!("{run} compaction run present"));
-            let amp: f64 = line
-                .split("\"write_amp\": ")
-                .nth(1)
-                .and_then(|s| s.split(|c: char| !c.is_ascii_digit() && c != '.').next())
-                .and_then(|s| s.parse().ok())
-                .unwrap();
+            let amp = number(&doc, &["compaction", run, "write_amp"]);
             assert!(amp >= 1.0, "{run} write_amp {amp} < 1.0 — merges can't unwrite data");
-            let merges: u64 = line
-                .split("\"merges\": ")
-                .nth(1)
-                .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
-                .and_then(|s| s.parse().ok())
-                .unwrap();
-            assert!(merges >= 1, "{run} ingest ran zero merges — the bench is vacuous");
+            let merges = number(&doc, &["compaction", run, "merges"]);
+            assert!(merges >= 1.0, "{run} ingest ran zero merges — the bench is vacuous");
         }
-        // Dop is a scheduling decision: 4 partitions on the same pool must
-        // not cost materially more wall than 1. CI gates the release-build
-        // JSON at 1.1x on its multi-core runners, where 4 workers give real
-        // parallel speedup; this in-tree check also has to pass on a noisy
-        // shared single-core host, where e04 walls of ~40ms swing +-30%
-        // run to run, so it re-measures up to three times and only rejects
-        // a ratio beyond 1.5x — the thread-per-partition blowup regime.
+    }
+
+    /// Dop is a scheduling decision: 4 partitions on the same pool must
+    /// not cost materially more wall than 1. `bench-check.py` gates the
+    /// release-build report at 1.1x; this in-tree check also has to pass on
+    /// a noisy shared single-core host, where e04 walls of ~40ms swing
+    /// +-30% run to run, so it re-measures up to three times and only
+    /// rejects a ratio beyond 1.5x — the thread-per-partition blowup regime.
+    #[test]
+    fn four_partitions_cost_no_more_wall_than_one() {
         let tol = 1.5;
         let mut ratio = f64::MAX;
         for _ in 0..3 {
-            let (_, pts) = super::macro_e04(true);
-            ratio = ratio.min(pts.last().unwrap().wall_ms / pts.first().unwrap().wall_ms);
+            let pts = super::morsel_e04();
+            ratio = ratio.min(pts[2].wall_ms / pts[0].wall_ms);
             if ratio <= tol {
                 break;
             }

@@ -4,19 +4,18 @@
 //! instance and renders the profile tree the executor assembled
 //! (`QueryHandle::profile`): per operator-partition tuple/frame/byte
 //! counts, queue-wait vs. compute time, spill activity, and per-destination
-//! exchange routing. Output is both a human text tree and a JSON document
-//! (`schema_version` 1) for tooling; CI validates the JSON shape.
+//! exchange routing. Output is both a human text tree and a report for
+//! tooling, whose shape `scripts/bench-check.py` checks in CI.
 
 use crate::experiments::gleambook_ddl;
 use asterix_core::datagen::DataGen;
 use asterix_core::instance::Instance;
 use asterix_obs::Json;
 
-/// One profiled run: the text tree plus the JSON document.
+/// One profiled run: the text tree plus the report.
 pub struct ProfileRun {
-    pub experiment: String,
     pub text: String,
-    pub json: String,
+    pub json: Json,
 }
 
 /// Profiles `experiment`'s representative query. Returns `None` for an
@@ -58,14 +57,10 @@ pub fn run(experiment: &str, quick: bool) -> Option<ProfileRun> {
         .ok()?;
     handle.wait().ok()?;
     let profile = handle.profile()?;
-    let mut fields = vec![("experiment".to_string(), Json::str(canon))];
-    if let Json::Obj(rest) = profile.to_json() {
-        fields.extend(rest);
-    }
+    let sections = [("experiment", Json::str(canon)), ("profile", profile.to_json())];
     Some(ProfileRun {
-        experiment: canon.to_string(),
         text: profile.render_text(),
-        json: Json::Obj(fields).render_pretty(),
+        json: crate::report_doc("repro profile", quick, sections),
     })
 }
 
@@ -80,8 +75,9 @@ mod tests {
     fn e01_profile_has_the_plan_shape() {
         let run = super::run("e01", true).expect("e01 profiles");
         assert!(run.text.contains("job profile"), "{}", run.text);
-        assert!(run.json.contains("\"schema_version\": 1"), "{}", run.json);
-        assert!(run.json.contains("\"experiment\": \"e01\""));
+        let json = run.json.render_pretty();
+        assert!(json.contains("\"generated_by\": \"repro profile\""), "{json}");
+        assert!(json.contains("\"experiment\": \"e01\""));
         // The representative plan must actually contain its three stages.
         for op in ["scan", "join", "group"] {
             assert!(

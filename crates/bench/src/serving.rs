@@ -18,32 +18,15 @@
 //! *shape*: tail latency as a function of offered concurrency under a fixed
 //! admission configuration (which the JSON records).
 
+use crate::{num, report_doc};
 use asterix_core::scheduler::SchedulerConfig;
 use asterix_core::{CoreError, Instance, InstanceConfig};
+use asterix_obs::Json;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Client counts the sweep visits (the acceptance floor is three points).
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-
-struct Point {
-    clients: usize,
-    queries: usize,
-    elapsed_s: f64,
-    qps: f64,
-    p50_ms: f64,
-    p95_ms: f64,
-    p99_ms: f64,
-    backpressure_retries: u64,
-}
-
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".into()
-    }
-}
 
 /// Nearest-rank percentile over an already-sorted sample.
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -95,9 +78,9 @@ fn query_text(records: usize, client: usize, k: usize) -> String {
 }
 
 /// One closed-loop sweep point: `clients` sessions, each running
-/// `queries_per_client` queries back-to-back. Returns every query's latency
-/// plus the backpressure-retry count.
-fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: usize) -> Point {
+/// `queries_per_client` queries back-to-back: the point's throughput, its
+/// latency percentiles and its backpressure-retry count.
+fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: usize) -> Json {
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
     let backpressure = std::sync::atomic::AtomicU64::new(0);
     let start = Instant::now();
@@ -136,81 +119,80 @@ fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: 
     let elapsed_s = start.elapsed().as_secs_f64();
     let mut ms = latencies.into_inner().expect("latency lock");
     ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let queries = ms.len();
-    Point {
-        clients,
-        queries,
-        elapsed_s,
-        qps: queries as f64 / elapsed_s,
-        p50_ms: percentile(&ms, 0.50),
-        p95_ms: percentile(&ms, 0.95),
-        p99_ms: percentile(&ms, 0.99),
-        backpressure_retries: backpressure.into_inner(),
-    }
+    Json::obj([
+        ("clients", Json::U64(clients as u64)),
+        ("queries", Json::U64(ms.len() as u64)),
+        ("elapsed_s", num(elapsed_s)),
+        ("qps", num(ms.len() as f64 / elapsed_s)),
+        ("p50_ms", num(percentile(&ms, 0.50))),
+        ("p95_ms", num(percentile(&ms, 0.95))),
+        ("p99_ms", num(percentile(&ms, 0.99))),
+        ("backpressure_retries", Json::U64(backpressure.into_inner())),
+    ])
 }
 
-/// Runs the sweep and renders `BENCH_serving.json`'s contents.
-pub fn run(quick: bool) -> String {
+/// Runs the sweep: `BENCH_serving.json`'s contents.
+pub fn run(quick: bool) -> Json {
     let records = if quick { 2_000 } else { 8_000 };
     let queries_per_client = if quick { 9 } else { 30 };
     eprintln!("serving: loading {records} records...");
     let db = setup(records);
+    let loaded = db.metrics_snapshot();
     let mut points = Vec::new();
     for clients in CLIENTS {
         eprintln!("serving: {clients} closed-loop client(s)...");
         points.push(run_point(&db, clients, queries_per_client, records));
     }
     let sched = db.scheduler().config().clone();
-    let metrics = db.metrics_snapshot();
-
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema_version\": 1,\n");
-    s.push_str("  \"generated_by\": \"repro serving\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"host\": {{ \"cpus\": {} }},\n",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    ));
-    s.push_str(
-        "  \"methodology\": \"closed-loop clients, one query in flight each; \
-         latency spans submit->rows including admission queueing; percentiles \
-         are nearest-rank over all queries of a point\",\n",
-    );
-    s.push_str(&format!(
-        "  \"workload\": {{ \"records\": {records}, \"queries_per_client\": \
-         {queries_per_client}, \"mix\": [\"e01_group_count\", \"e04_group_count_sum\", \
-         \"e07_point_lookup\"] }},\n",
-    ));
-    s.push_str(&format!(
-        "  \"scheduler\": {{ \"total_memory\": {}, \"default_query_memory\": {}, \
-         \"max_concurrent\": {}, \"queue_depth\": {} }},\n",
-        sched.total_memory, sched.default_query_memory, sched.max_concurrent, sched.queue_depth,
-    ));
-    s.push_str(&format!(
-        "  \"serving_counters\": {{ \"admitted\": {}, \"rejected\": {}, \"completed\": {} }},\n",
-        metrics.counter("core.serving.admitted").unwrap_or(0),
-        metrics.counter("core.serving.rejected").unwrap_or(0),
-        metrics.counter("core.serving.completed").unwrap_or(0),
-    ));
-    s.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{ \"clients\": {}, \"queries\": {}, \"elapsed_s\": {}, \"qps\": {}, \
-             \"p50_ms\": {}, \"p95_ms\": {}, \"p99_ms\": {}, \"backpressure_retries\": {} }}{}\n",
-            p.clients,
-            p.queries,
-            fnum(p.elapsed_s),
-            fnum(p.qps),
-            fnum(p.p50_ms),
-            fnum(p.p95_ms),
-            fnum(p.p99_ms),
-            p.backpressure_retries,
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let swept = db.metrics_snapshot().delta(&loaded);
+    let served = |name: &str| Json::U64(swept.counter(&format!("core.serving.{name}")).unwrap_or(0));
+    report_doc(
+        "repro serving",
+        quick,
+        [
+            (
+                "methodology",
+                Json::str(
+                    "closed-loop clients, one query in flight each; latency spans submit->rows \
+                     including admission queueing; percentiles are nearest-rank over all queries \
+                     of a point; serving_counters are core.serving.* over the sweep",
+                ),
+            ),
+            (
+                "workload",
+                Json::obj([
+                    ("records", Json::U64(records as u64)),
+                    ("queries_per_client", Json::U64(queries_per_client as u64)),
+                    (
+                        "mix",
+                        Json::Arr(
+                            ["e01_group_count", "e04_group_count_sum", "e07_point_lookup"]
+                                .map(Json::str)
+                                .into(),
+                        ),
+                    ),
+                ]),
+            ),
+            (
+                "scheduler",
+                Json::obj([
+                    ("total_memory", Json::U64(sched.total_memory as u64)),
+                    ("default_query_memory", Json::U64(sched.default_query_memory as u64)),
+                    ("max_concurrent", Json::U64(sched.max_concurrent as u64)),
+                    ("queue_depth", Json::U64(sched.queue_depth as u64)),
+                ]),
+            ),
+            (
+                "serving_counters",
+                Json::obj([
+                    ("admitted", served("admitted")),
+                    ("rejected", served("rejected")),
+                    ("completed", served("completed")),
+                ]),
+            ),
+            ("points", Json::Arr(points)),
+        ],
+    )
 }
 
 #[cfg(test)]
@@ -226,25 +208,17 @@ mod tests {
 
     #[test]
     fn serving_quick_meets_acceptance_shape() {
-        let json = super::run(true);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("NaN") && !json.contains("inf"));
-        assert!(json.contains("\"schema_version\": 1"));
+        let doc = super::run(true);
+        let json = doc.render_pretty();
+        assert!(!json.contains("NaN") && !json.contains("inf") && !json.contains("null"));
+        assert!(json.contains("\"generated_by\": \"repro serving\""));
         // one point per client count, each with ordered percentiles
-        let points: Vec<&str> = json.lines().filter(|l| l.contains("\"clients\": ")).collect();
-        assert_eq!(points.len(), super::CLIENTS.len());
-        for line in points {
-            let grab = |k: &str| -> f64 {
-                line.split(&format!("\"{k}\": "))
-                    .nth(1)
-                    .and_then(|s| s.split(|c: char| !c.is_ascii_digit() && c != '.').next())
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(f64::NAN)
-            };
-            let (p50, p95, p99, qps) = (grab("p50_ms"), grab("p95_ms"), grab("p99_ms"), grab("qps"));
-            assert!(p50 <= p95 && p95 <= p99, "percentile order: {line}");
-            assert!(qps > 0.0, "qps must be positive: {line}");
+        assert_eq!(json.matches("\"clients\": ").count(), super::CLIENTS.len());
+        for i in 0..super::CLIENTS.len() {
+            let at = |k: &str| crate::number(&doc, &["points", &i.to_string(), k]);
+            let (p50, p95, p99) = (at("p50_ms"), at("p95_ms"), at("p99_ms"));
+            assert!(p50 <= p95 && p95 <= p99, "percentile order at point {i}: {p50} {p95} {p99}");
+            assert!(at("qps") > 0.0, "qps must be positive at point {i}");
         }
     }
 }

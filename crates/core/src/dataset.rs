@@ -187,7 +187,6 @@ pub struct DatasetPartition {
     pub dataset_id: u32,
     pub partition: u32,
     node: Arc<Node>,
-    primary_key: Vec<String>,
     schema: Arc<RecordSchema>,
     primary: LsmTree,
     secondaries: Vec<Secondary>,
@@ -274,7 +273,6 @@ impl DatasetPartition {
             dataset: def.name.clone(),
             dataset_id: def.id,
             partition,
-            primary_key: def.primary_key().to_vec(),
             primary: open_tree(&node, lsm_config(cfg, name, Some(&schema.layout)), origin)?,
             indexed: Secondary::leading_fields(&schema, std::iter::empty()),
             schema,
@@ -439,17 +437,6 @@ impl DatasetPartition {
         Ok(self.primary.get(pk)?)
     }
 
-    /// Inserts or replaces a record (already cast to the dataset type).
-    /// Returns the previous record, if any. Not logged: nothing ties the
-    /// write to a transaction or to a place in the log.
-    pub fn upsert(&mut self, record: &Value) -> Result<Option<Value>> {
-        let pk = extract_pk(record, &self.primary_key)?;
-        let raw = self.schema.encode(record)?;
-        let before = self.stored(&pk)?;
-        self.settled(None, |part| part.apply_put(&pk, raw, Some(record), before.as_deref()))?;
-        before.map(|raw| self.schema.decode(&raw)).transpose()
-    }
-
     /// Makes `raw` — the storage encoding of a record, as a transaction
     /// encoded it or as the log kept it — what the primary stores for `pk`,
     /// as the effect of the log record at `lsn`, written by the open
@@ -471,14 +458,6 @@ impl DatasetPartition {
         writer: Option<u64>,
     ) -> Result<()> {
         self.settled(Some((lsn, writer)), |part| part.apply_put(pk, raw, record, before))
-    }
-
-    /// Deletes by encoded primary key; returns the removed record. Not
-    /// logged (see [`DatasetPartition::upsert`]).
-    pub fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
-        let before = self.stored(pk)?;
-        self.settled(None, |part| part.apply_delete(pk, before.as_deref()))?;
-        before.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
     /// The delete of `pk` as the effect of the log record at `lsn` (see
@@ -807,6 +786,30 @@ pub fn partition_of(pk: &[u8], partitions: usize) -> u32 {
 /// A point helper for tests.
 pub fn pt(x: f64, y: f64) -> Value {
     Value::Point(Point::new(x, y))
+}
+
+#[cfg(test)]
+impl DatasetPartition {
+    /// Inserts or replaces a record (already cast to the dataset type, its
+    /// primary key the field `id`). Returns the previous record, if any. Not
+    /// logged — nothing ties the write to a transaction or to a place in the
+    /// log — so for unit tests only: the write path is
+    /// [`DatasetPartition::put_logged`].
+    pub(crate) fn upsert(&mut self, record: &Value) -> Result<Option<Value>> {
+        let pk = extract_pk(record, &["id".into()])?;
+        let raw = self.schema.encode(record)?;
+        let before = self.stored(&pk)?;
+        self.settled(None, |part| part.apply_put(&pk, raw, Some(record), before.as_deref()))?;
+        before.map(|raw| self.schema.decode(&raw)).transpose()
+    }
+
+    /// Deletes by encoded primary key; returns the removed record. Not
+    /// logged (see [`DatasetPartition::upsert`]).
+    pub(crate) fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
+        let before = self.stored(pk)?;
+        self.settled(None, |part| part.apply_delete(pk, before.as_deref()))?;
+        before.map(|raw| self.schema.decode(&raw)).transpose()
+    }
 }
 
 #[cfg(test)]

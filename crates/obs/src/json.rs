@@ -24,6 +24,11 @@ impl Json {
         Json::Str(s.into())
     }
 
+    /// An object of `fields`, in the order given.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
     /// Compact single-line rendering.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -140,6 +145,27 @@ mod tests {
         let doc = Json::Obj(vec![("k".into(), Json::Arr(vec![Json::U64(7)]))]);
         let s = doc.render_pretty();
         assert!(s.contains("\n  \"k\": [\n    7\n  ]\n"), "{s}");
+    }
+
+    /// A float renders as the shortest decimal text that reads back as the
+    /// same `f64`, never in exponent form: a regenerated report differs from
+    /// the committed one where a value does, not where a format does.
+    #[test]
+    fn a_float_renders_as_the_shortest_text_that_reads_back() {
+        for (x, text) in [
+            (1.0, "1"),
+            (-0.0, "-0"),
+            (0.5, "0.5"),
+            (117.886, "117.886"),
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+            (1e21, "1000000000000000000000"),
+            (22910.751, "22910.751"),
+        ] {
+            assert_eq!(Json::F64(x).render(), text);
+            assert_eq!(text.parse::<f64>().unwrap().to_bits(), x.to_bits(), "{text} reads back");
+        }
+        assert_eq!(Json::obj([("a", Json::F64(2.25))]).render_pretty(), "{\n  \"a\": 2.25\n}\n");
     }
 
     #[test]

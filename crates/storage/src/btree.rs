@@ -334,8 +334,8 @@ impl BTreeBuilder {
         }
     }
 
-    /// Appends the next pair; keys must arrive in strictly increasing order.
-    /// A tree of leaf groups takes the row of a [`PUT`] apart here.
+    /// Appends the next pair of a tree of row leaves; keys must arrive in
+    /// strictly increasing order.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         if key.len() + value.len() > MAX_ENTRY {
             return Err(StorageError::RecordTooLarge {
@@ -344,13 +344,7 @@ impl BTreeBuilder {
             });
         }
         if matches!(self.leaves, Leaves::Groups { .. }) {
-            return match value {
-                [PUT, row @ ..] => self.add_to_group(key, |group| group.push_row(key, row)),
-                [TOMBSTONE] => self.add_cells(key, None),
-                _ => Err(StorageError::Invalid(
-                    "a leaf-group value is a put marker and a row, or a delete marker".into(),
-                )),
-            };
+            return Err(StorageError::Invalid("a value added whole to a tree of leaf groups".into()));
         }
         self.admit(key)?;
         if let Leaves::Pages { leaf, written } = &mut self.leaves {
@@ -364,6 +358,17 @@ impl BTreeBuilder {
         }
         self.admitted(key);
         Ok(())
+    }
+
+    /// [`BTreeBuilder::add`] for a tree of leaf groups: the row under `key`,
+    /// taken apart here, or none for a delete marker.
+    pub fn add_row(&mut self, key: &[u8], row: Option<&[u8]>) -> Result<()> {
+        let Some(row) = row else { return self.add_cells(key, None) };
+        // as for a row leaf's entry, marker included
+        if key.len() + 1 + row.len() > MAX_ENTRY {
+            return Err(StorageError::RecordTooLarge { size: key.len() + 1 + row.len(), max: MAX_ENTRY });
+        }
+        self.add_to_group(key, |group| group.push_row(key, row))
     }
 
     /// [`BTreeBuilder::add`] for an entry already taken apart (a merge hands
@@ -711,7 +716,7 @@ impl DiskBTree {
     /// Point lookup. Consults the bloom filter first.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         if self.shape.is_some() {
-            return self.probe(key)?.map(|mut at| at.value().map(<[u8]>::to_vec)).transpose();
+            return self.probe(key)?.map(BTreeRangeIter::into_value).transpose();
         }
         if self.rules_out(key) {
             return Ok(None);
@@ -1148,6 +1153,16 @@ impl BTreeRangeIter {
         Ok(self.entry()?.1)
     }
 
+    /// [`BTreeRangeIter::value`], owned: a leaf group's is the buffer it was
+    /// put together in, not a copy of it.
+    pub fn into_value(mut self) -> Result<Vec<u8>> {
+        self.entry()?;
+        match &mut self.leaf {
+            Some(Leaf::Group(at)) => Ok(std::mem::take(&mut at.value)),
+            _ => self.value().map(<[u8]>::to_vec),
+        }
+    }
+
     fn group(&mut self) -> Result<&mut GroupCursor> {
         match &mut self.leaf {
             Some(Leaf::Group(at)) => Ok(&mut **at),
@@ -1373,7 +1388,7 @@ mod tests {
         Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType")))
     }
 
-    /// The row of message `i`, and `[PUT] ++ row`.
+    /// The row of message `i`, and `[PUT] ++ row`: what a read of it hands out.
     fn message(i: i64) -> (Vec<u8>, Vec<u8>) {
         let reg = gleambook_types();
         let mut fields = vec![
@@ -1397,11 +1412,7 @@ mod tests {
         let w = cache.manager().bulk_writer(name).unwrap();
         let mut b = BTreeBuilder::with_layout(w, n as usize, message_layout());
         for i in 0..n {
-            if i % 7 == 6 {
-                b.add(&key(i), &[TOMBSTONE]).unwrap();
-            } else {
-                b.add(&key(i), &message(i).1).unwrap();
-            }
+            b.add_row(&key(i), (i % 7 != 6).then(|| message(i).0).as_deref()).unwrap();
         }
         DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap())
     }
@@ -1481,15 +1492,14 @@ mod tests {
     }
 
     #[test]
-    fn a_leaf_group_value_is_a_marker_and_a_row() {
+    fn a_leaf_group_entry_is_a_row_or_a_delete_marker() {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("v.btree").unwrap();
         let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
-        assert!(matches!(b.add(&key(1), b""), Err(StorageError::Invalid(_))));
-        assert!(matches!(b.add(&key(1), &[7, 1, 2]), Err(StorageError::Invalid(_))));
-        assert!(matches!(b.add(&key(1), &[PUT, 1]), Err(StorageError::Adm(_))), "not a row of the layout");
-        b.add(&key(1), &message(1).1).unwrap();
-        assert!(b.add(&key(1), &[TOMBSTONE]).is_err(), "duplicate key");
+        assert!(matches!(b.add(&key(1), &message(1).1), Err(StorageError::Invalid(_))), "a value, whole");
+        assert!(matches!(b.add_row(&key(1), Some(&[1])), Err(StorageError::Adm(_))), "not a row of the layout");
+        b.add_row(&key(1), Some(&message(1).0)).unwrap();
+        assert!(b.add_row(&key(1), None).is_err(), "duplicate key");
         let w = cache.manager().bulk_writer("w.btree").unwrap();
         assert!(matches!(BTreeBuilder::new(w, 0).add_cells(&key(1), None), Err(StorageError::Invalid(_))));
     }
@@ -1517,18 +1527,14 @@ mod tests {
             if i < 4 {
                 fields.push(("pad".into(), Value::from("p".repeat(pad + (filler + i as usize) / 4))));
             }
-            [&[PUT][..], &encode_with_schema(&Value::object(fields), ty).unwrap()].concat()
+            encode_with_schema(&Value::object(fields), ty).unwrap()
         };
         // builds the tree, checks it, and says where in its page the second group starts
         let check = |pad: usize, filler: usize| {
             let w = cache.manager().bulk_writer(&format!("s{pad}-{filler}.btree")).unwrap();
             let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
             for i in 0..n {
-                if i % 13 == 5 {
-                    b.add(&key(i), &[TOMBSTONE]).unwrap();
-                } else {
-                    b.add(&key(i), &row(pad, filler, i)).unwrap();
-                }
+                b.add_row(&key(i), (i % 13 != 5).then(|| row(pad, filler, i)).as_deref()).unwrap();
             }
             let start = match &b.leaves {
                 Leaves::Groups { buf, .. } => buf.len(),
@@ -1537,7 +1543,7 @@ mod tests {
             let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
             for (i, item) in t.scan().unwrap().enumerate() {
                 let (k, v) = item.unwrap();
-                let want = if i % 13 == 5 { vec![TOMBSTONE] } else { row(pad, filler, i as i64) };
+                let want = if i % 13 == 5 { vec![TOMBSTONE] } else { [&[PUT][..], &row(pad, filler, i as i64)].concat() };
                 assert_eq!((k, v), (key(i as i64), want), "pad {pad} entry {i}");
             }
             for i in [0, 1_023, 1_024, n - 1] {

@@ -10,21 +10,20 @@
 //!
 //! Hits take only a shard *read* lock: the CLOCK reference bit is an
 //! `AtomicBool`, so the hot path is a shared lock plus one relaxed store.
-//! Installs, evictions, and flushes take the shard write lock.
+//! Installs and evictions take the shard write lock.
 //!
 //! Sequential scans go through [`BufferCache::get_sequential`], which turns
 //! a miss into one batched physical read of the next `readahead_pages`
 //! contiguous pages (LSM component leaves are packed sequentially, so the
 //! following leaf fetches hit).
 //!
-//! Most cached files (LSM components) are immutable, so eviction is free.
-//! Mutable structures (linear hashing) write through [`BufferCache::put`],
-//! which marks frames dirty; dirty frames are written back on eviction or
-//! [`BufferCache::flush_file`] — the classic steal/no-force discipline. A
-//! write-back happens under the shard lock that took the frame's bytes, so
-//! every later miss, `put` or flush of that page comes after it: a stale
-//! write-back can never overtake a newer one, and a miss never reads the
-//! file from before it. Only files with dirty pages pay for that.
+//! The cache holds no deferred writes: a frame is what its page holds on
+//! disk, so eviction is free. The files the engine caches (LSM components)
+//! are immutable and bulk-written outside the cache; the one structure that
+//! updates pages in place, linear hashing, writes through
+//! [`BufferCache::put`] — the page is in the file when `put` returns. One
+//! writer per file, and no reader of a page while it is being `put`, is the
+//! caller's contract ([`crate::linear_hash::LinearHash`] takes `&mut self`).
 //!
 //! # Request coalescing
 //!
@@ -85,7 +84,6 @@ impl CacheOptions {
 
 struct Frame {
     data: Arc<Vec<u8>>,
-    dirty: bool,
     /// CLOCK reference bit; atomic so hits can set it under a read lock.
     referenced: AtomicBool,
 }
@@ -280,10 +278,10 @@ impl BufferCache {
             InflightRole::Waiter(entry) => self.wait_coalesced(key, shard, &entry),
             InflightRole::Leader(entry) => {
                 // The one physical read for this key, outside every lock.
-                let loaded = self.manager.read_page(file, page_no).and_then(|buf| {
+                let loaded = self.manager.read_page(file, page_no).map(|buf| {
                     let data = Arc::new(buf);
-                    let inserted = self.install(key, Arc::clone(&data), false)?;
-                    Ok((data, inserted))
+                    let inserted = self.install(key, Arc::clone(&data), false);
+                    (data, inserted)
                 });
                 self.finish_lead(key, shard, &entry, loaded)
             }
@@ -345,19 +343,16 @@ impl BufferCache {
         match loaded {
             Ok((data, inserted)) => {
                 // Insert-side-wins accounting: the miss belongs to whoever
-                // actually inserted the frame. Losing the install race (a
-                // racing `put`, or readahead from another file scan) books
-                // this access as a hit, and the resident frame — which may
-                // carry writes newer than our disk read — is handed out.
-                let data = if inserted {
+                // actually inserted the frame. Losing the install race (to
+                // readahead from another scan of the file) books this access
+                // as a hit.
+                if inserted {
                     shard.misses.fetch_add(1, Ordering::Relaxed);
                     self.stats.count_cache_miss();
-                    data
                 } else {
                     shard.hits.fetch_add(1, Ordering::Relaxed);
                     self.stats.count_cache_hit();
-                    shard.lookup(&key).unwrap_or(data)
-                };
+                }
                 entry.resolve(LoadState::Ready(Arc::clone(&data)));
                 Ok(data)
             }
@@ -435,7 +430,7 @@ impl BufferCache {
         for (i, buf) in batch.drain(..).enumerate() {
             let k = (file, page_no + i as u64);
             let data = Arc::new(buf);
-            let inserted = self.install(k, Arc::clone(&data), false)?;
+            let inserted = self.install(k, Arc::clone(&data), false);
             if i == 0 {
                 first = Some((data, inserted));
             } else if inserted {
@@ -453,31 +448,29 @@ impl BufferCache {
         })
     }
 
-    /// Writes a page through the cache (marks the frame dirty; the physical
-    /// write happens on eviction or flush). `data` must be one page.
+    /// Writes a page through the cache: it is in the file when this
+    /// returns, and in the cache for the next `get`. `data` must be one page.
     pub fn put(&self, file: FileId, page_no: u64, data: Vec<u8>) -> Result<()> {
         debug_assert_eq!(data.len(), PAGE_SIZE);
-        if self.capacity == 0 {
-            return self.manager.write_page(file, page_no, &data);
+        self.manager.write_page(file, page_no, &data)?;
+        if self.capacity > 0 {
+            self.install((file, page_no), Arc::new(data), true);
         }
-        self.install((file, page_no), Arc::new(data), true)?;
         Ok(())
     }
 
     /// Installs a frame, returning `true` when the key was newly inserted
-    /// and `false` when a frame was already resident. For a read-path
-    /// install (`dirty == false`) an existing frame is left untouched —
-    /// its data may carry writes newer than the caller's disk read.
-    fn install(&self, key: (FileId, u64), data: Arc<Vec<u8>>, dirty: bool) -> Result<bool> {
+    /// and `false` when a frame was already resident: that one stays, unless
+    /// `replace` (a `put`'s new version of the page) says otherwise.
+    fn install(&self, key: (FileId, u64), data: Arc<Vec<u8>>, replace: bool) -> bool {
         let shard = self.shard_for(&key);
         let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
         if let Some(frame) = inner.frames.get_mut(&key) {
-            if dirty {
+            if replace {
                 frame.data = data;
-                frame.dirty = true;
             }
             frame.referenced.store(true, Ordering::Relaxed);
-            return Ok(false);
+            return false;
         }
         while inner.frames.len() >= shard.capacity && !inner.ring.is_empty() {
             // CLOCK sweep: clear reference bits until a victim appears.
@@ -496,11 +489,6 @@ impl BufferCache {
                 }
             };
             if !referenced {
-                if let Some(frame) = inner.frames.get(&victim_key).filter(|f| f.dirty) {
-                    // before the lock is released (see the module docs); a
-                    // failed write-back keeps the frame
-                    self.manager.write_page(victim_key.0, victim_key.1, &frame.data)?;
-                }
                 inner.frames.remove(&victim_key);
                 shard.evictions.fetch_add(1, Ordering::Relaxed);
                 self.stats.count_eviction();
@@ -512,29 +500,19 @@ impl BufferCache {
                 inner.hand = (idx + 1) % inner.ring.len().max(1);
             }
         }
-        inner.frames.insert(key, Frame { data, dirty, referenced: AtomicBool::new(true) });
+        inner.frames.insert(key, Frame { data, referenced: AtomicBool::new(true) });
         inner.ring.push(key);
-        Ok(true)
+        true
     }
 
-    /// Writes back all dirty frames of `file` (without evicting them).
+    /// Makes every `put` of `file` so far durable.
     pub fn flush_file(&self, file: FileId) -> Result<()> {
-        for shard in &self.shards {
-            let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
-            for ((fid, page), frame) in inner.frames.iter_mut() {
-                if *fid == file && frame.dirty {
-                    self.manager.write_page(file, *page, &frame.data)?;
-                    frame.dirty = false;
-                }
-            }
-        }
-        self.manager.sync(file)?;
-        Ok(())
+        self.manager.sync(file)
     }
 
-    /// Drops all frames of `file`. Dirty frames of a dropped file are
-    /// discarded by design. Concurrent readers may still hold page `Arc`s —
-    /// eviction merely drops the cache's reference (see the module docs).
+    /// Drops all frames of `file`. Concurrent readers may still hold page
+    /// `Arc`s — eviction merely drops the cache's reference (see the module
+    /// docs).
     pub fn evict_file(&self, file: FileId) {
         for shard in &self.shards {
             let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
@@ -711,35 +689,6 @@ mod tests {
         let before = fm.stats().physical_reads();
         cache.get(id, 0).unwrap();
         assert_eq!(fm.stats().physical_reads(), before, "hot page stayed resident");
-    }
-
-    #[test]
-    fn dirty_writeback_on_eviction_and_flush() {
-        // One shard so eviction pressure deterministically reaches the
-        // dirty frame regardless of how keys hash across stripes.
-        let (cache, fm, _d) =
-            setup_with(CacheOptions { capacity: 2, shards: 1, readahead_pages: 0 });
-        let id = make_file(&fm, 1);
-        // make the file writable again for the test: create a fresh one
-        let id2 = fm.create("mut.pf").unwrap();
-        fm.append_page(id2, &vec![0u8; PAGE_SIZE]).unwrap();
-        let mut p = vec![0u8; PAGE_SIZE];
-        p[7] = 99;
-        cache.put(id2, 0, p).unwrap();
-        // not yet on disk
-        assert_eq!(fm.read_page(id2, 0).unwrap()[7], 0);
-        cache.flush_file(id2).unwrap();
-        assert_eq!(fm.read_page(id2, 0).unwrap()[7], 99);
-        // eviction writeback: dirty again, then flood the cache
-        let mut p2 = vec![0u8; PAGE_SIZE];
-        p2[7] = 123;
-        cache.put(id2, 0, p2).unwrap();
-        cache.get(id, 0).unwrap();
-        let id3 = make_file_named(&fm, "g.pf", 3);
-        for i in 0..3 {
-            cache.get(id3, i).unwrap();
-        }
-        assert_eq!(fm.read_page(id2, 0).unwrap()[7], 123, "evicted dirty page written back");
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub struct FaultConfig {
     /// to hold a physical read open long enough that racing requesters
     /// deterministically pile onto the cache's in-flight-load slot.
     pub read_delay: Option<std::time::Duration>,
-    /// Added latency per write, for the same purpose: holds a write-back
-    /// open long enough that a racing access of the page shows its order.
-    pub write_delay: Option<std::time::Duration>,
 }
 
 impl Default for FaultConfig {
@@ -79,7 +76,6 @@ impl Default for FaultConfig {
             read_corrupt_prob: 0.0,
             delete_fail_prob: 0.0,
             read_delay: None,
-            write_delay: None,
         }
     }
 }
@@ -230,11 +226,8 @@ impl FaultInjector {
     /// Failpoint for a write of `requested` bytes. The caller must obey the
     /// returned [`WritePlan`]; for `Torn`/`Short` it persists the prefix and
     /// then fails its own call with [`FaultInjector::write_failed`].
-    pub fn on_write(&self, target: &str, requested: usize) -> Result<WritePlan> { // xlint: allow(blocking, "fault injection for chaos tests; simulated I/O latency")
+    pub fn on_write(&self, target: &str, requested: usize) -> Result<WritePlan> {
         let op = self.next_op(target)?;
-        if let Some(d) = self.config.write_delay {
-            std::thread::sleep(d);
-        }
         if self.is_crash_point(op, target) {
             self.crashed.store(true, Ordering::SeqCst);
             let kept = if self.config.torn_writes && requested > 0 {
@@ -379,7 +372,6 @@ mod tests {
                 read_corrupt_prob: 0.5,
                 delete_fail_prob: 0.0,
                 read_delay: None,
-                write_delay: None,
             });
             let mut buf = vec![0xAAu8; 64];
             for i in 0..32u64 {

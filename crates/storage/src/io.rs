@@ -211,8 +211,7 @@ impl FileManager {
             }
         }
         // Writes past the current end extend the file (sparse holes read as
-        // zeros); needed because a buffer cache may write back dirty pages
-        // out of allocation order.
+        // zeros).
         guard.file.write_all_at(data, page_no * PAGE_SIZE as u64)?;
         guard.pages = guard.pages.max(page_no + 1);
         self.stats.count_physical_write(PAGE_SIZE as u64);

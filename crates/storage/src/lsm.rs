@@ -381,6 +381,13 @@ impl ComponentKind for BTreeKind {
         let mut builder = self.builder(id, mem.len())?;
         let mut raw = Vec::new();
         for (k, e) in mem.iter() {
+            if self.config.layout.is_some() {
+                builder.add_row(k, match e {
+                    Entry::Put(row) => Some(row),
+                    Entry::Tombstone => None,
+                })?;
+                continue;
+            }
             raw.clear();
             e.encode_into(&mut raw);
             builder.add(k, &self.encode_disk(&raw))?;
@@ -469,6 +476,14 @@ pub enum Projected<'a> {
     Cells(&'a Cells),
 }
 
+/// Where a point lookup ends: at the entry a memory component holds, or at
+/// what the probe found in the newest disk component that has the key — with
+/// the snapshot the walk looked through, which keeps that one's file open.
+enum Found<'a, D> {
+    Mem(&'a Entry),
+    Disk { at: D, _snapshot: Vec<Arc<Component<BTreeKind>>> },
+}
+
 impl Lsm<BTreeKind> {
     /// The configuration.
     pub fn config(&self) -> &LsmConfig {
@@ -495,15 +510,17 @@ impl Lsm<BTreeKind> {
         self.settle(false)
     }
 
-    /// Point lookup: memory components, then disk components newest-first.
-    /// A leaf group's row is put together from one cell of each chunk.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// The walk of a point lookup: memory components, then disk components
+    /// newest-first, to the newest entry under `key` — in a disk component,
+    /// to what `probe` makes of it there.
+    fn find<D>(
+        &self,
+        key: &[u8],
+        probe: impl Fn(&DiskBTree) -> Result<Option<D>>,
+    ) -> Result<Option<Found<'_, D>>> {
         if let Some(entry) = self.mem.newest_first().find_map(|m| m.get(key)) {
             self.shared.count_point_read(0);
-            return Ok(match entry {
-                Entry::Put(v) => Some(v.clone()),
-                Entry::Tombstone => None,
-            });
+            return Ok(Some(Found::Mem(entry)));
         }
         let disk = self.shared.snapshot();
         let mut probes = 0u64;
@@ -513,16 +530,25 @@ impl Lsm<BTreeKind> {
                 continue;
             }
             probes += 1;
-            if let Some(raw) = comp.disk.get(key)? {
-                found = Some(raw);
+            found = probe(&comp.disk)?;
+            if found.is_some() {
                 break;
             }
         }
         self.shared.count_point_read(probes);
-        match found {
-            None => Ok(None),
-            Some(raw) => Ok(Entry::payload(&self.kind().decode_disk(&raw)?)?.map(<[u8]>::to_vec)),
-        }
+        Ok(found.map(|at| Found::Disk { at, _snapshot: disk }))
+    }
+
+    /// Point lookup. A leaf group's row is put together from one cell of
+    /// each chunk ([`DiskBTree::get`]) and copied out of its entry once.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(match self.find(key, |disk| disk.get(key))? {
+            None | Some(Found::Mem(Entry::Tombstone)) => None,
+            Some(Found::Mem(Entry::Put(v))) => Some(v.clone()),
+            Some(Found::Disk { at: stored, .. }) => {
+                Entry::payload(&self.kind().decode_disk(&stored)?)?.map(<[u8]>::to_vec)
+            }
+        })
     }
 
     /// [`LsmTree::get`] for a reader that wants the cells `wanted` of the
@@ -538,34 +564,18 @@ impl Lsm<BTreeKind> {
         if self.config().layout.is_none() {
             return Ok(self.get(key)?.map(|row| read(Projected::Row(&row))));
         }
-        if let Some(entry) = self.mem.newest_first().find_map(|m| m.get(key)) {
-            self.shared.count_point_read(0);
-            return Ok(match entry {
-                Entry::Put(v) => Some(read(Projected::Row(v))),
-                Entry::Tombstone => None,
-            });
-        }
-        let disk = self.shared.snapshot();
-        let mut probes = 0u64;
-        let mut found = None;
-        for comp in &disk {
-            if !comp.disk.may_contain(key) {
-                continue;
+        Ok(match self.find(key, |disk| disk.probe(key))? {
+            None | Some(Found::Mem(Entry::Tombstone)) => None,
+            Some(Found::Mem(Entry::Put(v))) => Some(read(Projected::Row(v))),
+            Some(Found::Disk { mut at, .. }) => {
+                if at.is_tombstone()? {
+                    return Ok(None);
+                }
+                let mut cells = Cells::with_capacity(wanted.len(), 32 * wanted.len());
+                at.cells(wanted, &mut cells)?;
+                Some(read(Projected::Cells(&cells)))
             }
-            probes += 1;
-            found = comp.disk.probe(key)?;
-            if found.is_some() {
-                break;
-            }
-        }
-        self.shared.count_point_read(probes);
-        let Some(mut at) = found else { return Ok(None) };
-        if at.is_tombstone()? {
-            return Ok(None);
-        }
-        let mut cells = Cells::with_capacity(wanted.len(), 32 * wanted.len());
-        at.cells(wanted, &mut cells)?;
-        Ok(Some(read(Projected::Cells(&cells))))
+        })
     }
 
     /// Lazy ordered read of `[lo, hi]`, resolving versions (newest wins)

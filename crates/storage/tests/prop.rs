@@ -6,7 +6,7 @@ use asterix_adm::binary::{encode, encode_key};
 use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{Point, RecordLayout, Rectangle, Value};
-use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY, PUT, TOMBSTONE};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
@@ -830,11 +830,7 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
     let n = GROUP_RECORDS as i64 + 200;
     let mut b = BTreeBuilder::with_layout(cache.manager().bulk_writer("g.btree").unwrap(), n as usize, Arc::clone(&layout));
     for i in 0..n {
-        if i % 9 == 4 {
-            b.add(&k(i), &[TOMBSTONE]).unwrap();
-        } else {
-            b.add(&k(i), &[&[PUT][..], &row(true, i, i as u64 * 7)].concat()).unwrap();
-        }
+        b.add_row(&k(i), (i % 9 != 4).then(|| row(true, i, i as u64 * 7)).as_deref()).unwrap();
     }
     let built = b.finish().unwrap();
     let sound = std::fs::read(dir.0.join("g.btree")).unwrap();
