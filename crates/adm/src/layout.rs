@@ -17,7 +17,9 @@
 //! names the cells it wants once ([`RecordLayout::resolve`]) and builds its
 //! record from those alone ([`RecordLayout::project`]) — or, from a row that
 //! was never taken apart (the memory component's), with
-//! [`RecordLayout::decode_row`]. The two agree.
+//! [`RecordLayout::decode_row`]. The two agree. A scan builds no record: it
+//! appends the cells to the typed vectors of a batch
+//! ([`crate::batch::BatchBuilder`]), a column per field asked for.
 
 use crate::binary::{self, Decoder};
 use crate::error::{AdmError, Result};
@@ -143,12 +145,35 @@ pub struct Projection {
     open: Vec<String>,
     /// The record whole: every cell, every field of the rest.
     whole: bool,
+    /// The names asked for, as asked; none when `whole`.
+    names: Vec<String>,
+    /// Per name asked for, the place of its cell in `cells` — when every
+    /// name is a declared field and none is asked for twice.
+    cell_columns: Option<Vec<usize>>,
 }
 
 impl Projection {
     /// The cells to hand to [`RecordLayout::project`], in this order.
     pub fn cells(&self) -> &[usize] {
         &self.cells
+    }
+
+    /// The field names asked for, in the order asked: the columns of a batch
+    /// of what this projection reads ([`crate::batch::BatchBuilder`]). None
+    /// for the record whole, which is one column.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Columns of such a batch.
+    pub fn width(&self) -> usize {
+        self.names.len().max(1)
+    }
+
+    /// When each of those columns is one cell — a declared field's, no name
+    /// twice — the place in [`Projection::cells`] of each column's cell.
+    pub fn cell_columns(&self) -> Option<&[usize]> {
+        self.cell_columns.as_deref()
     }
 
     fn open(&self) -> OpenFields<'_> {
@@ -201,14 +226,9 @@ impl RecordLayout {
         self.columns.len() + 1
     }
 
-    /// Takes `row` apart: `cells` comes back holding [`Self::cell_count`]
-    /// cells.
-    pub fn shred(&self, row: &[u8], cells: &mut Cells) -> Result<()> {
-        cells.clear();
-        if self.ty.is_none() {
-            cells.push(row);
-            return Ok(());
-        }
+    /// A decoder standing at the first declared field of `row`, a row of a
+    /// declared type, and the row's presence bitmap.
+    fn row_header<'r>(&self, row: &'r [u8]) -> Result<(Decoder<'r>, &'r [u8])> {
         let n = self.columns.len();
         let mut d = Decoder::new(row);
         if u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize != n {
@@ -218,6 +238,40 @@ impl RecordLayout {
         if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
             return Err(AdmError::Serde(format!("presence bits past the {n} declared fields")));
         }
+        Ok((d, bitmap))
+    }
+
+    /// Hands `each` the cells `cells` (declared fields' ordinals, ascending)
+    /// of `row` where they lie — the `k`-th of them as `(k, its bytes)`,
+    /// empty for a field the record lacks — reading no further into the row
+    /// than the last of them.
+    pub(crate) fn row_cells(&self, cells: &[usize], row: &[u8], mut each: impl FnMut(usize, &[u8]) -> Result<()>) -> Result<()> {
+        let (mut d, bitmap) = self.row_header(row)?;
+        let mut wanted = cells.iter().copied().enumerate().peekable();
+        for i in 0..self.columns.len() {
+            let Some(&(k, cell)) = wanted.peek() else { break };
+            let start = d.position();
+            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
+                d.skip_value()?;
+            }
+            if cell == i {
+                each(k, &row[start..d.position()])?;
+                wanted.next();
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes `row` apart: `cells` comes back holding [`Self::cell_count`]
+    /// cells.
+    pub fn shred(&self, row: &[u8], cells: &mut Cells) -> Result<()> {
+        cells.clear();
+        if self.ty.is_none() {
+            cells.push(row);
+            return Ok(());
+        }
+        let n = self.columns.len();
+        let (mut d, bitmap) = self.row_header(row)?;
         for i in 0..n {
             let start = d.position();
             if bitmap[i / 8] & (1 << (i % 8)) != 0 {
@@ -263,7 +317,7 @@ impl RecordLayout {
     pub fn resolve(&self, fields: &[String]) -> Projection {
         let n = self.columns.len();
         if fields.is_empty() {
-            return Projection { cells: (0..=n).collect(), open: Vec::new(), whole: true };
+            return Projection { cells: (0..=n).collect(), open: Vec::new(), whole: true, names: Vec::new(), cell_columns: None };
         }
         let mut cells: Vec<usize> = (0..n).filter(|&i| fields.contains(&self.columns[i].name)).collect();
         let open: Vec<String> =
@@ -271,7 +325,10 @@ impl RecordLayout {
         if !open.is_empty() {
             cells.push(n);
         }
-        Projection { cells, open, whole: false }
+        let place = |name: &String| cells.iter().position(|&cell| self.columns.get(cell).is_some_and(|c| c.name == *name));
+        let cell_columns: Option<Vec<usize>> = fields.iter().map(place).collect();
+        let distinct = cell_columns.filter(|places| places.len() == cells.len());
+        Projection { cells, open, whole: false, names: fields.to_vec(), cell_columns: distinct }
     }
 
     /// The record holding what `wanted` names, from the cells

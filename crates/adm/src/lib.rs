@@ -22,6 +22,7 @@
 //! Everything above the storage layer (Hyracks operators, Algebricks
 //! expressions, SQL++/AQL evaluation) computes over [`Value`]s.
 
+pub mod batch;
 pub mod binary;
 pub mod compare;
 pub mod error;
@@ -35,6 +36,7 @@ pub mod types;
 pub mod validate;
 pub mod value;
 
+pub use batch::{BatchBuilder, Column, ColumnBatch, BATCH_ROWS};
 pub use error::{AdmError, Result};
 pub use layout::{Cells, Projection, RecordLayout};
 pub use spatial::{Point, Rectangle};

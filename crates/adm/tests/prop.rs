@@ -9,7 +9,7 @@ use asterix_adm::schema_encode::{decode_fields_with_schema, decode_with_schema, 
 use asterix_adm::temporal::Duration;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::AdmError;
-use asterix_adm::{Cells, Object, Point, RecordLayout, Rectangle, Value};
+use asterix_adm::{BatchBuilder, Cells, Object, Point, RecordLayout, Rectangle, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
 
@@ -259,6 +259,32 @@ proptest! {
                 };
                 prop_assert_eq!(&layout.project(&wanted, &picked).unwrap(), &want, "cells of {:?}", names);
                 prop_assert_eq!(&layout.decode_row(&wanted, row).unwrap(), &want, "row, for {:?}", names);
+
+                // and as a batch — a column per name, the record whole
+                // without any — filled from the row and from its cells
+                let columns: Vec<Value> = match names.as_slice() {
+                    [] => vec![want.clone()],
+                    names => names.iter().map(|n| want.field(n).clone()).collect(),
+                };
+                let mut batch = BatchBuilder::new(layout, &wanted);
+                batch.push_row(row).unwrap();
+                if batch.is_columnar() {
+                    for k in 0..wanted.cells().len() {
+                        batch.cell_column(k).push_cell(picked.get(k)).unwrap();
+                    }
+                    batch.advance(1);
+                } else {
+                    batch.push_cells(&picked).unwrap();
+                }
+                let rows: Vec<Vec<Value>> = batch.finish().unwrap().into_rows().collect();
+                prop_assert_eq!(&rows, &vec![columns.clone(), columns], "columns of {:?}", names);
+                for cut in 0..row.len() {
+                    let mut batch = BatchBuilder::new(layout, &wanted);
+                    match batch.push_row(&row[..cut]) {
+                        Ok(()) => prop_assert_eq!(batch.finish().unwrap().into_rows().next(), rows.first().cloned(), "cut at {}", cut),
+                        Err(e) => prop_assert!(matches!(e, AdmError::Serde(_)), "cut at {}: {}", cut, e),
+                    }
+                }
             }
             for cut in 0..row.len() {
                 match layout.shred(&row[..cut], &mut cells) {

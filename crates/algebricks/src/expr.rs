@@ -9,10 +9,11 @@ use crate::error::{AlgebricksError, Result};
 use crate::plan::{AggFunc, VarId};
 use asterix_adm::compare::{adm_eq, total_cmp};
 use asterix_adm::temporal;
-use asterix_adm::{Object, Point, Rectangle, Value};
+use asterix_adm::{Column, ColumnBatch, Object, Point, Rectangle, Value};
 use asterix_hyracks::ops::AggState;
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// Built-in scalar functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -464,6 +465,151 @@ pub fn eval(expr: &BoundExpr, tuple: &[Value]) -> Result<Value> {
     })
 }
 
+/// What the comparison `f` says of two known values. Comparisons across
+/// incomparable types are errors in SQL++; we are lenient and use the total
+/// order, except that `Eq`/`Ne` use ADM equality directly.
+fn compare(f: Func, a: &Value, b: &Value) -> bool {
+    match f {
+        Func::Eq => adm_eq(a, b),
+        Func::Ne => !adm_eq(a, b),
+        Func::Lt => total_cmp(a, b) == Ordering::Less,
+        Func::Le => total_cmp(a, b) != Ordering::Greater,
+        Func::Gt => total_cmp(a, b) == Ordering::Greater,
+        _ => total_cmp(a, b) != Ordering::Less,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Evaluation over a batch of columns
+// ---------------------------------------------------------------------------
+
+/// One row of a batch at a time as the tuple an expression is evaluated
+/// against: the columns the expression reads, `MISSING` in the others.
+struct RowOf<'a> {
+    batch: &'a ColumnBatch,
+    reads: Vec<usize>,
+    tuple: Vec<Value>,
+}
+
+impl<'a> RowOf<'a> {
+    fn new(expr: &BoundExpr, batch: &'a ColumnBatch) -> Self {
+        fn note(expr: &BoundExpr, reads: &mut Vec<usize>) {
+            match expr {
+                BoundExpr::Col(c) => reads.push(*c),
+                BoundExpr::Const(_) => {}
+                BoundExpr::Field(base, _) => note(base, reads),
+                BoundExpr::Index(base, index) => {
+                    note(base, reads);
+                    note(index, reads);
+                }
+                BoundExpr::Call(_, args) => args.iter().for_each(|a| note(a, reads)),
+                BoundExpr::Case(arms, els) => {
+                    arms.iter().for_each(|(cond, then)| {
+                        note(cond, reads);
+                        note(then, reads);
+                    });
+                    note(els, reads);
+                }
+            }
+        }
+        let mut reads = Vec::new();
+        note(expr, &mut reads);
+        reads.sort_unstable();
+        reads.dedup();
+        // a column the batch does not have is for `eval` to report
+        reads.retain(|c| *c < batch.width());
+        RowOf { batch, reads, tuple: vec![Value::Missing; batch.width()] }
+    }
+
+    fn at(&mut self, row: usize) -> &[Value] {
+        for &c in &self.reads {
+            self.tuple[c] = self.batch.column(c).get(row);
+        }
+        &self.tuple
+    }
+}
+
+/// [`eval`] for every row in play of `batch`, as a column of `batch.len()`
+/// rows: a column reference is that column, shared, and a constant is one
+/// value repeated; anything else is evaluated a row at a time, against the
+/// columns it reads and no others.
+pub fn eval_batch(expr: &BoundExpr, batch: &ColumnBatch) -> Result<Arc<Column>> {
+    match expr {
+        BoundExpr::Col(c) if *c < batch.width() => Ok(batch.share(*c)),
+        BoundExpr::Const(v) => Ok(Arc::new(Column::constant(v, batch.len()))),
+        _ => {
+            let mut row = RowOf::new(expr, batch);
+            batch.map_rows(|i| eval(expr, row.at(i))).map(Arc::new)
+        }
+    }
+}
+
+/// One side of a comparison that is read where it lies.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Col(usize),
+    Const(&'a Value),
+}
+
+impl Operand<'_> {
+    /// Hands `f` this side's value for row `row` of `batch`.
+    fn with<R>(self, batch: &ColumnBatch, row: usize, f: impl FnOnce(&Value) -> R) -> R {
+        match self {
+            Operand::Col(c) => batch.column(c).with_value(row, f),
+            Operand::Const(v) => f(v),
+        }
+    }
+}
+
+/// The comparisons between columns and constants whose conjunction `expr`
+/// is, if that is all it is: a comparison raises no error and is `true` or
+/// not, so a row passes exactly when every one of them holds.
+fn conjoined_comparisons<'a>(expr: &'a BoundExpr, width: usize, out: &mut Vec<(Func, Operand<'a>, Operand<'a>)>) -> bool {
+    let operand = |e: &'a BoundExpr| match e {
+        BoundExpr::Col(c) if *c < width => Some(Operand::Col(*c)),
+        BoundExpr::Const(v) => Some(Operand::Const(v)),
+        _ => None,
+    };
+    match expr {
+        BoundExpr::Call(Func::And, args) => args.iter().all(|a| conjoined_comparisons(a, width, out)),
+        BoundExpr::Call(f @ (Func::Eq | Func::Ne | Func::Lt | Func::Le | Func::Gt | Func::Ge), args) => {
+            let [a, b] = &args[..] else { return false };
+            let (Some(a), Some(b)) = (operand(a), operand(b)) else { return false };
+            out.push((*f, a, b));
+            true
+        }
+        _ => false,
+    }
+}
+
+/// The rows in play of `batch` for which `expr` is `true`, ascending — what
+/// a select keeps. A conjunction of comparisons between columns and
+/// constants narrows the selection one comparison at a time, reading the
+/// values where the columns hold them; anything else is evaluated a row at
+/// a time.
+pub fn select_batch(expr: &BoundExpr, batch: &ColumnBatch) -> Result<Vec<u32>> {
+    let mut keep: Vec<u32> = batch.row_ids().map(|i| i as u32).collect();
+    let mut comparisons = Vec::new();
+    if !conjoined_comparisons(expr, batch.width(), &mut comparisons) {
+        let mut row = RowOf::new(expr, batch);
+        let mut failed = None;
+        keep.retain(|&i| match eval(expr, row.at(i as usize)) {
+            _ if failed.is_some() => false,
+            Ok(v) => v == Value::Bool(true),
+            Err(e) => {
+                failed = Some(e);
+                false
+            }
+        });
+        return failed.map_or(Ok(keep), Err);
+    }
+    for (f, a, b) in comparisons {
+        let known_and_holds = |x: &Value, y: &Value| !x.is_unknown() && !y.is_unknown() && compare(f, x, y);
+        keep.retain(|&i| a.with(batch, i as usize, |x| b.with(batch, i as usize, |y| known_and_holds(x, y))));
+    }
+    Ok(keep)
+}
+
 fn eval_logic(f: Func, args: &[BoundExpr], tuple: &[Value]) -> Result<Value> {
     // three-valued logic; MISSING treated as NULL per SQL++ boolean rules
     let mut saw_unknown = false;
@@ -587,24 +733,7 @@ fn apply_strict(f: Func, vals: &[Value]) -> Result<Value> {
         }
         Eq | Ne | Lt | Le | Gt | Ge => {
             arity(2)?;
-            let (a, b) = (&vals[0], &vals[1]);
-            // comparisons across incomparable types are errors in SQL++;
-            // we are lenient and use the total order, except Eq/Ne use ADM
-            // equality directly.
-            let r = match f {
-                Eq => adm_eq(a, b),
-                Ne => !adm_eq(a, b),
-                Lt => total_cmp(a, b) == Ordering::Less,
-                Le => total_cmp(a, b) != Ordering::Greater,
-                Gt => total_cmp(a, b) == Ordering::Greater,
-                Ge => total_cmp(a, b) != Ordering::Less,
-                _ => {
-                    return Err(AlgebricksError::Plan(
-                        "non-comparison function in comparison evaluation".into(),
-                    ))
-                }
-            };
-            Value::Bool(r)
+            Value::Bool(compare(f, &vals[0], &vals[1]))
         }
         Not => {
             arity(1)?;
@@ -927,6 +1056,74 @@ mod tests {
 
     fn ev(e: &Expr, tuple: &[Value], schema: &[VarId]) -> Value {
         eval(&bind(e, schema).unwrap(), tuple).unwrap()
+    }
+
+    /// Over a batch, an expression answers row for row what it answers
+    /// over the tuples built from it — as a predicate (a conjunction of
+    /// comparisons narrows the selection where the values lie, anything else
+    /// goes row by row) and as a value — also for rows no longer in play,
+    /// rows without a value, a `null` among integers and an error.
+    #[test]
+    fn a_batch_answers_like_its_rows() {
+        let rows: Vec<Vec<Value>> = (0..40i64)
+            .map(|i| {
+                let c0 = if i % 7 == 3 { Value::Missing } else { Value::Int(i % 10) };
+                let c1 = Value::from(["a", "b", "c"][i as usize % 3]);
+                let c2 = match i % 5 {
+                    0 => Value::Null,
+                    1 => Value::Double(i as f64 / 2.0),
+                    2 => Value::from("x"),
+                    _ => Value::Int(i),
+                };
+                vec![c0, c1, c2]
+            })
+            .collect();
+        let columns = (0..3).map(|c| {
+            let mut column = Column::new();
+            rows.iter().for_each(|row| column.push_value(row[c].clone()));
+            column
+        });
+        let mut batch = ColumnBatch::new(columns.collect(), rows.len()).unwrap();
+        assert_eq!(batch.column(0).int_at(4), Some(4), "a vector of i64");
+        let col = |c| Expr::Var(c);
+        let int = |i| Expr::Const(Value::Int(i));
+        let cmp = |f, a, b| Expr::bin(f, a, b);
+        let exprs = [
+            cmp(Func::And, cmp(Func::Ge, col(0), int(3)), cmp(Func::Lt, col(0), int(7))),
+            cmp(Func::Eq, col(1), Expr::Const(Value::from("b"))),
+            cmp(Func::Gt, col(2), int(11)),
+            cmp(Func::Eq, Expr::Const(Value::Double(2.0)), col(0)),
+            cmp(Func::Ne, col(0), col(2)),
+            cmp(Func::Le, col(0), Expr::Const(Value::Null)),
+            Expr::Call(Func::Not, vec![cmp(Func::Eq, col(0), int(1))]),
+            cmp(Func::And, cmp(Func::Gt, cmp(Func::Add, col(0), int(1)), int(3)), cmp(Func::Ne, col(1), Expr::Const(Value::from("a")))),
+            cmp(Func::Or, Expr::Call(Func::IsMissing, vec![col(0)]), cmp(Func::Eq, col(2), Expr::Const(Value::from("x")))),
+            // an error on the rows whose `c2` is a string
+            cmp(Func::Gt, cmp(Func::Add, col(2), int(1)), int(3)),
+            col(0),
+            Expr::Const(Value::from("k")),
+            Expr::field(col(2), "nope"),
+        ];
+        for selected in [false, true] {
+            if selected {
+                batch.select((0..40).filter(|i| i % 4 != 1).collect());
+            }
+            for e in &exprs {
+                let bound = bind(e, &[0, 1, 2]).unwrap();
+                let by_row: Result<Vec<(usize, Value)>> =
+                    batch.row_ids().map(|i| Ok((i, eval(&bound, &batch.tuple(i))?))).collect();
+                match (by_row, select_batch(&bound, &batch), eval_batch(&bound, &batch)) {
+                    (Ok(by_row), Ok(kept), Ok(column)) => {
+                        let want: Vec<u32> = by_row.iter().filter(|(_, v)| *v == Value::Bool(true)).map(|(i, _)| *i as u32).collect();
+                        assert_eq!(kept, want, "{e} as a predicate");
+                        assert_eq!(column.len(), batch.len());
+                        assert!(by_row.iter().all(|(i, v)| column.get(*i) == *v), "{e} as a value");
+                    }
+                    (Err(_), Err(_), Err(_)) => assert!(e.to_string().starts_with("gt(add($2"), "{e} failed"),
+                    other => panic!("{e}: rows, selection and column disagree: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,40 @@
 //! pre-aggregation happens before the shuffle.
 
 use crate::error::{AlgebricksError, Result};
-use crate::expr::{bind, eval, Expr, Func};
+use crate::expr::{bind, eval, eval_batch, select_batch, BoundExpr, Expr, Func};
 use crate::plan::{AggFunc, JoinKind, LogicalOp, Plan, VarId};
-use asterix_adm::Value;
+use asterix_adm::{Column, ColumnBatch, Value};
 use asterix_hyracks::job::{
     AggPhase, AggSpec, ConnStrategy, EvalFn, JobSpec, JoinKind as HJoinKind, OpId, OpKind, Pred2Fn, PredFn,
-    SortKey, SourceFactory,
+    Predicate, Scalar, SortKey, SourceFactory,
 };
+use asterix_hyracks::Tuple;
+use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A bound expression as the runtime's evaluator and predicate (a tuple
+/// passes when the expression is `true`), over tuples and over batches.
+struct Bound(BoundExpr);
+
+impl Scalar for Bound {
+    fn eval(&self, t: &Tuple) -> asterix_hyracks::Result<Value> {
+        Ok(eval(&self.0, t)?)
+    }
+
+    fn eval_batch(&self, batch: &ColumnBatch) -> asterix_hyracks::Result<Arc<Column>> {
+        Ok(eval_batch(&self.0, batch)?)
+    }
+}
+
+impl Predicate for Bound {
+    fn test(&self, t: &Tuple) -> asterix_hyracks::Result<bool> {
+        Ok(eval(&self.0, t)? == Value::Bool(true))
+    }
+
+    fn select(&self, batch: &ColumnBatch) -> asterix_hyracks::Result<Vec<u32>> {
+        Ok(select_batch(&self.0, batch)?)
+    }
+}
 
 /// Tuning knobs for physical plan generation.
 #[derive(Debug, Clone)]
@@ -49,6 +75,7 @@ pub fn compile(plan: &Plan, cfg: &JobGenConfig) -> Result<JobSpec> {
         spec: JobSpec::new(),
         cfg,
         hidden: usize::MAX,
+        field_vars: HashMap::new(),
     };
     let LogicalOp::DistributeResult { input, exprs } = &plan.root else {
         return Err(AlgebricksError::Plan(
@@ -118,6 +145,10 @@ struct Builder<'a> {
     spec: JobSpec,
     cfg: &'a JobGenConfig,
     hidden: usize,
+    /// The column variable of `$v.f`, for every scan variable `$v` the plan
+    /// reads through its fields alone: such a scan yields a column per
+    /// field, and `$v` itself is in no schema.
+    field_vars: HashMap<(VarId, String), VarId>,
 }
 
 impl<'a> Builder<'a> {
@@ -127,16 +158,37 @@ impl<'a> Builder<'a> {
         v
     }
 
+    /// `e` with each `$v.f` that a scan yields as a column replaced by that
+    /// column's variable.
+    fn over_columns(&self, e: &Expr) -> Expr {
+        let over = |e: &Expr| self.over_columns(e);
+        match e {
+            Expr::Field(base, name) => {
+                let column = match **base {
+                    Expr::Var(v) => self.field_vars.get(&(v, name.clone())),
+                    _ => None,
+                };
+                column.map_or_else(|| Expr::Field(Box::new(over(base)), name.clone()), |c| Expr::Var(*c))
+            }
+            Expr::Var(_) | Expr::Const(_) => e.clone(),
+            Expr::Index(base, index) => Expr::Index(Box::new(over(base)), Box::new(over(index))),
+            Expr::Call(f, args) => Expr::Call(*f, args.iter().map(over).collect()),
+            Expr::Case(arms, els) => {
+                Expr::Case(arms.iter().map(|(c, t)| (over(c), over(t))).collect(), Box::new(over(els)))
+            }
+        }
+    }
+
+    fn bound(&self, e: &Expr, schema: &[VarId]) -> Result<Arc<Bound>> {
+        Ok(Arc::new(Bound(bind(&self.over_columns(e), schema)?)))
+    }
+
     fn make_eval(&self, e: &Expr, schema: &[VarId]) -> Result<EvalFn> {
-        let bound = bind(e, schema)?;
-        Ok(Arc::new(move |t| eval(&bound, t).map_err(Into::into)))
+        Ok(self.bound(e, schema)?)
     }
 
     fn make_pred(&self, e: &Expr, schema: &[VarId]) -> Result<PredFn> {
-        let bound = bind(e, schema)?;
-        Ok(Arc::new(move |t| {
-            Ok(matches!(eval(&bound, t)?, Value::Bool(true)))
-        }))
+        Ok(self.bound(e, schema)?)
     }
 
     /// Appends an Assign computing `exprs`, returning the new Built with
@@ -184,13 +236,26 @@ impl<'a> Builder<'a> {
                     Some(a) => source.index_scan(a, fields)?,
                 };
                 let partitions = source.partitions();
-                let fields = crate::plan::field_set(fields);
+                let set = crate::plan::field_set(fields);
                 let label = match access {
-                    None => format!("scan:{}{fields}", source.name()),
-                    Some(a) => format!("iscan:{}#{}{fields}", source.name(), a.index),
+                    None => format!("scan:{}{set}", source.name()),
+                    Some(a) => format!("iscan:{}#{}{set}", source.name(), a.index),
                 };
                 let id = self.spec.add(OpKind::Source(factory), partitions, label);
-                Ok(Built { op: id, partitions, schema: vec![*var], local_order: None })
+                // the record whole under its variable, or a column per field
+                // it is read through, each under a variable of its own
+                let schema = match fields.as_slice() {
+                    [] => vec![*var],
+                    names => names
+                        .iter()
+                        .map(|name| {
+                            let column = self.hidden_var();
+                            self.field_vars.insert((*var, name.clone()), column);
+                            column
+                        })
+                        .collect(),
+                };
+                Ok(Built { op: id, partitions, schema, local_order: None })
             }
             LogicalOp::Select { input, condition } => {
                 let built = self.compile_op(input)?;
@@ -390,6 +455,7 @@ impl<'a> Builder<'a> {
     ) -> Result<Built> {
         let lb = self.compile_op(left)?;
         let rb = self.compile_op(right)?;
+        let condition = &self.over_columns(condition);
         // split the condition into equi pairs and residual conjuncts
         let mut left_keys: Vec<Expr> = Vec::new();
         let mut right_keys: Vec<Expr> = Vec::new();

@@ -112,10 +112,11 @@ pub trait DataSource: Send + Sync {
     /// Number of storage partitions (the scan's natural parallelism).
     fn partitions(&self) -> usize;
 
-    /// Full-scan factory; each produced tuple is `[record]`. The plan reads
-    /// the records only through the top-level fields named in `fields`
-    /// (empty: it wants them whole), so a record may come without the
-    /// others; a source that yields more than was asked for is correct too.
+    /// Full-scan factory. The plan reads the records only through the
+    /// top-level fields named in `fields`, and each produced tuple holds
+    /// those, a column each in that order (`MISSING` where a record has
+    /// none) — or, when `fields` is empty, the one column of the records
+    /// whole ([`record_columns`]).
     fn scan(&self, fields: &[String]) -> Result<Arc<dyn SourceFactory>>;
 
     /// Field paths of the primary key the records are stored (and
@@ -129,7 +130,8 @@ pub trait DataSource: Send + Sync {
         Vec::new()
     }
 
-    /// Opens an index access path: yields `[record]` tuples of records
+    /// Opens an index access path: yields, in the columns of
+    /// [`DataSource::scan`], the records
     /// matching the probe (a superset is fine: the optimizer keeps the
     /// predicate as a residual select). For a secondary index,
     /// implementations apply the secondary-key search, sort the resulting
@@ -141,6 +143,15 @@ pub trait DataSource: Send + Sync {
             "data source {} has no index access paths",
             self.name()
         )))
+    }
+}
+
+/// The tuple a source yields for `record` when asked for `fields`: a column
+/// per field, or the record whole when there are none.
+pub fn record_columns(record: Value, fields: &[String]) -> asterix_hyracks::Tuple {
+    match fields {
+        [] => vec![record],
+        fields => fields.iter().map(|f| record.field(f).clone()).collect(),
     }
 }
 
@@ -171,11 +182,11 @@ impl DataSource for VecSource {
         self.partitions.len().max(1)
     }
 
-    fn scan(&self, _fields: &[String]) -> Result<Arc<dyn SourceFactory>> {
-        let parts = self.partitions.clone();
+    fn scan(&self, fields: &[String]) -> Result<Arc<dyn SourceFactory>> {
+        let (parts, fields) = (self.partitions.clone(), fields.to_vec());
         Ok(Arc::new(asterix_hyracks::job::FnSource(move |p: usize| {
-            let records = parts.get(p).cloned().unwrap_or_default();
-            Ok(Box::new(records.into_iter().map(|r| Ok(vec![r])))
+            let (records, fields) = (parts.get(p).cloned().unwrap_or_default(), fields.clone());
+            Ok(Box::new(records.into_iter().map(move |r| Ok(record_columns(r, &fields))))
                 as Box<
                     dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send,
                 >)
@@ -195,11 +206,15 @@ mod tests {
         );
         assert_eq!(src.partitions(), 2);
         let factory = src.scan(&[]).unwrap();
-        let p0: Vec<_> = factory.open(0).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(p0.len(), 2);
-        assert_eq!(p0[0], vec![Value::Int(1)]);
-        let p1: Vec<_> = factory.open(1).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(p1.len(), 1);
+        let tuples = |p: usize| -> Vec<_> {
+            let produced = factory.open(p).unwrap().map(|r| r.unwrap());
+            produced.map(|t| match t {
+                asterix_hyracks::job::Produced::Tuple(t) => t,
+                other => panic!("a source of tuples handed out {other:?}"),
+            }).collect()
+        };
+        assert_eq!(tuples(0), vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+        assert_eq!(tuples(1).len(), 1);
     }
 
     #[test]

@@ -24,13 +24,13 @@ use asterix_adm::binary::{encode, encode_key, key_prefix_end, prepend_key_part, 
 use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
-use asterix_adm::{Point, Projection, RecordLayout, Rectangle, Value};
+use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmStats, LsmTree, MergePolicy, Projected};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
-use std::ops::{Bound, ControlFlow};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -615,43 +615,34 @@ impl DatasetPartition {
         Ok(())
     }
 
-    /// Appends to `out` the next `limit` records, in primary-key order, whose
-    /// leading key field lies in `range` — those past the key `after`, from
-    /// the start of the range without one — each holding what `wanted` names
-    /// (see [`RecordSchema::resolve`]): of a disk component, the chunks of
-    /// those fields are all that is read. Returns the key to pass as `after`
-    /// to read on, `None` once the range has no more: a reader takes a
-    /// bounded batch per call and holds the partition only for that long.
+    /// The next `limit` records at most, in primary-key order, whose leading
+    /// key field lies in `range` — those past the key `after`, from the start
+    /// of the range without one — as a batch of what `wanted` names (see
+    /// [`RecordSchema::resolve`]), a column each: of a disk component, the
+    /// chunks of those fields are all that is read, a chunk at a time. With
+    /// it the key to pass as `after` to read on, `None` once the range has
+    /// no more: a reader takes a bounded batch per call and holds the
+    /// partition only for that long.
     pub fn read_range(
         &self,
         range: &KeyRange,
         after: Option<&[u8]>,
         wanted: &Projection,
         limit: usize,
-        out: &mut Vec<Value>,
-    ) -> Result<Option<Vec<u8>>> {
-        let mut last = None;
-        let full = out.len() + limit;
-        leading_field_range(&self.primary, range, after, Some(wanted.cells()), |key, stored| {
-            out.push(self.schema.project(wanted, stored)?);
-            Ok(if out.len() < full {
-                ControlFlow::Continue(())
-            } else {
-                last = Some(key.to_vec());
-                ControlFlow::Break(())
-            })
-        })?;
-        Ok(last)
+    ) -> Result<(ColumnBatch, Option<Vec<u8>>)> {
+        let mut batch = BatchBuilder::new(&self.schema.layout, wanted);
+        let last = leading_field_reader(&self.primary, range, after, None)?.fill(&mut batch, limit)?;
+        Ok((batch.finish().map_err(CoreError::Adm)?, last))
     }
 
-    /// Appends to `out` the records stored under `pks`, in that order, each
-    /// holding what `wanted` names; a key with no record adds none.
-    pub fn read_keys(&self, pks: &[Vec<u8>], wanted: &Projection, out: &mut Vec<Value>) -> Result<()> {
+    /// The records stored under `pks`, in that order, as a batch of what
+    /// `wanted` names; a key with no record adds no row.
+    pub fn read_keys(&self, pks: &[Vec<u8>], wanted: &Projection) -> Result<ColumnBatch> {
+        let mut batch = BatchBuilder::new(&self.schema.layout, wanted);
         for pk in pks {
-            let read = self.primary.get_with(pk, wanted.cells(), |stored| self.schema.project(wanted, stored))?;
-            out.extend(read.transpose()?);
+            self.primary.get_into(pk, &mut batch)?;
         }
-        Ok(())
+        batch.finish().map_err(CoreError::Adm)
     }
 
     /// Candidate PKs from a secondary B+ tree index for `range` on the
@@ -663,10 +654,10 @@ impl DatasetPartition {
         };
         // entries are `(secondary key, pk...)`: what follows the key is the pk
         let mut pks = Vec::new();
-        leading_field_range(tree, range, None, None, |key, _| {
+        let mut entries = leading_field_reader(tree, range, None, None)?;
+        while let Some((key, _)) = entries.next_entry()? {
             pks.push(strip_key_part(key).map_err(CoreError::Adm)?.to_vec());
-            Ok(ControlFlow::Continue(()))
-        })?;
+        }
         Ok(pks)
     }
 
@@ -725,19 +716,18 @@ pub struct KeyRange {
     pub hi_inclusive: bool,
 }
 
-/// Walks the entries of `tree` whose leading key part lies within `range` —
-/// those past the key `after`, if one is given — handing `each` the key and
-/// the value, or the cells `wanted` of it (see [`LsmTree::reader`]), until
-/// it breaks. Both ends of the range are byte bounds — the keys with leading
-/// part `v` are those from `v`'s one-part key up to [`key_prefix_end`] of it —
-/// so the walk touches the matches, decodes no key and copies no entry.
-fn leading_field_range(
-    tree: &LsmTree,
+/// A reader of the entries of `tree` whose leading key part lies within
+/// `range` — those past the key `after`, if one is given — handing out
+/// values, or the cells `wanted` of them (see [`LsmTree::reader`]). Both ends
+/// of the range are byte bounds — the keys with leading part `v` are those
+/// from `v`'s one-part key up to [`key_prefix_end`] of it — so the read
+/// touches the matches, decodes no key and copies no entry.
+fn leading_field_reader<'t>(
+    tree: &'t LsmTree,
     range: &KeyRange,
     after: Option<&[u8]>,
     wanted: Option<&[usize]>,
-    mut each: impl FnMut(&[u8], Projected<'_>) -> Result<ControlFlow<()>>,
-) -> Result<()> {
+) -> Result<LsmReader<'t>> {
     // where the keys `v` leads begin, and where they end
     let first = |v: &Value| encode_key(std::slice::from_ref(v));
     let past = |v: &Value| key_prefix_end(first(v));
@@ -749,13 +739,7 @@ fn leading_field_range(
         (None, None) => Bound::Unbounded,
     };
     let end = hi.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
-    let mut entries = tree.reader(start, end, wanted)?;
-    while let Some((key, stored)) = entries.next_entry()? {
-        if each(key, stored)?.is_break() {
-            break;
-        }
-    }
-    Ok(())
+    Ok(tree.reader(start, end, wanted)?)
 }
 
 /// Sorts candidate primary keys and drops the repeats — "sorting object
@@ -864,6 +848,11 @@ mod tests {
         KeyRange { lo: Some(Value::Int(v)), lo_inclusive: true, hi: Some(Value::Int(v)), hi_inclusive: true }
     }
 
+    /// The first column of `batch`, row by row.
+    fn records(batch: ColumnBatch) -> Vec<Value> {
+        batch.into_rows().map(|mut row| row.remove(0)).collect()
+    }
+
     fn setup() -> (DatasetPartition, std::path::PathBuf) {
         let (node, p) = tmp_node();
         (create(&def_with_indexes(), node), p)
@@ -872,13 +861,12 @@ mod tests {
     /// The leading parts, in key order, of what a walk of `range` hands out.
     fn leads(tree: &LsmTree, range: &KeyRange, after: Option<&[u8]>) -> Vec<(Value, i64)> {
         let mut out = Vec::new();
-        leading_field_range(tree, range, after, None, |key, _| {
+        let mut entries = leading_field_reader(tree, range, after, None).unwrap();
+        while let Some((key, _)) = entries.next_entry().unwrap() {
             let mut parts = asterix_adm::binary::decode_key(key).unwrap();
             let pk = parts.pop().unwrap().as_i64().unwrap();
             out.push((parts.pop().unwrap(), pk));
-            Ok(ControlFlow::Continue(()))
-        })
-        .unwrap();
+        }
         out
     }
 
@@ -947,11 +935,7 @@ mod tests {
         }
         assert_eq!(part.count().unwrap(), 100);
         let pk = encode_key(&[Value::Int(42)]);
-        let get = |part: &DatasetPartition| {
-            let mut got = Vec::new();
-            part.read_keys(std::slice::from_ref(&pk), &part.schema.resolve(&[]), &mut got).unwrap();
-            got.pop()
-        };
+        let get = |part: &DatasetPartition| records(part.read_keys(std::slice::from_ref(&pk), &part.schema.resolve(&[])).unwrap()).pop();
         assert_eq!(get(&part).unwrap().field("author"), &Value::Int(2));
         let removed = part.delete(&pk).unwrap().unwrap();
         assert_eq!(removed.field("id"), &Value::Int(42));
@@ -1019,8 +1003,7 @@ mod tests {
         part.upsert(&record(3, 0, 0.0, "little tiny data")).unwrap();
         let pks = part.keyword_index_pks("byText", "big data").unwrap();
         assert_eq!(pks.len(), 2);
-        let mut recs = Vec::new();
-        part.read_keys(&pks, &part.schema.resolve(&[]), &mut recs).unwrap();
+        let recs = records(part.read_keys(&pks, &part.schema.resolve(&[])).unwrap());
         assert!(recs.iter().all(|r| r.field("text").as_str().unwrap().contains("big")));
         let _ = std::fs::remove_dir_all(p);
     }
@@ -1034,11 +1017,10 @@ mod tests {
         let pk = |i: i64| encode_key(&[Value::Int(i)]);
         let mut pks = vec![pk(5), pk(3), pk(5), pk(1), pk(77)];
         sort_pks(&mut pks);
-        let mut recs = Vec::new();
-        part.read_keys(&pks, &part.schema.resolve(&["id".into()]), &mut recs).unwrap();
-        let ids: Vec<Value> = recs.iter().map(|r| r.field("id").clone()).collect();
+        let ids = part.read_keys(&pks, &part.schema.resolve(&["id".into()])).unwrap();
+        assert_eq!(ids.width(), 1, "the field asked for, a column");
+        let ids: Vec<Value> = records(ids);
         assert_eq!(ids, [Value::Int(1), Value::Int(3), Value::Int(5)], "key order, no repeat, no record for 77");
-        assert_eq!(recs[0].as_object().unwrap().len(), 1, "decoded to the field asked for");
         let _ = std::fs::remove_dir_all(p);
     }
 
@@ -1052,8 +1034,10 @@ mod tests {
             KeyRange { lo: Some(Value::Int(2)), lo_inclusive: false, hi: Some(Value::Int(8)), hi_inclusive: true };
         let (mut recs, mut after, mut calls) = (Vec::new(), None, 0);
         loop {
-            after = part.read_range(&range, after.as_deref(), &part.schema.resolve(&[]), 4, &mut recs).unwrap();
+            let (batch, last) = part.read_range(&range, after.as_deref(), &part.schema.resolve(&[]), 4).unwrap();
+            recs.extend(records(batch));
             calls += 1;
+            after = last;
             if after.is_none() {
                 break;
             }

@@ -8,11 +8,11 @@ use crate::error::{CoreError, Result as CoreResult};
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::binary::encode_key;
-use asterix_adm::{Projection, Value};
+use asterix_adm::{ColumnBatch, Projection};
 use asterix_algebricks::error::{AlgebricksError, Result as AlgResult};
-use asterix_algebricks::source::{AccessPath, DataSource, IndexInfo, IndexRange};
+use asterix_algebricks::source::{record_columns, AccessPath, DataSource, IndexInfo, IndexRange};
 use asterix_algebricks::source::IndexKind as AlgIndexKind;
-use asterix_hyracks::job::{FnSource, SourceFactory};
+use asterix_hyracks::job::{FnSource, Produced, SourceFactory, SourceStream};
 use asterix_storage::lock_order::OrderedRwLock;
 use std::sync::Arc;
 
@@ -59,14 +59,13 @@ impl DatasetSource {
     }
 }
 
-type TupleStream = Box<dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send>;
-
-fn no_tuples() -> TupleStream {
+fn no_tuples() -> SourceStream {
     Box::new(std::iter::empty())
 }
 
-/// Records a source reads per acquisition of a partition's read lock.
-pub const SCAN_BATCH: usize = 1024;
+/// Records a source reads per acquisition of a partition's read lock: a
+/// batch of columns.
+pub const SCAN_BATCH: usize = asterix_adm::BATCH_ROWS;
 
 /// What a cursor has left to read of its partition.
 #[derive(Clone)]
@@ -82,29 +81,29 @@ enum Reading {
     Done,
 }
 
-/// One partition's stream of `[record]` tuples, read a batch at a time: the
-/// partition's read lock is taken to refill the batch and released before a
-/// tuple of it is handed out, so a cursor that is parked — or dropped half
-/// way — holds nothing a writer waits for, and never more than a batch of
-/// records. What it yields is consistent batch by batch, not across them.
+/// One partition's records as a stream of column batches — whatever the
+/// access path: a point get is a batch of one. The partition's read lock is
+/// taken to read a batch and released before it is handed out, so a cursor
+/// that is parked — or dropped half way — holds nothing a writer waits for,
+/// and never more than a batch of records. What it yields is consistent
+/// batch by batch, not across them.
 struct Cursor {
     partition: Arc<OrderedRwLock<DatasetPartition>>,
-    /// What is read of each record: the top-level fields the query names
-    /// (all of them if none), resolved against the dataset's layout once.
+    /// What is read of each record, a column each: the top-level fields the
+    /// query names (the record whole if none), resolved against the
+    /// dataset's layout once.
     wanted: Arc<Projection>,
     reading: Reading,
-    batch: std::vec::IntoIter<Value>,
 }
 
 impl Cursor {
     /// Reads the next batch and moves `reading` past it.
-    fn refill(&mut self) -> CoreResult<()> {
+    fn read(&mut self) -> CoreResult<ColumnBatch> {
         let part = self.partition.read(); // xlint: lock(lsm_component)
         // Checked batch by batch: a node killed under a running scan ends it
         // with the *typed* transient error the instance retry policy re-runs
         // the query for, not with a short answer.
         part.node().check_alive()?;
-        let mut batch = Vec::new();
         if let Reading::Probe { index, range, sorted } = &self.reading {
             let mut pks = match range {
                 IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => part.btree_index_pks(
@@ -129,50 +128,50 @@ impl Cursor {
         }
         match &mut self.reading {
             Reading::Range { range, after } => {
-                *after = part.read_range(range, after.as_deref(), &self.wanted, SCAN_BATCH, &mut batch)?;
-                if after.is_none() {
-                    self.reading = Reading::Done;
+                let (batch, last) = part.read_range(range, after.as_deref(), &self.wanted, SCAN_BATCH)?;
+                match last {
+                    Some(key) => *after = Some(key),
+                    None => self.reading = Reading::Done,
                 }
+                Ok(batch)
             }
             Reading::Keys { pks, next } => {
                 let upto = pks.len().min(*next + SCAN_BATCH);
-                part.read_keys(&pks[*next..upto], &self.wanted, &mut batch)?;
+                let batch = part.read_keys(&pks[*next..upto], &self.wanted)?;
                 *next = upto;
                 if upto == pks.len() {
                     self.reading = Reading::Done;
                 }
+                Ok(batch)
             }
-            Reading::Probe { .. } | Reading::Done => {}
+            Reading::Probe { .. } | Reading::Done => Ok(ColumnBatch::default()),
         }
-        self.batch = batch.into_iter();
-        Ok(())
     }
 }
 
 impl Iterator for Cursor {
-    type Item = asterix_hyracks::Result<asterix_hyracks::Tuple>;
+    type Item = asterix_hyracks::Result<Produced>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if let Some(record) = self.batch.next() {
-                return Some(Ok(vec![record]));
-            }
-            if matches!(self.reading, Reading::Done) {
-                return None;
-            }
-            if let Err(e) = self.refill() {
-                self.reading = Reading::Done;
-                return Some(Err(match e {
-                    CoreError::NodeDown(id) => asterix_hyracks::HyracksError::NodeDown(id),
-                    e => asterix_hyracks::HyracksError::Eval(e.to_string()),
-                }));
+        while !matches!(self.reading, Reading::Done) {
+            match self.read() {
+                Ok(batch) if batch.is_empty() => {}
+                Ok(batch) => return Some(Ok(Produced::Batch(batch))),
+                Err(e) => {
+                    self.reading = Reading::Done;
+                    return Some(Err(match e {
+                        CoreError::NodeDown(id) => asterix_hyracks::HyracksError::NodeDown(id),
+                        e => asterix_hyracks::HyracksError::Eval(e.to_string()),
+                    }));
+                }
             }
         }
+        None
     }
 }
 
 /// The one shape every access path of a dataset has: per partition, a
-/// [`Cursor`] over `reading` yielding records that hold `fields`.
+/// [`Cursor`] over `reading` yielding `fields` of the records, a column each.
 fn records_factory(
     runtime: &DatasetRuntime,
     fields: &[String],
@@ -180,7 +179,7 @@ fn records_factory(
 ) -> Arc<dyn SourceFactory> {
     let partitions = runtime.partitions.clone();
     let wanted = Arc::new(runtime.schema.resolve(fields));
-    Arc::new(FnSource(move |p: usize| {
+    Arc::new(move |p: usize| {
         let partition = partitions
             .get(p)
             .ok_or_else(|| asterix_hyracks::HyracksError::Eval(format!("no partition {p}")))?;
@@ -188,9 +187,8 @@ fn records_factory(
             partition: Arc::clone(partition),
             wanted: Arc::clone(&wanted),
             reading: reading.clone(),
-            batch: Vec::new().into_iter(),
-        }) as TupleStream)
-    }))
+        }) as SourceStream)
+    })
 }
 
 impl DataSource for DatasetSource {
@@ -231,7 +229,7 @@ impl DataSource for DatasetSource {
     fn index_scan(&self, path: &AccessPath, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
         let range = path.range.clone();
         if range.is_empty() {
-            return Ok(Arc::new(FnSource(|_p: usize| Ok(no_tuples()))));
+            return Ok(Arc::new(|_p: usize| Ok(no_tuples())));
         }
         if path.kind == AlgIndexKind::Primary {
             return Ok(match range {
@@ -244,13 +242,7 @@ impl DataSource for DatasetSource {
                     let owner = partition_of(&key, self.runtime.partitions.len()) as usize;
                     let owning =
                         records_factory(&self.runtime, fields, Reading::Keys { pks: vec![key], next: 0 });
-                    Arc::new(FnSource(move |p: usize| {
-                        if p == owner {
-                            owning.open(p)
-                        } else {
-                            Ok(no_tuples())
-                        }
-                    }))
+                    Arc::new(move |p: usize| if p == owner { owning.open(p) } else { Ok(no_tuples()) })
                 }
                 IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => records_factory(
                     &self.runtime,
@@ -298,14 +290,16 @@ impl DataSource for ExternalSource {
         1
     }
 
-    fn scan(&self, _fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
+    fn scan(&self, fields: &[String]) -> AlgResult<Arc<dyn SourceFactory>> {
         let cfg = self.config.clone();
         let ty = self.record_type.clone();
         let registry = self.registry.clone();
+        let fields = fields.to_vec();
         Ok(Arc::new(FnSource(move |_p: usize| {
             let records = crate::external::read_external(&cfg, ty.as_ref(), &registry)
                 .map_err(|e| asterix_hyracks::HyracksError::Eval(e.to_string()))?;
-            Ok(Box::new(records.into_iter().map(|r| Ok(vec![r]))) as TupleStream)
+            let fields = fields.clone();
+            Ok(Box::new(records.into_iter().map(move |r| Ok(record_columns(r, &fields)))) as _)
         })))
     }
 }
@@ -317,6 +311,18 @@ mod tests {
     use crate::dataset::{Origin, StorageConfig};
     use crate::node::Node;
     use asterix_adm::parse::parse_value;
+    use asterix_adm::Value;
+
+    fn tuples(stream: SourceStream) -> Vec<asterix_hyracks::Tuple> {
+        let mut out = Vec::new();
+        for produced in stream {
+            match produced.unwrap() {
+                Produced::Tuple(t) => out.push(t),
+                Produced::Batch(batch) => out.extend(batch.into_rows()),
+            }
+        }
+        out
+    }
 
     fn runtime(n_parts: usize) -> (Arc<DatasetRuntime>, std::path::PathBuf) {
         let root = std::env::temp_dir().join(format!(
@@ -360,10 +366,7 @@ mod tests {
         }
         let src = DatasetSource::new(Arc::clone(&rt));
         let factory = src.scan(&[]).unwrap();
-        let mut total = 0;
-        for p in 0..3 {
-            total += factory.open(p).unwrap().count();
-        }
+        let total: usize = (0..3).map(|p| tuples(factory.open(p).unwrap()).len()).sum();
         assert_eq!(total, 30);
         assert_eq!(rt.count().unwrap(), 30);
         let _ = std::fs::remove_dir_all(root);
@@ -393,8 +396,7 @@ mod tests {
             .unwrap();
         let mut hits = 0;
         for p in 0..2 {
-            for t in factory.open(p).unwrap() {
-                let t = t.unwrap();
+            for t in tuples(factory.open(p).unwrap()) {
                 let v = t[0].field("v").as_i64().unwrap();
                 assert!((3..=4).contains(&v));
                 hits += 1;

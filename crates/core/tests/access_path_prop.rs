@@ -302,3 +302,67 @@ fn pinned_point_gets_across_deletes_overwrites_and_flushes() {
         run(partitions, &ops);
     }
 }
+
+/// More records than a batch or a leaf group holds (1 024 either): primary
+/// ranges that begin, end and straddle where a group ends, a secondary probe
+/// that fetches more keys than a batch takes, and a full scan — read whole
+/// and as columns — while everything is in flushed groups, with overwrites
+/// and delete markers in memory over them, and after those are flushed and
+/// merged in.
+#[test]
+fn pinned_reads_across_batch_and_group_boundaries() {
+    const N: i64 = 2_600;
+    let db = open(1);
+    let mut model: BTreeMap<i64, Value> = BTreeMap::new();
+    let write = |model: &mut BTreeMap<i64, Value>, ids: &mut dyn Iterator<Item = i64>, v: i64| {
+        let ids: Vec<i64> = ids.collect();
+        for chunk in ids.chunks(200) {
+            let mut txn = db.begin();
+            for id in chunk {
+                let record =
+                    asterix_adm::parse::parse_value(&format!(r#"{{"id": {id}, "a": {}, "v": {v}}}"#, id % 2)).unwrap();
+                txn.write("S", &record, true).unwrap();
+                model.insert(*id, record);
+            }
+            txn.commit().unwrap();
+        }
+    };
+    let atom = |field, op, value: i64| Atom { field, op, halves: 2 * value, as_double: false };
+    let preds = [
+        vec![atom("id", CmpOp::Ge, 1_000), atom("id", CmpOp::Lt, 1_100)],
+        vec![atom("id", CmpOp::Ge, 1_020), atom("id", CmpOp::Le, 1_030)],
+        vec![atom("id", CmpOp::Gt, 2_047)],
+        vec![atom("id", CmpOp::Lt, 1_024), atom("v", CmpOp::Eq, 1)],
+        vec![atom("a", CmpOp::Eq, 1)],
+        vec![atom("v", CmpOp::Ge, 0)],
+    ];
+    let check_all = |model: &BTreeMap<i64, Value>, state: &str| {
+        for pred in &preds {
+            check(&db, "S", model, pred, &["id", "a"]);
+            let conjuncts: Vec<String> = pred.iter().map(Atom::sql).collect();
+            let sql = format!("SELECT t.id AS id, t.v AS v FROM S t WHERE {}", conjuncts.join(" AND "));
+            let want: Vec<Value> = model
+                .values()
+                .filter(|r| pred.iter().all(|atom| atom.eval(r)))
+                .map(|r| Value::object(vec![("id".into(), r.field("id").clone()), ("v".into(), r.field("v").clone())]))
+                .collect();
+            assert_eq!(sorted(db.query(&sql).unwrap()), sorted(want), "{state}: {sql}");
+        }
+    };
+    write(&mut model, &mut (0..N), 0);
+    flush_and_merge(&db, 1);
+    check_all(&model, "flushed");
+
+    write(&mut model, &mut (0..N).step_by(7), 1);
+    write(&mut model, &mut [-3, N + 4].into_iter(), 1);
+    let mut txn = db.begin();
+    for id in (3..N).step_by(11) {
+        txn.delete("S", &asterix_adm::binary::encode_key(&[Value::Int(id)])).unwrap();
+        model.remove(&id);
+    }
+    txn.commit().unwrap();
+    check_all(&model, "rows over chunks");
+
+    flush_and_merge(&db, 1);
+    check_all(&model, "merged");
+}

@@ -3,9 +3,11 @@
 //! random groups, aggregated by each of the six functions on every route —
 //! grouped sugar, scalar sugar, both again without the local/global split,
 //! one partition against four, records still rows in the memory component
-//! against flushed and merged into column chunks, and AQL's `with $v` through
-//! the `COLL_*` functions — must all give the answer of a fold over the bag
-//! written here.
+//! against flushed and merged into column chunks against rows *over* chunks
+//! (every record an overwrite, in memory, of a flushed one with another group
+//! and value, beside delete markers for flushed records that are gone), and
+//! AQL's `with $v` through the `COLL_*` functions — must all give the answer
+//! of a fold over the bag written here.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
@@ -68,10 +70,22 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
-/// The rows in `D`: in its memory components, or — `on_disk` — flushed in two
-/// halves that are then merged, so that what a query reads are column chunks
-/// (`v`, which the type does not declare, out of the rest).
-fn load(rows: &[(i64, Value)], partitions: usize, local_aggregation: bool, on_disk: bool) -> Instance {
+/// Where the records a query reads are held.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Held {
+    /// In the memory components.
+    Rows,
+    /// Flushed in two halves that are then merged: column chunks (`v`, which
+    /// the type does not declare, out of the rest).
+    Chunks,
+    /// In the memory components, over a flushed component that holds, under
+    /// the same keys, records of another group and value — and a few more
+    /// that delete markers in memory hide.
+    RowsOverChunks,
+}
+
+/// The rows in `D`, held as `held` says.
+fn load(rows: &[(i64, Value)], partitions: usize, local_aggregation: bool, held: Held) -> Instance {
     let db = Instance::open(InstanceConfig {
         nodes: partitions.min(2),
         partitions,
@@ -93,13 +107,27 @@ fn load(rows: &[(i64, Value)], partitions: usize, local_aggregation: bool, on_di
             Value::object(fields)
         })
         .collect();
+    if held == Held::RowsOverChunks {
+        let mut txn = db.begin();
+        for id in 0..rows.len() as i64 + 3 {
+            let stale = Value::object(vec![("id".into(), Value::Int(id)), ("g".into(), Value::Int((id + 1) % GROUPS)), ("v".into(), Value::Int(77))]);
+            txn.write("D", &stale, true).unwrap();
+        }
+        txn.commit().unwrap();
+        db.flush_all().unwrap();
+        let mut txn = db.begin();
+        for id in rows.len() as i64..rows.len() as i64 + 3 {
+            txn.delete("D", &asterix_adm::binary::encode_key(&[Value::Int(id)])).unwrap();
+        }
+        txn.commit().unwrap();
+    }
     for half in records.chunks(records.len().div_ceil(2).max(1)) {
         let mut txn = db.begin();
         for record in half {
             txn.write("D", record, true).unwrap();
         }
         txn.commit().unwrap();
-        if on_disk {
+        if held == Held::Chunks {
             db.flush_all().unwrap();
         }
     }
@@ -138,9 +166,17 @@ proptest! {
             bags.get_mut(g).unwrap().push(v.clone());
         }
         const SUGAR: &str = "COUNT(*), COUNT(d.v), SUM(d.v), MIN(d.v), MAX(d.v), AVG(d.v)";
-        for (partitions, local, on_disk) in [(4, true, false), (4, false, true), (1, true, true), (1, false, false)] {
-            let db = load(&rows, partitions, local, on_disk);
-            let route = |kind: &str| format!("{kind}, {partitions} partitions, local={local}, on_disk={on_disk}");
+        let routes = [
+            (4, true, Held::Rows),
+            (4, false, Held::Chunks),
+            (1, true, Held::Chunks),
+            (1, false, Held::Rows),
+            (1, true, Held::RowsOverChunks),
+            (4, true, Held::RowsOverChunks),
+        ];
+        for (partitions, local, held) in routes {
+            let db = load(&rows, partitions, local, held);
+            let route = |kind: &str| format!("{kind}, {partitions} partitions, local={local}, {held:?}");
             let grouped = db
                 .query(&format!("SELECT VALUE [d.g, {SUGAR}] FROM D d GROUP BY d.g"))
                 .unwrap();

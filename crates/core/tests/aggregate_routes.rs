@@ -152,3 +152,40 @@ fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
         ["scan:D", "agg-input", "agg-global", "assign", "result-exprs", "result-project", "sink"]
     );
 }
+
+/// A `GROUP BY` over flushed records moves its input in batches: the scan,
+/// the assign that names the key and the local half of the aggregation hand
+/// on columns, and a tuple is routed on its own only from the local groups
+/// on — fewer of those than records scanned (2.6 times as many before a scan
+/// yielded columns). What a profile counts stays in rows.
+#[test]
+fn a_group_by_routes_fewer_tuples_one_at_a_time_than_it_scans_records() {
+    const RECORDS: u64 = 6_000;
+    let db = Instance::open(InstanceConfig { nodes: 1, partitions: 2, ..Default::default() }).unwrap();
+    db.execute_sqlpp("CREATE TYPE T AS { id: int, g: int }; CREATE DATASET D(T) PRIMARY KEY id;").unwrap();
+    for ids in (0..RECORDS).collect::<Vec<_>>().chunks(500) {
+        let mut txn = db.begin();
+        for id in ids {
+            let record = Value::object(vec![("id".into(), Value::Int(*id as i64)), ("g".into(), Value::Int((id % 300) as i64))]);
+            txn.write("D", &record, true).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    db.flush_all().unwrap();
+    let before = db.metrics_snapshot();
+    let handle = db.session().submit("SELECT d.g AS g, COUNT(*) AS n, SUM(d.id) AS s FROM D d GROUP BY d.g").unwrap();
+    let rows = handle.wait().unwrap();
+    assert_eq!(rows.len(), 300);
+    assert!(rows.iter().all(|r| r.field("n") == &Value::Int(20)));
+    let delta = db.metrics_snapshot().delta(&before);
+    let counter = |name: &str| delta.counter(&format!("hyracks.dataflow.{name}")).unwrap_or(0);
+    let profile = handle.profile().unwrap();
+    let op = |label: &str| profile.root.find(label).unwrap_or_else(|| panic!("no operator {label}")).totals();
+    let (scan, local) = (op("scan:D {g, id}"), op("group-local"));
+    assert_eq!((scan.tuples_out, scan.frames_out), (RECORDS, 6), "rows counted as rows, a batch one frame");
+    assert_eq!((local.tuples_in, local.frames_in), (RECORDS, 6));
+    assert!(local.tuples_out <= 600, "a group per key and partition");
+    assert_eq!(counter("batch_rows"), 2 * RECORDS, "scan to assign, assign to the local groups");
+    let moved = counter("tuples_moved");
+    assert!(moved < RECORDS && moved >= local.tuples_out, "{moved} tuples routed one at a time for {RECORDS} records");
+}

@@ -20,6 +20,7 @@ const INSTANCE: &str = "
     c core.serving.completed
     c core.serving.queue_cancelled
     c core.serving.rejected
+    c hyracks.dataflow.batch_rows
     c hyracks.dataflow.groups_spilled
     c hyracks.dataflow.joins_spilled
     c hyracks.dataflow.merge_passes

@@ -5,6 +5,7 @@
 use asterix_algebricks::source::DataSource;
 use asterix_core::sources::{DatasetSource, SCAN_BATCH};
 use asterix_core::{CoreError, Instance, InstanceConfig, RetryPolicy};
+use asterix_hyracks::job::Produced;
 use asterix_hyracks::HyracksError;
 use std::time::Duration;
 
@@ -133,8 +134,9 @@ fn a_node_killed_between_two_batches_ends_the_scan_with_the_typed_error() {
     let db = setup_sized(RetryPolicy::default(), 1, 3 * SCAN_BATCH);
     let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
     let mut scan = source.scan(&[]).unwrap().open(0).unwrap();
-    for _ in 0..SCAN_BATCH {
-        scan.next().expect("a first batch").unwrap();
+    match scan.next().expect("a first batch").unwrap() {
+        Produced::Batch(batch) => assert_eq!(batch.rows(), SCAN_BATCH),
+        Produced::Tuple(t) => panic!("a dataset's cursor handed out the tuple {t:?}"),
     }
     assert!(db.kill_node(0));
     match scan.next() {

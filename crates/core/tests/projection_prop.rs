@@ -6,7 +6,10 @@
 //! BY`, `ORDER BY`, joins) must answer what the test computes from `SELECT
 //! VALUE m`, which reads records whole; and the same again right after a
 //! flush and its merge, when the rows a memory component held are cells in
-//! column chunks.
+//! column chunks. A scan hands those fields out as columns, a batch at a
+//! time: the states that is new in — overwrites and delete markers in a
+//! memory component over flushed groups, their rows cutting the runs a group
+//! is read in — are pinned by name below.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::parse::parse_value;
@@ -264,8 +267,9 @@ proptest! {
 }
 
 /// Every state by name, whatever the random stream reaches: memory
-/// components only, one flushed component, merged components with a live
-/// memory component over them, and all of it read back after a crash.
+/// components only, one flushed component, overwrites and deletes in memory
+/// over it, merged components with a live memory component over them, and
+/// all of it read back after a crash.
 #[test]
 fn pinned_states_memtable_flushed_merged_restarted() {
     let all = Op::Check { fields: vec![0, 3, 4], bound: 3, and_flushed: false };
@@ -279,6 +283,11 @@ fn pinned_states_memtable_flushed_merged_restarted() {
     ops.push(all.clone()); // memtable
     ops.push(Op::Flush);
     ops.push(all.clone()); // flushed
+    for key in (1..KEYS).step_by(5) {
+        ops.push(Op::Upsert { key, a: (key + 1) % AUTHORS, g: (key + 1) % 4, s: None });
+        ops.push(Op::Delete { key: key + 1 });
+    }
+    ops.push(all.clone()); // rows and delete markers in memory, over the flushed groups
     for round in 1..4 {
         upserts(&mut ops, round);
         ops.push(Op::Delete { key: round * 7 });

@@ -1,10 +1,14 @@
-//! The two promises of a dataset source's cursor, as counts: it reads a batch
-//! at a time, not a partition, and it holds its partition's lock only while
-//! it refills — so a scan parked half way blocks no writer, and a resume by
-//! key yields every record once whatever was flushed or merged in between.
+//! The promises of a dataset source's cursor, as counts: it reads a batch of
+//! columns at a time, not a partition, and it holds its partition's lock only
+//! while it reads one — so a scan parked half way blocks no writer, and a
+//! resume by key yields every record once whatever was flushed or merged in
+//! between. And a batch holds the same rows whether they come out of a memory
+//! component's rows, a leaf group's chunks or both, wherever it ends.
 
 use asterix_adm::parse::parse_value;
+use asterix_adm::{ColumnBatch, Value};
 use asterix_algebricks::source::DataSource;
+use asterix_hyracks::job::Produced;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::sources::{DatasetSource, SCAN_BATCH};
 use asterix_core::{Instance, InstanceConfig};
@@ -40,36 +44,44 @@ fn primary_stats(db: &Instance) -> LsmStats {
     db.lsm_stats("D", None).unwrap().remove(0)
 }
 
-fn open_scan(db: &Instance) -> Box<dyn Iterator<Item = asterix_hyracks::Result<asterix_hyracks::Tuple>> + Send> {
+/// The batches of a scan of `fields` (the records whole without any).
+fn open_scan(db: &Instance, fields: &[&str]) -> impl Iterator<Item = ColumnBatch> {
     let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
-    source.scan(&[]).unwrap().open(0).unwrap()
+    let fields: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
+    source.scan(&fields).unwrap().open(0).unwrap().map(|produced| match produced.unwrap() {
+        Produced::Batch(batch) => batch,
+        Produced::Tuple(t) => panic!("a dataset's cursor handed out the tuple {t:?}"),
+    })
+}
+
+/// The first column of `batch`, row by row.
+fn first_column(batch: ColumnBatch) -> Vec<Value> {
+    batch.into_rows().map(|mut row| row.remove(0)).collect()
 }
 
 #[test]
-fn the_first_tuple_costs_one_batch_not_the_partition() {
+fn the_first_batch_costs_one_batch_not_the_partition() {
     let db = loaded(10_000, StorageConfig::default());
     db.flush_all().unwrap();
     let before = primary_stats(&db);
     assert_eq!((before.flushes, before.merges), (1, 0), "one disk component");
-    let mut scan = open_scan(&db);
+    let mut scan = open_scan(&db, &[]);
     assert_eq!(primary_stats(&db).entries_visited, before.entries_visited, "opening reads nothing");
-    scan.next().unwrap().unwrap();
-    // the cursor's range iterator is gone by now, its count with it: the
-    // batch, and at most the entry its one component had read ahead
+    assert_eq!(scan.next().unwrap().rows(), SCAN_BATCH);
+    // the cursor's reader is gone by now, its count with it: the batch, and
+    // at most the entry its one component had read ahead
     let visited = (primary_stats(&db).entries_visited - before.entries_visited) as usize;
     assert!((SCAN_BATCH..=SCAN_BATCH + 1).contains(&visited), "{visited} visited of 10 000");
-    assert_eq!(scan.count(), 9_999, "and the rest follows");
+    assert_eq!(scan.map(|b| b.rows()).sum::<usize>(), 10_000 - SCAN_BATCH, "and the rest follows");
 }
 
 #[test]
 fn a_parked_scan_blocks_no_writer() {
     let db = loaded(3 * SCAN_BATCH as i64, StorageConfig::default());
-    let mut scan = open_scan(&db);
-    for _ in 0..SCAN_BATCH / 2 {
-        scan.next().unwrap().unwrap();
-    }
-    // the scan is held, half a batch in; a writer on the same partition
-    // must not have to wait for it
+    let mut scan = open_scan(&db, &[]);
+    assert_eq!(scan.next().unwrap().rows(), SCAN_BATCH);
+    // the scan is held, a batch in; a writer on the same partition must not
+    // have to wait for it
     let (done, written) = mpsc::channel();
     let writer = {
         let db = db.clone();
@@ -83,7 +95,7 @@ fn a_parked_scan_blocks_no_writer() {
         .recv_timeout(Duration::from_secs(60))
         .expect("an upsert and a flush go through while the scan is parked");
     writer.join().unwrap();
-    assert_eq!(scan.count(), 3 * SCAN_BATCH - SCAN_BATCH / 2 + 1, "the rest, and the key written past it");
+    assert_eq!(scan.map(|b| b.rows()).sum::<usize>(), 2 * SCAN_BATCH + 1, "the rest, and the key written past it");
 }
 
 #[test]
@@ -96,9 +108,9 @@ fn a_resume_by_key_survives_a_flush_and_a_merge_between_batches() {
     };
     let n = 3 * SCAN_BATCH as i64;
     let db = loaded(n, storage);
-    let mut scan = open_scan(&db);
-    let id = |t: asterix_hyracks::Result<asterix_hyracks::Tuple>| t.unwrap()[0].field("id").as_i64().unwrap();
-    let mut seen: Vec<i64> = scan.by_ref().take(SCAN_BATCH).map(id).collect();
+    let mut scan = open_scan(&db, &[]);
+    let ids = |batch: ColumnBatch| first_column(batch).into_iter().map(|r| r.field("id").as_i64().unwrap());
+    let mut seen: Vec<i64> = ids(scan.next().unwrap()).collect();
     assert_eq!(seen, (0..SCAN_BATCH as i64).collect::<Vec<_>>());
 
     // between two batches: new versions on both sides of the cursor, new
@@ -116,7 +128,7 @@ fn a_resume_by_key_survives_a_flush_and_a_merge_between_batches() {
     let after = primary_stats(&db);
     assert!(after.flushes > before.flushes && after.merges > before.merges, "{before:?} -> {after:?}");
 
-    seen.extend(scan.map(id));
+    seen.extend(scan.flat_map(ids));
     assert!(seen.windows(2).all(|w| w[0] < w[1]), "key order, no key twice");
     let seen: BTreeSet<i64> = seen.into_iter().collect();
     for id in (0..n).filter(|id| !deleted.contains(id)) {
@@ -135,15 +147,12 @@ fn a_resume_by_key_survives_a_flush_and_a_merge_between_batches() {
 fn a_scan_of_one_field_reads_rows_and_chunks_alike() {
     let n = 3 * SCAN_BATCH as i64;
     let db = loaded(n, StorageConfig { merge_policy: MergePolicy::Constant { max_components: 1 }, ..Default::default() });
-    let scan_v = |db: &Instance| -> Vec<asterix_adm::Value> {
-        let source = DatasetSource::new(db.dataset_runtime("D").unwrap());
-        source.scan(&["v".into()]).unwrap().open(0).unwrap().map(|t| t.unwrap().remove(0)).collect()
-    };
+    let scan_v = |db: &Instance| -> Vec<Value> { open_scan(db, &["v"]).flat_map(first_column).collect() };
     let counter = |db: &Instance, name: &str| db.metrics_snapshot().counter(&format!("node0.storage.lsm.{name}")).unwrap();
     upsert(&db, (0..n).step_by(5), 7);
     let from_rows = scan_v(&db);
     assert_eq!(from_rows.len(), n as usize);
-    assert_eq!(from_rows[5], parse_value(r#"{"v": 7}"#).unwrap());
+    assert_eq!(from_rows[5], Value::Int(7));
     assert_eq!(counter(&db, "chunks_read"), 0, "nothing is on disk yet");
 
     db.flush_all().unwrap();
@@ -155,9 +164,7 @@ fn a_scan_of_one_field_reads_rows_and_chunks_alike() {
     assert_eq!(primary_stats(&db).merges, 1);
     let (chunks, rows) = (counter(&db, "chunks_read"), counter(&db, "rows_assembled"));
     let from_chunks = scan_v(&db);
-    let want: Vec<_> = (0..n)
-        .map(|id| parse_value(&format!(r#"{{"v": {}}}"#, if id % 7 == 0 { 9 } else if id % 5 == 0 { 7 } else { 0 })).unwrap())
-        .collect();
+    let want: Vec<_> = (0..n).map(|id| Value::Int(if id % 7 == 0 { 9 } else if id % 5 == 0 { 7 } else { 0 })).collect();
     assert_eq!(from_chunks, want);
     assert_eq!(counter(&db, "rows_assembled"), rows, "a projected scan put rows together");
     // three groups, no delete marker and no record without a `v`, so of each
@@ -167,8 +174,56 @@ fn a_scan_of_one_field_reads_rows_and_chunks_alike() {
     assert!((3 * 2..=6 * 2).contains(&opened), "{opened} chunks opened");
     // nor does a scan of whole records, which builds them from every cell;
     // the one row put together is the before-image a write logs
-    assert_eq!(open_scan(&db).count(), n as usize);
+    assert_eq!(open_scan(&db, &[]).map(|b| b.rows()).sum::<usize>(), n as usize);
     assert_eq!(counter(&db, "rows_assembled"), rows);
     upsert(&db, [3], 1);
     assert_eq!(counter(&db, "rows_assembled"), rows + 1);
+}
+
+/// The rows of the batches of a scan are the live records in key order — a
+/// column per field asked for, or the record whole — when every row comes out
+/// of leaf groups, and when a memory component holds overwrites, deletes and
+/// new keys *over* the flushed groups: its rows cut the runs a group is read
+/// in, and the batches end inside the groups.
+#[test]
+fn a_batch_is_the_same_rows_from_chunks_and_from_rows_over_them() {
+    let n = 2 * SCAN_BATCH as i64 + 300;
+    let db = loaded(n, StorageConfig::default());
+    db.flush_all().unwrap();
+    let mut model: std::collections::BTreeMap<i64, i64> = (0..n).map(|id| (id, 0)).collect();
+    let check = |db: &Instance, model: &std::collections::BTreeMap<i64, i64>, when: &str| {
+        let sizes: Vec<usize> = open_scan(db, &["id", "v"]).map(|b| b.rows()).collect();
+        let (full, last) = sizes.split_at(sizes.len() - 1);
+        assert!(full.iter().all(|rows| *rows == SCAN_BATCH) && last[0] <= SCAN_BATCH, "{when}: batches of {sizes:?}");
+        let pairs: Vec<Vec<Value>> = open_scan(db, &["id", "v"]).flat_map(ColumnBatch::into_rows).collect();
+        let want: Vec<Vec<Value>> = model.iter().map(|(id, v)| vec![Value::Int(*id), Value::Int(*v)]).collect();
+        assert_eq!(pairs, want, "{when}: two columns");
+        let whole: Vec<Value> = open_scan(db, &[]).flat_map(first_column).collect();
+        let want: Vec<Value> =
+            model.iter().map(|(id, v)| parse_value(&format!(r#"{{"id": {id}, "v": {v}}}"#)).unwrap()).collect();
+        assert_eq!(whole, want, "{when}: whole records");
+    };
+    check(&db, &model, "flushed");
+
+    // over the groups, in memory: every ninth record overwritten, every
+    // thirteenth deleted, keys before, between and after them
+    let overwritten: Vec<i64> = (0..n).step_by(9).collect();
+    upsert(&db, overwritten.iter().copied(), 4);
+    overwritten.iter().for_each(|id| *model.get_mut(id).unwrap() = 4);
+    let mut txn = db.begin();
+    for id in (5..n).step_by(13) {
+        txn.delete("D", &asterix_adm::binary::encode_key(&[Value::Int(id)])).unwrap();
+        model.remove(&id);
+    }
+    txn.commit().unwrap();
+    upsert(&db, [-7, -3, n, n + 50], 2);
+    model.extend([-7, -3, n, n + 50].map(|id| (id, 2)));
+    assert_eq!(primary_stats(&db).flushes, 1, "none of it is flushed");
+    check(&db, &model, "rows over chunks");
+
+    db.flush_all().unwrap();
+    while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
+        std::thread::yield_now();
+    }
+    check(&db, &model, "two components");
 }

@@ -27,7 +27,10 @@ pub struct DataflowStats {
     pub merge_passes: Counter,
     pub joins_spilled: Counter,
     pub groups_spilled: Counter,
+    /// Tuples routed to an edge one at a time.
     pub tuples_moved: Counter,
+    /// Tuples that crossed an edge inside a batch of columns.
+    pub batch_rows: Counter,
     /// Tuples crossing repartitioning connectors (hash/broadcast/gather) —
     /// the network traffic a real cluster would pay.
     pub tuples_exchanged: Counter,
@@ -43,6 +46,7 @@ impl DataflowStats {
             joins_spilled: registry.counter("hyracks.dataflow.joins_spilled"),
             groups_spilled: registry.counter("hyracks.dataflow.groups_spilled"),
             tuples_moved: registry.counter("hyracks.dataflow.tuples_moved"),
+            batch_rows: registry.counter("hyracks.dataflow.batch_rows"),
             tuples_exchanged: registry.counter("hyracks.dataflow.tuples_exchanged"),
         }
     }

@@ -27,11 +27,12 @@ use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use crate::error::{HyracksError, Result};
 use crate::faults::{FrameAction, WorkerFaultState};
-use crate::frame::{Frame, Tuple};
+use crate::frame::{Frame, Rows, Tuple};
 use crate::job::{cmp_tuples, ConnStrategy, JobSpec, SortKey};
 use crate::ops::{self, Flow, OpCtx, Polled};
 use crate::sched::{self, WorkerPool, MORSEL_TUPLES};
 use asterix_adm::compare::hash64_iter;
+use asterix_adm::ColumnBatch;
 use asterix_obs::{Counter, JobProfile, OpMetrics, OperatorProfile};
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
@@ -181,7 +182,11 @@ impl AnyPort {
             }
             if let Some(f) = got {
                 note_in_frame(m, &f);
-                self.buffer.extend(f.into_sized());
+                match f {
+                    Frame::Rows(rows) => self.buffer.extend(rows.into_sized()),
+                    // the buffer is empty: a batch keeps its place in the stream
+                    Frame::Batch(batch) => return Ok(Polled::Batch(batch)),
+                }
                 continue;
             }
             if let Some(idx) = dirty {
@@ -264,7 +269,12 @@ impl MergePort {
                 }
                 if let Some(f) = frame {
                     note_in_frame(m, &f);
-                    self.legs[li].buffer.extend(f.into_sized());
+                    // a sorted-merge connector places single tuples
+                    // ([`Router::push_batch`] builds them)
+                    let Frame::Rows(rows) = f else {
+                        return Err(HyracksError::InvalidJob("a batch on a sorted-merge edge".into()));
+                    };
+                    self.legs[li].buffer.extend(rows.into_sized());
                 }
             }
         }
@@ -337,13 +347,14 @@ impl InPort {
 pub(crate) struct Router {
     strategy: ConnStrategy,
     edges: Vec<Arc<Edge>>,
-    buffers: Vec<Frame>,
+    buffers: Vec<Rows>,
     collected: Vec<Tuple>,
     /// A push found every consumer gone: nothing more is worth shipping.
     all_gone: bool,
     my_partition: usize,
     tuples_moved: Counter,
     tuples_exchanged: Counter,
+    batch_rows: Counter,
     /// Injected fault plan for this actor, if a chaos schedule is active.
     faults: Option<WorkerFaultState>,
     /// A sever fault fired: swallow all further output *and* the clean
@@ -359,7 +370,7 @@ impl Router {
         ctx: &RuntimeCtx,
         faults: Option<WorkerFaultState>,
     ) -> Self {
-        let buffers = edges.iter().map(|_| Frame::new()).collect();
+        let buffers = edges.iter().map(|_| Rows::new()).collect();
         Router {
             strategy,
             edges,
@@ -369,6 +380,7 @@ impl Router {
             my_partition,
             tuples_moved: ctx.stats.tuples_moved.clone(),
             tuples_exchanged: ctx.stats.tuples_exchanged.clone(),
+            batch_rows: ctx.stats.batch_rows.clone(),
             faults,
             severed: false,
         }
@@ -411,8 +423,40 @@ impl Router {
     /// actor should stop producing).
     #[inline]
     pub(crate) fn push(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple) -> Result<bool> {
-        let size = crate::frame::u32_len("tuple size", Frame::tuple_size(&t))?;
+        let size = crate::frame::u32_len("tuple size", Rows::tuple_size(&t))?;
         self.push_cached(job, m, t, size)
+    }
+
+    /// Pushes the rows in play of a batch. Where they all go to one consumer
+    /// (one-to-one, gather) the batch is shipped as it is, one frame, behind
+    /// the rows buffered before it; a connector that places tuples one by
+    /// one (hash, broadcast, sorted merge) and the result collector are
+    /// handed the rows, built here, once.
+    pub(crate) fn push_batch(&mut self, job: &dyn Notifier, m: &mut OpMetrics, batch: ColumnBatch) -> Result<bool> {
+        let dst = match self.strategy {
+            _ if self.edges.is_empty() => None,
+            ConnStrategy::OneToOne => Some(self.my_partition),
+            ConnStrategy::Gather => Some(0),
+            _ => None,
+        };
+        let Some(dst) = dst else {
+            for t in batch.into_rows() {
+                if !self.push(job, m, t)? {
+                    return Ok(false);
+                }
+            }
+            return Ok(true);
+        };
+        let rows = batch.rows() as u64;
+        m.tuples_out += rows;
+        m.bytes_out += batch.heap_size() as u64;
+        self.batch_rows.add(rows);
+        if self.strategy != ConnStrategy::OneToOne {
+            self.tuples_exchanged.add(rows);
+        }
+        let alive = self.flush(job, m, dst)? && self.ship(job, m, dst, Frame::Batch(batch))?;
+        self.all_gone = !alive;
+        Ok(alive)
     }
 
     /// Pushes a tuple whose byte size is carried from an upstream frame's
@@ -488,7 +532,12 @@ impl Router {
         if self.buffers[dst].is_empty() {
             return Ok(true);
         }
-        let frame = self.buffers[dst].take();
+        let frame = Frame::Rows(self.buffers[dst].take());
+        self.ship(job, m, dst, frame)
+    }
+
+    /// Puts `frame` on the edge to consumer `dst`; `false` when it is gone.
+    fn ship(&mut self, job: &dyn Notifier, m: &mut OpMetrics, dst: usize, frame: Frame) -> Result<bool> {
         m.frames_out += 1;
         if let Some(n) = m.frames_routed.get_mut(dst) {
             *n += 1;
@@ -1208,6 +1257,41 @@ mod tests {
     }
 
     #[test]
+    fn limit_stops_a_source_of_batches_within_one_batch() {
+        // the same over a source that hands out 1 024 rows at a time, as
+        // columns: the limit takes what it may emit out of the first batch —
+        // no row is built for the others — and the source, a million rows
+        // long, stops at what the edge holds
+        let produced = Arc::new(AtomicU64::new(0));
+        let batches = Arc::clone(&produced);
+        let source = move |_p: usize| {
+            let batches = Arc::clone(&batches);
+            Ok(Box::new((0..1_000i64).map(move |b| {
+                batches.fetch_add(1, AtomicOrdering::SeqCst);
+                let mut ids = asterix_adm::Column::new();
+                (0..1_024).for_each(|i| ids.push_int(b * 1_024 + i));
+                Ok(crate::job::Produced::Batch(ColumnBatch::new(vec![ids], 1_024).unwrap()))
+            })) as crate::job::SourceStream)
+        };
+        let mut j = JobSpec::new();
+        let s = j.add(OpKind::Source(Arc::new(source)), 1, "scan");
+        let l = j.add(OpKind::Limit { offset: 5, count: Some(10) }, 1, "limit");
+        let r = j.add(OpKind::ResultSink, 1, "sink");
+        j.connect(s, l, 0, ConnStrategy::OneToOne);
+        j.connect(l, r, 0, ConnStrategy::Gather);
+        let ctx = RuntimeCtx::temp().unwrap();
+        let result = run_job(j, Arc::clone(&ctx)).unwrap();
+        let got: Vec<i64> = result.tuples.iter().map(|t| t[0].as_i64().unwrap()).collect();
+        assert_eq!(got, (5..15).collect::<Vec<_>>(), "offset skipped, order kept");
+        let limit = result.profile.root.find("limit").unwrap().totals();
+        assert_eq!((limit.tuples_in, limit.frames_in, limit.tuples_out), (1_024, 1, 10), "one batch in, a batch of ten out");
+        let produced = produced.load(AtomicOrdering::SeqCst);
+        assert!(produced <= CHANNEL_CAP as u64 + 2, "the source stopped early ({produced} batches produced)");
+        assert_eq!(ctx.stats.tuples_moved.get(), 0, "no tuple was routed on its own");
+        assert!(ctx.stats.batch_rows.get() >= 1_024 + 10, "they crossed the edges in batches");
+    }
+
+    #[test]
     fn a_join_stops_when_its_consumer_is_gone() {
         // 200 x 200 matches on one key = 40k output tuples; LIMIT 3 must not
         // make the join produce them all.
@@ -1652,9 +1736,9 @@ mod tests {
         let mut m = OpMetrics::default();
         {
             let mut st = edge.state.lock();
-            let mut f = Frame::new();
+            let mut f = Rows::new();
             f.push(vec![Value::Int(1)]).unwrap();
-            st.frames.push_back(f);
+            st.frames.push_back(Frame::Rows(f));
             st.closed = true; // died mid-stream: closed without eos
         }
         match port.poll(&NoWake, &token, &mut m).unwrap() {
@@ -1673,9 +1757,9 @@ mod tests {
         let mut m = OpMetrics::default();
         {
             let mut st = edge.state.lock();
-            let mut f = Frame::new();
+            let mut f = Rows::new();
             f.push(vec![Value::Int(1)]).unwrap();
-            st.frames.push_back(f);
+            st.frames.push_back(Frame::Rows(f));
             st.closed = true;
             st.eos = true; // clean finish
         }

@@ -9,16 +9,22 @@
 //! Sizing a tuple walks every `Value`, which is too expensive to repeat each
 //! time a tuple crosses an exchange unchanged. Frames therefore store the
 //! byte size alongside each tuple; pass-through paths carry it via
-//! [`Frame::push_sized`] and [`Frame::into_sized`] instead of re-walking,
+//! [`Rows::push_sized`] and [`Rows::into_sized`] instead of re-walking,
 //! and the exchange hot path keeps the already-validated `u32` cache via
-//! [`Frame::push_cached`] (no re-walk *and* no re-validation).
+//! [`Rows::push_cached`] (no re-walk *and* no re-validation).
 //!
 //! A frame is also the natural *morsel* bound: the scheduler runs operator
 //! steps over at most [`crate::sched::MORSEL_TUPLES`] tuples, about one
 //! frame's worth, before yielding the worker.
+//!
+//! What crosses an edge is a [`Frame`]: [`Rows`] as above, or a
+//! [`ColumnBatch`] — the same tuples held a column at a time, as a scan
+//! produces them and the operators that work on columns pass them on. A
+//! batch is one frame however many rows it has, and its rows count as
+//! tuples wherever tuples are counted.
 
 use crate::error::{HyracksError, Result};
-use asterix_adm::Value;
+use asterix_adm::{ColumnBatch, Value};
 
 /// One dataflow tuple: a flat row of values.
 pub type Tuple = Vec<Value>;
@@ -35,25 +41,55 @@ pub fn u32_len(what: &'static str, n: usize) -> Result<u32> {
 /// Target frame payload size in bytes.
 pub const FRAME_BUDGET: usize = 64 * 1024;
 
+/// What an edge carries at a time.
+#[derive(Debug, Clone)]
+pub enum Frame {
+    Rows(Rows),
+    Batch(ColumnBatch),
+}
+
+impl Frame {
+    /// Tuples held.
+    pub fn len(&self) -> usize {
+        match self {
+            Frame::Rows(rows) => rows.len(),
+            Frame::Batch(batch) => batch.rows(),
+        }
+    }
+
+    /// True when no tuples are held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate payload bytes.
+    pub fn bytes(&self) -> usize {
+        match self {
+            Frame::Rows(rows) => rows.bytes(),
+            Frame::Batch(batch) => batch.heap_size(),
+        }
+    }
+}
+
 /// A batch of tuples bounded by an approximate byte budget.
 #[derive(Debug, Default, Clone)]
-pub struct Frame {
+pub struct Rows {
     tuples: Vec<Tuple>,
-    /// Cached [`Frame::tuple_size`] of each tuple, index-parallel with
+    /// Cached [`Rows::tuple_size`] of each tuple, index-parallel with
     /// `tuples`.
     sizes: Vec<u32>,
     bytes: usize,
 }
 
-impl Frame {
+impl Rows {
     /// Creates an empty frame.
     pub fn new() -> Self {
-        Frame::default()
+        Rows::default()
     }
 
     /// Creates an empty frame with room for `n` tuples.
     pub fn with_capacity(n: usize) -> Self {
-        Frame { tuples: Vec::with_capacity(n), sizes: Vec::with_capacity(n), bytes: 0 }
+        Rows { tuples: Vec::with_capacity(n), sizes: Vec::with_capacity(n), bytes: 0 }
     }
 
     /// Approximate size of a tuple, used for frame and working-memory
@@ -82,7 +118,7 @@ impl Frame {
     }
 
     /// Adds a tuple whose `u32` cached size came straight from another
-    /// frame's size column ([`Frame::into_sized`]), so it has already been
+    /// frame's size column ([`Rows::into_sized`]), so it has already been
     /// validated once — the repartition hot path: no size walk, no range
     /// check, no `Result`. Returns `true` when the frame is full.
     #[inline]
@@ -120,17 +156,17 @@ impl Frame {
     }
 
     /// Drains the frame for reuse.
-    pub fn take(&mut self) -> Frame {
+    pub fn take(&mut self) -> Rows {
         std::mem::take(self)
     }
 }
 
-impl FromIterator<Tuple> for Frame {
+impl FromIterator<Tuple> for Rows {
     /// Test/bench convenience. Collection stops at the first tuple whose
-    /// size exceeds the `u32` cache (use [`Frame::push`] directly when that
+    /// size exceeds the `u32` cache (use [`Rows::push`] directly when that
     /// case must be surfaced as an error).
     fn from_iter<T: IntoIterator<Item = Tuple>>(iter: T) -> Self {
-        let mut f = Frame::new();
+        let mut f = Rows::new();
         for t in iter {
             if f.push(t).is_err() {
                 break;
@@ -140,7 +176,7 @@ impl FromIterator<Tuple> for Frame {
     }
 }
 
-impl IntoIterator for Frame {
+impl IntoIterator for Rows {
     type Item = Tuple;
     type IntoIter = std::vec::IntoIter<Tuple>;
     fn into_iter(self) -> Self::IntoIter {
@@ -154,7 +190,7 @@ mod tests {
 
     #[test]
     fn push_reports_full_at_budget() {
-        let mut f = Frame::new();
+        let mut f = Rows::new();
         let big = vec![Value::String("x".repeat(FRAME_BUDGET / 4))];
         assert!(!f.push(big.clone()).unwrap());
         assert!(!f.push(big.clone()).unwrap());
@@ -165,7 +201,7 @@ mod tests {
 
     #[test]
     fn take_resets() {
-        let mut f = Frame::new();
+        let mut f = Rows::new();
         f.push(vec![Value::Int(1)]).unwrap();
         let taken = f.take();
         assert_eq!(taken.len(), 1);
@@ -175,7 +211,7 @@ mod tests {
 
     #[test]
     fn from_iter_collects() {
-        let f: Frame = (0..10).map(|i| vec![Value::Int(i)]).collect();
+        let f: Rows = (0..10).map(|i| vec![Value::Int(i)]).collect();
         assert_eq!(f.len(), 10);
         let back: Vec<Tuple> = f.into_iter().collect();
         assert_eq!(back[9], vec![Value::Int(9)]);
@@ -183,15 +219,15 @@ mod tests {
 
     #[test]
     fn sized_roundtrip_preserves_accounting() {
-        let mut a = Frame::new();
+        let mut a = Rows::new();
         a.push(vec![Value::from("hello"), Value::Int(1)]).unwrap();
         a.push(vec![Value::Int(2)]).unwrap();
         let total = a.bytes();
         // Re-buffer into a second frame through the sized path: byte
         // accounting must match without re-walking any Value.
-        let mut b = Frame::with_capacity(a.len());
+        let mut b = Rows::with_capacity(a.len());
         for (t, size) in a.into_sized() {
-            assert_eq!(size as usize, Frame::tuple_size(&t));
+            assert_eq!(size as usize, Rows::tuple_size(&t));
             b.push_sized(t, size as usize).unwrap();
         }
         assert_eq!(b.bytes(), total);
@@ -211,7 +247,7 @@ mod tests {
 
     #[test]
     fn oversized_push_is_rejected_without_corrupting_the_frame() {
-        let mut f = Frame::new();
+        let mut f = Rows::new();
         f.push(vec![Value::Int(1)]).unwrap();
         let before = f.bytes();
         // A declared size that used to truncate (`as u32`) to ~0 and poison
@@ -222,7 +258,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f.bytes(), before);
         let sizes: Vec<u32> = {
-            let mut b = Frame::new();
+            let mut b = Rows::new();
             for (t, s) in f.into_sized() {
                 b.push_sized(t, s as usize).unwrap();
             }

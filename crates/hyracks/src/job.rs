@@ -11,39 +11,108 @@ use crate::error::{HyracksError, Result};
 use crate::frame::Tuple;
 use crate::ops::{groupby, join, sort, stream, Operator};
 use asterix_adm::compare::total_cmp;
-use asterix_adm::Value;
+use asterix_adm::{Column, ColumnBatch, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Operator identifier within a job (index into the op table).
 pub type OpId = usize;
 
-/// Scalar evaluator: computes one value from a tuple.
-pub type EvalFn = Arc<dyn Fn(&Tuple) -> Result<Value> + Send + Sync>;
+/// A scalar expression over a tuple's columns.
+pub trait Scalar: Send + Sync {
+    /// The value for one tuple.
+    fn eval(&self, t: &Tuple) -> Result<Value>;
 
-/// Predicate over one tuple.
-pub type PredFn = Arc<dyn Fn(&Tuple) -> Result<bool> + Send + Sync>;
+    /// The value for each row in play of `batch`, as a column of
+    /// `batch.len()` rows. The default builds each row and asks
+    /// [`Scalar::eval`]; an implementation that knows which columns it reads
+    /// does better.
+    fn eval_batch(&self, batch: &ColumnBatch) -> Result<Arc<Column>> {
+        batch.map_rows(|row| self.eval(&batch.tuple(row))).map(Arc::new)
+    }
+}
+
+impl<F: Fn(&Tuple) -> Result<Value> + Send + Sync> Scalar for F {
+    fn eval(&self, t: &Tuple) -> Result<Value> {
+        self(t)
+    }
+}
+
+/// A predicate over a tuple's columns.
+pub trait Predicate: Send + Sync {
+    /// Whether one tuple passes.
+    fn test(&self, t: &Tuple) -> Result<bool>;
+
+    /// The rows in play of `batch` that pass, ascending: a selection vector.
+    /// The default builds each row and asks [`Predicate::test`].
+    fn select(&self, batch: &ColumnBatch) -> Result<Vec<u32>> {
+        let mut keep = Vec::new();
+        for row in batch.row_ids() {
+            if self.test(&batch.tuple(row))? {
+                keep.push(row as u32);
+            }
+        }
+        Ok(keep)
+    }
+}
+
+impl<F: Fn(&Tuple) -> Result<bool> + Send + Sync> Predicate for F {
+    fn test(&self, t: &Tuple) -> Result<bool> {
+        self(t)
+    }
+}
+
+/// Scalar evaluator: computes one value from a tuple, or a column of them
+/// from a batch.
+pub type EvalFn = Arc<dyn Scalar>;
+
+/// Predicate over one tuple, or over the rows of a batch.
+pub type PredFn = Arc<dyn Predicate>;
 
 /// Predicate over a pair of tuples (nested-loop joins).
 pub type Pred2Fn = Arc<dyn Fn(&Tuple, &Tuple) -> Result<bool> + Send + Sync>;
+
+/// What a source hands out at a time: one tuple, or a batch of them held a
+/// column at a time.
+#[derive(Debug)]
+pub enum Produced {
+    Tuple(Tuple),
+    Batch(ColumnBatch),
+}
+
+impl From<Tuple> for Produced {
+    fn from(t: Tuple) -> Produced {
+        Produced::Tuple(t)
+    }
+}
+
+/// The stream of one partition of a source.
+pub type SourceStream = Box<dyn Iterator<Item = Result<Produced>> + Send>;
 
 /// Produces the tuples of one partition of a data source (dataset scan,
 /// external file scan, index search, generated data, ...). The factory is
 /// shared; `open` is called once per partition.
 pub trait SourceFactory: Send + Sync {
     /// Opens the stream for `partition` (0-based).
-    fn open(&self, partition: usize) -> Result<Box<dyn Iterator<Item = Result<Tuple>> + Send>>;
+    fn open(&self, partition: usize) -> Result<SourceStream>;
 }
 
-/// Blanket source over a cloneable closure.
+/// A closure that opens the stream of a partition is a source.
+impl<F: Fn(usize) -> Result<SourceStream> + Send + Sync> SourceFactory for F {
+    fn open(&self, partition: usize) -> Result<SourceStream> {
+        self(partition)
+    }
+}
+
+/// Blanket source over a cloneable closure that yields tuples.
 pub struct FnSource<F>(pub F);
 
 impl<F> SourceFactory for FnSource<F>
 where
     F: Fn(usize) -> Result<Box<dyn Iterator<Item = Result<Tuple>> + Send>> + Send + Sync,
 {
-    fn open(&self, partition: usize) -> Result<Box<dyn Iterator<Item = Result<Tuple>> + Send>> {
-        (self.0)(partition)
+    fn open(&self, partition: usize) -> Result<SourceStream> {
+        Ok(Box::new((self.0)(partition)?.map(|t| t.map(Produced::from))))
     }
 }
 
@@ -245,7 +314,7 @@ impl OpKind {
             OpKind::Source(factory) => Box::new(stream::Source::new(Arc::clone(factory), partition)),
             OpKind::Filter(pred) => Box::new(stream::Filter(Arc::clone(pred))),
             OpKind::Assign(exprs) => Box::new(stream::Assign(exprs.clone())),
-            OpKind::Project(cols) => Box::new(stream::Project(cols.clone())),
+            OpKind::Project(cols) => Box::new(stream::Project::new(cols.clone())),
             OpKind::Unnest { expr, outer } => {
                 Box::new(stream::Unnest { expr: Arc::clone(expr), outer: *outer })
             }
@@ -469,7 +538,7 @@ mod tests {
     fn valid_linear_job() {
         let mut j = JobSpec::new();
         let s = j.add(dummy_source(), 2, "scan");
-        let f = j.add(OpKind::Filter(Arc::new(|_t| Ok(true))), 2, "filter");
+        let f = j.add(OpKind::Filter(Arc::new(|_t: &Tuple| Ok(true))), 2, "filter");
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(s, f, 0, ConnStrategy::OneToOne);
         j.connect(f, r, 0, ConnStrategy::Gather);
@@ -480,7 +549,7 @@ mod tests {
     fn detects_missing_feed() {
         let mut j = JobSpec::new();
         let _s = j.add(dummy_source(), 1, "scan");
-        let f = j.add(OpKind::Filter(Arc::new(|_t| Ok(true))), 1, "filter");
+        let f = j.add(OpKind::Filter(Arc::new(|_t: &Tuple| Ok(true))), 1, "filter");
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(f, r, 0, ConnStrategy::Gather);
         assert!(j.validate().is_err(), "filter input not fed");
@@ -490,7 +559,7 @@ mod tests {
     fn detects_partition_mismatch() {
         let mut j = JobSpec::new();
         let s = j.add(dummy_source(), 2, "scan");
-        let f = j.add(OpKind::Filter(Arc::new(|_t| Ok(true))), 3, "filter");
+        let f = j.add(OpKind::Filter(Arc::new(|_t: &Tuple| Ok(true))), 3, "filter");
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(s, f, 0, ConnStrategy::OneToOne);
         j.connect(f, r, 0, ConnStrategy::Gather);
@@ -500,8 +569,8 @@ mod tests {
     #[test]
     fn detects_cycle() {
         let mut j = JobSpec::new();
-        let a = j.add(OpKind::Filter(Arc::new(|_t| Ok(true))), 1, "a");
-        let b = j.add(OpKind::Filter(Arc::new(|_t| Ok(true))), 1, "b");
+        let a = j.add(OpKind::Filter(Arc::new(|_t: &Tuple| Ok(true))), 1, "a");
+        let b = j.add(OpKind::Filter(Arc::new(|_t: &Tuple| Ok(true))), 1, "b");
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(a, b, 0, ConnStrategy::OneToOne);
         j.connect(b, a, 0, ConnStrategy::OneToOne);

@@ -39,5 +39,5 @@ pub use error::{HyracksError, Result};
 pub use exec::JobOptions;
 pub use sched::{storage_compaction_executor, WorkerPool, MORSEL_TUPLES};
 pub use faults::{DataflowFaults, FaultConfig};
-pub use frame::{u32_len, Frame, Tuple};
+pub use frame::{u32_len, Frame, Rows, Tuple};
 pub use job::{ConnStrategy, JobSpec, OpId, OpKind};

@@ -10,12 +10,12 @@
 
 use crate::ctx::{RunHandle, RunWriter, RuntimeCtx};
 use crate::error::Result;
-use crate::frame::{Frame, Tuple};
+use crate::frame::{Rows, Tuple};
 use crate::job::{cmp_tuples, AggSpec, SortKey};
 use crate::ops::sort::{Advance, Sort};
 use crate::ops::{AggState, Nested, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
-use asterix_adm::Value;
+use asterix_adm::{ColumnBatch, Value};
 use std::collections::{HashMap, VecDeque};
 
 const GRACE_PARTITIONS: usize = 8;
@@ -35,10 +35,18 @@ fn key_matches(key: &[Value], t: &Tuple, cols: &[usize]) -> bool {
 /// The resident half of a hybrid hash operator — what differs between
 /// grouped aggregation and duplicate elimination.
 pub(crate) trait Resident: Send + Sized + 'static {
+    /// The hash of `t`'s key: what places a tuple that is not folded in a
+    /// partition.
     fn hash(&self, t: &Tuple) -> u64;
     /// Folds `t` into its resident key, or admits its key when `admit`;
     /// hands the tuple back when its key is neither resident nor admitted.
-    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple>;
+    fn fold(&mut self, t: Tuple, admit: bool) -> Option<Tuple>;
+    /// [`Resident::fold`] of row `row` of `batch` where it lies, no tuple
+    /// built — if the table can find the row's key without one. `false`
+    /// leaves the row to `fold`.
+    fn fold_at(&mut self, _batch: &ColumnBatch, _row: usize, _admit: bool) -> bool {
+        false
+    }
     /// Bytes the admitted keys are accounted at.
     fn bytes(&self) -> usize;
     /// An empty table of the same shape, for the next level down.
@@ -83,11 +91,18 @@ impl<R: Resident> Hybrid<R> {
     }
 }
 
+impl<R: Resident> Hybrid<R> {
+    /// Whether a key not yet resident may become so.
+    fn admits(&self) -> bool {
+        self.table.bytes() < self.memory || self.depth >= MAX_DEPTH
+    }
+}
+
 impl<R: Resident> Operator for Hybrid<R> {
     fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        let h = self.table.hash(&t);
-        let admit = self.table.bytes() < self.memory || self.depth >= MAX_DEPTH;
-        if let Some(t) = self.table.fold(h, t, admit) {
+        let admit = self.admits();
+        if let Some(t) = self.table.fold(t, admit) {
+            let h = self.table.hash(&t);
             let writers = match &mut self.spills {
                 Some(w) => w,
                 None => {
@@ -101,6 +116,19 @@ impl<R: Resident> Operator for Hybrid<R> {
             };
             let part = (h.rotate_left(29) ^ self.seed) as usize % GRACE_PARTITIONS;
             writers[part].write(&t, cx.metrics)?;
+        }
+        Ok(true)
+    }
+
+    /// Row by row like [`Operator::on_tuple`] — the budget is asked at every
+    /// row, so the same keys are admitted and the same rows spilled — but a
+    /// row whose key the table finds in its column is folded where it lies.
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        for row in batch.row_ids() {
+            let admit = self.admits();
+            if !self.table.fold_at(&batch, row, admit) {
+                self.on_tuple(port, batch.tuple(row), 0, cx)?;
+            }
         }
         Ok(true)
     }
@@ -133,24 +161,75 @@ impl<R: Resident> Operator for Hybrid<R> {
     }
 }
 
-/// One hash bucket: groups whose keys collide on the 64-bit hash, each with
-/// its materialized key and per-aggregate running state.
-type GroupBucket = Vec<(Vec<Value>, Vec<AggState>)>;
+/// The integer a one-column key is, if it is one: `2` and `2.0` are one key.
+fn int_key(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(i) => Some(*i),
+        Value::Double(d) if d.fract() == 0.0 && (-TWO_POW_63..TWO_POW_63).contains(d) => Some(*d as i64),
+        _ => None,
+    }
+}
+
+const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// Hash group-by: one row per group — key columns then what each aggregate
-/// emits (its final value, or its partial columns). Two-level hash-first table: buckets keyed by the 64-bit key
-/// hash, the materialized key built once per *group* (on first insert)
-/// rather than once per input tuple.
+/// emits (its final value, or its partial columns). The groups are kept in
+/// the order they were admitted, each with its materialized key — built once
+/// per *group*, on first insert, not once per input tuple — and found by the
+/// 64-bit hash of the key, or, when the key is one integer, by the integer:
+/// that needs no `Value`, so a row of a batch whose key column is a vector
+/// of `i64` is folded where it lies.
 pub(crate) struct Groups {
     key_cols: Vec<usize>,
     aggs: Vec<AggSpec>,
-    table: HashMap<u64, GroupBucket>,
+    /// Each group's materialized key and per-aggregate running state.
+    groups: Vec<(Vec<Value>, Vec<AggState>)>,
+    /// The groups whose key is one integer ([`int_key`]).
+    ints: HashMap<i64, usize>,
+    /// Per key hash, the groups of every other key that has it.
+    table: HashMap<u64, Vec<usize>>,
     bytes: usize,
 }
 
 impl Groups {
     pub fn new(key_cols: Vec<usize>, aggs: Vec<AggSpec>) -> Self {
-        Groups { key_cols, aggs, table: HashMap::new(), bytes: 0 }
+        Groups { key_cols, aggs, groups: Vec::new(), ints: HashMap::new(), table: HashMap::new(), bytes: 0 }
+    }
+
+    /// A new group under `key`.
+    fn admit(&mut self, key: Vec<Value>) -> usize {
+        self.bytes += 64 + key.iter().map(Value::heap_size).sum::<usize>() + 64 * self.aggs.len();
+        self.groups.push((key, self.aggs.iter().map(|a| AggState::new(*a)).collect()));
+        self.groups.len() - 1
+    }
+
+    /// The group of the integer key `k`, admitted under `key()` when it is
+    /// not there and `admit` allows.
+    fn int_group(&mut self, k: i64, admit: bool, key: impl FnOnce() -> Value) -> Option<usize> {
+        if let Some(group) = self.ints.get(&k) {
+            return Some(*group);
+        }
+        let group = admit.then(|| self.admit(vec![key()]))?;
+        self.ints.insert(k, group);
+        Some(group)
+    }
+
+    /// The group of `t`'s key, admitted when it is not there and `admit`
+    /// allows.
+    fn group_of(&mut self, t: &Tuple, admit: bool) -> Option<usize> {
+        if let [col] = self.key_cols[..] {
+            if let Some(k) = int_key(&t[col]) {
+                return self.int_group(k, admit, || t[col].clone());
+            }
+        }
+        let h = hash_key(t, &self.key_cols);
+        let resident = |g: &usize| key_matches(&self.groups[*g].0, t, &self.key_cols);
+        if let Some(group) = self.table.get(&h).and_then(|b| b.iter().copied().find(resident)) {
+            return Some(group);
+        }
+        let group = admit.then(|| self.admit(self.key_cols.iter().map(|c| t[*c].clone()).collect()))?;
+        self.table.entry(h).or_default().push(group);
+        Some(group)
     }
 }
 
@@ -159,28 +238,22 @@ impl Resident for Groups {
         hash_key(t, &self.key_cols)
     }
 
-    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple> {
-        if let Some(bucket) = self.table.get_mut(&h) {
-            if let Some((_, states)) =
-                bucket.iter_mut().find(|(k, _)| key_matches(k, &t, &self.key_cols))
-            {
-                for s in states {
-                    s.update(&t);
-                }
-                return None;
-            }
-        }
-        if !admit {
-            return Some(t);
-        }
-        let k: Vec<Value> = self.key_cols.iter().map(|c| t[*c].clone()).collect();
-        self.bytes += 64 + k.iter().map(Value::heap_size).sum::<usize>() + 64 * self.aggs.len();
-        let mut states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(*a)).collect();
-        for s in &mut states {
+    fn fold(&mut self, t: Tuple, admit: bool) -> Option<Tuple> {
+        let Some(group) = self.group_of(&t, admit) else { return Some(t) };
+        for s in &mut self.groups[group].1 {
             s.update(&t);
         }
-        self.table.entry(h).or_default().push((k, states));
         None
+    }
+
+    fn fold_at(&mut self, batch: &ColumnBatch, row: usize, admit: bool) -> bool {
+        let [col] = self.key_cols[..] else { return false };
+        let Some(k) = batch.column(col).int_at(row) else { return false };
+        let Some(group) = self.int_group(k, admit, || Value::Int(k)) else { return false };
+        for s in &mut self.groups[group].1 {
+            s.update_at(batch, row);
+        }
+        true
     }
 
     fn bytes(&self) -> usize {
@@ -192,7 +265,7 @@ impl Resident for Groups {
     }
 
     fn into_rows(self) -> Box<dyn Iterator<Item = Tuple> + Send> {
-        Box::new(self.table.into_values().flatten().map(|(mut row, states)| {
+        Box::new(self.groups.into_iter().map(|(mut row, states)| {
             states.iter().for_each(|s| s.finish(&mut row));
             row
         }))
@@ -233,14 +306,15 @@ impl Resident for Seen {
         }
     }
 
-    fn fold(&mut self, h: u64, t: Tuple, admit: bool) -> Option<Tuple> {
+    fn fold(&mut self, t: Tuple, admit: bool) -> Option<Tuple> {
+        let h = self.hash(&t);
         if self.table.get(&h).is_some_and(|b| b.iter().any(|s| self.is_dup(s, &t))) {
             return None;
         }
         if !admit {
             return Some(t);
         }
-        self.bytes += Frame::tuple_size(&t) + 32;
+        self.bytes += Rows::tuple_size(&t) + 32;
         self.table.entry(h).or_default().push(t);
         None
     }

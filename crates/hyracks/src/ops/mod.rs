@@ -2,9 +2,11 @@
 //!
 //! An [`Operator`] is a push/end state machine that lives next to its
 //! algorithm ([`sort`], [`join`], [`groupby`], [`stream`]): it is handed the
-//! tuples of one input port at a time, says at each end-of-input which port
-//! it wants next, and once it wants none is drained one bounded unit of work
-//! at a time. [`Running::pump`] is the only loop that drives one. The
+//! tuples of one input port at a time — one by one, or a batch of them held
+//! as columns, which an operator that does not work on columns is handed as
+//! the rows built from it — says at each end-of-input which port it wants
+//! next, and once it wants none is drained one bounded unit of work at a
+//! time. [`Running::pump`] is the only loop that drives one. The
 //! executor calls it with its edge-backed ports, [`drive`] and the grace
 //! recursion of the spilling operators call it with iterators; everything an
 //! operator may touch while it runs arrives in the [`OpCtx`] of the step.
@@ -21,11 +23,11 @@ use crate::cancel::CancellationToken;
 use crate::ctx::{RunHandle, RunReader, RuntimeCtx};
 use crate::error::{HyracksError, Result};
 use crate::exec::{NoWake, Notifier, Router};
-use crate::frame::{u32_len, Frame, Tuple};
-use crate::job::{AggFunc, AggPhase, AggSpec, OpKind};
+use crate::frame::{u32_len, Rows, Tuple};
+use crate::job::{AggFunc, AggPhase, AggSpec, OpKind, Produced};
 use crate::sched::MORSEL_TUPLES;
 use asterix_adm::compare::total_cmp;
-use asterix_adm::Value;
+use asterix_adm::{ColumnBatch, Value};
 use asterix_obs::OpMetrics;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -54,6 +56,12 @@ impl OpCtx<'_> {
     pub fn emit_sized(&mut self, t: Tuple, size: u32) -> Result<bool> {
         self.out.push_cached(self.wake, self.metrics, t, size)
     }
+
+    /// Emits the rows in play of `batch`, as the batch it is where the
+    /// consumer takes one.
+    pub fn emit_batch(&mut self, batch: ColumnBatch) -> Result<bool> {
+        self.out.push_batch(self.wake, self.metrics, batch)
+    }
 }
 
 /// One operator partition. Every method that returns `bool` answers "is
@@ -68,6 +76,19 @@ pub(crate) trait Operator: Send {
 
     /// One tuple of the wanted port, with its cached byte size.
     fn on_tuple(&mut self, port: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool>;
+
+    /// A batch of tuples of the wanted port, as columns. An operator that
+    /// works on rows leaves this be: the rows are built here, once, and
+    /// handed to [`Operator::on_tuple`] in order.
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
+        for t in batch.into_rows() {
+            let size = u32_len("tuple size", Rows::tuple_size(&t))?;
+            if !self.on_tuple(port, t, size, cx)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 
     /// The wanted port is exhausted; returns the port wanted next (joins:
     /// build before probe), `None` to be drained.
@@ -87,6 +108,8 @@ pub(crate) trait Operator: Send {
 pub(crate) enum Polled {
     /// A tuple with its cached byte size.
     Tuple(Tuple, u32),
+    /// A batch of tuples held as columns.
+    Batch(ColumnBatch),
     /// Nothing buffered, producers still live: go idle until notified.
     Pending,
     /// Every producer finished cleanly.
@@ -99,18 +122,19 @@ pub(crate) trait Input {
     fn poll(&mut self, cx: &mut OpCtx<'_>) -> Result<Polled>;
 }
 
-/// An input fed from an iterator (a spill run, a test vector): never
-/// pending, and not asked again after its end.
+/// An input fed from an iterator of tuples or of what a source produces (a
+/// spill run, a test vector): never pending, and not asked again after its
+/// end.
 pub(crate) struct IterInput<I>(Option<I>);
 
-impl<I: Iterator<Item = Result<Tuple>>> Input for IterInput<I> {
+impl<T: Into<Produced>, I: Iterator<Item = Result<T>>> Input for IterInput<I> {
     fn poll(&mut self, _cx: &mut OpCtx<'_>) -> Result<Polled> {
-        match self.0.as_mut().and_then(Iterator::next) {
-            Some(t) => {
-                let t = t?;
-                let size = u32_len("tuple size", Frame::tuple_size(&t))?;
+        match self.0.as_mut().and_then(Iterator::next).transpose()?.map(Into::into) {
+            Some(Produced::Tuple(t)) => {
+                let size = u32_len("tuple size", Rows::tuple_size(&t))?;
                 Ok(Polled::Tuple(t, size))
             }
+            Some(Produced::Batch(batch)) => Ok(Polled::Batch(batch)),
             None => {
                 self.0 = None;
                 Ok(Polled::End)
@@ -143,23 +167,36 @@ impl Running {
     }
 
     /// The one loop: at most `budget` units of work, each a tuple handed to
-    /// the operator, an end-of-input, or a unit of drain.
+    /// the operator, an end-of-input, or a unit of drain. A batch — handed
+    /// over, or emitted by a unit of drain — is as many units as it has
+    /// rows, and is not split: the last unit of a step may overshoot by one.
     pub fn pump<I: Input>( // xlint: actor_entry
         &mut self,
         inputs: &mut [I],
         cx: &mut OpCtx<'_>,
         budget: usize,
     ) -> Result<Flow> {
-        for _ in 0..budget {
+        let mut spent = 0;
+        while spent < budget {
             let more = match self.want {
-                None => self.op.on_drain(cx)?,
+                None => {
+                    let emitted = cx.metrics.tuples_out;
+                    let more = self.op.on_drain(cx)?;
+                    spent += ((cx.metrics.tuples_out - emitted) as usize).max(1);
+                    more
+                }
                 Some(port) => {
                     let Some(input) = inputs.get_mut(port) else {
                         return Err(HyracksError::InvalidJob(format!("input port {port} missing")));
                     };
+                    spent += 1;
                     match input.poll(cx)? {
                         Polled::Pending => return Ok(Flow::Idle),
                         Polled::Tuple(t, size) => self.op.on_tuple(port, t, size, cx)?,
+                        Polled::Batch(batch) => {
+                            spent += batch.rows().saturating_sub(1);
+                            self.op.on_batch(port, batch, cx)?
+                        }
                         Polled::End => {
                             self.want = self.op.on_end(port, cx)?;
                             true
@@ -215,11 +252,12 @@ pub struct Driven {
 }
 
 /// Runs one operator to completion outside a job: the executor's loop with
-/// iterators for ports. `inputs[i]` feeds input port `i`; an input is pulled
-/// only while the operator wants that port.
-pub fn drive<'a>(
+/// iterators for ports — of tuples, or of [`Produced`] where an input hands
+/// out batches. `inputs[i]` feeds input port `i`; an input is pulled only
+/// while the operator wants that port.
+pub fn drive<'a, T: Into<Produced>>(
     kind: &OpKind,
-    inputs: Vec<Box<dyn Iterator<Item = Result<Tuple>> + 'a>>,
+    inputs: Vec<Box<dyn Iterator<Item = Result<T>> + 'a>>,
     ctx: &Arc<RuntimeCtx>,
 ) -> Result<Driven> {
     let mut run = Running::new(kind.operator(0));
@@ -302,6 +340,16 @@ impl AggState {
             (_, AggFunc::CountStar) => self.count += 1,
             // the partial of SUM, MIN or MAX folds like one more raw value
             _ => self.add(&tuple[col]),
+        }
+    }
+
+    /// [`AggState::update`] with row `row` of `batch` for input tuple: a
+    /// raw value is read where its column holds it.
+    pub fn update_at(&mut self, batch: &ColumnBatch, row: usize) {
+        match (self.spec.phase, self.spec.func) {
+            (AggPhase::Final, _) => self.update(&batch.tuple(row)),
+            (_, AggFunc::CountStar) => self.count += 1,
+            _ => batch.column(self.spec.col).with_value(row, |v| self.add(v)),
         }
     }
 

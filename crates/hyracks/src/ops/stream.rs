@@ -1,12 +1,14 @@
-//! The streaming operators: a source, the tuple-at-a-time transforms, limit,
-//! and pass-through (union, result sink). None holds more than the tuple in
-//! hand.
+//! The streaming operators: a source, the transforms, limit, and
+//! pass-through (union, result sink). None holds more than the tuple, or the
+//! batch of them, in hand: select, assign, project, limit and pass-through
+//! take a batch as it is — a predicate narrows its selection, an assign
+//! appends a column — and pass it on.
 
 use crate::error::Result;
 use crate::frame::Tuple;
-use crate::job::{EvalFn, PredFn, SourceFactory};
+use crate::job::{EvalFn, PredFn, Produced, SourceFactory, SourceStream};
 use crate::ops::{OpCtx, Operator};
-use asterix_adm::Value;
+use asterix_adm::{ColumnBatch, Value};
 use std::sync::Arc;
 
 /// A data source: takes no input, drains the factory's iterator for its
@@ -14,7 +16,7 @@ use std::sync::Arc;
 pub(crate) struct Source {
     factory: Arc<dyn SourceFactory>,
     partition: usize,
-    iter: Option<Box<dyn Iterator<Item = Result<Tuple>> + Send>>,
+    iter: Option<SourceStream>,
 }
 
 impl Source {
@@ -37,9 +39,10 @@ impl Operator for Source {
             Some(iter) => iter,
             None => self.iter.insert(self.factory.open(self.partition)?),
         };
-        match iter.next() {
+        match iter.next().transpose()? {
             None => Ok(false),
-            Some(t) => cx.emit(t?),
+            Some(Produced::Tuple(t)) => cx.emit(t),
+            Some(Produced::Batch(batch)) => cx.emit_batch(batch),
         }
     }
 }
@@ -48,11 +51,20 @@ pub(crate) struct Filter(pub PredFn);
 
 impl Operator for Filter {
     fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        if (self.0)(&t)? {
+        if self.0.test(&t)? {
             cx.emit_sized(t, size)
         } else {
             Ok(true)
         }
+    }
+
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let keep = self.0.select(&batch)?;
+        if keep.is_empty() {
+            return Ok(true);
+        }
+        batch.select(keep);
+        cx.emit_batch(batch)
     }
 }
 
@@ -61,18 +73,46 @@ pub(crate) struct Assign(pub Vec<EvalFn>);
 impl Operator for Assign {
     fn on_tuple(&mut self, _: usize, mut t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         for e in &self.0 {
-            let v = e(&t)?;
+            let v = e.eval(&t)?;
             t.push(v);
         }
         cx.emit(t)
     }
+
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        for e in &self.0 {
+            let column = e.eval_batch(&batch)?;
+            batch.push_column(column)?;
+        }
+        cx.emit_batch(batch)
+    }
 }
 
-pub(crate) struct Project(pub Vec<usize>);
+/// Keeps the named columns, in order. The values are moved, not copied,
+/// unless a column is named twice.
+pub(crate) struct Project {
+    cols: Vec<usize>,
+    repeats: bool,
+}
+
+impl Project {
+    pub fn new(cols: Vec<usize>) -> Self {
+        let repeats = cols.iter().enumerate().any(|(k, c)| cols[..k].contains(c));
+        Project { cols, repeats }
+    }
+}
 
 impl Operator for Project {
-    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        cx.emit(self.0.iter().map(|c| t[*c].clone()).collect())
+    fn on_tuple(&mut self, _: usize, mut t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit(if self.repeats {
+            self.cols.iter().map(|c| t[*c].clone()).collect()
+        } else {
+            self.cols.iter().map(|c| std::mem::take(&mut t[*c])).collect()
+        })
+    }
+
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit_batch(batch.project(&self.cols))
     }
 }
 
@@ -83,7 +123,7 @@ pub(crate) struct Unnest {
 
 impl Operator for Unnest {
     fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        let coll = (self.expr)(&t)?;
+        let coll = self.expr.eval(&t)?;
         match coll.as_collection() {
             Some(items) if !items.is_empty() => {
                 for item in items {
@@ -137,6 +177,19 @@ impl Operator for Limit {
         }
         Ok(alive)
     }
+
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        let skipped = self.offset.min(batch.rows());
+        self.offset -= skipped;
+        batch.slice(skipped, self.left);
+        if batch.is_empty() {
+            return Ok(true);
+        }
+        if let Some(left) = &mut self.left {
+            *left -= batch.rows();
+        }
+        Ok(cx.emit_batch(batch)? && self.left != Some(0))
+    }
 }
 
 /// Passes its input ports through unchanged, one after the other: the
@@ -149,6 +202,10 @@ pub(crate) struct Concat {
 impl Operator for Concat {
     fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         cx.emit_sized(t, size)
+    }
+
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        cx.emit_batch(batch)
     }
 
     fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry

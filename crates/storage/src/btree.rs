@@ -65,6 +65,7 @@ use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le;
 use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
+use asterix_adm::BatchBuilder;
 use asterix_obs::Counter;
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -783,7 +784,7 @@ impl DiskBTree {
             None => Leaf::Page(PageCursor::open(tree, at, start)?),
             Some(shape) => Leaf::Group(GroupCursor::open(tree, Arc::clone(shape), self.leaf_end, at, start)?),
         };
-        let mut iter = BTreeRangeIter { leaf: Some(leaf), hi, key: Vec::with_capacity(32) };
+        let mut iter = BTreeRangeIter { leaf: Some(leaf), ended: false, hi, key: Vec::with_capacity(32) };
         iter.settle()?;
         Ok(iter)
     }
@@ -1036,8 +1037,11 @@ enum Leaf {
 /// [`value`]: BTreeRangeIter::value
 /// [`advance`]: BTreeRangeIter::advance
 pub struct BTreeRangeIter {
-    /// `None` once the range is exhausted.
+    /// Where the cursor stands, or stood when the range ran out: the leaf
+    /// of the last entry handed out stays readable until the cursor goes.
     leaf: Option<Leaf>,
+    /// The range has no more entries.
+    ended: bool,
     hi: Bound<Vec<u8>>,
     /// The key of the entry the cursor stands at.
     key: Vec<u8>,
@@ -1045,16 +1049,19 @@ pub struct BTreeRangeIter {
 
 impl BTreeRangeIter {
     fn empty() -> Self {
-        BTreeRangeIter { leaf: None, hi: Bound::Unbounded, key: Vec::new() }
+        BTreeRangeIter { leaf: None, ended: true, hi: Bound::Unbounded, key: Vec::new() }
     }
 
     /// The key of the entry the cursor stands at; `None` past the last.
     pub fn key(&self) -> Option<&[u8]> {
-        self.leaf.as_ref().map(|_| self.key.as_slice())
+        (!self.ended).then_some(self.key.as_slice())
     }
 
     /// Moves to the next entry of the range.
     pub fn advance(&mut self) -> Result<()> {
+        if self.ended {
+            return Ok(());
+        }
         match &mut self.leaf {
             Some(Leaf::Page(at)) => at.idx += 1,
             Some(Leaf::Group(at)) => at.idx += 1,
@@ -1068,7 +1075,8 @@ impl BTreeRangeIter {
     /// ends the range.
     fn settle(&mut self) -> Result<()> {
         let arrived = self.arrive();
-        if !matches!(arrived, Ok(true)) {
+        self.ended = !matches!(arrived, Ok(true));
+        if arrived.is_err() {
             self.leaf = None;
         }
         arrived.map(drop)
@@ -1122,6 +1130,7 @@ impl BTreeRangeIter {
         let key = self.key.as_slice();
         match &mut self.leaf {
             None => Err(StorageError::Invalid("a cursor past its range has no value".into())),
+            Some(_) if self.ended => Err(StorageError::Invalid("a cursor past its range has no value".into())),
             Some(Leaf::Page(at)) => Ok((key, PageView::new(&at.page).entry(at.idx)?.1)),
             Some(Leaf::Group(at)) => {
                 let at = &mut **at;
@@ -1188,6 +1197,39 @@ impl BTreeRangeIter {
         let mut view = at.view();
         wanted.iter().try_for_each(|&cell| view.cell(cell, idx, out))
     }
+
+    /// Where in its leaf group the cursor stands: the entry's number, and
+    /// how many entries the group has (leaf groups only).
+    pub fn group_place(&mut self) -> Result<(usize, usize)> {
+        let at = self.group()?;
+        Ok((at.idx, at.dir.n))
+    }
+
+    /// Appends to `builder` what it reads of the entries `runs` — ascending
+    /// runs of entry numbers — of the leaf group the cursor stands in, or
+    /// stood in when its range ran out: a column at a time, each chunk read
+    /// once per run, when the builder takes columns
+    /// ([`BatchBuilder::is_columnar`]), else an entry at a time.
+    pub fn append_entries(&mut self, runs: &[std::ops::Range<usize>], builder: &mut BatchBuilder<'_>) -> Result<()> {
+        let at = self.group()?;
+        let wanted = builder.wanted().cells();
+        let mut view = GroupView { shape: &at.shape, dir: &at.dir, src: &mut at.bytes };
+        if builder.is_columnar() {
+            for (k, &cell) in wanted.iter().enumerate() {
+                for run in runs {
+                    view.append_cells(cell, run.clone(), builder.cell_column(k))?;
+                }
+            }
+            builder.advance(runs.iter().map(ExactSizeIterator::len).sum());
+            return Ok(());
+        }
+        for idx in runs.iter().flat_map(Clone::clone) {
+            at.cells.clear();
+            wanted.iter().try_for_each(|&cell| view.cell(cell, idx, &mut at.cells))?;
+            builder.push_cells(&at.cells)?;
+        }
+        Ok(())
+    }
 }
 
 impl Iterator for BTreeRangeIter {
@@ -1197,7 +1239,7 @@ impl Iterator for BTreeRangeIter {
         let key = self.key()?.to_vec();
         let item = self.value().map(|value| (key, value.to_vec())).and_then(|item| self.advance().map(|()| item));
         if item.is_err() {
-            self.leaf = None;
+            (self.leaf, self.ended) = (None, true);
         }
         Some(item)
     }

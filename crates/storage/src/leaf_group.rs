@@ -46,6 +46,7 @@
 use crate::error::{Result, StorageError};
 use crate::le;
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
+use asterix_adm::Column;
 use std::sync::Arc;
 
 /// Entries per leaf group. Sized for the merge, which holds one group of
@@ -604,6 +605,108 @@ impl<S: ChunkBytes> GroupView<'_, S> {
             _ => Err(mismatch()),
         }
     }
+
+    /// Appends to `out`, a row each, cell `cell` of the consecutive entries
+    /// `rows` — what [`GroupView::cell`] hands out of them one at a time,
+    /// read a chunk at a time: the presence bits once, then the values of
+    /// the entries that have one, which lie side by side.
+    pub fn append_cells(&mut self, cell: usize, rows: std::ops::Range<usize>, out: &mut Column) -> Result<()> {
+        // the rest is no value: it is read entry by entry, with its names
+        let Some(&chunk) = self.shape.data_chunk.get(cell).filter(|_| cell < self.shape.layout.columns().len()) else {
+            return Err(StorageError::Invalid(format!("cell {cell} of {} columns", self.shape.layout.columns().len())));
+        };
+        if rows.end > self.dir.n {
+            return Err(StorageError::Invalid(format!("entries {rows:?} of a group of {}", self.dir.n)));
+        }
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let meta = self.dir.chunks[chunk];
+        let corrupt = |e: asterix_adm::AdmError| StorageError::Corrupt(format!("leaf group: {e}"));
+        // which of the entries have the cell, and how many before them do
+        let mut bits = [0xFFu8; GROUP_RECORDS / 8];
+        let mut first = rows.start;
+        if self.dir.chunks[FIRST_PRESENCE + cell].encoding != Encoding::Empty {
+            let held = self.bytes(FIRST_PRESENCE + cell, 0, rows.end.div_ceil(8))?;
+            bits[..held.len()].copy_from_slice(held);
+            let before = &bits[..rows.start / 8];
+            let partial = bits[rows.start / 8] & ((1u8 << (rows.start % 8)) - 1);
+            first = (before.iter().map(|b| b.count_ones()).sum::<u32>() + partial.count_ones()) as usize;
+        }
+        let has = |i: usize| bits[i / 8] & (1 << (i % 8)) != 0;
+        let count = rows.clone().filter(|i| has(*i)).count();
+        match (meta.encoding, self.shape.kind(cell)) {
+            _ if count == 0 => rows.for_each(|_| out.push_absent()),
+            (Encoding::For, ColumnKind::Int { tag, width }) => {
+                let (packed, width) = (self.bytes(chunk, first * meta.width, count * meta.width)?, width as usize);
+                let mut deltas = packed.chunks_exact(meta.width.max(1));
+                let mut value = [tag; 9];
+                for i in rows {
+                    if !has(i) {
+                        out.push_absent();
+                        continue;
+                    }
+                    let delta = deltas.next().map_or(0, uint_of);
+                    value[1..].copy_from_slice(&(meta.base as u64).wrapping_add(delta).to_le_bytes());
+                    out.push_cell(&value[..=width]).map_err(corrupt)?;
+                }
+            }
+            (Encoding::Fixed, ColumnKind::Fixed { tag, width }) if meta.width == width as usize && meta.width > 0 => {
+                let mut payloads = self.bytes(chunk, first * meta.width, count * meta.width)?.chunks_exact(meta.width).peekable();
+                let mut value = [tag; 33];
+                for i in rows {
+                    match payloads.next_if(|_| has(i)) {
+                        Some(payload) => {
+                            value[1..=meta.width].copy_from_slice(payload);
+                            out.push_cell(&value[..=meta.width]).map_err(corrupt)?;
+                        }
+                        None => out.push_absent(),
+                    }
+                }
+            }
+            (Encoding::Var | Encoding::Tagged, kind) => {
+                // where each value starts, and the last one ends
+                let offsets = self.bytes(chunk, first * meta.width, (count + 1) * meta.width)?;
+                let offsets: Vec<usize> = offsets.chunks_exact(meta.width).map(|o| uint_of(o) as usize).collect();
+                if offsets.windows(2).any(|w| w[0] > w[1]) {
+                    return Err(StorageError::Corrupt("leaf group: offsets not ascending".into()));
+                }
+                let values = self.bytes(chunk, offsets[0], offsets[count] - offsets[0])?;
+                let value = |k: usize| &values[offsets[k] - offsets[0]..offsets[k + 1] - offsets[0]];
+                let mut k = 0;
+                let mut rows = rows.peekable();
+                while let Some(i) = rows.next() {
+                    if !has(i) {
+                        out.push_absent();
+                        continue;
+                    }
+                    match (meta.encoding, kind) {
+                        (Encoding::Var, ColumnKind::Bytes { tag }) => {
+                            // the strings of the entries that follow it, as far as each has one, go with it
+                            let from = k;
+                            k += 1;
+                            while rows.next_if(|i| has(*i)).is_some() {
+                                k += 1;
+                            }
+                            let run = &values[offsets[from] - offsets[0]..offsets[k] - offsets[0]];
+                            let lens = offsets[from..=k].windows(2).map(|w| w[1] - w[0]);
+                            out.push_var(tag, run, lens).map_err(corrupt)?;
+                        }
+                        (Encoding::Tagged, _) if !value(k).is_empty() => {
+                            out.push_cell(value(k)).map_err(corrupt)?;
+                            k += 1;
+                        }
+                        (Encoding::Tagged, _) => {
+                            return Err(StorageError::Corrupt("leaf group: a present cell is empty".into()))
+                        }
+                        _ => return Err(StorageError::Corrupt("leaf group: a chunk's encoding contradicts its column".into())),
+                    }
+                }
+            }
+            _ => return Err(StorageError::Corrupt("leaf group: a chunk's encoding contradicts its column".into())),
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -703,6 +806,110 @@ mod tests {
         let order: Vec<usize> = (0..6).map(|cell| shape.data_chunk[cell]).collect();
         assert!(order[0] < order[3] && order[1] < order[3] && order[2] < order[3]);
         assert!(order[3] < order[4] && order[4] < order[5]);
+    }
+
+    /// A group of `n` messages whose cells force a chunk of every encoding
+    /// and width: `authorId`s `spread` apart (a frame of reference of 0, 1,
+    /// 2, 4 or 8 bytes), messages of `text` bytes (2- or 4-byte offsets), an
+    /// `inResponseTo` that comes and goes and is now and then a `null`
+    /// (`Bits` presence, `Tagged` cells), a location every other record has.
+    fn group_of(n: i64, spread: i64, text: usize) -> (Arc<GroupShape>, Vec<u8>) {
+        let shape = shape();
+        let mut b = GroupBuilder::new(Arc::clone(&shape));
+        for i in 0..n {
+            let mut cells = cells_of(i);
+            let mut wide = Cells::default();
+            for cell in 0..6 {
+                match cell {
+                    1 => wide.push(&encode(&Value::Int((i % 3).wrapping_mul(spread)))),
+                    4 => wide.push(&encode(&Value::from("é".repeat(text / 2 + i as usize % 3)))),
+                    _ => wide.push(cells.get(cell)),
+                }
+            }
+            std::mem::swap(&mut cells, &mut wide);
+            b.push(&encode_key(&[Value::Int(i)]), Some(&cells));
+        }
+        let mut out = Vec::new();
+        b.encode(&mut out);
+        (shape, out)
+    }
+
+    /// What `append_cells` makes of `rows` of each declared cell, against
+    /// the same cells read one at a time.
+    fn columns_of(shape: &GroupShape, bytes: &[u8], rows: std::ops::Range<usize>) -> Result<Vec<(Column, Column)>> {
+        let dir = GroupDir::parse(&bytes[..shape.dir_len()], shape)?;
+        let mut src = bytes;
+        let mut view = GroupView { shape, dir: &dir, src: &mut src };
+        let mut both = Vec::new();
+        for (cell, column) in shape.layout.columns().iter().enumerate() {
+            let (mut at_once, mut one_by_one) = (Column::of_kind(column.kind), Column::of_kind(column.kind));
+            view.append_cells(cell, rows.clone(), &mut at_once)?;
+            for i in rows.clone() {
+                let mut cells = Cells::default();
+                view.cell(cell, i, &mut cells)?;
+                one_by_one.push_cell(cells.get(0))?;
+            }
+            both.push((at_once, one_by_one));
+        }
+        Ok(both)
+    }
+
+    #[test]
+    fn a_chunk_at_a_time_reads_what_a_cell_at_a_time_does() {
+        for (spread, width) in [(0, 0), (100, 1), (30_000, 2), (1 << 30, 4), (1 << 62, 8)] {
+            for (text, offsets) in [(10, 2), (400, 4)] {
+                let (shape, bytes) = group_of(300, spread, text);
+                let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
+                let of = |cell: usize| dir.chunks[shape.data_chunk[cell]];
+                assert_eq!((of(1).encoding, of(1).width), (Encoding::For, width), "authorId {spread} apart");
+                assert_eq!((of(4).encoding, of(4).width), (Encoding::Var, offsets), "messages of {text} bytes");
+                assert_eq!((of(2).encoding, of(3).encoding), (Encoding::Tagged, Encoding::Fixed));
+                assert_eq!(dir.chunks[FIRST_PRESENCE].encoding, Encoding::Empty);
+                assert_eq!(dir.chunks[FIRST_PRESENCE + 2].encoding, Encoding::Bits);
+                // whole, one entry, runs that start and end inside a presence
+                // byte, the last entry, none
+                for rows in [0..300, 0..1, 5..9, 7..8, 13..250, 299..300, 40..40] {
+                    for (cell, (at_once, one_by_one)) in columns_of(&shape, &bytes, rows.clone()).unwrap().iter().enumerate() {
+                        assert_eq!(at_once.len(), rows.len());
+                        assert_eq!(at_once, one_by_one, "cell {cell} of entries {rows:?}");
+                    }
+                }
+            }
+        }
+        // the values themselves, once: an int column is a vector of them
+        // until the `null` among them makes it one of values
+        let (shape, bytes) = group_of(300, 100, 10);
+        let all = columns_of(&shape, &bytes, 0..300).unwrap();
+        assert_eq!((all[0].0.int_at(42), all[1].0.int_at(44)), (Some(1_042), Some(200)));
+        assert_eq!((all[2].0.get(7), all[2].0.get(9), all[2].0.get(8)), (Value::Null, Value::Int(i64::MAX - 9), Value::Missing));
+        assert_eq!(all[2].0.int_at(9), None, "a column of values");
+        assert_eq!(all[3].0.get(4), Value::Point(Point::new(4.0, -0.5)));
+        assert_eq!(all[4].0.get(1), Value::from("é".repeat(6)));
+        // the rest is not a column
+        let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
+        let mut src = bytes.as_slice();
+        let mut view = GroupView { shape: &shape, dir: &dir, src: &mut src };
+        assert!(matches!(view.append_cells(5, 0..1, &mut Column::new()), Err(StorageError::Invalid(_))));
+    }
+
+    #[test]
+    fn a_damaged_chunk_is_corrupt_not_a_panic() {
+        let (shape, bytes) = group_of(120, 30_000, 10);
+        // cut short under a sound directory: the chunks at the end are gone
+        let short = &bytes[..bytes.len() - 600];
+        assert!(matches!(columns_of(&shape, short, 0..120), Err(StorageError::Corrupt(_))));
+        // any one byte of the chunks wrong: a different answer or `Corrupt`
+        let mut damaged = 0;
+        for at in shape.dir_len()..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0xA5;
+            match columns_of(&shape, &bad, 0..120) {
+                Ok(_) => {}
+                Err(StorageError::Corrupt(_)) => damaged += 1,
+                Err(e) => panic!("byte {at}: {e}"),
+            }
+        }
+        assert!(damaged > 100, "offsets, lengths and UTF-8 are checked ({damaged} caught)");
     }
 
     #[test]

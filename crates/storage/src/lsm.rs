@@ -14,10 +14,12 @@
 //! A tree whose values are records ([`LsmConfig::layout`]: a dataset's
 //! primary index) writes its disk components as leaf groups
 //! ([`crate::leaf_group`]): the memory component keeps whole rows, the flush
-//! takes them apart, and a read that names the cells it wants
-//! ([`LsmTree::reader`], [`LsmTree::get_with`]) is handed exactly those of an
-//! entry that a disk component holds — and the row of one still in memory,
-//! to read the same fields from.
+//! takes them apart, and a read that names the cells it wants is handed
+//! exactly those of an entry that a disk component holds — and the row of one
+//! still in memory, to read the same fields from: an entry at a time with its
+//! key ([`LsmReader::next_entry`]), or appended to a batch of columns
+//! ([`LsmReader::fill`], [`LsmTree::get_into`]), the entries of one leaf
+//! group a chunk at a time.
 //!
 //! Only what is B+-tree-specific lives here: the memory component, the entry
 //! encoding, the k-way merge, blooms and value compression. The component
@@ -31,6 +33,7 @@ use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
 use asterix_adm::layout::{Cells, RecordLayout};
+use asterix_adm::BatchBuilder;
 use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
@@ -241,6 +244,11 @@ impl<C: MergeCursor> KWayMerge<C> {
     /// The cursor of rank `rank`.
     pub(crate) fn cursor(&mut self, rank: usize) -> &mut C {
         &mut self.cursors[rank]
+    }
+
+    /// The key of the entry handed out last.
+    pub(crate) fn taken_key(&self) -> Option<&[u8]> {
+        self.taken.and_then(|rank| self.cursors[rank].key())
     }
 
     /// Moves to the next distinct key: the rank of the cursor standing at
@@ -551,29 +559,28 @@ impl Lsm<BTreeKind> {
         })
     }
 
-    /// [`LsmTree::get`] for a reader that wants the cells `wanted` of the
-    /// record under `key` (indices into the layout's cells): `read` is
-    /// handed those out of a leaf group, whose other chunks are not touched,
-    /// or the row the memory component holds.
-    pub fn get_with<T>(
-        &self,
-        key: &[u8],
-        wanted: &[usize],
-        read: impl FnOnce(Projected<'_>) -> T,
-    ) -> Result<Option<T>> {
+    /// [`LsmTree::get`] for a reader of some of the record's fields: the
+    /// record under `key`, if there is one, is appended to `builder` — from
+    /// the row a memory component holds, or from the cells the builder's
+    /// projection names of a leaf group, whose other chunks are not touched.
+    /// Says whether there was one. For a tree that has a layout.
+    pub fn get_into(&self, key: &[u8], builder: &mut BatchBuilder<'_>) -> Result<bool> {
         if self.config().layout.is_none() {
-            return Ok(self.get(key)?.map(|row| read(Projected::Row(&row))));
+            return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", self.config().name)));
         }
         Ok(match self.find(key, |disk| disk.probe(key))? {
-            None | Some(Found::Mem(Entry::Tombstone)) => None,
-            Some(Found::Mem(Entry::Put(v))) => Some(read(Projected::Row(v))),
+            None | Some(Found::Mem(Entry::Tombstone)) => false,
+            Some(Found::Mem(Entry::Put(row))) => {
+                builder.push_row(row)?;
+                true
+            }
             Some(Found::Disk { mut at, .. }) => {
-                if at.is_tombstone()? {
-                    return Ok(None);
+                let live = !at.is_tombstone()?;
+                if live {
+                    let (idx, _) = at.group_place()?;
+                    at.append_entries(std::slice::from_ref(&(idx..idx + 1)), builder)?;
                 }
-                let mut cells = Cells::with_capacity(wanted.len(), 32 * wanted.len());
-                at.cells(wanted, &mut cells)?;
-                Some(read(Projected::Cells(&cells)))
+                live
             }
         })
     }
@@ -719,6 +726,67 @@ impl LsmReader<'_> {
                 }
             },
         }
+    }
+
+    /// Appends the next live entries, `limit` of them at most, to `builder`
+    /// — of each what the builder's projection reads of a record — and
+    /// returns the key of the last one when it stopped at the limit, `None`
+    /// when the range ran out first. The merge decides entry by entry which
+    /// version of a key is the newest and whether it is a delete marker; a
+    /// memory component's winner is appended from its row as it is met, and
+    /// the winners that follow one another out of one leaf group are
+    /// appended together, a chunk at a time, once something else comes
+    /// between them or the group ends. For a tree that has a layout.
+    pub fn fill(&mut self, builder: &mut BatchBuilder<'_>, limit: usize) -> Result<Option<Vec<u8>>> {
+        let LsmReader { merge, kind, .. } = self;
+        if kind.config.layout.is_none() {
+            return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", kind.config.name)));
+        }
+        // the winners not yet appended: runs of entry numbers in the leaf
+        // group the cursor of rank `pending.0` stands in
+        let mut pending: (usize, Vec<std::ops::Range<usize>>) = (0, Vec::new());
+        let flush = |merge: &mut KWayMerge<Source<'_>>, pending: &mut (usize, Vec<_>), builder: &mut BatchBuilder<'_>| {
+            if let (false, Source::Disk(at)) = (pending.1.is_empty(), merge.cursor(pending.0)) {
+                at.append_entries(&pending.1, builder)?;
+            }
+            pending.1.clear();
+            Ok::<(), StorageError>(())
+        };
+        let mut taken = 0;
+        while taken < limit {
+            let Some(rank) = merge.next_rank()? else {
+                flush(merge, &mut pending, builder)?;
+                return Ok(None);
+            };
+            if rank != pending.0 {
+                flush(merge, &mut pending, builder)?;
+                pending.0 = rank;
+            }
+            let (live, leaves_group) = match merge.cursor(rank) {
+                Source::Mem { head: Some((_, Entry::Put(row))), .. } => {
+                    builder.push_row(row)?;
+                    (true, false)
+                }
+                Source::Mem { .. } => (false, false),
+                Source::Disk(at) => {
+                    let (idx, entries) = at.group_place()?;
+                    let live = !at.is_tombstone()?;
+                    match pending.1.last_mut() {
+                        _ if !live => {}
+                        Some(run) if run.end == idx => run.end += 1,
+                        _ => pending.1.push(idx..idx + 1),
+                    }
+                    // its cursor is in another group once it steps on
+                    (live, idx + 1 == entries)
+                }
+            };
+            if leaves_group {
+                flush(merge, &mut pending, builder)?;
+            }
+            taken += usize::from(live);
+        }
+        flush(merge, &mut pending, builder)?;
+        Ok(merge.taken_key().map(<[u8]>::to_vec))
     }
 }
 

@@ -5,7 +5,7 @@
 use asterix_adm::binary::{encode, encode_key};
 use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
-use asterix_adm::{Point, RecordLayout, Rectangle, Value};
+use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
 use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
@@ -707,16 +707,49 @@ fn check_records(t: &LsmTree, layout: &RecordLayout, model: &BTreeMap<i64, Vec<u
     }
     assert!(live.next_entry().unwrap().is_none());
     drop(live);
+    // the same as columns: what each record reads as, spread over one column
+    // per field (one of records without any)
+    let columns = |row: &[u8]| -> Vec<Value> {
+        let record = layout.decode_row(&wanted, row).unwrap();
+        match fields {
+            [] => vec![record],
+            fields => fields.iter().map(|f| record.field(f).clone()).collect(),
+        }
+    };
     let keys: Vec<i64> = model.keys().copied().collect();
     for (at, i) in keys.iter().enumerate() {
         let mut rest = t.reader(Bound::Excluded(&k(*i)), Bound::Unbounded, Some(&[])).unwrap();
         let next = rest.next_entry().unwrap().map(|(key, _)| key.to_vec());
         assert_eq!(next, keys.get(at + 1).map(|n| k(*n)), "resumed after {i}");
+        // and a batch resumed there holds the two records that follow
+        let mut batch = BatchBuilder::new(layout, &wanted);
+        t.reader(Bound::Excluded(&k(*i)), Bound::Unbounded, Some(wanted.cells())).unwrap().fill(&mut batch, 2).unwrap();
+        let got: Vec<Vec<Value>> = batch.finish().unwrap().into_rows().collect();
+        let want: Vec<Vec<Value>> = keys[at + 1..].iter().take(2).map(|n| columns(&model[n])).collect();
+        assert_eq!(got, want, "a batch resumed after {i}");
     }
+    // in batches whose ends fall inside the leaf groups, each read on from
+    // the key the last stopped at
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut after: Option<Vec<u8>> = None;
+    loop {
+        let from = after.as_deref().map_or(Bound::Unbounded, Bound::Excluded);
+        let mut batch = BatchBuilder::new(layout, &wanted);
+        let last = t.reader(from, Bound::Unbounded, Some(wanted.cells())).unwrap().fill(&mut batch, 300).unwrap();
+        assert!(batch.rows() == 300 || last.is_none(), "a batch is full unless the range ran out");
+        rows.extend(batch.finish().unwrap().into_rows());
+        match last {
+            Some(key) => after = Some(key),
+            None => break,
+        }
+    }
+    assert_eq!(rows, model.values().map(|row| columns(row)).collect::<Vec<_>>(), "fields {fields:?}");
     for probe in (-1..2 * GROUP_RECORDS as i64 + 501).step_by(7) {
         assert_eq!(t.get(&k(probe)).unwrap(), model.get(&probe).cloned(), "get {probe}");
-        let got = t.get_with(&k(probe), wanted.cells(), project).unwrap();
-        assert_eq!(got, model.get(&probe).map(|row| layout.decode_row(&wanted, row).unwrap()), "get_with {probe}");
+        let mut one = BatchBuilder::new(layout, &wanted);
+        assert_eq!(t.get_into(&k(probe), &mut one).unwrap(), model.contains_key(&probe));
+        let got: Vec<Vec<Value>> = one.finish().unwrap().into_rows().collect();
+        assert_eq!(got, model.get(&probe).map(|row| columns(row)).into_iter().collect::<Vec<_>>(), "get_into {probe}");
     }
 }
 
