@@ -3,10 +3,11 @@
 //! A [`ColumnBatch`] is what a dataset scan hands to the dataflow instead of
 //! one `Object` per record: for every field the query reads, one [`Column`]
 //! — a typed vector (`i64`s; fixed-width values as their encoded bytes;
-//! strings as an offset array over one byte buffer; anything else as
-//! [`Value`]s) and a presence bitmap, row `i` of every column belonging to
-//! record `i`. A row that lacks a field has its presence bit clear and reads
-//! as `MISSING`, which is what `$r.f` answers for it.
+//! strings as an offset array over one byte buffer, or over the codes a
+//! component's symbol table ([`crate::fsst`]) decodes, a row's only when it is
+//! read; anything else as [`Value`]s) and a presence bitmap, row `i` of every
+//! column belonging to record `i`. A row that lacks a field has its presence
+//! bit clear and reads as `MISSING`, which is what `$r.f` answers for it.
 //!
 //! Operators that work on columns (select, assign, project, the local half
 //! of an aggregation) narrow a batch with a *selection* — the ascending row
@@ -21,6 +22,7 @@
 
 use crate::binary::{self, T_INT};
 use crate::error::{AdmError, Result};
+use crate::fsst::SymbolTable;
 use crate::layout::{Cells, ColumnKind, Projection, RecordLayout};
 use crate::value::Value;
 use std::sync::Arc;
@@ -78,6 +80,10 @@ enum ColumnData {
     Fixed { tag: u8, width: usize, bytes: Vec<u8> },
     /// `Value::String`s: row `i` is `bytes[ends[i - 1]..ends[i]]`, UTF-8.
     Str { ends: Vec<u32>, bytes: Vec<u8> },
+    /// `Value::String`s still coded: row `i` is what `table` decodes
+    /// `codes[ends[i - 1]..ends[i]]` to, every row's codes checked when
+    /// they were pushed.
+    Coded { table: Arc<SymbolTable>, ends: Vec<u32>, codes: Vec<u8> },
     /// Anything.
     Values(Vec<Value>),
 }
@@ -149,9 +155,72 @@ impl Column {
             ColumnData::Int(vs) => vs.push(0),
             ColumnData::Fixed { width, bytes, .. } => bytes.resize(bytes.len() + *width, 0),
             ColumnData::Str { ends, bytes } => ends.push(bytes.len() as u32),
+            ColumnData::Coded { ends, codes, .. } => ends.push(codes.len() as u32),
             ColumnData::Values(vs) => vs.push(Value::Missing),
         }
         self.present.push(false);
+    }
+
+    /// Turns coded strings into plain ones: a string arrived that is not
+    /// coded, or coded under another table.
+    fn uncode(&mut self) {
+        let ColumnData::Coded { table, ends, codes } = &self.data else { return };
+        let (mut plain, mut bytes, mut start) = (Vec::with_capacity(ends.len()), Vec::new(), 0);
+        for &end in ends {
+            // checked when pushed
+            let _ = table.decode_into(&codes[start..end as usize], &mut bytes);
+            plain.push(bytes.len() as u32);
+            start = end as usize;
+        }
+        self.data = ColumnData::Str { ends: plain, bytes };
+    }
+
+    /// A run of strings coded under `table`: `codes` is each one's codes end
+    /// to end, `lens` the length of each. They are kept coded when the column
+    /// holds no string yet or strings coded under the same table, else
+    /// decoded. Codes that do not decode are an error, and add nothing.
+    pub fn push_coded(&mut self, table: &Arc<SymbolTable>, codes: &[u8], lens: impl Iterator<Item = usize> + Clone) -> Result<()> {
+        let mut at = 0;
+        for len in lens.clone() {
+            let one = codes.get(at..at + len).ok_or_else(|| AdmError::Serde("coded strings past their codes".into()))?;
+            table.check(one)?;
+            at += len;
+        }
+        if at != codes.len() {
+            return Err(AdmError::Serde("coded strings that do not fill their codes".into()));
+        }
+        let no_text = match &self.data {
+            ColumnData::Untyped => true,
+            ColumnData::Str { bytes, .. } => bytes.is_empty(),
+            _ => false,
+        };
+        if no_text {
+            self.data = ColumnData::Coded { table: Arc::clone(table), ends: vec![0; self.len()], codes: Vec::new() };
+        }
+        match &mut self.data {
+            ColumnData::Coded { table: held, ends, codes: held_codes }
+                if (Arc::ptr_eq(held, table) || held == table) && held_codes.len() + codes.len() <= u32::MAX as usize =>
+            {
+                let mut end = held_codes.len();
+                for len in lens {
+                    end += len;
+                    ends.push(end as u32);
+                    self.present.push(true);
+                }
+                held_codes.extend_from_slice(codes);
+                Ok(())
+            }
+            _ => {
+                let (mut text, mut text_lens, mut at) = (Vec::new(), Vec::new(), 0);
+                for len in lens {
+                    let before = text.len();
+                    table.decode_into(&codes[at..at + len], &mut text)?;
+                    text_lens.push(text.len() - before);
+                    at += len;
+                }
+                self.push_strs(&text, text_lens.into_iter())
+            }
+        }
     }
 
     #[inline]
@@ -198,6 +267,7 @@ impl Column {
         if at != bytes.len() {
             return Err(AdmError::Serde("strings that do not fill their bytes".into()));
         }
+        self.uncode();
         if !matches!(self.data, ColumnData::Str { .. }) {
             let mut at = 0;
             for len in lens {
@@ -231,6 +301,9 @@ impl Column {
                 Value::Int(_) => ColumnData::Int(vec![0; rows]),
                 _ => ColumnData::Values(vec![Value::Missing; rows]),
             };
+        }
+        if matches!(v, Value::String(_)) {
+            self.uncode();
         }
         match (&mut self.data, v) {
             (ColumnData::Int(vs), Value::Int(i)) => vs.push(i),
@@ -299,6 +372,13 @@ impl Column {
                 binary::decode(&cell[..=*width]).unwrap_or(Value::Null)
             }
             ColumnData::Str { ends, bytes } => Value::String(Self::str_at(ends, bytes, i).to_owned()),
+            ColumnData::Coded { table, ends, codes } => {
+                let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+                let mut text = Vec::new();
+                // checked when the codes were pushed
+                let _ = table.decode_into(&codes[start..ends[i] as usize], &mut text);
+                Value::String(String::from_utf8(text).unwrap_or_default())
+            }
             ColumnData::Values(vs) => vs[i].clone(),
         }
     }
@@ -330,6 +410,7 @@ impl Column {
                 ColumnData::Int(vs) => vs.len() * 8,
                 ColumnData::Fixed { bytes, .. } => bytes.len(),
                 ColumnData::Str { ends, bytes } => ends.len() * 4 + bytes.len(),
+                ColumnData::Coded { ends, codes, .. } => ends.len() * 4 + codes.len(),
                 ColumnData::Values(vs) => std::mem::size_of_val(vs.as_slice()),
             }
     }

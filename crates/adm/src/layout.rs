@@ -45,6 +45,9 @@ pub enum ColumnKind {
 }
 
 impl ColumnKind {
+    /// A `string` column's kind: the one whose cells are text.
+    pub const STRING: ColumnKind = ColumnKind::Bytes { tag: binary::T_STRING };
+
     fn of(ty: &TypeExpr) -> ColumnKind {
         use binary::*;
         let TypeExpr::Named(name) = ty else { return ColumnKind::Tagged };

@@ -15,7 +15,8 @@
 //!
 //! This crate provides the value representation ([`Value`]), the type system
 //! ([`types`]), text parsing and printing of the extended-JSON syntax
-//! ([`parse`], [`mod@print`]), a compact binary serialization ([`binary`]), total
+//! ([`parse`], [`mod@print`]), a compact binary serialization ([`binary`]) and
+//! the string coding a column of them is stored in ([`fsst`]), total
 //! ordering and hashing consistent across numeric types ([`compare`]), and
 //! schema validation/casting ([`validate`]).
 //!
@@ -26,6 +27,7 @@ pub mod batch;
 pub mod binary;
 pub mod compare;
 pub mod error;
+pub mod fsst;
 pub mod layout;
 pub mod parse;
 pub mod print;

@@ -3,15 +3,18 @@
 
 use asterix_adm::binary::{decode, decode_fields, decode_key, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::compare::{adm_eq, hash64, total_cmp, OrdValue};
+use asterix_adm::fsst::{Encoder, SymbolTable};
+use asterix_adm::layout::ColumnKind;
 use asterix_adm::parse::parse_value;
 use asterix_adm::print::to_adm_string;
 use asterix_adm::schema_encode::{decode_fields_with_schema, decode_with_schema, encode_with_schema};
 use asterix_adm::temporal::Duration;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::AdmError;
-use asterix_adm::{BatchBuilder, Cells, Object, Point, RecordLayout, Rectangle, Value};
+use asterix_adm::{BatchBuilder, Cells, Column, ColumnBatch, Object, Point, RecordLayout, Rectangle, Value};
 use proptest::prelude::*;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Strategy generating arbitrary ADM values with bounded depth.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -297,6 +300,84 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// The table trained on `strings`, or, when they have nothing to code, one
+/// that has a symbol.
+fn table_of(strings: &[String]) -> Arc<SymbolTable> {
+    let strs: Vec<&str> = strings.iter().map(String::as_str).collect();
+    Arc::new(SymbolTable::train(&strs).or_else(|| SymbolTable::train(&["-"])).unwrap())
+}
+
+/// `strings` coded under `table`, end to end, and the length of each one's codes.
+fn coded(table: &SymbolTable, strings: &[String]) -> (Vec<u8>, Vec<usize>) {
+    let (encoder, mut codes, mut lens) = (Encoder::new(table), Vec::new(), Vec::new());
+    for s in strings {
+        let before = codes.len();
+        encoder.encode(s, &mut codes);
+        lens.push(codes.len() - before);
+    }
+    (codes, lens)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A column of coded strings answers row by row what the strings are —
+    /// whatever comes between its runs of codes: rows without a value, a run
+    /// coded under another table, a plain string, a value of another type —
+    /// and so do the rows of a batch of it; codes that do not decode are
+    /// refused and add nothing.
+    #[test]
+    fn a_coded_column_reads_like_its_strings(
+        texts in prop::collection::vec("[a-d é日😀]{0,12}", 1..30),
+        others in prop::collection::vec("[w-z ]{0,8}", 1..8),
+        plan in prop::collection::vec(0u8..6, 1..12),
+    ) {
+        let (mine, theirs) = (table_of(&texts), table_of(&others));
+        let mut column = Column::of_kind(ColumnKind::STRING);
+        let mut want: Vec<Value> = Vec::new();
+        for step in plan {
+            match step {
+                0 | 1 => {
+                    let (codes, lens) = coded(&mine, &texts);
+                    column.push_coded(&mine, &codes, lens.into_iter()).unwrap();
+                    want.extend(texts.iter().map(|t| Value::from(t.as_str())));
+                }
+                2 => {
+                    let (codes, lens) = coded(&theirs, &others);
+                    column.push_coded(&theirs, &codes, lens.into_iter()).unwrap();
+                    want.extend(others.iter().map(|t| Value::from(t.as_str())));
+                }
+                3 => {
+                    column.push_absent();
+                    want.push(Value::Missing);
+                }
+                4 => {
+                    column.push_value(Value::from(texts[0].as_str()));
+                    want.push(Value::from(texts[0].as_str()));
+                }
+                _ => {
+                    // codes cut inside an escape (no string has a `€`), or a
+                    // code past the table
+                    let (mut codes, _) = coded(&mine, &["€".to_string()]);
+                    codes.pop();
+                    let rows = column.len();
+                    prop_assert!(column.push_coded(&mine, &codes, [codes.len()].into_iter()).is_err());
+                    prop_assert!(column.push_coded(&mine, &[254], [1].into_iter()).is_err() || mine.len() == 255);
+                    prop_assert_eq!(column.len(), rows);
+                }
+            }
+        }
+        prop_assert_eq!(column.len(), want.len());
+        for (i, v) in want.iter().enumerate() {
+            prop_assert_eq!(&column.get(i), v, "row {}", i);
+        }
+        let rows = want.len();
+        let batch = ColumnBatch::new(vec![column], rows).unwrap();
+        let got: Vec<Value> = batch.into_rows().map(|mut row| row.remove(0)).collect();
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -35,7 +35,6 @@ pub fn run(quick: bool) -> ExpReport {
             mem_budget: 2 << 20,
             merge_policy: MergePolicy::Constant { max_components: 2 },
             bloom: true,
-            compress_values: false,
             layout: None,
         },
     );

@@ -51,7 +51,6 @@ pub fn run(quick: bool) -> ExpReport {
                 mem_budget: 128 << 10, // small: many flushes
                 merge_policy: policy,
                 bloom: true,
-                compress_values: false,
                 layout: None,
             },
         );

@@ -57,6 +57,8 @@ const PER_NODE: &str = "
     c storage.lsm.retire_failures
     c storage.lsm.rows_assembled
     c storage.lsm.space_amp
+    c storage.lsm.string_bytes_coded
+    c storage.lsm.string_bytes_plain
     c storage.lsm.write_amp
     c storage.wal.group_commit_waiters
     c storage.wal.group_commits

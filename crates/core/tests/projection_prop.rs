@@ -9,7 +9,7 @@
 //! column chunks. A scan hands those fields out as columns, a batch at a
 //! time: the states that is new in — overwrites and delete markers in a
 //! memory component over flushed groups, their rows cutting the runs a group
-//! is read in — are pinned by name below.
+//! is read in, over strings that are coded — are pinned by name below.
 
 use asterix_adm::compare::total_cmp;
 use asterix_adm::parse::parse_value;
@@ -188,7 +188,16 @@ fn check(db: &Instance, dataset: &str, model: &BTreeMap<i64, Value>, fields: &[u
     assert_eq!(sorted(query(&sql)), sorted(want), "{sql}");
 }
 
-fn run(partitions: usize, ops: &[Op]) {
+/// The bytes the flushes and merges of `db` wrote of string chunks, plain and
+/// as written: `(plain, coded)`.
+fn string_bytes(db: &Instance, partitions: usize) -> (u64, u64) {
+    let snap = db.metrics_snapshot();
+    let sum = |name: &str| (0..partitions).map(|n| snap.counter(&format!("node{n}.storage.lsm.{name}")).unwrap_or(0)).sum();
+    (sum("string_bytes_plain"), sum("string_bytes_coded"))
+}
+
+/// Runs `ops`; returns [`string_bytes`] over the instances it opened.
+fn run(partitions: usize, ops: &[Op]) -> (u64, u64) {
     let first = open(None, partitions);
     first.execute_sqlpp(DDL).unwrap();
     let mut txn = first.begin();
@@ -202,10 +211,12 @@ fn run(partitions: usize, ops: &[Op]) {
     let mut db = open(Some(&dir), partitions);
     let mut closed: BTreeMap<i64, Value> = BTreeMap::new();
     let mut opened: BTreeMap<i64, Value> = BTreeMap::new();
+    let mut strings = (0, 0);
     for op in ops {
         match op {
             Op::Upsert { key, a, g, s } => {
-                let s = s.map(|s| format!(r#", "s": "s{s}""#)).unwrap_or_default();
+                let words = ["the signal", "love at&t", "café 日本"];
+                let s = s.map(|s| format!(r#", "s": "s{s} {}""#, words[s as usize % 3])).unwrap_or_default();
                 let c = parse_value(&format!(r#"{{"id": {key}, "a": {a}, "g": {g}{s}}}"#)).unwrap();
                 let o = parse_value(&format!(
                     r#"{{"id": {key}, "a": {a}, "g": {g}{s}, "nest": {{"x": {}, "y": [{a}, "{g}"]}}}}"#,
@@ -228,6 +239,8 @@ fn run(partitions: usize, ops: &[Op]) {
             }
             Op::Flush => db.flush_all().unwrap(),
             Op::Restart => {
+                let (plain, coded) = string_bytes(&db, partitions);
+                strings = (strings.0 + plain, strings.1 + coded);
                 db.crash();
                 db = open(Some(&dir), partitions);
             }
@@ -252,6 +265,8 @@ fn run(partitions: usize, ops: &[Op]) {
     // and once more at the end, whatever state that is
     check(&db, "C", &closed, &[1, 3], 2);
     check(&db, "O", &opened, &[4, 0], 2);
+    let (plain, coded) = string_bytes(&db, partitions);
+    (strings.0 + plain, strings.1 + coded)
 }
 
 proptest! {
@@ -269,7 +284,7 @@ proptest! {
 /// Every state by name, whatever the random stream reaches: memory
 /// components only, one flushed component, overwrites and deletes in memory
 /// over it, merged components with a live memory component over them, and
-/// all of it read back after a crash.
+/// all of it read back after a crash — the closed type's strings coded.
 #[test]
 fn pinned_states_memtable_flushed_merged_restarted() {
     let all = Op::Check { fields: vec![0, 3, 4], bound: 3, and_flushed: false };
@@ -298,6 +313,8 @@ fn pinned_states_memtable_flushed_merged_restarted() {
     ops.push(Op::Restart);
     ops.push(all); // restarted
     for partitions in [1, 2] {
-        run(partitions, &ops);
+        // the closed type's strings were coded in the groups read
+        let (plain, coded) = run(partitions, &ops);
+        assert!(coded < plain, "{coded} bytes of string chunks of {plain}");
     }
 }

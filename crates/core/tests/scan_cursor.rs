@@ -227,3 +227,68 @@ fn a_batch_is_the_same_rows_from_chunks_and_from_rows_over_them() {
     }
     check(&db, &model, "two components");
 }
+
+/// Message `id` at version `v`: words of a lexicon of its own per version, so
+/// that components written at two versions code their strings under two
+/// tables; every eleventh empty.
+fn message(id: i64, v: i64) -> String {
+    const LEXICONS: [[&str; 4]; 2] = [[" the", " signal", " café", " 日本"], [" love", " at&t", " 3G", " screen"]];
+    if id % 11 == 0 {
+        return String::new();
+    }
+    (0..3 + id % 5).map(|k| LEXICONS[v as usize % 2][((id + k) % 4) as usize]).collect()
+}
+
+/// A string column read as batches holds the strings that went in: out of
+/// groups whose strings are coded, out of a memory component's overwrites,
+/// deletes and new keys over them — its rows' plain strings meeting codes in
+/// one column — and out of two components coded under two tables.
+#[test]
+fn a_batch_of_coded_strings_is_the_same_rows_with_rows_over_them() {
+    let db = Instance::open(InstanceConfig {
+        nodes: 1,
+        partitions: 1,
+        storage: StorageConfig { merge_policy: MergePolicy::NoMerge, ..Default::default() },
+        ..Default::default()
+    })
+    .unwrap();
+    db.execute_sqlpp("CREATE TYPE M AS { id: int, msg: string }; CREATE DATASET D(M) PRIMARY KEY id;").unwrap();
+    let write = |ids: &[i64], v: i64, model: &mut std::collections::BTreeMap<i64, String>| {
+        let mut txn = db.begin();
+        for id in ids {
+            let record = Value::object(vec![("id".into(), Value::Int(*id)), ("msg".into(), Value::from(message(*id, v)))]);
+            txn.write("D", &record, true).unwrap();
+            model.insert(*id, message(*id, v));
+        }
+        txn.commit().unwrap();
+    };
+    let check = |model: &std::collections::BTreeMap<i64, String>, when: &str| {
+        let got: Vec<Vec<Value>> = open_scan(&db, &["id", "msg"]).flat_map(ColumnBatch::into_rows).collect();
+        let want: Vec<Vec<Value>> = model.iter().map(|(id, m)| vec![Value::Int(*id), Value::from(m.as_str())]).collect();
+        assert_eq!(got, want, "{when}");
+        let messages: Vec<Value> = open_scan(&db, &["msg"]).flat_map(first_column).collect();
+        assert_eq!(messages, model.values().map(|m| Value::from(m.as_str())).collect::<Vec<_>>(), "{when}: one column");
+    };
+    let counter = |name: &str| db.metrics_snapshot().counter(&format!("node0.storage.lsm.{name}")).unwrap();
+    let n = 2 * SCAN_BATCH as i64 + 300;
+    let mut model = std::collections::BTreeMap::new();
+    write(&(0..n).collect::<Vec<_>>(), 0, &mut model);
+    db.flush_all().unwrap();
+    let (plain, coded) = (counter("string_bytes_plain"), counter("string_bytes_coded"));
+    assert!(coded * 3 < plain, "the groups are coded: {coded} bytes of {plain}");
+    check(&model, "flushed");
+
+    // over the groups, in memory: every ninth overwritten, every thirteenth
+    // deleted, keys before and after them
+    write(&(0..n).step_by(9).chain([-3, n + 5]).collect::<Vec<_>>(), 1, &mut model);
+    let mut txn = db.begin();
+    for id in (5..n).step_by(13) {
+        txn.delete("D", &asterix_adm::binary::encode_key(&[Value::Int(id)])).unwrap();
+        model.remove(&id);
+    }
+    txn.commit().unwrap();
+    check(&model, "rows over coded groups");
+    db.flush_all().unwrap();
+    assert_eq!(primary_stats(&db).flushes, 2);
+    check(&model, "two components, two tables");
+}

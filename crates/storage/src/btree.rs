@@ -9,12 +9,14 @@
 //! ## File layout (append-only, trailer-addressed)
 //!
 //! ```text
-//! [leaf area][internal level 1...][...][root page][bloom and columns pages...][trailer page]
+//! [leaf area][internal level 1...][...][root page][meta pages...][trailer page]
+//! meta pages = [bloom filter][column directory][symbol tables], end to end
 //! ```
 //!
 //! The trailer (last page) records the root, the height, the entry count,
-//! where the leaf area ends, where the bloom filter and the column directory
-//! are, and the min/max keys; readers open the file by reading the trailer.
+//! where the leaf area ends, where the bloom filter, the column directory and
+//! the symbol tables are, and the min/max keys; readers open the file by
+//! reading the trailer.
 //! Keys are composite ADM keys encoded by `asterix_adm::binary::encode_key`,
 //! whose bytes order as the values do: a key comparison is a slice
 //! comparison, and the formats below rely on it.
@@ -38,9 +40,11 @@
 //!   apart into cells and [`get`] and a cursor's `value` put together again,
 //!   byte for byte. A reader that wants some of a record's fields asks a
 //!   cursor for those cells ([`BTreeRangeIter::cells`]) and touches the pages
-//!   of their chunks only. The trailer carries the *column directory* — each
+//!   of their chunks only. The meta pages carry the *column directory* — each
 //!   column's name, declared type and kind — and a tree is opened only under
-//!   the layout it was written with.
+//!   the layout it was written with; and, per string column, the symbol table
+//!   its strings are coded with, trained on the tree's first group and read
+//!   once, at open.
 //!
 //! [`add`]: BTreeBuilder::add
 //! [`get`]: DiskBTree::get
@@ -60,6 +64,7 @@
 
 use crate::bloom::BloomFilter;
 use crate::cache::BufferCache;
+use crate::compaction::LsmMetricsHub;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le;
@@ -71,10 +76,12 @@ use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// "BTR3". "BTR2" trees had row leaves only and a trailer without a height
-/// or a column directory; "BTRE" keys needed decoding to be compared. A file
-/// of either is refused at open.
-const MAGIC: u32 = 0x4254_5233;
+/// "BTR4". "BTR3" trees stored strings as they are, with no symbol tables;
+/// "BTR2" trees had row leaves only and a trailer without a height or a column
+/// directory; "BTRE" keys needed decoding to be compared. A file of any of
+/// them is refused at open.
+const MAGIC: u32 = 0x4254_5234;
+const BTR3: u32 = 0x4254_5233;
 const BTR2: u32 = 0x4254_5232;
 const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
 const ENTRY_OVERHEAD: usize = 2 /* offset */ + 4 /* lens */;
@@ -286,11 +293,13 @@ enum Leaves {
         written: u64,
     },
     Groups {
-        group: GroupBuilder,
+        group: Box<GroupBuilder>,
         /// Encoded groups not yet cut into pages.
         buf: Vec<u8>,
         /// Bytes of the leaf area encoded so far: where the next group starts.
         written: u64,
+        /// Holds `storage.lsm.string_bytes_*`, bumped per group.
+        hub: Arc<LsmMetricsHub>,
     },
 }
 
@@ -319,8 +328,9 @@ impl BTreeBuilder {
     /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are LSM
     /// entries whose rows `layout` takes apart.
     pub fn with_layout(writer: PageFileWriter, expected_keys: usize, layout: Arc<RecordLayout>) -> Self {
-        let group = GroupBuilder::new(Arc::new(GroupShape::new(layout)));
-        Self::over(writer, expected_keys, Leaves::Groups { group, buf: Vec::new(), written: 0 })
+        let group = Box::new(GroupBuilder::new(Arc::new(GroupShape::new(layout))));
+        let hub = Arc::clone(writer.stats().lsm());
+        Self::over(writer, expected_keys, Leaves::Groups { group, buf: Vec::new(), written: 0, hub })
     }
 
     fn over(writer: PageFileWriter, expected_keys: usize, leaves: Leaves) -> Self {
@@ -385,11 +395,11 @@ impl BTreeBuilder {
     /// full — for the entry under `key` that `push` adds to it.
     fn add_to_group(&mut self, key: &[u8], push: impl FnOnce(&mut GroupBuilder) -> Result<()>) -> Result<()> {
         self.admit(key)?;
-        let Leaves::Groups { group, buf, written } = &mut self.leaves else {
+        let Leaves::Groups { group, buf, written, hub } = &mut self.leaves else {
             return Err(StorageError::Invalid("cells added to a tree of row leaves".into()));
         };
         if group.is_full() {
-            Self::finish_group(&mut self.writer, group, buf, written)?;
+            Self::finish_group(&mut self.writer, group, buf, written, hub)?;
         }
         let first = group.len() == 0;
         push(group)?;
@@ -442,12 +452,20 @@ impl BTreeBuilder {
 
     /// Encodes the current group behind the ones before it and writes the
     /// whole pages that completes.
-    fn finish_group(writer: &mut PageFileWriter, group: &mut GroupBuilder, buf: &mut Vec<u8>, written: &mut u64) -> Result<()> {
+    fn finish_group(
+        writer: &mut PageFileWriter,
+        group: &mut GroupBuilder,
+        buf: &mut Vec<u8>,
+        written: &mut u64,
+        hub: &LsmMetricsHub,
+    ) -> Result<()> {
         if group.len() == 0 {
             return Ok(());
         }
         let before = buf.len();
-        group.encode(buf);
+        let (plain, coded) = group.encode(buf);
+        hub.string_bytes_plain.add(plain as u64);
+        hub.string_bytes_coded.add(coded as u64);
         *written += (buf.len() - before) as u64;
         let whole = buf.len() / PAGE_SIZE * PAGE_SIZE;
         for page in buf[..whole].chunks_exact(PAGE_SIZE) {
@@ -465,8 +483,8 @@ impl BTreeBuilder {
                 Self::finish_leaf(&mut self.writer, leaf, written)?;
                 (*written * PAGE_SIZE as u64, None)
             }
-            Leaves::Groups { group, buf, written } => {
-                Self::finish_group(&mut self.writer, group, buf, written)?;
+            Leaves::Groups { group, buf, written, hub } => {
+                Self::finish_group(&mut self.writer, group, buf, written, hub)?;
                 if !buf.is_empty() {
                     buf.resize(PAGE_SIZE, 0);
                     self.writer.append(buf.as_slice())?;
@@ -500,12 +518,16 @@ impl BTreeBuilder {
         }
         // a single-leaf or empty tree roots at its leaf area's start
         let root = level.first().map_or(0, |(_, child)| *child);
-        // The bloom filter, then the column directory.
+        // The bloom filter, the column directory, the symbol tables.
         let bloom_bytes = self.bloom.as_ref().map(|b| b.to_bytes()).unwrap_or_default();
         let columns = shape.as_ref().map(|s| column_directory(&s.layout)).unwrap_or_default();
+        let mut tables = Vec::new();
+        if let Some(shape) = &shape {
+            shape.write_tables(&mut tables);
+        }
         let meta_start = next_page_no;
         let mut meta_pages = 0u32;
-        for chunk in [bloom_bytes.as_slice(), columns.as_slice()].concat().chunks(PAGE_SIZE) {
+        for chunk in [bloom_bytes.as_slice(), columns.as_slice(), tables.as_slice()].concat().chunks(PAGE_SIZE) {
             let mut page = vec![0u8; PAGE_SIZE];
             page[..chunk.len()].copy_from_slice(chunk);
             self.writer.append(&page)?;
@@ -523,6 +545,7 @@ impl BTreeBuilder {
         trailer.extend_from_slice(&meta_pages.to_le_bytes());
         trailer.extend_from_slice(&(bloom_bytes.len() as u32).to_le_bytes());
         trailer.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+        trailer.extend_from_slice(&(tables.len() as u32).to_le_bytes());
         for key in [&min_key, &max_key] {
             trailer.extend_from_slice(&(key.len() as u32).to_le_bytes());
             trailer.extend_from_slice(key);
@@ -607,10 +630,13 @@ impl DiskBTree {
         }
         let trailer = cache.manager().read_page(file, n_pages - 1)?;
         let magic = le::try_u32_at(&trailer, 0)?;
-        if magic == BTR2 {
-            return Err(StorageError::Corrupt(
-                "a BTR2 B+ tree file: written before primary components stored columns, which is not read".into(),
-            ));
+        let retired = match magic {
+            BTR3 => Some("BTR3 B+ tree file: written before string columns were coded"),
+            BTR2 => Some("BTR2 B+ tree file: written before primary components stored columns"),
+            _ => None,
+        };
+        if let Some(retired) = retired {
+            return Err(StorageError::Corrupt(format!("a {retired}, which is not read")));
         }
         if magic != MAGIC {
             return Err(StorageError::Corrupt(format!(
@@ -626,10 +652,11 @@ impl DiskBTree {
         let meta_pages = le::try_u32_at(&trailer, 40)? as u64;
         let bloom_len = le::try_u32_at(&trailer, 44)? as usize;
         let columns_len = le::try_u32_at(&trailer, 48)? as usize;
-        let min_len = le::try_u32_at(&trailer, 52)? as usize;
-        let min_key = le::try_bytes_at(&trailer, 56, min_len)?.to_vec();
-        let max_len = le::try_u32_at(&trailer, 56 + min_len)? as usize;
-        let max_key = le::try_bytes_at(&trailer, 60 + min_len, max_len)?.to_vec();
+        let tables_len = le::try_u32_at(&trailer, 52)? as usize;
+        let min_len = le::try_u32_at(&trailer, 56)? as usize;
+        let min_key = le::try_bytes_at(&trailer, 60, min_len)?.to_vec();
+        let max_len = le::try_u32_at(&trailer, 60 + min_len)? as usize;
+        let max_key = le::try_bytes_at(&trailer, 64 + min_len, max_len)?.to_vec();
         if leaf_end > meta_start.saturating_mul(PAGE_SIZE as u64) || meta_start.checked_add(meta_pages) != Some(n_pages - 1) {
             return Err(StorageError::Corrupt("btree trailer: regions out of order".into()));
         }
@@ -645,9 +672,12 @@ impl DiskBTree {
             ),
         };
         let columns = le::try_bytes_at(&meta, bloom_len, columns_len)?;
+        let tables = le::try_bytes_at(&meta, bloom_len + columns_len, tables_len)?;
         let shape = match layout {
-            None if columns.is_empty() => None,
-            Some(layout) if columns == column_directory(layout) => Some(Arc::new(GroupShape::new(Arc::clone(layout)))),
+            None if columns.is_empty() && tables.is_empty() => None,
+            Some(layout) if columns == column_directory(layout) => {
+                Some(Arc::new(GroupShape::with_tables(Arc::clone(layout), tables)?))
+            }
             _ => {
                 return Err(StorageError::Corrupt(
                     "the tree's column directory is not that of the layout it is opened under".into(),
@@ -1430,13 +1460,15 @@ mod tests {
         Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType")))
     }
 
-    /// The row of message `i`, and `[PUT] ++ row`: what a read of it hands out.
+    /// The row of message `i`, and `[PUT] ++ row`: what a read of it hands
+    /// out. Its text is noise, so that the pages a read touches are counted
+    /// against a file of uncoded size.
     fn message(i: i64) -> (Vec<u8>, Vec<u8>) {
         let reg = gleambook_types();
         let mut fields = vec![
             ("messageId".to_string(), Value::Int(i)),
             ("authorId".into(), Value::Int(i % 97)),
-            ("message".into(), Value::from(format!("message number {i:>60}"))),
+            ("message".into(), Value::from(crate::testutil::noise(i as u64, 75))),
         ];
         if i % 3 == 0 {
             fields.insert(2, ("inResponseTo".into(), Value::Int(i / 3)));
@@ -1561,7 +1593,7 @@ mod tests {
             let mut fields = vec![
                 ("messageId".to_string(), Value::Int(i)),
                 ("authorId".into(), Value::Int(i % 50)),
-                ("message".into(), Value::from("m".repeat(pad % 7 + (i as usize % 3)))),
+                ("message".into(), Value::from(crate::testutil::noise(i as u64, pad % 7 + (i as usize % 3)))),
             ];
             if i % 4 == 1 {
                 fields.insert(2, ("inResponseTo".into(), Value::Int(i - 1)));

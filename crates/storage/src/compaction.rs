@@ -105,6 +105,11 @@ pub struct LsmMetricsHub {
     pub(crate) chunks_read: Counter,
     /// Whole rows put together from the cells of a leaf group.
     pub(crate) rows_assembled: Counter,
+    /// Bytes the string chunks of the leaf groups flushes and merges wrote
+    /// would take with every string as it is ...
+    pub(crate) string_bytes_plain: Counter,
+    /// ... and take as written, coded or not: one bump of each per group.
+    pub(crate) string_bytes_coded: Counter,
 }
 
 fn ratio_milli(num: u64, den: u64) -> u64 {
@@ -130,6 +135,8 @@ impl LsmMetricsHub {
             merge_inflight: registry.gauge("storage.lsm.merge_inflight"),
             chunks_read: registry.counter("storage.lsm.chunks_read"),
             rows_assembled: registry.counter("storage.lsm.rows_assembled"),
+            string_bytes_plain: registry.counter("storage.lsm.string_bytes_plain"),
+            string_bytes_coded: registry.counter("storage.lsm.string_bytes_coded"),
         };
         // Write amplification: disk entries written per ingested entry.
         let (num, den) = (hub.entries_written.clone(), hub.entries_ingested.clone());

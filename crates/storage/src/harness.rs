@@ -1299,7 +1299,7 @@ mod tests {
             let message = Value::object(vec![
                 ("messageId".into(), Value::Int(i as i64)),
                 ("authorId".into(), Value::Int(i as i64 % 7)),
-                ("message".into(), Value::from("a message of some forty bytes, as they go")),
+                ("message".into(), Value::from(crate::testutil::noise(i, 40))),
             ]);
             let types = gleambook_types();
             let row = encode_with_schema(&message, types.get("GleambookMessageType").unwrap()).unwrap();

@@ -390,6 +390,11 @@ impl PageFileWriter {
         self.pages
     }
 
+    /// The counters of the file manager it writes for.
+    pub(crate) fn stats(&self) -> &Arc<IoStats> {
+        &self.manager.stats
+    }
+
     /// Flushes, syncs, and registers the file; returns its [`FileId`].
     pub fn finish(mut self) -> Result<FileId> { // xlint: allow(blocking, "bulk-writer finish syncs the new component once before publish")
         let mut w = self

@@ -23,28 +23,37 @@
 //! * **tombstones** — a bitmap of the delete markers; no bytes when the
 //!   group has none.
 //! * **presence**, one per cell (the layout's columns, then the rest) — a
-//!   bitmap of the entries that have the cell; no bytes when all do. A data
-//!   chunk holds the cells of those entries only, so entry `i`'s is found by
-//!   its rank among them.
+//!   bitmap of the entries that have the cell; no bytes when all do, or when
+//!   none does (its data chunk has none either). A data chunk holds the cells
+//!   of those entries only, so entry `i`'s is found by its rank among them.
 //! * **data**, one per cell, in ascending [`ColumnKind::width`] — what a
 //!   query reads most often of a record are its narrow fields, and this keeps
 //!   them next to the keys. By the column's kind: an integer as its offset
 //!   from the group's smallest, in the 0, 1, 2, 4 or 8 bytes the largest
 //!   offset needs (`Encoding::For`, `base` the smallest); a fixed-width
-//!   value as its bytes past the tag (`Encoding::Fixed`); a string or
-//!   binary as its bytes behind an offset array (`Encoding::Var`, 2- or
-//!   4-byte offsets by the chunk's size); anything else — a nested or
-//!   `any`-typed field, the rest, and any column in a group where some value
-//!   is not of the declared form (an optional field's `null`) — as whole
-//!   cells behind an offset array (`Encoding::Tagged`).
+//!   value as its bytes past the tag (`Encoding::Fixed`); a string as its
+//!   codes under the component's symbol table for the column
+//!   (`asterix_adm::fsst`) behind an offset array (`Encoding::Coded`, 2- or
+//!   4-byte offsets by the chunk's size), or — where the component has no
+//!   table for it, or the table does not make the group's strings shorter —
+//!   as its bytes (`Encoding::Var`), which is also how a binary is stored;
+//!   anything else — a nested or `any`-typed field, the rest, and any column
+//!   in a group where some value is not of the declared form (an optional
+//!   field's `null`) — as whole cells behind an offset array
+//!   (`Encoding::Tagged`). No bytes (`Encoding::Empty`): no entry has the
+//!   cell.
 //!
+//! The tables are trained on the component's first group and kept with the
+//! component's column directory ([`GroupShape::write_tables`]), once.
 //! Whatever the encoding, cell `i` of a chunk is addressable without reading
 //! the cells before it, and reading it gives back the bytes that went in.
-//! Everything here is read off disk: a directory that fails its checksum and
-//! any offset that leaves its chunk are [`StorageError::Corrupt`].
+//! Everything here is read off disk: a directory that fails its checksum, any
+//! offset that leaves its chunk and codes that do not decode are
+//! [`StorageError::Corrupt`].
 
 use crate::error::{Result, StorageError};
 use crate::le;
+use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
 use asterix_adm::Column;
 use std::sync::Arc;
@@ -61,6 +70,12 @@ const GROUP_BYTES: usize = 256 << 10;
 
 const DIR_HEADER: usize = 16;
 const DIR_ENTRY: usize = 16;
+
+/// The tag of a `string` cell.
+const STRING_TAG: u8 = match ColumnKind::STRING {
+    ColumnKind::Bytes { tag } => tag,
+    _ => 0,
+};
 
 const KEYS: usize = 0;
 const TOMBSTONES: usize = 1;
@@ -91,12 +106,14 @@ pub(crate) enum Encoding {
     Var = 4,
     /// `width`-byte offsets, then whole cells.
     Tagged = 5,
+    /// `width`-byte offsets, then each string's codes.
+    Coded = 6,
 }
 
 impl Encoding {
     fn from_byte(b: u8) -> Option<Encoding> {
         use Encoding::*;
-        [Empty, Bits, For, Fixed, Var, Tagged].into_iter().find(|e| *e as u8 == b)
+        [Empty, Bits, For, Fixed, Var, Tagged, Coded].into_iter().find(|e| *e as u8 == b)
     }
 }
 
@@ -111,16 +128,21 @@ pub(crate) struct ChunkMeta {
     pub base: i64,
 }
 
-/// What every group of a tree shares: the layout and, from it, which chunk
-/// holds which cell.
-#[derive(Debug)]
+/// What every group of a tree shares: the layout, from it which chunk holds
+/// which cell, and the symbol table each string column is coded with.
+#[derive(Debug, Clone)]
 pub(crate) struct GroupShape {
     pub layout: Arc<RecordLayout>,
     /// The data chunk of each cell.
     data_chunk: Vec<usize>,
+    /// Per cell, the table its `Coded` chunks decode with: a string
+    /// column's, when the component's first group had strings to train it on.
+    tables: Vec<Option<Arc<SymbolTable>>>,
 }
 
 impl GroupShape {
+    /// The shape of the groups of a tree of `layout`, before its tables are
+    /// trained.
     pub fn new(layout: Arc<RecordLayout>) -> GroupShape {
         let cells = layout.cell_count();
         let width = |cell: usize| layout.columns().get(cell).map_or(usize::MAX, |c| c.kind.width());
@@ -130,7 +152,40 @@ impl GroupShape {
         for (k, &cell) in order.iter().enumerate() {
             data_chunk[cell] = FIRST_PRESENCE + cells + k;
         }
-        GroupShape { layout, data_chunk }
+        GroupShape { layout, data_chunk, tables: vec![None; cells] }
+    }
+
+    /// The string columns' cells, in order: the columns that are coded.
+    fn text_cells(&self) -> Vec<usize> {
+        (0..self.cells()).filter(|&cell| self.kind(cell) == ColumnKind::STRING).collect()
+    }
+
+    /// Appends the symbol tables as a component keeps them beside its column
+    /// directory: per string column, in order, its table, or no symbols.
+    pub fn write_tables(&self, out: &mut Vec<u8>) {
+        for cell in self.text_cells() {
+            match &self.tables[cell] {
+                Some(table) => table.write(out),
+                None => out.push(0),
+            }
+        }
+    }
+
+    /// The shape of a tree of `layout` whose tables [`GroupShape::write_tables`]
+    /// wrote, every byte of `bytes`.
+    pub fn with_tables(layout: Arc<RecordLayout>, bytes: &[u8]) -> Result<GroupShape> {
+        let corrupt = |what: String| StorageError::Corrupt(format!("the component's symbol tables: {what}"));
+        let mut shape = GroupShape::new(layout);
+        let mut at = 0;
+        for cell in shape.text_cells() {
+            let (table, len) = SymbolTable::read(&bytes[at..]).map_err(|e| corrupt(e.to_string()))?;
+            shape.tables[cell] = table.map(Arc::new);
+            at += len;
+        }
+        if at != bytes.len() {
+            return Err(corrupt(format!("{} bytes past the last", bytes.len() - at)));
+        }
+        Ok(shape)
     }
 
     fn cells(&self) -> usize {
@@ -158,34 +213,58 @@ impl GroupShape {
 /// How a chunk was written: its encoding, width and base.
 type Written = (Encoding, usize, i64);
 
-/// The cells one column's entries have, end to end.
+/// Items end to end, and where each ends.
 #[derive(Default)]
-struct CellColumn {
+struct Items {
     bytes: Vec<u8>,
-    /// Where each *present* cell ends in `bytes`.
     ends: Vec<usize>,
-    /// Per entry, whether it has the cell.
-    present: Vec<bool>,
 }
 
-impl CellColumn {
-    fn cells(&self) -> impl Iterator<Item = &[u8]> + Clone {
+impl Items {
+    fn push(&mut self, item: &[u8]) {
+        self.bytes.extend_from_slice(item);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u8]> + Clone {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts.zip(&self.ends).map(|(start, end)| &self.bytes[start..*end])
     }
 }
 
+/// The cells one column's entries have.
+#[derive(Default)]
+struct CellColumn {
+    /// The cells of the entries that have one.
+    cells: Items,
+    /// Per entry, whether it has the cell.
+    present: Vec<bool>,
+}
+
+/// Whether `cell` is the tag `tag`, a length and that many bytes.
+fn is_var(cell: &[u8], tag: u8) -> bool {
+    cell.len() >= 5 && cell[0] == tag && le::u32_at(cell, 1) as usize == cell.len() - 5
+}
+
 /// Collects the entries of one group and writes them out.
 pub(crate) struct GroupBuilder {
     shape: Arc<GroupShape>,
-    /// Whole keys, end to end.
-    keys: Vec<u8>,
-    key_ends: Vec<usize>,
+    keys: Items,
     tombstones: Vec<bool>,
     columns: Vec<CellColumn>,
     bytes: usize,
     /// The cells of the row being added.
     shredded: Cells,
+    /// Per cell, what codes its strings; trained when the first group is
+    /// written.
+    encoders: Option<Vec<Option<Encoder>>>,
+    /// The strings of the column being written, coded.
+    codes: Items,
 }
 
 impl GroupBuilder {
@@ -193,21 +272,24 @@ impl GroupBuilder {
         let columns = (0..shape.cells()).map(|_| CellColumn::default()).collect();
         GroupBuilder {
             shape,
-            keys: Vec::new(),
-            key_ends: Vec::new(),
+            keys: Items::default(),
             tombstones: Vec::new(),
             columns,
             bytes: 0,
             shredded: Cells::default(),
+            encoders: None,
+            codes: Items::default(),
         }
     }
 
+    /// The shape of the groups written: with the symbol tables once the first
+    /// is.
     pub fn shape(&self) -> &Arc<GroupShape> {
         &self.shape
     }
 
     pub fn len(&self) -> usize {
-        self.key_ends.len()
+        self.keys.ends.len()
     }
 
     pub fn is_full(&self) -> bool {
@@ -227,23 +309,42 @@ impl GroupBuilder {
 
     /// Adds an entry: its cells, or a delete marker without any.
     pub fn push(&mut self, key: &[u8], cells: Option<&Cells>) {
-        self.keys.extend_from_slice(key);
-        self.key_ends.push(self.keys.len());
+        self.keys.push(key);
         self.tombstones.push(cells.is_none());
         self.bytes += key.len();
         for (i, column) in self.columns.iter_mut().enumerate() {
             let cell = cells.map_or(&[][..], |c| c.get(i));
             column.present.push(!cell.is_empty());
             if !cell.is_empty() {
-                column.bytes.extend_from_slice(cell);
-                column.ends.push(column.bytes.len());
+                column.cells.push(cell);
                 self.bytes += cell.len();
             }
         }
     }
 
-    /// Appends the group to `out` and empties the builder.
-    pub fn encode(&mut self, out: &mut Vec<u8>) {
+    /// Trains a symbol table for each string column on the group about to be
+    /// written: the component's first.
+    fn train(&mut self) {
+        let mut shape = GroupShape::clone(&self.shape);
+        let mut encoders: Vec<Option<Encoder>> = (0..shape.cells()).map(|_| None).collect();
+        for cell in shape.text_cells() {
+            let cells = self.columns[cell].cells.iter().filter(|c| is_var(c, STRING_TAG));
+            let sample: Vec<&str> = cells.filter_map(|c| std::str::from_utf8(&c[5..]).ok()).collect();
+            if let Some(table) = SymbolTable::train(&sample) {
+                encoders[cell] = Some(Encoder::new(&table));
+                shape.tables[cell] = Some(Arc::new(table));
+            }
+        }
+        self.shape = Arc::new(shape);
+        self.encoders = Some(encoders);
+    }
+
+    /// Appends the group to `out` and empties the builder. Returns the bytes
+    /// the group's string chunks would take as plain strings, and take.
+    pub fn encode(&mut self, out: &mut Vec<u8>) -> (usize, usize) {
+        if self.encoders.is_none() {
+            self.train();
+        }
         let shape = Arc::clone(&self.shape);
         let n = self.len();
         let dir_at = out.len();
@@ -260,13 +361,26 @@ impl GroupBuilder {
         let written = write_bits(out, &self.tombstones, false);
         note(out, written);
         for column in &self.columns {
-            let written = write_bits(out, &column.present, true);
+            // no bytes when every entry has the cell — nor when none does:
+            // its data chunk has none either
+            let written = match column.cells.ends.is_empty() {
+                true => (Encoding::Empty, 0, 0),
+                false => write_bits(out, &column.present, true),
+            };
             note(out, written);
         }
         let mut by_chunk: Vec<usize> = (0..shape.cells()).collect();
         by_chunk.sort_by_key(|&cell| shape.data_chunk[cell]);
+        let mut strings = (0, 0);
         for cell in by_chunk {
-            let written = write_data(out, shape.kind(cell), &self.columns[cell]);
+            let (column, start) = (&self.columns[cell], out.len());
+            let encoder = self.encoders.as_ref().and_then(|encoders| encoders[cell].as_ref());
+            let written = write_data(out, shape.kind(cell), column, encoder, &mut self.codes);
+            if shape.kind(cell) == ColumnKind::STRING && matches!(written.0, Encoding::Var | Encoding::Coded) {
+                let count = column.cells.ends.len();
+                strings.0 += var_size(count, column.cells.bytes.len() - 5 * count).1;
+                strings.1 += out.len() - start;
+            }
             note(out, written);
         }
         let dir = &mut out[dir_at..dir_at + shape.dir_len()];
@@ -281,21 +395,17 @@ impl GroupBuilder {
         let sum = checksum(&dir[8..]);
         dir[..8].copy_from_slice(&sum.to_le_bytes());
         self.keys.clear();
-        self.key_ends.clear();
         self.tombstones.clear();
         self.bytes = 0;
         for column in &mut self.columns {
-            column.bytes.clear();
-            column.ends.clear();
+            column.cells.clear();
             column.present.clear();
         }
+        strings
     }
 
     fn write_keys(&self, out: &mut Vec<u8>) -> Written {
-        let keys = || {
-            let starts = std::iter::once(0).chain(self.key_ends.iter().copied());
-            starts.zip(&self.key_ends).map(|(start, end)| &self.keys[start..*end])
-        };
+        let keys = || self.keys.iter();
         // keys arrive sorted: what the first and the last share, all do
         let (first, last) = (keys().next().unwrap_or(&[]), keys().last().unwrap_or(&[]));
         let prefix = crate::btree::common_prefix(first, last);
@@ -325,11 +435,18 @@ fn write_bits(out: &mut Vec<u8>, bits: &[bool], quiet: bool) -> Written {
     (Encoding::Bits, 0, 0)
 }
 
+/// The offsets' width of an offset array over `count` items of `bytes` bytes
+/// in all, and the bytes of the array and the items.
+fn var_size(count: usize, bytes: usize) -> (usize, usize) {
+    let width = if (count + 1) * 2 + bytes <= u16::MAX as usize { 2 } else { 4 };
+    (width, (count + 1) * width + bytes)
+}
+
 /// An offset array and `items` behind it; returns the offsets' width.
 /// Offset `k` is where item `k` starts, counted from the array's first byte.
 fn write_var<'a>(out: &mut Vec<u8>, items: impl Iterator<Item = &'a [u8]> + Clone) -> usize {
     let (count, bytes) = items.clone().fold((0, 0), |(n, len), item| (n + 1, len + item.len()));
-    let width = if (count + 1) * 2 + bytes <= u16::MAX as usize { 2 } else { 4 };
+    let width = var_size(count, bytes).0;
     let mut at = (count + 1) * width;
     for len in items.clone().map(<[u8]>::len).chain([0]) {
         out.extend_from_slice(&(at as u32).to_le_bytes()[..width]);
@@ -339,6 +456,20 @@ fn write_var<'a>(out: &mut Vec<u8>, items: impl Iterator<Item = &'a [u8]> + Clon
     width
 }
 
+/// Codes `strings` into `codes`: whether they are UTF-8 and their codes are
+/// fewer bytes than they are.
+fn code<'a>(encoder: &Encoder, strings: impl Iterator<Item = &'a [u8]>, codes: &mut Items) -> bool {
+    codes.clear();
+    let mut plain = 0;
+    for s in strings {
+        let Ok(text) = std::str::from_utf8(s) else { return false };
+        encoder.encode(text, &mut codes.bytes);
+        codes.ends.push(codes.bytes.len());
+        plain += s.len();
+    }
+    codes.bytes.len() < plain
+}
+
 /// The little-endian two's-complement integer `bytes` holds.
 fn int_of(bytes: &[u8]) -> i64 {
     let mut v = [if bytes.last().is_some_and(|b| b & 0x80 != 0) { 0xFF } else { 0 }; 8];
@@ -346,9 +477,11 @@ fn int_of(bytes: &[u8]) -> i64 {
     i64::from_le_bytes(v)
 }
 
-fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn) -> Written {
-    let cells = column.cells();
-    if column.ends.is_empty() {
+/// A data chunk; a string column's strings coded by `encoder` if it has one
+/// and they come out shorter.
+fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn, encoder: Option<&Encoder>, codes: &mut Items) -> Written {
+    let cells = column.cells.iter();
+    if column.cells.ends.is_empty() {
         return (Encoding::Empty, 0, 0);
     }
     let tagged = |tag: u8, len: usize| cells.clone().all(|c| c[0] == tag && c.len() == 1 + len);
@@ -367,10 +500,12 @@ fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn) -> Writt
             cells.for_each(|c| out.extend_from_slice(&c[1..]));
             (Encoding::Fixed, width as usize, 0)
         }
-        ColumnKind::Bytes { tag }
-            if cells.clone().all(|c| c[0] == tag && c.len() >= 5 && le::u32_at(c, 1) as usize == c.len() - 5) =>
-        {
-            (Encoding::Var, write_var(out, cells.map(|c| &c[5..])), 0)
+        ColumnKind::Bytes { tag } if cells.clone().all(|c| is_var(c, tag)) => {
+            let values = cells.map(|c| &c[5..]);
+            match encoder {
+                Some(encoder) if code(encoder, values.clone(), codes) => (Encoding::Coded, write_var(out, codes.iter()), 0),
+                _ => (Encoding::Var, write_var(out, values), 0),
+            }
         }
         _ => (Encoding::Tagged, write_var(out, cells), 0),
     }
@@ -415,7 +550,7 @@ impl GroupDir {
                 Encoding::Bits => len == n.div_ceil(8),
                 Encoding::For => matches!(width, 0 | 1 | 2 | 4 | 8),
                 Encoding::Fixed => true,
-                Encoding::Var | Encoding::Tagged => matches!(width, 2 | 4),
+                Encoding::Var | Encoding::Tagged | Encoding::Coded => matches!(width, 2 | 4),
             };
             if !sound {
                 return Err(corrupt("a chunk's length or width contradicts its encoding"));
@@ -471,7 +606,7 @@ pub(crate) struct GroupView<'a, S> {
     pub src: &'a mut S,
 }
 
-impl<S: ChunkBytes> GroupView<'_, S> {
+impl<'a, S: ChunkBytes> GroupView<'a, S> {
     /// `len` bytes at `off` of chunk `chunk`.
     fn bytes(&mut self, chunk: usize, off: usize, len: usize) -> Result<&[u8]> {
         let meta = &self.dir.chunks[chunk];
@@ -541,9 +676,26 @@ impl<S: ChunkBytes> GroupView<'_, S> {
         }
     }
 
+    /// The table the chunk of cell `cell` decodes with, written as
+    /// `encoding`: none but for a `Coded` one, which is a string column's of a
+    /// component that has a table for it.
+    fn table(&self, cell: usize, encoding: Encoding) -> Result<Option<&'a Arc<SymbolTable>>> {
+        let shape: &'a GroupShape = self.shape;
+        match (encoding, shape.kind(cell), &shape.tables[cell]) {
+            (Encoding::Coded, ColumnKind::STRING, Some(table)) => Ok(Some(table)),
+            (Encoding::Coded, ..) => Err(StorageError::Corrupt("leaf group: coded strings with no symbol table for them".into())),
+            _ => Ok(None),
+        }
+    }
+
     /// Entry `i`'s place among the entries that have cell `cell`; `None` if
     /// it has none.
     fn rank(&mut self, cell: usize, i: usize) -> Result<Option<usize>> {
+        // a data chunk of no bytes: no entry has the cell, whatever its
+        // presence chunk says
+        if self.dir.chunks[self.shape.data_chunk[cell]].encoding == Encoding::Empty {
+            return Ok(None);
+        }
         let chunk = FIRST_PRESENCE + cell;
         if self.dir.chunks[chunk].encoding == Encoding::Empty {
             return Ok(Some(i));
@@ -594,6 +746,19 @@ impl<S: ChunkBytes> GroupView<'_, S> {
                     Ok(())
                 })
             }
+            (Encoding::Coded, _) => {
+                let table = self.table(cell, meta.encoding)?.ok_or_else(mismatch)?;
+                let codes = self.var_item(chunk, 0, rank)?;
+                out.push_with(|cell| {
+                    cell.push(STRING_TAG);
+                    let at = cell.len();
+                    cell.extend_from_slice(&[0; 4]);
+                    table.decode_into(codes, cell).map_err(|e| StorageError::Corrupt(format!("leaf group: {e}")))?;
+                    let len = (cell.len() - at - 4) as u32;
+                    cell[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                    Ok(())
+                })
+            }
             (Encoding::Tagged, _) => {
                 let whole = self.var_item(chunk, 0, rank)?;
                 if whole.is_empty() {
@@ -622,6 +787,12 @@ impl<S: ChunkBytes> GroupView<'_, S> {
             return Ok(());
         }
         let meta = self.dir.chunks[chunk];
+        if meta.encoding == Encoding::Empty {
+            // no entry has the cell, whatever its presence chunk says
+            rows.for_each(|_| out.push_absent());
+            return Ok(());
+        }
+        let table = self.table(cell, meta.encoding)?;
         let corrupt = |e: asterix_adm::AdmError| StorageError::Corrupt(format!("leaf group: {e}"));
         // which of the entries have the cell, and how many before them do
         let mut bits = [0xFFu8; GROUP_RECORDS / 8];
@@ -664,7 +835,7 @@ impl<S: ChunkBytes> GroupView<'_, S> {
                     }
                 }
             }
-            (Encoding::Var | Encoding::Tagged, kind) => {
+            (Encoding::Var | Encoding::Tagged | Encoding::Coded, kind) => {
                 // where each value starts, and the last one ends
                 let offsets = self.bytes(chunk, first * meta.width, (count + 1) * meta.width)?;
                 let offsets: Vec<usize> = offsets.chunks_exact(meta.width).map(|o| uint_of(o) as usize).collect();
@@ -681,7 +852,7 @@ impl<S: ChunkBytes> GroupView<'_, S> {
                         continue;
                     }
                     match (meta.encoding, kind) {
-                        (Encoding::Var, ColumnKind::Bytes { tag }) => {
+                        (Encoding::Var | Encoding::Coded, ColumnKind::Bytes { tag }) => {
                             // the strings of the entries that follow it, as far as each has one, go with it
                             let from = k;
                             k += 1;
@@ -690,7 +861,11 @@ impl<S: ChunkBytes> GroupView<'_, S> {
                             }
                             let run = &values[offsets[from] - offsets[0]..offsets[k] - offsets[0]];
                             let lens = offsets[from..=k].windows(2).map(|w| w[1] - w[0]);
-                            out.push_var(tag, run, lens).map_err(corrupt)?;
+                            match table {
+                                Some(table) => out.push_coded(table, run, lens),
+                                None => out.push_var(tag, run, lens),
+                            }
+                            .map_err(corrupt)?;
                         }
                         (Encoding::Tagged, _) if !value(k).is_empty() => {
                             out.push_cell(value(k)).map_err(corrupt)?;
@@ -724,6 +899,11 @@ mod tests {
     /// The cells of message `i`: the optional fields come and go, every
     /// seventh `inResponseTo` is a `null`, every fifth record has a rest.
     fn cells_of(i: i64) -> Cells {
+        with_text(i, &"m".repeat(i as usize % 9))
+    }
+
+    /// [`cells_of`] with the message `text`.
+    fn with_text(i: i64, text: &str) -> Cells {
         let mut cells = Cells::default();
         cells.push(&encode(&Value::Int(1_000 + i)));
         cells.push(&encode(&Value::Int(i % 37)));
@@ -737,7 +917,7 @@ mod tests {
         } else {
             cells.push(&[]);
         }
-        cells.push(&encode(&Value::from("m".repeat(i as usize % 9))));
+        cells.push(&encode(&Value::from(text)));
         if i % 5 == 0 {
             cells.push(&[1, 0, 0, 0, 1, 0, b'x', 1]);
         } else {
@@ -746,17 +926,29 @@ mod tests {
         cells
     }
 
-    fn group(n: i64, tombstone_every: i64) -> (Arc<GroupShape>, Vec<u8>) {
-        let shape = shape();
-        let mut b = GroupBuilder::new(Arc::clone(&shape));
-        for i in 0..n {
-            let dead = tombstone_every > 0 && i % tombstone_every == 1;
-            b.push(&encode_key(&[Value::Int(i)]), (!dead).then(|| cells_of(i)).as_ref());
-        }
+    /// Encodes `groups` one after another with one builder, as a
+    /// component's are — entries by key, `None` for a delete marker: the
+    /// shape they share, its tables trained on the first, and each group's
+    /// bytes.
+    fn component(groups: &[Vec<(i64, Option<Cells>)>]) -> (Arc<GroupShape>, Vec<Vec<u8>>) {
+        let mut b = GroupBuilder::new(shape());
         let mut out = Vec::new();
-        b.encode(&mut out);
-        assert_eq!(b.len(), 0);
-        (shape, out)
+        for group in groups {
+            for (i, cells) in group {
+                b.push(&encode_key(&[Value::Int(*i)]), cells.as_ref());
+            }
+            let mut bytes = Vec::new();
+            b.encode(&mut bytes);
+            assert_eq!(b.len(), 0);
+            out.push(bytes);
+        }
+        (Arc::clone(b.shape()), out)
+    }
+
+    fn group(n: i64, tombstone_every: i64) -> (Arc<GroupShape>, Vec<u8>) {
+        let dead = |i: i64| tombstone_every > 0 && i % tombstone_every == 1;
+        let (shape, mut groups) = component(&[(0..n).map(|i| (i, (!dead(i)).then(|| cells_of(i)))).collect()]);
+        (shape, groups.remove(0))
     }
 
     #[test]
@@ -797,7 +989,7 @@ mod tests {
         assert_eq!((of(1).encoding, of(1).width, of(1).len), (Encoding::For, 1, 300));
         assert_eq!(of(2).encoding, Encoding::Tagged, "a null among the ints");
         assert_eq!((of(3).encoding, of(3).len), (Encoding::Fixed, 150 * 16));
-        assert_eq!((of(4).encoding, of(4).width), (Encoding::Var, 2));
+        assert_eq!((of(4).encoding, of(4).width), (Encoding::Coded, 2));
         assert_eq!(dir.chunks[KEYS].encoding, Encoding::Fixed);
         assert_eq!(dir.chunks[TOMBSTONES].len, 0);
         assert_eq!(dir.chunks[FIRST_PRESENCE].len, 0, "every record has a messageId");
@@ -808,30 +1000,57 @@ mod tests {
         assert!(order[3] < order[4] && order[4] < order[5]);
     }
 
+    /// Message `i` of about `len` bytes, of words of one small lexicon —
+    /// one-, two- and three-byte characters among them; every thirteenth
+    /// empty, and every 97th every character up to U+00FF and one the table
+    /// has no symbol for, escaped.
+    fn words(i: i64, len: usize) -> String {
+        const LEXICON: [&str; 8] = [" the", " signal", " café", " 日本", " at&t", " 3G", " love", " é"];
+        match i {
+            _ if i % 13 == 0 => String::new(),
+            _ if i % 97 == 5 => (0..=0xFF).chain([0x1F600 + i as u32]).filter_map(char::from_u32).collect(),
+            _ => {
+                let (mut text, mut k) = (String::new(), i as usize);
+                while text.len() < len {
+                    text.push_str(LEXICON[k % LEXICON.len()]);
+                    k = k.wrapping_mul(31).wrapping_add(7);
+                }
+                text
+            }
+        }
+    }
+
+    /// `len` bytes of ideographs no table trained on [`words`] has a symbol
+    /// for: its codes are longer than they are.
+    fn ideographs(i: i64, len: usize) -> String {
+        (0..len / 3).map(|k| char::from_u32(0x4E00 + ((i as u32 * 7_919 + k as u32 * 104_729) % 0x5000)).unwrap()).collect()
+    }
+
     /// A group of `n` messages whose cells force a chunk of every encoding
     /// and width: `authorId`s `spread` apart (a frame of reference of 0, 1,
-    /// 2, 4 or 8 bytes), messages of `text` bytes (2- or 4-byte offsets), an
-    /// `inResponseTo` that comes and goes and is now and then a `null`
-    /// (`Bits` presence, `Tagged` cells), a location every other record has.
-    fn group_of(n: i64, spread: i64, text: usize) -> (Arc<GroupShape>, Vec<u8>) {
-        let shape = shape();
-        let mut b = GroupBuilder::new(Arc::clone(&shape));
-        for i in 0..n {
-            let mut cells = cells_of(i);
-            let mut wide = Cells::default();
+    /// 2, 4 or 8 bytes), messages of `text` bytes — of [`words`], coded, or
+    /// of [`ideographs`] in a component whose table they do not fit, plain —
+    /// (2- or 4-byte offsets), an `inResponseTo` that comes and goes and is
+    /// now and then a `null` (`Bits` presence, `Tagged` cells), a location
+    /// every other record has.
+    fn group_of(n: i64, spread: i64, text: usize, coded: bool) -> (Arc<GroupShape>, Vec<u8>) {
+        let entry = |i: i64, message: String| {
+            let mut cells = Cells::default();
+            let all = with_text(i, &message);
             for cell in 0..6 {
                 match cell {
-                    1 => wide.push(&encode(&Value::Int((i % 3).wrapping_mul(spread)))),
-                    4 => wide.push(&encode(&Value::from("é".repeat(text / 2 + i as usize % 3)))),
-                    _ => wide.push(cells.get(cell)),
+                    1 => cells.push(&encode(&Value::Int((i % 3).wrapping_mul(spread)))),
+                    _ => cells.push(all.get(cell)),
                 }
             }
-            std::mem::swap(&mut cells, &mut wide);
-            b.push(&encode_key(&[Value::Int(i)]), Some(&cells));
+            (i, Some(cells))
+        };
+        let mut groups = vec![(0..n).map(|i| entry(i, words(i, text))).collect::<Vec<_>>()];
+        if !coded {
+            groups.push((0..n).map(|i| entry(i, ideographs(i, text))).collect());
         }
-        let mut out = Vec::new();
-        b.encode(&mut out);
-        (shape, out)
+        let (shape, mut bytes) = component(&groups);
+        (shape, bytes.pop().unwrap())
     }
 
     /// What `append_cells` makes of `rows` of each declared cell, against
@@ -854,15 +1073,23 @@ mod tests {
         Ok(both)
     }
 
+    /// Whether two columns hold the same rows, as values and as `i64`s: a
+    /// column of codes and one of the strings they decode to do.
+    fn same_rows(a: &Column, b: &Column) -> bool {
+        a.len() == b.len() && (0..a.len()).all(|i| a.get(i) == b.get(i) && a.int_at(i) == b.int_at(i))
+    }
+
     #[test]
     fn a_chunk_at_a_time_reads_what_a_cell_at_a_time_does() {
         for (spread, width) in [(0, 0), (100, 1), (30_000, 2), (1 << 30, 4), (1 << 62, 8)] {
-            for (text, offsets) in [(10, 2), (400, 4)] {
-                let (shape, bytes) = group_of(300, spread, text);
+            for (text, coded, encoding, offsets) in
+                [(10, true, Encoding::Coded, 2), (1_500, true, Encoding::Coded, 4), (10, false, Encoding::Var, 2), (400, false, Encoding::Var, 4)]
+            {
+                let (shape, bytes) = group_of(300, spread, text, coded);
                 let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
                 let of = |cell: usize| dir.chunks[shape.data_chunk[cell]];
                 assert_eq!((of(1).encoding, of(1).width), (Encoding::For, width), "authorId {spread} apart");
-                assert_eq!((of(4).encoding, of(4).width), (Encoding::Var, offsets), "messages of {text} bytes");
+                assert_eq!((of(4).encoding, of(4).width), (encoding, offsets), "messages of {text} bytes");
                 assert_eq!((of(2).encoding, of(3).encoding), (Encoding::Tagged, Encoding::Fixed));
                 assert_eq!(dir.chunks[FIRST_PRESENCE].encoding, Encoding::Empty);
                 assert_eq!(dir.chunks[FIRST_PRESENCE + 2].encoding, Encoding::Bits);
@@ -871,20 +1098,27 @@ mod tests {
                 for rows in [0..300, 0..1, 5..9, 7..8, 13..250, 299..300, 40..40] {
                     for (cell, (at_once, one_by_one)) in columns_of(&shape, &bytes, rows.clone()).unwrap().iter().enumerate() {
                         assert_eq!(at_once.len(), rows.len());
-                        assert_eq!(at_once, one_by_one, "cell {cell} of entries {rows:?}");
+                        assert!(same_rows(at_once, one_by_one), "cell {cell} of entries {rows:?}");
                     }
+                }
+                // the strings of a coded chunk stay codes until a row is asked for
+                let all = columns_of(&shape, &bytes, 0..300).unwrap();
+                assert_eq!(all[4].0.heap_size() < all[4].1.heap_size(), coded, "messages of {text} bytes");
+                for i in [0, 5, 97 + 5, 299] {
+                    let want = if coded { words(i, text) } else { ideographs(i, text) };
+                    assert_eq!(all[4].0.get(i as usize), Value::from(want), "message {i}");
                 }
             }
         }
         // the values themselves, once: an int column is a vector of them
         // until the `null` among them makes it one of values
-        let (shape, bytes) = group_of(300, 100, 10);
+        let (shape, bytes) = group_of(300, 100, 10, true);
         let all = columns_of(&shape, &bytes, 0..300).unwrap();
         assert_eq!((all[0].0.int_at(42), all[1].0.int_at(44)), (Some(1_042), Some(200)));
         assert_eq!((all[2].0.get(7), all[2].0.get(9), all[2].0.get(8)), (Value::Null, Value::Int(i64::MAX - 9), Value::Missing));
         assert_eq!(all[2].0.int_at(9), None, "a column of values");
         assert_eq!(all[3].0.get(4), Value::Point(Point::new(4.0, -0.5)));
-        assert_eq!(all[4].0.get(1), Value::from("é".repeat(6)));
+        assert_eq!((all[4].0.get(1), all[4].0.get(26)), (Value::from(words(1, 10)), Value::from("")));
         // the rest is not a column
         let dir = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
         let mut src = bytes.as_slice();
@@ -892,24 +1126,69 @@ mod tests {
         assert!(matches!(view.append_cells(5, 0..1, &mut Column::new()), Err(StorageError::Invalid(_))));
     }
 
+    /// Every read of a group: each cell alone and each column a chunk at a
+    /// time, all Ok or the first error.
+    fn read_all(shape: &GroupShape, bytes: &[u8], n: usize) -> Result<()> {
+        columns_of(shape, bytes, 0..n)?;
+        let dir = GroupDir::parse(&bytes[..shape.dir_len()], shape)?;
+        let mut src = bytes;
+        let mut view = GroupView { shape, dir: &dir, src: &mut src };
+        for i in 0..n {
+            let mut cells = Cells::default();
+            (0..6).try_for_each(|cell| view.cell(cell, i, &mut cells))?;
+            // what a cell holds decodes: a string among them is UTF-8
+            (0..5).try_for_each(|cell| Column::new().push_cell(cells.get(cell)).map_err(StorageError::Adm))?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn a_damaged_chunk_is_corrupt_not_a_panic() {
-        let (shape, bytes) = group_of(120, 30_000, 10);
-        // cut short under a sound directory: the chunks at the end are gone
-        let short = &bytes[..bytes.len() - 600];
-        assert!(matches!(columns_of(&shape, short, 0..120), Err(StorageError::Corrupt(_))));
-        // any one byte of the chunks wrong: a different answer or `Corrupt`
-        let mut damaged = 0;
-        for at in shape.dir_len()..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[at] ^= 0xA5;
-            match columns_of(&shape, &bad, 0..120) {
-                Ok(_) => {}
-                Err(StorageError::Corrupt(_)) => damaged += 1,
-                Err(e) => panic!("byte {at}: {e}"),
+        for coded in [true, false] {
+            let (shape, bytes) = group_of(120, 30_000, 10, coded);
+            // cut short under a sound directory: the chunks at the end are gone
+            let short = &bytes[..bytes.len() - 600];
+            assert!(matches!(columns_of(&shape, short, 0..120), Err(StorageError::Corrupt(_))));
+            // any one byte of the chunks wrong: a different answer or `Corrupt`
+            let mut damaged = 0;
+            for at in shape.dir_len()..bytes.len() {
+                let mut bad = bytes.clone();
+                bad[at] ^= 0xA5;
+                match read_all(&shape, &bad, 120) {
+                    Ok(()) => {}
+                    Err(StorageError::Corrupt(_)) => damaged += 1,
+                    Err(e) => panic!("byte {at}: {e}"),
+                }
+            }
+            assert!(damaged > 100, "offsets, lengths, codes and UTF-8 are checked ({damaged} caught)");
+        }
+        // a damaged table: refused when it is read, or one that reads the
+        // same codes as other text — never a panic, never text that is not UTF-8
+        let (shape, bytes) = group_of(120, 30_000, 10, true);
+        let mut tables = Vec::new();
+        shape.write_tables(&mut tables);
+        let (mut refused, mut misread) = (0, 0);
+        for at in 0..tables.len() {
+            for flip in [0x01, 0x40, 0x80] {
+                let mut bad = tables.clone();
+                bad[at] ^= flip;
+                match GroupShape::with_tables(Arc::clone(&shape.layout), &bad) {
+                    Err(StorageError::Corrupt(_)) => refused += 1,
+                    Err(e) => panic!("table byte {at}: {e}"),
+                    Ok(other) => match read_all(&other, &bytes, 120) {
+                        Ok(()) | Err(StorageError::Corrupt(_)) => misread += 1,
+                        Err(e) => panic!("table byte {at}: {e}"),
+                    },
+                }
             }
         }
-        assert!(damaged > 100, "offsets, lengths and UTF-8 are checked ({damaged} caught)");
+        assert!(refused > 0 && misread > 0, "{refused} refused, {misread} read");
+        assert!(GroupShape::with_tables(Arc::clone(&shape.layout), &tables[..tables.len() - 1]).is_err(), "cut short");
+        assert!(GroupShape::with_tables(Arc::clone(&shape.layout), &[tables.as_slice(), &[0]].concat()).is_err(), "a byte past");
+        // codes read under another component's table: other text, or `Corrupt`
+        let (other, _) = component(&[(0..120).map(|i| (i, Some(with_text(i, &ideographs(i, 30))))).collect()]);
+        assert_ne!(other.tables[4], shape.tables[4]);
+        assert!(matches!(read_all(&other, &bytes, 120), Ok(()) | Err(StorageError::Corrupt(_))));
     }
 
     #[test]
@@ -928,5 +1207,49 @@ mod tests {
         let mut view = GroupView { shape: &shape, dir: &dir, src: &mut src };
         let mut out = Cells::default();
         assert!(matches!(view.cell(5, 35, &mut out), Err(StorageError::Corrupt(_))), "the last rest cell");
+    }
+
+    /// A column no entry of a group has takes no bytes, presence or data —
+    /// also in a component whose first group has no strings, which has no
+    /// table: its later groups store their strings as they are. A group
+    /// written with the bitmap of zeros such a column once took reads the same.
+    #[test]
+    fn a_column_nobody_has_takes_no_bytes() {
+        let without = |i: i64| {
+            let mut cells = Cells::default();
+            let all = cells_of(i);
+            (0..6).for_each(|cell| cells.push(if cell == 4 { &[] } else { all.get(cell) }));
+            (i, Some(cells))
+        };
+        let (shape, groups) = component(&[(0..300).map(without).collect(), (300..400).map(|i| (i, Some(cells_of(i)))).collect()]);
+        assert!(shape.tables[4].is_none(), "no strings to train on");
+        let mut tables = Vec::new();
+        shape.write_tables(&mut tables);
+        assert_eq!(tables, [0], "a string column without a table");
+        let dir = GroupDir::parse(&groups[0][..shape.dir_len()], &shape).unwrap();
+        assert_eq!((dir.chunks[FIRST_PRESENCE + 4].encoding, dir.chunks[shape.data_chunk[4]].encoding), (Encoding::Empty, Encoding::Empty));
+        let later = GroupDir::parse(&groups[1][..shape.dir_len()], &shape).unwrap();
+        assert_eq!(later.chunks[shape.data_chunk[4]].encoding, Encoding::Var);
+        for (bytes, from) in [(&groups[0], 0), (&groups[1], 300)] {
+            for (cell, (at_once, one_by_one)) in columns_of(&shape, bytes, 0..(400 - from).min(300)).unwrap().iter().enumerate() {
+                assert!(same_rows(at_once, one_by_one), "cell {cell}");
+                if cell == 4 {
+                    let want = if from == 0 { Value::Missing } else { Value::from("m".repeat(301 % 9)) };
+                    assert_eq!(at_once.get(1), want);
+                }
+            }
+        }
+        // the bitmap of zeros, under a directory that points at it
+        let mut bytes = groups[0].clone();
+        let mut old = GroupDir::parse(&bytes[..shape.dir_len()], &shape).unwrap();
+        old.chunks[FIRST_PRESENCE + 4] = ChunkMeta { at: bytes.len() as u64, len: 300usize.div_ceil(8), encoding: Encoding::Bits, width: 0, base: 0 };
+        bytes.resize(bytes.len() + 300usize.div_ceil(8), 0);
+        let mut src = bytes.as_slice();
+        let mut view = GroupView { shape: &shape, dir: &old, src: &mut src };
+        let mut column = Column::of_kind(ColumnKind::STRING);
+        view.append_cells(4, 0..300, &mut column).unwrap();
+        let mut cells = Cells::default();
+        view.cell(4, 17, &mut cells).unwrap();
+        assert_eq!((column.len(), column.get(17), cells.get(0)), (300, Value::Missing, &[][..]));
     }
 }

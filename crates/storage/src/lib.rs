@@ -27,8 +27,9 @@
 //!   E3: Graefe's B-trees-versus-hashing argument);
 //! * a **write-ahead log** with recovery ([`wal`]) for the record-level
 //!   transaction story (Section III, item 9);
-//! * optional **storage compression** of LSM component values
-//!   ([`compress`]) — §VII's "recent examples include storage compression";
+//! * **storage compression** — §VII's "recent examples include storage
+//!   compression": a primary component's string columns are FSST-coded, one
+//!   symbol table per column per component ([`leaf_group`]);
 //! * a deterministic, seedable **fault-injection layer** ([`faults`]) wired
 //!   into the I/O and WAL paths, driving the crash-recovery test harness
 //!   (see DESIGN.md, "Fault injection & recovery guarantees").
@@ -41,7 +42,6 @@ pub mod bloom;
 pub mod btree;
 pub mod cache;
 pub mod compaction;
-pub mod compress;
 pub mod error;
 pub mod faults;
 pub(crate) mod harness;

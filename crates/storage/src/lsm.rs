@@ -22,7 +22,7 @@
 //! group a chunk at a time.
 //!
 //! Only what is B+-tree-specific lives here: the memory component, the entry
-//! encoding, the k-way merge, blooms and value compression. The component
+//! encoding, the k-way merge and blooms. The component
 //! list and its manifest, ids, sealing, merge scheduling, publishing and
 //! retirement are the shared lifecycle in `crate::harness`, which this tree
 //! rides as one `ComponentKind`.
@@ -34,7 +34,6 @@ use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
 use asterix_adm::layout::{Cells, RecordLayout};
 use asterix_adm::BatchBuilder;
-use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -166,11 +165,8 @@ pub struct LsmConfig {
     pub merge_policy: MergePolicy,
     /// Attach bloom filters to disk components.
     pub bloom: bool,
-    /// Compress values in disk components (paper §VII's storage compression).
-    pub compress_values: bool,
     /// The values are records, rows this layout takes apart: disk components
-    /// store them column by column ([`crate::leaf_group`]). Not together
-    /// with `compress_values`, which is for opaque values.
+    /// store them column by column ([`crate::leaf_group`]).
     pub layout: Option<Arc<RecordLayout>>,
 }
 
@@ -185,7 +181,6 @@ impl LsmConfig {
                 max_tolerance_components: 4,
             },
             bloom: true,
-            compress_values: false,
             layout: None,
         }
     }
@@ -304,31 +299,12 @@ pub struct BTreeKind {
 }
 
 impl BTreeKind {
-    /// Applies the optional value compression at the disk boundary.
-    fn encode_disk<'a>(&self, raw: &'a [u8]) -> Cow<'a, [u8]> {
-        if self.config.compress_values {
-            Cow::Owned(crate::compress::compress(raw))
-        } else {
-            Cow::Borrowed(raw)
-        }
-    }
-
-    /// Reverses [`BTreeKind::encode_disk`]: in place unless values are
-    /// compressed.
-    fn decode_disk<'a>(&self, raw: &'a [u8]) -> Result<Cow<'a, [u8]>> {
-        if self.config.compress_values {
-            crate::compress::decompress(raw).map(Cow::Owned).map_err(StorageError::Corrupt)
-        } else {
-            Ok(Cow::Borrowed(raw))
-        }
-    }
-
     /// Whether the entry `at` stands at is a delete marker.
     fn is_tombstone(&self, at: &mut BTreeRangeIter) -> Result<bool> {
         if self.config.layout.is_some() {
             return at.is_tombstone();
         }
-        Ok(Entry::payload(&self.decode_disk(at.entry()?.1)?)?.is_none())
+        Ok(Entry::payload(at.entry()?.1)?.is_none())
     }
 
     /// Opens the file of component `id` for bulk loading about
@@ -358,14 +334,7 @@ impl ComponentKind for BTreeKind {
     type Disk = DiskBTree;
     type Run = MergeRun;
 
-    /// # Panics
-    /// When `config` asks for both a record layout and value compression.
     fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
-        assert!(
-            !(config.compress_values && config.layout.is_some()),
-            "LSM index {}: compress_values is for opaque values, not for records stored by a layout",
-            config.name
-        );
         BTreeKind { cache, config }
     }
 
@@ -398,7 +367,7 @@ impl ComponentKind for BTreeKind {
             }
             raw.clear();
             e.encode_into(&mut raw);
-            builder.add(k, &self.encode_disk(&raw))?;
+            builder.add(k, &raw)?;
         }
         self.seal(builder, mem.len() as u64)
     }
@@ -445,7 +414,6 @@ impl ComponentKind for BTreeKind {
                 continue;
             }
             if self.config.layout.is_none() {
-                // stored bytes move as-is: merges never recompress
                 let (key, raw) = winner.entry()?;
                 builder.add(key, raw)?;
             } else if dead {
@@ -553,9 +521,7 @@ impl Lsm<BTreeKind> {
         Ok(match self.find(key, |disk| disk.get(key))? {
             None | Some(Found::Mem(Entry::Tombstone)) => None,
             Some(Found::Mem(Entry::Put(v))) => Some(v.clone()),
-            Some(Found::Disk { at: stored, .. }) => {
-                Entry::payload(&self.kind().decode_disk(&stored)?)?.map(<[u8]>::to_vec)
-            }
+            Some(Found::Disk { at: stored, .. }) => Entry::payload(&stored)?.map(<[u8]>::to_vec),
         })
     }
 
@@ -613,7 +579,6 @@ impl Lsm<BTreeKind> {
             _snapshot: snapshot,
             wanted: wanted.filter(|_| self.config().layout.is_some()).map(<[usize]>::to_vec),
             cells: Cells::default(),
-            inflated: Vec::new(),
         })
     }
 
@@ -683,14 +648,12 @@ pub struct LsmReader<'a> {
     /// The cells to hand out of a leaf group's entry; `None`: its value.
     wanted: Option<Vec<usize>>,
     cells: Cells,
-    /// The value of the entry lent last, decompressed.
-    inflated: Vec<u8>,
 }
 
 impl LsmReader<'_> {
     /// The next live entry: its key and what the read asked of it.
     pub fn next_entry(&mut self) -> Result<Option<(&[u8], Projected<'_>)>> {
-        let LsmReader { merge, kind, wanted, cells, inflated, .. } = self;
+        let LsmReader { merge, kind, wanted, cells, .. } = self;
         let rank = loop {
             let Some(rank) = merge.next_rank()? else { return Ok(None) };
             let dead = match merge.cursor(rank) {
@@ -715,14 +678,7 @@ impl LsmReader<'_> {
                 }
                 None => {
                     let (key, raw) = at.entry()?;
-                    let value = match kind.decode_disk(raw)? {
-                        Cow::Borrowed(raw) => raw,
-                        Cow::Owned(raw) => {
-                            *inflated = raw;
-                            inflated.as_slice()
-                        }
-                    };
-                    Ok(Some((key, Projected::Row(Entry::payload(value)?.ok_or_else(gone)?))))
+                    Ok(Some((key, Projected::Row(Entry::payload(raw)?.ok_or_else(gone)?))))
                 }
             },
         }
@@ -1056,14 +1012,6 @@ mod tests {
         assert_eq!(all[0].1, b"int2");
         assert_eq!(all[1].1, b"d2.5");
         assert_eq!(all[2].1, b"s");
-    }
-
-    #[test]
-    #[should_panic(expected = "compress_values is for opaque values")]
-    fn a_layout_and_value_compression_do_not_go_together() {
-        let (cache, _d) = setup();
-        let layout = Some(Arc::new(RecordLayout::default()));
-        LsmTree::new(cache, LsmConfig { compress_values: true, layout, ..LsmConfig::new("t") });
     }
 
     // -- background compaction ---------------------------------------------

@@ -31,3 +31,17 @@ impl Drop for TempDir {
         let _ = std::fs::remove_dir_all(&self.0);
     }
 }
+
+/// `len` characters of printable ASCII drawn by a hash of `seed`: text no
+/// symbol table makes much shorter, for tests about sizes and pages.
+pub fn noise(seed: u64, len: usize) -> String {
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            char::from(b' ' + (x % 95) as u8)
+        })
+        .collect()
+}

@@ -3,6 +3,7 @@
 //! vs model.
 
 use asterix_adm::binary::{encode, encode_key};
+use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
@@ -63,27 +64,72 @@ fn k(i: i64) -> Vec<u8> {
     encode_key(&[Value::Int(i)])
 }
 
+/// A string of the pieces `picks` names: words a table codes, and
+/// characters of every width it escapes — ASCII controls and `NUL`, Latin,
+/// CJK, emoji, the last code point.
+fn text(picks: Vec<u32>) -> String {
+    const WORDS: [&str; 6] = [" the", " signal", " customization", "é", "日本", ""];
+    picks
+        .into_iter()
+        .map(|p| match p % 8 {
+            0..=3 => WORDS[(p / 8) as usize % WORDS.len()].to_string(),
+            4 => char::from_u32(p / 8 % 0x80).map(String::from).unwrap_or_default(),
+            5 => char::from_u32(0x80 + p / 8 % 0x780).map(String::from).unwrap_or_default(),
+            6 => char::from_u32(0x4E00 + p / 8 % 0x5000).map(String::from).unwrap_or_default(),
+            _ => char::from_u32([0x1F600 + p / 8 % 0x50, 0x10FFFF][(p / 8 % 2) as usize]).map(String::from).unwrap_or_default(),
+        })
+        .collect()
+}
+
+fn texts(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<String>> {
+    prop::collection::vec(prop::collection::vec(any::<u32>(), 0..24).prop_map(text), len)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The LZSS compressor round-trips arbitrary byte strings and never
-    /// inflates beyond the 1-byte framing overhead.
+    /// A symbol table trained on some strings codes any string — of those
+    /// or not, escaping what it has no symbol for — so that it decodes to
+    /// itself, and so does the table once written and read back.
     #[test]
-    fn compression_roundtrips(data in prop::collection::vec(any::<u8>(), 0..4096)) {
-        let c = asterix_storage::compress::compress(&data);
-        prop_assert!(c.len() <= data.len() + 1);
-        let d = asterix_storage::compress::decompress(&c).unwrap();
-        prop_assert_eq!(d, data);
+    fn coded_strings_decode_to_themselves(sample in texts(0..60), others in texts(1..20)) {
+        let strs: Vec<&str> = sample.iter().map(String::as_str).collect();
+        // no table only for strings with nothing to code: then one of a word
+        let trained = SymbolTable::train(&strs);
+        prop_assert_eq!(trained.is_none(), strs.iter().all(|s| s.is_empty()));
+        let table = trained.or_else(|| SymbolTable::train(&[" the"])).unwrap();
+        let mut bytes = Vec::new();
+        table.write(&mut bytes);
+        let (read, len) = SymbolTable::read(&bytes).unwrap();
+        prop_assert_eq!((read.as_ref(), len), (Some(&table), bytes.len()));
+        let encoder = Encoder::new(&table);
+        for s in sample.iter().chain(&others) {
+            let mut codes = Vec::new();
+            encoder.encode(s, &mut codes);
+            prop_assert!(table.check(&codes).is_ok());
+            let mut back = Vec::new();
+            table.decode_into(&codes, &mut back).unwrap();
+            prop_assert_eq!(String::from_utf8(back).unwrap(), s.clone());
+        }
     }
 
-    /// Repetitive inputs shrink.
+    /// Strings made of a few words code to under half their bytes.
     #[test]
-    fn compression_shrinks_repetition(unit in prop::collection::vec(any::<u8>(), 4..32),
-                                      reps in 20usize..100) {
-        let data: Vec<u8> = unit.iter().cycle().take(unit.len() * reps).copied().collect();
-        let c = asterix_storage::compress::compress(&data);
-        prop_assert!(c.len() < data.len() / 2, "{} vs {}", c.len(), data.len());
-        prop_assert_eq!(asterix_storage::compress::decompress(&c).unwrap(), data);
+    fn coded_strings_shrink_repetition(words in prop::collection::vec("[a-z]{2,7}", 2..12),
+                                       picks in prop::collection::vec(any::<u32>(), 200..400)) {
+        let strings: Vec<String> = picks
+            .chunks(5)
+            .map(|chunk| chunk.iter().map(|p| format!(" {}", words[*p as usize % words.len()])).collect())
+            .collect();
+        let strs: Vec<&str> = strings.iter().map(String::as_str).collect();
+        let table = SymbolTable::train(&strs).unwrap();
+        let encoder = Encoder::new(&table);
+        let (mut plain, mut coded) = (0, Vec::new());
+        for s in &strs {
+            encoder.encode(s, &mut coded);
+            plain += s.len();
+        }
+        prop_assert!(coded.len() * 2 < plain, "{} of {} bytes", coded.len(), plain);
     }
 }
 
@@ -138,7 +184,6 @@ proptest! {
                 mem_budget: 2 << 10,
                 merge_policy: MergePolicy::Constant { max_components: 3 },
                 bloom: true,
-                compress_values: true, // exercise the compression path too
                 layout: None,
             },
         );
@@ -421,11 +466,11 @@ proptest! {
 
 /// A component file of a retired format is refused by name, not searched
 /// with the wrong comparator or read as the wrong leaf shape: "BTRE", from
-/// before keys were memcomparable, and "BTR2", whose trailer had no height
-/// and no column directory.
+/// before keys were memcomparable, "BTR2", whose trailer had no height and no
+/// column directory, and "BTR3", whose strings were not coded.
 #[test]
 fn btree_files_of_the_retired_formats_are_refused() {
-    for (magic, said) in [(0x4254_5245u32, "memcomparable"), (0x4254_5232, "BTR2")] {
+    for (magic, said) in [(0x4254_5245u32, "memcomparable"), (0x4254_5232, "BTR2"), (0x4254_5233, "BTR3")] {
         let (cache, _d) = setup(8);
         let mut w = cache.manager().bulk_writer("old.btree").unwrap();
         // one leaf as those formats laid it out, its one key whole in its entry
@@ -493,7 +538,6 @@ proptest! {
         let config = |name: &str| LsmConfig {
             mem_budget: 1 << 10,
             merge_policy: MergePolicy::Constant { max_components: 3 },
-            compress_values: true,
             ..LsmConfig::new(name)
         };
         let (kept_cache, _d1) = setup(64);
@@ -814,6 +858,57 @@ proptest! {
         let all = t.component_count();
         t.merge_newest(all).unwrap();
         check_records(&t, &layout, &model, &fields);
+    }
+}
+
+/// Puts record `i` with the string `s` into `t` and `model`.
+fn put_text(t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, s: &str) {
+    let record = Value::object(vec![("id".into(), Value::Int(i)), ("a".into(), Value::Int(i % 7)), ("s".into(), Value::from(s))]);
+    let row = encode_with_schema(&record, &record_type()).unwrap();
+    t.upsert(k(i), row.clone()).unwrap();
+    model.insert(i, row);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Strings of any characters come out of a layout tree's string column as
+    /// they went in — by entry, as cells and as columns — through a flush
+    /// (each component trains its table on its first group), overwrites and
+    /// deletes in memory over the coded groups, a second component coded
+    /// under another table, a merge that decodes both to code them under a
+    /// third, and a reopen that reads the tables back.
+    #[test]
+    fn any_string_survives_flush_merge_and_reopen(first in texts(1..1_500), second in texts(1..600), stride in 1i64..7) {
+        let layout = layout(true);
+        let config = || LsmConfig {
+            mem_budget: 1 << 30,
+            merge_policy: MergePolicy::NoMerge,
+            layout: Some(Arc::clone(&layout)),
+            ..LsmConfig::new("s")
+        };
+        let (cache, _d) = setup(64);
+        let mut t = LsmTree::new(Arc::clone(&cache), config());
+        let mut model = BTreeMap::new();
+        for (i, s) in first.iter().enumerate() {
+            put_text(&mut t, &mut model, i as i64, s);
+        }
+        t.flush().unwrap();
+        for (i, s) in second.iter().enumerate() {
+            put_text(&mut t, &mut model, i as i64 * stride, s);
+        }
+        for i in (1..first.len() as i64).step_by(11) {
+            t.delete(k(i)).unwrap();
+            model.remove(&i);
+        }
+        check_records(&t, &layout, &model, &["s".into(), "a".into()]);
+        t.flush().unwrap();
+        check_records(&t, &layout, &model, &["s".into()]);
+        t.merge_newest(2).unwrap();
+        drop(t);
+        let t = LsmTree::reopen(Arc::clone(&cache), config()).unwrap();
+        prop_assert_eq!(t.component_count(), 1);
+        check_records(&t, &layout, &model, &["s".into()]);
     }
 }
 

@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mem_budget: 1 << 20,
         merge_policy: MergePolicy::Constant { max_components: 4 },
         bloom: true,
-        compress_values: false,
         layout: None,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
