@@ -173,6 +173,13 @@ impl DataGen {
     pub fn chance(&mut self, p: f64) -> bool {
         self.rng.gen_bool(p)
     }
+
+    /// `len` random letters and digits: text no symbol table shortens much,
+    /// for workloads about pages and sizes.
+    pub fn noise(&mut self, len: usize) -> String {
+        const ALPHANUMERIC: &[u8] = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
+        (0..len).map(|_| char::from(ALPHANUMERIC[self.rng.gen_range(0..ALPHANUMERIC.len())])).collect()
+    }
 }
 
 #[cfg(test)]

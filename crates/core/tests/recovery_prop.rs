@@ -903,11 +903,14 @@ fn log_len(dir: &Path) -> u64 {
     ["node0", "node1"].iter().map(|n| log_bytes(&dir.join(n)).len() as u64).sum()
 }
 
-/// (c) What a put costs the log beside the record's storage encoding:
-/// frame length and checksum (8), tag (1), transaction (8), dataset id (4),
-/// partition (4), delete flag (1), key length (4), the one-int key (9),
-/// value length (4). No field name and no dataset name is in there.
-const WRITE_HEADER_BYTES: u64 = 8 + 1 + 8 + 4 + 4 + 1 + 4 + 9 + 4;
+/// (c) What a put costs the log beside the record's storage encoding: frame
+/// length and checksum (8), the tag that says put or delete (1), then
+/// varints — transaction (2 below 2^14), dataset id (1), partition (1), key
+/// length (1) — and the one-int key (9); the value's length is the frame's.
+/// That is ≈ 14 bytes plus key and value, and no field name and no dataset
+/// name is in there. Tags 1, 6 and 7 are retired layouts: a log holding one
+/// is refused at open.
+const WRITE_HEADER_BYTES: u64 = 8 + 1 + 2 + 1 + 1 + 1 + 9;
 /// Frame, tag, transaction.
 const COMMIT_BYTES: u64 = 8 + 1 + 8;
 
@@ -931,13 +934,21 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
         .iter()
         .map(|m| db.record_encoded_len("GleambookMessages", m).unwrap() as u64)
         .sum();
-    let before = log_len(dir.path());
+    let appended = || {
+        let snap = db.metrics_snapshot();
+        ["node0", "node1"]
+            .iter()
+            .map(|n| snap.counter(&format!("{n}.storage.wal.appended_bytes")).unwrap())
+            .sum::<u64>()
+    };
+    let (before, appended_before) = (log_len(dir.path()), appended());
     let mut txn = db.begin();
     for m in &messages {
         txn.write("GleambookMessages", m, true).unwrap();
     }
     txn.commit().unwrap();
     let grew = log_len(dir.path()) - before;
+    assert_eq!(appended() - appended_before, grew, "the counter reads what the segments grew by");
     assert!(grew > encoded, "the log holds the records");
     assert!(
         grew <= encoded + N as u64 * WRITE_HEADER_BYTES + 2 * COMMIT_BYTES,

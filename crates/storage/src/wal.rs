@@ -73,10 +73,11 @@ pub enum WalRecord {
     FeedCursor { txn_id: u64, feed: String, seq: u64 },
 }
 
-/// Tag byte of [`WalRecord::Write`]. Not 1, which [`WalRecord::Update`] had,
-/// nor 6, under which its key was in the encoding that was not
-/// memcomparable: a segment written with either is refused, not misread.
-const TAG_WRITE: u8 = 7;
+/// Tag bytes of [`WalRecord::Write`]: a put and a delete. 1
+/// ([`WalRecord::Update`]), 6 (keys not memcomparable) and 7 (a fixed-width
+/// header) are retired: a segment holding one is refused, not misread.
+const TAG_PUT: u8 = 8;
+const TAG_DELETE: u8 = 9;
 const TAG_UPDATE: u8 = 1;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
@@ -84,8 +85,19 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// The payload of a [`WalRecord::Write`]: tag, transaction, dataset id,
-/// partition, delete flag, key, value (`None` = delete).
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first, the
+/// high bit set on every byte but the last (1 byte below 2^7, 10 for 2^63).
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The payload of a [`WalRecord::Write`]: tag (put or delete), varints of
+/// transaction, dataset id, partition and key length, the key, and a put's
+/// value (`None` = delete) as the rest — the frame's length ends it.
 fn encode_write(
     out: &mut Vec<u8>,
     txn_id: u64,
@@ -94,13 +106,13 @@ fn encode_write(
     key: &[u8],
     put: Option<&[u8]>,
 ) {
-    out.push(TAG_WRITE);
-    out.extend_from_slice(&txn_id.to_le_bytes());
-    out.extend_from_slice(&dataset.to_le_bytes());
-    out.extend_from_slice(&partition.to_le_bytes());
-    out.push(put.is_none() as u8);
-    put_bytes(out, key);
-    put_bytes(out, put.unwrap_or_default());
+    out.push(if put.is_some() { TAG_PUT } else { TAG_DELETE });
+    put_varint(out, txn_id);
+    put_varint(out, dataset.into());
+    put_varint(out, partition.into());
+    put_varint(out, key.len() as u64);
+    out.extend_from_slice(key);
+    out.extend_from_slice(put.unwrap_or_default());
 }
 
 /// Appends to `out` one record as it sits in the log — length, checksum,
@@ -161,12 +173,24 @@ impl WalRecord {
         let corrupt = || StorageError::Corrupt("bad WAL record".into());
         let mut r = 0usize;
         let take = |n: usize, r: &mut usize| -> Result<&[u8]> {
-            if *r + n > buf.len() {
+            if n > buf.len() - *r {
                 return Err(corrupt());
             }
             let s = &buf[*r..*r + n];
             *r += n;
             Ok(s)
+        };
+        let take_varint = |r: &mut usize| -> Result<u64> {
+            let mut v = 0u64;
+            // ten bytes at most, the tenth carrying bit 63 alone
+            for shift in (0..64).step_by(7) {
+                let b = take(1, r)?[0];
+                v |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 && (shift < 63 || b <= 1) {
+                    return Ok(v);
+                }
+            }
+            Err(corrupt())
         };
         let take_u32 = |r: &mut usize| -> Result<u32> {
             let v = le::try_u32_at(buf, *r)?;
@@ -184,15 +208,17 @@ impl WalRecord {
         };
         let tag = take(1, &mut r)?[0];
         match tag {
-            TAG_WRITE => {
-                let txn_id = take_u64(&mut r)?;
-                let dataset = take_u32(&mut r)?;
-                let partition = take_u32(&mut r)?;
-                let is_delete = take(1, &mut r)?[0] != 0;
-                let klen = take_u32(&mut r)? as usize;
+            TAG_PUT | TAG_DELETE => {
+                let txn_id = take_varint(&mut r)?;
+                let dataset = u32::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
+                let partition = u32::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
+                let klen = usize::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
                 let key = take(klen, &mut r)?.to_vec();
-                let vlen = take_u32(&mut r)? as usize;
-                let value = take(vlen, &mut r)?.to_vec();
+                let value = buf[r..].to_vec();
+                let is_delete = tag == TAG_DELETE;
+                if is_delete && !value.is_empty() {
+                    return Err(corrupt());
+                }
                 Ok(WalRecord::Write { txn_id, dataset, partition, is_delete, key, value })
             }
             2 => Ok(WalRecord::Commit { txn_id: take_u64(&mut r)? }),
@@ -542,6 +568,9 @@ pub struct SegmentedWal {
     segments: Gauge,
     /// `storage.wal.truncated_bytes`: log bytes unlinked since open.
     truncated_bytes: Counter,
+    /// `storage.wal.appended_bytes`: log bytes syncs moved into segments
+    /// since open (a rotation's checkpoint, published whole, is not one).
+    appended_bytes: Counter,
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
@@ -553,7 +582,7 @@ impl SegmentedWal {
     /// none) for appending, and returns it with what a restart must redo:
     /// the operations of the committed transactions found in the retained
     /// segments. Its size is exported through `registry` as
-    /// `storage.wal.{segments, truncated_bytes}`.
+    /// `storage.wal.{segments, truncated_bytes, appended_bytes}`.
     pub fn recover(
         dir: &Path,
         prefix: &str,
@@ -617,6 +646,7 @@ impl SegmentedWal {
             stray_segment: false,
             segments,
             truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
+            appended_bytes: registry.counter("storage.wal.appended_bytes"),
         };
         Ok((wal, tail.ops))
     }
@@ -675,9 +705,14 @@ impl SegmentedWal {
         self.max_txn = self.max_txn.max(txn);
     }
 
-    /// Flushes buffered records and forces them to stable storage.
+    /// Flushes buffered records and forces them to stable storage. What the
+    /// flush moves into the segment is counted once, however many times a
+    /// short write has it retried.
     pub fn sync(&mut self) -> Result<()> {
-        self.active.sync()
+        let persisted = self.active.persisted;
+        let synced = self.active.sync();
+        self.appended_bytes.add(self.active.persisted - persisted);
+        synced
     }
 
     /// LSN the next record will receive.
@@ -719,7 +754,7 @@ impl SegmentedWal {
     /// whole ([`crate::io::write_atomic`]), so a segment other than the first
     /// always begins with an intact checkpoint.
     pub fn rotate(&mut self) -> Result<()> {
-        self.active.sync()?;
+        self.sync()?;
         let base = self.active.next_lsn();
         let path = segment_path(&self.dir, &self.prefix, base);
         let checkpoint = WalRecord::Checkpoint {
@@ -910,23 +945,121 @@ mod tests {
 
     #[test]
     fn a_write_frame_under_the_retired_tag_refuses_the_log() {
-        // tag 6: today's layout around a key that is not memcomparable
-        let mut log = Vec::new();
-        frame_into(&mut log, |out| {
-            let tag_at = out.len();
-            encode_write(out, 1, 7, 0, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0", Some(b"v"));
-            out[tag_at] = 6;
-        });
-        frame_into(&mut log, |out| WalRecord::Commit { txn_id: 1 }.encode_into(out));
-        let dir = TempDir::new();
-        let path = dir.path().join("wal.log");
-        std::fs::write(&path, &log).unwrap();
-        match read_log(&path) {
-            Err(StorageError::Corrupt(why)) => assert!(why.contains("tag Some(6)") && why.contains("another version"), "{why}"),
-            other => panic!("expected the log to be refused, got {other:?}"),
+        // tags 6 and 7: the fixed-width layout — u64 transaction, u32 dataset
+        // and partition, a delete byte, u32-length key and value — around a
+        // key that is not memcomparable (6) and one that is (7)
+        for (tag, key) in [(6u8, &b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0"[..]), (7, b"\x03\x80\0\0\0\0\0\0\x2a")] {
+            let mut log = Vec::new();
+            frame_into(&mut log, |out| {
+                out.push(tag);
+                out.extend_from_slice(&1u64.to_le_bytes());
+                out.extend_from_slice(&7u32.to_le_bytes());
+                out.extend_from_slice(&0u32.to_le_bytes());
+                out.push(0);
+                put_bytes(out, key);
+                put_bytes(out, b"v");
+            });
+            frame_into(&mut log, |out| WalRecord::Commit { txn_id: 1 }.encode_into(out));
+            let dir = TempDir::new();
+            let path = dir.path().join("wal.log");
+            std::fs::write(&path, &log).unwrap();
+            match read_log(&path) {
+                Err(StorageError::Corrupt(why)) => {
+                    assert!(why.contains(&format!("tag Some({tag})")) && why.contains("another version"), "{why}")
+                }
+                other => panic!("tag {tag}: expected the log to be refused, got {other:?}"),
+            }
+            assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
+            assert_eq!(std::fs::read(&path).unwrap(), log, "tag {tag}: nothing was truncated");
         }
-        assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
-        assert_eq!(std::fs::read(&path).unwrap(), log, "nothing was truncated");
+    }
+
+    fn write_payload(txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_write(&mut out, txn_id, dataset, partition, key, put);
+        out
+    }
+
+    #[test]
+    fn a_write_is_its_tag_four_varints_the_key_and_the_value() {
+        assert_eq!(write_payload(300, 2, 1, b"pk", Some(b"row")), b"\x08\xac\x02\x02\x01\x02pkrow");
+        assert_eq!(write_payload(300, 2, 1, b"pk", None), b"\x09\xac\x02\x02\x01\x02pk");
+        // an empty value is a put, not a delete
+        let write = |txn_id, id, key: &[u8], value: &[u8]| WalRecord::Write {
+            txn_id,
+            dataset: id,
+            partition: id,
+            is_delete: false,
+            key: key.to_vec(),
+            value: value.to_vec(),
+        };
+        let empty = WalRecord::decode(&write_payload(1, 0, 0, b"", Some(b""))).unwrap();
+        assert_eq!(empty, write(1, 0, b"", b""));
+        // seven bits a byte: 1 byte up to 127, 2 up to 16 383, 5 for u32::MAX
+        let varint_len = |v: u64| (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+        let edges = [0, 127, 128, 16_383, 16_384, u64::from(u32::MAX)];
+        for txn_id in edges.into_iter().chain([u64::MAX]) {
+            for id in edges.map(|e| e as u32) {
+                let payload = write_payload(txn_id, id, id, b"key", Some(b"value"));
+                assert_eq!(payload.len(), 1 + varint_len(txn_id) + 2 * varint_len(id.into()) + 1 + 3 + 5);
+                assert_eq!(WalRecord::decode(&payload).unwrap(), write(txn_id, id, b"key", b"value"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_damaged_write_payload_is_corrupt_never_a_panic() {
+        let corrupt = |payload: &[u8]| matches!(WalRecord::decode(payload), Err(StorageError::Corrupt(_)));
+        // the value is the rest of the payload, so a cut inside it reads as a
+        // shorter put — the frame's length and checksum are what tell them
+        // apart; a cut anywhere before it is corrupt
+        let put = write_payload(u64::MAX, u32::MAX, 128, b"key", Some(b"value"));
+        for cut in 0..put.len() - b"value".len() {
+            assert!(corrupt(&put[..cut]), "a put cut at {cut}");
+        }
+        let delete = write_payload(16_384, 0, 127, b"key", None);
+        for cut in 0..delete.len() {
+            assert!(corrupt(&delete[..cut]), "a delete cut at {cut}");
+        }
+        let mut trailing = delete;
+        trailing.push(0);
+        assert!(corrupt(&trailing), "a delete with a value");
+        let mut endless = vec![TAG_PUT];
+        endless.extend([0x80; 11]);
+        endless.extend([0, 0, 0]);
+        assert!(corrupt(&endless), "eleven continuation bytes");
+        let mut wide = vec![TAG_PUT];
+        for v in [1, u64::from(u32::MAX) + 1, 0, 0] {
+            put_varint(&mut wide, v);
+        }
+        assert!(corrupt(&wide), "a dataset id past u32::MAX");
+        let mut long_key = vec![TAG_PUT, 1, 0, 0];
+        put_varint(&mut long_key, u64::MAX);
+        assert!(corrupt(&long_key), "a key longer than the payload");
+    }
+
+    #[test]
+    fn appended_bytes_count_what_a_sync_moved_once_however_often_it_was_retried() {
+        let dir = TempDir::new();
+        let faults = FaultInjector::new(crate::faults::FaultConfig {
+            seed: 5,
+            short_write_prob: 0.5,
+            ..Default::default()
+        });
+        let (mut wal, _) =
+            SegmentedWal::recover(dir.path(), "node", Some(faults.clone()), &MetricsRegistry::new()).unwrap();
+        let start = wal.next_lsn();
+        for txn in 1..=8 {
+            wal.append_write(txn, 7, 0, b"key", Some(b"value")).unwrap();
+            wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
+            // a short write keeps the buffer for the retry
+            assert!((0..64).any(|_| wal.sync().is_ok()), "txn {txn} never synced");
+        }
+        let short = |e: &crate::faults::FaultEvent| matches!(e, crate::faults::FaultEvent::ShortWrite { .. });
+        assert!(faults.events().iter().any(short), "no short write to retry");
+        assert_eq!(wal.appended_bytes.get(), wal.next_lsn() - start);
+        // a put framed: 8 + 5 of header + key + value; a commit: 8 + 1 + 8
+        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 5 + 3 + 5 + 8 + 1 + 8));
     }
 
     #[test]

@@ -480,20 +480,28 @@ fn log_tail_stays_bounded_by_what_is_unflushed() {
 // WAL round-trip under truncation (property)
 // ---------------------------------------------------------------------------
 
+/// An id at a varint width boundary — one and two bytes end at 127 and
+/// 16 383 — or at `u32::MAX`, or a small one.
+fn arb_id() -> BoxedStrategy<u32> {
+    prop_oneof![Just(0u32), Just(127), Just(128), Just(16_383), Just(16_384), Just(u32::MAX), 1u32..20]
+}
+
 fn arb_record() -> BoxedStrategy<WalRecord> {
+    let txn = prop_oneof![arb_id().prop_map(u64::from), Just(u64::MAX)];
     prop_oneof![
         (
-            1u64..20,
-            prop::collection::vec(0u8..255, 1..24),
-            prop::collection::vec(0u8..255, 0..48),
+            (txn, arb_id(), arb_id()),
+            prop::collection::vec(0u8..255, 0..24),
+            prop_oneof![Just(Vec::new()), prop::collection::vec(0u8..255, 0..48)],
             any::<bool>(),
         )
-            .prop_map(|(txn, key, value, is_delete)| WalRecord::Write {
-                txn_id: txn,
-                dataset: (txn % 3) as u32,
-                partition: (txn % 4) as u32,
+            .prop_map(|((txn_id, dataset, partition), key, value, is_delete)| WalRecord::Write {
+                txn_id,
+                dataset,
+                partition,
                 is_delete,
                 key,
+                // a put may be empty: it reads back as a put all the same
                 value: if is_delete { Vec::new() } else { value },
             }),
         (1u64..20).prop_map(|txn| WalRecord::Commit { txn_id: txn }),
@@ -506,8 +514,10 @@ fn arb_record() -> BoxedStrategy<WalRecord> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Append+sync a random record sequence, then truncate the file at an
-    /// arbitrary byte length: reading must always recover exactly the
+    /// Append+sync a random record sequence — ids across the varint widths,
+    /// empty keys, empty puts — which must read back as appended, then
+    /// truncate the file at an arbitrary byte length: reading must always
+    /// recover exactly the
     /// maximal record prefix that fits, never erroring and never yielding a
     /// record past the cut.
     #[test]
@@ -525,7 +535,8 @@ proptest! {
         w.sync().unwrap();
         let full = std::fs::read(&path).unwrap();
         let full_records = read_log(&path).unwrap();
-        prop_assert_eq!(full_records.len(), records.len());
+        let read_back: Vec<&WalRecord> = full_records.iter().map(|(_, r)| r).collect();
+        prop_assert_eq!(read_back, records.iter().collect::<Vec<_>>());
 
         // byte-level truncation at an arbitrary point (possibly past EOF)
         let cut = ((full.len() as f64) * cut_fraction) as u64;
