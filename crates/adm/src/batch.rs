@@ -111,7 +111,7 @@ impl Column {
     /// An empty column for the cells of a declared field of kind `kind`.
     pub fn of_kind(kind: ColumnKind) -> Column {
         let data = match kind {
-            ColumnKind::Int { tag: T_INT, .. } => ColumnData::Int(Vec::new()),
+            ColumnKind::Varint => ColumnData::Int(Vec::new()),
             // the widest fixed-width type is a rectangle's 32 bytes
             ColumnKind::Int { tag, width } | ColumnKind::Fixed { tag, width } if width <= 32 => {
                 ColumnData::Fixed { tag, width: width as usize, bytes: Vec::new() }
@@ -322,13 +322,13 @@ impl Column {
 
     /// A cell as [`binary::encode_into`] wrote it, tag and all; an empty one
     /// is a row without a value. An `int` goes to a vector of `i64` without
-    /// a `Value` in between.
+    /// a `Value` in between, its varint read in place.
     pub fn push_cell(&mut self, cell: &[u8]) -> Result<()> {
         match (&mut self.data, cell) {
             (_, []) => self.push_absent(),
-            (ColumnData::Int(vs), [T_INT, payload @ ..]) if payload.len() == 8 => {
-                vs.push(i64::from_le_bytes(payload.try_into().expect("eight bytes")));
-                self.present.push(true);
+            (ColumnData::Int(_), [T_INT, ..]) => {
+                let v = binary::int_cell(cell).ok_or_else(|| AdmError::Serde("an int cell that is no varint".into()))?;
+                self.push_int(v);
             }
             (ColumnData::Fixed { tag, width, bytes }, [t, payload @ ..]) if t == tag && payload.len() == *width => {
                 bytes.extend_from_slice(payload);

@@ -2,10 +2,17 @@
 //! storage layer (LSM components, WAL records) and by Hyracks when spilling
 //! frames to disk.
 //!
-//! Layout: one tag byte followed by a fixed or length-prefixed payload.
-//! Collections are count-prefixed; object fields carry their names inline
-//! (this is exactly what makes *undeclared open fields* cost extra space —
-//! experiment E10). Composite index keys have an encoding of their own,
+//! Layout: one tag byte followed by a payload. An `int` is a zigzag LEB128
+//! varint ([`put_zigzag`]): one byte for -64..=63, two up to ±8 191, ten at
+//! most. Every length and count — of a string, a binary, an array, a
+//! multiset, an object's fields and each field's name — is a LEB128 varint
+//! ([`put_varint`]), one byte below 128. A double, a point, a rectangle, a
+//! date, a time, a datetime, a duration and a uuid keep their fixed widths.
+//! Object fields carry their names inline (this is exactly what makes
+//! *undeclared open fields* cost extra space — experiment E10). A varint is
+//! read back only in its one shortest form, so a value has one encoding and
+//! re-encoding what was decoded gives back the same bytes. Composite index
+//! keys have an encoding of their own,
 //! [`encode_key`], whose bytes order under `memcmp` exactly as element-wise
 //! [`crate::compare::total_cmp`] orders the values.
 
@@ -45,7 +52,7 @@ pub fn encode_into(v: &Value, out: &mut Vec<u8>) {
         }
         Value::Int(i) => {
             out.push(T_INT);
-            out.extend_from_slice(&i.to_le_bytes());
+            put_zigzag(out, *i);
         }
         Value::Double(d) => {
             out.push(T_DOUBLE);
@@ -128,7 +135,52 @@ pub fn encode(v: &Value) -> Vec<u8> {
 }
 
 fn put_len(out: &mut Vec<u8>, len: usize) {
-    out.extend_from_slice(&(len as u32).to_le_bytes());
+    put_varint(out, len as u64);
+}
+
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first, the
+/// high bit set on every byte but the last (1 byte below 2^7, 10 for 2^63).
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Appends `v` zigzag-coded as a varint: 0, -1, 1, -2, ... are 0, 1, 2, 3,
+/// ..., so a value of small magnitude takes few bytes whatever its sign.
+pub fn put_zigzag(out: &mut Vec<u8>, v: i64) {
+    put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+/// The varint `buf` starts with, and the bytes it takes. `None` when it is
+/// cut short or is not the shortest form of its value — a last byte of zero
+/// after the first, or a tenth byte past bit 63 — which no writer makes.
+pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &b) in buf.iter().enumerate().take(10) {
+        v |= u64::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            let minimal = (b != 0 || i == 0) && (i < 9 || b == 1);
+            return minimal.then_some((v, i + 1));
+        }
+    }
+    None
+}
+
+/// Reverses the zigzag of [`put_zigzag`].
+fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
+}
+
+/// The `int` a whole cell holds — its tag and a zigzag varint, nothing
+/// after — or `None` for a cell of another form.
+pub fn int_cell(cell: &[u8]) -> Option<i64> {
+    match cell {
+        [T_INT, rest @ ..] => read_varint(rest).filter(|&(_, n)| n == rest.len()).map(|(v, _)| unzigzag(v)),
+        _ => None,
+    }
 }
 
 /// Streaming decoder over a byte slice.
@@ -170,9 +222,23 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1)?[0])
     }
 
+    pub(crate) fn varint(&mut self) -> Result<u64> {
+        let (v, n) = read_varint(&self.buf[self.pos..]).ok_or_else(|| {
+            AdmError::Serde(format!("truncated or overlong varint at offset {}", self.pos))
+        })?;
+        self.pos += n;
+        Ok(v)
+    }
+
+    /// A length or a count: a varint no greater than the bytes left, which
+    /// is what any of them takes at least — so nothing is sized by one that
+    /// the input cannot hold.
     pub(crate) fn len(&mut self) -> Result<usize> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()) as usize)
+        let at = self.pos;
+        match self.varint()? {
+            n if n <= (self.buf.len() - self.pos) as u64 => Ok(n as usize),
+            n => Err(AdmError::Serde(format!("a length of {n} at offset {at} runs past the input"))),
+        }
     }
 
     fn i32(&mut self) -> Result<i32> {
@@ -192,9 +258,13 @@ impl<'a> Decoder<'a> {
     pub fn skip_value(&mut self) -> Result<()> {
         let n = match self.u8()? {
             T_MISSING | T_NULL => 0,
+            T_INT => {
+                self.varint()?;
+                0
+            }
             T_BOOL => 1,
             T_DATE | T_TIME => 4,
-            T_INT | T_DOUBLE | T_DATETIME => 8,
+            T_DOUBLE | T_DATETIME => 8,
             T_DURATION => 12,
             T_POINT | T_UUID => 16,
             T_RECTANGLE => 32,
@@ -224,7 +294,7 @@ impl<'a> Decoder<'a> {
     /// `fields` is found.
     fn object(&mut self, fields: &[String]) -> Result<Object> {
         let n = self.len()?;
-        let mut o = Object::with_capacity(if fields.is_empty() { n.min(1 << 16) } else { fields.len() });
+        let mut o = Object::with_capacity(if fields.is_empty() { n } else { fields.len() });
         for _ in 0..n {
             let klen = self.len()?;
             let kbytes = self.take(klen)?;
@@ -250,7 +320,7 @@ impl<'a> Decoder<'a> {
             T_MISSING => Value::Missing,
             T_NULL => Value::Null,
             T_BOOL => Value::Bool(self.u8()? != 0),
-            T_INT => Value::Int(self.i64()?),
+            T_INT => Value::Int(unzigzag(self.varint()?)),
             T_DOUBLE => Value::Double(self.f64()?),
             T_STRING => {
                 let n = self.len()?;
@@ -282,7 +352,7 @@ impl<'a> Decoder<'a> {
             }
             T_ARRAY | T_MULTISET => {
                 let n = self.len()?;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
+                let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(self.value()?);
                 }
@@ -693,10 +763,66 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode(&[]).is_err());
         assert!(decode(&[200]).is_err());
-        assert!(decode(&[T_STRING, 10, 0, 0, 0, b'a']).is_err(), "truncated string");
+        assert!(decode(&[T_STRING, 10, b'a']).is_err(), "truncated string");
         let mut ok = encode(&Value::Int(1));
         ok.push(0);
         assert!(decode(&ok).is_err(), "trailing bytes");
+        // a length no input could hold is refused before anything is sized by it
+        let mut huge = vec![T_ARRAY];
+        put_varint(&mut huge, u64::MAX);
+        assert!(decode(&huge).is_err(), "a count past the input");
+    }
+
+    #[test]
+    fn an_int_takes_the_bytes_its_magnitude_needs() {
+        for (v, len) in [(0, 2), (-1, 2), (63, 2), (-64, 2), (64, 3), (-8_192, 3), (8_192, 4), (i64::MAX, 11), (i64::MIN, 11)] {
+            let bytes = encode(&Value::Int(v));
+            assert_eq!((bytes.len(), int_cell(&bytes)), (len, Some(v)), "{v}");
+            roundtrip(&Value::Int(v));
+        }
+        assert_eq!(encode(&Value::from("ab")), [T_STRING, 2, b'a', b'b'], "a length below 128 is one byte");
+        let long = "x".repeat(300);
+        assert_eq!(encode(&Value::from(long.as_str()))[..3], [T_STRING, 0xAC, 0x02]);
+        assert_eq!(int_cell(&encode(&Value::Double(1.0))), None, "not an int");
+    }
+
+    #[test]
+    fn a_varint_reads_back_only_in_its_shortest_form() {
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX / 2, u64::MAX] {
+            let mut bytes = Vec::new();
+            put_varint(&mut bytes, v);
+            assert_eq!(read_varint(&bytes), Some((v, bytes.len())), "{v}");
+            assert_eq!(read_varint(&bytes[..bytes.len() - 1]), None, "{v} cut short");
+            let n = bytes.len();
+            // the same value with a zero byte more than it needs
+            if n < 10 {
+                bytes[n - 1] |= 0x80;
+                bytes.push(0);
+                assert_eq!(read_varint(&bytes), None, "{v} padded");
+            }
+            assert_eq!(unzigzag(((v as i64) << 1 ^ (v as i64) >> 63) as u64), v as i64);
+        }
+        assert_eq!(read_varint(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02]), None, "past bit 63");
+        assert_eq!(read_varint(&[0xFF; 11]), None, "eleven bytes");
+        // an `int` whose varint was padded would re-encode to other bytes
+        assert!(decode(&[T_INT, 0x82, 0x00]).is_err());
+        assert!(Decoder::new(&[T_INT, 0x82, 0x00]).skip_value().is_err());
+    }
+
+    #[test]
+    fn every_cut_of_an_encoding_is_an_error_not_a_panic() {
+        let v = Value::object(vec![
+            ("id".into(), Value::Int(-300)),
+            ("name".into(), Value::from("x".repeat(200))),
+            ("tags".into(), Value::Multiset(vec![Value::Int(1 << 40), Value::Binary(vec![9; 130])])),
+            ("at".into(), Value::Point(Point::new(1.0, 2.0))),
+        ]);
+        let bytes = encode(&v);
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(Decoder::new(&bytes[..cut]).skip_value().is_err(), "skipped to a cut at {cut}");
+        }
+        assert_eq!(decode(&bytes).unwrap(), v);
     }
 
     #[test]

@@ -5,9 +5,12 @@
 //! the dataset's type, in declaration order, and a last one, the *rest*,
 //! for what the type does not declare — and puts it together again, byte for
 //! byte. A cell is what [`crate::binary::encode_into`] wrote for the field's
-//! value, tag byte included, and is empty for a field the record does not
-//! have; the rest is the row's open part (count and `name value` pairs), and
-//! is empty when the record has no undeclared field. A dataset with no
+//! value, tag byte included — an `int`'s is its tag and a zigzag varint, a
+//! string's its tag, a varint length and the bytes — and is empty for a
+//! field the record does not have; the rest is the row's open part (count
+//! and `name value` pairs), and is empty when the record has no undeclared
+//! field. The row, the log's value, the memory component's value and a cell
+//! are this one encoding. A dataset with no
 //! declared type has a layout of zero columns: the rest is the whole
 //! self-describing encoding of the record.
 //!
@@ -21,7 +24,7 @@
 //! appends the cells to the typed vectors of a batch
 //! ([`crate::batch::BatchBuilder`]), a column per field asked for.
 
-use crate::binary::{self, Decoder};
+use crate::binary::{self, put_varint, put_zigzag, Decoder};
 use crate::error::{AdmError, Result};
 use crate::schema_encode::{decode_open_part, decode_ordinals_with_schema, OpenFields};
 use crate::types::{ObjectType, TypeExpr};
@@ -32,13 +35,15 @@ use crate::value::{Object, Value};
 /// storage layer keep that group's cells as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnKind {
+    /// The tag and a zigzag LEB128 varint (`int`).
+    Varint,
     /// The tag and a little-endian two's-complement integer of `width` bytes
-    /// (`int`, `datetime`: 8; `date`, `time`: 4).
+    /// (`datetime`: 8; `date`, `time`: 4).
     Int { tag: u8, width: u8 },
     /// The tag and `width` bytes that are stored as they are (`double`,
     /// `point`, `boolean`, ...).
     Fixed { tag: u8, width: u8 },
-    /// The tag, a `u32` length and that many bytes (`string`, `binary`).
+    /// The tag, a varint length and that many bytes (`string`, `binary`).
     Bytes { tag: u8 },
     /// Whatever `encode_into` wrote: a nested or `any`-typed field, the rest.
     Tagged,
@@ -52,7 +57,7 @@ impl ColumnKind {
         use binary::*;
         let TypeExpr::Named(name) = ty else { return ColumnKind::Tagged };
         match name.as_str() {
-            "int" | "int8" | "int16" | "int32" | "int64" => ColumnKind::Int { tag: T_INT, width: 8 },
+            "int" | "int8" | "int16" | "int32" | "int64" => ColumnKind::Varint,
             "datetime" => ColumnKind::Int { tag: T_DATETIME, width: 8 },
             "date" => ColumnKind::Int { tag: T_DATE, width: 4 },
             "time" => ColumnKind::Int { tag: T_TIME, width: 4 },
@@ -68,13 +73,49 @@ impl ColumnKind {
         }
     }
 
-    /// Bytes a present cell takes at least: what orders the chunks of a
-    /// group, narrowest first.
+    /// Bytes a present cell's value takes in a chunk, at most for an
+    /// integer (its offset in a frame of reference) and about for the rest:
+    /// what orders the chunks of a group, narrowest first.
     pub fn width(&self) -> usize {
         match self {
+            ColumnKind::Varint => 8,
             ColumnKind::Int { width, .. } | ColumnKind::Fixed { width, .. } => *width as usize,
             ColumnKind::Bytes { .. } => 64,
             ColumnKind::Tagged => 128,
+        }
+    }
+
+    /// The integer a present cell of a `Varint` or an `Int` column holds;
+    /// `None` for a cell of another form (an optional field's `null`) and
+    /// for a column of another kind.
+    pub fn int_of(&self, cell: &[u8]) -> Option<i64> {
+        match *self {
+            ColumnKind::Varint => binary::int_cell(cell),
+            ColumnKind::Int { tag, width } => match cell {
+                [t, payload @ ..] if *t == tag && payload.len() == width as usize && width <= 8 => {
+                    let sign = if payload.last().is_some_and(|b| b & 0x80 != 0) { 0xFF } else { 0 };
+                    let mut v = [sign; 8];
+                    v[..payload.len()].copy_from_slice(payload);
+                    Some(i64::from_le_bytes(v))
+                }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Appends the cell of an `Int` column that holds `v` — of any other,
+    /// the cell of the `int` `v` — which [`ColumnKind::int_of`] reads back.
+    pub fn put_int(&self, v: i64, out: &mut Vec<u8>) {
+        match *self {
+            ColumnKind::Int { tag, width } => {
+                out.push(tag);
+                out.extend_from_slice(&v.to_le_bytes()[..usize::from(width).min(8)]);
+            }
+            _ => {
+                out.push(binary::T_INT);
+                put_zigzag(out, v);
+            }
         }
     }
 }
@@ -234,7 +275,7 @@ impl RecordLayout {
     fn row_header<'r>(&self, row: &'r [u8]) -> Result<(Decoder<'r>, &'r [u8])> {
         let n = self.columns.len();
         let mut d = Decoder::new(row);
-        if u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize != n {
+        if d.varint()? != n as u64 {
             return Err(AdmError::Serde(format!("schema mismatch: the row was not encoded with {n} declared fields")));
         }
         let bitmap = d.take(n.div_ceil(8))?;
@@ -283,10 +324,11 @@ impl RecordLayout {
             cells.push(&row[start..d.position()]);
         }
         let rest = &row[d.position()..];
-        if rest.len() < 4 {
+        if rest.is_empty() {
             return Err(AdmError::Serde("truncated input: a row ends before its open part".into()));
         }
-        cells.push(if rest == [0u8; 4] { &[] } else { rest });
+        // an open part of no field is its count, zero
+        cells.push(if rest == [0] { &[] } else { rest });
         Ok(())
     }
 
@@ -299,7 +341,7 @@ impl RecordLayout {
             row.extend_from_slice(cells.get(0));
             return;
         }
-        row.extend_from_slice(&(n as u16).to_le_bytes());
+        put_varint(row, n as u64);
         let bitmap = row.len();
         row.resize(bitmap + n.div_ceil(8), 0);
         for i in (0..n).filter(|&i| !cells.get(i).is_empty()) {
@@ -309,7 +351,7 @@ impl RecordLayout {
             row.extend_from_slice(cells.get(i));
         }
         match cells.get(n) {
-            [] => row.extend_from_slice(&[0; 4]),
+            [] => row.push(0),
             rest => row.extend_from_slice(rest),
         }
     }

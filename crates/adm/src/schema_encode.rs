@@ -7,9 +7,12 @@
 //! (self-describing) record content"). Declaring schema therefore buys
 //! storage compactness; experiment E10 measures exactly that difference.
 //!
-//! Layout: `[n_declared:u16][presence bitmap][declared values...]`
-//! `[n_open:u32][open name+value pairs...]`. Absent optional fields are
-//! encoded as a cleared presence bit (zero bytes of payload).
+//! Layout: `[n_declared][presence bitmap][declared values...]`
+//! `[n_open][open name-length name value...]`, the two counts and each
+//! name's length LEB128 varints ([`crate::binary::put_varint`]; one byte
+//! below 128) and each value as [`crate::binary::encode_into`] writes it —
+//! an `int` as a zigzag varint. Absent optional fields are encoded as a
+//! cleared presence bit (zero bytes of payload).
 //!
 //! This *row* is what a write encodes, once: what the log carries, what a
 //! memory component holds and what a before-image is. A primary index's disk
@@ -19,7 +22,7 @@
 //! count, the bitmap and the tags above are paid per record in memory and in
 //! the log, and per group of records on disk.
 
-use crate::binary::{encode_into, Decoder};
+use crate::binary::{encode_into, put_varint, Decoder};
 use crate::error::{AdmError, Result};
 use crate::types::ObjectType;
 use crate::value::{Object, Value};
@@ -33,7 +36,7 @@ pub fn encode_with_schema(value: &Value, ty: &ObjectType) -> Result<Vec<u8>> {
         .ok_or_else(|| AdmError::Type(format!("expected object, got {}", value.type_name())))?;
     let mut out = Vec::with_capacity(64);
     let n = ty.fields.len();
-    out.extend_from_slice(&(n as u16).to_le_bytes());
+    put_varint(&mut out, n as u64);
     // presence bitmap
     let mut bitmap = vec![0u8; n.div_ceil(8)];
     for (i, f) in ty.fields.iter().enumerate() {
@@ -54,9 +57,9 @@ pub fn encode_with_schema(value: &Value, ty: &ObjectType) -> Result<Vec<u8>> {
         .iter()
         .filter(|(k, _)| ty.field(k).is_none())
         .collect();
-    out.extend_from_slice(&(open.len() as u32).to_le_bytes());
+    put_varint(&mut out, open.len() as u64);
     for (k, v) in open {
-        out.extend_from_slice(&(k.len() as u16).to_le_bytes());
+        put_varint(&mut out, k.len() as u64);
         out.extend_from_slice(k.as_bytes());
         encode_into(v, &mut out);
     }
@@ -108,14 +111,15 @@ pub(crate) fn decode_ordinals_with_schema(
     open: OpenFields<'_>,
 ) -> Result<Value> {
     let mut d = Decoder::new(buf);
-    let n = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
-    if n != ty.fields.len() {
+    let n = d.varint()?;
+    if n != ty.fields.len() as u64 {
         return Err(AdmError::Serde(format!(
             "schema mismatch: record has {n} declared fields, type {} has {}",
             ty.name,
             ty.fields.len()
         )));
     }
+    let n = ty.fields.len();
     let bitmap = d.take(n.div_ceil(8))?;
     if !n.is_multiple_of(8) && bitmap[n / 8] >> (n % 8) != 0 {
         return Err(AdmError::Serde(format!("presence bits past the {n} declared fields")));
@@ -152,7 +156,7 @@ pub(crate) fn decode_open_part(d: &mut Decoder<'_>, open: OpenFields<'_>, obj: &
     };
     let n_open = d.len()?;
     for _ in 0..n_open {
-        let klen = u16::from_le_bytes(d.take(2)?.try_into().unwrap()) as usize;
+        let klen = d.len()?;
         let kbytes = d.take(klen)?;
         // a name the open part carries is one the type does not declare
         if matches!(open, OpenFields::Named(names) if !names.iter().any(|f| f.as_bytes() == kbytes)) {
@@ -251,8 +255,9 @@ mod tests {
         let ty = reg.get("T").unwrap();
         let v = cast_object(&parse_value(r#"{"id": 1}"#).unwrap(), ty, &reg).unwrap();
         let len = roundtrip(&v, ty);
-        // header 2 + bitmap 1 + int (9) + open count 4 = 16
-        assert_eq!(len, 16);
+        // declared count 1 + bitmap 1 + int (tag and one-byte varint) 2 +
+        // open count 1 = 5
+        assert_eq!(len, 5);
     }
 
     #[test]

@@ -454,7 +454,7 @@ proptest! {
         prop_assert!(matches!(decode_fields_with_schema(&miscounted, &ty, &names), Err(AdmError::Serde(_))));
         if !n.is_multiple_of(8) {
             let mut stray = bytes.clone();
-            stray[2 + n / 8] |= 1 << (n % 8);
+            stray[1 + n / 8] |= 1 << (n % 8);
             prop_assert!(matches!(decode_fields_with_schema(&stray, &ty, &names), Err(AdmError::Serde(_))));
         }
     }

@@ -11,6 +11,7 @@
 //! and scan-query time.
 
 use crate::{ms, time_it, ExpReport};
+use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
 
 const FULL_TYPE: &str = "
@@ -57,7 +58,9 @@ pub fn run(quick: bool) -> ExpReport {
     ];
     let (mut per_record, mut on_disk_per_record): (Vec<f64>, Vec<f64>) = (Vec::new(), Vec::new());
     for (name, ddl) in variants {
-        let db = Instance::open(InstanceConfig { partitions: 1, nodes: 1, ..Default::default() })
+        // a budget the load fits: the primary index flushes one component
+        let storage = StorageConfig { mem_budget: 64 << 20, ..StorageConfig::default() };
+        let db = Instance::open(InstanceConfig { partitions: 1, nodes: 1, storage, ..Default::default() })
             .unwrap();
         db.execute_sqlpp(ddl).unwrap();
         let (_, t_load) = time_it(|| {
@@ -93,6 +96,9 @@ pub fn run(quick: bool) -> ExpReport {
             rows.len().to_string(),
         ]);
     }
+    for bytes in [&per_record, &on_disk_per_record] {
+        assert!(bytes[0] < bytes[2] && bytes[1] < bytes[2], "declared layouts take fewer bytes: {bytes:?}");
+    }
     report.note(format!(
         "declared layouts store {:.0}% of the bytes of the self-describing layout \
          (field names dropped from the closed part) as rows and {:.0}% on disk (columns \
@@ -124,12 +130,6 @@ fn component_bytes(dir: &std::path::Path) -> u64 {
 mod tests {
     #[test]
     fn e10_runs_quick() {
-        let r = super::run(true);
-        assert_eq!(r.rows.len(), 3);
-        for column in [1, 2] {
-            let declared: f64 = r.rows[0][column].parse().unwrap();
-            let minimal: f64 = r.rows[2][column].parse().unwrap();
-            assert!(declared < minimal, "declared {declared}B < self-describing {minimal}B");
-        }
+        assert_eq!(super::run(true).rows.len(), 3);
     }
 }

@@ -14,6 +14,7 @@ use crate::{ms, time_it, ExpReport};
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
+use asterix_storage::lsm::ENTRY_BYTES;
 use std::path::Path;
 
 /// Memory-component budget of the history curve: small enough that even one
@@ -199,10 +200,14 @@ pub fn run(quick: bool) -> ExpReport {
     // ---- restart cost against history: same live data, 1×/4×/16× overwrites
     let live: i64 = if quick { 1_000 } else { 4_000 };
     let partitions = InstanceConfig::default().partitions as u64;
-    // What one memory component per partition can hold (an entry is at least
-    // 48 bytes in memory) plus the transaction that was in flight: the most
-    // a restart may have to replay, whatever came before.
-    let tail_records = partitions * (CURVE_MEM_BUDGET / 48) as u64 + CURVE_TXN as u64;
+    // What one memory component per partition can hold (an entry counts
+    // `ENTRY_BYTES` beside its key and value, and the one that passes the
+    // budget is in it too) plus the transaction that was in flight: the most
+    // a restart may have to replay, whatever came before. A pass writes each
+    // key once, so a component's records are as many as its entries (a hot
+    // set rewritten in place is bounded by the log a component may keep
+    // instead: `recovery_prop` `overwriting_a_hot_set…`).
+    let tail_records = partitions * (CURVE_MEM_BUDGET / ENTRY_BYTES + 1) as u64 + CURVE_TXN as u64;
     for passes in [1, 4, 16] {
         let (t_recover, replayed, components, log) = restart_after_history(live, passes);
         report.row(&[

@@ -11,11 +11,13 @@
 //! entries — the "details required to ... make them recoverable, and make
 //! them concurrent" that §V-B insists real systems must pay for.
 //!
-//! Every index flushes on its own memory budget, so after a crash the
-//! indexes of a partition are durable up to different LSNs. The primary's
-//! decides what is replayed; a secondary at or ahead of it takes the
-//! replayed operations again (they are idempotent), and one behind it is
-//! dropped and rebuilt from the primary (DESIGN.md, "Durability").
+//! A partition seals its indexes together — all of them, when one is past
+//! its memory budget and none still holds a sealed component — and flushes
+//! what it sealed once its writers are done, the secondaries first and the
+//! primary last. After a crash every secondary is therefore durable at or
+//! ahead of its primary, whose flushed LSN decides what is replayed: a
+//! secondary ahead takes the replayed operations again, which are
+//! idempotent (DESIGN.md, "Durability").
 
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
@@ -26,10 +28,11 @@ use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
+use asterix_storage::lsm::{Entry, LsmConfig, LsmIndex, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
+use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -170,16 +173,6 @@ pub enum Origin {
     Recovered,
 }
 
-/// What opening a partition at restart did.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PartitionRecovery {
-    /// Disk components attached from manifests.
-    pub components_loaded: u64,
-    /// Secondary indexes dropped and rebuilt from the primary because their
-    /// durable state was behind it.
-    pub indexes_rebuilt: u64,
-}
-
 /// One partition of one dataset, resident on one node.
 pub struct DatasetPartition {
     pub dataset: String,
@@ -256,8 +249,7 @@ fn open_tree(node: &Node, config: LsmConfig, origin: Origin) -> Result<LsmTree> 
 
 impl DatasetPartition {
     /// Opens partition `partition` of `def` on `node`, its records stored as
-    /// `schema` says. At restart a secondary index whose durable state is
-    /// behind the primary's is rebuilt from the primary.
+    /// `schema` says.
     pub fn new(
         def: &DatasetDef,
         schema: Arc<RecordSchema>,
@@ -266,7 +258,7 @@ impl DatasetPartition {
         cfg: &StorageConfig,
         compaction: CompactionExec,
         origin: Origin,
-    ) -> Result<(DatasetPartition, PartitionRecovery)> {
+    ) -> Result<DatasetPartition> {
         let name = format!("{}_p{partition}_pri", def.name);
         let log_pin = node.log_pin(&name);
         let mut part = DatasetPartition {
@@ -284,33 +276,36 @@ impl DatasetPartition {
             log_error: None,
             compaction,
         };
-        let born = (origin == Origin::Created).then(|| part.node.wal.lock().next_lsn()); // xlint: lock(wal)
+        let born = part.born(origin);
         Self::adopt(&mut part.primary, &part.compaction, born)?;
-        let mut recovery = PartitionRecovery {
-            components_loaded: part.primary.component_count() as u64,
-            ..Default::default()
-        };
         for idx in &def.indexes {
-            let sec = part.build_secondary(idx, cfg, origin)?;
-            if origin == Origin::Recovered && sec.lsm().flushed_below() < part.primary.flushed_below() {
-                sec.lsm().destroy()?;
-                part.add_index(idx, cfg)?;
-                recovery.indexes_rebuilt += 1;
-            } else {
-                recovery.components_loaded += sec.lsm().component_count() as u64;
-                part.secondaries.push(sec);
-                part.secondaries_changed();
-            }
+            let sec = part.build_secondary(idx, cfg, origin, born)?;
+            part.secondaries.push(sec);
         }
-        Ok((part, recovery))
+        part.secondaries_changed();
+        Ok(part)
+    }
+
+    /// Disk components of all the partition's indexes: at restart, what
+    /// their manifests named.
+    pub fn component_count(&self) -> usize {
+        self.indexes().map(LsmIndex::component_count).sum()
+    }
+
+    /// The LSN below which the log is no business of an index created now:
+    /// the next one to be logged. `None` for an index being recovered.
+    fn born(&self, origin: Origin) -> Option<Lsn> {
+        (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn()) // xlint: lock(wal)
     }
 
     /// What every index gets on being opened: its merges run where the
-    /// partition's do, and one just created is made durably empty —
-    /// whatever an earlier index of its name left is no longer named — with
-    /// the log below `born` declared none of its business.
+    /// partition's do, it is sealed and flushed only in step with the
+    /// partition's other indexes, and one just created is made durably
+    /// empty — whatever an earlier index of its name left is no longer named
+    /// — with the log below `born` declared none of its business.
     fn adopt(idx: &mut dyn LsmIndex, compaction: &CompactionExec, born: Option<Lsn>) -> Result<()> {
         idx.set_executor(compaction.clone());
+        idx.sealed_by_owner();
         if let Some(lsn) = born {
             idx.mark_flushed_below(lsn)?;
         }
@@ -323,10 +318,30 @@ impl DatasetPartition {
         std::iter::once(primary).chain(self.secondaries.iter().map(Secondary::lsm))
     }
 
-    /// See [`DatasetPartition::indexes`].
+    /// Every index of the partition in the order they flush: the
+    /// secondaries first, the primary last.
     fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn LsmIndex> + '_ {
         let primary: &mut dyn LsmIndex = &mut self.primary;
-        std::iter::once(primary).chain(self.secondaries.iter_mut().map(Secondary::lsm_mut))
+        self.secondaries.iter_mut().map(Secondary::lsm_mut).chain(std::iter::once(primary))
+    }
+
+    /// Flushes the sealed memory components whose writers are done, in the
+    /// order of [`DatasetPartition::indexes_mut`] — a crash between two of
+    /// them leaves the secondaries at or ahead of the primary, and a failed
+    /// one stops the rest — and seals every index at once when one is past
+    /// its budget and none holds a sealed component any more.
+    fn seal_and_flush(&mut self) -> Result<()> {
+        loop {
+            for idx in self.indexes_mut() {
+                idx.flush_sealed()?;
+            }
+            if self.indexes().any(LsmIndex::has_sealed) || !self.indexes().any(LsmIndex::over_budget) {
+                return Ok(());
+            }
+            for idx in self.indexes_mut() {
+                idx.seal();
+            }
+        }
     }
 
     /// Brings `indexed` up to date with `secondaries`.
@@ -334,7 +349,9 @@ impl DatasetPartition {
         self.indexed = Secondary::leading_fields(&self.schema, self.secondaries.iter().map(Secondary::def));
     }
 
-    fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin) -> Result<Secondary> {
+    /// Opens secondary index `idx` of the partition (see
+    /// [`DatasetPartition::adopt`] for `born`).
+    fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
         let tree = |name| open_tree(&self.node, lsm_config(cfg, name, None), origin);
         let def = idx.clone();
@@ -355,33 +372,50 @@ impl DatasetPartition {
                 Secondary::RTree { def, tree }
             }
         };
-        // until its first flush a created index counts as behind its primary
-        Self::adopt(sec.lsm_mut(), &self.compaction, (origin == Origin::Created).then_some(0))?;
+        Self::adopt(sec.lsm_mut(), &self.compaction, born)?;
         Ok(sec)
     }
 
     /// Adds a secondary index to an existing partition, backfilling it from
-    /// the primary index: `CREATE INDEX` on loaded data, and the rebuild of
-    /// an index that a restart found behind its primary. Of the primary's
-    /// disk components it reads the keys and the indexed field.
+    /// the primary index: `CREATE INDEX` on loaded data. What the primary's
+    /// disk components hold — the keys and the indexed field, read as
+    /// columns — is flushed before the index is added, durable as far as the
+    /// primary is. Each of the primary's memory components then goes into a
+    /// memory component of the index that stands where it does in the log
+    /// ([`LsmIndex::stamp_as`]): an open transaction's writes among them are
+    /// not flushed before it is over, and the partition flushes them with
+    /// the primary's. A restart replays them like the primary's.
     pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
-        let mut sec = self.build_secondary(idx, cfg, Origin::Created)?;
+        let mut sec = self.build_secondary(idx, cfg, Origin::Created, Some(self.primary.flushed_below()))?;
         let wanted = Secondary::leading_fields(&self.schema, std::iter::once(idx));
-        let mut records = self.primary.reader(Bound::Unbounded, Bound::Unbounded, Some(wanted.cells()))?;
+        let layers: Vec<_> = self.primary.mem_layers().collect();
+        // what the index holds for each key a memory component rewrites
+        let mut rewritten: HashMap<&[u8], Option<Value>> =
+            layers.iter().flat_map(|(mem, _)| mem.iter().map(|(pk, _)| (pk.as_slice(), None))).collect();
+        let mut records = self.primary.disk_reader(Some(wanted.cells()))?;
         while let Some((pk, stored)) = records.next_entry()? {
             let record = self.schema.project(&wanted, stored)?;
             Self::index_insert(&mut sec, &record, pk)?;
+            if let Some(held) = rewritten.get_mut(pk) {
+                *held = Some(record);
+            }
         }
         drop(records);
-        // Only now, whole, does it reflect the primary — everything logged
-        // for this partition so far, or at restart what the primary's
-        // components cover — and may its next flush say so.
-        let upto = if self.primary.mem_entries() > 0 {
-            self.node.wal.lock().next_lsn() // xlint: lock(wal)
-        } else {
-            self.primary.flushed_below()
-        };
-        sec.lsm_mut().cover_below(upto);
+        sec.lsm_mut().flush()?;
+        for (mem, stamps) in &layers {
+            for (pk, entry) in mem.iter() {
+                let held = rewritten.entry(pk.as_slice()).or_default();
+                if let Some(old) = held.take() {
+                    Self::index_delete(&mut sec, &old, pk)?;
+                }
+                if let Entry::Put(row) = entry {
+                    let record = self.schema.project(&wanted, Projected::Row(row))?;
+                    Self::index_insert(&mut sec, &record, pk)?;
+                    *held = Some(record);
+                }
+            }
+            sec.lsm_mut().stamp_as(stamps);
+        }
         self.secondaries.push(sec);
         self.secondaries_changed();
         Ok(())
@@ -472,8 +506,8 @@ impl DatasetPartition {
         self.settled(Some((lsn, writer)), |part| part.apply_delete(pk, before))
     }
 
-    /// Transaction `writer` has committed or aborted: every index flushes
-    /// what was sealed waiting for it.
+    /// Transaction `writer` has committed or aborted: what was sealed
+    /// waiting for it is flushed.
     pub fn txn_finished(&mut self, writer: u64) -> Result<()> {
         self.settled(None, |part| {
             for idx in part.indexes_mut() {
@@ -490,13 +524,14 @@ impl DatasetPartition {
         self.indexes().any(|idx| idx.must_wait(writer))
     }
 
-    /// Runs `op` — stamped, if it applies a log record, on every index — and
-    /// then does for the node's log what the primary index's lifecycle asks:
+    /// Runs `op` — stamped, if it applies a log record, on every index — then
+    /// seals and flushes what has become due ([`DatasetPartition::seal_and_flush`]),
+    /// and does for the node's log what the primary index's lifecycle asks:
     /// republish the oldest LSN it holds only in memory, rotate the log if it
     /// sealed a memory component (the records that component covers end
     /// with the old segment), truncate it if it published a flush. A failure
-    /// of that upkeep does not take `op`'s outcome away from the caller: it
-    /// is kept and reported by the next call, before anything is applied.
+    /// of the log's upkeep does not take `op`'s outcome away from the caller:
+    /// it is kept and reported by the next call, before anything is applied.
     fn settled<T>(
         &mut self,
         stamp: Option<(Lsn, Option<u64>)>,
@@ -510,7 +545,7 @@ impl DatasetPartition {
                 idx.stamp(lsn, writer);
             }
         }
-        let out = op(self);
+        let out = op(self).and_then(|done| self.seal_and_flush().map(|()| done));
         self.log_pin.store(self.primary.first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
         let stats = self.primary.stats();
         let mut kept_up = Ok(());
@@ -840,7 +875,7 @@ mod tests {
 
     fn create(def: &DatasetDef, node: Arc<Node>) -> DatasetPartition {
         let cfg = StorageConfig::default();
-        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap().0
+        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap()
     }
 
     /// The index range holding exactly author `v`.

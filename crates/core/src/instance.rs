@@ -296,10 +296,8 @@ impl Instance {
             let node = Arc::clone(inner.cluster.node_for_partition(p));
             let (ty, p, storage) = (Arc::clone(&schema), p as u32, &inner.config.storage);
             let compaction = inner.compaction.clone();
-            let (part, did) = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
-            let reg = inner.ctx.registry();
-            reg.counter("core.recovery.components_loaded").add(did.components_loaded);
-            reg.counter("core.recovery.indexes_rebuilt").add(did.indexes_rebuilt);
+            let part = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
+            inner.ctx.registry().counter("core.recovery.components_loaded").add(part.component_count() as u64);
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
         }
         Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
@@ -354,8 +352,7 @@ impl Instance {
             }
             *inner.ddl_log.lock() = stmts;
         }
-        // 2. attach every surviving dataset's components; a secondary index
-        // whose durable state is behind its primary's is rebuilt from it
+        // 2. attach every surviving dataset's components
         let defs: Vec<DatasetDef> = inner.catalog.read().datasets().to_vec();
         let mut claimed = BTreeSet::new();
         for def in defs {

@@ -350,7 +350,7 @@ mod tests {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
             let part = DatasetPartition::new(&def, Arc::default(), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
-            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap().0)));
+            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap())));
         }
         (Arc::new(DatasetRuntime { def, schema: Arc::default(), partitions }), root)
     }

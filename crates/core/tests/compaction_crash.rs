@@ -100,8 +100,11 @@ fn config(
         cache_pages_per_node: 64,
         // A tiny memory budget makes nearly every txn flush, and the
         // merge-happy policies above make most flushes merge: the bulk of
-        // the I/O schedule the crash counter walks over is merge I/O.
-        storage: StorageConfig { mem_budget: 2 << 10, merge_policy },
+        // the I/O schedule the crash counter walks over is merge I/O. About
+        // ten of the workload's records fill it (the budget counts each
+        // entry's map overhead and an overwrite once), so its 96 writes make
+        // six flushes.
+        storage: StorageConfig { mem_budget: 1536, merge_policy },
         faults,
         ..InstanceConfig::default()
     }

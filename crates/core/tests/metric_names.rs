@@ -14,7 +14,6 @@ use asterix_obs::MetricValue;
 /// `hyracks.lifecycle.*` endings) have had none here.
 const INSTANCE: &str = "
     c core.recovery.components_loaded
-    c core.recovery.indexes_rebuilt
     c core.recovery.records_replayed
     c core.serving.admitted
     c core.serving.completed

@@ -24,7 +24,7 @@
 //!
 //! Below the property sit the named regressions of the durability design
 //! (DESIGN.md, "Durability"): no-steal across a seal, abort after a seal,
-//! secondaries behind their primary, `CREATE INDEX` on loaded data,
+//! a crash inside a partition's co-sealed flush, `CREATE INDEX` on loaded data,
 //! `DROP`/`CREATE` of one name, and a crash inside the DDL persist.
 
 use asterix_adm::Value;
@@ -510,61 +510,208 @@ fn abort_after_a_seal_restores_before_images_across_a_crash() {
     assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
 }
 
-/// Loads messages, overwrites half of them so that every indexed field
-/// changes, crashes, reopens; returns how many secondary indexes the restart
-/// rebuilt. `words` per text sets how fast the keyword index fills.
-fn overwrite_crash_reopen(words: usize) -> u64 {
-    let dir = TempDir::new("lagging");
-    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
-    db.execute_sqlpp(MSG_DDL).unwrap();
-    db.execute_sqlpp(MSG_INDEXES).unwrap();
-    let mut want = BTreeMap::new();
-    for id in 0..16 {
-        commit_msgs(&db, [msg(id, 0, words)]);
-        want.insert(id, msg(id, 0, words));
-    }
-    assert!(db.lsm_stats("Msgs", None).unwrap()[0].flushes >= 1, "the primary must have flushed");
-    for id in (0..16).step_by(2) {
-        commit_msgs(&db, [msg(id, 1, words)]);
-        want.insert(id, msg(id, 1, words));
-    }
-    db.crash();
-    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
-    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
-    assert!(recovery_counter(&db, "records_replayed") < 24, "replay starts past the flushed LSN");
-    recovery_counter(&db, "indexes_rebuilt")
+/// What the manifest of index `index` of Msgs' partition 0 says: the LSN
+/// below which the index is durable, and how many components it names
+/// (DESIGN.md "Durability": a magic, that LSN, the component count, ...).
+fn manifest(dir: &Path, index: &str) -> (u64, u32) {
+    let bytes = std::fs::read(dir.join("node0").join(format!("Msgs_p0_{index}.manifest"))).unwrap();
+    (u64::from_le_bytes(bytes[4..12].try_into().unwrap()), u32::from_le_bytes(bytes[12..16].try_into().unwrap()))
 }
 
-/// (c) The primary flushed ahead of a B+-tree, an R-tree and a keyword
-/// secondary: replaying an overwrite into them would look up the *new*
-/// record in the primary and leave the old entries behind. They are rebuilt
-/// from the primary instead. With texts of many words the keyword index
-/// fills faster than the primary and is *ahead* of it: it stays, and takes
-/// the replayed operations a second time.
+/// Msgs' indexes in the order a partition flushes them: the secondaries as
+/// they were created, the primary last.
+const FLUSH_ORDER: [&str; 4] = ["byAuthor", "byLoc", "byText", "pri"];
+
+/// (c) A partition seals its indexes together and publishes the flush of
+/// the secondaries before the primary's, so a crash at any manifest write
+/// of one co-sealed flush leaves each secondary at or ahead of its primary:
+/// the ones before the crash point published, the others not yet. Replay
+/// from the primary's LSN then brings every index to the same state — a
+/// secondary ahead takes the replayed overwrites a second time — with
+/// nothing rebuilt. With texts of many words the keyword index fills first
+/// and its budget seals the others.
 #[test]
-fn secondaries_behind_their_primary_are_rebuilt_and_those_ahead_replay_idempotently() {
-    assert_eq!(overwrite_crash_reopen(1), 3, "all three secondaries were behind");
-    assert_eq!(overwrite_crash_reopen(40), 2, "the keyword index was ahead and must stay");
+fn a_crash_inside_a_co_sealed_flush_leaves_every_secondary_at_or_ahead_of_its_primary() {
+    for words in [1, 40] {
+        for (at, index) in FLUSH_ORDER.iter().enumerate() {
+            let dir = TempDir::new("cosealed");
+            let mut want = BTreeMap::new();
+            {
+                let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+                db.execute_sqlpp(MSG_DDL).unwrap();
+                db.execute_sqlpp(MSG_INDEXES).unwrap();
+                for id in 0..16 {
+                    commit_msgs(&db, [msg(id, 0, words)]);
+                    want.insert(id, msg(id, 0, words));
+                }
+                db.flush_all().unwrap();
+                db.crash();
+            }
+            let load: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
+            assert!(load.iter().all(|m| m.0 == load[3].0), "{words} words: flushed together {load:?}");
+            // overwrite until the crash at `index`'s manifest rename in the
+            // first flush after the load
+            let injector = FaultInjector::crash_at(9, &format!("Msgs_p0_{index}.manifest:rename"), 0);
+            let db = Instance::open(InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) }).unwrap();
+            for id in 0..16 {
+                let mut txn = db.begin();
+                txn.write("Msgs", &msg(id, 1, words), true).unwrap();
+                // the crash lands in the flush that follows the commit record's sync
+                let _ = txn.commit();
+                want.insert(id, msg(id, 1, words));
+                if injector.crashed() {
+                    break;
+                }
+            }
+            assert!(injector.crashed(), "{words} words, {index}: no flush reached the crash point");
+            db.crash();
+
+            let crashed: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
+            let primary = crashed[3].0;
+            for (k, (name, (below, _))) in FLUSH_ORDER.iter().zip(&crashed).enumerate().take(3) {
+                let published = k < at;
+                assert!(*below >= primary, "{words} words, crash at {index}: {name} is behind its primary");
+                assert_eq!(*below > load[k].0, published, "{words} words, crash at {index}: {name} {crashed:?}");
+            }
+            assert_eq!(primary, load[3].0, "{words} words, crash at {index}: the primary publishes last");
+            let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+            let named: u64 = crashed.iter().map(|m| u64::from(m.1)).sum();
+            assert_eq!(recovery_counter(&db, "components_loaded"), named, "every component the manifests named, as it was");
+            assert!(recovery_counter(&db, "records_replayed") <= 16, "replay starts past the flushed load");
+            assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+        }
+    }
 }
 
-/// (d) `CREATE INDEX` on loaded data is not logged, and the index it
-/// backfills is in memory: a crash before its first flush leaves a catalog
-/// entry without storage. The restart finds it behind and rebuilds it.
+/// (d) `CREATE INDEX` on loaded data is not logged: it flushes what it
+/// backfilled from the primary's disk components before it returns, so the
+/// index is durable as far as its primary, and what the load still holds in
+/// memory is replayed into it like into the primary — a crash right after
+/// it loses nothing, flushed load or not.
 #[test]
-fn create_index_on_loaded_data_survives_a_crash_before_its_first_flush() {
-    let dir = TempDir::new("createindex");
-    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
-    db.execute_sqlpp(MSG_DDL).unwrap();
-    let want: BTreeMap<i64, Value> = (0..20).map(|id| (id, msg(id, 0, 1))).collect();
-    commit_msgs(&db, want.values().cloned());
-    db.flush_all().unwrap();
-    db.execute_sqlpp(MSG_INDEXES).unwrap();
-    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+fn create_index_on_loaded_data_survives_a_crash_right_after_it() {
+    for flushed in [true, false] {
+        let dir = TempDir::new("createindex");
+        let db = Instance::open(one_partition(dir.path(), 64 << 10)).unwrap();
+        db.execute_sqlpp(MSG_DDL).unwrap();
+        let want: BTreeMap<i64, Value> = (0..20).map(|id| (id, msg(id, 0, 1))).collect();
+        commit_msgs(&db, want.values().cloned());
+        if flushed {
+            db.flush_all().unwrap();
+        }
+        db.execute_sqlpp(MSG_INDEXES).unwrap();
+        assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+        db.crash();
+        let (primary, components) = manifest(dir.path(), "pri");
+        assert_eq!(components, u32::from(flushed));
+        for index in &FLUSH_ORDER[..3] {
+            let (below, components) = manifest(dir.path(), index);
+            assert_eq!((below, components), (primary, u32::from(flushed)), "{index}: durable as far as the primary");
+        }
+        let db = Instance::open(one_partition(dir.path(), 64 << 10)).unwrap();
+        assert_eq!(recovery_counter(&db, "records_replayed"), if flushed { 0 } else { 20 });
+        assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    }
+}
+
+/// (e) `CREATE INDEX` while an open transaction has written into the
+/// partition — into a memory component sealed and waiting for it, and into
+/// the active one — and before it writes again: the index flushes only what
+/// the primary's disk components hold, and takes the rest into memory
+/// components that stand where the primary's do and wait for the same
+/// writers. However much else commits and is flushed, none of the open
+/// transaction's writes reaches a disk component of any index. Once it
+/// commits, the sealed components flush, the new index's before the
+/// primary's: a crash at the index's first manifest write of that flush
+/// finds every index at or ahead of the primary. After the crash, with the
+/// transaction open or committed, every index agrees with a scan of what
+/// committed.
+#[test]
+fn create_index_inside_an_open_transaction_puts_none_of_its_writes_on_disk() {
+    for commit in [false, true] {
+        let dir = TempDir::new("openindex");
+        // byAuthor's manifest is written when it is created and when what it
+        // took from the primary's disk components is flushed; the next write
+        // is the flush of what it took from the sealed component
+        let injector = FaultInjector::crash_at(3, "Msgs_p0_byAuthor.manifest:rename", 2);
+        let cfg = InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) };
+        let db = Instance::open(cfg).unwrap();
+        db.execute_sqlpp(MSG_DDL).unwrap();
+        let mut want: BTreeMap<i64, Value> = (0..6).map(|id| (id, msg(id, 0, 1))).collect();
+        commit_msgs(&db, want.values().cloned());
+        db.flush_all().unwrap();
+        let primary = || db.lsm_stats("Msgs", None).unwrap()[0];
+        let mut open_txn = db.begin();
+        open_txn.write("Msgs", &msg(0, 1, 1), true).unwrap(); // rewrites a flushed record
+        let seals = primary().seals;
+        for id in 10.. {
+            if primary().seals > seals {
+                break;
+            }
+            commit_msgs(&db, [msg(id, 0, 1)]);
+            want.insert(id, msg(id, 0, 1));
+        }
+        open_txn.write("Msgs", &msg(1, 1, 1), true).unwrap();
+        let stats = primary();
+        assert_eq!(stats.seals, stats.flushes + 1, "a sealed component waits for the open transaction");
+        db.execute_sqlpp(MSG_INDEXES).unwrap();
+        open_txn.write("Msgs", &msg(2, 1, 1), true).unwrap();
+        commit_msgs(&db, [msg(30, 0, 1)]);
+        want.insert(30, msg(30, 0, 1));
+        db.flush_all().unwrap();
+        assert!(!injector.crashed(), "nothing the open transaction wrote is flushed");
+        if commit {
+            // the commit record is synced before the flush the crash lands in
+            let _ = open_txn.commit();
+            assert!(injector.crashed(), "the commit flushes what was sealed");
+            want.extend((0..3).map(|id| (id, msg(id, 1, 1))));
+        } else {
+            std::mem::forget(open_txn); // the crash takes it, uncommitted
+        }
+        db.crash();
+        let (primary_below, _) = manifest(dir.path(), "pri");
+        for index in &FLUSH_ORDER[..3] {
+            assert!(manifest(dir.path(), index).0 >= primary_below, "committed: {commit}: {index} is behind its primary");
+        }
+
+        let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
+        assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    }
+}
+
+/// (f) Overwrites of a hot set far smaller than the memory budget: what the
+/// memory component holds never passes the budget, but the log it keeps from
+/// truncation does and seals it. However long the history, the log stays
+/// within twice the budget and a restart replays no more than that much log
+/// holds.
+#[test]
+fn overwriting_a_hot_set_keeps_the_log_and_the_replay_bounded() {
+    const BUDGET: usize = 16 << 10;
+    const HOT: i64 = 32;
+    const PASSES: i64 = 256;
+    let dir = TempDir::new("hotset");
+    let cfg = || InstanceConfig { partitions: 1, ..config(dir.path(), 1, BUDGET, None) };
+    let db = Instance::open(cfg()).unwrap();
+    db.execute_sqlpp(DDL).unwrap();
+    for pass in 0..PASSES {
+        let mut txn = db.begin();
+        for k in 0..HOT {
+            txn.write("kv", &kv_record(k, pass), true).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    let stats = &db.lsm_stats("kv", None).unwrap()[0];
+    assert!(stats.flushes >= 8, "the log seals the hot set's component: {stats:?}");
     db.crash();
-    let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
-    assert_eq!(recovery_counter(&db, "indexes_rebuilt"), 3);
-    assert_eq!(recovery_counter(&db, "records_replayed"), 0, "the load was flushed");
-    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
+    let log = log_len(dir.path());
+    assert!(log <= 2 * BUDGET as u64, "{log} log bytes after {} overwrites", PASSES * HOT);
+
+    let db = Instance::open(cfg()).unwrap();
+    let replayed = recovery_counter(&db, "records_replayed");
+    assert!(replayed <= 2 * BUDGET as u64 / WRITE_HEADER_BYTES, "{replayed} records replayed");
+    let rows = db.query("SELECT VALUE d FROM kv d").unwrap();
+    assert_eq!(rows.len(), HOT as usize);
+    assert!(rows.iter().all(|r| r.field("v").as_i64() == Some(PASSES - 1)), "every key at its last version");
 }
 
 /// Files of dataset or index `prefix` left in node 0's directory.
@@ -908,8 +1055,8 @@ fn log_len(dir: &Path) -> u64 {
 /// varints — transaction (2 below 2^14), dataset id (1), partition (1), key
 /// length (1) — and the one-int key (9); the value's length is the frame's.
 /// That is ≈ 14 bytes plus key and value, and no field name and no dataset
-/// name is in there. Tags 1, 6 and 7 are retired layouts: a log holding one
-/// is refused at open.
+/// name is in there. Tags 1, 6, 7, 8 and 9 are retired layouts: a log
+/// holding one is refused at open.
 const WRITE_HEADER_BYTES: u64 = 8 + 1 + 2 + 1 + 1 + 1 + 9;
 /// Frame, tag, transaction.
 const COMMIT_BYTES: u64 = 8 + 1 + 8;

@@ -76,11 +76,13 @@ use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// "BTR4". "BTR3" trees stored strings as they are, with no symbol tables;
-/// "BTR2" trees had row leaves only and a trailer without a height or a column
-/// directory; "BTRE" keys needed decoding to be compared. A file of any of
-/// them is refused at open.
-const MAGIC: u32 = 0x4254_5234;
+/// "BTR5". "BTR4" trees held rows whose `int`s took eight bytes and whose
+/// lengths and counts took two or four; "BTR3" trees stored strings as they
+/// are, with no symbol tables; "BTR2" trees had row leaves only and a trailer
+/// without a height or a column directory; "BTRE" keys needed decoding to be
+/// compared. A file of any of them is refused at open.
+const MAGIC: u32 = 0x4254_5235;
+const BTR4: u32 = 0x4254_5234;
 const BTR3: u32 = 0x4254_5233;
 const BTR2: u32 = 0x4254_5232;
 const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
@@ -125,6 +127,7 @@ fn column_directory(layout: &RecordLayout) -> Vec<u8> {
         }
         out.extend_from_slice(&match column.kind {
             ColumnKind::Int { tag, width } => [0, tag, width],
+            ColumnKind::Varint => [4, 0, 0],
             ColumnKind::Fixed { tag, width } => [1, tag, width],
             ColumnKind::Bytes { tag } => [2, tag, 0],
             ColumnKind::Tagged => [3, 0, 0],
@@ -631,6 +634,7 @@ impl DiskBTree {
         let trailer = cache.manager().read_page(file, n_pages - 1)?;
         let magic = le::try_u32_at(&trailer, 0)?;
         let retired = match magic {
+            BTR4 => Some("BTR4 B+ tree file: written before rows were varint-coded"),
             BTR3 => Some("BTR3 B+ tree file: written before string columns were coded"),
             BTR2 => Some("BTR2 B+ tree file: written before primary components stored columns"),
             _ => None,
@@ -1588,7 +1592,10 @@ mod tests {
         let reg = gleambook_types();
         let ty = reg.get("GleambookMessageType").unwrap();
         let n = crate::leaf_group::GROUP_RECORDS as i64 + 40;
-        // `filler` more bytes in the first group, a quarter in each of four records
+        // a group's size moves by 1 KiB per step of `pad % 7` and by 12 bytes
+        // per `pad`; `filler` more bytes in the first group, a quarter in
+        // each of four records' `pad` fields — of 128 bytes at least, so that
+        // their lengths take two bytes whatever the filler
         let row = |pad: usize, filler: usize, i: i64| {
             let mut fields = vec![
                 ("messageId".to_string(), Value::Int(i)),
@@ -1599,7 +1606,7 @@ mod tests {
                 fields.insert(2, ("inResponseTo".into(), Value::Int(i - 1)));
             }
             if i < 4 {
-                fields.push(("pad".into(), Value::from("p".repeat(pad + (filler + i as usize) / 4))));
+                fields.push(("pad".into(), Value::from("p".repeat(128 + 3 * pad + (filler + i as usize) / 4))));
             }
             encode_with_schema(&Value::object(fields), ty).unwrap()
         };

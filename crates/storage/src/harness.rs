@@ -602,6 +602,16 @@ impl<K: ComponentKind> Harness<K> {
         self.hub.add_stall_ns(stall);
     }
 
+    /// Durably records that every logged operation below `lsn` is flushed,
+    /// the component list unchanged.
+    fn write_flushed_below(&self, lsn: Lsn) -> Result<()> {
+        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        let below = (*flushed_below).max(lsn);
+        self.write_manifest(below, &self.snapshot())?;
+        *flushed_below = below;
+        Ok(())
+    }
+
     /// Replaces the manifest with `flushed_below` and `list`. The caller
     /// holds the `manifest` lock.
     fn write_manifest(&self, flushed_below: Lsn, list: &[Arc<Component<K>>]) -> Result<()> {
@@ -802,6 +812,19 @@ struct Slot<M> {
     writers: BTreeSet<u64>,
 }
 
+/// Where one memory component of an index stands in the log: what
+/// [`Lsm::stamp`] put on it, the LSN below which it or an older component
+/// holds every logged operation, and whether it is sealed. An index built
+/// from that component's entries takes it over ([`Lsm::stamp_as`]) and is
+/// then sealed and flushed in step with it.
+#[derive(Debug)]
+pub struct SlotStamps {
+    first_lsn: Option<Lsn>,
+    writers: BTreeSet<u64>,
+    below: Lsn,
+    sealed: bool,
+}
+
 /// A memory component that takes no more writes and waits to be flushed.
 struct Sealed<M> {
     slot: Slot<M>,
@@ -814,13 +837,17 @@ struct Sealed<M> {
 /// The memory components of one index: the active one and at most one
 /// sealed one, older than it. Writes go to the active component; reads
 /// consult both, active first. [`Lsm`] decides when one is sealed and when
-/// a sealed one is flushed.
+/// a sealed one is flushed — or, once its owner has said so
+/// ([`Lsm::sealed_by_owner`]), the owner does.
 #[derive(Default)]
 pub(crate) struct MemSlots<M> {
     active: Slot<M>,
     sealed: Option<Sealed<M>>,
     /// Every logged operation of the index below this LSN has been applied.
     covered_below: Lsn,
+    /// Sealed and flushed only when the owner asks: neither a write nor a
+    /// release does either.
+    by_owner: bool,
 }
 
 impl<M> MemSlots<M> {
@@ -848,7 +875,9 @@ impl<M> MemSlots<M> {
 /// record it is about to apply (an index nobody logs for is never stamped
 /// and flushes the moment it seals) and *releases* a transaction when it has
 /// committed or aborted; every write and every release seals and flushes
-/// whatever has become due.
+/// whatever has become due — unless the owner seals and flushes the index
+/// itself ([`Lsm::sealed_by_owner`]), as a dataset partition does all of its
+/// indexes at once.
 pub struct Lsm<K: ComponentKind> {
     pub(crate) shared: Arc<Harness<K>>,
     pub(crate) mem: MemSlots<K::Mem>,
@@ -945,6 +974,99 @@ impl<K: ComponentKind> Lsm<K> {
         self.mem.covered_below = self.mem.covered_below.max(lsn);
     }
 
+    /// The memory components, oldest first, with where each stands in the
+    /// log: what an index built from their entries takes over.
+    pub fn mem_layers(&self) -> impl Iterator<Item = (&K::Mem, SlotStamps)> {
+        let stamps = |slot: &Slot<K::Mem>, below, sealed| SlotStamps {
+            first_lsn: slot.first_lsn,
+            writers: slot.writers.clone(),
+            below,
+            sealed,
+        };
+        let mem = &self.mem;
+        let sealed = mem.sealed.as_ref().map(|s| (&s.slot.mem, stamps(&s.slot, s.below, true)));
+        sealed.into_iter().chain(std::iter::once((&mem.active.mem, stamps(&mem.active, mem.covered_below, false))))
+    }
+
+    /// The active memory component now holds what another index's memory
+    /// component `stamps` describes held, and stands where that one does: it
+    /// is stamped alike, covers as much of the log, and is sealed if that
+    /// one was. Nothing its writers wrote is flushed before they are over.
+    pub fn stamp_as(&mut self, stamps: &SlotStamps) {
+        let active = &mut self.mem.active;
+        if let Some(first) = stamps.first_lsn {
+            active.first_lsn = Some(active.first_lsn.map_or(first, |lsn| lsn.min(first)));
+        }
+        active.writers.extend(&stamps.writers);
+        self.cover_below(stamps.below);
+        if stamps.sealed {
+            self.seal();
+        }
+    }
+
+    /// From now on the index is sealed only by [`Lsm::seal`] and flushed
+    /// only by [`Lsm::flush_sealed`] and [`Lsm::flush`]: its owner keeps it in
+    /// step with other indexes, whatever its own budget says.
+    pub fn sealed_by_owner(&mut self) {
+        self.mem.by_owner = true;
+    }
+
+    /// Whether the active memory component holds more than the budget, or
+    /// keeps more than the budget's worth of log from being truncated: from
+    /// the first record it holds the effect of to the last (an LSN is a byte
+    /// offset). The second bounds what a restart replays when overwrites
+    /// keep what it holds small.
+    pub fn over_budget(&self) -> bool {
+        let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
+        let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
+        active.mem.bytes() > budget || pinned > budget as u64
+    }
+
+    /// Whether a sealed memory component waits to be flushed.
+    pub fn has_sealed(&self) -> bool {
+        self.mem.sealed.is_some()
+    }
+
+    /// Seals the active memory component, empty or not, unless a sealed one
+    /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
+    /// are done.
+    pub fn seal(&mut self) {
+        let mem = &mut self.mem;
+        if mem.sealed.is_none() {
+            self.shared.stats.seals.fetch_add(1, Ordering::Relaxed);
+            mem.sealed = Some(Sealed {
+                slot: std::mem::take(&mut mem.active),
+                below: mem.covered_below,
+                at: Instant::now(),
+            });
+        }
+    }
+
+    /// Flushes the sealed memory component if one waits and no open
+    /// transaction wrote into it — one that holds nothing moves the
+    /// manifest's LSN alone — and hands the new component to merge
+    /// scheduling.
+    pub fn flush_sealed(&mut self) -> Result<()> {
+        let shared = &self.shared;
+        let Some(sealed) = self.mem.sealed.as_ref().filter(|s| s.slot.writers.is_empty()) else { return Ok(()) };
+        if sealed.slot.mem.is_empty() {
+            if sealed.below > self.flushed_below() {
+                shared.write_flushed_below(sealed.below)?;
+            }
+        } else {
+            let id = shared.alloc_id();
+            let built = shared.kind.flush(id, &sealed.slot.mem)?;
+            let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
+            shared.publish_flush(id, built, (first, sealed.below))?;
+            shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
+            // what the write path pays is up to the executor: the claim
+            // and a hand-off, or the merge
+            shared.stalled(|| shared.schedule_merge());
+        }
+        self.mem.sealed = None;
+        Ok(())
+    }
+
     /// Transaction `writer` has committed or aborted: flushes what was
     /// waiting for it.
     pub fn release(&mut self, writer: u64) -> Result<()> {
@@ -960,8 +1082,7 @@ impl<K: ComponentKind> Lsm<K> {
     /// transactions: waiting for them lets the sealed component flush and
     /// the active one seal, where writing on only grows memory.
     pub fn must_wait(&self, writer: u64) -> bool {
-        self.mem.active.mem.bytes() > self.shared.kind.mem_budget()
-            && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
+        self.over_budget() && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
     }
 
     /// The LSN below which every logged operation of this index is in a
@@ -976,12 +1097,7 @@ impl<K: ComponentKind> Lsm<K> {
     /// its last flush left no entry.
     pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
         self.cover_below(lsn);
-        let shared = &self.shared;
-        let mut flushed_below = shared.manifest.lock(); // xlint: lock(lsm_manifest)
-        let below = (*flushed_below).max(lsn);
-        shared.write_manifest(below, &shared.snapshot())?;
-        *flushed_below = below;
-        Ok(())
+        self.shared.write_flushed_below(lsn)
     }
 
     /// LSN of the oldest log record whose effect is only in memory.
@@ -1020,46 +1136,30 @@ impl<K: ComponentKind> Lsm<K> {
     /// Flushes the sealed memory component if its writers are done, seals
     /// the active one if it is past the kind's budget (or, with `force`,
     /// holds anything no open transaction wrote), and repeats until nothing
-    /// is due. A kind calls it after every write.
+    /// is due. A kind calls it after every write; of an index its owner
+    /// seals, only `force` does anything.
     pub(crate) fn settle(&mut self, force: bool) -> Result<()> {
-        let (shared, mem) = (&self.shared, &mut self.mem);
+        if self.mem.by_owner && !force {
+            return Ok(());
+        }
         loop {
-            if let Some(sealed) = &mem.sealed {
-                if !sealed.slot.writers.is_empty() {
-                    return Ok(()); // no-steal: not while a writer is open
-                }
-                let id = shared.alloc_id();
-                let built = shared.kind.flush(id, &sealed.slot.mem)?;
-                let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
-                shared.publish_flush(id, built, (first, sealed.below))?;
-                shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
-                mem.sealed = None;
-                // what the write path pays is up to the executor: the claim
-                // and a hand-off, or the merge
-                shared.stalled(|| shared.schedule_merge());
-                continue;
+            self.flush_sealed()?;
+            if self.has_sealed() {
+                return Ok(()); // no-steal: not while a writer is open
             }
-            let due = if force {
-                mem.active.writers.is_empty()
-            } else {
-                mem.active.mem.bytes() > shared.kind.mem_budget()
-            };
+            let active = &self.mem.active;
+            let due = if force { active.writers.is_empty() } else { self.over_budget() };
             if !due {
                 return Ok(());
             }
-            if mem.active.mem.is_empty() {
-                let covered = mem.covered_below;
+            if active.mem.is_empty() {
+                let covered = self.mem.covered_below;
                 if covered > self.flushed_below() {
-                    self.mark_flushed_below(covered)?;
+                    self.shared.write_flushed_below(covered)?;
                 }
                 return Ok(());
             }
-            shared.stats.seals.fetch_add(1, Ordering::Relaxed);
-            mem.sealed = Some(Sealed {
-                slot: std::mem::take(&mut mem.active),
-                below: mem.covered_below,
-                at: Instant::now(),
-            });
+            self.seal();
         }
     }
 
@@ -1122,9 +1222,14 @@ pub trait LsmIndex {
     fn set_executor(&self, exec: CompactionExec);
     fn component_count(&self) -> usize;
     fn stamp(&mut self, lsn: Lsn, writer: Option<u64>);
-    fn cover_below(&mut self, lsn: Lsn);
+    fn stamp_as(&mut self, stamps: &SlotStamps);
     fn release(&mut self, writer: u64) -> Result<()>;
     fn must_wait(&self, writer: u64) -> bool;
+    fn sealed_by_owner(&mut self);
+    fn over_budget(&self) -> bool;
+    fn has_sealed(&self) -> bool;
+    fn seal(&mut self);
+    fn flush_sealed(&mut self) -> Result<()>;
     fn flushed_below(&self) -> Lsn;
     fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()>;
     fn destroy(&self) -> Result<()>;
@@ -1147,14 +1252,29 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
         Lsm::stamp(self, lsn, writer)
     }
-    fn cover_below(&mut self, lsn: Lsn) {
-        Lsm::cover_below(self, lsn)
+    fn stamp_as(&mut self, stamps: &SlotStamps) {
+        Lsm::stamp_as(self, stamps)
     }
     fn release(&mut self, writer: u64) -> Result<()> {
         Lsm::release(self, writer)
     }
     fn must_wait(&self, writer: u64) -> bool {
         Lsm::must_wait(self, writer)
+    }
+    fn sealed_by_owner(&mut self) {
+        Lsm::sealed_by_owner(self)
+    }
+    fn over_budget(&self) -> bool {
+        Lsm::over_budget(self)
+    }
+    fn has_sealed(&self) -> bool {
+        Lsm::has_sealed(self)
+    }
+    fn seal(&mut self) {
+        Lsm::seal(self)
+    }
+    fn flush_sealed(&mut self) -> Result<()> {
+        Lsm::flush_sealed(self)
     }
     fn flushed_below(&self) -> Lsn {
         Lsm::flushed_below(self)
@@ -1626,6 +1746,37 @@ mod tests {
         assert_eq!(t.stats().flushes, stats.flushes + 1);
     }
 
+    /// An index its owner seals: no write and no release seals or flushes
+    /// it, however far past its budget; [`Lsm::seal`] seals, and
+    /// [`Lsm::flush_sealed`] flushes what was sealed once its writers are done
+    /// — a sealed component of nothing by moving the manifest's LSN alone.
+    fn an_index_its_owner_seals_waits_for_the_owner<E: Entries>() {
+        let (cache, _d) = setup(None);
+        let mut t = Lsm::<E::Kind>::new(cache, E::config(512, MergePolicy::NoMerge));
+        t.sealed_by_owner();
+        for i in 0..40 {
+            t.stamp(100 + i, Some(7));
+            E::put(&mut t, i);
+        }
+        t.release(7).unwrap();
+        assert!(t.over_budget() && !t.has_sealed(), "no write seals it");
+        t.stamp(200, Some(8));
+        E::put(&mut t, 40);
+        t.seal();
+        assert!(t.has_sealed() && !t.over_budget());
+        t.flush_sealed().unwrap();
+        assert_eq!(t.stats().flushes, 0, "txn 8 wrote into it");
+        t.release(8).unwrap();
+        assert_eq!(t.stats().flushes, 0, "nor does a release flush it");
+        t.flush_sealed().unwrap();
+        assert_eq!((t.stats().flushes, t.flushed_below(), E::live(&t)), (1, 201, 41));
+        t.cover_below(300);
+        t.seal();
+        t.flush_sealed().unwrap();
+        let stats = t.stats();
+        assert_eq!((stats.seals, stats.flushes, t.component_count(), t.flushed_below()), (2, 1, 1, 300));
+    }
+
     /// One seeded schedule of stamped writes, releases and flushes over three
     /// transactions, with a budget every write exceeds: what the lifecycle
     /// shows after each step.
@@ -1707,6 +1858,11 @@ mod tests {
                 #[test]
                 fn sealed_component_waits_for_its_writers() {
                     super::sealed_component_waits_for_its_writers::<$k>();
+                }
+
+                #[test]
+                fn an_index_its_owner_seals_waits_for_the_owner() {
+                    super::an_index_its_owner_seals_waits_for_the_owner::<$k>();
                 }
             }
         };

@@ -28,15 +28,17 @@
 //!   of those entries only, so entry `i`'s is found by its rank among them.
 //! * **data**, one per cell, in ascending [`ColumnKind::width`] — what a
 //!   query reads most often of a record are its narrow fields, and this keeps
-//!   them next to the keys. By the column's kind: an integer as its offset
-//!   from the group's smallest, in the 0, 1, 2, 4 or 8 bytes the largest
-//!   offset needs (`Encoding::For`, `base` the smallest); a fixed-width
+//!   them next to the keys. By the column's kind: an integer — an `int`'s
+//!   varint, a `datetime`'s eight bytes — as its offset from the group's
+//!   smallest, in the 0, 1, 2, 4 or 8 bytes the largest offset needs
+//!   (`Encoding::For`, `base` the smallest); a fixed-width
 //!   value as its bytes past the tag (`Encoding::Fixed`); a string as its
 //!   codes under the component's symbol table for the column
 //!   (`asterix_adm::fsst`) behind an offset array (`Encoding::Coded`, 2- or
 //!   4-byte offsets by the chunk's size), or — where the component has no
 //!   table for it, or the table does not make the group's strings shorter —
-//!   as its bytes (`Encoding::Var`), which is also how a binary is stored;
+//!   as its bytes past tag and length (`Encoding::Var`), which is also how a
+//!   binary is stored;
 //!   anything else — a nested or `any`-typed field, the rest, and any column
 //!   in a group where some value is not of the declared form (an optional
 //!   field's `null`) — as whole cells behind an offset array
@@ -53,6 +55,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::le;
+use asterix_adm::binary::{put_varint, read_varint};
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
 use asterix_adm::Column;
@@ -246,9 +249,12 @@ struct CellColumn {
     present: Vec<bool>,
 }
 
-/// Whether `cell` is the tag `tag`, a length and that many bytes.
-fn is_var(cell: &[u8], tag: u8) -> bool {
-    cell.len() >= 5 && cell[0] == tag && le::u32_at(cell, 1) as usize == cell.len() - 5
+/// The bytes of `cell` if it is the tag `tag`, a varint length and that
+/// many bytes.
+fn var_payload(cell: &[u8], tag: u8) -> Option<&[u8]> {
+    let (len, at) = read_varint(cell.strip_prefix(&[tag])?)?;
+    let payload = &cell[1 + at..];
+    (payload.len() as u64 == len).then_some(payload)
 }
 
 /// Collects the entries of one group and writes them out.
@@ -328,8 +334,8 @@ impl GroupBuilder {
         let mut shape = GroupShape::clone(&self.shape);
         let mut encoders: Vec<Option<Encoder>> = (0..shape.cells()).map(|_| None).collect();
         for cell in shape.text_cells() {
-            let cells = self.columns[cell].cells.iter().filter(|c| is_var(c, STRING_TAG));
-            let sample: Vec<&str> = cells.filter_map(|c| std::str::from_utf8(&c[5..]).ok()).collect();
+            let payloads = self.columns[cell].cells.iter().filter_map(|c| var_payload(c, STRING_TAG));
+            let sample: Vec<&str> = payloads.filter_map(|p| std::str::from_utf8(p).ok()).collect();
             if let Some(table) = SymbolTable::train(&sample) {
                 encoders[cell] = Some(Encoder::new(&table));
                 shape.tables[cell] = Some(Arc::new(table));
@@ -378,7 +384,8 @@ impl GroupBuilder {
             let written = write_data(out, shape.kind(cell), column, encoder, &mut self.codes);
             if shape.kind(cell) == ColumnKind::STRING && matches!(written.0, Encoding::Var | Encoding::Coded) {
                 let count = column.cells.ends.len();
-                strings.0 += var_size(count, column.cells.bytes.len() - 5 * count).1;
+                let plain = column.cells.iter().filter_map(|c| var_payload(c, STRING_TAG)).map(<[u8]>::len).sum();
+                strings.0 += var_size(count, plain).1;
                 strings.1 += out.len() - start;
             }
             note(out, written);
@@ -470,13 +477,6 @@ fn code<'a>(encoder: &Encoder, strings: impl Iterator<Item = &'a [u8]>, codes: &
     codes.bytes.len() < plain
 }
 
-/// The little-endian two's-complement integer `bytes` holds.
-fn int_of(bytes: &[u8]) -> i64 {
-    let mut v = [if bytes.last().is_some_and(|b| b & 0x80 != 0) { 0xFF } else { 0 }; 8];
-    v[..bytes.len()].copy_from_slice(bytes);
-    i64::from_le_bytes(v)
-}
-
 /// A data chunk; a string column's strings coded by `encoder` if it has one
 /// and they come out shorter.
 fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn, encoder: Option<&Encoder>, codes: &mut Items) -> Written {
@@ -484,24 +484,24 @@ fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn, encoder:
     if column.cells.ends.is_empty() {
         return (Encoding::Empty, 0, 0);
     }
+    // an integer column's cells, when every one holds an integer
+    if let Some(values) = cells.clone().map(|c| kind.int_of(c)).collect::<Option<Vec<i64>>>() {
+        let (min, max) = values.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        let span = (max as u64).wrapping_sub(min as u64);
+        let width = [0usize, 1, 2, 4].into_iter().find(|w| span >> (8 * w) == 0).unwrap_or(8);
+        for v in values {
+            out.extend_from_slice(&(v as u64).wrapping_sub(min as u64).to_le_bytes()[..width]);
+        }
+        return (Encoding::For, width, min);
+    }
     let tagged = |tag: u8, len: usize| cells.clone().all(|c| c[0] == tag && c.len() == 1 + len);
     match kind {
-        ColumnKind::Int { tag, width } if tagged(tag, width as usize) => {
-            let values = cells.map(|c| int_of(&c[1..]));
-            let (min, max) = values.clone().fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
-            let span = (max as u64).wrapping_sub(min as u64);
-            let width = [0usize, 1, 2, 4].into_iter().find(|w| span >> (8 * w) == 0).unwrap_or(8);
-            for v in values {
-                out.extend_from_slice(&(v as u64).wrapping_sub(min as u64).to_le_bytes()[..width]);
-            }
-            (Encoding::For, width, min)
-        }
         ColumnKind::Fixed { tag, width } if tagged(tag, width as usize) => {
             cells.for_each(|c| out.extend_from_slice(&c[1..]));
             (Encoding::Fixed, width as usize, 0)
         }
-        ColumnKind::Bytes { tag } if cells.clone().all(|c| is_var(c, tag)) => {
-            let values = cells.map(|c| &c[5..]);
+        ColumnKind::Bytes { tag } if cells.clone().all(|c| var_payload(c, tag).is_some()) => {
+            let values = cells.filter_map(|c| var_payload(c, tag));
             match encoder {
                 Some(encoder) if code(encoder, values.clone(), codes) => (Encoding::Coded, write_var(out, codes.iter()), 0),
                 _ => (Encoding::Var, write_var(out, values), 0),
@@ -720,12 +720,11 @@ impl<'a, S: ChunkBytes> GroupView<'a, S> {
         };
         let mismatch = || StorageError::Corrupt("leaf group: a chunk's encoding contradicts its column".into());
         match (meta.encoding, self.shape.kind(cell)) {
-            (Encoding::For, ColumnKind::Int { tag, width }) => {
+            (Encoding::For, kind @ (ColumnKind::Varint | ColumnKind::Int { .. })) => {
                 let delta = uint_of(self.bytes(chunk, rank * meta.width, meta.width)?);
-                let value = (meta.base as u64).wrapping_add(delta).to_le_bytes();
+                let value = (meta.base as u64).wrapping_add(delta) as i64;
                 out.push_with(|cell| {
-                    cell.push(tag);
-                    cell.extend_from_slice(&value[..width as usize]);
+                    kind.put_int(value, cell);
                     Ok(())
                 })
             }
@@ -741,7 +740,7 @@ impl<'a, S: ChunkBytes> GroupView<'a, S> {
                 let payload = self.var_item(chunk, 0, rank)?;
                 out.push_with(|cell| {
                     cell.push(tag);
-                    cell.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+                    put_varint(cell, payload.len() as u64);
                     cell.extend_from_slice(payload);
                     Ok(())
                 })
@@ -752,10 +751,12 @@ impl<'a, S: ChunkBytes> GroupView<'a, S> {
                 out.push_with(|cell| {
                     cell.push(STRING_TAG);
                     let at = cell.len();
-                    cell.extend_from_slice(&[0; 4]);
                     table.decode_into(codes, cell).map_err(|e| StorageError::Corrupt(format!("leaf group: {e}")))?;
-                    let len = (cell.len() - at - 4) as u32;
-                    cell[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                    // the length goes after the text, then in front of it
+                    let len = cell.len() - at;
+                    put_varint(cell, len as u64);
+                    let header = cell.len() - at - len;
+                    cell[at..].rotate_right(header);
                     Ok(())
                 })
             }
@@ -808,18 +809,24 @@ impl<'a, S: ChunkBytes> GroupView<'a, S> {
         let count = rows.clone().filter(|i| has(*i)).count();
         match (meta.encoding, self.shape.kind(cell)) {
             _ if count == 0 => rows.for_each(|_| out.push_absent()),
-            (Encoding::For, ColumnKind::Int { tag, width }) => {
-                let (packed, width) = (self.bytes(chunk, first * meta.width, count * meta.width)?, width as usize);
+            (Encoding::For, kind @ (ColumnKind::Varint | ColumnKind::Int { .. })) => {
+                let packed = self.bytes(chunk, first * meta.width, count * meta.width)?;
                 let mut deltas = packed.chunks_exact(meta.width.max(1));
-                let mut value = [tag; 9];
+                let mut cell = Vec::with_capacity(9);
                 for i in rows {
                     if !has(i) {
                         out.push_absent();
                         continue;
                     }
-                    let delta = deltas.next().map_or(0, uint_of);
-                    value[1..].copy_from_slice(&(meta.base as u64).wrapping_add(delta).to_le_bytes());
-                    out.push_cell(&value[..=width]).map_err(corrupt)?;
+                    let value = (meta.base as u64).wrapping_add(deltas.next().map_or(0, uint_of)) as i64;
+                    // an `int` goes to the column as it is, no cell built
+                    if kind == ColumnKind::Varint {
+                        out.push_int(value);
+                        continue;
+                    }
+                    cell.clear();
+                    kind.put_int(value, &mut cell);
+                    out.push_cell(&cell).map_err(corrupt)?;
                 }
             }
             (Encoding::Fixed, ColumnKind::Fixed { tag, width }) if meta.width == width as usize && meta.width > 0 => {
@@ -919,7 +926,7 @@ mod tests {
         }
         cells.push(&encode(&Value::from(text)));
         if i % 5 == 0 {
-            cells.push(&[1, 0, 0, 0, 1, 0, b'x', 1]);
+            cells.push(&[1, 1, b'x', 1]);
         } else {
             cells.push(&[]);
         }

@@ -39,7 +39,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 pub use crate::harness::{
-    manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy,
+    manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy, SlotStamps,
 };
 
 // ---------------------------------------------------------------------------
@@ -65,6 +65,14 @@ impl Entry {
         }
     }
 
+    /// Bytes of the value it holds.
+    fn value_len(&self) -> usize {
+        match self {
+            Entry::Put(v) => v.len(),
+            Entry::Tombstone => 0,
+        }
+    }
+
     /// What `buf` encodes, in place: the value of a put, `None` for a delete
     /// marker.
     fn payload(buf: &[u8]) -> Result<Option<&[u8]>> {
@@ -75,6 +83,19 @@ impl Entry {
         }
     }
 }
+
+/// What the ordered map of a [`MemComponent`] allocates per entry beside the
+/// key's and the value's bytes, as a counting allocator measures it on
+/// x86-64: a leaf slot of a key and an entry (48 B) and each entry's share of
+/// the nodes' slack and of the levels above. Keys that arrive in random
+/// order cost 74.5 B an entry (`storage/tests/mem_budget.rs`, 100 k entries),
+/// and so do the memory components of the repository benchmark's `ingest`
+/// workload, replayed under that allocator: 73.4–75.0 B in every primary and
+/// secondary component of a seed-1 run at its 4 MiB budget, the ones whose
+/// budget seals them. Keys that ascend cost 92.9 B (a node split at the right
+/// edge stays half full): a bulk load in key order is counted up to a fifth
+/// short.
+pub const ENTRY_BYTES: usize = 74;
 
 /// The in-memory (ingestion-buffer) component: an ordered map plus a byte
 /// budget (Figure 2's "LSM memory components" slice of node memory).
@@ -100,21 +121,35 @@ impl MemComponent {
         self.map.is_empty()
     }
 
-    /// Approximate buffered bytes.
+    /// Bytes held: per entry its key, its value and [`ENTRY_BYTES`] (see
+    /// [`MemComponent::put`]).
     pub fn bytes(&self) -> usize {
         self.bytes
     }
 
-    /// Inserts/overwrites a key.
+    /// Inserts/overwrites a key. The key and the value are kept at their
+    /// length: spare capacity an encoder left them is given back, so that
+    /// what is counted is what is held.
     pub fn put(&mut self, key: Vec<u8>, value: Vec<u8>) {
-        self.bytes += key.len() + value.len() + 32;
-        self.map.insert(key, Entry::Put(value));
+        self.insert(key, Entry::Put(value));
     }
 
     /// Inserts a tombstone.
     pub fn delete(&mut self, key: Vec<u8>) {
-        self.bytes += key.len() + 32;
-        self.map.insert(key, Entry::Tombstone);
+        self.insert(key, Entry::Tombstone);
+    }
+
+    /// Puts `entry` under `key`, counting it in and what it replaces out.
+    fn insert(&mut self, mut key: Vec<u8>, mut entry: Entry) {
+        key.shrink_to_fit();
+        if let Entry::Put(value) = &mut entry {
+            value.shrink_to_fit();
+        }
+        let key_len = key.len();
+        self.bytes += key_len + entry.value_len() + ENTRY_BYTES;
+        if let Some(old) = self.map.insert(key, entry) {
+            self.bytes -= key_len + old.value_len() + ENTRY_BYTES;
+        }
     }
 
     /// Latest entry for `key`, if buffered here.
@@ -559,13 +594,23 @@ impl Lsm<BTreeKind> {
     /// probe that cannot name its upper bound as a key — every key with a
     /// given leading part, say — starts at `lo` and simply stops.
     pub fn reader(&self, lo: Bound<&[u8]>, hi: Bound<&[u8]>, wanted: Option<&[usize]>) -> Result<LsmReader<'_>> {
+        self.read(true, lo, hi, wanted)
+    }
+
+    /// [`LsmTree::reader`] of every key over the disk components alone: what
+    /// the index holds durably, as of [`Lsm::flushed_below`].
+    pub fn disk_reader(&self, wanted: Option<&[usize]>) -> Result<LsmReader<'_>> {
+        self.read(false, Bound::Unbounded, Bound::Unbounded, wanted)
+    }
+
+    fn read(&self, memory: bool, lo: Bound<&[u8]>, hi: Bound<&[u8]>, wanted: Option<&[usize]>) -> Result<LsmReader<'_>> {
         // Snapshot the component list: the scan sees a consistent pre- or
         // post-merge view, and snapshot refs keep retired files alive.
         let snapshot = self.shared.snapshot();
         // Per-source ordered cursors: rank 0 = the active memory component
         // (newest), then the sealed one, then disk.
         let mut sources: Vec<Source<'_>> = Vec::with_capacity(snapshot.len() + 2);
-        for mem in self.mem.newest_first() {
+        for mem in self.mem.newest_first().filter(|_| memory) {
             let mut rest = mem.range(lo, hi);
             sources.push(Source::Mem { head: rest.next(), rest });
         }

@@ -16,6 +16,7 @@ use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le;
 use crate::lock_order::OrderedMutex;
+use asterix_adm::binary::{put_varint, read_varint};
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
@@ -74,25 +75,17 @@ pub enum WalRecord {
 }
 
 /// Tag bytes of [`WalRecord::Write`]: a put and a delete. 1
-/// ([`WalRecord::Update`]), 6 (keys not memcomparable) and 7 (a fixed-width
-/// header) are retired: a segment holding one is refused, not misread.
-const TAG_PUT: u8 = 8;
-const TAG_DELETE: u8 = 9;
+/// ([`WalRecord::Update`]), 6 (keys not memcomparable), 7 (a fixed-width
+/// header) and 8 and 9 (this header around a value whose `int`s took eight
+/// bytes and whose lengths took two or four) are retired: a segment holding
+/// one is refused, not misread.
+const TAG_PUT: u8 = 10;
+const TAG_DELETE: u8 = 11;
 const TAG_UPDATE: u8 = 1;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
-}
-
-/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first, the
-/// high bit set on every byte but the last (1 byte below 2^7, 10 for 2^63).
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
 }
 
 /// The payload of a [`WalRecord::Write`]: tag (put or delete), varints of
@@ -181,16 +174,9 @@ impl WalRecord {
             Ok(s)
         };
         let take_varint = |r: &mut usize| -> Result<u64> {
-            let mut v = 0u64;
-            // ten bytes at most, the tenth carrying bit 63 alone
-            for shift in (0..64).step_by(7) {
-                let b = take(1, r)?[0];
-                v |= u64::from(b & 0x7f) << shift;
-                if b & 0x80 == 0 && (shift < 63 || b <= 1) {
-                    return Ok(v);
-                }
-            }
-            Err(corrupt())
+            let (v, n) = read_varint(&buf[*r..]).ok_or_else(corrupt)?;
+            *r += n;
+            Ok(v)
         };
         let take_u32 = |r: &mut usize| -> Result<u32> {
             let v = le::try_u32_at(buf, *r)?;
@@ -948,7 +934,7 @@ mod tests {
         // tags 6 and 7: the fixed-width layout — u64 transaction, u32 dataset
         // and partition, a delete byte, u32-length key and value — around a
         // key that is not memcomparable (6) and one that is (7)
-        for (tag, key) in [(6u8, &b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0"[..]), (7, b"\x03\x80\0\0\0\0\0\0\x2a")] {
+        let fixed_width = |tag: u8, key: &[u8]| {
             let mut log = Vec::new();
             frame_into(&mut log, |out| {
                 out.push(tag);
@@ -959,6 +945,28 @@ mod tests {
                 put_bytes(out, key);
                 put_bytes(out, b"v");
             });
+            log
+        };
+        // tags 8 and 9: today's header around a put of a row whose `int`s
+        // took eight bytes and whose counts two or four (8) — `{k: 42}`, one
+        // declared field and no open one — and a delete (9)
+        let old_row = b"\x01\0\x01\x03\x2a\0\0\0\0\0\0\0\0\0\0\0";
+        let varint_header = |tag: u8, value: &[u8]| {
+            let mut log = Vec::new();
+            frame_into(&mut log, |out| {
+                out.extend_from_slice(&[tag, 1, 7, 0, 9]);
+                out.extend_from_slice(b"\x05\x80\0\0\0\0\0\0\x2a");
+                out.extend_from_slice(value);
+            });
+            log
+        };
+        let logs = [
+            (6u8, fixed_width(6, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0")),
+            (7, fixed_width(7, b"\x03\x80\0\0\0\0\0\0\x2a")),
+            (8, varint_header(8, old_row)),
+            (9, varint_header(9, b"")),
+        ];
+        for (tag, mut log) in logs {
             frame_into(&mut log, |out| WalRecord::Commit { txn_id: 1 }.encode_into(out));
             let dir = TempDir::new();
             let path = dir.path().join("wal.log");
@@ -982,8 +990,8 @@ mod tests {
 
     #[test]
     fn a_write_is_its_tag_four_varints_the_key_and_the_value() {
-        assert_eq!(write_payload(300, 2, 1, b"pk", Some(b"row")), b"\x08\xac\x02\x02\x01\x02pkrow");
-        assert_eq!(write_payload(300, 2, 1, b"pk", None), b"\x09\xac\x02\x02\x01\x02pk");
+        assert_eq!(write_payload(300, 2, 1, b"pk", Some(b"row")), b"\x0a\xac\x02\x02\x01\x02pkrow");
+        assert_eq!(write_payload(300, 2, 1, b"pk", None), b"\x0b\xac\x02\x02\x01\x02pk");
         // an empty value is a put, not a delete
         let write = |txn_id, id, key: &[u8], value: &[u8]| WalRecord::Write {
             txn_id,

@@ -470,7 +470,13 @@ proptest! {
 /// column directory, and "BTR3", whose strings were not coded.
 #[test]
 fn btree_files_of_the_retired_formats_are_refused() {
-    for (magic, said) in [(0x4254_5245u32, "memcomparable"), (0x4254_5232, "BTR2"), (0x4254_5233, "BTR3")] {
+    let retired = [
+        (0x4254_5245u32, "memcomparable"),
+        (0x4254_5232, "BTR2"),
+        (0x4254_5233, "BTR3"),
+        (0x4254_5234, "BTR4 B+ tree file: written before rows were varint-coded"),
+    ];
+    for (magic, said) in retired {
         let (cache, _d) = setup(8);
         let mut w = cache.manager().bulk_writer("old.btree").unwrap();
         // one leaf as those formats laid it out, its one key whole in its entry
