@@ -427,7 +427,7 @@ mod tests {
     fn message(text: &str) -> (RecordLayout, Vec<u8>) {
         let reg = gleambook_types();
         let ty = reg.get("GleambookMessageType").unwrap();
-        let v = cast_object(&parse_value(text).unwrap(), ty, &reg).unwrap();
+        let v = cast_object(&parse_value(text).unwrap(), ty, &reg).unwrap().into_owned();
         (RecordLayout::new(Some(ty)), encode_with_schema(&v, ty).unwrap())
     }
 

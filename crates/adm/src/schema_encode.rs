@@ -253,7 +253,7 @@ mod tests {
         ))
         .unwrap();
         let ty = reg.get("T").unwrap();
-        let v = cast_object(&parse_value(r#"{"id": 1}"#).unwrap(), ty, &reg).unwrap();
+        let v = cast_object(&parse_value(r#"{"id": 1}"#).unwrap(), ty, &reg).unwrap().into_owned();
         let len = roundtrip(&v, ty);
         // declared count 1 + bitmap 1 + int (tag and one-byte varint) 2 +
         // open count 1 = 5
@@ -275,7 +275,7 @@ mod tests {
         .unwrap();
         let a = reg.get("A").unwrap();
         let b = reg.get("B").unwrap();
-        let v = cast_object(&parse_value(r#"{"x": 1}"#).unwrap(), a, &reg).unwrap();
+        let v = cast_object(&parse_value(r#"{"x": 1}"#).unwrap(), a, &reg).unwrap().into_owned();
         let bytes = encode_with_schema(&v, a).unwrap();
         assert!(decode_with_schema(&bytes, b).is_err());
         assert!(decode_with_schema(&bytes[..3], a).is_err(), "truncated");

@@ -7,15 +7,23 @@
 //! closed types reject them.
 
 use crate::error::{AdmError, Result};
-use crate::types::{ObjectType, TypeExpr, TypeRegistry};
+use crate::types::{Field, ObjectType, TypeExpr, TypeRegistry};
 use crate::value::{Object, Value};
+use std::borrow::Cow;
 
 /// Validates and casts `value` against the object type `ty`, returning the
 /// (possibly coerced) stored form. Declared fields are ordered first in the
 /// output object, in declaration order, followed by any undeclared open
 /// fields in their input order — mirroring AsterixDB's physical record layout
 /// where the closed part precedes the open part.
-pub fn cast_object(value: &Value, ty: &ObjectType, reg: &TypeRegistry) -> Result<Value> {
+///
+/// A record that already is its stored form — see [`conforms`] — comes back
+/// borrowed, as it is; any coercion, reordering or dropped `missing` builds
+/// a new object.
+pub fn cast_object<'a>(value: &'a Value, ty: &ObjectType, reg: &TypeRegistry) -> Result<Cow<'a, Value>> {
+    if conforms(value, ty, reg) {
+        return Ok(Cow::Borrowed(value));
+    }
     let obj = value.as_object().ok_or_else(|| {
         AdmError::Type(format!(
             "expected an object of type {:?}, found {}",
@@ -66,7 +74,72 @@ pub fn cast_object(value: &Value, ty: &ObjectType, reg: &TypeRegistry) -> Result
             }
         }
     }
-    Ok(Value::Object(out))
+    Ok(Cow::Owned(Value::Object(out)))
+}
+
+/// Whether `value` is what [`cast_object`] makes of it, checked without
+/// building anything: an object whose declared fields come in declaration
+/// order and before any other, each of its declared form (`null` only where
+/// optional), whose absent declared fields are optional, that holds no
+/// `missing` value, and whose undeclared fields an open type allows.
+fn conforms(value: &Value, ty: &ObjectType, reg: &TypeRegistry) -> bool {
+    let Some(obj) = value.as_object() else { return false };
+    let mut declared = ty.fields.iter();
+    let mut open_part = false;
+    for (name, v) in obj.iter() {
+        if v.is_missing() {
+            return false;
+        }
+        if ty.field(name).is_none() {
+            if !ty.is_open {
+                return false;
+            }
+            open_part = true;
+            continue;
+        }
+        // the declared fields passed over on the way to this one are absent
+        match declared.find(|f| f.name == name || !f.optional) {
+            Some(field) if !open_part && field.name == name && conforms_field(v, field, reg) => {}
+            _ => return false,
+        }
+    }
+    declared.all(|f| f.optional)
+}
+
+fn conforms_field(value: &Value, field: &Field, reg: &TypeRegistry) -> bool {
+    match value {
+        Value::Null => field.optional,
+        v => conforms_expr(v, &field.ty, reg),
+    }
+}
+
+/// Whether [`cast_expr`] returns `value` unchanged.
+fn conforms_expr(value: &Value, ty: &TypeExpr, reg: &TypeRegistry) -> bool {
+    match (ty, value) {
+        (TypeExpr::Named(name), _) if name == "any" => true,
+        (TypeExpr::Named(name), _) => match reg.get(name) {
+            Some(obj_ty) => conforms(value, obj_ty, reg),
+            None => matches!(
+                (name.as_str(), value),
+                ("boolean", Value::Bool(_))
+                    | ("int" | "int8" | "int16" | "int32" | "int64", Value::Int(_))
+                    | ("double" | "float", Value::Double(_))
+                    | ("string", Value::String(_))
+                    | ("date", Value::Date(_))
+                    | ("time", Value::Time(_))
+                    | ("datetime", Value::DateTime(_))
+                    | ("duration", Value::Duration(_))
+                    | ("point", Value::Point(_))
+                    | ("rectangle", Value::Rectangle(_))
+                    | ("uuid", Value::Uuid(_))
+                    | ("binary", Value::Binary(_))
+            ),
+        },
+        (TypeExpr::Array(inner), Value::Array(items)) | (TypeExpr::Multiset(inner), Value::Multiset(items)) => {
+            items.iter().all(|i| conforms_expr(i, inner, reg))
+        }
+        _ => false,
+    }
 }
 
 /// Validates and casts a value against an arbitrary type expression.
@@ -107,7 +180,7 @@ fn cast_named(value: &Value, name: &str, reg: &TypeRegistry) -> Result<Value> {
         return Ok(value.clone());
     }
     if let Some(obj_ty) = reg.get(name) {
-        return cast_object(value, obj_ty, reg);
+        return cast_object(value, obj_ty, reg).map(Cow::into_owned);
     }
     let mismatch = || AdmError::Type(format!("expected {name}, found {}", value.type_name()));
     match name {
@@ -178,9 +251,65 @@ mod tests {
     fn cast_valid_gleambook_user() {
         let reg = gleambook_types();
         let ty = reg.get("GleambookUserType").unwrap();
-        let cast = cast_object(&user_value(), ty, &reg).unwrap();
+        let user = user_value();
+        let cast = cast_object(&user, ty, &reg).unwrap();
         assert_eq!(cast.field("id"), &Value::Int(1));
         assert!(matches!(cast.field("friendIds"), Value::Multiset(_)));
+    }
+
+    #[test]
+    fn a_record_already_in_its_stored_form_comes_back_borrowed() {
+        let reg = gleambook_types();
+        let message = parse_value(
+            r#"{"messageId": 7, "authorId": 2, "senderLocation": point("40.1,80.2"),
+                "message": " love verizon its signal is good", "lang": "en"}"#,
+        )
+        .unwrap();
+        let user = user_value();
+        let mut responding = message.clone();
+        responding.as_object_mut().unwrap().set("inResponseTo", Value::Null);
+        for (ty, v) in [("GleambookMessageType", &message), ("GleambookUserType", &user)] {
+            let cast = cast_object(v, reg.get(ty).unwrap(), &reg).unwrap();
+            assert!(matches!(cast, Cow::Borrowed(_)), "{ty}");
+            assert_eq!(&*cast, v);
+        }
+        // an optional field's `null` after an open field moves it: built
+        let cast = cast_object(&responding, reg.get("GleambookMessageType").unwrap(), &reg).unwrap();
+        assert!(matches!(cast, Cow::Owned(_)));
+        assert_eq!(cast.as_object().unwrap().keys().nth(2), Some("inResponseTo"));
+    }
+
+    #[test]
+    fn a_coercion_a_reordering_or_a_missing_value_builds_the_record() {
+        let reg = gleambook_types();
+        let ty = reg.get("GleambookMessageType").unwrap();
+        let built = |text: &str| {
+            let v = parse_value(text).unwrap();
+            match cast_object(&v, ty, &reg).unwrap() {
+                Cow::Owned(cast) => cast,
+                Cow::Borrowed(_) => panic!("{text} came back as it was"),
+            }
+        };
+        let want = parse_value(r#"{"messageId": 1, "authorId": 2, "message": "hi"}"#).unwrap();
+        for text in [
+            r#"{"authorId": 2, "messageId": 1, "message": "hi"}"#,
+            r#"{"messageId": 1, "authorId": 2.0, "message": "hi"}"#,
+            r#"{"messageId": 1, "authorId": 2, "inResponseTo": missing, "message": "hi"}"#,
+        ] {
+            assert_eq!(built(text), want, "{text}");
+        }
+        // an undeclared field ahead of a declared one
+        let open_first = built(r#"{"x": 0, "messageId": 1, "authorId": 2, "message": "hi"}"#);
+        assert_eq!(open_first.as_object().unwrap().keys().collect::<Vec<_>>(), ["messageId", "authorId", "message", "x"]);
+        // a nested object that does not conform, under one that does
+        let mut user = user_value();
+        let employment = Value::Array(vec![parse_value(
+            r#"{"startDate": date("2006-08-06"), "organizationName": "Codetechno"}"#,
+        )
+        .unwrap()]);
+        user.as_object_mut().unwrap().set("employment", employment);
+        let user_ty = reg.get("GleambookUserType").unwrap();
+        assert!(matches!(cast_object(&user, user_ty, &reg).unwrap(), Cow::Owned(_)));
     }
 
     #[test]
@@ -191,6 +320,7 @@ mod tests {
         v.as_object_mut().unwrap().set("gender", Value::from("M"));
         let cast = cast_object(&v, ty, &reg).unwrap();
         assert_eq!(cast.field("gender"), &Value::from("M"), "open field survives");
+        assert!(matches!(cast, Cow::Borrowed(_)), "already in declaration order, then the open field");
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! 1×, 4× and 16× as many overwrites must restart from the same amount of
 //! log — what is still only in memory — not from its history.
 
+use crate::feeds::node_sum;
 use crate::{ms, time_it, ExpReport};
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
+use asterix_obs::MetricsSnapshot;
 use asterix_storage::lsm::ENTRY_BYTES;
 use std::path::Path;
 
@@ -159,6 +161,16 @@ pub fn run(quick: bool) -> ExpReport {
             .unwrap();
         }
         std::mem::forget(txn); // crash: neither commit nor rollback runs
+        // what the log's syncs wrote against the records they held: each
+        // group commit is one LZ-coded block
+        let snap = db.metrics_snapshot();
+        let wal = |name: &str| node_sum(&snap, &format!("storage.wal.{name}"), MetricsSnapshot::counter);
+        let (file, records) = (wal("appended_bytes"), wal("record_bytes"));
+        report.row(&[
+            "log bytes per record byte".into(),
+            format!("{:.3}", file as f64 / records as f64),
+            format!("{file} bytes of blocks for {records} of records (appended_bytes / record_bytes)"),
+        ]);
         let _ = db.crash();
     }
     let expected = committed_records - deleted;
@@ -244,6 +256,6 @@ mod tests {
     #[test]
     fn e12_runs_quick() {
         let r = super::run(true);
-        assert_eq!(r.rows.len(), 8);
+        assert_eq!(r.rows.len(), 9);
     }
 }

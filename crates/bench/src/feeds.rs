@@ -49,7 +49,7 @@ fn rec(id: i64) -> asterix_adm::Value {
 
 /// Sum of one metric of `snap` across all `node<N>.`-prefixed registries,
 /// read by `get` ([`MetricsSnapshot::counter`] or [`MetricsSnapshot::gauge`]).
-fn node_sum<T: std::iter::Sum>(
+pub(crate) fn node_sum<T: std::iter::Sum>(
     snap: &MetricsSnapshot,
     name: &str,
     get: fn(&MetricsSnapshot, &str) -> Option<T>,

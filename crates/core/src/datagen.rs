@@ -221,7 +221,9 @@ mod tests {
         let mut g = DataGen::new(2);
         for i in 1..100 {
             let m = g.message(i, 50);
-            cast_object(&m, ty, &reg).unwrap_or_else(|e| panic!("message {i}: {e}"));
+            // in declaration order already: the write path casts it borrowed
+            let cast = cast_object(&m, ty, &reg).unwrap_or_else(|e| panic!("message {i}: {e}"));
+            assert!(matches!(cast, std::borrow::Cow::Borrowed(c) if *c == m), "message {i} was copied");
         }
     }
 

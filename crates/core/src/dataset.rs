@@ -32,6 +32,7 @@ use asterix_storage::lsm::{Entry, LsmConfig, LsmIndex, LsmReader, LsmStats, LsmT
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,11 +82,12 @@ impl RecordSchema {
     }
 
     /// Validates `record` against the declared type and casts it into the
-    /// declared shape (see [`cast_object`]).
-    pub fn cast(&self, record: &Value) -> Result<Value> {
+    /// declared shape (see [`cast_object`]): borrowed when it is in that
+    /// shape already, as a record of an undeclared type always is.
+    pub fn cast<'a>(&self, record: &'a Value) -> Result<Cow<'a, Value>> {
         match &self.record_type {
             Some(ty) => cast_object(record, ty, &self.registry).map_err(CoreError::Adm),
-            None => Ok(record.clone()),
+            None => Ok(Cow::Borrowed(record)),
         }
     }
 

@@ -86,7 +86,8 @@ pub fn read_external( // xlint: allow(blocking, "external-dataset scan I/O is th
         };
         let value = match ty {
             Some(t) => asterix_adm::validate::cast_object(&value, t, registry)
-                .map_err(CoreError::Adm)?,
+                .map_err(CoreError::Adm)?
+                .into_owned(),
             None => value,
         };
         out.push(value);

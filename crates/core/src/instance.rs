@@ -798,7 +798,7 @@ impl Instance {
     /// casting to the dataset type) — E10's storage metric.
     pub fn record_encoded_len(&self, dataset: &str, record: &Value) -> Result<usize> {
         let schema = &self.dataset_runtime(dataset)?.schema;
-        Ok(schema.encode(&schema.cast(record)?)?.len())
+        Ok(schema.encode(&*schema.cast(record)?)?.len())
     }
 
     /// Per-partition live record counts (E4's balance metric).
@@ -1062,7 +1062,7 @@ impl<'a> Txn<'a> {
                 "insert: a record with this key already exists in {dataset}"
             )));
         }
-        let put = Some((raw, Some(&record)));
+        let put = Some((raw, Some(&*record)));
         let undo = self.log_and_apply(&rt, &mut guard, self.id, pk, put, before)?;
         self.undo.push(undo);
         Ok(())

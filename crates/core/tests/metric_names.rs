@@ -62,6 +62,7 @@ const PER_NODE: &str = "
     c storage.wal.appended_bytes
     c storage.wal.group_commit_waiters
     c storage.wal.group_commits
+    c storage.wal.record_bytes
     g storage.wal.segments
     c storage.wal.truncated_bytes
 ";

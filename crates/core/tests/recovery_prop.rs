@@ -1050,16 +1050,19 @@ fn log_len(dir: &Path) -> u64 {
     ["node0", "node1"].iter().map(|n| log_bytes(&dir.join(n)).len() as u64).sum()
 }
 
-/// (c) What a put costs the log beside the record's storage encoding: frame
-/// length and checksum (8), the tag that says put or delete (1), then
-/// varints — transaction (2 below 2^14), dataset id (1), partition (1), key
-/// length (1) — and the one-int key (9); the value's length is the frame's.
-/// That is ≈ 14 bytes plus key and value, and no field name and no dataset
-/// name is in there. Tags 1, 6, 7, 8 and 9 are retired layouts: a log
-/// holding one is refused at open.
-const WRITE_HEADER_BYTES: u64 = 8 + 1 + 2 + 1 + 1 + 1 + 9;
-/// Frame, tag, transaction.
-const COMMIT_BYTES: u64 = 8 + 1 + 8;
+/// (c) What a put costs the log beside the record's storage encoding, in
+/// the record stream LSNs count: the record's varint length (1, or 2 from
+/// 128 bytes on), the tag that says put or delete (1), then varints —
+/// transaction (2 below 2^14), dataset id (1), partition (1), key length
+/// (1) — and the one-int key (9); the value's length is the record's. That
+/// is ≈ 15 bytes plus key and value, and no field name and no dataset name
+/// is in there. The segment holds the stream of a sync as one LZ-coded
+/// block: fewer bytes than its records. Tags 1, 6, 7, 8 and 9, and a frame
+/// and checksum per record, are retired layouts: a log holding one is
+/// refused at open.
+const WRITE_HEADER_BYTES: u64 = 2 + 1 + 2 + 1 + 1 + 1 + 9;
+/// Length, tag, transaction.
+const COMMIT_BYTES: u64 = 1 + 1 + 8;
 
 #[test]
 fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
@@ -1081,28 +1084,30 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
         .iter()
         .map(|m| db.record_encoded_len("GleambookMessages", m).unwrap() as u64)
         .sum();
-    let appended = || {
+    let logged = |counter: &str| {
         let snap = db.metrics_snapshot();
         ["node0", "node1"]
             .iter()
-            .map(|n| snap.counter(&format!("{n}.storage.wal.appended_bytes")).unwrap())
+            .map(|n| snap.counter(&format!("{n}.storage.wal.{counter}")).unwrap())
             .sum::<u64>()
     };
-    let (before, appended_before) = (log_len(dir.path()), appended());
+    let before = (log_len(dir.path()), logged("appended_bytes"), logged("record_bytes"));
     let mut txn = db.begin();
     for m in &messages {
         txn.write("GleambookMessages", m, true).unwrap();
     }
     txn.commit().unwrap();
-    let grew = log_len(dir.path()) - before;
-    assert_eq!(appended() - appended_before, grew, "the counter reads what the segments grew by");
-    assert!(grew > encoded, "the log holds the records");
+    let grew = log_len(dir.path()) - before.0;
+    let records = logged("record_bytes") - before.2;
+    assert_eq!(logged("appended_bytes") - before.1, grew, "the counter reads what the segments grew by");
+    assert!(records > encoded, "the log holds the records");
     assert!(
-        grew <= encoded + N as u64 * WRITE_HEADER_BYTES + 2 * COMMIT_BYTES,
-        "{N} puts of {encoded} encoded bytes grew the logs by {grew}: {} bytes per put over the \
-         stated header",
-        (grew - encoded) as f64 / N as f64 - WRITE_HEADER_BYTES as f64
+        records <= encoded + N as u64 * WRITE_HEADER_BYTES + 2 * COMMIT_BYTES,
+        "{N} puts of {encoded} encoded bytes are {records} bytes of records: {} bytes per put over \
+         the stated header",
+        (records - encoded) as f64 / N as f64 - WRITE_HEADER_BYTES as f64
     );
+    assert!(10 * grew < 7 * records, "{records} bytes of records took {grew} bytes of log");
 }
 
 /// (d) DDL between two writes of one open transaction: the later write is

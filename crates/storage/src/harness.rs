@@ -1013,9 +1013,9 @@ impl<K: ComponentKind> Lsm<K> {
 
     /// Whether the active memory component holds more than the budget, or
     /// keeps more than the budget's worth of log from being truncated: from
-    /// the first record it holds the effect of to the last (an LSN is a byte
-    /// offset). The second bounds what a restart replays when overwrites
-    /// keep what it holds small.
+    /// the first record it holds the effect of to the last (LSNs count the
+    /// log's record stream, so this is the log decoded). The second bounds
+    /// what a restart replays when overwrites keep what it holds small.
     pub fn over_budget(&self) -> bool {
         let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
         let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));

@@ -26,7 +26,8 @@
 //! * **linear hashing** ([`linear_hash`]) as the §V-C baseline (experiment
 //!   E3: Graefe's B-trees-versus-hashing argument);
 //! * a **write-ahead log** with recovery ([`wal`]) for the record-level
-//!   transaction story (Section III, item 9);
+//!   transaction story (Section III, item 9), whose every group commit is
+//!   one LZ-coded block (`lz`);
 //! * **storage compression** — §VII's "recent examples include storage
 //!   compression": a primary component's string columns are FSST-coded, one
 //!   symbol table per column per component ([`leaf_group`]);
@@ -53,6 +54,7 @@ pub mod linear_hash;
 pub mod lock_order;
 pub mod lsm;
 pub mod lsm_rtree;
+pub(crate) mod lz;
 pub mod rtree;
 pub mod spatial_keys;
 pub mod stats;

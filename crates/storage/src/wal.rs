@@ -1,23 +1,39 @@
 //! Write-ahead log for record-level transactions (paper Section III item 9:
 //! "basic NoSQL-like transactional capabilities").
 //!
-//! The log is an append-only sequence of checksummed records. Each data
-//! operation (put/delete of one record in one dataset partition) is logged
-//! before being applied to the LSM memory component; `Commit` records make a
-//! transaction durable. An LSN is a byte offset into the whole log, which a
-//! node keeps as a [`SegmentedWal`]: files named `<prefix>-<base-lsn>.wal`,
-//! rotated when a primary index seals a memory component and unlinked, whole
-//! segments at a time, once every index has flushed past them. Recovery
-//! reads the retained segments and re-applies the operations of committed
-//! transactions that no disk component covers — uncommitted tails and torn
-//! writes are discarded at the first checksum mismatch.
+//! Each data operation (put/delete of one record in one dataset partition)
+//! is logged before being applied to the LSM memory component; `Commit`
+//! records make a transaction durable. A writer buffers what is appended as
+//! a *record stream* — each record after its LEB128 length — and each
+//! [`WalWriter::sync`] writes the stream it buffered as one block:
+//!
+//! ```text
+//! [len u32][crc u32][tag][raw_len varint][payload]
+//! ```
+//!
+//! `len` counts the bytes after the checksum, `crc` is their FNV-1a, and the
+//! payload is the stream LZ-coded (`crate::lz`, tag `BLOCK_LZ`) or, when
+//! coding does not shrink it, the stream as it is (`BLOCK_RAW`); `raw_len`
+//! is the stream's length either way. No record carries a checksum of its
+//! own: the block's covers them all.
+//!
+//! A node keeps its log as a [`SegmentedWal`]: files named
+//! `<prefix>-<base-lsn>.wal`, rotated when a partition seals its memory
+//! components and unlinked, whole segments at a time, once every index has
+//! flushed past them. Recovery reads the retained segments and re-applies
+//! the operations of committed transactions that no disk component covers.
+//! A block cut short or failing its checksum is a crash tail and is dropped
+//! whole with everything after it: one group commit, whose sync returned to
+//! nobody.
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le;
 use crate::lock_order::OrderedMutex;
+use crate::lz;
 use asterix_adm::binary::{put_varint, read_varint};
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -26,7 +42,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Log sequence number: byte offset of the record in the log.
+/// Log sequence number: the offset of a record in the log's *decoded*
+/// record stream — every record of the node's log, each after its varint
+/// length, from the first segment on. A segment's name is the LSN of its
+/// first record; block headers and coding take no LSNs, so a record's LSN
+/// does not depend on how its bytes were coded in the file.
 pub type Lsn = u64;
 
 /// One log record.
@@ -83,6 +103,13 @@ const TAG_PUT: u8 = 10;
 const TAG_DELETE: u8 = 11;
 const TAG_UPDATE: u8 = 1;
 
+/// Tag bytes of a block: its payload is the record stream as it is, or
+/// LZ-coded. A byte below them after a checksum that holds is a record tag
+/// (1–11) of the retired layout that framed and checksummed each record on
+/// its own: a segment of it is refused, not misread.
+const BLOCK_RAW: u8 = 0x20;
+const BLOCK_LZ: u8 = 0x21;
+
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
@@ -108,12 +135,32 @@ fn encode_write(
     out.extend_from_slice(put.unwrap_or_default());
 }
 
-/// Appends to `out` one record as it sits in the log — length, checksum,
-/// payload — with `payload` writing the payload in place.
-fn frame_into(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+/// Appends one record to the record stream `out` — its varint length, then
+/// the record — with `record` writing the record in place.
+fn record_into(out: &mut Vec<u8>, record: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    record(out);
+    let len = out.len() - start;
+    put_varint(out, len as u64);
+    // the length was written after the record: turn it to the front
+    let varint = out.len() - start - len;
+    out[start..].rotate_right(varint);
+}
+
+/// Appends to `out` the block of the record stream `records`, coded by
+/// `coder` unless that does not shrink it.
+fn block_into(out: &mut Vec<u8>, records: &[u8], coder: &mut lz::Coder) {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    payload(out);
+    out.push(BLOCK_LZ);
+    put_varint(out, records.len() as u64);
+    let payload = out.len();
+    coder.compress(records, out);
+    if out.len() - payload >= records.len() {
+        out.truncate(payload);
+        out[start + 8] = BLOCK_RAW;
+        out.extend_from_slice(records);
+    }
     let len = (out.len() - start - 8) as u32;
     let crc = fnv1a(&out[start + 8..]);
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
@@ -231,7 +278,7 @@ impl WalRecord {
     }
 }
 
-/// The checksum of log frames and manifests.
+/// The checksum of log blocks and manifests.
 pub(crate) fn fnv1a(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for b in data {
@@ -243,19 +290,30 @@ pub(crate) fn fnv1a(data: &[u8]) -> u32 {
 
 /// Appender over one log file.
 ///
-/// Records are staged in an internal buffer and persisted by [`WalWriter::sync`]
-/// with one positioned write followed by an fsync — both of which are
-/// failpoints when a [`FaultInjector`] is wired in, so crashes can land
-/// between, or in the middle of, either step.
+/// Records are staged in an internal buffer and persisted by
+/// [`WalWriter::sync`] as one block, with one positioned write followed by
+/// an fsync — both of which are failpoints when a [`FaultInjector`] is wired
+/// in, so crashes can land between, or in the middle of, either step.
+///
+/// A writer keeps two positions: where the next block goes in the file
+/// (what torn-tail truncation and the fault injector's write lengths are
+/// in), and how much record stream the file holds (what LSNs are in).
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    /// LSN of the file's first byte (0 for a standalone log).
+    /// LSN of the file's first record (0 for a standalone log).
     base: Lsn,
-    /// Records appended but not yet flushed.
+    /// Records appended but not yet written, each after its varint length.
     buf: Vec<u8>,
-    /// Bytes of valid log in the file; the flush offset.
+    /// Blocks coded from `buf[..coded]` that no write has put in the file
+    /// whole yet: a retried sync writes these same bytes again.
+    blocks: Vec<u8>,
+    coded: usize,
+    coder: lz::Coder,
+    /// File bytes of whole blocks; where the next block is written.
     persisted: u64,
+    /// Record-stream bytes those blocks hold.
+    stream: u64,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -273,11 +331,11 @@ impl WalWriter {
         Ok(WalWriter::open_at(path.as_ref(), 0, faults)?.0)
     }
 
-    /// Opens the file whose first byte is LSN `base`, returning the intact
+    /// Opens the file whose first record is LSN `base`, returning the intact
     /// records it holds.
     ///
     /// A torn or corrupt tail left by a crash is truncated here: appending
-    /// after garbage would strand every later record behind the scan stop,
+    /// after garbage would strand every later block behind the scan stop,
     /// silently losing committed transactions on the *next* recovery.
     fn open_at( // xlint: allow(blocking, "WAL open/replay happens at storage-env open, before jobs are served")
         path: &Path,
@@ -299,8 +357,8 @@ impl WalWriter {
         let mut image = Vec::new();
         file.read_to_end(&mut image)?;
         let file_len = image.len() as u64;
-        let (records, persisted) = scan_log(&image, base)?;
-        if persisted < file_len {
+        let scan = scan_log(&image, base)?;
+        if scan.file_len < file_len {
             if let Some(f) = &faults {
                 f.on_truncate(&format!(
                     "{}:truncate",
@@ -309,14 +367,26 @@ impl WalWriter {
             }
             let wrap = |source: std::io::Error| StorageError::WalTruncate {
                 path: path.clone(),
-                valid_len: persisted,
+                valid_len: scan.file_len,
                 file_len,
                 source,
             };
-            file.set_len(persisted).map_err(wrap)?;
+            file.set_len(scan.file_len).map_err(wrap)?;
             file.sync_data().map_err(wrap)?;
         }
-        Ok((WalWriter { file, path, base, buf: Vec::new(), persisted, faults }, records))
+        let writer = WalWriter {
+            file,
+            path,
+            base,
+            buf: Vec::new(),
+            blocks: Vec::new(),
+            coded: 0,
+            coder: lz::Coder::default(),
+            persisted: scan.file_len,
+            stream: scan.stream_len,
+            faults,
+        };
+        Ok((writer, scan.records))
     }
 
     /// The log file path.
@@ -343,40 +413,48 @@ impl WalWriter {
         self.append_with(|buf| encode_write(buf, txn_id, dataset, partition, key, put))
     }
 
-    fn append_with(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
+    fn append_with(&mut self, record: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
         if let Some(f) = &self.faults {
             f.check_alive("wal append")?;
         }
         let lsn = self.next_lsn();
-        frame_into(&mut self.buf, payload);
+        record_into(&mut self.buf, record);
         Ok(lsn)
     }
 
-    /// Flushes buffered records and forces them to stable storage — the
-    /// commit-time durability point.
+    /// Writes the buffered records as one block and forces it to stable
+    /// storage — the commit-time durability point.
     ///
-    /// On an injected short write the buffer is kept and `sync` may be
-    /// retried: the flush rewrites the same byte range at the same offset,
-    /// so a partial prefix on disk is simply overwritten.
+    /// On an injected short write the coded block is kept and `sync` may be
+    /// retried: the retry rewrites the same bytes at the same offset, so a
+    /// partial prefix on disk is simply overwritten (records appended in
+    /// between follow in a block of their own).
     pub fn sync(&mut self) -> Result<()> { // xlint: allow(blocking, "WAL sync is the durability contract; group commit amortizes the fdatasync")
         if !self.buf.is_empty() {
+            if self.coded < self.buf.len() {
+                block_into(&mut self.blocks, &self.buf[self.coded..], &mut self.coder);
+                self.coded = self.buf.len();
+            }
             if let Some(f) = self.faults.clone() {
                 let target = format!("{}:flush", crate::faults::target_name(&self.path));
-                match f.on_write(&target, self.buf.len())? {
+                match f.on_write(&target, self.blocks.len())? {
                     WritePlan::Full => {}
                     WritePlan::Torn { kept } | WritePlan::Short { kept } => {
-                        // a torn flush: only a prefix of the buffered bytes
-                        // reaches the file, possibly cutting mid-record
+                        // a torn flush: only a prefix of the block reaches
+                        // the file, which a reader drops whole
                         if kept > 0 {
-                            self.file.write_all_at(&self.buf[..kept], self.persisted)?;
+                            self.file.write_all_at(&self.blocks[..kept], self.persisted)?;
                         }
                         return Err(f.write_failed(&target));
                     }
                 }
             }
-            self.file.write_all_at(&self.buf, self.persisted)?;
-            self.persisted += self.buf.len() as u64;
+            self.file.write_all_at(&self.blocks, self.persisted)?;
+            self.persisted += self.blocks.len() as u64;
+            self.stream += self.buf.len() as u64;
             self.buf.clear();
+            self.blocks.clear();
+            self.coded = 0;
         }
         if let Some(f) = self.faults.clone() {
             f.on_sync(&format!("{}:fsync", crate::faults::target_name(&self.path)))?;
@@ -387,41 +465,77 @@ impl WalWriter {
 
     /// LSN the next record will receive.
     pub fn next_lsn(&self) -> Lsn {
-        self.base + self.persisted + self.buf.len() as u64
+        self.base + self.stream + self.buf.len() as u64
     }
 }
 
-/// Scans the image of a log file whose first byte is LSN `base`, returning
-/// the intact records and the byte length of the valid prefix (everything
-/// after it is a torn/corrupt crash tail). A frame that passes its checksum
-/// and still does not decode was not torn by a crash: it was written whole
-/// in a layout this version does not read ([`WalRecord::Update`]'s, say),
-/// and the log is refused rather than cut short there.
-fn scan_log(buf: &[u8], base: Lsn) -> Result<(Vec<(Lsn, WalRecord)>, u64)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
+/// What a scan of one log file found.
+struct Scan {
+    /// The intact records, with their LSNs.
+    records: Vec<(Lsn, WalRecord)>,
+    /// Bytes of whole blocks: everything after them is a crash tail.
+    file_len: u64,
+    /// Record-stream bytes those blocks hold.
+    stream_len: u64,
+}
+
+/// The error for a block that passed its checksum and still does not read:
+/// it was written whole in a layout this version does not read, not torn by
+/// a crash, so the log is refused rather than cut short there.
+fn refused(what: &str, lsn: Lsn, tag: Option<&u8>) -> StorageError {
+    StorageError::Corrupt(format!(
+        "log {what} at LSN {lsn} passes its checksum but has no layout this version reads \
+         (tag {tag:?}): the log was written by another version"
+    ))
+}
+
+/// A block's record stream: its payload decoded. `Err` names the tag of a
+/// block that is not one.
+fn decode_block(body: &[u8]) -> std::result::Result<Cow<'_, [u8]>, Option<&u8>> {
+    let tag = body.first();
+    let (raw_len, n) = read_varint(body.get(1..).unwrap_or_default()).ok_or(tag)?;
+    let raw_len = usize::try_from(raw_len).map_err(|_| tag)?;
+    let payload = &body[1 + n..];
+    match tag {
+        Some(&BLOCK_RAW) if payload.len() == raw_len => Ok(Cow::Borrowed(payload)),
+        Some(&BLOCK_LZ) => lz::decompress(payload, raw_len).map(Cow::Owned).ok_or(tag),
+        _ => Err(tag),
+    }
+}
+
+/// Scans the image of a log file whose first record is LSN `base`, up to
+/// its first block that is cut short or fails its checksum (a crash tail).
+fn scan_log(buf: &[u8], base: Lsn) -> Result<Scan> {
+    let mut records = Vec::new();
+    let (mut pos, mut stream) = (0usize, 0u64);
     while pos + 8 <= buf.len() {
         let len = le::u32_at(buf, pos) as usize;
         let crc = le::u32_at(buf, pos + 4);
-        if pos + 8 + len > buf.len() {
+        if len > buf.len() - pos - 8 {
             break; // torn tail
         }
-        let payload = &buf[pos + 8..pos + 8 + len];
-        if fnv1a(payload) != crc {
+        let body = &buf[pos + 8..pos + 8 + len];
+        if fnv1a(body) != crc {
             break; // corrupt tail
         }
-        let rec = WalRecord::decode(payload).map_err(|_| {
-            StorageError::Corrupt(format!(
-                "log record at LSN {} passes its checksum but has no layout this version reads \
-                 (tag {:?}): the log was written by another version",
-                base + pos as Lsn,
-                payload.first()
-            ))
-        })?;
-        out.push((base + pos as Lsn, rec));
+        let at = base + stream;
+        let decoded = decode_block(body).map_err(|tag| refused("block", at, tag))?;
+        let mut rest: &[u8] = &decoded;
+        while !rest.is_empty() {
+            let lsn = at + (decoded.len() - rest.len()) as Lsn;
+            let end = read_varint(rest)
+                .and_then(|(len, n)| Some((n, n.checked_add(usize::try_from(len).ok()?)?)))
+                .filter(|&(_, end)| end <= rest.len());
+            let (start, end) = end.ok_or_else(|| refused("record", lsn, None))?;
+            let record = &rest[start..end];
+            let record = WalRecord::decode(record).map_err(|_| refused("record", lsn, record.first()))?;
+            records.push((lsn, record));
+            rest = &rest[end..];
+        }
+        stream += decoded.len() as u64;
         pos += 8 + len;
     }
-    Ok((out, pos as u64))
+    Ok(Scan { records, file_len: pos as u64, stream_len: stream })
 }
 
 fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking, "WAL replay read at recovery time; single-threaded startup")
@@ -436,14 +550,15 @@ fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking
 }
 
 /// Reads all intact records from a log file; stops silently at the first
-/// torn/corrupt record (the crash tail).
+/// torn/corrupt block (the crash tail).
 pub fn read_log(path: impl AsRef<Path>) -> Result<Vec<(Lsn, WalRecord)>> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.0)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.records)
 }
 
-/// Byte length of the valid record prefix of a log file (0 if missing).
+/// Byte length of the valid block prefix of a log file (0 if missing): the
+/// end of its last whole block.
 pub fn valid_prefix_len(path: impl AsRef<Path>) -> Result<u64> {
-    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.1)
+    Ok(scan_log(&read_file_or_empty(path.as_ref())?, 0)?.file_len)
 }
 
 /// One replayable operation of a committed transaction.
@@ -535,9 +650,9 @@ pub struct SegmentedWal {
     dir: PathBuf,
     prefix: String,
     faults: Option<Arc<FaultInjector>>,
-    /// Closed segments, oldest first, as `(base, path)`; each ends where the
-    /// next one — or `active` — begins.
-    closed: VecDeque<(Lsn, PathBuf)>,
+    /// Closed segments, oldest first, as `(base, path, file bytes)`; each
+    /// ends where the next one — or `active` — begins.
+    closed: VecDeque<(Lsn, PathBuf, u64)>,
     active: WalWriter,
     inflight: BTreeMap<u64, Lsn>,
     /// `(txn, feed, seq)` logged by transactions not yet finished.
@@ -552,11 +667,16 @@ pub struct SegmentedWal {
     stray_segment: bool,
     /// `storage.wal.segments`: segment files currently on disk.
     segments: Gauge,
-    /// `storage.wal.truncated_bytes`: log bytes unlinked since open.
+    /// `storage.wal.truncated_bytes`: segment file bytes unlinked since
+    /// open.
     truncated_bytes: Counter,
-    /// `storage.wal.appended_bytes`: log bytes syncs moved into segments
+    /// `storage.wal.appended_bytes`: file bytes syncs moved into segments
     /// since open (a rotation's checkpoint, published whole, is not one).
     appended_bytes: Counter,
+    /// `storage.wal.record_bytes`: what those syncs held decoded — records
+    /// and their varint lengths, the LSNs they took. `appended_bytes` over
+    /// this is what coding left of the log.
+    record_bytes: Counter,
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
@@ -568,7 +688,7 @@ impl SegmentedWal {
     /// none) for appending, and returns it with what a restart must redo:
     /// the operations of the committed transactions found in the retained
     /// segments. Its size is exported through `registry` as
-    /// `storage.wal.{segments, truncated_bytes, appended_bytes}`.
+    /// `storage.wal.{segments, truncated_bytes, appended_bytes, record_bytes}`.
     pub fn recover(
         dir: &Path,
         prefix: &str,
@@ -604,13 +724,13 @@ impl SegmentedWal {
         let mut next_base = newest;
         while let Some(base) = bases.pop() {
             let path = segment_path(dir, prefix, base);
-            let (older, len) = scan_log(&read_file_or_empty(&path)?, base)?;
-            if base + len != next_base {
+            let older = scan_log(&read_file_or_empty(&path)?, base)?;
+            if base + older.stream_len != next_base {
                 bases.push(base);
                 break;
             }
-            records.splice(0..0, older);
-            closed.push_front((base, path));
+            records.splice(0..0, older.records);
+            closed.push_front((base, path, older.file_len));
             next_base = base;
         }
         for base in bases {
@@ -633,6 +753,7 @@ impl SegmentedWal {
             segments,
             truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
             appended_bytes: registry.counter("storage.wal.appended_bytes"),
+            record_bytes: registry.counter("storage.wal.record_bytes"),
         };
         Ok((wal, tail.ops))
     }
@@ -691,13 +812,14 @@ impl SegmentedWal {
         self.max_txn = self.max_txn.max(txn);
     }
 
-    /// Flushes buffered records and forces them to stable storage. What the
-    /// flush moves into the segment is counted once, however many times a
-    /// short write has it retried.
+    /// Writes buffered records as one block and forces it to stable
+    /// storage. What the write moves into the segment is counted once,
+    /// however many times a short write has it retried.
     pub fn sync(&mut self) -> Result<()> {
-        let persisted = self.active.persisted;
+        let (persisted, stream) = (self.active.persisted, self.active.stream);
         let synced = self.active.sync();
         self.appended_bytes.add(self.active.persisted - persisted);
+        self.record_bytes.add(self.active.stream - stream);
         synced
     }
 
@@ -738,7 +860,7 @@ impl SegmentedWal {
     /// The old segment is synced first, so a commit landing in the new one
     /// never outlives updates it depends on; the new file is published
     /// whole ([`crate::io::write_atomic`]), so a segment other than the first
-    /// always begins with an intact checkpoint.
+    /// always begins with an intact checkpoint, a block of its own.
     pub fn rotate(&mut self) -> Result<()> {
         self.sync()?;
         let base = self.active.next_lsn();
@@ -747,8 +869,10 @@ impl SegmentedWal {
             max_txn: self.max_txn,
             feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
         };
+        let mut record = Vec::new();
+        record_into(&mut record, |buf| checkpoint.encode_into(buf));
         let mut first = Vec::new();
-        frame_into(&mut first, |buf| checkpoint.encode_into(buf));
+        block_into(&mut first, &record, &mut self.active.coder);
         crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
         let next = match WalWriter::open_at(&path, base, self.faults.clone()) {
             Ok((next, _)) => next,
@@ -758,7 +882,7 @@ impl SegmentedWal {
             }
         };
         let old = std::mem::replace(&mut self.active, next);
-        self.closed.push_back((old.base, old.path));
+        self.closed.push_back((old.base, old.path, old.persisted));
         self.segments.add(1);
         Ok(())
     }
@@ -768,13 +892,13 @@ impl SegmentedWal {
     /// LSN of the oldest transaction in flight.
     pub fn truncate_below(&mut self, pin: Lsn) -> Result<()> {
         let keep_from = self.inflight.values().copied().fold(pin, Lsn::min);
-        while let Some((base, path)) = self.closed.front() {
+        while let Some((_, path, file_len)) = self.closed.front() {
             let end = self.closed.get(1).map_or(self.active.base, |next| next.0);
             if end > keep_from {
                 break;
             }
             crate::io::remove_file(path, self.faults.as_ref())?;
-            self.truncated_bytes.add(end - base);
+            self.truncated_bytes.add(*file_len);
             self.segments.add(-1);
             self.closed.pop_front();
         }
@@ -797,9 +921,9 @@ impl SegmentedWal {
 /// fault-injection schedules count on.
 ///
 /// The durability guarantee: `sync_through(end)` returning `Ok` means every
-/// log byte below `end` is on stable storage.
+/// record below LSN `end` is on stable storage.
 pub struct GroupCommit {
-    /// Log bytes durably synced (an LSN high-water mark).
+    /// Records durably synced (an LSN high-water mark).
     durable: AtomicU64,
     /// `storage.wal.group_commits`: leader fsync rounds.
     rounds: Counter,
@@ -819,12 +943,13 @@ impl GroupCommit {
         }
     }
 
-    /// Durable high-water mark (bytes of log known synced).
+    /// Durable high-water mark (the LSN below which every record is known
+    /// synced).
     pub fn durable(&self) -> Lsn {
         self.durable.load(Ordering::Acquire)
     }
 
-    /// Makes every log byte below `end` durable, sharing the fsync with
+    /// Makes every record below LSN `end` durable, sharing the fsync with
     /// concurrent committers (see the type docs). `end` must
     /// come from `wal.next_lsn()` observed while holding the WAL lock after
     /// appending; `wal` must be the lock this protocol instance guards.
@@ -854,6 +979,8 @@ impl GroupCommit {
 mod tests {
     use super::*;
     use crate::testutil::TempDir;
+    use asterix_adm::{Point, Value};
+    use rand::{Rng, SeedableRng};
 
     fn upd(txn: u64, key: &[u8], val: &[u8]) -> WalRecord {
         WalRecord::Write {
@@ -935,39 +1062,59 @@ mod tests {
         // and partition, a delete byte, u32-length key and value — around a
         // key that is not memcomparable (6) and one that is (7)
         let fixed_width = |tag: u8, key: &[u8]| {
-            let mut log = Vec::new();
-            frame_into(&mut log, |out| {
-                out.push(tag);
-                out.extend_from_slice(&1u64.to_le_bytes());
-                out.extend_from_slice(&7u32.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.push(0);
-                put_bytes(out, key);
-                put_bytes(out, b"v");
-            });
-            log
+            let mut out = vec![tag];
+            out.extend_from_slice(&1u64.to_le_bytes());
+            out.extend_from_slice(&7u32.to_le_bytes());
+            out.extend_from_slice(&0u32.to_le_bytes());
+            out.push(0);
+            put_bytes(&mut out, key);
+            put_bytes(&mut out, b"v");
+            out
         };
         // tags 8 and 9: today's header around a put of a row whose `int`s
         // took eight bytes and whose counts two or four (8) — `{k: 42}`, one
         // declared field and no open one — and a delete (9)
         let old_row = b"\x01\0\x01\x03\x2a\0\0\0\0\0\0\0\0\0\0\0";
         let varint_header = |tag: u8, value: &[u8]| {
-            let mut log = Vec::new();
-            frame_into(&mut log, |out| {
-                out.extend_from_slice(&[tag, 1, 7, 0, 9]);
-                out.extend_from_slice(b"\x05\x80\0\0\0\0\0\0\x2a");
-                out.extend_from_slice(value);
-            });
-            log
+            [&[tag, 1, 7, 0, 9][..], b"\x05\x80\0\0\0\0\0\0\x2a", value].concat()
         };
-        let logs = [
-            (6u8, fixed_width(6, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0")),
-            (7, fixed_width(7, b"\x03\x80\0\0\0\0\0\0\x2a")),
-            (8, varint_header(8, old_row)),
-            (9, varint_header(9, b"")),
+        let commit = |txn_id| {
+            let mut out = Vec::new();
+            WalRecord::Commit { txn_id }.encode_into(&mut out);
+            out
+        };
+        let retired = [
+            fixed_width(6, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0"),
+            fixed_width(7, b"\x03\x80\0\0\0\0\0\0\x2a"),
+            varint_header(8, old_row),
+            varint_header(9, b""),
         ];
-        for (tag, mut log) in logs {
-            frame_into(&mut log, |out| WalRecord::Commit { txn_id: 1 }.encode_into(out));
+        // The retired log layout: every record in a frame of its own — u32
+        // length, u32 FNV-1a of the payload, the payload — whatever its
+        // tag, today's put (10), delete (11) and commit (2) included. Its
+        // first frame passes the block checksum and starts with no block tag.
+        let own_frame = |payload: &[u8]| {
+            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            frame.extend_from_slice(payload);
+            frame
+        };
+        let today = [write_payload(1, 7, 0, b"k", Some(b"v")), write_payload(1, 7, 0, b"k", None), commit(1)];
+        let mut logs: Vec<(u8, Vec<u8>)> = retired
+            .iter()
+            .chain(&today)
+            .map(|payload| (payload[0], [own_frame(payload), own_frame(&commit(1))].concat()))
+            .collect();
+        // and the retired records in a block of today's layout
+        for payload in &retired {
+            let mut stream = Vec::new();
+            record_into(&mut stream, |out| out.extend_from_slice(payload));
+            record_into(&mut stream, |out| out.extend_from_slice(&commit(1)));
+            let mut block = Vec::new();
+            block_into(&mut block, &stream, &mut lz::Coder::default());
+            logs.push((payload[0], block));
+        }
+        for (tag, log) in logs {
             let dir = TempDir::new();
             let path = dir.path().join("wal.log");
             std::fs::write(&path, &log).unwrap();
@@ -1060,14 +1207,23 @@ mod tests {
         for txn in 1..=8 {
             wal.append_write(txn, 7, 0, b"key", Some(b"value")).unwrap();
             wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
-            // a short write keeps the buffer for the retry
+            // a short write keeps the coded block for the retry
             assert!((0..64).any(|_| wal.sync().is_ok()), "txn {txn} never synced");
         }
         let short = |e: &crate::faults::FaultEvent| matches!(e, crate::faults::FaultEvent::ShortWrite { .. });
         assert!(faults.events().iter().any(short), "no short write to retry");
-        assert_eq!(wal.appended_bytes.get(), wal.next_lsn() - start);
-        // a put framed: 8 + 5 of header + key + value; a commit: 8 + 1 + 8
-        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 5 + 3 + 5 + 8 + 1 + 8));
+        // the record stream: a put is its length (1), 5 of header, key and
+        // value; a commit its length, tag and transaction
+        let records = 1 + 5 + 3 + 5 + 1 + 1 + 8;
+        assert_eq!(wal.record_bytes.get(), wal.next_lsn() - start);
+        assert_eq!(wal.record_bytes.get(), 8 * records);
+        // a block a sync: 8 of header, tag, the stream's length and the
+        // stream coded — one byte shorter: a token, an extra length byte and
+        // eighteen literals, the last of them the first of the commit's
+        // seven zeros, a distance for the other six, the closing token
+        let segment = std::fs::metadata(segment_path(dir.path(), "node", 0)).unwrap().len();
+        assert_eq!(wal.appended_bytes.get(), segment);
+        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 1 + 1 + records - 1));
     }
 
     #[test]
@@ -1111,12 +1267,13 @@ mod tests {
     fn reopen_truncates_torn_tail_so_new_appends_stay_readable() {
         let dir = TempDir::new();
         let path = dir.path().join("wal.log");
-        {
+        let end = {
             let mut w = WalWriter::open(&path).unwrap();
             w.append(&upd(1, b"a", b"1")).unwrap();
             w.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
             w.sync().unwrap();
-        }
+            w.next_lsn()
+        };
         // crash tail: a record header promising more bytes than exist
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -1131,7 +1288,8 @@ mod tests {
         // directly after the valid prefix and stay replayable
         {
             let mut w = WalWriter::open(&path).unwrap();
-            assert_eq!(w.next_lsn(), valid);
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), valid);
+            assert_eq!(w.next_lsn(), end);
             w.append(&upd(2, b"b", b"2")).unwrap();
             w.append(&WalRecord::Commit { txn_id: 2 }).unwrap();
             w.sync().unwrap();
@@ -1145,12 +1303,13 @@ mod tests {
     fn truncate_failpoint_fires_before_tail_removal() {
         let dir = TempDir::new();
         let path = dir.path().join("wal.log");
-        {
+        let (end, valid) = {
             let mut w = WalWriter::open(&path).unwrap();
             w.append(&upd(1, b"a", b"1")).unwrap();
             w.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
             w.sync().unwrap();
-        }
+            (w.next_lsn(), std::fs::metadata(&path).unwrap().len())
+        };
         // crash tail
         {
             use std::io::Write;
@@ -1175,7 +1334,7 @@ mod tests {
         );
         // the next recovery (no faults) then truncates and reopens cleanly
         let w = WalWriter::open(&path).unwrap();
-        assert_eq!(w.next_lsn(), std::fs::metadata(&path).unwrap().len());
+        assert_eq!((w.next_lsn(), std::fs::metadata(&path).unwrap().len()), (end, valid));
         assert_eq!(read_log(&path).unwrap().len(), 2);
     }
 
@@ -1217,14 +1376,181 @@ mod tests {
         let path = dir.path().join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
         w.append(&upd(1, b"a", b"1")).unwrap();
+        w.sync().unwrap();
         w.append(&upd(1, b"b", b"2")).unwrap();
         w.sync().unwrap();
-        // flip a byte in the second record's payload
+        // flip a byte in the second block's payload
         let mut bytes = std::fs::read(&path).unwrap();
         let n = bytes.len();
         bytes[n - 1] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(read_log(&path).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_sync_writes_its_records_as_one_block() {
+        let dir = TempDir::new();
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path).unwrap();
+        // a put of key "a" and value "1": its length (7), tag, transaction,
+        // dataset, partition, key length, key, value — eight bytes with no
+        // four repeated, so the block holds them as they are
+        w.append(&upd(1, b"a", b"1")).unwrap();
+        w.sync().unwrap();
+        let raw = [BLOCK_RAW, 8, 7, TAG_PUT, 1, 7, 0, 1, b'a', b'1'];
+        let mut want = (raw.len() as u32).to_le_bytes().to_vec();
+        want.extend_from_slice(&fnv1a(&raw).to_le_bytes());
+        want.extend_from_slice(&raw);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        // two commits in one sync: twenty bytes, mostly zeros, coded as four
+        // literals, a run of six at distance one, and the second record as
+        // a match of ten at distance ten
+        assert_eq!(w.append(&WalRecord::Commit { txn_id: 1 }).unwrap(), 8);
+        assert_eq!(w.append(&WalRecord::Commit { txn_id: 1 }).unwrap(), 18);
+        w.sync().unwrap();
+        let lz = [BLOCK_LZ, 20, 0x42, 9, 2, 1, 0, 1, 0, 0x06, 10, 0, 0x00];
+        want.extend_from_slice(&(lz.len() as u32).to_le_bytes());
+        want.extend_from_slice(&fnv1a(&lz).to_le_bytes());
+        want.extend_from_slice(&lz);
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        let lsns: Vec<Lsn> = read_log(&path).unwrap().into_iter().map(|(lsn, _)| lsn).collect();
+        assert_eq!(lsns, [0, 8, 18]);
+        assert_eq!(w.next_lsn(), 28);
+    }
+
+    /// A message the way a Gleambook load logs it: the storage encoding of
+    /// ids, a location and a text of 3 to 11 words.
+    fn message_row(rng: &mut impl Rng, id: i64) -> Vec<u8> {
+        const WORDS: [&str; 16] = [
+            "love", "like", "hate", "the", "its", "verizon", "samsung", "apple", "platform", "speed",
+            "voice", "command", "network", "signal", "customization", "reachability",
+        ];
+        let words = rng.gen_range(3..12);
+        let text: Vec<&str> = (0..words).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect();
+        let location = Point::new(rng.gen_range(0.0..90.0), rng.gen_range(0.0..180.0));
+        let message = Value::object(vec![
+            ("messageId".into(), Value::Int(id)),
+            ("authorId".into(), Value::Int(rng.gen_range(1..=1_000))),
+            ("senderLocation".into(), Value::Point(location)),
+            ("message".into(), Value::from(text.join(" "))),
+        ]);
+        let types = asterix_adm::types::gleambook_types();
+        asterix_adm::schema_encode::encode_with_schema(&message, types.get("GleambookMessageType").unwrap()).unwrap()
+    }
+
+    /// A log of generated messages in group commits.
+    struct MessageLog {
+        image: Vec<u8>,
+        /// The file's length and the records appended after each block.
+        ends: Vec<(u64, usize)>,
+        records: Vec<(Lsn, WalRecord)>,
+    }
+
+    /// The log of group commits of `groups` puts each.
+    fn message_log(seed: u64, groups: &[usize]) -> MessageLog {
+        let dir = TempDir::new();
+        let path = dir.path().join("wal.log");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut w = WalWriter::open(&path).unwrap();
+        let (mut appended, mut ends) = (Vec::new(), vec![(0, 0)]);
+        let mut id = 0;
+        for (txn, &puts) in groups.iter().enumerate() {
+            let txn_id = txn as u64 + 1;
+            for _ in 0..puts {
+                id += 1;
+                let (key, value) = (asterix_adm::binary::encode_key(&[Value::Int(id)]), message_row(&mut rng, id));
+                let lsn = w.append_write(txn_id, 3, id as u32 % 4, &key, Some(&value)).unwrap();
+                let is_delete = false;
+                appended.push((lsn, WalRecord::Write { txn_id, dataset: 3, partition: id as u32 % 4, is_delete, key, value }));
+            }
+            let commit = WalRecord::Commit { txn_id };
+            appended.push((w.append(&commit).unwrap(), commit));
+            w.sync().unwrap();
+            ends.push((std::fs::metadata(&path).unwrap().len(), appended.len()));
+        }
+        let image = std::fs::read(&path).unwrap();
+        assert_eq!(read_log(&path).unwrap(), appended);
+        MessageLog { image, ends, records: appended }
+    }
+
+    /// Every block of a log image, as (tag, stream bytes, file bytes).
+    fn blocks_of(image: &[u8]) -> Vec<(u8, usize, usize)> {
+        let mut out = Vec::new();
+        let mut pos = 0;
+        while pos < image.len() {
+            let len = le::u32_at(image, pos) as usize;
+            let (raw_len, _) = read_varint(&image[pos + 9..]).unwrap();
+            out.push((image[pos + 8], raw_len as usize, 8 + len));
+            pos += 8 + len;
+        }
+        out
+    }
+
+    #[test]
+    fn every_cut_and_every_flipped_byte_drops_a_tail_or_refuses_never_misreads() {
+        let MessageLog { image, ends, records } = message_log(3, &[3, 1, 9]);
+        assert!(blocks_of(&image).iter().any(|&(tag, ..)| tag == BLOCK_LZ), "a block worth coding");
+        // the records of the blocks wholly below `at`, and where they end
+        let below = |at: usize| *ends.iter().rev().find(|(end, _)| *end as usize <= at).unwrap();
+        for cut in 0..=image.len() {
+            let scan = scan_log(&image[..cut], 0).unwrap();
+            let (end, n) = below(cut);
+            assert_eq!(scan.records, records[..n], "cut at {cut}");
+            assert_eq!(scan.file_len, end, "cut at {cut}");
+        }
+        for at in 0..image.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut damaged = image.clone();
+                damaged[at] ^= flip;
+                match scan_log(&damaged, 0) {
+                    Ok(scan) => assert_eq!(scan.records, records[..below(at).1], "{flip:#x} at {at}"),
+                    Err(StorageError::Corrupt(_)) => {}
+                    Err(e) => panic!("{flip:#x} at {at}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_length_the_block_cannot_hold_is_refused_without_allocating() {
+        // an LZ block of four coded bytes that says it decodes to 2^40 or to
+        // u64::MAX: refused before a buffer of that size is asked for
+        for raw_len in [1u64 << 40, u64::MAX] {
+            let mut body = vec![BLOCK_LZ];
+            put_varint(&mut body, raw_len);
+            body.extend_from_slice(b"\x30abc");
+            let mut log = (body.len() as u32).to_le_bytes().to_vec();
+            log.extend_from_slice(&fnv1a(&body).to_le_bytes());
+            log.extend_from_slice(&body);
+            assert!(matches!(scan_log(&log, 0), Err(StorageError::Corrupt(_))), "raw_len {raw_len}");
+        }
+        // a raw block whose stream length is not its payload's
+        let body = [BLOCK_RAW, 9, 0];
+        let mut log = (body.len() as u32).to_le_bytes().to_vec();
+        log.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        log.extend_from_slice(&body);
+        assert!(matches!(scan_log(&log, 0), Err(StorageError::Corrupt(_))));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Generated messages logged in group commits of any size read back
+        /// as appended, and a block of twenty or more is LZ-coded to under
+        /// two thirds of its records.
+        #[test]
+        fn real_log_blocks_round_trip(
+            seed in proptest::prelude::any::<u64>(),
+            groups in proptest::collection::vec(0usize..120, 1..5),
+        ) {
+            let log = message_log(seed, &groups);
+            for (&puts, (tag, raw_len, file_len)) in groups.iter().zip(blocks_of(&log.image)) {
+                if puts >= 20 {
+                    proptest::prop_assert_eq!(tag, BLOCK_LZ);
+                    proptest::prop_assert!(3 * file_len < 2 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1421,7 +1747,7 @@ mod tests {
         wal.truncate_below(wal.next_lsn()).unwrap();
         assert_eq!(wal.segments.get(), 2);
         assert!(wal.truncated_bytes.get() > 0);
-        assert!(wal.closed.front().is_some_and(|(base, _)| *base <= open_at));
+        assert!(wal.closed.front().is_some_and(|(base, ..)| *base <= open_at));
         // a pin inside the active segment lets every closed one go
         wal.finish_txn(2, false);
         wal.truncate_below(l3).unwrap();

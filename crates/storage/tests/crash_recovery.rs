@@ -1,6 +1,6 @@
 //! Storage-level crash-recovery tests: deterministic fault injection into
 //! the WAL and page-file paths, the WAL truncation property (any byte-level
-//! prefix of a synced log recovers exactly the records that fit), and named
+//! prefix of a synced log recovers exactly the blocks that fit), and named
 //! crash points where durability lives — inside a manifest publish, between
 //! a merge's publish and the retirement of its inputs, inside log rotation
 //! and segment unlink — under a log and an LSM tree run together.
@@ -514,59 +514,47 @@ fn arb_record() -> BoxedStrategy<WalRecord> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Append+sync a random record sequence — ids across the varint widths,
-    /// empty keys, empty puts — which must read back as appended, then
-    /// truncate the file at an arbitrary byte length: reading must always
-    /// recover exactly the
-    /// maximal record prefix that fits, never erroring and never yielding a
-    /// record past the cut.
+    /// Append a random record sequence — ids across the varint widths,
+    /// empty keys, empty puts — syncing after groups of random sizes: it
+    /// must read back as appended, at the LSNs `append` gave. Then truncate
+    /// the file at an arbitrary byte length: reading must recover exactly
+    /// the records of the blocks wholly below the cut — a block cut anywhere
+    /// is a crash tail and goes whole — never erroring, and the valid prefix
+    /// must end where the last of those blocks does.
     #[test]
     fn truncated_log_always_yields_the_synced_prefix(
         records in prop::collection::vec(arb_record(), 1..40),
+        group_sizes in prop::collection::vec(1usize..8, 1..40),
         cut_fraction in 0.0f64..1.2,
     ) {
         let dir = TempDir::new("proptrunc");
         let path = dir.path().join("wal.log");
         let mut w = WalWriter::open(&path).unwrap();
-        let mut offsets = Vec::new();
-        for r in &records {
-            offsets.push(w.append(r).unwrap());
+        let mut appended = Vec::new();
+        // the file's length and the records appended after each sync
+        let mut blocks = vec![(0u64, 0usize)];
+        let mut groups = group_sizes.iter().cycle();
+        let mut rest = records.as_slice();
+        while let Some(&group) = groups.next().filter(|_| !rest.is_empty()) {
+            let (group, after) = rest.split_at(group.min(rest.len()));
+            for r in group {
+                appended.push((w.append(r).unwrap(), r.clone()));
+            }
+            w.sync().unwrap();
+            blocks.push((std::fs::metadata(&path).unwrap().len(), appended.len()));
+            rest = after;
         }
-        w.sync().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        let full_records = read_log(&path).unwrap();
-        let read_back: Vec<&WalRecord> = full_records.iter().map(|(_, r)| r).collect();
-        prop_assert_eq!(read_back, records.iter().collect::<Vec<_>>());
+        let full_len = std::fs::metadata(&path).unwrap().len();
+        prop_assert_eq!(&read_log(&path).unwrap(), &appended);
 
         // byte-level truncation at an arbitrary point (possibly past EOF)
-        let cut = ((full.len() as f64) * cut_fraction) as u64;
+        let cut = ((full_len as f64) * cut_fraction) as u64;
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(cut.min(full.len() as u64)).unwrap();
+        f.set_len(cut.min(full_len)).unwrap();
         drop(f);
 
-        let got = read_log(&path).unwrap();
-        // expected: all records whose encoded bytes fit below the cut
-        let expected: Vec<(u64, WalRecord)> = full_records
-            .iter()
-            .enumerate()
-            .take_while(|(i, (lsn, _))| {
-                let end = offsets
-                    .get(i + 1)
-                    .copied()
-                    .unwrap_or(full.len() as u64);
-                let _ = lsn;
-                end <= cut
-            })
-            .map(|(_, r)| r.clone())
-            .collect();
-        prop_assert_eq!(&got, &expected, "cut={} of {}", cut, full.len());
-        // and the valid prefix length is exactly where the last survivor ends
-        let valid = valid_prefix_len(&path).unwrap();
-        let want_valid = got
-            .len()
-            .checked_sub(1)
-            .map(|i| offsets.get(i + 1).copied().unwrap_or(full.len() as u64))
-            .unwrap_or(0);
-        prop_assert_eq!(valid, want_valid);
+        let (end, kept) = *blocks.iter().rev().find(|(end, _)| *end <= cut).unwrap();
+        prop_assert_eq!(&read_log(&path).unwrap(), &appended[..kept], "cut={} of {}", cut, full_len);
+        prop_assert_eq!(valid_prefix_len(&path).unwrap(), end);
     }
 }

@@ -3,12 +3,16 @@
 //! when keys arrive in random order, as the budget-sealed components of an
 //! upsert workload see them, and short by at most a fifth when they ascend —
 //! whether its entries are records (a primary index's) or keys alone (a
-//! secondary's), and whatever spare capacity the caller's vectors had.
+//! secondary's), and whatever spare capacity the caller's vectors had. So is
+//! an R-tree's, entries and deleted keys alike.
 //!
 //! The allocator below counts, per thread, the bytes live allocations hold,
 //! so a test measures only what it allocates itself.
 
+use asterix_adm::{Point, Rectangle};
 use asterix_storage::lsm::MemComponent;
+use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
+use asterix_storage::{BufferCache, FileManager, IoStats};
 use rand::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,4 +139,48 @@ fn overwriting_every_key_once_leaves_the_count_where_it_was() {
             assert_eq!(mem.len(), ENTRIES);
         }
     }
+}
+
+/// An R-tree's memory component, which holds entries — points or
+/// rectangles — and the keys deleted while it was active: an index sealed
+/// only by its owner says it is over its budget when the allocator holds
+/// within 15 % of that budget for it (keys deleted in ascending order, a
+/// node split at the right edge leaving nodes half full: at most a fifth
+/// more).
+#[test]
+fn an_r_tree_memory_component_counts_what_the_allocator_holds_for_it() {
+    const BUDGET: usize = 4 << 20;
+    let dir = std::env::temp_dir().join(format!("asterix-mem-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cache = BufferCache::new(FileManager::new(&dir, IoStats::new()).unwrap(), 16);
+    let [(_, random), (_, ascending)] = orders();
+    let point = |rng: &mut StdRng| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+    let cases: [(&str, &[u64], std::ops::RangeInclusive<f64>); 4] = [
+        ("points", &random, 0.85..=1.15),
+        ("rectangles", &random, 0.85..=1.15),
+        ("deleted keys", &random, 0.85..=1.15),
+        ("deleted keys ascending", &ascending, 0.80..=1.0),
+    ];
+    for (name, order, band) in cases {
+        let config = LsmRTreeConfig { mem_budget: BUDGET, ..LsmRTreeConfig::new(name.replace(' ', "_")) };
+        let mut tree = LsmRTree::new(std::sync::Arc::clone(&cache), config);
+        tree.sealed_by_owner();
+        let mut rng = StdRng::seed_from_u64(9);
+        let before = held();
+        let mut entries = order.iter().map(|&i| key(i, 9, 0));
+        while !tree.over_budget() {
+            let key = entries.next().unwrap_or_else(|| panic!("{name}: never over budget"));
+            let at = point(&mut rng);
+            match name {
+                "points" => tree.insert(at.to_mbr(), key).unwrap(),
+                "rectangles" => tree.insert(Rectangle::new(at, Point::new(at.x + 3.0, at.y + 2.0)), key).unwrap(),
+                _ => tree.delete(&at.to_mbr(), &key).unwrap(),
+            }
+        }
+        let held = (held() - before) as usize;
+        let ratio = BUDGET as f64 / held as f64;
+        println!("{name}: {BUDGET} counted of {held} bytes held ({ratio:.3})");
+        assert!(band.contains(&ratio), "{name}: over a budget of {BUDGET} with {held} bytes held");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
