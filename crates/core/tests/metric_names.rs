@@ -60,6 +60,7 @@ const PER_NODE: &str = "
     c storage.lsm.string_bytes_plain
     c storage.lsm.write_amp
     c storage.wal.appended_bytes
+    c storage.wal.code_ns
     c storage.wal.group_commit_waiters
     c storage.wal.group_commits
     c storage.wal.record_bytes

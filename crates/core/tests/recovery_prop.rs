@@ -1056,10 +1056,11 @@ fn log_len(dir: &Path) -> u64 {
 /// transaction (2 below 2^14), dataset id (1), partition (1), key length
 /// (1) — and the one-int key (9); the value's length is the record's. That
 /// is ≈ 15 bytes plus key and value, and no field name and no dataset name
-/// is in there. The segment holds the stream of a sync as one LZ-coded
-/// block: fewer bytes than its records. Tags 1, 6, 7, 8 and 9, and a frame
-/// and checksum per record, are retired layouts: a log holding one is
-/// refused at open.
+/// is in there. The segment holds the stream of a sync as one coded block
+/// (an LZ77 parse, its byte streams Huffman-coded): at most half the bytes
+/// of its records. Tags 1, 6, 7, 8 and 9, a frame and checksum per record,
+/// and a block in LZ4's layout are retired: a log holding one is refused at
+/// open.
 const WRITE_HEADER_BYTES: u64 = 2 + 1 + 2 + 1 + 1 + 1 + 9;
 /// Length, tag, transaction.
 const COMMIT_BYTES: u64 = 1 + 1 + 8;
@@ -1107,7 +1108,8 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
          the stated header",
         (records - encoded) as f64 / N as f64 - WRITE_HEADER_BYTES as f64
     );
-    assert!(10 * grew < 7 * records, "{records} bytes of records took {grew} bytes of log");
+    // 0.457 as the codec stands: 20 328 bytes of log for 44 455 of records
+    assert!(2 * grew <= records, "{records} bytes of records took {grew} bytes of log");
 }
 
 /// (d) DDL between two writes of one open transaction: the later write is

@@ -27,7 +27,8 @@
 //!   E3: Graefe's B-trees-versus-hashing argument);
 //! * a **write-ahead log** with recovery ([`wal`]) for the record-level
 //!   transaction story (Section III, item 9), whose every group commit is
-//!   one LZ-coded block (`lz`);
+//!   one block: an LZ77 parse (`lz`) whose byte streams are each
+//!   Huffman-coded (`huff`);
 //! * **storage compression** — §VII's "recent examples include storage
 //!   compression": a primary component's string columns are FSST-coded, one
 //!   symbol table per column per component ([`leaf_group`]);
@@ -46,6 +47,7 @@ pub mod compaction;
 pub mod error;
 pub mod faults;
 pub(crate) mod harness;
+pub(crate) mod huff;
 pub mod inverted;
 pub mod io;
 pub mod le;

@@ -12,10 +12,13 @@
 //! ```
 //!
 //! `len` counts the bytes after the checksum, `crc` is their FNV-1a, and the
-//! payload is the stream LZ-coded (`crate::lz`, tag `BLOCK_LZ`) or, when
-//! coding does not shrink it, the stream as it is (`BLOCK_RAW`); `raw_len`
-//! is the stream's length either way. No record carries a checksum of its
-//! own: the block's covers them all.
+//! payload is the stream coded (`crate::lz`: an LZ77 parse whose five byte
+//! streams are each Huffman-coded, tag `BLOCK_CODED`) or, when coding does
+//! not shrink it, the stream as it is (`BLOCK_RAW`); `raw_len` is the
+//! stream's length either way. No record carries a checksum of its own: the
+//! block's covers them all. A group commit of 2 500 generated messages is
+//! coded to ≈ 0.45 of its records, one of 25 to ≈ 0.61; the time a sync
+//! spends coding, under the log's lock, is `storage.wal.code_ns`.
 //!
 //! A node keeps its log as a [`SegmentedWal`]: files named
 //! `<prefix>-<base-lsn>.wal`, rotated when a partition seals its memory
@@ -41,6 +44,7 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Log sequence number: the offset of a record in the log's *decoded*
 /// record stream — every record of the node's log, each after its varint
@@ -104,11 +108,12 @@ const TAG_DELETE: u8 = 11;
 const TAG_UPDATE: u8 = 1;
 
 /// Tag bytes of a block: its payload is the record stream as it is, or
-/// LZ-coded. A byte below them after a checksum that holds is a record tag
-/// (1–11) of the retired layout that framed and checksummed each record on
-/// its own: a segment of it is refused, not misread.
+/// coded. Retired, and refused rather than misread: `0x21`, the stream in
+/// LZ4's block layout, its bytes stored as they came; and a byte below
+/// `0x20` after a checksum that holds, a record tag (1–11) of the layout
+/// that framed and checksummed each record on its own.
 const BLOCK_RAW: u8 = 0x20;
-const BLOCK_LZ: u8 = 0x21;
+const BLOCK_CODED: u8 = 0x22;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -152,7 +157,7 @@ fn record_into(out: &mut Vec<u8>, record: impl FnOnce(&mut Vec<u8>)) {
 fn block_into(out: &mut Vec<u8>, records: &[u8], coder: &mut lz::Coder) {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    out.push(BLOCK_LZ);
+    out.push(BLOCK_CODED);
     put_varint(out, records.len() as u64);
     let payload = out.len();
     coder.compress(records, out);
@@ -314,6 +319,8 @@ pub struct WalWriter {
     persisted: u64,
     /// Record-stream bytes those blocks hold.
     stream: u64,
+    /// Nanoseconds syncs have spent coding blocks.
+    code_ns: u64,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -384,6 +391,7 @@ impl WalWriter {
             coder: lz::Coder::default(),
             persisted: scan.file_len,
             stream: scan.stream_len,
+            code_ns: 0,
             faults,
         };
         Ok((writer, scan.records))
@@ -432,7 +440,9 @@ impl WalWriter {
     pub fn sync(&mut self) -> Result<()> { // xlint: allow(blocking, "WAL sync is the durability contract; group commit amortizes the fdatasync")
         if !self.buf.is_empty() {
             if self.coded < self.buf.len() {
+                let start = Instant::now();
                 block_into(&mut self.blocks, &self.buf[self.coded..], &mut self.coder);
+                self.code_ns += start.elapsed().as_nanos() as u64;
                 self.coded = self.buf.len();
             }
             if let Some(f) = self.faults.clone() {
@@ -498,7 +508,7 @@ fn decode_block(body: &[u8]) -> std::result::Result<Cow<'_, [u8]>, Option<&u8>> 
     let payload = &body[1 + n..];
     match tag {
         Some(&BLOCK_RAW) if payload.len() == raw_len => Ok(Cow::Borrowed(payload)),
-        Some(&BLOCK_LZ) => lz::decompress(payload, raw_len).map(Cow::Owned).ok_or(tag),
+        Some(&BLOCK_CODED) => lz::decompress(payload, raw_len).map(Cow::Owned).ok_or(tag),
         _ => Err(tag),
     }
 }
@@ -677,6 +687,9 @@ pub struct SegmentedWal {
     /// and their varint lengths, the LSNs they took. `appended_bytes` over
     /// this is what coding left of the log.
     record_bytes: Counter,
+    /// `storage.wal.code_ns`: time those syncs spent coding their blocks,
+    /// under the log's lock.
+    code_ns: Counter,
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
@@ -688,7 +701,8 @@ impl SegmentedWal {
     /// none) for appending, and returns it with what a restart must redo:
     /// the operations of the committed transactions found in the retained
     /// segments. Its size is exported through `registry` as
-    /// `storage.wal.{segments, truncated_bytes, appended_bytes, record_bytes}`.
+    /// `storage.wal.{segments, truncated_bytes, appended_bytes, record_bytes}`,
+    /// the time its syncs spend coding as `storage.wal.code_ns`.
     pub fn recover(
         dir: &Path,
         prefix: &str,
@@ -754,6 +768,7 @@ impl SegmentedWal {
             truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
             appended_bytes: registry.counter("storage.wal.appended_bytes"),
             record_bytes: registry.counter("storage.wal.record_bytes"),
+            code_ns: registry.counter("storage.wal.code_ns"),
         };
         Ok((wal, tail.ops))
     }
@@ -816,10 +831,12 @@ impl SegmentedWal {
     /// storage. What the write moves into the segment is counted once,
     /// however many times a short write has it retried.
     pub fn sync(&mut self) -> Result<()> {
-        let (persisted, stream) = (self.active.persisted, self.active.stream);
-        let synced = self.active.sync();
-        self.appended_bytes.add(self.active.persisted - persisted);
-        self.record_bytes.add(self.active.stream - stream);
+        let active = &mut self.active;
+        let (persisted, stream, code_ns) = (active.persisted, active.stream, active.code_ns);
+        let synced = active.sync();
+        self.appended_bytes.add(active.persisted - persisted);
+        self.record_bytes.add(active.stream - stream);
+        self.code_ns.add(active.code_ns - code_ns);
         synced
     }
 
@@ -1114,6 +1131,14 @@ mod tests {
             block_into(&mut block, &stream, &mut lz::Coder::default());
             logs.push((payload[0], block));
         }
+        // and a block of the retired tag 0x21, its payload in LZ4's layout:
+        // two commits as four literals, a run of six at distance one and a
+        // match of ten at distance ten, the bytes stored as they came
+        let lz4_layout = [0x21, 20, 0x42, 9, 2, 1, 0, 1, 0, 0x06, 10, 0, 0x00];
+        let mut block = (lz4_layout.len() as u32).to_le_bytes().to_vec();
+        block.extend_from_slice(&fnv1a(&lz4_layout).to_le_bytes());
+        block.extend_from_slice(&lz4_layout);
+        logs.push((0x21, block));
         for (tag, log) in logs {
             let dir = TempDir::new();
             let path = dir.path().join("wal.log");
@@ -1218,12 +1243,14 @@ mod tests {
         assert_eq!(wal.record_bytes.get(), wal.next_lsn() - start);
         assert_eq!(wal.record_bytes.get(), 8 * records);
         // a block a sync: 8 of header, tag, the stream's length and the
-        // stream coded — one byte shorter: a token, an extra length byte and
-        // eighteen literals, the last of them the first of the commit's
-        // seven zeros, a distance for the other six, the closing token
+        // stream as it is — coded, its eighteen literals and the rest of the
+        // parse would take more
         let segment = std::fs::metadata(segment_path(dir.path(), "node", 0)).unwrap().len();
         assert_eq!(wal.appended_bytes.get(), segment);
-        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 1 + 1 + records - 1));
+        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 1 + 1 + records));
+        // each sync timed the coding of its block, once
+        assert!(wal.code_ns.get() > 0);
+        assert_eq!(wal.code_ns.get(), wal.active.code_ns);
     }
 
     #[test]
@@ -1402,20 +1429,32 @@ mod tests {
         want.extend_from_slice(&fnv1a(&raw).to_le_bytes());
         want.extend_from_slice(&raw);
         assert_eq!(std::fs::read(&path).unwrap(), want);
-        // two commits in one sync: twenty bytes, mostly zeros, coded as four
-        // literals, a run of six at distance one, and the second record as
-        // a match of ten at distance ten
-        assert_eq!(w.append(&WalRecord::Commit { txn_id: 1 }).unwrap(), 8);
-        assert_eq!(w.append(&WalRecord::Commit { txn_id: 1 }).unwrap(), 18);
+        // four commits in one sync: forty bytes, mostly zeros, parsed as four
+        // literals and a run of six at distance one, then the other three
+        // records as a match of thirty at distance ten (a token of 15 and
+        // 11 more), then the closing token: three sequences, one length
+        // byte. Each of the five streams is too short for a code to shrink
+        // it, so no flag is set and each is as it is, the literals last.
+        for lsn in [8, 18, 28, 38] {
+            assert_eq!(w.append(&WalRecord::Commit { txn_id: 1 }).unwrap(), lsn);
+        }
         w.sync().unwrap();
-        let lz = [BLOCK_LZ, 20, 0x42, 9, 2, 1, 0, 1, 0, 0x06, 10, 0, 0x00];
-        want.extend_from_slice(&(lz.len() as u32).to_le_bytes());
-        want.extend_from_slice(&fnv1a(&lz).to_le_bytes());
-        want.extend_from_slice(&lz);
+        let coded = [
+            &[BLOCK_CODED, 40, 0b00000, 3, 1][..],
+            &[0x42, 0x0F, 0x00],
+            &[11],
+            &[1, 10],
+            &[0, 0],
+            &[9, 2, 1, 0],
+        ]
+        .concat();
+        want.extend_from_slice(&(coded.len() as u32).to_le_bytes());
+        want.extend_from_slice(&fnv1a(&coded).to_le_bytes());
+        want.extend_from_slice(&coded);
         assert_eq!(std::fs::read(&path).unwrap(), want);
         let lsns: Vec<Lsn> = read_log(&path).unwrap().into_iter().map(|(lsn, _)| lsn).collect();
-        assert_eq!(lsns, [0, 8, 18]);
-        assert_eq!(w.next_lsn(), 28);
+        assert_eq!(lsns, [0, 8, 18, 28, 38]);
+        assert_eq!(w.next_lsn(), 48);
     }
 
     /// A message the way a Gleambook load logs it: the storage encoding of
@@ -1489,7 +1528,7 @@ mod tests {
     #[test]
     fn every_cut_and_every_flipped_byte_drops_a_tail_or_refuses_never_misreads() {
         let MessageLog { image, ends, records } = message_log(3, &[3, 1, 9]);
-        assert!(blocks_of(&image).iter().any(|&(tag, ..)| tag == BLOCK_LZ), "a block worth coding");
+        assert!(blocks_of(&image).iter().any(|&(tag, ..)| tag == BLOCK_CODED), "a block worth coding");
         // the records of the blocks wholly below `at`, and where they end
         let below = |at: usize| *ends.iter().rev().find(|(end, _)| *end as usize <= at).unwrap();
         for cut in 0..=image.len() {
@@ -1513,12 +1552,12 @@ mod tests {
 
     #[test]
     fn a_stream_length_the_block_cannot_hold_is_refused_without_allocating() {
-        // an LZ block of four coded bytes that says it decodes to 2^40 or to
+        // a coded block of "abc" that says it decodes to 2^40 or to
         // u64::MAX: refused before a buffer of that size is asked for
         for raw_len in [1u64 << 40, u64::MAX] {
-            let mut body = vec![BLOCK_LZ];
+            let mut body = vec![BLOCK_CODED];
             put_varint(&mut body, raw_len);
-            body.extend_from_slice(b"\x30abc");
+            lz::Coder::default().compress(b"abc", &mut body);
             let mut log = (body.len() as u32).to_le_bytes().to_vec();
             log.extend_from_slice(&fnv1a(&body).to_le_bytes());
             log.extend_from_slice(&body);
@@ -1536,8 +1575,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
         /// Generated messages logged in group commits of any size read back
-        /// as appended, and a block of twenty or more is LZ-coded to under
-        /// two thirds of its records.
+        /// as appended; a block of twenty or more is coded to under 0.64 of
+        /// its records, one of sixty or more to under 0.55 (0.61 and 0.52 at
+        /// worst in 256 cases).
         #[test]
         fn real_log_blocks_round_trip(
             seed in proptest::prelude::any::<u64>(),
@@ -1546,8 +1586,11 @@ mod tests {
             let log = message_log(seed, &groups);
             for (&puts, (tag, raw_len, file_len)) in groups.iter().zip(blocks_of(&log.image)) {
                 if puts >= 20 {
-                    proptest::prop_assert_eq!(tag, BLOCK_LZ);
-                    proptest::prop_assert!(3 * file_len < 2 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
+                    proptest::prop_assert_eq!(tag, BLOCK_CODED);
+                    proptest::prop_assert!(100 * file_len < 64 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
+                }
+                if puts >= 60 {
+                    proptest::prop_assert!(100 * file_len < 55 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
                 }
             }
         }
