@@ -512,7 +512,7 @@ fn abort_after_a_seal_restores_before_images_across_a_crash() {
 
 /// What the manifest of index `index` of Msgs' partition 0 says: the LSN
 /// below which the index is durable, and how many components it names
-/// (DESIGN.md "Durability": a magic, that LSN, the component count, ...).
+/// (DESIGN.md "Durability": a header, that LSN, the component count, ...).
 fn manifest(dir: &Path, index: &str) -> (u64, u32) {
     let bytes = std::fs::read(dir.join("node0").join(format!("Msgs_p0_{index}.manifest"))).unwrap();
     (u64::from_le_bytes(bytes[4..12].try_into().unwrap()), u32::from_le_bytes(bytes[12..16].try_into().unwrap()))
@@ -1058,9 +1058,8 @@ fn log_len(dir: &Path) -> u64 {
 /// is ≈ 15 bytes plus key and value, and no field name and no dataset name
 /// is in there. The segment holds the stream of a sync as one coded block
 /// (an LZ77 parse, its byte streams Huffman-coded): at most half the bytes
-/// of its records. Tags 1, 6, 7, 8 and 9, a frame and checksum per record,
-/// and a block in LZ4's layout are retired: a log holding one is refused at
-/// open.
+/// of its records. A block or record of a tag this build does not read
+/// refuses the log at open (DESIGN.md "Format versions").
 const WRITE_HEADER_BYTES: u64 = 2 + 1 + 2 + 1 + 1 + 1 + 9;
 /// Length, tag, transaction.
 const COMMIT_BYTES: u64 = 1 + 1 + 8;

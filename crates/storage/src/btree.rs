@@ -67,7 +67,7 @@ use crate::cache::BufferCache;
 use crate::compaction::LsmMetricsHub;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
-use crate::le;
+use crate::le::{self, Cursor, Format};
 use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
 use asterix_adm::BatchBuilder;
@@ -76,15 +76,8 @@ use std::cmp::Ordering;
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// "BTR5". "BTR4" trees held rows whose `int`s took eight bytes and whose
-/// lengths and counts took two or four; "BTR3" trees stored strings as they
-/// are, with no symbol tables; "BTR2" trees had row leaves only and a trailer
-/// without a height or a column directory; "BTRE" keys needed decoding to be
-/// compared. A file of any of them is refused at open.
-const MAGIC: u32 = 0x4254_5235;
-const BTR4: u32 = 0x4254_5234;
-const BTR3: u32 = 0x4254_5233;
-const BTR2: u32 = 0x4254_5232;
+/// The trailer's header (see [`crate::le`]): "BTR5" as a little-endian u32.
+pub(crate) const FORMAT: Format = Format { kind: "B+ tree trailer", headers: &[&0x4254_5235u32.to_le_bytes()] };
 const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
 const ENTRY_OVERHEAD: usize = 2 /* offset */ + 4 /* lens */;
 const NO_NEXT: u64 = u64::MAX;
@@ -539,7 +532,7 @@ impl BTreeBuilder {
         // Trailer.
         let (min_key, max_key) = (self.first_key, self.last_key);
         let mut trailer = Vec::with_capacity(PAGE_SIZE);
-        trailer.extend_from_slice(&MAGIC.to_le_bytes());
+        trailer.extend_from_slice(FORMAT.headers[0]);
         trailer.extend_from_slice(&root.to_le_bytes());
         trailer.extend_from_slice(&self.entry_count.to_le_bytes());
         trailer.extend_from_slice(&leaf_end.to_le_bytes());
@@ -631,52 +624,30 @@ impl DiskBTree {
         if n_pages == 0 {
             return Err(StorageError::Corrupt("empty btree file".into()));
         }
-        let trailer = cache.manager().read_page(file, n_pages - 1)?;
-        let magic = le::try_u32_at(&trailer, 0)?;
-        let retired = match magic {
-            BTR4 => Some("BTR4 B+ tree file: written before rows were varint-coded"),
-            BTR3 => Some("BTR3 B+ tree file: written before string columns were coded"),
-            BTR2 => Some("BTR2 B+ tree file: written before primary components stored columns"),
-            _ => None,
-        };
-        if let Some(retired) = retired {
-            return Err(StorageError::Corrupt(format!("a {retired}, which is not read")));
-        }
-        if magic != MAGIC {
-            return Err(StorageError::Corrupt(format!(
-                "bad btree magic {magic:#010x} (this version reads {MAGIC:#010x}): not a B+ tree \
-                 file, or one written before keys were memcomparable, which is not read"
-            )));
-        }
-        let root = le::try_u64_at(&trailer, 4)?;
-        let entry_count = le::try_u64_at(&trailer, 12)?;
-        let leaf_end = le::try_u64_at(&trailer, 20)?;
-        let height = le::try_u32_at(&trailer, 28)?;
-        let meta_start = le::try_u64_at(&trailer, 32)?;
-        let meta_pages = le::try_u32_at(&trailer, 40)? as u64;
-        let bloom_len = le::try_u32_at(&trailer, 44)? as usize;
-        let columns_len = le::try_u32_at(&trailer, 48)? as usize;
-        let tables_len = le::try_u32_at(&trailer, 52)? as usize;
-        let min_len = le::try_u32_at(&trailer, 56)? as usize;
-        let min_key = le::try_bytes_at(&trailer, 60, min_len)?.to_vec();
-        let max_len = le::try_u32_at(&trailer, 60 + min_len)? as usize;
-        let max_key = le::try_bytes_at(&trailer, 64 + min_len, max_len)?.to_vec();
+        let page = cache.manager().read_page(file, n_pages - 1)?;
+        let mut trailer = Cursor::new(&page);
+        trailer.header(&FORMAT)?;
+        let (root, entry_count, leaf_end) = (trailer.u64()?, trailer.u64()?, trailer.u64()?);
+        let height = trailer.u32()?;
+        let (meta_start, meta_pages) = (trailer.u64()?, u64::from(trailer.u32()?));
+        let [bloom_len, columns_len, tables_len] = [trailer.u32()?, trailer.u32()?, trailer.u32()?].map(|n| n as usize);
+        let min_len = trailer.u32()? as usize;
+        let min_key = trailer.bytes(min_len)?.to_vec();
+        let max_len = trailer.u32()? as usize;
+        let max_key = trailer.bytes(max_len)?.to_vec();
         if leaf_end > meta_start.saturating_mul(PAGE_SIZE as u64) || meta_start.checked_add(meta_pages) != Some(n_pages - 1) {
             return Err(StorageError::Corrupt("btree trailer: regions out of order".into()));
         }
-        let mut meta = Vec::with_capacity(meta_pages as usize * PAGE_SIZE);
+        let mut pages = Vec::with_capacity(meta_pages as usize * PAGE_SIZE);
         for p in 0..meta_pages {
-            meta.extend_from_slice(&cache.manager().read_page(file, meta_start + p)?);
+            pages.extend_from_slice(&cache.manager().read_page(file, meta_start + p)?);
         }
-        let bloom = match bloom_len {
-            0 => None,
-            _ => Some(
-                BloomFilter::from_bytes(le::try_bytes_at(&meta, 0, bloom_len)?)
-                    .ok_or_else(|| StorageError::Corrupt("bad bloom filter".into()))?,
-            ),
+        let mut meta = Cursor::new(&pages);
+        let (bloom, columns, tables) = (meta.bytes(bloom_len)?, meta.bytes(columns_len)?, meta.bytes(tables_len)?);
+        let bloom = match bloom {
+            [] => None,
+            bytes => Some(BloomFilter::from_bytes(bytes).ok_or_else(|| StorageError::Corrupt("bad bloom filter".into()))?),
         };
-        let columns = le::try_bytes_at(&meta, bloom_len, columns_len)?;
-        let tables = le::try_bytes_at(&meta, bloom_len + columns_len, tables_len)?;
         let shape = match layout {
             None if columns.is_empty() && tables.is_empty() => None,
             Some(layout) if columns == column_directory(layout) => {

@@ -66,8 +66,8 @@ use crate::compaction::{
 };
 use crate::error::{Result, StorageError};
 use crate::io::FileId;
-use crate::le;
-use crate::wal::{fnv1a, Lsn};
+use crate::le::{fnv1a, Cursor, Format};
+use crate::wal::Lsn;
 use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -301,9 +301,8 @@ impl<K: ComponentKind> Drop for Component<K> {
 // The manifest
 // ---------------------------------------------------------------------------
 
-/// "AXM2". "AXMF" manifests name components whose keys are not
-/// memcomparable; one of them is refused, with the data directory it is in.
-const MANIFEST_MAGIC: u32 = 0x324d_5841;
+/// The manifest's header (see [`crate::le`]).
+pub(crate) const FORMAT: Format = Format { kind: "manifest", headers: &[b"AXM2"] };
 const MANIFEST_SUFFIX: &str = ".manifest";
 
 fn manifest_path(dir: &Path, index: &str) -> std::path::PathBuf {
@@ -321,7 +320,7 @@ struct ManifestEntry {
 /// The durable component list of one index, newest first, and the LSN below
 /// which every logged operation of the index is in one of the components.
 ///
-/// Layout (little-endian): magic, `flushed_below`, component count, then per
+/// Layout (little-endian): header, `flushed_below`, component count, then per
 /// component `id, size_bytes, first_lsn, below_lsn, file count, (len, name)*`,
 /// closed by an FNV-1a checksum of all of it.
 #[derive(Default)]
@@ -333,7 +332,7 @@ struct Manifest {
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 64 * self.components.len());
-        out.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+        out.extend_from_slice(FORMAT.headers[0]);
         out.extend_from_slice(&self.flushed_below.to_le_bytes());
         out.extend_from_slice(&(self.components.len() as u32).to_le_bytes());
         for c in &self.components {
@@ -352,42 +351,21 @@ impl Manifest {
     }
 
     fn decode(buf: &[u8]) -> Result<Manifest> {
-        let corrupt = || StorageError::Corrupt("bad manifest".into());
-        let body = buf.len().checked_sub(4).ok_or_else(corrupt)?;
-        let magic = le::try_u32_at(buf, 0)?;
-        if magic != MANIFEST_MAGIC {
-            return Err(StorageError::Corrupt(format!(
-                "bad manifest magic {magic:#010x} (this version reads {MANIFEST_MAGIC:#010x}): not a \
-                 manifest, or one written before keys were memcomparable, which is not read"
-            )));
+        let (body, crc) = buf.split_at(buf.len().saturating_sub(4));
+        let mut c = Cursor::new(body);
+        c.header(&FORMAT)?;
+        if Cursor::new(crc).u32()? != fnv1a(body) {
+            return Err(StorageError::Corrupt("manifest: checksum does not hold".into()));
         }
-        if le::try_u32_at(buf, body)? != fnv1a(&buf[..body]) {
-            return Err(corrupt());
-        }
-        let mut r = 4usize;
-        let u64_at = |r: &mut usize| -> Result<u64> {
-            let v = le::try_u64_at(buf, *r)?;
-            *r += 8;
-            Ok(v)
-        };
-        let flushed_below = u64_at(&mut r)?;
-        let count = le::try_u32_at(buf, r)?;
-        r += 4;
+        let flushed_below = c.u64()?;
+        let count = c.u32()?;
         // grown by what the buffer actually holds, never by a stored count
         let mut components = Vec::new();
         for _ in 0..count {
-            let id = u64_at(&mut r)?;
-            let size_bytes = u64_at(&mut r)?;
-            let lsns = (u64_at(&mut r)?, u64_at(&mut r)?);
-            let n_files = le::try_u32_at(buf, r)?;
-            r += 4;
+            let (id, size_bytes, lsns) = (c.u64()?, c.u64()?, (c.u64()?, c.u64()?));
             let mut files = Vec::new();
-            for _ in 0..n_files {
-                let len = le::try_u32_at(buf, r)? as usize;
-                r += 4;
-                let name = std::str::from_utf8(le::try_bytes_at(buf, r, len)?).map_err(|_| corrupt())?;
-                r += len;
-                files.push(name.to_owned());
+            for _ in 0..c.u32()? {
+                files.push(c.str()?.to_owned());
             }
             components.push(ManifestEntry { id, size_bytes, lsns, files });
         }

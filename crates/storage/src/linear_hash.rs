@@ -19,6 +19,7 @@
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PAGE_SIZE};
+use crate::le::Cursor;
 use std::hash::Hasher;
 use std::sync::Arc;
 
@@ -42,23 +43,14 @@ impl BucketPage {
     }
 
     fn parse(page: &[u8]) -> Result<Self> {
-        let n = crate::le::u16_at(page, 0) as usize;
-        let next = crate::le::u64_at(page, 2);
-        let mut entries = Vec::with_capacity(n);
-        let mut r = HEADER;
+        let mut c = Cursor::new(page);
+        let (n, next) = (c.u16()?, c.u64()?);
+        let mut entries = Vec::with_capacity(n.into());
         for _ in 0..n {
-            if r + 4 > page.len() {
-                return Err(StorageError::Corrupt("truncated hash bucket".into()));
-            }
-            let klen = crate::le::try_u16_at(page, r)? as usize;
-            r += 2;
-            let key = crate::le::try_bytes_at(page, r, klen)?.to_vec();
-            r += klen;
-            let vlen = crate::le::try_u16_at(page, r)? as usize;
-            r += 2;
-            let val = crate::le::try_bytes_at(page, r, vlen)?.to_vec();
-            r += vlen;
-            entries.push((key, val));
+            let klen = c.u16()?.into();
+            let key = c.bytes(klen)?.to_vec();
+            let vlen = c.u16()?.into();
+            entries.push((key, c.bytes(vlen)?.to_vec()));
         }
         Ok(BucketPage { entries, next })
     }

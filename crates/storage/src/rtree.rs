@@ -17,12 +17,12 @@
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
+use crate::le::{Cursor, Format};
 use asterix_adm::{Point, Rectangle};
 use std::sync::Arc;
 
-/// "RTR2". "RTRE" entries carried primary keys in the encoding that was not
-/// memcomparable; a file of it is refused at open.
-const MAGIC: u32 = 0x5254_5232;
+/// The trailer's header (see [`crate::le`]): "RTR2" as a little-endian u32.
+pub(crate) const FORMAT: Format = Format { kind: "R-tree trailer", headers: &[&0x5254_5232u32.to_le_bytes()] };
 const INTERNAL_CAP: usize = 128;
 
 // ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ impl RTreeBuilder {
         }
         // trailer
         let mut trailer = vec![0u8; PAGE_SIZE];
-        trailer[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+        trailer[0..4].copy_from_slice(FORMAT.headers[0]);
         trailer[4..12].copy_from_slice(&root_page.to_le_bytes());
         trailer[12..20].copy_from_slice(&(n as u64).to_le_bytes());
         trailer[20] = self.point_optimize as u8;
@@ -526,23 +526,23 @@ impl DiskRTree {
         }
     }
 
-    /// Opens an existing component file via its trailer.
+    /// Opens an existing component file via its trailer, whose root must be
+    /// one of the pages before it.
     pub fn open(cache: Arc<BufferCache>, file: FileId) -> Result<Self> {
         let n_pages = cache.manager().page_count(file)?;
         if n_pages == 0 {
             return Err(StorageError::Corrupt("empty rtree file".into()));
         }
-        let trailer = cache.manager().read_page(file, n_pages - 1)?;
-        let magic = crate::le::try_u32_at(&trailer, 0)?;
-        if magic != MAGIC {
+        let page = cache.manager().read_page(file, n_pages - 1)?;
+        let mut trailer = Cursor::new(&page);
+        trailer.header(&FORMAT)?;
+        let (root_page, entry_count, data_pages) = (trailer.u64()?, trailer.u64()?, n_pages - 1);
+        if root_page >= data_pages {
             return Err(StorageError::Corrupt(format!(
-                "bad rtree magic {magic:#010x} (this version reads {MAGIC:#010x}): not an R-tree \
-                 file, or one written before keys were memcomparable, which is not read"
+                "rtree trailer: root page {root_page} is not one of the {data_pages} tree pages"
             )));
         }
-        let root_page = crate::le::try_u64_at(&trailer, 4)?;
-        let entry_count = crate::le::try_u64_at(&trailer, 12)?;
-        Ok(DiskRTree { cache, file, root_page, entry_count, data_pages: n_pages - 1 })
+        Ok(DiskRTree { cache, file, root_page, entry_count, data_pages })
     }
 
     /// The component file id.
@@ -604,13 +604,10 @@ impl DiskRTree {
             leaf_entries(&page, query, out)?;
             return Ok(());
         }
-        let n = crate::le::u16_at(&page, 1) as usize;
-        let mut r = 3usize;
+        let mut c = Cursor::new(&page);
+        let (_, n) = (c.u8()?, c.u16()?);
         for _ in 0..n {
-            let mbr = read_rect(crate::le::try_bytes_at(&page, r, 32)?);
-            r += 32;
-            let child = crate::le::try_u64_at(&page, r)?;
-            r += 8;
+            let (mbr, child) = (read_rect(c.bytes(32)?), c.u64()?);
             if mbr.intersects(query) {
                 self.search_page(child, query, out)?;
             }
@@ -622,25 +619,15 @@ impl DiskRTree {
 /// Appends to `out` the entries of leaf `page` that intersect `query`;
 /// returns how many entries the leaf holds.
 fn leaf_entries(page: &[u8], query: &Rectangle, out: &mut Vec<SpatialEntry>) -> Result<u64> {
-    let n = crate::le::u16_at(page, 1);
-    let mut r = 3usize;
+    let mut c = Cursor::new(page);
+    let (_, n) = (c.u8()?, c.u16()?);
     for _ in 0..n {
-        let as_point = crate::le::try_bytes_at(page, r, 1)?[0] == 1;
-        r += 1;
-        let mbr = if as_point {
-            let x = crate::le::try_f64_at(page, r)?;
-            let y = crate::le::try_f64_at(page, r + 8)?;
-            r += 16;
-            Point::new(x, y).to_mbr()
-        } else {
-            let rect = read_rect(crate::le::try_bytes_at(page, r, 32)?);
-            r += 32;
-            rect
+        let mbr = match c.u8()? {
+            1 => Point::new(f64::from_bits(c.u64()?), f64::from_bits(c.u64()?)).to_mbr(),
+            _ => read_rect(c.bytes(32)?),
         };
-        let klen = crate::le::try_u16_at(page, r)? as usize;
-        r += 2;
-        let key = crate::le::try_bytes_at(page, r, klen)?;
-        r += klen;
+        let klen = c.u16()? as usize;
+        let key = c.bytes(klen)?;
         if mbr.intersects(query) {
             out.push(SpatialEntry { mbr, key: key.to_vec() });
         }
@@ -759,6 +746,29 @@ mod tests {
         let fid = cache2.manager().open("e.rtree").unwrap();
         let t = DiskRTree::open(cache2, fid).unwrap();
         assert_eq!(t.len(), 0);
+    }
+
+    #[test]
+    fn a_trailer_whose_root_is_not_a_tree_page_is_refused_at_open() {
+        let (cache, dir) = setup();
+        let w = cache.manager().bulk_writer("r.rtree").unwrap();
+        let built = RTreeBuilder::new(w, true).build(grid_points(40)).unwrap();
+        let path = dir.path().join("r.rtree");
+        let mut file = std::fs::read(&path).unwrap();
+        let trailer = file.len() - PAGE_SIZE;
+        // the last tree page is a root; the trailer's own page and past it are not
+        for (root, opens) in [(built.data_pages - 1, true), (built.data_pages, false), (u64::MAX, false)] {
+            file[trailer + 4..trailer + 12].copy_from_slice(&root.to_le_bytes());
+            std::fs::write(&path, &file).unwrap();
+            let fm = FileManager::new(dir.path(), IoStats::new()).unwrap();
+            let cache = BufferCache::new(fm, 8);
+            let fid = cache.manager().open("r.rtree").unwrap();
+            match DiskRTree::open(cache, fid) {
+                Ok(_) => assert!(opens, "root {root} opened"),
+                Err(StorageError::Corrupt(why)) => assert!(!opens && why.contains("root page"), "root {root}: {why}"),
+                Err(e) => panic!("root {root}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -31,10 +31,10 @@
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
-use crate::le;
+use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::OrderedMutex;
 use crate::lz;
-use asterix_adm::binary::{put_varint, read_varint};
+use asterix_adm::binary::put_varint;
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -70,10 +70,10 @@ pub enum WalRecord {
         key: Vec<u8>,
         value: Vec<u8>,
     },
-    /// The retired layout of a data operation, naming its dataset by name.
-    /// The repository benchmark's log-append probe still builds and appends
-    /// it; nothing reads it back — a frame of it refuses the log it is in
-    /// (see [`scan_log`]).
+    /// A data operation naming its dataset by name, in a layout nothing
+    /// reads: the repository benchmark's log-append probe still builds and
+    /// appends it, and a record of it refuses the log it is in (see
+    /// [`scan_log`]).
     Update {
         txn_id: u64,
         dataset: String,
@@ -98,22 +98,18 @@ pub enum WalRecord {
     FeedCursor { txn_id: u64, feed: String, seq: u64 },
 }
 
-/// Tag bytes of [`WalRecord::Write`]: a put and a delete. 1
-/// ([`WalRecord::Update`]), 6 (keys not memcomparable), 7 (a fixed-width
-/// header) and 8 and 9 (this header around a value whose `int`s took eight
-/// bytes and whose lengths took two or four) are retired: a segment holding
-/// one is refused, not misread.
+/// Tag bytes of [`WalRecord::Write`] — a put and a delete — and of
+/// [`WalRecord::Update`], which no reader knows.
 const TAG_PUT: u8 = 10;
 const TAG_DELETE: u8 = 11;
 const TAG_UPDATE: u8 = 1;
 
 /// Tag bytes of a block: its payload is the record stream as it is, or
-/// coded. Retired, and refused rather than misread: `0x21`, the stream in
-/// LZ4's block layout, its bytes stored as they came; and a byte below
-/// `0x20` after a checksum that holds, a record tag (1–11) of the layout
-/// that framed and checksummed each record on its own.
+/// coded.
 const BLOCK_RAW: u8 = 0x20;
 const BLOCK_CODED: u8 = 0x22;
+/// The block's header (see [`crate::le`]): its tag.
+pub(crate) const FORMAT: Format = Format { kind: "log block", headers: &[&[BLOCK_RAW], &[BLOCK_CODED]] };
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -215,82 +211,38 @@ impl WalRecord {
     }
 
     fn decode(buf: &[u8]) -> Result<WalRecord> {
-        let corrupt = || StorageError::Corrupt("bad WAL record".into());
-        let mut r = 0usize;
-        let take = |n: usize, r: &mut usize| -> Result<&[u8]> {
-            if n > buf.len() - *r {
-                return Err(corrupt());
-            }
-            let s = &buf[*r..*r + n];
-            *r += n;
-            Ok(s)
-        };
-        let take_varint = |r: &mut usize| -> Result<u64> {
-            let (v, n) = read_varint(&buf[*r..]).ok_or_else(corrupt)?;
-            *r += n;
-            Ok(v)
-        };
-        let take_u32 = |r: &mut usize| -> Result<u32> {
-            let v = le::try_u32_at(buf, *r)?;
-            *r += 4;
-            Ok(v)
-        };
-        let take_u64 = |r: &mut usize| -> Result<u64> {
-            let v = le::try_u64_at(buf, *r)?;
-            *r += 8;
-            Ok(v)
-        };
-        let take_str = |r: &mut usize| -> Result<String> {
-            let len = take_u32(r)? as usize;
-            Ok(std::str::from_utf8(take(len, r)?).map_err(|_| corrupt())?.to_owned())
-        };
-        let tag = take(1, &mut r)?[0];
-        match tag {
+        let mut c = Cursor::new(buf);
+        let tag = c.u8()?;
+        Ok(match tag {
             TAG_PUT | TAG_DELETE => {
-                let txn_id = take_varint(&mut r)?;
-                let dataset = u32::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
-                let partition = u32::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
-                let klen = usize::try_from(take_varint(&mut r)?).map_err(|_| corrupt())?;
-                let key = take(klen, &mut r)?.to_vec();
-                let value = buf[r..].to_vec();
+                let (txn_id, dataset, partition) = (c.varint()?, c.varint()?, c.varint()?);
+                let klen = c.varint()?;
+                let key = c.bytes(klen)?.to_vec();
+                let value = c.rest().to_vec();
                 let is_delete = tag == TAG_DELETE;
                 if is_delete && !value.is_empty() {
-                    return Err(corrupt());
+                    return Err(StorageError::Corrupt("log record: a delete with a value".into()));
                 }
-                Ok(WalRecord::Write { txn_id, dataset, partition, is_delete, key, value })
+                WalRecord::Write { txn_id, dataset, partition, is_delete, key, value }
             }
-            2 => Ok(WalRecord::Commit { txn_id: take_u64(&mut r)? }),
-            3 => Ok(WalRecord::Abort { txn_id: take_u64(&mut r)? }),
+            2 => WalRecord::Commit { txn_id: c.u64()? },
+            3 => WalRecord::Abort { txn_id: c.u64()? },
             4 => {
-                let max_txn = take_u64(&mut r)?;
-                let n = take_u32(&mut r)?;
+                let (max_txn, n) = (c.u64()?, c.u32()?);
                 // grown by what the buffer actually holds, never by `n`
                 let mut feed_cursors = Vec::new();
                 for _ in 0..n {
-                    let feed = take_str(&mut r)?;
-                    feed_cursors.push((feed, take_u64(&mut r)?));
+                    feed_cursors.push((c.str()?.to_owned(), c.u64()?));
                 }
-                Ok(WalRecord::Checkpoint { max_txn, feed_cursors })
+                WalRecord::Checkpoint { max_txn, feed_cursors }
             }
             5 => {
-                let txn_id = take_u64(&mut r)?;
-                let feed = take_str(&mut r)?;
-                let seq = take_u64(&mut r)?;
-                Ok(WalRecord::FeedCursor { txn_id, feed, seq })
+                let (txn_id, feed, seq) = (c.u64()?, c.str()?.to_owned(), c.u64()?);
+                WalRecord::FeedCursor { txn_id, feed, seq }
             }
-            _ => Err(corrupt()),
-        }
+            _ => return Err(StorageError::Corrupt(format!("log record: no record has tag {tag}"))),
+        })
     }
-}
-
-/// The checksum of log blocks and manifests.
-pub(crate) fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for b in data {
-        h ^= *b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Appender over one log file.
@@ -489,63 +441,49 @@ struct Scan {
     stream_len: u64,
 }
 
-/// The error for a block that passed its checksum and still does not read:
-/// it was written whole in a layout this version does not read, not torn by
-/// a crash, so the log is refused rather than cut short there.
-fn refused(what: &str, lsn: Lsn, tag: Option<&u8>) -> StorageError {
-    StorageError::Corrupt(format!(
-        "log {what} at LSN {lsn} passes its checksum but has no layout this version reads \
-         (tag {tag:?}): the log was written by another version"
-    ))
-}
-
-/// A block's record stream: its payload decoded. `Err` names the tag of a
-/// block that is not one.
-fn decode_block(body: &[u8]) -> std::result::Result<Cow<'_, [u8]>, Option<&u8>> {
-    let tag = body.first();
-    let (raw_len, n) = read_varint(body.get(1..).unwrap_or_default()).ok_or(tag)?;
-    let raw_len = usize::try_from(raw_len).map_err(|_| tag)?;
-    let payload = &body[1 + n..];
-    match tag {
-        Some(&BLOCK_RAW) if payload.len() == raw_len => Ok(Cow::Borrowed(payload)),
-        Some(&BLOCK_CODED) => lz::decompress(payload, raw_len).map(Cow::Owned).ok_or(tag),
-        _ => Err(tag),
-    }
+/// A block's record stream: its payload decoded.
+fn decode_block(body: &[u8]) -> Result<Cow<'_, [u8]>> {
+    let mut c = Cursor::new(body);
+    let tag = c.header(&FORMAT)?;
+    let raw_len = c.varint()?;
+    let payload = c.rest();
+    let stream = match tag {
+        [BLOCK_RAW] => (payload.len() == raw_len).then_some(Cow::Borrowed(payload)),
+        _ => lz::decompress(payload, raw_len).map(Cow::Owned),
+    };
+    stream.ok_or_else(|| StorageError::Corrupt(format!("log block: its payload is not a stream of {raw_len} bytes")))
 }
 
 /// Scans the image of a log file whose first record is LSN `base`, up to
 /// its first block that is cut short or fails its checksum (a crash tail).
+/// A block past its checksum was written whole, so one that does not read —
+/// another version's, or damaged before its checksum was taken — refuses
+/// the log rather than cut it short there.
 fn scan_log(buf: &[u8], base: Lsn) -> Result<Scan> {
     let mut records = Vec::new();
-    let (mut pos, mut stream) = (0usize, 0u64);
-    while pos + 8 <= buf.len() {
-        let len = le::u32_at(buf, pos) as usize;
-        let crc = le::u32_at(buf, pos + 4);
-        if len > buf.len() - pos - 8 {
-            break; // torn tail
-        }
-        let body = &buf[pos + 8..pos + 8 + len];
+    let (mut file, mut file_len, mut stream) = (Cursor::new(buf), 0, 0);
+    // a block cut short is a torn tail
+    while let Ok((crc, body)) = next_block(&mut file) {
         if fnv1a(body) != crc {
             break; // corrupt tail
         }
-        let at = base + stream;
-        let decoded = decode_block(body).map_err(|tag| refused("block", at, tag))?;
-        let mut rest: &[u8] = &decoded;
-        while !rest.is_empty() {
-            let lsn = at + (decoded.len() - rest.len()) as Lsn;
-            let end = read_varint(rest)
-                .and_then(|(len, n)| Some((n, n.checked_add(usize::try_from(len).ok()?)?)))
-                .filter(|&(_, end)| end <= rest.len());
-            let (start, end) = end.ok_or_else(|| refused("record", lsn, None))?;
-            let record = &rest[start..end];
-            let record = WalRecord::decode(record).map_err(|_| refused("record", lsn, record.first()))?;
-            records.push((lsn, record));
-            rest = &rest[end..];
+        let decoded = decode_block(body)?;
+        let mut c = Cursor::new(&decoded);
+        while c.pos() < decoded.len() {
+            let lsn = base + stream + c.pos() as Lsn;
+            let len = c.varint()?;
+            records.push((lsn, WalRecord::decode(c.bytes(len)?)?));
         }
         stream += decoded.len() as u64;
-        pos += 8 + len;
+        file_len = file.pos() as u64;
     }
-    Ok(Scan { records, file_len: pos as u64, stream_len: stream })
+    Ok(Scan { records, file_len, stream_len: stream })
+}
+
+/// The next block's checksum and the bytes it covers.
+fn next_block<'a>(file: &mut Cursor<'a>) -> Result<(u32, &'a [u8])> {
+    let (len, crc) = (file.u32()?, file.u32()?);
+    Ok((crc, file.bytes(len as usize)?))
 }
 
 fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking, "WAL replay read at recovery time; single-threaded startup")
@@ -995,7 +933,9 @@ impl GroupCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::le;
     use crate::testutil::TempDir;
+    use asterix_adm::binary::read_varint;
     use asterix_adm::{Point, Value};
     use rand::{Rng, SeedableRng};
 
@@ -1071,87 +1011,6 @@ mod tests {
         assert!(matches!(read_log(&path), Err(StorageError::Corrupt(_))));
         assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
         assert_eq!(std::fs::metadata(&path).unwrap().len(), len, "nothing was truncated");
-    }
-
-    #[test]
-    fn a_write_frame_under_the_retired_tag_refuses_the_log() {
-        // tags 6 and 7: the fixed-width layout — u64 transaction, u32 dataset
-        // and partition, a delete byte, u32-length key and value — around a
-        // key that is not memcomparable (6) and one that is (7)
-        let fixed_width = |tag: u8, key: &[u8]| {
-            let mut out = vec![tag];
-            out.extend_from_slice(&1u64.to_le_bytes());
-            out.extend_from_slice(&7u32.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes());
-            out.push(0);
-            put_bytes(&mut out, key);
-            put_bytes(&mut out, b"v");
-            out
-        };
-        // tags 8 and 9: today's header around a put of a row whose `int`s
-        // took eight bytes and whose counts two or four (8) — `{k: 42}`, one
-        // declared field and no open one — and a delete (9)
-        let old_row = b"\x01\0\x01\x03\x2a\0\0\0\0\0\0\0\0\0\0\0";
-        let varint_header = |tag: u8, value: &[u8]| {
-            [&[tag, 1, 7, 0, 9][..], b"\x05\x80\0\0\0\0\0\0\x2a", value].concat()
-        };
-        let commit = |txn_id| {
-            let mut out = Vec::new();
-            WalRecord::Commit { txn_id }.encode_into(&mut out);
-            out
-        };
-        let retired = [
-            fixed_width(6, b"\x01\0\0\0\x03\x2a\0\0\0\0\0\0\0"),
-            fixed_width(7, b"\x03\x80\0\0\0\0\0\0\x2a"),
-            varint_header(8, old_row),
-            varint_header(9, b""),
-        ];
-        // The retired log layout: every record in a frame of its own — u32
-        // length, u32 FNV-1a of the payload, the payload — whatever its
-        // tag, today's put (10), delete (11) and commit (2) included. Its
-        // first frame passes the block checksum and starts with no block tag.
-        let own_frame = |payload: &[u8]| {
-            let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
-            frame.extend_from_slice(payload);
-            frame
-        };
-        let today = [write_payload(1, 7, 0, b"k", Some(b"v")), write_payload(1, 7, 0, b"k", None), commit(1)];
-        let mut logs: Vec<(u8, Vec<u8>)> = retired
-            .iter()
-            .chain(&today)
-            .map(|payload| (payload[0], [own_frame(payload), own_frame(&commit(1))].concat()))
-            .collect();
-        // and the retired records in a block of today's layout
-        for payload in &retired {
-            let mut stream = Vec::new();
-            record_into(&mut stream, |out| out.extend_from_slice(payload));
-            record_into(&mut stream, |out| out.extend_from_slice(&commit(1)));
-            let mut block = Vec::new();
-            block_into(&mut block, &stream, &mut lz::Coder::default());
-            logs.push((payload[0], block));
-        }
-        // and a block of the retired tag 0x21, its payload in LZ4's layout:
-        // two commits as four literals, a run of six at distance one and a
-        // match of ten at distance ten, the bytes stored as they came
-        let lz4_layout = [0x21, 20, 0x42, 9, 2, 1, 0, 1, 0, 0x06, 10, 0, 0x00];
-        let mut block = (lz4_layout.len() as u32).to_le_bytes().to_vec();
-        block.extend_from_slice(&fnv1a(&lz4_layout).to_le_bytes());
-        block.extend_from_slice(&lz4_layout);
-        logs.push((0x21, block));
-        for (tag, log) in logs {
-            let dir = TempDir::new();
-            let path = dir.path().join("wal.log");
-            std::fs::write(&path, &log).unwrap();
-            match read_log(&path) {
-                Err(StorageError::Corrupt(why)) => {
-                    assert!(why.contains(&format!("tag Some({tag})")) && why.contains("another version"), "{why}")
-                }
-                other => panic!("tag {tag}: expected the log to be refused, got {other:?}"),
-            }
-            assert!(matches!(WalWriter::open(&path), Err(StorageError::Corrupt(_))));
-            assert_eq!(std::fs::read(&path).unwrap(), log, "tag {tag}: nothing was truncated");
-        }
     }
 
     fn write_payload(txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) -> Vec<u8> {

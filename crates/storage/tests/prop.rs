@@ -464,52 +464,6 @@ proptest! {
     }
 }
 
-/// A component file of a retired format is refused by name, not searched
-/// with the wrong comparator or read as the wrong leaf shape: "BTRE", from
-/// before keys were memcomparable, "BTR2", whose trailer had no height and no
-/// column directory, and "BTR3", whose strings were not coded.
-#[test]
-fn btree_files_of_the_retired_formats_are_refused() {
-    let retired = [
-        (0x4254_5245u32, "memcomparable"),
-        (0x4254_5232, "BTR2"),
-        (0x4254_5233, "BTR3"),
-        (0x4254_5234, "BTR4 B+ tree file: written before rows were varint-coded"),
-    ];
-    for (magic, said) in retired {
-        let (cache, _d) = setup(8);
-        let mut w = cache.manager().bulk_writer("old.btree").unwrap();
-        // one leaf as those formats laid it out, its one key whole in its entry
-        let old_key = [1u8, 0, 0, 0, 3, 42, 0, 0, 0, 0, 0, 0, 0];
-        let mut leaf = vec![0u8; asterix_storage::PAGE_SIZE];
-        leaf[0] = 1;
-        leaf[1..3].copy_from_slice(&1u16.to_le_bytes());
-        leaf[3..11].copy_from_slice(&1u64.to_le_bytes());
-        leaf[11..13].copy_from_slice(&13u16.to_le_bytes());
-        leaf[13..15].copy_from_slice(&13u16.to_le_bytes());
-        leaf[15..28].copy_from_slice(&old_key);
-        leaf[28..30].copy_from_slice(&1u16.to_le_bytes());
-        leaf[30] = b'v';
-        w.append(&leaf).unwrap();
-        let mut trailer = vec![0u8; asterix_storage::PAGE_SIZE];
-        trailer[0..4].copy_from_slice(&magic.to_le_bytes());
-        trailer[12..20].copy_from_slice(&1u64.to_le_bytes()); // one entry, rooted at page 0
-        trailer[20..28].copy_from_slice(&1u64.to_le_bytes());
-        trailer[28..36].copy_from_slice(&1u64.to_le_bytes());
-        for at in [44, 61] {
-            trailer[at..at + 4].copy_from_slice(&13u32.to_le_bytes());
-            trailer[at + 4..at + 17].copy_from_slice(&old_key);
-        }
-        w.append(&trailer).unwrap();
-        let file = w.finish().unwrap();
-        match DiskBTree::open(cache, file, None) {
-            Err(asterix_storage::StorageError::Corrupt(why)) => assert!(why.contains(said), "{why}"),
-            Err(other) => panic!("refused for the wrong reason: {other:?}"),
-            Ok(_) => panic!("a file of a retired format was opened"),
-        }
-    }
-}
-
 /// One step of the reopen model check: upsert, delete, flush, merge the
 /// newest components, or restart.
 #[derive(Debug, Clone)]
