@@ -1,6 +1,8 @@
-//! Compact binary serialization of [`Value`]s — the on-page format used by the
-//! storage layer (LSM components, WAL records) and by Hyracks when spilling
-//! frames to disk.
+//! Compact binary serialization of [`Value`]s: how each value of a stored
+//! record is written inside its row (the row around them — declared fields by
+//! position, open ones by name — is [`crate::layout`]'s), and the whole-value
+//! encoding of what has no type: the frames Hyracks and a feed spill to
+//! disk.
 //!
 //! Layout: one tag byte followed by a payload. An `int` is a zigzag LEB128
 //! varint ([`put_zigzag`]): one byte for -64..=63, two up to ±8 191, ten at
@@ -8,8 +10,8 @@
 //! multiset, an object's fields and each field's name — is a LEB128 varint
 //! ([`put_varint`]), one byte below 128. A double, a point, a rectangle, a
 //! date, a time, a datetime, a duration and a uuid keep their fixed widths.
-//! Object fields carry their names inline (this is exactly what makes
-//! *undeclared open fields* cost extra space — experiment E10). A varint is
+//! An object's fields carry their names inline, as a row's open part does
+//! (what makes an *undeclared field* cost its name — experiment E10). A varint is
 //! read back only in its one shortest form, so a value has one encoding and
 //! re-encoding what was decoded gives back the same bytes. Composite index
 //! keys have an encoding of their own,
@@ -289,28 +291,28 @@ impl<'a> Decoder<'a> {
         Ok(())
     }
 
-    /// The fields of an object, from after its tag: those named in `fields`,
-    /// all of them when `fields` is empty. Stops reading once every name in
-    /// `fields` is found.
-    fn object(&mut self, fields: &[String]) -> Result<Object> {
-        let n = self.len()?;
-        let mut o = Object::with_capacity(if fields.is_empty() { n } else { fields.len() });
+    /// Reads `n` `name value` pairs — an object's fields after their count,
+    /// or a row's open part's — into `obj`: every one, or those whose name
+    /// `wanted` holds, the others stepped over. Reading stops once each name
+    /// wanted is in; whether it read all `n`.
+    pub(crate) fn pairs(&mut self, n: usize, wanted: Option<&[String]>, obj: &mut Object) -> Result<bool> {
+        let mut unresolved = wanted.map_or(usize::MAX, <[String]>::len);
         for _ in 0..n {
             let klen = self.len()?;
-            let kbytes = self.take(klen)?;
-            if !fields.is_empty() && !fields.iter().any(|f| f.as_bytes() == kbytes) {
+            let name = self.take(klen)?;
+            if wanted.is_some_and(|names| !names.iter().any(|f| f.as_bytes() == name)) {
                 self.skip_value()?;
                 continue;
             }
-            let key = std::str::from_utf8(kbytes)
-                .map_err(|_| AdmError::Serde("invalid UTF-8 in field name".into()))?
-                .to_owned();
-            o.set(key, self.value()?);
-            if o.len() == fields.len() {
-                break;
+            let name =
+                std::str::from_utf8(name).map_err(|_| AdmError::Serde("invalid UTF-8 in field name".into()))?;
+            obj.set(name.to_owned(), self.value()?);
+            unresolved -= 1;
+            if unresolved == 0 {
+                return Ok(false);
             }
         }
-        Ok(o)
+        Ok(true)
     }
 
     /// Decodes one value.
@@ -362,7 +364,12 @@ impl<'a> Decoder<'a> {
                     Value::Multiset(items)
                 }
             }
-            T_OBJECT => Value::Object(self.object(&[])?),
+            T_OBJECT => {
+                let n = self.len()?;
+                let mut o = Object::with_capacity(n);
+                self.pairs(n, None, &mut o)?;
+                Value::Object(o)
+            }
             other => return Err(AdmError::Serde(format!("unknown tag byte {other}"))),
         })
     }
@@ -379,18 +386,6 @@ pub fn decode(buf: &[u8]) -> Result<Value> {
         )));
     }
     Ok(v)
-}
-
-/// [`decode`] for a reader that wants only the top-level fields named in
-/// `fields` of the object in `buf` (every field when `fields` is empty; a
-/// value that is no object is decoded whole): the other fields are stepped
-/// over, and what follows the last wanted one is not read at all.
-pub fn decode_fields(buf: &[u8], fields: &[String]) -> Result<Value> {
-    if fields.is_empty() || buf.first() != Some(&T_OBJECT) {
-        return decode(buf);
-    }
-    let mut d = Decoder { buf, pos: 1 };
-    Ok(Value::Object(d.object(fields)?))
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,30 @@
-//! A record as cells: what a columnar disk component stores of it.
+//! A stored record: its one encoding, as a row and as cells.
 //!
-//! [`crate::schema_encode`] writes a record as one row. A [`RecordLayout`]
-//! takes such a row apart into *cells* — one per declared top-level field of
-//! the dataset's type, in declaration order, and a last one, the *rest*,
-//! for what the type does not declare — and puts it together again, byte for
-//! byte. A cell is what [`crate::binary::encode_into`] wrote for the field's
-//! value, tag byte included — an `int`'s is its tag and a zigzag varint, a
-//! string's its tag, a varint length and the bytes — and is empty for a
-//! field the record does not have; the rest is the row's open part (count
-//! and `name value` pairs), and is empty when the record has no undeclared
-//! field. The row, the log's value, the memory component's value and a cell
-//! are this one encoding. A dataset with no
-//! declared type has a layout of zero columns: the rest is the whole
-//! self-describing encoding of the record.
+//! A dataset's type splits a record into a *closed part* — the fields the
+//! type declares, stored by position without their names — and an *open
+//! part* that carries any other field with its name (paper Section III: open
+//! types "carry additional (self-describing) record content"); an open type
+//! that declares only its key stores a schema-free record. Declaring buys
+//! compactness, which is what experiment E10 measures.
+//!
+//! [`RecordLayout::encode`] writes a record as one *row*:
+//! `[declared count][presence bitmap][declared values][open count]` then
+//! `[name length][name][value]` per open field, the counts and each name's
+//! length LEB128 varints ([`crate::binary::put_varint`]; one byte below 128)
+//! and each value as [`crate::binary::encode_into`] writes it. A declared
+//! field the record lacks is a cleared presence bit and no bytes. This row
+//! is what a write encodes, once: what the log carries, what a memory
+//! component holds and what a before-image is.
+//!
+//! A [`RecordLayout`] takes such a row apart into *cells* — one per declared
+//! top-level field, in declaration order, and a last one, the *rest*, for
+//! what the type does not declare — and puts it together again, byte for
+//! byte. A cell is the value's bytes, tag included — an `int`'s is its tag
+//! and a zigzag varint, a string's its tag, a varint length and the bytes —
+//! and is empty for a field the record does not have; the rest is the row's
+//! open part (count and `name value` pairs), and is empty when the record has
+//! no undeclared field. A type that declares no field has a layout of zero
+//! columns, whose rest is the whole open part.
 //!
 //! The storage layer keeps each column's cells together (a *chunk* per leaf
 //! group, see `asterix_storage::leaf_group`) and packs them by the column's
@@ -24,9 +36,8 @@
 //! appends the cells to the typed vectors of a batch
 //! ([`crate::batch::BatchBuilder`]), a column per field asked for.
 
-use crate::binary::{self, put_varint, put_zigzag, Decoder};
+use crate::binary::{self, encode_into, put_varint, put_zigzag, Decoder};
 use crate::error::{AdmError, Result};
-use crate::schema_encode::{decode_open_part, decode_ordinals_with_schema, OpenFields};
 use crate::types::{ObjectType, TypeExpr};
 use crate::value::{Object, Value};
 
@@ -220,37 +231,33 @@ impl Projection {
         self.cell_columns.as_deref()
     }
 
-    fn open(&self) -> OpenFields<'_> {
-        match (self.whole, self.open.is_empty()) {
-            (true, _) => OpenFields::All,
-            (false, true) => OpenFields::None,
-            (false, false) => OpenFields::Named(&self.open),
+    /// Reads into `obj` what this projection wants of the open part `d`
+    /// stands at the count of: all of it for the record whole, else the
+    /// names asked for that the type does not declare. The open part ends
+    /// the row, so a read of all of it must reach the end.
+    fn read_open_part(&self, d: &mut Decoder<'_>, obj: &mut Object) -> Result<()> {
+        let pairs = d.len()?;
+        if d.pairs(pairs, (!self.whole).then_some(self.open.as_slice()), obj)? && !d.is_done() {
+            return Err(AdmError::Serde("trailing bytes after a row's open part".into()));
         }
+        Ok(())
     }
 }
 
-/// How the records of one dataset are taken apart into cells: its declared
-/// type's top-level fields as columns. Built once per dataset; a disk
-/// component records it in its trailer. The default is that of a dataset with
-/// no declared type.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// How the records of one dataset are stored: its declared type's top-level
+/// fields as columns. Built once per dataset; a disk component records it in
+/// its trailer.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordLayout {
-    /// The declared type; `None` for a dataset that declares none.
-    ty: Option<ObjectType>,
     columns: Vec<Column>,
 }
 
 impl RecordLayout {
-    /// The layout of records stored under `ty` ([`crate::schema_encode`]),
-    /// or of self-describing ones ([`crate::binary::encode`]) without one.
-    pub fn new(ty: Option<&ObjectType>) -> RecordLayout {
-        let columns = ty.map_or_else(Vec::new, |ty| {
-            ty.fields
-                .iter()
-                .map(|f| Column { name: f.name.clone(), ty: f.ty.to_string(), kind: ColumnKind::of(&f.ty) })
-                .collect()
-        });
-        RecordLayout { ty: ty.cloned(), columns }
+    /// The layout of records stored under `ty`.
+    pub fn new(ty: &ObjectType) -> RecordLayout {
+        let columns =
+            ty.fields.iter().map(|f| Column { name: f.name.clone(), ty: f.ty.to_string(), kind: ColumnKind::of(&f.ty) });
+        RecordLayout { columns: columns.collect() }
     }
 
     /// The columns, in declaration order: cell `i` is column `i`'s, cell
@@ -259,10 +266,36 @@ impl RecordLayout {
         &self.columns
     }
 
-    /// Whether the records have a declared type (one with no fields, even):
-    /// what their rows look like depends on it.
-    pub fn is_typed(&self) -> bool {
-        self.ty.is_some()
+    fn declares(&self, name: &str) -> bool {
+        self.columns.iter().any(|c| c.name == name)
+    }
+
+    /// The row of `record`, an object cast to the type (`validate::cast_object`):
+    /// its declared fields by position, any other with its name. A declared
+    /// field that is `missing` is one the record lacks.
+    pub fn encode(&self, record: &Value) -> Result<Vec<u8>> {
+        let obj = record
+            .as_object()
+            .ok_or_else(|| AdmError::Type(format!("expected object, got {}", record.type_name())))?;
+        let n = self.columns.len();
+        let mut row = Vec::with_capacity(64);
+        put_varint(&mut row, n as u64);
+        let bitmap = row.len();
+        row.resize(bitmap + n.div_ceil(8), 0);
+        for (i, column) in self.columns.iter().enumerate() {
+            if let Some(v) = obj.get(&column.name).filter(|v| !v.is_missing()) {
+                row[bitmap + i / 8] |= 1 << (i % 8);
+                encode_into(v, &mut row);
+            }
+        }
+        let open: Vec<(&str, &Value)> = obj.iter().filter(|(name, _)| !self.declares(name)).collect();
+        put_varint(&mut row, open.len() as u64);
+        for (name, v) in open {
+            put_varint(&mut row, name.len() as u64);
+            row.extend_from_slice(name.as_bytes());
+            encode_into(v, &mut row);
+        }
+        Ok(row)
     }
 
     /// Cells per record: one per column and the rest.
@@ -270,8 +303,8 @@ impl RecordLayout {
         self.columns.len() + 1
     }
 
-    /// A decoder standing at the first declared field of `row`, a row of a
-    /// declared type, and the row's presence bitmap.
+    /// A decoder standing at the first declared field of `row` and the row's
+    /// presence bitmap: the one check that `row` is a row of this layout.
     fn row_header<'r>(&self, row: &'r [u8]) -> Result<(Decoder<'r>, &'r [u8])> {
         let n = self.columns.len();
         let mut d = Decoder::new(row);
@@ -310,10 +343,6 @@ impl RecordLayout {
     /// cells.
     pub fn shred(&self, row: &[u8], cells: &mut Cells) -> Result<()> {
         cells.clear();
-        if self.ty.is_none() {
-            cells.push(row);
-            return Ok(());
-        }
         let n = self.columns.len();
         let (mut d, bitmap) = self.row_header(row)?;
         for i in 0..n {
@@ -337,10 +366,6 @@ impl RecordLayout {
     pub fn assemble(&self, cells: &Cells, row: &mut Vec<u8>) {
         let n = self.columns.len();
         debug_assert_eq!(cells.len(), n + 1);
-        if self.ty.is_none() {
-            row.extend_from_slice(cells.get(0));
-            return;
-        }
         put_varint(row, n as u64);
         let bitmap = row.len();
         row.resize(bitmap + n.div_ceil(8), 0);
@@ -365,8 +390,7 @@ impl RecordLayout {
             return Projection { cells: (0..=n).collect(), open: Vec::new(), whole: true, names: Vec::new(), cell_columns: None };
         }
         let mut cells: Vec<usize> = (0..n).filter(|&i| fields.contains(&self.columns[i].name)).collect();
-        let open: Vec<String> =
-            fields.iter().filter(|f| !self.columns.iter().any(|c| c.name == **f)).cloned().collect();
+        let open: Vec<String> = fields.iter().filter(|f| !self.declares(f)).cloned().collect();
         if !open.is_empty() {
             cells.push(n);
         }
@@ -392,60 +416,92 @@ impl RecordLayout {
             match self.columns.get(cell) {
                 Some(_) if bytes.is_empty() => {}
                 Some(column) => obj.set(column.name.clone(), binary::decode(bytes)?),
-                None if self.ty.is_none() => return self.decode_row(wanted, bytes),
                 None if bytes.is_empty() => {}
-                None => decode_open_part(&mut Decoder::new(bytes), wanted.open(), &mut obj)?,
+                None => wanted.read_open_part(&mut Decoder::new(bytes), &mut obj)?,
             }
         }
         Ok(Value::Object(obj))
     }
 
     /// [`Self::project`] from a row that was not taken apart: what
-    /// `project(wanted, cells of shred(row))` answers, reading no further
-    /// into the row than the last field wanted.
+    /// `project(wanted, cells of shred(row))` answers. A declared field is
+    /// found by its position, the others stepped over, and reading stops at
+    /// the last one wanted unless the open part is wanted too.
     pub fn decode_row(&self, wanted: &Projection, row: &[u8]) -> Result<Value> {
-        match &self.ty {
-            Some(ty) => {
-                let n = self.columns.len();
-                let declared = wanted.cells.len() - usize::from(wanted.cells.last() == Some(&n));
-                decode_ordinals_with_schema(row, ty, &wanted.cells[..declared], wanted.open())
+        let n = self.columns.len();
+        let open = wanted.cells.last() == Some(&n);
+        let mut declared = wanted.cells[..wanted.cells.len() - usize::from(open)].iter().copied().peekable();
+        let mut obj = Object::with_capacity(wanted.cells.len());
+        let (mut d, bitmap) = self.row_header(row)?;
+        for (i, column) in self.columns.iter().enumerate() {
+            if declared.peek().is_none() && !open {
+                break;
             }
-            None if wanted.whole => binary::decode(row),
-            None => binary::decode_fields(row, &wanted.open),
+            let present = bitmap[i / 8] & (1 << (i % 8)) != 0;
+            match declared.next_if_eq(&i) {
+                Some(_) if present => obj.set(column.name.clone(), d.value()?),
+                None if present => d.skip_value()?,
+                _ => {}
+            }
         }
+        if open {
+            wanted.read_open_part(&mut d, &mut obj)?;
+        }
+        Ok(Value::Object(obj))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::adm_eq;
     use crate::parse::parse_value;
-    use crate::schema_encode::encode_with_schema;
-    use crate::types::gleambook_types;
+    use crate::types::{gleambook_types, Field, TypeRegistry};
     use crate::validate::cast_object;
 
     fn message(text: &str) -> (RecordLayout, Vec<u8>) {
         let reg = gleambook_types();
         let ty = reg.get("GleambookMessageType").unwrap();
         let v = cast_object(&parse_value(text).unwrap(), ty, &reg).unwrap().into_owned();
-        (RecordLayout::new(Some(ty)), encode_with_schema(&v, ty).unwrap())
+        let layout = RecordLayout::new(ty);
+        let row = layout.encode(&v).unwrap();
+        (layout, row)
     }
 
+    /// `v` through its row and back, and the row's length.
+    fn roundtrip(v: &Value, ty: &ObjectType) -> usize {
+        let layout = RecordLayout::new(ty);
+        let row = layout.encode(v).unwrap();
+        let back = layout.decode_row(&layout.resolve(&[]), &row).unwrap();
+        assert!(adm_eq(v, &back), "{v:?} -> {back:?}");
+        row.len()
+    }
+
+    /// A message's row and its cells, byte for byte: what the log, a memory
+    /// component and a leaf group's chunks hold of it.
     #[test]
-    fn a_row_comes_apart_and_back_together() {
+    fn a_message_row_is_pinned_byte_for_byte() {
         let (layout, row) = message(
             r#"{"messageId": 7, "authorId": 3, "senderLocation": point("1.5,2.5"), "message": "hi", "mood": "fine"}"#,
         );
-        let mut cells = Cells::default();
-        layout.shred(&row, &mut cells).unwrap();
-        assert_eq!(cells.len(), 6);
-        assert_eq!(cells.get(0), binary::encode(&Value::Int(7)));
-        assert!(cells.get(2).is_empty(), "inResponseTo is absent");
-        assert!(!cells.get(5).is_empty(), "mood is in the rest");
+        let cells: [&[u8]; 6] = [
+            &[3, 14],                                                         // messageId: int tag, zigzag 7
+            &[3, 6],                                                          // authorId 3
+            &[],                                                              // inResponseTo: absent
+            &[10, 0, 0, 0, 0, 0, 0, 0xF8, 0x3F, 0, 0, 0, 0, 0, 0, 0x04, 0x40], // point(1.5, 2.5)
+            &[5, 2, b'h', b'i'],                                              // message
+            &[1, 4, b'm', b'o', b'o', b'd', 5, 4, b'f', b'i', b'n', b'e'],    // the rest: one open field
+        ];
+        // five declared fields, every one but inResponseTo present
+        let want: Vec<u8> = [&[5, 0b1_1011][..]].into_iter().chain(cells).flatten().copied().collect();
+        assert_eq!(row, want);
+        let mut got = Cells::default();
+        layout.shred(&row, &mut got).unwrap();
+        assert_eq!((0..got.len()).map(|i| got.get(i)).collect::<Vec<_>>(), cells);
         let mut back = Vec::new();
-        layout.assemble(&cells, &mut back);
+        layout.assemble(&got, &mut back);
         assert_eq!(back, row);
-        assert!(layout.shred(&row[..12], &mut cells).is_err(), "cut inside a declared field");
+        assert!(layout.shred(&row[..12], &mut got).is_err(), "cut inside a declared field");
     }
 
     #[test]
@@ -466,14 +522,81 @@ mod tests {
     }
 
     #[test]
-    fn without_a_type_the_record_is_the_rest() {
-        let layout = RecordLayout::new(None);
-        let row = binary::encode(&parse_value(r#"{"id": 1, "v": [1, 2]}"#).unwrap());
+    fn a_type_that_declares_nothing_stores_the_record_as_its_rest() {
+        let layout = RecordLayout::new(&ObjectType::open("T", vec![]));
+        let record = parse_value(r#"{"id": 1, "v": [1, 2]}"#).unwrap();
+        let row = layout.encode(&record).unwrap();
         let mut cells = Cells::default();
         layout.shred(&row, &mut cells).unwrap();
-        assert_eq!((cells.len(), cells.get(0)), (1, row.as_slice()));
+        assert_eq!((cells.len(), cells.get(0)), (1, &row[1..]), "a count of none, no bitmap, the open part");
         let wanted = layout.resolve(&["v".into()]);
         assert_eq!(wanted.cells(), [0]);
         assert_eq!(layout.project(&wanted, &cells).unwrap(), parse_value(r#"{"v": [1, 2]}"#).unwrap());
+        assert_eq!(layout.decode_row(&layout.resolve(&[]), &row).unwrap(), record);
+    }
+
+    #[test]
+    fn declared_fields_drop_names() {
+        let mut reg = TypeRegistry::new();
+        reg.define(ObjectType::open(
+            "T",
+            vec![
+                Field::required("aVeryLongFieldName", TypeExpr::named("int")),
+                Field::optional("anotherVeryLongFieldName", TypeExpr::named("string")),
+            ],
+        ))
+        .unwrap();
+        let ty = reg.get("T").unwrap();
+        let v = parse_value(r#"{"aVeryLongFieldName": 1, "anotherVeryLongFieldName": "x"}"#).unwrap();
+        let cast = cast_object(&v, ty, &reg).unwrap();
+        let declared = roundtrip(&cast, ty);
+        let undeclared = roundtrip(&cast, &ObjectType::open("U", vec![]));
+        assert!(declared < undeclared, "declared {declared} bytes vs undeclared {undeclared}");
+    }
+
+    #[test]
+    fn open_fields_still_roundtrip() {
+        let reg = gleambook_types();
+        let ty = reg.get("GleambookUserType").unwrap();
+        let user = |extra: &str| {
+            let text = format!(
+                r#"{{"id":1, "alias":"a", "name":"n", "userSince": datetime("2012-01-01T00:00:00"),
+                    "friendIds": {{{{1,2}}}}, "employment": []{extra}}}"#
+            );
+            cast_object(&parse_value(&text).unwrap(), ty, &reg).unwrap().into_owned()
+        };
+        let n = roundtrip(&user(r#", "nickname": "nick", "gender": "M""#), ty);
+        // undeclared fields cost their names inline
+        assert!(n > roundtrip(&user(""), ty) + "nickname".len() + "gender".len());
+    }
+
+    #[test]
+    fn absent_optional_fields_cost_one_bit() {
+        let mut reg = TypeRegistry::new();
+        reg.define(ObjectType::open(
+            "T",
+            vec![
+                Field::required("id", TypeExpr::named("int")),
+                Field::optional("opt1", TypeExpr::named("string")),
+                Field::optional("opt2", TypeExpr::named("string")),
+            ],
+        ))
+        .unwrap();
+        let ty = reg.get("T").unwrap();
+        let v = cast_object(&parse_value(r#"{"id": 1}"#).unwrap(), ty, &reg).unwrap().into_owned();
+        // declared count 1 + bitmap 1 + int (tag and one-byte varint) 2 +
+        // open count 1 = 5
+        assert_eq!(roundtrip(&v, ty), 5);
+    }
+
+    #[test]
+    fn a_row_of_another_layout_or_cut_short_is_an_error() {
+        let int = || TypeExpr::named("int");
+        let a = RecordLayout::new(&ObjectType::open("A", vec![Field::required("x", int())]));
+        let b = RecordLayout::new(&ObjectType::open("B", vec![Field::required("x", int()), Field::required("y", int())]));
+        let row = a.encode(&parse_value(r#"{"x": 1}"#).unwrap()).unwrap();
+        assert!(b.decode_row(&b.resolve(&[]), &row).is_err());
+        assert!(a.decode_row(&a.resolve(&[]), &row[..3]).is_err(), "truncated");
+        assert!(a.encode(&Value::Int(1)).is_err(), "not a record");
     }
 }

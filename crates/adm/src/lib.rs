@@ -15,8 +15,9 @@
 //!
 //! This crate provides the value representation ([`Value`]), the type system
 //! ([`types`]), text parsing and printing of the extended-JSON syntax
-//! ([`parse`], [`mod@print`]), a compact binary serialization ([`binary`]) and
-//! the string coding a column of them is stored in ([`fsst`]), total
+//! ([`parse`], [`mod@print`]), a compact binary serialization ([`binary`]),
+//! the one encoding of a stored record ([`layout`]) and the string coding a
+//! column of them is stored in ([`fsst`]), total
 //! ordering and hashing consistent across numeric types ([`compare`]), and
 //! schema validation/casting ([`validate`]).
 //!
@@ -31,7 +32,6 @@ pub mod fsst;
 pub mod layout;
 pub mod parse;
 pub mod print;
-pub mod schema_encode;
 pub mod spatial;
 pub mod temporal;
 pub mod types;

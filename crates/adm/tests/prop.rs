@@ -1,13 +1,12 @@
 //! Property-based tests for the ADM data model: serialization round-trips,
 //! comparator laws, and key-encoding order consistency.
 
-use asterix_adm::binary::{decode, decode_fields, decode_key, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
+use asterix_adm::binary::{decode, decode_key, encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::compare::{adm_eq, hash64, total_cmp, OrdValue};
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::layout::ColumnKind;
 use asterix_adm::parse::parse_value;
 use asterix_adm::print::to_adm_string;
-use asterix_adm::schema_encode::{decode_fields_with_schema, decode_with_schema, encode_with_schema};
 use asterix_adm::temporal::Duration;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::AdmError;
@@ -204,11 +203,12 @@ fn typed_field(kind: usize, i: i64, text: &str, any: &Value) -> (TypeExpr, Value
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A row taken apart into cells goes back together byte for byte, and a
-    /// record built from the cells a reader names is the one decoded from
-    /// the row: over declared fields of every kind (optional ones absent or
-    /// `null`), open fields, and no declared type at all. A cut row is an
-    /// error or comes back as it was cut; nothing panics.
+    /// A row taken apart into cells goes back together byte for byte, and
+    /// the record built from the cells a reader names, like the one decoded
+    /// from the row, is the stored record's fields under those names: over
+    /// declared fields of every kind (optional ones absent or `null`), open
+    /// fields, and a type that declares none of them. A cut row is an error
+    /// or comes back as it was cut; nothing panics.
     #[test]
     fn a_row_as_cells_reads_like_the_row(
         declared in prop::collection::vec(
@@ -222,8 +222,9 @@ proptest! {
             let (ty, value) = typed_field(*kind, *i, text, any);
             // 0: a required field; else optional: there, a `null`, or absent
             fields.push(Field { name: format!("d{n}"), ty, optional: *presence != 0 });
+            // a declared field that is `missing` is one the record lacks
             match presence {
-                0 | 1 => record.set(format!("d{n}"), value),
+                0 | 1 if !value.is_missing() => record.set(format!("d{n}"), value),
                 2 => record.set(format!("d{n}"), Value::Null),
                 _ => {}
             }
@@ -240,9 +241,10 @@ proptest! {
         names.sort();
         names.dedup();
 
-        let typed = (RecordLayout::new(Some(&ty)), encode_with_schema(&record, &ty).unwrap());
-        let untyped = (RecordLayout::new(None), encode(&record));
-        for (layout, row) in [&typed, &untyped] {
+        let undeclared = ObjectType::open("U", Vec::new());
+        for ty in [&ty, &undeclared] {
+            let layout = &RecordLayout::new(ty);
+            let row = &layout.encode(&record).unwrap();
             let mut cells = Cells::default();
             layout.shred(row, &mut cells).unwrap();
             prop_assert_eq!(cells.len(), layout.cell_count());
@@ -256,10 +258,7 @@ proptest! {
                 for &cell in wanted.cells() {
                     picked.push(cells.get(cell));
                 }
-                let want = match layout.is_typed() {
-                    true => decode_fields_with_schema(row, &ty, names).unwrap(),
-                    false => decode_fields(row, names).unwrap(),
-                };
+                let want = keep(&record, names);
                 prop_assert_eq!(&layout.project(&wanted, &picked).unwrap(), &want, "cells of {:?}", names);
                 prop_assert_eq!(&layout.decode_row(&wanted, row).unwrap(), &want, "row, for {:?}", names);
 
@@ -384,9 +383,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// A reader that names the fields it wants gets what a full decode holds
-    /// under those names, from either encoding — and neither decoder panics
-    /// on a cut or doctored record.
+    /// A reader of a row that names the fields it wants gets the record's
+    /// fields under those names, and the whole record when it names none —
+    /// and the decoder does not panic on a cut or doctored row.
     #[test]
     fn projected_decode_is_full_decode_filtered(
         declared in prop::collection::vec((any::<bool>(), any::<bool>(), arb_value()), 0..12),
@@ -405,7 +404,7 @@ proptest! {
         );
         let mut record = Object::new();
         for (i, (optional, present, v)) in declared.iter().enumerate() {
-            if !optional || *present {
+            if (!optional || *present) && !v.is_missing() {
                 record.set(format!("d{i}"), v.clone());
             }
         }
@@ -422,28 +421,19 @@ proptest! {
         names.sort();
         names.dedup();
 
-        let bytes = encode_with_schema(&record, &ty).unwrap();
-        let full = decode_with_schema(&bytes, &ty).unwrap();
-        let projected = decode_fields_with_schema(&bytes, &ty, &names).unwrap();
-        prop_assert_eq!(&projected, &keep(&full, &names), "schema encoding, {:?}", names);
-        let plain = encode(&record);
-        let plain_full = decode(&plain).unwrap();
-        let plain_projected = decode_fields(&plain, &names).unwrap();
-        prop_assert_eq!(&plain_projected, &keep(&plain_full, &names), "self-describing, {:?}", names);
+        let layout = RecordLayout::new(&ty);
+        let (all, wanted) = (layout.resolve(&[]), layout.resolve(&names));
+        let bytes = layout.encode(&record).unwrap();
+        prop_assert_eq!(&layout.decode_row(&all, &bytes).unwrap(), &record);
+        let projected = layout.decode_row(&wanted, &bytes).unwrap();
+        prop_assert_eq!(&projected, &keep(&record, &names), "{:?}", names);
 
-        // a cut record is an error to the full decoder; the projected one
-        // may not have needed the missing bytes, and then answers the same
+        // a cut row is an error to the full decoder; the projected one may
+        // not have needed the missing bytes, and then answers the same
         for cut in 0..bytes.len() {
-            prop_assert!(matches!(decode_with_schema(&bytes[..cut], &ty), Err(AdmError::Serde(_))), "cut at {}", cut);
-            match decode_fields_with_schema(&bytes[..cut], &ty, &names) {
+            prop_assert!(matches!(layout.decode_row(&all, &bytes[..cut]), Err(AdmError::Serde(_))), "cut at {}", cut);
+            match layout.decode_row(&wanted, &bytes[..cut]) {
                 Ok(v) => prop_assert_eq!(&v, &projected, "cut at {}", cut),
-                Err(e) => prop_assert!(matches!(e, AdmError::Serde(_)), "cut at {}: {}", cut, e),
-            }
-        }
-        for cut in 0..plain.len() {
-            prop_assert!(matches!(decode(&plain[..cut]), Err(AdmError::Serde(_))), "cut at {}", cut);
-            match decode_fields(&plain[..cut], &names) {
-                Ok(v) => prop_assert_eq!(&v, &plain_projected, "cut at {}", cut),
                 Err(e) => prop_assert!(matches!(e, AdmError::Serde(_)), "cut at {}: {}", cut, e),
             }
         }
@@ -451,19 +441,23 @@ proptest! {
         let n = ty.fields.len();
         let mut miscounted = bytes.clone();
         miscounted[0] = miscounted[0].wrapping_add(1);
-        prop_assert!(matches!(decode_fields_with_schema(&miscounted, &ty, &names), Err(AdmError::Serde(_))));
+        prop_assert!(matches!(layout.decode_row(&wanted, &miscounted), Err(AdmError::Serde(_))));
         if !n.is_multiple_of(8) {
             let mut stray = bytes.clone();
             stray[1 + n / 8] |= 1 << (n % 8);
-            prop_assert!(matches!(decode_fields_with_schema(&stray, &ty, &names), Err(AdmError::Serde(_))));
+            prop_assert!(matches!(layout.decode_row(&wanted, &stray), Err(AdmError::Serde(_))));
         }
     }
 
+    /// A value comes back from its bytes, and every cut of them is an error.
     #[test]
     fn binary_roundtrip(v in arb_value()) {
         let bytes = encode(&v);
         let back = decode(&bytes).unwrap();
         prop_assert_eq!(&v, &back);
+        for cut in 0..bytes.len() {
+            prop_assert!(matches!(decode(&bytes[..cut]), Err(AdmError::Serde(_))), "cut at {}", cut);
+        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 use crate::catalog::{DatasetDef, IndexDef, IndexKind};
 use crate::error::{CoreError, Result};
 use crate::node::Node;
-use asterix_adm::binary::{encode, encode_key, key_prefix_end, prepend_key_part, strip_key_part};
-use asterix_adm::schema_encode::encode_with_schema;
+use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Rectangle, Value};
@@ -63,41 +62,35 @@ impl Default for StorageConfig {
 /// once when the dataset is opened and shared by its runtime and partitions —
 /// none of those types can change or go while the dataset is there (`DROP
 /// TYPE` refuses a type that a dataset or another type names).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RecordSchema {
-    /// Declared record type: enables the schema-compressed record layout
-    /// (declared fields stored positionally without names — experiment E10).
-    record_type: Option<ObjectType>,
+    /// Declared record type: its fields are stored by position without
+    /// their names (experiment E10).
+    record_type: ObjectType,
     registry: TypeRegistry,
-    /// How a stored record comes apart into cells: what the primary index's
-    /// disk components keep column by column, and what a reader of some of a
-    /// record's fields names them by.
+    /// How a stored record is encoded and comes apart into cells: what the
+    /// primary index's disk components keep column by column, and what a
+    /// reader of some of a record's fields names them by.
     layout: Arc<RecordLayout>,
 }
 
 impl RecordSchema {
-    pub fn new(record_type: Option<ObjectType>, registry: TypeRegistry) -> Arc<RecordSchema> {
-        let layout = Arc::new(RecordLayout::new(record_type.as_ref()));
+    pub fn new(record_type: ObjectType, registry: TypeRegistry) -> Arc<RecordSchema> {
+        let layout = Arc::new(RecordLayout::new(&record_type));
         Arc::new(RecordSchema { record_type, registry, layout })
     }
 
     /// Validates `record` against the declared type and casts it into the
     /// declared shape (see [`cast_object`]): borrowed when it is in that
-    /// shape already, as a record of an undeclared type always is.
+    /// shape already.
     pub fn cast<'a>(&self, record: &'a Value) -> Result<Cow<'a, Value>> {
-        match &self.record_type {
-            Some(ty) => cast_object(record, ty, &self.registry).map_err(CoreError::Adm),
-            None => Ok(Cow::Borrowed(record)),
-        }
+        cast_object(record, &self.record_type, &self.registry).map_err(CoreError::Adm)
     }
 
     /// The storage encoding of a record already cast: what the primary index
     /// holds for it, and what the log carries.
     pub fn encode(&self, record: &Value) -> Result<Vec<u8>> {
-        match &self.record_type {
-            Some(ty) => encode_with_schema(record, ty).map_err(CoreError::Adm),
-            None => Ok(encode(record)),
-        }
+        self.layout.encode(record).map_err(CoreError::Adm)
     }
 
     /// Reverses [`RecordSchema::encode`].
@@ -810,6 +803,16 @@ pub fn pt(x: f64, y: f64) -> Value {
 }
 
 #[cfg(test)]
+impl RecordSchema {
+    /// Of an open type that declares only its key, `id`: how a unit test
+    /// stores records of any shape.
+    pub(crate) fn keyed_by_id() -> Arc<RecordSchema> {
+        let ty = ObjectType::open("T", vec![asterix_adm::types::Field::required("id", asterix_adm::types::TypeExpr::named("int"))]);
+        RecordSchema::new(ty, TypeRegistry::new())
+    }
+}
+
+#[cfg(test)]
 impl DatasetPartition {
     /// Inserts or replaces a record (already cast to the dataset type, its
     /// primary key the field `id`). Returns the previous record, if any. Not
@@ -877,7 +880,7 @@ mod tests {
 
     fn create(def: &DatasetDef, node: Arc<Node>) -> DatasetPartition {
         let cfg = StorageConfig::default();
-        DatasetPartition::new(def, Arc::default(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap()
+        DatasetPartition::new(def, RecordSchema::keyed_by_id(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap()
     }
 
     /// The index range holding exactly author `v`.

@@ -289,7 +289,7 @@ impl Instance {
         let inner = &self.inner;
         let schema = {
             let cat = inner.catalog.read(); // xlint: lock(catalog)
-            RecordSchema::new(cat.types.get(&def.type_name).cloned(), cat.types.clone())
+            RecordSchema::new(cat.dataset_type(&def.name)?.clone(), cat.types.clone())
         };
         let mut partitions = Vec::with_capacity(inner.config.partitions);
         for p in 0..inner.config.partitions.max(1) {
@@ -628,12 +628,9 @@ impl Instance {
                 let cfg = crate::external::ExternalConfig::from_properties(properties)?;
                 let (ty, registry) = {
                     let cat = self.inner.catalog.read(); // xlint: lock(catalog)
-                    let def = cat
-                        .dataset(dataset)
-                        .ok_or_else(|| CoreError::Catalog(format!("unknown dataset {dataset:?}")))?;
-                    (cat.types.get(&def.type_name).cloned(), cat.types.clone())
+                    (cat.dataset_type(dataset)?.clone(), cat.types.clone())
                 };
-                let records = crate::external::read_external(&cfg, ty.as_ref(), &registry)?;
+                let records = crate::external::read_external(&cfg, Some(&ty), &registry)?;
                 let n = records.len();
                 let mut txn = self.begin();
                 for r in &records {

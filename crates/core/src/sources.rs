@@ -345,14 +345,14 @@ mod tests {
                 kind: IndexKind::BTree,
             }],
         };
-        let mut partitions = Vec::new();
+        let (schema, mut partitions) = (RecordSchema::keyed_by_id(), Vec::new());
         for p in 0..n_parts {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
-            let part = DatasetPartition::new(&def, Arc::default(), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
+            let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
             partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap())));
         }
-        (Arc::new(DatasetRuntime { def, schema: Arc::default(), partitions }), root)
+        (Arc::new(DatasetRuntime { def, schema, partitions }), root)
     }
 
     #[test]

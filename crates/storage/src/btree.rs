@@ -108,10 +108,10 @@ fn separator(prev: &[u8], next: &[u8]) -> Vec<u8> {
 }
 
 /// The column directory of a tree built under `layout`, as its trailer
-/// region holds it: whether the records have a declared type, then each
-/// column's name, declared type and kind.
+/// region holds it: a byte `1`, then each column's name, declared type and
+/// kind.
 fn column_directory(layout: &RecordLayout) -> Vec<u8> {
-    let mut out = vec![layout.is_typed() as u8];
+    let mut out = vec![1];
     out.extend_from_slice(&(layout.columns().len() as u16).to_le_bytes());
     for column in layout.columns() {
         for text in [&column.name, &column.ty] {
@@ -1428,18 +1428,16 @@ mod tests {
 
     // -- leaf groups --------------------------------------------------------
 
-    use asterix_adm::schema_encode::encode_with_schema;
-    use asterix_adm::types::gleambook_types;
+    use asterix_adm::types::{gleambook_types, ObjectType};
 
     fn message_layout() -> Arc<RecordLayout> {
-        Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType")))
+        Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap()))
     }
 
     /// The row of message `i`, and `[PUT] ++ row`: what a read of it hands
     /// out. Its text is noise, so that the pages a read touches are counted
     /// against a file of uncoded size.
     fn message(i: i64) -> (Vec<u8>, Vec<u8>) {
-        let reg = gleambook_types();
         let mut fields = vec![
             ("messageId".to_string(), Value::Int(i)),
             ("authorId".into(), Value::Int(i % 97)),
@@ -1451,7 +1449,7 @@ mod tests {
         if i % 10 == 0 {
             fields.push(("mood".into(), Value::from("open")));
         }
-        let row = encode_with_schema(&Value::object(fields), reg.get("GleambookMessageType").unwrap()).unwrap();
+        let row = message_layout().encode(&Value::object(fields)).unwrap();
         let value = [&[PUT][..], &row].concat();
         (row, value)
     }
@@ -1534,10 +1532,30 @@ mod tests {
         let rows = build(&cache, "r.btree", 50, true).file();
         let reopened = DiskBTree::open(Arc::clone(&cache), file, Some(&message_layout())).unwrap();
         assert_eq!(reopened.get(&key(3)).unwrap().unwrap(), message(3).1);
-        let other = Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType")));
+        let other = Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType").unwrap()));
         for (file, layout) in [(file, None), (file, Some(&other)), (rows, Some(&other))] {
             assert!(matches!(DiskBTree::open(Arc::clone(&cache), file, layout), Err(StorageError::Corrupt(_))));
         }
+    }
+
+    /// The column directory in a file's meta pages leads with a byte `1`,
+    /// then the column count, whatever the layout: the bytes every tree a
+    /// dataset wrote holds there.
+    #[test]
+    fn the_column_directory_leads_with_a_one() {
+        let (cache, _d) = setup(64);
+        let file = build_groups(&cache, "d.btree", 50).file();
+        let page = |n: u64| cache.manager().read_page(file, n).unwrap();
+        let trailer = page(cache.manager().page_count(file).unwrap() - 1);
+        let mut c = Cursor::new(&trailer);
+        c.header(&FORMAT).unwrap();
+        c.bytes(8 + 8 + 8 + 4).unwrap(); // root, entries, leaf end, height
+        let meta_start = c.u64().unwrap();
+        c.u32().unwrap(); // meta pages
+        let bloom_len = c.u32().unwrap() as usize;
+        let meta = page(meta_start + (bloom_len / PAGE_SIZE) as u64);
+        assert_eq!(meta[bloom_len % PAGE_SIZE..][..3], [1, 5, 0], "a one, then five columns as a u16");
+        assert_eq!(column_directory(&RecordLayout::new(&ObjectType::open("T", vec![])))[..], [1, 0, 0]);
     }
 
     #[test]
@@ -1560,8 +1578,7 @@ mod tests {
     #[test]
     fn a_group_starts_anywhere_in_a_page() {
         let (cache, _d) = setup(256);
-        let reg = gleambook_types();
-        let ty = reg.get("GleambookMessageType").unwrap();
+        let layout = message_layout();
         let n = crate::leaf_group::GROUP_RECORDS as i64 + 40;
         // a group's size moves by 1 KiB per step of `pad % 7` and by 12 bytes
         // per `pad`; `filler` more bytes in the first group, a quarter in
@@ -1579,7 +1596,7 @@ mod tests {
             if i < 4 {
                 fields.push(("pad".into(), Value::from("p".repeat(128 + 3 * pad + (filler + i as usize) / 4))));
             }
-            encode_with_schema(&Value::object(fields), ty).unwrap()
+            layout.encode(&Value::object(fields)).unwrap()
         };
         // builds the tree, checks it, and says where in its page the second group starts
         let check = |pad: usize, filler: usize| {

@@ -1344,7 +1344,6 @@ mod tests {
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
     use asterix_adm::binary::encode_key;
-    use asterix_adm::schema_encode::encode_with_schema;
     use asterix_adm::types::gleambook_types;
     use asterix_adm::{Point, RecordLayout, Rectangle, Value};
     use rand::prelude::*;
@@ -1389,8 +1388,7 @@ mod tests {
     impl Entries for Columns {
         type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
-            let ty = gleambook_types().get("GleambookMessageType").cloned();
-            let layout = Some(Arc::new(RecordLayout::new(ty.as_ref())));
+            let layout = Some(Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap())));
             LsmConfig { mem_budget, merge_policy, layout, ..LsmConfig::new("c") }
         }
         fn put(t: &mut LsmTree, i: u64) {
@@ -1399,8 +1397,7 @@ mod tests {
                 ("authorId".into(), Value::Int(i as i64 % 7)),
                 ("message".into(), Value::from(crate::testutil::noise(i, 40))),
             ]);
-            let types = gleambook_types();
-            let row = encode_with_schema(&message, types.get("GleambookMessageType").unwrap()).unwrap();
+            let row = RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap()).encode(&message).unwrap();
             t.upsert(key(i), row).unwrap();
         }
         fn delete(t: &mut LsmTree, i: u64) {

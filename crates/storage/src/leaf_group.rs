@@ -899,8 +899,8 @@ mod tests {
     use asterix_adm::{Point, Value};
 
     fn shape() -> Arc<GroupShape> {
-        let ty = gleambook_types().get("GleambookMessageType").unwrap().clone();
-        Arc::new(GroupShape::new(Arc::new(RecordLayout::new(Some(&ty)))))
+        let layout = RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap());
+        Arc::new(GroupShape::new(Arc::new(layout)))
     }
 
     /// The cells of message `i`: the optional fields come and go, every

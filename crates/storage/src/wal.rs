@@ -1333,7 +1333,7 @@ mod tests {
             ("message".into(), Value::from(text.join(" "))),
         ]);
         let types = asterix_adm::types::gleambook_types();
-        asterix_adm::schema_encode::encode_with_schema(&message, types.get("GleambookMessageType").unwrap()).unwrap()
+        asterix_adm::RecordLayout::new(types.get("GleambookMessageType").unwrap()).encode(&message).unwrap()
     }
 
     /// A log of generated messages in group commits.

@@ -2,9 +2,8 @@
 //! model, R-tree and LSM R-tree vs brute force, bloom filter totality, hash
 //! vs model.
 
-use asterix_adm::binary::{encode, encode_key};
+use asterix_adm::binary::encode_key;
 use asterix_adm::fsst::{Encoder, SymbolTable};
-use asterix_adm::schema_encode::encode_with_schema;
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
 use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
@@ -652,17 +651,16 @@ fn record(i: i64, v: u64) -> Value {
     Value::object(fields)
 }
 
-/// The stored row of [`record`], under the declared type or under none.
-fn row(typed: bool, i: i64, v: u64) -> Vec<u8> {
-    if typed {
-        encode_with_schema(&record(i, v), &record_type()).unwrap()
-    } else {
-        encode(&record(i, v))
-    }
+/// The stored row of [`record`] under [`layout`]`(declared)`.
+fn row(declared: bool, i: i64, v: u64) -> Vec<u8> {
+    layout(declared).encode(&record(i, v)).unwrap()
 }
 
-fn layout(typed: bool) -> Arc<RecordLayout> {
-    Arc::new(RecordLayout::new(typed.then(record_type).as_ref()))
+/// The layout of [`record_type`], or of an open type that declares none of
+/// its fields: zero columns, every record all rest.
+fn layout(declared: bool) -> Arc<RecordLayout> {
+    let ty = if declared { record_type() } else { ObjectType::open("R", Vec::new()) };
+    Arc::new(RecordLayout::new(&ty))
 }
 
 #[derive(Debug, Clone)]
@@ -764,16 +762,16 @@ proptest! {
     /// groups on disk — answers gets, scans and reads of named cells like a
     /// map of the rows, through flushes, merges of some or all components
     /// (delete markers go only when nothing older is left) and reopening;
-    /// with a declared type and without.
+    /// under a type that declares the fields and one that declares none.
     #[test]
     fn layout_tree_answers_like_a_map_of_rows(
         ops in record_ops(),
-        typed in any::<bool>(),
+        declared in any::<bool>(),
         picks in prop::collection::vec(0usize..9, 0..4),
     ) {
         let pool = ["id", "a", "t", "p", "s", "n", "open", "v", "nope"];
         let fields: Vec<String> = picks.iter().map(|p| pool[*p].to_string()).collect();
-        let layout = layout(typed);
+        let layout = layout(declared);
         let config = || LsmConfig {
             mem_budget: 48 << 10,
             merge_policy: MergePolicy::NoMerge,
@@ -784,7 +782,7 @@ proptest! {
         let mut t = LsmTree::new(Arc::clone(&cache), config());
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
         let put = |t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, v: u64| {
-            let row = row(typed, i, v);
+            let row = row(declared, i, v);
             t.upsert(k(i), row.clone()).unwrap();
             model.insert(i, row);
         };
@@ -824,7 +822,7 @@ proptest! {
 /// Puts record `i` with the string `s` into `t` and `model`.
 fn put_text(t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, s: &str) {
     let record = Value::object(vec![("id".into(), Value::Int(i)), ("a".into(), Value::Int(i % 7)), ("s".into(), Value::from(s))]);
-    let row = encode_with_schema(&record, &record_type()).unwrap();
+    let row = layout(true).encode(&record).unwrap();
     t.upsert(k(i), row.clone()).unwrap();
     model.insert(i, row);
 }

@@ -5,7 +5,7 @@
 #   scripts/nontest-loc.sh            one total per crate, then the sum
 #   scripts/nontest-loc.sh --files    every file's count as well
 #
-# ROADMAP item 7 accepts a simplicity PR on "net-negative non-test LoC";
+# ROADMAP item 8 accepts a simplicity PR on "net-negative non-test LoC";
 # this is how that is counted, so that every such PR counts the same way.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
