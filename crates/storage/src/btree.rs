@@ -52,13 +52,18 @@
 //! ## Page layout (leaf and internal pages alike)
 //!
 //! ```text
-//! [is_leaf u8][n u16][next_leaf u64][prefix_len u16][prefix][offset u16 * n][entry * n]
-//! entry = [suffix_len u16][suffix][value_len u16][value]
+//! [is_leaf u8][n u16][next_leaf u64][restarts u16][entry * n] … [restart offset u16 * restarts]
+//! entry = [shared varint][unshared varint][value_len varint][key bytes past `shared`][value]
 //! ```
 //!
-//! The longest common prefix of a page's keys is stored once; an entry holds
-//! what follows it. A search compares its target with the prefix once, then
-//! with suffixes. An internal page's value is a child pointer and its key a
+//! Keys are front-coded: an entry keeps the first `shared` bytes of the key
+//! before it and stores the `unshared` bytes after them. Every
+//! [`RESTART_INTERVAL`]th entry, the first included, is a *restart*: its
+//! `shared` is 0, so it holds its whole key, and the array at the end of the
+//! page says where each restart starts. A search binary-searches the restart
+//! keys, then decodes at most one interval forward; a cursor applies each
+//! entry's delta to the key before it. The varints are LEB128 in their
+//! shortest form. An internal page's value is a child pointer and its key a
 //! *separator*: the shortest byte string above every key of the child to the
 //! left and not above any key of this one (see [`separator`]).
 
@@ -69,17 +74,21 @@ use crate::error::{Result, StorageError};
 use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le::{self, Cursor, Format};
 use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
+use asterix_adm::binary::put_varint;
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
 use asterix_adm::BatchBuilder;
 use asterix_obs::Counter;
-use std::cmp::Ordering;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 use std::sync::Arc;
 
-/// The trailer's header (see [`crate::le`]): "BTR5" as a little-endian u32.
-pub(crate) const FORMAT: Format = Format { kind: "B+ tree trailer", headers: &[&0x4254_5235u32.to_le_bytes()] };
-const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + prefix_len u16
-const ENTRY_OVERHEAD: usize = 2 /* offset */ + 4 /* lens */;
+/// The trailer's header (see [`crate::le`]): "BTR6" as a little-endian u32.
+pub(crate) const FORMAT: Format = Format { kind: "B+ tree trailer", headers: &[&0x4254_5236u32.to_le_bytes()] };
+const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + restarts u16
+/// What a page's one entry costs beyond its bytes, at most: its restart
+/// offset, a `shared` of 0 and two lengths of two varint bytes each.
+const ENTRY_OVERHEAD: usize = 2 + 1 + 2 + 2;
+/// Entries from one restart to the next.
+const RESTART_INTERVAL: usize = 16;
 const NO_NEXT: u64 = u64::MAX;
 
 /// First byte of a leaf-group tree's value: a record follows.
@@ -135,89 +144,116 @@ fn column_directory(layout: &RecordLayout) -> Vec<u8> {
 
 struct PageBuilder {
     is_leaf: bool,
-    /// `(key start, key length, value length)` of each entry in `bytes`.
-    entries: Vec<(usize, usize, usize)>,
-    /// Whole keys, each followed by its value.
+    /// The entries so far, as the page holds them.
     bytes: Vec<u8>,
-    /// Length of the prefix the keys so far share (keys arrive sorted, so it
-    /// is what the first and the latest share).
-    prefix_len: usize,
+    /// Where in the page each restart starts.
+    restarts: Vec<u16>,
+    /// How many entries `bytes` holds.
+    n: usize,
+    /// The key added last.
+    last: Vec<u8>,
+}
+
+/// Bytes the LEB128 varint of `v` takes.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
 }
 
 impl PageBuilder {
     fn new(is_leaf: bool) -> Self {
-        PageBuilder { is_leaf, entries: Vec::new(), bytes: Vec::new(), prefix_len: 0 }
+        PageBuilder { is_leaf, bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new() }
     }
 
-    /// The shared prefix once `key` joins the page.
-    fn prefix_with(&self, key: &[u8]) -> usize {
-        match self.entries.first() {
-            None => key.len(),
-            Some(_) => common_prefix(&self.bytes[..self.prefix_len], key),
+    /// What the next entry, under `key`, keeps of the key before it: nothing
+    /// at a restart.
+    fn shared(&self, key: &[u8]) -> usize {
+        if self.n.is_multiple_of(RESTART_INTERVAL) {
+            0
+        } else {
+            common_prefix(&self.last, key)
         }
     }
 
-    /// Whether the page still fits its size with `key` added: a shorter
-    /// shared prefix lengthens the suffix of every entry already in it.
+    /// Whether the page still fits its size with `key` added: the entry
+    /// costs its delta against the key before it, and a restart its offset.
     fn fits(&self, key: &[u8], val_len: usize) -> bool {
-        let (n, prefix) = (self.entries.len() + 1, self.prefix_with(key));
-        let whole = self.bytes.len() + key.len() + val_len;
-        PAGE_HEADER + prefix + n * ENTRY_OVERHEAD + whole - n * prefix <= PAGE_SIZE
+        let (shared, restarts) = (self.shared(key), (self.n + 1).div_ceil(RESTART_INTERVAL));
+        let unshared = key.len() - shared;
+        let entry = varint_len(shared) + varint_len(unshared) + varint_len(val_len) + unshared + val_len;
+        PAGE_HEADER + self.bytes.len() + entry + 2 * restarts <= PAGE_SIZE
     }
 
     fn push(&mut self, key: &[u8], val: &[u8]) {
-        self.prefix_len = self.prefix_with(key);
-        self.entries.push((self.bytes.len(), key.len(), val.len()));
-        self.bytes.extend_from_slice(key);
+        let shared = self.shared(key);
+        if self.n.is_multiple_of(RESTART_INTERVAL) {
+            self.restarts.push((PAGE_HEADER + self.bytes.len()) as u16);
+        }
+        for len in [shared, key.len() - shared, val.len()] {
+            put_varint(&mut self.bytes, len as u64);
+        }
+        self.bytes.extend_from_slice(&key[shared..]);
         self.bytes.extend_from_slice(val);
+        self.last.clear();
+        self.last.extend_from_slice(key);
+        self.n += 1;
     }
 
     fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.n == 0
     }
 
     /// Emits the page bytes; `next_leaf` is the forward sibling pointer.
     fn emit(&self, next_leaf: u64) -> Vec<u8> {
-        let (n, prefix) = (self.entries.len(), self.prefix_len);
-        let mut page = vec![0u8; PAGE_SIZE];
-        page[0] = self.is_leaf as u8;
-        page[1..3].copy_from_slice(&(n as u16).to_le_bytes());
-        page[3..11].copy_from_slice(&next_leaf.to_le_bytes());
-        page[11..13].copy_from_slice(&(prefix as u16).to_le_bytes());
-        page[PAGE_HEADER..PAGE_HEADER + prefix].copy_from_slice(&self.bytes[..prefix]);
-        let table = PAGE_HEADER + prefix;
-        let mut at = table + 2 * n;
-        for (i, &(start, klen, vlen)) in self.entries.iter().enumerate() {
-            // stored offsets are absolute within the page
-            page[table + 2 * i..table + 2 * i + 2].copy_from_slice(&(at as u16).to_le_bytes());
-            let (suffix, val) = (&self.bytes[start + prefix..start + klen], &self.bytes[start + klen..start + klen + vlen]);
-            for part in [suffix, val] {
-                page[at..at + 2].copy_from_slice(&(part.len() as u16).to_le_bytes());
-                page[at + 2..at + 2 + part.len()].copy_from_slice(part);
-                at += 2 + part.len();
-            }
+        let mut page = Vec::with_capacity(PAGE_SIZE);
+        page.push(self.is_leaf as u8);
+        page.extend_from_slice(&(self.n as u16).to_le_bytes());
+        page.extend_from_slice(&next_leaf.to_le_bytes());
+        page.extend_from_slice(&(self.restarts.len() as u16).to_le_bytes());
+        page.extend_from_slice(&self.bytes);
+        page.resize(PAGE_SIZE - 2 * self.restarts.len(), 0);
+        for at in &self.restarts {
+            page.extend_from_slice(&at.to_le_bytes());
         }
         page
     }
+}
+
+/// Where a walk of a page stands: at entry `idx` (the page's length, past
+/// its last), whose value is `value` of the page and whose successor starts
+/// at byte `next`.
+struct Pos {
+    idx: usize,
+    value: Range<usize>,
+    next: usize,
 }
 
 /// Zero-copy view over a tree page. What it reads comes off disk, so a
 /// corrupt page surfaces as `StorageError::Corrupt`, not a panic.
 struct PageView<'a> {
     page: &'a [u8],
+    n: usize,
+    restarts: usize,
+    /// Where the restart array starts: the entries end before it.
+    end: usize,
 }
 
 impl<'a> PageView<'a> {
-    fn new(page: &'a [u8]) -> Self {
-        PageView { page }
+    fn new(page: &'a [u8]) -> Result<Self> {
+        let (n, restarts) = (le::try_u16_at(page, 1)? as usize, le::try_u16_at(page, 11)? as usize);
+        match page.len().checked_sub(2 * restarts) {
+            Some(end) if end >= PAGE_HEADER && page[0] <= 1 && restarts == n.div_ceil(RESTART_INTERVAL) => {
+                Ok(PageView { page, n, restarts, end })
+            }
+            _ => Err(StorageError::Corrupt(format!(
+                "a B+-tree page of {} bytes, kind {}, says it holds {n} entries and {restarts} restarts",
+                page.len(),
+                page[0]
+            ))),
+        }
     }
 
     fn is_leaf(&self) -> bool {
         self.page[0] == 1
-    }
-
-    fn len(&self) -> usize {
-        le::u16_at(self.page, 1) as usize
     }
 
     fn next_leaf(&self) -> Option<u64> {
@@ -225,55 +261,78 @@ impl<'a> PageView<'a> {
         (v != NO_NEXT).then_some(v)
     }
 
-    /// What every key of the page starts with.
-    fn prefix(&self) -> Result<&'a [u8]> {
-        le::try_bytes_at(self.page, PAGE_HEADER, le::u16_at(self.page, 11) as usize)
-    }
-
-    /// Entry `i`: its key past the page's prefix, and its value.
-    fn entry(&self, i: usize) -> Result<(&'a [u8], &'a [u8])> {
-        let table = PAGE_HEADER + le::u16_at(self.page, 11) as usize;
-        let off = le::try_u16_at(self.page, table + 2 * i)? as usize;
-        let klen = le::try_u16_at(self.page, off)? as usize;
-        let suffix = le::try_bytes_at(self.page, off + 2, klen)?;
-        let voff = off + 2 + klen;
-        let vlen = le::try_u16_at(self.page, voff)? as usize;
-        Ok((suffix, le::try_bytes_at(self.page, voff + 2, vlen)?))
-    }
-
-    /// Index of the first entry with key >= target (lower bound), and
-    /// whether that entry's key is the target.
-    fn search(&self, target: &[u8]) -> Result<(usize, bool)> {
-        let prefix = self.prefix()?;
-        // the prefix decides alone unless the target starts with it
-        match target[..target.len().min(prefix.len())].cmp(prefix) {
-            Ordering::Less => return Ok((0, false)),
-            Ordering::Greater => return Ok((self.len(), false)),
-            Ordering::Equal => {}
+    /// Entry `idx`, which starts at byte `off`: its key — the first `shared`
+    /// bytes of `key`, which holds the key before it, then its own — is left
+    /// in `key`. An `idx` past the last entry is the place past the last,
+    /// and leaves `key` as it is.
+    fn at(&self, idx: usize, off: usize, key: &mut Vec<u8>) -> Result<Pos> {
+        if idx >= self.n {
+            return Ok(Pos { idx: self.n, value: 0..0, next: off });
         }
-        let rest = &target[prefix.len()..];
-        let (mut lo, mut hi) = (0usize, self.len());
+        let mut entry = Cursor::at(&self.page[..self.end], off);
+        let (shared, unshared, value_len): (usize, usize, usize) = (entry.varint()?, entry.varint()?, entry.varint()?);
+        if shared > key.len() || (shared > 0 && idx.is_multiple_of(RESTART_INTERVAL)) {
+            return Err(StorageError::Corrupt(format!(
+                "entry {idx} of a B+-tree page keeps {shared} bytes of a key of {}",
+                key.len()
+            )));
+        }
+        key.truncate(shared);
+        key.extend_from_slice(entry.bytes(unshared)?);
+        let value = entry.pos();
+        entry.bytes(value_len)?;
+        Ok(Pos { idx, value: value..entry.pos(), next: entry.pos() })
+    }
+
+    /// The first entry, its whole key left in `key`.
+    fn first(&self, key: &mut Vec<u8>) -> Result<Pos> {
+        self.at(0, PAGE_HEADER, key)
+    }
+
+    /// Restart `r`, its whole key left in `key`.
+    fn restart(&self, r: usize, key: &mut Vec<u8>) -> Result<Pos> {
+        let off = le::try_u16_at(self.page, self.end + 2 * r)? as usize;
+        self.at(r * RESTART_INTERVAL, off, key)
+    }
+
+    /// The first entry whose key is not `before` the target — keys ascend,
+    /// so every key ahead of it is and none after it — with its key left in
+    /// `key`, and the value of the entry ahead of it: a binary search of the
+    /// restart keys, then a walk of at most one interval.
+    fn seek(&self, before: impl Fn(&[u8]) -> bool, key: &mut Vec<u8>) -> Result<(Pos, Option<Range<usize>>)> {
+        let (mut lo, mut hi) = (0, self.restarts);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.entry(mid)?.0 < rest {
+            self.restart(mid, key)?;
+            if before(key) {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        Ok((lo, lo < self.len() && self.entry(lo)?.0 == rest))
+        if lo == 0 {
+            return Ok((self.first(key)?, None));
+        }
+        let mut at = self.restart(lo - 1, key)?;
+        loop {
+            let next = self.at(at.idx + 1, at.next, key)?;
+            if next.idx == self.n || !before(key) {
+                return Ok((next, Some(at.value)));
+            }
+            at = next;
+        }
     }
 
     /// The child to descend into for `target` (internal pages): that of the
     /// rightmost entry with key <= target, clamped to the first.
-    fn child_for(&self, target: &[u8]) -> Result<u64> {
-        let (lb, exact) = self.search(target)?;
-        self.child(if exact { lb } else { lb.saturating_sub(1) })
+    fn child_for(&self, target: &[u8], key: &mut Vec<u8>) -> Result<u64> {
+        let (first_above, at_or_below) = self.seek(|k| k <= target, key)?;
+        self.child(at_or_below.unwrap_or(first_above.value))
     }
 
-    /// What entry `i` of an internal page points to.
-    fn child(&self, i: usize) -> Result<u64> {
-        let bytes = self.entry(i)?.1.try_into();
+    /// What an internal page's entry whose value is `value` points to.
+    fn child(&self, value: Range<usize>) -> Result<u64> {
+        let bytes = self.page[value].try_into();
         Ok(u64::from_le_bytes(bytes.map_err(|_| StorageError::Corrupt("internal entry is not a child pointer".into()))?))
     }
 }
@@ -503,7 +562,7 @@ impl BTreeBuilder {
                     pb = PageBuilder::new(false);
                 }
                 pb.push(&sep, &child.to_le_bytes());
-                if pb.entries.len() == 1 {
+                if pb.n == 1 {
                     upper.push((sep, next_page_no));
                 }
             }
@@ -704,16 +763,16 @@ impl DiskBTree {
     /// Where in the leaf area `key` belongs — the leaf page, or the first
     /// byte of the leaf group; the leftmost without a key.
     fn descend(&self, key: Option<&[u8]>) -> Result<u64> {
-        let mut at = self.root;
+        let (mut at, mut scratch) = (self.root, Vec::new());
         for _ in 0..self.height {
             let page = self.cache.get(self.file, at)?;
-            let view = PageView::new(&page);
+            let view = PageView::new(&page)?;
             if view.is_leaf() {
                 return Err(StorageError::Corrupt("a leaf page among the internal levels".into()));
             }
             at = match key {
-                Some(key) => view.child_for(key)?,
-                None => view.child(0)?,
+                Some(key) => view.child_for(key, &mut scratch)?,
+                None => view.child(view.first(&mut scratch)?.value)?,
             };
         }
         Ok(at)
@@ -728,11 +787,9 @@ impl DiskBTree {
             return Ok(None);
         }
         let page = self.cache.get(self.file, self.descend(Some(key))?)?;
-        let view = PageView::new(&page);
-        match view.search(key)? {
-            (idx, true) => Ok(Some(view.entry(idx)?.1.to_vec())),
-            _ => Ok(None),
-        }
+        let (view, mut found) = (PageView::new(&page)?, Vec::with_capacity(key.len()));
+        let (at, _) = view.seek(|k| k < key, &mut found)?;
+        Ok((at.idx < view.n && found == key).then(|| page[at.value].to_vec()))
     }
 
     /// A cursor standing at `key`, if the tree has it. Consults the bloom
@@ -790,7 +847,7 @@ impl DiskBTree {
             Some(shape) => Leaf::Group(GroupCursor::open(tree, Arc::clone(shape), self.leaf_end, at, start)?),
         };
         let mut iter = BTreeRangeIter { leaf: Some(leaf), ended: false, hi, key: Vec::with_capacity(32) };
-        iter.settle()?;
+        iter.settle(false)?;
         Ok(iter)
     }
 }
@@ -806,20 +863,26 @@ struct TreeRef {
 struct PageCursor {
     tree: TreeRef,
     page: Arc<Vec<u8>>,
-    idx: usize,
+    pos: Pos,
+    /// The key of the entry at `pos`: the next entry's delta applies to it.
+    key: Vec<u8>,
 }
 
 impl PageCursor {
     fn open(mut tree: TreeRef, page_no: u64, start: Option<(&[u8], bool)>) -> Result<PageCursor> {
         let page = tree.leaf(page_no, false)?;
-        let idx = match start {
-            None => 0,
-            Some((key, after)) => {
-                let (idx, exact) = PageView::new(&page).search(key)?;
-                idx + usize::from(exact && after)
-            }
+        let (view, mut key) = (PageView::new(&page)?, Vec::with_capacity(32));
+        let pos = match start {
+            None => view.first(&mut key)?,
+            Some((target, after)) => view.seek(|k| if after { k <= target } else { k < target }, &mut key)?.0,
         };
-        Ok(PageCursor { tree, page, idx })
+        Ok(PageCursor { tree, page, pos, key })
+    }
+
+    /// Moves to the next entry of the page, or past its last.
+    fn step(&mut self) -> Result<()> {
+        self.pos = PageView::new(&self.page)?.at(self.pos.idx + 1, self.pos.next, &mut self.key)?;
+        Ok(())
     }
 }
 
@@ -1067,19 +1130,14 @@ impl BTreeRangeIter {
         if self.ended {
             return Ok(());
         }
-        match &mut self.leaf {
-            Some(Leaf::Page(at)) => at.idx += 1,
-            Some(Leaf::Group(at)) => at.idx += 1,
-            None => {}
-        }
-        self.settle()
+        self.settle(true)
     }
 
-    /// Steps over the end of a leaf to the next one, reads the key of the
-    /// entry arrived at and checks it against the upper bound. A failure
-    /// ends the range.
-    fn settle(&mut self) -> Result<()> {
-        let arrived = self.arrive();
+    /// Moves to the next entry if `step` says so, steps over the end of a
+    /// leaf to the next one, reads the key of the entry arrived at and
+    /// checks it against the upper bound. A failure ends the range.
+    fn settle(&mut self, step: bool) -> Result<()> {
+        let arrived = self.arrive(step);
         self.ended = !matches!(arrived, Ok(true));
         if arrived.is_err() {
             self.leaf = None;
@@ -1088,27 +1146,34 @@ impl BTreeRangeIter {
     }
 
     /// See [`BTreeRangeIter::settle`]; whether there is an entry in range.
-    fn arrive(&mut self) -> Result<bool> {
+    fn arrive(&mut self, step: bool) -> Result<bool> {
         match &mut self.leaf {
             None => return Ok(false),
             Some(Leaf::Page(at)) => {
-                while at.idx >= PageView::new(&at.page).len() {
+                if step {
+                    at.step()?;
+                }
+                loop {
+                    let view = PageView::new(&at.page)?;
+                    if at.pos.idx < view.n {
+                        break;
+                    }
                     // Leaves are packed first in the file, so the last leaf's
                     // next-pointer lands on a non-leaf page — that is the end
                     // of the scan.
-                    let Some(next) = PageView::new(&at.page).next_leaf() else { return Ok(false) };
+                    let Some(next) = view.next_leaf() else { return Ok(false) };
                     let page = at.tree.leaf(next, true)?;
-                    if !PageView::new(&page).is_leaf() {
+                    if page.first() != Some(&1) {
                         return Ok(false);
                     }
-                    (at.page, at.idx) = (page, 0);
+                    at.pos = PageView::new(&page)?.first(&mut at.key)?;
+                    at.page = page;
                 }
-                let view = PageView::new(&at.page);
                 self.key.clear();
-                self.key.extend_from_slice(view.prefix()?);
-                self.key.extend_from_slice(view.entry(at.idx)?.0);
+                self.key.extend_from_slice(&at.key);
             }
             Some(Leaf::Group(at)) => {
+                at.idx += usize::from(step);
                 while at.idx >= at.dir.n {
                     let next = at.bytes.start + at.dir.len;
                     if next >= at.leaf_end {
@@ -1136,7 +1201,7 @@ impl BTreeRangeIter {
         match &mut self.leaf {
             None => Err(StorageError::Invalid("a cursor past its range has no value".into())),
             Some(_) if self.ended => Err(StorageError::Invalid("a cursor past its range has no value".into())),
-            Some(Leaf::Page(at)) => Ok((key, PageView::new(&at.page).entry(at.idx)?.1)),
+            Some(Leaf::Page(at)) => Ok((key, &at.page[at.pos.value.clone()])),
             Some(Leaf::Group(at)) => {
                 let at = &mut **at;
                 let mut view = GroupView { shape: &at.shape, dir: &at.dir, src: &mut at.bytes };
@@ -1424,6 +1489,126 @@ mod tests {
         let hi = encode_key(&[Value::from("user059"), Value::Int(i64::MAX)]);
         let n = t.range(Bound::Included(&lo), Bound::Included(hi)).unwrap().count();
         assert_eq!(n, 10);
+    }
+
+    // -- the page layout ----------------------------------------------------
+
+    /// The key a secondary index on `authorId` holds for message `id`.
+    fn author_key(author: i64, id: i64) -> Vec<u8> {
+        encode_key(&[Value::Int(author), Value::Int(id)])
+    }
+
+    /// A secondary index's leaves, pinned: 20 000 messages over 2 000
+    /// authors, each entry a key of two ints and a one-byte value, fill 20
+    /// leaf pages, about 8 bytes an entry.
+    #[test]
+    fn a_secondary_index_of_20_000_entries_takes_20_leaf_pages() {
+        let (cache, _d) = setup(64);
+        let mut keys: Vec<Vec<u8>> = (0..20_000).map(|id| author_key(id % 2_000, id)).collect();
+        keys.sort();
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("a.btree").unwrap(), 0);
+        for k in &keys {
+            b.add(k, &[PUT]).unwrap();
+        }
+        let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
+        assert_eq!(t.leaf_end / PAGE_SIZE as u64, 20);
+        assert!(t.scan().unwrap().map(|r| r.unwrap().0).eq(keys.iter().cloned()));
+        let (lo, hi) = (author_key(700, 0), author_key(700, i64::MAX));
+        let got: Vec<_> = t.range(Bound::Excluded(&lo), Bound::Included(hi)).unwrap().map(|r| r.unwrap().0).collect();
+        assert_eq!(got, (0..10).map(|m| author_key(700, 700 + 2_000 * m)).collect::<Vec<_>>());
+    }
+
+    /// Where a search lands: the entry's number, its key and the value of the
+    /// entry ahead of it.
+    type Landing = (usize, Vec<u8>, Option<Vec<u8>>);
+
+    /// What a reader makes of a page: its header, each entry walked from the
+    /// first, each restart's key, and where a search for each probe lands —
+    /// at the first key not below it (a cursor's start, a get) and the first
+    /// key above it (an internal page's descent).
+    type PageRead = (bool, Option<u64>, Vec<(Vec<u8>, Vec<u8>)>, Vec<Vec<u8>>, Vec<[Landing; 2]>);
+
+    fn read_page(page: &[u8], probes: &[Vec<u8>]) -> Result<PageRead> {
+        let view = PageView::new(page)?;
+        let (mut entries, mut key) = (Vec::new(), Vec::new());
+        let mut at = view.first(&mut key)?;
+        while at.idx < view.n {
+            entries.push((key.clone(), page[at.value.clone()].to_vec()));
+            at = view.at(at.idx + 1, at.next, &mut key)?;
+        }
+        let restarts = (0..view.restarts).map(|r| view.restart(r, &mut key).map(|_| key.clone())).collect::<Result<_>>()?;
+        let mut landings = Vec::new();
+        for p in probes {
+            let mut land = |above: bool| -> Result<Landing> {
+                let (at, ahead) = view.seek(|k| if above { k <= p } else { k < p }, &mut key)?;
+                Ok((at.idx, key.clone(), ahead.map(|v| page[v].to_vec())))
+            };
+            landings.push([land(false)?, land(true)?]);
+        }
+        Ok((view.is_leaf(), view.next_leaf(), entries, restarts, landings))
+    }
+
+    /// A row leaf and an internal page, damaged: any one byte of either
+    /// flipped, or the page cut short anywhere, reads as `Corrupt` or as
+    /// another page — never a panic. Varints, `shared`, the restart offsets
+    /// and the lengths all come off the page through checked reads.
+    #[test]
+    fn a_damaged_page_is_corrupt_not_a_panic() {
+        // a leaf of secondary-index entries with values of 0 to 2 bytes, and
+        // an internal page of separators and child pointers
+        let (mut leaf, mut internal) = (PageBuilder::new(true), PageBuilder::new(false));
+        for i in 0..100 {
+            leaf.push(&author_key(i / 7, 13 * i), &vec![i as u8; i as usize % 3]);
+        }
+        for i in 0..70u64 {
+            let (prev, next) = (author_key(i as i64 * 3 - 1, 0), author_key(i as i64 * 3, 0));
+            internal.push(&separator(&prev, &next), &i.to_le_bytes());
+        }
+        for (builder, next_leaf) in [(leaf, 7), (internal, NO_NEXT)] {
+            let page = builder.emit(next_leaf);
+            let (entries_end, restarts) = (PAGE_HEADER + builder.bytes.len(), PAGE_SIZE - 2 * builder.restarts.len());
+            let keys = read_page(&page, &[]).unwrap().2;
+            assert_eq!(keys.len(), builder.n);
+            let mut probes = vec![Vec::new(), vec![0xFF]];
+            for (k, _) in keys.iter().step_by(7) {
+                probes.extend([k.clone(), [k.as_slice(), &[0]].concat(), k[..k.len() - 1].to_vec()]);
+            }
+            let sound = read_page(&page, &probes).unwrap();
+            // every byte of the header, the entries and the restarts, and one
+            // in 64 of the unread bytes between them
+            let unread = entries_end..restarts;
+            let places = || (0..PAGE_SIZE).filter(|at| !unread.contains(at) || at % 64 == 0);
+            let mut corrupt = 0;
+            for at in places() {
+                let mut bad = page.clone();
+                bad[at] ^= 0xA5;
+                match read_page(&bad, &probes) {
+                    Err(StorageError::Corrupt(_)) => corrupt += 1,
+                    Err(e) => panic!("byte {at}: {e}"),
+                    Ok(read) => assert!(read != sound || unread.contains(&at), "byte {at}"),
+                }
+            }
+            assert!(corrupt > builder.n, "lengths, `shared` and restarts are checked ({corrupt} caught)");
+            for len in places() {
+                match read_page(&page[..len], &probes) {
+                    Err(StorageError::Corrupt(_)) => {}
+                    Err(e) => panic!("cut at {len}: {e}"),
+                    Ok(read) => assert!(read != sound, "cut at {len}"),
+                }
+            }
+            // named damage: a restart past the entries, two restarts swapped,
+            // and an entry keeping more of the key before it than there is
+            let damaged = |at: usize, bytes: &[u8]| {
+                let mut bad = page.clone();
+                bad[at..at + bytes.len()].copy_from_slice(bytes);
+                read_page(&bad, &probes)
+            };
+            assert!(matches!(damaged(restarts + 2, &[0xFF, 0x1F]), Err(StorageError::Corrupt(_))));
+            let swapped = [&page[restarts + 4..restarts + 6], &page[restarts + 2..restarts + 4]].concat();
+            assert!(damaged(restarts + 2, &swapped).is_ok_and(|read| read != sound));
+            let second = PAGE_HEADER + 3 + keys[0].0.len() + keys[0].1.len();
+            assert!(matches!(damaged(second, &[keys[0].0.len() as u8 + 1]), Err(StorageError::Corrupt(_))));
+        }
     }
 
     // -- leaf groups --------------------------------------------------------

@@ -53,7 +53,7 @@ macro_rules! checked {
         /// short. For data-dependent offsets read off disk.
         #[inline]
         pub fn $name(b: &[u8], off: usize) -> Result<$ty> {
-            Cursor { buf: b, pos: off }.$ty()
+            Cursor::at(b, off).$ty()
         }
     )*};
 }
@@ -72,7 +72,7 @@ pub fn f64_at(b: &[u8], off: usize) -> f64 {
 /// Checked sub-slice: `StorageError::Corrupt` when `off + len` overruns.
 #[inline]
 pub fn try_bytes_at(b: &[u8], off: usize, len: usize) -> Result<&[u8]> {
-    Cursor { buf: b, pos: off }.bytes(len)
+    Cursor::at(b, off).bytes(len)
 }
 
 /// The checksum of log blocks and manifests: FNV-1a.
@@ -115,7 +115,13 @@ pub(crate) struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
+        Cursor::at(buf, 0)
+    }
+
+    /// A cursor that reads `buf` from byte `pos` on (from past its end,
+    /// every read is `Corrupt`).
+    pub fn at(buf: &'a [u8], pos: usize) -> Self {
+        Cursor { buf, pos }
     }
 
     /// Bytes read so far.
@@ -279,7 +285,7 @@ mod tests {
         [
             Kind {
                 format: &btree::FORMAT,
-                pinned: &[b"5RTB"],
+                pinned: &[b"6RTB"],
                 version: 0,
                 name: "t.btree",
                 write: |dir| {

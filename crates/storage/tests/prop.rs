@@ -380,11 +380,14 @@ fn as_slice(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
     b.as_ref().map(Vec::as_slice)
 }
 
-/// Key sets that strain a shared-prefix page: a few byte values, the least
+/// Key sets that strain a front-coded page: a few byte values, the least
 /// and the greatest among them, so that keys are often prefixes of one
-/// another; every key behind `shared` bytes they have in common; and values
-/// that are empty, short, or as long as a page takes (`fill`), which makes
-/// one-entry leaves and, past a few hundred of them, a second internal level.
+/// another — and a chain of keys starting with a byte no other key does,
+/// each the one before it and one byte more, longer than a restart interval;
+/// every key behind `shared` bytes they have in common; and values that are
+/// empty, short, or as long as a page takes (`fill`), which makes pages of
+/// hundreds of entries, or one-entry leaves and, past a few hundred of them,
+/// a second internal level.
 fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Vec<u8>, usize, u8)> {
     const BYTES: [u8; 5] = [0x00, 0x01, b'a', 0xFE, 0xFF];
     let byte = || (0usize..BYTES.len()).prop_map(|i| BYTES[i]);
@@ -393,7 +396,11 @@ fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Ve
         4 => prop::collection::btree_set(prop::collection::vec(byte(), 0..10), 1..300),
         2 => prop::collection::btree_set(prop::collection::vec(byte(), 0..10), 500..800),
     ];
-    (suffixes, prop::collection::vec(byte(), 0..14), shared, 0u8..4)
+    let chain = prop::collection::vec(byte(), 0..60);
+    (suffixes, chain, prop::collection::vec(byte(), 0..14), shared, 0u8..4).prop_map(|(mut suffixes, chain, stray, shared, fill)| {
+        suffixes.extend((0..=chain.len()).map(|n| [&[b'c'][..], &chain[..n]].concat()));
+        (suffixes, stray, shared, fill)
+    })
 }
 
 proptest! {
@@ -441,6 +448,14 @@ proptest! {
         }
         for p in &probes {
             prop_assert_eq!(&reopened.get(p).unwrap(), &model.get(p).cloned(), "get {:?}", p);
+        }
+        // an excluded lower bound at every key, wherever in its restart
+        // interval or page it stands: a cursor starts at the key after it
+        let keys: Vec<&Vec<u8>> = model.keys().collect();
+        for (i, k) in keys.iter().enumerate() {
+            let got: Vec<Vec<u8>> = t.range(Bound::Excluded(k), Bound::Unbounded).unwrap().take(2).map(|r| r.unwrap().0).collect();
+            let want: Vec<Vec<u8>> = keys[i + 1..].iter().take(2).map(|k| k.to_vec()).collect();
+            prop_assert_eq!(got, want, "after {:?}", k);
         }
         for (lo, hi, lo_kind, hi_kind) in bounds {
             let (lo, hi) = (&probes[lo % probes.len()], &probes[hi % probes.len()]);
