@@ -9,8 +9,8 @@
 //! results stay identical, nothing fails. The operators run through
 //! [`drive`], the contract the executor runs them through, so the
 //! `spilled_before_end` column is what the engine does too: the bytes that
-//! had left memory when the last input tuple had been pushed, before
-//! end-of-input.
+//! had left memory when the last input frame was gathered, before its rows
+//! were pushed and before end-of-input.
 
 use crate::{ms, time_it, ExpReport};
 use asterix_adm::Value;
@@ -161,8 +161,9 @@ pub fn run(quick: bool) -> ExpReport {
         "shape: identical results at every budget; shrinking memory adds spill \
          runs/merge passes/grace partitioning instead of failures — the ref [10] \
          'robust memory management' behaviour. spilled_before_end is what had been \
-         written to spill runs when the last input tuple had been pushed (the sort's \
-         merge passes and the recursion into grace partitions write the rest)",
+         written to spill runs when the last input frame was gathered, before its \
+         rows were pushed (they, the sort's merge passes and the recursion into grace \
+         partitions write the rest)",
     );
     report
 }

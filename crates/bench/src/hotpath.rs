@@ -5,12 +5,10 @@
 //!
 //! 1. **Buffer cache**: cache-hit throughput of the lock-striped cache
 //!    under 1–8 concurrent scanners.
-//! 2. **Exchange**: tuple repartitioning through the sized frame path
-//!    (cached tuple sizes).
-//! 3. **Join**: hybrid hash-join build+probe throughput.
-//! 4. **Morsel scheduler**: one aggregation at 1, 2 and 4 partitions on the
+//! 2. **Join**: hybrid hash-join build+probe throughput.
+//! 3. **Morsel scheduler**: one aggregation at 1, 2 and 4 partitions on the
 //!    shared worker pool, with the scheduler's own counters.
-//! 5. **Compaction**: the same ingest with merges on the flushing thread
+//! 4. **Compaction**: the same ingest with merges on the flushing thread
 //!    and on the worker pool.
 //!
 //! Every cache figure is *measured* aggregate wall-clock throughput on this
@@ -23,8 +21,7 @@ use crate::{num, report_doc, time_it};
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_hyracks::ops::drive;
-use asterix_hyracks::frame::Rows;
-use asterix_hyracks::{RuntimeCtx, Tuple};
+use asterix_hyracks::RuntimeCtx;
 use asterix_obs::Json;
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::io::{FileId, FileManager, PAGE_SIZE};
@@ -114,74 +111,7 @@ fn cache_microbench(quick: bool) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Section 2: exchange repartition microbench
-// ---------------------------------------------------------------------------
-
-fn exchange_tuples(n: usize) -> Vec<Rows> {
-    let mut frames = Vec::new();
-    let mut f = Rows::new();
-    for i in 0..n {
-        // Representative of the documents the engine actually exchanges
-        // (E1's Gleambook records): nested object + array fields, which a
-        // per-hop size re-walk must recurse through.
-        let t: Tuple = vec![
-            Value::Int(i as i64),
-            Value::from(format!("payload-{i:08}-{}", "x".repeat(24))),
-            Value::object(vec![
-                ("organizationName".into(), Value::from("org")),
-                ("startDate".into(), Value::Date(15_000)),
-                ("tags".into(), Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])),
-            ]),
-            Value::Array((0..6).map(|k| Value::Int((i + k) as i64)).collect()),
-            Value::Double(i as f64 * 0.5),
-        ];
-        if f.push(t).unwrap_or(false) {
-            frames.push(f.take());
-        }
-    }
-    if !f.is_empty() {
-        frames.push(f.take());
-    }
-    frames
-}
-
-fn exchange_microbench(quick: bool) -> Json {
-    let n = if quick { 40_000 } else { 400_000 };
-    let destinations = 4usize;
-    // Router path: the `u32` size cached (and range-checked) at first
-    // buffering rides along — stats and re-buffering reuse it via
-    // `push_cached`: no walk, no re-validation, no `Result`. Best of 5
-    // passes: a single pass can absorb a preemption.
-    let t_sized = (0..5)
-        .map(|_| {
-            let source = exchange_tuples(n);
-            time_it(|| {
-                let mut dests: Vec<Rows> = (0..destinations).map(|_| Rows::new()).collect();
-                let mut stat_bytes = 0u64;
-                for frame in source {
-                    for (i, (t, size)) in frame.into_sized().enumerate() {
-                        stat_bytes += size as u64;
-                        let full = dests[i % destinations].push_cached(t, size);
-                        if full {
-                            std::hint::black_box(dests[i % destinations].take());
-                        }
-                    }
-                }
-                std::hint::black_box((&dests, stat_bytes));
-            })
-            .1
-        })
-        .min()
-        .unwrap();
-    Json::obj([
-        ("tuples", Json::U64(n as u64)),
-        ("destinations", Json::U64(destinations as u64)),
-        ("tuples_per_sec", num(n as f64 / t_sized.as_secs_f64())),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Section 3: hash-join build/probe microbench
+// Section 2: hash-join build/probe microbench
 // ---------------------------------------------------------------------------
 
 fn join_microbench(quick: bool) -> Json {
@@ -215,7 +145,7 @@ fn join_microbench(quick: bool) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Section 4: the morsel scheduler's dop sweep
+// Section 3: the morsel scheduler's dop sweep
 // ---------------------------------------------------------------------------
 
 /// Records the sweep aggregates, whatever `quick` says. The wall(4p)/wall(1p)
@@ -330,7 +260,7 @@ fn morsel_scheduler() -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Section 5: compaction — ingest stall, merges on the caller vs on the pool
+// Section 4: compaction — ingest stall, merges on the caller vs on the pool
 // ---------------------------------------------------------------------------
 
 /// One ingest run: upsert `n` records through a merge-happy LSM tree,
@@ -434,8 +364,6 @@ fn compaction_microbench(quick: bool) -> Json {
 pub fn run(quick: bool) -> Json {
     eprintln!("hotpath: cache-hit microbench...");
     let cache = cache_microbench(quick);
-    eprintln!("hotpath: exchange repartition microbench...");
-    let exchange = exchange_microbench(quick);
     eprintln!("hotpath: join microbench...");
     let join = join_microbench(quick);
     eprintln!("hotpath: morsel scheduler (e04 at 1, 2 and 4 partitions)...");
@@ -447,7 +375,6 @@ pub fn run(quick: bool) -> Json {
         quick,
         [
             ("cache_hit_microbench", cache),
-            ("exchange_microbench", exchange),
             ("join_microbench", join),
             ("morsel_scheduler", morsels),
             ("compaction", compaction),
@@ -477,7 +404,6 @@ mod tests {
             pps("3"),
             pps("0")
         );
-        assert!(number(&doc, &["exchange_microbench", "tuples_per_sec"]) > 0.0);
         assert!(number(&doc, &["join_microbench", "tuples_per_sec"]) > 0.0);
         // Morsel-scheduler section: one measured point per dop.
         assert!(number(&doc, &["morsel_scheduler", "workers"]) >= 1.0, "pool has at least one worker");

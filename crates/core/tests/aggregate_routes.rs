@@ -155,9 +155,11 @@ fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
 
 /// A `GROUP BY` over flushed records moves its input in batches: the scan,
 /// the assign that names the key and the local half of the aggregation hand
-/// on columns, and a tuple is routed on its own only from the local groups
-/// on — fewer of those than records scanned (2.6 times as many before a scan
-/// yielded columns). What a profile counts stays in rows.
+/// on columns, and a tuple is placed on its own only by the local and the
+/// global groups — fewer of those than records scanned (2.6 times as many
+/// before a scan yielded columns). The operators after the global half pass
+/// its rows on as the batches they arrive in. What a profile counts stays in
+/// rows.
 #[test]
 fn a_group_by_routes_fewer_tuples_one_at_a_time_than_it_scans_records() {
     const RECORDS: u64 = 6_000;
@@ -185,7 +187,13 @@ fn a_group_by_routes_fewer_tuples_one_at_a_time_than_it_scans_records() {
     assert_eq!((scan.tuples_out, scan.frames_out), (RECORDS, 6), "rows counted as rows, a batch one frame");
     assert_eq!((local.tuples_in, local.frames_in), (RECORDS, 6));
     assert!(local.tuples_out <= 600, "a group per key and partition");
-    assert_eq!(counter("batch_rows"), 2 * RECORDS, "scan to assign, assign to the local groups");
+    let groups = rows.len() as u64;
+    assert_eq!(
+        counter("batch_rows"),
+        2 * RECORDS + 3 * groups,
+        "scan to assign, assign to the local groups; the three operators after the global half"
+    );
     let moved = counter("tuples_moved");
-    assert!(moved < RECORDS && moved >= local.tuples_out, "{moved} tuples routed one at a time for {RECORDS} records");
+    assert_eq!(moved, local.tuples_out + groups, "the local groups' rows and the global groups', each placed on its own");
+    assert!(moved < RECORDS, "{moved} tuples routed one at a time for {RECORDS} records");
 }

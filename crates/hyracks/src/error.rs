@@ -36,8 +36,8 @@ pub enum HyracksError {
     /// Raised by data sources above the storage layer; transient — a retry
     /// after node restart can succeed.
     NodeDown(usize),
-    /// A length did not fit the `u32` framing fields used by frames and
-    /// spill runs (see [`crate::frame::u32_len`]).
+    /// A length did not fit the `u32` framing fields of spill runs (see
+    /// [`crate::frame::u32_len`]).
     SizeOverflow {
         /// What was being measured (`"tuple size"`, `"spill-run frame"`, …).
         what: &'static str,

@@ -27,7 +27,7 @@ use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use crate::error::{HyracksError, Result};
 use crate::faults::{FrameAction, WorkerFaultState};
-use crate::frame::{Frame, Rows, Tuple};
+use crate::frame::{tuple_size, FrameBuilder, Tuple};
 use crate::job::{cmp_tuples, ConnStrategy, JobSpec, SortKey};
 use crate::ops::{self, Flow, OpCtx, Polled};
 use crate::sched::{self, WorkerPool, MORSEL_TUPLES};
@@ -70,7 +70,7 @@ impl Notifier for NoWake {
 /// mutated only inside short lock scopes (actors never block on it).
 #[derive(Default)]
 struct EdgeState {
-    frames: VecDeque<Frame>,
+    frames: VecDeque<ColumnBatch>,
     /// Producer finished *cleanly*: every frame it ever shipped is in
     /// `frames` (or already consumed). End-of-stream is a flag on the edge,
     /// not an in-band marker frame, so it can never be confused with data
@@ -107,10 +107,40 @@ fn dirty_disconnect(token: &CancellationToken, idx: usize) -> HyracksError {
     ))
 }
 
-fn note_in_frame(m: &mut OpMetrics, f: &Frame) {
+fn note_in_frame(m: &mut OpMetrics, f: &ColumnBatch) {
     m.frames_in += 1;
-    m.tuples_in += f.len() as u64;
-    m.bytes_in += f.bytes() as u64;
+    m.tuples_in += f.rows() as u64;
+    m.bytes_in += f.heap_size() as u64;
+}
+
+/// What one look at an edge found.
+enum Popped {
+    Frame(ColumnBatch),
+    /// The producer finished cleanly and every frame is consumed.
+    Done,
+    /// The producer died mid-stream.
+    Dirty,
+    /// Nothing yet.
+    Empty,
+}
+
+/// Takes the next frame off `edge`, waking its producer when that frees room
+/// below the capacity watermark.
+fn pop(edge: &Edge, job: &dyn Notifier) -> Popped {
+    let mut st = edge.state.lock();
+    let Some(f) = st.frames.pop_front() else {
+        return match (st.closed, st.eos) {
+            (true, true) => Popped::Done,
+            (true, false) => Popped::Dirty,
+            (false, _) => Popped::Empty,
+        };
+    };
+    let wake = st.frames.len() == CHANNEL_CAP - 1;
+    drop(st);
+    if wake {
+        job.notify_task(edge.src_task);
+    }
+    Popped::Frame(f)
 }
 
 /// Arrival-order input port: pops frames from any live edge with a
@@ -120,13 +150,12 @@ struct AnyPort {
     /// Indices into `edges` still open.
     live: Vec<usize>,
     cursor: usize,
-    buffer: VecDeque<(Tuple, u32)>,
 }
 
 impl AnyPort {
     fn new(edges: Vec<Arc<Edge>>) -> Self {
         let live = (0..edges.len()).collect();
-        AnyPort { edges, live, cursor: 0, buffer: VecDeque::new() }
+        AnyPort { edges, live, cursor: 0 }
     }
 
     fn poll(
@@ -135,81 +164,52 @@ impl AnyPort {
         token: &CancellationToken,
         m: &mut OpMetrics,
     ) -> Result<Polled> {
-        loop {
-            if let Some((t, s)) = self.buffer.pop_front() {
-                return Ok(Polled::Tuple(t, s));
-            }
-            if self.live.is_empty() {
-                return Ok(Polled::End);
-            }
-            let n = self.live.len();
-            let mut got: Option<Frame> = None;
-            let mut notify_src: Option<usize> = None;
-            let mut retired = false;
-            let mut dirty: Option<usize> = None;
-            for k in 0..n {
-                let slot = (self.cursor + k) % n;
-                let ei = self.live[slot];
-                {
-                    let mut st = self.edges[ei].state.lock();
-                    if let Some(f) = st.frames.pop_front() {
-                        // Crossing the capacity watermark frees room for a
-                        // producer waiting on a full edge.
-                        if st.frames.len() == CHANNEL_CAP - 1 {
-                            notify_src = Some(self.edges[ei].src_task);
-                        }
-                        self.cursor = (slot + 1) % n;
-                        got = Some(f);
-                    } else if st.closed {
-                        if st.eos {
-                            self.live[slot] = usize::MAX;
-                            retired = true;
-                        } else {
-                            dirty = Some(ei);
-                        }
-                    }
-                }
-                if got.is_some() || dirty.is_some() {
+        let n = self.live.len();
+        let mut retired = false;
+        let mut got = None;
+        for k in 0..n {
+            let slot = (self.cursor + k) % n;
+            let ei = self.live[slot];
+            match pop(&self.edges[ei], job) {
+                Popped::Frame(f) => {
+                    self.cursor = (slot + 1) % n;
+                    got = Some(f);
                     break;
                 }
-            }
-            if let Some(src) = notify_src {
-                job.notify_task(src);
-            }
-            if retired {
-                self.live.retain(|&i| i != usize::MAX);
-                self.cursor = 0;
-            }
-            if let Some(f) = got {
-                note_in_frame(m, &f);
-                match f {
-                    Frame::Rows(rows) => self.buffer.extend(rows.into_sized()),
-                    // the buffer is empty: a batch keeps its place in the stream
-                    Frame::Batch(batch) => return Ok(Polled::Batch(batch)),
+                Popped::Done => {
+                    self.live[slot] = usize::MAX;
+                    retired = true;
                 }
-                continue;
+                Popped::Dirty => return Err(dirty_disconnect(token, ei)),
+                Popped::Empty => {}
             }
-            if let Some(idx) = dirty {
-                return Err(dirty_disconnect(token, idx));
-            }
-            if self.live.is_empty() {
-                return Ok(Polled::End);
-            }
-            return Ok(Polled::Pending);
         }
+        if retired {
+            self.live.retain(|&i| i != usize::MAX);
+            self.cursor = 0;
+        }
+        Ok(match got {
+            Some(f) => {
+                note_in_frame(m, &f);
+                Polled::Batch(f)
+            }
+            None if self.live.is_empty() => Polled::End,
+            None => Polled::Pending,
+        })
     }
 }
 
-/// One producer leg of a merge-sorted port.
+/// One producer leg of a merge-sorted port: the rows of its current frame.
 struct MergeLeg {
     edge: Arc<Edge>,
-    buffer: VecDeque<(Tuple, u32)>,
+    buffer: VecDeque<Tuple>,
     done: bool,
 }
 
 /// Order-preserving gather: emits the global minimum across per-producer
-/// sorted streams. Can only emit when every open leg has a buffered tuple,
-/// so an empty open leg makes the whole port `Pending`.
+/// sorted streams, gathered into frames. Can only emit when every open leg
+/// has a buffered tuple, so an empty open leg ends the frame at hand, or
+/// makes the whole port `Pending`.
 struct MergePort {
     keys: Vec<SortKey>,
     legs: Vec<MergeLeg>,
@@ -224,84 +224,54 @@ impl MergePort {
         MergePort { keys, legs }
     }
 
+    /// Refills every open leg that has no row; `false` when one of them has
+    /// none to give yet.
+    fn refill(&mut self, job: &dyn Notifier, token: &CancellationToken, m: &mut OpMetrics) -> Result<bool> {
+        for (li, leg) in self.legs.iter_mut().enumerate() {
+            while leg.buffer.is_empty() && !leg.done {
+                match pop(&leg.edge, job) {
+                    Popped::Frame(f) => {
+                        note_in_frame(m, &f);
+                        leg.buffer.extend(f.into_rows());
+                    }
+                    Popped::Done => leg.done = true,
+                    Popped::Dirty => return Err(dirty_disconnect(token, li)),
+                    Popped::Empty => return Ok(false),
+                }
+            }
+        }
+        Ok(true)
+    }
+
     fn poll(
         &mut self,
         job: &dyn Notifier,
         token: &CancellationToken,
         m: &mut OpMetrics,
     ) -> Result<Polled> {
-        for li in 0..self.legs.len() {
-            while self.legs[li].buffer.is_empty() && !self.legs[li].done {
-                let mut frame: Option<Frame> = None;
-                let mut notify_src: Option<usize> = None;
-                let mut dirty = false;
-                let mut pending = false;
-                let mut done = false;
-                {
-                    let leg = &mut self.legs[li];
-                    let mut st = leg.edge.state.lock();
-                    if let Some(f) = st.frames.pop_front() {
-                        if st.frames.len() == CHANNEL_CAP - 1 {
-                            notify_src = Some(leg.edge.src_task);
-                        }
-                        frame = Some(f);
-                    } else if st.closed {
-                        if st.eos {
-                            done = true;
-                        } else {
-                            dirty = true;
-                        }
-                    } else {
-                        pending = true;
-                    }
-                }
-                if done {
-                    self.legs[li].done = true;
-                }
-                if let Some(src) = notify_src {
-                    job.notify_task(src);
-                }
-                if dirty {
-                    return Err(dirty_disconnect(token, li));
-                }
-                if pending {
-                    return Ok(Polled::Pending);
-                }
-                if let Some(f) = frame {
-                    note_in_frame(m, &f);
-                    // a sorted-merge connector places single tuples
-                    // ([`Router::push_batch`] builds them)
-                    let Frame::Rows(rows) = f else {
-                        return Err(HyracksError::InvalidJob("a batch on a sorted-merge edge".into()));
-                    };
-                    self.legs[li].buffer.extend(rows.into_sized());
+        let mut frame = FrameBuilder::default();
+        loop {
+            if !self.refill(job, token, m)? {
+                return Ok(if frame.is_empty() { Polled::Pending } else { Polled::Batch(frame.take()?) });
+            }
+            let mut best: Option<usize> = None;
+            for (i, leg) in self.legs.iter().enumerate() {
+                let Some(t) = leg.buffer.front() else { continue };
+                if best.is_none_or(|b| cmp_tuples(t, &self.legs[b].buffer[0], &self.keys).is_lt()) {
+                    best = Some(i);
                 }
             }
-        }
-        let mut best: Option<usize> = None;
-        for i in 0..self.legs.len() {
-            if self.legs[i].buffer.front().is_none() {
-                continue;
+            let Some(i) = best else {
+                return Ok(if frame.is_empty() { Polled::End } else { Polled::Batch(frame.take()?) });
+            };
+            if !frame.fits(&self.legs[i].buffer[0]) {
+                return Ok(Polled::Batch(frame.take()?));
             }
-            best = Some(match best {
-                None => i,
-                Some(b) => {
-                    let ti = &self.legs[i].buffer[0].0;
-                    let tb = &self.legs[b].buffer[0].0;
-                    if cmp_tuples(ti, tb, &self.keys) == std::cmp::Ordering::Less {
-                        i
-                    } else {
-                        b
-                    }
-                }
-            });
-        }
-        match best {
-            Some(i) => match self.legs[i].buffer.pop_front() {
-                Some((t, s)) => Ok(Polled::Tuple(t, s)),
-                None => Ok(Polled::End),
-            },
-            None => Ok(Polled::End),
+            let Some(t) = self.legs[i].buffer.pop_front() else { continue };
+            let size = tuple_size(&t);
+            if frame.push(t, size) {
+                return Ok(Polled::Batch(frame.take()?));
+            }
         }
     }
 }
@@ -338,16 +308,19 @@ impl InPort {
     }
 }
 
-/// Routes an actor's output tuples to its consumer edges by the connector
-/// strategy, buffering into frames and flushing full frames in place.
-/// Partial frames persist across steps, so frame boundaries match the
-/// thread-per-partition executor's exactly (deterministic profile counts).
-/// An operator nobody consumes (the result sink; an operator driven outside
-/// a job) has a router without edges, which collects what it is given.
+/// Routes an actor's output to its consumer edges by the connector strategy.
+/// A batch goes whole where all of it goes to one consumer; rows emitted one
+/// at a time, and the rows of a batch a connector places one by one, are
+/// gathered per destination into frames, each shipped as a batch once it
+/// passes [`crate::frame::FRAME_BUDGET`]. Partial frames persist across
+/// steps, so frame boundaries match the thread-per-partition executor's
+/// exactly (deterministic profile counts). An operator nobody consumes (the
+/// result sink; an operator driven outside a job) has a router without
+/// edges, which collects what it is given.
 pub(crate) struct Router {
     strategy: ConnStrategy,
     edges: Vec<Arc<Edge>>,
-    buffers: Vec<Rows>,
+    buffers: Vec<FrameBuilder>,
     collected: Vec<Tuple>,
     /// A push found every consumer gone: nothing more is worth shipping.
     all_gone: bool,
@@ -370,7 +343,7 @@ impl Router {
         ctx: &RuntimeCtx,
         faults: Option<WorkerFaultState>,
     ) -> Self {
-        let buffers = edges.iter().map(|_| Rows::new()).collect();
+        let buffers = edges.iter().map(|_| FrameBuilder::default()).collect();
         Router {
             strategy,
             edges,
@@ -423,8 +396,14 @@ impl Router {
     /// actor should stop producing).
     #[inline]
     pub(crate) fn push(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple) -> Result<bool> {
-        let size = crate::frame::u32_len("tuple size", Rows::tuple_size(&t))?;
-        self.push_cached(job, m, t, size)
+        if self.edges.is_empty() {
+            m.tuples_out += 1;
+            self.collected.push(t);
+            return Ok(true);
+        }
+        let alive = self.route(job, m, t)?;
+        self.all_gone = !alive;
+        Ok(alive)
     }
 
     /// Pushes the rows in play of a batch. Where they all go to one consumer
@@ -454,36 +433,17 @@ impl Router {
         if self.strategy != ConnStrategy::OneToOne {
             self.tuples_exchanged.add(rows);
         }
-        let alive = self.flush(job, m, dst)? && self.ship(job, m, dst, Frame::Batch(batch))?;
+        let alive = self.flush(job, m, dst)? && self.ship(job, m, dst, batch)?;
         self.all_gone = !alive;
         Ok(alive)
     }
 
-    /// Pushes a tuple whose byte size is carried from an upstream frame's
-    /// size cache — the exchange hot path: no re-walk, no re-validation.
-    #[inline]
-    pub(crate) fn push_cached(
-        &mut self,
-        job: &dyn Notifier,
-        m: &mut OpMetrics,
-        t: Tuple,
-        size: u32,
-    ) -> Result<bool> {
-        if self.edges.is_empty() {
-            m.tuples_out += 1;
-            self.collected.push(t);
-            return Ok(true);
-        }
-        let alive = self.route(job, m, t, size)?;
-        self.all_gone = !alive;
-        Ok(alive)
-    }
-
-    fn route(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple, size: u32) -> Result<bool> {
+    fn route(&mut self, job: &dyn Notifier, m: &mut OpMetrics, t: Tuple) -> Result<bool> {
         self.tuples_moved.inc();
         if !matches!(self.strategy, ConnStrategy::OneToOne) {
             self.tuples_exchanged.inc();
         }
+        let size = tuple_size(&t);
         m.tuples_out += 1;
         m.bytes_out += size as u64;
         match &self.strategy {
@@ -520,9 +480,12 @@ impl Router {
         m: &mut OpMetrics,
         dst: usize,
         t: Tuple,
-        size: u32,
+        size: usize,
     ) -> Result<bool> {
-        if self.buffers[dst].push_cached(t, size) {
+        if !self.buffers[dst].fits(&t) && !self.flush(job, m, dst)? {
+            return Ok(false);
+        }
+        if self.buffers[dst].push(t, size) {
             return self.flush(job, m, dst);
         }
         Ok(true)
@@ -532,12 +495,12 @@ impl Router {
         if self.buffers[dst].is_empty() {
             return Ok(true);
         }
-        let frame = Frame::Rows(self.buffers[dst].take());
+        let frame = self.buffers[dst].take()?;
         self.ship(job, m, dst, frame)
     }
 
     /// Puts `frame` on the edge to consumer `dst`; `false` when it is gone.
-    fn ship(&mut self, job: &dyn Notifier, m: &mut OpMetrics, dst: usize, frame: Frame) -> Result<bool> {
+    fn ship(&mut self, job: &dyn Notifier, m: &mut OpMetrics, dst: usize, frame: ColumnBatch) -> Result<bool> {
         m.frames_out += 1;
         if let Some(n) = m.frames_routed.get_mut(dst) {
             *n += 1;
@@ -715,7 +678,7 @@ impl sched::Task for ActorTask {
                 return Ok(Flow::Idle);
             }
             let mut cx =
-                OpCtx { metrics, token: &job.token, ctx: &job.ctx, out: router, wake: &*job };
+                OpCtx { metrics, token: &job.token, ctx: &job.ctx, out: router, wake: &*job, spent: 0 };
             let flow = run.pump(in_ports, &mut cx, MORSEL_TUPLES)?;
             if flow == Flow::Finished {
                 router.flush_all(&*job, metrics)?;
@@ -1292,6 +1255,121 @@ mod tests {
     }
 
     #[test]
+    fn a_router_ships_rows_as_one_frame_once_they_pass_the_budget() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let edge = test_edge();
+        let mut router = Router::new(ConnStrategy::OneToOne, vec![Arc::clone(&edge)], 0, &ctx, None);
+        let mut m = OpMetrics::default();
+        let big = vec![Value::String("x".repeat(crate::frame::FRAME_BUDGET / 4))];
+        for _ in 0..3 {
+            assert!(router.push(&NoWake, &mut m, big.clone()).unwrap());
+            assert!(edge.state.lock().frames.is_empty(), "under the budget nothing ships");
+        }
+        assert!(router.push(&NoWake, &mut m, big.clone()).unwrap());
+        let frames = std::mem::take(&mut edge.state.lock().frames);
+        assert_eq!(frames.len(), 1, "the fourth large tuple crosses the budget");
+        assert_eq!(frames[0].clone().into_rows().collect::<Vec<_>>(), vec![big; 4]);
+        assert_eq!((m.frames_out, m.tuples_out), (1, 4));
+        assert_eq!((ctx.stats.tuples_moved.get(), ctx.stats.batch_rows.get()), (4, 0), "placed one at a time");
+        // a row of another width ships the rows held before it
+        let (pair, one) = (vec![Value::Int(1), Value::Int(2)], vec![Value::Int(3)]);
+        router.push(&NoWake, &mut m, pair.clone()).unwrap();
+        router.push(&NoWake, &mut m, one).unwrap();
+        let frames = std::mem::take(&mut edge.state.lock().frames);
+        assert_eq!(frames.into_iter().flat_map(ColumnBatch::into_rows).collect::<Vec<_>>(), [pair]);
+    }
+
+    /// Rows that row-wise operators (unnest, sort) emit one at a time meet
+    /// every operator that works on batches — select, assign, project,
+    /// limit, union — across each kind of connector. MISSING and NULL stay
+    /// apart, and so do `2` and `2.0`, through every frame built of them.
+    #[test]
+    fn rows_meet_every_batch_operator_across_every_connector() {
+        fn v(id: i64) -> Value {
+            match id % 8 {
+                1 | 6 => Value::Missing,
+                2 | 3 => Value::Null,
+                0 | 4 => Value::Double(2.0),
+                _ => Value::Int(2),
+            }
+        }
+        fn item(id: i64, j: i64) -> Value {
+            let tags = Value::Array(vec![Value::Null, Value::from("t")]);
+            Value::object(vec![("n".into(), Value::Int(id * 10 + j)), ("tags".into(), tags)])
+        }
+        /// `id % 3` items to unnest
+        fn items(id: i64) -> Value {
+            Value::Array((0..id % 3).map(|j| item(id, j)).collect())
+        }
+        fn nested(id: i64) -> Value {
+            Value::object(vec![("a".into(), Value::Array(vec![Value::Int(id), Value::object(vec![("b".into(), Value::Null)])]))])
+        }
+        let row = |id: i64, last: Value| vec![Value::Int(id), v(id), Value::from(format!("s{id}")), last];
+        let source = |ids: fn(usize) -> std::ops::Range<i64>, last: fn(i64) -> Value| {
+            OpKind::Source(Arc::new(FnSource(move |p: usize| {
+                Ok(Box::new(ids(p).map(move |id| Ok(row(id, last(id))))) as Box<dyn Iterator<Item = Result<Tuple>> + Send>)
+            })))
+        };
+        let kind = |v: &Value| match v {
+            Value::Missing => "missing",
+            Value::Null => "null",
+            Value::Int(_) => "int",
+            _ => "double",
+        };
+        let mut j = JobSpec::new();
+        // unnest → hash → select → assign → project → sort → merge-sorted → limit
+        let a = j.add(source(|p| p as i64 * 4..p as i64 * 4 + 4, items), 2, "a");
+        let un = j.add(OpKind::Unnest { expr: Arc::new(|t: &Tuple| Ok(t[3].clone())), outer: false }, 2, "unnest");
+        let sel = j.add(OpKind::Filter(Arc::new(|t: &Tuple| Ok(t[0] != Value::Int(7)))), 2, "select");
+        let asn = j.add(OpKind::Assign(vec![Arc::new(move |t: &Tuple| Ok(Value::from(kind(&t[1]))))]), 2, "assign");
+        let proj = j.add(OpKind::Project(vec![0, 1, 2, 4, 5]), 2, "project");
+        let keys = vec![SortKey::asc(0), SortKey::asc(3)];
+        let sort = j.add(OpKind::Sort { keys: keys.clone(), memory: 1 << 20 }, 2, "sort");
+        let lim = j.add(OpKind::Limit { offset: 0, count: Some(5) }, 1, "limit");
+        // sort → broadcast → select → gather
+        let b = j.add(source(|_| 9..14, nested), 1, "b");
+        let sort_b = j.add(OpKind::Sort { keys: vec![SortKey::desc(0)], memory: 1 << 20 }, 1, "sort-b");
+        let sel_b = j.add(OpKind::Filter(Arc::new(|t: &Tuple| Ok(t[1] != Value::Null))), 2, "select-b");
+        let union = j.add(OpKind::UnionAll, 1, "union");
+        let sink = j.add(OpKind::ResultSink, 1, "sink");
+        j.connect(a, un, 0, ConnStrategy::OneToOne);
+        j.connect(un, sel, 0, ConnStrategy::Hash(vec![0]));
+        j.connect(sel, asn, 0, ConnStrategy::OneToOne);
+        j.connect(asn, proj, 0, ConnStrategy::OneToOne);
+        j.connect(proj, sort, 0, ConnStrategy::OneToOne);
+        j.connect(sort, lim, 0, ConnStrategy::MergeSorted(keys));
+        j.connect(lim, union, 0, ConnStrategy::OneToOne);
+        j.connect(b, sort_b, 0, ConnStrategy::OneToOne);
+        j.connect(sort_b, sel_b, 0, ConnStrategy::Broadcast);
+        j.connect(sel_b, union, 1, ConnStrategy::Gather);
+        j.connect(union, sink, 0, ConnStrategy::Gather);
+        let mut got = run_job(j, RuntimeCtx::temp().unwrap()).unwrap().tuples;
+
+        // By hand. Ids 0, 3 and 6 have no items and the select drops 7, so
+        // (1, 0), (2, 0), (2, 1), (4, 0), (5, 0), (5, 1) in (id, item)
+        // order, of which the limit keeps five.
+        let a_row = |id: i64, j: i64| {
+            let mut t = row(id, v(id));
+            t.truncate(3);
+            t.extend([item(id, j), Value::from(kind(&v(id)))]);
+            t
+        };
+        let sorted = [a_row(1, 0), a_row(2, 0), a_row(2, 1), a_row(4, 0), a_row(5, 0)];
+        // The union reads the limit to its end first, in the order merged.
+        assert_eq!(got.len(), sorted.len() + 6);
+        assert_eq!(got[..5], sorted);
+        // Ids 9 (MISSING), 12 (2.0) and 13 (2), once per partition the
+        // broadcast reaches, in no order; the select drops the NULLs of 10
+        // and 11.
+        let mut want: Vec<Tuple> = [9, 9, 12, 12, 13, 13].into_iter().map(|id| row(id, nested(id))).collect();
+        let mut broadcast = got.split_off(5);
+        for rows in [&mut broadcast, &mut want] {
+            rows.sort_by_key(|t| format!("{t:?}"));
+        }
+        assert_eq!(broadcast, want);
+    }
+
+    #[test]
     fn a_join_stops_when_its_consumer_is_gone() {
         // 200 x 200 matches on one key = 40k output tuples; LIMIT 3 must not
         // make the join produce them all.
@@ -1725,6 +1803,20 @@ mod tests {
         Arc::new(Edge { state: Mutex::new(EdgeState::default()), src_task: 0, dst_task: 1 })
     }
 
+    /// A frame of the one tuple `[1]`.
+    fn frame_of_one() -> ColumnBatch {
+        let mut f = FrameBuilder::default();
+        f.push(vec![Value::Int(1)], 0);
+        f.take().unwrap()
+    }
+
+    fn rows_of(polled: Polled) -> Vec<Tuple> {
+        match polled {
+            Polled::Batch(b) => b.into_rows().collect(),
+            other => panic!("a frame, not {other:?}"),
+        }
+    }
+
     #[test]
     fn dirty_disconnect_is_typed_upstream_failure() {
         // Unit-level: a producer that closes its edge without the
@@ -1736,15 +1828,11 @@ mod tests {
         let mut m = OpMetrics::default();
         {
             let mut st = edge.state.lock();
-            let mut f = Rows::new();
-            f.push(vec![Value::Int(1)]).unwrap();
-            st.frames.push_back(Frame::Rows(f));
+            st.frames.push_back(frame_of_one());
             st.closed = true; // died mid-stream: closed without eos
         }
-        match port.poll(&NoWake, &token, &mut m).unwrap() {
-            Polled::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
-            _ => panic!("buffered data drains before the dirty close is reported"),
-        }
+        let drained = rows_of(port.poll(&NoWake, &token, &mut m).unwrap());
+        assert_eq!(drained, [vec![Value::Int(1)]], "buffered data drains before the dirty close is reported");
         let err = port.poll(&NoWake, &token, &mut m).unwrap_err();
         assert!(matches!(err, HyracksError::UpstreamFailure(_)), "{err}");
     }
@@ -1757,16 +1845,11 @@ mod tests {
         let mut m = OpMetrics::default();
         {
             let mut st = edge.state.lock();
-            let mut f = Rows::new();
-            f.push(vec![Value::Int(1)]).unwrap();
-            st.frames.push_back(Frame::Rows(f));
+            st.frames.push_back(frame_of_one());
             st.closed = true;
             st.eos = true; // clean finish
         }
-        match port.poll(&NoWake, &token, &mut m).unwrap() {
-            Polled::Tuple(t, _) => assert_eq!(t, vec![Value::Int(1)]),
-            _ => panic!("data before the clean close"),
-        }
+        assert_eq!(rows_of(port.poll(&NoWake, &token, &mut m).unwrap()), [vec![Value::Int(1)]], "data before the clean close");
         assert!(
             matches!(port.poll(&NoWake, &token, &mut m).unwrap(), Polled::End),
             "eos flag after the data = clean end"

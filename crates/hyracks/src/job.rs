@@ -314,7 +314,7 @@ impl OpKind {
             OpKind::Source(factory) => Box::new(stream::Source::new(Arc::clone(factory), partition)),
             OpKind::Filter(pred) => Box::new(stream::Filter(Arc::clone(pred))),
             OpKind::Assign(exprs) => Box::new(stream::Assign(exprs.clone())),
-            OpKind::Project(cols) => Box::new(stream::Project::new(cols.clone())),
+            OpKind::Project(cols) => Box::new(stream::Project(cols.clone())),
             OpKind::Unnest { expr, outer } => {
                 Box::new(stream::Unnest { expr: Arc::clone(expr), outer: *outer })
             }

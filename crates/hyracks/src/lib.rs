@@ -10,7 +10,7 @@
 //! *connectors* (one-to-one, hash-partition, broadcast, sorted-merge). The
 //! [`exec`] module runs a job by scheduling each operator-partition as a
 //! cooperative actor on a fixed work-stealing worker pool ([`sched`]),
-//! streaming [`frame::Frame`]s (tuple batches) through bounded edge queues
+//! streaming frames (column batches of tuples) through bounded edge queues
 //! — the same push-based frame dataflow as Hyracks, but the degree of
 //! parallelism is a scheduling decision: `partitions = N` does **not**
 //! spawn N threads, it creates N schedulable morsel sources.
@@ -39,5 +39,5 @@ pub use error::{HyracksError, Result};
 pub use exec::JobOptions;
 pub use sched::{storage_compaction_executor, WorkerPool, MORSEL_TUPLES};
 pub use faults::{DataflowFaults, FaultConfig};
-pub use frame::{u32_len, Frame, Rows, Tuple};
+pub use frame::{u32_len, Tuple};
 pub use job::{ConnStrategy, JobSpec, OpId, OpKind};

@@ -10,10 +10,10 @@
 
 use crate::ctx::{RunHandle, RunWriter, RuntimeCtx};
 use crate::error::Result;
-use crate::frame::{Rows, Tuple};
+use crate::frame::{tuple_size, Tuple};
 use crate::job::{cmp_tuples, AggSpec, SortKey};
 use crate::ops::sort::{Advance, Sort};
-use crate::ops::{AggState, Nested, OpCtx, Operator};
+use crate::ops::{each_row, AggState, Nested, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
 use asterix_adm::{ColumnBatch, Value};
 use std::collections::{HashMap, VecDeque};
@@ -45,6 +45,11 @@ pub(crate) trait Resident: Send + Sized + 'static {
     /// built — if the table can find the row's key without one. `false`
     /// leaves the row to `fold`.
     fn fold_at(&mut self, _batch: &ColumnBatch, _row: usize, _admit: bool) -> bool {
+        false
+    }
+    /// Whether `fold_at` is worth asking of `batch`: it finds the key of its
+    /// first row in play where it lies.
+    fn folds_in(&self, _batch: &ColumnBatch) -> bool {
         false
     }
     /// Bytes the admitted keys are accounted at.
@@ -96,10 +101,10 @@ impl<R: Resident> Hybrid<R> {
     fn admits(&self) -> bool {
         self.table.bytes() < self.memory || self.depth >= MAX_DEPTH
     }
-}
 
-impl<R: Resident> Operator for Hybrid<R> {
-    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    /// Folds `t`, or writes it to its partition when its key is not
+    /// resident and may not become so.
+    fn row(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
         let admit = self.admits();
         if let Some(t) = self.table.fold(t, admit) {
             let h = self.table.hash(&t);
@@ -119,15 +124,21 @@ impl<R: Resident> Operator for Hybrid<R> {
         }
         Ok(true)
     }
+}
 
-    /// Row by row like [`Operator::on_tuple`] — the budget is asked at every
-    /// row, so the same keys are admitted and the same rows spilled — but a
-    /// row whose key the table finds in its column is folded where it lies.
-    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+impl<R: Resident> Operator for Hybrid<R> {
+    /// Row by row — the budget is asked at every row, so the same keys are
+    /// admitted and the same rows spilled however the rows are framed — and
+    /// a row whose key the table finds in its column is folded where it
+    /// lies. A frame the table cannot fold in is read as rows.
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        if !self.table.folds_in(&batch) {
+            return each_row(batch, |t| self.row(t, cx));
+        }
         for row in batch.row_ids() {
             let admit = self.admits();
             if !self.table.fold_at(&batch, row, admit) {
-                self.on_tuple(port, batch.tuple(row), 0, cx)?;
+                self.row(batch.tuple(row), cx)?;
             }
         }
         Ok(true)
@@ -256,6 +267,11 @@ impl Resident for Groups {
         true
     }
 
+    fn folds_in(&self, batch: &ColumnBatch) -> bool {
+        let [col] = self.key_cols[..] else { return false };
+        batch.row_ids().next().is_some_and(|row| batch.column(col).int_at(row).is_some())
+    }
+
     fn bytes(&self) -> usize {
         self.bytes
     }
@@ -314,7 +330,7 @@ impl Resident for Seen {
         if !admit {
             return Some(t);
         }
-        self.bytes += Rows::tuple_size(&t) + 32;
+        self.bytes += tuple_size(&t) + 32;
         self.table.entry(h).or_default().push(t);
         None
     }
@@ -343,9 +359,10 @@ impl Aggregate {
 }
 
 impl Operator for Aggregate {
-    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        for s in &mut self.0 {
-            s.update(&t);
+    /// Folds each row in play where its columns hold it.
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        for row in batch.row_ids() {
+            self.0.iter_mut().for_each(|s| s.update_at(&batch, row));
         }
         Ok(true)
     }
@@ -390,9 +407,8 @@ impl GroupCollect {
 }
 
 impl Operator for GroupCollect {
-    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        self.sort.feed(t, size, cx)?;
-        Ok(true)
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        each_row(batch, |t| self.sort.feed(t, cx))
     }
 
     fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry

@@ -9,11 +9,11 @@
 
 use crate::ctx::{RunHandle, RunWriter};
 use crate::error::Result;
-use crate::frame::Tuple;
+use crate::frame::{tuple_size, Tuple};
 use crate::job::{JoinKind, Pred2Fn};
-use crate::ops::{Nested, OpCtx, Operator};
+use crate::ops::{each_row, Nested, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
-use asterix_adm::Value;
+use asterix_adm::{ColumnBatch, Value};
 use std::collections::{HashMap, VecDeque};
 
 /// Number of grace partitions per spill level.
@@ -112,8 +112,8 @@ impl HashJoin {
         Ok(())
     }
 
-    fn on_build(&mut self, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<()> {
-        self.build_bytes += size as usize;
+    fn on_build(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
+        self.build_bytes += tuple_size(&t);
         // Unknown keys match nothing: such build tuples are dropped.
         if !key_has_unknown(&t, &self.cfg.right_keys) {
             let h = hash_key(&t, &self.cfg.right_keys);
@@ -128,7 +128,7 @@ impl HashJoin {
         if self.grace.is_none() && self.build_bytes > self.cfg.memory && self.depth < MAX_DEPTH {
             self.overflow(cx)?;
         }
-        Ok(())
+        Ok(true)
     }
 
     fn on_probe(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
@@ -155,12 +155,11 @@ impl Operator for HashJoin {
         Some(1)
     }
 
-    fn on_tuple(&mut self, port: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         if port == 1 {
-            self.on_build(t, size, cx)?;
-            return Ok(true);
+            return each_row(batch, |t| self.on_build(t, cx));
         }
-        self.on_probe(t, cx)
+        each_row(batch, |t| self.on_probe(t, cx))
     }
 
     fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
@@ -286,12 +285,12 @@ impl Operator for NestedLoopJoin {
         Some(1)
     }
 
-    fn on_tuple(&mut self, port: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         if port == 1 {
-            self.build.push(t);
+            self.build.extend(batch.into_rows());
             return Ok(true);
         }
-        nlj_probe_one(t, &self.build, &self.pred, self.kind, self.right_arity, &mut |o| cx.emit(o))
+        each_row(batch, |t| nlj_probe_one(t, &self.build, &self.pred, self.kind, self.right_arity, &mut |o| cx.emit(o)))
     }
 
     fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry

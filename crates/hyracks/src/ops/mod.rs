@@ -2,14 +2,14 @@
 //!
 //! An [`Operator`] is a push/end state machine that lives next to its
 //! algorithm ([`sort`], [`join`], [`groupby`], [`stream`]): it is handed the
-//! tuples of one input port at a time — one by one, or a batch of them held
-//! as columns, which an operator that does not work on columns is handed as
-//! the rows built from it — says at each end-of-input which port it wants
-//! next, and once it wants none is drained one bounded unit of work at a
-//! time. [`Running::pump`] is the only loop that drives one. The
-//! executor calls it with its edge-backed ports, [`drive`] and the grace
-//! recursion of the spilling operators call it with iterators; everything an
-//! operator may touch while it runs arrives in the [`OpCtx`] of the step.
+//! frames of one input port at a time, each a [`ColumnBatch`], says at each
+//! end-of-input which port it wants next, and once it wants none is drained
+//! one bounded unit of work at a time. An operator that works on rows reads
+//! them out of the batch through [`each_row`]. [`Running::pump`] is the only
+//! loop that drives one. The executor calls it with its edge-backed ports,
+//! [`drive`] and the grace recursion of the spilling operators call it with
+//! iterators; everything an operator may touch while it runs arrives in the
+//! [`OpCtx`] of the step.
 //!
 //! This module also holds the aggregate accumulator ([`AggState`]) shared by
 //! scalar aggregation, group-by and the `COLL_*` collection functions.
@@ -23,7 +23,7 @@ use crate::cancel::CancellationToken;
 use crate::ctx::{RunHandle, RunReader, RuntimeCtx};
 use crate::error::{HyracksError, Result};
 use crate::exec::{NoWake, Notifier, Router};
-use crate::frame::{u32_len, Rows, Tuple};
+use crate::frame::{tuple_size, FrameBuilder, Tuple};
 use crate::job::{AggFunc, AggPhase, AggSpec, OpKind, Produced};
 use crate::sched::MORSEL_TUPLES;
 use asterix_adm::compare::total_cmp;
@@ -41,24 +41,21 @@ pub(crate) struct OpCtx<'a> {
     pub ctx: &'a Arc<RuntimeCtx>,
     pub out: &'a mut Router,
     pub wake: &'a dyn Notifier,
+    /// Units of work done so far ([`Running::pump`]), by the operator and
+    /// by the nested levels it drives.
+    pub spent: usize,
 }
 
 impl OpCtx<'_> {
-    /// Emits one output tuple; `false` when every consumer is gone.
+    /// Emits one output tuple, which the router gathers into a frame;
+    /// `false` when every consumer is gone.
     #[inline]
     pub fn emit(&mut self, t: Tuple) -> Result<bool> {
         self.out.push(self.wake, self.metrics, t)
     }
 
-    /// Emits a tuple passed through unchanged, with the byte size it
-    /// arrived with.
-    #[inline]
-    pub fn emit_sized(&mut self, t: Tuple, size: u32) -> Result<bool> {
-        self.out.push_cached(self.wake, self.metrics, t, size)
-    }
-
     /// Emits the rows in play of `batch`, as the batch it is where the
-    /// consumer takes one.
+    /// connector ships one whole.
     pub fn emit_batch(&mut self, batch: ColumnBatch) -> Result<bool> {
         self.out.push_batch(self.wake, self.metrics, batch)
     }
@@ -74,21 +71,8 @@ pub(crate) trait Operator: Send {
         Some(0)
     }
 
-    /// One tuple of the wanted port, with its cached byte size.
-    fn on_tuple(&mut self, port: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool>;
-
-    /// A batch of tuples of the wanted port, as columns. An operator that
-    /// works on rows leaves this be: the rows are built here, once, and
-    /// handed to [`Operator::on_tuple`] in order.
-    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
-        for t in batch.into_rows() {
-            let size = u32_len("tuple size", Rows::tuple_size(&t))?;
-            if !self.on_tuple(port, t, size, cx)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
+    /// One frame of the wanted port.
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool>;
 
     /// The wanted port is exhausted; returns the port wanted next (joins:
     /// build before probe), `None` to be drained.
@@ -96,19 +80,29 @@ pub(crate) trait Operator: Send {
         Ok(None)
     }
 
-    /// One bounded unit of output work: at most one tuple emitted, or one
-    /// tuple moved between spill runs.
+    /// One bounded unit of output work: at most one tuple emitted, one tuple
+    /// moved between spill runs, or one frame fed to a nested level.
     fn on_drain(&mut self, _cx: &mut OpCtx<'_>) -> Result<bool> {
         Ok(false)
     }
 }
 
+/// How an operator that works on rows reads a frame: the rows in play, built
+/// once ([`ColumnBatch::into_rows`]), handed to `row` in order until it
+/// answers `false`.
+pub(crate) fn each_row(batch: ColumnBatch, mut row: impl FnMut(Tuple) -> Result<bool>) -> Result<bool> {
+    for t in batch.into_rows() {
+        if !row(t)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// One `poll` of an input.
 #[derive(Debug)]
 pub(crate) enum Polled {
-    /// A tuple with its cached byte size.
-    Tuple(Tuple, u32),
-    /// A batch of tuples held as columns.
+    /// A frame.
     Batch(ColumnBatch),
     /// Nothing buffered, producers still live: go idle until notified.
     Pending,
@@ -116,28 +110,52 @@ pub(crate) enum Polled {
     End,
 }
 
-/// Where an operator's tuples come from: an edge-backed port in a job, an
+/// Where an operator's frames come from: an edge-backed port in a job, an
 /// iterator everywhere else.
 pub(crate) trait Input {
     fn poll(&mut self, cx: &mut OpCtx<'_>) -> Result<Polled>;
 }
 
 /// An input fed from an iterator of tuples or of what a source produces (a
-/// spill run, a test vector): never pending, and not asked again after its
-/// end.
-pub(crate) struct IterInput<I>(Option<I>);
+/// spill run, a test vector): its tuples are gathered into frames as a
+/// router gathers them, a batch is handed on as it is. Never pending, and
+/// not asked again after its end.
+pub(crate) struct IterInput<I> {
+    iter: Option<I>,
+    /// What was pulled but did not fit the frame handed out before it.
+    held: Option<Produced>,
+}
+
+impl<I> IterInput<I> {
+    fn new(iter: I) -> Self {
+        IterInput { iter: Some(iter), held: None }
+    }
+}
 
 impl<T: Into<Produced>, I: Iterator<Item = Result<T>>> Input for IterInput<I> {
     fn poll(&mut self, _cx: &mut OpCtx<'_>) -> Result<Polled> {
-        match self.0.as_mut().and_then(Iterator::next).transpose()?.map(Into::into) {
-            Some(Produced::Tuple(t)) => {
-                let size = u32_len("tuple size", Rows::tuple_size(&t))?;
-                Ok(Polled::Tuple(t, size))
-            }
-            Some(Produced::Batch(batch)) => Ok(Polled::Batch(batch)),
-            None => {
-                self.0 = None;
-                Ok(Polled::End)
+        let mut frame = FrameBuilder::default();
+        loop {
+            let next = match self.held.take() {
+                Some(held) => Some(held),
+                None => self.iter.as_mut().and_then(Iterator::next).transpose()?.map(Into::into),
+            };
+            match next {
+                Some(Produced::Tuple(t)) if frame.fits(&t) => {
+                    let size = tuple_size(&t);
+                    if frame.push(t, size) {
+                        return Ok(Polled::Batch(frame.take()?));
+                    }
+                }
+                Some(Produced::Batch(batch)) if frame.is_empty() => return Ok(Polled::Batch(batch)),
+                Some(held) => {
+                    self.held = Some(held);
+                    return Ok(Polled::Batch(frame.take()?));
+                }
+                None => {
+                    self.iter = None;
+                    return Ok(if frame.is_empty() { Polled::End } else { Polled::Batch(frame.take()?) });
+                }
             }
         }
     }
@@ -167,37 +185,40 @@ impl Running {
     }
 
     /// The one loop: at most `budget` units of work, each a tuple handed to
-    /// the operator, an end-of-input, or a unit of drain. A batch — handed
+    /// the operator, an end-of-input, or a unit of drain. A frame — handed
     /// over, or emitted by a unit of drain — is as many units as it has
     /// rows, and is not split: the last unit of a step may overshoot by one.
+    /// What a nested level does within a unit of drain is counted where it
+    /// is done.
     pub fn pump<I: Input>( // xlint: actor_entry
         &mut self,
         inputs: &mut [I],
         cx: &mut OpCtx<'_>,
         budget: usize,
     ) -> Result<Flow> {
-        let mut spent = 0;
-        while spent < budget {
+        let stop = cx.spent + budget;
+        while cx.spent < stop {
             let more = match self.want {
                 None => {
-                    let emitted = cx.metrics.tuples_out;
+                    let (emitted, spent) = (cx.metrics.tuples_out, cx.spent);
                     let more = self.op.on_drain(cx)?;
-                    spent += ((cx.metrics.tuples_out - emitted) as usize).max(1);
+                    if cx.spent == spent {
+                        cx.spent += ((cx.metrics.tuples_out - emitted) as usize).max(1);
+                    }
                     more
                 }
                 Some(port) => {
                     let Some(input) = inputs.get_mut(port) else {
                         return Err(HyracksError::InvalidJob(format!("input port {port} missing")));
                     };
-                    spent += 1;
                     match input.poll(cx)? {
                         Polled::Pending => return Ok(Flow::Idle),
-                        Polled::Tuple(t, size) => self.op.on_tuple(port, t, size, cx)?,
                         Polled::Batch(batch) => {
-                            spent += batch.rows().saturating_sub(1);
+                            cx.spent += batch.rows().max(1);
                             self.op.on_batch(port, batch, cx)?
                         }
                         Polled::End => {
+                            cx.spent += 1;
                             self.want = self.op.on_end(port, cx)?;
                             true
                         }
@@ -224,7 +245,7 @@ pub(crate) struct Nested {
 impl Nested {
     /// `runs[i]` feeds input port `i` of `op`.
     pub fn new(op: Box<dyn Operator>, runs: Vec<RunHandle>) -> Result<Self> {
-        let inputs = runs.iter().map(|r| Ok(IterInput(Some(r.read()?)))).collect::<Result<_>>()?;
+        let inputs = runs.iter().map(|r| Ok(IterInput::new(r.read()?))).collect::<Result<_>>()?;
         Ok(Nested { run: Running::new(op), inputs, _runs: runs })
     }
 
@@ -254,19 +275,19 @@ pub struct Driven {
 /// Runs one operator to completion outside a job: the executor's loop with
 /// iterators for ports — of tuples, or of [`Produced`] where an input hands
 /// out batches. `inputs[i]` feeds input port `i`; an input is pulled only
-/// while the operator wants that port.
+/// while the operator wants that port, a frame at a time.
 pub fn drive<'a, T: Into<Produced>>(
     kind: &OpKind,
     inputs: Vec<Box<dyn Iterator<Item = Result<T>> + 'a>>,
     ctx: &Arc<RuntimeCtx>,
 ) -> Result<Driven> {
     let mut run = Running::new(kind.operator(0));
-    let mut inputs: Vec<_> = inputs.into_iter().map(|i| IterInput(Some(i))).collect();
+    let mut inputs: Vec<_> = inputs.into_iter().map(IterInput::new).collect();
     let mut out = Router::collector(ctx);
     let mut metrics = OpMetrics::default();
     let token = CancellationToken::new();
     let mut cx =
-        OpCtx { metrics: &mut metrics, token: &token, ctx, out: &mut out, wake: &NoWake };
+        OpCtx { metrics: &mut metrics, token: &token, ctx, out: &mut out, wake: &NoWake, spent: 0 };
     while run.pump(&mut inputs, &mut cx, MORSEL_TUPLES)? != Flow::Finished {}
     Ok(Driven { tuples: out.take_collected(), metrics })
 }
@@ -326,30 +347,31 @@ impl AggState {
     /// Folds one input tuple: a raw one, or under [`AggPhase::Final`] a row
     /// of partial columns.
     pub fn update(&mut self, tuple: &Tuple) {
+        self.fold(|col, f| f(&tuple[col]));
+    }
+
+    /// [`AggState::update`] with row `row` of `batch` for input tuple: each
+    /// value is read where its column holds it.
+    pub fn update_at(&mut self, batch: &ColumnBatch, row: usize) {
+        self.fold(|col, f| batch.column(col).with_value(row, f));
+    }
+
+    /// Folds the input row whose column `col` `value` hands to its callback.
+    fn fold(&mut self, value: impl Fn(usize, &mut dyn FnMut(&Value))) {
         let AggSpec { func, col, phase } = self.spec;
         let partial_count = |v: &Value| v.as_i64().and_then(|n| u64::try_from(n).ok()).unwrap_or(0);
         match (phase, func) {
             (AggPhase::Final, AggFunc::CountStar | AggFunc::Count) => {
-                self.count += partial_count(&tuple[col]);
+                value(col, &mut |v| self.count += partial_count(v));
             }
             (AggPhase::Final, AggFunc::Avg) => {
-                self.sum(&tuple[col]);
-                self.count += partial_count(&tuple[col + 1]);
+                value(col, &mut |v| self.sum(v));
+                value(col + 1, &mut |v| self.count += partial_count(v));
             }
             // reads no column of a raw tuple
             (_, AggFunc::CountStar) => self.count += 1,
             // the partial of SUM, MIN or MAX folds like one more raw value
-            _ => self.add(&tuple[col]),
-        }
-    }
-
-    /// [`AggState::update`] with row `row` of `batch` for input tuple: a
-    /// raw value is read where its column holds it.
-    pub fn update_at(&mut self, batch: &ColumnBatch, row: usize) {
-        match (self.spec.phase, self.spec.func) {
-            (AggPhase::Final, _) => self.update(&batch.tuple(row)),
-            (_, AggFunc::CountStar) => self.count += 1,
-            _ => batch.column(self.spec.col).with_value(row, |v| self.add(v)),
+            _ => value(col, &mut |v| self.add(v)),
         }
     }
 

@@ -10,9 +10,10 @@
 
 use crate::ctx::{spill_batch, RunHandle, RunWriter};
 use crate::error::Result;
-use crate::frame::Tuple;
+use crate::frame::{tuple_size, Tuple};
 use crate::job::{cmp_tuples, SortKey};
-use crate::ops::{OpCtx, Operator};
+use crate::ops::{each_row, OpCtx, Operator};
+use asterix_adm::ColumnBatch;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -59,8 +60,8 @@ impl Sort {
         Sort { keys, memory, buffer: Vec::new(), bytes: 0, runs: Vec::new(), out }
     }
 
-    pub fn feed(&mut self, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<()> {
-        self.bytes += size as usize;
+    pub fn feed(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
+        self.bytes += tuple_size(&t);
         self.buffer.push(t);
         if self.bytes >= self.memory {
             self.buffer.sort_by(|a, b| cmp_tuples(a, b, &self.keys));
@@ -68,7 +69,7 @@ impl Sort {
             self.buffer.clear();
             self.bytes = 0;
         }
-        Ok(())
+        Ok(true)
     }
 
     pub fn end(&mut self, cx: &mut OpCtx<'_>) -> Result<()> {
@@ -134,9 +135,8 @@ impl Sort {
 }
 
 impl Operator for Sort {
-    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        self.feed(t, size, cx)?;
-        Ok(true)
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        each_row(batch, |t| self.feed(t, cx))
     }
 
     fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
@@ -292,8 +292,8 @@ impl TopK {
     }
 }
 
-impl Operator for TopK {
-    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+impl TopK {
+    fn row(&mut self, t: Tuple) {
         let item = Reverse(HeapItem { tuple: t, stream: self.seen, keys: Arc::clone(&self.keys) });
         self.seen += 1;
         if self.kept.len() < self.k {
@@ -303,7 +303,15 @@ impl Operator for TopK {
                 *worst = item;
             }
         }
-        Ok(true)
+    }
+}
+
+impl Operator for TopK {
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        each_row(batch, |t| {
+            self.row(t);
+            Ok(true)
+        })
     }
 
     fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
@@ -406,10 +414,11 @@ mod tests {
             ctx: &ctx,
             out: &mut out,
             wake: &crate::exec::NoWake,
+            spent: 0,
         };
         for i in 0..10_000i64 {
             // key cycles 0..7, so ties at the boundary are the common case
-            op.on_tuple(0, vec![Value::Int(i % 7), Value::Int(i)], 0, &mut cx).unwrap();
+            op.row(vec![Value::Int(i % 7), Value::Int(i)]);
             assert!(op.kept.len() <= 3, "{} tuples held after {i} pushes", op.kept.len());
         }
         op.on_end(0, &mut cx).unwrap();

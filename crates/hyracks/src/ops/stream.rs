@@ -1,13 +1,13 @@
 //! The streaming operators: a source, the transforms, limit, and
-//! pass-through (union, result sink). None holds more than the tuple, or the
-//! batch of them, in hand: select, assign, project, limit and pass-through
-//! take a batch as it is — a predicate narrows its selection, an assign
-//! appends a column — and pass it on.
+//! pass-through (union, result sink). None holds more than the frame in
+//! hand: select, assign, project, limit and pass-through take it as it is —
+//! a predicate narrows its selection, an assign appends a column — and pass
+//! it on whole. Unnest reads its rows ([`each_row`]) and emits one at a time.
 
 use crate::error::Result;
 use crate::frame::Tuple;
 use crate::job::{EvalFn, PredFn, Produced, SourceFactory, SourceStream};
-use crate::ops::{OpCtx, Operator};
+use crate::ops::{each_row, OpCtx, Operator};
 use asterix_adm::{ColumnBatch, Value};
 use std::sync::Arc;
 
@@ -30,7 +30,7 @@ impl Operator for Source {
         None
     }
 
-    fn on_tuple(&mut self, _: usize, _: Tuple, _: u32, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, _: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         Ok(true)
     }
 
@@ -50,14 +50,6 @@ impl Operator for Source {
 pub(crate) struct Filter(pub PredFn);
 
 impl Operator for Filter {
-    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        if self.0.test(&t)? {
-            cx.emit_sized(t, size)
-        } else {
-            Ok(true)
-        }
-    }
-
     fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         let keep = self.0.select(&batch)?;
         if keep.is_empty() {
@@ -71,14 +63,6 @@ impl Operator for Filter {
 pub(crate) struct Assign(pub Vec<EvalFn>);
 
 impl Operator for Assign {
-    fn on_tuple(&mut self, _: usize, mut t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        for e in &self.0 {
-            let v = e.eval(&t)?;
-            t.push(v);
-        }
-        cx.emit(t)
-    }
-
     fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         for e in &self.0 {
             let column = e.eval_batch(&batch)?;
@@ -88,31 +72,13 @@ impl Operator for Assign {
     }
 }
 
-/// Keeps the named columns, in order. The values are moved, not copied,
-/// unless a column is named twice.
-pub(crate) struct Project {
-    cols: Vec<usize>,
-    repeats: bool,
-}
-
-impl Project {
-    pub fn new(cols: Vec<usize>) -> Self {
-        let repeats = cols.iter().enumerate().any(|(k, c)| cols[..k].contains(c));
-        Project { cols, repeats }
-    }
-}
+/// Keeps the named columns, in order: the batch's columns are shared, not
+/// copied.
+pub(crate) struct Project(pub Vec<usize>);
 
 impl Operator for Project {
-    fn on_tuple(&mut self, _: usize, mut t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        cx.emit(if self.repeats {
-            self.cols.iter().map(|c| t[*c].clone()).collect()
-        } else {
-            self.cols.iter().map(|c| std::mem::take(&mut t[*c])).collect()
-        })
-    }
-
     fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        cx.emit_batch(batch.project(&self.cols))
+        cx.emit_batch(batch.project(&self.0))
     }
 }
 
@@ -121,8 +87,8 @@ pub(crate) struct Unnest {
     pub outer: bool,
 }
 
-impl Operator for Unnest {
-    fn on_tuple(&mut self, _: usize, t: Tuple, _: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+impl Unnest {
+    fn row(&self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
         let coll = self.expr.eval(&t)?;
         match coll.as_collection() {
             Some(items) if !items.is_empty() => {
@@ -145,9 +111,15 @@ impl Operator for Unnest {
     }
 }
 
-/// Skips `offset` tuples, passes `count`, and finishes on the last one it
-/// may emit: its producers are released without waiting for a tuple past
-/// the quota.
+impl Operator for Unnest {
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+        each_row(batch, |t| self.row(t, cx))
+    }
+}
+
+/// Skips `offset` tuples, passes `count`, and finishes with the frame that
+/// holds the last one it may emit: its producers are released without
+/// waiting for a frame past the quota.
 pub(crate) struct Limit {
     offset: usize,
     /// Tuples still to emit; `None` = unlimited.
@@ -163,19 +135,6 @@ impl Limit {
 impl Operator for Limit {
     fn first_port(&self) -> Option<usize> {
         (self.left != Some(0)).then_some(0)
-    }
-
-    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        if self.offset > 0 {
-            self.offset -= 1;
-            return Ok(true);
-        }
-        let alive = cx.emit_sized(t, size)?;
-        if let Some(left) = &mut self.left {
-            *left -= 1;
-            return Ok(alive && *left > 0);
-        }
-        Ok(alive)
     }
 
     fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
@@ -200,10 +159,6 @@ pub(crate) struct Concat {
 }
 
 impl Operator for Concat {
-    fn on_tuple(&mut self, _: usize, t: Tuple, size: u32, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
-        cx.emit_sized(t, size)
-    }
-
     fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
         cx.emit_batch(batch)
     }
@@ -217,7 +172,7 @@ impl Operator for Concat {
 mod tests {
     use crate::ctx::RuntimeCtx;
     use crate::error::Result;
-    use crate::frame::Tuple;
+    use crate::frame::{tuple_size, Tuple, FRAME_BUDGET};
     use crate::job::OpKind;
     use crate::ops::drive;
     use asterix_adm::Value;
@@ -232,14 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn limit_finishes_on_the_last_tuple_it_may_emit() {
+    fn limit_asks_for_no_frame_past_the_one_holding_its_last_tuple() {
         let ctx = RuntimeCtx::temp().unwrap();
         let pulled = Cell::new(0);
         let kind = OpKind::Limit { offset: 5, count: Some(10) };
         let out = drive(&kind, vec![counted(&pulled)], &ctx).unwrap().tuples;
         assert_eq!(out.len(), 10);
         assert_eq!(out[0], vec![Value::Int(5)], "offset skipped");
-        assert_eq!(pulled.get(), 15, "no tuple past the quota is asked for");
+        let per_frame = FRAME_BUDGET.div_ceil(tuple_size(&vec![Value::Int(0)]));
+        assert_eq!(pulled.get(), per_frame as u64, "the first frame holds the quota, and no tuple past it is asked for");
     }
 
     #[test]

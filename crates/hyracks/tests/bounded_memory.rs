@@ -1,7 +1,7 @@
 //! Bounded memory through the operator contract: a blocking operator
-//! consumes as it is fed, so by the time its *last input tuple has been
-//! pushed* — before end-of-input — all of its input but the part its budget
-//! lets it keep has already left memory for spill runs. (The executor used
+//! consumes as it is fed, so by the time its *last input frame is gathered*
+//! — before end-of-input — all of its input but that frame and the part its
+//! budget lets it keep has already left memory for spill runs. (The executor used
 //! to stage the whole input first and hand it to the algorithm at
 //! end-of-input, when this counter would still read zero.)
 
@@ -33,8 +33,8 @@ fn run_bytes(tuples: &[Tuple]) -> u64 {
     spill_batch(&ctx, &mut Default::default(), tuples).unwrap().bytes()
 }
 
-/// `tuples` as an input that, when the operator asks for a tuple past the
-/// last one, records what has been spilled so far.
+/// `tuples` as an input that, when the operator's frame asks for a tuple
+/// past the last one, records what has been spilled so far.
 fn watched<'a>(
     tuples: Vec<Tuple>,
     ctx: &'a Arc<RuntimeCtx>,
@@ -56,7 +56,7 @@ fn assert_spilled_as_fed(kind: OpKind, expect_rows: usize) {
     assert_eq!(out.tuples.len(), expect_rows);
     assert!(
         spilled.get() >= input_bytes - 2 * MEMORY as u64,
-        "{}: {} of {input_bytes} input bytes spilled when the last tuple had been pushed",
+        "{}: {} of {input_bytes} input bytes spilled when the last frame was gathered",
         kind.name(),
         spilled.get()
     );
@@ -104,7 +104,7 @@ fn hash_join_spills_both_sides_as_they_are_fed() {
     );
     assert!(
         after_probe.get() >= input_bytes - 2 * MEMORY as u64,
-        "{} of {input_bytes} input bytes spilled when the last tuple had been pushed",
+        "{} of {input_bytes} input bytes spilled when the last frame was gathered",
         after_probe.get()
     );
 }

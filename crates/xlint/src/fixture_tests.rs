@@ -159,10 +159,10 @@ fn l5_actor_host_must_declare_entries() {
         is_shim: false,
         text: text.to_string(),
     };
-    let quiet = "struct Nop;\nimpl Operator for Nop {\n    fn on_tuple(&mut self) {}\n}\n";
+    let quiet = "struct Nop;\nimpl Operator for Nop {\n    fn on_batch(&mut self) {}\n}\n";
     let rep = check(&[host(quiet)]);
     assert_eq!(rule_count(&rep, Rule::BlockingInActor), 1, "{:#?}", rep.violations);
-    let declared = "struct Nop;\nimpl Operator for Nop {\n    fn on_tuple(&mut self) {} // xlint: actor_entry\n}\n";
+    let declared = "struct Nop;\nimpl Operator for Nop {\n    fn on_batch(&mut self) {} // xlint: actor_entry\n}\n";
     let rep = check(&[host(declared)]);
     assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
     // a file that implements neither contract is not a host

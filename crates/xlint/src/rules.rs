@@ -709,7 +709,7 @@ fn check_l4(
 pub const L5_EXEMPT_CRATES: [&str; 2] = ["xlint", "bench"];
 
 /// The traits whose implementations run on a pool worker: `sched::Task`
-/// (`step`) and the operator contract `ops::Operator` (`on_tuple`, `on_end`,
+/// (`step`) and the operator contract `ops::Operator` (`on_batch`, `on_end`,
 /// `on_drain`), matched on the `impl … for` line.
 pub const ACTOR_CONTRACTS: [&str; 2] = ["Task for ", "Operator for "];
 
