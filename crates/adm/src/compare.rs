@@ -12,6 +12,11 @@
 //!
 //! `MISSING < NULL < everything`, matching AsterixDB's index order.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "these hashes route tuples and key hash tables in memory; nothing persisted depends on them"
+)]
+
 use crate::temporal::Duration;
 use crate::value::{TypeTag, Value};
 use std::cmp::Ordering;

@@ -138,11 +138,6 @@ impl Object {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Consumes the object, yielding its pairs in field order.
-    pub fn into_pairs(self) -> Vec<(String, Value)> {
-        self.fields
-    }
-
     /// Field names in order.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.fields.iter().map(|(k, _)| k.as_str())
@@ -267,15 +262,6 @@ impl Value {
         match self {
             Value::Int(i) => Some(*i),
             Value::Double(d) if d.fract() == 0.0 && d.abs() < 9.2e18 => Some(*d as i64),
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    #[inline]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

@@ -63,7 +63,7 @@ impl Default for JobGenConfig {
     fn default() -> Self {
         JobGenConfig {
             dop: 1,
-            op_memory: 32 << 20,
+            op_memory: asterix_hyracks::ctx::DEFAULT_OP_MEMORY,
             local_aggregation: true,
         }
     }

@@ -111,7 +111,7 @@ fn dataflow_scenario(
     let mut outcome = String::new();
     let mut ok = false;
     for _ in 0..MAX_ATTEMPTS {
-        let opts = JobOptions { token: None, deadline: Some(Duration::from_secs(30)), workers: None };
+        let opts = JobOptions { token: None, deadline: Some(Duration::from_secs(30)) };
         match run_job_with(build(), Arc::clone(&ctx), opts) {
             Ok(result) => {
                 if result.tuples.len() == expect_rows {

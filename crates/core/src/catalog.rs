@@ -88,11 +88,6 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// A catalog preloaded with the paper's Figure 3 Gleambook types.
-    pub fn with_gleambook_types() -> Self {
-        Catalog { types: asterix_adm::types::gleambook_types(), ..Catalog::default() }
-    }
-
     /// Looks up a dataset.
     pub fn dataset(&self, name: &str) -> Option<&DatasetDef> {
         self.datasets.iter().find(|d| d.name == name)

@@ -791,10 +791,8 @@ pub fn spatial_mbr(v: &Value) -> Option<Rectangle> {
 
 /// Hash-selects the partition for a primary key.
 pub fn partition_of(pk: &[u8], partitions: usize) -> u32 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    pk.hash(&mut h);
-    (h.finish() % partitions.max(1) as u64) as u32
+    let h = asterix_storage::le::hash64_after(pk.len() as u64, pk);
+    (h % partitions.max(1) as u64) as u32
 }
 
 /// A point helper for tests.

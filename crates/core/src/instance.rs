@@ -108,7 +108,7 @@ pub struct InstanceConfig {
     /// Retry policy for transiently failing queries.
     pub retry: RetryPolicy,
     /// Admission control for concurrently served queries (global memory
-    /// pool, concurrency gate, bounded priority queue) — see
+    /// pool, concurrency gate, bounded FIFO queue) — see
     /// [`crate::scheduler`].
     pub scheduler: SchedulerConfig,
     /// Morsel-executor worker threads shared by every job on this instance;
@@ -125,7 +125,7 @@ impl Default for InstanceConfig {
             partitions: 2,
             cache_pages_per_node: 1024,
             storage: StorageConfig::default(),
-            op_memory: 32 << 20,
+            op_memory: asterix_hyracks::ctx::DEFAULT_OP_MEMORY,
             sorted_index_fetch: true,
             local_aggregation: true,
             faults: None,
@@ -428,7 +428,7 @@ impl Instance {
                     ExecResult::Message(msg)
                 }
                 Stmt::Dml(dml) => ExecResult::Message(self.apply_dml(&dml)?),
-                Stmt::Query(q) => ExecResult::Rows(self.run_query_sync(q, None)?),
+                Stmt::Query(q) => ExecResult::Rows(self.run_query_sync(q)?),
             });
         }
         Ok(out)
@@ -451,15 +451,6 @@ impl Instance {
             Some(ExecResult::Rows(rows)) => Ok(rows),
             _ => Err(CoreError::Unsupported("statement was not a query".into())),
         }
-    }
-
-    /// Runs one SQL++ query under an explicit wall-clock deadline
-    /// (overriding the instance default). An expired deadline surfaces as
-    /// the typed, non-retried
-    /// [`HyracksError::DeadlineExceeded`](asterix_hyracks::HyracksError).
-    pub fn query_with_deadline(&self, text: &str, deadline: Duration) -> Result<Vec<Value>> {
-        let q = self.parse_single_query(text)?;
-        self.run_query_sync(q, Some(deadline))
     }
 
     /// Parses `text` as SQL++ and returns its trailing query statement.
@@ -603,7 +594,7 @@ impl Instance {
                 q.select = Some(asterix_sqlpp::ast::SelectClause::Element(
                     asterix_sqlpp::ast::Expr::Ident(alias),
                 ));
-                let victims = self.run_query_sync(q, None)?;
+                let victims = self.run_query_sync(q)?;
                 let def = self
                     .inner
                     .catalog
@@ -645,7 +636,7 @@ impl Instance {
     /// Evaluates a standalone (no FROM scope) expression, e.g. the value of
     /// an INSERT.
     fn eval_standalone(&self, e: &asterix_sqlpp::ast::Expr) -> Result<Value> {
-        let mut rows = self.run_query_sync(Query::of_expr(e.clone()), None)?;
+        let mut rows = self.run_query_sync(Query::of_expr(e.clone()))?;
         rows.pop()
             .ok_or_else(|| CoreError::Constraint("expression produced no value".into()))
     }
@@ -656,16 +647,15 @@ impl Instance {
     pub(crate) fn enqueue_query(&self, query: Query, opts: &QueryOptions) -> Result<Submission> {
         let sched = &self.inner.sched;
         let budget = opts.memory.unwrap_or(sched.config().default_query_memory).max(1);
-        let ticket = sched.enqueue(budget, opts.priority)?;
+        let ticket = sched.enqueue(budget)?;
         Ok(Submission { ticket, query, deadline: opts.deadline })
     }
 
     /// Runs one query to completion on the calling thread (the
-    /// [`Instance::query`] family and DML-internal queries): default budget
-    /// and priority, under `deadline` when one is given.
-    fn run_query_sync(&self, query: Query, deadline: Option<Duration>) -> Result<Vec<Value>> {
-        let opts = QueryOptions { deadline, ..Default::default() };
-        let submission = self.enqueue_query(query, &opts)?;
+    /// [`Instance::query`] family and DML-internal queries) with the default
+    /// options.
+    fn run_query_sync(&self, query: Query) -> Result<Vec<Value>> {
+        let submission = self.enqueue_query(query, &QueryOptions::default())?;
         let (rows, _profile) = self.run_query_profiled(submission, &QueryControl::new())?;
         Ok(rows)
     }
@@ -706,7 +696,7 @@ impl Instance {
                 *control.attempt.lock() = None;
                 return Err(CoreError::Hyracks(e));
             }
-            let opts = JobOptions { token: Some(token), deadline, workers: None };
+            let opts = JobOptions { token: Some(token), deadline };
             let outcome = jobgen::execute(&plan, &cfg, Arc::clone(&self.inner.ctx), opts);
             *control.attempt.lock() = None;
             Ok(outcome?)

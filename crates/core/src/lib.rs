@@ -27,7 +27,7 @@
 //! * [`pubsub`] — BAD-style channels ("Big Active Data", §IV): repetitive
 //!   channel queries pushing results to subscribers;
 //! * [`scheduler`] — concurrent query serving: budget-based admission
-//!   control, the bounded priority queue with typed backpressure, and
+//!   control, the bounded FIFO queue with typed backpressure, and
 //!   session-scoped query handles;
 //! * [`interchange`] — CSV/JSON import & export (§V-D round-tripping);
 //! * [`datagen`] — deterministic Gleambook/spatial/log data generators.
@@ -51,5 +51,5 @@ pub use error::{CoreError, Result};
 pub use feeds::{Feed, FeedConfig, IngestionPolicy};
 pub use instance::{Instance, InstanceConfig, Language, RetryPolicy};
 pub use scheduler::{
-    PoolSnapshot, Priority, QueryHandle, QueryOptions, QueryScheduler, SchedulerConfig, Session,
+    PoolSnapshot, QueryHandle, QueryOptions, QueryScheduler, SchedulerConfig, Session,
 };

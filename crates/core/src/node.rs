@@ -229,11 +229,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.stats().physical_reads()).sum()
     }
 
-    /// Aggregate physical writes across nodes.
-    pub fn total_physical_writes(&self) -> u64 {
-        self.nodes.iter().map(|n| n.stats().physical_writes()).sum()
-    }
-
     /// Kills node `id` (no-op on unknown ids). Returns true when a live
     /// node went down.
     pub fn kill_node(&self, id: usize) -> bool {

@@ -10,10 +10,10 @@
 use crate::error::{CoreError, Result};
 use crate::instance::{Instance, Language};
 use asterix_adm::Value;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// One delivery to a subscriber: the channel's results at one evaluation.
@@ -96,7 +96,7 @@ impl Broker {
         let ch = channels
             .get(name)
             .ok_or_else(|| CoreError::Catalog(format!("unknown channel {name:?}")))?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         ch.subscribers.write().push(tx); // xlint: lock(pubsub_subscribers)
         Ok(rx)
     }

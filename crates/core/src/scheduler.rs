@@ -1,12 +1,12 @@
 //! Concurrent query serving: admission control under a global memory pool,
-//! a bounded priority queue with typed backpressure, and session-scoped
-//! query handles.
+//! a bounded FIFO queue with typed backpressure, and session-scoped query
+//! handles.
 //!
 //! The paper's cluster controller admits many simultaneous jobs; memory is
 //! the resource that actually kills an overloaded BDMS, so admission here is
 //! budget-based. Every query reserves a slice of a global pool before it may
 //! execute; queries that cannot be admitted immediately wait in a bounded
-//! priority queue, and submissions past the queue bound are refused with the
+//! FIFO queue, and submissions past the queue bound are refused with the
 //! typed [`CoreError::Saturated`] — backpressure the client can act on,
 //! rather than an unbounded pile-up that eventually takes the node down.
 //!
@@ -24,10 +24,9 @@
 //! 2. `Instance::run_query_profiled` redeems the ticket ([`QueryScheduler`]
 //!    internal `admit_wait`), blocking until the query is at the head of the
 //!    queue *and* both a concurrency slot and its memory budget are free,
-//!    then executes under that budget. Admission
-//!    order is strict priority-then-FIFO with no bypass: a small query never
-//!    overtakes the queue head even when it would fit, which trades a little
-//!    utilization for a starvation-freedom guarantee.
+//!    then executes under that budget. Admission is FIFO with no bypass: a
+//!    small query never overtakes the queue head even when it would fit,
+//!    which trades a little utilization for a starvation-freedom guarantee.
 //! 3. The returned `AdmissionGuard` releases the budget and slot on drop —
 //!    success, failure, and panic paths all return resources to the pool.
 //!
@@ -61,11 +60,13 @@
 use crate::error::{CoreError, Result};
 use crate::instance::Instance;
 use asterix_adm::Value;
+use asterix_hyracks::ctx::DEFAULT_OP_MEMORY;
 use asterix_hyracks::CancellationToken;
 use asterix_obs::{Counter, JobProfile, MetricsRegistry};
 use asterix_sqlpp::ast::Query;
 use asterix_storage::lock_order;
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,28 +90,16 @@ impl Default for SchedulerConfig {
     fn default() -> Self {
         SchedulerConfig {
             total_memory: 256 << 20,
-            default_query_memory: 32 << 20,
+            default_query_memory: DEFAULT_OP_MEMORY,
             max_concurrent: 4,
             queue_depth: 16,
         }
     }
 }
 
-/// Queue priority. Higher priorities are admitted first; within a priority
-/// class admission is FIFO by submission order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Priority {
-    Low,
-    #[default]
-    Normal,
-    High,
-}
-
 /// Per-submission options for [`Session::submit_with`].
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
-    /// Queue priority (default [`Priority::Normal`]).
-    pub priority: Priority,
     /// Memory budget to reserve from the global pool; `None` takes
     /// [`SchedulerConfig::default_query_memory`]. The budget also caps the
     /// per-operator working memory of the compiled job.
@@ -119,39 +108,12 @@ pub struct QueryOptions {
     pub deadline: Option<Duration>,
 }
 
-/// A queued (not yet admitted) submission.
-struct Waiting {
-    ticket: u64,
-    seq: u64,
-    priority: Priority,
-}
-
 struct PoolState {
     free_memory: usize,
     running: usize,
-    queue: Vec<Waiting>,
-    next_seq: u64,
-}
-
-impl PoolState {
-    /// Index of the queue head: highest priority, then earliest submission.
-    fn head(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, w) in self.queue.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let cur = &self.queue[b];
-                    (w.priority, std::cmp::Reverse(w.seq))
-                        > (cur.priority, std::cmp::Reverse(cur.seq))
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best
-    }
+    /// Ticket ids of the queued (not yet admitted) submissions; the front is
+    /// the head.
+    queue: VecDeque<u64>,
 }
 
 /// Point-in-time view of the admission pool (tests and the bench read it).
@@ -168,7 +130,7 @@ pub struct PoolSnapshot {
 }
 
 /// Admission controller: the global memory pool, the concurrency gate, and
-/// the bounded priority queue. One per [`Instance`]; obtained via
+/// the bounded FIFO queue. One per [`Instance`]; obtained via
 /// [`Instance::scheduler`].
 pub struct QueryScheduler {
     cfg: SchedulerConfig,
@@ -190,8 +152,7 @@ impl QueryScheduler {
             state: Mutex::new(PoolState {
                 free_memory: cfg.total_memory,
                 running: 0,
-                queue: Vec::new(),
-                next_seq: 0,
+                queue: VecDeque::new(),
             }),
             cv: Condvar::new(),
             next_ticket: AtomicU64::new(1),
@@ -223,11 +184,7 @@ impl QueryScheduler {
     /// Synchronous admission step: reserve resources now (eager admission)
     /// or a queue slot. The only point that refuses work — both refusal
     /// shapes are [`CoreError::Saturated`].
-    pub(crate) fn enqueue(
-        self: &Arc<Self>,
-        budget: usize,
-        priority: Priority,
-    ) -> Result<Ticket> {
+    pub(crate) fn enqueue(self: &Arc<Self>, budget: usize) -> Result<Ticket> {
         if budget > self.cfg.total_memory {
             self.rejected.inc();
             return Err(CoreError::Saturated(format!(
@@ -253,17 +210,16 @@ impl QueryScheduler {
                 redeemed: false,
             });
         }
-        if st.queue.len() >= self.cfg.queue_depth {
+        let waiting = st.queue.len();
+        if waiting >= self.cfg.queue_depth {
             drop(st);
             self.rejected.inc();
             return Err(CoreError::Saturated(format!(
-                "admission queue is full ({} waiting, depth {})",
-                self.cfg.queue_depth, self.cfg.queue_depth
+                "admission queue is full ({waiting} waiting, depth {})",
+                self.cfg.queue_depth
             )));
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.queue.push(Waiting { ticket: id, seq, priority });
+        st.queue.push_back(id);
         Ok(Ticket {
             sched: Arc::clone(self),
             id,
@@ -293,20 +249,16 @@ impl QueryScheduler {
             if let Err(e) = token.check() {
                 // Cancelled while queued: withdraw our entry ourselves so
                 // the slot frees immediately, and report the typed error.
-                if let Some(pos) = st.queue.iter().position(|w| w.ticket == id) {
-                    st.queue.remove(pos);
-                }
+                st.queue.retain(|&t| t != id);
                 ticket.redeemed = true;
                 drop(st);
                 self.queue_cancelled.inc();
                 self.cv.notify_all();
                 return Err(CoreError::Hyracks(e));
             }
-            let at_head = st.head().is_some_and(|h| st.queue[h].ticket == id);
+            let at_head = st.queue.front() == Some(&id);
             if at_head && st.running < self.cfg.max_concurrent && st.free_memory >= budget {
-                if let Some(pos) = st.queue.iter().position(|w| w.ticket == id) {
-                    st.queue.remove(pos);
-                }
+                st.queue.pop_front();
                 st.running += 1;
                 st.free_memory -= budget;
                 ticket.redeemed = true;
@@ -354,11 +306,7 @@ impl Drop for Ticket {
             return;
         }
         let _order = lock_order::acquire("scheduler");
-        let mut st = self.sched.state.lock();
-        if let Some(pos) = st.queue.iter().position(|w| w.ticket == self.id) {
-            st.queue.remove(pos);
-        }
-        drop(st);
+        self.sched.state.lock().queue.retain(|&t| t != self.id);
         self.sched.cv.notify_all();
     }
 }
@@ -465,11 +413,6 @@ impl QueryHandle {
         handle_tripped || attempt_tripped
     }
 
-    /// True once the query has finished (rows ready or failed).
-    pub fn is_finished(&self) -> bool {
-        self.shared.state.lock().done
-    }
-
     /// Blocks until the query finishes and returns its rows (or its typed
     /// error). The outcome is consumed: a second `wait` reports an error.
     pub fn wait(&self) -> Result<Vec<Value>> { // xlint: allow(blocking, "admission wait parks the submitting session thread by design; pool workers never call submit")
@@ -526,8 +469,7 @@ impl Session {
         self.submit_with(text, QueryOptions::default())
     }
 
-    /// Submits one SQL++ query with explicit priority / memory budget /
-    /// deadline.
+    /// Submits one SQL++ query with an explicit memory budget / deadline.
     pub fn submit_with(&self, text: &str, opts: QueryOptions) -> Result<QueryHandle> {
         // Parse up front: a malformed query is the submitter's error and
         // should be typed and synchronous, not deferred to `wait`.
@@ -572,35 +514,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn priority_orders_low_normal_high() {
-        assert!(Priority::Low < Priority::Normal);
-        assert!(Priority::Normal < Priority::High);
-        assert_eq!(Priority::default(), Priority::Normal);
-    }
-
-    #[test]
-    fn head_prefers_priority_then_fifo() {
-        let st = PoolState {
-            free_memory: 0,
-            running: 0,
-            queue: vec![
-                Waiting { ticket: 1, seq: 0, priority: Priority::Normal },
-                Waiting { ticket: 2, seq: 1, priority: Priority::High },
-                Waiting { ticket: 3, seq: 2, priority: Priority::High },
-                Waiting { ticket: 4, seq: 3, priority: Priority::Low },
-            ],
-            next_seq: 4,
-        };
-        // Highest priority wins; among equal priorities the earliest seq.
-        let h = st.head().map(|i| st.queue[i].ticket);
-        assert_eq!(h, Some(2));
-    }
-
-    #[test]
     fn eager_admission_reserves_and_ticket_drop_rolls_back() {
         let reg = MetricsRegistry::new();
         let sched = QueryScheduler::new(SchedulerConfig::default(), &reg);
-        let ticket = sched.enqueue(1 << 20, Priority::Normal).expect("admit");
+        let ticket = sched.enqueue(1 << 20).expect("admit");
         let snap = sched.pool_snapshot();
         assert_eq!(snap.running, 1);
         assert_eq!(snap.free_memory, snap.total_memory - (1 << 20));
@@ -627,13 +544,13 @@ mod tests {
             queue_depth: 1,
         };
         let sched = QueryScheduler::new(cfg, &reg);
-        let err = expect_saturated(sched.enqueue(2048, Priority::Normal));
+        let err = expect_saturated(sched.enqueue(2048));
         assert!(matches!(err, CoreError::Saturated(_)), "got {err}");
         assert!(!err.is_transient(), "backpressure must not be retried");
         // Fill the running slot and the one queue slot, then overflow.
-        let _running = sched.enqueue(512, Priority::Normal).expect("eager");
-        let _queued = sched.enqueue(512, Priority::Normal).expect("queued");
-        let err = expect_saturated(sched.enqueue(512, Priority::Normal));
+        let _running = sched.enqueue(512).expect("eager");
+        let _queued = sched.enqueue(512).expect("queued");
+        let err = expect_saturated(sched.enqueue(512));
         assert!(matches!(err, CoreError::Saturated(_)), "got {err}");
         assert_eq!(reg.snapshot().counter("core.serving.rejected"), Some(2));
     }

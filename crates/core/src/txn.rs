@@ -13,7 +13,7 @@
 use crate::error::{CoreError, Result};
 use asterix_storage::lock_order;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,26 +21,22 @@ use std::time::Duration;
 /// A record lock's name: dataset id and encoded primary key.
 type LockKey = (u32, Arc<[u8]>);
 
-/// Lock table guarded by the manager's mutex: record owners, each
-/// transaction's own locks (so that letting them go visits nobody else's),
-/// and the set of transactions cancelled mid-flight (their next lock attempt
-/// must fail typed instead of blocking).
+/// Lock table guarded by the manager's mutex: record owners and each
+/// transaction's own locks (so that letting them go visits nobody else's).
 #[derive(Default)]
 struct LockTable {
     /// Per dataset id, the owner of each locked primary key.
     owners: HashMap<u32, HashMap<Arc<[u8]>, u64>>,
     /// Per transaction, the locks it owns.
     held: HashMap<u64, Vec<LockKey>>,
-    cancelled: HashSet<u64>,
-    /// Owner entries looked at by releases and cancellations so far.
+    /// Owner entries looked at by releases so far.
     release_visits: u64,
 }
 
 impl LockTable {
     /// Lets go of every lock `txn` owns, visiting those and no others.
-    /// Returns whether it owned any.
-    fn release(&mut self, txn: u64) -> bool {
-        let Some(keys) = self.held.remove(&txn) else { return false };
+    fn release(&mut self, txn: u64) {
+        let Some(keys) = self.held.remove(&txn) else { return };
         self.release_visits += keys.len() as u64;
         for (dataset, pk) in &keys {
             let Some(of_dataset) = self.owners.get_mut(dataset) else { continue };
@@ -50,12 +46,11 @@ impl LockTable {
                 self.owners.remove(dataset);
             }
         }
-        true
     }
 }
 
-/// A primary-key write-lock manager with blocking acquisition, deadlock
-/// timeouts, and transaction cancellation ([`LockManager::cancel_txn`]).
+/// A primary-key write-lock manager with blocking acquisition and deadlock
+/// timeouts.
 pub struct LockManager {
     locks: Mutex<LockTable>,
     cv: Condvar,
@@ -76,18 +71,13 @@ impl LockManager {
 
     /// Acquires the write lock on `pk` in the dataset with id `dataset` for
     /// `txn`. Re-entrant for the same transaction. Times out (as a deadlock
-    /// break) with an error. A transaction cancelled while waiting (or before
-    /// arriving) gets the typed cancellation error promptly — never its own
-    /// timeout.
+    /// break) with an error.
     pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
         // Manual order token: the guard round-trips through the condvar, so
         // the OrderedMutex wrapper does not fit here.
         let _order = lock_order::acquire("lock_manager");
         let mut table = self.locks.lock(); // xlint: lock(lock_manager)
         loop {
-            if table.cancelled.contains(&txn) {
-                return Err(CoreError::Txn(format!("transaction {txn} was cancelled")));
-            }
             match table.owners.get(&dataset).and_then(|of_dataset| of_dataset.get(pk)) {
                 None => {
                     let pk: Arc<[u8]> = pk.into();
@@ -107,27 +97,10 @@ impl LockManager {
         }
     }
 
-    /// Cancels a transaction: releases every lock it holds (so waiters
-    /// proceed promptly instead of running into their timeout) and marks it
-    /// so its own pending/future lock attempts fail with the typed
-    /// cancellation error. The marker is cleared by the transaction's final
-    /// [`LockManager::release_all`] (commit, abort, or drop-rollback).
-    /// Returns true when the transaction held or could still take locks.
-    pub fn cancel_txn(&self, txn: u64) -> bool {
-        let _order = lock_order::acquire("lock_manager");
-        let mut table = self.locks.lock(); // xlint: lock(lock_manager)
-        let held_any = table.release(txn);
-        let fresh = table.cancelled.insert(txn);
-        self.cv.notify_all();
-        held_any || fresh
-    }
-
-    /// Releases every lock held by `txn` and clears any cancellation marker.
+    /// Releases every lock held by `txn`.
     pub fn release_all(&self, txn: u64) {
         let _order = lock_order::acquire("lock_manager");
-        let mut table = self.locks.lock(); // xlint: lock(lock_manager)
-        table.release(txn);
-        table.cancelled.remove(&txn);
+        self.locks.lock().release(txn); // xlint: lock(lock_manager)
         self.cv.notify_all();
     }
 
@@ -137,9 +110,9 @@ impl LockManager {
         self.locks.lock().held.values().map(Vec::len).sum() // xlint: lock(lock_manager)
     }
 
-    /// Lock-table entries every release and cancellation so far has looked
-    /// at, in total (diagnostics): each pays for the locks of its own
-    /// transaction, whatever the others hold.
+    /// Lock-table entries every release so far has looked at, in total
+    /// (diagnostics): each pays for the locks of its own transaction,
+    /// whatever the others hold.
     pub fn release_visits(&self) -> u64 {
         let _order = lock_order::acquire("lock_manager");
         self.locks.lock().release_visits // xlint: lock(lock_manager)
@@ -238,7 +211,7 @@ mod tests {
         assert_eq!(lm.release_visits(), 2_500, "a commit paid for another transaction's locks");
         assert_eq!(lm.held(), 2_500, "and let go of exactly its own");
         lm.lock(3, 1, &10_000u32.to_le_bytes()).unwrap();
-        assert!(lm.cancel_txn(1));
+        lm.release_all(1);
         assert_eq!(lm.release_visits(), 5_000);
         assert_eq!(lm.held(), 1);
     }
@@ -347,51 +320,6 @@ mod tests {
         // std::sync::Mutex would hand back a PoisonError here; the
         // parking_lot shim releases on unwind and the next acquirer proceeds
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn cancelling_the_holder_releases_waiters_promptly() {
-        // the waiter's timeout is far longer than the test budget: if
-        // cancel_txn failed to release + notify, this would hang visibly
-        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
-        lm.lock(1, 1, b"k").unwrap();
-        let lm2 = Arc::clone(&lm);
-        let waiter = thread::spawn(move || {
-            lm2.lock(2, 1, b"k").unwrap();
-            lm2.release_all(2);
-        });
-        thread::sleep(Duration::from_millis(50));
-        assert!(lm.cancel_txn(1), "txn 1 held a lock");
-        waiter.join().unwrap();
-        assert_eq!(lm.held(), 0);
-        // the cancelled transaction cannot take new locks until released
-        let err = lm.lock(1, 1, b"k2").unwrap_err();
-        assert!(err.to_string().contains("cancelled"), "{err}");
-        lm.release_all(1); // rollback path clears the marker
-        lm.lock(1, 1, b"k2").unwrap();
-        lm.release_all(1);
-    }
-
-    #[test]
-    fn cancelled_waiter_gets_typed_error_not_a_hang() {
-        let lm = Arc::new(LockManager::new(Duration::from_secs(30)));
-        lm.lock(1, 1, b"k").unwrap();
-        let lm2 = Arc::clone(&lm);
-        let waiter = thread::spawn(move || lm2.lock(2, 1, b"k"));
-        thread::sleep(Duration::from_millis(50));
-        let start = std::time::Instant::now();
-        assert!(lm.cancel_txn(2), "txn 2 was not yet marked");
-        let err = waiter.join().unwrap().unwrap_err();
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "cancelled waiter must not sit out the lock timeout"
-        );
-        assert!(err.to_string().contains("cancelled"), "{err}");
-        // the holder is untouched
-        assert_eq!(lm.held(), 1);
-        lm.release_all(1);
-        lm.release_all(2);
-        assert_eq!(lm.held(), 0);
     }
 
     #[test]

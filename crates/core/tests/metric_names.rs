@@ -9,9 +9,9 @@ use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_obs::MetricValue;
 
 /// What the dataflow runtime's registry holds, as `<kind> <name>` with kind
-/// one of `c`ounter, `g`auge, `h`istogram. Counters that are registered at
-/// their first event (`core.query.retries`, `core.feeds.*`, the other
-/// `hyracks.lifecycle.*` endings) have had none here.
+/// `c`ounter or `g`auge. Counters that are registered at their first event
+/// (`core.query.retries`, `core.feeds.*`, the other `hyracks.lifecycle.*`
+/// endings) have had none here.
 const INSTANCE: &str = "
     c core.recovery.components_loaded
     c core.recovery.records_replayed
@@ -92,7 +92,6 @@ fn the_exported_metric_names_and_kinds_are_pinned() {
             let kind = match v {
                 MetricValue::Counter(_) => 'c',
                 MetricValue::Gauge(_) => 'g',
-                MetricValue::Histogram(_) => 'h',
             };
             format!("{kind} {name}")
         })

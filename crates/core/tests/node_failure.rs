@@ -4,7 +4,7 @@
 
 use asterix_algebricks::source::DataSource;
 use asterix_core::sources::{DatasetSource, SCAN_BATCH};
-use asterix_core::{CoreError, Instance, InstanceConfig, RetryPolicy};
+use asterix_core::{CoreError, Instance, InstanceConfig, QueryOptions, RetryPolicy};
 use asterix_hyracks::job::Produced;
 use asterix_hyracks::HyracksError;
 use std::time::Duration;
@@ -183,9 +183,9 @@ fn expired_deadline_is_fatal_and_never_retried() {
         restart_dead_nodes: true,
     });
     let before = db.metrics_snapshot().counter("core.query.retries").unwrap_or(0);
-    let err = db
-        .query_with_deadline("SELECT VALUE d.v FROM D d", Duration::ZERO)
-        .unwrap_err();
+    let opts = QueryOptions { deadline: Some(Duration::ZERO), ..Default::default() };
+    let handle = db.session().submit_with("SELECT VALUE d.v FROM D d", opts).unwrap();
+    let err = handle.wait().unwrap_err();
     assert!(!err.is_transient(), "deadline errors must not be retried: {err}");
     assert!(err.to_string().contains("deadline"), "{err}");
     let after = db.metrics_snapshot().counter("core.query.retries").unwrap_or(0);

@@ -3,7 +3,7 @@
 //! never a hang, never another session's rows, never a leaked admission.
 
 use asterix_adm::Value;
-use asterix_core::scheduler::{Priority, QueryOptions};
+use asterix_core::scheduler::QueryOptions;
 use asterix_core::{CoreError, Instance, InstanceConfig, RetryPolicy, SchedulerConfig};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -167,43 +167,44 @@ fn cancel_hits_queued_and_running_queries_typed() {
     assert_eq!(after.wait().expect("instance still serves").len(), ROWS as usize);
 }
 
-/// Priorities order the queue: with the single slot pinned, a later
-/// high-priority submission is admitted before earlier normal ones.
+/// Admission is FIFO: with the head of the queue waiting for memory, a
+/// later query that would fit waits behind it rather than overtaking it; a
+/// submission past the queue's depth is refused, saying how many wait.
 #[test]
-fn high_priority_overtakes_the_queue() {
+fn admission_is_fifo_a_later_query_that_would_fit_waits_behind_the_head() {
     let db = setup(InstanceConfig {
-        scheduler: SchedulerConfig { max_concurrent: 1, ..Default::default() },
+        scheduler: SchedulerConfig {
+            total_memory: 64 << 20,
+            max_concurrent: 2,
+            queue_depth: 2,
+            ..Default::default()
+        },
         ..Default::default()
     });
     let session = db.session();
-    let slow = session
-        .submit("SELECT VALUE COUNT(d1.v) FROM D d1, D d2, D d3 WHERE d1.v = d2.v AND d2.v = d3.v")
+    let with_memory = |text: &str, mb: usize| {
+        session.submit_with(text, QueryOptions { memory: Some(mb << 20), ..Default::default() })
+    };
+    // 200^4 rows: runs until it is cancelled
+    let slow = with_memory("SELECT VALUE COUNT(d1.v) FROM D d1, D d2, D d3, D d4", 40)
         .expect("submit slow");
-    assert!(wait_until(Duration::from_secs(10), || {
-        db.scheduler().pool_snapshot().running == 1
-    }));
-    let normal = session
-        .submit_with(
-            "SELECT VALUE d.v FROM D d WHERE d.v = 0",
-            QueryOptions { priority: Priority::Normal, ..Default::default() },
-        )
-        .expect("submit normal");
-    let high = session
-        .submit_with(
-            "SELECT VALUE d.v FROM D d WHERE d.v = 1",
-            QueryOptions { priority: Priority::High, ..Default::default() },
-        )
-        .expect("submit high");
-    assert!(wait_until(Duration::from_secs(10), || {
-        db.scheduler().pool_snapshot().queued == 2
-    }));
+    let head = with_memory("SELECT VALUE d.v FROM D d WHERE d.v = 0", 40).expect("submit head");
+    let small = with_memory("SELECT VALUE d.v FROM D d WHERE d.v = 1", 1).expect("submit small");
+    // ten admission polls: a slot and 24 MiB are free the whole time
+    std::thread::sleep(Duration::from_millis(100));
+    let snap = db.scheduler().pool_snapshot();
+    assert_eq!((snap.running, snap.queued), (1, 2), "the small query waits behind the head");
+    assert_eq!(db.metrics_snapshot().counter("core.serving.admitted"), Some(1));
+    match with_memory("SELECT VALUE d.v FROM D d", 1) {
+        Err(CoreError::Saturated(m)) => {
+            assert_eq!(m, "admission queue is full (2 waiting, depth 2)")
+        }
+        other => panic!("expected a full queue, got {:?}", other.map(|h| h.id())),
+    }
     slow.cancel("release the slot");
     let _ = slow.wait();
-    // both finish; admission order is observable through completion order
-    // only indirectly, so assert on results + the strict-order guarantee is
-    // covered by the scheduler's unit test; here both must simply complete.
-    assert_eq!(high.wait().expect("high").len(), expected_count(1));
-    assert_eq!(normal.wait().expect("normal").len(), expected_count(0));
+    assert_eq!(head.wait().expect("head").len(), expected_count(0));
+    assert_eq!(small.wait().expect("small").len(), expected_count(1));
 }
 
 /// PR-5 chaos harness, now under concurrency: a node dies, then a burst of
@@ -285,10 +286,8 @@ fn direct_queries_hold_and_return_an_admission_reservation() {
     let rows = pinned.join().expect("query thread").expect("succeeds once the node is back");
     assert_eq!(rows.len(), ROWS as usize);
     assert_eq!(db.scheduler().pool_snapshot(), idle, "success path returns the reservation");
-    let err = db
-        .query_with_deadline("SELECT VALUE d.v FROM D d", Duration::ZERO)
-        .expect_err("an expired deadline fails the admitted query");
-    assert!(err.to_string().contains("deadline"), "{err}");
+    db.query("SELECT VALUE x.v FROM Nope x")
+        .expect_err("an unknown dataset fails the admitted query");
     assert_eq!(db.scheduler().pool_snapshot(), idle, "error path returns the reservation");
     assert_eq!(db.metrics_snapshot().counter("core.serving.admitted"), Some(2));
 }
@@ -361,7 +360,6 @@ fn interleaved_queries_keep_their_own_profiles() {
 struct Submission {
     /// Index into BUDGETS; the last entry exceeds the pool.
     budget_class: usize,
-    priority: Priority,
     /// Cancel the handle right after submitting it.
     cancel: bool,
 }
@@ -371,13 +369,8 @@ const POOL: usize = 64 << 20;
 const BUDGETS: [usize; 4] = [1 << 20, 8 << 20, 48 << 20, 128 << 20];
 
 fn submission_strategy() -> impl Strategy<Value = Submission> {
-    (0..BUDGETS.len(), 0..3usize, any::<bool>()).prop_map(|(budget_class, pri, cancel)| {
-        Submission {
-            budget_class,
-            priority: [Priority::Low, Priority::Normal, Priority::High][pri],
-            cancel,
-        }
-    })
+    (0..BUDGETS.len(), any::<bool>())
+        .prop_map(|(budget_class, cancel)| Submission { budget_class, cancel })
 }
 
 fn proptest_cases() -> u32 {
@@ -387,7 +380,7 @@ fn proptest_cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases()))]
 
-    /// Any schedule of (budget, priority, cancel-point) submissions leaves
+    /// Any schedule of (budget, cancel-point) submissions leaves
     /// the pool fully drained, and the rejected submissions are *exactly*
     /// the over-budget ones — the queue is deep enough that nothing else
     /// can be refused.
@@ -411,11 +404,7 @@ proptest! {
         let mut handles = Vec::new();
         let mut rejected = 0usize;
         for (i, s) in schedule.iter().enumerate() {
-            let opts = QueryOptions {
-                priority: s.priority,
-                memory: Some(BUDGETS[s.budget_class]),
-                ..Default::default()
-            };
+            let opts = QueryOptions { memory: Some(BUDGETS[s.budget_class]), ..Default::default() };
             match session.submit_with(
                 &format!("SELECT VALUE d.v FROM D d WHERE d.v = {}", i as i64 % MOD),
                 opts,

@@ -23,7 +23,6 @@ fn over_nodes(db: &Instance, suffix: &str) -> i128 {
         .map(|(_, value)| match value {
             MetricValue::Counter(n) => i128::from(*n),
             MetricValue::Gauge(n) => i128::from(*n),
-            MetricValue::Histogram(_) => 0,
         })
         .sum()
 }

@@ -561,10 +561,6 @@ pub struct JobOptions {
     pub token: Option<CancellationToken>,
     /// Relative deadline, measured on the context clock from job start.
     pub deadline: Option<Duration>,
-    /// Run this job on a private pool of exactly `n` workers instead of
-    /// the context's shared pool (tests and dedicated batch jobs; `None`
-    /// shares the pool with every other job on the context).
-    pub workers: Option<usize>,
 }
 
 /// Ranks errors for reporting: the true root cause outranks the cascade it
@@ -805,7 +801,7 @@ pub fn run_job_with(spec: JobSpec, ctx: Arc<RuntimeCtx>, opts: JobOptions) -> Re
             now.saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
         );
     }
-    let out = run_job_inner(spec, &ctx, &token, opts.workers);
+    let out = run_job_inner(spec, &ctx, &token);
     // Lifecycle accounting: exactly one outcome counter per job run.
     let outcome = match &out {
         Ok(_) => "hyracks.lifecycle.completed",
@@ -824,7 +820,6 @@ fn run_job_inner(
     spec: JobSpec,
     ctx: &Arc<RuntimeCtx>,
     token: &CancellationToken,
-    workers: Option<usize>,
 ) -> Result<JobResult> {
     spec.validate()?;
     // Pre-flight: a pre-cancelled token or an already-expired deadline
@@ -834,10 +829,7 @@ fn run_job_inner(
     if let Some(f) = ctx.dataflow_faults() {
         f.begin_attempt();
     }
-    let pool = match workers {
-        Some(n) => WorkerPool::new(n.max(1), ctx.registry()),
-        None => ctx.worker_pool(),
-    };
+    let pool = ctx.worker_pool();
     // Task index per operator-partition: ops expand in declaration order.
     let mut offsets = Vec::with_capacity(spec.ops.len());
     let mut total = 0usize;
@@ -1583,7 +1575,7 @@ mod tests {
     }
 
     fn run_with(j: JobSpec, ctx: &Arc<RuntimeCtx>, token: &CancellationToken) -> Result<JobResult> {
-        let opts = JobOptions { token: Some(token.clone()), deadline: None, workers: None };
+        let opts = JobOptions { token: Some(token.clone()), deadline: None };
         run_job_with(j, Arc::clone(ctx), opts)
     }
 
@@ -1710,7 +1702,7 @@ mod tests {
         let err = run_job_with(
             endless_job(),
             Arc::clone(&ctx),
-            JobOptions { token: Some(token), deadline: None, workers: None },
+            JobOptions { token: Some(token), deadline: None },
         )
         .unwrap_err();
         canceller.join().unwrap();
@@ -1731,7 +1723,7 @@ mod tests {
         let err = run_job_with(
             endless_job(),
             ctx,
-            JobOptions { token: None, deadline: Some(Duration::from_millis(50)), workers: None },
+            JobOptions { token: None, deadline: Some(Duration::from_millis(50)) },
         )
         .unwrap_err();
         assert!(matches!(err, HyracksError::DeadlineExceeded { .. }), "{err}");
@@ -1744,7 +1736,7 @@ mod tests {
         let err = run_job_with(
             endless_job(),
             Arc::clone(&ctx),
-            JobOptions { token: None, deadline: Some(Duration::ZERO), workers: None },
+            JobOptions { token: None, deadline: Some(Duration::ZERO) },
         )
         .unwrap_err();
         assert!(matches!(err, HyracksError::DeadlineExceeded { .. }), "{err}");
@@ -1782,13 +1774,9 @@ mod tests {
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(s, r, 0, ConnStrategy::Gather);
         let ctx = RuntimeCtx::temp().unwrap();
+        ctx.set_worker_threads(2);
         let before = ctx.registry().snapshot();
-        let err = run_job_with(
-            j,
-            Arc::clone(&ctx),
-            JobOptions { token: None, deadline: None, workers: Some(2) },
-        )
-        .unwrap_err();
+        let err = run_job(j, Arc::clone(&ctx)).unwrap_err();
         assert!(
             matches!(&err, HyracksError::WorkerPanic(m) if m.contains("injected worker panic")),
             "panic outranks the induced sibling cancellations: {err}"

@@ -103,7 +103,7 @@ pub struct DataflowFaults {
     events: Mutex<Vec<FaultEvent>>,
 }
 
-/// FNV-1a over bytes — a stable, seedable hash (std's `DefaultHasher` is
+/// FNV-1a over bytes — a stable, seedable hash (std's default hasher is
 /// randomly keyed per process, which would break cross-run replay).
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {

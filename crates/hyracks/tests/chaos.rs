@@ -112,7 +112,7 @@ fn run_chaos(shape: Shape, cfg: FaultConfig) -> Vec<FaultEvent> {
     let ctx = RuntimeCtx::temp_with_faults(Arc::clone(&faults)).unwrap();
     let mut outcome = None;
     for _attempt in 0..3 {
-        let opts = JobOptions { token: None, deadline: Some(Duration::from_secs(30)), workers: None };
+        let opts = JobOptions { token: None, deadline: Some(Duration::from_secs(30)) };
         match run_job_with(build(shape), Arc::clone(&ctx), opts) {
             Ok(result) => {
                 assert!(

@@ -61,6 +61,7 @@ fn quiesced_counters(ctx: &RuntimeCtx) -> (u64, u64) {
 #[test]
 fn lifo_ping_pong_cannot_starve_a_sibling_partition() {
     let ctx = RuntimeCtx::temp().unwrap();
+    ctx.set_worker_threads(1);
     let token = CancellationToken::new();
     let mut j = JobSpec::new();
     let s = j.add(self_cancelling_source(token.clone(), 1, 6456), 2, "scan");
@@ -69,12 +70,8 @@ fn lifo_ping_pong_cannot_starve_a_sibling_partition() {
     let sort = j.add(OpKind::Sort { keys: keys.clone(), memory: 1 << 20 }, 2, "sort");
     j.connect(s, sort, 0, ConnStrategy::OneToOne);
     j.connect(sort, sink, 0, ConnStrategy::MergeSorted(keys));
-    let err = run_job_with(
-        j,
-        Arc::clone(&ctx),
-        JobOptions { token: Some(token), deadline: None, workers: Some(1) },
-    )
-    .unwrap_err();
+    let err = run_job_with(j, Arc::clone(&ctx), JobOptions { token: Some(token), deadline: None })
+        .unwrap_err();
     assert!(
         matches!(&err, HyracksError::Cancelled(m) if m.contains("random cancel point")),
         "partition 1 must run (and cancel), not starve behind partition 0: {err}"
@@ -95,6 +92,7 @@ proptest! {
         with_barrier in any::<bool>(),
     ) {
         let ctx = RuntimeCtx::temp().unwrap();
+        ctx.set_worker_threads(workers);
         let token = CancellationToken::new();
         let cancel_part = cancel_part_sel % partitions;
 
@@ -116,12 +114,8 @@ proptest! {
             j.connect(s, sink, 0, ConnStrategy::Gather);
         }
 
-        let err = run_job_with(
-            j,
-            Arc::clone(&ctx),
-            JobOptions { token: Some(token), deadline: None, workers: Some(workers) },
-        )
-        .unwrap_err();
+        let err = run_job_with(j, Arc::clone(&ctx), JobOptions { token: Some(token), deadline: None })
+            .unwrap_err();
         prop_assert!(
             matches!(&err, HyracksError::Cancelled(m) if m.contains("random cancel point")),
             "endless job only ends by this cancellation: {}", err

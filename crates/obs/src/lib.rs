@@ -2,10 +2,10 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * [`registry`] — a [`MetricsRegistry`] of named counters, gauges, and
-//!   fixed-bucket histograms. Whatever bumps a metric holds its handle,
-//!   taken from the registry where that code is built; every reader takes a
-//!   [`MetricsSnapshot`], and a phase is the `delta` of two of them.
+//! * [`registry`] — a [`MetricsRegistry`] of named counters and gauges.
+//!   Whatever bumps a metric holds its handle, taken from the registry where
+//!   that code is built; every reader takes a [`MetricsSnapshot`], and a
+//!   phase is the `delta` of two of them.
 //! * [`clock`] — time as an injected dependency. Production code uses
 //!   [`MonotonicClock`]; tests and the fault harness use [`ManualClock`]
 //!   for deterministic timings.
@@ -27,6 +27,4 @@ pub mod registry;
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use json::Json;
 pub use profile::{JobProfile, OpMetrics, OperatorProfile};
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, MetricsRegistry, MetricsSnapshot,
-};
+pub use registry::{Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};

@@ -1,7 +1,7 @@
 //! Named metrics with a snapshot/delta API.
 //!
 //! A [`MetricsRegistry`] hands out cheap cloneable handles
-//! ([`Counter`], [`Gauge`], [`Histogram`]) keyed by a dotted name
+//! ([`Counter`], [`Gauge`]) keyed by a dotted name
 //! (`"storage.io.physical_reads"`). Handles update relaxed atomics — the
 //! registry lock is touched only at registration and snapshot time, never
 //! on the hot path. Counters only grow and nothing resets them: a phase is
@@ -62,110 +62,9 @@ impl Gauge {
     }
 }
 
-/// Fixed-bucket histogram: `bounds[i]` is the inclusive upper edge of
-/// bucket `i`; one implicit overflow bucket catches the rest. Recording is
-/// a linear scan over a handful of bounds plus two relaxed adds.
-#[derive(Clone)]
-pub struct Histogram {
-    core: Arc<HistCore>,
-}
-
-struct HistCore {
-    bounds: Vec<u64>,
-    buckets: Vec<AtomicU64>, // bounds.len() + 1 (overflow)
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// Default bucket edges: powers of four from 1 up — a decent spread for
-/// both byte sizes and nanosecond latencies.
-pub const DEFAULT_BOUNDS: [u64; 12] =
-    [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304];
-
-impl Histogram {
-    pub fn new(bounds: &[u64]) -> Histogram {
-        let mut sorted: Vec<u64> = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let buckets = (0..sorted.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            core: Arc::new(HistCore {
-                bounds: sorted,
-                buckets,
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }),
-        }
-    }
-
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let c = &self.core;
-        let idx = c.bounds.iter().position(|&b| v <= b).unwrap_or(c.bounds.len());
-        // idx is bounded by bounds.len(), and buckets has bounds.len()+1
-        // slots, so get() can only miss if HistCore was built wrong.
-        if let Some(slot) = c.buckets.get(idx) {
-            slot.fetch_add(1, Ordering::Relaxed);
-        }
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let c = &self.core;
-        HistogramSnapshot {
-            bounds: c.bounds.clone(),
-            buckets: c.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            count: c.count.load(Ordering::Relaxed),
-            sum: c.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of a histogram.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct HistogramSnapshot {
-    pub bounds: Vec<u64>,
-    /// One count per bound plus a final overflow bucket.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    fn saturating_delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        if self.bounds != earlier.bounds {
-            // Re-registered with different edges: the earlier snapshot is
-            // not comparable, return the later one as the delta.
-            return self.clone();
-        }
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-        }
-    }
-}
-
 enum Slot {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
     /// Snapshot-time read of a counter owned by the instrumented code
     /// itself (an inline atomic field) — the registry never sits on the
     /// update path, so hot loops pay zero extra indirection.
@@ -177,7 +76,6 @@ enum Slot {
 pub enum MetricValue {
     Counter(u64),
     Gauge(i64),
-    Histogram(HistogramSnapshot),
 }
 
 /// Registry of named metrics. Cheap to clone handles out of; the internal
@@ -235,17 +133,6 @@ impl MetricsRegistry {
         slots.entry(name.to_string()).or_insert_with(|| Slot::Observed(Box::new(read)));
     }
 
-    /// Get-or-register a histogram with the given bucket bounds (bounds are
-    /// fixed at first registration; same clash policy as `counter`).
-    pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
-        let mut slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        match slots.entry(name.to_string()).or_insert_with(|| Slot::Histogram(Histogram::new(bounds)))
-        {
-            Slot::Histogram(h) => h.clone(),
-            _ => Histogram::new(bounds),
-        }
-    }
-
     /// Point-in-time copy of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.lock().unwrap_or_else(PoisonError::into_inner);
@@ -255,7 +142,6 @@ impl MetricsRegistry {
                 let v = match slot {
                     Slot::Counter(c) => MetricValue::Counter(c.get()),
                     Slot::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                     Slot::Observed(read) => MetricValue::Counter(read()),
                 };
                 (name.clone(), v)
@@ -288,16 +174,7 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Histogram snapshot by name.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        match self.values.get(name) {
-            Some(MetricValue::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Per-phase delta `self - earlier`. Counter and histogram math
-    /// saturates at zero (snapshots handed over in the wrong order yield 0,
+    /// Per-phase delta `self - earlier`. Counter math saturates at zero (snapshots handed over in the wrong order yield 0,
     /// not a wrap); gauges report their later value's change, which may be
     /// negative.
     /// Metrics absent from `earlier` pass through unchanged.
@@ -312,9 +189,6 @@ impl MetricsSnapshot {
                     }
                     (MetricValue::Gauge(a), Some(MetricValue::Gauge(b))) => {
                         MetricValue::Gauge(a.wrapping_sub(*b))
-                    }
-                    (MetricValue::Histogram(a), Some(MetricValue::Histogram(b))) => {
-                        MetricValue::Histogram(a.saturating_delta(b))
                     }
                     (late, _) => late.clone(),
                 };
@@ -340,18 +214,6 @@ impl MetricsSnapshot {
                 let jv = match v {
                     MetricValue::Counter(c) => Json::U64(*c),
                     MetricValue::Gauge(g) => Json::I64(*g),
-                    MetricValue::Histogram(h) => Json::Obj(vec![
-                        ("count".into(), Json::U64(h.count)),
-                        ("sum".into(), Json::U64(h.sum)),
-                        (
-                            "bounds".into(),
-                            Json::Arr(h.bounds.iter().map(|b| Json::U64(*b)).collect()),
-                        ),
-                        (
-                            "buckets".into(),
-                            Json::Arr(h.buckets.iter().map(|b| Json::U64(*b)).collect()),
-                        ),
-                    ]),
                 };
                 (name.clone(), jv)
             })
@@ -379,26 +241,6 @@ mod tests {
         // A second handle for the same name shares the value.
         reg.counter("a.hits").inc();
         assert_eq!(reg.snapshot().counter("a.hits"), Some(5));
-    }
-
-    #[test]
-    fn histogram_buckets_and_delta() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("lat", &[10, 100]);
-        h.record(5);
-        h.record(50);
-        h.record(5000);
-        let s1 = reg.snapshot();
-        let hs = s1.histogram("lat").cloned().unwrap_or_default();
-        assert_eq!(hs.buckets, vec![1, 1, 1]);
-        assert_eq!(hs.count, 3);
-        assert_eq!(hs.sum, 5055);
-        h.record(7);
-        let d = reg.snapshot().delta(&s1);
-        let hd = d.histogram("lat").cloned().unwrap_or_default();
-        assert_eq!(hd.buckets, vec![1, 0, 0]);
-        assert_eq!(hd.count, 1);
-        assert!((hd.mean() - 7.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! Classic double-hashing construction: k index probes derived from two
 //! 64-bit hashes, `g_i(x) = h1(x) + i*h2(x)`.
 
-use std::hash::Hasher;
+use crate::le::{hash64, hash64_after};
 
 /// A serializable bloom filter over byte-string keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,13 +18,8 @@ pub struct BloomFilter {
 }
 
 fn hash_pair(key: &[u8]) -> (u64, u64) {
-    let mut h1 = std::collections::hash_map::DefaultHasher::new();
-    h1.write(key);
-    let a = h1.finish();
-    let mut h2 = std::collections::hash_map::DefaultHasher::new();
-    h2.write_u64(a ^ 0x9e37_79b9_7f4a_7c15);
-    h2.write(key);
-    let mut b = h2.finish();
+    let a = hash64(key);
+    let mut b = hash64_after(a ^ 0x9e37_79b9_7f4a_7c15, key);
     if b == 0 {
         b = 0x5851_f42d_4c95_7f2d; // h2 must be non-zero for double hashing
     }

@@ -53,8 +53,8 @@
 //! sees a vanishing file, and a failed delete is counted cleanup (the next
 //! open sweeps the orphan), never data loss.
 //!
-//! **Lock order.** `manifest` before `state` before `disk`; `policy`, `exec`
-//! and `space_mark` are leaves. The only I/O under a lock is the manifest
+//! **Lock order.** `manifest` before `state` before `disk`; `exec` and
+//! `space_mark` are leaves. The only I/O under a lock is the manifest
 //! write under `manifest`, which exists to serialize exactly that; no
 //! component drop happens while `state` or `disk` is held. A merge job takes
 //! its `run` lock before its `comps` lock and neither while calling back
@@ -223,7 +223,7 @@ pub trait ComponentKind: Send + Sync + Sized + 'static {
     /// Bytes a memory component may hold before it is sealed.
     fn mem_budget(&self) -> usize;
 
-    /// The merge policy the index starts with.
+    /// The merge policy the index is configured with.
     fn merge_policy(&self) -> MergePolicy;
 
     /// Bulk-loads memory component `mem` into the files of component `id`.
@@ -437,8 +437,8 @@ const COMPONENT_SUFFIXES: [&str; 3] = [".btree", ".rtree", ".delkeys"];
 enum CompactionState {
     /// No merge in flight.
     Idle,
-    /// A merge over the components with these ids is running.
-    Merging { ids: Vec<u64>, cancel: Arc<AtomicBool> },
+    /// A merge is running; setting `cancel` stops it at its next morsel.
+    Merging { cancel: Arc<AtomicBool> },
     /// The merged component is published; input files are being retired.
     Retiring,
 }
@@ -451,8 +451,6 @@ enum CompactionState {
 /// background merge jobs. See the module docs for the invariants.
 pub(crate) struct Harness<K: ComponentKind> {
     kind: K,
-    /// The active policy; starts as the configured one.
-    policy: Mutex<MergePolicy>,
     /// The LSN below which the manifest says everything is flushed. Held
     /// across every manifest write, which makes it the publish lock: a flush
     /// and a background merge never race to replace the manifest.
@@ -478,7 +476,6 @@ impl<K: ComponentKind> Harness<K> {
     fn new(kind: K) -> Arc<Self> {
         let hub = Arc::clone(kind.cache().stats().lsm());
         Arc::new(Harness {
-            policy: Mutex::new(kind.merge_policy()),
             kind,
             manifest: Mutex::new(0),
             destroyed: AtomicBool::new(false),
@@ -640,10 +637,10 @@ impl<K: ComponentKind> Harness<K> {
         Ok(())
     }
 
-    /// The active policy's pick over the current list.
+    /// The configured policy's pick over the current list.
     fn policy_pick(&self, disk: &[Arc<Component<K>>]) -> Option<usize> {
         let sizes: Vec<u64> = disk.iter().map(|c| c.size_bytes).collect();
-        self.policy.lock().pick_merge(&sizes)
+        self.kind.merge_policy().pick_merge(&sizes)
     }
 
     /// The one `idle → merging` transition: if the slot is free and `pick`
@@ -666,10 +663,7 @@ impl<K: ComponentKind> Harness<K> {
         let includes_oldest = n == disk.len();
         drop(disk);
         let cancel = Arc::new(AtomicBool::new(false));
-        *st = CompactionState::Merging {
-            ids: comps.iter().map(|c| c.id).collect(),
-            cancel: Arc::clone(&cancel),
-        };
+        *st = CompactionState::Merging { cancel: Arc::clone(&cancel) };
         self.hub.merge_started();
         Some(MergeJob {
             shared: Arc::clone(self),
@@ -905,31 +899,6 @@ impl<K: ComponentKind> Lsm<K> {
     /// write path, if that is what `exec` does with a job.
     pub fn set_executor(&self, exec: CompactionExec) {
         *self.shared.exec.lock() = exec;
-    }
-
-    /// Replaces the active merge policy. Takes effect at the next scheduling
-    /// point; a long backlog converges because scheduling loops until the
-    /// policy is satisfied.
-    pub fn set_merge_policy(&self, policy: MergePolicy) {
-        *self.shared.policy.lock() = policy;
-    }
-
-    /// Name of the compaction slot's current state
-    /// (`idle`/`merging`/`retiring`), for diagnostics and tests.
-    pub fn compaction_state(&self) -> &'static str {
-        match *self.shared.state.lock() {
-            CompactionState::Idle => "idle",
-            CompactionState::Merging { .. } => "merging",
-            CompactionState::Retiring => "retiring",
-        }
-    }
-
-    /// Component ids covered by the in-flight merge (empty when none runs).
-    pub fn merging_range(&self) -> Vec<u64> {
-        match &*self.shared.state.lock() {
-            CompactionState::Merging { ids, .. } => ids.clone(),
-            _ => Vec::new(),
-        }
     }
 
     /// Number of disk components.
@@ -1435,9 +1404,9 @@ mod tests {
         Lsm::new(cache, E::config(1 << 30, policy))
     }
 
-    /// The same index as its manifest describes it.
-    fn reopened<E: Entries>(cache: Arc<BufferCache>) -> Lsm<E::Kind> {
-        Lsm::reopen(cache, E::config(1 << 30, MergePolicy::NoMerge)).unwrap()
+    /// The same index as its manifest describes it, merging by `policy`.
+    fn reopened<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<E::Kind> {
+        Lsm::reopen(cache, E::config(1 << 30, policy)).unwrap()
     }
 
     fn setup(faults: Option<FaultConfig>) -> (Arc<BufferCache>, TempDir) {
@@ -1496,20 +1465,22 @@ mod tests {
     }
 
     fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<E: Entries>() {
-        let (cache, _d) = setup(None);
-        let mut t = manual::<E>(cache.clone(), MergePolicy::NoMerge);
+        let (cache, dir) = setup(None);
+        let mut t = manual::<E>(cache, MergePolicy::NoMerge);
         component::<E>(&mut t, 0..600);
         component::<E>(&mut t, 600..1_200);
+        drop(t);
+        let cache = restarted(&dir);
+        let mut t = reopened::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
         t.set_executor(parked.clone());
-        t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
+        let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
+        assert_eq!(inflight(), Some(0), "reopening schedules nothing");
         // this flush schedules (but does not run) the merge
         component::<E>(&mut t, 1_200..1_201);
-        assert_eq!(t.compaction_state(), "merging");
-        assert_eq!(t.merging_range().len(), 3, "all three components in range");
-        let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
         assert_eq!(inflight(), Some(1));
         let job = parked.0.lock().pop().expect("merge scheduled");
+        assert!(parked.0.lock().is_empty(), "one merge in flight");
         // reads and flushes still serve against the pre-merge list
         assert_eq!(E::live(&t), 1_201);
         let before = t.component_count();
@@ -1519,7 +1490,6 @@ mod tests {
         assert_eq!(job.step(), JobStep::Again, "one morsel merged");
         job.cancel();
         assert_eq!(job.step(), JobStep::Done, "cancel honored at morsel edge");
-        assert_eq!(t.compaction_state(), "idle");
         assert_eq!(inflight(), Some(0));
         assert_eq!(t.stats().merges, 0);
         assert_eq!(t.stats().merges_aborted, 1);
@@ -1528,17 +1498,18 @@ mod tests {
     }
 
     /// A backlog built under one policy is the next one's to merge: build
-    /// components under NoMerge, switch to Constant, and one more flush must
-    /// leave a single component.
-    fn merge_cascade_converges_after_policy_switch<E: Entries>() {
-        let (cache, _d) = setup(None);
+    /// components under NoMerge, reopen under Constant, and one more flush
+    /// must leave a single component.
+    fn a_tree_reopened_under_a_stricter_policy_merges_its_backlog_on_the_next_flush<E: Entries>() {
+        let (cache, dir) = setup(None);
         let mut t = manual::<E>(cache, MergePolicy::NoMerge);
         component::<E>(&mut t, 0..4_000);
         component::<E>(&mut t, 4_000..6_000);
         component::<E>(&mut t, 6_000..7_000);
+        drop(t);
+        let mut t = reopened::<E>(restarted(&dir), MergePolicy::Constant { max_components: 1 });
         assert_eq!(t.component_count(), 3);
         assert_eq!(t.stats().merges, 0);
-        t.set_merge_policy(MergePolicy::Constant { max_components: 1 });
         component::<E>(&mut t, 7_000..8_000);
         assert_eq!(t.component_count(), 1, "converged in one flush");
         assert_eq!(t.stats().merges, 1);
@@ -1632,7 +1603,7 @@ mod tests {
             component_files(&dir),
         );
         drop(t);
-        let t = reopened::<E>(restarted(&dir));
+        let t = reopened::<E>(restarted(&dir), MergePolicy::NoMerge);
         assert_eq!(t.shared.snapshot().iter().map(|c| c.id).collect::<Vec<_>>(), ids);
         assert_eq!(component_files(&dir), files, "nothing the manifest names was swept");
         assert_eq!(E::live(&t), 650);
@@ -1670,7 +1641,7 @@ mod tests {
             };
             assert!(run(&mut t).is_err(), "{step} #{publish}: the crash point must fire");
             drop(t);
-            let t = reopened::<E>(restarted(&dir));
+            let t = reopened::<E>(restarted(&dir), MergePolicy::NoMerge);
             // the rename is what publishes: before it the old list, from it on the new
             let published = publish + u64::from(step.contains(":dirsync"));
             let want = match published {
@@ -1806,8 +1777,8 @@ mod tests {
                 }
 
                 #[test]
-                fn merge_cascade_converges_after_policy_switch() {
-                    super::merge_cascade_converges_after_policy_switch::<$k>();
+                fn a_tree_reopened_under_a_stricter_policy_merges_its_backlog_on_the_next_flush() {
+                    super::a_tree_reopened_under_a_stricter_policy_merges_its_backlog_on_the_next_flush::<$k>();
                 }
 
                 #[test]

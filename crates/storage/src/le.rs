@@ -85,6 +85,83 @@ pub(crate) fn fnv1a(data: &[u8]) -> u32 {
     h
 }
 
+/// The hash of persisted placement — bloom bits, partition of a key,
+/// linear-hash bucket: SipHash-1-3 under zero keys, which is what std's
+/// default hasher, made with `new()`, computed over the same bytes at rustc
+/// 1.95. Written out here because std does not promise that hasher across
+/// releases.
+#[inline]
+pub fn hash64(bytes: &[u8]) -> u64 {
+    Sip13::default().finish(bytes, 0)
+}
+
+/// [`hash64`] of `prefix`'s eight little-endian bytes followed by `bytes`;
+/// with `prefix = bytes.len()` it is how `<[u8] as Hash>` feeds a hasher.
+#[inline]
+pub fn hash64_after(prefix: u64, bytes: &[u8]) -> u64 {
+    let mut s = Sip13::default();
+    s.compress(prefix);
+    s.finish(bytes, 8)
+}
+
+struct Sip13([u64; 4]);
+
+impl Default for Sip13 {
+    fn default() -> Self {
+        // "somepseudorandomlygeneratedbytes", each word xored with a zero key
+        Sip13([
+            0x736f_6d65_7073_6575,
+            0x646f_7261_6e64_6f6d,
+            0x6c79_6765_6e65_7261,
+            0x7465_6462_7974_6573,
+        ])
+    }
+}
+
+impl Sip13 {
+    #[inline]
+    fn round(&mut self) {
+        let [v0, v1, v2, v3] = &mut self.0;
+        *v0 = v0.wrapping_add(*v1);
+        *v1 = v1.rotate_left(13) ^ *v0;
+        *v0 = v0.rotate_left(32);
+        *v2 = v2.wrapping_add(*v3);
+        *v3 = v3.rotate_left(16) ^ *v2;
+        *v0 = v0.wrapping_add(*v3);
+        *v3 = v3.rotate_left(21) ^ *v0;
+        *v2 = v2.wrapping_add(*v1);
+        *v1 = v1.rotate_left(17) ^ *v2;
+        *v2 = v2.rotate_left(32);
+    }
+
+    #[inline]
+    fn compress(&mut self, m: u64) {
+        self.0[3] ^= m;
+        self.round();
+        self.0[0] ^= m;
+    }
+
+    /// Absorbs `bytes`, `before` bytes having been absorbed already, and
+    /// returns the hash.
+    #[inline]
+    fn finish(mut self, bytes: &[u8], before: usize) -> u64 {
+        let (words, tail) = bytes.as_chunks::<8>();
+        for w in words {
+            self.compress(u64::from_le_bytes(*w));
+        }
+        let mut last = ((before + bytes.len()) as u64) << 56;
+        for (i, b) in tail.iter().enumerate() {
+            last |= u64::from(*b) << (8 * i);
+        }
+        self.compress(last);
+        self.0[2] ^= 0xff;
+        for _ in 0..3 {
+            self.round();
+        }
+        self.0.iter().fold(0, |h, v| h ^ v)
+    }
+}
+
 /// The header of one kind of persisted file: what the one version of it
 /// this build writes, and reads, begins with.
 pub(crate) struct Format {
@@ -219,6 +296,26 @@ mod tests {
         assert!(matches!(try_u32_at(&b, 1), Err(StorageError::Corrupt(_))));
         assert_eq!(try_bytes_at(&b, 1, 3).unwrap(), &b[1..4]);
         assert!(try_bytes_at(&b, 2, 3).is_err());
+    }
+
+    /// Bloom bits, partitions and buckets on disk were placed by these
+    /// values: what std's default hasher gave at rustc 1.95.0 for the bytes
+    /// `0, 1, .., n-1`, written once and never recomputed.
+    #[test]
+    fn the_persisted_hash_is_pinned() {
+        let pinned: [(u8, u64, u64); 6] = [
+            (0, 0xd1fb_a762_150c_532c, 0xbd60_acb6_58c7_9e45),
+            (1, 0x68a9_1412_8e01_e473, 0xdc58_fdc2_e5c5_babe),
+            (7, 0x2f09_8ab0_c751_325a, 0x8f63_05ba_3e50_b0eb),
+            (8, 0xead4_11e6_7ebe_2eea, 0x128e_b5bf_6a9b_4604),
+            (9, 0x7592_7f9d_9512_4362, 0xc51a_3097_82bf_cd3a),
+            (64, 0x75e0_5fd5_bbc8_70c6, 0x47ee_413e_b5b6_2e62),
+        ];
+        for (n, plain, length_prefixed) in pinned {
+            let bytes: Vec<u8> = (0..n).collect();
+            assert_eq!(hash64(&bytes), plain, "{n} bytes");
+            assert_eq!(hash64_after(bytes.len() as u64, &bytes), length_prefixed, "{n} bytes, length first");
+        }
     }
 
     #[test]

@@ -19,18 +19,11 @@
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, PAGE_SIZE};
-use crate::le::Cursor;
-use std::hash::Hasher;
+use crate::le::{hash64, Cursor};
 use std::sync::Arc;
 
 const NO_OVERFLOW: u64 = u64::MAX;
 const HEADER: usize = 10; // n u16 + next u64
-
-fn hash_key(key: &[u8]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    h.write(key);
-    h.finish()
-}
 
 struct BucketPage {
     entries: Vec<(Vec<u8>, Vec<u8>)>,
@@ -161,7 +154,7 @@ impl LinearHash {
     }
 
     fn bucket_of(&self, key: &[u8]) -> usize {
-        let h = hash_key(key);
+        let h = hash64(key);
         let n = self.base << self.level;
         let mut b = h % n;
         if b < self.split {

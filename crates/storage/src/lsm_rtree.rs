@@ -287,11 +287,6 @@ impl ComponentKind for RTreeKind {
 pub type LsmRTree = Lsm<RTreeKind>;
 
 impl Lsm<RTreeKind> {
-    /// Total tree pages across disk components (E11's size metric).
-    pub fn disk_pages(&self) -> u64 {
-        self.shared.snapshot().iter().map(|c| c.disk.rtree.data_pages()).sum()
-    }
-
     /// Inserts an entry; past the memory budget the memory component is
     /// sealed and, unless an open transaction wrote into it, flushed. A
     /// pending tombstone for the key stays: it masks the key's versions in

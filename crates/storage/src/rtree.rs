@@ -511,7 +511,6 @@ pub struct DiskRTree {
     file: FileId,
     root_page: u64,
     entry_count: u64,
-    data_pages: u64,
 }
 
 impl DiskRTree {
@@ -522,7 +521,6 @@ impl DiskRTree {
             file: built.file,
             root_page: built.root_page,
             entry_count: built.entry_count,
-            data_pages: built.data_pages,
         }
     }
 
@@ -542,7 +540,7 @@ impl DiskRTree {
                 "rtree trailer: root page {root_page} is not one of the {data_pages} tree pages"
             )));
         }
-        Ok(DiskRTree { cache, file, root_page, entry_count, data_pages })
+        Ok(DiskRTree { cache, file, root_page, entry_count })
     }
 
     /// The component file id.
@@ -558,11 +556,6 @@ impl DiskRTree {
     /// True when the component holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entry_count == 0
-    }
-
-    /// Tree pages on disk (E11's storage-size metric).
-    pub fn data_pages(&self) -> u64 {
-        self.data_pages
     }
 
     /// All entries intersecting `query`.

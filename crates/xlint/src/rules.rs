@@ -1041,8 +1041,8 @@ fn find_unprefixed(code: &str, tok: &str) -> Option<usize> {
 
 // ---------------------------------------------------------------- L8
 
-const METRIC_CALLS: [&str; 4] = ["observed_counter(\"", "counter(\"", "gauge(\"", "histogram(\""];
-const METRIC_USE: [&str; 5] = [".inc(", ".add(", ".set(", ".sub(", ".observe("];
+const METRIC_CALLS: [&str; 3] = ["observed_counter(\"", "counter(\"", "gauge(\""];
+const METRIC_USE: [&str; 4] = [".inc(", ".add(", ".set(", ".sub("];
 
 #[derive(PartialEq)]
 enum MetricKind {
@@ -1233,7 +1233,7 @@ fn check_l8(
                         &l.comments,
                         format!(
                             "metric `{}` is registered here but never incremented \
-                             (no `.inc()/.add()/.set()/.observe()` on its handle in \
+                             (no `.inc()/.add()/.set()` on its handle in \
                              crate `{}`)",
                             s.name, f.crate_name
                         ),
