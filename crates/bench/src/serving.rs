@@ -22,7 +22,7 @@ use crate::{num, report_doc};
 use asterix_core::scheduler::SchedulerConfig;
 use asterix_core::{CoreError, Instance, InstanceConfig};
 use asterix_obs::Json;
-use std::sync::Mutex;
+use asterix_storage::lock_order::Mutex;
 use std::time::{Duration, Instant};
 
 /// Client counts the sweep visits (the acceptance floor is three points).
@@ -112,12 +112,12 @@ fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: 
                     }
                     mine.push(t0.elapsed().as_secs_f64() * 1e3);
                 }
-                latencies.lock().expect("latency lock").extend(mine);
+                latencies.lock().extend(mine);
             });
         }
     });
     let elapsed_s = start.elapsed().as_secs_f64();
-    let mut ms = latencies.into_inner().expect("latency lock");
+    let mut ms = latencies.into_inner();
     ms.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     Json::obj([
         ("clients", Json::U64(clients as u64)),

@@ -15,7 +15,7 @@ use crate::error::{CoreError, Result};
 use crate::instance::Instance;
 use asterix_adm::binary::encode_key;
 use asterix_adm::Value;
-use parking_lot::Mutex;
+use asterix_storage::lock_order::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -41,7 +41,7 @@ use crate::instance::{Instance, RetryPolicy};
 use asterix_adm::binary::{decode, encode};
 use asterix_adm::Value;
 use asterix_obs::{Counter, Gauge};
-use parking_lot::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
@@ -350,7 +350,7 @@ impl Feed {
                         return Ok(None);
                     }
                     let t0 = Instant::now();
-                    sh.not_full.wait(&mut st);
+                    st = sh.not_full.wait(st);
                     sh.metrics.throttle_ns.add(t0.elapsed().as_nanos() as u64);
                 }
                 IngestionPolicy::Discard => {
@@ -464,7 +464,7 @@ fn ingest_loop( // xlint: allow(blocking, "the feed worker is a dedicated ingest
                     cleanup_spill(&mut st);
                     return;
                 }
-                shared.not_empty.wait(&mut st);
+                st = shared.not_empty.wait(st);
             }
             let mut batch = Vec::with_capacity(batch_size);
             while batch.len() < batch_size {

@@ -36,9 +36,8 @@ use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
 use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
-use asterix_storage::lock_order::{OrderedRwLock, OrderedWriteGuard};
+use asterix_storage::lock_order::{Mutex, RwLock, RwLockWriteGuard};
 use asterix_storage::wal::WalRecord;
-use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -161,7 +160,7 @@ struct Inner {
     /// Remove `root` on drop: set for a temp-dir instance, cleared by
     /// [`Instance::crash`] so the directory survives for the reopen.
     remove_root_on_drop: AtomicBool,
-    catalog: OrderedRwLock<Catalog>,
+    catalog: RwLock<Catalog>,
     cluster: Cluster,
     datasets: RwLock<HashMap<String, Arc<DatasetRuntime>>>,
     txns: TxnManager,
@@ -234,7 +233,7 @@ impl Instance {
             config,
             root,
             remove_root_on_drop: AtomicBool::new(temp_guard),
-            catalog: OrderedRwLock::new("catalog", Catalog::new()),
+            catalog: RwLock::ranked("catalog", Catalog::new()),
             cluster,
             datasets: RwLock::new(HashMap::new()),
             txns: TxnManager::default(),
@@ -298,7 +297,7 @@ impl Instance {
             let compaction = inner.compaction.clone();
             let part = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
             inner.ctx.registry().counter("core.recovery.components_loaded").add(part.component_count() as u64);
-            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part)));
+            partitions.push(Arc::new(RwLock::ranked("lsm_component", part)));
         }
         Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
     }
@@ -978,8 +977,8 @@ impl<'a> Txn<'a> {
     /// transaction.
     fn lock_for_write<'p>(
         &mut self,
-        part: &'p OrderedRwLock<DatasetPartition>,
-    ) -> OrderedWriteGuard<'p, DatasetPartition> {
+        part: &'p RwLock<DatasetPartition>,
+    ) -> RwLockWriteGuard<'p, DatasetPartition> {
         let start = Instant::now();
         let mut waited = false;
         loop {

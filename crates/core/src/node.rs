@@ -16,10 +16,9 @@ use crate::error::{CoreError, Result};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::faults::FaultInjector;
 use asterix_storage::io::FileManager;
-use asterix_storage::lock_order::OrderedMutex;
+use asterix_storage::lock_order::Mutex;
 use asterix_storage::stats::IoStats;
 use asterix_storage::wal::{GroupCommit, Lsn, ReplayOp, SegmentedWal};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,7 +32,7 @@ pub struct Node {
     pub id: usize,
     pub dir: PathBuf,
     pub cache: Arc<BufferCache>,
-    pub wal: OrderedMutex<SegmentedWal>,
+    pub wal: Mutex<SegmentedWal>,
     /// Group-commit protocol for this node's WAL: committers append under
     /// [`Node::wal`], then call [`GroupCommit::sync_through`] so concurrent
     /// commits share one fdatasync (see `asterix_storage::wal::GroupCommit`).
@@ -87,7 +86,7 @@ impl Node {
             id,
             dir,
             cache,
-            wal: OrderedMutex::new("wal", wal),
+            wal: Mutex::ranked("wal", wal),
             wal_group,
             alive: AtomicBool::new(true),
             log_pins: Mutex::new(BTreeMap::new()),
@@ -321,9 +320,9 @@ mod tests {
             panic!("holder dies with the WAL guard live");
         })
         .join();
-        // With a std::sync::Mutex the WAL would now be poisoned and every
-        // later lock().unwrap() would panic, wedging commit/rollback. The
-        // parking_lot-style shim releases on unwind instead.
+        // A bare std::sync::Mutex would now be poisoned and every later
+        // lock().unwrap() would panic, wedging commit/rollback. The
+        // lock_order mutex takes a poisoned lock as it is instead.
         {
             let mut wal = n.wal.lock(); // xlint: lock(wal)
             wal.append(&asterix_storage::wal::WalRecord::Commit { txn_id: 1 }).unwrap();

@@ -10,7 +10,7 @@
 use crate::error::{CoreError, Result};
 use crate::instance::{Instance, Language};
 use asterix_adm::Value;
-use parking_lot::RwLock;
+use asterix_storage::lock_order::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};

@@ -48,14 +48,6 @@
 //! sources (finer stealing granularity), while the admission budget keeps
 //! the sum of per-operator working memories bounded independently of how
 //! the pool interleaves them.
-//!
-//! Lock ordering: the scheduler's queue/pool mutex ranks first in the global
-//! [`lock_order`] hierarchy (`"scheduler"`) — it is held only for queue
-//! bookkeeping, never across query execution, but execution downstream
-//! takes every other lock in the system. The condvar forces a plain
-//! `parking_lot` mutex here, so ordering is asserted with manual
-//! [`lock_order::acquire`] tokens (same pattern as the lock manager in
-//! [`crate::txn`]).
 
 use crate::error::{CoreError, Result};
 use crate::instance::Instance;
@@ -64,8 +56,7 @@ use asterix_hyracks::ctx::DEFAULT_OP_MEMORY;
 use asterix_hyracks::CancellationToken;
 use asterix_obs::{Counter, JobProfile, MetricsRegistry};
 use asterix_sqlpp::ast::Query;
-use asterix_storage::lock_order;
-use parking_lot::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -149,11 +140,10 @@ const ADMIT_POLL: Duration = Duration::from_millis(10);
 impl QueryScheduler {
     pub(crate) fn new(cfg: SchedulerConfig, registry: &MetricsRegistry) -> Arc<QueryScheduler> {
         Arc::new(QueryScheduler {
-            state: Mutex::new(PoolState {
-                free_memory: cfg.total_memory,
-                running: 0,
-                queue: VecDeque::new(),
-            }),
+            state: Mutex::ranked(
+                "scheduler",
+                PoolState { free_memory: cfg.total_memory, running: 0, queue: VecDeque::new() },
+            ),
             cv: Condvar::new(),
             next_ticket: AtomicU64::new(1),
             admitted: registry.counter("core.serving.admitted"),
@@ -171,7 +161,6 @@ impl QueryScheduler {
 
     /// Current pool accounting.
     pub fn pool_snapshot(&self) -> PoolSnapshot {
-        let _order = lock_order::acquire("scheduler");
         let st = self.state.lock();
         PoolSnapshot {
             total_memory: self.cfg.total_memory,
@@ -193,7 +182,6 @@ impl QueryScheduler {
             )));
         }
         let id = self.next_ticket.fetch_add(1, Ordering::Relaxed); // xlint: ordering(ticket-id allocation; admission handoff is ordered by the state mutex)
-        let _order = lock_order::acquire("scheduler");
         let mut st = self.state.lock();
         // Eager path: resources free and nobody queued ahead of us.
         if st.queue.is_empty()
@@ -243,7 +231,6 @@ impl QueryScheduler {
             self.admitted.inc();
             return Ok(AdmissionGuard { sched: Arc::clone(self), budget });
         }
-        let _order = lock_order::acquire("scheduler");
         let mut st = self.state.lock();
         loop {
             if let Err(e) = token.check() {
@@ -268,14 +255,13 @@ impl QueryScheduler {
             }
             // Bounded wait, then re-poll the token: admission must stay
             // responsive to cancellation even if a wakeup is missed.
-            self.cv.wait_for(&mut st, ADMIT_POLL);
+            st = self.cv.wait_for(st, ADMIT_POLL).0;
         }
     }
 
     /// Returns `budget` and a concurrency slot to the pool and wakes every
     /// waiter (the new head may be any of them).
     fn release(&self, budget: usize) {
-        let _order = lock_order::acquire("scheduler");
         let mut st = self.state.lock();
         st.running = st.running.saturating_sub(1);
         st.free_memory = (st.free_memory + budget).min(self.cfg.total_memory);
@@ -305,7 +291,6 @@ impl Drop for Ticket {
             self.sched.release(self.budget);
             return;
         }
-        let _order = lock_order::acquire("scheduler");
         self.sched.state.lock().queue.retain(|&t| t != self.id);
         self.sched.cv.notify_all();
     }
@@ -419,7 +404,7 @@ impl QueryHandle {
         let outcome = {
             let mut st = self.shared.state.lock();
             while !st.done {
-                self.shared.cv.wait(&mut st);
+                st = self.shared.cv.wait(st);
             }
             st.outcome.take()
         };

@@ -13,7 +13,7 @@ use asterix_algebricks::error::{AlgebricksError, Result as AlgResult};
 use asterix_algebricks::source::{record_columns, AccessPath, DataSource, IndexInfo, IndexRange};
 use asterix_algebricks::source::IndexKind as AlgIndexKind;
 use asterix_hyracks::job::{FnSource, Produced, SourceFactory, SourceStream};
-use asterix_storage::lock_order::OrderedRwLock;
+use asterix_storage::lock_order::RwLock;
 use std::sync::Arc;
 
 /// The runtime handle on one dataset: its definition plus its partitions —
@@ -22,7 +22,7 @@ pub struct DatasetRuntime {
     pub def: DatasetDef,
     /// How records are validated, cast and encoded on their way in.
     pub schema: Arc<RecordSchema>,
-    pub partitions: Vec<Arc<OrderedRwLock<DatasetPartition>>>,
+    pub partitions: Vec<Arc<RwLock<DatasetPartition>>>,
 }
 
 impl DatasetRuntime {
@@ -88,7 +88,7 @@ enum Reading {
 /// and never more than a batch of records. What it yields is consistent
 /// batch by batch, not across them.
 struct Cursor {
-    partition: Arc<OrderedRwLock<DatasetPartition>>,
+    partition: Arc<RwLock<DatasetPartition>>,
     /// What is read of each record, a column each: the top-level fields the
     /// query names (the record whole if none), resolved against the
     /// dataset's layout once.
@@ -350,7 +350,7 @@ mod tests {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
             let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
-            partitions.push(Arc::new(OrderedRwLock::new("lsm_component", part.unwrap())));
+            partitions.push(Arc::new(RwLock::ranked("lsm_component", part.unwrap())));
         }
         (Arc::new(DatasetRuntime { def, schema, partitions }), root)
     }

@@ -11,8 +11,7 @@
 //! (experiment E12; DESIGN.md "Durability").
 
 use crate::error::{CoreError, Result};
-use asterix_storage::lock_order;
-use parking_lot::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,16 +65,17 @@ impl Default for LockManager {
 impl LockManager {
     /// Creates a lock manager with the given acquisition timeout.
     pub fn new(timeout: Duration) -> Self {
-        LockManager { locks: Mutex::new(LockTable::default()), cv: Condvar::new(), timeout }
+        LockManager {
+            locks: Mutex::ranked("lock_manager", LockTable::default()),
+            cv: Condvar::new(),
+            timeout,
+        }
     }
 
     /// Acquires the write lock on `pk` in the dataset with id `dataset` for
     /// `txn`. Re-entrant for the same transaction. Times out (as a deadlock
     /// break) with an error.
     pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
-        // Manual order token: the guard round-trips through the condvar, so
-        // the OrderedMutex wrapper does not fit here.
-        let _order = lock_order::acquire("lock_manager");
         let mut table = self.locks.lock(); // xlint: lock(lock_manager)
         loop {
             match table.owners.get(&dataset).and_then(|of_dataset| of_dataset.get(pk)) {
@@ -87,7 +87,9 @@ impl LockManager {
                 }
                 Some(owner) if *owner == txn => return Ok(()),
                 Some(_) => {
-                    if self.cv.wait_for(&mut table, self.timeout).timed_out() {
+                    let waited;
+                    (table, waited) = self.cv.wait_for(table, self.timeout);
+                    if waited.timed_out() {
                         return Err(CoreError::Txn(format!(
                             "lock timeout on dataset #{dataset}:{pk:02x?} (possible deadlock)"
                         )));
@@ -99,14 +101,12 @@ impl LockManager {
 
     /// Releases every lock held by `txn`.
     pub fn release_all(&self, txn: u64) {
-        let _order = lock_order::acquire("lock_manager");
         self.locks.lock().release(txn); // xlint: lock(lock_manager)
         self.cv.notify_all();
     }
 
     /// Number of currently held locks (diagnostics).
     pub fn held(&self) -> usize {
-        let _order = lock_order::acquire("lock_manager");
         self.locks.lock().held.values().map(Vec::len).sum() // xlint: lock(lock_manager)
     }
 
@@ -114,7 +114,6 @@ impl LockManager {
     /// (diagnostics): each pays for the locks of its own transaction,
     /// whatever the others hold.
     pub fn release_visits(&self) -> u64 {
-        let _order = lock_order::acquire("lock_manager");
         self.locks.lock().release_visits // xlint: lock(lock_manager)
     }
 }
@@ -308,8 +307,8 @@ mod tests {
     }
 
     #[test]
-    fn shim_mutex_guard_unlocks_on_unwinding_panic() {
-        let m = Arc::new(Mutex::new(0u32));
+    fn lock_order_mutex_guard_unlocks_on_unwinding_panic() {
+        let m = Arc::new(Mutex::ranked("lock_manager", 0u32));
         let m2 = Arc::clone(&m);
         let _ = thread::spawn(move || {
             let mut g = m2.lock();
@@ -317,8 +316,8 @@ mod tests {
             panic!("panic while the guard is live");
         })
         .join();
-        // std::sync::Mutex would hand back a PoisonError here; the
-        // parking_lot shim releases on unwind and the next acquirer proceeds
+        // a bare std::sync::Mutex would be poisoned now; lock_order's mutex
+        // takes the poisoned lock as it is and the next acquirer proceeds
         assert_eq!(*m.lock(), 7);
     }
 

@@ -14,7 +14,7 @@
 
 use crate::error::{HyracksError, Result};
 use asterix_obs::Clock;
-use parking_lot::Mutex;
+use asterix_storage::lock_order::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 

@@ -34,7 +34,7 @@ use crate::sched::{self, WorkerPool, MORSEL_TUPLES};
 use asterix_adm::compare::hash64_iter;
 use asterix_adm::ColumnBatch;
 use asterix_obs::{Counter, JobProfile, OpMetrics, OperatorProfile};
-use parking_lot::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -979,11 +979,11 @@ fn run_job_inner(
 fn wait_done(job: &JobInner) {
     loop {
         {
-            let mut done = job.done.lock();
+            let done = job.done.lock();
             if *done {
                 return;
             }
-            let _ = job.done_cv.wait_for(&mut done, COMPLETION_POLL);
+            let (done, _) = job.done_cv.wait_for(done, COMPLETION_POLL);
             if *done {
                 return;
             }

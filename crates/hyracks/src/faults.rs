@@ -27,7 +27,7 @@
 //! [`UpstreamFailure`]: crate::error::HyracksError::UpstreamFailure
 
 use crate::error::{HyracksError, Result};
-use parking_lot::Mutex;
+use asterix_storage::lock_order::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -35,8 +35,8 @@
 use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use asterix_obs::{Counter, MetricsRegistry};
+use asterix_storage::lock_order::{Condvar, Mutex};
 use asterix_storage::{BackgroundExecutor, BackgroundJob, CompactionExec, JobStep};
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -449,7 +449,7 @@ fn park(shared: &PoolShared) {
     let mut idle = shared.idle.lock();
     *idle += 1;
     if shared.pending.load(Ordering::Acquire) == 0 && !shared.shutdown.load(Ordering::Acquire) {
-        let _ = shared.wake.wait_for(&mut idle, PARK_TIMEOUT);
+        idle = shared.wake.wait_for(idle, PARK_TIMEOUT).0;
     }
     *idle -= 1;
     drop(idle);

@@ -7,6 +7,11 @@
 //! on the hot path. Counters only grow and nothing resets them: a phase is
 //! measured as [`MetricsSnapshot::delta`] of the snapshots around it.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "obs sits beneath storage, whose lock_order module wraps every other lock"
+)]
+
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

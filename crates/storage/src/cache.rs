@@ -41,9 +41,8 @@
 
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, FileManager, PAGE_SIZE};
-use crate::lock_order::{OrderedMutex, OrderedRwLock};
+use crate::lock_order::{Condvar, Mutex, RwLock};
 use crate::stats::{CacheShardSnapshot, IoStats};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -98,7 +97,7 @@ struct ShardInner {
 struct Shard {
     /// This shard's slice of the frame budget.
     capacity: usize,
-    inner: OrderedRwLock<ShardInner>,
+    inner: RwLock<ShardInner>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -110,7 +109,7 @@ impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
             capacity,
-            inner: OrderedRwLock::new(
+            inner: RwLock::ranked(
                 "cache_shard",
                 ShardInner {
                     frames: HashMap::with_capacity(capacity),
@@ -169,10 +168,11 @@ impl InflightEntry {
         let mut s = self.state.lock();
         loop {
             match &*s {
-                LoadState::Pending => self.cv.wait(&mut s),
+                LoadState::Pending => {}
                 LoadState::Ready(d) => return Ok(Arc::clone(d)),
                 LoadState::Failed(m) => return Err(m.clone()),
             }
+            s = self.cv.wait(s);
         }
     }
 }
@@ -196,7 +196,7 @@ pub struct BufferCache {
     shards: Vec<Shard>,
     /// One entry per page key currently being read from disk (see the
     /// module docs, "Request coalescing").
-    inflight: OrderedMutex<HashMap<(FileId, u64), Arc<InflightEntry>>>,
+    inflight: Mutex<HashMap<(FileId, u64), Arc<InflightEntry>>>,
 }
 
 impl BufferCache {
@@ -223,7 +223,7 @@ impl BufferCache {
             capacity,
             readahead_pages: opts.readahead_pages,
             shards,
-            inflight: OrderedMutex::new("cache_inflight", HashMap::new()),
+            inflight: Mutex::ranked("cache_inflight", HashMap::new()),
         })
     }
 

@@ -26,7 +26,7 @@
 //! deterministic order (single-threaded harnesses).
 
 use crate::error::{Result, StorageError};
-use parking_lot::Mutex;
+use crate::lock_order::Mutex;
 use rand::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -67,8 +67,8 @@ use crate::compaction::{
 use crate::error::{Result, StorageError};
 use crate::io::FileId;
 use crate::le::{fnv1a, Cursor, Format};
+use crate::lock_order::{Condvar, Mutex};
 use crate::wal::Lsn;
-use parking_lot::{Condvar, Mutex};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -754,7 +754,9 @@ impl<K: ComponentKind> Harness<K> {
             else {
                 return false;
             };
-            if self.state_changed.wait_for(&mut st, left).timed_out() {
+            let waited;
+            (st, waited) = self.state_changed.wait_for(st, left);
+            if waited.timed_out() {
                 return matches!(*st, CompactionState::Idle);
             }
         }

@@ -9,8 +9,8 @@
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
+use crate::lock_order::RwLock;
 use crate::stats::IoStats;
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};

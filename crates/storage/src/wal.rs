@@ -32,7 +32,7 @@
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le::{fnv1a, Cursor, Format};
-use crate::lock_order::OrderedMutex;
+use crate::lock_order::Mutex;
 use crate::lz;
 use asterix_adm::binary::put_varint;
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
@@ -908,7 +908,7 @@ impl GroupCommit {
     /// concurrent committers (see the type docs). `end` must
     /// come from `wal.next_lsn()` observed while holding the WAL lock after
     /// appending; `wal` must be the lock this protocol instance guards.
-    pub fn sync_through(&self, wal: &OrderedMutex<SegmentedWal>, end: Lsn) -> Result<()> {
+    pub fn sync_through(&self, wal: &Mutex<SegmentedWal>, end: Lsn) -> Result<()> {
         if self.durable.load(Ordering::Acquire) >= end {
             // an earlier leader's fsync already covered our bytes
             self.waiters.inc();
@@ -1549,7 +1549,7 @@ mod tests {
     #[test]
     fn group_commit_leader_fsync_covers_later_appends() {
         let dir = TempDir::new();
-        let wal = OrderedMutex::new("wal", recover(&dir, None).0);
+        let wal = Mutex::ranked("wal", recover(&dir, None).0);
         let path = segment_path(dir.path(), "node", 0);
         let gc = GroupCommit::new(&MetricsRegistry::new());
         // two committers append before either syncs

@@ -31,14 +31,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Blocking primitives seeding the L5 walk: anything that can park an OS
 /// thread. `(pattern, human label)`; patterns match masked code, so string
 /// literals and comments never trip them.
-pub const BLOCKING_PRIMITIVES: [(&str, &str); 21] = [
+pub const BLOCKING_PRIMITIVES: [(&str, &str); 20] = [
     (".recv()", "channel recv"),
     (".recv_timeout(", "channel recv_timeout"),
     (".send(", "channel send (blocks when bounded)"),
     (".send_timeout(", "channel send_timeout"),
     (".select_timeout(", "channel select_timeout"),
-    (".wait()", "condvar/barrier wait"),
-    (".wait(&", "condvar wait"),
+    (".wait(", "condvar/barrier wait"),
     (".wait_for(", "condvar wait_for"),
     (".wait_while(", "condvar wait_while"),
     (".wait_timeout(", "condvar wait_timeout"),

@@ -11,7 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// The canonical lock order. Acquiring left-to-right is legal; any edge that
-/// goes right-to-left is an inversion. Must match
+/// goes right-to-left is an inversion. The test
+/// `lock_order_is_the_runtime_checkers` holds it equal to
 /// `asterix_storage::lock_order::LEVELS`.
 pub const LOCK_ORDER: [&str; 7] = [
     "scheduler",
@@ -1305,6 +1306,19 @@ mod tests {
     fn l2_requires_forbid() {
         let rep = check(&[file("storage", "crates/storage/src/lib.rs", "fn f() {}\n")]);
         assert!(rep.violations.iter().any(|v| v.rule == Rule::UnsafeForbid));
+    }
+
+    #[test]
+    fn lock_order_is_the_runtime_checkers() {
+        let src = include_str!("../../storage/src/lock_order.rs");
+        let levels = src
+            .split_once("pub const LEVELS")
+            .and_then(|(_, decl)| decl.split_once("= ["))
+            .and_then(|(_, list)| list.split_once("];"))
+            .expect("lock_order.rs declares `pub const LEVELS: [&str; N] = [..];`")
+            .0;
+        let levels: Vec<&str> = levels.split('"').skip(1).step_by(2).collect();
+        assert_eq!(levels, LOCK_ORDER);
     }
 
     #[test]
