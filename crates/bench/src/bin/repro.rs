@@ -12,13 +12,11 @@
 //! repro hotpath --quick --out FILE   # any of the three: small, written elsewhere
 //! repro profile e01  # per-operator query profile: text tree, then the report
 //! repro profile e01 --out profile.json   # the report into a file as well
-//! repro chaos        # replayable fault-injection suite (default seed 42)
-//! repro chaos --seed 7   # same suite under a pinned seed
 //! repro feeds --check              # kill/crash/resume recovery battery
 //! repro feeds --check --inject-loss   # tripwire: must exit nonzero
 //! ```
 
-use asterix_bench::{chaos, experiments, feeds, hotpath, profile, serving};
+use asterix_bench::{experiments, feeds, hotpath, profile, serving};
 
 /// The value that follows `flag` on the command line.
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
@@ -44,12 +42,6 @@ fn main() {
     let markdown = args.iter().any(|a| a == "--markdown" || a == "-m");
     let ids: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
     match ids.first().map(|s| s.as_str()) {
-        Some("chaos") => {
-            let seed = flag_value(&args, "--seed").and_then(|s| s.parse().ok()).unwrap_or(42u64);
-            let (report, ok) = chaos::run(seed);
-            print!("{report}");
-            std::process::exit(i32::from(!ok));
-        }
         Some("profile") => {
             let exp = ids.get(1).map_or("e01", |s| s.as_str());
             let Some(run) = profile::run(exp, quick) else {

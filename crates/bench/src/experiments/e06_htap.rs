@@ -49,7 +49,7 @@ pub fn run(quick: bool) -> ExpReport {
     report.row(&[
         "shadow apply capacity".into(),
         format!("{apply_rate:.0} mutations/s"),
-        "synchronous DCP pump (LSM upserts + WAL)".into(),
+        "synchronous DCP pump, 256 mutations a transaction (LSM upserts + WAL)".into(),
     ]);
 
     // 2. paced ingest at ~60% of apply capacity, pump running concurrently —
@@ -77,7 +77,7 @@ pub fn run(quick: bool) -> ExpReport {
     });
     let lag_after_ingest = link.lag();
     link.drain().unwrap();
-    pump.join().unwrap();
+    pump.join().unwrap().unwrap();
     report.row(&[
         "paced ingest rate".into(),
         format!("{:.0} ops/s", n_mutations as f64 / t_ingest.as_secs_f64()),

@@ -12,7 +12,6 @@
 //! each build one report ([`report_doc`]), which `scripts/bench-check.py`
 //! checks against the committed `BENCH_*.json`.
 
-pub mod chaos;
 pub mod experiments;
 pub mod feeds;
 pub mod hotpath;

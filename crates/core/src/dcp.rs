@@ -94,17 +94,26 @@ impl FrontEndStore {
         self.inner.lock().log.len() as u64
     }
 
-    /// Mutations with `seq > cursor`, in order (the DCP stream).
-    pub fn stream_since(&self, cursor: u64) -> Vec<Mutation> {
+    /// Up to `limit` mutations with `seq > cursor`, in order (the DCP
+    /// stream).
+    pub fn stream_since(&self, cursor: u64, limit: usize) -> Vec<Mutation> {
         let inner = self.inner.lock();
+        // a mutation's seq is its position in the log plus one
         inner
             .log
             .iter()
-            .filter(|m| m.seq > cursor)
+            .skip(cursor as usize)
+            .take(limit)
             .cloned()
             .collect()
     }
 }
+
+/// Mutations one [`ShadowLink::pump`] applies at most, in one transaction:
+/// the feeds' default batch. No-steal flushes no memory component while a
+/// writer is open, so a link that fell behind catches up over several pumps
+/// instead of growing one component past its budget.
+const PUMP_BATCH: usize = 256;
 
 /// Continuously shadows a [`FrontEndStore`] into an analytics dataset.
 pub struct ShadowLink {
@@ -165,12 +174,13 @@ impl ShadowLink {
         self.cursor.load(Ordering::Acquire)
     }
 
-    /// Applies all pending mutations once; returns how many were applied.
-    /// The batch transaction also persists the new DCP cursor, so the
-    /// applied prefix and its restart point are durable together.
+    /// Applies the next batch of at most [`PUMP_BATCH`] pending mutations;
+    /// returns how many were applied. The batch transaction also persists
+    /// the new DCP cursor, so the applied prefix and its restart point are
+    /// durable together.
     pub fn pump(&self) -> Result<usize> {
         let cursor = self.cursor.load(Ordering::Acquire);
-        let pending = self.store.stream_since(cursor);
+        let pending = self.store.stream_since(cursor, PUMP_BATCH);
         if pending.is_empty() {
             return Ok(0);
         }
@@ -202,18 +212,26 @@ impl ShadowLink {
             .saturating_sub(self.cursor.load(Ordering::Acquire))
     }
 
-    /// Spawns a pump thread with the given poll interval; returns a join
-    /// handle (the thread exits after [`ShadowLink::stop`]).
-    pub fn start(self: &Arc<Self>, poll: std::time::Duration) -> std::thread::JoinHandle<()> {
+    /// Spawns a pump thread with the given poll interval. The thread ends
+    /// with `Ok(())` after [`ShadowLink::stop`], or with the first error
+    /// that is not transient (a document the shadow dataset rejects would
+    /// fail the same way at every poll). After a transient error (a node
+    /// down) it tries again after the poll interval.
+    pub fn start(
+        self: &Arc<Self>,
+        poll: std::time::Duration,
+    ) -> std::thread::JoinHandle<Result<()>> {
         let me = Arc::clone(self);
         std::thread::spawn(move || {
             while !me.stopped.load(Ordering::Acquire) {
                 match me.pump() {
                     Ok(0) => std::thread::sleep(poll),
                     Ok(_) => {}
-                    Err(_) => std::thread::sleep(poll),
+                    Err(e) if e.is_transient() => std::thread::sleep(poll),
+                    Err(e) => return Err(e),
                 }
             }
+            Ok(())
         })
     }
 
@@ -222,7 +240,8 @@ impl ShadowLink {
         self.stopped.store(true, Ordering::Release);
     }
 
-    /// Final catch-up + stop (drains remaining mutations synchronously).
+    /// Final catch-up + stop: pumps batch after batch synchronously until
+    /// nothing is pending.
     pub fn drain(&self) -> Result<()> {
         self.stop();
         while self.lag() > 0 {
@@ -281,11 +300,13 @@ mod tests {
         store.delete("2");
         assert_eq!(store.len(), 1);
         assert_eq!(store.high_seq(), 4);
-        let all = store.stream_since(0);
+        let all = store.stream_since(0, usize::MAX);
         assert_eq!(all.len(), 4);
-        let tail = store.stream_since(2);
+        let tail = store.stream_since(2, usize::MAX);
         assert_eq!(tail.len(), 2);
         assert!(matches!(tail[1].kind, MutationKind::Delete));
+        let head: Vec<u64> = store.stream_since(1, 2).iter().map(|m| m.seq).collect();
+        assert_eq!(head, [2, 3]);
         // deleting a missing key is not a mutation
         store.delete("nope");
         assert_eq!(store.high_seq(), 4);
@@ -322,8 +343,82 @@ mod tests {
             store.set(format!("{i}"), doc(i, i));
         }
         link.drain().unwrap();
-        handle.join().unwrap();
+        handle.join().unwrap().unwrap();
         assert_eq!(instance.count("Shadow").unwrap(), 200);
+    }
+
+    #[test]
+    fn a_pump_applies_one_batch_with_its_cursor() {
+        let instance = Instance::temp().unwrap();
+        create_shadow_dataset(&instance, "Shadow", "id").unwrap();
+        let store = FrontEndStore::new();
+        let link = ShadowLink::new(store.clone(), instance.clone(), "Shadow");
+        for i in 0..1_000 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        assert_eq!(link.pump().unwrap(), 256);
+        assert_eq!(link.lag(), 744);
+        let durable = instance
+            .feed_durable_seq(&ShadowLink::cursor_name("Shadow"))
+            .unwrap();
+        assert_eq!(durable, 256, "the batch commits its cursor");
+        link.drain().unwrap();
+        assert_eq!(link.lag(), 0);
+        assert_eq!(instance.count("Shadow").unwrap(), 1_000);
+    }
+
+    #[test]
+    fn a_rejected_document_ends_the_pump_thread_with_its_error() {
+        let instance = Instance::temp().unwrap();
+        create_shadow_dataset(&instance, "Shadow", "id").unwrap();
+        let store = FrontEndStore::new();
+        let link = ShadowLink::new(store.clone(), instance.clone(), "Shadow");
+        store.set("1", doc(1, 1));
+        store.set("two", parse_value(r#"{"id": "two", "v": 2}"#).unwrap());
+        let handle = link.start(std::time::Duration::from_millis(1));
+        let err = handle.join().unwrap().unwrap_err();
+        assert!(!err.is_transient(), "a string id for an int key: {err}");
+        assert_eq!(link.cursor(), 0, "the batch holding it is not applied");
+        assert_eq!(instance.count("Shadow").unwrap(), 0);
+    }
+
+    #[test]
+    fn a_pump_thread_waits_out_a_dead_node() {
+        use crate::instance::InstanceConfig;
+        use std::time::{Duration, Instant};
+        let instance = Instance::open(InstanceConfig {
+            nodes: 2,
+            partitions: 2,
+            ..InstanceConfig::default()
+        })
+        .unwrap();
+        create_shadow_dataset(&instance, "Shadow", "id").unwrap();
+        let store = FrontEndStore::new();
+        let link = ShadowLink::new(store.clone(), instance.clone(), "Shadow");
+        for i in 0..100 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        assert!(instance.kill_node(0));
+        let handle = link.start(Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            link.cursor(),
+            0,
+            "a batch with records on the dead node is not applied"
+        );
+        assert!(
+            !handle.is_finished(),
+            "a dead node is transient: the thread keeps polling"
+        );
+        assert!(instance.restart_node(0));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while link.lag() > 0 && !handle.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        link.stop();
+        handle.join().unwrap().unwrap();
+        assert_eq!(link.lag(), 0);
+        assert_eq!(instance.count("Shadow").unwrap(), 100);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub fn export_csv(rows: &[Value]) -> String {
         }
     }
     let mut out = String::new();
-    out.push_str(&columns.join(","));
+    let header: Vec<String> = columns.iter().map(|c| csv_quote(c.clone())).collect();
+    out.push_str(&header.join(","));
     out.push('\n');
     for r in rows {
         let cells: Vec<String> = columns
@@ -54,6 +55,11 @@ fn csv_cell(v: &Value) -> String {
         Value::DateTime(t) => asterix_adm::temporal::format_datetime(*t),
         other => to_json_string(other),
     };
+    csv_quote(raw)
+}
+
+/// Quotes a header name or cell that holds a comma, a quote or a newline.
+fn csv_quote(raw: String) -> String {
     if raw.contains(',') || raw.contains('"') || raw.contains('\n') {
         format!("\"{}\"", raw.replace('"', "\"\""))
     } else {
@@ -89,7 +95,10 @@ pub fn import_csv(instance: &Instance, dataset: &str, csv: &str) -> Result<usize
     let header = lines
         .next()
         .ok_or_else(|| CoreError::Constraint("empty CSV input".into()))?;
-    let columns: Vec<&str> = header.split(',').map(str::trim).collect();
+    let columns: Vec<String> = split_csv_line(header)
+        .iter()
+        .map(|c| c.trim().to_string())
+        .collect();
     let mut records = Vec::new();
     for (lineno, line) in lines.enumerate() {
         if line.trim().is_empty() {
@@ -106,7 +115,7 @@ pub fn import_csv(instance: &Instance, dataset: &str, csv: &str) -> Result<usize
         }
         let mut o = Object::with_capacity(columns.len());
         for (c, cell) in columns.iter().zip(cells) {
-            o.set((*c).to_string(), infer_cell(&cell));
+            o.set(c.clone(), infer_cell(&cell));
         }
         records.push(Value::Object(o));
     }
@@ -205,6 +214,28 @@ mod tests {
         assert_eq!(n2, 2);
         let back = instance.query("SELECT VALUE r FROM R2 r ORDER BY r.id").unwrap();
         assert_eq!(back, rows, "lossless CSV round-trip for flat records");
+    }
+
+    #[test]
+    fn a_field_name_with_a_comma_round_trips() {
+        let instance = Instance::temp().unwrap();
+        instance
+            .execute_sqlpp(
+                "CREATE TYPE OT AS { id: int };
+                 CREATE DATASET O(OT) PRIMARY KEY id;
+                 CREATE DATASET O2(OT) PRIMARY KEY id;",
+            )
+            .unwrap();
+        let record = parse_value(r#"{"id": 1, "a,b": "x"}"#).unwrap();
+        let mut txn = instance.begin();
+        txn.write("O", &record, true).unwrap();
+        txn.commit().unwrap();
+        let rows = instance.query("SELECT VALUE o FROM O o").unwrap();
+        let csv = export_csv(&rows);
+        assert_eq!(csv.lines().next(), Some(r#"id,"a,b""#));
+        assert_eq!(import_csv(&instance, "O2", &csv).unwrap(), 1);
+        let back = instance.query("SELECT VALUE o FROM O2 o").unwrap();
+        assert_eq!(back, vec![record]);
     }
 
     #[test]

@@ -70,6 +70,8 @@ fn killed_node_rejects_writes_with_typed_transient_error() {
     db.restart_node(0);
 }
 
+/// Kills each node in turn: whichever node dies, the retry policy restarts
+/// it and the query comes back whole.
 #[test]
 fn retry_policy_recovers_a_query_after_node_kill() {
     let db = setup(RetryPolicy {
@@ -77,20 +79,27 @@ fn retry_policy_recovers_a_query_after_node_kill() {
         backoff: Duration::from_millis(1),
         restart_dead_nodes: true,
     });
-    assert!(db.kill_node(0));
-    // first attempt hits the dead node; the policy restarts it and re-runs
-    let rows = db.query("SELECT VALUE d.v FROM D d").unwrap();
-    assert_eq!(rows.len(), 200, "retry must recover the full result");
-    let snap = db.metrics_snapshot();
-    assert!(
-        snap.counter("core.query.retries").unwrap_or(0) >= 1,
-        "recovery must be visible as a retry"
-    );
-    assert!(
-        snap.counter("core.cluster.node_restarts").unwrap_or(0) >= 1,
-        "the policy must have restarted the dead node"
-    );
-    assert!(db.cluster().dead_nodes().is_empty());
+    for victim in 0..2 {
+        let before = db.metrics_snapshot();
+        assert!(db.kill_node(victim), "node {victim} was alive");
+        // first attempt hits the dead node; the policy restarts it and re-runs
+        let rows = db.query("SELECT VALUE d.v FROM D d").unwrap();
+        assert_eq!(
+            rows.len(),
+            200,
+            "retry must recover the full result without node {victim}"
+        );
+        let delta = db.metrics_snapshot().delta(&before);
+        assert!(
+            delta.counter("core.query.retries").unwrap_or(0) >= 1,
+            "recovery from killing node {victim} must be visible as a retry"
+        );
+        assert!(
+            delta.counter("core.cluster.node_restarts").unwrap_or(0) >= 1,
+            "the policy must have restarted node {victim}"
+        );
+        assert!(db.cluster().dead_nodes().is_empty());
+    }
 }
 
 #[test]

@@ -1,4 +1,5 @@
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
 //! # Hyracks — the partitioned-parallel dataflow runtime
 //!
 //! A Rust reproduction of the Hyracks data-parallel platform (paper Section

@@ -201,37 +201,87 @@ proptest! {
     }
 }
 
-/// Pinned-seed regression anchors (also exercised by `repro chaos --seed`):
-/// the schedule hash must not drift across code changes that do not
-/// intentionally alter it, and the runtime property must hold on each seed.
+/// Pinned-seed regression anchors (nightly CI runs them at seeds 1, 7 and
+/// 42): the schedule hash must not drift across code changes that do not
+/// intentionally alter it, and the runtime property must hold on each seed
+/// for one fault config per dataflow path.
 #[test]
 fn pinned_seeds_stay_deterministic() {
     for seed in [1u64, 7, 42] {
-        let cfg = FaultConfig {
-            seed,
-            kill_pct: 50,
-            sever_pct: 30,
-            delay_pct: 10,
-            fail_first_attempt: seed % 2 == 1,
-            max_frame: 3,
-        };
-        // schedules replay identically across injector instances...
-        let a = DataflowFaults::new(cfg.clone());
-        let b = DataflowFaults::new(cfg.clone());
-        for _attempt in 0..3 {
-            a.begin_attempt();
-            b.begin_attempt();
-            for label in ["scan", "group", "sink"] {
-                for p in 0..DOP {
-                    assert_eq!(
-                        a.worker_plan(label, p),
-                        b.worker_plan(label, p),
-                        "seed {seed} must derive the same schedule"
-                    );
+        let cases = [
+            (
+                "group/mixed",
+                Shape::GroupBy,
+                FaultConfig {
+                    seed,
+                    kill_pct: 50,
+                    sever_pct: 30,
+                    delay_pct: 10,
+                    fail_first_attempt: seed % 2 == 1,
+                    max_frame: 3,
+                },
+            ),
+            (
+                "gather/kill",
+                Shape::Gather,
+                FaultConfig {
+                    seed,
+                    kill_pct: 60,
+                    max_frame: 2,
+                    ..FaultConfig::default()
+                },
+            ),
+            (
+                "merge/sever",
+                Shape::SortedMerge,
+                FaultConfig {
+                    seed: seed ^ 0xdead,
+                    sever_pct: 60,
+                    max_frame: 2,
+                    ..FaultConfig::default()
+                },
+            ),
+            (
+                "shuffle/mixed",
+                Shape::GroupBy,
+                FaultConfig {
+                    seed: seed ^ 0xbeef,
+                    kill_pct: 30,
+                    sever_pct: 30,
+                    delay_pct: 20,
+                    max_frame: 3,
+                    ..FaultConfig::default()
+                },
+            ),
+            (
+                "retry/fail-first",
+                Shape::Gather,
+                FaultConfig {
+                    seed,
+                    fail_first_attempt: true,
+                    ..FaultConfig::default()
+                },
+            ),
+        ];
+        for (name, shape, cfg) in cases {
+            // schedules replay identically across injector instances...
+            let a = DataflowFaults::new(cfg.clone());
+            let b = DataflowFaults::new(cfg.clone());
+            for _attempt in 0..3 {
+                a.begin_attempt();
+                b.begin_attempt();
+                for label in ["scan", "sort", "group", "sink"] {
+                    for p in 0..DOP {
+                        assert_eq!(
+                            a.worker_plan(label, p),
+                            b.worker_plan(label, p),
+                            "{name}, seed {seed}: must derive the same schedule"
+                        );
+                    }
                 }
             }
+            // ...and the job-level property holds under each pinned seed
+            run_chaos(shape, cfg);
         }
-        // ...and the job-level property holds under each pinned seed
-        run_chaos(Shape::GroupBy, cfg);
     }
 }

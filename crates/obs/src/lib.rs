@@ -18,6 +18,7 @@
 //! snapshot and profile renderers (no serde in this workspace).
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
 
 pub mod clock;
 pub mod json;

@@ -4,9 +4,9 @@
 //! The on-disk formats in this crate (B+ tree pages, R-tree pages, log
 //! blocks, manifests, bloom filters) are decoded from byte slices whose
 //! lengths are usually guaranteed by construction (pages are always
-//! [`crate::io::PAGE_SIZE`]). The xlint panic-path rule (L1) still bans
-//! `try_into().unwrap()` there: a corrupt offset must not panic while the
-//! reader holds a buffer-cache shard lock. Two flavors are provided:
+//! [`crate::io::PAGE_SIZE`]). The crate's `clippy::unwrap_used` denial still
+//! bans `try_into().unwrap()` there: a corrupt offset must not panic while
+//! the reader holds a buffer-cache shard lock. Two flavors are provided:
 //!
 //! * `u16_at`/`u32_at`/`u64_at` — *defaulting* reads for structurally
 //!   bounded offsets: out-of-range reads yield 0, which downstream code

@@ -65,9 +65,13 @@ mod imp {
 
     static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
+    #[expect(
+        clippy::panic,
+        reason = "an unknown level or a lock-order inversion must abort loudly in debug builds"
+    )]
     pub(super) fn acquire(name: &'static str) -> u64 {
         let Some(rank) = LEVELS.iter().position(|l| *l == name) else {
-            panic!( // xlint: allow(panic, "misuse of the checker itself must abort loudly in debug builds")
+            panic!(
                 "lock_order: unknown lock level `{name}` (declared levels: {})",
                 LEVELS.join(" -> ")
             );
@@ -78,7 +82,7 @@ mod imp {
             if let Some(&(top_rank, top_name, _)) = h.last() {
                 if rank < top_rank {
                     let held: Vec<&str> = h.iter().map(|&(_, n, _)| n).collect();
-                    panic!( // xlint: allow(panic, "deliberate enforcement: a lock-order inversion must abort loudly in debug builds")
+                    panic!(
                         "lock-order inversion: thread {:?} acquiring `{name}` (rank {rank}) \
                          while holding `{top_name}` (rank {top_rank})\n\
                          held-lock stack (oldest first): [{}]\n\

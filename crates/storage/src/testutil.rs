@@ -14,10 +14,10 @@ impl TempDir {
         let pid = std::process::id();
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
-            .unwrap() // xlint: allow(panic, "module is #[cfg(test)]-gated in lib.rs")
+            .unwrap()
             .subsec_nanos();
         let p = std::env::temp_dir().join(format!("asterix-storage-test-{pid}-{n}-{nanos}"));
-        std::fs::create_dir_all(&p).unwrap(); // xlint: allow(panic, "module is #[cfg(test)]-gated in lib.rs")
+        std::fs::create_dir_all(&p).unwrap();
         TempDir(p)
     }
 

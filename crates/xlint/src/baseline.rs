@@ -8,7 +8,7 @@
 //! {
 //!   "version": 2,
 //!   "suppressions": [
-//!     {"rule": "panic", "file": "crates/…/lock_order.rs", "hash": "a1b2…"}
+//!     {"rule": "blocking", "file": "crates/…/io.rs", "hash": "a1b2…"}
 //!   ]
 //! }
 //! ```

@@ -24,35 +24,6 @@ fn rule_count(rep: &crate::rules::Report, rule: Rule) -> usize {
 }
 
 #[test]
-fn l1_fixture_flags_every_panic_token() {
-    let rep = check(&[fixture("l1_fail.rs", "storage", false)]);
-    assert_eq!(rule_count(&rep, Rule::PanicPath), 4, "{:#?}", rep.violations);
-    let lines: Vec<usize> =
-        rep.violations.iter().filter(|v| v.rule == Rule::PanicPath).map(|v| v.line).collect();
-    // one violation per token: unwrap, expect, panic!, unreachable!
-    assert_eq!(lines.len(), 4);
-    assert_eq!(rep.suppressions.len(), 1, "the allow() line is a suppression");
-    assert_eq!(rep.suppressions[0].reason, "fixture suppression");
-    // the #[cfg(test)] unwrap near the end of the file must not be flagged
-    let max_flagged = lines.iter().max().copied().unwrap_or(0);
-    assert!(max_flagged < 25, "cfg(test) unwrap leaked into violations: {lines:?}");
-}
-
-#[test]
-fn l1_fixture_pass_is_clean() {
-    let rep = check(&[fixture("l1_pass.rs", "storage", false)]);
-    assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
-    assert!(rep.suppressions.is_empty());
-}
-
-#[test]
-fn l1_only_applies_to_declared_crates() {
-    // the same panicky file inside a non-L1 crate (sqlpp) is not flagged
-    let rep = check(&[fixture("l1_fail.rs", "sqlpp", false)]);
-    assert_eq!(rule_count(&rep, Rule::PanicPath), 0, "{:#?}", rep.violations);
-}
-
-#[test]
 fn l2_fixture_missing_forbid_is_flagged() {
     let rep = check(&[fixture("l2_fail.rs", "storage", true)]);
     assert_eq!(rule_count(&rep, Rule::UnsafeForbid), 1, "{:#?}", rep.violations);
@@ -95,33 +66,6 @@ fn l3_fixture_declared_order_passes() {
 fn l3_fixture_unannotated_nesting_is_flagged() {
     let rep = check(&[fixture("l3_unannotated.rs", "sqlpp", false)]);
     assert_eq!(rule_count(&rep, Rule::LockOrder), 1, "{:#?}", rep.violations);
-}
-
-#[test]
-fn l4_fixture_cross_crate_unwrap_is_flagged() {
-    let rep = check(&[
-        fixture("l4_api.rs", "storage", false),
-        fixture("l4_fail.rs", "sqlpp", false),
-    ]);
-    assert_eq!(rule_count(&rep, Rule::CrossUnwrap), 1, "{:#?}", rep.violations);
-}
-
-#[test]
-fn l4_fixture_propagating_caller_passes() {
-    let rep = check(&[
-        fixture("l4_api.rs", "storage", false),
-        fixture("l4_pass.rs", "sqlpp", false),
-    ]);
-    assert_eq!(rule_count(&rep, Rule::CrossUnwrap), 0, "{:#?}", rep.violations);
-}
-
-#[test]
-fn l4_same_crate_calls_are_exempt() {
-    let rep = check(&[
-        fixture("l4_api.rs", "storage", false),
-        fixture("l4_fail.rs", "storage", false),
-    ]);
-    assert_eq!(rule_count(&rep, Rule::CrossUnwrap), 0, "{:#?}", rep.violations);
 }
 
 #[test]

@@ -3,20 +3,16 @@
 //!
 //! A self-contained static-analysis pass (no dependencies, hand-rolled like
 //! the `crates/shims/` pattern) enforcing the project rules documented in
-//! DESIGN.md "Correctness tooling":
+//! DESIGN.md "Correctness tooling". It checks what the compiler cannot;
+//! panic-freedom (no `unwrap`/`expect`/`panic!`/`unreachable!` outside
+//! tests) is clippy's, denied in each engine crate's root.
 //!
-//! * **L1** (`panic`) — no `.unwrap()` / `.expect(` / `panic!` /
-//!   `unreachable!` in non-test code of `storage`/`core`/`hyracks`/
-//!   `algebricks`. Suppress per line with `// xlint: allow(panic, "why")`.
 //! * **L2** (`unsafe`) — `#![forbid(unsafe_code)]` in every non-shim crate
 //!   root.
 //! * **L3** (`lock_order`) — static lock-acquisition graph from
 //!   `// xlint: lock(<name>)` annotations plus heuristic nested
 //!   `.lock()`/`.read()`/`.write()` detection; inversions against the
 //!   declared order and cycles fail.
-//! * **L4** (`cross_unwrap`) — `Result`-returning `pub fn`s of
-//!   `crates/storage` and `crates/core` must not be `.unwrap()`ed from
-//!   another crate.
 //! * **L5** (`blocking`) — no blocking primitive (channel recv/send,
 //!   condvar wait, sleep, join, file I/O) reachable through the call graph
 //!   from an `// xlint: actor_entry` function. Suppress with
@@ -62,9 +58,9 @@ fn main() -> ExitCode {
             "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!(
-                    "xlint: asterix-rs workspace lints (L1 panic-path, L2 unsafe, \
-                     L3 lock-order, L4 cross-crate unwrap, L5 blocking-in-actor, \
-                     L6 guard-drop, L7 atomic-ordering, L8 metric hygiene)\n\n\
+                    "xlint: asterix-rs workspace lints (L2 unsafe, L3 lock-order, \
+                     L5 blocking-in-actor, L6 guard-drop, L7 atomic-ordering, \
+                     L8 metric hygiene)\n\n\
                      options:\n  --root DIR             workspace root (default .)\n  \
                      --deny-all             exit nonzero on any violation\n  \
                      --baseline FILE        fail on suppressions not fingerprinted in FILE\n  \

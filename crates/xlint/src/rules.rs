@@ -1,5 +1,6 @@
-//! The lint rules (L1–L8), the suppression/annotation directives, and the
-//! declared lock order.
+//! The lint rules (L2, L3, L5–L8), the suppression/annotation directives,
+//! and the declared lock order. Panic-freedom is not here: clippy's
+//! `unwrap_used`/`expect_used`/`panic`/`unreachable` lints check it.
 //!
 //! Rules operate on [`crate::lexer::MaskedFile`]s, so substring matches
 //! cannot be fooled by comments or string literals. See DESIGN.md
@@ -24,23 +25,12 @@ pub const LOCK_ORDER: [&str; 7] = [
     "wal",
 ];
 
-/// Crates whose non-test code falls under the L1 panic-path rule.
-pub const L1_CRATES: [&str; 5] = ["storage", "core", "hyracks", "algebricks", "obs"];
-
-/// Crates exempt from the L4 caller scan: dev harnesses where abort-on-error
-/// is the desired behavior.
-pub const L4_EXEMPT_CALLERS: [&str; 2] = ["bench", "xlint"];
-
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// `.unwrap()` / `.expect(` / `panic!` / `unreachable!` in non-test code.
-    PanicPath,
     /// Missing `#![forbid(unsafe_code)]` in a non-shim crate root.
     UnsafeForbid,
     /// Lock-order inversion, cycle, or un-annotated nested lock.
     LockOrder,
-    /// Cross-crate bare `.unwrap()` on a `Result`-returning storage/core API.
-    CrossUnwrap,
     /// A blocking primitive reachable from a cooperative actor entry point.
     BlockingInActor,
     /// Immediately-dropped or prematurely-dropped lock/admission guard.
@@ -56,10 +46,8 @@ pub enum Rule {
 impl Rule {
     pub fn name(&self) -> &'static str {
         match self {
-            Rule::PanicPath => "panic",
             Rule::UnsafeForbid => "unsafe",
             Rule::LockOrder => "lock_order",
-            Rule::CrossUnwrap => "cross_unwrap",
             Rule::BlockingInActor => "blocking",
             Rule::GuardDrop => "guard_drop",
             Rule::AtomicOrdering => "atomic_ordering",
@@ -208,19 +196,6 @@ pub fn check_with_docs(files: &[SourceFile], docs: &[(PathBuf, String)]) -> Repo
     rep.files_checked = files.len();
     rep.lines_checked = masked.iter().map(|m| m.lines.len()).sum();
 
-    // Pass 1: collect pub fns returning Result in storage + core (for L4).
-    let mut api: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for (f, m) in files.iter().zip(&masked) {
-        if f.is_shim || f.file_is_test {
-            continue;
-        }
-        if f.crate_name == "storage" || f.crate_name == "core" {
-            for name in result_pub_fns(m) {
-                api.entry(name).or_default().insert(f.crate_name.clone());
-            }
-        }
-    }
-
     for (f, m) in files.iter().zip(&masked) {
         if f.is_shim {
             continue;
@@ -229,11 +204,7 @@ pub fn check_with_docs(files: &[SourceFile], docs: &[(PathBuf, String)]) -> Repo
         if f.file_is_test {
             continue;
         }
-        if L1_CRATES.contains(&f.crate_name.as_str()) {
-            check_l1(f, m, &mut rep);
-        }
         check_l3(f, m, &mut rep);
-        check_l4(f, m, &api, &mut rep);
         check_l6(f, m, &mut rep);
         check_l7(f, m, &mut rep);
     }
@@ -300,41 +271,6 @@ fn push_checked(
         }
     }
     rep.violations.push(Violation { rule, path: f.path.clone(), line: line_idx + 1, message });
-}
-
-// ---------------------------------------------------------------- L1
-
-const PANIC_TOKENS: [&str; 4] = [".unwrap()", ".expect(", "panic!", "unreachable!"];
-
-fn check_l1(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
-    for (i, l) in m.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        for tok in PANIC_TOKENS {
-            if let Some(pos) = l.code.find(tok) {
-                // `panic!`/`unreachable!` must not be the tail of a longer
-                // path like `core::panic!` — preceding `:` is still the
-                // macro; only ident chars rule it out.
-                if tok.ends_with('!') && pos > 0 {
-                    let prev = l.code.as_bytes()[pos - 1];
-                    if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b'.' {
-                        continue;
-                    }
-                }
-                push_checked(
-                    rep,
-                    Rule::PanicPath,
-                    f,
-                    i,
-                    &l.code,
-                    &l.comments,
-                    format!("`{tok}` in non-test code of crate `{}`", f.crate_name),
-                );
-                break; // one finding per line is enough
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------- L2
@@ -612,92 +548,6 @@ fn check_lock_graph(rep: &mut Report) {
             } else {
                 color[u] = 2;
                 stack.pop();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- L4
-
-/// Names of `pub fn`s returning `Result` in a masked file. Signatures may
-/// span lines; scanning stops at the body `{` or a `;`.
-fn result_pub_fns(m: &MaskedFile) -> Vec<String> {
-    let mut joined = String::new();
-    for l in &m.lines {
-        if l.in_test {
-            joined.push('\n');
-            continue;
-        }
-        joined.push_str(&l.code);
-        joined.push('\n');
-    }
-    let mut out = Vec::new();
-    let b = joined.as_bytes();
-    let mut start = 0usize;
-    while let Some(p) = joined[start..].find("pub fn ") {
-        let abs = start + p;
-        let name_start = abs + "pub fn ".len();
-        let name_end = joined[name_start..]
-            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-            .map(|e| name_start + e)
-            .unwrap_or(b.len());
-        let name = joined[name_start..name_end].to_string();
-        // Signature runs until the body brace or a trait-decl semicolon.
-        let sig_end = joined[name_end..]
-            .find(['{', ';'])
-            .map(|e| name_end + e)
-            .unwrap_or(b.len());
-        let sig = &joined[name_end..sig_end];
-        if let Some(arrow) = sig.find("->") {
-            let returns_result =
-                sig[arrow..].contains("Result<") || sig[arrow..].trim_end().ends_with("Result");
-            if returns_result && !name.is_empty() {
-                out.push(name);
-            }
-        }
-        start = sig_end.max(abs + 1);
-    }
-    out
-}
-
-fn check_l4(
-    f: &SourceFile,
-    m: &MaskedFile,
-    api: &BTreeMap<String, BTreeSet<String>>,
-    rep: &mut Report,
-) {
-    if L4_EXEMPT_CALLERS.contains(&f.crate_name.as_str()) {
-        return;
-    }
-    for (i, l) in m.lines.iter().enumerate() {
-        if l.in_test || !l.code.contains(".unwrap()") {
-            continue;
-        }
-        for (name, defined_in) in api {
-            // Cross-crate only: calls inside a defining crate are that
-            // crate's own business (and covered by L1 there anyway).
-            if defined_in.contains(&f.crate_name) {
-                continue;
-            }
-            let pat = format!(".{name}(");
-            if let Some(pos) = l.code.find(&pat) {
-                if l.code[pos..].contains(".unwrap()") {
-                    push_checked(
-                        rep,
-                        Rule::CrossUnwrap,
-                        f,
-                        i,
-                        &l.code,
-                        &l.comments,
-                        format!(
-                            "bare `.unwrap()` on `{name}(…)` — a Result-returning \
-                             pub fn of crate `{}` — called from crate `{}`",
-                            defined_in.iter().cloned().collect::<Vec<_>>().join("/"),
-                            f.crate_name
-                        ),
-                    );
-                    break;
-                }
             }
         }
     }
@@ -1295,14 +1145,6 @@ mod tests {
     }
 
     #[test]
-    fn l1_flags_and_suppresses() {
-        let src = "#![forbid(unsafe_code)]\nfn f(x: Option<u8>) { x.unwrap(); }\nfn g(x: Option<u8>) { x.unwrap(); } // xlint: allow(panic, \"test\")\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", src)]);
-        assert_eq!(rep.violations.iter().filter(|v| v.rule == Rule::PanicPath).count(), 1);
-        assert_eq!(rep.suppressions.len(), 1);
-    }
-
-    #[test]
     fn l2_requires_forbid() {
         let rep = check(&[file("storage", "crates/storage/src/lib.rs", "fn f() {}\n")]);
         assert!(rep.violations.iter().any(|v| v.rule == Rule::UnsafeForbid));
@@ -1367,23 +1209,5 @@ mod tests {
             "{:?}",
             rep.violations
         );
-    }
-
-    #[test]
-    fn l4_cross_crate_unwrap() {
-        let def = "#![forbid(unsafe_code)]\npub fn put(x: u8) -> Result<u8, ()> { Ok(x) }\n";
-        let call = "#![forbid(unsafe_code)]\nfn f(s: &S) { s.put(1).unwrap(); }\n";
-        let rep = check(&[
-            file("storage", "crates/storage/src/lib.rs", def),
-            file("sqlpp", "crates/sqlpp/src/lib.rs", call),
-        ]);
-        assert!(rep.violations.iter().any(|v| v.rule == Rule::CrossUnwrap), "{:?}", rep.violations);
-    }
-
-    #[test]
-    fn l4_same_crate_exempt() {
-        let def = "#![forbid(unsafe_code)]\npub fn put(x: u8) -> Result<u8, ()> { Ok(x) }\nfn f(s: &S) { s.put(1).unwrap(); } // xlint: allow(panic, \"demo\")\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", def)]);
-        assert!(!rep.violations.iter().any(|v| v.rule == Rule::CrossUnwrap));
     }
 }

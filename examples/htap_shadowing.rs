@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // a delete, too (cancelled order)
     store.delete("42");
     link.drain()?;
-    pump.join().unwrap();
+    pump.join().unwrap()?;
     println!(
         "drained: front-end has {} live docs, shadow has {} records (lag 0)\n",
         store.len(),
