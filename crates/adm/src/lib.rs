@@ -43,4 +43,4 @@ pub use error::{AdmError, Result};
 pub use layout::{Cells, Projection, RecordLayout};
 pub use spatial::{Point, Rectangle};
 pub use temporal::Duration;
-pub use value::{Object, Value};
+pub use value::{Object, Value, MAX_DEPTH};

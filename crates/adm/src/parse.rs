@@ -16,7 +16,7 @@
 use crate::error::{AdmError, Result};
 use crate::spatial::{Point, Rectangle};
 use crate::temporal::{self, Duration};
-use crate::value::{Object, Value};
+use crate::value::{Object, Value, MAX_DEPTH};
 
 /// Parses a complete ADM value from `input`, requiring all input be consumed.
 pub fn parse_value(input: &str) -> Result<Value> {
@@ -48,11 +48,13 @@ pub(crate) struct Parser<'a> {
     pub(crate) input: &'a str,
     pub(crate) bytes: &'a [u8],
     pub(crate) pos: usize,
+    /// Collections and objects open around the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     pub(crate) fn new(input: &'a str) -> Self {
-        Parser { input, bytes: input.as_bytes(), pos: 0 }
+        Parser { input, bytes: input.as_bytes(), pos: 0, depth: 0 }
     }
 
     pub(crate) fn at_end(&self) -> bool {
@@ -96,14 +98,21 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         match self.peek() {
             None => Err(AdmError::parse(self.pos, "unexpected end of input")),
-            Some(b'{') => {
-                if self.starts_with("{{") {
-                    self.parse_multiset()
-                } else {
-                    self.parse_object()
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(AdmError::parse(self.pos, format!("values nest deeper than {MAX_DEPTH}")));
                 }
+                self.depth += 1;
+                let nested = if self.starts_with("{{") {
+                    self.parse_multiset()
+                } else if self.starts_with("{") {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                nested
             }
-            Some(b'[') => self.parse_array(),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
             Some(c) if c.is_ascii_alphabetic() || c == b'_' => self.parse_word(),
@@ -216,10 +225,16 @@ impl<'a> Parser<'a> {
         };
         let mut out = String::new();
         loop {
+            // the bytes up to the next quote or backslash, copied as one
+            // slice: both are ASCII, so the run ends on a character boundary
+            let run = self.bytes[self.pos..].iter().position(|&b| b == quote || b == b'\\');
+            let end = run.map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.input[self.pos..end]);
+            self.pos = end;
             match self.bump() {
                 None => return Err(AdmError::parse(self.pos, "unterminated string")),
                 Some(q) if q == quote => break,
-                Some(b'\\') => match self.bump() {
+                Some(_) => match self.bump() {
                     Some(b'"') => out.push('"'),
                     Some(b'\'') => out.push('\''),
                     Some(b'\\') => out.push('\\'),
@@ -249,14 +264,6 @@ impl<'a> Parser<'a> {
                         ))
                     }
                 },
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(_) => {
-                    // multi-byte UTF-8: copy the full character
-                    let rest = &self.input[self.pos - 1..];
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8() - 1;
-                }
             }
         }
         Ok(out)
@@ -479,6 +486,32 @@ mod tests {
         assert_eq!(parse_value("1e3").unwrap(), Value::Double(1000.0));
         // i64 overflow falls back to double
         assert!(matches!(parse_value("99999999999999999999").unwrap(), Value::Double(_)));
+    }
+
+    #[test]
+    fn escapes_anywhere_in_a_run_of_plain_bytes() {
+        for (text, want) in [
+            (r#""\"start""#, "\"start"),
+            (r#""mid\tdle""#, "mid\tdle"),
+            (r#""end\n""#, "end\n"),
+            (r#""\\""#, "\\"),
+            (r#""éé→\"ü""#, "éé→\"ü"),
+            (r#""Aé\/""#, "Aé/"),
+        ] {
+            assert_eq!(parse_value(text).unwrap(), Value::from(want), "{text}");
+        }
+        // a field name in single quotes ends at its own quote
+        assert_eq!(parse_value(r#"{'it\'s "é"': 1}"#).unwrap().field("it's \"é\""), &Value::Int(1));
+        // errors stay where they were found
+        let offset = |text: &str| match parse_value(text) {
+            Err(AdmError::Parse { offset, message }) => (offset, message),
+            other => panic!("{text}: {other:?}"),
+        };
+        assert_eq!(offset(r#""abc"#), (4, "unterminated string".into()));
+        assert_eq!(offset(r#""é\"#).0, 4, "a backslash that ends the input");
+        assert_eq!(offset(r#""a\uZZZZb""#), (4, "bad \\u escape".into()));
+        assert_eq!(offset(r#""\u12"#), (3, "truncated \\u escape".into()));
+        assert_eq!(offset(r#""ab\qc""#).0, 5, "an escape no string has");
     }
 
     #[test]

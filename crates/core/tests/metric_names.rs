@@ -60,10 +60,14 @@ const PER_NODE: &str = "
     c storage.lsm.string_bytes_plain
     c storage.lsm.write_amp
     c storage.wal.appended_bytes
+    c storage.wal.cell_bytes
     c storage.wal.code_ns
     c storage.wal.group_commit_waiters
     c storage.wal.group_commits
+    c storage.wal.header_bytes
+    c storage.wal.key_bytes
     c storage.wal.record_bytes
+    c storage.wal.row_bytes
     g storage.wal.segments
     c storage.wal.truncated_bytes
 ";

@@ -27,7 +27,7 @@ use crate::parser::Parser;
 /// Parses one AQL statement (a FLWOR query or a bare expression).
 pub fn parse_aql(input: &str) -> Result<Stmt> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = if matches!(p.peek(), TokenKind::Keyword(Kw::For) | TokenKind::Keyword(Kw::Let)) {
         parse_flwor(&mut p)?
     } else {

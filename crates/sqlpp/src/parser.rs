@@ -9,12 +9,12 @@
 use crate::ast::*;
 use crate::error::{Result, SqlppError};
 use crate::lexer::{tokenize, Kw, Token, TokenKind};
-use asterix_adm::Value;
+use asterix_adm::{Value, MAX_DEPTH};
 
 /// Parses a semicolon-separated list of statements.
 pub fn parse_statements(input: &str) -> Result<Vec<Stmt>> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let mut out = Vec::new();
     loop {
         while p.eat(&TokenKind::Semi) {}
@@ -29,7 +29,7 @@ pub fn parse_statements(input: &str) -> Result<Vec<Stmt>> {
 /// Parses a single SQL++ query expression.
 pub fn parse_query(input: &str) -> Result<Query> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let q = p.parse_query()?;
     p.eat(&TokenKind::Semi);
     p.expect_eof()?;
@@ -39,9 +39,27 @@ pub fn parse_query(input: &str) -> Result<Query> {
 pub(crate) struct Parser {
     pub(crate) tokens: Vec<Token>,
     pub(crate) pos: usize,
+    /// Expressions, queries and types open around what is being parsed.
+    depth: usize,
 }
 
 impl Parser {
+    pub(crate) fn new(tokens: Vec<Token>) -> Parser {
+        Parser { tokens, pos: 0, depth: 0 }
+    }
+
+    /// Parses what `parse` does one level deeper; refuses to go past
+    /// [`MAX_DEPTH`], so that no query, however deep, exhausts the stack.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("expressions nest deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
+    }
+
     pub(crate) fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -214,12 +232,12 @@ impl Parser {
 
     fn parse_type_expr(&mut self) -> Result<TypeExprAst> {
         if self.eat(&TokenKind::LBracket) {
-            let inner = self.parse_type_expr()?;
+            let inner = self.nested(Self::parse_type_expr)?;
             self.expect(&TokenKind::RBracket)?;
             return Ok(TypeExprAst::Array(Box::new(inner)));
         }
         if self.eat(&TokenKind::LBraceBrace) {
-            let inner = self.parse_type_expr()?;
+            let inner = self.nested(Self::parse_type_expr)?;
             self.expect(&TokenKind::RBraceBrace)?;
             return Ok(TypeExprAst::Multiset(Box::new(inner)));
         }
@@ -430,7 +448,7 @@ impl Parser {
         }
         while self.eat_kw(Kw::Union) {
             self.expect_kw(Kw::All)?;
-            let arm = self.parse_query()?;
+            let arm = self.nested(Self::parse_query)?;
             // flatten right-nested unions
             q.union_with.push(Query { union_with: Vec::new(), ..arm.clone() });
             q.union_with.extend(arm.union_with);
@@ -534,7 +552,7 @@ impl Parser {
     // -------------------------------------------------------------------
 
     pub(crate) fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> Result<Expr> {
@@ -557,7 +575,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw(Kw::Not) {
-            let e = self.parse_not()?;
+            let e = self.nested(Self::parse_not)?;
             return Ok(Expr::Unary(UnOp::Not, Box::new(e)));
         }
         self.parse_comparison()
@@ -708,7 +726,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Expr> {
         if self.eat(&TokenKind::Minus) {
-            let e = self.parse_unary()?;
+            let e = self.nested(Self::parse_unary)?;
             return Ok(match e {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Double(d)) => Expr::Literal(Value::Double(-d)),
@@ -716,7 +734,7 @@ impl Parser {
             });
         }
         if self.eat(&TokenKind::Plus) {
-            return self.parse_unary();
+            return self.nested(Self::parse_unary);
         }
         self.parse_postfix()
     }
