@@ -38,7 +38,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::instance::{Instance, RetryPolicy};
-use asterix_adm::binary::{decode, encode};
+use asterix_adm::binary::{decode_own, encode};
 use asterix_adm::Value;
 use asterix_obs::{Counter, Gauge};
 use asterix_storage::lock_order::{Condvar, Mutex};
@@ -144,7 +144,8 @@ impl Spill {
         let len = u32::from_le_bytes(len_b) as usize;
         let mut payload = vec![0u8; len];
         self.file.read_exact_at(&mut payload, self.read_off + 12)?;
-        let record = decode(&payload).map_err(CoreError::Adm)?;
+        // what `write_frame` encoded, however deep a pushed record nests
+        let record = decode_own(&payload).map_err(CoreError::Adm)?;
         self.read_off += 12 + len as u64;
         self.pending -= 1;
         Ok((seq, record))
@@ -785,12 +786,17 @@ mod tests {
         for i in 0..total {
             feed.push(rec(i as i64)).unwrap();
         }
+        // a record nested deeper than a stored one may be: spilled and read
+        // back like any other, then refused at its write
+        let deep = (0..2 * asterix_adm::MAX_DEPTH).fold(Value::Int(1), |v, _| Value::Array(vec![v]));
+        feed.push(Value::object(vec![("id".into(), Value::Int(-1)), ("v".into(), Value::Int(0)), ("deep".into(), deep)]))
+            .unwrap();
         assert!(feed.spilled() >= total - 8 - 4, "spilled: {}", feed.spilled());
         let spill_file = db.data_dir().join("feed-Stream.spill");
         assert!(spill_file.exists(), "overflow segment on disk");
         db.restart_node(0);
         let (ok, rejected) = feed.stop();
-        assert_eq!((ok, rejected), (total, 0), "spill replay loses nothing");
+        assert_eq!((ok, rejected), (total, 1), "spill replay loses nothing");
         assert_eq!(db.count("Stream").unwrap() as u64, total);
         assert!(!spill_file.exists(), "drained segment is removed");
     }

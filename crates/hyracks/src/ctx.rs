@@ -271,7 +271,8 @@ impl Iterator for RunReader {
             )
             .into()));
         }
-        let mut dec = Decoder::new(&buf[4..]);
+        // the run holds what the operator held, however deep it nests
+        let mut dec = Decoder::own(&buf[4..]);
         let n = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
         let mut tuple: Tuple = Vec::with_capacity(n);
         for _ in 0..n {
@@ -319,6 +320,18 @@ mod tests {
         assert!(ctx.stats.spilled_bytes.get() > 0);
         // the operator's own metrics carry the same counts
         assert_eq!((m.spill_runs, m.spilled_bytes), (1, run.bytes()));
+    }
+
+    /// A query can build a value deeper than a stored record may be: a
+    /// spill run gives it back as it was written.
+    #[test]
+    fn a_tuple_nested_past_the_stored_bound_spills_and_reads_back() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        let deep = (0..2 * asterix_adm::MAX_DEPTH).fold(Value::Int(1), |v, _| Value::Array(vec![v]));
+        let tuples = vec![vec![Value::Int(0), deep]];
+        let run = spill_batch(&ctx, &mut OpMetrics::default(), &tuples).unwrap();
+        let back: Vec<Tuple> = run.read().unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(back, tuples);
     }
 
     #[test]
