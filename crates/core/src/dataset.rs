@@ -290,7 +290,7 @@ impl DatasetPartition {
     /// The LSN below which the log is no business of an index created now:
     /// the next one to be logged. `None` for an index being recovered.
     fn born(&self, origin: Origin) -> Option<Lsn> {
-        (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn()) // xlint: lock(wal)
+        (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn())
     }
 
     /// What every index gets on being opened: its merges run where the

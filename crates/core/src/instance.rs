@@ -36,7 +36,7 @@ use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
 use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
-use asterix_storage::lock_order::{Mutex, RwLock, RwLockWriteGuard};
+use asterix_storage::lock_order::{Level, Mutex, RwLock, RwLockWriteGuard};
 use asterix_storage::wal::WalRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
@@ -233,12 +233,12 @@ impl Instance {
             config,
             root,
             remove_root_on_drop: AtomicBool::new(temp_guard),
-            catalog: RwLock::ranked("catalog", Catalog::new()),
+            catalog: RwLock::ranked(Level::Catalog, Catalog::new()),
             cluster,
-            datasets: RwLock::new(HashMap::new()),
+            datasets: RwLock::ranked(Level::DatasetsMap, HashMap::new()),
             txns: TxnManager::default(),
             ctx,
-            ddl_log: Mutex::new(Vec::new()),
+            ddl_log: Mutex::ranked(Level::Ddl, Vec::new()),
             sched,
             next_session: AtomicU64::new(1),
             compaction_token,
@@ -287,7 +287,7 @@ impl Instance {
     fn open_dataset(&self, def: DatasetDef, origin: Origin) -> Result<Arc<DatasetRuntime>> {
         let inner = &self.inner;
         let schema = {
-            let cat = inner.catalog.read(); // xlint: lock(catalog)
+            let cat = inner.catalog.read();
             RecordSchema::new(cat.dataset_type(&def.name)?.clone(), cat.types.clone())
         };
         let mut partitions = Vec::with_capacity(inner.config.partitions);
@@ -297,7 +297,7 @@ impl Instance {
             let compaction = inner.compaction.clone();
             let part = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
             inner.ctx.registry().counter("core.recovery.components_loaded").add(part.component_count() as u64);
-            partitions.push(Arc::new(RwLock::ranked("lsm_component", part)));
+            partitions.push(Arc::new(RwLock::ranked(Level::LsmComponent, part)));
         }
         Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
     }
@@ -360,7 +360,7 @@ impl Instance {
             }
             let rt = self.open_dataset(def, Origin::Recovered)?;
             for part in &rt.partitions {
-                let part = part.read(); // xlint: lock(lsm_component)
+                let part = part.read();
                 claimed.extend(part.index_names().into_iter().map(|name| (part.node().id, name)));
             }
             inner.datasets.write().insert(rt.def.name.clone(), rt);
@@ -389,7 +389,7 @@ impl Instance {
             for op in node.take_recovered_ops() {
                 let Some(rt) = by_id.get(&op.dataset) else { continue };
                 let Some(part) = rt.partitions.get(op.partition as usize) else { continue };
-                let mut part = part.write(); // xlint: lock(lsm_component)
+                let mut part = part.write();
                 if op.lsn < part.flushed_below() {
                     continue;
                 }
@@ -401,7 +401,7 @@ impl Instance {
                 }
                 replayed.inc();
             }
-            inner.txns.observe_recovered(node.wal.lock().max_txn()); // xlint: lock(wal)
+            inner.txns.observe_recovered(node.wal.lock().max_txn());
         }
         for node in &inner.cluster.nodes {
             node.resume_checkpoints()?;
@@ -496,8 +496,8 @@ impl Instance {
         use asterix_sqlpp::ast::DdlStmt as D;
         // one statement at a time, from the catalog to `catalog.ddl`: a
         // dataset's id is its `CREATE`'s place in both (see `DatasetDef::id`)
-        let mut log = self.inner.ddl_log.lock(); // xlint: lock(ddl)
-        let msg = self.inner.catalog.write().apply_ddl(ddl)?; // xlint: lock(catalog)
+        let mut log = self.inner.ddl_log.lock();
+        let msg = self.inner.catalog.write().apply_ddl(ddl)?;
         // A drop is persisted before its storage goes (a crash in between
         // leaves unclaimed manifests, which the next open removes); a create
         // only once its storage exists (a crash in between leaves them too).
@@ -506,7 +506,7 @@ impl Instance {
             self.persist_ddl(&mut log, &render_ddl(ddl))?;
         }
         let catalog_def = |dataset: &str| {
-            let def = self.inner.catalog.read().dataset(dataset).cloned(); // xlint: lock(catalog)
+            let def = self.inner.catalog.read().dataset(dataset).cloned();
             def.ok_or_else(|| {
                 CoreError::Catalog(format!("dataset {dataset:?} missing from the catalog"))
             })
@@ -515,9 +515,9 @@ impl Instance {
             D::CreateDataset { name, .. } => {
                 let rt = self.open_dataset(catalog_def(name)?, Origin::Created).inspect_err(|_| {
                     // not persisted, so not to be counted: see `DatasetDef::id`
-                    self.inner.catalog.write().undo_create_dataset(name); // xlint: lock(catalog)
+                    self.inner.catalog.write().undo_create_dataset(name);
                 })?;
-                self.inner.datasets.write().insert(name.clone(), rt); // xlint: lock(datasets_map)
+                self.inner.datasets.write().insert(name.clone(), rt);
             }
             D::CreateIndex { dataset, name, .. } => {
                 let def = catalog_def(dataset)?;
@@ -526,10 +526,10 @@ impl Instance {
                         CoreError::Catalog(format!("index {name:?} missing after create"))
                     })?;
                 // rebuild the runtime with the extra index (backfilled)
-                let mut datasets = self.inner.datasets.write(); // xlint: lock(datasets_map)
+                let mut datasets = self.inner.datasets.write();
                 if let Some(rt) = datasets.get(dataset) {
                     for part in &rt.partitions {
-                        part.write().add_index(&idx, &self.inner.config.storage)?; // xlint: lock(lsm_component)
+                        part.write().add_index(&idx, &self.inner.config.storage)?;
                     }
                     let (schema, partitions) = (Arc::clone(&rt.schema), rt.partitions.clone());
                     datasets
@@ -537,17 +537,17 @@ impl Instance {
                 }
             }
             D::DropDataset { name } => {
-                let dropped = self.inner.datasets.write().remove(name); // xlint: lock(datasets_map)
+                let dropped = self.inner.datasets.write().remove(name);
                 for part in dropped.iter().flat_map(|rt| &rt.partitions) {
-                    part.write().destroy()?; // xlint: lock(lsm_component)
+                    part.write().destroy()?;
                 }
             }
             D::DropIndex { dataset, name } => {
                 let def = catalog_def(dataset)?;
-                let mut datasets = self.inner.datasets.write(); // xlint: lock(datasets_map)
+                let mut datasets = self.inner.datasets.write();
                 if let Some(rt) = datasets.get(dataset) {
                     for part in &rt.partitions {
-                        part.write().remove_index(name)?; // xlint: lock(lsm_component)
+                        part.write().remove_index(name)?;
                     }
                     let (schema, partitions) = (Arc::clone(&rt.schema), rt.partitions.clone());
                     datasets
@@ -617,7 +617,7 @@ impl Instance {
                 }
                 let cfg = crate::external::ExternalConfig::from_properties(properties)?;
                 let (ty, registry) = {
-                    let cat = self.inner.catalog.read(); // xlint: lock(catalog)
+                    let cat = self.inner.catalog.read();
                     (cat.dataset_type(dataset)?.clone(), cat.types.clone())
                 };
                 let records = crate::external::read_external(&cfg, Some(&ty), &registry)?;
@@ -808,7 +808,7 @@ impl Instance {
         rt.partitions
             .iter()
             .map(|p| {
-                p.read().lsm_stats(index) // xlint: lock(lsm_component)
+                p.read().lsm_stats(index)
             })
             .collect()
     }
@@ -858,7 +858,7 @@ impl Instance {
     /// a sequence number at or below it is durably committed.
     pub fn feed_durable_seq(&self, feed: &str) -> Result<u64> {
         let nodes = &self.inner.cluster.nodes;
-        Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0)) // xlint: lock(wal)
+        Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0))
     }
 
     /// Whether `rt`'s dataset is still there, not dropped since — whatever
@@ -983,7 +983,7 @@ impl<'a> Txn<'a> {
         let mut waited = false;
         loop {
             {
-                let guard = part.write(); // xlint: lock(lsm_component)
+                let guard = part.write();
                 self.gave_up_waiting |= start.elapsed() >= FLUSH_WAIT_LIMIT;
                 if self.gave_up_waiting || !guard.must_wait(self.id) {
                     if waited {
@@ -1017,7 +1017,7 @@ impl<'a> Txn<'a> {
         let lsn = part
             .node()
             .wal
-            .lock() // xlint: lock(wal)
+            .lock()
             .append_write(txn_id, dataset, partition, &key, raw)
             .map_err(CoreError::Storage)?;
         self.touched.entry((dataset, partition)).or_insert_with(|| Arc::clone(rt));
@@ -1101,7 +1101,7 @@ impl<'a> Txn<'a> {
             // (a lone committer performs exactly append→write→fsync, which
             // seeded fault schedules count on)
             let end = {
-                let mut wal = node.wal.lock(); // xlint: lock(wal)
+                let mut wal = node.wal.lock();
                 for (feed, seq) in &self.feed_cursors {
                     wal.append(&WalRecord::FeedCursor {
                         txn_id: self.id,
@@ -1133,7 +1133,7 @@ impl<'a> Txn<'a> {
     fn finish(&mut self, logged_on: &BTreeSet<usize>, committed: bool, release: bool) -> Result<()> {
         let inner = &self.instance.inner;
         for &n in logged_on {
-            inner.cluster.nodes[n].wal.lock().finish_txn(self.id, committed); // xlint: lock(wal)
+            inner.cluster.nodes[n].wal.lock().finish_txn(self.id, committed);
         }
         inner.txns.locks.release_all(self.id);
         self.finished = true;
@@ -1144,7 +1144,7 @@ impl<'a> Txn<'a> {
             if !self.instance.is_live(&rt) {
                 continue;
             }
-            let flushed = rt.partitions[p as usize].write().txn_finished(self.id); // xlint: lock(lsm_component)
+            let flushed = rt.partitions[p as usize].write().txn_finished(self.id);
             if let Err(e) = flushed {
                 first_err.get_or_insert(e);
             }
@@ -1176,7 +1176,7 @@ impl<'a> Txn<'a> {
                 let Some(rt) = written.filter(|rt| self.instance.is_live(rt)).cloned() else {
                     return Ok(());
                 };
-                let mut guard = rt.partitions[u.partition as usize].write(); // xlint: lock(lsm_component)
+                let mut guard = rt.partitions[u.partition as usize].write();
                 // the before-image goes back as it was stored, over what
                 // this transaction put in its place
                 let current = guard.stored(&u.pk)?;
@@ -1192,7 +1192,7 @@ impl<'a> Txn<'a> {
             let node = &inner.cluster.nodes[n];
             let res = (|| -> Result<()> {
                 let end = {
-                    let mut wal = node.wal.lock(); // xlint: lock(wal)
+                    let mut wal = node.wal.lock();
                     if undone {
                         wal.append(&WalRecord::Commit { txn_id: compensation })
                             .map_err(CoreError::Storage)?;
@@ -1237,7 +1237,7 @@ impl CatalogView for InstanceCatalogView<'_> {
                 sorted_fetch: inner.config.sorted_index_fetch,
             }));
         }
-        let catalog = inner.catalog.read(); // xlint: lock(catalog)
+        let catalog = inner.catalog.read();
         let def = catalog.dataset(name)?;
         let DatasetKind::External { properties, .. } = &def.kind else {
             return None;

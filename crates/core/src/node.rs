@@ -16,7 +16,7 @@ use crate::error::{CoreError, Result};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::faults::FaultInjector;
 use asterix_storage::io::FileManager;
-use asterix_storage::lock_order::Mutex;
+use asterix_storage::lock_order::{Level, Mutex};
 use asterix_storage::stats::IoStats;
 use asterix_storage::wal::{GroupCommit, Lsn, ReplayOp, SegmentedWal};
 use std::collections::BTreeMap;
@@ -86,10 +86,10 @@ impl Node {
             id,
             dir,
             cache,
-            wal: Mutex::ranked("wal", wal),
+            wal: Mutex::ranked(Level::Wal, wal),
             wal_group,
             alive: AtomicBool::new(true),
-            log_pins: Mutex::new(BTreeMap::new()),
+            log_pins: Mutex::ranked(Level::LogPins, BTreeMap::new()),
             recovered_ops: Mutex::new(recovered_ops),
             checkpoints_paused: AtomicBool::new(false),
             rotation_owed: AtomicBool::new(false),
@@ -155,7 +155,7 @@ impl Node {
             self.rotation_owed.store(true, Ordering::Release);
             return Ok(());
         }
-        Ok(self.wal.lock().rotate()?) // xlint: lock(wal)
+        Ok(self.wal.lock().rotate()?)
     }
 
     /// A primary index published a flush: unlinks the log segments that lie
@@ -164,11 +164,11 @@ impl Node {
         if self.checkpoints_paused.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut wal = self.wal.lock(); // xlint: lock(wal)
+        let mut wal = self.wal.lock();
         // read under the WAL lock: a writer's records are either behind its
         // index's pin or, until its transaction finishes, in the log's own
         // in-flight table
-        let pin = self.log_pins.lock().values().map(|p| p.load(Ordering::Acquire)).min(); // xlint: lock(log_pins)
+        let pin = self.log_pins.lock().values().map(|p| p.load(Ordering::Acquire)).min();
         Ok(wal.truncate_below(pin.unwrap_or(Lsn::MAX))?)
     }
 
@@ -316,7 +316,7 @@ mod tests {
         let n = Node::open(0, root.join("node0"), 4).unwrap();
         let n2 = Arc::clone(&n);
         let _ = std::thread::spawn(move || {
-            let _wal = n2.wal.lock(); // xlint: lock(wal)
+            let _wal = n2.wal.lock();
             panic!("holder dies with the WAL guard live");
         })
         .join();
@@ -324,7 +324,7 @@ mod tests {
         // lock().unwrap() would panic, wedging commit/rollback. The
         // lock_order mutex takes a poisoned lock as it is instead.
         {
-            let mut wal = n.wal.lock(); // xlint: lock(wal)
+            let mut wal = n.wal.lock();
             wal.append(&asterix_storage::wal::WalRecord::Commit { txn_id: 1 }).unwrap();
             wal.sync().unwrap();
         }

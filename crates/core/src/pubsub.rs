@@ -10,7 +10,7 @@
 use crate::error::{CoreError, Result};
 use crate::instance::{Instance, Language};
 use asterix_adm::Value;
-use asterix_storage::lock_order::RwLock;
+use asterix_storage::lock_order::{Level, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -47,7 +47,7 @@ impl Broker {
     pub fn new(instance: Instance) -> Arc<Broker> {
         Arc::new(Broker {
             instance,
-            channels: RwLock::new(HashMap::new()),
+            channels: RwLock::ranked(Level::PubsubChannels, HashMap::new()),
             stopped: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -73,7 +73,7 @@ impl Broker {
                 query: query.into(),
                 language,
                 epoch: AtomicU64::new(0),
-                subscribers: RwLock::new(Vec::new()),
+                subscribers: RwLock::ranked(Level::PubsubSubscribers, Vec::new()),
                 only_on_change,
                 last: RwLock::new(None),
             }),
@@ -92,12 +92,12 @@ impl Broker {
 
     /// Subscribes to a channel.
     pub fn subscribe(&self, name: &str) -> Result<Receiver<ChannelUpdate>> {
-        let channels = self.channels.read(); // xlint: lock(pubsub_channels)
+        let channels = self.channels.read();
         let ch = channels
             .get(name)
             .ok_or_else(|| CoreError::Catalog(format!("unknown channel {name:?}")))?;
         let (tx, rx) = channel();
-        ch.subscribers.write().push(tx); // xlint: lock(pubsub_subscribers)
+        ch.subscribers.write().push(tx);
         Ok(rx)
     }
 

@@ -56,7 +56,7 @@ use asterix_hyracks::ctx::DEFAULT_OP_MEMORY;
 use asterix_hyracks::CancellationToken;
 use asterix_obs::{Counter, JobProfile, MetricsRegistry};
 use asterix_sqlpp::ast::Query;
-use asterix_storage::lock_order::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Level, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,7 +141,7 @@ impl QueryScheduler {
     pub(crate) fn new(cfg: SchedulerConfig, registry: &MetricsRegistry) -> Arc<QueryScheduler> {
         Arc::new(QueryScheduler {
             state: Mutex::ranked(
-                "scheduler",
+                Level::Scheduler,
                 PoolState { free_memory: cfg.total_memory, running: 0, queue: VecDeque::new() },
             ),
             cv: Condvar::new(),

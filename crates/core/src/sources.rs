@@ -30,7 +30,7 @@ impl DatasetRuntime {
     pub fn count(&self) -> CoreResult<usize> {
         let mut n = 0;
         for p in &self.partitions {
-            n += p.read().count()?; // xlint: lock(lsm_component)
+            n += p.read().count()?;
         }
         Ok(n)
     }
@@ -38,7 +38,7 @@ impl DatasetRuntime {
     /// Flushes every partition's memory components.
     pub fn flush(&self) -> CoreResult<()> {
         for p in &self.partitions {
-            p.write().flush()?; // xlint: lock(lsm_component)
+            p.write().flush()?;
         }
         Ok(())
     }
@@ -99,7 +99,7 @@ struct Cursor {
 impl Cursor {
     /// Reads the next batch and moves `reading` past it.
     fn read(&mut self) -> CoreResult<ColumnBatch> {
-        let part = self.partition.read(); // xlint: lock(lsm_component)
+        let part = self.partition.read();
         // Checked batch by batch: a node killed under a running scan ends it
         // with the *typed* transient error the instance retry policy re-runs
         // the query for, not with a short answer.
@@ -312,6 +312,7 @@ mod tests {
     use crate::node::Node;
     use asterix_adm::parse::parse_value;
     use asterix_adm::Value;
+    use asterix_storage::lock_order::Level;
 
     fn tuples(stream: SourceStream) -> Vec<asterix_hyracks::Tuple> {
         let mut out = Vec::new();
@@ -350,7 +351,7 @@ mod tests {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
             let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
-            partitions.push(Arc::new(RwLock::ranked("lsm_component", part.unwrap())));
+            partitions.push(Arc::new(RwLock::ranked(Level::LsmComponent, part.unwrap())));
         }
         (Arc::new(DatasetRuntime { def, schema, partitions }), root)
     }

@@ -11,7 +11,7 @@
 //! (experiment E12; DESIGN.md "Durability").
 
 use crate::error::{CoreError, Result};
-use asterix_storage::lock_order::{Condvar, Mutex};
+use asterix_storage::lock_order::{Condvar, Level, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,7 +66,7 @@ impl LockManager {
     /// Creates a lock manager with the given acquisition timeout.
     pub fn new(timeout: Duration) -> Self {
         LockManager {
-            locks: Mutex::ranked("lock_manager", LockTable::default()),
+            locks: Mutex::ranked(Level::LockManager, LockTable::default()),
             cv: Condvar::new(),
             timeout,
         }
@@ -76,7 +76,7 @@ impl LockManager {
     /// `txn`. Re-entrant for the same transaction. Times out (as a deadlock
     /// break) with an error.
     pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
-        let mut table = self.locks.lock(); // xlint: lock(lock_manager)
+        let mut table = self.locks.lock();
         loop {
             match table.owners.get(&dataset).and_then(|of_dataset| of_dataset.get(pk)) {
                 None => {
@@ -101,20 +101,20 @@ impl LockManager {
 
     /// Releases every lock held by `txn`.
     pub fn release_all(&self, txn: u64) {
-        self.locks.lock().release(txn); // xlint: lock(lock_manager)
+        self.locks.lock().release(txn);
         self.cv.notify_all();
     }
 
     /// Number of currently held locks (diagnostics).
     pub fn held(&self) -> usize {
-        self.locks.lock().held.values().map(Vec::len).sum() // xlint: lock(lock_manager)
+        self.locks.lock().held.values().map(Vec::len).sum()
     }
 
     /// Lock-table entries every release so far has looked at, in total
     /// (diagnostics): each pays for the locks of its own transaction,
     /// whatever the others hold.
     pub fn release_visits(&self) -> u64 {
-        self.locks.lock().release_visits // xlint: lock(lock_manager)
+        self.locks.lock().release_visits
     }
 }
 
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn lock_order_mutex_guard_unlocks_on_unwinding_panic() {
-        let m = Arc::new(Mutex::ranked("lock_manager", 0u32));
+        let m = Arc::new(Mutex::ranked(Level::LockManager, 0u32));
         let m2 = Arc::clone(&m);
         let _ = thread::spawn(move || {
             let mut g = m2.lock();

@@ -41,7 +41,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::io::{FileId, FileManager, PAGE_SIZE};
-use crate::lock_order::{Condvar, Mutex, RwLock};
+use crate::lock_order::{Condvar, Level, Mutex, RwLock};
 use crate::stats::{CacheShardSnapshot, IoStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,7 +110,7 @@ impl Shard {
         Shard {
             capacity,
             inner: RwLock::ranked(
-                "cache_shard",
+                Level::CacheShard,
                 ShardInner {
                     frames: HashMap::with_capacity(capacity),
                     ring: Vec::with_capacity(capacity),
@@ -127,7 +127,7 @@ impl Shard {
 
     /// Hit path: shared lock, relaxed reference-bit store.
     fn lookup(&self, key: &(FileId, u64)) -> Option<Arc<Vec<u8>>> {
-        let inner = self.inner.read(); // xlint: lock(cache_shard)
+        let inner = self.inner.read();
         let frame = inner.frames.get(key)?;
         frame.referenced.store(true, Ordering::Relaxed);
         Some(Arc::clone(&frame.data))
@@ -223,7 +223,7 @@ impl BufferCache {
             capacity,
             readahead_pages: opts.readahead_pages,
             shards,
-            inflight: Mutex::ranked("cache_inflight", HashMap::new()),
+            inflight: Mutex::ranked(Level::CacheInflight, HashMap::new()),
         })
     }
 
@@ -293,7 +293,7 @@ impl BufferCache {
     /// by a just-retired leader is seen as a plain hit instead of spawning a
     /// duplicate read.
     fn inflight_role(&self, key: (FileId, u64), shard: &Shard) -> InflightRole {
-        let mut map = self.inflight.lock(); // xlint: lock(cache_inflight)
+        let mut map = self.inflight.lock();
         if let Some(entry) = map.get(&key) {
             return InflightRole::Waiter(Arc::clone(entry));
         }
@@ -337,7 +337,7 @@ impl BufferCache {
         loaded: Result<(Arc<Vec<u8>>, bool)>,
     ) -> Result<Arc<Vec<u8>>> {
         {
-            let mut map = self.inflight.lock(); // xlint: lock(cache_inflight)
+            let mut map = self.inflight.lock();
             map.remove(&key);
         }
         match loaded {
@@ -366,7 +366,7 @@ impl BufferCache {
     /// Page keys currently being read from disk (diagnostic; races by
     /// nature, but quiescent callers can assert the map drained).
     pub fn inflight_loads(&self) -> usize {
-        let map = self.inflight.lock(); // xlint: lock(cache_inflight)
+        let map = self.inflight.lock();
         map.len()
     }
 
@@ -464,7 +464,7 @@ impl BufferCache {
     /// `replace` (a `put`'s new version of the page) says otherwise.
     fn install(&self, key: (FileId, u64), data: Arc<Vec<u8>>, replace: bool) -> bool {
         let shard = self.shard_for(&key);
-        let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
+        let mut inner = shard.inner.write();
         if let Some(frame) = inner.frames.get_mut(&key) {
             if replace {
                 frame.data = data;
@@ -515,7 +515,7 @@ impl BufferCache {
     /// docs).
     pub fn evict_file(&self, file: FileId) {
         for shard in &self.shards {
-            let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
+            let mut inner = shard.inner.write();
             inner.frames.retain(|(fid, _), _| *fid != file);
             inner.ring.retain(|(fid, _)| *fid != file);
             inner.hand = 0;
@@ -529,7 +529,7 @@ impl BufferCache {
     /// panics; release builds behave exactly like `evict_file`.
     pub fn close_file(&self, file: FileId) {
         for shard in &self.shards {
-            let mut inner = shard.inner.write(); // xlint: lock(cache_shard)
+            let mut inner = shard.inner.write();
             #[cfg(debug_assertions)]
             assert_no_pins(
                 inner.frames.iter().filter(|((fid, _), _)| *fid == file),
@@ -546,7 +546,7 @@ impl BufferCache {
     pub fn outstanding_pins(&self) -> Vec<((FileId, u64), usize)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let inner = shard.inner.read(); // xlint: lock(cache_shard)
+            let inner = shard.inner.read();
             for (key, frame) in inner.frames.iter() {
                 let pins = Arc::strong_count(&frame.data).saturating_sub(1);
                 if pins > 0 {
@@ -611,7 +611,7 @@ impl Drop for BufferCache {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
         for shard in &self.shards {
-            let inner = shard.inner.read(); // xlint: lock(cache_shard)
+            let inner = shard.inner.read();
             assert_no_pins(inner.frames.iter(), "cache drop");
         }
     }

@@ -67,7 +67,7 @@ use crate::compaction::{
 use crate::error::{Result, StorageError};
 use crate::io::FileId;
 use crate::le::{fnv1a, Cursor, Format};
-use crate::lock_order::{Condvar, Mutex};
+use crate::lock_order::{Condvar, Level, Mutex};
 use crate::wal::Lsn;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -477,10 +477,10 @@ impl<K: ComponentKind> Harness<K> {
         let hub = Arc::clone(kind.cache().stats().lsm());
         Arc::new(Harness {
             kind,
-            manifest: Mutex::new(0),
+            manifest: Mutex::ranked(Level::LsmManifest, 0),
             destroyed: AtomicBool::new(false),
-            disk: Mutex::new(Vec::new()),
-            state: Mutex::new(CompactionState::Idle),
+            disk: Mutex::ranked(Level::LsmDisk, Vec::new()),
+            state: Mutex::ranked(Level::LsmState, CompactionState::Idle),
             state_changed: Condvar::new(),
             next_component_id: AtomicU64::new(1),
             stats: SharedStats::default(),
@@ -580,7 +580,7 @@ impl<K: ComponentKind> Harness<K> {
     /// Durably records that every logged operation below `lsn` is flushed,
     /// the component list unchanged.
     fn write_flushed_below(&self, lsn: Lsn) -> Result<()> {
-        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        let mut flushed_below = self.manifest.lock();
         let below = (*flushed_below).max(lsn);
         self.write_manifest(below, &self.snapshot())?;
         *flushed_below = below;
@@ -607,7 +607,7 @@ impl<K: ComponentKind> Harness<K> {
     /// flush): the manifest first, then the live list. On failure nothing
     /// changed but `comp`'s files, which are deleted.
     fn publish(&self, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
-        let mut flushed_below = self.manifest.lock(); // xlint: lock(lsm_manifest)
+        let mut flushed_below = self.manifest.lock();
         let mut list = self.snapshot();
         // Flushes only ever prepend, so merge inputs still sit contiguously
         // wherever the newest of them now is.
@@ -620,7 +620,7 @@ impl<K: ComponentKind> Harness<K> {
             return Err(e);
         }
         *flushed_below = below;
-        let mut disk = self.disk.lock(); // xlint: lock(lsm_disk)
+        let mut disk = self.disk.lock();
         self.refresh_space(&list);
         *disk = list;
         Ok(())
@@ -650,11 +650,11 @@ impl<K: ComponentKind> Harness<K> {
         self: &Arc<Self>,
         pick: impl FnOnce(&[Arc<Component<K>>]) -> Option<usize>,
     ) -> Option<MergeJob<K>> {
-        let mut st = self.state.lock(); // xlint: lock(lsm_state)
+        let mut st = self.state.lock();
         if !matches!(*st, CompactionState::Idle) {
             return None; // one merge in flight per tree
         }
-        let disk = self.disk.lock(); // xlint: lock(lsm_disk)
+        let disk = self.disk.lock();
         let n = pick(&disk)?.min(disk.len());
         if n < 2 {
             return None;
@@ -667,10 +667,10 @@ impl<K: ComponentKind> Harness<K> {
         self.hub.merge_started();
         Some(MergeJob {
             shared: Arc::clone(self),
-            comps: Mutex::new(comps),
+            comps: Mutex::ranked(Level::LsmMergeInputs, comps),
             includes_oldest,
             cancel,
-            run: Mutex::new(None),
+            run: Mutex::ranked(Level::LsmMergeRun, None),
         })
     }
 
@@ -1063,10 +1063,10 @@ impl<K: ComponentKind> Lsm<K> {
         let shared = &self.shared;
         shared.cancel_merge();
         let manager = shared.kind.cache().manager();
-        let _publishing = shared.manifest.lock(); // xlint: lock(lsm_manifest)
+        let _publishing = shared.manifest.lock();
         shared.write_manifest(0, &[])?;
         shared.destroyed.store(true, Ordering::Release);
-        let dropped = std::mem::take(&mut *shared.disk.lock()); // xlint: lock(lsm_disk)
+        let dropped = std::mem::take(&mut *shared.disk.lock());
         shared.refresh_space(&[]);
         for comp in &dropped {
             comp.retire.store(true, Ordering::Release);
@@ -1268,9 +1268,9 @@ impl<K: ComponentKind> MergeJob<K> {
             self.shared.merge_aborted();
             return Ok(JobStep::Done);
         }
-        let mut run = self.run.lock(); // xlint: lock(lsm_merge_run)
+        let mut run = self.run.lock();
         if run.is_none() {
-            let comps = self.comps.lock().clone(); // xlint: lock(lsm_merge_inputs)
+            let comps = self.comps.lock().clone();
             let id = self.shared.alloc_id();
             *run = Some((id, kind.open(id, &comps, self.includes_oldest)?));
         }
@@ -1281,7 +1281,7 @@ impl<K: ComponentKind> MergeJob<K> {
         let Some((id, finished)) = run.take() else { return Ok(JobStep::Done) };
         drop(run);
         let built = kind.finish(finished)?;
-        let comps = std::mem::take(&mut *self.comps.lock()); // xlint: lock(lsm_merge_inputs)
+        let comps = std::mem::take(&mut *self.comps.lock());
         self.shared.complete_merge(comps, id, built)?;
         Ok(JobStep::Done)
     }

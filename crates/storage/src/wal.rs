@@ -1166,7 +1166,7 @@ impl GroupCommit {
             self.waiters.inc();
             return Ok(());
         }
-        let mut w = wal.lock(); // xlint: lock(wal)
+        let mut w = wal.lock();
         if self.durable.load(Ordering::Acquire) >= end {
             // a leader finished while we waited for the lock
             self.waiters.inc();
@@ -1997,12 +1997,12 @@ mod tests {
     #[test]
     fn group_commit_leader_fsync_covers_later_appends() {
         let dir = TempDir::new();
-        let wal = Mutex::ranked("wal", recover(&dir, None).0);
+        let wal = Mutex::ranked(crate::lock_order::Level::Wal, recover(&dir, None).0);
         let path = segment_path(dir.path(), "node", 0);
         let gc = GroupCommit::new(&MetricsRegistry::new());
         // two committers append before either syncs
         let (end1, end2) = {
-            let mut w = wal.lock(); // xlint: lock(wal)
+            let mut w = wal.lock();
             w.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
             let e1 = w.next_lsn();
             w.append(&WalRecord::Commit { txn_id: 2 }).unwrap();

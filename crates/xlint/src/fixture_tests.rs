@@ -42,33 +42,6 @@ fn l2_ignores_non_root_files() {
 }
 
 #[test]
-fn l3_fixture_inversion_creates_cycle() {
-    let rep = check(&[fixture("l3_fail.rs", "sqlpp", false)]);
-    assert!(
-        rule_count(&rep, Rule::LockOrder) >= 1,
-        "cache_shard -> catalog contradicts the declared order: {:#?}",
-        rep.violations
-    );
-}
-
-#[test]
-fn l3_fixture_declared_order_passes() {
-    let rep = check(&[fixture("l3_pass.rs", "sqlpp", false)]);
-    assert_eq!(rule_count(&rep, Rule::LockOrder), 0, "{:#?}", rep.violations);
-    assert!(
-        rep.lock_edges.contains_key(&("catalog".to_string(), "wal".to_string())),
-        "edge recorded: {:?}",
-        rep.lock_edges
-    );
-}
-
-#[test]
-fn l3_fixture_unannotated_nesting_is_flagged() {
-    let rep = check(&[fixture("l3_unannotated.rs", "sqlpp", false)]);
-    assert_eq!(rule_count(&rep, Rule::LockOrder), 1, "{:#?}", rep.violations);
-}
-
-#[test]
 fn l5_fixture_transitive_blocking_is_flagged() {
     let rep = check(&[fixture("l5_fail.rs", "sqlpp", false)]);
     assert_eq!(rule_count(&rep, Rule::BlockingInActor), 1, "{:#?}", rep.violations);

@@ -5,14 +5,11 @@
 //! the `crates/shims/` pattern) enforcing the project rules documented in
 //! DESIGN.md "Correctness tooling". It checks what the compiler cannot;
 //! panic-freedom (no `unwrap`/`expect`/`panic!`/`unreachable!` outside
-//! tests) is clippy's, denied in each engine crate's root.
+//! tests) is clippy's, denied in each engine crate's root, and lock order is
+//! `asterix_storage::lock_order`'s, checked at run time in debug builds.
 //!
 //! * **L2** (`unsafe`) — `#![forbid(unsafe_code)]` in every non-shim crate
 //!   root.
-//! * **L3** (`lock_order`) — static lock-acquisition graph from
-//!   `// xlint: lock(<name>)` annotations plus heuristic nested
-//!   `.lock()`/`.read()`/`.write()` detection; inversions against the
-//!   declared order and cycles fail.
 //! * **L5** (`blocking`) — no blocking primitive (channel recv/send,
 //!   condvar wait, sleep, join, file I/O) reachable through the call graph
 //!   from an `// xlint: actor_entry` function. Suppress with
@@ -58,9 +55,10 @@ fn main() -> ExitCode {
             "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!(
-                    "xlint: asterix-rs workspace lints (L2 unsafe, L3 lock-order, \
-                     L5 blocking-in-actor, L6 guard-drop, L7 atomic-ordering, \
-                     L8 metric hygiene)\n\n\
+                    "xlint: asterix-rs workspace lints (L2 unsafe, L5 blocking-in-actor, \
+                     L6 guard-drop, L7 atomic-ordering, L8 metric hygiene; lock order \
+                     is checked at run time by asterix_storage::lock_order in debug \
+                     builds)\n\n\
                      options:\n  --root DIR             workspace root (default .)\n  \
                      --deny-all             exit nonzero on any violation\n  \
                      --baseline FILE        fail on suppressions not fingerprinted in FILE\n  \
@@ -96,13 +94,6 @@ fn main() -> ExitCode {
     let rep = rules::check_with_docs(&files, &docs);
 
     println!("xlint: checked {} files, {} lines", rep.files_checked, rep.lines_checked);
-
-    if !rep.lock_edges.is_empty() {
-        println!("\nstatic lock-acquisition edges (held -> acquired):");
-        for ((h, n), (p, l)) in &rep.lock_edges {
-            println!("  {h} -> {n}    [{}:{l}]", p.display());
-        }
-    }
 
     if !rep.suppressions.is_empty() {
         println!("\nsuppressions: {} total", rep.suppressions.len());

@@ -1,6 +1,7 @@
-//! The lint rules (L2, L3, L5–L8), the suppression/annotation directives,
-//! and the declared lock order. Panic-freedom is not here: clippy's
-//! `unwrap_used`/`expect_used`/`panic`/`unreachable` lints check it.
+//! The lint rules (L2, L5–L8) and the suppression/annotation directives.
+//! Panic-freedom is not here: clippy's `unwrap_used`/`expect_used`/`panic`/
+//! `unreachable` lints check it. Nor is lock order: `storage::lock_order`
+//! checks it at run time in debug builds.
 //!
 //! Rules operate on [`crate::lexer::MaskedFile`]s, so substring matches
 //! cannot be fooled by comments or string literals. See DESIGN.md
@@ -11,26 +12,10 @@ use crate::lexer::{mask, MaskedFile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-/// The canonical lock order. Acquiring left-to-right is legal; any edge that
-/// goes right-to-left is an inversion. The test
-/// `lock_order_is_the_runtime_checkers` holds it equal to
-/// `asterix_storage::lock_order::LEVELS`.
-pub const LOCK_ORDER: [&str; 7] = [
-    "scheduler",
-    "catalog",
-    "lock_manager",
-    "lsm_component",
-    "cache_inflight",
-    "cache_shard",
-    "wal",
-];
-
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Missing `#![forbid(unsafe_code)]` in a non-shim crate root.
     UnsafeForbid,
-    /// Lock-order inversion, cycle, or un-annotated nested lock.
-    LockOrder,
     /// A blocking primitive reachable from a cooperative actor entry point.
     BlockingInActor,
     /// Immediately-dropped or prematurely-dropped lock/admission guard.
@@ -47,7 +32,6 @@ impl Rule {
     pub fn name(&self) -> &'static str {
         match self {
             Rule::UnsafeForbid => "unsafe",
-            Rule::LockOrder => "lock_order",
             Rule::BlockingInActor => "blocking",
             Rule::GuardDrop => "guard_drop",
             Rule::AtomicOrdering => "atomic_ordering",
@@ -82,8 +66,6 @@ pub struct Suppression {
 pub struct Report {
     pub violations: Vec<Violation>,
     pub suppressions: Vec<Suppression>,
-    /// Observed static lock edges `held -> acquired` with one witness site.
-    pub lock_edges: BTreeMap<(String, String), (PathBuf, usize)>,
     pub files_checked: usize,
     pub lines_checked: usize,
 }
@@ -204,11 +186,9 @@ pub fn check_with_docs(files: &[SourceFile], docs: &[(PathBuf, String)]) -> Repo
         if f.file_is_test {
             continue;
         }
-        check_l3(f, m, &mut rep);
         check_l6(f, m, &mut rep);
         check_l7(f, m, &mut rep);
     }
-    check_lock_graph(&mut rep);
     check_l5(files, &masked, &mut rep);
     check_l8(files, &masked, docs, &mut rep);
     rep
@@ -228,22 +208,6 @@ pub(crate) fn allow_directive(comments: &[String]) -> Option<(String, String)> {
         };
         Some((rule.to_string(), reason))
     })
-}
-
-/// Parses `// xlint: lock(<name>)` from a line's comments.
-fn lock_annotation(comments: &[String]) -> Option<String> {
-    for c in comments {
-        let t = c.trim();
-        if let Some(rest) = t.strip_prefix("xlint:") {
-            let rest = rest.trim_start();
-            if let Some(rest) = rest.strip_prefix("lock(") {
-                if let Some(close) = rest.find(')') {
-                    return Some(rest[..close].trim().to_string());
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Records a violation unless the line carries a matching allow directive;
@@ -290,266 +254,6 @@ fn check_l2(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
                 f.crate_name
             ),
         });
-    }
-}
-
-// ---------------------------------------------------------------- L3
-
-/// A lock-acquisition site found in one function.
-struct HeldLock {
-    depth: i32,
-    name: Option<String>,
-}
-
-fn check_l3(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
-    // Functions are tracked as (start_depth, held-locks). Closures are not
-    // treated as boundaries: a lock taken in a closure body textually inside
-    // a function that holds a lock is still a nested acquisition to a
-    // first-order approximation.
-    let mut fns: Vec<(i32, Vec<HeldLock>)> = Vec::new();
-    let mut depth: i32 = 0;
-    let mut pending_fn = false;
-
-    for (i, l) in m.lines.iter().enumerate() {
-        if l.in_test {
-            continue;
-        }
-        let code = &l.code;
-        let annotation = lock_annotation(&l.comments);
-        // A guard is *held* past this statement only for the plain binding
-        // shape `let g = <expr>.lock();` (ditto .read()/.write()). A lock
-        // call mid-chain (`let n = m.read().len();`) yields a temporary
-        // guard that dies at the statement end, and temporaries are treated
-        // as instantaneous acquisitions.
-        let trimmed = code.trim();
-        let is_let = trimmed.starts_with("let ")
-            && (trimmed.ends_with(".lock();")
-                || trimmed.ends_with(".read();")
-                || trimmed.ends_with(".write();"));
-        let sites = lock_sites(code);
-
-        // Process braces, sites, and `fn` keywords in textual order.
-        let fn_pos = fn_decl_pos(code);
-        let mut site_iter = sites.into_iter().peekable();
-        for (ci, ch) in code.char_indices() {
-            if Some(ci) == fn_pos {
-                pending_fn = true;
-            }
-            while let Some(&(pos, _)) = site_iter.peek() {
-                if pos <= ci {
-                    let (_, _kind) = site_iter.next().unwrap_or((0, ""));
-                    handle_site(
-                        f,
-                        i,
-                        depth,
-                        is_let,
-                        annotation.clone(),
-                        code,
-                        &l.comments,
-                        &mut fns,
-                        rep,
-                    );
-                } else {
-                    break;
-                }
-            }
-            match ch {
-                '{' => {
-                    depth += 1;
-                    if pending_fn {
-                        fns.push((depth, Vec::new()));
-                        pending_fn = false;
-                    }
-                }
-                '}' => {
-                    // Release guards bound in the closing block.
-                    if let Some((_, held)) = fns.last_mut() {
-                        held.retain(|h| h.depth < depth);
-                    }
-                    if let Some(&(start, _)) = fns.last() {
-                        if depth == start {
-                            fns.pop();
-                        }
-                    }
-                    depth -= 1;
-                }
-                _ => {}
-            }
-        }
-        // Trailing sites after the last char index processed.
-        for _ in site_iter {
-            handle_site(f, i, depth, is_let, annotation.clone(), code, &l.comments, &mut fns, rep);
-        }
-        // A `fn` whose body brace is on a later line.
-        if let Some(p) = fn_pos {
-            if !code[p..].contains('{') {
-                pending_fn = true;
-            }
-        }
-    }
-}
-
-/// Byte positions of `.lock()`, `.read()`, `.write()` (empty-parens only)
-/// in a masked line.
-fn lock_sites(code: &str) -> Vec<(usize, &'static str)> {
-    let mut out = Vec::new();
-    for pat in [".lock()", ".read()", ".write()"] {
-        let mut start = 0usize;
-        while let Some(p) = code[start..].find(pat) {
-            out.push((start + p, pat));
-            start += p + pat.len();
-        }
-    }
-    out.sort_by_key(|&(p, _)| p);
-    out
-}
-
-/// Byte position of a `fn` keyword on the masked line (so the next `{`
-/// opens a function body), or `None`.
-fn fn_decl_pos(code: &str) -> Option<usize> {
-    let mut start = 0usize;
-    while let Some(p) = code[start..].find("fn ") {
-        let abs = start + p;
-        let before_ok = abs == 0 || {
-            let c = code.as_bytes()[abs - 1];
-            !(c.is_ascii_alphanumeric() || c == b'_')
-        };
-        if before_ok {
-            return Some(abs);
-        }
-        start = abs + 3;
-    }
-    None
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_site(
-    f: &SourceFile,
-    line_idx: usize,
-    depth: i32,
-    is_let: bool,
-    annotation: Option<String>,
-    code: &str,
-    comments: &[String],
-    fns: &mut [(i32, Vec<HeldLock>)],
-    rep: &mut Report,
-) {
-    let rank = |n: &str| LOCK_ORDER.iter().position(|l| *l == n);
-    let Some((_, held)) = fns.last_mut() else {
-        return; // lock outside any fn (const/static init) — ignore
-    };
-
-    if let Some(top) = held.last() {
-        match (&top.name, &annotation) {
-            (Some(h), Some(n)) => {
-                match (rank(h), rank(n)) {
-                    (Some(rh), Some(rn)) if rn < rh => {
-                        push_checked(
-                            rep,
-                            Rule::LockOrder,
-                            f,
-                            line_idx,
-                            code,
-                            comments,
-                            format!(
-                                "lock-order inversion: acquiring `{n}` while holding `{h}` \
-                                 (declared order: {})",
-                                LOCK_ORDER.join(" -> ")
-                            ),
-                        );
-                    }
-                    _ => {}
-                }
-                // Record the edge for the global cycle check (unknown names
-                // participate in cycle detection too).
-                rep.lock_edges
-                    .entry((h.clone(), n.clone()))
-                    .or_insert_with(|| (f.path.clone(), line_idx + 1));
-            }
-            _ => {
-                // A nested acquisition where either side is unnamed cannot be
-                // checked — require an annotation or an explicit suppression.
-                push_checked(
-                    rep,
-                    Rule::LockOrder,
-                    f,
-                    line_idx,
-                    code,
-                    comments,
-                    "nested lock acquisition without `// xlint: lock(<name>)` annotations \
-                     on both sites"
-                        .to_string(),
-                );
-            }
-        }
-    }
-    if is_let {
-        held.push(HeldLock { depth, name: annotation });
-    }
-}
-
-/// DFS over observed edges plus the declared-order chain; any cycle among
-/// named levels is a violation.
-fn check_lock_graph(rep: &mut Report) {
-    let mut nodes: BTreeSet<String> = LOCK_ORDER.iter().map(|s| s.to_string()).collect();
-    for (h, n) in rep.lock_edges.keys() {
-        nodes.insert(h.clone());
-        nodes.insert(n.clone());
-    }
-    let mut edges: BTreeSet<(String, String)> =
-        rep.lock_edges.keys().cloned().collect();
-    for w in LOCK_ORDER.windows(2) {
-        edges.insert((w[0].to_string(), w[1].to_string()));
-    }
-    // Iterative DFS cycle detection (colors: 0 white, 1 grey, 2 black).
-    let idx: BTreeMap<&str, usize> =
-        nodes.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
-    let mut color = vec![0u8; nodes.len()];
-    let node_list: Vec<&String> = nodes.iter().collect();
-    let adj: Vec<Vec<usize>> = node_list
-        .iter()
-        .map(|n| {
-            edges
-                .iter()
-                .filter(|(a, _)| a == *n)
-                .filter_map(|(_, b)| idx.get(b.as_str()).copied())
-                .collect()
-        })
-        .collect();
-    for start in 0..node_list.len() {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start] = 1;
-        while let Some(&mut (u, ref mut ei)) = stack.last_mut() {
-            if *ei < adj[u].len() {
-                let v = adj[u][*ei];
-                *ei += 1;
-                if color[v] == 1 {
-                    let cycle: Vec<&str> =
-                        stack.iter().map(|&(n, _)| node_list[n].as_str()).collect();
-                    rep.violations.push(Violation {
-                        rule: Rule::LockOrder,
-                        path: PathBuf::from("<workspace>"),
-                        line: 0,
-                        message: format!(
-                            "cycle in the lock-acquisition graph: {} -> {}",
-                            cycle.join(" -> "),
-                            node_list[v]
-                        ),
-                    });
-                    return;
-                }
-                if color[v] == 0 {
-                    color[v] = 1;
-                    stack.push((v, 0));
-                }
-            } else {
-                color[u] = 2;
-                stack.pop();
-            }
-        }
     }
 }
 
@@ -1148,66 +852,5 @@ mod tests {
     fn l2_requires_forbid() {
         let rep = check(&[file("storage", "crates/storage/src/lib.rs", "fn f() {}\n")]);
         assert!(rep.violations.iter().any(|v| v.rule == Rule::UnsafeForbid));
-    }
-
-    #[test]
-    fn lock_order_is_the_runtime_checkers() {
-        let src = include_str!("../../storage/src/lock_order.rs");
-        let levels = src
-            .split_once("pub const LEVELS")
-            .and_then(|(_, decl)| decl.split_once("= ["))
-            .and_then(|(_, list)| list.split_once("];"))
-            .expect("lock_order.rs declares `pub const LEVELS: [&str; N] = [..];`")
-            .0;
-        let levels: Vec<&str> = levels.split('"').skip(1).step_by(2).collect();
-        assert_eq!(levels, LOCK_ORDER);
-    }
-
-    #[test]
-    fn l3_detects_inversion() {
-        let src = "#![forbid(unsafe_code)]\nfn f(a: &L, b: &L) {\n    let g1 = a.lock(); // xlint: lock(cache_shard)\n    let g2 = b.lock(); // xlint: lock(catalog)\n}\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", src)]);
-        assert!(
-            rep.violations
-                .iter()
-                .any(|v| v.rule == Rule::LockOrder && v.message.contains("inversion")),
-            "{:?}",
-            rep.violations
-        );
-    }
-
-    #[test]
-    fn l3_ok_in_declared_order() {
-        let src = "#![forbid(unsafe_code)]\nfn f(a: &L, b: &L) {\n    let g1 = a.lock(); // xlint: lock(catalog)\n    let g2 = b.lock(); // xlint: lock(wal)\n}\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", src)]);
-        assert!(
-            !rep.violations.iter().any(|v| v.rule == Rule::LockOrder),
-            "{:?}",
-            rep.violations
-        );
-        assert!(rep
-            .lock_edges
-            .contains_key(&("catalog".to_string(), "wal".to_string())));
-    }
-
-    #[test]
-    fn l3_unannotated_nesting_flagged() {
-        let src = "#![forbid(unsafe_code)]\nfn f(a: &L, b: &L) {\n    let g1 = a.lock(); // xlint: lock(catalog)\n    let g2 = b.lock();\n}\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", src)]);
-        assert!(rep
-            .violations
-            .iter()
-            .any(|v| v.rule == Rule::LockOrder && v.message.contains("annotation")));
-    }
-
-    #[test]
-    fn l3_guard_released_at_block_end() {
-        let src = "#![forbid(unsafe_code)]\nfn f(a: &L, b: &L) {\n    {\n        let g1 = a.lock(); // xlint: lock(wal)\n    }\n    let g2 = b.lock(); // xlint: lock(catalog)\n}\n";
-        let rep = check(&[file("storage", "crates/storage/src/lib.rs", src)]);
-        assert!(
-            !rep.violations.iter().any(|v| v.rule == Rule::LockOrder),
-            "{:?}",
-            rep.violations
-        );
     }
 }

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Non-test lines of Rust per crate: for each crates/*/src/**/*.rs, the lines
-# above the file's first `#[cfg(test)]` (the whole file if it has none).
+# above the file's first `#[cfg(test)]` (the whole file if it has none). A
+# `#[cfg(test)]` on a module declared without a body (`mod name;`) does not
+# end the count; the file it declares is test code and counts nothing.
 #
 #   scripts/nontest-loc.sh            one total per crate, then the sum
 #   scripts/nontest-loc.sh --files    every file's count as well
@@ -10,11 +12,37 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-find crates/*/src -name '*.rs' | sort | while read -r file; do
-    crate=${file#crates/}
-    awk -v crate="${crate%%/*}" -v file="$file" \
-        '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print crate, file, n + 0 }' "$file"
-done | awk -v files="${1:-}" '
+mapfile -t sources < <(find crates/*/src -name '*.rs' | sort)
+awk '
+    FNR == 1 { files[++nf] = FILENAME; done = held = 0 }
+    done { next }
+    held || /^[[:space:]]*#\[cfg\(test\)\]/ {
+        line = $0
+        sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "", line)
+        if (line == "" && !held) { held = 1; next }
+        held = 0
+        if (line ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+;/) {
+            sub(/^[^;]*mod[[:space:]]+/, "", line)
+            sub(/;.*/, "", line)
+            dir = FILENAME
+            if (dir ~ /\/(lib|main|mod)\.rs$/) sub(/\/[^\/]*$/, "", dir); else sub(/\.rs$/, "", dir)
+            test_file[dir "/" line ".rs"] = test_file[dir "/" line "/mod.rs"] = 1
+            next
+        }
+        done = 1
+        next
+    }
+    { n[FILENAME]++ }
+    END {
+        for (i = 1; i <= nf; i++) {
+            f = files[i]
+            if (f in test_file) continue
+            crate = f
+            sub(/^crates\//, "", crate)
+            sub(/\/.*/, "", crate)
+            print crate, f, n[f] + 0
+        }
+    }' "${sources[@]}" | awk -v files="${1:-}" '
     { total[$1] += $3; all += $3; if (files == "--files") printf "%7d  %s\n", $3, $2 }
     END {
         for (c in total) printf "%7d  %s\n", total[c], c | "sort -k2"
