@@ -12,7 +12,7 @@ use asterix_adm::Value;
 use asterix_core::datagen::DataGen;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
-use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 

@@ -23,7 +23,7 @@ use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
-use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 

@@ -25,6 +25,8 @@
 //! Besides the random sweep, every manifest publish, retirement unlink, log
 //! rotation and segment unlink the workload performs is crashed by name.
 
+mod common;
+
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
@@ -221,11 +223,7 @@ fn workload_exercises_merges_under_every_policy() {
             txn.commit().unwrap();
         }
         // the merges run on the worker pool: let them drain
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
-            assert!(std::time::Instant::now() < deadline, "policy {idx}: merges still in flight");
-            std::thread::yield_now();
-        }
+        common::settle(&db);
         // and the random sweep draws its crash points from the whole run
         let ops = injector.ops();
         assert!((CRASH_POINTS / 2..=CRASH_POINTS).contains(&ops), "policy {idx}: {ops} I/O operations");

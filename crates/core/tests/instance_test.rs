@@ -2,6 +2,8 @@
 //! Figure 3 scenario, index access paths, transactions and crash recovery,
 //! and AQL/SQL++ equivalence.
 
+mod common;
+
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig, Language};
 
@@ -412,15 +414,7 @@ fn every_index_kind_merges_in_the_background_and_answers_like_a_scan() {
     }
 
     // the merges drain, and ran for every kind
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let inflight = |db: &Instance| -> i64 {
-        let snap = db.metrics_snapshot();
-        (0..2).map(|n| snap.gauge(&format!("node{n}.storage.lsm.merge_inflight")).unwrap()).sum()
-    };
-    while inflight(&db) != 0 {
-        assert!(std::time::Instant::now() < deadline, "merges still in flight after 30 s");
-        std::thread::yield_now();
-    }
+    common::settle(&db);
     for index in [None, Some("gbAuthorIdx"), Some("gbSenderLocIndex"), Some("gbMessageIdx")] {
         let merges: u64 =
             db.lsm_stats("GleambookMessages", index).unwrap().iter().map(|s| s.merges).sum();

@@ -5,6 +5,8 @@
 //! between. And a batch holds the same rows whether they come out of a memory
 //! component's rows, a leaf group's chunks or both, wherever it ends.
 
+mod common;
+
 use asterix_adm::parse::parse_value;
 use asterix_adm::{ColumnBatch, Value};
 use asterix_algebricks::source::DataSource;
@@ -158,9 +160,7 @@ fn a_scan_of_one_field_reads_rows_and_chunks_alike() {
     db.flush_all().unwrap();
     upsert(&db, (0..n).step_by(7), 9);
     db.flush_all().unwrap();
-    while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
-        std::thread::yield_now();
-    }
+    common::settle(&db);
     assert_eq!(primary_stats(&db).merges, 1);
     let (chunks, rows) = (counter(&db, "chunks_read"), counter(&db, "rows_assembled"));
     let from_chunks = scan_v(&db);
@@ -222,9 +222,7 @@ fn a_batch_is_the_same_rows_from_chunks_and_from_rows_over_them() {
     check(&db, &model, "rows over chunks");
 
     db.flush_all().unwrap();
-    while db.metrics_snapshot().gauge("node0.storage.lsm.merge_inflight") != Some(0) {
-        std::thread::yield_now();
-    }
+    common::settle(&db);
     check(&db, &model, "two components");
 }
 

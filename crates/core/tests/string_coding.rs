@@ -4,28 +4,17 @@
 //! stops paying fails here, not only in the benchmark; and they read back as
 //! they went in.
 
+mod common;
+
 use asterix_adm::Value;
 use asterix_core::datagen::DataGen;
 use asterix_core::{Instance, InstanceConfig};
-use asterix_obs::MetricValue;
 
 const DDL: &str = "
     CREATE TYPE GleambookMessageType AS {
         messageId: int, authorId: int, inResponseTo: int?, senderLocation: point?, message: string
     };
     CREATE DATASET GleambookMessages(GleambookMessageType) PRIMARY KEY messageId;";
-
-/// A counter or gauge summed over every node.
-fn over_nodes(db: &Instance, suffix: &str) -> i128 {
-    let snap = db.metrics_snapshot();
-    let of_nodes = snap.values.iter().filter(|(name, _)| name.starts_with("node") && name.ends_with(suffix));
-    of_nodes
-        .map(|(_, value)| match value {
-            MetricValue::Counter(n) => i128::from(*n),
-            MetricValue::Gauge(n) => i128::from(*n),
-        })
-        .sum()
-}
 
 #[test]
 fn gleambook_messages_take_under_a_third_of_their_bytes() {
@@ -41,10 +30,8 @@ fn gleambook_messages_take_under_a_third_of_their_bytes() {
         txn.commit().unwrap();
     }
     db.flush_all().unwrap();
-    while over_nodes(&db, ".storage.lsm.merge_inflight") != 0 {
-        std::thread::yield_now();
-    }
-    let (plain, coded) = (over_nodes(&db, ".string_bytes_plain"), over_nodes(&db, ".string_bytes_coded"));
+    common::settle(&db);
+    let (plain, coded) = (common::over_nodes(&db, ".string_bytes_plain"), common::over_nodes(&db, ".string_bytes_coded"));
     let text: usize = messages.iter().map(|m| m.field("message").as_str().unwrap().len()).sum();
     assert!(plain >= text as i128, "every message counted: {plain} plain bytes of {text} of text");
     assert!(coded * 10 <= plain * 3, "string chunks of {coded} bytes coded, {plain} plain");

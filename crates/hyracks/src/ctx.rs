@@ -12,7 +12,6 @@ use std::sync::{Arc, OnceLock};
 
 use crate::frame::{u32_len, Tuple};
 use asterix_adm::binary::{encode_into, Decoder};
-use asterix_adm::Value;
 
 /// Default per-operator working-memory budget (bytes).
 pub const DEFAULT_OP_MEMORY: usize = 32 << 20;
@@ -294,14 +293,10 @@ pub fn spill_batch(ctx: &RuntimeCtx, m: &mut OpMetrics, tuples: &[Tuple]) -> Res
     w.finish()
 }
 
-/// Convenience placeholder value used in tests.
-pub fn v(i: i64) -> Value {
-    Value::Int(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asterix_adm::Value;
 
     #[test]
     fn run_roundtrip() {

@@ -875,48 +875,6 @@ impl<K: ComponentKind> Lsm<K> {
         &self.shared.kind
     }
 
-    /// The index's name: the prefix of its manifest and component files.
-    pub fn name(&self) -> &str {
-        self.shared.kind.name()
-    }
-
-    /// Lifetime statistics.
-    pub fn stats(&self) -> LsmStats {
-        let s = &self.shared.stats;
-        LsmStats {
-            seals: s.seals.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
-            merges: s.merges.load(Ordering::Relaxed),
-            merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
-            entries_written: s.entries_written.load(Ordering::Relaxed),
-            entries_ingested: s.entries_ingested.load(Ordering::Relaxed),
-            merge_stall_ns: s.merge_stall_ns.load(Ordering::Relaxed),
-            retire_failures: s.retire_failures.load(Ordering::Relaxed),
-            reads: s.reads.load(Ordering::Relaxed),
-            entries_visited: s.entries_visited.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Where merges scheduled from now on run, one morsel per step: off the
-    /// write path, if that is what `exec` does with a job.
-    pub fn set_executor(&self, exec: CompactionExec) {
-        *self.shared.exec.lock() = exec;
-    }
-
-    /// Number of disk components.
-    pub fn component_count(&self) -> usize {
-        self.shared.disk.lock().len()
-    }
-
-    /// The writes that follow apply the log record at `lsn`, logged by the
-    /// open transaction `writer` (`None` when replaying a committed one).
-    /// What `writer` wrote is not flushed before [`Lsm::release`].
-    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        self.mem.active.first_lsn.get_or_insert(lsn);
-        self.mem.active.writers.extend(writer);
-        self.cover_below(lsn + 1);
-    }
-
     /// Everything logged for the index below `lsn` is already reflected in
     /// it (it was just built from an index that is that far).
     pub fn cover_below(&mut self, lsn: Lsn) {
@@ -937,147 +895,18 @@ impl<K: ComponentKind> Lsm<K> {
         sealed.into_iter().chain(std::iter::once((&mem.active.mem, stamps(&mem.active, mem.covered_below, false))))
     }
 
-    /// The active memory component now holds what another index's memory
-    /// component `stamps` describes held, and stands where that one does: it
-    /// is stamped alike, covers as much of the log, and is sealed if that
-    /// one was. Nothing its writers wrote is flushed before they are over.
-    pub fn stamp_as(&mut self, stamps: &SlotStamps) {
-        let active = &mut self.mem.active;
-        if let Some(first) = stamps.first_lsn {
-            active.first_lsn = Some(active.first_lsn.map_or(first, |lsn| lsn.min(first)));
-        }
-        active.writers.extend(&stamps.writers);
-        self.cover_below(stamps.below);
-        if stamps.sealed {
-            self.seal();
-        }
-    }
-
-    /// From now on the index is sealed only by [`Lsm::seal`] and flushed
-    /// only by [`Lsm::flush_sealed`] and [`Lsm::flush`]: its owner keeps it in
-    /// step with other indexes, whatever its own budget says.
-    pub fn sealed_by_owner(&mut self) {
-        self.mem.by_owner = true;
-    }
-
-    /// Whether the active memory component holds more than the budget, or
-    /// keeps more than the budget's worth of log from being truncated: from
-    /// the first record it holds the effect of to the last (LSNs count the
-    /// log's record stream, so this is the log decoded). The second bounds
-    /// what a restart replays when overwrites keep what it holds small.
-    pub fn over_budget(&self) -> bool {
-        let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
-        let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
-        active.mem.bytes() > budget || pinned > budget as u64
-    }
-
-    /// Whether a sealed memory component waits to be flushed.
-    pub fn has_sealed(&self) -> bool {
-        self.mem.sealed.is_some()
-    }
-
-    /// Seals the active memory component, empty or not, unless a sealed one
-    /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
-    /// are done.
-    pub fn seal(&mut self) {
-        let mem = &mut self.mem;
-        if mem.sealed.is_none() {
-            self.shared.stats.seals.fetch_add(1, Ordering::Relaxed);
-            mem.sealed = Some(Sealed {
-                slot: std::mem::take(&mut mem.active),
-                below: mem.covered_below,
-                at: Instant::now(),
-            });
-        }
-    }
-
-    /// Flushes the sealed memory component if one waits and no open
-    /// transaction wrote into it — one that holds nothing moves the
-    /// manifest's LSN alone — and hands the new component to merge
-    /// scheduling.
-    pub fn flush_sealed(&mut self) -> Result<()> {
-        let shared = &self.shared;
-        let Some(sealed) = self.mem.sealed.as_ref().filter(|s| s.slot.writers.is_empty()) else { return Ok(()) };
-        if sealed.slot.mem.is_empty() {
-            if sealed.below > self.flushed_below() {
-                shared.write_flushed_below(sealed.below)?;
-            }
-        } else {
-            let id = shared.alloc_id();
-            let built = shared.kind.flush(id, &sealed.slot.mem)?;
-            let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
-            shared.publish_flush(id, built, (first, sealed.below))?;
-            shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
-            // what the write path pays is up to the executor: the claim
-            // and a hand-off, or the merge
-            shared.stalled(|| shared.schedule_merge());
-        }
-        self.mem.sealed = None;
-        Ok(())
-    }
-
-    /// Transaction `writer` has committed or aborted: flushes what was
-    /// waiting for it.
-    pub fn release(&mut self, writer: u64) -> Result<()> {
-        self.mem.active.writers.remove(&writer);
-        if let Some(sealed) = &mut self.mem.sealed {
-            sealed.slot.writers.remove(&writer);
-        }
-        self.settle(false)
-    }
-
-    /// Whether a write by `writer` would grow the active memory component
-    /// past its budget while a sealed one still waits for *other*
-    /// transactions: waiting for them lets the sealed component flush and
-    /// the active one seal, where writing on only grows memory.
-    pub fn must_wait(&self, writer: u64) -> bool {
-        self.over_budget() && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
-    }
-
-    /// The LSN below which every logged operation of this index is in a
-    /// durable disk component.
-    pub fn flushed_below(&self) -> Lsn {
-        *self.shared.manifest.lock()
-    }
-
-    /// Durably records that every logged operation of this index below
-    /// `lsn` is flushed, though no new component says so: the index was just
-    /// created (the log so far is not about it), or what it buffered since
-    /// its last flush left no entry.
-    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
-        self.cover_below(lsn);
-        self.shared.write_flushed_below(lsn)
-    }
-
     /// LSN of the oldest log record whose effect is only in memory.
     pub fn first_unflushed(&self) -> Option<Lsn> {
         let sealed = self.mem.sealed.as_ref().and_then(|s| s.slot.first_lsn);
         sealed.or(self.mem.active.first_lsn)
     }
 
-    /// Drops the index from disk: an empty manifest first (so that no crash
-    /// leaves one naming deleted files), then every component, then the
-    /// manifest itself. The handle stays readable, as an empty index, but
-    /// can publish nothing more.
-    pub fn destroy(&self) -> Result<()> {
-        let shared = &self.shared;
-        shared.cancel_merge();
-        let manager = shared.kind.cache().manager();
-        let _publishing = shared.manifest.lock();
-        shared.write_manifest(0, &[])?;
-        shared.destroyed.store(true, Ordering::Release);
-        let dropped = std::mem::take(&mut *shared.disk.lock());
-        shared.refresh_space(&[]);
-        for comp in &dropped {
-            comp.retire.store(true, Ordering::Release);
-        }
-        drop(dropped);
-        crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
-    }
-
     /// Forces what is buffered to disk as new components, which are
     /// published and handed to merge scheduling. What an open transaction
     /// wrote stays in memory until it is released.
+    ///
+    /// Inherent as well as [`LsmIndex::flush`], so that a caller holding a
+    /// concrete tree flushes it without importing the trait.
     pub fn flush(&mut self) -> Result<()> {
         self.settle(true)
     }
@@ -1163,8 +992,8 @@ impl<K: ComponentKind> Drop for Lsm<K> {
 }
 
 /// The lifecycle of an [`Lsm`] index of whatever kind, for an owner that
-/// keeps indexes of several kinds side by side (a dataset partition): each
-/// method is the same-named one of [`Lsm`].
+/// keeps indexes of several kinds side by side (a dataset partition); each
+/// method is documented where [`Lsm`] implements it.
 pub trait LsmIndex {
     fn name(&self) -> &str;
     fn stats(&self) -> LsmStats;
@@ -1186,54 +1015,180 @@ pub trait LsmIndex {
 }
 
 impl<K: ComponentKind> LsmIndex for Lsm<K> {
+    /// The index's name: the prefix of its manifest and component files.
     fn name(&self) -> &str {
-        Lsm::name(self)
+        self.shared.kind.name()
     }
+
+    /// Lifetime statistics.
     fn stats(&self) -> LsmStats {
-        Lsm::stats(self)
+        let s = &self.shared.stats;
+        LsmStats {
+            seals: s.seals.load(Ordering::Relaxed),
+            flushes: s.flushes.load(Ordering::Relaxed),
+            merges: s.merges.load(Ordering::Relaxed),
+            merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
+            entries_written: s.entries_written.load(Ordering::Relaxed),
+            entries_ingested: s.entries_ingested.load(Ordering::Relaxed),
+            merge_stall_ns: s.merge_stall_ns.load(Ordering::Relaxed),
+            retire_failures: s.retire_failures.load(Ordering::Relaxed),
+            reads: s.reads.load(Ordering::Relaxed),
+            entries_visited: s.entries_visited.load(Ordering::Relaxed),
+        }
     }
+
+    /// Where merges scheduled from now on run, one morsel per step: off the
+    /// write path, if that is what `exec` does with a job.
     fn set_executor(&self, exec: CompactionExec) {
-        Lsm::set_executor(self, exec)
+        *self.shared.exec.lock() = exec;
     }
+
+    /// Number of disk components.
     fn component_count(&self) -> usize {
-        Lsm::component_count(self)
+        self.shared.disk.lock().len()
     }
+
+    /// The writes that follow apply the log record at `lsn`, logged by the
+    /// open transaction `writer` (`None` when replaying a committed one).
+    /// What `writer` wrote is not flushed before [`Lsm::release`].
     fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        Lsm::stamp(self, lsn, writer)
+        self.mem.active.first_lsn.get_or_insert(lsn);
+        self.mem.active.writers.extend(writer);
+        self.cover_below(lsn + 1);
     }
+
+    /// The active memory component now holds what another index's memory
+    /// component `stamps` describes held, and stands where that one does: it
+    /// is stamped alike, covers as much of the log, and is sealed if that
+    /// one was. Nothing its writers wrote is flushed before they are over.
     fn stamp_as(&mut self, stamps: &SlotStamps) {
-        Lsm::stamp_as(self, stamps)
+        let active = &mut self.mem.active;
+        if let Some(first) = stamps.first_lsn {
+            active.first_lsn = Some(active.first_lsn.map_or(first, |lsn| lsn.min(first)));
+        }
+        active.writers.extend(&stamps.writers);
+        self.cover_below(stamps.below);
+        if stamps.sealed {
+            self.seal();
+        }
     }
+
+    /// Transaction `writer` has committed or aborted: flushes what was
+    /// waiting for it.
     fn release(&mut self, writer: u64) -> Result<()> {
-        Lsm::release(self, writer)
+        self.mem.active.writers.remove(&writer);
+        if let Some(sealed) = &mut self.mem.sealed {
+            sealed.slot.writers.remove(&writer);
+        }
+        self.settle(false)
     }
+
+    /// Whether a write by `writer` would grow the active memory component
+    /// past its budget while a sealed one still waits for *other*
+    /// transactions: waiting for them lets the sealed component flush and
+    /// the active one seal, where writing on only grows memory.
     fn must_wait(&self, writer: u64) -> bool {
-        Lsm::must_wait(self, writer)
+        self.over_budget() && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
     }
+
+    /// From now on the index is sealed only by [`Lsm::seal`] and flushed
+    /// only by [`Lsm::flush_sealed`] and [`Lsm::flush`]: its owner keeps it in
+    /// step with other indexes, whatever its own budget says.
     fn sealed_by_owner(&mut self) {
-        Lsm::sealed_by_owner(self)
+        self.mem.by_owner = true;
     }
+
+    /// Whether the active memory component holds more than the budget, or
+    /// keeps more than the budget's worth of log from being truncated: from
+    /// the first record it holds the effect of to the last (LSNs count the
+    /// log's record stream, so this is the log decoded). The second bounds
+    /// what a restart replays when overwrites keep what it holds small.
     fn over_budget(&self) -> bool {
-        Lsm::over_budget(self)
+        let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
+        let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
+        active.mem.bytes() > budget || pinned > budget as u64
     }
+
+    /// Whether a sealed memory component waits to be flushed.
     fn has_sealed(&self) -> bool {
-        Lsm::has_sealed(self)
+        self.mem.sealed.is_some()
     }
+
+    /// Seals the active memory component, empty or not, unless a sealed one
+    /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
+    /// are done.
     fn seal(&mut self) {
-        Lsm::seal(self)
+        let mem = &mut self.mem;
+        if mem.sealed.is_none() {
+            self.shared.stats.seals.fetch_add(1, Ordering::Relaxed);
+            mem.sealed = Some(Sealed {
+                slot: std::mem::take(&mut mem.active),
+                below: mem.covered_below,
+                at: Instant::now(),
+            });
+        }
     }
+
+    /// Flushes the sealed memory component if one waits and no open
+    /// transaction wrote into it — one that holds nothing moves the
+    /// manifest's LSN alone — and hands the new component to merge
+    /// scheduling.
     fn flush_sealed(&mut self) -> Result<()> {
-        Lsm::flush_sealed(self)
+        let shared = &self.shared;
+        let Some(sealed) = self.mem.sealed.as_ref().filter(|s| s.slot.writers.is_empty()) else { return Ok(()) };
+        if sealed.slot.mem.is_empty() {
+            if sealed.below > self.flushed_below() {
+                shared.write_flushed_below(sealed.below)?;
+            }
+        } else {
+            let id = shared.alloc_id();
+            let built = shared.kind.flush(id, &sealed.slot.mem)?;
+            let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
+            shared.publish_flush(id, built, (first, sealed.below))?;
+            shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
+            // what the write path pays is up to the executor: the claim
+            // and a hand-off, or the merge
+            shared.stalled(|| shared.schedule_merge());
+        }
+        self.mem.sealed = None;
+        Ok(())
     }
+
+    /// The LSN below which every logged operation of this index is in a
+    /// durable disk component.
     fn flushed_below(&self) -> Lsn {
-        Lsm::flushed_below(self)
+        *self.shared.manifest.lock()
     }
+
+    /// Durably records that every logged operation of this index below
+    /// `lsn` is flushed, though no new component says so: the index was just
+    /// created (the log so far is not about it), or what it buffered since
+    /// its last flush left no entry.
     fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
-        Lsm::mark_flushed_below(self, lsn)
+        self.cover_below(lsn);
+        self.shared.write_flushed_below(lsn)
     }
+
+    /// Drops the index from disk: an empty manifest first (so that no crash
+    /// leaves one naming deleted files), then every component, then the
+    /// manifest itself. The handle stays readable, as an empty index, but
+    /// can publish nothing more.
     fn destroy(&self) -> Result<()> {
-        Lsm::destroy(self)
+        let shared = &self.shared;
+        shared.cancel_merge();
+        let manager = shared.kind.cache().manager();
+        let _publishing = shared.manifest.lock();
+        shared.write_manifest(0, &[])?;
+        shared.destroyed.store(true, Ordering::Release);
+        let dropped = std::mem::take(&mut *shared.disk.lock());
+        shared.refresh_space(&[]);
+        for comp in &dropped {
+            comp.retire.store(true, Ordering::Release);
+        }
+        drop(dropped);
+        crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
     }
+
     fn flush(&mut self) -> Result<()> {
         Lsm::flush(self)
     }

@@ -335,6 +335,7 @@ impl Lsm<RTreeKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::LsmIndex;
     use crate::io::FileManager;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;

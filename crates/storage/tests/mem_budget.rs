@@ -10,7 +10,7 @@
 //! so a test measures only what it allocates itself.
 
 use asterix_adm::{Point, Rectangle};
-use asterix_storage::lsm::MemComponent;
+use asterix_storage::lsm::{LsmIndex, MemComponent};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::{BufferCache, FileManager, IoStats};
 use rand::prelude::*;

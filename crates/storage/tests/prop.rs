@@ -11,7 +11,7 @@ use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
-use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy, Projected};
+use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy, Projected};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
 use asterix_storage::stats::IoStats;
