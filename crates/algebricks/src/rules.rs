@@ -29,10 +29,14 @@ use asterix_adm::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 
+/// Rounds within which the rules must reach a fixpoint. A debug build
+/// refuses a plan that is still changing in the last one; a release build
+/// keeps the plan as that round left it.
+const MAX_ROUNDS: usize = 13;
+
 /// Optimizes a plan in place, running all rules to a fixpoint.
 pub fn optimize(plan: &mut Plan) {
-    let mut rounds = 0;
-    loop {
+    for round in 1..=MAX_ROUNDS {
         let mut changed = false;
         fold_all_exprs(&mut plan.root);
         changed |= rewrite(&mut plan.root, &merge_selects);
@@ -40,10 +44,13 @@ pub fn optimize(plan: &mut Plan) {
         changed |= rewrite(&mut plan.root, &select_into_join);
         changed |= rewrite(&mut plan.root, &introduce_index_paths);
         changed |= eliminate_dead_assigns(&mut plan.root);
-        rounds += 1;
-        if !changed || rounds > 12 {
+        if !changed {
             break;
         }
+        debug_assert!(
+            round < MAX_ROUNDS,
+            "the rewrite rules reached no fixpoint in {MAX_ROUNDS} rounds"
+        );
     }
     push_field_access(&mut plan.root);
 }

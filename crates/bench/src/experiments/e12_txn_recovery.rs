@@ -11,7 +11,7 @@
 //! log — what is still only in memory — not from its history.
 
 use crate::feeds::node_sum;
-use crate::{ms, time_it, ExpReport};
+use crate::{ms, time_it, ExpReport, MISSING};
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::instance::{Instance, InstanceConfig};
@@ -72,7 +72,7 @@ fn restart_after_history(live: i64, passes: i64) -> (std::time::Duration, u64, u
         .unwrap();
     assert_eq!(stale[0].field("n").as_i64(), Some(0), "every record at its latest version");
     let snap = db.metrics_snapshot();
-    let counter = |name: &str| snap.counter(&format!("core.recovery.{name}")).unwrap_or(0);
+    let counter = |name: &str| snap.counter(&format!("core.recovery.{name}")).expect(MISSING);
     let out = (t_recover, counter("records_replayed"), counter("components_loaded"), log);
     drop(db);
     let _ = std::fs::remove_dir_all(dir);

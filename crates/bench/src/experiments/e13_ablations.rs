@@ -15,7 +15,7 @@
 //! columns FSST-coded — what they would take as plain strings against what
 //! they take, read from the counters every flush and merge bumps.
 
-use crate::{ms, time_it, ExpReport};
+use crate::{ms, time_it, ExpReport, MISSING};
 use asterix_adm::binary::encode_key;
 use asterix_adm::Value;
 use asterix_core::datagen::DataGen;
@@ -92,7 +92,7 @@ fn ablate_local_aggregation(report: &mut ExpReport, quick: bool) {
             let (rows, t) = time_it(|| db.query(sql).unwrap());
             assert_eq!(rows.len(), groups);
             let delta = db.metrics_snapshot().delta(&before);
-            let moved = delta.counter("hyracks.dataflow.tuples_exchanged").unwrap_or(0);
+            let moved = delta.counter("hyracks.dataflow.tuples_exchanged").expect(MISSING);
             report.row(&[
                 ablation.into(),
                 setting.into(),
@@ -237,7 +237,7 @@ fn measure_string_coding(report: &mut ExpReport, quick: bool) {
         db.flush_all().unwrap();
     });
     let snap = db.metrics_snapshot();
-    let node = |name: &str| snap.counter(&format!("node0.storage.{name}")).unwrap_or(0);
+    let node = |name: &str| snap.counter(&format!("node0.storage.{name}")).expect(MISSING);
     let (plain, coded) = (node("lsm.string_bytes_plain"), node("lsm.string_bytes_coded"));
     let (messages, t_scan) = time_it(|| db.query("SELECT VALUE m.message FROM GleambookMessages m").unwrap());
     assert_eq!(messages.len() as i64, n);

@@ -17,7 +17,7 @@
 //!
 //! Rates are wall-clock on whatever host runs this.
 
-use crate::{num, report_doc};
+use crate::{num, report_doc, MISSING};
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
 use asterix_core::{Instance, InstanceConfig};
@@ -49,12 +49,15 @@ fn rec(id: i64) -> asterix_adm::Value {
 
 /// Sum of one metric of `snap` across all `node<N>.`-prefixed registries,
 /// read by `get` ([`MetricsSnapshot::counter`] or [`MetricsSnapshot::gauge`]).
+/// Panics if no node exports `name`: a misspelt name must not read 0.
 pub(crate) fn node_sum<T: std::iter::Sum>(
     snap: &MetricsSnapshot,
     name: &str,
     get: fn(&MetricsSnapshot, &str) -> Option<T>,
 ) -> T {
-    (0..16).filter_map(|i| get(snap, &format!("node{i}.{name}"))).sum()
+    let found: Vec<T> = (0..16).filter_map(|i| get(snap, &format!("node{i}.{name}"))).collect();
+    assert!(!found.is_empty(), "no node exports `{name}`");
+    found.into_iter().sum()
 }
 
 /// N feeds into N datasets, one producer each, small batches: measures how
@@ -190,7 +193,9 @@ fn policy_point(policy: IngestionPolicy, name: &str, total: u64) -> Json {
     let (discarded, spilled) = (feed.discarded(), feed.spilled());
     let (ingested, _) = feed.stop();
     let elapsed_s = start.elapsed().as_secs_f64();
-    let throttle_ns = db.metrics_snapshot().delta(&opened).counter("core.feed.throttle_ns").unwrap_or(0);
+    // `Feed::start` registered it, after `opened`: `delta` passes it through
+    let ran = db.metrics_snapshot().delta(&opened);
+    let throttle_ns = ran.counter("core.feed.throttle_ns").expect(MISSING);
     Json::obj([
         ("policy", Json::str(name)),
         ("pushed", Json::U64(total)),

@@ -17,7 +17,7 @@
 //! scanners are added: hits take a shared read lock and an atomic
 //! reference-bit store, never an exclusive section.
 
-use crate::{num, report_doc, time_it};
+use crate::{num, report_doc, time_it, MISSING};
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_hyracks::ops::drive;
@@ -105,7 +105,7 @@ fn cache_microbench(quick: bool) -> Json {
         ("capacity", Json::U64(capacity as u64)),
         ("shards", Json::U64(shards as u64)),
         // the bench is only a *hit* bench while this stays 0
-        ("timed_misses", Json::U64(timed.counter("storage.io.cache_misses").unwrap_or(0))),
+        ("timed_misses", Json::U64(timed.counter("storage.io.cache_misses").expect(MISSING))),
         ("results", Json::Arr(results)),
     ])
 }
@@ -227,7 +227,7 @@ fn morsel_scheduler() -> Json {
     };
     let ratio = points[2].wall_ms / points[0].wall_ms.max(1e-9);
     let measured = points.iter().map(|p| {
-        let count = |name: &str| p.sched.counter(&format!("hyracks.sched.{name}")).unwrap_or(0);
+        let count = |name: &str| p.sched.counter(&format!("hyracks.sched.{name}")).expect(MISSING);
         let (steals, local_hits) = (count("steals"), count("local_hits"));
         Json::obj([
             ("partitions", Json::U64(p.partitions as u64)),
@@ -305,7 +305,8 @@ fn compaction_ingest(tag: &str, n: i64, exec: asterix_storage::CompactionExec) -
     // Stall accrues only inside flush(), so it is final once ingest ends;
     // quiesce before reading amplification so in-flight merges finish.
     let moved = |name: &str| {
-        fm.stats().registry().snapshot().delta(&before).counter(&format!("storage.lsm.{name}")).unwrap_or(0)
+        let snap = fm.stats().registry().snapshot().delta(&before);
+        snap.counter(&format!("storage.lsm.{name}")).expect(MISSING)
     };
     let stall_ns = moved("merge_stall_ns");
     assert!(

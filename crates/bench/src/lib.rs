@@ -41,6 +41,10 @@ pub fn report_doc<'a>(
     Json::obj(header.into_iter().chain(sections))
 }
 
+/// What a read of a metric by name says when nothing exports the name: a
+/// misspelt name fails the run instead of reading 0.
+pub const MISSING: &str = "no such metric";
+
 /// A measured value, to three decimals.
 pub fn num(v: f64) -> Json {
     Json::F64((v * 1e3).round() / 1e3)

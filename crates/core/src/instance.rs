@@ -95,8 +95,6 @@ pub struct InstanceConfig {
     pub cache_pages_per_node: usize,
     /// LSM tuning.
     pub storage: StorageConfig,
-    /// Working-memory budget per memory-intensive operator instance.
-    pub op_memory: usize,
     /// Sort candidate PKs before fetching in index scans (§V-B; E7 toggles).
     pub sorted_index_fetch: bool,
     /// Local/global aggregation splitting (ablation E13 toggles).
@@ -124,7 +122,6 @@ impl Default for InstanceConfig {
             partitions: 2,
             cache_pages_per_node: 1024,
             storage: StorageConfig::default(),
-            op_memory: asterix_hyracks::ctx::DEFAULT_OP_MEMORY,
             sorted_index_fetch: true,
             local_aggregation: true,
             faults: None,
@@ -667,8 +664,8 @@ impl Instance {
     ///
     /// `control` carries per-query cancellation (shared with a
     /// [`crate::scheduler::QueryHandle`] when there is one); the admission
-    /// reservation caps each operator's working memory below the
-    /// instance-wide `op_memory` and is released when this returns.
+    /// reservation is each operator's working memory and is released when
+    /// this returns.
     pub(crate) fn run_query_profiled(
         &self,
         submission: Submission,
@@ -679,7 +676,7 @@ impl Instance {
         let plan = self.compile(&query)?;
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
-            op_memory: self.inner.config.op_memory.min(admission.budget()),
+            op_memory: admission.budget(),
             local_aggregation: self.inner.config.local_aggregation,
         };
         let count_retry = || self.registry().counter("core.query.retries").inc();

@@ -274,6 +274,7 @@ impl QueryScheduler {
 /// A reserved admission: either eagerly admitted or a queue entry. Dropping
 /// an unredeemed ticket (e.g. worker-thread spawn failure) rolls the
 /// reservation back.
+#[must_use = "dropping a ticket rolls its reservation back"]
 pub(crate) struct Ticket {
     sched: Arc<QueryScheduler>,
     id: u64,
@@ -299,6 +300,7 @@ impl Drop for Ticket {
 /// RAII admission: holds one concurrency slot and `budget` bytes of the
 /// global pool; both return to the pool on drop, whatever path the query
 /// took out of execution.
+#[must_use = "dropping the guard returns its slot and budget to the pool"]
 pub(crate) struct AdmissionGuard {
     sched: Arc<QueryScheduler>,
     budget: usize,

@@ -169,6 +169,7 @@ pub struct Mutex<T> {
 }
 
 /// Guard for [`Mutex::lock`]. The mutex unlocks before the order token pops.
+#[must_use = "if unused the Mutex will immediately unlock"]
 pub struct MutexGuard<'a, T> {
     guard: std::sync::MutexGuard<'a, T>,
     token: LockToken,
@@ -220,11 +221,13 @@ pub struct RwLock<T> {
     inner: std::sync::RwLock<T>,
 }
 
+#[must_use = "if unused the RwLock will immediately unlock"]
 pub struct RwLockReadGuard<'a, T> {
     guard: std::sync::RwLockReadGuard<'a, T>,
     _token: LockToken,
 }
 
+#[must_use = "if unused the RwLock will immediately unlock"]
 pub struct RwLockWriteGuard<'a, T> {
     guard: std::sync::RwLockWriteGuard<'a, T>,
     _token: LockToken,

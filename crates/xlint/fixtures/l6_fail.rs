@@ -1,12 +1,7 @@
-//! L6 failing fixture: all three guard-drop shapes.
+//! L6 failing fixture: both guard-drop shapes.
 
 pub fn hold_nothing(s: &Shared) {
     let _ = s.m.lock();
-    s.bump();
-}
-
-pub fn bare_statement(s: &Shared) {
-    s.m.lock();
     s.bump();
 }
 

@@ -3,10 +3,13 @@
 //!
 //! A self-contained static-analysis pass (no dependencies, hand-rolled like
 //! the `crates/shims/` pattern) enforcing the project rules documented in
-//! DESIGN.md "Correctness tooling". It checks what the compiler cannot;
+//! DESIGN.md "Correctness tooling". It checks what nothing else does:
 //! panic-freedom (no `unwrap`/`expect`/`panic!`/`unreachable!` outside
-//! tests) is clippy's, denied in each engine crate's root, and lock order is
-//! `asterix_storage::lock_order`'s, checked at run time in debug builds.
+//! tests) is clippy's, denied in each engine crate's root; lock order is
+//! `asterix_storage::lock_order`'s, checked at run time in debug builds; a
+//! guard dropped as a bare statement is rustc's `unused_must_use`; and the
+//! metric namespace is `core/tests/metric_names.rs`'s, checked against a
+//! running instance.
 //!
 //! * **L2** (`unsafe`) — `#![forbid(unsafe_code)]` in every non-shim crate
 //!   root.
@@ -15,12 +18,10 @@
 //!   from an `// xlint: actor_entry` function. Suppress with
 //!   `// xlint: allow(blocking, "why")` on the site, or on a `fn` line to
 //!   mark a whole function an audited boundary.
-//! * **L6** (`guard_drop`) — no immediately-dropped (`let _ =` / bare
-//!   statement) or prematurely-`drop()`ed lock/admission guards.
+//! * **L6** (`guard_drop`) — no lock/admission guard bound to `_` or
+//!   `drop()`ed before the data it protects is last used.
 //! * **L7** (`atomic_ordering`) — `Ordering::Relaxed` in a CAS or a
 //!   consumed RMW needs an `// xlint: ordering(<why>)` annotation.
-//! * **L8** (`metric`) — metric names read or documented must be
-//!   registered; registered handles must be incremented.
 //!
 //! Usage: `cargo run -p xlint -- [--root DIR] [--deny-all]
 //! [--baseline FILE] [--update-baseline] [--write-baseline FILE]`
@@ -34,10 +35,6 @@ mod rules;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// Documents cross-checked by the L8 metric pass when present under the
-/// root.
-const DOC_FILES: [&str; 2] = ["DESIGN.md", "README.md"];
 
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
@@ -56,9 +53,9 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "xlint: asterix-rs workspace lints (L2 unsafe, L5 blocking-in-actor, \
-                     L6 guard-drop, L7 atomic-ordering, L8 metric hygiene; lock order \
-                     is checked at run time by asterix_storage::lock_order in debug \
-                     builds)\n\n\
+                     L6 guard-drop, L7 atomic-ordering; lock order is checked at run \
+                     time by asterix_storage::lock_order in debug builds, metric names \
+                     by core/tests/metric_names.rs)\n\n\
                      options:\n  --root DIR             workspace root (default .)\n  \
                      --deny-all             exit nonzero on any violation\n  \
                      --baseline FILE        fail on suppressions not fingerprinted in FILE\n  \
@@ -85,13 +82,7 @@ fn main() -> ExitCode {
         eprintln!("xlint: no .rs files under {}", root.display());
         return ExitCode::from(2);
     }
-    let docs: Vec<(PathBuf, String)> = DOC_FILES
-        .iter()
-        .filter_map(|d| {
-            std::fs::read_to_string(root.join(d)).ok().map(|t| (PathBuf::from(d), t))
-        })
-        .collect();
-    let rep = rules::check_with_docs(&files, &docs);
+    let rep = rules::check(&files);
 
     println!("xlint: checked {} files, {} lines", rep.files_checked, rep.lines_checked);
 

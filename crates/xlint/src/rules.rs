@@ -1,7 +1,9 @@
-//! The lint rules (L2, L5–L8) and the suppression/annotation directives.
-//! Panic-freedom is not here: clippy's `unwrap_used`/`expect_used`/`panic`/
-//! `unreachable` lints check it. Nor is lock order: `storage::lock_order`
-//! checks it at run time in debug builds.
+//! The lint rules (L2, L5, L6, L7) and the suppression/annotation
+//! directives. Panic-freedom is not here: clippy's `unwrap_used`/
+//! `expect_used`/`panic`/`unreachable` lints check it. Nor is lock order:
+//! `storage::lock_order` checks it at run time in debug builds. A guard
+//! dropped as a bare statement is rustc's `unused_must_use`, and the metric
+//! namespace is `core/tests/metric_names.rs`'s, against a live instance.
 //!
 //! Rules operate on [`crate::lexer::MaskedFile`]s, so substring matches
 //! cannot be fooled by comments or string literals. See DESIGN.md
@@ -23,9 +25,6 @@ pub enum Rule {
     /// `Ordering::Relaxed` in a CAS or consumed RMW without an
     /// `// xlint: ordering(<why>)` annotation.
     AtomicOrdering,
-    /// Metric name referenced but never registered, or registered but never
-    /// incremented.
-    MetricHygiene,
 }
 
 impl Rule {
@@ -35,7 +34,6 @@ impl Rule {
             Rule::BlockingInActor => "blocking",
             Rule::GuardDrop => "guard_drop",
             Rule::AtomicOrdering => "atomic_ordering",
-            Rule::MetricHygiene => "metric",
         }
     }
 }
@@ -163,16 +161,8 @@ pub fn discover(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     Ok(out)
 }
 
-/// Runs all rules over `files` (no external documents) and returns the
-/// combined report.
-#[cfg_attr(not(test), allow(dead_code))]
+/// Runs all rules over `files` and returns the combined report.
 pub fn check(files: &[SourceFile]) -> Report {
-    check_with_docs(files, &[])
-}
-
-/// Runs all rules over `files`, plus the L8 metric cross-check against
-/// `docs` (path, text) pairs — DESIGN.md / README.md metric references.
-pub fn check_with_docs(files: &[SourceFile], docs: &[(PathBuf, String)]) -> Report {
     let mut rep = Report::default();
     let masked: Vec<MaskedFile> = files.iter().map(|f| mask(&f.text)).collect();
     rep.files_checked = files.len();
@@ -190,7 +180,6 @@ pub fn check_with_docs(files: &[SourceFile], docs: &[(PathBuf, String)]) -> Repo
         check_l7(f, m, &mut rep);
     }
     check_l5(files, &masked, &mut rep);
-    check_l8(files, &masked, docs, &mut rep);
     rep
 }
 
@@ -346,13 +335,14 @@ fn check_l5(files: &[SourceFile], masked: &[MaskedFile], rep: &mut Report) {
 
 /// RAII guard type names covered by the guard-drop rule in addition to the
 /// plain `.lock()/.read()/.write()` results.
-pub const GUARD_TYPES: [&str; 3] = ["AdmissionGuard", "WorkerGuard", "Ticket"];
+const GUARD_TYPES: [&str; 2] = ["AdmissionGuard", "Ticket"];
 
 const GUARD_CALLS: [&str; 3] = [".lock()", ".read()", ".write()"];
 
 fn check_l6(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
-    // Shapes (a) and (b): the guard dies at the end of the statement that
-    // created it, so it protects nothing.
+    // Shape (a): a guard bound to `_` dies at the end of the statement that
+    // created it, so it protects nothing. (A guard left as a bare statement
+    // is rustc's: the guards are `#[must_use]`.)
     for (i, l) in m.lines.iter().enumerate() {
         if l.in_test {
             continue;
@@ -373,24 +363,9 @@ fn check_l6(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
                  protects nothing (bind to a named `_g` to hold it)"
                     .to_string(),
             );
-            continue;
-        }
-        let bare_guard = GUARD_CALLS.iter().any(|p| t.ends_with(&format!("{p};")));
-        if bare_guard && !t.starts_with("let ") && !t.contains('=') {
-            push_checked(
-                rep,
-                Rule::GuardDrop,
-                f,
-                i,
-                &l.code,
-                &l.comments,
-                "lock acquired as a bare statement — the guard is dropped \
-                 immediately"
-                    .to_string(),
-            );
         }
     }
-    // Shape (c): `drop(g)` before the last use of the data `g` protected.
+    // Shape (b): `drop(g)` before the last use of the data `g` protected.
     for d in callgraph::extract_fns(0, m) {
         let hi = d.body_end.min(m.lines.len().saturating_sub(1));
         let mut guards: Vec<(String, String, usize)> = Vec::new(); // ident, receiver, bind line
@@ -578,7 +553,7 @@ fn check_l7(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
 }
 
 /// First occurrence of `tok` in `code` not preceded by an identifier char
-/// (so `counter(` does not match inside `observed_counter(`).
+/// (so a token does not match the tail of a longer identifier).
 fn find_unprefixed(code: &str, tok: &str) -> Option<usize> {
     let mut start = 0usize;
     while let Some(p) = code[start..].find(tok) {
@@ -592,245 +567,6 @@ fn find_unprefixed(code: &str, tok: &str) -> Option<usize> {
         start = abs + 1;
     }
     None
-}
-
-// ---------------------------------------------------------------- L8
-
-const METRIC_CALLS: [&str; 3] = ["observed_counter(\"", "counter(\"", "gauge(\""];
-const METRIC_USE: [&str; 4] = [".inc(", ".add(", ".set(", ".sub("];
-
-#[derive(PartialEq)]
-enum MetricKind {
-    Register,
-    Read,
-    Other,
-}
-
-struct MetricSite {
-    file: usize,
-    line: usize,
-    name: String,
-    kind: MetricKind,
-    observed: bool,
-    binding: Option<String>,
-    inline_use: bool,
-}
-
-/// `seg.seg2` shape: lowercase/digit/underscore dot-separated segments.
-fn is_metric_name(s: &str) -> bool {
-    let mut segs = 0;
-    for seg in s.split('.') {
-        if seg.is_empty()
-            || !seg.bytes().next().is_some_and(|b| b.is_ascii_lowercase())
-            || !seg.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
-        {
-            return false;
-        }
-        segs += 1;
-    }
-    segs >= 2
-}
-
-fn check_l8(
-    files: &[SourceFile],
-    masked: &[MaskedFile],
-    docs: &[(PathBuf, String)],
-    rep: &mut Report,
-) {
-    let mut sites: Vec<MetricSite> = Vec::new();
-    let mut witnesses: BTreeSet<String> = BTreeSet::new();
-    for (fi, (f, m)) in files.iter().zip(masked).enumerate() {
-        if f.is_shim || f.file_is_test {
-            continue;
-        }
-        let orig: Vec<&str> = f.text.lines().collect();
-        for (i, l) in m.lines.iter().enumerate() {
-            if l.in_test {
-                continue;
-            }
-            let code = &l.code;
-            let Some(orig_line) = orig.get(i) else { continue };
-            // Metric-call sites: `counter("name")` & friends; the literal
-            // text comes from the original line at the masked quote offsets.
-            for pat in METRIC_CALLS {
-                let Some(abs) = find_unprefixed(code, pat) else { continue };
-                let open = abs + pat.len() - 1;
-                let Some(close_rel) = code[open + 1..].find('"') else { continue };
-                let close = open + 1 + close_rel;
-                let Some(name) = orig_line.get(open + 1..close) else { continue };
-                if !is_metric_name(name) {
-                    continue;
-                }
-                let prefix = &code[..abs];
-                let observed = pat.starts_with("observed_counter");
-                let kind = if observed
-                    || (prefix.contains("registry") && !prefix.contains("snapshot"))
-                    || prefix.trim_end().ends_with("reg.")
-                {
-                    MetricKind::Register
-                } else if prefix.contains("snapshot") || f.crate_name == "bench" {
-                    MetricKind::Read
-                } else {
-                    MetricKind::Other
-                };
-                let t = code.trim_start();
-                let binding = if let Some(rest) = t.strip_prefix("let ") {
-                    let rest = rest.strip_prefix("mut ").unwrap_or(rest);
-                    let id: String = rest
-                        .chars()
-                        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                        .collect();
-                    (!id.is_empty() && id != "_").then_some(id)
-                } else {
-                    // Struct-field init: `admitted: registry.counter("…"),`.
-                    t.split_once(':').and_then(|(id, rest)| {
-                        let id = id.trim();
-                        (!rest.starts_with(':')
-                            && !id.is_empty()
-                            && id.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_'))
-                        .then(|| id.to_string())
-                    })
-                };
-                let inline_use = METRIC_USE.iter().any(|u| code[close..].contains(u));
-                if kind != MetricKind::Read {
-                    witnesses.insert(name.to_string());
-                }
-                sites.push(MetricSite {
-                    file: fi,
-                    line: i,
-                    name: name.to_string(),
-                    kind,
-                    observed,
-                    binding,
-                    inline_use,
-                });
-            }
-            // Bare metric-shaped string literals (dynamic-name match arms
-            // like `"hyracks.lifecycle.cancelled"`) witness registration too
-            // — but not in `bench`, which only consumes metrics.
-            if f.crate_name != "bench" {
-                let bytes = code.as_bytes();
-                let mut qs: Vec<usize> = Vec::new();
-                for (bi, b) in bytes.iter().enumerate() {
-                    if *b == b'"' {
-                        qs.push(bi);
-                    }
-                }
-                for pair in qs.chunks(2) {
-                    let [a, z] = pair else { continue };
-                    if METRIC_CALLS.iter().any(|p| code[..a + 1].ends_with(p)) {
-                        continue; // already classified above
-                    }
-                    if let Some(lit) = orig_line.get(a + 1..*z) {
-                        if is_metric_name(lit) {
-                            witnesses.insert(lit.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Per-crate whitespace-condensed non-test code: method chains split
-    // across lines (`.park_ns\n.add(…)`) must still count as increments.
-    let mut condensed: BTreeMap<&str, String> = BTreeMap::new();
-    for (f, m) in files.iter().zip(masked) {
-        if f.is_shim || f.file_is_test {
-            continue;
-        }
-        let buf = condensed.entry(f.crate_name.as_str()).or_default();
-        for l in &m.lines {
-            if !l.in_test {
-                buf.extend(l.code.chars().filter(|c| !c.is_whitespace()));
-            }
-        }
-    }
-
-    for s in &sites {
-        let f = &files[s.file];
-        let l = &masked[s.file].lines[s.line];
-        match s.kind {
-            MetricKind::Read => {
-                if !witnesses.contains(&s.name) {
-                    push_checked(
-                        rep,
-                        Rule::MetricHygiene,
-                        f,
-                        s.line,
-                        &l.code,
-                        &l.comments,
-                        format!(
-                            "metric `{}` is read here but never registered or \
-                             incremented anywhere in the workspace",
-                            s.name
-                        ),
-                    );
-                }
-            }
-            MetricKind::Register => {
-                if s.observed || s.inline_use {
-                    continue; // weak-reader pattern / same-statement use
-                }
-                let crate_code =
-                    condensed.get(f.crate_name.as_str()).map(String::as_str).unwrap_or("");
-                let used = s.binding.as_ref().is_some_and(|id| {
-                    METRIC_USE
-                        .iter()
-                        .any(|u| find_unprefixed(crate_code, &format!("{id}{u}")).is_some())
-                });
-                if !used {
-                    push_checked(
-                        rep,
-                        Rule::MetricHygiene,
-                        f,
-                        s.line,
-                        &l.code,
-                        &l.comments,
-                        format!(
-                            "metric `{}` is registered here but never incremented \
-                             (no `.inc()/.add()/.set()` on its handle in \
-                             crate `{}`)",
-                            s.name, f.crate_name
-                        ),
-                    );
-                }
-            }
-            MetricKind::Other => {}
-        }
-    }
-
-    // Doc cross-check: backticked metric-shaped names in DESIGN.md/README.md
-    // whose family (first segment) is one we actually emit must resolve to a
-    // registered name — catches stale docs after a metric rename.
-    let families: BTreeSet<&str> =
-        witnesses.iter().filter_map(|w| w.split('.').next()).collect();
-    const DOC_EXTS: [&str; 6] = [".rs", ".md", ".json", ".yml", ".toml", ".lock"];
-    for (path, text) in docs {
-        for (j, line) in text.lines().enumerate() {
-            let mut parts = line.split('`');
-            parts.next(); // before the first backtick
-            while let (Some(tok), next) = (parts.next(), parts.next()) {
-                if next.is_none() {
-                    break; // unbalanced backticks
-                }
-                if !is_metric_name(tok) || DOC_EXTS.iter().any(|e| tok.ends_with(e)) {
-                    continue;
-                }
-                let family = tok.split('.').next().unwrap_or("");
-                if families.contains(family) && !witnesses.contains(tok) {
-                    rep.violations.push(Violation {
-                        rule: Rule::MetricHygiene,
-                        path: path.clone(),
-                        line: j + 1,
-                        message: format!(
-                            "doc references metric `{tok}` but no such metric is \
-                             registered (family `{family}` exists — stale name?)"
-                        ),
-                    });
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -73,7 +73,10 @@ fn storage_and_dataflow_compose_under_pressure() {
     let db = Instance::open(InstanceConfig {
         nodes: 2,
         partitions: 4,
-        op_memory: 64 << 10, // 64 KiB working memory per operator
+        scheduler: asterix_rs::core::SchedulerConfig {
+            default_query_memory: 64 << 10, // 64 KiB working memory per operator
+            ..Default::default()
+        },
         storage: asterix_rs::core::dataset::StorageConfig {
             mem_budget: 32 << 10,
             ..Default::default()
