@@ -1015,38 +1015,28 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&sc, &pc)
 }
 
-/// Folds constant sub-expressions (no variables, deterministic functions).
-pub fn const_fold(expr: &mut Expr) {
+/// Folds constant sub-expressions (no variables, deterministic functions);
+/// returns whether it folded any.
+pub fn const_fold(expr: &mut Expr) -> bool {
     // fold children first
-    match expr {
+    let changed = match expr {
         Expr::Field(b, _) => const_fold(b),
-        Expr::Index(b, i) => {
-            const_fold(b);
-            const_fold(i);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                const_fold(a);
-            }
-        }
-        Expr::Case(arms, els) => {
-            for (c, t) in arms {
-                const_fold(c);
-                const_fold(t);
-            }
-            const_fold(els);
-        }
-        _ => {}
+        Expr::Index(b, i) => const_fold(b) | const_fold(i),
+        Expr::Call(_, args) => args.iter_mut().fold(false, |changed, a| const_fold(a) | changed),
+        Expr::Case(arms, els) => arms
+            .iter_mut()
+            .fold(const_fold(els), |changed, (c, t)| const_fold(c) | const_fold(t) | changed),
+        _ => false,
+    };
+    if matches!(expr, Expr::Const(_) | Expr::Var(_)) || !expr.is_const() {
+        return changed;
     }
-    if matches!(expr, Expr::Const(_) | Expr::Var(_)) {
-        return;
-    }
-    if expr.is_const() {
-        if let Ok(bound) = bind(expr, &[]) {
-            if let Ok(v) = eval(&bound, &[]) {
-                *expr = Expr::Const(v);
-            }
+    match bind(expr, &[]).map(|bound| eval(&bound, &[])) {
+        Ok(Ok(v)) => {
+            *expr = Expr::Const(v);
+            true
         }
+        _ => changed,
     }
 }
 
@@ -1259,8 +1249,9 @@ mod tests {
             Expr::Const(Value::Int(1)),
             Expr::bin(Func::Mul, Expr::Const(Value::Int(2)), Expr::Const(Value::Int(3))),
         );
-        const_fold(&mut e);
+        assert!(const_fold(&mut e));
         assert_eq!(e, Expr::Const(Value::Int(7)));
+        assert!(!const_fold(&mut e), "a constant folds no further");
         // vars prevent folding, but const children still fold
         let mut e = Expr::bin(
             Func::Add,
@@ -1271,7 +1262,7 @@ mod tests {
         assert_eq!(e, Expr::bin(Func::Add, Expr::Var(0), Expr::Const(Value::Int(6))));
         // current_datetime must not fold
         let mut e = Expr::Call(Func::CurrentDatetime, vec![]);
-        const_fold(&mut e);
+        assert!(!const_fold(&mut e));
         assert!(matches!(e, Expr::Call(Func::CurrentDatetime, _)));
     }
 

@@ -12,13 +12,14 @@
 use crate::error::{AlgebricksError, Result};
 use crate::expr::{bind, eval, eval_batch, select_batch, BoundExpr, Expr, Func};
 use crate::plan::{AggFunc, JoinKind, LogicalOp, Plan, VarId};
+use crate::rules::Rule;
 use asterix_adm::{Column, ColumnBatch, Value};
 use asterix_hyracks::job::{
     AggPhase, AggSpec, ConnStrategy, EvalFn, JobSpec, JoinKind as HJoinKind, OpId, OpKind, Pred2Fn, PredFn,
     Predicate, Scalar, SortKey, SourceFactory,
 };
 use asterix_hyracks::Tuple;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// A bound expression as the runtime's evaluator and predicate (a tuple
@@ -53,10 +54,6 @@ pub struct JobGenConfig {
     /// Working-memory budget per sort, join, group-by or distinct instance
     /// (bytes).
     pub op_memory: usize,
-    /// Split aggregations into local (pre-shuffle) and global stages. The
-    /// default; disabling it ships raw tuples through the exchange (the
-    /// ablation experiment E13 measures the difference).
-    pub local_aggregation: bool,
 }
 
 impl Default for JobGenConfig {
@@ -64,7 +61,6 @@ impl Default for JobGenConfig {
         JobGenConfig {
             dop: 1,
             op_memory: asterix_hyracks::ctx::DEFAULT_OP_MEMORY,
-            local_aggregation: true,
         }
     }
 }
@@ -74,6 +70,7 @@ pub fn compile(plan: &Plan, cfg: &JobGenConfig) -> Result<JobSpec> {
     let mut b = Builder {
         spec: JobSpec::new(),
         cfg,
+        disabled: &plan.disabled,
         hidden: usize::MAX,
         field_vars: HashMap::new(),
     };
@@ -144,6 +141,8 @@ struct Built {
 struct Builder<'a> {
     spec: JobSpec,
     cfg: &'a JobGenConfig,
+    /// The rules the plan was optimized without.
+    disabled: &'a BTreeSet<Rule>,
     hidden: usize,
     /// The column variable of `$v.f`, for every scan variable `$v` the plan
     /// reads through its fields alone: such a scan yields a column per
@@ -596,10 +595,11 @@ impl<'a> Builder<'a> {
 
     /// Aggregation, grouped (`keys`) or scalar (none): one Assign computes
     /// keys and arguments, then a stage on each side of the one exchange —
-    /// `Partial` per input partition, `Final` after it — or, without
-    /// `local_aggregation`, a single `Complete` stage after it. What a
-    /// function's partial looks like is the accumulator's business
-    /// (`asterix_hyracks::ops::AggState`); only its width is counted here.
+    /// `Partial` per input partition, `Final` after it — or, with
+    /// [`Rule::LocalAggregation`] disabled, a single `Complete` stage after
+    /// it. What a function's partial looks like is the accumulator's
+    /// business (`asterix_hyracks::ops::AggState`); only its width is
+    /// counted here.
     fn compile_aggregate(
         &mut self,
         input: &LogicalOp,
@@ -625,7 +625,7 @@ impl<'a> Builder<'a> {
             _ => OpKind::GroupBy { key_cols: key_cols.to_vec(), aggs, memory },
         };
         let (mut feed, mut key_cols) = (built.op, key_cols.to_vec());
-        if self.cfg.local_aggregation {
+        if !self.disabled.contains(&Rule::LocalAggregation) {
             let partial = specs.iter().map(|s| AggSpec { phase: AggPhase::Partial, ..*s }).collect();
             let local =
                 self.spec.add(stage(&key_cols, partial), built.partitions, format!("{prefix}-local"));
@@ -686,7 +686,7 @@ mod tests {
 
     fn run(plan: Plan) -> Vec<Value> {
         let mut plan = plan;
-        optimize(&mut plan);
+        optimize(&mut plan, &Default::default());
         let cfg = JobGenConfig { dop: 2, ..Default::default() };
         execute(&plan, &cfg, RuntimeCtx::temp().unwrap(), Default::default()).unwrap().0
     }

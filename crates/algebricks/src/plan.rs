@@ -7,7 +7,9 @@
 //! and the job generator lowers them onto Hyracks.
 
 use crate::expr::Expr;
+use crate::rules::Rule;
 use crate::source::{AccessPath, DataSource};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -227,12 +229,15 @@ impl LogicalOp {
 /// A complete logical plan (rooted at a `DistributeResult`).
 pub struct Plan {
     pub root: LogicalOp,
+    /// The rules [`crate::rules::optimize`] was told to skip; the job
+    /// generator reads its own choices from here.
+    pub disabled: BTreeSet<Rule>,
 }
 
 impl Plan {
     /// Wraps a root operator.
     pub fn new(root: LogicalOp) -> Self {
-        Plan { root }
+        Plan { root, disabled: BTreeSet::new() }
     }
 
     /// Pretty-prints the plan with variables renumbered in first-appearance

@@ -1,25 +1,16 @@
-//! The rule-based optimizer (paper Figure 5: "rewrite rules" boxes).
-//!
-//! A small but representative subset of Algebricks' rule sets, run to a
-//! fixpoint:
-//!
-//! 1. constant folding in every expression;
-//! 2. select consolidation (adjacent selects merge into one conjunction);
-//! 3. selection pushdown through assigns/unnests and into/through joins;
-//! 4. select-into-join merging (filters directly above a join become join
-//!    conditions, later split into equi-keys by the job generator);
-//! 5. dead-assign elimination (unused computed variables vanish);
-//! 6. **index access-path introduction**: a select over a data-source scan
-//!    whose conjuncts constrain the primary key or an indexed field is
-//!    rewritten to an index-scan (primary-key point get or key range,
-//!    B+ tree range, R-tree spatial intersection, or inverted keyword
-//!    probe), keeping the original predicate as a residual filter — the
-//!    data-partition-aware access-path selection the paper credits
-//!    Algebricks with (Section III, feature 3).
-//!
-//! and, once those have settled, **field-access pushdown**: each data-source
-//! scan is told the top-level fields through which the plan reads its
-//! variable, so the source can leave the others undecoded.
+//! The rule-based optimizer (paper Figure 5: "rewrite rules" boxes): one
+//! table of named rules, [`TABLE`], in the order they run. The fixpoint set
+//! — constant folding, select merging, selection pushdown through assigns
+//! and unnests, select-into-join, index access-path introduction (a select
+//! over a scan whose conjuncts bound the primary key or an indexed field
+//! gets an index probe under it: the data-partition-aware access-path
+//! selection of Section III, feature 3) and dead-assign elimination — runs
+//! round after round until a round changes nothing. Then field-access
+//! pushdown (each scan is told the top-level fields the plan reads its
+//! variable through) and sorted index fetch (a secondary-index probe sorts
+//! the primary keys it finds before fetching, §V-B) run once. Local
+//! aggregation is the job generator's choice, which it reads from the plan.
+//! [`optimize`] takes the set of rules to skip.
 
 use crate::expr::{const_fold, Expr, Func};
 use crate::plan::{LogicalOp, Plan, VarId};
@@ -28,35 +19,103 @@ use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 
-/// Rounds within which the rules must reach a fixpoint. A debug build
-/// refuses a plan that is still changing in the last one; a release build
-/// keeps the plan as that round left it.
+/// A rule of the optimizer, by name; [`TABLE`] says what it does and when.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Rule {
+    ConstantFolding,
+    MergeSelects,
+    PushSelect,
+    SelectIntoJoin,
+    IntroduceIndexPaths,
+    EliminateDeadAssigns,
+    PushFieldAccess,
+    SortedIndexFetch,
+    LocalAggregation,
+}
+
+/// A rewrite: changes the plan under the operator in place and says whether
+/// it changed anything.
+type Rewrite = fn(&mut LogicalOp) -> bool;
+
+/// When a rule of [`TABLE`] runs.
+#[derive(Clone, Copy)]
+enum Controller {
+    /// Round after round with the rest of the fixpoint set, until a round
+    /// changes nothing.
+    Fixpoint(Rewrite),
+    /// Once, after the fixpoint set has settled.
+    Once(Rewrite),
+    /// Not a rewrite: the job generator asks the plan whether it is on.
+    JobGen,
+}
+
+/// Every rule, in the order it runs, with its name and its controller.
+static TABLE: [(Rule, &str, Controller); 9] = [
+    (Rule::ConstantFolding, "constant folding", Controller::Fixpoint(fold_all_exprs)),
+    (Rule::MergeSelects, "merge selects", Controller::Fixpoint(|op| rewrite(op, merge_selects))),
+    (Rule::PushSelect, "push select", Controller::Fixpoint(|op| rewrite(op, push_select))),
+    (Rule::SelectIntoJoin, "select into join", Controller::Fixpoint(|op| rewrite(op, select_into_join))),
+    (
+        Rule::IntroduceIndexPaths,
+        "introduce index paths",
+        Controller::Fixpoint(|op| rewrite(op, introduce_index_paths)),
+    ),
+    (Rule::EliminateDeadAssigns, "eliminate dead assigns", Controller::Fixpoint(eliminate_dead_assigns)),
+    (Rule::PushFieldAccess, "field-access pushdown", Controller::Once(push_field_access)),
+    (Rule::SortedIndexFetch, "sorted index fetch", Controller::Once(sort_probe_keys)),
+    (Rule::LocalAggregation, "local aggregation", Controller::JobGen),
+];
+
+impl Rule {
+    /// Every rule, in table order.
+    pub fn all() -> impl Iterator<Item = Rule> {
+        TABLE.iter().map(|(rule, ..)| *rule)
+    }
+}
+
+/// The rule's name in the table: `constant folding`, `local aggregation`.
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = TABLE.iter().find(|(rule, ..)| rule == self).map_or("", |(_, name, _)| name);
+        f.write_str(name)
+    }
+}
+
+/// Rounds within which the fixpoint set must settle. A debug build refuses
+/// a plan that is still changing in the last one, naming the rules that
+/// changed it; a release build keeps the plan as that round left it.
 const MAX_ROUNDS: usize = 13;
 
-/// Optimizes a plan in place, running all rules to a fixpoint.
-pub fn optimize(plan: &mut Plan) {
+/// Optimizes a plan in place with every rule of [`TABLE`] but those in
+/// `disabled`, which the plan keeps for the job generator.
+pub fn optimize(plan: &mut Plan, disabled: &BTreeSet<Rule>) {
+    let on = || TABLE.iter().filter(|(rule, ..)| !disabled.contains(rule));
     for round in 1..=MAX_ROUNDS {
-        let mut changed = false;
-        fold_all_exprs(&mut plan.root);
-        changed |= rewrite(&mut plan.root, &merge_selects);
-        changed |= rewrite(&mut plan.root, &push_select);
-        changed |= rewrite(&mut plan.root, &select_into_join);
-        changed |= rewrite(&mut plan.root, &introduce_index_paths);
-        changed |= eliminate_dead_assigns(&mut plan.root);
-        if !changed {
+        let mut changed = Vec::new();
+        for (_, name, controller) in on() {
+            if let Controller::Fixpoint(apply) = controller {
+                if apply(&mut plan.root) {
+                    changed.push(*name);
+                }
+            }
+        }
+        if changed.is_empty() {
             break;
         }
-        debug_assert!(
-            round < MAX_ROUNDS,
-            "the rewrite rules reached no fixpoint in {MAX_ROUNDS} rounds"
-        );
+        debug_assert!(round < MAX_ROUNDS, "{} still changed the plan in round {MAX_ROUNDS}", changed.join(", "));
     }
-    push_field_access(&mut plan.root);
+    for (_, _, controller) in on() {
+        if let Controller::Once(apply) = controller {
+            apply(&mut plan.root);
+        }
+    }
+    plan.disabled = disabled.clone();
 }
 
 /// Applies `rule` bottom-up everywhere; returns whether anything changed.
-fn rewrite(op: &mut LogicalOp, rule: &dyn Fn(LogicalOp) -> (LogicalOp, bool)) -> bool {
+fn rewrite(op: &mut LogicalOp, rule: fn(LogicalOp) -> (LogicalOp, bool)) -> bool {
     let mut changed = false;
     for child in op.children_mut() {
         changed |= rewrite(child, rule);
@@ -67,44 +126,28 @@ fn rewrite(op: &mut LogicalOp, rule: &dyn Fn(LogicalOp) -> (LogicalOp, bool)) ->
     changed | c
 }
 
-fn fold_all_exprs(op: &mut LogicalOp) {
+fn fold_all_exprs(op: &mut LogicalOp) -> bool {
+    let mut changed = false;
+    let mut fold = |e: &mut Expr| changed |= const_fold(e);
     match op {
-        LogicalOp::Select { condition, .. } => const_fold(condition),
-        LogicalOp::Assign { expr, .. } | LogicalOp::Unnest { expr, .. } => const_fold(expr),
-        LogicalOp::Join { condition, .. } => const_fold(condition),
+        LogicalOp::Select { condition, .. } => fold(condition),
+        LogicalOp::Assign { expr, .. } | LogicalOp::Unnest { expr, .. } => fold(expr),
+        LogicalOp::Join { condition, .. } => fold(condition),
         LogicalOp::GroupBy { keys, aggs, collect, .. } => {
-            for (_, e) in keys {
-                const_fold(e);
-            }
-            for (_, _, e) in aggs {
-                const_fold(e);
-            }
+            keys.iter_mut().for_each(|(_, e)| fold(e));
+            aggs.iter_mut().for_each(|(_, _, e)| fold(e));
             if let Some(c) = collect {
-                for (_, e) in &mut c.fields {
-                    const_fold(e);
-                }
+                c.fields.iter_mut().for_each(|(_, e)| fold(e));
             }
         }
-        LogicalOp::Aggregate { aggs, .. } => {
-            for (_, _, e) in aggs {
-                const_fold(e);
-            }
-        }
-        LogicalOp::Order { keys, .. } => {
-            for (e, _) in keys {
-                const_fold(e);
-            }
-        }
+        LogicalOp::Aggregate { aggs, .. } => aggs.iter_mut().for_each(|(_, _, e)| fold(e)),
+        LogicalOp::Order { keys, .. } => keys.iter_mut().for_each(|(e, _)| fold(e)),
         LogicalOp::Distinct { exprs, .. } | LogicalOp::DistributeResult { exprs, .. } => {
-            for e in exprs {
-                const_fold(e);
-            }
+            exprs.iter_mut().for_each(fold)
         }
         _ => {}
     }
-    for child in op.children_mut() {
-        fold_all_exprs(child);
-    }
+    op.children_mut().into_iter().fold(changed, |changed, child| fold_all_exprs(child) | changed)
 }
 
 /// Splits a condition into its top-level conjuncts.
@@ -156,77 +199,31 @@ fn merge_selects(op: LogicalOp) -> (LogicalOp, bool) {
     (op, false)
 }
 
+/// Moves the conjuncts of a select that read only what is bound below the
+/// assign or unnest under it to below that operator; never below an outer
+/// unnest, where it would change what the unnest pads.
 fn push_select(op: LogicalOp) -> (LogicalOp, bool) {
-    let LogicalOp::Select { input, condition } = op else {
+    let LogicalOp::Select { mut input, condition } = op else {
         return (op, false);
     };
-    match *input {
-        // through an assign the condition doesn't depend on
-        LogicalOp::Assign { input: deeper, var, expr } => {
-            let below = deeper.schema();
-            let mut pushable = Vec::new();
-            let mut stay = Vec::new();
-            for c in conjuncts(&condition) {
-                if uses_only(&c, &below) {
-                    pushable.push(c);
-                } else {
-                    stay.push(c);
-                }
-            }
-            if pushable.is_empty() {
-                return (
-                    LogicalOp::Select {
-                        input: Box::new(LogicalOp::Assign { input: deeper, var, expr }),
-                        condition,
-                    },
-                    false,
-                );
-            }
-            let pushed = LogicalOp::Select { input: deeper, condition: conjoin(pushable) };
-            let assign = LogicalOp::Assign { input: Box::new(pushed), var, expr };
-            let rebuilt = if stay.is_empty() {
-                assign
-            } else {
-                LogicalOp::Select { input: Box::new(assign), condition: conjoin(stay) }
-            };
-            (rebuilt, true)
-        }
-        // through an unnest the condition doesn't depend on
-        LogicalOp::Unnest { input: deeper, var, expr, outer } => {
-            let below = deeper.schema();
-            let mut pushable = Vec::new();
-            let mut stay = Vec::new();
-            for c in conjuncts(&condition) {
-                // pushing below an outer unnest changes semantics; keep above
-                if !outer && uses_only(&c, &below) {
-                    pushable.push(c);
-                } else {
-                    stay.push(c);
-                }
-            }
-            if pushable.is_empty() {
-                return (
-                    LogicalOp::Select {
-                        input: Box::new(LogicalOp::Unnest { input: deeper, var, expr, outer }),
-                        condition,
-                    },
-                    false,
-                );
-            }
-            let pushed = LogicalOp::Select { input: deeper, condition: conjoin(pushable) };
-            let unnest = LogicalOp::Unnest { input: Box::new(pushed), var, expr, outer };
-            let rebuilt = if stay.is_empty() {
-                unnest
-            } else {
-                LogicalOp::Select { input: Box::new(unnest), condition: conjoin(stay) }
-            };
-            (rebuilt, true)
-        }
-        other => (
-            LogicalOp::Select { input: Box::new(other), condition },
-            false,
-        ),
+    let deeper = match input.as_mut() {
+        LogicalOp::Assign { input: deeper, .. } | LogicalOp::Unnest { input: deeper, outer: false, .. } => deeper,
+        _ => return (LogicalOp::Select { input, condition }, false),
+    };
+    let below = deeper.schema();
+    let (pushable, stay): (Vec<Expr>, Vec<Expr>) =
+        conjuncts(&condition).into_iter().partition(|c| uses_only(c, &below));
+    if pushable.is_empty() {
+        return (LogicalOp::Select { input, condition }, false);
     }
+    let under = std::mem::replace(deeper.as_mut(), LogicalOp::Empty);
+    **deeper = LogicalOp::Select { input: Box::new(under), condition: conjoin(pushable) };
+    let rebuilt = if stay.is_empty() {
+        *input
+    } else {
+        LogicalOp::Select { input, condition: conjoin(stay) }
+    };
+    (rebuilt, true)
 }
 
 fn select_into_join(op: LogicalOp) -> (LogicalOp, bool) {
@@ -405,7 +402,7 @@ fn field_bounds(cs: &[Expr], scan_var: VarId, path: &[String]) -> Bounds {
 }
 
 fn primary_path(range: IndexRange) -> AccessPath {
-    AccessPath { index: PRIMARY_INDEX.into(), kind: IndexKind::Primary, range }
+    AccessPath { index: PRIMARY_INDEX.into(), kind: IndexKind::Primary, range, sorted: false }
 }
 
 /// A point get: every primary-key field pinned to one constant (the get is
@@ -460,7 +457,7 @@ fn secondary_path(cs: &[Expr], scan_var: VarId, idx: &IndexInfo) -> Option<Acces
                 .then_some(IndexRange::Keyword(s))
         }),
     }?;
-    Some(AccessPath { index: idx.name.clone(), kind: idx.kind, range })
+    Some(AccessPath { index: idx.name.clone(), kind: idx.kind, range, sorted: false })
 }
 
 /// Replaces a full scan under a select with the best access path the
@@ -500,8 +497,8 @@ type FieldReads = HashMap<VarId, Option<BTreeSet<String>>>;
 /// names `f` of its `$v.f` accesses when those are its only uses, nothing
 /// (the whole record) when anything else names `$v` — a bare `$v` in an
 /// expression (a result, a group collection's payload), a `Project` or a
-/// `UnionAll` carrying it on.
-fn push_field_access(root: &mut LogicalOp) {
+/// `UnionAll` carrying it on. Returns whether a scan's fields changed.
+fn push_field_access(root: &mut LogicalOp) -> bool {
     fn note_expr(e: &Expr, reads: &mut FieldReads) {
         match e {
             Expr::Var(v) => {
@@ -548,18 +545,32 @@ fn push_field_access(root: &mut LogicalOp) {
         op.children().into_iter().for_each(|c| note_op(c, reads));
     }
     // a variable is bound by one scan, which takes its names with it
-    fn tell_scans(op: &mut LogicalOp, reads: &mut FieldReads) {
+    fn tell_scans(op: &mut LogicalOp, reads: &mut FieldReads) -> bool {
+        let mut changed = false;
         if let LogicalOp::DataSourceScan { var, fields, .. } = op {
-            *fields = match reads.remove(var) {
+            let told: Vec<String> = match reads.remove(var) {
                 Some(Some(names)) => names.into_iter().collect(),
                 _ => Vec::new(),
             };
+            changed = *fields != told;
+            *fields = told;
         }
-        op.children_mut().into_iter().for_each(|c| tell_scans(c, reads));
+        op.children_mut().into_iter().fold(changed, |changed, c| tell_scans(c, reads) | changed)
     }
     let mut reads = FieldReads::new();
     note_op(root, &mut reads);
-    tell_scans(root, &mut reads);
+    tell_scans(root, &mut reads)
+}
+
+/// Has every secondary-index probe sort the primary keys it finds before it
+/// fetches their records; a primary path reads records where they are.
+fn sort_probe_keys(op: &mut LogicalOp) -> bool {
+    let mut changed = false;
+    if let LogicalOp::DataSourceScan { access: Some(path), .. } = op {
+        changed = path.kind != IndexKind::Primary && !path.sorted;
+        path.sorted |= changed;
+    }
+    op.children_mut().into_iter().fold(changed, |changed, c| sort_probe_keys(c) | changed)
 }
 
 /// Removes `Assign`s whose variable is never used above them.
@@ -666,31 +677,10 @@ mod tests {
             }),
             exprs: vec![Expr::Var(0)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
         assert_eq!(p.matches("select").count(), 1, "merged into one select:\n{p}");
         assert!(p.contains("and("), "{p}");
-    }
-
-    #[test]
-    fn select_pushes_through_assign() {
-        // select(cond on $0) over assign $1 := ... must swap
-        let mut plan = Plan::new(LogicalOp::DistributeResult {
-            input: Box::new(LogicalOp::Select {
-                input: Box::new(LogicalOp::Assign {
-                    input: Box::new(scan(0)),
-                    var: 1,
-                    expr: Expr::field(Expr::Var(0), "x"),
-                }),
-                condition: gt_field(0, "a", 5),
-            }),
-            exprs: vec![Expr::Var(1)],
-        });
-        optimize(&mut plan);
-        let p = plan.pretty();
-        let select_pos = p.find("select").unwrap();
-        let assign_pos = p.find("assign").unwrap();
-        assert!(assign_pos < select_pos, "select pushed below assign:\n{p}");
     }
 
     #[test]
@@ -716,7 +706,7 @@ mod tests {
             }),
             exprs: vec![Expr::Var(0)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
         assert!(p.contains("Inner-join eq("), "equi condition moved into join:\n{p}");
         assert_eq!(p.matches("select gt(").count(), 2, "side filters pushed:\n{p}");
@@ -736,7 +726,7 @@ mod tests {
             }),
             exprs: vec![Expr::Var(1)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
         assert_eq!(p.matches("assign").count(), 1, "dead assign removed:\n{p}");
         assert!(p.contains("used"), "{p}");
@@ -803,7 +793,7 @@ mod tests {
             }),
             exprs: vec![Expr::Var(0)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
         assert!(p.contains("index-scan users#sinceIdx"), "{p}");
         assert!(p.contains("select"), "residual filter kept:\n{p}");
@@ -827,7 +817,7 @@ mod tests {
             }),
             exprs: vec![Expr::Var(0)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
         assert!(p.contains("select"), "residual filter kept:\n{p}");
         p.lines().last().unwrap_or_default().trim().to_string()
@@ -952,7 +942,7 @@ mod tests {
     /// The scan lines of the optimized plan under `root`, top to bottom.
     fn scans(root: LogicalOp) -> Vec<String> {
         let mut plan = Plan::new(root);
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         let is_scan = |l: &&str| l.starts_with("scan ") || l.starts_with("index-scan ");
         plan.pretty().lines().map(str::trim).filter(is_scan).map(String::from).collect()
     }
@@ -1043,6 +1033,93 @@ mod tests {
         assert_eq!(scans(result(count, vec![Expr::Var(1)])), ["scan ds -> $1"]);
     }
 
+    fn probe(op: &LogicalOp) -> Option<&AccessPath> {
+        match op {
+            LogicalOp::DataSourceScan { access, .. } => access.as_ref(),
+            _ => op.children().into_iter().find_map(probe),
+        }
+    }
+
+    /// A plan in which `rule` fires, and the mark its firing leaves on the
+    /// optimized plan.
+    fn fires(rule: Rule) -> (LogicalOp, fn(&Plan) -> bool) {
+        let select = |input, condition| LogicalOp::Select { input: Box::new(input), condition };
+        let assign = |input, var, field| LogicalOp::Assign {
+            input: Box::new(input),
+            var,
+            expr: Expr::field(Expr::Var(0), field),
+        };
+        let indexed = || LogicalOp::DataSourceScan {
+            source: Arc::new(IndexedSource::default()),
+            var: 0,
+            access: None,
+            fields: vec![],
+        };
+        let whole = |input| result(input, vec![Expr::Var(0)]);
+        match rule {
+            Rule::ConstantFolding => {
+                let five = Expr::bin(Func::Add, Expr::Const(Value::Int(2)), Expr::Const(Value::Int(3)));
+                let cond = Expr::bin(Func::Gt, Expr::field(Expr::Var(0), "x"), five);
+                (whole(select(scan(0), cond)), |p| p.pretty().contains("gt($0.x, 5)"))
+            }
+            Rule::MergeSelects => (
+                whole(select(select(scan(0), gt_field(0, "a", 1)), gt_field(0, "b", 2))),
+                |p| p.pretty().matches("select").count() == 1,
+            ),
+            Rule::PushSelect => (
+                result(select(assign(scan(0), 1, "x"), gt_field(0, "a", 5)), vec![Expr::Var(1)]),
+                |p| {
+                    let text = p.pretty();
+                    matches!((text.find("assign"), text.find("select")), (Some(a), Some(s)) if a < s)
+                },
+            ),
+            Rule::SelectIntoJoin => {
+                let join = LogicalOp::Join {
+                    left: Box::new(scan(0)),
+                    right: Box::new(scan(1)),
+                    condition: Expr::Const(Value::Bool(true)),
+                    kind: JoinKind::Inner,
+                };
+                (whole(select(join, eq_fields(0, 1, "k"))), |p| p.pretty().contains("Inner-join eq("))
+            }
+            Rule::IntroduceIndexPaths => {
+                (whole(select(indexed(), gt_field(0, "userSince", 10))), |p| p.pretty().contains("index-scan"))
+            }
+            Rule::EliminateDeadAssigns => (
+                result(assign(assign(scan(0), 1, "used"), 2, "unused"), vec![Expr::Var(1)]),
+                |p| !p.pretty().contains("unused"),
+            ),
+            Rule::PushFieldAccess => {
+                (result(scan(0), vec![Expr::field(Expr::Var(0), "a")]), |p| p.pretty().contains("scan ds {a}"))
+            }
+            Rule::SortedIndexFetch => (
+                whole(select(indexed(), gt_field(0, "userSince", 10))),
+                |p| probe(&p.root).is_some_and(|path| path.sorted),
+            ),
+            Rule::LocalAggregation => {
+                let aggs = vec![(1, crate::plan::AggFunc::CountStar, Expr::Const(Value::Int(1)))];
+                let count = LogicalOp::Aggregate { input: Box::new(scan(0)), aggs };
+                (result(count, vec![Expr::Var(1)]), |p| {
+                    let job = crate::jobgen::compile(p, &Default::default());
+                    job.is_ok_and(|job| job.ops.iter().any(|op| op.label == "agg-local"))
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn each_rule_leaves_its_mark_only_when_it_runs() {
+        for rule in Rule::all() {
+            for disabled in [BTreeSet::new(), BTreeSet::from([rule])] {
+                let (root, mark) = fires(rule);
+                let mut plan = Plan::new(root);
+                optimize(&mut plan, &disabled);
+                let p = plan.pretty();
+                assert_eq!(mark(&plan), disabled.is_empty(), "{rule}, disabled {disabled:?}:\n{p}");
+            }
+        }
+    }
+
     #[test]
     fn no_index_path_for_unindexed_field() {
         let mut plan = Plan::new(LogicalOp::DistributeResult {
@@ -1057,25 +1134,8 @@ mod tests {
             }),
             exprs: vec![Expr::Var(0)],
         });
-        optimize(&mut plan);
+        optimize(&mut plan, &BTreeSet::new());
         assert!(plan.pretty().contains("scan users"), "{}", plan.pretty());
         assert!(!plan.pretty().contains("index-scan"));
-    }
-
-    #[test]
-    fn constant_folding_in_plan() {
-        let mut plan = Plan::new(LogicalOp::DistributeResult {
-            input: Box::new(LogicalOp::Select {
-                input: Box::new(scan(0)),
-                condition: Expr::bin(
-                    Func::Gt,
-                    Expr::field(Expr::Var(0), "x"),
-                    Expr::bin(Func::Add, Expr::Const(Value::Int(2)), Expr::Const(Value::Int(3))),
-                ),
-            }),
-            exprs: vec![Expr::Var(0)],
-        });
-        optimize(&mut plan);
-        assert!(plan.pretty().contains("gt($0.x, 5)"), "{}", plan.pretty());
     }
 }

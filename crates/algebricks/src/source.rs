@@ -102,6 +102,10 @@ pub struct AccessPath {
     pub index: String,
     pub kind: IndexKind,
     pub range: IndexRange,
+    /// A secondary-index probe sorts the primary keys it finds before it
+    /// fetches their records (§V-B; the optimizer's sorted-index-fetch rule
+    /// sets it).
+    pub sorted: bool,
 }
 
 /// A named, partitioned source of records.
@@ -134,9 +138,10 @@ pub trait DataSource: Send + Sync {
     /// [`DataSource::scan`], the records
     /// matching the probe (a superset is fine: the optimizer keeps the
     /// predicate as a residual select). For a secondary index,
-    /// implementations apply the secondary-key search, sort the resulting
-    /// primary keys, and fetch records in PK order (the §V-B "usual trick",
-    /// experiment E7); a primary path reads the records where they are.
+    /// implementations apply the secondary-key search and fetch the records
+    /// of the primary keys it yields — in PK order when `path.sorted` (the
+    /// §V-B "usual trick", experiment E7); a primary path reads the records
+    /// where they are.
     /// `fields` as for [`DataSource::scan`].
     fn index_scan(&self, _path: &AccessPath, _fields: &[String]) -> Result<Arc<dyn SourceFactory>> {
         Err(crate::error::AlgebricksError::Plan(format!(
@@ -231,6 +236,7 @@ mod tests {
                         hi: None,
                         hi_inclusive: true,
                     },
+                    sorted: true,
                 },
                 &[],
             )

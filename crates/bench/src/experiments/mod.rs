@@ -10,7 +10,7 @@ pub mod e03_btree_vs_hash;
 pub mod e04_scaleout;
 pub mod e05_memory;
 pub mod e06_htap;
-pub mod e07_sorted_fetch;
+pub mod e07_sorted_pk_fetch;
 pub mod e08_lsm_merge;
 pub mod e09_two_languages;
 pub mod e10_open_closed;
@@ -29,7 +29,7 @@ pub fn all(quick: bool) -> Vec<ExpReport> {
         e04_scaleout::run(quick),
         e05_memory::run(quick),
         e06_htap::run(quick),
-        e07_sorted_fetch::run(quick),
+        e07_sorted_pk_fetch::run(quick),
         e08_lsm_merge::run(quick),
         e09_two_languages::run(quick),
         e10_open_closed::run(quick),
@@ -48,7 +48,7 @@ pub fn by_id(id: &str, quick: bool) -> Option<ExpReport> {
         "e4" | "e04" => e04_scaleout::run(quick),
         "e5" | "e05" => e05_memory::run(quick),
         "e6" | "e06" => e06_htap::run(quick),
-        "e7" | "e07" => e07_sorted_fetch::run(quick),
+        "e7" | "e07" => e07_sorted_pk_fetch::run(quick),
         "e8" | "e08" => e08_lsm_merge::run(quick),
         "e9" | "e09" => e09_two_languages::run(quick),
         "e10" => e10_open_closed::run(quick),

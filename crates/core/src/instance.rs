@@ -30,7 +30,7 @@ use crate::txn::{TxnManager, UndoEntry};
 use asterix_adm::Value;
 use asterix_algebricks::jobgen::{self, JobGenConfig};
 use asterix_algebricks::plan::{Plan, VarGen};
-use asterix_algebricks::rules::optimize;
+use asterix_algebricks::rules::{optimize, Rule};
 use asterix_algebricks::source::DataSource;
 use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
 use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
@@ -95,10 +95,9 @@ pub struct InstanceConfig {
     pub cache_pages_per_node: usize,
     /// LSM tuning.
     pub storage: StorageConfig,
-    /// Sort candidate PKs before fetching in index scans (§V-B; E7 toggles).
-    pub sorted_index_fetch: bool,
-    /// Local/global aggregation splitting (ablation E13 toggles).
-    pub local_aggregation: bool,
+    /// Optimizer rules every query skips (E13's ablations, the oracle's
+    /// rule-off axis); empty, so every rule runs, by default.
+    pub disabled_rules: BTreeSet<Rule>,
     /// Deterministic fault injector threaded through every node's I/O and
     /// WAL paths (crash-recovery testing; `None` in production).
     pub faults: Option<Arc<asterix_storage::faults::FaultInjector>>,
@@ -122,8 +121,7 @@ impl Default for InstanceConfig {
             partitions: 2,
             cache_pages_per_node: 1024,
             storage: StorageConfig::default(),
-            sorted_index_fetch: true,
-            local_aggregation: true,
+            disabled_rules: BTreeSet::new(),
             faults: None,
             retry: RetryPolicy::default(),
             scheduler: SchedulerConfig::default(),
@@ -677,7 +675,6 @@ impl Instance {
         let cfg = JobGenConfig {
             dop: self.inner.config.partitions.max(1),
             op_memory: admission.budget(),
-            local_aggregation: self.inner.config.local_aggregation,
         };
         let count_retry = || self.registry().counter("core.query.retries").inc();
         self.with_retries(&self.inner.config.retry, count_retry, || {
@@ -768,7 +765,7 @@ impl Instance {
     fn compile(&self, query: &Query) -> Result<Plan> {
         let mut plan = translate_query(query, &InstanceCatalogView(self), &mut VarGen::new())
             .map_err(CoreError::Sqlpp)?;
-        optimize(&mut plan);
+        optimize(&mut plan, &self.inner.config.disabled_rules);
         Ok(plan)
     }
 
@@ -1229,10 +1226,7 @@ impl CatalogView for InstanceCatalogView<'_> {
     fn dataset(&self, name: &str) -> Option<Arc<dyn DataSource>> {
         let inner = &self.0.inner;
         if let Some(rt) = inner.datasets.read().get(name) {
-            return Some(Arc::new(DatasetSource {
-                runtime: Arc::clone(rt),
-                sorted_fetch: inner.config.sorted_index_fetch,
-            }));
+            return Some(DatasetSource::new(Arc::clone(rt)));
         }
         let catalog = inner.catalog.read();
         let def = catalog.dataset(name)?;

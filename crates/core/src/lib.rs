@@ -51,6 +51,7 @@ pub mod txn;
 pub use error::{CoreError, Result};
 pub use feeds::{Feed, FeedConfig, IngestionPolicy};
 pub use instance::{Instance, InstanceConfig, Language, RetryPolicy};
+pub use asterix_algebricks::rules::Rule;
 pub use scheduler::{
     PoolSnapshot, QueryHandle, QueryOptions, QueryScheduler, SchedulerConfig, Session,
 };

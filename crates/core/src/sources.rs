@@ -47,15 +47,12 @@ impl DatasetRuntime {
 /// [`DataSource`] over an internal dataset.
 pub struct DatasetSource {
     pub runtime: Arc<DatasetRuntime>,
-    /// Sort candidate PKs before fetching records (§V-B trick; configurable
-    /// so experiment E7 can measure both sides).
-    pub sorted_fetch: bool,
 }
 
 impl DatasetSource {
-    /// Wraps a dataset runtime with the default (sorted-fetch) behaviour.
+    /// Wraps a dataset runtime.
     pub fn new(runtime: Arc<DatasetRuntime>) -> Arc<Self> {
-        Arc::new(DatasetSource { runtime, sorted_fetch: true })
+        Arc::new(DatasetSource { runtime })
     }
 }
 
@@ -268,7 +265,7 @@ impl DataSource for DatasetSource {
                 path.index
             )));
         }
-        let probe = Reading::Probe { index: path.index.clone(), range, sorted: self.sorted_fetch };
+        let probe = Reading::Probe { index: path.index.clone(), range, sorted: path.sorted };
         Ok(records_factory(&self.runtime, fields, probe))
     }
 }
@@ -383,7 +380,7 @@ mod tests {
             rt.partitions[p].write().upsert(&rec).unwrap();
         }
         let src = DatasetSource::new(Arc::clone(&rt));
-        let by_v = |range| AccessPath { index: "byV".into(), kind: AlgIndexKind::BTree, range };
+        let by_v = |range| AccessPath { index: "byV".into(), kind: AlgIndexKind::BTree, range, sorted: true };
         let factory = src
             .index_scan(
                 &by_v(IndexRange::Range {

@@ -1,19 +1,22 @@
 //! One aggregate, every route: the grouped sugar, the scalar sugar, either
-//! of them with `local_aggregation` off, and the `COLL_*` functions that
-//! `GROUP AS` / AQL `with $v` aggregate through, all run the one accumulator
-//! of `asterix_hyracks::ops::AggState`, so they give one answer — and the
-//! plans they compile to have no operator that only repairs a partial.
+//! of them with `Rule::LocalAggregation` disabled, and the `COLL_*`
+//! functions that `GROUP AS` / AQL `with $v` aggregate through, all run the
+//! one accumulator of `asterix_hyracks::ops::AggState`, so they give one
+//! answer — and the plans they compile to have no operator that only repairs
+//! a partial.
 
 use asterix_adm::Value;
 use asterix_core::instance::{Instance, InstanceConfig};
+use asterix_core::Rule;
 
 /// `D`: group 1 holds `1` and `"a"`, group 2 holds `i64::MAX` and `1`,
 /// group 3 holds `1`, `null` and a record without `v`.
-fn db(local_aggregation: bool) -> Instance {
+/// `disabled` is the one rule the instance skips, if any.
+fn db(disabled: Option<Rule>) -> Instance {
     let db = Instance::open(InstanceConfig {
         nodes: 2,
         partitions: 3,
-        local_aggregation,
+        disabled_rules: disabled.into_iter().collect(),
         ..Default::default()
     })
     .unwrap();
@@ -33,23 +36,24 @@ fn db(local_aggregation: bool) -> Instance {
 /// `[sum, avg, count]` of group `g` on every route, each with the route's name.
 fn routes(g: i64) -> Vec<(String, Value)> {
     let mut out = Vec::new();
-    for local in [true, false] {
-        let db = db(local);
+    for disabled in [None, Some(Rule::LocalAggregation)] {
+        let db = db(disabled);
+        let off = disabled.map_or("none".into(), |rule| rule.to_string());
         let grouped = db
             .query(&format!(
                 "SELECT VALUE [s, a, n] FROM (SELECT d.g AS g, SUM(d.v) AS s, AVG(d.v) AS a, \
                  COUNT(d.v) AS n FROM D d GROUP BY d.g) AS r WHERE r.g = {g}"
             ))
             .unwrap();
-        out.push((format!("grouped, local_aggregation={local}"), grouped[0].clone()));
+        out.push((format!("grouped, rule off: {off}"), grouped[0].clone()));
         let scalar = db
             .query(&format!(
                 "SELECT VALUE [SUM(d.v), AVG(d.v), COUNT(d.v)] FROM D d WHERE d.g = {g}"
             ))
             .unwrap();
-        out.push((format!("scalar, local_aggregation={local}"), scalar[0].clone()));
+        out.push((format!("scalar, rule off: {off}"), scalar[0].clone()));
     }
-    let db = db(true);
+    let db = db(None);
     let aql = db
         .query_aql(&format!(
             "for $d in dataset D let $v := $d.v where $d.g = {g} group by $g := $d.g with $v \
@@ -91,7 +95,7 @@ fn unknowns_are_skipped_on_every_route() {
 
 #[test]
 fn coll_count_counts_what_count_counts_and_exists_still_means_has_any_item() {
-    let db = db(true);
+    let db = db(None);
     let one = |sql: &str| db.query(sql).unwrap().remove(0);
     assert_eq!(one("SELECT VALUE coll_count([1, null, 'a'])"), Value::Int(2));
     assert_eq!(
@@ -122,7 +126,7 @@ fn labels(db: &Instance, sql: &str) -> Vec<String> {
 fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
     const GROUPED: &str = "SELECT d.g, COUNT(*), SUM(d.v) FROM D d GROUP BY d.g";
     const SCALAR: &str = "SELECT VALUE COUNT(*) FROM D d";
-    let split = db(true);
+    let split = db(None);
     assert_eq!(
         labels(&split, GROUPED),
         [
@@ -137,9 +141,9 @@ fn an_aggregate_compiles_to_one_assign_and_the_stages_around_one_exchange() {
             "result-project", "sink"
         ]
     );
-    // E13's knob governs both: without the split the one stage after the
+    // E13's rule governs both: without the split the one stage after the
     // exchange aggregates raw tuples
-    let direct = db(false);
+    let direct = db(Some(Rule::LocalAggregation));
     assert_eq!(
         labels(&direct, GROUPED),
         [

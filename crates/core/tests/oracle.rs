@@ -1,6 +1,7 @@
 //! The differential oracle: whichever access path, aggregation route,
-//! partition count, typing mode or storage state answers a query, it answers
-//! what a reference written here computes from a model of what was written.
+//! partition count, typing mode, storage state or optimizer rule left out
+//! answers a query, it answers what a reference written here computes from a
+//! model of what was written.
 //! The datasets, the op stream that writes them (upserts, deletes, flushes,
 //! merges, crashes) and the model exist once here. Each property brings
 //! only the checks it draws and its hand-written reference, which never
@@ -12,14 +13,16 @@
 //!   composite) and on the indexed field, with int and double constants,
 //!   against a naive filter — and a bound on a key or an index takes one;
 //! - aggregates: six functions on the grouped, scalar and AQL `with $v`
-//!   routes, with and without the local/global split, against a fold;
+//!   routes, against a fold;
 //! - projection: queries that read a few fields (`SELECT m.f`, `WHERE`,
 //!   `GROUP BY`, `ORDER BY`, joins) against what whole records give — and
 //!   the scan is told exactly those fields.
 //!
 //! Every property runs in every storage state — rows in memory components,
 //! flushed leaf groups, rows and delete markers in memory over them, merged,
-//! crashed and reopened — at one partition and at several.
+//! crashed and reopened — at one partition and at several, with every rule
+//! of the optimizer and with each one disabled in turn; from 24 cases on,
+//! each of these at an odd and at an even partition count (`configuration`).
 
 mod common;
 
@@ -27,6 +30,7 @@ use asterix_adm::compare::total_cmp;
 use asterix_adm::parse::parse_value;
 use asterix_adm::{Object, Value};
 use asterix_core::instance::{Instance, InstanceConfig, Language};
+use asterix_core::Rule;
 use asterix_storage::lsm::MergePolicy;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,17 +135,18 @@ enum Check {
 }
 
 impl Check {
-    /// `records` is what `dataset` holds, by the model.
-    fn verify(&self, db: &Instance, dataset: &str, records: &[Value]) {
+    /// `records` is what `dataset` holds, by the model; `db` runs without
+    /// the rule `off`, if any.
+    fn verify(&self, db: &Instance, dataset: &str, records: &[Value], off: Option<Rule>) {
         match self {
             Check::Predicate(pred) => check_predicate(db, dataset, records, pred),
             Check::Path(_, composite) if dataset == "K" => {
-                check_path(db, dataset, records, composite, &["org", "a"])
+                check_path(db, dataset, records, composite, &["org", "a"], off)
             }
-            Check::Path(single, _) => check_path(db, dataset, records, single, &["id", "a"]),
+            Check::Path(single, _) => check_path(db, dataset, records, single, &["id", "a"], off),
             Check::Fold(g) if dataset != "C" => check_fold(db, dataset, records, *g),
             Check::Fields(fields, bound) if dataset != "K" => {
-                check_fields(db, dataset, records, fields, *bound)
+                check_fields(db, dataset, records, fields, *bound, off)
             }
             Check::Fold(_) | Check::Fields(..) => {}
         }
@@ -149,21 +154,37 @@ impl Check {
 }
 
 /// Runs `default` op streams — `PROPTEST_CASES` of them when that is set, as
-/// the nightly sets it — their checks drawn from `check`. Case `i` runs on
-/// point `i % 8` of the configuration axis: one to four partitions, each
-/// with and without the local/global split of aggregates. `PROPTEST_SEED`
-/// reseeds the streams.
+/// the nightly sets it — their checks drawn from `check`, case `i` as
+/// `configuration(i)`. `PROPTEST_SEED` reseeds the streams.
 fn property(name: &str, default: u32, check: BoxedStrategy<Check>) {
     let env = std::env::var("PROPTEST_CASES");
     let cases = env.ok().and_then(|s| s.parse().ok()).unwrap_or(default);
     let stream = arb_ops(check);
     let (mut rng, seed) = proptest::rng_for_test(name);
     for case in 0..cases as usize {
-        let (partitions, local) = (case % 4 + 1, case / 4 % 2 == 0);
+        let (partitions, off) = configuration(case);
+        let rule = off.map_or("none".into(), |rule| rule.to_string());
         // shown only if the case fails
-        eprintln!("{name} case {case}, seed {seed:#x}: {partitions} partitions, local {local}");
-        run(partitions, local, &stream.generate(&mut rng));
+        eprintln!("{name} case {case}, seed {seed:#x}: {partitions} partitions, rule off: {rule}");
+        run(partitions, off, &stream.generate(&mut rng));
     }
+}
+
+/// Case `i` runs on `i % 4 + 1` partitions without rule `(i + i / 10) % 10`
+/// of none and the optimizer's nine. The first ten cases leave out each rule
+/// once. The shift by one every ten cases keeps a rule's parity from
+/// following the partition count's (4 and 10 are both even): from 24 cases
+/// on, every rule, and none, is left out at an odd and at an even partition
+/// count, and at 64 at each of the four (`every_configuration_is_reached`).
+fn configuration(case: usize) -> (usize, Option<Rule>) {
+    let axis: Vec<Option<Rule>> = std::iter::once(None).chain(Rule::all().map(Some)).collect();
+    (case % 4 + 1, axis[(case + case / axis.len()) % axis.len()])
+}
+
+/// Whether a case that runs without `off` ran every rule of `rules`: a plan
+/// assertion holds only where the rules it pins ran.
+fn ran(off: Option<Rule>, rules: &[Rule]) -> bool {
+    off.is_none_or(|off| !rules.contains(&off))
 }
 
 /// The data directory, removed when the run is over.
@@ -175,14 +196,14 @@ impl Drop for Dir {
     }
 }
 
-/// Runs `ops`, each check against the model; returns the bytes of string
-/// chunks that the flushes and merges of the instances it opened wrote,
-/// `(plain, coded)`.
-fn run(partitions: usize, local_aggregation: bool, ops: &[Op]) -> (i128, i128) {
+/// Runs `ops` without the rule `off`, if any, each check against the model;
+/// returns the bytes of string chunks that the flushes and merges of the
+/// instances it opened wrote, `(plain, coded)`.
+fn run(partitions: usize, off: Option<Rule>, ops: &[Op]) -> (i128, i128) {
     let mut config = InstanceConfig {
         nodes: partitions.min(2),
         partitions,
-        local_aggregation,
+        disabled_rules: off.into_iter().collect(),
         ..Default::default()
     };
     // every third flush merges, so reads cross memory, fresh and merged
@@ -244,7 +265,7 @@ fn run(partitions: usize, local_aggregation: bool, ops: &[Op]) -> (i128, i128) {
                         let dump = query(&db, &format!("SELECT VALUE m FROM {dataset} m"));
                         assert_eq!(sorted(dump), sorted(records.clone()), "{dataset} dump");
                     }
-                    check.verify(&db, dataset, &records);
+                    check.verify(&db, dataset, &records, off);
                 }
                 dumped = true;
             }
@@ -440,7 +461,14 @@ fn arb_conjunction(fields: [(&'static str, i64); 3]) -> impl Strategy<Value = Ve
 
 /// The query through whatever access path the optimizer picks, reading
 /// records whole and as two columns, against a naive filter.
-fn check_path(db: &Instance, dataset: &str, records: &[Value], pred: &[Atom], indexed: &[&str]) {
+fn check_path(
+    db: &Instance,
+    dataset: &str,
+    records: &[Value],
+    pred: &[Atom],
+    indexed: &[&str],
+    off: Option<Rule>,
+) {
     let conjuncts: Vec<String> = pred.iter().map(Atom::sql).collect();
     let filter = conjuncts.join(" AND ");
     let hit = |r: &Value| pred.iter().all(|atom| atom.eval(r));
@@ -449,9 +477,10 @@ fn check_path(db: &Instance, dataset: &str, records: &[Value], pred: &[Atom], in
     let sql = format!("SELECT t.id AS id, t.g AS g FROM {dataset} t WHERE {filter}");
     expect(db, &sql, records, hit, |r| pick(r, &["id", "g"]));
     // not vacuous: a bound on the leading key field or the indexed field
-    // always yields an access path
+    // always yields an access path — when the conjuncts were merged into the
+    // one select the rule reads
     let bounds = |atom: &Atom| atom.op != "!=" && indexed.contains(&atom.field);
-    if pred.iter().any(bounds) {
+    if ran(off, &[Rule::IntroduceIndexPaths, Rule::MergeSelects]) && pred.iter().any(bounds) {
         let plan = db.explain(&sql, Language::Sqlpp).unwrap();
         assert!(plan.contains("index-scan"), "{sql}\n{plan}");
     }
@@ -557,7 +586,14 @@ fn check_fold(db: &Instance, dataset: &str, records: &[Value], g: i64) {
 /// field that is absent from some records, and a name no record has.
 const FIELDS: [&str; 6] = ["id", "a", "g", "s", "nest", "nope"];
 
-fn check_fields(db: &Instance, dataset: &str, records: &[Value], fields: &[usize], bound: i64) {
+fn check_fields(
+    db: &Instance,
+    dataset: &str,
+    records: &[Value],
+    fields: &[usize],
+    bound: i64,
+    off: Option<Rule>,
+) {
     let mut names: Vec<&str> = fields.iter().map(|f| FIELDS[*f]).collect();
     names.dedup();
     let select: Vec<String> = names.iter().map(|n| format!("m.{n}")).collect();
@@ -567,10 +603,12 @@ fn check_fields(db: &Instance, dataset: &str, records: &[Value], fields: &[usize
     let sql = format!("SELECT {select} FROM {dataset} m");
     expect(db, &sql, records, |_| true, picked);
     // not vacuous: the scan was told those fields and no others
-    let told: BTreeSet<&str> = names.iter().copied().collect();
-    let plan = db.explain(&sql, Language::Sqlpp).unwrap();
-    let scan = format!("scan {dataset} {{{}}} -> ", Vec::from_iter(told).join(", "));
-    assert!(plan.contains(&scan), "{sql}\n{plan}");
+    if ran(off, &[Rule::PushFieldAccess]) {
+        let told: BTreeSet<&str> = names.iter().copied().collect();
+        let plan = db.explain(&sql, Language::Sqlpp).unwrap();
+        let scan = format!("scan {dataset} {{{}}} -> ", Vec::from_iter(told).join(", "));
+        assert!(plan.contains(&scan), "{sql}\n{plan}");
+    }
 
     // a path of its own into the open part's object
     let sql = format!("SELECT VALUE m.nest.x FROM {dataset} m WHERE m.g >= 2");
@@ -582,9 +620,11 @@ fn check_fields(db: &Instance, dataset: &str, records: &[Value], fields: &[usize
     for (field, path) in [("g", "scan "), ("a", "index-scan "), ("id", "index-scan ")] {
         let sql = format!("SELECT {select} FROM {dataset} m WHERE m.{field} >= {bound}");
         expect(db, &sql, records, |r| int(r, field) >= bound, picked);
-        let plan = db.explain(&sql, Language::Sqlpp).unwrap();
-        let source = plan.lines().last().unwrap().trim_start();
-        assert!(source.starts_with(path), "{sql}\n{plan}");
+        if path == "scan " || ran(off, &[Rule::IntroduceIndexPaths]) {
+            let plan = db.explain(&sql, Language::Sqlpp).unwrap();
+            let source = plan.lines().last().unwrap().trim_start();
+            assert!(source.starts_with(path), "{sql}\n{plan}");
+        }
     }
 
     let mut groups: BTreeMap<i64, (i64, i64)> = BTreeMap::new();
@@ -648,6 +688,34 @@ fn queries_cannot_tell_which_fields_a_scan_decoded() {
     property("queries_cannot_tell_which_fields_a_scan_decoded", 16, check);
 }
 
+/// The properties' case counts reach the configurations `configuration`
+/// promises.
+#[test]
+fn every_configuration_is_reached() {
+    let reached = |cases: usize, key: fn(usize) -> usize| {
+        let reached: BTreeSet<_> = (0..cases)
+            .map(configuration)
+            .map(|(p, off)| (key(p), off))
+            .collect();
+        let keys = (1..=4).map(key).collect::<BTreeSet<_>>().len();
+        reached.len() == keys * (Rule::all().count() + 1)
+    };
+    let parity: fn(usize) -> usize = |p| p % 2;
+    let partitions: fn(usize) -> usize = |p| p;
+    assert!(
+        reached(10, |_| 0),
+        "ten cases leave out each rule, and none"
+    );
+    assert!(
+        reached(24, parity),
+        "24 cases cross each with both parities"
+    );
+    assert!(
+        reached(64, partitions),
+        "64 cases cross each with every count"
+    );
+}
+
 /// Every state by name, whatever the random stream reaches, each property's
 /// checks in each: memory components only, one flushed component,
 /// overwrites and deletes in memory over it, merged components with a live
@@ -687,9 +755,9 @@ fn pinned_states_memtable_flushed_merged_restarted() {
     ops.extend(checks.clone()); // merged, under a memtable
     ops.push(Op::Restart);
     ops.extend(checks); // restarted
-    for (partitions, local_aggregation) in [(1, true), (2, false)] {
+    for (partitions, off) in [(1, None), (2, Some(Rule::LocalAggregation))] {
         // the closed type's strings were coded in the groups read
-        let (plain, coded) = run(partitions, local_aggregation, &ops);
+        let (plain, coded) = run(partitions, off, &ops);
         assert!(coded < plain, "{coded} bytes of string chunks of {plain}");
     }
 }
@@ -722,7 +790,7 @@ fn pinned_point_gets_across_deletes_overwrites_and_flushes() {
     ops.extend([Op::Upsert(vec![row(7, 2, 0, 7)]), Op::Flush]);
     ops.extend(probes);
     for partitions in [1, 3] {
-        run(partitions, true, &ops);
+        run(partitions, None, &ops);
     }
 }
 
@@ -766,5 +834,5 @@ fn pinned_reads_across_batch_and_group_boundaries() {
 
     ops.push(Op::FlushAndMerge);
     ops.extend(checks); // merged
-    run(1, true, &ops);
+    run(1, None, &ops);
 }

@@ -970,7 +970,7 @@ mod tests {
         let cat = catalog();
         let mut vg = VarGen::new();
         let mut plan = translate_query(&q, &cat, &mut vg).unwrap();
-        optimize(&mut plan);
+        optimize(&mut plan, &Default::default());
         let ctx = RuntimeCtx::temp().unwrap();
         execute(&plan, &JobGenConfig::default(), ctx, Default::default()).unwrap().0
     }
@@ -1147,7 +1147,7 @@ mod tests {
         let cat = catalog();
         let mut vg = VarGen::new();
         let mut plan = translate_query(&q, &cat, &mut vg).unwrap();
-        optimize(&mut plan);
+        optimize(&mut plan, &Default::default());
         let ctx = RuntimeCtx::temp().unwrap();
         let (aql, _) = execute(&plan, &JobGenConfig::default(), ctx, Default::default()).unwrap();
         assert_eq!(sorted(sql), sorted(aql));
@@ -1166,14 +1166,14 @@ mod tests {
         };
         let mut vg1 = VarGen::new();
         let mut p1 = translate_query(&sql_q, &cat, &mut vg1).unwrap();
-        optimize(&mut p1);
+        optimize(&mut p1, &Default::default());
         let mut vg2 = VarGen::new();
         // different var allocation start to prove canonicalization
         for _ in 0..7 {
             vg2.fresh();
         }
         let mut p2 = translate_query(&aql_q, &cat, &mut vg2).unwrap();
-        optimize(&mut p2);
+        optimize(&mut p2, &Default::default());
         assert_eq!(p1.pretty(), p2.pretty());
     }
 }
