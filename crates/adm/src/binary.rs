@@ -177,7 +177,7 @@ pub fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// Reverses the zigzag of [`put_zigzag`].
-fn unzigzag(v: u64) -> i64 {
+pub fn unzigzag(v: u64) -> i64 {
     (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
@@ -188,6 +188,53 @@ pub fn int_cell(cell: &[u8]) -> Option<i64> {
         [T_INT, rest @ ..] => read_varint(rest).filter(|&(_, n)| n == rest.len()).map(|(v, _)| unzigzag(v)),
         _ => None,
     }
+}
+
+/// The bytes of the `string` a whole cell holds — its tag, its length and
+/// that many bytes, nothing after; not checked for UTF-8 — or `None` for a
+/// cell of another form.
+pub fn string_cell(cell: &[u8]) -> Option<&[u8]> {
+    match cell {
+        [T_STRING, rest @ ..] => read_varint(rest).filter(|&(len, n)| len == (rest.len() - n) as u64).map(|(_, n)| &rest[n..]),
+        _ => None,
+    }
+}
+
+/// Appends the cell of the `string` whose bytes are `s`.
+pub fn put_string_cell(out: &mut Vec<u8>, s: &[u8]) {
+    out.push(T_STRING);
+    put_len(out, s.len());
+    out.extend_from_slice(s);
+}
+
+/// The bytes after its tag of every value of tag `tag`, for a type whose
+/// values all take the same number — a `boolean`, `double`, `point`,
+/// `rectangle`, `date`, `time`, `datetime`, `duration` or `uuid` — and
+/// `None` for any other tag.
+pub fn fixed_width(tag: u8) -> Option<usize> {
+    match tag {
+        T_BOOL => Some(1),
+        T_DATE | T_TIME => Some(4),
+        T_DOUBLE | T_DATETIME => Some(8),
+        T_DURATION => Some(12),
+        T_POINT | T_UUID => Some(16),
+        T_RECTANGLE => Some(32),
+        _ => None,
+    }
+}
+
+/// Appends the [`encode_key`] of the one value the cell `cell` holds whole:
+/// `encode_key(&[decode(cell)?])`, with an `int`'s built from its varint. A
+/// cell that is no one value is an error.
+pub fn cell_key_into(cell: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    match int_cell(cell) {
+        Some(v) => {
+            out.push(K_NUM);
+            out.extend_from_slice(&ordered_i64(v));
+        }
+        None => put_key_part(&decode(cell)?, out),
+    }
+    Ok(())
 }
 
 /// Streaming decoder over a byte slice.
@@ -297,12 +344,6 @@ impl<'a> Decoder<'a> {
                 self.varint()?;
                 0
             }
-            T_BOOL => 1,
-            T_DATE | T_TIME => 4,
-            T_DOUBLE | T_DATETIME => 8,
-            T_DURATION => 12,
-            T_POINT | T_UUID => 16,
-            T_RECTANGLE => 32,
             T_STRING | T_BINARY => self.len()?,
             T_ARRAY | T_MULTISET => {
                 let n = self.len()?;
@@ -314,7 +355,7 @@ impl<'a> Decoder<'a> {
                 self.nested(|d| d.skip_pairs(n))?;
                 0
             }
-            other => return Err(AdmError::Serde(format!("unknown tag byte {other}"))),
+            other => fixed_width(other).ok_or_else(|| AdmError::Serde(format!("unknown tag byte {other}")))?,
         };
         self.take(n)?;
         Ok(())
@@ -930,6 +971,47 @@ mod tests {
         assert_eq!(decode_key(&k).unwrap(), parts);
         assert!(decode_key(&k[..k.len() - 1]).is_err(), "cut inside the last part");
         assert!(decode_key(&[0x40]).is_err(), "no such tag");
+    }
+
+    #[test]
+    fn a_cells_key_is_the_key_of_its_value() {
+        let nan = f64::from_bits(0x7FF8_0000_0000_0123);
+        let values = [
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Double(2.0),
+            Value::Double(-0.0),
+            Value::Double(nan),
+            Value::Double(f64::from_bits(1)),
+            Value::from(""),
+            Value::from("é\0😀"),
+            Value::Point(Point::new(-0.0, nan)),
+            Value::Null,
+            Value::Array(vec![Value::Int(1), Value::from("x")]),
+        ];
+        for v in &values {
+            let cell = encode(v);
+            let mut key = b"kept".to_vec();
+            cell_key_into(&cell, &mut key).unwrap();
+            assert_eq!(key[4..], encode_key(std::slice::from_ref(v)), "{v:?}");
+        }
+        assert!(cell_key_into(&[T_STRING, 2, b'a'], &mut Vec::new()).is_err(), "a cell cut short");
+        assert!(cell_key_into(&[], &mut Vec::new()).is_err(), "no cell");
+        // the string helpers read back what they write, and nothing else
+        for s in ["", "é", &"x".repeat(300)] {
+            let mut cell = Vec::new();
+            put_string_cell(&mut cell, s.as_bytes());
+            assert_eq!((cell.clone(), string_cell(&cell)), (encode(&Value::from(s)), Some(s.as_bytes())));
+            assert_eq!(string_cell(&cell[..cell.len() - 1]), None, "{s:?} cut short");
+        }
+        assert_eq!(string_cell(&[T_INT, 2]), None);
+        for v in [Value::Bool(true), Value::Double(1.5), Value::Point(Point::new(1.0, 2.0)), Value::Uuid([7; 16])] {
+            let cell = encode(&v);
+            assert_eq!(fixed_width(cell[0]), Some(cell.len() - 1), "{v:?}");
+        }
+        assert_eq!(fixed_width(T_INT), None);
+        assert_eq!(fixed_width(T_NULL), None);
     }
 
     #[test]

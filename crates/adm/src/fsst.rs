@@ -32,7 +32,7 @@ pub const MAX_SYMBOLS: usize = 255;
 /// Bytes of a symbol at most.
 const MAX_LEN: usize = 8;
 /// Bytes of sample a table is trained on, about.
-const SAMPLE_BYTES: usize = 8 << 10;
+pub const SAMPLE_BYTES: usize = 8 << 10;
 /// Rounds of training: the longest symbols about double in length in each,
 /// so the fourth can reach eight bytes. (A fifth codes the benchmark's
 /// messages 0.6 % shorter and costs a fifth more time.)

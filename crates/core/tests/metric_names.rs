@@ -215,19 +215,23 @@ const DDL: &str = "CREATE TYPE T AS { id: int, k: int, s: string };
 /// Records in `D` once the smoke mix has written them all.
 const RECORDS: i64 = 8000;
 
+/// The record of `D` whose `id` is `id`.
+fn record(id: i64) -> Value {
+    let s = format!("message {} from user {}", id * 7 % 1000, id % 13);
+    Value::object(vec![
+        ("id".into(), Value::Int(id)),
+        ("k".into(), Value::Int(id % 500)),
+        ("s".into(), Value::String(s)),
+    ])
+}
+
 /// Upserts records `ids` into `D` in transactions of 100.
 fn write(db: &Instance, ids: std::ops::Range<i64>) {
     let ids: Vec<i64> = ids.collect();
     for chunk in ids.chunks(100) {
         let mut txn = db.begin();
         for &id in chunk {
-            let s = format!("message {} from user {}", id * 7 % 1000, id % 13);
-            let record = Value::object(vec![
-                ("id".into(), Value::Int(id)),
-                ("k".into(), Value::Int(id % 500)),
-                ("s".into(), Value::String(s)),
-            ]);
-            txn.write("D", &record, true).unwrap();
+            txn.write("D", &record(id), true).unwrap();
         }
         txn.commit().unwrap();
     }
@@ -280,6 +284,13 @@ fn every_pinned_counter_counts_after_a_smoke_mix() {
     common::settle(&db);
     // overwrites retract their old index entries, read back whole
     write(&db, 0..100);
+    // a composite key is no one cell's, so the log keeps it as it is
+    db.execute_sqlpp("CREATE DATASET P(T) PRIMARY KEY k, id;").unwrap();
+    let mut txn = db.begin();
+    for id in 0..100 {
+        txn.write("P", &record(id), true).unwrap();
+    }
+    txn.commit().unwrap();
 
     // a key lookup, index lookups (one across leaves) and a scan
     let got = db.query("SELECT VALUE d FROM D d WHERE d.id = 7").unwrap();

@@ -3,9 +3,9 @@
 //!
 //! [`crate::wal`] codes a small group commit's records whole, and splits a
 //! larger one's into streams of like bytes — headers, keys, rows, each
-//! declared field's cells — and codes each stream on its own: no window or
-//! table carries from one stream or block to the next, so a block decodes
-//! without any other.
+//! declared field's cells, each in the form its type calls for — and codes
+//! each stream on its own: no window or table carries from one stream or
+//! block to the next, so a block decodes without any other.
 //!
 //! The parse is a run of sequences: some literals, then, unless the
 //! sequence is the last, a match — a distance back into what was decoded (1
@@ -39,9 +39,10 @@
 //!
 //! On a 2-cpu x86-64 host, over the log blocks of generated Gleambook
 //! messages, coding runs at ≈ 250–280 MB/s of records and decoding at
-//! ≈ 400–450 MB/s; with its streams coded apart, a block of 2 500 messages
-//! codes to 0.36 of its records and one of 25 to 0.50 (coded whole, 0.44
-//! and 0.55).
+//! ≈ 400–450 MB/s. Over the repository benchmark's blocks (seed 1), split
+//! and each stream in its form, `scan_agg`'s set-up blocks of 2 500
+//! messages take 0.267 of their records and `htap_mix`'s timed blocks of
+//! ≈ 25 take 0.465 (coded whole, 0.452 and 0.605).
 
 use crate::huff;
 use asterix_adm::binary::{put_varint, read_varint};
