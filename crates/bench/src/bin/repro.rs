@@ -12,8 +12,6 @@
 //! repro hotpath --quick --out FILE   # any of the three: small, written elsewhere
 //! repro profile e01  # per-operator query profile: text tree, then the report
 //! repro profile e01 --out profile.json   # the report into a file as well
-//! repro feeds --check              # kill/crash/resume recovery battery
-//! repro feeds --check --inject-loss   # tripwire: must exit nonzero
 //! ```
 
 use asterix_bench::{experiments, feeds, hotpath, profile, serving};
@@ -50,11 +48,6 @@ fn main() {
             };
             println!("{}", run.text);
             return emit(&args, None, &run.json);
-        }
-        Some("feeds") if args.iter().any(|a| a == "--check") => {
-            let (report, ok) = feeds::check(args.iter().any(|a| a == "--inject-loss"));
-            print!("{report}");
-            std::process::exit(i32::from(!ok));
         }
         Some("feeds") => return emit(&args, Some("BENCH_feeds.json"), &feeds::run(quick)),
         Some("serving") => return emit(&args, Some("BENCH_serving.json"), &serving::run(quick)),

@@ -1,6 +1,5 @@
 //! Sustained-ingestion bench for the fault-tolerant feed subsystem — the
-//! persistent baseline behind `BENCH_feeds.json` — plus the recovery-check
-//! battery CI uses as a tripwire.
+//! persistent baseline behind `BENCH_feeds.json`.
 //!
 //! Three sections:
 //!
@@ -22,9 +21,8 @@ use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
 use asterix_core::{Instance, InstanceConfig};
 use asterix_obs::{Json, MetricsSnapshot};
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const DDL: &str = r#"
     CREATE TYPE EventType AS { id: int, grp: int, val: int };
@@ -111,7 +109,7 @@ fn durability_point(per_feed: u64) -> Json {
 /// the run flushes all along and the log is rotated and truncated under it:
 /// its segment count at the end says whether the log stays bounded.
 fn analytics_point(total: u64) -> Json {
-    let db = Instance::open(asterix_core::instance::InstanceConfig {
+    let db = Instance::open(InstanceConfig {
         storage: asterix_core::dataset::StorageConfig {
             mem_budget: 32 << 10,
             ..Default::default()
@@ -245,112 +243,6 @@ pub fn run(quick: bool) -> Json {
     )
 }
 
-/// The recovery-check battery behind `repro feeds --check`: kill a node
-/// mid-ingest, fail-stop, crash, reopen, resume from the durable frontier,
-/// and verify the exactly-once contract. With `inject_loss` the resume
-/// deliberately skips 5 seqnos past the frontier — the battery must notice
-/// the hole and fail, proving the check can actually catch a loss (CI runs
-/// both directions).
-pub fn check(inject_loss: bool) -> (String, bool) {
-    const TOTAL: u64 = 200;
-    const KILL_AT: u64 = 60;
-    let dir: PathBuf = std::env::temp_dir().join(format!(
-        "asterix-feeds-check-{}-{}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock")
-            .as_nanos()
-    ));
-    let open_at = |d: &PathBuf| {
-        Instance::open(InstanceConfig {
-            data_dir: Some(d.clone()),
-            nodes: 1,
-            partitions: 2,
-            ..InstanceConfig::default()
-        })
-        .expect("instance opens")
-    };
-    let mut report = String::new();
-    let db = open_at(&dir);
-    db.execute_sqlpp(DDL).expect("ddl");
-    let feed = Feed::start(
-        db.clone(),
-        "Events",
-        FeedConfig {
-            queue: 8,
-            batch: 4,
-            policy: IngestionPolicy::Throttle,
-            retry: RetryPolicy {
-                max_attempts: 3,
-                backoff: Duration::from_millis(1),
-                restart_dead_nodes: false,
-            },
-        },
-    );
-    for id in 0..TOTAL {
-        if id == KILL_AT {
-            db.kill_node(0);
-        }
-        if feed.push(rec(id as i64)).is_err() {
-            break;
-        }
-    }
-    let (ingested1, _) = feed.stop();
-    let durable = db.feed_durable_seq(&Feed::cursor("Events")).expect("durable frontier");
-    report.push_str(&format!(
-        "feeds-check: killed node at record {KILL_AT}; {ingested1} committed, durable seqno {durable}\n"
-    ));
-    db.crash();
-
-    let db = open_at(&dir);
-    let recovered = db.count("Events").expect("recovered count") as u64;
-    report.push_str(&format!("feeds-check: recovered {recovered} rows after crash\n"));
-    let resume_from = if inject_loss { durable + 5 } else { durable };
-    if inject_loss {
-        report.push_str("feeds-check: INJECTING LOSS: resuming 5 seqnos past the frontier\n");
-    }
-    let feed = Feed::resume(db.clone(), "Events", resume_from);
-    for id in resume_from..TOTAL {
-        feed.push(rec(id as i64)).expect("replay push");
-    }
-    let (ingested2, _) = feed.stop();
-    let rows = db.query("SELECT VALUE e.id FROM Events e").expect("final query");
-    let distinct: std::collections::BTreeSet<i64> =
-        rows.iter().filter_map(asterix_adm::Value::as_i64).collect();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let mut ok = true;
-    if recovered != ingested1 {
-        ok = false;
-        report.push_str(&format!(
-            "feeds-check: FAIL: {ingested1} records committed but {recovered} recovered\n"
-        ));
-    }
-    if distinct.len() != rows.len() {
-        ok = false;
-        report.push_str(&format!(
-            "feeds-check: FAIL: duplicates — {} rows, {} distinct ids\n",
-            rows.len(),
-            distinct.len()
-        ));
-    }
-    if rows.len() as u64 != TOTAL {
-        ok = false;
-        report.push_str(&format!(
-            "feeds-check: FAIL: lost records — {} present, {TOTAL} pushed\n",
-            rows.len()
-        ));
-    }
-    if ok {
-        report.push_str(&format!(
-            "feeds-check: OK: {} + {} records, exactly-once after kill/crash/resume\n",
-            ingested1, ingested2
-        ));
-    }
-    (report, ok)
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
@@ -363,14 +255,5 @@ mod tests {
         for p in ["throttle", "discard", "spill"] {
             assert!(json.contains(&format!("\"policy\": \"{p}\"")), "missing policy {p}");
         }
-    }
-
-    #[test]
-    fn check_battery_passes_clean_and_catches_injected_loss() {
-        let (report, ok) = super::check(false);
-        assert!(ok, "clean run must pass:\n{report}");
-        let (report, ok) = super::check(true);
-        assert!(!ok, "injected loss must be detected:\n{report}");
-        assert!(report.contains("FAIL"), "loss report names the failure:\n{report}");
     }
 }

@@ -21,7 +21,8 @@
 //! The seed perturbs queue depth, batch size, and producer pacing so the
 //! kill lands in different spots of the push/commit interleaving; the
 //! kill-point picks where in the stream the node dies. CI's chaos nightly
-//! runs this battery at `PROPTEST_CASES=256`.
+//! runs this battery at `PROPTEST_CASES=256`. A replay that resumes past
+//! the frontier must fail the check, naming the records it lost.
 //!
 //! A feed's frontier must also outlive the log it was written to: the
 //! checkpoint that opens every log segment carries it, and the segments
@@ -29,45 +30,21 @@
 //! feed, by name, inside manifest publishes, log rotations and segment
 //! unlinks, under a memory budget of a few records.
 
+#[path = "common/crash.rs"]
+mod crash;
+
 use asterix_adm::parse::parse_value;
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::{Instance, InstanceConfig, RetryPolicy};
 use asterix_storage::faults::FaultInjector;
+use crash::TempDir;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Self-cleaning scratch directory (integration tests cannot use the
-/// crate-private test helpers).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!(
-            "asterix-feedrec-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 const DDL: &str = r#"
     CREATE TYPE EventType AS { id: int, v: int };
@@ -89,29 +66,106 @@ fn policy(idx: usize) -> IngestionPolicy {
 }
 
 /// One node, so killing node 0 stalls every partition deterministically.
-fn open(dir: &Path) -> Instance {
+fn open(dir: &Path, mem_budget: usize, faults: Option<Arc<FaultInjector>>) -> Option<Instance> {
     Instance::open(InstanceConfig {
         data_dir: Some(dir.to_path_buf()),
         nodes: 1,
         partitions: 2,
+        storage: StorageConfig {
+            mem_budget,
+            ..StorageConfig::default()
+        },
+        faults,
         ..InstanceConfig::default()
     })
-    .expect("instance opens")
+    .ok()
+}
+
+/// `Err(why())` unless `ok`.
+fn ensure(ok: bool, why: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(why())
+    }
+}
+
+/// What a reopened feed's dataset must hold, then and after a replay: its
+/// `recovered` records; once the stream's tail is replayed from `skip`
+/// seqnos past the durable frontier, the frontier at the stream's end, no
+/// record twice, every record either feed acknowledged and — under a
+/// policy that never drops — every record. Anything but a `skip` of 0 loses
+/// records, which the check must name.
+fn resume(db: &Instance, recovered: u64, config: FeedConfig, skip: u64) -> Result<(), String> {
+    let cursor = Feed::cursor("Stream");
+    let count = db.count("Stream").map_err(|e| format!("count: {e}"))? as u64;
+    ensure(count == recovered, || {
+        format!("recovered {count} rows, want {recovered}")
+    })?;
+    let durable = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("durable read: {e}"))?;
+    let lossless = config.policy != IngestionPolicy::Discard;
+    // seqnos are assigned in push order starting at 1, so seq(id) = id + 1
+    let from = durable + skip;
+    let feed = Feed::resume_with(db.clone(), "Stream", from, config);
+    for id in from..TOTAL {
+        feed.push(rec(id as i64))
+            .map_err(|e| format!("replay push: {e}"))?;
+    }
+    let (replayed, rejected) = feed.stop();
+    ensure(rejected == 0, || {
+        format!("replay rejected {rejected} records")
+    })?;
+    let frontier = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("final read: {e}"))?;
+    ensure(frontier == TOTAL, || {
+        format!("replay ended at frontier {frontier}, want {TOTAL}")
+    })?;
+    let rows = db
+        .query("SELECT VALUE s.id FROM Stream s")
+        .map_err(|e| format!("final query: {e}"))?;
+    let ids: BTreeSet<i64> = rows.iter().filter_map(Value::as_i64).collect();
+    ensure(ids.len() == rows.len(), || {
+        format!(
+            "a record was applied twice: {} rows, {} distinct ids",
+            rows.len(),
+            ids.len()
+        )
+    })?;
+    ensure(rows.len() as u64 == recovered + replayed, || {
+        format!(
+            "acknowledged {recovered} + {replayed} records but {} are present",
+            rows.len()
+        )
+    })?;
+    let missing: Vec<i64> = (0..TOTAL as i64).filter(|id| !ids.contains(id)).collect();
+    ensure(!lossless || missing.is_empty(), || {
+        format!("lossless policy lost records: missing ids {missing:?}")
+    })
 }
 
 /// The recovery-contract property for one (seed, kill-point, policy)
-/// triple. Returns an error description on violation so both the proptest
-/// and the pinned regression seeds share one implementation.
-fn check_recovery_contract(seed: u64, kill_at: u64, pol_idx: usize) -> Result<(), String> {
+/// triple, its replay resuming `skip` seqnos past the frontier. Returns an
+/// error description on violation so both the proptest and the pinned
+/// regression seeds share one implementation.
+fn check_recovery_contract(
+    seed: u64,
+    kill_at: u64,
+    pol_idx: usize,
+    skip: u64,
+) -> Result<(), String> {
     let pol = policy(pol_idx);
     // the seed perturbs the push/commit interleaving the kill lands in
     let batch = [1usize, 2, 4, 8][(seed % 4) as usize];
     let queue = [4usize, 8, 16][((seed / 4) % 3) as usize];
     let yield_every = (seed % 5) + 1;
     let dir = TempDir::new("contract");
+    let budget = StorageConfig::default().mem_budget;
 
     // ---- phase 1: ingest, kill mid-stream, fail-stop, crash --------------
-    let db = open(dir.path());
+    let db = open(dir.path(), budget, None).ok_or("open failed")?;
     db.execute_sqlpp(DDL).map_err(|e| format!("ddl: {e}"))?;
     let feed = Feed::start(
         db.clone(),
@@ -138,100 +192,42 @@ fn check_recovery_contract(seed: u64, kill_at: u64, pol_idx: usize) -> Result<()
             std::thread::yield_now();
         }
     }
-    let (ingested1, rejected1) = feed.stop();
-    if rejected1 != 0 {
-        return Err(format!("phase 1 rejected {rejected1} records (none are malformed)"));
-    }
+    let (ingested, rejected) = feed.stop();
+    ensure(rejected == 0, || {
+        format!("phase 1 rejected {rejected} records (none are malformed)")
+    })?;
     let cursor = Feed::cursor("Stream");
-    let durable1 = db.feed_durable_seq(&cursor).map_err(|e| format!("durable read: {e}"))?;
-    if pol != IngestionPolicy::Discard && durable1 != ingested1 {
-        return Err(format!(
-            "lossless policy has gaps: durable={durable1} but ingested={ingested1}"
-        ));
-    }
-    if durable1 < ingested1 {
-        return Err(format!("frontier {durable1} behind acknowledged {ingested1}"));
-    }
+    let durable = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("durable read: {e}"))?;
+    ensure(
+        pol == IngestionPolicy::Discard || durable == ingested,
+        || format!("lossless policy has gaps: durable={durable} but ingested={ingested}"),
+    )?;
+    ensure(durable >= ingested, || {
+        format!("frontier {durable} behind acknowledged {ingested}")
+    })?;
     db.crash();
 
     // ---- phase 2: reopen, resume from the durable frontier ---------------
-    let db = open(dir.path());
-    let durable2 = db.feed_durable_seq(&cursor).map_err(|e| format!("durable reread: {e}"))?;
-    if durable2 != durable1 {
-        return Err(format!("frontier moved across crash: {durable1} -> {durable2}"));
-    }
-    let recovered = db.count("Stream").map_err(|e| format!("count: {e}"))? as u64;
-    if recovered != ingested1 {
-        return Err(format!(
-            "recovered {recovered} rows but {ingested1} were acknowledged committed"
-        ));
-    }
-    // replay the tail: records with seqno > frontier, i.e. ids >= frontier
-    // (seqnos are assigned in push order starting at 1, so seq(id) = id+1)
-    let feed = Feed::resume_with(
-        db.clone(),
-        "Stream",
-        durable2,
-        FeedConfig {
-            queue: TOTAL as usize + 16, // replay without congestion
-            batch,
-            policy: pol,
-            retry: RetryPolicy::default(),
-        },
-    );
-    for id in durable2..TOTAL {
-        feed.push(rec(id as i64)).map_err(|e| format!("replay push: {e}"))?;
-    }
-    let (ingested2, rejected2) = feed.stop();
-    if rejected2 != 0 {
-        return Err(format!("replay rejected {rejected2} records"));
-    }
-
-    // ---- invariants ------------------------------------------------------
-    let final_durable = db.feed_durable_seq(&cursor).map_err(|e| format!("final read: {e}"))?;
-    if final_durable < durable2 {
-        return Err(format!("frontier regressed: {durable2} -> {final_durable}"));
-    }
-    if final_durable != TOTAL {
-        return Err(format!("replay ended at frontier {final_durable}, want {TOTAL}"));
-    }
-    let rows = db
-        .query("SELECT VALUE s.id FROM Stream s")
-        .map_err(|e| format!("final query: {e}"))?;
-    let ids: BTreeSet<i64> = rows.iter().filter_map(Value::as_i64).collect();
-    if ids.len() != rows.len() {
-        return Err(format!(
-            "a record was applied twice: {} rows, {} distinct ids",
-            rows.len(),
-            ids.len()
-        ));
-    }
-    if rows.len() as u64 != ingested1 + ingested2 {
-        return Err(format!(
-            "acknowledged {} + {} records but {} are present",
-            ingested1,
-            ingested2,
-            rows.len()
-        ));
-    }
-    if pol != IngestionPolicy::Discard {
-        let want: BTreeSet<i64> = (0..TOTAL as i64).collect();
-        if ids != want {
-            let missing: Vec<i64> = want.difference(&ids).copied().collect();
-            return Err(format!("lossless policy lost records: missing ids {missing:?}"));
-        }
-    }
-    Ok(())
-}
-
-/// Honour the CI nightly's `PROPTEST_CASES` (the in-attribute config
-/// overrides proptest's own env lookup).
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(16)
+    let db = open(dir.path(), budget, None).ok_or("recovery failed")?;
+    let reread = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("durable reread: {e}"))?;
+    ensure(reread == durable, || {
+        format!("frontier moved across crash: {durable} -> {reread}")
+    })?;
+    let replay = FeedConfig {
+        queue: TOTAL as usize + 16, // replay without congestion
+        batch,
+        policy: pol,
+        retry: RetryPolicy::default(),
+    };
+    resume(&db, ingested, replay, skip)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Kill-mid-ingest recovery holds over random (seed, kill-point,
     /// policy) triples.
@@ -241,17 +237,23 @@ proptest! {
         kill_at in 0u64..TOTAL,
         pol_idx in 0usize..3,
     ) {
-        if let Err(why) = check_recovery_contract(seed, kill_at, pol_idx) {
+        if let Err(why) = check_recovery_contract(seed, kill_at, pol_idx, 0) {
             prop_assert!(false, "seed={} kill_at={} policy={}: {}", seed, kill_at, pol_idx, why);
         }
     }
 }
 
+/// Seed 6 draws batches of 4 through a queue of 8.
+const BATCH_4_QUEUE_8: u64 = 6;
+
 /// Pinned regression triples: the kill landing before any commit, in the
-/// middle of the stream, and on the last record — once per policy.
+/// middle of the stream, and on the last record — once per policy — and a
+/// Throttle feed of batches of 4 through a queue of 8 killed 30 % of the
+/// way in.
 #[test]
 fn pinned_kill_points_recover_under_every_policy() {
     for (seed, kill_at, pol_idx) in [
+        (BATCH_4_QUEUE_8, TOTAL * 3 / 10, 0),
         (1u64, 0u64, 0usize),
         (7, 0, 1),
         (42, 0, 2),
@@ -262,100 +264,93 @@ fn pinned_kill_points_recover_under_every_policy() {
         (13, TOTAL - 1, 1),
         (23, TOTAL - 1, 2),
     ] {
-        if let Err(why) = check_recovery_contract(seed, kill_at, pol_idx) {
+        if let Err(why) = check_recovery_contract(seed, kill_at, pol_idx, 0) {
             panic!("seed={seed} kill_at={kill_at} policy={pol_idx}: {why}");
         }
     }
 }
 
-/// One node whose indexes flush every few records, so that a 48-record feed
-/// publishes manifests, rotates the log and unlinks segments all along.
-fn open_flushing(dir: &Path, faults: Option<std::sync::Arc<FaultInjector>>) -> Option<Instance> {
-    Instance::open(InstanceConfig {
-        data_dir: Some(dir.to_path_buf()),
-        nodes: 1,
-        partitions: 2,
-        storage: StorageConfig { mem_budget: 256, ..StorageConfig::default() },
-        faults,
-        ..InstanceConfig::default()
-    })
-    .ok()
+/// The check can catch a loss: a replay that resumes 5 seqnos past the
+/// durable frontier fails it, naming the 5 ids it skipped.
+#[test]
+fn a_replay_past_the_frontier_is_named_a_loss() {
+    let why = check_recovery_contract(BATCH_4_QUEUE_8, TOTAL * 3 / 10, 0, 5)
+        .expect_err("5 records were never replayed");
+    let (_, missing) = why.split_once("missing ids ").expect(&why);
+    let ids: Vec<i64> = missing
+        .trim_matches(['[', ']'])
+        .split(", ")
+        .map(|id| id.parse().unwrap())
+        .collect();
+    assert_eq!(ids.len(), 5, "{why}");
+    assert!(ids.windows(2).all(|w| w[1] == w[0] + 1), "{why}");
 }
 
-/// Crashes a lossless feed at the `nth` occurrence of the named I/O step,
-/// reopens, resumes. `Ok(false)` when the run has no such occurrence.
-fn check_frontier_across_crash_point(point: &str, nth: u64) -> Result<bool, String> {
-    let dir = TempDir::new("points");
-    let injector = FaultInjector::crash_at(17, point, nth);
-    let cursor = Feed::cursor("Stream");
-    let config = || FeedConfig {
+fn lossless() -> FeedConfig {
+    FeedConfig {
         queue: 8,
         batch: 4,
         policy: IngestionPolicy::Throttle,
         retry: RetryPolicy::default(),
-    };
-    let (acknowledged, seen_online) = match open_flushing(dir.path(), Some(injector.clone())) {
-        Some(db) if db.execute_sqlpp(DDL).is_ok() => {
-            let feed = Feed::start(db.clone(), "Stream", config());
-            for id in 0..TOTAL {
-                if feed.push(rec(id as i64)).is_err() {
-                    break; // the feed fail-stopped on the injected crash
-                }
-            }
-            let (ingested, _) = feed.stop();
-            let online = db.feed_durable_seq(&cursor).map_err(|e| format!("online read: {e}"))?;
-            db.crash();
-            (ingested, online)
-        }
-        // the crash landed in open or in the DDL: nothing was ingested
-        _ => (0, 0),
-    };
-    if !injector.crashed() {
-        return Ok(false);
     }
+}
 
-    let db = open_flushing(dir.path(), None).ok_or("recovery failed")?;
-    if db.count("Stream").is_err() {
-        if acknowledged > 0 {
-            return Err("the dataset was lost after records were acknowledged".into());
+/// Feeds the stream into a lossless feed under `injector` until the crash,
+/// on one node whose indexes flush every few records, so that it publishes
+/// manifests, rotates the log and unlinks segments all along. Returns the
+/// records acknowledged and the frontier read before the crash.
+fn feed_until_the_crash(dir: &Path, injector: &Arc<FaultInjector>) -> Result<(u64, u64), String> {
+    let opened = open(dir, 256, Some(injector.clone()));
+    let Some(db) = opened.filter(|db| db.execute_sqlpp(DDL).is_ok()) else {
+        // the crash landed in open or in the DDL: nothing was ingested
+        return Ok((0, 0));
+    };
+    let feed = Feed::start(db.clone(), "Stream", lossless());
+    for id in 0..TOTAL {
+        if feed.push(rec(id as i64)).is_err() {
+            break; // the feed fail-stopped on the injected crash
         }
+    }
+    let (ingested, _) = feed.stop();
+    let online = db
+        .feed_durable_seq(&Feed::cursor("Stream"))
+        .map_err(|e| format!("online read: {e}"))?;
+    db.crash();
+    Ok((ingested, online))
+}
+
+/// Reopens a feed crashed by [`feed_until_the_crash`], checks its frontier
+/// against what was acknowledged and seen, and resumes from it.
+fn check_frontier(dir: &Path, (acknowledged, seen_online): (u64, u64)) -> Result<(), String> {
+    let db = open(dir, 256, None).ok_or("recovery failed")?;
+    if db.count("Stream").is_err() {
+        ensure(acknowledged == 0, || {
+            "the dataset was lost after records were acknowledged".into()
+        })?;
         // the crash landed in the DDL: finish whichever statement it cut off
         for stmt in DDL.split_inclusive(';') {
             let _ = db.execute_sqlpp(stmt);
         }
     }
-    let durable = db.feed_durable_seq(&cursor).map_err(|e| format!("durable read: {e}"))?;
+    let durable = db
+        .feed_durable_seq(&Feed::cursor("Stream"))
+        .map_err(|e| format!("durable read: {e}"))?;
     // the batch the crash interrupted may have committed unacknowledged
-    if durable < acknowledged || durable < seen_online {
-        return Err(format!(
+    ensure(durable >= acknowledged.max(seen_online), || {
+        format!(
             "frontier regressed: {durable} after the crash, {acknowledged} acknowledged, \
              {seen_online} seen before it"
-        ));
-    }
-    let recovered = db.count("Stream").map_err(|e| format!("count: {e}"))? as u64;
-    if recovered != durable {
-        return Err(format!("frontier {durable} but {recovered} records recovered"));
-    }
-    let feed = Feed::resume_with(db.clone(), "Stream", durable, config());
-    for id in durable..TOTAL {
-        feed.push(rec(id as i64)).map_err(|e| format!("replay push: {e}"))?;
-    }
-    feed.stop();
-    let rows = db.query("SELECT VALUE s.id FROM Stream s").map_err(|e| format!("query: {e}"))?;
-    let ids: BTreeSet<i64> = rows.iter().filter_map(Value::as_i64).collect();
-    if rows.len() as u64 != TOTAL || ids != (0..TOTAL as i64).collect() {
-        return Err(format!("{} rows, {} distinct, want {TOTAL}", rows.len(), ids.len()));
-    }
-    let frontier = db.feed_durable_seq(&cursor).map_err(|e| format!("final read: {e}"))?;
-    if frontier != TOTAL {
-        return Err(format!("replay ended at frontier {frontier}, want {TOTAL}"));
-    }
+        )
+    })?;
+    resume(&db, durable, lossless(), 0)?;
     // and the frontier is carried by checkpoints, not by an ever-growing log
-    let segments = db.metrics_snapshot().gauge("node0.storage.wal.segments").unwrap_or(0);
-    if segments > 4 {
-        return Err(format!("{segments} log segments after {TOTAL} records"));
-    }
-    Ok(true)
+    let segments = db
+        .metrics_snapshot()
+        .gauge("node0.storage.wal.segments")
+        .unwrap_or(0);
+    ensure(segments <= 4, || {
+        format!("{segments} log segments after {TOTAL} records")
+    })
 }
 
 /// The frontier and exactly-once hold across a crash at every manifest
@@ -371,15 +366,7 @@ fn frontier_survives_crashes_where_components_and_checkpoints_are_published() {
         ".wal:dirsync",
         ".wal:unlink",
     ];
-    for point in points {
-        let mut fired = 0;
-        for nth in 0..40 {
-            match check_frontier_across_crash_point(point, nth) {
-                Ok(true) => fired += 1,
-                Ok(false) => break,
-                Err(why) => panic!("{point} #{nth}: {why}"),
-            }
-        }
-        assert!(fired >= 3, "{point}: ingestion reaches it only {fired} times");
-    }
+    crash::sweep(17, &points, 3, feed_until_the_crash, |dir, out| {
+        check_frontier(dir, out?)
+    });
 }

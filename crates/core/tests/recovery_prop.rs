@@ -1,36 +1,57 @@
-//! Instance-level crash-recovery property tests: randomized transactional
-//! workloads run against a fault-injected instance that crashes after the
-//! Nth I/O operation, then the instance is reopened cleanly and the
-//! recovered state is checked against the two recovery invariants:
+//! Instance-level crash-recovery property tests. One crash run opens a
+//! fault-injected single-node instance, runs seed-deterministic transactions
+//! of one to three upserts or deletes until the crash, and records what they
+//! promised; the instance is then reopened fault-free and one check holds the
+//! recovered state to three invariants:
 //!
 //!  1. every operation whose transaction's `commit()` returned `Ok` is
 //!     durable after recovery;
 //!  2. every operation whose transaction never reached a successful commit
-//!     is undone after recovery.
+//!     is undone after recovery;
+//!  3. no primary key comes back twice — even when the crash landed between
+//!     a merge publishing its output and retiring its inputs.
 //!
 //! The single transaction whose `commit()` call *errored* (the crash landed
 //! inside its WAL force) is indeterminate: its commit record may or may not
 //! have reached the disk. The recovered state must therefore equal the
 //! committed-only state either with or without that one transaction —
 //! never a mix, because a WAL flush persists the transaction's updates and
-//! its commit record in one prefix-ordered write.
+//! its commit record in one prefix-ordered write. And the dataset is there
+//! once its DDL returned.
 //!
-//! The harness keeps `short_write_prob` and `fsync_fail_prob` at zero and
-//! uses a single node so exactly one transaction can be ambiguous; the
-//! crash-point schedule itself is still seed-deterministic. Its memory
-//! budget is a few records, so the schedule walks through component
-//! flushes, manifest publishes, log rotations and segment unlinks as well
-//! as commits.
+//! A run crashes after its Nth I/O operation, at the nth occurrence of a
+//! named I/O step, or at a failed fsync — which the injector treats as a
+//! crash: the commit whose sync failed is the crashing commit. The harness
+//! keeps `short_write_prob` at zero and uses a single node so exactly one
+//! transaction can be ambiguous; the schedule is seed-deterministic. A run
+//! has one of two shapes. Two partitions of a few records a memory
+//! component walk the schedule through component flushes, manifest
+//! publishes, log rotations and segment unlinks as well as commits. One
+//! partition of about ten records a component, under each merge policy,
+//! merges every few flushes, deletes included, so that crash points land
+//! all over the merge pipeline — or, with no merge at all, in flushes and
+//! log rotation. Merges run as tasks on the worker pool, so the crash fires
+//! on whichever thread reaches it: the recovered rows must be right for
+//! every interleaving. Recovery attaches exactly the components a manifest
+//! names — a merge's output *or* its inputs, never both, whichever side of
+//! the manifest's rename the crash fell — and replays only the log tail
+//! past them.
 //!
 //! Below the property sit the named regressions of the durability design
 //! (DESIGN.md, "Durability"): no-steal across a seal, abort after a seal,
 //! a crash inside a partition's co-sealed flush, `CREATE INDEX` on loaded data,
 //! `DROP`/`CREATE` of one name, and a crash inside the DDL persist.
 
+mod common;
+#[path = "common/crash.rs"]
+mod crash;
+
 use asterix_adm::Value;
 use asterix_core::dataset::{extract_pk, StorageConfig};
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_storage::faults::{FaultConfig, FaultEvent, FaultInjector};
+use asterix_storage::lsm::MergePolicy;
+use crash::TempDir;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,105 +59,152 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Self-cleaning scratch directory (integration tests cannot use the
-/// crate-private test helpers).
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        let p = std::env::temp_dir().join(format!(
-            "asterix-recprop-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Memory-component budget of the randomized workload: about four records.
-const WORKLOAD_BUDGET: usize = 256;
-
 const DDL: &str = r#"
     CREATE TYPE KVType AS { k: int, v: int };
     CREATE DATASET kv(KVType) PRIMARY KEY k;
 "#;
 
 fn kv_record(k: i64, v: i64) -> Value {
-    Value::object(vec![("k".into(), Value::Int(k)), ("v".into(), Value::Int(v))])
+    padded(k, v, 0)
+}
+
+/// A kv record with an undeclared field of `pad` bytes, if any.
+fn padded(k: i64, v: i64, pad: usize) -> Value {
+    let mut fields = vec![("k".into(), Value::Int(k)), ("v".into(), Value::Int(v))];
+    if pad > 0 {
+        fields.push(("pad".into(), Value::from("x".repeat(pad))));
+    }
+    Value::object(fields)
 }
 
 fn pk_of(k: i64) -> Vec<u8> {
     extract_pk(&kv_record(k, 0), &["k".to_string()]).unwrap()
 }
 
-fn config(dir: &Path, nodes: usize, mem_budget: usize, faults: Option<Arc<FaultInjector>>) -> InstanceConfig {
+fn config(
+    dir: &Path,
+    nodes: usize,
+    mem_budget: usize,
+    faults: Option<Arc<FaultInjector>>,
+) -> InstanceConfig {
     InstanceConfig {
         data_dir: Some(dir.to_path_buf()),
         nodes,
         partitions: 2,
         cache_pages_per_node: 64,
-        storage: StorageConfig { mem_budget, ..StorageConfig::default() },
+        storage: StorageConfig {
+            mem_budget,
+            ..StorageConfig::default()
+        },
         faults,
         ..InstanceConfig::default()
     }
 }
 
-/// Expected post-recovery state(s) of a crashed workload run.
+/// A crash run's instance — where its memory components fill and how its
+/// disk components merge, on one node — and its length.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    partitions: usize,
+    mem_budget: usize,
+    merge_policy: MergePolicy,
+    /// Bytes of an undeclared field in each record.
+    pad: usize,
+    /// Transactions a run commits when nothing crashes it.
+    txns: usize,
+}
+
+impl Shape {
+    fn config(&self, dir: &Path, faults: Option<Arc<FaultInjector>>) -> InstanceConfig {
+        let mut config = config(dir, 1, self.mem_budget, faults);
+        config.partitions = self.partitions;
+        config.storage.merge_policy = self.merge_policy;
+        config
+    }
+}
+
+/// Two partitions of about four records a component under the engine's
+/// default merge policy.
+fn two_partitions() -> Shape {
+    Shape {
+        partitions: 2,
+        mem_budget: 256,
+        merge_policy: StorageConfig::default().merge_policy,
+        pad: 0,
+        txns: 23,
+    }
+}
+
+/// One partition of about ten records a component (the budget counts each
+/// entry's map overhead and an overwrite once): six flushes a run.
+const fn merging(merge_policy: MergePolicy) -> Shape {
+    Shape {
+        partitions: 1,
+        mem_budget: 1536,
+        merge_policy,
+        pad: 48,
+        txns: 40,
+    }
+}
+
+/// One partition under each merge policy, the [`MERGING`] ones first.
+const ONE_PARTITION: [Shape; 3] = [
+    merging(MergePolicy::Constant { max_components: 3 }),
+    merging(MergePolicy::Prefix {
+        max_mergable_bytes: 32 << 20,
+        max_tolerance_components: 2,
+    }),
+    merging(MergePolicy::NoMerge),
+];
+
+/// The shapes whose workload merges.
+const MERGING: std::ops::Range<usize> = 0..2;
+
+/// What a crash run promised the recovered state.
+#[derive(Default)]
 struct Outcome {
     /// State from transactions whose commit() returned Ok.
     committed: BTreeMap<i64, i64>,
     /// `committed` plus the one transaction whose commit() errored mid-force
     /// (indeterminate: its commit record may or may not be durable).
     with_crashing_commit: Option<BTreeMap<i64, i64>>,
-    /// Whether the DDL was applied before the crash.
+    /// Whether the DDL returned before the crash.
     ddl_done: bool,
 }
 
-/// Runs a seed-deterministic workload of small upsert/delete transactions
-/// against a fault-injected single-node instance until the injected crash
-/// (or the workload's natural end). Returns the expected state(s) and the
-/// injector (for schedule inspection).
-fn run_workload(
+/// The crash run: opens a `shape` instance under `injector`, creates kv, and
+/// runs up to `ntxns` transactions drawn from `seed` until the crash.
+fn run(
     dir: &Path,
+    shape: Shape,
     seed: u64,
-    crash_after: u64,
+    injector: &Arc<FaultInjector>,
     ntxns: usize,
-) -> (Outcome, Arc<FaultInjector>) {
-    let injector = FaultInjector::new(FaultConfig {
-        seed,
-        crash_after_ios: Some(crash_after),
-        ..FaultConfig::default()
-    });
-    let mut out = Outcome {
-        committed: BTreeMap::new(),
-        with_crashing_commit: None,
-        ddl_done: false,
-    };
-    // a memory budget of a few records, so that flushes — page writes,
-    // manifest publishes, log rotation and truncation — happen all through
-    // the workload
-    let db = match Instance::open(config(dir, 1, WORKLOAD_BUDGET, Some(injector.clone()))) {
-        Ok(db) => db,
-        Err(_) => return (out, injector),
+) -> Outcome {
+    let Ok(db) = Instance::open(shape.config(dir, Some(injector.clone()))) else {
+        return Outcome::default();
     };
     if db.execute_sqlpp(DDL).is_err() {
-        return (out, injector);
+        return Outcome::default();
     }
-    out.ddl_done = true;
+    // dropped without flushing memory components: what recovery may rely on
+    // is the published components and the log tail
+    transact(&db, shape, seed, injector, ntxns)
+}
+
+/// Up to `ntxns` transactions of one to three upserts or deletes over 40
+/// keys, drawn from `seed`, until `injector` crashes.
+fn transact(
+    db: &Instance,
+    shape: Shape,
+    seed: u64,
+    injector: &FaultInjector,
+    ntxns: usize,
+) -> Outcome {
+    let mut out = Outcome {
+        ddl_done: true,
+        ..Outcome::default()
+    };
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     for _ in 0..ntxns {
         let nops = rng.gen_range(1..=3usize);
@@ -155,7 +223,7 @@ fn run_workload(
                 }
             } else {
                 let v = rng.gen_range(0i64..1_000_000);
-                if txn.write("kv", &kv_record(k, v), true).is_ok() {
+                if txn.write("kv", &padded(k, v, shape.pad), true).is_ok() {
                     tentative.insert(k, v);
                 } else {
                     failed = true;
@@ -182,87 +250,206 @@ fn run_workload(
             break;
         }
     }
-    // drop without flushing memory components: what recovery may rely on
-    // is the published components and the log tail
-    drop(db);
-    (out, injector)
+    out
 }
 
-/// Reopens the data dir fault-free and reads back the full kv state.
-/// `None` means the dataset does not exist (the crash preceded its DDL).
-fn reopened_state(dir: &Path) -> Option<BTreeMap<i64, i64>> {
-    let db = Instance::open(config(dir, 1, WORKLOAD_BUDGET, None)).expect("recovery must succeed");
-    let rows = db.query("SELECT VALUE d FROM kv d").ok()?;
-    let mut m = BTreeMap::new();
-    for r in rows {
-        let k = r.field("k").as_i64().expect("recovered record has int pk");
-        let v = r.field("v").as_i64().expect("recovered record has int value");
-        m.insert(k, v);
+/// Reopens `dir` fault-free and holds the recovered kv to what `out`
+/// promised: there once its DDL returned, no key twice, and the committed
+/// state with or without the crashing commit.
+fn check(dir: &Path, shape: Shape, out: &Outcome) -> Result<(), String> {
+    let db =
+        Instance::open(shape.config(dir, None)).map_err(|e| format!("recovery failed: {e}"))?;
+    let rows = match db.query("SELECT VALUE d FROM kv d") {
+        Ok(rows) => rows,
+        // the crash preceded the DDL's persist
+        Err(_) if !out.ddl_done => return Ok(()),
+        Err(e) => return Err(format!("dataset lost after its DDL: {e}")),
+    };
+    let mut got = BTreeMap::new();
+    for r in &rows {
+        let (Some(k), Some(v)) = (r.field("k").as_i64(), r.field("v").as_i64()) else {
+            return Err(format!("not a kv record: {r:?}"));
+        };
+        got.insert(k, v);
     }
-    Some(m)
+    if got.len() != rows.len() {
+        return Err(format!(
+            "{} rows of {} keys: a key came back twice",
+            rows.len(),
+            got.len()
+        ));
+    }
+    if got != out.committed && out.with_crashing_commit.as_ref() != Some(&got) {
+        return Err(format!(
+            "recovered state matches neither candidate\n got: {got:?}\n committed: {:?}\n \
+             with crashing commit: {:?}",
+            out.committed, out.with_crashing_commit
+        ));
+    }
+    Ok(())
 }
 
-/// Honour the CI nightly's `PROPTEST_CASES` (the in-attribute config
-/// overrides proptest's own env lookup).
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(64)
-}
+/// The first I/O operations of a fault-free run of every shape (open and
+/// DDL take the first 24): the random sweep draws its crash points from
+/// them.
+const CRASH_POINTS: u64 = 256;
 
-/// I/O operations of a long fault-free run of the workload (open and DDL
-/// take the first 24): crash points are drawn from the whole stretch.
-const CRASH_POINTS: u64 = 240;
-
-/// The workload is sized so that [`CRASH_POINTS`] means something: a
-/// fault-free run walks through that many operations, flushing and
-/// truncating on the way.
+/// A fault-free run of the two-partition shape walks through every crash
+/// point the sweep draws, flushing and truncating on the way.
 #[test]
 fn workload_reaches_the_crash_points_it_draws_from() {
     let dir = TempDir::new("reach");
-    let (out, injector) = run_workload(dir.path(), 5, u64::MAX, 23);
+    let injector = FaultInjector::new(FaultConfig {
+        seed: 5,
+        ..FaultConfig::default()
+    });
+    let shape = two_partitions();
+    let out = run(dir.path(), shape, 5, &injector, shape.txns);
     assert!(out.ddl_done && !injector.crashed());
-    assert!(injector.ops() >= CRASH_POINTS * 3 / 4, "only {} ops", injector.ops());
-    let db = Instance::open(config(dir.path(), 1, WORKLOAD_BUDGET, None)).unwrap();
+    assert!(
+        injector.ops() >= CRASH_POINTS,
+        "only {} ops",
+        injector.ops()
+    );
+    let db = Instance::open(shape.config(dir.path(), None)).unwrap();
     let snap = db.metrics_snapshot();
-    assert!(snap.counter("core.recovery.components_loaded").unwrap() > 0, "components survive");
-    assert!(snap.gauge("node0.storage.wal.segments").unwrap() <= 3, "the log was truncated");
+    assert!(
+        snap.counter("core.recovery.components_loaded").unwrap() > 0,
+        "components survive"
+    );
+    assert!(
+        snap.gauge("node0.storage.wal.segments").unwrap() <= 3,
+        "the log was truncated"
+    );
+}
+
+/// The merging workload really does merge: fault-free, every merging policy
+/// must report merges, otherwise the sweeps would pass without ever
+/// interrupting one; and the random sweep draws its crash points from the
+/// whole run.
+#[test]
+fn workload_exercises_merges_under_every_policy() {
+    for shape in &ONE_PARTITION[MERGING] {
+        let dir = TempDir::new("vacuum");
+        let injector = FaultInjector::new(FaultConfig::default());
+        let db = Instance::open(shape.config(dir.path(), Some(injector.clone()))).unwrap();
+        db.execute_sqlpp(DDL).unwrap();
+        transact(&db, *shape, 21, &injector, shape.txns);
+        // the merges run on the worker pool: let them drain
+        common::settle(&db);
+        let ops = injector.ops();
+        assert!(
+            (CRASH_POINTS / 2..=CRASH_POINTS).contains(&ops),
+            "{shape:?}: {ops} I/O operations"
+        );
+        let write_amp = db.metrics_snapshot().counter("node0.storage.lsm.write_amp");
+        assert!(
+            write_amp > Some(1000),
+            "{shape:?}: no merge amplification (write_amp={write_amp:?})"
+        );
+    }
+}
+
+/// One random crash run of `shape` under `faults`, checked on reopen.
+fn crash_and_check(seed: u64, shape: Shape, faults: FaultConfig) -> Result<(), String> {
+    let injector = FaultInjector::new(FaultConfig { seed, ..faults });
+    let dir = TempDir::new("inv");
+    let out = run(dir.path(), shape, seed, &injector, shape.txns);
+    check(dir.path(), shape, &out)
+        .map_err(|why| format!("{shape:?}: {why}\n events: {:?}", injector.events()))
+}
+
+/// Crashes after the `n`th I/O operation.
+fn crash_after(n: u64) -> FaultConfig {
+    FaultConfig {
+        crash_after_ios: Some(n),
+        ..FaultConfig::default()
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The two recovery invariants over random (workload, crash point, seed)
-    /// triples: confirmed commits survive, unconfirmed transactions vanish,
-    /// and the one crashing commit is all-or-nothing.
+    /// The invariants over random (seed, crash point) draws on two
+    /// partitions: confirmed commits survive, unconfirmed transactions
+    /// vanish, no key doubles, and the one crashing commit is all-or-nothing.
     #[test]
     fn committed_ops_survive_and_uncommitted_ops_are_undone(
         seed in 0u64..10_000,
-        crash_after in 0u64..CRASH_POINTS,
-        ntxns in 8usize..24,
+        n in 0u64..CRASH_POINTS,
     ) {
-        let dir = TempDir::new("inv");
-        let (out, injector) = run_workload(dir.path(), seed, crash_after, ntxns);
-        match reopened_state(dir.path()) {
-            None => {
-                prop_assert!(!out.ddl_done, "dataset lost after successful DDL");
-                prop_assert!(out.committed.is_empty());
-            }
-            Some(got) => {
-                let ok_without = got == out.committed;
-                let ok_with = out
-                    .with_crashing_commit
-                    .as_ref()
-                    .is_some_and(|m| got == *m);
-                prop_assert!(
-                    ok_without || ok_with,
-                    "seed={seed} crash_after={crash_after} ntxns={ntxns}: recovered \
-                     state matches neither candidate\n got: {got:?}\n committed: {:?}\n \
-                     with crashing commit: {:?}\n events: {:?}",
-                    out.committed,
-                    out.with_crashing_commit,
-                    injector.events(),
-                );
-            }
+        if let Err(why) = crash_and_check(seed, two_partitions(), crash_after(n)) {
+            prop_assert!(false, "seed={seed} crash_after={n} {why}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same invariants on one partition under every merge policy, whose
+    /// crash points land inside flushes, merges, and the publish/retire
+    /// window between them.
+    #[test]
+    fn crash_mid_merge_never_loses_nor_doubles_components(
+        seed in 0u64..10_000,
+        n in 0u64..CRASH_POINTS,
+        shape in 0..ONE_PARTITION.len(),
+    ) {
+        if let Err(why) = crash_and_check(seed, ONE_PARTITION[shape], crash_after(n)) {
+            prop_assert!(false, "seed={seed} crash_after={n} {why}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The same invariants when the crash is a failed fsync, drawn to fall
+    /// about `n` operations in, on every shape: the commit whose sync failed
+    /// is the crashing commit.
+    #[test]
+    fn a_failed_fsync_is_the_crashing_commit(
+        seed in 0u64..10_000,
+        n in 0u64..CRASH_POINTS,
+        shape in 0..=ONE_PARTITION.len(),
+    ) {
+        let shape = ONE_PARTITION.get(shape).copied().unwrap_or_else(two_partitions);
+        // about every other operation is a sync
+        let fsync_fail_prob = 2.0 / (n + 2) as f64;
+        let faults = FaultConfig { fsync_fail_prob, ..FaultConfig::default() };
+        if let Err(why) = crash_and_check(seed, shape, faults) {
+            prop_assert!(false, "seed={seed} fsync_fail_prob={fsync_fail_prob} {why}");
+        }
+    }
+}
+
+/// The crash points where durability lives, each at every occurrence a
+/// merging workload reaches, under every policy that merges: inside the
+/// manifest write, written but not renamed, between the rename and the
+/// directory fsync, between a merge's publish and the unlink of its inputs
+/// (merged output *and* inputs on disk), inside a log rotation, at its
+/// rename and its directory fsync, and at a segment unlink.
+#[test]
+fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
+    let points = [
+        ".manifest.tmp:write",
+        ".manifest:rename",
+        ".manifest:dirsync",
+        ".btree:unlink",
+        ".wal.tmp:write",
+        ".wal:rename",
+        ".wal:dirsync",
+        ".wal:unlink",
+    ];
+    for shape in ONE_PARTITION[MERGING].iter().copied() {
+        crash::sweep(
+            21,
+            &points,
+            2,
+            |dir, injector| run(dir, shape, 21, injector, shape.txns),
+            |dir, out| check(dir, shape, &out).map_err(|why| format!("{shape:?}: {why}")),
+        );
     }
 }
 
@@ -275,13 +462,17 @@ fn same_seed_reproduces_instance_failure_schedule() {
     for crash_after in [24u64, 41, 58] {
         let run = |tag: &str| -> (Vec<FaultEvent>, Vec<u8>, BTreeMap<i64, i64>) {
             let dir = TempDir::new(tag);
-            let (out, injector) = run_workload(dir.path(), 77, crash_after, 8);
+            let injector = FaultInjector::crash_after(77, crash_after);
+            let out = run(dir.path(), two_partitions(), 77, &injector, 8);
             let wal = log_bytes(&dir.path().join("node0"));
             (injector.events(), wal, out.committed)
         };
         let (e1, w1, c1) = run("sched1");
         let (e2, w2, c2) = run("sched2");
-        assert!(!e1.is_empty(), "crash_after={crash_after} should have fired");
+        assert!(
+            !e1.is_empty(),
+            "crash_after={crash_after} should have fired"
+        );
         assert_eq!(e1, e2, "fault schedule must replay byte-for-byte");
         assert_eq!(w1, w2, "WAL must be byte-identical across same-seed runs");
         assert_eq!(c1, c2, "commit outcomes must replay");
@@ -295,7 +486,10 @@ fn log_bytes(node_dir: &Path) -> Vec<u8> {
         .unwrap_or_default();
     segments.retain(|p| p.extension().is_some_and(|e| e == "wal"));
     segments.sort();
-    segments.iter().flat_map(|p| std::fs::read(p).unwrap()).collect()
+    segments
+        .iter()
+        .flat_map(|p| std::fs::read(p).unwrap())
+        .collect()
 }
 
 /// Deterministic directed test: a crash landing in a transaction *body*
@@ -306,7 +500,10 @@ fn log_bytes(node_dir: &Path) -> Vec<u8> {
 fn crash_in_txn_body_rolls_back_exactly_across_nodes() {
     // probe run: count the I/O ops txn 1's commit consumes, fault-free
     let probe = TempDir::new("probe");
-    let probe_inj = FaultInjector::new(FaultConfig { seed: 9, ..FaultConfig::default() });
+    let probe_inj = FaultInjector::new(FaultConfig {
+        seed: 9,
+        ..FaultConfig::default()
+    });
     let ops_after_commit1;
     {
         let db = Instance::open(config(probe.path(), 2, 2 << 10, Some(probe_inj.clone()))).unwrap();
@@ -339,7 +536,10 @@ fn crash_in_txn_body_rolls_back_exactly_across_nodes() {
             break;
         }
     }
-    assert!(hit_crash, "txn 2 should crash mid-body before reaching commit");
+    assert!(
+        hit_crash,
+        "txn 2 should crash mid-body before reaching commit"
+    );
     drop(txn2); // rollback
     assert!(injector.crashed());
     drop(db);
@@ -349,7 +549,12 @@ fn crash_in_txn_body_rolls_back_exactly_across_nodes() {
     let rows = db.query("SELECT VALUE d FROM kv d").unwrap();
     let got: BTreeMap<i64, i64> = rows
         .iter()
-        .map(|r| (r.field("k").as_i64().unwrap(), r.field("v").as_i64().unwrap()))
+        .map(|r| {
+            (
+                r.field("k").as_i64().unwrap(),
+                r.field("v").as_i64().unwrap(),
+            )
+        })
         .collect();
     let want: BTreeMap<i64, i64> = (0..8i64).map(|k| (k, k * 10)).collect();
     assert_eq!(got, want, "events: {:?}", injector.events());
@@ -373,19 +578,26 @@ const MSG_INDEXES: &str = r#"
 /// A message whose indexed fields all derive from `version`: rewriting it
 /// with another version moves it in every index.
 fn msg(id: i64, version: i64, words: usize) -> Value {
-    let text: Vec<String> =
-        (0..words).map(|w| format!("w{}x{w}", (id + version) % 5)).collect();
+    let text: Vec<String> = (0..words)
+        .map(|w| format!("w{}x{w}", (id + version) % 5))
+        .collect();
     Value::object(vec![
         ("id".into(), Value::Int(id)),
         ("author".into(), Value::Int((id + version) % 4)),
-        ("loc".into(), asterix_core::dataset::pt(((id + version) % 6) as f64, (id % 3) as f64)),
+        (
+            "loc".into(),
+            asterix_core::dataset::pt(((id + version) % 6) as f64, (id % 3) as f64),
+        ),
         ("text".into(), Value::from(text.join(" "))),
         ("pad".into(), Value::from("p".repeat(200))),
     ])
 }
 
 fn one_partition(dir: &Path, mem_budget: usize) -> InstanceConfig {
-    InstanceConfig { partitions: 1, ..config(dir, 1, mem_budget, None) }
+    InstanceConfig {
+        partitions: 1,
+        ..config(dir, 1, mem_budget, None)
+    }
 }
 
 fn commit_msgs(db: &Instance, msgs: impl IntoIterator<Item = Value>) {
@@ -397,7 +609,10 @@ fn commit_msgs(db: &Instance, msgs: impl IntoIterator<Item = Value>) {
 }
 
 fn ids(rows: &[Value]) -> Vec<i64> {
-    let mut ids: Vec<i64> = rows.iter().map(|m| m.field("id").as_i64().unwrap()).collect();
+    let mut ids: Vec<i64> = rows
+        .iter()
+        .map(|m| m.field("id").as_i64().unwrap())
+        .collect();
     ids.sort_unstable();
     ids
 }
@@ -408,14 +623,27 @@ fn assert_indexes_agree_with_scan(db: &Instance, want: &BTreeMap<i64, Value>, in
     let all = db.query("SELECT VALUE m FROM Msgs m").unwrap();
     assert_eq!(all.len(), want.len(), "a record is missing or doubled");
     for m in &all {
-        assert_eq!(Some(m), want.get(&m.field("id").as_i64().unwrap()), "not the latest version");
+        assert_eq!(
+            Some(m),
+            want.get(&m.field("id").as_i64().unwrap()),
+            "not the latest version"
+        );
     }
     // probe each index for what the first record holds, so no probe is vacuous
     let Some(first) = all.first() else { return };
     let author = first.field("author").as_i64().unwrap();
-    let Value::Point(at) = first.field("loc") else { panic!("loc is a point") };
+    let Value::Point(at) = first.field("loc") else {
+        panic!("loc is a point")
+    };
     let (lo, hi) = (at.x - 0.5, at.x + 0.5);
-    let word = first.field("text").as_str().unwrap().split(' ').next().unwrap().to_string();
+    let word = first
+        .field("text")
+        .as_str()
+        .unwrap()
+        .split(' ')
+        .next()
+        .unwrap()
+        .to_string();
     type Keep<'a> = &'a dyn Fn(&Value) -> bool;
     let cases: [(&str, String, Keep); 3] = [
         ("byAuthor", format!("m.author = {author}"), &|m| m.field("author").as_i64() == Some(author)),
@@ -432,15 +660,23 @@ fn assert_indexes_agree_with_scan(db: &Instance, want: &BTreeMap<i64, Value>, in
     ];
     for (index, predicate, keep) in cases.iter().filter(|c| indexes.contains(&c.0)) {
         let sql = format!("SELECT VALUE m FROM Msgs m WHERE {predicate}");
-        let plan = db.explain(&sql, asterix_core::instance::Language::Sqlpp).unwrap();
+        let plan = db
+            .explain(&sql, asterix_core::instance::Language::Sqlpp)
+            .unwrap();
         assert!(plan.contains(index), "{plan}");
         let expected: Vec<Value> = all.iter().filter(|m| keep(m)).cloned().collect();
-        assert_eq!(ids(&db.query(&sql).unwrap()), ids(&expected), "{index}: {predicate}");
+        assert_eq!(
+            ids(&db.query(&sql).unwrap()),
+            ids(&expected),
+            "{index}: {predicate}"
+        );
     }
 }
 
 fn recovery_counter(db: &Instance, name: &str) -> u64 {
-    db.metrics_snapshot().counter(&format!("core.recovery.{name}")).unwrap_or(0)
+    db.metrics_snapshot()
+        .counter(&format!("core.recovery.{name}"))
+        .unwrap_or(0)
 }
 
 /// (a) A transaction open across a budget-triggered seal pins the sealed
@@ -469,7 +705,11 @@ fn open_transaction_across_a_seal_leaves_nothing_of_itself_on_disk() {
     commit_next(&mut want);
     db.flush_all().unwrap();
     let stats = &db.lsm_stats("Msgs", None).unwrap()[0];
-    assert_eq!((stats.seals, stats.flushes), (1, 0), "sealed, and held for the open transaction");
+    assert_eq!(
+        (stats.seals, stats.flushes),
+        (1, 0),
+        "sealed, and held for the open transaction"
+    );
     std::mem::forget(open_txn); // the crash takes it, uncommitted
     db.crash();
 
@@ -496,7 +736,10 @@ fn abort_after_a_seal_restores_before_images_across_a_crash() {
         // overwrites the three committed records, then inserts new ones
         loser.write("Msgs", &msg(id, 1, 1), true).unwrap();
     }
-    assert!(db.lsm_stats("Msgs", None).unwrap()[0].seals >= 1, "the loser must span a seal");
+    assert!(
+        db.lsm_stats("Msgs", None).unwrap()[0].seals >= 1,
+        "the loser must span a seal"
+    );
     loser.abort().unwrap();
     assert!(
         db.lsm_stats("Msgs", None).unwrap()[0].flushes >= 1,
@@ -506,7 +749,10 @@ fn abort_after_a_seal_restores_before_images_across_a_crash() {
     db.crash();
 
     let db = Instance::open(one_partition(dir.path(), 1 << 10)).unwrap();
-    assert!(recovery_counter(&db, "components_loaded") >= 1, "the loser's writes are on disk");
+    assert!(
+        recovery_counter(&db, "components_loaded") >= 1,
+        "the loser's writes are on disk"
+    );
     assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
 }
 
@@ -515,7 +761,10 @@ fn abort_after_a_seal_restores_before_images_across_a_crash() {
 /// (DESIGN.md "Durability": a header, that LSN, the component count, ...).
 fn manifest(dir: &Path, index: &str) -> (u64, u32) {
     let bytes = std::fs::read(dir.join("node0").join(format!("Msgs_p0_{index}.manifest"))).unwrap();
-    (u64::from_le_bytes(bytes[4..12].try_into().unwrap()), u32::from_le_bytes(bytes[12..16].try_into().unwrap()))
+    (
+        u64::from_le_bytes(bytes[4..12].try_into().unwrap()),
+        u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
+    )
 }
 
 /// Msgs' indexes in the order a partition flushes them: the secondaries as
@@ -547,12 +796,23 @@ fn a_crash_inside_a_co_sealed_flush_leaves_every_secondary_at_or_ahead_of_its_pr
                 db.flush_all().unwrap();
                 db.crash();
             }
-            let load: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
-            assert!(load.iter().all(|m| m.0 == load[3].0), "{words} words: flushed together {load:?}");
+            let load: Vec<(u64, u32)> = FLUSH_ORDER
+                .iter()
+                .map(|i| manifest(dir.path(), i))
+                .collect();
+            assert!(
+                load.iter().all(|m| m.0 == load[3].0),
+                "{words} words: flushed together {load:?}"
+            );
             // overwrite until the crash at `index`'s manifest rename in the
             // first flush after the load
-            let injector = FaultInjector::crash_at(9, &format!("Msgs_p0_{index}.manifest:rename"), 0);
-            let db = Instance::open(InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) }).unwrap();
+            let injector =
+                FaultInjector::crash_at(9, &format!("Msgs_p0_{index}.manifest:rename"), 0);
+            let db = Instance::open(InstanceConfig {
+                faults: Some(injector.clone()),
+                ..one_partition(dir.path(), 2 << 10)
+            })
+            .unwrap();
             for id in 0..16 {
                 let mut txn = db.begin();
                 txn.write("Msgs", &msg(id, 1, words), true).unwrap();
@@ -563,21 +823,44 @@ fn a_crash_inside_a_co_sealed_flush_leaves_every_secondary_at_or_ahead_of_its_pr
                     break;
                 }
             }
-            assert!(injector.crashed(), "{words} words, {index}: no flush reached the crash point");
+            assert!(
+                injector.crashed(),
+                "{words} words, {index}: no flush reached the crash point"
+            );
             db.crash();
 
-            let crashed: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
+            let crashed: Vec<(u64, u32)> = FLUSH_ORDER
+                .iter()
+                .map(|i| manifest(dir.path(), i))
+                .collect();
             let primary = crashed[3].0;
             for (k, (name, (below, _))) in FLUSH_ORDER.iter().zip(&crashed).enumerate().take(3) {
                 let published = k < at;
-                assert!(*below >= primary, "{words} words, crash at {index}: {name} is behind its primary");
-                assert_eq!(*below > load[k].0, published, "{words} words, crash at {index}: {name} {crashed:?}");
+                assert!(
+                    *below >= primary,
+                    "{words} words, crash at {index}: {name} is behind its primary"
+                );
+                assert_eq!(
+                    *below > load[k].0,
+                    published,
+                    "{words} words, crash at {index}: {name} {crashed:?}"
+                );
             }
-            assert_eq!(primary, load[3].0, "{words} words, crash at {index}: the primary publishes last");
+            assert_eq!(
+                primary, load[3].0,
+                "{words} words, crash at {index}: the primary publishes last"
+            );
             let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
             let named: u64 = crashed.iter().map(|m| u64::from(m.1)).sum();
-            assert_eq!(recovery_counter(&db, "components_loaded"), named, "every component the manifests named, as it was");
-            assert!(recovery_counter(&db, "records_replayed") <= 16, "replay starts past the flushed load");
+            assert_eq!(
+                recovery_counter(&db, "components_loaded"),
+                named,
+                "every component the manifests named, as it was"
+            );
+            assert!(
+                recovery_counter(&db, "records_replayed") <= 16,
+                "replay starts past the flushed load"
+            );
             assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
         }
     }
@@ -606,10 +889,17 @@ fn create_index_on_loaded_data_survives_a_crash_right_after_it() {
         assert_eq!(components, u32::from(flushed));
         for index in &FLUSH_ORDER[..3] {
             let (below, components) = manifest(dir.path(), index);
-            assert_eq!((below, components), (primary, u32::from(flushed)), "{index}: durable as far as the primary");
+            assert_eq!(
+                (below, components),
+                (primary, u32::from(flushed)),
+                "{index}: durable as far as the primary"
+            );
         }
         let db = Instance::open(one_partition(dir.path(), 64 << 10)).unwrap();
-        assert_eq!(recovery_counter(&db, "records_replayed"), if flushed { 0 } else { 20 });
+        assert_eq!(
+            recovery_counter(&db, "records_replayed"),
+            if flushed { 0 } else { 20 }
+        );
         assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
     }
 }
@@ -634,7 +924,10 @@ fn create_index_inside_an_open_transaction_puts_none_of_its_writes_on_disk() {
         // took from the primary's disk components is flushed; the next write
         // is the flush of what it took from the sealed component
         let injector = FaultInjector::crash_at(3, "Msgs_p0_byAuthor.manifest:rename", 2);
-        let cfg = InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) };
+        let cfg = InstanceConfig {
+            faults: Some(injector.clone()),
+            ..one_partition(dir.path(), 2 << 10)
+        };
         let db = Instance::open(cfg).unwrap();
         db.execute_sqlpp(MSG_DDL).unwrap();
         let mut want: BTreeMap<i64, Value> = (0..6).map(|id| (id, msg(id, 0, 1))).collect();
@@ -653,13 +946,20 @@ fn create_index_inside_an_open_transaction_puts_none_of_its_writes_on_disk() {
         }
         open_txn.write("Msgs", &msg(1, 1, 1), true).unwrap();
         let stats = primary();
-        assert_eq!(stats.seals, stats.flushes + 1, "a sealed component waits for the open transaction");
+        assert_eq!(
+            stats.seals,
+            stats.flushes + 1,
+            "a sealed component waits for the open transaction"
+        );
         db.execute_sqlpp(MSG_INDEXES).unwrap();
         open_txn.write("Msgs", &msg(2, 1, 1), true).unwrap();
         commit_msgs(&db, [msg(30, 0, 1)]);
         want.insert(30, msg(30, 0, 1));
         db.flush_all().unwrap();
-        assert!(!injector.crashed(), "nothing the open transaction wrote is flushed");
+        assert!(
+            !injector.crashed(),
+            "nothing the open transaction wrote is flushed"
+        );
         if commit {
             // the commit record is synced before the flush the crash lands in
             let _ = open_txn.commit();
@@ -671,7 +971,10 @@ fn create_index_inside_an_open_transaction_puts_none_of_its_writes_on_disk() {
         db.crash();
         let (primary_below, _) = manifest(dir.path(), "pri");
         for index in &FLUSH_ORDER[..3] {
-            assert!(manifest(dir.path(), index).0 >= primary_below, "committed: {commit}: {index} is behind its primary");
+            assert!(
+                manifest(dir.path(), index).0 >= primary_below,
+                "committed: {commit}: {index} is behind its primary"
+            );
         }
 
         let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
@@ -690,7 +993,10 @@ fn overwriting_a_hot_set_keeps_the_log_and_the_replay_bounded() {
     const HOT: i64 = 32;
     const PASSES: i64 = 256;
     let dir = TempDir::new("hotset");
-    let cfg = || InstanceConfig { partitions: 1, ..config(dir.path(), 1, BUDGET, None) };
+    let cfg = || InstanceConfig {
+        partitions: 1,
+        ..config(dir.path(), 1, BUDGET, None)
+    };
     let db = Instance::open(cfg()).unwrap();
     db.execute_sqlpp(DDL).unwrap();
     for pass in 0..PASSES {
@@ -701,17 +1007,31 @@ fn overwriting_a_hot_set_keeps_the_log_and_the_replay_bounded() {
         txn.commit().unwrap();
     }
     let stats = &db.lsm_stats("kv", None).unwrap()[0];
-    assert!(stats.flushes >= 8, "the log seals the hot set's component: {stats:?}");
+    assert!(
+        stats.flushes >= 8,
+        "the log seals the hot set's component: {stats:?}"
+    );
     db.crash();
     let log = log_len(dir.path());
-    assert!(log <= 2 * BUDGET as u64, "{log} log bytes after {} overwrites", PASSES * HOT);
+    assert!(
+        log <= 2 * BUDGET as u64,
+        "{log} log bytes after {} overwrites",
+        PASSES * HOT
+    );
 
     let db = Instance::open(cfg()).unwrap();
     let replayed = recovery_counter(&db, "records_replayed");
-    assert!(replayed <= 2 * BUDGET as u64 / WRITE_HEADER_BYTES, "{replayed} records replayed");
+    assert!(
+        replayed <= 2 * BUDGET as u64 / WRITE_HEADER_BYTES,
+        "{replayed} records replayed"
+    );
     let rows = db.query("SELECT VALUE d FROM kv d").unwrap();
     assert_eq!(rows.len(), HOT as usize);
-    assert!(rows.iter().all(|r| r.field("v").as_i64() == Some(PASSES - 1)), "every key at its last version");
+    assert!(
+        rows.iter()
+            .all(|r| r.field("v").as_i64() == Some(PASSES - 1)),
+        "every key at its last version"
+    );
 }
 
 /// Files of dataset or index `prefix` left in node 0's directory.
@@ -743,16 +1063,24 @@ fn dropped_dataset_and_index_stay_dropped_across_recreate_and_crash() {
     db.execute_sqlpp("DROP DATASET Msgs").unwrap();
     assert_eq!(files_of(dir.path(), "Msgs_p0"), Vec::<String>::new());
 
-    db.execute_sqlpp("CREATE DATASET Msgs(MsgType) PRIMARY KEY id").unwrap();
-    db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE").unwrap();
+    db.execute_sqlpp("CREATE DATASET Msgs(MsgType) PRIMARY KEY id")
+        .unwrap();
+    db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE")
+        .unwrap();
     let want: BTreeMap<i64, Value> = [(7, msg(7, 3, 1))].into();
     commit_msgs(&db, want.values().cloned());
     db.crash();
 
     let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
-    assert_eq!(db.count("Msgs").unwrap(), 1, "the dropped incarnation's records came back");
+    assert_eq!(
+        db.count("Msgs").unwrap(),
+        1,
+        "the dropped incarnation's records came back"
+    );
     assert_indexes_agree_with_scan(&db, &want, &[]);
-    let by_author = db.query("SELECT VALUE m FROM Msgs m WHERE m.author = 2").unwrap();
+    let by_author = db
+        .query("SELECT VALUE m FROM Msgs m WHERE m.author = 2")
+        .unwrap();
     assert_eq!(ids(&by_author), vec![7]);
 }
 
@@ -762,7 +1090,12 @@ fn dropped_dataset_and_index_stay_dropped_across_recreate_and_crash() {
 /// durable components) away.
 #[test]
 fn crash_inside_ddl_persist_keeps_every_earlier_definition() {
-    for step in ["catalog.ddl.tmp:write", "catalog.ddl.tmp", "catalog.ddl:rename", "catalog.ddl:dirsync"] {
+    for step in [
+        "catalog.ddl.tmp:write",
+        "catalog.ddl.tmp",
+        "catalog.ddl:rename",
+        "catalog.ddl:dirsync",
+    ] {
         let dir = TempDir::new("tornddl");
         let want: BTreeMap<i64, Value> = (0..10).map(|id| (id, msg(id, 0, 1))).collect();
         {
@@ -775,20 +1108,39 @@ fn crash_inside_ddl_persist_keeps_every_earlier_definition() {
         // the fsync target also matches the write before it
         let nth = u64::from(step == "catalog.ddl.tmp");
         let injector = FaultInjector::crash_at(3, step, nth);
-        let faulty = InstanceConfig { faults: Some(injector.clone()), ..one_partition(dir.path(), 2 << 10) };
+        let faulty = InstanceConfig {
+            faults: Some(injector.clone()),
+            ..one_partition(dir.path(), 2 << 10)
+        };
         let db = Instance::open(faulty).unwrap();
-        assert!(db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE").is_err(), "{step}");
+        assert!(
+            db.execute_sqlpp("CREATE INDEX byAuthor ON Msgs(author) TYPE BTREE")
+                .is_err(),
+            "{step}"
+        );
         assert!(injector.crashed());
         db.crash();
 
         let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
         assert_indexes_agree_with_scan(&db, &want, &[]);
         let plan = db
-            .explain("SELECT VALUE m FROM Msgs m WHERE m.author = 2", asterix_core::instance::Language::Sqlpp)
+            .explain(
+                "SELECT VALUE m FROM Msgs m WHERE m.author = 2",
+                asterix_core::instance::Language::Sqlpp,
+            )
             .unwrap();
         // the rename is what persists the statement
-        assert_eq!(plan.contains("byAuthor"), step.ends_with(":dirsync"), "{step}: {plan}");
-        assert_eq!(ids(&db.query("SELECT VALUE m FROM Msgs m WHERE m.author = 2").unwrap()), vec![2, 6]);
+        assert_eq!(
+            plan.contains("byAuthor"),
+            step.ends_with(":dirsync"),
+            "{step}: {plan}"
+        );
+        assert_eq!(
+            ids(&db
+                .query("SELECT VALUE m FROM Msgs m WHERE m.author = 2")
+                .unwrap()),
+            vec![2, 6]
+        );
     }
 }
 
@@ -803,9 +1155,14 @@ fn a_dropped_datasets_log_records_never_reach_a_successor_of_another_type() {
     db.execute_sqlpp(MSG_DDL).unwrap();
     commit_msgs(&db, (0..8).map(|id| msg(id, 0, 1))); // in the log only
     db.execute_sqlpp("DROP DATASET Msgs").unwrap();
-    db.execute_sqlpp("CREATE TYPE NoteType AS CLOSED { id: int, note: string }").unwrap();
-    db.execute_sqlpp("CREATE DATASET Msgs(NoteType) PRIMARY KEY id").unwrap();
-    let note = Value::object(vec![("id".into(), Value::Int(3)), ("note".into(), Value::from("kept"))]);
+    db.execute_sqlpp("CREATE TYPE NoteType AS CLOSED { id: int, note: string }")
+        .unwrap();
+    db.execute_sqlpp("CREATE DATASET Msgs(NoteType) PRIMARY KEY id")
+        .unwrap();
+    let note = Value::object(vec![
+        ("id".into(), Value::Int(3)),
+        ("note".into(), Value::from("kept")),
+    ]);
     let mut txn = db.begin();
     txn.write("Msgs", &note, true).unwrap();
     txn.commit().unwrap();
@@ -833,7 +1190,8 @@ fn concurrent_creates_keep_their_ids_across_a_crash() {
                 let (db, start) = (&db, &start);
                 s.spawn(move || {
                     start.wait();
-                    db.execute_sqlpp(&format!("CREATE DATASET {name}(MsgType) PRIMARY KEY id")).unwrap();
+                    db.execute_sqlpp(&format!("CREATE DATASET {name}(MsgType) PRIMARY KEY id"))
+                        .unwrap();
                 });
             }
         });
@@ -842,7 +1200,11 @@ fn concurrent_creates_keep_their_ids_across_a_crash() {
 
         let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
         let counts = (db.count("Msgs").unwrap(), db.count("Other").unwrap());
-        assert_eq!(counts, (5, 0), "round {round}: the log replayed into the wrong dataset");
+        assert_eq!(
+            counts,
+            (5, 0),
+            "round {round}: the log replayed into the wrong dataset"
+        );
     }
 }
 
@@ -859,11 +1221,17 @@ fn a_type_a_datasets_records_nest_cannot_be_dropped_under_it() {
          CREATE DATASET D(Whole) PRIMARY KEY id;",
     )
     .unwrap();
-    assert!(db.execute_sqlpp("DROP TYPE Part").is_err(), "Whole names it");
+    assert!(
+        db.execute_sqlpp("DROP TYPE Part").is_err(),
+        "Whole names it"
+    );
     assert!(db.execute_sqlpp("DROP TYPE Whole").is_err(), "D stores it");
     let record = |id: i64| {
         let inner = Value::object(vec![("a".into(), Value::Int(id))]);
-        with_fields(vec![("id", Value::Int(id)), ("parts", Value::Array(vec![inner]))])
+        with_fields(vec![
+            ("id", Value::Int(id)),
+            ("parts", Value::Array(vec![inner])),
+        ])
     };
     let write = |db: &Instance, id: i64| {
         let mut txn = db.begin();
@@ -875,8 +1243,12 @@ fn a_type_a_datasets_records_nest_cannot_be_dropped_under_it() {
     // the refused statements were not persisted either
     let db = Instance::open(one_partition(dir.path(), 2 << 10)).unwrap();
     write(&db, 2);
-    assert_eq!(db.query("SELECT VALUE d FROM D d ORDER BY d.id").unwrap(), vec![record(1), record(2)]);
-    db.execute_sqlpp("DROP DATASET D; DROP TYPE Whole; DROP TYPE Part;").unwrap();
+    assert_eq!(
+        db.query("SELECT VALUE d FROM D d ORDER BY d.id").unwrap(),
+        vec![record(1), record(2)]
+    );
+    db.execute_sqlpp("DROP DATASET D; DROP TYPE Whole; DROP TYPE Part;")
+        .unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -892,7 +1264,12 @@ struct TypeCase {
 }
 
 fn with_fields(fields: Vec<(&str, Value)>) -> Value {
-    Value::object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 const TYPE_CASES: [TypeCase; 3] = [
@@ -917,7 +1294,13 @@ const TYPE_CASES: [TypeCase; 3] = [
                 ("id", Value::Int(id)),
                 ("name", Value::from(format!("n{id}"))),
                 ("undeclaredCounter", Value::Int(version)),
-                ("undeclaredNest", with_fields(vec![("tags", Value::Array(vec![Value::from("a"), Value::Int(id)]))])),
+                (
+                    "undeclaredNest",
+                    with_fields(vec![(
+                        "tags",
+                        Value::Array(vec![Value::from("a"), Value::Int(id)]),
+                    )]),
+                ),
             ])
         },
     },
@@ -960,7 +1343,11 @@ fn commit_history(db: &Instance, case: &TypeCase) -> BTreeMap<i64, Value> {
         want.insert(id, (case.record)(id, 1));
     }
     for id in (1..40).step_by(7) {
-        txn.delete("D", &extract_pk(&(case.record)(id, 0), &["id".to_string()]).unwrap()).unwrap();
+        txn.delete(
+            "D",
+            &extract_pk(&(case.record)(id, 0), &["id".to_string()]).unwrap(),
+        )
+        .unwrap();
         want.remove(&id);
     }
     txn.commit().unwrap();
@@ -969,7 +1356,9 @@ fn commit_history(db: &Instance, case: &TypeCase) -> BTreeMap<i64, Value> {
 
 fn dump(db: &Instance) -> BTreeMap<i64, Value> {
     let rows = db.query("SELECT VALUE d FROM D d").unwrap();
-    rows.into_iter().map(|r| (r.field("id").as_i64().unwrap(), r)).collect()
+    rows.into_iter()
+        .map(|r| (r.field("id").as_i64().unwrap(), r))
+        .collect()
 }
 
 /// Every component file of D's primary index, by node and name.
@@ -1006,16 +1395,36 @@ fn replayed_log_flushes_into_the_components_the_original_writes_would_have() {
         assert_eq!(commit_history(&db, case), want);
         db.crash();
         let db = Instance::open(two_by_two(crashed.path())).unwrap();
-        assert!(recovery_counter(&db, "records_replayed") >= 40, "{}: nothing was in the log", case.name);
+        assert!(
+            recovery_counter(&db, "records_replayed") >= 40,
+            "{}: nothing was in the log",
+            case.name
+        );
         assert_eq!(dump(&db), want, "{}", case.name);
         db.flush_all().unwrap();
         assert_eq!(dump(&db), want, "{}", case.name);
         db.crash();
 
-        let (a, b) = (primary_components(straight.path()), primary_components(crashed.path()));
-        assert!(a.len() >= 2, "{}: one component per partition at least", case.name);
-        assert_eq!(a.keys().collect::<Vec<_>>(), b.keys().collect::<Vec<_>>(), "{}", case.name);
-        assert!(a == b, "{}: a replayed record is stored in other bytes than a written one", case.name);
+        let (a, b) = (
+            primary_components(straight.path()),
+            primary_components(crashed.path()),
+        );
+        assert!(
+            a.len() >= 2,
+            "{}: one component per partition at least",
+            case.name
+        );
+        assert_eq!(
+            a.keys().collect::<Vec<_>>(),
+            b.keys().collect::<Vec<_>>(),
+            "{}",
+            case.name
+        );
+        assert!(
+            a == b,
+            "{}: a replayed record is stored in other bytes than a written one",
+            case.name
+        );
     }
 }
 
@@ -1047,7 +1456,10 @@ fn abort_restores_the_stored_before_images_and_so_does_replaying_it() {
 
 /// Bytes of every node's log segments.
 fn log_len(dir: &Path) -> u64 {
-    ["node0", "node1"].iter().map(|n| log_bytes(&dir.join(n)).len() as u64).sum()
+    ["node0", "node1"]
+        .iter()
+        .map(|n| log_bytes(&dir.join(n)).len() as u64)
+        .sum()
 }
 
 /// (c) What a put costs the log beside the record's storage encoding, in
@@ -1094,7 +1506,11 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
             .map(|n| snap.counter(&format!("{n}.storage.wal.{counter}")).unwrap())
             .sum::<u64>()
     };
-    let before = (log_len(dir.path()), logged("appended_bytes"), logged("record_bytes"));
+    let before = (
+        log_len(dir.path()),
+        logged("appended_bytes"),
+        logged("record_bytes"),
+    );
     let mut txn = db.begin();
     for m in &messages {
         txn.write("GleambookMessages", m, true).unwrap();
@@ -1102,7 +1518,11 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
     txn.commit().unwrap();
     let grew = log_len(dir.path()) - before.0;
     let records = logged("record_bytes") - before.2;
-    assert_eq!(logged("appended_bytes") - before.1, grew, "the counter reads what the segments grew by");
+    assert_eq!(
+        logged("appended_bytes") - before.1,
+        grew,
+        "the counter reads what the segments grew by"
+    );
     assert!(records > encoded, "the log holds the records");
     assert!(
         records <= encoded + N as u64 * WRITE_HEADER_BYTES + 2 * COMMIT_BYTES,
@@ -1111,7 +1531,10 @@ fn a_logged_put_costs_its_storage_encoding_plus_a_fixed_header() {
         (records - encoded) as f64 / N as f64 - WRITE_HEADER_BYTES as f64
     );
     // 0.313 as the codec stands: 13 902 bytes of log for 44 455 of records
-    assert!(100 * grew <= 32 * records, "{records} bytes of records took {grew} bytes of log");
+    assert!(
+        100 * grew <= 32 * records,
+        "{records} bytes of records took {grew} bytes of log"
+    );
 }
 
 /// (d) DDL between two writes of one open transaction: the later write is
@@ -1141,7 +1564,8 @@ fn ddl_between_the_writes_of_an_open_transaction() {
     db.execute_sqlpp("DROP INDEX Msgs.byLoc").unwrap();
     let mut loser = db.begin();
     loser.write("Msgs", &msg(2, 1, 1), true).unwrap();
-    db.execute_sqlpp("CREATE INDEX byLoc ON Msgs(loc) TYPE RTREE").unwrap();
+    db.execute_sqlpp("CREATE INDEX byLoc ON Msgs(loc) TYPE RTREE")
+        .unwrap();
     loser.write("Msgs", &msg(3, 1, 1), true).unwrap();
     loser.abort().unwrap();
     assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
@@ -1149,12 +1573,16 @@ fn ddl_between_the_writes_of_an_open_transaction() {
     let mut txn = db.begin();
     txn.write("Msgs", &msg(4, 1, 1), true).unwrap();
     db.execute_sqlpp("DROP DATASET Msgs").unwrap();
-    assert!(txn.write("Msgs", &msg(5, 1, 1), true).is_err(), "the dataset is gone");
+    assert!(
+        txn.write("Msgs", &msg(5, 1, 1), true).is_err(),
+        "the dataset is gone"
+    );
     txn.abort().unwrap(); // nothing left to restore, and nothing to trip over
 
     // the name is free again and no lock on its keys outlived its writers:
     // a held one would stall this past the lock manager's five seconds
-    db.execute_sqlpp("CREATE DATASET Msgs(MsgType) PRIMARY KEY id").unwrap();
+    db.execute_sqlpp("CREATE DATASET Msgs(MsgType) PRIMARY KEY id")
+        .unwrap();
     db.execute_sqlpp(MSG_INDEXES).unwrap();
     let want: BTreeMap<i64, Value> = (0..6).map(|id| (id, msg(id, 2, 1))).collect();
     let started = std::time::Instant::now();

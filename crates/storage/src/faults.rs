@@ -170,11 +170,6 @@ impl FaultInjector {
         })
     }
 
-    /// The configuration this injector was built with.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// I/O operations observed so far.
     pub fn ops(&self) -> u64 {
         self.ops.load(Ordering::SeqCst)

@@ -370,12 +370,6 @@ proptest! {
     }
 }
 
-/// Honour the CI nightly's `PROPTEST_CASES` (the in-attribute config
-/// overrides proptest's own env lookup).
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES").ok().and_then(|s| s.parse().ok()).unwrap_or(24)
-}
-
 fn as_slice(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
     b.as_ref().map(Vec::as_slice)
 }
@@ -404,7 +398,7 @@ fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Ve
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// A B+ tree bulk-loaded from sorted byte keys — whatever prefix its
     /// pages share and however short its separators get — answers point gets
@@ -501,7 +495,7 @@ fn life_ops() -> impl Strategy<Value = Vec<LifeOp>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Two B+-tree LSM indexes take the same operations; one of them is,
     /// every so often, flushed, dropped and reopened from its manifest. It
@@ -771,7 +765,7 @@ fn check_records(t: &LsmTree, layout: &RecordLayout, model: &BTreeMap<i64, Vec<u
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// An LSM tree with a layout — rows in its memory components, leaf
     /// groups on disk — answers gets, scans and reads of named cells like a
@@ -843,7 +837,7 @@ fn put_text(t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, s: &str
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(cases()))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Strings of any characters come out of a layout tree's string column as
     /// they went in — by entry, as cells and as columns — through a flush
