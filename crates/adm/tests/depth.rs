@@ -13,6 +13,7 @@ use asterix_adm::{AdmError, Value, MAX_DEPTH};
 const DEEP: usize = 100_000;
 
 /// What `read` returns when run on a thread with a 2 MiB stack.
+#[expect(clippy::disallowed_methods, reason = "adm sits below the lock module and its checked join")]
 fn on_small_stack<T: Send + 'static>(read: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new().stack_size(2 << 20).spawn(read).unwrap().join().unwrap()
 }

@@ -68,7 +68,7 @@ pub fn run(quick: bool) -> ExpReport {
                 let should_have_taken = (i + 1) as f64 / target_rate;
                 let elapsed = start.elapsed().as_secs_f64();
                 if elapsed < should_have_taken {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(
+                    asterix_storage::lock_order::sleep(std::time::Duration::from_secs_f64(
                         should_have_taken - elapsed,
                     ));
                 }
@@ -77,7 +77,7 @@ pub fn run(quick: bool) -> ExpReport {
     });
     let lag_after_ingest = link.lag();
     link.drain().unwrap();
-    pump.join().unwrap().unwrap();
+    asterix_storage::lock_order::join(pump).unwrap().unwrap();
     report.row(&[
         "paced ingest rate".into(),
         format!("{:.0} ops/s", n_mutations as f64 / t_ingest.as_secs_f64()),
@@ -124,7 +124,7 @@ pub fn run(quick: bool) -> ExpReport {
         }
     });
     stop.store(true, std::sync::atomic::Ordering::Release);
-    let storm_queries: i32 = storm.join().unwrap();
+    let storm_queries: i32 = asterix_storage::lock_order::join(storm).unwrap();
     report.row(&[
         "analytics query (idle)".into(),
         format!("{} ms", ms(t_idle)),

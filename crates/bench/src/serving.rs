@@ -105,7 +105,7 @@ fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: 
                             // accruing — the client is still waiting)
                             Err(CoreError::Saturated(_)) => {
                                 backpressure.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                std::thread::sleep(Duration::from_millis(1));
+                                asterix_storage::lock_order::sleep(Duration::from_millis(1));
                             }
                             Err(e) => panic!("bench query failed: {e}"),
                         }

@@ -225,9 +225,9 @@ impl ShadowLink {
         std::thread::spawn(move || {
             while !me.stopped.load(Ordering::Acquire) {
                 match me.pump() {
-                    Ok(0) => std::thread::sleep(poll),
+                    Ok(0) => asterix_storage::lock_order::sleep(poll),
                     Ok(_) => {}
-                    Err(e) if e.is_transient() => std::thread::sleep(poll),
+                    Err(e) if e.is_transient() => asterix_storage::lock_order::sleep(poll),
                     Err(e) => return Err(e),
                 }
             }
@@ -343,7 +343,7 @@ mod tests {
             store.set(format!("{i}"), doc(i, i));
         }
         link.drain().unwrap();
-        handle.join().unwrap().unwrap();
+        asterix_storage::lock_order::join(handle).unwrap().unwrap();
         assert_eq!(instance.count("Shadow").unwrap(), 200);
     }
 
@@ -376,7 +376,7 @@ mod tests {
         store.set("1", doc(1, 1));
         store.set("two", parse_value(r#"{"id": "two", "v": 2}"#).unwrap());
         let handle = link.start(std::time::Duration::from_millis(1));
-        let err = handle.join().unwrap().unwrap_err();
+        let err = asterix_storage::lock_order::join(handle).unwrap().unwrap_err();
         assert!(!err.is_transient(), "a string id for an int key: {err}");
         assert_eq!(link.cursor(), 0, "the batch holding it is not applied");
         assert_eq!(instance.count("Shadow").unwrap(), 0);
@@ -400,7 +400,7 @@ mod tests {
         }
         assert!(instance.kill_node(0));
         let handle = link.start(Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(20));
+        asterix_storage::lock_order::sleep(Duration::from_millis(20));
         assert_eq!(
             link.cursor(),
             0,
@@ -413,10 +413,10 @@ mod tests {
         assert!(instance.restart_node(0));
         let deadline = Instant::now() + Duration::from_secs(10);
         while link.lag() > 0 && !handle.is_finished() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            asterix_storage::lock_order::sleep(Duration::from_millis(1));
         }
         link.stop();
-        handle.join().unwrap().unwrap();
+        asterix_storage::lock_order::join(handle).unwrap().unwrap();
         assert_eq!(link.lag(), 0);
         assert_eq!(instance.count("Shadow").unwrap(), 100);
     }

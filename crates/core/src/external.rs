@@ -55,7 +55,7 @@ impl ExternalConfig {
 }
 
 /// Reads all records of an external dataset, casting them to `ty`.
-pub fn read_external( // xlint: allow(blocking, "external-dataset scan I/O is the operator's work; batch-bounded reads accounted in storage.io.*")
+pub fn read_external(
     cfg: &ExternalConfig,
     ty: Option<&ObjectType>,
     registry: &TypeRegistry,

@@ -298,7 +298,7 @@ impl Feed {
     /// (its seqno is still consumed), [`IngestionPolicy::Spill`] appends it
     /// to the overflow segment. Errors once the feed is stopped or has
     /// fail-stopped.
-    pub fn push(&self, record: Value) -> Result<u64> { // xlint: allow(blocking, "Throttle backpressure deliberately blocks the producer while the queue is full; pool workers must use try_push")
+    pub fn push(&self, record: Value) -> Result<u64> {
         match self.push_inner(record, true)? {
             Some(seq) => Ok(seq),
             // unreachable: a blocking push always consumes a seqno
@@ -414,7 +414,7 @@ impl Feed {
         (self.ingested(), self.rejected())
     }
 
-    fn close(&mut self) { // xlint: allow(blocking, "control-plane teardown joins the feed worker thread; never runs on a pool worker")
+    fn close(&mut self) {
         {
             let mut st = self.shared.state.lock();
             st.closed = true;
@@ -422,7 +422,7 @@ impl Feed {
             self.shared.not_full.notify_all();
         }
         if let Some(w) = self.worker.take() {
-            let _ = w.join();
+            let _ = asterix_storage::lock_order::join(w);
         }
     }
 }
@@ -441,7 +441,7 @@ enum BatchOutcome {
     FailStop(String),
 }
 
-fn ingest_loop( // xlint: allow(blocking, "the feed worker is a dedicated ingestion thread: it parks on the queue condvar and sleeps retry backoffs by design")
+fn ingest_loop(
     shared: &Arc<Shared>,
     instance: &Instance,
     dataset: &str,
@@ -519,7 +519,7 @@ fn cleanup_spill(st: &mut QueueState) {
 }
 
 /// Applies one batch in one transaction with the feed's retry policy.
-fn commit_batch( // xlint: allow(blocking, "retry backoff sleeps on the dedicated feed worker thread")
+fn commit_batch(
     shared: &Arc<Shared>,
     instance: &Instance,
     dataset: &str,
@@ -665,7 +665,7 @@ mod tests {
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            asterix_storage::lock_order::join(h).unwrap();
         }
         let feed = Arc::try_unwrap(feed).ok().expect("all producers done");
         let (ok, _) = feed.stop();
@@ -859,7 +859,7 @@ mod tests {
         // the worker exhausts its retry budget and fail-stops
         let deadline = Instant::now() + Duration::from_secs(10);
         while feed.error().is_none() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
+            asterix_storage::lock_order::sleep(Duration::from_millis(2));
         }
         let reason = feed.error().expect("feed fail-stopped");
         assert!(reason.contains("attempt"), "{reason}");

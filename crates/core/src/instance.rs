@@ -188,7 +188,7 @@ impl Clone for Instance {
 
 impl Instance {
     /// Opens an instance, recovering any existing state under the data dir.
-    pub fn open(config: InstanceConfig) -> Result<Instance> { // xlint: allow(blocking, "instance open/recovery runs on the caller thread before any job is admitted")
+    pub fn open(config: InstanceConfig) -> Result<Instance> {
         let (root, temp_guard) = match &config.data_dir {
             Some(d) => (d.clone(), false),
             None => {
@@ -269,7 +269,7 @@ impl Instance {
 
     /// Appends `stmt_text` to `log`, the persisted DDL log, replacing the
     /// file atomically: a crash leaves the old catalog or the new one.
-    fn persist_ddl(&self, log: &mut Vec<String>, stmt_text: &str) -> Result<()> { // xlint: allow(blocking, "DDL persistence runs on the session thread under the DDL lock, not on pool workers")
+    fn persist_ddl(&self, log: &mut Vec<String>, stmt_text: &str) -> Result<()> {
         log.push(stmt_text.to_string());
         let arr = Value::Array(log.iter().map(|s| Value::from(s.as_str())).collect());
         let text = asterix_adm::print::to_adm_string(&arr);
@@ -297,7 +297,7 @@ impl Instance {
         Ok(Arc::new(DatasetRuntime { def, schema, partitions }))
     }
 
-    fn recover(&self) -> Result<()> { // xlint: allow(blocking, "recovery is single-threaded startup code; the worker pool is not running yet")
+    fn recover(&self) -> Result<()> {
         let inner = &self.inner;
         let faults = inner.config.faults.as_ref();
         // 0. validate (or persist) the physical layout: a key's partition is
@@ -727,7 +727,7 @@ impl Instance {
             }
             let backoff = policy.backoff.saturating_mul(1 << (attempts - 1).min(16));
             if !backoff.is_zero() {
-                std::thread::sleep(backoff);
+                asterix_storage::lock_order::sleep(backoff);
             }
         }
     }

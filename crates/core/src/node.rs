@@ -64,7 +64,7 @@ impl Node {
 
     /// Opens (or creates) a node rooted at `dir` with explicit buffer-cache
     /// options, whose I/O paths (page files and WAL) consult `faults`.
-    pub fn open_with_opts( // xlint: allow(blocking, "node bring-up runs on the control plane before the worker pool serves jobs")
+    pub fn open_with_opts(
         id: usize,
         dir: impl AsRef<Path>,
         cache_opts: CacheOptions,
@@ -315,11 +315,10 @@ mod tests {
         let root = tmp();
         let n = Node::open(0, root.join("node0"), 4).unwrap();
         let n2 = Arc::clone(&n);
-        let _ = std::thread::spawn(move || {
+        let _ = asterix_storage::lock_order::join(std::thread::spawn(move || {
             let _wal = n2.wal.lock();
             panic!("holder dies with the WAL guard live");
-        })
-        .join();
+        }));
         // A bare std::sync::Mutex would now be poisoned and every later
         // lock().unwrap() would panic, wedging commit/rollback. The
         // lock_order mutex takes a poisoned lock as it is instead.

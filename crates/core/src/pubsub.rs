@@ -148,7 +148,7 @@ impl Broker {
         std::thread::spawn(move || {
             while !me.stopped.load(Ordering::Acquire) {
                 let _ = me.tick_all();
-                std::thread::sleep(interval);
+                asterix_storage::lock_order::sleep(interval);
             }
         })
     }

@@ -402,7 +402,7 @@ impl QueryHandle {
 
     /// Blocks until the query finishes and returns its rows (or its typed
     /// error). The outcome is consumed: a second `wait` reports an error.
-    pub fn wait(&self) -> Result<Vec<Value>> { // xlint: allow(blocking, "admission wait parks the submitting session thread by design; pool workers never call submit")
+    pub fn wait(&self) -> Result<Vec<Value>> {
         let outcome = {
             let mut st = self.shared.state.lock();
             while !st.done {
@@ -413,7 +413,7 @@ impl QueryHandle {
         // Reap the worker thread (first waiter only; harmless if detached).
         let worker = self.worker.lock().take();
         if let Some(jh) = worker {
-            let _ = jh.join();
+            let _ = asterix_storage::lock_order::join(jh);
         }
         match outcome {
             Some(r) => r,

@@ -75,7 +75,7 @@ impl LockManager {
     /// Acquires the write lock on `pk` in the dataset with id `dataset` for
     /// `txn`. Re-entrant for the same transaction. Times out (as a deadlock
     /// break) with an error.
-    pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> { // xlint: allow(blocking, "2PL lock wait is deadline-bounded (wait_for + timeout); blocking is the lock-manager contract")
+    pub fn lock(&self, txn: u64, dataset: u32, pk: &[u8]) -> Result<()> {
         let mut table = self.locks.lock();
         loop {
             match table.owners.get(&dataset).and_then(|of_dataset| of_dataset.get(pk)) {
@@ -179,10 +179,10 @@ mod tests {
             lm2.lock(2, 1, b"k").unwrap();
             lm2.release_all(2);
         });
-        thread::sleep(Duration::from_millis(50));
+        asterix_storage::lock_order::sleep(Duration::from_millis(50));
         assert_eq!(lm.held(), 1);
         lm.release_all(1);
-        handle.join().unwrap();
+        asterix_storage::lock_order::join(handle).unwrap();
         assert_eq!(lm.held(), 0);
     }
 
@@ -250,11 +250,11 @@ mod tests {
                 lm.release_all(txn);
             }));
         }
-        thread::sleep(Duration::from_millis(50));
+        asterix_storage::lock_order::sleep(Duration::from_millis(50));
         assert_eq!(lm.held(), 1, "waiters must block while txn 1 holds");
         lm.release_all(1);
         for h in handles {
-            h.join().unwrap();
+            asterix_storage::lock_order::join(h).unwrap();
         }
         assert_eq!(lm.held(), 0, "every waiter acquired and released in turn");
     }
@@ -280,7 +280,7 @@ mod tests {
             }));
         }
         for h in handles {
-            h.join().unwrap();
+            asterix_storage::lock_order::join(h).unwrap();
         }
         let s = seen.lock();
         assert_eq!(*s, (0..8u64).collect::<Vec<_>>(), "handoff must serialize");
@@ -291,11 +291,10 @@ mod tests {
     fn panicked_holder_does_not_poison_the_lock_table() {
         let lm = Arc::new(LockManager::new(Duration::from_millis(200)));
         let lm2 = Arc::clone(&lm);
-        let _ = thread::spawn(move || {
+        let _ = asterix_storage::lock_order::join(thread::spawn(move || {
             lm2.lock(1, 1, b"k").unwrap();
             panic!("txn thread dies while owning the record lock");
-        })
-        .join();
+        }));
         // the internal map mutex must not be poisoned: diagnostics and
         // release_all (the rollback path) still work, and releasing the dead
         // transaction's locks unwedges the key for later writers
@@ -310,12 +309,11 @@ mod tests {
     fn lock_order_mutex_guard_unlocks_on_unwinding_panic() {
         let m = Arc::new(Mutex::ranked(Level::LockManager, 0u32));
         let m2 = Arc::clone(&m);
-        let _ = thread::spawn(move || {
+        let _ = asterix_storage::lock_order::join(thread::spawn(move || {
             let mut g = m2.lock();
             *g = 7;
             panic!("panic while the guard is live");
-        })
-        .join();
+        }));
         // a bare std::sync::Mutex would be poisoned now; lock_order's mutex
         // takes the poisoned lock as it is and the next acquirer proceeds
         assert_eq!(*m.lock(), 7);

@@ -23,6 +23,6 @@ pub fn settle(db: &Instance) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while over_nodes(db, ".storage.lsm.merge_inflight") != 0 {
         assert!(Instant::now() < deadline, "merges in flight after 30 s");
-        std::thread::sleep(Duration::from_millis(1));
+        asterix_storage::lock_order::sleep(Duration::from_millis(1));
     }
 }

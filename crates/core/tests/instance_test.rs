@@ -461,7 +461,7 @@ fn writer_and_sealed_component_both_wait_for_the_open_transaction() {
             }
             txn.commit()
         });
-        started.recv().unwrap();
+        asterix_storage::lock_order::recv(&started).unwrap();
         assert_eq!(db.lsm_stats("D", None).unwrap()[0].flushes, 0, "flushed under an open writer");
         holder.commit().unwrap();
         writer.join().unwrap().unwrap();

@@ -170,7 +170,7 @@ fn concurrent_node_kill_mid_query_still_recovers() {
         let db = db.clone();
         std::thread::spawn(move || {
             // land the kill at an arbitrary point relative to the query
-            std::thread::sleep(Duration::from_millis(2));
+            asterix_storage::lock_order::sleep(Duration::from_millis(2));
             db.kill_node(1)
         })
     };
@@ -181,7 +181,7 @@ fn concurrent_node_kill_mid_query_still_recovers() {
         let rows = db.query("SELECT VALUE d.v FROM D d").unwrap();
         assert_eq!(rows.len(), 200);
     }
-    killer.join().unwrap();
+    asterix_storage::lock_order::join(killer).unwrap();
 }
 
 #[test]

@@ -30,7 +30,8 @@
 //! partition of about ten records a component, under each merge policy,
 //! merges every few flushes, deletes included, so that crash points land
 //! all over the merge pipeline — or, with no merge at all, in flushes and
-//! log rotation. Merges run as tasks on the worker pool, so the crash fires
+//! log rotation; one prefix bound keeps a merged component out of later
+//! merges, so they leave the oldest component out. Merges run as tasks on the worker pool, so the crash fires
 //! on whichever thread reaches it: the recovered rows must be right for
 //! every interleaving. Recovery attaches exactly the components a manifest
 //! names — a merge's output *or* its inputs, never both, whichever side of
@@ -147,18 +148,35 @@ const fn merging(merge_policy: MergePolicy) -> Shape {
     }
 }
 
+/// [`merging`] with a pad ten times as long, about six records a
+/// component, and a prefix bound between a flushed component (three pages)
+/// and the merged ones it grows (four; [`merging`]'s records fill three
+/// pages either way). A merged component stays out of every later merge, so
+/// those merges leave the oldest component out and must keep their delete
+/// markers.
+const PARTIAL_MERGES: Shape = Shape {
+    mem_budget: 4096,
+    pad: 500,
+    txns: 28,
+    ..merging(MergePolicy::Prefix {
+        max_mergable_bytes: 28 << 10,
+        max_tolerance_components: 1,
+    })
+};
+
 /// One partition under each merge policy, the [`MERGING`] ones first.
-const ONE_PARTITION: [Shape; 3] = [
+const ONE_PARTITION: [Shape; 4] = [
     merging(MergePolicy::Constant { max_components: 3 }),
     merging(MergePolicy::Prefix {
         max_mergable_bytes: 32 << 20,
         max_tolerance_components: 2,
     }),
+    PARTIAL_MERGES,
     merging(MergePolicy::NoMerge),
 ];
 
 /// The shapes whose workload merges.
-const MERGING: std::ops::Range<usize> = 0..2;
+const MERGING: std::ops::Range<usize> = 0..3;
 
 /// What a crash run promised the recovered state.
 #[derive(Default)]
@@ -325,8 +343,9 @@ fn workload_reaches_the_crash_points_it_draws_from() {
 
 /// The merging workload really does merge: fault-free, every merging policy
 /// must report merges, otherwise the sweeps would pass without ever
-/// interrupting one; and the random sweep draws its crash points from the
-/// whole run.
+/// interrupting one; the random sweep draws its crash points from the
+/// whole run; and [`PARTIAL_MERGES`] merges while leaving the oldest
+/// component out.
 #[test]
 fn workload_exercises_merges_under_every_policy() {
     for shape in &ONE_PARTITION[MERGING] {
@@ -348,6 +367,39 @@ fn workload_exercises_merges_under_every_policy() {
             "{shape:?}: no merge amplification (write_amp={write_amp:?})"
         );
     }
+    // Once a merged component is past the prefix bound, no merge takes it:
+    // every later one leaves the oldest component out.
+    let shape = PARTIAL_MERGES;
+    let MergePolicy::Prefix { max_mergable_bytes, .. } = shape.merge_policy else {
+        unreachable!("a prefix shape")
+    };
+    let dir = TempDir::new("partial");
+    let injector = FaultInjector::new(FaultConfig::default());
+    let db = Instance::open(shape.config(dir.path(), Some(injector.clone()))).unwrap();
+    db.execute_sqlpp(DDL).unwrap();
+    let components = || -> Vec<(String, u64)> {
+        let node = std::fs::read_dir(dir.path().join("node0")).unwrap();
+        let files = node.map(|e| e.unwrap());
+        let kv = files.filter(|e| e.file_name().to_string_lossy().starts_with("kv_"));
+        kv.map(|e| (e.file_name().to_string_lossy().into_owned(), e.metadata().unwrap().len()))
+            .collect()
+    };
+    let merges = || db.metrics_snapshot().counter("node0.storage.lsm.merges").unwrap();
+    let mut seed = 21;
+    let unmergeable = loop {
+        transact(&db, shape, seed, &injector, 4);
+        common::settle(&db);
+        if let Some((name, _)) = components().into_iter().find(|c| c.1 >= max_mergable_bytes) {
+            break name;
+        }
+        seed += 1;
+        assert!(seed < 40, "no component grew past the bound: {:?}", components());
+    };
+    let merged = merges();
+    transact(&db, shape, seed + 1, &injector, shape.txns);
+    common::settle(&db);
+    assert!(merges() > merged, "no merge after {unmergeable} passed the bound");
+    assert!(components().iter().any(|c| c.0 == unmergeable));
 }
 
 /// One random crash run of `shape` under `faults`, checked on reopen.
@@ -385,7 +437,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// The same invariants on one partition under every merge policy, whose
     /// crash points land inside flushes, merges, and the publish/retire

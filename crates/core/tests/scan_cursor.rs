@@ -93,10 +93,8 @@ fn a_parked_scan_blocks_no_writer() {
             done.send(()).unwrap();
         })
     };
-    written
-        .recv_timeout(Duration::from_secs(60))
-        .expect("an upsert and a flush go through while the scan is parked");
-    writer.join().unwrap();
+    asterix_storage::lock_order::recv_timeout(&written, Duration::from_secs(60)).expect("an upsert and a flush go through while the scan is parked");
+    asterix_storage::lock_order::join(writer).unwrap();
     assert_eq!(scan.map(|b| b.rows()).sum::<usize>(), 2 * SCAN_BATCH + 1, "the rest, and the key written past it");
 }
 

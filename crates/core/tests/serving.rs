@@ -40,7 +40,7 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
         if cond() {
             return true;
         }
-        std::thread::sleep(Duration::from_millis(2));
+        asterix_storage::lock_order::sleep(Duration::from_millis(2));
     }
     cond()
 }
@@ -86,7 +86,7 @@ fn battery_sessions_never_observe_each_others_results() {
         }));
     }
     for c in clients {
-        c.join().expect("client thread");
+        asterix_storage::lock_order::join(c).expect("client thread");
     }
     // All admissions drained: the pool is back to idle.
     let snap = db.scheduler().pool_snapshot();
@@ -191,7 +191,7 @@ fn admission_is_fifo_a_later_query_that_would_fit_waits_behind_the_head() {
     let head = with_memory("SELECT VALUE d.v FROM D d WHERE d.v = 0", 40).expect("submit head");
     let small = with_memory("SELECT VALUE d.v FROM D d WHERE d.v = 1", 1).expect("submit small");
     // ten admission polls: a slot and 24 MiB are free the whole time
-    std::thread::sleep(Duration::from_millis(100));
+    asterix_storage::lock_order::sleep(Duration::from_millis(100));
     let snap = db.scheduler().pool_snapshot();
     assert_eq!((snap.running, snap.queued), (1, 2), "the small query waits behind the head");
     assert_eq!(db.metrics_snapshot().counter("core.serving.admitted"), Some(1));
@@ -283,7 +283,7 @@ fn direct_queries_hold_and_return_an_admission_reservation() {
         "a running direct query must hold one slot and its budget"
     );
     assert!(db.restart_node(0));
-    let rows = pinned.join().expect("query thread").expect("succeeds once the node is back");
+    let rows = asterix_storage::lock_order::join(pinned).expect("query thread").expect("succeeds once the node is back");
     assert_eq!(rows.len(), ROWS as usize);
     assert_eq!(db.scheduler().pool_snapshot(), idle, "success path returns the reservation");
     db.query("SELECT VALUE x.v FROM Nope x")

@@ -77,7 +77,7 @@ impl RuntimeCtx {
     /// Creates a context spilling under `spill_dir` (created if missing),
     /// timing with `clock`, plus an optional chaos injector whose schedules
     /// every job on this context runs under.
-    pub fn with_clock_and_faults( // xlint: allow(blocking, "spill-dir creation happens once at context construction on the driver thread")
+    pub fn with_clock_and_faults(
         spill_dir: impl Into<PathBuf>,
         clock: Arc<dyn Clock>,
         faults: Option<Arc<DataflowFaults>>,
@@ -159,7 +159,7 @@ impl RuntimeCtx {
 
     /// Opens a fresh spill-run writer, counted against the operator `m`
     /// belongs to.
-    pub fn new_run(&self, m: &mut OpMetrics) -> Result<RunWriter> { // xlint: allow(blocking, "spill-run creation is morsel-bounded sort I/O; counted in hyracks.dataflow.spill_runs")
+    pub fn new_run(&self, m: &mut OpMetrics) -> Result<RunWriter> {
         let id = self.next_spill.fetch_add(1, Ordering::Relaxed); // xlint: ordering(spill-run id needs uniqueness only; the file itself is thread-local)
         let path = self.spill_dir.join(format!("run-{id}.spill"));
         let file = std::fs::File::create(&path)?;
@@ -193,7 +193,7 @@ pub struct RunWriter {
 
 impl RunWriter {
     /// Appends one tuple.
-    pub fn write(&mut self, tuple: &Tuple, m: &mut OpMetrics) -> Result<()> { // xlint: allow(blocking, "spill writes are the sort operator's work; frame-bounded, counted in dataflow counters")
+    pub fn write(&mut self, tuple: &Tuple, m: &mut OpMetrics) -> Result<()> {
         let mut buf = Vec::with_capacity(64);
         let arity = u32_len("spill-run tuple arity", tuple.len())?;
         buf.extend_from_slice(&arity.to_le_bytes());
@@ -230,7 +230,7 @@ impl RunHandle {
     }
 
     /// Opens a streaming reader over the run's tuples.
-    pub fn read(&self) -> Result<RunReader> { // xlint: allow(blocking, "spill-run reopen for merge; bounded by run count")
+    pub fn read(&self) -> Result<RunReader> {
         Ok(RunReader {
             reader: BufReader::with_capacity(1 << 16, std::fs::File::open(&self.path)?),
         })
@@ -251,7 +251,7 @@ pub struct RunReader {
 impl Iterator for RunReader {
     type Item = Result<Tuple>;
 
-    fn next(&mut self) -> Option<Self::Item> { // xlint: allow(blocking, "merge reads one frame per call; bounded I/O on the sort path")
+    fn next(&mut self) -> Option<Self::Item> {
         let mut len_buf = [0u8; 4];
         match self.reader.read_exact(&mut len_buf) {
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return None,

@@ -642,7 +642,7 @@ impl sched::Task for ActorTask {
         &self.core
     }
 
-    fn step(&self) -> sched::Step { // xlint: actor_entry
+    fn step(&self) -> sched::Step {
         let Some(job) = self.job.upgrade() else {
             // The job completed and was torn down; this is a stale queue
             // entry left behind by a late notification.
@@ -1521,7 +1521,7 @@ mod tests {
             if enq == run || std::time::Instant::now() > deadline {
                 return (enq, run);
             }
-            std::thread::sleep(Duration::from_millis(1));
+            asterix_storage::lock_order::sleep(Duration::from_millis(1));
         }
     }
 
@@ -1695,7 +1695,7 @@ mod tests {
         let t2 = token.clone();
         // Cancel from outside once the job is demonstrably running.
         let canceller = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
+            asterix_storage::lock_order::sleep(Duration::from_millis(20));
             assert!(t2.cancel("user abort"), "this cancel is the first cause");
         });
         let before = ctx.registry().snapshot();
@@ -1705,7 +1705,7 @@ mod tests {
             JobOptions { token: Some(token), deadline: None },
         )
         .unwrap_err();
-        canceller.join().unwrap();
+        asterix_storage::lock_order::join(canceller).unwrap();
         assert!(
             matches!(&err, HyracksError::Cancelled(r) if r.contains("user abort")),
             "job reports the external cancellation cause: {err}"

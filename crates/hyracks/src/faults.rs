@@ -229,7 +229,7 @@ impl WorkerFaultState {
 
     /// Per-shipped-frame hook. `Err` kills the worker with a typed fault;
     /// `DropRest` tells the router to sever its output.
-    pub(crate) fn on_frame(&mut self) -> Result<FrameAction> { // xlint: allow(blocking, "fault injection for chaos tests; the sleep simulates a slow operator deliberately")
+    pub(crate) fn on_frame(&mut self) -> Result<FrameAction> {
         self.frames += 1;
         match self.plan {
             WorkerFault::KillAtFrame(n) if self.frames >= n => {
@@ -251,6 +251,7 @@ impl WorkerFaultState {
                     self.recorded = true;
                     self.injector.record(&self.label, "delay", self.frames);
                 }
+                #[expect(clippy::disallowed_methods, reason = "injected latency stands for a slow operator, which a worker runs by design")]
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 Ok(FrameAction::Deliver)
             }

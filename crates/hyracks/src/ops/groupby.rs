@@ -131,7 +131,7 @@ impl<R: Resident> Operator for Hybrid<R> {
     /// admitted and the same rows spilled however the rows are framed — and
     /// a row whose key the table finds in its column is folded where it
     /// lies. A frame the table cannot fold in is read as rows.
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         if !self.table.folds_in(&batch) {
             return each_row(batch, |t| self.row(t, cx));
         }
@@ -144,7 +144,7 @@ impl<R: Resident> Operator for Hybrid<R> {
         Ok(true)
     }
 
-    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         let empty = self.table.fresh();
         self.rows = std::mem::replace(&mut self.table, empty).into_rows();
         for w in self.spills.take().into_iter().flatten() {
@@ -153,7 +153,7 @@ impl<R: Resident> Operator for Hybrid<R> {
         Ok(None)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         if let Some(t) = self.rows.next() {
             return cx.emit(t);
         }
@@ -360,14 +360,14 @@ impl Aggregate {
 
 impl Operator for Aggregate {
     /// Folds each row in play where its columns hold it.
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> {
         for row in batch.row_ids() {
             self.0.iter_mut().for_each(|s| s.update_at(&batch, row));
         }
         Ok(true)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         let mut row = Vec::with_capacity(self.0.len());
         self.0.iter().for_each(|s| s.finish(&mut row));
         cx.emit(row)?;
@@ -407,16 +407,16 @@ impl GroupCollect {
 }
 
 impl Operator for GroupCollect {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         each_row(batch, |t| self.sort.feed(t, cx))
     }
 
-    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> {
         self.sort.end(cx)?;
         Ok(None)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         let t = match self.sort.advance(cx)? {
             Advance::Worked => return Ok(true),
             Advance::Tuple(t) => t,

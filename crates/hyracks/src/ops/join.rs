@@ -155,14 +155,14 @@ impl Operator for HashJoin {
         Some(1)
     }
 
-    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         if port == 1 {
             return each_row(batch, |t| self.on_build(t, cx));
         }
         each_row(batch, |t| self.on_probe(t, cx))
     }
 
-    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         if port == 1 {
             return Ok(Some(0));
         }
@@ -176,7 +176,7 @@ impl Operator for HashJoin {
         Ok(None)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         if let Some(more) = Nested::advance(&mut self.child, cx)? {
             return Ok(more);
         }
@@ -285,7 +285,7 @@ impl Operator for NestedLoopJoin {
         Some(1)
     }
 
-    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         if port == 1 {
             self.build.extend(batch.into_rows());
             return Ok(true);
@@ -293,7 +293,7 @@ impl Operator for NestedLoopJoin {
         each_row(batch, |t| nlj_probe_one(t, &self.build, &self.pred, self.kind, self.right_arity, &mut |o| cx.emit(o)))
     }
 
-    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         Ok((port == 1).then_some(0))
     }
 }

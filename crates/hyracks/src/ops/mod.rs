@@ -29,6 +29,7 @@ use crate::sched::MORSEL_TUPLES;
 use asterix_adm::compare::total_cmp;
 use asterix_adm::{ColumnBatch, Value};
 use asterix_obs::OpMetrics;
+use asterix_storage::lock_order;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -190,7 +191,7 @@ impl Running {
     /// rows, and is not split: the last unit of a step may overshoot by one.
     /// What a nested level does within a unit of drain is counted where it
     /// is done.
-    pub fn pump<I: Input>( // xlint: actor_entry
+    pub fn pump<I: Input>(
         &mut self,
         inputs: &mut [I],
         cx: &mut OpCtx<'_>,
@@ -288,7 +289,9 @@ pub fn drive<'a, T: Into<Produced>>(
     let token = CancellationToken::new();
     let mut cx =
         OpCtx { metrics: &mut metrics, token: &token, ctx, out: &mut out, wake: &NoWake, spent: 0 };
-    while run.pump(&mut inputs, &mut cx, MORSEL_TUPLES)? != Flow::Finished {}
+    // Each pump marked as a pool step: a wait in the operator aborts (debug builds).
+    let mut pump = || lock_order::as_pool_step(|| run.pump(&mut inputs, &mut cx, MORSEL_TUPLES));
+    while pump()? != Flow::Finished {}
     Ok(Driven { tuples: out.take_collected(), metrics })
 }
 

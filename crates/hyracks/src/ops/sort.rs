@@ -135,16 +135,16 @@ impl Sort {
 }
 
 impl Operator for Sort {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         each_row(batch, |t| self.feed(t, cx))
     }
 
-    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, _: usize, cx: &mut OpCtx<'_>) -> Result<Option<usize>> {
         self.end(cx)?;
         Ok(None)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         match self.advance(cx)? {
             Advance::Tuple(t) => cx.emit(t),
             Advance::Worked => Ok(true),
@@ -307,19 +307,19 @@ impl TopK {
 }
 
 impl Operator for TopK {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> {
         each_row(batch, |t| {
             self.row(t);
             Ok(true)
         })
     }
 
-    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         self.out = std::mem::take(&mut self.kept).into_sorted_vec().into_iter();
         Ok(None)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         match self.out.next() {
             Some(item) => cx.emit(item.0.tuple),
             None => Ok(false),

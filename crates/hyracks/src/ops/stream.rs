@@ -30,11 +30,11 @@ impl Operator for Source {
         None
     }
 
-    fn on_batch(&mut self, _: usize, _: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, _: ColumnBatch, _: &mut OpCtx<'_>) -> Result<bool> {
         Ok(true)
     }
 
-    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
         let iter = match &mut self.iter {
             Some(iter) => iter,
             None => self.iter.insert(self.factory.open(self.partition)?),
@@ -50,7 +50,7 @@ impl Operator for Source {
 pub(crate) struct Filter(pub PredFn);
 
 impl Operator for Filter {
-    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         let keep = self.0.select(&batch)?;
         if keep.is_empty() {
             return Ok(true);
@@ -63,7 +63,7 @@ impl Operator for Filter {
 pub(crate) struct Assign(pub Vec<EvalFn>);
 
 impl Operator for Assign {
-    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         for e in &self.0 {
             let column = e.eval_batch(&batch)?;
             batch.push_column(column)?;
@@ -77,7 +77,7 @@ impl Operator for Assign {
 pub(crate) struct Project(pub Vec<usize>);
 
 impl Operator for Project {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         cx.emit_batch(batch.project(&self.0))
     }
 }
@@ -112,7 +112,7 @@ impl Unnest {
 }
 
 impl Operator for Unnest {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         each_row(batch, |t| self.row(t, cx))
     }
 }
@@ -137,7 +137,7 @@ impl Operator for Limit {
         (self.left != Some(0)).then_some(0)
     }
 
-    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, mut batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         let skipped = self.offset.min(batch.rows());
         self.offset -= skipped;
         batch.slice(skipped, self.left);
@@ -159,11 +159,11 @@ pub(crate) struct Concat {
 }
 
 impl Operator for Concat {
-    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> { // xlint: actor_entry
+    fn on_batch(&mut self, _: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
         cx.emit_batch(batch)
     }
 
-    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> { // xlint: actor_entry
+    fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         Ok((port + 1 < self.ports).then_some(port + 1))
     }
 }

@@ -35,7 +35,7 @@
 use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use asterix_obs::{Counter, MetricsRegistry};
-use asterix_storage::lock_order::{Condvar, Mutex};
+use asterix_storage::lock_order::{self, Condvar, Mutex};
 use asterix_storage::{BackgroundExecutor, BackgroundJob, CompactionExec, JobStep};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
@@ -253,18 +253,14 @@ impl Drop for WorkerPool {
             let _idle = self.shared.idle.lock();
             self.shared.wake.notify_all();
         }
-        let mut threads = self.threads.lock();
-        for h in threads.drain(..) {
-            // The last strong reference to a pool can be dropped *by one of
-            // its own workers*: the worker that finishes a job's final actor
-            // still holds its upgraded job Arc while the submitting thread
-            // returns and releases everything else. A self-join would be an
-            // instant EDEADLK panic on that worker — detach instead; the
-            // shutdown flag above makes the detached thread exit on its own.
-            if h.thread().id() == std::thread::current().id() {
-                drop(h);
-            } else {
-                let _ = h.join();
+        let threads = std::mem::take(&mut *self.threads.lock());
+        // The last reference to a pool can drop on one of its own workers:
+        // the one finishing a job's final actor holds the job. That worker
+        // must not wait for its siblings' steps, nor join itself: it detaches
+        // them all, and the shutdown flag above makes each exit on its own.
+        if WORKER_SLOT.get().0 != Arc::as_ptr(&self.shared) as usize {
+            for h in threads {
+                let _ = lock_order::join(h);
             }
         }
     }
@@ -328,9 +324,11 @@ fn run_task(shared: &PoolShared, task: Arc<dyn Task>) {
     core.state.store(RUNNING, Ordering::Release);
     shared.counters.morsels.inc();
     // Tasks catch panics in their own step bodies; this is a belt-and-braces
-    // guard so a panicking task never takes a pool worker down with it.
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.step()))
-        .unwrap_or(Step::Finished);
+    // guard so a panicking task never takes a pool worker down with it. The
+    // step runs marked: a wait in it aborts (debug builds).
+    let step = || lock_order::as_pool_step(|| task.step());
+    let outcome =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)).unwrap_or(Step::Finished);
     match outcome {
         Step::Finished => core.state.store(DONE, Ordering::Release),
         Step::Again => {
@@ -393,11 +391,18 @@ impl Task for CompactionTask {
         &self.core
     }
 
-    fn step(&self) -> Step { // xlint: actor_entry
+    fn step(&self) -> Step {
         if self.token.is_cancelled() {
             self.job.cancel();
         }
-        match self.job.step() {
+        // A panicking step ends the job as a cancel does, so the tree counts
+        // the merge aborted and goes back to idle instead of wedging.
+        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.job.step()))
+            .unwrap_or_else(|_| {
+                self.job.cancel();
+                self.job.step()
+            });
+        match step {
             JobStep::Again => Step::Again,
             JobStep::Done => Step::Finished,
         }
@@ -609,12 +614,14 @@ mod tests {
         assert_eq!(t.runs.load(Ordering::SeqCst), 1);
     }
 
-    /// Fake merge job: counts steps, honours cooperative cancel.
+    /// Fake merge job: counts steps, honours cooperative cancel, and panics
+    /// in its next step while `panics` is set.
     struct FakeJob {
         steps_left: AtomicUsize,
         steps_run: AtomicUsize,
         cancelled: AtomicBool,
         done: AtomicBool,
+        panics: AtomicBool,
     }
 
     impl FakeJob {
@@ -624,6 +631,7 @@ mod tests {
                 steps_run: AtomicUsize::new(0),
                 cancelled: AtomicBool::new(false),
                 done: AtomicBool::new(false),
+                panics: AtomicBool::new(false),
             })
         }
     }
@@ -631,6 +639,7 @@ mod tests {
     impl BackgroundJob for FakeJob {
         fn step(&self) -> JobStep {
             self.steps_run.fetch_add(1, Ordering::SeqCst);
+            assert!(!self.panics.swap(false, Ordering::SeqCst), "a merge step fails");
             if self.cancelled.load(Ordering::SeqCst)
                 || self.steps_left.fetch_sub(1, Ordering::SeqCst) <= 1
             {
@@ -648,7 +657,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !job.done.load(Ordering::SeqCst) {
             assert!(Instant::now() < deadline, "compaction job never finished");
-            std::thread::sleep(Duration::from_millis(1));
+            lock_order::sleep(Duration::from_millis(1));
         }
     }
 
@@ -680,6 +689,61 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_merge_step_is_cancelled_and_stepped_to_done() {
+        let ctx = RuntimeCtx::temp().unwrap();
+        ctx.set_worker_threads(1);
+        let exec = storage_compaction_executor(&ctx, CancellationToken::new());
+        let job = FakeJob::new(1_000_000);
+        job.panics.store(true, Ordering::SeqCst);
+        exec.offload(job.clone() as Arc<dyn BackgroundJob>);
+        wait_done(&job);
+        // The panicking step, then the cancelled one that ends the job.
+        assert!(job.cancelled.load(Ordering::SeqCst));
+        assert_eq!(job.steps_run.load(Ordering::SeqCst), 2);
+    }
+
+    /// Records whether its step ran marked as a pool step.
+    struct MarkTask {
+        core: TaskCore,
+        marked: Mutex<Option<bool>>,
+    }
+
+    impl Task for MarkTask {
+        fn core(&self) -> &TaskCore {
+            &self.core
+        }
+        fn step(&self) -> Step {
+            *self.marked.lock() = Some(lock_order::on_pool_step());
+            Step::Finished
+        }
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not mark pool steps")]
+    fn a_step_runs_marked_and_park_does_not() {
+        let reg = MetricsRegistry::new();
+        let task = || Arc::new(MarkTask { core: TaskCore::new(), marked: Mutex::new(None) });
+        let pool = WorkerPool::new(1, &reg);
+        let t = task();
+        notify(&(t.clone() as Arc<dyn Task>), &pool);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !t.core.is_done() {
+            assert!(Instant::now() < deadline, "the pool never ran the task");
+            lock_order::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(*t.marked.lock(), Some(true), "a worker's step is marked");
+        // By hand: the mark ends with the step, so the worker's park after
+        // it waits on the pool's condvar unmarked (a marked wait aborts).
+        let pool = WorkerPool::inert(1, &reg);
+        let t = task();
+        notify(&(t.clone() as Arc<dyn Task>), &pool);
+        assert!(drive(&pool.shared, 0));
+        assert_eq!(*t.marked.lock(), Some(true));
+        assert!(!lock_order::on_pool_step());
+        park(&pool.shared);
+    }
+
+    #[test]
     fn dead_context_falls_back_to_inline_completion() {
         let exec = {
             let ctx = RuntimeCtx::temp().unwrap();
@@ -708,7 +772,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while tasks.iter().any(|t| !t.core.is_done()) {
             assert!(Instant::now() < deadline, "pool did not drain tasks");
-            std::thread::sleep(Duration::from_millis(1));
+            lock_order::sleep(Duration::from_millis(1));
         }
         for t in &tasks {
             assert_eq!(t.runs.load(Ordering::SeqCst), 2);

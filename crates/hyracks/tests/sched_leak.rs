@@ -49,7 +49,7 @@ fn quiesced_counters(ctx: &RuntimeCtx) -> (u64, u64) {
         if enq == ran || Instant::now() > deadline {
             return (enq, ran);
         }
-        std::thread::sleep(Duration::from_millis(1));
+        asterix_storage::lock_order::sleep(Duration::from_millis(1));
     }
 }
 

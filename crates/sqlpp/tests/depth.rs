@@ -15,7 +15,7 @@ const DEEP: usize = 100_000;
 /// a syntax error.
 fn refused<T: Send + 'static>(parse: fn(&str) -> Result<T, SqlppError>, text: String) -> bool {
     let parsed = std::thread::Builder::new().stack_size(2 << 20).spawn(move || parse(&text).err()).unwrap();
-    matches!(parsed.join().unwrap(), Some(SqlppError::Parse { .. }))
+    matches!(asterix_storage::lock_order::join(parsed).unwrap(), Some(SqlppError::Parse { .. }))
 }
 
 fn wrapped(open: &str, inner: &str, close: &str, depth: usize) -> String {

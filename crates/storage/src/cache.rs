@@ -164,7 +164,7 @@ impl InflightEntry {
 
     /// Parks until the leader resolves; returns the shared frame or the
     /// leader's rendered error.
-    fn wait(&self) -> std::result::Result<Arc<Vec<u8>>, String> { // xlint: allow(blocking, "coalesced load: one loader does the read, peers park until the page lands; bounded by one page I/O")
+    fn wait(&self) -> std::result::Result<Arc<Vec<u8>>, String> {
         let mut s = self.state.lock();
         loop {
             match &*s {
@@ -172,7 +172,7 @@ impl InflightEntry {
                 LoadState::Ready(d) => return Ok(Arc::clone(d)),
                 LoadState::Failed(m) => return Err(m.clone()),
             }
-            s = self.cv.wait(s);
+            s = self.cv.wait_on_peer_read(s);
         }
     }
 }
@@ -307,7 +307,7 @@ impl BufferCache {
 
     /// Waiter side of a coalesced load: park on the leader's entry, book the
     /// coalesced wait, and share its frame — or surface its failure typed.
-    fn wait_coalesced( // xlint: allow(blocking, "single-loader coalescing design; see CoalescedEntry::wait")
+    fn wait_coalesced(
         &self,
         key: (FileId, u64),
         shard: &Shard,

@@ -262,9 +262,10 @@ impl FaultInjector {
     }
 
     /// Failpoint for a read; may silently flip one bit of `buf`.
-    pub fn on_read(&self, target: &str, buf: &mut [u8]) -> Result<()> { // xlint: allow(blocking, "fault injection for chaos tests; simulated I/O latency")
+    pub fn on_read(&self, target: &str, buf: &mut [u8]) -> Result<()> {
         let op = self.next_op(target)?;
         if let Some(d) = self.config.read_delay {
+            #[expect(clippy::disallowed_methods, reason = "injected latency stands for a slow read, which a worker makes by design")]
             std::thread::sleep(d);
         }
         if self.is_crash_point(op, target) {

@@ -1454,6 +1454,31 @@ mod tests {
         assert_eq!(E::live(&t), 1_202);
     }
 
+    /// A merge cancelled and stepped to done — how the pool ends one whose
+    /// step panicked — is counted aborted and frees the slot: the next flush
+    /// merges again.
+    fn an_aborted_merge_leaves_the_index_free_to_merge_again<E: Entries>() {
+        let (cache, _d) = setup(None);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(parked.clone());
+        component::<E>(&mut t, 0..600);
+        component::<E>(&mut t, 600..1_200);
+        let job = parked.0.lock().pop().expect("merge scheduled");
+        job.cancel();
+        assert_eq!(job.step(), JobStep::Done);
+        assert_eq!(t.stats().merges_aborted, 1);
+        let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
+        assert_eq!(inflight(), Some(0));
+        component::<E>(&mut t, 1_200..1_800);
+        let job = parked.0.lock().pop().expect("the next flush merges again");
+        while job.step() == JobStep::Again {}
+        assert_eq!(t.stats().merges, 1);
+        assert_eq!(t.component_count(), 1);
+        assert_eq!(E::live(&t), 1_800);
+        assert_eq!(inflight(), Some(0));
+    }
+
     /// A backlog built under one policy is the next one's to merge: build
     /// components under NoMerge, reopen under Constant, and one more flush
     /// must leave a single component.
@@ -1731,6 +1756,11 @@ mod tests {
                 #[test]
                 fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly() {
                     super::reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly::<$k>();
+                }
+
+                #[test]
+                fn an_aborted_merge_leaves_the_index_free_to_merge_again() {
+                    super::an_aborted_merge_leaves_the_index_free_to_merge_again::<$k>();
                 }
 
                 #[test]

@@ -52,7 +52,7 @@ impl FileManager {
     }
 
     /// Opens a device directory whose physical I/O consults `faults`.
-    pub fn with_faults( // xlint: allow(blocking, "storage-env setup I/O; runs at open, before jobs are served")
+    pub fn with_faults(
         dir: impl AsRef<Path>,
         stats: Arc<IoStats>,
         faults: Option<Arc<FaultInjector>>,
@@ -91,7 +91,7 @@ impl FileManager {
     }
 
     /// Creates a new, empty, writable page file with the given name.
-    pub fn create(&self, name: &str) -> Result<FileId> { // xlint: allow(blocking, "synchronous page I/O is the storage contract; per-call work is one file create")
+    pub fn create(&self, name: &str) -> Result<FileId> {
         if let Some(f) = &self.faults {
             f.check_alive(name)?;
         }
@@ -106,7 +106,7 @@ impl FileManager {
     }
 
     /// Opens an existing file read-only (e.g. a component found at recovery).
-    pub fn open(&self, name: &str) -> Result<FileId> { // xlint: allow(blocking, "synchronous page I/O is the storage contract; per-call work is one file open")
+    pub fn open(&self, name: &str) -> Result<FileId> {
         if let Some(f) = &self.faults {
             f.check_alive(name)?;
         }
@@ -159,7 +159,7 @@ impl FileManager {
 
     /// Reads the pages from `start` on into `buf`, as many whole pages as it
     /// holds, in one operation: every physical read is this one.
-    pub fn read_pages_into(&self, id: FileId, start: u64, buf: &mut [u8]) -> Result<()> { // xlint: allow(blocking, "page reads, one to a readahead window at a time; morsel budgets account them via storage.io.physical_reads")
+    pub fn read_pages_into(&self, id: FileId, start: u64, buf: &mut [u8]) -> Result<()> {
         let handle = self.handle(id)?;
         let guard = handle.read();
         let end = start + (buf.len() / PAGE_SIZE) as u64;
@@ -182,7 +182,7 @@ impl FileManager {
 
     /// Writes one physical page in place, extending the file if `page_no`
     /// is the next page.
-    pub fn write_page(&self, id: FileId, page_no: u64, data: &[u8]) -> Result<()> { // xlint: allow(blocking, "one-page write; bounded and accounted in storage.io.physical_writes")
+    pub fn write_page(&self, id: FileId, page_no: u64, data: &[u8]) -> Result<()> {
         if data.len() != PAGE_SIZE {
             return Err(StorageError::Invalid(format!(
                 "write_page requires exactly {PAGE_SIZE} bytes, got {}",
@@ -226,7 +226,7 @@ impl FileManager {
     }
 
     /// Forces file contents to stable storage.
-    pub fn sync(&self, id: FileId) -> Result<()> { // xlint: allow(blocking, "fdatasync is the durability point; callers batch via group commit")
+    pub fn sync(&self, id: FileId) -> Result<()> {
         let handle = self.handle(id)?;
         let guard = handle.read();
         if let Some(f) = &self.faults {
@@ -255,7 +255,7 @@ impl FileManager {
     /// Sequential bulk writer for building an immutable component file.
     /// Pages written through it are counted when [`PageFileWriter::finish`]
     /// flushes.
-    pub fn bulk_writer(self: &Arc<Self>, name: &str) -> Result<PageFileWriter> { // xlint: allow(blocking, "bulk writer creation for flush/merge output; one file create")
+    pub fn bulk_writer(self: &Arc<Self>, name: &str) -> Result<PageFileWriter> {
         if let Some(f) = &self.faults {
             f.check_alive(name)?;
         }
@@ -293,7 +293,7 @@ impl FileManager {
 /// directory fsynced. A crash at any step leaves either the old file or the
 /// new one, never a mix; a leftover `.tmp` is garbage. Every step is a
 /// failpoint, so crash schedules can land inside it.
-pub fn write_atomic(path: &Path, bytes: &[u8], faults: Option<&Arc<FaultInjector>>) -> Result<()> { // xlint: allow(blocking, "atomic publish of a manifest, log segment or catalog file: one small write, two fsyncs and a rename at a flush, merge or DDL boundary")
+pub fn write_atomic(path: &Path, bytes: &[u8], faults: Option<&Arc<FaultInjector>>) -> Result<()> {
     let name = crate::faults::target_name(path);
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -330,7 +330,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8], faults: Option<&Arc<FaultInjector
 
 /// Unlinks `path` (a missing file is not an error). Not made durable: every
 /// caller removes garbage that the next open would remove again.
-pub fn remove_file(path: &Path, faults: Option<&Arc<FaultInjector>>) -> Result<()> { // xlint: allow(blocking, "component delete during recovery/merge retirement; bounded by one unlink")
+pub fn remove_file(path: &Path, faults: Option<&Arc<FaultInjector>>) -> Result<()> {
     if let Some(f) = faults {
         f.on_delete(&format!("{}:unlink", crate::faults::target_name(path)))?;
     }
@@ -354,7 +354,7 @@ pub struct PageFileWriter {
 impl PageFileWriter {
     /// Appends one page (must be exactly [`PAGE_SIZE`] bytes), returning its
     /// page number.
-    pub fn append(&mut self, data: &[u8]) -> Result<u64> { // xlint: allow(blocking, "bulk append on the flush/merge path; page-sized writes")
+    pub fn append(&mut self, data: &[u8]) -> Result<u64> {
         if data.len() != PAGE_SIZE {
             return Err(StorageError::Invalid(format!(
                 "append requires exactly {PAGE_SIZE} bytes, got {}",
@@ -396,7 +396,7 @@ impl PageFileWriter {
     }
 
     /// Flushes, syncs, and registers the file; returns its [`FileId`].
-    pub fn finish(mut self) -> Result<FileId> { // xlint: allow(blocking, "bulk-writer finish syncs the new component once before publish")
+    pub fn finish(mut self) -> Result<FileId> {
         let mut w = self
             .writer
             .take()

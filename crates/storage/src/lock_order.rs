@@ -20,6 +20,13 @@
 //! and a captured backtrace. A [`Condvar`] takes a guard by value and hands
 //! it back, so a mutex keeps its place on the stack across a wait. In
 //! release builds the checks compile to nothing.
+//!
+//! The waits live here too, and a pool worker never parks in one: the pool
+//! runs each step under [`as_pool_step`], which marks the thread (debug
+//! builds), and a checked wait on a marked thread prints what waited and a
+//! backtrace and aborts — the pool would catch a panic. One wait is allowed
+//! on a worker, [`Condvar::wait_on_peer_read`]. An inversion or a re-entry
+//! on a marked thread aborts the same way; off a worker it panics.
 
 #![allow(
     clippy::disallowed_types,
@@ -28,7 +35,9 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::mpsc::{Receiver, RecvError, RecvTimeoutError};
 use std::sync::{PoisonError, WaitTimeoutResult};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The lock order, lowest rank (acquired first) to highest, and its one
@@ -72,25 +81,58 @@ pub enum Level {
     PubsubSubscribers,
 }
 
+/// A wait a pool step may not make: a [`Condvar`]'s, a group commit's
+/// (`GroupCommit::sync_through`), [`sleep`], [`join`], [`recv`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Wait {
+    Condvar,
+    GroupCommit,
+    Sleep,
+    Join,
+    Recv,
+}
+
 #[cfg(debug_assertions)]
 mod imp {
-    use super::Level;
-    use std::cell::RefCell;
+    use super::{Level, Wait};
+    use std::cell::{Cell, RefCell};
+    use std::io::Write;
 
     thread_local! {
         /// (address, level) of every lock this thread holds, oldest first;
         /// an unranked lock has no level.
         pub(super) static HELD: RefCell<Vec<(usize, Option<Level>)>> = const { RefCell::new(Vec::new()) };
+        /// This thread is running a pool step.
+        pub(super) static ON_STEP: Cell<bool> = const { Cell::new(false) };
     }
 
     fn name(level: Option<Level>) -> String {
         level.map_or_else(|| "unranked".to_string(), |l| format!("{l:?}"))
     }
 
-    #[expect(
-        clippy::panic,
-        reason = "a re-entry or a lock-order inversion must abort loudly in debug builds"
-    )]
+    /// What is wrong with this thread making `wait`, if anything.
+    pub(super) fn parks_a_worker(wait: Wait) -> Option<String> {
+        ON_STEP.get().then(|| {
+            format!(
+                "`{wait:?}` wait on a pool worker (thread {:?}): a parked worker stalls every \
+                 query and merge queued behind it",
+                std::thread::current().name().unwrap_or("unnamed")
+            )
+        })
+    }
+
+    /// Reports a broken rule: on a pool step, writes `msg` to stderr (past
+    /// any test harness's capture) and aborts, since the pool would catch a
+    /// panic; elsewhere, panics.
+    #[expect(clippy::panic, reason = "a broken lock or wait rule must stop loudly in debug builds")]
+    pub(super) fn fail(msg: &str) -> ! {
+        if ON_STEP.get() {
+            let _ = writeln!(std::io::stderr(), "{msg}");
+            std::process::abort();
+        }
+        panic!("{msg}");
+    }
+
     pub(super) fn acquire(addr: usize, level: Option<Level>) {
         HELD.with(|h| {
             let mut h = h.borrow_mut();
@@ -106,14 +148,14 @@ mod imp {
                 return;
             };
             let held: Vec<String> = h.iter().map(|&(_, l)| name(l)).collect();
-            panic!(
+            fail(&format!(
                 "{what} (thread {:?})\n\
                  held-lock stack (oldest first): [{}]\n\
                  acquisition backtrace:\n{}",
                 std::thread::current().id(),
                 held.join(", "),
                 std::backtrace::Backtrace::force_capture()
-            );
+            ));
         });
     }
 
@@ -290,6 +332,18 @@ impl Condvar {
     }
 
     pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        check(Wait::Condvar);
+        self.wait_unchecked(guard)
+    }
+
+    /// A wait for a page another thread is reading: the one wait a pool
+    /// step may make, so it is not checked. It lasts one page read, which
+    /// the worker would otherwise make itself.
+    pub fn wait_on_peer_read<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+        self.wait_unchecked(guard)
+    }
+
+    fn wait_unchecked<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         let MutexGuard { guard, token } = guard;
         MutexGuard { guard: self.0.wait(guard).unwrap_or_else(PoisonError::into_inner), token }
     }
@@ -299,6 +353,7 @@ impl Condvar {
         guard: MutexGuard<'a, T>,
         timeout: Duration,
     ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
+        check(Wait::Condvar);
         let MutexGuard { guard, token } = guard;
         let (guard, waited) =
             self.0.wait_timeout(guard, timeout).unwrap_or_else(PoisonError::into_inner);
@@ -312,6 +367,68 @@ impl Condvar {
     pub fn notify_all(&self) {
         self.0.notify_all();
     }
+}
+
+/// Runs `f` as a pool step: the thread is marked for its length (debug
+/// builds), so a wait in it aborts the process.
+pub fn as_pool_step<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(debug_assertions)]
+    let _mark = {
+        struct Mark(bool);
+        impl Drop for Mark {
+            fn drop(&mut self) {
+                imp::ON_STEP.set(self.0);
+            }
+        }
+        Mark(imp::ON_STEP.replace(true))
+    };
+    f()
+}
+
+/// Whether this thread is running a pool step (always false in release).
+pub fn on_pool_step() -> bool {
+    #[cfg(debug_assertions)]
+    return imp::ON_STEP.get();
+    #[cfg(not(debug_assertions))]
+    false
+}
+
+/// Aborts, in debug builds, when a pool step makes `wait`.
+pub(crate) fn check(wait: Wait) {
+    #[cfg(debug_assertions)]
+    if let Some(msg) = imp::parks_a_worker(wait) {
+        imp::fail(&format!("{msg}\nbacktrace:\n{}", std::backtrace::Backtrace::force_capture()));
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = wait;
+}
+
+/// `std::thread::sleep`, checked as a wait.
+#[expect(clippy::disallowed_methods, reason = "the checked wrapper")]
+pub fn sleep(d: Duration) {
+    check(Wait::Sleep);
+    std::thread::sleep(d);
+}
+
+/// `JoinHandle::join`, checked as a wait.
+#[expect(clippy::disallowed_methods, reason = "the checked wrapper")]
+pub fn join<T>(h: JoinHandle<T>) -> std::thread::Result<T> {
+    check(Wait::Join);
+    h.join()
+}
+
+/// `Receiver::recv`, checked as a wait.
+#[expect(clippy::disallowed_methods, reason = "the checked wrapper")]
+pub fn recv<T>(rx: &Receiver<T>) -> Result<T, RecvError> {
+    check(Wait::Recv);
+    rx.recv()
+}
+
+/// `Receiver::recv_timeout`, checked as a wait.
+#[expect(clippy::disallowed_methods, reason = "the checked wrapper")]
+pub fn recv_timeout<T>(rx: &Receiver<T>, d: Duration) -> Result<T, RecvTimeoutError> {
+    check(Wait::Recv);
+    rx.recv_timeout(d)
 }
 
 #[cfg(test)]
@@ -487,10 +604,55 @@ mod tests {
                 g = next;
             }
         });
-        thread::sleep(Duration::from_millis(30));
+        sleep(Duration::from_millis(30));
         *pair.0.lock() = true;
         pair.1.notify_all();
-        h.join().unwrap();
+        join(h).unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not mark pool steps")]
+    fn a_pool_step_may_wait_only_on_a_peers_read() {
+        // `Condvar::wait`/`wait_for`, `GroupCommit::sync_through`, `sleep`,
+        // `join`, `recv`/`recv_timeout`
+        #[cfg(debug_assertions)]
+        for wait in [Wait::Condvar, Wait::GroupCommit, Wait::Sleep, Wait::Join, Wait::Recv] {
+            let msg = as_pool_step(|| imp::parks_a_worker(wait))
+                .unwrap_or_else(|| panic!("{wait:?} on a pool step"));
+            assert!(msg.contains(&format!("`{wait:?}` wait on a pool worker")), "{msg}");
+            assert_eq!(imp::parks_a_worker(wait), None, "{wait:?} off a pool step");
+        }
+        // The peer-read wait itself, on a marked thread: a report would abort.
+        let page = Arc::new((Mutex::new(false), Condvar::new()));
+        let peer = Arc::clone(&page);
+        let reader = thread::spawn(move || {
+            sleep(Duration::from_millis(5));
+            *peer.0.lock() = true;
+            peer.1.notify_all();
+        });
+        as_pool_step(|| {
+            let mut read = page.0.lock();
+            while !*read {
+                read = page.1.wait_on_peer_read(read);
+            }
+        });
+        join(reader).unwrap();
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not mark pool steps")]
+    fn the_mark_lasts_the_step_even_one_that_panics() {
+        assert!(!on_pool_step());
+        as_pool_step(|| {
+            assert!(on_pool_step());
+            as_pool_step(|| assert!(on_pool_step()));
+            assert!(on_pool_step(), "a nested step leaves the outer one marked");
+        });
+        assert!(!on_pool_step());
+        // The pool catches a step's panic; the thread must not stay marked.
+        let r = std::panic::catch_unwind(|| as_pool_step(|| panic!("a step fails")));
+        assert!(r.is_err());
+        assert!(!on_pool_step());
     }
 
     #[test]
@@ -498,14 +660,13 @@ mod tests {
         let m = Arc::new(Mutex::ranked(Level::Wal, 0u32));
         let l = Arc::new(RwLock::new(vec![1]));
         let (m2, l2) = (Arc::clone(&m), Arc::clone(&l));
-        let _ = thread::spawn(move || {
+        let _ = join(thread::spawn(move || {
             let mut g = m2.lock();
             let mut w = l2.write();
             *g = 7;
             w.push(2);
             panic!("panic while both guards are live");
-        })
-        .join();
+        }));
         assert_eq!(*m.lock(), 7);
         assert_eq!(*l.read(), vec![1, 2]);
         let m = Arc::try_unwrap(m).unwrap_or_else(|_| panic!("one owner left"));

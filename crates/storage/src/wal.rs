@@ -77,7 +77,7 @@
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le::{fnv1a, Cursor, Format};
-use crate::lock_order::Mutex;
+use crate::lock_order::{self, Mutex};
 use crate::lz;
 use asterix_adm::binary::{
     cell_key_into, encode_into, fixed_width, int_cell, put_string_cell, put_varint, put_zigzag, string_cell, unzigzag,
@@ -829,7 +829,7 @@ impl WalWriter {
     /// A torn or corrupt tail left by a crash is truncated here: appending
     /// after garbage would strand every later block behind the scan stop,
     /// silently losing committed transactions on the *next* recovery.
-    fn open_at( // xlint: allow(blocking, "WAL open/replay happens at storage-env open, before jobs are served")
+    fn open_at(
         path: &Path,
         base: Lsn,
         faults: Option<Arc<FaultInjector>>,
@@ -924,7 +924,7 @@ impl WalWriter {
     /// retried: the retry rewrites the same bytes at the same offset, so a
     /// partial prefix on disk is simply overwritten (records appended in
     /// between follow in a block of their own).
-    pub fn sync(&mut self) -> Result<()> { // xlint: allow(blocking, "WAL sync is the durability contract; group commit amortizes the fdatasync")
+    pub fn sync(&mut self) -> Result<()> {
         if !self.buf.is_empty() {
             if self.coded < self.buf.len() {
                 let start = Instant::now();
@@ -1028,7 +1028,7 @@ fn next_block<'a>(file: &mut Cursor<'a>) -> Result<(u32, &'a [u8])> {
     Ok((crc, file.bytes(len as usize)?))
 }
 
-fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> { // xlint: allow(blocking, "WAL replay read at recovery time; single-threaded startup")
+fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> {
     let mut file = match File::open(path) {
         Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -1459,6 +1459,7 @@ impl GroupCommit {
     /// come from `wal.next_lsn()` observed while holding the WAL lock after
     /// appending; `wal` must be the lock this protocol instance guards.
     pub fn sync_through(&self, wal: &Mutex<SegmentedWal>, end: Lsn) -> Result<()> {
+        lock_order::check(lock_order::Wait::GroupCommit);
         if self.durable.load(Ordering::Acquire) >= end {
             // an earlier leader's fsync already covered our bytes
             self.waiters.inc();

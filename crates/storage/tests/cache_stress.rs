@@ -74,7 +74,7 @@ fn concurrent_scanners_read_consistent_pages() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        asterix_storage::lock_order::join(h).unwrap();
     }
     assert!(cache.resident() <= 32, "residency bounded under concurrency");
     let snaps = cache.shard_snapshots();
@@ -137,7 +137,7 @@ fn concurrent_get_put_flush_evict() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        asterix_storage::lock_order::join(h).unwrap();
     }
     // After the dust settles every mutable file's final flush is on disk.
     for &mid in &mutable {
@@ -171,7 +171,7 @@ fn eviction_under_pressure_preserves_contents() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        asterix_storage::lock_order::join(h).unwrap();
     }
     assert!(cache.resident() <= 8, "residency stays within the budget");
     assert!(fm.stats().evictions() > 0, "pressure actually evicted");
@@ -247,7 +247,7 @@ fn racing_cold_misses_count_once() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        asterix_storage::lock_order::join(h).unwrap();
     }
     let snaps = cache.shard_snapshots();
     let hits: u64 = snaps.iter().map(|s| s.hits).sum();
@@ -295,7 +295,7 @@ fn miss_storm_coalesces_onto_one_physical_read() {
         }));
     }
     for h in handles {
-        h.join().unwrap();
+        asterix_storage::lock_order::join(h).unwrap();
     }
     let storm = fm.stats().registry().snapshot().delta(&before);
     let io = |name: &str| storm.counter(&format!("storage.io.{name}")).unwrap();
@@ -356,7 +356,7 @@ fn coalesced_load_failure_propagates_typed_to_every_waiter() {
     let mut coalesced = 0;
     for h in handles {
         // join returning at all is the "none hang" assertion
-        match h.join().unwrap().expect_err("the injected crash must fail every requester") {
+        match asterix_storage::lock_order::join(h).unwrap().expect_err("the injected crash must fail every requester") {
             StorageError::Injected(_) => injected += 1,
             StorageError::CoalescedLoad { file, page, cause } => {
                 assert_eq!(file, id);

@@ -8,7 +8,7 @@
 //! {
 //!   "version": 2,
 //!   "suppressions": [
-//!     {"rule": "blocking", "file": "crates/…/io.rs", "hash": "a1b2…"}
+//!     {"rule": "atomic_ordering", "file": "crates/…/cache.rs", "hash": "a1b2…"}
 //!   ]
 //! }
 //! ```
@@ -176,7 +176,7 @@ mod tests {
     fn roundtrip() {
         let sups = vec![
             sup("panic", "crates/a/src/x.rs", "infallible", "x.unwrap();"),
-            sup("blocking", "crates/b/src/y.rs", "bounded wait", "cv.wait(g);"),
+            sup("guard_drop", "crates/b/src/y.rs", "held across the scan", "drop(g);"),
         ];
         let b = Baseline::from_suppressions(&sups);
         let dir = std::env::temp_dir().join(format!("xlint-baseline-{}", std::process::id()));

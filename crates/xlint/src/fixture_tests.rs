@@ -42,52 +42,6 @@ fn l2_ignores_non_root_files() {
 }
 
 #[test]
-fn l5_fixture_transitive_blocking_is_flagged() {
-    let rep = check(&[fixture("l5_fail.rs", "sqlpp", false)]);
-    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 1, "{:#?}", rep.violations);
-    let v = rep.violations.iter().find(|v| v.rule == Rule::BlockingInActor).unwrap();
-    // the entry never blocks directly: the witness chain must cross two hops
-    assert!(
-        v.message.contains("step -> route_frames -> drain_input"),
-        "witness chain missing: {}",
-        v.message
-    );
-}
-
-#[test]
-fn l5_fixture_suppressed_paths_pass() {
-    let rep = check(&[fixture("l5_pass.rs", "sqlpp", false)]);
-    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
-    // one site suppression + one opaque-boundary suppression, both reasoned
-    let blocking: Vec<_> =
-        rep.suppressions.iter().filter(|s| s.rule_name == "blocking").collect();
-    assert_eq!(blocking.len(), 2, "{:#?}", rep.suppressions);
-    assert!(blocking.iter().all(|s| !s.reason.is_empty()));
-}
-
-#[test]
-fn l5_actor_host_must_declare_entries() {
-    // an operator-contract implementation with no actor_entry seeds, wherever it lives
-    let host = |text: &str| SourceFile {
-        path: PathBuf::from("crates/hyracks/src/ops/new_op.rs"),
-        crate_name: "hyracks".to_string(),
-        file_is_test: false,
-        is_crate_root: false,
-        is_shim: false,
-        text: text.to_string(),
-    };
-    let quiet = "struct Nop;\nimpl Operator for Nop {\n    fn on_batch(&mut self) {}\n}\n";
-    let rep = check(&[host(quiet)]);
-    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 1, "{:#?}", rep.violations);
-    let declared = "struct Nop;\nimpl Operator for Nop {\n    fn on_batch(&mut self) {} // xlint: actor_entry\n}\n";
-    let rep = check(&[host(declared)]);
-    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
-    // a file that implements neither contract is not a host
-    let rep = check(&[host("pub fn quiet() {}\n")]);
-    assert_eq!(rule_count(&rep, Rule::BlockingInActor), 0, "{:#?}", rep.violations);
-}
-
-#[test]
 fn l6_fixture_flags_both_shapes() {
     let rep = check(&[fixture("l6_fail.rs", "sqlpp", false)]);
     // `let _ =` lock, early drop, `let _ =` ticket

@@ -5,19 +5,16 @@
 //! the `crates/shims/` pattern) enforcing the project rules documented in
 //! DESIGN.md "Correctness tooling". It checks what nothing else does:
 //! panic-freedom (no `unwrap`/`expect`/`panic!`/`unreachable!` outside
-//! tests) is clippy's, denied in each engine crate's root; lock order is
-//! `asterix_storage::lock_order`'s, checked at run time in debug builds; a
-//! guard dropped as a bare statement is rustc's `unused_must_use`; and the
+//! tests) is clippy's, denied in each engine crate's root; lock order and
+//! waits on a pool worker are `asterix_storage::lock_order`'s, checked at
+//! run time in debug builds; a raw `sleep`, `join` or channel receive is
+//! clippy's `disallowed_methods`; a guard dropped as a bare statement is
+//! rustc's `unused_must_use`; and the
 //! metric namespace is `core/tests/metric_names.rs`'s, checked against a
 //! running instance.
 //!
 //! * **L2** (`unsafe`) — `#![forbid(unsafe_code)]` in every non-shim crate
 //!   root.
-//! * **L5** (`blocking`) — no blocking primitive (channel recv/send,
-//!   condvar wait, sleep, join, file I/O) reachable through the call graph
-//!   from an `// xlint: actor_entry` function. Suppress with
-//!   `// xlint: allow(blocking, "why")` on the site, or on a `fn` line to
-//!   mark a whole function an audited boundary.
 //! * **L6** (`guard_drop`) — no lock/admission guard bound to `_` or
 //!   `drop()`ed before the data it protects is last used.
 //! * **L7** (`atomic_ordering`) — `Ordering::Relaxed` in a CAS or a
@@ -27,7 +24,6 @@
 //! [--baseline FILE] [--update-baseline] [--write-baseline FILE]`
 
 mod baseline;
-mod callgraph;
 #[cfg(test)]
 mod fixture_tests;
 mod lexer;
@@ -52,10 +48,10 @@ fn main() -> ExitCode {
             "--write-baseline" => write_baseline = args.next().map(PathBuf::from),
             "--help" | "-h" => {
                 println!(
-                    "xlint: asterix-rs workspace lints (L2 unsafe, L5 blocking-in-actor, \
-                     L6 guard-drop, L7 atomic-ordering; lock order is checked at run \
-                     time by asterix_storage::lock_order in debug builds, metric names \
-                     by core/tests/metric_names.rs)\n\n\
+                    "xlint: asterix-rs workspace lints (L2 unsafe, L6 guard-drop, \
+                     L7 atomic-ordering; lock order and pool-worker waits are checked at \
+                     run time by asterix_storage::lock_order in debug builds, metric \
+                     names by core/tests/metric_names.rs)\n\n\
                      options:\n  --root DIR             workspace root (default .)\n  \
                      --deny-all             exit nonzero on any violation\n  \
                      --baseline FILE        fail on suppressions not fingerprinted in FILE\n  \

@@ -1,7 +1,8 @@
-//! The lint rules (L2, L5, L6, L7) and the suppression/annotation
+//! The lint rules (L2, L6, L7) and the suppression/annotation
 //! directives. Panic-freedom is not here: clippy's `unwrap_used`/
-//! `expect_used`/`panic`/`unreachable` lints check it. Nor is lock order:
-//! `storage::lock_order` checks it at run time in debug builds. A guard
+//! `expect_used`/`panic`/`unreachable` lints check it. Nor are lock order
+//! and waits on a pool worker: `storage::lock_order` checks both at run time
+//! in debug builds. A guard
 //! dropped as a bare statement is rustc's `unused_must_use`, and the metric
 //! namespace is `core/tests/metric_names.rs`'s, against a live instance.
 //!
@@ -9,17 +10,14 @@
 //! cannot be fooled by comments or string literals. See DESIGN.md
 //! "Correctness tooling" for the rule catalogue and suppression syntax.
 
-use crate::callgraph;
 use crate::lexer::{mask, MaskedFile};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// Missing `#![forbid(unsafe_code)]` in a non-shim crate root.
     UnsafeForbid,
-    /// A blocking primitive reachable from a cooperative actor entry point.
-    BlockingInActor,
     /// Immediately-dropped or prematurely-dropped lock/admission guard.
     GuardDrop,
     /// `Ordering::Relaxed` in a CAS or consumed RMW without an
@@ -31,7 +29,6 @@ impl Rule {
     pub fn name(&self) -> &'static str {
         match self {
             Rule::UnsafeForbid => "unsafe",
-            Rule::BlockingInActor => "blocking",
             Rule::GuardDrop => "guard_drop",
             Rule::AtomicOrdering => "atomic_ordering",
         }
@@ -95,8 +92,7 @@ pub struct SourceFile {
 }
 
 /// A nested package that declares its own `[workspace]` (the standalone
-/// `benchmark/` harness) is not a member of the linted workspace: its
-/// functions must not join the name-based call graph.
+/// `benchmark/` harness) is not a member of the linted workspace.
 fn is_foreign_workspace(dir: &Path) -> bool {
     std::fs::read_to_string(dir.join("Cargo.toml"))
         .is_ok_and(|manifest| manifest.lines().any(|l| l.trim() == "[workspace]"))
@@ -179,12 +175,11 @@ pub fn check(files: &[SourceFile]) -> Report {
         check_l6(f, m, &mut rep);
         check_l7(f, m, &mut rep);
     }
-    check_l5(files, &masked, &mut rep);
     rep
 }
 
 /// Parses `// xlint: allow(<rule>, "<reason>")` from a line's comments.
-pub(crate) fn allow_directive(comments: &[String]) -> Option<(String, String)> {
+fn allow_directive(comments: &[String]) -> Option<(String, String)> {
     comments.iter().find_map(|c| {
         let t = c.trim();
         let rest = t.strip_prefix("xlint:")?.trim_start();
@@ -246,91 +241,6 @@ fn check_l2(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
     }
 }
 
-// ---------------------------------------------------------------- L5
-
-/// Crates whose code never runs on the shared worker pool: the lint binary
-/// itself and the bench driver (a dedicated OS thread per run).
-pub const L5_EXEMPT_CRATES: [&str; 2] = ["xlint", "bench"];
-
-/// The traits whose implementations run on a pool worker: `sched::Task`
-/// (`step`) and the operator contract `ops::Operator` (`on_batch`, `on_end`,
-/// `on_drain`), matched on the `impl … for` line.
-pub const ACTOR_CONTRACTS: [&str; 2] = ["Task for ", "Operator for "];
-
-fn check_l5(files: &[SourceFile], masked: &[MaskedFile], rep: &mut Report) {
-    let mut defs = Vec::new();
-    for (fi, (f, m)) in files.iter().zip(masked).enumerate() {
-        if f.is_shim || f.file_is_test || L5_EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
-            continue;
-        }
-        defs.extend(callgraph::extract_fns(fi, m));
-    }
-    // A file that implements the scheduler's `Task` or the operator contract
-    // hosts actor code: it must declare its cooperative entry points,
-    // otherwise the reachability walk silently checks nothing there.
-    for (fi, (f, m)) in files.iter().zip(masked).enumerate() {
-        if f.is_shim || f.file_is_test || L5_EXEMPT_CRATES.contains(&f.crate_name.as_str()) {
-            continue;
-        }
-        let host = m.lines.iter().position(|l| {
-            let t = l.code.trim_start();
-            !l.in_test && t.starts_with("impl") && ACTOR_CONTRACTS.iter().any(|c| t.contains(c))
-        });
-        if let Some(line) = host {
-            if !defs.iter().any(|d| d.file == fi && d.entry) {
-                rep.violations.push(Violation {
-                    rule: Rule::BlockingInActor,
-                    path: f.path.clone(),
-                    line: line + 1,
-                    message: "actor host declares no `// xlint: actor_entry` functions — \
-                              the L5 reachability walk has no seeds here"
-                        .to_string(),
-                });
-            }
-        }
-    }
-    let (reached, opaque) = callgraph::walk(&defs);
-    for di in opaque {
-        let d = &defs[di];
-        rep.suppressions.push(Suppression {
-            rule_name: "blocking".to_string(),
-            path: files[d.file].path.clone(),
-            line: d.decl_line + 1,
-            reason: d.opaque_reason.clone(),
-            code: masked[d.file].lines[d.decl_line].code.trim().to_string(),
-        });
-    }
-    let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for r in &reached {
-        let d = &defs[r.def];
-        let site = &d.blocking[r.site];
-        if !seen.insert((d.file, site.line)) {
-            continue;
-        }
-        let code = masked[d.file].lines[site.line].code.trim().to_string();
-        if let Some(reason) = &site.allowed {
-            rep.suppressions.push(Suppression {
-                rule_name: "blocking".to_string(),
-                path: files[d.file].path.clone(),
-                line: site.line + 1,
-                reason: reason.clone(),
-                code,
-            });
-        } else {
-            rep.violations.push(Violation {
-                rule: Rule::BlockingInActor,
-                path: files[d.file].path.clone(),
-                line: site.line + 1,
-                message: format!(
-                    "{} can park a pool worker; reachable from actor entry via {}",
-                    site.what,
-                    r.chain.join(" -> ")
-                ),
-            });
-        }
-    }
-}
-
 // ---------------------------------------------------------------- L6
 
 /// RAII guard type names covered by the guard-drop rule in addition to the
@@ -366,10 +276,9 @@ fn check_l6(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
         }
     }
     // Shape (b): `drop(g)` before the last use of the data `g` protected.
-    for d in callgraph::extract_fns(0, m) {
-        let hi = d.body_end.min(m.lines.len().saturating_sub(1));
+    for (lo, hi) in fn_extents(m) {
         let mut guards: Vec<(String, String, usize)> = Vec::new(); // ident, receiver, bind line
-        for i in d.decl_line..=hi {
+        for i in lo..=hi {
             let l = &m.lines[i];
             if l.in_test {
                 continue;
@@ -392,7 +301,7 @@ fn check_l6(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
                 }
             }
         }
-        for i in d.decl_line..=hi {
+        for i in lo..=hi {
             let l = &m.lines[i];
             if l.in_test {
                 continue;
@@ -422,6 +331,53 @@ fn check_l6(f: &SourceFile, m: &MaskedFile, rep: &mut Report) {
             }
         }
     }
+}
+
+/// The (`fn` line, closing line) of every non-test function in `m`, found by
+/// brace depth over masked code. A `fn` whose signature ends at a `;` (a
+/// trait method without a default body) has no extent.
+fn fn_extents(m: &MaskedFile) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    let mut open: Vec<(usize, i32)> = Vec::new(); // (index in `out`, depth its body opened at)
+    let mut pending: Option<usize> = None; // a `fn` line whose body has not opened yet
+    let mut sig_nest = 0i32; // parens/brackets in its signature, so `[u8; 4]` does not end it
+    let mut depth = 0i32;
+    for (i, l) in m.lines.iter().enumerate() {
+        if l.in_test {
+            continue;
+        }
+        let b = l.code.as_bytes();
+        for (ci, &c) in b.iter().enumerate() {
+            match c {
+                b'f' if l.code[ci..].starts_with("fn ")
+                    && (ci == 0 || !(b[ci - 1].is_ascii_alphanumeric() || b[ci - 1] == b'_')) =>
+                {
+                    pending = Some(i);
+                    sig_nest = 0;
+                }
+                b'(' | b'[' if pending.is_some() => sig_nest += 1,
+                b')' | b']' if pending.is_some() => sig_nest -= 1,
+                b';' if sig_nest == 0 => pending = None,
+                b'{' => {
+                    depth += 1;
+                    if let Some(decl) = pending.take() {
+                        // until its `}`, or the end of a truncated file
+                        out.push((decl, m.lines.len() - 1));
+                        open.push((out.len() - 1, depth));
+                    }
+                }
+                b'}' => {
+                    if let Some(&(k, _)) = open.last().filter(|&&(_, d)| d == depth) {
+                        out[k].1 = i;
+                        open.pop();
+                    }
+                    depth -= 1;
+                }
+                _ => {}
+            }
+        }
+    }
+    out
 }
 
 // ---------------------------------------------------------------- L7
@@ -582,6 +538,13 @@ mod tests {
             is_shim: false,
             text: text.to_string(),
         }
+    }
+
+    #[test]
+    fn fn_extents_follow_braces_not_signatures() {
+        let src = "trait T {\n    fn sig(x: [u8; 4]) -> u8;\n    fn long(\n        a: u8,\n    ) -> u8 {\n        fn inner() {\n        }\n        a\n    }\n}\n";
+        // `sig` has no body, and the `[u8; 4]` semicolon must not end `long`'s signature.
+        assert_eq!(fn_extents(&mask(src)), vec![(2, 8), (5, 6)]);
     }
 
     #[test]
