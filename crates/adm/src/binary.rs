@@ -69,11 +69,7 @@ pub(crate) fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Optio
             out.push(T_DOUBLE);
             out.extend_from_slice(&d.to_le_bytes());
         }
-        Value::String(s) => {
-            out.push(T_STRING);
-            put_len(out, s.len());
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::String(s) => put_var_cell(out, T_STRING, s.as_bytes()),
         Value::Date(d) => {
             out.push(T_DATE);
             out.extend_from_slice(&d.to_le_bytes());
@@ -107,11 +103,7 @@ pub(crate) fn encode_nested(v: &Value, out: &mut Vec<u8>, depth: usize) -> Optio
             out.push(T_UUID);
             out.extend_from_slice(u);
         }
-        Value::Binary(b) => {
-            out.push(T_BINARY);
-            put_len(out, b.len());
-            out.extend_from_slice(b);
-        }
+        Value::Binary(b) => put_var_cell(out, T_BINARY, b),
         Value::Array(items) | Value::Multiset(items) => {
             let inner = depth.checked_sub(1)?;
             out.push(if matches!(v, Value::Array(_)) { T_ARRAY } else { T_MULTISET });
@@ -190,21 +182,39 @@ pub fn int_cell(cell: &[u8]) -> Option<i64> {
     }
 }
 
-/// The bytes of the `string` a whole cell holds — its tag, its length and
-/// that many bytes, nothing after; not checked for UTF-8 — or `None` for a
-/// cell of another form.
-pub fn string_cell(cell: &[u8]) -> Option<&[u8]> {
-    match cell {
-        [T_STRING, rest @ ..] => read_varint(rest).filter(|&(len, n)| len == (rest.len() - n) as u64).map(|(_, n)| &rest[n..]),
-        _ => None,
-    }
+/// The bytes of the value a whole cell of the tag `tag` holds — the tag, a
+/// varint length and that many bytes, nothing after, as a `string` or a
+/// `binary` is — or `None` for a cell of another form. A string's bytes are
+/// not checked for UTF-8.
+pub fn var_cell(cell: &[u8], tag: u8) -> Option<&[u8]> {
+    let rest = cell.strip_prefix(&[tag])?;
+    read_varint(rest).filter(|&(len, n)| len == (rest.len() - n) as u64).map(|(_, n)| &rest[n..])
 }
 
-/// Appends the cell of the `string` whose bytes are `s`.
-pub fn put_string_cell(out: &mut Vec<u8>, s: &[u8]) {
-    out.push(T_STRING);
-    put_len(out, s.len());
-    out.extend_from_slice(s);
+/// [`var_cell`] of a `string` cell.
+pub fn string_cell(cell: &[u8]) -> Option<&[u8]> {
+    var_cell(cell, T_STRING)
+}
+
+/// Appends the cell of tag `tag` whose bytes are `bytes`, which
+/// [`var_cell`] reads back.
+pub fn put_var_cell(out: &mut Vec<u8>, tag: u8, bytes: &[u8]) {
+    out.push(tag);
+    put_varint(out, bytes.len() as u64);
+    out.extend_from_slice(bytes);
+}
+
+/// Appends what `write` appends after its varint length, which is not known
+/// before: the bytes are written, then their length, then the length is
+/// turned to the front. Returns what `write` does.
+pub fn put_len_prefixed<T>(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    let start = out.len();
+    let written = write(out);
+    let len = out.len() - start;
+    put_varint(out, len as u64);
+    let header = out.len() - start - len;
+    out[start..].rotate_right(header);
+    written
 }
 
 /// The bytes after its tag of every value of tag `tag`, for a type whose
@@ -998,14 +1008,19 @@ mod tests {
         }
         assert!(cell_key_into(&[T_STRING, 2, b'a'], &mut Vec::new()).is_err(), "a cell cut short");
         assert!(cell_key_into(&[], &mut Vec::new()).is_err(), "no cell");
-        // the string helpers read back what they write, and nothing else
+        // the cell helpers read back what they write, and nothing else
         for s in ["", "é", &"x".repeat(300)] {
             let mut cell = Vec::new();
-            put_string_cell(&mut cell, s.as_bytes());
+            put_var_cell(&mut cell, T_STRING, s.as_bytes());
             assert_eq!((cell.clone(), string_cell(&cell)), (encode(&Value::from(s)), Some(s.as_bytes())));
             assert_eq!(string_cell(&cell[..cell.len() - 1]), None, "{s:?} cut short");
+            assert_eq!(var_cell(&encode(&Value::Binary(s.into())), T_BINARY), Some(s.as_bytes()));
+            let mut prefixed = vec![T_STRING];
+            put_len_prefixed(&mut prefixed, |out| out.extend_from_slice(s.as_bytes()));
+            assert_eq!(prefixed, cell, "{s:?}: its length turned to the front");
         }
         assert_eq!(string_cell(&[T_INT, 2]), None);
+        assert_eq!(var_cell(&encode(&Value::from("x")), T_BINARY), None);
         for v in [Value::Bool(true), Value::Double(1.5), Value::Point(Point::new(1.0, 2.0)), Value::Uuid([7; 16])] {
             let cell = encode(&v);
             assert_eq!(fixed_width(cell[0]), Some(cell.len() - 1), "{v:?}");

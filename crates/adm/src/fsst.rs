@@ -21,6 +21,7 @@
 //! the next two bytes for symbols of one or two, a hash of the next three for
 //! longer ones, one symbol per slot.
 
+use crate::binary;
 use crate::error::{AdmError, Result};
 use std::collections::HashMap;
 use std::fmt;
@@ -196,6 +197,13 @@ impl SymbolTable {
         Ok(())
     }
 
+    /// Appends the `string` cell of what `codes` decodes to — its tag, its
+    /// length and the text — or an error, as [`SymbolTable::decode_into`].
+    pub fn decode_cell(&self, codes: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        out.push(binary::T_STRING);
+        binary::put_len_prefixed(out, |text| self.decode_into(codes, text))
+    }
+
     /// Whether `codes` decodes ([`SymbolTable::decode_into`]) without
     /// decoding it.
     pub fn check(&self, codes: &[u8]) -> Result<()> {
@@ -235,6 +243,17 @@ impl SymbolTable {
         }
         (!table.is_empty()).then_some(table)
     }
+
+    /// [`SymbolTable::train`] on the text of those of `cells` that are
+    /// `string` cells of UTF-8: the table of a column of them.
+    pub fn train_cells<'a>(cells: impl IntoIterator<Item = &'a [u8]>) -> Option<SymbolTable> {
+        SymbolTable::train(&cells.into_iter().filter_map(cell_text).collect::<Vec<_>>())
+    }
+}
+
+/// The text a `string` cell holds, if it is UTF-8.
+fn cell_text(cell: &[u8]) -> Option<&str> {
+    binary::string_cell(cell).and_then(|s| std::str::from_utf8(s).ok())
 }
 
 /// Codes strings with one table.
@@ -300,6 +319,22 @@ impl Encoder {
             [only] => self.single[*only as usize],
             _ => self.short[word as u16 as usize],
         }
+    }
+
+    /// Codes the text of each of `cells`, `string` cells: appends its codes
+    /// to `codes` and hands `each` how many bytes they take. Returns the
+    /// bytes of the texts; `None`, part-way, at a cell that is no string of
+    /// UTF-8.
+    pub fn encode_cells<'a>(&self, cells: impl IntoIterator<Item = &'a [u8]>, codes: &mut Vec<u8>, mut each: impl FnMut(usize)) -> Option<usize> {
+        let mut plain = 0;
+        for cell in cells {
+            let text = cell_text(cell)?;
+            let start = codes.len();
+            self.encode(text, codes);
+            each(codes.len() - start);
+            plain += text.len();
+        }
+        Some(plain)
     }
 
     /// Appends the codes of `s`.
@@ -583,5 +618,37 @@ mod tests {
         half[2] = b'a';
         assert_eq!(SymbolTable::read(&half).unwrap().1, 3);
         assert_eq!(SymbolTable::read(&[0]).unwrap(), (None, 1));
+    }
+
+    /// A column of `string` cells: trained on those that are text, each
+    /// coded on its own and decoded back to its cell; a cell that is no
+    /// string of UTF-8 stops the coding.
+    #[test]
+    fn a_column_of_string_cells_codes_and_decodes_cell_by_cell() {
+        use crate::binary::{encode, put_var_cell, T_STRING};
+        use crate::Value;
+        let texts = ["the network signal", "día de la señal", "", "the signal of the network"];
+        let cells: Vec<Vec<u8>> = texts.iter().map(|t| encode(&Value::from(*t))).collect();
+        let (null, mut not_utf8) = (encode(&Value::Null), Vec::new());
+        put_var_cell(&mut not_utf8, T_STRING, &[0xC3]);
+        let mixed = cells.iter().chain([&null, &not_utf8]).map(Vec::as_slice);
+        let table = SymbolTable::train_cells(mixed).unwrap();
+        assert_eq!(Some(table.clone()), SymbolTable::train(&texts));
+        let encoder = Encoder::new(&table);
+        let (mut codes, mut lens) = (Vec::new(), Vec::new());
+        let plain = encoder.encode_cells(cells.iter().map(Vec::as_slice), &mut codes, |len| lens.push(len));
+        assert_eq!(plain, Some(texts.iter().map(|t| t.len()).sum()));
+        assert_eq!(lens.iter().sum::<usize>(), codes.len());
+        let mut at = 0;
+        for (cell, len) in cells.iter().zip(lens) {
+            let mut back = b"kept".to_vec();
+            table.decode_cell(&codes[at..at + len], &mut back).unwrap();
+            assert_eq!(&back[4..], cell.as_slice());
+            at += len;
+        }
+        for bad in [&null, &not_utf8] {
+            let column = [cells[0].as_slice(), bad];
+            assert_eq!(encoder.encode_cells(column, &mut Vec::new(), |_| {}), None, "{bad:?}");
+        }
     }
 }

@@ -69,23 +69,29 @@ impl ColumnKind {
     /// A `string` column's kind: the one whose cells are text.
     pub const STRING: ColumnKind = ColumnKind::Bytes { tag: binary::T_STRING };
 
+    /// A fixed-width type's width is [`binary::fixed_width`]'s.
     fn of(ty: &TypeExpr) -> ColumnKind {
         use binary::*;
         let TypeExpr::Named(name) = ty else { return ColumnKind::Tagged };
-        match name.as_str() {
-            "int" | "int8" | "int16" | "int32" | "int64" => ColumnKind::Varint,
-            "datetime" => ColumnKind::Int { tag: T_DATETIME, width: 8 },
-            "date" => ColumnKind::Int { tag: T_DATE, width: 4 },
-            "time" => ColumnKind::Int { tag: T_TIME, width: 4 },
-            "boolean" => ColumnKind::Fixed { tag: T_BOOL, width: 1 },
-            "double" | "float" => ColumnKind::Fixed { tag: T_DOUBLE, width: 8 },
-            "duration" => ColumnKind::Fixed { tag: T_DURATION, width: 12 },
-            "point" => ColumnKind::Fixed { tag: T_POINT, width: 16 },
-            "uuid" => ColumnKind::Fixed { tag: T_UUID, width: 16 },
-            "rectangle" => ColumnKind::Fixed { tag: T_RECTANGLE, width: 32 },
-            "string" => ColumnKind::Bytes { tag: T_STRING },
-            "binary" => ColumnKind::Bytes { tag: T_BINARY },
-            _ => ColumnKind::Tagged,
+        let (tag, int) = match name.as_str() {
+            "int" | "int8" | "int16" | "int32" | "int64" => return ColumnKind::Varint,
+            "string" => return ColumnKind::STRING,
+            "binary" => return ColumnKind::Bytes { tag: T_BINARY },
+            "datetime" => (T_DATETIME, true),
+            "date" => (T_DATE, true),
+            "time" => (T_TIME, true),
+            "boolean" => (T_BOOL, false),
+            "double" | "float" => (T_DOUBLE, false),
+            "duration" => (T_DURATION, false),
+            "point" => (T_POINT, false),
+            "uuid" => (T_UUID, false),
+            "rectangle" => (T_RECTANGLE, false),
+            _ => return ColumnKind::Tagged,
+        };
+        match fixed_width(tag).map(|w| w as u8) {
+            Some(width) if int => ColumnKind::Int { tag, width },
+            Some(width) => ColumnKind::Fixed { tag, width },
+            None => ColumnKind::Tagged,
         }
     }
 
@@ -346,22 +352,14 @@ impl RecordLayout {
         Ok(())
     }
 
-    /// Takes `row` apart: `cells` comes back holding [`Self::cell_count`]
-    /// cells.
+    /// Takes `row` apart ([`split_row`]): `cells` comes back holding
+    /// [`Self::cell_count`] cells, the rest last.
     pub fn shred(&self, row: &[u8], cells: &mut Cells) -> Result<()> {
         cells.clear();
+        let (_, rest) = split_row(row, |cell| cells.push(cell))?;
         let n = self.columns.len();
-        let (mut d, bitmap) = self.row_header(row)?;
-        for i in 0..n {
-            let start = d.position();
-            if bitmap[i / 8] & (1 << (i % 8)) != 0 {
-                d.skip_value()?;
-            }
-            cells.push(&row[start..d.position()]);
-        }
-        let rest = &row[d.position()..];
-        if rest.is_empty() {
-            return Err(AdmError::Serde("truncated input: a row ends before its open part".into()));
+        if cells.len() != n {
+            return Err(AdmError::Serde(format!("schema mismatch: the row was not encoded with {n} declared fields")));
         }
         // an open part of no field is its count, zero
         cells.push(if rest == [0] { &[] } else { rest });
@@ -477,15 +475,15 @@ fn present(bitmap: &[u8], i: usize) -> bool {
     bitmap[i / 8] & (1 << (i % 8)) != 0
 }
 
-/// Takes a row apart with no layout at hand, for a coder that keeps like
-/// bytes together (the log's blocks): returns its *head* — declared count
-/// and presence bitmap — and its open part, and leaves in `cells` the cell
-/// of each declared position, empty for a field the record lacks. The row's
+/// Takes a row apart with no layout at hand — the one walk over a row's
+/// cells, for [`RecordLayout::shred`] and for a coder that keeps like bytes
+/// together (the log's blocks): returns its *head* — declared count and
+/// presence bitmap — and its open part, and hands `cell` the cell of each
+/// declared position in turn, empty for a field the record lacks. The row's
 /// own count and bitmap say where the cells are, each cell ends where its
 /// value does, and the open part is read through: anything that does not
 /// read as a row to its last byte is refused.
-pub fn split_row<'r>(row: &'r [u8], cells: &mut Vec<&'r [u8]>) -> Result<(&'r [u8], &'r [u8])> {
-    cells.clear();
+pub fn split_row<'r>(row: &'r [u8], mut cell: impl FnMut(&'r [u8])) -> Result<(&'r [u8], &'r [u8])> {
     let mut d = Decoder::new(row);
     let n = declared_count(&mut d)?;
     let bitmap = presence_bitmap(&mut d, n)?;
@@ -495,7 +493,7 @@ pub fn split_row<'r>(row: &'r [u8], cells: &mut Vec<&'r [u8]>) -> Result<(&'r [u
         if present(bitmap, i) {
             d.skip_value()?;
         }
-        cells.push(d.since(start));
+        cell(d.since(start));
     }
     let open = d.position();
     let pairs = d.len()?;
@@ -534,6 +532,16 @@ mod tests {
     use crate::parse::parse_value;
     use crate::types::{gleambook_types, Field, TypeRegistry};
     use crate::validate::cast_object;
+
+    /// A row's head, open part and cells.
+    type Split<'r> = (&'r [u8], &'r [u8], Vec<&'r [u8]>);
+
+    /// `split_row`'s parts of `row`, its cells gathered.
+    fn split(row: &[u8]) -> Result<Split<'_>> {
+        let mut cells = Vec::new();
+        let (head, open) = split_row(row, |cell| cells.push(cell))?;
+        Ok((head, open, cells))
+    }
 
     fn message(text: &str) -> (RecordLayout, Vec<u8>) {
         let reg = gleambook_types();
@@ -606,8 +614,7 @@ mod tests {
             r#"{"messageId": 7, "authorId": 3, "senderLocation": point("1.5,2.5"), "message": "hi", "mood": "fine"}"#,
         );
         let (_, other) = message(r#"{"messageId": 8, "authorId": 4, "inResponseTo": 7, "message": "ok"}"#);
-        let mut cells = Vec::new();
-        let (head, open) = split_row(&row, &mut cells).unwrap();
+        let (head, open, cells) = split(&row).unwrap();
         assert_eq!(head, [5, 0b1_1011]);
         let mut shredded = Cells::default();
         layout.shred(&row, &mut shredded).unwrap();
@@ -617,7 +624,7 @@ mod tests {
         // cells in another
         let (mut parts, mut columns) = (Vec::new(), vec![Vec::new(); 5]);
         for r in [&row, &other] {
-            let (head, open) = split_row(r, &mut cells).unwrap();
+            let (head, open, cells) = split(r).unwrap();
             parts.extend_from_slice(head);
             parts.extend_from_slice(open);
             for (column, cell) in columns.iter_mut().zip(&cells) {
@@ -640,20 +647,43 @@ mod tests {
     #[test]
     fn what_is_not_a_row_to_its_last_byte_does_not_split() {
         let (_, row) = message(r#"{"messageId": 7, "authorId": 3, "message": "hi"}"#);
-        let mut cells = Vec::new();
         for cut in 0..row.len() {
-            assert!(split_row(&row[..cut], &mut cells).is_err(), "cut at {cut}");
+            assert!(split(&row[..cut]).is_err(), "cut at {cut}");
         }
         let mut longer = row.clone();
         longer.push(0);
-        assert!(split_row(&longer, &mut cells).is_err(), "a byte past the open part");
+        assert!(split(&longer).is_err(), "a byte past the open part");
         let mut stray = row.clone();
         stray[1] |= 0x80;
-        assert!(split_row(&stray, &mut cells).is_err(), "a presence bit past the declared fields");
-        assert!(split_row(b"value", &mut cells).is_err(), "bytes that are no row");
+        assert!(split(&stray).is_err(), "a presence bit past the declared fields");
+        assert!(split(b"value").is_err(), "bytes that are no row");
         // a type that declares nothing: a head of its zero count
-        let (head, open) = split_row(&[0, 0], &mut cells).unwrap();
+        let (head, open, cells) = split(&[0, 0]).unwrap();
         assert_eq!((head, open, cells.len()), (&[0][..], &[0][..], 0));
+    }
+
+    /// `shred` walks a row as `split_row` does: an open part that does not
+    /// read to the row's last byte is refused, not kept as the rest.
+    #[test]
+    fn shred_refuses_an_open_part_that_does_not_read_to_its_last_byte() {
+        let (layout, row) = message(r#"{"messageId": 7, "authorId": 3, "message": "hi", "mood": "fine"}"#);
+        let mut cells = Cells::default();
+        layout.shred(&row, &mut cells).unwrap();
+        let open = cells.get(layout.columns().len()).len();
+        let mut longer = row.clone();
+        longer.push(0);
+        let mut more_fields = row.clone();
+        more_fields[row.len() - open] = 2;
+        let mut long_name = row.clone();
+        long_name[row.len() - open + 1] = 0x7F;
+        for (bad, why) in [(longer, "a byte past it"), (more_fields, "a field it does not hold"), (long_name, "a name past the row")] {
+            assert!(layout.shred(&bad, &mut cells).is_err(), "{why}");
+        }
+        for cut in 0..row.len() {
+            assert!(layout.shred(&row[..cut], &mut cells).is_err(), "cut at {cut}");
+        }
+        let other = RecordLayout::new(&ObjectType::open("T", vec![])).encode(&parse_value(r#"{"id": 1}"#).unwrap()).unwrap();
+        assert!(layout.shred(&other, &mut cells).is_err(), "a row of another layout");
     }
 
     #[test]

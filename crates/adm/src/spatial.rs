@@ -131,17 +131,6 @@ impl Rectangle {
         self.union(other).area() - self.area()
     }
 
-    /// Overlap area with `other` (0 when disjoint).
-    pub fn overlap_area(&self, other: &Rectangle) -> f64 {
-        let w = self.max.x.min(other.max.x) - self.min.x.max(other.min.x);
-        let h = self.max.y.min(other.max.y) - self.min.y.max(other.min.y);
-        if w <= 0.0 || h <= 0.0 {
-            0.0
-        } else {
-            w * h
-        }
-    }
-
     /// Center point (used by STR packing and Hilbert mapping of boxes).
     pub fn center(&self) -> Point {
         Point::new((self.min.x + self.max.x) / 2.0, (self.min.y + self.max.y) / 2.0)
@@ -200,14 +189,6 @@ mod tests {
         assert!((a.enlargement(&b) - (36.0 - 4.0)).abs() < 1e-9);
         assert_eq!(Rectangle::empty().union(&a), a);
         assert_eq!(a.union(&Rectangle::empty()), a);
-    }
-
-    #[test]
-    fn overlap_area() {
-        let a = r(0.0, 0.0, 4.0, 4.0);
-        let b = r(2.0, 2.0, 6.0, 6.0);
-        assert!((a.overlap_area(&b) - 4.0).abs() < 1e-9);
-        assert_eq!(a.overlap_area(&r(5.0, 5.0, 6.0, 6.0)), 0.0);
     }
 
     #[test]

@@ -348,11 +348,6 @@ pub fn datetime_add(ms: i64, dur: &Duration) -> i64 {
     out + dur.millis
 }
 
-/// Subtracts a duration from a datetime.
-pub fn datetime_sub(ms: i64, dur: &Duration) -> i64 {
-    datetime_add(ms, &dur.neg())
-}
-
 /// One time bin `[start, end)` produced by [`interval_bin`] / [`overlap_bins`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bin {
@@ -500,7 +495,7 @@ mod tests {
         let jan31 = parse_datetime("2020-01-31T12:00:00").unwrap();
         let plus1m = datetime_add(jan31, &Duration::from_months(1));
         assert_eq!(format_datetime(plus1m), "2020-02-29T12:00:00");
-        let minus30d = datetime_sub(jan31, &Duration::from_days(30));
+        let minus30d = datetime_add(jan31, &Duration::from_days(30).neg());
         assert_eq!(format_datetime(minus30d), "2020-01-01T12:00:00");
     }
 

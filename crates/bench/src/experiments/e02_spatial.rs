@@ -60,7 +60,6 @@ fn build(n: usize) -> Setup {
             name: "rtree".into(),
             mem_budget: 1 << 20,
             merge_policy: MergePolicy::Constant { max_components: 4 },
-            point_optimize: true,
         },
     );
     let world = World::new(Rectangle::new(Point::new(0.0, 0.0), Point::new(EXTENT, EXTENT)));

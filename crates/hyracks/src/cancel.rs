@@ -66,14 +66,6 @@ impl CancellationToken {
         }
     }
 
-    /// A token that trips once `clock` reaches `deadline_ns` (absolute, in
-    /// the clock's own origin).
-    pub fn with_deadline(clock: Arc<dyn Clock>, deadline_ns: u64) -> CancellationToken {
-        let t = CancellationToken::new();
-        t.set_deadline(clock, deadline_ns);
-        t
-    }
-
     /// Arms (or tightens) the deadline. Later-than-current deadlines are
     /// ignored so composed deadlines keep the strictest bound.
     pub fn set_deadline(&self, clock: Arc<dyn Clock>, deadline_ns: u64) {
@@ -173,7 +165,8 @@ mod tests {
     #[test]
     fn deadline_trips_on_manual_clock() {
         let clock = ManualClock::shared(0);
-        let t = CancellationToken::with_deadline(clock.clone(), 100);
+        let t = CancellationToken::new();
+        t.set_deadline(clock.clone(), 100);
         assert!(t.check().is_ok());
         clock.advance(99);
         assert!(t.check().is_ok());
@@ -187,7 +180,8 @@ mod tests {
     #[test]
     fn deadlines_only_tighten() {
         let clock = ManualClock::shared(0);
-        let t = CancellationToken::with_deadline(clock.clone(), 100);
+        let t = CancellationToken::new();
+        t.set_deadline(clock.clone(), 100);
         t.set_deadline(clock.clone(), 500); // later: ignored
         t.set_deadline(clock.clone(), 50); // earlier: adopted
         clock.advance(50);

@@ -1032,14 +1032,6 @@ fn profile_node(
     }
 }
 
-/// Convenience: run a job and return result tuples sorted by `keys`
-/// (handy in tests where gather order is nondeterministic).
-pub fn run_job_sorted(spec: JobSpec, ctx: Arc<RuntimeCtx>, keys: &[SortKey]) -> Result<Vec<Tuple>> {
-    let mut r = run_job(spec, ctx)?.tuples;
-    r.sort_by(|a, b| cmp_tuples(a, b, keys));
-    Ok(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1109,7 +1101,8 @@ mod tests {
         let r = j.add(OpKind::ResultSink, 1, "sink");
         j.connect(s, g, 0, ConnStrategy::Hash(vec![1]));
         j.connect(g, r, 0, ConnStrategy::Gather);
-        let out = run_job_sorted(j, RuntimeCtx::temp().unwrap(), &[SortKey::asc(0)]).unwrap();
+        let mut out = run_job(j, RuntimeCtx::temp().unwrap()).unwrap().tuples;
+        out.sort_by(|a, b| cmp_tuples(a, b, &[SortKey::asc(0)]));
         assert_eq!(out.len(), 10, "10 distinct group keys");
         for t in &out {
             assert_eq!(t[1], Value::Int(100), "each mod-10 class has 100 members");
@@ -1441,12 +1434,8 @@ mod tests {
         j.connect(un, asn, 0, ConnStrategy::OneToOne);
         j.connect(asn, proj, 0, ConnStrategy::OneToOne);
         j.connect(proj, r, 0, ConnStrategy::Gather);
-        let out = run_job_sorted(
-            JobSpec { ops: j.ops, connectors: j.connectors },
-            RuntimeCtx::temp().unwrap(),
-            &[SortKey::asc(0), SortKey::asc(1)],
-        )
-        .unwrap();
+        let mut out = run_job(JobSpec { ops: j.ops, connectors: j.connectors }, RuntimeCtx::temp().unwrap()).unwrap().tuples;
+        out.sort_by(|a, b| cmp_tuples(a, b, &[SortKey::asc(0), SortKey::asc(1)]));
         assert_eq!(out.len(), 6);
         assert_eq!(out[0], vec![Value::Int(0), Value::Int(1)]);
         assert_eq!(out[5], vec![Value::Int(2), Value::Int(22)]);
@@ -1502,7 +1491,7 @@ mod tests {
         j.connect(s, p, 0, ConnStrategy::OneToOne);
         j.connect(p, d, 0, ConnStrategy::Hash(vec![0]));
         j.connect(d, r, 0, ConnStrategy::Gather);
-        let out = run_job_sorted(j, RuntimeCtx::temp().unwrap(), &[SortKey::asc(0)]).unwrap();
+        let out = run_job(j, RuntimeCtx::temp().unwrap()).unwrap().tuples;
         assert_eq!(out.len(), 10);
     }
 

@@ -2,30 +2,23 @@
 //! spilling, scalar aggregation, and the sort-based group-collect operator
 //! behind SQL++'s nested GROUP BY output.
 //!
-//! The hybrid scheme mirrors the join: keys resident when the budget was
-//! reached keep folding in place; tuples of *new* keys are written to hash
+//! The hybrid scheme mirrors the join's and spills through the same
+//! partitioner ([`super::grace`]): keys resident when the budget was reached
+//! keep folding in place; tuples of *new* keys are written to hash
 //! partitions as they arrive, and each partition is then run through the
 //! same operator one level down — grouped aggregation over inputs larger
 //! than memory degrades gracefully (paper ref \[10\], E5).
 
-use crate::ctx::{RunHandle, RunWriter, RuntimeCtx};
+use crate::ctx::RuntimeCtx;
 use crate::error::Result;
 use crate::frame::{tuple_size, Tuple};
 use crate::job::{cmp_tuples, AggSpec, SortKey};
+use crate::ops::grace::{hash_key, Grace};
 use crate::ops::sort::{Advance, Sort};
-use crate::ops::{each_row, AggState, Nested, OpCtx, Operator};
+use crate::ops::{each_row, AggState, OpCtx, Operator};
 use asterix_adm::compare::{adm_eq, hash64_iter};
 use asterix_adm::{ColumnBatch, Value};
-use std::collections::{HashMap, VecDeque};
-
-const GRACE_PARTITIONS: usize = 8;
-const MAX_DEPTH: usize = 3;
-
-/// Hash of the key columns of `t`, by reference — identical to hashing the
-/// materialized key.
-fn hash_key(t: &Tuple, cols: &[usize]) -> u64 {
-    hash64_iter(cols.iter().map(|c| &t[*c]), cols.len())
-}
+use std::collections::HashMap;
 
 /// Compares a materialized group key against the key columns of a tuple.
 fn key_matches(key: &[Value], t: &Tuple, cols: &[usize]) -> bool {
@@ -69,37 +62,22 @@ pub(crate) struct Hybrid<R: Resident> {
     /// The resident table while fed; an empty one of its shape afterwards.
     table: R,
     memory: usize,
-    depth: usize,
-    seed: u64,
-    spills: Option<Vec<RunWriter>>,
+    grace: Grace,
     rows: Box<dyn Iterator<Item = Tuple> + Send>,
-    parts: VecDeque<RunHandle>,
-    child: Option<Nested>,
 }
 
 impl<R: Resident> Hybrid<R> {
     pub fn new(table: R, memory: usize) -> Self {
-        Hybrid::level(table, memory, 0, 0x2545_f491_4f6c_dd1d)
+        Hybrid::level(table, memory, Grace::new(1))
     }
 
-    fn level(table: R, memory: usize, depth: usize, seed: u64) -> Self {
-        Hybrid {
-            table,
-            memory,
-            depth,
-            seed,
-            spills: None,
-            rows: Box::new(std::iter::empty()),
-            parts: VecDeque::new(),
-            child: None,
-        }
+    fn level(table: R, memory: usize, grace: Grace) -> Self {
+        Hybrid { table, memory, grace, rows: Box::new(std::iter::empty()) }
     }
-}
 
-impl<R: Resident> Hybrid<R> {
     /// Whether a key not yet resident may become so.
     fn admits(&self) -> bool {
-        self.table.bytes() < self.memory || self.depth >= MAX_DEPTH
+        self.table.bytes() < self.memory || !self.grace.may_spill()
     }
 
     /// Folds `t`, or writes it to its partition when its key is not
@@ -107,20 +85,11 @@ impl<R: Resident> Hybrid<R> {
     fn row(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
         let admit = self.admits();
         if let Some(t) = self.table.fold(t, admit) {
-            let h = self.table.hash(&t);
-            let writers = match &mut self.spills {
-                Some(w) => w,
-                None => {
-                    R::note_spill(cx.ctx);
-                    cx.metrics.grace_fanout += GRACE_PARTITIONS as u64;
-                    let fresh = (0..GRACE_PARTITIONS)
-                        .map(|_| cx.ctx.new_run(cx.metrics))
-                        .collect::<Result<_>>()?;
-                    self.spills.insert(fresh)
-                }
-            };
-            let part = (h.rotate_left(29) ^ self.seed) as usize % GRACE_PARTITIONS;
-            writers[part].write(&t, cx.metrics)?;
+            if !self.grace.is_open() {
+                R::note_spill(cx.ctx);
+                self.grace.open(cx.ctx, cx.metrics)?;
+            }
+            self.grace.write(0, self.table.hash(&t), &t, cx.metrics)?;
         }
         Ok(true)
     }
@@ -147,9 +116,7 @@ impl<R: Resident> Operator for Hybrid<R> {
     fn on_end(&mut self, _: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
         let empty = self.table.fresh();
         self.rows = std::mem::replace(&mut self.table, empty).into_rows();
-        for w in self.spills.take().into_iter().flatten() {
-            self.parts.push_back(w.finish()?);
-        }
+        self.grace.finish()?;
         Ok(None)
     }
 
@@ -157,18 +124,8 @@ impl<R: Resident> Operator for Hybrid<R> {
         if let Some(t) = self.rows.next() {
             return cx.emit(t);
         }
-        if let Some(more) = Nested::advance(&mut self.child, cx)? {
-            return Ok(more);
-        }
-        let Some(part) = self.parts.pop_front() else {
-            return Ok(false);
-        };
-        // Each level salts the partition function afresh, or a partition
-        // would land whole in one partition of the next level.
-        let level =
-            Hybrid::level(self.table.fresh(), self.memory, self.depth + 1, self.seed.rotate_left(31));
-        self.child = Some(Nested::new(Box::new(level), vec![part])?);
-        Ok(true)
+        let (table, memory) = (&self.table, self.memory);
+        self.grace.drain(cx, |below| Box::new(Hybrid::level(table.fresh(), memory, below)))
     }
 }
 

@@ -2,25 +2,23 @@
 //!
 //! Builds a hash table on input port 1 (the build side). If the build side
 //! exceeds the working-memory budget, both sides are hash-partitioned to
-//! spill files as they arrive and each partition pair is joined
-//! independently — the classic hybrid/grace scheme, so joins whose inputs
-//! exceed memory degrade gracefully instead of failing (paper ref \[10\],
-//! experiment E5).
+//! spill files as they arrive ([`super::grace`], the group-by's partitioner
+//! too) and each partition pair is joined independently — the classic
+//! hybrid/grace scheme, so joins whose inputs exceed memory degrade
+//! gracefully instead of failing (paper ref \[10\], experiment E5).
 
-use crate::ctx::{RunHandle, RunWriter};
 use crate::error::Result;
 use crate::frame::{tuple_size, Tuple};
 use crate::job::{JoinKind, Pred2Fn};
-use crate::ops::{each_row, Nested, OpCtx, Operator};
-use asterix_adm::compare::{adm_eq, hash64_iter};
+use crate::ops::grace::{hash_key, Grace};
+use crate::ops::{each_row, OpCtx, Operator};
+use asterix_adm::compare::adm_eq;
 use asterix_adm::{ColumnBatch, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-/// Number of grace partitions per spill level.
-const GRACE_PARTITIONS: usize = 8;
-/// Maximum recursion depth before giving up on partitioning (extremely
-/// skewed data) and joining in memory regardless of the budget.
-const MAX_DEPTH: usize = 3;
+/// The join's input ports, which are also its grace sides.
+const PROBE: usize = 0;
+const BUILD: usize = 1;
 
 /// Configuration of one hash join.
 #[derive(Clone)]
@@ -30,13 +28,6 @@ pub(crate) struct HashJoinCfg {
     pub kind: JoinKind,
     pub right_arity: usize,
     pub memory: usize,
-}
-
-/// Hash of the key columns of `t`, by reference — identical to hashing the
-/// materialized key (both route through [`hash64_iter`]), so grace partition
-/// assignment is unchanged from the key-materializing implementation.
-fn hash_key(t: &Tuple, cols: &[usize]) -> u64 {
-    hash64_iter(cols.iter().map(|c| &t[*c]), cols.len())
 }
 
 fn keys_join_eq(a: &Tuple, a_cols: &[usize], b: &Tuple, b_cols: &[usize]) -> bool {
@@ -53,62 +44,36 @@ fn key_has_unknown(t: &Tuple, cols: &[usize]) -> bool {
 /// Hybrid hash join. Build tuples (port 1) go into the hash table until
 /// their bytes pass `memory`; from then on the table's contents, the rest of
 /// the build side and the whole probe side (port 0) are written straight to
-/// hash partitions, and each partition pair is run through the same
-/// operator one level down. While the build side fits, probing streams.
+/// the level's grace partitions, and each partition pair is run through the
+/// same operator one level down. While the build side fits, probing streams.
 pub(crate) struct HashJoin {
     cfg: HashJoinCfg,
-    depth: usize,
-    seed: u64,
     /// Buckets store build tuples directly: key columns are hashed and
     /// compared in place, no per-row key vector is materialized.
     table: HashMap<u64, Vec<Tuple>>,
     build_bytes: usize,
-    grace: Option<Grace>,
-    child: Option<Nested>,
-}
-
-/// The partitioned state of a join level whose build side did not fit.
-struct Grace {
-    salt: u64,
-    build: Vec<RunWriter>,
-    probe: Vec<RunWriter>,
-    /// `(probe, build)` runs per partition, once both sides ended.
-    pairs: VecDeque<(RunHandle, RunHandle)>,
-}
-
-impl Grace {
-    fn part_of(&self, h: u64) -> usize {
-        (h.rotate_left(17) ^ self.salt) as usize % GRACE_PARTITIONS
-    }
+    grace: Grace,
 }
 
 impl HashJoin {
     pub fn new(cfg: HashJoinCfg) -> Self {
-        HashJoin::level(cfg, 0, 0x517c_c1b7_2722_0a95)
+        HashJoin::level(cfg, Grace::new(2))
     }
 
-    fn level(cfg: HashJoinCfg, depth: usize, seed: u64) -> Self {
-        HashJoin { cfg, depth, seed, table: HashMap::new(), build_bytes: 0, grace: None, child: None }
+    fn level(cfg: HashJoinCfg, grace: Grace) -> Self {
+        HashJoin { cfg, table: HashMap::new(), build_bytes: 0, grace }
     }
 
     /// The build side outgrew the budget: open the partitions and move the
     /// table into them.
     fn overflow(&mut self, cx: &mut OpCtx<'_>) -> Result<()> {
         cx.ctx.stats.joins_spilled.inc();
-        cx.metrics.grace_fanout += GRACE_PARTITIONS as u64;
-        let mut open = || -> Result<Vec<RunWriter>> {
-            (0..GRACE_PARTITIONS).map(|_| cx.ctx.new_run(cx.metrics)).collect()
-        };
-        let salt = self.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(self.depth as u64);
-        let mut grace =
-            Grace { salt, build: open()?, probe: open()?, pairs: VecDeque::new() };
+        self.grace.open(cx.ctx, cx.metrics)?;
         for (h, bucket) in self.table.drain() {
-            let p = grace.part_of(h);
             for t in bucket {
-                grace.build[p].write(&t, cx.metrics)?;
+                self.grace.write(BUILD, h, &t, cx.metrics)?;
             }
         }
-        self.grace = Some(grace);
         Ok(())
     }
 
@@ -117,24 +82,22 @@ impl HashJoin {
         // Unknown keys match nothing: such build tuples are dropped.
         if !key_has_unknown(&t, &self.cfg.right_keys) {
             let h = hash_key(&t, &self.cfg.right_keys);
-            match &mut self.grace {
-                Some(g) => {
-                    let p = g.part_of(h);
-                    g.build[p].write(&t, cx.metrics)?;
-                }
-                None => self.table.entry(h).or_default().push(t),
+            if self.grace.is_open() {
+                self.grace.write(BUILD, h, &t, cx.metrics)?;
+            } else {
+                self.table.entry(h).or_default().push(t);
             }
         }
-        if self.grace.is_none() && self.build_bytes > self.cfg.memory && self.depth < MAX_DEPTH {
+        if !self.grace.is_open() && self.build_bytes > self.cfg.memory && self.grace.may_spill() {
             self.overflow(cx)?;
         }
         Ok(true)
     }
 
     fn on_probe(&mut self, t: Tuple, cx: &mut OpCtx<'_>) -> Result<bool> {
-        let Some(g) = &mut self.grace else {
+        if !self.grace.is_open() {
             return probe_one(t, &self.table, &self.cfg, &mut |o| cx.emit(o));
-        };
+        }
         if key_has_unknown(&t, &self.cfg.left_keys) {
             // unknown keys match nothing; for outer joins they still surface
             if self.cfg.kind == JoinKind::LeftOuter {
@@ -144,51 +107,34 @@ impl HashJoin {
             }
             return Ok(true);
         }
-        let p = g.part_of(hash_key(&t, &self.cfg.left_keys));
-        g.probe[p].write(&t, cx.metrics)?;
+        self.grace.write(PROBE, hash_key(&t, &self.cfg.left_keys), &t, cx.metrics)?;
         Ok(true)
     }
 }
 
 impl Operator for HashJoin {
     fn first_port(&self) -> Option<usize> {
-        Some(1)
+        Some(BUILD)
     }
 
     fn on_batch(&mut self, port: usize, batch: ColumnBatch, cx: &mut OpCtx<'_>) -> Result<bool> {
-        if port == 1 {
+        if port == BUILD {
             return each_row(batch, |t| self.on_build(t, cx));
         }
         each_row(batch, |t| self.on_probe(t, cx))
     }
 
     fn on_end(&mut self, port: usize, _: &mut OpCtx<'_>) -> Result<Option<usize>> {
-        if port == 1 {
-            return Ok(Some(0));
+        if port == BUILD {
+            return Ok(Some(PROBE));
         }
-        if let Some(g) = &mut self.grace {
-            let finish = |w: &mut Vec<RunWriter>| -> Result<Vec<RunHandle>> {
-                w.drain(..).map(RunWriter::finish).collect()
-            };
-            let (probe, build) = (finish(&mut g.probe)?, finish(&mut g.build)?);
-            g.pairs = probe.into_iter().zip(build).collect();
-        }
+        self.grace.finish()?;
         Ok(None)
     }
 
     fn on_drain(&mut self, cx: &mut OpCtx<'_>) -> Result<bool> {
-        if let Some(more) = Nested::advance(&mut self.child, cx)? {
-            return Ok(more);
-        }
-        let Some(g) = &mut self.grace else {
-            return Ok(false);
-        };
-        let Some((probe, build)) = g.pairs.pop_front() else {
-            return Ok(false);
-        };
-        let level = HashJoin::level(self.cfg.clone(), self.depth + 1, g.salt.rotate_left(23));
-        self.child = Some(Nested::new(Box::new(level), vec![probe, build])?);
-        Ok(true)
+        let cfg = &self.cfg;
+        self.grace.drain(cx, |below| Box::new(HashJoin::level(cfg.clone(), below)))
     }
 }
 

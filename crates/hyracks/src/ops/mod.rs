@@ -7,20 +7,21 @@
 //! one bounded unit of work at a time. An operator that works on rows reads
 //! them out of the batch through [`each_row`]. [`Running::pump`] is the only
 //! loop that drives one. The executor calls it with its edge-backed ports,
-//! [`drive`] and the grace recursion of the spilling operators call it with
-//! iterators; everything an operator may touch while it runs arrives in the
-//! [`OpCtx`] of the step.
+//! [`drive`] and the grace recursion of the spilling operators ([`grace`])
+//! call it with iterators; everything an operator may touch while it runs
+//! arrives in the [`OpCtx`] of the step.
 //!
 //! This module also holds the aggregate accumulator ([`AggState`]) shared by
 //! scalar aggregation, group-by and the `COLL_*` collection functions.
 
+pub(crate) mod grace;
 pub mod groupby;
 pub mod join;
 pub mod sort;
 pub(crate) mod stream;
 
 use crate::cancel::CancellationToken;
-use crate::ctx::{RunHandle, RunReader, RuntimeCtx};
+use crate::ctx::RuntimeCtx;
 use crate::error::{HyracksError, Result};
 use crate::exec::{NoWake, Notifier, Router};
 use crate::frame::{tuple_size, FrameBuilder, Tuple};
@@ -231,37 +232,6 @@ impl Running {
             }
         }
         Ok(Flow::Again)
-    }
-}
-
-/// Grace recursion: the operator one level down, fed from the spill runs of
-/// one partition and emitting into the same output.
-pub(crate) struct Nested {
-    run: Running,
-    inputs: Vec<IterInput<RunReader>>,
-    /// Keeps the partition's files alive until it is consumed.
-    _runs: Vec<RunHandle>,
-}
-
-impl Nested {
-    /// `runs[i]` feeds input port `i` of `op`.
-    pub fn new(op: Box<dyn Operator>, runs: Vec<RunHandle>) -> Result<Self> {
-        let inputs = runs.iter().map(|r| Ok(IterInput::new(r.read()?))).collect::<Result<_>>()?;
-        Ok(Nested { run: Running::new(op), inputs, _runs: runs })
-    }
-
-    /// One unit of work of the nested level in `slot`, which is cleared
-    /// when it finishes. `None` when there is none; otherwise whether the
-    /// parent has more to do (not when the output's consumers are gone).
-    pub fn advance(slot: &mut Option<Nested>, cx: &mut OpCtx<'_>) -> Result<Option<bool>> {
-        let Some(child) = slot else {
-            return Ok(None);
-        };
-        if child.run.pump(&mut child.inputs, cx, 1)? != Flow::Finished {
-            return Ok(Some(true));
-        }
-        *slot = None;
-        Ok(Some(!cx.out.all_gone()))
     }
 }
 

@@ -89,11 +89,6 @@ impl BloomFilter {
             .collect();
         Some(BloomFilter { bits, n_bits, n_hashes })
     }
-
-    /// Size of the serialized form in bytes.
-    pub fn serialized_len(&self) -> usize {
-        12 + self.bits.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -135,7 +130,7 @@ mod tests {
             f.insert(&i.to_le_bytes());
         }
         let bytes = f.to_bytes();
-        assert_eq!(bytes.len(), f.serialized_len());
+        assert_eq!(bytes.len(), 12 + f.bits.len() * 8, "a 12-byte header, then the words");
         let back = BloomFilter::from_bytes(&bytes).unwrap();
         assert_eq!(f, back);
         assert!(BloomFilter::from_bytes(&bytes[..5]).is_none());

@@ -46,7 +46,12 @@
 //!   cell.
 //!
 //! The tables are trained on the component's first group and kept with the
-//! component's column directory ([`GroupShape::write_tables`]), once.
+//! component's column directory ([`GroupShape::write_tables`]), once. What a
+//! cell looks like is `asterix_adm`'s: a string's or a binary's bytes are
+//! read and written back with `binary::var_cell` / `put_var_cell`, a string
+//! column is trained on, coded and decoded cell by cell with
+//! `fsst::SymbolTable::train_cells`, `Encoder::encode_cells` and
+//! `SymbolTable::decode_cell` — the helpers the log's blocks use too.
 //! Whatever the encoding, cell `i` of a chunk is addressable without reading
 //! the cells before it, and reading it gives back the bytes that went in.
 //! Everything here is read off disk: a directory that fails its checksum, any
@@ -55,7 +60,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::le;
-use asterix_adm::binary::{put_varint, read_varint};
+use asterix_adm::binary::{put_var_cell, string_cell, var_cell};
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
 use asterix_adm::Column;
@@ -73,12 +78,6 @@ const GROUP_BYTES: usize = 256 << 10;
 
 const DIR_HEADER: usize = 16;
 const DIR_ENTRY: usize = 16;
-
-/// The tag of a `string` cell.
-const STRING_TAG: u8 = match ColumnKind::STRING {
-    ColumnKind::Bytes { tag } => tag,
-    _ => 0,
-};
 
 const KEYS: usize = 0;
 const TOMBSTONES: usize = 1;
@@ -249,14 +248,6 @@ struct CellColumn {
     present: Vec<bool>,
 }
 
-/// The bytes of `cell` if it is the tag `tag`, a varint length and that
-/// many bytes.
-fn var_payload(cell: &[u8], tag: u8) -> Option<&[u8]> {
-    let (len, at) = read_varint(cell.strip_prefix(&[tag])?)?;
-    let payload = &cell[1 + at..];
-    (payload.len() as u64 == len).then_some(payload)
-}
-
 /// Collects the entries of one group and writes them out.
 pub(crate) struct GroupBuilder {
     shape: Arc<GroupShape>,
@@ -334,9 +325,7 @@ impl GroupBuilder {
         let mut shape = GroupShape::clone(&self.shape);
         let mut encoders: Vec<Option<Encoder>> = (0..shape.cells()).map(|_| None).collect();
         for cell in shape.text_cells() {
-            let payloads = self.columns[cell].cells.iter().filter_map(|c| var_payload(c, STRING_TAG));
-            let sample: Vec<&str> = payloads.filter_map(|p| std::str::from_utf8(p).ok()).collect();
-            if let Some(table) = SymbolTable::train(&sample) {
+            if let Some(table) = SymbolTable::train_cells(self.columns[cell].cells.iter()) {
                 encoders[cell] = Some(Encoder::new(&table));
                 shape.tables[cell] = Some(Arc::new(table));
             }
@@ -384,7 +373,7 @@ impl GroupBuilder {
             let written = write_data(out, shape.kind(cell), column, encoder, &mut self.codes);
             if shape.kind(cell) == ColumnKind::STRING && matches!(written.0, Encoding::Var | Encoding::Coded) {
                 let count = column.cells.ends.len();
-                let plain = column.cells.iter().filter_map(|c| var_payload(c, STRING_TAG)).map(<[u8]>::len).sum();
+                let plain = column.cells.iter().filter_map(string_cell).map(<[u8]>::len).sum();
                 strings.0 += var_size(count, plain).1;
                 strings.1 += out.len() - start;
             }
@@ -463,18 +452,17 @@ fn write_var<'a>(out: &mut Vec<u8>, items: impl Iterator<Item = &'a [u8]> + Clon
     width
 }
 
-/// Codes `strings` into `codes`: whether they are UTF-8 and their codes are
-/// fewer bytes than they are.
-fn code<'a>(encoder: &Encoder, strings: impl Iterator<Item = &'a [u8]>, codes: &mut Items) -> bool {
+/// Codes the strings of the `string` cells `cells` into `codes`: whether
+/// they are UTF-8 and their codes are fewer bytes than they are.
+fn code<'a>(encoder: &Encoder, cells: impl Iterator<Item = &'a [u8]>, codes: &mut Items) -> bool {
     codes.clear();
-    let mut plain = 0;
-    for s in strings {
-        let Ok(text) = std::str::from_utf8(s) else { return false };
-        encoder.encode(text, &mut codes.bytes);
-        codes.ends.push(codes.bytes.len());
-        plain += s.len();
-    }
-    codes.bytes.len() < plain
+    let Items { bytes, ends } = codes;
+    let mut end = 0;
+    let plain = encoder.encode_cells(cells, bytes, |len| {
+        end += len;
+        ends.push(end);
+    });
+    plain.is_some_and(|plain| bytes.len() < plain)
 }
 
 /// A data chunk; a string column's strings coded by `encoder` if it has one
@@ -500,13 +488,10 @@ fn write_data(out: &mut Vec<u8>, kind: ColumnKind, column: &CellColumn, encoder:
             cells.for_each(|c| out.extend_from_slice(&c[1..]));
             (Encoding::Fixed, width as usize, 0)
         }
-        ColumnKind::Bytes { tag } if cells.clone().all(|c| var_payload(c, tag).is_some()) => {
-            let values = cells.filter_map(|c| var_payload(c, tag));
-            match encoder {
-                Some(encoder) if code(encoder, values.clone(), codes) => (Encoding::Coded, write_var(out, codes.iter()), 0),
-                _ => (Encoding::Var, write_var(out, values), 0),
-            }
-        }
+        ColumnKind::Bytes { tag } if cells.clone().all(|c| var_cell(c, tag).is_some()) => match encoder {
+            Some(encoder) if code(encoder, cells.clone(), codes) => (Encoding::Coded, write_var(out, codes.iter()), 0),
+            _ => (Encoding::Var, write_var(out, cells.filter_map(|c| var_cell(c, tag))), 0),
+        },
         _ => (Encoding::Tagged, write_var(out, cells), 0),
     }
 }
@@ -739,26 +724,14 @@ impl<'a, S: ChunkBytes> GroupView<'a, S> {
             (Encoding::Var, ColumnKind::Bytes { tag }) => {
                 let payload = self.var_item(chunk, 0, rank)?;
                 out.push_with(|cell| {
-                    cell.push(tag);
-                    put_varint(cell, payload.len() as u64);
-                    cell.extend_from_slice(payload);
+                    put_var_cell(cell, tag, payload);
                     Ok(())
                 })
             }
             (Encoding::Coded, _) => {
                 let table = self.table(cell, meta.encoding)?.ok_or_else(mismatch)?;
                 let codes = self.var_item(chunk, 0, rank)?;
-                out.push_with(|cell| {
-                    cell.push(STRING_TAG);
-                    let at = cell.len();
-                    table.decode_into(codes, cell).map_err(|e| StorageError::Corrupt(format!("leaf group: {e}")))?;
-                    // the length goes after the text, then in front of it
-                    let len = cell.len() - at;
-                    put_varint(cell, len as u64);
-                    let header = cell.len() - at - len;
-                    cell[at..].rotate_right(header);
-                    Ok(())
-                })
+                out.push_with(|cell| table.decode_cell(codes, cell).map_err(|e| StorageError::Corrupt(format!("leaf group: {e}"))))
             }
             (Encoding::Tagged, _) => {
                 let whole = self.var_item(chunk, 0, rank)?;

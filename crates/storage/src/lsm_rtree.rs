@@ -7,8 +7,9 @@
 //! entries in the R-tree itself: a candidate from an older component is
 //! filtered out when any newer component's deleted-key tree contains its key.
 //!
-//! The `point_optimize` flag applies the §V-B leaf-storage optimization
-//! (points stored without duplicated MBR corners; experiment E11).
+//! Every disk component applies the §V-B leaf-storage optimization (points
+//! stored without duplicated MBR corners; experiment E11 compares it with
+//! `RTreeBuilder::new(_, false)`).
 //!
 //! Only what is R-tree-specific lives here: the memory component, the
 //! two-file disk component, STR packing and the visibility walk that merges
@@ -33,8 +34,6 @@ pub struct LsmRTreeConfig {
     /// Memory-component budget in bytes.
     pub mem_budget: usize,
     pub merge_policy: MergePolicy,
-    /// Apply the point-MBR storage optimization.
-    pub point_optimize: bool,
 }
 
 impl LsmRTreeConfig {
@@ -47,7 +46,6 @@ impl LsmRTreeConfig {
                 max_mergable_bytes: 16 << 20,
                 max_tolerance_components: 4,
             },
-            point_optimize: true,
         }
     }
 }
@@ -178,7 +176,7 @@ impl RTreeKind {
         let written = (entries.len() + tombstones.len()) as u64;
         let manager = self.cache.manager();
         let writer = manager.bulk_writer(&format!("{}_c{}.rtree", self.config.name, id))?;
-        let built = RTreeBuilder::new(writer, self.config.point_optimize).build(entries)?;
+        let built = RTreeBuilder::new(writer, true).build(entries)?;
         let size_bytes = manager.page_count(built.file)? * crate::io::PAGE_SIZE as u64;
         let rtree = DiskRTree::from_built(Arc::clone(&self.cache), built);
         let tombstones = if tombstones.is_empty() {
@@ -351,7 +349,6 @@ mod tests {
             name: name.into(),
             mem_budget: 8 << 10,
             merge_policy: MergePolicy::NoMerge,
-            point_optimize: true,
         }
     }
 

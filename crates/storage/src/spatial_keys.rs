@@ -27,11 +27,6 @@ impl World {
         World { bounds }
     }
 
-    /// A frame for longitude/latitude data.
-    pub fn lon_lat() -> Self {
-        World::new(Rectangle::new(Point::new(-180.0, -90.0), Point::new(180.0, 90.0)))
-    }
-
     /// Quantizes a point to curve coordinates.
     pub fn quantize(&self, p: &Point) -> (u32, u32) {
         let max = ((1u64 << CURVE_BITS) - 1) as f64;
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn world_quantization() {
-        let w = World::lon_lat();
+        let w = World::new(Rectangle::new(Point::new(-180.0, -90.0), Point::new(180.0, 90.0)));
         let (x0, y0) = w.quantize(&Point::new(-180.0, -90.0));
         assert_eq!((x0, y0), (0, 0));
         let (x1, y1) = w.quantize(&Point::new(180.0, 90.0));

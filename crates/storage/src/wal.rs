@@ -4,7 +4,8 @@
 //! Each data operation (put/delete of one record in one dataset partition)
 //! is logged before being applied to the LSM memory component; `Commit`
 //! records make a transaction durable. A writer buffers what is appended as
-//! a *record stream* — each record after its LEB128 length — and each
+//! a *record stream* — each record after its LEB128 length
+//! ([`asterix_adm::binary::put_len_prefixed`]) — and each
 //! [`WalWriter::sync`] writes the stream it buffered as one block:
 //!
 //! ```text
@@ -48,7 +49,9 @@
 //!   * all `string`s, [`asterix_adm::fsst::SAMPLE_BYTES`] or more of them: an
 //!     FSST table trained on the block's strings, each string's code count
 //!     and the codes — kept only where that codes shorter than the cells as
-//!     they are;
+//!     they are; trained, coded and decoded by the helpers the leaf groups
+//!     use (`SymbolTable::train_cells`, `Encoder::encode_cells`,
+//!     `SymbolTable::decode_cell`);
 //!   * any other stream — a mix, an optional field's `null` among `int`s —
 //!     as it is.
 //!
@@ -80,7 +83,7 @@ use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::{self, Mutex};
 use crate::lz;
 use asterix_adm::binary::{
-    cell_key_into, encode_into, fixed_width, int_cell, put_string_cell, put_varint, put_zigzag, string_cell, unzigzag,
+    cell_key_into, encode_into, fixed_width, int_cell, put_len_prefixed, put_varint, put_zigzag, string_cell, unzigzag,
     Decoder,
 };
 use asterix_adm::fsst::{Encoder, SymbolTable, SAMPLE_BYTES};
@@ -225,20 +228,6 @@ fn encode_write(
     out.extend_from_slice(put.unwrap_or_default());
 }
 
-/// Appends one record to the record stream `out` — its varint length, then
-/// the record — with `record` writing the record in place; returns what
-/// `record` does.
-fn record_into<T>(out: &mut Vec<u8>, record: impl FnOnce(&mut Vec<u8>) -> T) -> T {
-    let start = out.len();
-    let written = record(out);
-    let len = out.len() - start;
-    put_varint(out, len as u64);
-    // the length was written after the record: turn it to the front
-    let varint = out.len() - start - len;
-    out[start..].rotate_right(varint);
-    written
-}
-
 /// Reads a put's transaction, dataset and partition, after its tag.
 fn put_ids(c: &mut Cursor<'_>) -> Result<()> {
     c.varint::<u64>()?;
@@ -336,18 +325,16 @@ fn form_of(tag: Tag, stream: &[u8], out: &mut Vec<u8>) -> u8 {
     if string_cell(first).is_none() || stream.len() < SAMPLE_BYTES {
         return AS_IS;
     }
-    // a row's bytes were not read as text, so a string may be no UTF-8
-    let strings: Option<Vec<&str>> =
-        each_cell(stream).map(|cell| string_cell(cell).and_then(|s| std::str::from_utf8(s).ok())).collect();
-    let Some(strings) = strings else { return AS_IS };
-    let Some(table) = SymbolTable::train(&strings) else { return AS_IS };
+    let Some(table) = SymbolTable::train_cells(each_cell(stream)) else { return AS_IS };
+    let start = out.len();
     table.write(out);
-    put_varint(out, strings.len() as u64);
-    let (encoder, mut codes) = (Encoder::new(&table), Vec::with_capacity(stream.len()));
-    for s in &strings {
-        let start = codes.len();
-        encoder.encode(s, &mut codes);
-        put_varint(out, (codes.len() - start) as u64);
+    put_varint(out, each_cell(stream).count() as u64);
+    let mut codes = Vec::with_capacity(stream.len());
+    let code_count = |len: usize| put_varint(out, len as u64);
+    // a row's bytes were not read as text, so a string may be no UTF-8
+    if Encoder::new(&table).encode_cells(each_cell(stream), &mut codes, code_count).is_none() {
+        out.truncate(start);
+        return AS_IS;
     }
     out.extend_from_slice(&codes);
     FSST
@@ -410,13 +397,11 @@ fn cells_of<'a>(form: u8, held: Cow<'a, [u8]>, room: &mut usize) -> Result<Cow<'
             if coded != codes.len() {
                 return Err(corrupt(format!("code counts of {coded} bytes for {} of codes", codes.len())));
             }
-            let (mut c, mut at, mut s) = (Cursor::at(&held, lengths), 0, Vec::new());
+            let (mut c, mut at) = (Cursor::at(&held, lengths), 0);
             for _ in 0..count {
                 let len: usize = c.varint()?;
-                s.clear();
-                table.decode_into(&codes[at..at + len], &mut s).map_err(|e| corrupt(format!("its strings: {e}")))?;
+                table.decode_cell(&codes[at..at + len], &mut out).map_err(|e| corrupt(format!("its strings: {e}")))?;
                 at += len;
-                put_string_cell(&mut out, &s);
                 if out.len() > *room {
                     return Err(corrupt("`string`s past the block's records".into()));
                 }
@@ -497,7 +482,8 @@ impl BlockCoder {
             let at = c.pos();
             let len = c.varint().ok()?;
             let record = c.bytes(len).ok()?;
-            let parts = put_parts(record).and_then(|(ids, key, row)| Some((ids, key, split_row(row, &mut cells).ok()?)));
+            cells.clear();
+            let parts = put_parts(record).and_then(|(ids, key, row)| Some((ids, key, split_row(row, |cell| cells.push(cell)).ok()?)));
             let Some((ids, key, (head, open))) = parts else {
                 self.streams[HEADERS].push(WHOLE);
                 self.streams[HEADERS].extend_from_slice(&records[at..c.pos()]);
@@ -669,7 +655,7 @@ fn join_block(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
                 from = Some((at, column.position() + cell.position()));
                 &derived[..]
             };
-            record_into(&mut out, |record| {
+            put_len_prefixed(&mut out, |record| {
                 record.push(TAG_PUT);
                 record.extend_from_slice(ids);
                 put_varint(record, key.len() as u64);
@@ -913,7 +899,7 @@ impl WalWriter {
             f.check_alive("wal append")?;
         }
         let lsn = self.next_lsn();
-        record_into(&mut self.buf, record);
+        put_len_prefixed(&mut self.buf, record);
         Ok(lsn)
     }
 
@@ -1375,7 +1361,7 @@ impl SegmentedWal {
             feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
         };
         let mut record = Vec::new();
-        record_into(&mut record, |buf| checkpoint.encode_into(buf));
+        put_len_prefixed(&mut record, |buf| checkpoint.encode_into(buf));
         let mut first = Vec::new();
         self.active.coder.block_into(&mut first, &record);
         crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
@@ -2297,7 +2283,7 @@ mod tests {
             // enough records to make a split block most times
             let mut records = Vec::new();
             for id in 0..80 {
-                record_into(&mut records, |buf| any_record(&mut rng, id).encode_into(buf));
+                put_len_prefixed(&mut records, |buf| any_record(&mut rng, id).encode_into(buf));
             }
             let mut block = Vec::new();
             BlockCoder::default().block_into(&mut block, &records);
