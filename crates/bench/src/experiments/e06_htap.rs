@@ -8,10 +8,10 @@
 //! without a concurrent analytics workload.
 
 use crate::{ms, time_it, ExpReport};
-use asterix_core::dcp::{create_shadow_dataset, FrontEndStore, ShadowLink};
+use asterix_core::dcp::FrontEndStore;
+use asterix_core::feeds::{Feed, FeedConfig};
 use asterix_core::instance::Instance;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn doc(id: i64, v: i64) -> asterix_adm::Value {
     asterix_adm::parse::parse_value(&format!(
@@ -31,30 +31,37 @@ pub fn run(quick: bool) -> ExpReport {
         &["measurement", "value", "detail"],
     );
     let db = Instance::temp().unwrap();
-    create_shadow_dataset(&db, "Shadow", "id").unwrap();
+    db.execute_sqlpp(
+        "CREATE TYPE ShadowType AS { id: int };
+         CREATE DATASET Shadow(ShadowType) PRIMARY KEY id;",
+    )
+    .unwrap();
     let store = FrontEndStore::new();
-    let link = ShadowLink::new(store.clone(), db.clone(), "Shadow");
+    let shadow =
+        || Feed::shadow(db.clone(), "Shadow", store.clone(), FeedConfig::default()).unwrap();
+    let lag = |feed: &Feed| store.high_seq() - feed.last_durable_seq();
 
-    // 1. measure the shadow's apply capacity (synchronous pump)
+    // 1. measure the shadow's apply capacity: a DCP feed over a backlog,
+    //    from its start to its stop
     let calib = n_mutations / 4;
-    let (_, t_calib) = time_it(|| {
-        for i in 0..calib {
-            store.set(format!("{}", i % (n_mutations / 2)), doc(i % (n_mutations / 2), i));
-        }
-        while link.lag() > 0 {
-            link.pump().unwrap();
-        }
-    });
+    for i in 0..calib {
+        store.set(
+            format!("{}", i % (n_mutations / 2)),
+            doc(i % (n_mutations / 2), i),
+        );
+    }
+    let ((applied, _), t_calib) = time_it(|| shadow().stop());
+    assert_eq!(applied, calib as u64);
     let apply_rate = calib as f64 / t_calib.as_secs_f64();
     report.row(&[
         "shadow apply capacity".into(),
         format!("{apply_rate:.0} mutations/s"),
-        "synchronous DCP pump, 256 mutations a transaction (LSM upserts + WAL)".into(),
+        "a DCP feed, 256 mutations a transaction (LSM upserts + WAL)".into(),
     ]);
 
-    // 2. paced ingest at ~60% of apply capacity, pump running concurrently —
-    //    the regime a provisioned deployment operates in
-    let pump = link.start(Duration::from_millis(1));
+    // 2. paced ingest at ~40% of apply capacity, the feed running
+    //    concurrently — the regime a provisioned deployment operates in
+    let feed = shadow();
     let target_rate = apply_rate * 0.4;
     let mut max_lag = 0u64;
     let batch = 64i64;
@@ -63,7 +70,7 @@ pub fn run(quick: bool) -> ExpReport {
         for i in 0..n_mutations {
             store.set(format!("{}", i % (n_mutations / 2)), doc(i % (n_mutations / 2), i));
             if i % batch == batch - 1 {
-                max_lag = max_lag.max(link.lag());
+                max_lag = max_lag.max(lag(&feed));
                 // pace to the target arrival rate
                 let should_have_taken = (i + 1) as f64 / target_rate;
                 let elapsed = start.elapsed().as_secs_f64();
@@ -75,9 +82,8 @@ pub fn run(quick: bool) -> ExpReport {
             }
         }
     });
-    let lag_after_ingest = link.lag();
-    link.drain().unwrap();
-    asterix_storage::lock_order::join(pump).unwrap().unwrap();
+    let lag_after_ingest = lag(&feed);
+    assert_eq!(feed.stop().1, 0, "the shadow refuses no document");
     report.row(&[
         "paced ingest rate".into(),
         format!("{:.0} ops/s", n_mutations as f64 / t_ingest.as_secs_f64()),

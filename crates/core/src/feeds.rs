@@ -3,42 +3,54 @@
 //! AsterixDB's feed facility connects external data-in-motion sources to
 //! datasets (the ingestion-buffering half of paper Figure 2's memory story;
 //! the fault-tolerance design follows "Scalable Fault-Tolerant Data Feeds
-//! in AsterixDB", arXiv 1405.1705). A [`Feed`] is a bounded in-memory queue
-//! drained by one worker thread that applies records in batched
-//! transactions. Three pieces make it production-shaped rather than a toy
-//! loop (see DESIGN.md "Fault-tolerant feeds"):
+//! in AsterixDB", arXiv 1405.1705). A [`Feed`] is one worker thread that
+//! applies records in batched transactions. Its *adapter* is where a batch
+//! comes from:
 //!
-//! * **Congestion policies** ([`IngestionPolicy`]): when the queue is full
-//!   a producer either blocks ([`Throttle`](IngestionPolicy::Throttle) —
-//!   backpressure), drops the record with an audit trail
-//!   ([`Discard`](IngestionPolicy::Discard)), or overflows it to a
-//!   seqno-ordered disk segment that is replayed once the queue drains
-//!   ([`Spill`](IngestionPolicy::Spill)).
-//! * **Durable sequence numbers**: every push consumes one monotone feed
-//!   seqno, and every committed batch persists its end seqno through the
-//!   batch transaction (a [`WalRecord::FeedCursor`] record next to the
-//!   commit), so [`Feed::last_durable_seq`] — and, after a crash,
+//! * **push** ([`Feed::start`], [`Feed::resume`]): producers
+//!   [`Feed::push`] records into a bounded in-memory queue;
+//! * **DCP** ([`Feed::shadow`]): the worker pulls the next sets and deletes
+//!   of a [`FrontEndStore`] (paper Figure 7: Couchbase Analytics shadowing
+//!   the Data Service).
+//!
+//! Everything after the batch is one path (see DESIGN.md "Fault-tolerant
+//! feeds"):
+//!
+//! * **Congestion policies** ([`IngestionPolicy`], push only): when the
+//!   queue is full a producer either blocks
+//!   ([`Throttle`](IngestionPolicy::Throttle) — backpressure), drops the
+//!   record with an audit trail ([`Discard`](IngestionPolicy::Discard)), or
+//!   overflows it to a seqno-ordered disk segment that is replayed once the
+//!   queue drains ([`Spill`](IngestionPolicy::Spill)).
+//! * **Durable sequence numbers**: every record has one monotone seqno (a
+//!   pushed record the one its push consumed, a mutation its DCP seq), and
+//!   every committed batch persists its end seqno through the batch
+//!   transaction (a [`WalRecord::FeedCursor`] record next to the commit),
+//!   so [`Feed::last_durable_seq`] — and, after a crash,
 //!   [`Instance::feed_durable_seq`] — name the exact restart point. The
 //!   frontier outlives the log segment the cursor was written to: the
 //!   checkpoint that opens every new segment carries it.
 //! * **Failure classification**: a transiently failing batch commit (node
 //!   down, injected fault) retries under the feed's [`RetryPolicy`]; an
 //!   exhausted retry budget *fail-stops* the feed (keeping the durable
-//!   frontier honest) instead of silently dropping the batch; a permanent
-//!   commit failure counts the whole batch rejected.
+//!   frontier honest) instead of silently dropping the batch; a record the
+//!   dataset refuses is skipped and counted, and a permanent commit failure
+//!   counts the whole batch rejected.
 //!
 //! Recovery contract: after `Node::kill` (or a crash) mid-ingest, reopen /
-//! restart, read the durable frontier, and [`Feed::resume`] from it. The
-//! producer replays records with seqno greater than the frontier; replayed
-//! records re-land on their original seqnos (seqnos are assigned in push
-//! order) and primary-key upserts make re-application idempotent — no
-//! committed record lost, none applied twice.
+//! restart and read the durable frontier. A push feed [`Feed::resume`]s
+//! from it and its producer replays records with seqno greater than the
+//! frontier; they re-land on their original seqnos (seqnos are assigned in
+//! push order). A DCP feed is [`Feed::shadow`] again, which pulls after the
+//! frontier. Primary-key upserts and idempotent deletes make the
+//! re-application harmless — no committed record lost, none applied twice.
 //!
 //! [`WalRecord::FeedCursor`]: asterix_storage::wal::WalRecord
 
+use crate::dcp::{key_to_pk, FrontEndStore, MutationKind};
 use crate::error::{CoreError, Result};
 use crate::instance::{Instance, RetryPolicy};
-use asterix_adm::binary::{decode_own, encode};
+use asterix_adm::binary::{decode_own, encode, encode_key};
 use asterix_adm::Value;
 use asterix_obs::{Counter, Gauge};
 use asterix_storage::lock_order::{Condvar, Mutex};
@@ -49,6 +61,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// How long an idle DCP feed waits before it reads its store again: the
+/// store does not wake it, a stop does.
+const IDLE: Duration = Duration::from_millis(1);
 
 /// What a feed does with a record pushed while its queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,10 +176,12 @@ struct QueueState {
     /// Active overflow segment; `Some` from first overflow until fully
     /// replayed.
     spill: Option<Spill>,
-    closed: bool,
+    /// `Some(seq)` once stopped: the worker drains what was pushed, and a
+    /// DCP feed pulls through `seq`, its store's `high_seq` at the stop.
+    stopped: Option<u64>,
     /// Fail-stop reason: set when a batch exhausts its transient-retry
     /// budget. Pushes fail and the worker exits; the un-committed tail can
-    /// be replayed via [`Feed::resume`].
+    /// be replayed via [`Feed::resume`] or [`Feed::shadow`].
     failed: Option<String>,
 }
 
@@ -214,6 +232,17 @@ struct Shared {
     /// Overflow-segment location (under the instance data dir, so the
     /// spill lives on the same storage as the WAL).
     spill_path: PathBuf,
+    /// The DCP adapter's source; `None` for a push feed.
+    store: Option<FrontEndStore>,
+}
+
+/// One item of a batch.
+enum Op {
+    /// A record to upsert.
+    Put(Value),
+    /// The primary key of a record to delete (a DCP feed's deletes; a push
+    /// feed makes none).
+    Delete(Value),
 }
 
 /// A running feed into one dataset.
@@ -229,31 +258,47 @@ impl Feed {
         format!("feed.{dataset}")
     }
 
-    /// Starts a fresh feed into `dataset` of `instance` (seqnos from 1).
+    /// Starts a fresh push feed into `dataset` of `instance` (seqnos from 1).
     pub fn start(instance: Instance, dataset: impl Into<String>, config: FeedConfig) -> Feed {
-        Feed::launch(instance, dataset.into(), config, 0, false)
+        Feed::launch(instance, dataset.into(), config, 0, None)
     }
 
-    /// Resumes a feed from a durable frontier (typically
+    /// Resumes a push feed from a durable frontier (typically
     /// `instance.feed_durable_seq(&Feed::cursor(dataset))` after a crash or
     /// node failure): seqnos continue at `from_seq + 1` and
     /// [`Feed::last_durable_seq`] starts at `from_seq`. The producer must
     /// replay its records with seqnos greater than `from_seq`, in order —
     /// they re-land on their original seqnos, and primary-key upserts make
-    /// the replay idempotent. Uses [`FeedConfig::default`]; see
-    /// [`Feed::resume_with`] to tune.
-    pub fn resume(instance: Instance, dataset: impl Into<String>, from_seq: u64) -> Feed {
-        Feed::resume_with(instance, dataset, from_seq, FeedConfig::default())
-    }
-
-    /// [`Feed::resume`] with an explicit config.
-    pub fn resume_with(
+    /// the replay idempotent.
+    pub fn resume(
         instance: Instance,
         dataset: impl Into<String>,
         from_seq: u64,
         config: FeedConfig,
     ) -> Feed {
-        Feed::launch(instance, dataset.into(), config, from_seq, true)
+        instance.registry().counter("core.feed.resumes").inc();
+        Feed::launch(instance, dataset.into(), config, from_seq, None)
+    }
+
+    /// Starts a DCP feed that shadows `store` into `dataset`: its worker
+    /// pulls at most [`FeedConfig::batch`] mutations at a time after the
+    /// frontier `instance.feed_durable_seq(&Feed::cursor(dataset))`, so a
+    /// fresh start and a resume after a crash are the same call, and only
+    /// the tail the frontier misses is streamed again. The queue and its
+    /// policy are not used, and [`Feed::push`] is refused.
+    pub fn shadow(
+        instance: Instance,
+        dataset: impl Into<String>,
+        store: FrontEndStore,
+        config: FeedConfig,
+    ) -> Result<Feed> {
+        let dataset = dataset.into();
+        let frontier = instance.feed_durable_seq(&Feed::cursor(&dataset))?;
+        if frontier > 0 {
+            instance.registry().counter("core.feed.resumes").inc();
+        }
+        let store = Some(store);
+        Ok(Feed::launch(instance, dataset, config, frontier, store))
     }
 
     fn launch(
@@ -261,18 +306,15 @@ impl Feed {
         dataset: String,
         config: FeedConfig,
         from_seq: u64,
-        is_resume: bool,
+        store: Option<FrontEndStore>,
     ) -> Feed {
         let metrics = Metrics::new(&instance);
-        if is_resume {
-            instance.registry().counter("core.feed.resumes").inc();
-        }
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 items: VecDeque::with_capacity(config.queue.max(1)),
                 next_seq: from_seq + 1,
                 spill: None,
-                closed: false,
+                stopped: None,
                 failed: None,
             }),
             not_full: Condvar::new(),
@@ -282,12 +324,13 @@ impl Feed {
             cap: config.queue.max(1),
             policy: config.policy,
             spill_path: instance.data_dir().join(format!("feed-{dataset}.spill")),
+            store,
         });
         let wshared = Arc::clone(&shared);
         let batch = config.batch.max(1);
         let retry = config.retry.clone();
         let worker = std::thread::spawn(move || {
-            ingest_loop(&wshared, &instance, &dataset, batch, &retry);
+            ingest_loop(&wshared, &instance, &dataset, batch, &retry, from_seq);
         });
         Feed { shared, worker: Some(worker) }
     }
@@ -297,31 +340,18 @@ impl Feed {
     /// blocks (backpressure), [`IngestionPolicy::Discard`] drops the record
     /// (its seqno is still consumed), [`IngestionPolicy::Spill`] appends it
     /// to the overflow segment. Errors once the feed is stopped or has
-    /// fail-stopped.
+    /// fail-stopped, and on a DCP feed, which pulls its records.
     pub fn push(&self, record: Value) -> Result<u64> {
-        match self.push_inner(record, true)? {
-            Some(seq) => Ok(seq),
-            // unreachable: a blocking push always consumes a seqno
-            None => Err(CoreError::Txn("feed queue refused a blocking push".into())),
-        }
-    }
-
-    /// Non-blocking push for callers on pool workers: never waits, even
-    /// under [`IngestionPolicy::Throttle`] — a full queue returns
-    /// `Ok(None)` (try again later) instead of blocking. Under the other
-    /// policies this is equivalent to [`Feed::push`], which never blocks.
-    pub fn try_push(&self, record: Value) -> Result<Option<u64>> {
-        self.push_inner(record, false)
-    }
-
-    fn push_inner(&self, record: Value, may_block: bool) -> Result<Option<u64>> {
         let sh = &self.shared;
+        if sh.store.is_some() {
+            return Err(CoreError::Txn("a DCP feed pulls its records".into()));
+        }
         let mut st = sh.state.lock();
         loop {
             if let Some(reason) = &st.failed {
                 return Err(CoreError::Txn(format!("feed fail-stopped: {reason}")));
             }
-            if st.closed {
+            if st.stopped.is_some() {
                 return Err(CoreError::Txn("feed is stopped".into()));
             }
             // an active spill captures every push until fully replayed —
@@ -335,21 +365,18 @@ impl Feed {
                 sh.metrics.feed_spilled.fetch_add(1, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
                 sh.metrics.lag.add(1);
                 sh.not_empty.notify_one();
-                return Ok(Some(seq));
+                return Ok(seq);
             }
             if st.items.len() < sh.cap {
                 st.next_seq += 1;
                 st.items.push_back((seq, record));
                 sh.metrics.lag.add(1);
                 sh.not_empty.notify_one();
-                return Ok(Some(seq));
+                return Ok(seq);
             }
             // queue full: apply the congestion policy
             match sh.policy {
                 IngestionPolicy::Throttle => {
-                    if !may_block {
-                        return Ok(None);
-                    }
                     let t0 = Instant::now();
                     st = sh.not_full.wait(st);
                     sh.metrics.throttle_ns.add(t0.elapsed().as_nanos() as u64);
@@ -360,7 +387,7 @@ impl Feed {
                     st.next_seq += 1;
                     sh.metrics.discarded.inc();
                     sh.metrics.feed_discarded.fetch_add(1, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
-                    return Ok(Some(seq));
+                    return Ok(seq);
                 }
                 IngestionPolicy::Spill => {
                     st.spill = Some(Spill::create(sh.spill_path.clone())?);
@@ -370,14 +397,15 @@ impl Feed {
         }
     }
 
-    /// Records successfully ingested (committed) so far.
+    /// Records (of a DCP feed: sets and deletes) successfully ingested
+    /// (committed) so far.
     pub fn ingested(&self) -> u64 {
         self.shared.metrics.feed_ingested.load(Ordering::Relaxed)
     }
 
-    /// Records rejected so far. Per-record validation failures count one
-    /// each; a batch whose commit fails *permanently* (non-transient) adds
-    /// the **whole batch's record count** here — transient commit failures
+    /// Records rejected so far. A record the dataset refuses counts one; a
+    /// batch whose commit fails *permanently* (non-transient) adds the
+    /// **whole batch's record count** here — transient commit failures
     /// never land here, they retry and then fail-stop the feed.
     pub fn rejected(&self) -> u64 {
         self.shared.metrics.feed_rejected.load(Ordering::Relaxed)
@@ -401,23 +429,28 @@ impl Feed {
     }
 
     /// Fail-stop reason, set when a batch exhausted its transient-retry
-    /// budget. A failed feed rejects pushes; recover with [`Feed::resume`]
-    /// from [`Feed::last_durable_seq`] once the fault is cleared.
+    /// budget. A failed feed rejects pushes; once the fault is cleared,
+    /// recover with [`Feed::resume`] from [`Feed::last_durable_seq`], or
+    /// with [`Feed::shadow`] again.
     pub fn error(&self) -> Option<String> {
         self.shared.state.lock().failed.clone()
     }
 
-    /// Stops the feed, draining everything already pushed; returns
-    /// `(ingested, rejected)` totals.
+    /// Stops the feed and returns its `(ingested, rejected)` totals once a
+    /// push feed has drained everything already pushed, and a DCP feed has
+    /// committed its store up to the `high_seq` of this moment (a
+    /// fail-stopped feed returns at once).
     pub fn stop(mut self) -> (u64, u64) {
         self.close();
         (self.ingested(), self.rejected())
     }
 
     fn close(&mut self) {
+        let store = self.shared.store.as_ref();
+        let drain_to = store.map_or(0, FrontEndStore::high_seq);
         {
             let mut st = self.shared.state.lock();
-            st.closed = true;
+            st.stopped.get_or_insert(drain_to);
             self.shared.not_empty.notify_all();
             self.shared.not_full.notify_all();
         }
@@ -447,60 +480,23 @@ fn ingest_loop(
     dataset: &str,
     batch_size: usize,
     retry: &RetryPolicy,
+    mut pulled: u64,
 ) {
     loop {
-        // -------- pull one batch (queue first, then spill replay) --------
-        let batch: Vec<(u64, Value)> = {
-            let mut st = shared.state.lock();
-            loop {
-                if st.failed.is_some() {
-                    return;
-                }
-                let has_work = !st.items.is_empty()
-                    || st.spill.as_ref().is_some_and(|s| s.pending > 0);
-                if has_work {
-                    break;
-                }
-                if st.closed {
-                    cleanup_spill(&mut st);
-                    return;
-                }
-                st = shared.not_empty.wait(st);
-            }
-            let mut batch = Vec::with_capacity(batch_size);
-            while batch.len() < batch_size {
-                if let Some(item) = st.items.pop_front() {
-                    batch.push(item);
-                    continue;
-                }
-                // queue empty: replay the spill segment in seqno order
-                let Some(spill) = st.spill.as_mut() else { break };
-                if spill.pending == 0 {
-                    break;
-                }
-                match spill.read_next() {
-                    Ok(item) => batch.push(item),
-                    Err(e) => {
-                        st.failed = Some(format!("spill replay failed: {e}"));
-                        shared.not_full.notify_all();
-                        return;
-                    }
-                }
-            }
-            // fully replayed with no backlog left: retire the segment so
-            // pushes return to the in-memory queue
-            if st.items.is_empty() && st.spill.as_ref().is_some_and(|s| s.pending == 0) {
-                cleanup_spill(&mut st);
-            }
-            shared.not_full.notify_all();
-            batch
+        let batch = match &shared.store {
+            Some(store) => pull(shared, store, pulled, batch_size),
+            None => take_pushed(shared, batch_size),
         };
-        if batch.is_empty() {
+        // `None`: stopped with nothing left, or failed
+        let Some(batch) = batch else { return };
+        let Some(&(end_seq, _)) = batch.last() else {
             continue;
-        }
-        // -------- commit it (outside the queue lock) --------
-        match commit_batch(shared, instance, dataset, &batch, retry) {
-            BatchOutcome::Continue => {}
+        };
+        // commit it, outside the queue lock
+        match commit_batch(shared, instance, dataset, &batch, end_seq, retry) {
+            // a rejected batch moves the pull position too: read back from
+            // `durable_seq`, a batch that always fails would be pulled forever
+            BatchOutcome::Continue => pulled = end_seq,
             BatchOutcome::FailStop(reason) => {
                 let mut st = shared.state.lock();
                 st.failed = Some(reason);
@@ -512,24 +508,105 @@ fn ingest_loop(
     }
 }
 
+/// The push adapter: the next batch from the queue, then from the spill
+/// segment; waits while nothing is pending. `None` once the feed is stopped
+/// with nothing left, or has failed.
+fn take_pushed(shared: &Shared, batch_size: usize) -> Option<Vec<(u64, Op)>> {
+    let mut st = shared.state.lock();
+    loop {
+        if st.failed.is_some() {
+            return None;
+        }
+        let has_work = !st.items.is_empty() || st.spill.as_ref().is_some_and(|s| s.pending > 0);
+        if has_work {
+            break;
+        }
+        if st.stopped.is_some() {
+            cleanup_spill(&mut st);
+            return None;
+        }
+        st = shared.not_empty.wait(st);
+    }
+    let mut batch = Vec::with_capacity(batch_size);
+    while batch.len() < batch_size {
+        if let Some((seq, record)) = st.items.pop_front() {
+            batch.push((seq, Op::Put(record)));
+            continue;
+        }
+        // queue empty: replay the spill segment in seqno order
+        let Some(spill) = st.spill.as_mut() else {
+            break;
+        };
+        if spill.pending == 0 {
+            break;
+        }
+        match spill.read_next() {
+            Ok((seq, record)) => batch.push((seq, Op::Put(record))),
+            Err(e) => {
+                st.failed = Some(format!("spill replay failed: {e}"));
+                shared.not_full.notify_all();
+                return None;
+            }
+        }
+    }
+    // fully replayed with no backlog left: retire the segment so pushes
+    // return to the in-memory queue
+    if st.items.is_empty() && st.spill.as_ref().is_some_and(|s| s.pending == 0) {
+        cleanup_spill(&mut st);
+    }
+    shared.not_full.notify_all();
+    Some(batch)
+}
+
+/// The DCP adapter: the next at most `batch_size` mutations of `store`
+/// after `pulled`, read outside the state lock; while none are pending it
+/// waits [`IDLE`] and reads again. `None` once the feed is stopped and has
+/// pulled through the store's seq at the stop.
+fn pull(
+    shared: &Shared,
+    store: &FrontEndStore,
+    pulled: u64,
+    batch_size: usize,
+) -> Option<Vec<(u64, Op)>> {
+    loop {
+        let stopped = shared.state.lock().stopped;
+        if stopped.is_some_and(|to| pulled >= to) {
+            return None;
+        }
+        let pending = store.stream_since(pulled, batch_size);
+        if !pending.is_empty() {
+            // `core.feed.lag` counts what a feed holds uncommitted: here
+            // the batch; the stream's lag is the store's to tell
+            shared.metrics.lag.add(pending.len() as i64);
+            let batch = pending.into_iter().map(|m| match m.kind {
+                MutationKind::Put(doc) => (m.seq, Op::Put(doc)),
+                MutationKind::Delete => (m.seq, Op::Delete(key_to_pk(&m.key))),
+            });
+            return Some(batch.collect());
+        }
+        let st = shared.state.lock();
+        if st.stopped.is_none() {
+            let _ = shared.not_empty.wait_for(st, IDLE);
+        }
+    }
+}
+
 fn cleanup_spill(st: &mut QueueState) {
     if let Some(spill) = st.spill.take() {
         let _ = std::fs::remove_file(&spill.path);
     }
 }
 
-/// Applies one batch in one transaction with the feed's retry policy.
+/// Applies one batch, whose last seqno is `end_seq`, in one transaction
+/// with the feed's retry policy.
 fn commit_batch(
     shared: &Arc<Shared>,
     instance: &Instance,
     dataset: &str,
-    batch: &[(u64, Value)],
+    batch: &[(u64, Op)],
+    end_seq: u64,
     retry: &RetryPolicy,
 ) -> BatchOutcome {
-    let Some(last) = batch.last() else {
-        return BatchOutcome::Continue;
-    };
-    let end_seq = last.0;
     let applied = instance.with_retries(
         retry,
         || shared.metrics.retries.inc(),
@@ -566,17 +643,21 @@ fn commit_batch(
 fn try_apply(
     instance: &Instance,
     dataset: &str,
-    batch: &[(u64, Value)],
+    batch: &[(u64, Op)],
     end_seq: u64,
 ) -> Result<(u64, u64)> {
     let mut txn = instance.begin();
     let mut ok = 0u64;
     let mut failed = 0u64;
-    for (_, record) in batch {
-        match txn.write(dataset, record, true) {
+    for (_, op) in batch {
+        let applied = match op {
+            Op::Put(record) => txn.write(dataset, record, true),
+            Op::Delete(pk) => txn.delete(dataset, &encode_key(std::slice::from_ref(pk))),
+        };
+        match applied {
             Ok(()) => ok += 1,
             Err(e) if e.is_transient() => return Err(e),
-            Err(_) => failed += 1, // malformed record: skipped
+            Err(_) => failed += 1, // a record the dataset refuses: skipped
         }
     }
     txn.set_feed_cursor(Feed::cursor(dataset), end_seq);
@@ -589,14 +670,14 @@ mod tests {
     use super::*;
     use crate::instance::InstanceConfig;
     use asterix_adm::parse::parse_value;
+    use std::path::{Path, PathBuf};
+
+    const DDL: &str = "CREATE TYPE T AS { id: int, v: int };
+                       CREATE DATASET Stream(T) PRIMARY KEY id;";
 
     fn setup() -> Instance {
         let db = Instance::temp().unwrap();
-        db.execute_sqlpp(
-            "CREATE TYPE T AS { id: int, v: int };
-             CREATE DATASET Stream(T) PRIMARY KEY id;",
-        )
-        .unwrap();
+        db.execute_sqlpp(DDL).unwrap();
         db
     }
 
@@ -609,16 +690,41 @@ mod tests {
             ..InstanceConfig::default()
         })
         .unwrap();
-        db.execute_sqlpp(
-            "CREATE TYPE T AS { id: int, v: int };
-             CREATE DATASET Stream(T) PRIMARY KEY id;",
-        )
-        .unwrap();
+        db.execute_sqlpp(DDL).unwrap();
         db
     }
 
+    /// A directory of its own for an instance that crashes and reopens.
+    fn fresh_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!(
+            "asterix-feed-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ))
+    }
+
+    fn open_at(dir: &Path) -> Instance {
+        Instance::open(InstanceConfig {
+            data_dir: Some(dir.to_path_buf()),
+            ..InstanceConfig::default()
+        })
+        .unwrap()
+    }
+
+    /// A DCP feed with the default config shadowing `store` into `Stream`.
+    fn shadow(db: &Instance, store: &FrontEndStore) -> Feed {
+        Feed::shadow(db.clone(), "Stream", store.clone(), FeedConfig::default()).unwrap()
+    }
+
+    fn doc(id: i64, v: i64) -> Value {
+        parse_value(&format!(r#"{{"id": {id}, "v": {v}}}"#)).unwrap()
+    }
+
     fn rec(id: i64) -> Value {
-        parse_value(&format!(r#"{{"id": {id}, "v": {id}}}"#)).unwrap()
+        doc(id, id)
     }
 
     #[test]
@@ -686,28 +792,10 @@ mod tests {
 
     #[test]
     fn durable_seq_survives_crash_and_resume_continues_it() {
-        let dir = std::env::temp_dir().join(format!(
-            "asterix-feed-durable-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        let mk = |d: &std::path::Path| {
-            Instance::open(InstanceConfig {
-                data_dir: Some(d.to_path_buf()),
-                ..InstanceConfig::default()
-            })
-            .unwrap()
-        };
+        let dir = fresh_dir("durable");
         {
-            let db = mk(&dir);
-            db.execute_sqlpp(
-                "CREATE TYPE T AS { id: int, v: int };
-                 CREATE DATASET Stream(T) PRIMARY KEY id;",
-            )
-            .unwrap();
+            let db = open_at(&dir);
+            db.execute_sqlpp(DDL).unwrap();
             let feed = Feed::start(db.clone(), "Stream", FeedConfig::default());
             for i in 0..100 {
                 feed.push(rec(i)).unwrap();
@@ -716,12 +804,12 @@ mod tests {
             assert_eq!(db.feed_durable_seq(&Feed::cursor("Stream")).unwrap(), 100);
             db.crash();
         }
-        let db = mk(&dir);
+        let db = open_at(&dir);
         let durable = db.feed_durable_seq(&Feed::cursor("Stream")).unwrap();
         assert_eq!(durable, 100, "cursor recovered from the WAL");
         assert_eq!(db.count("Stream").unwrap(), 100);
         // resume: seqnos continue after the durable frontier
-        let feed = Feed::resume(db.clone(), "Stream", durable);
+        let feed = Feed::resume(db.clone(), "Stream", durable, FeedConfig::default());
         assert_eq!(feed.last_durable_seq(), 100);
         for i in 100..150 {
             assert_eq!(feed.push(rec(i)).unwrap(), i as u64 + 1);
@@ -802,40 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_never_blocks_under_throttle() {
-        let db = setup_one_node();
-        db.kill_node(0);
-        let feed = Feed::start(
-            db.clone(),
-            "Stream",
-            FeedConfig {
-                queue: 4,
-                batch: 2,
-                policy: IngestionPolicy::Throttle,
-                retry: RetryPolicy {
-                    max_attempts: 1000,
-                    backoff: Duration::from_millis(1),
-                    restart_dead_nodes: false,
-                },
-            },
-        );
-        // fill the queue past capacity: try_push must refuse, not block
-        let mut accepted = 0u64;
-        let mut refused = 0u64;
-        for i in 0..64i64 {
-            match feed.try_push(rec(i)).unwrap() {
-                Some(_) => accepted += 1,
-                None => refused += 1,
-            }
-        }
-        assert!(refused > 0, "worker was stalled; a bounded queue must refuse");
-        db.restart_node(0);
-        let (ok, _) = feed.stop();
-        assert_eq!(ok, accepted, "exactly the accepted records commit");
-        assert_eq!(db.count("Stream").unwrap() as u64, accepted);
-    }
-
-    #[test]
     fn transient_failure_retries_then_fail_stops_with_honest_frontier() {
         let db = setup_one_node();
         db.kill_node(0);
@@ -871,7 +925,7 @@ mod tests {
         // recovery: restart the node, resume from the durable frontier and
         // replay everything after it — exactly-once lands all 16
         db.restart_node(0);
-        let feed = Feed::resume(db.clone(), "Stream", durable);
+        let feed = Feed::resume(db.clone(), "Stream", durable, FeedConfig::default());
         for i in durable as i64..16 {
             feed.push(rec(i)).unwrap();
         }
@@ -906,5 +960,117 @@ mod tests {
         let (ok, rejected) = feed.stop();
         assert_eq!((ok, rejected), (32, 0), "retry policy revived the node");
         assert_eq!(db.count("Stream").unwrap(), 32);
+    }
+
+    #[test]
+    fn a_dcp_feed_applies_puts_updates_and_deletes() {
+        let db = setup();
+        let store = FrontEndStore::new();
+        store.set("1", doc(1, 10));
+        store.set("2", doc(2, 20));
+        let feed = shadow(&db, &store);
+        store.set("1", doc(1, 99));
+        store.delete("2");
+        assert!(feed.push(rec(3)).is_err(), "a DCP feed pulls its records");
+        assert_eq!(feed.stop(), (4, 0));
+        let rows = db.query("SELECT VALUE s.v FROM Stream s").unwrap();
+        assert_eq!(rows, vec![Value::Int(99)]);
+        assert_eq!(db.feed_durable_seq(&Feed::cursor("Stream")).unwrap(), 4);
+    }
+
+    #[test]
+    fn a_dcp_batch_of_256_commits_its_cursor() {
+        let db = setup_one_node();
+        let opened = db.metrics_snapshot();
+        let store = FrontEndStore::new();
+        for i in 0..256 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        assert_eq!(shadow(&db, &store).stop(), (256, 0));
+        let durable = db.feed_durable_seq(&Feed::cursor("Stream")).unwrap();
+        assert_eq!(durable, 256, "the batch commits its cursor");
+        for i in 256..1_000 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        assert_eq!(shadow(&db, &store).stop(), (744, 0), "the tail only");
+        let commits = db
+            .metrics_snapshot()
+            .delta(&opened)
+            .counter("node0.storage.wal.group_commits");
+        assert_eq!(commits, Some(4), "256, then 256 + 256 + 232: one each");
+        assert_eq!(db.count("Stream").unwrap(), 1_000);
+    }
+
+    #[test]
+    fn a_refused_document_is_skipped_and_counted() {
+        let db = setup();
+        let store = FrontEndStore::new();
+        store.set("1", doc(1, 1));
+        store.set("two", parse_value(r#"{"id": "two", "v": 2}"#).unwrap());
+        store.set("3", doc(3, 3));
+        let feed = shadow(&db, &store);
+        assert_eq!(feed.stop(), (2, 1), "a string id for an int key is skipped");
+        assert_eq!(db.count("Stream").unwrap(), 2);
+        assert_eq!(db.feed_durable_seq(&Feed::cursor("Stream")).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_dead_node_fail_stops_a_dcp_feed_and_shadow_catches_up() {
+        let db = setup_one_node();
+        let store = FrontEndStore::new();
+        for i in 0..100 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        assert!(db.kill_node(0));
+        let config = FeedConfig {
+            retry: RetryPolicy {
+                max_attempts: 3,
+                backoff: Duration::from_millis(1),
+                restart_dead_nodes: false,
+            },
+            ..FeedConfig::default()
+        };
+        let feed = Feed::shadow(db.clone(), "Stream", store.clone(), config.clone()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while feed.error().is_none() && Instant::now() < deadline {
+            asterix_storage::lock_order::sleep(Duration::from_millis(2));
+        }
+        let reason = feed.error().expect("feed fail-stopped");
+        assert!(reason.contains("attempt"), "{reason}");
+        assert_eq!(feed.last_durable_seq(), 0, "nothing was acknowledged");
+        assert_eq!(feed.stop(), (0, 0));
+        assert!(db.restart_node(0));
+        let feed = Feed::shadow(db.clone(), "Stream", store.clone(), config).unwrap();
+        assert_eq!(feed.stop(), (100, 0));
+        assert_eq!(db.count("Stream").unwrap(), 100);
+    }
+
+    #[test]
+    fn after_a_crash_only_the_missed_tail_is_streamed_again() {
+        let dir = fresh_dir("dcp-resume");
+        let store = FrontEndStore::new();
+        for i in 0..50 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        {
+            let db = open_at(&dir);
+            db.execute_sqlpp(DDL).unwrap();
+            let feed = shadow(&db, &store);
+            assert_eq!(feed.stop(), (50, 0));
+            db.crash();
+        }
+        // mutations keep arriving while analytics is down
+        for i in 50..80 {
+            store.set(format!("{i}"), doc(i, i));
+        }
+        store.delete("0");
+        let db = open_at(&dir);
+        assert_eq!(db.count("Stream").unwrap(), 50, "shadow recovered");
+        let frontier = db.feed_durable_seq(&Feed::cursor("Stream")).unwrap();
+        assert_eq!(frontier, 50, "frontier recovered from the WAL");
+        assert_eq!(store.high_seq() - frontier, 31, "the missed tail");
+        assert_eq!(shadow(&db, &store).stop(), (31, 0), "streamed again");
+        assert_eq!(db.count("Stream").unwrap(), 79);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -175,7 +175,7 @@ struct Inner {
 }
 
 /// An AsterixDB instance. Cloning yields another handle on the same
-/// instance (feeds, shadow links, and channels hold clones).
+/// instance (feeds and channels hold clones).
 pub struct Instance {
     inner: Arc<Inner>,
 }
@@ -847,9 +847,10 @@ impl Instance {
     /// Last durable sequence number of `feed` (0 = no committed batch): the
     /// highest [`WalRecord::FeedCursor`] a committed transaction logged on
     /// any node, carried across log truncation by the checkpoint that opens
-    /// each segment. This is the restart point [`crate::feeds::Feed::resume`]
-    /// and [`crate::dcp::ShadowLink::resume`] ingest from: every record with
-    /// a sequence number at or below it is durably committed.
+    /// each segment. This is the restart point a push feed
+    /// ([`crate::feeds::Feed::resume`]) and a DCP feed
+    /// ([`crate::feeds::Feed::shadow`]) ingest from: every record with a
+    /// sequence number at or below it is durably committed.
     pub fn feed_durable_seq(&self, feed: &str) -> Result<u64> {
         let nodes = &self.inner.cluster.nodes;
         Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0))

@@ -22,9 +22,11 @@
 //!   crash recovery by committed-log replay;
 //! * [`instance`] — the embeddable system facade: DDL/DML/query execution
 //!   in either language;
-//! * [`dcp`] — the Couchbase-Analytics-style shadowing link (Figure 7): a
-//!   front-end KV store streaming mutations into analytics datasets;
-//! * [`feeds`] — continuous batched ingestion of data-in-motion;
+//! * [`dcp`] — the front-end KV store of Figure 7 (Couchbase-Analytics-style
+//!   shadowing), whose mutation stream a DCP feed pulls into analytics
+//!   datasets;
+//! * [`feeds`] — continuous batched ingestion of data-in-motion, pushed or
+//!   pulled from a front-end store;
 //! * [`pubsub`] — BAD-style channels ("Big Active Data", §IV): repetitive
 //!   channel queries pushing results to subscribers;
 //! * [`scheduler`] — concurrent query serving: budget-based admission

@@ -24,6 +24,15 @@
 //! runs this battery at `PROPTEST_CASES=256`. A replay that resumes past
 //! the frontier must fail the check, naming the records it lost.
 //!
+//! The DCP adapter ([`Feed::shadow`]) is swept the same way: a seeded
+//! front-end stream of sets and deletes over a few keys, node 0 killed at a
+//! point of it, the instance crashed and reopened and the feed started
+//! again. Its frontier is at least what was acknowledged and unchanged by
+//! the reopen, the reopened dataset is exactly the stream's prefix up to
+//! the frontier, the restarted feed applies exactly the tail after it, no
+//! key is there twice, no put brings back a key a later delete removed,
+//! and the dataset ends equal to the front-end store.
+//!
 //! A feed's frontier must also outlive the log it was written to: the
 //! checkpoint that opens every log segment carries it, and the segments
 //! behind are unlinked as the dataset flushes. A second battery crashes a
@@ -36,15 +45,16 @@ mod crash;
 use asterix_adm::parse::parse_value;
 use asterix_adm::Value;
 use asterix_core::dataset::StorageConfig;
+use asterix_core::dcp::{FrontEndStore, MutationKind};
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::{Instance, InstanceConfig, RetryPolicy};
 use asterix_storage::faults::FaultInjector;
 use crash::TempDir;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const DDL: &str = r#"
     CREATE TYPE EventType AS { id: int, v: int };
@@ -108,7 +118,7 @@ fn resume(db: &Instance, recovered: u64, config: FeedConfig, skip: u64) -> Resul
     let lossless = config.policy != IngestionPolicy::Discard;
     // seqnos are assigned in push order starting at 1, so seq(id) = id + 1
     let from = durable + skip;
-    let feed = Feed::resume_with(db.clone(), "Stream", from, config);
+    let feed = Feed::resume(db.clone(), "Stream", from, config);
     for id in from..TOTAL {
         feed.push(rec(id as i64))
             .map_err(|e| format!("replay push: {e}"))?;
@@ -284,6 +294,183 @@ fn a_replay_past_the_frontier_is_named_a_loss() {
         .collect();
     assert_eq!(ids.len(), 5, "{why}");
     assert!(ids.windows(2).all(|w| w[1] == w[0] + 1), "{why}");
+}
+
+/// Keys the DCP stream sets and deletes: few, so that each is set again and
+/// deleted again many times in one stream.
+const KEYS: u64 = 6;
+
+/// Appends the seeded stream's next mutation to `store`: a delete of a live
+/// key or a set of `{"id": key, "v": seq}`, so a row names the set it came
+/// from.
+fn next_mutation(store: &FrontEndStore, rng: &mut u64) {
+    *rng = rng
+        .wrapping_mul(6_364_136_223_846_793_005)
+        .wrapping_add(1_442_695_040_888_963_407);
+    let draw = *rng >> 33;
+    let key = (draw % KEYS).to_string();
+    if (draw / KEYS).is_multiple_of(3) && store.get(&key).is_some() {
+        store.delete(&key);
+    } else {
+        let seq = store.high_seq() + 1;
+        store.set(
+            key.clone(),
+            parse_value(&format!(r#"{{"id": {key}, "v": {seq}}}"#)).unwrap(),
+        );
+    }
+}
+
+/// Checks the shadow against the first `n` mutations of the stream: each
+/// key whose last mutation is a set holds that set, each key whose last is
+/// a delete is gone, and no other key and no key twice is there.
+fn shadow_matches(db: &Instance, store: &FrontEndStore, n: u64) -> Result<(), String> {
+    // key -> (seq of its last mutation, whether that mutation is a set)
+    let mut model = BTreeMap::new();
+    for m in store.stream_since(0, n as usize) {
+        let key: i64 = m.key.parse().unwrap();
+        model.insert(key, (m.seq, matches!(m.kind, MutationKind::Put(_))));
+    }
+    let rows = db
+        .query("SELECT s.id AS id, s.v AS v FROM Stream s")
+        .map_err(|e| format!("shadow query: {e}"))?;
+    let mut shadow = BTreeMap::new();
+    for row in &rows {
+        let (Some(id), Some(v)) = (row.field("id").as_i64(), row.field("v").as_i64()) else {
+            return Err(format!("a row without an int id and v: {row}"));
+        };
+        ensure(shadow.insert(id, v as u64).is_none(), || {
+            format!("key {id} is in the shadow twice")
+        })?;
+    }
+    for (key, &(seq, is_set)) in &model {
+        let held = shadow.remove(key);
+        match held {
+            None if is_set => return Err(format!("key {key} lost the set of mutation {seq}")),
+            Some(v) if !is_set => {
+                return Err(format!(
+                    "key {key}, deleted by mutation {seq}, is back with the set of mutation {v}"
+                ))
+            }
+            Some(v) if v != seq => {
+                return Err(format!(
+                    "key {key} holds the set of mutation {v}, want that of mutation {seq}"
+                ))
+            }
+            _ => {}
+        }
+    }
+    match shadow.pop_first() {
+        Some((key, v)) => Err(format!(
+            "key {key} holds the set of mutation {v}, past mutation {n}"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The DCP recovery contract for one (seed, kill-point) pair: a DCP feed
+/// shadows a stream of [`TOTAL`] mutations, node 0 dies before mutation
+/// `kill_at`, the instance crashes, reopens and shadows the stream again.
+fn check_dcp_recovery(seed: u64, kill_at: u64) -> Result<(), String> {
+    let config = FeedConfig {
+        batch: [1usize, 2, 4, 8][(seed % 4) as usize],
+        retry: RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::from_millis(1),
+            restart_dead_nodes: false,
+        },
+        ..FeedConfig::default()
+    };
+    // the seed sets how far the feed may fall behind before the writer waits
+    let catch_up_every = (seed % 5) + 1;
+    let dir = TempDir::new("dcp");
+    let budget = StorageConfig::default().mem_budget;
+    let store = FrontEndStore::new();
+    let mut rng = seed;
+    let cursor = Feed::cursor("Stream");
+
+    // ---- phase 1: shadow the stream, kill node 0 mid-stream, crash -------
+    let db = open(dir.path(), budget, None).ok_or("open failed")?;
+    db.execute_sqlpp(DDL).map_err(|e| format!("ddl: {e}"))?;
+    let feed = Feed::shadow(db.clone(), "Stream", store.clone(), config.clone())
+        .map_err(|e| format!("shadow: {e}"))?;
+    for i in 0..TOTAL {
+        if i == kill_at {
+            db.kill_node(0);
+        }
+        next_mutation(&store, &mut rng);
+        if i < kill_at && i % catch_up_every == 0 {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while feed.last_durable_seq() < store.high_seq() && Instant::now() < deadline {
+                asterix_storage::lock_order::sleep(Duration::from_micros(100));
+            }
+        }
+    }
+    // the feed fail-stops on the dead node, at the latest while it drains
+    let (acknowledged, rejected) = feed.stop();
+    ensure(rejected == 0, || {
+        format!("phase 1 rejected {rejected} mutations")
+    })?;
+    let durable = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("durable read: {e}"))?;
+    ensure(durable >= acknowledged, || {
+        format!("frontier {durable} behind acknowledged {acknowledged}")
+    })?;
+    db.crash();
+
+    // ---- phase 2: reopen, shadow again from the durable frontier ---------
+    let db = open(dir.path(), budget, None).ok_or("recovery failed")?;
+    let reread = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("durable reread: {e}"))?;
+    ensure(reread == durable, || {
+        format!("frontier moved across crash: {durable} -> {reread}")
+    })?;
+    shadow_matches(&db, &store, durable).map_err(|why| format!("at frontier {durable}: {why}"))?;
+    let feed = Feed::shadow(db.clone(), "Stream", store.clone(), config)
+        .map_err(|e| format!("reshadow: {e}"))?;
+    let (applied, rejected) = feed.stop();
+    ensure(rejected == 0, || {
+        format!("the restarted feed rejected {rejected} mutations")
+    })?;
+    let frontier = db
+        .feed_durable_seq(&cursor)
+        .map_err(|e| format!("final read: {e}"))?;
+    ensure(frontier == TOTAL, || {
+        format!("the restarted feed ended at frontier {frontier}, want {TOTAL}")
+    })?;
+    shadow_matches(&db, &store, TOTAL).map_err(|why| format!("at the end: {why}"))?;
+    ensure(applied == TOTAL - durable, || {
+        format!(
+            "the restarted feed applied {applied} of mutations {}..={TOTAL}, after frontier {durable}",
+            durable + 1
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// DCP recovery holds over random (seed, kill-point) pairs.
+    #[test]
+    fn dcp_kill_mid_stream_recovers_exactly_once(seed in 0u64..10_000, kill_at in 0u64..TOTAL) {
+        if let Err(why) = check_dcp_recovery(seed, kill_at) {
+            prop_assert!(false, "seed={} kill_at={}: {}", seed, kill_at, why);
+        }
+    }
+}
+
+/// Pinned DCP pairs: the kill before the first commit, at the middle of the
+/// stream and on its last mutation, each at batches of 1, 2, 4 and 8.
+#[test]
+fn pinned_dcp_kill_points_recover() {
+    for kill_at in [0, TOTAL / 2, TOTAL - 1] {
+        for seed in [4u64, 1, 2, 3] {
+            if let Err(why) = check_dcp_recovery(seed, kill_at) {
+                panic!("seed={seed} kill_at={kill_at}: {why}");
+            }
+        }
+    }
 }
 
 fn lossless() -> FeedConfig {

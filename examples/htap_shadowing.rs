@@ -10,9 +10,9 @@
 //! Analytics queries (SQL++) run against the up-to-date shadow copy only —
 //! the paper's performance-isolation story.
 
-use asterix_rs::core::dcp::{FrontEndStore, ShadowLink};
+use asterix_rs::core::dcp::FrontEndStore;
+use asterix_rs::core::feeds::{Feed, FeedConfig};
 use asterix_rs::core::instance::Instance;
-use std::time::Duration;
 
 fn order_doc(id: i64, customer: i64, total_cents: i64, status: &str) -> asterix_rs::adm::Value {
     asterix_rs::adm::parse::parse_value(&format!(
@@ -35,9 +35,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     // the operational side: the front-end Data Service
     let store = FrontEndStore::new();
-    // the DCP link (Figure 7's arrow from Data Service to Analytics)
-    let link = ShadowLink::new(store.clone(), analytics.clone(), "Orders");
-    let pump = link.start(Duration::from_millis(1));
+    // a DCP feed (Figure 7's arrow from Data Service to Analytics)
+    let feed = Feed::shadow(
+        analytics.clone(),
+        "Orders",
+        store.clone(),
+        FeedConfig::default(),
+    )?;
 
     println!("ingesting 5000 order mutations into the front-end store...");
     for i in 0..5_000i64 {
@@ -50,13 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         store.set(format!("{id}"), order_doc(id, id % 200, (i % 500 + 1) * 100, status));
         if i % 1_000 == 999 {
-            println!("  ingested {} mutations, shadow lag = {}", i + 1, link.lag());
+            let lag = store.high_seq() - feed.last_durable_seq();
+            println!("  ingested {} mutations, shadow lag = {lag}", i + 1);
         }
     }
     // a delete, too (cancelled order)
     store.delete("42");
-    link.drain()?;
-    asterix_storage::lock_order::join(pump).unwrap()?;
+    let (_, rejected) = feed.stop();
+    assert_eq!(rejected, 0, "every order document fits the shadow's type");
     println!(
         "drained: front-end has {} live docs, shadow has {} records (lag 0)\n",
         store.len(),
