@@ -53,6 +53,7 @@ use crate::instance::{Instance, RetryPolicy};
 use asterix_adm::binary::{decode_own, encode, encode_key};
 use asterix_adm::Value;
 use asterix_obs::{Counter, Gauge};
+use asterix_storage::le;
 use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
@@ -152,12 +153,7 @@ impl Spill {
     fn read_next(&mut self) -> Result<(u64, Value)> {
         let mut header = [0u8; 12];
         self.file.read_exact_at(&mut header, self.read_off)?;
-        let mut seq_b = [0u8; 8];
-        let mut len_b = [0u8; 4];
-        seq_b.copy_from_slice(&header[..8]);
-        len_b.copy_from_slice(&header[8..]);
-        let seq = u64::from_le_bytes(seq_b);
-        let len = u32::from_le_bytes(len_b) as usize;
+        let (seq, len) = (le::u64_at(&header, 0), le::u32_at(&header, 8) as usize);
         let mut payload = vec![0u8; len];
         self.file.read_exact_at(&mut payload, self.read_off + 12)?;
         // what `write_frame` encoded, however deep a pushed record nests
@@ -498,14 +494,22 @@ fn ingest_loop(
             // `durable_seq`, a batch that always fails would be pulled forever
             BatchOutcome::Continue => pulled = end_seq,
             BatchOutcome::FailStop(reason) => {
-                let mut st = shared.state.lock();
-                st.failed = Some(reason);
-                shared.not_full.notify_all();
-                shared.not_empty.notify_all();
+                fail_stop(shared, &mut shared.state.lock(), batch.len(), reason);
                 return;
             }
         }
     }
+}
+
+/// Fail-stops the feed for `reason`: what it still holds uncommitted — the
+/// `held` records of the batch in hand, the queue and the spill's pending
+/// frames — leaves `core.feed.lag`, and every waiter wakes.
+fn fail_stop(shared: &Shared, st: &mut QueueState, held: usize, reason: String) {
+    st.failed = Some(reason);
+    let spilled = st.spill.as_ref().map_or(0, |s| s.pending);
+    shared.metrics.lag.add(-((held + st.items.len()) as i64 + spilled as i64));
+    shared.not_full.notify_all();
+    shared.not_empty.notify_all();
 }
 
 /// The push adapter: the next batch from the queue, then from the spill
@@ -543,8 +547,7 @@ fn take_pushed(shared: &Shared, batch_size: usize) -> Option<Vec<(u64, Op)>> {
         match spill.read_next() {
             Ok((seq, record)) => batch.push((seq, Op::Put(record))),
             Err(e) => {
-                st.failed = Some(format!("spill replay failed: {e}"));
-                shared.not_full.notify_all();
+                fail_stop(shared, &mut st, batch.len(), format!("spill replay failed: {e}"));
                 return None;
             }
         }
@@ -932,6 +935,28 @@ mod tests {
         let (ok, _) = feed.stop();
         assert_eq!(ok, 16);
         assert_eq!(db.count("Stream").unwrap(), 16);
+    }
+
+    /// A fail-stopped feed leaves nothing on `core.feed.lag`: neither the
+    /// batch it failed on nor the records queued behind it. The backoff
+    /// leaves the pushes time to land before the second attempt fails.
+    #[test]
+    fn a_fail_stopped_feed_takes_what_it_held_off_the_lag() {
+        let db = setup_one_node();
+        db.kill_node(0);
+        let retry = RetryPolicy { max_attempts: 2, backoff: Duration::from_millis(50), restart_dead_nodes: false };
+        let feed = Feed::start(db.clone(), "Stream", FeedConfig { queue: 64, batch: 8, retry, ..FeedConfig::default() });
+        for i in 0..16i64 {
+            feed.push(rec(i)).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while feed.error().is_none() && Instant::now() < deadline {
+            asterix_storage::lock_order::sleep(Duration::from_millis(2));
+        }
+        assert!(feed.error().is_some(), "the feed fail-stopped");
+        assert_eq!(db.metrics_snapshot().gauge("core.feed.lag"), Some(0));
+        drop(feed);
+        assert_eq!(db.metrics_snapshot().gauge("core.feed.lag"), Some(0));
     }
 
     #[test]

@@ -276,6 +276,7 @@ mod tests {
     use crate::rtree::{self, DiskRTree, RTreeBuilder, SpatialEntry};
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
+    use crate::log_block;
     use crate::wal::{self, WalRecord, WalWriter};
     use asterix_adm::Point;
     use std::path::Path;
@@ -431,7 +432,7 @@ mod tests {
                 seal: |_| {},
             },
             Kind {
-                format: &wal::FORMAT,
+                format: &log_block::FORMAT,
                 pinned: &[&[0x20], &[0x22], &[0x26]],
                 version: 0,
                 name: "t.wal",

@@ -28,7 +28,8 @@
 //!   E3: Graefe's B-trees-versus-hashing argument);
 //! * a **write-ahead log** with recovery ([`wal`]) for the record-level
 //!   transaction story (Section III, item 9), whose every group commit is
-//!   one block: an LZ77 parse (`lz`) whose byte streams are each
+//!   one block, coded by `log_block` — whole, or split into streams of like
+//!   bytes — with an LZ77 parse (`lz`) whose byte streams are each
 //!   Huffman-coded (`huff`);
 //! * **storage compression** — §VII's "recent examples include storage
 //!   compression": a primary component's string columns are FSST-coded, one
@@ -55,6 +56,7 @@ pub mod le;
 pub mod leaf_group;
 pub mod linear_hash;
 pub mod lock_order;
+pub(crate) mod log_block;
 pub mod lsm;
 pub mod lsm_rtree;
 pub(crate) mod lz;

@@ -6,67 +6,12 @@
 //! records make a transaction durable. A writer buffers what is appended as
 //! a *record stream* — each record after its LEB128 length
 //! ([`asterix_adm::binary::put_len_prefixed`]) — and each
-//! [`WalWriter::sync`] writes the stream it buffered as one block:
-//!
-//! ```text
-//! [len u32][crc u32][tag][raw_len varint][payload]
-//! ```
-//!
-//! `len` counts the bytes after the checksum, `crc` is their FNV-1a, and
-//! `raw_len` is the record stream's length. The payload is one of three
-//! shapes, whichever `raw_len` calls for and takes fewer bytes than the
-//! stream itself, or else the stream as it is (`BLOCK_RAW`):
-//!
-//! * up to `SMALL_BLOCK` bytes of records, the stream coded whole
-//!   (`BLOCK_CODED`; `crate::lz`: an LZ77 parse whose byte streams are each
-//!   Huffman-coded) — a few records' streams coded apart would cost more in
-//!   framing and lost matches than they save;
-//! * past that, the stream *split* into streams of like bytes, each coded on
-//!   its own (`BLOCK_SPLIT`), so that a message's random location bytes, its
-//!   text and its ids each get their own window and Huffman tables:
-//!   * *headers*: per put whose value reads as a row to its last byte, its
-//!     tag, the varints of transaction, dataset and partition, and the
-//!     varint of its key's length — or, where the key is
-//!     [`asterix_adm::binary::encode_key`] of one of its row's cells,
-//!     `CELL_KEYED` and that cell's declared position in their stead; per
-//!     other record, `WHOLE`, then the record with its length;
-//!   * *keys*: the keys of those puts that no cell gives;
-//!   * *rows*: per such put, its row's declared count, presence bitmap and
-//!     open part ([`asterix_adm::layout::split_row`]);
-//!   * *cells `i`*, for each declared position `i` up to the largest
-//!     declared count in the block: the cell of the `i`-th declared field of
-//!     every such put that has it.
-//!
-//! Each stream of cells is held in the one form its cells call for — the
-//! tag they share, learned as the block is split — a fact of the block,
-//! like raw or coded:
-//!   * all `int`s: their zigzag varints without their tags, or the zigzag
-//!     varints of each one's (wrapping) difference from the one before,
-//!     whichever a count of their bytes, taken before either is written,
-//!     says is shorter;
-//!   * all of one fixed-width type (`double`, `point`, …): the tag once, then
-//!     byte 0 of every cell, byte 1 of every cell, and so on;
-//!   * all `string`s, [`asterix_adm::fsst::SAMPLE_BYTES`] or more of them: an
-//!     FSST table trained on the block's strings, each string's code count
-//!     and the codes — kept only where that codes shorter than the cells as
-//!     they are; trained, coded and decoded by the helpers the leaf groups
-//!     use (`SymbolTable::train_cells`, `Encoder::encode_cells`,
-//!     `SymbolTable::decode_cell`);
-//!   * any other stream — a mix, an optional field's `null` among `int`s —
-//!     as it is.
-//!
-//! A split payload is the count of streams, then per stream — a stream of
-//! cells after the byte of its form — its varint length, the varint length
-//! of its coding and that coding, or a 0 and the stream as it is, where
-//! coding does not shrink it. A split put's length is not stored, nor is a
-//! key its cell gives: decoding puts the record together again and takes
-//! both from what it put together. Over the repository benchmark's blocks
-//! (seed 1), `scan_agg`'s set-up group commits of 2 500 messages take 0.267
-//! of their records and `htap_mix`'s timed ones of ≈ 25 take 0.465; E12's of
-//! ≈ 5, coded whole, 0.587. No record carries a checksum of its own: the
-//! block's covers them all. The time a sync spends coding, under the log's
-//! lock, is `storage.wal.code_ns`; what each stream kind took of the file is
-//! `storage.wal.{header,key,row,cell}_bytes`.
+//! [`WalWriter::sync`] writes the stream it buffered as one block,
+//! `[len u32][crc u32][body]`: `len` counts the body's bytes, `crc` is their
+//! FNV-1a (no record carries a checksum of its own), and the body is the
+//! stream coded by `crate::log_block`, which holds every block shape. This
+//! module holds the records, the framing, the files, the syncs and what
+//! they count, and the segments.
 //!
 //! A node keeps its log as a [`SegmentedWal`]: files named
 //! `<prefix>-<base-lsn>.wal`, rotated when a partition seals its memory
@@ -79,18 +24,11 @@
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
-use crate::le::{fnv1a, Cursor, Format};
+use crate::le::{fnv1a, Cursor};
 use crate::lock_order::{self, Mutex};
-use crate::lz;
-use asterix_adm::binary::{
-    cell_key_into, encode_into, fixed_width, int_cell, put_len_prefixed, put_varint, put_zigzag, string_cell, unzigzag,
-    Decoder,
-};
-use asterix_adm::fsst::{Encoder, SymbolTable, SAMPLE_BYTES};
-use asterix_adm::layout::{join_row, split_row};
-use asterix_adm::Value;
+use crate::log_block::{self, Coder, StreamBytes};
+use asterix_adm::binary::{put_len_prefixed, put_varint};
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
@@ -154,54 +92,9 @@ pub enum WalRecord {
 
 /// Tag bytes of [`WalRecord::Write`] — a put and a delete — and of
 /// [`WalRecord::Update`], which no reader knows.
-const TAG_PUT: u8 = 10;
+pub(crate) const TAG_PUT: u8 = 10;
 const TAG_DELETE: u8 = 11;
 const TAG_UPDATE: u8 = 1;
-
-/// Tag bytes of a block: its payload is the record stream as it is, coded
-/// whole, or split into streams that are coded each on its own.
-const BLOCK_RAW: u8 = 0x20;
-const BLOCK_CODED: u8 = 0x22;
-const BLOCK_SPLIT: u8 = 0x26;
-/// The block's header (see [`crate::le`]): its tag.
-pub(crate) const FORMAT: Format =
-    Format { kind: "log block", headers: &[&[BLOCK_RAW], &[BLOCK_CODED], &[BLOCK_SPLIT]] };
-
-/// What leads a record kept whole in a split block's headers stream; a put
-/// that is split leads with its tag, [`TAG_PUT`], or with `CELL_KEYED` when
-/// one of its row's cells gives its key.
-const WHOLE: u8 = 0;
-const CELL_KEYED: u8 = 1;
-/// A split block's first three streams; the cells of declared position `i`
-/// are stream `CELLS + i`.
-const HEADERS: usize = 0;
-const KEYS: usize = 1;
-const ROWS: usize = 2;
-const CELLS: usize = 3;
-
-/// The form of a split block's stream of cells, the byte before its
-/// lengths: as it is; `int`s as their zigzag varints, or as those of their
-/// differences; one fixed-width type's cells as their tag and then their
-/// bytes plane by plane; `string`s as an FSST table, each one's code count
-/// and the codes.
-const AS_IS: u8 = 0;
-const INTS: u8 = 1;
-const DELTAS: u8 = 2;
-const PLANES: u8 = 3;
-const FSST: u8 = 4;
-
-/// Record-stream bytes up to which a block is coded whole: below that, its
-/// streams coded apart cost more in framing and in matches lost between them
-/// than their own Huffman tables save. For generated messages the two meet
-/// at about eight records, 750 bytes.
-const SMALL_BLOCK: usize = 3 << 8;
-
-/// Payload bytes of blocks by stream kind — headers, keys, rows, cells —
-/// under these names. A raw or whole-coded block's are all headers: it keeps
-/// every record whole.
-type StreamBytes = [u64; 4];
-const STREAM_METRICS: [&str; 4] =
-    ["storage.wal.header_bytes", "storage.wal.key_bytes", "storage.wal.row_bytes", "storage.wal.cell_bytes"];
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -210,15 +103,8 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
 
 /// The payload of a [`WalRecord::Write`]: tag (put or delete), varints of
 /// transaction, dataset id, partition and key length, the key, and a put's
-/// value (`None` = delete) as the rest — the frame's length ends it.
-fn encode_write(
-    out: &mut Vec<u8>,
-    txn_id: u64,
-    dataset: u32,
-    partition: u32,
-    key: &[u8],
-    put: Option<&[u8]>,
-) {
+/// value (`None` = delete) as the rest — the record's length ends it.
+pub(crate) fn encode_write(out: &mut Vec<u8>, txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) {
     out.push(if put.is_some() { TAG_PUT } else { TAG_DELETE });
     put_varint(out, txn_id);
     put_varint(out, dataset.into());
@@ -228,463 +114,49 @@ fn encode_write(
     out.extend_from_slice(put.unwrap_or_default());
 }
 
-/// Reads a put's transaction, dataset and partition, after its tag.
-fn put_ids(c: &mut Cursor<'_>) -> Result<()> {
-    c.varint::<u64>()?;
-    c.varint::<u32>()?;
-    c.varint::<u32>()?;
-    Ok(())
+/// Reads a write's transaction, dataset and partition: the varints after
+/// its tag.
+pub(crate) fn write_ids(c: &mut Cursor<'_>) -> Result<(u64, u32, u32)> {
+    Ok((c.varint()?, c.varint()?, c.varint()?))
 }
 
-/// A put's ids (the varints after its tag, before its key's length), key
-/// and value, when `record` is one.
-fn put_parts(record: &[u8]) -> Option<(&[u8], &[u8], &[u8])> {
-    let mut c = Cursor::new(record);
-    if c.u8().ok()? != TAG_PUT {
-        return None;
-    }
-    put_ids(&mut c).ok()?;
-    let ids = &record[1..c.pos()];
-    let klen = c.varint().ok()?;
-    let key = c.bytes(klen).ok()?;
-    Some((ids, key, c.rest()))
+/// A [`WalRecord::Write`] read in place, by the one reader of
+/// [`encode_write`]'s layout: replay and the block coder both read it here.
+pub(crate) struct WriteRef<'a> {
+    pub(crate) is_delete: bool,
+    pub(crate) txn_id: u64,
+    pub(crate) dataset: u32,
+    pub(crate) partition: u32,
+    /// The varints of those three, as logged.
+    pub(crate) ids: &'a [u8],
+    pub(crate) key: &'a [u8],
+    pub(crate) value: &'a [u8],
 }
 
-/// Bytes of the zigzag varint of `v`.
-fn zigzag_len(v: i64) -> usize {
-    let z = ((v << 1) ^ (v >> 63)) as u64;
-    (64 - z.leading_zeros()).max(1).div_ceil(7) as usize
-}
-
-/// The tag every cell of a stream shares, learned cell by cell as a block
-/// is split: a cell's tag is its type, and a cell that split whole is a
-/// whole value of it.
-#[derive(Clone, Copy)]
-enum Tag {
-    /// No cell yet.
-    None,
-    One(u8),
-    Mixed,
-}
-
-impl Tag {
-    /// The tag once `cell` — empty for an absent field — is among them.
-    fn with(self, cell: &[u8]) -> Tag {
-        match (self, cell.first()) {
-            (_, None) => self,
-            (Tag::None, Some(&tag)) => Tag::One(tag),
-            (Tag::One(t), Some(&tag)) if t == tag => self,
-            _ => Tag::Mixed,
-        }
-    }
-}
-
-/// Each cell of a stream of cells, in order. The stream was made of whole
-/// cells, so none is cut short.
-fn each_cell(stream: &[u8]) -> impl Iterator<Item = &[u8]> {
-    let mut d = Decoder::new(stream);
-    std::iter::from_fn(move || {
-        let start = d.position();
-        d.skip_value().ok()?;
-        Some(&stream[start..d.position()])
-    })
-}
-
-/// Appends the stream of cells `stream`, whose cells all have the tag
-/// `tag`, in the form that tag calls for and returns the form; [`AS_IS`],
-/// with nothing appended, where none does. An FSST form is not yet known to
-/// code shorter than the stream as it is.
-fn form_of(tag: Tag, stream: &[u8], out: &mut Vec<u8>) -> u8 {
-    let (Tag::One(tag), Some(first)) = (tag, each_cell(stream).next()) else { return AS_IS };
-    if int_cell(first).is_some() {
-        // the byte counts decide between values and differences
-        let (mut values, mut deltas, mut last) = (0, 0, 0i64);
-        for v in each_cell(stream).filter_map(int_cell) {
-            (values, deltas, last) = (values + zigzag_len(v), deltas + zigzag_len(v.wrapping_sub(last)), v);
-        }
-        let form = if deltas < values { DELTAS } else { INTS };
-        last = 0;
-        for v in each_cell(stream).filter_map(int_cell) {
-            put_zigzag(out, if form == DELTAS { v.wrapping_sub(last) } else { v });
-            last = v;
-        }
-        return form;
-    }
-    if let Some(width) = fixed_width(tag) {
-        let n = stream.len() / (1 + width);
-        out.push(tag);
-        let planes = out.len();
-        out.resize(planes + n * width, 0);
-        for (i, cell) in stream.chunks_exact(1 + width).enumerate() {
-            for (j, byte) in cell[1..].iter().enumerate() {
-                out[planes + j * n + i] = *byte;
-            }
-        }
-        return PLANES;
-    }
-    if string_cell(first).is_none() || stream.len() < SAMPLE_BYTES {
-        return AS_IS;
-    }
-    let Some(table) = SymbolTable::train_cells(each_cell(stream)) else { return AS_IS };
-    let start = out.len();
-    table.write(out);
-    put_varint(out, each_cell(stream).count() as u64);
-    let mut codes = Vec::with_capacity(stream.len());
-    let code_count = |len: usize| put_varint(out, len as u64);
-    // a row's bytes were not read as text, so a string may be no UTF-8
-    if Encoder::new(&table).encode_cells(each_cell(stream), &mut codes, code_count).is_none() {
-        out.truncate(start);
-        return AS_IS;
-    }
-    out.extend_from_slice(&codes);
-    FSST
-}
-
-/// The stream of cells that `held`, of the form `form`, holds; `room` is
-/// what the block's streams may still take, and shrinks by what this one
-/// does. Every count and length is checked against the bytes that hold it
-/// before anything is sized by it.
-fn cells_of<'a>(form: u8, held: Cow<'a, [u8]>, room: &mut usize) -> Result<Cow<'a, [u8]>> {
-    let corrupt = |why: String| StorageError::Corrupt(format!("log block: {why}"));
-    let mut out = Vec::new();
-    match form {
-        AS_IS => {
-            *room = room.checked_sub(held.len()).ok_or_else(|| corrupt("streams past the block's records".into()))?;
-            return Ok(held);
-        }
-        INTS | DELTAS => {
-            let (mut c, mut last) = (Cursor::new(&held), 0i64);
-            while c.pos() < held.len() {
-                let v = unzigzag(c.varint()?);
-                last = if form == DELTAS { last.wrapping_add(v) } else { v };
-                encode_into(&Value::Int(last), &mut out);
-                if out.len() > *room {
-                    return Err(corrupt("`int`s past the block's records".into()));
-                }
-            }
-        }
-        PLANES => {
-            let [tag, planes @ ..] = &held[..] else { return Err(corrupt("planes of no type".into())) };
-            let width = fixed_width(*tag).ok_or_else(|| corrupt(format!("planes of tag {tag}, no fixed width")))?;
-            if planes.len() % width != 0 {
-                return Err(corrupt(format!("{} bytes in {width} planes", planes.len())));
-            }
-            let n = planes.len() / width;
-            if n * (1 + width) > *room {
-                return Err(corrupt("planes past the block's records".into()));
-            }
-            out.reserve(n * (1 + width));
-            for i in 0..n {
-                out.push(*tag);
-                out.extend((0..width).map(|j| planes[j * n + i]));
-            }
-        }
-        FSST => {
-            let (table, used) = SymbolTable::read(&held).map_err(|e| corrupt(format!("its FSST table: {e}")))?;
-            let table = table.ok_or_else(|| corrupt("an FSST table of no symbols".into()))?;
-            let mut c = Cursor::at(&held, used);
-            let count: usize = c.varint()?;
-            // a code count takes a byte at least
-            if count > held.len() - c.pos() {
-                return Err(corrupt(format!("{count} strings in {} bytes", held.len() - c.pos())));
-            }
-            let lengths = c.pos();
-            let mut coded = 0usize;
-            for _ in 0..count {
-                coded = coded.saturating_add(c.varint()?);
-            }
-            let codes = c.rest();
-            if coded != codes.len() {
-                return Err(corrupt(format!("code counts of {coded} bytes for {} of codes", codes.len())));
-            }
-            let (mut c, mut at) = (Cursor::at(&held, lengths), 0);
-            for _ in 0..count {
-                let len: usize = c.varint()?;
-                table.decode_cell(&codes[at..at + len], &mut out).map_err(|e| corrupt(format!("its strings: {e}")))?;
-                at += len;
-                if out.len() > *room {
-                    return Err(corrupt("`string`s past the block's records".into()));
-                }
-            }
-        }
-        _ => return Err(corrupt(format!("a stream of cells of form {form}"))),
-    }
-    *room -= out.len();
-    Ok(Cow::Owned(out))
-}
-
-/// Codes blocks: the LZ coder and the streams a block is split into, kept
-/// from one block to the next so that coding one allocates little beyond
-/// its output.
-#[derive(Default)]
-struct BlockCoder {
-    lz: lz::Coder,
-    /// Headers, keys, rows, then the cells of each declared position.
-    streams: Vec<Vec<u8>>,
-    /// The tag the cells of each declared position share.
-    tags: Vec<Tag>,
-    /// The declared position the last put's key came from.
-    key_at: usize,
-    /// Scratch: a cell's key, a stream in its form, codings.
-    key: Vec<u8>,
-    form: Vec<u8>,
-    coded: Vec<u8>,
-    alt: Vec<u8>,
-}
-
-impl BlockCoder {
-    /// Appends to `out` the block of the record stream `records` — coded
-    /// whole up to [`SMALL_BLOCK`] bytes, split and each stream coded past
-    /// that, or raw where coding does not shrink it — and returns its
-    /// payload's bytes by stream kind.
-    fn block_into(&mut self, out: &mut Vec<u8>, records: &[u8]) -> StreamBytes {
-        let start = out.len();
-        out.extend_from_slice(&[0; 8]);
-        out.push(BLOCK_CODED);
-        put_varint(out, records.len() as u64);
-        let payload = out.len();
-        let split = if records.len() > SMALL_BLOCK { self.split(records) } else { None };
-        let mut kinds = match split {
-            Some(used) => {
-                out[start + 8] = BLOCK_SPLIT;
-                self.code(used, out)
-            }
-            None => {
-                self.lz.compress(records, out);
-                [(out.len() - payload) as u64, 0, 0, 0]
-            }
+impl<'a> WriteRef<'a> {
+    /// `record` read as a write; `Corrupt` when it is cut short, is a
+    /// delete with a value, or is another kind of record.
+    pub(crate) fn read(record: &'a [u8]) -> Result<WriteRef<'a>> {
+        let mut c = Cursor::new(record);
+        let is_delete = match c.u8()? {
+            TAG_PUT => false,
+            TAG_DELETE => true,
+            tag => return Err(StorageError::Corrupt(format!("log record: tag {tag} is no write's"))),
         };
-        if out.len() - payload >= records.len() {
-            out.truncate(payload);
-            out[start + 8] = BLOCK_RAW;
-            out.extend_from_slice(records);
-            kinds = [records.len() as u64, 0, 0, 0];
+        let (txn_id, dataset, partition) = write_ids(&mut c)?;
+        let ids = &record[1..c.pos()];
+        let klen = c.varint()?;
+        let key = c.bytes(klen)?;
+        let value = c.rest();
+        if is_delete && !value.is_empty() {
+            return Err(StorageError::Corrupt("log record: a delete with a value".into()));
         }
-        let len = (out.len() - start - 8) as u32;
-        let crc = fnv1a(&out[start + 8..]);
-        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        kinds
+        Ok(WriteRef { is_delete, txn_id, dataset, partition, ids, key, value })
     }
-
-    /// Splits the record stream `records` into `self.streams`, learning
-    /// the tag each stream of cells shares; returns how many streams it fills
-    /// (`None` when `records` is not a record stream).
-    fn split(&mut self, records: &[u8]) -> Option<usize> {
-        self.streams.resize_with(self.streams.len().max(CELLS), Vec::new);
-        for stream in &mut self.streams {
-            stream.clear();
-        }
-        self.tags.clear();
-        let (mut used, mut cells) = (CELLS, Vec::new());
-        let mut c = Cursor::new(records);
-        while c.pos() < records.len() {
-            let at = c.pos();
-            let len = c.varint().ok()?;
-            let record = c.bytes(len).ok()?;
-            cells.clear();
-            let parts = put_parts(record).and_then(|(ids, key, row)| Some((ids, key, split_row(row, |cell| cells.push(cell)).ok()?)));
-            let Some((ids, key, (head, open))) = parts else {
-                self.streams[HEADERS].push(WHOLE);
-                self.streams[HEADERS].extend_from_slice(&records[at..c.pos()]);
-                continue;
-            };
-            used = used.max(CELLS + cells.len());
-            self.streams.resize_with(self.streams.len().max(used), Vec::new);
-            self.tags.resize(used - CELLS, Tag::None);
-            let keyed = self.key_cell(key, &cells);
-            let headers = &mut self.streams[HEADERS];
-            headers.push(if keyed.is_some() { CELL_KEYED } else { TAG_PUT });
-            headers.extend_from_slice(ids);
-            match keyed {
-                Some(i) => put_varint(headers, i as u64),
-                None => {
-                    put_varint(headers, key.len() as u64);
-                    self.streams[KEYS].extend_from_slice(key);
-                }
-            }
-            self.streams[ROWS].extend_from_slice(head);
-            self.streams[ROWS].extend_from_slice(open);
-            for ((stream, tag), cell) in self.streams[CELLS..].iter_mut().zip(&mut self.tags).zip(&cells) {
-                stream.extend_from_slice(cell);
-                *tag = tag.with(cell);
-            }
-        }
-        Some(used)
-    }
-
-    /// The declared position of a cell of `cells` whose value's key is
-    /// `key`: the last put's first, as a dataset's puts share theirs.
-    fn key_cell(&mut self, key: &[u8], cells: &[&[u8]]) -> Option<usize> {
-        let found = std::iter::once(self.key_at).chain(0..cells.len()).find(|&i| {
-            self.key.clear();
-            cells.get(i).is_some_and(|cell| cell_key_into(cell, &mut self.key).is_ok() && self.key == key)
-        })?;
-        self.key_at = found;
-        Some(found)
-    }
-
-    /// Appends the payload of the first `used` streams — their count, then
-    /// per stream (a stream of cells after its form) its length, the length
-    /// of its coding (an LZ77 parse) and the coding, or a 0 and the stream
-    /// as it is where coding does not shrink it — and returns its bytes by
-    /// stream kind.
-    fn code(&mut self, used: usize, out: &mut Vec<u8>) -> StreamBytes {
-        let BlockCoder { lz, streams, tags, form, coded, alt, .. } = self;
-        put_varint(out, used as u64);
-        let mut kinds = [0; 4];
-        for (i, stream) in streams[..used].iter().enumerate() {
-            form.clear();
-            let mut shape = match i.checked_sub(CELLS) {
-                Some(at) => form_of(tags[at], stream, form),
-                None => AS_IS,
-            };
-            let mut held: &[u8] = if shape == AS_IS { stream } else { form };
-            let mut size = code_into(lz, held, coded);
-            if shape == FSST {
-                // the table and the code counts must pay for themselves, and
-                // no form outgrows its stream: a decoder bounds the streams
-                // by the records they make
-                let plain = code_into(lz, stream, alt);
-                if plain <= size || form.len() > stream.len() {
-                    (shape, held, size) = (AS_IS, stream, plain);
-                    std::mem::swap(coded, alt);
-                }
-            }
-            if i >= CELLS {
-                out.push(shape);
-            }
-            put_varint(out, held.len() as u64);
-            let bytes = if size < held.len() {
-                put_varint(out, coded.len() as u64);
-                &coded[..]
-            } else {
-                put_varint(out, 0);
-                held
-            };
-            out.extend_from_slice(bytes);
-            kinds[i.min(CELLS)] += bytes.len() as u64;
-        }
-        kinds
-    }
-}
-
-/// Codes `bytes` into `coded` (cleared first), and returns what the stream
-/// will take: the coding, or `bytes` as they are where that is no shorter.
-fn code_into(lz: &mut lz::Coder, bytes: &[u8], coded: &mut Vec<u8>) -> usize {
-    coded.clear();
-    if !bytes.is_empty() {
-        lz.compress(bytes, coded);
-    }
-    match coded.len() {
-        0 => bytes.len(),
-        n => n.min(bytes.len()),
-    }
-}
-
-/// The record stream of a split block of `raw_len` bytes, from its payload:
-/// each stream decoded and put back in its cells, then every record put
-/// together again in the order the headers stream gives, a key its cell
-/// gives derived from that cell. Every length is checked against `raw_len`
-/// before anything is sized by it, and a stream with bytes that no record
-/// takes is refused.
-fn join_block(payload: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let corrupt = |why: String| StorageError::Corrupt(format!("log block: {why}"));
-    let mut c = Cursor::new(payload);
-    let count: usize = c.varint()?;
-    // a stream takes two bytes at least
-    if count < CELLS || count > payload.len() / 2 {
-        return Err(corrupt(format!("{count} streams in {} bytes", payload.len())));
-    }
-    // a put's bytes are in its streams once, but for a key its cell gives,
-    // and a record kept whole with one more, so the streams hold at most
-    // twice the records, in their forms and put back in their cells
-    let (mut streams, mut total, mut room) = (Vec::with_capacity(count), 0usize, raw_len.saturating_mul(2));
-    for i in 0..count {
-        let form = if i < CELLS { AS_IS } else { c.u8()? };
-        let len: usize = c.varint()?;
-        total = total.saturating_add(len);
-        if total > raw_len.saturating_mul(2) {
-            return Err(corrupt(format!("streams of over {total} bytes for {raw_len} of records")));
-        }
-        let held = match c.varint()? {
-            0 => Cow::Borrowed(c.bytes(len)?),
-            coded => Cow::Owned(
-                lz::decompress(c.bytes(coded)?, len)
-                    .ok_or_else(|| corrupt(format!("a stream that does not decode to {len} bytes")))?,
-            ),
-        };
-        streams.push(cells_of(form, held, &mut room)?);
-    }
-    if c.pos() != payload.len() {
-        return Err(corrupt(format!("{} bytes after its streams", payload.len() - c.pos())));
-    }
-    let [headers, keys, rows, cells @ ..] = streams.as_slice() else {
-        return Err(corrupt("fewer than three streams".into()));
-    };
-    let (mut h, mut k, mut rows) = (Cursor::new(headers), Cursor::new(keys), Decoder::new(rows));
-    let mut columns: Vec<Decoder> = cells.iter().map(|cells| Decoder::new(cells)).collect();
-    // what the streams hold, not what `raw_len` says, sizes the records
-    let mut out = Vec::with_capacity(raw_len.min(raw_len.saturating_mul(2) - room));
-    let mut derived = Vec::new();
-    while h.pos() < headers.len() {
-        let start = h.pos();
-        let tag = h.u8()?;
-        if tag == WHOLE {
-            let len: usize = h.varint()?;
-            h.bytes(len)?;
-            out.extend_from_slice(&headers[start + 1..h.pos()]);
-        } else if tag == TAG_PUT || tag == CELL_KEYED {
-            put_ids(&mut h)?;
-            let ids = &headers[start + 1..h.pos()];
-            // the cell that gives the key, and where its stream stands
-            let mut from = None;
-            let key = if tag == TAG_PUT {
-                let klen = h.varint()?;
-                k.bytes(klen)?
-            } else {
-                let at: usize = h.varint()?;
-                let (Some(column), Some(stream)) = (columns.get(at), cells.get(at)) else {
-                    return Err(corrupt(format!("a key from the cells of declared field {at}, which the block has not")));
-                };
-                let mut cell = Decoder::new(&stream[column.position()..]);
-                cell.skip_value().map_err(|e| corrupt(format!("a key's cell: {e}")))?;
-                derived.clear();
-                cell_key_into(&stream[column.position()..][..cell.position()], &mut derived)
-                    .map_err(|e| corrupt(format!("a key's cell: {e}")))?;
-                from = Some((at, column.position() + cell.position()));
-                &derived[..]
-            };
-            put_len_prefixed(&mut out, |record| {
-                record.push(TAG_PUT);
-                record.extend_from_slice(ids);
-                put_varint(record, key.len() as u64);
-                record.extend_from_slice(key);
-                join_row(&mut rows, &mut columns, record)
-            })
-            .map_err(|e| corrupt(format!("a put's row does not join: {e}")))?;
-            // the row took the cell its key came from
-            if from.is_some_and(|(at, end)| columns[at].position() != end) {
-                return Err(corrupt("a key from a cell its row has not".into()));
-            }
-        } else {
-            return Err(corrupt(format!("a record led by {tag} in its headers")));
-        }
-        if out.len() > raw_len {
-            return Err(corrupt(format!("records of over {raw_len} bytes")));
-        }
-    }
-    if k.pos() != keys.len() || !rows.is_done() || !columns.iter().all(Decoder::is_done) {
-        return Err(corrupt("a stream with bytes no record takes".into()));
-    }
-    if out.len() != raw_len {
-        return Err(corrupt(format!("{} bytes of records, not {raw_len}", out.len())));
-    }
-    Ok(out)
 }
 
 impl WalRecord {
-    fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Write { txn_id, dataset, partition, is_delete, key, value } => {
                 let put = (!is_delete).then_some(value.as_slice());
@@ -725,20 +197,13 @@ impl WalRecord {
         }
     }
 
-    fn decode(buf: &[u8]) -> Result<WalRecord> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<WalRecord> {
         let mut c = Cursor::new(buf);
         let tag = c.u8()?;
         Ok(match tag {
             TAG_PUT | TAG_DELETE => {
-                let (txn_id, dataset, partition) = (c.varint()?, c.varint()?, c.varint()?);
-                let klen = c.varint()?;
-                let key = c.bytes(klen)?.to_vec();
-                let value = c.rest().to_vec();
-                let is_delete = tag == TAG_DELETE;
-                if is_delete && !value.is_empty() {
-                    return Err(StorageError::Corrupt("log record: a delete with a value".into()));
-                }
-                WalRecord::Write { txn_id, dataset, partition, is_delete, key, value }
+                let WriteRef { is_delete, txn_id, dataset, partition, key, value, .. } = WriteRef::read(buf)?;
+                WalRecord::Write { txn_id, dataset, partition, is_delete, key: key.to_vec(), value: value.to_vec() }
             }
             2 => WalRecord::Commit { txn_id: c.u64()? },
             3 => WalRecord::Abort { txn_id: c.u64()? },
@@ -758,6 +223,42 @@ impl WalRecord {
             _ => return Err(StorageError::Corrupt(format!("log record: no record has tag {tag}"))),
         })
     }
+}
+
+/// What a log's syncs count, each into its `storage.wal.*` counter. A
+/// [`SegmentedWal`]'s are in its registry and pass from one segment's writer
+/// to the next; a standalone [`WalWriter`]'s are registered nowhere.
+#[derive(Clone, Default)]
+struct SyncCounters {
+    /// `storage.wal.appended_bytes`: file bytes syncs moved into segments
+    /// since open (a rotation's checkpoint, published whole, is not one).
+    appended_bytes: Counter,
+    /// `storage.wal.record_bytes`: what those syncs held decoded — records
+    /// and their varint lengths, the LSNs they took. `appended_bytes` over
+    /// this is what coding left of the log.
+    record_bytes: Counter,
+    /// `storage.wal.code_ns`: time those syncs spent coding their blocks,
+    /// under the log's lock.
+    code_ns: Counter,
+    /// `storage.wal.{header,key,row,cell}_bytes`: what each stream kind took
+    /// of `appended_bytes`; the blocks' framing is the rest.
+    stream_bytes: [Counter; 4],
+}
+
+/// Appends to `out` the block of the record stream `records`: its length
+/// and checksum, then the body `coder` makes of the records, which the
+/// length counts and the checksum (FNV-1a) covers. The one framing, of a
+/// sync's blocks and a rotation's checkpoint alike; returns the body's
+/// payload bytes by stream kind.
+fn frame_block(coder: &mut Coder, records: &[u8], out: &mut Vec<u8>) -> StreamBytes {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    let kinds = coder.encode(records, out);
+    let body = &out[start + 8..];
+    let (len, crc) = ((body.len() as u32).to_le_bytes(), fnv1a(body).to_le_bytes());
+    out[start..start + 4].copy_from_slice(&len);
+    out[start + 4..start + 8].copy_from_slice(&crc);
+    kinds
 }
 
 /// Appender over one log file.
@@ -781,17 +282,15 @@ pub struct WalWriter {
     /// whole yet: a retried sync writes these same bytes again.
     blocks: Vec<u8>,
     coded: usize,
-    coder: BlockCoder,
-    /// Payload bytes by stream kind of the blocks in `blocks`, and of every
-    /// block written whole.
+    coder: Coder,
+    /// Payload bytes by stream kind of the blocks in `blocks`: counted once
+    /// they are written whole, however often a short write was retried.
     unwritten: StreamBytes,
-    written: StreamBytes,
     /// File bytes of whole blocks; where the next block is written.
     persisted: u64,
     /// Record-stream bytes those blocks hold.
     stream: u64,
-    /// Nanoseconds syncs have spent coding blocks.
-    code_ns: u64,
+    counters: SyncCounters,
     faults: Option<Arc<FaultInjector>>,
 }
 
@@ -802,11 +301,8 @@ impl WalWriter {
     }
 
     /// Opens the log with an optional fault injector on its write paths.
-    pub fn open_with_faults(
-        path: impl AsRef<Path>,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Self> {
-        Ok(WalWriter::open_at(path.as_ref(), 0, faults)?.0)
+    pub fn open_with_faults(path: impl AsRef<Path>, faults: Option<Arc<FaultInjector>>) -> Result<Self> {
+        Ok(WalWriter::open_at(path.as_ref(), 0, faults, SyncCounters::default())?.0)
     }
 
     /// Opens the file whose first record is LSN `base`, returning the intact
@@ -815,10 +311,9 @@ impl WalWriter {
     /// A torn or corrupt tail left by a crash is truncated here: appending
     /// after garbage would strand every later block behind the scan stop,
     /// silently losing committed transactions on the *next* recovery.
+    /// The writer's syncs count into `counters`.
     fn open_at(
-        path: &Path,
-        base: Lsn,
-        faults: Option<Arc<FaultInjector>>,
+        path: &Path, base: Lsn, faults: Option<Arc<FaultInjector>>, counters: SyncCounters,
     ) -> Result<(Self, Vec<(Lsn, WalRecord)>)> {
         let path = path.to_path_buf();
         if let Some(parent) = path.parent() {
@@ -826,29 +321,16 @@ impl WalWriter {
         }
         // truncate(false): an existing log must survive reopen — recovery
         // truncates only the invalid tail below, via set_len
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
+        let mut file = OpenOptions::new().read(true).write(true).create(true).truncate(false).open(&path)?;
         let mut image = Vec::new();
         file.read_to_end(&mut image)?;
         let file_len = image.len() as u64;
         let scan = scan_log(&image, base)?;
         if scan.file_len < file_len {
             if let Some(f) = &faults {
-                f.on_truncate(&format!(
-                    "{}:truncate",
-                    crate::faults::target_name(&path)
-                ))?;
+                f.on_truncate(&format!("{}:truncate", crate::faults::target_name(&path)))?;
             }
-            let wrap = |source: std::io::Error| StorageError::WalTruncate {
-                path: path.clone(),
-                valid_len: scan.file_len,
-                file_len,
-                source,
-            };
+            let wrap = |source| StorageError::WalTruncate { path: path.clone(), valid_len: scan.file_len, file_len, source };
             file.set_len(scan.file_len).map_err(wrap)?;
             file.sync_data().map_err(wrap)?;
         }
@@ -859,20 +341,14 @@ impl WalWriter {
             buf: Vec::new(),
             blocks: Vec::new(),
             coded: 0,
-            coder: BlockCoder::default(),
+            coder: Coder::default(),
             unwritten: [0; 4],
-            written: [0; 4],
             persisted: scan.file_len,
             stream: scan.stream_len,
-            code_ns: 0,
+            counters,
             faults,
         };
         Ok((writer, scan.records))
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Appends a record (buffered); returns its LSN.
@@ -914,8 +390,8 @@ impl WalWriter {
         if !self.buf.is_empty() {
             if self.coded < self.buf.len() {
                 let start = Instant::now();
-                let kinds = self.coder.block_into(&mut self.blocks, &self.buf[self.coded..]);
-                self.code_ns += start.elapsed().as_nanos() as u64;
+                let kinds = frame_block(&mut self.coder, &self.buf[self.coded..], &mut self.blocks);
+                self.counters.code_ns.add(start.elapsed().as_nanos() as u64);
                 for (unwritten, coded) in self.unwritten.iter_mut().zip(kinds) {
                     *unwritten += coded;
                 }
@@ -938,8 +414,10 @@ impl WalWriter {
             self.file.write_all_at(&self.blocks, self.persisted)?;
             self.persisted += self.blocks.len() as u64;
             self.stream += self.buf.len() as u64;
-            for (written, unwritten) in self.written.iter_mut().zip(std::mem::take(&mut self.unwritten)) {
-                *written += unwritten;
+            self.counters.appended_bytes.add(self.blocks.len() as u64);
+            self.counters.record_bytes.add(self.buf.len() as u64);
+            for (counter, bytes) in self.counters.stream_bytes.iter().zip(std::mem::take(&mut self.unwritten)) {
+                counter.add(bytes);
             }
             self.buf.clear();
             self.blocks.clear();
@@ -968,20 +446,6 @@ struct Scan {
     stream_len: u64,
 }
 
-/// A block's record stream: its payload decoded.
-fn decode_block(body: &[u8]) -> Result<Cow<'_, [u8]>> {
-    let mut c = Cursor::new(body);
-    let tag = c.header(&FORMAT)?;
-    let raw_len = c.varint()?;
-    let payload = c.rest();
-    let stream = match tag {
-        [BLOCK_SPLIT] => return join_block(payload, raw_len).map(Cow::Owned),
-        [BLOCK_RAW] => (payload.len() == raw_len).then_some(Cow::Borrowed(payload)),
-        _ => lz::decompress(payload, raw_len).map(Cow::Owned),
-    };
-    stream.ok_or_else(|| StorageError::Corrupt(format!("log block: its payload is not a stream of {raw_len} bytes")))
-}
-
 /// Scans the image of a log file whose first record is LSN `base`, up to
 /// its first block that is cut short or fails its checksum (a crash tail).
 /// A block past its checksum was written whole, so one that does not read —
@@ -995,7 +459,7 @@ fn scan_log(buf: &[u8], base: Lsn) -> Result<Scan> {
         if fnv1a(body) != crc {
             break; // corrupt tail
         }
-        let decoded = decode_block(body)?;
+        let decoded = log_block::decode(body)?;
         let mut c = Cursor::new(&decoded);
         while c.pos() < decoded.len() {
             let lsn = base + stream + c.pos() as Lsn;
@@ -1015,14 +479,10 @@ fn next_block<'a>(file: &mut Cursor<'a>) -> Result<(u32, &'a [u8])> {
 }
 
 fn read_file_or_empty(path: &Path) -> Result<Vec<u8>> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e.into()),
-    };
-    let mut buf = Vec::new();
-    file.read_to_end(&mut buf)?;
-    Ok(buf)
+    match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => Ok(read?),
+    }
 }
 
 /// Reads all intact records from a log file; stops silently at the first
@@ -1146,19 +606,6 @@ pub struct SegmentedWal {
     /// `storage.wal.truncated_bytes`: segment file bytes unlinked since
     /// open.
     truncated_bytes: Counter,
-    /// `storage.wal.appended_bytes`: file bytes syncs moved into segments
-    /// since open (a rotation's checkpoint, published whole, is not one).
-    appended_bytes: Counter,
-    /// `storage.wal.record_bytes`: what those syncs held decoded — records
-    /// and their varint lengths, the LSNs they took. `appended_bytes` over
-    /// this is what coding left of the log.
-    record_bytes: Counter,
-    /// `storage.wal.code_ns`: time those syncs spent coding their blocks,
-    /// under the log's lock.
-    code_ns: Counter,
-    /// `storage.wal.{header,key,row,cell}_bytes`: what each stream kind took
-    /// of `appended_bytes`; the blocks' framing is the rest.
-    stream_bytes: [Counter; 4],
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
@@ -1169,10 +616,8 @@ impl SegmentedWal {
     /// Opens the log under `dir` (creating its first segment if there is
     /// none) for appending, and returns it with what a restart must redo:
     /// the operations of the committed transactions found in the retained
-    /// segments. Its size is exported through `registry` as
-    /// `storage.wal.{segments, truncated_bytes, appended_bytes, record_bytes}`,
-    /// the time its syncs spend coding as `storage.wal.code_ns`, and the
-    /// bytes of each kind of stream as `storage.wal.{header,key,row,cell}_bytes`.
+    /// segments. It counts into `registry`: `storage.wal.{segments,
+    /// truncated_bytes}` and what its syncs count (`SyncCounters`).
     pub fn recover(
         dir: &Path,
         prefix: &str,
@@ -1199,8 +644,15 @@ impl SegmentedWal {
                 0
             }
         };
+        let kinds = ["storage.wal.header_bytes", "storage.wal.key_bytes", "storage.wal.row_bytes", "storage.wal.cell_bytes"];
+        let counters = SyncCounters {
+            appended_bytes: registry.counter("storage.wal.appended_bytes"),
+            record_bytes: registry.counter("storage.wal.record_bytes"),
+            code_ns: registry.counter("storage.wal.code_ns"),
+            stream_bytes: kinds.map(|name| registry.counter(name)),
+        };
         let (active, mut records) =
-            WalWriter::open_at(&segment_path(dir, prefix, newest), newest, faults.clone())?;
+            WalWriter::open_at(&segment_path(dir, prefix, newest), newest, faults.clone(), counters)?;
         // Walk back from the newest segment while each older one ends exactly
         // where its successor begins. Truncation unlinks oldest first, so
         // anything beyond a gap had already been let go: finish unlinking it.
@@ -1236,10 +688,6 @@ impl SegmentedWal {
             stray_segment: false,
             segments,
             truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
-            appended_bytes: registry.counter("storage.wal.appended_bytes"),
-            record_bytes: registry.counter("storage.wal.record_bytes"),
-            code_ns: registry.counter("storage.wal.code_ns"),
-            stream_bytes: STREAM_METRICS.map(|name| registry.counter(name)),
         };
         Ok((wal, tail.ops))
     }
@@ -1299,19 +747,9 @@ impl SegmentedWal {
     }
 
     /// Writes buffered records as one block and forces it to stable
-    /// storage. What the write moves into the segment is counted once,
-    /// however many times a short write has it retried.
+    /// storage ([`WalWriter::sync`] of the active segment).
     pub fn sync(&mut self) -> Result<()> {
-        let active = &mut self.active;
-        let (persisted, stream, code_ns, written) = (active.persisted, active.stream, active.code_ns, active.written);
-        let synced = active.sync();
-        self.appended_bytes.add(active.persisted - persisted);
-        self.record_bytes.add(active.stream - stream);
-        self.code_ns.add(active.code_ns - code_ns);
-        for ((counter, now), then) in self.stream_bytes.iter().zip(active.written).zip(written) {
-            counter.add(now - then);
-        }
-        synced
+        self.active.sync()
     }
 
     /// LSN the next record will receive.
@@ -1363,9 +801,9 @@ impl SegmentedWal {
         let mut record = Vec::new();
         put_len_prefixed(&mut record, |buf| checkpoint.encode_into(buf));
         let mut first = Vec::new();
-        self.active.coder.block_into(&mut first, &record);
+        frame_block(&mut Coder::default(), &record, &mut first);
         crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
-        let next = match WalWriter::open_at(&path, base, self.faults.clone()) {
+        let next = match WalWriter::open_at(&path, base, self.faults.clone(), self.active.counters.clone()) {
             Ok((next, _)) => next,
             Err(e) => {
                 self.stray_segment = crate::io::remove_file(&path, self.faults.as_ref()).is_err();
@@ -1471,10 +909,11 @@ impl GroupCommit {
 mod tests {
     use super::*;
     use crate::le;
+    use crate::log_block::tests::{framing_of, message_row};
     use crate::testutil::TempDir;
     use asterix_adm::binary::read_varint;
-    use asterix_adm::Point;
-    use rand::{Rng, SeedableRng};
+    use asterix_adm::Value;
+    use rand::SeedableRng;
 
     fn upd(txn: u64, key: &[u8], val: &[u8]) -> WalRecord {
         WalRecord::Write {
@@ -1636,17 +1075,16 @@ mod tests {
         // the record stream: a put is its length (1), 5 of header, key and
         // value; a commit its length, tag and transaction
         let records = 1 + 5 + 3 + 5 + 1 + 1 + 8;
-        assert_eq!(wal.record_bytes.get(), wal.next_lsn() - start);
-        assert_eq!(wal.record_bytes.get(), 8 * records);
+        let counters = &wal.active.counters;
+        assert_eq!(counters.record_bytes.get(), wal.next_lsn() - start);
+        assert_eq!(counters.record_bytes.get(), 8 * records);
         // a block a sync: 8 of header, tag, the stream's length and the
         // stream as it is — coded, its eighteen literals and the rest of the
         // parse would take more
         let segment = std::fs::metadata(segment_path(dir.path(), "node", 0)).unwrap().len();
-        assert_eq!(wal.appended_bytes.get(), segment);
-        assert_eq!(wal.appended_bytes.get(), 8 * (8 + 1 + 1 + records));
-        // each sync timed the coding of its block, once
-        assert!(wal.code_ns.get() > 0);
-        assert_eq!(wal.code_ns.get(), wal.active.code_ns);
+        assert_eq!(counters.appended_bytes.get(), segment);
+        assert_eq!(counters.appended_bytes.get(), 8 * (8 + 1 + 1 + records));
+        assert!(counters.code_ns.get() > 0, "each sync timed the coding of its block");
     }
 
     #[test]
@@ -1820,7 +1258,7 @@ mod tests {
         // four repeated, so the block holds them as they are
         w.append(&upd(1, b"a", b"1")).unwrap();
         w.sync().unwrap();
-        let raw = [BLOCK_RAW, 8, 7, TAG_PUT, 1, 7, 0, 1, b'a', b'1'];
+        let raw = [0x20, 8, 7, TAG_PUT, 1, 7, 0, 1, b'a', b'1'];
         let mut want = (raw.len() as u32).to_le_bytes().to_vec();
         want.extend_from_slice(&fnv1a(&raw).to_le_bytes());
         want.extend_from_slice(&raw);
@@ -1837,7 +1275,7 @@ mod tests {
         }
         w.sync().unwrap();
         let coded = [
-            &[BLOCK_CODED, 40, 0b00000, 3, 1][..],
+            &[0x22, 40, 0b00000, 3, 1][..],
             &[0x42, 0x0F, 0x00],
             &[11],
             &[1, 10],
@@ -1852,26 +1290,6 @@ mod tests {
         let lsns: Vec<Lsn> = read_log(&path).unwrap().into_iter().map(|(lsn, _)| lsn).collect();
         assert_eq!(lsns, [0, 8, 18, 28, 38]);
         assert_eq!(w.next_lsn(), 48);
-    }
-
-    /// A message the way a Gleambook load logs it: the storage encoding of
-    /// ids, a location and a text of 3 to 11 words.
-    fn message_row(rng: &mut impl Rng, id: i64) -> Vec<u8> {
-        const WORDS: [&str; 16] = [
-            "love", "like", "hate", "the", "its", "verizon", "samsung", "apple", "platform", "speed",
-            "voice", "command", "network", "signal", "customization", "reachability",
-        ];
-        let words = rng.gen_range(3..12);
-        let text: Vec<&str> = (0..words).map(|_| WORDS[rng.gen_range(0..WORDS.len())]).collect();
-        let location = Point::new(rng.gen_range(0.0..90.0), rng.gen_range(0.0..180.0));
-        let message = Value::object(vec![
-            ("messageId".into(), Value::Int(id)),
-            ("authorId".into(), Value::Int(rng.gen_range(1..=1_000))),
-            ("senderLocation".into(), Value::Point(location)),
-            ("message".into(), Value::from(text.join(" "))),
-        ]);
-        let types = asterix_adm::types::gleambook_types();
-        asterix_adm::RecordLayout::new(types.get("GleambookMessageType").unwrap()).encode(&message).unwrap()
     }
 
     /// A log of generated messages in group commits.
@@ -1909,6 +1327,32 @@ mod tests {
         MessageLog { image, ends, records: appended }
     }
 
+    /// The log's bytes, pinned: a log of four group commits — a few
+    /// messages coded whole, a split block of 25 and one of 2 500, and a
+    /// lone commit kept raw — and the checkpoint segment one rotation
+    /// publishes, each by its length and FNV-1a. A deliberate change of the
+    /// format (a new block shape, ROADMAP item 16) updates these constants
+    /// and names the change in CHANGES.md; a refactor leaves them alone.
+    #[test]
+    fn the_logs_bytes_are_pinned() {
+        let log = message_log(1, &[5, 25, 2_500, 0]);
+        let tags: Vec<u8> = blocks_of(&log.image).iter().map(|&(tag, ..)| tag).collect();
+        assert_eq!(tags, [0x22, 0x26, 0x26, 0x20], "a block of each shape");
+        assert_eq!((log.image.len(), le::fnv1a(&log.image)), (58_639, 1_051_921_374), "the message log");
+        let dir = TempDir::new();
+        let (mut wal, _) = recover(&dir, None);
+        for (seq, feed) in ["feed.Messages", "feed.Users", "feed.Chirps", "feed.Tweets"].into_iter().enumerate() {
+            wal.append(&WalRecord::FeedCursor { txn_id: 41, feed: feed.into(), seq: 7 * seq as u64 }).unwrap();
+        }
+        wal.append(&WalRecord::Commit { txn_id: 41 }).unwrap();
+        wal.sync().unwrap();
+        wal.finish_txn(41, true);
+        wal.rotate().unwrap();
+        let checkpoint = std::fs::read(segment_path(dir.path(), "node", wal.active.base)).unwrap();
+        assert_eq!(blocks_of(&checkpoint)[0].0, 0x22, "coded whole");
+        assert_eq!((checkpoint.len(), le::fnv1a(&checkpoint)), (83, 942_542_492), "a rotation's checkpoint segment");
+    }
+
     /// Every block of a log image, as (tag, stream bytes, file bytes).
     fn blocks_of(image: &[u8]) -> Vec<(u8, usize, usize)> {
         let mut out = Vec::new();
@@ -1926,7 +1370,7 @@ mod tests {
     fn every_cut_and_every_flipped_byte_drops_a_tail_or_refuses_never_misreads() {
         let MessageLog { image, ends, records } = message_log(3, &[3, 0, 30]);
         let tags: Vec<u8> = blocks_of(&image).iter().map(|&(tag, ..)| tag).collect();
-        assert_eq!(tags, [BLOCK_CODED, BLOCK_RAW, BLOCK_SPLIT], "a block of each shape");
+        assert_eq!(tags, [0x22, 0x20, 0x26], "a block of each shape: coded whole, raw, split");
         // the records of the blocks wholly below `at`, and where they end
         let below = |at: usize| *ends.iter().rev().find(|(end, _)| *end as usize <= at).unwrap();
         for cut in 0..=image.len() {
@@ -1948,366 +1392,6 @@ mod tests {
         }
     }
 
-    /// The log of one checksummed block: `tag`, `raw_len`, `payload`.
-    fn one_block(tag: u8, raw_len: u64, payload: &[u8]) -> Vec<u8> {
-        let mut body = vec![tag];
-        put_varint(&mut body, raw_len);
-        body.extend_from_slice(payload);
-        let mut log = (body.len() as u32).to_le_bytes().to_vec();
-        log.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        log.extend_from_slice(&body);
-        log
-    }
-
-    #[test]
-    fn a_stream_length_the_block_cannot_hold_is_refused_without_allocating() {
-        let refused = |log: Vec<u8>| matches!(scan_log(&log, 0), Err(StorageError::Corrupt(_)));
-        // a block of "abc" coded whole that says it decodes to 2^40 or to
-        // u64::MAX: refused before a buffer of that size is asked for
-        let mut abc = Vec::new();
-        lz::Coder::default().compress(b"abc", &mut abc);
-        for raw_len in [1u64 << 40, u64::MAX] {
-            assert!(refused(one_block(BLOCK_CODED, raw_len, &abc)), "raw_len {raw_len}");
-        }
-        // a split block of one commit: three streams as they are, headers
-        // of eleven bytes, keys and rows empty
-        let commit = [WHOLE, 9, 2, 1, 0, 0, 0, 0, 0, 0, 0];
-        let payload = [&[3, 11, 0][..], &commit, &[0, 0, 0, 0]].concat();
-        let records = scan_log(&one_block(BLOCK_SPLIT, 10, &payload), 0).unwrap().records;
-        assert_eq!(records, [(0, WalRecord::Commit { txn_id: 1 })]);
-        // the same streams said to make 2^40 or u64::MAX bytes of records
-        for raw_len in [1u64 << 40, u64::MAX] {
-            assert!(refused(one_block(BLOCK_SPLIT, raw_len, &payload)), "raw_len {raw_len}");
-        }
-        // a headers stream that says it is 2^40 bytes, as it is or coded
-        // from "abc", in a block of 10 bytes of records or of 2^40
-        for (raw_len, coded) in [(10, false), (10, true), (1 << 40, true)] {
-            let mut payload = vec![3];
-            put_varint(&mut payload, 1 << 40);
-            if coded {
-                put_varint(&mut payload, abc.len() as u64);
-                payload.extend_from_slice(&abc);
-            } else {
-                payload.push(0);
-            }
-            payload.extend_from_slice(&[0, 0, 0, 0]);
-            assert!(refused(one_block(BLOCK_SPLIT, raw_len, &payload)), "{raw_len} coded {coded}");
-        }
-        // 2^40 streams, or two
-        let mut count = Vec::new();
-        put_varint(&mut count, 1 << 40);
-        for head in [&count[..], &[2]] {
-            assert!(refused(one_block(BLOCK_SPLIT, 10, &[head, &payload[1..]].concat())), "{head:?}");
-        }
-        // a raw block whose stream length is not its payload's
-        assert!(refused(one_block(BLOCK_RAW, 9, &[0])));
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
-
-        /// Generated messages logged in group commits of any size read back
-        /// as appended; a block of twenty or more is split and coded to
-        /// under 0.48 of its records, one of sixty or more to under 0.39
-        /// (0.472 and 0.384 at worst in 256 cases).
-        #[test]
-        fn real_log_blocks_round_trip(
-            seed in proptest::prelude::any::<u64>(),
-            groups in proptest::collection::vec(0usize..120, 1..5),
-        ) {
-            let log = message_log(seed, &groups);
-            for (&puts, (tag, raw_len, file_len)) in groups.iter().zip(blocks_of(&log.image)) {
-                if puts >= 20 {
-                    proptest::prop_assert_eq!(tag, BLOCK_SPLIT);
-                    proptest::prop_assert!(100 * file_len < 48 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
-                }
-                if puts >= 60 {
-                    proptest::prop_assert!(100 * file_len < 39 * raw_len, "{} puts: {} of {} bytes", puts, file_len, raw_len);
-                }
-            }
-        }
-    }
-
-    /// A row of a type of two declared fields — an `int` and an optional
-    /// list — and now and then an open one.
-    fn pair_row(rng: &mut impl Rng, id: i64) -> Vec<u8> {
-        use asterix_adm::types::{Field, ObjectType, TypeExpr};
-        let ty = ObjectType::open(
-            "Pair",
-            vec![
-                Field::required("id", TypeExpr::named("int")),
-                Field::optional("tags", TypeExpr::Array(Box::new(TypeExpr::named("string")))),
-            ],
-        );
-        let mut fields = vec![("id".to_string(), Value::Int(id))];
-        if rng.gen_bool(0.5) {
-            fields.push(("tags".into(), Value::Array((0..rng.gen_range(0..3)).map(|t| Value::from(format!("t{t}"))).collect())));
-        }
-        if rng.gen_bool(0.3) {
-            fields.push(("note".into(), Value::from("open")));
-        }
-        asterix_adm::RecordLayout::new(&ty).encode(&Value::object(fields)).unwrap()
-    }
-
-    /// A double at an edge of its bits, or any one.
-    fn edge_double(rng: &mut impl Rng) -> f64 {
-        const BITS: [u64; 7] = [
-            0x7FF8_0000_0000_0000,     // the quiet NaN
-            0xFFF0_0000_0000_0ABC,     // a signalling NaN with a payload and its sign
-            0x8000_0000_0000_0000,     // -0.0
-            0x0000_0000_0000_0001,     // the least subnormal
-            0x800F_FFFF_FFFF_FFFF,     // the greatest negative subnormal
-            0x7FF0_0000_0000_0000,     // +inf
-            0x0000_0000_0000_0000,     // 0.0
-        ];
-        match rng.gen_range(0..BITS.len() + 2) {
-            i if i < BITS.len() => f64::from_bits(BITS[i]),
-            _ => rng.gen_range(-1e6..1e6),
-        }
-    }
-
-    /// A string of words, some of several bytes a character, and now and
-    /// then a character from anywhere that a table trained on the rest
-    /// would escape.
-    fn edge_string(rng: &mut impl Rng) -> String {
-        const WORDS: [&str; 10] = ["día", "naïve", "日本語", "😀", "Ω", "tab\t", "nul\0", "network", "signal", "the"];
-        let mut s = String::new();
-        for _ in 0..rng.gen_range(0..90) {
-            match char::from_u32(rng.gen_range(0x80..0x3_0000)).filter(|_| rng.gen_bool(0.05)) {
-                Some(rare) => s.push(rare),
-                None => s.push_str(WORDS[rng.gen_range(0..WORDS.len())]),
-            }
-            s.push(' ');
-        }
-        s
-    }
-
-    /// A row of a type whose every form meets its edges, and the `int` its
-    /// key is made from. Declared positions 0, 3 and 4 are a message's
-    /// `int`, `point` and `string`; the rest are its own: a `double` where a
-    /// message's other `int` is, an optional `int` now and then `null` (its
-    /// stream then keeps no form), `int`s that are mostly `i64::MIN` and
-    /// `i64::MAX` in turn (their differences wrap), and `double`s of NaN,
-    /// -0.0, subnormal and infinite bits, as are the points'.
-    fn edge_row(rng: &mut impl Rng, id: i64) -> (i64, Vec<u8>) {
-        use asterix_adm::types::{Field, ObjectType, TypeExpr};
-        let named = |name: &str, ty: &str| Field::required(name, TypeExpr::named(ty));
-        let ty = ObjectType::closed(
-            "Edges",
-            vec![
-                named("m", "int"),
-                named("d", "double"),
-                Field::optional("maybe", TypeExpr::named("int")),
-                named("p", "point"),
-                named("s", "string"),
-                named("n", "int"),
-                named("e", "double"),
-            ],
-        );
-        let n = match rng.gen_range(0..5) {
-            0 => rng.gen_range(-3..3),
-            _ if id % 2 == 0 => i64::MIN,
-            _ => i64::MAX,
-        };
-        let maybe = match rng.gen_range(0..20) {
-            0 => Value::Null,
-            i => Value::Int(i),
-        };
-        let row = Value::object(vec![
-            ("m".into(), Value::Int(rng.gen_range(0..1_000))),
-            ("d".into(), Value::Double(edge_double(rng))),
-            ("maybe".into(), maybe),
-            ("p".into(), Value::Point(Point::new(edge_double(rng), edge_double(rng)))),
-            ("s".into(), Value::from(edge_string(rng))),
-            ("n".into(), Value::Int(n)),
-            ("e".into(), Value::Double(edge_double(rng))),
-        ]);
-        (n, asterix_adm::RecordLayout::new(&ty).encode(&row).unwrap())
-    }
-
-    /// A record of any kind: a put whose value is a row of one of three
-    /// layouts (five declared fields; two and open ones; seven at the edges
-    /// of their forms), bytes that may or may not read as a row, or
-    /// nothing; a delete; a commit, an abort, a checkpoint or a feed
-    /// cursor. A row's key is most times its first field's, and an edge
-    /// row's is also a composite key or one that is no cell's.
-    fn any_record(rng: &mut impl Rng, id: i64) -> WalRecord {
-        let (txn_id, partition) = (rng.gen_range(1..300), id as u32 % 3);
-        let key = asterix_adm::binary::encode_key(&[Value::Int(id)]);
-        let write = |dataset, is_delete, key, value| WalRecord::Write { txn_id, dataset, partition, is_delete, key, value };
-        match rng.gen_range(0..16) {
-            0..=3 => write(3, false, key, message_row(rng, id)),
-            4 | 5 => write(5, false, key, pair_row(rng, id)),
-            6 => write(5, false, key, (0..rng.gen_range(1..12)).map(|_| rng.gen_range(0..4)).collect()),
-            7 => write(3, false, key, Vec::new()),
-            8 => write(3, true, key, Vec::new()),
-            9 => WalRecord::Commit { txn_id },
-            10 => WalRecord::Abort { txn_id },
-            11 if rng.gen_bool(0.5) => WalRecord::Checkpoint { max_txn: txn_id, feed_cursors: vec![("f".into(), 7)] },
-            11 => WalRecord::FeedCursor { txn_id, feed: "feed".into(), seq: id as u64 },
-            _ => {
-                let (n, row) = edge_row(rng, id);
-                let key = match rng.gen_range(0..3) {
-                    0 => asterix_adm::binary::encode_key(&[Value::Int(n), Value::Int(id)]),
-                    1 => asterix_adm::binary::encode_key(&[Value::Int(n.wrapping_add(1) ^ 0x55)]),
-                    _ => asterix_adm::binary::encode_key(&[Value::Int(n)]),
-                };
-                write(7, false, key, row)
-            }
-        }
-    }
-
-    /// The payload bytes of a log image that frame its streams: each
-    /// block's length, checksum, tag and stream length, and a split block's
-    /// stream count and each stream's form and lengths — what the counters
-    /// of stream bytes leave of `appended_bytes`.
-    fn framing_of(image: &[u8]) -> u64 {
-        let mut file = Cursor::new(image);
-        let mut framing = 0;
-        while let Ok((_, body)) = next_block(&mut file) {
-            let mut c = Cursor::new(body);
-            let tag = c.header(&FORMAT).unwrap();
-            c.varint::<u64>().unwrap();
-            // a raw or whole-coded block's payload counts as headers
-            let mut streams = body.len() - c.pos();
-            if tag == [BLOCK_SPLIT] {
-                streams = 0;
-                for i in 0..c.varint::<usize>().unwrap() {
-                    if i >= CELLS {
-                        c.u8().unwrap();
-                    }
-                    let len: usize = c.varint().unwrap();
-                    let len = match c.varint().unwrap() {
-                        0 => len,
-                        coded => coded,
-                    };
-                    streams += c.bytes(len).unwrap().len();
-                }
-            }
-            framing += 8 + body.len() - streams;
-        }
-        framing as u64
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// Any record stream a writer buffers comes back from its block
-        /// byte for byte, and its records as appended: rows of three layouts
-        /// side by side, values that are no row, empty values, deletes and
-        /// every other kind of record; keys a cell gives, composite keys and
-        /// keys no cell gives; and streams of cells in every form at its
-        /// edges — `int` differences that wrap, NaN, -0.0 and subnormal
-        /// bits in planes, multi-byte and escaped characters through a
-        /// table (a stream of 8 KiB of strings in about a third of the
-        /// cases), and a `null` among `int`s that leaves its stream as it is.
-        #[test]
-        fn any_record_stream_round_trips_byte_for_byte(
-            seed in proptest::prelude::any::<u64>(),
-            n in 1usize..240,
-        ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let dir = TempDir::new();
-            let path = dir.path().join("wal.log");
-            let mut w = WalWriter::open(&path).unwrap();
-            let mut appended = Vec::new();
-            for id in 0..n as i64 {
-                let record = any_record(&mut rng, id);
-                appended.push((w.append(&record).unwrap(), record));
-            }
-            let records = w.buf.clone();
-            let mut block = Vec::new();
-            BlockCoder::default().block_into(&mut block, &records);
-            if records.len() > SMALL_BLOCK {
-                proptest::prop_assert_eq!(block[8], BLOCK_SPLIT);
-            }
-            proptest::prop_assert_eq!(decode_block(&block[8..]).unwrap().as_ref(), records.as_slice());
-            w.sync().unwrap();
-            proptest::prop_assert_eq!(read_log(&path).unwrap(), appended);
-        }
-
-        /// Any payload under the split tag, with a good checksum, decodes or
-        /// is `Corrupt`, never a panic: bytes made up, and the payload of a
-        /// real block with bytes changed. A stream of cells whose FSST table
-        /// is damaged, whose code counts disagree with its codes or whose
-        /// planes do not divide it is `Corrupt` for that reason, before
-        /// anything is sized by it.
-        #[test]
-        fn any_payload_under_the_split_tag_decodes_or_is_refused(
-            payload in proptest::collection::vec(0u8..8, 0..64),
-            raw_len in 0u64..400,
-            seed in proptest::prelude::any::<u64>(),
-            at in proptest::prelude::any::<usize>(),
-            flip in 1u8..=255,
-        ) {
-            let decoded = |log: &[u8]| match scan_log(log, 0) {
-                Ok(_) | Err(StorageError::Corrupt(_)) => Ok(()),
-                Err(e) => Err(e),
-            };
-            proptest::prop_assert!(decoded(&one_block(BLOCK_SPLIT, raw_len, &payload)).is_ok());
-            let refused = |form: u8, cells: &[u8], why: &str| {
-                let log = one_block(BLOCK_SPLIT, 1 << 40, &one_put_payload(form, cells));
-                matches!(scan_log(&log, 0), Err(StorageError::Corrupt(e)) if e.contains(why))
-            };
-            // a table with a symbol of no bytes or of more than eight
-            let mut table = Vec::new();
-            SymbolTable::train(&["día de la señal", "the network signal"]).unwrap().write(&mut table);
-            let mut damaged = table.clone();
-            damaged[1 + at % usize::from(table[0])] = if flip <= 8 { 0 } else { flip };
-            proptest::prop_assert!(refused(FSST, &[&damaged[..], &[1, 0]].concat(), "FSST table"));
-            // code counts of more or fewer bytes than the codes, and more
-            // counts than there are bytes
-            let mut form = table.clone();
-            put_varint(&mut form, payload.len() as u64);
-            form.extend_from_slice(&payload);
-            let coded = payload.iter().map(|&n| usize::from(n)).sum::<usize>();
-            let fewer = flip % 2 == 0 && coded > 0;
-            form.resize(form.len() + if fewer { coded - 1 } else { coded + 1 }, 0);
-            proptest::prop_assert!(refused(FSST, &form, "code counts"));
-            let mut bomb = table.clone();
-            put_varint(&mut bomb, 1 << 40);
-            bomb.extend_from_slice(&payload);
-            proptest::prop_assert!(refused(FSST, &bomb, "strings in"));
-            // planes of a point, a byte short of or past whole cells
-            let cells = 1 + at % 4;
-            let planes = vec![0x7F; 16 * cells + if flip % 2 == 0 { 1 } else { 15 }];
-            let point = asterix_adm::binary::encode(&Value::Point(Point::new(1.0, 2.0)))[0];
-            proptest::prop_assert!(refused(PLANES, &[&[point][..], &planes].concat(), "planes"));
-            proptest::prop_assert!(refused(PLANES, &[&[3][..], &planes].concat(), "planes of tag 3"));
-            // a key from the cell of a field the put's row has not: the row
-            // declares two fields and has the second only
-            let keyed = [&[5, 5, 0, CELL_KEYED, 1, 3, 0, 0, 0, 0, 3, 0, 2, 0b10, 0][..], &[AS_IS, 2, 0, 3, 14, AS_IS, 2, 0, 3, 16]].concat();
-            let log = one_block(BLOCK_SPLIT, 1 << 40, &keyed);
-            proptest::prop_assert!(matches!(scan_log(&log, 0), Err(StorageError::Corrupt(e)) if e.contains("a cell its row has not")));
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            // enough records to make a split block most times
-            let mut records = Vec::new();
-            for id in 0..80 {
-                put_len_prefixed(&mut records, |buf| any_record(&mut rng, id).encode_into(buf));
-            }
-            let mut block = Vec::new();
-            BlockCoder::default().block_into(&mut block, &records);
-            let mut body = block[8..].to_vec();
-            let at = at % body.len();
-            body[at] ^= flip;
-            let mut c = Cursor::new(&body);
-            c.u8().unwrap();
-            if let Ok(raw_len) = c.varint::<u64>() {
-                proptest::prop_assert!(decoded(&one_block(body[0], raw_len, c.rest())).is_ok());
-            }
-        }
-    }
-
-    /// The payload of a split block of one put of key `k` whose row's one
-    /// declared cell is the stream `cells`, held in the form `form`.
-    fn one_put_payload(form: u8, cells: &[u8]) -> Vec<u8> {
-        let mut payload = vec![4, 5, 0, TAG_PUT, 1, 3, 0, 1, 1, 0, b'k', 3, 0, 1, 1, 0, form];
-        put_varint(&mut payload, cells.len() as u64);
-        payload.push(0);
-        payload.extend_from_slice(cells);
-        payload
-    }
-
     #[test]
     fn the_stream_counters_and_the_framing_add_up_to_the_appended_bytes() {
         let dir = TempDir::new();
@@ -2322,9 +1406,15 @@ mod tests {
             wal.sync().unwrap();
         }
         let image = std::fs::read(segment_path(dir.path(), "node", 0)).unwrap();
-        let [headers, keys, rows, cells] = wal.stream_bytes.each_ref().map(Counter::get);
-        assert_eq!(wal.appended_bytes.get(), image.len() as u64);
-        assert_eq!(headers + keys + rows + cells + framing_of(&image), wal.appended_bytes.get());
+        let counters = &wal.active.counters;
+        let [headers, keys, rows, cells] = counters.stream_bytes.each_ref().map(Counter::get);
+        assert_eq!(counters.appended_bytes.get(), image.len() as u64);
+        // each block's length and checksum, and what frames its streams
+        let (mut file, mut framing) = (Cursor::new(&image), 0);
+        while let Ok((_, body)) = next_block(&mut file) {
+            framing += 8 + framing_of(body);
+        }
+        assert_eq!(headers + keys + rows + cells + framing, counters.appended_bytes.get());
         // the text and the locations, in their cells, are most of it; every
         // key is its `messageId` cell's, so none is logged
         assert!(cells > headers + keys + rows, "{cells} of cells, {headers} {keys} {rows} of the rest");
