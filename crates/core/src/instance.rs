@@ -91,7 +91,8 @@ pub struct InstanceConfig {
     pub nodes: usize,
     /// Storage partitions per dataset (hash-partitioned by primary key).
     pub partitions: usize,
-    /// Buffer-cache frames per node (Figure 2's buffer cache).
+    /// Buffer-cache frames per node (Figure 2's buffer cache); 0 is taken
+    /// as 1.
     pub cache_pages_per_node: usize,
     /// LSM tuning.
     pub storage: StorageConfig,

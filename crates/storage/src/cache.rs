@@ -4,7 +4,10 @@
 //! a node, split into N lock-striped *shards* (key-hashed) so concurrent
 //! scanners do not serialize on one global lock. Each shard owns a slice of
 //! the frame budget, its own CLOCK (second-chance) ring, and its own
-//! hit/miss/eviction/readahead counters. Pages are returned as
+//! hit/miss/eviction/readahead/coalesced-wait counters — the only copy of
+//! each: the cache registers `storage.io.{cache_hits, cache_misses,
+//! evictions, readaheads}` and `cache.coalesced_waits` in its file manager's
+//! registry as observed counters that sum the shards. Pages are returned as
 //! `Arc<Vec<u8>>`, so a reader holding a page is never invalidated by
 //! eviction — eviction merely drops the cache's reference.
 //!
@@ -45,7 +48,7 @@ use crate::lock_order::{Condvar, Level, Mutex, RwLock};
 use crate::stats::{CacheShardSnapshot, IoStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Fallback stripe count when the host's parallelism cannot be queried.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -65,7 +68,8 @@ pub const DEFAULT_READAHEAD: usize = 8;
 /// Construction options for [`BufferCache::with_options`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheOptions {
-    /// Frame budget in pages (0 disables caching entirely).
+    /// Frame budget in pages; 0 is taken as 1 (a cache holds at least one
+    /// frame).
     pub capacity: usize,
     /// Number of lock-striped shards; 0 picks
     /// `min(capacity, available_parallelism())` ([`default_shards`]).
@@ -190,7 +194,6 @@ enum InflightRole {
 /// A lock-striped CLOCK buffer cache over one [`FileManager`].
 pub struct BufferCache {
     manager: Arc<FileManager>,
-    stats: Arc<IoStats>,
     capacity: usize,
     readahead_pages: usize,
     shards: Vec<Shard>,
@@ -201,30 +204,48 @@ pub struct BufferCache {
 
 impl BufferCache {
     /// Creates a cache of `capacity` frames (each [`PAGE_SIZE`] bytes) over
-    /// `manager`, with default sharding and readahead. A capacity of 0
-    /// disables caching (every read is physical).
+    /// `manager`, with default sharding and readahead. A capacity of 0 is
+    /// taken as 1.
     pub fn new(manager: Arc<FileManager>, capacity: usize) -> Arc<Self> {
         Self::with_options(manager, CacheOptions::with_capacity(capacity))
     }
 
-    /// Creates a cache with explicit shard/readahead configuration.
+    /// Creates a cache with explicit shard/readahead configuration, and
+    /// registers its counters in `manager`'s registry. A manager has one
+    /// cache: a registry keeps the first counter registered under a name.
     pub fn with_options(manager: Arc<FileManager>, opts: CacheOptions) -> Arc<Self> {
-        let stats = Arc::clone(manager.stats());
-        let capacity = opts.capacity;
+        let capacity = opts.capacity.max(1);
         let n = if opts.shards > 0 { opts.shards } else { default_shards() };
-        let n = n.min(capacity.max(1)).max(1);
+        let n = n.min(capacity);
         // Split the budget; early shards absorb the remainder so the per-
         // shard capacities sum exactly to `capacity`.
         let (base, rem) = (capacity / n, capacity % n);
         let shards = (0..n).map(|i| Shard::new(base + usize::from(i < rem))).collect();
-        Arc::new(BufferCache {
+        let cache = Arc::new(BufferCache {
             manager,
-            stats,
             capacity,
             readahead_pages: opts.readahead_pages,
             shards,
             inflight: Mutex::ranked(Level::CacheInflight, HashMap::new()),
-        })
+        });
+        let registry = cache.manager.stats().registry();
+        let observe = |name: &str, counter: fn(&Shard) -> &AtomicU64| {
+            let weak: Weak<BufferCache> = Arc::downgrade(&cache);
+            registry.observed_counter(name, move || {
+                weak.upgrade().map_or(0, |c| {
+                    c.shards.iter().map(|s| counter(s).load(Ordering::Relaxed)).sum()
+                })
+            });
+        };
+        observe("storage.io.cache_hits", |s| &s.hits);
+        observe("storage.io.cache_misses", |s| &s.misses);
+        observe("storage.io.evictions", |s| &s.evictions);
+        observe("storage.io.readaheads", |s| &s.readaheads);
+        // Under the cache-level name (not `storage.io.*`): the counter
+        // measures request coalescing in the buffer cache, and the
+        // serving-layer dashboards key on `cache.coalesced_waits`.
+        observe("cache.coalesced_waits", |s| &s.coalesced_waits);
+        cache
     }
 
     /// The underlying file manager.
@@ -232,9 +253,9 @@ impl BufferCache {
         &self.manager
     }
 
-    /// The shared I/O counters.
+    /// The file manager's physical I/O counters.
     pub fn stats(&self) -> &Arc<IoStats> {
-        &self.stats
+        self.manager.stats()
     }
 
     /// Frame budget in pages.
@@ -258,21 +279,15 @@ impl BufferCache {
     /// Reads a page through the cache. Concurrent misses for the same page
     /// coalesce onto one physical read (see the module docs).
     pub fn get(&self, file: FileId, page_no: u64) -> Result<Arc<Vec<u8>>> {
-        if self.capacity == 0 {
-            self.stats.count_cache_miss();
-            return Ok(Arc::new(self.manager.read_page(file, page_no)?));
-        }
         let key = (file, page_no);
         let shard = self.shard_for(&key);
         if let Some(data) = shard.lookup(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.stats.count_cache_hit();
             return Ok(data);
         }
         match self.inflight_role(key, shard) {
             InflightRole::Hit(data) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.count_cache_hit();
                 Ok(data)
             }
             InflightRole::Waiter(entry) => self.wait_coalesced(key, shard, &entry),
@@ -314,11 +329,9 @@ impl BufferCache {
         entry: &InflightEntry,
     ) -> Result<Arc<Vec<u8>>> {
         shard.coalesced_waits.fetch_add(1, Ordering::Relaxed);
-        self.stats.count_coalesced_wait();
         match entry.wait() {
             Ok(data) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.count_cache_hit();
                 Ok(data)
             }
             Err(cause) => Err(StorageError::CoalescedLoad { file: key.0, page: key.1, cause }),
@@ -348,10 +361,8 @@ impl BufferCache {
                 // as a hit.
                 if inserted {
                     shard.misses.fetch_add(1, Ordering::Relaxed);
-                    self.stats.count_cache_miss();
                 } else {
                     shard.hits.fetch_add(1, Ordering::Relaxed);
-                    self.stats.count_cache_hit();
                 }
                 entry.resolve(LoadState::Ready(Arc::clone(&data)));
                 Ok(data)
@@ -382,14 +393,13 @@ impl BufferCache {
     /// [`BufferCache::get_sequential`] for a scan that will read no page at
     /// or past `end`: the batch stops there too.
     pub fn get_within(&self, file: FileId, page_no: u64, end: u64) -> Result<Arc<Vec<u8>>> {
-        if self.capacity == 0 || self.readahead_pages <= 1 || end <= page_no + 1 {
+        if self.readahead_pages <= 1 || end <= page_no + 1 {
             return self.get(file, page_no);
         }
         let key = (file, page_no);
         let shard = self.shard_for(&key);
         if let Some(data) = shard.lookup(&key) {
             shard.hits.fetch_add(1, Ordering::Relaxed);
-            self.stats.count_cache_hit();
             return Ok(data);
         }
         // The demanded page coalesces exactly like `get`; only a leader
@@ -398,7 +408,6 @@ impl BufferCache {
         match self.inflight_role(key, shard) {
             InflightRole::Hit(data) => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats.count_cache_hit();
                 Ok(data)
             }
             InflightRole::Waiter(entry) => self.wait_coalesced(key, shard, &entry),
@@ -437,7 +446,6 @@ impl BufferCache {
                 // Only pages this call actually brought into the cache
                 // count as readahead; already-resident ones are no-ops.
                 self.shard_for(&k).readaheads.fetch_add(1, Ordering::Relaxed);
-                self.stats.count_readahead();
             }
         }
         first.ok_or_else(|| {
@@ -453,9 +461,7 @@ impl BufferCache {
     pub fn put(&self, file: FileId, page_no: u64, data: Vec<u8>) -> Result<()> {
         debug_assert_eq!(data.len(), PAGE_SIZE);
         self.manager.write_page(file, page_no, &data)?;
-        if self.capacity > 0 {
-            self.install((file, page_no), Arc::new(data), true);
-        }
+        self.install((file, page_no), Arc::new(data), true);
         Ok(())
     }
 
@@ -491,7 +497,6 @@ impl BufferCache {
             if !referenced {
                 inner.frames.remove(&victim_key);
                 shard.evictions.fetch_add(1, Ordering::Relaxed);
-                self.stats.count_eviction();
                 inner.ring.swap_remove(idx);
                 if idx >= inner.ring.len() {
                     inner.hand = 0;
@@ -503,11 +508,6 @@ impl BufferCache {
         inner.frames.insert(key, Frame { data, referenced: AtomicBool::new(true) });
         inner.ring.push(key);
         true
-    }
-
-    /// Makes every `put` of `file` so far durable.
-    pub fn flush_file(&self, file: FileId) -> Result<()> {
-        self.manager.sync(file)
     }
 
     /// Drops all frames of `file`. Concurrent readers may still hold page
@@ -528,17 +528,9 @@ impl BufferCache {
     /// strong count exceeds the cache's own reference is a pin leak and
     /// panics; release builds behave exactly like `evict_file`.
     pub fn close_file(&self, file: FileId) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.write();
-            #[cfg(debug_assertions)]
-            assert_no_pins(
-                inner.frames.iter().filter(|((fid, _), _)| *fid == file),
-                "component close (close_file)",
-            );
-            inner.frames.retain(|(fid, _), _| *fid != file);
-            inner.ring.retain(|(fid, _)| *fid != file);
-            inner.hand = 0;
-        }
+        #[cfg(debug_assertions)]
+        self.assert_no_pins(Some(file), "component close (close_file)");
+        self.evict_file(file);
     }
 
     /// Pages currently pinned outside the cache (`Arc` strong count above
@@ -556,6 +548,29 @@ impl BufferCache {
         }
         out.sort();
         out
+    }
+
+    /// Debug-build pin-leak check: every resident frame of `file` (of every
+    /// file if `None`) must be held by the cache alone. Skipped while
+    /// unwinding so a test failure does not turn into a double panic
+    /// (abort).
+    #[cfg(debug_assertions)]
+    fn assert_no_pins(&self, file: Option<FileId>, when: &str) {
+        if std::thread::panicking() {
+            return;
+        }
+        let leaked: Vec<String> = self
+            .outstanding_pins()
+            .into_iter()
+            .filter(|((fid, _), _)| file.is_none_or(|f| f == *fid))
+            .map(|((fid, page), pins)| format!("file {fid:?} page {page} ({pins} pins)"))
+            .collect();
+        assert!(
+            leaked.is_empty(),
+            "buffer pin leak at {when}: {} page(s) still pinned outside the cache: [{}]",
+            leaked.len(),
+            leaked.join(", ")
+        );
     }
 
     /// Number of frames currently resident.
@@ -580,40 +595,12 @@ impl BufferCache {
     }
 }
 
-/// Debug-build pin-leak check: every resident frame's `Arc` must be held by
-/// the cache alone. Skipped while unwinding so a test failure does not turn
-/// into a double panic (abort).
-#[cfg(debug_assertions)]
-fn assert_no_pins<'a>(
-    frames: impl Iterator<Item = (&'a (FileId, u64), &'a Frame)>,
-    when: &str,
-) {
-    if std::thread::panicking() {
-        return;
-    }
-    let leaked: Vec<String> = frames
-        .filter(|(_, f)| Arc::strong_count(&f.data) > 1)
-        .map(|(k, f)| {
-            format!("file {:?} page {} ({} pins)", k.0, k.1, Arc::strong_count(&f.data) - 1)
-        })
-        .collect();
-    assert!(
-        leaked.is_empty(),
-        "buffer pin leak at {when}: {} page(s) still pinned outside the cache: [{}]",
-        leaked.len(),
-        leaked.join(", ")
-    );
-}
-
 /// Cache-drop end of the pin-leak protocol: when the cache itself is torn
 /// down, no page may still be referenced outside it (debug builds).
 impl Drop for BufferCache {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        for shard in &self.shards {
-            let inner = shard.inner.read();
-            assert_no_pins(inner.frames.iter(), "cache drop");
-        }
+        self.assert_no_pins(None, "cache drop");
     }
 }
 
@@ -652,6 +639,11 @@ mod tests {
         make_file_named(fm, "f.pf", pages)
     }
 
+    /// `storage.io.<name>` as a reader of `fm`'s registry sees it.
+    fn io(fm: &FileManager, name: &str) -> u64 {
+        fm.stats().registry().snapshot().counter(&format!("storage.io.{name}")).unwrap()
+    }
+
     #[test]
     fn hits_avoid_physical_reads() {
         let (cache, fm, _d) = setup(4);
@@ -660,7 +652,7 @@ mod tests {
         assert_eq!(cache.get(id, 0).unwrap()[0], 0);
         assert_eq!(cache.get(id, 1).unwrap()[0], 1);
         assert_eq!(fm.stats().physical_reads(), 2, "two misses");
-        assert_eq!(fm.stats().cache_hits(), 1);
+        assert_eq!(io(&fm, "cache_hits"), 1);
     }
 
     #[test]
@@ -671,7 +663,7 @@ mod tests {
             cache.get(id, p).unwrap();
         }
         assert!(cache.resident() <= 2);
-        assert!(fm.stats().evictions() >= 4);
+        assert!(io(&fm, "evictions") >= 4);
     }
 
     #[test]
@@ -692,13 +684,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_is_uncached() {
+    fn zero_capacity_means_one_frame() {
         let (cache, fm, _d) = setup(0);
-        let id = make_file(&fm, 1);
+        assert_eq!(cache.capacity(), 1);
+        let id = make_file(&fm, 2);
         cache.get(id, 0).unwrap();
-        cache.get(id, 0).unwrap();
-        assert_eq!(fm.stats().physical_reads(), 2);
-        assert_eq!(fm.stats().cache_hits(), 0);
+        cache.get(id, 1).unwrap();
+        assert_eq!(cache.resident(), 1, "the last page read stays");
+        assert_eq!(io(&fm, "evictions"), 1);
     }
 
     #[test]
@@ -737,8 +730,8 @@ mod tests {
         let snaps = cache.shard_snapshots();
         let hits: u64 = snaps.iter().map(|s| s.hits).sum();
         let misses: u64 = snaps.iter().map(|s| s.misses).sum();
-        assert_eq!(hits, fm.stats().cache_hits(), "shard hit counters match global");
-        assert_eq!(misses, fm.stats().cache_misses(), "shard miss counters match global");
+        assert_eq!(hits, io(&fm, "cache_hits"), "the hits a reader sees are the shards'");
+        assert_eq!(misses, io(&fm, "cache_misses"), "the misses a reader sees are the shards'");
         assert_eq!(hits, 8);
         assert_eq!(misses, 8);
     }
@@ -753,12 +746,12 @@ mod tests {
         }
         // Two batches of 4: two demand misses, six readahead pages, all
         // later fetches hit.
-        assert_eq!(fm.stats().cache_misses(), 2);
-        assert_eq!(fm.stats().cache_hits(), 6);
-        assert_eq!(fm.stats().readaheads(), 6);
+        assert_eq!(io(&fm, "cache_misses"), 2);
+        assert_eq!(io(&fm, "cache_hits"), 6);
+        assert_eq!(io(&fm, "readaheads"), 6);
         assert_eq!(fm.stats().physical_reads(), 8, "every page read exactly once");
         let ra: u64 = cache.shard_snapshots().iter().map(|s| s.readaheads).sum();
-        assert_eq!(ra, 6, "per-shard readahead counters match global");
+        assert_eq!(ra, 6, "the readaheads a reader sees are the shards'");
     }
 
     #[test]

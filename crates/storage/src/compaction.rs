@@ -118,7 +118,7 @@ fn ratio_milli(num: u64, den: u64) -> u64 {
 
 impl LsmMetricsHub {
     /// A hub whose metrics are `registry`'s `storage.lsm.*`. Called from
-    /// [`crate::IoStats::with_registry`].
+    /// [`crate::IoStats::new`].
     pub(crate) fn new(registry: &MetricsRegistry) -> LsmMetricsHub {
         let hub = LsmMetricsHub {
             entries_written: Counter::new(),

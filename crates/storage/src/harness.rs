@@ -1537,16 +1537,19 @@ mod tests {
         fm.append_page(hot, &vec![7u8; crate::io::PAGE_SIZE]).unwrap();
         cache.get(hot, 0).unwrap();
         let stats = cache.stats();
-        let counters =
-            || (stats.cache_hits(), stats.cache_misses(), stats.evictions(), stats.readaheads());
+        let counters = || {
+            let snap = stats.registry().snapshot();
+            ["cache_hits", "cache_misses", "evictions", "readaheads"]
+                .map(|name| snap.counter(&format!("storage.io.{name}")).unwrap())
+        };
         let (before, reads) = (counters(), stats.physical_reads());
         t.merge_newest(2).unwrap();
         assert_eq!(t.stats().merges, 1);
         let read = stats.physical_reads() - reads;
         assert!(read > 4 * cache.capacity() as u64, "the merge read {read} pages");
-        assert_eq!(counters(), before, "(hits, misses, evictions, readaheads) moved");
+        assert_eq!(counters(), before, "[hits, misses, evictions, readaheads] moved");
         cache.get(hot, 0).unwrap();
-        assert_eq!(stats.cache_misses(), before.1, "the hot page was evicted");
+        assert_eq!(counters()[1], before[1], "the hot page was evicted");
         assert_eq!(E::live(&t), 7_900);
     }
 

@@ -175,7 +175,7 @@ impl FileManager {
             if let Some(f) = &self.faults {
                 f.on_read(&format!("{}:{page_no}", crate::faults::target_name(&guard.path)), page)?;
             }
-            self.stats.count_physical_read(PAGE_SIZE as u64);
+            self.stats.count_physical_read();
         }
         Ok(())
     }
@@ -214,7 +214,7 @@ impl FileManager {
         // zeros).
         guard.file.write_all_at(data, page_no * PAGE_SIZE as u64)?;
         guard.pages = guard.pages.max(page_no + 1);
-        self.stats.count_physical_write(PAGE_SIZE as u64);
+        self.stats.count_physical_write();
         Ok(())
     }
 
@@ -379,7 +379,7 @@ impl PageFileWriter {
             }
         }
         w.write_all(data)?;
-        self.manager.stats.count_physical_write(PAGE_SIZE as u64);
+        self.manager.stats.count_physical_write();
         let no = self.pages;
         self.pages += 1;
         Ok(no)

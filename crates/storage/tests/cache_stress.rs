@@ -2,11 +2,12 @@
 //! cache: concurrent get/put/flush/evict across shards, eviction under
 //! pressure, and write-through `put`.
 
+use asterix_obs::MetricsSnapshot;
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::error::StorageError;
 use asterix_storage::faults::{FaultConfig, FaultInjector};
 use asterix_storage::io::{FileId, FileManager, PAGE_SIZE};
-use asterix_storage::stats::IoStats;
+use asterix_storage::stats::{CacheShardSnapshot, IoStats};
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -48,6 +49,32 @@ fn page_no_of(page: &[u8]) -> u64 {
     u64::from_le_bytes(page[..8].try_into().unwrap())
 }
 
+/// Every access is counted once, in its shard: each of the five cache
+/// counters a reader sees is the sum of the shards' own, and the byte totals
+/// are the page counts × `PAGE_SIZE`. Returns the snapshot it checked.
+fn counted_once(cache: &BufferCache, fm: &FileManager) -> MetricsSnapshot {
+    let snap = fm.stats().registry().snapshot();
+    let shards = cache.shard_snapshots();
+    let sum = |count: fn(&CacheShardSnapshot) -> u64| Some(shards.iter().map(count).sum::<u64>());
+    for (name, in_shards) in [
+        ("storage.io.cache_hits", sum(|s| s.hits)),
+        ("storage.io.cache_misses", sum(|s| s.misses)),
+        ("storage.io.evictions", sum(|s| s.evictions)),
+        ("storage.io.readaheads", sum(|s| s.readaheads)),
+        ("cache.coalesced_waits", sum(|s| s.coalesced_waits)),
+    ] {
+        assert_eq!(snap.counter(name), in_shards, "{name} is the sum of its shards");
+    }
+    for (bytes, pages) in [
+        ("storage.io.bytes_read", "storage.io.physical_reads"),
+        ("storage.io.bytes_written", "storage.io.physical_writes"),
+    ] {
+        let pages = snap.counter(pages).map(|n| n * PAGE_SIZE as u64);
+        assert_eq!(snap.counter(bytes), pages, "{bytes} is pages × PAGE_SIZE");
+    }
+    snap
+}
+
 #[test]
 fn concurrent_scanners_read_consistent_pages() {
     let dir = TempDir::new();
@@ -77,12 +104,12 @@ fn concurrent_scanners_read_consistent_pages() {
         asterix_storage::lock_order::join(h).unwrap();
     }
     assert!(cache.resident() <= 32, "residency bounded under concurrency");
-    let snaps = cache.shard_snapshots();
-    let hits: u64 = snaps.iter().map(|s| s.hits).sum();
-    let misses: u64 = snaps.iter().map(|s| s.misses).sum();
-    assert_eq!(hits, fm.stats().cache_hits());
-    assert_eq!(misses, fm.stats().cache_misses());
-    assert_eq!(hits + misses, 8 * 20 * 64, "every access counted exactly once");
+    let snap = counted_once(&cache, &fm);
+    let io = |name: &str| snap.counter(&format!("storage.io.{name}")).unwrap();
+    for name in ["cache_hits", "cache_misses", "evictions", "readaheads"] {
+        assert!(io(name) > 0, "the readahead storm moved {name}");
+    }
+    assert_eq!(io("cache_hits") + io("cache_misses"), 8 * 20 * 64, "every access counted exactly once");
 }
 
 #[test]
@@ -110,7 +137,7 @@ fn concurrent_get_put_flush_evict() {
                     page[8..16].copy_from_slice(&round.to_le_bytes());
                     cache.put(mid, p, page).unwrap();
                 }
-                cache.flush_file(mid).unwrap();
+                cache.manager().sync(mid).unwrap();
             }
             let _ = t;
         }));
@@ -174,7 +201,8 @@ fn eviction_under_pressure_preserves_contents() {
         asterix_storage::lock_order::join(h).unwrap();
     }
     assert!(cache.resident() <= 8, "residency stays within the budget");
-    assert!(fm.stats().evictions() > 0, "pressure actually evicted");
+    let snap = counted_once(&cache, &fm);
+    assert!(snap.counter("storage.io.evictions").unwrap() > 0, "pressure actually evicted");
     let per_shard = cache.shard_snapshots();
     for s in &per_shard {
         assert!(s.resident <= s.capacity, "no shard exceeds its slice");
@@ -209,9 +237,9 @@ fn a_put_is_on_disk_when_it_returns_and_a_later_get_sees_it() {
         }
     }
     let before = fm.stats().physical_writes();
-    cache.flush_file(mid).unwrap();
+    cache.manager().sync(mid).unwrap();
     assert_eq!(fm.stats().physical_writes(), before, "nothing is left to write at a flush");
-    assert!(fm.stats().evictions() >= 6);
+    assert!(counted_once(&cache, &fm).counter("storage.io.evictions").unwrap() >= 6);
 }
 
 #[test]
@@ -254,8 +282,7 @@ fn racing_cold_misses_count_once() {
     let misses: u64 = snaps.iter().map(|s| s.misses).sum();
     assert_eq!(hits + misses, 2 * rounds * pages, "every access counted exactly once");
     assert_eq!(misses, pages, "each cold page is one miss no matter who races it in");
-    assert_eq!(hits, fm.stats().cache_hits(), "shard counters match global");
-    assert_eq!(misses, fm.stats().cache_misses());
+    counted_once(&cache, &fm);
     assert_eq!(
         fm.stats().physical_reads(),
         misses,
@@ -308,9 +335,8 @@ fn miss_storm_coalesces_onto_one_physical_read() {
         "all 8 accesses accounted as logical hits/waits"
     );
     assert_eq!(storm.counter("cache.coalesced_waits"), Some(7), "seven requesters parked on the leader");
-    let snaps = cache.shard_snapshots();
-    let coalesced: u64 = snaps.iter().map(|s| s.coalesced_waits).sum();
-    assert_eq!(coalesced, 7, "per-shard coalesced-wait counters match global");
+    let snap = counted_once(&cache, &fm);
+    assert_eq!(snap.counter("cache.coalesced_waits"), Some(7), "in the shards as well");
     assert_eq!(cache.inflight_loads(), 0, "the in-flight slot was retired");
 }
 
