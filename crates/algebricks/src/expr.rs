@@ -226,13 +226,6 @@ impl Expr {
         }
     }
 
-    /// True when the expression references no variables.
-    pub fn is_const(&self) -> bool {
-        let mut vars = Vec::new();
-        self.used_vars(&mut vars);
-        vars.is_empty() && !self.uses_nondeterministic()
-    }
-
     fn uses_nondeterministic(&self) -> bool {
         match self {
             Expr::Call(Func::CurrentDatetime, _) => true,
@@ -1016,19 +1009,25 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 }
 
 /// Folds constant sub-expressions (no variables, deterministic functions);
-/// returns whether it folded any.
-pub fn const_fold(expr: &mut Expr) -> bool {
+/// returns whether it folded any. `once` says the expression is evaluated
+/// once per query (a `WITH` binding), not per tuple: then a nondeterministic
+/// function folds too, to the one value the query sees (`current_datetime()`
+/// is fixed per query, as in AsterixDB).
+pub fn const_fold(expr: &mut Expr, once: bool) -> bool {
     // fold children first
     let changed = match expr {
-        Expr::Field(b, _) => const_fold(b),
-        Expr::Index(b, i) => const_fold(b) | const_fold(i),
-        Expr::Call(_, args) => args.iter_mut().fold(false, |changed, a| const_fold(a) | changed),
-        Expr::Case(arms, els) => arms
-            .iter_mut()
-            .fold(const_fold(els), |changed, (c, t)| const_fold(c) | const_fold(t) | changed),
+        Expr::Field(b, _) => const_fold(b, once),
+        Expr::Index(b, i) => const_fold(b, once) | const_fold(i, once),
+        Expr::Call(_, args) => args.iter_mut().fold(false, |changed, a| const_fold(a, once) | changed),
+        Expr::Case(arms, els) => arms.iter_mut().fold(const_fold(els, once), |changed, (c, t)| {
+            const_fold(c, once) | const_fold(t, once) | changed
+        }),
         _ => false,
     };
-    if matches!(expr, Expr::Const(_) | Expr::Var(_)) || !expr.is_const() {
+    let mut vars = Vec::new();
+    expr.used_vars(&mut vars);
+    let foldable = vars.is_empty() && (once || !expr.uses_nondeterministic());
+    if matches!(expr, Expr::Const(_) | Expr::Var(_)) || !foldable {
         return changed;
     }
     match bind(expr, &[]).map(|bound| eval(&bound, &[])) {
@@ -1249,21 +1248,26 @@ mod tests {
             Expr::Const(Value::Int(1)),
             Expr::bin(Func::Mul, Expr::Const(Value::Int(2)), Expr::Const(Value::Int(3))),
         );
-        assert!(const_fold(&mut e));
+        assert!(const_fold(&mut e, false));
         assert_eq!(e, Expr::Const(Value::Int(7)));
-        assert!(!const_fold(&mut e), "a constant folds no further");
+        assert!(!const_fold(&mut e, false), "a constant folds no further");
         // vars prevent folding, but const children still fold
         let mut e = Expr::bin(
             Func::Add,
             Expr::Var(0),
             Expr::bin(Func::Mul, Expr::Const(Value::Int(2)), Expr::Const(Value::Int(3))),
         );
-        const_fold(&mut e);
+        const_fold(&mut e, false);
         assert_eq!(e, Expr::bin(Func::Add, Expr::Var(0), Expr::Const(Value::Int(6))));
-        // current_datetime must not fold
+        // current_datetime folds only where it is evaluated once per query
         let mut e = Expr::Call(Func::CurrentDatetime, vec![]);
-        assert!(!const_fold(&mut e));
+        assert!(!const_fold(&mut e, false));
         assert!(matches!(e, Expr::Call(Func::CurrentDatetime, _)));
+        assert!(const_fold(&mut e, true));
+        assert!(matches!(e, Expr::Const(Value::DateTime(_))));
+        let mut e = Expr::bin(Func::Add, Expr::Var(0), Expr::Call(Func::CurrentDatetime, vec![]));
+        assert!(const_fold(&mut e, true), "a constant child folds");
+        assert!(!const_fold(&mut e, true), "a variable does not");
     }
 
     #[test]

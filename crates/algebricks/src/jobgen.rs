@@ -15,7 +15,7 @@ use crate::plan::{AggFunc, JoinKind, LogicalOp, Plan, VarId};
 use crate::rules::Rule;
 use asterix_adm::{Column, ColumnBatch, Value};
 use asterix_hyracks::job::{
-    AggPhase, AggSpec, ConnStrategy, EvalFn, JobSpec, JoinKind as HJoinKind, OpId, OpKind, Pred2Fn, PredFn,
+    AggPhase, AggSpec, ConnStrategy, EvalFn, JobSpec, OpId, OpKind, Pred2Fn, PredFn,
     Predicate, Scalar, SortKey, SourceFactory,
 };
 use asterix_hyracks::Tuple;
@@ -498,10 +498,7 @@ impl<'a> Builder<'a> {
                 OpKind::HashJoin {
                     left_keys: shifted_left_keys,
                     right_keys: build_key_cols.clone(),
-                    kind: match kind {
-                        JoinKind::Inner => HJoinKind::Inner,
-                        JoinKind::LeftOuter => HJoinKind::LeftOuter,
-                    },
+                    kind,
                     right_arity,
                     memory: self.cfg.op_memory,
                 },
@@ -537,10 +534,7 @@ impl<'a> Builder<'a> {
             let id = self.spec.add(
                 OpKind::NestedLoopJoin {
                     pred,
-                    kind: match kind {
-                        JoinKind::Inner => HJoinKind::Inner,
-                        JoinKind::LeftOuter => HJoinKind::LeftOuter,
-                    },
+                    kind,
                     right_arity,
                 },
                 lb.partitions,

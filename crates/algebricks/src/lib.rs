@@ -34,4 +34,4 @@ pub mod source;
 pub use error::{AlgebricksError, Result};
 pub use expr::{Expr, Func};
 pub use plan::{AggFunc, LogicalOp, Plan, VarGen, VarId};
-pub use source::{AccessPath, DataSource, IndexInfo, IndexKind, IndexRange};
+pub use source::{AccessPath, DataSource, IndexInfo, IndexKind, IndexRange, KeyRange};

@@ -36,16 +36,9 @@ impl VarGen {
     }
 }
 
-/// Aggregate functions of the logical algebra: the runtime's own, so what a
-/// plan names is what the accumulator runs.
-pub use asterix_hyracks::job::AggFunc;
-
-/// Join kinds at the logical level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    LeftOuter,
-}
+/// Aggregate functions and join kinds of the logical algebra: the runtime's
+/// own, so what a plan names is what the operators run.
+pub use asterix_hyracks::job::{AggFunc, JoinKind};
 
 /// Group-collection output of a GROUP BY: the group variable holds, per
 /// group, an array of objects built from `fields` (name → expression over

@@ -14,7 +14,7 @@
 
 use crate::expr::{const_fold, Expr, Func};
 use crate::plan::{LogicalOp, Plan, VarId};
-use crate::source::{AccessPath, IndexInfo, IndexKind, IndexRange, PRIMARY_INDEX};
+use crate::source::{AccessPath, IndexInfo, IndexKind, IndexRange, KeyRange, PRIMARY_INDEX};
 use asterix_adm::compare::total_cmp;
 use asterix_adm::Value;
 use std::cmp::Ordering;
@@ -128,7 +128,7 @@ fn rewrite(op: &mut LogicalOp, rule: fn(LogicalOp) -> (LogicalOp, bool)) -> bool
 
 fn fold_all_exprs(op: &mut LogicalOp) -> bool {
     let mut changed = false;
-    let mut fold = |e: &mut Expr| changed |= const_fold(e);
+    let mut fold = |e: &mut Expr| changed |= const_fold(e, false);
     match op {
         LogicalOp::Select { condition, .. } => fold(condition),
         LogicalOp::Assign { expr, .. } | LogicalOp::Unnest { expr, .. } => fold(expr),
@@ -348,7 +348,7 @@ impl Bounds {
         }
         let (lo, lo_inclusive) = self.lo.map_or((None, true), |(v, i)| (Some(v), i));
         let (hi, hi_inclusive) = self.hi.map_or((None, true), |(v, i)| (Some(v), i));
-        Some(IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive })
+        Some(IndexRange::Range(KeyRange { lo, lo_inclusive, hi, hi_inclusive }))
     }
 }
 
@@ -402,7 +402,7 @@ fn field_bounds(cs: &[Expr], scan_var: VarId, path: &[String]) -> Bounds {
 }
 
 fn primary_path(range: IndexRange) -> AccessPath {
-    AccessPath { index: PRIMARY_INDEX.into(), kind: IndexKind::Primary, range, sorted: false }
+    AccessPath { index: PRIMARY_INDEX.into(), kind: None, range, sorted: false }
 }
 
 /// A point get: every primary-key field pinned to one constant (the get is
@@ -428,8 +428,6 @@ fn primary_range(cs: &[Expr], scan_var: VarId, pk: &[Vec<String>]) -> Option<Acc
 
 fn secondary_path(cs: &[Expr], scan_var: VarId, idx: &IndexInfo) -> Option<AccessPath> {
     let range = match idx.kind {
-        // advertised through `DataSource::primary_key`, not as an index
-        IndexKind::Primary => None,
         IndexKind::BTree => field_bounds(cs, scan_var, &idx.field).into_range(),
         IndexKind::RTree => cs.iter().find_map(|c| {
             let Expr::Call(Func::SpatialIntersect, args) = c else { return None };
@@ -457,7 +455,7 @@ fn secondary_path(cs: &[Expr], scan_var: VarId, idx: &IndexInfo) -> Option<Acces
                 .then_some(IndexRange::Keyword(s))
         }),
     }?;
-    Some(AccessPath { index: idx.name.clone(), kind: idx.kind, range, sorted: false })
+    Some(AccessPath { index: idx.name.clone(), kind: Some(idx.kind), range, sorted: false })
 }
 
 /// Replaces a full scan under a select with the best access path the
@@ -567,7 +565,7 @@ fn push_field_access(root: &mut LogicalOp) -> bool {
 fn sort_probe_keys(op: &mut LogicalOp) -> bool {
     let mut changed = false;
     if let LogicalOp::DataSourceScan { access: Some(path), .. } = op {
-        changed = path.kind != IndexKind::Primary && !path.sorted;
+        changed = path.kind.is_some() && !path.sorted;
         path.sorted |= changed;
     }
     op.children_mut().into_iter().fold(changed, |changed, c| sort_probe_keys(c) | changed)

@@ -17,11 +17,12 @@ use std::sync::Arc;
 /// Name access paths on the primary index carry (plans, operator labels).
 pub const PRIMARY_INDEX: &str = "primary";
 
-/// Kinds of index (paper Section III items 5 and 8).
+/// Kinds of secondary index (paper Section III items 5 and 8): what
+/// `CREATE INDEX` declares, the catalog keeps and the optimizer chooses
+/// among. The primary index is the dataset itself, the B+ tree keyed by its
+/// primary key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// The dataset itself: the B+ tree keyed by the primary key.
-    Primary,
     /// B+ tree on a (possibly composite) field path.
     BTree,
     /// R-tree on a point/rectangle field.
@@ -30,7 +31,8 @@ pub enum IndexKind {
     Keyword,
 }
 
-/// Metadata about one secondary index, advertised to the optimizer.
+/// One secondary index: its definition in the catalog and what a data
+/// source advertises to the optimizer.
 #[derive(Debug, Clone)]
 pub struct IndexInfo {
     pub name: String,
@@ -39,20 +41,38 @@ pub struct IndexInfo {
     pub kind: IndexKind,
 }
 
+/// Bounds on the leading part of an index's keys (`None`: an open end).
+#[derive(Debug, Clone, Default)]
+pub struct KeyRange {
+    pub lo: Option<Value>,
+    pub lo_inclusive: bool,
+    pub hi: Option<Value>,
+    pub hi_inclusive: bool,
+}
+
+impl KeyRange {
+    /// True when the bounds contradict each other, so no key can match.
+    pub fn is_empty(&self) -> bool {
+        let KeyRange { lo: Some(lo), lo_inclusive, hi: Some(hi), hi_inclusive } = self else {
+            return false;
+        };
+        match asterix_adm::compare::total_cmp(lo, hi) {
+            Ordering::Less => false,
+            Ordering::Equal => !(*lo_inclusive && *hi_inclusive),
+            Ordering::Greater => true,
+        }
+    }
+}
+
 /// An index probe compiled from a predicate by the optimizer.
 #[derive(Debug, Clone)]
 pub enum IndexRange {
     /// Equality on every field of the primary key, in key order: one record
     /// at most, on one partition.
     Point(Vec<Value>),
-    /// Range on the (leading) key field of a B+ tree index — or, with
-    /// [`IndexKind::Primary`], of the primary key.
-    Range {
-        lo: Option<Value>,
-        lo_inclusive: bool,
-        hi: Option<Value>,
-        hi_inclusive: bool,
-    },
+    /// Range on the (leading) key field of a B+ tree index, or of the
+    /// primary key.
+    Range(KeyRange),
     /// Rectangle intersection on an R-tree index.
     Spatial(Rectangle),
     /// Conjunctive keyword containment on an inverted index.
@@ -62,15 +82,7 @@ pub enum IndexRange {
 impl IndexRange {
     /// True when the bounds contradict each other, so no key can match.
     pub fn is_empty(&self) -> bool {
-        let IndexRange::Range { lo: Some(lo), lo_inclusive, hi: Some(hi), hi_inclusive } = self
-        else {
-            return false;
-        };
-        match asterix_adm::compare::total_cmp(lo, hi) {
-            Ordering::Less => false,
-            Ordering::Equal => !(*lo_inclusive && *hi_inclusive),
-            Ordering::Greater => true,
-        }
+        matches!(self, IndexRange::Range(range) if range.is_empty())
     }
 }
 
@@ -83,7 +95,7 @@ impl fmt::Display for IndexRange {
                 write!(f, "eq {}", parts.join(", "))
             }
             _ if self.is_empty() => f.write_str("empty"),
-            IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => {
+            IndexRange::Range(KeyRange { lo, lo_inclusive, hi, hi_inclusive }) => {
                 let lo = lo.as_ref().map(|v| format!("{} {v}", if *lo_inclusive { "ge" } else { "gt" }));
                 let hi = hi.as_ref().map(|v| format!("{} {v}", if *hi_inclusive { "le" } else { "lt" }));
                 let bounds: Vec<String> = lo.into_iter().chain(hi).collect();
@@ -100,7 +112,8 @@ impl fmt::Display for IndexRange {
 pub struct AccessPath {
     /// The secondary index's name; [`PRIMARY_INDEX`] for the primary.
     pub index: String,
-    pub kind: IndexKind,
+    /// The secondary index's kind; `None` for the primary.
+    pub kind: Option<IndexKind>,
     pub range: IndexRange,
     /// A secondary-index probe sorts the primary keys it finds before it
     /// fetches their records (§V-B; the optimizer's sorted-index-fetch rule
@@ -229,13 +242,8 @@ mod tests {
             .index_scan(
                 &AccessPath {
                     index: "idx".into(),
-                    kind: IndexKind::BTree,
-                    range: IndexRange::Range {
-                        lo: None,
-                        lo_inclusive: true,
-                        hi: None,
-                        hi_inclusive: true,
-                    },
+                    kind: Some(IndexKind::BTree),
+                    range: IndexRange::Range(KeyRange::default()),
                     sorted: true,
                 },
                 &[],

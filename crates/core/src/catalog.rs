@@ -5,35 +5,9 @@
 //! against it; the optimizer reads index metadata from it.
 
 use crate::error::{CoreError, Result};
-use asterix_adm::types::{Field, ObjectType, TypeExpr, TypeRegistry};
-use asterix_sqlpp::ast::{DdlStmt, IndexKindAst, TypeExprAst};
-
-/// Kinds of secondary index, catalog form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    BTree,
-    RTree,
-    Keyword,
-}
-
-impl From<IndexKindAst> for IndexKind {
-    fn from(k: IndexKindAst) -> Self {
-        match k {
-            IndexKindAst::BTree => IndexKind::BTree,
-            IndexKindAst::RTree => IndexKind::RTree,
-            IndexKindAst::Keyword => IndexKind::Keyword,
-        }
-    }
-}
-
-/// One secondary index definition.
-#[derive(Debug, Clone)]
-pub struct IndexDef {
-    pub name: String,
-    /// Field path on the dataset records.
-    pub field: Vec<String>,
-    pub kind: IndexKind,
-}
+use asterix_adm::types::{ObjectType, TypeExpr, TypeRegistry};
+use asterix_algebricks::source::IndexInfo;
+use asterix_sqlpp::ast::DdlStmt;
 
 /// How a dataset's records are stored.
 #[derive(Debug, Clone)]
@@ -59,7 +33,7 @@ pub struct DatasetDef {
     pub name: String,
     pub type_name: String,
     pub kind: DatasetKind,
-    pub indexes: Vec<IndexDef>,
+    pub indexes: Vec<IndexInfo>,
 }
 
 impl DatasetDef {
@@ -112,19 +86,7 @@ impl Catalog {
     pub fn apply_ddl(&mut self, stmt: &DdlStmt) -> Result<String> {
         match stmt {
             DdlStmt::CreateType { name, is_closed, fields } => {
-                let fields: Vec<Field> = fields
-                    .iter()
-                    .map(|f| Field {
-                        name: f.name.clone(),
-                        ty: convert_type(&f.ty),
-                        optional: f.optional,
-                    })
-                    .collect();
-                let ty = if *is_closed {
-                    ObjectType::closed(name.clone(), fields)
-                } else {
-                    ObjectType::open(name.clone(), fields)
-                };
+                let ty = ObjectType { name: name.clone(), fields: fields.clone(), is_open: !is_closed };
                 self.types.check_object_type(&ty).map_err(CoreError::Adm)?;
                 self.types.define(ty).map_err(CoreError::Adm)?;
                 Ok(format!("type {name} created"))
@@ -177,11 +139,7 @@ impl Catalog {
                 if def.indexes.iter().any(|i| i.name == *name) {
                     return Err(CoreError::Catalog(format!("index {name:?} already exists")));
                 }
-                def.indexes.push(IndexDef {
-                    name: name.clone(),
-                    field: field.clone(),
-                    kind: (*kind).into(),
-                });
+                def.indexes.push(IndexInfo { name: name.clone(), field: field.clone(), kind: *kind });
                 Ok(format!("index {name} created on {dataset}"))
             }
             DdlStmt::DropDataset { name } => {
@@ -263,17 +221,10 @@ fn mentions(t: &TypeExpr, name: &str) -> bool {
     }
 }
 
-fn convert_type(t: &TypeExprAst) -> TypeExpr {
-    match t {
-        TypeExprAst::Named(n) => TypeExpr::Named(n.clone()),
-        TypeExprAst::Array(inner) => TypeExpr::Array(Box::new(convert_type(inner))),
-        TypeExprAst::Multiset(inner) => TypeExpr::Multiset(Box::new(convert_type(inner))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asterix_algebricks::source::IndexKind;
     use asterix_sqlpp::parse_sqlpp;
     use asterix_sqlpp::Stmt;
 

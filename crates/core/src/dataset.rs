@@ -19,9 +19,10 @@
 //! secondary ahead takes the replayed operations again, which are
 //! idempotent (DESIGN.md, "Durability").
 
-use crate::catalog::{DatasetDef, IndexDef, IndexKind};
+use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
 use crate::node::Node;
+use asterix_algebricks::source::{IndexInfo, IndexKind, KeyRange};
 use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
@@ -117,13 +118,13 @@ impl RecordSchema {
 }
 
 enum Secondary {
-    BTree { def: IndexDef, tree: LsmTree },
-    RTree { def: IndexDef, tree: LsmRTree },
-    Keyword { def: IndexDef, index: InvertedIndex },
+    BTree { def: IndexInfo, tree: LsmTree },
+    RTree { def: IndexInfo, tree: LsmRTree },
+    Keyword { def: IndexInfo, index: InvertedIndex },
 }
 
 impl Secondary {
-    fn def(&self) -> &IndexDef {
+    fn def(&self) -> &IndexInfo {
         match self {
             Secondary::BTree { def, .. }
             | Secondary::RTree { def, .. }
@@ -133,7 +134,7 @@ impl Secondary {
 
     /// What index upkeep reads of a record: the top-level fields where the
     /// field paths of `defs` start. The whole record if a path is empty.
-    fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexDef>) -> Projection {
+    fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexInfo>) -> Projection {
         let fields: Option<Vec<String>> = defs.map(|def| def.field.first().cloned()).collect();
         schema.resolve(&fields.unwrap_or_default())
     }
@@ -346,7 +347,7 @@ impl DatasetPartition {
 
     /// Opens secondary index `idx` of the partition (see
     /// [`DatasetPartition::adopt`] for `born`).
-    fn build_secondary(&self, idx: &IndexDef, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
+    fn build_secondary(&self, idx: &IndexInfo, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
         let tree = |name| open_tree(&self.node, lsm_config(cfg, name, None), origin);
         let def = idx.clone();
@@ -380,7 +381,7 @@ impl DatasetPartition {
     /// ([`LsmIndex::stamp_as`]): an open transaction's writes among them are
     /// not flushed before it is over, and the partition flushes them with
     /// the primary's. A restart replays them like the primary's.
-    pub fn add_index(&mut self, idx: &IndexDef, cfg: &StorageConfig) -> Result<()> {
+    pub fn add_index(&mut self, idx: &IndexInfo, cfg: &StorageConfig) -> Result<()> {
         let mut sec = self.build_secondary(idx, cfg, Origin::Created, Some(self.primary.flushed_below()))?;
         let wanted = Secondary::leading_fields(&self.schema, std::iter::once(idx));
         let layers: Vec<_> = self.primary.mem_layers().collect();
@@ -737,15 +738,6 @@ impl DatasetPartition {
     }
 }
 
-/// Bounds on the leading part of an index's keys (`None`: an open end).
-#[derive(Debug, Clone, Default)]
-pub struct KeyRange {
-    pub lo: Option<Value>,
-    pub lo_inclusive: bool,
-    pub hi: Option<Value>,
-    pub hi_inclusive: bool,
-}
-
 /// A reader of the entries of `tree` whose leading key part lies within
 /// `range` — those past the key `after`, if one is given — handing out
 /// values, or the cells `wanted` of them (see [`LsmTree::reader`]). Both ends
@@ -837,7 +829,7 @@ impl DatasetPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{DatasetKind, IndexDef};
+    use crate::catalog::DatasetKind;
     use asterix_adm::parse::parse_value;
 
     fn tmp_node() -> (Arc<Node>, std::path::PathBuf) {
@@ -860,9 +852,9 @@ mod tests {
             type_name: "any".into(),
             kind: DatasetKind::Internal { primary_key: vec!["id".into()] },
             indexes: vec![
-                IndexDef { name: "byAuthor".into(), field: vec!["author".into()], kind: IndexKind::BTree },
-                IndexDef { name: "byLoc".into(), field: vec!["loc".into()], kind: IndexKind::RTree },
-                IndexDef { name: "byText".into(), field: vec!["text".into()], kind: IndexKind::Keyword },
+                IndexInfo { name: "byAuthor".into(), field: vec!["author".into()], kind: IndexKind::BTree },
+                IndexInfo { name: "byLoc".into(), field: vec!["loc".into()], kind: IndexKind::RTree },
+                IndexInfo { name: "byText".into(), field: vec!["text".into()], kind: IndexKind::Keyword },
             ],
         }
     }
@@ -1107,7 +1099,7 @@ mod tests {
             part.upsert(&record(i, i % 4, 0.0, "x")).unwrap();
         }
         part.add_index(
-            &IndexDef { name: "byAuthor".into(), field: vec!["author".into()], kind: IndexKind::BTree },
+            &IndexInfo { name: "byAuthor".into(), field: vec!["author".into()], kind: IndexKind::BTree },
             &StorageConfig::default(),
         )
         .unwrap();

@@ -27,13 +27,15 @@ use crate::scheduler::{
 };
 use crate::sources::{DatasetRuntime, DatasetSource, ExternalSource};
 use crate::txn::{TxnManager, UndoEntry};
+use asterix_adm::types::TypeExpr;
 use asterix_adm::Value;
 use asterix_algebricks::jobgen::{self, JobGenConfig};
 use asterix_algebricks::plan::{Plan, VarGen};
 use asterix_algebricks::rules::{optimize, Rule};
-use asterix_algebricks::source::DataSource;
+use asterix_algebricks::source::{DataSource, IndexKind};
 use asterix_hyracks::{CancellationToken, JobOptions, RuntimeCtx};
-use asterix_sqlpp::ast::{DmlStmt, Query, Stmt};
+use asterix_sqlpp::ast::{DdlStmt, DmlStmt, Query, Stmt};
+use asterix_sqlpp::lexer::TokenKind;
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
 use asterix_storage::lock_order::{Level, Mutex, RwLock, RwLockWriteGuard};
@@ -339,7 +341,7 @@ impl Instance {
                 .filter_map(|v| v.as_str().map(str::to_owned))
                 .collect();
             for text in &stmts {
-                for stmt in asterix_sqlpp::parse_sqlpp(text).map_err(CoreError::Sqlpp)? {
+                for stmt in parse(text, Language::Sqlpp)? {
                     if let Stmt::Ddl(ddl) = stmt {
                         inner.catalog.write().apply_ddl(&ddl)?;
                     }
@@ -411,10 +413,7 @@ impl Instance {
 
     /// Executes a sequence of statements in the given language.
     pub fn execute(&self, text: &str, language: Language) -> Result<Vec<ExecResult>> {
-        let stmts = match language {
-            Language::Sqlpp => asterix_sqlpp::parse_sqlpp(text).map_err(CoreError::Sqlpp)?,
-            Language::Aql => vec![asterix_sqlpp::parse_aql(text).map_err(CoreError::Sqlpp)?],
-        };
+        let stmts = parse(text, language)?;
         let mut out = Vec::with_capacity(stmts.len());
         for stmt in stmts {
             out.push(match stmt {
@@ -448,15 +447,6 @@ impl Instance {
         }
     }
 
-    /// Parses `text` as SQL++ and returns its trailing query statement.
-    pub(crate) fn parse_single_query(&self, text: &str) -> Result<Query> {
-        let stmts = asterix_sqlpp::parse_sqlpp(text).map_err(CoreError::Sqlpp)?;
-        let Some(Stmt::Query(q)) = stmts.into_iter().next_back() else {
-            return Err(CoreError::Unsupported("statement was not a query".into()));
-        };
-        Ok(q)
-    }
-
     /// Opens a client [`Session`] for concurrent query submission
     /// ([`Session::submit`] → [`crate::scheduler::QueryHandle`]).
     pub fn session(&self) -> Session {
@@ -488,8 +478,8 @@ impl Instance {
         self.last_rows(text, Language::Aql)
     }
 
-    fn apply_ddl(&self, ddl: &asterix_sqlpp::ast::DdlStmt) -> Result<String> {
-        use asterix_sqlpp::ast::DdlStmt as D;
+    fn apply_ddl(&self, ddl: &DdlStmt) -> Result<String> {
+        use DdlStmt as D;
         // one statement at a time, from the catalog to `catalog.ddl`: a
         // dataset's id is its `CREATE`'s place in both (see `DatasetDef::id`)
         let mut log = self.inner.ddl_log.lock();
@@ -743,21 +733,10 @@ impl Instance {
         merged
     }
 
-    /// Compiles a query and returns its optimized logical plan text
-    /// (EXPLAIN; also how experiment E9 compares the two languages).
+    /// Compiles the query `text` ends with and returns its optimized logical
+    /// plan text (EXPLAIN; also how experiment E9 compares the two languages).
     pub fn explain(&self, text: &str, language: Language) -> Result<String> {
-        let stmt = match language {
-            Language::Sqlpp => asterix_sqlpp::parse_sqlpp(text)
-                .map_err(CoreError::Sqlpp)?
-                .into_iter()
-                .next()
-                .ok_or_else(|| CoreError::Unsupported("empty statement".into()))?,
-            Language::Aql => asterix_sqlpp::parse_aql(text).map_err(CoreError::Sqlpp)?,
-        };
-        let Stmt::Query(q) = stmt else {
-            return Err(CoreError::Unsupported("EXPLAIN requires a query".into()));
-        };
-        Ok(self.compile(&q)?.pretty())
+        Ok(self.compile(&parse_query(text, language)?)?.pretty())
     }
 
     /// The one compile path: translates `query` against the catalog as it
@@ -884,61 +863,97 @@ impl Drop for Inner {
     }
 }
 
-/// Renders DDL back to SQL++ for the persisted DDL log.
-fn render_ddl(ddl: &asterix_sqlpp::ast::DdlStmt) -> String {
-    use asterix_sqlpp::ast::{DdlStmt as D, IndexKindAst, TypeExprAst};
-    fn ty(t: &TypeExprAst) -> String {
+/// The one statement parser of the instance: `text` in `language`.
+fn parse(text: &str, language: Language) -> Result<Vec<Stmt>> {
+    match language {
+        Language::Sqlpp => asterix_sqlpp::parse_sqlpp(text),
+        Language::Aql => asterix_sqlpp::parse_aql(text).map(|stmt| vec![stmt]),
+    }
+    .map_err(CoreError::Sqlpp)
+}
+
+/// The query `text` ends with.
+pub(crate) fn parse_query(text: &str, language: Language) -> Result<Query> {
+    match parse(text, language)?.pop() {
+        Some(Stmt::Query(q)) => Ok(q),
+        _ => Err(CoreError::Unsupported("statement was not a query".into())),
+    }
+}
+
+/// Renders DDL back to SQL++ for the persisted DDL log, so that the text
+/// parses back to the statement whatever its names and strings hold: a name
+/// is written bare where the lexer reads it back as itself and in backquotes
+/// otherwise, a string in double quotes, each escaped as the lexer reads it.
+/// A type's field names are always in backquotes, as `catalog.ddl` has always
+/// had them, so a statement whose names need no quotes is written byte for
+/// byte as it always was.
+fn render_ddl(ddl: &DdlStmt) -> String {
+    use DdlStmt as D;
+    fn quoted(s: &str, quote: char) -> String {
+        let mut out = String::from(quote);
+        for c in s.chars() {
+            if c == quote || c == '\\' {
+                out.push('\\');
+            }
+            out.push(c);
+        }
+        out.push(quote);
+        out
+    }
+    fn name(s: &str) -> String {
+        match asterix_sqlpp::lexer::tokenize(s).as_deref() {
+            Ok([token, _eof]) if matches!(&token.kind, TokenKind::Ident(read) if read == s) => s.to_owned(),
+            _ => quoted(s, '`'),
+        }
+    }
+    let names = |ns: &[String], sep: &str| ns.iter().map(|n| name(n)).collect::<Vec<_>>().join(sep);
+    fn ty(t: &TypeExpr) -> String {
         match t {
-            TypeExprAst::Named(n) => n.clone(),
-            TypeExprAst::Array(i) => format!("[{}]", ty(i)),
-            TypeExprAst::Multiset(i) => format!("{{{{{}}}}}", ty(i)),
+            TypeExpr::Named(n) => name(n),
+            TypeExpr::Array(inner) => format!("[{}]", ty(inner)),
+            TypeExpr::Multiset(inner) => format!("{{{{{}}}}}", ty(inner)),
         }
     }
     match ddl {
-        D::CreateType { name, is_closed, fields } => {
+        D::CreateType { name: type_name, is_closed, fields } => {
             let fs: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "`{}`: {}{}",
-                        f.name,
-                        ty(&f.ty),
-                        if f.optional { "?" } else { "" }
-                    )
-                })
+                .map(|f| format!("{}: {}{}", quoted(&f.name, '`'), ty(&f.ty), if f.optional { "?" } else { "" }))
                 .collect();
-            format!(
-                "CREATE TYPE {name} AS {}{{ {} }}",
-                if *is_closed { "CLOSED " } else { "" },
-                fs.join(", ")
-            )
+            let closed = if *is_closed { "CLOSED " } else { "" };
+            format!("CREATE TYPE {} AS {closed}{{ {} }}", name(type_name), fs.join(", "))
         }
-        D::CreateDataset { name, type_name, primary_key } => format!(
-            "CREATE DATASET {name}({type_name}) PRIMARY KEY {}",
-            primary_key.join(", ")
+        D::CreateDataset { name: ds, type_name, primary_key } => format!(
+            "CREATE DATASET {}({}) PRIMARY KEY {}",
+            name(ds),
+            name(type_name),
+            names(primary_key, ", ")
         ),
-        D::CreateExternalDataset { name, type_name, adapter, properties } => {
-            let props: Vec<String> = properties
-                .iter()
-                .map(|(k, v)| format!("(\"{k}\"=\"{v}\")"))
-                .collect();
+        D::CreateExternalDataset { name: ds, type_name, adapter, properties } => {
+            let props: Vec<String> =
+                properties.iter().map(|(k, v)| format!("({}={})", quoted(k, '"'), quoted(v, '"'))).collect();
             format!(
-                "CREATE EXTERNAL DATASET {name}({type_name}) USING {adapter} ({})",
+                "CREATE EXTERNAL DATASET {}({}) USING {} ({})",
+                name(ds),
+                name(type_name),
+                name(adapter),
                 props.join(", ")
             )
         }
-        D::CreateIndex { name, dataset, field, kind } => format!(
-            "CREATE INDEX {name} ON {dataset}({}) TYPE {}",
-            field.join("."),
+        D::CreateIndex { name: index, dataset, field, kind } => format!(
+            "CREATE INDEX {} ON {}({}) TYPE {}",
+            name(index),
+            name(dataset),
+            names(field, "."),
             match kind {
-                IndexKindAst::BTree => "BTREE",
-                IndexKindAst::RTree => "RTREE",
-                IndexKindAst::Keyword => "KEYWORD",
+                IndexKind::BTree => "BTREE",
+                IndexKind::RTree => "RTREE",
+                IndexKind::Keyword => "KEYWORD",
             }
         ),
-        D::DropDataset { name } => format!("DROP DATASET {name}"),
-        D::DropType { name } => format!("DROP TYPE {name}"),
-        D::DropIndex { dataset, name } => format!("DROP INDEX {dataset}.{name}"),
+        D::DropDataset { name: ds } => format!("DROP DATASET {}", name(ds)),
+        D::DropType { name: type_name } => format!("DROP TYPE {}", name(type_name)),
+        D::DropIndex { dataset, name: index } => format!("DROP INDEX {}.{}", name(dataset), name(index)),
     }
 }
 
@@ -1242,5 +1257,102 @@ impl CatalogView for InstanceCatalogView<'_> {
             record_type: catalog.types.get(&def.type_name).cloned(),
             registry: catalog.types.clone(),
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use asterix_adm::types::Field;
+    use proptest::prelude::*;
+
+    /// Names with keywords, spaces, backquotes, quotes, backslashes and
+    /// characters past ASCII in them.
+    fn name() -> BoxedStrategy<String> {
+        let keyword = prop_oneof![
+            Just("select"),
+            Just("order"),
+            Just("from"),
+            Just("value"),
+            Just("key"),
+            Just("dataset"),
+            Just("null"),
+            Just("missing"),
+        ];
+        prop_oneof![keyword.prop_map(str::to_owned), "[a-zA-Z0-9_ .;`'\"\\é中{}()-]{1,8}"].boxed()
+    }
+
+    fn type_expr() -> BoxedStrategy<TypeExpr> {
+        name().prop_map(TypeExpr::Named).prop_recursive(3, 8, 1, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|t| TypeExpr::Array(Box::new(t))),
+                inner.prop_map(|t| TypeExpr::Multiset(Box::new(t))),
+            ]
+        })
+    }
+
+    fn ddl() -> BoxedStrategy<DdlStmt> {
+        let names = || prop::collection::vec(name(), 1..4);
+        let field = (name(), type_expr(), any::<bool>())
+            .prop_map(|(name, ty, optional)| Field { name, ty, optional });
+        let value = "[a-z/.`'\"\\é中 \t\n]{0,10}";
+        let kind = prop_oneof![Just(IndexKind::BTree), Just(IndexKind::RTree), Just(IndexKind::Keyword)];
+        prop_oneof![
+            (name(), any::<bool>(), prop::collection::vec(field, 0..4))
+                .prop_map(|(name, is_closed, fields)| DdlStmt::CreateType { name, is_closed, fields }),
+            (name(), name(), names()).prop_map(|(name, type_name, primary_key)| {
+                DdlStmt::CreateDataset { name, type_name, primary_key }
+            }),
+            (name(), name(), name(), prop::collection::vec((value, value), 1..3)).prop_map(
+                |(name, type_name, adapter, properties)| DdlStmt::CreateExternalDataset {
+                    name,
+                    type_name,
+                    adapter,
+                    properties,
+                }
+            ),
+            (name(), name(), names(), kind)
+                .prop_map(|(name, dataset, field, kind)| DdlStmt::CreateIndex { name, dataset, field, kind }),
+            name().prop_map(|name| DdlStmt::DropDataset { name }),
+            name().prop_map(|name| DdlStmt::DropType { name }),
+            (name(), name()).prop_map(|(dataset, name)| DdlStmt::DropIndex { dataset, name }),
+        ]
+        .boxed()
+    }
+
+    /// A statement whose names need no quotes is written as `catalog.ddl`
+    /// has always had it, so the files of existing data directories and
+    /// those written now hold the same text.
+    #[test]
+    fn a_statement_of_plain_names_renders_as_it_always_did() {
+        for text in [
+            "CREATE TYPE T AS { `id`: int, `tags`: [string], `v`: {{int}}? }",
+            "CREATE TYPE L AS CLOSED { `a`: string }",
+            "CREATE DATASET D(T) PRIMARY KEY id, v",
+            "CREATE EXTERNAL DATASET Log(L) USING localfs ((\"path\"=\"/tmp/x\"), (\"format\"=\"adm\"))",
+            "CREATE INDEX byTags ON D(tags) TYPE KEYWORD",
+            "CREATE INDEX byV ON D(v.w) TYPE BTREE",
+            "DROP INDEX D.byTags",
+            "DROP DATASET D",
+            "DROP TYPE T",
+        ] {
+            let Some(Stmt::Ddl(stmt)) = parse(text, Language::Sqlpp).unwrap().pop() else {
+                panic!("{text} is not DDL");
+            };
+            assert_eq!(render_ddl(&stmt), text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// What `catalog.ddl` holds parses back to the statement it was
+        /// rendered from, whatever its names and strings hold.
+        #[test]
+        fn a_rendered_statement_parses_back_to_itself(stmt in ddl()) {
+            let text = render_ddl(&stmt);
+            let parsed = parse(&text, Language::Sqlpp).unwrap_or_else(|e| panic!("{text}: {e}"));
+            prop_assert_eq!(parsed, vec![Stmt::Ddl(stmt)], "{}", text);
+        }
     }
 }

@@ -50,7 +50,7 @@
 //! the pool interleaves them.
 
 use crate::error::{CoreError, Result};
-use crate::instance::Instance;
+use crate::instance::{parse_query, Instance, Language};
 use asterix_adm::Value;
 use asterix_hyracks::ctx::DEFAULT_OP_MEMORY;
 use asterix_hyracks::CancellationToken;
@@ -460,7 +460,7 @@ impl Session {
     pub fn submit_with(&self, text: &str, opts: QueryOptions) -> Result<QueryHandle> {
         // Parse up front: a malformed query is the submitter's error and
         // should be typed and synchronous, not deferred to `wait`.
-        let query = self.instance.parse_single_query(text)?;
+        let query = parse_query(text, Language::Sqlpp)?;
         let submission = self.instance.enqueue_query(query, &opts)?;
         let id = submission.ticket.id;
         let shared = Arc::new(HandleShared {

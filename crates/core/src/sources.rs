@@ -2,16 +2,15 @@
 //! [`DataSource`] abstraction — including the index access paths with the
 //! §V-B sorted-PK fetch (experiment E7).
 
-use crate::catalog::{DatasetDef, IndexKind};
-use crate::dataset::{partition_of, sort_pks, DatasetPartition, KeyRange, RecordSchema};
+use crate::catalog::DatasetDef;
+use crate::dataset::{partition_of, sort_pks, DatasetPartition, RecordSchema};
 use crate::error::{CoreError, Result as CoreResult};
 use crate::external::ExternalConfig;
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::binary::encode_key;
 use asterix_adm::{ColumnBatch, Projection};
 use asterix_algebricks::error::{AlgebricksError, Result as AlgResult};
-use asterix_algebricks::source::{record_columns, AccessPath, DataSource, IndexInfo, IndexRange};
-use asterix_algebricks::source::IndexKind as AlgIndexKind;
+use asterix_algebricks::source::{record_columns, AccessPath, DataSource, IndexInfo, IndexRange, KeyRange};
 use asterix_hyracks::job::{FnSource, Produced, SourceFactory, SourceStream};
 use asterix_storage::lock_order::RwLock;
 use std::sync::Arc;
@@ -103,15 +102,7 @@ impl Cursor {
         part.node().check_alive()?;
         if let Reading::Probe { index, range, sorted } = &self.reading {
             let mut pks = match range {
-                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => part.btree_index_pks(
-                    index,
-                    &KeyRange {
-                        lo: lo.clone(),
-                        lo_inclusive: *lo_inclusive,
-                        hi: hi.clone(),
-                        hi_inclusive: *hi_inclusive,
-                    },
-                )?,
+                IndexRange::Range(range) => part.btree_index_pks(index, range)?,
                 IndexRange::Spatial(rect) => part.rtree_index_pks(index, rect)?,
                 IndexRange::Keyword(q) => part.keyword_index_pks(index, q)?,
                 IndexRange::Point(_) => {
@@ -203,20 +194,7 @@ impl DataSource for DatasetSource {
     }
 
     fn indexes(&self) -> Vec<IndexInfo> {
-        self.runtime
-            .def
-            .indexes
-            .iter()
-            .map(|i| IndexInfo {
-                name: i.name.clone(),
-                field: i.field.clone(),
-                kind: match i.kind {
-                    IndexKind::BTree => AlgIndexKind::BTree,
-                    IndexKind::RTree => AlgIndexKind::RTree,
-                    IndexKind::Keyword => AlgIndexKind::Keyword,
-                },
-            })
-            .collect()
+        self.runtime.def.indexes.clone()
     }
 
     fn primary_key(&self) -> Vec<Vec<String>> {
@@ -228,7 +206,7 @@ impl DataSource for DatasetSource {
         if range.is_empty() {
             return Ok(Arc::new(|_p: usize| Ok(no_tuples())));
         }
-        if path.kind == AlgIndexKind::Primary {
+        if path.kind.is_none() {
             return Ok(match range {
                 IndexRange::Point(key) => {
                     // The write path placed the record by these same bytes
@@ -241,14 +219,9 @@ impl DataSource for DatasetSource {
                         records_factory(&self.runtime, fields, Reading::Keys { pks: vec![key], next: 0 });
                     Arc::new(move |p: usize| if p == owner { owning.open(p) } else { Ok(no_tuples()) })
                 }
-                IndexRange::Range { lo, lo_inclusive, hi, hi_inclusive } => records_factory(
-                    &self.runtime,
-                    fields,
-                    Reading::Range {
-                        range: KeyRange { lo, lo_inclusive, hi, hi_inclusive },
-                        after: None,
-                    },
-                ),
+                IndexRange::Range(range) => {
+                    records_factory(&self.runtime, fields, Reading::Range { range, after: None })
+                }
                 IndexRange::Spatial(_) | IndexRange::Keyword(_) => {
                     return Err(AlgebricksError::Plan(format!(
                         "dataset {} has no {range} probe on its primary index",
@@ -304,7 +277,8 @@ impl DataSource for ExternalSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{DatasetKind, IndexDef};
+    use crate::catalog::DatasetKind;
+    use asterix_algebricks::source::IndexKind;
     use crate::dataset::{Origin, StorageConfig};
     use crate::node::Node;
     use asterix_adm::parse::parse_value;
@@ -337,7 +311,7 @@ mod tests {
             name: "T".into(),
             type_name: "any".into(),
             kind: DatasetKind::Internal { primary_key: vec!["id".into()] },
-            indexes: vec![IndexDef {
+            indexes: vec![IndexInfo {
                 name: "byV".into(),
                 field: vec!["v".into()],
                 kind: IndexKind::BTree,
@@ -380,15 +354,15 @@ mod tests {
             rt.partitions[p].write().upsert(&rec).unwrap();
         }
         let src = DatasetSource::new(Arc::clone(&rt));
-        let by_v = |range| AccessPath { index: "byV".into(), kind: AlgIndexKind::BTree, range, sorted: true };
+        let by_v = |range| AccessPath { index: "byV".into(), kind: Some(IndexKind::BTree), range, sorted: true };
         let factory = src
             .index_scan(
-                &by_v(IndexRange::Range {
+                &by_v(IndexRange::Range(KeyRange {
                     lo: Some(Value::Int(3)),
                     lo_inclusive: true,
                     hi: Some(Value::Int(4)),
                     hi_inclusive: true,
-                }),
+                })),
                 &[],
             )
             .unwrap();

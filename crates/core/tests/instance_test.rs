@@ -823,3 +823,88 @@ fn a_record_nested_past_the_bound_fails_at_write_not_at_read() {
     }
     assert_eq!(depth(&back[0]), MAX_DEPTH);
 }
+
+fn fresh_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "asterix-{tag}-{}-{}",
+        std::process::id(),
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// `catalog.ddl` holds names that are keywords and strings with escapes in
+/// a form that replays: the reopened instance has the dataset named
+/// `select`, keyed by `order`, its index, and the external dataset whose
+/// path holds a backslash.
+#[test]
+fn ddl_of_quoted_names_and_escaped_strings_replays_at_reopen() {
+    let dir = fresh_dir("quoted-ddl");
+    let config = InstanceConfig { data_dir: Some(dir.clone()), ..Default::default() };
+    let external = dir.join(r"a\b.adm");
+    std::fs::write(&external, r#"{"order": 7, "v": "seven"}"#).unwrap();
+    let answers = |db: &Instance| {
+        let stored = db.query("SELECT VALUE s.`order` FROM `select` s WHERE s.v = 'one'").unwrap();
+        let external = db.query("SELECT VALUE e.v FROM `from` e").unwrap();
+        (stored, external)
+    };
+    let expected = (vec![Value::Int(1)], vec![Value::from("seven")]);
+    {
+        let db = Instance::open(config.clone()).unwrap();
+        db.execute_sqlpp(&format!(
+            r#"CREATE TYPE `type` AS {{ `order`: int, v: string }};
+               CREATE DATASET `select`(`type`) PRIMARY KEY `order`;
+               CREATE INDEX `by v` ON `select`(v);
+               CREATE EXTERNAL DATASET `from`(`type`) USING localfs (("path"="{}"), ("format"="adm"));
+               INSERT INTO `select` ({{"order": 1, "v": "one"}});"#,
+            external.display().to_string().replace('\\', r"\\")
+        ))
+        .unwrap();
+        assert_eq!(answers(&db), expected);
+    }
+    let db = Instance::open(config).unwrap();
+    assert_eq!(answers(&db), expected);
+    assert!(db.explain("SELECT VALUE s FROM `select` s WHERE s.v = 'one'", Language::Sqlpp)
+        .unwrap()
+        .contains("index-scan select#by v"));
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A `catalog.ddl` written before names were quoted — bare names, the
+/// fields of a type in backquotes — still replays.
+#[test]
+fn a_catalog_of_bare_names_still_replays() {
+    let dir = fresh_dir("bare-ddl");
+    let config = InstanceConfig { data_dir: Some(dir.clone()), ..Default::default() };
+    {
+        let db = Instance::open(config.clone()).unwrap();
+        db.execute_sqlpp(
+            "CREATE TYPE T AS { id: int, tags: [string], v: {{ int }}? };
+             CREATE DATASET D(T) PRIMARY KEY id;
+             CREATE INDEX byTags ON D(tags) TYPE KEYWORD;
+             CREATE INDEX byV ON D(v);
+             DROP INDEX D.byTags;
+             INSERT INTO D ({\"id\": 1, \"tags\": [\"a\"]});",
+        )
+        .unwrap();
+    }
+    // the statements as that form rendered them
+    let bare = [
+        "CREATE TYPE T AS { `id`: int, `tags`: [string], `v`: {{int}}? }",
+        "CREATE DATASET D(T) PRIMARY KEY id",
+        "CREATE INDEX byTags ON D(tags) TYPE KEYWORD",
+        "CREATE INDEX byV ON D(v) TYPE BTREE",
+        "DROP INDEX D.byTags",
+    ];
+    let text = Value::Array(bare.iter().map(|s| Value::from(*s)).collect());
+    std::fs::write(dir.join("catalog.ddl"), asterix_adm::print::to_adm_string(&text)).unwrap();
+    let db = Instance::open(config).unwrap();
+    assert_eq!(db.query("SELECT VALUE d.id FROM D d").unwrap(), vec![Value::Int(1)]);
+    let plan = db.explain("SELECT VALUE d FROM D d WHERE d.v = 3", Language::Sqlpp).unwrap();
+    assert!(plan.contains("index-scan D#byV"), "{plan}");
+    db.execute_sqlpp("CREATE INDEX byTags ON D(tags) TYPE KEYWORD;").unwrap();
+    drop(db);
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -23,6 +23,7 @@ use crate::ast::*;
 use crate::error::Result;
 use crate::lexer::{tokenize, Kw, TokenKind};
 use crate::parser::Parser;
+use asterix_algebricks::expr::Func;
 
 /// Parses one AQL statement (a FLWOR query or a bare expression).
 pub fn parse_aql(input: &str) -> Result<Stmt> {
@@ -72,7 +73,7 @@ pub(crate) fn parse_flwor(p: &mut Parser) -> Result<Query> {
             let cond = p.parse_expr()?;
             q.where_clause = Some(match q.where_clause.take() {
                 None => cond,
-                Some(prev) => Expr::Binary(BinOp::And, Box::new(prev), Box::new(cond)),
+                Some(prev) => Expr::Binary(Func::And, Box::new(prev), Box::new(cond)),
             });
             continue;
         }
@@ -228,7 +229,7 @@ mod tests {
     #[test]
     fn bare_expression_query() {
         let q = query("1 + 2");
-        assert!(matches!(q.select, Some(SelectClause::Element(Expr::Binary(BinOp::Add, _, _)))));
+        assert!(matches!(q.select, Some(SelectClause::Element(Expr::Binary(Func::Add, _, _)))));
         assert!(q.from.is_empty());
     }
 

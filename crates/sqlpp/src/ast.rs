@@ -4,8 +4,17 @@
 //! the same query core as SQL++'s SELECT block — which is precisely why the
 //! paper could add SQL++ "fairly quickly as a peer of AQL" (§IV-A): only the
 //! concrete syntax differs.
+//!
+//! The vocabulary below the syntax is the compiler's and the runtime's own:
+//! a field declaration is ADM's [`Field`], an index kind the optimizer's
+//! [`IndexKind`], an operator the function library's [`Func`] and a join
+//! kind the runtime's [`JoinKind`].
 
+use asterix_adm::types::Field;
 use asterix_adm::Value;
+use asterix_algebricks::expr::Func;
+use asterix_algebricks::plan::JoinKind;
+use asterix_algebricks::source::IndexKind;
 
 /// A parsed statement.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +29,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DdlStmt {
     /// `CREATE TYPE name AS [CLOSED] { field: type, ... }`
-    CreateType { name: String, is_closed: bool, fields: Vec<FieldDef> },
+    CreateType { name: String, is_closed: bool, fields: Vec<Field> },
     /// `CREATE DATASET name(TypeName) PRIMARY KEY field`
     CreateDataset { name: String, type_name: String, primary_key: Vec<String> },
     /// `CREATE EXTERNAL DATASET name(TypeName) USING localfs ((...params...))`
@@ -35,36 +44,12 @@ pub enum DdlStmt {
         name: String,
         dataset: String,
         field: Vec<String>,
-        kind: IndexKindAst,
+        kind: IndexKind,
     },
     /// `DROP DATASET name` / `DROP TYPE name` / `DROP INDEX ds.name`
     DropDataset { name: String },
     DropType { name: String },
     DropIndex { dataset: String, name: String },
-}
-
-/// One field in a `CREATE TYPE` body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldDef {
-    pub name: String,
-    pub ty: TypeExprAst,
-    pub optional: bool,
-}
-
-/// Type expressions in DDL.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TypeExprAst {
-    Named(String),
-    Array(Box<TypeExprAst>),
-    Multiset(Box<TypeExprAst>),
-}
-
-/// Index kinds in DDL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKindAst {
-    BTree,
-    RTree,
-    Keyword,
 }
 
 /// Data-manipulation statements (paper Figure 3(d)).
@@ -78,39 +63,6 @@ pub enum DmlStmt {
     Load { dataset: String, adapter: String, properties: Vec<(String, String)> },
 }
 
-/// Binary operators at the AST level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
-    Concat,
-    Like,
-}
-
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
-    Neg,
-    Not,
-    IsNull,
-    IsNotNull,
-    IsMissing,
-    IsNotMissing,
-    IsUnknown,
-    IsNotUnknown,
-}
-
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -122,8 +74,12 @@ pub enum Expr {
     Field(Box<Expr>, String),
     /// `base[index]`
     Index(Box<Expr>, Box<Expr>),
-    Unary(UnOp, Box<Expr>),
-    Binary(BinOp, Box<Expr>, Box<Expr>),
+    /// A one-argument operator: `-e`, `NOT e`, `e IS NULL` (`IS NOT NULL`
+    /// is `Not` over `IsNull`).
+    Unary(Func, Box<Expr>),
+    /// A two-argument operator: arithmetic, comparison, `AND`, `OR`, `||`,
+    /// `LIKE`.
+    Binary(Func, Box<Expr>, Box<Expr>),
     /// Function call by name.
     Call(String, Vec<Expr>),
     /// `CASE WHEN c THEN t ... ELSE e END`
@@ -169,15 +125,8 @@ pub struct FromTerm {
 /// A join/unnest step after a from term.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JoinStep {
-    Join { kind: JoinKindAst, expr: Expr, alias: String, on: Expr },
+    Join { kind: JoinKind, expr: Expr, alias: String, on: Expr },
     Unnest { expr: Expr, alias: String, outer: bool },
-}
-
-/// Join kinds in source syntax.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKindAst {
-    Inner,
-    LeftOuter,
 }
 
 /// GROUP BY clause.

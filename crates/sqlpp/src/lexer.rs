@@ -379,17 +379,17 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
             }
             _ => {
-                let two = if i + 1 < bytes.len() { &input[i..i + 2] } else { "" };
-                let (kind, len) = match two {
-                    "{{" => (TokenKind::LBraceBrace, 2),
-                    "}}" => (TokenKind::RBraceBrace, 2),
-                    "!=" => (TokenKind::NotEq, 2),
-                    "<>" => (TokenKind::NotEq, 2),
-                    "<=" => (TokenKind::Le, 2),
-                    ">=" => (TokenKind::Ge, 2),
-                    "||" => (TokenKind::ConcatOp, 2),
-                    ":=" => (TokenKind::Assign, 2),
-                    "=>" => (TokenKind::Arrow, 2),
+                // bytes, not `str`: the next two may cut a character
+                let (kind, len) = match bytes.get(i..i + 2).unwrap_or_default() {
+                    b"{{" => (TokenKind::LBraceBrace, 2),
+                    b"}}" => (TokenKind::RBraceBrace, 2),
+                    b"!=" => (TokenKind::NotEq, 2),
+                    b"<>" => (TokenKind::NotEq, 2),
+                    b"<=" => (TokenKind::Le, 2),
+                    b">=" => (TokenKind::Ge, 2),
+                    b"||" => (TokenKind::ConcatOp, 2),
+                    b":=" => (TokenKind::Assign, 2),
+                    b"=>" => (TokenKind::Arrow, 2),
                     _ => match c {
                         b'(' => (TokenKind::LParen, 1),
                         b')' => (TokenKind::RParen, 1),
@@ -535,5 +535,10 @@ mod tests {
         assert!(tokenize("\"unterminated").is_err());
         assert!(tokenize("@").is_err());
         assert!(tokenize("$ ").is_err());
+        // a character past ASCII where a token starts is an error, not a
+        // panic, wherever the next two bytes end
+        for input in ["é", "\\é", "x中", "1 + \\中", "(中"] {
+            assert!(tokenize(input).is_err(), "{input:?}");
+        }
     }
 }

@@ -9,7 +9,11 @@
 use crate::ast::*;
 use crate::error::{Result, SqlppError};
 use crate::lexer::{tokenize, Kw, Token, TokenKind};
+use asterix_adm::types::{Field, TypeExpr};
 use asterix_adm::{Value, MAX_DEPTH};
+use asterix_algebricks::expr::Func;
+use asterix_algebricks::plan::JoinKind;
+use asterix_algebricks::source::IndexKind;
 
 /// Parses a semicolon-separated list of statements.
 pub fn parse_statements(input: &str) -> Result<Vec<Stmt>> {
@@ -168,7 +172,7 @@ impl Parser {
                     self.expect(&TokenKind::Colon)?;
                     let ty = self.parse_type_expr()?;
                     let optional = self.eat(&TokenKind::Question);
-                    fields.push(FieldDef { name: fname, ty, optional });
+                    fields.push(Field { name: fname, ty, optional });
                     if self.eat(&TokenKind::RBrace) {
                         break;
                     }
@@ -217,31 +221,31 @@ impl Parser {
             self.expect(&TokenKind::RParen)?;
             let kind = if self.eat_kw(Kw::Type) {
                 match self.bump() {
-                    TokenKind::Keyword(Kw::Btree) => IndexKindAst::BTree,
-                    TokenKind::Keyword(Kw::Rtree) => IndexKindAst::RTree,
-                    TokenKind::Keyword(Kw::Keyword) => IndexKindAst::Keyword,
+                    TokenKind::Keyword(Kw::Btree) => IndexKind::BTree,
+                    TokenKind::Keyword(Kw::Rtree) => IndexKind::RTree,
+                    TokenKind::Keyword(Kw::Keyword) => IndexKind::Keyword,
                     other => return self.err(format!("unknown index type {other:?}")),
                 }
             } else {
-                IndexKindAst::BTree
+                IndexKind::BTree
             };
             return Ok(DdlStmt::CreateIndex { name, dataset, field, kind });
         }
         self.err("expected TYPE, DATASET, EXTERNAL DATASET, or INDEX after CREATE")
     }
 
-    fn parse_type_expr(&mut self) -> Result<TypeExprAst> {
+    fn parse_type_expr(&mut self) -> Result<TypeExpr> {
         if self.eat(&TokenKind::LBracket) {
             let inner = self.nested(Self::parse_type_expr)?;
             self.expect(&TokenKind::RBracket)?;
-            return Ok(TypeExprAst::Array(Box::new(inner)));
+            return Ok(TypeExpr::Array(Box::new(inner)));
         }
         if self.eat(&TokenKind::LBraceBrace) {
             let inner = self.nested(Self::parse_type_expr)?;
             self.expect(&TokenKind::RBraceBrace)?;
-            return Ok(TypeExprAst::Multiset(Box::new(inner)));
+            return Ok(TypeExpr::Multiset(Box::new(inner)));
         }
-        Ok(TypeExprAst::Named(self.ident()?))
+        Ok(TypeExpr::Named(self.ident()?))
     }
 
     fn parse_properties(&mut self) -> Result<Vec<(String, String)>> {
@@ -490,7 +494,7 @@ impl Parser {
                 let (e, a) = self.parse_join_source()?;
                 self.expect_kw(Kw::On)?;
                 let on = self.parse_expr()?;
-                joins.push(JoinStep::Join { kind: JoinKindAst::Inner, expr: e, alias: a, on });
+                joins.push(JoinStep::Join { kind: JoinKind::Inner, expr: e, alias: a, on });
                 continue;
             }
             if *self.peek() == TokenKind::Keyword(Kw::Left) {
@@ -503,7 +507,7 @@ impl Parser {
                     self.expect_kw(Kw::On)?;
                     let on = self.parse_expr()?;
                     joins.push(JoinStep::Join {
-                        kind: JoinKindAst::LeftOuter,
+                        kind: JoinKind::LeftOuter,
                         expr: e,
                         alias: a,
                         on,
@@ -559,7 +563,7 @@ impl Parser {
         let mut e = self.parse_and()?;
         while self.eat_kw(Kw::Or) {
             let rhs = self.parse_and()?;
-            e = Expr::Binary(BinOp::Or, Box::new(e), Box::new(rhs));
+            e = Expr::Binary(Func::Or, Box::new(e), Box::new(rhs));
         }
         Ok(e)
     }
@@ -568,7 +572,7 @@ impl Parser {
         let mut e = self.parse_not()?;
         while self.eat_kw(Kw::And) {
             let rhs = self.parse_not()?;
-            e = Expr::Binary(BinOp::And, Box::new(e), Box::new(rhs));
+            e = Expr::Binary(Func::And, Box::new(e), Box::new(rhs));
         }
         Ok(e)
     }
@@ -576,7 +580,7 @@ impl Parser {
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw(Kw::Not) {
             let e = self.nested(Self::parse_not)?;
-            return Ok(Expr::Unary(UnOp::Not, Box::new(e)));
+            return Ok(Expr::Unary(Func::Not, Box::new(e)));
         }
         self.parse_comparison()
     }
@@ -609,31 +613,14 @@ impl Parser {
         // IS [NOT] NULL/MISSING/UNKNOWN
         if self.eat_kw(Kw::Is) {
             let negated = self.eat_kw(Kw::Not);
-            let op = match self.bump() {
-                TokenKind::Keyword(Kw::Null) => {
-                    if negated {
-                        UnOp::IsNotNull
-                    } else {
-                        UnOp::IsNull
-                    }
-                }
-                TokenKind::Keyword(Kw::Missing) => {
-                    if negated {
-                        UnOp::IsNotMissing
-                    } else {
-                        UnOp::IsMissing
-                    }
-                }
-                TokenKind::Keyword(Kw::Unknown) => {
-                    if negated {
-                        UnOp::IsNotUnknown
-                    } else {
-                        UnOp::IsUnknown
-                    }
-                }
+            let test = match self.bump() {
+                TokenKind::Keyword(Kw::Null) => Func::IsNull,
+                TokenKind::Keyword(Kw::Missing) => Func::IsMissing,
+                TokenKind::Keyword(Kw::Unknown) => Func::IsUnknown,
                 other => return self.err(format!("expected NULL/MISSING/UNKNOWN, found {other:?}")),
             };
-            return Ok(Expr::Unary(op, Box::new(e)));
+            let e = Expr::Unary(test, Box::new(e));
+            return Ok(if negated { Expr::Unary(Func::Not, Box::new(e)) } else { e });
         }
         // [NOT] BETWEEN / IN / LIKE
         let negated = if matches!(self.peek(), TokenKind::Keyword(Kw::Not))
@@ -663,20 +650,20 @@ impl Parser {
         }
         if self.eat_kw(Kw::Like) {
             let pat = self.parse_concat()?;
-            let like = Expr::Binary(BinOp::Like, Box::new(e), Box::new(pat));
+            let like = Expr::Binary(Func::Like, Box::new(e), Box::new(pat));
             return Ok(if negated {
-                Expr::Unary(UnOp::Not, Box::new(like))
+                Expr::Unary(Func::Not, Box::new(like))
             } else {
                 like
             });
         }
         let op = match self.peek() {
-            TokenKind::Eq => BinOp::Eq,
-            TokenKind::NotEq => BinOp::Ne,
-            TokenKind::Lt => BinOp::Lt,
-            TokenKind::Le => BinOp::Le,
-            TokenKind::Gt => BinOp::Gt,
-            TokenKind::Ge => BinOp::Ge,
+            TokenKind::Eq => Func::Eq,
+            TokenKind::NotEq => Func::Ne,
+            TokenKind::Lt => Func::Lt,
+            TokenKind::Le => Func::Le,
+            TokenKind::Gt => Func::Gt,
+            TokenKind::Ge => Func::Ge,
             _ => return Ok(e),
         };
         self.bump();
@@ -688,7 +675,7 @@ impl Parser {
         let mut e = self.parse_additive()?;
         while self.eat(&TokenKind::ConcatOp) {
             let rhs = self.parse_additive()?;
-            e = Expr::Binary(BinOp::Concat, Box::new(e), Box::new(rhs));
+            e = Expr::Binary(Func::Concat, Box::new(e), Box::new(rhs));
         }
         Ok(e)
     }
@@ -697,8 +684,8 @@ impl Parser {
         let mut e = self.parse_multiplicative()?;
         loop {
             let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
+                TokenKind::Plus => Func::Add,
+                TokenKind::Minus => Func::Sub,
                 _ => break,
             };
             self.bump();
@@ -712,9 +699,9 @@ impl Parser {
         let mut e = self.parse_unary()?;
         loop {
             let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Mod,
+                TokenKind::Star => Func::Mul,
+                TokenKind::Slash => Func::Div,
+                TokenKind::Percent => Func::Mod,
                 _ => break,
             };
             self.bump();
@@ -730,7 +717,7 @@ impl Parser {
             return Ok(match e {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
                 Expr::Literal(Value::Double(d)) => Expr::Literal(Value::Double(-d)),
-                other => Expr::Unary(UnOp::Neg, Box::new(other)),
+                other => Expr::Unary(Func::Neg, Box::new(other)),
             });
         }
         if self.eat(&TokenKind::Plus) {
@@ -934,7 +921,7 @@ mod tests {
                 assert_eq!(fields.len(), 6);
                 assert_eq!(
                     fields[4].ty,
-                    TypeExprAst::Multiset(Box::new(TypeExprAst::Named("int".into())))
+                    TypeExpr::Multiset(Box::new(TypeExpr::Named("int".into())))
                 );
             }
             other => panic!("{other:?}"),
@@ -947,7 +934,7 @@ mod tests {
         }
         match &stmts[4] {
             Stmt::Ddl(DdlStmt::CreateIndex { kind, .. }) => {
-                assert_eq!(*kind, IndexKindAst::RTree)
+                assert_eq!(*kind, IndexKind::RTree)
             }
             other => panic!("{other:?}"),
         }
@@ -1054,11 +1041,11 @@ mod tests {
         .unwrap();
         assert_eq!(q.from.len(), 1);
         assert_eq!(q.from[0].joins.len(), 3);
-        assert!(matches!(q.from[0].joins[0], JoinStep::Join { kind: JoinKindAst::Inner, .. }));
+        assert!(matches!(q.from[0].joins[0], JoinStep::Join { kind: JoinKind::Inner, .. }));
         assert!(matches!(q.from[0].joins[1], JoinStep::Unnest { outer: false, .. }));
         assert!(matches!(
             q.from[0].joins[2],
-            JoinStep::Join { kind: JoinKindAst::LeftOuter, .. }
+            JoinStep::Join { kind: JoinKind::LeftOuter, .. }
         ));
     }
 
@@ -1067,9 +1054,9 @@ mod tests {
         let q = parse_query("SELECT VALUE 1 + 2 * 3 < 10 AND true OR false").unwrap();
         let SelectClause::Element(e) = q.select.unwrap() else { panic!() };
         // ((1 + (2*3)) < 10 AND true) OR false
-        let Expr::Binary(BinOp::Or, lhs, _) = e else { panic!("{e:?}") };
-        let Expr::Binary(BinOp::And, cmp, _) = *lhs else { panic!() };
-        assert!(matches!(*cmp, Expr::Binary(BinOp::Lt, _, _)));
+        let Expr::Binary(Func::Or, lhs, _) = e else { panic!("{e:?}") };
+        let Expr::Binary(Func::And, cmp, _) = *lhs else { panic!() };
+        assert!(matches!(*cmp, Expr::Binary(Func::Lt, _, _)));
     }
 
     #[test]
@@ -1085,7 +1072,7 @@ mod tests {
         assert!(text.contains("Between"));
         assert!(text.contains("In"));
         assert!(text.contains("Like"));
-        assert!(text.contains("IsNotNull"));
+        assert!(text.contains("Unary(Not, Unary(IsNull, "), "IS NOT NULL is NOT over IS NULL: {text}");
         assert!(text.contains("negated: true"));
     }
 

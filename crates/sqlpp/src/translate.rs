@@ -18,10 +18,10 @@
 //! Unsupported corners (correlated subqueries outside FROM, general EVERY
 //! quantifiers) fail with explicit [`SqlppError::Unsupported`] errors.
 
-use crate::ast::{self, BinOp, Expr as Ast, GroupByClause, JoinStep, Query, SelectClause, UnOp};
+use crate::ast::{self, Expr as Ast, GroupByClause, JoinStep, Query, SelectClause};
 use crate::error::{Result, SqlppError};
 use asterix_adm::Value;
-use asterix_algebricks::expr::{bind, eval, Expr, Func};
+use asterix_algebricks::expr::{const_fold, Expr, Func};
 use asterix_algebricks::plan::{AggFunc, GroupCollect, JoinKind, LogicalOp, Plan, VarGen};
 use asterix_algebricks::source::DataSource;
 use std::sync::Arc;
@@ -129,12 +129,12 @@ impl<'a> Translator<'a> {
 
     fn translate_block(&mut self, q: &Query, outer: &Scope) -> Result<(LogicalOp, Expr)> {
         let mut scope = outer.clone();
-        // WITH bindings: evaluate eagerly when constant (so
-        // `current_datetime()` is fixed once per query, as in AsterixDB)
+        // WITH bindings: evaluated once per query, at compile time where they
+        // can be (so `current_datetime()` is fixed per query, as in AsterixDB)
         for (name, e) in &q.with {
-            let ae = self.expr(e, &scope)?;
-            let folded = try_eval_const(&ae).unwrap_or(ae);
-            scope.push(name.clone(), folded, false);
+            let mut ae = self.expr(e, &scope)?;
+            const_fold(&mut ae, true);
+            scope.push(name.clone(), ae, false);
         }
         let mut op = LogicalOp::Empty;
         let mut first = true;
@@ -328,11 +328,7 @@ impl<'a> Translator<'a> {
                     scope.push(alias.clone(), Expr::Var(v), true);
                 }
                 JoinStep::Join { kind, expr, alias, on } => {
-                    let k = match kind {
-                        ast::JoinKindAst::Inner => JoinKind::Inner,
-                        ast::JoinKindAst::LeftOuter => JoinKind::LeftOuter,
-                    };
-                    op = self.bind_source(op, expr, alias, scope, false, k, Some(on))?;
+                    op = self.bind_source(op, expr, alias, scope, false, *kind, Some(on))?;
                 }
             }
         }
@@ -479,7 +475,7 @@ impl<'a> Translator<'a> {
         satisfies: &Ast,
         scope: &Scope,
     ) -> Result<Expr> {
-        if let Ast::Binary(BinOp::Eq, l, r) = satisfies {
+        if let Ast::Binary(Func::Eq, l, r) = satisfies {
             let is_var = |e: &Ast| matches!(e, Ast::Ident(n) if n == var);
             let other = if is_var(l) {
                 Some(r)
@@ -597,49 +593,8 @@ impl<'a> Translator<'a> {
                 Box::new(self.expr(b, scope)?),
                 Box::new(self.expr(i, scope)?),
             ),
-            Ast::Unary(op, e) => {
-                let inner = self.expr(e, scope)?;
-                match op {
-                    UnOp::Neg => Expr::Call(Func::Neg, vec![inner]),
-                    UnOp::Not => Expr::Call(Func::Not, vec![inner]),
-                    UnOp::IsNull => Expr::Call(Func::IsNull, vec![inner]),
-                    UnOp::IsNotNull => Expr::Call(
-                        Func::Not,
-                        vec![Expr::Call(Func::IsNull, vec![inner])],
-                    ),
-                    UnOp::IsMissing => Expr::Call(Func::IsMissing, vec![inner]),
-                    UnOp::IsNotMissing => Expr::Call(
-                        Func::Not,
-                        vec![Expr::Call(Func::IsMissing, vec![inner])],
-                    ),
-                    UnOp::IsUnknown => Expr::Call(Func::IsUnknown, vec![inner]),
-                    UnOp::IsNotUnknown => Expr::Call(
-                        Func::Not,
-                        vec![Expr::Call(Func::IsUnknown, vec![inner])],
-                    ),
-                }
-            }
-            Ast::Binary(op, l, r) => {
-                let (l, r) = (self.expr(l, scope)?, self.expr(r, scope)?);
-                let f = match op {
-                    BinOp::Add => Func::Add,
-                    BinOp::Sub => Func::Sub,
-                    BinOp::Mul => Func::Mul,
-                    BinOp::Div => Func::Div,
-                    BinOp::Mod => Func::Mod,
-                    BinOp::Eq => Func::Eq,
-                    BinOp::Ne => Func::Ne,
-                    BinOp::Lt => Func::Lt,
-                    BinOp::Le => Func::Le,
-                    BinOp::Gt => Func::Gt,
-                    BinOp::Ge => Func::Ge,
-                    BinOp::And => Func::And,
-                    BinOp::Or => Func::Or,
-                    BinOp::Concat => Func::Concat,
-                    BinOp::Like => Func::Like,
-                };
-                Expr::bin(f, l, r)
-            }
+            Ast::Unary(f, e) => Expr::Call(*f, vec![self.expr(e, scope)?]),
+            Ast::Binary(f, l, r) => Expr::bin(*f, self.expr(l, scope)?, self.expr(r, scope)?),
             Ast::Call(name, args) => self.call(name, args, scope)?,
             Ast::Case(arms, els) => {
                 let arms = arms
@@ -744,7 +699,7 @@ impl<'a> Translator<'a> {
 /// Splits an AND tree into conjuncts.
 fn split_and(e: &Ast) -> Vec<Ast> {
     match e {
-        Ast::Binary(BinOp::And, l, r) => {
+        Ast::Binary(Func::And, l, r) => {
             let mut out = split_and(l);
             out.extend(split_and(r));
             out
@@ -906,13 +861,6 @@ fn extract_aggs(ast: &mut Ast, out: &mut Vec<(String, AggFunc, Option<Ast>)>) {
         }
         Ast::Literal(_) | Ast::Ident(_) | Ast::Subquery(_) => {}
     }
-}
-
-/// Attempts compile-time evaluation of an expression (used for WITH).
-fn try_eval_const(e: &Expr) -> Option<Expr> {
-    let bound = bind(e, &[]).ok()?;
-    let v = eval(&bound, &[]).ok()?;
-    Some(Expr::Const(v))
 }
 
 #[cfg(test)]
@@ -1093,6 +1041,10 @@ mod tests {
              SELECT VALUE u.id FROM Users u WHERE u.age > limit_age",
         );
         assert_eq!(out.len(), 3);
+        // `current_datetime()` is fixed once per query: the plan holds its value
+        let q = parse_query("WITH now AS current_datetime() SELECT VALUE [now, u.id] FROM Users u").unwrap();
+        let plan = translate_query(&q, &catalog(), &mut VarGen::new()).unwrap().pretty();
+        assert!(plan.contains("datetime(\"") && !plan.contains("current_datetime"), "{plan}");
     }
 
     #[test]
