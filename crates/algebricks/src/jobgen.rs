@@ -11,7 +11,7 @@
 
 use crate::error::{AlgebricksError, Result};
 use crate::expr::{bind, eval, eval_batch, select_batch, BoundExpr, Expr, Func};
-use crate::plan::{AggFunc, JoinKind, LogicalOp, Plan, VarId};
+use crate::plan::{AggFunc, JoinKeys, JoinKind, LogicalOp, Plan, VarId};
 use crate::rules::Rule;
 use asterix_adm::{Column, ColumnBatch, Value};
 use asterix_hyracks::job::{
@@ -455,37 +455,9 @@ impl<'a> Builder<'a> {
         let lb = self.compile_op(left)?;
         let rb = self.compile_op(right)?;
         let condition = &self.over_columns(condition);
-        // split the condition into equi pairs and residual conjuncts
-        let mut left_keys: Vec<Expr> = Vec::new();
-        let mut right_keys: Vec<Expr> = Vec::new();
-        let mut residual: Vec<Expr> = Vec::new();
-        for c in crate::rules::conjuncts(condition) {
-            let mut placed = false;
-            if let Expr::Call(Func::Eq, args) = &c {
-                if args.len() == 2 {
-                    let (a, b) = (&args[0], &args[1]);
-                    let a_left = uses_only_vars(a, &lb.schema);
-                    let a_right = uses_only_vars(a, &rb.schema);
-                    let b_left = uses_only_vars(b, &lb.schema);
-                    let b_right = uses_only_vars(b, &rb.schema);
-                    if a_left && b_right {
-                        left_keys.push(a.clone());
-                        right_keys.push(b.clone());
-                        placed = true;
-                    } else if a_right && b_left {
-                        left_keys.push(b.clone());
-                        right_keys.push(a.clone());
-                        placed = true;
-                    }
-                }
-            }
-            if !placed {
-                residual.push(c);
-            }
-        }
-        let hashable = !left_keys.is_empty()
-            && (kind == JoinKind::Inner || residual.is_empty());
-        if hashable {
+        let keys = JoinKeys::split(condition, &lb.schema, &rb.schema);
+        if keys.hashable(kind) {
+            let JoinKeys { left: left_keys, right: right_keys, residual } = keys;
             let (lb, lcols) = self.append_exprs(lb, &left_keys, "join-keys-l")?;
             let (rb, rcols) = self.append_exprs(rb, &right_keys, "join-keys-r")?;
             let dop = self.cfg.dop.max(lb.partitions.max(rb.partitions));
@@ -642,12 +614,6 @@ impl<'a> Builder<'a> {
         let schema = keys.iter().map(|(v, _)| *v).chain(aggs.iter().map(|(v, _, _)| *v)).collect();
         Ok(Built { op: global, partitions, schema, local_order: None })
     }
-}
-
-fn uses_only_vars(e: &Expr, allowed: &[VarId]) -> bool {
-    let mut vars = Vec::new();
-    e.used_vars(&mut vars);
-    !vars.is_empty() && vars.iter().all(|v| allowed.contains(v))
 }
 
 #[cfg(test)]
@@ -955,5 +921,41 @@ mod tests {
         // user 1 matched; users 2..4 padded with MISSING
         assert_eq!(out[0].index(1), &Value::Bool(false));
         assert_eq!(out[1].index(1), &Value::Bool(true));
+    }
+
+    /// `EXPLAIN` names the join method the job runs: a hash join for an
+    /// equality over both inputs (an outer one only with nothing else in its
+    /// condition), a nested-loop join otherwise.
+    #[test]
+    fn the_printed_join_method_is_the_one_compiled() {
+        let eq = Expr::bin(Func::Eq, Expr::field(Expr::Var(0), "id"), Expr::field(Expr::Var(1), "author"));
+        let lt = Expr::bin(Func::Lt, Expr::field(Expr::Var(0), "age"), Expr::field(Expr::Var(1), "mid"));
+        let both = Expr::bin(Func::And, eq.clone(), lt.clone());
+        let cases = [
+            (eq.clone(), JoinKind::Inner, "hash"),
+            (lt.clone(), JoinKind::Inner, "nested-loop"),
+            (both.clone(), JoinKind::Inner, "hash"),
+            (eq, JoinKind::LeftOuter, "hash"),
+            (lt, JoinKind::LeftOuter, "nested-loop"),
+            (both, JoinKind::LeftOuter, "nested-loop"),
+        ];
+        for (condition, kind, method) in cases {
+            let msgs = VecSource::single("msgs", vec![parse_value(r#"{"mid": 100, "author": 1}"#).unwrap()]);
+            let mut plan = Plan::new(LogicalOp::DistributeResult {
+                input: Box::new(LogicalOp::Join {
+                    left: Box::new(LogicalOp::DataSourceScan { source: users_source(), var: 0, access: None, fields: vec![] }),
+                    right: Box::new(LogicalOp::DataSourceScan { source: msgs, var: 1, access: None, fields: vec![] }),
+                    condition,
+                    kind,
+                }),
+                exprs: vec![Expr::Var(0)],
+            });
+            optimize(&mut plan, &Default::default());
+            let printed = plan.pretty();
+            assert!(printed.contains(&format!("{kind:?}-join {method} ")), "{printed}");
+            let spec = compile(&plan, &JobGenConfig::default()).unwrap();
+            let label = if method == "hash" { "hash-join" } else { "nl-join" };
+            assert!(spec.ops.iter().any(|op| op.label == label), "{kind:?} {method}: {printed}");
+        }
     }
 }

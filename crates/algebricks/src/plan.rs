@@ -219,6 +219,56 @@ impl LogicalOp {
     }
 }
 
+/// How a join's condition splits over its two inputs: the equality
+/// conjuncts with one side over each input, which are the hash keys, and
+/// the rest. The job generator runs the join by it and `EXPLAIN` prints the
+/// method it picks.
+pub struct JoinKeys {
+    /// Per key, its side over the left input.
+    pub left: Vec<Expr>,
+    /// Per key, its side over the right input.
+    pub right: Vec<Expr>,
+    pub residual: Vec<Expr>,
+}
+
+impl JoinKeys {
+    /// Splits `condition` over a left input that yields the variables
+    /// `left` and a right one that yields `right`.
+    pub fn split(condition: &Expr, left: &[VarId], right: &[VarId]) -> Self {
+        let over = |e: &Expr, side: &[VarId]| {
+            let mut vars = Vec::new();
+            e.used_vars(&mut vars);
+            !vars.is_empty() && vars.iter().all(|v| side.contains(v))
+        };
+        let mut keys = JoinKeys { left: Vec::new(), right: Vec::new(), residual: Vec::new() };
+        for c in crate::rules::conjuncts(condition) {
+            match &c {
+                Expr::Call(crate::expr::Func::Eq, args) if args.len() == 2 => {
+                    let (a, b) = (&args[0], &args[1]);
+                    if over(a, left) && over(b, right) {
+                        keys.left.push(a.clone());
+                        keys.right.push(b.clone());
+                    } else if over(a, right) && over(b, left) {
+                        keys.left.push(b.clone());
+                        keys.right.push(a.clone());
+                    } else {
+                        keys.residual.push(c);
+                    }
+                }
+                _ => keys.residual.push(c),
+            }
+        }
+        keys
+    }
+
+    /// Whether a join of `kind` runs as a hash join: it has keys and, unless
+    /// it is an inner join, no residual. It runs as a nested-loop join
+    /// otherwise.
+    pub fn hashable(&self, kind: JoinKind) -> bool {
+        !self.left.is_empty() && (kind == JoinKind::Inner || self.residual.is_empty())
+    }
+}
+
 /// A complete logical plan (rooted at a `DistributeResult`).
 pub struct Plan {
     pub root: LogicalOp,
@@ -335,7 +385,9 @@ fn print_op(
             print_op(input, depth + 1, map, out);
         }
         LogicalOp::Join { left, right, condition, kind } => {
-            let _ = writeln!(out, "{pad}{:?}-join {}", kind, canon_expr(condition, map));
+            let hash = JoinKeys::split(condition, &left.schema(), &right.schema()).hashable(*kind);
+            let method = if hash { "hash" } else { "nested-loop" };
+            let _ = writeln!(out, "{pad}{kind:?}-join {method} {}", canon_expr(condition, map));
             print_op(left, depth + 1, map, out);
             print_op(right, depth + 1, map, out);
         }

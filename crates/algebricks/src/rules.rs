@@ -706,7 +706,7 @@ mod tests {
         });
         optimize(&mut plan, &BTreeSet::new());
         let p = plan.pretty();
-        assert!(p.contains("Inner-join eq("), "equi condition moved into join:\n{p}");
+        assert!(p.contains("Inner-join hash eq("), "equi condition moved into join:\n{p}");
         assert_eq!(p.matches("select gt(").count(), 2, "side filters pushed:\n{p}");
     }
 
@@ -1078,7 +1078,7 @@ mod tests {
                     condition: Expr::Const(Value::Bool(true)),
                     kind: JoinKind::Inner,
                 };
-                (whole(select(join, eq_fields(0, 1, "k"))), |p| p.pretty().contains("Inner-join eq("))
+                (whole(select(join, eq_fields(0, 1, "k"))), |p| p.pretty().contains("Inner-join hash eq("))
             }
             Rule::IntroduceIndexPaths => {
                 (whole(select(indexed(), gt_field(0, "userSince", 10))), |p| p.pretty().contains("index-scan"))

@@ -37,7 +37,7 @@ pub fn run(quick: bool) -> ExpReport {
     // --- B+ tree: sorted bulk load (the "well-known efficient load") ---
     let (btree, t_build_bt) = time_it(|| {
         let w = fm.bulk_writer("e3.btree").unwrap();
-        let mut b = BTreeBuilder::new(w, n as usize);
+        let mut b = BTreeBuilder::new(w, true);
         for i in 0..n {
             b.add(&key(i), &value).unwrap();
         }

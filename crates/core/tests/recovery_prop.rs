@@ -149,9 +149,9 @@ const fn merging(merge_policy: MergePolicy) -> Shape {
 }
 
 /// [`merging`] with a pad ten times as long, about six records a
-/// component, and a prefix bound between a flushed component (three pages)
-/// and the merged ones it grows (four; [`merging`]'s records fill three
-/// pages either way). A merged component stays out of every later merge, so
+/// component, and a prefix bound between a flushed component (one page) and
+/// the merged ones it grows (two or three; [`merging`]'s records fill one
+/// page either way). A merged component stays out of every later merge, so
 /// those merges leave the oldest component out and must keep their delete
 /// markers.
 const PARTIAL_MERGES: Shape = Shape {
@@ -159,7 +159,7 @@ const PARTIAL_MERGES: Shape = Shape {
     pad: 500,
     txns: 28,
     ..merging(MergePolicy::Prefix {
-        max_mergable_bytes: 28 << 10,
+        max_mergable_bytes: 16 << 10,
         max_tolerance_components: 1,
     })
 };

@@ -9,6 +9,9 @@
 
 use crate::le::{hash64, hash64_after};
 
+/// Bits per key of every component's filter: about a 1 % false-positive rate.
+pub const BITS_PER_KEY: usize = 10;
+
 /// A serializable bloom filter over byte-string keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
@@ -17,7 +20,8 @@ pub struct BloomFilter {
     n_hashes: u32,
 }
 
-fn hash_pair(key: &[u8]) -> (u64, u64) {
+/// The two hashes a filter places `key` by.
+pub(crate) fn hash_pair(key: &[u8]) -> (u64, u64) {
     let a = hash64(key);
     let mut b = hash64_after(a ^ 0x9e37_79b9_7f4a_7c15, key);
     if b == 0 {
@@ -40,9 +44,25 @@ impl BloomFilter {
         }
     }
 
+    /// A filter of [`BITS_PER_KEY`] bits a key over the keys whose
+    /// [`hash_pair`]s are `pairs` — a component's, sized once its keys are
+    /// written; none for no keys.
+    pub(crate) fn of_pairs(pairs: &[(u64, u64)]) -> Option<Self> {
+        if pairs.is_empty() {
+            return None;
+        }
+        let mut filter = BloomFilter::new(pairs.len(), BITS_PER_KEY);
+        pairs.iter().for_each(|&pair| filter.insert_pair(pair));
+        Some(filter)
+    }
+
     /// Inserts a key.
     pub fn insert(&mut self, key: &[u8]) {
-        let (h1, h2) = hash_pair(key);
+        self.insert_pair(hash_pair(key));
+    }
+
+    /// Inserts the key whose hash pair is `(h1, h2)`.
+    fn insert_pair(&mut self, (h1, h2): (u64, u64)) {
         for i in 0..self.n_hashes {
             let bit = (h1.wrapping_add((i as u64).wrapping_mul(h2))) % self.n_bits;
             self.bits[(bit / 64) as usize] |= 1u64 << (bit % 64);
@@ -61,7 +81,7 @@ impl BloomFilter {
         true
     }
 
-    /// Serializes to bytes (stored in the component file's trailer pages).
+    /// Serializes to bytes (stored in the component file's footer).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(12 + self.bits.len() * 8);
         out.extend_from_slice(&self.n_bits.to_le_bytes());
@@ -134,6 +154,20 @@ mod tests {
         let back = BloomFilter::from_bytes(&bytes).unwrap();
         assert_eq!(f, back);
         assert!(BloomFilter::from_bytes(&bytes[..5]).is_none());
+    }
+
+    /// A filter built from its keys' hash pairs holds the bits of one sized
+    /// up front for the same keys.
+    #[test]
+    fn a_filter_of_hash_pairs_is_the_one_sized_for_its_keys() {
+        let mut sized = BloomFilter::new(300, BITS_PER_KEY);
+        let mut pairs = Vec::new();
+        for i in 0..300u32 {
+            sized.insert(&i.to_le_bytes());
+            pairs.push(hash_pair(&i.to_le_bytes()));
+        }
+        assert_eq!(BloomFilter::of_pairs(&pairs), Some(sized));
+        assert_eq!(BloomFilter::of_pairs(&[]), None);
     }
 
     #[test]

@@ -2,21 +2,39 @@
 //!
 //! Every LSM disk component is one of these: the memory component is flushed
 //! (or several components merged) by streaming *sorted* key/value pairs into
-//! a [`BTreeBuilder`], which packs leaves left-to-right and then builds the
-//! internal levels — exactly the "well-known efficient B+ tree load" Goetz
-//! Graefe contrasts with hashing in the paper's §V-C anecdote (experiment E3).
+//! a [`BTreeBuilder`], which packs leaves left to right and keeps a fence per
+//! leaf — the "well-known efficient B+ tree load" Goetz Graefe contrasts with
+//! hashing in the paper's §V-C anecdote (experiment E3). A tree is written
+//! once and never updated in place, so it has no internal pages: one level of
+//! separators, held in memory while the tree is open, routes every search.
 //!
-//! ## File layout (append-only, trailer-addressed)
+//! ## File layout (append-only, written end to end)
 //!
 //! ```text
-//! [leaf area][internal level 1...][...][root page][meta pages...][trailer page]
-//! meta pages = [bloom filter][column directory][symbol tables], end to end
+//! [leaf area][fence index][bloom filter][column directory][symbol tables][trailer][zero pad][back u32][magic]
 //! ```
 //!
-//! The trailer (last page) records the root, the height, the entry count,
-//! where the leaf area ends, where the bloom filter, the column directory and
-//! the symbol tables are, and the min/max keys; readers open the file by
-//! reading the trailer.
+//! The *footer*, everything past the leaf area, starts where the leaf area
+//! ends (`leaf_end`): right behind the last leaf group, or on the page after
+//! the last row leaf. The zero pad makes the file a whole number of pages, as
+//! the file manager, the buffer cache and a [`PageStream`] read it. The last
+//! eight bytes say how far before them the trailer starts, then give
+//! [`FORMAT`]'s magic. The trailer holds the entry count, `leaf_end`, the
+//! lengths of the four regions before it, the smallest and the largest key,
+//! and an FNV-1a checksum of the footer up to it. A reader opens the file by
+//! reading its footer back from the last page.
+//!
+//! The **fence index** holds, per leaf (a row-leaf page or a leaf group), its
+//! *separator* and the byte it starts at: a varint count, then per leaf the
+//! separator's length and bytes and how far past the leaf before it the leaf
+//! starts, in varints. A separator is the shortest byte string above every
+//! key of the leaf before it and not above any key of its own (see
+//! [`separator`]). [`DiskBTree::open`] reads the index into memory once, about
+//! 20 bytes a leaf (the separator's bytes, a `u32` end and a `u64` start), and
+//! a search binary-searches it for the last separator at or below its key. A
+//! debug build audits it against the leaves at `finish` and at `open`
+//! ([`Fences::audit`]).
+//!
 //! Keys are composite ADM keys encoded by `asterix_adm::binary::encode_key`,
 //! whose bytes order as the values do: a key comparison is a slice
 //! comparison, and the formats below rely on it.
@@ -24,8 +42,7 @@
 //! ## Two leaf shapes
 //!
 //! A tree's leaf area has one of two shapes, chosen when it is built and
-//! recorded in its trailer; the internal levels, the bloom filter and the
-//! trailer are the same for both.
+//! recorded in its footer, which is laid out alike for both.
 //!
 //! * **Row leaves** ([`BTreeBuilder::new`]): leaf *pages* in the page layout
 //!   below, a value an opaque byte string. Secondary indexes (key-only
@@ -33,26 +50,25 @@
 //! * **Leaf groups** ([`BTreeBuilder::with_layout`]): a dataset's primary
 //!   index, whose values are records. The leaf area is a run of *groups* of
 //!   up to [`GROUP_RECORDS`](crate::leaf_group::GROUP_RECORDS) entries, each
-//!   storing its entries column by column ([`crate::leaf_group`]); the
-//!   lowest internal level points at a group's first byte instead of a page.
-//!   A value of such a tree is an LSM entry — [`PUT`] and a row the tree's
-//!   [`RecordLayout`] can take apart, or [`TOMBSTONE`] — which [`add`] takes
-//!   apart into cells and [`get`] and a cursor's `value` put together again,
-//!   byte for byte. A reader that wants some of a record's fields asks a
-//!   cursor for those cells ([`BTreeRangeIter::cells`]) and touches the pages
-//!   of their chunks only. The meta pages carry the *column directory* — each
-//!   column's name, declared type and kind — and a tree is opened only under
-//!   the layout it was written with; and, per string column, the symbol table
-//!   its strings are coded with, trained on the tree's first group and read
-//!   once, at open.
+//!   storing its entries column by column ([`crate::leaf_group`]), with no
+//!   padding between them. A value of such a tree is an LSM entry — [`PUT`]
+//!   and a row the tree's [`RecordLayout`] can take apart, or [`TOMBSTONE`] —
+//!   which [`add`] takes apart into cells and [`get`] and a cursor's `value`
+//!   put together again, byte for byte. A reader that wants some of a
+//!   record's fields asks a cursor for those cells ([`BTreeRangeIter::cells`])
+//!   and touches the pages of their chunks only. The footer carries the
+//!   *column directory* — each column's name, declared type and kind — and a
+//!   tree is opened only under the layout it was written with; and, per
+//!   string column, the symbol table its strings are coded with, trained on
+//!   the tree's first group and read once, at open.
 //!
 //! [`add`]: BTreeBuilder::add
 //! [`get`]: DiskBTree::get
 //!
-//! ## Page layout (leaf and internal pages alike)
+//! ## Row-leaf page layout
 //!
 //! ```text
-//! [is_leaf u8][n u16][next_leaf u64][restarts u16][entry * n] … [restart offset u16 * restarts]
+//! [is_leaf u8 = 1][n u16][next_leaf u64][restarts u16][entry * n] … [restart offset u16 * restarts]
 //! entry = [shared varint][unshared varint][value_len varint][key bytes past `shared`][value]
 //! ```
 //!
@@ -63,15 +79,14 @@
 //! page says where each restart starts. A search binary-searches the restart
 //! keys, then decodes at most one interval forward; a cursor applies each
 //! entry's delta to the key before it. The varints are LEB128 in their
-//! shortest form. An internal page's value is a child pointer and its key a
-//! *separator*: the shortest byte string above every key of the child to the
-//! left and not above any key of this one (see [`separator`]).
+//! shortest form. A leaf's `next_leaf` is the page after it; a cursor stops
+//! at `leaf_end`, whatever the page there begins with.
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{hash_pair, BloomFilter};
 use crate::cache::BufferCache;
 use crate::compaction::LsmMetricsHub;
 use crate::error::{Result, StorageError};
-use crate::io::{FileId, PageFileWriter, PageStream, PAGE_SIZE};
+use crate::io::{FileId, FileManager, PageFileWriter, PageStream, PAGE_SIZE};
 use crate::le::{self, Cursor, Format};
 use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
 use asterix_adm::binary::put_varint;
@@ -81,15 +96,17 @@ use asterix_obs::Counter;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
 
-/// The trailer's header (see [`crate::le`]): "BTR6" as a little-endian u32.
-pub(crate) const FORMAT: Format = Format { kind: "B+ tree trailer", headers: &[&0x4254_5236u32.to_le_bytes()] };
+/// The footer's magic, the file's last four bytes (see [`crate::le`]):
+/// "BTR7" as a little-endian u32.
+pub(crate) const FORMAT: Format = Format { kind: "B+ tree footer", headers: &[&0x4254_5237u32.to_le_bytes()] };
+/// The footer's last bytes: how far back the trailer starts, and the magic.
+const TAIL: usize = 8;
 const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + restarts u16
 /// What a page's one entry costs beyond its bytes, at most: its restart
 /// offset, a `shared` of 0 and two lengths of two varint bytes each.
 const ENTRY_OVERHEAD: usize = 2 + 1 + 2 + 2;
 /// Entries from one restart to the next.
 const RESTART_INTERVAL: usize = 16;
-const NO_NEXT: u64 = u64::MAX;
 
 /// First byte of a leaf-group tree's value: a record follows.
 pub const PUT: u8 = 0;
@@ -99,9 +116,9 @@ pub const TOMBSTONE: u8 = 1;
 /// Maximum key+value size storable in one page.
 pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - ENTRY_OVERHEAD;
 
-/// Maximum key size: any two separators, with their child pointers, fit one
-/// internal page — so every level is smaller than the one below it — and the
-/// smallest and the largest key fit the trailer.
+/// Maximum key size, about half a page: a row leaf keeps room for a value
+/// beside any key, and a separator, at most a whole key, stays short of a
+/// page in the fence index an open tree holds in memory.
 pub const MAX_KEY: usize = PAGE_SIZE / 2 - 32;
 
 /// Length of the longest common prefix of `a` and `b`.
@@ -111,14 +128,13 @@ pub(crate) fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 
 /// The shortest byte string `s` with `prev < s <= next`, for `prev < next`:
 /// `next` up to and including the first byte that tells it from `prev`. It
-/// routes a search between two sibling pages as well as `next` itself would.
+/// routes a search between two sibling leaves as well as `next` itself would.
 fn separator(prev: &[u8], next: &[u8]) -> Vec<u8> {
     next[..(common_prefix(prev, next) + 1).min(next.len())].to_vec()
 }
 
-/// The column directory of a tree built under `layout`, as its trailer
-/// region holds it: a byte `1`, then each column's name, declared type and
-/// kind.
+/// The column directory of a tree built under `layout`, as its footer holds
+/// it: a byte `1`, then each column's name, declared type and kind.
 fn column_directory(layout: &RecordLayout) -> Vec<u8> {
     let mut out = vec![1];
     out.extend_from_slice(&(layout.columns().len() as u16).to_le_bytes());
@@ -139,11 +155,124 @@ fn column_directory(layout: &RecordLayout) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------------
+// The fence index
+// ---------------------------------------------------------------------------
+
+/// Each leaf's separator and the byte it starts at, in key order.
+#[derive(Default)]
+pub(crate) struct Fences {
+    /// The separators, end to end.
+    keys: Vec<u8>,
+    /// Where each separator ends in `keys`.
+    ends: Vec<u32>,
+    /// The byte each leaf starts at.
+    starts: Vec<u64>,
+}
+
+/// A leaf as the audit sees it: the byte it starts at, its first key and its
+/// last.
+type LeafBounds = (u64, Vec<u8>, Vec<u8>);
+
+impl Fences {
+    fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    fn separator(&self, i: usize) -> &[u8] {
+        let from = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.keys[from..self.ends[i] as usize]
+    }
+
+    fn push(&mut self, separator: &[u8], start: u64) {
+        self.keys.extend_from_slice(separator);
+        self.ends.push(self.keys.len() as u32);
+        self.starts.push(start);
+    }
+
+    /// The byte the leaf `key` belongs in starts at: that of the last
+    /// separator at or below it, or of the first leaf; the first without a
+    /// key.
+    fn find(&self, key: Option<&[u8]>) -> u64 {
+        let Some(key) = key else { return self.starts.first().copied().unwrap_or(0) };
+        // how many separators are at or below `key`
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.separator(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.starts.get(lo.saturating_sub(1)).copied().unwrap_or(0)
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        let mut before = 0;
+        for (i, &start) in self.starts.iter().enumerate() {
+            let separator = self.separator(i);
+            put_varint(out, separator.len() as u64);
+            out.extend_from_slice(separator);
+            put_varint(out, start - before);
+            before = start;
+        }
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Fences> {
+        let mut c = Cursor::new(bytes);
+        let (n, mut fences, mut start): (usize, _, u64) = (c.varint()?, Fences::default(), 0);
+        for _ in 0..n {
+            let len = c.varint()?;
+            let separator = c.bytes(len)?;
+            start = start.checked_add(c.varint()?).ok_or_else(|| StorageError::Corrupt("fence index: a start past 2^64".into()))?;
+            fences.push(separator, start);
+        }
+        if c.pos() != bytes.len() {
+            return Err(StorageError::Corrupt("fence index: bytes past its last fence".into()));
+        }
+        Ok(fences)
+    }
+
+    /// Checks the fence index against `leaves`, each leaf of the tree in key
+    /// order, and `leaf_end`: separators ascend strictly; each leaf's first
+    /// key is at or above its separator and above the last key of the leaf
+    /// before it; and the fences point at the leaves, whose starts ascend
+    /// from 0 inside the leaf area. A broken rule is `Corrupt`, naming
+    /// `component`. Debug builds run it at [`BTreeBuilder::finish`] and
+    /// [`DiskBTree::open`].
+    fn audit(&self, leaves: &[LeafBounds], leaf_end: u64, component: &str) -> Result<()> {
+        let broken = |i: usize, rule: String| {
+            StorageError::Corrupt(format!("{component}: the fence index, at leaf {i} of {}: {rule}", leaves.len()))
+        };
+        if self.len() != leaves.len() {
+            return Err(broken(self.len(), format!("{} fences", self.len())));
+        }
+        for (i, (start, first, _)) in leaves.iter().enumerate() {
+            let (separator, at) = (self.separator(i), self.starts[i]);
+            if i > 0 && separator <= self.separator(i - 1) {
+                return Err(broken(i, "its separator is not above the one before".into()));
+            }
+            if first.as_slice() < separator {
+                return Err(broken(i, format!("its first key {first:02x?} is below its separator {separator:02x?}")));
+            }
+            if i > 0 && first <= &leaves[i - 1].2 {
+                return Err(broken(i, "its first key is not above the last key of the leaf before".into()));
+            }
+            let ascends = if i == 0 { at == 0 } else { at > self.starts[i - 1] };
+            if !ascends || at >= leaf_end || at != *start {
+                return Err(broken(i, format!("it starts at byte {start}, its fence says {at}, the leaf area ends at {leaf_end}")));
+            }
+        }
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Page construction & parsing
 // ---------------------------------------------------------------------------
 
 struct PageBuilder {
-    is_leaf: bool,
     /// The entries so far, as the page holds them.
     bytes: Vec<u8>,
     /// Where in the page each restart starts.
@@ -160,8 +289,8 @@ fn varint_len(v: usize) -> usize {
 }
 
 impl PageBuilder {
-    fn new(is_leaf: bool) -> Self {
-        PageBuilder { is_leaf, bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new() }
+    fn new() -> Self {
+        PageBuilder { bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new() }
     }
 
     /// What the next entry, under `key`, keeps of the key before it: nothing
@@ -205,7 +334,7 @@ impl PageBuilder {
     /// Emits the page bytes; `next_leaf` is the forward sibling pointer.
     fn emit(&self, next_leaf: u64) -> Vec<u8> {
         let mut page = Vec::with_capacity(PAGE_SIZE);
-        page.push(self.is_leaf as u8);
+        page.push(1);
         page.extend_from_slice(&(self.n as u16).to_le_bytes());
         page.extend_from_slice(&next_leaf.to_le_bytes());
         page.extend_from_slice(&(self.restarts.len() as u16).to_le_bytes());
@@ -227,7 +356,7 @@ struct Pos {
     next: usize,
 }
 
-/// Zero-copy view over a tree page. What it reads comes off disk, so a
+/// Zero-copy view over a leaf page. What it reads comes off disk, so a
 /// corrupt page surfaces as `StorageError::Corrupt`, not a panic.
 struct PageView<'a> {
     page: &'a [u8],
@@ -241,7 +370,7 @@ impl<'a> PageView<'a> {
     fn new(page: &'a [u8]) -> Result<Self> {
         let (n, restarts) = (le::try_u16_at(page, 1)? as usize, le::try_u16_at(page, 11)? as usize);
         match page.len().checked_sub(2 * restarts) {
-            Some(end) if end >= PAGE_HEADER && page[0] <= 1 && restarts == n.div_ceil(RESTART_INTERVAL) => {
+            Some(end) if end >= PAGE_HEADER && page[0] == 1 && restarts == n.div_ceil(RESTART_INTERVAL) => {
                 Ok(PageView { page, n, restarts, end })
             }
             _ => Err(StorageError::Corrupt(format!(
@@ -252,13 +381,8 @@ impl<'a> PageView<'a> {
         }
     }
 
-    fn is_leaf(&self) -> bool {
-        self.page[0] == 1
-    }
-
-    fn next_leaf(&self) -> Option<u64> {
-        let v = le::u64_at(self.page, 3);
-        (v != NO_NEXT).then_some(v)
+    fn next_leaf(&self) -> u64 {
+        le::u64_at(self.page, 3)
     }
 
     /// Entry `idx`, which starts at byte `off`: its key — the first `shared`
@@ -289,6 +413,15 @@ impl<'a> PageView<'a> {
         self.at(0, PAGE_HEADER, key)
     }
 
+    /// The last entry, its whole key left in `key`.
+    fn last(&self, key: &mut Vec<u8>) -> Result<Pos> {
+        let mut at = self.first(key)?;
+        while at.idx + 1 < self.n {
+            at = self.at(at.idx + 1, at.next, key)?;
+        }
+        Ok(at)
+    }
+
     /// Restart `r`, its whole key left in `key`.
     fn restart(&self, r: usize, key: &mut Vec<u8>) -> Result<Pos> {
         let off = le::try_u16_at(self.page, self.end + 2 * r)? as usize;
@@ -297,9 +430,9 @@ impl<'a> PageView<'a> {
 
     /// The first entry whose key is not `before` the target — keys ascend,
     /// so every key ahead of it is and none after it — with its key left in
-    /// `key`, and the value of the entry ahead of it: a binary search of the
-    /// restart keys, then a walk of at most one interval.
-    fn seek(&self, before: impl Fn(&[u8]) -> bool, key: &mut Vec<u8>) -> Result<(Pos, Option<Range<usize>>)> {
+    /// `key`: a binary search of the restart keys, then a walk of at most one
+    /// interval.
+    fn seek(&self, before: impl Fn(&[u8]) -> bool, key: &mut Vec<u8>) -> Result<Pos> {
         let (mut lo, mut hi) = (0, self.restarts);
         while lo < hi {
             let mid = (lo + hi) / 2;
@@ -311,29 +444,15 @@ impl<'a> PageView<'a> {
             }
         }
         if lo == 0 {
-            return Ok((self.first(key)?, None));
+            return self.first(key);
         }
         let mut at = self.restart(lo - 1, key)?;
         loop {
-            let next = self.at(at.idx + 1, at.next, key)?;
-            if next.idx == self.n || !before(key) {
-                return Ok((next, Some(at.value)));
+            at = self.at(at.idx + 1, at.next, key)?;
+            if at.idx == self.n || !before(key) {
+                return Ok(at);
             }
-            at = next;
         }
-    }
-
-    /// The child to descend into for `target` (internal pages): that of the
-    /// rightmost entry with key <= target, clamped to the first.
-    fn child_for(&self, target: &[u8], key: &mut Vec<u8>) -> Result<u64> {
-        let (first_above, at_or_below) = self.seek(|k| k <= target, key)?;
-        self.child(at_or_below.unwrap_or(first_above.value))
-    }
-
-    /// What an internal page's entry whose value is `value` points to.
-    fn child(&self, value: Range<usize>) -> Result<u64> {
-        let bytes = self.page[value].try_into();
-        Ok(u64::from_le_bytes(bytes.map_err(|_| StorageError::Corrupt("internal entry is not a child pointer".into()))?))
     }
 }
 
@@ -362,41 +481,46 @@ enum Leaves {
 pub struct BTreeBuilder {
     writer: PageFileWriter,
     leaves: Leaves,
-    /// Separator of each completed page (or group) at the level below, with
-    /// what points to it.
-    pending_level: Vec<(Vec<u8>, u64)>,
+    /// A fence per leaf begun so far.
+    fences: Fences,
+    /// Each leaf's start, first and last key, for the audit at `finish`
+    /// (kept by debug builds only).
+    bounds: Vec<LeafBounds>,
     /// The key added last (empty before the first): one buffer, reused.
     last_key: Vec<u8>,
     first_key: Vec<u8>,
     entry_count: u64,
-    bloom: Option<BloomFilter>,
+    /// Each written key's hash pair (16 bytes a key) when the component has
+    /// a bloom filter: it is sized at `finish` for the keys written, which a
+    /// merge, whose inputs may hold the same keys, knows only then.
+    bloom: Option<Vec<(u64, u64)>>,
 }
 
 impl BTreeBuilder {
-    /// Starts building a tree of row leaves into `writer`. When
-    /// `expected_keys > 0` a bloom filter sized for that many keys is
-    /// attached to the component.
-    pub fn new(writer: PageFileWriter, expected_keys: usize) -> Self {
-        Self::over(writer, expected_keys, Leaves::Pages { leaf: PageBuilder::new(true), written: 0 })
+    /// Starts building a tree of row leaves into `writer`, with a bloom
+    /// filter over its keys when `bloom` is set.
+    pub fn new(writer: PageFileWriter, bloom: bool) -> Self {
+        Self::over(writer, bloom, Leaves::Pages { leaf: PageBuilder::new(), written: 0 })
     }
 
     /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are LSM
     /// entries whose rows `layout` takes apart.
-    pub fn with_layout(writer: PageFileWriter, expected_keys: usize, layout: Arc<RecordLayout>) -> Self {
+    pub fn with_layout(writer: PageFileWriter, bloom: bool, layout: Arc<RecordLayout>) -> Self {
         let group = Box::new(GroupBuilder::new(Arc::new(GroupShape::new(layout))));
         let hub = Arc::clone(writer.stats().lsm());
-        Self::over(writer, expected_keys, Leaves::Groups { group, buf: Vec::new(), written: 0, hub })
+        Self::over(writer, bloom, Leaves::Groups { group, buf: Vec::new(), written: 0, hub })
     }
 
-    fn over(writer: PageFileWriter, expected_keys: usize, leaves: Leaves) -> Self {
+    fn over(writer: PageFileWriter, bloom: bool, leaves: Leaves) -> Self {
         BTreeBuilder {
             writer,
             leaves,
-            pending_level: Vec::new(),
+            fences: Fences::default(),
+            bounds: Vec::new(),
             last_key: Vec::new(),
             first_key: Vec::new(),
             entry_count: 0,
-            bloom: (expected_keys > 0).then(|| BloomFilter::new(expected_keys, 10)),
+            bloom: bloom.then(Vec::new),
         }
     }
 
@@ -413,16 +537,17 @@ impl BTreeBuilder {
             return Err(StorageError::Invalid("a value added whole to a tree of leaf groups".into()));
         }
         self.admit(key)?;
+        let mut starts = None;
         if let Leaves::Pages { leaf, written } = &mut self.leaves {
             if !leaf.fits(key, value.len()) {
                 Self::finish_leaf(&mut self.writer, leaf, written)?;
             }
             if leaf.is_empty() {
-                self.pending_level.push((separator(&self.last_key, key), *written));
+                starts = Some(*written * PAGE_SIZE as u64);
             }
             leaf.push(key, value);
         }
-        self.admitted(key);
+        self.admitted(key, starts);
         Ok(())
     }
 
@@ -456,12 +581,9 @@ impl BTreeBuilder {
         if group.is_full() {
             Self::finish_group(&mut self.writer, group, buf, written, hub)?;
         }
-        let first = group.len() == 0;
+        let starts = (group.len() == 0).then_some(*written);
         push(group)?;
-        if first {
-            self.pending_level.push((separator(&self.last_key, key), *written));
-        }
-        self.admitted(key);
+        self.admitted(key, starts);
         Ok(())
     }
 
@@ -478,28 +600,36 @@ impl BTreeBuilder {
         Ok(())
     }
 
-    /// `key` is in its leaf.
-    fn admitted(&mut self, key: &[u8]) {
+    /// `key` is in its leaf, which it begins if `starts` says at what byte.
+    fn admitted(&mut self, key: &[u8], starts: Option<u64>) {
+        if let Some(start) = starts {
+            self.fences.push(&separator(&self.last_key, key), start);
+            if cfg!(debug_assertions) {
+                if let Some((_, _, last)) = self.bounds.last_mut() {
+                    last.clone_from(&self.last_key);
+                }
+                self.bounds.push((start, key.to_vec(), Vec::new()));
+            }
+        }
         if self.entry_count == 0 {
             self.first_key = key.to_vec();
         }
-        if let Some(b) = &mut self.bloom {
-            b.insert(key);
+        if let Some(pairs) = &mut self.bloom {
+            pairs.push(hash_pair(key));
         }
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.entry_count += 1;
     }
 
-    /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order, so
-    /// the next-pointer is simply the following page number; scans detect the
-    /// end of the leaf level by landing on a non-leaf page (internal pages,
-    /// bloom pages, and the trailer all start with a byte != 1).
+    /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order,
+    /// so the next-pointer is simply the following page number; a cursor
+    /// stops at the leaf area's end.
     fn finish_leaf(writer: &mut PageFileWriter, leaf: &mut PageBuilder, written: &mut u64) -> Result<()> {
         if leaf.is_empty() {
             return Ok(());
         }
-        let page = std::mem::replace(leaf, PageBuilder::new(true));
+        let page = std::mem::replace(leaf, PageBuilder::new());
         *written += 1;
         writer.append(&page.emit(*written))?;
         Ok(())
@@ -530,91 +660,62 @@ impl BTreeBuilder {
         Ok(())
     }
 
-    /// Finalizes the tree: writes leaves, internal levels, bloom and column
-    /// directory, trailer. Returns the opened component description.
+    /// Finalizes the tree: writes the last leaf and the footer behind it.
+    /// Returns the opened component description.
     pub fn finish(mut self) -> Result<BuiltTree> {
-        let (leaf_end, shape) = match &mut self.leaves {
+        // the leaf area's end, and the bytes of its last page not written yet
+        let (leaf_end, shape, mut tail) = match &mut self.leaves {
             Leaves::Pages { leaf, written } => {
                 Self::finish_leaf(&mut self.writer, leaf, written)?;
-                (*written * PAGE_SIZE as u64, None)
+                (*written * PAGE_SIZE as u64, None, Vec::new())
             }
             Leaves::Groups { group, buf, written, hub } => {
                 Self::finish_group(&mut self.writer, group, buf, written, hub)?;
-                if !buf.is_empty() {
-                    buf.resize(PAGE_SIZE, 0);
-                    self.writer.append(buf.as_slice())?;
-                }
-                (*written, Some(Arc::clone(group.shape())))
+                (*written, Some(Arc::clone(group.shape())), std::mem::take(buf))
             }
         };
-        // Build internal levels bottom-up; a page's separator is that of its
-        // first child.
-        let mut level = std::mem::take(&mut self.pending_level);
-        let mut next_page_no = self.writer.page_count();
-        let mut height = 0u32;
-        while level.len() > 1 {
-            let mut upper: Vec<(Vec<u8>, u64)> = Vec::new();
-            let mut pb = PageBuilder::new(false);
-            for (sep, child) in level {
-                if !pb.fits(&sep, 8) {
-                    self.writer.append(&pb.emit(NO_NEXT))?;
-                    next_page_no += 1;
-                    pb = PageBuilder::new(false);
-                }
-                pb.push(&sep, &child.to_le_bytes());
-                if pb.n == 1 {
-                    upper.push((sep, next_page_no));
-                }
+        if cfg!(debug_assertions) {
+            if let Some((_, _, last)) = self.bounds.last_mut() {
+                last.clone_from(&self.last_key);
             }
-            self.writer.append(&pb.emit(NO_NEXT))?;
-            next_page_no += 1;
-            height += 1;
-            level = upper;
+            self.fences.audit(&self.bounds, leaf_end, &self.writer.name())?;
         }
-        // a single-leaf or empty tree roots at its leaf area's start
-        let root = level.first().map_or(0, |(_, child)| *child);
-        // The bloom filter, the column directory, the symbol tables.
-        let bloom_bytes = self.bloom.as_ref().map(|b| b.to_bytes()).unwrap_or_default();
+        let bloom = self.bloom.as_deref().and_then(BloomFilter::of_pairs);
+        let mut fences = Vec::new();
+        self.fences.encode(&mut fences);
+        let bloom_bytes = bloom.as_ref().map(BloomFilter::to_bytes).unwrap_or_default();
         let columns = shape.as_ref().map(|s| column_directory(&s.layout)).unwrap_or_default();
         let mut tables = Vec::new();
         if let Some(shape) = &shape {
             shape.write_tables(&mut tables);
         }
-        let meta_start = next_page_no;
-        let mut meta_pages = 0u32;
-        for chunk in [bloom_bytes.as_slice(), columns.as_slice(), tables.as_slice()].concat().chunks(PAGE_SIZE) {
-            let mut page = vec![0u8; PAGE_SIZE];
-            page[..chunk.len()].copy_from_slice(chunk);
-            self.writer.append(&page)?;
-            meta_pages += 1;
-        }
-        // Trailer.
+        let regions = [&fences, &bloom_bytes, &columns, &tables];
+        let footer = tail.len();
+        regions.iter().for_each(|region| tail.extend_from_slice(region));
+        let trailer = tail.len();
+        tail.extend_from_slice(&self.entry_count.to_le_bytes());
+        tail.extend_from_slice(&leaf_end.to_le_bytes());
+        regions.iter().for_each(|region| tail.extend_from_slice(&(region.len() as u32).to_le_bytes()));
         let (min_key, max_key) = (self.first_key, self.last_key);
-        let mut trailer = Vec::with_capacity(PAGE_SIZE);
-        trailer.extend_from_slice(FORMAT.headers[0]);
-        trailer.extend_from_slice(&root.to_le_bytes());
-        trailer.extend_from_slice(&self.entry_count.to_le_bytes());
-        trailer.extend_from_slice(&leaf_end.to_le_bytes());
-        trailer.extend_from_slice(&height.to_le_bytes());
-        trailer.extend_from_slice(&meta_start.to_le_bytes());
-        trailer.extend_from_slice(&meta_pages.to_le_bytes());
-        trailer.extend_from_slice(&(bloom_bytes.len() as u32).to_le_bytes());
-        trailer.extend_from_slice(&(columns.len() as u32).to_le_bytes());
-        trailer.extend_from_slice(&(tables.len() as u32).to_le_bytes());
         for key in [&min_key, &max_key] {
-            trailer.extend_from_slice(&(key.len() as u32).to_le_bytes());
-            trailer.extend_from_slice(key);
+            tail.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            tail.extend_from_slice(key);
         }
-        trailer.resize(PAGE_SIZE, 0);
-        self.writer.append(&trailer)?;
+        let sum = le::fnv1a(&tail[footer..]);
+        tail.extend_from_slice(&sum.to_le_bytes());
+        tail.resize((tail.len() + TAIL).next_multiple_of(PAGE_SIZE) - TAIL, 0);
+        tail.extend_from_slice(&((tail.len() - trailer) as u32).to_le_bytes());
+        tail.extend_from_slice(FORMAT.headers[0]);
+        for page in tail.chunks_exact(PAGE_SIZE) {
+            self.writer.append(page)?;
+        }
         let file = self.writer.finish()?;
         Ok(BuiltTree {
             file,
-            root,
-            height,
+            fences: self.fences,
             leaf_end,
             entry_count: self.entry_count,
-            bloom: self.bloom,
+            bloom,
             min_key,
             max_key,
             shape,
@@ -625,8 +726,7 @@ impl BTreeBuilder {
 /// Result of a bulk load: everything needed to construct a [`DiskBTree`].
 pub struct BuiltTree {
     pub file: FileId,
-    root: u64,
-    height: u32,
+    fences: Fences,
     leaf_end: u64,
     pub entry_count: u64,
     pub bloom: Option<BloomFilter>,
@@ -639,15 +739,39 @@ pub struct BuiltTree {
 // Reader
 // ---------------------------------------------------------------------------
 
+/// The end of a component file, from page `first` on, read back as far as
+/// its reader needs.
+struct FileEnd {
+    first: u64,
+    bytes: Vec<u8>,
+}
+
+impl FileEnd {
+    /// Reads, in front of what it holds, the pages byte `from` needs.
+    fn reach(&mut self, manager: &FileManager, file: FileId, from: u64) -> Result<()> {
+        let page = from / PAGE_SIZE as u64;
+        if page < self.first {
+            let mut before = vec![0; (self.first - page) as usize * PAGE_SIZE];
+            manager.read_pages_into(file, page, &mut before)?;
+            before.extend_from_slice(&self.bytes);
+            (self.first, self.bytes) = (page, before);
+        }
+        Ok(())
+    }
+
+    /// The file's bytes from `at` to its end, which [`FileEnd::reach`] read.
+    fn bytes_at(&self, at: u64) -> &[u8] {
+        &self.bytes[(at - self.first * PAGE_SIZE as u64) as usize..]
+    }
+}
+
 /// A read-only handle on a B+ tree component; all page reads go through the
 /// buffer cache but a merge's ([`DiskBTree::scan_uncached`]).
 pub struct DiskBTree {
     cache: Arc<BufferCache>,
     file: FileId,
-    /// The root page — with no internal level, where the leaf area starts.
-    root: u64,
-    /// Internal levels above the leaf area.
-    height: u32,
+    /// Where each leaf starts, found by its separator.
+    fences: Fences,
     /// Where the leaf area ends, in bytes from the start of the file.
     leaf_end: u64,
     entry_count: u64,
@@ -664,8 +788,7 @@ impl DiskBTree {
         DiskBTree {
             cache,
             file: built.file,
-            root: built.root,
-            height: built.height,
+            fences: built.fences,
             leaf_end: built.leaf_end,
             entry_count: built.entry_count,
             bloom: built.bloom,
@@ -675,37 +798,48 @@ impl DiskBTree {
         }
     }
 
-    /// Opens an existing component file by reading its trailer page: a tree
-    /// of leaf groups under the `layout` it was written with, one of row
-    /// leaves under none.
+    /// Opens an existing component file by reading its footer: a tree of
+    /// leaf groups under the `layout` it was written with, one of row leaves
+    /// under none.
     pub fn open(cache: Arc<BufferCache>, file: FileId, layout: Option<&Arc<RecordLayout>>) -> Result<Self> {
-        let n_pages = cache.manager().page_count(file)?;
+        let manager = cache.manager();
+        let n_pages = manager.page_count(file)?;
         if n_pages == 0 {
             return Err(StorageError::Corrupt("empty btree file".into()));
         }
-        let page = cache.manager().read_page(file, n_pages - 1)?;
-        let mut trailer = Cursor::new(&page);
-        trailer.header(&FORMAT)?;
-        let (root, entry_count, leaf_end) = (trailer.u64()?, trailer.u64()?, trailer.u64()?);
-        let height = trailer.u32()?;
-        let (meta_start, meta_pages) = (trailer.u64()?, u64::from(trailer.u32()?));
-        let [bloom_len, columns_len, tables_len] = [trailer.u32()?, trailer.u32()?, trailer.u32()?].map(|n| n as usize);
+        let mut end = FileEnd { first: n_pages - 1, bytes: manager.read_page(file, n_pages - 1)? };
+        let mut tail = Cursor::at(&end.bytes, PAGE_SIZE - TAIL);
+        let back = u64::from(tail.u32()?);
+        tail.header(&FORMAT)?;
+        let corrupt = |what: &str| StorageError::Corrupt(format!("btree footer: {what}"));
+        let trailer_at = (n_pages * PAGE_SIZE as u64 - TAIL as u64)
+            .checked_sub(back)
+            .ok_or_else(|| corrupt("the trailer starts before the file"))?;
+        end.reach(manager, file, trailer_at)?;
+        let mut trailer = Cursor::new(end.bytes_at(trailer_at));
+        let (entry_count, leaf_end) = (trailer.u64()?, trailer.u64()?);
+        let lens = [trailer.u32()?, trailer.u32()?, trailer.u32()?, trailer.u32()?].map(|n| n as usize);
         let min_len = trailer.u32()? as usize;
         let min_key = trailer.bytes(min_len)?.to_vec();
         let max_len = trailer.u32()? as usize;
         let max_key = trailer.bytes(max_len)?.to_vec();
-        if leaf_end > meta_start.saturating_mul(PAGE_SIZE as u64) || meta_start.checked_add(meta_pages) != Some(n_pages - 1) {
-            return Err(StorageError::Corrupt("btree trailer: regions out of order".into()));
+        let summed = trailer.pos();
+        let sum = trailer.u32()?;
+        if lens.iter().try_fold(leaf_end, |at, &len| at.checked_add(len as u64)) != Some(trailer_at) {
+            return Err(corrupt("regions out of order"));
         }
-        let mut pages = Vec::with_capacity(meta_pages as usize * PAGE_SIZE);
-        for p in 0..meta_pages {
-            pages.extend_from_slice(&cache.manager().read_page(file, meta_start + p)?);
+        end.reach(manager, file, leaf_end)?;
+        let regions = end.bytes_at(leaf_end);
+        let regions = &regions[..(trailer_at - leaf_end) as usize + summed];
+        if le::fnv1a(regions) != sum {
+            return Err(corrupt("checksum mismatch"));
         }
-        let mut meta = Cursor::new(&pages);
-        let (bloom, columns, tables) = (meta.bytes(bloom_len)?, meta.bytes(columns_len)?, meta.bytes(tables_len)?);
+        let mut c = Cursor::new(regions);
+        let [fences, bloom, columns, tables] = lens;
+        let (fences, bloom, columns, tables) = (c.bytes(fences)?, c.bytes(bloom)?, c.bytes(columns)?, c.bytes(tables)?);
         let bloom = match bloom {
             [] => None,
-            bytes => Some(BloomFilter::from_bytes(bytes).ok_or_else(|| StorageError::Corrupt("bad bloom filter".into()))?),
+            bytes => Some(BloomFilter::from_bytes(bytes).ok_or_else(|| corrupt("bad bloom filter"))?),
         };
         let shape = match layout {
             None if columns.is_empty() && tables.is_empty() => None,
@@ -718,7 +852,52 @@ impl DiskBTree {
                 ))
             }
         };
-        Ok(DiskBTree { cache, file, root, height, leaf_end, entry_count, bloom, min_key, max_key, shape })
+        let fences = Fences::decode(fences)?;
+        let tree = DiskBTree { cache, file, fences, leaf_end, entry_count, bloom, min_key, max_key, shape };
+        if cfg!(debug_assertions) {
+            tree.audit()?;
+        }
+        Ok(tree)
+    }
+
+    /// [`Fences::audit`] of an opened tree, against each leaf's first and
+    /// last key as its file holds them. It reads the file itself, past the
+    /// page layer, so that a debug build counts, caches and faults the same
+    /// I/O as a release build.
+    fn audit(&self) -> Result<()> {
+        let manager = self.cache.manager();
+        let name = manager.name_of(self.file)?;
+        let image = std::fs::read(manager.dir().join(&name))?;
+        let mut leaves = Vec::with_capacity(self.fences.len());
+        let (mut at, mut key) = (0, Vec::new());
+        while at < self.leaf_end {
+            let (first, len) = match &self.shape {
+                None => {
+                    let view = PageView::new(le::try_bytes_at(&image, at as usize, PAGE_SIZE)?)?;
+                    view.first(&mut key)?;
+                    let first = key.clone();
+                    view.last(&mut key)?;
+                    (first, PAGE_SIZE as u64)
+                }
+                Some(shape) => {
+                    let dir = GroupDir::parse(le::try_bytes_at(&image, at as usize, shape.dir_len())?, shape)?;
+                    let mut group = le::try_bytes_at(&image, at as usize, dir.len as usize)?;
+                    let mut view = GroupView { shape, dir: &dir, src: &mut group };
+                    key.clear();
+                    key.extend_from_slice(view.key_prefix()?);
+                    let prefix = key.len();
+                    let first = [&key, view.key_suffix(prefix, 0)?].concat();
+                    key.extend_from_slice(view.key_suffix(prefix, dir.n - 1)?);
+                    (first, dir.len)
+                }
+            };
+            leaves.push((at, first, key.clone()));
+            at += len;
+        }
+        if at != self.leaf_end {
+            return Err(StorageError::Corrupt(format!("{name}: its last leaf runs past the leaf area's end, {}", self.leaf_end)));
+        }
+        self.fences.audit(&leaves, self.leaf_end, &name)
     }
 
     /// The component's file id.
@@ -760,24 +939,6 @@ impl DiskBTree {
             || key > self.max_key.as_slice()
     }
 
-    /// Where in the leaf area `key` belongs — the leaf page, or the first
-    /// byte of the leaf group; the leftmost without a key.
-    fn descend(&self, key: Option<&[u8]>) -> Result<u64> {
-        let (mut at, mut scratch) = (self.root, Vec::new());
-        for _ in 0..self.height {
-            let page = self.cache.get(self.file, at)?;
-            let view = PageView::new(&page)?;
-            if view.is_leaf() {
-                return Err(StorageError::Corrupt("a leaf page among the internal levels".into()));
-            }
-            at = match key {
-                Some(key) => view.child_for(key, &mut scratch)?,
-                None => view.child(view.first(&mut scratch)?.value)?,
-            };
-        }
-        Ok(at)
-    }
-
     /// Point lookup. Consults the bloom filter first.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         if self.shape.is_some() {
@@ -786,9 +947,9 @@ impl DiskBTree {
         if self.rules_out(key) {
             return Ok(None);
         }
-        let page = self.cache.get(self.file, self.descend(Some(key))?)?;
+        let page = self.cache.get(self.file, self.fences.find(Some(key)) / PAGE_SIZE as u64)?;
         let (view, mut found) = (PageView::new(&page)?, Vec::with_capacity(key.len()));
-        let (at, _) = view.seek(|k| k < key, &mut found)?;
+        let at = view.seek(|k| k < key, &mut found)?;
         Ok((at.idx < view.n && found == key).then(|| page[at.value].to_vec()))
     }
 
@@ -818,7 +979,7 @@ impl DiskBTree {
             Bound::Unbounded => None,
             Bound::Included(k) | Bound::Excluded(k) => Some((k, matches!(lo, Bound::Excluded(_)))),
         };
-        let at = self.descend(start.map(|(k, _)| k))?;
+        let at = self.fences.find(start.map(|(k, _)| k));
         self.cursor(tree, at, start, hi)
     }
 
@@ -838,12 +999,12 @@ impl DiskBTree {
         self.cursor(tree, 0, None, Bound::Unbounded)
     }
 
-    /// A cursor over `tree`'s leaf area from `at` (see [`DiskBTree::descend`]):
-    /// at the first entry from `start` on — past it, if the flag says so —
-    /// that is within `hi`.
+    /// A cursor over `tree`'s leaf area from the leaf that starts at byte
+    /// `at`: at the first entry from `start` on — past it, if the flag says
+    /// so — that is within `hi`.
     fn cursor(&self, tree: TreeRef, at: u64, start: Option<(&[u8], bool)>, hi: Bound<Vec<u8>>) -> Result<BTreeRangeIter> {
         let leaf = match &self.shape {
-            None => Leaf::Page(PageCursor::open(tree, at, start)?),
+            None => Leaf::Page(PageCursor::open(tree, at / PAGE_SIZE as u64, self.leaf_end, start)?),
             Some(shape) => Leaf::Group(GroupCursor::open(tree, Arc::clone(shape), self.leaf_end, at, start)?),
         };
         let mut iter = BTreeRangeIter { leaf: Some(leaf), ended: false, hi, key: Vec::with_capacity(32) };
@@ -866,17 +1027,19 @@ struct PageCursor {
     pos: Pos,
     /// The key of the entry at `pos`: the next entry's delta applies to it.
     key: Vec<u8>,
+    /// Where the leaf area ends: the footer behind it may begin with any byte.
+    leaf_end: u64,
 }
 
 impl PageCursor {
-    fn open(mut tree: TreeRef, page_no: u64, start: Option<(&[u8], bool)>) -> Result<PageCursor> {
+    fn open(mut tree: TreeRef, page_no: u64, leaf_end: u64, start: Option<(&[u8], bool)>) -> Result<PageCursor> {
         let page = tree.leaf(page_no, false)?;
         let (view, mut key) = (PageView::new(&page)?, Vec::with_capacity(32));
         let pos = match start {
             None => view.first(&mut key)?,
-            Some((target, after)) => view.seek(|k| if after { k <= target } else { k < target }, &mut key)?.0,
+            Some((target, after)) => view.seek(|k| if after { k <= target } else { k < target }, &mut key)?,
         };
-        Ok(PageCursor { tree, page, pos, key })
+        Ok(PageCursor { tree, page, pos, key, leaf_end })
     }
 
     /// Moves to the next entry of the page, or past its last.
@@ -1158,14 +1321,12 @@ impl BTreeRangeIter {
                     if at.pos.idx < view.n {
                         break;
                     }
-                    // Leaves are packed first in the file, so the last leaf's
-                    // next-pointer lands on a non-leaf page — that is the end
-                    // of the scan.
-                    let Some(next) = view.next_leaf() else { return Ok(false) };
-                    let page = at.tree.leaf(next, true)?;
-                    if page.first() != Some(&1) {
+                    // the last leaf's next-pointer is the footer's first page
+                    let next = view.next_leaf();
+                    if next.saturating_mul(PAGE_SIZE as u64) >= at.leaf_end {
                         return Ok(false);
                     }
+                    let page = at.tree.leaf(next, true)?;
                     at.pos = PageView::new(&page)?.first(&mut at.key)?;
                     at.page = page;
                 }
@@ -1336,7 +1497,7 @@ mod tests {
 
     fn build(cache: &Arc<BufferCache>, name: &str, n: i64, bloom: bool) -> DiskBTree {
         let w = cache.manager().bulk_writer(name).unwrap();
-        let mut b = BTreeBuilder::new(w, if bloom { n as usize } else { 0 });
+        let mut b = BTreeBuilder::new(w, bloom);
         for i in 0..n {
             b.add(&key(i), format!("value-{i}").as_bytes()).unwrap();
         }
@@ -1447,7 +1608,7 @@ mod tests {
     fn rejects_unsorted_input() {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("u.btree").unwrap();
-        let mut b = BTreeBuilder::new(w, 0);
+        let mut b = BTreeBuilder::new(w, false);
         b.add(&key(5), b"x").unwrap();
         assert!(b.add(&key(5), b"y").is_err(), "duplicate key");
         assert!(b.add(&key(4), b"z").is_err(), "descending key");
@@ -1457,7 +1618,7 @@ mod tests {
     fn rejects_oversized_entry() {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("o.btree").unwrap();
-        let mut b = BTreeBuilder::new(w, 0);
+        let mut b = BTreeBuilder::new(w, false);
         let huge = vec![0u8; PAGE_SIZE];
         match b.add(&key(1), &huge) {
             Err(StorageError::RecordTooLarge { .. }) => {}
@@ -1469,7 +1630,7 @@ mod tests {
     fn string_and_composite_keys() {
         let (cache, _d) = setup(64);
         let w = cache.manager().bulk_writer("c.btree").unwrap();
-        let mut b = BTreeBuilder::new(w, 100);
+        let mut b = BTreeBuilder::new(w, true);
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for i in 0..100 {
             keys.push(encode_key(&[
@@ -1506,7 +1667,7 @@ mod tests {
         let (cache, _d) = setup(64);
         let mut keys: Vec<Vec<u8>> = (0..20_000).map(|id| author_key(id % 2_000, id)).collect();
         keys.sort();
-        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("a.btree").unwrap(), 0);
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("a.btree").unwrap(), false);
         for k in &keys {
             b.add(k, &[PUT]).unwrap();
         }
@@ -1518,15 +1679,14 @@ mod tests {
         assert_eq!(got, (0..10).map(|m| author_key(700, 700 + 2_000 * m)).collect::<Vec<_>>());
     }
 
-    /// Where a search lands: the entry's number, its key and the value of the
-    /// entry ahead of it.
-    type Landing = (usize, Vec<u8>, Option<Vec<u8>>);
+    /// Where a search lands: the entry's number and its key.
+    type Landing = (usize, Vec<u8>);
 
-    /// What a reader makes of a page: its header, each entry walked from the
-    /// first, each restart's key, and where a search for each probe lands —
-    /// at the first key not below it (a cursor's start, a get) and the first
-    /// key above it (an internal page's descent).
-    type PageRead = (bool, Option<u64>, Vec<(Vec<u8>, Vec<u8>)>, Vec<Vec<u8>>, Vec<[Landing; 2]>);
+    /// What a reader makes of a page: its next-pointer, each entry walked
+    /// from the first, each restart's key, and where a search for each probe
+    /// lands — at the first key not below it (a cursor's start, a get) and
+    /// the first key above it (a cursor past an excluded bound).
+    type PageRead = (u64, Vec<(Vec<u8>, Vec<u8>)>, Vec<Vec<u8>>, Vec<[Landing; 2]>);
 
     fn read_page(page: &[u8], probes: &[Vec<u8>]) -> Result<PageRead> {
         let view = PageView::new(page)?;
@@ -1540,74 +1700,156 @@ mod tests {
         let mut landings = Vec::new();
         for p in probes {
             let mut land = |above: bool| -> Result<Landing> {
-                let (at, ahead) = view.seek(|k| if above { k <= p } else { k < p }, &mut key)?;
-                Ok((at.idx, key.clone(), ahead.map(|v| page[v].to_vec())))
+                let at = view.seek(|k| if above { k <= p } else { k < p }, &mut key)?;
+                Ok((at.idx, key.clone()))
             };
             landings.push([land(false)?, land(true)?]);
         }
-        Ok((view.is_leaf(), view.next_leaf(), entries, restarts, landings))
+        Ok((view.next_leaf(), entries, restarts, landings))
     }
 
-    /// A row leaf and an internal page, damaged: any one byte of either
-    /// flipped, or the page cut short anywhere, reads as `Corrupt` or as
-    /// another page — never a panic. Varints, `shared`, the restart offsets
-    /// and the lengths all come off the page through checked reads.
+    /// A row leaf, damaged: any one byte flipped, or the page cut short
+    /// anywhere, reads as `Corrupt` or as another page — never a panic.
+    /// Varints, `shared`, the restart offsets and the lengths all come off
+    /// the page through checked reads.
     #[test]
     fn a_damaged_page_is_corrupt_not_a_panic() {
-        // a leaf of secondary-index entries with values of 0 to 2 bytes, and
-        // an internal page of separators and child pointers
-        let (mut leaf, mut internal) = (PageBuilder::new(true), PageBuilder::new(false));
+        // a leaf of secondary-index entries with values of 0 to 2 bytes
+        let mut builder = PageBuilder::new();
         for i in 0..100 {
-            leaf.push(&author_key(i / 7, 13 * i), &vec![i as u8; i as usize % 3]);
+            builder.push(&author_key(i / 7, 13 * i), &vec![i as u8; i as usize % 3]);
         }
-        for i in 0..70u64 {
-            let (prev, next) = (author_key(i as i64 * 3 - 1, 0), author_key(i as i64 * 3, 0));
-            internal.push(&separator(&prev, &next), &i.to_le_bytes());
+        let page = builder.emit(7);
+        let (entries_end, restarts) = (PAGE_HEADER + builder.bytes.len(), PAGE_SIZE - 2 * builder.restarts.len());
+        let keys = read_page(&page, &[]).unwrap().1;
+        assert_eq!(keys.len(), builder.n);
+        let mut probes = vec![Vec::new(), vec![0xFF]];
+        for (k, _) in keys.iter().step_by(7) {
+            probes.extend([k.clone(), [k.as_slice(), &[0]].concat(), k[..k.len() - 1].to_vec()]);
         }
-        for (builder, next_leaf) in [(leaf, 7), (internal, NO_NEXT)] {
-            let page = builder.emit(next_leaf);
-            let (entries_end, restarts) = (PAGE_HEADER + builder.bytes.len(), PAGE_SIZE - 2 * builder.restarts.len());
-            let keys = read_page(&page, &[]).unwrap().2;
-            assert_eq!(keys.len(), builder.n);
-            let mut probes = vec![Vec::new(), vec![0xFF]];
-            for (k, _) in keys.iter().step_by(7) {
-                probes.extend([k.clone(), [k.as_slice(), &[0]].concat(), k[..k.len() - 1].to_vec()]);
+        let sound = read_page(&page, &probes).unwrap();
+        // every byte of the header, the entries and the restarts, and one
+        // in 64 of the unread bytes between them
+        let unread = entries_end..restarts;
+        let places = || (0..PAGE_SIZE).filter(|at| !unread.contains(at) || at % 64 == 0);
+        let mut corrupt = 0;
+        for at in places() {
+            let mut bad = page.clone();
+            bad[at] ^= 0xA5;
+            match read_page(&bad, &probes) {
+                Err(StorageError::Corrupt(_)) => corrupt += 1,
+                Err(e) => panic!("byte {at}: {e}"),
+                Ok(read) => assert!(read != sound || unread.contains(&at), "byte {at}"),
             }
-            let sound = read_page(&page, &probes).unwrap();
-            // every byte of the header, the entries and the restarts, and one
-            // in 64 of the unread bytes between them
-            let unread = entries_end..restarts;
-            let places = || (0..PAGE_SIZE).filter(|at| !unread.contains(at) || at % 64 == 0);
-            let mut corrupt = 0;
-            for at in places() {
-                let mut bad = page.clone();
-                bad[at] ^= 0xA5;
-                match read_page(&bad, &probes) {
-                    Err(StorageError::Corrupt(_)) => corrupt += 1,
-                    Err(e) => panic!("byte {at}: {e}"),
-                    Ok(read) => assert!(read != sound || unread.contains(&at), "byte {at}"),
-                }
+        }
+        assert!(corrupt > builder.n, "lengths, `shared` and restarts are checked ({corrupt} caught)");
+        for len in places() {
+            match read_page(&page[..len], &probes) {
+                Err(StorageError::Corrupt(_)) => {}
+                Err(e) => panic!("cut at {len}: {e}"),
+                Ok(read) => assert!(read != sound, "cut at {len}"),
             }
-            assert!(corrupt > builder.n, "lengths, `shared` and restarts are checked ({corrupt} caught)");
-            for len in places() {
-                match read_page(&page[..len], &probes) {
-                    Err(StorageError::Corrupt(_)) => {}
-                    Err(e) => panic!("cut at {len}: {e}"),
-                    Ok(read) => assert!(read != sound, "cut at {len}"),
-                }
+        }
+        // named damage: a restart past the entries, two restarts swapped,
+        // an entry keeping more of the key before it than there is, and a
+        // page that is not a leaf's
+        let damaged = |at: usize, bytes: &[u8]| {
+            let mut bad = page.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            read_page(&bad, &probes)
+        };
+        assert!(matches!(damaged(restarts + 2, &[0xFF, 0x1F]), Err(StorageError::Corrupt(_))));
+        let swapped = [&page[restarts + 4..restarts + 6], &page[restarts + 2..restarts + 4]].concat();
+        assert!(damaged(restarts + 2, &swapped).is_ok_and(|read| read != sound));
+        let second = PAGE_HEADER + 3 + keys[0].0.len() + keys[0].1.len();
+        assert!(matches!(damaged(second, &[keys[0].0.len() as u8 + 1]), Err(StorageError::Corrupt(_))));
+        assert!(matches!(damaged(0, &[0]), Err(StorageError::Corrupt(_))));
+    }
+
+    // -- the footer ---------------------------------------------------------
+
+    /// The regions of a component file's footer, as its last bytes and its
+    /// trailer place them: `(leaf_end, [fence index, bloom, column directory,
+    /// symbol tables])`, each a range of the file.
+    fn footer_of(image: &[u8]) -> (u64, [Range<usize>; 4]) {
+        let back = le::u32_at(image, image.len() - TAIL) as usize;
+        let mut trailer = Cursor::new(&image[image.len() - TAIL - back..]);
+        trailer.u64().unwrap();
+        let leaf_end = trailer.u64().unwrap();
+        let mut at = leaf_end as usize;
+        let regions = [(); 4].map(|()| {
+            let len = trailer.u32().unwrap() as usize;
+            at += len;
+            at - len..at
+        });
+        (leaf_end, regions)
+    }
+
+    /// A row-leaf tree of one leaf page: its fence index, right behind the
+    /// leaf, begins with its count — the byte 1 a leaf page begins with. A
+    /// full scan, a range through the cache and a merge's scan outside it
+    /// each stop at the last entry.
+    #[test]
+    fn a_cursor_stops_at_the_leaf_areas_end() {
+        let (cache, dir) = setup(64);
+        let t = build(&cache, "one.btree", 40, true);
+        let image = std::fs::read(dir.path().join("one.btree")).unwrap();
+        let (leaf_end, [fences, ..]) = footer_of(&image);
+        assert_eq!((leaf_end, fences.start), (PAGE_SIZE as u64, PAGE_SIZE));
+        assert_eq!(image[fences.start], 1, "one fence");
+        let want: Vec<_> = (0..40).map(|i| (key(i), format!("value-{i}").into_bytes())).collect();
+        assert_eq!(t.scan().unwrap().map(|r| r.unwrap()).collect::<Vec<_>>(), want);
+        assert_eq!(t.scan_uncached().unwrap().map(|r| r.unwrap()).collect::<Vec<_>>(), want);
+        let tail: Vec<_> = t.range(Bound::Excluded(&key(37)), Bound::Unbounded).unwrap().map(|r| r.unwrap().0).collect();
+        assert_eq!(tail, [key(38), key(39)]);
+        // and an LSM tree's merge of two such components
+        let config = crate::lsm::LsmConfig { merge_policy: crate::lsm::MergePolicy::NoMerge, ..crate::lsm::LsmConfig::new("m") };
+        let mut lsm = crate::lsm::LsmTree::new(Arc::clone(&cache), config);
+        for half in [0..20, 20..40] {
+            for i in half {
+                lsm.upsert(key(i), format!("value-{i}").into_bytes()).unwrap();
             }
-            // named damage: a restart past the entries, two restarts swapped,
-            // and an entry keeping more of the key before it than there is
-            let damaged = |at: usize, bytes: &[u8]| {
-                let mut bad = page.clone();
-                bad[at..at + bytes.len()].copy_from_slice(bytes);
-                read_page(&bad, &probes)
-            };
-            assert!(matches!(damaged(restarts + 2, &[0xFF, 0x1F]), Err(StorageError::Corrupt(_))));
-            let swapped = [&page[restarts + 4..restarts + 6], &page[restarts + 2..restarts + 4]].concat();
-            assert!(damaged(restarts + 2, &swapped).is_ok_and(|read| read != sound));
-            let second = PAGE_HEADER + 3 + keys[0].0.len() + keys[0].1.len();
-            assert!(matches!(damaged(second, &[keys[0].0.len() as u8 + 1]), Err(StorageError::Corrupt(_))));
+            lsm.flush().unwrap();
+        }
+        lsm.merge_newest(2).unwrap();
+        assert_eq!(crate::lsm::LsmIndex::component_count(&lsm), 1);
+        assert_eq!(lsm.scan().unwrap(), want);
+    }
+
+    /// The footer packs behind the leaves: a leaf-group tree's at the leaf
+    /// area's last byte, a row-leaf tree's on the page after its last leaf,
+    /// and the file ends on the page that holds the footer's end.
+    #[test]
+    fn the_footer_starts_where_the_leaf_area_ends() {
+        let (cache, dir) = setup(64);
+        for (name, t) in [("g.btree", build_groups(&cache, "g.btree", 1_500)), ("r.btree", build(&cache, "r.btree", 3_000, true))] {
+            let image = std::fs::read(dir.path().join(name)).unwrap();
+            let (leaf_end, regions) = footer_of(&image);
+            assert_eq!((leaf_end, regions[0].start), (t.leaf_end, t.leaf_end as usize), "{name}");
+            let trailer = regions[3].end;
+            assert_eq!(image.len(), (trailer + 1).next_multiple_of(PAGE_SIZE).max(PAGE_SIZE), "{name}: no page past the footer's");
+            assert!(image.len() - trailer < PAGE_SIZE + 4 * 1024, "{name}");
+            assert_eq!(t.fences.len(), if name == "g.btree" { 2 } else { t.leaf_end as usize / PAGE_SIZE }, "{name}");
+        }
+    }
+
+    /// A flush-time audit: a fence index whose separators are the leaves'
+    /// last keys is refused at `finish`, naming the component.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not audit the fence index")]
+    fn a_fence_above_its_leafs_first_key_fails_the_audit() {
+        let (cache, _d) = setup(64);
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("bad_c7.btree").unwrap(), false);
+        for i in 0..2_000 {
+            b.add(&key(i), b"v").unwrap();
+        }
+        b.fences.keys.push(0xFF);
+        let last = b.fences.ends.len() - 1;
+        b.fences.ends[last] += 1;
+        match b.finish() {
+            Err(StorageError::Corrupt(why)) => assert!(why.starts_with("bad_c7.btree: the fence index"), "{why}"),
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("audit passed"),
         }
     }
 
@@ -1642,7 +1884,7 @@ mod tests {
     /// Messages `0..n` as a tree of leaf groups, every seventh a delete marker.
     fn build_groups(cache: &Arc<BufferCache>, name: &str, n: i64) -> DiskBTree {
         let w = cache.manager().bulk_writer(name).unwrap();
-        let mut b = BTreeBuilder::with_layout(w, n as usize, message_layout());
+        let mut b = BTreeBuilder::with_layout(w, true, message_layout());
         for i in 0..n {
             b.add_row(&key(i), (i % 7 != 6).then(|| message(i).0).as_deref()).unwrap();
         }
@@ -1723,23 +1965,16 @@ mod tests {
         }
     }
 
-    /// The column directory in a file's meta pages leads with a byte `1`,
-    /// then the column count, whatever the layout: the bytes every tree a
-    /// dataset wrote holds there.
+    /// The column directory in a file's footer leads with a byte `1`, then
+    /// the column count, whatever the layout: the bytes every tree a dataset
+    /// wrote holds there.
     #[test]
     fn the_column_directory_leads_with_a_one() {
-        let (cache, _d) = setup(64);
-        let file = build_groups(&cache, "d.btree", 50).file();
-        let page = |n: u64| cache.manager().read_page(file, n).unwrap();
-        let trailer = page(cache.manager().page_count(file).unwrap() - 1);
-        let mut c = Cursor::new(&trailer);
-        c.header(&FORMAT).unwrap();
-        c.bytes(8 + 8 + 8 + 4).unwrap(); // root, entries, leaf end, height
-        let meta_start = c.u64().unwrap();
-        c.u32().unwrap(); // meta pages
-        let bloom_len = c.u32().unwrap() as usize;
-        let meta = page(meta_start + (bloom_len / PAGE_SIZE) as u64);
-        assert_eq!(meta[bloom_len % PAGE_SIZE..][..3], [1, 5, 0], "a one, then five columns as a u16");
+        let (cache, dir) = setup(64);
+        build_groups(&cache, "d.btree", 50);
+        let image = std::fs::read(dir.path().join("d.btree")).unwrap();
+        let (_, [_, _, columns, _]) = footer_of(&image);
+        assert_eq!(image[columns][..3], [1, 5, 0], "a one, then five columns as a u16");
         assert_eq!(column_directory(&RecordLayout::new(&ObjectType::open("T", vec![])))[..], [1, 0, 0]);
     }
 
@@ -1747,13 +1982,13 @@ mod tests {
     fn a_leaf_group_entry_is_a_row_or_a_delete_marker() {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("v.btree").unwrap();
-        let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
+        let mut b = BTreeBuilder::with_layout(w, false, message_layout());
         assert!(matches!(b.add(&key(1), &message(1).1), Err(StorageError::Invalid(_))), "a value, whole");
         assert!(matches!(b.add_row(&key(1), Some(&[1])), Err(StorageError::Adm(_))), "not a row of the layout");
         b.add_row(&key(1), Some(&message(1).0)).unwrap();
         assert!(b.add_row(&key(1), None).is_err(), "duplicate key");
         let w = cache.manager().bulk_writer("w.btree").unwrap();
-        assert!(matches!(BTreeBuilder::new(w, 0).add_cells(&key(1), None), Err(StorageError::Invalid(_))));
+        assert!(matches!(BTreeBuilder::new(w, false).add_cells(&key(1), None), Err(StorageError::Invalid(_))));
     }
 
     /// Groups follow one another with no padding, so a directory, a bitmap
@@ -1786,7 +2021,7 @@ mod tests {
         // builds the tree, checks it, and says where in its page the second group starts
         let check = |pad: usize, filler: usize| {
             let w = cache.manager().bulk_writer(&format!("s{pad}-{filler}.btree")).unwrap();
-            let mut b = BTreeBuilder::with_layout(w, 0, message_layout());
+            let mut b = BTreeBuilder::with_layout(w, false, message_layout());
             for i in 0..n {
                 b.add_row(&key(i), (i % 13 != 5).then(|| row(pad, filler, i)).as_deref()).unwrap();
             }

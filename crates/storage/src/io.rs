@@ -390,6 +390,11 @@ impl PageFileWriter {
         self.pages
     }
 
+    /// The file's name within its device directory.
+    pub(crate) fn name(&self) -> String {
+        crate::faults::target_name(&self.path)
+    }
+
     /// The counters of the file manager it writes for.
     pub(crate) fn stats(&self) -> &Arc<IoStats> {
         &self.manager.stats

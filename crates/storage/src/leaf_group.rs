@@ -5,7 +5,7 @@
 //! up to [`GROUP_RECORDS`] consecutive entries whose cells
 //! (`asterix_adm::layout`) are kept column by column. A group is a run of
 //! bytes in the file's leaf area (groups follow one another with no padding;
-//! the internal level above points at a group's first byte):
+//! the tree's fence index points at a group's first byte):
 //!
 //! ```text
 //! [directory][keys][tombstones][presence * cells][data * cells]

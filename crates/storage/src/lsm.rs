@@ -342,15 +342,13 @@ impl BTreeKind {
         Ok(Entry::payload(at.entry()?.1)?.is_none())
     }
 
-    /// Opens the file of component `id` for bulk loading about
-    /// `expected_keys` entries (which sizes the bloom filter, if any).
-    fn builder(&self, id: u64, expected_keys: usize) -> Result<BTreeBuilder> {
+    /// Opens the file of component `id` for bulk loading.
+    fn builder(&self, id: u64) -> Result<BTreeBuilder> {
         let name = format!("{}_c{}.btree", self.config.name, id);
         let writer = self.cache.manager().bulk_writer(&name)?;
-        let expected_keys = if self.config.bloom { expected_keys } else { 0 };
         Ok(match &self.config.layout {
-            None => BTreeBuilder::new(writer, expected_keys),
-            Some(layout) => BTreeBuilder::with_layout(writer, expected_keys, Arc::clone(layout)),
+            None => BTreeBuilder::new(writer, self.config.bloom),
+            Some(layout) => BTreeBuilder::with_layout(writer, self.config.bloom, Arc::clone(layout)),
         })
     }
 
@@ -390,7 +388,7 @@ impl ComponentKind for BTreeKind {
     }
 
     fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
-        let mut builder = self.builder(id, mem.len())?;
+        let mut builder = self.builder(id)?;
         let mut raw = Vec::new();
         for (k, e) in mem.iter() {
             if self.config.layout.is_some() {
@@ -429,8 +427,7 @@ impl ComponentKind for BTreeKind {
         inputs: &[Arc<Component<Self>>],
         includes_oldest: bool,
     ) -> Result<MergeRun> {
-        let expected: u64 = inputs.iter().map(|c| c.disk.len()).sum();
-        let builder = self.builder(id, expected as usize)?;
+        let builder = self.builder(id)?;
         let cursors = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
         Ok(MergeRun { merge: KWayMerge::new(cursors), builder, includes_oldest, written: 0, cells: Cells::default() })
     }
@@ -1031,6 +1028,38 @@ mod tests {
             assert!(t.get(&k(i)).unwrap().is_none());
         }
         assert_eq!(cache.stats().physical_reads(), before);
+    }
+
+    /// A merge's bloom filter is sized for the keys it keeps, not for its
+    /// inputs' entries: five components over overlapping keys merge into the
+    /// very file a flush of their distinct keys writes, and every key is
+    /// found through it.
+    #[test]
+    fn a_merged_bloom_is_sized_for_the_keys_it_keeps() {
+        let (cache, dir) = setup();
+        let mut merged = LsmTree::new(cache.clone(), manual_config("m", MergePolicy::NoMerge));
+        let mut model = std::collections::BTreeMap::new();
+        for c in 0..5 {
+            for i in c * 100..c * 100 + 400 {
+                merged.upsert(k(i), format!("v{c}-{i}").into_bytes()).unwrap();
+                model.insert(i, format!("v{c}-{i}").into_bytes());
+            }
+            merged.flush().unwrap();
+        }
+        merged.merge_newest(5).unwrap();
+        let mut flushed = LsmTree::new(cache.clone(), manual_config("f", MergePolicy::NoMerge));
+        for (i, v) in &model {
+            flushed.upsert(k(*i), v.clone()).unwrap();
+        }
+        flushed.flush().unwrap();
+        let image = |t: &LsmTree| {
+            let [component] = t.shared.snapshot().try_into().ok().unwrap();
+            std::fs::read(dir.path().join(cache.manager().name_of(component.disk.file()).unwrap())).unwrap()
+        };
+        assert_eq!(image(&merged), image(&flushed), "2 000 entries merged into 800 keys");
+        for (i, v) in &model {
+            assert_eq!(merged.get(&k(*i)).unwrap().as_deref(), Some(v.as_slice()), "key {i}");
+        }
     }
 
     #[test]

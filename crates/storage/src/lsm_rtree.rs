@@ -183,7 +183,7 @@ impl RTreeKind {
             None
         } else {
             let writer = manager.bulk_writer(&format!("{}_c{}.delkeys", self.config.name, id))?;
-            let mut b = BTreeBuilder::new(writer, tombstones.len());
+            let mut b = BTreeBuilder::new(writer, true);
             for k in tombstones {
                 b.add(k, &[])?;
             }

@@ -6,7 +6,7 @@ use asterix_adm::binary::encode_key;
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
-use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY, MAX_KEY, PUT, TOMBSTONE};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
@@ -143,7 +143,7 @@ proptest! {
                            lo in -600i64..600, width in 0i64..200) {
         let (cache, _d) = setup(64);
         let w = cache.manager().bulk_writer("p.btree").unwrap();
-        let mut b = BTreeBuilder::new(w, keys.len());
+        let mut b = BTreeBuilder::new(w, true);
         let model: BTreeMap<i64, Vec<u8>> = std::mem::take(&mut keys)
             .into_iter()
             .map(|i| (i, format!("v{i}").into_bytes()))
@@ -381,7 +381,7 @@ fn as_slice(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
 /// every key behind `shared` bytes they have in common; and values that are
 /// empty, short, or as long as a page takes (`fill`), which makes pages of
 /// hundreds of entries, or one-entry leaves and, past a few hundred of them,
-/// a second internal level.
+/// a fence index of several pages.
 fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Vec<u8>, usize, u8)> {
     const BYTES: [u8; 5] = [0x00, 0x01, b'a', 0xFE, 0xFF];
     let byte = || (0usize..BYTES.len()).prop_map(|i| BYTES[i]);
@@ -403,7 +403,7 @@ proptest! {
     /// A B+ tree bulk-loaded from sorted byte keys — whatever prefix its
     /// pages share and however short its separators get — answers point gets
     /// and range scans like a `BTreeMap` of the same pairs, and says the
-    /// same after it is reopened from its trailer.
+    /// same after it is reopened from its footer.
     #[test]
     fn btree_pages_answer_like_an_ordered_map(
         (suffixes, stray, shared, fill) in page_keys(),
@@ -425,7 +425,7 @@ proptest! {
             })
             .collect();
         let (cache, _d) = setup(64);
-        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("p.btree").unwrap(), model.len());
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("p.btree").unwrap(), true);
         for (k, v) in &model {
             b.add(k, v).unwrap();
         }
@@ -469,6 +469,158 @@ proptest! {
                 .collect();
             prop_assert_eq!(got, want, "range {:?}..{:?}", lo, hi);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// A component file ends where its bytes end
+// ---------------------------------------------------------------------------
+
+/// Key `i` of a tree whose keys are `len` bytes: a filler all keys share,
+/// then `i`, big-endian, in as many of the last four bytes as `len` leaves.
+fn sized_key(len: usize, i: usize) -> Vec<u8> {
+    let width = len.min(4);
+    let mut key = vec![b'k'; len - width];
+    key.extend_from_slice(&(i as u32).to_be_bytes()[4 - width..]);
+    key
+}
+
+/// A component of every even key `sized_key(len, 2i)` for `i < n`, as a
+/// tree of row leaves — values of 0 to 40 bytes — or of leaf groups, every
+/// seventh entry a delete marker; and the map of what a read of each key
+/// gives.
+fn sized_tree(cache: &Arc<BufferCache>, name: &str, groups: bool, len: usize, n: usize) -> (DiskBTree, BTreeMap<Vec<u8>, Vec<u8>>) {
+    let w = cache.manager().bulk_writer(name).unwrap();
+    let mut b = if groups { BTreeBuilder::with_layout(w, true, layout(true)) } else { BTreeBuilder::new(w, true) };
+    let mut model = BTreeMap::new();
+    for i in 0..n {
+        let key = sized_key(len, 2 * i);
+        let value = if !groups {
+            let value = vec![i as u8; i % 41];
+            b.add(&key, &value).unwrap();
+            value
+        } else if i % 7 == 6 {
+            b.add_row(&key, None).unwrap();
+            vec![TOMBSTONE]
+        } else {
+            let row = row(true, i as i64, i as u64 * 3);
+            b.add_row(&key, Some(&row)).unwrap();
+            [&[PUT][..], &row].concat()
+        };
+        model.insert(key, value);
+    }
+    (DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap()), model)
+}
+
+/// Whether `t` answers like `model`: a get of every `step`th key and of the
+/// keys between them, ranges between the probes, and a scan outside the
+/// cache.
+fn answers_like(t: &DiskBTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, len: usize, n: usize, step: usize) {
+    prop_assert_eq!(t.len(), n as u64);
+    let probes: Vec<Vec<u8>> = (0..2 * n + 2).step_by(step).chain([2 * n.saturating_sub(1)]).map(|i| sized_key(len, i)).collect();
+    for p in &probes {
+        prop_assert_eq!(&t.get(p).unwrap(), &model.get(p).cloned(), "get {:?}", p);
+    }
+    for (lo, hi) in probes.iter().zip(probes.iter().rev()).take(4) {
+        let got: Vec<Vec<u8>> = t.range(Bound::Excluded(lo), Bound::Included(hi.clone())).unwrap().map(|r| r.unwrap().0).collect();
+        let want: Vec<Vec<u8>> = model.keys().filter(|k| *k > lo && *k <= hi).cloned().collect();
+        prop_assert_eq!(got, want, "range {:?}..={:?}", lo, hi);
+    }
+    let scanned: Vec<(Vec<u8>, Vec<u8>)> = t.scan_uncached().unwrap().map(|r| r.unwrap()).collect();
+    prop_assert!(scanned.iter().map(|(k, v)| (k, v)).eq(model.iter()), "scan outside the cache");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Trees of none to thousands of entries, in both leaf shapes, under
+    /// keys of one byte to `MAX_KEY`: long keys make long separators, so a
+    /// fence index of many pages and trailers whose smallest and largest key
+    /// lie across pages — and trees a page of separators could not have
+    /// routed in one level. Each answers like an ordered map, and so does
+    /// the file reopened from its footer.
+    #[test]
+    fn a_tree_of_any_size_and_key_length_answers_like_a_map(
+        groups in any::<bool>(),
+        len in prop_oneof![Just(1usize), 2usize..16, 16usize..300, Just(1_000), Just(MAX_KEY)],
+        n in 0usize..3_000,
+    ) {
+        // as many even keys as `len` bytes tell apart, and fewer long ones
+        let n = n.min(if len >= 1_000 { 300 } else { usize::MAX }).min(1 << (8 * len.min(4) - 1));
+        let (cache, _d) = setup(64);
+        let (t, model) = sized_tree(&cache, "s.btree", groups, len, n);
+        let step = (n / 50).max(1);
+        answers_like(&t, &model, len, n, step);
+        let layout = groups.then(|| layout(true));
+        let reopened = DiskBTree::open(Arc::clone(&cache), t.file(), layout.as_ref()).unwrap();
+        prop_assert_eq!((reopened.min_key(), reopened.max_key()), (t.min_key(), t.max_key()));
+        answers_like(&reopened, &model, len, n, step);
+    }
+}
+
+/// A component file cut at any page boundary, or with any one byte of its
+/// footer flipped, is refused as `Corrupt`, and one whose zero pad is
+/// flipped whole reads back what was written; none panics. The footer's
+/// checksum covers all but the pad and the last eight bytes, which locate
+/// the trailer and say what the file is.
+#[test]
+fn a_cut_or_a_flipped_footer_byte_is_refused_or_harmless() {
+    let (cache, dir) = setup(64);
+    // (what a read gives, the file, where its trailer starts, where its leaf area ends)
+    let footer = |model: BTreeMap<Vec<u8>, Vec<u8>>| {
+        let sound = std::fs::read(dir.0.join("sound.btree")).unwrap();
+        let back = u32::from_le_bytes(sound[sound.len() - 8..][..4].try_into().unwrap()) as usize;
+        let trailer = sound.len() - 8 - back;
+        let leaf_end = u64::from_le_bytes(sound[trailer + 8..][..8].try_into().unwrap()) as usize;
+        (model, sound, trailer, leaf_end)
+    };
+    // a row-leaf tree, the first leaf-group tree from 1 000 entries on whose
+    // footer lies across a page boundary, and a tree of 3 000-byte keys,
+    // whose trailer does
+    let page = asterix_storage::PAGE_SIZE;
+    let groups = (1_000..).step_by(10).map(|n| footer(sized_tree(&cache, "sound.btree", true, 8, n).1));
+    let trees = [
+        (false, 8, footer(sized_tree(&cache, "sound.btree", false, 8, 500).1)),
+        (true, 8, groups.take(100).find(|(_, _, trailer, leaf_end)| leaf_end / page < trailer / page).unwrap()),
+        (false, 3_000, footer(sized_tree(&cache, "sound.btree", false, 3_000, 3).1)),
+    ];
+    for (groups, len, (model, sound, trailer, leaf_end)) in trees {
+        assert!(groups || leaf_end % page == 0);
+        let layout = groups.then(|| layout(true));
+        // each image opened as a file of its own, so that no page of
+        // another is in the cache
+        let check = |image: &[u8], what: &str| {
+            std::fs::write(dir.0.join("bad.btree"), image).unwrap();
+            let file = cache.manager().open("bad.btree").unwrap();
+            let opened = match DiskBTree::open(Arc::clone(&cache), file, layout.as_ref()) {
+                Err(asterix_storage::StorageError::Corrupt(_)) => false,
+                Err(e) => panic!("{what}: {e}"),
+                Ok(t) => {
+                    let scanned: Vec<_> = t.scan().unwrap().map(|r| r.unwrap()).collect();
+                    assert!(scanned.iter().map(|(k, v)| (k, v)).eq(model.iter()), "{what}: a scan");
+                    for key in model.keys().step_by(37) {
+                        assert_eq!(t.get(key).unwrap().as_ref(), model.get(key), "{what}: get");
+                    }
+                    true
+                }
+            };
+            cache.manager().delete(file).unwrap();
+            opened
+        };
+        assert!(check(&sound, "sound"));
+        for pages in 0..sound.len() / page {
+            assert!(!check(&sound[..pages * page], "cut"), "cut to {pages} pages opened");
+        }
+        // the trailer: entry count, leaf end, four lengths, two keys, checksum
+        let pad = trailer + 8 + 8 + 16 + 2 * (4 + len) + 4..sound.len() - 8;
+        for at in (leaf_end..sound.len()).filter(|at| !pad.contains(at)) {
+            let mut bad = sound.clone();
+            bad[at] ^= 0x5A;
+            assert!(!check(&bad, &format!("byte {at}")), "byte {at} flipped opened");
+        }
+        let mut bad = sound.clone();
+        bad[pad].iter_mut().for_each(|b| *b = !*b);
+        assert!(check(&bad, "the pad"));
     }
 }
 
@@ -923,7 +1075,7 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
     let layout = layout(true);
     let (cache, dir) = setup(64);
     let n = GROUP_RECORDS as i64 + 200;
-    let mut b = BTreeBuilder::with_layout(cache.manager().bulk_writer("g.btree").unwrap(), n as usize, Arc::clone(&layout));
+    let mut b = BTreeBuilder::with_layout(cache.manager().bulk_writer("g.btree").unwrap(), true, Arc::clone(&layout));
     for i in 0..n {
         b.add_row(&k(i), (i % 9 != 4).then(|| row(true, i, i as u64 * 7)).as_deref()).unwrap();
     }
@@ -944,15 +1096,26 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
         let bit = if in_directory { next(dir_len * 8) } else { next(leaf_pages * asterix_storage::PAGE_SIZE * 8) };
         let mut bad = sound.clone();
         bad[bit / 8] ^= 1 << (bit % 8);
+        // damaged once open, so that the reads below meet the damage: a
+        // debug build's open reads every group's keys, to audit its fences
         let name = format!("bad{round}.btree");
-        std::fs::write(dir.0.join(&name), &bad).unwrap();
+        std::fs::write(dir.0.join(&name), &sound).unwrap();
         let file = cache.manager().open(&name).unwrap();
         let t = DiskBTree::open(Arc::clone(&cache), file, Some(&layout)).unwrap();
+        std::fs::write(dir.0.join(&name), &bad).unwrap();
         let scanned: Result<Vec<_>, _> = t.scan().unwrap_or_else(|_| t.range(Bound::Excluded(&k(n)), Bound::Unbounded).unwrap()).collect();
         let got = t.get(&k(3));
         if in_directory {
             assert!(matches!(t.scan().map(|s| s.count()), Err(asterix_storage::StorageError::Corrupt(_))), "bit {bit}: {scanned:?}");
             assert!(matches!(got, Err(asterix_storage::StorageError::Corrupt(_))), "bit {bit}");
+        }
+        // and opened damaged: refused as `Corrupt` (by a debug build's audit,
+        // for a damaged directory) or opened, never a panic
+        let reopened = DiskBTree::open(Arc::clone(&cache), cache.manager().open(&name).unwrap(), Some(&layout));
+        match reopened {
+            Err(asterix_storage::StorageError::Corrupt(_)) => {}
+            Err(e) => panic!("bit {bit}: {e}"),
+            Ok(_) => assert!(!(in_directory && cfg!(debug_assertions)), "bit {bit}: the audit read a damaged directory"),
         }
     }
 }
