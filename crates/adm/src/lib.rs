@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # ADM — the Asterix Data Model
 //!
 //! ADM is AsterixDB's NoSQL-style data model: JSON extended with object-database

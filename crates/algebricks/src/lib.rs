@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
 //! # Algebricks — the data-model-agnostic algebraic query compiler
 //!

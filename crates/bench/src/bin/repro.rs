@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! `repro` — regenerates every experiment table of EXPERIMENTS.md.
 //!
 //! ```text

@@ -114,11 +114,11 @@ pub fn run(quick: bool) -> ExpReport {
     });
     // front-end ops while an analytics query storm runs on another thread
     let db2 = db.clone();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(asterix_obs::Flag::new(false));
     let stop2 = Arc::clone(&stop);
     let storm = std::thread::spawn(move || {
         let mut n = 0;
-        while !stop2.load(std::sync::atomic::Ordering::Acquire) {
+        while !stop2.get() {
             let _ = db2.query(analytics);
             n += 1;
         }
@@ -129,7 +129,7 @@ pub fn run(quick: bool) -> ExpReport {
             let _ = store.get(&format!("{}", i % 100));
         }
     });
-    stop.store(true, std::sync::atomic::Ordering::Release);
+    stop.set(true);
     let storm_queries: i32 = asterix_storage::lock_order::join(storm).unwrap();
     report.row(&[
         "analytics query (idle)".into(),

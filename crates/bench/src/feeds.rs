@@ -20,7 +20,7 @@ use crate::{num, report_doc, MISSING};
 use asterix_core::feeds::{Feed, FeedConfig, IngestionPolicy};
 use asterix_core::instance::RetryPolicy;
 use asterix_core::{Instance, InstanceConfig};
-use asterix_obs::{Json, MetricsSnapshot};
+use asterix_obs::{Flag, Json, MetricsSnapshot};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -119,7 +119,7 @@ fn analytics_point(total: u64) -> Json {
     .expect("open instance");
     db.execute_sqlpp(DDL).expect("ddl");
     let opened = db.metrics_snapshot();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let stop = Arc::new(Flag::new(false));
     let start = Instant::now();
     let (ingested, queries) = std::thread::scope(|scope| {
         let ingest = {
@@ -142,7 +142,7 @@ fn analytics_point(total: u64) -> Json {
             let stop = Arc::clone(&stop);
             scope.spawn(move || {
                 let mut done = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                while !stop.get() {
                     db.query("SELECT e.grp AS g, COUNT(*) AS c FROM Events e GROUP BY e.grp")
                         .expect("concurrent analytics query");
                     done += 1;
@@ -151,7 +151,7 @@ fn analytics_point(total: u64) -> Json {
             })
         };
         let ingested = ingest.join().expect("ingest thread");
-        stop.store(true, std::sync::atomic::Ordering::Release);
+        stop.set(true);
         (ingested, analytics.join().expect("analytics thread"))
     });
     let elapsed_s = start.elapsed().as_secs_f64();

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # asterix-bench — the reproduction harness
 //!
 //! One module per experiment in DESIGN.md's experiment index (E1–E13), each

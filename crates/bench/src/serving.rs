@@ -21,7 +21,7 @@
 use crate::{num, report_doc};
 use asterix_core::scheduler::SchedulerConfig;
 use asterix_core::{CoreError, Instance, InstanceConfig};
-use asterix_obs::Json;
+use asterix_obs::{Counter, Json};
 use asterix_storage::lock_order::Mutex;
 use std::time::{Duration, Instant};
 
@@ -82,7 +82,7 @@ fn query_text(records: usize, client: usize, k: usize) -> String {
 /// latency percentiles and its backpressure-retry count.
 fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: usize) -> Json {
     let latencies: Mutex<Vec<f64>> = Mutex::new(Vec::new());
-    let backpressure = std::sync::atomic::AtomicU64::new(0);
+    let backpressure = Counter::new();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..clients {
@@ -104,7 +104,7 @@ fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: 
                             // backs off and resubmits (latency keeps
                             // accruing — the client is still waiting)
                             Err(CoreError::Saturated(_)) => {
-                                backpressure.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                backpressure.inc();
                                 asterix_storage::lock_order::sleep(Duration::from_millis(1));
                             }
                             Err(e) => panic!("bench query failed: {e}"),
@@ -127,7 +127,7 @@ fn run_point(db: &Instance, clients: usize, queries_per_client: usize, records: 
         ("p50_ms", num(percentile(&ms, 0.50))),
         ("p95_ms", num(percentile(&ms, 0.95))),
         ("p99_ms", num(percentile(&ms, 0.99))),
-        ("backpressure_retries", Json::U64(backpressure.into_inner())),
+        ("backpressure_retries", Json::U64(backpressure.get())),
     ])
 }
 

@@ -21,7 +21,7 @@
 
 use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
-use crate::node::Node;
+use crate::node::{LogPin, Node};
 use asterix_algebricks::source::{IndexInfo, IndexKind, KeyRange};
 use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::types::{ObjectType, TypeRegistry};
@@ -35,7 +35,7 @@ use asterix_storage::CompactionExec;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Tuning for dataset partitions.
@@ -184,7 +184,7 @@ pub struct DatasetPartition {
     indexed: Projection,
     /// Where the node reads the LSN of the oldest log record the primary
     /// holds only in memory (see [`Node::log_pin`]).
-    log_pin: Arc<AtomicU64>,
+    log_pin: LogPin,
     /// Seals and flushes of the primary already answered with a log
     /// rotation and a log truncation.
     seals_seen: u64,

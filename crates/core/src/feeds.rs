@@ -52,14 +52,13 @@ use crate::error::{CoreError, Result};
 use crate::instance::{Instance, RetryPolicy};
 use asterix_adm::binary::{decode_own, encode, encode_key};
 use asterix_adm::Value;
-use asterix_obs::{Counter, Gauge};
+use asterix_obs::{Counter, Gauge, HighWater};
 use asterix_storage::le;
 use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -191,10 +190,10 @@ struct Metrics {
     throttle_ns: Counter,
     retries: Counter,
     lag: Gauge,
-    feed_ingested: AtomicU64,
-    feed_rejected: AtomicU64,
-    feed_spilled: AtomicU64,
-    feed_discarded: AtomicU64,
+    feed_ingested: Counter,
+    feed_rejected: Counter,
+    feed_spilled: Counter,
+    feed_discarded: Counter,
 }
 
 impl Metrics {
@@ -208,10 +207,10 @@ impl Metrics {
             throttle_ns: reg.counter("core.feed.throttle_ns"),
             retries: reg.counter("core.feed.retries"),
             lag: reg.gauge("core.feed.lag"),
-            feed_ingested: AtomicU64::new(0),
-            feed_rejected: AtomicU64::new(0),
-            feed_spilled: AtomicU64::new(0),
-            feed_discarded: AtomicU64::new(0),
+            feed_ingested: Counter::new(),
+            feed_rejected: Counter::new(),
+            feed_spilled: Counter::new(),
+            feed_discarded: Counter::new(),
         }
     }
 }
@@ -222,7 +221,7 @@ struct Shared {
     not_empty: Condvar,
     metrics: Metrics,
     /// End seqno of the last durably committed batch.
-    durable_seq: AtomicU64,
+    durable_seq: HighWater,
     cap: usize,
     policy: IngestionPolicy,
     /// Overflow-segment location (under the instance data dir, so the
@@ -316,7 +315,7 @@ impl Feed {
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
             metrics,
-            durable_seq: AtomicU64::new(from_seq),
+            durable_seq: HighWater::new(from_seq),
             cap: config.queue.max(1),
             policy: config.policy,
             spill_path: instance.data_dir().join(format!("feed-{dataset}.spill")),
@@ -358,7 +357,7 @@ impl Feed {
                 spill.write_frame(seq, &record)?;
                 st.next_seq += 1;
                 sh.metrics.spilled.inc();
-                sh.metrics.feed_spilled.fetch_add(1, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+                sh.metrics.feed_spilled.inc();
                 sh.metrics.lag.add(1);
                 sh.not_empty.notify_one();
                 return Ok(seq);
@@ -382,7 +381,7 @@ impl Feed {
                     // stay deterministic; the record itself is dropped
                     st.next_seq += 1;
                     sh.metrics.discarded.inc();
-                    sh.metrics.feed_discarded.fetch_add(1, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+                    sh.metrics.feed_discarded.inc();
                     return Ok(seq);
                 }
                 IngestionPolicy::Spill => {
@@ -396,7 +395,7 @@ impl Feed {
     /// Records (of a DCP feed: sets and deletes) successfully ingested
     /// (committed) so far.
     pub fn ingested(&self) -> u64 {
-        self.shared.metrics.feed_ingested.load(Ordering::Relaxed)
+        self.shared.metrics.feed_ingested.get()
     }
 
     /// Records rejected so far. A record the dataset refuses counts one; a
@@ -404,24 +403,24 @@ impl Feed {
     /// **whole batch's record count** here — transient commit failures
     /// never land here, they retry and then fail-stop the feed.
     pub fn rejected(&self) -> u64 {
-        self.shared.metrics.feed_rejected.load(Ordering::Relaxed)
+        self.shared.metrics.feed_rejected.get()
     }
 
     /// Records dropped by the [`IngestionPolicy::Discard`] policy.
     pub fn discarded(&self) -> u64 {
-        self.shared.metrics.feed_discarded.load(Ordering::Relaxed)
+        self.shared.metrics.feed_discarded.get()
     }
 
     /// Records routed through the [`IngestionPolicy::Spill`] segment.
     pub fn spilled(&self) -> u64 {
-        self.shared.metrics.feed_spilled.load(Ordering::Relaxed)
+        self.shared.metrics.feed_spilled.get()
     }
 
     /// End seqno of the last durably committed batch (0 = none yet). Every
     /// record with a seqno at or below this survived any crash; monotone
     /// non-decreasing for the life of the feed.
     pub fn last_durable_seq(&self) -> u64 {
-        self.shared.durable_seq.load(Ordering::Acquire)
+        self.shared.durable_seq.get()
     }
 
     /// Fail-stop reason, set when a batch exhausted its transient-retry
@@ -617,9 +616,9 @@ fn commit_batch(
     );
     let rejected = match applied {
         Ok((ok, failed)) => {
-            shared.durable_seq.store(end_seq, Ordering::Release);
+            shared.durable_seq.raise(end_seq);
             shared.metrics.ingested.add(ok);
-            shared.metrics.feed_ingested.fetch_add(ok, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+            shared.metrics.feed_ingested.add(ok);
             failed
         }
         Err(err) if err.is_transient() => {
@@ -635,7 +634,7 @@ fn commit_batch(
         Err(_) => batch.len() as u64,
     };
     shared.metrics.rejected.add(rejected);
-    shared.metrics.feed_rejected.fetch_add(rejected, Ordering::Relaxed); // xlint: ordering(per-feed metric total; no synchronization carried)
+    shared.metrics.feed_rejected.add(rejected);
     shared.metrics.lag.add(-(batch.len() as i64));
     BatchOutcome::Continue
 }

@@ -42,7 +42,8 @@ use asterix_storage::lock_order::{Level, Mutex, RwLock, RwLockWriteGuard};
 use asterix_storage::wal::WalRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use asterix_obs::IdGen;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -152,12 +153,13 @@ impl ExecResult {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "remove_root_on_drop: SeqCst, so the drop of the last handle sees a crash's clearing of it on any thread")]
 struct Inner {
     config: InstanceConfig,
     root: PathBuf,
     /// Remove `root` on drop: set for a temp-dir instance, cleared by
     /// [`Instance::crash`] so the directory survives for the reopen.
-    remove_root_on_drop: AtomicBool,
+    remove_root_on_drop: std::sync::atomic::AtomicBool,
     catalog: RwLock<Catalog>,
     cluster: Cluster,
     datasets: RwLock<HashMap<String, Arc<DatasetRuntime>>>,
@@ -170,7 +172,7 @@ struct Inner {
     /// Admission controller every query runs behind.
     sched: Arc<QueryScheduler>,
     /// Session-id allocator for [`Instance::session`].
-    next_session: AtomicU64,
+    next_session: IdGen,
     /// Tripped at teardown so background merges abort at the next morsel.
     compaction_token: CancellationToken,
     /// Where the datasets' merges run: morsel tasks on the worker pool.
@@ -230,7 +232,7 @@ impl Instance {
         let inner = Arc::new(Inner {
             config,
             root,
-            remove_root_on_drop: AtomicBool::new(temp_guard),
+            remove_root_on_drop: temp_guard.into(),
             catalog: RwLock::ranked(Level::Catalog, Catalog::new()),
             cluster,
             datasets: RwLock::ranked(Level::DatasetsMap, HashMap::new()),
@@ -238,7 +240,7 @@ impl Instance {
             ctx,
             ddl_log: Mutex::ranked(Level::Ddl, Vec::new()),
             sched,
-            next_session: AtomicU64::new(1),
+            next_session: IdGen::new(1),
             compaction_token,
             compaction,
         });
@@ -450,7 +452,7 @@ impl Instance {
     /// Opens a client [`Session`] for concurrent query submission
     /// ([`Session::submit`] → [`crate::scheduler::QueryHandle`]).
     pub fn session(&self) -> Session {
-        let id = self.inner.next_session.fetch_add(1, Ordering::Relaxed); // xlint: ordering(session-id allocation needs atomicity only; ids synchronize nothing)
+        let id = self.inner.next_session.next();
         Session::new(self.clone(), id)
     }
 

@@ -21,13 +21,20 @@ use asterix_storage::stats::IoStats;
 use asterix_storage::wal::{GroupCommit, Lsn, ReplayOp, SegmentedWal};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use asterix_obs::Flag;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// File-name prefix of a node's log segments (`node-<base-lsn>.wal`).
 const WAL_PREFIX: &str = "node";
 
+/// The cell in which a primary index publishes the LSN of the oldest log
+/// record it holds only in memory (`Lsn::MAX`: none).
+#[expect(clippy::disallowed_types, reason = "moves both ways: stored with Release under its partition's lock, read with Acquire under the WAL lock")]
+pub type LogPin = Arc<std::sync::atomic::AtomicU64>;
+
 /// One storage node.
+#[expect(clippy::disallowed_types, reason = "alive: SeqCst, so a kill is one point in every thread's order: a check after it sees the node down")]
 pub struct Node {
     pub id: usize,
     pub dir: PathBuf,
@@ -40,19 +47,19 @@ pub struct Node {
     /// Simulated liveness. A killed node keeps its on-disk state (directory,
     /// WAL) but refuses all data access until [`Node::restart`] — the
     /// in-process stand-in for a machine dropping out of the cluster.
-    alive: AtomicBool,
+    alive: std::sync::atomic::AtomicBool,
     /// Per primary index on this node, the LSN of the oldest log record it
     /// holds only in memory (`Lsn::MAX`: none). Each is written under its
     /// partition's lock and read under the WAL lock.
-    log_pins: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    log_pins: Mutex<BTreeMap<String, LogPin>>,
     /// Operations of committed transactions found in the log at open, until
     /// recovery takes them.
     recovered_ops: Mutex<Vec<ReplayOp>>,
     /// Set while recovery replays the log: the tail being replayed is not in
     /// any memory component yet, so nothing may be truncated.
-    checkpoints_paused: AtomicBool,
+    checkpoints_paused: Flag,
     /// A rotation was asked for while paused.
-    rotation_owed: AtomicBool,
+    rotation_owed: Flag,
 }
 
 impl Node {
@@ -88,11 +95,11 @@ impl Node {
             cache,
             wal: Mutex::ranked(Level::Wal, wal),
             wal_group,
-            alive: AtomicBool::new(true),
+            alive: true.into(),
             log_pins: Mutex::ranked(Level::LogPins, BTreeMap::new()),
             recovered_ops: Mutex::new(recovered_ops),
-            checkpoints_paused: AtomicBool::new(false),
-            rotation_owed: AtomicBool::new(false),
+            checkpoints_paused: Flag::new(false),
+            rotation_owed: Flag::new(false),
         }))
     }
 
@@ -138,9 +145,9 @@ impl Node {
     /// The cell in which primary index `index` publishes the LSN of the
     /// oldest log record it holds only in memory; the log keeps everything
     /// from there on.
-    pub fn log_pin(&self, index: &str) -> Arc<AtomicU64> {
+    pub fn log_pin(&self, index: &str) -> LogPin {
         let mut pins = self.log_pins.lock();
-        Arc::clone(pins.entry(index.to_string()).or_insert_with(|| Arc::new(AtomicU64::new(Lsn::MAX))))
+        Arc::clone(pins.entry(index.to_string()).or_insert_with(|| Arc::new(Lsn::MAX.into())))
     }
 
     /// Primary index `index` is gone and holds nothing back any more.
@@ -151,8 +158,8 @@ impl Node {
     /// A primary index sealed a memory component: starts a new log segment,
     /// so that the records the sealed component covers end with the old one.
     pub fn rotate_log(&self) -> Result<()> {
-        if self.checkpoints_paused.load(Ordering::Acquire) {
-            self.rotation_owed.store(true, Ordering::Release);
+        if self.checkpoints_paused.get() {
+            self.rotation_owed.set(true);
             return Ok(());
         }
         Ok(self.wal.lock().rotate()?)
@@ -161,7 +168,7 @@ impl Node {
     /// A primary index published a flush: unlinks the log segments that lie
     /// wholly below what every primary index still holds only in memory.
     pub fn truncate_log(&self) -> Result<()> {
-        if self.checkpoints_paused.load(Ordering::Acquire) {
+        if self.checkpoints_paused.get() {
             return Ok(());
         }
         let mut wal = self.wal.lock();
@@ -175,13 +182,13 @@ impl Node {
     /// Recovery is about to replay the log tail: until
     /// [`Node::resume_checkpoints`], no rotation and no truncation.
     pub fn pause_checkpoints(&self) {
-        self.checkpoints_paused.store(true, Ordering::Release);
+        self.checkpoints_paused.set(true);
     }
 
     /// Replay is done: catches up on a rotation a replay-time flush asked for.
     pub fn resume_checkpoints(&self) -> Result<()> {
-        self.checkpoints_paused.store(false, Ordering::Release);
-        if self.rotation_owed.swap(false, Ordering::AcqRel) {
+        self.checkpoints_paused.set(false);
+        if self.rotation_owed.swap(false) {
             self.rotate_log()?;
             self.truncate_log()?;
         }

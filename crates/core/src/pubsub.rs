@@ -12,7 +12,7 @@ use crate::instance::{Instance, Language};
 use asterix_adm::Value;
 use asterix_storage::lock_order::{Level, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use asterix_obs::{Flag, IdGen};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ struct Channel {
     name: String,
     query: String,
     language: Language,
-    epoch: AtomicU64,
+    epoch: IdGen,
     subscribers: RwLock<Vec<Sender<ChannelUpdate>>>,
     /// Deliver only when results changed since the previous evaluation.
     only_on_change: bool,
@@ -39,7 +39,7 @@ struct Channel {
 pub struct Broker {
     instance: Instance,
     channels: RwLock<HashMap<String, Arc<Channel>>>,
-    stopped: Arc<AtomicBool>,
+    stopped: Flag,
 }
 
 impl Broker {
@@ -48,7 +48,7 @@ impl Broker {
         Arc::new(Broker {
             instance,
             channels: RwLock::ranked(Level::PubsubChannels, HashMap::new()),
-            stopped: Arc::new(AtomicBool::new(false)),
+            stopped: Flag::new(false),
         })
     }
 
@@ -72,7 +72,7 @@ impl Broker {
                 name,
                 query: query.into(),
                 language,
-                epoch: AtomicU64::new(0),
+                epoch: IdGen::new(0),
                 subscribers: RwLock::ranked(Level::PubsubSubscribers, Vec::new()),
                 only_on_change,
                 last: RwLock::new(None),
@@ -135,7 +135,7 @@ impl Broker {
             }
             *last = Some(rows.clone());
         }
-        let epoch = ch.epoch.fetch_add(1, Ordering::Relaxed); // xlint: ordering(epoch publication is ordered by the channel mutex held here; the counter needs atomicity only)
+        let epoch = ch.epoch.next();
         let update = ChannelUpdate { channel: ch.name.clone(), epoch, rows };
         let mut subs = ch.subscribers.write();
         subs.retain(|s| s.send(update.clone()).is_ok());
@@ -146,7 +146,7 @@ impl Broker {
     pub fn start(self: &Arc<Self>, interval: std::time::Duration) -> std::thread::JoinHandle<()> {
         let me = Arc::clone(self);
         std::thread::spawn(move || {
-            while !me.stopped.load(Ordering::Acquire) {
+            while !me.stopped.get() {
                 let _ = me.tick_all();
                 asterix_storage::lock_order::sleep(interval);
             }
@@ -155,7 +155,7 @@ impl Broker {
 
     /// Stops the timer thread.
     pub fn stop(&self) {
-        self.stopped.store(true, Ordering::Release);
+        self.stopped.set(true);
     }
 }
 

@@ -54,11 +54,10 @@ use crate::instance::{parse_query, Instance, Language};
 use asterix_adm::Value;
 use asterix_hyracks::ctx::DEFAULT_OP_MEMORY;
 use asterix_hyracks::CancellationToken;
-use asterix_obs::{Counter, JobProfile, MetricsRegistry};
+use asterix_obs::{Counter, IdGen, JobProfile, MetricsRegistry};
 use asterix_sqlpp::ast::Query;
 use asterix_storage::lock_order::{Condvar, Level, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -127,7 +126,7 @@ pub struct QueryScheduler {
     cfg: SchedulerConfig,
     state: Mutex<PoolState>,
     cv: Condvar,
-    next_ticket: AtomicU64,
+    next_ticket: IdGen,
     admitted: Counter,
     rejected: Counter,
     queue_cancelled: Counter,
@@ -145,7 +144,7 @@ impl QueryScheduler {
                 PoolState { free_memory: cfg.total_memory, running: 0, queue: VecDeque::new() },
             ),
             cv: Condvar::new(),
-            next_ticket: AtomicU64::new(1),
+            next_ticket: IdGen::new(1),
             admitted: registry.counter("core.serving.admitted"),
             rejected: registry.counter("core.serving.rejected"),
             queue_cancelled: registry.counter("core.serving.queue_cancelled"),
@@ -181,7 +180,7 @@ impl QueryScheduler {
                 self.cfg.total_memory
             )));
         }
-        let id = self.next_ticket.fetch_add(1, Ordering::Relaxed); // xlint: ordering(ticket-id allocation; admission handoff is ordered by the state mutex)
+        let id = self.next_ticket.next();
         let mut st = self.state.lock();
         // Eager path: resources free and nobody queued ahead of us.
         if st.queue.is_empty()

@@ -13,7 +13,7 @@
 use crate::error::{CoreError, Result};
 use asterix_storage::lock_order::{Condvar, Level, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use asterix_obs::IdGen;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -131,36 +131,25 @@ pub struct UndoEntry {
 
 /// Transaction identifiers and bookkeeping.
 pub struct TxnManager {
-    next_id: AtomicU64,
+    next_id: IdGen,
     pub locks: Arc<LockManager>,
 }
 
 impl Default for TxnManager {
     fn default() -> Self {
-        TxnManager { next_id: AtomicU64::new(1), locks: Arc::new(LockManager::default()) }
+        TxnManager { next_id: IdGen::new(1), locks: Arc::new(LockManager::default()) }
     }
 }
 
 impl TxnManager {
     /// Allocates a transaction id.
     pub fn begin(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed) // xlint: ordering(txn-id allocation needs uniqueness only; commit ordering comes from the wal lock)
+        self.next_id.next()
     }
 
     /// Advances the id counter past ids seen in a recovered log.
     pub fn observe_recovered(&self, max_seen: u64) {
-        let mut cur = self.next_id.load(Ordering::Relaxed);
-        while cur <= max_seen {
-            match self.next_id.compare_exchange( // xlint: ordering(recovery-time high-water bump runs before the instance serves transactions)
-                cur,
-                max_seen + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
+        self.next_id.raise_to(max_seen + 1);
     }
 }
 

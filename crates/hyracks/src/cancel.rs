@@ -15,7 +15,7 @@
 use crate::error::{HyracksError, Result};
 use asterix_obs::Clock;
 use asterix_storage::lock_order::Mutex;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// Token not tripped; workers keep running.
@@ -28,12 +28,13 @@ const DEADLINE: u8 = 2;
 /// Sentinel for "no deadline set".
 const NO_DEADLINE: u64 = u64::MAX;
 
+#[expect(clippy::disallowed_types, reason = "a state machine and a deadline that only tightens, both by CAS: AcqRel to win, Acquire to read, so all workers see one first cause")]
 struct Inner {
-    state: AtomicU8,
+    state: std::sync::atomic::AtomicU8,
     /// Absolute deadline in the job clock's nanoseconds; [`NO_DEADLINE`]
     /// when none is set. Monotonically tightened: setting a later deadline
     /// on a token that already has an earlier one is a no-op.
-    deadline_ns: AtomicU64,
+    deadline_ns: std::sync::atomic::AtomicU64,
     /// Why the token was cancelled; written once under the lock by the
     /// winning canceller.
     reason: Mutex<String>,
@@ -58,8 +59,8 @@ impl CancellationToken {
     pub fn new() -> CancellationToken {
         CancellationToken {
             inner: Arc::new(Inner {
-                state: AtomicU8::new(LIVE),
-                deadline_ns: AtomicU64::new(NO_DEADLINE),
+                state: LIVE.into(),
+                deadline_ns: NO_DEADLINE.into(),
                 reason: Mutex::new(String::new()),
                 clock: OnceLock::new(),
             }),

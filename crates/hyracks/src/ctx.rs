@@ -4,10 +4,10 @@
 use crate::error::Result;
 use crate::faults::DataflowFaults;
 use crate::sched::WorkerPool;
-use asterix_obs::{Clock, Counter, MetricsRegistry, MonotonicClock, OpMetrics};
+use asterix_obs::{Clock, Counter, IdGen, MetricsRegistry, MonotonicClock, OpMetrics};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use crate::frame::{u32_len, Tuple};
@@ -52,9 +52,10 @@ impl DataflowStats {
 }
 
 /// Shared runtime context for a node's dataflow workers.
+#[expect(clippy::disallowed_types, reason = "worker_threads: a setting read once, when the pool is built; Relaxed: it publishes nothing")]
 pub struct RuntimeCtx {
     spill_dir: PathBuf,
-    next_spill: AtomicU64,
+    next_spill: IdGen,
     /// Dataflow statistics, cumulative for the context's lifetime.
     pub stats: DataflowStats,
     /// Monotonic clock used for all runtime timing (injectable so the
@@ -70,7 +71,7 @@ pub struct RuntimeCtx {
     pool: OnceLock<Arc<WorkerPool>>,
     /// Configured pool width; 0 means "auto" (`available_parallelism`).
     /// Only consulted before the pool is first built.
-    worker_threads: AtomicUsize,
+    worker_threads: std::sync::atomic::AtomicUsize,
 }
 
 impl RuntimeCtx {
@@ -88,13 +89,13 @@ impl RuntimeCtx {
         let stats = DataflowStats::with_registry(&registry);
         Ok(Arc::new(RuntimeCtx {
             spill_dir,
-            next_spill: AtomicU64::new(0),
+            next_spill: IdGen::new(0),
             stats,
             clock,
             registry,
             faults,
             pool: OnceLock::new(),
-            worker_threads: AtomicUsize::new(0),
+            worker_threads: Default::default(),
         }))
     }
 
@@ -160,7 +161,7 @@ impl RuntimeCtx {
     /// Opens a fresh spill-run writer, counted against the operator `m`
     /// belongs to.
     pub fn new_run(&self, m: &mut OpMetrics) -> Result<RunWriter> {
-        let id = self.next_spill.fetch_add(1, Ordering::Relaxed); // xlint: ordering(spill-run id needs uniqueness only; the file itself is thread-local)
+        let id = self.next_spill.next();
         let path = self.spill_dir.join(format!("run-{id}.spill"));
         let file = std::fs::File::create(&path)?;
         self.stats.spill_runs.inc();

@@ -36,7 +36,7 @@ use asterix_adm::ColumnBatch;
 use asterix_obs::{Counter, JobProfile, OpMetrics, OperatorProfile};
 use asterix_storage::lock_order::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -598,12 +598,13 @@ struct ActorTask {
 }
 
 /// Shared state of one running job.
+#[expect(clippy::disallowed_types, reason = "remaining: SeqCst, so the actor that counts it to zero sees every other actor's last write before it marks the job done")]
 struct JobInner {
     ctx: Arc<RuntimeCtx>,
     token: CancellationToken,
     pool: Arc<WorkerPool>,
     tasks: OnceLock<Vec<Arc<ActorTask>>>,
-    remaining: AtomicUsize,
+    remaining: std::sync::atomic::AtomicUsize,
     done: Mutex<bool>,
     done_cv: Condvar,
     results: Mutex<Vec<Tuple>>,
@@ -862,7 +863,7 @@ fn run_job_inner(
         token: token.clone(),
         pool: Arc::clone(&pool),
         tasks: OnceLock::new(),
-        remaining: AtomicUsize::new(total),
+        remaining: total.into(),
         done: Mutex::new(false),
         done_cv: Condvar::new(),
         results: Mutex::new(Vec::new()),
@@ -1037,7 +1038,7 @@ mod tests {
     use super::*;
     use crate::job::{AggFunc, AggSpec, FnSource, JoinKind, OpKind, SortKey};
     use asterix_adm::Value;
-    use std::sync::atomic::AtomicU64;
+    use asterix_obs::Counter;
     use std::sync::Arc;
 
     fn int_source(per_partition: i64) -> OpKind {
@@ -1185,7 +1186,7 @@ mod tests {
     fn limit_stops_early() {
         let mut j = JobSpec::new();
         // huge source; limit must cut it off without consuming everything
-        let produced = Arc::new(AtomicU64::new(0));
+        let produced = Counter::new();
         let source = counting_source(1_000_000, None, &CancellationToken::new(), &produced);
         let s = j.add(source, 1, "scan");
         let l = j.add(OpKind::Limit { offset: 5, count: Some(10) }, 1, "limit");
@@ -1200,7 +1201,7 @@ mod tests {
         assert!(moved < 100_000, "early termination pruned the scan ({moved} moved)");
         // What the source ran ahead by is bounded by the edge, not by its
         // size: the frames the edge holds plus the morsel it was in.
-        let produced = produced.load(AtomicOrdering::SeqCst);
+        let produced = produced.get();
         assert!(produced < 100_000, "the source stopped early ({produced} produced)");
     }
 
@@ -1210,12 +1211,12 @@ mod tests {
         // columns: the limit takes what it may emit out of the first batch —
         // no row is built for the others — and the source, a million rows
         // long, stops at what the edge holds
-        let produced = Arc::new(AtomicU64::new(0));
-        let batches = Arc::clone(&produced);
+        let produced = Counter::new();
+        let batches = produced.clone();
         let source = move |_p: usize| {
-            let batches = Arc::clone(&batches);
+            let batches = batches.clone();
             Ok(Box::new((0..1_000i64).map(move |b| {
-                batches.fetch_add(1, AtomicOrdering::SeqCst);
+                batches.inc();
                 let mut ids = asterix_adm::Column::new();
                 (0..1_024).for_each(|i| ids.push_int(b * 1_024 + i));
                 Ok(crate::job::Produced::Batch(ColumnBatch::new(vec![ids], 1_024).unwrap()))
@@ -1233,7 +1234,7 @@ mod tests {
         assert_eq!(got, (5..15).collect::<Vec<_>>(), "offset skipped, order kept");
         let limit = result.profile.root.find("limit").unwrap().totals();
         assert_eq!((limit.tuples_in, limit.frames_in, limit.tuples_out), (1_024, 1, 10), "one batch in, a batch of ten out");
-        let produced = produced.load(AtomicOrdering::SeqCst);
+        let produced = produced.get();
         assert!(produced <= CHANNEL_CAP as u64 + 2, "the source stopped early ({produced} batches produced)");
         assert_eq!(ctx.stats.tuples_moved.get(), 0, "no tuple was routed on its own");
         assert!(ctx.stats.batch_rows.get() >= 1_024 + 10, "they crossed the edges in batches");
@@ -1542,20 +1543,21 @@ mod tests {
         assert!(morsels >= 12, "barrier phases are morsel-stepped ({morsels} morsels)");
     }
 
-    /// A source of tuples `[i, "k<i>…"]` that counts what it hands out, ends
-    /// after `n`, and cancels `token` on tuple number `cancel_at`.
+    /// A one-partition source of tuples `[i, "k<i>…"]` that counts what it
+    /// hands out, ends after `n`, and cancels `token` on tuple number
+    /// `cancel_at`.
     fn counting_source(
         n: u64,
         cancel_at: Option<u64>,
         token: &CancellationToken,
-        produced: &Arc<AtomicU64>,
+        produced: &Counter,
     ) -> OpKind {
-        let (token, produced) = (token.clone(), Arc::clone(produced));
+        let (token, produced) = (token.clone(), produced.clone());
         OpKind::Source(Arc::new(FnSource(move |_p: usize| {
-            let (token, produced) = (token.clone(), Arc::clone(&produced));
+            let (token, produced) = (token.clone(), produced.clone());
             Ok(Box::new((0..n as i64).map(move |i| {
-                let seen = produced.fetch_add(1, AtomicOrdering::SeqCst);
-                if Some(seen) == cancel_at {
+                produced.inc();
+                if Some(i as u64) == cancel_at {
                     token.cancel("mid-stream cancel");
                 }
                 Ok(vec![Value::Int(i), Value::from(format!("k{i:0200}"))])
@@ -1584,7 +1586,7 @@ mod tests {
         ];
         for op in blocking {
             let token = CancellationToken::new();
-            let produced = Arc::new(AtomicU64::new(0));
+            let produced = Counter::new();
             let mut j = JobSpec::new();
             let mut last = j.add(counting_source(u64::MAX >> 1, Some(5000), &token, &produced), 1, "scan");
             if let Some(op) = op {
@@ -1599,7 +1601,7 @@ mod tests {
                 matches!(&err, HyracksError::Cancelled(m) if m.contains("mid-stream cancel")),
                 "{err}"
             );
-            let n = produced.load(AtomicOrdering::SeqCst);
+            let n = produced.get();
             assert!(
                 n <= 5000 + MORSEL_TUPLES as u64,
                 "cancel observed within one morsel, not one frame stream ({n} produced)"

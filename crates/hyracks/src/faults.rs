@@ -28,7 +28,7 @@
 
 use crate::error::{HyracksError, Result};
 use asterix_storage::lock_order::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Chaos-schedule configuration. Percentages are per *worker* (operator
@@ -95,11 +95,12 @@ pub struct FaultEvent {
 
 /// Shared injector carried by `RuntimeCtx`; one per context, covering every
 /// job attempt run on it.
+#[expect(clippy::disallowed_types, reason = "SeqCst: every worker of an attempt derives its schedule from the number the executor's bump wrote")]
 #[derive(Debug)]
 pub struct DataflowFaults {
     config: FaultConfig,
     /// Attempt counter, bumped by the executor at the start of each job.
-    attempt: AtomicU64,
+    attempt: std::sync::atomic::AtomicU64,
     events: Mutex<Vec<FaultEvent>>,
 }
 
@@ -125,7 +126,7 @@ impl DataflowFaults {
     pub fn new(config: FaultConfig) -> Arc<DataflowFaults> {
         Arc::new(DataflowFaults {
             config,
-            attempt: AtomicU64::new(0),
+            attempt: Default::default(),
             events: Mutex::new(Vec::new()),
         })
     }

@@ -34,11 +34,11 @@
 
 use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
-use asterix_obs::{Counter, MetricsRegistry};
+use asterix_obs::{Counter, Flag, IdGen, MetricsRegistry};
 use asterix_storage::lock_order::{self, Condvar, Mutex};
 use asterix_storage::{BackgroundExecutor, BackgroundJob, CompactionExec, JobStep};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -56,7 +56,7 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(10);
 /// other onto the back of the deque and the tasks parked at the front — or a
 /// whole job sitting in the injector — never run. The fairness pop bounds
 /// that: any queued task waits at most `FAIR_EVERY` morsels per worker.
-const FAIR_EVERY: usize = 16;
+const FAIR_EVERY: u64 = 16;
 
 // Task states.
 const IDLE: u8 = 0;
@@ -76,13 +76,14 @@ pub(crate) enum Step {
 }
 
 /// Per-task scheduling state shared with the pool.
+#[expect(clippy::disallowed_types, reason = "a state machine moved by CAS (AcqRel, Acquire on failure) and Release stores: a wakeup racing a running step is never lost")]
 pub(crate) struct TaskCore {
-    state: AtomicU8,
+    state: std::sync::atomic::AtomicU8,
 }
 
 impl TaskCore {
     pub(crate) fn new() -> Self {
-        TaskCore { state: AtomicU8::new(IDLE) }
+        TaskCore { state: IDLE.into() }
     }
 
     /// True once the task has returned [`Step::Finished`].
@@ -142,19 +143,21 @@ impl SchedCounters {
     }
 }
 
+#[expect(clippy::disallowed_types, reason = "pending: AcqRel on push and pop, Acquire under the idle lock before parking, so a worker never parks on a counted task")]
 struct PoolShared {
     /// One deque per worker.
     queues: Vec<Mutex<VecDeque<Arc<dyn Task>>>>,
     /// Tasks enqueued from threads outside the pool.
     injector: Mutex<VecDeque<Arc<dyn Task>>>,
     /// Total tasks sitting in queues (workers park only when zero).
-    pending: AtomicUsize,
-    /// Per-worker pop tick driving the [`FAIR_EVERY`] anti-starvation pop.
-    fair_tick: Vec<AtomicUsize>,
+    pending: std::sync::atomic::AtomicUsize,
+    /// Per-worker pop count driving the [`FAIR_EVERY`] anti-starvation pop;
+    /// read only by its worker, so it orders nothing.
+    fair_tick: Vec<IdGen>,
     /// Count of parked workers, guarding the wake condvar.
     idle: Mutex<usize>,
     wake: Condvar,
-    shutdown: AtomicBool,
+    shutdown: Flag,
     counters: SchedCounters,
 }
 
@@ -199,11 +202,11 @@ impl WorkerPool {
             shared: Arc::new(PoolShared {
                 queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
                 injector: Mutex::new(VecDeque::new()),
-                pending: AtomicUsize::new(0),
-                fair_tick: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+                pending: Default::default(),
+                fair_tick: (0..n).map(|_| IdGen::new(0)).collect(),
                 idle: Mutex::new(0),
                 wake: Condvar::new(),
-                shutdown: AtomicBool::new(false),
+                shutdown: Flag::new(false),
                 counters: SchedCounters::new(registry),
             }),
             threads: Mutex::new(Vec::new()),
@@ -248,7 +251,7 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        self.shared.shutdown.set(true);
         {
             let _idle = self.shared.idle.lock();
             self.shared.wake.notify_all();
@@ -269,7 +272,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: Arc<PoolShared>, w: usize) {
     WORKER_SLOT.set((Arc::as_ptr(&shared) as usize, w));
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.shutdown.get() {
             return;
         }
         match pop_task(&shared, w) {
@@ -284,7 +287,7 @@ fn worker_loop(shared: Arc<PoolShared>, w: usize) {
 /// except every [`FAIR_EVERY`]th pop, which reverses the first two so the
 /// oldest work cannot be starved by a busy LIFO tail.
 fn pop_task(shared: &PoolShared, w: usize) -> Option<Arc<dyn Task>> {
-    let tick = shared.fair_tick[w].fetch_add(1, Ordering::Relaxed).wrapping_add(1); // xlint: ordering(fair_tick is per-worker, read only by its owner; cadence, not synchronization)
+    let tick = shared.fair_tick[w].next().wrapping_add(1);
     if tick.is_multiple_of(FAIR_EVERY) {
         if let Some(t) = shared.injector.lock().pop_front() {
             shared.pending.fetch_sub(1, Ordering::AcqRel);
@@ -453,7 +456,7 @@ fn park(shared: &PoolShared) {
     let start = Instant::now();
     let mut idle = shared.idle.lock();
     *idle += 1;
-    if shared.pending.load(Ordering::Acquire) == 0 && !shared.shutdown.load(Ordering::Acquire) {
+    if shared.pending.load(Ordering::Acquire) == 0 && !shared.shutdown.get() {
         idle = shared.wake.wait_for(idle, PARK_TIMEOUT).0;
     }
     *idle -= 1;
@@ -471,7 +474,7 @@ mod tests {
     struct CountTask {
         core: TaskCore,
         id: usize,
-        runs: AtomicUsize,
+        runs: Counter,
         /// Step outcomes to produce, consumed front-first; Finished after.
         script: Mutex<VecDeque<&'static str>>,
         ran: Arc<Mutex<Vec<usize>>>,
@@ -482,7 +485,7 @@ mod tests {
             Arc::new(CountTask {
                 core: TaskCore::new(),
                 id,
-                runs: AtomicUsize::new(0),
+                runs: Counter::new(),
                 script: Mutex::new(script.iter().copied().collect()),
                 ran,
             })
@@ -494,7 +497,7 @@ mod tests {
             &self.core
         }
         fn step(&self) -> Step {
-            self.runs.fetch_add(1, Ordering::SeqCst);
+            self.runs.inc();
             self.ran.lock().push(self.id);
             match self.script.lock().pop_front() {
                 Some("again") => Step::Again,
@@ -611,51 +614,52 @@ mod tests {
         assert!(t.core.is_done());
         notify(&dyn_t, &pool);
         assert!(!drive(&pool.shared, 0));
-        assert_eq!(t.runs.load(Ordering::SeqCst), 1);
+        assert_eq!(t.runs.get(), 1);
     }
 
     /// Fake merge job: counts steps, honours cooperative cancel, and panics
     /// in its next step while `panics` is set.
     struct FakeJob {
-        steps_left: AtomicUsize,
-        steps_run: AtomicUsize,
-        cancelled: AtomicBool,
-        done: AtomicBool,
-        panics: AtomicBool,
+        steps: u64,
+        /// Steps that ran to the cancel check, the one that ends it included.
+        steps_checked: IdGen,
+        steps_run: Counter,
+        cancelled: Flag,
+        done: Flag,
+        panics: Flag,
     }
 
     impl FakeJob {
-        fn new(steps: usize) -> Arc<Self> {
+        fn new(steps: u64) -> Arc<Self> {
             Arc::new(FakeJob {
-                steps_left: AtomicUsize::new(steps),
-                steps_run: AtomicUsize::new(0),
-                cancelled: AtomicBool::new(false),
-                done: AtomicBool::new(false),
-                panics: AtomicBool::new(false),
+                steps,
+                steps_checked: IdGen::new(1),
+                steps_run: Counter::new(),
+                cancelled: Flag::new(false),
+                done: Flag::new(false),
+                panics: Flag::new(false),
             })
         }
     }
 
     impl BackgroundJob for FakeJob {
         fn step(&self) -> JobStep {
-            self.steps_run.fetch_add(1, Ordering::SeqCst);
-            assert!(!self.panics.swap(false, Ordering::SeqCst), "a merge step fails");
-            if self.cancelled.load(Ordering::SeqCst)
-                || self.steps_left.fetch_sub(1, Ordering::SeqCst) <= 1
-            {
-                self.done.store(true, Ordering::SeqCst);
+            self.steps_run.inc();
+            assert!(!self.panics.swap(false), "a merge step fails");
+            if self.cancelled.get() || self.steps_checked.next() >= self.steps {
+                self.done.set(true);
                 return JobStep::Done;
             }
             JobStep::Again
         }
         fn cancel(&self) {
-            self.cancelled.store(true, Ordering::SeqCst);
+            self.cancelled.set(true);
         }
     }
 
     fn wait_done(job: &FakeJob) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !job.done.load(Ordering::SeqCst) {
+        while !job.done.get() {
             assert!(Instant::now() < deadline, "compaction job never finished");
             lock_order::sleep(Duration::from_millis(1));
         }
@@ -669,7 +673,7 @@ mod tests {
         let job = FakeJob::new(5);
         exec.offload(job.clone() as Arc<dyn BackgroundJob>);
         wait_done(&job);
-        assert_eq!(job.steps_run.load(Ordering::SeqCst), 5);
+        assert_eq!(job.steps_run.get(), 5);
     }
 
     #[test]
@@ -684,8 +688,8 @@ mod tests {
         wait_done(&job);
         // The task saw the tripped token before its first quantum, cancelled
         // the job, and the very first step aborted instead of running 1M.
-        assert_eq!(job.steps_run.load(Ordering::SeqCst), 1);
-        assert!(job.cancelled.load(Ordering::SeqCst));
+        assert_eq!(job.steps_run.get(), 1);
+        assert!(job.cancelled.get());
     }
 
     #[test]
@@ -694,12 +698,12 @@ mod tests {
         ctx.set_worker_threads(1);
         let exec = storage_compaction_executor(&ctx, CancellationToken::new());
         let job = FakeJob::new(1_000_000);
-        job.panics.store(true, Ordering::SeqCst);
+        job.panics.set(true);
         exec.offload(job.clone() as Arc<dyn BackgroundJob>);
         wait_done(&job);
         // The panicking step, then the cancelled one that ends the job.
-        assert!(job.cancelled.load(Ordering::SeqCst));
-        assert_eq!(job.steps_run.load(Ordering::SeqCst), 2);
+        assert!(job.cancelled.get());
+        assert_eq!(job.steps_run.get(), 2);
     }
 
     /// Records whether its step ran marked as a pool step.
@@ -753,8 +757,8 @@ mod tests {
         // this thread so the tree never wedges in `merging`.
         let job = FakeJob::new(4);
         exec.offload(job.clone() as Arc<dyn BackgroundJob>);
-        assert!(job.done.load(Ordering::SeqCst));
-        assert_eq!(job.steps_run.load(Ordering::SeqCst), 4);
+        assert!(job.done.get());
+        assert_eq!(job.steps_run.get(), 4);
     }
 
     #[test]
@@ -775,7 +779,7 @@ mod tests {
             lock_order::sleep(Duration::from_millis(1));
         }
         for t in &tasks {
-            assert_eq!(t.runs.load(Ordering::SeqCst), 2);
+            assert_eq!(t.runs.get(), 2);
         }
         let snap = reg.snapshot();
         assert_eq!(snap.counter("hyracks.sched.enqueued"), snap.counter("hyracks.sched.morsels"));

@@ -5,7 +5,7 @@
 //! can substitute a [`ManualClock`] and get bit-identical profiles across
 //! runs.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -50,8 +50,9 @@ impl Clock for MonotonicClock {
 /// Deterministic clock for tests: every read advances time by a fixed
 /// `step`, so timings are reproducible and strictly monotonic regardless
 /// of scheduling. `advance` models explicit passage of time.
+#[expect(clippy::disallowed_types, reason = "a test clock whose one atomic is its whole state; Relaxed: a reading publishes nothing")]
 pub struct ManualClock {
-    now: AtomicU64,
+    now: std::sync::atomic::AtomicU64,
     step: u64,
 }
 
@@ -63,7 +64,7 @@ impl ManualClock {
 
     /// A clock that advances by `step_ns` on every read.
     pub fn with_step(step_ns: u64) -> ManualClock {
-        ManualClock { now: AtomicU64::new(0), step: step_ns }
+        ManualClock { now: Default::default(), step: step_ns }
     }
 
     /// Shared handle with a per-read step.
@@ -91,7 +92,7 @@ impl Clock for ManualClock {
             // fetch_add returns the pre-increment value; report the
             // post-increment one so consecutive reads are strictly
             // increasing.
-            self.now.fetch_add(self.step, Ordering::Relaxed) + self.step // xlint: ordering(manual test clock: this atomic is the entire shared state)
+            self.now.fetch_add(self.step, Ordering::Relaxed) + self.step
         }
     }
 }

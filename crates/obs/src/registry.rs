@@ -1,4 +1,5 @@
-//! Named metrics with a snapshot/delta API.
+//! Named metrics with a snapshot/delta API, and the workspace's typed
+//! atomics.
 //!
 //! A [`MetricsRegistry`] hands out cheap cloneable handles
 //! ([`Counter`], [`Gauge`]) keyed by a dotted name
@@ -6,15 +7,22 @@
 //! registry lock is touched only at registration and snapshot time, never
 //! on the hot path. Counters only grow and nothing resets them: a phase is
 //! measured as [`MetricsSnapshot::delta`] of the snapshots around it.
+//!
+//! [`IdGen`], [`Flag`] and [`HighWater`] are the other shapes an atomic
+//! takes here, each with its orderings fixed and argued once below.
+//! `clippy.toml` refuses the raw `std::sync::atomic` types everywhere else;
+//! an atomic that fits none of these shapes keeps its raw type under an
+//! `#[expect(clippy::disallowed_types, reason = "…")]` that states its
+//! ordering argument (DESIGN.md "Correctness tooling").
 
 #![allow(
     clippy::disallowed_types,
-    reason = "obs sits beneath storage, whose lock_order module wraps every other lock"
+    reason = "obs sits beneath storage, whose lock_order module wraps every other lock, and holds the typed atomics"
 )]
 
 use crate::json::Json;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Monotonically increasing event count.
@@ -64,6 +72,88 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// A source of unique ids: each call to [`IdGen::next`] hands out a value no
+/// other call gets. Relaxed throughout: an id publishes nothing, so whatever
+/// its holder builds under it is published by the lock that hands that over
+/// (the log's for a transaction, the disk list's for a component, the files
+/// map's for a file, the admission state's for a ticket, the channel's for
+/// a pub/sub epoch), never by the counter.
+#[derive(Debug)]
+pub struct IdGen(AtomicU64);
+
+impl IdGen {
+    /// A generator whose first id is `first`.
+    pub const fn new(first: u64) -> IdGen {
+        IdGen(AtomicU64::new(first))
+    }
+
+    #[inline]
+    pub fn next(&self) -> u64 {
+        self.0.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Every later id is at least `n`; a lower `n` leaves the generator as
+    /// it was. Recovery calls it with one past the highest id found on disk,
+    /// before the instance hands out any.
+    pub fn raise_to(&self, n: u64) {
+        self.0.fetch_max(n, Ordering::Relaxed);
+    }
+}
+
+/// A boolean one thread sets for others to act on (cancel, retire, shut
+/// down). `set` releases and `get` acquires, so a thread that sees the new
+/// value also sees every write its setter made before setting it; `swap`
+/// does both. Where only the flag itself matters (the cache's reference
+/// bit), this costs nothing on x86-64: a release store and an acquire load
+/// are plain moves, and a swap is one `xchg` at any ordering.
+#[derive(Debug)]
+pub struct Flag(AtomicBool);
+
+impl Flag {
+    pub const fn new(v: bool) -> Flag {
+        Flag(AtomicBool::new(v))
+    }
+
+    #[inline]
+    pub fn set(&self, v: bool) {
+        self.0.store(v, Ordering::Release);
+    }
+
+    #[inline]
+    pub fn get(&self) -> bool {
+        self.0.load(Ordering::Acquire)
+    }
+
+    /// Sets `v` and returns the value it replaced.
+    #[inline]
+    pub fn swap(&self, v: bool) -> bool {
+        self.0.swap(v, Ordering::AcqRel)
+    }
+}
+
+/// A mark that only rises: the log's durable LSN, a feed's durable seqno.
+/// `raise` is an AcqRel max, so a reader that sees a mark at or past its
+/// own point with `get` (Acquire) sees everything the raiser did before
+/// raising it; a lower value never moves it back.
+#[derive(Debug)]
+pub struct HighWater(AtomicU64);
+
+impl HighWater {
+    pub const fn new(v: u64) -> HighWater {
+        HighWater(AtomicU64::new(v))
+    }
+
+    #[inline]
+    pub fn raise(&self, v: u64) {
+        self.0.fetch_max(v, Ordering::AcqRel);
+    }
+
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -274,6 +364,55 @@ mod tests {
         // The name is owned: a handle request for it comes back detached.
         reg.counter("ext.hits").add(100);
         assert_eq!(reg.snapshot().counter("ext.hits"), Some(9));
+    }
+
+    #[test]
+    fn an_id_generator_hands_out_each_id_once_across_threads() {
+        let ids = IdGen::new(1);
+        let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4).map(|_| s.spawn(|| (0..1_000).map(|_| ids.next()).collect())).collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = per_thread.concat();
+        all.sort_unstable();
+        assert_eq!(all, (1..=4_000).collect::<Vec<_>>(), "distinct, and none skipped");
+    }
+
+    #[test]
+    fn raising_an_id_generator_never_lowers_it() {
+        let ids = IdGen::new(1);
+        ids.raise_to(10);
+        ids.raise_to(5);
+        assert_eq!(ids.next(), 10, "a lower value after a higher one leaves it where it was");
+        ids.raise_to(3);
+        assert_eq!(ids.next(), 11);
+    }
+
+    #[test]
+    fn a_high_water_mark_keeps_the_maximum_of_racing_raises() {
+        let mark = HighWater::new(0);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let mark = &mark;
+                // interleaved, each thread's values falling as well as rising
+                s.spawn(move || (0..1_000u64).for_each(|i| mark.raise((i * 7 + t * 13) % 3_989)));
+            }
+        });
+        let expected = (0..4u64).flat_map(|t| (0..1_000u64).map(move |i| (i * 7 + t * 13) % 3_989)).max();
+        assert_eq!(Some(mark.get()), expected);
+        mark.raise(1);
+        assert_eq!(Some(mark.get()), expected, "a lower value does not move it back");
+    }
+
+    #[test]
+    fn a_flag_set_before_a_thread_joins_is_seen_after_the_join() {
+        let flag = Flag::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| flag.set(true));
+        });
+        assert!(flag.get());
+        assert!(flag.swap(false), "swap returns what it replaced");
+        assert!(!flag.get());
     }
 
     #[test]

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # SQL++ and AQL — the two declarative query languages
 //!
 //! AsterixDB shipped two query languages over one compiler (paper §IV-A):

@@ -12,7 +12,7 @@
 //! eviction — eviction merely drops the cache's reference.
 //!
 //! Hits take only a shard *read* lock: the CLOCK reference bit is an
-//! `AtomicBool`, so the hot path is a shared lock plus one relaxed store.
+//! [`asterix_obs::Flag`], so the hot path is a shared lock plus one store.
 //! Installs and evictions take the shard write lock.
 //!
 //! Sequential scans go through [`BufferCache::get_sequential`], which turns
@@ -46,8 +46,9 @@ use crate::error::{Result, StorageError};
 use crate::io::{FileId, FileManager, PAGE_SIZE};
 use crate::lock_order::{Condvar, Level, Mutex, RwLock};
 use crate::stats::{CacheShardSnapshot, IoStats};
+use asterix_obs::Flag;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 /// Fallback stripe count when the host's parallelism cannot be queried.
@@ -88,7 +89,7 @@ impl CacheOptions {
 struct Frame {
     data: Arc<Vec<u8>>,
     /// CLOCK reference bit; atomic so hits can set it under a read lock.
-    referenced: AtomicBool,
+    referenced: Flag,
 }
 
 struct ShardInner {
@@ -98,15 +99,16 @@ struct ShardInner {
     hand: usize,
 }
 
+#[expect(clippy::disallowed_types, reason = "inline totals on the hit path, not Counters (see crate::stats); Relaxed: a total publishes nothing")]
 struct Shard {
     /// This shard's slice of the frame budget.
     capacity: usize,
     inner: RwLock<ShardInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    readaheads: AtomicU64,
-    coalesced_waits: AtomicU64,
+    hits: std::sync::atomic::AtomicU64,
+    misses: std::sync::atomic::AtomicU64,
+    evictions: std::sync::atomic::AtomicU64,
+    readaheads: std::sync::atomic::AtomicU64,
+    coalesced_waits: std::sync::atomic::AtomicU64,
 }
 
 impl Shard {
@@ -121,19 +123,19 @@ impl Shard {
                     hand: 0,
                 },
             ),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            readaheads: AtomicU64::new(0),
-            coalesced_waits: AtomicU64::new(0),
+            hits: Default::default(),
+            misses: Default::default(),
+            evictions: Default::default(),
+            readaheads: Default::default(),
+            coalesced_waits: Default::default(),
         }
     }
 
-    /// Hit path: shared lock, relaxed reference-bit store.
+    /// Hit path: shared lock, reference-bit store.
     fn lookup(&self, key: &(FileId, u64)) -> Option<Arc<Vec<u8>>> {
         let inner = self.inner.read();
         let frame = inner.frames.get(key)?;
-        frame.referenced.store(true, Ordering::Relaxed);
+        frame.referenced.set(true);
         Some(Arc::clone(&frame.data))
     }
 }
@@ -213,6 +215,7 @@ impl BufferCache {
     /// Creates a cache with explicit shard/readahead configuration, and
     /// registers its counters in `manager`'s registry. A manager has one
     /// cache: a registry keeps the first counter registered under a name.
+    #[expect(clippy::disallowed_types, reason = "reads the shards' inline totals: see Shard")]
     pub fn with_options(manager: Arc<FileManager>, opts: CacheOptions) -> Arc<Self> {
         let capacity = opts.capacity.max(1);
         let n = if opts.shards > 0 { opts.shards } else { default_shards() };
@@ -229,7 +232,7 @@ impl BufferCache {
             inflight: Mutex::ranked(Level::CacheInflight, HashMap::new()),
         });
         let registry = cache.manager.stats().registry();
-        let observe = |name: &str, counter: fn(&Shard) -> &AtomicU64| {
+        let observe = |name: &str, counter: fn(&Shard) -> &std::sync::atomic::AtomicU64| {
             let weak: Weak<BufferCache> = Arc::downgrade(&cache);
             registry.observed_counter(name, move || {
                 weak.upgrade().map_or(0, |c| {
@@ -475,7 +478,7 @@ impl BufferCache {
             if replace {
                 frame.data = data;
             }
-            frame.referenced.store(true, Ordering::Relaxed);
+            frame.referenced.set(true);
             return false;
         }
         while inner.frames.len() >= shard.capacity && !inner.ring.is_empty() {
@@ -483,7 +486,7 @@ impl BufferCache {
             let idx = inner.hand % inner.ring.len();
             let victim_key = inner.ring[idx];
             let referenced = match inner.frames.get(&victim_key) {
-                Some(frame) => frame.referenced.swap(false, Ordering::Relaxed), // xlint: ordering(second-chance reference bit is a heuristic; eviction is guarded by the shard lock held here)
+                Some(frame) => frame.referenced.swap(false),
                 None => {
                     // Ring slot with no backing frame: self-heal by
                     // dropping the stale slot and continuing the sweep.
@@ -505,7 +508,7 @@ impl BufferCache {
                 inner.hand = (idx + 1) % inner.ring.len().max(1);
             }
         }
-        inner.frames.insert(key, Frame { data, referenced: AtomicBool::new(true) });
+        inner.frames.insert(key, Frame { data, referenced: Flag::new(true) });
         inner.ring.push(key);
         true
     }

@@ -28,7 +28,7 @@
 use crate::error::{Result, StorageError};
 use crate::lock_order::Mutex;
 use rand::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Tuning knobs for a [`FaultInjector`].
@@ -116,13 +116,14 @@ pub fn target_name(path: &std::path::Path) -> String {
 }
 
 /// Seedable failpoint engine shared by all I/O paths of one node.
+#[expect(clippy::disallowed_types, reason = "SeqCst: crash points count one total order of I/O across threads, and a crash is seen by every thread after it")]
 pub struct FaultInjector {
     config: FaultConfig,
     rng: Mutex<SmallRng>,
-    ops: AtomicU64,
+    ops: std::sync::atomic::AtomicU64,
     /// Operations so far whose target matched `crash_at_target`.
-    target_hits: AtomicU64,
-    crashed: AtomicBool,
+    target_hits: std::sync::atomic::AtomicU64,
+    crashed: std::sync::atomic::AtomicBool,
     events: Mutex<Vec<FaultEvent>>,
 }
 
@@ -143,9 +144,9 @@ impl FaultInjector {
         Arc::new(FaultInjector {
             config,
             rng: Mutex::new(rng),
-            ops: AtomicU64::new(0),
-            target_hits: AtomicU64::new(0),
-            crashed: AtomicBool::new(false),
+            ops: Default::default(),
+            target_hits: Default::default(),
+            crashed: Default::default(),
             events: Mutex::new(Vec::new()),
         })
     }

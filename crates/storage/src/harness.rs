@@ -69,9 +69,9 @@ use crate::io::FileId;
 use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::{Condvar, Level, Mutex};
 use crate::wal::Lsn;
+use asterix_obs::{Counter, Flag, IdGen};
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -175,16 +175,17 @@ impl LsmStats {
 /// in-flight background merge jobs.
 #[derive(Debug, Default)]
 struct SharedStats {
-    seals: AtomicU64,
-    flushes: AtomicU64,
-    merges: AtomicU64,
-    merges_aborted: AtomicU64,
-    entries_written: AtomicU64,
-    entries_ingested: AtomicU64,
-    merge_stall_ns: AtomicU64,
-    reads: AtomicU64,
-    entries_visited: AtomicU64,
-    retire_failures: Arc<AtomicU64>,
+    seals: Counter,
+    flushes: Counter,
+    merges: Counter,
+    merges_aborted: Counter,
+    entries_written: Counter,
+    entries_ingested: Counter,
+    merge_stall_ns: Counter,
+    reads: Counter,
+    entries_visited: Counter,
+    /// Shared with every component, which counts a file it failed to delete.
+    retire_failures: Counter,
 }
 
 // ---------------------------------------------------------------------------
@@ -274,14 +275,14 @@ pub struct Component<K: ComponentKind> {
     lsns: (Lsn, Lsn),
     pub(crate) disk: K::Disk,
     cache: Arc<BufferCache>,
-    retire: AtomicBool,
-    retire_failures: Arc<AtomicU64>,
+    retire: Flag,
+    retire_failures: Counter,
     hub: Arc<LsmMetricsHub>,
 }
 
 impl<K: ComponentKind> Drop for Component<K> {
     fn drop(&mut self) {
-        if !self.retire.load(Ordering::Acquire) {
+        if !self.retire.get() {
             return;
         }
         for file in K::files(&self.disk) {
@@ -290,7 +291,7 @@ impl<K: ComponentKind> Drop for Component<K> {
                 // Non-fatal cleanup failure: the merged data is already
                 // published; no manifest names the orphaned file, so the
                 // next open sweeps it.
-                self.retire_failures.fetch_add(1, Ordering::Relaxed);
+                self.retire_failures.inc();
                 self.hub.count_retire_failure();
             }
         }
@@ -438,7 +439,7 @@ enum CompactionState {
     /// No merge in flight.
     Idle,
     /// A merge is running; setting `cancel` stops it at its next morsel.
-    Merging { cancel: Arc<AtomicBool> },
+    Merging { cancel: Arc<Flag> },
     /// The merged component is published; input files are being retired.
     Retiring,
 }
@@ -456,12 +457,12 @@ pub(crate) struct Harness<K: ComponentKind> {
     /// and a background merge never race to replace the manifest.
     manifest: Mutex<Lsn>,
     /// Set by [`Harness::destroy`]: nothing may publish any more.
-    destroyed: AtomicBool,
+    destroyed: Flag,
     /// Disk components, newest first.
     disk: Mutex<Vec<Arc<Component<K>>>>,
     state: Mutex<CompactionState>,
     state_changed: Condvar,
-    next_component_id: AtomicU64,
+    next_component_id: IdGen,
     stats: SharedStats,
     exec: Mutex<CompactionExec>,
     /// (total bytes, live bytes) last reported to the hub's space counters.
@@ -478,11 +479,11 @@ impl<K: ComponentKind> Harness<K> {
         Arc::new(Harness {
             kind,
             manifest: Mutex::ranked(Level::LsmManifest, 0),
-            destroyed: AtomicBool::new(false),
+            destroyed: Flag::new(false),
             disk: Mutex::ranked(Level::LsmDisk, Vec::new()),
             state: Mutex::ranked(Level::LsmState, CompactionState::Idle),
             state_changed: Condvar::new(),
-            next_component_id: AtomicU64::new(1),
+            next_component_id: IdGen::new(1),
             stats: SharedStats::default(),
             exec: Mutex::new(crate::compaction::on_caller()),
             space_mark: Mutex::new((0, 0)),
@@ -509,7 +510,7 @@ impl<K: ComponentKind> Harness<K> {
             max_id = max_id.max(entry.id);
             disk.push(harness.component(entry.id, built, entry.lsns));
         }
-        harness.next_component_id.store(max_id + 1, Ordering::Relaxed);
+        harness.next_component_id.raise_to(max_id + 1);
         *harness.manifest.lock() = manifest.flushed_below;
         harness.refresh_space(&disk);
         *harness.disk.lock() = disk;
@@ -518,19 +519,19 @@ impl<K: ComponentKind> Harness<K> {
 
     /// One application write (insert, upsert or delete) entered the index.
     pub(crate) fn count_ingested(&self) {
-        self.stats.entries_ingested.fetch_add(1, Ordering::Relaxed);
+        self.stats.entries_ingested.inc();
         self.hub.count_ingested(1);
     }
 
     /// One point lookup was served after probing `probes` disk components.
     pub(crate) fn count_point_read(&self, probes: u64) {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.reads.inc();
         self.hub.count_read(probes);
     }
 
     /// A range read pulled `n` entries out of the components.
     pub(crate) fn count_visited(&self, n: u64) {
-        self.stats.entries_visited.fetch_add(n, Ordering::Relaxed);
+        self.stats.entries_visited.add(n);
     }
 
     /// Snapshot of the live component list (cheap `Arc` clones). A reader
@@ -542,7 +543,7 @@ impl<K: ComponentKind> Harness<K> {
 
     /// Allocates the id of the next component (flush or merge output).
     fn alloc_id(&self) -> u64 {
-        self.next_component_id.fetch_add(1, Ordering::Relaxed) // xlint: ordering(component-id allocation; uniqueness only, publication via the disk-list lock)
+        self.next_component_id.next()
     }
 
     fn component(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Arc<Component<K>> {
@@ -552,8 +553,8 @@ impl<K: ComponentKind> Harness<K> {
             lsns,
             disk: built.disk,
             cache: Arc::clone(self.kind.cache()),
-            retire: AtomicBool::new(false),
-            retire_failures: Arc::clone(&self.stats.retire_failures),
+            retire: Flag::new(false),
+            retire_failures: self.stats.retire_failures.clone(),
             hub: Arc::clone(&self.hub),
         })
     }
@@ -573,7 +574,7 @@ impl<K: ComponentKind> Harness<K> {
         let start = Instant::now();
         work();
         let stall = start.elapsed().as_nanos() as u64;
-        self.stats.merge_stall_ns.fetch_add(stall, Ordering::Relaxed);
+        self.stats.merge_stall_ns.add(stall);
         self.hub.add_stall_ns(stall);
     }
 
@@ -590,7 +591,7 @@ impl<K: ComponentKind> Harness<K> {
     /// Replaces the manifest with `flushed_below` and `list`. The caller
     /// holds the `manifest` lock.
     fn write_manifest(&self, flushed_below: Lsn, list: &[Arc<Component<K>>]) -> Result<()> {
-        if self.destroyed.load(Ordering::Acquire) {
+        if self.destroyed.get() {
             return Err(StorageError::Invalid(format!("index {} was dropped", self.kind.name())));
         }
         let manager = self.kind.cache().manager();
@@ -616,7 +617,7 @@ impl<K: ComponentKind> Harness<K> {
         list.insert(pos.min(list.len()), Arc::clone(&comp));
         let below = (*flushed_below).max(comp.lsns.1);
         if let Err(e) = self.write_manifest(below, &list) {
-            comp.retire.store(true, Ordering::Release);
+            comp.retire.set(true);
             return Err(e);
         }
         *flushed_below = below;
@@ -631,8 +632,8 @@ impl<K: ComponentKind> Harness<K> {
     fn publish_flush(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Result<()> {
         let written = built.written;
         self.publish(self.component(id, built, lsns), &[])?;
-        self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
+        self.stats.flushes.inc();
+        self.stats.entries_written.add(written);
         self.hub.count_flush(written);
         Ok(())
     }
@@ -662,7 +663,7 @@ impl<K: ComponentKind> Harness<K> {
         let comps = disk[..n].to_vec();
         let includes_oldest = n == disk.len();
         drop(disk);
-        let cancel = Arc::new(AtomicBool::new(false));
+        let cancel = Arc::new(Flag::new(false));
         *st = CompactionState::Merging { cancel: Arc::clone(&cancel) };
         self.hub.merge_started();
         Some(MergeJob {
@@ -706,13 +707,13 @@ impl<K: ComponentKind> Harness<K> {
         self.publish(self.component(id, built, lsns), &ids)?;
         *self.state.lock() = CompactionState::Retiring;
         for comp in &inputs {
-            comp.retire.store(true, Ordering::Release);
+            comp.retire.set(true);
         }
         // The input files unlink here unless a read snapshot still holds
         // them; a failed delete is counted, never propagated.
         drop(inputs);
-        self.stats.merges.fetch_add(1, Ordering::Relaxed);
-        self.stats.entries_written.fetch_add(written, Ordering::Relaxed);
+        self.stats.merges.inc();
+        self.stats.entries_written.add(written);
         self.hub.count_merge(written);
         self.to_idle();
         self.schedule_merge();
@@ -723,7 +724,7 @@ impl<K: ComponentKind> Harness<K> {
     /// partial output file (if any) is an orphan no manifest names; the next
     /// open sweeps it.
     fn merge_aborted(&self) {
-        self.stats.merges_aborted.fetch_add(1, Ordering::Relaxed);
+        self.stats.merges_aborted.inc();
         self.to_idle();
     }
 
@@ -740,7 +741,7 @@ impl<K: ComponentKind> Harness<K> {
     /// Asks the in-flight merge, if any, to stop at its next morsel.
     fn cancel_merge(&self) {
         if let CompactionState::Merging { cancel, .. } = &*self.state.lock() {
-            cancel.store(true, Ordering::Release);
+            cancel.set(true);
         }
     }
 
@@ -947,7 +948,7 @@ impl<K: ComponentKind> Lsm<K> {
     pub fn merge_newest(&mut self, n: usize) -> Result<()> {
         let shared = &self.shared;
         let deadline = Instant::now() + Duration::from_secs(60);
-        let aborted = || shared.stats.merges_aborted.load(Ordering::Relaxed);
+        let aborted = || shared.stats.merges_aborted.get();
         if shared.wait_idle_until(deadline) {
             let before = aborted();
             let Some(job) = shared.claim(|_| Some(n)) else { return Ok(()) };
@@ -966,12 +967,12 @@ impl<K: ComponentKind> Lsm<K> {
     pub fn wait_merges_idle(&self, timeout: Duration) -> bool {
         let shared = &self.shared;
         let deadline = Instant::now() + timeout;
-        let aborted0 = shared.stats.merges_aborted.load(Ordering::Relaxed);
+        let aborted0 = shared.stats.merges_aborted.get();
         loop {
             if !shared.wait_idle_until(deadline) {
                 return false;
             }
-            if shared.stats.merges_aborted.load(Ordering::Relaxed) > aborted0 {
+            if shared.stats.merges_aborted.get() > aborted0 {
                 return false;
             }
             if shared.policy_pick(&shared.disk.lock()).is_none() {
@@ -1024,16 +1025,16 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     fn stats(&self) -> LsmStats {
         let s = &self.shared.stats;
         LsmStats {
-            seals: s.seals.load(Ordering::Relaxed),
-            flushes: s.flushes.load(Ordering::Relaxed),
-            merges: s.merges.load(Ordering::Relaxed),
-            merges_aborted: s.merges_aborted.load(Ordering::Relaxed),
-            entries_written: s.entries_written.load(Ordering::Relaxed),
-            entries_ingested: s.entries_ingested.load(Ordering::Relaxed),
-            merge_stall_ns: s.merge_stall_ns.load(Ordering::Relaxed),
-            retire_failures: s.retire_failures.load(Ordering::Relaxed),
-            reads: s.reads.load(Ordering::Relaxed),
-            entries_visited: s.entries_visited.load(Ordering::Relaxed),
+            seals: s.seals.get(),
+            flushes: s.flushes.get(),
+            merges: s.merges.get(),
+            merges_aborted: s.merges_aborted.get(),
+            entries_written: s.entries_written.get(),
+            entries_ingested: s.entries_ingested.get(),
+            merge_stall_ns: s.merge_stall_ns.get(),
+            retire_failures: s.retire_failures.get(),
+            reads: s.reads.get(),
+            entries_visited: s.entries_visited.get(),
         }
     }
 
@@ -1120,7 +1121,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     fn seal(&mut self) {
         let mem = &mut self.mem;
         if mem.sealed.is_none() {
-            self.shared.stats.seals.fetch_add(1, Ordering::Relaxed);
+            self.shared.stats.seals.inc();
             mem.sealed = Some(Sealed {
                 slot: std::mem::take(&mut mem.active),
                 below: mem.covered_below,
@@ -1179,11 +1180,11 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
         let manager = shared.kind.cache().manager();
         let _publishing = shared.manifest.lock();
         shared.write_manifest(0, &[])?;
-        shared.destroyed.store(true, Ordering::Release);
+        shared.destroyed.set(true);
         let dropped = std::mem::take(&mut *shared.disk.lock());
         shared.refresh_space(&[]);
         for comp in &dropped {
-            comp.retire.store(true, Ordering::Release);
+            comp.retire.set(true);
         }
         drop(dropped);
         crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
@@ -1209,7 +1210,7 @@ struct MergeJob<K: ComponentKind> {
     /// swapped-out components can retire as soon as readers let go.
     comps: Mutex<Vec<Arc<Component<K>>>>,
     includes_oldest: bool,
-    cancel: Arc<AtomicBool>,
+    cancel: Arc<Flag>,
     /// The output component's id and the kind's merge state, once opened.
     run: Mutex<Option<(u64, K::Run)>>,
 }
@@ -1218,7 +1219,7 @@ impl<K: ComponentKind> MergeJob<K> {
     /// One morsel of merging, or the publish once the inputs are exhausted.
     fn advance(&self) -> Result<JobStep> {
         let kind = &self.shared.kind;
-        if self.cancel.load(Ordering::Acquire) {
+        if self.cancel.get() {
             self.run.lock().take();
             self.shared.merge_aborted();
             return Ok(JobStep::Done);
@@ -1253,7 +1254,7 @@ impl<K: ComponentKind> BackgroundJob for MergeJob<K> {
     }
 
     fn cancel(&self) {
-        self.cancel.store(true, Ordering::Release);
+        self.cancel.set(true);
     }
 }
 

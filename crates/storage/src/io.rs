@@ -11,12 +11,12 @@ use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::lock_order::RwLock;
 use crate::stats::IoStats;
+use asterix_obs::IdGen;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Size of one storage page in bytes.
@@ -40,7 +40,7 @@ struct OpenFile {
 pub struct FileManager {
     dir: PathBuf,
     stats: Arc<IoStats>,
-    next_id: AtomicU32,
+    next_id: IdGen,
     files: RwLock<HashMap<FileId, Arc<RwLock<OpenFile>>>>,
     faults: Option<Arc<FaultInjector>>,
 }
@@ -61,7 +61,7 @@ impl FileManager {
         Ok(Arc::new(FileManager {
             dir: dir.as_ref().to_path_buf(),
             stats,
-            next_id: AtomicU32::new(1),
+            next_id: IdGen::new(1),
             files: RwLock::new(HashMap::new()),
             faults,
         }))
@@ -83,7 +83,8 @@ impl FileManager {
     }
 
     fn register(&self, file: File, path: PathBuf, pages: u64, writable: bool) -> FileId {
-        let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed)); // xlint: ordering(file-id allocation; registration is published by the files-map lock)
+        // the low 32 bits: ids wrap past `u32::MAX`
+        let id = FileId(self.next_id.next() as u32);
         self.files
             .write()
             .insert(id, Arc::new(RwLock::new(OpenFile { file, path, pages, writable })));

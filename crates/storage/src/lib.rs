@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable))]
 //! # Storage — partitioned, LSM-based native storage and indexing
 //!

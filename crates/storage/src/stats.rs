@@ -20,19 +20,20 @@
 use crate::compaction::LsmMetricsHub;
 use crate::io::PAGE_SIZE;
 use asterix_obs::MetricsRegistry;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
 /// Shared, thread-safe physical page counters, exported under
 /// `storage.io.*` by the registry returned by [`IoStats::registry`].
+#[expect(clippy::disallowed_types, reason = "inline totals on the buffer-cache path, not Counters (module docs); Relaxed: a total publishes nothing")]
 #[derive(Debug)]
 pub struct IoStats {
     registry: Arc<MetricsRegistry>,
     /// Node-wide LSM amplification hub shared by every tree on this device
     /// (registered as `storage.lsm.*` metrics alongside the I/O counters).
     lsm: Arc<LsmMetricsHub>,
-    physical_reads: AtomicU64,
-    physical_writes: AtomicU64,
+    physical_reads: std::sync::atomic::AtomicU64,
+    physical_writes: std::sync::atomic::AtomicU64,
 }
 
 impl IoStats {
@@ -46,8 +47,8 @@ impl IoStats {
         let stats = Arc::new(IoStats {
             lsm: Arc::new(LsmMetricsHub::new(&registry)),
             registry,
-            physical_reads: AtomicU64::new(0),
-            physical_writes: AtomicU64::new(0),
+            physical_reads: Default::default(),
+            physical_writes: Default::default(),
         });
         let observe = |name: &str, read: fn(&IoStats) -> u64| {
             let weak: Weak<IoStats> = Arc::downgrade(&stats);

@@ -1,16 +1,16 @@
 //! Test-only helpers shared across the crate's unit tests.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use asterix_obs::IdGen;
 
-static COUNTER: AtomicU64 = AtomicU64::new(0);
+static COUNTER: IdGen = IdGen::new(0);
 
 /// Minimal temporary-directory guard: unique path, removed on drop.
 pub struct TempDir(PathBuf);
 
 impl TempDir {
     pub fn new() -> Self {
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed); // xlint: ordering(unique temp-dir suffix; no synchronization)
+        let n = COUNTER.next();
         let pid = std::process::id();
         let nanos = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)

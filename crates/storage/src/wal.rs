@@ -28,13 +28,12 @@ use crate::le::{fnv1a, Cursor};
 use crate::lock_order::{self, Mutex};
 use crate::log_block::{self, Coder, StreamBytes};
 use asterix_adm::binary::{put_len_prefixed, put_varint};
-use asterix_obs::{Counter, Gauge, MetricsRegistry};
+use asterix_obs::{Counter, Gauge, HighWater, MetricsRegistry};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -853,7 +852,7 @@ impl SegmentedWal {
 /// record below LSN `end` is on stable storage.
 pub struct GroupCommit {
     /// Records durably synced (an LSN high-water mark).
-    durable: AtomicU64,
+    durable: HighWater,
     /// `storage.wal.group_commits`: leader fsync rounds.
     rounds: Counter,
     /// `storage.wal.group_commit_waiters`: committers that piggybacked on
@@ -866,7 +865,7 @@ impl GroupCommit {
     /// into `registry`.
     pub fn new(registry: &MetricsRegistry) -> GroupCommit {
         GroupCommit {
-            durable: AtomicU64::new(0),
+            durable: HighWater::new(0),
             rounds: registry.counter("storage.wal.group_commits"),
             waiters: registry.counter("storage.wal.group_commit_waiters"),
         }
@@ -875,7 +874,7 @@ impl GroupCommit {
     /// Durable high-water mark (the LSN below which every record is known
     /// synced).
     pub fn durable(&self) -> Lsn {
-        self.durable.load(Ordering::Acquire)
+        self.durable.get()
     }
 
     /// Makes every record below LSN `end` durable, sharing the fsync with
@@ -884,13 +883,13 @@ impl GroupCommit {
     /// appending; `wal` must be the lock this protocol instance guards.
     pub fn sync_through(&self, wal: &Mutex<SegmentedWal>, end: Lsn) -> Result<()> {
         lock_order::check(lock_order::Wait::GroupCommit);
-        if self.durable.load(Ordering::Acquire) >= end {
+        if self.durable.get() >= end {
             // an earlier leader's fsync already covered our bytes
             self.waiters.inc();
             return Ok(());
         }
         let mut w = wal.lock();
-        if self.durable.load(Ordering::Acquire) >= end {
+        if self.durable.get() >= end {
             // a leader finished while we waited for the lock
             self.waiters.inc();
             return Ok(());
@@ -899,7 +898,7 @@ impl GroupCommit {
         // ours and any committer's that appended after our `end`
         w.sync()?;
         let synced = w.next_lsn(); // everything appended so far is on disk
-        self.durable.fetch_max(synced, Ordering::AcqRel); // xlint: ordering(AcqRel max publishes the durable mark to piggybacking committers)
+        self.durable.raise(synced);
         self.rounds.inc();
         Ok(())
     }

@@ -6,51 +6,18 @@
 //! secondary's), and whatever spare capacity the caller's vectors had. So is
 //! an R-tree's, entries and deleted keys alike.
 //!
-//! The allocator below counts, per thread, the bytes live allocations hold,
-//! so a test measures only what it allocates itself.
+//! `counting_alloc` counts, per thread, the bytes live allocations hold, so
+//! a test measures only what it allocates itself.
 
 use asterix_adm::{Point, Rectangle};
 use asterix_storage::lsm::{LsmIndex, MemComponent};
 use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
 use asterix_storage::{BufferCache, FileManager, IoStats};
+use counting_alloc::{held, Counting};
 use rand::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-struct Counting;
-
-thread_local! {
-    static HELD: Cell<isize> = const { Cell::new(0) };
-}
-
-fn count(delta: isize) {
-    // `try_with`: a thread being torn down has no counter left to move
-    let _ = HELD.try_with(|held| held.set(held.get() + delta));
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-fn held() -> isize {
-    HELD.with(Cell::get)
-}
 
 const ENTRIES: usize = 100_000;
 

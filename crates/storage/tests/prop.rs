@@ -6,6 +6,7 @@ use asterix_adm::binary::encode_key;
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
+use asterix_obs::IdGen;
 use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY, MAX_KEY, PUT, TOMBSTONE};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
@@ -20,15 +21,14 @@ use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Bound, RangeBounds};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-static DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
+static DIR_COUNTER: IdGen = IdGen::new(0);
 
 struct TempDir(PathBuf);
 impl TempDir {
     fn new() -> Self {
-        let n = DIR_COUNTER.fetch_add(1, Ordering::Relaxed);
+        let n = DIR_COUNTER.next();
         let p = std::env::temp_dir().join(format!(
             "asterix-storage-prop-{}-{n}",
             std::process::id()

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! # asterix-rs
 //!
 //! An umbrella crate re-exporting the full `asterix-rs` stack — a Rust
