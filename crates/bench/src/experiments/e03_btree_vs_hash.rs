@@ -39,7 +39,7 @@ pub fn run(quick: bool) -> ExpReport {
         let w = fm.bulk_writer("e3.btree").unwrap();
         let mut b = BTreeBuilder::new(w, true);
         for i in 0..n {
-            b.add(&key(i), &value).unwrap();
+            b.add(&key(i), Some(&value)).unwrap();
         }
         DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap())
     });

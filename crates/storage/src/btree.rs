@@ -42,45 +42,60 @@
 //! ## Two leaf shapes
 //!
 //! A tree's leaf area has one of two shapes, chosen when it is built and
-//! recorded in its footer, which is laid out alike for both.
+//! recorded in its footer, which is laid out alike for both. Either holds,
+//! per key, an [`Entry`]: a value, or a delete marker that masks the key's
+//! versions in older components.
 //!
 //! * **Row leaves** ([`BTreeBuilder::new`]): leaf *pages* in the page layout
-//!   below, a value an opaque byte string. Secondary indexes (key-only
-//!   entries), the R-tree's deleted-key tree and standalone trees.
+//!   below, a value an opaque byte string. An entry costs its front-coded key
+//!   and, only when it has one, its value: a secondary index's entry — its
+//!   secondary and primary key, no value — is its key alone. Secondary
+//!   indexes, keyword postings, the R-tree's deleted-key tree and standalone
+//!   trees.
 //! * **Leaf groups** ([`BTreeBuilder::with_layout`]): a dataset's primary
 //!   index, whose values are records. The leaf area is a run of *groups* of
 //!   up to [`GROUP_RECORDS`](crate::leaf_group::GROUP_RECORDS) entries, each
 //!   storing its entries column by column ([`crate::leaf_group`]), with no
-//!   padding between them. A value of such a tree is an LSM entry — [`PUT`]
-//!   and a row the tree's [`RecordLayout`] can take apart, or [`TOMBSTONE`] —
-//!   which [`add`] takes apart into cells and [`get`] and a cursor's `value`
-//!   put together again, byte for byte. A reader that wants some of a
-//!   record's fields asks a cursor for those cells ([`BTreeRangeIter::cells`])
-//!   and touches the pages of their chunks only. The footer carries the
-//!   *column directory* — each column's name, declared type and kind — and a
-//!   tree is opened only under the layout it was written with; and, per
-//!   string column, the symbol table its strings are coded with, trained on
-//!   the tree's first group and read once, at open.
+//!   padding between them. A value of such a tree is a row its
+//!   [`RecordLayout`] can take apart, which [`add`] takes apart into cells
+//!   and [`get`] and a cursor's [`entry`] put together again, byte for byte.
+//!   A reader that wants some of a record's fields asks a cursor for those
+//!   cells ([`BTreeRangeIter::cells`]) and touches the pages of their chunks
+//!   only. The footer carries the *column directory* — each column's name,
+//!   declared type and kind — and a tree is opened only under the layout it
+//!   was written with; and, per string column, the symbol table its strings
+//!   are coded with, trained on the tree's first group and read once, at
+//!   open.
 //!
 //! [`add`]: BTreeBuilder::add
 //! [`get`]: DiskBTree::get
+//! [`entry`]: BTreeRangeIter::entry
 //!
 //! ## Row-leaf page layout
 //!
 //! ```text
-//! [is_leaf u8 = 1][n u16][next_leaf u64][restarts u16][entry * n] … [restart offset u16 * restarts]
-//! entry = [shared varint][unshared varint][value_len varint][key bytes past `shared`][value]
+//! [n u16][restarts u16][entry * n] … [restart offset u16 * restarts]
+//! entry = [shared varint][head varint][value_len varint]?[key bytes past `shared`][value]?
+//! head  = unshared << 2 | has_value << 1 | delete marker
 //! ```
 //!
 //! Keys are front-coded: an entry keeps the first `shared` bytes of the key
-//! before it and stores the `unshared` bytes after them. Every
-//! [`RESTART_INTERVAL`]th entry, the first included, is a *restart*: its
-//! `shared` is 0, so it holds its whole key, and the array at the end of the
-//! page says where each restart starts. A search binary-searches the restart
-//! keys, then decodes at most one interval forward; a cursor applies each
-//! entry's delta to the key before it. The varints are LEB128 in their
-//! shortest form. A leaf's `next_leaf` is the page after it; a cursor stops
-//! at `leaf_end`, whatever the page there begins with.
+//! before it and stores the `unshared` bytes after them. The head also says
+//! whether the entry is a delete marker and whether a value follows; only
+//! then are `value_len` (never 0) and the value there, so an entry with
+//! neither costs `shared`, a head of one byte for a key of under 32 bytes
+//! of its own, and those bytes. Every [`RESTART_INTERVAL`]th entry, the first
+//! included, is a *restart*: its `shared` is 0, so it holds its whole key,
+//! and the array at the end of the page says where each restart starts. A
+//! search binary-searches the restart keys, then decodes at most one
+//! interval forward; a cursor applies each entry's delta to the key before
+//! it. The varints are LEB128 in their shortest form. Every page of the
+//! leaf area is a leaf, so a leaf's next is the page after it; a cursor
+//! stops at `leaf_end`. A debug build decodes every entry of every leaf
+//! where it is written (at `finish`) and where it is read back (at `open`):
+//! keys ascend within and across leaves, every restart decodes to the entry
+//! the walk reaches, and the entries add up to the trailer's count
+//! ([`Fences::audit`]).
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::cache::BufferCache;
@@ -97,21 +112,47 @@ use std::ops::{Bound, Range};
 use std::sync::Arc;
 
 /// The footer's magic, the file's last four bytes (see [`crate::le`]):
-/// "BTR7" as a little-endian u32.
-pub(crate) const FORMAT: Format = Format { kind: "B+ tree footer", headers: &[&0x4254_5237u32.to_le_bytes()] };
+/// "BTR8" as a little-endian u32.
+pub(crate) const FORMAT: Format = Format { kind: "B+ tree footer", headers: &[&0x4254_5238u32.to_le_bytes()] };
 /// The footer's last bytes: how far back the trailer starts, and the magic.
 const TAIL: usize = 8;
-const PAGE_HEADER: usize = 13; // is_leaf u8 + n u16 + next_leaf u64 + restarts u16
+const PAGE_HEADER: usize = 4; // n u16 + restarts u16
 /// What a page's one entry costs beyond its bytes, at most: its restart
-/// offset, a `shared` of 0 and two lengths of two varint bytes each.
+/// offset, a `shared` of 0, and a head and a value length of two varint
+/// bytes each.
 const ENTRY_OVERHEAD: usize = 2 + 1 + 2 + 2;
 /// Entries from one restart to the next.
 const RESTART_INTERVAL: usize = 16;
+/// A row-leaf entry's head: the entry is a delete marker.
+const DELETED: usize = 1;
+/// A row-leaf entry's head: a value follows the key.
+const HAS_VALUE: usize = 2;
 
-/// First byte of a leaf-group tree's value: a record follows.
-pub const PUT: u8 = 0;
-/// The whole of a leaf-group tree's value for a delete marker.
-pub const TOMBSTONE: u8 = 1;
+/// What a key holds in a tree: a value, or a delete marker that masks the
+/// key's versions in older components.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Entry {
+    Put(Vec<u8>),
+    Tombstone,
+}
+
+impl Entry {
+    /// The value of a put; `None` for a delete marker.
+    pub fn value(&self) -> Option<&[u8]> {
+        match self {
+            Entry::Put(value) => Some(value),
+            Entry::Tombstone => None,
+        }
+    }
+
+    /// [`Entry::value`], owned.
+    pub fn into_value(self) -> Option<Vec<u8>> {
+        match self {
+            Entry::Put(value) => Some(value),
+            Entry::Tombstone => None,
+        }
+    }
+}
 
 /// Maximum key+value size storable in one page.
 pub const MAX_ENTRY: usize = PAGE_SIZE - PAGE_HEADER - ENTRY_OVERHEAD;
@@ -169,9 +210,14 @@ pub(crate) struct Fences {
     starts: Vec<u64>,
 }
 
-/// A leaf as the audit sees it: the byte it starts at, its first key and its
-/// last.
-type LeafBounds = (u64, Vec<u8>, Vec<u8>);
+/// A leaf as the audit sees it, decoded from its bytes: where it starts,
+/// its first and its last key, and how many entries it holds.
+struct LeafBounds {
+    start: u64,
+    first: Vec<u8>,
+    last: Vec<u8>,
+    n: u64,
+}
 
 impl Fences {
     fn len(&self) -> usize {
@@ -235,37 +281,61 @@ impl Fences {
     }
 
     /// Checks the fence index against `leaves`, each leaf of the tree in key
-    /// order, and `leaf_end`: separators ascend strictly; each leaf's first
-    /// key is at or above its separator and above the last key of the leaf
-    /// before it; and the fences point at the leaves, whose starts ascend
-    /// from 0 inside the leaf area. A broken rule is `Corrupt`, naming
-    /// `component`. Debug builds run it at [`BTreeBuilder::finish`] and
-    /// [`DiskBTree::open`].
-    fn audit(&self, leaves: &[LeafBounds], leaf_end: u64, component: &str) -> Result<()> {
+    /// order, `leaf_end` and `entry_count`: separators ascend strictly; each
+    /// leaf's first key is at or above its separator and above the last key
+    /// of the leaf before it; the fences point at the leaves, whose starts
+    /// ascend from 0 inside the leaf area; and the leaves hold `entry_count`
+    /// entries between them. A broken rule is `Corrupt`, naming `component`.
+    /// Debug builds run it at [`BTreeBuilder::finish`] and
+    /// [`DiskBTree::open`], over leaves decoded where they were written and
+    /// where they are read back ([`leaf_bounds`]).
+    fn audit(&self, leaves: &[LeafBounds], leaf_end: u64, entry_count: u64, component: &str) -> Result<()> {
         let broken = |i: usize, rule: String| {
             StorageError::Corrupt(format!("{component}: the fence index, at leaf {i} of {}: {rule}", leaves.len()))
         };
         if self.len() != leaves.len() {
             return Err(broken(self.len(), format!("{} fences", self.len())));
         }
-        for (i, (start, first, _)) in leaves.iter().enumerate() {
+        for (i, leaf) in leaves.iter().enumerate() {
             let (separator, at) = (self.separator(i), self.starts[i]);
             if i > 0 && separator <= self.separator(i - 1) {
                 return Err(broken(i, "its separator is not above the one before".into()));
             }
-            if first.as_slice() < separator {
-                return Err(broken(i, format!("its first key {first:02x?} is below its separator {separator:02x?}")));
+            if leaf.first.as_slice() < separator {
+                return Err(broken(i, format!("its first key {:02x?} is below its separator {separator:02x?}", leaf.first)));
             }
-            if i > 0 && first <= &leaves[i - 1].2 {
+            if i > 0 && leaf.first <= leaves[i - 1].last {
                 return Err(broken(i, "its first key is not above the last key of the leaf before".into()));
             }
             let ascends = if i == 0 { at == 0 } else { at > self.starts[i - 1] };
-            if !ascends || at >= leaf_end || at != *start {
-                return Err(broken(i, format!("it starts at byte {start}, its fence says {at}, the leaf area ends at {leaf_end}")));
+            if !ascends || at >= leaf_end || at != leaf.start {
+                return Err(broken(i, format!("it starts at byte {}, its fence says {at}, the leaf area ends at {leaf_end}", leaf.start)));
             }
+        }
+        let held: u64 = leaves.iter().map(|leaf| leaf.n).sum();
+        if held != entry_count {
+            return Err(StorageError::Corrupt(format!("{component}: its leaves hold {held} entries, its trailer says {entry_count}")));
         }
         Ok(())
     }
+}
+
+/// The leaf that `bytes` begin with — a row-leaf page, or a leaf group of
+/// `shape` — and that starts at byte `start` of its file, decoded for the
+/// audit ([`Fences::audit`]), and the bytes it takes. A page is decoded
+/// entry by entry ([`PageView::audit`]); a group, its first and last key.
+fn leaf_bounds(bytes: &[u8], start: u64, shape: Option<&GroupShape>) -> Result<(LeafBounds, u64)> {
+    let Some(shape) = shape else {
+        let (first, last, n) = PageView::new(le::try_bytes_at(bytes, 0, PAGE_SIZE)?)?.audit()?;
+        return Ok((LeafBounds { start, first, last, n: n as u64 }, PAGE_SIZE as u64));
+    };
+    let dir = GroupDir::parse(le::try_bytes_at(bytes, 0, shape.dir_len())?, shape)?;
+    let mut group = le::try_bytes_at(bytes, 0, dir.len as usize)?;
+    let mut view = GroupView { shape, dir: &dir, src: &mut group };
+    let prefix = view.key_prefix()?.to_vec();
+    let first = [&prefix, view.key_suffix(prefix.len(), 0)?].concat();
+    let last = [&prefix, view.key_suffix(prefix.len(), dir.n - 1)?].concat();
+    Ok((LeafBounds { start, first, last, n: dir.n as u64 }, dir.len))
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +358,17 @@ fn varint_len(v: usize) -> usize {
     (usize::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
 }
 
+/// The head of an entry whose key keeps `unshared` bytes of its own and that
+/// holds `value` (`None`: a delete marker), and the value it stores: none
+/// for a delete marker or an empty value.
+fn head(unshared: usize, value: Option<&[u8]>) -> (usize, Option<&[u8]>) {
+    match value {
+        None => (unshared << 2 | DELETED, None),
+        Some([]) => (unshared << 2, None),
+        Some(value) => (unshared << 2 | HAS_VALUE, Some(value)),
+    }
+}
+
 impl PageBuilder {
     fn new() -> Self {
         PageBuilder { bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new() }
@@ -303,25 +384,31 @@ impl PageBuilder {
         }
     }
 
-    /// Whether the page still fits its size with `key` added: the entry
-    /// costs its delta against the key before it, and a restart its offset.
-    fn fits(&self, key: &[u8], val_len: usize) -> bool {
+    /// Whether the page still fits its size with the entry of `key` and
+    /// `value` added: the entry costs its delta against the key before it,
+    /// its value if it stores one, and a restart its offset.
+    fn fits(&self, key: &[u8], value: Option<&[u8]>) -> bool {
         let (shared, restarts) = (self.shared(key), (self.n + 1).div_ceil(RESTART_INTERVAL));
         let unshared = key.len() - shared;
-        let entry = varint_len(shared) + varint_len(unshared) + varint_len(val_len) + unshared + val_len;
+        let (head, stored) = head(unshared, value);
+        let value = stored.map_or(0, |v| varint_len(v.len()) + v.len());
+        let entry = varint_len(shared) + varint_len(head) + unshared + value;
         PAGE_HEADER + self.bytes.len() + entry + 2 * restarts <= PAGE_SIZE
     }
 
-    fn push(&mut self, key: &[u8], val: &[u8]) {
+    fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
         let shared = self.shared(key);
         if self.n.is_multiple_of(RESTART_INTERVAL) {
             self.restarts.push((PAGE_HEADER + self.bytes.len()) as u16);
         }
-        for len in [shared, key.len() - shared, val.len()] {
-            put_varint(&mut self.bytes, len as u64);
+        let (head, stored) = head(key.len() - shared, value);
+        put_varint(&mut self.bytes, shared as u64);
+        put_varint(&mut self.bytes, head as u64);
+        if let Some(value) = stored {
+            put_varint(&mut self.bytes, value.len() as u64);
         }
         self.bytes.extend_from_slice(&key[shared..]);
-        self.bytes.extend_from_slice(val);
+        self.bytes.extend_from_slice(stored.unwrap_or_default());
         self.last.clear();
         self.last.extend_from_slice(key);
         self.n += 1;
@@ -331,12 +418,10 @@ impl PageBuilder {
         self.n == 0
     }
 
-    /// Emits the page bytes; `next_leaf` is the forward sibling pointer.
-    fn emit(&self, next_leaf: u64) -> Vec<u8> {
+    /// The page's bytes.
+    fn emit(&self) -> Vec<u8> {
         let mut page = Vec::with_capacity(PAGE_SIZE);
-        page.push(1);
         page.extend_from_slice(&(self.n as u16).to_le_bytes());
-        page.extend_from_slice(&next_leaf.to_le_bytes());
         page.extend_from_slice(&(self.restarts.len() as u16).to_le_bytes());
         page.extend_from_slice(&self.bytes);
         page.resize(PAGE_SIZE - 2 * self.restarts.len(), 0);
@@ -348,11 +433,11 @@ impl PageBuilder {
 }
 
 /// Where a walk of a page stands: at entry `idx` (the page's length, past
-/// its last), whose value is `value` of the page and whose successor starts
-/// at byte `next`.
+/// its last), whose value is `value` of the page — `None` for a delete
+/// marker — and whose successor starts at byte `next`.
 struct Pos {
     idx: usize,
-    value: Range<usize>,
+    value: Option<Range<usize>>,
     next: usize,
 }
 
@@ -368,21 +453,16 @@ struct PageView<'a> {
 
 impl<'a> PageView<'a> {
     fn new(page: &'a [u8]) -> Result<Self> {
-        let (n, restarts) = (le::try_u16_at(page, 1)? as usize, le::try_u16_at(page, 11)? as usize);
+        let (n, restarts) = (le::try_u16_at(page, 0)? as usize, le::try_u16_at(page, 2)? as usize);
         match page.len().checked_sub(2 * restarts) {
-            Some(end) if end >= PAGE_HEADER && page[0] == 1 && restarts == n.div_ceil(RESTART_INTERVAL) => {
+            Some(end) if end >= PAGE_HEADER && restarts == n.div_ceil(RESTART_INTERVAL) => {
                 Ok(PageView { page, n, restarts, end })
             }
             _ => Err(StorageError::Corrupt(format!(
-                "a B+-tree page of {} bytes, kind {}, says it holds {n} entries and {restarts} restarts",
+                "a B+-tree page of {} bytes says it holds {n} entries and {restarts} restarts",
                 page.len(),
-                page[0]
             ))),
         }
-    }
-
-    fn next_leaf(&self) -> u64 {
-        le::u64_at(self.page, 3)
     }
 
     /// Entry `idx`, which starts at byte `off`: its key — the first `shared`
@@ -391,35 +471,29 @@ impl<'a> PageView<'a> {
     /// and leaves `key` as it is.
     fn at(&self, idx: usize, off: usize, key: &mut Vec<u8>) -> Result<Pos> {
         if idx >= self.n {
-            return Ok(Pos { idx: self.n, value: 0..0, next: off });
+            return Ok(Pos { idx: self.n, value: None, next: off });
         }
         let mut entry = Cursor::at(&self.page[..self.end], off);
-        let (shared, unshared, value_len): (usize, usize, usize) = (entry.varint()?, entry.varint()?, entry.varint()?);
+        let (shared, head): (usize, usize) = (entry.varint()?, entry.varint()?);
+        let value_len: usize = if head & HAS_VALUE != 0 { entry.varint()? } else { 0 };
+        let corrupt = |what: String| StorageError::Corrupt(format!("entry {idx} of a B+-tree page {what}"));
         if shared > key.len() || (shared > 0 && idx.is_multiple_of(RESTART_INTERVAL)) {
-            return Err(StorageError::Corrupt(format!(
-                "entry {idx} of a B+-tree page keeps {shared} bytes of a key of {}",
-                key.len()
-            )));
+            return Err(corrupt(format!("keeps {shared} bytes of a key of {}", key.len())));
+        }
+        if head & (DELETED | HAS_VALUE) == DELETED | HAS_VALUE || (head & HAS_VALUE != 0 && value_len == 0) {
+            return Err(corrupt(format!("has the head {head:#x} and a value of {value_len} bytes")));
         }
         key.truncate(shared);
-        key.extend_from_slice(entry.bytes(unshared)?);
+        key.extend_from_slice(entry.bytes(head >> 2)?);
         let value = entry.pos();
         entry.bytes(value_len)?;
-        Ok(Pos { idx, value: value..entry.pos(), next: entry.pos() })
+        let value = (head & DELETED == 0).then_some(value..entry.pos());
+        Ok(Pos { idx, value, next: entry.pos() })
     }
 
     /// The first entry, its whole key left in `key`.
     fn first(&self, key: &mut Vec<u8>) -> Result<Pos> {
         self.at(0, PAGE_HEADER, key)
-    }
-
-    /// The last entry, its whole key left in `key`.
-    fn last(&self, key: &mut Vec<u8>) -> Result<Pos> {
-        let mut at = self.first(key)?;
-        while at.idx + 1 < self.n {
-            at = self.at(at.idx + 1, at.next, key)?;
-        }
-        Ok(at)
     }
 
     /// Restart `r`, its whole key left in `key`.
@@ -454,6 +528,33 @@ impl<'a> PageView<'a> {
             }
         }
     }
+
+    /// Decodes every entry, walking from the first: the keys ascend
+    /// strictly, and each restart decodes, from its offset, to the entry the
+    /// walk reaches there. Returns the first key, the last and the count.
+    fn audit(&self) -> Result<(Vec<u8>, Vec<u8>, usize)> {
+        let broken = |idx: usize, what: &str| StorageError::Corrupt(format!("entry {idx} of a row leaf: {what}"));
+        if self.n == 0 {
+            return Err(broken(0, "a leaf holds none"));
+        }
+        let (mut key, mut restart, mut last) = (Vec::new(), Vec::new(), Vec::new());
+        let mut at = self.first(&mut key)?;
+        let first = key.clone();
+        while at.idx < self.n {
+            if at.idx > 0 && key <= last {
+                return Err(broken(at.idx, "its key is not above the one before"));
+            }
+            if at.idx.is_multiple_of(RESTART_INTERVAL) {
+                let from = self.restart(at.idx / RESTART_INTERVAL, &mut restart)?;
+                if from.next != at.next || restart != key {
+                    return Err(broken(at.idx, "its restart decodes to another entry"));
+                }
+            }
+            last.clone_from(&key);
+            at = self.at(at.idx + 1, at.next, &mut key)?;
+        }
+        Ok((first, last, self.n))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,14 +578,14 @@ enum Leaves {
     },
 }
 
-/// Streams sorted `(key, value)` pairs into a new B+ tree component file.
+/// Streams sorted entries into a new B+ tree component file.
 pub struct BTreeBuilder {
     writer: PageFileWriter,
     leaves: Leaves,
     /// A fence per leaf begun so far.
     fences: Fences,
-    /// Each leaf's start, first and last key, for the audit at `finish`
-    /// (kept by debug builds only).
+    /// Each leaf written, decoded from the bytes it was written as, for the
+    /// audit at `finish` (kept by debug builds only).
     bounds: Vec<LeafBounds>,
     /// The key added last (empty before the first): one buffer, reused.
     last_key: Vec<u8>,
@@ -503,8 +604,8 @@ impl BTreeBuilder {
         Self::over(writer, bloom, Leaves::Pages { leaf: PageBuilder::new(), written: 0 })
     }
 
-    /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are LSM
-    /// entries whose rows `layout` takes apart.
+    /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are rows
+    /// that `layout` takes apart.
     pub fn with_layout(writer: PageFileWriter, bloom: bool, layout: Arc<RecordLayout>) -> Self {
         let group = Box::new(GroupBuilder::new(Arc::new(GroupShape::new(layout))));
         let hub = Arc::clone(writer.stats().lsm());
@@ -524,23 +625,28 @@ impl BTreeBuilder {
         }
     }
 
-    /// Appends the next pair of a tree of row leaves; keys must arrive in
-    /// strictly increasing order.
-    pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if key.len() + value.len() > MAX_ENTRY {
-            return Err(StorageError::RecordTooLarge {
-                size: key.len() + value.len(),
-                max: MAX_ENTRY,
-            });
+    /// Appends the next entry: `key` holds `value`, or is a delete marker
+    /// under `None`. Keys must arrive in strictly increasing order. A tree
+    /// of leaf groups takes the value, a row of its layout, apart here.
+    pub fn add(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<()> {
+        let size = key.len() + value.map_or(0, <[u8]>::len);
+        if size > MAX_ENTRY {
+            return Err(StorageError::RecordTooLarge { size, max: MAX_ENTRY });
         }
         if matches!(self.leaves, Leaves::Groups { .. }) {
-            return Err(StorageError::Invalid("a value added whole to a tree of leaf groups".into()));
+            return self.add_to_group(key, |group| match value {
+                Some(row) => group.push_row(key, row),
+                None => {
+                    group.push(key, None);
+                    Ok(())
+                }
+            });
         }
         self.admit(key)?;
         let mut starts = None;
         if let Leaves::Pages { leaf, written } = &mut self.leaves {
-            if !leaf.fits(key, value.len()) {
-                Self::finish_leaf(&mut self.writer, leaf, written)?;
+            if !leaf.fits(key, value) {
+                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.bounds)?;
             }
             if leaf.is_empty() {
                 starts = Some(*written * PAGE_SIZE as u64);
@@ -551,19 +657,9 @@ impl BTreeBuilder {
         Ok(())
     }
 
-    /// [`BTreeBuilder::add`] for a tree of leaf groups: the row under `key`,
-    /// taken apart here, or none for a delete marker.
-    pub fn add_row(&mut self, key: &[u8], row: Option<&[u8]>) -> Result<()> {
-        let Some(row) = row else { return self.add_cells(key, None) };
-        // as for a row leaf's entry, marker included
-        if key.len() + 1 + row.len() > MAX_ENTRY {
-            return Err(StorageError::RecordTooLarge { size: key.len() + 1 + row.len(), max: MAX_ENTRY });
-        }
-        self.add_to_group(key, |group| group.push_row(key, row))
-    }
-
-    /// [`BTreeBuilder::add`] for an entry already taken apart (a merge hands
-    /// on the cells it read): its cells, or none for a delete marker.
+    /// [`BTreeBuilder::add`] to a tree of leaf groups for an entry already
+    /// taken apart (a merge hands on the cells it read): its cells, or none
+    /// for a delete marker.
     pub fn add_cells(&mut self, key: &[u8], cells: Option<&Cells>) -> Result<()> {
         self.add_to_group(key, |group| {
             group.push(key, cells);
@@ -579,7 +675,7 @@ impl BTreeBuilder {
             return Err(StorageError::Invalid("cells added to a tree of row leaves".into()));
         };
         if group.is_full() {
-            Self::finish_group(&mut self.writer, group, buf, written, hub)?;
+            Self::finish_group(&mut self.writer, group, buf, written, hub, &mut self.bounds)?;
         }
         let starts = (group.len() == 0).then_some(*written);
         push(group)?;
@@ -604,12 +700,6 @@ impl BTreeBuilder {
     fn admitted(&mut self, key: &[u8], starts: Option<u64>) {
         if let Some(start) = starts {
             self.fences.push(&separator(&self.last_key, key), start);
-            if cfg!(debug_assertions) {
-                if let Some((_, _, last)) = self.bounds.last_mut() {
-                    last.clone_from(&self.last_key);
-                }
-                self.bounds.push((start, key.to_vec(), Vec::new()));
-            }
         }
         if self.entry_count == 0 {
             self.first_key = key.to_vec();
@@ -623,26 +713,31 @@ impl BTreeBuilder {
     }
 
     /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order,
-    /// so the next-pointer is simply the following page number; a cursor
-    /// stops at the leaf area's end.
-    fn finish_leaf(writer: &mut PageFileWriter, leaf: &mut PageBuilder, written: &mut u64) -> Result<()> {
+    /// so a leaf's next is the page after it; a cursor stops at the leaf
+    /// area's end. A debug build decodes the page as written into `bounds`.
+    fn finish_leaf(writer: &mut PageFileWriter, leaf: &mut PageBuilder, written: &mut u64, bounds: &mut Vec<LeafBounds>) -> Result<()> {
         if leaf.is_empty() {
             return Ok(());
         }
-        let page = std::mem::replace(leaf, PageBuilder::new());
+        let page = std::mem::replace(leaf, PageBuilder::new()).emit();
+        if cfg!(debug_assertions) {
+            bounds.push(leaf_bounds(&page, *written * PAGE_SIZE as u64, None)?.0);
+        }
         *written += 1;
-        writer.append(&page.emit(*written))?;
+        writer.append(&page)?;
         Ok(())
     }
 
     /// Encodes the current group behind the ones before it and writes the
-    /// whole pages that completes.
+    /// whole pages that completes. A debug build decodes the group as
+    /// encoded into `bounds`.
     fn finish_group(
         writer: &mut PageFileWriter,
         group: &mut GroupBuilder,
         buf: &mut Vec<u8>,
         written: &mut u64,
         hub: &LsmMetricsHub,
+        bounds: &mut Vec<LeafBounds>,
     ) -> Result<()> {
         if group.len() == 0 {
             return Ok(());
@@ -651,6 +746,9 @@ impl BTreeBuilder {
         let (plain, coded) = group.encode(buf);
         hub.string_bytes_plain.add(plain as u64);
         hub.string_bytes_coded.add(coded as u64);
+        if cfg!(debug_assertions) {
+            bounds.push(leaf_bounds(&buf[before..], *written, Some(group.shape().as_ref()))?.0);
+        }
         *written += (buf.len() - before) as u64;
         let whole = buf.len() / PAGE_SIZE * PAGE_SIZE;
         for page in buf[..whole].chunks_exact(PAGE_SIZE) {
@@ -666,19 +764,16 @@ impl BTreeBuilder {
         // the leaf area's end, and the bytes of its last page not written yet
         let (leaf_end, shape, mut tail) = match &mut self.leaves {
             Leaves::Pages { leaf, written } => {
-                Self::finish_leaf(&mut self.writer, leaf, written)?;
+                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.bounds)?;
                 (*written * PAGE_SIZE as u64, None, Vec::new())
             }
             Leaves::Groups { group, buf, written, hub } => {
-                Self::finish_group(&mut self.writer, group, buf, written, hub)?;
+                Self::finish_group(&mut self.writer, group, buf, written, hub, &mut self.bounds)?;
                 (*written, Some(Arc::clone(group.shape())), std::mem::take(buf))
             }
         };
         if cfg!(debug_assertions) {
-            if let Some((_, _, last)) = self.bounds.last_mut() {
-                last.clone_from(&self.last_key);
-            }
-            self.fences.audit(&self.bounds, leaf_end, &self.writer.name())?;
+            self.fences.audit(&self.bounds, leaf_end, self.entry_count, &self.writer.name())?;
         }
         let bloom = self.bloom.as_deref().and_then(BloomFilter::of_pairs);
         let mut fences = Vec::new();
@@ -860,44 +955,25 @@ impl DiskBTree {
         Ok(tree)
     }
 
-    /// [`Fences::audit`] of an opened tree, against each leaf's first and
-    /// last key as its file holds them. It reads the file itself, past the
-    /// page layer, so that a debug build counts, caches and faults the same
-    /// I/O as a release build.
+    /// [`Fences::audit`] of an opened tree, against its leaves as its file
+    /// holds them. It reads the file itself, past the page layer, so that a
+    /// debug build counts, caches and faults the same I/O as a release
+    /// build.
     fn audit(&self) -> Result<()> {
         let manager = self.cache.manager();
         let name = manager.name_of(self.file)?;
         let image = std::fs::read(manager.dir().join(&name))?;
         let mut leaves = Vec::with_capacity(self.fences.len());
-        let (mut at, mut key) = (0, Vec::new());
+        let mut at = 0;
         while at < self.leaf_end {
-            let (first, len) = match &self.shape {
-                None => {
-                    let view = PageView::new(le::try_bytes_at(&image, at as usize, PAGE_SIZE)?)?;
-                    view.first(&mut key)?;
-                    let first = key.clone();
-                    view.last(&mut key)?;
-                    (first, PAGE_SIZE as u64)
-                }
-                Some(shape) => {
-                    let dir = GroupDir::parse(le::try_bytes_at(&image, at as usize, shape.dir_len())?, shape)?;
-                    let mut group = le::try_bytes_at(&image, at as usize, dir.len as usize)?;
-                    let mut view = GroupView { shape, dir: &dir, src: &mut group };
-                    key.clear();
-                    key.extend_from_slice(view.key_prefix()?);
-                    let prefix = key.len();
-                    let first = [&key, view.key_suffix(prefix, 0)?].concat();
-                    key.extend_from_slice(view.key_suffix(prefix, dir.n - 1)?);
-                    (first, dir.len)
-                }
-            };
-            leaves.push((at, first, key.clone()));
+            let (leaf, len) = leaf_bounds(image.get(at as usize..).unwrap_or_default(), at, self.shape.as_deref())?;
+            leaves.push(leaf);
             at += len;
         }
         if at != self.leaf_end {
             return Err(StorageError::Corrupt(format!("{name}: its last leaf runs past the leaf area's end, {}", self.leaf_end)));
         }
-        self.fences.audit(&leaves, self.leaf_end, &name)
+        self.fences.audit(&leaves, self.leaf_end, self.entry_count, &name)
     }
 
     /// The component's file id.
@@ -939,10 +1015,11 @@ impl DiskBTree {
             || key > self.max_key.as_slice()
     }
 
-    /// Point lookup. Consults the bloom filter first.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// Point lookup: what the tree holds under `key`, if anything. Consults
+    /// the bloom filter first.
+    pub fn get(&self, key: &[u8]) -> Result<Option<Entry>> {
         if self.shape.is_some() {
-            return self.probe(key)?.map(BTreeRangeIter::into_value).transpose();
+            return self.probe(key)?.map(BTreeRangeIter::into_entry).transpose();
         }
         if self.rules_out(key) {
             return Ok(None);
@@ -950,7 +1027,10 @@ impl DiskBTree {
         let page = self.cache.get(self.file, self.fences.find(Some(key)) / PAGE_SIZE as u64)?;
         let (view, mut found) = (PageView::new(&page)?, Vec::with_capacity(key.len()));
         let at = view.seek(|k| k < key, &mut found)?;
-        Ok((at.idx < view.n && found == key).then(|| page[at.value].to_vec()))
+        Ok((at.idx < view.n && found == key).then(|| match at.value {
+            Some(value) => Entry::Put(page[value].to_vec()),
+            None => Entry::Tombstone,
+        }))
     }
 
     /// A cursor standing at `key`, if the tree has it. Consults the bloom
@@ -965,7 +1045,7 @@ impl DiskBTree {
 
     /// Range scan over `[lo, hi]` with the given bounds (`Bound::Unbounded`
     /// for open ends): a cursor at the first entry in range, and an iterator
-    /// of `(key, value)` pairs in key order.
+    /// of `(key, entry)` pairs in key order.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
@@ -1023,7 +1103,9 @@ struct TreeRef {
 /// A place in a tree of row leaves.
 struct PageCursor {
     tree: TreeRef,
+    /// The leaf the cursor stands in, and its number.
     page: Arc<Vec<u8>>,
+    page_no: u64,
     pos: Pos,
     /// The key of the entry at `pos`: the next entry's delta applies to it.
     key: Vec<u8>,
@@ -1039,7 +1121,7 @@ impl PageCursor {
             None => view.first(&mut key)?,
             Some((target, after)) => view.seek(|k| if after { k <= target } else { k < target }, &mut key)?,
         };
-        Ok(PageCursor { tree, page, pos, key, leaf_end })
+        Ok(PageCursor { tree, page, page_no, pos, key, leaf_end })
     }
 
     /// Moves to the next entry of the page, or past its last.
@@ -1260,12 +1342,12 @@ enum Leaf {
     Group(Box<GroupCursor>),
 }
 
-/// A cursor over a key range: it stands at an entry ([`key`], [`value`]) and
-/// moves to the next ([`advance`]) until the range has no more. As an
-/// iterator it yields `Result<(key, value)>`, each copied out.
+/// A cursor over a key range: it stands at an entry ([`key`], [`entry`])
+/// and moves to the next ([`advance`]) until the range has no more. As an
+/// iterator it yields `Result<(key, Entry)>`, each copied out.
 ///
 /// [`key`]: BTreeRangeIter::key
-/// [`value`]: BTreeRangeIter::value
+/// [`entry`]: BTreeRangeIter::entry
 /// [`advance`]: BTreeRangeIter::advance
 pub struct BTreeRangeIter {
     /// Where the cursor stands, or stood when the range ran out: the leaf
@@ -1316,19 +1398,15 @@ impl BTreeRangeIter {
                 if step {
                     at.step()?;
                 }
-                loop {
-                    let view = PageView::new(&at.page)?;
-                    if at.pos.idx < view.n {
-                        break;
-                    }
-                    // the last leaf's next-pointer is the footer's first page
-                    let next = view.next_leaf();
-                    if next.saturating_mul(PAGE_SIZE as u64) >= at.leaf_end {
+                while at.pos.idx >= PageView::new(&at.page)?.n {
+                    // a leaf's next is the page after it, up to the footer
+                    let next = at.page_no + 1;
+                    if next * PAGE_SIZE as u64 >= at.leaf_end {
                         return Ok(false);
                     }
                     let page = at.tree.leaf(next, true)?;
                     at.pos = PageView::new(&page)?.first(&mut at.key)?;
-                    at.page = page;
+                    (at.page, at.page_no) = (page, next);
                 }
                 self.key.clear();
                 self.key.extend_from_slice(&at.key);
@@ -1355,21 +1433,20 @@ impl BTreeRangeIter {
         })
     }
 
-    /// The entry the cursor stands at, key and value: the value in place for
-    /// a row leaf, put together from its cells for a leaf group.
-    pub fn entry(&mut self) -> Result<(&[u8], &[u8])> {
+    /// The entry the cursor stands at: its key and its value, `None` for a
+    /// delete marker — the value in place for a row leaf, put together from
+    /// its cells for a leaf group.
+    pub fn entry(&mut self) -> Result<(&[u8], Option<&[u8]>)> {
         let key = self.key.as_slice();
         match &mut self.leaf {
             None => Err(StorageError::Invalid("a cursor past its range has no value".into())),
             Some(_) if self.ended => Err(StorageError::Invalid("a cursor past its range has no value".into())),
-            Some(Leaf::Page(at)) => Ok((key, &at.page[at.pos.value.clone()])),
+            Some(Leaf::Page(at)) => Ok((key, at.pos.value.clone().map(|value| &at.page[value]))),
             Some(Leaf::Group(at)) => {
                 let at = &mut **at;
                 let mut view = GroupView { shape: &at.shape, dir: &at.dir, src: &mut at.bytes };
-                at.value.clear();
                 if view.is_tombstone(at.idx)? {
-                    at.value.push(TOMBSTONE);
-                    return Ok((key, &at.value));
+                    return Ok((key, None));
                 }
                 let cells = at.shape.layout.cell_count();
                 if at.value.capacity() == 0 {
@@ -1380,27 +1457,24 @@ impl BTreeRangeIter {
                 for cell in 0..cells {
                     view.cell(cell, at.idx, &mut at.cells)?;
                 }
-                at.value.push(PUT);
+                at.value.clear();
                 at.shape.layout.assemble(&at.cells, &mut at.value);
                 at.rows_assembled.inc();
-                Ok((key, &at.value))
+                Ok((key, Some(&at.value)))
             }
         }
     }
 
-    /// The value of [`BTreeRangeIter::entry`].
-    pub fn value(&mut self) -> Result<&[u8]> {
-        Ok(self.entry()?.1)
-    }
-
-    /// [`BTreeRangeIter::value`], owned: a leaf group's is the buffer it was
-    /// put together in, not a copy of it.
-    pub fn into_value(mut self) -> Result<Vec<u8>> {
-        self.entry()?;
-        match &mut self.leaf {
-            Some(Leaf::Group(at)) => Ok(std::mem::take(&mut at.value)),
-            _ => self.value().map(<[u8]>::to_vec),
+    /// [`BTreeRangeIter::entry`], owned: a leaf group's value is the buffer
+    /// it was put together in, not a copy of it.
+    pub fn into_entry(mut self) -> Result<Entry> {
+        if self.entry()?.1.is_none() {
+            return Ok(Entry::Tombstone);
         }
+        Ok(Entry::Put(match &mut self.leaf {
+            Some(Leaf::Group(at)) => std::mem::take(&mut at.value),
+            _ => self.entry()?.1.unwrap_or_default().to_vec(),
+        }))
     }
 
     fn group(&mut self) -> Result<&mut GroupCursor> {
@@ -1410,9 +1484,11 @@ impl BTreeRangeIter {
         }
     }
 
-    /// Whether the entry the cursor stands at is a delete marker (leaf
-    /// groups only: a row leaf's value is its owner's to read).
+    /// Whether the entry the cursor stands at is a delete marker.
     pub fn is_tombstone(&mut self) -> Result<bool> {
+        if let (Some(Leaf::Page(at)), false) = (&self.leaf, self.ended) {
+            return Ok(at.pos.value.is_none());
+        }
         let at = self.group()?;
         let idx = at.idx;
         at.view().is_tombstone(idx)
@@ -1464,11 +1540,14 @@ impl BTreeRangeIter {
 }
 
 impl Iterator for BTreeRangeIter {
-    type Item = Result<(Vec<u8>, Vec<u8>)>;
+    type Item = Result<(Vec<u8>, Entry)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let key = self.key()?.to_vec();
-        let item = self.value().map(|value| (key, value.to_vec())).and_then(|item| self.advance().map(|()| item));
+        self.key()?;
+        let item = self.entry().map(|(key, value)| {
+            (key.to_vec(), value.map_or(Entry::Tombstone, |value| Entry::Put(value.to_vec())))
+        });
+        let item = item.and_then(|item| self.advance().map(|()| item));
         if item.is_err() {
             (self.leaf, self.ended) = (None, true);
         }
@@ -1495,11 +1574,16 @@ mod tests {
         encode_key(&[Value::Int(i)])
     }
 
+    /// What `build` puts under key `i`.
+    fn value(i: i64) -> Entry {
+        Entry::Put(format!("value-{i}").into_bytes())
+    }
+
     fn build(cache: &Arc<BufferCache>, name: &str, n: i64, bloom: bool) -> DiskBTree {
         let w = cache.manager().bulk_writer(name).unwrap();
         let mut b = BTreeBuilder::new(w, bloom);
         for i in 0..n {
-            b.add(&key(i), format!("value-{i}").as_bytes()).unwrap();
+            b.add(&key(i), value(i).value()).unwrap();
         }
         DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap())
     }
@@ -1509,9 +1593,9 @@ mod tests {
         let (cache, _d) = setup(64);
         let t = build(&cache, "t.btree", 10_000, true);
         assert_eq!(t.len(), 10_000);
-        assert_eq!(t.get(&key(0)).unwrap().unwrap(), b"value-0");
-        assert_eq!(t.get(&key(9_999)).unwrap().unwrap(), b"value-9999");
-        assert_eq!(t.get(&key(4_321)).unwrap().unwrap(), b"value-4321");
+        assert_eq!(t.get(&key(0)).unwrap(), Some(value(0)));
+        assert_eq!(t.get(&key(9_999)).unwrap(), Some(value(9_999)));
+        assert_eq!(t.get(&key(4_321)).unwrap(), Some(value(4_321)));
         assert!(t.get(&key(10_000)).unwrap().is_none());
         assert!(t.get(&key(-1)).unwrap().is_none());
     }
@@ -1524,7 +1608,7 @@ mod tests {
         for item in t.scan().unwrap() {
             let (k, v) = item.unwrap();
             assert_eq!(k, key(count));
-            assert_eq!(v, format!("value-{count}").as_bytes());
+            assert_eq!(v, value(count));
             count += 1;
         }
         assert_eq!(count, 5_000);
@@ -1572,7 +1656,7 @@ mod tests {
     fn single_entry_tree() {
         let (cache, _d) = setup(8);
         let t = build(&cache, "s.btree", 1, true);
-        assert_eq!(t.get(&key(0)).unwrap().unwrap(), b"value-0");
+        assert_eq!(t.get(&key(0)).unwrap(), Some(value(0)));
         assert!(t.get(&key(1)).unwrap().is_none());
     }
 
@@ -1587,7 +1671,7 @@ mod tests {
         let fid = cache2.manager().open("r.btree").unwrap();
         let t = DiskBTree::open(Arc::clone(&cache2), fid, None).unwrap();
         assert_eq!(t.len(), 2_000);
-        assert_eq!(t.get(&key(1234)).unwrap().unwrap(), b"value-1234");
+        assert_eq!(t.get(&key(1234)).unwrap(), Some(value(1234)));
         assert!(t.get(&key(5555)).unwrap().is_none());
     }
 
@@ -1609,9 +1693,9 @@ mod tests {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("u.btree").unwrap();
         let mut b = BTreeBuilder::new(w, false);
-        b.add(&key(5), b"x").unwrap();
-        assert!(b.add(&key(5), b"y").is_err(), "duplicate key");
-        assert!(b.add(&key(4), b"z").is_err(), "descending key");
+        b.add(&key(5), Some(b"x")).unwrap();
+        assert!(b.add(&key(5), Some(b"y")).is_err(), "duplicate key");
+        assert!(b.add(&key(4), None).is_err(), "descending key");
     }
 
     #[test]
@@ -1620,7 +1704,7 @@ mod tests {
         let w = cache.manager().bulk_writer("o.btree").unwrap();
         let mut b = BTreeBuilder::new(w, false);
         let huge = vec![0u8; PAGE_SIZE];
-        match b.add(&key(1), &huge) {
+        match b.add(&key(1), Some(&huge)) {
             Err(StorageError::RecordTooLarge { .. }) => {}
             other => panic!("expected RecordTooLarge, got {other:?}"),
         }
@@ -1639,7 +1723,7 @@ mod tests {
             ]));
         }
         for k in &keys {
-            b.add(k, b"v").unwrap();
+            b.add(k, Some(b"v")).unwrap();
         }
         let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
         for k in &keys {
@@ -1660,40 +1744,68 @@ mod tests {
     }
 
     /// A secondary index's leaves, pinned: 20 000 messages over 2 000
-    /// authors, each entry a key of two ints and a one-byte value, fill 20
-    /// leaf pages, about 8 bytes an entry.
+    /// authors, each entry a key of two ints and no value, fill 15 leaf
+    /// pages, about 6 bytes an entry.
     #[test]
-    fn a_secondary_index_of_20_000_entries_takes_20_leaf_pages() {
+    fn a_secondary_index_of_20_000_entries_takes_15_leaf_pages() {
         let (cache, _d) = setup(64);
         let mut keys: Vec<Vec<u8>> = (0..20_000).map(|id| author_key(id % 2_000, id)).collect();
         keys.sort();
         let mut b = BTreeBuilder::new(cache.manager().bulk_writer("a.btree").unwrap(), false);
         for k in &keys {
-            b.add(k, &[PUT]).unwrap();
+            b.add(k, Some(&[])).unwrap();
         }
         let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
-        assert_eq!(t.leaf_end / PAGE_SIZE as u64, 20);
-        assert!(t.scan().unwrap().map(|r| r.unwrap().0).eq(keys.iter().cloned()));
+        assert_eq!(t.leaf_end / PAGE_SIZE as u64, 15);
+        assert!(t.scan().unwrap().map(|r| r.unwrap()).eq(keys.iter().map(|k| (k.clone(), Entry::Put(Vec::new())))));
         let (lo, hi) = (author_key(700, 0), author_key(700, i64::MAX));
         let got: Vec<_> = t.range(Bound::Excluded(&lo), Bound::Included(hi)).unwrap().map(|r| r.unwrap().0).collect();
         assert_eq!(got, (0..10).map(|m| author_key(700, 700 + 2_000 * m)).collect::<Vec<_>>());
     }
 
+    /// A component of key-only entries and delete markers, pinned by its
+    /// length and FNV-1a: 3 000 secondary-index keys, every fifth a delete
+    /// marker and every 250th holding a value, written as a flush writes
+    /// them. A deliberate change of the row-leaf format updates these
+    /// constants and names the change in CHANGES.md; a refactor leaves them
+    /// alone.
+    #[test]
+    fn a_key_only_components_bytes_are_pinned() {
+        let (cache, dir) = setup(64);
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("k.btree").unwrap(), true);
+        for id in 0..3_000 {
+            let value = match id {
+                _ if id % 5 == 4 => None,
+                _ if id % 250 == 0 => Some(&b"held"[..]),
+                _ => Some(&[][..]),
+            };
+            b.add(&author_key(id / 7, id), value).unwrap();
+        }
+        let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
+        let image = std::fs::read(dir.path().join("k.btree")).unwrap();
+        assert_eq!((t.leaf_end, image.len(), le::fnv1a(&image)), (2 * PAGE_SIZE as u64, 24_576, 2_671_627_446));
+        let deleted = t.scan().unwrap().filter(|r| matches!(r, Ok((_, Entry::Tombstone)))).count();
+        assert_eq!(deleted, 600);
+        assert_eq!(t.get(&author_key(0, 0)).unwrap(), Some(Entry::Put(b"held".to_vec())));
+        assert_eq!(t.get(&author_key(0, 4)).unwrap(), Some(Entry::Tombstone));
+    }
+
     /// Where a search lands: the entry's number and its key.
     type Landing = (usize, Vec<u8>);
 
-    /// What a reader makes of a page: its next-pointer, each entry walked
-    /// from the first, each restart's key, and where a search for each probe
-    /// lands — at the first key not below it (a cursor's start, a get) and
-    /// the first key above it (a cursor past an excluded bound).
-    type PageRead = (u64, Vec<(Vec<u8>, Vec<u8>)>, Vec<Vec<u8>>, Vec<[Landing; 2]>);
+    /// What a reader makes of a page: each entry walked from the first —
+    /// its key and value, `None` for a delete marker — each restart's key,
+    /// and where a search for each probe lands — at the first key not below
+    /// it (a cursor's start, a get) and the first key above it (a cursor
+    /// past an excluded bound).
+    type PageRead = (Vec<(Vec<u8>, Option<Vec<u8>>)>, Vec<Vec<u8>>, Vec<[Landing; 2]>);
 
     fn read_page(page: &[u8], probes: &[Vec<u8>]) -> Result<PageRead> {
         let view = PageView::new(page)?;
         let (mut entries, mut key) = (Vec::new(), Vec::new());
         let mut at = view.first(&mut key)?;
         while at.idx < view.n {
-            entries.push((key.clone(), page[at.value.clone()].to_vec()));
+            entries.push((key.clone(), at.value.clone().map(|value| page[value].to_vec())));
             at = view.at(at.idx + 1, at.next, &mut key)?;
         }
         let restarts = (0..view.restarts).map(|r| view.restart(r, &mut key).map(|_| key.clone())).collect::<Result<_>>()?;
@@ -1705,24 +1817,27 @@ mod tests {
             };
             landings.push([land(false)?, land(true)?]);
         }
-        Ok((view.next_leaf(), entries, restarts, landings))
+        Ok((entries, restarts, landings))
     }
 
     /// A row leaf, damaged: any one byte flipped, or the page cut short
     /// anywhere, reads as `Corrupt` or as another page — never a panic.
-    /// Varints, `shared`, the restart offsets and the lengths all come off
-    /// the page through checked reads.
+    /// Varints, `shared`, the heads, the restart offsets and the lengths all
+    /// come off the page through checked reads.
     #[test]
     fn a_damaged_page_is_corrupt_not_a_panic() {
-        // a leaf of secondary-index entries with values of 0 to 2 bytes
+        // a leaf of secondary-index entries with values of 0 to 2 bytes,
+        // every fifth a delete marker
         let mut builder = PageBuilder::new();
         for i in 0..100 {
-            builder.push(&author_key(i / 7, 13 * i), &vec![i as u8; i as usize % 3]);
+            let value = vec![i as u8; i as usize % 3];
+            builder.push(&author_key(i / 7, 13 * i), (i % 5 != 4).then_some(value.as_slice()));
         }
-        let page = builder.emit(7);
+        let page = builder.emit();
         let (entries_end, restarts) = (PAGE_HEADER + builder.bytes.len(), PAGE_SIZE - 2 * builder.restarts.len());
-        let keys = read_page(&page, &[]).unwrap().1;
+        let keys = read_page(&page, &[]).unwrap().0;
         assert_eq!(keys.len(), builder.n);
+        assert_eq!(PageView::new(&page).unwrap().audit().unwrap().2, builder.n);
         let mut probes = vec![Vec::new(), vec![0xFF]];
         for (k, _) in keys.iter().step_by(7) {
             probes.extend([k.clone(), [k.as_slice(), &[0]].concat(), k[..k.len() - 1].to_vec()]);
@@ -1732,7 +1847,7 @@ mod tests {
         // in 64 of the unread bytes between them
         let unread = entries_end..restarts;
         let places = || (0..PAGE_SIZE).filter(|at| !unread.contains(at) || at % 64 == 0);
-        let mut corrupt = 0;
+        let (mut corrupt, mut audited) = (0, 0);
         for at in places() {
             let mut bad = page.clone();
             bad[at] ^= 0xA5;
@@ -1741,8 +1856,15 @@ mod tests {
                 Err(e) => panic!("byte {at}: {e}"),
                 Ok(read) => assert!(read != sound || unread.contains(&at), "byte {at}"),
             }
+            // the audit refuses whatever damage the entries show
+            match PageView::new(&bad).and_then(|view| view.audit()) {
+                Err(StorageError::Corrupt(_)) => audited += 1,
+                Err(e) => panic!("byte {at}: {e}"),
+                Ok(_) => {}
+            }
         }
-        assert!(corrupt > builder.n, "lengths, `shared` and restarts are checked ({corrupt} caught)");
+        assert!(corrupt > builder.n, "lengths, `shared`, heads and restarts are checked ({corrupt} caught)");
+        assert!(audited > corrupt, "the audit catches more than a read ({audited} against {corrupt})");
         for len in places() {
             match read_page(&page[..len], &probes) {
                 Err(StorageError::Corrupt(_)) => {}
@@ -1751,8 +1873,9 @@ mod tests {
             }
         }
         // named damage: a restart past the entries, two restarts swapped,
-        // an entry keeping more of the key before it than there is, and a
-        // page that is not a leaf's
+        // an entry keeping more of the key before it than there is, a head
+        // that says both delete marker and value, and an entry count the
+        // restarts disagree with
         let damaged = |at: usize, bytes: &[u8]| {
             let mut bad = page.clone();
             bad[at..at + bytes.len()].copy_from_slice(bytes);
@@ -1761,9 +1884,34 @@ mod tests {
         assert!(matches!(damaged(restarts + 2, &[0xFF, 0x1F]), Err(StorageError::Corrupt(_))));
         let swapped = [&page[restarts + 4..restarts + 6], &page[restarts + 2..restarts + 4]].concat();
         assert!(damaged(restarts + 2, &swapped).is_ok_and(|read| read != sound));
-        let second = PAGE_HEADER + 3 + keys[0].0.len() + keys[0].1.len();
+        // the first entry: a restart, no value (`i % 3` is 0), a key of its own
+        assert_eq!(page[PAGE_HEADER..PAGE_HEADER + 2], [0, (keys[0].0.len() << 2) as u8]);
+        let second = PAGE_HEADER + 2 + keys[0].0.len();
         assert!(matches!(damaged(second, &[keys[0].0.len() as u8 + 1]), Err(StorageError::Corrupt(_))));
+        assert!(matches!(damaged(PAGE_HEADER + 1, &[page[PAGE_HEADER + 1] | 3]), Err(StorageError::Corrupt(_))));
         assert!(matches!(damaged(0, &[0]), Err(StorageError::Corrupt(_))));
+    }
+
+    /// The audit decodes every entry where a leaf is written: a page whose
+    /// keys do not ascend is refused at `finish`, naming the component.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "release builds do not audit their leaves")]
+    fn a_leaf_whose_keys_do_not_ascend_fails_the_audit() {
+        let (cache, _d) = setup(64);
+        let mut b = BTreeBuilder::new(cache.manager().bulk_writer("bad_c9.btree").unwrap(), false);
+        for i in 0..20 {
+            b.add(&key(i), Some(&[])).unwrap();
+        }
+        // the last entry stores a key below the one before it
+        if let Leaves::Pages { leaf, .. } = &mut b.leaves {
+            let last = leaf.bytes.len() - 1;
+            leaf.bytes[last] = 0;
+        }
+        match b.finish() {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("entry 19 of a row leaf"), "{why}"),
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("audit passed"),
+        }
     }
 
     // -- the footer ---------------------------------------------------------
@@ -1786,8 +1934,7 @@ mod tests {
     }
 
     /// A row-leaf tree of one leaf page: its fence index, right behind the
-    /// leaf, begins with its count — the byte 1 a leaf page begins with. A
-    /// full scan, a range through the cache and a merge's scan outside it
+    /// leaf, begins with its count, the byte 1. A full scan, a range through the cache and a merge's scan outside it
     /// each stop at the last entry.
     #[test]
     fn a_cursor_stops_at_the_leaf_areas_end() {
@@ -1797,7 +1944,7 @@ mod tests {
         let (leaf_end, [fences, ..]) = footer_of(&image);
         assert_eq!((leaf_end, fences.start), (PAGE_SIZE as u64, PAGE_SIZE));
         assert_eq!(image[fences.start], 1, "one fence");
-        let want: Vec<_> = (0..40).map(|i| (key(i), format!("value-{i}").into_bytes())).collect();
+        let want: Vec<_> = (0..40).map(|i| (key(i), value(i))).collect();
         assert_eq!(t.scan().unwrap().map(|r| r.unwrap()).collect::<Vec<_>>(), want);
         assert_eq!(t.scan_uncached().unwrap().map(|r| r.unwrap()).collect::<Vec<_>>(), want);
         let tail: Vec<_> = t.range(Bound::Excluded(&key(37)), Bound::Unbounded).unwrap().map(|r| r.unwrap().0).collect();
@@ -1813,7 +1960,8 @@ mod tests {
         }
         lsm.merge_newest(2).unwrap();
         assert_eq!(crate::lsm::LsmIndex::component_count(&lsm), 1);
-        assert_eq!(lsm.scan().unwrap(), want);
+        let merged: Vec<_> = lsm.scan().unwrap().into_iter().map(|(k, v)| (k, Entry::Put(v))).collect();
+        assert_eq!(merged, want);
     }
 
     /// The footer packs behind the leaves: a leaf-group tree's at the leaf
@@ -1841,7 +1989,7 @@ mod tests {
         let (cache, _d) = setup(64);
         let mut b = BTreeBuilder::new(cache.manager().bulk_writer("bad_c7.btree").unwrap(), false);
         for i in 0..2_000 {
-            b.add(&key(i), b"v").unwrap();
+            b.add(&key(i), Some(b"v")).unwrap();
         }
         b.fences.keys.push(0xFF);
         let last = b.fences.ends.len() - 1;
@@ -1861,10 +2009,9 @@ mod tests {
         Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap()))
     }
 
-    /// The row of message `i`, and `[PUT] ++ row`: what a read of it hands
-    /// out. Its text is noise, so that the pages a read touches are counted
-    /// against a file of uncoded size.
-    fn message(i: i64) -> (Vec<u8>, Vec<u8>) {
+    /// The row of message `i`. Its text is noise, so that the pages a read
+    /// touches are counted against a file of uncoded size.
+    fn message(i: i64) -> Vec<u8> {
         let mut fields = vec![
             ("messageId".to_string(), Value::Int(i)),
             ("authorId".into(), Value::Int(i % 97)),
@@ -1876,9 +2023,7 @@ mod tests {
         if i % 10 == 0 {
             fields.push(("mood".into(), Value::from("open")));
         }
-        let row = message_layout().encode(&Value::object(fields)).unwrap();
-        let value = [&[PUT][..], &row].concat();
-        (row, value)
+        message_layout().encode(&Value::object(fields)).unwrap()
     }
 
     /// Messages `0..n` as a tree of leaf groups, every seventh a delete marker.
@@ -1886,7 +2031,7 @@ mod tests {
         let w = cache.manager().bulk_writer(name).unwrap();
         let mut b = BTreeBuilder::with_layout(w, true, message_layout());
         for i in 0..n {
-            b.add_row(&key(i), (i % 7 != 6).then(|| message(i).0).as_deref()).unwrap();
+            b.add(&key(i), (i % 7 != 6).then(|| message(i)).as_deref()).unwrap();
         }
         DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap())
     }
@@ -1898,8 +2043,8 @@ mod tests {
         let t = build_groups(&cache, "g.btree", n);
         assert_eq!(t.len(), n as u64);
         for i in [0, 1, 6, 1_023, 1_024, 1_025, 2_047, 2_048, n - 1] {
-            let want = if i % 7 == 6 { vec![TOMBSTONE] } else { message(i).1 };
-            assert_eq!(t.get(&key(i)).unwrap().unwrap(), want, "get {i}");
+            let want = if i % 7 == 6 { Entry::Tombstone } else { Entry::Put(message(i)) };
+            assert_eq!(t.get(&key(i)).unwrap(), Some(want), "get {i}");
         }
         assert!(t.get(&key(n)).unwrap().is_none());
         assert!(t.get(&key(-1)).unwrap().is_none());
@@ -1907,7 +2052,7 @@ mod tests {
         for (i, item) in t.scan().unwrap().enumerate() {
             let (k, v) = item.unwrap();
             assert_eq!(k, key(i as i64));
-            assert_eq!(v.len() == 1, i % 7 == 6);
+            assert_eq!(v == Entry::Tombstone, i % 7 == 6);
             seen += 1;
         }
         assert_eq!(seen, n);
@@ -1958,7 +2103,7 @@ mod tests {
         let file = build_groups(&cache, "o.btree", 50).file();
         let rows = build(&cache, "r.btree", 50, true).file();
         let reopened = DiskBTree::open(Arc::clone(&cache), file, Some(&message_layout())).unwrap();
-        assert_eq!(reopened.get(&key(3)).unwrap().unwrap(), message(3).1);
+        assert_eq!(reopened.get(&key(3)).unwrap(), Some(Entry::Put(message(3))));
         let other = Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType").unwrap()));
         for (file, layout) in [(file, None), (file, Some(&other)), (rows, Some(&other))] {
             assert!(matches!(DiskBTree::open(Arc::clone(&cache), file, layout), Err(StorageError::Corrupt(_))));
@@ -1983,10 +2128,9 @@ mod tests {
         let (cache, _d) = setup(8);
         let w = cache.manager().bulk_writer("v.btree").unwrap();
         let mut b = BTreeBuilder::with_layout(w, false, message_layout());
-        assert!(matches!(b.add(&key(1), &message(1).1), Err(StorageError::Invalid(_))), "a value, whole");
-        assert!(matches!(b.add_row(&key(1), Some(&[1])), Err(StorageError::Adm(_))), "not a row of the layout");
-        b.add_row(&key(1), Some(&message(1).0)).unwrap();
-        assert!(b.add_row(&key(1), None).is_err(), "duplicate key");
+        assert!(matches!(b.add(&key(1), Some(&[1])), Err(StorageError::Adm(_))), "not a row of the layout");
+        b.add(&key(1), Some(&message(1))).unwrap();
+        assert!(b.add(&key(1), None).is_err(), "duplicate key");
         let w = cache.manager().bulk_writer("w.btree").unwrap();
         assert!(matches!(BTreeBuilder::new(w, false).add_cells(&key(1), None), Err(StorageError::Invalid(_))));
     }
@@ -2023,7 +2167,7 @@ mod tests {
             let w = cache.manager().bulk_writer(&format!("s{pad}-{filler}.btree")).unwrap();
             let mut b = BTreeBuilder::with_layout(w, false, message_layout());
             for i in 0..n {
-                b.add_row(&key(i), (i % 13 != 5).then(|| row(pad, filler, i)).as_deref()).unwrap();
+                b.add(&key(i), (i % 13 != 5).then(|| row(pad, filler, i)).as_deref()).unwrap();
             }
             let start = match &b.leaves {
                 Leaves::Groups { buf, .. } => buf.len(),
@@ -2032,7 +2176,7 @@ mod tests {
             let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
             for (i, item) in t.scan().unwrap().enumerate() {
                 let (k, v) = item.unwrap();
-                let want = if i % 13 == 5 { vec![TOMBSTONE] } else { [&[PUT][..], &row(pad, filler, i as i64)].concat() };
+                let want = if i % 13 == 5 { Entry::Tombstone } else { Entry::Put(row(pad, filler, i as i64)) };
                 assert_eq!((k, v), (key(i as i64), want), "pad {pad} entry {i}");
             }
             for i in [0, 1_023, 1_024, n - 1] {

@@ -383,12 +383,12 @@ mod tests {
         [
             Kind {
                 format: &btree::FORMAT,
-                pinned: &[b"7RTB"],
+                pinned: &[b"8RTB"],
                 version: 0,
                 name: "t.btree",
                 write: |dir| {
                     let mut b = BTreeBuilder::new(cache(dir).manager().bulk_writer("t.btree").unwrap(), true);
-                    b.add(b"k", b"v").unwrap();
+                    b.add(b"k", Some(b"v")).unwrap();
                     b.finish().unwrap();
                     // the footer's magic is the file's last four bytes
                     std::fs::metadata(dir.join("t.btree")).unwrap().len() as usize - 4

@@ -21,13 +21,14 @@
 //! ([`LsmReader::fill`], [`LsmTree::get_into`]), the entries of one leaf
 //! group a chunk at a time.
 //!
-//! Only what is B+-tree-specific lives here: the memory component, the entry
-//! encoding, the k-way merge and blooms. The component
+//! Only what is B+-tree-specific lives here: the memory component, the k-way
+//! merge and blooms; a disk component's B+ tree stores each [`Entry`], a
+//! value or a delete marker, itself (`crate::btree`). The component
 //! list and its manifest, ids, sealing, merge scheduling, publishing and
 //! retirement are the shared lifecycle in `crate::harness`, which this tree
 //! rides as one `ComponentKind`.
 
-use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree, PUT, TOMBSTONE};
+use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
@@ -38,6 +39,7 @@ use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
+pub use crate::btree::Entry;
 pub use crate::harness::{
     manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy, SlotStamps,
 };
@@ -45,44 +47,6 @@ pub use crate::harness::{
 // ---------------------------------------------------------------------------
 // Entries & memory component
 // ---------------------------------------------------------------------------
-
-/// A versioned entry: a value or a delete marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Entry {
-    Put(Vec<u8>),
-    Tombstone,
-}
-
-impl Entry {
-    /// On-disk encoding, appended to `out`: marker byte + payload.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Entry::Put(v) => {
-                out.push(PUT);
-                out.extend_from_slice(v);
-            }
-            Entry::Tombstone => out.push(TOMBSTONE),
-        }
-    }
-
-    /// Bytes of the value it holds.
-    fn value_len(&self) -> usize {
-        match self {
-            Entry::Put(v) => v.len(),
-            Entry::Tombstone => 0,
-        }
-    }
-
-    /// What `buf` encodes, in place: the value of a put, `None` for a delete
-    /// marker.
-    fn payload(buf: &[u8]) -> Result<Option<&[u8]>> {
-        match buf {
-            [PUT, value @ ..] => Ok(Some(value)),
-            [TOMBSTONE, ..] => Ok(None),
-            _ => Err(StorageError::Corrupt("bad LSM entry marker".into())),
-        }
-    }
-}
 
 /// What the ordered map of a [`MemComponent`] allocates per entry beside the
 /// key's and the value's bytes, as a counting allocator measures it on
@@ -146,9 +110,10 @@ impl MemComponent {
             value.shrink_to_fit();
         }
         let key_len = key.len();
-        self.bytes += key_len + entry.value_len() + ENTRY_BYTES;
+        let held = |entry: &Entry| key_len + entry.value().map_or(0, <[u8]>::len) + ENTRY_BYTES;
+        self.bytes += held(&entry);
         if let Some(old) = self.map.insert(key, entry) {
-            self.bytes -= key_len + old.value_len() + ENTRY_BYTES;
+            self.bytes -= held(&old);
         }
     }
 
@@ -334,14 +299,6 @@ pub struct BTreeKind {
 }
 
 impl BTreeKind {
-    /// Whether the entry `at` stands at is a delete marker.
-    fn is_tombstone(&self, at: &mut BTreeRangeIter) -> Result<bool> {
-        if self.config.layout.is_some() {
-            return at.is_tombstone();
-        }
-        Ok(Entry::payload(at.entry()?.1)?.is_none())
-    }
-
     /// Opens the file of component `id` for bulk loading.
     fn builder(&self, id: u64) -> Result<BTreeBuilder> {
         let name = format!("{}_c{}.btree", self.config.name, id);
@@ -389,18 +346,8 @@ impl ComponentKind for BTreeKind {
 
     fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
         let mut builder = self.builder(id)?;
-        let mut raw = Vec::new();
         for (k, e) in mem.iter() {
-            if self.config.layout.is_some() {
-                builder.add_row(k, match e {
-                    Entry::Put(row) => Some(row),
-                    Entry::Tombstone => None,
-                })?;
-                continue;
-            }
-            raw.clear();
-            e.encode_into(&mut raw);
-            builder.add(k, &raw)?;
+            builder.add(k, e.value())?;
         }
         self.seal(builder, mem.len() as u64)
     }
@@ -441,15 +388,13 @@ impl ComponentKind for BTreeKind {
             let Some(rank) = merge.next_rank()? else { return Ok(true) };
             let winner = merge.cursor(rank);
             // a delete marker is dead only when nothing older is left to mask
-            let dead = self.is_tombstone(winner)?;
+            let dead = winner.is_tombstone()?;
             if dead && run.includes_oldest {
                 continue;
             }
-            if self.config.layout.is_none() {
-                let (key, raw) = winner.entry()?;
-                builder.add(key, raw)?;
-            } else if dead {
-                builder.add_cells(winner.key().unwrap_or_default(), None)?;
+            if self.config.layout.is_none() || dead {
+                let (key, value) = winner.entry()?;
+                builder.add(key, value)?;
             } else {
                 // the cells go from group to group: no row is put together
                 cells.clear();
@@ -548,7 +493,7 @@ impl Lsm<BTreeKind> {
         Ok(match self.find(key, |disk| disk.get(key))? {
             None | Some(Found::Mem(Entry::Tombstone)) => None,
             Some(Found::Mem(Entry::Put(v))) => Some(v.clone()),
-            Some(Found::Disk { at: stored, .. }) => Entry::payload(&stored)?.map(<[u8]>::to_vec),
+            Some(Found::Disk { at: stored, .. }) => stored.into_value(),
         })
     }
 
@@ -690,12 +635,12 @@ pub struct LsmReader<'a> {
 impl LsmReader<'_> {
     /// The next live entry: its key and what the read asked of it.
     pub fn next_entry(&mut self) -> Result<Option<(&[u8], Projected<'_>)>> {
-        let LsmReader { merge, kind, wanted, cells, .. } = self;
+        let LsmReader { merge, wanted, cells, .. } = self;
         let rank = loop {
             let Some(rank) = merge.next_rank()? else { return Ok(None) };
             let dead = match merge.cursor(rank) {
                 Source::Mem { head, .. } => matches!(head, Some((_, Entry::Tombstone))),
-                Source::Disk(at) => kind.is_tombstone(at)?,
+                Source::Disk(at) => at.is_tombstone()?,
             };
             if !dead {
                 break rank;
@@ -714,8 +659,8 @@ impl LsmReader<'_> {
                     Ok(Some((at.key().ok_or_else(gone)?, Projected::Cells(cells))))
                 }
                 None => {
-                    let (key, raw) = at.entry()?;
-                    Ok(Some((key, Projected::Row(Entry::payload(raw)?.ok_or_else(gone)?))))
+                    let (key, value) = at.entry()?;
+                    Ok(Some((key, Projected::Row(value.ok_or_else(gone)?))))
                 }
             },
         }

@@ -185,7 +185,7 @@ impl RTreeKind {
             let writer = manager.bulk_writer(&format!("{}_c{}.delkeys", self.config.name, id))?;
             let mut b = BTreeBuilder::new(writer, true);
             for k in tombstones {
-                b.add(k, &[])?;
+                b.add(k, Some(&[]))?;
             }
             Some(DiskBTree::from_built(Arc::clone(&self.cache), b.finish()?))
         };

@@ -7,7 +7,7 @@ use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
 use asterix_obs::IdGen;
-use asterix_storage::btree::{BTreeBuilder, DiskBTree, MAX_ENTRY, MAX_KEY, PUT, TOMBSTONE};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, Entry, MAX_ENTRY, MAX_KEY};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
@@ -144,12 +144,12 @@ proptest! {
         let (cache, _d) = setup(64);
         let w = cache.manager().bulk_writer("p.btree").unwrap();
         let mut b = BTreeBuilder::new(w, true);
-        let model: BTreeMap<i64, Vec<u8>> = std::mem::take(&mut keys)
+        let model: BTreeMap<i64, Entry> = std::mem::take(&mut keys)
             .into_iter()
-            .map(|i| (i, format!("v{i}").into_bytes()))
+            .map(|i| (i, Entry::Put(format!("v{i}").into_bytes())))
             .collect();
         for (i, v) in &model {
-            b.add(&k(*i), v).unwrap();
+            b.add(&k(*i), v.value()).unwrap();
         }
         let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
         for p in probes {
@@ -381,7 +381,7 @@ fn as_slice(b: &Bound<Vec<u8>>) -> Bound<&[u8]> {
 /// every key behind `shared` bytes they have in common; and values that are
 /// empty, short, or as long as a page takes (`fill`), which makes pages of
 /// hundreds of entries, or one-entry leaves and, past a few hundred of them,
-/// a fence index of several pages.
+/// a fence index of several pages — every fifth entry a delete marker.
 fn page_keys() -> impl Strategy<Value = (std::collections::BTreeSet<Vec<u8>>, Vec<u8>, usize, u8)> {
     const BYTES: [u8; 5] = [0x00, 0x01, b'a', 0xFE, 0xFF];
     let byte = || (0usize..BYTES.len()).prop_map(|i| BYTES[i]);
@@ -410,7 +410,7 @@ proptest! {
         bounds in prop::collection::vec((0usize..1_000, 0usize..1_000, 0u8..3, 0u8..3), 1..12),
     ) {
         let key = |suffix: &[u8]| [vec![b'p'; shared].as_slice(), suffix].concat();
-        let model: BTreeMap<Vec<u8>, Vec<u8>> = suffixes
+        let model: BTreeMap<Vec<u8>, Entry> = suffixes
             .iter()
             .enumerate()
             .map(|(i, suffix)| {
@@ -421,13 +421,14 @@ proptest! {
                     (2, _) | (3, 0) => MAX_ENTRY - key.len(),
                     _ => 40,
                 };
-                (key, vec![i as u8; len])
+                let entry = if i % 5 == 4 { Entry::Tombstone } else { Entry::Put(vec![i as u8; len]) };
+                (key, entry)
             })
             .collect();
         let (cache, _d) = setup(64);
         let mut b = BTreeBuilder::new(cache.manager().bulk_writer("p.btree").unwrap(), true);
         for (k, v) in &model {
-            b.add(k, v).unwrap();
+            b.add(k, v.value()).unwrap();
         }
         let built = b.finish().unwrap();
         let reopened = DiskBTree::open(Arc::clone(&cache), built.file, None).unwrap();
@@ -459,10 +460,10 @@ proptest! {
                 _ => Bound::Excluded(k.clone()),
             };
             let (lo, hi) = (bound(lo_kind, lo), bound(hi_kind, hi));
-            let got: Vec<(Vec<u8>, Vec<u8>)> =
+            let got: Vec<(Vec<u8>, Entry)> =
                 t.range(as_slice(&lo), hi.clone()).unwrap().map(|r| r.unwrap()).collect();
             // `BTreeMap::range` panics on bounds that cross
-            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+            let want: Vec<(Vec<u8>, Entry)> = model
                 .iter()
                 .filter(|(k, _)| (as_slice(&lo), as_slice(&hi)).contains(&k.as_slice()))
                 .map(|(k, v)| (k.clone(), v.clone()))
@@ -487,27 +488,21 @@ fn sized_key(len: usize, i: usize) -> Vec<u8> {
 
 /// A component of every even key `sized_key(len, 2i)` for `i < n`, as a
 /// tree of row leaves — values of 0 to 40 bytes — or of leaf groups, every
-/// seventh entry a delete marker; and the map of what a read of each key
-/// gives.
-fn sized_tree(cache: &Arc<BufferCache>, name: &str, groups: bool, len: usize, n: usize) -> (DiskBTree, BTreeMap<Vec<u8>, Vec<u8>>) {
+/// seventh entry a delete marker in either; and the map of what a read of
+/// each key gives.
+fn sized_tree(cache: &Arc<BufferCache>, name: &str, groups: bool, len: usize, n: usize) -> (DiskBTree, BTreeMap<Vec<u8>, Entry>) {
     let w = cache.manager().bulk_writer(name).unwrap();
     let mut b = if groups { BTreeBuilder::with_layout(w, true, layout(true)) } else { BTreeBuilder::new(w, true) };
     let mut model = BTreeMap::new();
     for i in 0..n {
         let key = sized_key(len, 2 * i);
-        let value = if !groups {
-            let value = vec![i as u8; i % 41];
-            b.add(&key, &value).unwrap();
-            value
-        } else if i % 7 == 6 {
-            b.add_row(&key, None).unwrap();
-            vec![TOMBSTONE]
-        } else {
-            let row = row(true, i as i64, i as u64 * 3);
-            b.add_row(&key, Some(&row)).unwrap();
-            [&[PUT][..], &row].concat()
+        let entry = match i % 7 {
+            6 => Entry::Tombstone,
+            _ if groups => Entry::Put(row(true, i as i64, i as u64 * 3)),
+            _ => Entry::Put(vec![i as u8; i % 41]),
         };
-        model.insert(key, value);
+        b.add(&key, entry.value()).unwrap();
+        model.insert(key, entry);
     }
     (DiskBTree::from_built(Arc::clone(cache), b.finish().unwrap()), model)
 }
@@ -515,7 +510,7 @@ fn sized_tree(cache: &Arc<BufferCache>, name: &str, groups: bool, len: usize, n:
 /// Whether `t` answers like `model`: a get of every `step`th key and of the
 /// keys between them, ranges between the probes, and a scan outside the
 /// cache.
-fn answers_like(t: &DiskBTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, len: usize, n: usize, step: usize) {
+fn answers_like(t: &DiskBTree, model: &BTreeMap<Vec<u8>, Entry>, len: usize, n: usize, step: usize) {
     prop_assert_eq!(t.len(), n as u64);
     let probes: Vec<Vec<u8>> = (0..2 * n + 2).step_by(step).chain([2 * n.saturating_sub(1)]).map(|i| sized_key(len, i)).collect();
     for p in &probes {
@@ -526,7 +521,7 @@ fn answers_like(t: &DiskBTree, model: &BTreeMap<Vec<u8>, Vec<u8>>, len: usize, n
         let want: Vec<Vec<u8>> = model.keys().filter(|k| *k > lo && *k <= hi).cloned().collect();
         prop_assert_eq!(got, want, "range {:?}..={:?}", lo, hi);
     }
-    let scanned: Vec<(Vec<u8>, Vec<u8>)> = t.scan_uncached().unwrap().map(|r| r.unwrap()).collect();
+    let scanned: Vec<(Vec<u8>, Entry)> = t.scan_uncached().unwrap().map(|r| r.unwrap()).collect();
     prop_assert!(scanned.iter().map(|(k, v)| (k, v)).eq(model.iter()), "scan outside the cache");
 }
 
@@ -567,7 +562,7 @@ proptest! {
 fn a_cut_or_a_flipped_footer_byte_is_refused_or_harmless() {
     let (cache, dir) = setup(64);
     // (what a read gives, the file, where its trailer starts, where its leaf area ends)
-    let footer = |model: BTreeMap<Vec<u8>, Vec<u8>>| {
+    let footer = |model: BTreeMap<Vec<u8>, Entry>| {
         let sound = std::fs::read(dir.0.join("sound.btree")).unwrap();
         let back = u32::from_le_bytes(sound[sound.len() - 8..][..4].try_into().unwrap()) as usize;
         let trailer = sound.len() - 8 - back;
@@ -760,6 +755,82 @@ proptest! {
             let got = sorted(&t);
             prop_assert_eq!(got.len(), at.len(), "after step {}", step);
             prop_assert_eq!(got, sorted(&kept), "after step {}", step);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// An index without a layout whose entries are keys alone — a secondary
+    /// index's — among valued entries and delete markers answers like a map
+    /// through flushes, merges of the newest components and reopening. Then
+    /// a delete marker is kept exactly while it masks something: markers
+    /// flushed into one component and new keys into the next, merged
+    /// without the oldest, are each written again and still mask the
+    /// oldest, also once reopened; the merge of everything writes the live
+    /// keys alone.
+    #[test]
+    fn key_only_entries_and_delete_markers_survive_flush_merge_and_reopen(ops in life_ops(), valued in 0i64..4) {
+        let config = |mem_budget: usize| LsmConfig { mem_budget, merge_policy: MergePolicy::NoMerge, ..LsmConfig::new("s") };
+        let (cache, _d) = setup(64);
+        let mut t = LsmTree::new(Arc::clone(&cache), config(1 << 10));
+        let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
+        // key `i` holds a value when `i % 4 < valued`, else nothing
+        let value = |i: i64, step: usize| if i % 4 < valued { format!("v{i}@{step}").into_bytes() } else { Vec::new() };
+        let answers = |t: &LsmTree, model: &BTreeMap<i64, Vec<u8>>| {
+            t.scan().unwrap() == model.iter().map(|(i, v)| (k(*i), v.clone())).collect::<Vec<_>>()
+        };
+        let put = |t: &mut LsmTree, model: &mut BTreeMap<i64, Vec<u8>>, i: i64, step: usize| {
+            t.upsert(k(i), value(i, step)).unwrap();
+            model.insert(i, value(i, step));
+        };
+        for (step, op) in ops.into_iter().enumerate() {
+            match op {
+                LifeOp::Put(i) => put(&mut t, &mut model, i, step),
+                LifeOp::Delete(i) => {
+                    t.delete(k(i)).unwrap();
+                    model.remove(&i);
+                }
+                LifeOp::Flush => t.flush().unwrap(),
+                LifeOp::Merge(n) => t.merge_newest(n).unwrap(),
+                LifeOp::Reopen => {
+                    t.flush().unwrap();
+                    drop(t);
+                    t = LsmTree::reopen(Arc::clone(&cache), config(1 << 10)).unwrap();
+                }
+            }
+            prop_assert!(answers(&t, &model), "after step {}", step);
+        }
+        // from here on one flush is one component
+        t.flush().unwrap();
+        drop(t);
+        let mut t = LsmTree::reopen(Arc::clone(&cache), config(1 << 20)).unwrap();
+        (61..64).for_each(|i| put(&mut t, &mut model, i, 0));
+        t.flush().unwrap();
+        let deleted: Vec<i64> = model.keys().step_by(2).copied().collect();
+        for i in &deleted {
+            t.delete(k(*i)).unwrap();
+            model.remove(i);
+        }
+        t.flush().unwrap();
+        (100..105).for_each(|i| put(&mut t, &mut model, i, 0));
+        t.flush().unwrap();
+        let before = t.stats().entries_written;
+        t.merge_newest(2).unwrap();
+        prop_assert_eq!(t.stats().entries_written - before, deleted.len() as u64 + 5, "a merge that leaves the oldest out keeps its markers");
+        prop_assert!(answers(&t, &model));
+        drop(t);
+        let mut t = LsmTree::reopen(Arc::clone(&cache), config(1 << 20)).unwrap();
+        prop_assert!(answers(&t, &model), "reopened");
+        let (all, before) = (t.component_count(), t.stats().entries_written);
+        t.merge_newest(all).unwrap();
+        prop_assert_eq!(t.stats().entries_written - before, model.len() as u64, "the merge of everything drops the markers");
+        drop(t);
+        let t = LsmTree::reopen(Arc::clone(&cache), config(1 << 20)).unwrap();
+        prop_assert!(answers(&t, &model), "merged and reopened");
+        for i in (0..64).chain(100..105) {
+            prop_assert_eq!(t.get(&k(i)).unwrap(), model.get(&i).cloned(), "get {}", i);
         }
     }
 }
@@ -1077,7 +1148,7 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
     let n = GROUP_RECORDS as i64 + 200;
     let mut b = BTreeBuilder::with_layout(cache.manager().bulk_writer("g.btree").unwrap(), true, Arc::clone(&layout));
     for i in 0..n {
-        b.add_row(&k(i), (i % 9 != 4).then(|| row(true, i, i as u64 * 7)).as_deref()).unwrap();
+        b.add(&k(i), (i % 9 != 4).then(|| row(true, i, i as u64 * 7)).as_deref()).unwrap();
     }
     let built = b.finish().unwrap();
     let sound = std::fs::read(dir.0.join("g.btree")).unwrap();
