@@ -325,13 +325,24 @@ impl DatasetPartition {
     /// order of [`DatasetPartition::indexes_mut`] — a crash between two of
     /// them leaves the secondaries at or ahead of the primary, and a failed
     /// one stops the rest — and seals every index at once when one is past
-    /// its budget and none holds a sealed component any more.
+    /// its budget and none holds a sealed component any more. An index that
+    /// still holds one — for a writer, or until the merge that took it in
+    /// publishes — stops the indexes after it, so that no primary publishes
+    /// ahead of its secondaries; once the next seal is due, a merge's is
+    /// taken back and written on its own.
     fn seal_and_flush(&mut self) -> Result<()> {
         loop {
+            let due = self.indexes().any(LsmIndex::over_budget);
             for idx in self.indexes_mut() {
+                if due {
+                    idx.take_back_sealed();
+                }
                 idx.flush_sealed()?;
+                if idx.has_sealed() {
+                    return Ok(());
+                }
             }
-            if self.indexes().any(LsmIndex::has_sealed) || !self.indexes().any(LsmIndex::over_budget) {
+            if !due {
                 return Ok(());
             }
             for idx in self.indexes_mut() {

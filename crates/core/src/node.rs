@@ -82,6 +82,9 @@ impl Node {
         // A component file is durable state only if a manifest names it; the
         // rest is what a crash stranded mid-flush, mid-merge or mid-publish.
         asterix_storage::lsm::sweep_unreferenced(&dir)?;
+        if cfg!(debug_assertions) {
+            asterix_storage::lsm::audit_directory(&dir)?;
+        }
         let stats = IoStats::new();
         let fm = FileManager::with_faults(&dir, stats, faults.clone())?;
         let cache = BufferCache::with_options(fm, cache_opts);

@@ -60,6 +60,7 @@ const PER_NODE: &str = "
     c storage.lsm.chunks_read
     c storage.lsm.flush_wait_ns
     c storage.lsm.flushes
+    c storage.lsm.flushes_merged
     g storage.lsm.merge_inflight
     c storage.lsm.merge_stall_ns
     c storage.lsm.merges

@@ -188,6 +188,11 @@ struct Outcome {
     with_crashing_commit: Option<BTreeMap<i64, i64>>,
     /// Whether the DDL returned before the crash.
     ddl_done: bool,
+    /// Whether the crash cut short a merge that had taken a sealed memory
+    /// component in: the merge aborted, and the component never reached
+    /// disk. (In the one-partition shapes every merge takes one in: the
+    /// policy fires on the flush that would complete a run.)
+    cut_a_memory_merge: bool,
 }
 
 /// The crash run: opens a `shape` instance under `injector`, creates kv, and
@@ -207,7 +212,14 @@ fn run(
     }
     // dropped without flushing memory components: what recovery may rely on
     // is the published components and the log tail
-    transact(&db, shape, seed, injector, ntxns)
+    let mut out = transact(&db, shape, seed, injector, ntxns);
+    if injector.crashed() {
+        common::settle(&db);
+        if let Ok(stats) = db.lsm_stats("kv", None) {
+            out.cut_a_memory_merge = stats.iter().any(|s| s.merges_aborted > 0 && s.seals > s.flushes);
+        }
+    }
+    out
 }
 
 /// Up to `ntxns` transactions of one to three upserts or deletes over 40
@@ -481,7 +493,9 @@ proptest! {
 /// manifest write, written but not renamed, between the rename and the
 /// directory fsync, between a merge's publish and the unlink of its inputs
 /// (merged output *and* inputs on disk), inside a log rotation, at its
-/// rename and its directory fsync, and at a segment unlink.
+/// rename and its directory fsync, and at a segment unlink. Under each
+/// policy some of them fall inside a merge that took a sealed memory
+/// component in, which recovery replays from the log.
 #[test]
 fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
     let points = [
@@ -495,13 +509,18 @@ fn named_publish_and_retirement_crash_points_never_lose_nor_double() {
         ".wal:unlink",
     ];
     for shape in ONE_PARTITION[MERGING].iter().copied() {
+        let mut inside = 0;
         crash::sweep(
             21,
             &points,
             2,
             |dir, injector| run(dir, shape, 21, injector, shape.txns),
-            |dir, out| check(dir, shape, &out).map_err(|why| format!("{shape:?}: {why}")),
+            |dir, out| {
+                inside += usize::from(out.cut_a_memory_merge);
+                check(dir, shape, &out).map_err(|why| format!("{shape:?}: {why}"))
+            },
         );
+        assert!(inside > 0, "{shape:?}: no crash fell inside a merge that took a sealed component in");
     }
 }
 
@@ -916,6 +935,71 @@ fn a_crash_inside_a_co_sealed_flush_leaves_every_secondary_at_or_ahead_of_its_pr
             assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
         }
     }
+}
+
+/// (c') A secondary whose sealed component went into a merge holds its
+/// primary back. The secondaries' loaded components are small enough to
+/// merge and the primary's is not, so each flush after the load sends the
+/// secondaries' sealed components into merges on the worker pool while the
+/// primary's would be written on its own at once — and is not, until every
+/// secondary's merge has published: a crash the moment the primary
+/// publishes finds each secondary there already.
+#[test]
+fn a_primary_waits_for_the_merges_that_took_its_secondaries_sealed_components() {
+    let dir = TempDir::new("heldback");
+    let policy = MergePolicy::Prefix {
+        max_mergable_bytes: 256 << 10,
+        max_tolerance_components: 1,
+    };
+    let config = |mem_budget, faults| {
+        let mut config = InstanceConfig { faults, ..one_partition(dir.path(), mem_budget) };
+        config.storage.merge_policy = policy;
+        config
+    };
+    let mut want = BTreeMap::new();
+    {
+        let db = Instance::open(config(64 << 20, None)).unwrap();
+        db.execute_sqlpp(MSG_DDL).unwrap();
+        db.execute_sqlpp(MSG_INDEXES).unwrap();
+        commit_msgs(&db, (0..3_000).map(|id| msg(id, 0, 1)));
+        want.extend((0..3_000).map(|id| (id, msg(id, 0, 1))));
+        db.flush_all().unwrap();
+        db.crash();
+    }
+    let load: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
+    let injector = FaultInjector::crash_at(9, "Msgs_p0_pri.manifest:dirsync", 0);
+    let db = Instance::open(config(2 << 10, Some(injector.clone()))).unwrap();
+    for id in 0..64 {
+        let mut txn = db.begin();
+        if txn.write("Msgs", &msg(id, 1, 1), true).is_err() {
+            break; // the crash landed in the flush after this write: never committed
+        }
+        // or in the flush that follows the commit record's sync
+        let _ = txn.commit();
+        want.insert(id, msg(id, 1, 1));
+        if injector.crashed() {
+            break;
+        }
+        // each write finds the merges it handed off published
+        common::settle(&db);
+    }
+    assert!(injector.crashed(), "the primary never published");
+    common::settle(&db);
+    for index in &FLUSH_ORDER[..3] {
+        let stats = &db.lsm_stats("Msgs", Some(index)).unwrap()[0];
+        assert!(stats.flushes_merged > 0, "{index}: no sealed component went into a merge ({stats:?})");
+    }
+    let primary_stats = &db.lsm_stats("Msgs", None).unwrap()[0];
+    assert_eq!(primary_stats.flushes_merged, 0, "the primary's flush is written on its own");
+    db.crash();
+    let crashed: Vec<(u64, u32)> = FLUSH_ORDER.iter().map(|i| manifest(dir.path(), i)).collect();
+    let primary = crashed[3].0;
+    assert!(primary > load[3].0, "the primary published: {crashed:?}");
+    for (name, (below, _)) in FLUSH_ORDER.iter().zip(&crashed).take(3) {
+        assert!(*below >= primary, "{name} is behind its primary: {crashed:?}");
+    }
+    let db = Instance::open(config(2 << 10, None)).unwrap();
+    assert_indexes_agree_with_scan(&db, &want, &["byAuthor", "byLoc", "byText"]);
 }
 
 /// (d) `CREATE INDEX` on loaded data is not logged: it flushes what it

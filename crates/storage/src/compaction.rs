@@ -15,7 +15,7 @@
 //! tree of a node and surfaces it through the shared `obs` registry as
 //! `storage.lsm.{write_amp,read_amp,space_amp,merge_inflight,merge_stall_ns}`,
 //! beside the lifecycle's own counts
-//! `storage.lsm.{flushes,merges,flush_wait_ns}`.
+//! `storage.lsm.{flushes,flushes_merged,merges,flush_wait_ns}`.
 
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::Arc;
@@ -96,6 +96,7 @@ pub struct LsmMetricsHub {
     disk_bytes_live: Gauge,
     merge_stall_ns: Counter,
     flushes: Counter,
+    flushes_merged: Counter,
     merges: Counter,
     flush_wait_ns: Counter,
     retire_failures: Counter,
@@ -129,6 +130,7 @@ impl LsmMetricsHub {
             disk_bytes_live: Gauge::new(),
             merge_stall_ns: registry.counter("storage.lsm.merge_stall_ns"),
             flushes: registry.counter("storage.lsm.flushes"),
+            flushes_merged: registry.counter("storage.lsm.flushes_merged"),
             merges: registry.counter("storage.lsm.merges"),
             flush_wait_ns: registry.counter("storage.lsm.flush_wait_ns"),
             retire_failures: registry.counter("storage.lsm.retire_failures"),
@@ -161,6 +163,13 @@ impl LsmMetricsHub {
     pub(crate) fn count_flush(&self, written: u64) {
         self.flushes.inc();
         self.entries_written.add(written);
+    }
+
+    /// A sealed memory component reached disk through the merge that took
+    /// it in, whose entries the merge counts.
+    pub(crate) fn count_flush_merged(&self) {
+        self.flushes.inc();
+        self.flushes_merged.inc();
     }
 
     /// A merge published a component of `written` entries.

@@ -13,32 +13,55 @@
 //! retiring merged-away inputs, cascading, cancellation, quiescing, and the
 //! per-tree and node-wide counters.
 //!
-//! An index kind plugs in through [`ComponentKind`]: its memory component
-//! and how to bulk-load one into a disk component, what a disk component
-//! holds, which files it owns, how to reopen it from them, and a resumable
-//! merge over a snapshot of components. Beside that it writes only its typed
-//! reads and writes, as inherent methods of `Lsm<ItsKind>`:
+//! An index kind plugs in through [`ComponentKind`]: its memory component,
+//! what a disk component holds, which files it owns, how to reopen it from
+//! them, and its one writer: a resumable merge of a sealed memory component
+//! and a snapshot of disk components, either of which may be missing — a
+//! flush is that merge with no disk input. Beside that it writes only its
+//! typed reads and writes, as inherent methods of `Lsm<ItsKind>`:
 //! [`crate::lsm::LsmTree`] (and over it [`crate::inverted::InvertedIndex`])
 //! and [`crate::lsm_rtree::LsmRTree`] are the kinds. Everything is statically
 //! dispatched, so a read costs a list snapshot and nothing else;
 //! [`LsmIndex`] is the same surface for an owner of indexes of several kinds.
 //!
-//! A flush publishes its component and *schedules* a merge: claims the slot
-//! and hands the job to the index's [`crate::compaction::BackgroundExecutor`],
-//! which advances it one morsel per step — off the write path when the owner
-//! installed one (the runtime's worker pool), to completion on the flushing
-//! thread with the one a bare index starts with. Reads and flushes proceed
-//! against the pre-merge list until the merged one swaps in. A merge reads
-//! its inputs outside the buffer cache ([`crate::io::PageStream`]) and leaves
-//! the cache as it found it.
+//! Before a sealed memory component is flushed, the merge policy is asked
+//! about the list the flush would publish, the sealed component counted at
+//! its memory bytes (an upper bound on its file's). If the policy would
+//! merge it at once with at least one disk component and the slot is free,
+//! the sealed component becomes the newest input of that merge and is never
+//! written on its own (O'Neil et al.'s C0 merged into C1); otherwise it is
+//! flushed on the caller, and the flush *schedules* a merge. Either way the
+//! slot is claimed and the job handed to the index's
+//! [`crate::compaction::BackgroundExecutor`], which advances it one morsel
+//! per step — off the write path when the owner installed one (the
+//! runtime's worker pool), to completion on the flushing thread with the one
+//! a bare index starts with. Reads and flushes proceed against the
+//! pre-merge list until the merged one swaps in; a sealed component a merge
+//! took in stays readable, and keeps its slot — the next seal waits — until
+//! the merge publishes it. It is flushed on its own after all if the merge
+//! fails, or if the next seal comes due first: the index takes it back
+//! ([`Lsm::take_back_sealed`]; whichever of the two takes the manifest lock
+//! first owns it), so memory and the log it pins stay bounded by two
+//! components' worth, as without the hand-off. [`Lsm::flush`] waits for
+//! that merge, however long it runs. A merge reads its disk inputs
+//! outside the buffer cache ([`crate::io::PageStream`]) and leaves the cache
+//! as it found it.
 //!
 //! **Durability.** The disk component is the durable unit. `<name>.manifest`
 //! lists the live components newest first — id, size, files, the LSN range
-//! each covers — and the LSN below which every logged operation of this
-//! index is in one of them. It is replaced atomically
-//! ([`crate::io::write_atomic`]) when a flush or a merge publishes, *before*
-//! the in-memory list changes, so what a restart loads is always a list
-//! that was live. Files no manifest names are garbage ([`sweep_unreferenced`]).
+//! each covers (a merge's is the union of its inputs', memory and disk) —
+//! and the LSN below which every logged operation of this index is in one
+//! of them. It is replaced atomically ([`crate::io::write_atomic`]) when a
+//! flush or a merge publishes, *before* the in-memory list changes, so what
+//! a restart loads is always a list that was live. Files no manifest names
+//! are garbage ([`sweep_unreferenced`]). A sealed component's log records
+//! are needed until the flush or merge that holds them publishes:
+//! [`Lsm::first_unflushed`] names the sealed component's first LSN until the
+//! index next looks at it after that publish. A debug build audits the list at every
+//! publish and reopen (newest first, LSN ranges that descend without
+//! overlap, none past the manifest's LSN, a merge's covering its inputs')
+//! and, at a node's open, that the manifests name exactly the component
+//! files there ([`audit_directory`]).
 //!
 //! **No-steal.** A memory component is never flushed while a transaction
 //! that wrote into it is open: past its budget it is *sealed* (later writes
@@ -69,7 +92,7 @@ use crate::io::FileId;
 use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::{Condvar, Level, Mutex};
 use crate::wal::Lsn;
-use asterix_obs::{Counter, Flag, IdGen};
+use asterix_obs::{Counter, Flag, HighWater, IdGen};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -136,7 +159,11 @@ pub struct LsmStats {
     /// Memory components sealed: every flush starts as one, and a seal whose
     /// writers are still open is a flush yet to come.
     pub seals: u64,
+    /// Sealed memory components that reached disk: flushed, or published by
+    /// the merge that took them in.
     pub flushes: u64,
+    /// Those of `flushes` that a merge took in, never written on their own.
+    pub flushes_merged: u64,
     pub merges: u64,
     /// Merges that were cancelled or failed; the pre-merge component list
     /// stays live, so an abort costs wasted work, never correctness.
@@ -177,6 +204,7 @@ impl LsmStats {
 struct SharedStats {
     seals: Counter,
     flushes: Counter,
+    flushes_merged: Counter,
     merges: Counter,
     merges_aborted: Counter,
     entries_written: Counter,
@@ -192,9 +220,10 @@ struct SharedStats {
 // What an index kind provides
 // ---------------------------------------------------------------------------
 
-/// An index kind that rides the harness: its memory component and how one is
-/// bulk-loaded into a disk component, what an immutable disk component holds
-/// and how a snapshot of components merges into one.
+/// An index kind that rides the harness: its memory component, what an
+/// immutable disk component holds, and how a sealed memory component and a
+/// snapshot of disk components merge into one — its one writer, which a
+/// flush runs with no disk input.
 ///
 /// A merge is resumable — [`open`](ComponentKind::open) once, then
 /// [`step`](ComponentKind::step) until it reports exhaustion, then
@@ -204,8 +233,9 @@ struct SharedStats {
 pub trait ComponentKind: Send + Sync + Sized + 'static {
     /// How an index of this kind is configured.
     type Config;
-    /// The memory component.
-    type Mem: MemBuf;
+    /// The memory component: shared, once sealed, with the merge that takes
+    /// it in.
+    type Mem: MemBuf + Send + Sync;
     /// The on-disk payload of one component.
     type Disk: Send + Sync;
     /// An in-progress merge: input cursors plus the output being built.
@@ -227,9 +257,6 @@ pub trait ComponentKind: Send + Sync + Sized + 'static {
     /// The merge policy the index is configured with.
     fn merge_policy(&self) -> MergePolicy;
 
-    /// Bulk-loads memory component `mem` into the files of component `id`.
-    fn flush(&self, id: u64, mem: &Self::Mem) -> Result<Built<Self::Disk>>;
-
     /// Every file `disk` owns; all are unlinked when the component retires.
     fn files(disk: &Self::Disk) -> Vec<FileId>;
 
@@ -237,12 +264,16 @@ pub trait ComponentKind: Send + Sync + Sized + 'static {
     /// listed for it, in that order.
     fn reopen(&self, files: &[FileId]) -> Result<Self::Disk>;
 
-    /// Starts merging `inputs` (newest first) into a component with id `id`.
-    /// `includes_oldest` says nothing older than the inputs exists, so
-    /// delete markers that only mask older components may be dropped.
+    /// Starts merging a sealed memory component `mem`, the newest input if
+    /// there is one, and the disk components `inputs` (newest first) into a
+    /// component with id `id`: a flush is the merge of a memory component
+    /// and no disk one. `includes_oldest` says nothing older than the inputs
+    /// exists, so delete markers that only mask older components may be
+    /// dropped.
     fn open(
         &self,
         id: u64,
+        mem: Option<&Arc<Self::Mem>>,
         inputs: &[Arc<Component<Self>>],
         includes_oldest: bool,
     ) -> Result<Self::Run>;
@@ -383,6 +414,62 @@ impl Manifest {
     }
 }
 
+/// The LSM's audit of a component list (debug builds, at every publish and
+/// every reopen): `(id, LSN range)`s newest first, each range below the one
+/// before it and not overlapping it, none ending above `flushed_below`. The
+/// error names the component.
+fn audit_list(index: &str, list: impl Iterator<Item = (u64, (Lsn, Lsn))>, flushed_below: Lsn) -> Result<()> {
+    let mut newer: Option<(u64, (Lsn, Lsn))> = None;
+    for (id, lsns) in list {
+        let wrong = if lsns.0 > lsns.1 {
+            Some("is not a range".to_string())
+        } else if lsns.1 > flushed_below {
+            Some(format!("ends above the manifest's flushed_below {flushed_below}"))
+        } else {
+            newer.filter(|n| n.1 .0 < lsns.1).map(|(newer_id, r)| format!("overlaps the newer component {newer_id}'s {r:?}"))
+        };
+        if let Some(wrong) = wrong {
+            return Err(StorageError::Corrupt(format!("LSM audit of {index}: component {id}'s LSNs {lsns:?} {wrong}")));
+        }
+        newer = Some((id, lsns));
+    }
+    Ok(())
+}
+
+/// The LSM's audit of a merge's publish (debug builds): the published
+/// component's LSN range covers that of every component it replaces.
+fn audit_replacement(index: &str, (id, lsns): (u64, (Lsn, Lsn)), gone: &[(u64, (Lsn, Lsn))]) -> Result<()> {
+    match gone.iter().find(|(_, r)| r.0 < lsns.0 || r.1 > lsns.1) {
+        Some((input, r)) => Err(StorageError::Corrupt(format!(
+            "LSM audit of {index}: component {id}'s LSNs {lsns:?} do not cover those of component {input} it replaces, {r:?}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The LSM's audit of a node's directory once it is open (debug builds):
+/// the manifests under `dir` name exactly the component files there.
+pub fn audit_directory(dir: &Path) -> Result<()> {
+    let mut named = BTreeSet::new();
+    for name in manifest_names(dir)? {
+        let manifest = Manifest::from_disk(dir, &name)?.unwrap_or_default();
+        for file in manifest.components.into_iter().flat_map(|c| c.files) {
+            if !dir.join(&file).is_file() {
+                return Err(StorageError::Corrupt(format!("LSM audit of {name}: its manifest names {file}, which is not there")));
+            }
+            named.insert(file);
+        }
+    }
+    for entry in std::fs::read_dir(dir)? {
+        let file = entry?.file_name();
+        let Some(file) = file.to_str() else { continue };
+        if COMPONENT_SUFFIXES.iter().any(|s| file.ends_with(s)) && !named.contains(file) {
+            return Err(StorageError::Corrupt(format!("LSM audit: no manifest names the component file {file}")));
+        }
+    }
+    Ok(())
+}
+
 /// Names of the indexes that have a manifest under `dir`.
 pub fn manifest_names(dir: &Path) -> Result<Vec<String>> {
     let mut names = Vec::new();
@@ -456,6 +543,9 @@ pub(crate) struct Harness<K: ComponentKind> {
     /// across every manifest write, which makes it the publish lock: a flush
     /// and a background merge never race to replace the manifest.
     manifest: Mutex<Lsn>,
+    /// The same LSN, readable on the write path without the lock
+    /// ([`Lsm::stamp`]).
+    flushed_mark: HighWater,
     /// Set by [`Harness::destroy`]: nothing may publish any more.
     destroyed: Flag,
     /// Disk components, newest first.
@@ -479,6 +569,7 @@ impl<K: ComponentKind> Harness<K> {
         Arc::new(Harness {
             kind,
             manifest: Mutex::ranked(Level::LsmManifest, 0),
+            flushed_mark: HighWater::new(0),
             destroyed: Flag::new(false),
             disk: Mutex::ranked(Level::LsmDisk, Vec::new()),
             state: Mutex::ranked(Level::LsmState, CompactionState::Idle),
@@ -510,8 +601,12 @@ impl<K: ComponentKind> Harness<K> {
             max_id = max_id.max(entry.id);
             disk.push(harness.component(entry.id, built, entry.lsns));
         }
+        if cfg!(debug_assertions) {
+            audit_list(harness.kind.name(), disk.iter().map(|c| (c.id, c.lsns)), manifest.flushed_below)?;
+        }
         harness.next_component_id.raise_to(max_id + 1);
         *harness.manifest.lock() = manifest.flushed_below;
+        harness.flushed_mark.raise(manifest.flushed_below);
         harness.refresh_space(&disk);
         *harness.disk.lock() = disk;
         Ok(harness)
@@ -585,6 +680,7 @@ impl<K: ComponentKind> Harness<K> {
         let below = (*flushed_below).max(lsn);
         self.write_manifest(below, &self.snapshot())?;
         *flushed_below = below;
+        self.flushed_mark.raise(below);
         Ok(())
     }
 
@@ -608,34 +704,65 @@ impl<K: ComponentKind> Harness<K> {
     /// flush): the manifest first, then the live list. On failure nothing
     /// changed but `comp`'s files, which are deleted.
     fn publish(&self, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
-        let mut flushed_below = self.manifest.lock();
+        self.publish_under(&mut self.manifest.lock(), comp, replaced)
+    }
+
+    /// [`Harness::publish`] under the `manifest` lock, `flushed_below`.
+    fn publish_under(&self, flushed_below: &mut Lsn, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
         let mut list = self.snapshot();
         // Flushes only ever prepend, so merge inputs still sit contiguously
         // wherever the newest of them now is.
         let pos = list.iter().position(|c| replaced.contains(&c.id)).unwrap_or(0);
+        let gone: Vec<(u64, (Lsn, Lsn))> = list.iter().filter(|c| replaced.contains(&c.id)).map(|c| (c.id, c.lsns)).collect();
         list.retain(|c| !replaced.contains(&c.id));
         list.insert(pos.min(list.len()), Arc::clone(&comp));
         let below = (*flushed_below).max(comp.lsns.1);
-        if let Err(e) = self.write_manifest(below, &list) {
+        let audited = if cfg!(debug_assertions) { self.audit_publish(&comp, &gone, &list, below) } else { Ok(()) };
+        if let Err(e) = audited.and_then(|()| self.write_manifest(below, &list)) {
             comp.retire.set(true);
             return Err(e);
         }
         *flushed_below = below;
+        self.flushed_mark.raise(below);
         let mut disk = self.disk.lock();
         self.refresh_space(&list);
         *disk = list;
         Ok(())
     }
 
-    /// Publishes a flushed memory component, holding the effects of log
-    /// records `lsns`, as the newest disk component.
-    fn publish_flush(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Result<()> {
+    /// The LSM's audit of a publish (debug builds): the list it makes passes
+    /// [`audit_list`], and `comp`'s LSN range covers those of the
+    /// components it replaces, `gone` — a merge that took a sealed component
+    /// in holds its and its disk inputs' records alike.
+    fn audit_publish(&self, comp: &Component<K>, gone: &[(u64, (Lsn, Lsn))], list: &[Arc<Component<K>>], below: Lsn) -> Result<()> {
+        let name = self.kind.name();
+        audit_replacement(name, (comp.id, comp.lsns), gone)?;
+        audit_list(name, list.iter().map(|c| (c.id, c.lsns)), below)
+    }
+
+    /// Flushes sealed memory component `sealed` on the caller: the merge of
+    /// it and no disk component, published as the newest disk component.
+    fn flush_memory(&self, sealed: &Sealed<K::Mem>) -> Result<()> {
+        let id = self.alloc_id();
+        // nothing older: the delete markers mask nothing
+        let includes_oldest = self.disk.lock().is_empty();
+        let mut run = self.kind.open(id, Some(&sealed.mem), &[], includes_oldest)?;
+        while !self.kind.step(&mut run, usize::MAX)? {}
+        let built = self.kind.finish(run)?;
         let written = built.written;
-        self.publish(self.component(id, built, lsns), &[])?;
+        self.publish(self.component(id, built, sealed.lsns()), &[])?;
         self.stats.flushes.inc();
         self.stats.entries_written.add(written);
         self.hub.count_flush(written);
         Ok(())
+    }
+
+    /// A sealed memory component reached disk through the merge that took
+    /// it in; its entries were counted written by the merge.
+    fn count_flush_merged(&self) {
+        self.stats.flushes.inc();
+        self.stats.flushes_merged.inc();
+        self.hub.count_flush_merged();
     }
 
     /// The configured policy's pick over the current list.
@@ -645,10 +772,12 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// The one `idle → merging` transition: if the slot is free and `pick`
-    /// names at least two of the newest components, claims the slot for
-    /// them and returns the job that will merge them.
+    /// names enough of the newest disk components — two, or one beside the
+    /// sealed memory component `mem` — claims the slot for them and returns
+    /// the job that will merge them.
     fn claim(
         self: &Arc<Self>,
+        mem: Option<MemInput<K::Mem>>,
         pick: impl FnOnce(&[Arc<Component<K>>]) -> Option<usize>,
     ) -> Option<MergeJob<K>> {
         let mut st = self.state.lock();
@@ -657,7 +786,7 @@ impl<K: ComponentKind> Harness<K> {
         }
         let disk = self.disk.lock();
         let n = pick(&disk)?.min(disk.len());
-        if n < 2 {
+        if n + usize::from(mem.is_some()) < 2 {
             return None;
         }
         let comps = disk[..n].to_vec();
@@ -668,6 +797,7 @@ impl<K: ComponentKind> Harness<K> {
         self.hub.merge_started();
         Some(MergeJob {
             shared: Arc::clone(self),
+            mem,
             comps: Mutex::ranked(Level::LsmMergeInputs, comps),
             includes_oldest,
             cancel,
@@ -679,9 +809,36 @@ impl<K: ComponentKind> Harness<K> {
     /// A finished merge calls back here, which is the cascade: a backlog
     /// converges however many merges the policy asks for.
     fn schedule_merge(self: &Arc<Self>) {
-        if let Some(job) = self.claim(|disk| self.policy_pick(disk)) {
+        if let Some(job) = self.claim(None, |disk| self.policy_pick(disk)) {
             self.offload(job);
         }
+    }
+
+    /// Asks the policy about the list a flush of `sealed` would publish,
+    /// counting the sealed component as the newest at its memory bytes (an
+    /// upper bound on its file's). If the policy merges it with at least one
+    /// disk component and the slot is free, hands it to that merge — the
+    /// stall is the hand-off's, or the whole merge on the caller's executor
+    /// — and returns what will become of it there.
+    fn merge_with_memory(self: &Arc<Self>, sealed: &Sealed<K::Mem>) -> Option<Arc<Handoff>> {
+        let handoff = Arc::new(Handoff::new());
+        let mem = MemInput { mem: Arc::clone(&sealed.mem), lsns: sealed.lsns(), handoff: Arc::clone(&handoff) };
+        let bytes = sealed.mem.bytes() as u64;
+        let job = self.claim(Some(mem), |disk| {
+            let sizes: Vec<u64> = std::iter::once(bytes).chain(disk.iter().map(|c| c.size_bytes)).collect();
+            // the run takes the sealed component: the disk ones after it
+            self.kind.merge_policy().pick_merge(&sizes).map(|n| n.saturating_sub(1))
+        })?;
+        self.stalled(|| self.offload(job));
+        Some(handoff)
+    }
+
+    /// The merge that took a sealed component in has ended: the slot has
+    /// gone back to idle and the cascade was decided.
+    fn settle_handoff(&self, handoff: &Handoff) {
+        handoff.done.set(true);
+        let _st = self.state.lock();
+        self.state_changed.notify_all();
     }
 
     fn offload(&self, job: MergeJob<K>) {
@@ -695,16 +852,34 @@ impl<K: ComponentKind> Harness<K> {
     fn complete_merge(
         self: &Arc<Self>,
         inputs: Vec<Arc<Component<K>>>,
+        mem: Option<&MemInput<K::Mem>>,
         id: u64,
         built: Built<K::Disk>,
     ) -> Result<()> {
         let written = built.written;
+        // the union of what its inputs, memory and disk, hold
+        let ranges: Vec<(Lsn, Lsn)> = inputs.iter().map(|c| c.lsns).chain(mem.map(|m| m.lsns)).collect();
         let lsns = (
-            inputs.iter().map(|c| c.lsns.0).min().unwrap_or(0),
-            inputs.iter().map(|c| c.lsns.1).max().unwrap_or(0),
+            ranges.iter().map(|r| r.0).min().unwrap_or(0),
+            ranges.iter().map(|r| r.1).max().unwrap_or(0),
         );
         let ids: Vec<u64> = inputs.iter().map(|c| c.id).collect();
-        self.publish(self.component(id, built, lsns), &ids)?;
+        let comp = self.component(id, built, lsns);
+        let mut flushed_below = self.manifest.lock();
+        if let Some(mem) = mem {
+            // whoever takes the manifest lock first owns the sealed component
+            if mem.handoff.taken_back.get() {
+                drop(flushed_below);
+                comp.retire.set(true);
+                self.given_back();
+                return Ok(());
+            }
+        }
+        self.publish_under(&mut flushed_below, comp, &ids)?;
+        if let Some(mem) = mem {
+            mem.handoff.published.set(true);
+        }
+        drop(flushed_below);
         *self.state.lock() = CompactionState::Retiring;
         for comp in &inputs {
             comp.retire.set(true);
@@ -718,6 +893,14 @@ impl<K: ComponentKind> Harness<K> {
         self.to_idle();
         self.schedule_merge();
         Ok(())
+    }
+
+    /// Ends a merge whose sealed component its index took back, unpublished
+    /// and not counted aborted, and starts the merge the index's flush of
+    /// that component found the slot taken for.
+    fn given_back(self: &Arc<Self>) {
+        self.to_idle();
+        self.schedule_merge();
     }
 
     /// Records an aborted/cancelled/failed merge and returns to idle. The
@@ -745,9 +928,9 @@ impl<K: ComponentKind> Harness<K> {
         }
     }
 
-    /// Blocks until the slot is idle or `deadline` passes. A quiesce wait for
-    /// an index's owner (`merge_newest`, `wait_merges_idle`): nothing a pool
-    /// worker runs may reach it.
+    /// Blocks until the slot is idle or `deadline` passes. A quiesce wait
+    /// for an index's owner (`merge_newest`, `wait_merges_idle`): nothing a
+    /// pool worker runs may reach it.
     fn wait_idle_until(&self, deadline: Instant) -> bool {
         let mut st = self.state.lock();
         while !matches!(*st, CompactionState::Idle) {
@@ -755,15 +938,21 @@ impl<K: ComponentKind> Harness<K> {
             else {
                 return false;
             };
-            let waited;
-            (st, waited) = self.state_changed.wait_for(st, left);
-            if waited.timed_out() {
-                return matches!(*st, CompactionState::Idle);
-            }
+            (st, _) = self.state_changed.wait_for(st, left);
         }
         true
     }
 
+    /// Blocks until the merge that took a sealed component in has ended
+    /// (`handoff.done`), however long it runs: every job is stepped to its
+    /// end, by the pool or, once the pool is gone, inline. Waited for by
+    /// [`Lsm::flush`] only; nothing a pool worker runs may reach it.
+    fn wait_handed_off(&self, handoff: &Handoff) {
+        let mut st = self.state.lock();
+        while !handoff.done.get() {
+            st = self.state_changed.wait(st);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -800,13 +989,57 @@ pub struct SlotStamps {
     sealed: bool,
 }
 
-/// A memory component that takes no more writes and waits to be flushed.
+/// A memory component that takes no more writes and waits to be flushed,
+/// or to be published by the merge that took it in.
 struct Sealed<M> {
-    slot: Slot<M>,
-    /// Every logged operation of the index below this LSN is in `slot` or
+    /// Shared with the merge that takes it in, if one does.
+    mem: Arc<M>,
+    /// LSN of the first log record whose effect is in `mem`.
+    first_lsn: Option<Lsn>,
+    /// Open transactions that wrote into `mem`.
+    writers: BTreeSet<u64>,
+    /// Every logged operation of the index below this LSN is in `mem` or
     /// in a disk component.
     below: Lsn,
     at: Instant,
+    /// Set once a merge has taken it in: what became of it there.
+    handoff: Option<Arc<Handoff>>,
+}
+
+impl<M> Sealed<M> {
+    /// The log records whose effects it holds, as its component will.
+    fn lsns(&self) -> (Lsn, Lsn) {
+        (self.first_lsn.unwrap_or(self.below), self.below)
+    }
+}
+
+/// What became of a sealed memory component a merge took in: shared by the
+/// sealed slot, which stays readable until the merge publishes it, and the
+/// merge job. `published` and `taken_back` are set under the `manifest`
+/// lock, so at most one of them ever is: the merge publishes the component
+/// or its index writes it on its own, never both.
+struct Handoff {
+    /// The merge published a component holding the sealed one's entries.
+    published: Flag,
+    /// The index took it back to write it on its own ([`Lsm::take_back_sealed`]).
+    taken_back: Flag,
+    /// The merge ended, published or not; set once the slot is idle again
+    /// and the cascade decided, so that the next seal finds the slot as a
+    /// merge on the caller would leave it.
+    done: Flag,
+}
+
+impl Handoff {
+    fn new() -> Handoff {
+        Handoff { published: Flag::new(false), taken_back: Flag::new(false), done: Flag::new(false) }
+    }
+}
+
+/// A sealed memory component as the merge that took it in holds it.
+struct MemInput<M> {
+    mem: Arc<M>,
+    lsns: (Lsn, Lsn),
+    handoff: Arc<Handoff>,
 }
 
 /// The memory components of one index: the active one and at most one
@@ -834,7 +1067,7 @@ impl<M> MemSlots<M> {
     /// What reads consult: the active component, then the sealed one if one
     /// is waiting for its writers.
     pub(crate) fn newest_first(&self) -> impl Iterator<Item = &M> {
-        std::iter::once(&self.active.mem).chain(self.sealed.as_ref().map(|s| &s.slot.mem))
+        std::iter::once(&self.active.mem).chain(self.sealed.as_ref().map(|s| &*s.mem))
     }
 }
 
@@ -869,7 +1102,10 @@ impl<K: ComponentKind> Lsm<K> {
     /// Opens the index its manifest describes (an empty one when it has no
     /// manifest): the disk components a previous incarnation published.
     pub fn reopen(cache: Arc<BufferCache>, config: K::Config) -> Result<Self> {
-        Ok(Lsm { shared: Harness::reopen(K::new(cache, config))?, mem: MemSlots::default() })
+        let shared = Harness::reopen(K::new(cache, config))?;
+        // what the disk components hold is applied
+        let covered_below = shared.flushed_mark.get();
+        Ok(Lsm { shared, mem: MemSlots { covered_below, ..MemSlots::default() } })
     }
 
     pub(crate) fn kind(&self) -> &K {
@@ -885,26 +1121,31 @@ impl<K: ComponentKind> Lsm<K> {
     /// The memory components, oldest first, with where each stands in the
     /// log: what an index built from their entries takes over.
     pub fn mem_layers(&self) -> impl Iterator<Item = (&K::Mem, SlotStamps)> {
-        let stamps = |slot: &Slot<K::Mem>, below, sealed| SlotStamps {
-            first_lsn: slot.first_lsn,
-            writers: slot.writers.clone(),
+        let stamps = |first_lsn, writers: &BTreeSet<u64>, below, sealed| SlotStamps {
+            first_lsn,
+            writers: writers.clone(),
             below,
             sealed,
         };
         let mem = &self.mem;
-        let sealed = mem.sealed.as_ref().map(|s| (&s.slot.mem, stamps(&s.slot, s.below, true)));
-        sealed.into_iter().chain(std::iter::once((&mem.active.mem, stamps(&mem.active, mem.covered_below, false))))
+        let sealed = mem.sealed.as_ref().map(|s| (&*s.mem, stamps(s.first_lsn, &s.writers, s.below, true)));
+        let active = &mem.active;
+        let active = (&active.mem, stamps(active.first_lsn, &active.writers, mem.covered_below, false));
+        sealed.into_iter().chain(std::iter::once(active))
     }
 
-    /// LSN of the oldest log record whose effect is only in memory.
+    /// LSN of the oldest log record whose effect is only in memory: a
+    /// sealed component's until the flush or merge that takes it publishes
+    /// and the index next looks at it.
     pub fn first_unflushed(&self) -> Option<Lsn> {
-        let sealed = self.mem.sealed.as_ref().and_then(|s| s.slot.first_lsn);
+        let sealed = self.mem.sealed.as_ref().and_then(|s| s.first_lsn);
         sealed.or(self.mem.active.first_lsn)
     }
 
     /// Forces what is buffered to disk as new components, which are
-    /// published and handed to merge scheduling. What an open transaction
-    /// wrote stays in memory until it is released.
+    /// published and handed to merge scheduling, or into the merges that
+    /// take them in, which it waits for however long they run. What an open
+    /// transaction wrote stays in memory until it is released.
     ///
     /// Inherent as well as [`LsmIndex::flush`], so that a caller holding a
     /// concrete tree flushes it without importing the trait.
@@ -915,16 +1156,27 @@ impl<K: ComponentKind> Lsm<K> {
     /// Flushes the sealed memory component if its writers are done, seals
     /// the active one if it is past the kind's budget (or, with `force`,
     /// holds anything no open transaction wrote), and repeats until nothing
-    /// is due. A kind calls it after every write; of an index its owner
-    /// seals, only `force` does anything.
+    /// is due. A sealed component a merge took in is waited for with
+    /// `force`, and taken back once the active one is past its budget. A
+    /// kind calls it after every write; of an index its owner seals, only
+    /// `force` does anything.
     pub(crate) fn settle(&mut self, force: bool) -> Result<()> {
         if self.mem.by_owner && !force {
             return Ok(());
         }
         loop {
             self.flush_sealed()?;
-            if self.has_sealed() {
-                return Ok(()); // no-steal: not while a writer is open
+            if let Some(sealed) = &self.mem.sealed {
+                // no-steal: not while a writer is open
+                let Some(handoff) = &sealed.handoff else { return Ok(()) };
+                if force {
+                    self.shared.wait_handed_off(handoff);
+                } else if self.over_budget() && !handoff.published.get() {
+                    self.take_back_sealed();
+                } else {
+                    return Ok(());
+                }
+                continue;
             }
             let active = &self.mem.active;
             let due = if force { active.writers.is_empty() } else { self.over_budget() };
@@ -951,7 +1203,7 @@ impl<K: ComponentKind> Lsm<K> {
         let aborted = || shared.stats.merges_aborted.get();
         if shared.wait_idle_until(deadline) {
             let before = aborted();
-            let Some(job) = shared.claim(|_| Some(n)) else { return Ok(()) };
+            let Some(job) = shared.claim(None, |_| Some(n)) else { return Ok(()) };
             shared.stalled(|| shared.offload(job));
             if shared.wait_idle_until(deadline) && aborted() == before {
                 return Ok(());
@@ -1007,6 +1259,7 @@ pub trait LsmIndex {
     fn sealed_by_owner(&mut self);
     fn over_budget(&self) -> bool;
     fn has_sealed(&self) -> bool;
+    fn take_back_sealed(&mut self);
     fn seal(&mut self);
     fn flush_sealed(&mut self) -> Result<()>;
     fn flushed_below(&self) -> Lsn;
@@ -1027,6 +1280,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
         LsmStats {
             seals: s.seals.get(),
             flushes: s.flushes.get(),
+            flushes_merged: s.flushes_merged.get(),
             merges: s.merges.get(),
             merges_aborted: s.merges_aborted.get(),
             entries_written: s.entries_written.get(),
@@ -1053,7 +1307,9 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// open transaction `writer` (`None` when replaying a committed one).
     /// What `writer` wrote is not flushed before [`Lsm::release`].
     fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
-        self.mem.active.first_lsn.get_or_insert(lsn);
+        // a record replayed into an index durable past it (a secondary
+        // ahead of its primary) is already in a disk component
+        self.mem.active.first_lsn.get_or_insert(lsn.max(self.shared.flushed_mark.get()));
         self.mem.active.writers.extend(writer);
         self.cover_below(lsn + 1);
     }
@@ -1079,7 +1335,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     fn release(&mut self, writer: u64) -> Result<()> {
         self.mem.active.writers.remove(&writer);
         if let Some(sealed) = &mut self.mem.sealed {
-            sealed.slot.writers.remove(&writer);
+            sealed.writers.remove(&writer);
         }
         self.settle(false)
     }
@@ -1087,9 +1343,12 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// Whether a write by `writer` would grow the active memory component
     /// past its budget while a sealed one still waits for *other*
     /// transactions: waiting for them lets the sealed component flush and
-    /// the active one seal, where writing on only grows memory.
+    /// the active one seal, where writing on only grows memory. One that
+    /// waits for no transaction — a merge has taken it in — is no reason:
+    /// the write's own flush takes it back ([`Lsm::take_back_sealed`]).
     fn must_wait(&self, writer: u64) -> bool {
-        self.over_budget() && self.mem.sealed.as_ref().is_some_and(|s| !s.slot.writers.contains(&writer))
+        self.over_budget()
+            && self.mem.sealed.as_ref().is_some_and(|s| !s.writers.is_empty() && !s.writers.contains(&writer))
     }
 
     /// From now on the index is sealed only by [`Lsm::seal`] and flushed
@@ -1115,6 +1374,23 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
         self.mem.sealed.is_some()
     }
 
+    /// The next seal is due: a sealed memory component that a merge took in
+    /// and has not published is taken back, to be written on its own by
+    /// [`Lsm::flush_sealed`] while the merge ends unpublished. So an index
+    /// holds no more than two memory components' worth, as it would if the
+    /// sealed one had been flushed at once, and no more of the log. Waits
+    /// only for a publish in progress.
+    fn take_back_sealed(&mut self) {
+        let Some(handoff) = self.mem.sealed.as_ref().and_then(|s| s.handoff.as_ref()) else { return };
+        if handoff.done.get() {
+            return;
+        }
+        let _publishing = self.shared.manifest.lock();
+        if !handoff.published.get() {
+            handoff.taken_back.set(true);
+        }
+    }
+
     /// Seals the active memory component, empty or not, unless a sealed one
     /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
     /// are done.
@@ -1122,35 +1398,54 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
         let mem = &mut self.mem;
         if mem.sealed.is_none() {
             self.shared.stats.seals.inc();
+            let slot = std::mem::take(&mut mem.active);
             mem.sealed = Some(Sealed {
-                slot: std::mem::take(&mut mem.active),
+                mem: Arc::new(slot.mem),
+                first_lsn: slot.first_lsn,
+                writers: slot.writers,
                 below: mem.covered_below,
                 at: Instant::now(),
+                handoff: None,
             });
         }
     }
 
     /// Flushes the sealed memory component if one waits and no open
     /// transaction wrote into it — one that holds nothing moves the
-    /// manifest's LSN alone — and hands the new component to merge
-    /// scheduling.
+    /// manifest's LSN alone. If the merge policy would merge the flushed
+    /// component at once, the sealed one goes into that merge instead and is
+    /// never written on its own: it stays readable and keeps its place until
+    /// the merge publishes, and is flushed here after all if the merge
+    /// fails or the index took it back. A flushed component is handed to
+    /// merge scheduling.
     fn flush_sealed(&mut self) -> Result<()> {
         let shared = &self.shared;
-        let Some(sealed) = self.mem.sealed.as_ref().filter(|s| s.slot.writers.is_empty()) else { return Ok(()) };
-        if sealed.slot.mem.is_empty() {
-            if sealed.below > self.flushed_below() {
+        let Some(sealed) = self.mem.sealed.as_mut().filter(|s| s.writers.is_empty()) else { return Ok(()) };
+        if sealed.mem.is_empty() {
+            if sealed.below > *shared.manifest.lock() {
                 shared.write_flushed_below(sealed.below)?;
             }
+            self.mem.sealed = None;
+            return Ok(());
+        }
+        if sealed.handoff.is_none() {
+            sealed.handoff = shared.merge_with_memory(sealed);
+        }
+        let merged = match &sealed.handoff {
+            Some(handoff) if handoff.taken_back.get() => false,
+            Some(handoff) if !handoff.done.get() => return Ok(()),
+            Some(handoff) => handoff.published.get(),
+            None => false,
+        };
+        if merged {
+            shared.count_flush_merged();
         } else {
-            let id = shared.alloc_id();
-            let built = shared.kind.flush(id, &sealed.slot.mem)?;
-            let first = sealed.slot.first_lsn.unwrap_or(sealed.below);
-            shared.publish_flush(id, built, (first, sealed.below))?;
-            shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
-            // what the write path pays is up to the executor: the claim
-            // and a hand-off, or the merge
+            shared.flush_memory(sealed)?;
+            // what the write path pays is up to the executor: the claim and
+            // a hand-off, or the merge
             shared.stalled(|| shared.schedule_merge());
         }
+        shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
         self.mem.sealed = None;
         Ok(())
     }
@@ -1206,6 +1501,8 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
 /// scheduling quanta are bounded exactly like query morsels.
 struct MergeJob<K: ComponentKind> {
     shared: Arc<Harness<K>>,
+    /// The sealed memory component taken in as the newest input, if any.
+    mem: Option<MemInput<K::Mem>>,
     /// Input components, newest first. Taken (emptied) on completion so the
     /// swapped-out components can retire as soon as readers let go.
     comps: Mutex<Vec<Arc<Component<K>>>>,
@@ -1221,14 +1518,21 @@ impl<K: ComponentKind> MergeJob<K> {
         let kind = &self.shared.kind;
         if self.cancel.get() {
             self.run.lock().take();
-            self.shared.merge_aborted();
+            self.abort();
+            return Ok(JobStep::Done);
+        }
+        if let Some(mem) = self.mem.as_ref().filter(|m| m.handoff.taken_back.get()) {
+            self.run.lock().take();
+            self.shared.given_back();
+            self.shared.settle_handoff(&mem.handoff);
             return Ok(JobStep::Done);
         }
         let mut run = self.run.lock();
         if run.is_none() {
             let comps = self.comps.lock().clone();
             let id = self.shared.alloc_id();
-            *run = Some((id, kind.open(id, &comps, self.includes_oldest)?));
+            let mem = self.mem.as_ref().map(|m| &m.mem);
+            *run = Some((id, kind.open(id, mem, &comps, self.includes_oldest)?));
         }
         let Some((_, active)) = run.as_mut() else { return Ok(JobStep::Done) };
         if !kind.step(active, MERGE_MORSEL_ENTRIES)? {
@@ -1238,8 +1542,20 @@ impl<K: ComponentKind> MergeJob<K> {
         drop(run);
         let built = kind.finish(finished)?;
         let comps = std::mem::take(&mut *self.comps.lock());
-        self.shared.complete_merge(comps, id, built)?;
+        self.shared.complete_merge(comps, self.mem.as_ref(), id, built)?;
+        if let Some(mem) = &self.mem {
+            self.shared.settle_handoff(&mem.handoff);
+        }
         Ok(JobStep::Done)
+    }
+
+    /// Counts the merge aborted and frees the slot; a sealed component it
+    /// took in is left to be flushed on its own.
+    fn abort(&self) {
+        self.shared.merge_aborted();
+        if let Some(mem) = &self.mem {
+            self.shared.settle_handoff(&mem.handoff);
+        }
     }
 }
 
@@ -1248,7 +1564,7 @@ impl<K: ComponentKind> BackgroundJob for MergeJob<K> {
     /// pre-merge component list stays live and the tree fully serviceable.
     fn step(&self) -> JobStep {
         self.advance().unwrap_or_else(|_| {
-            self.shared.merge_aborted();
+            self.abort();
             JobStep::Done
         })
     }
@@ -1434,12 +1750,14 @@ mod tests {
         t.set_executor(parked.clone());
         let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
         assert_eq!(inflight(), Some(0), "reopening schedules nothing");
-        // this flush schedules (but does not run) the merge
-        component::<E>(&mut t, 1_200..1_201);
+        // the policy's merge of the backlog, scheduled but not run
+        t.shared.schedule_merge();
         assert_eq!(inflight(), Some(1));
         let job = parked.0.lock().pop().expect("merge scheduled");
         assert!(parked.0.lock().is_empty(), "one merge in flight");
-        // reads and flushes still serve against the pre-merge list
+        // reads and flushes still serve against the pre-merge list: the slot
+        // is taken, so the flush is written on its own
+        component::<E>(&mut t, 1_200..1_201);
         assert_eq!(E::live(&t), 1_201);
         let before = t.component_count();
         component::<E>(&mut t, 1_201..1_202);
@@ -1455,25 +1773,174 @@ mod tests {
         assert_eq!(E::live(&t), 1_202);
     }
 
+    /// Seals what `range` writes and asks for its flush, without waiting for
+    /// a merge that takes it in.
+    fn sealed<E: Entries>(t: &mut Lsm<E::Kind>, range: std::ops::Range<u64>) {
+        for i in range {
+            E::put(t, i);
+        }
+        t.seal();
+        t.flush_sealed().unwrap();
+    }
+
+    /// A flush the policy would merge at once goes into that merge: the
+    /// sealed component is never written on its own, stays readable and
+    /// keeps the log pinned until the merge publishes, blocks the next seal,
+    /// and gives the merge's output the union of its and its disk inputs'
+    /// LSN ranges. One id is spent where a flush and a merge spent two.
+    fn a_flush_the_policy_would_merge_at_once_goes_into_that_merge<E: Entries>() {
+        let (cache, dir) = setup(None);
+        let mut t = manual::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(parked.clone());
+        t.stamp(10, None);
+        component::<E>(&mut t, 0..600);
+        assert!(parked.0.lock().is_empty(), "a first flush has nothing to merge with");
+        let files = component_files(&dir);
+        t.stamp(20, None);
+        sealed::<E>(&mut t, 600..1_200);
+        let job = parked.0.lock().pop().expect("the sealed component went into a merge");
+        assert!(t.has_sealed(), "held until the merge publishes");
+        assert_eq!(component_files(&dir), files, "not written on its own");
+        assert_eq!((t.first_unflushed(), t.flushed_below()), (Some(20), 11));
+        assert_eq!(E::live(&t), 1_200, "read from memory meanwhile");
+        t.seal();
+        E::put(&mut t, 1_200);
+        t.flush_sealed().unwrap();
+        assert_eq!(t.stats().seals, 2, "no seal while the merge holds one");
+        while job.step() == JobStep::Again {
+            assert_eq!(E::live(&t), 1_201, "and while it runs");
+        }
+        assert_eq!(E::live(&t), 1_201, "and once it published");
+        t.flush_sealed().unwrap();
+        assert!(!t.has_sealed());
+        let stats = t.stats();
+        assert_eq!((stats.flushes, stats.flushes_merged, stats.merges), (2, 1, 1));
+        let node = cache.stats().registry().snapshot();
+        assert_eq!(node.counter("storage.lsm.flushes_merged"), Some(1));
+        let [merged] = t.shared.snapshot().try_into().ok().expect("one component");
+        assert_eq!((merged.id, merged.lsns), (2, (10, 21)), "one id; both inputs' ranges");
+        assert_eq!((t.first_unflushed(), t.flushed_below()), (None, 21));
+        assert_eq!(E::live(&t), 1_201);
+        drop(t);
+        let t = reopened::<E>(restarted(&dir), MergePolicy::NoMerge);
+        assert_eq!(E::live(&t), 1_200, "the merge is the flush");
+    }
+
+    /// A merge that took a sealed component in and aborted leaves it to be
+    /// flushed on its own; [`Lsm::flush`] waits for a merge that has one.
+    fn a_sealed_component_whose_merge_aborts_is_flushed_on_its_own<E: Entries>() {
+        let (cache, _d) = setup(None);
+        let mut t = manual::<E>(cache, MergePolicy::Constant { max_components: 1 });
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(parked.clone());
+        component::<E>(&mut t, 0..600);
+        sealed::<E>(&mut t, 600..1_200);
+        let job = parked.0.lock().pop().expect("merge scheduled");
+        assert_eq!(job.step(), JobStep::Again);
+        job.cancel();
+        assert_eq!(job.step(), JobStep::Done);
+        assert!(t.has_sealed(), "the abort is seen at the next flush");
+        t.flush_sealed().unwrap();
+        let stats = t.stats();
+        assert_eq!((stats.flushes, stats.flushes_merged, stats.merges_aborted), (2, 0, 1));
+        assert_eq!(t.component_count(), 2, "flushed on its own, and nothing merged it");
+        let job = parked.0.lock().pop().expect("the flush scheduled the merge it would have been");
+        while job.step() == JobStep::Again {}
+        assert_eq!((t.component_count(), E::live(&t)), (1, 1_200));
+        // a flush waits for the merge that took its sealed component in
+        let stepper = Arc::new(ParkedExecutor::default());
+        t.set_executor(stepper.clone());
+        sealed::<E>(&mut t, 1_200..1_300);
+        let job = stepper.0.lock().pop().expect("merge scheduled");
+        let driver = std::thread::spawn(move || {
+            crate::lock_order::sleep(Duration::from_millis(50));
+            while job.step() == JobStep::Again {}
+        });
+        t.flush().unwrap();
+        crate::lock_order::join(driver).unwrap();
+        assert!(!t.has_sealed());
+        assert_eq!((t.stats().flushes_merged, t.component_count(), E::live(&t)), (1, 1, 1_300));
+    }
+
+    /// Once the next seal is due while a merge holds the sealed component,
+    /// the index takes it back and writes it on its own, so that memory
+    /// stays at two components' worth; the merge then ends unpublished, is
+    /// not counted aborted, and schedules what the policy asks of the list
+    /// the index's flush left. A merge that published first keeps it.
+    fn a_sealed_component_is_taken_back_when_the_next_seal_is_due<E: Entries>() {
+        let (cache, _d) = setup(None);
+        let policy = MergePolicy::Constant { max_components: 1 };
+        let mut t = manual::<E>(cache.clone(), policy);
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(parked.clone());
+        component::<E>(&mut t, 0..600);
+        sealed::<E>(&mut t, 600..1_200);
+        let job = parked.0.lock().pop().expect("the sealed component went into a merge");
+        assert_eq!(job.step(), JobStep::Again, "one morsel merged");
+        t.take_back_sealed();
+        t.flush_sealed().unwrap();
+        assert!(!t.has_sealed(), "written on its own");
+        assert_eq!((t.component_count(), E::live(&t)), (2, 1_200));
+        assert_eq!(job.step(), JobStep::Done, "the merge ends at its next step");
+        let stats = t.stats();
+        assert_eq!((stats.flushes, stats.flushes_merged, stats.merges, stats.merges_aborted), (2, 0, 0, 0));
+        let job = parked.0.lock().pop().expect("the merge the policy asks of the list");
+        while job.step() == JobStep::Again {}
+        assert_eq!((t.component_count(), E::live(&t)), (1, 1_200));
+        // published first: nothing to take back
+        sealed::<E>(&mut t, 1_200..1_300);
+        let job = parked.0.lock().pop().expect("the sealed component went into a merge");
+        while job.step() == JobStep::Again {}
+        t.take_back_sealed();
+        t.flush_sealed().unwrap();
+        assert_eq!((t.stats().flushes_merged, t.component_count(), E::live(&t)), (1, 1, 1_300));
+        // an index sealed by its own budget takes it back at the write that
+        // makes the next seal due
+        let mut t = Lsm::new(cache, E::config(8 << 10, policy));
+        t.set_executor(parked.clone());
+        let mut i = 0;
+        while parked.0.lock().is_empty() {
+            E::put(&mut t, i);
+            i += 1;
+        }
+        assert!(t.has_sealed() && !t.over_budget(), "the second seal went into a merge");
+        let flushes = t.stats().flushes;
+        while t.has_sealed() {
+            assert!(!t.over_budget(), "taken back at the write that passes the budget");
+            E::put(&mut t, i);
+            i += 1;
+        }
+        assert!(t.stats().flushes > flushes && t.stats().flushes_merged == 0);
+        let job = parked.0.lock().pop().expect("the merge that took it in");
+        assert_eq!(job.step(), JobStep::Done);
+        assert_eq!(E::live(&t), i as usize, "nothing lost");
+    }
+
     /// A merge cancelled and stepped to done — how the pool ends one whose
     /// step panicked — is counted aborted and frees the slot: the next flush
     /// merges again.
     fn an_aborted_merge_leaves_the_index_free_to_merge_again<E: Entries>() {
-        let (cache, _d) = setup(None);
-        let mut t = manual::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
-        let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        let (cache, dir) = setup(None);
+        let mut t = manual::<E>(cache, MergePolicy::NoMerge);
         component::<E>(&mut t, 0..600);
         component::<E>(&mut t, 600..1_200);
+        drop(t);
+        let cache = restarted(&dir);
+        let mut t = reopened::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
+        let parked = Arc::new(ParkedExecutor::default());
+        t.set_executor(parked.clone());
+        t.shared.schedule_merge();
         let job = parked.0.lock().pop().expect("merge scheduled");
         job.cancel();
         assert_eq!(job.step(), JobStep::Done);
         assert_eq!(t.stats().merges_aborted, 1);
         let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
         assert_eq!(inflight(), Some(0));
-        component::<E>(&mut t, 1_200..1_800);
+        sealed::<E>(&mut t, 1_200..1_800);
         let job = parked.0.lock().pop().expect("the next flush merges again");
         while job.step() == JobStep::Again {}
+        t.flush_sealed().unwrap();
         assert_eq!(t.stats().merges, 1);
         assert_eq!(t.component_count(), 1);
         assert_eq!(E::live(&t), 1_800);
@@ -1747,6 +2214,36 @@ mod tests {
         assert!(seals >= flushes && flushed_below > 1);
     }
 
+    /// The LSM audit refuses a list out of LSN order, a range past the
+    /// manifest's LSN, and a merge that records only its memory component's
+    /// range — each naming the component — and a directory holding a
+    /// component file no manifest names, or missing one a manifest does.
+    #[test]
+    fn the_lsm_audit_names_the_component_that_breaks_it() {
+        let refused = |r: Result<()>, what: &str| match r {
+            Err(StorageError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("{other:?}"),
+        };
+        audit_list("t", [(3, (20, 30)), (2, (10, 20)), (1, (0, 10))].into_iter(), 30).unwrap();
+        refused(audit_list("t", [(3, (15, 30)), (2, (10, 20))].into_iter(), 30), "component 2's LSNs (10, 20) overlaps the newer component 3");
+        refused(audit_list("t", [(3, (20, 31))].into_iter(), 30), "component 3's LSNs (20, 31) ends above");
+        // a merge of sealed LSNs 20..21 and disk component 5 that records
+        // the sealed component's range alone
+        audit_replacement("t", (7, (10, 21)), &[(5, (10, 11))]).unwrap();
+        refused(audit_replacement("t", (7, (20, 21)), &[(5, (10, 11))]), "component 7's LSNs (20, 21) do not cover those of component 5");
+
+        let (cache, dir) = setup(None);
+        let mut t = manual::<Rows>(cache, MergePolicy::NoMerge);
+        component::<Rows>(&mut t, 0..10);
+        drop(t);
+        audit_directory(dir.path()).unwrap();
+        std::fs::write(dir.path().join("t_c9.btree"), b"stray").unwrap();
+        refused(audit_directory(dir.path()), "no manifest names the component file t_c9.btree");
+        std::fs::remove_file(dir.path().join("t_c9.btree")).unwrap();
+        std::fs::remove_file(dir.path().join("t_c1.btree")).unwrap();
+        refused(audit_directory(dir.path()), "names t_c1.btree, which is not there");
+    }
+
     macro_rules! lifecycle_contract {
         ($kind:ident, $k:ty) => {
             mod $kind {
@@ -1795,6 +2292,21 @@ mod tests {
                 #[test]
                 fn sealed_component_waits_for_its_writers() {
                     super::sealed_component_waits_for_its_writers::<$k>();
+                }
+
+                #[test]
+                fn a_flush_the_policy_would_merge_at_once_goes_into_that_merge() {
+                    super::a_flush_the_policy_would_merge_at_once_goes_into_that_merge::<$k>();
+                }
+
+                #[test]
+                fn a_sealed_component_whose_merge_aborts_is_flushed_on_its_own() {
+                    super::a_sealed_component_whose_merge_aborts_is_flushed_on_its_own::<$k>();
+                }
+
+                #[test]
+                fn a_sealed_component_is_taken_back_when_the_next_seal_is_due() {
+                    super::a_sealed_component_is_taken_back_when_the_next_seal_is_due::<$k>();
                 }
 
                 #[test]

@@ -5,7 +5,8 @@
 //! Writes go to an in-memory component ([`MemComponent`]); when it exceeds its
 //! ingestion-buffer budget it is sealed and *flushed* — bulk-loaded into an
 //! immutable on-disk B+ tree component — as soon as no open transaction has
-//! written into it. Deletes insert tombstones ("anti-matter"). Reads consult
+//! written into it, or merged straight into the disk components the policy
+//! would merge its flush with. Deletes insert tombstones ("anti-matter"). Reads consult
 //! the memory components and then disk components newest-first, with
 //! per-component bloom filters short-circuiting point lookups. A pluggable
 //! [`MergePolicy`] decides when to merge disk components (experiment E8
@@ -41,7 +42,7 @@ use std::sync::Arc;
 
 pub use crate::btree::Entry;
 pub use crate::harness::{
-    manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy, SlotStamps,
+    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy, SlotStamps,
 };
 
 // ---------------------------------------------------------------------------
@@ -198,16 +199,6 @@ pub(crate) trait MergeCursor {
     fn advance(&mut self) -> Result<()>;
 }
 
-impl MergeCursor for BTreeRangeIter {
-    fn key(&self) -> Option<&[u8]> {
-        BTreeRangeIter::key(self)
-    }
-
-    fn advance(&mut self) -> Result<()> {
-        BTreeRangeIter::advance(self)
-    }
-}
-
 /// The one k-way merge of the LSM tree: per-component ordered cursors in
 /// (rank 0 = newest), one entry per distinct key out — the newest rank's,
 /// older versions shadowed. It compares keys where they lie and copies
@@ -229,6 +220,19 @@ impl<C: MergeCursor> KWayMerge<C> {
     pub(crate) fn new(cursors: Vec<C>) -> Self {
         let pulled = cursors.iter().filter(|c| c.key().is_some()).count() as u64;
         KWayMerge { cursors, taken: None, pulled }
+    }
+
+    /// A merge over `cursors`, which stand where those of a merge taken
+    /// apart by [`KWayMerge::into_parts`] stood, that goes on where it
+    /// stopped: `taken` is the rank it handed out last.
+    pub(crate) fn resume(cursors: Vec<C>, taken: Option<usize>) -> Self {
+        KWayMerge { cursors, taken, pulled: 0 }
+    }
+
+    /// The cursors and the rank handed out last, for
+    /// [`KWayMerge::resume`].
+    pub(crate) fn into_parts(self) -> (Vec<C>, Option<usize>) {
+        (self.cursors, self.taken)
     }
 
     /// Entries the cursors have stood at so far.
@@ -274,10 +278,20 @@ impl<C: MergeCursor> KWayMerge<C> {
     }
 }
 
-/// In-progress compaction: the merge over the input components' entries,
-/// each read outside the buffer cache, plus the output builder.
+/// In-progress compaction: the merge over the input components' entries —
+/// a sealed memory component's in place, each disk component's read outside
+/// the buffer cache — plus the output builder. A cursor over a memory
+/// component borrows it, so the merge is taken apart after each step and put
+/// together again for the next, that cursor at the key it stood at.
 pub struct MergeRun {
-    merge: KWayMerge<BTreeRangeIter>,
+    /// The sealed memory component taken in: rank 0 when there is one.
+    mem: Option<Arc<MemComponent>>,
+    /// The key its cursor stands at; `None` past its last entry.
+    mem_at: Option<Vec<u8>>,
+    /// The disk components' cursors, newest first, after it.
+    disk: Vec<BTreeRangeIter>,
+    /// The rank the merge handed out last.
+    taken: Option<usize>,
     builder: BTreeBuilder,
     /// Nothing older than the inputs exists: dead tombstones are dropped.
     includes_oldest: bool,
@@ -344,14 +358,6 @@ impl ComponentKind for BTreeKind {
         self.config.merge_policy
     }
 
-    fn flush(&self, id: u64, mem: &MemComponent) -> Result<Built<DiskBTree>> {
-        let mut builder = self.builder(id)?;
-        for (k, e) in mem.iter() {
-            builder.add(k, e.value())?;
-        }
-        self.seal(builder, mem.len() as u64)
-    }
-
     fn files(disk: &DiskBTree) -> Vec<FileId> {
         vec![disk.file()]
     }
@@ -367,43 +373,86 @@ impl ComponentKind for BTreeKind {
         }
     }
 
-    /// Allocates the output file and the per-input scan cursors.
+    /// Allocates the output file and the per-input cursors.
     fn open(
         &self,
         id: u64,
+        mem: Option<&Arc<MemComponent>>,
         inputs: &[Arc<Component<Self>>],
         includes_oldest: bool,
     ) -> Result<MergeRun> {
         let builder = self.builder(id)?;
-        let cursors = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
-        Ok(MergeRun { merge: KWayMerge::new(cursors), builder, includes_oldest, written: 0, cells: Cells::default() })
+        let disk = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
+        let mem_at = mem.and_then(|m| m.iter().next()).map(|(key, _)| key.clone());
+        Ok(MergeRun {
+            mem: mem.cloned(),
+            mem_at,
+            disk,
+            taken: None,
+            builder,
+            includes_oldest,
+            written: 0,
+            cells: Cells::default(),
+        })
     }
 
     /// Advances the k-way merge by up to `budget` input keys (newest rank
     /// wins on duplicates; a dropped tombstone still costs budget).
     fn step(&self, run: &mut MergeRun, budget: usize) -> Result<bool> {
-        let MergeRun { merge, builder, cells, .. } = run;
+        let MergeRun { mem, mem_at, disk, taken, builder, includes_oldest, written, cells } = run;
         let every_cell: Vec<usize> = self.config.layout.iter().flat_map(|l| 0..l.cell_count()).collect();
-        for _ in 0..budget.max(1) {
-            let Some(rank) = merge.next_rank()? else { return Ok(true) };
-            let winner = merge.cursor(rank);
-            // a delete marker is dead only when nothing older is left to mask
-            let dead = winner.is_tombstone()?;
-            if dead && run.includes_oldest {
-                continue;
-            }
-            if self.config.layout.is_none() || dead {
-                let (key, value) = winner.entry()?;
-                builder.add(key, value)?;
-            } else {
-                // the cells go from group to group: no row is put together
-                cells.clear();
-                winner.cells(&every_cell, cells)?;
-                builder.add_cells(winner.key().unwrap_or_default(), Some(cells))?;
-            }
-            run.written += 1;
+        let mut sources: Vec<Source<'_>> = Vec::with_capacity(disk.len() + 1);
+        if let Some(mem) = mem {
+            let mut rest = match mem_at {
+                Some(key) => mem.range(Bound::Included(key.as_slice()), Bound::Unbounded),
+                None => mem.range(Bound::Included(&[][..]), Bound::Excluded(&[][..])),
+            };
+            sources.push(Source::Mem { head: rest.next(), rest });
         }
-        Ok(false)
+        sources.extend(disk.drain(..).map(Source::Disk));
+        let mut merge = KWayMerge::resume(sources, *taken);
+        let gone = || StorageError::Invalid("the merge named a cursor past its last entry".into());
+        let mut morsel = || -> Result<bool> {
+            for _ in 0..budget.max(1) {
+                let Some(rank) = merge.next_rank()? else { return Ok(true) };
+                let dead = match merge.cursor(rank) {
+                    Source::Mem { head, .. } => matches!(head, Some((_, Entry::Tombstone))),
+                    Source::Disk(winner) => winner.is_tombstone()?,
+                };
+                // a delete marker is dead only when nothing older is left to mask
+                if dead && *includes_oldest {
+                    continue;
+                }
+                match merge.cursor(rank) {
+                    Source::Mem { head, .. } => {
+                        let (key, entry) = (*head).ok_or_else(gone)?;
+                        builder.add(key, entry.value())?;
+                    }
+                    Source::Disk(winner) if self.config.layout.is_none() || dead => {
+                        let (key, value) = winner.entry()?;
+                        builder.add(key, value)?;
+                    }
+                    Source::Disk(winner) => {
+                        // the cells go from group to group: no row is put together
+                        cells.clear();
+                        winner.cells(&every_cell, cells)?;
+                        builder.add_cells(winner.key().unwrap_or_default(), Some(cells))?;
+                    }
+                }
+                *written += 1;
+            }
+            Ok(false)
+        };
+        let exhausted = morsel();
+        let (sources, rank) = merge.into_parts();
+        *taken = rank;
+        for source in sources {
+            match source {
+                Source::Mem { head, .. } => *mem_at = head.map(|(key, _)| key.clone()),
+                Source::Disk(at) => disk.push(at),
+            }
+        }
+        exhausted
     }
 
     fn finish(&self, run: MergeRun) -> Result<Built<DiskBTree>> {

@@ -147,10 +147,13 @@ impl MemBuf for RTreeMem {
     }
 }
 
-/// An in-progress merge: the visibility walk, one input component per step,
-/// each read outside the buffer cache.
+/// An in-progress merge: the visibility walk, one input component per step
+/// — a sealed memory component first, then each disk component read outside
+/// the buffer cache.
 pub struct RTreeMergeRun {
     id: u64,
+    /// The sealed memory component taken in, until it is walked.
+    mem: Option<Arc<RTreeMem>>,
     /// Input components not yet walked; the newest is last.
     pending: Vec<Arc<Component<RTreeKind>>>,
     includes_oldest: bool,
@@ -219,10 +222,6 @@ impl ComponentKind for RTreeKind {
         self.config.merge_policy
     }
 
-    fn flush(&self, id: u64, mem: &RTreeMem) -> Result<Built<RTreeDisk>> {
-        self.build(id, mem.rtree.entries(), &mem.tombstones)
-    }
-
     fn files(disk: &RTreeDisk) -> Vec<FileId> {
         std::iter::once(disk.rtree.file())
             .chain(disk.tombstones.as_ref().map(DiskBTree::file))
@@ -247,23 +246,26 @@ impl ComponentKind for RTreeKind {
     fn open(
         &self,
         id: u64,
+        mem: Option<&Arc<RTreeMem>>,
         inputs: &[Arc<Component<Self>>],
         includes_oldest: bool,
     ) -> Result<RTreeMergeRun> {
         let pending = inputs.iter().rev().cloned().collect();
-        Ok(RTreeMergeRun { id, pending, includes_oldest, walk: Visibility::default() })
+        Ok(RTreeMergeRun { id, mem: mem.cloned(), pending, includes_oldest, walk: Visibility::default() })
     }
 
     /// Walks the newest input not yet visited, whatever `budget` says: a
     /// component is the unit an R-tree search can be resumed at.
     fn step(&self, run: &mut RTreeMergeRun, _budget: usize) -> Result<bool> {
-        if let Some(comp) = run.pending.pop() {
+        if let Some(mem) = run.mem.take() {
+            run.walk.visit_mem(&mem, &everything());
+        } else if let Some(comp) = run.pending.pop() {
             let disk = &comp.disk;
             let found = disk.rtree.search_uncached(&everything())?;
             let deleted = disk.tombstones.as_ref().map(DiskBTree::scan_uncached).transpose()?;
             run.walk.visit(found, deleted)?;
         }
-        Ok(run.pending.is_empty())
+        Ok(run.mem.is_none() && run.pending.is_empty())
     }
 
     fn finish(&self, run: RTreeMergeRun) -> Result<Built<RTreeDisk>> {

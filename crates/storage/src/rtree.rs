@@ -249,23 +249,6 @@ impl MemRTree {
         rec(&self.root, query, &mut out);
         out
     }
-
-    /// All entries, in arbitrary order (used when flushing to disk).
-    pub fn entries(&self) -> Vec<SpatialEntry> {
-        let mut out = Vec::with_capacity(self.len);
-        fn rec(node: &Node, out: &mut Vec<SpatialEntry>) {
-            match node {
-                Node::Leaf(entries) => out.extend(entries.iter().cloned()),
-                Node::Internal(children) => {
-                    for (_, c) in children {
-                        rec(c, out);
-                    }
-                }
-            }
-        }
-        rec(&self.root, &mut out);
-        out
-    }
 }
 
 /// Guttman's quadratic split over a generic item type.
@@ -392,12 +375,16 @@ impl RTreeBuilder {
         let n_leaves = n.div_ceil(leaf_cap).max(1);
         let slabs = (n_leaves as f64).sqrt().ceil() as usize;
         let slab_size = n.div_ceil(slabs.max(1)).max(1);
+        // the key breaks ties, so that the packing does not depend on the
+        // order the entries came in: a merge that takes a memory component
+        // writes what a flush of it and a merge would
         entries.sort_by(|a, b| {
             a.mbr
                 .center()
                 .x
                 .total_cmp(&b.mbr.center().x)
                 .then(a.mbr.center().y.total_cmp(&b.mbr.center().y))
+                .then_with(|| a.key.cmp(&b.key))
         });
         let mut level: Vec<(Rectangle, u64)> = Vec::new();
         let mut page_no = 0u64;
@@ -697,7 +684,8 @@ mod tests {
         for e in grid_points(12) {
             t.insert(e.mbr, e.key);
         }
-        let mut entries = t.entries();
+        // what a flush or a merge takes in of a memory component
+        let mut entries = t.search(&rect(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY));
         assert_eq!(entries.len(), 144);
         entries.sort_by(|a, b| a.key.cmp(&b.key));
         entries.dedup_by(|a, b| a.key == b.key);

@@ -1190,3 +1190,392 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// A flush the merge policy would merge at once becomes that merge
+// ---------------------------------------------------------------------------
+
+/// Parks the merges handed to it; the test steps them a morsel at a time,
+/// so that reads meet a merge that took a memory component in at any point
+/// of its run. Inside [`Stepped::flushing`] it runs them where they are
+/// handed over, since a flush waits for the merge that takes its sealed
+/// component in.
+struct Stepped {
+    parked: asterix_storage::lock_order::Mutex<Vec<Arc<dyn BackgroundJob>>>,
+    inline: asterix_obs::Flag,
+}
+
+impl BackgroundExecutor for Stepped {
+    fn offload(&self, job: Arc<dyn BackgroundJob>) {
+        if self.inline.get() {
+            while job.step() == JobStep::Again {}
+        } else {
+            self.parked.lock().push(job);
+        }
+    }
+}
+
+impl Stepped {
+    fn new() -> Stepped {
+        Stepped { parked: Default::default(), inline: asterix_obs::Flag::new(false) }
+    }
+
+    /// One morsel of the oldest parked merge; `false` when none is parked.
+    fn step(&self) -> bool {
+        let Some(job) = self.parked.lock().first().cloned() else { return false };
+        if job.step() == JobStep::Done {
+            self.parked.lock().remove(0);
+        }
+        true
+    }
+
+    /// Every parked merge run out, then `t` flushed.
+    fn flushing(&self, t: &mut dyn LsmIndex) {
+        while self.step() {}
+        self.inline.set(true);
+        t.flush().unwrap();
+        self.inline.set(false);
+    }
+}
+
+/// An index under test, of any kind and leaf shape: entry `i` at version
+/// `v` and its delete, and every live entry as `(key, value)` bytes — an
+/// R-tree entry's value its point's bytes.
+trait Subject: Sized {
+    /// A new version of an entry goes in only once the old one is deleted
+    /// (an R-tree's entry moves).
+    const RETRACTS: bool = false;
+    fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self;
+    /// Its lifecycle.
+    fn lsm(&mut self) -> &mut dyn LsmIndex;
+    fn merge_newest(&mut self, n: usize);
+    fn put(&mut self, i: u64, v: u64);
+    fn delete(&mut self, i: u64, v: u64);
+    fn entry(i: u64, v: u64) -> (Vec<u8>, Vec<u8>);
+    fn live(&self) -> Vec<(Vec<u8>, Vec<u8>)>;
+}
+
+/// A tree of opaque values: row leaves.
+struct RowTree(LsmTree);
+/// A tree of records: leaf groups.
+struct GroupTree(LsmTree);
+struct Spatial(LsmRTree);
+
+fn tree_config(name: &str, mem_budget: usize, merge_policy: MergePolicy, layout: Option<Arc<RecordLayout>>) -> LsmConfig {
+    LsmConfig { mem_budget, merge_policy, layout, ..LsmConfig::new(name) }
+}
+
+
+impl Subject for RowTree {
+    fn merge_newest(&mut self, n: usize) {
+        self.0.merge_newest(n).unwrap();
+    }
+    fn lsm(&mut self) -> &mut dyn LsmIndex {
+        &mut self.0
+    }
+    fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
+        RowTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, None)))
+    }
+    fn put(&mut self, i: u64, v: u64) {
+        let (key, value) = Self::entry(i, v);
+        self.0.upsert(key, value).unwrap();
+    }
+    fn delete(&mut self, i: u64, _: u64) {
+        self.0.delete(k(i as i64)).unwrap();
+    }
+    fn entry(i: u64, v: u64) -> (Vec<u8>, Vec<u8>) {
+        (k(i as i64), format!("v{v}-{}", "x".repeat(v as usize % 50)).into_bytes())
+    }
+    fn live(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.0.scan().unwrap()
+    }
+}
+
+impl Subject for GroupTree {
+    fn merge_newest(&mut self, n: usize) {
+        self.0.merge_newest(n).unwrap();
+    }
+    fn lsm(&mut self) -> &mut dyn LsmIndex {
+        &mut self.0
+    }
+    fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
+        GroupTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, Some(layout(true)))))
+    }
+    fn put(&mut self, i: u64, v: u64) {
+        let (key, value) = Self::entry(i, v);
+        self.0.upsert(key, value).unwrap();
+    }
+    fn delete(&mut self, i: u64, _: u64) {
+        self.0.delete(k(i as i64)).unwrap();
+    }
+    fn entry(i: u64, v: u64) -> (Vec<u8>, Vec<u8>) {
+        (k(i as i64), row(true, i as i64, v))
+    }
+    fn live(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        self.0.scan().unwrap()
+    }
+}
+
+impl Subject for Spatial {
+    const RETRACTS: bool = true;
+    fn merge_newest(&mut self, n: usize) {
+        self.0.merge_newest(n).unwrap();
+    }
+    fn lsm(&mut self) -> &mut dyn LsmIndex {
+        &mut self.0
+    }
+    fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
+        Spatial(LsmRTree::new(cache, LsmRTreeConfig { mem_budget, merge_policy, ..LsmRTreeConfig::new(name) }))
+    }
+    fn put(&mut self, i: u64, v: u64) {
+        self.0.insert(Self::point(i, v), format!("k{i:04}").into_bytes()).unwrap();
+    }
+    fn delete(&mut self, i: u64, v: u64) {
+        self.0.delete(&Self::point(i, v), format!("k{i:04}").as_bytes()).unwrap();
+    }
+    fn entry(i: u64, v: u64) -> (Vec<u8>, Vec<u8>) {
+        (format!("k{i:04}").into_bytes(), Self::bytes(&Self::point(i, v)))
+    }
+    fn live(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let everything = Rectangle::new(
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+            Point::new(f64::INFINITY, f64::INFINITY),
+        );
+        let mut live: Vec<_> = self.0.search(&everything).unwrap().into_iter().map(|e| (e.key, Self::bytes(&e.mbr))).collect();
+        live.sort();
+        live
+    }
+}
+
+impl Spatial {
+    /// Entry `i` at version `v`: a point that moves with the version, on a
+    /// grid coarse enough that points share their place.
+    fn point(i: u64, v: u64) -> Rectangle {
+        Point::new((v % 7) as f64, (i % 5) as f64).to_mbr()
+    }
+
+    fn bytes(r: &Rectangle) -> Vec<u8> {
+        [r.min.x, r.min.y, r.max.x, r.max.y].iter().flat_map(|c| c.to_le_bytes()).collect()
+    }
+}
+
+/// The bytes of every component file of index `name` under `dir`, grouped
+/// by component, newest first: what a reopen would find, once no read holds
+/// a merged-away component.
+fn images(dir: &TempDir, name: &str) -> Vec<Vec<(String, Vec<u8>)>> {
+    let mut by_id: BTreeMap<u64, Vec<(String, Vec<u8>)>> = BTreeMap::new();
+    for entry in std::fs::read_dir(&dir.0).unwrap() {
+        let file = entry.unwrap().file_name().to_string_lossy().into_owned();
+        let Some((id, suffix)) = file.strip_prefix(&format!("{name}_c")).and_then(|rest| rest.split_once('.')) else {
+            continue;
+        };
+        let bytes = std::fs::read(dir.0.join(&file)).unwrap();
+        by_id.entry(id.parse().unwrap()).or_default().push((suffix.to_owned(), bytes));
+    }
+    by_id.into_values().rev().map(|mut files| { files.sort(); files }).collect()
+}
+
+/// Drives one op stream — upserts, deletes, flushes that do not wait for a
+/// merge that takes the sealed component in (half of them taking it back
+/// from that merge first, as a due seal does), a morsel of a parked merge,
+/// and flushes that do — through an index of `S` under `policy`, its merges
+/// on the caller (`exec` 0), on a thread of their own (1) or stepped by the
+/// stream (2), and checks every read against a map after every op.
+/// Returns how many sealed components went straight into a merge that
+/// published them, and how many were taken back from one.
+fn matches_the_model_while_memory_merges_run<S: Subject>(ops: &[(u8, u64)], policy: MergePolicy, exec: u8) -> (u64, u64) {
+    let (cache, _d) = setup(64);
+    let mut t = S::create(cache, "m", 2 << 10, policy);
+    let stepped = Arc::new(Stepped::new());
+    match exec {
+        0 => {}
+        1 => t.lsm().set_executor(Arc::new(OnThread)),
+        _ => t.lsm().set_executor(stepped.clone()),
+    }
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut taken_back = 0;
+    for (version, &(op, i)) in (1u64..).zip(ops) {
+        match op {
+            0..=4 => {
+                if let Some(old) = model.insert(i, version).filter(|_| S::RETRACTS) {
+                    t.delete(i, old);
+                }
+                t.put(i, version);
+            }
+            5 | 6 => {
+                if let Some(old) = model.remove(&i) {
+                    t.delete(i, old);
+                }
+            }
+            7 => {
+                // nothing here has writers: a sealed component held is a merge's
+                if i % 2 == 1 && t.lsm().has_sealed() {
+                    let merged = t.lsm().stats().flushes_merged;
+                    t.lsm().take_back_sealed();
+                    t.lsm().flush_sealed().unwrap();
+                    taken_back += u64::from(!t.lsm().has_sealed() && t.lsm().stats().flushes_merged == merged);
+                }
+                t.lsm().seal();
+                t.lsm().flush_sealed().unwrap();
+            }
+            8 => {
+                stepped.step();
+                t.lsm().flush_sealed().unwrap();
+            }
+            _ => stepped.flushing(t.lsm()),
+        }
+        let mut want: Vec<_> = model.iter().map(|(&i, &v)| S::entry(i, v)).collect();
+        want.sort();
+        assert_eq!(t.live(), want, "after op {version} ({op}, {i})");
+    }
+    stepped.flushing(t.lsm());
+    assert!(!t.lsm().has_sealed());
+    (t.lsm().stats().flushes_merged, taken_back)
+}
+
+/// The same op rounds, each closed by a flush, through index `a`, whose
+/// policy merges some flushes at once, and `b`, which never merges on its
+/// own and is merged by hand as `a` was: after every round both hold
+/// components of the same bytes, newest first. With `big`, both start with
+/// a component the policy never takes again, so merges leave the oldest out
+/// and keep their delete markers.
+fn memory_merges_write_what_flush_then_merge_does<S: Subject>(rounds: &[Vec<(u8, u64)>], policy: MergePolicy, big: bool) -> u64 {
+    let (cache, dir) = setup(64);
+    let mut a = S::create(Arc::clone(&cache), "a", 1 << 30, policy);
+    let mut b = S::create(cache, "b", 1 << 30, MergePolicy::NoMerge);
+    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut version = 0;
+    let mut apply = |a: &mut S, b: &mut S, op: u8, i: u64| {
+        version += 1;
+        if op < 5 {
+            if let Some(old) = model.insert(i, version).filter(|_| S::RETRACTS) {
+                a.delete(i, old);
+                b.delete(i, old);
+            }
+            a.put(i, version);
+            b.put(i, version);
+        } else if let Some(old) = model.remove(&i) {
+            a.delete(i, old);
+            b.delete(i, old);
+        }
+    };
+    if big {
+        for i in 1_000..4_000 {
+            apply(&mut a, &mut b, 0, i);
+        }
+        a.lsm().flush().unwrap();
+        b.lsm().flush().unwrap();
+    }
+    for (round, ops) in rounds.iter().enumerate() {
+        for &(op, i) in ops {
+            apply(&mut a, &mut b, op, i);
+        }
+        a.lsm().flush().unwrap();
+        b.lsm().flush().unwrap();
+        let merged = b.lsm().component_count() + 1 - a.lsm().component_count();
+        b.merge_newest(merged);
+        assert_eq!(images(&dir, "a"), images(&dir, "b"), "after round {round}");
+    }
+    a.lsm().stats().flushes_merged
+}
+
+fn memory_ops() -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((0u8..10, 0u64..80), 1..300)
+}
+
+fn memory_rounds() -> impl Strategy<Value = Vec<Vec<(u8, u64)>>> {
+    let round = prop::collection::vec((0u8..7, 0u64..120), 0..80);
+    // each round writes something, so that each ends in a flush
+    let round = (0u64..120, round).prop_map(|(first, mut rest)| {
+        rest.insert(0, (0, first));
+        rest
+    });
+    prop::collection::vec(round, 1..8)
+}
+
+/// The three policies the model checks run under.
+fn memory_policy(which: u8) -> MergePolicy {
+    match which {
+        0 => MergePolicy::Prefix { max_mergable_bytes: 64 << 10, max_tolerance_components: 2 },
+        1 => MergePolicy::Constant { max_components: 2 },
+        _ => MergePolicy::NoMerge,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Row leaves, leaf groups and the R-tree under Prefix, Constant and
+    /// NoMerge, with merges on the caller, on a thread and stepped by the
+    /// stream: every read after every op answers like a map, also while a
+    /// merge that took a sealed component in is in flight.
+    #[test]
+    fn reads_match_a_model_while_a_merge_holds_a_memory_component(
+        ops in memory_ops(),
+        policy in 0u8..3,
+        exec in 0u8..3,
+    ) {
+        let policy = memory_policy(policy);
+        matches_the_model_while_memory_merges_run::<RowTree>(&ops, policy, exec);
+        matches_the_model_while_memory_merges_run::<GroupTree>(&ops, policy, exec);
+        matches_the_model_while_memory_merges_run::<Spatial>(&ops, policy, exec);
+    }
+
+    /// A merge that takes a sealed component in publishes the bytes a flush
+    /// of it and a merge of that flush would have, for each kind: merging
+    /// everything (Constant) and leaving the oldest out (Prefix past a
+    /// component it will not take).
+    #[test]
+    fn a_merge_that_takes_a_memory_component_writes_what_flush_then_merge_does(
+        rounds in memory_rounds(),
+        partial in any::<bool>(),
+    ) {
+        let policy = if partial {
+            MergePolicy::Prefix { max_mergable_bytes: 64 << 10, max_tolerance_components: 1 }
+        } else {
+            MergePolicy::Constant { max_components: 1 }
+        };
+        memory_merges_write_what_flush_then_merge_does::<RowTree>(&rounds, policy, partial);
+        memory_merges_write_what_flush_then_merge_does::<GroupTree>(&rounds, policy, partial);
+        memory_merges_write_what_flush_then_merge_does::<Spatial>(&rounds, policy, partial);
+    }
+}
+
+/// The op streams above do reach what they are about: under a merging
+/// policy a sealed component goes straight into a merge, while reads are
+/// checked with it stepped part way, and — with the merge stepped by the
+/// stream — is taken back from such a merge; the byte comparison meets such
+/// merges both including the oldest component and leaving it out.
+#[test]
+fn memory_merges_are_reached_by_the_streams_that_check_them() {
+    let ops: Vec<(u8, u64)> = (0..400u64).map(|n| (((n * 7) % 10) as u8, (n * 13) % 80)).collect();
+    // a seal every fifth op and no merge stepped between: the next finds the last in its merge
+    let due: Vec<(u8, u64)> = (0..400u64).map(|n| if n % 5 == 4 { (7, 1) } else { (0, n % 80) }).collect();
+    for exec in 0..3 {
+        for policy in 0..2 {
+            let policy = memory_policy(policy);
+            for (merged, _) in [
+                matches_the_model_while_memory_merges_run::<RowTree>(&ops, policy, exec),
+                matches_the_model_while_memory_merges_run::<GroupTree>(&ops, policy, exec),
+                matches_the_model_while_memory_merges_run::<Spatial>(&ops, policy, exec),
+            ] {
+                assert!(merged > 0, "{policy:?} {exec}");
+            }
+            if exec == 2 {
+                for (_, taken_back) in [
+                    matches_the_model_while_memory_merges_run::<RowTree>(&due, policy, exec),
+                    matches_the_model_while_memory_merges_run::<GroupTree>(&due, policy, exec),
+                    matches_the_model_while_memory_merges_run::<Spatial>(&due, policy, exec),
+                ] {
+                    assert!(taken_back > 0, "{policy:?}: nothing taken back");
+                }
+            }
+        }
+    }
+    let rounds: Vec<Vec<(u8, u64)>> = (0..5u64).map(|r| (0..60).map(|n| (((n + r) % 7) as u8, (n * 11 + r) % 120)).collect()).collect();
+    for (policy, big) in [(MergePolicy::Constant { max_components: 1 }, false), (MergePolicy::Prefix { max_mergable_bytes: 64 << 10, max_tolerance_components: 1 }, true)] {
+        assert!(memory_merges_write_what_flush_then_merge_does::<RowTree>(&rounds, policy, big) > 0, "{policy:?}");
+        assert!(memory_merges_write_what_flush_then_merge_does::<GroupTree>(&rounds, policy, big) > 0, "{policy:?}");
+        assert!(memory_merges_write_what_flush_then_merge_does::<Spatial>(&rounds, policy, big) > 0, "{policy:?}");
+    }
+}
