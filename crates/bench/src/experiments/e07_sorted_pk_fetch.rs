@@ -14,7 +14,8 @@ use asterix_adm::Value;
 use asterix_core::datagen::DataGen;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
+use asterix_storage::btree::LeafShape;
+use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ pub fn run(quick: bool) -> ExpReport {
             mem_budget: 2 << 20,
             merge_policy: MergePolicy::Constant { max_components: 2 },
             bloom: true,
-            layout: None,
+            leaves: LeafShape::Rows,
         },
     );
     let key = |i: i64| encode_key(&[Value::Int(i)]);

@@ -12,7 +12,8 @@ use asterix_adm::Value;
 use asterix_core::datagen::DataGen;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
+use asterix_storage::btree::LeafShape;
+use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ pub fn run(quick: bool) -> ExpReport {
                 mem_budget: 128 << 10, // small: many flushes
                 merge_policy: policy,
                 bloom: true,
-                layout: None,
+                leaves: LeafShape::Rows,
             },
         );
         let mut gen = DataGen::new(8008);

@@ -26,7 +26,8 @@ use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_core::Rule;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
+use asterix_storage::btree::LeafShape;
+use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 
@@ -125,7 +126,7 @@ fn ablate_bloom_filters(report: &mut ExpReport, quick: bool) {
                 mem_budget: 256 << 10,
                 merge_policy: MergePolicy::NoMerge, // many components: blooms shine
                 bloom,
-                layout: None,
+                leaves: LeafShape::Rows,
             },
         );
         // random insertion order: every component spans the whole key range,

@@ -273,7 +273,7 @@ fn morsel_scheduler() -> Json {
 /// report and the stall in nanoseconds.
 fn compaction_ingest(tag: &str, n: i64, exec: asterix_storage::CompactionExec) -> (Json, u64) {
     use asterix_adm::binary::encode_key;
-    use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy};
+    use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
     let root = bench_dir(tag);
     let fm = FileManager::new(&root, IoStats::new()).unwrap();
     let cache = BufferCache::with_options(

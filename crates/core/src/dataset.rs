@@ -5,8 +5,9 @@
 //! A dataset's records live in P partitions; each partition is a primary
 //! LSM B+ tree keyed by the encoded primary key, holding the full record.
 //! Secondary indexes are partition-local: B+ tree indexes map
-//! `(secondary key, pk)` → ∅; R-tree indexes map MBRs to encoded PKs with a
-//! companion deleted-key B+ tree; keyword indexes map tokens to PKs. Index
+//! `(secondary key, pk)` → ∅; R-tree indexes map `(Hilbert position of the
+//! MBR's centre, pk)` → MBR ([`SpatialIndex`]); keyword indexes map tokens to
+//! PKs. Every one of them is an LSM B+ tree. Index
 //! maintenance fetches the old record on upsert/delete and retracts its
 //! entries — the "details required to ... make them recoverable, and make
 //! them concurrent" that §V-B insists real systems must pay for.
@@ -28,8 +29,9 @@ use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Rectangle, Value};
 use asterix_storage::inverted::InvertedIndex;
-use asterix_storage::lsm::{Entry, LsmConfig, LsmIndex, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
-use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
+use asterix_storage::btree::LeafShape;
+use asterix_storage::lsm::{Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
+use asterix_storage::spatial::SpatialIndex;
 use asterix_storage::wal::Lsn;
 use asterix_storage::CompactionExec;
 use std::borrow::Cow;
@@ -119,7 +121,7 @@ impl RecordSchema {
 
 enum Secondary {
     BTree { def: IndexInfo, tree: LsmTree },
-    RTree { def: IndexInfo, tree: LsmRTree },
+    RTree { def: IndexInfo, index: SpatialIndex },
     Keyword { def: IndexInfo, index: InvertedIndex },
 }
 
@@ -139,20 +141,20 @@ impl Secondary {
         schema.resolve(&fields.unwrap_or_default())
     }
 
-    /// The index's lifecycle, whatever its kind.
-    fn lsm(&self) -> &dyn LsmIndex {
+    /// The tree the index is kept in, whatever its kind.
+    fn lsm(&self) -> &LsmTree {
         match self {
             Secondary::BTree { tree, .. } => tree,
-            Secondary::RTree { tree, .. } => tree,
+            Secondary::RTree { index, .. } => index.lsm(),
             Secondary::Keyword { index, .. } => index.lsm(),
         }
     }
 
     /// See [`Secondary::lsm`].
-    fn lsm_mut(&mut self) -> &mut dyn LsmIndex {
+    fn lsm_mut(&mut self) -> &mut LsmTree {
         match self {
             Secondary::BTree { tree, .. } => tree,
-            Secondary::RTree { tree, .. } => tree,
+            Secondary::RTree { index, .. } => index.lsm_mut(),
             Secondary::Keyword { index, .. } => index.lsm_mut(),
         }
     }
@@ -221,16 +223,17 @@ pub fn extract_pk(record: &Value, pk_fields: &[String]) -> Result<Vec<u8>> {
     Ok(encode_key(&parts))
 }
 
-/// The configuration of a partition's B+-tree-shaped index `name`: the
-/// primary index, whose values are records stored by `layout`, or a secondary
-/// one, whose entries are keys alone.
-fn lsm_config(cfg: &StorageConfig, name: String, layout: Option<&Arc<RecordLayout>>) -> LsmConfig {
+/// The configuration of a partition's index `name` whose leaves are
+/// `leaves`: the primary index's leaf groups of records, a spatial index's
+/// MBRs, or a B+-tree or keyword index's keys alone.
+fn lsm_config(cfg: &StorageConfig, name: String, leaves: LeafShape) -> LsmConfig {
     LsmConfig {
         mem_budget: cfg.mem_budget,
         merge_policy: cfg.merge_policy,
-        // secondary entries are range-probed, so blooms would not help
-        bloom: layout.is_some(),
-        layout: layout.cloned(),
+        // keys alone are range-probed, so blooms would not help them; a
+        // spatial search probes a candidate's key in newer components
+        bloom: !matches!(leaves, LeafShape::Rows),
+        leaves,
         ..LsmConfig::new(name)
     }
 }
@@ -261,7 +264,7 @@ impl DatasetPartition {
             dataset: def.name.clone(),
             dataset_id: def.id,
             partition,
-            primary: open_tree(&node, lsm_config(cfg, name, Some(&schema.layout)), origin)?,
+            primary: open_tree(&node, lsm_config(cfg, name, LeafShape::Groups(Arc::clone(&schema.layout))), origin)?,
             indexed: Secondary::leading_fields(&schema, std::iter::empty()),
             schema,
             secondaries: Vec::new(),
@@ -285,7 +288,7 @@ impl DatasetPartition {
     /// Disk components of all the partition's indexes: at restart, what
     /// their manifests named.
     pub fn component_count(&self) -> usize {
-        self.indexes().map(LsmIndex::component_count).sum()
+        self.indexes().map(LsmTree::component_count).sum()
     }
 
     /// The LSN below which the log is no business of an index created now:
@@ -299,7 +302,7 @@ impl DatasetPartition {
     /// partition's other indexes, and one just created is made durably
     /// empty — whatever an earlier index of its name left is no longer named
     /// — with the log below `born` declared none of its business.
-    fn adopt(idx: &mut dyn LsmIndex, compaction: &CompactionExec, born: Option<Lsn>) -> Result<()> {
+    fn adopt(idx: &mut LsmTree, compaction: &CompactionExec, born: Option<Lsn>) -> Result<()> {
         idx.set_executor(compaction.clone());
         idx.sealed_by_owner();
         if let Some(lsn) = born {
@@ -309,16 +312,14 @@ impl DatasetPartition {
     }
 
     /// Every index of the partition, the primary first, as its lifecycle.
-    fn indexes(&self) -> impl Iterator<Item = &dyn LsmIndex> + '_ {
-        let primary: &dyn LsmIndex = &self.primary;
-        std::iter::once(primary).chain(self.secondaries.iter().map(Secondary::lsm))
+    fn indexes(&self) -> impl Iterator<Item = &LsmTree> + '_ {
+        std::iter::once(&self.primary).chain(self.secondaries.iter().map(Secondary::lsm))
     }
 
     /// Every index of the partition in the order they flush: the
     /// secondaries first, the primary last.
-    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut dyn LsmIndex> + '_ {
-        let primary: &mut dyn LsmIndex = &mut self.primary;
-        self.secondaries.iter_mut().map(Secondary::lsm_mut).chain(std::iter::once(primary))
+    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut LsmTree> + '_ {
+        self.secondaries.iter_mut().map(Secondary::lsm_mut).chain(std::iter::once(&mut self.primary))
     }
 
     /// Flushes the sealed memory components whose writers are done, in the
@@ -332,7 +333,7 @@ impl DatasetPartition {
     /// taken back and written on its own.
     fn seal_and_flush(&mut self) -> Result<()> {
         loop {
-            let due = self.indexes().any(LsmIndex::over_budget);
+            let due = self.indexes().any(LsmTree::over_budget);
             for idx in self.indexes_mut() {
                 if due {
                     idx.take_back_sealed();
@@ -360,24 +361,12 @@ impl DatasetPartition {
     /// [`DatasetPartition::adopt`] for `born`).
     fn build_secondary(&self, idx: &IndexInfo, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
-        let tree = |name| open_tree(&self.node, lsm_config(cfg, name, None), origin);
+        let tree = |name, leaves| open_tree(&self.node, lsm_config(cfg, name, leaves), origin);
         let def = idx.clone();
         let mut sec = match idx.kind {
-            IndexKind::BTree => Secondary::BTree { def, tree: tree(name)? },
-            IndexKind::Keyword => Secondary::Keyword { def, index: InvertedIndex::over(tree(name)?) },
-            IndexKind::RTree => {
-                let cache = Arc::clone(&self.node.cache);
-                let config = LsmRTreeConfig {
-                    mem_budget: cfg.mem_budget,
-                    merge_policy: cfg.merge_policy,
-                    ..LsmRTreeConfig::new(name)
-                };
-                let tree = match origin {
-                    Origin::Created => LsmRTree::new(cache, config),
-                    Origin::Recovered => LsmRTree::reopen(cache, config)?,
-                };
-                Secondary::RTree { def, tree }
-            }
+            IndexKind::BTree => Secondary::BTree { def, tree: tree(name, LeafShape::Rows)? },
+            IndexKind::Keyword => Secondary::Keyword { def, index: InvertedIndex::over(tree(name, LeafShape::Rows)?) },
+            IndexKind::RTree => Secondary::RTree { def, index: SpatialIndex::over(tree(name, LeafShape::Spatial)?) },
         };
         Self::adopt(sec.lsm_mut(), &self.compaction, born)?;
         Ok(sec)
@@ -389,7 +378,7 @@ impl DatasetPartition {
     /// columns — is flushed before the index is added, durable as far as the
     /// primary is. Each of the primary's memory components then goes into a
     /// memory component of the index that stands where it does in the log
-    /// ([`LsmIndex::stamp_as`]): an open transaction's writes among them are
+    /// ([`LsmTree::stamp_as`]): an open transaction's writes among them are
     /// not flushed before it is over, and the partition flushes them with
     /// the primary's. A restart replays them like the primary's.
     pub fn add_index(&mut self, idx: &IndexInfo, cfg: &StorageConfig) -> Result<()> {
@@ -620,9 +609,9 @@ impl DatasetPartition {
             Secondary::BTree { tree, .. } => {
                 tree.upsert(prepend_key_part(field, pk), Vec::new())?;
             }
-            Secondary::RTree { tree, .. } => {
+            Secondary::RTree { index, .. } => {
                 if let Some(mbr) = spatial_mbr(field) {
-                    tree.insert(mbr, pk.to_vec())?;
+                    index.insert(&mbr, pk)?;
                 }
             }
             Secondary::Keyword { index, .. } => {
@@ -643,9 +632,9 @@ impl DatasetPartition {
             Secondary::BTree { tree, .. } => {
                 tree.delete(prepend_key_part(field, pk))?;
             }
-            Secondary::RTree { tree, .. } => {
+            Secondary::RTree { index, .. } => {
                 if let Some(mbr) = spatial_mbr(field) {
-                    tree.delete(&mbr, pk)?;
+                    index.delete(&mbr, pk)?;
                 }
             }
             Secondary::Keyword { index, .. } => {
@@ -706,10 +695,10 @@ impl DatasetPartition {
     /// Candidate PKs from an R-tree index intersecting `query`.
     pub fn rtree_index_pks(&self, index: &str, query: &Rectangle) -> Result<Vec<Vec<u8>>> {
         let sec = self.find_index(index)?;
-        let Secondary::RTree { tree, .. } = sec else {
+        let Secondary::RTree { index: spatial, .. } = sec else {
             return Err(CoreError::Catalog(format!("index {index:?} is not an R-tree")));
         };
-        Ok(tree.search(query)?.into_iter().map(|e| e.key).collect())
+        Ok(spatial.search(query)?.into_iter().map(|e| e.pk).collect())
     }
 
     /// Candidate PKs from a keyword index for a conjunctive keyword query.

@@ -306,12 +306,12 @@ mod tests {
             t.flush().unwrap();
         }
         std::fs::write(dir.join("ds_p0_pri_c9.btree"), b"a merge output nobody published").unwrap();
-        std::fs::write(dir.join("other_c1.rtree"), b"stale component").unwrap();
+        std::fs::write(dir.join("other_c1.btree"), b"stale component").unwrap();
         std::fs::write(dir.join("ds_p0_pri.manifest.tmp"), b"half a manifest").unwrap();
         let n = Node::open(0, &dir, 16).unwrap();
         assert!(dir.join("ds_p0_pri_c1.btree").exists(), "the manifest names it");
         assert!(dir.join("ds_p0_pri.manifest").exists());
-        for orphan in ["ds_p0_pri_c9.btree", "other_c1.rtree", "ds_p0_pri.manifest.tmp"] {
+        for orphan in ["ds_p0_pri_c9.btree", "other_c1.btree", "ds_p0_pri.manifest.tmp"] {
             assert!(!dir.join(orphan).exists(), "{orphan} kept");
         }
         let t = LsmTree::reopen(Arc::clone(&n.cache), LsmConfig::new("ds_p0_pri")).unwrap();

@@ -39,19 +39,25 @@
 //! whose bytes order as the values do: a key comparison is a slice
 //! comparison, and the formats below rely on it.
 //!
-//! ## Two leaf shapes
+//! ## Leaf shapes
 //!
-//! A tree's leaf area has one of two shapes, chosen when it is built and
-//! recorded in its footer, which is laid out alike for both. Either holds,
-//! per key, an [`Entry`]: a value, or a delete marker that masks the key's
-//! versions in older components.
+//! A tree's leaf area has one of the shapes of [`LeafShape`], chosen when it
+//! is built and recorded in its footer, which is laid out alike for all.
+//! Each holds, per key, an [`Entry`]: a value, or a delete marker that masks
+//! the key's versions in older components.
 //!
 //! * **Row leaves** ([`BTreeBuilder::new`]): leaf *pages* in the page layout
 //!   below, a value an opaque byte string. An entry costs its front-coded key
 //!   and, only when it has one, its value: a secondary index's entry — its
 //!   secondary and primary key, no value — is its key alone. Secondary
-//!   indexes, keyword postings, the R-tree's deleted-key tree and standalone
-//!   trees.
+//!   indexes, keyword postings and standalone trees.
+//! * **Spatial row leaves** ([`LeafShape::Spatial`]): row leaves whose every
+//!   value is an MBR ([`crate::spatial`]: 16 bytes for a point, 32 for a
+//!   rectangle). The fence index also holds each leaf's MBR, the union of
+//!   its puts' — a delete marker adds nothing to it — so that a search reads
+//!   only the leaves whose MBR meets its query ([`DiskBTree::search_leaves`]).
+//!   The footer ends in [`SPATIAL_FORMAT`]'s magic, not [`FORMAT`]'s: a tree
+//!   is opened only as the shape it was written in. A spatial index.
 //! * **Leaf groups** ([`BTreeBuilder::with_layout`]): a dataset's primary
 //!   index, whose values are records. The leaf area is a run of *groups* of
 //!   up to [`GROUP_RECORDS`](crate::leaf_group::GROUP_RECORDS) entries, each
@@ -94,8 +100,9 @@
 //! stops at `leaf_end`. A debug build decodes every entry of every leaf
 //! where it is written (at `finish`) and where it is read back (at `open`):
 //! keys ascend within and across leaves, every restart decodes to the entry
-//! the walk reaches, and the entries add up to the trailer's count
-//! ([`Fences::audit`]).
+//! the walk reaches, the entries add up to the trailer's count and, for
+//! spatial leaves, every value is an MBR and each fence MBR is the union of
+//! its leaf's ([`Fences::audit`]).
 
 use crate::bloom::{hash_pair, BloomFilter};
 use crate::cache::BufferCache;
@@ -106,7 +113,7 @@ use crate::le::{self, Cursor, Format};
 use crate::leaf_group::{ChunkBytes, GroupBuilder, GroupDir, GroupShape, GroupView};
 use asterix_adm::binary::put_varint;
 use asterix_adm::layout::{Cells, ColumnKind, RecordLayout};
-use asterix_adm::BatchBuilder;
+use asterix_adm::{BatchBuilder, Rectangle};
 use asterix_obs::Counter;
 use std::ops::{Bound, Range};
 use std::sync::Arc;
@@ -114,6 +121,8 @@ use std::sync::Arc;
 /// The footer's magic, the file's last four bytes (see [`crate::le`]):
 /// "BTR8" as a little-endian u32.
 pub(crate) const FORMAT: Format = Format { kind: "B+ tree footer", headers: &[&0x4254_5238u32.to_le_bytes()] };
+/// The magic of a tree of spatial row leaves: "BTS1".
+pub(crate) const SPATIAL_FORMAT: Format = Format { kind: "spatial B+ tree footer", headers: &[&0x4254_5331u32.to_le_bytes()] };
 /// The footer's last bytes: how far back the trailer starts, and the magic.
 const TAIL: usize = 8;
 const PAGE_HEADER: usize = 4; // n u16 + restarts u16
@@ -150,6 +159,28 @@ impl Entry {
         match self {
             Entry::Put(value) => Some(value),
             Entry::Tombstone => None,
+        }
+    }
+}
+
+/// What a tree's leaves hold (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub enum LeafShape {
+    /// Row leaves of opaque values.
+    #[default]
+    Rows,
+    /// Row leaves whose values are MBRs, each leaf's MBR in its fence.
+    Spatial,
+    /// Leaf groups of records that the layout takes apart.
+    Groups(Arc<RecordLayout>),
+}
+
+impl LeafShape {
+    /// The record layout of a tree of leaf groups.
+    pub fn layout(&self) -> Option<&Arc<RecordLayout>> {
+        match self {
+            LeafShape::Groups(layout) => Some(layout),
+            _ => None,
         }
     }
 }
@@ -199,7 +230,8 @@ fn column_directory(layout: &RecordLayout) -> Vec<u8> {
 // The fence index
 // ---------------------------------------------------------------------------
 
-/// Each leaf's separator and the byte it starts at, in key order.
+/// Each leaf's separator and the byte it starts at, in key order, and for
+/// spatial leaves each leaf's MBR.
 #[derive(Default)]
 pub(crate) struct Fences {
     /// The separators, end to end.
@@ -208,18 +240,27 @@ pub(crate) struct Fences {
     ends: Vec<u32>,
     /// The byte each leaf starts at.
     starts: Vec<u64>,
+    /// Each leaf's MBR: the union of its puts' values (spatial leaves only).
+    mbrs: Option<Vec<Rectangle>>,
 }
 
 /// A leaf as the audit sees it, decoded from its bytes: where it starts,
-/// its first and its last key, and how many entries it holds.
+/// its first and its last key, how many entries it holds and, for spatial
+/// leaves, the union of its puts' MBRs.
 struct LeafBounds {
     start: u64,
     first: Vec<u8>,
     last: Vec<u8>,
     n: u64,
+    mbr: Option<Rectangle>,
 }
 
 impl Fences {
+    /// The fences of a tree of spatial leaves.
+    fn spatial() -> Fences {
+        Fences { mbrs: Some(Vec::new()), ..Fences::default() }
+    }
+
     fn len(&self) -> usize {
         self.starts.len()
     }
@@ -253,6 +294,14 @@ impl Fences {
         self.starts.get(lo.saturating_sub(1)).copied().unwrap_or(0)
     }
 
+    /// The byte each leaf whose MBR meets `query` starts at (spatial leaves).
+    fn meeting<'a>(&'a self, query: &'a Rectangle) -> impl Iterator<Item = u64> + 'a {
+        let mbrs = self.mbrs.as_deref().unwrap_or_default();
+        mbrs.iter().zip(&self.starts).filter(|(mbr, _)| mbr.intersects(query)).map(|(_, &start)| start)
+    }
+
+    /// Per leaf: its separator's length and bytes, how far past the leaf
+    /// before it the leaf starts, and for spatial leaves its MBR's 32 bytes.
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.len() as u64);
         let mut before = 0;
@@ -262,17 +311,24 @@ impl Fences {
             out.extend_from_slice(separator);
             put_varint(out, start - before);
             before = start;
+            if let Some(mbr) = self.mbrs.as_ref().and_then(|mbrs| mbrs.get(i)) {
+                out.extend_from_slice(&crate::spatial::rect_bytes(mbr));
+            }
         }
     }
 
-    fn decode(bytes: &[u8]) -> Result<Fences> {
+    fn decode(bytes: &[u8], spatial: bool) -> Result<Fences> {
         let mut c = Cursor::new(bytes);
-        let (n, mut fences, mut start): (usize, _, u64) = (c.varint()?, Fences::default(), 0);
+        let (n, mut start): (usize, u64) = (c.varint()?, 0);
+        let mut fences = if spatial { Fences::spatial() } else { Fences::default() };
         for _ in 0..n {
             let len = c.varint()?;
             let separator = c.bytes(len)?;
             start = start.checked_add(c.varint()?).ok_or_else(|| StorageError::Corrupt("fence index: a start past 2^64".into()))?;
             fences.push(separator, start);
+            if let Some(mbrs) = &mut fences.mbrs {
+                mbrs.push(crate::spatial::mbr_of(c.bytes(32)?)?);
+            }
         }
         if c.pos() != bytes.len() {
             return Err(StorageError::Corrupt("fence index: bytes past its last fence".into()));
@@ -284,8 +340,10 @@ impl Fences {
     /// order, `leaf_end` and `entry_count`: separators ascend strictly; each
     /// leaf's first key is at or above its separator and above the last key
     /// of the leaf before it; the fences point at the leaves, whose starts
-    /// ascend from 0 inside the leaf area; and the leaves hold `entry_count`
-    /// entries between them. A broken rule is `Corrupt`, naming `component`.
+    /// ascend from 0 inside the leaf area; a spatial leaf's fence MBR is the
+    /// union of its puts' MBRs, bit for bit; and the leaves hold
+    /// `entry_count` entries between them. A broken rule is `Corrupt`,
+    /// naming `component`.
     /// Debug builds run it at [`BTreeBuilder::finish`] and
     /// [`DiskBTree::open`], over leaves decoded where they were written and
     /// where they are read back ([`leaf_bounds`]).
@@ -311,6 +369,10 @@ impl Fences {
             if !ascends || at >= leaf_end || at != leaf.start {
                 return Err(broken(i, format!("it starts at byte {}, its fence says {at}, the leaf area ends at {leaf_end}", leaf.start)));
             }
+            let fenced = self.mbrs.as_ref().and_then(|mbrs| mbrs.get(i)).map(crate::spatial::rect_bytes);
+            if fenced != leaf.mbr.as_ref().map(crate::spatial::rect_bytes) {
+                return Err(broken(i, format!("its fence MBR {:?} is not the union of its entries', {:?}", self.mbrs.as_ref().and_then(|m| m.get(i)), leaf.mbr)));
+            }
         }
         let held: u64 = leaves.iter().map(|leaf| leaf.n).sum();
         if held != entry_count {
@@ -320,14 +382,15 @@ impl Fences {
     }
 }
 
-/// The leaf that `bytes` begin with — a row-leaf page, or a leaf group of
-/// `shape` — and that starts at byte `start` of its file, decoded for the
-/// audit ([`Fences::audit`]), and the bytes it takes. A page is decoded
-/// entry by entry ([`PageView::audit`]); a group, its first and last key.
-fn leaf_bounds(bytes: &[u8], start: u64, shape: Option<&GroupShape>) -> Result<(LeafBounds, u64)> {
+/// The leaf that `bytes` begin with — a row-leaf page, spatial if the flag
+/// says so, or a leaf group of `shape` — and that starts at byte `start` of
+/// its file, decoded for the audit ([`Fences::audit`]), and the bytes it
+/// takes. A page is decoded entry by entry ([`PageView::audit`]); a group,
+/// its first and last key.
+fn leaf_bounds(bytes: &[u8], start: u64, shape: Option<&GroupShape>, spatial: bool) -> Result<(LeafBounds, u64)> {
     let Some(shape) = shape else {
-        let (first, last, n) = PageView::new(le::try_bytes_at(bytes, 0, PAGE_SIZE)?)?.audit()?;
-        return Ok((LeafBounds { start, first, last, n: n as u64 }, PAGE_SIZE as u64));
+        let leaf = PageView::new(le::try_bytes_at(bytes, 0, PAGE_SIZE)?)?.audit(start, spatial)?;
+        return Ok((leaf, PAGE_SIZE as u64));
     };
     let dir = GroupDir::parse(le::try_bytes_at(bytes, 0, shape.dir_len())?, shape)?;
     let mut group = le::try_bytes_at(bytes, 0, dir.len as usize)?;
@@ -335,7 +398,7 @@ fn leaf_bounds(bytes: &[u8], start: u64, shape: Option<&GroupShape>) -> Result<(
     let prefix = view.key_prefix()?.to_vec();
     let first = [&prefix, view.key_suffix(prefix.len(), 0)?].concat();
     let last = [&prefix, view.key_suffix(prefix.len(), dir.n - 1)?].concat();
-    Ok((LeafBounds { start, first, last, n: dir.n as u64 }, dir.len))
+    Ok((LeafBounds { start, first, last, n: dir.n as u64, mbr: None }, dir.len))
 }
 
 // ---------------------------------------------------------------------------
@@ -351,6 +414,8 @@ struct PageBuilder {
     n: usize,
     /// The key added last.
     last: Vec<u8>,
+    /// The union of the MBRs of its puts so far (spatial leaves).
+    mbr: Rectangle,
 }
 
 /// Bytes the LEB128 varint of `v` takes.
@@ -371,7 +436,7 @@ fn head(unshared: usize, value: Option<&[u8]>) -> (usize, Option<&[u8]>) {
 
 impl PageBuilder {
     fn new() -> Self {
-        PageBuilder { bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new() }
+        PageBuilder { bytes: Vec::new(), restarts: Vec::new(), n: 0, last: Vec::new(), mbr: Rectangle::empty() }
     }
 
     /// What the next entry, under `key`, keeps of the key before it: nothing
@@ -396,7 +461,12 @@ impl PageBuilder {
         PAGE_HEADER + self.bytes.len() + entry + 2 * restarts <= PAGE_SIZE
     }
 
-    fn push(&mut self, key: &[u8], value: Option<&[u8]>) {
+    /// Appends the entry of `key` and `value`, whose MBR is `mbr` in a
+    /// spatial leaf.
+    fn push(&mut self, key: &[u8], value: Option<&[u8]>, mbr: Option<&Rectangle>) {
+        if let Some(mbr) = mbr {
+            self.mbr = self.mbr.union(mbr);
+        }
         let shared = self.shared(key);
         if self.n.is_multiple_of(RESTART_INTERVAL) {
             self.restarts.push((PAGE_HEADER + self.bytes.len()) as u16);
@@ -530,9 +600,10 @@ impl<'a> PageView<'a> {
     }
 
     /// Decodes every entry, walking from the first: the keys ascend
-    /// strictly, and each restart decodes, from its offset, to the entry the
-    /// walk reaches there. Returns the first key, the last and the count.
-    fn audit(&self) -> Result<(Vec<u8>, Vec<u8>, usize)> {
+    /// strictly, each restart decodes, from its offset, to the entry the
+    /// walk reaches there, and in a `spatial` leaf every value is an MBR.
+    /// Returns the leaf as the audit sees it, as starting at byte `start`.
+    fn audit(&self, start: u64, spatial: bool) -> Result<LeafBounds> {
         let broken = |idx: usize, what: &str| StorageError::Corrupt(format!("entry {idx} of a row leaf: {what}"));
         if self.n == 0 {
             return Err(broken(0, "a leaf holds none"));
@@ -540,7 +611,11 @@ impl<'a> PageView<'a> {
         let (mut key, mut restart, mut last) = (Vec::new(), Vec::new(), Vec::new());
         let mut at = self.first(&mut key)?;
         let first = key.clone();
+        let mut mbr = spatial.then(Rectangle::empty);
         while at.idx < self.n {
+            if let (Some(mbr), Some(value)) = (&mut mbr, at.value.clone()) {
+                *mbr = mbr.union(&crate::spatial::mbr_of(&self.page[value]).map_err(|e| broken(at.idx, &e.to_string()))?);
+            }
             if at.idx > 0 && key <= last {
                 return Err(broken(at.idx, "its key is not above the one before"));
             }
@@ -553,7 +628,7 @@ impl<'a> PageView<'a> {
             last.clone_from(&key);
             at = self.at(at.idx + 1, at.next, &mut key)?;
         }
-        Ok((first, last, self.n))
+        Ok(LeafBounds { start, first, last, n: self.n as u64, mbr })
     }
 }
 
@@ -604,6 +679,15 @@ impl BTreeBuilder {
         Self::over(writer, bloom, Leaves::Pages { leaf: PageBuilder::new(), written: 0 })
     }
 
+    /// [`BTreeBuilder::new`] for a tree of leaves of `shape`.
+    pub fn with_shape(writer: PageFileWriter, bloom: bool, shape: &LeafShape) -> Self {
+        match shape {
+            LeafShape::Rows => Self::new(writer, bloom),
+            LeafShape::Spatial => BTreeBuilder { fences: Fences::spatial(), ..Self::new(writer, bloom) },
+            LeafShape::Groups(layout) => Self::with_layout(writer, bloom, Arc::clone(layout)),
+        }
+    }
+
     /// [`BTreeBuilder::new`] for a tree of leaf groups: its values are rows
     /// that `layout` takes apart.
     pub fn with_layout(writer: PageFileWriter, bloom: bool, layout: Arc<RecordLayout>) -> Self {
@@ -643,15 +727,19 @@ impl BTreeBuilder {
             });
         }
         self.admit(key)?;
+        let mbr = match (&self.fences.mbrs, value) {
+            (Some(_), Some(value)) => Some(crate::spatial::mbr_of(value)?),
+            _ => None,
+        };
         let mut starts = None;
         if let Leaves::Pages { leaf, written } = &mut self.leaves {
             if !leaf.fits(key, value) {
-                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.bounds)?;
+                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.fences, &mut self.bounds)?;
             }
             if leaf.is_empty() {
                 starts = Some(*written * PAGE_SIZE as u64);
             }
-            leaf.push(key, value);
+            leaf.push(key, value, mbr.as_ref());
         }
         self.admitted(key, starts);
         Ok(())
@@ -712,16 +800,27 @@ impl BTreeBuilder {
         self.entry_count += 1;
     }
 
-    /// Writes the current leaf. Leaves occupy pages `0..n_leaves` in order,
-    /// so a leaf's next is the page after it; a cursor stops at the leaf
-    /// area's end. A debug build decodes the page as written into `bounds`.
-    fn finish_leaf(writer: &mut PageFileWriter, leaf: &mut PageBuilder, written: &mut u64, bounds: &mut Vec<LeafBounds>) -> Result<()> {
+    /// Writes the current leaf, and its MBR into a spatial tree's `fences`.
+    /// Leaves occupy pages `0..n_leaves` in order, so a leaf's next is the
+    /// page after it; a cursor stops at the leaf area's end. A debug build
+    /// decodes the page as written into `bounds`.
+    fn finish_leaf(
+        writer: &mut PageFileWriter,
+        leaf: &mut PageBuilder,
+        written: &mut u64,
+        fences: &mut Fences,
+        bounds: &mut Vec<LeafBounds>,
+    ) -> Result<()> {
         if leaf.is_empty() {
             return Ok(());
         }
-        let page = std::mem::replace(leaf, PageBuilder::new()).emit();
+        let leaf = std::mem::replace(leaf, PageBuilder::new());
+        let page = leaf.emit();
+        if let Some(mbrs) = &mut fences.mbrs {
+            mbrs.push(leaf.mbr);
+        }
         if cfg!(debug_assertions) {
-            bounds.push(leaf_bounds(&page, *written * PAGE_SIZE as u64, None)?.0);
+            bounds.push(leaf_bounds(&page, *written * PAGE_SIZE as u64, None, fences.mbrs.is_some())?.0);
         }
         *written += 1;
         writer.append(&page)?;
@@ -747,7 +846,7 @@ impl BTreeBuilder {
         hub.string_bytes_plain.add(plain as u64);
         hub.string_bytes_coded.add(coded as u64);
         if cfg!(debug_assertions) {
-            bounds.push(leaf_bounds(&buf[before..], *written, Some(group.shape().as_ref()))?.0);
+            bounds.push(leaf_bounds(&buf[before..], *written, Some(group.shape().as_ref()), false)?.0);
         }
         *written += (buf.len() - before) as u64;
         let whole = buf.len() / PAGE_SIZE * PAGE_SIZE;
@@ -764,7 +863,7 @@ impl BTreeBuilder {
         // the leaf area's end, and the bytes of its last page not written yet
         let (leaf_end, shape, mut tail) = match &mut self.leaves {
             Leaves::Pages { leaf, written } => {
-                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.bounds)?;
+                Self::finish_leaf(&mut self.writer, leaf, written, &mut self.fences, &mut self.bounds)?;
                 (*written * PAGE_SIZE as u64, None, Vec::new())
             }
             Leaves::Groups { group, buf, written, hub } => {
@@ -800,7 +899,8 @@ impl BTreeBuilder {
         tail.extend_from_slice(&sum.to_le_bytes());
         tail.resize((tail.len() + TAIL).next_multiple_of(PAGE_SIZE) - TAIL, 0);
         tail.extend_from_slice(&((tail.len() - trailer) as u32).to_le_bytes());
-        tail.extend_from_slice(FORMAT.headers[0]);
+        let format = if self.fences.mbrs.is_some() { SPATIAL_FORMAT } else { FORMAT };
+        tail.extend_from_slice(format.headers[0]);
         for page in tail.chunks_exact(PAGE_SIZE) {
             self.writer.append(page)?;
         }
@@ -893,10 +993,10 @@ impl DiskBTree {
         }
     }
 
-    /// Opens an existing component file by reading its footer: a tree of
-    /// leaf groups under the `layout` it was written with, one of row leaves
-    /// under none.
-    pub fn open(cache: Arc<BufferCache>, file: FileId, layout: Option<&Arc<RecordLayout>>) -> Result<Self> {
+    /// Opens an existing component file by reading its footer, as a tree of
+    /// the leaf `shape` it was written with: leaf groups under the layout
+    /// they were written with.
+    pub fn open(cache: Arc<BufferCache>, file: FileId, shape: &LeafShape) -> Result<Self> {
         let manager = cache.manager();
         let n_pages = manager.page_count(file)?;
         if n_pages == 0 {
@@ -905,7 +1005,8 @@ impl DiskBTree {
         let mut end = FileEnd { first: n_pages - 1, bytes: manager.read_page(file, n_pages - 1)? };
         let mut tail = Cursor::at(&end.bytes, PAGE_SIZE - TAIL);
         let back = u64::from(tail.u32()?);
-        tail.header(&FORMAT)?;
+        let spatial = matches!(shape, LeafShape::Spatial);
+        tail.header(if spatial { &SPATIAL_FORMAT } else { &FORMAT })?;
         let corrupt = |what: &str| StorageError::Corrupt(format!("btree footer: {what}"));
         let trailer_at = (n_pages * PAGE_SIZE as u64 - TAIL as u64)
             .checked_sub(back)
@@ -936,7 +1037,7 @@ impl DiskBTree {
             [] => None,
             bytes => Some(BloomFilter::from_bytes(bytes).ok_or_else(|| corrupt("bad bloom filter"))?),
         };
-        let shape = match layout {
+        let shape = match shape.layout() {
             None if columns.is_empty() && tables.is_empty() => None,
             Some(layout) if columns == column_directory(layout) => {
                 Some(Arc::new(GroupShape::with_tables(Arc::clone(layout), tables)?))
@@ -947,7 +1048,7 @@ impl DiskBTree {
                 ))
             }
         };
-        let fences = Fences::decode(fences)?;
+        let fences = Fences::decode(fences, spatial)?;
         let tree = DiskBTree { cache, file, fences, leaf_end, entry_count, bloom, min_key, max_key, shape };
         if cfg!(debug_assertions) {
             tree.audit()?;
@@ -966,7 +1067,7 @@ impl DiskBTree {
         let mut leaves = Vec::with_capacity(self.fences.len());
         let mut at = 0;
         while at < self.leaf_end {
-            let (leaf, len) = leaf_bounds(image.get(at as usize..).unwrap_or_default(), at, self.shape.as_deref())?;
+            let (leaf, len) = leaf_bounds(image.get(at as usize..).unwrap_or_default(), at, self.shape.as_deref(), self.fences.mbrs.is_some())?;
             leaves.push(leaf);
             at += len;
         }
@@ -1061,6 +1162,28 @@ impl DiskBTree {
         };
         let at = self.fences.find(start.map(|(k, _)| k));
         self.cursor(tree, at, start, hi)
+    }
+
+    /// Hands `visit` every entry — key, and value or `None` for a delete
+    /// marker — of the leaves of a spatial tree whose fence MBR meets
+    /// `query`, each leaf read through the buffer cache. Returns how many
+    /// entries it handed over.
+    pub fn search_leaves(&self, query: &Rectangle, mut visit: impl FnMut(&[u8], Option<&[u8]>) -> Result<()>) -> Result<u64> {
+        if self.fences.mbrs.is_none() {
+            return Err(StorageError::Invalid("a search by MBR of a tree whose leaves are not spatial".into()));
+        }
+        let (mut key, mut visited) = (Vec::with_capacity(32), 0);
+        for start in self.fences.meeting(query) {
+            let page = self.cache.get(self.file, start / PAGE_SIZE as u64)?;
+            let view = PageView::new(&page)?;
+            let mut at = view.first(&mut key)?;
+            while at.idx < view.n {
+                visit(&key, at.value.clone().map(|value| &page[value]))?;
+                at = view.at(at.idx + 1, at.next, &mut key)?;
+            }
+            visited += view.n as u64;
+        }
+        Ok(visited)
     }
 
     /// Full scan in key order.
@@ -1669,7 +1792,7 @@ mod tests {
         let fm2 = FileManager::new(dir.path(), IoStats::new()).unwrap();
         let cache2 = BufferCache::new(fm2, 64);
         let fid = cache2.manager().open("r.btree").unwrap();
-        let t = DiskBTree::open(Arc::clone(&cache2), fid, None).unwrap();
+        let t = DiskBTree::open(Arc::clone(&cache2), fid, &LeafShape::Rows).unwrap();
         assert_eq!(t.len(), 2_000);
         assert_eq!(t.get(&key(1234)).unwrap(), Some(value(1234)));
         assert!(t.get(&key(5555)).unwrap().is_none());
@@ -1831,13 +1954,13 @@ mod tests {
         let mut builder = PageBuilder::new();
         for i in 0..100 {
             let value = vec![i as u8; i as usize % 3];
-            builder.push(&author_key(i / 7, 13 * i), (i % 5 != 4).then_some(value.as_slice()));
+            builder.push(&author_key(i / 7, 13 * i), (i % 5 != 4).then_some(value.as_slice()), None);
         }
         let page = builder.emit();
         let (entries_end, restarts) = (PAGE_HEADER + builder.bytes.len(), PAGE_SIZE - 2 * builder.restarts.len());
         let keys = read_page(&page, &[]).unwrap().0;
         assert_eq!(keys.len(), builder.n);
-        assert_eq!(PageView::new(&page).unwrap().audit().unwrap().2, builder.n);
+        assert_eq!(PageView::new(&page).unwrap().audit(0, false).unwrap().n, builder.n as u64);
         let mut probes = vec![Vec::new(), vec![0xFF]];
         for (k, _) in keys.iter().step_by(7) {
             probes.extend([k.clone(), [k.as_slice(), &[0]].concat(), k[..k.len() - 1].to_vec()]);
@@ -1857,7 +1980,7 @@ mod tests {
                 Ok(read) => assert!(read != sound || unread.contains(&at), "byte {at}"),
             }
             // the audit refuses whatever damage the entries show
-            match PageView::new(&bad).and_then(|view| view.audit()) {
+            match PageView::new(&bad).and_then(|view| view.audit(0, false)) {
                 Err(StorageError::Corrupt(_)) => audited += 1,
                 Err(e) => panic!("byte {at}: {e}"),
                 Ok(_) => {}
@@ -1959,7 +2082,7 @@ mod tests {
             lsm.flush().unwrap();
         }
         lsm.merge_newest(2).unwrap();
-        assert_eq!(crate::lsm::LsmIndex::component_count(&lsm), 1);
+        assert_eq!(lsm.component_count(), 1);
         let merged: Vec<_> = lsm.scan().unwrap().into_iter().map(|(k, v)| (k, Entry::Put(v))).collect();
         assert_eq!(merged, want);
     }
@@ -2102,11 +2225,11 @@ mod tests {
         let (cache, _d) = setup(64);
         let file = build_groups(&cache, "o.btree", 50).file();
         let rows = build(&cache, "r.btree", 50, true).file();
-        let reopened = DiskBTree::open(Arc::clone(&cache), file, Some(&message_layout())).unwrap();
+        let reopened = DiskBTree::open(Arc::clone(&cache), file, &LeafShape::Groups(message_layout())).unwrap();
         assert_eq!(reopened.get(&key(3)).unwrap(), Some(Entry::Put(message(3))));
-        let other = Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType").unwrap()));
-        for (file, layout) in [(file, None), (file, Some(&other)), (rows, Some(&other))] {
-            assert!(matches!(DiskBTree::open(Arc::clone(&cache), file, layout), Err(StorageError::Corrupt(_))));
+        let other = LeafShape::Groups(Arc::new(RecordLayout::new(gleambook_types().get("GleambookUserType").unwrap())));
+        for (file, shape) in [(file, &LeafShape::Rows), (file, &other), (rows, &other), (rows, &LeafShape::Spatial), (file, &LeafShape::Spatial)] {
+            assert!(matches!(DiskBTree::open(Arc::clone(&cache), file, shape), Err(StorageError::Corrupt(_))));
         }
     }
 

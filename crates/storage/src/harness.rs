@@ -1,5 +1,6 @@
 //! The LSM index, written once (paper §III item 5, §V-B: one framework
-//! "LSM-ifies" B+ trees, R-trees and inverted indexes alike).
+//! "LSM-ifies" B+ trees, R-trees and inverted indexes alike — here each of
+//! them is a B+ tree).
 //!
 //! [`Lsm<K>`] is the handle of an LSM index of kind `K` and the one place its
 //! lifecycle surface is written down. It is made of two halves. The memory
@@ -19,10 +20,10 @@
 //! and a snapshot of disk components, either of which may be missing — a
 //! flush is that merge with no disk input. Beside that it writes only its
 //! typed reads and writes, as inherent methods of `Lsm<ItsKind>`:
-//! [`crate::lsm::LsmTree`] (and over it [`crate::inverted::InvertedIndex`])
-//! and [`crate::lsm_rtree::LsmRTree`] are the kinds. Everything is statically
-//! dispatched, so a read costs a list snapshot and nothing else;
-//! [`LsmIndex`] is the same surface for an owner of indexes of several kinds.
+//! [`crate::lsm::LsmTree`] is the one kind, and over it
+//! [`crate::inverted::InvertedIndex`] and [`crate::spatial::SpatialIndex`].
+//! Everything is statically dispatched, so a read costs a list snapshot and
+//! nothing else.
 //!
 //! Before a sealed memory component is flushed, the merge policy is asked
 //! about the list the flush would publish, the sealed component counted at
@@ -513,8 +514,8 @@ pub fn remove_index_files(dir: &Path, name: &str) -> Result<()> {
     Ok(())
 }
 
-/// File suffixes of LSM component files, across every index kind.
-const COMPONENT_SUFFIXES: [&str; 3] = [".btree", ".rtree", ".delkeys"];
+/// File suffixes of LSM component files.
+const COMPONENT_SUFFIXES: [&str; 1] = [".btree"];
 
 // ---------------------------------------------------------------------------
 // The compaction slot
@@ -593,8 +594,13 @@ impl<K: ComponentKind> Harness<K> {
         let mut max_id = 0;
         for entry in manifest.components {
             let files = entry.files.iter().map(|f| manager.open(f)).collect::<Result<Vec<_>>>()?;
+            // a file of another version or kind is refused, naming it
+            let named = |e: StorageError| match e {
+                StorageError::Corrupt(why) => StorageError::Corrupt(format!("{}: {why}", entry.files.join(", "))),
+                e => e,
+            };
             let built = Built {
-                disk: harness.kind.reopen(&files)?,
+                disk: harness.kind.reopen(&files).map_err(named)?,
                 size_bytes: entry.size_bytes,
                 written: 0,
             };
@@ -1146,9 +1152,6 @@ impl<K: ComponentKind> Lsm<K> {
     /// published and handed to merge scheduling, or into the merges that
     /// take them in, which it waits for however long they run. What an open
     /// transaction wrote stays in memory until it is released.
-    ///
-    /// Inherent as well as [`LsmIndex::flush`], so that a caller holding a
-    /// concrete tree flushes it without importing the trait.
     pub fn flush(&mut self) -> Result<()> {
         self.settle(true)
     }
@@ -1244,38 +1247,14 @@ impl<K: ComponentKind> Drop for Lsm<K> {
     }
 }
 
-/// The lifecycle of an [`Lsm`] index of whatever kind, for an owner that
-/// keeps indexes of several kinds side by side (a dataset partition); each
-/// method is documented where [`Lsm`] implements it.
-pub trait LsmIndex {
-    fn name(&self) -> &str;
-    fn stats(&self) -> LsmStats;
-    fn set_executor(&self, exec: CompactionExec);
-    fn component_count(&self) -> usize;
-    fn stamp(&mut self, lsn: Lsn, writer: Option<u64>);
-    fn stamp_as(&mut self, stamps: &SlotStamps);
-    fn release(&mut self, writer: u64) -> Result<()>;
-    fn must_wait(&self, writer: u64) -> bool;
-    fn sealed_by_owner(&mut self);
-    fn over_budget(&self) -> bool;
-    fn has_sealed(&self) -> bool;
-    fn take_back_sealed(&mut self);
-    fn seal(&mut self);
-    fn flush_sealed(&mut self) -> Result<()>;
-    fn flushed_below(&self) -> Lsn;
-    fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()>;
-    fn destroy(&self) -> Result<()>;
-    fn flush(&mut self) -> Result<()>;
-}
-
-impl<K: ComponentKind> LsmIndex for Lsm<K> {
+impl<K: ComponentKind> Lsm<K> {
     /// The index's name: the prefix of its manifest and component files.
-    fn name(&self) -> &str {
+    pub fn name(&self) -> &str {
         self.shared.kind.name()
     }
 
     /// Lifetime statistics.
-    fn stats(&self) -> LsmStats {
+    pub fn stats(&self) -> LsmStats {
         let s = &self.shared.stats;
         LsmStats {
             seals: s.seals.get(),
@@ -1294,19 +1273,19 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
 
     /// Where merges scheduled from now on run, one morsel per step: off the
     /// write path, if that is what `exec` does with a job.
-    fn set_executor(&self, exec: CompactionExec) {
+    pub fn set_executor(&self, exec: CompactionExec) {
         *self.shared.exec.lock() = exec;
     }
 
     /// Number of disk components.
-    fn component_count(&self) -> usize {
+    pub fn component_count(&self) -> usize {
         self.shared.disk.lock().len()
     }
 
     /// The writes that follow apply the log record at `lsn`, logged by the
     /// open transaction `writer` (`None` when replaying a committed one).
     /// What `writer` wrote is not flushed before [`Lsm::release`].
-    fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
+    pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
         // a record replayed into an index durable past it (a secondary
         // ahead of its primary) is already in a disk component
         self.mem.active.first_lsn.get_or_insert(lsn.max(self.shared.flushed_mark.get()));
@@ -1318,7 +1297,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// component `stamps` describes held, and stands where that one does: it
     /// is stamped alike, covers as much of the log, and is sealed if that
     /// one was. Nothing its writers wrote is flushed before they are over.
-    fn stamp_as(&mut self, stamps: &SlotStamps) {
+    pub fn stamp_as(&mut self, stamps: &SlotStamps) {
         let active = &mut self.mem.active;
         if let Some(first) = stamps.first_lsn {
             active.first_lsn = Some(active.first_lsn.map_or(first, |lsn| lsn.min(first)));
@@ -1332,7 +1311,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
 
     /// Transaction `writer` has committed or aborted: flushes what was
     /// waiting for it.
-    fn release(&mut self, writer: u64) -> Result<()> {
+    pub fn release(&mut self, writer: u64) -> Result<()> {
         self.mem.active.writers.remove(&writer);
         if let Some(sealed) = &mut self.mem.sealed {
             sealed.writers.remove(&writer);
@@ -1346,7 +1325,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// the active one seal, where writing on only grows memory. One that
     /// waits for no transaction — a merge has taken it in — is no reason:
     /// the write's own flush takes it back ([`Lsm::take_back_sealed`]).
-    fn must_wait(&self, writer: u64) -> bool {
+    pub fn must_wait(&self, writer: u64) -> bool {
         self.over_budget()
             && self.mem.sealed.as_ref().is_some_and(|s| !s.writers.is_empty() && !s.writers.contains(&writer))
     }
@@ -1354,7 +1333,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// From now on the index is sealed only by [`Lsm::seal`] and flushed
     /// only by [`Lsm::flush_sealed`] and [`Lsm::flush`]: its owner keeps it in
     /// step with other indexes, whatever its own budget says.
-    fn sealed_by_owner(&mut self) {
+    pub fn sealed_by_owner(&mut self) {
         self.mem.by_owner = true;
     }
 
@@ -1363,14 +1342,14 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// the first record it holds the effect of to the last (LSNs count the
     /// log's record stream, so this is the log decoded). The second bounds
     /// what a restart replays when overwrites keep what it holds small.
-    fn over_budget(&self) -> bool {
+    pub fn over_budget(&self) -> bool {
         let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
         let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
         active.mem.bytes() > budget || pinned > budget as u64
     }
 
     /// Whether a sealed memory component waits to be flushed.
-    fn has_sealed(&self) -> bool {
+    pub fn has_sealed(&self) -> bool {
         self.mem.sealed.is_some()
     }
 
@@ -1380,7 +1359,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// holds no more than two memory components' worth, as it would if the
     /// sealed one had been flushed at once, and no more of the log. Waits
     /// only for a publish in progress.
-    fn take_back_sealed(&mut self) {
+    pub fn take_back_sealed(&mut self) {
         let Some(handoff) = self.mem.sealed.as_ref().and_then(|s| s.handoff.as_ref()) else { return };
         if handoff.done.get() {
             return;
@@ -1394,7 +1373,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// Seals the active memory component, empty or not, unless a sealed one
     /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
     /// are done.
-    fn seal(&mut self) {
+    pub fn seal(&mut self) {
         let mem = &mut self.mem;
         if mem.sealed.is_none() {
             self.shared.stats.seals.inc();
@@ -1418,7 +1397,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// the merge publishes, and is flushed here after all if the merge
     /// fails or the index took it back. A flushed component is handed to
     /// merge scheduling.
-    fn flush_sealed(&mut self) -> Result<()> {
+    pub fn flush_sealed(&mut self) -> Result<()> {
         let shared = &self.shared;
         let Some(sealed) = self.mem.sealed.as_mut().filter(|s| s.writers.is_empty()) else { return Ok(()) };
         if sealed.mem.is_empty() {
@@ -1452,7 +1431,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
 
     /// The LSN below which every logged operation of this index is in a
     /// durable disk component.
-    fn flushed_below(&self) -> Lsn {
+    pub fn flushed_below(&self) -> Lsn {
         *self.shared.manifest.lock()
     }
 
@@ -1460,7 +1439,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// `lsn` is flushed, though no new component says so: the index was just
     /// created (the log so far is not about it), or what it buffered since
     /// its last flush left no entry.
-    fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
+    pub fn mark_flushed_below(&mut self, lsn: Lsn) -> Result<()> {
         self.cover_below(lsn);
         self.shared.write_flushed_below(lsn)
     }
@@ -1469,7 +1448,7 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
     /// leaves one naming deleted files), then every component, then the
     /// manifest itself. The handle stays readable, as an empty index, but
     /// can publish nothing more.
-    fn destroy(&self) -> Result<()> {
+    pub fn destroy(&self) -> Result<()> {
         let shared = &self.shared;
         shared.cancel_merge();
         let manager = shared.kind.cache().manager();
@@ -1483,10 +1462,6 @@ impl<K: ComponentKind> LsmIndex for Lsm<K> {
         }
         drop(dropped);
         crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        Lsm::flush(self)
     }
 }
 
@@ -1582,8 +1557,9 @@ mod tests {
     use crate::compaction::BackgroundExecutor;
     use crate::faults::{FaultConfig, FaultInjector};
     use crate::io::FileManager;
+    use crate::btree::LeafShape;
     use crate::lsm::{BTreeKind, LsmConfig, LsmTree};
-    use crate::lsm_rtree::{LsmRTree, LsmRTreeConfig, RTreeKind};
+    use crate::spatial as spatial_index;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
     use asterix_adm::binary::encode_key;
@@ -1631,8 +1607,8 @@ mod tests {
     impl Entries for Columns {
         type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
-            let layout = Some(Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap())));
-            LsmConfig { mem_budget, merge_policy, layout, ..LsmConfig::new("c") }
+            let leaves = LeafShape::Groups(Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap())));
+            LsmConfig { mem_budget, merge_policy, leaves, ..LsmConfig::new("c") }
         }
         fn put(t: &mut LsmTree, i: u64) {
             let message = Value::object(vec![
@@ -1655,21 +1631,22 @@ mod tests {
         Point::new(i as f64, 0.0).to_mbr()
     }
 
+    /// A B+ tree of MBRs: spatial row leaves, read by a search.
     struct Spatial;
 
     impl Entries for Spatial {
-        type Kind = RTreeKind;
-        fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmRTreeConfig {
-            LsmRTreeConfig { mem_budget, merge_policy, ..LsmRTreeConfig::new("s") }
+        type Kind = BTreeKind;
+        fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
+            LsmConfig { mem_budget, merge_policy, ..spatial_index::SpatialIndex::config("s") }
         }
-        fn put(t: &mut LsmRTree, i: u64) {
-            t.insert(point(i), format!("k{i}").into_bytes()).unwrap();
+        fn put(t: &mut LsmTree, i: u64) {
+            t.upsert(spatial_index::key(&point(i), &key(i)), spatial_index::value(&point(i))).unwrap();
         }
-        fn delete(t: &mut LsmRTree, i: u64) {
-            t.delete(&point(i), format!("k{i}").as_bytes()).unwrap();
+        fn delete(t: &mut LsmTree, i: u64) {
+            t.delete(spatial_index::key(&point(i), &key(i))).unwrap();
         }
-        fn live(t: &LsmRTree) -> usize {
-            t.count().unwrap()
+        fn live(t: &LsmTree) -> usize {
+            spatial_index::search(t, &spatial_index::everything()).unwrap().len()
         }
     }
 
@@ -2202,8 +2179,9 @@ mod tests {
         trace
     }
 
-    /// No-steal is decided by the handle, not by the kind: the same schedule
-    /// seals, flushes and advances the flushed LSN at the same steps.
+    /// No-steal is decided by the handle, not by the leaves: the same
+    /// schedule seals, flushes and advances the flushed LSN at the same steps
+    /// for row leaves and spatial ones.
     #[test]
     fn both_kinds_seal_and_flush_at_the_same_steps_of_one_schedule() {
         let trace = no_steal_trace::<Rows>();
@@ -2242,6 +2220,30 @@ mod tests {
         std::fs::remove_file(dir.path().join("t_c9.btree")).unwrap();
         std::fs::remove_file(dir.path().join("t_c1.btree")).unwrap();
         refused(audit_directory(dir.path()), "names t_c1.btree, which is not there");
+    }
+
+    /// A data directory from before spatial components were B+ trees: its
+    /// manifest names an R-tree component, a page file that ends in the
+    /// `RTR2` trailer. The reopen refuses it, naming the file, and reads
+    /// nothing of it as a tree.
+    #[test]
+    fn a_manifest_naming_a_retired_r_tree_component_is_refused_at_reopen() {
+        let (cache, dir) = setup(None);
+        let mut image = vec![0u8; 2 * crate::io::PAGE_SIZE];
+        // a leaf of one point, then the trailer: magic, root page, entry count
+        image[..3].copy_from_slice(&[1, 1, 0]);
+        let trailer = crate::io::PAGE_SIZE;
+        image[trailer..trailer + 4].copy_from_slice(&0x5254_5232u32.to_le_bytes());
+        image[trailer + 12..trailer + 20].copy_from_slice(&1u64.to_le_bytes());
+        std::fs::write(dir.path().join("s_c1.rtree"), &image).unwrap();
+        let manifest = Manifest { flushed_below: 7, components: vec![ManifestEntry { id: 1, size_bytes: image.len() as u64, lsns: (0, 7), files: vec!["s_c1.rtree".into()] }] };
+        std::fs::write(manifest_path(dir.path(), "s"), manifest.encode()).unwrap();
+        match Lsm::<BTreeKind>::reopen(cache, Spatial::config(1 << 20, MergePolicy::NoMerge)) {
+            Err(StorageError::Corrupt(why)) => assert!(why.contains("s_c1.rtree") && why.contains("spatial B+ tree footer"), "{why}"),
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("a retired R-tree component opened"),
+        }
+        assert_eq!(std::fs::read(dir.path().join("s_c1.rtree")).unwrap(), image, "the refused file is left as it was");
     }
 
     macro_rules! lifecycle_contract {
@@ -2319,5 +2321,5 @@ mod tests {
 
     lifecycle_contract!(btree, Rows);
     lifecycle_contract!(columns, Columns);
-    lifecycle_contract!(rtree, Spatial);
+    lifecycle_contract!(spatial, Spatial);
 }

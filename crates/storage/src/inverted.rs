@@ -127,7 +127,6 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use crate::io::FileManager;
-    use crate::lsm::LsmIndex;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
 

@@ -342,8 +342,8 @@ pub fn remove_file(path: &Path, faults: Option<&Arc<FaultInjector>>) -> Result<(
     }
 }
 
-/// Buffered sequential page writer used by bulk loads (B+ tree / R-tree
-/// component construction). Call [`PageFileWriter::finish`] to flush, sync,
+/// Buffered sequential page writer used by bulk loads (B+ tree component
+/// construction). Call [`PageFileWriter::finish`] to flush, sync,
 /// and register the file read-only with the manager.
 pub struct PageFileWriter {
     manager: Arc<FileManager>,

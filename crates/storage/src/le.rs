@@ -1,7 +1,7 @@
 //! Panic-free little-endian slice decoding, and how a persisted file says
 //! what it is.
 //!
-//! The on-disk formats in this crate (B+ tree pages, R-tree pages, log
+//! The on-disk formats in this crate (B+ tree pages and footers, log
 //! blocks, manifests, bloom filters) are decoded from byte slices whose
 //! lengths are usually guaranteed by construction (pages are always
 //! [`crate::io::PAGE_SIZE`]). The crate's `clippy::unwrap_used` denial still
@@ -21,8 +21,8 @@
 //!
 //! **Format versions.** Every kind of file has one header, a `Format`
 //! constant beside its writer holding the bytes this build writes: the
-//! B+-tree footer (`.btree`, `.delkeys`), the R-tree trailer, the manifest
-//! and the log block's tag. `Cursor::header` is the one check of it; a file
+//! B+-tree footer, the spatial B+-tree footer, the manifest and the log
+//! block's tag. `Cursor::header` is the one check of it; a file
 //! of another version or of another kind is refused there, with one error.
 //! A format changes by changing its kind's constant.
 
@@ -268,12 +268,12 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::btree::{self, BTreeBuilder, DiskBTree};
+    use crate::btree::{self, BTreeBuilder, DiskBTree, LeafShape};
     use crate::cache::BufferCache;
     use crate::harness;
-    use crate::io::{FileManager, PAGE_SIZE};
+    use crate::io::FileManager;
     use crate::lsm::{LsmConfig, LsmTree};
-    use crate::rtree::{self, DiskRTree, RTreeBuilder, SpatialEntry};
+    use crate::spatial;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
     use crate::log_block;
@@ -369,10 +369,6 @@ mod tests {
         BufferCache::new(FileManager::new(dir, IoStats::new()).unwrap(), 8)
     }
 
-    fn trailer_of(dir: &Path, name: &str) -> usize {
-        std::fs::metadata(dir.join(name)).unwrap().len() as usize - PAGE_SIZE
-    }
-
     fn seal_first_block(log: &mut [u8]) {
         let len = u32_at(log, 0) as usize;
         let crc = fnv1a(&log[8..8 + len]);
@@ -396,25 +392,26 @@ mod tests {
                 open: |dir| {
                     let cache = cache(dir);
                     let file = cache.manager().open("t.btree")?;
-                    DiskBTree::open(cache, file, None).map(drop)
+                    DiskBTree::open(cache, file, &LeafShape::Rows).map(drop)
                 },
                 seal: |_| {},
             },
             Kind {
-                format: &rtree::FORMAT,
-                pinned: &[b"2RTR"],
+                format: &btree::SPATIAL_FORMAT,
+                pinned: &[b"1STB"],
                 version: 0,
-                name: "t.rtree",
+                name: "s.btree",
                 write: |dir| {
-                    let entry = SpatialEntry { mbr: Point::new(1.0, 2.0).to_mbr(), key: b"k".to_vec() };
-                    let w = cache(dir).manager().bulk_writer("t.rtree").unwrap();
-                    RTreeBuilder::new(w, true).build(vec![entry]).unwrap();
-                    trailer_of(dir, "t.rtree")
+                    let w = cache(dir).manager().bulk_writer("s.btree").unwrap();
+                    let mut b = BTreeBuilder::with_shape(w, true, &LeafShape::Spatial);
+                    b.add(b"k", Some(&spatial::value(&Point::new(1.0, 2.0).to_mbr()))).unwrap();
+                    b.finish().unwrap();
+                    std::fs::metadata(dir.join("s.btree")).unwrap().len() as usize - 4
                 },
                 open: |dir| {
                     let cache = cache(dir);
-                    let file = cache.manager().open("t.rtree")?;
-                    DiskRTree::open(cache, file).map(drop)
+                    let file = cache.manager().open("s.btree")?;
+                    DiskBTree::open(cache, file, &LeafShape::Spatial).map(drop)
                 },
                 seal: |_| {},
             },

@@ -7,17 +7,17 @@
 //! * a page/file layer with explicit I/O accounting ([`io`], [`stats`]) and a
 //!   node-level **buffer cache** with clock eviction ([`cache`]) — Figure 2's
 //!   "Buffer Cache" box;
-//! * immutable, bulk-loaded on-disk **B+ trees** ([`btree`]) — the building
-//!   block of every LSM disk component — whose leaves are pages of opaque
-//!   values or, for a dataset's primary index, columnar **leaf groups**
-//!   ([`leaf_group`]);
+//! * immutable, bulk-loaded on-disk **B+ trees** ([`btree`]) — every LSM
+//!   disk component is one — whose leaves are pages of opaque values, pages
+//!   of MBRs with each leaf's MBR in its fence, or, for a dataset's primary
+//!   index, columnar **leaf groups** ([`leaf_group`]);
 //! * the **LSM framework**: one component lifecycle (`harness`: the
 //!   component list, pluggable merge policies, merge scheduling, publishing
-//!   and retirement) that every index kind rides, and the LSM B+ tree
-//!   ([`lsm`]) with bloom filters ([`bloom`]);
-//! * **LSM R-trees** ([`rtree`], [`lsm_rtree`]) on the same lifecycle, with
-//!   STR-packed disk components, delete handling via a companion key B+
-//!   tree, and the paper's point-MBR storage optimization (§V-B);
+//!   and retirement) and the LSM B+ tree that rides it ([`lsm`]) with bloom
+//!   filters ([`bloom`]);
+//! * the **spatial index** ([`spatial`]): an LSM B+ tree over Hilbert keys
+//!   whose fence index carries each leaf's MBR — a Hilbert-packed R-tree —
+//!   with the paper's point-MBR storage optimization (§V-B);
 //! * **LSM inverted keyword indexes** ([`inverted`]) for `TYPE KEYWORD`
 //!   secondary indexes;
 //! * spatial-key linearization alternatives ([`spatial_keys`]) — Hilbert,
@@ -57,9 +57,8 @@ pub mod linear_hash;
 pub mod lock_order;
 pub(crate) mod log_block;
 pub mod lsm;
-pub mod lsm_rtree;
 pub(crate) mod lz;
-pub mod rtree;
+pub mod spatial;
 pub mod spatial_keys;
 pub mod stats;
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The LSM (Log-Structured Merge) B+ tree (paper Figure 2, Section III item
-//! 5): every dataset partition is an LSM B+ tree; B+-tree and keyword
-//! secondary indexes are built from it.
+//! 5): every dataset partition is an LSM B+ tree; B+-tree, keyword and
+//! spatial secondary indexes are built from it.
 //!
 //! Writes go to an in-memory component ([`MemComponent`]); when it exceeds its
 //! ingestion-buffer budget it is sealed and *flushed* — bulk-loaded into an
@@ -12,8 +12,10 @@
 //! [`MergePolicy`] decides when to merge disk components (experiment E8
 //! compares the policies).
 //!
-//! A tree whose values are records ([`LsmConfig::layout`]: a dataset's
-//! primary index) writes its disk components as leaf groups
+//! A tree's leaves have the shape [`LsmConfig::leaves`] names: row leaves,
+//! spatial row leaves ([`crate::spatial`]) or leaf groups. A tree whose
+//! values are records (a dataset's primary index) writes its disk components
+//! as leaf groups
 //! ([`crate::leaf_group`]): the memory component keeps whole rows, the flush
 //! takes them apart, and a read that names the cells it wants is handed
 //! exactly those of an entry that a disk component holds — and the row of one
@@ -29,12 +31,12 @@
 //! retirement are the shared lifecycle in `crate::harness`, which this tree
 //! rides as one `ComponentKind`.
 
-use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree};
+use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree, LeafShape};
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
 use crate::io::FileId;
-use asterix_adm::layout::{Cells, RecordLayout};
+use asterix_adm::layout::Cells;
 use asterix_adm::BatchBuilder;
 use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
@@ -42,7 +44,7 @@ use std::sync::Arc;
 
 pub use crate::btree::Entry;
 pub use crate::harness::{
-    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmIndex, LsmStats, MergePolicy, SlotStamps,
+    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmStats, MergePolicy, SlotStamps,
 };
 
 // ---------------------------------------------------------------------------
@@ -166,9 +168,10 @@ pub struct LsmConfig {
     pub merge_policy: MergePolicy,
     /// Attach bloom filters to disk components.
     pub bloom: bool,
-    /// The values are records, rows this layout takes apart: disk components
-    /// store them column by column ([`crate::leaf_group`]).
-    pub layout: Option<Arc<RecordLayout>>,
+    /// What the disk components' leaves hold: opaque values, MBRs
+    /// ([`crate::spatial`]), or records that a layout takes apart and stores
+    /// column by column ([`crate::leaf_group`]).
+    pub leaves: LeafShape,
 }
 
 impl LsmConfig {
@@ -182,7 +185,7 @@ impl LsmConfig {
                 max_tolerance_components: 4,
             },
             bloom: true,
-            layout: None,
+            leaves: LeafShape::Rows,
         }
     }
 }
@@ -317,10 +320,7 @@ impl BTreeKind {
     fn builder(&self, id: u64) -> Result<BTreeBuilder> {
         let name = format!("{}_c{}.btree", self.config.name, id);
         let writer = self.cache.manager().bulk_writer(&name)?;
-        Ok(match &self.config.layout {
-            None => BTreeBuilder::new(writer, self.config.bloom),
-            Some(layout) => BTreeBuilder::with_layout(writer, self.config.bloom, Arc::clone(layout)),
-        })
+        Ok(BTreeBuilder::with_shape(writer, self.config.bloom, &self.config.leaves))
     }
 
     /// Seals a bulk-loaded component file.
@@ -364,7 +364,7 @@ impl ComponentKind for BTreeKind {
 
     fn reopen(&self, files: &[FileId]) -> Result<DiskBTree> {
         match files {
-            [file] => DiskBTree::open(Arc::clone(&self.cache), *file, self.config.layout.as_ref()),
+            [file] => DiskBTree::open(Arc::clone(&self.cache), *file, &self.config.leaves),
             _ => Err(StorageError::Corrupt(format!(
                 "B+-tree component of {} lists {} files",
                 self.config.name,
@@ -400,7 +400,7 @@ impl ComponentKind for BTreeKind {
     /// wins on duplicates; a dropped tombstone still costs budget).
     fn step(&self, run: &mut MergeRun, budget: usize) -> Result<bool> {
         let MergeRun { mem, mem_at, disk, taken, builder, includes_oldest, written, cells } = run;
-        let every_cell: Vec<usize> = self.config.layout.iter().flat_map(|l| 0..l.cell_count()).collect();
+        let every_cell: Vec<usize> = self.config.leaves.layout().iter().flat_map(|l| 0..l.cell_count()).collect();
         let mut sources: Vec<Source<'_>> = Vec::with_capacity(disk.len() + 1);
         if let Some(mem) = mem {
             let mut rest = match mem_at {
@@ -428,7 +428,7 @@ impl ComponentKind for BTreeKind {
                         let (key, entry) = (*head).ok_or_else(gone)?;
                         builder.add(key, entry.value())?;
                     }
-                    Source::Disk(winner) if self.config.layout.is_none() || dead => {
+                    Source::Disk(winner) if self.config.leaves.layout().is_none() || dead => {
                         let (key, value) = winner.entry()?;
                         builder.add(key, value)?;
                     }
@@ -552,7 +552,7 @@ impl Lsm<BTreeKind> {
     /// projection names of a leaf group, whose other chunks are not touched.
     /// Says whether there was one. For a tree that has a layout.
     pub fn get_into(&self, key: &[u8], builder: &mut BatchBuilder<'_>) -> Result<bool> {
-        if self.config().layout.is_none() {
+        if self.config().leaves.layout().is_none() {
             return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", self.config().name)));
         }
         Ok(match self.find(key, |disk| disk.probe(key))? {
@@ -608,7 +608,7 @@ impl Lsm<BTreeKind> {
             kind: self.kind(),
             shared: &self.shared,
             _snapshot: snapshot,
-            wanted: wanted.filter(|_| self.config().layout.is_some()).map(<[usize]>::to_vec),
+            wanted: wanted.filter(|_| self.config().leaves.layout().is_some()).map(<[usize]>::to_vec),
             cells: Cells::default(),
         })
     }
@@ -726,7 +726,7 @@ impl LsmReader<'_> {
     /// between them or the group ends. For a tree that has a layout.
     pub fn fill(&mut self, builder: &mut BatchBuilder<'_>, limit: usize) -> Result<Option<Vec<u8>>> {
         let LsmReader { merge, kind, .. } = self;
-        if kind.config.layout.is_none() {
+        if kind.config.leaves.layout().is_none() {
             return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", kind.config.name)));
         }
         // the winners not yet appended: runs of entry numbers in the leaf

@@ -50,16 +50,17 @@ impl World {
     }
 }
 
-/// Hilbert curve distance of cell `(x, y)` on a `2^bits × 2^bits` grid
-/// (the classic Wikipedia `xy2d` algorithm).
-pub fn hilbert_d(mut x: u32, mut y: u32, bits: u32) -> u64 {
-    let n: u32 = 1 << bits;
+/// Hilbert curve distance of cell `(x, y)` on a `2^bits × 2^bits` grid,
+/// `bits` at most 32 (the classic Wikipedia `xy2d` algorithm).
+pub fn hilbert_d(x: u32, y: u32, bits: u32) -> u64 {
+    let (mut x, mut y) = (u64::from(x), u64::from(y));
+    let n: u64 = 1 << bits;
     let mut d: u64 = 0;
-    let mut s: u32 = n / 2;
+    let mut s: u64 = n / 2;
     while s > 0 {
-        let rx = u32::from((x & s) > 0);
-        let ry = u32::from((y & s) > 0);
-        d += (s as u64) * (s as u64) * ((3 * rx) ^ ry) as u64;
+        let rx = u64::from((x & s) > 0);
+        let ry = u64::from((y & s) > 0);
+        d += s * s * ((3 * rx) ^ ry);
         // rotate the quadrant so recursion sees canonical orientation
         if ry == 0 {
             if rx == 1 {

@@ -9,7 +9,7 @@ use asterix_storage::faults::{FaultConfig, FaultEvent, FaultInjector};
 use asterix_storage::io::{FileManager, PAGE_SIZE};
 use asterix_storage::stats::IoStats;
 use asterix_storage::cache::BufferCache;
-use asterix_storage::lsm::{sweep_unreferenced, LsmConfig, LsmIndex, LsmTree, MergePolicy};
+use asterix_storage::lsm::{sweep_unreferenced, LsmConfig, LsmTree, MergePolicy};
 use asterix_storage::wal::{
     analyze, read_log, valid_prefix_len, Lsn, SegmentedWal, WalRecord, WalWriter,
 };

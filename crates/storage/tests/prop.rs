@@ -1,20 +1,19 @@
 //! Property-based tests for the storage layer: B+ tree vs model, LSM vs
-//! model, R-tree and LSM R-tree vs brute force, bloom filter totality, hash
-//! vs model.
+//! model, spatial leaves and the spatial index vs brute force, bloom filter
+//! totality, hash vs model.
 
 use asterix_adm::binary::encode_key;
 use asterix_adm::fsst::{Encoder, SymbolTable};
 use asterix_adm::types::{Field, ObjectType, TypeExpr};
 use asterix_adm::{BatchBuilder, Point, RecordLayout, Rectangle, Value};
 use asterix_obs::IdGen;
-use asterix_storage::btree::{BTreeBuilder, DiskBTree, Entry, MAX_ENTRY, MAX_KEY};
+use asterix_storage::btree::{BTreeBuilder, DiskBTree, Entry, LeafShape, MAX_ENTRY, MAX_KEY};
 use asterix_storage::leaf_group::GROUP_RECORDS;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
-use asterix_storage::lsm::{LsmConfig, LsmIndex, LsmTree, MergePolicy, Projected};
-use asterix_storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
-use asterix_storage::rtree::{DiskRTree, MemRTree, RTreeBuilder, SpatialEntry};
+use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy, Projected};
+use asterix_storage::spatial::{self, SpatialIndex};
 use asterix_storage::stats::IoStats;
 use asterix_storage::{BackgroundExecutor, BackgroundJob, JobStep};
 use proptest::prelude::*;
@@ -183,7 +182,7 @@ proptest! {
                 mem_budget: 2 << 10,
                 merge_policy: MergePolicy::Constant { max_components: 3 },
                 bloom: true,
-                layout: None,
+                leaves: LeafShape::Rows,
             },
         );
         let mut model: BTreeMap<i64, Vec<u8>> = BTreeMap::new();
@@ -208,45 +207,54 @@ proptest! {
         prop_assert_eq!(scan.len(), model.len());
     }
 
-    /// Disk R-tree search equals brute-force filtering.
+    /// A component of spatial leaves hands a search the entries of exactly
+    /// the leaves whose fence MBR meets the query: among them, every entry
+    /// that meets it, points and rectangles alike — also once reopened.
     #[test]
-    fn rtree_matches_brute_force(
-        pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..300),
+    fn spatial_leaves_match_brute_force(
+        boxes in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0, 0.0f64..4.0, 0.0f64..4.0, any::<bool>()), 0..600),
         qx in 0.0f64..100.0, qy in 0.0f64..100.0, qw in 0.0f64..50.0, qh in 0.0f64..50.0,
     ) {
         let (cache, _d) = setup(64);
-        let entries: Vec<SpatialEntry> = pts
+        let mut entries: Vec<(Vec<u8>, Rectangle)> = boxes
             .iter()
             .enumerate()
-            .map(|(i, (x, y))| SpatialEntry {
-                mbr: Point::new(*x, *y).to_mbr(),
-                key: i.to_le_bytes().to_vec(),
+            .map(|(i, &(x, y, w, h, point))| {
+                let mbr = if point { Point::new(x, y).to_mbr() } else { Rectangle::new(Point::new(x, y), Point::new(x + w, y + h)) };
+                (spatial::key(&mbr, &(i as u64).to_be_bytes()), mbr)
             })
             .collect();
-        let w = cache.manager().bulk_writer("p.rtree").unwrap();
-        let t = DiskRTree::from_built(
-            Arc::clone(&cache),
-            RTreeBuilder::new(w, true).build(entries.clone()).unwrap(),
-        );
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut b = BTreeBuilder::with_shape(cache.manager().bulk_writer("p.btree").unwrap(), true, &LeafShape::Spatial);
+        for (key, mbr) in &entries {
+            b.add(key, Some(&spatial::value(mbr))).unwrap();
+        }
+        let t = DiskBTree::from_built(Arc::clone(&cache), b.finish().unwrap());
         let q = Rectangle::new(Point::new(qx, qy), Point::new(qx + qw, qy + qh));
-        let mut got: Vec<Vec<u8>> = t.search(&q).unwrap().into_iter().map(|e| e.key).collect();
-        let mut want: Vec<Vec<u8>> = entries
-            .iter()
-            .filter(|e| e.mbr.intersects(&q))
-            .map(|e| e.key.clone())
-            .collect();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
+        let want: Vec<Vec<u8>> = entries.iter().filter(|(_, mbr)| mbr.intersects(&q)).map(|(k, _)| k.clone()).collect();
+        let reopened = DiskBTree::open(Arc::clone(&cache), t.file(), &LeafShape::Spatial).unwrap();
+        for tree in [&t, &reopened] {
+            let mut got = Vec::new();
+            tree.search_leaves(&q, |key, value| {
+                if spatial::mbr_of(value.unwrap_or_default())?.intersects(&q) {
+                    got.push(key.to_vec());
+                }
+                Ok(())
+            })
+            .unwrap();
+            prop_assert_eq!(&got, &want);
+        }
     }
 
-    /// An LSM R-tree under random inserts, moves, deletes, flushes and
-    /// merges — merging inline or on a background thread — answers every
-    /// rectangle query like a brute-force filter over a key → position map.
+    /// A spatial index under random inserts of points and rectangles, moves,
+    /// resizes about the same centre (the same key, put again without a
+    /// delete), deletes, flushes and merges — merging inline or on a
+    /// background thread — answers every rectangle query like a brute-force
+    /// filter over a key → MBR map.
     #[test]
-    fn lsm_rtree_matches_model(
+    fn spatial_index_matches_model(
         ops in prop::collection::vec(
-            (0u8..10, 0u8..24, (0.0f64..32.0, 0.0f64..32.0),
+            (0u8..12, 0u8..24, (0.0f64..32.0, 0.0f64..32.0, 0.0f64..8.0, 0.0f64..8.0),
              (0.0f64..32.0, 0.0f64..32.0, 0.0f64..16.0, 0.0f64..16.0)),
             1..150,
         ),
@@ -259,37 +267,45 @@ proptest! {
         } else {
             MergePolicy::NoMerge
         };
-        let mut t = LsmRTree::new(
-            cache,
-            LsmRTreeConfig { mem_budget: 1 << 10, merge_policy, ..LsmRTreeConfig::new("p") },
-        );
+        let mut t = SpatialIndex::over(LsmTree::new(cache, LsmConfig { mem_budget: 1 << 10, merge_policy, ..SpatialIndex::config("p") }));
         if background {
-            t.set_executor(Arc::new(OnThread));
+            t.lsm_mut().set_executor(Arc::new(OnThread));
         }
         let mut model: HashMap<Vec<u8>, Rectangle> = HashMap::new();
-        for (op, id, (x, y), (qx, qy, qw, qh)) in ops {
-            let key = format!("k{id}").into_bytes();
+        for (op, id, (x, y, w, h), (qx, qy, qw, qh)) in ops {
+            let pk = format!("k{id}").into_bytes();
+            let put = match op {
+                0..=3 => Some(Point::new(x, y).to_mbr()),
+                4 | 5 => Some(Rectangle::new(Point::new(x, y), Point::new(x + w, y + h))),
+                // about the centre it has, smaller or larger
+                6 | 7 => model.get(&pk).map(|old| {
+                    let c = old.center();
+                    Rectangle::new(Point::new(c.x - w / 2.0, c.y - h / 2.0), Point::new(c.x + w / 2.0, c.y + h / 2.0))
+                }),
+                _ => None,
+            };
             match op {
-                // insert, or move when the key already has a position
-                0..=5 => {
-                    let mbr = Point::new(x, y).to_mbr();
-                    if let Some(old) = model.insert(key.clone(), mbr) {
-                        t.delete(&old, &key).unwrap();
-                    }
-                    t.insert(mbr, key).unwrap();
-                }
-                6 | 7 => {
-                    if let Some(old) = model.remove(&key) {
-                        t.delete(&old, &key).unwrap();
+                0..=7 => {
+                    if let Some(mbr) = put {
+                        // an entry whose key moves is deleted where it was
+                        if let Some(old) = model.insert(pk.clone(), mbr).filter(|old| spatial::key(old, &pk) != spatial::key(&mbr, &pk)) {
+                            t.delete(&old, &pk).unwrap();
+                        }
+                        t.insert(&mbr, &pk).unwrap();
                     }
                 }
-                8 => t.flush().unwrap(),
-                _ => t.merge_newest(2 + id as usize % 3).unwrap(),
+                8 | 9 => {
+                    if let Some(old) = model.remove(&pk) {
+                        t.delete(&old, &pk).unwrap();
+                    }
+                }
+                10 => t.lsm_mut().flush().unwrap(),
+                _ => t.lsm_mut().merge_newest(2 + id as usize % 3).unwrap(),
             }
             // checked right away: a background merge may still be running
             let q = Rectangle::new(Point::new(qx, qy), Point::new(qx + qw, qy + qh));
             let mut got: Vec<(Vec<u8>, Rectangle)> =
-                t.search(&q).unwrap().into_iter().map(|e| (e.key, e.mbr)).collect();
+                t.search(&q).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
             let mut want: Vec<(Vec<u8>, Rectangle)> = model
                 .iter()
                 .filter(|(_, mbr)| mbr.intersects(&q))
@@ -299,48 +315,11 @@ proptest! {
             want.sort_by(|a, b| a.0.cmp(&b.0));
             prop_assert_eq!(got, want);
         }
-        prop_assert!(t.wait_merges_idle(std::time::Duration::from_secs(30)));
+        prop_assert!(t.lsm().wait_merges_idle(std::time::Duration::from_secs(30)));
         prop_assert_eq!(t.count().unwrap(), model.len());
         if constant {
-            prop_assert!(t.component_count() <= 2, "{} components", t.component_count());
+            prop_assert!(t.lsm().component_count() <= 2, "{} components", t.lsm().component_count());
         }
-    }
-
-    /// In-memory R-tree also equals brute force, including after removals.
-    #[test]
-    fn mem_rtree_matches_brute_force(
-        pts in prop::collection::vec((0.0f64..50.0, 0.0f64..50.0), 1..150),
-        remove_mask in prop::collection::vec(any::<bool>(), 1..150),
-    ) {
-        let mut t = MemRTree::with_capacity(5);
-        let mut live: Vec<(Point, Vec<u8>)> = Vec::new();
-        for (i, (x, y)) in pts.iter().enumerate() {
-            let key = i.to_le_bytes().to_vec();
-            t.insert(Point::new(*x, *y).to_mbr(), key.clone());
-            live.push((Point::new(*x, *y), key));
-        }
-        for (i, rm) in remove_mask.iter().enumerate() {
-            if *rm && i < live.len() {
-                let (p, key) = live[i].clone();
-                prop_assert!(t.remove(&p.to_mbr(), &key));
-            }
-        }
-        let live: Vec<_> = live
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !remove_mask.get(*i).copied().unwrap_or(false))
-            .map(|(_, e)| e)
-            .collect();
-        let q = Rectangle::new(Point::new(10.0, 10.0), Point::new(35.0, 35.0));
-        let mut got: Vec<Vec<u8>> = t.search(&q).into_iter().map(|e| e.key).collect();
-        let mut want: Vec<Vec<u8>> = live
-            .iter()
-            .filter(|(p, _)| q.contains_point(p))
-            .map(|(_, k)| k.clone())
-            .collect();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want);
     }
 
     /// Linear hashing behaves like a HashMap under puts/removes, even with a
@@ -431,7 +410,7 @@ proptest! {
             b.add(k, v.value()).unwrap();
         }
         let built = b.finish().unwrap();
-        let reopened = DiskBTree::open(Arc::clone(&cache), built.file, None).unwrap();
+        let reopened = DiskBTree::open(Arc::clone(&cache), built.file, &LeafShape::Rows).unwrap();
         let t = DiskBTree::from_built(Arc::clone(&cache), built);
         prop_assert_eq!((reopened.len(), reopened.min_key(), reopened.max_key()), (t.len(), t.min_key(), t.max_key()));
         // every key, its neighbours in byte order, and keys that are not there
@@ -546,8 +525,8 @@ proptest! {
         let (t, model) = sized_tree(&cache, "s.btree", groups, len, n);
         let step = (n / 50).max(1);
         answers_like(&t, &model, len, n, step);
-        let layout = groups.then(|| layout(true));
-        let reopened = DiskBTree::open(Arc::clone(&cache), t.file(), layout.as_ref()).unwrap();
+        let shape = if groups { LeafShape::Groups(layout(true)) } else { LeafShape::Rows };
+        let reopened = DiskBTree::open(Arc::clone(&cache), t.file(), &shape).unwrap();
         prop_assert_eq!((reopened.min_key(), reopened.max_key()), (t.min_key(), t.max_key()));
         answers_like(&reopened, &model, len, n, step);
     }
@@ -581,13 +560,13 @@ fn a_cut_or_a_flipped_footer_byte_is_refused_or_harmless() {
     ];
     for (groups, len, (model, sound, trailer, leaf_end)) in trees {
         assert!(groups || leaf_end % page == 0);
-        let layout = groups.then(|| layout(true));
+        let shape = if groups { LeafShape::Groups(layout(true)) } else { LeafShape::Rows };
         // each image opened as a file of its own, so that no page of
         // another is in the cache
         let check = |image: &[u8], what: &str| {
             std::fs::write(dir.0.join("bad.btree"), image).unwrap();
             let file = cache.manager().open("bad.btree").unwrap();
-            let opened = match DiskBTree::open(Arc::clone(&cache), file, layout.as_ref()) {
+            let opened = match DiskBTree::open(Arc::clone(&cache), file, &shape) {
                 Err(asterix_storage::StorageError::Corrupt(_)) => false,
                 Err(e) => panic!("{what}: {e}"),
                 Ok(t) => {
@@ -694,61 +673,61 @@ proptest! {
         }
     }
 
-    /// The same for the R-tree kind, whose components are two files and
-    /// whose deletes live in the companion key tree.
+    /// The same for the spatial index, whose entries move, and whose deletes
+    /// are markers a search must find in components it prunes.
     #[test]
-    fn reopen_matches_never_crashed_rtree(ops in life_ops()) {
-        let config = |name: &str| LsmRTreeConfig {
+    fn reopen_matches_never_crashed_spatial(ops in life_ops()) {
+        let config = |name: &str| LsmConfig {
             mem_budget: 1 << 10,
             merge_policy: MergePolicy::Constant { max_components: 3 },
-            ..LsmRTreeConfig::new(name)
+            ..SpatialIndex::config(name)
         };
         let (kept_cache, _d1) = setup(64);
         let (cache, _d2) = setup(64);
-        let mut kept = LsmRTree::new(kept_cache, config("kept"));
-        let mut t = LsmRTree::new(Arc::clone(&cache), config("t"));
+        let mut kept = SpatialIndex::over(LsmTree::new(kept_cache, config("kept")));
+        let mut t = SpatialIndex::over(LsmTree::new(Arc::clone(&cache), config("t")));
         // where each key currently is, to delete it from
         let mut at: HashMap<i64, Rectangle> = HashMap::new();
         let everything = Rectangle::new(Point::new(-1.0, -1.0), Point::new(1e6, 1e6));
         for (step, op) in ops.into_iter().enumerate() {
             match op {
                 LifeOp::Put(i) => {
-                    let key = format!("k{i}").into_bytes();
+                    let pk = format!("k{i}").into_bytes();
                     let mbr = Point::new(i as f64, step as f64).to_mbr();
                     if let Some(old) = at.insert(i, mbr) {
-                        kept.delete(&old, &key).unwrap();
-                        t.delete(&old, &key).unwrap();
+                        kept.delete(&old, &pk).unwrap();
+                        t.delete(&old, &pk).unwrap();
                     }
-                    kept.insert(mbr, key.clone()).unwrap();
-                    t.insert(mbr, key).unwrap();
+                    kept.insert(&mbr, &pk).unwrap();
+                    t.insert(&mbr, &pk).unwrap();
                 }
                 LifeOp::Delete(i) => {
                     if let Some(old) = at.remove(&i) {
-                        let key = format!("k{i}").into_bytes();
-                        kept.delete(&old, &key).unwrap();
-                        t.delete(&old, &key).unwrap();
+                        let pk = format!("k{i}").into_bytes();
+                        kept.delete(&old, &pk).unwrap();
+                        t.delete(&old, &pk).unwrap();
                     }
                 }
                 LifeOp::Flush => {
-                    kept.flush().unwrap();
-                    t.flush().unwrap();
+                    kept.lsm_mut().flush().unwrap();
+                    t.lsm_mut().flush().unwrap();
                 }
                 LifeOp::Merge(n) => {
-                    kept.merge_newest(n).unwrap();
-                    t.merge_newest(n).unwrap();
+                    kept.lsm_mut().merge_newest(n).unwrap();
+                    t.lsm_mut().merge_newest(n).unwrap();
                 }
                 LifeOp::Reopen => {
-                    kept.flush().unwrap();
-                    t.flush().unwrap();
-                    let components = t.component_count();
+                    kept.lsm_mut().flush().unwrap();
+                    t.lsm_mut().flush().unwrap();
+                    let components = t.lsm().component_count();
                     drop(t);
-                    t = LsmRTree::reopen(Arc::clone(&cache), config("t")).unwrap();
-                    prop_assert_eq!(t.component_count(), components);
+                    t = SpatialIndex::over(LsmTree::reopen(Arc::clone(&cache), config("t")).unwrap());
+                    prop_assert_eq!(t.lsm().component_count(), components);
                 }
             }
-            let sorted = |t: &LsmRTree| {
+            let sorted = |t: &SpatialIndex| {
                 let mut hits: Vec<(Vec<u8>, Rectangle)> =
-                    t.search(&everything).unwrap().into_iter().map(|e| (e.key, e.mbr)).collect();
+                    t.search(&everything).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
                 hits.sort_by(|a, b| a.0.cmp(&b.0));
                 hits
             };
@@ -1007,7 +986,7 @@ proptest! {
         let config = || LsmConfig {
             mem_budget: 48 << 10,
             merge_policy: MergePolicy::NoMerge,
-            layout: Some(Arc::clone(&layout)),
+            leaves: LeafShape::Groups(Arc::clone(&layout)),
             ..LsmConfig::new("r")
         };
         let (cache, _d) = setup(64);
@@ -1074,7 +1053,7 @@ proptest! {
         let config = || LsmConfig {
             mem_budget: 1 << 30,
             merge_policy: MergePolicy::NoMerge,
-            layout: Some(Arc::clone(&layout)),
+            leaves: LeafShape::Groups(Arc::clone(&layout)),
             ..LsmConfig::new("s")
         };
         let (cache, _d) = setup(64);
@@ -1107,7 +1086,7 @@ proptest! {
 #[test]
 fn one_record_groups_and_markers_alone() {
     let layout = layout(true);
-    let config = LsmConfig { mem_budget: 1 << 30, merge_policy: MergePolicy::NoMerge, layout: Some(Arc::clone(&layout)), ..LsmConfig::new("one") };
+    let config = LsmConfig { mem_budget: 1 << 30, merge_policy: MergePolicy::NoMerge, leaves: LeafShape::Groups(Arc::clone(&layout)), ..LsmConfig::new("one") };
     let (cache, _d) = setup(64);
     let mut t = LsmTree::new(cache, config);
     let mut model = BTreeMap::new();
@@ -1172,7 +1151,7 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
         let name = format!("bad{round}.btree");
         std::fs::write(dir.0.join(&name), &sound).unwrap();
         let file = cache.manager().open(&name).unwrap();
-        let t = DiskBTree::open(Arc::clone(&cache), file, Some(&layout)).unwrap();
+        let t = DiskBTree::open(Arc::clone(&cache), file, &LeafShape::Groups(Arc::clone(&layout))).unwrap();
         std::fs::write(dir.0.join(&name), &bad).unwrap();
         let scanned: Result<Vec<_>, _> = t.scan().unwrap_or_else(|_| t.range(Bound::Excluded(&k(n)), Bound::Unbounded).unwrap()).collect();
         let got = t.get(&k(3));
@@ -1182,7 +1161,7 @@ fn a_damaged_leaf_group_is_an_error_not_a_panic() {
         }
         // and opened damaged: refused as `Corrupt` (by a debug build's audit,
         // for a damaged directory) or opened, never a panic
-        let reopened = DiskBTree::open(Arc::clone(&cache), cache.manager().open(&name).unwrap(), Some(&layout));
+        let reopened = DiskBTree::open(Arc::clone(&cache), cache.manager().open(&name).unwrap(), &LeafShape::Groups(Arc::clone(&layout)));
         match reopened {
             Err(asterix_storage::StorageError::Corrupt(_)) => {}
             Err(e) => panic!("bit {bit}: {e}"),
@@ -1230,7 +1209,7 @@ impl Stepped {
     }
 
     /// Every parked merge run out, then `t` flushed.
-    fn flushing(&self, t: &mut dyn LsmIndex) {
+    fn flushing(&self, t: &mut LsmTree) {
         while self.step() {}
         self.inline.set(true);
         t.flush().unwrap();
@@ -1247,7 +1226,7 @@ trait Subject: Sized {
     const RETRACTS: bool = false;
     fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self;
     /// Its lifecycle.
-    fn lsm(&mut self) -> &mut dyn LsmIndex;
+    fn lsm(&mut self) -> &mut LsmTree;
     fn merge_newest(&mut self, n: usize);
     fn put(&mut self, i: u64, v: u64);
     fn delete(&mut self, i: u64, v: u64);
@@ -1259,10 +1238,10 @@ trait Subject: Sized {
 struct RowTree(LsmTree);
 /// A tree of records: leaf groups.
 struct GroupTree(LsmTree);
-struct Spatial(LsmRTree);
+struct Spatial(SpatialIndex);
 
-fn tree_config(name: &str, mem_budget: usize, merge_policy: MergePolicy, layout: Option<Arc<RecordLayout>>) -> LsmConfig {
-    LsmConfig { mem_budget, merge_policy, layout, ..LsmConfig::new(name) }
+fn tree_config(name: &str, mem_budget: usize, merge_policy: MergePolicy, leaves: LeafShape) -> LsmConfig {
+    LsmConfig { mem_budget, merge_policy, leaves, ..LsmConfig::new(name) }
 }
 
 
@@ -1270,11 +1249,11 @@ impl Subject for RowTree {
     fn merge_newest(&mut self, n: usize) {
         self.0.merge_newest(n).unwrap();
     }
-    fn lsm(&mut self) -> &mut dyn LsmIndex {
+    fn lsm(&mut self) -> &mut LsmTree {
         &mut self.0
     }
     fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
-        RowTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, None)))
+        RowTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, LeafShape::Rows)))
     }
     fn put(&mut self, i: u64, v: u64) {
         let (key, value) = Self::entry(i, v);
@@ -1295,11 +1274,11 @@ impl Subject for GroupTree {
     fn merge_newest(&mut self, n: usize) {
         self.0.merge_newest(n).unwrap();
     }
-    fn lsm(&mut self) -> &mut dyn LsmIndex {
+    fn lsm(&mut self) -> &mut LsmTree {
         &mut self.0
     }
     fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
-        GroupTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, Some(layout(true)))))
+        GroupTree(LsmTree::new(cache, tree_config(name, mem_budget, merge_policy, LeafShape::Groups(layout(true)))))
     }
     fn put(&mut self, i: u64, v: u64) {
         let (key, value) = Self::entry(i, v);
@@ -1319,16 +1298,16 @@ impl Subject for GroupTree {
 impl Subject for Spatial {
     const RETRACTS: bool = true;
     fn merge_newest(&mut self, n: usize) {
-        self.0.merge_newest(n).unwrap();
+        self.0.lsm_mut().merge_newest(n).unwrap();
     }
-    fn lsm(&mut self) -> &mut dyn LsmIndex {
-        &mut self.0
+    fn lsm(&mut self) -> &mut LsmTree {
+        self.0.lsm_mut()
     }
     fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
-        Spatial(LsmRTree::new(cache, LsmRTreeConfig { mem_budget, merge_policy, ..LsmRTreeConfig::new(name) }))
+        Spatial(SpatialIndex::over(LsmTree::new(cache, LsmConfig { mem_budget, merge_policy, ..SpatialIndex::config(name) })))
     }
     fn put(&mut self, i: u64, v: u64) {
-        self.0.insert(Self::point(i, v), format!("k{i:04}").into_bytes()).unwrap();
+        self.0.insert(&Self::point(i, v), format!("k{i:04}").as_bytes()).unwrap();
     }
     fn delete(&mut self, i: u64, v: u64) {
         self.0.delete(&Self::point(i, v), format!("k{i:04}").as_bytes()).unwrap();
@@ -1341,7 +1320,7 @@ impl Subject for Spatial {
             Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
             Point::new(f64::INFINITY, f64::INFINITY),
         );
-        let mut live: Vec<_> = self.0.search(&everything).unwrap().into_iter().map(|e| (e.key, Self::bytes(&e.mbr))).collect();
+        let mut live: Vec<_> = self.0.search(&everything).unwrap().into_iter().map(|e| (e.pk, Self::bytes(&e.mbr))).collect();
         live.sort();
         live
     }

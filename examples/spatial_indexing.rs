@@ -16,8 +16,9 @@ use asterix_rs::adm::{Point, Rectangle, Value};
 use asterix_rs::core::datagen::DataGen;
 use asterix_rs::storage::cache::BufferCache;
 use asterix_rs::storage::io::FileManager;
+use asterix_rs::storage::btree::LeafShape;
 use asterix_rs::storage::lsm::{LsmConfig, LsmTree, MergePolicy};
-use asterix_rs::storage::lsm_rtree::{LsmRTree, LsmRTreeConfig};
+use asterix_rs::storage::spatial::SpatialIndex;
 use asterix_rs::storage::spatial_keys::{curve_ranges, hilbert_d, z_curve, GridScheme, World};
 use asterix_rs::storage::stats::IoStats;
 use std::ops::Bound;
@@ -39,10 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mem_budget: 1 << 20,
         merge_policy: MergePolicy::Constant { max_components: 4 },
         bloom: true,
-        layout: None,
+        leaves: LeafShape::Rows,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
-    let mut rtree = LsmRTree::new(Arc::clone(&cache), LsmRTreeConfig::new("rtree"));
+    let mut rtree = SpatialIndex::new(Arc::clone(&cache), "rtree");
     let mut hilbert = LsmTree::new(Arc::clone(&cache), cfg("hilbert"));
     let mut zorder = LsmTree::new(Arc::clone(&cache), cfg("zorder"));
     let mut grid = LsmTree::new(Arc::clone(&cache), cfg("grid"));
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("pad".into(), Value::from("x".repeat(120))),
         ]);
         primary.upsert(pk.clone(), encode(&record))?;
-        rtree.insert(p.to_mbr(), pk.clone())?;
+        rtree.insert(&p.to_mbr(), &pk)?;
         let pv = encode(&Value::Point(p));
         hilbert.upsert(
             encode_key(&[Value::Int(world.hilbert_key(&p) as i64), Value::Int(i as i64)]),
@@ -76,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in [&mut primary, &mut hilbert, &mut zorder, &mut grid] {
         t.flush()?;
     }
-    rtree.flush()?;
+    rtree.lsm_mut().flush()?;
 
     // a 1%-selectivity query box
     let side = EXTENT * 0.1;
@@ -132,7 +133,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("lsm-rtree", Box::new(|| {
             let hits = rtree.search(&q).unwrap();
             let n = hits.len();
-            (hits.into_iter().map(|e| e.key).collect(), n)
+            (hits.into_iter().map(|e| e.pk).collect(), n)
         })),
         ("hilbert-btree", Box::new(|| linearized(&hilbert, hilbert_d))),
         ("zorder-btree", Box::new(|| linearized(&zorder, z_curve))),
