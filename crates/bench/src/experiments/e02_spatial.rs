@@ -22,7 +22,7 @@ use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::btree::LeafShape;
 use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
-use asterix_storage::spatial::SpatialIndex;
+use asterix_storage::spatial;
 use asterix_storage::spatial_keys::{curve_ranges, hilbert_d, z_curve, GridScheme, World};
 use asterix_storage::stats::IoStats;
 use std::ops::Bound;
@@ -34,7 +34,7 @@ const EXTENT: f64 = 10_000.0;
 struct Setup {
     cache: Arc<BufferCache>,
     primary: LsmTree,
-    rtree: SpatialIndex,
+    rtree: LsmTree,
     hilbert: LsmTree,
     zorder: LsmTree,
     grid: LsmTree,
@@ -57,14 +57,14 @@ fn build(n: usize) -> Setup {
         leaves: LeafShape::Rows,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
-    let mut rtree = SpatialIndex::over(LsmTree::new(
+    let mut rtree = LsmTree::new(
         Arc::clone(&cache),
         LsmConfig {
             mem_budget: 1 << 20,
             merge_policy: MergePolicy::Constant { max_components: 4 },
-            ..SpatialIndex::config("rtree")
+            ..spatial::config("rtree")
         },
-    ));
+    );
     let world = World::new(Rectangle::new(Point::new(0.0, 0.0), Point::new(EXTENT, EXTENT)));
     let grid_scheme = GridScheme::new(world, 64, 64);
     let mut hilbert = LsmTree::new(Arc::clone(&cache), cfg("hilbert"));
@@ -84,7 +84,7 @@ fn build(n: usize) -> Setup {
             "x".repeat(120)
         );
         primary.upsert(pk.clone(), record.into_bytes()).unwrap();
-        rtree.insert(&p.to_mbr(), &pk).unwrap();
+        rtree.upsert(spatial::key(&p.to_mbr(), &pk), spatial::value(&p.to_mbr())).unwrap();
         let pt_val = Value::Point(p);
         hilbert
             .upsert(
@@ -105,7 +105,7 @@ fn build(n: usize) -> Setup {
         .unwrap();
     }
     primary.flush().unwrap();
-    rtree.lsm_mut().flush().unwrap();
+    rtree.flush().unwrap();
     hilbert.flush().unwrap();
     zorder.flush().unwrap();
     grid.flush().unwrap();
@@ -121,17 +121,17 @@ fn pages_touched(cache: &BufferCache) -> u64 {
 /// An R-tree whose one memory component holds a full 1 MiB budget's worth of
 /// `points`, sealed and flushed by nobody: what a search costs before the
 /// first flush.
-fn memory_resident(cache: &Arc<BufferCache>, points: &[Point]) -> SpatialIndex {
-    let mut rtree = SpatialIndex::over(LsmTree::new(
+fn memory_resident(cache: &Arc<BufferCache>, points: &[Point]) -> LsmTree {
+    let mut rtree = LsmTree::new(
         Arc::clone(cache),
-        LsmConfig { mem_budget: 1 << 20, merge_policy: MergePolicy::NoMerge, ..SpatialIndex::config("rtree-mem") },
-    ));
-    rtree.lsm_mut().sealed_by_owner();
+        LsmConfig { mem_budget: 1 << 20, merge_policy: MergePolicy::NoMerge, ..spatial::config("rtree-mem") },
+    );
+    rtree.sealed_by_owner();
     for (i, p) in points.iter().enumerate() {
-        if rtree.lsm().over_budget() {
+        if rtree.over_budget() {
             break;
         }
-        rtree.insert(&p.to_mbr(), &encode_key(&[Value::Int(i as i64)])).unwrap();
+        rtree.upsert(spatial::key(&p.to_mbr(), &encode_key(&[Value::Int(i as i64)])), spatial::value(&p.to_mbr())).unwrap();
     }
     rtree
 }
@@ -225,7 +225,7 @@ pub fn run(quick: bool) -> ExpReport {
             (
                 "lsm-rtree",
                 Box::new(|q: &Rectangle| {
-                    let hits = s.rtree.search(q).unwrap();
+                    let hits = spatial::search(&s.rtree, q).unwrap();
                     let n = hits.len();
                     (hits.into_iter().map(|e| e.pk).collect(), n)
                 }),
@@ -284,7 +284,7 @@ pub fn run(quick: bool) -> ExpReport {
                 e2e_time.as_secs_f64(),
             ));
         }
-        let (found, t_mem) = time_it(|| queries.iter().map(|q| in_memory.search(q).unwrap().len()).sum::<usize>());
+        let (found, t_mem) = time_it(|| queries.iter().map(|q| spatial::search(&in_memory, q).unwrap().len()).sum::<usize>());
         report.note(format!(
             "selectivity {sel_pct}%: a search of one full 1 MiB memory component ({found} hits over {n_queries} queries) takes {:.3} ms a query",
             t_mem.as_secs_f64() * 1e3 / n_queries as f64

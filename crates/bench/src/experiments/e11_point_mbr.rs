@@ -14,7 +14,7 @@ use asterix_core::datagen::DataGen;
 use asterix_storage::cache::BufferCache;
 use asterix_storage::io::{FileManager, PAGE_SIZE};
 use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy};
-use asterix_storage::spatial::{self, SpatialIndex};
+use asterix_storage::spatial;
 use asterix_storage::stats::IoStats;
 use std::sync::Arc;
 
@@ -58,24 +58,21 @@ pub fn run(quick: bool) -> ExpReport {
         for optimize in [true, false] {
             let name = format!("e11-{}-{optimize}", data_name.replace(' ', "_"));
             // one component: the memory component of every entry, flushed
-            let config = LsmConfig { mem_budget: usize::MAX, merge_policy: MergePolicy::NoMerge, ..SpatialIndex::config(&name) };
-            let mut tree = SpatialIndex::over(LsmTree::new(Arc::clone(&cache), config));
+            let config = LsmConfig { mem_budget: usize::MAX, merge_policy: MergePolicy::NoMerge, ..spatial::config(&name) };
+            let mut tree = LsmTree::new(Arc::clone(&cache), config);
             for (mbr, pk) in &entries {
-                if optimize {
-                    tree.insert(mbr, pk).unwrap();
-                } else {
-                    tree.lsm_mut().upsert(spatial::key(mbr, pk), spatial::rect_bytes(mbr).to_vec()).unwrap();
-                }
+                let value = if optimize { spatial::value(mbr) } else { spatial::rect_bytes(mbr).to_vec() };
+                tree.upsert(spatial::key(mbr, pk), value).unwrap();
             }
-            let ((), t_build) = time_it(|| tree.lsm_mut().flush().unwrap());
+            let ((), t_build) = time_it(|| tree.flush().unwrap());
             let pages = component_pages(&root, &name);
             for q in &queries {
-                let _ = tree.search(q).unwrap(); // warm the cache
+                let _ = spatial::search(&tree, q).unwrap(); // warm the cache
             }
             let mut total = 0usize;
             let (_, t_q) = time_it(|| {
                 for q in &queries {
-                    total += tree.search(q).unwrap().len();
+                    total += spatial::search(&tree, q).unwrap().len();
                 }
             });
             results.push(total);

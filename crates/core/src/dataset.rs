@@ -4,13 +4,16 @@
 //!
 //! A dataset's records live in P partitions; each partition is a primary
 //! LSM B+ tree keyed by the encoded primary key, holding the full record.
-//! Secondary indexes are partition-local: B+ tree indexes map
-//! `(secondary key, pk)` → ∅; R-tree indexes map `(Hilbert position of the
-//! MBR's centre, pk)` → MBR ([`SpatialIndex`]); keyword indexes map tokens to
-//! PKs. Every one of them is an LSM B+ tree. Index
-//! maintenance fetches the old record on upsert/delete and retracts its
-//! entries — the "details required to ... make them recoverable, and make
-//! them concurrent" that §V-B insists real systems must pay for.
+//! Secondary indexes are partition-local, and every one of them is an LSM
+//! B+ tree: they differ only in the entries one function, [`entries`],
+//! makes of a record's indexed field — `[field][pk]` → ∅ for a B+ tree
+//! index, `[Hilbert position of the MBR's centre][pk]` → the MBR for an
+//! R-tree index ([`spatial`]), and `[token][pk]` → ∅ for each distinct token
+//! of a keyword index ([`inverted`]). An upsert or a delete fetches the old
+//! record and retracts its entries — the "details required to ... make them
+//! recoverable, and make them concurrent" that §V-B insists real systems
+//! must pay for — and a probe, [`DatasetPartition::index_pks`], is the one
+//! read of a secondary index.
 //!
 //! A partition seals its indexes together — all of them, when one is past
 //! its memory budget and none still holds a sealed component — and flushes
@@ -23,17 +26,15 @@
 use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
 use crate::node::{LogPin, Node};
-use asterix_algebricks::source::{IndexInfo, IndexKind, KeyRange};
+use asterix_algebricks::source::{IndexInfo, IndexKind, IndexRange, KeyRange};
 use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
-use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Rectangle, Value};
-use asterix_storage::inverted::InvertedIndex;
+use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Value};
 use asterix_storage::btree::LeafShape;
 use asterix_storage::lsm::{Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
-use asterix_storage::spatial::SpatialIndex;
 use asterix_storage::wal::Lsn;
-use asterix_storage::CompactionExec;
+use asterix_storage::{inverted, spatial, CompactionExec, StorageError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -119,21 +120,14 @@ impl RecordSchema {
     }
 }
 
-enum Secondary {
-    BTree { def: IndexInfo, tree: LsmTree },
-    RTree { def: IndexInfo, index: SpatialIndex },
-    Keyword { def: IndexInfo, index: InvertedIndex },
+/// A secondary index of a partition: its definition, and the tree that
+/// holds the [`entries`] of the partition's records, whatever its kind.
+struct Secondary {
+    def: IndexInfo,
+    tree: LsmTree,
 }
 
 impl Secondary {
-    fn def(&self) -> &IndexInfo {
-        match self {
-            Secondary::BTree { def, .. }
-            | Secondary::RTree { def, .. }
-            | Secondary::Keyword { def, .. } => def,
-        }
-    }
-
     /// What index upkeep reads of a record: the top-level fields where the
     /// field paths of `defs` start. The whole record if a path is empty.
     fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexInfo>) -> Projection {
@@ -141,22 +135,40 @@ impl Secondary {
         schema.resolve(&fields.unwrap_or_default())
     }
 
-    /// The tree the index is kept in, whatever its kind.
-    fn lsm(&self) -> &LsmTree {
-        match self {
-            Secondary::BTree { tree, .. } => tree,
-            Secondary::RTree { index, .. } => index.lsm(),
-            Secondary::Keyword { index, .. } => index.lsm(),
-        }
+    /// Puts the entries of `record`, stored under `pk`.
+    fn insert(&mut self, record: &Value, pk: &[u8]) -> Result<()> {
+        entries(&self.def, record, pk, |key, value| Ok(self.tree.upsert(key, value)?))
     }
 
-    /// See [`Secondary::lsm`].
-    fn lsm_mut(&mut self) -> &mut LsmTree {
-        match self {
-            Secondary::BTree { tree, .. } => tree,
-            Secondary::RTree { index, .. } => index.lsm_mut(),
-            Secondary::Keyword { index, .. } => index.lsm_mut(),
+    /// Writes a delete marker on the key of each entry of `record`, stored
+    /// under `pk`.
+    fn delete(&mut self, record: &Value, pk: &[u8]) -> Result<()> {
+        entries(&self.def, record, pk, |key, _| Ok(self.tree.delete(key)?))
+    }
+}
+
+/// The entries secondary index `def` holds for `record`, stored under the
+/// encoded primary key `pk`, each handed to `each` as `(key, value)`: a B+
+/// tree index's `[field][pk]` → ∅, an R-tree index's
+/// `[hilbert(centre of the MBR)][pk]` → the MBR ([`spatial::key`],
+/// [`spatial::value`]) and a keyword index's `[token][pk]` → ∅ for each
+/// distinct token ([`inverted::postings`]). A field the record does not
+/// have, or one of a type the index does not take, yields none.
+fn entries(
+    def: &IndexInfo,
+    record: &Value,
+    pk: &[u8],
+    mut each: impl FnMut(Vec<u8>, Vec<u8>) -> Result<()>,
+) -> Result<()> {
+    match (def.kind, field_path(record, &def.field)) {
+        (_, field) if field.is_unknown() => Ok(()),
+        (IndexKind::BTree, field) => each(prepend_key_part(field, pk), Vec::new()),
+        (IndexKind::RTree, Value::Point(p)) => each(spatial::key(&p.to_mbr(), pk), spatial::value(&p.to_mbr())),
+        (IndexKind::RTree, Value::Rectangle(mbr)) => each(spatial::key(mbr, pk), spatial::value(mbr)),
+        (IndexKind::Keyword, Value::String(text)) => {
+            inverted::postings(text, pk).into_iter().try_for_each(|key| each(key, Vec::new()))
         }
+        _ => Ok(()),
     }
 }
 
@@ -313,13 +325,13 @@ impl DatasetPartition {
 
     /// Every index of the partition, the primary first, as its lifecycle.
     fn indexes(&self) -> impl Iterator<Item = &LsmTree> + '_ {
-        std::iter::once(&self.primary).chain(self.secondaries.iter().map(Secondary::lsm))
+        std::iter::once(&self.primary).chain(self.secondaries.iter().map(|sec| &sec.tree))
     }
 
     /// Every index of the partition in the order they flush: the
     /// secondaries first, the primary last.
     fn indexes_mut(&mut self) -> impl Iterator<Item = &mut LsmTree> + '_ {
-        self.secondaries.iter_mut().map(Secondary::lsm_mut).chain(std::iter::once(&mut self.primary))
+        self.secondaries.iter_mut().map(|sec| &mut sec.tree).chain(std::iter::once(&mut self.primary))
     }
 
     /// Flushes the sealed memory components whose writers are done, in the
@@ -354,22 +366,17 @@ impl DatasetPartition {
 
     /// Brings `indexed` up to date with `secondaries`.
     fn secondaries_changed(&mut self) {
-        self.indexed = Secondary::leading_fields(&self.schema, self.secondaries.iter().map(Secondary::def));
+        self.indexed = Secondary::leading_fields(&self.schema, self.secondaries.iter().map(|sec| &sec.def));
     }
 
     /// Opens secondary index `idx` of the partition (see
     /// [`DatasetPartition::adopt`] for `born`).
     fn build_secondary(&self, idx: &IndexInfo, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
-        let tree = |name, leaves| open_tree(&self.node, lsm_config(cfg, name, leaves), origin);
-        let def = idx.clone();
-        let mut sec = match idx.kind {
-            IndexKind::BTree => Secondary::BTree { def, tree: tree(name, LeafShape::Rows)? },
-            IndexKind::Keyword => Secondary::Keyword { def, index: InvertedIndex::over(tree(name, LeafShape::Rows)?) },
-            IndexKind::RTree => Secondary::RTree { def, index: SpatialIndex::over(tree(name, LeafShape::Spatial)?) },
-        };
-        Self::adopt(sec.lsm_mut(), &self.compaction, born)?;
-        Ok(sec)
+        let leaves = if idx.kind == IndexKind::RTree { LeafShape::Spatial } else { LeafShape::Rows };
+        let mut tree = open_tree(&self.node, lsm_config(cfg, name, leaves), origin)?;
+        Self::adopt(&mut tree, &self.compaction, born)?;
+        Ok(Secondary { def: idx.clone(), tree })
     }
 
     /// Adds a secondary index to an existing partition, backfilling it from
@@ -391,26 +398,26 @@ impl DatasetPartition {
         let mut records = self.primary.disk_reader(Some(wanted.cells()))?;
         while let Some((pk, stored)) = records.next_entry()? {
             let record = self.schema.project(&wanted, stored)?;
-            Self::index_insert(&mut sec, &record, pk)?;
+            sec.insert(&record, pk)?;
             if let Some(held) = rewritten.get_mut(pk) {
                 *held = Some(record);
             }
         }
         drop(records);
-        sec.lsm_mut().flush()?;
+        sec.tree.flush()?;
         for (mem, stamps) in &layers {
             for (pk, entry) in mem.iter() {
                 let held = rewritten.entry(pk.as_slice()).or_default();
                 if let Some(old) = held.take() {
-                    Self::index_delete(&mut sec, &old, pk)?;
+                    sec.delete(&old, pk)?;
                 }
                 if let Entry::Put(row) = entry {
                     let record = self.schema.project(&wanted, Projected::Row(row))?;
-                    Self::index_insert(&mut sec, &record, pk)?;
+                    sec.insert(&record, pk)?;
                     *held = Some(record);
                 }
             }
-            sec.lsm_mut().stamp_as(stamps);
+            sec.tree.stamp_as(stamps);
         }
         self.secondaries.push(sec);
         self.secondaries_changed();
@@ -420,12 +427,12 @@ impl DatasetPartition {
     /// Drops secondary index `name`: it stops being maintained and its
     /// manifest and components are deleted.
     pub fn remove_index(&mut self, name: &str) -> Result<()> {
-        let Some(pos) = self.secondaries.iter().position(|s| s.def().name == name) else {
+        let Some(pos) = self.secondaries.iter().position(|s| s.def.name == name) else {
             return Ok(());
         };
         let sec = self.secondaries.remove(pos);
         self.secondaries_changed();
-        Ok(sec.lsm().destroy()?)
+        Ok(sec.tree.destroy()?)
     }
 
     /// Drops the partition from disk: every index's manifest and components.
@@ -564,7 +571,7 @@ impl DatasetPartition {
         let Some(before) = before else { return Ok(()) };
         let old = self.schema.project(&self.indexed, Projected::Row(before))?;
         for sec in &mut self.secondaries {
-            Self::index_delete(sec, &old, pk)?;
+            sec.delete(&old, pk)?;
         }
         Ok(())
     }
@@ -586,7 +593,7 @@ impl DatasetPartition {
         self.primary.upsert(pk.to_vec(), raw)?;
         if let Some(record) = record.or(decoded.as_ref()) {
             for sec in &mut self.secondaries {
-                Self::index_insert(sec, record, pk)?;
+                sec.insert(record, pk)?;
             }
         }
         Ok(())
@@ -596,52 +603,6 @@ impl DatasetPartition {
         if before.is_some() {
             self.retract(pk, before)?;
             self.primary.delete(pk.to_vec())?;
-        }
-        Ok(())
-    }
-
-    fn index_insert(sec: &mut Secondary, record: &Value, pk: &[u8]) -> Result<()> {
-        let field = field_path(record, &sec.def().field);
-        if field.is_unknown() {
-            return Ok(()); // absent secondary keys are simply not indexed
-        }
-        match sec {
-            Secondary::BTree { tree, .. } => {
-                tree.upsert(prepend_key_part(field, pk), Vec::new())?;
-            }
-            Secondary::RTree { index, .. } => {
-                if let Some(mbr) = spatial_mbr(field) {
-                    index.insert(&mbr, pk)?;
-                }
-            }
-            Secondary::Keyword { index, .. } => {
-                if let Some(text) = field.as_str() {
-                    index.insert_text(text, pk)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn index_delete(sec: &mut Secondary, record: &Value, pk: &[u8]) -> Result<()> {
-        let field = field_path(record, &sec.def().field);
-        if field.is_unknown() {
-            return Ok(());
-        }
-        match sec {
-            Secondary::BTree { tree, .. } => {
-                tree.delete(prepend_key_part(field, pk))?;
-            }
-            Secondary::RTree { index, .. } => {
-                if let Some(mbr) = spatial_mbr(field) {
-                    index.delete(&mbr, pk)?;
-                }
-            }
-            Secondary::Keyword { index, .. } => {
-                if let Some(text) = field.as_str() {
-                    index.delete_text(text, pk)?;
-                }
-            }
         }
         Ok(())
     }
@@ -676,44 +637,76 @@ impl DatasetPartition {
         batch.finish().map_err(CoreError::Adm)
     }
 
-    /// Candidate PKs from a secondary B+ tree index for `range` on the
-    /// indexed field.
-    pub fn btree_index_pks(&self, index: &str, range: &KeyRange) -> Result<Vec<Vec<u8>>> {
+    /// The primary keys secondary index `index` holds for `range`, a probe
+    /// of the index's kind: a range on a B+ tree index's field, a rectangle
+    /// an R-tree index's MBRs meet, or keywords a keyword index's text holds
+    /// all of. A range of another kind is a [`CoreError::Catalog`].
+    pub fn index_pks(&self, index: &str, range: &IndexRange) -> Result<Vec<Vec<u8>>> {
         let sec = self.find_index(index)?;
-        let Secondary::BTree { tree, .. } = sec else {
-            return Err(CoreError::Catalog(format!("index {index:?} is not a B+ tree")));
-        };
-        // entries are `(secondary key, pk...)`: what follows the key is the pk
-        let mut pks = Vec::new();
-        let mut entries = leading_field_reader(tree, range, None, None)?;
-        while let Some((key, _)) = entries.next_entry()? {
-            pks.push(strip_key_part(key).map_err(CoreError::Adm)?.to_vec());
+        let misfit = || CoreError::Catalog(format!("index {index:?} is a {:?} index: it cannot answer [{range}]", sec.def.kind));
+        let fits = |kind| if sec.def.kind == kind { Ok(&sec.tree) } else { Err(misfit()) };
+        Ok(match range {
+            IndexRange::Range(range) => {
+                // entries are `(secondary key, pk...)`: what follows the key is the pk
+                let mut pks = Vec::new();
+                let mut entries = leading_field_reader(fits(IndexKind::BTree)?, range, None, None)?;
+                while let Some((key, _)) = entries.next_entry()? {
+                    pks.push(strip_key_part(key).map_err(CoreError::Adm)?.to_vec());
+                }
+                pks
+            }
+            IndexRange::Spatial(query) => {
+                spatial::search(fits(IndexKind::RTree)?, query)?.into_iter().map(|e| e.pk).collect()
+            }
+            IndexRange::Keyword(query) => inverted::search_all(fits(IndexKind::Keyword)?, query)?,
+            IndexRange::Point(_) => return Err(misfit()),
+        })
+    }
+
+    /// Checks the partition's secondary indexes against its primary: every
+    /// primary row has each of its [`entries`], and every secondary entry is
+    /// one that the current row under its primary key yields. Secondaries
+    /// are flushed before their primary, so after a crash this holds once
+    /// the log is replayed, not before. The error names the partition, the
+    /// index and the first key where the index and its rows part.
+    pub fn audit_indexes(&self) -> Result<()> {
+        if self.secondaries.is_empty() {
+            return Ok(());
         }
-        Ok(pks)
-    }
-
-    /// Candidate PKs from an R-tree index intersecting `query`.
-    pub fn rtree_index_pks(&self, index: &str, query: &Rectangle) -> Result<Vec<Vec<u8>>> {
-        let sec = self.find_index(index)?;
-        let Secondary::RTree { index: spatial, .. } = sec else {
-            return Err(CoreError::Catalog(format!("index {index:?} is not an R-tree")));
-        };
-        Ok(spatial.search(query)?.into_iter().map(|e| e.pk).collect())
-    }
-
-    /// Candidate PKs from a keyword index for a conjunctive keyword query.
-    pub fn keyword_index_pks(&self, index: &str, query: &str) -> Result<Vec<Vec<u8>>> {
-        let sec = self.find_index(index)?;
-        let Secondary::Keyword { index: inv, .. } = sec else {
-            return Err(CoreError::Catalog(format!("index {index:?} is not a keyword index")));
-        };
-        Ok(inv.search_all(query)?)
+        let mut want = vec![Vec::new(); self.secondaries.len()];
+        let mut rows = self.primary.reader(Bound::Unbounded, Bound::Unbounded, Some(self.indexed.cells()))?;
+        while let Some((pk, stored)) = rows.next_entry()? {
+            let record = self.schema.project(&self.indexed, stored)?;
+            for (sec, want) in self.secondaries.iter().zip(&mut want) {
+                entries(&sec.def, &record, pk, |key, value| {
+                    want.push((key, value));
+                    Ok(())
+                })?;
+            }
+        }
+        for (sec, mut want) in self.secondaries.iter().zip(want) {
+            want.sort_unstable();
+            let have = sec.tree.scan()?;
+            let at = have.iter().zip(&want).take_while(|(have, want)| have == want).count();
+            let lacks = match (have.get(at), want.get(at)) {
+                (None, None) => continue,
+                (Some(have), Some(want)) => want < have,
+                (have, _) => have.is_none(),
+            };
+            let (what, key) =
+                if lacks { ("lacks the entry", &want[at].0) } else { ("holds an entry no row yields", &have[at].0) };
+            return Err(CoreError::Storage(StorageError::Corrupt(format!(
+                "{} partition {}: index {:?} {what}, key {key:02x?}",
+                self.dataset, self.partition, sec.def.name
+            ))));
+        }
+        Ok(())
     }
 
     fn find_index(&self, name: &str) -> Result<&Secondary> {
         self.secondaries
             .iter()
-            .find(|s| s.def().name == name)
+            .find(|s| s.def.name == name)
             .ok_or_else(|| CoreError::Catalog(format!("unknown index {name:?}")))
     }
 
@@ -733,7 +726,7 @@ impl DatasetPartition {
     pub fn lsm_stats(&self, index: Option<&str>) -> Result<LsmStats> {
         Ok(match index {
             None => self.primary.stats(),
-            Some(name) => self.find_index(name)?.lsm().stats(),
+            Some(name) => self.find_index(name)?.tree.stats(),
         })
     }
 }
@@ -770,15 +763,6 @@ fn leading_field_reader<'t>(
 pub fn sort_pks(pks: &mut Vec<Vec<u8>>) {
     pks.sort_unstable();
     pks.dedup();
-}
-
-/// The MBR of a spatial value (point or rectangle).
-pub fn spatial_mbr(v: &Value) -> Option<Rectangle> {
-    match v {
-        Value::Point(p) => Some(p.to_mbr()),
-        Value::Rectangle(r) => Some(*r),
-        _ => None,
-    }
 }
 
 /// Hash-selects the partition for a primary key.
@@ -831,6 +815,7 @@ mod tests {
     use super::*;
     use crate::catalog::DatasetKind;
     use asterix_adm::parse::parse_value;
+    use asterix_adm::Rectangle;
 
     fn tmp_node() -> (Arc<Node>, std::path::PathBuf) {
         let p = std::env::temp_dir().join(format!(
@@ -873,9 +858,20 @@ mod tests {
         DatasetPartition::new(def, RecordSchema::keyed_by_id(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap()
     }
 
-    /// The index range holding exactly author `v`.
-    fn author(v: i64) -> KeyRange {
-        KeyRange { lo: Some(Value::Int(v)), lo_inclusive: true, hi: Some(Value::Int(v)), hi_inclusive: true }
+    /// The probe of `byAuthor` for exactly author `v`.
+    fn author(v: impl Into<Value>) -> IndexRange {
+        let v = v.into();
+        IndexRange::Range(KeyRange { lo: Some(v.clone()), lo_inclusive: true, hi: Some(v), hi_inclusive: true })
+    }
+
+    /// What a keyword probe of `byText` for `query` finds.
+    fn keyword(part: &DatasetPartition, query: &str) -> Vec<Vec<u8>> {
+        part.index_pks("byText", &IndexRange::Keyword(query.into())).unwrap()
+    }
+
+    /// The live entries of secondary index `index`.
+    fn entry_count(part: &DatasetPartition, index: &str) -> usize {
+        part.find_index(index).unwrap().tree.count().unwrap()
     }
 
     /// The first column of `batch`, row by row.
@@ -980,13 +976,13 @@ mod tests {
         for i in 0..50 {
             part.upsert(&record(i, i % 5, 0.0, "x")).unwrap();
         }
-        let pks = part.btree_index_pks("byAuthor", &author(2)).unwrap();
+        let pks = part.index_pks("byAuthor", &author(2)).unwrap();
         assert_eq!(pks.len(), 10);
         // move record 2 to author 99
         part.upsert(&record(2, 99, 0.0, "x")).unwrap();
-        let pks = part.btree_index_pks("byAuthor", &author(2)).unwrap();
+        let pks = part.index_pks("byAuthor", &author(2)).unwrap();
         assert_eq!(pks.len(), 9, "old entry retracted");
-        let pks = part.btree_index_pks("byAuthor", &author(99)).unwrap();
+        let pks = part.index_pks("byAuthor", &author(99)).unwrap();
         assert_eq!(pks.len(), 1);
         let _ = std::fs::remove_dir_all(p);
     }
@@ -1000,7 +996,7 @@ mod tests {
         let n = |lo: Option<i64>, li: bool, hi: Option<i64>, hi_i: bool| {
             let range =
                 KeyRange { lo: lo.map(Value::Int), lo_inclusive: li, hi: hi.map(Value::Int), hi_inclusive: hi_i };
-            part.btree_index_pks("byAuthor", &range).unwrap().len()
+            part.index_pks("byAuthor", &IndexRange::Range(range)).unwrap().len()
         };
         assert_eq!(n(Some(5), true, Some(10), true), 6);
         assert_eq!(n(Some(5), false, Some(10), false), 4);
@@ -1016,11 +1012,11 @@ mod tests {
             part.upsert(&record(i, 0, i as f64, "x")).unwrap();
         }
         let q = Rectangle::new(Point::new(9.5, 9.5), Point::new(15.5, 15.5));
-        let pks = part.rtree_index_pks("byLoc", &q).unwrap();
+        let pks = part.index_pks("byLoc", &IndexRange::Spatial(q)).unwrap();
         assert_eq!(pks.len(), 6, "points 10..=15");
         // delete one
         part.delete(&encode_key(&[Value::Int(12)])).unwrap();
-        let pks = part.rtree_index_pks("byLoc", &q).unwrap();
+        let pks = part.index_pks("byLoc", &IndexRange::Spatial(q)).unwrap();
         assert_eq!(pks.len(), 5);
         let _ = std::fs::remove_dir_all(p);
     }
@@ -1031,7 +1027,7 @@ mod tests {
         part.upsert(&record(1, 0, 0.0, "big data management")).unwrap();
         part.upsert(&record(2, 0, 0.0, "big active data")).unwrap();
         part.upsert(&record(3, 0, 0.0, "little tiny data")).unwrap();
-        let pks = part.keyword_index_pks("byText", "big data").unwrap();
+        let pks = keyword(&part, "big data");
         assert_eq!(pks.len(), 2);
         let recs = records(part.read_keys(&pks, &part.schema.resolve(&[])).unwrap());
         assert!(recs.iter().all(|r| r.field("text").as_str().unwrap().contains("big")));
@@ -1079,12 +1075,98 @@ mod tests {
     }
 
     #[test]
+    fn an_update_of_the_text_retracts_every_old_token_and_finds_the_new_ones() {
+        let (mut part, p) = setup();
+        part.upsert(&record(1, 0, 0.0, "alpha beta gamma")).unwrap();
+        part.upsert(&record(2, 0, 0.0, "beta")).unwrap();
+        part.flush().unwrap();
+        part.upsert(&record(1, 0, 0.0, "delta epsilon beta")).unwrap();
+        let pk = |i: i64| encode_key(&[Value::Int(i)]);
+        assert!(keyword(&part, "alpha").is_empty() && keyword(&part, "gamma").is_empty(), "old tokens retracted");
+        assert_eq!(keyword(&part, "epsilon delta"), [pk(1)]);
+        assert_eq!(keyword(&part, "beta"), [pk(1), pk(2)]);
+        assert_eq!(entry_count(&part, "byText"), 4, "beta twice, delta and epsilon");
+        part.audit_indexes().unwrap();
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    #[test]
+    fn a_repeated_token_writes_one_posting() {
+        let (mut part, p) = setup();
+        part.upsert(&record(7, 0, 0.0, "spam Spam spam")).unwrap();
+        assert_eq!(entry_count(&part, "byText"), 1);
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    /// A number under the keyword and the spatial index is not indexed and
+    /// is no error, on the way in or out; a B+ tree index takes a string.
+    #[test]
+    fn a_field_of_the_wrong_type_yields_no_entry_and_no_error() {
+        let (mut part, p) = setup();
+        let v = parse_value(r#"{"id": 1, "author": "ann", "loc": 5, "text": 7}"#).unwrap();
+        part.upsert(&v).unwrap();
+        let counts = |part: &DatasetPartition| ["byAuthor", "byLoc", "byText"].map(|index| entry_count(part, index));
+        assert_eq!(counts(&part), [1, 0, 0]);
+        assert_eq!(part.index_pks("byAuthor", &author("ann")).unwrap(), [encode_key(&[Value::Int(1)])]);
+        part.audit_indexes().unwrap();
+        part.delete(&encode_key(&[Value::Int(1)])).unwrap();
+        assert_eq!(counts(&part), [0, 0, 0]);
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    #[test]
+    fn a_probe_of_another_kind_is_a_catalog_error_naming_the_index() {
+        let (part, p) = setup();
+        let rect = Rectangle::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+        for (index, range) in [
+            ("byAuthor", IndexRange::Keyword("x".into())),
+            ("byAuthor", IndexRange::Point(vec![Value::Int(1)])),
+            ("byLoc", author(1)),
+            ("byText", IndexRange::Spatial(rect)),
+        ] {
+            match part.index_pks(index, &range) {
+                Err(CoreError::Catalog(why)) => assert!(why.contains(&format!("{index:?}")), "{why}"),
+                other => panic!("{index} [{range}]: {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    /// The audit passes over upkeep of every kind, in memory and on disk, and
+    /// names the index and the key of an entry too many or too few.
+    #[test]
+    fn the_audit_names_an_entry_too_many_and_one_too_few() {
+        let (mut part, p) = setup();
+        for i in 0..20 {
+            part.upsert(&record(i, i % 3, i as f64, &format!("word{} shared", i % 4))).unwrap();
+        }
+        part.flush().unwrap();
+        for i in 0..10 {
+            part.upsert(&record(i, 7, 0.5, "moved")).unwrap();
+        }
+        part.delete(&encode_key(&[Value::Int(15)])).unwrap();
+        part.audit_indexes().unwrap();
+        let stray = prepend_key_part(&Value::Int(7), &encode_key(&[Value::Int(15)]));
+        let sec = part.secondaries.iter_mut().find(|s| s.def.name == "byAuthor").unwrap();
+        sec.tree.upsert(stray.clone(), Vec::new()).unwrap();
+        let err = part.audit_indexes().unwrap_err().to_string();
+        assert!(err.contains("partition 0") && err.contains("\"byAuthor\" holds") && err.contains(&format!("{stray:02x?}")), "{err}");
+        let sec = part.secondaries.iter_mut().find(|s| s.def.name == "byAuthor").unwrap();
+        sec.tree.delete(stray).unwrap();
+        let lost = prepend_key_part(&Value::Int(7), &encode_key(&[Value::Int(3)]));
+        sec.tree.delete(lost.clone()).unwrap();
+        let err = part.audit_indexes().unwrap_err().to_string();
+        assert!(err.contains("\"byAuthor\" lacks") && err.contains(&format!("{lost:02x?}")), "{err}");
+        let _ = std::fs::remove_dir_all(p);
+    }
+
+    #[test]
     fn missing_secondary_key_is_not_indexed() {
         let (mut part, p) = setup();
         let v = parse_value(r#"{"id": 1, "text": "no author or loc"}"#).unwrap();
         part.upsert(&v).unwrap();
         assert_eq!(part.count().unwrap(), 1);
-        let pks = part.btree_index_pks("byAuthor", &KeyRange::default()).unwrap();
+        let pks = part.index_pks("byAuthor", &IndexRange::Range(KeyRange::default())).unwrap();
         assert!(pks.is_empty());
         let _ = std::fs::remove_dir_all(p);
     }
@@ -1103,7 +1185,7 @@ mod tests {
             &StorageConfig::default(),
         )
         .unwrap();
-        let pks = part.btree_index_pks("byAuthor", &author(1)).unwrap();
+        let pks = part.index_pks("byAuthor", &author(1)).unwrap();
         assert_eq!(pks.len(), 5);
         let _ = std::fs::remove_dir_all(p);
     }

@@ -406,6 +406,12 @@ impl Instance {
         for node in &inner.cluster.nodes {
             node.resume_checkpoints()?;
         }
+        // 5. a debug build checks that every index agrees with its primary
+        if cfg!(debug_assertions) {
+            for part in by_id.values().flat_map(|rt| &rt.partitions) {
+                part.read().audit_indexes()?;
+            }
+        }
         Ok(())
     }
 

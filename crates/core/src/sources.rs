@@ -101,14 +101,7 @@ impl Cursor {
         // the query for, not with a short answer.
         part.node().check_alive()?;
         if let Reading::Probe { index, range, sorted } = &self.reading {
-            let mut pks = match range {
-                IndexRange::Range(range) => part.btree_index_pks(index, range)?,
-                IndexRange::Spatial(rect) => part.rtree_index_pks(index, rect)?,
-                IndexRange::Keyword(q) => part.keyword_index_pks(index, q)?,
-                IndexRange::Point(_) => {
-                    return Err(CoreError::Catalog(format!("point probe on secondary index {index:?}")))
-                }
-            };
+            let mut pks = part.index_pks(index, range)?;
             if *sorted {
                 sort_pks(&mut pks);
             }

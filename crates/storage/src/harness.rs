@@ -20,8 +20,9 @@
 //! and a snapshot of disk components, either of which may be missing — a
 //! flush is that merge with no disk input. Beside that it writes only its
 //! typed reads and writes, as inherent methods of `Lsm<ItsKind>`:
-//! [`crate::lsm::LsmTree`] is the one kind, and over it
-//! [`crate::inverted::InvertedIndex`] and [`crate::spatial::SpatialIndex`].
+//! [`crate::lsm::LsmTree`] is the one kind, and a keyword or spatial index
+//! is one with its keys coded and searched by [`crate::inverted`] or
+//! [`crate::spatial`].
 //! Everything is statically dispatched, so a read costs a list snapshot and
 //! nothing else.
 //!
@@ -1637,7 +1638,7 @@ mod tests {
     impl Entries for Spatial {
         type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
-            LsmConfig { mem_budget, merge_policy, ..spatial_index::SpatialIndex::config("s") }
+            LsmConfig { mem_budget, merge_policy, ..spatial_index::config("s") }
         }
         fn put(t: &mut LsmTree, i: u64) {
             t.upsert(spatial_index::key(&point(i), &key(i)), spatial_index::value(&point(i))).unwrap();

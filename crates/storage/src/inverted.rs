@@ -1,21 +1,20 @@
 //! LSM inverted keyword index (`CREATE INDEX ... TYPE KEYWORD`, paper
 //! Figure 3(a) and Section III item 8).
 //!
-//! Indexes the tokens of a string (or the elements of a string collection)
-//! to the record's primary key. Physically it is an [`LsmTree`] over the
-//! composite key `(token, pk)` — LSM-ifying the inverted index exactly the
-//! way AsterixDB does (secondary indexes reuse the LSM machinery). Primary
-//! keys go in and come out as encoded key bytes
+//! Indexes the tokens of a string field to the record's primary key. It is
+//! an [`LsmTree`] over the composite key `(token, pk)` with no value —
+//! LSM-ifying the inverted index exactly the way AsterixDB does (secondary
+//! indexes reuse the LSM machinery). This module is its key codec
+//! ([`postings`]) and its searches; the tree's owner writes and deletes the
+//! keys. Primary keys go in and come out as encoded key bytes
 //! (`asterix_adm::binary::encode_key`): a posting is the token prepended to
 //! them, and nothing decodes them on the way.
 
-use crate::cache::BufferCache;
 use crate::error::Result;
-use crate::lsm::{LsmConfig, LsmTree};
+use crate::lsm::LsmTree;
 use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part};
 use asterix_adm::Value;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Splits text into lowercase alphanumeric word tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
@@ -34,110 +33,74 @@ pub fn tokenize(text: &str) -> Vec<String> {
     out
 }
 
-/// An LSM-based inverted keyword index mapping tokens to primary keys.
-pub struct InvertedIndex {
-    tree: LsmTree,
+/// The posting keys of `text` under the encoded primary key `pk`: one per
+/// distinct token, the token prepended to `pk`.
+pub fn postings(text: &str, pk: &[u8]) -> Vec<Vec<u8>> {
+    let mut tokens = tokenize(text);
+    tokens.sort_unstable();
+    tokens.dedup();
+    tokens.into_iter().map(|tok| prepend_key_part(&Value::String(tok), pk)).collect()
 }
 
-impl InvertedIndex {
-    /// An inverted index kept in `tree`, which the caller created or
-    /// reopened: its lifecycle is the tree's own.
-    pub fn over(tree: LsmTree) -> Self {
-        InvertedIndex { tree }
-    }
+/// Encoded primary keys, in byte order, of the records whose postings in
+/// `tree` hold `token` (case-insensitive).
+pub fn search_token(tree: &LsmTree, token: &str) -> Result<Vec<Vec<u8>>> {
+    // the postings of a token are the keys its one-part key starts, and
+    // the primary key is what follows it
+    let lo = encode_key(&[Value::String(token.to_lowercase())]);
+    let hi = key_prefix_end(lo.clone());
+    tree.range_iter(Bound::Included(lo.as_slice()), Bound::Excluded(hi.as_slice()))?
+        .map(|entry| Ok(entry?.0.split_off(lo.len())))
+        .collect()
+}
 
-    /// Creates an inverted index with its own, default-configured LSM tree.
-    pub fn new(cache: Arc<BufferCache>, name: impl Into<String>) -> Self {
-        InvertedIndex::over(LsmTree::new(cache, LsmConfig::new(name)))
-    }
-
-    /// The distinct tokens of `text`, each as the posting key it has with
-    /// the encoded primary key `pk`.
-    fn postings(text: &str, pk: &[u8]) -> Vec<Vec<u8>> {
-        let mut tokens = tokenize(text);
-        tokens.sort_unstable();
-        tokens.dedup();
-        tokens.into_iter().map(|tok| prepend_key_part(&Value::String(tok), pk)).collect()
-    }
-
-    /// Indexes `text` under the encoded primary key `pk`.
-    pub fn insert_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
-        for key in Self::postings(text, pk) {
-            self.tree.upsert(key, Vec::new())?;
+/// Encoded primary keys, in byte order, of the records whose postings in
+/// `tree` hold *all* the query's tokens (conjunctive keyword search). Each
+/// token's keys come out in byte order, so they are intersected by a merge.
+pub fn search_all(tree: &LsmTree, query: &str) -> Result<Vec<Vec<u8>>> {
+    let mut tokens = tokenize(query);
+    tokens.sort_unstable();
+    tokens.dedup();
+    let mut tokens = tokens.iter();
+    let Some(first) = tokens.next() else { return Ok(Vec::new()) };
+    let mut found = search_token(tree, first)?;
+    for tok in tokens {
+        if found.is_empty() {
+            break;
         }
-        Ok(())
+        let also = search_token(tree, tok)?;
+        let mut also = also.iter().peekable();
+        found.retain(|pk| {
+            while also.next_if(|other| *other < pk).is_some() {}
+            also.peek() == Some(&pk)
+        });
     }
-
-    /// Removes the postings of `text` for `pk` (on delete/update).
-    pub fn delete_text(&mut self, text: &str, pk: &[u8]) -> Result<()> {
-        for key in Self::postings(text, pk) {
-            self.tree.delete(key)?;
-        }
-        Ok(())
-    }
-
-    /// Encoded primary keys of records containing `token` (case-insensitive).
-    pub fn search_token(&self, token: &str) -> Result<Vec<Vec<u8>>> {
-        // the postings of a token are the keys its one-part key starts, and
-        // the primary key is what follows it
-        let lo = encode_key(&[Value::String(token.to_lowercase())]);
-        let hi = key_prefix_end(lo.clone());
-        self.tree
-            .range_iter(Bound::Included(lo.as_slice()), Bound::Excluded(hi.as_slice()))?
-            .map(|entry| Ok(entry?.0.split_off(lo.len())))
-            .collect()
-    }
-
-    /// Encoded primary keys of records containing *all* the query's tokens
-    /// (conjunctive keyword search).
-    pub fn search_all(&self, query: &str) -> Result<Vec<Vec<u8>>> {
-        let mut tokens = tokenize(query);
-        tokens.sort_unstable();
-        tokens.dedup();
-        let mut result: Option<Vec<Vec<u8>>> = None;
-        for tok in tokens {
-            let pks = self.search_token(&tok)?;
-            result = Some(match result {
-                None => pks,
-                Some(prev) => prev
-                    .into_iter()
-                    .filter(|pk| pks.contains(pk))
-                    .collect(),
-            });
-            if matches!(&result, Some(r) if r.is_empty()) {
-                break;
-            }
-        }
-        Ok(result.unwrap_or_default())
-    }
-
-    /// The underlying LSM tree: its lifecycle (flushing, logging stamps,
-    /// statistics, merge execution) is the tree's own.
-    pub fn lsm(&self) -> &LsmTree {
-        &self.tree
-    }
-
-    /// See [`InvertedIndex::lsm`].
-    pub fn lsm_mut(&mut self) -> &mut LsmTree {
-        &mut self.tree
-    }
+    Ok(found)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BufferCache;
     use crate::io::FileManager;
+    use crate::lsm::LsmConfig;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
 
-    fn setup() -> (Arc<BufferCache>, TempDir) {
+    fn setup() -> (LsmTree, TempDir) {
         let dir = TempDir::new();
         let fm = FileManager::new(dir.path(), IoStats::new()).unwrap();
-        (BufferCache::new(fm, 64), dir)
+        (LsmTree::new(BufferCache::new(fm, 64), LsmConfig::new("kw")), dir)
     }
 
     fn pk(i: i64) -> Vec<u8> {
         encode_key(&[Value::Int(i)])
+    }
+
+    fn insert(tree: &mut LsmTree, text: &str, pk: &[u8]) {
+        for key in postings(text, pk) {
+            tree.upsert(key, Vec::new()).unwrap();
+        }
     }
 
     #[test]
@@ -150,74 +113,93 @@ mod tests {
 
     #[test]
     fn index_and_search() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("the quick brown fox", &pk(1)).unwrap();
-        idx.insert_text("the lazy dog", &pk(2)).unwrap();
-        idx.insert_text("quick quick dog", &pk(3)).unwrap();
-        let hits = idx.search_token("quick").unwrap();
+        let (mut idx, _d) = setup();
+        insert(&mut idx, "the quick brown fox", &pk(1));
+        insert(&mut idx, "the lazy dog", &pk(2));
+        insert(&mut idx, "quick quick dog", &pk(3));
+        let hits = search_token(&idx, "quick").unwrap();
         assert_eq!(hits, vec![pk(1), pk(3)]);
-        let hits = idx.search_token("THE").unwrap();
+        let hits = search_token(&idx, "THE").unwrap();
         assert_eq!(hits.len(), 2, "case-insensitive");
-        assert!(idx.search_token("cat").unwrap().is_empty());
+        assert!(search_token(&idx, "cat").unwrap().is_empty());
     }
 
     #[test]
     fn conjunctive_search() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("big data management system", &pk(1)).unwrap();
-        idx.insert_text("big active data", &pk(2)).unwrap();
-        idx.insert_text("little data", &pk(3)).unwrap();
-        let hits = idx.search_all("big data").unwrap();
+        let (mut idx, _d) = setup();
+        insert(&mut idx, "big data management system", &pk(1));
+        insert(&mut idx, "big active data", &pk(2));
+        insert(&mut idx, "little data", &pk(3));
+        let hits = search_all(&idx, "big data").unwrap();
         assert_eq!(hits, vec![pk(1), pk(2)]);
-        let hits = idx.search_all("big data management").unwrap();
+        let hits = search_all(&idx, "big data management").unwrap();
         assert_eq!(hits, vec![pk(1)]);
-        assert!(idx.search_all("big cats").unwrap().is_empty());
+        assert!(search_all(&idx, "big cats").unwrap().is_empty());
+        assert!(search_all(&idx, "...").unwrap().is_empty(), "no token, no record");
+    }
+
+    /// The intersection is a merge of the tokens' keys, each in byte order:
+    /// its answer is the rare token's keys that the common one holds too, in
+    /// key order, whichever token the query names first.
+    #[test]
+    fn a_common_and_a_rare_token_intersect_in_key_order() {
+        let (mut idx, _d) = setup();
+        // 3 996 texts hold `common`, 42 hold `rare`, one of them without `common`
+        for i in 0..4000 {
+            let common = if i % 1000 == 3 { "" } else { " common" };
+            let rare = if i % 97 == 3 { " rare" } else { "" };
+            insert(&mut idx, &format!("m{i}{common}{rare}"), &pk(i));
+        }
+        idx.flush().unwrap();
+        // then, in memory, record 3 takes `common` and record 3883 loses `rare`
+        insert(&mut idx, "common", &pk(3));
+        for key in postings("rare", &pk(3883)) {
+            idx.delete(key).unwrap();
+        }
+        assert_eq!(search_token(&idx, "common").unwrap().len(), 3997);
+        let want: Vec<Vec<u8>> = (0..42).map(|k| 3 + 97 * k).filter(|&i| i != 3883).map(pk).collect();
+        assert_eq!(want.len(), 41);
+        assert_eq!(search_all(&idx, "common rare").unwrap(), want);
+        assert_eq!(search_all(&idx, "RARE, common").unwrap(), want);
     }
 
     #[test]
     fn search_spans_flushes() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("alpha beta", &pk(1)).unwrap();
-        idx.lsm_mut().flush().unwrap();
-        idx.insert_text("beta gamma", &pk(2)).unwrap();
-        let hits = idx.search_token("beta").unwrap();
+        let (mut idx, _d) = setup();
+        insert(&mut idx, "alpha beta", &pk(1));
+        idx.flush().unwrap();
+        insert(&mut idx, "beta gamma", &pk(2));
+        let hits = search_token(&idx, "beta").unwrap();
         assert_eq!(hits.len(), 2);
-        assert!(idx.lsm().component_count() >= 1);
+        assert!(idx.component_count() >= 1);
     }
 
     #[test]
     fn delete_removes_postings() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("hello world", &pk(1)).unwrap();
-        idx.insert_text("hello there", &pk(2)).unwrap();
-        idx.lsm_mut().flush().unwrap();
-        idx.delete_text("hello world", &pk(1)).unwrap();
-        let hits = idx.search_token("hello").unwrap();
+        let (mut idx, _d) = setup();
+        insert(&mut idx, "hello world", &pk(1));
+        insert(&mut idx, "hello there", &pk(2));
+        idx.flush().unwrap();
+        for key in postings("hello world", &pk(1)) {
+            idx.delete(key).unwrap();
+        }
+        let hits = search_token(&idx, "hello").unwrap();
         assert_eq!(hits, vec![pk(2)]);
-        assert!(idx.search_token("world").unwrap().is_empty());
+        assert!(search_token(&idx, "world").unwrap().is_empty());
     }
 
     #[test]
     fn duplicate_tokens_in_one_text() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
-        idx.insert_text("spam spam spam", &pk(7)).unwrap();
-        let hits = idx.search_token("spam").unwrap();
-        assert_eq!(hits.len(), 1, "deduplicated postings");
+        assert_eq!(postings("spam Spam spam", &pk(7)).len(), 1, "deduplicated postings");
     }
 
     #[test]
     fn string_primary_keys() {
-        let (cache, _d) = setup();
-        let mut idx = InvertedIndex::new(cache, "kw");
+        let (mut idx, _d) = setup();
         let pk_a = encode_key(&[Value::from("userA"), Value::Int(1)]);
-        idx.insert_text("msg one", &pk_a).unwrap();
-        idx.insert_text("msg two", &encode_key(&[Value::from("userB"), Value::Int(2)])).unwrap();
-        let hits = idx.search_token("msg").unwrap();
+        insert(&mut idx, "msg one", &pk_a);
+        insert(&mut idx, "msg two", &encode_key(&[Value::from("userB"), Value::Int(2)]));
+        let hits = search_token(&idx, "msg").unwrap();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0], pk_a);
     }

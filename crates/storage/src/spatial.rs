@@ -11,7 +11,9 @@
 //! leaves are spatial ([`LeafShape::Spatial`]): the fence index holds each
 //! leaf's MBR, and a search reads only the leaves whose MBR meets its query.
 //! The memory component is the tree's own, searched by an MBR filter over
-//! its entries. A delete is the tree's delete marker on the entry's key.
+//! its entries. This module is the entry's codec ([`key`], [`value`]) and
+//! the search; the tree's owner puts the entries, and deletes one with the
+//! tree's delete marker on its key.
 //!
 //! The value is 16 bytes for a point and 32 for a rectangle: the paper's
 //! point-MBR storage optimization ("not storing them as infinitely small
@@ -31,12 +33,10 @@
 //! candidate from the newest source is asked nothing.
 
 use crate::btree::{Entry, LeafShape};
-use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
 use crate::lsm::{LsmConfig, LsmTree};
 use crate::spatial_keys::hilbert_d;
 use asterix_adm::{Point, Rectangle};
-use std::sync::Arc;
 
 /// One live entry of a search: its MBR and the encoded primary key.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,65 +96,18 @@ pub fn mbr_of(value: &[u8]) -> Result<Rectangle> {
     }
 }
 
-/// An LSM spatial index mapping MBRs to primary keys.
-pub struct SpatialIndex {
-    tree: LsmTree,
+/// The configuration of the tree of a spatial index `name`: its leaves are
+/// spatial.
+pub fn config(name: impl Into<String>) -> LsmConfig {
+    LsmConfig { leaves: LeafShape::Spatial, ..LsmConfig::new(name) }
 }
 
-impl SpatialIndex {
-    /// The configuration of the tree of a spatial index `name`.
-    pub fn config(name: impl Into<String>) -> LsmConfig {
-        LsmConfig { leaves: LeafShape::Spatial, ..LsmConfig::new(name) }
-    }
-
-    /// A spatial index kept in `tree`, which the caller created or reopened
-    /// with spatial leaves: its lifecycle is the tree's own.
-    pub fn over(tree: LsmTree) -> Self {
-        SpatialIndex { tree }
-    }
-
-    /// Creates a spatial index with its own, default-configured tree.
-    pub fn new(cache: Arc<BufferCache>, name: impl Into<String>) -> Self {
-        SpatialIndex::over(LsmTree::new(cache, Self::config(name)))
-    }
-
-    /// Indexes `mbr` under the encoded primary key `pk`.
-    pub fn insert(&mut self, mbr: &Rectangle, pk: &[u8]) -> Result<()> {
-        self.tree.upsert(key(mbr, pk), value(mbr))
-    }
-
-    /// Removes the entry of `mbr` and `pk` (on delete/update).
-    pub fn delete(&mut self, mbr: &Rectangle, pk: &[u8]) -> Result<()> {
-        self.tree.delete(key(mbr, pk))
-    }
-
-    /// Every live entry whose MBR meets `query`.
-    pub fn search(&self, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
-        search(&self.tree, query)
-    }
-
-    /// Live entry count.
-    pub fn count(&self) -> Result<usize> {
-        self.tree.count()
-    }
-
-    /// The underlying LSM tree: its lifecycle (flushing, logging stamps,
-    /// statistics, merge execution) is the tree's own.
-    pub fn lsm(&self) -> &LsmTree {
-        &self.tree
-    }
-
-    /// See [`SpatialIndex::lsm`].
-    pub fn lsm_mut(&mut self) -> &mut LsmTree {
-        &mut self.tree
-    }
-}
-
-/// [`SpatialIndex::search`] of the spatial tree `tree`: the candidates of
-/// each source, the memory components' by a filter over their entries and a
-/// disk component's out of the leaves its fences say meet `query`, each kept
-/// only when no newer source holds its key (see the module docs).
-pub(crate) fn search(tree: &LsmTree, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
+/// Every live entry of the spatial tree `tree` whose MBR meets `query`: the
+/// candidates of each source, the memory components' by a filter over their
+/// entries and a disk component's out of the leaves its fences say meet
+/// `query`, each kept only when no newer source holds its key (see the
+/// module docs).
+pub fn search(tree: &LsmTree, query: &Rectangle) -> Result<Vec<SpatialEntry>> {
     let mems: Vec<_> = tree.mem.newest_first().collect();
     // the snapshot keeps a concurrently merged-away component readable
     let disk = tree.shared.snapshot();
@@ -198,10 +151,13 @@ pub(crate) fn search(tree: &LsmTree, query: &Rectangle) -> Result<Vec<SpatialEnt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::BufferCache;
     use crate::io::FileManager;
     use crate::lsm::MergePolicy;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
+
+    use std::sync::Arc;
 
     fn setup() -> (Arc<BufferCache>, TempDir) {
         let dir = TempDir::new();
@@ -210,8 +166,16 @@ mod tests {
     }
 
     /// An index that flushes past 8 KiB and merges only when asked.
-    fn index(cache: Arc<BufferCache>) -> SpatialIndex {
-        SpatialIndex::over(LsmTree::new(cache, LsmConfig { mem_budget: 8 << 10, merge_policy: MergePolicy::NoMerge, ..SpatialIndex::config("s") }))
+    fn index(cache: Arc<BufferCache>) -> LsmTree {
+        LsmTree::new(cache, LsmConfig { mem_budget: 8 << 10, merge_policy: MergePolicy::NoMerge, ..config("s") })
+    }
+
+    fn insert(t: &mut LsmTree, mbr: &Rectangle, pk: &[u8]) {
+        t.upsert(key(mbr, pk), value(mbr)).unwrap();
+    }
+
+    fn delete(t: &mut LsmTree, mbr: &Rectangle, pk: &[u8]) {
+        t.delete(key(mbr, pk)).unwrap();
     }
 
     fn pt(x: f64, y: f64) -> Rectangle {
@@ -246,12 +210,12 @@ mod tests {
         let mut t = index(cache);
         for i in 0..50 {
             for j in 0..50 {
-                t.insert(&pt(i as f64, j as f64), format!("{i},{j}").as_bytes()).unwrap();
+                insert(&mut t, &pt(i as f64, j as f64), format!("{i},{j}").as_bytes());
             }
         }
-        assert!(t.lsm().component_count() > 0, "memory budget forced flushes");
-        assert_eq!(t.search(&rect(10.0, 10.0, 12.0, 12.0)).unwrap().len(), 9);
-        assert_eq!(t.search(&everything()).unwrap().len(), 2500);
+        assert!(t.component_count() > 0, "memory budget forced flushes");
+        assert_eq!(search(&t, &rect(10.0, 10.0, 12.0, 12.0)).unwrap().len(), 9);
+        assert_eq!(search(&t, &everything()).unwrap().len(), 2500);
         assert_eq!(t.count().unwrap(), 2500);
     }
 
@@ -261,18 +225,18 @@ mod tests {
         let mut t = index(Arc::clone(&cache));
         for i in 0..100 {
             for j in 0..100 {
-                t.insert(&pt(i as f64, j as f64), &(i * 100 + j as u32).to_be_bytes()).unwrap();
+                insert(&mut t, &pt(i as f64, j as f64), &(i * 100 + j as u32).to_be_bytes());
             }
         }
-        t.lsm_mut().flush().unwrap();
-        let n = t.lsm().component_count();
-        t.lsm_mut().merge_newest(n).unwrap();
+        t.flush().unwrap();
+        let n = t.component_count();
+        t.merge_newest(n).unwrap();
         let pages = || {
             let snap = cache.stats().registry().snapshot();
             snap.counter("storage.io.cache_hits").unwrap() + snap.counter("storage.io.cache_misses").unwrap()
         };
         let before = pages();
-        assert_eq!(t.search(&rect(40.0, 40.0, 42.0, 42.0)).unwrap().len(), 9);
+        assert_eq!(search(&t, &rect(40.0, 40.0, 42.0, 42.0)).unwrap().len(), 9);
         let read = pages() - before;
         assert!((1..=4).contains(&read), "{read} of the component's leaves read for 9 of 10 000 entries");
     }
@@ -281,25 +245,25 @@ mod tests {
     fn delete_in_memory_component() {
         let (cache, _d) = setup();
         let mut t = index(cache);
-        t.insert(&pt(1.0, 1.0), b"a").unwrap();
-        t.insert(&pt(2.0, 2.0), b"b").unwrap();
-        t.delete(&pt(1.0, 1.0), b"a").unwrap();
-        assert_eq!(pks(t.search(&rect(0.0, 0.0, 3.0, 3.0)).unwrap()), [b"b".to_vec()]);
+        insert(&mut t, &pt(1.0, 1.0), b"a");
+        insert(&mut t, &pt(2.0, 2.0), b"b");
+        delete(&mut t, &pt(1.0, 1.0), b"a");
+        assert_eq!(pks(search(&t, &rect(0.0, 0.0, 3.0, 3.0)).unwrap()), [b"b".to_vec()]);
     }
 
     #[test]
     fn a_moved_entry_is_found_where_it_went_and_not_where_it_was() {
         let (cache, _d) = setup();
         let mut t = index(cache);
-        t.insert(&pt(1.0, 1.0), b"a").unwrap();
-        t.lsm_mut().flush().unwrap();
-        t.delete(&pt(1.0, 1.0), b"a").unwrap();
-        t.insert(&pt(5.0, 5.0), b"a").unwrap();
-        let hits = t.search(&rect(0.0, 0.0, 10.0, 10.0)).unwrap();
+        insert(&mut t, &pt(1.0, 1.0), b"a");
+        t.flush().unwrap();
+        delete(&mut t, &pt(1.0, 1.0), b"a");
+        insert(&mut t, &pt(5.0, 5.0), b"a");
+        let hits = search(&t, &rect(0.0, 0.0, 10.0, 10.0)).unwrap();
         assert_eq!(hits, [SpatialEntry { mbr: pt(5.0, 5.0), pk: b"a".to_vec() }], "new position wins");
-        assert!(t.search(&rect(0.0, 0.0, 2.0, 2.0)).unwrap().is_empty(), "old position is gone");
-        t.lsm_mut().flush().unwrap();
-        t.delete(&pt(5.0, 5.0), b"a").unwrap();
+        assert!(search(&t, &rect(0.0, 0.0, 2.0, 2.0)).unwrap().is_empty(), "old position is gone");
+        t.flush().unwrap();
+        delete(&mut t, &pt(5.0, 5.0), b"a");
         assert_eq!(t.count().unwrap(), 0, "the deleted entry is not resurrected");
     }
 
@@ -311,21 +275,21 @@ mod tests {
     fn a_delete_marker_in_a_pruned_leaf_still_masks_an_older_put() {
         let (cache, _d) = setup();
         let mut t = index(cache);
-        t.insert(&pt(1.0, 1.0), b"a").unwrap();
-        t.insert(&pt(2.0, 2.0), b"b").unwrap();
-        t.lsm_mut().flush().unwrap();
+        insert(&mut t, &pt(1.0, 1.0), b"a");
+        insert(&mut t, &pt(2.0, 2.0), b"b");
+        t.flush().unwrap();
         // the newer component: the marker, and a put far from the query
-        t.delete(&pt(1.0, 1.0), b"a").unwrap();
-        t.insert(&pt(900.0, 900.0), b"z").unwrap();
-        t.lsm_mut().flush().unwrap();
-        assert_eq!(t.lsm().component_count(), 2);
+        delete(&mut t, &pt(1.0, 1.0), b"a");
+        insert(&mut t, &pt(900.0, 900.0), b"z");
+        t.flush().unwrap();
+        assert_eq!(t.component_count(), 2);
         let query = rect(0.0, 0.0, 3.0, 3.0);
-        assert_eq!(pks(t.search(&query).unwrap()), [b"b".to_vec()]);
+        assert_eq!(pks(search(&t, &query).unwrap()), [b"b".to_vec()]);
         // as it does from the memory component, before any flush
-        t.insert(&pt(2.0, 2.0), b"c").unwrap();
-        t.lsm_mut().flush().unwrap();
-        t.delete(&pt(2.0, 2.0), b"c").unwrap();
-        assert_eq!(pks(t.search(&query).unwrap()), [b"b".to_vec()]);
+        insert(&mut t, &pt(2.0, 2.0), b"c");
+        t.flush().unwrap();
+        delete(&mut t, &pt(2.0, 2.0), b"c");
+        assert_eq!(pks(search(&t, &query).unwrap()), [b"b".to_vec()]);
     }
 
     /// Hazard (b): a rectangle put again about the same centre — the same
@@ -337,17 +301,17 @@ mod tests {
         let mut t = index(cache);
         let (big, small) = (rect(0.0, 0.0, 10.0, 10.0), rect(4.0, 4.0, 6.0, 6.0));
         assert_eq!(key(&big, b"r"), key(&small, b"r"), "one centre, one key");
-        t.insert(&big, b"r").unwrap();
-        t.lsm_mut().flush().unwrap();
-        t.insert(&small, b"r").unwrap();
+        insert(&mut t, &big, b"r");
+        t.flush().unwrap();
+        insert(&mut t, &small, b"r");
         let corner = rect(0.0, 0.0, 1.0, 1.0);
-        assert!(t.search(&corner).unwrap().is_empty(), "the old extent, from memory");
-        t.lsm_mut().flush().unwrap();
-        assert_eq!(t.lsm().component_count(), 2);
-        assert!(t.search(&corner).unwrap().is_empty(), "the old extent, from disk");
-        assert_eq!(t.search(&rect(4.5, 4.5, 5.0, 5.0)).unwrap(), [SpatialEntry { mbr: small, pk: b"r".to_vec() }]);
-        t.lsm_mut().merge_newest(2).unwrap();
-        assert_eq!(t.search(&everything()).unwrap(), [SpatialEntry { mbr: small, pk: b"r".to_vec() }]);
+        assert!(search(&t, &corner).unwrap().is_empty(), "the old extent, from memory");
+        t.flush().unwrap();
+        assert_eq!(t.component_count(), 2);
+        assert!(search(&t, &corner).unwrap().is_empty(), "the old extent, from disk");
+        assert_eq!(search(&t, &rect(4.5, 4.5, 5.0, 5.0)).unwrap(), [SpatialEntry { mbr: small, pk: b"r".to_vec() }]);
+        t.merge_newest(2).unwrap();
+        assert_eq!(search(&t, &everything()).unwrap(), [SpatialEntry { mbr: small, pk: b"r".to_vec() }]);
     }
 
     #[test]
@@ -355,30 +319,30 @@ mod tests {
         let (cache, _d) = setup();
         let mut t = index(cache);
         for i in 0..100 {
-            t.insert(&pt(i as f64, 0.0), format!("k{i}").as_bytes()).unwrap();
+            insert(&mut t, &pt(i as f64, 0.0), format!("k{i}").as_bytes());
         }
-        t.lsm_mut().flush().unwrap();
+        t.flush().unwrap();
         for i in 0..50 {
-            t.delete(&pt(i as f64, 0.0), format!("k{i}").as_bytes()).unwrap();
+            delete(&mut t, &pt(i as f64, 0.0), format!("k{i}").as_bytes());
         }
-        t.lsm_mut().flush().unwrap();
-        let n = t.lsm().component_count();
-        t.lsm_mut().merge_newest(n).unwrap();
-        assert_eq!(t.lsm().component_count(), 1);
+        t.flush().unwrap();
+        let n = t.component_count();
+        t.merge_newest(n).unwrap();
+        assert_eq!(t.component_count(), 1);
         assert_eq!(t.count().unwrap(), 50);
-        assert!(t.search(&rect(0.0, 0.0, 49.0, 0.0)).unwrap().is_empty(), "deleted half gone after merge");
+        assert!(search(&t, &rect(0.0, 0.0, 49.0, 0.0)).unwrap().is_empty(), "deleted half gone after merge");
     }
 
     #[test]
     fn a_spatial_component_is_opened_only_as_one() {
         let (cache, _d) = setup();
         let mut t = index(Arc::clone(&cache));
-        t.insert(&rect(0.0, 0.0, 1.0, 1.0), b"a").unwrap();
-        t.lsm_mut().flush().unwrap();
+        insert(&mut t, &rect(0.0, 0.0, 1.0, 1.0), b"a");
+        t.flush().unwrap();
         drop(t);
         let rows = LsmTree::reopen(Arc::clone(&cache), LsmConfig { mem_budget: 8 << 10, ..LsmConfig::new("s") });
         assert!(matches!(rows, Err(StorageError::Corrupt(why)) if why.contains("s_c1.btree") && why.contains("B+ tree footer")));
-        let t = SpatialIndex::over(LsmTree::reopen(cache, SpatialIndex::config("s")).unwrap());
-        assert_eq!(t.search(&everything()).unwrap().len(), 1);
+        let t = LsmTree::reopen(cache, config("s")).unwrap();
+        assert_eq!(search(&t, &everything()).unwrap().len(), 1);
     }
 }

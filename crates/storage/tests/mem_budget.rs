@@ -11,7 +11,7 @@
 
 use asterix_adm::{Point, Rectangle};
 use asterix_storage::lsm::{LsmConfig, LsmTree, MemComponent};
-use asterix_storage::spatial::SpatialIndex;
+use asterix_storage::spatial;
 use asterix_storage::{BufferCache, FileManager, IoStats};
 use counting_alloc::{held, Counting};
 use rand::prelude::*;
@@ -130,19 +130,22 @@ fn an_r_tree_memory_component_counts_what_the_allocator_holds_for_it() {
         ("deleted keys ascending", &ascending, 0.80..=1.0),
     ];
     for (name, order, band) in cases {
-        let config = LsmConfig { mem_budget: BUDGET, ..SpatialIndex::config(name.replace(' ', "_")) };
-        let mut tree = SpatialIndex::over(LsmTree::new(std::sync::Arc::clone(&cache), config));
-        tree.lsm_mut().sealed_by_owner();
+        let config = LsmConfig { mem_budget: BUDGET, ..spatial::config(name.replace(' ', "_")) };
+        let mut tree = LsmTree::new(std::sync::Arc::clone(&cache), config);
+        tree.sealed_by_owner();
         let mut rng = StdRng::seed_from_u64(9);
         let before = held();
         let mut entries = order.iter().map(|&i| key(i, 9, 0));
-        while !tree.lsm().over_budget() {
+        while !tree.over_budget() {
             let key = entries.next().unwrap_or_else(|| panic!("{name}: never over budget"));
             let at = point(&mut rng);
             match name {
-                "points" => tree.insert(&at.to_mbr(), &key).unwrap(),
-                "rectangles" => tree.insert(&Rectangle::new(at, Point::new(at.x + 3.0, at.y + 2.0)), &key).unwrap(),
-                _ => tree.delete(&at.to_mbr(), &key).unwrap(),
+                "points" => tree.upsert(spatial::key(&at.to_mbr(), &key), spatial::value(&at.to_mbr())).unwrap(),
+                "rectangles" => {
+                    let mbr = Rectangle::new(at, Point::new(at.x + 3.0, at.y + 2.0));
+                    tree.upsert(spatial::key(&mbr, &key), spatial::value(&mbr)).unwrap()
+                }
+                _ => tree.delete(spatial::key(&at.to_mbr(), &key)).unwrap(),
             }
         }
         let held = (held() - before) as usize;

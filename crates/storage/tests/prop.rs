@@ -13,7 +13,7 @@ use asterix_storage::cache::BufferCache;
 use asterix_storage::io::FileManager;
 use asterix_storage::linear_hash::LinearHash;
 use asterix_storage::lsm::{LsmConfig, LsmTree, MergePolicy, Projected};
-use asterix_storage::spatial::{self, SpatialIndex};
+use asterix_storage::spatial;
 use asterix_storage::stats::IoStats;
 use asterix_storage::{BackgroundExecutor, BackgroundJob, JobStep};
 use proptest::prelude::*;
@@ -46,6 +46,16 @@ fn setup(cache_pages: usize) -> (Arc<BufferCache>, TempDir) {
     let dir = TempDir::new();
     let fm = FileManager::new(&dir.0, IoStats::new()).unwrap();
     (BufferCache::new(fm, cache_pages), dir)
+}
+
+/// Puts the spatial index entry of `mbr` under `pk` into `t`.
+fn spatial_put(t: &mut LsmTree, mbr: &Rectangle, pk: &[u8]) {
+    t.upsert(spatial::key(mbr, pk), spatial::value(mbr)).unwrap();
+}
+
+/// Writes a delete marker on the spatial index entry of `mbr` under `pk`.
+fn spatial_delete(t: &mut LsmTree, mbr: &Rectangle, pk: &[u8]) {
+    t.delete(spatial::key(mbr, pk)).unwrap();
 }
 
 /// Runs each job on a thread of its own: merges concurrent with the test's
@@ -267,9 +277,9 @@ proptest! {
         } else {
             MergePolicy::NoMerge
         };
-        let mut t = SpatialIndex::over(LsmTree::new(cache, LsmConfig { mem_budget: 1 << 10, merge_policy, ..SpatialIndex::config("p") }));
+        let mut t = LsmTree::new(cache, LsmConfig { mem_budget: 1 << 10, merge_policy, ..spatial::config("p") });
         if background {
-            t.lsm_mut().set_executor(Arc::new(OnThread));
+            t.set_executor(Arc::new(OnThread));
         }
         let mut model: HashMap<Vec<u8>, Rectangle> = HashMap::new();
         for (op, id, (x, y, w, h), (qx, qy, qw, qh)) in ops {
@@ -289,23 +299,23 @@ proptest! {
                     if let Some(mbr) = put {
                         // an entry whose key moves is deleted where it was
                         if let Some(old) = model.insert(pk.clone(), mbr).filter(|old| spatial::key(old, &pk) != spatial::key(&mbr, &pk)) {
-                            t.delete(&old, &pk).unwrap();
+                            spatial_delete(&mut t, &old, &pk);
                         }
-                        t.insert(&mbr, &pk).unwrap();
+                        spatial_put(&mut t, &mbr, &pk);
                     }
                 }
                 8 | 9 => {
                     if let Some(old) = model.remove(&pk) {
-                        t.delete(&old, &pk).unwrap();
+                        spatial_delete(&mut t, &old, &pk);
                     }
                 }
-                10 => t.lsm_mut().flush().unwrap(),
-                _ => t.lsm_mut().merge_newest(2 + id as usize % 3).unwrap(),
+                10 => t.flush().unwrap(),
+                _ => t.merge_newest(2 + id as usize % 3).unwrap(),
             }
             // checked right away: a background merge may still be running
             let q = Rectangle::new(Point::new(qx, qy), Point::new(qx + qw, qy + qh));
             let mut got: Vec<(Vec<u8>, Rectangle)> =
-                t.search(&q).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
+                spatial::search(&t, &q).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
             let mut want: Vec<(Vec<u8>, Rectangle)> = model
                 .iter()
                 .filter(|(_, mbr)| mbr.intersects(&q))
@@ -315,10 +325,10 @@ proptest! {
             want.sort_by(|a, b| a.0.cmp(&b.0));
             prop_assert_eq!(got, want);
         }
-        prop_assert!(t.lsm().wait_merges_idle(std::time::Duration::from_secs(30)));
+        prop_assert!(t.wait_merges_idle(std::time::Duration::from_secs(30)));
         prop_assert_eq!(t.count().unwrap(), model.len());
         if constant {
-            prop_assert!(t.lsm().component_count() <= 2, "{} components", t.lsm().component_count());
+            prop_assert!(t.component_count() <= 2, "{} components", t.component_count());
         }
     }
 
@@ -680,12 +690,12 @@ proptest! {
         let config = |name: &str| LsmConfig {
             mem_budget: 1 << 10,
             merge_policy: MergePolicy::Constant { max_components: 3 },
-            ..SpatialIndex::config(name)
+            ..spatial::config(name)
         };
         let (kept_cache, _d1) = setup(64);
         let (cache, _d2) = setup(64);
-        let mut kept = SpatialIndex::over(LsmTree::new(kept_cache, config("kept")));
-        let mut t = SpatialIndex::over(LsmTree::new(Arc::clone(&cache), config("t")));
+        let mut kept = LsmTree::new(kept_cache, config("kept"));
+        let mut t = LsmTree::new(Arc::clone(&cache), config("t"));
         // where each key currently is, to delete it from
         let mut at: HashMap<i64, Rectangle> = HashMap::new();
         let everything = Rectangle::new(Point::new(-1.0, -1.0), Point::new(1e6, 1e6));
@@ -695,39 +705,39 @@ proptest! {
                     let pk = format!("k{i}").into_bytes();
                     let mbr = Point::new(i as f64, step as f64).to_mbr();
                     if let Some(old) = at.insert(i, mbr) {
-                        kept.delete(&old, &pk).unwrap();
-                        t.delete(&old, &pk).unwrap();
+                        spatial_delete(&mut kept, &old, &pk);
+                        spatial_delete(&mut t, &old, &pk);
                     }
-                    kept.insert(&mbr, &pk).unwrap();
-                    t.insert(&mbr, &pk).unwrap();
+                    spatial_put(&mut kept, &mbr, &pk);
+                    spatial_put(&mut t, &mbr, &pk);
                 }
                 LifeOp::Delete(i) => {
                     if let Some(old) = at.remove(&i) {
                         let pk = format!("k{i}").into_bytes();
-                        kept.delete(&old, &pk).unwrap();
-                        t.delete(&old, &pk).unwrap();
+                        spatial_delete(&mut kept, &old, &pk);
+                        spatial_delete(&mut t, &old, &pk);
                     }
                 }
                 LifeOp::Flush => {
-                    kept.lsm_mut().flush().unwrap();
-                    t.lsm_mut().flush().unwrap();
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
                 }
                 LifeOp::Merge(n) => {
-                    kept.lsm_mut().merge_newest(n).unwrap();
-                    t.lsm_mut().merge_newest(n).unwrap();
+                    kept.merge_newest(n).unwrap();
+                    t.merge_newest(n).unwrap();
                 }
                 LifeOp::Reopen => {
-                    kept.lsm_mut().flush().unwrap();
-                    t.lsm_mut().flush().unwrap();
-                    let components = t.lsm().component_count();
+                    kept.flush().unwrap();
+                    t.flush().unwrap();
+                    let components = t.component_count();
                     drop(t);
-                    t = SpatialIndex::over(LsmTree::reopen(Arc::clone(&cache), config("t")).unwrap());
-                    prop_assert_eq!(t.lsm().component_count(), components);
+                    t = LsmTree::reopen(Arc::clone(&cache), config("t")).unwrap();
+                    prop_assert_eq!(t.component_count(), components);
                 }
             }
-            let sorted = |t: &SpatialIndex| {
+            let sorted = |t: &LsmTree| {
                 let mut hits: Vec<(Vec<u8>, Rectangle)> =
-                    t.search(&everything).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
+                    spatial::search(t, &everything).unwrap().into_iter().map(|e| (e.pk, e.mbr)).collect();
                 hits.sort_by(|a, b| a.0.cmp(&b.0));
                 hits
             };
@@ -1238,7 +1248,7 @@ trait Subject: Sized {
 struct RowTree(LsmTree);
 /// A tree of records: leaf groups.
 struct GroupTree(LsmTree);
-struct Spatial(SpatialIndex);
+struct Spatial(LsmTree);
 
 fn tree_config(name: &str, mem_budget: usize, merge_policy: MergePolicy, leaves: LeafShape) -> LsmConfig {
     LsmConfig { mem_budget, merge_policy, leaves, ..LsmConfig::new(name) }
@@ -1298,19 +1308,19 @@ impl Subject for GroupTree {
 impl Subject for Spatial {
     const RETRACTS: bool = true;
     fn merge_newest(&mut self, n: usize) {
-        self.0.lsm_mut().merge_newest(n).unwrap();
+        self.0.merge_newest(n).unwrap();
     }
     fn lsm(&mut self) -> &mut LsmTree {
-        self.0.lsm_mut()
+        &mut self.0
     }
     fn create(cache: Arc<BufferCache>, name: &str, mem_budget: usize, merge_policy: MergePolicy) -> Self {
-        Spatial(SpatialIndex::over(LsmTree::new(cache, LsmConfig { mem_budget, merge_policy, ..SpatialIndex::config(name) })))
+        Spatial(LsmTree::new(cache, LsmConfig { mem_budget, merge_policy, ..spatial::config(name) }))
     }
     fn put(&mut self, i: u64, v: u64) {
-        self.0.insert(&Self::point(i, v), format!("k{i:04}").as_bytes()).unwrap();
+        spatial_put(&mut self.0, &Self::point(i, v), format!("k{i:04}").as_bytes());
     }
     fn delete(&mut self, i: u64, v: u64) {
-        self.0.delete(&Self::point(i, v), format!("k{i:04}").as_bytes()).unwrap();
+        spatial_delete(&mut self.0, &Self::point(i, v), format!("k{i:04}").as_bytes());
     }
     fn entry(i: u64, v: u64) -> (Vec<u8>, Vec<u8>) {
         (format!("k{i:04}").into_bytes(), Self::bytes(&Self::point(i, v)))
@@ -1320,7 +1330,7 @@ impl Subject for Spatial {
             Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
             Point::new(f64::INFINITY, f64::INFINITY),
         );
-        let mut live: Vec<_> = self.0.search(&everything).unwrap().into_iter().map(|e| (e.pk, Self::bytes(&e.mbr))).collect();
+        let mut live: Vec<_> = spatial::search(&self.0, &everything).unwrap().into_iter().map(|e| (e.pk, Self::bytes(&e.mbr))).collect();
         live.sort();
         live
     }

@@ -18,7 +18,7 @@ use asterix_rs::storage::cache::BufferCache;
 use asterix_rs::storage::io::FileManager;
 use asterix_rs::storage::btree::LeafShape;
 use asterix_rs::storage::lsm::{LsmConfig, LsmTree, MergePolicy};
-use asterix_rs::storage::spatial::SpatialIndex;
+use asterix_rs::storage::spatial;
 use asterix_rs::storage::spatial_keys::{curve_ranges, hilbert_d, z_curve, GridScheme, World};
 use asterix_rs::storage::stats::IoStats;
 use std::ops::Bound;
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         leaves: LeafShape::Rows,
     };
     let mut primary = LsmTree::new(Arc::clone(&cache), cfg("primary"));
-    let mut rtree = SpatialIndex::new(Arc::clone(&cache), "rtree");
+    let mut rtree = LsmTree::new(Arc::clone(&cache), spatial::config("rtree"));
     let mut hilbert = LsmTree::new(Arc::clone(&cache), cfg("hilbert"));
     let mut zorder = LsmTree::new(Arc::clone(&cache), cfg("zorder"));
     let mut grid = LsmTree::new(Arc::clone(&cache), cfg("grid"));
@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("pad".into(), Value::from("x".repeat(120))),
         ]);
         primary.upsert(pk.clone(), encode(&record))?;
-        rtree.insert(&p.to_mbr(), &pk)?;
+        rtree.upsert(spatial::key(&p.to_mbr(), &pk), spatial::value(&p.to_mbr()))?;
         let pv = encode(&Value::Point(p));
         hilbert.upsert(
             encode_key(&[Value::Int(world.hilbert_key(&p) as i64), Value::Int(i as i64)]),
@@ -74,10 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             pv,
         )?;
     }
-    for t in [&mut primary, &mut hilbert, &mut zorder, &mut grid] {
+    for t in [&mut primary, &mut rtree, &mut hilbert, &mut zorder, &mut grid] {
         t.flush()?;
     }
-    rtree.lsm_mut().flush()?;
 
     // a 1%-selectivity query box
     let side = EXTENT * 0.1;
@@ -131,7 +130,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     type Probe<'a> = Box<dyn Fn() -> (Vec<Vec<u8>>, usize) + 'a>;
     let methods: Vec<(&str, Probe)> = vec![
         ("lsm-rtree", Box::new(|| {
-            let hits = rtree.search(&q).unwrap();
+            let hits = spatial::search(&rtree, &q).unwrap();
             let n = hits.len();
             (hits.into_iter().map(|e| e.pk).collect(), n)
         })),
