@@ -808,6 +808,14 @@ impl DatasetPartition {
         self.settled(None, |part| part.apply_delete(pk, before.as_deref()))?;
         before.map(|raw| self.schema.decode(&raw)).transpose()
     }
+
+    /// Seals every index of the partition and flushes nothing: the next
+    /// write flushes what no open transaction wrote.
+    pub(crate) fn seal(&mut self) {
+        for idx in self.indexes_mut() {
+            idx.seal();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1019,8 +1019,11 @@ impl<'a> Txn<'a> {
 
     /// Logs, for transaction `txn_id`, the put (`Some`: the storage encoding
     /// of the record) or delete (`None`) of `key` on `part`, a partition of
-    /// `rt`, and applies it there over the before-image `before`, which goes
-    /// on the undo list. The partition counts as written to from here on.
+    /// `rt`, and applies it there over the before-image `before`. The
+    /// partition counts as written to from here on. A write of this
+    /// transaction's own goes on its undo list once it is logged, whatever
+    /// the apply and the flushes it makes due return; a compensation's does
+    /// not.
     fn log_and_apply(
         &mut self,
         rt: &Arc<DatasetRuntime>,
@@ -1029,7 +1032,7 @@ impl<'a> Txn<'a> {
         key: Vec<u8>,
         put: Option<(Vec<u8>, Option<&Value>)>,
         before: Option<Vec<u8>>,
-    ) -> Result<UndoEntry> {
+    ) -> Result<()> {
         let (dataset, partition) = (part.dataset_id, part.partition);
         let raw = put.as_ref().map(|(raw, _)| raw.as_slice());
         // WAL first
@@ -1040,13 +1043,14 @@ impl<'a> Txn<'a> {
             .append_write(txn_id, dataset, partition, &key, raw)
             .map_err(CoreError::Storage)?;
         self.touched.entry((dataset, partition)).or_insert_with(|| Arc::clone(rt));
-        match put {
-            Some((raw, record)) => {
-                part.put_logged(&key, raw, record, before.as_deref(), lsn, Some(self.id))?
-            }
-            None => part.delete_logged(&key, before.as_deref(), lsn, Some(self.id))?,
+        let applied = match put {
+            Some((raw, record)) => part.put_logged(&key, raw, record, before.as_deref(), lsn, Some(self.id)),
+            None => part.delete_logged(&key, before.as_deref(), lsn, Some(self.id)),
+        };
+        if txn_id == self.id {
+            self.undo.push(UndoEntry { dataset, partition, pk: key, before });
         }
-        Ok(UndoEntry { dataset, partition, pk: key, before })
+        applied
     }
 
     /// Writes (insert or upsert) one record: everything it needs is on the
@@ -1068,9 +1072,7 @@ impl<'a> Txn<'a> {
             )));
         }
         let put = Some((raw, Some(&*record)));
-        let undo = self.log_and_apply(&rt, &mut guard, self.id, pk, put, before)?;
-        self.undo.push(undo);
-        Ok(())
+        self.log_and_apply(&rt, &mut guard, self.id, pk, put, before)
     }
 
     /// Deletes one record by encoded primary key.
@@ -1081,9 +1083,7 @@ impl<'a> Txn<'a> {
         let mut guard = self.lock_for_write(&rt.partitions[p as usize]);
         guard.node().check_alive()?;
         let before = guard.stored(pk)?;
-        let undo = self.log_and_apply(&rt, &mut guard, self.id, pk.to_vec(), None, before)?;
-        self.undo.push(undo);
-        Ok(())
+        self.log_and_apply(&rt, &mut guard, self.id, pk.to_vec(), None, before)
     }
 
     /// Records that committing this transaction advances `feed`'s durable
@@ -1200,8 +1200,7 @@ impl<'a> Txn<'a> {
                 // this transaction put in its place
                 let current = guard.stored(&u.pk)?;
                 let put = u.before.map(|raw| (raw, None));
-                self.log_and_apply(&rt, &mut guard, compensation, u.pk, put, current)?;
-                Ok(())
+                self.log_and_apply(&rt, &mut guard, compensation, u.pk, put, current)
             })();
             if let Err(e) = res {
                 first_err.get_or_insert(e);
@@ -1273,6 +1272,27 @@ mod tests {
     use super::*;
     use asterix_adm::types::Field;
     use proptest::prelude::*;
+
+    /// A write whose flush fails was logged and applied before the flush:
+    /// it is on the transaction's undo list, so that an abort takes it out.
+    #[test]
+    fn a_write_whose_flush_fails_is_on_the_undo_list() {
+        let injector = asterix_storage::FaultInjector::crash_at(3, "_c1.btree", 0);
+        let config = InstanceConfig { nodes: 1, partitions: 1, faults: Some(injector.clone()), ..InstanceConfig::default() };
+        let db = Instance::open(config).unwrap();
+        db.execute_sqlpp("CREATE TYPE T AS { id: int }; CREATE DATASET D(T) PRIMARY KEY id;").unwrap();
+        let record = |id| Value::object(vec![("id".into(), Value::Int(id))]);
+        let mut txn = db.begin();
+        txn.write("D", &record(1), true).unwrap();
+        txn.commit().unwrap();
+        // sealed, and no open transaction wrote into it: the next write flushes it
+        db.dataset_runtime("D").unwrap().partitions[0].write().seal();
+        let mut txn = db.begin();
+        let written = txn.write("D", &record(2), true);
+        assert!(written.is_err() && injector.crashed(), "{written:?}");
+        let undo: Vec<&[u8]> = txn.undo.iter().map(|u| u.pk.as_slice()).collect();
+        assert_eq!(undo, [asterix_adm::binary::encode_key(&[Value::Int(2)]).as_slice()]);
+    }
 
     /// Names with keywords, spaces, backquotes, quotes, backslashes and
     /// characters past ASCII in them.

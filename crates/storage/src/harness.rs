@@ -1,10 +1,10 @@
-//! The LSM index, written once (paper §III item 5, §V-B: one framework
-//! "LSM-ifies" B+ trees, R-trees and inverted indexes alike — here each of
-//! them is a B+ tree).
+//! The LSM index's lifecycle, written once (paper §III item 5, §V-B: one
+//! framework "LSM-ifies" B+ trees, R-trees and inverted indexes alike — here
+//! each of them is an LSM B+ tree).
 //!
-//! [`Lsm<K>`] is the handle of an LSM index of kind `K` and the one place its
-//! lifecycle surface is written down. It is made of two halves. The memory
-//! side ([`MemSlots`]) is the active memory component and at most one sealed
+//! [`LsmTree`] is the handle of every index and the one place its lifecycle
+//! surface is written down. It is made of two halves. The memory side
+//! ([`MemSlots`]) is the active memory component and at most one sealed
 //! one, with what was logged for each: when a memory component is sealed and
 //! when a sealed one may be flushed. The disk side ([`Harness`], shared with
 //! the index's merge jobs) is everything that does not depend on what is
@@ -14,17 +14,15 @@
 //! retiring merged-away inputs, cascading, cancellation, quiescing, and the
 //! per-tree and node-wide counters.
 //!
-//! An index kind plugs in through [`ComponentKind`]: its memory component,
-//! what a disk component holds, which files it owns, how to reopen it from
-//! them, and its one writer: a resumable merge of a sealed memory component
-//! and a snapshot of disk components, either of which may be missing — a
-//! flush is that merge with no disk input. Beside that it writes only its
-//! typed reads and writes, as inherent methods of `Lsm<ItsKind>`:
-//! [`crate::lsm::LsmTree`] is the one kind, and a keyword or spatial index
-//! is one with its keys coded and searched by [`crate::inverted`] or
-//! [`crate::spatial`].
-//! Everything is statically dispatched, so a read costs a list snapshot and
-//! nothing else.
+//! What is inside a component is `crate::lsm`'s: the memory component, the
+//! one writer — [`MergeRun`], a resumable merge of a sealed memory component
+//! and a snapshot of disk components, either of which may be missing (a
+//! flush is that merge with no disk input) — and the reads and writes, as
+//! inherent methods of [`LsmTree`] beside them. This module calls the run's
+//! `open`, `step` and `finish` and reopens each disk component from the one
+//! `.btree` file its manifest entry lists. A keyword or spatial index is an
+//! `LsmTree` whose keys [`crate::inverted`] or [`crate::spatial`] code and
+//! search.
 //!
 //! Before a sealed memory component is flushed, the merge policy is asked
 //! about the list the flush would publish, the sealed component counted at
@@ -42,9 +40,9 @@
 //! took in stays readable, and keeps its slot — the next seal waits — until
 //! the merge publishes it. It is flushed on its own after all if the merge
 //! fails, or if the next seal comes due first: the index takes it back
-//! ([`Lsm::take_back_sealed`]; whichever of the two takes the manifest lock
+//! ([`LsmTree::take_back_sealed`]; whichever of the two takes the manifest lock
 //! first owns it), so memory and the log it pins stay bounded by two
-//! components' worth, as without the hand-off. [`Lsm::flush`] waits for
+//! components' worth, as without the hand-off. [`LsmTree::flush`] waits for
 //! that merge, however long it runs. A merge reads its disk inputs
 //! outside the buffer cache ([`crate::io::PageStream`]) and leaves the cache
 //! as it found it.
@@ -58,7 +56,7 @@
 //! a restart loads is always a list that was live. Files no manifest names
 //! are garbage ([`sweep_unreferenced`]). A sealed component's log records
 //! are needed until the flush or merge that holds them publishes:
-//! [`Lsm::first_unflushed`] names the sealed component's first LSN until the
+//! [`LsmTree::first_unflushed`] names the sealed component's first LSN until the
 //! index next looks at it after that publish. A debug build audits the list at every
 //! publish and reopen (newest first, LSN ranges that descend without
 //! overlap, none past the manifest's LSN, a merge's covering its inputs')
@@ -85,14 +83,15 @@
 //! its `run` lock before its `comps` lock and neither while calling back
 //! into the harness.
 
+use crate::btree::DiskBTree;
 use crate::cache::BufferCache;
 use crate::compaction::{
     BackgroundJob, CompactionExec, JobStep, LsmMetricsHub, MERGE_MORSEL_ENTRIES,
 };
 use crate::error::{Result, StorageError};
-use crate::io::FileId;
 use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::{Condvar, Level, Mutex};
+use crate::lsm::{LsmConfig, MemComponent, MergeRun};
 use crate::wal::Lsn;
 use asterix_obs::{Counter, Flag, HighWater, IdGen};
 use std::collections::BTreeSet;
@@ -218,79 +217,10 @@ struct SharedStats {
     retire_failures: Counter,
 }
 
-// ---------------------------------------------------------------------------
-// What an index kind provides
-// ---------------------------------------------------------------------------
-
-/// An index kind that rides the harness: its memory component, what an
-/// immutable disk component holds, and how a sealed memory component and a
-/// snapshot of disk components merge into one — its one writer, which a
-/// flush runs with no disk input.
-///
-/// A merge is resumable — [`open`](ComponentKind::open) once, then
-/// [`step`](ComponentKind::step) until it reports exhaustion, then
-/// [`finish`](ComponentKind::finish) — and touches no harness state: the
-/// harness decides when each call happens, on which thread, and what becomes
-/// of the result. Public only because [`Lsm`] names it: the module is not.
-pub trait ComponentKind: Send + Sync + Sized + 'static {
-    /// How an index of this kind is configured.
-    type Config;
-    /// The memory component: shared, once sealed, with the merge that takes
-    /// it in.
-    type Mem: MemBuf + Send + Sync;
-    /// The on-disk payload of one component.
-    type Disk: Send + Sync;
-    /// An in-progress merge: input cursors plus the output being built.
-    type Run: Send;
-
-    /// The kind of an index configured by `config`, its files under `cache`.
-    fn new(cache: Arc<BufferCache>, config: Self::Config) -> Self;
-
-    /// The cache whose file manager holds this index's component files.
-    fn cache(&self) -> &Arc<BufferCache>;
-
-    /// The index's name: the prefix of its component files and of its
-    /// manifest, unique within the cache's directory.
-    fn name(&self) -> &str;
-
-    /// Bytes a memory component may hold before it is sealed.
-    fn mem_budget(&self) -> usize;
-
-    /// The merge policy the index is configured with.
-    fn merge_policy(&self) -> MergePolicy;
-
-    /// Every file `disk` owns; all are unlinked when the component retires.
-    fn files(disk: &Self::Disk) -> Vec<FileId>;
-
-    /// Reopens a component from the files [`files`](ComponentKind::files)
-    /// listed for it, in that order.
-    fn reopen(&self, files: &[FileId]) -> Result<Self::Disk>;
-
-    /// Starts merging a sealed memory component `mem`, the newest input if
-    /// there is one, and the disk components `inputs` (newest first) into a
-    /// component with id `id`: a flush is the merge of a memory component
-    /// and no disk one. `includes_oldest` says nothing older than the inputs
-    /// exists, so delete markers that only mask older components may be
-    /// dropped.
-    fn open(
-        &self,
-        id: u64,
-        mem: Option<&Arc<Self::Mem>>,
-        inputs: &[Arc<Component<Self>>],
-        includes_oldest: bool,
-    ) -> Result<Self::Run>;
-
-    /// Advances the merge by about `budget` entries of work; `true` once
-    /// every input is exhausted.
-    fn step(&self, run: &mut Self::Run, budget: usize) -> Result<bool>;
-
-    /// Seals the merge output (not yet published).
-    fn finish(&self, run: Self::Run) -> Result<Built<Self::Disk>>;
-}
-
-/// A sealed component payload — from a flush or a merge — ready to publish.
-pub struct Built<D> {
-    pub(crate) disk: D,
+/// A component a flush or a merge wrote ([`MergeRun::finish`]), ready to
+/// publish.
+pub(crate) struct Built {
+    pub(crate) disk: DiskBTree,
     /// The size the merge policy sees.
     pub(crate) size_bytes: u64,
     /// Entries written building it (write-amplification numerator).
@@ -298,35 +228,34 @@ pub struct Built<D> {
 }
 
 /// One immutable on-disk component. Shared (`Arc`) between the live list and
-/// any read snapshots or in-flight merges; once marked retired, its files
-/// are closed and deleted when the **last** holder drops its reference.
-pub struct Component<K: ComponentKind> {
+/// any read snapshots or in-flight merges; once marked retired, its file is
+/// closed and deleted when the **last** holder drops its reference.
+pub struct Component {
     pub(crate) id: u64,
     pub(crate) size_bytes: u64,
     /// The log records whose effects it holds: first LSN, and the LSN below
     /// which all of them lie (`(0, 0)` for an index nobody logs for).
     lsns: (Lsn, Lsn),
-    pub(crate) disk: K::Disk,
+    pub(crate) disk: DiskBTree,
     cache: Arc<BufferCache>,
     retire: Flag,
     retire_failures: Counter,
     hub: Arc<LsmMetricsHub>,
 }
 
-impl<K: ComponentKind> Drop for Component<K> {
+impl Drop for Component {
     fn drop(&mut self) {
         if !self.retire.get() {
             return;
         }
-        for file in K::files(&self.disk) {
-            self.cache.close_file(file);
-            if self.cache.manager().delete(file).is_err() {
-                // Non-fatal cleanup failure: the merged data is already
-                // published; no manifest names the orphaned file, so the
-                // next open sweeps it.
-                self.retire_failures.inc();
-                self.hub.count_retire_failure();
-            }
+        let file = self.disk.file();
+        self.cache.close_file(file);
+        if self.cache.manager().delete(file).is_err() {
+            // Non-fatal cleanup failure: the merged data is already
+            // published; no manifest names the orphaned file, so the next
+            // open sweeps it.
+            self.retire_failures.inc();
+            self.hub.count_retire_failure();
         }
     }
 }
@@ -539,19 +468,20 @@ enum CompactionState {
 
 /// The disk side of one LSM index, shared between its handle and its
 /// background merge jobs. See the module docs for the invariants.
-pub(crate) struct Harness<K: ComponentKind> {
-    kind: K,
+pub(crate) struct Harness {
+    cache: Arc<BufferCache>,
+    pub(crate) config: LsmConfig,
     /// The LSN below which the manifest says everything is flushed. Held
     /// across every manifest write, which makes it the publish lock: a flush
     /// and a background merge never race to replace the manifest.
     manifest: Mutex<Lsn>,
     /// The same LSN, readable on the write path without the lock
-    /// ([`Lsm::stamp`]).
+    /// ([`LsmTree::stamp`]).
     flushed_mark: HighWater,
     /// Set by [`Harness::destroy`]: nothing may publish any more.
     destroyed: Flag,
     /// Disk components, newest first.
-    disk: Mutex<Vec<Arc<Component<K>>>>,
+    disk: Mutex<Vec<Arc<Component>>>,
     state: Mutex<CompactionState>,
     state_changed: Condvar,
     next_component_id: IdGen,
@@ -562,14 +492,15 @@ pub(crate) struct Harness<K: ComponentKind> {
     hub: Arc<LsmMetricsHub>,
 }
 
-impl<K: ComponentKind> Harness<K> {
-    /// An empty index of `kind`, whatever its directory holds. Amplification
-    /// counters feed the node-wide hub reachable through the cache's
-    /// [`crate::IoStats`].
-    fn new(kind: K) -> Arc<Self> {
-        let hub = Arc::clone(kind.cache().stats().lsm());
+impl Harness {
+    /// An empty index configured by `config`, whatever its directory holds.
+    /// Amplification counters feed the node-wide hub reachable through the
+    /// cache's [`crate::IoStats`].
+    fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Arc<Self> {
+        let hub = Arc::clone(cache.stats().lsm());
         Arc::new(Harness {
-            kind,
+            cache,
+            config,
             manifest: Mutex::ranked(Level::LsmManifest, 0),
             flushed_mark: HighWater::new(0),
             destroyed: Flag::new(false),
@@ -584,32 +515,33 @@ impl<K: ComponentKind> Harness<K> {
         })
     }
 
-    /// The index of `kind` as its manifest describes it: every listed
-    /// component reopened from its files, component ids resumed past the
-    /// highest listed. Empty when there is no manifest.
-    fn reopen(kind: K) -> Result<Arc<Self>> {
-        let manager = Arc::clone(kind.cache().manager());
-        let manifest = Manifest::from_disk(manager.dir(), kind.name())?.unwrap_or_default();
-        let harness = Harness::new(kind);
+    /// The index its manifest describes: every listed component reopened
+    /// from its one file, component ids resumed past the highest listed.
+    /// Empty when there is no manifest.
+    fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Arc<Self>> {
+        let manager = Arc::clone(cache.manager());
+        let manifest = Manifest::from_disk(manager.dir(), &config.name)?.unwrap_or_default();
+        let harness = Harness::new(cache, config);
+        let name = &harness.config.name;
         let mut disk = Vec::with_capacity(manifest.components.len());
         let mut max_id = 0;
         for entry in manifest.components {
-            let files = entry.files.iter().map(|f| manager.open(f)).collect::<Result<Vec<_>>>()?;
+            let [file] = entry.files.as_slice() else {
+                let (id, n, files) = (entry.id, entry.files.len(), entry.files.join(", "));
+                return Err(StorageError::Corrupt(format!("component {id} of {name} lists {n} files, not one: [{files}]")));
+            };
             // a file of another version or kind is refused, naming it
-            let named = |e: StorageError| match e {
-                StorageError::Corrupt(why) => StorageError::Corrupt(format!("{}: {why}", entry.files.join(", "))),
-                e => e,
-            };
-            let built = Built {
-                disk: harness.kind.reopen(&files).map_err(named)?,
-                size_bytes: entry.size_bytes,
-                written: 0,
-            };
+            let tree = DiskBTree::open(Arc::clone(&harness.cache), manager.open(file)?, &harness.config.leaves)
+                .map_err(|e| match e {
+                    StorageError::Corrupt(why) => StorageError::Corrupt(format!("{file}: {why}")),
+                    e => e,
+                })?;
             max_id = max_id.max(entry.id);
+            let built = Built { disk: tree, size_bytes: entry.size_bytes, written: 0 };
             disk.push(harness.component(entry.id, built, entry.lsns));
         }
         if cfg!(debug_assertions) {
-            audit_list(harness.kind.name(), disk.iter().map(|c| (c.id, c.lsns)), manifest.flushed_below)?;
+            audit_list(name, disk.iter().map(|c| (c.id, c.lsns)), manifest.flushed_below)?;
         }
         harness.next_component_id.raise_to(max_id + 1);
         *harness.manifest.lock() = manifest.flushed_below;
@@ -639,7 +571,7 @@ impl<K: ComponentKind> Harness<K> {
     /// Snapshot of the live component list (cheap `Arc` clones). A reader
     /// holding it sees a consistent pre- or post-merge view, and its
     /// references keep retired files alive.
-    pub(crate) fn snapshot(&self) -> Vec<Arc<Component<K>>> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Component>> {
         self.disk.lock().clone()
     }
 
@@ -648,13 +580,13 @@ impl<K: ComponentKind> Harness<K> {
         self.next_component_id.next()
     }
 
-    fn component(&self, id: u64, built: Built<K::Disk>, lsns: (Lsn, Lsn)) -> Arc<Component<K>> {
+    fn component(&self, id: u64, built: Built, lsns: (Lsn, Lsn)) -> Arc<Component> {
         Arc::new(Component {
             id,
             size_bytes: built.size_bytes,
             lsns,
             disk: built.disk,
-            cache: Arc::clone(self.kind.cache()),
+            cache: Arc::clone(&self.cache),
             retire: Flag::new(false),
             retire_failures: self.stats.retire_failures.clone(),
             hub: Arc::clone(&self.hub),
@@ -663,7 +595,7 @@ impl<K: ComponentKind> Harness<K> {
 
     /// Re-reports this tree's space contribution to the hub. Called with the
     /// `disk` guard held by the caller (the list must not move underneath).
-    fn refresh_space(&self, disk: &[Arc<Component<K>>]) {
+    fn refresh_space(&self, disk: &[Arc<Component>]) {
         let total: u64 = disk.iter().map(|c| c.size_bytes).sum();
         let live: u64 = disk.iter().map(|c| c.size_bytes).max().unwrap_or(0);
         let mut mark = self.space_mark.lock();
@@ -693,29 +625,29 @@ impl<K: ComponentKind> Harness<K> {
 
     /// Replaces the manifest with `flushed_below` and `list`. The caller
     /// holds the `manifest` lock.
-    fn write_manifest(&self, flushed_below: Lsn, list: &[Arc<Component<K>>]) -> Result<()> {
+    fn write_manifest(&self, flushed_below: Lsn, list: &[Arc<Component>]) -> Result<()> {
         if self.destroyed.get() {
-            return Err(StorageError::Invalid(format!("index {} was dropped", self.kind.name())));
+            return Err(StorageError::Invalid(format!("index {} was dropped", self.config.name)));
         }
-        let manager = self.kind.cache().manager();
+        let manager = self.cache.manager();
         let mut components = Vec::with_capacity(list.len());
         for c in list {
-            let files = K::files(&c.disk).into_iter().map(|f| manager.name_of(f)).collect::<Result<_>>()?;
+            let files = vec![manager.name_of(c.disk.file())?];
             components.push(ManifestEntry { id: c.id, size_bytes: c.size_bytes, lsns: c.lsns, files });
         }
-        let path = manifest_path(manager.dir(), self.kind.name());
+        let path = manifest_path(manager.dir(), &self.config.name);
         crate::io::write_atomic(&path, &Manifest { flushed_below, components }.encode(), manager.faults())
     }
 
     /// Publishes `comp` in place of the `replaced` components (none for a
     /// flush): the manifest first, then the live list. On failure nothing
     /// changed but `comp`'s files, which are deleted.
-    fn publish(&self, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
+    fn publish(&self, comp: Arc<Component>, replaced: &[u64]) -> Result<()> {
         self.publish_under(&mut self.manifest.lock(), comp, replaced)
     }
 
     /// [`Harness::publish`] under the `manifest` lock, `flushed_below`.
-    fn publish_under(&self, flushed_below: &mut Lsn, comp: Arc<Component<K>>, replaced: &[u64]) -> Result<()> {
+    fn publish_under(&self, flushed_below: &mut Lsn, comp: Arc<Component>, replaced: &[u64]) -> Result<()> {
         let mut list = self.snapshot();
         // Flushes only ever prepend, so merge inputs still sit contiguously
         // wherever the newest of them now is.
@@ -741,21 +673,21 @@ impl<K: ComponentKind> Harness<K> {
     /// [`audit_list`], and `comp`'s LSN range covers those of the
     /// components it replaces, `gone` — a merge that took a sealed component
     /// in holds its and its disk inputs' records alike.
-    fn audit_publish(&self, comp: &Component<K>, gone: &[(u64, (Lsn, Lsn))], list: &[Arc<Component<K>>], below: Lsn) -> Result<()> {
-        let name = self.kind.name();
+    fn audit_publish(&self, comp: &Component, gone: &[(u64, (Lsn, Lsn))], list: &[Arc<Component>], below: Lsn) -> Result<()> {
+        let name = &self.config.name;
         audit_replacement(name, (comp.id, comp.lsns), gone)?;
         audit_list(name, list.iter().map(|c| (c.id, c.lsns)), below)
     }
 
     /// Flushes sealed memory component `sealed` on the caller: the merge of
     /// it and no disk component, published as the newest disk component.
-    fn flush_memory(&self, sealed: &Sealed<K::Mem>) -> Result<()> {
+    fn flush_memory(&self, sealed: &Sealed) -> Result<()> {
         let id = self.alloc_id();
         // nothing older: the delete markers mask nothing
         let includes_oldest = self.disk.lock().is_empty();
-        let mut run = self.kind.open(id, Some(&sealed.mem), &[], includes_oldest)?;
-        while !self.kind.step(&mut run, usize::MAX)? {}
-        let built = self.kind.finish(run)?;
+        let mut run = MergeRun::open(&self.cache, &self.config, id, Some(&sealed.mem), &[], includes_oldest)?;
+        while !run.step(usize::MAX)? {}
+        let built = run.finish()?;
         let written = built.written;
         self.publish(self.component(id, built, sealed.lsns()), &[])?;
         self.stats.flushes.inc();
@@ -773,9 +705,9 @@ impl<K: ComponentKind> Harness<K> {
     }
 
     /// The configured policy's pick over the current list.
-    fn policy_pick(&self, disk: &[Arc<Component<K>>]) -> Option<usize> {
+    fn policy_pick(&self, disk: &[Arc<Component>]) -> Option<usize> {
         let sizes: Vec<u64> = disk.iter().map(|c| c.size_bytes).collect();
-        self.kind.merge_policy().pick_merge(&sizes)
+        self.config.merge_policy.pick_merge(&sizes)
     }
 
     /// The one `idle → merging` transition: if the slot is free and `pick`
@@ -784,9 +716,9 @@ impl<K: ComponentKind> Harness<K> {
     /// the job that will merge them.
     fn claim(
         self: &Arc<Self>,
-        mem: Option<MemInput<K::Mem>>,
-        pick: impl FnOnce(&[Arc<Component<K>>]) -> Option<usize>,
-    ) -> Option<MergeJob<K>> {
+        mem: Option<MemInput>,
+        pick: impl FnOnce(&[Arc<Component>]) -> Option<usize>,
+    ) -> Option<MergeJob> {
         let mut st = self.state.lock();
         if !matches!(*st, CompactionState::Idle) {
             return None; // one merge in flight per tree
@@ -827,14 +759,14 @@ impl<K: ComponentKind> Harness<K> {
     /// disk component and the slot is free, hands it to that merge — the
     /// stall is the hand-off's, or the whole merge on the caller's executor
     /// — and returns what will become of it there.
-    fn merge_with_memory(self: &Arc<Self>, sealed: &Sealed<K::Mem>) -> Option<Arc<Handoff>> {
+    fn merge_with_memory(self: &Arc<Self>, sealed: &Sealed) -> Option<Arc<Handoff>> {
         let handoff = Arc::new(Handoff::new());
         let mem = MemInput { mem: Arc::clone(&sealed.mem), lsns: sealed.lsns(), handoff: Arc::clone(&handoff) };
         let bytes = sealed.mem.bytes() as u64;
         let job = self.claim(Some(mem), |disk| {
             let sizes: Vec<u64> = std::iter::once(bytes).chain(disk.iter().map(|c| c.size_bytes)).collect();
             // the run takes the sealed component: the disk ones after it
-            self.kind.merge_policy().pick_merge(&sizes).map(|n| n.saturating_sub(1))
+            self.config.merge_policy.pick_merge(&sizes).map(|n| n.saturating_sub(1))
         })?;
         self.stalled(|| self.offload(job));
         Some(handoff)
@@ -848,7 +780,7 @@ impl<K: ComponentKind> Harness<K> {
         self.state_changed.notify_all();
     }
 
-    fn offload(&self, job: MergeJob<K>) {
+    fn offload(&self, job: MergeJob) {
         let exec = self.exec.lock().clone();
         exec.offload(Arc::new(job));
     }
@@ -858,10 +790,10 @@ impl<K: ComponentKind> Harness<K> {
     /// docs). A failed manifest write leaves the pre-merge list live.
     fn complete_merge(
         self: &Arc<Self>,
-        inputs: Vec<Arc<Component<K>>>,
-        mem: Option<&MemInput<K::Mem>>,
+        inputs: Vec<Arc<Component>>,
+        mem: Option<&MemInput>,
         id: u64,
-        built: Built<K::Disk>,
+        built: Built,
     ) -> Result<()> {
         let written = built.written;
         // the union of what its inputs, memory and disk, hold
@@ -953,7 +885,7 @@ impl<K: ComponentKind> Harness<K> {
     /// Blocks until the merge that took a sealed component in has ended
     /// (`handoff.done`), however long it runs: every job is stepped to its
     /// end, by the pool or, once the pool is gone, inline. Waited for by
-    /// [`Lsm::flush`] only; nothing a pool worker runs may reach it.
+    /// [`LsmTree::flush`] only; nothing a pool worker runs may reach it.
     fn wait_handed_off(&self, handoff: &Handoff) {
         let mut st = self.state.lock();
         while !handoff.done.get() {
@@ -966,17 +898,10 @@ impl<K: ComponentKind> Harness<K> {
 // The memory side
 // ---------------------------------------------------------------------------
 
-/// What the lifecycle needs to know of a kind's memory component.
-pub trait MemBuf: Default {
-    /// Approximate buffered bytes, to hold against the budget.
-    fn bytes(&self) -> usize;
-    fn is_empty(&self) -> bool;
-}
-
 /// One memory component with what was logged for it.
 #[derive(Default)]
-struct Slot<M> {
-    mem: M,
+struct Slot {
+    mem: MemComponent,
     /// LSN of the first log record whose effect is in `mem`.
     first_lsn: Option<Lsn>,
     /// Open transactions that wrote into `mem`.
@@ -984,9 +909,9 @@ struct Slot<M> {
 }
 
 /// Where one memory component of an index stands in the log: what
-/// [`Lsm::stamp`] put on it, the LSN below which it or an older component
+/// [`LsmTree::stamp`] put on it, the LSN below which it or an older component
 /// holds every logged operation, and whether it is sealed. An index built
-/// from that component's entries takes it over ([`Lsm::stamp_as`]) and is
+/// from that component's entries takes it over ([`LsmTree::stamp_as`]) and is
 /// then sealed and flushed in step with it.
 #[derive(Debug)]
 pub struct SlotStamps {
@@ -998,9 +923,9 @@ pub struct SlotStamps {
 
 /// A memory component that takes no more writes and waits to be flushed,
 /// or to be published by the merge that took it in.
-struct Sealed<M> {
+struct Sealed {
     /// Shared with the merge that takes it in, if one does.
-    mem: Arc<M>,
+    mem: Arc<MemComponent>,
     /// LSN of the first log record whose effect is in `mem`.
     first_lsn: Option<Lsn>,
     /// Open transactions that wrote into `mem`.
@@ -1013,7 +938,7 @@ struct Sealed<M> {
     handoff: Option<Arc<Handoff>>,
 }
 
-impl<M> Sealed<M> {
+impl Sealed {
     /// The log records whose effects it holds, as its component will.
     fn lsns(&self) -> (Lsn, Lsn) {
         (self.first_lsn.unwrap_or(self.below), self.below)
@@ -1028,7 +953,7 @@ impl<M> Sealed<M> {
 struct Handoff {
     /// The merge published a component holding the sealed one's entries.
     published: Flag,
-    /// The index took it back to write it on its own ([`Lsm::take_back_sealed`]).
+    /// The index took it back to write it on its own ([`LsmTree::take_back_sealed`]).
     taken_back: Flag,
     /// The merge ended, published or not; set once the slot is idle again
     /// and the cascade decided, so that the next seal finds the slot as a
@@ -1043,21 +968,21 @@ impl Handoff {
 }
 
 /// A sealed memory component as the merge that took it in holds it.
-struct MemInput<M> {
-    mem: Arc<M>,
+struct MemInput {
+    mem: Arc<MemComponent>,
     lsns: (Lsn, Lsn),
     handoff: Arc<Handoff>,
 }
 
 /// The memory components of one index: the active one and at most one
 /// sealed one, older than it. Writes go to the active component; reads
-/// consult both, active first. [`Lsm`] decides when one is sealed and when
+/// consult both, active first. [`LsmTree`] decides when one is sealed and when
 /// a sealed one is flushed — or, once its owner has said so
-/// ([`Lsm::sealed_by_owner`]), the owner does.
+/// ([`LsmTree::sealed_by_owner`]), the owner does.
 #[derive(Default)]
-pub(crate) struct MemSlots<M> {
-    active: Slot<M>,
-    sealed: Option<Sealed<M>>,
+pub(crate) struct MemSlots {
+    active: Slot,
+    sealed: Option<Sealed>,
     /// Every logged operation of the index below this LSN has been applied.
     covered_below: Lsn,
     /// Sealed and flushed only when the owner asks: neither a write nor a
@@ -1065,15 +990,15 @@ pub(crate) struct MemSlots<M> {
     by_owner: bool,
 }
 
-impl<M> MemSlots<M> {
+impl MemSlots {
     /// The component writes go to.
-    pub(crate) fn active_mut(&mut self) -> &mut M {
+    pub(crate) fn active_mut(&mut self) -> &mut MemComponent {
         &mut self.active.mem
     }
 
     /// What reads consult: the active component, then the sealed one if one
     /// is waiting for its writers.
-    pub(crate) fn newest_first(&self) -> impl Iterator<Item = &M> {
+    pub(crate) fn newest_first(&self) -> impl Iterator<Item = &MemComponent> {
         std::iter::once(&self.active.mem).chain(self.sealed.as_ref().map(|s| &*s.mem))
     }
 }
@@ -1082,41 +1007,43 @@ impl<M> MemSlots<M> {
 // The index handle
 // ---------------------------------------------------------------------------
 
-/// An LSM index of kind `K`: memory components, disk components and their
-/// counters behind one handle. The lifecycle below is every kind's; what a
-/// kind reads and writes is on `impl Lsm<ThatKind>`, beside the kind.
+/// An LSM B+ tree index over encoded composite keys: memory components,
+/// disk components and their counters behind one handle. The lifecycle is
+/// below; the reads and writes are in `crate::lsm`, beside the component
+/// format.
 ///
 /// The owner *stamps* the index with the LSN and the transaction of the log
 /// record it is about to apply (an index nobody logs for is never stamped
 /// and flushes the moment it seals) and *releases* a transaction when it has
 /// committed or aborted; every write and every release seals and flushes
 /// whatever has become due — unless the owner seals and flushes the index
-/// itself ([`Lsm::sealed_by_owner`]), as a dataset partition does all of its
+/// itself ([`LsmTree::sealed_by_owner`]), as a dataset partition does all of its
 /// indexes at once.
-pub struct Lsm<K: ComponentKind> {
-    pub(crate) shared: Arc<Harness<K>>,
-    pub(crate) mem: MemSlots<K::Mem>,
+pub struct LsmTree {
+    pub(crate) shared: Arc<Harness>,
+    pub(crate) mem: MemSlots,
 }
 
-impl<K: ComponentKind> Lsm<K> {
+impl LsmTree {
     /// Creates an empty index, whatever its directory holds. Amplification
     /// counters feed the node-wide hub reachable through the cache's
     /// [`crate::IoStats`].
-    pub fn new(cache: Arc<BufferCache>, config: K::Config) -> Self {
-        Lsm { shared: Harness::new(K::new(cache, config)), mem: MemSlots::default() }
+    pub fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
+        LsmTree { shared: Harness::new(cache, config), mem: MemSlots::default() }
     }
 
     /// Opens the index its manifest describes (an empty one when it has no
     /// manifest): the disk components a previous incarnation published.
-    pub fn reopen(cache: Arc<BufferCache>, config: K::Config) -> Result<Self> {
-        let shared = Harness::reopen(K::new(cache, config))?;
+    pub fn reopen(cache: Arc<BufferCache>, config: LsmConfig) -> Result<Self> {
+        let shared = Harness::reopen(cache, config)?;
         // what the disk components hold is applied
         let covered_below = shared.flushed_mark.get();
-        Ok(Lsm { shared, mem: MemSlots { covered_below, ..MemSlots::default() } })
+        Ok(LsmTree { shared, mem: MemSlots { covered_below, ..MemSlots::default() } })
     }
 
-    pub(crate) fn kind(&self) -> &K {
-        &self.shared.kind
+    /// The configuration.
+    pub fn config(&self) -> &LsmConfig {
+        &self.shared.config
     }
 
     /// Everything logged for the index below `lsn` is already reflected in
@@ -1127,7 +1054,7 @@ impl<K: ComponentKind> Lsm<K> {
 
     /// The memory components, oldest first, with where each stands in the
     /// log: what an index built from their entries takes over.
-    pub fn mem_layers(&self) -> impl Iterator<Item = (&K::Mem, SlotStamps)> {
+    pub fn mem_layers(&self) -> impl Iterator<Item = (&MemComponent, SlotStamps)> {
         let stamps = |first_lsn, writers: &BTreeSet<u64>, below, sealed| SlotStamps {
             first_lsn,
             writers: writers.clone(),
@@ -1158,12 +1085,11 @@ impl<K: ComponentKind> Lsm<K> {
     }
 
     /// Flushes the sealed memory component if its writers are done, seals
-    /// the active one if it is past the kind's budget (or, with `force`,
-    /// holds anything no open transaction wrote), and repeats until nothing
-    /// is due. A sealed component a merge took in is waited for with
-    /// `force`, and taken back once the active one is past its budget. A
-    /// kind calls it after every write; of an index its owner seals, only
-    /// `force` does anything.
+    /// the active one if it is past its budget (or, with `force`, holds
+    /// anything no open transaction wrote), and repeats until nothing is
+    /// due. A sealed component a merge took in is waited for with `force`,
+    /// and taken back once the active one is past its budget. Every write
+    /// calls it; of an index its owner seals, only `force` does anything.
     pub(crate) fn settle(&mut self, force: bool) -> Result<()> {
         if self.mem.by_owner && !force {
             return Ok(());
@@ -1213,7 +1139,7 @@ impl<K: ComponentKind> Lsm<K> {
                 return Ok(());
             }
         }
-        let name = shared.kind.name();
+        let name = self.name();
         Err(StorageError::Invalid(format!("merge_newest of {name}: a merge aborted or ran past 60 s")))
     }
 
@@ -1237,21 +1163,10 @@ impl<K: ComponentKind> Lsm<K> {
             shared.schedule_merge();
         }
     }
-}
 
-impl<K: ComponentKind> Drop for Lsm<K> {
-    fn drop(&mut self) {
-        // Ask any in-flight background merge to stop at its next morsel; the
-        // job holds its own reference to the shared state, so this is a
-        // courtesy, not a correctness requirement.
-        self.shared.cancel_merge();
-    }
-}
-
-impl<K: ComponentKind> Lsm<K> {
     /// The index's name: the prefix of its manifest and component files.
     pub fn name(&self) -> &str {
-        self.shared.kind.name()
+        &self.shared.config.name
     }
 
     /// Lifetime statistics.
@@ -1285,7 +1200,7 @@ impl<K: ComponentKind> Lsm<K> {
 
     /// The writes that follow apply the log record at `lsn`, logged by the
     /// open transaction `writer` (`None` when replaying a committed one).
-    /// What `writer` wrote is not flushed before [`Lsm::release`].
+    /// What `writer` wrote is not flushed before [`LsmTree::release`].
     pub fn stamp(&mut self, lsn: Lsn, writer: Option<u64>) {
         // a record replayed into an index durable past it (a secondary
         // ahead of its primary) is already in a disk component
@@ -1325,14 +1240,14 @@ impl<K: ComponentKind> Lsm<K> {
     /// transactions: waiting for them lets the sealed component flush and
     /// the active one seal, where writing on only grows memory. One that
     /// waits for no transaction — a merge has taken it in — is no reason:
-    /// the write's own flush takes it back ([`Lsm::take_back_sealed`]).
+    /// the write's own flush takes it back ([`LsmTree::take_back_sealed`]).
     pub fn must_wait(&self, writer: u64) -> bool {
         self.over_budget()
             && self.mem.sealed.as_ref().is_some_and(|s| !s.writers.is_empty() && !s.writers.contains(&writer))
     }
 
-    /// From now on the index is sealed only by [`Lsm::seal`] and flushed
-    /// only by [`Lsm::flush_sealed`] and [`Lsm::flush`]: its owner keeps it in
+    /// From now on the index is sealed only by [`LsmTree::seal`] and flushed
+    /// only by [`LsmTree::flush_sealed`] and [`LsmTree::flush`]: its owner keeps it in
     /// step with other indexes, whatever its own budget says.
     pub fn sealed_by_owner(&mut self) {
         self.mem.by_owner = true;
@@ -1344,7 +1259,7 @@ impl<K: ComponentKind> Lsm<K> {
     /// log's record stream, so this is the log decoded). The second bounds
     /// what a restart replays when overwrites keep what it holds small.
     pub fn over_budget(&self) -> bool {
-        let (active, budget) = (&self.mem.active, self.shared.kind.mem_budget());
+        let (active, budget) = (&self.mem.active, self.shared.config.mem_budget);
         let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
         active.mem.bytes() > budget || pinned > budget as u64
     }
@@ -1356,7 +1271,7 @@ impl<K: ComponentKind> Lsm<K> {
 
     /// The next seal is due: a sealed memory component that a merge took in
     /// and has not published is taken back, to be written on its own by
-    /// [`Lsm::flush_sealed`] while the merge ends unpublished. So an index
+    /// [`LsmTree::flush_sealed`] while the merge ends unpublished. So an index
     /// holds no more than two memory components' worth, as it would if the
     /// sealed one had been flushed at once, and no more of the log. Waits
     /// only for a publish in progress.
@@ -1372,7 +1287,7 @@ impl<K: ComponentKind> Lsm<K> {
     }
 
     /// Seals the active memory component, empty or not, unless a sealed one
-    /// still waits. It is flushed by [`Lsm::flush_sealed`] once its writers
+    /// still waits. It is flushed by [`LsmTree::flush_sealed`] once its writers
     /// are done.
     pub fn seal(&mut self) {
         let mem = &mut self.mem;
@@ -1452,7 +1367,7 @@ impl<K: ComponentKind> Lsm<K> {
     pub fn destroy(&self) -> Result<()> {
         let shared = &self.shared;
         shared.cancel_merge();
-        let manager = shared.kind.cache().manager();
+        let manager = shared.cache.manager();
         let _publishing = shared.manifest.lock();
         shared.write_manifest(0, &[])?;
         shared.destroyed.set(true);
@@ -1462,7 +1377,16 @@ impl<K: ComponentKind> Lsm<K> {
             comp.retire.set(true);
         }
         drop(dropped);
-        crate::io::remove_file(&manifest_path(manager.dir(), shared.kind.name()), manager.faults())
+        crate::io::remove_file(&manifest_path(manager.dir(), self.name()), manager.faults())
+    }
+}
+
+impl Drop for LsmTree {
+    fn drop(&mut self) {
+        // Ask any in-flight background merge to stop at its next morsel; the
+        // job holds its own reference to the shared state, so this is a
+        // courtesy, not a correctness requirement.
+        self.shared.cancel_merge();
     }
 }
 
@@ -1475,23 +1399,22 @@ impl<K: ComponentKind> Lsm<K> {
 /// components and the slot admits one merge at a time. Advanced one morsel
 /// ([`MERGE_MORSEL_ENTRIES`]) per step, so cancellation latency and
 /// scheduling quanta are bounded exactly like query morsels.
-struct MergeJob<K: ComponentKind> {
-    shared: Arc<Harness<K>>,
+struct MergeJob {
+    shared: Arc<Harness>,
     /// The sealed memory component taken in as the newest input, if any.
-    mem: Option<MemInput<K::Mem>>,
+    mem: Option<MemInput>,
     /// Input components, newest first. Taken (emptied) on completion so the
     /// swapped-out components can retire as soon as readers let go.
-    comps: Mutex<Vec<Arc<Component<K>>>>,
+    comps: Mutex<Vec<Arc<Component>>>,
     includes_oldest: bool,
     cancel: Arc<Flag>,
-    /// The output component's id and the kind's merge state, once opened.
-    run: Mutex<Option<(u64, K::Run)>>,
+    /// The output component's id and the merge run, once opened.
+    run: Mutex<Option<(u64, MergeRun)>>,
 }
 
-impl<K: ComponentKind> MergeJob<K> {
+impl MergeJob {
     /// One morsel of merging, or the publish once the inputs are exhausted.
     fn advance(&self) -> Result<JobStep> {
-        let kind = &self.shared.kind;
         if self.cancel.get() {
             self.run.lock().take();
             self.abort();
@@ -1508,15 +1431,16 @@ impl<K: ComponentKind> MergeJob<K> {
             let comps = self.comps.lock().clone();
             let id = self.shared.alloc_id();
             let mem = self.mem.as_ref().map(|m| &m.mem);
-            *run = Some((id, kind.open(id, mem, &comps, self.includes_oldest)?));
+            let (cache, config) = (&self.shared.cache, &self.shared.config);
+            *run = Some((id, MergeRun::open(cache, config, id, mem, &comps, self.includes_oldest)?));
         }
         let Some((_, active)) = run.as_mut() else { return Ok(JobStep::Done) };
-        if !kind.step(active, MERGE_MORSEL_ENTRIES)? {
+        if !active.step(MERGE_MORSEL_ENTRIES)? {
             return Ok(JobStep::Again);
         }
         let Some((id, finished)) = run.take() else { return Ok(JobStep::Done) };
         drop(run);
-        let built = kind.finish(finished)?;
+        let built = finished.finish()?;
         let comps = std::mem::take(&mut *self.comps.lock());
         self.shared.complete_merge(comps, self.mem.as_ref(), id, built)?;
         if let Some(mem) = &self.mem {
@@ -1535,7 +1459,7 @@ impl<K: ComponentKind> MergeJob<K> {
     }
 }
 
-impl<K: ComponentKind> BackgroundJob for MergeJob<K> {
+impl BackgroundJob for MergeJob {
     /// A failed step is recorded in the tree's counters and ends the job: the
     /// pre-merge component list stays live and the tree fully serviceable.
     fn step(&self) -> JobStep {
@@ -1552,14 +1476,13 @@ impl<K: ComponentKind> BackgroundJob for MergeJob<K> {
 
 #[cfg(test)]
 mod tests {
-    //! The lifecycle contract, stated once and run for every index kind.
+    //! The lifecycle contract, stated once and run for every leaf shape.
 
     use super::*;
     use crate::compaction::BackgroundExecutor;
     use crate::faults::{FaultConfig, FaultInjector};
-    use crate::io::FileManager;
     use crate::btree::LeafShape;
-    use crate::lsm::{BTreeKind, LsmConfig, LsmTree};
+    use crate::io::{FileId, FileManager};
     use crate::spatial as spatial_index;
     use crate::stats::IoStats;
     use crate::testutil::TempDir;
@@ -1568,15 +1491,14 @@ mod tests {
     use asterix_adm::{Point, RecordLayout, Rectangle, Value};
     use rand::prelude::*;
 
-    /// What the contract cannot say of every kind at once: which kind it is,
-    /// how an index of it is configured, and how to make entry `i`, delete
-    /// it and count what is live.
+    /// What the contract cannot say of every leaf shape at once: how an
+    /// index of it is configured, and how to make entry `i`, delete it and
+    /// count what is live.
     trait Entries {
-        type Kind: ComponentKind;
-        fn config(mem_budget: usize, policy: MergePolicy) -> <Self::Kind as ComponentKind>::Config;
-        fn put(t: &mut Lsm<Self::Kind>, i: u64);
-        fn delete(t: &mut Lsm<Self::Kind>, i: u64);
-        fn live(t: &Lsm<Self::Kind>) -> usize;
+        fn config(mem_budget: usize, policy: MergePolicy) -> LsmConfig;
+        fn put(t: &mut LsmTree, i: u64);
+        fn delete(t: &mut LsmTree, i: u64);
+        fn live(t: &LsmTree) -> usize;
     }
 
     fn key(i: u64) -> Vec<u8> {
@@ -1587,7 +1509,6 @@ mod tests {
     struct Rows;
 
     impl Entries for Rows {
-        type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
             LsmConfig { mem_budget, merge_policy, ..LsmConfig::new("t") }
         }
@@ -1606,7 +1527,6 @@ mod tests {
     struct Columns;
 
     impl Entries for Columns {
-        type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
             let leaves = LeafShape::Groups(Arc::new(RecordLayout::new(gleambook_types().get("GleambookMessageType").unwrap())));
             LsmConfig { mem_budget, merge_policy, leaves, ..LsmConfig::new("c") }
@@ -1636,7 +1556,6 @@ mod tests {
     struct Spatial;
 
     impl Entries for Spatial {
-        type Kind = BTreeKind;
         fn config(mem_budget: usize, merge_policy: MergePolicy) -> LsmConfig {
             LsmConfig { mem_budget, merge_policy, ..spatial_index::config("s") }
         }
@@ -1652,13 +1571,13 @@ mod tests {
     }
 
     /// An index that never flushes on its own.
-    fn manual<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<E::Kind> {
-        Lsm::new(cache, E::config(1 << 30, policy))
+    fn manual<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> LsmTree {
+        LsmTree::new(cache, E::config(1 << 30, policy))
     }
 
     /// The same index as its manifest describes it, merging by `policy`.
-    fn reopened<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> Lsm<E::Kind> {
-        Lsm::reopen(cache, E::config(1 << 30, policy)).unwrap()
+    fn reopened<E: Entries>(cache: Arc<BufferCache>, policy: MergePolicy) -> LsmTree {
+        LsmTree::reopen(cache, E::config(1 << 30, policy)).unwrap()
     }
 
     fn setup(faults: Option<FaultConfig>) -> (Arc<BufferCache>, TempDir) {
@@ -1669,7 +1588,7 @@ mod tests {
     }
 
     /// One component holding entries `range`.
-    fn component<E: Entries>(t: &mut Lsm<E::Kind>, range: std::ops::Range<u64>) {
+    fn component<E: Entries>(t: &mut LsmTree, range: std::ops::Range<u64>) {
         for i in range {
             E::put(t, i);
         }
@@ -1677,9 +1596,8 @@ mod tests {
     }
 
     /// Names of the files the live components own.
-    fn live_files<K: ComponentKind>(t: &Lsm<K>, cache: &BufferCache) -> Vec<String> {
-        let ids: Vec<FileId> =
-            t.shared.snapshot().iter().flat_map(|c| K::files(&c.disk)).collect();
+    fn live_files(t: &LsmTree, cache: &BufferCache) -> Vec<String> {
+        let ids: Vec<FileId> = t.shared.snapshot().iter().map(|c| c.disk.file()).collect();
         let open = cache.manager().open_files();
         open.into_iter().filter(|(_, id)| ids.contains(id)).map(|(name, _)| name).collect()
     }
@@ -1753,7 +1671,7 @@ mod tests {
 
     /// Seals what `range` writes and asks for its flush, without waiting for
     /// a merge that takes it in.
-    fn sealed<E: Entries>(t: &mut Lsm<E::Kind>, range: std::ops::Range<u64>) {
+    fn sealed<E: Entries>(t: &mut LsmTree, range: std::ops::Range<u64>) {
         for i in range {
             E::put(t, i);
         }
@@ -1806,7 +1724,7 @@ mod tests {
     }
 
     /// A merge that took a sealed component in and aborted leaves it to be
-    /// flushed on its own; [`Lsm::flush`] waits for a merge that has one.
+    /// flushed on its own; [`LsmTree::flush`] waits for a merge that has one.
     fn a_sealed_component_whose_merge_aborts_is_flushed_on_its_own<E: Entries>() {
         let (cache, _d) = setup(None);
         let mut t = manual::<E>(cache, MergePolicy::Constant { max_components: 1 });
@@ -1875,7 +1793,7 @@ mod tests {
         assert_eq!((t.stats().flushes_merged, t.component_count(), E::live(&t)), (1, 1, 1_300));
         // an index sealed by its own budget takes it back at the write that
         // makes the next seal due
-        let mut t = Lsm::new(cache, E::config(8 << 10, policy));
+        let mut t = LsmTree::new(cache, E::config(8 << 10, policy));
         t.set_executor(parked.clone());
         let mut i = 0;
         while parked.0.lock().is_empty() {
@@ -2056,7 +1974,7 @@ mod tests {
                 ..FaultConfig::default()
             }));
             let mut t = manual::<E>(cache, MergePolicy::NoMerge);
-            let run = |t: &mut Lsm<E::Kind>| -> Result<()> {
+            let run = |t: &mut LsmTree| -> Result<()> {
                 for i in 0..200 {
                     E::put(t, i);
                 }
@@ -2081,7 +1999,7 @@ mod tests {
                 _ => 360,
             };
             assert_eq!(E::live(&t), want, "{step} #{publish}");
-            let named: usize = t.shared.snapshot().iter().map(|c| <E::Kind>::files(&c.disk).len()).sum();
+            let named = t.shared.snapshot().len();
             assert_eq!(component_files(&dir).len(), named, "{step} #{publish}: an orphan survived the sweep");
         }
     }
@@ -2092,9 +2010,9 @@ mod tests {
     /// wait rather than grow the active one.
     fn sealed_component_waits_for_its_writers<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = Lsm::<E::Kind>::new(cache, E::config(512, MergePolicy::NoMerge));
+        let mut t = LsmTree::new(cache, E::config(512, MergePolicy::NoMerge));
         let mut lsn = 100;
-        let mut write = |t: &mut Lsm<E::Kind>, i: u64, writer: u64| {
+        let mut write = |t: &mut LsmTree, i: u64, writer: u64| {
             t.stamp(lsn, Some(writer));
             E::put(t, i);
             lsn += 10;
@@ -2124,12 +2042,12 @@ mod tests {
     }
 
     /// An index its owner seals: no write and no release seals or flushes
-    /// it, however far past its budget; [`Lsm::seal`] seals, and
-    /// [`Lsm::flush_sealed`] flushes what was sealed once its writers are done
+    /// it, however far past its budget; [`LsmTree::seal`] seals, and
+    /// [`LsmTree::flush_sealed`] flushes what was sealed once its writers are done
     /// — a sealed component of nothing by moving the manifest's LSN alone.
     fn an_index_its_owner_seals_waits_for_the_owner<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = Lsm::<E::Kind>::new(cache, E::config(512, MergePolicy::NoMerge));
+        let mut t = LsmTree::new(cache, E::config(512, MergePolicy::NoMerge));
         t.sealed_by_owner();
         for i in 0..40 {
             t.stamp(100 + i, Some(7));
@@ -2159,7 +2077,7 @@ mod tests {
     /// shows after each step.
     fn no_steal_trace<E: Entries>() -> Vec<(u64, u64, Lsn, Option<Lsn>)> {
         let (cache, _d) = setup(None);
-        let mut t = Lsm::<E::Kind>::new(cache, E::config(0, MergePolicy::NoMerge));
+        let mut t = LsmTree::new(cache, E::config(0, MergePolicy::NoMerge));
         let mut rng = SmallRng::seed_from_u64(19);
         let mut lsn = 1;
         let mut trace = Vec::new();
@@ -2239,12 +2157,35 @@ mod tests {
         std::fs::write(dir.path().join("s_c1.rtree"), &image).unwrap();
         let manifest = Manifest { flushed_below: 7, components: vec![ManifestEntry { id: 1, size_bytes: image.len() as u64, lsns: (0, 7), files: vec!["s_c1.rtree".into()] }] };
         std::fs::write(manifest_path(dir.path(), "s"), manifest.encode()).unwrap();
-        match Lsm::<BTreeKind>::reopen(cache, Spatial::config(1 << 20, MergePolicy::NoMerge)) {
+        match LsmTree::reopen(cache, Spatial::config(1 << 20, MergePolicy::NoMerge)) {
             Err(StorageError::Corrupt(why)) => assert!(why.contains("s_c1.rtree") && why.contains("spatial B+ tree footer"), "{why}"),
             Err(e) => panic!("{e}"),
             Ok(_) => panic!("a retired R-tree component opened"),
         }
         assert_eq!(std::fs::read(dir.path().join("s_c1.rtree")).unwrap(), image, "the refused file is left as it was");
+    }
+
+    /// A component is one `.btree` file: a manifest entry that lists none,
+    /// or two, is refused at reopen, naming what it lists.
+    #[test]
+    fn a_manifest_listing_other_than_one_file_for_a_component_is_refused_at_reopen() {
+        let (cache, dir) = setup(None);
+        let mut t = manual::<Rows>(cache.clone(), MergePolicy::NoMerge);
+        component::<Rows>(&mut t, 0..10);
+        component::<Rows>(&mut t, 10..20);
+        drop(t);
+        for files in [vec![], vec!["t_c1.btree".to_string(), "t_c2.btree".into()]] {
+            let manifest = Manifest { flushed_below: 0, components: vec![ManifestEntry { id: 1, size_bytes: 0, lsns: (0, 0), files: files.clone() }] };
+            std::fs::write(manifest_path(dir.path(), "t"), manifest.encode()).unwrap();
+            match LsmTree::reopen(cache.clone(), Rows::config(1 << 20, MergePolicy::NoMerge)) {
+                Err(StorageError::Corrupt(why)) => {
+                    let named = files.iter().all(|f| why.contains(f.as_str()));
+                    assert!(why.contains(&format!("component 1 of t lists {} files", files.len())) && named, "{why}");
+                }
+                Err(e) => panic!("{e}"),
+                Ok(_) => panic!("a component of {} files opened", files.len()),
+            }
+        }
     }
 
     macro_rules! lifecycle_contract {

@@ -11,10 +11,10 @@
 //!   disk component is one — whose leaves are pages of opaque values, pages
 //!   of MBRs with each leaf's MBR in its fence, or, for a dataset's primary
 //!   index, columnar **leaf groups** ([`leaf_group`]);
-//! * the **LSM framework**: one component lifecycle (`harness`: the
-//!   component list, pluggable merge policies, merge scheduling, publishing
-//!   and retirement) and the LSM B+ tree that rides it ([`lsm`]) with bloom
-//!   filters ([`bloom`]);
+//! * the **LSM framework**: one index type, the LSM B+ tree — its lifecycle
+//!   (`harness`: the component list, pluggable merge policies, merge
+//!   scheduling, publishing and retirement) and its component format and
+//!   reads ([`lsm`]), with bloom filters ([`bloom`]);
 //! * the **spatial index** ([`spatial`]): an LSM B+ tree over Hilbert keys
 //!   whose fence index carries each leaf's MBR — a Hilbert-packed R-tree —
 //!   with the paper's point-MBR storage optimization (§V-B);

@@ -24,18 +24,18 @@
 //! ([`LsmReader::fill`], [`LsmTree::get_into`]), the entries of one leaf
 //! group a chunk at a time.
 //!
-//! Only what is B+-tree-specific lives here: the memory component, the k-way
-//! merge and blooms; a disk component's B+ tree stores each [`Entry`], a
-//! value or a delete marker, itself (`crate::btree`). The component
-//! list and its manifest, ids, sealing, merge scheduling, publishing and
-//! retirement are the shared lifecycle in `crate::harness`, which this tree
-//! rides as one `ComponentKind`.
+//! This module is the component format: the memory component, the one
+//! writer of a disk component ([`MergeRun`], the k-way merge a flush and a
+//! merge both are) and the reads; a disk component's B+ tree stores each
+//! [`Entry`], a value or a delete marker, itself (`crate::btree`). The
+//! component list and its manifest, ids, sealing, merge scheduling,
+//! publishing and retirement are the lifecycle in `crate::harness`, where
+//! [`LsmTree`] is declared; it calls the merge run directly.
 
 use crate::btree::{BTreeBuilder, BTreeRangeIter, DiskBTree, LeafShape};
 use crate::cache::BufferCache;
 use crate::error::{Result, StorageError};
-use crate::harness::{Built, Component, ComponentKind, Harness, MemBuf};
-use crate::io::FileId;
+use crate::harness::{Built, Component, Harness};
 use asterix_adm::layout::Cells;
 use asterix_adm::BatchBuilder;
 use std::collections::{btree_map, BTreeMap};
@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 pub use crate::btree::Entry;
 pub use crate::harness::{
-    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, Lsm, LsmStats, MergePolicy, SlotStamps,
+    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, LsmStats, LsmTree, MergePolicy, SlotStamps,
 };
 
 // ---------------------------------------------------------------------------
@@ -143,16 +143,6 @@ impl MemComponent {
     }
 }
 
-impl MemBuf for MemComponent {
-    fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
@@ -194,15 +184,7 @@ impl LsmConfig {
 // The k-way merge and the merge run
 // ---------------------------------------------------------------------------
 
-/// One component's ordered entries as the merge sees them: the key it
-/// stands at, borrowed, and a step to the next.
-pub(crate) trait MergeCursor {
-    /// The key of the entry the cursor stands at; `None` past the last.
-    fn key(&self) -> Option<&[u8]>;
-    fn advance(&mut self) -> Result<()>;
-}
-
-/// The one k-way merge of the LSM tree: per-component ordered cursors in
+/// The one k-way merge of the LSM tree: per-component ordered [`Source`]s in
 /// (rank 0 = newest), one entry per distinct key out — the newest rank's,
 /// older versions shadowed. It compares keys where they lie and copies
 /// nothing: [`KWayMerge::next_rank`] names the cursor standing at the next
@@ -211,16 +193,16 @@ pub(crate) trait MergeCursor {
 /// and bounded probes all sit on it. Lazy: a cursor stands one entry ahead
 /// of what has been handed out and no further, so a caller that stops early
 /// has touched at most `yielded + 1` entries per component.
-pub(crate) struct KWayMerge<C> {
-    cursors: Vec<C>,
+struct KWayMerge<'a> {
+    cursors: Vec<Source<'a>>,
     /// The rank handed out last; it, and the cursors behind it that stand at
     /// the same key, step on when the next is asked for.
     taken: Option<usize>,
     pulled: u64,
 }
 
-impl<C: MergeCursor> KWayMerge<C> {
-    pub(crate) fn new(cursors: Vec<C>) -> Self {
+impl<'a> KWayMerge<'a> {
+    fn new(cursors: Vec<Source<'a>>) -> Self {
         let pulled = cursors.iter().filter(|c| c.key().is_some()).count() as u64;
         KWayMerge { cursors, taken: None, pulled }
     }
@@ -228,34 +210,34 @@ impl<C: MergeCursor> KWayMerge<C> {
     /// A merge over `cursors`, which stand where those of a merge taken
     /// apart by [`KWayMerge::into_parts`] stood, that goes on where it
     /// stopped: `taken` is the rank it handed out last.
-    pub(crate) fn resume(cursors: Vec<C>, taken: Option<usize>) -> Self {
+    fn resume(cursors: Vec<Source<'a>>, taken: Option<usize>) -> Self {
         KWayMerge { cursors, taken, pulled: 0 }
     }
 
     /// The cursors and the rank handed out last, for
     /// [`KWayMerge::resume`].
-    pub(crate) fn into_parts(self) -> (Vec<C>, Option<usize>) {
+    fn into_parts(self) -> (Vec<Source<'a>>, Option<usize>) {
         (self.cursors, self.taken)
     }
 
     /// Entries the cursors have stood at so far.
-    pub(crate) fn pulled(&self) -> u64 {
+    fn pulled(&self) -> u64 {
         self.pulled
     }
 
     /// The cursor of rank `rank`.
-    pub(crate) fn cursor(&mut self, rank: usize) -> &mut C {
+    fn cursor(&mut self, rank: usize) -> &mut Source<'a> {
         &mut self.cursors[rank]
     }
 
     /// The key of the entry handed out last.
-    pub(crate) fn taken_key(&self) -> Option<&[u8]> {
+    fn taken_key(&self) -> Option<&[u8]> {
         self.taken.and_then(|rank| self.cursors[rank].key())
     }
 
     /// Moves to the next distinct key: the rank of the cursor standing at
     /// its newest version, `None` when every cursor is past its last entry.
-    pub(crate) fn next_rank(&mut self) -> Result<Option<usize>> {
+    fn next_rank(&mut self) -> Result<Option<usize>> {
         if let Some(winner) = self.taken.take() {
             let (upto, behind) = self.cursors.split_at_mut(winner + 1);
             let winner = &mut upto[winner];
@@ -286,7 +268,13 @@ impl<C: MergeCursor> KWayMerge<C> {
 /// the buffer cache — plus the output builder. A cursor over a memory
 /// component borrows it, so the merge is taken apart after each step and put
 /// together again for the next, that cursor at the key it stood at.
-pub struct MergeRun {
+///
+/// Resumable: [`MergeRun::open`] once, then [`MergeRun::step`] until it
+/// reports exhaustion, then [`MergeRun::finish`]. It touches no lifecycle
+/// state: the harness decides when each call happens, on which thread, and
+/// what becomes of the result.
+pub(crate) struct MergeRun {
+    cache: Arc<BufferCache>,
     /// The sealed memory component taken in: rank 0 when there is one.
     mem: Option<Arc<MemComponent>>,
     /// The key its cursor stands at; `None` past its last entry.
@@ -299,92 +287,34 @@ pub struct MergeRun {
     /// Nothing older than the inputs exists: dead tombstones are dropped.
     includes_oldest: bool,
     written: u64,
+    /// Every cell of a leaf group's entry, handed on from group to group;
+    /// `None` for a tree without a layout.
+    every_cell: Option<Vec<usize>>,
     /// The cells of the entry being handed on (leaf groups).
     cells: Cells,
 }
 
-// ---------------------------------------------------------------------------
-// The B+-tree component kind
-// ---------------------------------------------------------------------------
-
-/// What the lifecycle harness needs to know about B+-tree components: one
-/// `<name>_c<id>.btree` file each, merged by a k-way merge in which the
-/// newest version of a key wins.
-pub struct BTreeKind {
-    cache: Arc<BufferCache>,
-    config: LsmConfig,
-}
-
-impl BTreeKind {
-    /// Opens the file of component `id` for bulk loading.
-    fn builder(&self, id: u64) -> Result<BTreeBuilder> {
-        let name = format!("{}_c{}.btree", self.config.name, id);
-        let writer = self.cache.manager().bulk_writer(&name)?;
-        Ok(BTreeBuilder::with_shape(writer, self.config.bloom, &self.config.leaves))
-    }
-
-    /// Seals a bulk-loaded component file.
-    fn seal(&self, builder: BTreeBuilder, written: u64) -> Result<Built<DiskBTree>> {
-        let built = builder.finish()?;
-        let size_bytes = self.cache.manager().page_count(built.file)? * crate::io::PAGE_SIZE as u64;
-        let disk = DiskBTree::from_built(Arc::clone(&self.cache), built);
-        Ok(Built { disk, size_bytes, written })
-    }
-}
-
-impl ComponentKind for BTreeKind {
-    type Config = LsmConfig;
-    type Mem = MemComponent;
-    type Disk = DiskBTree;
-    type Run = MergeRun;
-
-    fn new(cache: Arc<BufferCache>, config: LsmConfig) -> Self {
-        BTreeKind { cache, config }
-    }
-
-    fn cache(&self) -> &Arc<BufferCache> {
-        &self.cache
-    }
-
-    fn name(&self) -> &str {
-        &self.config.name
-    }
-
-    fn mem_budget(&self) -> usize {
-        self.config.mem_budget
-    }
-
-    fn merge_policy(&self) -> MergePolicy {
-        self.config.merge_policy
-    }
-
-    fn files(disk: &DiskBTree) -> Vec<FileId> {
-        vec![disk.file()]
-    }
-
-    fn reopen(&self, files: &[FileId]) -> Result<DiskBTree> {
-        match files {
-            [file] => DiskBTree::open(Arc::clone(&self.cache), *file, &self.config.leaves),
-            _ => Err(StorageError::Corrupt(format!(
-                "B+-tree component of {} lists {} files",
-                self.config.name,
-                files.len()
-            ))),
-        }
-    }
-
-    /// Allocates the output file and the per-input cursors.
-    fn open(
-        &self,
+impl MergeRun {
+    /// Starts merging a sealed memory component `mem`, the newest input if
+    /// there is one, and the disk components `inputs` (newest first) of the
+    /// index `config` describes into the file of component `id`: a flush is
+    /// the merge of a memory component and no disk one. `includes_oldest`
+    /// says nothing older than the inputs exists, so delete markers that
+    /// only mask older components may be dropped.
+    pub(crate) fn open(
+        cache: &Arc<BufferCache>,
+        config: &LsmConfig,
         id: u64,
         mem: Option<&Arc<MemComponent>>,
-        inputs: &[Arc<Component<Self>>],
+        inputs: &[Arc<Component>],
         includes_oldest: bool,
     ) -> Result<MergeRun> {
-        let builder = self.builder(id)?;
+        let writer = cache.manager().bulk_writer(&format!("{}_c{}.btree", config.name, id))?;
+        let builder = BTreeBuilder::with_shape(writer, config.bloom, &config.leaves);
         let disk = inputs.iter().map(|comp| comp.disk.scan_uncached()).collect::<Result<_>>()?;
         let mem_at = mem.and_then(|m| m.iter().next()).map(|(key, _)| key.clone());
         Ok(MergeRun {
+            cache: Arc::clone(cache),
             mem: mem.cloned(),
             mem_at,
             disk,
@@ -392,15 +322,16 @@ impl ComponentKind for BTreeKind {
             builder,
             includes_oldest,
             written: 0,
+            every_cell: config.leaves.layout().map(|l| (0..l.cell_count()).collect()),
             cells: Cells::default(),
         })
     }
 
     /// Advances the k-way merge by up to `budget` input keys (newest rank
-    /// wins on duplicates; a dropped tombstone still costs budget).
-    fn step(&self, run: &mut MergeRun, budget: usize) -> Result<bool> {
-        let MergeRun { mem, mem_at, disk, taken, builder, includes_oldest, written, cells } = run;
-        let every_cell: Vec<usize> = self.config.leaves.layout().iter().flat_map(|l| 0..l.cell_count()).collect();
+    /// wins on duplicates; a dropped tombstone still costs budget); `true`
+    /// once every input is exhausted.
+    pub(crate) fn step(&mut self, budget: usize) -> Result<bool> {
+        let MergeRun { mem, mem_at, disk, taken, builder, includes_oldest, written, every_cell, cells, .. } = self;
         let mut sources: Vec<Source<'_>> = Vec::with_capacity(disk.len() + 1);
         if let Some(mem) = mem {
             let mut rest = match mem_at {
@@ -423,20 +354,20 @@ impl ComponentKind for BTreeKind {
                 if dead && *includes_oldest {
                     continue;
                 }
-                match merge.cursor(rank) {
-                    Source::Mem { head, .. } => {
+                match (merge.cursor(rank), &*every_cell) {
+                    (Source::Mem { head, .. }, _) => {
                         let (key, entry) = (*head).ok_or_else(gone)?;
                         builder.add(key, entry.value())?;
                     }
-                    Source::Disk(winner) if self.config.leaves.layout().is_none() || dead => {
-                        let (key, value) = winner.entry()?;
-                        builder.add(key, value)?;
-                    }
-                    Source::Disk(winner) => {
+                    (Source::Disk(winner), Some(every_cell)) if !dead => {
                         // the cells go from group to group: no row is put together
                         cells.clear();
-                        winner.cells(&every_cell, cells)?;
+                        winner.cells(every_cell, cells)?;
                         builder.add_cells(winner.key().unwrap_or_default(), Some(cells))?;
+                    }
+                    (Source::Disk(winner), _) => {
+                        let (key, value) = winner.entry()?;
+                        builder.add(key, value)?;
                     }
                 }
                 *written += 1;
@@ -455,18 +386,17 @@ impl ComponentKind for BTreeKind {
         exhausted
     }
 
-    fn finish(&self, run: MergeRun) -> Result<Built<DiskBTree>> {
-        self.seal(run.builder, run.written)
+    /// Seals the merge output (not yet published).
+    pub(crate) fn finish(self) -> Result<Built> {
+        let built = self.builder.finish()?;
+        let size_bytes = self.cache.manager().page_count(built.file)? * crate::io::PAGE_SIZE as u64;
+        Ok(Built { disk: DiskBTree::from_built(self.cache, built), size_bytes, written: self.written })
     }
 }
 
 // ---------------------------------------------------------------------------
-// The LSM tree
+// The LSM tree's reads and writes
 // ---------------------------------------------------------------------------
-
-/// An LSM B+ tree index over encoded composite keys: the [`Lsm`] lifecycle
-/// plus the reads and writes below.
-pub type LsmTree = Lsm<BTreeKind>;
 
 /// What a read that named cells is handed of one entry.
 #[derive(Debug, Clone, Copy)]
@@ -483,15 +413,10 @@ pub enum Projected<'a> {
 /// the snapshot the walk looked through, which keeps that one's file open.
 enum Found<'a, D> {
     Mem(&'a Entry),
-    Disk { at: D, _snapshot: Vec<Arc<Component<BTreeKind>>> },
+    Disk { at: D, _snapshot: Vec<Arc<Component>> },
 }
 
-impl Lsm<BTreeKind> {
-    /// The configuration.
-    pub fn config(&self) -> &LsmConfig {
-        &self.kind().config
-    }
-
+impl LsmTree {
     /// Inserts or replaces `key`. Past the budget the memory component is
     /// sealed, and flushed unless an open transaction wrote into it.
     pub fn upsert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
@@ -584,7 +509,7 @@ impl Lsm<BTreeKind> {
     }
 
     /// [`LsmTree::reader`] of every key over the disk components alone: what
-    /// the index holds durably, as of [`Lsm::flushed_below`].
+    /// the index holds durably, as of [`LsmTree::flushed_below`].
     pub fn disk_reader(&self, wanted: Option<&[usize]>) -> Result<LsmReader<'_>> {
         self.read(false, Bound::Unbounded, Bound::Unbounded, wanted)
     }
@@ -605,7 +530,6 @@ impl Lsm<BTreeKind> {
         }
         Ok(LsmReader {
             merge: KWayMerge::new(sources),
-            kind: self.kind(),
             shared: &self.shared,
             _snapshot: snapshot,
             wanted: wanted.filter(|_| self.config().leaves.layout().is_some()).map(<[usize]>::to_vec),
@@ -619,7 +543,7 @@ impl Lsm<BTreeKind> {
         Ok(LsmRangeIter(self.reader(lo, hi, None)?))
     }
 
-    /// [`Lsm::range_iter`], materialized.
+    /// [`LsmTree::range_iter`], materialized.
     pub fn range(
         &self,
         lo: Bound<&[u8]>,
@@ -651,7 +575,8 @@ enum Source<'a> {
     Disk(BTreeRangeIter),
 }
 
-impl MergeCursor for Source<'_> {
+impl Source<'_> {
+    /// The key of the entry the cursor stands at; `None` past the last.
     fn key(&self) -> Option<&[u8]> {
         match self {
             Source::Mem { head, .. } => head.map(|(key, _)| key.as_slice()),
@@ -672,10 +597,9 @@ impl MergeCursor for Source<'_> {
 /// until the next is asked for. Dropping it adds what it read to
 /// [`LsmStats::entries_visited`].
 pub struct LsmReader<'a> {
-    merge: KWayMerge<Source<'a>>,
-    kind: &'a BTreeKind,
-    shared: &'a Harness<BTreeKind>,
-    _snapshot: Vec<Arc<Component<BTreeKind>>>,
+    merge: KWayMerge<'a>,
+    shared: &'a Harness,
+    _snapshot: Vec<Arc<Component>>,
     /// The cells to hand out of a leaf group's entry; `None`: its value.
     wanted: Option<Vec<usize>>,
     cells: Cells,
@@ -725,14 +649,14 @@ impl LsmReader<'_> {
     /// appended together, a chunk at a time, once something else comes
     /// between them or the group ends. For a tree that has a layout.
     pub fn fill(&mut self, builder: &mut BatchBuilder<'_>, limit: usize) -> Result<Option<Vec<u8>>> {
-        let LsmReader { merge, kind, .. } = self;
-        if kind.config.leaves.layout().is_none() {
-            return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", kind.config.name)));
+        let LsmReader { merge, shared, .. } = self;
+        if shared.config.leaves.layout().is_none() {
+            return Err(StorageError::Invalid(format!("index {} has no record layout to read fields by", shared.config.name)));
         }
         // the winners not yet appended: runs of entry numbers in the leaf
         // group the cursor of rank `pending.0` stands in
         let mut pending: (usize, Vec<std::ops::Range<usize>>) = (0, Vec::new());
-        let flush = |merge: &mut KWayMerge<Source<'_>>, pending: &mut (usize, Vec<_>), builder: &mut BatchBuilder<'_>| {
+        let flush = |merge: &mut KWayMerge<'_>, pending: &mut (usize, Vec<_>), builder: &mut BatchBuilder<'_>| {
             if let (false, Source::Disk(at)) = (pending.1.is_empty(), merge.cursor(pending.0)) {
                 at.append_entries(&pending.1, builder)?;
             }
