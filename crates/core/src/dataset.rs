@@ -341,14 +341,15 @@ impl DatasetPartition {
     /// its budget and none holds a sealed component any more. An index that
     /// still holds one — for a writer, or until the merge that took it in
     /// publishes — stops the indexes after it, so that no primary publishes
-    /// ahead of its secondaries; once the next seal is due, a merge's is
-    /// taken back and written on its own.
+    /// ahead of its secondaries; once the next seal is due, each index
+    /// finishes its merges on this thread first
+    /// ([`LsmTree::finish_merges`]).
     fn seal_and_flush(&mut self) -> Result<()> {
         loop {
             let due = self.indexes().any(LsmTree::over_budget);
             for idx in self.indexes_mut() {
                 if due {
-                    idx.take_back_sealed();
+                    idx.finish_merges();
                 }
                 idx.flush_sealed()?;
                 if idx.has_sealed() {

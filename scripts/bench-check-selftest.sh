@@ -27,6 +27,8 @@ doctored() {
 
 # a count off by one
 doctored "$1" '.compaction.foreground.merges += 1' 'compaction.foreground.merges'
+# a pool that merged otherwise than the caller
+doctored "$1" '.compaction.background.merges += 1' 'compaction.background.merges'
 # a throughput a tenth of what it was
 doctored "$2" '.points[0].qps /= 10' 'points[0].qps'
 # a lossless policy that lost a record

@@ -23,8 +23,8 @@ BAND = 3.0
 #   count  equal when `quick` is equal: fixed by the input size, whatever the host and the schedule
 #   time   within BAND when `quick` and `host.cpus` are equal: a throughput or a latency
 #   free   not compared: prose, what the checker itself reads, counts the
-#          schedule decides (steals, morsels, fsync rounds, what Discard dropped,
-#          merges on the pool) and times that are no statistic to compare — a
+#          schedule decides (steals, morsels, fsync rounds, what Discard dropped)
+#          and times that are no statistic to compare — a
 #          percentile with fewer than ten samples beyond it, a wall that has two
 #          modes; the invariants below bound the ones that matter
 HEADER = [
@@ -56,6 +56,10 @@ TABLE = {
         ("compaction.foreground.merges", "count"),
         ("compaction.foreground.components_at_quiesce", "count"),
         ("compaction.foreground.*", "time"),
+        # a seal finishes what the pool has not: the pool decides no count
+        ("compaction.background.write_amp", "count"),
+        ("compaction.background.merges", "count"),
+        ("compaction.background.components_at_quiesce", "count"),
         ("compaction.background.ingest_wall_ms", "time"),
         ("compaction.**", "free"),
     ],
@@ -149,6 +153,12 @@ def check_hotpath(d, fail):
             fail(f"compaction.{run}.write_amp", f"{r['write_amp']} < 1: merges cannot unwrite data")
         if r["merges"] < 1:
             fail(f"compaction.{run}.merges", "no merge ran: the comparison is vacuous")
+    # every seal finishes the merge in flight, so the pool changes where a
+    # merge runs, never which merges run
+    for count in ("write_amp", "merges", "components_at_quiesce"):
+        fg, bg = comp["foreground"][count], comp["background"][count]
+        if bg != fg:
+            fail(f"compaction.background.{count}", f"{bg} on the pool, {fg} on the caller: the executor changed what was merged")
     # moving merges off the write path must shrink the ingest stall
     fg, bg = comp["foreground"]["merge_stall_ms"], comp["background"]["merge_stall_ms"]
     if not 0 <= bg < fg:
