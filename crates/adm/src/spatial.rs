@@ -3,7 +3,8 @@
 //! The paper (Section III) lists "simple spatial data" among ADM's rich types
 //! and Section V-B describes the LSM spatial-index study built on them. The
 //! geometry here is deliberately minimal — axis-aligned boxes and points —
-//! exactly the subset the R-tree, linearized B-tree, and grid indexes need.
+//! exactly the subset the spatial index (an LSM B+ tree of MBRs in Hilbert
+//! order) and the spatial predicates need.
 
 use std::fmt;
 
@@ -70,24 +71,6 @@ impl Rectangle {
         self.min.x > self.max.x || self.min.y > self.max.y
     }
 
-    /// Width × height. Degenerate (point) rectangles have zero area.
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            (self.max.x - self.min.x) * (self.max.y - self.min.y)
-        }
-    }
-
-    /// Half-perimeter, the classic R-tree "margin" metric.
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            (self.max.x - self.min.x) + (self.max.y - self.min.y)
-        }
-    }
-
     /// True when `self` and `other` overlap (boundary touch counts).
     #[inline]
     pub fn intersects(&self, other: &Rectangle) -> bool {
@@ -95,14 +78,6 @@ impl Rectangle {
             && other.min.x <= self.max.x
             && self.min.y <= other.max.y
             && other.min.y <= self.max.y
-    }
-
-    /// True when `self` fully contains `other`.
-    pub fn contains_rect(&self, other: &Rectangle) -> bool {
-        self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
     }
 
     /// True when the point lies inside or on the boundary.
@@ -125,13 +100,7 @@ impl Rectangle {
         }
     }
 
-    /// Area growth needed to absorb `other` — the quadratic-split / choose-
-    /// subtree cost metric.
-    pub fn enlargement(&self, other: &Rectangle) -> f64 {
-        self.union(other).area() - self.area()
-    }
-
-    /// Center point (used by STR packing and Hilbert mapping of boxes).
+    /// Center point (where the spatial index maps a box onto the Hilbert curve).
     pub fn center(&self) -> Point {
         Point::new((self.min.x + self.max.x) / 2.0, (self.min.y + self.max.y) / 2.0)
     }
@@ -169,24 +138,21 @@ mod tests {
     }
 
     #[test]
-    fn intersection_and_containment() {
+    fn intersection_and_point_containment() {
         let a = r(0.0, 0.0, 10.0, 10.0);
         let b = r(5.0, 5.0, 15.0, 15.0);
         let c = r(11.0, 11.0, 12.0, 12.0);
         assert!(a.intersects(&b));
         assert!(!a.intersects(&c));
         assert!(a.contains_point(&Point::new(10.0, 10.0)), "boundary counts");
-        assert!(a.contains_rect(&r(1.0, 1.0, 2.0, 2.0)));
-        assert!(!a.contains_rect(&b));
     }
 
     #[test]
-    fn union_and_enlargement() {
+    fn union_covers_both_and_absorbs_the_empty_seed() {
         let a = r(0.0, 0.0, 2.0, 2.0);
         let b = r(4.0, 4.0, 6.0, 6.0);
         let u = a.union(&b);
         assert_eq!(u, r(0.0, 0.0, 6.0, 6.0));
-        assert!((a.enlargement(&b) - (36.0 - 4.0)).abs() < 1e-9);
         assert_eq!(Rectangle::empty().union(&a), a);
         assert_eq!(a.union(&Rectangle::empty()), a);
     }
@@ -195,7 +161,6 @@ mod tests {
     fn point_mbr_detection() {
         let p = Point::new(3.0, 4.0);
         assert!(p.to_mbr().is_point());
-        assert_eq!(p.to_mbr().area(), 0.0);
         assert!(!r(0.0, 0.0, 1.0, 1.0).is_point());
         assert!((p.distance(&Point::new(0.0, 0.0)) - 5.0).abs() < 1e-12);
     }
@@ -204,7 +169,6 @@ mod tests {
     fn empty_rectangle_behaviour() {
         let e = Rectangle::empty();
         assert!(e.is_empty());
-        assert_eq!(e.area(), 0.0);
-        assert_eq!(e.margin(), 0.0);
+        assert!(!e.intersects(&r(0.0, 0.0, 1.0, 1.0)));
     }
 }

@@ -264,7 +264,7 @@ fn morsel_scheduler() -> Json {
 // ---------------------------------------------------------------------------
 
 /// One ingest run: upsert `n` records through a merge-happy LSM tree,
-/// timing the write path. The executor a bare tree starts with runs the
+/// timing the write path. The executor a node starts with runs the
 /// merge on the flushing thread (every flush that triggers a merge stalls
 /// for the whole rewrite); the pool's runs merges on the morsel workers,
 /// so the write path pays the hand-off and, at each seal, whatever of the
@@ -282,6 +282,7 @@ fn compaction_ingest(tag: &str, n: i64, exec: asterix_storage::CompactionExec) -
         Arc::clone(&fm),
         CacheOptions { capacity: 256, shards: 0, readahead_pages: 0 },
     );
+    fm.stats().lsm().install_executor(exec);
     let before = fm.stats().registry().snapshot();
     let mut tree = LsmTree::new(
         Arc::clone(&cache),
@@ -296,7 +297,6 @@ fn compaction_ingest(tag: &str, n: i64, exec: asterix_storage::CompactionExec) -
             ..LsmConfig::new("ingest")
         },
     );
-    tree.set_executor(exec);
     let key = |i: i64| encode_key(&[Value::Int(i)]);
     let (_, t) = time_it(|| {
         for i in 0..n {
@@ -335,17 +335,13 @@ fn compaction_microbench(quick: bool) -> Json {
     // Background merges ride the shared morsel pool, exactly as an
     // instance schedules them.
     let ctx = RuntimeCtx::temp().expect("temp ctx for compaction bench");
-    let token = asterix_hyracks::CancellationToken::new();
-    let (background, bg_ns) = compaction_ingest(
-        "hotpath-compact-bg",
-        n,
-        asterix_hyracks::storage_compaction_executor(&ctx, token),
-    );
+    let (background, bg_ns) =
+        compaction_ingest("hotpath-compact-bg", n, asterix_hyracks::storage_compaction_executor(&ctx));
     Json::obj([
         (
             "methodology",
             Json::str(
-                "same ingest run twice: foreground = a bare tree's executor, the merge on the \
+                "same ingest run twice: foreground = a bare node's executor, the merge on the \
                  flushing thread; background = merges as morsel tasks on the shared worker \
                  pool, as an instance runs them; every seal first finishes the merge in \
                  flight on the writer, so both runs make the same merges; merge_stall_ms \

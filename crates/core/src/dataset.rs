@@ -34,7 +34,7 @@ use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Va
 use asterix_storage::btree::LeafShape;
 use asterix_storage::lsm::{Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
 use asterix_storage::wal::Lsn;
-use asterix_storage::{inverted, spatial, CompactionExec, StorageError};
+use asterix_storage::{inverted, spatial, StorageError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -207,8 +207,6 @@ pub struct DatasetPartition {
     /// already been applied; the next call reports it, having applied
     /// nothing, so no caller loses the outcome of a write to it.
     log_error: Option<CoreError>,
-    /// Where the indexes' merges run: the runtime's morsel worker pool.
-    compaction: CompactionExec,
 }
 
 /// Navigates a field path inside a record.
@@ -267,7 +265,6 @@ impl DatasetPartition {
         partition: u32,
         node: Arc<Node>,
         cfg: &StorageConfig,
-        compaction: CompactionExec,
         origin: Origin,
     ) -> Result<DatasetPartition> {
         let name = format!("{}_p{partition}_pri", def.name);
@@ -285,10 +282,9 @@ impl DatasetPartition {
             seals_seen: 0,
             flushes_seen: 0,
             log_error: None,
-            compaction,
         };
         let born = part.born(origin);
-        Self::adopt(&mut part.primary, &part.compaction, born)?;
+        Self::adopt(&mut part.primary, born)?;
         for idx in &def.indexes {
             let sec = part.build_secondary(idx, cfg, origin, born)?;
             part.secondaries.push(sec);
@@ -309,13 +305,12 @@ impl DatasetPartition {
         (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn())
     }
 
-    /// What every index gets on being opened: its merges run where the
-    /// partition's do, it is sealed and flushed only in step with the
-    /// partition's other indexes, and one just created is made durably
-    /// empty — whatever an earlier index of its name left is no longer named
-    /// — with the log below `born` declared none of its business.
-    fn adopt(idx: &mut LsmTree, compaction: &CompactionExec, born: Option<Lsn>) -> Result<()> {
-        idx.set_executor(compaction.clone());
+    /// What every index gets on being opened: it is sealed and flushed only
+    /// in step with the partition's other indexes, and one just created is
+    /// made durably empty — whatever an earlier index of its name left is no
+    /// longer named — with the log below `born` declared none of its
+    /// business. Its merges run where its node's do.
+    fn adopt(idx: &mut LsmTree, born: Option<Lsn>) -> Result<()> {
         idx.sealed_by_owner();
         if let Some(lsn) = born {
             idx.mark_flushed_below(lsn)?;
@@ -376,7 +371,7 @@ impl DatasetPartition {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
         let leaves = if idx.kind == IndexKind::RTree { LeafShape::Spatial } else { LeafShape::Rows };
         let mut tree = open_tree(&self.node, lsm_config(cfg, name, leaves), origin)?;
-        Self::adopt(&mut tree, &self.compaction, born)?;
+        Self::adopt(&mut tree, born)?;
         Ok(Secondary { def: idx.clone(), tree })
     }
 
@@ -864,7 +859,7 @@ mod tests {
 
     fn create(def: &DatasetDef, node: Arc<Node>) -> DatasetPartition {
         let cfg = StorageConfig::default();
-        DatasetPartition::new(def, RecordSchema::keyed_by_id(), 0, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created).unwrap()
+        DatasetPartition::new(def, RecordSchema::keyed_by_id(), 0, node, &cfg, Origin::Created).unwrap()
     }
 
     /// The probe of `byAuthor` for exactly author `v`.

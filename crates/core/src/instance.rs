@@ -173,10 +173,6 @@ struct Inner {
     sched: Arc<QueryScheduler>,
     /// Session-id allocator for [`Instance::session`].
     next_session: IdGen,
-    /// Tripped at teardown so background merges abort at the next morsel.
-    compaction_token: CancellationToken,
-    /// Where the datasets' merges run: morsel tasks on the worker pool.
-    compaction: asterix_storage::CompactionExec,
 }
 
 /// An AsterixDB instance. Cloning yields another handle on the same
@@ -222,12 +218,13 @@ impl Instance {
         )
         .map_err(CoreError::Hyracks)?;
         ctx.set_worker_threads(config.worker_threads);
-        // Merges share the morsel pool with query work; the
-        // instance-lifetime token lets shutdown abort in-flight merges at
-        // the next merge morsel instead of waiting them out.
-        let compaction_token = CancellationToken::new();
-        let compaction =
-            asterix_hyracks::storage_compaction_executor(&ctx, compaction_token.clone());
+        // Merges share the morsel pool with query work: each node runs its
+        // indexes' merges there, recovery's included. They stop with their
+        // indexes, which drop with the instance's datasets.
+        let compaction = asterix_hyracks::storage_compaction_executor(&ctx);
+        for node in &cluster.nodes {
+            node.stats().lsm().install_executor(compaction.clone());
+        }
         let sched = QueryScheduler::new(config.scheduler.clone(), ctx.registry());
         let inner = Arc::new(Inner {
             config,
@@ -241,8 +238,6 @@ impl Instance {
             ddl_log: Mutex::ranked(Level::Ddl, Vec::new()),
             sched,
             next_session: IdGen::new(1),
-            compaction_token,
-            compaction,
         });
         let instance = Instance { inner };
         instance.recover()?;
@@ -294,8 +289,7 @@ impl Instance {
         for p in 0..inner.config.partitions.max(1) {
             let node = Arc::clone(inner.cluster.node_for_partition(p));
             let (ty, p, storage) = (Arc::clone(&schema), p as u32, &inner.config.storage);
-            let compaction = inner.compaction.clone();
-            let part = DatasetPartition::new(&def, ty, p, node, storage, compaction, origin)?;
+            let part = DatasetPartition::new(&def, ty, p, node, storage, origin)?;
             inner.ctx.registry().counter("core.recovery.components_loaded").add(part.component_count() as u64);
             partitions.push(Arc::new(RwLock::ranked(Level::LsmComponent, part)));
         }
@@ -864,7 +858,6 @@ impl Instance {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        self.compaction_token.cancel("instance shutdown");
         if self.remove_root_on_drop.load(Ordering::SeqCst) {
             let _ = std::fs::remove_dir_all(&self.root);
         }

@@ -314,7 +314,7 @@ mod tests {
         for p in 0..n_parts {
             let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
             let cfg = StorageConfig::default();
-            let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, asterix_storage::compaction::on_caller(), Origin::Created);
+            let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, Origin::Created);
             partitions.push(Arc::new(RwLock::ranked(Level::LsmComponent, part.unwrap())));
         }
         (Arc::new(DatasetRuntime { def, schema, partitions }), root)

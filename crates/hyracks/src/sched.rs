@@ -32,7 +32,6 @@
 //! every scheduled morsel is run exactly once (drains on cancel are
 //! themselves steps), which the leak proptest asserts.
 
-use crate::cancel::CancellationToken;
 use crate::ctx::RuntimeCtx;
 use asterix_obs::{Counter, Flag, IdGen, MetricsRegistry};
 use asterix_storage::lock_order::{self, Condvar, Mutex};
@@ -326,9 +325,9 @@ fn run_task(shared: &PoolShared, task: Arc<dyn Task>) {
     let core = task.core();
     core.state.store(RUNNING, Ordering::Release);
     shared.counters.morsels.inc();
-    // Tasks catch panics in their own step bodies; this is a belt-and-braces
-    // guard so a panicking task never takes a pool worker down with it. The
-    // step runs marked: a wait in it aborts (debug builds).
+    // The one catch for every task: a panicking step finishes its task and
+    // never takes a pool worker down with it. The step runs marked: a wait
+    // in it aborts (debug builds).
     let step = || lock_order::as_pool_step(|| task.step());
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)).unwrap_or(Step::Finished);
@@ -380,13 +379,13 @@ fn push_from_worker(shared: &PoolShared, task: Arc<dyn Task>, front: bool) {
 /// One background LSM merge running as a morsel task: every scheduling
 /// quantum advances the merge by one bounded [`BackgroundJob::step`] (a
 /// merge morsel of ~1k entries), so compaction shares workers with query
-/// morsels instead of owning a thread. The job's cooperative cancel flag
-/// is tripped from `token` at morsel boundaries, giving merges the same
-/// bounded cancellation latency as query tasks.
+/// morsels instead of owning a thread. The bridge neither stops nor catches
+/// anything of its own: a merge is stopped through its index and fails in
+/// its own step, which ends it aborted; a panic that still unwinds out of a
+/// step is caught by [`run_task`], as any task's is.
 struct CompactionTask {
     core: TaskCore,
     job: Arc<dyn BackgroundJob>,
-    token: CancellationToken,
 }
 
 impl Task for CompactionTask {
@@ -395,17 +394,7 @@ impl Task for CompactionTask {
     }
 
     fn step(&self) -> Step {
-        if self.token.is_cancelled() {
-            self.job.cancel();
-        }
-        // A panicking step ends the job as a cancel does, so the tree counts
-        // the merge aborted and goes back to idle instead of wedging.
-        let step = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.job.step()))
-            .unwrap_or_else(|_| {
-                self.job.cancel();
-                self.job.step()
-            });
-        match step {
+        match self.job.step() {
             JobStep::Again => Step::Again,
             JobStep::Done => Step::Finished,
         }
@@ -413,23 +402,18 @@ impl Task for CompactionTask {
 }
 
 /// [`BackgroundExecutor`] over a context's shared [`WorkerPool`]. Holds the
-/// context weakly: the executor lives inside storage config structs whose
+/// context weakly: the executor lives in each node's storage, whose
 /// lifetime the runtime does not control, and a strong reference would keep
 /// the pool (and its threads) alive past instance shutdown.
 struct PoolExecutor {
     ctx: Weak<RuntimeCtx>,
-    token: CancellationToken,
 }
 
 impl BackgroundExecutor for PoolExecutor {
     fn offload(&self, job: Arc<dyn BackgroundJob>) {
         match self.ctx.upgrade() {
             Some(ctx) => {
-                let task: Arc<dyn Task> = Arc::new(CompactionTask {
-                    core: TaskCore::new(),
-                    job,
-                    token: self.token.clone(),
-                });
+                let task: Arc<dyn Task> = Arc::new(CompactionTask { core: TaskCore::new(), job });
                 notify(&task, &ctx.worker_pool());
             }
             // Runtime gone (shutdown race): the tree's compaction state
@@ -442,14 +426,9 @@ impl BackgroundExecutor for PoolExecutor {
 }
 
 /// A [`CompactionExec`] that schedules LSM merges onto `ctx`'s morsel
-/// worker pool. `token` is polled once per merge morsel; tripping it makes
-/// in-flight merges abort cleanly at the next step boundary (the tree
-/// republishes nothing and stays on its pre-merge component list).
-pub fn storage_compaction_executor(
-    ctx: &Arc<RuntimeCtx>,
-    token: CancellationToken,
-) -> CompactionExec {
-    Arc::new(PoolExecutor { ctx: Arc::downgrade(ctx), token })
+/// worker pool: what an instance installs on each of its nodes.
+pub fn storage_compaction_executor(ctx: &Arc<RuntimeCtx>) -> CompactionExec {
+    Arc::new(PoolExecutor { ctx: Arc::downgrade(ctx) })
 }
 
 fn park(shared: &PoolShared) {
@@ -502,6 +481,7 @@ mod tests {
             match self.script.lock().pop_front() {
                 Some("again") => Step::Again,
                 Some("idle") => Step::Idle,
+                Some("panic") => std::panic::panic_any("a task's step panics"),
                 _ => Step::Finished,
             }
         }
@@ -617,50 +597,34 @@ mod tests {
         assert_eq!(t.runs.get(), 1);
     }
 
-    /// Fake merge job: counts steps, honours cooperative cancel, and panics
-    /// in its next step while `panics` is set.
+    /// Fake merge job: counts its steps and is done after `steps` of them.
     struct FakeJob {
         steps: u64,
-        /// Steps that ran to the cancel check, the one that ends it included.
-        steps_checked: IdGen,
         steps_run: Counter,
-        cancelled: Flag,
         done: Flag,
-        panics: Flag,
     }
 
     impl FakeJob {
         fn new(steps: u64) -> Arc<Self> {
-            Arc::new(FakeJob {
-                steps,
-                steps_checked: IdGen::new(1),
-                steps_run: Counter::new(),
-                cancelled: Flag::new(false),
-                done: Flag::new(false),
-                panics: Flag::new(false),
-            })
+            Arc::new(FakeJob { steps, steps_run: Counter::new(), done: Flag::new(false) })
         }
     }
 
     impl BackgroundJob for FakeJob {
         fn step(&self) -> JobStep {
             self.steps_run.inc();
-            assert!(!self.panics.swap(false), "a merge step fails");
-            if self.cancelled.get() || self.steps_checked.next() >= self.steps {
+            if self.steps_run.get() >= self.steps {
                 self.done.set(true);
                 return JobStep::Done;
             }
             JobStep::Again
         }
-        fn cancel(&self) {
-            self.cancelled.set(true);
-        }
     }
 
-    fn wait_done(job: &FakeJob) {
+    fn wait_done(done: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !job.done.get() {
-            assert!(Instant::now() < deadline, "compaction job never finished");
+        while !done() {
+            assert!(Instant::now() < deadline, "the pool never finished the task");
             lock_order::sleep(Duration::from_millis(1));
         }
     }
@@ -669,41 +633,27 @@ mod tests {
     fn compaction_jobs_run_morsel_stepped_on_the_pool() {
         let ctx = RuntimeCtx::temp().unwrap();
         ctx.set_worker_threads(2);
-        let exec = storage_compaction_executor(&ctx, CancellationToken::new());
+        let exec = storage_compaction_executor(&ctx);
         let job = FakeJob::new(5);
         exec.offload(job.clone() as Arc<dyn BackgroundJob>);
-        wait_done(&job);
+        wait_done(|| job.done.get());
         assert_eq!(job.steps_run.get(), 5);
     }
 
+    /// [`run_task`] is the one catch: a task whose step panics is finished,
+    /// and its worker goes on to serve the next task.
     #[test]
-    fn tripped_token_cancels_the_merge_at_the_next_morsel() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        ctx.set_worker_threads(1);
-        let token = CancellationToken::new();
-        token.cancel("test shutdown");
-        let exec = storage_compaction_executor(&ctx, token);
-        let job = FakeJob::new(1_000_000);
-        exec.offload(job.clone() as Arc<dyn BackgroundJob>);
-        wait_done(&job);
-        // The task saw the tripped token before its first quantum, cancelled
-        // the job, and the very first step aborted instead of running 1M.
-        assert_eq!(job.steps_run.get(), 1);
-        assert!(job.cancelled.get());
-    }
-
-    #[test]
-    fn a_panicking_merge_step_is_cancelled_and_stepped_to_done() {
-        let ctx = RuntimeCtx::temp().unwrap();
-        ctx.set_worker_threads(1);
-        let exec = storage_compaction_executor(&ctx, CancellationToken::new());
-        let job = FakeJob::new(1_000_000);
-        job.panics.set(true);
-        exec.offload(job.clone() as Arc<dyn BackgroundJob>);
-        wait_done(&job);
-        // The panicking step, then the cancelled one that ends the job.
-        assert!(job.cancelled.get());
-        assert_eq!(job.steps_run.get(), 2);
+    fn a_task_whose_step_panics_leaves_its_worker_serving_the_next() {
+        let reg = MetricsRegistry::new();
+        let pool = WorkerPool::new(1, &reg);
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let panicking = CountTask::new(0, &["panic"], Arc::clone(&ran));
+        let next = CountTask::new(1, &[], Arc::clone(&ran));
+        notify(&(panicking.clone() as Arc<dyn Task>), &pool);
+        notify(&(next.clone() as Arc<dyn Task>), &pool);
+        wait_done(|| next.core.is_done());
+        assert!(panicking.core.is_done(), "the panic finished its task");
+        assert_eq!(*ran.lock(), vec![0, 1]);
     }
 
     /// Records whether its step ran marked as a pool step.
@@ -751,7 +701,7 @@ mod tests {
     fn dead_context_falls_back_to_inline_completion() {
         let exec = {
             let ctx = RuntimeCtx::temp().unwrap();
-            storage_compaction_executor(&ctx, CancellationToken::new())
+            storage_compaction_executor(&ctx)
         };
         // The context is gone; submit must still drive the job to Done on
         // this thread so the tree never wedges in `merging`.

@@ -6,23 +6,24 @@
 //! one-way: storage defines a narrow [`BackgroundExecutor`] trait and the
 //! runtime layer (hyracks' worker pool) implements it. A merge reaches an
 //! executor as a [`BackgroundJob`] that advances one *morsel* of entries
-//! ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`] call. An index
-//! nobody gave an executor starts with one that steps the job to completion
-//! on the thread that offloads it, so storage-level tests and benches stay
-//! single-threaded.
+//! ([`MERGE_MORSEL_ENTRIES`]) per [`BackgroundJob::step`] call.
 //!
-//! The [`LsmMetricsHub`] aggregates the classic LSM cost triad across every
-//! tree of a node and surfaces it through the shared `obs` registry as
+//! The [`LsmMetricsHub`] is what every tree of a node shares: the one
+//! executor their merges run on — until the node is given another,
+//! [`on_caller`], which keeps storage-level tests and benches
+//! single-threaded — and the classic LSM cost triad, surfaced through the
+//! shared `obs` registry as
 //! `storage.lsm.{write_amp,read_amp,space_amp,merge_inflight,merge_stall_ns}`,
 //! beside the lifecycle's own counts
 //! `storage.lsm.{flushes,flushes_merged,merges,flush_wait_ns}`.
 
+use crate::lock_order::Mutex;
 use asterix_obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::Arc;
 
 /// Entries merged per scheduling step: the compaction morsel. Mirrors the
 /// scheduler's tuple morsel so a merge task shares the pool fairly with
-/// query tasks and honors cancellation within one morsel.
+/// query tasks, and a dropped index's merge ends within one morsel.
 pub const MERGE_MORSEL_ENTRIES: usize = 1024;
 
 // ---------------------------------------------------------------------------
@@ -34,20 +35,16 @@ pub const MERGE_MORSEL_ENTRIES: usize = 1024;
 pub enum JobStep {
     /// More work remains; schedule another step.
     Again,
-    /// The job is finished (completed, aborted, or cancelled).
+    /// The job is finished (published or aborted).
     Done,
 }
 
 /// A resumable background task: the storage side of the compaction
 /// off-loading contract. Implementations must make every `step` bounded
-/// (one morsel of work) and must tolerate `cancel` at any point between
-/// steps.
+/// (one morsel of work).
 pub trait BackgroundJob: Send + Sync {
     /// Run one bounded quantum of work.
     fn step(&self) -> JobStep;
-    /// Request cooperative cancellation; the next `step` observes it,
-    /// aborts cleanly, and returns [`JobStep::Done`].
-    fn cancel(&self);
 }
 
 /// Something that can run [`BackgroundJob`]s off the submitting thread.
@@ -58,11 +55,11 @@ pub trait BackgroundExecutor: Send + Sync {
     fn offload(&self, job: Arc<dyn BackgroundJob>);
 }
 
-/// A shared handle on a [`BackgroundExecutor`]: what an index is given to
-/// run its merges on.
+/// A shared handle on a [`BackgroundExecutor`]: what a node runs its
+/// indexes' merges on.
 pub type CompactionExec = Arc<dyn BackgroundExecutor>;
 
-/// The executor an index starts with: the whole job, there and then, on the
+/// The executor a node starts with: the whole job, there and then, on the
 /// thread that offloads it.
 pub fn on_caller() -> CompactionExec {
     struct OnCaller;
@@ -78,15 +75,14 @@ pub fn on_caller() -> CompactionExec {
 // Node-wide LSM amplification accounting
 // ---------------------------------------------------------------------------
 
-/// Aggregated LSM cost metrics for every tree sharing one [`crate::IoStats`],
-/// each held as the handle the lifecycle bumps.
+/// What the trees sharing one [`crate::IoStats`] (a node) share: the executor
+/// their merges run on, and their cost metrics, each the handle bumped.
 ///
 /// The three amplification ratios are observed counters, computed at
 /// snapshot time from the pairs of unregistered handles below and exported
 /// in **milli-units** (amplification × 1000, so `1.0` reads as `1000`): the
 /// registry's counters are integral, and three decimal places is plenty for
 /// dashboarding the read/write/space trade-off.
-#[derive(Debug)]
 pub struct LsmMetricsHub {
     entries_written: Counter,
     entries_ingested: Counter,
@@ -111,6 +107,8 @@ pub struct LsmMetricsHub {
     pub(crate) string_bytes_plain: Counter,
     /// ... and take as written, coded or not: one bump of each per group.
     pub(crate) string_bytes_coded: Counter,
+    /// Where the node's merges run: cloned out before a job is offloaded.
+    pub(crate) exec: Mutex<CompactionExec>,
 }
 
 fn ratio_milli(num: u64, den: u64) -> u64 {
@@ -139,6 +137,7 @@ impl LsmMetricsHub {
             rows_assembled: registry.counter("storage.lsm.rows_assembled"),
             string_bytes_plain: registry.counter("storage.lsm.string_bytes_plain"),
             string_bytes_coded: registry.counter("storage.lsm.string_bytes_coded"),
+            exec: Mutex::new(on_caller()),
         };
         // Write amplification: disk entries written per ingested entry.
         let (num, den) = (hub.entries_written.clone(), hub.entries_ingested.clone());
@@ -153,6 +152,12 @@ impl LsmMetricsHub {
             ratio_milli(num.get() as u64, den.get() as u64)
         });
         hub
+    }
+
+    /// Where the node's trees run the merges they schedule from now on:
+    /// off the write path, if that is what `exec` does with a job.
+    pub fn install_executor(&self, exec: CompactionExec) {
+        *self.exec.lock() = exec;
     }
 
     pub(crate) fn count_ingested(&self, n: u64) {

@@ -11,8 +11,8 @@
 //! *inside* a component: the live component list and the manifest that makes
 //! it durable, component ids, the merge policy, the compaction slot (the
 //! one merge in flight), publishing a flushed or merged component,
-//! retiring merged-away inputs, cascading, cancellation, quiescing, and the
-//! per-tree and node-wide counters.
+//! retiring merged-away inputs, cascading, quiescing, and the per-tree and
+//! node-wide counters.
 //!
 //! What is inside a component is `crate::lsm`'s: the memory component, the
 //! one writer — [`MergeRun`], a resumable merge of a sealed memory component
@@ -31,14 +31,18 @@
 //! becomes the newest input of that merge and is never written on its own
 //! (O'Neil et al.'s C0 merged into C1); otherwise it is flushed on the
 //! caller, and the flush *schedules* a merge. Either way the slot is claimed
-//! and the job handed to the index's
-//! [`crate::compaction::BackgroundExecutor`], which advances it one morsel
-//! per step — off the write path when the owner installed one (the
-//! runtime's worker pool), to completion on the flushing thread with the one
-//! a bare index starts with. Reads and flushes proceed against the
+//! and the job handed to the node's executor (its [`LsmMetricsHub`]'s),
+//! which advances it one morsel per step — off the write path on an
+//! instance's worker pool, to completion on the flushing thread with the one
+//! a node starts with. Reads and flushes proceed against the
 //! pre-merge list until the merged one swaps in; a sealed component a merge
 //! took in stays readable until the merge publishes it, and is flushed on
 //! its own after all if the merge fails.
+//!
+//! **A merge stops one way and fails one way.** It stops through its index
+//! (the [`LsmTree`] dropped or destroyed) at its next morsel, unpublished,
+//! and fails in its own step ([`MergeJob::advance`]): an error or a panic in
+//! a morsel or the publish ends it aborted and frees the slot.
 //!
 //! **A seal finishes the merge.** [`LsmTree::seal`] first finishes the
 //! merge in flight, and every merge it cascades into, on the calling thread
@@ -84,8 +88,8 @@
 //! sees a vanishing file, and a failed delete is counted cleanup (the next
 //! open sweeps the orphan), never data loss.
 //!
-//! **Lock order.** `manifest` before `state` before `disk`; `exec` and
-//! `space_mark` are leaves. The only I/O under a lock is the manifest
+//! **Lock order.** `manifest` before `state` before `disk`; `space_mark`
+//! and the hub's `exec` are leaves. The only I/O under a lock is the manifest
 //! write under `manifest`, which exists to serialize exactly that; no
 //! component drop happens while `state` or `disk` is held. A merge job
 //! holds its `run` lock for one morsel and never while calling back into
@@ -95,9 +99,7 @@
 
 use crate::btree::DiskBTree;
 use crate::cache::BufferCache;
-use crate::compaction::{
-    BackgroundJob, CompactionExec, JobStep, LsmMetricsHub, MERGE_MORSEL_ENTRIES,
-};
+use crate::compaction::{BackgroundJob, JobStep, LsmMetricsHub, MERGE_MORSEL_ENTRIES};
 use crate::error::{Result, StorageError};
 use crate::le::{fnv1a, Cursor, Format};
 use crate::lock_order::{Condvar, Level, Mutex};
@@ -473,7 +475,7 @@ pub(crate) struct Harness {
     /// The same LSN, readable on the write path without the lock
     /// ([`LsmTree::stamp`]).
     flushed_mark: HighWater,
-    /// Set by [`Harness::destroy`]: nothing may publish any more.
+    /// Set by [`LsmTree::destroy`]: nothing may publish any more.
     destroyed: Flag,
     /// Disk components, newest first.
     disk: Mutex<Vec<Arc<Component>>>,
@@ -483,7 +485,6 @@ pub(crate) struct Harness {
     state_changed: Condvar,
     next_component_id: IdGen,
     stats: SharedStats,
-    exec: Mutex<CompactionExec>,
     /// (total bytes, live bytes) last reported to the hub's space counters.
     space_mark: Mutex<(u64, u64)>,
     hub: Arc<LsmMetricsHub>,
@@ -506,7 +507,6 @@ impl Harness {
             state_changed: Condvar::new(),
             next_component_id: IdGen::new(1),
             stats: SharedStats::default(),
-            exec: Mutex::new(crate::compaction::on_caller()),
             space_mark: Mutex::new((0, 0)),
             hub,
         })
@@ -764,8 +764,9 @@ impl Harness {
         Some(handoff)
     }
 
+    /// Hands `job` to the node's executor.
     fn offload(&self, job: Arc<MergeJob>) {
-        let exec = self.exec.lock().clone();
+        let exec = self.hub.exec.lock().clone();
         exec.offload(job);
     }
 
@@ -1143,12 +1144,6 @@ impl LsmTree {
         }
     }
 
-    /// Where merges scheduled from now on run, one morsel per step: off the
-    /// write path, if that is what `exec` does with a job.
-    pub fn set_executor(&self, exec: CompactionExec) {
-        *self.shared.exec.lock() = exec;
-    }
-
     /// Number of disk components.
     pub fn component_count(&self) -> usize {
         self.shared.disk.lock().len()
@@ -1332,13 +1327,14 @@ impl LsmTree {
 
 impl Drop for LsmTree {
     fn drop(&mut self) {
-        // The merge in flight, if any, ends here, not at the executor's next
-        // step: the slot holds the job and the job the index's shared state,
-        // so neither is freed before it ends. One step ends a cancelled job,
-        // or finds another stepper publishing it.
+        // A merge stops through its index: the merge in flight, if any, ends
+        // here, not at the executor's next step: the slot holds the job and
+        // the job the index's shared state, so neither is freed before it
+        // ends. One step ends a cancelled job, or finds another stepper
+        // publishing it.
         let job = self.shared.state.lock().clone();
         if let Some(job) = job {
-            job.cancel();
+            job.cancel.set(true);
             job.advance(false);
         }
     }
@@ -1363,6 +1359,8 @@ struct MergeJob {
     /// The sealed memory component taken in as the newest input, if any.
     mem: Option<MemInput>,
     includes_oldest: bool,
+    /// Set by the index when it is dropped or destroyed: the next step ends
+    /// the job unpublished.
     cancel: Flag,
     /// Set once the index's caller finishes the job: the executor's steps
     /// let it go from then on.
@@ -1420,10 +1418,11 @@ impl MergeJob {
     /// One morsel of merging, or the publish once the inputs are exhausted.
     /// The `executor` never waits for the run: it lets the job go once the
     /// caller has taken it over, or to whoever holds the run, which steps it
-    /// to its end. A failed or panicking morsel, or a cancel, ends the job
-    /// unpublished under the run's lock, so no stepper goes on with a run a
-    /// panic left half-stepped: the pre-merge component list stays live and
-    /// the tree fully serviceable.
+    /// to its end. A failed or panicking morsel, or its index stopping it,
+    /// ends the job unpublished under the run's lock, so no stepper goes on
+    /// with a run a panic left half-stepped: the pre-merge component list
+    /// stays live and the tree fully serviceable. This is the one place a
+    /// merge fails: no executor needs to catch or cancel anything.
     fn advance(&self, executor: bool) -> JobStep {
         let run = match executor {
             true if self.caller.get() => None,
@@ -1451,7 +1450,8 @@ impl MergeJob {
 }
 
 /// Ends its job's merge when dropped, whichever way the end goes: published,
-/// failed, or a panic while publishing, which the pool catches.
+/// failed, or a panic while publishing, which unwinds on to whoever stepped
+/// the job (the pool catches every task's).
 struct Ending<'a> {
     job: &'a MergeJob,
     published: bool,
@@ -1467,10 +1467,6 @@ impl BackgroundJob for MergeJob {
     /// The executor's step ([`MergeJob::advance`]).
     fn step(&self) -> JobStep {
         self.advance(true)
-    }
-
-    fn cancel(&self) {
-        self.cancel.set(true);
     }
 }
 
@@ -1634,7 +1630,13 @@ mod tests {
         }
     }
 
-    fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly<E: Entries>() {
+    /// Makes the next morsel this thread steps panic: how a test aborts a
+    /// merge whose index stays live.
+    fn panic_next_morsel() {
+        MORSEL_HOOK.set(Some(Box::new(|| std::panic::panic_any("a merge morsel panics"))));
+    }
+
+    fn reads_and_flushes_proceed_while_merging_and_a_failed_morsel_aborts_cleanly<E: Entries>() {
         let (cache, dir) = setup(None);
         let mut t = manual::<E>(cache, MergePolicy::NoMerge);
         component::<E>(&mut t, 0..600);
@@ -1643,7 +1645,7 @@ mod tests {
         let cache = restarted(&dir);
         let mut t = reopened::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
         assert_eq!(inflight(), Some(0), "reopening schedules nothing");
         // the policy's merge of the backlog, scheduled but not run
@@ -1654,11 +1656,11 @@ mod tests {
         // reads and writes still serve against the pre-merge list
         E::put(&mut t, 1_200);
         assert_eq!((t.component_count(), E::live(&t)), (2, 1_201));
-        // partial progress, then cancellation
+        // partial progress, then a morsel that fails
         assert_eq!(job.step(), JobStep::Again, "one morsel merged");
         assert_eq!(E::live(&t), 1_201);
-        job.cancel();
-        assert_eq!(job.step(), JobStep::Done, "cancel honored at morsel edge");
+        panic_next_morsel();
+        assert_eq!(job.step(), JobStep::Done, "the failed morsel ended the merge");
         assert_eq!(inflight(), Some(0));
         assert_eq!(t.stats().merges, 0);
         assert_eq!(t.stats().merges_aborted, 1);
@@ -1695,7 +1697,7 @@ mod tests {
         let (cache, dir) = setup(None);
         let mut t = manual::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         t.stamp(10, None);
         component::<E>(&mut t, 0..600);
         assert!(parked.0.lock().is_empty(), "a first flush has nothing to merge with");
@@ -1736,12 +1738,12 @@ mod tests {
         let (cache, _d) = setup(None);
         let mut t = manual::<E>(cache, MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         component::<E>(&mut t, 0..600);
         sealed::<E>(&mut t, 600..1_200);
         let job = parked.0.lock().pop().expect("merge scheduled");
         assert_eq!(job.step(), JobStep::Again);
-        job.cancel();
+        panic_next_morsel();
         assert_eq!(job.step(), JobStep::Done);
         assert!(t.has_sealed(), "the abort is seen at the next flush");
         t.flush_sealed().unwrap();
@@ -1773,7 +1775,7 @@ mod tests {
         let (cache, _d) = setup(None);
         let stall = || cache.stats().registry().snapshot().counter("storage.lsm.merge_stall_ns").unwrap();
         let mut t = manual::<E>(cache.clone(), policy);
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         component::<E>(&mut t, 0..600);
         let (before, start) = (stall(), Instant::now());
         component::<E>(&mut t, 600..1_200);
@@ -1787,7 +1789,7 @@ mod tests {
         // seal due finishes the merge that holds the last sealed component
         let (cache, _d) = setup(None);
         let mut t = LsmTree::new(cache, E::config(8 << 10, policy));
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         let mut i = 0;
         while t.stats().flushes_merged == 0 {
             E::put(&mut t, i);
@@ -1811,7 +1813,7 @@ mod tests {
         drop(t);
         let t = reopened::<E>(restarted(&dir), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         t.shared.schedule_merge();
         let job = parked.0.lock().pop().expect("merge scheduled");
         let driver = std::thread::spawn(move || while job.step() == JobStep::Again {});
@@ -1837,7 +1839,7 @@ mod tests {
         let cache = restarted(&dir);
         let t = reopened::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         t.shared.schedule_merge();
         let job = parked.0.lock().pop().expect("merge scheduled");
         assert_eq!(job.step(), JobStep::Again, "one morsel merged");
@@ -1861,6 +1863,34 @@ mod tests {
         assert_eq!((stats.merges, stats.merges_aborted), (0, 1));
         assert_eq!((t.component_count(), E::live(&t)), (2, 1_200), "the pre-merge list is live");
         assert_eq!(cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight"), Some(0));
+    }
+
+    /// Dropping an index is how its merge stops: a parked merge of it,
+    /// mid-run, ends unpublished at its next step and is counted aborted,
+    /// and a restart finds the pre-merge list, a directory the audit
+    /// passes, and every entry.
+    fn dropping_the_index_stops_its_merge<E: Entries>() {
+        let (cache, dir) = setup(None);
+        let mut t = manual::<E>(cache, MergePolicy::NoMerge);
+        component::<E>(&mut t, 0..2_000);
+        component::<E>(&mut t, 2_000..4_000);
+        drop(t);
+        let files = component_files(&dir);
+        let t = reopened::<E>(restarted(&dir), MergePolicy::Constant { max_components: 1 });
+        let parked = Arc::new(ParkedExecutor::default());
+        t.shared.hub.install_executor(parked.clone());
+        t.shared.schedule_merge();
+        let job = parked.0.lock().pop().expect("merge scheduled");
+        assert_eq!(job.step(), JobStep::Again, "one morsel merged");
+        let shared = Arc::clone(&t.shared);
+        drop(t);
+        assert_eq!(job.step(), JobStep::Done, "the drop ended the merge");
+        assert_eq!((shared.stats.merges.get(), shared.stats.merges_aborted.get()), (0, 1));
+        drop((job, shared));
+        let t = reopened::<E>(restarted(&dir), MergePolicy::NoMerge);
+        assert_eq!(component_files(&dir), files, "the pre-merge list is live");
+        audit_directory(dir.path()).unwrap();
+        assert_eq!((t.component_count(), E::live(&t)), (2, 4_000));
     }
 
     /// Runs each merge it is handed on a thread of its own.
@@ -1894,8 +1924,8 @@ mod tests {
         let parked = Arc::new(ParkedExecutor::default());
         match exec {
             0 => {}
-            1 => t.set_executor(Arc::new(OnThread)),
-            _ => t.set_executor(parked.clone()),
+            1 => t.shared.hub.install_executor(Arc::new(OnThread)),
+            _ => t.shared.hub.install_executor(parked.clone()),
         }
         let mut rng = SmallRng::seed_from_u64(23);
         let mut lists = Vec::new();
@@ -1953,9 +1983,8 @@ mod tests {
         }
     }
 
-    /// A merge cancelled and stepped to done — how the pool ends one whose
-    /// step panicked — is counted aborted and frees the slot: the next flush
-    /// merges again.
+    /// A merge whose morsel panics is counted aborted and frees the slot:
+    /// the next flush merges again.
     fn an_aborted_merge_leaves_the_index_free_to_merge_again<E: Entries>() {
         let (cache, dir) = setup(None);
         let mut t = manual::<E>(cache, MergePolicy::NoMerge);
@@ -1965,10 +1994,10 @@ mod tests {
         let cache = restarted(&dir);
         let mut t = reopened::<E>(cache.clone(), MergePolicy::Constant { max_components: 1 });
         let parked = Arc::new(ParkedExecutor::default());
-        t.set_executor(parked.clone());
+        t.shared.hub.install_executor(parked.clone());
         t.shared.schedule_merge();
         let job = parked.0.lock().pop().expect("merge scheduled");
-        job.cancel();
+        panic_next_morsel();
         assert_eq!(job.step(), JobStep::Done);
         assert_eq!(t.stats().merges_aborted, 1);
         let inflight = || cache.stats().registry().snapshot().gauge("storage.lsm.merge_inflight");
@@ -2339,8 +2368,8 @@ mod tests {
                 }
 
                 #[test]
-                fn reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly() {
-                    super::reads_and_flushes_proceed_while_merging_and_cancel_aborts_cleanly::<$k>();
+                fn reads_and_flushes_proceed_while_merging_and_a_failed_morsel_aborts_cleanly() {
+                    super::reads_and_flushes_proceed_while_merging_and_a_failed_morsel_aborts_cleanly::<$k>();
                 }
 
                 #[test]
@@ -2396,6 +2425,11 @@ mod tests {
                 #[test]
                 fn a_morsel_that_panics_aborts_the_merge_for_every_stepper() {
                     super::a_morsel_that_panics_aborts_the_merge_for_every_stepper::<$k>();
+                }
+
+                #[test]
+                fn dropping_the_index_stops_its_merge() {
+                    super::dropping_the_index_stops_its_merge::<$k>();
                 }
 
                 #[test]

@@ -63,12 +63,6 @@ defaulting!(u32_at, u32, 4);
 defaulting!(u64_at, u64, 8);
 checked!(try_u16_at: u16, try_u32_at: u32, try_u64_at: u64);
 
-/// Defaulting little-endian f64 read (0.0 when the slice is too short).
-#[inline]
-pub fn f64_at(b: &[u8], off: usize) -> f64 {
-    f64::from_bits(u64_at(b, off))
-}
-
 /// Checked sub-slice: `StorageError::Corrupt` when `off + len` overruns.
 #[inline]
 pub fn try_bytes_at(b: &[u8], off: usize, len: usize) -> Result<&[u8]> {

@@ -1014,11 +1014,11 @@ mod tests {
     #[test]
     fn background_executor_merges_off_the_write_path() {
         let (cache, _d) = setup();
+        cache.stats().lsm().install_executor(Arc::new(OnThread));
         let mut t = LsmTree::new(
             cache,
             small_config("t", MergePolicy::Constant { max_components: 3 }),
         );
-        t.set_executor(Arc::new(OnThread));
         for i in 0..5_000 {
             t.upsert(k(i), vec![b'x'; 64]).unwrap();
         }

@@ -26,7 +26,6 @@ use std::sync::{Arc, Weak};
 /// Shared, thread-safe physical page counters, exported under
 /// `storage.io.*` by the registry returned by [`IoStats::registry`].
 #[expect(clippy::disallowed_types, reason = "inline totals on the buffer-cache path, not Counters (module docs); Relaxed: a total publishes nothing")]
-#[derive(Debug)]
 pub struct IoStats {
     registry: Arc<MetricsRegistry>,
     /// Node-wide LSM amplification hub shared by every tree on this device

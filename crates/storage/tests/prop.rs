@@ -277,10 +277,10 @@ proptest! {
         } else {
             MergePolicy::NoMerge
         };
-        let mut t = LsmTree::new(cache, LsmConfig { mem_budget: 1 << 10, merge_policy, ..spatial::config("p") });
         if background {
-            t.set_executor(Arc::new(OnThread));
+            cache.stats().lsm().install_executor(Arc::new(OnThread));
         }
+        let mut t = LsmTree::new(cache, LsmConfig { mem_budget: 1 << 10, merge_policy, ..spatial::config("p") });
         let mut model: HashMap<Vec<u8>, Rectangle> = HashMap::new();
         for (op, id, (x, y, w, h), (qx, qy, qw, qh)) in ops {
             let pk = format!("k{id}").into_bytes();
@@ -1353,13 +1353,13 @@ fn images(dir: &TempDir, name: &str) -> Vec<Vec<(String, Vec<u8>)>> {
 /// merge and published through it, writing nothing on its own.
 fn matches_the_model_while_memory_merges_run<S: Subject>(ops: &[(u8, u64)], policy: MergePolicy, exec: u8) -> (u64, u64) {
     let (cache, _d) = setup(64);
-    let mut t = S::create(cache, "m", 2 << 10, policy);
     let stepped = Arc::new(Stepped::default());
     match exec {
         0 => {}
-        1 => t.lsm().set_executor(Arc::new(OnThread)),
-        _ => t.lsm().set_executor(stepped.clone()),
+        1 => cache.stats().lsm().install_executor(Arc::new(OnThread)),
+        _ => cache.stats().lsm().install_executor(stepped.clone()),
     }
+    let mut t = S::create(cache, "m", 2 << 10, policy);
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut finished_by_seal = 0;
     for (version, &(op, i)) in (1u64..).zip(ops) {
