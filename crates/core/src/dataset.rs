@@ -15,13 +15,14 @@
 //! must pay for — and a probe, [`DatasetPartition::index_pks`], is the one
 //! read of a secondary index.
 //!
-//! A partition seals its indexes together — all of them, when one is past
-//! its memory budget and none still holds a sealed component — and flushes
-//! what it sealed once its writers are done, the secondaries first and the
-//! primary last. After a crash every secondary is therefore durable at or
-//! ahead of its primary, whose flushed LSN decides what is replayed: a
-//! secondary ahead takes the replayed operations again, which are
-//! idempotent (DESIGN.md, "Durability").
+//! A partition keeps its indexes in the order they flush, the secondaries
+//! first and the primary last, and hands them to [`settle`] once per
+//! operation: it seals them together — all of them, when one is past its
+//! memory budget and none still holds a sealed component — and flushes what
+//! they sealed once its writers are done, in that order. After a crash every
+//! secondary is therefore durable at or ahead of its primary, whose flushed
+//! LSN decides what is replayed: a secondary ahead takes the replayed
+//! operations again, which are idempotent (DESIGN.md, "Durability").
 
 use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
@@ -32,7 +33,7 @@ use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Value};
 use asterix_storage::btree::LeafShape;
-use asterix_storage::lsm::{Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
+use asterix_storage::lsm::{join, settle, Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected, Settled};
 use asterix_storage::wal::Lsn;
 use asterix_storage::{inverted, spatial, StorageError};
 use std::borrow::Cow;
@@ -120,31 +121,23 @@ impl RecordSchema {
     }
 }
 
-/// A secondary index of a partition: its definition, and the tree that
-/// holds the [`entries`] of the partition's records, whatever its kind.
-struct Secondary {
-    def: IndexInfo,
-    tree: LsmTree,
+/// What index upkeep reads of a record: the top-level fields where the
+/// field paths of `defs` start. The whole record if a path is empty.
+fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexInfo>) -> Projection {
+    let fields: Option<Vec<String>> = defs.map(|def| def.field.first().cloned()).collect();
+    schema.resolve(&fields.unwrap_or_default())
 }
 
-impl Secondary {
-    /// What index upkeep reads of a record: the top-level fields where the
-    /// field paths of `defs` start. The whole record if a path is empty.
-    fn leading_fields<'a>(schema: &RecordSchema, defs: impl Iterator<Item = &'a IndexInfo>) -> Projection {
-        let fields: Option<Vec<String>> = defs.map(|def| def.field.first().cloned()).collect();
-        schema.resolve(&fields.unwrap_or_default())
-    }
+/// Puts into `tree` the entries secondary index `def` holds for `record`,
+/// stored under `pk`.
+fn insert(def: &IndexInfo, tree: &mut LsmTree, record: &Value, pk: &[u8]) -> Result<()> {
+    entries(def, record, pk, |key, value| Ok(tree.upsert(key, value)?))
+}
 
-    /// Puts the entries of `record`, stored under `pk`.
-    fn insert(&mut self, record: &Value, pk: &[u8]) -> Result<()> {
-        entries(&self.def, record, pk, |key, value| Ok(self.tree.upsert(key, value)?))
-    }
-
-    /// Writes a delete marker on the key of each entry of `record`, stored
-    /// under `pk`.
-    fn delete(&mut self, record: &Value, pk: &[u8]) -> Result<()> {
-        entries(&self.def, record, pk, |key, _| Ok(self.tree.delete(key)?))
-    }
+/// Writes into `tree` a delete marker on the key of each entry secondary
+/// index `def` holds for `record`, stored under `pk`.
+fn delete(def: &IndexInfo, tree: &mut LsmTree, record: &Value, pk: &[u8]) -> Result<()> {
+    entries(def, record, pk, |key, _| Ok(tree.delete(key)?))
 }
 
 /// The entries secondary index `def` holds for `record`, stored under the
@@ -191,18 +184,18 @@ pub struct DatasetPartition {
     pub partition: u32,
     node: Arc<Node>,
     schema: Arc<RecordSchema>,
-    primary: LsmTree,
-    secondaries: Vec<Secondary>,
-    /// [`Secondary::leading_fields`] of `secondaries`: all that index upkeep
-    /// decodes of a stored record.
+    /// The secondary indexes: each one's definition, whatever its kind.
+    secondaries: Vec<IndexInfo>,
+    /// Every index in the order they flush: the trees holding the
+    /// [`entries`] of the partition's records for `secondaries`, at the
+    /// same places, then the primary.
+    indexes: Vec<LsmTree>,
+    /// [`leading_fields`] of `secondaries`: all that index upkeep decodes
+    /// of a stored record.
     indexed: Projection,
     /// Where the node reads the LSN of the oldest log record the primary
     /// holds only in memory (see [`Node::log_pin`]).
     log_pin: LogPin,
-    /// Seals and flushes of the primary already answered with a log
-    /// rotation and a log truncation.
-    seals_seen: u64,
-    flushes_seen: u64,
     /// A log rotation or truncation that failed after an operation had
     /// already been applied; the next call reports it, having applied
     /// nothing, so no caller loses the outcome of a write to it.
@@ -269,34 +262,31 @@ impl DatasetPartition {
     ) -> Result<DatasetPartition> {
         let name = format!("{}_p{partition}_pri", def.name);
         let log_pin = node.log_pin(&name);
+        let primary = open_tree(&node, lsm_config(cfg, name, LeafShape::Groups(Arc::clone(&schema.layout))), origin)?;
         let mut part = DatasetPartition {
             dataset: def.name.clone(),
             dataset_id: def.id,
             partition,
-            primary: open_tree(&node, lsm_config(cfg, name, LeafShape::Groups(Arc::clone(&schema.layout))), origin)?,
-            indexed: Secondary::leading_fields(&schema, std::iter::empty()),
+            indexed: leading_fields(&schema, std::iter::empty()),
             schema,
             secondaries: Vec::new(),
+            indexes: Vec::new(),
             node,
             log_pin,
-            seals_seen: 0,
-            flushes_seen: 0,
             log_error: None,
         };
         let born = part.born(origin);
-        Self::adopt(&mut part.primary, born)?;
+        part.adopt(None, primary, born)?;
         for idx in &def.indexes {
-            let sec = part.build_secondary(idx, cfg, origin, born)?;
-            part.secondaries.push(sec);
+            part.build_secondary(idx, cfg, origin, born)?;
         }
-        part.secondaries_changed();
         Ok(part)
     }
 
     /// Disk components of all the partition's indexes: at restart, what
     /// their manifests named.
     pub fn component_count(&self) -> usize {
-        self.indexes().map(LsmTree::component_count).sum()
+        self.indexes.iter().map(LsmTree::component_count).sum()
     }
 
     /// The LSN below which the log is no business of an index created now:
@@ -305,153 +295,141 @@ impl DatasetPartition {
         (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn())
     }
 
-    /// What every index gets on being opened: it is sealed and flushed only
-    /// in step with the partition's other indexes, and one just created is
-    /// made durably empty — whatever an earlier index of its name left is no
-    /// longer named — with the log below `born` declared none of its
-    /// business. Its merges run where its node's do.
-    fn adopt(idx: &mut LsmTree, born: Option<Lsn>) -> Result<()> {
-        idx.sealed_by_owner();
+    /// Takes `tree`, just opened, into the flush order — as secondary index
+    /// `def`, before the primary, or as the primary — after which only the
+    /// partition's [`settle`] seals and flushes it, in step with its other
+    /// indexes. If just created, it first gets a durably empty manifest —
+    /// whatever an earlier index of its name left is no longer named — that
+    /// declares the log below `born` none of its business. Its merges run
+    /// where its node's do.
+    fn adopt(&mut self, def: Option<&IndexInfo>, mut tree: LsmTree, born: Option<Lsn>) -> Result<()> {
         if let Some(lsn) = born {
-            idx.mark_flushed_below(lsn)?;
+            tree.mark_flushed_below(lsn)?;
+        }
+        join(&mut self.indexes, self.secondaries.len(), tree);
+        if let Some(def) = def {
+            self.secondaries.push(def.clone());
+            self.secondaries_changed();
         }
         Ok(())
     }
 
-    /// Every index of the partition, the primary first, as its lifecycle.
-    fn indexes(&self) -> impl Iterator<Item = &LsmTree> + '_ {
-        std::iter::once(&self.primary).chain(self.secondaries.iter().map(|sec| &sec.tree))
+    /// The primary index: the last to flush.
+    fn primary(&self) -> &LsmTree {
+        &self.indexes[self.secondaries.len()]
     }
 
-    /// Every index of the partition in the order they flush: the
-    /// secondaries first, the primary last.
-    fn indexes_mut(&mut self) -> impl Iterator<Item = &mut LsmTree> + '_ {
-        self.secondaries.iter_mut().map(|sec| &mut sec.tree).chain(std::iter::once(&mut self.primary))
-    }
-
-    /// Flushes the sealed memory components whose writers are done, in the
-    /// order of [`DatasetPartition::indexes_mut`] — a crash between two of
-    /// them leaves the secondaries at or ahead of the primary, and a failed
-    /// one stops the rest — and seals every index at once when one is past
-    /// its budget and none holds a sealed component any more. An index that
-    /// still holds one — for a writer, or until the merge that took it in
-    /// publishes — stops the indexes after it, so that no primary publishes
-    /// ahead of its secondaries; once the next seal is due, each index
-    /// finishes its merges on this thread first
-    /// ([`LsmTree::finish_merges`]).
-    fn seal_and_flush(&mut self) -> Result<()> {
-        loop {
-            let due = self.indexes().any(LsmTree::over_budget);
-            for idx in self.indexes_mut() {
-                if due {
-                    idx.finish_merges();
-                }
-                idx.flush_sealed()?;
-                if idx.has_sealed() {
-                    return Ok(());
-                }
-            }
-            if !due {
-                return Ok(());
-            }
-            for idx in self.indexes_mut() {
-                idx.seal();
-            }
-        }
+    fn primary_mut(&mut self) -> &mut LsmTree {
+        &mut self.indexes[self.secondaries.len()]
     }
 
     /// Brings `indexed` up to date with `secondaries`.
     fn secondaries_changed(&mut self) {
-        self.indexed = Secondary::leading_fields(&self.schema, self.secondaries.iter().map(|sec| &sec.def));
+        self.indexed = leading_fields(&self.schema, self.secondaries.iter());
     }
 
-    /// Opens secondary index `idx` of the partition (see
+    /// Opens secondary index `idx` of the partition and adopts it (see
     /// [`DatasetPartition::adopt`] for `born`).
-    fn build_secondary(&self, idx: &IndexInfo, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<Secondary> {
+    fn build_secondary(&mut self, idx: &IndexInfo, cfg: &StorageConfig, origin: Origin, born: Option<Lsn>) -> Result<()> {
         let name = format!("{}_p{}_{}", self.dataset, self.partition, idx.name);
         let leaves = if idx.kind == IndexKind::RTree { LeafShape::Spatial } else { LeafShape::Rows };
-        let mut tree = open_tree(&self.node, lsm_config(cfg, name, leaves), origin)?;
-        Self::adopt(&mut tree, born)?;
-        Ok(Secondary { def: idx.clone(), tree })
+        let tree = open_tree(&self.node, lsm_config(cfg, name, leaves), origin)?;
+        self.adopt(Some(idx), tree, born)
     }
 
     /// Adds a secondary index to an existing partition, backfilling it from
-    /// the primary index: `CREATE INDEX` on loaded data. What the primary's
-    /// disk components hold — the keys and the indexed field, read as
-    /// columns — is flushed before the index is added, durable as far as the
-    /// primary is. Each of the primary's memory components then goes into a
-    /// memory component of the index that stands where it does in the log
-    /// ([`LsmTree::stamp_as`]): an open transaction's writes among them are
-    /// not flushed before it is over, and the partition flushes them with
-    /// the primary's. A restart replays them like the primary's.
+    /// the primary index: `CREATE INDEX` on loaded data. The index is
+    /// adopted first, so nothing here seals it on its own, and let go again
+    /// if the backfill fails. What the primary's disk components hold — the
+    /// keys and the indexed field, read as columns — is flushed first,
+    /// durable as far as the primary is. Each of the primary's memory
+    /// components then goes into a memory component of the index that
+    /// stands where it does in the log ([`LsmTree::stamp_as`]): an open
+    /// transaction's writes among them are not flushed before it is over,
+    /// and the partition flushes them with the primary's. A restart replays
+    /// them like the primary's.
     pub fn add_index(&mut self, idx: &IndexInfo, cfg: &StorageConfig) -> Result<()> {
-        let mut sec = self.build_secondary(idx, cfg, Origin::Created, Some(self.primary.flushed_below()))?;
-        let wanted = Secondary::leading_fields(&self.schema, std::iter::once(idx));
-        let layers: Vec<_> = self.primary.mem_layers().collect();
+        self.build_secondary(idx, cfg, Origin::Created, Some(self.primary().flushed_below()))?;
+        let filled = self.backfill(idx);
+        if filled.is_err() {
+            self.secondaries.pop();
+            self.indexes.remove(self.secondaries.len());
+            self.secondaries_changed();
+        }
+        filled
+    }
+
+    /// Fills secondary index `idx`, the newest, from the primary (see
+    /// [`DatasetPartition::add_index`]).
+    fn backfill(&mut self, idx: &IndexInfo) -> Result<()> {
+        let (secondaries, primary) = self.indexes.split_at_mut(self.secondaries.len());
+        let (tree, primary) = (&mut secondaries[secondaries.len() - 1], &primary[0]);
+        let wanted = leading_fields(&self.schema, std::iter::once(idx));
+        let layers: Vec<_> = primary.mem_layers().collect();
         // what the index holds for each key a memory component rewrites
         let mut rewritten: HashMap<&[u8], Option<Value>> =
             layers.iter().flat_map(|(mem, _)| mem.iter().map(|(pk, _)| (pk.as_slice(), None))).collect();
-        let mut records = self.primary.disk_reader(Some(wanted.cells()))?;
+        let mut records = primary.disk_reader(Some(wanted.cells()))?;
         while let Some((pk, stored)) = records.next_entry()? {
             let record = self.schema.project(&wanted, stored)?;
-            sec.insert(&record, pk)?;
+            insert(idx, tree, &record, pk)?;
             if let Some(held) = rewritten.get_mut(pk) {
                 *held = Some(record);
             }
         }
         drop(records);
-        sec.tree.flush()?;
+        tree.flush()?;
         for (mem, stamps) in &layers {
             for (pk, entry) in mem.iter() {
                 let held = rewritten.entry(pk.as_slice()).or_default();
                 if let Some(old) = held.take() {
-                    sec.delete(&old, pk)?;
+                    delete(idx, tree, &old, pk)?;
                 }
                 if let Entry::Put(row) = entry {
                     let record = self.schema.project(&wanted, Projected::Row(row))?;
-                    sec.insert(&record, pk)?;
+                    insert(idx, tree, &record, pk)?;
                     *held = Some(record);
                 }
             }
-            sec.tree.stamp_as(stamps);
+            tree.stamp_as(stamps);
         }
-        self.secondaries.push(sec);
-        self.secondaries_changed();
         Ok(())
     }
 
     /// Drops secondary index `name`: it stops being maintained and its
     /// manifest and components are deleted.
     pub fn remove_index(&mut self, name: &str) -> Result<()> {
-        let Some(pos) = self.secondaries.iter().position(|s| s.def.name == name) else {
+        let Some(pos) = self.secondaries.iter().position(|def| def.name == name) else {
             return Ok(());
         };
-        let sec = self.secondaries.remove(pos);
+        self.secondaries.remove(pos);
+        let tree = self.indexes.remove(pos);
         self.secondaries_changed();
-        Ok(sec.tree.destroy()?)
+        Ok(tree.destroy()?)
     }
 
-    /// Drops the partition from disk: every index's manifest and components.
-    /// The log is not held back by it any more.
+    /// Drops the partition from disk: every index's manifest and components,
+    /// the primary's first. The log is not held back by it any more.
     pub fn destroy(&mut self) -> Result<()> {
-        self.node.drop_log_pin(self.primary.name());
-        for idx in self.indexes() {
+        self.node.drop_log_pin(self.primary().name());
+        for idx in self.indexes.iter().rev() {
             idx.destroy()?;
         }
+        self.indexes.drain(..self.secondaries.len());
         self.secondaries.clear();
         Ok(())
     }
 
-    /// Names of this partition's indexes, primary first: the prefixes of
-    /// their manifests and component files in the node's directory.
+    /// Names of this partition's indexes: the prefixes of their manifests
+    /// and component files in the node's directory.
     pub fn index_names(&self) -> Vec<String> {
-        self.indexes().map(|idx| idx.name().to_owned()).collect()
+        self.indexes.iter().map(|idx| idx.name().to_owned()).collect()
     }
 
     /// The LSN below which every logged operation on this partition is in a
     /// durable component of its primary index: replay starts here.
     pub fn flushed_below(&self) -> Lsn {
-        self.primary.flushed_below()
+        self.primary().flushed_below()
     }
 
     /// The node hosting this partition.
@@ -461,13 +439,13 @@ impl DatasetPartition {
 
     /// Live record count.
     pub fn count(&self) -> Result<usize> {
-        Ok(self.primary.count()?)
+        Ok(self.primary().count()?)
     }
 
     /// What the primary index stores for `pk` now: the before-image of a
     /// write about to be logged, in the dataset's storage encoding.
     pub fn stored(&self, pk: &[u8]) -> Result<Option<Vec<u8>>> {
-        Ok(self.primary.get(pk)?)
+        Ok(self.primary().get(pk)?)
     }
 
     /// Makes `raw` — the storage encoding of a record, as a transaction
@@ -490,7 +468,7 @@ impl DatasetPartition {
         lsn: Lsn,
         writer: Option<u64>,
     ) -> Result<()> {
-        self.settled(Some((lsn, writer)), |part| part.apply_put(pk, raw, record, before))
+        self.settled(Some((lsn, writer)), false, |part| part.apply_put(pk, raw, record, before))
     }
 
     /// The delete of `pk` as the effect of the log record at `lsn` (see
@@ -502,14 +480,14 @@ impl DatasetPartition {
         lsn: Lsn,
         writer: Option<u64>,
     ) -> Result<()> {
-        self.settled(Some((lsn, writer)), |part| part.apply_delete(pk, before))
+        self.settled(Some((lsn, writer)), false, |part| part.apply_delete(pk, before))
     }
 
     /// Transaction `writer` has committed or aborted: what was sealed
     /// waiting for it is flushed.
     pub fn txn_finished(&mut self, writer: u64) -> Result<()> {
-        self.settled(None, |part| {
-            for idx in part.indexes_mut() {
+        self.settled(None, false, |part| {
+            for idx in &mut part.indexes {
                 idx.release(writer)?;
             }
             Ok(())
@@ -520,42 +498,43 @@ impl DatasetPartition {
     /// here: some index has a sealed memory component waiting for them and
     /// an active one already past its budget.
     pub fn must_wait(&self, writer: u64) -> bool {
-        self.indexes().any(|idx| idx.must_wait(writer))
+        self.indexes.iter().any(|idx| idx.must_wait(writer))
     }
 
     /// Runs `op` — stamped, if it applies a log record, on every index — then
-    /// seals and flushes what has become due ([`DatasetPartition::seal_and_flush`]),
-    /// and does for the node's log what the primary index's lifecycle asks:
-    /// republish the oldest LSN it holds only in memory, rotate the log if it
-    /// sealed a memory component (the records that component covers end
-    /// with the old segment), truncate it if it published a flush. A failure
-    /// of the log's upkeep does not take `op`'s outcome away from the caller:
-    /// it is kept and reported by the next call, before anything is applied.
+    /// [`settle`]s the indexes, `force`d or not, and does for the node's log
+    /// what that did to the primary asks: republish the oldest LSN it holds
+    /// only in memory, rotate the log if it sealed a memory component (the
+    /// records that component covers end with the old segment), truncate it
+    /// if it published one. A failure of the log's upkeep does not take
+    /// `op`'s outcome away from the caller: it is kept and reported by the
+    /// next call, before anything is applied.
     fn settled<T>(
         &mut self,
         stamp: Option<(Lsn, Option<u64>)>,
+        force: bool,
         op: impl FnOnce(&mut Self) -> Result<T>,
     ) -> Result<T> {
         if let Some(e) = self.log_error.take() {
             return Err(e);
         }
         if let Some((lsn, writer)) = stamp {
-            for idx in self.indexes_mut() {
+            for idx in &mut self.indexes {
                 idx.stamp(lsn, writer);
             }
         }
-        let out = op(self).and_then(|done| self.seal_and_flush().map(|()| done));
-        self.log_pin.store(self.primary.first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
-        let stats = self.primary.stats();
+        let out = op(self).and_then(|done| Ok((done, settle(&mut self.indexes, force)?)));
+        self.log_pin.store(self.primary().first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
+        let settled = out.as_ref().map_or(Settled::default(), |(_, settled)| *settled);
         let mut kept_up = Ok(());
-        if std::mem::replace(&mut self.seals_seen, stats.seals) != stats.seals {
+        if settled.sealed {
             kept_up = self.node.rotate_log();
         }
-        if std::mem::replace(&mut self.flushes_seen, stats.flushes) != stats.flushes {
+        if settled.published {
             kept_up = kept_up.and(self.node.truncate_log());
         }
         self.log_error = kept_up.err();
-        out
+        out.map(|(done, _)| done)
     }
 
     /// Retracts from every secondary index the entries of the record stored
@@ -566,8 +545,8 @@ impl DatasetPartition {
         }
         let Some(before) = before else { return Ok(()) };
         let old = self.schema.project(&self.indexed, Projected::Row(before))?;
-        for sec in &mut self.secondaries {
-            sec.delete(&old, pk)?;
+        for (def, tree) in self.secondaries.iter().zip(&mut self.indexes) {
+            delete(def, tree, &old, pk)?;
         }
         Ok(())
     }
@@ -586,10 +565,10 @@ impl DatasetPartition {
             }
             _ => None,
         };
-        self.primary.upsert(pk.to_vec(), raw)?;
+        self.primary_mut().upsert(pk.to_vec(), raw)?;
         if let Some(record) = record.or(decoded.as_ref()) {
-            for sec in &mut self.secondaries {
-                sec.insert(record, pk)?;
+            for (def, tree) in self.secondaries.iter().zip(&mut self.indexes) {
+                insert(def, tree, record, pk)?;
             }
         }
         Ok(())
@@ -598,7 +577,7 @@ impl DatasetPartition {
     fn apply_delete(&mut self, pk: &[u8], before: Option<&[u8]>) -> Result<()> {
         if before.is_some() {
             self.retract(pk, before)?;
-            self.primary.delete(pk.to_vec())?;
+            self.primary_mut().delete(pk.to_vec())?;
         }
         Ok(())
     }
@@ -619,7 +598,7 @@ impl DatasetPartition {
         limit: usize,
     ) -> Result<(ColumnBatch, Option<Vec<u8>>)> {
         let mut batch = BatchBuilder::new(&self.schema.layout, wanted);
-        let last = leading_field_reader(&self.primary, range, after, None)?.fill(&mut batch, limit)?;
+        let last = leading_field_reader(self.primary(), range, after, None)?.fill(&mut batch, limit)?;
         Ok((batch.finish().map_err(CoreError::Adm)?, last))
     }
 
@@ -628,7 +607,7 @@ impl DatasetPartition {
     pub fn read_keys(&self, pks: &[Vec<u8>], wanted: &Projection) -> Result<ColumnBatch> {
         let mut batch = BatchBuilder::new(&self.schema.layout, wanted);
         for pk in pks {
-            self.primary.get_into(pk, &mut batch)?;
+            self.primary().get_into(pk, &mut batch)?;
         }
         batch.finish().map_err(CoreError::Adm)
     }
@@ -638,9 +617,9 @@ impl DatasetPartition {
     /// an R-tree index's MBRs meet, or keywords a keyword index's text holds
     /// all of. A range of another kind is a [`CoreError::Catalog`].
     pub fn index_pks(&self, index: &str, range: &IndexRange) -> Result<Vec<Vec<u8>>> {
-        let sec = self.find_index(index)?;
-        let misfit = || CoreError::Catalog(format!("index {index:?} is a {:?} index: it cannot answer [{range}]", sec.def.kind));
-        let fits = |kind| if sec.def.kind == kind { Ok(&sec.tree) } else { Err(misfit()) };
+        let (def, tree) = self.find_index(index)?;
+        let misfit = || CoreError::Catalog(format!("index {index:?} is a {:?} index: it cannot answer [{range}]", def.kind));
+        let fits = |kind| if def.kind == kind { Ok(tree) } else { Err(misfit()) };
         Ok(match range {
             IndexRange::Range(range) => {
                 // entries are `(secondary key, pk...)`: what follows the key is the pk
@@ -670,19 +649,19 @@ impl DatasetPartition {
             return Ok(());
         }
         let mut want = vec![Vec::new(); self.secondaries.len()];
-        let mut rows = self.primary.reader(Bound::Unbounded, Bound::Unbounded, Some(self.indexed.cells()))?;
+        let mut rows = self.primary().reader(Bound::Unbounded, Bound::Unbounded, Some(self.indexed.cells()))?;
         while let Some((pk, stored)) = rows.next_entry()? {
             let record = self.schema.project(&self.indexed, stored)?;
-            for (sec, want) in self.secondaries.iter().zip(&mut want) {
-                entries(&sec.def, &record, pk, |key, value| {
+            for (def, want) in self.secondaries.iter().zip(&mut want) {
+                entries(def, &record, pk, |key, value| {
                     want.push((key, value));
                     Ok(())
                 })?;
             }
         }
-        for (sec, mut want) in self.secondaries.iter().zip(want) {
+        for ((def, tree), mut want) in self.secondaries.iter().zip(&self.indexes).zip(want) {
             want.sort_unstable();
-            let have = sec.tree.scan()?;
+            let have = tree.scan()?;
             let at = have.iter().zip(&want).take_while(|(have, want)| have == want).count();
             let lacks = match (have.get(at), want.get(at)) {
                 (None, None) => continue,
@@ -693,36 +672,31 @@ impl DatasetPartition {
                 if lacks { ("lacks the entry", &want[at].0) } else { ("holds an entry no row yields", &have[at].0) };
             return Err(CoreError::Storage(StorageError::Corrupt(format!(
                 "{} partition {}: index {:?} {what}, key {key:02x?}",
-                self.dataset, self.partition, sec.def.name
+                self.dataset, self.partition, def.name
             ))));
         }
         Ok(())
     }
 
-    fn find_index(&self, name: &str) -> Result<&Secondary> {
-        self.secondaries
-            .iter()
-            .find(|s| s.def.name == name)
+    /// Secondary index `name`: its definition and its tree.
+    fn find_index(&self, name: &str) -> Result<(&IndexInfo, &LsmTree)> {
+        let pos = self.secondaries.iter().position(|def| def.name == name);
+        pos.map(|pos| (&self.secondaries[pos], &self.indexes[pos]))
             .ok_or_else(|| CoreError::Catalog(format!("unknown index {name:?}")))
     }
 
     /// Forces the LSM memory components of this partition to disk (all but
     /// what an open transaction wrote).
     pub fn flush(&mut self) -> Result<()> {
-        self.settled(None, |part| {
-            for idx in part.indexes_mut() {
-                idx.flush()?;
-            }
-            Ok(())
-        })
+        self.settled(None, true, |_| Ok(()))
     }
 
     /// LSM statistics of the primary index, or of secondary index `index`
     /// (any kind).
     pub fn lsm_stats(&self, index: Option<&str>) -> Result<LsmStats> {
         Ok(match index {
-            None => self.primary.stats(),
-            Some(name) => self.find_index(name)?.tree.stats(),
+            None => self.primary().stats(),
+            Some(name) => self.find_index(name)?.1.stats(),
         })
     }
 }
@@ -793,7 +767,7 @@ impl DatasetPartition {
         let pk = extract_pk(record, &["id".into()])?;
         let raw = self.schema.encode(record)?;
         let before = self.stored(&pk)?;
-        self.settled(None, |part| part.apply_put(&pk, raw, Some(record), before.as_deref()))?;
+        self.settled(None, false, |part| part.apply_put(&pk, raw, Some(record), before.as_deref()))?;
         before.map(|raw| self.schema.decode(&raw)).transpose()
     }
 
@@ -801,16 +775,8 @@ impl DatasetPartition {
     /// logged (see [`DatasetPartition::upsert`]).
     pub(crate) fn delete(&mut self, pk: &[u8]) -> Result<Option<Value>> {
         let before = self.stored(pk)?;
-        self.settled(None, |part| part.apply_delete(pk, before.as_deref()))?;
+        self.settled(None, false, |part| part.apply_delete(pk, before.as_deref()))?;
         before.map(|raw| self.schema.decode(&raw)).transpose()
-    }
-
-    /// Seals every index of the partition and flushes nothing: the next
-    /// write flushes what no open transaction wrote.
-    pub(crate) fn seal(&mut self) {
-        for idx in self.indexes_mut() {
-            idx.seal();
-        }
     }
 }
 
@@ -875,7 +841,7 @@ mod tests {
 
     /// The live entries of secondary index `index`.
     fn entry_count(part: &DatasetPartition, index: &str) -> usize {
-        part.find_index(index).unwrap().tree.count().unwrap()
+        part.find_index(index).unwrap().1.count().unwrap()
     }
 
     /// The first column of `batch`, row by row.
@@ -1151,14 +1117,13 @@ mod tests {
         part.delete(&encode_key(&[Value::Int(15)])).unwrap();
         part.audit_indexes().unwrap();
         let stray = prepend_key_part(&Value::Int(7), &encode_key(&[Value::Int(15)]));
-        let sec = part.secondaries.iter_mut().find(|s| s.def.name == "byAuthor").unwrap();
-        sec.tree.upsert(stray.clone(), Vec::new()).unwrap();
+        let by_author = part.secondaries.iter().position(|def| def.name == "byAuthor").unwrap();
+        part.indexes[by_author].upsert(stray.clone(), Vec::new()).unwrap();
         let err = part.audit_indexes().unwrap_err().to_string();
         assert!(err.contains("partition 0") && err.contains("\"byAuthor\" holds") && err.contains(&format!("{stray:02x?}")), "{err}");
-        let sec = part.secondaries.iter_mut().find(|s| s.def.name == "byAuthor").unwrap();
-        sec.tree.delete(stray).unwrap();
+        part.indexes[by_author].delete(stray).unwrap();
         let lost = prepend_key_part(&Value::Int(7), &encode_key(&[Value::Int(3)]));
-        sec.tree.delete(lost.clone()).unwrap();
+        part.indexes[by_author].delete(lost.clone()).unwrap();
         let err = part.audit_indexes().unwrap_err().to_string();
         assert!(err.contains("\"byAuthor\" lacks") && err.contains(&format!("{lost:02x?}")), "{err}");
         let _ = std::fs::remove_dir_all(p);

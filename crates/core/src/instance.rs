@@ -1266,25 +1266,41 @@ mod tests {
     use asterix_adm::types::Field;
     use proptest::prelude::*;
 
+    /// Takes the merges it is handed and never steps them: the slot keeps
+    /// each until its index's caller finishes it.
+    struct Parked;
+
+    impl asterix_storage::BackgroundExecutor for Parked {
+        fn offload(&self, _job: Arc<dyn asterix_storage::BackgroundJob>) {}
+    }
+
     /// A write whose flush fails was logged and applied before the flush:
     /// it is on the transaction's undo list, so that an abort takes it out.
     #[test]
     fn a_write_whose_flush_fails_is_on_the_undo_list() {
-        let injector = asterix_storage::FaultInjector::crash_at(3, "_c1.btree", 0);
-        let config = InstanceConfig { nodes: 1, partitions: 1, faults: Some(injector.clone()), ..InstanceConfig::default() };
+        // the merge that takes the second component in writes the index's component 2
+        let injector = asterix_storage::FaultInjector::crash_at(3, "_c2.btree", 0);
+        let mut config = InstanceConfig { nodes: 1, partitions: 1, faults: Some(injector.clone()), ..InstanceConfig::default() };
+        config.storage = StorageConfig { mem_budget: 1, merge_policy: asterix_storage::lsm::MergePolicy::Constant { max_components: 1 } };
         let db = Instance::open(config).unwrap();
+        db.inner.cluster.nodes[0].stats().lsm().install_executor(Arc::new(Parked));
         db.execute_sqlpp("CREATE TYPE T AS { id: int }; CREATE DATASET D(T) PRIMARY KEY id;").unwrap();
         let record = |id| Value::object(vec![("id".into(), Value::Int(id))]);
+        // each write seals, each commit flushes: the first on its own, the
+        // second into a merge nobody steps
+        for id in 1..=2 {
+            let mut txn = db.begin();
+            txn.write("D", &record(id), true).unwrap();
+            txn.commit().unwrap();
+        }
+        assert!(!injector.crashed());
+        // sealed, and no open transaction wrote into it: the next write
+        // finishes its merge, which fails, and flushes it
         let mut txn = db.begin();
-        txn.write("D", &record(1), true).unwrap();
-        txn.commit().unwrap();
-        // sealed, and no open transaction wrote into it: the next write flushes it
-        db.dataset_runtime("D").unwrap().partitions[0].write().seal();
-        let mut txn = db.begin();
-        let written = txn.write("D", &record(2), true);
+        let written = txn.write("D", &record(3), true);
         assert!(written.is_err() && injector.crashed(), "{written:?}");
         let undo: Vec<&[u8]> = txn.undo.iter().map(|u| u.pk.as_slice()).collect();
-        assert_eq!(undo, [asterix_adm::binary::encode_key(&[Value::Int(2)]).as_slice()]);
+        assert_eq!(undo, [asterix_adm::binary::encode_key(&[Value::Int(3)]).as_slice()]);
     }
 
     /// Names with keywords, spaces, backquotes, quotes, backslashes and

@@ -44,20 +44,27 @@
 //! and fails in its own step ([`MergeJob::advance`]): an error or a panic in
 //! a morsel or the publish ends it aborted and frees the slot.
 //!
-//! **A seal finishes the merge.** [`LsmTree::seal`] first finishes the
-//! merge in flight, and every merge it cascades into, on the calling thread
-//! ([`LsmTree::finish_merges`]): it takes over the job the executor holds
+//! **One loop seals and flushes** ([`settle`]), over the indexes sealed
+//! together, in flush order: an index alone passes itself after every write
+//! and release and at [`LsmTree::flush`]; a dataset partition, which has
+//! [`join`]ed its indexes to one group, passes its secondaries, then its
+//! primary, once per operation and forced flush.
+//!
+//! **A seal finishes the merge.** A seal first finishes the merge in
+//! flight, and every merge it cascades into, on the calling thread
+//! (`finish_merges`): it takes over the job the executor holds
 //! and steps it to its end, and a worker that was stepping it lets it go at
-//! its next step. So every seal finds the slot free and the list a merge on
-//! the caller would have left: the policy decides alike whatever the
-//! executor, and memory, and the log a sealed component pins, stay bounded
-//! by two components' worth. The writer pays, as merge stall, for what the
-//! pool has not done by then — the pool gets the time it takes to fill one
-//! memory component — and waits at most for the morsel or the publish a
-//! worker is in, never for the pool to come back to the job: its scans may
-//! be waiting for the partition lock the writer holds. A merge reads its
-//! disk inputs outside the buffer cache ([`crate::io::PageStream`]) and
-//! leaves the cache as it found it.
+//! its next step; so does the loop, once a seal is due, with a merge that
+//! holds a sealed component. So every seal finds the slot free and the list
+//! a merge on the caller would have left: the policy decides alike whatever
+//! the executor, and memory, and the log a sealed component pins, stay
+//! bounded by two components' worth. The writer pays, as merge stall, for
+//! what the pool has not done by then — the pool gets the time it takes to
+//! fill one memory component — and waits at most for the morsel or the
+//! publish a worker is in, never for the pool to come back to the job: its
+//! scans may be waiting for the partition lock the writer holds. A merge
+//! reads its disk inputs outside the buffer cache
+//! ([`crate::io::PageStream`]) and leaves the cache as it found it.
 //!
 //! **Durability.** The disk component is the durable unit. `<name>.manifest`
 //! lists the live components newest first — id, size, files, the LSN range
@@ -918,17 +925,16 @@ struct MemInput {
 
 /// The memory components of one index: the active one and at most one
 /// sealed one, older than it. Writes go to the active component; reads
-/// consult both, active first. [`LsmTree`] decides when one is sealed and when
-/// a sealed one is flushed — or, once its owner has said so
-/// ([`LsmTree::sealed_by_owner`]), the owner does.
+/// consult both, active first. [`settle`] decides when one is sealed and
+/// when a sealed one is flushed.
 #[derive(Default)]
 pub(crate) struct MemSlots {
     active: Slot,
     sealed: Option<Sealed>,
     /// Every logged operation of the index below this LSN has been applied.
     covered_below: Lsn,
-    /// Sealed and flushed only when the owner asks: neither a write nor a
-    /// release does either.
+    /// [`join`]ed to a group: settled only by its owner's calls of
+    /// [`settle`], neither a write nor a release seals or flushes it.
     by_owner: bool,
 }
 
@@ -957,10 +963,9 @@ impl MemSlots {
 /// The owner *stamps* the index with the LSN and the transaction of the log
 /// record it is about to apply (an index nobody logs for is never stamped
 /// and flushes the moment it seals) and *releases* a transaction when it has
-/// committed or aborted; every write and every release seals and flushes
-/// whatever has become due — unless the owner seals and flushes the index
-/// itself ([`LsmTree::sealed_by_owner`]), as a dataset partition does all of its
-/// indexes at once.
+/// committed or aborted. An index alone is [`settle`]d over itself after
+/// every write and every release; one [`join`]ed to a group its owner
+/// settles — a dataset partition's indexes — only by the owner's calls.
 pub struct LsmTree {
     pub(crate) shared: Arc<Harness>,
     pub(crate) mem: MemSlots,
@@ -1020,60 +1025,27 @@ impl LsmTree {
 
     /// Forces what is buffered to disk as new components, which are
     /// published and handed to merge scheduling, or into the merges that
-    /// take them in, which it finishes too; each seal finishes the merges in
-    /// flight first ([`LsmTree::seal`]). What an open transaction wrote
-    /// stays in memory until it is released.
+    /// take them in, which it waits for: [`settle`] over the index alone,
+    /// forced. What an open transaction wrote stays in memory until it is
+    /// released.
     pub fn flush(&mut self) -> Result<()> {
-        self.settle(true)
+        self.settle_alone(true)
     }
 
-    /// Flushes the sealed memory component if its writers are done, seals
-    /// the active one if it is past its budget (or, with `force`, holds
-    /// anything no open transaction wrote), and repeats until nothing is
-    /// due. A sealed component a merge took in waits for that merge, which
-    /// is finished here with `force` or once the next seal is due. Every
-    /// write calls it; of an index its owner seals, only `force` does
-    /// anything.
-    pub(crate) fn settle(&mut self, force: bool) -> Result<()> {
-        if self.mem.by_owner && !force {
-            return Ok(());
+    /// [`settle`] over the index alone: what a write and a release end
+    /// with unless it was [`join`]ed to a group, and a flush, forced.
+    pub(crate) fn settle_alone(&mut self, force: bool) -> Result<()> {
+        if force || !self.mem.by_owner {
+            settle(std::slice::from_mut(self), force)?;
         }
-        loop {
-            self.flush_sealed()?;
-            if let Some(sealed) = &self.mem.sealed {
-                // no-steal: not while a writer is open; one a merge took in
-                // waits for it until a flush or the next seal is due
-                if !sealed.writers.is_empty() || !(force || self.over_budget()) {
-                    return Ok(());
-                }
-                self.finish_merges();
-                continue;
-            }
-            let active = &self.mem.active;
-            let due = if force { active.writers.is_empty() } else { self.over_budget() };
-            if !due {
-                return Ok(());
-            }
-            if active.mem.is_empty() {
-                let covered = self.mem.covered_below;
-                if covered > self.flushed_below() {
-                    self.shared.write_flushed_below(covered)?;
-                }
-                return Ok(());
-            }
-            self.seal();
-        }
+        Ok(())
     }
 
     /// Finishes the merge in flight, and every merge it cascades into, on
     /// the calling thread: it takes over the job the executor holds and
     /// steps it to its end. So the list is the one a merge on the caller
     /// would have left, whatever the executor. What it takes is merge stall.
-    /// [`LsmTree::seal`] calls it first, and a flush whose sealed component
-    /// a merge took in; an owner that seals its indexes itself calls it once
-    /// their next seal is due, so that a sealed component a merge took in
-    /// can be let go.
-    pub fn finish_merges(&self) {
+    fn finish_merges(&self) {
         let shared = &self.shared;
         if shared.state.lock().is_some() {
             shared.stalled(|| shared.finish_merges());
@@ -1183,7 +1155,7 @@ impl LsmTree {
         if let Some(sealed) = &mut self.mem.sealed {
             sealed.writers.remove(&writer);
         }
-        self.settle(false)
+        self.settle_alone(false)
     }
 
     /// Whether a write by `writer` would grow the active memory component
@@ -1191,18 +1163,11 @@ impl LsmTree {
     /// transactions: waiting for them lets the sealed component flush and
     /// the active one seal, where writing on only grows memory. One that
     /// waits for no transaction — a merge has taken it in — is no reason:
-    /// the write's own settling finishes that merge once the next seal is
-    /// due.
+    /// the settling after the write finishes that merge once the next seal
+    /// is due.
     pub fn must_wait(&self, writer: u64) -> bool {
         self.over_budget()
             && self.mem.sealed.as_ref().is_some_and(|s| !s.writers.is_empty() && !s.writers.contains(&writer))
-    }
-
-    /// From now on the index is sealed only by [`LsmTree::seal`] and flushed
-    /// only by [`LsmTree::flush_sealed`] and [`LsmTree::flush`]: its owner keeps it in
-    /// step with other indexes, whatever its own budget says.
-    pub fn sealed_by_owner(&mut self) {
-        self.mem.by_owner = true;
     }
 
     /// Whether the active memory component holds more than the budget, or
@@ -1210,28 +1175,17 @@ impl LsmTree {
     /// the first record it holds the effect of to the last (LSNs count the
     /// log's record stream, so this is the log decoded). The second bounds
     /// what a restart replays when overwrites keep what it holds small.
-    pub fn over_budget(&self) -> bool {
+    pub(crate) fn over_budget(&self) -> bool {
         let (active, budget) = (&self.mem.active, self.shared.config.mem_budget);
         let pinned = active.first_lsn.map_or(0, |first| self.mem.covered_below.saturating_sub(first));
         active.mem.bytes() > budget || pinned > budget as u64
     }
 
-    /// Whether a sealed memory component waits to be flushed.
-    pub fn has_sealed(&self) -> bool {
-        self.mem.sealed.is_some()
-    }
-
-    /// Finishes the merges in flight ([`LsmTree::finish_merges`]), lets go
-    /// of a sealed memory component the merge that took it in has
-    /// published, and seals the active memory component, empty or not,
-    /// unless a sealed one still waits. It is flushed by
-    /// [`LsmTree::flush_sealed`] once its writers are done.
-    pub fn seal(&mut self) {
+    /// Finishes the merges in flight ([`LsmTree::finish_merges`]) and seals
+    /// the active memory component, empty or not, unless a sealed one still
+    /// waits.
+    fn seal(&mut self) {
         self.finish_merges();
-        if self.mem.sealed.as_ref().is_some_and(|s| s.merged() == Some(Some(true))) {
-            self.shared.count_flush_merged();
-            self.let_go_sealed();
-        }
         let mem = &mut self.mem;
         if mem.sealed.is_none() {
             self.shared.stats.seals.inc();
@@ -1253,23 +1207,24 @@ impl LsmTree {
     /// component at once, the sealed one goes into that merge instead and is
     /// never written on its own: it stays readable and keeps its place until
     /// the merge publishes, and is flushed here after all if the merge
-    /// fails. A flushed component is handed to merge scheduling.
-    pub fn flush_sealed(&mut self) -> Result<()> {
+    /// fails. A flushed component is handed to merge scheduling. Whether a
+    /// component holding the sealed one's entries was published.
+    fn flush_sealed(&mut self) -> Result<bool> {
         let shared = &self.shared;
-        let Some(sealed) = self.mem.sealed.as_mut().filter(|s| s.writers.is_empty()) else { return Ok(()) };
+        let Some(sealed) = self.mem.sealed.as_mut().filter(|s| s.writers.is_empty()) else { return Ok(false) };
         if sealed.mem.is_empty() {
             if sealed.below > *shared.manifest.lock() {
                 shared.write_flushed_below(sealed.below)?;
             }
             self.mem.sealed = None;
-            return Ok(());
+            return Ok(false);
         }
         if sealed.handoff.is_none() {
             sealed.handoff = shared.merge_with_memory(sealed);
         }
         match sealed.merged() {
             // the merge runs
-            Some(None) => return Ok(()),
+            Some(None) => return Ok(false),
             Some(Some(true)) => shared.count_flush_merged(),
             _ => {
                 shared.flush_memory(sealed)?;
@@ -1278,15 +1233,10 @@ impl LsmTree {
                 shared.stalled(|| shared.schedule_merge());
             }
         }
-        self.let_go_sealed();
-        Ok(())
-    }
-
-    /// The sealed memory component is on disk: it is let go.
-    fn let_go_sealed(&mut self) {
         if let Some(sealed) = self.mem.sealed.take() {
-            self.shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
+            shared.hub.add_flush_wait_ns(sealed.at.elapsed().as_nanos() as u64);
         }
+        Ok(true)
     }
 
     /// The LSN below which every logged operation of this index is in a
@@ -1337,6 +1287,74 @@ impl Drop for LsmTree {
             job.cancel.set(true);
             job.advance(false);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sealing and flushing
+// ---------------------------------------------------------------------------
+
+/// What [`settle`] did to the last index of its group (a partition's
+/// primary): whether it sealed a memory component, and whether it published
+/// one — the owner's cues to rotate its log and to truncate it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Settled {
+    pub sealed: bool,
+    pub published: bool,
+}
+
+/// Takes `tree` into `group`, the indexes [`settle`]d together, at `at` in
+/// their flush order: from now on a write or a release of its own seals
+/// and flushes nothing.
+pub fn join(group: &mut Vec<LsmTree>, at: usize, mut tree: LsmTree) {
+    tree.mem.by_owner = true;
+    group.insert(at, tree);
+}
+
+/// The one place memory components are sealed and flushed, over `group`,
+/// the indexes sealed together, in the order they flush (a partition's
+/// secondaries, then its primary; an index alone). It flushes each
+/// sealed component no open transaction wrote into, in that order, and
+/// stops at the first index that still holds one, so that none publishes
+/// ahead of those before it. Once none does, it seals them all, empty or
+/// not, if one is past its budget, and goes round again. Once a seal is
+/// due, and with `force`, it lets go of a sealed component a merge took in
+/// by finishing that merge on this thread, as every seal finishes the
+/// merges in flight: each seal finds the list a merge on the caller would
+/// have left, whatever the executor. With `force` it first seals, once,
+/// every index that holds what no open transaction wrote (one that holds
+/// nothing moves its manifest's LSN instead).
+pub fn settle(group: &mut [LsmTree], force: bool) -> Result<Settled> {
+    let mut done = Settled::default();
+    let last = group.len().saturating_sub(1);
+    let mut force_seal = force;
+    loop {
+        let due = group.iter().any(LsmTree::over_budget);
+        for (i, tree) in group.iter_mut().enumerate() {
+            let mut published = tree.flush_sealed()?;
+            if (due || force) && tree.mem.sealed.as_ref().is_some_and(|s| s.writers.is_empty()) {
+                // in the merge that took it in
+                tree.finish_merges();
+                published |= tree.flush_sealed()?;
+            }
+            done.published |= published && i == last;
+            if tree.mem.sealed.is_some() {
+                return Ok(done);
+            }
+        }
+        if !(force_seal || due) {
+            return Ok(done);
+        }
+        for tree in group.iter_mut() {
+            let (active, covered) = (&tree.mem.active, tree.mem.covered_below);
+            if !force_seal || (active.writers.is_empty() && !active.mem.is_empty()) {
+                tree.seal();
+            } else if active.writers.is_empty() && covered > tree.flushed_below() {
+                tree.shared.write_flushed_below(covered)?;
+            }
+        }
+        done.sealed |= group.last().is_some_and(|tree| tree.mem.sealed.is_some());
+        force_seal = false;
     }
 }
 
@@ -1705,19 +1723,19 @@ mod tests {
         t.stamp(20, None);
         sealed::<E>(&mut t, 600..1_200);
         let job = parked.0.lock().pop().expect("the sealed component went into a merge");
-        assert!(t.has_sealed(), "held until the merge publishes");
+        assert!(t.mem.sealed.is_some(), "held until the merge publishes");
         assert_eq!(component_files(&dir), files, "not written on its own");
         assert_eq!((t.first_unflushed(), t.flushed_below()), (Some(20), 11));
         assert_eq!(E::live(&t), 1_200, "read from memory meanwhile");
         E::put(&mut t, 1_200);
         t.flush_sealed().unwrap();
-        assert!(t.has_sealed(), "flush_sealed does not finish the merge");
+        assert!(t.mem.sealed.is_some(), "flush_sealed does not finish the merge");
         while job.step() == JobStep::Again {
             assert_eq!(E::live(&t), 1_201, "and while it runs");
         }
         assert_eq!(E::live(&t), 1_201, "and once it published");
         t.flush_sealed().unwrap();
-        assert!(!t.has_sealed());
+        assert!(t.mem.sealed.is_none());
         let stats = t.stats();
         assert_eq!((stats.seals, stats.flushes, stats.flushes_merged, stats.merges), (2, 2, 1, 1));
         let node = cache.stats().registry().snapshot();
@@ -1745,7 +1763,7 @@ mod tests {
         assert_eq!(job.step(), JobStep::Again);
         panic_next_morsel();
         assert_eq!(job.step(), JobStep::Done);
-        assert!(t.has_sealed(), "the abort is seen at the next flush");
+        assert!(t.mem.sealed.is_some(), "the abort is seen at the next flush");
         t.flush_sealed().unwrap();
         let stats = t.stats();
         assert_eq!((stats.flushes, stats.flushes_merged, stats.merges_aborted), (2, 0, 1));
@@ -1759,7 +1777,7 @@ mod tests {
         let driver = std::thread::spawn(move || while job.step() == JobStep::Again {});
         t.flush().unwrap();
         crate::lock_order::join(driver).unwrap();
-        assert!(!t.has_sealed());
+        assert!(t.mem.sealed.is_none());
         let stats = t.stats();
         assert_eq!((stats.flushes_merged, stats.merges, stats.merges_aborted), (1, 2, 1));
         assert_eq!((t.component_count(), E::live(&t)), (1, 1_300));
@@ -1911,76 +1929,162 @@ mod tests {
         t.shared.snapshot().iter().map(|c| (c.size_bytes, c.lsns)).collect()
     }
 
-    /// One seeded op stream — stamped writes and deletes into an index that
-    /// seals on its own small budget, seals as an owner asks for them, a
-    /// morsel of a parked merge now and then, and flushes — with the merges
-    /// on the caller (`exec` 0), on a thread each (1) or parked and stepped
-    /// by the stream (2). Returns the disk list after every flush, once the
-    /// merges it left in flight are finished (the list its next seal
-    /// finds), and the counters at the end.
-    fn executor_trace<E: Entries>(policy: MergePolicy, exec: u8) -> (Vec<DiskList>, [u64; 5]) {
+    /// One seeded op stream — stamped writes and deletes, now and then after
+    /// a leap of the log that takes the active memory component past its
+    /// budget, a morsel of a parked merge now and then, and flushes, some
+    /// followed by a merge of the two newest disk components handed to the
+    /// executor, which the next seal meets in flight — into one index alone
+    /// that seals on its own small budget (`width` 1), or into two joined to
+    /// a group and settled after every op, the second on twice the budget
+    /// (2), with the merges on the caller (`exec` 0), on a thread each (1)
+    /// or parked and stepped by the stream (2). Returns the disk lists after
+    /// every flush, once the merges it left in flight are finished (the
+    /// lists its next seal finds), and each index's counters at the end.
+    fn executor_trace<E: Entries>(policy: MergePolicy, exec: u8, width: usize) -> (Vec<Vec<DiskList>>, Vec<[u64; 5]>) {
         let (cache, _d) = setup(None);
-        let mut t = LsmTree::new(cache, E::config(4 << 10, policy));
         let parked = Arc::new(ParkedExecutor::default());
         match exec {
             0 => {}
-            1 => t.shared.hub.install_executor(Arc::new(OnThread)),
-            _ => t.shared.hub.install_executor(parked.clone()),
+            1 => cache.stats().lsm().install_executor(Arc::new(OnThread)),
+            _ => cache.stats().lsm().install_executor(parked.clone()),
+        }
+        let mut group = Vec::new();
+        for n in 1..=width {
+            let config = E::config(n * (4 << 10), policy);
+            let t = LsmTree::new(Arc::clone(&cache), LsmConfig { name: format!("{}{n}", config.name), ..config });
+            if width > 1 {
+                join(&mut group, n - 1, t);
+            } else {
+                group.push(t);
+            }
         }
         let mut rng = SmallRng::seed_from_u64(23);
         let mut lists = Vec::new();
-        for lsn in 1..1_500 {
+        let mut lsn = 0;
+        for _ in 1..1_500 {
+            lsn += 1;
             let i = rng.gen_range(0..300);
             match rng.gen_range(0..40) {
-                0..=29 => {
-                    t.stamp(lsn, None);
-                    E::put(&mut t, i);
+                op @ (0..=33 | 37 | 38) => {
+                    if op >= 37 {
+                        lsn += 16 << 10;
+                    }
+                    for t in &mut group {
+                        t.stamp(lsn, None);
+                        match op {
+                            30..=33 => E::delete(t, i),
+                            _ => E::put(t, i),
+                        }
+                    }
                 }
-                30..=33 => {
-                    t.stamp(lsn, None);
-                    E::delete(&mut t, i);
-                }
-                34..=36 => {
+                34 | 35 => {
                     let job = parked.0.lock().first().cloned();
                     if job.is_some_and(|job| job.step() == JobStep::Done) {
                         parked.0.lock().remove(0);
                     }
                 }
-                37 | 38 => {
-                    t.seal();
-                    t.flush_sealed().unwrap();
-                }
-                _ => {
-                    t.flush().unwrap();
-                    t.finish_merges();
-                    lists.push(sizes_and_lsns(&t));
+                op => {
+                    settle(&mut group, true).unwrap();
+                    group.iter().for_each(LsmTree::finish_merges);
+                    lists.push(group.iter().map(sizes_and_lsns).collect());
+                    // a merge of the backlog, in flight at the next seal
+                    for t in group.iter().filter(|_| op == 36) {
+                        let job = t.shared.claim(&mut t.shared.state.lock(), None, |_| Some(2));
+                        if let Some(job) = job {
+                            t.shared.offload(job);
+                        }
+                    }
                 }
             }
+            if width > 1 {
+                settle(&mut group, false).unwrap();
+            }
         }
-        t.flush().unwrap();
-        t.finish_merges();
-        lists.push(sizes_and_lsns(&t));
-        let s = t.stats();
-        (lists, [s.seals, s.flushes, s.flushes_merged, s.merges, s.entries_written])
+        settle(&mut group, true).unwrap();
+        group.iter().for_each(LsmTree::finish_merges);
+        lists.push(group.iter().map(sizes_and_lsns).collect());
+        let counters = group.iter().map(|t| t.stats()).map(|s| [s.seals, s.flushes, s.flushes_merged, s.merges, s.entries_written]);
+        (lists, counters.collect())
     }
 
     /// A seal and a flush finish the merge in flight before they go on, so
     /// the policy decides alike whatever runs the merges: one op stream
     /// leaves the same disk lists after every flush, and the same counters,
     /// with its merges on the caller, on threads of their own and parked
-    /// for the stream to step.
+    /// for the stream to step — into one index alone and into two settled
+    /// together.
     fn every_executor_leaves_the_lists_a_merge_on_the_caller_does<E: Entries>() {
         let policies = [
             MergePolicy::Prefix { max_mergable_bytes: 96 << 10, max_tolerance_components: 2 },
             MergePolicy::Constant { max_components: 2 },
         ];
-        for policy in policies {
-            let on_caller = executor_trace::<E>(policy, 0);
-            let [seals, _, flushes_merged, merges, _] = on_caller.1;
-            assert!(seals > 20 && flushes_merged > 0 && merges >= flushes_merged, "{policy:?}: {:?}", on_caller.1);
-            assert_eq!(executor_trace::<E>(policy, 1), on_caller, "{policy:?}: a thread per merge");
-            assert_eq!(executor_trace::<E>(policy, 2), on_caller, "{policy:?}: parked and stepped");
+        for (policy, width) in policies.into_iter().flat_map(|p| [(p, 1), (p, 2)]) {
+            let on_caller = executor_trace::<E>(policy, 0, width);
+            for [seals, _, flushes_merged, merges, _] in &on_caller.1 {
+                assert!(*seals > 20 && *flushes_merged > 0 && merges >= flushes_merged, "{policy:?} {width}: {:?}", on_caller.1);
+            }
+            assert_eq!(executor_trace::<E>(policy, 1, width), on_caller, "{policy:?} {width}: a thread per merge");
+            assert_eq!(executor_trace::<E>(policy, 2, width), on_caller, "{policy:?} {width}: parked and stepped");
         }
+    }
+
+    /// Two indexes joined to a group as a partition's are, stamped alike: the
+    /// first — a secondary — on a small budget, the second — the primary —
+    /// on one no write here reaches. Both seal at the write that takes the
+    /// first past its budget. While the first's sealed component is in a
+    /// merge nobody steps, the second publishes nothing; once a seal is due,
+    /// both merges finish on the caller.
+    fn indexes_settled_together_seal_together_and_flush_in_order<E: Entries>() {
+        let (cache, _d) = setup(None);
+        let parked = Arc::new(ParkedExecutor::default());
+        cache.stats().lsm().install_executor(parked.clone());
+        let policy = MergePolicy::Constant { max_components: 1 };
+        let index = |name: &str, mem_budget| LsmTree::new(Arc::clone(&cache), LsmConfig { name: name.into(), ..E::config(mem_budget, policy) });
+        let mut group = Vec::new();
+        join(&mut group, 0, index("primary", 1 << 30));
+        join(&mut group, 0, index("secondary", 2 << 10));
+        assert_eq!(settle(&mut group, false).unwrap(), Settled::default());
+        let mut i = 0;
+        let mut write = |group: &mut Vec<LsmTree>| {
+            i += 1;
+            for t in group.iter_mut() {
+                t.stamp(i, None);
+                E::put(t, i);
+            }
+            settle(group, false).unwrap()
+        };
+        let seals = |group: &[LsmTree]| group.iter().map(|t| t.stats().seals).collect::<Vec<_>>();
+        // the first seal: nothing to merge with, both flushed on their own
+        while seals(&group) == [0, 0] {
+            let settled = write(&mut group);
+            assert_eq!(settled.sealed, seals(&group) != [0, 0]);
+        }
+        assert_eq!(seals(&group), [1, 1], "sealed at the same write");
+        assert_eq!(group.iter().map(|t| t.stats().flushes).collect::<Vec<_>>(), [1, 1]);
+        // the second: the first's sealed component goes into a merge nobody steps
+        while seals(&group) == [1, 1] {
+            let settled = write(&mut group);
+            assert!(!settled.published, "the primary published past a merging secondary");
+        }
+        assert_eq!(seals(&group), [2, 2], "sealed at the same write");
+        assert_eq!(parked.0.lock().len(), 1);
+        // the secondary's merge holds its sealed component until a seal is due
+        while seals(&group) == [2, 2] {
+            assert!(group[0].mem.sealed.is_some());
+            write(&mut group);
+            if seals(&group) == [2, 2] {
+                assert_eq!(group[1].stats().flushes, 1, "the primary published past a merging secondary");
+            }
+        }
+        assert_eq!(seals(&group), [3, 3], "sealed at the same write");
+        let merged = group.iter().map(|t| (t.stats().flushes_merged, t.stats().merges)).collect::<Vec<_>>();
+        assert_eq!(merged, [(1, 1), (1, 1)], "each sealed component went through its merge");
+        let jobs: Vec<_> = parked.0.lock().drain(..).collect();
+        assert!(jobs.len() >= 2);
+        for job in &jobs[..2] {
+            assert_eq!(job.step(), JobStep::Done, "the caller finished it");
+        }
+        assert_eq!(group.iter().map(|t| E::live(t)).collect::<Vec<_>>(), [i as usize; 2]);
     }
 
     /// A merge whose morsel panics is counted aborted and frees the slot:
@@ -2210,35 +2314,37 @@ mod tests {
         assert_eq!(t.stats().flushes, stats.flushes + 1);
     }
 
-    /// An index its owner seals: no write and no release seals or flushes
-    /// it, however far past its budget; [`LsmTree::seal`] seals, and
-    /// [`LsmTree::flush_sealed`] flushes what was sealed once its writers are done
-    /// — a sealed component of nothing by moving the manifest's LSN alone.
-    fn an_index_its_owner_seals_waits_for_the_owner<E: Entries>() {
+    /// An index its owner settles: once [`join`]ed to a group, no write
+    /// and no release seals or flushes it, however far past its budget; the
+    /// owner's [`settle`] seals it, and flushes what was sealed once its
+    /// writers are done — a sealed component of nothing by moving the
+    /// manifest's LSN alone.
+    fn an_index_its_owner_settles_waits_for_the_owner<E: Entries>() {
         let (cache, _d) = setup(None);
-        let mut t = LsmTree::new(cache, E::config(512, MergePolicy::NoMerge));
-        t.sealed_by_owner();
+        let mut group = Vec::new();
+        join(&mut group, 0, LsmTree::new(cache, E::config(512, MergePolicy::NoMerge)));
+        let t = &mut group[0];
+        let owner = |t: &mut LsmTree| settle(std::slice::from_mut(t), false).unwrap();
         for i in 0..40 {
             t.stamp(100 + i, Some(7));
-            E::put(&mut t, i);
+            E::put(t, i);
         }
         t.release(7).unwrap();
-        assert!(t.over_budget() && !t.has_sealed(), "no write seals it");
+        assert!(t.over_budget() && t.mem.sealed.is_none(), "no write and no release seals it");
         t.stamp(200, Some(8));
-        E::put(&mut t, 40);
-        t.seal();
-        assert!(t.has_sealed() && !t.over_budget());
-        t.flush_sealed().unwrap();
-        assert_eq!(t.stats().flushes, 0, "txn 8 wrote into it");
+        E::put(t, 40);
+        assert_eq!(owner(t), Settled { sealed: true, published: false }, "txn 8 wrote into it");
+        assert!(t.mem.sealed.is_some() && !t.over_budget());
         t.release(8).unwrap();
         assert_eq!(t.stats().flushes, 0, "nor does a release flush it");
-        t.flush_sealed().unwrap();
-        assert_eq!((t.stats().flushes, t.flushed_below(), E::live(&t)), (1, 201, 41));
-        t.cover_below(300);
-        t.seal();
-        t.flush_sealed().unwrap();
+        assert_eq!(owner(t), Settled { sealed: false, published: true });
+        assert_eq!((t.stats().flushes, t.flushed_below(), E::live(t)), (1, 201, 41));
+        // stamped, empty, and pinning more log than its budget
+        t.stamp(300, None);
+        t.cover_below(1_000);
+        assert_eq!(owner(t), Settled { sealed: true, published: false });
         let stats = t.stats();
-        assert_eq!((stats.seals, stats.flushes, t.component_count(), t.flushed_below()), (2, 1, 1, 300));
+        assert_eq!((stats.seals, stats.flushes, t.component_count(), t.flushed_below()), (2, 1, 1, 1_000));
     }
 
     /// One seeded schedule of stamped writes, releases and flushes over three
@@ -2443,8 +2549,13 @@ mod tests {
                 }
 
                 #[test]
-                fn an_index_its_owner_seals_waits_for_the_owner() {
-                    super::an_index_its_owner_seals_waits_for_the_owner::<$k>();
+                fn an_index_its_owner_settles_waits_for_the_owner() {
+                    super::an_index_its_owner_settles_waits_for_the_owner::<$k>();
+                }
+
+                #[test]
+                fn indexes_settled_together_seal_together_and_flush_in_order() {
+                    super::indexes_settled_together_seal_together_and_flush_in_order::<$k>();
                 }
             }
         };

@@ -44,7 +44,8 @@ use std::sync::Arc;
 
 pub use crate::btree::Entry;
 pub use crate::harness::{
-    audit_directory, manifest_names, remove_index_files, sweep_unreferenced, LsmStats, LsmTree, MergePolicy, SlotStamps,
+    audit_directory, join, manifest_names, remove_index_files, settle, sweep_unreferenced, LsmStats, LsmTree, MergePolicy, Settled,
+    SlotStamps,
 };
 
 // ---------------------------------------------------------------------------
@@ -417,19 +418,20 @@ enum Found<'a, D> {
 }
 
 impl LsmTree {
-    /// Inserts or replaces `key`. Past the budget the memory component is
-    /// sealed, and flushed unless an open transaction wrote into it.
+    /// Inserts or replaces `key`. An index alone is then settled: past the
+    /// budget the memory component is sealed, and flushed unless an open
+    /// transaction wrote into it ([`crate::harness::settle`]).
     pub fn upsert(&mut self, key: Vec<u8>, value: Vec<u8>) -> Result<()> {
         self.shared.count_ingested();
         self.mem.active_mut().put(key, value);
-        self.settle(false)
+        self.settle_alone(false)
     }
 
     /// Deletes `key` (tombstone insert).
     pub fn delete(&mut self, key: Vec<u8>) -> Result<()> {
         self.shared.count_ingested();
         self.mem.active_mut().delete(key);
-        self.settle(false)
+        self.settle_alone(false)
     }
 
     /// The walk of a point lookup: memory components, then disk components

@@ -109,9 +109,9 @@ fn overwriting_every_key_once_leaves_the_count_where_it_was() {
 }
 
 /// A spatial index's memory component, which holds entries — points or
-/// rectangles — and the delete markers written while it was active: an
-/// index sealed only by its owner says it is over its budget when the
-/// allocator holds within 15 % of that budget for it. (Keys deleted in
+/// rectangles — and the delete markers written while it was active: filled
+/// past `BUDGET` (under a budget no write reaches, so nothing seals it), it
+/// counts what the allocator holds for it within 15 %. (Keys deleted in
 /// ascending primary-key order still reach the memory component in Hilbert
 /// order, which the positions decide, so they are held like random ones; the
 /// case keeps the band of an ascending load, at most a fifth more.)
@@ -130,13 +130,12 @@ fn an_r_tree_memory_component_counts_what_the_allocator_holds_for_it() {
         ("deleted keys ascending", &ascending, 0.80..=1.0),
     ];
     for (name, order, band) in cases {
-        let config = LsmConfig { mem_budget: BUDGET, ..spatial::config(name.replace(' ', "_")) };
+        let config = LsmConfig { mem_budget: usize::MAX, ..spatial::config(name.replace(' ', "_")) };
         let mut tree = LsmTree::new(std::sync::Arc::clone(&cache), config);
-        tree.sealed_by_owner();
         let mut rng = StdRng::seed_from_u64(9);
         let before = held();
         let mut entries = order.iter().map(|&i| key(i, 9, 0));
-        while !tree.over_budget() {
+        while tree.mem_layers().map(|(mem, _)| mem.bytes()).sum::<usize>() <= BUDGET {
             let key = entries.next().unwrap_or_else(|| panic!("{name}: never over budget"));
             let at = point(&mut rng);
             match name {

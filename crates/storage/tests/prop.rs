@@ -1343,14 +1343,16 @@ fn images(dir: &TempDir, name: &str) -> Vec<Vec<(String, Vec<u8>)>> {
     by_id.into_values().rev().map(|mut files| { files.sort(); files }).collect()
 }
 
-/// Drives one op stream — upserts, deletes, seals followed by flushes that
-/// do not wait for a merge that takes the sealed component in, a morsel of
-/// a parked merge, and flushes — through an index of `S` under `policy`,
-/// its merges on the caller (`exec` 0), on a thread of their own (1) or
-/// stepped by the stream (2), and checks every read against a map after
-/// every op. Returns how many sealed components went straight into a merge
-/// that published them, and how many of those a seal found still in their
-/// merge and published through it, writing nothing on its own.
+/// Drives one op stream — upserts, deletes, writes of an open transaction
+/// after a leap of the log that makes a seal due, a morsel of a parked
+/// merge followed by a write, and flushes — through an index of `S` under
+/// `policy`, its merges on the caller (`exec` 0), on a thread of their own
+/// (1) or stepped by the stream (2), and checks every read against a map
+/// after every op. A write settles the index without waiting for a merge
+/// that takes its sealed component in. Returns how many sealed components
+/// went straight into a merge that published them, and how many of those a
+/// due seal found still in their merge and published through it, writing
+/// nothing on its own.
 fn matches_the_model_while_memory_merges_run<S: Subject>(ops: &[(u8, u64)], policy: MergePolicy, exec: u8) -> (u64, u64) {
     let (cache, _d) = setup(64);
     let stepped = Arc::new(Stepped::default());
@@ -1359,48 +1361,60 @@ fn matches_the_model_while_memory_merges_run<S: Subject>(ops: &[(u8, u64)], poli
         1 => cache.stats().lsm().install_executor(Arc::new(OnThread)),
         _ => cache.stats().lsm().install_executor(stepped.clone()),
     }
-    let mut t = S::create(cache, "m", 2 << 10, policy);
+    const BUDGET: u64 = 2 << 10;
+    const TXN: u64 = 1;
+    let mut t = S::create(cache, "m", BUDGET as usize, policy);
     let mut model: BTreeMap<u64, u64> = BTreeMap::new();
     let mut finished_by_seal = 0;
+    let mut lsn = 0;
     for (version, &(op, i)) in (1u64..).zip(ops) {
+        let before = t.lsm().stats();
         match op {
-            0..=4 => {
-                if let Some(old) = model.insert(i, version).filter(|_| S::RETRACTS) {
-                    t.delete(i, old);
-                }
-                t.put(i, version);
-            }
             5 | 6 => {
                 if let Some(old) = model.remove(&i) {
                     t.delete(i, old);
                 }
             }
-            7 => {
-                // nothing here has writers: a sealed component held is a merge's
-                let held = t.lsm().has_sealed();
-                let before = t.lsm().stats();
-                t.lsm().seal();
-                let after = t.lsm().stats();
-                let on_own = |s: LsmStats| s.flushes - s.flushes_merged;
-                if held {
-                    assert!(after.flushes_merged > before.flushes_merged && on_own(after) == on_own(before), "op {version}: the seal published it");
-                    finished_by_seal += 1;
+            9 => t.lsm().flush().unwrap(),
+            _ => {
+                match op {
+                    // the log the active component pins passes the budget:
+                    // the write's settling seals, and what it seals waits
+                    // for the transaction
+                    7 => {
+                        lsn += 1;
+                        t.lsm().stamp(lsn, None);
+                        lsn += BUDGET;
+                        t.lsm().stamp(lsn, Some(TXN));
+                    }
+                    8 => stepped.step(),
+                    _ => {}
                 }
-                t.lsm().flush_sealed().unwrap();
+                if let Some(old) = model.insert(i, version).filter(|_| S::RETRACTS) {
+                    t.delete(i, old);
+                }
+                t.put(i, version);
             }
-            8 => {
-                stepped.step();
-                t.lsm().flush_sealed().unwrap();
+        }
+        if op == 7 {
+            // no transaction is open before: a sealed component held is a merge's
+            let after = t.lsm().stats();
+            let on_own = |s: LsmStats| s.flushes - s.flushes_merged;
+            assert!(after.seals > before.seals, "op {version}: no seal came due");
+            if before.seals > before.flushes {
+                assert!(after.flushes_merged > before.flushes_merged && on_own(after) == on_own(before), "op {version}: the seal published it");
+                finished_by_seal += 1;
             }
-            _ => t.lsm().flush().unwrap(),
+            t.lsm().release(TXN).unwrap();
         }
         let mut want: Vec<_> = model.iter().map(|(&i, &v)| S::entry(i, v)).collect();
         want.sort();
         assert_eq!(t.live(), want, "after op {version} ({op}, {i})");
     }
     t.lsm().flush().unwrap();
-    assert!(!t.lsm().has_sealed());
-    (t.lsm().stats().flushes_merged, finished_by_seal)
+    let stats = t.lsm().stats();
+    assert_eq!(stats.seals, stats.flushes, "a sealed component outlived the flush");
+    (stats.flushes_merged, finished_by_seal)
 }
 
 /// The same op rounds, each closed by a flush, through index `a`, whose
