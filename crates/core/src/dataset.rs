@@ -26,15 +26,15 @@
 
 use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
-use crate::node::{LogPin, Node};
+use crate::node::Node;
 use asterix_algebricks::source::{IndexInfo, IndexKind, IndexRange, KeyRange};
 use asterix_adm::binary::{encode_key, key_prefix_end, prepend_key_part, strip_key_part};
 use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
-use asterix_adm::{BatchBuilder, ColumnBatch, Point, Projection, RecordLayout, Value};
+use asterix_adm::{BatchBuilder, ColumnBatch, Projection, RecordLayout, Value};
 use asterix_storage::btree::LeafShape;
 use asterix_storage::lsm::{join, settle, Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected, Settled};
-use asterix_storage::wal::Lsn;
+use asterix_storage::wal::{LogPin, Lsn};
 use asterix_storage::{inverted, spatial, StorageError};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -194,7 +194,7 @@ pub struct DatasetPartition {
     /// of a stored record.
     indexed: Projection,
     /// Where the node reads the LSN of the oldest log record the primary
-    /// holds only in memory (see [`Node::log_pin`]).
+    /// holds only in memory (see [`NodeLog::pin`](asterix_storage::wal::NodeLog::pin)).
     log_pin: LogPin,
     /// A log rotation or truncation that failed after an operation had
     /// already been applied; the next call reports it, having applied
@@ -261,7 +261,7 @@ impl DatasetPartition {
         origin: Origin,
     ) -> Result<DatasetPartition> {
         let name = format!("{}_p{partition}_pri", def.name);
-        let log_pin = node.log_pin(&name);
+        let log_pin = node.log.pin(&name);
         let primary = open_tree(&node, lsm_config(cfg, name, LeafShape::Groups(Arc::clone(&schema.layout))), origin)?;
         let mut part = DatasetPartition {
             dataset: def.name.clone(),
@@ -292,7 +292,7 @@ impl DatasetPartition {
     /// The LSN below which the log is no business of an index created now:
     /// the next one to be logged. `None` for an index being recovered.
     fn born(&self, origin: Origin) -> Option<Lsn> {
-        (origin == Origin::Created).then(|| self.node.wal.lock().next_lsn())
+        (origin == Origin::Created).then(|| self.node.log.next_lsn())
     }
 
     /// Takes `tree`, just opened, into the flush order — as secondary index
@@ -411,7 +411,7 @@ impl DatasetPartition {
     /// Drops the partition from disk: every index's manifest and components,
     /// the primary's first. The log is not held back by it any more.
     pub fn destroy(&mut self) -> Result<()> {
-        self.node.drop_log_pin(self.primary().name());
+        self.node.log.unpin(self.primary().name());
         for idx in self.indexes.iter().rev() {
             idx.destroy()?;
         }
@@ -526,14 +526,7 @@ impl DatasetPartition {
         let out = op(self).and_then(|done| Ok((done, settle(&mut self.indexes, force)?)));
         self.log_pin.store(self.primary().first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
         let settled = out.as_ref().map_or(Settled::default(), |(_, settled)| *settled);
-        let mut kept_up = Ok(());
-        if settled.sealed {
-            kept_up = self.node.rotate_log();
-        }
-        if settled.published {
-            kept_up = kept_up.and(self.node.truncate_log());
-        }
-        self.log_error = kept_up.err();
+        self.log_error = self.node.log.checkpoint(settled.sealed, settled.published).err().map(CoreError::from);
         out.map(|(done, _)| done)
     }
 
@@ -741,11 +734,6 @@ pub fn partition_of(pk: &[u8], partitions: usize) -> u32 {
     (h % partitions.max(1) as u64) as u32
 }
 
-/// A point helper for tests.
-pub fn pt(x: f64, y: f64) -> Value {
-    Value::Point(Point::new(x, y))
-}
-
 #[cfg(test)]
 impl RecordSchema {
     /// Of an open type that declares only its key, `id`: how a unit test
@@ -785,7 +773,7 @@ mod tests {
     use super::*;
     use crate::catalog::DatasetKind;
     use asterix_adm::parse::parse_value;
-    use asterix_adm::Rectangle;
+    use asterix_adm::{Point, Rectangle};
 
     fn tmp_node() -> (Arc<Node>, std::path::PathBuf) {
         let p = std::env::temp_dir().join(format!(
@@ -819,7 +807,7 @@ mod tests {
             r#"{{"id": {id}, "author": {author}, "text": "{text}"}}"#
         ))
         .unwrap();
-        v.as_object_mut().unwrap().set("loc", pt(x, x));
+        v.as_object_mut().unwrap().set("loc", Value::Point(Point::new(x, x)));
         v
     }
 

@@ -39,7 +39,6 @@ use asterix_sqlpp::lexer::TokenKind;
 use asterix_sqlpp::translate::{translate_query, CatalogView};
 use asterix_storage::io::write_atomic;
 use asterix_storage::lock_order::{Level, Mutex, RwLock, RwLockWriteGuard};
-use asterix_storage::wal::WalRecord;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::PathBuf;
 use asterix_obs::IdGen;
@@ -379,8 +378,7 @@ impl Instance {
             inner.datasets.read().values().map(|rt| (rt.def.id, Arc::clone(rt))).collect();
         let replayed = inner.ctx.registry().counter("core.recovery.records_replayed");
         for node in &inner.cluster.nodes {
-            node.pause_checkpoints();
-            for op in node.take_recovered_ops() {
+            for op in node.log.replay() {
                 let Some(rt) = by_id.get(&op.dataset) else { continue };
                 let Some(part) = rt.partitions.get(op.partition as usize) else { continue };
                 let mut part = part.write();
@@ -395,10 +393,10 @@ impl Instance {
                 }
                 replayed.inc();
             }
-            inner.txns.observe_recovered(node.wal.lock().max_txn());
+            inner.txns.observe_recovered(node.log.max_txn());
         }
         for node in &inner.cluster.nodes {
-            node.resume_checkpoints()?;
+            node.log.replayed()?;
         }
         // 5. a debug build checks that every index agrees with its primary
         if cfg!(debug_assertions) {
@@ -827,15 +825,16 @@ impl Instance {
     }
 
     /// Last durable sequence number of `feed` (0 = no committed batch): the
-    /// highest [`WalRecord::FeedCursor`] a committed transaction logged on
-    /// any node, carried across log truncation by the checkpoint that opens
-    /// each segment. This is the restart point a push feed
+    /// highest [`FeedCursor`](asterix_storage::wal::WalRecord::FeedCursor)
+    /// a committed transaction logged on any node, carried across log
+    /// truncation by the checkpoint that opens each segment. This is the
+    /// restart point a push feed
     /// ([`crate::feeds::Feed::resume`]) and a DCP feed
     /// ([`crate::feeds::Feed::shadow`]) ingest from: every record with a
     /// sequence number at or below it is durably committed.
     pub fn feed_durable_seq(&self, feed: &str) -> Result<u64> {
         let nodes = &self.inner.cluster.nodes;
-        Ok(nodes.iter().map(|node| node.wal.lock().frontier(feed)).max().unwrap_or(0))
+        Ok(nodes.iter().map(|node| node.log.frontier(feed)).max().unwrap_or(0))
     }
 
     /// Whether `rt`'s dataset is still there, not dropped since — whatever
@@ -968,7 +967,8 @@ pub struct Txn<'a> {
     /// transaction wrote until it is over.
     touched: BTreeMap<(u32, u32), Arc<DatasetRuntime>>,
     /// Feed frontiers this transaction advances: committed atomically with
-    /// the data as [`WalRecord::FeedCursor`] records.
+    /// the data as [`FeedCursor`](asterix_storage::wal::WalRecord::FeedCursor)
+    /// records.
     feed_cursors: Vec<(String, u64)>,
     /// It once waited [`FLUSH_WAIT_LIMIT`] in vain and waits no more.
     gave_up_waiting: bool,
@@ -1029,12 +1029,7 @@ impl<'a> Txn<'a> {
         let (dataset, partition) = (part.dataset_id, part.partition);
         let raw = put.as_ref().map(|(raw, _)| raw.as_slice());
         // WAL first
-        let lsn = part
-            .node()
-            .wal
-            .lock()
-            .append_write(txn_id, dataset, partition, &key, raw)
-            .map_err(CoreError::Storage)?;
+        let lsn = part.node().log.append_write(txn_id, dataset, partition, &key, raw)?;
         self.touched.entry((dataset, partition)).or_insert_with(|| Arc::clone(rt));
         let applied = match put {
             Some((raw, record)) => part.put_logged(&key, raw, record, before.as_deref(), lsn, Some(self.id)),
@@ -1107,28 +1102,7 @@ impl<'a> Txn<'a> {
             touched.insert(0);
         }
         for &n in &touched {
-            let node = &inner.cluster.nodes[n];
-            // append under the WAL lock, then release it before the sync:
-            // GroupCommit lets concurrent committers share the fdatasync
-            // (a lone committer performs exactly append→write→fsync, which
-            // seeded fault schedules count on)
-            let end = {
-                let mut wal = node.wal.lock();
-                for (feed, seq) in &self.feed_cursors {
-                    wal.append(&WalRecord::FeedCursor {
-                        txn_id: self.id,
-                        feed: feed.clone(),
-                        seq: *seq,
-                    })
-                    .map_err(CoreError::Storage)?;
-                }
-                wal.append(&WalRecord::Commit { txn_id: self.id })
-                    .map_err(CoreError::Storage)?;
-                wal.next_lsn()
-            };
-            node.wal_group
-                .sync_through(&node.wal, end)
-                .map_err(CoreError::Storage)?;
+            inner.cluster.nodes[n].log.commit(self.id, &self.feed_cursors)?;
         }
         self.finish(&touched, true, true)
     }
@@ -1145,7 +1119,7 @@ impl<'a> Txn<'a> {
     fn finish(&mut self, logged_on: &BTreeSet<usize>, committed: bool, release: bool) -> Result<()> {
         let inner = &self.instance.inner;
         for &n in logged_on {
-            inner.cluster.nodes[n].wal.lock().finish_txn(self.id, committed);
+            inner.cluster.nodes[n].log.finish_txn(self.id, committed);
         }
         inner.txns.locks.release_all(self.id);
         self.finished = true;
@@ -1200,25 +1174,8 @@ impl<'a> Txn<'a> {
             }
         }
         for &n in &logged_on {
-            let node = &inner.cluster.nodes[n];
-            let res = (|| -> Result<()> {
-                let end = {
-                    let mut wal = node.wal.lock();
-                    if undone {
-                        wal.append(&WalRecord::Commit { txn_id: compensation })
-                            .map_err(CoreError::Storage)?;
-                    }
-                    wal.append(&WalRecord::Abort { txn_id: self.id }).map_err(CoreError::Storage)?;
-                    wal.finish_txn(compensation, true);
-                    wal.next_lsn()
-                };
-                if undone {
-                    node.wal_group.sync_through(&node.wal, end).map_err(CoreError::Storage)?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                first_err.get_or_insert(e);
+            if let Err(e) = inner.cluster.nodes[n].log.abort(self.id, undone.then_some(compensation)) {
+                first_err.get_or_insert(e.into());
             }
         }
         // an abort that is not durable must not let what it undid be flushed

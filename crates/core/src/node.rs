@@ -8,30 +8,23 @@
 //!
 //! What a node's directory holds across a restart is its LSM disk components
 //! — exactly those some index manifest names — and the tail of its log: the
-//! segments not yet wholly below every primary index's flushed LSN. A primary
-//! index sealing a memory component rotates the log; one publishing a flush
-//! unlinks the segments that flush left behind (DESIGN.md, "Durability").
+//! segments not yet wholly below every primary index's flushed LSN. The log
+//! is a [`NodeLog`], which owns what it logs, syncs and unlinks; a primary
+//! index's settle tells it when it sealed (rotate) and published (truncate)
+//! a memory component (DESIGN.md, "Durability").
 
 use crate::error::{CoreError, Result};
 use asterix_storage::cache::{BufferCache, CacheOptions};
 use asterix_storage::faults::FaultInjector;
 use asterix_storage::io::FileManager;
-use asterix_storage::lock_order::{Level, Mutex};
 use asterix_storage::stats::IoStats;
-use asterix_storage::wal::{GroupCommit, Lsn, ReplayOp, SegmentedWal};
-use std::collections::BTreeMap;
+use asterix_storage::wal::NodeLog;
 use std::path::{Path, PathBuf};
-use asterix_obs::Flag;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// File-name prefix of a node's log segments (`node-<base-lsn>.wal`).
 const WAL_PREFIX: &str = "node";
-
-/// The cell in which a primary index publishes the LSN of the oldest log
-/// record it holds only in memory (`Lsn::MAX`: none).
-#[expect(clippy::disallowed_types, reason = "moves both ways: stored with Release under its partition's lock, read with Acquire under the WAL lock")]
-pub type LogPin = Arc<std::sync::atomic::AtomicU64>;
 
 /// One storage node.
 #[expect(clippy::disallowed_types, reason = "alive: SeqCst, so a kill is one point in every thread's order: a check after it sees the node down")]
@@ -39,27 +32,11 @@ pub struct Node {
     pub id: usize,
     pub dir: PathBuf,
     pub cache: Arc<BufferCache>,
-    pub wal: Mutex<SegmentedWal>,
-    /// Group-commit protocol for this node's WAL: committers append under
-    /// [`Node::wal`], then call [`GroupCommit::sync_through`] so concurrent
-    /// commits share one fdatasync (see `asterix_storage::wal::GroupCommit`).
-    pub wal_group: Arc<GroupCommit>,
+    pub log: NodeLog,
     /// Simulated liveness. A killed node keeps its on-disk state (directory,
     /// WAL) but refuses all data access until [`Node::restart`] — the
     /// in-process stand-in for a machine dropping out of the cluster.
     alive: std::sync::atomic::AtomicBool,
-    /// Per primary index on this node, the LSN of the oldest log record it
-    /// holds only in memory (`Lsn::MAX`: none). Each is written under its
-    /// partition's lock and read under the WAL lock.
-    log_pins: Mutex<BTreeMap<String, LogPin>>,
-    /// Operations of committed transactions found in the log at open, until
-    /// recovery takes them.
-    recovered_ops: Mutex<Vec<ReplayOp>>,
-    /// Set while recovery replays the log: the tail being replayed is not in
-    /// any memory component yet, so nothing may be truncated.
-    checkpoints_paused: Flag,
-    /// A rotation was asked for while paused.
-    rotation_owed: Flag,
 }
 
 impl Node {
@@ -90,20 +67,8 @@ impl Node {
         let cache = BufferCache::with_options(fm, cache_opts);
         // the log counts into the registry the node's pages and indexes do
         let registry = cache.stats().registry();
-        let (wal, recovered_ops) = SegmentedWal::recover(&dir, WAL_PREFIX, faults, registry)?;
-        let wal_group = Arc::new(GroupCommit::new(registry));
-        Ok(Arc::new(Node {
-            id,
-            dir,
-            cache,
-            wal: Mutex::ranked(Level::Wal, wal),
-            wal_group,
-            alive: true.into(),
-            log_pins: Mutex::ranked(Level::LogPins, BTreeMap::new()),
-            recovered_ops: Mutex::new(recovered_ops),
-            checkpoints_paused: Flag::new(false),
-            rotation_owed: Flag::new(false),
-        }))
+        let log = NodeLog::open(&dir, WAL_PREFIX, faults, registry)?;
+        Ok(Arc::new(Node { id, dir, cache, log, alive: true.into() }))
     }
 
     /// Simulates the node dropping out of the cluster: durable state stays
@@ -137,65 +102,6 @@ impl Node {
     /// The node's I/O statistics.
     pub fn stats(&self) -> &Arc<IoStats> {
         self.cache.stats()
-    }
-
-    /// The committed operations the log held when the node was opened (once:
-    /// recovery replays them).
-    pub fn take_recovered_ops(&self) -> Vec<ReplayOp> {
-        std::mem::take(&mut *self.recovered_ops.lock())
-    }
-
-    /// The cell in which primary index `index` publishes the LSN of the
-    /// oldest log record it holds only in memory; the log keeps everything
-    /// from there on.
-    pub fn log_pin(&self, index: &str) -> LogPin {
-        let mut pins = self.log_pins.lock();
-        Arc::clone(pins.entry(index.to_string()).or_insert_with(|| Arc::new(Lsn::MAX.into())))
-    }
-
-    /// Primary index `index` is gone and holds nothing back any more.
-    pub fn drop_log_pin(&self, index: &str) {
-        self.log_pins.lock().remove(index);
-    }
-
-    /// A primary index sealed a memory component: starts a new log segment,
-    /// so that the records the sealed component covers end with the old one.
-    pub fn rotate_log(&self) -> Result<()> {
-        if self.checkpoints_paused.get() {
-            self.rotation_owed.set(true);
-            return Ok(());
-        }
-        Ok(self.wal.lock().rotate()?)
-    }
-
-    /// A primary index published a flush: unlinks the log segments that lie
-    /// wholly below what every primary index still holds only in memory.
-    pub fn truncate_log(&self) -> Result<()> {
-        if self.checkpoints_paused.get() {
-            return Ok(());
-        }
-        let mut wal = self.wal.lock();
-        // read under the WAL lock: a writer's records are either behind its
-        // index's pin or, until its transaction finishes, in the log's own
-        // in-flight table
-        let pin = self.log_pins.lock().values().map(|p| p.load(Ordering::Acquire)).min();
-        Ok(wal.truncate_below(pin.unwrap_or(Lsn::MAX))?)
-    }
-
-    /// Recovery is about to replay the log tail: until
-    /// [`Node::resume_checkpoints`], no rotation and no truncation.
-    pub fn pause_checkpoints(&self) {
-        self.checkpoints_paused.set(true);
-    }
-
-    /// Replay is done: catches up on a rotation a replay-time flush asked for.
-    pub fn resume_checkpoints(&self) -> Result<()> {
-        self.checkpoints_paused.set(false);
-        if self.rotation_owed.swap(false) {
-            self.rotate_log()?;
-            self.truncate_log()?;
-        }
-        Ok(())
     }
 }
 
@@ -317,30 +223,6 @@ mod tests {
         let t = LsmTree::reopen(Arc::clone(&n.cache), LsmConfig::new("ds_p0_pri")).unwrap();
         assert_eq!(t.get(b"k").unwrap().as_deref(), Some(b"v".as_slice()));
         assert!(wal_files(&dir) >= 1, "the log must survive reopen");
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn panicked_wal_holder_does_not_wedge_the_node() {
-        let root = tmp();
-        let n = Node::open(0, root.join("node0"), 4).unwrap();
-        let n2 = Arc::clone(&n);
-        let _ = asterix_storage::lock_order::join(std::thread::spawn(move || {
-            let _wal = n2.wal.lock();
-            panic!("holder dies with the WAL guard live");
-        }));
-        // A bare std::sync::Mutex would now be poisoned and every later
-        // lock().unwrap() would panic, wedging commit/rollback. The
-        // lock_order mutex takes a poisoned lock as it is instead.
-        {
-            let mut wal = n.wal.lock();
-            wal.append(&asterix_storage::wal::WalRecord::Commit { txn_id: 1 }).unwrap();
-            wal.sync().unwrap();
-        }
-        // and reopening the same node directory still succeeds
-        drop(n);
-        let n = Node::open(0, root.join("node0"), 4).unwrap();
-        assert_eq!(wal_files(&n.dir), 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -47,7 +47,7 @@ mod common;
 #[path = "common/crash.rs"]
 mod crash;
 
-use asterix_adm::Value;
+use asterix_adm::{Point, Value};
 use asterix_core::dataset::{extract_pk, StorageConfig};
 use asterix_core::instance::{Instance, InstanceConfig};
 use asterix_storage::faults::{FaultConfig, FaultEvent, FaultInjector};
@@ -666,7 +666,7 @@ fn msg(id: i64, version: i64, words: usize) -> Value {
         ("author".into(), Value::Int((id + version) % 4)),
         (
             "loc".into(),
-            asterix_core::dataset::pt(((id + version) % 6) as f64, (id % 3) as f64),
+            Value::Point(Point::new(((id + version) % 6) as f64, (id % 3) as f64)),
         ),
         ("text".into(), Value::from(text.join(" "))),
         ("pad".into(), Value::from("p".repeat(200))),
@@ -1470,7 +1470,7 @@ const TYPE_CASES: [TypeCase; 3] = [
                 fields.push(("nick", Value::from("nick")));
             }
             if id % 3 == 0 {
-                fields.push(("at", asterix_core::dataset::pt(id as f64, version as f64)));
+                fields.push(("at", Value::Point(Point::new(id as f64, version as f64))));
             }
             fields.push(("name", Value::from(format!("n{id}v{version}"))));
             with_fields(fields)

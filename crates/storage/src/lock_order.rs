@@ -69,22 +69,21 @@ pub enum Level {
     CacheInflight,
     /// A buffer-cache shard: `CacheInflight → CacheShard`, `LsmManifest → CacheShard`.
     CacheShard,
-    /// A node's log: `LsmComponent → Wal`, `Ddl → Wal`.
+    /// A node's log, its pins and its replay pause (`wal::NodeLog`): `LsmComponent → Wal`, `Ddl → Wal`.
     Wal,
-    /// A node's log pins: `Wal → LogPins` (truncation reads them under the log).
-    LogPins,
     /// The pub/sub channel map: `PubsubChannels → PubsubSubscribers`.
     PubsubChannels,
     /// A channel's subscribers: `PubsubChannels → PubsubSubscribers`.
     PubsubSubscribers,
 }
 
-/// A wait a pool step may not make: a [`Condvar`]'s, a group commit's
-/// (`GroupCommit::sync_through`), [`sleep`], [`join`], [`recv`].
+/// A wait a pool step may not make: a [`Condvar`]'s, a commit's for its
+/// records to be durable (`wal::NodeLog::commit` and `abort`), [`sleep`],
+/// [`join`], [`recv`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Wait {
     Condvar,
-    GroupCommit,
+    Durable,
     Sleep,
     Join,
     Recv,
@@ -621,10 +620,10 @@ mod tests {
     #[test]
     #[cfg_attr(not(debug_assertions), ignore = "release builds do not mark pool steps")]
     fn a_pool_step_may_wait_only_on_a_peers_read() {
-        // `Condvar::wait`/`wait_for`, `GroupCommit::sync_through`, `sleep`,
+        // `Condvar::wait`/`wait_for`, a commit's wait to be durable, `sleep`,
         // `join`, `recv`/`recv_timeout`
         #[cfg(debug_assertions)]
-        for wait in [Wait::Condvar, Wait::GroupCommit, Wait::Sleep, Wait::Join, Wait::Recv] {
+        for wait in [Wait::Condvar, Wait::Durable, Wait::Sleep, Wait::Join, Wait::Recv] {
             let msg = as_pool_step(|| imp::parks_a_worker(wait))
                 .unwrap_or_else(|| panic!("{wait:?} on a pool step"));
             assert!(msg.contains(&format!("`{wait:?}` wait on a pool worker")), "{msg}");

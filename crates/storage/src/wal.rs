@@ -13,19 +13,22 @@
 //! module holds the records, the framing, the files, the syncs and what
 //! they count, and the segments.
 //!
-//! A node keeps its log as a [`SegmentedWal`]: files named
-//! `<prefix>-<base-lsn>.wal`, rotated when a partition seals its memory
-//! components and unlinked, whole segments at a time, once every index has
-//! flushed past them. Recovery reads the retained segments and re-applies
-//! the operations of committed transactions that no disk component covers.
-//! A block cut short or failing its checksum is a crash tail and is dropped
-//! whole with everything after it: one group commit, whose sync returned to
-//! nobody.
+//! A node's log is a [`NodeLog`], its one owner: behind one lock it keeps
+//! the [`SegmentedWal`] — files named `<prefix>-<base-lsn>.wal`, rotated
+//! when a primary index seals a memory component and unlinked, whole
+//! segments at a time, once every primary has flushed past them — with each
+//! primary's [`LogPin`] and the pause while recovery replays; it alone
+//! appends the records that end a transaction and syncs, in group commits.
+//! Recovery reads the retained segments and re-applies the operations of
+//! committed transactions that no disk component covers. A block cut short
+//! or failing its checksum is a crash tail and is dropped whole with
+//! everything after it: one group commit, whose sync returned to nobody. A
+//! failed fsync fails the log until it is opened again.
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
 use crate::le::{fnv1a, Cursor};
-use crate::lock_order::{self, Mutex};
+use crate::lock_order::{self, Level, Mutex};
 use crate::log_block::{self, Coder, StreamBytes};
 use asterix_adm::binary::{put_len_prefixed, put_varint};
 use asterix_obs::{Counter, Gauge, HighWater, MetricsRegistry};
@@ -34,6 +37,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -291,6 +295,20 @@ pub struct WalWriter {
     stream: u64,
     counters: SyncCounters,
     faults: Option<Arc<FaultInjector>>,
+    /// The error of the first failed fsync. The kernel may have dropped the
+    /// pages that fsync was to make durable, so every later append and sync
+    /// fails with it, until the log is opened again.
+    fsync_failed: Option<StorageError>,
+}
+
+/// `e` once more, for a later caller: an injected fault stays injected, an
+/// I/O error keeps its kind.
+fn again(e: &StorageError) -> StorageError {
+    match e {
+        StorageError::Injected(m) => StorageError::Injected(m.clone()),
+        StorageError::Io(e) => StorageError::Io(std::io::Error::new(e.kind(), e.to_string())),
+        e => StorageError::Invalid(e.to_string()),
+    }
 }
 
 impl WalWriter {
@@ -346,6 +364,7 @@ impl WalWriter {
             stream: scan.stream_len,
             counters,
             faults,
+            fsync_failed: None,
         };
         Ok((writer, scan.records))
     }
@@ -370,6 +389,7 @@ impl WalWriter {
     }
 
     fn append_with(&mut self, record: impl FnOnce(&mut Vec<u8>)) -> Result<Lsn> {
+        self.check_fsync()?;
         if let Some(f) = &self.faults {
             f.check_alive("wal append")?;
         }
@@ -384,8 +404,10 @@ impl WalWriter {
     /// On an injected short write the coded block is kept and `sync` may be
     /// retried: the retry rewrites the same bytes at the same offset, so a
     /// partial prefix on disk is simply overwritten (records appended in
-    /// between follow in a block of their own).
+    /// between follow in a block of their own). A failed fsync is not
+    /// retried: this and every later call return its error.
     pub fn sync(&mut self) -> Result<()> {
+        self.check_fsync()?;
         if !self.buf.is_empty() {
             if self.coded < self.buf.len() {
                 let start = Instant::now();
@@ -422,11 +444,19 @@ impl WalWriter {
             self.blocks.clear();
             self.coded = 0;
         }
-        if let Some(f) = self.faults.clone() {
-            f.on_sync(&format!("{}:fsync", crate::faults::target_name(&self.path)))?;
+        let synced = match &self.faults {
+            Some(f) => f.on_sync(&format!("{}:fsync", crate::faults::target_name(&self.path))),
+            None => Ok(()),
         }
-        self.file.sync_data()?;
-        Ok(())
+        .and_then(|()| Ok(self.file.sync_data()?));
+        if let Err(e) = &synced {
+            self.fsync_failed = Some(again(e));
+        }
+        synced
+    }
+
+    fn check_fsync(&self) -> Result<()> {
+        self.fsync_failed.as_ref().map_or(Ok(()), |e| Err(again(e)))
     }
 
     /// LSN the next record will receive.
@@ -751,11 +781,6 @@ impl SegmentedWal {
         self.active.sync()
     }
 
-    /// LSN the next record will receive.
-    pub fn next_lsn(&self) -> Lsn {
-        self.active.next_lsn()
-    }
-
     /// Transaction `txn` is over on this log: its records no longer hold
     /// segments back, and if it `committed` (durably), the feed cursors it
     /// logged become frontiers.
@@ -771,16 +796,6 @@ impl SegmentedWal {
             }
             false
         });
-    }
-
-    /// Last committed sequence number of `feed` (0 = none).
-    pub fn frontier(&self, feed: &str) -> u64 {
-        self.frontiers.get(feed).copied().unwrap_or(0)
-    }
-
-    /// Highest transaction id this log has seen.
-    pub fn max_txn(&self) -> u64 {
-        self.max_txn
     }
 
     /// Closes the active segment and starts the next with a checkpoint.
@@ -834,73 +849,192 @@ impl SegmentedWal {
     }
 }
 
-/// Group commit: concurrent committers of one node's WAL share fsyncs.
+/// The cell in which a primary index publishes the LSN of the oldest log
+/// record it holds only in memory (`Lsn::MAX`: none).
+#[expect(clippy::disallowed_types, reason = "moves both ways: stored with Release under its partition's lock, read with Acquire under the log's lock")]
+pub type LogPin = Arc<std::sync::atomic::AtomicU64>;
+
+/// A node's log, the one owner of what it logs, syncs and unlinks: behind
+/// one lock ([`Level::Wal`]) the [`SegmentedWal`], the [`LogPin`] of every
+/// primary index on the node and the replay pause.
 ///
-/// Every committer appends its records under the WAL lock, notes the log's
-/// end LSN, releases the lock, and calls [`GroupCommit::sync_through`]. The
-/// first committer to reach the sync becomes the *leader*: its `sync()`
-/// flushes the whole buffer — including records appended by committers that
-/// arrived after it took the lock — and advances the durable high-water
-/// mark past all of them. A committer that finds the mark already at or
-/// beyond its end LSN piggybacks on that earlier fsync and returns without
-/// touching the file, which is what turns N concurrent commits into one
-/// fdatasync. A lone committer never finds the mark ahead of itself, so it
-/// performs exactly append → write → fsync — the sequence seeded
-/// fault-injection schedules count on.
-///
-/// The durability guarantee: `sync_through(end)` returning `Ok` means every
-/// record below LSN `end` is on stable storage.
-pub struct GroupCommit {
-    /// Records durably synced (an LSN high-water mark).
+/// Group commit: a committer appends under the lock, notes the log's end and
+/// lets the lock go. The first to take it back leads: its sync writes every
+/// record buffered — later committers' too — and raises the durable mark
+/// past them; a committer that finds the mark at or past its end shares
+/// that fsync. A lone committer never does, so it does exactly append →
+/// write → fsync, which seeded fault schedules count on. A failed round
+/// fails every commit it covered (the writer keeps the failure) and none
+/// the mark already covers.
+pub struct NodeLog {
+    state: Mutex<LogState>,
+    /// The LSN below which every record is known synced.
     durable: HighWater,
     /// `storage.wal.group_commits`: leader fsync rounds.
     rounds: Counter,
-    /// `storage.wal.group_commit_waiters`: committers that piggybacked on
-    /// another committer's fsync.
+    /// `storage.wal.group_commit_waiters`: commits another's fsync covered.
     waiters: Counter,
 }
 
-impl GroupCommit {
-    /// A fresh protocol instance for one WAL (durable mark at 0), counting
-    /// into `registry`.
-    pub fn new(registry: &MetricsRegistry) -> GroupCommit {
-        GroupCommit {
+struct LogState {
+    wal: SegmentedWal,
+    /// Each primary index's pin, by name.
+    pins: BTreeMap<String, LogPin>,
+    /// Operations of committed transactions found at open, until recovery
+    /// takes them.
+    recovered: Vec<ReplayOp>,
+    /// While recovery replays them, they are in no memory component: no
+    /// rotation (it is owed) and no truncation.
+    replaying: bool,
+    rotation_owed: bool,
+}
+
+impl LogState {
+    fn checkpoint(&mut self, sealed: bool, published: bool) -> Result<()> {
+        if self.replaying {
+            self.rotation_owed |= sealed;
+            return Ok(());
+        }
+        let rotated = if sealed { self.wal.rotate() } else { Ok(()) };
+        if !published {
+            return rotated;
+        }
+        // a writer's records are either behind its index's pin or, until its
+        // transaction finishes, in the log's own in-flight table
+        let pin = self.pins.values().map(|p| p.load(Ordering::Acquire)).min();
+        rotated.and(self.wal.truncate_below(pin.unwrap_or(Lsn::MAX)))
+    }
+}
+
+impl NodeLog {
+    /// Opens the log under `dir` ([`SegmentedWal::recover`]), counting into
+    /// `registry`, and keeps what a restart must redo for [`NodeLog::replay`].
+    pub fn open(dir: &Path, prefix: &str, faults: Option<Arc<FaultInjector>>, registry: &MetricsRegistry) -> Result<NodeLog> {
+        let (wal, recovered) = SegmentedWal::recover(dir, prefix, faults, registry)?;
+        let state = LogState { wal, pins: BTreeMap::new(), recovered, replaying: false, rotation_owed: false };
+        Ok(NodeLog {
+            state: Mutex::ranked(Level::Wal, state),
             durable: HighWater::new(0),
             rounds: registry.counter("storage.wal.group_commits"),
             waiters: registry.counter("storage.wal.group_commit_waiters"),
-        }
+        })
     }
 
-    /// Durable high-water mark (the LSN below which every record is known
-    /// synced).
-    pub fn durable(&self) -> Lsn {
-        self.durable.get()
+    /// [`SegmentedWal::append_write`].
+    pub fn append_write(&self, txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) -> Result<Lsn> {
+        self.state.lock().wal.append_write(txn_id, dataset, partition, key, put)
     }
 
-    /// Makes every record below LSN `end` durable, sharing the fsync with
-    /// concurrent committers (see the type docs). `end` must
-    /// come from `wal.next_lsn()` observed while holding the WAL lock after
-    /// appending; `wal` must be the lock this protocol instance guards.
-    pub fn sync_through(&self, wal: &Mutex<SegmentedWal>, end: Lsn) -> Result<()> {
-        lock_order::check(lock_order::Wait::GroupCommit);
+    /// Logs a [`WalRecord::FeedCursor`] for each of `feed_cursors`, then
+    /// `txn`'s [`WalRecord::Commit`], and returns once they are durable.
+    pub fn commit(&self, txn: u64, feed_cursors: &[(String, u64)]) -> Result<()> {
+        let end = {
+            let mut s = self.state.lock();
+            for (feed, seq) in feed_cursors {
+                s.wal.append(&WalRecord::FeedCursor { txn_id: txn, feed: feed.clone(), seq: *seq })?;
+            }
+            s.wal.append(&WalRecord::Commit { txn_id: txn })?;
+            s.wal.active.next_lsn()
+        };
+        self.durable_through(end)
+    }
+
+    /// Logs `txn`'s [`WalRecord::Abort`], after the commit of the
+    /// `compensation` that restored its before-images, if it wrote any: then
+    /// the compensation is over, and both are durable when this returns.
+    pub fn abort(&self, txn: u64, compensation: Option<u64>) -> Result<()> {
+        let end = {
+            let mut s = self.state.lock();
+            if let Some(compensation) = compensation {
+                s.wal.append(&WalRecord::Commit { txn_id: compensation })?;
+            }
+            s.wal.append(&WalRecord::Abort { txn_id: txn })?;
+            if let Some(compensation) = compensation {
+                s.wal.finish_txn(compensation, true);
+            }
+            s.wal.active.next_lsn()
+        };
+        compensation.map_or(Ok(()), |_| self.durable_through(end))
+    }
+
+    /// Makes every record below `end` durable, as the leader of a round or
+    /// covered by one (see the type's docs).
+    fn durable_through(&self, end: Lsn) -> Result<()> {
+        lock_order::check(lock_order::Wait::Durable);
         if self.durable.get() >= end {
-            // an earlier leader's fsync already covered our bytes
             self.waiters.inc();
             return Ok(());
         }
-        let mut w = wal.lock();
+        let mut s = self.state.lock();
         if self.durable.get() >= end {
             // a leader finished while we waited for the lock
             self.waiters.inc();
             return Ok(());
         }
-        // leader: one write + fdatasync covers everything buffered so far,
-        // ours and any committer's that appended after our `end`
-        w.sync()?;
-        let synced = w.next_lsn(); // everything appended so far is on disk
-        self.durable.raise(synced);
+        s.wal.sync()?;
+        self.durable.raise(s.wal.active.next_lsn());
         self.rounds.inc();
         Ok(())
+    }
+
+    /// [`SegmentedWal::finish_txn`].
+    pub fn finish_txn(&self, txn: u64, committed: bool) {
+        self.state.lock().wal.finish_txn(txn, committed);
+    }
+
+    /// Last committed sequence number of `feed` (0 = none).
+    pub fn frontier(&self, feed: &str) -> u64 {
+        self.state.lock().wal.frontiers.get(feed).copied().unwrap_or(0)
+    }
+
+    /// Highest transaction id this log has seen.
+    pub fn max_txn(&self) -> u64 {
+        self.state.lock().wal.max_txn
+    }
+
+    /// LSN the next record will receive.
+    pub fn next_lsn(&self) -> Lsn {
+        self.state.lock().wal.active.next_lsn()
+    }
+
+    /// The cell in which primary index `index` publishes its oldest
+    /// unflushed LSN: the log keeps everything from there on.
+    pub fn pin(&self, index: &str) -> LogPin {
+        let mut s = self.state.lock();
+        Arc::clone(s.pins.entry(index.to_string()).or_insert_with(|| Arc::new(Lsn::MAX.into())))
+    }
+
+    /// Primary index `index` is gone and holds nothing back any more.
+    pub fn unpin(&self, index: &str) {
+        self.state.lock().pins.remove(index);
+    }
+
+    /// What a primary index's settle asks of the log: a new segment when it
+    /// `sealed` a memory component (the records it covers end with the old
+    /// one), and when it `published` one, the unlinking of the segments
+    /// wholly below every pin and the oldest open transaction. A failed
+    /// rotation still truncates; the first error is returned.
+    pub fn checkpoint(&self, sealed: bool, published: bool) -> Result<()> {
+        if !(sealed || published) {
+            return Ok(());
+        }
+        self.state.lock().checkpoint(sealed, published)
+    }
+
+    /// The committed operations the log held at open (once), for recovery:
+    /// until [`NodeLog::replayed`], no rotation and no truncation.
+    pub fn replay(&self) -> Vec<ReplayOp> {
+        let mut s = self.state.lock();
+        s.replaying = true;
+        std::mem::take(&mut s.recovered)
+    }
+
+    /// Replay is done: makes the rotation a replay-time seal asked for.
+    pub fn replayed(&self) -> Result<()> {
+        let mut s = self.state.lock();
+        s.replaying = false;
+        let owed = std::mem::take(&mut s.rotation_owed);
+        s.checkpoint(owed, owed)
     }
 }
 
@@ -1062,7 +1196,7 @@ mod tests {
         });
         let (mut wal, _) =
             SegmentedWal::recover(dir.path(), "node", Some(faults.clone()), &MetricsRegistry::new()).unwrap();
-        let start = wal.next_lsn();
+        let start = wal.active.next_lsn();
         for txn in 1..=8 {
             wal.append_write(txn, 7, 0, b"key", Some(b"value")).unwrap();
             wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
@@ -1075,7 +1209,7 @@ mod tests {
         // value; a commit its length, tag and transaction
         let records = 1 + 5 + 3 + 5 + 1 + 1 + 8;
         let counters = &wal.active.counters;
-        assert_eq!(counters.record_bytes.get(), wal.next_lsn() - start);
+        assert_eq!(counters.record_bytes.get(), wal.active.next_lsn() - start);
         assert_eq!(counters.record_bytes.get(), 8 * records);
         // a block a sync: 8 of header, tag, the stream's length and the
         // stream as it is — coded, its eighteen literals and the rest of the
@@ -1512,30 +1646,88 @@ mod tests {
         assert_eq!(m.get("b"), None);
     }
 
+    /// Two commits appended before either syncs; the log's end after each.
+    fn two_appended_commits(log: &NodeLog, txns: [u64; 2]) -> (Lsn, Lsn) {
+        let mut s = log.state.lock();
+        s.wal.append(&WalRecord::Commit { txn_id: txns[0] }).unwrap();
+        let end = s.wal.active.next_lsn();
+        s.wal.append(&WalRecord::Commit { txn_id: txns[1] }).unwrap();
+        (end, s.wal.active.next_lsn())
+    }
+
     #[test]
     fn group_commit_leader_fsync_covers_later_appends() {
         let dir = TempDir::new();
-        let wal = Mutex::ranked(crate::lock_order::Level::Wal, recover(&dir, None).0);
+        let log = open_log(&dir, None);
         let path = segment_path(dir.path(), "node", 0);
-        let gc = GroupCommit::new(&MetricsRegistry::new());
-        // two committers append before either syncs
-        let (end1, end2) = {
-            let mut w = wal.lock();
-            w.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
-            let e1 = w.next_lsn();
-            w.append(&WalRecord::Commit { txn_id: 2 }).unwrap();
-            (e1, w.next_lsn())
-        };
+        let (end1, end2) = two_appended_commits(&log, [1, 2]);
         // first sync is the leader: its one fsync makes both commits durable
-        gc.sync_through(&wal, end1).unwrap();
-        assert_eq!(gc.durable(), end2);
-        assert_eq!(gc.rounds.get(), 1);
-        assert_eq!(gc.waiters.get(), 0);
+        log.durable_through(end1).unwrap();
+        assert_eq!(log.durable.get(), end2);
+        assert_eq!(log.rounds.get(), 1);
+        assert_eq!(log.waiters.get(), 0);
         // second committer piggybacks without touching the file
-        gc.sync_through(&wal, end2).unwrap();
-        assert_eq!(gc.rounds.get(), 1, "no second fsync round");
-        assert_eq!(gc.waiters.get(), 1);
+        log.durable_through(end2).unwrap();
+        assert_eq!(log.rounds.get(), 1, "no second fsync round");
+        assert_eq!(log.waiters.get(), 1);
         assert_eq!(read_log(&path).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_failed_group_round_fails_every_commit_it_covered_and_no_other() {
+        let dir = TempDir::new();
+        // the crash point is the log's second fsync
+        let log = open_log(&dir, Some(FaultInjector::crash_at(1, ".wal:fsync", 1)));
+        log.commit(1, &[]).unwrap();
+        let durable = log.durable.get();
+        let (end2, end3) = two_appended_commits(&log, [2, 3]);
+        // the leader's fsync fails, and so does the commit it was to cover
+        assert!(matches!(log.durable_through(end2), Err(StorageError::Injected(_))));
+        assert!(matches!(log.durable_through(end3), Err(StorageError::Injected(_))));
+        assert_eq!(log.durable.get(), durable, "the mark stays below the failed round");
+        // a commit an earlier round made durable needs no fsync
+        log.durable_through(durable).unwrap();
+        assert_eq!((log.rounds.get(), log.waiters.get()), (1, 1));
+    }
+
+    #[test]
+    fn a_failed_fsync_fails_the_log_until_it_is_reopened() {
+        let dir = TempDir::new();
+        let (mut wal, _) = recover(&dir, Some(FaultInjector::crash_at(1, ".wal:fsync", 0)));
+        wal.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
+        let first = wal.sync().unwrap_err().to_string();
+        assert!(first.contains("injected crash during fsync"), "{first}");
+        // the next sync, an append and a rotation each return that failure,
+        // not the injector's refusal of whatever follows its crash
+        let later = [wal.sync(), wal.append(&WalRecord::Commit { txn_id: 2 }).map(drop), wal.rotate()];
+        for e in later.map(Result::unwrap_err) {
+            assert!(matches!(e, StorageError::Injected(_)), "{e}");
+            assert_eq!(e.to_string(), first);
+        }
+        drop(wal);
+        let (mut wal, _) = recover(&dir, None);
+        wal.append(&WalRecord::Commit { txn_id: 2 }).unwrap();
+        wal.sync().unwrap();
+    }
+
+    #[test]
+    fn a_panicked_log_holder_does_not_wedge_the_log() {
+        let dir = TempDir::new();
+        let log = Arc::new(open_log(&dir, None));
+        let holder = Arc::clone(&log);
+        let _ = lock_order::join(std::thread::spawn(move || {
+            let _state = holder.state.lock();
+            panic!("holder dies with the log's guard live");
+        }));
+        // A bare std::sync::Mutex would now be poisoned and every later
+        // lock().unwrap() would panic, wedging commit and abort. The
+        // lock_order mutex takes a poisoned lock as it is instead.
+        log.commit(1, &[]).unwrap();
+        drop(log);
+        // and reopening the same directory still succeeds
+        let log = open_log(&dir, None);
+        assert_eq!(log.max_txn(), 1);
+        assert_eq!(segment_files(dir.path()).len(), 1);
     }
 
     #[test]
@@ -1571,6 +1763,19 @@ mod tests {
         SegmentedWal::recover(dir.path(), "node", faults, &MetricsRegistry::new()).unwrap()
     }
 
+    /// The node log under `dir`, counting into a registry of its own.
+    fn open_log(dir: &TempDir, faults: Option<Arc<FaultInjector>>) -> NodeLog {
+        NodeLog::open(dir.path(), "node", faults, &MetricsRegistry::new()).unwrap()
+    }
+
+    /// One committed single-update transaction through `log`.
+    fn commit_through(log: &NodeLog, txn: u64) -> Lsn {
+        let lsn = log.append_write(txn, 7, 0, format!("k{txn}").as_bytes(), Some(b"v")).unwrap();
+        log.commit(txn, &[]).unwrap();
+        log.finish_txn(txn, true);
+        lsn
+    }
+
     /// One committed single-update transaction.
     fn commit_one(wal: &mut SegmentedWal, txn: u64) -> Lsn {
         let lsn = wal.append(&upd(txn, format!("k{txn}").as_bytes(), b"v")).unwrap();
@@ -1595,56 +1800,76 @@ mod tests {
         drop(wal);
         let (wal, ops) = recover(&dir, None);
         assert_eq!(ops.iter().map(|op| (op.lsn, op.txn_id)).collect::<Vec<_>>(), [(l1, 1), (l2, 2)]);
-        assert_eq!(wal.max_txn(), 2);
+        assert_eq!(wal.max_txn, 2);
         assert_eq!(wal.segments.get(), 2);
     }
 
     #[test]
     fn truncation_unlinks_whole_segments_below_the_pin_and_the_oldest_open_txn() {
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, None);
-        commit_one(&mut wal, 1);
-        wal.rotate().unwrap();
+        let log = open_log(&dir, None);
+        // one primary holds nothing in memory, the other pins what it does
+        let (_idle, pin) = (log.pin("a_p0_pri"), log.pin("b_p0_pri"));
+        let (rotate, truncate) = (|| log.checkpoint(true, false), || log.checkpoint(false, true));
+        let segments = || log.state.lock().wal.segments.get();
+        commit_through(&log, 1);
+        rotate().unwrap();
         // txn 2 stays open across the next rotation
-        let open_at = wal.append(&upd(2, b"k2", b"v")).unwrap();
-        wal.rotate().unwrap();
-        let l3 = commit_one(&mut wal, 3);
-        assert_eq!(wal.segments.get(), 3);
-        // everything is flushed, but txn 2 holds its segment (and so the
-        // later ones); the first segment goes
-        wal.truncate_below(wal.next_lsn()).unwrap();
-        assert_eq!(wal.segments.get(), 2);
-        assert!(wal.truncated_bytes.get() > 0);
-        assert!(wal.closed.front().is_some_and(|(base, ..)| *base <= open_at));
-        // a pin inside the active segment lets every closed one go
-        wal.finish_txn(2, false);
-        wal.truncate_below(l3).unwrap();
-        assert_eq!(wal.segments.get(), 1);
+        let open_at = log.append_write(2, 7, 0, b"k2", Some(b"v")).unwrap();
+        rotate().unwrap();
+        let l3 = commit_through(&log, 3);
+        assert_eq!(segments(), 3);
+        // nothing is pinned, but txn 2 holds its segment (and so the later
+        // ones); the first segment goes
+        truncate().unwrap();
+        assert_eq!(segments(), 2);
+        assert!(log.state.lock().wal.truncated_bytes.get() > 0);
+        assert!(log.state.lock().wal.closed.front().is_some_and(|(base, ..)| *base <= open_at));
+        // txn 2 over, a pin inside the active segment lets every closed one go
+        log.finish_txn(2, false);
+        pin.store(l3, Ordering::Release);
+        truncate().unwrap();
+        assert_eq!(segments(), 1);
         assert_eq!(segment_files(dir.path()).len(), 1);
-        // and a pin inside a closed segment keeps it
-        wal.rotate().unwrap();
-        wal.truncate_below(l3).unwrap();
-        assert_eq!(wal.segments.get(), 2);
+        // a pin inside a closed segment keeps it, until its index is gone
+        log.checkpoint(true, true).unwrap();
+        assert_eq!(segments(), 2);
+        log.unpin("b_p0_pri");
+        truncate().unwrap();
+        assert_eq!(segments(), 1);
     }
 
     #[test]
     fn checkpoint_carries_frontiers_and_txn_ids_past_truncation() {
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, None);
-        wal.append(&WalRecord::FeedCursor { txn_id: 41, feed: "f".into(), seq: 7 }).unwrap();
-        wal.append(&WalRecord::Commit { txn_id: 41 }).unwrap();
-        wal.sync().unwrap();
-        assert_eq!(wal.frontier("f"), 0, "not a frontier until the commit is known durable");
-        wal.finish_txn(41, true);
-        assert_eq!(wal.frontier("f"), 7);
-        wal.rotate().unwrap();
-        wal.truncate_below(wal.next_lsn()).unwrap();
-        assert_eq!(wal.segments.get(), 1, "the cursor's segment is gone");
-        drop(wal);
-        let (wal, ops) = recover(&dir, None);
-        assert!(ops.is_empty());
-        assert_eq!(wal.frontier("f"), 7);
-        assert_eq!(wal.max_txn(), 41);
+        let log = open_log(&dir, None);
+        log.commit(41, &[("f".into(), 7)]).unwrap();
+        assert_eq!(log.frontier("f"), 0, "not a frontier until its transaction is over");
+        log.finish_txn(41, true);
+        assert_eq!(log.frontier("f"), 7);
+        log.checkpoint(true, true).unwrap();
+        assert_eq!(log.state.lock().wal.segments.get(), 1, "the cursor's segment is gone");
+        drop(log);
+        let log = open_log(&dir, None);
+        assert!(log.replay().is_empty());
+        assert_eq!(log.frontier("f"), 7);
+        assert_eq!(log.max_txn(), 41);
+    }
+
+    #[test]
+    fn replay_holds_rotation_and_truncation_back_and_then_rotates_once() {
+        let dir = TempDir::new();
+        let l1 = commit_through(&open_log(&dir, None), 1);
+        let log = open_log(&dir, None);
+        assert_eq!(log.replay().iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1]);
+        log.checkpoint(true, true).unwrap();
+        log.checkpoint(true, false).unwrap();
+        assert_eq!(segment_files(dir.path()).len(), 1, "no rotation while replaying");
+        log.replayed().unwrap();
+        // the one rotation owed, and the truncation of the segment it closed
+        let s = log.state.lock();
+        assert!(s.wal.active.base > l1);
+        assert_eq!((s.wal.segments.get(), segment_files(dir.path()).len()), (1, 1));
     }
 
     #[test]
