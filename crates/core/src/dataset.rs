@@ -16,13 +16,19 @@
 //! read of a secondary index.
 //!
 //! A partition keeps its indexes in the order they flush, the secondaries
-//! first and the primary last, and hands them to [`settle`] once per
-//! operation: it seals them together — all of them, when one is past its
+//! first and the primary last, and after each operation hands them to its
+//! node's log, whose one call, [`NodeLog::settle`], settles them
+//! ([`settle`]: it seals them together — all of them, when one is past its
 //! memory budget and none still holds a sealed component — and flushes what
-//! they sealed once its writers are done, in that order. After a crash every
-//! secondary is therefore durable at or ahead of its primary, whose flushed
-//! LSN decides what is replayed: a secondary ahead takes the replayed
-//! operations again, which are idempotent (DESIGN.md, "Durability").
+//! they sealed once its writers are done, in that order), republishes the
+//! primary's truncation pin and rotates or truncates the log. After a crash
+//! every secondary is therefore durable at or ahead of its primary, whose
+//! flushed LSN decides what is replayed: a secondary ahead takes the
+//! replayed operations again, which are idempotent (DESIGN.md,
+//! "Durability").
+//!
+//! [`NodeLog::settle`]: asterix_storage::wal::NodeLog::settle
+//! [`settle`]: asterix_storage::lsm::settle
 
 use crate::catalog::DatasetDef;
 use crate::error::{CoreError, Result};
@@ -33,13 +39,12 @@ use asterix_adm::types::{ObjectType, TypeRegistry};
 use asterix_adm::validate::cast_object;
 use asterix_adm::{BatchBuilder, ColumnBatch, Projection, RecordLayout, Value};
 use asterix_storage::btree::LeafShape;
-use asterix_storage::lsm::{join, settle, Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected, Settled};
+use asterix_storage::lsm::{join, Entry, LsmConfig, LsmReader, LsmStats, LsmTree, MergePolicy, Projected};
 use asterix_storage::wal::{LogPin, Lsn};
 use asterix_storage::{inverted, spatial, StorageError};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Tuning for dataset partitions.
@@ -297,7 +302,7 @@ impl DatasetPartition {
 
     /// Takes `tree`, just opened, into the flush order — as secondary index
     /// `def`, before the primary, or as the primary — after which only the
-    /// partition's [`settle`] seals and flushes it, in step with its other
+    /// partition's settle seals and flushes it, in step with its other
     /// indexes. If just created, it first gets a durably empty manifest —
     /// whatever an earlier index of its name left is no longer named — that
     /// declares the log below `born` none of its business. Its merges run
@@ -502,13 +507,13 @@ impl DatasetPartition {
     }
 
     /// Runs `op` — stamped, if it applies a log record, on every index — then
-    /// [`settle`]s the indexes, `force`d or not, and does for the node's log
-    /// what that did to the primary asks: republish the oldest LSN it holds
-    /// only in memory, rotate the log if it sealed a memory component (the
-    /// records that component covers end with the old segment), truncate it
-    /// if it published one. A failure of the log's upkeep does not take
-    /// `op`'s outcome away from the caller: it is kept and reported by the
-    /// next call, before anything is applied.
+    /// hands its outcome and the indexes to the node's log, whose
+    /// [`NodeLog::settle`](asterix_storage::wal::NodeLog::settle) settles
+    /// them, `force`d or not, republishes the oldest LSN the primary holds
+    /// only in memory and rotates or truncates the log as that settle asks.
+    /// A failure of the log's upkeep does not take `op`'s outcome away from
+    /// the caller: it is kept and reported by the next call, before anything
+    /// is applied.
     fn settled<T>(
         &mut self,
         stamp: Option<(Lsn, Option<u64>)>,
@@ -523,11 +528,10 @@ impl DatasetPartition {
                 idx.stamp(lsn, writer);
             }
         }
-        let out = op(self).and_then(|done| Ok((done, settle(&mut self.indexes, force)?)));
-        self.log_pin.store(self.primary().first_unflushed().unwrap_or(Lsn::MAX), Ordering::Release);
-        let settled = out.as_ref().map_or(Settled::default(), |(_, settled)| *settled);
-        self.log_error = self.node.log.checkpoint(settled.sealed, settled.published).err().map(CoreError::from);
-        out.map(|(done, _)| done)
+        let applied = op(self);
+        let (out, upkeep) = self.node.log.settle(&mut self.indexes, force, &self.log_pin, applied);
+        self.log_error = upkeep.err().map(CoreError::from);
+        out
     }
 
     /// Retracts from every secondary index the entries of the record stored
@@ -785,7 +789,7 @@ mod tests {
                 .as_nanos()
         ));
         std::fs::create_dir_all(&p).unwrap();
-        (Node::open(0, &p, 256).unwrap(), p)
+        (Node::open(0, &p, 256, None).unwrap(), p)
     }
 
     fn def_with_indexes() -> DatasetDef {

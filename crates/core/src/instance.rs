@@ -204,12 +204,7 @@ impl Instance {
             }
         };
         std::fs::create_dir_all(&root)?;
-        let cluster = Cluster::open_with_opts(
-            &root,
-            config.nodes,
-            asterix_storage::cache::CacheOptions::with_capacity(config.cache_pages_per_node),
-            config.faults.clone(),
-        )?;
+        let cluster = Cluster::open(&root, config.nodes, config.cache_pages_per_node, config.faults.clone())?;
         let ctx = RuntimeCtx::with_clock_and_faults(
             root.join("spill"),
             asterix_obs::MonotonicClock::shared(),

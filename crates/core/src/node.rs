@@ -9,12 +9,13 @@
 //! What a node's directory holds across a restart is its LSM disk components
 //! — exactly those some index manifest names — and the tail of its log: the
 //! segments not yet wholly below every primary index's flushed LSN. The log
-//! is a [`NodeLog`], which owns what it logs, syncs and unlinks; a primary
-//! index's settle tells it when it sealed (rotate) and published (truncate)
-//! a memory component (DESIGN.md, "Durability").
+//! is a [`NodeLog`], which owns what it logs, syncs and unlinks; each
+//! partition's settle goes through it ([`NodeLog::settle`]), which rotates
+//! the log when a primary sealed a memory component and truncates it when
+//! one published (DESIGN.md, "Durability").
 
 use crate::error::{CoreError, Result};
-use asterix_storage::cache::{BufferCache, CacheOptions};
+use asterix_storage::cache::BufferCache;
 use asterix_storage::faults::FaultInjector;
 use asterix_storage::io::FileManager;
 use asterix_storage::stats::IoStats;
@@ -40,18 +41,13 @@ pub struct Node {
 }
 
 impl Node {
-    /// Opens (or creates) a fault-free node rooted at `dir` with a buffer
-    /// cache of `cache_pages` frames (tests).
-    pub fn open(id: usize, dir: impl AsRef<Path>, cache_pages: usize) -> Result<Arc<Node>> {
-        Node::open_with_opts(id, dir, CacheOptions::with_capacity(cache_pages), None)
-    }
-
-    /// Opens (or creates) a node rooted at `dir` with explicit buffer-cache
-    /// options, whose I/O paths (page files and WAL) consult `faults`.
-    pub fn open_with_opts(
+    /// Opens (or creates) a node rooted at `dir` with a buffer cache of
+    /// `cache_pages` frames, whose I/O paths (page files and WAL) consult
+    /// `faults`.
+    pub fn open(
         id: usize,
         dir: impl AsRef<Path>,
-        cache_opts: CacheOptions,
+        cache_pages: usize,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Arc<Node>> {
         let dir = dir.as_ref().to_path_buf();
@@ -64,7 +60,7 @@ impl Node {
         }
         let stats = IoStats::new();
         let fm = FileManager::with_faults(&dir, stats, faults.clone())?;
-        let cache = BufferCache::with_options(fm, cache_opts);
+        let cache = BufferCache::new(fm, cache_pages);
         // the log counts into the registry the node's pages and indexes do
         let registry = cache.stats().registry();
         let log = NodeLog::open(&dir, WAL_PREFIX, faults, registry)?;
@@ -111,25 +107,15 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Opens a fault-free cluster of `n` nodes under `root` (tests).
-    pub fn open(root: impl AsRef<Path>, n: usize, cache_pages_per_node: usize) -> Result<Cluster> {
-        Cluster::open_with_opts(root, n, CacheOptions::with_capacity(cache_pages_per_node), None)
-    }
-
-    /// Opens a cluster of `n` nodes under `root` (one subdirectory each)
-    /// with explicit per-node buffer-cache options. The nodes share the one
-    /// [`FaultInjector`]: a single global I/O counter gives crash points a
-    /// total order across nodes.
-    pub fn open_with_opts(
-        root: impl AsRef<Path>,
-        n: usize,
-        cache_opts: CacheOptions,
-        faults: Option<Arc<FaultInjector>>,
-    ) -> Result<Cluster> {
+    /// Opens a cluster of `n` nodes under `root` (one subdirectory each),
+    /// each with a buffer cache of `cache_pages` frames. The nodes share the
+    /// one [`FaultInjector`]: a single global I/O counter gives crash points
+    /// a total order across nodes.
+    pub fn open(root: impl AsRef<Path>, n: usize, cache_pages: usize, faults: Option<Arc<FaultInjector>>) -> Result<Cluster> {
         let mut nodes = Vec::with_capacity(n.max(1));
         for i in 0..n.max(1) {
             let dir = root.as_ref().join(format!("node{i}"));
-            nodes.push(Node::open_with_opts(i, dir, cache_opts, faults.clone())?);
+            nodes.push(Node::open(i, dir, cache_pages, faults.clone())?);
         }
         Ok(Cluster { nodes })
     }
@@ -189,7 +175,7 @@ mod tests {
     #[test]
     fn cluster_opens_nodes_with_separate_devices() {
         let root = tmp();
-        let c = Cluster::open(&root, 3, 16).unwrap();
+        let c = Cluster::open(&root, 3, 16, None).unwrap();
         assert_eq!(c.nodes.len(), 3);
         assert_eq!(c.node_for_partition(0).id, 0);
         assert_eq!(c.node_for_partition(4).id, 1);
@@ -206,7 +192,7 @@ mod tests {
         let root = tmp();
         let dir = root.join("node0");
         {
-            let n = Node::open(0, &dir, 16).unwrap();
+            let n = Node::open(0, &dir, 16, None).unwrap();
             let mut t = LsmTree::new(Arc::clone(&n.cache), LsmConfig::new("ds_p0_pri"));
             t.upsert(b"k".to_vec(), b"v".to_vec()).unwrap();
             t.flush().unwrap();
@@ -214,7 +200,7 @@ mod tests {
         std::fs::write(dir.join("ds_p0_pri_c9.btree"), b"a merge output nobody published").unwrap();
         std::fs::write(dir.join("other_c1.btree"), b"stale component").unwrap();
         std::fs::write(dir.join("ds_p0_pri.manifest.tmp"), b"half a manifest").unwrap();
-        let n = Node::open(0, &dir, 16).unwrap();
+        let n = Node::open(0, &dir, 16, None).unwrap();
         assert!(dir.join("ds_p0_pri_c1.btree").exists(), "the manifest names it");
         assert!(dir.join("ds_p0_pri.manifest").exists());
         for orphan in ["ds_p0_pri_c9.btree", "other_c1.btree", "ds_p0_pri.manifest.tmp"] {
@@ -229,7 +215,7 @@ mod tests {
     #[test]
     fn zero_nodes_clamps_to_one() {
         let root = tmp();
-        let c = Cluster::open(&root, 0, 4).unwrap();
+        let c = Cluster::open(&root, 0, 4, None).unwrap();
         assert_eq!(c.nodes.len(), 1);
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -312,7 +312,7 @@ mod tests {
         };
         let (schema, mut partitions) = (RecordSchema::keyed_by_id(), Vec::new());
         for p in 0..n_parts {
-            let node = Node::open(p, root.join(format!("n{p}")), 64).unwrap();
+            let node = Node::open(p, root.join(format!("n{p}")), 64, None).unwrap();
             let cfg = StorageConfig::default();
             let part = DatasetPartition::new(&def, Arc::clone(&schema), p as u32, node, &cfg, Origin::Created);
             partitions.push(Arc::new(RwLock::ranked(Level::LsmComponent, part.unwrap())));

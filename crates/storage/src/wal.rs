@@ -13,20 +13,24 @@
 //! module holds the records, the framing, the files, the syncs and what
 //! they count, and the segments.
 //!
-//! A node's log is a [`NodeLog`], its one owner: behind one lock it keeps
-//! the [`SegmentedWal`] — files named `<prefix>-<base-lsn>.wal`, rotated
-//! when a primary index seals a memory component and unlinked, whole
-//! segments at a time, once every primary has flushed past them — with each
-//! primary's [`LogPin`] and the pause while recovery replays; it alone
-//! appends the records that end a transaction and syncs, in group commits.
-//! Recovery reads the retained segments and re-applies the operations of
-//! committed transactions that no disk component covers. A block cut short
-//! or failing its checksum is a crash tail and is dropped whole with
-//! everything after it: one group commit, whose sync returned to nobody. A
-//! failed fsync fails the log until it is opened again.
+//! A node's log is one type, [`NodeLog`], its one owner: behind one lock it
+//! keeps the segments — files named `<prefix>-<base-lsn>.wal`, rotated when
+//! a primary index seals a memory component and unlinked, whole segments at
+//! a time, once every primary has flushed past them — with each primary's
+//! [`LogPin`] and the pause while recovery replays; it alone appends the
+//! records that end a transaction and syncs, in group commits. An owner of
+//! indexes makes one call after each operation, [`NodeLog::settle`]: its
+//! indexes settled, its primary's pin republished and the log rotated and
+//! truncated as that settle asks. Recovery reads the retained segments and
+//! re-applies the operations of committed transactions that no disk
+//! component covers. A block cut short or failing its checksum is a crash
+//! tail and is dropped whole with everything after it: one group commit,
+//! whose sync returned to nobody. A failed fsync fails the log until it is
+//! opened again.
 
 use crate::error::{Result, StorageError};
 use crate::faults::{FaultInjector, WritePlan};
+use crate::harness::{settle, LsmTree, Settled};
 use crate::le::{fnv1a, Cursor};
 use crate::lock_order::{self, Level, Mutex};
 use crate::log_block::{self, Coder, StreamBytes};
@@ -229,8 +233,8 @@ impl WalRecord {
 }
 
 /// What a log's syncs count, each into its `storage.wal.*` counter. A
-/// [`SegmentedWal`]'s are in its registry and pass from one segment's writer
-/// to the next; a standalone [`WalWriter`]'s are registered nowhere.
+/// [`NodeLog`]'s are in its registry and pass from one segment's writer to
+/// the next; a standalone [`WalWriter`]'s are registered nowhere.
 #[derive(Clone, Default)]
 struct SyncCounters {
     /// `storage.wal.appended_bytes`: file bytes syncs moved into segments
@@ -601,17 +605,43 @@ pub fn analyze(records: Vec<(Lsn, WalRecord)>) -> LogTail {
 }
 
 // ---------------------------------------------------------------------------
-// The segmented log of one node
+// The log of one node
 // ---------------------------------------------------------------------------
 
-/// A node's log: segment files `<prefix>-<base-lsn>.wal` under one
-/// directory, appended to at the newest.
+/// The cell in which a primary index publishes the LSN of the oldest log
+/// record it holds only in memory (`Lsn::MAX`: none).
+#[expect(clippy::disallowed_types, reason = "moves both ways: stored with Release under its partition's lock, read with Acquire under the log's lock")]
+pub type LogPin = Arc<std::sync::atomic::AtomicU64>;
+
+/// A node's log, the one owner of what it logs, syncs and unlinks: segment
+/// files `<prefix>-<base-lsn>.wal` under one directory, appended to at the
+/// newest, kept behind one lock ([`Level::Wal`]) with the [`LogPin`] of
+/// every primary index on the node and the replay pause.
 ///
-/// Beside the bytes it tracks what rotation and truncation need: the first
-/// LSN of every transaction still in flight (its records must stay on
-/// disk), and what the next [`WalRecord::Checkpoint`] must carry — the
-/// highest transaction id logged and each feed's committed frontier.
-pub struct SegmentedWal {
+/// Group commit: a committer appends under the lock, notes the log's end and
+/// lets the lock go. The first to take it back leads: its sync writes every
+/// record buffered — later committers' too — and raises the durable mark
+/// past them; a committer that finds the mark at or past its end shares
+/// that fsync. A lone committer never does, so it does exactly append →
+/// write → fsync, which seeded fault schedules count on. A failed round
+/// fails every commit it covered (the writer keeps the failure) and none
+/// the mark already covers.
+pub struct NodeLog {
+    state: Mutex<LogState>,
+    /// The LSN below which every record is known synced.
+    durable: HighWater,
+    /// `storage.wal.group_commits`: leader fsync rounds.
+    rounds: Counter,
+    /// `storage.wal.group_commit_waiters`: commits another's fsync covered.
+    waiters: Counter,
+}
+
+/// What the log's lock guards. Beside the segments it keeps what rotation
+/// and truncation need: the first LSN of every transaction still in flight
+/// (its records must stay on disk), each primary's pin, and what the next
+/// [`WalRecord::Checkpoint`] must carry — the highest transaction id logged
+/// and each feed's committed frontier.
+struct LogState {
     dir: PathBuf,
     prefix: String,
     faults: Option<Arc<FaultInjector>>,
@@ -635,24 +665,165 @@ pub struct SegmentedWal {
     /// `storage.wal.truncated_bytes`: segment file bytes unlinked since
     /// open.
     truncated_bytes: Counter,
+    /// Each primary index's pin, by name.
+    pins: BTreeMap<String, LogPin>,
+    /// Operations of committed transactions found at open, until recovery
+    /// takes them.
+    recovered: Vec<ReplayOp>,
+    /// While recovery replays them, they are in no memory component: no
+    /// rotation (it is owed) and no truncation.
+    replaying: bool,
+    rotation_owed: bool,
 }
 
 fn segment_path(dir: &Path, prefix: &str, base: Lsn) -> PathBuf {
     dir.join(format!("{prefix}-{base:020}.wal"))
 }
 
-impl SegmentedWal {
+impl LogState {
+    /// Appends a record (buffered); returns its LSN.
+    fn append(&mut self, record: &WalRecord) -> Result<Lsn> {
+        self.check_appendable()?;
+        let lsn = self.active.append(record)?;
+        match record {
+            WalRecord::Write { txn_id, .. } | WalRecord::Update { txn_id, .. } => {
+                self.opened(*txn_id, lsn);
+            }
+            WalRecord::FeedCursor { txn_id, feed, seq } => {
+                self.opened(*txn_id, lsn);
+                self.pending_cursors.push((*txn_id, feed.clone(), *seq));
+            }
+            WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
+                self.max_txn = self.max_txn.max(*txn_id);
+            }
+            WalRecord::Checkpoint { .. } => {}
+        }
+        Ok(lsn)
+    }
+
+    /// [`LogState::append`] of a [`WalRecord::Write`] given by its borrowed
+    /// parts (see [`WalWriter::append_write`]): the write path's one append
+    /// per record, which builds no owned record.
+    fn append_write(&mut self, txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) -> Result<Lsn> {
+        self.check_appendable()?;
+        let lsn = self.active.append_write(txn_id, dataset, partition, key, put)?;
+        self.opened(txn_id, lsn);
+        Ok(lsn)
+    }
+
+    fn check_appendable(&self) -> Result<()> {
+        if self.stray_segment {
+            return Err(StorageError::Invalid(format!(
+                "log under {} has a segment it could not adopt; reopen it",
+                self.dir.display()
+            )));
+        }
+        Ok(())
+    }
+
+    /// Transaction `txn` logged a record of its own at `lsn`: until it is
+    /// finished, the log keeps everything from its first one on.
+    fn opened(&mut self, txn: u64, lsn: Lsn) {
+        self.inflight.entry(txn).or_insert(lsn);
+        self.max_txn = self.max_txn.max(txn);
+    }
+
+    /// Transaction `txn` is over on this log: its records no longer hold
+    /// segments back, and if it `committed` (durably), the feed cursors it
+    /// logged become frontiers.
+    fn finish_txn(&mut self, txn: u64, committed: bool) {
+        self.inflight.remove(&txn);
+        let frontiers = &mut self.frontiers;
+        self.pending_cursors.retain(|(t, feed, seq)| {
+            if *t != txn {
+                return true;
+            }
+            if committed {
+                advance(frontiers, feed.clone(), *seq);
+            }
+            false
+        });
+    }
+
+    /// Closes the active segment and starts the next with a checkpoint.
+    ///
+    /// The old segment is synced first, so a commit landing in the new one
+    /// never outlives updates it depends on; the new file is published
+    /// whole ([`crate::io::write_atomic`]), so a segment other than the first
+    /// always begins with an intact checkpoint, a block of its own.
+    fn rotate(&mut self) -> Result<()> {
+        self.active.sync()?;
+        let base = self.active.next_lsn();
+        let path = segment_path(&self.dir, &self.prefix, base);
+        let checkpoint = WalRecord::Checkpoint {
+            max_txn: self.max_txn,
+            feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
+        };
+        let mut record = Vec::new();
+        put_len_prefixed(&mut record, |buf| checkpoint.encode_into(buf));
+        let mut first = Vec::new();
+        frame_block(&mut Coder::default(), &record, &mut first);
+        crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
+        let next = match WalWriter::open_at(&path, base, self.faults.clone(), self.active.counters.clone()) {
+            Ok((next, _)) => next,
+            Err(e) => {
+                self.stray_segment = crate::io::remove_file(&path, self.faults.as_ref()).is_err();
+                return Err(e);
+            }
+        };
+        let old = std::mem::replace(&mut self.active, next);
+        self.closed.push_back((old.base, old.path, old.persisted));
+        self.segments.add(1);
+        Ok(())
+    }
+
+    /// Unlinks, oldest first, every closed segment that lies wholly below
+    /// both `pin` (the first LSN some index has not flushed) and the first
+    /// LSN of the oldest transaction in flight.
+    fn truncate_below(&mut self, pin: Lsn) -> Result<()> {
+        let keep_from = self.inflight.values().copied().fold(pin, Lsn::min);
+        while let Some((_, path, file_len)) = self.closed.front() {
+            let end = self.closed.get(1).map_or(self.active.base, |next| next.0);
+            if end > keep_from {
+                break;
+            }
+            crate::io::remove_file(path, self.faults.as_ref())?;
+            self.truncated_bytes.add(*file_len);
+            self.segments.add(-1);
+            self.closed.pop_front();
+        }
+        Ok(())
+    }
+
+    /// What a primary index's settle asks of the log: a new segment when it
+    /// `sealed` a memory component, and when it `published` one, the
+    /// unlinking of the segments wholly below every pin and the oldest open
+    /// transaction; neither while recovery replays (the rotation is owed). A
+    /// failed rotation still truncates; the first error is returned.
+    fn checkpoint(&mut self, sealed: bool, published: bool) -> Result<()> {
+        if self.replaying {
+            self.rotation_owed |= sealed;
+            return Ok(());
+        }
+        let rotated = if sealed { self.rotate() } else { Ok(()) };
+        if !published {
+            return rotated;
+        }
+        // a writer's records are either behind its index's pin or, until its
+        // transaction finishes, in the log's own in-flight table
+        let pin = self.pins.values().map(|p| p.load(Ordering::Acquire)).min();
+        rotated.and(self.truncate_below(pin.unwrap_or(Lsn::MAX)))
+    }
+}
+
+impl NodeLog {
     /// Opens the log under `dir` (creating its first segment if there is
-    /// none) for appending, and returns it with what a restart must redo:
-    /// the operations of the committed transactions found in the retained
-    /// segments. It counts into `registry`: `storage.wal.{segments,
-    /// truncated_bytes}` and what its syncs count (`SyncCounters`).
-    pub fn recover(
-        dir: &Path,
-        prefix: &str,
-        faults: Option<Arc<FaultInjector>>,
-        registry: &MetricsRegistry,
-    ) -> Result<(Self, Vec<ReplayOp>)> {
+    /// none) for appending, and keeps what a restart must redo for
+    /// [`NodeLog::replay`]: the operations of the committed transactions
+    /// found in the retained segments. It counts into `registry`:
+    /// `storage.wal.{segments, truncated_bytes, group_commits,
+    /// group_commit_waiters}` and what its syncs count (`SyncCounters`).
+    pub fn open(dir: &Path, prefix: &str, faults: Option<Arc<FaultInjector>>, registry: &MetricsRegistry) -> Result<NodeLog> {
         std::fs::create_dir_all(dir)?;
         let mut bases = Vec::new();
         for entry in std::fs::read_dir(dir)? {
@@ -704,7 +875,7 @@ impl SegmentedWal {
         let segments = registry.gauge("storage.wal.segments");
         segments.set(closed.len() as i64 + 1);
         let tail = analyze(records);
-        let wal = SegmentedWal {
+        let state = LogState {
             dir: dir.to_path_buf(),
             prefix: prefix.to_string(),
             faults,
@@ -717,201 +888,11 @@ impl SegmentedWal {
             stray_segment: false,
             segments,
             truncated_bytes: registry.counter("storage.wal.truncated_bytes"),
+            pins: BTreeMap::new(),
+            recovered: tail.ops,
+            replaying: false,
+            rotation_owed: false,
         };
-        Ok((wal, tail.ops))
-    }
-
-    /// Appends a record (buffered); returns its LSN.
-    pub fn append(&mut self, record: &WalRecord) -> Result<Lsn> {
-        self.check_appendable()?;
-        let lsn = self.active.append(record)?;
-        match record {
-            WalRecord::Write { txn_id, .. } | WalRecord::Update { txn_id, .. } => {
-                self.opened(*txn_id, lsn);
-            }
-            WalRecord::FeedCursor { txn_id, feed, seq } => {
-                self.opened(*txn_id, lsn);
-                self.pending_cursors.push((*txn_id, feed.clone(), *seq));
-            }
-            WalRecord::Commit { txn_id } | WalRecord::Abort { txn_id } => {
-                self.max_txn = self.max_txn.max(*txn_id);
-            }
-            WalRecord::Checkpoint { .. } => {}
-        }
-        Ok(lsn)
-    }
-
-    /// [`SegmentedWal::append`] of a [`WalRecord::Write`] given by its
-    /// borrowed parts (see [`WalWriter::append_write`]): the write path's
-    /// one append per record, which builds no owned record.
-    pub fn append_write(
-        &mut self,
-        txn_id: u64,
-        dataset: u32,
-        partition: u32,
-        key: &[u8],
-        put: Option<&[u8]>,
-    ) -> Result<Lsn> {
-        self.check_appendable()?;
-        let lsn = self.active.append_write(txn_id, dataset, partition, key, put)?;
-        self.opened(txn_id, lsn);
-        Ok(lsn)
-    }
-
-    fn check_appendable(&self) -> Result<()> {
-        if self.stray_segment {
-            return Err(StorageError::Invalid(format!(
-                "log under {} has a segment it could not adopt; reopen it",
-                self.dir.display()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Transaction `txn` logged a record of its own at `lsn`: until it is
-    /// finished, the log keeps everything from its first one on.
-    fn opened(&mut self, txn: u64, lsn: Lsn) {
-        self.inflight.entry(txn).or_insert(lsn);
-        self.max_txn = self.max_txn.max(txn);
-    }
-
-    /// Writes buffered records as one block and forces it to stable
-    /// storage ([`WalWriter::sync`] of the active segment).
-    pub fn sync(&mut self) -> Result<()> {
-        self.active.sync()
-    }
-
-    /// Transaction `txn` is over on this log: its records no longer hold
-    /// segments back, and if it `committed` (durably), the feed cursors it
-    /// logged become frontiers.
-    pub fn finish_txn(&mut self, txn: u64, committed: bool) {
-        self.inflight.remove(&txn);
-        let frontiers = &mut self.frontiers;
-        self.pending_cursors.retain(|(t, feed, seq)| {
-            if *t != txn {
-                return true;
-            }
-            if committed {
-                advance(frontiers, feed.clone(), *seq);
-            }
-            false
-        });
-    }
-
-    /// Closes the active segment and starts the next with a checkpoint.
-    ///
-    /// The old segment is synced first, so a commit landing in the new one
-    /// never outlives updates it depends on; the new file is published
-    /// whole ([`crate::io::write_atomic`]), so a segment other than the first
-    /// always begins with an intact checkpoint, a block of its own.
-    pub fn rotate(&mut self) -> Result<()> {
-        self.sync()?;
-        let base = self.active.next_lsn();
-        let path = segment_path(&self.dir, &self.prefix, base);
-        let checkpoint = WalRecord::Checkpoint {
-            max_txn: self.max_txn,
-            feed_cursors: self.frontiers.iter().map(|(f, s)| (f.clone(), *s)).collect(),
-        };
-        let mut record = Vec::new();
-        put_len_prefixed(&mut record, |buf| checkpoint.encode_into(buf));
-        let mut first = Vec::new();
-        frame_block(&mut Coder::default(), &record, &mut first);
-        crate::io::write_atomic(&path, &first, self.faults.as_ref())?;
-        let next = match WalWriter::open_at(&path, base, self.faults.clone(), self.active.counters.clone()) {
-            Ok((next, _)) => next,
-            Err(e) => {
-                self.stray_segment = crate::io::remove_file(&path, self.faults.as_ref()).is_err();
-                return Err(e);
-            }
-        };
-        let old = std::mem::replace(&mut self.active, next);
-        self.closed.push_back((old.base, old.path, old.persisted));
-        self.segments.add(1);
-        Ok(())
-    }
-
-    /// Unlinks, oldest first, every closed segment that lies wholly below
-    /// both `pin` (the first LSN some index has not flushed) and the first
-    /// LSN of the oldest transaction in flight.
-    pub fn truncate_below(&mut self, pin: Lsn) -> Result<()> {
-        let keep_from = self.inflight.values().copied().fold(pin, Lsn::min);
-        while let Some((_, path, file_len)) = self.closed.front() {
-            let end = self.closed.get(1).map_or(self.active.base, |next| next.0);
-            if end > keep_from {
-                break;
-            }
-            crate::io::remove_file(path, self.faults.as_ref())?;
-            self.truncated_bytes.add(*file_len);
-            self.segments.add(-1);
-            self.closed.pop_front();
-        }
-        Ok(())
-    }
-}
-
-/// The cell in which a primary index publishes the LSN of the oldest log
-/// record it holds only in memory (`Lsn::MAX`: none).
-#[expect(clippy::disallowed_types, reason = "moves both ways: stored with Release under its partition's lock, read with Acquire under the log's lock")]
-pub type LogPin = Arc<std::sync::atomic::AtomicU64>;
-
-/// A node's log, the one owner of what it logs, syncs and unlinks: behind
-/// one lock ([`Level::Wal`]) the [`SegmentedWal`], the [`LogPin`] of every
-/// primary index on the node and the replay pause.
-///
-/// Group commit: a committer appends under the lock, notes the log's end and
-/// lets the lock go. The first to take it back leads: its sync writes every
-/// record buffered — later committers' too — and raises the durable mark
-/// past them; a committer that finds the mark at or past its end shares
-/// that fsync. A lone committer never does, so it does exactly append →
-/// write → fsync, which seeded fault schedules count on. A failed round
-/// fails every commit it covered (the writer keeps the failure) and none
-/// the mark already covers.
-pub struct NodeLog {
-    state: Mutex<LogState>,
-    /// The LSN below which every record is known synced.
-    durable: HighWater,
-    /// `storage.wal.group_commits`: leader fsync rounds.
-    rounds: Counter,
-    /// `storage.wal.group_commit_waiters`: commits another's fsync covered.
-    waiters: Counter,
-}
-
-struct LogState {
-    wal: SegmentedWal,
-    /// Each primary index's pin, by name.
-    pins: BTreeMap<String, LogPin>,
-    /// Operations of committed transactions found at open, until recovery
-    /// takes them.
-    recovered: Vec<ReplayOp>,
-    /// While recovery replays them, they are in no memory component: no
-    /// rotation (it is owed) and no truncation.
-    replaying: bool,
-    rotation_owed: bool,
-}
-
-impl LogState {
-    fn checkpoint(&mut self, sealed: bool, published: bool) -> Result<()> {
-        if self.replaying {
-            self.rotation_owed |= sealed;
-            return Ok(());
-        }
-        let rotated = if sealed { self.wal.rotate() } else { Ok(()) };
-        if !published {
-            return rotated;
-        }
-        // a writer's records are either behind its index's pin or, until its
-        // transaction finishes, in the log's own in-flight table
-        let pin = self.pins.values().map(|p| p.load(Ordering::Acquire)).min();
-        rotated.and(self.wal.truncate_below(pin.unwrap_or(Lsn::MAX)))
-    }
-}
-
-impl NodeLog {
-    /// Opens the log under `dir` ([`SegmentedWal::recover`]), counting into
-    /// `registry`, and keeps what a restart must redo for [`NodeLog::replay`].
-    pub fn open(dir: &Path, prefix: &str, faults: Option<Arc<FaultInjector>>, registry: &MetricsRegistry) -> Result<NodeLog> {
-        let (wal, recovered) = SegmentedWal::recover(dir, prefix, faults, registry)?;
-        let state = LogState { wal, pins: BTreeMap::new(), recovered, replaying: false, rotation_owed: false };
         Ok(NodeLog {
             state: Mutex::ranked(Level::Wal, state),
             durable: HighWater::new(0),
@@ -920,9 +901,11 @@ impl NodeLog {
         })
     }
 
-    /// [`SegmentedWal::append_write`].
+    /// Appends a [`WalRecord::Write`] — the put (`Some`) or delete (`None`)
+    /// of `key` by transaction `txn_id` — serialised from the borrowed parts
+    /// straight into the log buffer; returns its LSN.
     pub fn append_write(&self, txn_id: u64, dataset: u32, partition: u32, key: &[u8], put: Option<&[u8]>) -> Result<Lsn> {
-        self.state.lock().wal.append_write(txn_id, dataset, partition, key, put)
+        self.state.lock().append_write(txn_id, dataset, partition, key, put)
     }
 
     /// Logs a [`WalRecord::FeedCursor`] for each of `feed_cursors`, then
@@ -931,10 +914,10 @@ impl NodeLog {
         let end = {
             let mut s = self.state.lock();
             for (feed, seq) in feed_cursors {
-                s.wal.append(&WalRecord::FeedCursor { txn_id: txn, feed: feed.clone(), seq: *seq })?;
+                s.append(&WalRecord::FeedCursor { txn_id: txn, feed: feed.clone(), seq: *seq })?;
             }
-            s.wal.append(&WalRecord::Commit { txn_id: txn })?;
-            s.wal.active.next_lsn()
+            s.append(&WalRecord::Commit { txn_id: txn })?;
+            s.active.next_lsn()
         };
         self.durable_through(end)
     }
@@ -946,13 +929,13 @@ impl NodeLog {
         let end = {
             let mut s = self.state.lock();
             if let Some(compensation) = compensation {
-                s.wal.append(&WalRecord::Commit { txn_id: compensation })?;
+                s.append(&WalRecord::Commit { txn_id: compensation })?;
             }
-            s.wal.append(&WalRecord::Abort { txn_id: txn })?;
+            s.append(&WalRecord::Abort { txn_id: txn })?;
             if let Some(compensation) = compensation {
-                s.wal.finish_txn(compensation, true);
+                s.finish_txn(compensation, true);
             }
-            s.wal.active.next_lsn()
+            s.active.next_lsn()
         };
         compensation.map_or(Ok(()), |_| self.durable_through(end))
     }
@@ -971,30 +954,32 @@ impl NodeLog {
             self.waiters.inc();
             return Ok(());
         }
-        s.wal.sync()?;
-        self.durable.raise(s.wal.active.next_lsn());
+        s.active.sync()?;
+        self.durable.raise(s.active.next_lsn());
         self.rounds.inc();
         Ok(())
     }
 
-    /// [`SegmentedWal::finish_txn`].
+    /// Transaction `txn` is over on this log: its records no longer hold
+    /// segments back, and if it `committed` (durably), the feed cursors it
+    /// logged become frontiers.
     pub fn finish_txn(&self, txn: u64, committed: bool) {
-        self.state.lock().wal.finish_txn(txn, committed);
+        self.state.lock().finish_txn(txn, committed);
     }
 
     /// Last committed sequence number of `feed` (0 = none).
     pub fn frontier(&self, feed: &str) -> u64 {
-        self.state.lock().wal.frontiers.get(feed).copied().unwrap_or(0)
+        self.state.lock().frontiers.get(feed).copied().unwrap_or(0)
     }
 
     /// Highest transaction id this log has seen.
     pub fn max_txn(&self) -> u64 {
-        self.state.lock().wal.max_txn
+        self.state.lock().max_txn
     }
 
     /// LSN the next record will receive.
     pub fn next_lsn(&self) -> Lsn {
-        self.state.lock().wal.active.next_lsn()
+        self.state.lock().active.next_lsn()
     }
 
     /// The cell in which primary index `index` publishes its oldest
@@ -1009,16 +994,32 @@ impl NodeLog {
         self.state.lock().pins.remove(index);
     }
 
-    /// What a primary index's settle asks of the log: a new segment when it
-    /// `sealed` a memory component (the records it covers end with the old
-    /// one), and when it `published` one, the unlinking of the segments
-    /// wholly below every pin and the oldest open transaction. A failed
-    /// rotation still truncates; the first error is returned.
-    pub fn checkpoint(&self, sealed: bool, published: bool) -> Result<()> {
-        if !(sealed || published) {
-            return Ok(());
-        }
-        self.state.lock().checkpoint(sealed, published)
+    /// What an owner of indexes does after each operation on them, the
+    /// operation's outcome `applied`: [`settle`] `group` — its indexes in
+    /// flush order, the primary last — `force`d or not, if the operation
+    /// succeeded; store the primary's first unflushed LSN into `pin`, its
+    /// cell from [`NodeLog::pin`]; and keep the log up with what the settle
+    /// did to the primary. A seal of a memory component rotates the log (the
+    /// records it covers end with the old segment); a publish unlinks the
+    /// segments wholly below every pin and the oldest open transaction.
+    /// While recovery replays, neither happens, and the rotation is owed.
+    ///
+    /// Returns the operation's outcome, or the settle's failure, and apart
+    /// from it the failure of the log's upkeep (a failed rotation still
+    /// truncates; the first error), which the caller reports when it will:
+    /// the operation has been applied all the same.
+    pub fn settle<T, E: From<StorageError>>(
+        &self,
+        group: &mut [LsmTree],
+        force: bool,
+        pin: &LogPin,
+        applied: std::result::Result<T, E>,
+    ) -> (std::result::Result<T, E>, Result<()>) {
+        let out = applied.and_then(|done| Ok((done, settle(group, force)?)));
+        pin.store(group.last().and_then(LsmTree::first_unflushed).unwrap_or(Lsn::MAX), Ordering::Release);
+        let Settled { sealed, published } = out.as_ref().map_or(Settled::default(), |(_, settled)| *settled);
+        let upkeep = if sealed || published { self.state.lock().checkpoint(sealed, published) } else { Ok(()) };
+        (out.map(|(done, _)| done), upkeep)
     }
 
     /// The committed operations the log held at open (once), for recovery:
@@ -1194,14 +1195,14 @@ mod tests {
             short_write_prob: 0.5,
             ..Default::default()
         });
-        let (mut wal, _) =
-            SegmentedWal::recover(dir.path(), "node", Some(faults.clone()), &MetricsRegistry::new()).unwrap();
+        let log = open_log(&dir, Some(faults.clone()));
+        let mut wal = log.state.lock();
         let start = wal.active.next_lsn();
         for txn in 1..=8 {
             wal.append_write(txn, 7, 0, b"key", Some(b"value")).unwrap();
             wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
             // a short write keeps the coded block for the retry
-            assert!((0..64).any(|_| wal.sync().is_ok()), "txn {txn} never synced");
+            assert!((0..64).any(|_| wal.active.sync().is_ok()), "txn {txn} never synced");
         }
         let short = |e: &crate::faults::FaultEvent| matches!(e, crate::faults::FaultEvent::ShortWrite { .. });
         assert!(faults.events().iter().any(short), "no short write to retry");
@@ -1473,12 +1474,13 @@ mod tests {
         assert_eq!(tags, [0x22, 0x26, 0x26, 0x20], "a block of each shape");
         assert_eq!((log.image.len(), le::fnv1a(&log.image)), (58_639, 1_051_921_374), "the message log");
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, None);
+        let (log, _) = recover(&dir, None);
+        let mut wal = log.state.lock();
         for (seq, feed) in ["feed.Messages", "feed.Users", "feed.Chirps", "feed.Tweets"].into_iter().enumerate() {
             wal.append(&WalRecord::FeedCursor { txn_id: 41, feed: feed.into(), seq: 7 * seq as u64 }).unwrap();
         }
         wal.append(&WalRecord::Commit { txn_id: 41 }).unwrap();
-        wal.sync().unwrap();
+        wal.active.sync().unwrap();
         wal.finish_txn(41, true);
         wal.rotate().unwrap();
         let checkpoint = std::fs::read(segment_path(dir.path(), "node", wal.active.base)).unwrap();
@@ -1528,7 +1530,8 @@ mod tests {
     #[test]
     fn the_stream_counters_and_the_framing_add_up_to_the_appended_bytes() {
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, None);
+        let (log, _) = recover(&dir, None);
+        let mut wal = log.state.lock();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         for (txn, puts) in [(1, 2_500), (2, 25), (3, 1), (4, 0)] {
             for id in 0..puts {
@@ -1536,7 +1539,7 @@ mod tests {
                     .unwrap();
             }
             wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
-            wal.sync().unwrap();
+            wal.active.sync().unwrap();
         }
         let image = std::fs::read(segment_path(dir.path(), "node", 0)).unwrap();
         let counters = &wal.active.counters;
@@ -1649,10 +1652,10 @@ mod tests {
     /// Two commits appended before either syncs; the log's end after each.
     fn two_appended_commits(log: &NodeLog, txns: [u64; 2]) -> (Lsn, Lsn) {
         let mut s = log.state.lock();
-        s.wal.append(&WalRecord::Commit { txn_id: txns[0] }).unwrap();
-        let end = s.wal.active.next_lsn();
-        s.wal.append(&WalRecord::Commit { txn_id: txns[1] }).unwrap();
-        (end, s.wal.active.next_lsn())
+        s.append(&WalRecord::Commit { txn_id: txns[0] }).unwrap();
+        let end = s.active.next_lsn();
+        s.append(&WalRecord::Commit { txn_id: txns[1] }).unwrap();
+        (end, s.active.next_lsn())
     }
 
     #[test]
@@ -1693,21 +1696,24 @@ mod tests {
     #[test]
     fn a_failed_fsync_fails_the_log_until_it_is_reopened() {
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, Some(FaultInjector::crash_at(1, ".wal:fsync", 0)));
+        let (log, _) = recover(&dir, Some(FaultInjector::crash_at(1, ".wal:fsync", 0)));
+        let mut wal = log.state.lock();
         wal.append(&WalRecord::Commit { txn_id: 1 }).unwrap();
-        let first = wal.sync().unwrap_err().to_string();
+        let first = wal.active.sync().unwrap_err().to_string();
         assert!(first.contains("injected crash during fsync"), "{first}");
         // the next sync, an append and a rotation each return that failure,
         // not the injector's refusal of whatever follows its crash
-        let later = [wal.sync(), wal.append(&WalRecord::Commit { txn_id: 2 }).map(drop), wal.rotate()];
+        let later = [wal.active.sync(), wal.append(&WalRecord::Commit { txn_id: 2 }).map(drop), wal.rotate()];
         for e in later.map(Result::unwrap_err) {
             assert!(matches!(e, StorageError::Injected(_)), "{e}");
             assert_eq!(e.to_string(), first);
         }
         drop(wal);
-        let (mut wal, _) = recover(&dir, None);
+        drop(log);
+        let (log, _) = recover(&dir, None);
+        let mut wal = log.state.lock();
         wal.append(&WalRecord::Commit { txn_id: 2 }).unwrap();
-        wal.sync().unwrap();
+        wal.active.sync().unwrap();
     }
 
     #[test]
@@ -1758,50 +1764,45 @@ mod tests {
         names
     }
 
-    /// The log under `dir`, counting into a registry of its own.
-    fn recover(dir: &TempDir, faults: Option<Arc<FaultInjector>>) -> (SegmentedWal, Vec<ReplayOp>) {
-        SegmentedWal::recover(dir.path(), "node", faults, &MetricsRegistry::new()).unwrap()
-    }
-
     /// The node log under `dir`, counting into a registry of its own.
     fn open_log(dir: &TempDir, faults: Option<Arc<FaultInjector>>) -> NodeLog {
         NodeLog::open(dir.path(), "node", faults, &MetricsRegistry::new()).unwrap()
     }
 
-    /// One committed single-update transaction through `log`.
-    fn commit_through(log: &NodeLog, txn: u64) -> Lsn {
+    /// The node log under `dir` and what a restart must redo, replayed as
+    /// recovery replays it.
+    fn recover(dir: &TempDir, faults: Option<Arc<FaultInjector>>) -> (NodeLog, Vec<ReplayOp>) {
+        let log = open_log(dir, faults);
+        let ops = log.replay();
+        log.replayed().unwrap();
+        (log, ops)
+    }
+
+    /// One committed single-update transaction.
+    fn commit_one(log: &NodeLog, txn: u64) -> Lsn {
         let lsn = log.append_write(txn, 7, 0, format!("k{txn}").as_bytes(), Some(b"v")).unwrap();
         log.commit(txn, &[]).unwrap();
         log.finish_txn(txn, true);
         lsn
     }
 
-    /// One committed single-update transaction.
-    fn commit_one(wal: &mut SegmentedWal, txn: u64) -> Lsn {
-        let lsn = wal.append(&upd(txn, format!("k{txn}").as_bytes(), b"v")).unwrap();
-        wal.append(&WalRecord::Commit { txn_id: txn }).unwrap();
-        wal.sync().unwrap();
-        wal.finish_txn(txn, true);
-        lsn
-    }
-
     #[test]
     fn lsns_stay_global_across_rotation_and_reopen() {
         let dir = TempDir::new();
-        let (mut wal, ops) = recover(&dir, None);
+        let (log, ops) = recover(&dir, None);
         assert!(ops.is_empty());
-        let l1 = commit_one(&mut wal, 1);
-        wal.rotate().unwrap();
-        let base = wal.active.base;
+        let l1 = commit_one(&log, 1);
+        log.state.lock().rotate().unwrap();
+        let base = log.state.lock().active.base;
         assert!(base > l1, "the new segment starts where the old one ended");
-        let l2 = commit_one(&mut wal, 2);
+        let l2 = commit_one(&log, 2);
         assert!(l2 > base, "after the checkpoint that opens the segment");
-        assert_eq!(wal.segments.get(), 2);
-        drop(wal);
-        let (wal, ops) = recover(&dir, None);
+        assert_eq!(log.state.lock().segments.get(), 2);
+        drop(log);
+        let (log, ops) = recover(&dir, None);
         assert_eq!(ops.iter().map(|op| (op.lsn, op.txn_id)).collect::<Vec<_>>(), [(l1, 1), (l2, 2)]);
-        assert_eq!(wal.max_txn, 2);
-        assert_eq!(wal.segments.get(), 2);
+        assert_eq!(log.max_txn(), 2);
+        assert_eq!(log.state.lock().segments.get(), 2);
     }
 
     #[test]
@@ -1810,21 +1811,22 @@ mod tests {
         let log = open_log(&dir, None);
         // one primary holds nothing in memory, the other pins what it does
         let (_idle, pin) = (log.pin("a_p0_pri"), log.pin("b_p0_pri"));
-        let (rotate, truncate) = (|| log.checkpoint(true, false), || log.checkpoint(false, true));
-        let segments = || log.state.lock().wal.segments.get();
-        commit_through(&log, 1);
+        let checkpoint = |sealed, published| log.state.lock().checkpoint(sealed, published);
+        let (rotate, truncate) = (|| checkpoint(true, false), || checkpoint(false, true));
+        let segments = || log.state.lock().segments.get();
+        commit_one(&log, 1);
         rotate().unwrap();
         // txn 2 stays open across the next rotation
         let open_at = log.append_write(2, 7, 0, b"k2", Some(b"v")).unwrap();
         rotate().unwrap();
-        let l3 = commit_through(&log, 3);
+        let l3 = commit_one(&log, 3);
         assert_eq!(segments(), 3);
         // nothing is pinned, but txn 2 holds its segment (and so the later
         // ones); the first segment goes
         truncate().unwrap();
         assert_eq!(segments(), 2);
-        assert!(log.state.lock().wal.truncated_bytes.get() > 0);
-        assert!(log.state.lock().wal.closed.front().is_some_and(|(base, ..)| *base <= open_at));
+        assert!(log.state.lock().truncated_bytes.get() > 0);
+        assert!(log.state.lock().closed.front().is_some_and(|(base, ..)| *base <= open_at));
         // txn 2 over, a pin inside the active segment lets every closed one go
         log.finish_txn(2, false);
         pin.store(l3, Ordering::Release);
@@ -1832,7 +1834,7 @@ mod tests {
         assert_eq!(segments(), 1);
         assert_eq!(segment_files(dir.path()).len(), 1);
         // a pin inside a closed segment keeps it, until its index is gone
-        log.checkpoint(true, true).unwrap();
+        checkpoint(true, true).unwrap();
         assert_eq!(segments(), 2);
         log.unpin("b_p0_pri");
         truncate().unwrap();
@@ -1847,8 +1849,8 @@ mod tests {
         assert_eq!(log.frontier("f"), 0, "not a frontier until its transaction is over");
         log.finish_txn(41, true);
         assert_eq!(log.frontier("f"), 7);
-        log.checkpoint(true, true).unwrap();
-        assert_eq!(log.state.lock().wal.segments.get(), 1, "the cursor's segment is gone");
+        log.state.lock().checkpoint(true, true).unwrap();
+        assert_eq!(log.state.lock().segments.get(), 1, "the cursor's segment is gone");
         drop(log);
         let log = open_log(&dir, None);
         assert!(log.replay().is_empty());
@@ -1859,35 +1861,35 @@ mod tests {
     #[test]
     fn replay_holds_rotation_and_truncation_back_and_then_rotates_once() {
         let dir = TempDir::new();
-        let l1 = commit_through(&open_log(&dir, None), 1);
+        let l1 = commit_one(&open_log(&dir, None), 1);
         let log = open_log(&dir, None);
         assert_eq!(log.replay().iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1]);
-        log.checkpoint(true, true).unwrap();
-        log.checkpoint(true, false).unwrap();
+        log.state.lock().checkpoint(true, true).unwrap();
+        log.state.lock().checkpoint(true, false).unwrap();
         assert_eq!(segment_files(dir.path()).len(), 1, "no rotation while replaying");
         log.replayed().unwrap();
         // the one rotation owed, and the truncation of the segment it closed
         let s = log.state.lock();
-        assert!(s.wal.active.base > l1);
-        assert_eq!((s.wal.segments.get(), segment_files(dir.path()).len()), (1, 1));
+        assert!(s.active.base > l1);
+        assert_eq!((s.segments.get(), segment_files(dir.path()).len()), (1, 1));
     }
 
     #[test]
     fn segments_older_than_a_gap_were_already_let_go() {
         let dir = TempDir::new();
-        let (mut wal, _) = recover(&dir, None);
-        commit_one(&mut wal, 1);
-        wal.rotate().unwrap();
-        commit_one(&mut wal, 2);
-        wal.rotate().unwrap();
-        let l3 = commit_one(&mut wal, 3);
-        let middle = wal.closed[1].1.clone();
-        drop(wal);
+        let (log, _) = recover(&dir, None);
+        commit_one(&log, 1);
+        log.state.lock().rotate().unwrap();
+        commit_one(&log, 2);
+        log.state.lock().rotate().unwrap();
+        let l3 = commit_one(&log, 3);
+        let middle = log.state.lock().closed[1].1.clone();
+        drop(log);
         // an unlink that reached the disk ahead of an older one
         std::fs::remove_file(middle).unwrap();
-        let (wal, ops) = recover(&dir, None);
+        let (log, ops) = recover(&dir, None);
         assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l3]);
-        assert_eq!(wal.segments.get(), 1);
+        assert_eq!(log.state.lock().segments.get(), 1);
         assert_eq!(segment_files(dir.path()).len(), 1, "the stranded segment is unlinked");
     }
 
@@ -1897,18 +1899,18 @@ mod tests {
         // of the atomic publish (write, fsync, rename, directory fsync)
         for crash_at in 0..5u64 {
             let dir = TempDir::new();
-            let (mut wal, _) = recover(&dir, None);
-            let l1 = commit_one(&mut wal, 1);
-            drop(wal);
+            let (log, _) = recover(&dir, None);
+            let l1 = commit_one(&log, 1);
+            drop(log);
             let inj = FaultInjector::crash_after(3, crash_at);
-            let (mut wal, _) = recover(&dir, Some(inj.clone()));
-            assert!(wal.rotate().is_err(), "crash_at={crash_at}");
+            let (log, _) = recover(&dir, Some(inj.clone()));
+            assert!(log.state.lock().rotate().is_err(), "crash_at={crash_at}");
             assert!(inj.crashed());
-            drop(wal);
-            let (mut wal, ops) = recover(&dir, None);
+            drop(log);
+            let (log, ops) = recover(&dir, None);
             assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1], "crash_at={crash_at}");
-            let l2 = commit_one(&mut wal, 2);
-            drop(wal);
+            let l2 = commit_one(&log, 2);
+            drop(log);
             let (_, ops) = recover(&dir, None);
             assert_eq!(ops.iter().map(|op| op.lsn).collect::<Vec<_>>(), [l1, l2]);
         }

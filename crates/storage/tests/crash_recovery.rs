@@ -9,10 +9,8 @@ use asterix_storage::faults::{FaultConfig, FaultEvent, FaultInjector};
 use asterix_storage::io::{FileManager, PAGE_SIZE};
 use asterix_storage::stats::IoStats;
 use asterix_storage::cache::BufferCache;
-use asterix_storage::lsm::{sweep_unreferenced, LsmConfig, LsmTree, MergePolicy};
-use asterix_storage::wal::{
-    analyze, read_log, valid_prefix_len, Lsn, SegmentedWal, WalRecord, WalWriter,
-};
+use asterix_storage::lsm::{join, sweep_unreferenced, LsmConfig, LsmTree, MergePolicy};
+use asterix_storage::wal::{analyze, read_log, valid_prefix_len, LogPin, Lsn, NodeLog, WalRecord, WalWriter};
 use asterix_storage::StorageError;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -273,16 +271,18 @@ fn short_writes_are_transient_and_retryable() {
 // A log and a tree together: the durability protocol at its crash points
 // ---------------------------------------------------------------------------
 
-/// One LSM tree under one segmented log, driven the way a dataset partition
-/// drives its primary index: log, stamp, apply; sync the commit; release;
-/// rotate the log when the tree seals, truncate it when the tree flushes.
+/// One LSM tree under one node log, driven the way a dataset partition
+/// drives its primary index, through the calls a partition makes: log,
+/// stamp, apply and settle through the log; commit; finish and release, and
+/// settle again. The log rotates and truncates as [`NodeLog::settle`] asks.
 struct Engine {
-    tree: LsmTree,
-    wal: SegmentedWal,
+    /// The tree, alone in the group the log settles.
+    indexes: Vec<LsmTree>,
+    log: NodeLog,
+    /// Where the tree publishes its oldest unflushed LSN to the log.
+    pin: LogPin,
     /// The node's counters: the tree's and the log's.
     io: Arc<IoStats>,
-    seals: u64,
-    flushes: u64,
 }
 
 type Kv = BTreeMap<i64, String>;
@@ -292,43 +292,48 @@ fn int_key(k: i64) -> Vec<u8> {
 }
 
 impl Engine {
-    /// Opens (recovers) the engine under `dir`: sweep, attach the manifest's
-    /// components, re-apply the committed log tail no component covers.
+    /// Opens (recovers) the engine under `dir`: sweep, open the log, attach
+    /// the manifest's components, re-apply the committed log tail no
+    /// component covers.
     fn open(dir: &Path, faults: Option<Arc<FaultInjector>>) -> asterix_storage::Result<Engine> {
         sweep_unreferenced(dir)?;
         let io = IoStats::new();
         let fm = FileManager::with_faults(dir, Arc::clone(&io), faults.clone())?;
+        let log = NodeLog::open(dir, "node", faults, io.registry())?;
         let config = LsmConfig {
             mem_budget: 400,
             merge_policy: MergePolicy::Constant { max_components: 2 },
             ..LsmConfig::new("kv")
         };
-        let mut tree = LsmTree::reopen(BufferCache::new(fm, 64), config)?;
-        let (wal, ops) = SegmentedWal::recover(dir, "node", faults, io.registry())?;
-        for op in ops {
-            if op.lsn < tree.flushed_below() {
-                continue;
-            }
-            tree.stamp(op.lsn, None);
-            if op.is_delete {
-                tree.delete(op.key)?;
-            } else {
-                tree.upsert(op.key, op.value)?;
+        let mut e = Engine { indexes: Vec::new(), pin: log.pin("kv"), log, io };
+        join(&mut e.indexes, 0, LsmTree::reopen(BufferCache::new(fm, 64), config)?);
+        for op in e.log.replay() {
+            if op.lsn >= e.indexes[0].flushed_below() {
+                e.apply(op.lsn, None, op.key, (!op.is_delete).then_some(op.value))?;
             }
         }
-        let stats = tree.stats();
-        Ok(Engine { tree, wal, io, seals: stats.seals, flushes: stats.flushes })
+        e.log.replayed()?;
+        Ok(e)
     }
 
-    fn keep_log_up(&mut self) -> asterix_storage::Result<()> {
-        let stats = self.tree.stats();
-        if std::mem::replace(&mut self.seals, stats.seals) != stats.seals {
-            self.wal.rotate()?;
-        }
-        if std::mem::replace(&mut self.flushes, stats.flushes) != stats.flushes {
-            self.wal.truncate_below(self.tree.first_unflushed().unwrap_or(Lsn::MAX))?;
-        }
-        Ok(())
+    /// Applies the log record at `lsn` by `writer` (`None`: replayed) — the
+    /// put of `value` or, `None`, the delete of `key` — and settles.
+    fn apply(&mut self, lsn: Lsn, writer: Option<u64>, key: Vec<u8>, value: Option<Vec<u8>>) -> asterix_storage::Result<()> {
+        let tree = &mut self.indexes[0];
+        tree.stamp(lsn, writer);
+        let applied = match value {
+            Some(value) => tree.upsert(key, value),
+            None => tree.delete(key),
+        };
+        self.settle(applied)
+    }
+
+    /// Settles through the log after an operation that `applied` or not. A
+    /// failed upkeep fails this call: a partition reports it on its next
+    /// call instead, and the workload stops at the first failure either way.
+    fn settle(&mut self, applied: asterix_storage::Result<()>) -> asterix_storage::Result<()> {
+        let (applied, upkeep) = self.log.settle(&mut self.indexes, false, &self.pin, applied);
+        applied.and(upkeep)
     }
 
     /// Logs and applies `writes` (`None` deletes) as transaction `txn`,
@@ -336,32 +341,26 @@ impl Engine {
     fn write(&mut self, txn: u64, writes: &[(i64, Option<String>)]) -> asterix_storage::Result<()> {
         for (k, v) in writes {
             let value = v.as_ref().map(|v| v.as_bytes());
-            let lsn = self.wal.append_write(txn, 7, 0, &int_key(*k), value)?;
-            self.tree.stamp(lsn, Some(txn));
-            match v {
-                Some(v) => self.tree.upsert(int_key(*k), v.clone().into_bytes())?,
-                None => self.tree.delete(int_key(*k))?,
-            }
-            self.keep_log_up()?;
+            let lsn = self.log.append_write(txn, 7, 0, &int_key(*k), value)?;
+            self.apply(lsn, Some(txn), int_key(*k), v.clone().map(String::into_bytes))?;
         }
         Ok(())
     }
 
     /// Makes `txn` durable. `Err` leaves it indeterminate.
     fn commit(&mut self, txn: u64) -> asterix_storage::Result<()> {
-        self.wal.append(&WalRecord::Commit { txn_id: txn })?;
-        self.wal.sync()
+        self.log.commit(txn, &[])
     }
 
     /// `txn` is durable: what it wrote may be flushed.
     fn finish(&mut self, txn: u64) -> asterix_storage::Result<()> {
-        self.wal.finish_txn(txn, true);
-        self.tree.release(txn)?;
-        self.keep_log_up()
+        self.log.finish_txn(txn, true);
+        let released = self.indexes[0].release(txn);
+        self.settle(released)
     }
 
     fn state(&self) -> Kv {
-        self.tree
+        self.indexes[0]
             .scan()
             .unwrap()
             .into_iter()
@@ -461,17 +460,21 @@ fn log_tail_stays_bounded_by_what_is_unflushed() {
     let mut e = Engine::open(dir.path(), None).unwrap();
     let (confirmed, _) = run_txns(&mut e, 1, 200, Kv::new());
     let node = e.io.registry().snapshot();
-    assert!(e.tree.stats().flushes > 10, "the workload must flush often");
-    let segments = node.gauge("storage.wal.segments").unwrap();
-    assert!(segments <= 2, "{segments} segments");
-    assert!(node.counter("storage.wal.truncated_bytes").unwrap() > 0);
+    assert!(e.indexes[0].stats().flushes > 10, "the workload must flush often");
     drop(e);
-    let log_bytes: u64 = std::fs::read_dir(dir.path())
+    let log_files: Vec<_> = std::fs::read_dir(dir.path())
         .unwrap()
         .map(|f| f.unwrap())
         .filter(|f| f.file_name().to_string_lossy().ends_with(".wal"))
-        .map(|f| f.metadata().unwrap().len())
-        .sum();
+        .collect();
+    // every segment but the first begins at a rotation, and the first is gone
+    let segments = node.gauge("storage.wal.segments").unwrap();
+    assert_eq!(segments, log_files.len() as i64);
+    let first = format!("node-{:020}.wal", 0);
+    assert!(log_files.iter().all(|f| f.file_name() != first.as_str()), "the workload must rotate the log");
+    assert!(node.counter("storage.wal.truncated_bytes").unwrap() > 0, "the workload must truncate the log");
+    assert!(segments <= 2, "{segments} segments");
+    let log_bytes: u64 = log_files.iter().map(|f| f.metadata().unwrap().len()).sum();
     assert!(log_bytes < 4_000, "200 transactions of history left {log_bytes} log bytes");
     assert_eq!(Engine::open(dir.path(), None).unwrap().state(), confirmed);
 }
